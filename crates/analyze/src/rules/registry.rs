@@ -39,8 +39,12 @@ impl ManifestEntry {
     fn expected_fns(&self) -> Vec<(String, String)> {
         let mut fns = Vec::new();
         let ndim = self.cdim + self.vdim;
+        // Batched kernels have two entry points around one shared body:
+        // the portable `_b4` and the x86-64 `_b4_avx2` (dispatch selects
+        // at run time; a registry row names both).
         fns.push((self.vol.clone(), self.vol.clone()));
         fns.push((self.vol.clone(), format!("{}_b4", self.vol)));
+        fns.push((self.vol.clone(), format!("{}_b4_avx2", self.vol)));
         for d in 0..ndim {
             let suffix = if d < self.cdim {
                 format!("_x{d}")
@@ -49,6 +53,7 @@ impl ManifestEntry {
             };
             fns.push((self.surf.clone(), format!("{}{suffix}", self.surf)));
             fns.push((self.surf.clone(), format!("{}{suffix}_b4", self.surf)));
+            fns.push((self.surf.clone(), format!("{}{suffix}_b4_avx2", self.surf)));
         }
         fns.push((self.mom.clone(), format!("{}_m0", self.mom)));
         for j in 0..self.vdim {

@@ -173,10 +173,15 @@ fn registry_fires_on_seeded_fixture_dir() {
             "registry_bad/stale_artifact.rs",
             "orphan generated artifact",
         ),
-        // 6. surf artifact exists but lacks one expected kernel fn
+        // 6. surf artifact exists but lacks both batched entry points of
+        //    one direction (the portable one and its AVX2 twin)
         (
             "registry_bad/demo_surf_1x1v_p1.rs",
-            "demo_surf_1x1v_p1_v0_b4",
+            "`pub fn demo_surf_1x1v_p1_v0_b4`",
+        ),
+        (
+            "registry_bad/demo_surf_1x1v_p1.rs",
+            "`pub fn demo_surf_1x1v_p1_v0_b4_avx2`",
         ),
     ];
     for (file, frag) in expect {
@@ -185,6 +190,13 @@ fn registry_fires_on_seeded_fixture_dir() {
                 .iter()
                 .any(|d| d.file == file && d.message.contains(frag)),
             "missing diagnostic for {file} containing `{frag}`: {diags:?}"
+        );
+    }
+    // Entry points the fixture does define must not be reported.
+    for present in ["demo_vol_1x1v_p1_b4_avx2", "demo_surf_1x1v_p1_x0_b4_avx2"] {
+        assert!(
+            !diags.iter().any(|d| d.message.contains(present)),
+            "`{present}` is defined but was reported: {diags:?}"
         );
     }
 }

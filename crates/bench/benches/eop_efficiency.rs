@@ -104,9 +104,11 @@ fn main() {
     let t_with_lbo = t0.elapsed().as_secs_f64() / reps as f64;
     let eop_lbo = dofs / t_with_lbo;
 
+    let entry_points = sys.vlasov.op_report().path.tag();
     println!("{:<44}{:>14}", "quantity", "value");
     println!("{:-<58}", "");
     println!("{:<44}{:>14}", "DOFs (cells x Np)", dofs as u64);
+    println!("{:<40}{:>18}", "kernel entry points", entry_points);
     println!("{:<44}{:>14.3e}", "collisionless Eop (DOF/s/core)", eop);
     println!(
         "{:<44}{:>14.3e}",
@@ -157,7 +159,8 @@ fn main() {
                 .int("poly_order", 2)
                 .int("conf_cells_per_dim", nx as u64)
                 .int("vel_cells_per_dim", nv as u64)
-                .int("dofs", dofs as u64),
+                .int("dofs", dofs as u64)
+                .str("kernel_entry_points", entry_points),
         )
         .num("eop_collisionless_dof_per_s_per_core", eop)
         .num("eop_collisionless_dof_per_s_telemetry", eop_tel)

@@ -39,8 +39,8 @@
 use dg_grid::{Bc, CellStoreMut, DgField, DimBc, PhaseGrid};
 use dg_kernels::accel::VelGeom;
 use dg_kernels::dispatch::{
-    CellLanes, DispatchPath, KernelDispatch, ResolvedSurfaceDir, ResolvedVolume,
-    SurfaceKernelBatchFn, SurfaceKernelFn, LANES,
+    CellLanes, DispatchPath, KernelDispatch, ResolvedSurfaceDir, ResolvedVolume, SurfaceBatch,
+    SurfaceKernelFn, LANES,
 };
 use dg_kernels::ops::OpReport;
 use dg_kernels::surface::FaceScratch;
@@ -193,6 +193,22 @@ impl VlasovWorkspace {
     }
 }
 
+/// Copy one cell's coefficients into lane `lane` of an SoA panel.
+#[inline]
+fn pack_lane(panel: &mut [CellLanes], lane: usize, cell: &[f64]) {
+    for (p, &c) in panel.iter_mut().zip(cell) {
+        p.0[lane] = c;
+    }
+}
+
+/// `cell += ` lane `lane` of an accumulation panel.
+#[inline]
+fn unpack_add_lane(cell: &mut [f64], panel: &[CellLanes], lane: usize) {
+    for (o, p) in cell.iter_mut().zip(panel) {
+        *o += p.0[lane];
+    }
+}
+
 /// The discrete Vlasov operator for one phase-space discretization (shared
 /// by all species on the same grid).
 #[derive(Clone, Debug)]
@@ -204,8 +220,16 @@ pub struct VlasovOp {
     vel_centers: Vec<[f64; 3]>,
     /// Padded velocity-cell widths.
     dv: [f64; 3],
-    /// Per velocity dim: linear indices of pencil bases (idx_j = 0).
+    /// Per velocity dim: linear indices of pencil bases (idx_j = 0) — the
+    /// runtime sparse path walks pencils, projecting `α̂` once per pencil.
     pencil_bases: Vec<Vec<u32>>,
+    /// Per velocity dim `j`: the lower cell (linear velocity index) of
+    /// every interior `v_j` face, face-index-major across pencils (all
+    /// pencils' face 0, then all pencils' face 1, …); the upper cell is
+    /// one `stride(j)` above. The committed-kernel sweep batches this list
+    /// [`LANES`] faces at a time, so panels fill across pencils instead of
+    /// along one (`n_j − 1` faces rarely divide by `LANES`).
+    vel_faces: Vec<Vec<u32>>,
     /// Volume-kernel path, resolved against the dispatch registry once at
     /// construction — the hot loop never branches per cell.
     volume_path: ResolvedVolume,
@@ -283,6 +307,14 @@ impl VlasovOp {
                 }
             }
         }
+        let vel_faces: Vec<Vec<u32>> = (0..vdim)
+            .map(|j| {
+                let stride = grid.vel.stride(j) as u32;
+                (0..grid.vel.cells()[j].saturating_sub(1) as u32)
+                    .flat_map(|i| pencil_bases[j].iter().map(move |&base| base + i * stride))
+                    .collect()
+            })
+            .collect();
         let volume_path = dispatch
             .resolve(
                 kernels.phase_basis.kind(),
@@ -353,6 +385,7 @@ impl VlasovOp {
             vel_centers,
             dv,
             pencil_bases,
+            vel_faces,
             volume_path,
             surface_paths,
             surface_path_tag,
@@ -425,7 +458,10 @@ impl VlasovOp {
         ws.probe.count(Counter::CellsSwept, swept);
         ws.probe.count(Counter::DofProcessed, swept * k.np() as u64);
         match self.volume_path {
-            ResolvedVolume::Generated(entry) => {
+            ResolvedVolume::Generated {
+                func: kernel,
+                batch,
+            } => {
                 // Committed unrolled kernel. Runs of LANES velocity cells
                 // of one configuration cell go through the SIMD-batched
                 // companion (SoA panels from workspace scratch — zeroed
@@ -439,8 +475,6 @@ impl VlasovOp {
                 // accumulation exactly. The EM cell slice is passed whole
                 // (the kernels read only the leading 6 × Nc E/B
                 // coefficients).
-                let kernel = entry.func;
-                let batch = entry.batch;
                 let np = k.np();
                 let nv_full = nv - nv % LANES;
                 let mut w = [0.0f64; MAX_DIM];
@@ -457,15 +491,10 @@ impl VlasovOp {
                             for j in 0..vdim {
                                 ws.panel_w[cdim + j].0[lane] = self.vel_centers[vlin][j];
                             }
-                            let fc = f.cell(clin * nv + vlin);
-                            for n in 0..np {
-                                ws.panel_f[n].0[lane] = fc[n];
-                            }
+                            pack_lane(&mut ws.panel_f[..np], lane, f.cell(clin * nv + vlin));
                         }
-                        for p in ws.panel_out[..np].iter_mut() {
-                            p.0.fill(0.0);
-                        }
-                        batch(
+                        ws.panel_out[..np].fill(CellLanes::default());
+                        batch.call(
                             &ws.panel_w[..ndim],
                             &self.dxv,
                             qm,
@@ -475,9 +504,7 @@ impl VlasovOp {
                         );
                         for lane in 0..LANES {
                             let oc = out.cell_mut(clin * nv + v0 + lane);
-                            for n in 0..np {
-                                oc[n] += ws.panel_out[n].0[lane];
-                            }
+                            unpack_add_lane(oc, &ws.panel_out[..np], lane);
                         }
                         v0 += LANES;
                     }
@@ -561,21 +588,23 @@ impl VlasovOp {
         }
     }
 
-    /// Committed-kernel variant of one configuration-direction face. The
-    /// common case — an interior face with both sides written — sends runs
-    /// of [`LANES`] velocity cells through the SIMD-batched kernel (SoA
-    /// panels from workspace scratch), the `nv % LANES` tail through the
-    /// scalar kernel. Each output coefficient receives exactly one
-    /// increment per face (one face mode per cell mode), so unpacking the
-    /// zeroed accumulation panels reproduces the scalar accumulation bit
-    /// for bit. One-sided writes and the single-cell periodic wrap stage
-    /// the discarded/aliased side in the workspace and stay scalar (the
-    /// kernels always compute both sides).
+    /// Committed-kernel variant of one configuration-direction face. Every
+    /// face between two distinct cells goes through the SIMD-batched kernel
+    /// in runs of [`LANES`] velocity cells (SoA panels from workspace
+    /// scratch); a final run shorter than `LANES` is a partial panel whose
+    /// spare lanes hold stale finite coefficients and are never unpacked.
+    /// Each output coefficient receives exactly one increment per face (one
+    /// face mode per cell mode), so unpacking the zeroed accumulation
+    /// panels reproduces the scalar accumulation bit for bit. The kernels
+    /// always compute both sides; a one-sided face (a block or rank edge)
+    /// unpacks only the side it owns — the other cell may lie outside
+    /// `out`. Only the single-cell periodic wrap, whose two sides alias,
+    /// stays on the scalar kernel, staged in the workspace.
     #[allow(clippy::too_many_arguments)]
     fn surface_config_face_gen<S: CellStoreMut>(
         &self,
         kernel: SurfaceKernelFn,
-        batch: SurfaceKernelBatchFn,
+        batch: SurfaceBatch,
         f: &DgField,
         out: &mut S,
         ws: &mut VlasovWorkspace,
@@ -595,67 +624,14 @@ impl VlasovOp {
         let penalty = self.flux != FluxKind::Central;
         let mut w = [0.0f64; MAX_DIM];
         w[..cdim].copy_from_slice(&self.conf_centers[clo * cdim..][..cdim]);
-        let scalar_from = if clo != chi && write_lo && write_hi {
-            let nv_full = nv - nv % LANES;
-            for d in 0..cdim {
-                ws.panel_w[d].0.fill(w[d]);
-            }
-            let mut v0 = 0;
-            while v0 < nv_full {
-                for lane in 0..LANES {
-                    let vlin = v0 + lane;
-                    for j in 0..vdim {
-                        ws.panel_w[cdim + j].0[lane] = self.vel_centers[vlin][j];
-                    }
-                    let fl = f.cell(clo * nv + vlin);
-                    let fh = f.cell(chi * nv + vlin);
-                    for n in 0..np {
-                        ws.panel_f[n].0[lane] = fl[n];
-                        ws.panel_f2[n].0[lane] = fh[n];
-                    }
-                }
-                for p in ws.panel_out[..np].iter_mut() {
-                    p.0.fill(0.0);
-                }
-                for p in ws.panel_out2[..np].iter_mut() {
-                    p.0.fill(0.0);
-                }
-                // Streaming kernels never read `qm`/`em` (α̂ = v_d).
-                batch(
-                    &ws.panel_w[..ndim],
-                    &self.dxv,
-                    0.0,
-                    &[],
-                    penalty,
-                    &ws.panel_f[..np],
-                    &ws.panel_f2[..np],
-                    &mut ws.panel_out[..np],
-                    &mut ws.panel_out2[..np],
-                );
-                for lane in 0..LANES {
-                    let vlin = v0 + lane;
-                    let (a, b) = out.cell_pair_mut(clo * nv + vlin, chi * nv + vlin);
-                    for n in 0..np {
-                        a[n] += ws.panel_out[n].0[lane];
-                        b[n] += ws.panel_out2[n].0[lane];
-                    }
-                }
-                v0 += LANES;
-            }
-            nv_full
-        } else {
-            0
-        };
-        for vlin in scalar_from..nv {
-            w[cdim..ndim].copy_from_slice(&self.vel_centers[vlin][..vdim]);
-            let lo_cell = clo * nv + vlin;
-            let hi_cell = chi * nv + vlin;
-            let f_lo = f.cell(lo_cell);
-            let f_hi = f.cell(hi_cell);
-            // Streaming kernels never read `qm`/`em` (α̂ = v_d).
-            if lo_cell == hi_cell {
-                // Single-cell periodic direction: both sides are the same
-                // cell; stage and accumulate sequentially.
+        // Streaming kernels never read `qm`/`em` (α̂ = v_d).
+        if clo == chi {
+            // Single-cell periodic direction: both sides are the same
+            // cell; stage and accumulate sequentially.
+            for vlin in 0..nv {
+                w[cdim..ndim].copy_from_slice(&self.vel_centers[vlin][..vdim]);
+                let cell = clo * nv + vlin;
+                let fc = f.cell(cell);
                 ws.tmp_lo[..np].fill(0.0);
                 ws.tmp_hi[..np].fill(0.0);
                 kernel(
@@ -664,45 +640,52 @@ impl VlasovOp {
                     0.0,
                     &[],
                     penalty,
-                    f_lo,
-                    f_hi,
+                    fc,
+                    fc,
                     &mut ws.tmp_lo,
                     &mut ws.tmp_hi,
                 );
-                let oc = out.cell_mut(lo_cell);
+                let oc = out.cell_mut(cell);
                 for (o, (a, b)) in oc.iter_mut().zip(ws.tmp_lo.iter().zip(&ws.tmp_hi)) {
                     *o += a + b;
                 }
-                continue;
             }
-            match (write_lo, write_hi) {
-                (true, true) => {
-                    let (a, b) = out.cell_pair_mut(lo_cell, hi_cell);
-                    kernel(&w[..ndim], &self.dxv, 0.0, &[], penalty, f_lo, f_hi, a, b);
+            return;
+        }
+        for d in 0..cdim {
+            ws.panel_w[d].0.fill(w[d]);
+        }
+        for v0 in (0..nv).step_by(LANES) {
+            let lanes = LANES.min(nv - v0);
+            for lane in 0..lanes {
+                let vlin = v0 + lane;
+                for j in 0..vdim {
+                    ws.panel_w[cdim + j].0[lane] = self.vel_centers[vlin][j];
                 }
-                (true, false) => kernel(
-                    &w[..ndim],
-                    &self.dxv,
-                    0.0,
-                    &[],
-                    penalty,
-                    f_lo,
-                    f_hi,
-                    out.cell_mut(lo_cell),
-                    &mut ws.tmp_hi,
-                ),
-                (false, true) => kernel(
-                    &w[..ndim],
-                    &self.dxv,
-                    0.0,
-                    &[],
-                    penalty,
-                    f_lo,
-                    f_hi,
-                    &mut ws.tmp_lo,
-                    out.cell_mut(hi_cell),
-                ),
-                (false, false) => unreachable!(),
+                pack_lane(&mut ws.panel_f[..np], lane, f.cell(clo * nv + vlin));
+                pack_lane(&mut ws.panel_f2[..np], lane, f.cell(chi * nv + vlin));
+            }
+            ws.panel_out[..np].fill(CellLanes::default());
+            ws.panel_out2[..np].fill(CellLanes::default());
+            batch.call(
+                &ws.panel_w[..ndim],
+                &self.dxv,
+                0.0,
+                &[],
+                penalty,
+                &ws.panel_f[..np],
+                &ws.panel_f2[..np],
+                &mut ws.panel_out[..np],
+                &mut ws.panel_out2[..np],
+            );
+            for lane in 0..lanes {
+                let vlin = v0 + lane;
+                if write_lo {
+                    unpack_add_lane(out.cell_mut(clo * nv + vlin), &ws.panel_out[..np], lane);
+                }
+                if write_hi {
+                    unpack_add_lane(out.cell_mut(chi * nv + vlin), &ws.panel_out2[..np], lane);
+                }
             }
         }
     }
@@ -1029,11 +1012,7 @@ impl VlasovOp {
         let central = self.flux == FluxKind::Central;
         let penalty = !central;
         span!(ws.probe, Phase::Surface);
-        let mut faces_per_conf = 0u64;
-        for j in 0..vdim {
-            let n_j = self.grid.vel.cells()[j];
-            faces_per_conf += (nv / n_j * (n_j - 1)) as u64;
-        }
+        let faces_per_conf: u64 = self.vel_faces.iter().map(|v| v.len() as u64).sum();
         ws.probe.count(
             Counter::FacesSwept,
             conf_range.len() as u64 * faces_per_conf,
@@ -1043,93 +1022,58 @@ impl VlasovOp {
             for j in 0..vdim {
                 let dir = cdim + j;
                 let stride = self.grid.vel.stride(j);
-                let n_j = self.grid.vel.cells()[j];
                 match self.surface_paths[dir] {
-                    ResolvedSurfaceDir::Generated {
-                        func: kernel,
-                        batch,
-                    } => {
-                        // Committed unrolled kernel: runs of LANES
-                        // consecutive faces of a pencil go through the
-                        // SIMD-batched kernel, the tail through the scalar
-                        // one. Consecutive faces share a cell, so the
-                        // zeroed accumulation panels are unpacked
-                        // lane-by-lane in face order (lower side first,
-                        // then upper) — each side's unpack-add is the
-                        // single increment the scalar kernel would apply,
-                        // so the scalar accumulation order (and result) is
-                        // reproduced bit for bit. The inlined α̂ projection
-                        // reads only the transverse velocity centers, so it
-                        // is the same exact polynomial the runtime path
-                        // projects once per pencil.
+                    ResolvedSurfaceDir::Generated { batch, .. } => {
+                        // Committed unrolled kernel: the direction's
+                        // precomputed face list, LANES faces per panel
+                        // (the last panel may be partial — its spare lanes
+                        // hold stale finite data and are never unpacked).
+                        // The list runs face-index-major across pencils,
+                        // so a pencil's faces appear in ascending order
+                        // and every cell still receives its lower face's
+                        // increment before its upper face's. The zeroed
+                        // accumulation panels are unpacked lane by lane in
+                        // list order, each side's unpack-add being the
+                        // single increment the scalar kernel would apply —
+                        // so the result equals calling the scalar kernel
+                        // face by face in list order, and (per cell, the
+                        // same two increments in the same order) a
+                        // pencil-by-pencil sweep, bit for bit. The inlined
+                        // α̂ projection reads only the transverse velocity
+                        // centers, so it is the same exact polynomial the
+                        // runtime path projects once per pencil.
                         let np = k.np();
-                        let n_faces = n_j - 1;
-                        let faces_full = n_faces - n_faces % LANES;
-                        let mut w = [0.0f64; MAX_DIM];
-                        w[..cdim].copy_from_slice(&self.conf_centers[clin * cdim..][..cdim]);
                         for d in 0..cdim {
-                            ws.panel_w[d].0.fill(w[d]);
+                            ws.panel_w[d].0.fill(self.conf_centers[clin * cdim + d]);
                         }
-                        for &base in &self.pencil_bases[j] {
-                            let base = base as usize;
-                            let mut i0 = 0;
-                            while i0 < faces_full {
-                                for lane in 0..LANES {
-                                    let vlo = base + (i0 + lane) * stride;
-                                    for jj in 0..vdim {
-                                        ws.panel_w[cdim + jj].0[lane] = self.vel_centers[vlo][jj];
-                                    }
-                                    let fl = f.cell(clin * nv + vlo);
-                                    let fh = f.cell(clin * nv + vlo + stride);
-                                    for n in 0..np {
-                                        ws.panel_f[n].0[lane] = fl[n];
-                                        ws.panel_f2[n].0[lane] = fh[n];
-                                    }
+                        for faces in self.vel_faces[j].chunks(LANES) {
+                            for (lane, &vlo) in faces.iter().enumerate() {
+                                let vlo = vlo as usize;
+                                for jj in 0..vdim {
+                                    ws.panel_w[cdim + jj].0[lane] = self.vel_centers[vlo][jj];
                                 }
-                                for p in ws.panel_out[..np].iter_mut() {
-                                    p.0.fill(0.0);
-                                }
-                                for p in ws.panel_out2[..np].iter_mut() {
-                                    p.0.fill(0.0);
-                                }
-                                batch(
-                                    &ws.panel_w[..ndim],
-                                    &self.dxv,
-                                    qm,
-                                    em_cell,
-                                    penalty,
-                                    &ws.panel_f[..np],
-                                    &ws.panel_f2[..np],
-                                    &mut ws.panel_out[..np],
-                                    &mut ws.panel_out2[..np],
-                                );
-                                for lane in 0..LANES {
-                                    let lo_cell = clin * nv + base + (i0 + lane) * stride;
-                                    let (o_lo, o_hi) = out.cell_pair_mut(lo_cell, lo_cell + stride);
-                                    for n in 0..np {
-                                        o_lo[n] += ws.panel_out[n].0[lane];
-                                        o_hi[n] += ws.panel_out2[n].0[lane];
-                                    }
-                                }
-                                i0 += LANES;
-                            }
-                            for i in faces_full..n_faces {
-                                let vlo = base + i * stride;
-                                w[cdim..ndim].copy_from_slice(&self.vel_centers[vlo][..vdim]);
                                 let lo_cell = clin * nv + vlo;
-                                let hi_cell = lo_cell + stride;
-                                let (o_lo, o_hi) = out.cell_pair_mut(lo_cell, hi_cell);
-                                kernel(
-                                    &w[..ndim],
-                                    &self.dxv,
-                                    qm,
-                                    em_cell,
-                                    penalty,
-                                    f.cell(lo_cell),
-                                    f.cell(hi_cell),
-                                    o_lo,
-                                    o_hi,
-                                );
+                                pack_lane(&mut ws.panel_f[..np], lane, f.cell(lo_cell));
+                                pack_lane(&mut ws.panel_f2[..np], lane, f.cell(lo_cell + stride));
+                            }
+                            ws.panel_out[..np].fill(CellLanes::default());
+                            ws.panel_out2[..np].fill(CellLanes::default());
+                            batch.call(
+                                &ws.panel_w[..ndim],
+                                &self.dxv,
+                                qm,
+                                em_cell,
+                                penalty,
+                                &ws.panel_f[..np],
+                                &ws.panel_f2[..np],
+                                &mut ws.panel_out[..np],
+                                &mut ws.panel_out2[..np],
+                            );
+                            for (lane, &vlo) in faces.iter().enumerate() {
+                                let lo_cell = clin * nv + vlo as usize;
+                                let (o_lo, o_hi) = out.cell_pair_mut(lo_cell, lo_cell + stride);
+                                unpack_add_lane(o_lo, &ws.panel_out[..np], lane);
+                                unpack_add_lane(o_hi, &ws.panel_out2[..np], lane);
                             }
                         }
                     }
@@ -1139,6 +1083,7 @@ impl VlasovOp {
                         let nf = surf.kernel.face.len();
                         let scale = 2.0 / vdx[j];
                         let proj = surf.face_accel.as_ref().expect("velocity face");
+                        let n_j = self.grid.vel.cells()[j];
                         for &base in &self.pencil_bases[j] {
                             let base = base as usize;
                             // α̂ cannot depend on v_j, so one projection
@@ -1343,6 +1288,107 @@ mod tests {
                 total.abs() < 1e-12 * mag.max(1e-30) + 1e-13,
                 "nx={nx}: mass leak {total} (scale {mag})"
             );
+        }
+    }
+
+    #[test]
+    fn face_panel_schedule_matches_scalar_pencil_sweep_bitwise() {
+        // `surface_velocity` batches a face-index-major face list across
+        // pencils. The reference below is the sweep it replaced: the scalar
+        // committed kernels, pencil by pencil, faces ascending — built from
+        // the grid alone, not from the operator's face tables. Velocity
+        // grids are chosen to break a schedule: pencil counts that are not
+        // multiples of LANES, `n_j = 2` (one face per pencil), `n_j = 1`
+        // (no faces), fewer than LANES faces in a whole direction, one
+        // long pencil (1x1v, 63 faces), and 2x3v with 3×5×2.
+        // (poly order, configuration cells, velocity cells)
+        let cases: &[(usize, &[usize], &[usize])] = &[
+            (1, &[2], &[5, 3]),
+            (2, &[1], &[2, 7]),
+            (1, &[2], &[1, 6]),
+            (1, &[1], &[2, 2]),
+            (2, &[2], &[64]),
+            (1, &[2, 1], &[3, 5, 2]),
+        ];
+        for &(p, conf_cells, vel_cells) in cases {
+            let (cdim, vdim) = (conf_cells.len(), vel_cells.len());
+            let layout = PhaseLayout::new(cdim, vdim);
+            let kernels = kernels_for(BasisKind::Serendipity, layout, p);
+            let grid = PhaseGrid::new(
+                CartGrid::new(&vec![0.0; cdim], &vec![1.0; cdim], conf_cells),
+                CartGrid::new(&vec![-3.0; vdim], &vec![3.0; vdim], vel_cells),
+                vec![Bc::Periodic; cdim],
+            );
+            let (np, nv, nconf) = (kernels.np(), grid.vel.len(), grid.conf.len());
+            let mut f = DgField::zeros(nconf * nv, np);
+            for (i, v) in f.as_mut_slice().iter_mut().enumerate() {
+                *v = ((i * 37 % 101) as f64 - 50.0) * 1e-2;
+            }
+            let mut em = DgField::zeros(nconf, NCOMP * kernels.nc());
+            for (i, v) in em.as_mut_slice().iter_mut().enumerate() {
+                *v = ((i * 13 % 17) as f64 - 8.0) * 0.1;
+            }
+            // Non-zero starting increments, so the order in which a cell
+            // receives its two face contributions shows in the bits.
+            let mut start = DgField::zeros(nconf * nv, np);
+            for (i, v) in start.as_mut_slice().iter_mut().enumerate() {
+                *v = ((i * 29 % 53) as f64 - 26.0) * 0.3;
+            }
+            for flux in [FluxKind::Upwind, FluxKind::Central] {
+                let op = VlasovOp::with_dispatch(
+                    Arc::clone(&kernels),
+                    grid.clone(),
+                    flux,
+                    KernelDispatch::Generated,
+                );
+                let qm = -1.5;
+                let mut got = start.clone();
+                let mut ws = VlasovWorkspace::for_kernels(&kernels);
+                op.surface_velocity(qm, &f, &em, &mut got, &mut ws, 0..nconf);
+
+                let entry =
+                    dg_kernels::dispatch::find_surface_kernel(BasisKind::Serendipity, layout, p)
+                        .expect("case is in the registry");
+                let mut want = start.clone();
+                let mut vidx = vec![0usize; vdim];
+                let mut w = vec![0.0; cdim + vdim];
+                for clin in 0..nconf {
+                    w[..cdim].copy_from_slice(&op.conf_centers[clin * cdim..][..cdim]);
+                    for j in 0..vdim {
+                        let stride = grid.vel.stride(j);
+                        for base in 0..nv {
+                            grid.vel.delinearize(base, &mut vidx);
+                            if vidx[j] != 0 {
+                                continue;
+                            }
+                            for i in 0..vel_cells[j] - 1 {
+                                let vlo = base + i * stride;
+                                w[cdim..].copy_from_slice(&op.vel_centers[vlo][..vdim]);
+                                let lo_cell = clin * nv + vlo;
+                                let (o_lo, o_hi) = want.cell_pair_mut(lo_cell, lo_cell + stride);
+                                (entry.dirs[cdim + j])(
+                                    &w,
+                                    &op.dxv,
+                                    qm,
+                                    em.cell(clin),
+                                    flux != FluxKind::Central,
+                                    f.cell(lo_cell),
+                                    f.cell(lo_cell + stride),
+                                    o_lo,
+                                    o_hi,
+                                );
+                            }
+                        }
+                    }
+                }
+                for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                    assert!(
+                        a.to_bits() == b.to_bits(),
+                        "{cdim}x{vdim}v p{p} vel {vel_cells:?} {flux:?}: coefficient {i} \
+                         face-panel sweep {a} vs scalar pencil sweep {b}"
+                    );
+                }
+            }
         }
     }
 

@@ -366,7 +366,7 @@ pub fn generated_mod_source() -> String {
     let _ = writeln!(s, "use crate::dispatch::{{");
     let _ = writeln!(
         s,
-        "    ax4, sx4, CellLanes, KernelKey, LboKernelEntry, MomentKernelEntry, SurfaceKernelEntry,"
+        "    sx4, CellLanes, KernelKey, LboKernelEntry, MomentKernelEntry, SurfaceKernelEntry,"
     );
     let _ = writeln!(s, "    VolumeKernelEntry, LANES,");
     let _ = writeln!(s, "}};");
@@ -391,6 +391,8 @@ pub fn generated_mod_source() -> String {
         let _ = writeln!(s, "        name: \"{}\",", spec.fn_name());
         let _ = writeln!(s, "        func: {},", spec.fn_name());
         let _ = writeln!(s, "        batch: {}_b4,", spec.fn_name());
+        let _ = writeln!(s, "        #[cfg(target_arch = \"x86_64\")]");
+        let _ = writeln!(s, "        batch_avx2: {}_b4_avx2,", spec.fn_name());
         let _ = writeln!(s, "    }},");
     }
     let _ = writeln!(s, "];");
@@ -421,6 +423,9 @@ pub fn generated_mod_source() -> String {
         write_fn_array(&mut s, "dirs", &names);
         let batch_names: Vec<String> = names.iter().map(|n| format!("{n}_b4")).collect();
         write_fn_array(&mut s, "batch", &batch_names);
+        let avx2_names: Vec<String> = names.iter().map(|n| format!("{n}_b4_avx2")).collect();
+        let _ = writeln!(s, "        #[cfg(target_arch = \"x86_64\")]");
+        write_fn_array(&mut s, "batch_avx2", &avx2_names);
         let _ = writeln!(s, "    }},");
     }
     let _ = writeln!(s, "];");
@@ -610,6 +615,49 @@ pub fn volume_kernel_source(pk: &PhaseKernels, fn_name: &str) -> String {
     s
 }
 
+/// Emit the entry points of one batched kernel `name` (`<…>_b4`) and open
+/// its shared body, which the caller then fills with statements and
+/// closes. The body is written **once**, as a private `#[inline(always)]`
+/// function, and inlined into two thin entry points: the portable `name`
+/// and, on `x86_64` only, `name_avx2` carrying `#[target_feature(enable =
+/// "avx2")]` — so the compiler vectorizes the same statement stream for
+/// 256-bit registers without a second copy of the source. No `fma` feature
+/// is enabled and the body contains no `mul_add`, hence both compilations
+/// perform identical IEEE operations per lane and stay bit-identical
+/// (three-way proptest in `generated/tests.rs`). Which one runs is decided
+/// from the CPU alone by [`crate::dispatch::VolumeBatch`] /
+/// [`crate::dispatch::SurfaceBatch`].
+fn write_batch_entry_points(s: &mut String, name: &str, doc: &str, params: &str, args: &str) {
+    let _ = write!(s, "{doc}");
+    let _ = writeln!(s, "#[allow(clippy::all)]");
+    let _ = writeln!(s, "#[rustfmt::skip]");
+    let _ = writeln!(s, "pub fn {name}({params}) {{");
+    let _ = writeln!(s, "    {name}_body({args})");
+    let _ = writeln!(s, "}}");
+    let _ = writeln!(s);
+    let _ = writeln!(
+        s,
+        "/// [`{name}`] compiled for AVX2: the same body, bit-identical per lane."
+    );
+    let _ = writeln!(
+        s,
+        "/// Reach it through `crate::dispatch`, which checks the CPU first."
+    );
+    let _ = writeln!(s, "#[cfg(target_arch = \"x86_64\")]");
+    let _ = writeln!(s, "#[target_feature(enable = \"avx2\")]");
+    let _ = writeln!(s, "#[allow(clippy::all)]");
+    let _ = writeln!(s, "#[rustfmt::skip]");
+    let _ = writeln!(s, "pub fn {name}_avx2({params}) {{");
+    let _ = writeln!(s, "    {name}_body({args})");
+    let _ = writeln!(s, "}}");
+    let _ = writeln!(s);
+    let _ = writeln!(s, "/// Shared body of [`{name}`] and its AVX2 entry point.");
+    let _ = writeln!(s, "#[allow(clippy::all)]");
+    let _ = writeln!(s, "#[rustfmt::skip]");
+    let _ = writeln!(s, "#[inline(always)]");
+    let _ = writeln!(s, "fn {name}_body({params}) {{");
+}
+
 /// Emit the SIMD-batched volume kernel (`<fn_name>_b4`) for a kernel set,
 /// in the [`crate::dispatch::VolumeKernelBatchFn`] calling convention:
 /// the scalar kernel over a structure-of-arrays panel of `LANES` phase
@@ -618,79 +666,113 @@ pub fn volume_kernel_source(pk: &PhaseKernels, fn_name: &str) -> String {
 ///
 /// Every emitted statement performs, per lane, the *same* floating-point
 /// operations in the *same* association order as the corresponding scalar
-/// statement — `out[l] += c * a * f[n]` becomes `ax4(&mut out[l], c, &a,
-/// &f[n])` with the identical `(c * a) * f` grouping, and lane-constant
-/// scale factors are pre-multiplied exactly as the scalar kernel
-/// parenthesizes them. Batched results therefore match the scalar kernel
-/// bit for bit (asserted by proptest in `generated/tests.rs`), which is
-/// what lets dispatch mix batched panels and scalar remainders freely.
+/// statement — `out[l] += c * a * f[n]` becomes the same expression on
+/// lane `k` of each operand, inside a lane loop
+/// (`write_lane_accumulates`), with the identical `(c * a) * f` grouping;
+/// lane-constant scale factors are pre-multiplied exactly as the scalar
+/// kernel parenthesizes them. Batched results therefore match the scalar
+/// kernel bit for bit (asserted by proptest in `generated/tests.rs`),
+/// which is what lets dispatch mix batched panels and scalar remainders
+/// freely.
 pub fn volume_kernel_batch_source(pk: &PhaseKernels, fn_name: &str) -> String {
+    const VOL_PARAMS: &str =
+        "w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]";
+    const VOL_ARGS: &str = "w, dxv, qm, em, f, out";
     let layout = pk.layout;
     let (cdim, vdim) = (layout.cdim, layout.vdim);
     let nc = pk.nc();
     let np = pk.np();
     let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "/// Batched volume kernel, {} p={} {} basis: [`{fn_name}`] over an SoA",
+    let doc = format!(
+        "/// Batched volume kernel, {} p={} {} basis: [`{fn_name}`] over an SoA\n\
+         /// panel of `LANES` cells sharing one configuration cell, bit-identical\n\
+         /// per lane. Auto-generated from exact integral tables — do not edit by\n\
+         /// hand.\n",
         layout.tag(),
         pk.phase_basis.poly_order(),
         pk.phase_basis.kind()
     );
-    let _ = writeln!(
-        s,
-        "/// panel of `LANES` cells sharing one configuration cell, bit-identical"
-    );
-    let _ = writeln!(
-        s,
-        "/// per lane. Auto-generated from exact integral tables — do not edit by"
-    );
-    let _ = writeln!(s, "/// hand.");
-    let _ = writeln!(s, "#[allow(clippy::all)]");
-    let _ = writeln!(s, "#[rustfmt::skip]");
-    let _ = writeln!(
-        s,
-        "pub fn {fn_name}_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {{"
-    );
+    write_batch_entry_points(&mut s, &format!("{fn_name}_b4"), &doc, VOL_PARAMS, VOL_ARGS);
+    // The body only sequences one `#[inline(always)]` part per term
+    // (streaming direction, acceleration direction): rustc's borrow checker
+    // is quadratic in function size, and the 2x3v p2 body in one piece
+    // (6.5k lane statements) spent 40 s there against 4 s per part.
+    let mut parts = String::new();
+    let mut write_part =
+        |s: &mut String, part: &str, what: &str, sig: (&str, &str), stmts: &str| {
+            let (params, args) = sig;
+            let _ = writeln!(s, "    {fn_name}_b4_{part}({args});");
+            let _ = writeln!(parts);
+            let _ = writeln!(parts, "/// {what} term of [`{fn_name}_b4`].");
+            let _ = writeln!(parts, "#[allow(clippy::all)]");
+            let _ = writeln!(parts, "#[rustfmt::skip]");
+            let _ = writeln!(parts, "#[inline(always)]");
+            let _ = writeln!(parts, "fn {fn_name}_b4_{part}({params}) {{");
+            let _ = write!(parts, "{stmts}");
+            let _ = writeln!(parts, "}}");
+        };
 
     // Streaming terms: `a0` carries the per-lane cell center, `a1` is
     // lane-constant (cell sizes are one grid).
     for sv in &pk.streaming {
         let d = sv.dir;
         let vd = sv.vdim_of;
-        let _ = writeln!(s, "    // streaming: ∂/∂x{d} of (v{} f)", vd - cdim);
-        let _ = writeln!(s, "    let rd{d} = 2.0 / dxv[{d}];");
-        let _ = writeln!(s, "    let mut a0_{d} = CellLanes([0.0f64; LANES]);");
-        let _ = writeln!(s, "    for k in 0..LANES {{");
+        let mut p = String::new();
+        let _ = writeln!(p, "    let rd{d} = 2.0 / dxv[{d}];");
+        let _ = writeln!(p, "    let mut a0_{d} = CellLanes([0.0f64; LANES]);");
+        let _ = writeln!(p, "    for k in 0..LANES {{");
         let _ = writeln!(
-            s,
+            p,
             "        a0_{d}.0[k] = {:?} * w[{vd}].0[k] * rd{d};",
             sv.c0
         );
-        let _ = writeln!(s, "    }}");
-        let _ = writeln!(s, "    let a1_{d} = {:?} * 0.5 * dxv[{vd}] * rd{d};", sv.c1);
-        for &(l, n, c) in &sv.s0.entries {
-            let _ = writeln!(s, "    ax4(&mut out[{l}], {c:?}, &a0_{d}, &f[{n}]);");
-        }
+        let _ = writeln!(p, "    }}");
+        let _ = writeln!(p, "    let a1_{d} = {:?} * 0.5 * dxv[{vd}] * rd{d};", sv.c1);
+        let s0: Vec<(String, String)> = sv
+            .s0
+            .entries
+            .iter()
+            .map(|&(l, n, c)| {
+                (
+                    format!("out[{l}]"),
+                    format!("{c:?} * a0_{d}.0[k] * f[{n}].0[k]"),
+                )
+            })
+            .collect();
+        write_lane_accumulates(&mut p, &s0);
         for &(l, n, c) in &sv.s1.entries {
-            let _ = writeln!(s, "    sx4(&mut out[{l}], {c:?} * a1_{d}, &f[{n}]);");
+            let _ = writeln!(p, "    sx4(&mut out[{l}], {c:?} * a1_{d}, &f[{n}]);");
         }
+        write_part(
+            &mut s,
+            &format!("stream{d}"),
+            &format!("Streaming `∂/∂x{d} (v{} f)`", vd - cdim),
+            (
+                "w: &[CellLanes], dxv: &[f64], f: &[CellLanes], out: &mut [CellLanes]",
+                "w, dxv, f, out",
+            ),
+            &p,
+        );
     }
 
     // Acceleration terms: α_j assembled per lane (velocity coordinates
     // vary across the panel; E/B coefficients are lane-constant), then
-    // contracted with `ax4` in the scalar kernel's association order.
+    // contracted in the scalar kernel's association order.
     for j in 0..vdim {
         let pd = cdim + j;
         let proj = &pk.cell_accel[j];
-        let _ = writeln!(s, "    // acceleration: ∂/∂v{j} of (q/m (E + v×B)_{j} f)");
-        let _ = writeln!(s, "    let rv{j} = 2.0 / dxv[{pd}];");
+        let mut p = String::new();
+        let _ = writeln!(p, "    let rv{j} = 2.0 / dxv[{pd}];");
         let _ = writeln!(
-            s,
+            p,
             "    let mut alpha{j} = [CellLanes([0.0f64; LANES]); {np}];"
         );
-        let _ = writeln!(s, "    for k in 0..LANES {{");
         let terms: Vec<(usize, usize, f64)> = crate::codegen::cross_terms_pub(j, vdim);
+        if terms.is_empty() {
+            // 1V: no v×B cross terms, so the cell centers are never read.
+            let _ = writeln!(p, "    let _ = w;");
+        }
+        let _ = writeln!(p, "    for k in 0..LANES {{");
         for l in 0..nc {
             let mut center = format!("em[{}]", j * nc + l);
             for &(k, bc, sign) in &terms {
@@ -704,14 +786,14 @@ pub fn volume_kernel_batch_source(pk: &PhaseKernels, fn_name: &str) -> String {
             }
             let i0 = proj.emb0[l];
             let _ = writeln!(
-                s,
+                p,
                 "        alpha{j}[{i0}].0[k] += qm * {:?} * ({center});",
                 proj.w0
             );
             for &(k, bc, sign) in &terms {
                 if let Some(i1) = proj.emb1[k][l] {
                     let _ = writeln!(
-                        s,
+                        p,
                         "        alpha{j}[{i1}].0[k] += qm * {:?} * (0.5 * dxv[{}]) * em[{}];",
                         proj.w1 * sign,
                         cdim + k,
@@ -720,17 +802,52 @@ pub fn volume_kernel_batch_source(pk: &PhaseKernels, fn_name: &str) -> String {
                 }
             }
         }
-        let _ = writeln!(s, "    }}");
-        for e in pk.accel_vol[j].entries() {
-            let _ = writeln!(
-                s,
-                "    ax4(&mut out[{}], {:?} * rv{j}, &alpha{j}[{}], &f[{}]);",
-                e.l, e.coeff, e.m, e.n
-            );
-        }
+        let _ = writeln!(p, "    }}");
+        let contraction: Vec<(String, String)> = pk.accel_vol[j]
+            .entries()
+            .iter()
+            .map(|e| {
+                (
+                    format!("out[{}]", e.l),
+                    format!(
+                        "{:?} * rv{j} * alpha{j}[{}].0[k] * f[{}].0[k]",
+                        e.coeff, e.m, e.n
+                    ),
+                )
+            })
+            .collect();
+        write_lane_accumulates(&mut p, &contraction);
+        write_part(
+            &mut s,
+            &format!("accel{j}"),
+            &format!("Acceleration `∂/∂v{j} (q/m (E + v×B)_{j} f)`"),
+            (VOL_PARAMS, VOL_ARGS),
+            &p,
+        );
     }
     let _ = writeln!(s, "}}");
+    s.push_str(&parts);
     s
+}
+
+/// Write batched accumulates `target.0[k] += rhs` (`rhs` an expression in
+/// the lane index `k`), consecutive statements with the same target sharing
+/// one `for k in 0..LANES` loop. Per lane the statements run in the order
+/// given, so grouping changes no result; it changes what the compiler
+/// sees. A loop over a run of statements is vectorized as a unit — the
+/// target's lanes live in one register across the run — where thousands of
+/// one-statement lane loops were unrolled to scalars first and left the
+/// SLP vectorizer to rediscover the lanes, superlinearly in the size of the
+/// block: that search was most of the kernels crate's build time (2x3v p2
+/// volume body: 130 s of LLVM time, 5 s emitted this way).
+fn write_lane_accumulates(s: &mut String, terms: &[(String, String)]) {
+    for run in terms.chunk_by(|a, b| a.0 == b.0) {
+        let _ = writeln!(s, "    for k in 0..LANES {{");
+        for (target, rhs) in run {
+            let _ = writeln!(s, "        {target}.0[k] += {rhs};");
+        }
+        let _ = writeln!(s, "    }}");
+    }
 }
 
 /// Emit the surface kernels (one fully unrolled function per phase
@@ -928,15 +1045,14 @@ fn surface_kernel_batch_dir(pk: &PhaseKernels, spec: &KernelSpec, dir: usize) ->
     let is_conf = layout.is_config_dir(dir);
     let mut s = String::new();
     let _ = writeln!(s);
-    let _ = writeln!(
-        s,
-        "/// Batched companion of [`{fn_name}`]: `LANES` faces per call, bit-identical per lane."
-    );
-    let _ = writeln!(s, "#[allow(clippy::all)]");
-    let _ = writeln!(s, "#[rustfmt::skip]");
-    let _ = writeln!(
-        s,
-        "pub fn {fn_name}_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {{"
+    write_batch_entry_points(
+        &mut s,
+        &format!("{fn_name}_b4"),
+        &format!(
+            "/// Batched companion of [`{fn_name}`]: `LANES` faces per call, bit-identical per lane.\n"
+        ),
+        "w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]",
+        "w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi",
     );
     let _ = writeln!(s, "    let rd = 2.0 / dxv[{dir}];");
     let _ = writeln!(s, "    let mut alpha = [CellLanes([0.0f64; LANES]); {nf}];");
@@ -1044,13 +1160,19 @@ fn surface_kernel_batch_dir(pk: &PhaseKernels, spec: &KernelSpec, dir: usize) ->
         );
     }
     let _ = writeln!(s, "    }}");
-    for e in &surf.kernel.dmat.entries {
-        let _ = writeln!(
-            s,
-            "    ax4(&mut ghat[{}], {:?}, &alpha[{}], &favg[{}]);",
-            e.l, e.coeff, e.m, e.n
-        );
-    }
+    let flux: Vec<(String, String)> = surf
+        .kernel
+        .dmat
+        .entries
+        .iter()
+        .map(|e| {
+            (
+                format!("ghat[{}]", e.l),
+                format!("{:?} * alpha[{}].0[k] * favg[{}].0[k]", e.coeff, e.m, e.n),
+            )
+        })
+        .collect();
+    write_lane_accumulates(&mut s, &flux);
     for i in 0..np {
         let (a, v) = fb.trace_of(1, i);
         let _ = writeln!(s, "    sx4(&mut out_lo[{i}], -rd * {v:?}, &ghat[{a}]);");

@@ -25,6 +25,9 @@
 //! ([`KernelDispatch::resolve`] / [`KernelDispatch::resolve_surface`]); the
 //! hot loop then calls through the resolved [`ResolvedVolume`] /
 //! [`ResolvedSurfaceDir`] with zero per-cell (and per-face) branching.
+//! The same step picks, from the CPU alone, which compilation of the
+//! SIMD-batched `_b4` kernels the operator calls ([`BatchIsa`],
+//! [`VolumeBatch`], [`SurfaceBatch`]) — bit-identical either way.
 //!
 //! To add a configuration, extend [`crate::codegen::MANIFEST`] and rerun
 //! `cargo run -p dg-bench --bin gen_kernel` (see DESIGN.md, "Kernel
@@ -79,32 +82,27 @@ pub type SurfaceKernelFn = fn(
     out_hi: &mut [f64],
 );
 
-/// SIMD batch width of the batched volume kernels: four cells per panel
-/// (one 256-bit AVX2 register of `f64`, two NEON/SSE registers — wide
-/// enough to saturate common FMA pipes, small enough that velocity-grid
-/// remainders stay cheap).
+/// SIMD batch width of the batched (`_b4`) volume and surface kernels:
+/// four cells or faces per panel. Four `f64` fill one 256-bit register —
+/// the width the `_b4_avx2` entry points run at when the CPU has AVX2 (see
+/// [`BatchIsa`]) — and split into two 128-bit SSE2/NEON operations in the
+/// portable `_b4` entry points; small enough that velocity-grid remainders
+/// stay cheap.
 pub const LANES: usize = 4;
 
 /// One coefficient across [`LANES`] cells — the structure-of-arrays unit
-/// of the batched calling convention. The 64-byte alignment puts each
-/// lane group on its own cache line and lets the autovectorizer use
-/// aligned packed loads/stores.
+/// of the batched calling convention. Aligned to its own size (32 bytes),
+/// so a lane group is one aligned 256-bit load/store and panels carry no
+/// padding (the five `Np`-long workspace panels of 2x3v p2 are 17.5 KB,
+/// inside a 32 KB L1d with the kernel's temporaries).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-#[repr(align(64))]
+#[repr(align(32))]
 pub struct CellLanes(pub [f64; LANES]);
 
-/// `out[k] += c * a[k] * x[k]` over the four lanes — the batched kernels'
-/// fused accumulate (one multiply by a lane-constant coefficient, one
-/// per-lane coefficient, one per-lane operand). `#[inline(always)]` so the
-/// generated kernels stay straight-line code.
-#[inline(always)]
-pub fn ax4(out: &mut CellLanes, c: f64, a: &CellLanes, x: &CellLanes) {
-    for k in 0..LANES {
-        out.0[k] += c * a.0[k] * x.0[k];
-    }
-}
-
-/// `out[k] += c * x[k]` over the four lanes (lane-constant coefficient).
+/// `out[k] += c * x[k]` over the four lanes (lane-constant coefficient) —
+/// the batched kernels' one-off accumulate (traces, lifts); runs of
+/// accumulates into one target are emitted as explicit lane loops instead.
+/// `#[inline(always)]` so the generated kernels stay straight-line code.
 #[inline(always)]
 pub fn sx4(out: &mut CellLanes, c: f64, x: &CellLanes) {
     for k in 0..LANES {
@@ -136,6 +134,21 @@ pub fn sx4(out: &mut CellLanes, c: f64, x: &CellLanes) {
 pub type VolumeKernelBatchFn =
     fn(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]);
 
+/// A [`VolumeKernelBatchFn`] compiled with `#[target_feature(enable =
+/// "avx2")]` (`<name>_b4_avx2`): the same generated body, so the same
+/// statement stream per lane, at 256-bit width. Calling it on a CPU
+/// without AVX2 is undefined behaviour — go through [`VolumeBatch`], which
+/// also stores the portable entry point under this type (a safe `fn`
+/// coerces to it); only `x86_64` registries hold real `_b4_avx2` values.
+pub type VolumeKernelBatchAvx2Fn = unsafe fn(
+    w: &[CellLanes],
+    dxv: &[f64],
+    qm: f64,
+    em: &[f64],
+    f: &[CellLanes],
+    out: &mut [CellLanes],
+);
+
 /// Calling convention of a committed batched surface kernel: the scalar
 /// [`SurfaceKernelFn`] over an SoA panel of [`LANES`] faces that share one
 /// configuration cell (`em` lane-constant, the lower-cell centers `w` per
@@ -144,6 +157,21 @@ pub type VolumeKernelBatchFn =
 /// per-lane penalty speed `λ` — so batched and scalar calls may be mixed
 /// freely over a sweep, bit for bit (asserted in `generated/tests.rs`).
 pub type SurfaceKernelBatchFn = fn(
+    w: &[CellLanes],
+    dxv: &[f64],
+    qm: f64,
+    em: &[f64],
+    penalty: bool,
+    f_lo: &[CellLanes],
+    f_hi: &[CellLanes],
+    out_lo: &mut [CellLanes],
+    out_hi: &mut [CellLanes],
+);
+
+/// A [`SurfaceKernelBatchFn`] compiled with `#[target_feature(enable =
+/// "avx2")]` (`<dir name>_b4_avx2`); see [`VolumeKernelBatchAvx2Fn`]. Go
+/// through [`SurfaceBatch`].
+pub type SurfaceKernelBatchAvx2Fn = unsafe fn(
     w: &[CellLanes],
     dxv: &[f64],
     qm: f64,
@@ -241,6 +269,9 @@ pub struct VolumeKernelEntry {
     /// The SIMD-batched companion (`<name>_b4`): `func` over an SoA panel
     /// of [`LANES`] cells, bit-identical per lane.
     pub batch: VolumeKernelBatchFn,
+    /// `batch` compiled for AVX2 (`<name>_b4_avx2`), bit-identical again.
+    #[cfg(target_arch = "x86_64")]
+    pub batch_avx2: VolumeKernelBatchAvx2Fn,
 }
 
 /// One row of the committed surface-kernel registry: all per-direction
@@ -259,6 +290,9 @@ pub struct SurfaceKernelEntry {
     /// [`Self::dirs`]: each direction's kernel over an SoA panel of
     /// [`LANES`] faces, bit-identical per lane.
     pub batch: &'static [SurfaceKernelBatchFn],
+    /// `batch` compiled for AVX2 (`<dir name>_b4_avx2`), same order.
+    #[cfg(target_arch = "x86_64")]
+    pub batch_avx2: &'static [SurfaceKernelBatchAvx2Fn],
 }
 
 /// One row of the committed moment-kernel registry: the unrolled
@@ -377,12 +411,145 @@ pub enum DispatchPath {
 }
 
 impl DispatchPath {
-    /// Short human-readable tag for bench output.
+    /// Short human-readable tag for bench output. The generated path names
+    /// the `_b4` entry points this CPU selects (`generated/avx2` or
+    /// `generated/baseline`, see [`BatchIsa`]), so a recorded number says
+    /// which machine code produced it.
     pub fn tag(&self) -> &'static str {
-        match self {
-            DispatchPath::Generated => "generated",
-            DispatchPath::RuntimeSparse => "runtime-sparse",
+        match (self, BatchIsa::detect()) {
+            (DispatchPath::Generated, BatchIsa::Avx2) => "generated/avx2",
+            (DispatchPath::Generated, BatchIsa::Baseline) => "generated/baseline",
+            (DispatchPath::RuntimeSparse, _) => "runtime-sparse",
         }
+    }
+}
+
+/// Which compilation of the batched (`_b4`) kernels this CPU runs. The
+/// generator emits every `_b4` body once and wraps it in two entry points:
+/// the portable `<name>_b4` (baseline target features) and, on `x86_64`,
+/// `<name>_b4_avx2`. Neither enables `fma` and the body has no `mul_add`,
+/// so both execute the same IEEE operations in the same order per lane —
+/// the choice changes speed, never bits. The CPU is the only input: there
+/// is no option, feature or environment variable that selects the width.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BatchIsa {
+    /// The portable entry points: every non-`x86_64` target, and `x86_64`
+    /// CPUs without AVX2.
+    Baseline,
+    /// The `_b4_avx2` entry points (`x86_64` with AVX2 detected at run
+    /// time).
+    Avx2,
+}
+
+impl BatchIsa {
+    /// What this CPU runs (`std` caches the feature probe, so this is one
+    /// atomic load after the first call).
+    pub fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return BatchIsa::Avx2;
+        }
+        BatchIsa::Baseline
+    }
+}
+
+/// The batched volume entry point an operator calls: one of a registry
+/// row's `_b4` compilations, chosen for this CPU. The pointer is private
+/// and only the constructors below store one, each after the check its
+/// target features need — which is what makes [`VolumeBatch::call`] safe,
+/// and this type (with [`SurfaceBatch`]) the only caller of the
+/// `_b4_avx2` functions.
+#[derive(Clone, Copy, Debug)]
+pub struct VolumeBatch(VolumeKernelBatchAvx2Fn);
+
+impl VolumeBatch {
+    /// The entry point this CPU runs fastest: AVX2 when detected, else
+    /// the portable one.
+    pub fn select(entry: &VolumeKernelEntry) -> Self {
+        Self::avx2(entry).unwrap_or_else(|| Self::baseline(entry))
+    }
+
+    /// The portable `<name>_b4` entry point (no CPU requirement).
+    pub fn baseline(entry: &VolumeKernelEntry) -> Self {
+        VolumeBatch(entry.batch)
+    }
+
+    /// The `<name>_b4_avx2` entry point; `None` unless this is an `x86_64`
+    /// CPU with AVX2.
+    pub fn avx2(entry: &VolumeKernelEntry) -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if BatchIsa::detect() == BatchIsa::Avx2 {
+            return Some(VolumeBatch(entry.batch_avx2));
+        }
+        let _ = entry;
+        None
+    }
+
+    /// Run the batched kernel ([`VolumeKernelBatchFn`] convention).
+    #[inline]
+    pub fn call(
+        &self,
+        w: &[CellLanes],
+        dxv: &[f64],
+        qm: f64,
+        em: &[f64],
+        f: &[CellLanes],
+        out: &mut [CellLanes],
+    ) {
+        // SAFETY: the pointer is either a safe portable `_b4` function or a
+        // `_b4_avx2` one, and `Self::avx2` — the only place the latter is
+        // stored — does so only after `is_x86_feature_detected!("avx2")`
+        // returned true on this CPU. AVX2 is the function's only extra
+        // requirement; its arguments are ordinary checked slices.
+        unsafe { (self.0)(w, dxv, qm, em, f, out) }
+    }
+}
+
+/// The batched surface entry point of one face direction, chosen for this
+/// CPU; the surface twin of [`VolumeBatch`], with the same invariant.
+#[derive(Clone, Copy, Debug)]
+pub struct SurfaceBatch(SurfaceKernelBatchAvx2Fn);
+
+impl SurfaceBatch {
+    /// The entry point of direction `dir` this CPU runs fastest.
+    pub fn select(entry: &SurfaceKernelEntry, dir: usize) -> Self {
+        Self::avx2(entry, dir).unwrap_or_else(|| Self::baseline(entry, dir))
+    }
+
+    /// The portable `<dir name>_b4` entry point (no CPU requirement).
+    pub fn baseline(entry: &SurfaceKernelEntry, dir: usize) -> Self {
+        SurfaceBatch(entry.batch[dir])
+    }
+
+    /// The `<dir name>_b4_avx2` entry point; `None` unless this is an
+    /// `x86_64` CPU with AVX2.
+    pub fn avx2(entry: &SurfaceKernelEntry, dir: usize) -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if BatchIsa::detect() == BatchIsa::Avx2 {
+            return Some(SurfaceBatch(entry.batch_avx2[dir]));
+        }
+        let _ = (entry, dir);
+        None
+    }
+
+    /// Run the batched kernel ([`SurfaceKernelBatchFn`] convention).
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn call(
+        &self,
+        w: &[CellLanes],
+        dxv: &[f64],
+        qm: f64,
+        em: &[f64],
+        penalty: bool,
+        f_lo: &[CellLanes],
+        f_hi: &[CellLanes],
+        out_lo: &mut [CellLanes],
+        out_hi: &mut [CellLanes],
+    ) {
+        // SAFETY: as for `VolumeBatch::call` — a `_b4_avx2` pointer is only
+        // ever stored by `Self::avx2`, after the runtime AVX2 check.
+        unsafe { (self.0)(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi) }
     }
 }
 
@@ -390,14 +557,26 @@ impl DispatchPath {
 /// the solver and consulted without branching per cell.
 #[derive(Clone, Copy, Debug)]
 pub enum ResolvedVolume {
-    Generated(&'static VolumeKernelEntry),
+    Generated {
+        func: VolumeKernelFn,
+        /// The SIMD-batched companion for panel sweeps, as selected for
+        /// this CPU.
+        batch: VolumeBatch,
+    },
     RuntimeSparse,
 }
 
 impl ResolvedVolume {
+    fn generated(entry: &VolumeKernelEntry) -> Self {
+        ResolvedVolume::Generated {
+            func: entry.func,
+            batch: VolumeBatch::select(entry),
+        }
+    }
+
     pub fn path(&self) -> DispatchPath {
         match self {
-            ResolvedVolume::Generated(_) => DispatchPath::Generated,
+            ResolvedVolume::Generated { .. } => DispatchPath::Generated,
             ResolvedVolume::RuntimeSparse => DispatchPath::RuntimeSparse,
         }
     }
@@ -418,8 +597,9 @@ pub enum ResolvedSurface {
 pub enum ResolvedSurfaceDir {
     Generated {
         func: SurfaceKernelFn,
-        /// The direction's SIMD-batched companion for panel sweeps.
-        batch: SurfaceKernelBatchFn,
+        /// The direction's SIMD-batched companion for panel sweeps, as
+        /// selected for this CPU.
+        batch: SurfaceBatch,
     },
     RuntimeSparse,
 }
@@ -433,12 +613,13 @@ impl ResolvedSurface {
     }
 
     /// The resolved kernel for one phase direction (configuration
-    /// directions first, as in [`SurfaceKernelEntry::dirs`]).
+    /// directions first, as in [`SurfaceKernelEntry::dirs`]); the batched
+    /// entry point is picked for this CPU here, once per direction.
     pub fn dir(&self, d: usize) -> ResolvedSurfaceDir {
         match self {
             ResolvedSurface::Generated(e) => ResolvedSurfaceDir::Generated {
                 func: e.dirs[d],
-                batch: e.batch[d],
+                batch: SurfaceBatch::select(e, d),
             },
             ResolvedSurface::RuntimeSparse => ResolvedSurfaceDir::RuntimeSparse,
         }
@@ -485,7 +666,9 @@ impl ResolvedLbo {
 impl KernelDispatch {
     /// Resolve this knob for a configuration. `Err` only when `Generated`
     /// is forced for a configuration with no committed kernel; `Auto`
-    /// falls back to the runtime path gracefully.
+    /// falls back to the runtime path gracefully. A generated resolution
+    /// also fixes, from the CPU alone, which `_b4` entry point the
+    /// operator will call ([`VolumeBatch::select`]).
     pub fn resolve(
         self,
         kind: BasisKind,
@@ -495,11 +678,11 @@ impl KernelDispatch {
         match self {
             KernelDispatch::RuntimeSparse => Ok(ResolvedVolume::RuntimeSparse),
             KernelDispatch::Auto => Ok(match find_volume_kernel(kind, layout, poly_order) {
-                Some(e) => ResolvedVolume::Generated(e),
+                Some(e) => ResolvedVolume::generated(e),
                 None => ResolvedVolume::RuntimeSparse,
             }),
             KernelDispatch::Generated => match find_volume_kernel(kind, layout, poly_order) {
-                Some(e) => Ok(ResolvedVolume::Generated(e)),
+                Some(e) => Ok(ResolvedVolume::generated(e)),
                 None => Err(format!(
                     "no committed kernel for {:?} {} p={} (registry: {}); \
                      extend dg_kernels::codegen::MANIFEST and rerun \

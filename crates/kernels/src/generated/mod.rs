@@ -48,7 +48,7 @@ include!("lbo_2x3v_p2_ser.rs");
 include!("lbo_3x3v_p1_ser.rs");
 
 use crate::dispatch::{
-    ax4, sx4, CellLanes, KernelKey, LboKernelEntry, MomentKernelEntry, SurfaceKernelEntry,
+    sx4, CellLanes, KernelKey, LboKernelEntry, MomentKernelEntry, SurfaceKernelEntry,
     VolumeKernelEntry, LANES,
 };
 use dg_basis::BasisKind;
@@ -66,6 +66,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         name: "vlasov_vol_1x1v_p1_ser",
         func: vlasov_vol_1x1v_p1_ser,
         batch: vlasov_vol_1x1v_p1_ser_b4,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: vlasov_vol_1x1v_p1_ser_b4_avx2,
     },
     VolumeKernelEntry {
         key: KernelKey {
@@ -77,6 +79,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         name: "vlasov_vol_1x1v_p2_ser",
         func: vlasov_vol_1x1v_p2_ser,
         batch: vlasov_vol_1x1v_p2_ser_b4,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: vlasov_vol_1x1v_p2_ser_b4_avx2,
     },
     VolumeKernelEntry {
         key: KernelKey {
@@ -88,6 +92,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         name: "vlasov_vol_1x2v_p1_tensor",
         func: vlasov_vol_1x2v_p1_tensor,
         batch: vlasov_vol_1x2v_p1_tensor_b4,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: vlasov_vol_1x2v_p1_tensor_b4_avx2,
     },
     VolumeKernelEntry {
         key: KernelKey {
@@ -99,6 +105,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         name: "vlasov_vol_1x2v_p1_ser",
         func: vlasov_vol_1x2v_p1_ser,
         batch: vlasov_vol_1x2v_p1_ser_b4,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: vlasov_vol_1x2v_p1_ser_b4_avx2,
     },
     VolumeKernelEntry {
         key: KernelKey {
@@ -110,6 +118,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         name: "vlasov_vol_1x2v_p2_ser",
         func: vlasov_vol_1x2v_p2_ser,
         batch: vlasov_vol_1x2v_p2_ser_b4,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: vlasov_vol_1x2v_p2_ser_b4_avx2,
     },
     VolumeKernelEntry {
         key: KernelKey {
@@ -121,6 +131,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         name: "vlasov_vol_2x2v_p1_ser",
         func: vlasov_vol_2x2v_p1_ser,
         batch: vlasov_vol_2x2v_p1_ser_b4,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: vlasov_vol_2x2v_p1_ser_b4_avx2,
     },
     VolumeKernelEntry {
         key: KernelKey {
@@ -132,6 +144,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         name: "vlasov_vol_2x2v_p2_ser",
         func: vlasov_vol_2x2v_p2_ser,
         batch: vlasov_vol_2x2v_p2_ser_b4,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: vlasov_vol_2x2v_p2_ser_b4_avx2,
     },
     VolumeKernelEntry {
         key: KernelKey {
@@ -143,6 +157,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         name: "vlasov_vol_2x3v_p1_ser",
         func: vlasov_vol_2x3v_p1_ser,
         batch: vlasov_vol_2x3v_p1_ser_b4,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: vlasov_vol_2x3v_p1_ser_b4_avx2,
     },
     VolumeKernelEntry {
         key: KernelKey {
@@ -154,6 +170,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         name: "vlasov_vol_2x3v_p2_ser",
         func: vlasov_vol_2x3v_p2_ser,
         batch: vlasov_vol_2x3v_p2_ser_b4,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: vlasov_vol_2x3v_p2_ser_b4_avx2,
     },
     VolumeKernelEntry {
         key: KernelKey {
@@ -165,6 +183,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         name: "vlasov_vol_3x3v_p1_ser",
         func: vlasov_vol_3x3v_p1_ser,
         batch: vlasov_vol_3x3v_p1_ser_b4,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: vlasov_vol_3x3v_p1_ser_b4_avx2,
     },
 ];
 
@@ -181,6 +201,11 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
         name: "vlasov_surf_1x1v_p1_ser",
         dirs: &[vlasov_surf_1x1v_p1_ser_x0, vlasov_surf_1x1v_p1_ser_v0],
         batch: &[vlasov_surf_1x1v_p1_ser_x0_b4, vlasov_surf_1x1v_p1_ser_v0_b4],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[
+            vlasov_surf_1x1v_p1_ser_x0_b4_avx2,
+            vlasov_surf_1x1v_p1_ser_v0_b4_avx2,
+        ],
     },
     SurfaceKernelEntry {
         key: KernelKey {
@@ -192,6 +217,11 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
         name: "vlasov_surf_1x1v_p2_ser",
         dirs: &[vlasov_surf_1x1v_p2_ser_x0, vlasov_surf_1x1v_p2_ser_v0],
         batch: &[vlasov_surf_1x1v_p2_ser_x0_b4, vlasov_surf_1x1v_p2_ser_v0_b4],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[
+            vlasov_surf_1x1v_p2_ser_x0_b4_avx2,
+            vlasov_surf_1x1v_p2_ser_v0_b4_avx2,
+        ],
     },
     SurfaceKernelEntry {
         key: KernelKey {
@@ -210,6 +240,12 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
             vlasov_surf_1x2v_p1_tensor_x0_b4,
             vlasov_surf_1x2v_p1_tensor_v0_b4,
             vlasov_surf_1x2v_p1_tensor_v1_b4,
+        ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[
+            vlasov_surf_1x2v_p1_tensor_x0_b4_avx2,
+            vlasov_surf_1x2v_p1_tensor_v0_b4_avx2,
+            vlasov_surf_1x2v_p1_tensor_v1_b4_avx2,
         ],
     },
     SurfaceKernelEntry {
@@ -230,6 +266,12 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
             vlasov_surf_1x2v_p1_ser_v0_b4,
             vlasov_surf_1x2v_p1_ser_v1_b4,
         ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[
+            vlasov_surf_1x2v_p1_ser_x0_b4_avx2,
+            vlasov_surf_1x2v_p1_ser_v0_b4_avx2,
+            vlasov_surf_1x2v_p1_ser_v1_b4_avx2,
+        ],
     },
     SurfaceKernelEntry {
         key: KernelKey {
@@ -248,6 +290,12 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
             vlasov_surf_1x2v_p2_ser_x0_b4,
             vlasov_surf_1x2v_p2_ser_v0_b4,
             vlasov_surf_1x2v_p2_ser_v1_b4,
+        ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[
+            vlasov_surf_1x2v_p2_ser_x0_b4_avx2,
+            vlasov_surf_1x2v_p2_ser_v0_b4_avx2,
+            vlasov_surf_1x2v_p2_ser_v1_b4_avx2,
         ],
     },
     SurfaceKernelEntry {
@@ -270,6 +318,13 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
             vlasov_surf_2x2v_p1_ser_v0_b4,
             vlasov_surf_2x2v_p1_ser_v1_b4,
         ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[
+            vlasov_surf_2x2v_p1_ser_x0_b4_avx2,
+            vlasov_surf_2x2v_p1_ser_x1_b4_avx2,
+            vlasov_surf_2x2v_p1_ser_v0_b4_avx2,
+            vlasov_surf_2x2v_p1_ser_v1_b4_avx2,
+        ],
     },
     SurfaceKernelEntry {
         key: KernelKey {
@@ -290,6 +345,13 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
             vlasov_surf_2x2v_p2_ser_x1_b4,
             vlasov_surf_2x2v_p2_ser_v0_b4,
             vlasov_surf_2x2v_p2_ser_v1_b4,
+        ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[
+            vlasov_surf_2x2v_p2_ser_x0_b4_avx2,
+            vlasov_surf_2x2v_p2_ser_x1_b4_avx2,
+            vlasov_surf_2x2v_p2_ser_v0_b4_avx2,
+            vlasov_surf_2x2v_p2_ser_v1_b4_avx2,
         ],
     },
     SurfaceKernelEntry {
@@ -314,6 +376,14 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
             vlasov_surf_2x3v_p1_ser_v1_b4,
             vlasov_surf_2x3v_p1_ser_v2_b4,
         ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[
+            vlasov_surf_2x3v_p1_ser_x0_b4_avx2,
+            vlasov_surf_2x3v_p1_ser_x1_b4_avx2,
+            vlasov_surf_2x3v_p1_ser_v0_b4_avx2,
+            vlasov_surf_2x3v_p1_ser_v1_b4_avx2,
+            vlasov_surf_2x3v_p1_ser_v2_b4_avx2,
+        ],
     },
     SurfaceKernelEntry {
         key: KernelKey {
@@ -336,6 +406,14 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
             vlasov_surf_2x3v_p2_ser_v0_b4,
             vlasov_surf_2x3v_p2_ser_v1_b4,
             vlasov_surf_2x3v_p2_ser_v2_b4,
+        ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[
+            vlasov_surf_2x3v_p2_ser_x0_b4_avx2,
+            vlasov_surf_2x3v_p2_ser_x1_b4_avx2,
+            vlasov_surf_2x3v_p2_ser_v0_b4_avx2,
+            vlasov_surf_2x3v_p2_ser_v1_b4_avx2,
+            vlasov_surf_2x3v_p2_ser_v2_b4_avx2,
         ],
     },
     SurfaceKernelEntry {
@@ -361,6 +439,15 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
             vlasov_surf_3x3v_p1_ser_v0_b4,
             vlasov_surf_3x3v_p1_ser_v1_b4,
             vlasov_surf_3x3v_p1_ser_v2_b4,
+        ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[
+            vlasov_surf_3x3v_p1_ser_x0_b4_avx2,
+            vlasov_surf_3x3v_p1_ser_x1_b4_avx2,
+            vlasov_surf_3x3v_p1_ser_x2_b4_avx2,
+            vlasov_surf_3x3v_p1_ser_v0_b4_avx2,
+            vlasov_surf_3x3v_p1_ser_v1_b4_avx2,
+            vlasov_surf_3x3v_p1_ser_v2_b4_avx2,
         ],
     },
 ];

@@ -13,7 +13,8 @@
 //!    round-off (the property the dispatch layer's correctness rests on),
 //!    for the volume kernel, every per-direction surface kernel, all three
 //!    moment kernels, and all five LBO stage-kernel families;
-//! 3. **bitwise batching** — the `_b4` SIMD companions (volume and
+//! 3. **bitwise batching** — both entry points of the SIMD companions
+//!    (the portable `_b4` and, where the CPU has it, `_b4_avx2`; volume and
 //!    surface) reproduce their scalar kernels bit for bit on mixed
 //!    panel-plus-remainder sweeps.
 
@@ -27,7 +28,8 @@ use crate::codegen::{
     manifest_moment_source, manifest_surface_source, LboDirTables, MANIFEST,
 };
 use crate::dispatch::{
-    lbo_registry, moment_registry, surface_registry, volume_registry, CellLanes, LANES,
+    lbo_registry, moment_registry, surface_registry, volume_registry, CellLanes, SurfaceBatch,
+    VolumeBatch, LANES,
 };
 use crate::kernels_for;
 use crate::surface::FaceScratch;
@@ -156,15 +158,30 @@ proptest! {
     }
 }
 
+/// The `_b4_avx2` entry points are one more input of the bitwise batch
+/// proptests, but one the host may lack: say so once per test (CI fails
+/// an AVX2 runner whose arm reports `skipped`) instead of passing silently.
+fn report_avx2_arm(once: &std::sync::Once, test: &str, available: bool) {
+    once.call_once(|| {
+        let host = crate::DispatchPath::Generated.tag();
+        if available {
+            println!("{test}: host selects {host}; _b4_avx2 arm ran");
+        } else {
+            println!("{test}: host selects {host}; _b4_avx2 arm skipped: no avx2");
+        }
+    });
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     /// Every committed batched kernel reproduces its scalar companion —
     /// **bit for bit**, not merely to round-off — when a run of cells is
     /// evaluated as full SoA panels plus a scalar remainder, for every run
     /// length 1..=9 (so every misalignment 1..LANES of the remainder is
-    /// exercised). This is the property that lets dispatch batch aligned
-    /// blocks and fall back to scalar cells without perturbing the
-    /// solver's trajectory.
+    /// exercised), through **each** batched entry point: scalar ≡ `_b4` ≡
+    /// `_b4_avx2`. This is the property that lets dispatch batch aligned
+    /// blocks, fall back to scalar cells, and pick the entry point from the
+    /// CPU, all without perturbing the solver's trajectory.
     #[test]
     fn every_registry_batch_kernel_matches_scalar_bitwise(
         qm in -3.0..3.0f64,
@@ -174,6 +191,7 @@ proptest! {
         em_raw in proptest::collection::vec(-1.0..1.0f64, 8 * 16),
         f_raw in proptest::collection::vec(-1.0..1.0f64, 128 * 9),
     ) {
+        static AVX2_ARM: std::sync::Once = std::sync::Once::new();
         for entry in volume_registry() {
             let k = entry.key;
             let pk = kernels_for(k.kind, k.layout(), k.poly_order);
@@ -192,41 +210,52 @@ proptest! {
                 (entry.func)(w_of(c), dxv, qm, em, f_of(c), &mut scalar_out[c]);
             }
 
-            // Mixed path: full panels through the batched kernel (zeroed
-            // panel, unpack-add), remainder cells through the scalar one.
-            let mut mixed_out = vec![vec![0.0f64; np]; ncells];
-            let mut c0 = 0;
-            while c0 + LANES <= ncells {
-                let mut wp = vec![CellLanes([0.0; LANES]); ndim];
-                let mut fp = vec![CellLanes([0.0; LANES]); np];
-                let mut op = vec![CellLanes([0.0; LANES]); np];
-                for lane in 0..LANES {
-                    for d in 0..ndim {
-                        wp[d].0[lane] = w_of(c0 + lane)[d];
+            let avx2 = VolumeBatch::avx2(entry);
+            report_avx2_arm(
+                &AVX2_ARM,
+                "every_registry_batch_kernel_matches_scalar_bitwise",
+                avx2.is_some(),
+            );
+            let arms = [("_b4", Some(VolumeBatch::baseline(entry))), ("_b4_avx2", avx2)];
+            for (arm, batch) in arms {
+                let Some(batch) = batch else { continue };
+                // Mixed path: full panels through the batched kernel
+                // (zeroed panel, unpack-add), remainder cells through the
+                // scalar one.
+                let mut mixed_out = vec![vec![0.0f64; np]; ncells];
+                let mut c0 = 0;
+                while c0 + LANES <= ncells {
+                    let mut wp = vec![CellLanes([0.0; LANES]); ndim];
+                    let mut fp = vec![CellLanes([0.0; LANES]); np];
+                    let mut op = vec![CellLanes([0.0; LANES]); np];
+                    for lane in 0..LANES {
+                        for d in 0..ndim {
+                            wp[d].0[lane] = w_of(c0 + lane)[d];
+                        }
+                        for n in 0..np {
+                            fp[n].0[lane] = f_of(c0 + lane)[n];
+                        }
                     }
-                    for n in 0..np {
-                        fp[n].0[lane] = f_of(c0 + lane)[n];
+                    batch.call(&wp, dxv, qm, em, &fp, &mut op);
+                    for lane in 0..LANES {
+                        for n in 0..np {
+                            mixed_out[c0 + lane][n] += op[n].0[lane];
+                        }
                     }
+                    c0 += LANES;
                 }
-                (entry.batch)(&wp, dxv, qm, em, &fp, &mut op);
-                for lane in 0..LANES {
-                    for n in 0..np {
-                        mixed_out[c0 + lane][n] += op[n].0[lane];
-                    }
+                for c in c0..ncells {
+                    (entry.func)(w_of(c), dxv, qm, em, f_of(c), &mut mixed_out[c]);
                 }
-                c0 += LANES;
-            }
-            for c in c0..ncells {
-                (entry.func)(w_of(c), dxv, qm, em, f_of(c), &mut mixed_out[c]);
-            }
 
-            for c in 0..ncells {
-                for i in 0..np {
-                    prop_assert!(
-                        scalar_out[c][i].to_bits() == mixed_out[c][i].to_bits(),
-                        "{} cell {c} mode {i}: batched {} vs scalar {}",
-                        entry.name, mixed_out[c][i], scalar_out[c][i]
-                    );
+                for c in 0..ncells {
+                    for i in 0..np {
+                        prop_assert!(
+                            scalar_out[c][i].to_bits() == mixed_out[c][i].to_bits(),
+                            "{}{arm} cell {c} mode {i}: batched {} vs scalar {}",
+                            entry.name, mixed_out[c][i], scalar_out[c][i]
+                        );
+                    }
                 }
             }
         }
@@ -346,12 +375,12 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-    /// The `_b4` surface companions reproduce their scalar kernels bit for
-    /// bit on a mixed sweep: full SoA panels of [`LANES`] faces (zeroed
-    /// panel outputs, unpack-add) plus a scalar remainder, for every run
-    /// length 1..=9. This is what lets the RHS sweep batch pencil
-    /// interiors and keep wall/tail faces scalar without perturbing the
-    /// trajectory.
+    /// Both entry points of the surface companions (`_b4`, `_b4_avx2`)
+    /// reproduce their scalar kernels bit for bit on a mixed sweep: full
+    /// SoA panels of [`LANES`] faces (zeroed panel outputs, unpack-add)
+    /// plus a scalar remainder, for every run length 1..=9. This is what
+    /// lets the RHS sweep batch faces, keep wall faces scalar, and pick the
+    /// entry point from the CPU without perturbing the trajectory.
     #[test]
     fn every_registry_surface_batch_matches_scalar_bitwise(
         qm in -3.0..3.0f64,
@@ -363,6 +392,7 @@ proptest! {
         f_lo_raw in proptest::collection::vec(-1.0..1.0f64, 128 * 9),
         f_hi_raw in proptest::collection::vec(-1.0..1.0f64, 128 * 9),
     ) {
+        static AVX2_ARM: std::sync::Once = std::sync::Once::new();
         let penalty = penalty_raw == 1;
         for entry in surface_registry() {
             let k = entry.key;
@@ -377,10 +407,7 @@ proptest! {
             let fh_of = |i: usize| &f_hi_raw[i * 128..i * 128 + np];
 
             prop_assert!(entry.batch.len() == ndim, "{}: batch count", entry.name);
-            for (dir, (kernel, batch)) in
-                entry.dirs.iter().zip(entry.batch.iter()).enumerate()
-            {
-                let _ = dir;
+            for (dir, kernel) in entry.dirs.iter().enumerate() {
                 // Per-face scalar reference (zero-initialized outputs).
                 let mut lo_ref = vec![vec![0.0f64; np]; n_faces];
                 let mut hi_ref = vec![vec![0.0f64; np]; n_faces];
@@ -391,53 +418,63 @@ proptest! {
                     );
                 }
 
-                // Mixed path: full panels batched, remainder scalar.
-                let mut lo_mix = vec![vec![0.0f64; np]; n_faces];
-                let mut hi_mix = vec![vec![0.0f64; np]; n_faces];
-                let mut i0 = 0;
-                while i0 + LANES <= n_faces {
-                    let mut wp = vec![CellLanes([0.0; LANES]); ndim];
-                    let mut flp = vec![CellLanes([0.0; LANES]); np];
-                    let mut fhp = vec![CellLanes([0.0; LANES]); np];
-                    let mut olp = vec![CellLanes([0.0; LANES]); np];
-                    let mut ohp = vec![CellLanes([0.0; LANES]); np];
-                    for lane in 0..LANES {
-                        for d in 0..ndim {
-                            wp[d].0[lane] = w_of(i0 + lane)[d];
+                let avx2 = SurfaceBatch::avx2(entry, dir);
+                report_avx2_arm(
+                    &AVX2_ARM,
+                    "every_registry_surface_batch_matches_scalar_bitwise",
+                    avx2.is_some(),
+                );
+                let arms = [("_b4", Some(SurfaceBatch::baseline(entry, dir))), ("_b4_avx2", avx2)];
+                for (arm, batch) in arms {
+                    let Some(batch) = batch else { continue };
+                    // Mixed path: full panels batched, remainder scalar.
+                    let mut lo_mix = vec![vec![0.0f64; np]; n_faces];
+                    let mut hi_mix = vec![vec![0.0f64; np]; n_faces];
+                    let mut i0 = 0;
+                    while i0 + LANES <= n_faces {
+                        let mut wp = vec![CellLanes([0.0; LANES]); ndim];
+                        let mut flp = vec![CellLanes([0.0; LANES]); np];
+                        let mut fhp = vec![CellLanes([0.0; LANES]); np];
+                        let mut olp = vec![CellLanes([0.0; LANES]); np];
+                        let mut ohp = vec![CellLanes([0.0; LANES]); np];
+                        for lane in 0..LANES {
+                            for d in 0..ndim {
+                                wp[d].0[lane] = w_of(i0 + lane)[d];
+                            }
+                            for n in 0..np {
+                                flp[n].0[lane] = fl_of(i0 + lane)[n];
+                                fhp[n].0[lane] = fh_of(i0 + lane)[n];
+                            }
                         }
-                        for n in 0..np {
-                            flp[n].0[lane] = fl_of(i0 + lane)[n];
-                            fhp[n].0[lane] = fh_of(i0 + lane)[n];
+                        batch.call(&wp, dxv, qm, em, penalty, &flp, &fhp, &mut olp, &mut ohp);
+                        for lane in 0..LANES {
+                            for n in 0..np {
+                                lo_mix[i0 + lane][n] += olp[n].0[lane];
+                                hi_mix[i0 + lane][n] += ohp[n].0[lane];
+                            }
                         }
+                        i0 += LANES;
                     }
-                    batch(&wp, dxv, qm, em, penalty, &flp, &fhp, &mut olp, &mut ohp);
-                    for lane in 0..LANES {
-                        for n in 0..np {
-                            lo_mix[i0 + lane][n] += olp[n].0[lane];
-                            hi_mix[i0 + lane][n] += ohp[n].0[lane];
-                        }
+                    for i in i0..n_faces {
+                        kernel(
+                            w_of(i), dxv, qm, em, penalty,
+                            fl_of(i), fh_of(i), &mut lo_mix[i], &mut hi_mix[i],
+                        );
                     }
-                    i0 += LANES;
-                }
-                for i in i0..n_faces {
-                    kernel(
-                        w_of(i), dxv, qm, em, penalty,
-                        fl_of(i), fh_of(i), &mut lo_mix[i], &mut hi_mix[i],
-                    );
-                }
 
-                for i in 0..n_faces {
-                    for n in 0..np {
-                        prop_assert!(
-                            lo_ref[i][n].to_bits() == lo_mix[i][n].to_bits(),
-                            "{} dir {dir} face {i} lower mode {n}: batched {} vs scalar {}",
-                            entry.name, lo_mix[i][n], lo_ref[i][n]
-                        );
-                        prop_assert!(
-                            hi_ref[i][n].to_bits() == hi_mix[i][n].to_bits(),
-                            "{} dir {dir} face {i} upper mode {n}: batched {} vs scalar {}",
-                            entry.name, hi_mix[i][n], hi_ref[i][n]
-                        );
+                    for i in 0..n_faces {
+                        for n in 0..np {
+                            prop_assert!(
+                                lo_ref[i][n].to_bits() == lo_mix[i][n].to_bits(),
+                                "{}{arm} dir {dir} face {i} lower mode {n}: batched {} vs scalar {}",
+                                entry.name, lo_mix[i][n], lo_ref[i][n]
+                            );
+                            prop_assert!(
+                                hi_ref[i][n].to_bits() == hi_mix[i][n].to_bits(),
+                                "{}{arm} dir {dir} face {i} upper mode {n}: batched {} vs scalar {}",
+                                entry.name, hi_mix[i][n], hi_ref[i][n]
+                            );
+                        }
                     }
                 }
             }

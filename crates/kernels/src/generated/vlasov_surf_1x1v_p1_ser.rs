@@ -47,6 +47,24 @@ pub fn vlasov_surf_1x1v_p1_ser_x0(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], p
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_surf_1x1v_p1_ser_x0_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+    vlasov_surf_1x1v_p1_ser_x0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// [`vlasov_surf_1x1v_p1_ser_x0_b4`] compiled for AVX2: the same body, bit-identical per lane.
+/// Reach it through `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_surf_1x1v_p1_ser_x0_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+    vlasov_surf_1x1v_p1_ser_x0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared body of [`vlasov_surf_1x1v_p1_ser_x0_b4`] and its AVX2 entry point.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn vlasov_surf_1x1v_p1_ser_x0_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
     let rd = 2.0 / dxv[0];
     let mut alpha = [CellLanes([0.0f64; LANES]); 2];
     let mut lam = CellLanes([0.0f64; LANES]);
@@ -74,10 +92,14 @@ pub fn vlasov_surf_1x1v_p1_ser_x0_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: 
         favg[1].0[k] = 0.5 * (fm[1].0[k] + fp[1].0[k]);
         ghat[1].0[k] = -0.5 * lam.0[k] * (fp[1].0[k] - fm[1].0[k]);
     }
-    ax4(&mut ghat[0], 0.7071067811865476, &alpha[0], &favg[0]);
-    ax4(&mut ghat[0], 0.7071067811865475, &alpha[1], &favg[1]);
-    ax4(&mut ghat[1], 0.7071067811865475, &alpha[0], &favg[1]);
-    ax4(&mut ghat[1], 0.7071067811865475, &alpha[1], &favg[0]);
+    for k in 0..LANES {
+        ghat[0].0[k] += 0.7071067811865476 * alpha[0].0[k] * favg[0].0[k];
+        ghat[0].0[k] += 0.7071067811865475 * alpha[1].0[k] * favg[1].0[k];
+    }
+    for k in 0..LANES {
+        ghat[1].0[k] += 0.7071067811865475 * alpha[0].0[k] * favg[1].0[k];
+        ghat[1].0[k] += 0.7071067811865475 * alpha[1].0[k] * favg[0].0[k];
+    }
     sx4(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
     sx4(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
     sx4(&mut out_lo[2], -rd * 1.224744871391589, &ghat[0]);
@@ -132,6 +154,24 @@ pub fn vlasov_surf_1x1v_p1_ser_v0(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], p
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_surf_1x1v_p1_ser_v0_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+    vlasov_surf_1x1v_p1_ser_v0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// [`vlasov_surf_1x1v_p1_ser_v0_b4`] compiled for AVX2: the same body, bit-identical per lane.
+/// Reach it through `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_surf_1x1v_p1_ser_v0_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+    vlasov_surf_1x1v_p1_ser_v0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared body of [`vlasov_surf_1x1v_p1_ser_v0_b4`] and its AVX2 entry point.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn vlasov_surf_1x1v_p1_ser_v0_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
     let rd = 2.0 / dxv[1];
     let mut alpha = [CellLanes([0.0f64; LANES]); 2];
     let mut lam = CellLanes([0.0f64; LANES]);
@@ -159,10 +199,14 @@ pub fn vlasov_surf_1x1v_p1_ser_v0_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: 
         favg[1].0[k] = 0.5 * (fm[1].0[k] + fp[1].0[k]);
         ghat[1].0[k] = -0.5 * lam.0[k] * (fp[1].0[k] - fm[1].0[k]);
     }
-    ax4(&mut ghat[0], 0.7071067811865476, &alpha[0], &favg[0]);
-    ax4(&mut ghat[0], 0.7071067811865475, &alpha[1], &favg[1]);
-    ax4(&mut ghat[1], 0.7071067811865475, &alpha[0], &favg[1]);
-    ax4(&mut ghat[1], 0.7071067811865475, &alpha[1], &favg[0]);
+    for k in 0..LANES {
+        ghat[0].0[k] += 0.7071067811865476 * alpha[0].0[k] * favg[0].0[k];
+        ghat[0].0[k] += 0.7071067811865475 * alpha[1].0[k] * favg[1].0[k];
+    }
+    for k in 0..LANES {
+        ghat[1].0[k] += 0.7071067811865475 * alpha[0].0[k] * favg[1].0[k];
+        ghat[1].0[k] += 0.7071067811865475 * alpha[1].0[k] * favg[0].0[k];
+    }
     sx4(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
     sx4(&mut out_lo[1], -rd * 1.224744871391589, &ghat[0]);
     sx4(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[1]);

@@ -137,6 +137,24 @@ pub fn vlasov_surf_1x2v_p2_ser_x0(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], p
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_surf_1x2v_p2_ser_x0_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+    vlasov_surf_1x2v_p2_ser_x0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// [`vlasov_surf_1x2v_p2_ser_x0_b4`] compiled for AVX2: the same body, bit-identical per lane.
+/// Reach it through `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_surf_1x2v_p2_ser_x0_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+    vlasov_surf_1x2v_p2_ser_x0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared body of [`vlasov_surf_1x2v_p2_ser_x0_b4`] and its AVX2 entry point.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn vlasov_surf_1x2v_p2_ser_x0_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
     let rd = 2.0 / dxv[0];
     let mut alpha = [CellLanes([0.0f64; LANES]); 8];
     let mut lam = CellLanes([0.0f64; LANES]);
@@ -208,24 +226,40 @@ pub fn vlasov_surf_1x2v_p2_ser_x0_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: 
         favg[7].0[k] = 0.5 * (fm[7].0[k] + fp[7].0[k]);
         ghat[7].0[k] = -0.5 * lam.0[k] * (fp[7].0[k] - fm[7].0[k]);
     }
-    ax4(&mut ghat[0], 0.5, &alpha[0], &favg[0]);
-    ax4(&mut ghat[0], 0.5, &alpha[2], &favg[2]);
-    ax4(&mut ghat[1], 0.5, &alpha[0], &favg[1]);
-    ax4(&mut ghat[1], 0.5, &alpha[2], &favg[4]);
-    ax4(&mut ghat[2], 0.5, &alpha[0], &favg[2]);
-    ax4(&mut ghat[2], 0.5, &alpha[2], &favg[0]);
-    ax4(&mut ghat[2], 0.4472135954999579, &alpha[2], &favg[5]);
-    ax4(&mut ghat[3], 0.5, &alpha[0], &favg[3]);
-    ax4(&mut ghat[3], 0.5, &alpha[2], &favg[6]);
-    ax4(&mut ghat[4], 0.5, &alpha[0], &favg[4]);
-    ax4(&mut ghat[4], 0.5, &alpha[2], &favg[1]);
-    ax4(&mut ghat[4], 0.447213595499958, &alpha[2], &favg[7]);
-    ax4(&mut ghat[5], 0.5, &alpha[0], &favg[5]);
-    ax4(&mut ghat[5], 0.4472135954999579, &alpha[2], &favg[2]);
-    ax4(&mut ghat[6], 0.5, &alpha[0], &favg[6]);
-    ax4(&mut ghat[6], 0.5, &alpha[2], &favg[3]);
-    ax4(&mut ghat[7], 0.5, &alpha[0], &favg[7]);
-    ax4(&mut ghat[7], 0.447213595499958, &alpha[2], &favg[4]);
+    for k in 0..LANES {
+        ghat[0].0[k] += 0.5 * alpha[0].0[k] * favg[0].0[k];
+        ghat[0].0[k] += 0.5 * alpha[2].0[k] * favg[2].0[k];
+    }
+    for k in 0..LANES {
+        ghat[1].0[k] += 0.5 * alpha[0].0[k] * favg[1].0[k];
+        ghat[1].0[k] += 0.5 * alpha[2].0[k] * favg[4].0[k];
+    }
+    for k in 0..LANES {
+        ghat[2].0[k] += 0.5 * alpha[0].0[k] * favg[2].0[k];
+        ghat[2].0[k] += 0.5 * alpha[2].0[k] * favg[0].0[k];
+        ghat[2].0[k] += 0.4472135954999579 * alpha[2].0[k] * favg[5].0[k];
+    }
+    for k in 0..LANES {
+        ghat[3].0[k] += 0.5 * alpha[0].0[k] * favg[3].0[k];
+        ghat[3].0[k] += 0.5 * alpha[2].0[k] * favg[6].0[k];
+    }
+    for k in 0..LANES {
+        ghat[4].0[k] += 0.5 * alpha[0].0[k] * favg[4].0[k];
+        ghat[4].0[k] += 0.5 * alpha[2].0[k] * favg[1].0[k];
+        ghat[4].0[k] += 0.447213595499958 * alpha[2].0[k] * favg[7].0[k];
+    }
+    for k in 0..LANES {
+        ghat[5].0[k] += 0.5 * alpha[0].0[k] * favg[5].0[k];
+        ghat[5].0[k] += 0.4472135954999579 * alpha[2].0[k] * favg[2].0[k];
+    }
+    for k in 0..LANES {
+        ghat[6].0[k] += 0.5 * alpha[0].0[k] * favg[6].0[k];
+        ghat[6].0[k] += 0.5 * alpha[2].0[k] * favg[3].0[k];
+    }
+    for k in 0..LANES {
+        ghat[7].0[k] += 0.5 * alpha[0].0[k] * favg[7].0[k];
+        ghat[7].0[k] += 0.447213595499958 * alpha[2].0[k] * favg[4].0[k];
+    }
     sx4(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
     sx4(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
     sx4(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[2]);
@@ -450,6 +484,24 @@ pub fn vlasov_surf_1x2v_p2_ser_v0(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], p
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_surf_1x2v_p2_ser_v0_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+    vlasov_surf_1x2v_p2_ser_v0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// [`vlasov_surf_1x2v_p2_ser_v0_b4`] compiled for AVX2: the same body, bit-identical per lane.
+/// Reach it through `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_surf_1x2v_p2_ser_v0_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+    vlasov_surf_1x2v_p2_ser_v0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared body of [`vlasov_surf_1x2v_p2_ser_v0_b4`] and its AVX2 entry point.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn vlasov_surf_1x2v_p2_ser_v0_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
     let rd = 2.0 / dxv[1];
     let mut alpha = [CellLanes([0.0f64; LANES]); 8];
     let mut lam = CellLanes([0.0f64; LANES]);
@@ -524,69 +576,85 @@ pub fn vlasov_surf_1x2v_p2_ser_v0_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: 
         favg[7].0[k] = 0.5 * (fm[7].0[k] + fp[7].0[k]);
         ghat[7].0[k] = -0.5 * lam.0[k] * (fp[7].0[k] - fm[7].0[k]);
     }
-    ax4(&mut ghat[0], 0.5, &alpha[0], &favg[0]);
-    ax4(&mut ghat[0], 0.5, &alpha[1], &favg[1]);
-    ax4(&mut ghat[0], 0.5, &alpha[2], &favg[2]);
-    ax4(&mut ghat[0], 0.5, &alpha[4], &favg[4]);
-    ax4(&mut ghat[0], 0.5, &alpha[5], &favg[5]);
-    ax4(&mut ghat[0], 0.5, &alpha[7], &favg[7]);
-    ax4(&mut ghat[1], 0.5, &alpha[0], &favg[1]);
-    ax4(&mut ghat[1], 0.5, &alpha[1], &favg[0]);
-    ax4(&mut ghat[1], 0.4472135954999579, &alpha[1], &favg[3]);
-    ax4(&mut ghat[1], 0.5, &alpha[2], &favg[4]);
-    ax4(&mut ghat[1], 0.5, &alpha[4], &favg[2]);
-    ax4(&mut ghat[1], 0.447213595499958, &alpha[4], &favg[6]);
-    ax4(&mut ghat[1], 0.5, &alpha[5], &favg[7]);
-    ax4(&mut ghat[1], 0.5, &alpha[7], &favg[5]);
-    ax4(&mut ghat[2], 0.5, &alpha[0], &favg[2]);
-    ax4(&mut ghat[2], 0.5, &alpha[1], &favg[4]);
-    ax4(&mut ghat[2], 0.5, &alpha[2], &favg[0]);
-    ax4(&mut ghat[2], 0.4472135954999579, &alpha[2], &favg[5]);
-    ax4(&mut ghat[2], 0.5, &alpha[4], &favg[1]);
-    ax4(&mut ghat[2], 0.447213595499958, &alpha[4], &favg[7]);
-    ax4(&mut ghat[2], 0.4472135954999579, &alpha[5], &favg[2]);
-    ax4(&mut ghat[2], 0.447213595499958, &alpha[7], &favg[4]);
-    ax4(&mut ghat[3], 0.5, &alpha[0], &favg[3]);
-    ax4(&mut ghat[3], 0.4472135954999579, &alpha[1], &favg[1]);
-    ax4(&mut ghat[3], 0.5, &alpha[2], &favg[6]);
-    ax4(&mut ghat[3], 0.447213595499958, &alpha[4], &favg[4]);
-    ax4(&mut ghat[3], 0.4472135954999579, &alpha[7], &favg[7]);
-    ax4(&mut ghat[4], 0.5, &alpha[0], &favg[4]);
-    ax4(&mut ghat[4], 0.5, &alpha[1], &favg[2]);
-    ax4(&mut ghat[4], 0.447213595499958, &alpha[1], &favg[6]);
-    ax4(&mut ghat[4], 0.5, &alpha[2], &favg[1]);
-    ax4(&mut ghat[4], 0.447213595499958, &alpha[2], &favg[7]);
-    ax4(&mut ghat[4], 0.5, &alpha[4], &favg[0]);
-    ax4(&mut ghat[4], 0.447213595499958, &alpha[4], &favg[3]);
-    ax4(&mut ghat[4], 0.447213595499958, &alpha[4], &favg[5]);
-    ax4(&mut ghat[4], 0.447213595499958, &alpha[5], &favg[4]);
-    ax4(&mut ghat[4], 0.447213595499958, &alpha[7], &favg[2]);
-    ax4(&mut ghat[4], 0.4, &alpha[7], &favg[6]);
-    ax4(&mut ghat[5], 0.5, &alpha[0], &favg[5]);
-    ax4(&mut ghat[5], 0.5, &alpha[1], &favg[7]);
-    ax4(&mut ghat[5], 0.4472135954999579, &alpha[2], &favg[2]);
-    ax4(&mut ghat[5], 0.447213595499958, &alpha[4], &favg[4]);
-    ax4(&mut ghat[5], 0.5, &alpha[5], &favg[0]);
-    ax4(&mut ghat[5], 0.31943828249996997, &alpha[5], &favg[5]);
-    ax4(&mut ghat[5], 0.5, &alpha[7], &favg[1]);
-    ax4(&mut ghat[5], 0.31943828249996997, &alpha[7], &favg[7]);
-    ax4(&mut ghat[6], 0.5, &alpha[0], &favg[6]);
-    ax4(&mut ghat[6], 0.447213595499958, &alpha[1], &favg[4]);
-    ax4(&mut ghat[6], 0.5, &alpha[2], &favg[3]);
-    ax4(&mut ghat[6], 0.447213595499958, &alpha[4], &favg[1]);
-    ax4(&mut ghat[6], 0.4, &alpha[4], &favg[7]);
-    ax4(&mut ghat[6], 0.4472135954999579, &alpha[5], &favg[6]);
-    ax4(&mut ghat[6], 0.4, &alpha[7], &favg[4]);
-    ax4(&mut ghat[7], 0.5, &alpha[0], &favg[7]);
-    ax4(&mut ghat[7], 0.5, &alpha[1], &favg[5]);
-    ax4(&mut ghat[7], 0.447213595499958, &alpha[2], &favg[4]);
-    ax4(&mut ghat[7], 0.447213595499958, &alpha[4], &favg[2]);
-    ax4(&mut ghat[7], 0.4, &alpha[4], &favg[6]);
-    ax4(&mut ghat[7], 0.5, &alpha[5], &favg[1]);
-    ax4(&mut ghat[7], 0.31943828249996997, &alpha[5], &favg[7]);
-    ax4(&mut ghat[7], 0.5, &alpha[7], &favg[0]);
-    ax4(&mut ghat[7], 0.4472135954999579, &alpha[7], &favg[3]);
-    ax4(&mut ghat[7], 0.31943828249996997, &alpha[7], &favg[5]);
+    for k in 0..LANES {
+        ghat[0].0[k] += 0.5 * alpha[0].0[k] * favg[0].0[k];
+        ghat[0].0[k] += 0.5 * alpha[1].0[k] * favg[1].0[k];
+        ghat[0].0[k] += 0.5 * alpha[2].0[k] * favg[2].0[k];
+        ghat[0].0[k] += 0.5 * alpha[4].0[k] * favg[4].0[k];
+        ghat[0].0[k] += 0.5 * alpha[5].0[k] * favg[5].0[k];
+        ghat[0].0[k] += 0.5 * alpha[7].0[k] * favg[7].0[k];
+    }
+    for k in 0..LANES {
+        ghat[1].0[k] += 0.5 * alpha[0].0[k] * favg[1].0[k];
+        ghat[1].0[k] += 0.5 * alpha[1].0[k] * favg[0].0[k];
+        ghat[1].0[k] += 0.4472135954999579 * alpha[1].0[k] * favg[3].0[k];
+        ghat[1].0[k] += 0.5 * alpha[2].0[k] * favg[4].0[k];
+        ghat[1].0[k] += 0.5 * alpha[4].0[k] * favg[2].0[k];
+        ghat[1].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[6].0[k];
+        ghat[1].0[k] += 0.5 * alpha[5].0[k] * favg[7].0[k];
+        ghat[1].0[k] += 0.5 * alpha[7].0[k] * favg[5].0[k];
+    }
+    for k in 0..LANES {
+        ghat[2].0[k] += 0.5 * alpha[0].0[k] * favg[2].0[k];
+        ghat[2].0[k] += 0.5 * alpha[1].0[k] * favg[4].0[k];
+        ghat[2].0[k] += 0.5 * alpha[2].0[k] * favg[0].0[k];
+        ghat[2].0[k] += 0.4472135954999579 * alpha[2].0[k] * favg[5].0[k];
+        ghat[2].0[k] += 0.5 * alpha[4].0[k] * favg[1].0[k];
+        ghat[2].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[7].0[k];
+        ghat[2].0[k] += 0.4472135954999579 * alpha[5].0[k] * favg[2].0[k];
+        ghat[2].0[k] += 0.447213595499958 * alpha[7].0[k] * favg[4].0[k];
+    }
+    for k in 0..LANES {
+        ghat[3].0[k] += 0.5 * alpha[0].0[k] * favg[3].0[k];
+        ghat[3].0[k] += 0.4472135954999579 * alpha[1].0[k] * favg[1].0[k];
+        ghat[3].0[k] += 0.5 * alpha[2].0[k] * favg[6].0[k];
+        ghat[3].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[4].0[k];
+        ghat[3].0[k] += 0.4472135954999579 * alpha[7].0[k] * favg[7].0[k];
+    }
+    for k in 0..LANES {
+        ghat[4].0[k] += 0.5 * alpha[0].0[k] * favg[4].0[k];
+        ghat[4].0[k] += 0.5 * alpha[1].0[k] * favg[2].0[k];
+        ghat[4].0[k] += 0.447213595499958 * alpha[1].0[k] * favg[6].0[k];
+        ghat[4].0[k] += 0.5 * alpha[2].0[k] * favg[1].0[k];
+        ghat[4].0[k] += 0.447213595499958 * alpha[2].0[k] * favg[7].0[k];
+        ghat[4].0[k] += 0.5 * alpha[4].0[k] * favg[0].0[k];
+        ghat[4].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[3].0[k];
+        ghat[4].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[5].0[k];
+        ghat[4].0[k] += 0.447213595499958 * alpha[5].0[k] * favg[4].0[k];
+        ghat[4].0[k] += 0.447213595499958 * alpha[7].0[k] * favg[2].0[k];
+        ghat[4].0[k] += 0.4 * alpha[7].0[k] * favg[6].0[k];
+    }
+    for k in 0..LANES {
+        ghat[5].0[k] += 0.5 * alpha[0].0[k] * favg[5].0[k];
+        ghat[5].0[k] += 0.5 * alpha[1].0[k] * favg[7].0[k];
+        ghat[5].0[k] += 0.4472135954999579 * alpha[2].0[k] * favg[2].0[k];
+        ghat[5].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[4].0[k];
+        ghat[5].0[k] += 0.5 * alpha[5].0[k] * favg[0].0[k];
+        ghat[5].0[k] += 0.31943828249996997 * alpha[5].0[k] * favg[5].0[k];
+        ghat[5].0[k] += 0.5 * alpha[7].0[k] * favg[1].0[k];
+        ghat[5].0[k] += 0.31943828249996997 * alpha[7].0[k] * favg[7].0[k];
+    }
+    for k in 0..LANES {
+        ghat[6].0[k] += 0.5 * alpha[0].0[k] * favg[6].0[k];
+        ghat[6].0[k] += 0.447213595499958 * alpha[1].0[k] * favg[4].0[k];
+        ghat[6].0[k] += 0.5 * alpha[2].0[k] * favg[3].0[k];
+        ghat[6].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[1].0[k];
+        ghat[6].0[k] += 0.4 * alpha[4].0[k] * favg[7].0[k];
+        ghat[6].0[k] += 0.4472135954999579 * alpha[5].0[k] * favg[6].0[k];
+        ghat[6].0[k] += 0.4 * alpha[7].0[k] * favg[4].0[k];
+    }
+    for k in 0..LANES {
+        ghat[7].0[k] += 0.5 * alpha[0].0[k] * favg[7].0[k];
+        ghat[7].0[k] += 0.5 * alpha[1].0[k] * favg[5].0[k];
+        ghat[7].0[k] += 0.447213595499958 * alpha[2].0[k] * favg[4].0[k];
+        ghat[7].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[2].0[k];
+        ghat[7].0[k] += 0.4 * alpha[4].0[k] * favg[6].0[k];
+        ghat[7].0[k] += 0.5 * alpha[5].0[k] * favg[1].0[k];
+        ghat[7].0[k] += 0.31943828249996997 * alpha[5].0[k] * favg[7].0[k];
+        ghat[7].0[k] += 0.5 * alpha[7].0[k] * favg[0].0[k];
+        ghat[7].0[k] += 0.4472135954999579 * alpha[7].0[k] * favg[3].0[k];
+        ghat[7].0[k] += 0.31943828249996997 * alpha[7].0[k] * favg[5].0[k];
+    }
     sx4(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
     sx4(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
     sx4(&mut out_lo[2], -rd * 1.224744871391589, &ghat[0]);
@@ -811,6 +879,24 @@ pub fn vlasov_surf_1x2v_p2_ser_v1(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], p
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_surf_1x2v_p2_ser_v1_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+    vlasov_surf_1x2v_p2_ser_v1_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// [`vlasov_surf_1x2v_p2_ser_v1_b4`] compiled for AVX2: the same body, bit-identical per lane.
+/// Reach it through `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_surf_1x2v_p2_ser_v1_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+    vlasov_surf_1x2v_p2_ser_v1_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared body of [`vlasov_surf_1x2v_p2_ser_v1_b4`] and its AVX2 entry point.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn vlasov_surf_1x2v_p2_ser_v1_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
     let rd = 2.0 / dxv[2];
     let mut alpha = [CellLanes([0.0f64; LANES]); 8];
     let mut lam = CellLanes([0.0f64; LANES]);
@@ -885,69 +971,85 @@ pub fn vlasov_surf_1x2v_p2_ser_v1_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: 
         favg[7].0[k] = 0.5 * (fm[7].0[k] + fp[7].0[k]);
         ghat[7].0[k] = -0.5 * lam.0[k] * (fp[7].0[k] - fm[7].0[k]);
     }
-    ax4(&mut ghat[0], 0.5, &alpha[0], &favg[0]);
-    ax4(&mut ghat[0], 0.5, &alpha[1], &favg[1]);
-    ax4(&mut ghat[0], 0.5, &alpha[2], &favg[2]);
-    ax4(&mut ghat[0], 0.5, &alpha[4], &favg[4]);
-    ax4(&mut ghat[0], 0.5, &alpha[5], &favg[5]);
-    ax4(&mut ghat[0], 0.5, &alpha[7], &favg[7]);
-    ax4(&mut ghat[1], 0.5, &alpha[0], &favg[1]);
-    ax4(&mut ghat[1], 0.5, &alpha[1], &favg[0]);
-    ax4(&mut ghat[1], 0.4472135954999579, &alpha[1], &favg[3]);
-    ax4(&mut ghat[1], 0.5, &alpha[2], &favg[4]);
-    ax4(&mut ghat[1], 0.5, &alpha[4], &favg[2]);
-    ax4(&mut ghat[1], 0.447213595499958, &alpha[4], &favg[6]);
-    ax4(&mut ghat[1], 0.5, &alpha[5], &favg[7]);
-    ax4(&mut ghat[1], 0.5, &alpha[7], &favg[5]);
-    ax4(&mut ghat[2], 0.5, &alpha[0], &favg[2]);
-    ax4(&mut ghat[2], 0.5, &alpha[1], &favg[4]);
-    ax4(&mut ghat[2], 0.5, &alpha[2], &favg[0]);
-    ax4(&mut ghat[2], 0.4472135954999579, &alpha[2], &favg[5]);
-    ax4(&mut ghat[2], 0.5, &alpha[4], &favg[1]);
-    ax4(&mut ghat[2], 0.447213595499958, &alpha[4], &favg[7]);
-    ax4(&mut ghat[2], 0.4472135954999579, &alpha[5], &favg[2]);
-    ax4(&mut ghat[2], 0.447213595499958, &alpha[7], &favg[4]);
-    ax4(&mut ghat[3], 0.5, &alpha[0], &favg[3]);
-    ax4(&mut ghat[3], 0.4472135954999579, &alpha[1], &favg[1]);
-    ax4(&mut ghat[3], 0.5, &alpha[2], &favg[6]);
-    ax4(&mut ghat[3], 0.447213595499958, &alpha[4], &favg[4]);
-    ax4(&mut ghat[3], 0.4472135954999579, &alpha[7], &favg[7]);
-    ax4(&mut ghat[4], 0.5, &alpha[0], &favg[4]);
-    ax4(&mut ghat[4], 0.5, &alpha[1], &favg[2]);
-    ax4(&mut ghat[4], 0.447213595499958, &alpha[1], &favg[6]);
-    ax4(&mut ghat[4], 0.5, &alpha[2], &favg[1]);
-    ax4(&mut ghat[4], 0.447213595499958, &alpha[2], &favg[7]);
-    ax4(&mut ghat[4], 0.5, &alpha[4], &favg[0]);
-    ax4(&mut ghat[4], 0.447213595499958, &alpha[4], &favg[3]);
-    ax4(&mut ghat[4], 0.447213595499958, &alpha[4], &favg[5]);
-    ax4(&mut ghat[4], 0.447213595499958, &alpha[5], &favg[4]);
-    ax4(&mut ghat[4], 0.447213595499958, &alpha[7], &favg[2]);
-    ax4(&mut ghat[4], 0.4, &alpha[7], &favg[6]);
-    ax4(&mut ghat[5], 0.5, &alpha[0], &favg[5]);
-    ax4(&mut ghat[5], 0.5, &alpha[1], &favg[7]);
-    ax4(&mut ghat[5], 0.4472135954999579, &alpha[2], &favg[2]);
-    ax4(&mut ghat[5], 0.447213595499958, &alpha[4], &favg[4]);
-    ax4(&mut ghat[5], 0.5, &alpha[5], &favg[0]);
-    ax4(&mut ghat[5], 0.31943828249996997, &alpha[5], &favg[5]);
-    ax4(&mut ghat[5], 0.5, &alpha[7], &favg[1]);
-    ax4(&mut ghat[5], 0.31943828249996997, &alpha[7], &favg[7]);
-    ax4(&mut ghat[6], 0.5, &alpha[0], &favg[6]);
-    ax4(&mut ghat[6], 0.447213595499958, &alpha[1], &favg[4]);
-    ax4(&mut ghat[6], 0.5, &alpha[2], &favg[3]);
-    ax4(&mut ghat[6], 0.447213595499958, &alpha[4], &favg[1]);
-    ax4(&mut ghat[6], 0.4, &alpha[4], &favg[7]);
-    ax4(&mut ghat[6], 0.4472135954999579, &alpha[5], &favg[6]);
-    ax4(&mut ghat[6], 0.4, &alpha[7], &favg[4]);
-    ax4(&mut ghat[7], 0.5, &alpha[0], &favg[7]);
-    ax4(&mut ghat[7], 0.5, &alpha[1], &favg[5]);
-    ax4(&mut ghat[7], 0.447213595499958, &alpha[2], &favg[4]);
-    ax4(&mut ghat[7], 0.447213595499958, &alpha[4], &favg[2]);
-    ax4(&mut ghat[7], 0.4, &alpha[4], &favg[6]);
-    ax4(&mut ghat[7], 0.5, &alpha[5], &favg[1]);
-    ax4(&mut ghat[7], 0.31943828249996997, &alpha[5], &favg[7]);
-    ax4(&mut ghat[7], 0.5, &alpha[7], &favg[0]);
-    ax4(&mut ghat[7], 0.4472135954999579, &alpha[7], &favg[3]);
-    ax4(&mut ghat[7], 0.31943828249996997, &alpha[7], &favg[5]);
+    for k in 0..LANES {
+        ghat[0].0[k] += 0.5 * alpha[0].0[k] * favg[0].0[k];
+        ghat[0].0[k] += 0.5 * alpha[1].0[k] * favg[1].0[k];
+        ghat[0].0[k] += 0.5 * alpha[2].0[k] * favg[2].0[k];
+        ghat[0].0[k] += 0.5 * alpha[4].0[k] * favg[4].0[k];
+        ghat[0].0[k] += 0.5 * alpha[5].0[k] * favg[5].0[k];
+        ghat[0].0[k] += 0.5 * alpha[7].0[k] * favg[7].0[k];
+    }
+    for k in 0..LANES {
+        ghat[1].0[k] += 0.5 * alpha[0].0[k] * favg[1].0[k];
+        ghat[1].0[k] += 0.5 * alpha[1].0[k] * favg[0].0[k];
+        ghat[1].0[k] += 0.4472135954999579 * alpha[1].0[k] * favg[3].0[k];
+        ghat[1].0[k] += 0.5 * alpha[2].0[k] * favg[4].0[k];
+        ghat[1].0[k] += 0.5 * alpha[4].0[k] * favg[2].0[k];
+        ghat[1].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[6].0[k];
+        ghat[1].0[k] += 0.5 * alpha[5].0[k] * favg[7].0[k];
+        ghat[1].0[k] += 0.5 * alpha[7].0[k] * favg[5].0[k];
+    }
+    for k in 0..LANES {
+        ghat[2].0[k] += 0.5 * alpha[0].0[k] * favg[2].0[k];
+        ghat[2].0[k] += 0.5 * alpha[1].0[k] * favg[4].0[k];
+        ghat[2].0[k] += 0.5 * alpha[2].0[k] * favg[0].0[k];
+        ghat[2].0[k] += 0.4472135954999579 * alpha[2].0[k] * favg[5].0[k];
+        ghat[2].0[k] += 0.5 * alpha[4].0[k] * favg[1].0[k];
+        ghat[2].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[7].0[k];
+        ghat[2].0[k] += 0.4472135954999579 * alpha[5].0[k] * favg[2].0[k];
+        ghat[2].0[k] += 0.447213595499958 * alpha[7].0[k] * favg[4].0[k];
+    }
+    for k in 0..LANES {
+        ghat[3].0[k] += 0.5 * alpha[0].0[k] * favg[3].0[k];
+        ghat[3].0[k] += 0.4472135954999579 * alpha[1].0[k] * favg[1].0[k];
+        ghat[3].0[k] += 0.5 * alpha[2].0[k] * favg[6].0[k];
+        ghat[3].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[4].0[k];
+        ghat[3].0[k] += 0.4472135954999579 * alpha[7].0[k] * favg[7].0[k];
+    }
+    for k in 0..LANES {
+        ghat[4].0[k] += 0.5 * alpha[0].0[k] * favg[4].0[k];
+        ghat[4].0[k] += 0.5 * alpha[1].0[k] * favg[2].0[k];
+        ghat[4].0[k] += 0.447213595499958 * alpha[1].0[k] * favg[6].0[k];
+        ghat[4].0[k] += 0.5 * alpha[2].0[k] * favg[1].0[k];
+        ghat[4].0[k] += 0.447213595499958 * alpha[2].0[k] * favg[7].0[k];
+        ghat[4].0[k] += 0.5 * alpha[4].0[k] * favg[0].0[k];
+        ghat[4].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[3].0[k];
+        ghat[4].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[5].0[k];
+        ghat[4].0[k] += 0.447213595499958 * alpha[5].0[k] * favg[4].0[k];
+        ghat[4].0[k] += 0.447213595499958 * alpha[7].0[k] * favg[2].0[k];
+        ghat[4].0[k] += 0.4 * alpha[7].0[k] * favg[6].0[k];
+    }
+    for k in 0..LANES {
+        ghat[5].0[k] += 0.5 * alpha[0].0[k] * favg[5].0[k];
+        ghat[5].0[k] += 0.5 * alpha[1].0[k] * favg[7].0[k];
+        ghat[5].0[k] += 0.4472135954999579 * alpha[2].0[k] * favg[2].0[k];
+        ghat[5].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[4].0[k];
+        ghat[5].0[k] += 0.5 * alpha[5].0[k] * favg[0].0[k];
+        ghat[5].0[k] += 0.31943828249996997 * alpha[5].0[k] * favg[5].0[k];
+        ghat[5].0[k] += 0.5 * alpha[7].0[k] * favg[1].0[k];
+        ghat[5].0[k] += 0.31943828249996997 * alpha[7].0[k] * favg[7].0[k];
+    }
+    for k in 0..LANES {
+        ghat[6].0[k] += 0.5 * alpha[0].0[k] * favg[6].0[k];
+        ghat[6].0[k] += 0.447213595499958 * alpha[1].0[k] * favg[4].0[k];
+        ghat[6].0[k] += 0.5 * alpha[2].0[k] * favg[3].0[k];
+        ghat[6].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[1].0[k];
+        ghat[6].0[k] += 0.4 * alpha[4].0[k] * favg[7].0[k];
+        ghat[6].0[k] += 0.4472135954999579 * alpha[5].0[k] * favg[6].0[k];
+        ghat[6].0[k] += 0.4 * alpha[7].0[k] * favg[4].0[k];
+    }
+    for k in 0..LANES {
+        ghat[7].0[k] += 0.5 * alpha[0].0[k] * favg[7].0[k];
+        ghat[7].0[k] += 0.5 * alpha[1].0[k] * favg[5].0[k];
+        ghat[7].0[k] += 0.447213595499958 * alpha[2].0[k] * favg[4].0[k];
+        ghat[7].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[2].0[k];
+        ghat[7].0[k] += 0.4 * alpha[4].0[k] * favg[6].0[k];
+        ghat[7].0[k] += 0.5 * alpha[5].0[k] * favg[1].0[k];
+        ghat[7].0[k] += 0.31943828249996997 * alpha[5].0[k] * favg[7].0[k];
+        ghat[7].0[k] += 0.5 * alpha[7].0[k] * favg[0].0[k];
+        ghat[7].0[k] += 0.4472135954999579 * alpha[7].0[k] * favg[3].0[k];
+        ghat[7].0[k] += 0.31943828249996997 * alpha[7].0[k] * favg[5].0[k];
+    }
     sx4(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
     sx4(&mut out_lo[1], -rd * 1.224744871391589, &ghat[0]);
     sx4(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[1]);

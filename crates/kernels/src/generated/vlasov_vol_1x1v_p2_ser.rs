@@ -59,18 +59,54 @@ pub fn vlasov_vol_1x1v_p2_ser(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], f: &[
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_vol_1x1v_p2_ser_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {
-    // streaming: ∂/∂x0 of (v0 f)
+    vlasov_vol_1x1v_p2_ser_b4_body(w, dxv, qm, em, f, out)
+}
+
+/// [`vlasov_vol_1x1v_p2_ser_b4`] compiled for AVX2: the same body, bit-identical per lane.
+/// Reach it through `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_vol_1x1v_p2_ser_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {
+    vlasov_vol_1x1v_p2_ser_b4_body(w, dxv, qm, em, f, out)
+}
+
+/// Shared body of [`vlasov_vol_1x1v_p2_ser_b4`] and its AVX2 entry point.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn vlasov_vol_1x1v_p2_ser_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {
+    vlasov_vol_1x1v_p2_ser_b4_stream0(w, dxv, f, out);
+    vlasov_vol_1x1v_p2_ser_b4_accel0(w, dxv, qm, em, f, out);
+}
+
+/// Streaming `∂/∂x0 (v0 f)` term of [`vlasov_vol_1x1v_p2_ser_b4`].
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn vlasov_vol_1x1v_p2_ser_b4_stream0(w: &[CellLanes], dxv: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {
     let rd0 = 2.0 / dxv[0];
     let mut a0_0 = CellLanes([0.0f64; LANES]);
     for k in 0..LANES {
         a0_0.0[k] = 2.0 * w[1].0[k] * rd0;
     }
     let a1_0 = 1.1547005383792517 * 0.5 * dxv[1] * rd0;
-    ax4(&mut out[2], 0.8660254037844386, &a0_0, &f[0]);
-    ax4(&mut out[4], 0.8660254037844386, &a0_0, &f[1]);
-    ax4(&mut out[5], 1.9364916731037085, &a0_0, &f[2]);
-    ax4(&mut out[6], 0.8660254037844388, &a0_0, &f[3]);
-    ax4(&mut out[7], 1.9364916731037083, &a0_0, &f[4]);
+    for k in 0..LANES {
+        out[2].0[k] += 0.8660254037844386 * a0_0.0[k] * f[0].0[k];
+    }
+    for k in 0..LANES {
+        out[4].0[k] += 0.8660254037844386 * a0_0.0[k] * f[1].0[k];
+    }
+    for k in 0..LANES {
+        out[5].0[k] += 1.9364916731037085 * a0_0.0[k] * f[2].0[k];
+    }
+    for k in 0..LANES {
+        out[6].0[k] += 0.8660254037844388 * a0_0.0[k] * f[3].0[k];
+    }
+    for k in 0..LANES {
+        out[7].0[k] += 1.9364916731037083 * a0_0.0[k] * f[4].0[k];
+    }
     sx4(&mut out[2], 0.8660254037844386 * a1_0, &f[1]);
     sx4(&mut out[4], 0.8660254037844386 * a1_0, &f[0]);
     sx4(&mut out[4], 0.7745966692414833 * a1_0, &f[3]);
@@ -78,30 +114,47 @@ pub fn vlasov_vol_1x1v_p2_ser_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f6
     sx4(&mut out[6], 0.7745966692414833 * a1_0, &f[1]);
     sx4(&mut out[7], 1.9364916731037083 * a1_0, &f[2]);
     sx4(&mut out[7], 1.7320508075688774 * a1_0, &f[6]);
-    // acceleration: ∂/∂v0 of (q/m (E + v×B)_0 f)
+}
+
+/// Acceleration `∂/∂v0 (q/m (E + v×B)_0 f)` term of [`vlasov_vol_1x1v_p2_ser_b4`].
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn vlasov_vol_1x1v_p2_ser_b4_accel0(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {
     let rv0 = 2.0 / dxv[1];
     let mut alpha0 = [CellLanes([0.0f64; LANES]); 8];
+    let _ = w;
     for k in 0..LANES {
         alpha0[0].0[k] += qm * 1.4142135623730951 * (em[0]);
         alpha0[2].0[k] += qm * 1.4142135623730951 * (em[1]);
         alpha0[5].0[k] += qm * 1.4142135623730951 * (em[2]);
     }
-    ax4(&mut out[1], 0.8660254037844386 * rv0, &alpha0[0], &f[0]);
-    ax4(&mut out[1], 0.8660254037844386 * rv0, &alpha0[2], &f[2]);
-    ax4(&mut out[1], 0.8660254037844388 * rv0, &alpha0[5], &f[5]);
-    ax4(&mut out[3], 1.9364916731037085 * rv0, &alpha0[0], &f[1]);
-    ax4(&mut out[3], 1.9364916731037083 * rv0, &alpha0[2], &f[4]);
-    ax4(&mut out[3], 1.9364916731037085 * rv0, &alpha0[5], &f[7]);
-    ax4(&mut out[4], 0.8660254037844386 * rv0, &alpha0[0], &f[2]);
-    ax4(&mut out[4], 0.8660254037844386 * rv0, &alpha0[2], &f[0]);
-    ax4(&mut out[4], 0.7745966692414833 * rv0, &alpha0[2], &f[5]);
-    ax4(&mut out[4], 0.7745966692414833 * rv0, &alpha0[5], &f[2]);
-    ax4(&mut out[6], 1.9364916731037083 * rv0, &alpha0[0], &f[4]);
-    ax4(&mut out[6], 1.9364916731037083 * rv0, &alpha0[2], &f[1]);
-    ax4(&mut out[6], 1.7320508075688774 * rv0, &alpha0[2], &f[7]);
-    ax4(&mut out[6], 1.7320508075688774 * rv0, &alpha0[5], &f[4]);
-    ax4(&mut out[7], 0.8660254037844388 * rv0, &alpha0[0], &f[5]);
-    ax4(&mut out[7], 0.7745966692414833 * rv0, &alpha0[2], &f[2]);
-    ax4(&mut out[7], 0.8660254037844388 * rv0, &alpha0[5], &f[0]);
-    ax4(&mut out[7], 0.5532833351724881 * rv0, &alpha0[5], &f[5]);
+    for k in 0..LANES {
+        out[1].0[k] += 0.8660254037844386 * rv0 * alpha0[0].0[k] * f[0].0[k];
+        out[1].0[k] += 0.8660254037844386 * rv0 * alpha0[2].0[k] * f[2].0[k];
+        out[1].0[k] += 0.8660254037844388 * rv0 * alpha0[5].0[k] * f[5].0[k];
+    }
+    for k in 0..LANES {
+        out[3].0[k] += 1.9364916731037085 * rv0 * alpha0[0].0[k] * f[1].0[k];
+        out[3].0[k] += 1.9364916731037083 * rv0 * alpha0[2].0[k] * f[4].0[k];
+        out[3].0[k] += 1.9364916731037085 * rv0 * alpha0[5].0[k] * f[7].0[k];
+    }
+    for k in 0..LANES {
+        out[4].0[k] += 0.8660254037844386 * rv0 * alpha0[0].0[k] * f[2].0[k];
+        out[4].0[k] += 0.8660254037844386 * rv0 * alpha0[2].0[k] * f[0].0[k];
+        out[4].0[k] += 0.7745966692414833 * rv0 * alpha0[2].0[k] * f[5].0[k];
+        out[4].0[k] += 0.7745966692414833 * rv0 * alpha0[5].0[k] * f[2].0[k];
+    }
+    for k in 0..LANES {
+        out[6].0[k] += 1.9364916731037083 * rv0 * alpha0[0].0[k] * f[4].0[k];
+        out[6].0[k] += 1.9364916731037083 * rv0 * alpha0[2].0[k] * f[1].0[k];
+        out[6].0[k] += 1.7320508075688774 * rv0 * alpha0[2].0[k] * f[7].0[k];
+        out[6].0[k] += 1.7320508075688774 * rv0 * alpha0[5].0[k] * f[4].0[k];
+    }
+    for k in 0..LANES {
+        out[7].0[k] += 0.8660254037844388 * rv0 * alpha0[0].0[k] * f[5].0[k];
+        out[7].0[k] += 0.7745966692414833 * rv0 * alpha0[2].0[k] * f[2].0[k];
+        out[7].0[k] += 0.8660254037844388 * rv0 * alpha0[5].0[k] * f[0].0[k];
+        out[7].0[k] += 0.5532833351724881 * rv0 * alpha0[5].0[k] * f[5].0[k];
+    }
 }

@@ -124,6 +124,41 @@ fn rhs_and_lbo_loops_allocate_nothing() {
         );
     }
 
+    // --- Velocity-face tables: `surface_velocity` batches a face list
+    // precomputed with the operator. A velocity grid whose pencil counts
+    // (3 and 5) leave a partial panel in both directions must sweep
+    // without allocating — no per-RHS table, no per-panel scratch. ---
+    {
+        let grid = PhaseGrid::new(
+            CartGrid::new(&[0.0], &[1.0], &[2]),
+            CartGrid::new(&[-4.0, -4.0], &[4.0, 4.0], &[5, 3]),
+            vec![Bc::Periodic],
+        );
+        let mut f = DgField::zeros(grid.len(), kernels.np());
+        for (i, v) in f.as_mut_slice().iter_mut().enumerate() {
+            *v = ((i * 37 % 101) as f64 - 50.0) * 1e-2;
+        }
+        let em = DgField::zeros(grid.conf.len(), NCOMP * kernels.nc());
+        let mut out = DgField::zeros(f.ncells(), f.ncoeff());
+        let nconf = grid.conf.len();
+        let op = VlasovOp::with_dispatch(
+            std::sync::Arc::clone(&kernels),
+            grid,
+            FluxKind::Upwind,
+            KernelDispatch::Generated,
+        );
+        op.surface_velocity(-1.0, &f, &em, &mut out, &mut ws, 0..nconf);
+        let n = count_allocs(|| {
+            for _ in 0..3 {
+                op.surface_velocity(-1.0, &f, &em, &mut out, &mut ws, 0..nconf);
+            }
+        });
+        assert_eq!(
+            n, 0,
+            "face-panel velocity sweep allocated {n} times in the hot loop"
+        );
+    }
+
     // --- Wall boundary conditions: ghost synthesis (absorb + reflect),
     // staged interior updates, and the wall-flux ledger must all run out
     // of the persistent workspace — zero allocations with walls active,
