@@ -41,7 +41,8 @@ impl ManifestEntry {
         let ndim = self.cdim + self.vdim;
         // Batched kernels have two entry points around one shared body:
         // the portable `_b4` and the x86-64 `_b4_avx2` (dispatch selects
-        // at run time; a registry row names both).
+        // at run time; a registry row names both). Volume and surface
+        // kernels first, the LBO stage kernels below.
         fns.push((self.vol.clone(), self.vol.clone()));
         fns.push((self.vol.clone(), format!("{}_b4", self.vol)));
         fns.push((self.vol.clone(), format!("{}_b4_avx2", self.vol)));
@@ -67,8 +68,15 @@ impl ManifestEntry {
             "diff_vol",
             "diff_surf",
         ] {
+            // One lane-generic body per stage and direction behind three
+            // entry points: scalar (one lane), `_b4` and `_b4_avx2`.
             for j in 0..self.vdim {
-                fns.push((self.lbo.clone(), format!("{}_{stage}_v{j}", self.lbo)));
+                for suffix in ["", "_b4", "_b4_avx2"] {
+                    fns.push((
+                        self.lbo.clone(),
+                        format!("{}_{stage}_v{j}{suffix}", self.lbo),
+                    ));
+                }
             }
         }
         fns

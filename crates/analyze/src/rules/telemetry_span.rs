@@ -2,7 +2,7 @@
 //!
 //! The telemetry invariant — bit-identical trajectories and a
 //! zero-allocation RHS whether collection is on or off — holds because
-//! every hot-path measurement goes through [`dg_telemetry`]'s
+//! every hot-path measurement goes through `dg_telemetry`'s
 //! `span!`/`Collector::count` layer: one branch when disabled, two
 //! monotonic clock reads when enabled, no allocation either way. A raw
 //! `Instant::now()` / `.elapsed()` / `SystemTime` call inside the hot

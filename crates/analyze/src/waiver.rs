@@ -131,11 +131,18 @@ fn fn_body_range(lines: &[Line], j: usize) -> Option<std::ops::Range<usize>> {
     }
     let (bl, bc) = find_char_from(lines, j, 0, '{')?;
     // A `;` before the opening brace means this was a bodiless signature
-    // (trait method) and the `{` belongs to something else.
+    // (trait method) and the `{` belongs to something else — unless it
+    // sits inside brackets, where it is an array type (`[f64; 3]`).
+    let mut depth = 0usize;
     for (li, l) in lines.iter().enumerate().take(bl + 1).skip(j) {
         let upto = if li == bl { bc } else { l.code.len() };
-        if l.code[..upto].contains(';') {
-            return None;
+        for c in l.code[..upto].chars() {
+            match c {
+                '[' => depth += 1,
+                ']' => depth = depth.saturating_sub(1),
+                ';' if depth == 0 => return None,
+                _ => {}
+            }
         }
     }
     let end = match_brace(lines, bl, bc)?;
@@ -183,6 +190,29 @@ fn hot() {}
             assert!(sup.is_suppressed(Rule::HotAlloc, l), "line {l}");
         }
         assert!(!sup.is_suppressed(Rule::HotAlloc, 5));
+    }
+
+    #[test]
+    fn array_type_in_a_signature_does_not_end_the_fn() {
+        // The `;` of `[f64; 3]` is not a bodiless signature's terminator;
+        // a trait method's is.
+        let src = "\
+// dg-analyze: allow(hot_alloc) — table constructor
+fn table(n: usize) -> Vec<[f64; 3]> {
+    vec![[0.0; 3]; n]
+}
+// dg-analyze: allow(hot_alloc) — covers one line only
+fn declared(&self) -> Vec<f64>;
+fn other() { let v = vec![1]; }
+";
+        let f = file(src);
+        let (sup, diags) = collect(&f);
+        assert!(diags.is_empty());
+        for l in 2..=4 {
+            assert!(sup.is_suppressed(Rule::HotAlloc, l), "line {l}");
+        }
+        assert!(sup.is_suppressed(Rule::HotAlloc, 6));
+        assert!(!sup.is_suppressed(Rule::HotAlloc, 7));
     }
 
     #[test]

@@ -183,6 +183,16 @@ fn registry_fires_on_seeded_fixture_dir() {
             "registry_bad/demo_surf_1x1v_p1.rs",
             "`pub fn demo_surf_1x1v_p1_v0_b4_avx2`",
         ),
+        // 7. lbo artifact exists but one stage has only its scalar
+        //    (one-lane) entry point
+        (
+            "registry_bad/demo_lbo_1x1v_p1.rs",
+            "`pub fn demo_lbo_1x1v_p1_diff_surf_v0_b4`",
+        ),
+        (
+            "registry_bad/demo_lbo_1x1v_p1.rs",
+            "`pub fn demo_lbo_1x1v_p1_diff_surf_v0_b4_avx2`",
+        ),
     ];
     for (file, frag) in expect {
         assert!(
@@ -193,7 +203,13 @@ fn registry_fires_on_seeded_fixture_dir() {
         );
     }
     // Entry points the fixture does define must not be reported.
-    for present in ["demo_vol_1x1v_p1_b4_avx2", "demo_surf_1x1v_p1_x0_b4_avx2"] {
+    for present in [
+        "demo_vol_1x1v_p1_b4_avx2",
+        "demo_surf_1x1v_p1_x0_b4_avx2",
+        "demo_lbo_1x1v_p1_drag_vol_v0_b4",
+        "demo_lbo_1x1v_p1_diff_vol_v0_b4_avx2",
+        "`pub fn demo_lbo_1x1v_p1_diff_surf_v0`",
+    ] {
         assert!(
             !diags.iter().any(|d| d.message.contains(present)),
             "`{present}` is defined but was reported: {diags:?}"

@@ -27,7 +27,9 @@
 
 use dg_basis::expand;
 use dg_grid::{CellStoreMut, DgField, PhaseGrid};
-use dg_kernels::dispatch::{DispatchPath, KernelDispatch, LboKernelEntry, ResolvedLbo};
+use dg_kernels::dispatch::{
+    DispatchPath, KernelDispatch, LboBatch, PencilLanes, PencilPanel, ResolvedLbo, LANES,
+};
 use dg_kernels::surface::FaceScratch;
 use dg_kernels::triple::{build_triple, DimTable, SparseTriple, TripleSpec};
 use dg_kernels::weak::WeakDivScratch;
@@ -84,16 +86,18 @@ impl PhaseGradMass {
 }
 
 /// Persistent scratch for one LBO operator: every moment field, primitive
-/// field, LDG stage, and per-cell buffer the RHS evaluation touches lives
-/// here, so a steady-state `accumulate_rhs` performs zero heap
-/// allocations (asserted by the counting-allocator test in
+/// field, pencil-group panel, and per-cell buffer the RHS evaluation
+/// touches lives here, so a steady-state `accumulate_rhs` performs zero
+/// heap allocations (asserted by the counting-allocator test in
 /// `tests/alloc_free.rs`).
 ///
 /// The cell-block parallel sweep gives every thread its own instance
 /// (built with [`LboOp::make_scratch`]) and calls
 /// [`LboOp::accumulate_rhs_range`] on disjoint configuration ranges — the
-/// moment/primitive/LDG fields are conf-sized, but each thread only
-/// touches its own range's cells.
+/// moment/primitive fields are conf-sized, but each thread only touches
+/// its own range's cells. Nothing here is phase-space-sized: the LDG
+/// gradient lives for one pencil position (generated path) or one
+/// configuration cell (runtime-sparse path) at a time.
 #[derive(Clone, Debug)]
 pub struct LboScratch {
     /// Raw moments M0 / M1_j / M2.
@@ -103,7 +107,17 @@ pub struct LboScratch {
     /// Primitive moments u_j and vth².
     u: Vec<DgField>,
     vth2: DgField,
-    /// LDG gradient stage g = ∂f/∂v_j.
+    /// Generated path: the resident pencil group in SoA form — `f` and
+    /// `out` of its [`LANES`] pencils (`max_j n_j × Np` lane groups each),
+    /// the LDG gradient `g = ∂f/∂v_j` of one position along them (`Np`),
+    /// and the pencils' primitive moments `u_j` / `vth²` (`Nc` each).
+    pencil_f: PencilPanel,
+    pencil_out: PencilPanel,
+    lane_g: PencilPanel,
+    lane_u: PencilPanel,
+    lane_vth2: PencilPanel,
+    /// Runtime-sparse path: the LDG gradient of one configuration cell's
+    /// velocity block.
     g: DgField,
     /// Per-cell weak-algebra buffers (rhs of the vth² solve, weak
     /// products, scaled densities) — formerly `vec!`'d per cell.
@@ -112,7 +126,7 @@ pub struct LboScratch {
     dv_m0: Vec<f64>,
     /// Weak-division factorization scratch.
     div: WeakDivScratch,
-    /// Phase/face expansion buffers and face scratch.
+    /// Runtime-sparse path: phase/face expansion buffers and face scratch.
     alpha: Vec<f64>,
     alpha_face: Vec<f64>,
     trace: Vec<f64>,
@@ -133,13 +147,22 @@ impl LboScratch {
         let nf = kernels.max_face_len();
         let mut fs = FaceScratch::default();
         fs.ensure(nf);
+        // Only the path the operator resolved to gets its buffers.
+        let generated = resolve_path(kernels, dispatch).path() == DispatchPath::Generated;
+        let pencil = |groups: usize| PencilPanel::zeros(if generated { groups } else { 0 });
+        let longest = grid.vel.cells().iter().copied().max().unwrap_or(0);
         LboScratch {
             m0: DgField::zeros(nconf, nc),
             m1: (0..vdim).map(|_| DgField::zeros(nconf, nc)).collect(),
             m2: DgField::zeros(nconf, nc),
             u: (0..vdim).map(|_| DgField::zeros(nconf, nc)).collect(),
             vth2: DgField::zeros(nconf, nc),
-            g: DgField::zeros(nconf * grid.vel.len(), np),
+            pencil_f: pencil(longest * np),
+            pencil_out: pencil(longest * np),
+            lane_g: pencil(np),
+            lane_u: pencil(nc),
+            lane_vth2: pencil(nc),
+            g: DgField::zeros(if generated { 0 } else { grid.vel.len() }, np),
             rhs: vec![0.0; nc],
             prod: vec![0.0; nc],
             dv_m0: vec![0.0; nc],
@@ -163,6 +186,49 @@ impl LboScratch {
     pub fn instrument(&mut self, collector: &Collector) {
         self.probe = collector.clone();
         self.mom.probe = collector.clone();
+    }
+}
+
+/// Resolve the LBO kernel path of a kernel set under `dispatch`.
+///
+/// # Panics
+///
+/// When `dispatch` is [`KernelDispatch::Generated`] and no committed LBO
+/// kernel exists for this configuration.
+fn resolve_path(kernels: &PhaseKernels, dispatch: KernelDispatch) -> ResolvedLbo {
+    dispatch
+        .resolve_lbo(
+            kernels.phase_basis.kind(),
+            kernels.layout,
+            kernels.phase_basis.poly_order(),
+        )
+        .unwrap_or_else(|e| panic!("kernel dispatch: {e}"))
+}
+
+/// The `v_j`-pencils of one configuration cell and the batched stage
+/// kernels that sweep them — the generated path's per-direction table.
+struct PencilDir {
+    /// Linear velocity index of every pencil's first cell (index 0 along
+    /// `v_j`), ascending; the pencil's cell `i` is `i · stride(j)` above.
+    bases: Vec<u32>,
+    /// The five stage kernels over [`LANES`] pencils, as selected for this
+    /// CPU.
+    batch: LboBatch,
+}
+
+/// Copy one cell's coefficients into lane `lane` of an SoA panel.
+#[inline]
+fn pack_lane(panel: &mut [PencilLanes], lane: usize, cell: &[f64]) {
+    for (p, &c) in panel.iter_mut().zip(cell) {
+        p[lane] = c;
+    }
+}
+
+/// Copy lane `lane` of an SoA panel back into one cell's coefficients.
+#[inline]
+fn store_lane(cell: &mut [f64], panel: &[PencilLanes], lane: usize) {
+    for (c, p) in cell.iter_mut().zip(panel) {
+        *c = p[lane];
     }
 }
 
@@ -191,6 +257,12 @@ pub struct LboOp {
     w_face: f64,
     /// LBO kernel path, resolved once at construction.
     path: ResolvedLbo,
+    /// Generated path: the pencil table of every velocity direction
+    /// (empty on the runtime-sparse path).
+    pencils: Vec<PencilDir>,
+    /// Velocity-cell centres per linear velocity index, for the
+    /// primitive-moment sweep.
+    vel_centers: Vec<[f64; 3]>,
     /// The knob the path came from (propagated to per-thread scratch).
     dispatch: KernelDispatch,
 }
@@ -280,13 +352,26 @@ impl LboOp {
         }
         let w_phase = (2.0f64).powi(vdim as i32).sqrt();
         let w_face = (2.0f64).powi(vdim as i32 - 1).sqrt();
-        let path = dispatch
-            .resolve_lbo(
-                kernels.phase_basis.kind(),
-                kernels.layout,
-                kernels.phase_basis.poly_order(),
-            )
-            .unwrap_or_else(|e| panic!("kernel dispatch: {e}"));
+        let path = resolve_path(&kernels, dispatch);
+        let pencils = match path {
+            ResolvedLbo::Generated(e) => (0..vdim)
+                .map(|j| {
+                    // Row-major velocity grid: the cells with index 0 along
+                    // `v_j` are the first `stride` of every `n_j · stride`.
+                    let stride = grid.vel.stride(j);
+                    let period = grid.vel.cells()[j] * stride;
+                    PencilDir {
+                        bases: (0..grid.vel.len())
+                            .filter(|vlin| vlin % period < stride)
+                            .map(|vlin| vlin as u32)
+                            .collect(),
+                        batch: LboBatch::select(e, j),
+                    }
+                })
+                .collect(),
+            ResolvedLbo::RuntimeSparse => Vec::new(),
+        };
+        let vel_centers = crate::moments::vel_center_table(&grid);
         let scratch = Some(LboScratch::new(&kernels, &grid, dispatch));
         LboOp {
             kernels,
@@ -301,6 +386,8 @@ impl LboOp {
             w_phase,
             w_face,
             path,
+            pencils,
+            vel_centers,
             dispatch,
         }
     }
@@ -337,36 +424,20 @@ impl LboOp {
         let grid = &self.grid;
         let vdim = grid.vdim();
         let nc = k.nc();
-        crate::moments::number_density_range_into(
+        crate::moments::raw_moments_range_into(
             k,
             grid,
+            &self.vel_centers,
             f,
             &mut ws.m0,
+            &mut ws.m1,
+            &mut ws.m2,
             &ws.mom,
             conf_range.clone(), // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
         );
-        for (j, m1) in ws.m1.iter_mut().enumerate() {
-            crate::moments::momentum_density_range_into(
-                k,
-                grid,
-                f,
-                j,
-                m1,
-                &mut ws.mom,
-                conf_range.clone(), // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
-            );
-        }
-        crate::moments::energy_density_range_into(
-            k,
-            grid,
-            f,
-            &mut ws.m2,
-            &mut ws.mom,
-            conf_range.clone(), // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
-        );
 
-        // The weak divisions below are part of the moment stage (the
-        // range_into calls above time themselves through `ws.mom.probe`).
+        // The weak divisions below are part of the moment stage (the raw
+        // moment sweep above times itself through `ws.mom.probe`).
         span!(ws.probe, Phase::Moments);
         for c in conf_range {
             for j in 0..vdim {
@@ -420,13 +491,151 @@ impl LboOp {
     ) {
         self.primitive_moments_range(f, ws, conf_range.clone()); // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
 
+        // Path resolved once at construction, never per cell.
+        match self.path {
+            ResolvedLbo::Generated(_) => self.sweep_pencil_groups(f, out, ws, conf_range),
+            ResolvedLbo::RuntimeSparse => self.sweep_runtime_sparse(f, out, ws, conf_range),
+        }
+    }
+
+    /// The generated path: drag + diffusion of every velocity direction by
+    /// **pencil groups**. For direction `j` the range's `v_j`-pencils
+    /// (`conf_range` × the transverse velocity cells, in ascending cell
+    /// order) are taken [`LANES`] at a time; the group's `f` *and* `out`
+    /// are packed once into SoA panels, the batched stage kernels walk
+    /// along the pencils, and `out` is stored back — three cell-moves per
+    /// cell and direction, and the LDG gradient `g` is one `Np` panel that
+    /// never touches memory.
+    ///
+    /// Every cell receives its increments in the order of the per-cell
+    /// sweep this replaces (which survives as the reference of
+    /// `tests::pencil_group_sweep_matches_scalar_cell_sweep_bitwise`):
+    /// `drag_vol`, `drag_surf` from its lower then its upper face,
+    /// `diff_surf` from its lower face, `diff_vol`, `diff_surf` to its
+    /// upper face. The drag walk gives the first three (volume term at
+    /// every position, then faces ascending), the diffusion walk the rest
+    /// (position `i`: gradient → volume → face `i | i+1`). Because `out`
+    /// is packed, not zeroed, each increment is added to the running value
+    /// exactly as in the scalar statements — so a lane is bit-identical to
+    /// the per-cell sweep whatever the grouping, the block split or the
+    /// fill of the last group. A group may span configuration cells (in
+    /// 1x1v every pencil is one), hence `u`/`vth²` are packed per lane. In
+    /// a partial last group the spare lanes repeat its last pencil: finite
+    /// data, computed and never stored.
+    fn sweep_pencil_groups<S: CellStoreMut>(
+        &self,
+        f: &DgField,
+        out: &mut S,
+        ws: &mut LboScratch,
+        conf_range: std::ops::Range<usize>,
+    ) {
+        let grid = &self.grid;
+        let nu = self.nu;
+        let (np, nv) = (self.kernels.np(), grid.vel.len());
+        let probe = &ws.probe;
+        let pf = ws.pencil_f.lanes_mut();
+        let po = ws.pencil_out.lanes_mut();
+        let g = ws.lane_g.lanes_mut();
+        let lane_u = ws.lane_u.lanes_mut();
+        let lane_vth2 = ws.lane_vth2.lanes_mut();
+        for (j, dir) in self.pencils.iter().enumerate() {
+            let (u, vth2) = (&ws.u[j], &ws.vth2);
+            let dv = grid.vel.dx()[j];
+            let stride = grid.vel.stride(j);
+            let n = grid.vel.cells()[j];
+            let per_conf = dir.bases.len();
+            let batch = &dir.batch;
+            // Position `i` of the group's pencils in its panels.
+            let at = |i: usize| i * np..(i + 1) * np;
+            let end = conf_range.end * per_conf;
+            for first in (conf_range.start * per_conf..end).step_by(LANES) {
+                let lanes = LANES.min(end - first);
+                // First phase cell of each lane's pencil.
+                let mut base = [0usize; LANES];
+                {
+                    // Pack (drag's share of the cell-moves).
+                    span!(probe, Phase::LboDrag);
+                    for (lane, b) in base.iter_mut().enumerate() {
+                        let p = first + lane.min(lanes - 1);
+                        let clin = p / per_conf;
+                        *b = clin * nv + dir.bases[p % per_conf] as usize;
+                        pack_lane(lane_u, lane, u.cell(clin));
+                        pack_lane(lane_vth2, lane, vth2.cell(clin));
+                    }
+                    for i in 0..n {
+                        for (lane, b) in base.iter().enumerate() {
+                            let cell = b + i * stride;
+                            pack_lane(&mut pf[at(i)], lane, f.cell(cell));
+                            pack_lane(&mut po[at(i)], lane, out.cell_mut(cell));
+                        }
+                    }
+
+                    // ---- Drag: volume, then LF fluxes at interior faces ----
+                    for i in 0..n {
+                        let vc = grid.vel.center(j, i);
+                        batch.drag_vol(nu, vc, dv, lane_u, &pf[at(i)], &mut po[at(i)]);
+                    }
+                    for i in 0..n - 1 {
+                        let vstar = grid.vel.lower()[j] + (i as f64 + 1.0) * dv;
+                        let (o_lo, o_hi) = po[i * np..(i + 2) * np].split_at_mut(np);
+                        batch.drag_surf(
+                            nu,
+                            vstar,
+                            dv,
+                            lane_u,
+                            &pf[at(i)],
+                            &pf[at(i + 1)],
+                            o_lo,
+                            o_hi,
+                        );
+                    }
+                }
+
+                // ---- Diffusion, LDG: g = ∂f/∂v_j with the trace from
+                // above, then out += ν ∇·(vth² g) with the trace from below
+                // and zero flux at the velocity boundaries ----
+                span!(probe, Phase::LboDiff);
+                for i in 0..n {
+                    g.fill([0.0; LANES]);
+                    let at_upper = i + 1 == n;
+                    // `f_up` is ignored at the boundary; pass the position
+                    // itself to keep the call uniform.
+                    let f_up = if at_upper { at(i) } else { at(i + 1) };
+                    batch.diff_grad(dv, at_upper, &pf[at(i)], &pf[f_up], g);
+                    if at_upper {
+                        batch.diff_vol(nu, dv, lane_vth2, g, &mut po[at(i)]);
+                    } else {
+                        let (o_lo, o_hi) = po[i * np..(i + 2) * np].split_at_mut(np);
+                        batch.diff_vol(nu, dv, lane_vth2, g, o_lo);
+                        // Upper interior face: Ĝ = (vth² g)⁻.
+                        batch.diff_surf(nu, dv, lane_vth2, g, o_lo, o_hi);
+                    }
+                }
+                for (lane, b) in base.iter().enumerate().take(lanes) {
+                    for i in 0..n {
+                        store_lane(out.cell_mut(b + i * stride), &po[at(i)], lane);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The runtime-sparse path (oracle, and fallback for configurations
+    /// without committed kernels): the same stages interpreted per cell
+    /// from the sparse tensors.
+    fn sweep_runtime_sparse<S: CellStoreMut>(
+        &self,
+        f: &DgField,
+        out: &mut S,
+        ws: &mut LboScratch,
+        conf_range: std::ops::Range<usize>,
+    ) {
         let k = &*self.kernels;
         let grid = &self.grid;
         let (cdim, vdim) = (k.layout.cdim, k.layout.vdim);
         let nv = grid.vel.len();
         let vdx = grid.vel.dx();
         let phase = &k.phase_basis;
-        let np = k.np();
 
         let LboScratch {
             u,
@@ -445,13 +654,6 @@ impl LboOp {
 
         let c0p = expand::const_coeff(phase);
 
-        // Path resolved once at construction; each stage below branches
-        // once per (direction, section), never per cell.
-        let gen: Option<&'static LboKernelEntry> = match self.path {
-            ResolvedLbo::Generated(e) => Some(e),
-            ResolvedLbo::RuntimeSparse => None,
-        };
-
         for j in 0..vdim {
             let dir = cdim + j;
             let surf = &k.surfaces[dir];
@@ -464,154 +666,82 @@ impl LboOp {
 
             // ---- Drag: volume + LF surface fluxes ----
             let drag_span = probe.span(Phase::LboDrag);
-            if let Some(e) = gen {
-                // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
-                for clin in conf_range.clone() {
-                    let uc = u[j].cell(clin);
-                    for vlin in 0..nv {
-                        grid.vel.delinearize(vlin, vidx);
-                        let vc = grid.vel.center(j, vidx[j]);
-                        let cell = clin * nv + vlin;
-                        (e.drag_vol[j])(self.nu, vc, vdx[j], uc, f.cell(cell), out.cell_mut(cell));
-                    }
-                    // Drag surface fluxes along j-pencils (interior faces only).
-                    for vlin in 0..nv {
-                        grid.vel.delinearize(vlin, vidx);
-                        if vidx[j] + 1 >= n_j {
-                            continue;
-                        }
-                        let vstar = grid.vel.lower()[j] + (vidx[j] as f64 + 1.0) * vdx[j];
-                        let lo = clin * nv + vlin;
-                        let hi = lo + stride;
-                        let (o_lo, o_hi) = out.cell_pair_mut(lo, hi);
-                        (e.drag_surf[j])(
-                            self.nu,
-                            vstar,
-                            vdx[j],
-                            uc,
-                            f.cell(lo),
-                            f.cell(hi),
-                            o_lo,
-                            o_hi,
-                        );
-                    }
-                }
-            } else {
-                // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
-                for clin in conf_range.clone() {
-                    let uc = u[j].cell(clin);
-                    for vlin in 0..nv {
-                        grid.vel.delinearize(vlin, vidx);
-                        let vc = grid.vel.center(j, vidx[j]);
-                        // α = −ν (v_j − u_j(x)).
-                        alpha.fill(0.0);
-                        alpha[0] = -self.nu * vc * c0p;
-                        alpha[lin_idx] = -self.nu * 0.5 * vdx[j] * c1p;
-                        for (l, &e) in self.emb_phase.iter().enumerate() {
-                            alpha[e as usize] += self.nu * self.w_phase * uc[l];
-                        }
-                        let cell = clin * nv + vlin;
-                        self.drag_vol[j].apply(alpha, f.cell(cell), scale, out.cell_mut(cell));
-                    }
-                    // Drag surface fluxes along j-pencils (interior faces only).
-                    for vlin in 0..nv {
-                        grid.vel.delinearize(vlin, vidx);
-                        if vidx[j] + 1 >= n_j {
-                            continue;
-                        }
-                        let vstar = grid.vel.lower()[j] + (vidx[j] as f64 + 1.0) * vdx[j];
-                        alpha_face[..nf].fill(0.0);
-                        alpha_face[0] = -self.nu * vstar * c0f;
-                        for (l, &e) in self.emb_face[j].iter().enumerate() {
-                            alpha_face[e as usize] += self.nu * self.w_face * uc[l];
-                        }
-                        let lam = surf.kernel.sup_bound(&alpha_face[..nf]);
-                        let lo = clin * nv + vlin;
-                        let hi = lo + stride;
-                        let (o_lo, o_hi) = out.cell_pair_mut(lo, hi);
-                        surf.kernel.apply(
-                            f.cell(lo),
-                            f.cell(hi),
-                            &alpha_face[..nf],
-                            lam,
-                            scale,
-                            Some(o_lo),
-                            Some(o_hi),
-                            fs,
-                        );
-                    }
-                }
-            }
-
-            // ---- Diffusion, LDG pass 1: g = ∂f/∂v_j, trace from above ----
-            drop(drag_span);
-            // Covers both LDG passes; dropped at the end of this `j`
-            // iteration (including via the generated path's `continue`).
-            let _diff_span = probe.span(Phase::LboDiff);
-            g.as_mut_slice()[conf_range.start * nv * np..conf_range.end * nv * np].fill(0.0);
-            if let Some(e) = gen {
-                // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
-                for clin in conf_range.clone() {
-                    for vlin in 0..nv {
-                        grid.vel.delinearize(vlin, vidx);
-                        let cell = clin * nv + vlin;
-                        let at_upper = vidx[j] + 1 >= n_j;
-                        // `f_up` is ignored at the boundary; pass the cell
-                        // itself to keep the call uniform.
-                        let f_up = if at_upper {
-                            f.cell(cell)
-                        } else {
-                            f.cell(cell + stride)
-                        };
-                        (e.diff_grad[j])(vdx[j], at_upper, f.cell(cell), f_up, g.cell_mut(cell));
-                    }
-                }
-            } else {
-                // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
-                for clin in conf_range.clone() {
-                    for vlin in 0..nv {
-                        grid.vel.delinearize(vlin, vidx);
-                        let cell = clin * nv + vlin;
-                        let gc = g.cell_mut(cell);
-                        self.grad_mass[j].apply(f.cell(cell), -scale, gc);
-                        // Upper face: f̂ = trace of the upper neighbour (or own
-                        // upper trace at the boundary).
-                        trace[..nf].fill(0.0);
-                        if vidx[j] + 1 < n_j {
-                            surf.kernel.face.restrict(-1, f.cell(cell + stride), trace);
-                        } else {
-                            surf.kernel.face.restrict(1, f.cell(cell), trace);
-                        }
-                        surf.kernel.face.lift(1, &trace[..nf], scale, gc);
-                        // Lower face: f̂ = own lower trace (f⁺ of that face).
-                        trace[..nf].fill(0.0);
-                        surf.kernel.face.restrict(-1, f.cell(cell), trace);
-                        surf.kernel.face.lift(-1, &trace[..nf], -scale, gc);
-                    }
-                }
-            }
-
-            // ---- Diffusion, LDG pass 2: out += ν ∇·(vth² g), trace from
-            // below, zero flux at velocity boundaries ----
-            if let Some(e) = gen {
-                // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
-                for clin in conf_range.clone() {
-                    let tc = vth2.cell(clin);
-                    for vlin in 0..nv {
-                        grid.vel.delinearize(vlin, vidx);
-                        let cell = clin * nv + vlin;
-                        (e.diff_vol[j])(self.nu, vdx[j], tc, g.cell(cell), out.cell_mut(cell));
-                        // Upper interior face: Ĝ = (vth² g)⁻ (trace from below).
-                        if vidx[j] + 1 < n_j {
-                            let (o_lo, o_hi) = out.cell_pair_mut(cell, cell + stride);
-                            (e.diff_surf[j])(self.nu, vdx[j], tc, g.cell(cell), o_lo, o_hi);
-                        }
-                    }
-                }
-                continue;
-            }
             // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
             for clin in conf_range.clone() {
+                let uc = u[j].cell(clin);
+                for vlin in 0..nv {
+                    grid.vel.delinearize(vlin, vidx);
+                    let vc = grid.vel.center(j, vidx[j]);
+                    // α = −ν (v_j − u_j(x)).
+                    alpha.fill(0.0);
+                    alpha[0] = -self.nu * vc * c0p;
+                    alpha[lin_idx] = -self.nu * 0.5 * vdx[j] * c1p;
+                    for (l, &e) in self.emb_phase.iter().enumerate() {
+                        alpha[e as usize] += self.nu * self.w_phase * uc[l];
+                    }
+                    let cell = clin * nv + vlin;
+                    self.drag_vol[j].apply(alpha, f.cell(cell), scale, out.cell_mut(cell));
+                }
+                // Drag surface fluxes along j-pencils (interior faces only).
+                for vlin in 0..nv {
+                    grid.vel.delinearize(vlin, vidx);
+                    if vidx[j] + 1 >= n_j {
+                        continue;
+                    }
+                    let vstar = grid.vel.lower()[j] + (vidx[j] as f64 + 1.0) * vdx[j];
+                    alpha_face[..nf].fill(0.0);
+                    alpha_face[0] = -self.nu * vstar * c0f;
+                    for (l, &e) in self.emb_face[j].iter().enumerate() {
+                        alpha_face[e as usize] += self.nu * self.w_face * uc[l];
+                    }
+                    let lam = surf.kernel.sup_bound(&alpha_face[..nf]);
+                    let lo = clin * nv + vlin;
+                    let hi = lo + stride;
+                    let (o_lo, o_hi) = out.cell_pair_mut(lo, hi);
+                    surf.kernel.apply(
+                        f.cell(lo),
+                        f.cell(hi),
+                        &alpha_face[..nf],
+                        lam,
+                        scale,
+                        Some(o_lo),
+                        Some(o_hi),
+                        fs,
+                    );
+                }
+            }
+
+            drop(drag_span);
+            // Covers both LDG passes; dropped at the end of this `j`
+            // iteration.
+            let _diff_span = probe.span(Phase::LboDiff);
+            // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
+            for clin in conf_range.clone() {
+                // ---- Diffusion, LDG pass 1: g = ∂f/∂v_j over this
+                // configuration cell's velocity block, trace from above ----
+                g.fill(0.0);
+                for vlin in 0..nv {
+                    grid.vel.delinearize(vlin, vidx);
+                    let cell = clin * nv + vlin;
+                    let gc = g.cell_mut(vlin);
+                    self.grad_mass[j].apply(f.cell(cell), -scale, gc);
+                    // Upper face: f̂ = trace of the upper neighbour (or own
+                    // upper trace at the boundary).
+                    trace[..nf].fill(0.0);
+                    if vidx[j] + 1 < n_j {
+                        surf.kernel.face.restrict(-1, f.cell(cell + stride), trace);
+                    } else {
+                        surf.kernel.face.restrict(1, f.cell(cell), trace);
+                    }
+                    surf.kernel.face.lift(1, &trace[..nf], scale, gc);
+                    // Lower face: f̂ = own lower trace (f⁺ of that face).
+                    trace[..nf].fill(0.0);
+                    surf.kernel.face.restrict(-1, f.cell(cell), trace);
+                    surf.kernel.face.lift(-1, &trace[..nf], -scale, gc);
+                }
+
+                // ---- Diffusion, LDG pass 2: out += ν ∇·(vth² g), trace
+                // from below, zero flux at velocity boundaries ----
                 let tc = vth2.cell(clin);
                 // Embed vth² into the phase basis for the volume term.
                 alpha.fill(0.0);
@@ -631,14 +761,14 @@ impl LboOp {
                     // +∫∂w; pass negative scale.
                     self.diff_vol[j].apply(
                         alpha,
-                        g.cell(cell),
+                        g.cell(vlin),
                         -self.nu * scale,
                         out.cell_mut(cell),
                     );
                     // Upper interior face: Ĝ = (vth² g)⁻ (trace from below).
                     if vidx[j] + 1 < n_j {
                         trace[..nf].fill(0.0);
-                        surf.kernel.face.restrict(1, g.cell(cell), trace);
+                        surf.kernel.face.restrict(1, g.cell(vlin), trace);
                         // Ĝ_a = Σ D_abc vth²_b g⁻_c.
                         ghat[..nf].fill(0.0);
                         surf.kernel.dmat.apply(
@@ -685,6 +815,234 @@ mod tests {
         );
         let lbo = LboOp::new(Arc::clone(&kernels), grid.clone(), 0.5);
         (kernels, grid, lbo)
+    }
+
+    /// The per-cell sweep the pencil-group sweep replaced, kept as its
+    /// reference: five whole-range loops per velocity direction over the
+    /// scalar (one-lane) registry entries, with a phase-space-sized `g`.
+    /// Adds drag + diffusion of `conf_range` into `out`, reading the
+    /// primitive moments already in `ws`.
+    fn scalar_cell_sweep(
+        op: &LboOp,
+        f: &DgField,
+        out: &mut DgField,
+        ws: &LboScratch,
+        conf_range: std::ops::Range<usize>,
+    ) {
+        let ResolvedLbo::Generated(e) = op.path else {
+            panic!("reference sweep needs the committed kernels");
+        };
+        let grid = &op.grid;
+        let (nv, vdx, nu) = (grid.vel.len(), grid.vel.dx(), op.nu);
+        let mut vidx = vec![0usize; grid.vdim()];
+        let mut g = DgField::zeros(f.ncells(), f.ncoeff());
+        for j in 0..grid.vdim() {
+            let stride = grid.vel.stride(j);
+            let n_j = grid.vel.cells()[j];
+            for clin in conf_range.clone() {
+                let uc = ws.u[j].cell(clin);
+                for vlin in 0..nv {
+                    grid.vel.delinearize(vlin, &mut vidx);
+                    let vc = grid.vel.center(j, vidx[j]);
+                    let cell = clin * nv + vlin;
+                    (e.drag_vol[j])(nu, vc, vdx[j], uc, f.cell(cell), out.cell_mut(cell));
+                }
+                for vlin in 0..nv {
+                    grid.vel.delinearize(vlin, &mut vidx);
+                    if vidx[j] + 1 >= n_j {
+                        continue;
+                    }
+                    let vstar = grid.vel.lower()[j] + (vidx[j] as f64 + 1.0) * vdx[j];
+                    let lo = clin * nv + vlin;
+                    let (o_lo, o_hi) = out.cell_pair_mut(lo, lo + stride);
+                    (e.drag_surf[j])(
+                        nu,
+                        vstar,
+                        vdx[j],
+                        uc,
+                        f.cell(lo),
+                        f.cell(lo + stride),
+                        o_lo,
+                        o_hi,
+                    );
+                }
+            }
+            g.fill(0.0);
+            for clin in conf_range.clone() {
+                for vlin in 0..nv {
+                    grid.vel.delinearize(vlin, &mut vidx);
+                    let cell = clin * nv + vlin;
+                    let at_upper = vidx[j] + 1 >= n_j;
+                    let f_up = f.cell(if at_upper { cell } else { cell + stride });
+                    (e.diff_grad[j])(vdx[j], at_upper, f.cell(cell), f_up, g.cell_mut(cell));
+                }
+            }
+            for clin in conf_range.clone() {
+                let tc = ws.vth2.cell(clin);
+                for vlin in 0..nv {
+                    grid.vel.delinearize(vlin, &mut vidx);
+                    let cell = clin * nv + vlin;
+                    (e.diff_vol[j])(nu, vdx[j], tc, g.cell(cell), out.cell_mut(cell));
+                    if vidx[j] + 1 < n_j {
+                        let (o_lo, o_hi) = out.cell_pair_mut(cell, cell + stride);
+                        (e.diff_surf[j])(nu, vdx[j], tc, g.cell(cell), o_lo, o_hi);
+                    }
+                }
+            }
+        }
+    }
+
+    fn assert_bitwise(got: &DgField, want: &DgField, what: &str) {
+        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert!(
+                a.to_bits() == b.to_bits(),
+                "{what}: coefficient {i} (cell {}): {a:e} vs {b:e}",
+                i / got.ncoeff()
+            );
+        }
+    }
+
+    #[test]
+    fn pencil_group_sweep_matches_scalar_cell_sweep_bitwise() {
+        // Grids chosen to break the group schedule: 1x1v, where every
+        // configuration cell is one pencil, with fewer pencils than lanes,
+        // a group spanning cells and a partial last group (1, 2, 3, 5);
+        // 1x2v with `n_j < LANES` in one direction and a transverse count
+        // that is no multiple of `LANES` in either; one 2x2v case.
+        type Case<'a> = ((usize, usize), usize, &'a [usize], &'a [usize]);
+        let cases: [Case; 6] = [
+            ((1, 1), 2, &[1], &[6]),
+            ((1, 1), 2, &[2], &[6]),
+            ((1, 1), 2, &[3], &[6]),
+            ((1, 1), 1, &[5], &[4]),
+            ((1, 2), 2, &[3], &[3, 5]),
+            ((2, 2), 1, &[2, 2], &[2, 3]),
+        ];
+        for ((cdim, vdim), p, nconf, nvel) in cases {
+            let kernels = kernels_for(BasisKind::Serendipity, PhaseLayout::new(cdim, vdim), p);
+            let grid = PhaseGrid::new(
+                CartGrid::new(&vec![0.0; cdim], &vec![1.0; cdim], nconf),
+                CartGrid::new(&vec![-5.0; vdim], &vec![6.0; vdim], nvel),
+                vec![Bc::Periodic; cdim],
+            );
+            let what = format!("{cdim}x{vdim}v p{p} conf {nconf:?} vel {nvel:?}");
+            let op = LboOp::with_dispatch(
+                Arc::clone(&kernels),
+                grid.clone(),
+                0.7,
+                KernelDispatch::Generated,
+            );
+            // A positive, cell-to-cell different `f` (the weak divisions
+            // need M0 > 0) and a non-zero incoming `out`.
+            let mut sp = Species::new("e", -1.0, 1.0, &grid, kernels.np());
+            sp.project_initial(&kernels, &grid, 4, &mut |x, v| {
+                let drift: Vec<f64> = (0..v.len()).map(|d| 0.3 + 0.2 * d as f64).collect();
+                (1.0 + 0.3 * (5.0 * x[0]).sin()) * maxwellian(1.0, &drift, 1.4, v)
+            });
+            let f = &sp.f;
+            let mut out0 = DgField::zeros(f.ncells(), f.ncoeff());
+            for (i, x) in out0.as_mut_slice().iter_mut().enumerate() {
+                *x = ((i * 37 % 101) as f64 - 50.0) * 1e-3;
+            }
+
+            let nconf = grid.conf.len();
+            let mut ws = op.make_scratch();
+            let mut whole = out0.clone();
+            op.accumulate_rhs_range(f, &mut whole, &mut ws, 0..nconf);
+            let mut want = out0.clone();
+            scalar_cell_sweep(&op, f, &mut want, &ws, 0..nconf);
+            assert_bitwise(&whole, &want, &what);
+            assert!(
+                whole != out0 && whole.as_slice().iter().all(|x| x.is_finite()),
+                "{what}: the sweep must do something finite"
+            );
+
+            // Every split of the range into two sub-ranges, each with its
+            // own scratch, equals the whole-range call.
+            for cut in 0..=nconf {
+                let mut split = out0.clone();
+                op.accumulate_rhs_range(f, &mut split, &mut op.make_scratch(), 0..cut);
+                op.accumulate_rhs_range(f, &mut split, &mut op.make_scratch(), cut..nconf);
+                assert_bitwise(&split, &whole, &format!("{what} split at {cut}"));
+            }
+        }
+    }
+
+    #[test]
+    fn fused_primitive_moment_sweep_matches_the_three_sweeps_bitwise() {
+        // One pass over `f` for M0 / M1_j / M2 against the three
+        // single-moment sweeps it replaced, on both dispatch paths and on a
+        // sub-range (cells outside it must stay untouched).
+        let kernels = kernels_for(BasisKind::Serendipity, PhaseLayout::new(1, 2), 2);
+        let grid = PhaseGrid::new(
+            CartGrid::new(&[0.0], &[1.0], &[4]),
+            CartGrid::new(&[-5.0, -4.0], &[6.0, 5.0], &[5, 3]),
+            vec![Bc::Periodic],
+        );
+        let mut sp = Species::new("e", -1.0, 1.0, &grid, kernels.np());
+        sp.project_initial(&kernels, &grid, 4, &mut |x, v| {
+            (1.0 + 0.3 * (5.0 * x[0]).sin()) * maxwellian(1.0, &[0.3, -0.2], 1.4, v)
+        });
+        let (nconf, nc) = (grid.conf.len(), kernels.nc());
+        let centers = crate::moments::vel_center_table(&grid);
+        for dispatch in [KernelDispatch::Generated, KernelDispatch::RuntimeSparse] {
+            let mut mom = MomentScratch::with_dispatch(&kernels, dispatch);
+            for range in [0..nconf, 1..3] {
+                let stale = || {
+                    let mut m = DgField::zeros(nconf, nc);
+                    m.fill(7.0);
+                    m
+                };
+                let (mut m0, mut m2) = (stale(), stale());
+                let mut m1 = [stale(), stale()];
+                crate::moments::raw_moments_range_into(
+                    &kernels,
+                    &grid,
+                    &centers,
+                    &sp.f,
+                    &mut m0,
+                    &mut m1,
+                    &mut m2,
+                    &mom,
+                    range.clone(),
+                );
+                let (mut w0, mut w2) = (stale(), stale());
+                let mut w1 = [stale(), stale()];
+                crate::moments::number_density_range_into(
+                    &kernels,
+                    &grid,
+                    &sp.f,
+                    &mut w0,
+                    &mom,
+                    range.clone(),
+                );
+                for (j, w) in w1.iter_mut().enumerate() {
+                    crate::moments::momentum_density_range_into(
+                        &kernels,
+                        &grid,
+                        &sp.f,
+                        j,
+                        w,
+                        &mut mom,
+                        range.clone(),
+                    );
+                }
+                crate::moments::energy_density_range_into(
+                    &kernels,
+                    &grid,
+                    &sp.f,
+                    &mut w2,
+                    &mut mom,
+                    range.clone(),
+                );
+                let what = format!("{dispatch:?} {range:?}");
+                assert_bitwise(&m0, &w0, &format!("M0 {what}"));
+                assert_bitwise(&m1[0], &w1[0], &format!("M1_0 {what}"));
+                assert_bitwise(&m1[1], &w1[1], &format!("M1_1 {what}"));
+                assert_bitwise(&m2, &w2, &format!("M2 {what}"));
+                assert!(m0.cell(1)[0] != 7.0, "range cells must be written");
+            }
+        }
     }
 
     #[test]

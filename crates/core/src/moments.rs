@@ -139,6 +139,91 @@ pub fn accumulate_current<S: CellStoreMut>(
     }
 }
 
+/// Velocity-cell centres per linear velocity index (padded to three
+/// components) — built once per operator so the sweeps that need `v_c` per
+/// phase cell ([`raw_moments_range_into`], `VlasovOp`) read a table instead
+/// of delinearizing every cell.
+// dg-analyze: allow(hot_alloc) — table constructor, runs once per operator
+pub fn vel_center_table(grid: &PhaseGrid) -> Vec<[f64; 3]> {
+    let vdim = grid.vdim();
+    let mut vidx = vec![0usize; vdim];
+    (0..grid.vel.len())
+        .map(|vlin| {
+            grid.vel.delinearize(vlin, &mut vidx);
+            let mut c = [0.0; 3];
+            for d in 0..vdim {
+                c[d] = grid.vel.center(d, vidx[d]);
+            }
+            c
+        })
+        .collect()
+}
+
+/// `M0`, every `M1_j` and `M2` of `f` for configuration cells in
+/// `conf_range`, in **one** sweep over `f` (only those cells of the outputs
+/// are zeroed and written): what [`number_density_range_into`], one
+/// [`momentum_density_range_into`] per direction and
+/// [`energy_density_range_into`] compute in `2 + vdim` sweeps. The same
+/// kernels run on the same phase cells and each moment still sums its
+/// velocity cells in ascending order, so the results are bitwise equal.
+/// `vel_centers` is [`vel_center_table`] of `grid`.
+#[allow(clippy::too_many_arguments)]
+pub fn raw_moments_range_into(
+    kernels: &PhaseKernels,
+    grid: &PhaseGrid,
+    vel_centers: &[[f64; 3]],
+    f: &DgField,
+    m0: &mut DgField,
+    m1: &mut [DgField],
+    m2: &mut DgField,
+    ws: &MomentScratch,
+    conf_range: std::ops::Range<usize>,
+) {
+    let nv = grid.vel.len();
+    let jv = grid.vel_jacobian();
+    let vdim = grid.vdim();
+    let dv = grid.vel.dx();
+    span!(ws.probe, Phase::Moments);
+    // Branch on the resolved path once per call, not per cell.
+    match ws.path {
+        ResolvedMoments::Generated(e) => {
+            for clin in conf_range {
+                m0.cell_mut(clin).fill(0.0);
+                m2.cell_mut(clin).fill(0.0);
+                for m in m1.iter_mut() {
+                    m.cell_mut(clin).fill(0.0);
+                }
+                for (vlin, vc) in vel_centers.iter().enumerate() {
+                    let fc = f.cell(clin * nv + vlin);
+                    (e.m0)(fc, jv, m0.cell_mut(clin));
+                    for (j, m) in m1.iter_mut().enumerate() {
+                        (e.m1[j])(fc, jv, vc[j], dv[j], m.cell_mut(clin));
+                    }
+                    (e.m2)(fc, jv, &vc[..vdim], dv, m2.cell_mut(clin));
+                }
+            }
+        }
+        ResolvedMoments::RuntimeSparse => {
+            let mk = &kernels.moments;
+            for clin in conf_range {
+                m0.cell_mut(clin).fill(0.0);
+                m2.cell_mut(clin).fill(0.0);
+                for m in m1.iter_mut() {
+                    m.cell_mut(clin).fill(0.0);
+                }
+                for (vlin, vc) in vel_centers.iter().enumerate() {
+                    let fc = f.cell(clin * nv + vlin);
+                    mk.accumulate_m0(fc, jv, m0.cell_mut(clin));
+                    for (j, m) in m1.iter_mut().enumerate() {
+                        mk.accumulate_m1(j, fc, jv, vc[j], dv[j], m.cell_mut(clin));
+                    }
+                    mk.accumulate_m2(fc, jv, &vc[..vdim], dv, m2.cell_mut(clin));
+                }
+            }
+        }
+    }
+}
+
 /// Number-density field `M0(x)` (fresh allocation).
 pub fn number_density(kernels: &PhaseKernels, grid: &PhaseGrid, f: &DgField) -> DgField {
     let mut out = DgField::zeros(grid.conf.len(), kernels.nc());

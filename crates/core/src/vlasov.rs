@@ -286,16 +286,8 @@ impl VlasovOp {
         assert_eq!(kernels.layout.cdim, grid.cdim());
         assert_eq!(kernels.layout.vdim, grid.vdim());
         let vdim = grid.vdim();
-        let mut vel_centers = Vec::with_capacity(grid.vel.len());
+        let vel_centers = crate::moments::vel_center_table(&grid);
         let mut vidx = vec![0usize; vdim];
-        for vlin in 0..grid.vel.len() {
-            grid.vel.delinearize(vlin, &mut vidx);
-            let mut c = [0.0; 3];
-            for d in 0..vdim {
-                c[d] = grid.vel.center(d, vidx[d]);
-            }
-            vel_centers.push(c);
-        }
         let mut dv = [1.0; 3];
         dv[..vdim].copy_from_slice(grid.vel.dx());
         let mut pencil_bases = vec![Vec::new(); vdim];

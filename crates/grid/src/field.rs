@@ -111,15 +111,30 @@ impl DgField {
     /// propagates: `f64::max` would silently prefer its non-NaN operand,
     /// reporting an all-NaN field as `0.0` and blinding the blow-up
     /// guard that watches this value.
+    ///
+    /// Runs on every step of every run, so it folds over eight independent
+    /// running maxima with a sticky NaN flag instead of one serial
+    /// compare-select chain (whose latency, not its work, set the pace);
+    /// a maximum does not depend on the order it is taken in, so the value
+    /// is the serial fold's bit for bit, and NaN iff any coefficient is.
     pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, &x| {
+        const WAYS: usize = 8;
+        let mut max = [0.0f64; WAYS];
+        let mut nan = false;
+        let mut fold = |m: &mut f64, x: &f64| {
             let a = x.abs();
-            if a > m || a.is_nan() {
-                a
-            } else {
-                m
-            }
-        })
+            nan |= a.is_nan();
+            *m = if a > *m { a } else { *m };
+        };
+        let (chunks, tail) = self.data.as_chunks::<WAYS>();
+        for chunk in chunks {
+            max.iter_mut().zip(chunk).for_each(|(m, x)| fold(m, x));
+        }
+        max.iter_mut().zip(tail).for_each(|(m, x)| fold(m, x));
+        if nan {
+            return f64::NAN;
+        }
+        max.into_iter().fold(0.0, |m, a| if a > m { a } else { m })
     }
 
     /// Split into disjoint mutable views at the given cell boundaries
@@ -296,6 +311,67 @@ mod tests {
         assert_eq!(a.as_slice(), &[3.5, 7.0, 10.5, 14.0]);
         assert!((b.coeff_norm_sq() - 3000.0).abs() < 1e-12);
         assert_eq!(b.max_abs(), 40.0);
+    }
+
+    /// The serial compare-select fold `max_abs` used to be.
+    fn max_abs_serial(data: &[f64]) -> f64 {
+        data.iter().fold(0.0f64, |m, &x| {
+            let a = x.abs();
+            if a > m || a.is_nan() {
+                a
+            } else {
+                m
+            }
+        })
+    }
+
+    #[test]
+    fn max_abs_matches_the_serial_fold() {
+        // Lengths around the eight-way chunking (empty, shorter than a
+        // chunk, exact chunks, every remainder) on pseudo-random data of
+        // mixed magnitude, then with the specials planted where the
+        // chunked fold could lose them: the head, mid-chunk, and the
+        // remainder tail.
+        let mut state = 0x9e3779b97f4a7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let unit = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            unit * 10f64.powi((state % 7) as i32 - 3)
+        };
+        for len in (0..=41).chain([64, 1000, 1003]) {
+            let mut f = DgField::zeros(1, len);
+            f.as_mut_slice().iter_mut().for_each(|x| *x = next());
+            let check = |f: &DgField, what: &str| {
+                let (got, want) = (f.max_abs(), max_abs_serial(f.as_slice()));
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "len {len} {what}: {got:e} vs serial {want:e}"
+                );
+            };
+            check(&f, "random");
+            if len == 0 {
+                assert_eq!(f.max_abs(), 0.0);
+                continue;
+            }
+            let spots = [0, len / 2, (len / 8 * 8 + 3).min(len - 1), len - 1];
+            for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, -1e9] {
+                for at in spots {
+                    let mut g = f.clone();
+                    g.as_mut_slice()[at] = special;
+                    check(&g, &format!("{special:?} at {at}"));
+                    assert_eq!(g.max_abs().is_nan(), special.is_nan());
+                }
+            }
+            // NaN stays sticky behind an infinity, and −0.0 alone reads +0.0.
+            let mut g = f.clone();
+            g.as_mut_slice()[0] = f64::NAN;
+            g.as_mut_slice()[len - 1] = f64::INFINITY;
+            check(&g, "NaN then inf");
+            g.as_mut_slice().fill(-0.0);
+            assert_eq!(g.max_abs().to_bits(), 0.0f64.to_bits());
+        }
     }
 
     #[test]

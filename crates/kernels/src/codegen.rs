@@ -357,20 +357,34 @@ pub fn generated_mod_source() -> String {
     for spec in MANIFEST {
         let _ = writeln!(s, "include!(\"{}\");", spec.mom_file_name());
     }
+    let _ = writeln!(s);
+    // rustc cuts codegen units along module lines, and everything
+    // `include!`d above lands in this module's one unit, compiled on one
+    // core. The LBO kernels — three instantiations per body — get a module,
+    // hence a unit, of their own, so a second core takes them.
+    let _ = writeln!(
+        s,
+        "/// The LBO stage kernels, in a module (and so a codegen unit) of their own."
+    );
+    let _ = writeln!(s, "mod lbo {{");
+    let _ = writeln!(s, "    use crate::dispatch::{{sxn, LANES}};");
+    let _ = writeln!(s);
     for spec in MANIFEST {
-        let _ = writeln!(s, "include!(\"{}\");", spec.lbo_file_name());
+        let _ = writeln!(s, "    include!(\"{}\");", spec.lbo_file_name());
     }
+    let _ = writeln!(s, "}}");
     let _ = writeln!(s);
     // Emitted pre-wrapped in rustfmt's item order (lowercase, CamelCase,
     // SCREAMING_CASE) so the artifact is a fmt fixed point.
     let _ = writeln!(s, "use crate::dispatch::{{");
     let _ = writeln!(
         s,
-        "    sx4, CellLanes, KernelKey, LboKernelEntry, MomentKernelEntry, SurfaceKernelEntry,"
+        "    sx4, CellLanes, KernelKey, LboBatchFns, LboKernelEntry, MomentKernelEntry, SurfaceKernelEntry,"
     );
     let _ = writeln!(s, "    VolumeKernelEntry, LANES,");
     let _ = writeln!(s, "}};");
     let _ = writeln!(s, "use dg_basis::BasisKind;");
+    let _ = writeln!(s, "use lbo::*;");
     let _ = writeln!(s);
     let _ = writeln!(
         s,
@@ -473,17 +487,38 @@ pub fn generated_mod_source() -> String {
         let _ = writeln!(s, "            poly_order: {},", spec.poly_order);
         let _ = writeln!(s, "        }},");
         let _ = writeln!(s, "        name: \"{stem}\",");
-        for stage in [
-            "drag_vol",
-            "drag_surf",
-            "diff_grad",
-            "diff_vol",
-            "diff_surf",
-        ] {
+        for stage in LBO_STAGES {
             let fns: Vec<String> = (0..spec.vdim)
                 .map(|j| format!("{stem}_{stage}_v{j}"))
                 .collect();
             write_fn_array(&mut s, stage, &fns);
+        }
+        // The batched entry points, one bundle of five per direction.
+        let ty = "LboBatchFns";
+        for (field, suffix) in [("batch", "_b4"), ("batch_avx2", "_b4_avx2")] {
+            if field == "batch_avx2" {
+                let _ = writeln!(s, "        #[cfg(target_arch = \"x86_64\")]");
+            }
+            // rustfmt's layout (the artifact must be a fmt fixed point):
+            // a lone element hugs the brackets, several go one per block.
+            let (open, pad, close) = if spec.vdim == 1 {
+                (format!("        {field}: &[{ty} {{"), "    ", "        }],")
+            } else {
+                (format!("        {field}: &["), "        ", "        ],")
+            };
+            let _ = writeln!(s, "{open}");
+            for j in 0..spec.vdim {
+                if spec.vdim > 1 {
+                    let _ = writeln!(s, "            {ty} {{");
+                }
+                for stage in LBO_STAGES {
+                    let _ = writeln!(s, "{pad}        {stage}: {stem}_{stage}_v{j}{suffix},");
+                }
+                if spec.vdim > 1 {
+                    let _ = writeln!(s, "            }},");
+                }
+            }
+            let _ = writeln!(s, "{close}");
         }
         let _ = writeln!(s, "    }},");
     }
@@ -493,6 +528,15 @@ pub fn generated_mod_source() -> String {
     let _ = writeln!(s, "mod tests;");
     s
 }
+
+/// The five LBO stage families, in registry-field order.
+const LBO_STAGES: [&str; 5] = [
+    "drag_vol",
+    "drag_surf",
+    "diff_grad",
+    "diff_vol",
+    "diff_surf",
+];
 
 /// Write a `field: &[fn_a, fn_b, ...],` registry line in rustfmt's array
 /// layout: one line when the joined element list fits rustfmt's
@@ -1291,13 +1335,186 @@ pub fn moment_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
     s
 }
 
+/// One parameter of a lane-generic LBO stage kernel: a scalar shared by
+/// the lane group (name, type), or a coefficient panel (name, length):
+/// `&[[f64; L]]` / `&mut [[f64; L]]` in the body.
+enum LaneParam {
+    Shared(&'static str, &'static str),
+    In(&'static str, usize),
+    Out(&'static str, usize),
+}
+
+/// Emit the entry points of one lane-generic kernel `name` and open its
+/// shared body, which the caller then fills with statements and closes.
+/// The body is written **once**, as a private `#[inline(always)]` function
+/// generic over the lane count `const L: usize` (panels are slices of
+/// `[f64; L]` lane groups), and instantiated by three thin entry points:
+/// the scalar `name` (`L = 1`: its `&[f64]` arguments viewed as
+/// `&[[f64; 1]]` through `as_chunks`), the portable `name_b4`
+/// ([`crate::dispatch::PencilLanes`], `L = LANES`) and, on `x86_64` only,
+/// `name_b4_avx2` carrying `#[target_feature(enable = "avx2")]`. Per lane
+/// all three run the same statement stream — no `fma`, no `mul_add` — so
+/// they are bit-identical (three-way proptest in `generated/tests.rs`);
+/// which batched one runs is decided from the CPU alone by
+/// [`crate::dispatch::LboBatch`].
+fn write_lane_generic_entry_points(s: &mut String, name: &str, doc: &str, params: &[LaneParam]) {
+    let sig = |panel: &str| -> String {
+        params
+            .iter()
+            .map(|p| match p {
+                LaneParam::Shared(n, ty) => format!("{n}: {ty}"),
+                LaneParam::In(n, _) => format!("{n}: &[{panel}]"),
+                LaneParam::Out(n, _) => format!("{n}: &mut [{panel}]"),
+            })
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    let scalar_args = params
+        .iter()
+        .map(|p| match p {
+            LaneParam::Shared(n, _) => n.to_string(),
+            LaneParam::In(n, _) => format!("{n}.as_chunks().0"),
+            LaneParam::Out(n, _) => format!("{n}.as_chunks_mut().0"),
+        })
+        .collect::<Vec<_>>()
+        .join(", ");
+    let args = params
+        .iter()
+        .map(|p| match p {
+            LaneParam::Shared(n, _) | LaneParam::In(n, _) | LaneParam::Out(n, _) => *n,
+        })
+        .collect::<Vec<_>>()
+        .join(", ");
+    let _ = write!(s, "{doc}");
+    let _ = writeln!(s, "#[allow(clippy::all)]");
+    let _ = writeln!(s, "#[rustfmt::skip]");
+    let _ = writeln!(s, "pub fn {name}({}) {{", sig("f64"));
+    let _ = writeln!(s, "    {name}_body::<1>({scalar_args})");
+    let _ = writeln!(s, "}}");
+    let _ = writeln!(s);
+    let _ = writeln!(
+        s,
+        "/// [`{name}`] over `LANES` pencils: the same body, bit-identical per lane."
+    );
+    let _ = writeln!(s, "#[allow(clippy::all)]");
+    let _ = writeln!(s, "#[rustfmt::skip]");
+    let _ = writeln!(s, "pub fn {name}_b4({}) {{", sig("[f64; LANES]"));
+    let _ = writeln!(s, "    {name}_body({args})");
+    let _ = writeln!(s, "}}");
+    let _ = writeln!(s);
+    let _ = writeln!(
+        s,
+        "/// [`{name}_b4`] compiled for AVX2. Reach it through `crate::dispatch`,"
+    );
+    let _ = writeln!(s, "/// which checks the CPU first.");
+    let _ = writeln!(s, "#[cfg(target_arch = \"x86_64\")]");
+    let _ = writeln!(s, "#[target_feature(enable = \"avx2\")]");
+    let _ = writeln!(s, "#[allow(clippy::all)]");
+    let _ = writeln!(s, "#[rustfmt::skip]");
+    let _ = writeln!(s, "pub fn {name}_b4_avx2({}) {{", sig("[f64; LANES]"));
+    let _ = writeln!(s, "    {name}_body({args})");
+    let _ = writeln!(s, "}}");
+    let _ = writeln!(s);
+    let _ = writeln!(
+        s,
+        "/// Shared lane-generic body of [`{name}`] and its batched entry points."
+    );
+    let _ = writeln!(s, "#[allow(clippy::all)]");
+    let _ = writeln!(s, "#[rustfmt::skip]");
+    let _ = writeln!(s, "#[inline(always)]");
+    let _ = writeln!(s, "fn {name}_body<const L: usize>({}) {{", sig("[f64; L]"));
+    // Fixed-size views: one length check per panel here instead of one
+    // bounds-check branch per statement below, which leaves the body a
+    // single basic block the vectorizer can work on.
+    for p in params {
+        match p {
+            LaneParam::Shared(..) => {}
+            LaneParam::In(n, len) => {
+                let _ = writeln!(
+                    s,
+                    "    let {n}: &[[f64; L]; {len}] = {n}.first_chunk().expect(\"{n}: {len} coefficients\");"
+                );
+            }
+            LaneParam::Out(n, len) => {
+                let _ = writeln!(
+                    s,
+                    "    let {n}: &mut [[f64; L]; {len}] = {n}.first_chunk_mut().expect(\"{n}: {len} coefficients\");"
+                );
+            }
+        }
+    }
+}
+
+/// One lane-generic accumulate `target[k] += coeff * operands[k]…`: `coeff`
+/// is an expression shared by the lanes, `operands` the per-lane factors
+/// (written without the lane index).
+struct LaneAxpy {
+    target: String,
+    coeff: String,
+    operands: Vec<String>,
+}
+
+impl LaneAxpy {
+    fn new(target: String, coeff: String, operand: String) -> Self {
+        LaneAxpy {
+            target,
+            coeff,
+            operands: vec![operand],
+        }
+    }
+}
+
+/// Write lane-generic accumulates, consecutive statements with the same
+/// target sharing one `for k in 0..L` loop — the grouping of
+/// [`write_lane_accumulates`], for the same reason. A lone one-operand
+/// accumulate (traces, lifts) goes through `sxn` instead, a third of the
+/// source text. At one lane the loops vanish and the scalar statement
+/// stream is left.
+fn write_lane_runs(s: &mut String, stmts: &[LaneAxpy]) {
+    write_lane_runs_at(s, "    ", stmts);
+}
+
+/// [`write_lane_runs`] at a given indentation (inside a branch).
+fn write_lane_runs_at(s: &mut String, indent: &str, stmts: &[LaneAxpy]) {
+    for run in stmts.chunk_by(|a, b| a.target == b.target) {
+        if let ([a], [x]) = (run, &run[0].operands[..]) {
+            let _ = writeln!(s, "{indent}sxn(&mut {}, {}, &{x});", a.target, a.coeff);
+            continue;
+        }
+        let _ = writeln!(s, "{indent}for k in 0..L {{");
+        for a in run {
+            let factors: String = a.operands.iter().map(|x| format!(" * {x}[k]")).collect();
+            let _ = writeln!(s, "{indent}    {}[k] += {}{factors};", a.target, a.coeff);
+        }
+        let _ = writeln!(s, "{indent}}}");
+    }
+}
+
+/// Write lane-generic statements of differing targets as **one** lane loop
+/// (short blocks of independent temporaries: `α` assembly, flux set-up).
+fn write_lane_block(s: &mut String, stmts: &[String]) {
+    let _ = writeln!(s, "    for k in 0..L {{");
+    for stmt in stmts {
+        let _ = writeln!(s, "        {stmt}");
+    }
+    let _ = writeln!(s, "    }}");
+}
+
 /// Emit the LBO drag/diffusion kernels (five stage functions per velocity
 /// direction) for a kernel set, unrolled from [`lbo_dir_tables`] — the same
 /// tables `dg_core::lbo::LboOp::new` builds for the runtime weak-op path,
 /// with the same statement order and operator association. Entries whose
 /// `α` operand is structurally zero (outside the conf/ξ_j embedding
 /// support) are pruned; everything else is emitted verbatim.
+///
+/// Each stage body is emitted **once**, generic over the lane count
+/// (`write_lane_generic_entry_points`): every coefficient operand —
+/// including the primitive moments `u`/`vth2`, because the pencils of one
+/// lane group may sit in different configuration cells — is indexed
+/// `x[n][k]`, while `nu`, `v_c`/`vstar`, `dv` and `at_upper` are scalars
+/// the group shares. The one-lane instantiation *is* the scalar kernel.
 pub fn lbo_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
+    use LaneParam::{In, Out, Shared};
     let layout = pk.layout;
     let (cdim, vdim) = (layout.cdim, layout.vdim);
     let nc = pk.nc();
@@ -1319,11 +1536,45 @@ pub fn lbo_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
         s,
         "// Five stage functions per velocity direction (drag volume/surface,"
     );
-    let _ = writeln!(s, "// LDG gradient, diffusion volume/surface); see");
+    let _ = writeln!(
+        s,
+        "// LDG gradient, diffusion volume/surface), each one lane-generic body"
+    );
+    let _ = writeln!(
+        s,
+        "// behind a scalar, a `_b4` and a `_b4_avx2` entry point; see"
+    );
     let _ = writeln!(
         s,
         "// `crate::dispatch::LboKernelEntry` for the calling conventions."
     );
+    // `dst[a] += v · src[i]` per trace entry / `dst[i] += scale · v · src[a]`
+    // per lift entry of one face side.
+    let trace_stmts = |side: i32, dst: &str, src: &str, fb: &dg_basis::face::FaceBasis| {
+        (0..np)
+            .map(|i| {
+                let (a, v) = fb.trace_of(side, i);
+                LaneAxpy::new(
+                    format!("{dst}[{a}]"),
+                    format!("{v:?}"),
+                    format!("{src}[{i}]"),
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    let lift_stmts =
+        |side: i32, dst: &str, scale: &str, src: &str, fb: &dg_basis::face::FaceBasis| {
+            (0..np)
+                .map(|i| {
+                    let (a, v) = fb.trace_of(side, i);
+                    LaneAxpy::new(
+                        format!("{dst}[{i}]"),
+                        format!("{scale} * {v:?}"),
+                        format!("{src}[{a}]"),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
     for j in 0..vdim {
         let dir = cdim + j;
         let td = lbo_dir_tables(pk, j);
@@ -1345,239 +1596,245 @@ pub fn lbo_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
 
         // ---- Drag volume: α = −ν(v_j − u_j(x)). ----
         let _ = writeln!(s);
-        let _ = writeln!(
-            s,
-            "/// LBO drag volume term in v{j}: weak `∇_v · (ν(v − u) f)`, cell interior."
-        );
-        let _ = writeln!(s, "#[allow(clippy::all)]");
-        let _ = writeln!(s, "#[rustfmt::skip]");
-        let _ = writeln!(
-            s,
-            "pub fn {stem}_drag_vol_v{j}(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f64], out: &mut [f64]) {{"
+        write_lane_generic_entry_points(
+            &mut s,
+            &format!("{stem}_drag_vol_v{j}"),
+            &format!(
+                "/// LBO drag volume term in v{j}: weak `∇_v · (ν(v − u) f)`, cell interior.\n"
+            ),
+            &[
+                Shared("nu", "f64"),
+                Shared("v_c", "f64"),
+                Shared("dv", "f64"),
+                In("u", nc),
+                In("f", np),
+                Out("out", np),
+            ],
         );
         let _ = writeln!(s, "    let scale = 2.0 / dv;");
-        let _ = writeln!(s, "    let mut alpha = [0.0f64; {np}];");
-        let _ = writeln!(s, "    alpha[0] = -nu * v_c * {:?};", td.c0p);
-        let _ = writeln!(
-            s,
-            "    alpha[{}] = -nu * 0.5 * dv * {:?};",
-            td.lin_idx, td.c1p
-        );
+        let _ = writeln!(s, "    let mut alpha = [[0.0f64; L]; {np}];");
+        let mut block = vec![
+            format!("alpha[0][k] = -nu * v_c * {:?};", td.c0p),
+            format!("alpha[{}][k] = -nu * 0.5 * dv * {:?};", td.lin_idx, td.c1p),
+        ];
         for l in 0..nc {
-            let _ = writeln!(
-                s,
-                "    alpha[{}] += nu * {:?} * u[{l}];",
+            block.push(format!(
+                "alpha[{}][k] += nu * {:?} * u[{l}][k];",
                 td.emb_phase[l], td.w_phase
-            );
+            ));
         }
-        for e in &td.drag_vol.entries {
-            if !phase_support.contains(&(e.m as usize)) {
-                continue;
-            }
-            let _ = writeln!(
-                s,
-                "    out[{}] += scale * {:?} * alpha[{}] * f[{}];",
-                e.l, e.coeff, e.m, e.n
-            );
-        }
+        write_lane_block(&mut s, &block);
+        let contraction: Vec<LaneAxpy> = td
+            .drag_vol
+            .entries
+            .iter()
+            .filter(|e| phase_support.contains(&(e.m as usize)))
+            .map(|e| LaneAxpy {
+                target: format!("out[{}]", e.l),
+                coeff: format!("scale * {:?}", e.coeff),
+                operands: vec![format!("alpha[{}]", e.m), format!("f[{}]", e.n)],
+            })
+            .collect();
+        write_lane_runs(&mut s, &contraction);
         let _ = writeln!(s, "}}");
 
         // ---- Drag surface: penalized central flux at one interior face. ----
         let _ = writeln!(s);
-        let _ = writeln!(
-            s,
-            "/// LBO drag surface term in v{j} at one interior face (`vstar` = face"
-        );
-        let _ = writeln!(
-            s,
-            "/// velocity coordinate); penalized central flux, both sides updated."
-        );
-        let _ = writeln!(s, "#[allow(clippy::all)]");
-        let _ = writeln!(s, "#[rustfmt::skip]");
-        let _ = writeln!(
-            s,
-            "pub fn {stem}_drag_surf_v{j}(nu: f64, vstar: f64, dv: f64, u: &[f64], f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {{"
+        write_lane_generic_entry_points(
+            &mut s,
+            &format!("{stem}_drag_surf_v{j}"),
+            &format!(
+                "/// LBO drag surface term in v{j} at one interior face (`vstar` = face\n\
+                 /// velocity coordinate); penalized central flux, both sides updated.\n"
+            ),
+            &[
+                Shared("nu", "f64"),
+                Shared("vstar", "f64"),
+                Shared("dv", "f64"),
+                In("u", nc),
+                In("f_lo", np),
+                In("f_hi", np),
+                Out("out_lo", np),
+                Out("out_hi", np),
+            ],
         );
         let _ = writeln!(s, "    let scale = 2.0 / dv;");
-        let _ = writeln!(s, "    let mut alpha = [0.0f64; {nf}];");
-        let _ = writeln!(s, "    alpha[0] = -nu * vstar * {:?};", td.c0f);
+        let _ = writeln!(s, "    let mut alpha = [[0.0f64; L]; {nf}];");
+        let _ = writeln!(s, "    let mut lam = [0.0f64; L];");
+        let mut block = vec![format!("alpha[0][k] = -nu * vstar * {:?};", td.c0f)];
         for l in 0..nc {
-            let _ = writeln!(
-                s,
-                "    alpha[{}] += nu * {:?} * u[{l}];",
+            block.push(format!(
+                "alpha[{}][k] += nu * {:?} * u[{l}][k];",
                 td.emb_face[l], td.w_face
-            );
+            ));
         }
         let bound = face_support
             .iter()
-            .map(|&a| format!("alpha[{a}].abs() * {:?}", surf.kernel.sup[a]))
+            .map(|&a| format!("alpha[{a}][k].abs() * {:?}", surf.kernel.sup[a]))
             .collect::<Vec<_>>()
             .join(" + ");
-        let _ = writeln!(s, "    let lam = {bound};");
-        let _ = writeln!(s, "    let mut fm = [0.0f64; {nf}];");
-        let _ = writeln!(s, "    let mut fp = [0.0f64; {nf}];");
-        for i in 0..np {
-            let (a, v) = fb.trace_of(1, i);
-            let _ = writeln!(s, "    fm[{a}] += {v:?} * f_lo[{i}];");
-        }
-        for i in 0..np {
-            let (a, v) = fb.trace_of(-1, i);
-            let _ = writeln!(s, "    fp[{a}] += {v:?} * f_hi[{i}];");
-        }
-        let _ = writeln!(s, "    let mut favg = [0.0f64; {nf}];");
-        let _ = writeln!(s, "    let mut ghat = [0.0f64; {nf}];");
+        block.push(format!("lam[k] = {bound};"));
+        write_lane_block(&mut s, &block);
+        let _ = writeln!(s, "    let mut fm = [[0.0f64; L]; {nf}];");
+        let _ = writeln!(s, "    let mut fp = [[0.0f64; L]; {nf}];");
+        write_lane_runs(&mut s, &trace_stmts(1, "fm", "f_lo", fb));
+        write_lane_runs(&mut s, &trace_stmts(-1, "fp", "f_hi", fb));
+        let _ = writeln!(s, "    let mut favg = [[0.0f64; L]; {nf}];");
+        let _ = writeln!(s, "    let mut ghat = [[0.0f64; L]; {nf}];");
+        let mut block = Vec::new();
         for a in 0..nf {
-            let _ = writeln!(s, "    favg[{a}] = 0.5 * (fm[{a}] + fp[{a}]);");
-            let _ = writeln!(s, "    ghat[{a}] = -0.5 * lam * (fp[{a}] - fm[{a}]);");
+            block.push(format!("favg[{a}][k] = 0.5 * (fm[{a}][k] + fp[{a}][k]);"));
+            block.push(format!(
+                "ghat[{a}][k] = -0.5 * lam[k] * (fp[{a}][k] - fm[{a}][k]);"
+            ));
         }
-        for e in &surf.kernel.dmat.entries {
-            if !face_support.contains(&(e.m as usize)) {
-                continue;
-            }
-            let _ = writeln!(
-                s,
-                "    ghat[{}] += {:?} * alpha[{}] * favg[{}];",
-                e.l, e.coeff, e.m, e.n
-            );
-        }
-        for i in 0..np {
-            let (a, v) = fb.trace_of(1, i);
-            let _ = writeln!(s, "    out_lo[{i}] += -scale * {v:?} * ghat[{a}];");
-        }
-        for i in 0..np {
-            let (a, v) = fb.trace_of(-1, i);
-            let _ = writeln!(s, "    out_hi[{i}] += scale * {v:?} * ghat[{a}];");
-        }
+        write_lane_block(&mut s, &block);
+        let flux: Vec<LaneAxpy> = surf
+            .kernel
+            .dmat
+            .entries
+            .iter()
+            .filter(|e| face_support.contains(&(e.m as usize)))
+            .map(|e| LaneAxpy {
+                target: format!("ghat[{}]", e.l),
+                coeff: format!("{:?}", e.coeff),
+                operands: vec![format!("alpha[{}]", e.m), format!("favg[{}]", e.n)],
+            })
+            .collect();
+        write_lane_runs(&mut s, &flux);
+        write_lane_runs(&mut s, &lift_stmts(1, "out_lo", "-scale", "ghat", fb));
+        write_lane_runs(&mut s, &lift_stmts(-1, "out_hi", "scale", "ghat", fb));
         let _ = writeln!(s, "}}");
 
         // ---- LDG gradient pass: g = ∇_{v_j} f with one-sided fluxes. ----
         let _ = writeln!(s);
-        let _ = writeln!(
-            s,
-            "/// LDG gradient in v{j} for one cell: volume gradient-mass plus the"
-        );
-        let _ = writeln!(
-            s,
-            "/// upper-neighbor trace (`f_up`; own upper trace when `at_upper`) and"
-        );
-        let _ = writeln!(s, "/// the cell's own lower trace.");
-        let _ = writeln!(s, "#[allow(clippy::all)]");
-        let _ = writeln!(s, "#[rustfmt::skip]");
-        let _ = writeln!(
-            s,
-            "pub fn {stem}_diff_grad_v{j}(dv: f64, at_upper: bool, f: &[f64], f_up: &[f64], g: &mut [f64]) {{"
+        write_lane_generic_entry_points(
+            &mut s,
+            &format!("{stem}_diff_grad_v{j}"),
+            &format!(
+                "/// LDG gradient in v{j} for one cell: volume gradient-mass plus the\n\
+                 /// upper-neighbor trace (`f_up`; own upper trace when `at_upper`) and\n\
+                 /// the cell's own lower trace.\n"
+            ),
+            &[
+                Shared("dv", "f64"),
+                Shared("at_upper", "bool"),
+                In("f", np),
+                In("f_up", np),
+                Out("g", np),
+            ],
         );
         let _ = writeln!(s, "    let scale = 2.0 / dv;");
-        for &(l, m, c) in &td.grad_mass {
-            let _ = writeln!(s, "    g[{l}] += -scale * {c:?} * f[{m}];");
-        }
-        let _ = writeln!(s, "    let mut tr = [0.0f64; {nf}];");
+        let grad: Vec<LaneAxpy> = td
+            .grad_mass
+            .iter()
+            .map(|&(l, m, c)| {
+                LaneAxpy::new(
+                    format!("g[{l}]"),
+                    format!("-scale * {c:?}"),
+                    format!("f[{m}]"),
+                )
+            })
+            .collect();
+        write_lane_runs(&mut s, &grad);
+        let _ = writeln!(s, "    let mut tr = [[0.0f64; L]; {nf}];");
         let _ = writeln!(s, "    if at_upper {{");
-        for i in 0..np {
-            let (a, v) = fb.trace_of(1, i);
-            let _ = writeln!(s, "        tr[{a}] += {v:?} * f[{i}];");
-        }
+        write_lane_runs_at(&mut s, "        ", &trace_stmts(1, "tr", "f", fb));
         let _ = writeln!(s, "    }} else {{");
-        for i in 0..np {
-            let (a, v) = fb.trace_of(-1, i);
-            let _ = writeln!(s, "        tr[{a}] += {v:?} * f_up[{i}];");
-        }
+        write_lane_runs_at(&mut s, "        ", &trace_stmts(-1, "tr", "f_up", fb));
         let _ = writeln!(s, "    }}");
-        for i in 0..np {
-            let (a, v) = fb.trace_of(1, i);
-            let _ = writeln!(s, "    g[{i}] += scale * {v:?} * tr[{a}];");
-        }
-        let _ = writeln!(s, "    let mut tl = [0.0f64; {nf}];");
-        for i in 0..np {
-            let (a, v) = fb.trace_of(-1, i);
-            let _ = writeln!(s, "    tl[{a}] += {v:?} * f[{i}];");
-        }
-        for i in 0..np {
-            let (a, v) = fb.trace_of(-1, i);
-            let _ = writeln!(s, "    g[{i}] += -scale * {v:?} * tl[{a}];");
-        }
+        write_lane_runs(&mut s, &lift_stmts(1, "g", "scale", "tr", fb));
+        let _ = writeln!(s, "    let mut tl = [[0.0f64; L]; {nf}];");
+        write_lane_runs(&mut s, &trace_stmts(-1, "tl", "f", fb));
+        write_lane_runs(&mut s, &lift_stmts(-1, "g", "-scale", "tl", fb));
         let _ = writeln!(s, "}}");
 
         // ---- Diffusion volume: weak ∇_v · (ν vth² ∇_v f), cell interior. ----
         let _ = writeln!(s);
-        let _ = writeln!(
-            s,
-            "/// LBO diffusion volume term in v{j}: weak `ν vth²(x) ∂_v g`."
-        );
-        let _ = writeln!(s, "#[allow(clippy::all)]");
-        let _ = writeln!(s, "#[rustfmt::skip]");
-        let _ = writeln!(
-            s,
-            "pub fn {stem}_diff_vol_v{j}(nu: f64, dv: f64, vth2: &[f64], g: &[f64], out: &mut [f64]) {{"
+        write_lane_generic_entry_points(
+            &mut s,
+            &format!("{stem}_diff_vol_v{j}"),
+            &format!("/// LBO diffusion volume term in v{j}: weak `ν vth²(x) ∂_v g`.\n"),
+            &[
+                Shared("nu", "f64"),
+                Shared("dv", "f64"),
+                In("vth2", nc),
+                In("g", np),
+                Out("out", np),
+            ],
         );
         let _ = writeln!(s, "    let scale = 2.0 / dv;");
-        let _ = writeln!(s, "    let mut alpha = [0.0f64; {np}];");
-        for l in 0..nc {
-            let _ = writeln!(
-                s,
-                "    alpha[{}] = {:?} * vth2[{l}];",
-                td.emb_phase[l], td.w_phase
-            );
-        }
-        for e in &td.diff_vol.entries {
-            let _ = writeln!(
-                s,
-                "    out[{}] += -nu * scale * {:?} * alpha[{}] * g[{}];",
-                e.l, e.coeff, e.m, e.n
-            );
-        }
+        let _ = writeln!(s, "    let mut alpha = [[0.0f64; L]; {np}];");
+        let block: Vec<String> = (0..nc)
+            .map(|l| {
+                format!(
+                    "alpha[{}][k] = {:?} * vth2[{l}][k];",
+                    td.emb_phase[l], td.w_phase
+                )
+            })
+            .collect();
+        write_lane_block(&mut s, &block);
+        let contraction: Vec<LaneAxpy> = td
+            .diff_vol
+            .entries
+            .iter()
+            .map(|e| LaneAxpy {
+                target: format!("out[{}]", e.l),
+                coeff: format!("-nu * scale * {:?}", e.coeff),
+                operands: vec![format!("alpha[{}]", e.m), format!("g[{}]", e.n)],
+            })
+            .collect();
+        write_lane_runs(&mut s, &contraction);
         let _ = writeln!(s, "}}");
 
         // ---- Diffusion surface: central flux of g at one interior face. ----
         let _ = writeln!(s);
-        let _ = writeln!(
-            s,
-            "/// LBO diffusion surface term in v{j} at one interior face: one-sided"
-        );
-        let _ = writeln!(
-            s,
-            "/// flux of the LDG gradient (lower cell's upper trace), both sides"
-        );
-        let _ = writeln!(s, "/// updated.");
-        let _ = writeln!(s, "#[allow(clippy::all)]");
-        let _ = writeln!(s, "#[rustfmt::skip]");
-        let _ = writeln!(
-            s,
-            "pub fn {stem}_diff_surf_v{j}(nu: f64, dv: f64, vth2: &[f64], g_lo: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {{"
+        write_lane_generic_entry_points(
+            &mut s,
+            &format!("{stem}_diff_surf_v{j}"),
+            &format!(
+                "/// LBO diffusion surface term in v{j} at one interior face: one-sided\n\
+                 /// flux of the LDG gradient (lower cell's upper trace), both sides\n\
+                 /// updated.\n"
+            ),
+            &[
+                Shared("nu", "f64"),
+                Shared("dv", "f64"),
+                In("vth2", nc),
+                In("g_lo", np),
+                Out("out_lo", np),
+                Out("out_hi", np),
+            ],
         );
         let _ = writeln!(s, "    let scale = 2.0 / dv;");
-        let _ = writeln!(s, "    let mut alpha = [0.0f64; {nf}];");
-        for l in 0..nc {
-            let _ = writeln!(
-                s,
-                "    alpha[{}] = {:?} * vth2[{l}];",
-                td.emb_face[l], td.w_face
-            );
-        }
-        let _ = writeln!(s, "    let mut tr = [0.0f64; {nf}];");
-        for i in 0..np {
-            let (a, v) = fb.trace_of(1, i);
-            let _ = writeln!(s, "    tr[{a}] += {v:?} * g_lo[{i}];");
-        }
-        let _ = writeln!(s, "    let mut ghat = [0.0f64; {nf}];");
-        for e in &surf.kernel.dmat.entries {
-            if !face_support.contains(&(e.m as usize)) {
-                continue;
-            }
-            let _ = writeln!(
-                s,
-                "    ghat[{}] += {:?} * alpha[{}] * tr[{}];",
-                e.l, e.coeff, e.m, e.n
-            );
-        }
-        for i in 0..np {
-            let (a, v) = fb.trace_of(1, i);
-            let _ = writeln!(s, "    out_lo[{i}] += nu * scale * {v:?} * ghat[{a}];");
-        }
-        for i in 0..np {
-            let (a, v) = fb.trace_of(-1, i);
-            let _ = writeln!(s, "    out_hi[{i}] += -nu * scale * {v:?} * ghat[{a}];");
-        }
+        let _ = writeln!(s, "    let mut alpha = [[0.0f64; L]; {nf}];");
+        let block: Vec<String> = (0..nc)
+            .map(|l| {
+                format!(
+                    "alpha[{}][k] = {:?} * vth2[{l}][k];",
+                    td.emb_face[l], td.w_face
+                )
+            })
+            .collect();
+        write_lane_block(&mut s, &block);
+        let _ = writeln!(s, "    let mut tr = [[0.0f64; L]; {nf}];");
+        write_lane_runs(&mut s, &trace_stmts(1, "tr", "g_lo", fb));
+        let _ = writeln!(s, "    let mut ghat = [[0.0f64; L]; {nf}];");
+        let flux: Vec<LaneAxpy> = surf
+            .kernel
+            .dmat
+            .entries
+            .iter()
+            .filter(|e| face_support.contains(&(e.m as usize)))
+            .map(|e| LaneAxpy {
+                target: format!("ghat[{}]", e.l),
+                coeff: format!("{:?}", e.coeff),
+                operands: vec![format!("alpha[{}]", e.m), format!("tr[{}]", e.n)],
+            })
+            .collect();
+        write_lane_runs(&mut s, &flux);
+        write_lane_runs(&mut s, &lift_stmts(1, "out_lo", "nu * scale", "ghat", fb));
+        write_lane_runs(&mut s, &lift_stmts(-1, "out_hi", "-nu * scale", "ghat", fb));
         let _ = writeln!(s, "}}");
     }
     s

@@ -27,7 +27,8 @@
 //! [`ResolvedSurfaceDir`] with zero per-cell (and per-face) branching.
 //! The same step picks, from the CPU alone, which compilation of the
 //! SIMD-batched `_b4` kernels the operator calls ([`BatchIsa`],
-//! [`VolumeBatch`], [`SurfaceBatch`]) — bit-identical either way.
+//! [`VolumeBatch`], [`SurfaceBatch`], [`LboBatch`]) — bit-identical either
+//! way.
 //!
 //! To add a configuration, extend [`crate::codegen::MANIFEST`] and rerun
 //! `cargo run -p dg-bench --bin gen_kernel` (see DESIGN.md, "Kernel
@@ -107,6 +108,61 @@ pub struct CellLanes(pub [f64; LANES]);
 pub fn sx4(out: &mut CellLanes, c: f64, x: &CellLanes) {
     for k in 0..LANES {
         out.0[k] += c * x.0[k];
+    }
+}
+
+/// One coefficient across the [`LANES`] pencils of an LBO pencil group —
+/// the 4-lane instance of the `[f64; L]` lane groups the lane-generic LBO
+/// stage bodies are written over (`x[n][k]` = coefficient `n` of lane `k`).
+/// A plain array, not [`CellLanes`]: the generator emits each LBO stage
+/// body once, generic over `const L: usize`, and `L = 1` must *be* the
+/// scalar kernel — a `&[f64]` viewed as `&[[f64; 1]]` through `as_chunks`
+/// — which an over-aligned wrapper type cannot be. Per lane every
+/// instantiation runs the same statements in the same order, so they agree
+/// bit for bit. Alignment is the caller's business: see [`PencilPanel`].
+pub type PencilLanes = [f64; LANES];
+
+/// A buffer of [`PencilLanes`] groups whose first group starts on a 32-byte
+/// boundary, so each group is one aligned 256-bit access — what
+/// [`CellLanes`] gets from its type, obtained here by skipping up to three
+/// leading `f64` of a plain `Vec<f64>` (a misaligned panel costs the AVX2
+/// entry points ≈ 8 % on 1x2v p2: every other group straddles a cache line).
+/// The offset is recomputed per access, so clones and moves stay aligned.
+#[derive(Clone, Debug)]
+pub struct PencilPanel {
+    buf: Vec<f64>,
+    groups: usize,
+}
+
+impl PencilPanel {
+    /// A zeroed panel of `groups` lane groups.
+    pub fn zeros(groups: usize) -> Self {
+        PencilPanel {
+            buf: vec![0.0; (groups + 1) * LANES],
+            groups,
+        }
+    }
+
+    /// The lane groups, mutably (reading goes through this as well: a
+    /// panel is scratch, only ever held exclusively).
+    #[inline]
+    pub fn lanes_mut(&mut self) -> &mut [PencilLanes] {
+        // `align_offset` counts in `f64`; it may decline (`usize::MAX`), in
+        // which case the panel is merely unaligned.
+        let skip = match self.buf.as_ptr().align_offset(32) {
+            skip if skip < LANES => skip,
+            _ => 0,
+        };
+        self.buf[skip..skip + self.groups * LANES].as_chunks_mut().0
+    }
+}
+
+/// `out[k] += c * x[k]` over the lanes of a lane group — [`sx4`] for the
+/// lane-generic bodies (one-off traces and lifts).
+#[inline(always)]
+pub fn sxn<const L: usize>(out: &mut [f64; L], c: f64, x: &[f64; L]) {
+    for k in 0..L {
+        out[k] += c * x[k];
     }
 }
 
@@ -234,6 +290,67 @@ pub type LboDiffVolFn = fn(nu: f64, dv: f64, vth2: &[f64], g: &[f64], out: &mut 
 pub type LboDiffSurfFn =
     fn(nu: f64, dv: f64, vth2: &[f64], g_lo: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]);
 
+/// The five LBO stage kernels of one velocity direction over SoA panels of
+/// [`LANES`] `v_j`-pencils: the `L = LANES` instantiation of the very
+/// bodies whose one-lane instantiation is the scalar [`LboDragVolFn`] …
+/// [`LboDiffSurfFn`] entry points, so each lane matches the scalar kernel
+/// bit for bit (asserted in `generated/tests.rs`). Arguments are the scalar
+/// conventions' with every coefficient slice a panel. The pencils of a
+/// group may sit in different configuration cells, so `u`/`vth2` are
+/// per-lane panels too; `nu`, `v_c`/`vstar`, `dv` and `at_upper` (one grid,
+/// one position along the pencils) stay scalars shared by the group.
+///
+/// One type serves both compilations: the portable `<stage fn>_b4` (safe
+/// functions, which coerce to `unsafe fn`) and `<stage fn>_b4_avx2`, built
+/// with `#[target_feature(enable = "avx2")]` — calling one of those on a CPU
+/// without AVX2 is undefined behaviour. Go through [`LboBatch`].
+// The field types are the five scalar conventions above over panels;
+// aliases for each would only restate them.
+#[allow(clippy::type_complexity)]
+#[derive(Clone, Copy, Debug)]
+pub struct LboBatchFns {
+    pub drag_vol: unsafe fn(
+        nu: f64,
+        v_c: f64,
+        dv: f64,
+        u: &[PencilLanes],
+        f: &[PencilLanes],
+        out: &mut [PencilLanes],
+    ),
+    pub drag_surf: unsafe fn(
+        nu: f64,
+        vstar: f64,
+        dv: f64,
+        u: &[PencilLanes],
+        f_lo: &[PencilLanes],
+        f_hi: &[PencilLanes],
+        out_lo: &mut [PencilLanes],
+        out_hi: &mut [PencilLanes],
+    ),
+    pub diff_grad: unsafe fn(
+        dv: f64,
+        at_upper: bool,
+        f: &[PencilLanes],
+        f_up: &[PencilLanes],
+        g: &mut [PencilLanes],
+    ),
+    pub diff_vol: unsafe fn(
+        nu: f64,
+        dv: f64,
+        vth2: &[PencilLanes],
+        g: &[PencilLanes],
+        out: &mut [PencilLanes],
+    ),
+    pub diff_surf: unsafe fn(
+        nu: f64,
+        dv: f64,
+        vth2: &[PencilLanes],
+        g_lo: &[PencilLanes],
+        out_lo: &mut [PencilLanes],
+        out_hi: &mut [PencilLanes],
+    ),
+}
+
 /// Registry key: one kernel configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct KernelKey {
@@ -313,18 +430,26 @@ pub struct MomentKernelEntry {
 /// One row of the committed LBO-kernel registry: the five unrolled stage
 /// functions (drag volume/surface, LDG gradient, diffusion volume/surface)
 /// per velocity direction of one configuration (generated table in
-/// `generated/mod.rs`).
+/// `generated/mod.rs`). The generator emits each stage body once, generic
+/// over the lane count; the fields below are its instantiations.
 #[derive(Clone, Copy, Debug)]
 pub struct LboKernelEntry {
     pub key: KernelKey,
     /// The generated source-file stem (functions append
     /// `_<stage>_v<j>` suffixes).
     pub name: &'static str,
+    /// The one-lane (scalar) entry points, one per velocity direction.
     pub drag_vol: &'static [LboDragVolFn],
     pub drag_surf: &'static [LboDragSurfFn],
     pub diff_grad: &'static [LboDiffGradFn],
     pub diff_vol: &'static [LboDiffVolFn],
     pub diff_surf: &'static [LboDiffSurfFn],
+    /// The [`LANES`]-lane entry points (`<stage fn>_b4`), one bundle per
+    /// velocity direction — what the pencil-group sweep runs.
+    pub batch: &'static [LboBatchFns],
+    /// `batch` compiled for AVX2 (`<stage fn>_b4_avx2`), same order.
+    #[cfg(target_arch = "x86_64")]
+    pub batch_avx2: &'static [LboBatchFns],
 }
 
 /// All committed unrolled volume kernels.
@@ -413,8 +538,9 @@ pub enum DispatchPath {
 impl DispatchPath {
     /// Short human-readable tag for bench output. The generated path names
     /// the `_b4` entry points this CPU selects (`generated/avx2` or
-    /// `generated/baseline`, see [`BatchIsa`]), so a recorded number says
-    /// which machine code produced it.
+    /// `generated/baseline`, see [`BatchIsa`]) — for the volume, surface
+    /// and LBO stage kernels alike; only the moment kernels are scalar —
+    /// so a recorded number says which machine code produced it.
     pub fn tag(&self) -> &'static str {
         match (self, BatchIsa::detect()) {
             (DispatchPath::Generated, BatchIsa::Avx2) => "generated/avx2",
@@ -550,6 +676,121 @@ impl SurfaceBatch {
         // SAFETY: as for `VolumeBatch::call` — a `_b4_avx2` pointer is only
         // ever stored by `Self::avx2`, after the runtime AVX2 check.
         unsafe { (self.0)(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi) }
+    }
+}
+
+/// The batched LBO stage kernels of one velocity direction, chosen for this
+/// CPU; the LBO twin of [`VolumeBatch`], with the same invariant: the
+/// pointers are private and an `_b4_avx2` one is only ever stored by
+/// [`LboBatch::avx2`], after the runtime AVX2 check.
+#[derive(Clone, Copy, Debug)]
+pub struct LboBatch(LboBatchFns);
+
+impl LboBatch {
+    /// The entry points of velocity direction `j` this CPU runs fastest.
+    pub fn select(entry: &LboKernelEntry, j: usize) -> Self {
+        Self::avx2(entry, j).unwrap_or_else(|| Self::baseline(entry, j))
+    }
+
+    /// The portable `<stage fn>_b4` entry points (no CPU requirement).
+    pub fn baseline(entry: &LboKernelEntry, j: usize) -> Self {
+        LboBatch(entry.batch[j])
+    }
+
+    /// The `<stage fn>_b4_avx2` entry points; `None` unless this is an
+    /// `x86_64` CPU with AVX2.
+    pub fn avx2(entry: &LboKernelEntry, j: usize) -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if BatchIsa::detect() == BatchIsa::Avx2 {
+            return Some(LboBatch(entry.batch_avx2[j]));
+        }
+        let _ = (entry, j);
+        None
+    }
+
+    /// Drag volume term ([`LboDragVolFn`] convention over panels).
+    #[inline]
+    pub fn drag_vol(
+        &self,
+        nu: f64,
+        v_c: f64,
+        dv: f64,
+        u: &[PencilLanes],
+        f: &[PencilLanes],
+        out: &mut [PencilLanes],
+    ) {
+        // SAFETY: every pointer in `self.0` is either a safe portable `_b4`
+        // function or a `_b4_avx2` one, and `Self::avx2` — the only place
+        // the latter are stored — does so only after
+        // `is_x86_feature_detected!("avx2")` returned true on this CPU.
+        // AVX2 is the functions' only extra requirement; their arguments
+        // are ordinary checked slices.
+        unsafe { (self.0.drag_vol)(nu, v_c, dv, u, f, out) }
+    }
+
+    /// Drag surface term at one interior face ([`LboDragSurfFn`]).
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn drag_surf(
+        &self,
+        nu: f64,
+        vstar: f64,
+        dv: f64,
+        u: &[PencilLanes],
+        f_lo: &[PencilLanes],
+        f_hi: &[PencilLanes],
+        out_lo: &mut [PencilLanes],
+        out_hi: &mut [PencilLanes],
+    ) {
+        // SAFETY: as for `Self::drag_vol` — an `_b4_avx2` pointer is only
+        // ever stored by `Self::avx2`, after the runtime AVX2 check.
+        unsafe { (self.0.drag_surf)(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi) }
+    }
+
+    /// LDG gradient of one position ([`LboDiffGradFn`]).
+    #[inline]
+    pub fn diff_grad(
+        &self,
+        dv: f64,
+        at_upper: bool,
+        f: &[PencilLanes],
+        f_up: &[PencilLanes],
+        g: &mut [PencilLanes],
+    ) {
+        // SAFETY: as for `Self::drag_vol` — an `_b4_avx2` pointer is only
+        // ever stored by `Self::avx2`, after the runtime AVX2 check.
+        unsafe { (self.0.diff_grad)(dv, at_upper, f, f_up, g) }
+    }
+
+    /// Diffusion volume term ([`LboDiffVolFn`]).
+    #[inline]
+    pub fn diff_vol(
+        &self,
+        nu: f64,
+        dv: f64,
+        vth2: &[PencilLanes],
+        g: &[PencilLanes],
+        out: &mut [PencilLanes],
+    ) {
+        // SAFETY: as for `Self::drag_vol` — an `_b4_avx2` pointer is only
+        // ever stored by `Self::avx2`, after the runtime AVX2 check.
+        unsafe { (self.0.diff_vol)(nu, dv, vth2, g, out) }
+    }
+
+    /// Diffusion surface term at one interior face ([`LboDiffSurfFn`]).
+    #[inline]
+    pub fn diff_surf(
+        &self,
+        nu: f64,
+        dv: f64,
+        vth2: &[PencilLanes],
+        g_lo: &[PencilLanes],
+        out_lo: &mut [PencilLanes],
+        out_hi: &mut [PencilLanes],
+    ) {
+        // SAFETY: as for `Self::drag_vol` — an `_b4_avx2` pointer is only
+        // ever stored by `Self::avx2`, after the runtime AVX2 check.
+        unsafe { (self.0.diff_surf)(nu, dv, vth2, g_lo, out_lo, out_hi) }
     }
 }
 

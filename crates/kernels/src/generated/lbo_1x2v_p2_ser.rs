@@ -1,77 +1,132 @@
 // LBO (Lenard–Bernstein / Dougherty) collision kernels, 1x2v p=2 Serendipity basis.
 // Auto-generated from exact integral tables — do not edit by hand.
 // Five stage functions per velocity direction (drag volume/surface,
-// LDG gradient, diffusion volume/surface); see
+// LDG gradient, diffusion volume/surface), each one lane-generic body
+// behind a scalar, a `_b4` and a `_b4_avx2` entry point; see
 // `crate::dispatch::LboKernelEntry` for the calling conventions.
 
 /// LBO drag volume term in v0: weak `∇_v · (ν(v − u) f)`, cell interior.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_1x2v_p2_ser_drag_vol_v0(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f64], out: &mut [f64]) {
+    lbo_1x2v_p2_ser_drag_vol_v0_body::<1>(nu, v_c, dv, u.as_chunks().0, f.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_1x2v_p2_ser_drag_vol_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_drag_vol_v0_b4(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_drag_vol_v0_body(nu, v_c, dv, u, f, out)
+}
+
+/// [`lbo_1x2v_p2_ser_drag_vol_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_drag_vol_v0_b4_avx2(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_drag_vol_v0_body(nu, v_c, dv, u, f, out)
+}
+
+/// Shared lane-generic body of [`lbo_1x2v_p2_ser_drag_vol_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_1x2v_p2_ser_drag_vol_v0_body<const L: usize>(nu: f64, v_c: f64, dv: f64, u: &[[f64; L]], f: &[[f64; L]], out: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 3] = u.first_chunk().expect("u: 3 coefficients");
+    let f: &[[f64; L]; 20] = f.first_chunk().expect("f: 20 coefficients");
+    let out: &mut [[f64; L]; 20] = out.first_chunk_mut().expect("out: 20 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 20];
-    alpha[0] = -nu * v_c * 2.8284271247461903;
-    alpha[2] = -nu * 0.5 * dv * 1.632993161855452;
-    alpha[0] += nu * 2.0 * u[0];
-    alpha[3] += nu * 2.0 * u[1];
-    alpha[9] += nu * 2.0 * u[2];
-    out[2] += scale * 0.6123724356957945 * alpha[0] * f[0];
-    out[2] += scale * 0.6123724356957945 * alpha[2] * f[2];
-    out[2] += scale * 0.6123724356957945 * alpha[3] * f[3];
-    out[2] += scale * 0.6123724356957946 * alpha[9] * f[9];
-    out[5] += scale * 0.6123724356957945 * alpha[0] * f[1];
-    out[5] += scale * 0.6123724356957945 * alpha[2] * f[5];
-    out[5] += scale * 0.6123724356957945 * alpha[3] * f[7];
-    out[5] += scale * 0.6123724356957946 * alpha[9] * f[15];
-    out[6] += scale * 1.3693063937629153 * alpha[0] * f[2];
-    out[6] += scale * 1.3693063937629153 * alpha[2] * f[0];
-    out[6] += scale * 1.2247448713915892 * alpha[2] * f[6];
-    out[6] += scale * 1.369306393762915 * alpha[3] * f[8];
-    out[6] += scale * 1.3693063937629155 * alpha[9] * f[16];
-    out[8] += scale * 0.6123724356957945 * alpha[0] * f[3];
-    out[8] += scale * 0.6123724356957945 * alpha[2] * f[8];
-    out[8] += scale * 0.6123724356957945 * alpha[3] * f[0];
-    out[8] += scale * 0.5477225575051661 * alpha[3] * f[9];
-    out[8] += scale * 0.5477225575051661 * alpha[9] * f[3];
-    out[10] += scale * 0.6123724356957946 * alpha[0] * f[4];
-    out[10] += scale * 0.6123724356957946 * alpha[2] * f[10];
-    out[10] += scale * 0.6123724356957946 * alpha[3] * f[12];
-    out[11] += scale * 1.369306393762915 * alpha[0] * f[5];
-    out[11] += scale * 1.369306393762915 * alpha[2] * f[1];
-    out[11] += scale * 1.2247448713915892 * alpha[2] * f[11];
-    out[11] += scale * 1.3693063937629153 * alpha[3] * f[13];
-    out[11] += scale * 1.3693063937629153 * alpha[9] * f[19];
-    out[13] += scale * 0.6123724356957945 * alpha[0] * f[7];
-    out[13] += scale * 0.6123724356957945 * alpha[2] * f[13];
-    out[13] += scale * 0.6123724356957945 * alpha[3] * f[1];
-    out[13] += scale * 0.5477225575051662 * alpha[3] * f[15];
-    out[13] += scale * 0.5477225575051662 * alpha[9] * f[7];
-    out[14] += scale * 1.369306393762915 * alpha[0] * f[8];
-    out[14] += scale * 1.369306393762915 * alpha[2] * f[3];
-    out[14] += scale * 1.2247448713915892 * alpha[2] * f[14];
-    out[14] += scale * 1.369306393762915 * alpha[3] * f[2];
-    out[14] += scale * 1.2247448713915892 * alpha[3] * f[16];
-    out[14] += scale * 1.2247448713915892 * alpha[9] * f[8];
-    out[16] += scale * 0.6123724356957946 * alpha[0] * f[9];
-    out[16] += scale * 0.6123724356957946 * alpha[2] * f[16];
-    out[16] += scale * 0.5477225575051661 * alpha[3] * f[3];
-    out[16] += scale * 0.6123724356957946 * alpha[9] * f[0];
-    out[16] += scale * 0.3912303982179758 * alpha[9] * f[9];
-    out[17] += scale * 0.6123724356957946 * alpha[0] * f[12];
-    out[17] += scale * 0.6123724356957945 * alpha[2] * f[17];
-    out[17] += scale * 0.6123724356957946 * alpha[3] * f[4];
-    out[17] += scale * 0.5477225575051662 * alpha[9] * f[12];
-    out[18] += scale * 1.3693063937629153 * alpha[0] * f[13];
-    out[18] += scale * 1.3693063937629153 * alpha[2] * f[7];
-    out[18] += scale * 1.224744871391589 * alpha[2] * f[18];
-    out[18] += scale * 1.3693063937629153 * alpha[3] * f[5];
-    out[18] += scale * 1.224744871391589 * alpha[3] * f[19];
-    out[18] += scale * 1.224744871391589 * alpha[9] * f[13];
-    out[19] += scale * 0.6123724356957946 * alpha[0] * f[15];
-    out[19] += scale * 0.6123724356957945 * alpha[2] * f[19];
-    out[19] += scale * 0.5477225575051662 * alpha[3] * f[7];
-    out[19] += scale * 0.6123724356957946 * alpha[9] * f[1];
-    out[19] += scale * 0.39123039821797584 * alpha[9] * f[15];
+    let mut alpha = [[0.0f64; L]; 20];
+    for k in 0..L {
+        alpha[0][k] = -nu * v_c * 2.8284271247461903;
+        alpha[2][k] = -nu * 0.5 * dv * 1.632993161855452;
+        alpha[0][k] += nu * 2.0 * u[0][k];
+        alpha[3][k] += nu * 2.0 * u[1][k];
+        alpha[9][k] += nu * 2.0 * u[2][k];
+    }
+    for k in 0..L {
+        out[2][k] += scale * 0.6123724356957945 * alpha[0][k] * f[0][k];
+        out[2][k] += scale * 0.6123724356957945 * alpha[2][k] * f[2][k];
+        out[2][k] += scale * 0.6123724356957945 * alpha[3][k] * f[3][k];
+        out[2][k] += scale * 0.6123724356957946 * alpha[9][k] * f[9][k];
+    }
+    for k in 0..L {
+        out[5][k] += scale * 0.6123724356957945 * alpha[0][k] * f[1][k];
+        out[5][k] += scale * 0.6123724356957945 * alpha[2][k] * f[5][k];
+        out[5][k] += scale * 0.6123724356957945 * alpha[3][k] * f[7][k];
+        out[5][k] += scale * 0.6123724356957946 * alpha[9][k] * f[15][k];
+    }
+    for k in 0..L {
+        out[6][k] += scale * 1.3693063937629153 * alpha[0][k] * f[2][k];
+        out[6][k] += scale * 1.3693063937629153 * alpha[2][k] * f[0][k];
+        out[6][k] += scale * 1.2247448713915892 * alpha[2][k] * f[6][k];
+        out[6][k] += scale * 1.369306393762915 * alpha[3][k] * f[8][k];
+        out[6][k] += scale * 1.3693063937629155 * alpha[9][k] * f[16][k];
+    }
+    for k in 0..L {
+        out[8][k] += scale * 0.6123724356957945 * alpha[0][k] * f[3][k];
+        out[8][k] += scale * 0.6123724356957945 * alpha[2][k] * f[8][k];
+        out[8][k] += scale * 0.6123724356957945 * alpha[3][k] * f[0][k];
+        out[8][k] += scale * 0.5477225575051661 * alpha[3][k] * f[9][k];
+        out[8][k] += scale * 0.5477225575051661 * alpha[9][k] * f[3][k];
+    }
+    for k in 0..L {
+        out[10][k] += scale * 0.6123724356957946 * alpha[0][k] * f[4][k];
+        out[10][k] += scale * 0.6123724356957946 * alpha[2][k] * f[10][k];
+        out[10][k] += scale * 0.6123724356957946 * alpha[3][k] * f[12][k];
+    }
+    for k in 0..L {
+        out[11][k] += scale * 1.369306393762915 * alpha[0][k] * f[5][k];
+        out[11][k] += scale * 1.369306393762915 * alpha[2][k] * f[1][k];
+        out[11][k] += scale * 1.2247448713915892 * alpha[2][k] * f[11][k];
+        out[11][k] += scale * 1.3693063937629153 * alpha[3][k] * f[13][k];
+        out[11][k] += scale * 1.3693063937629153 * alpha[9][k] * f[19][k];
+    }
+    for k in 0..L {
+        out[13][k] += scale * 0.6123724356957945 * alpha[0][k] * f[7][k];
+        out[13][k] += scale * 0.6123724356957945 * alpha[2][k] * f[13][k];
+        out[13][k] += scale * 0.6123724356957945 * alpha[3][k] * f[1][k];
+        out[13][k] += scale * 0.5477225575051662 * alpha[3][k] * f[15][k];
+        out[13][k] += scale * 0.5477225575051662 * alpha[9][k] * f[7][k];
+    }
+    for k in 0..L {
+        out[14][k] += scale * 1.369306393762915 * alpha[0][k] * f[8][k];
+        out[14][k] += scale * 1.369306393762915 * alpha[2][k] * f[3][k];
+        out[14][k] += scale * 1.2247448713915892 * alpha[2][k] * f[14][k];
+        out[14][k] += scale * 1.369306393762915 * alpha[3][k] * f[2][k];
+        out[14][k] += scale * 1.2247448713915892 * alpha[3][k] * f[16][k];
+        out[14][k] += scale * 1.2247448713915892 * alpha[9][k] * f[8][k];
+    }
+    for k in 0..L {
+        out[16][k] += scale * 0.6123724356957946 * alpha[0][k] * f[9][k];
+        out[16][k] += scale * 0.6123724356957946 * alpha[2][k] * f[16][k];
+        out[16][k] += scale * 0.5477225575051661 * alpha[3][k] * f[3][k];
+        out[16][k] += scale * 0.6123724356957946 * alpha[9][k] * f[0][k];
+        out[16][k] += scale * 0.3912303982179758 * alpha[9][k] * f[9][k];
+    }
+    for k in 0..L {
+        out[17][k] += scale * 0.6123724356957946 * alpha[0][k] * f[12][k];
+        out[17][k] += scale * 0.6123724356957945 * alpha[2][k] * f[17][k];
+        out[17][k] += scale * 0.6123724356957946 * alpha[3][k] * f[4][k];
+        out[17][k] += scale * 0.5477225575051662 * alpha[9][k] * f[12][k];
+    }
+    for k in 0..L {
+        out[18][k] += scale * 1.3693063937629153 * alpha[0][k] * f[13][k];
+        out[18][k] += scale * 1.3693063937629153 * alpha[2][k] * f[7][k];
+        out[18][k] += scale * 1.224744871391589 * alpha[2][k] * f[18][k];
+        out[18][k] += scale * 1.3693063937629153 * alpha[3][k] * f[5][k];
+        out[18][k] += scale * 1.224744871391589 * alpha[3][k] * f[19][k];
+        out[18][k] += scale * 1.224744871391589 * alpha[9][k] * f[13][k];
+    }
+    for k in 0..L {
+        out[19][k] += scale * 0.6123724356957946 * alpha[0][k] * f[15][k];
+        out[19][k] += scale * 0.6123724356957945 * alpha[2][k] * f[19][k];
+        out[19][k] += scale * 0.5477225575051662 * alpha[3][k] * f[7][k];
+        out[19][k] += scale * 0.6123724356957946 * alpha[9][k] * f[1][k];
+        out[19][k] += scale * 0.39123039821797584 * alpha[9][k] * f[15][k];
+    }
 }
 
 /// LBO drag surface term in v0 at one interior face (`vstar` = face
@@ -79,140 +134,191 @@ pub fn lbo_1x2v_p2_ser_drag_vol_v0(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_1x2v_p2_ser_drag_surf_v0(nu: f64, vstar: f64, dv: f64, u: &[f64], f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_1x2v_p2_ser_drag_surf_v0_body::<1>(nu, vstar, dv, u.as_chunks().0, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_1x2v_p2_ser_drag_surf_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_drag_surf_v0_b4(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_drag_surf_v0_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// [`lbo_1x2v_p2_ser_drag_surf_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_drag_surf_v0_b4_avx2(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_drag_surf_v0_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_1x2v_p2_ser_drag_surf_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_1x2v_p2_ser_drag_surf_v0_body<const L: usize>(nu: f64, vstar: f64, dv: f64, u: &[[f64; L]], f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 3] = u.first_chunk().expect("u: 3 coefficients");
+    let f_lo: &[[f64; L]; 20] = f_lo.first_chunk().expect("f_lo: 20 coefficients");
+    let f_hi: &[[f64; L]; 20] = f_hi.first_chunk().expect("f_hi: 20 coefficients");
+    let out_lo: &mut [[f64; L]; 20] = out_lo.first_chunk_mut().expect("out_lo: 20 coefficients");
+    let out_hi: &mut [[f64; L]; 20] = out_hi.first_chunk_mut().expect("out_hi: 20 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 8];
-    alpha[0] = -nu * vstar * 2.0;
-    alpha[0] += nu * 1.4142135623730951 * u[0];
-    alpha[2] += nu * 1.4142135623730951 * u[1];
-    alpha[5] += nu * 1.4142135623730951 * u[2];
-    let lam = alpha[0].abs() * 0.5000000000000001 + alpha[2].abs() * 0.8660254037844386 + alpha[5].abs() * 1.118033988749895;
-    let mut fm = [0.0f64; 8];
-    let mut fp = [0.0f64; 8];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[1] += 0.7071067811865476 * f_lo[1];
-    fm[0] += 1.224744871391589 * f_lo[2];
-    fm[2] += 0.7071067811865476 * f_lo[3];
-    fm[3] += 0.7071067811865476 * f_lo[4];
-    fm[1] += 1.224744871391589 * f_lo[5];
-    fm[0] += 1.5811388300841898 * f_lo[6];
-    fm[4] += 0.7071067811865476 * f_lo[7];
-    fm[2] += 1.224744871391589 * f_lo[8];
-    fm[5] += 0.7071067811865476 * f_lo[9];
-    fm[3] += 1.224744871391589 * f_lo[10];
-    fm[1] += 1.5811388300841898 * f_lo[11];
-    fm[6] += 0.7071067811865476 * f_lo[12];
-    fm[4] += 1.224744871391589 * f_lo[13];
-    fm[2] += 1.5811388300841898 * f_lo[14];
-    fm[7] += 0.7071067811865476 * f_lo[15];
-    fm[5] += 1.224744871391589 * f_lo[16];
-    fm[6] += 1.224744871391589 * f_lo[17];
-    fm[4] += 1.5811388300841898 * f_lo[18];
-    fm[7] += 1.224744871391589 * f_lo[19];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[1] += 0.7071067811865476 * f_hi[1];
-    fp[0] += -1.224744871391589 * f_hi[2];
-    fp[2] += 0.7071067811865476 * f_hi[3];
-    fp[3] += 0.7071067811865476 * f_hi[4];
-    fp[1] += -1.224744871391589 * f_hi[5];
-    fp[0] += 1.5811388300841898 * f_hi[6];
-    fp[4] += 0.7071067811865476 * f_hi[7];
-    fp[2] += -1.224744871391589 * f_hi[8];
-    fp[5] += 0.7071067811865476 * f_hi[9];
-    fp[3] += -1.224744871391589 * f_hi[10];
-    fp[1] += 1.5811388300841898 * f_hi[11];
-    fp[6] += 0.7071067811865476 * f_hi[12];
-    fp[4] += -1.224744871391589 * f_hi[13];
-    fp[2] += 1.5811388300841898 * f_hi[14];
-    fp[7] += 0.7071067811865476 * f_hi[15];
-    fp[5] += -1.224744871391589 * f_hi[16];
-    fp[6] += -1.224744871391589 * f_hi[17];
-    fp[4] += 1.5811388300841898 * f_hi[18];
-    fp[7] += -1.224744871391589 * f_hi[19];
-    let mut favg = [0.0f64; 8];
-    let mut ghat = [0.0f64; 8];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    ghat[0] += 0.5 * alpha[0] * favg[0];
-    ghat[0] += 0.5 * alpha[2] * favg[2];
-    ghat[0] += 0.5 * alpha[5] * favg[5];
-    ghat[1] += 0.5 * alpha[0] * favg[1];
-    ghat[1] += 0.5 * alpha[2] * favg[4];
-    ghat[1] += 0.5 * alpha[5] * favg[7];
-    ghat[2] += 0.5 * alpha[0] * favg[2];
-    ghat[2] += 0.5 * alpha[2] * favg[0];
-    ghat[2] += 0.4472135954999579 * alpha[2] * favg[5];
-    ghat[2] += 0.4472135954999579 * alpha[5] * favg[2];
-    ghat[3] += 0.5 * alpha[0] * favg[3];
-    ghat[3] += 0.5 * alpha[2] * favg[6];
-    ghat[4] += 0.5 * alpha[0] * favg[4];
-    ghat[4] += 0.5 * alpha[2] * favg[1];
-    ghat[4] += 0.447213595499958 * alpha[2] * favg[7];
-    ghat[4] += 0.447213595499958 * alpha[5] * favg[4];
-    ghat[5] += 0.5 * alpha[0] * favg[5];
-    ghat[5] += 0.4472135954999579 * alpha[2] * favg[2];
-    ghat[5] += 0.5 * alpha[5] * favg[0];
-    ghat[5] += 0.31943828249996997 * alpha[5] * favg[5];
-    ghat[6] += 0.5 * alpha[0] * favg[6];
-    ghat[6] += 0.5 * alpha[2] * favg[3];
-    ghat[6] += 0.4472135954999579 * alpha[5] * favg[6];
-    ghat[7] += 0.5 * alpha[0] * favg[7];
-    ghat[7] += 0.447213595499958 * alpha[2] * favg[4];
-    ghat[7] += 0.5 * alpha[5] * favg[1];
-    ghat[7] += 0.31943828249996997 * alpha[5] * favg[7];
-    out_lo[0] += -scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -scale * 0.7071067811865476 * ghat[1];
-    out_lo[2] += -scale * 1.224744871391589 * ghat[0];
-    out_lo[3] += -scale * 0.7071067811865476 * ghat[2];
-    out_lo[4] += -scale * 0.7071067811865476 * ghat[3];
-    out_lo[5] += -scale * 1.224744871391589 * ghat[1];
-    out_lo[6] += -scale * 1.5811388300841898 * ghat[0];
-    out_lo[7] += -scale * 0.7071067811865476 * ghat[4];
-    out_lo[8] += -scale * 1.224744871391589 * ghat[2];
-    out_lo[9] += -scale * 0.7071067811865476 * ghat[5];
-    out_lo[10] += -scale * 1.224744871391589 * ghat[3];
-    out_lo[11] += -scale * 1.5811388300841898 * ghat[1];
-    out_lo[12] += -scale * 0.7071067811865476 * ghat[6];
-    out_lo[13] += -scale * 1.224744871391589 * ghat[4];
-    out_lo[14] += -scale * 1.5811388300841898 * ghat[2];
-    out_lo[15] += -scale * 0.7071067811865476 * ghat[7];
-    out_lo[16] += -scale * 1.224744871391589 * ghat[5];
-    out_lo[17] += -scale * 1.224744871391589 * ghat[6];
-    out_lo[18] += -scale * 1.5811388300841898 * ghat[4];
-    out_lo[19] += -scale * 1.224744871391589 * ghat[7];
-    out_hi[0] += scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += scale * 0.7071067811865476 * ghat[1];
-    out_hi[2] += scale * -1.224744871391589 * ghat[0];
-    out_hi[3] += scale * 0.7071067811865476 * ghat[2];
-    out_hi[4] += scale * 0.7071067811865476 * ghat[3];
-    out_hi[5] += scale * -1.224744871391589 * ghat[1];
-    out_hi[6] += scale * 1.5811388300841898 * ghat[0];
-    out_hi[7] += scale * 0.7071067811865476 * ghat[4];
-    out_hi[8] += scale * -1.224744871391589 * ghat[2];
-    out_hi[9] += scale * 0.7071067811865476 * ghat[5];
-    out_hi[10] += scale * -1.224744871391589 * ghat[3];
-    out_hi[11] += scale * 1.5811388300841898 * ghat[1];
-    out_hi[12] += scale * 0.7071067811865476 * ghat[6];
-    out_hi[13] += scale * -1.224744871391589 * ghat[4];
-    out_hi[14] += scale * 1.5811388300841898 * ghat[2];
-    out_hi[15] += scale * 0.7071067811865476 * ghat[7];
-    out_hi[16] += scale * -1.224744871391589 * ghat[5];
-    out_hi[17] += scale * -1.224744871391589 * ghat[6];
-    out_hi[18] += scale * 1.5811388300841898 * ghat[4];
-    out_hi[19] += scale * -1.224744871391589 * ghat[7];
+    let mut alpha = [[0.0f64; L]; 8];
+    let mut lam = [0.0f64; L];
+    for k in 0..L {
+        alpha[0][k] = -nu * vstar * 2.0;
+        alpha[0][k] += nu * 1.4142135623730951 * u[0][k];
+        alpha[2][k] += nu * 1.4142135623730951 * u[1][k];
+        alpha[5][k] += nu * 1.4142135623730951 * u[2][k];
+        lam[k] = alpha[0][k].abs() * 0.5000000000000001 + alpha[2][k].abs() * 0.8660254037844386 + alpha[5][k].abs() * 1.118033988749895;
+    }
+    let mut fm = [[0.0f64; L]; 8];
+    let mut fp = [[0.0f64; L]; 8];
+    sxn(&mut fm[0], 0.7071067811865476, &f_lo[0]);
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[1]);
+    sxn(&mut fm[0], 1.224744871391589, &f_lo[2]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[3]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[4]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[5]);
+    sxn(&mut fm[0], 1.5811388300841898, &f_lo[6]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[7]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[8]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[9]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[10]);
+    sxn(&mut fm[1], 1.5811388300841898, &f_lo[11]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[12]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[13]);
+    sxn(&mut fm[2], 1.5811388300841898, &f_lo[14]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[15]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[16]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[17]);
+    sxn(&mut fm[4], 1.5811388300841898, &f_lo[18]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[19]);
+    sxn(&mut fp[0], 0.7071067811865476, &f_hi[0]);
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[1]);
+    sxn(&mut fp[0], -1.224744871391589, &f_hi[2]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[3]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[4]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[5]);
+    sxn(&mut fp[0], 1.5811388300841898, &f_hi[6]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[7]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[8]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[9]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[10]);
+    sxn(&mut fp[1], 1.5811388300841898, &f_hi[11]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[12]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[13]);
+    sxn(&mut fp[2], 1.5811388300841898, &f_hi[14]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[15]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[16]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[17]);
+    sxn(&mut fp[4], 1.5811388300841898, &f_hi[18]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[19]);
+    let mut favg = [[0.0f64; L]; 8];
+    let mut ghat = [[0.0f64; L]; 8];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
+    }
+    for k in 0..L {
+        ghat[0][k] += 0.5 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.5 * alpha[2][k] * favg[2][k];
+        ghat[0][k] += 0.5 * alpha[5][k] * favg[5][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.5 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.5 * alpha[2][k] * favg[4][k];
+        ghat[1][k] += 0.5 * alpha[5][k] * favg[7][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.5 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.5 * alpha[2][k] * favg[0][k];
+        ghat[2][k] += 0.4472135954999579 * alpha[2][k] * favg[5][k];
+        ghat[2][k] += 0.4472135954999579 * alpha[5][k] * favg[2][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.5 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.5 * alpha[2][k] * favg[6][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.5 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.5 * alpha[2][k] * favg[1][k];
+        ghat[4][k] += 0.447213595499958 * alpha[2][k] * favg[7][k];
+        ghat[4][k] += 0.447213595499958 * alpha[5][k] * favg[4][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.5 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.4472135954999579 * alpha[2][k] * favg[2][k];
+        ghat[5][k] += 0.5 * alpha[5][k] * favg[0][k];
+        ghat[5][k] += 0.31943828249996997 * alpha[5][k] * favg[5][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.5 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.5 * alpha[2][k] * favg[3][k];
+        ghat[6][k] += 0.4472135954999579 * alpha[5][k] * favg[6][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.5 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.447213595499958 * alpha[2][k] * favg[4][k];
+        ghat[7][k] += 0.5 * alpha[5][k] * favg[1][k];
+        ghat[7][k] += 0.31943828249996997 * alpha[5][k] * favg[7][k];
+    }
+    sxn(&mut out_lo[0], -scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], -scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[3], -scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], -scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], -scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[6], -scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_lo[7], -scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[8], -scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[9], -scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[10], -scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[11], -scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_lo[12], -scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[13], -scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[14], -scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_lo[15], -scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[16], -scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[17], -scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[18], -scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_lo[19], -scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[0], scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[3], scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[6], scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_hi[7], scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[8], scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[9], scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[10], scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[11], scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_hi[12], scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[13], scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[14], scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_hi[15], scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[16], scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[17], scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[18], scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_hi[19], scale * -1.224744871391589, &ghat[7]);
 }
 
 /// LDG gradient in v0 for one cell: volume gradient-mass plus the
@@ -221,176 +327,258 @@ pub fn lbo_1x2v_p2_ser_drag_surf_v0(nu: f64, vstar: f64, dv: f64, u: &[f64], f_l
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_1x2v_p2_ser_diff_grad_v0(dv: f64, at_upper: bool, f: &[f64], f_up: &[f64], g: &mut [f64]) {
+    lbo_1x2v_p2_ser_diff_grad_v0_body::<1>(dv, at_upper, f.as_chunks().0, f_up.as_chunks().0, g.as_chunks_mut().0)
+}
+
+/// [`lbo_1x2v_p2_ser_diff_grad_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_diff_grad_v0_b4(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_diff_grad_v0_body(dv, at_upper, f, f_up, g)
+}
+
+/// [`lbo_1x2v_p2_ser_diff_grad_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_diff_grad_v0_b4_avx2(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_diff_grad_v0_body(dv, at_upper, f, f_up, g)
+}
+
+/// Shared lane-generic body of [`lbo_1x2v_p2_ser_diff_grad_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_1x2v_p2_ser_diff_grad_v0_body<const L: usize>(dv: f64, at_upper: bool, f: &[[f64; L]], f_up: &[[f64; L]], g: &mut [[f64; L]]) {
+    let f: &[[f64; L]; 20] = f.first_chunk().expect("f: 20 coefficients");
+    let f_up: &[[f64; L]; 20] = f_up.first_chunk().expect("f_up: 20 coefficients");
+    let g: &mut [[f64; L]; 20] = g.first_chunk_mut().expect("g: 20 coefficients");
     let scale = 2.0 / dv;
-    g[2] += -scale * 1.7320508075688772 * f[0];
-    g[5] += -scale * 1.7320508075688772 * f[1];
-    g[6] += -scale * 3.872983346207417 * f[2];
-    g[8] += -scale * 1.7320508075688772 * f[3];
-    g[10] += -scale * 1.7320508075688772 * f[4];
-    g[11] += -scale * 3.872983346207417 * f[5];
-    g[13] += -scale * 1.7320508075688772 * f[7];
-    g[14] += -scale * 3.872983346207417 * f[8];
-    g[16] += -scale * 1.7320508075688772 * f[9];
-    g[17] += -scale * 1.7320508075688772 * f[12];
-    g[18] += -scale * 3.872983346207417 * f[13];
-    g[19] += -scale * 1.7320508075688772 * f[15];
-    let mut tr = [0.0f64; 8];
+    sxn(&mut g[2], -scale * 1.7320508075688772, &f[0]);
+    sxn(&mut g[5], -scale * 1.7320508075688772, &f[1]);
+    sxn(&mut g[6], -scale * 3.872983346207417, &f[2]);
+    sxn(&mut g[8], -scale * 1.7320508075688772, &f[3]);
+    sxn(&mut g[10], -scale * 1.7320508075688772, &f[4]);
+    sxn(&mut g[11], -scale * 3.872983346207417, &f[5]);
+    sxn(&mut g[13], -scale * 1.7320508075688772, &f[7]);
+    sxn(&mut g[14], -scale * 3.872983346207417, &f[8]);
+    sxn(&mut g[16], -scale * 1.7320508075688772, &f[9]);
+    sxn(&mut g[17], -scale * 1.7320508075688772, &f[12]);
+    sxn(&mut g[18], -scale * 3.872983346207417, &f[13]);
+    sxn(&mut g[19], -scale * 1.7320508075688772, &f[15]);
+    let mut tr = [[0.0f64; L]; 8];
     if at_upper {
-        tr[0] += 0.7071067811865476 * f[0];
-        tr[1] += 0.7071067811865476 * f[1];
-        tr[0] += 1.224744871391589 * f[2];
-        tr[2] += 0.7071067811865476 * f[3];
-        tr[3] += 0.7071067811865476 * f[4];
-        tr[1] += 1.224744871391589 * f[5];
-        tr[0] += 1.5811388300841898 * f[6];
-        tr[4] += 0.7071067811865476 * f[7];
-        tr[2] += 1.224744871391589 * f[8];
-        tr[5] += 0.7071067811865476 * f[9];
-        tr[3] += 1.224744871391589 * f[10];
-        tr[1] += 1.5811388300841898 * f[11];
-        tr[6] += 0.7071067811865476 * f[12];
-        tr[4] += 1.224744871391589 * f[13];
-        tr[2] += 1.5811388300841898 * f[14];
-        tr[7] += 0.7071067811865476 * f[15];
-        tr[5] += 1.224744871391589 * f[16];
-        tr[6] += 1.224744871391589 * f[17];
-        tr[4] += 1.5811388300841898 * f[18];
-        tr[7] += 1.224744871391589 * f[19];
+        sxn(&mut tr[0], 0.7071067811865476, &f[0]);
+        sxn(&mut tr[1], 0.7071067811865476, &f[1]);
+        sxn(&mut tr[0], 1.224744871391589, &f[2]);
+        sxn(&mut tr[2], 0.7071067811865476, &f[3]);
+        sxn(&mut tr[3], 0.7071067811865476, &f[4]);
+        sxn(&mut tr[1], 1.224744871391589, &f[5]);
+        sxn(&mut tr[0], 1.5811388300841898, &f[6]);
+        sxn(&mut tr[4], 0.7071067811865476, &f[7]);
+        sxn(&mut tr[2], 1.224744871391589, &f[8]);
+        sxn(&mut tr[5], 0.7071067811865476, &f[9]);
+        sxn(&mut tr[3], 1.224744871391589, &f[10]);
+        sxn(&mut tr[1], 1.5811388300841898, &f[11]);
+        sxn(&mut tr[6], 0.7071067811865476, &f[12]);
+        sxn(&mut tr[4], 1.224744871391589, &f[13]);
+        sxn(&mut tr[2], 1.5811388300841898, &f[14]);
+        sxn(&mut tr[7], 0.7071067811865476, &f[15]);
+        sxn(&mut tr[5], 1.224744871391589, &f[16]);
+        sxn(&mut tr[6], 1.224744871391589, &f[17]);
+        sxn(&mut tr[4], 1.5811388300841898, &f[18]);
+        sxn(&mut tr[7], 1.224744871391589, &f[19]);
     } else {
-        tr[0] += 0.7071067811865476 * f_up[0];
-        tr[1] += 0.7071067811865476 * f_up[1];
-        tr[0] += -1.224744871391589 * f_up[2];
-        tr[2] += 0.7071067811865476 * f_up[3];
-        tr[3] += 0.7071067811865476 * f_up[4];
-        tr[1] += -1.224744871391589 * f_up[5];
-        tr[0] += 1.5811388300841898 * f_up[6];
-        tr[4] += 0.7071067811865476 * f_up[7];
-        tr[2] += -1.224744871391589 * f_up[8];
-        tr[5] += 0.7071067811865476 * f_up[9];
-        tr[3] += -1.224744871391589 * f_up[10];
-        tr[1] += 1.5811388300841898 * f_up[11];
-        tr[6] += 0.7071067811865476 * f_up[12];
-        tr[4] += -1.224744871391589 * f_up[13];
-        tr[2] += 1.5811388300841898 * f_up[14];
-        tr[7] += 0.7071067811865476 * f_up[15];
-        tr[5] += -1.224744871391589 * f_up[16];
-        tr[6] += -1.224744871391589 * f_up[17];
-        tr[4] += 1.5811388300841898 * f_up[18];
-        tr[7] += -1.224744871391589 * f_up[19];
+        sxn(&mut tr[0], 0.7071067811865476, &f_up[0]);
+        sxn(&mut tr[1], 0.7071067811865476, &f_up[1]);
+        sxn(&mut tr[0], -1.224744871391589, &f_up[2]);
+        sxn(&mut tr[2], 0.7071067811865476, &f_up[3]);
+        sxn(&mut tr[3], 0.7071067811865476, &f_up[4]);
+        sxn(&mut tr[1], -1.224744871391589, &f_up[5]);
+        sxn(&mut tr[0], 1.5811388300841898, &f_up[6]);
+        sxn(&mut tr[4], 0.7071067811865476, &f_up[7]);
+        sxn(&mut tr[2], -1.224744871391589, &f_up[8]);
+        sxn(&mut tr[5], 0.7071067811865476, &f_up[9]);
+        sxn(&mut tr[3], -1.224744871391589, &f_up[10]);
+        sxn(&mut tr[1], 1.5811388300841898, &f_up[11]);
+        sxn(&mut tr[6], 0.7071067811865476, &f_up[12]);
+        sxn(&mut tr[4], -1.224744871391589, &f_up[13]);
+        sxn(&mut tr[2], 1.5811388300841898, &f_up[14]);
+        sxn(&mut tr[7], 0.7071067811865476, &f_up[15]);
+        sxn(&mut tr[5], -1.224744871391589, &f_up[16]);
+        sxn(&mut tr[6], -1.224744871391589, &f_up[17]);
+        sxn(&mut tr[4], 1.5811388300841898, &f_up[18]);
+        sxn(&mut tr[7], -1.224744871391589, &f_up[19]);
     }
-    g[0] += scale * 0.7071067811865476 * tr[0];
-    g[1] += scale * 0.7071067811865476 * tr[1];
-    g[2] += scale * 1.224744871391589 * tr[0];
-    g[3] += scale * 0.7071067811865476 * tr[2];
-    g[4] += scale * 0.7071067811865476 * tr[3];
-    g[5] += scale * 1.224744871391589 * tr[1];
-    g[6] += scale * 1.5811388300841898 * tr[0];
-    g[7] += scale * 0.7071067811865476 * tr[4];
-    g[8] += scale * 1.224744871391589 * tr[2];
-    g[9] += scale * 0.7071067811865476 * tr[5];
-    g[10] += scale * 1.224744871391589 * tr[3];
-    g[11] += scale * 1.5811388300841898 * tr[1];
-    g[12] += scale * 0.7071067811865476 * tr[6];
-    g[13] += scale * 1.224744871391589 * tr[4];
-    g[14] += scale * 1.5811388300841898 * tr[2];
-    g[15] += scale * 0.7071067811865476 * tr[7];
-    g[16] += scale * 1.224744871391589 * tr[5];
-    g[17] += scale * 1.224744871391589 * tr[6];
-    g[18] += scale * 1.5811388300841898 * tr[4];
-    g[19] += scale * 1.224744871391589 * tr[7];
-    let mut tl = [0.0f64; 8];
-    tl[0] += 0.7071067811865476 * f[0];
-    tl[1] += 0.7071067811865476 * f[1];
-    tl[0] += -1.224744871391589 * f[2];
-    tl[2] += 0.7071067811865476 * f[3];
-    tl[3] += 0.7071067811865476 * f[4];
-    tl[1] += -1.224744871391589 * f[5];
-    tl[0] += 1.5811388300841898 * f[6];
-    tl[4] += 0.7071067811865476 * f[7];
-    tl[2] += -1.224744871391589 * f[8];
-    tl[5] += 0.7071067811865476 * f[9];
-    tl[3] += -1.224744871391589 * f[10];
-    tl[1] += 1.5811388300841898 * f[11];
-    tl[6] += 0.7071067811865476 * f[12];
-    tl[4] += -1.224744871391589 * f[13];
-    tl[2] += 1.5811388300841898 * f[14];
-    tl[7] += 0.7071067811865476 * f[15];
-    tl[5] += -1.224744871391589 * f[16];
-    tl[6] += -1.224744871391589 * f[17];
-    tl[4] += 1.5811388300841898 * f[18];
-    tl[7] += -1.224744871391589 * f[19];
-    g[0] += -scale * 0.7071067811865476 * tl[0];
-    g[1] += -scale * 0.7071067811865476 * tl[1];
-    g[2] += -scale * -1.224744871391589 * tl[0];
-    g[3] += -scale * 0.7071067811865476 * tl[2];
-    g[4] += -scale * 0.7071067811865476 * tl[3];
-    g[5] += -scale * -1.224744871391589 * tl[1];
-    g[6] += -scale * 1.5811388300841898 * tl[0];
-    g[7] += -scale * 0.7071067811865476 * tl[4];
-    g[8] += -scale * -1.224744871391589 * tl[2];
-    g[9] += -scale * 0.7071067811865476 * tl[5];
-    g[10] += -scale * -1.224744871391589 * tl[3];
-    g[11] += -scale * 1.5811388300841898 * tl[1];
-    g[12] += -scale * 0.7071067811865476 * tl[6];
-    g[13] += -scale * -1.224744871391589 * tl[4];
-    g[14] += -scale * 1.5811388300841898 * tl[2];
-    g[15] += -scale * 0.7071067811865476 * tl[7];
-    g[16] += -scale * -1.224744871391589 * tl[5];
-    g[17] += -scale * -1.224744871391589 * tl[6];
-    g[18] += -scale * 1.5811388300841898 * tl[4];
-    g[19] += -scale * -1.224744871391589 * tl[7];
+    sxn(&mut g[0], scale * 0.7071067811865476, &tr[0]);
+    sxn(&mut g[1], scale * 0.7071067811865476, &tr[1]);
+    sxn(&mut g[2], scale * 1.224744871391589, &tr[0]);
+    sxn(&mut g[3], scale * 0.7071067811865476, &tr[2]);
+    sxn(&mut g[4], scale * 0.7071067811865476, &tr[3]);
+    sxn(&mut g[5], scale * 1.224744871391589, &tr[1]);
+    sxn(&mut g[6], scale * 1.5811388300841898, &tr[0]);
+    sxn(&mut g[7], scale * 0.7071067811865476, &tr[4]);
+    sxn(&mut g[8], scale * 1.224744871391589, &tr[2]);
+    sxn(&mut g[9], scale * 0.7071067811865476, &tr[5]);
+    sxn(&mut g[10], scale * 1.224744871391589, &tr[3]);
+    sxn(&mut g[11], scale * 1.5811388300841898, &tr[1]);
+    sxn(&mut g[12], scale * 0.7071067811865476, &tr[6]);
+    sxn(&mut g[13], scale * 1.224744871391589, &tr[4]);
+    sxn(&mut g[14], scale * 1.5811388300841898, &tr[2]);
+    sxn(&mut g[15], scale * 0.7071067811865476, &tr[7]);
+    sxn(&mut g[16], scale * 1.224744871391589, &tr[5]);
+    sxn(&mut g[17], scale * 1.224744871391589, &tr[6]);
+    sxn(&mut g[18], scale * 1.5811388300841898, &tr[4]);
+    sxn(&mut g[19], scale * 1.224744871391589, &tr[7]);
+    let mut tl = [[0.0f64; L]; 8];
+    sxn(&mut tl[0], 0.7071067811865476, &f[0]);
+    sxn(&mut tl[1], 0.7071067811865476, &f[1]);
+    sxn(&mut tl[0], -1.224744871391589, &f[2]);
+    sxn(&mut tl[2], 0.7071067811865476, &f[3]);
+    sxn(&mut tl[3], 0.7071067811865476, &f[4]);
+    sxn(&mut tl[1], -1.224744871391589, &f[5]);
+    sxn(&mut tl[0], 1.5811388300841898, &f[6]);
+    sxn(&mut tl[4], 0.7071067811865476, &f[7]);
+    sxn(&mut tl[2], -1.224744871391589, &f[8]);
+    sxn(&mut tl[5], 0.7071067811865476, &f[9]);
+    sxn(&mut tl[3], -1.224744871391589, &f[10]);
+    sxn(&mut tl[1], 1.5811388300841898, &f[11]);
+    sxn(&mut tl[6], 0.7071067811865476, &f[12]);
+    sxn(&mut tl[4], -1.224744871391589, &f[13]);
+    sxn(&mut tl[2], 1.5811388300841898, &f[14]);
+    sxn(&mut tl[7], 0.7071067811865476, &f[15]);
+    sxn(&mut tl[5], -1.224744871391589, &f[16]);
+    sxn(&mut tl[6], -1.224744871391589, &f[17]);
+    sxn(&mut tl[4], 1.5811388300841898, &f[18]);
+    sxn(&mut tl[7], -1.224744871391589, &f[19]);
+    sxn(&mut g[0], -scale * 0.7071067811865476, &tl[0]);
+    sxn(&mut g[1], -scale * 0.7071067811865476, &tl[1]);
+    sxn(&mut g[2], -scale * -1.224744871391589, &tl[0]);
+    sxn(&mut g[3], -scale * 0.7071067811865476, &tl[2]);
+    sxn(&mut g[4], -scale * 0.7071067811865476, &tl[3]);
+    sxn(&mut g[5], -scale * -1.224744871391589, &tl[1]);
+    sxn(&mut g[6], -scale * 1.5811388300841898, &tl[0]);
+    sxn(&mut g[7], -scale * 0.7071067811865476, &tl[4]);
+    sxn(&mut g[8], -scale * -1.224744871391589, &tl[2]);
+    sxn(&mut g[9], -scale * 0.7071067811865476, &tl[5]);
+    sxn(&mut g[10], -scale * -1.224744871391589, &tl[3]);
+    sxn(&mut g[11], -scale * 1.5811388300841898, &tl[1]);
+    sxn(&mut g[12], -scale * 0.7071067811865476, &tl[6]);
+    sxn(&mut g[13], -scale * -1.224744871391589, &tl[4]);
+    sxn(&mut g[14], -scale * 1.5811388300841898, &tl[2]);
+    sxn(&mut g[15], -scale * 0.7071067811865476, &tl[7]);
+    sxn(&mut g[16], -scale * -1.224744871391589, &tl[5]);
+    sxn(&mut g[17], -scale * -1.224744871391589, &tl[6]);
+    sxn(&mut g[18], -scale * 1.5811388300841898, &tl[4]);
+    sxn(&mut g[19], -scale * -1.224744871391589, &tl[7]);
 }
 
 /// LBO diffusion volume term in v0: weak `ν vth²(x) ∂_v g`.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_1x2v_p2_ser_diff_vol_v0(nu: f64, dv: f64, vth2: &[f64], g: &[f64], out: &mut [f64]) {
+    lbo_1x2v_p2_ser_diff_vol_v0_body::<1>(nu, dv, vth2.as_chunks().0, g.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_1x2v_p2_ser_diff_vol_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_diff_vol_v0_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_diff_vol_v0_body(nu, dv, vth2, g, out)
+}
+
+/// [`lbo_1x2v_p2_ser_diff_vol_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_diff_vol_v0_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_diff_vol_v0_body(nu, dv, vth2, g, out)
+}
+
+/// Shared lane-generic body of [`lbo_1x2v_p2_ser_diff_vol_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_1x2v_p2_ser_diff_vol_v0_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g: &[[f64; L]], out: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 3] = vth2.first_chunk().expect("vth2: 3 coefficients");
+    let g: &[[f64; L]; 20] = g.first_chunk().expect("g: 20 coefficients");
+    let out: &mut [[f64; L]; 20] = out.first_chunk_mut().expect("out: 20 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 20];
-    alpha[0] = 2.0 * vth2[0];
-    alpha[3] = 2.0 * vth2[1];
-    alpha[9] = 2.0 * vth2[2];
-    out[2] += -nu * scale * 0.6123724356957945 * alpha[0] * g[0];
-    out[2] += -nu * scale * 0.6123724356957945 * alpha[3] * g[3];
-    out[2] += -nu * scale * 0.6123724356957946 * alpha[9] * g[9];
-    out[5] += -nu * scale * 0.6123724356957945 * alpha[0] * g[1];
-    out[5] += -nu * scale * 0.6123724356957945 * alpha[3] * g[7];
-    out[5] += -nu * scale * 0.6123724356957946 * alpha[9] * g[15];
-    out[6] += -nu * scale * 1.3693063937629153 * alpha[0] * g[2];
-    out[6] += -nu * scale * 1.369306393762915 * alpha[3] * g[8];
-    out[6] += -nu * scale * 1.3693063937629155 * alpha[9] * g[16];
-    out[8] += -nu * scale * 0.6123724356957945 * alpha[0] * g[3];
-    out[8] += -nu * scale * 0.6123724356957945 * alpha[3] * g[0];
-    out[8] += -nu * scale * 0.5477225575051661 * alpha[3] * g[9];
-    out[8] += -nu * scale * 0.5477225575051661 * alpha[9] * g[3];
-    out[10] += -nu * scale * 0.6123724356957946 * alpha[0] * g[4];
-    out[10] += -nu * scale * 0.6123724356957946 * alpha[3] * g[12];
-    out[11] += -nu * scale * 1.369306393762915 * alpha[0] * g[5];
-    out[11] += -nu * scale * 1.3693063937629153 * alpha[3] * g[13];
-    out[11] += -nu * scale * 1.3693063937629153 * alpha[9] * g[19];
-    out[13] += -nu * scale * 0.6123724356957945 * alpha[0] * g[7];
-    out[13] += -nu * scale * 0.6123724356957945 * alpha[3] * g[1];
-    out[13] += -nu * scale * 0.5477225575051662 * alpha[3] * g[15];
-    out[13] += -nu * scale * 0.5477225575051662 * alpha[9] * g[7];
-    out[14] += -nu * scale * 1.369306393762915 * alpha[0] * g[8];
-    out[14] += -nu * scale * 1.369306393762915 * alpha[3] * g[2];
-    out[14] += -nu * scale * 1.2247448713915892 * alpha[3] * g[16];
-    out[14] += -nu * scale * 1.2247448713915892 * alpha[9] * g[8];
-    out[16] += -nu * scale * 0.6123724356957946 * alpha[0] * g[9];
-    out[16] += -nu * scale * 0.5477225575051661 * alpha[3] * g[3];
-    out[16] += -nu * scale * 0.6123724356957946 * alpha[9] * g[0];
-    out[16] += -nu * scale * 0.3912303982179758 * alpha[9] * g[9];
-    out[17] += -nu * scale * 0.6123724356957946 * alpha[0] * g[12];
-    out[17] += -nu * scale * 0.6123724356957946 * alpha[3] * g[4];
-    out[17] += -nu * scale * 0.5477225575051662 * alpha[9] * g[12];
-    out[18] += -nu * scale * 1.3693063937629153 * alpha[0] * g[13];
-    out[18] += -nu * scale * 1.3693063937629153 * alpha[3] * g[5];
-    out[18] += -nu * scale * 1.224744871391589 * alpha[3] * g[19];
-    out[18] += -nu * scale * 1.224744871391589 * alpha[9] * g[13];
-    out[19] += -nu * scale * 0.6123724356957946 * alpha[0] * g[15];
-    out[19] += -nu * scale * 0.5477225575051662 * alpha[3] * g[7];
-    out[19] += -nu * scale * 0.6123724356957946 * alpha[9] * g[1];
-    out[19] += -nu * scale * 0.39123039821797584 * alpha[9] * g[15];
+    let mut alpha = [[0.0f64; L]; 20];
+    for k in 0..L {
+        alpha[0][k] = 2.0 * vth2[0][k];
+        alpha[3][k] = 2.0 * vth2[1][k];
+        alpha[9][k] = 2.0 * vth2[2][k];
+    }
+    for k in 0..L {
+        out[2][k] += -nu * scale * 0.6123724356957945 * alpha[0][k] * g[0][k];
+        out[2][k] += -nu * scale * 0.6123724356957945 * alpha[3][k] * g[3][k];
+        out[2][k] += -nu * scale * 0.6123724356957946 * alpha[9][k] * g[9][k];
+    }
+    for k in 0..L {
+        out[5][k] += -nu * scale * 0.6123724356957945 * alpha[0][k] * g[1][k];
+        out[5][k] += -nu * scale * 0.6123724356957945 * alpha[3][k] * g[7][k];
+        out[5][k] += -nu * scale * 0.6123724356957946 * alpha[9][k] * g[15][k];
+    }
+    for k in 0..L {
+        out[6][k] += -nu * scale * 1.3693063937629153 * alpha[0][k] * g[2][k];
+        out[6][k] += -nu * scale * 1.369306393762915 * alpha[3][k] * g[8][k];
+        out[6][k] += -nu * scale * 1.3693063937629155 * alpha[9][k] * g[16][k];
+    }
+    for k in 0..L {
+        out[8][k] += -nu * scale * 0.6123724356957945 * alpha[0][k] * g[3][k];
+        out[8][k] += -nu * scale * 0.6123724356957945 * alpha[3][k] * g[0][k];
+        out[8][k] += -nu * scale * 0.5477225575051661 * alpha[3][k] * g[9][k];
+        out[8][k] += -nu * scale * 0.5477225575051661 * alpha[9][k] * g[3][k];
+    }
+    for k in 0..L {
+        out[10][k] += -nu * scale * 0.6123724356957946 * alpha[0][k] * g[4][k];
+        out[10][k] += -nu * scale * 0.6123724356957946 * alpha[3][k] * g[12][k];
+    }
+    for k in 0..L {
+        out[11][k] += -nu * scale * 1.369306393762915 * alpha[0][k] * g[5][k];
+        out[11][k] += -nu * scale * 1.3693063937629153 * alpha[3][k] * g[13][k];
+        out[11][k] += -nu * scale * 1.3693063937629153 * alpha[9][k] * g[19][k];
+    }
+    for k in 0..L {
+        out[13][k] += -nu * scale * 0.6123724356957945 * alpha[0][k] * g[7][k];
+        out[13][k] += -nu * scale * 0.6123724356957945 * alpha[3][k] * g[1][k];
+        out[13][k] += -nu * scale * 0.5477225575051662 * alpha[3][k] * g[15][k];
+        out[13][k] += -nu * scale * 0.5477225575051662 * alpha[9][k] * g[7][k];
+    }
+    for k in 0..L {
+        out[14][k] += -nu * scale * 1.369306393762915 * alpha[0][k] * g[8][k];
+        out[14][k] += -nu * scale * 1.369306393762915 * alpha[3][k] * g[2][k];
+        out[14][k] += -nu * scale * 1.2247448713915892 * alpha[3][k] * g[16][k];
+        out[14][k] += -nu * scale * 1.2247448713915892 * alpha[9][k] * g[8][k];
+    }
+    for k in 0..L {
+        out[16][k] += -nu * scale * 0.6123724356957946 * alpha[0][k] * g[9][k];
+        out[16][k] += -nu * scale * 0.5477225575051661 * alpha[3][k] * g[3][k];
+        out[16][k] += -nu * scale * 0.6123724356957946 * alpha[9][k] * g[0][k];
+        out[16][k] += -nu * scale * 0.3912303982179758 * alpha[9][k] * g[9][k];
+    }
+    for k in 0..L {
+        out[17][k] += -nu * scale * 0.6123724356957946 * alpha[0][k] * g[12][k];
+        out[17][k] += -nu * scale * 0.6123724356957946 * alpha[3][k] * g[4][k];
+        out[17][k] += -nu * scale * 0.5477225575051662 * alpha[9][k] * g[12][k];
+    }
+    for k in 0..L {
+        out[18][k] += -nu * scale * 1.3693063937629153 * alpha[0][k] * g[13][k];
+        out[18][k] += -nu * scale * 1.3693063937629153 * alpha[3][k] * g[5][k];
+        out[18][k] += -nu * scale * 1.224744871391589 * alpha[3][k] * g[19][k];
+        out[18][k] += -nu * scale * 1.224744871391589 * alpha[9][k] * g[13][k];
+    }
+    for k in 0..L {
+        out[19][k] += -nu * scale * 0.6123724356957946 * alpha[0][k] * g[15][k];
+        out[19][k] += -nu * scale * 0.5477225575051662 * alpha[3][k] * g[7][k];
+        out[19][k] += -nu * scale * 0.6123724356957946 * alpha[9][k] * g[1][k];
+        out[19][k] += -nu * scale * 0.39123039821797584 * alpha[9][k] * g[15][k];
+    }
 }
 
 /// LBO diffusion surface term in v0 at one interior face: one-sided
@@ -399,170 +587,271 @@ pub fn lbo_1x2v_p2_ser_diff_vol_v0(nu: f64, dv: f64, vth2: &[f64], g: &[f64], ou
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_1x2v_p2_ser_diff_surf_v0(nu: f64, dv: f64, vth2: &[f64], g_lo: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_1x2v_p2_ser_diff_surf_v0_body::<1>(nu, dv, vth2.as_chunks().0, g_lo.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_1x2v_p2_ser_diff_surf_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_diff_surf_v0_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_diff_surf_v0_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// [`lbo_1x2v_p2_ser_diff_surf_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_diff_surf_v0_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_diff_surf_v0_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_1x2v_p2_ser_diff_surf_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_1x2v_p2_ser_diff_surf_v0_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g_lo: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 3] = vth2.first_chunk().expect("vth2: 3 coefficients");
+    let g_lo: &[[f64; L]; 20] = g_lo.first_chunk().expect("g_lo: 20 coefficients");
+    let out_lo: &mut [[f64; L]; 20] = out_lo.first_chunk_mut().expect("out_lo: 20 coefficients");
+    let out_hi: &mut [[f64; L]; 20] = out_hi.first_chunk_mut().expect("out_hi: 20 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 8];
-    alpha[0] = 1.4142135623730951 * vth2[0];
-    alpha[2] = 1.4142135623730951 * vth2[1];
-    alpha[5] = 1.4142135623730951 * vth2[2];
-    let mut tr = [0.0f64; 8];
-    tr[0] += 0.7071067811865476 * g_lo[0];
-    tr[1] += 0.7071067811865476 * g_lo[1];
-    tr[0] += 1.224744871391589 * g_lo[2];
-    tr[2] += 0.7071067811865476 * g_lo[3];
-    tr[3] += 0.7071067811865476 * g_lo[4];
-    tr[1] += 1.224744871391589 * g_lo[5];
-    tr[0] += 1.5811388300841898 * g_lo[6];
-    tr[4] += 0.7071067811865476 * g_lo[7];
-    tr[2] += 1.224744871391589 * g_lo[8];
-    tr[5] += 0.7071067811865476 * g_lo[9];
-    tr[3] += 1.224744871391589 * g_lo[10];
-    tr[1] += 1.5811388300841898 * g_lo[11];
-    tr[6] += 0.7071067811865476 * g_lo[12];
-    tr[4] += 1.224744871391589 * g_lo[13];
-    tr[2] += 1.5811388300841898 * g_lo[14];
-    tr[7] += 0.7071067811865476 * g_lo[15];
-    tr[5] += 1.224744871391589 * g_lo[16];
-    tr[6] += 1.224744871391589 * g_lo[17];
-    tr[4] += 1.5811388300841898 * g_lo[18];
-    tr[7] += 1.224744871391589 * g_lo[19];
-    let mut ghat = [0.0f64; 8];
-    ghat[0] += 0.5 * alpha[0] * tr[0];
-    ghat[0] += 0.5 * alpha[2] * tr[2];
-    ghat[0] += 0.5 * alpha[5] * tr[5];
-    ghat[1] += 0.5 * alpha[0] * tr[1];
-    ghat[1] += 0.5 * alpha[2] * tr[4];
-    ghat[1] += 0.5 * alpha[5] * tr[7];
-    ghat[2] += 0.5 * alpha[0] * tr[2];
-    ghat[2] += 0.5 * alpha[2] * tr[0];
-    ghat[2] += 0.4472135954999579 * alpha[2] * tr[5];
-    ghat[2] += 0.4472135954999579 * alpha[5] * tr[2];
-    ghat[3] += 0.5 * alpha[0] * tr[3];
-    ghat[3] += 0.5 * alpha[2] * tr[6];
-    ghat[4] += 0.5 * alpha[0] * tr[4];
-    ghat[4] += 0.5 * alpha[2] * tr[1];
-    ghat[4] += 0.447213595499958 * alpha[2] * tr[7];
-    ghat[4] += 0.447213595499958 * alpha[5] * tr[4];
-    ghat[5] += 0.5 * alpha[0] * tr[5];
-    ghat[5] += 0.4472135954999579 * alpha[2] * tr[2];
-    ghat[5] += 0.5 * alpha[5] * tr[0];
-    ghat[5] += 0.31943828249996997 * alpha[5] * tr[5];
-    ghat[6] += 0.5 * alpha[0] * tr[6];
-    ghat[6] += 0.5 * alpha[2] * tr[3];
-    ghat[6] += 0.4472135954999579 * alpha[5] * tr[6];
-    ghat[7] += 0.5 * alpha[0] * tr[7];
-    ghat[7] += 0.447213595499958 * alpha[2] * tr[4];
-    ghat[7] += 0.5 * alpha[5] * tr[1];
-    ghat[7] += 0.31943828249996997 * alpha[5] * tr[7];
-    out_lo[0] += nu * scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += nu * scale * 0.7071067811865476 * ghat[1];
-    out_lo[2] += nu * scale * 1.224744871391589 * ghat[0];
-    out_lo[3] += nu * scale * 0.7071067811865476 * ghat[2];
-    out_lo[4] += nu * scale * 0.7071067811865476 * ghat[3];
-    out_lo[5] += nu * scale * 1.224744871391589 * ghat[1];
-    out_lo[6] += nu * scale * 1.5811388300841898 * ghat[0];
-    out_lo[7] += nu * scale * 0.7071067811865476 * ghat[4];
-    out_lo[8] += nu * scale * 1.224744871391589 * ghat[2];
-    out_lo[9] += nu * scale * 0.7071067811865476 * ghat[5];
-    out_lo[10] += nu * scale * 1.224744871391589 * ghat[3];
-    out_lo[11] += nu * scale * 1.5811388300841898 * ghat[1];
-    out_lo[12] += nu * scale * 0.7071067811865476 * ghat[6];
-    out_lo[13] += nu * scale * 1.224744871391589 * ghat[4];
-    out_lo[14] += nu * scale * 1.5811388300841898 * ghat[2];
-    out_lo[15] += nu * scale * 0.7071067811865476 * ghat[7];
-    out_lo[16] += nu * scale * 1.224744871391589 * ghat[5];
-    out_lo[17] += nu * scale * 1.224744871391589 * ghat[6];
-    out_lo[18] += nu * scale * 1.5811388300841898 * ghat[4];
-    out_lo[19] += nu * scale * 1.224744871391589 * ghat[7];
-    out_hi[0] += -nu * scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += -nu * scale * 0.7071067811865476 * ghat[1];
-    out_hi[2] += -nu * scale * -1.224744871391589 * ghat[0];
-    out_hi[3] += -nu * scale * 0.7071067811865476 * ghat[2];
-    out_hi[4] += -nu * scale * 0.7071067811865476 * ghat[3];
-    out_hi[5] += -nu * scale * -1.224744871391589 * ghat[1];
-    out_hi[6] += -nu * scale * 1.5811388300841898 * ghat[0];
-    out_hi[7] += -nu * scale * 0.7071067811865476 * ghat[4];
-    out_hi[8] += -nu * scale * -1.224744871391589 * ghat[2];
-    out_hi[9] += -nu * scale * 0.7071067811865476 * ghat[5];
-    out_hi[10] += -nu * scale * -1.224744871391589 * ghat[3];
-    out_hi[11] += -nu * scale * 1.5811388300841898 * ghat[1];
-    out_hi[12] += -nu * scale * 0.7071067811865476 * ghat[6];
-    out_hi[13] += -nu * scale * -1.224744871391589 * ghat[4];
-    out_hi[14] += -nu * scale * 1.5811388300841898 * ghat[2];
-    out_hi[15] += -nu * scale * 0.7071067811865476 * ghat[7];
-    out_hi[16] += -nu * scale * -1.224744871391589 * ghat[5];
-    out_hi[17] += -nu * scale * -1.224744871391589 * ghat[6];
-    out_hi[18] += -nu * scale * 1.5811388300841898 * ghat[4];
-    out_hi[19] += -nu * scale * -1.224744871391589 * ghat[7];
+    let mut alpha = [[0.0f64; L]; 8];
+    for k in 0..L {
+        alpha[0][k] = 1.4142135623730951 * vth2[0][k];
+        alpha[2][k] = 1.4142135623730951 * vth2[1][k];
+        alpha[5][k] = 1.4142135623730951 * vth2[2][k];
+    }
+    let mut tr = [[0.0f64; L]; 8];
+    sxn(&mut tr[0], 0.7071067811865476, &g_lo[0]);
+    sxn(&mut tr[1], 0.7071067811865476, &g_lo[1]);
+    sxn(&mut tr[0], 1.224744871391589, &g_lo[2]);
+    sxn(&mut tr[2], 0.7071067811865476, &g_lo[3]);
+    sxn(&mut tr[3], 0.7071067811865476, &g_lo[4]);
+    sxn(&mut tr[1], 1.224744871391589, &g_lo[5]);
+    sxn(&mut tr[0], 1.5811388300841898, &g_lo[6]);
+    sxn(&mut tr[4], 0.7071067811865476, &g_lo[7]);
+    sxn(&mut tr[2], 1.224744871391589, &g_lo[8]);
+    sxn(&mut tr[5], 0.7071067811865476, &g_lo[9]);
+    sxn(&mut tr[3], 1.224744871391589, &g_lo[10]);
+    sxn(&mut tr[1], 1.5811388300841898, &g_lo[11]);
+    sxn(&mut tr[6], 0.7071067811865476, &g_lo[12]);
+    sxn(&mut tr[4], 1.224744871391589, &g_lo[13]);
+    sxn(&mut tr[2], 1.5811388300841898, &g_lo[14]);
+    sxn(&mut tr[7], 0.7071067811865476, &g_lo[15]);
+    sxn(&mut tr[5], 1.224744871391589, &g_lo[16]);
+    sxn(&mut tr[6], 1.224744871391589, &g_lo[17]);
+    sxn(&mut tr[4], 1.5811388300841898, &g_lo[18]);
+    sxn(&mut tr[7], 1.224744871391589, &g_lo[19]);
+    let mut ghat = [[0.0f64; L]; 8];
+    for k in 0..L {
+        ghat[0][k] += 0.5 * alpha[0][k] * tr[0][k];
+        ghat[0][k] += 0.5 * alpha[2][k] * tr[2][k];
+        ghat[0][k] += 0.5 * alpha[5][k] * tr[5][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.5 * alpha[0][k] * tr[1][k];
+        ghat[1][k] += 0.5 * alpha[2][k] * tr[4][k];
+        ghat[1][k] += 0.5 * alpha[5][k] * tr[7][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.5 * alpha[0][k] * tr[2][k];
+        ghat[2][k] += 0.5 * alpha[2][k] * tr[0][k];
+        ghat[2][k] += 0.4472135954999579 * alpha[2][k] * tr[5][k];
+        ghat[2][k] += 0.4472135954999579 * alpha[5][k] * tr[2][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.5 * alpha[0][k] * tr[3][k];
+        ghat[3][k] += 0.5 * alpha[2][k] * tr[6][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.5 * alpha[0][k] * tr[4][k];
+        ghat[4][k] += 0.5 * alpha[2][k] * tr[1][k];
+        ghat[4][k] += 0.447213595499958 * alpha[2][k] * tr[7][k];
+        ghat[4][k] += 0.447213595499958 * alpha[5][k] * tr[4][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.5 * alpha[0][k] * tr[5][k];
+        ghat[5][k] += 0.4472135954999579 * alpha[2][k] * tr[2][k];
+        ghat[5][k] += 0.5 * alpha[5][k] * tr[0][k];
+        ghat[5][k] += 0.31943828249996997 * alpha[5][k] * tr[5][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.5 * alpha[0][k] * tr[6][k];
+        ghat[6][k] += 0.5 * alpha[2][k] * tr[3][k];
+        ghat[6][k] += 0.4472135954999579 * alpha[5][k] * tr[6][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.5 * alpha[0][k] * tr[7][k];
+        ghat[7][k] += 0.447213595499958 * alpha[2][k] * tr[4][k];
+        ghat[7][k] += 0.5 * alpha[5][k] * tr[1][k];
+        ghat[7][k] += 0.31943828249996997 * alpha[5][k] * tr[7][k];
+    }
+    sxn(&mut out_lo[0], nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], nu * scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[3], nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], nu * scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[6], nu * scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_lo[7], nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[8], nu * scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[9], nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[10], nu * scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[11], nu * scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_lo[12], nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[13], nu * scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[14], nu * scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_lo[15], nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[16], nu * scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[17], nu * scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[18], nu * scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_lo[19], nu * scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[0], -nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], -nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], -nu * scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[3], -nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], -nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], -nu * scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[6], -nu * scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_hi[7], -nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[8], -nu * scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[9], -nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[10], -nu * scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[11], -nu * scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_hi[12], -nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[13], -nu * scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[14], -nu * scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_hi[15], -nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[16], -nu * scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[17], -nu * scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[18], -nu * scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_hi[19], -nu * scale * -1.224744871391589, &ghat[7]);
 }
 
 /// LBO drag volume term in v1: weak `∇_v · (ν(v − u) f)`, cell interior.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_1x2v_p2_ser_drag_vol_v1(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f64], out: &mut [f64]) {
+    lbo_1x2v_p2_ser_drag_vol_v1_body::<1>(nu, v_c, dv, u.as_chunks().0, f.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_1x2v_p2_ser_drag_vol_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_drag_vol_v1_b4(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_drag_vol_v1_body(nu, v_c, dv, u, f, out)
+}
+
+/// [`lbo_1x2v_p2_ser_drag_vol_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_drag_vol_v1_b4_avx2(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_drag_vol_v1_body(nu, v_c, dv, u, f, out)
+}
+
+/// Shared lane-generic body of [`lbo_1x2v_p2_ser_drag_vol_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_1x2v_p2_ser_drag_vol_v1_body<const L: usize>(nu: f64, v_c: f64, dv: f64, u: &[[f64; L]], f: &[[f64; L]], out: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 3] = u.first_chunk().expect("u: 3 coefficients");
+    let f: &[[f64; L]; 20] = f.first_chunk().expect("f: 20 coefficients");
+    let out: &mut [[f64; L]; 20] = out.first_chunk_mut().expect("out: 20 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 20];
-    alpha[0] = -nu * v_c * 2.8284271247461903;
-    alpha[1] = -nu * 0.5 * dv * 1.632993161855452;
-    alpha[0] += nu * 2.0 * u[0];
-    alpha[3] += nu * 2.0 * u[1];
-    alpha[9] += nu * 2.0 * u[2];
-    out[1] += scale * 0.6123724356957945 * alpha[0] * f[0];
-    out[1] += scale * 0.6123724356957945 * alpha[1] * f[1];
-    out[1] += scale * 0.6123724356957945 * alpha[3] * f[3];
-    out[1] += scale * 0.6123724356957946 * alpha[9] * f[9];
-    out[4] += scale * 1.3693063937629153 * alpha[0] * f[1];
-    out[4] += scale * 1.3693063937629153 * alpha[1] * f[0];
-    out[4] += scale * 1.2247448713915892 * alpha[1] * f[4];
-    out[4] += scale * 1.369306393762915 * alpha[3] * f[7];
-    out[4] += scale * 1.3693063937629155 * alpha[9] * f[15];
-    out[5] += scale * 0.6123724356957945 * alpha[0] * f[2];
-    out[5] += scale * 0.6123724356957945 * alpha[1] * f[5];
-    out[5] += scale * 0.6123724356957945 * alpha[3] * f[8];
-    out[5] += scale * 0.6123724356957946 * alpha[9] * f[16];
-    out[7] += scale * 0.6123724356957945 * alpha[0] * f[3];
-    out[7] += scale * 0.6123724356957945 * alpha[1] * f[7];
-    out[7] += scale * 0.6123724356957945 * alpha[3] * f[0];
-    out[7] += scale * 0.5477225575051661 * alpha[3] * f[9];
-    out[7] += scale * 0.5477225575051661 * alpha[9] * f[3];
-    out[10] += scale * 1.369306393762915 * alpha[0] * f[5];
-    out[10] += scale * 1.369306393762915 * alpha[1] * f[2];
-    out[10] += scale * 1.2247448713915892 * alpha[1] * f[10];
-    out[10] += scale * 1.3693063937629153 * alpha[3] * f[13];
-    out[10] += scale * 1.3693063937629153 * alpha[9] * f[19];
-    out[11] += scale * 0.6123724356957946 * alpha[0] * f[6];
-    out[11] += scale * 0.6123724356957946 * alpha[1] * f[11];
-    out[11] += scale * 0.6123724356957946 * alpha[3] * f[14];
-    out[12] += scale * 1.369306393762915 * alpha[0] * f[7];
-    out[12] += scale * 1.369306393762915 * alpha[1] * f[3];
-    out[12] += scale * 1.2247448713915892 * alpha[1] * f[12];
-    out[12] += scale * 1.369306393762915 * alpha[3] * f[1];
-    out[12] += scale * 1.2247448713915892 * alpha[3] * f[15];
-    out[12] += scale * 1.2247448713915892 * alpha[9] * f[7];
-    out[13] += scale * 0.6123724356957945 * alpha[0] * f[8];
-    out[13] += scale * 0.6123724356957945 * alpha[1] * f[13];
-    out[13] += scale * 0.6123724356957945 * alpha[3] * f[2];
-    out[13] += scale * 0.5477225575051662 * alpha[3] * f[16];
-    out[13] += scale * 0.5477225575051662 * alpha[9] * f[8];
-    out[15] += scale * 0.6123724356957946 * alpha[0] * f[9];
-    out[15] += scale * 0.6123724356957946 * alpha[1] * f[15];
-    out[15] += scale * 0.5477225575051661 * alpha[3] * f[3];
-    out[15] += scale * 0.6123724356957946 * alpha[9] * f[0];
-    out[15] += scale * 0.3912303982179758 * alpha[9] * f[9];
-    out[17] += scale * 1.3693063937629153 * alpha[0] * f[13];
-    out[17] += scale * 1.3693063937629153 * alpha[1] * f[8];
-    out[17] += scale * 1.224744871391589 * alpha[1] * f[17];
-    out[17] += scale * 1.3693063937629153 * alpha[3] * f[5];
-    out[17] += scale * 1.224744871391589 * alpha[3] * f[19];
-    out[17] += scale * 1.224744871391589 * alpha[9] * f[13];
-    out[18] += scale * 0.6123724356957946 * alpha[0] * f[14];
-    out[18] += scale * 0.6123724356957945 * alpha[1] * f[18];
-    out[18] += scale * 0.6123724356957946 * alpha[3] * f[6];
-    out[18] += scale * 0.5477225575051662 * alpha[9] * f[14];
-    out[19] += scale * 0.6123724356957946 * alpha[0] * f[16];
-    out[19] += scale * 0.6123724356957945 * alpha[1] * f[19];
-    out[19] += scale * 0.5477225575051662 * alpha[3] * f[8];
-    out[19] += scale * 0.6123724356957946 * alpha[9] * f[2];
-    out[19] += scale * 0.39123039821797584 * alpha[9] * f[16];
+    let mut alpha = [[0.0f64; L]; 20];
+    for k in 0..L {
+        alpha[0][k] = -nu * v_c * 2.8284271247461903;
+        alpha[1][k] = -nu * 0.5 * dv * 1.632993161855452;
+        alpha[0][k] += nu * 2.0 * u[0][k];
+        alpha[3][k] += nu * 2.0 * u[1][k];
+        alpha[9][k] += nu * 2.0 * u[2][k];
+    }
+    for k in 0..L {
+        out[1][k] += scale * 0.6123724356957945 * alpha[0][k] * f[0][k];
+        out[1][k] += scale * 0.6123724356957945 * alpha[1][k] * f[1][k];
+        out[1][k] += scale * 0.6123724356957945 * alpha[3][k] * f[3][k];
+        out[1][k] += scale * 0.6123724356957946 * alpha[9][k] * f[9][k];
+    }
+    for k in 0..L {
+        out[4][k] += scale * 1.3693063937629153 * alpha[0][k] * f[1][k];
+        out[4][k] += scale * 1.3693063937629153 * alpha[1][k] * f[0][k];
+        out[4][k] += scale * 1.2247448713915892 * alpha[1][k] * f[4][k];
+        out[4][k] += scale * 1.369306393762915 * alpha[3][k] * f[7][k];
+        out[4][k] += scale * 1.3693063937629155 * alpha[9][k] * f[15][k];
+    }
+    for k in 0..L {
+        out[5][k] += scale * 0.6123724356957945 * alpha[0][k] * f[2][k];
+        out[5][k] += scale * 0.6123724356957945 * alpha[1][k] * f[5][k];
+        out[5][k] += scale * 0.6123724356957945 * alpha[3][k] * f[8][k];
+        out[5][k] += scale * 0.6123724356957946 * alpha[9][k] * f[16][k];
+    }
+    for k in 0..L {
+        out[7][k] += scale * 0.6123724356957945 * alpha[0][k] * f[3][k];
+        out[7][k] += scale * 0.6123724356957945 * alpha[1][k] * f[7][k];
+        out[7][k] += scale * 0.6123724356957945 * alpha[3][k] * f[0][k];
+        out[7][k] += scale * 0.5477225575051661 * alpha[3][k] * f[9][k];
+        out[7][k] += scale * 0.5477225575051661 * alpha[9][k] * f[3][k];
+    }
+    for k in 0..L {
+        out[10][k] += scale * 1.369306393762915 * alpha[0][k] * f[5][k];
+        out[10][k] += scale * 1.369306393762915 * alpha[1][k] * f[2][k];
+        out[10][k] += scale * 1.2247448713915892 * alpha[1][k] * f[10][k];
+        out[10][k] += scale * 1.3693063937629153 * alpha[3][k] * f[13][k];
+        out[10][k] += scale * 1.3693063937629153 * alpha[9][k] * f[19][k];
+    }
+    for k in 0..L {
+        out[11][k] += scale * 0.6123724356957946 * alpha[0][k] * f[6][k];
+        out[11][k] += scale * 0.6123724356957946 * alpha[1][k] * f[11][k];
+        out[11][k] += scale * 0.6123724356957946 * alpha[3][k] * f[14][k];
+    }
+    for k in 0..L {
+        out[12][k] += scale * 1.369306393762915 * alpha[0][k] * f[7][k];
+        out[12][k] += scale * 1.369306393762915 * alpha[1][k] * f[3][k];
+        out[12][k] += scale * 1.2247448713915892 * alpha[1][k] * f[12][k];
+        out[12][k] += scale * 1.369306393762915 * alpha[3][k] * f[1][k];
+        out[12][k] += scale * 1.2247448713915892 * alpha[3][k] * f[15][k];
+        out[12][k] += scale * 1.2247448713915892 * alpha[9][k] * f[7][k];
+    }
+    for k in 0..L {
+        out[13][k] += scale * 0.6123724356957945 * alpha[0][k] * f[8][k];
+        out[13][k] += scale * 0.6123724356957945 * alpha[1][k] * f[13][k];
+        out[13][k] += scale * 0.6123724356957945 * alpha[3][k] * f[2][k];
+        out[13][k] += scale * 0.5477225575051662 * alpha[3][k] * f[16][k];
+        out[13][k] += scale * 0.5477225575051662 * alpha[9][k] * f[8][k];
+    }
+    for k in 0..L {
+        out[15][k] += scale * 0.6123724356957946 * alpha[0][k] * f[9][k];
+        out[15][k] += scale * 0.6123724356957946 * alpha[1][k] * f[15][k];
+        out[15][k] += scale * 0.5477225575051661 * alpha[3][k] * f[3][k];
+        out[15][k] += scale * 0.6123724356957946 * alpha[9][k] * f[0][k];
+        out[15][k] += scale * 0.3912303982179758 * alpha[9][k] * f[9][k];
+    }
+    for k in 0..L {
+        out[17][k] += scale * 1.3693063937629153 * alpha[0][k] * f[13][k];
+        out[17][k] += scale * 1.3693063937629153 * alpha[1][k] * f[8][k];
+        out[17][k] += scale * 1.224744871391589 * alpha[1][k] * f[17][k];
+        out[17][k] += scale * 1.3693063937629153 * alpha[3][k] * f[5][k];
+        out[17][k] += scale * 1.224744871391589 * alpha[3][k] * f[19][k];
+        out[17][k] += scale * 1.224744871391589 * alpha[9][k] * f[13][k];
+    }
+    for k in 0..L {
+        out[18][k] += scale * 0.6123724356957946 * alpha[0][k] * f[14][k];
+        out[18][k] += scale * 0.6123724356957945 * alpha[1][k] * f[18][k];
+        out[18][k] += scale * 0.6123724356957946 * alpha[3][k] * f[6][k];
+        out[18][k] += scale * 0.5477225575051662 * alpha[9][k] * f[14][k];
+    }
+    for k in 0..L {
+        out[19][k] += scale * 0.6123724356957946 * alpha[0][k] * f[16][k];
+        out[19][k] += scale * 0.6123724356957945 * alpha[1][k] * f[19][k];
+        out[19][k] += scale * 0.5477225575051662 * alpha[3][k] * f[8][k];
+        out[19][k] += scale * 0.6123724356957946 * alpha[9][k] * f[2][k];
+        out[19][k] += scale * 0.39123039821797584 * alpha[9][k] * f[16][k];
+    }
 }
 
 /// LBO drag surface term in v1 at one interior face (`vstar` = face
@@ -570,140 +859,195 @@ pub fn lbo_1x2v_p2_ser_drag_vol_v1(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_1x2v_p2_ser_drag_surf_v1(nu: f64, vstar: f64, dv: f64, u: &[f64], f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_1x2v_p2_ser_drag_surf_v1_body::<1>(nu, vstar, dv, u.as_chunks().0, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_1x2v_p2_ser_drag_surf_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_drag_surf_v1_b4(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_drag_surf_v1_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// [`lbo_1x2v_p2_ser_drag_surf_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_drag_surf_v1_b4_avx2(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_drag_surf_v1_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_1x2v_p2_ser_drag_surf_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_1x2v_p2_ser_drag_surf_v1_body<const L: usize>(nu: f64, vstar: f64, dv: f64, u: &[[f64; L]], f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 3] = u.first_chunk().expect("u: 3 coefficients");
+    let f_lo: &[[f64; L]; 20] = f_lo.first_chunk().expect("f_lo: 20 coefficients");
+    let f_hi: &[[f64; L]; 20] = f_hi.first_chunk().expect("f_hi: 20 coefficients");
+    let out_lo: &mut [[f64; L]; 20] = out_lo.first_chunk_mut().expect("out_lo: 20 coefficients");
+    let out_hi: &mut [[f64; L]; 20] = out_hi.first_chunk_mut().expect("out_hi: 20 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 8];
-    alpha[0] = -nu * vstar * 2.0;
-    alpha[0] += nu * 1.4142135623730951 * u[0];
-    alpha[2] += nu * 1.4142135623730951 * u[1];
-    alpha[5] += nu * 1.4142135623730951 * u[2];
-    let lam = alpha[0].abs() * 0.5000000000000001 + alpha[2].abs() * 0.8660254037844386 + alpha[5].abs() * 1.118033988749895;
-    let mut fm = [0.0f64; 8];
-    let mut fp = [0.0f64; 8];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[0] += 1.224744871391589 * f_lo[1];
-    fm[1] += 0.7071067811865476 * f_lo[2];
-    fm[2] += 0.7071067811865476 * f_lo[3];
-    fm[0] += 1.5811388300841898 * f_lo[4];
-    fm[1] += 1.224744871391589 * f_lo[5];
-    fm[3] += 0.7071067811865476 * f_lo[6];
-    fm[2] += 1.224744871391589 * f_lo[7];
-    fm[4] += 0.7071067811865476 * f_lo[8];
-    fm[5] += 0.7071067811865476 * f_lo[9];
-    fm[1] += 1.5811388300841898 * f_lo[10];
-    fm[3] += 1.224744871391589 * f_lo[11];
-    fm[2] += 1.5811388300841898 * f_lo[12];
-    fm[4] += 1.224744871391589 * f_lo[13];
-    fm[6] += 0.7071067811865476 * f_lo[14];
-    fm[5] += 1.224744871391589 * f_lo[15];
-    fm[7] += 0.7071067811865476 * f_lo[16];
-    fm[4] += 1.5811388300841898 * f_lo[17];
-    fm[6] += 1.224744871391589 * f_lo[18];
-    fm[7] += 1.224744871391589 * f_lo[19];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[0] += -1.224744871391589 * f_hi[1];
-    fp[1] += 0.7071067811865476 * f_hi[2];
-    fp[2] += 0.7071067811865476 * f_hi[3];
-    fp[0] += 1.5811388300841898 * f_hi[4];
-    fp[1] += -1.224744871391589 * f_hi[5];
-    fp[3] += 0.7071067811865476 * f_hi[6];
-    fp[2] += -1.224744871391589 * f_hi[7];
-    fp[4] += 0.7071067811865476 * f_hi[8];
-    fp[5] += 0.7071067811865476 * f_hi[9];
-    fp[1] += 1.5811388300841898 * f_hi[10];
-    fp[3] += -1.224744871391589 * f_hi[11];
-    fp[2] += 1.5811388300841898 * f_hi[12];
-    fp[4] += -1.224744871391589 * f_hi[13];
-    fp[6] += 0.7071067811865476 * f_hi[14];
-    fp[5] += -1.224744871391589 * f_hi[15];
-    fp[7] += 0.7071067811865476 * f_hi[16];
-    fp[4] += 1.5811388300841898 * f_hi[17];
-    fp[6] += -1.224744871391589 * f_hi[18];
-    fp[7] += -1.224744871391589 * f_hi[19];
-    let mut favg = [0.0f64; 8];
-    let mut ghat = [0.0f64; 8];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    ghat[0] += 0.5 * alpha[0] * favg[0];
-    ghat[0] += 0.5 * alpha[2] * favg[2];
-    ghat[0] += 0.5 * alpha[5] * favg[5];
-    ghat[1] += 0.5 * alpha[0] * favg[1];
-    ghat[1] += 0.5 * alpha[2] * favg[4];
-    ghat[1] += 0.5 * alpha[5] * favg[7];
-    ghat[2] += 0.5 * alpha[0] * favg[2];
-    ghat[2] += 0.5 * alpha[2] * favg[0];
-    ghat[2] += 0.4472135954999579 * alpha[2] * favg[5];
-    ghat[2] += 0.4472135954999579 * alpha[5] * favg[2];
-    ghat[3] += 0.5 * alpha[0] * favg[3];
-    ghat[3] += 0.5 * alpha[2] * favg[6];
-    ghat[4] += 0.5 * alpha[0] * favg[4];
-    ghat[4] += 0.5 * alpha[2] * favg[1];
-    ghat[4] += 0.447213595499958 * alpha[2] * favg[7];
-    ghat[4] += 0.447213595499958 * alpha[5] * favg[4];
-    ghat[5] += 0.5 * alpha[0] * favg[5];
-    ghat[5] += 0.4472135954999579 * alpha[2] * favg[2];
-    ghat[5] += 0.5 * alpha[5] * favg[0];
-    ghat[5] += 0.31943828249996997 * alpha[5] * favg[5];
-    ghat[6] += 0.5 * alpha[0] * favg[6];
-    ghat[6] += 0.5 * alpha[2] * favg[3];
-    ghat[6] += 0.4472135954999579 * alpha[5] * favg[6];
-    ghat[7] += 0.5 * alpha[0] * favg[7];
-    ghat[7] += 0.447213595499958 * alpha[2] * favg[4];
-    ghat[7] += 0.5 * alpha[5] * favg[1];
-    ghat[7] += 0.31943828249996997 * alpha[5] * favg[7];
-    out_lo[0] += -scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -scale * 1.224744871391589 * ghat[0];
-    out_lo[2] += -scale * 0.7071067811865476 * ghat[1];
-    out_lo[3] += -scale * 0.7071067811865476 * ghat[2];
-    out_lo[4] += -scale * 1.5811388300841898 * ghat[0];
-    out_lo[5] += -scale * 1.224744871391589 * ghat[1];
-    out_lo[6] += -scale * 0.7071067811865476 * ghat[3];
-    out_lo[7] += -scale * 1.224744871391589 * ghat[2];
-    out_lo[8] += -scale * 0.7071067811865476 * ghat[4];
-    out_lo[9] += -scale * 0.7071067811865476 * ghat[5];
-    out_lo[10] += -scale * 1.5811388300841898 * ghat[1];
-    out_lo[11] += -scale * 1.224744871391589 * ghat[3];
-    out_lo[12] += -scale * 1.5811388300841898 * ghat[2];
-    out_lo[13] += -scale * 1.224744871391589 * ghat[4];
-    out_lo[14] += -scale * 0.7071067811865476 * ghat[6];
-    out_lo[15] += -scale * 1.224744871391589 * ghat[5];
-    out_lo[16] += -scale * 0.7071067811865476 * ghat[7];
-    out_lo[17] += -scale * 1.5811388300841898 * ghat[4];
-    out_lo[18] += -scale * 1.224744871391589 * ghat[6];
-    out_lo[19] += -scale * 1.224744871391589 * ghat[7];
-    out_hi[0] += scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += scale * -1.224744871391589 * ghat[0];
-    out_hi[2] += scale * 0.7071067811865476 * ghat[1];
-    out_hi[3] += scale * 0.7071067811865476 * ghat[2];
-    out_hi[4] += scale * 1.5811388300841898 * ghat[0];
-    out_hi[5] += scale * -1.224744871391589 * ghat[1];
-    out_hi[6] += scale * 0.7071067811865476 * ghat[3];
-    out_hi[7] += scale * -1.224744871391589 * ghat[2];
-    out_hi[8] += scale * 0.7071067811865476 * ghat[4];
-    out_hi[9] += scale * 0.7071067811865476 * ghat[5];
-    out_hi[10] += scale * 1.5811388300841898 * ghat[1];
-    out_hi[11] += scale * -1.224744871391589 * ghat[3];
-    out_hi[12] += scale * 1.5811388300841898 * ghat[2];
-    out_hi[13] += scale * -1.224744871391589 * ghat[4];
-    out_hi[14] += scale * 0.7071067811865476 * ghat[6];
-    out_hi[15] += scale * -1.224744871391589 * ghat[5];
-    out_hi[16] += scale * 0.7071067811865476 * ghat[7];
-    out_hi[17] += scale * 1.5811388300841898 * ghat[4];
-    out_hi[18] += scale * -1.224744871391589 * ghat[6];
-    out_hi[19] += scale * -1.224744871391589 * ghat[7];
+    let mut alpha = [[0.0f64; L]; 8];
+    let mut lam = [0.0f64; L];
+    for k in 0..L {
+        alpha[0][k] = -nu * vstar * 2.0;
+        alpha[0][k] += nu * 1.4142135623730951 * u[0][k];
+        alpha[2][k] += nu * 1.4142135623730951 * u[1][k];
+        alpha[5][k] += nu * 1.4142135623730951 * u[2][k];
+        lam[k] = alpha[0][k].abs() * 0.5000000000000001 + alpha[2][k].abs() * 0.8660254037844386 + alpha[5][k].abs() * 1.118033988749895;
+    }
+    let mut fm = [[0.0f64; L]; 8];
+    let mut fp = [[0.0f64; L]; 8];
+    for k in 0..L {
+        fm[0][k] += 0.7071067811865476 * f_lo[0][k];
+        fm[0][k] += 1.224744871391589 * f_lo[1][k];
+    }
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[2]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[3]);
+    sxn(&mut fm[0], 1.5811388300841898, &f_lo[4]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[5]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[6]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[7]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[8]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[9]);
+    sxn(&mut fm[1], 1.5811388300841898, &f_lo[10]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[11]);
+    sxn(&mut fm[2], 1.5811388300841898, &f_lo[12]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[13]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[14]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[15]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[16]);
+    sxn(&mut fm[4], 1.5811388300841898, &f_lo[17]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[18]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[19]);
+    for k in 0..L {
+        fp[0][k] += 0.7071067811865476 * f_hi[0][k];
+        fp[0][k] += -1.224744871391589 * f_hi[1][k];
+    }
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[2]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[3]);
+    sxn(&mut fp[0], 1.5811388300841898, &f_hi[4]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[5]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[6]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[7]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[8]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[9]);
+    sxn(&mut fp[1], 1.5811388300841898, &f_hi[10]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[11]);
+    sxn(&mut fp[2], 1.5811388300841898, &f_hi[12]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[13]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[14]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[15]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[16]);
+    sxn(&mut fp[4], 1.5811388300841898, &f_hi[17]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[18]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[19]);
+    let mut favg = [[0.0f64; L]; 8];
+    let mut ghat = [[0.0f64; L]; 8];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
+    }
+    for k in 0..L {
+        ghat[0][k] += 0.5 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.5 * alpha[2][k] * favg[2][k];
+        ghat[0][k] += 0.5 * alpha[5][k] * favg[5][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.5 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.5 * alpha[2][k] * favg[4][k];
+        ghat[1][k] += 0.5 * alpha[5][k] * favg[7][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.5 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.5 * alpha[2][k] * favg[0][k];
+        ghat[2][k] += 0.4472135954999579 * alpha[2][k] * favg[5][k];
+        ghat[2][k] += 0.4472135954999579 * alpha[5][k] * favg[2][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.5 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.5 * alpha[2][k] * favg[6][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.5 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.5 * alpha[2][k] * favg[1][k];
+        ghat[4][k] += 0.447213595499958 * alpha[2][k] * favg[7][k];
+        ghat[4][k] += 0.447213595499958 * alpha[5][k] * favg[4][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.5 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.4472135954999579 * alpha[2][k] * favg[2][k];
+        ghat[5][k] += 0.5 * alpha[5][k] * favg[0][k];
+        ghat[5][k] += 0.31943828249996997 * alpha[5][k] * favg[5][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.5 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.5 * alpha[2][k] * favg[3][k];
+        ghat[6][k] += 0.4472135954999579 * alpha[5][k] * favg[6][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.5 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.447213595499958 * alpha[2][k] * favg[4][k];
+        ghat[7][k] += 0.5 * alpha[5][k] * favg[1][k];
+        ghat[7][k] += 0.31943828249996997 * alpha[5][k] * favg[7][k];
+    }
+    sxn(&mut out_lo[0], -scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[2], -scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[3], -scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], -scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_lo[5], -scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[6], -scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[7], -scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[8], -scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[9], -scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[10], -scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_lo[11], -scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[12], -scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_lo[13], -scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[14], -scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[15], -scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[16], -scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[17], -scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_lo[18], -scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[19], -scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[0], scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[2], scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[3], scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_hi[5], scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[6], scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[7], scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[8], scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[9], scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[10], scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_hi[11], scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[12], scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_hi[13], scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[14], scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[15], scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[16], scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[17], scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_hi[18], scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[19], scale * -1.224744871391589, &ghat[7]);
 }
 
 /// LDG gradient in v1 for one cell: volume gradient-mass plus the
@@ -712,176 +1056,264 @@ pub fn lbo_1x2v_p2_ser_drag_surf_v1(nu: f64, vstar: f64, dv: f64, u: &[f64], f_l
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_1x2v_p2_ser_diff_grad_v1(dv: f64, at_upper: bool, f: &[f64], f_up: &[f64], g: &mut [f64]) {
+    lbo_1x2v_p2_ser_diff_grad_v1_body::<1>(dv, at_upper, f.as_chunks().0, f_up.as_chunks().0, g.as_chunks_mut().0)
+}
+
+/// [`lbo_1x2v_p2_ser_diff_grad_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_diff_grad_v1_b4(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_diff_grad_v1_body(dv, at_upper, f, f_up, g)
+}
+
+/// [`lbo_1x2v_p2_ser_diff_grad_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_diff_grad_v1_b4_avx2(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_diff_grad_v1_body(dv, at_upper, f, f_up, g)
+}
+
+/// Shared lane-generic body of [`lbo_1x2v_p2_ser_diff_grad_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_1x2v_p2_ser_diff_grad_v1_body<const L: usize>(dv: f64, at_upper: bool, f: &[[f64; L]], f_up: &[[f64; L]], g: &mut [[f64; L]]) {
+    let f: &[[f64; L]; 20] = f.first_chunk().expect("f: 20 coefficients");
+    let f_up: &[[f64; L]; 20] = f_up.first_chunk().expect("f_up: 20 coefficients");
+    let g: &mut [[f64; L]; 20] = g.first_chunk_mut().expect("g: 20 coefficients");
     let scale = 2.0 / dv;
-    g[1] += -scale * 1.7320508075688772 * f[0];
-    g[4] += -scale * 3.872983346207417 * f[1];
-    g[5] += -scale * 1.7320508075688772 * f[2];
-    g[7] += -scale * 1.7320508075688772 * f[3];
-    g[10] += -scale * 3.872983346207417 * f[5];
-    g[11] += -scale * 1.7320508075688772 * f[6];
-    g[12] += -scale * 3.872983346207417 * f[7];
-    g[13] += -scale * 1.7320508075688772 * f[8];
-    g[15] += -scale * 1.7320508075688772 * f[9];
-    g[17] += -scale * 3.872983346207417 * f[13];
-    g[18] += -scale * 1.7320508075688772 * f[14];
-    g[19] += -scale * 1.7320508075688772 * f[16];
-    let mut tr = [0.0f64; 8];
+    sxn(&mut g[1], -scale * 1.7320508075688772, &f[0]);
+    sxn(&mut g[4], -scale * 3.872983346207417, &f[1]);
+    sxn(&mut g[5], -scale * 1.7320508075688772, &f[2]);
+    sxn(&mut g[7], -scale * 1.7320508075688772, &f[3]);
+    sxn(&mut g[10], -scale * 3.872983346207417, &f[5]);
+    sxn(&mut g[11], -scale * 1.7320508075688772, &f[6]);
+    sxn(&mut g[12], -scale * 3.872983346207417, &f[7]);
+    sxn(&mut g[13], -scale * 1.7320508075688772, &f[8]);
+    sxn(&mut g[15], -scale * 1.7320508075688772, &f[9]);
+    sxn(&mut g[17], -scale * 3.872983346207417, &f[13]);
+    sxn(&mut g[18], -scale * 1.7320508075688772, &f[14]);
+    sxn(&mut g[19], -scale * 1.7320508075688772, &f[16]);
+    let mut tr = [[0.0f64; L]; 8];
     if at_upper {
-        tr[0] += 0.7071067811865476 * f[0];
-        tr[0] += 1.224744871391589 * f[1];
-        tr[1] += 0.7071067811865476 * f[2];
-        tr[2] += 0.7071067811865476 * f[3];
-        tr[0] += 1.5811388300841898 * f[4];
-        tr[1] += 1.224744871391589 * f[5];
-        tr[3] += 0.7071067811865476 * f[6];
-        tr[2] += 1.224744871391589 * f[7];
-        tr[4] += 0.7071067811865476 * f[8];
-        tr[5] += 0.7071067811865476 * f[9];
-        tr[1] += 1.5811388300841898 * f[10];
-        tr[3] += 1.224744871391589 * f[11];
-        tr[2] += 1.5811388300841898 * f[12];
-        tr[4] += 1.224744871391589 * f[13];
-        tr[6] += 0.7071067811865476 * f[14];
-        tr[5] += 1.224744871391589 * f[15];
-        tr[7] += 0.7071067811865476 * f[16];
-        tr[4] += 1.5811388300841898 * f[17];
-        tr[6] += 1.224744871391589 * f[18];
-        tr[7] += 1.224744871391589 * f[19];
+        for k in 0..L {
+            tr[0][k] += 0.7071067811865476 * f[0][k];
+            tr[0][k] += 1.224744871391589 * f[1][k];
+        }
+        sxn(&mut tr[1], 0.7071067811865476, &f[2]);
+        sxn(&mut tr[2], 0.7071067811865476, &f[3]);
+        sxn(&mut tr[0], 1.5811388300841898, &f[4]);
+        sxn(&mut tr[1], 1.224744871391589, &f[5]);
+        sxn(&mut tr[3], 0.7071067811865476, &f[6]);
+        sxn(&mut tr[2], 1.224744871391589, &f[7]);
+        sxn(&mut tr[4], 0.7071067811865476, &f[8]);
+        sxn(&mut tr[5], 0.7071067811865476, &f[9]);
+        sxn(&mut tr[1], 1.5811388300841898, &f[10]);
+        sxn(&mut tr[3], 1.224744871391589, &f[11]);
+        sxn(&mut tr[2], 1.5811388300841898, &f[12]);
+        sxn(&mut tr[4], 1.224744871391589, &f[13]);
+        sxn(&mut tr[6], 0.7071067811865476, &f[14]);
+        sxn(&mut tr[5], 1.224744871391589, &f[15]);
+        sxn(&mut tr[7], 0.7071067811865476, &f[16]);
+        sxn(&mut tr[4], 1.5811388300841898, &f[17]);
+        sxn(&mut tr[6], 1.224744871391589, &f[18]);
+        sxn(&mut tr[7], 1.224744871391589, &f[19]);
     } else {
-        tr[0] += 0.7071067811865476 * f_up[0];
-        tr[0] += -1.224744871391589 * f_up[1];
-        tr[1] += 0.7071067811865476 * f_up[2];
-        tr[2] += 0.7071067811865476 * f_up[3];
-        tr[0] += 1.5811388300841898 * f_up[4];
-        tr[1] += -1.224744871391589 * f_up[5];
-        tr[3] += 0.7071067811865476 * f_up[6];
-        tr[2] += -1.224744871391589 * f_up[7];
-        tr[4] += 0.7071067811865476 * f_up[8];
-        tr[5] += 0.7071067811865476 * f_up[9];
-        tr[1] += 1.5811388300841898 * f_up[10];
-        tr[3] += -1.224744871391589 * f_up[11];
-        tr[2] += 1.5811388300841898 * f_up[12];
-        tr[4] += -1.224744871391589 * f_up[13];
-        tr[6] += 0.7071067811865476 * f_up[14];
-        tr[5] += -1.224744871391589 * f_up[15];
-        tr[7] += 0.7071067811865476 * f_up[16];
-        tr[4] += 1.5811388300841898 * f_up[17];
-        tr[6] += -1.224744871391589 * f_up[18];
-        tr[7] += -1.224744871391589 * f_up[19];
+        for k in 0..L {
+            tr[0][k] += 0.7071067811865476 * f_up[0][k];
+            tr[0][k] += -1.224744871391589 * f_up[1][k];
+        }
+        sxn(&mut tr[1], 0.7071067811865476, &f_up[2]);
+        sxn(&mut tr[2], 0.7071067811865476, &f_up[3]);
+        sxn(&mut tr[0], 1.5811388300841898, &f_up[4]);
+        sxn(&mut tr[1], -1.224744871391589, &f_up[5]);
+        sxn(&mut tr[3], 0.7071067811865476, &f_up[6]);
+        sxn(&mut tr[2], -1.224744871391589, &f_up[7]);
+        sxn(&mut tr[4], 0.7071067811865476, &f_up[8]);
+        sxn(&mut tr[5], 0.7071067811865476, &f_up[9]);
+        sxn(&mut tr[1], 1.5811388300841898, &f_up[10]);
+        sxn(&mut tr[3], -1.224744871391589, &f_up[11]);
+        sxn(&mut tr[2], 1.5811388300841898, &f_up[12]);
+        sxn(&mut tr[4], -1.224744871391589, &f_up[13]);
+        sxn(&mut tr[6], 0.7071067811865476, &f_up[14]);
+        sxn(&mut tr[5], -1.224744871391589, &f_up[15]);
+        sxn(&mut tr[7], 0.7071067811865476, &f_up[16]);
+        sxn(&mut tr[4], 1.5811388300841898, &f_up[17]);
+        sxn(&mut tr[6], -1.224744871391589, &f_up[18]);
+        sxn(&mut tr[7], -1.224744871391589, &f_up[19]);
     }
-    g[0] += scale * 0.7071067811865476 * tr[0];
-    g[1] += scale * 1.224744871391589 * tr[0];
-    g[2] += scale * 0.7071067811865476 * tr[1];
-    g[3] += scale * 0.7071067811865476 * tr[2];
-    g[4] += scale * 1.5811388300841898 * tr[0];
-    g[5] += scale * 1.224744871391589 * tr[1];
-    g[6] += scale * 0.7071067811865476 * tr[3];
-    g[7] += scale * 1.224744871391589 * tr[2];
-    g[8] += scale * 0.7071067811865476 * tr[4];
-    g[9] += scale * 0.7071067811865476 * tr[5];
-    g[10] += scale * 1.5811388300841898 * tr[1];
-    g[11] += scale * 1.224744871391589 * tr[3];
-    g[12] += scale * 1.5811388300841898 * tr[2];
-    g[13] += scale * 1.224744871391589 * tr[4];
-    g[14] += scale * 0.7071067811865476 * tr[6];
-    g[15] += scale * 1.224744871391589 * tr[5];
-    g[16] += scale * 0.7071067811865476 * tr[7];
-    g[17] += scale * 1.5811388300841898 * tr[4];
-    g[18] += scale * 1.224744871391589 * tr[6];
-    g[19] += scale * 1.224744871391589 * tr[7];
-    let mut tl = [0.0f64; 8];
-    tl[0] += 0.7071067811865476 * f[0];
-    tl[0] += -1.224744871391589 * f[1];
-    tl[1] += 0.7071067811865476 * f[2];
-    tl[2] += 0.7071067811865476 * f[3];
-    tl[0] += 1.5811388300841898 * f[4];
-    tl[1] += -1.224744871391589 * f[5];
-    tl[3] += 0.7071067811865476 * f[6];
-    tl[2] += -1.224744871391589 * f[7];
-    tl[4] += 0.7071067811865476 * f[8];
-    tl[5] += 0.7071067811865476 * f[9];
-    tl[1] += 1.5811388300841898 * f[10];
-    tl[3] += -1.224744871391589 * f[11];
-    tl[2] += 1.5811388300841898 * f[12];
-    tl[4] += -1.224744871391589 * f[13];
-    tl[6] += 0.7071067811865476 * f[14];
-    tl[5] += -1.224744871391589 * f[15];
-    tl[7] += 0.7071067811865476 * f[16];
-    tl[4] += 1.5811388300841898 * f[17];
-    tl[6] += -1.224744871391589 * f[18];
-    tl[7] += -1.224744871391589 * f[19];
-    g[0] += -scale * 0.7071067811865476 * tl[0];
-    g[1] += -scale * -1.224744871391589 * tl[0];
-    g[2] += -scale * 0.7071067811865476 * tl[1];
-    g[3] += -scale * 0.7071067811865476 * tl[2];
-    g[4] += -scale * 1.5811388300841898 * tl[0];
-    g[5] += -scale * -1.224744871391589 * tl[1];
-    g[6] += -scale * 0.7071067811865476 * tl[3];
-    g[7] += -scale * -1.224744871391589 * tl[2];
-    g[8] += -scale * 0.7071067811865476 * tl[4];
-    g[9] += -scale * 0.7071067811865476 * tl[5];
-    g[10] += -scale * 1.5811388300841898 * tl[1];
-    g[11] += -scale * -1.224744871391589 * tl[3];
-    g[12] += -scale * 1.5811388300841898 * tl[2];
-    g[13] += -scale * -1.224744871391589 * tl[4];
-    g[14] += -scale * 0.7071067811865476 * tl[6];
-    g[15] += -scale * -1.224744871391589 * tl[5];
-    g[16] += -scale * 0.7071067811865476 * tl[7];
-    g[17] += -scale * 1.5811388300841898 * tl[4];
-    g[18] += -scale * -1.224744871391589 * tl[6];
-    g[19] += -scale * -1.224744871391589 * tl[7];
+    sxn(&mut g[0], scale * 0.7071067811865476, &tr[0]);
+    sxn(&mut g[1], scale * 1.224744871391589, &tr[0]);
+    sxn(&mut g[2], scale * 0.7071067811865476, &tr[1]);
+    sxn(&mut g[3], scale * 0.7071067811865476, &tr[2]);
+    sxn(&mut g[4], scale * 1.5811388300841898, &tr[0]);
+    sxn(&mut g[5], scale * 1.224744871391589, &tr[1]);
+    sxn(&mut g[6], scale * 0.7071067811865476, &tr[3]);
+    sxn(&mut g[7], scale * 1.224744871391589, &tr[2]);
+    sxn(&mut g[8], scale * 0.7071067811865476, &tr[4]);
+    sxn(&mut g[9], scale * 0.7071067811865476, &tr[5]);
+    sxn(&mut g[10], scale * 1.5811388300841898, &tr[1]);
+    sxn(&mut g[11], scale * 1.224744871391589, &tr[3]);
+    sxn(&mut g[12], scale * 1.5811388300841898, &tr[2]);
+    sxn(&mut g[13], scale * 1.224744871391589, &tr[4]);
+    sxn(&mut g[14], scale * 0.7071067811865476, &tr[6]);
+    sxn(&mut g[15], scale * 1.224744871391589, &tr[5]);
+    sxn(&mut g[16], scale * 0.7071067811865476, &tr[7]);
+    sxn(&mut g[17], scale * 1.5811388300841898, &tr[4]);
+    sxn(&mut g[18], scale * 1.224744871391589, &tr[6]);
+    sxn(&mut g[19], scale * 1.224744871391589, &tr[7]);
+    let mut tl = [[0.0f64; L]; 8];
+    for k in 0..L {
+        tl[0][k] += 0.7071067811865476 * f[0][k];
+        tl[0][k] += -1.224744871391589 * f[1][k];
+    }
+    sxn(&mut tl[1], 0.7071067811865476, &f[2]);
+    sxn(&mut tl[2], 0.7071067811865476, &f[3]);
+    sxn(&mut tl[0], 1.5811388300841898, &f[4]);
+    sxn(&mut tl[1], -1.224744871391589, &f[5]);
+    sxn(&mut tl[3], 0.7071067811865476, &f[6]);
+    sxn(&mut tl[2], -1.224744871391589, &f[7]);
+    sxn(&mut tl[4], 0.7071067811865476, &f[8]);
+    sxn(&mut tl[5], 0.7071067811865476, &f[9]);
+    sxn(&mut tl[1], 1.5811388300841898, &f[10]);
+    sxn(&mut tl[3], -1.224744871391589, &f[11]);
+    sxn(&mut tl[2], 1.5811388300841898, &f[12]);
+    sxn(&mut tl[4], -1.224744871391589, &f[13]);
+    sxn(&mut tl[6], 0.7071067811865476, &f[14]);
+    sxn(&mut tl[5], -1.224744871391589, &f[15]);
+    sxn(&mut tl[7], 0.7071067811865476, &f[16]);
+    sxn(&mut tl[4], 1.5811388300841898, &f[17]);
+    sxn(&mut tl[6], -1.224744871391589, &f[18]);
+    sxn(&mut tl[7], -1.224744871391589, &f[19]);
+    sxn(&mut g[0], -scale * 0.7071067811865476, &tl[0]);
+    sxn(&mut g[1], -scale * -1.224744871391589, &tl[0]);
+    sxn(&mut g[2], -scale * 0.7071067811865476, &tl[1]);
+    sxn(&mut g[3], -scale * 0.7071067811865476, &tl[2]);
+    sxn(&mut g[4], -scale * 1.5811388300841898, &tl[0]);
+    sxn(&mut g[5], -scale * -1.224744871391589, &tl[1]);
+    sxn(&mut g[6], -scale * 0.7071067811865476, &tl[3]);
+    sxn(&mut g[7], -scale * -1.224744871391589, &tl[2]);
+    sxn(&mut g[8], -scale * 0.7071067811865476, &tl[4]);
+    sxn(&mut g[9], -scale * 0.7071067811865476, &tl[5]);
+    sxn(&mut g[10], -scale * 1.5811388300841898, &tl[1]);
+    sxn(&mut g[11], -scale * -1.224744871391589, &tl[3]);
+    sxn(&mut g[12], -scale * 1.5811388300841898, &tl[2]);
+    sxn(&mut g[13], -scale * -1.224744871391589, &tl[4]);
+    sxn(&mut g[14], -scale * 0.7071067811865476, &tl[6]);
+    sxn(&mut g[15], -scale * -1.224744871391589, &tl[5]);
+    sxn(&mut g[16], -scale * 0.7071067811865476, &tl[7]);
+    sxn(&mut g[17], -scale * 1.5811388300841898, &tl[4]);
+    sxn(&mut g[18], -scale * -1.224744871391589, &tl[6]);
+    sxn(&mut g[19], -scale * -1.224744871391589, &tl[7]);
 }
 
 /// LBO diffusion volume term in v1: weak `ν vth²(x) ∂_v g`.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_1x2v_p2_ser_diff_vol_v1(nu: f64, dv: f64, vth2: &[f64], g: &[f64], out: &mut [f64]) {
+    lbo_1x2v_p2_ser_diff_vol_v1_body::<1>(nu, dv, vth2.as_chunks().0, g.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_1x2v_p2_ser_diff_vol_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_diff_vol_v1_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_diff_vol_v1_body(nu, dv, vth2, g, out)
+}
+
+/// [`lbo_1x2v_p2_ser_diff_vol_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_diff_vol_v1_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_diff_vol_v1_body(nu, dv, vth2, g, out)
+}
+
+/// Shared lane-generic body of [`lbo_1x2v_p2_ser_diff_vol_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_1x2v_p2_ser_diff_vol_v1_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g: &[[f64; L]], out: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 3] = vth2.first_chunk().expect("vth2: 3 coefficients");
+    let g: &[[f64; L]; 20] = g.first_chunk().expect("g: 20 coefficients");
+    let out: &mut [[f64; L]; 20] = out.first_chunk_mut().expect("out: 20 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 20];
-    alpha[0] = 2.0 * vth2[0];
-    alpha[3] = 2.0 * vth2[1];
-    alpha[9] = 2.0 * vth2[2];
-    out[1] += -nu * scale * 0.6123724356957945 * alpha[0] * g[0];
-    out[1] += -nu * scale * 0.6123724356957945 * alpha[3] * g[3];
-    out[1] += -nu * scale * 0.6123724356957946 * alpha[9] * g[9];
-    out[4] += -nu * scale * 1.3693063937629153 * alpha[0] * g[1];
-    out[4] += -nu * scale * 1.369306393762915 * alpha[3] * g[7];
-    out[4] += -nu * scale * 1.3693063937629155 * alpha[9] * g[15];
-    out[5] += -nu * scale * 0.6123724356957945 * alpha[0] * g[2];
-    out[5] += -nu * scale * 0.6123724356957945 * alpha[3] * g[8];
-    out[5] += -nu * scale * 0.6123724356957946 * alpha[9] * g[16];
-    out[7] += -nu * scale * 0.6123724356957945 * alpha[0] * g[3];
-    out[7] += -nu * scale * 0.6123724356957945 * alpha[3] * g[0];
-    out[7] += -nu * scale * 0.5477225575051661 * alpha[3] * g[9];
-    out[7] += -nu * scale * 0.5477225575051661 * alpha[9] * g[3];
-    out[10] += -nu * scale * 1.369306393762915 * alpha[0] * g[5];
-    out[10] += -nu * scale * 1.3693063937629153 * alpha[3] * g[13];
-    out[10] += -nu * scale * 1.3693063937629153 * alpha[9] * g[19];
-    out[11] += -nu * scale * 0.6123724356957946 * alpha[0] * g[6];
-    out[11] += -nu * scale * 0.6123724356957946 * alpha[3] * g[14];
-    out[12] += -nu * scale * 1.369306393762915 * alpha[0] * g[7];
-    out[12] += -nu * scale * 1.369306393762915 * alpha[3] * g[1];
-    out[12] += -nu * scale * 1.2247448713915892 * alpha[3] * g[15];
-    out[12] += -nu * scale * 1.2247448713915892 * alpha[9] * g[7];
-    out[13] += -nu * scale * 0.6123724356957945 * alpha[0] * g[8];
-    out[13] += -nu * scale * 0.6123724356957945 * alpha[3] * g[2];
-    out[13] += -nu * scale * 0.5477225575051662 * alpha[3] * g[16];
-    out[13] += -nu * scale * 0.5477225575051662 * alpha[9] * g[8];
-    out[15] += -nu * scale * 0.6123724356957946 * alpha[0] * g[9];
-    out[15] += -nu * scale * 0.5477225575051661 * alpha[3] * g[3];
-    out[15] += -nu * scale * 0.6123724356957946 * alpha[9] * g[0];
-    out[15] += -nu * scale * 0.3912303982179758 * alpha[9] * g[9];
-    out[17] += -nu * scale * 1.3693063937629153 * alpha[0] * g[13];
-    out[17] += -nu * scale * 1.3693063937629153 * alpha[3] * g[5];
-    out[17] += -nu * scale * 1.224744871391589 * alpha[3] * g[19];
-    out[17] += -nu * scale * 1.224744871391589 * alpha[9] * g[13];
-    out[18] += -nu * scale * 0.6123724356957946 * alpha[0] * g[14];
-    out[18] += -nu * scale * 0.6123724356957946 * alpha[3] * g[6];
-    out[18] += -nu * scale * 0.5477225575051662 * alpha[9] * g[14];
-    out[19] += -nu * scale * 0.6123724356957946 * alpha[0] * g[16];
-    out[19] += -nu * scale * 0.5477225575051662 * alpha[3] * g[8];
-    out[19] += -nu * scale * 0.6123724356957946 * alpha[9] * g[2];
-    out[19] += -nu * scale * 0.39123039821797584 * alpha[9] * g[16];
+    let mut alpha = [[0.0f64; L]; 20];
+    for k in 0..L {
+        alpha[0][k] = 2.0 * vth2[0][k];
+        alpha[3][k] = 2.0 * vth2[1][k];
+        alpha[9][k] = 2.0 * vth2[2][k];
+    }
+    for k in 0..L {
+        out[1][k] += -nu * scale * 0.6123724356957945 * alpha[0][k] * g[0][k];
+        out[1][k] += -nu * scale * 0.6123724356957945 * alpha[3][k] * g[3][k];
+        out[1][k] += -nu * scale * 0.6123724356957946 * alpha[9][k] * g[9][k];
+    }
+    for k in 0..L {
+        out[4][k] += -nu * scale * 1.3693063937629153 * alpha[0][k] * g[1][k];
+        out[4][k] += -nu * scale * 1.369306393762915 * alpha[3][k] * g[7][k];
+        out[4][k] += -nu * scale * 1.3693063937629155 * alpha[9][k] * g[15][k];
+    }
+    for k in 0..L {
+        out[5][k] += -nu * scale * 0.6123724356957945 * alpha[0][k] * g[2][k];
+        out[5][k] += -nu * scale * 0.6123724356957945 * alpha[3][k] * g[8][k];
+        out[5][k] += -nu * scale * 0.6123724356957946 * alpha[9][k] * g[16][k];
+    }
+    for k in 0..L {
+        out[7][k] += -nu * scale * 0.6123724356957945 * alpha[0][k] * g[3][k];
+        out[7][k] += -nu * scale * 0.6123724356957945 * alpha[3][k] * g[0][k];
+        out[7][k] += -nu * scale * 0.5477225575051661 * alpha[3][k] * g[9][k];
+        out[7][k] += -nu * scale * 0.5477225575051661 * alpha[9][k] * g[3][k];
+    }
+    for k in 0..L {
+        out[10][k] += -nu * scale * 1.369306393762915 * alpha[0][k] * g[5][k];
+        out[10][k] += -nu * scale * 1.3693063937629153 * alpha[3][k] * g[13][k];
+        out[10][k] += -nu * scale * 1.3693063937629153 * alpha[9][k] * g[19][k];
+    }
+    for k in 0..L {
+        out[11][k] += -nu * scale * 0.6123724356957946 * alpha[0][k] * g[6][k];
+        out[11][k] += -nu * scale * 0.6123724356957946 * alpha[3][k] * g[14][k];
+    }
+    for k in 0..L {
+        out[12][k] += -nu * scale * 1.369306393762915 * alpha[0][k] * g[7][k];
+        out[12][k] += -nu * scale * 1.369306393762915 * alpha[3][k] * g[1][k];
+        out[12][k] += -nu * scale * 1.2247448713915892 * alpha[3][k] * g[15][k];
+        out[12][k] += -nu * scale * 1.2247448713915892 * alpha[9][k] * g[7][k];
+    }
+    for k in 0..L {
+        out[13][k] += -nu * scale * 0.6123724356957945 * alpha[0][k] * g[8][k];
+        out[13][k] += -nu * scale * 0.6123724356957945 * alpha[3][k] * g[2][k];
+        out[13][k] += -nu * scale * 0.5477225575051662 * alpha[3][k] * g[16][k];
+        out[13][k] += -nu * scale * 0.5477225575051662 * alpha[9][k] * g[8][k];
+    }
+    for k in 0..L {
+        out[15][k] += -nu * scale * 0.6123724356957946 * alpha[0][k] * g[9][k];
+        out[15][k] += -nu * scale * 0.5477225575051661 * alpha[3][k] * g[3][k];
+        out[15][k] += -nu * scale * 0.6123724356957946 * alpha[9][k] * g[0][k];
+        out[15][k] += -nu * scale * 0.3912303982179758 * alpha[9][k] * g[9][k];
+    }
+    for k in 0..L {
+        out[17][k] += -nu * scale * 1.3693063937629153 * alpha[0][k] * g[13][k];
+        out[17][k] += -nu * scale * 1.3693063937629153 * alpha[3][k] * g[5][k];
+        out[17][k] += -nu * scale * 1.224744871391589 * alpha[3][k] * g[19][k];
+        out[17][k] += -nu * scale * 1.224744871391589 * alpha[9][k] * g[13][k];
+    }
+    for k in 0..L {
+        out[18][k] += -nu * scale * 0.6123724356957946 * alpha[0][k] * g[14][k];
+        out[18][k] += -nu * scale * 0.6123724356957946 * alpha[3][k] * g[6][k];
+        out[18][k] += -nu * scale * 0.5477225575051662 * alpha[9][k] * g[14][k];
+    }
+    for k in 0..L {
+        out[19][k] += -nu * scale * 0.6123724356957946 * alpha[0][k] * g[16][k];
+        out[19][k] += -nu * scale * 0.5477225575051662 * alpha[3][k] * g[8][k];
+        out[19][k] += -nu * scale * 0.6123724356957946 * alpha[9][k] * g[2][k];
+        out[19][k] += -nu * scale * 0.39123039821797584 * alpha[9][k] * g[16][k];
+    }
 }
 
 /// LBO diffusion surface term in v1 at one interior face: one-sided
@@ -890,98 +1322,147 @@ pub fn lbo_1x2v_p2_ser_diff_vol_v1(nu: f64, dv: f64, vth2: &[f64], g: &[f64], ou
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_1x2v_p2_ser_diff_surf_v1(nu: f64, dv: f64, vth2: &[f64], g_lo: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_1x2v_p2_ser_diff_surf_v1_body::<1>(nu, dv, vth2.as_chunks().0, g_lo.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_1x2v_p2_ser_diff_surf_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_diff_surf_v1_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_diff_surf_v1_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// [`lbo_1x2v_p2_ser_diff_surf_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_1x2v_p2_ser_diff_surf_v1_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_1x2v_p2_ser_diff_surf_v1_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_1x2v_p2_ser_diff_surf_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_1x2v_p2_ser_diff_surf_v1_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g_lo: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 3] = vth2.first_chunk().expect("vth2: 3 coefficients");
+    let g_lo: &[[f64; L]; 20] = g_lo.first_chunk().expect("g_lo: 20 coefficients");
+    let out_lo: &mut [[f64; L]; 20] = out_lo.first_chunk_mut().expect("out_lo: 20 coefficients");
+    let out_hi: &mut [[f64; L]; 20] = out_hi.first_chunk_mut().expect("out_hi: 20 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 8];
-    alpha[0] = 1.4142135623730951 * vth2[0];
-    alpha[2] = 1.4142135623730951 * vth2[1];
-    alpha[5] = 1.4142135623730951 * vth2[2];
-    let mut tr = [0.0f64; 8];
-    tr[0] += 0.7071067811865476 * g_lo[0];
-    tr[0] += 1.224744871391589 * g_lo[1];
-    tr[1] += 0.7071067811865476 * g_lo[2];
-    tr[2] += 0.7071067811865476 * g_lo[3];
-    tr[0] += 1.5811388300841898 * g_lo[4];
-    tr[1] += 1.224744871391589 * g_lo[5];
-    tr[3] += 0.7071067811865476 * g_lo[6];
-    tr[2] += 1.224744871391589 * g_lo[7];
-    tr[4] += 0.7071067811865476 * g_lo[8];
-    tr[5] += 0.7071067811865476 * g_lo[9];
-    tr[1] += 1.5811388300841898 * g_lo[10];
-    tr[3] += 1.224744871391589 * g_lo[11];
-    tr[2] += 1.5811388300841898 * g_lo[12];
-    tr[4] += 1.224744871391589 * g_lo[13];
-    tr[6] += 0.7071067811865476 * g_lo[14];
-    tr[5] += 1.224744871391589 * g_lo[15];
-    tr[7] += 0.7071067811865476 * g_lo[16];
-    tr[4] += 1.5811388300841898 * g_lo[17];
-    tr[6] += 1.224744871391589 * g_lo[18];
-    tr[7] += 1.224744871391589 * g_lo[19];
-    let mut ghat = [0.0f64; 8];
-    ghat[0] += 0.5 * alpha[0] * tr[0];
-    ghat[0] += 0.5 * alpha[2] * tr[2];
-    ghat[0] += 0.5 * alpha[5] * tr[5];
-    ghat[1] += 0.5 * alpha[0] * tr[1];
-    ghat[1] += 0.5 * alpha[2] * tr[4];
-    ghat[1] += 0.5 * alpha[5] * tr[7];
-    ghat[2] += 0.5 * alpha[0] * tr[2];
-    ghat[2] += 0.5 * alpha[2] * tr[0];
-    ghat[2] += 0.4472135954999579 * alpha[2] * tr[5];
-    ghat[2] += 0.4472135954999579 * alpha[5] * tr[2];
-    ghat[3] += 0.5 * alpha[0] * tr[3];
-    ghat[3] += 0.5 * alpha[2] * tr[6];
-    ghat[4] += 0.5 * alpha[0] * tr[4];
-    ghat[4] += 0.5 * alpha[2] * tr[1];
-    ghat[4] += 0.447213595499958 * alpha[2] * tr[7];
-    ghat[4] += 0.447213595499958 * alpha[5] * tr[4];
-    ghat[5] += 0.5 * alpha[0] * tr[5];
-    ghat[5] += 0.4472135954999579 * alpha[2] * tr[2];
-    ghat[5] += 0.5 * alpha[5] * tr[0];
-    ghat[5] += 0.31943828249996997 * alpha[5] * tr[5];
-    ghat[6] += 0.5 * alpha[0] * tr[6];
-    ghat[6] += 0.5 * alpha[2] * tr[3];
-    ghat[6] += 0.4472135954999579 * alpha[5] * tr[6];
-    ghat[7] += 0.5 * alpha[0] * tr[7];
-    ghat[7] += 0.447213595499958 * alpha[2] * tr[4];
-    ghat[7] += 0.5 * alpha[5] * tr[1];
-    ghat[7] += 0.31943828249996997 * alpha[5] * tr[7];
-    out_lo[0] += nu * scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += nu * scale * 1.224744871391589 * ghat[0];
-    out_lo[2] += nu * scale * 0.7071067811865476 * ghat[1];
-    out_lo[3] += nu * scale * 0.7071067811865476 * ghat[2];
-    out_lo[4] += nu * scale * 1.5811388300841898 * ghat[0];
-    out_lo[5] += nu * scale * 1.224744871391589 * ghat[1];
-    out_lo[6] += nu * scale * 0.7071067811865476 * ghat[3];
-    out_lo[7] += nu * scale * 1.224744871391589 * ghat[2];
-    out_lo[8] += nu * scale * 0.7071067811865476 * ghat[4];
-    out_lo[9] += nu * scale * 0.7071067811865476 * ghat[5];
-    out_lo[10] += nu * scale * 1.5811388300841898 * ghat[1];
-    out_lo[11] += nu * scale * 1.224744871391589 * ghat[3];
-    out_lo[12] += nu * scale * 1.5811388300841898 * ghat[2];
-    out_lo[13] += nu * scale * 1.224744871391589 * ghat[4];
-    out_lo[14] += nu * scale * 0.7071067811865476 * ghat[6];
-    out_lo[15] += nu * scale * 1.224744871391589 * ghat[5];
-    out_lo[16] += nu * scale * 0.7071067811865476 * ghat[7];
-    out_lo[17] += nu * scale * 1.5811388300841898 * ghat[4];
-    out_lo[18] += nu * scale * 1.224744871391589 * ghat[6];
-    out_lo[19] += nu * scale * 1.224744871391589 * ghat[7];
-    out_hi[0] += -nu * scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += -nu * scale * -1.224744871391589 * ghat[0];
-    out_hi[2] += -nu * scale * 0.7071067811865476 * ghat[1];
-    out_hi[3] += -nu * scale * 0.7071067811865476 * ghat[2];
-    out_hi[4] += -nu * scale * 1.5811388300841898 * ghat[0];
-    out_hi[5] += -nu * scale * -1.224744871391589 * ghat[1];
-    out_hi[6] += -nu * scale * 0.7071067811865476 * ghat[3];
-    out_hi[7] += -nu * scale * -1.224744871391589 * ghat[2];
-    out_hi[8] += -nu * scale * 0.7071067811865476 * ghat[4];
-    out_hi[9] += -nu * scale * 0.7071067811865476 * ghat[5];
-    out_hi[10] += -nu * scale * 1.5811388300841898 * ghat[1];
-    out_hi[11] += -nu * scale * -1.224744871391589 * ghat[3];
-    out_hi[12] += -nu * scale * 1.5811388300841898 * ghat[2];
-    out_hi[13] += -nu * scale * -1.224744871391589 * ghat[4];
-    out_hi[14] += -nu * scale * 0.7071067811865476 * ghat[6];
-    out_hi[15] += -nu * scale * -1.224744871391589 * ghat[5];
-    out_hi[16] += -nu * scale * 0.7071067811865476 * ghat[7];
-    out_hi[17] += -nu * scale * 1.5811388300841898 * ghat[4];
-    out_hi[18] += -nu * scale * -1.224744871391589 * ghat[6];
-    out_hi[19] += -nu * scale * -1.224744871391589 * ghat[7];
+    let mut alpha = [[0.0f64; L]; 8];
+    for k in 0..L {
+        alpha[0][k] = 1.4142135623730951 * vth2[0][k];
+        alpha[2][k] = 1.4142135623730951 * vth2[1][k];
+        alpha[5][k] = 1.4142135623730951 * vth2[2][k];
+    }
+    let mut tr = [[0.0f64; L]; 8];
+    for k in 0..L {
+        tr[0][k] += 0.7071067811865476 * g_lo[0][k];
+        tr[0][k] += 1.224744871391589 * g_lo[1][k];
+    }
+    sxn(&mut tr[1], 0.7071067811865476, &g_lo[2]);
+    sxn(&mut tr[2], 0.7071067811865476, &g_lo[3]);
+    sxn(&mut tr[0], 1.5811388300841898, &g_lo[4]);
+    sxn(&mut tr[1], 1.224744871391589, &g_lo[5]);
+    sxn(&mut tr[3], 0.7071067811865476, &g_lo[6]);
+    sxn(&mut tr[2], 1.224744871391589, &g_lo[7]);
+    sxn(&mut tr[4], 0.7071067811865476, &g_lo[8]);
+    sxn(&mut tr[5], 0.7071067811865476, &g_lo[9]);
+    sxn(&mut tr[1], 1.5811388300841898, &g_lo[10]);
+    sxn(&mut tr[3], 1.224744871391589, &g_lo[11]);
+    sxn(&mut tr[2], 1.5811388300841898, &g_lo[12]);
+    sxn(&mut tr[4], 1.224744871391589, &g_lo[13]);
+    sxn(&mut tr[6], 0.7071067811865476, &g_lo[14]);
+    sxn(&mut tr[5], 1.224744871391589, &g_lo[15]);
+    sxn(&mut tr[7], 0.7071067811865476, &g_lo[16]);
+    sxn(&mut tr[4], 1.5811388300841898, &g_lo[17]);
+    sxn(&mut tr[6], 1.224744871391589, &g_lo[18]);
+    sxn(&mut tr[7], 1.224744871391589, &g_lo[19]);
+    let mut ghat = [[0.0f64; L]; 8];
+    for k in 0..L {
+        ghat[0][k] += 0.5 * alpha[0][k] * tr[0][k];
+        ghat[0][k] += 0.5 * alpha[2][k] * tr[2][k];
+        ghat[0][k] += 0.5 * alpha[5][k] * tr[5][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.5 * alpha[0][k] * tr[1][k];
+        ghat[1][k] += 0.5 * alpha[2][k] * tr[4][k];
+        ghat[1][k] += 0.5 * alpha[5][k] * tr[7][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.5 * alpha[0][k] * tr[2][k];
+        ghat[2][k] += 0.5 * alpha[2][k] * tr[0][k];
+        ghat[2][k] += 0.4472135954999579 * alpha[2][k] * tr[5][k];
+        ghat[2][k] += 0.4472135954999579 * alpha[5][k] * tr[2][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.5 * alpha[0][k] * tr[3][k];
+        ghat[3][k] += 0.5 * alpha[2][k] * tr[6][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.5 * alpha[0][k] * tr[4][k];
+        ghat[4][k] += 0.5 * alpha[2][k] * tr[1][k];
+        ghat[4][k] += 0.447213595499958 * alpha[2][k] * tr[7][k];
+        ghat[4][k] += 0.447213595499958 * alpha[5][k] * tr[4][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.5 * alpha[0][k] * tr[5][k];
+        ghat[5][k] += 0.4472135954999579 * alpha[2][k] * tr[2][k];
+        ghat[5][k] += 0.5 * alpha[5][k] * tr[0][k];
+        ghat[5][k] += 0.31943828249996997 * alpha[5][k] * tr[5][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.5 * alpha[0][k] * tr[6][k];
+        ghat[6][k] += 0.5 * alpha[2][k] * tr[3][k];
+        ghat[6][k] += 0.4472135954999579 * alpha[5][k] * tr[6][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.5 * alpha[0][k] * tr[7][k];
+        ghat[7][k] += 0.447213595499958 * alpha[2][k] * tr[4][k];
+        ghat[7][k] += 0.5 * alpha[5][k] * tr[1][k];
+        ghat[7][k] += 0.31943828249996997 * alpha[5][k] * tr[7][k];
+    }
+    sxn(&mut out_lo[0], nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], nu * scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[2], nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[3], nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], nu * scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_lo[5], nu * scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[6], nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[7], nu * scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[8], nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[9], nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[10], nu * scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_lo[11], nu * scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[12], nu * scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_lo[13], nu * scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[14], nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[15], nu * scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[16], nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[17], nu * scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_lo[18], nu * scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[19], nu * scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[0], -nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], -nu * scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[2], -nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[3], -nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], -nu * scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_hi[5], -nu * scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[6], -nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[7], -nu * scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[8], -nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[9], -nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[10], -nu * scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_hi[11], -nu * scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[12], -nu * scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_hi[13], -nu * scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[14], -nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[15], -nu * scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[16], -nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[17], -nu * scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_hi[18], -nu * scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[19], -nu * scale * -1.224744871391589, &ghat[7]);
 }

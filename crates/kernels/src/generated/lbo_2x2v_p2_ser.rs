@@ -1,337 +1,424 @@
 // LBO (Lenard–Bernstein / Dougherty) collision kernels, 2x2v p=2 Serendipity basis.
 // Auto-generated from exact integral tables — do not edit by hand.
 // Five stage functions per velocity direction (drag volume/surface,
-// LDG gradient, diffusion volume/surface); see
+// LDG gradient, diffusion volume/surface), each one lane-generic body
+// behind a scalar, a `_b4` and a `_b4_avx2` entry point; see
 // `crate::dispatch::LboKernelEntry` for the calling conventions.
 
 /// LBO drag volume term in v0: weak `∇_v · (ν(v − u) f)`, cell interior.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x2v_p2_ser_drag_vol_v0(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f64], out: &mut [f64]) {
+    lbo_2x2v_p2_ser_drag_vol_v0_body::<1>(nu, v_c, dv, u.as_chunks().0, f.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_2x2v_p2_ser_drag_vol_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_drag_vol_v0_b4(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_drag_vol_v0_body(nu, v_c, dv, u, f, out)
+}
+
+/// [`lbo_2x2v_p2_ser_drag_vol_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_drag_vol_v0_b4_avx2(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_drag_vol_v0_body(nu, v_c, dv, u, f, out)
+}
+
+/// Shared lane-generic body of [`lbo_2x2v_p2_ser_drag_vol_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x2v_p2_ser_drag_vol_v0_body<const L: usize>(nu: f64, v_c: f64, dv: f64, u: &[[f64; L]], f: &[[f64; L]], out: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 8] = u.first_chunk().expect("u: 8 coefficients");
+    let f: &[[f64; L]; 48] = f.first_chunk().expect("f: 48 coefficients");
+    let out: &mut [[f64; L]; 48] = out.first_chunk_mut().expect("out: 48 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 48];
-    alpha[0] = -nu * v_c * 4.0;
-    alpha[2] = -nu * 0.5 * dv * 2.3094010767585034;
-    alpha[0] += nu * 2.0 * u[0];
-    alpha[3] += nu * 2.0 * u[1];
-    alpha[4] += nu * 2.0 * u[2];
-    alpha[10] += nu * 2.0 * u[3];
-    alpha[13] += nu * 2.0 * u[4];
-    alpha[14] += nu * 2.0 * u[5];
-    alpha[27] += nu * 2.0 * u[6];
-    alpha[30] += nu * 2.0 * u[7];
-    out[2] += scale * 0.4330127018922193 * alpha[0] * f[0];
-    out[2] += scale * 0.4330127018922193 * alpha[2] * f[2];
-    out[2] += scale * 0.4330127018922193 * alpha[3] * f[3];
-    out[2] += scale * 0.4330127018922193 * alpha[4] * f[4];
-    out[2] += scale * 0.4330127018922194 * alpha[10] * f[10];
-    out[2] += scale * 0.4330127018922193 * alpha[13] * f[13];
-    out[2] += scale * 0.4330127018922194 * alpha[14] * f[14];
-    out[2] += scale * 0.43301270189221935 * alpha[27] * f[27];
-    out[2] += scale * 0.43301270189221935 * alpha[30] * f[30];
-    out[6] += scale * 0.4330127018922193 * alpha[0] * f[1];
-    out[6] += scale * 0.4330127018922193 * alpha[2] * f[6];
-    out[6] += scale * 0.4330127018922193 * alpha[3] * f[8];
-    out[6] += scale * 0.4330127018922193 * alpha[4] * f[11];
-    out[6] += scale * 0.43301270189221935 * alpha[10] * f[20];
-    out[6] += scale * 0.4330127018922193 * alpha[13] * f[25];
-    out[6] += scale * 0.43301270189221935 * alpha[14] * f[28];
-    out[6] += scale * 0.43301270189221935 * alpha[27] * f[39];
-    out[6] += scale * 0.43301270189221935 * alpha[30] * f[42];
-    out[7] += scale * 0.9682458365518543 * alpha[0] * f[2];
-    out[7] += scale * 0.9682458365518543 * alpha[2] * f[0];
-    out[7] += scale * 0.8660254037844388 * alpha[2] * f[7];
-    out[7] += scale * 0.9682458365518541 * alpha[3] * f[9];
-    out[7] += scale * 0.9682458365518541 * alpha[4] * f[12];
-    out[7] += scale * 0.9682458365518543 * alpha[10] * f[21];
-    out[7] += scale * 0.968245836551854 * alpha[13] * f[26];
-    out[7] += scale * 0.9682458365518543 * alpha[14] * f[29];
-    out[7] += scale * 0.9682458365518541 * alpha[27] * f[40];
-    out[7] += scale * 0.9682458365518541 * alpha[30] * f[43];
-    out[9] += scale * 0.4330127018922193 * alpha[0] * f[3];
-    out[9] += scale * 0.4330127018922193 * alpha[2] * f[9];
-    out[9] += scale * 0.4330127018922193 * alpha[3] * f[0];
-    out[9] += scale * 0.38729833462074165 * alpha[3] * f[10];
-    out[9] += scale * 0.4330127018922193 * alpha[4] * f[13];
-    out[9] += scale * 0.38729833462074165 * alpha[10] * f[3];
-    out[9] += scale * 0.4330127018922193 * alpha[13] * f[4];
-    out[9] += scale * 0.38729833462074165 * alpha[13] * f[27];
-    out[9] += scale * 0.43301270189221935 * alpha[14] * f[30];
-    out[9] += scale * 0.38729833462074165 * alpha[27] * f[13];
-    out[9] += scale * 0.43301270189221935 * alpha[30] * f[14];
-    out[12] += scale * 0.4330127018922193 * alpha[0] * f[4];
-    out[12] += scale * 0.4330127018922193 * alpha[2] * f[12];
-    out[12] += scale * 0.4330127018922193 * alpha[3] * f[13];
-    out[12] += scale * 0.4330127018922193 * alpha[4] * f[0];
-    out[12] += scale * 0.38729833462074165 * alpha[4] * f[14];
-    out[12] += scale * 0.43301270189221935 * alpha[10] * f[27];
-    out[12] += scale * 0.4330127018922193 * alpha[13] * f[3];
-    out[12] += scale * 0.38729833462074165 * alpha[13] * f[30];
-    out[12] += scale * 0.38729833462074165 * alpha[14] * f[4];
-    out[12] += scale * 0.43301270189221935 * alpha[27] * f[10];
-    out[12] += scale * 0.38729833462074165 * alpha[30] * f[13];
-    out[15] += scale * 0.4330127018922194 * alpha[0] * f[5];
-    out[15] += scale * 0.43301270189221935 * alpha[2] * f[15];
-    out[15] += scale * 0.43301270189221935 * alpha[3] * f[17];
-    out[15] += scale * 0.43301270189221935 * alpha[4] * f[22];
-    out[15] += scale * 0.43301270189221935 * alpha[13] * f[36];
-    out[16] += scale * 0.9682458365518541 * alpha[0] * f[6];
-    out[16] += scale * 0.9682458365518541 * alpha[2] * f[1];
-    out[16] += scale * 0.8660254037844387 * alpha[2] * f[16];
-    out[16] += scale * 0.968245836551854 * alpha[3] * f[18];
-    out[16] += scale * 0.968245836551854 * alpha[4] * f[23];
-    out[16] += scale * 0.9682458365518541 * alpha[10] * f[33];
-    out[16] += scale * 0.9682458365518543 * alpha[13] * f[37];
-    out[16] += scale * 0.9682458365518541 * alpha[14] * f[41];
-    out[16] += scale * 0.9682458365518543 * alpha[27] * f[46];
-    out[16] += scale * 0.9682458365518543 * alpha[30] * f[47];
-    out[18] += scale * 0.4330127018922193 * alpha[0] * f[8];
-    out[18] += scale * 0.4330127018922193 * alpha[2] * f[18];
-    out[18] += scale * 0.4330127018922193 * alpha[3] * f[1];
-    out[18] += scale * 0.38729833462074165 * alpha[3] * f[20];
-    out[18] += scale * 0.4330127018922193 * alpha[4] * f[25];
-    out[18] += scale * 0.38729833462074165 * alpha[10] * f[8];
-    out[18] += scale * 0.4330127018922193 * alpha[13] * f[11];
-    out[18] += scale * 0.3872983346207417 * alpha[13] * f[39];
-    out[18] += scale * 0.43301270189221935 * alpha[14] * f[42];
-    out[18] += scale * 0.3872983346207417 * alpha[27] * f[25];
-    out[18] += scale * 0.43301270189221935 * alpha[30] * f[28];
-    out[19] += scale * 0.9682458365518541 * alpha[0] * f[9];
-    out[19] += scale * 0.9682458365518541 * alpha[2] * f[3];
-    out[19] += scale * 0.8660254037844387 * alpha[2] * f[19];
-    out[19] += scale * 0.9682458365518541 * alpha[3] * f[2];
-    out[19] += scale * 0.8660254037844387 * alpha[3] * f[21];
-    out[19] += scale * 0.968245836551854 * alpha[4] * f[26];
-    out[19] += scale * 0.8660254037844387 * alpha[10] * f[9];
-    out[19] += scale * 0.968245836551854 * alpha[13] * f[12];
-    out[19] += scale * 0.8660254037844387 * alpha[13] * f[40];
-    out[19] += scale * 0.9682458365518541 * alpha[14] * f[43];
-    out[19] += scale * 0.8660254037844387 * alpha[27] * f[26];
-    out[19] += scale * 0.9682458365518541 * alpha[30] * f[29];
-    out[21] += scale * 0.4330127018922194 * alpha[0] * f[10];
-    out[21] += scale * 0.43301270189221935 * alpha[2] * f[21];
-    out[21] += scale * 0.38729833462074165 * alpha[3] * f[3];
-    out[21] += scale * 0.43301270189221935 * alpha[4] * f[27];
-    out[21] += scale * 0.4330127018922194 * alpha[10] * f[0];
-    out[21] += scale * 0.27664166758624403 * alpha[10] * f[10];
-    out[21] += scale * 0.38729833462074165 * alpha[13] * f[13];
-    out[21] += scale * 0.43301270189221935 * alpha[27] * f[4];
-    out[21] += scale * 0.2766416675862441 * alpha[27] * f[27];
-    out[21] += scale * 0.3872983346207417 * alpha[30] * f[30];
-    out[23] += scale * 0.4330127018922193 * alpha[0] * f[11];
-    out[23] += scale * 0.4330127018922193 * alpha[2] * f[23];
-    out[23] += scale * 0.4330127018922193 * alpha[3] * f[25];
-    out[23] += scale * 0.4330127018922193 * alpha[4] * f[1];
-    out[23] += scale * 0.38729833462074165 * alpha[4] * f[28];
-    out[23] += scale * 0.43301270189221935 * alpha[10] * f[39];
-    out[23] += scale * 0.4330127018922193 * alpha[13] * f[8];
-    out[23] += scale * 0.3872983346207417 * alpha[13] * f[42];
-    out[23] += scale * 0.38729833462074165 * alpha[14] * f[11];
-    out[23] += scale * 0.43301270189221935 * alpha[27] * f[20];
-    out[23] += scale * 0.3872983346207417 * alpha[30] * f[25];
-    out[24] += scale * 0.9682458365518541 * alpha[0] * f[12];
-    out[24] += scale * 0.9682458365518541 * alpha[2] * f[4];
-    out[24] += scale * 0.8660254037844387 * alpha[2] * f[24];
-    out[24] += scale * 0.968245836551854 * alpha[3] * f[26];
-    out[24] += scale * 0.9682458365518541 * alpha[4] * f[2];
-    out[24] += scale * 0.8660254037844387 * alpha[4] * f[29];
-    out[24] += scale * 0.9682458365518541 * alpha[10] * f[40];
-    out[24] += scale * 0.968245836551854 * alpha[13] * f[9];
-    out[24] += scale * 0.8660254037844387 * alpha[13] * f[43];
-    out[24] += scale * 0.8660254037844387 * alpha[14] * f[12];
-    out[24] += scale * 0.9682458365518541 * alpha[27] * f[21];
-    out[24] += scale * 0.8660254037844387 * alpha[30] * f[26];
-    out[26] += scale * 0.4330127018922193 * alpha[0] * f[13];
-    out[26] += scale * 0.4330127018922193 * alpha[2] * f[26];
-    out[26] += scale * 0.4330127018922193 * alpha[3] * f[4];
-    out[26] += scale * 0.38729833462074165 * alpha[3] * f[27];
-    out[26] += scale * 0.4330127018922193 * alpha[4] * f[3];
-    out[26] += scale * 0.38729833462074165 * alpha[4] * f[30];
-    out[26] += scale * 0.38729833462074165 * alpha[10] * f[13];
-    out[26] += scale * 0.4330127018922193 * alpha[13] * f[0];
-    out[26] += scale * 0.38729833462074165 * alpha[13] * f[10];
-    out[26] += scale * 0.38729833462074165 * alpha[13] * f[14];
-    out[26] += scale * 0.38729833462074165 * alpha[14] * f[13];
-    out[26] += scale * 0.38729833462074165 * alpha[27] * f[3];
-    out[26] += scale * 0.34641016151377546 * alpha[27] * f[30];
-    out[26] += scale * 0.38729833462074165 * alpha[30] * f[4];
-    out[26] += scale * 0.34641016151377546 * alpha[30] * f[27];
-    out[29] += scale * 0.4330127018922194 * alpha[0] * f[14];
-    out[29] += scale * 0.43301270189221935 * alpha[2] * f[29];
-    out[29] += scale * 0.43301270189221935 * alpha[3] * f[30];
-    out[29] += scale * 0.38729833462074165 * alpha[4] * f[4];
-    out[29] += scale * 0.38729833462074165 * alpha[13] * f[13];
-    out[29] += scale * 0.4330127018922194 * alpha[14] * f[0];
-    out[29] += scale * 0.27664166758624403 * alpha[14] * f[14];
-    out[29] += scale * 0.3872983346207417 * alpha[27] * f[27];
-    out[29] += scale * 0.43301270189221935 * alpha[30] * f[3];
-    out[29] += scale * 0.2766416675862441 * alpha[30] * f[30];
-    out[31] += scale * 0.43301270189221935 * alpha[0] * f[17];
-    out[31] += scale * 0.43301270189221935 * alpha[2] * f[31];
-    out[31] += scale * 0.43301270189221935 * alpha[3] * f[5];
-    out[31] += scale * 0.43301270189221935 * alpha[4] * f[36];
-    out[31] += scale * 0.3872983346207417 * alpha[10] * f[17];
-    out[31] += scale * 0.43301270189221935 * alpha[13] * f[22];
-    out[31] += scale * 0.3872983346207417 * alpha[27] * f[36];
-    out[32] += scale * 0.968245836551854 * alpha[0] * f[18];
-    out[32] += scale * 0.968245836551854 * alpha[2] * f[8];
-    out[32] += scale * 0.8660254037844387 * alpha[2] * f[32];
-    out[32] += scale * 0.968245836551854 * alpha[3] * f[6];
-    out[32] += scale * 0.8660254037844387 * alpha[3] * f[33];
-    out[32] += scale * 0.9682458365518543 * alpha[4] * f[37];
-    out[32] += scale * 0.8660254037844387 * alpha[10] * f[18];
-    out[32] += scale * 0.9682458365518543 * alpha[13] * f[23];
-    out[32] += scale * 0.8660254037844387 * alpha[13] * f[46];
-    out[32] += scale * 0.9682458365518543 * alpha[14] * f[47];
-    out[32] += scale * 0.8660254037844387 * alpha[27] * f[37];
-    out[32] += scale * 0.9682458365518543 * alpha[30] * f[41];
-    out[33] += scale * 0.43301270189221935 * alpha[0] * f[20];
-    out[33] += scale * 0.43301270189221935 * alpha[2] * f[33];
-    out[33] += scale * 0.38729833462074165 * alpha[3] * f[8];
-    out[33] += scale * 0.43301270189221935 * alpha[4] * f[39];
-    out[33] += scale * 0.43301270189221935 * alpha[10] * f[1];
-    out[33] += scale * 0.2766416675862441 * alpha[10] * f[20];
-    out[33] += scale * 0.3872983346207417 * alpha[13] * f[25];
-    out[33] += scale * 0.43301270189221935 * alpha[27] * f[11];
-    out[33] += scale * 0.27664166758624403 * alpha[27] * f[39];
-    out[33] += scale * 0.3872983346207417 * alpha[30] * f[42];
-    out[34] += scale * 0.43301270189221935 * alpha[0] * f[22];
-    out[34] += scale * 0.43301270189221935 * alpha[2] * f[34];
-    out[34] += scale * 0.43301270189221935 * alpha[3] * f[36];
-    out[34] += scale * 0.43301270189221935 * alpha[4] * f[5];
-    out[34] += scale * 0.43301270189221935 * alpha[13] * f[17];
-    out[34] += scale * 0.3872983346207417 * alpha[14] * f[22];
-    out[34] += scale * 0.3872983346207417 * alpha[30] * f[36];
-    out[35] += scale * 0.968245836551854 * alpha[0] * f[23];
-    out[35] += scale * 0.968245836551854 * alpha[2] * f[11];
-    out[35] += scale * 0.8660254037844387 * alpha[2] * f[35];
-    out[35] += scale * 0.9682458365518543 * alpha[3] * f[37];
-    out[35] += scale * 0.968245836551854 * alpha[4] * f[6];
-    out[35] += scale * 0.8660254037844387 * alpha[4] * f[41];
-    out[35] += scale * 0.9682458365518543 * alpha[10] * f[46];
-    out[35] += scale * 0.9682458365518543 * alpha[13] * f[18];
-    out[35] += scale * 0.8660254037844387 * alpha[13] * f[47];
-    out[35] += scale * 0.8660254037844387 * alpha[14] * f[23];
-    out[35] += scale * 0.9682458365518543 * alpha[27] * f[33];
-    out[35] += scale * 0.8660254037844387 * alpha[30] * f[37];
-    out[37] += scale * 0.4330127018922193 * alpha[0] * f[25];
-    out[37] += scale * 0.4330127018922193 * alpha[2] * f[37];
-    out[37] += scale * 0.4330127018922193 * alpha[3] * f[11];
-    out[37] += scale * 0.3872983346207417 * alpha[3] * f[39];
-    out[37] += scale * 0.4330127018922193 * alpha[4] * f[8];
-    out[37] += scale * 0.3872983346207417 * alpha[4] * f[42];
-    out[37] += scale * 0.3872983346207417 * alpha[10] * f[25];
-    out[37] += scale * 0.4330127018922193 * alpha[13] * f[1];
-    out[37] += scale * 0.3872983346207417 * alpha[13] * f[20];
-    out[37] += scale * 0.3872983346207417 * alpha[13] * f[28];
-    out[37] += scale * 0.3872983346207417 * alpha[14] * f[25];
-    out[37] += scale * 0.3872983346207417 * alpha[27] * f[8];
-    out[37] += scale * 0.34641016151377546 * alpha[27] * f[42];
-    out[37] += scale * 0.3872983346207417 * alpha[30] * f[11];
-    out[37] += scale * 0.34641016151377546 * alpha[30] * f[39];
-    out[38] += scale * 0.968245836551854 * alpha[0] * f[26];
-    out[38] += scale * 0.968245836551854 * alpha[2] * f[13];
-    out[38] += scale * 0.8660254037844387 * alpha[2] * f[38];
-    out[38] += scale * 0.968245836551854 * alpha[3] * f[12];
-    out[38] += scale * 0.8660254037844387 * alpha[3] * f[40];
-    out[38] += scale * 0.968245836551854 * alpha[4] * f[9];
-    out[38] += scale * 0.8660254037844387 * alpha[4] * f[43];
-    out[38] += scale * 0.8660254037844387 * alpha[10] * f[26];
-    out[38] += scale * 0.968245836551854 * alpha[13] * f[2];
-    out[38] += scale * 0.8660254037844387 * alpha[13] * f[21];
-    out[38] += scale * 0.8660254037844387 * alpha[13] * f[29];
-    out[38] += scale * 0.8660254037844387 * alpha[14] * f[26];
-    out[38] += scale * 0.8660254037844387 * alpha[27] * f[9];
-    out[38] += scale * 0.7745966692414834 * alpha[27] * f[43];
-    out[38] += scale * 0.8660254037844387 * alpha[30] * f[12];
-    out[38] += scale * 0.7745966692414834 * alpha[30] * f[40];
-    out[40] += scale * 0.43301270189221935 * alpha[0] * f[27];
-    out[40] += scale * 0.43301270189221935 * alpha[2] * f[40];
-    out[40] += scale * 0.38729833462074165 * alpha[3] * f[13];
-    out[40] += scale * 0.43301270189221935 * alpha[4] * f[10];
-    out[40] += scale * 0.43301270189221935 * alpha[10] * f[4];
-    out[40] += scale * 0.2766416675862441 * alpha[10] * f[27];
-    out[40] += scale * 0.38729833462074165 * alpha[13] * f[3];
-    out[40] += scale * 0.34641016151377546 * alpha[13] * f[30];
-    out[40] += scale * 0.3872983346207417 * alpha[14] * f[27];
-    out[40] += scale * 0.43301270189221935 * alpha[27] * f[0];
-    out[40] += scale * 0.2766416675862441 * alpha[27] * f[10];
-    out[40] += scale * 0.3872983346207417 * alpha[27] * f[14];
-    out[40] += scale * 0.34641016151377546 * alpha[30] * f[13];
-    out[41] += scale * 0.43301270189221935 * alpha[0] * f[28];
-    out[41] += scale * 0.43301270189221935 * alpha[2] * f[41];
-    out[41] += scale * 0.43301270189221935 * alpha[3] * f[42];
-    out[41] += scale * 0.38729833462074165 * alpha[4] * f[11];
-    out[41] += scale * 0.3872983346207417 * alpha[13] * f[25];
-    out[41] += scale * 0.43301270189221935 * alpha[14] * f[1];
-    out[41] += scale * 0.2766416675862441 * alpha[14] * f[28];
-    out[41] += scale * 0.3872983346207417 * alpha[27] * f[39];
-    out[41] += scale * 0.43301270189221935 * alpha[30] * f[8];
-    out[41] += scale * 0.27664166758624403 * alpha[30] * f[42];
-    out[43] += scale * 0.43301270189221935 * alpha[0] * f[30];
-    out[43] += scale * 0.43301270189221935 * alpha[2] * f[43];
-    out[43] += scale * 0.43301270189221935 * alpha[3] * f[14];
-    out[43] += scale * 0.38729833462074165 * alpha[4] * f[13];
-    out[43] += scale * 0.3872983346207417 * alpha[10] * f[30];
-    out[43] += scale * 0.38729833462074165 * alpha[13] * f[4];
-    out[43] += scale * 0.34641016151377546 * alpha[13] * f[27];
-    out[43] += scale * 0.43301270189221935 * alpha[14] * f[3];
-    out[43] += scale * 0.2766416675862441 * alpha[14] * f[30];
-    out[43] += scale * 0.34641016151377546 * alpha[27] * f[13];
-    out[43] += scale * 0.43301270189221935 * alpha[30] * f[0];
-    out[43] += scale * 0.3872983346207417 * alpha[30] * f[10];
-    out[43] += scale * 0.2766416675862441 * alpha[30] * f[14];
-    out[44] += scale * 0.43301270189221935 * alpha[0] * f[36];
-    out[44] += scale * 0.43301270189221935 * alpha[2] * f[44];
-    out[44] += scale * 0.43301270189221935 * alpha[3] * f[22];
-    out[44] += scale * 0.43301270189221935 * alpha[4] * f[17];
-    out[44] += scale * 0.3872983346207417 * alpha[10] * f[36];
-    out[44] += scale * 0.43301270189221935 * alpha[13] * f[5];
-    out[44] += scale * 0.3872983346207417 * alpha[14] * f[36];
-    out[44] += scale * 0.3872983346207417 * alpha[27] * f[17];
-    out[44] += scale * 0.3872983346207417 * alpha[30] * f[22];
-    out[45] += scale * 0.9682458365518543 * alpha[0] * f[37];
-    out[45] += scale * 0.9682458365518543 * alpha[2] * f[25];
-    out[45] += scale * 0.8660254037844387 * alpha[2] * f[45];
-    out[45] += scale * 0.9682458365518543 * alpha[3] * f[23];
-    out[45] += scale * 0.8660254037844387 * alpha[3] * f[46];
-    out[45] += scale * 0.9682458365518543 * alpha[4] * f[18];
-    out[45] += scale * 0.8660254037844387 * alpha[4] * f[47];
-    out[45] += scale * 0.8660254037844387 * alpha[10] * f[37];
-    out[45] += scale * 0.9682458365518543 * alpha[13] * f[6];
-    out[45] += scale * 0.8660254037844387 * alpha[13] * f[33];
-    out[45] += scale * 0.8660254037844387 * alpha[13] * f[41];
-    out[45] += scale * 0.8660254037844387 * alpha[14] * f[37];
-    out[45] += scale * 0.8660254037844387 * alpha[27] * f[18];
-    out[45] += scale * 0.7745966692414834 * alpha[27] * f[47];
-    out[45] += scale * 0.8660254037844387 * alpha[30] * f[23];
-    out[45] += scale * 0.7745966692414834 * alpha[30] * f[46];
-    out[46] += scale * 0.43301270189221935 * alpha[0] * f[39];
-    out[46] += scale * 0.43301270189221935 * alpha[2] * f[46];
-    out[46] += scale * 0.3872983346207417 * alpha[3] * f[25];
-    out[46] += scale * 0.43301270189221935 * alpha[4] * f[20];
-    out[46] += scale * 0.43301270189221935 * alpha[10] * f[11];
-    out[46] += scale * 0.27664166758624403 * alpha[10] * f[39];
-    out[46] += scale * 0.3872983346207417 * alpha[13] * f[8];
-    out[46] += scale * 0.34641016151377546 * alpha[13] * f[42];
-    out[46] += scale * 0.3872983346207417 * alpha[14] * f[39];
-    out[46] += scale * 0.43301270189221935 * alpha[27] * f[1];
-    out[46] += scale * 0.27664166758624403 * alpha[27] * f[20];
-    out[46] += scale * 0.3872983346207417 * alpha[27] * f[28];
-    out[46] += scale * 0.34641016151377546 * alpha[30] * f[25];
-    out[47] += scale * 0.43301270189221935 * alpha[0] * f[42];
-    out[47] += scale * 0.43301270189221935 * alpha[2] * f[47];
-    out[47] += scale * 0.43301270189221935 * alpha[3] * f[28];
-    out[47] += scale * 0.3872983346207417 * alpha[4] * f[25];
-    out[47] += scale * 0.3872983346207417 * alpha[10] * f[42];
-    out[47] += scale * 0.3872983346207417 * alpha[13] * f[11];
-    out[47] += scale * 0.34641016151377546 * alpha[13] * f[39];
-    out[47] += scale * 0.43301270189221935 * alpha[14] * f[8];
-    out[47] += scale * 0.27664166758624403 * alpha[14] * f[42];
-    out[47] += scale * 0.34641016151377546 * alpha[27] * f[25];
-    out[47] += scale * 0.43301270189221935 * alpha[30] * f[1];
-    out[47] += scale * 0.3872983346207417 * alpha[30] * f[20];
-    out[47] += scale * 0.27664166758624403 * alpha[30] * f[28];
+    let mut alpha = [[0.0f64; L]; 48];
+    for k in 0..L {
+        alpha[0][k] = -nu * v_c * 4.0;
+        alpha[2][k] = -nu * 0.5 * dv * 2.3094010767585034;
+        alpha[0][k] += nu * 2.0 * u[0][k];
+        alpha[3][k] += nu * 2.0 * u[1][k];
+        alpha[4][k] += nu * 2.0 * u[2][k];
+        alpha[10][k] += nu * 2.0 * u[3][k];
+        alpha[13][k] += nu * 2.0 * u[4][k];
+        alpha[14][k] += nu * 2.0 * u[5][k];
+        alpha[27][k] += nu * 2.0 * u[6][k];
+        alpha[30][k] += nu * 2.0 * u[7][k];
+    }
+    for k in 0..L {
+        out[2][k] += scale * 0.4330127018922193 * alpha[0][k] * f[0][k];
+        out[2][k] += scale * 0.4330127018922193 * alpha[2][k] * f[2][k];
+        out[2][k] += scale * 0.4330127018922193 * alpha[3][k] * f[3][k];
+        out[2][k] += scale * 0.4330127018922193 * alpha[4][k] * f[4][k];
+        out[2][k] += scale * 0.4330127018922194 * alpha[10][k] * f[10][k];
+        out[2][k] += scale * 0.4330127018922193 * alpha[13][k] * f[13][k];
+        out[2][k] += scale * 0.4330127018922194 * alpha[14][k] * f[14][k];
+        out[2][k] += scale * 0.43301270189221935 * alpha[27][k] * f[27][k];
+        out[2][k] += scale * 0.43301270189221935 * alpha[30][k] * f[30][k];
+    }
+    for k in 0..L {
+        out[6][k] += scale * 0.4330127018922193 * alpha[0][k] * f[1][k];
+        out[6][k] += scale * 0.4330127018922193 * alpha[2][k] * f[6][k];
+        out[6][k] += scale * 0.4330127018922193 * alpha[3][k] * f[8][k];
+        out[6][k] += scale * 0.4330127018922193 * alpha[4][k] * f[11][k];
+        out[6][k] += scale * 0.43301270189221935 * alpha[10][k] * f[20][k];
+        out[6][k] += scale * 0.4330127018922193 * alpha[13][k] * f[25][k];
+        out[6][k] += scale * 0.43301270189221935 * alpha[14][k] * f[28][k];
+        out[6][k] += scale * 0.43301270189221935 * alpha[27][k] * f[39][k];
+        out[6][k] += scale * 0.43301270189221935 * alpha[30][k] * f[42][k];
+    }
+    for k in 0..L {
+        out[7][k] += scale * 0.9682458365518543 * alpha[0][k] * f[2][k];
+        out[7][k] += scale * 0.9682458365518543 * alpha[2][k] * f[0][k];
+        out[7][k] += scale * 0.8660254037844388 * alpha[2][k] * f[7][k];
+        out[7][k] += scale * 0.9682458365518541 * alpha[3][k] * f[9][k];
+        out[7][k] += scale * 0.9682458365518541 * alpha[4][k] * f[12][k];
+        out[7][k] += scale * 0.9682458365518543 * alpha[10][k] * f[21][k];
+        out[7][k] += scale * 0.968245836551854 * alpha[13][k] * f[26][k];
+        out[7][k] += scale * 0.9682458365518543 * alpha[14][k] * f[29][k];
+        out[7][k] += scale * 0.9682458365518541 * alpha[27][k] * f[40][k];
+        out[7][k] += scale * 0.9682458365518541 * alpha[30][k] * f[43][k];
+    }
+    for k in 0..L {
+        out[9][k] += scale * 0.4330127018922193 * alpha[0][k] * f[3][k];
+        out[9][k] += scale * 0.4330127018922193 * alpha[2][k] * f[9][k];
+        out[9][k] += scale * 0.4330127018922193 * alpha[3][k] * f[0][k];
+        out[9][k] += scale * 0.38729833462074165 * alpha[3][k] * f[10][k];
+        out[9][k] += scale * 0.4330127018922193 * alpha[4][k] * f[13][k];
+        out[9][k] += scale * 0.38729833462074165 * alpha[10][k] * f[3][k];
+        out[9][k] += scale * 0.4330127018922193 * alpha[13][k] * f[4][k];
+        out[9][k] += scale * 0.38729833462074165 * alpha[13][k] * f[27][k];
+        out[9][k] += scale * 0.43301270189221935 * alpha[14][k] * f[30][k];
+        out[9][k] += scale * 0.38729833462074165 * alpha[27][k] * f[13][k];
+        out[9][k] += scale * 0.43301270189221935 * alpha[30][k] * f[14][k];
+    }
+    for k in 0..L {
+        out[12][k] += scale * 0.4330127018922193 * alpha[0][k] * f[4][k];
+        out[12][k] += scale * 0.4330127018922193 * alpha[2][k] * f[12][k];
+        out[12][k] += scale * 0.4330127018922193 * alpha[3][k] * f[13][k];
+        out[12][k] += scale * 0.4330127018922193 * alpha[4][k] * f[0][k];
+        out[12][k] += scale * 0.38729833462074165 * alpha[4][k] * f[14][k];
+        out[12][k] += scale * 0.43301270189221935 * alpha[10][k] * f[27][k];
+        out[12][k] += scale * 0.4330127018922193 * alpha[13][k] * f[3][k];
+        out[12][k] += scale * 0.38729833462074165 * alpha[13][k] * f[30][k];
+        out[12][k] += scale * 0.38729833462074165 * alpha[14][k] * f[4][k];
+        out[12][k] += scale * 0.43301270189221935 * alpha[27][k] * f[10][k];
+        out[12][k] += scale * 0.38729833462074165 * alpha[30][k] * f[13][k];
+    }
+    for k in 0..L {
+        out[15][k] += scale * 0.4330127018922194 * alpha[0][k] * f[5][k];
+        out[15][k] += scale * 0.43301270189221935 * alpha[2][k] * f[15][k];
+        out[15][k] += scale * 0.43301270189221935 * alpha[3][k] * f[17][k];
+        out[15][k] += scale * 0.43301270189221935 * alpha[4][k] * f[22][k];
+        out[15][k] += scale * 0.43301270189221935 * alpha[13][k] * f[36][k];
+    }
+    for k in 0..L {
+        out[16][k] += scale * 0.9682458365518541 * alpha[0][k] * f[6][k];
+        out[16][k] += scale * 0.9682458365518541 * alpha[2][k] * f[1][k];
+        out[16][k] += scale * 0.8660254037844387 * alpha[2][k] * f[16][k];
+        out[16][k] += scale * 0.968245836551854 * alpha[3][k] * f[18][k];
+        out[16][k] += scale * 0.968245836551854 * alpha[4][k] * f[23][k];
+        out[16][k] += scale * 0.9682458365518541 * alpha[10][k] * f[33][k];
+        out[16][k] += scale * 0.9682458365518543 * alpha[13][k] * f[37][k];
+        out[16][k] += scale * 0.9682458365518541 * alpha[14][k] * f[41][k];
+        out[16][k] += scale * 0.9682458365518543 * alpha[27][k] * f[46][k];
+        out[16][k] += scale * 0.9682458365518543 * alpha[30][k] * f[47][k];
+    }
+    for k in 0..L {
+        out[18][k] += scale * 0.4330127018922193 * alpha[0][k] * f[8][k];
+        out[18][k] += scale * 0.4330127018922193 * alpha[2][k] * f[18][k];
+        out[18][k] += scale * 0.4330127018922193 * alpha[3][k] * f[1][k];
+        out[18][k] += scale * 0.38729833462074165 * alpha[3][k] * f[20][k];
+        out[18][k] += scale * 0.4330127018922193 * alpha[4][k] * f[25][k];
+        out[18][k] += scale * 0.38729833462074165 * alpha[10][k] * f[8][k];
+        out[18][k] += scale * 0.4330127018922193 * alpha[13][k] * f[11][k];
+        out[18][k] += scale * 0.3872983346207417 * alpha[13][k] * f[39][k];
+        out[18][k] += scale * 0.43301270189221935 * alpha[14][k] * f[42][k];
+        out[18][k] += scale * 0.3872983346207417 * alpha[27][k] * f[25][k];
+        out[18][k] += scale * 0.43301270189221935 * alpha[30][k] * f[28][k];
+    }
+    for k in 0..L {
+        out[19][k] += scale * 0.9682458365518541 * alpha[0][k] * f[9][k];
+        out[19][k] += scale * 0.9682458365518541 * alpha[2][k] * f[3][k];
+        out[19][k] += scale * 0.8660254037844387 * alpha[2][k] * f[19][k];
+        out[19][k] += scale * 0.9682458365518541 * alpha[3][k] * f[2][k];
+        out[19][k] += scale * 0.8660254037844387 * alpha[3][k] * f[21][k];
+        out[19][k] += scale * 0.968245836551854 * alpha[4][k] * f[26][k];
+        out[19][k] += scale * 0.8660254037844387 * alpha[10][k] * f[9][k];
+        out[19][k] += scale * 0.968245836551854 * alpha[13][k] * f[12][k];
+        out[19][k] += scale * 0.8660254037844387 * alpha[13][k] * f[40][k];
+        out[19][k] += scale * 0.9682458365518541 * alpha[14][k] * f[43][k];
+        out[19][k] += scale * 0.8660254037844387 * alpha[27][k] * f[26][k];
+        out[19][k] += scale * 0.9682458365518541 * alpha[30][k] * f[29][k];
+    }
+    for k in 0..L {
+        out[21][k] += scale * 0.4330127018922194 * alpha[0][k] * f[10][k];
+        out[21][k] += scale * 0.43301270189221935 * alpha[2][k] * f[21][k];
+        out[21][k] += scale * 0.38729833462074165 * alpha[3][k] * f[3][k];
+        out[21][k] += scale * 0.43301270189221935 * alpha[4][k] * f[27][k];
+        out[21][k] += scale * 0.4330127018922194 * alpha[10][k] * f[0][k];
+        out[21][k] += scale * 0.27664166758624403 * alpha[10][k] * f[10][k];
+        out[21][k] += scale * 0.38729833462074165 * alpha[13][k] * f[13][k];
+        out[21][k] += scale * 0.43301270189221935 * alpha[27][k] * f[4][k];
+        out[21][k] += scale * 0.2766416675862441 * alpha[27][k] * f[27][k];
+        out[21][k] += scale * 0.3872983346207417 * alpha[30][k] * f[30][k];
+    }
+    for k in 0..L {
+        out[23][k] += scale * 0.4330127018922193 * alpha[0][k] * f[11][k];
+        out[23][k] += scale * 0.4330127018922193 * alpha[2][k] * f[23][k];
+        out[23][k] += scale * 0.4330127018922193 * alpha[3][k] * f[25][k];
+        out[23][k] += scale * 0.4330127018922193 * alpha[4][k] * f[1][k];
+        out[23][k] += scale * 0.38729833462074165 * alpha[4][k] * f[28][k];
+        out[23][k] += scale * 0.43301270189221935 * alpha[10][k] * f[39][k];
+        out[23][k] += scale * 0.4330127018922193 * alpha[13][k] * f[8][k];
+        out[23][k] += scale * 0.3872983346207417 * alpha[13][k] * f[42][k];
+        out[23][k] += scale * 0.38729833462074165 * alpha[14][k] * f[11][k];
+        out[23][k] += scale * 0.43301270189221935 * alpha[27][k] * f[20][k];
+        out[23][k] += scale * 0.3872983346207417 * alpha[30][k] * f[25][k];
+    }
+    for k in 0..L {
+        out[24][k] += scale * 0.9682458365518541 * alpha[0][k] * f[12][k];
+        out[24][k] += scale * 0.9682458365518541 * alpha[2][k] * f[4][k];
+        out[24][k] += scale * 0.8660254037844387 * alpha[2][k] * f[24][k];
+        out[24][k] += scale * 0.968245836551854 * alpha[3][k] * f[26][k];
+        out[24][k] += scale * 0.9682458365518541 * alpha[4][k] * f[2][k];
+        out[24][k] += scale * 0.8660254037844387 * alpha[4][k] * f[29][k];
+        out[24][k] += scale * 0.9682458365518541 * alpha[10][k] * f[40][k];
+        out[24][k] += scale * 0.968245836551854 * alpha[13][k] * f[9][k];
+        out[24][k] += scale * 0.8660254037844387 * alpha[13][k] * f[43][k];
+        out[24][k] += scale * 0.8660254037844387 * alpha[14][k] * f[12][k];
+        out[24][k] += scale * 0.9682458365518541 * alpha[27][k] * f[21][k];
+        out[24][k] += scale * 0.8660254037844387 * alpha[30][k] * f[26][k];
+    }
+    for k in 0..L {
+        out[26][k] += scale * 0.4330127018922193 * alpha[0][k] * f[13][k];
+        out[26][k] += scale * 0.4330127018922193 * alpha[2][k] * f[26][k];
+        out[26][k] += scale * 0.4330127018922193 * alpha[3][k] * f[4][k];
+        out[26][k] += scale * 0.38729833462074165 * alpha[3][k] * f[27][k];
+        out[26][k] += scale * 0.4330127018922193 * alpha[4][k] * f[3][k];
+        out[26][k] += scale * 0.38729833462074165 * alpha[4][k] * f[30][k];
+        out[26][k] += scale * 0.38729833462074165 * alpha[10][k] * f[13][k];
+        out[26][k] += scale * 0.4330127018922193 * alpha[13][k] * f[0][k];
+        out[26][k] += scale * 0.38729833462074165 * alpha[13][k] * f[10][k];
+        out[26][k] += scale * 0.38729833462074165 * alpha[13][k] * f[14][k];
+        out[26][k] += scale * 0.38729833462074165 * alpha[14][k] * f[13][k];
+        out[26][k] += scale * 0.38729833462074165 * alpha[27][k] * f[3][k];
+        out[26][k] += scale * 0.34641016151377546 * alpha[27][k] * f[30][k];
+        out[26][k] += scale * 0.38729833462074165 * alpha[30][k] * f[4][k];
+        out[26][k] += scale * 0.34641016151377546 * alpha[30][k] * f[27][k];
+    }
+    for k in 0..L {
+        out[29][k] += scale * 0.4330127018922194 * alpha[0][k] * f[14][k];
+        out[29][k] += scale * 0.43301270189221935 * alpha[2][k] * f[29][k];
+        out[29][k] += scale * 0.43301270189221935 * alpha[3][k] * f[30][k];
+        out[29][k] += scale * 0.38729833462074165 * alpha[4][k] * f[4][k];
+        out[29][k] += scale * 0.38729833462074165 * alpha[13][k] * f[13][k];
+        out[29][k] += scale * 0.4330127018922194 * alpha[14][k] * f[0][k];
+        out[29][k] += scale * 0.27664166758624403 * alpha[14][k] * f[14][k];
+        out[29][k] += scale * 0.3872983346207417 * alpha[27][k] * f[27][k];
+        out[29][k] += scale * 0.43301270189221935 * alpha[30][k] * f[3][k];
+        out[29][k] += scale * 0.2766416675862441 * alpha[30][k] * f[30][k];
+    }
+    for k in 0..L {
+        out[31][k] += scale * 0.43301270189221935 * alpha[0][k] * f[17][k];
+        out[31][k] += scale * 0.43301270189221935 * alpha[2][k] * f[31][k];
+        out[31][k] += scale * 0.43301270189221935 * alpha[3][k] * f[5][k];
+        out[31][k] += scale * 0.43301270189221935 * alpha[4][k] * f[36][k];
+        out[31][k] += scale * 0.3872983346207417 * alpha[10][k] * f[17][k];
+        out[31][k] += scale * 0.43301270189221935 * alpha[13][k] * f[22][k];
+        out[31][k] += scale * 0.3872983346207417 * alpha[27][k] * f[36][k];
+    }
+    for k in 0..L {
+        out[32][k] += scale * 0.968245836551854 * alpha[0][k] * f[18][k];
+        out[32][k] += scale * 0.968245836551854 * alpha[2][k] * f[8][k];
+        out[32][k] += scale * 0.8660254037844387 * alpha[2][k] * f[32][k];
+        out[32][k] += scale * 0.968245836551854 * alpha[3][k] * f[6][k];
+        out[32][k] += scale * 0.8660254037844387 * alpha[3][k] * f[33][k];
+        out[32][k] += scale * 0.9682458365518543 * alpha[4][k] * f[37][k];
+        out[32][k] += scale * 0.8660254037844387 * alpha[10][k] * f[18][k];
+        out[32][k] += scale * 0.9682458365518543 * alpha[13][k] * f[23][k];
+        out[32][k] += scale * 0.8660254037844387 * alpha[13][k] * f[46][k];
+        out[32][k] += scale * 0.9682458365518543 * alpha[14][k] * f[47][k];
+        out[32][k] += scale * 0.8660254037844387 * alpha[27][k] * f[37][k];
+        out[32][k] += scale * 0.9682458365518543 * alpha[30][k] * f[41][k];
+    }
+    for k in 0..L {
+        out[33][k] += scale * 0.43301270189221935 * alpha[0][k] * f[20][k];
+        out[33][k] += scale * 0.43301270189221935 * alpha[2][k] * f[33][k];
+        out[33][k] += scale * 0.38729833462074165 * alpha[3][k] * f[8][k];
+        out[33][k] += scale * 0.43301270189221935 * alpha[4][k] * f[39][k];
+        out[33][k] += scale * 0.43301270189221935 * alpha[10][k] * f[1][k];
+        out[33][k] += scale * 0.2766416675862441 * alpha[10][k] * f[20][k];
+        out[33][k] += scale * 0.3872983346207417 * alpha[13][k] * f[25][k];
+        out[33][k] += scale * 0.43301270189221935 * alpha[27][k] * f[11][k];
+        out[33][k] += scale * 0.27664166758624403 * alpha[27][k] * f[39][k];
+        out[33][k] += scale * 0.3872983346207417 * alpha[30][k] * f[42][k];
+    }
+    for k in 0..L {
+        out[34][k] += scale * 0.43301270189221935 * alpha[0][k] * f[22][k];
+        out[34][k] += scale * 0.43301270189221935 * alpha[2][k] * f[34][k];
+        out[34][k] += scale * 0.43301270189221935 * alpha[3][k] * f[36][k];
+        out[34][k] += scale * 0.43301270189221935 * alpha[4][k] * f[5][k];
+        out[34][k] += scale * 0.43301270189221935 * alpha[13][k] * f[17][k];
+        out[34][k] += scale * 0.3872983346207417 * alpha[14][k] * f[22][k];
+        out[34][k] += scale * 0.3872983346207417 * alpha[30][k] * f[36][k];
+    }
+    for k in 0..L {
+        out[35][k] += scale * 0.968245836551854 * alpha[0][k] * f[23][k];
+        out[35][k] += scale * 0.968245836551854 * alpha[2][k] * f[11][k];
+        out[35][k] += scale * 0.8660254037844387 * alpha[2][k] * f[35][k];
+        out[35][k] += scale * 0.9682458365518543 * alpha[3][k] * f[37][k];
+        out[35][k] += scale * 0.968245836551854 * alpha[4][k] * f[6][k];
+        out[35][k] += scale * 0.8660254037844387 * alpha[4][k] * f[41][k];
+        out[35][k] += scale * 0.9682458365518543 * alpha[10][k] * f[46][k];
+        out[35][k] += scale * 0.9682458365518543 * alpha[13][k] * f[18][k];
+        out[35][k] += scale * 0.8660254037844387 * alpha[13][k] * f[47][k];
+        out[35][k] += scale * 0.8660254037844387 * alpha[14][k] * f[23][k];
+        out[35][k] += scale * 0.9682458365518543 * alpha[27][k] * f[33][k];
+        out[35][k] += scale * 0.8660254037844387 * alpha[30][k] * f[37][k];
+    }
+    for k in 0..L {
+        out[37][k] += scale * 0.4330127018922193 * alpha[0][k] * f[25][k];
+        out[37][k] += scale * 0.4330127018922193 * alpha[2][k] * f[37][k];
+        out[37][k] += scale * 0.4330127018922193 * alpha[3][k] * f[11][k];
+        out[37][k] += scale * 0.3872983346207417 * alpha[3][k] * f[39][k];
+        out[37][k] += scale * 0.4330127018922193 * alpha[4][k] * f[8][k];
+        out[37][k] += scale * 0.3872983346207417 * alpha[4][k] * f[42][k];
+        out[37][k] += scale * 0.3872983346207417 * alpha[10][k] * f[25][k];
+        out[37][k] += scale * 0.4330127018922193 * alpha[13][k] * f[1][k];
+        out[37][k] += scale * 0.3872983346207417 * alpha[13][k] * f[20][k];
+        out[37][k] += scale * 0.3872983346207417 * alpha[13][k] * f[28][k];
+        out[37][k] += scale * 0.3872983346207417 * alpha[14][k] * f[25][k];
+        out[37][k] += scale * 0.3872983346207417 * alpha[27][k] * f[8][k];
+        out[37][k] += scale * 0.34641016151377546 * alpha[27][k] * f[42][k];
+        out[37][k] += scale * 0.3872983346207417 * alpha[30][k] * f[11][k];
+        out[37][k] += scale * 0.34641016151377546 * alpha[30][k] * f[39][k];
+    }
+    for k in 0..L {
+        out[38][k] += scale * 0.968245836551854 * alpha[0][k] * f[26][k];
+        out[38][k] += scale * 0.968245836551854 * alpha[2][k] * f[13][k];
+        out[38][k] += scale * 0.8660254037844387 * alpha[2][k] * f[38][k];
+        out[38][k] += scale * 0.968245836551854 * alpha[3][k] * f[12][k];
+        out[38][k] += scale * 0.8660254037844387 * alpha[3][k] * f[40][k];
+        out[38][k] += scale * 0.968245836551854 * alpha[4][k] * f[9][k];
+        out[38][k] += scale * 0.8660254037844387 * alpha[4][k] * f[43][k];
+        out[38][k] += scale * 0.8660254037844387 * alpha[10][k] * f[26][k];
+        out[38][k] += scale * 0.968245836551854 * alpha[13][k] * f[2][k];
+        out[38][k] += scale * 0.8660254037844387 * alpha[13][k] * f[21][k];
+        out[38][k] += scale * 0.8660254037844387 * alpha[13][k] * f[29][k];
+        out[38][k] += scale * 0.8660254037844387 * alpha[14][k] * f[26][k];
+        out[38][k] += scale * 0.8660254037844387 * alpha[27][k] * f[9][k];
+        out[38][k] += scale * 0.7745966692414834 * alpha[27][k] * f[43][k];
+        out[38][k] += scale * 0.8660254037844387 * alpha[30][k] * f[12][k];
+        out[38][k] += scale * 0.7745966692414834 * alpha[30][k] * f[40][k];
+    }
+    for k in 0..L {
+        out[40][k] += scale * 0.43301270189221935 * alpha[0][k] * f[27][k];
+        out[40][k] += scale * 0.43301270189221935 * alpha[2][k] * f[40][k];
+        out[40][k] += scale * 0.38729833462074165 * alpha[3][k] * f[13][k];
+        out[40][k] += scale * 0.43301270189221935 * alpha[4][k] * f[10][k];
+        out[40][k] += scale * 0.43301270189221935 * alpha[10][k] * f[4][k];
+        out[40][k] += scale * 0.2766416675862441 * alpha[10][k] * f[27][k];
+        out[40][k] += scale * 0.38729833462074165 * alpha[13][k] * f[3][k];
+        out[40][k] += scale * 0.34641016151377546 * alpha[13][k] * f[30][k];
+        out[40][k] += scale * 0.3872983346207417 * alpha[14][k] * f[27][k];
+        out[40][k] += scale * 0.43301270189221935 * alpha[27][k] * f[0][k];
+        out[40][k] += scale * 0.2766416675862441 * alpha[27][k] * f[10][k];
+        out[40][k] += scale * 0.3872983346207417 * alpha[27][k] * f[14][k];
+        out[40][k] += scale * 0.34641016151377546 * alpha[30][k] * f[13][k];
+    }
+    for k in 0..L {
+        out[41][k] += scale * 0.43301270189221935 * alpha[0][k] * f[28][k];
+        out[41][k] += scale * 0.43301270189221935 * alpha[2][k] * f[41][k];
+        out[41][k] += scale * 0.43301270189221935 * alpha[3][k] * f[42][k];
+        out[41][k] += scale * 0.38729833462074165 * alpha[4][k] * f[11][k];
+        out[41][k] += scale * 0.3872983346207417 * alpha[13][k] * f[25][k];
+        out[41][k] += scale * 0.43301270189221935 * alpha[14][k] * f[1][k];
+        out[41][k] += scale * 0.2766416675862441 * alpha[14][k] * f[28][k];
+        out[41][k] += scale * 0.3872983346207417 * alpha[27][k] * f[39][k];
+        out[41][k] += scale * 0.43301270189221935 * alpha[30][k] * f[8][k];
+        out[41][k] += scale * 0.27664166758624403 * alpha[30][k] * f[42][k];
+    }
+    for k in 0..L {
+        out[43][k] += scale * 0.43301270189221935 * alpha[0][k] * f[30][k];
+        out[43][k] += scale * 0.43301270189221935 * alpha[2][k] * f[43][k];
+        out[43][k] += scale * 0.43301270189221935 * alpha[3][k] * f[14][k];
+        out[43][k] += scale * 0.38729833462074165 * alpha[4][k] * f[13][k];
+        out[43][k] += scale * 0.3872983346207417 * alpha[10][k] * f[30][k];
+        out[43][k] += scale * 0.38729833462074165 * alpha[13][k] * f[4][k];
+        out[43][k] += scale * 0.34641016151377546 * alpha[13][k] * f[27][k];
+        out[43][k] += scale * 0.43301270189221935 * alpha[14][k] * f[3][k];
+        out[43][k] += scale * 0.2766416675862441 * alpha[14][k] * f[30][k];
+        out[43][k] += scale * 0.34641016151377546 * alpha[27][k] * f[13][k];
+        out[43][k] += scale * 0.43301270189221935 * alpha[30][k] * f[0][k];
+        out[43][k] += scale * 0.3872983346207417 * alpha[30][k] * f[10][k];
+        out[43][k] += scale * 0.2766416675862441 * alpha[30][k] * f[14][k];
+    }
+    for k in 0..L {
+        out[44][k] += scale * 0.43301270189221935 * alpha[0][k] * f[36][k];
+        out[44][k] += scale * 0.43301270189221935 * alpha[2][k] * f[44][k];
+        out[44][k] += scale * 0.43301270189221935 * alpha[3][k] * f[22][k];
+        out[44][k] += scale * 0.43301270189221935 * alpha[4][k] * f[17][k];
+        out[44][k] += scale * 0.3872983346207417 * alpha[10][k] * f[36][k];
+        out[44][k] += scale * 0.43301270189221935 * alpha[13][k] * f[5][k];
+        out[44][k] += scale * 0.3872983346207417 * alpha[14][k] * f[36][k];
+        out[44][k] += scale * 0.3872983346207417 * alpha[27][k] * f[17][k];
+        out[44][k] += scale * 0.3872983346207417 * alpha[30][k] * f[22][k];
+    }
+    for k in 0..L {
+        out[45][k] += scale * 0.9682458365518543 * alpha[0][k] * f[37][k];
+        out[45][k] += scale * 0.9682458365518543 * alpha[2][k] * f[25][k];
+        out[45][k] += scale * 0.8660254037844387 * alpha[2][k] * f[45][k];
+        out[45][k] += scale * 0.9682458365518543 * alpha[3][k] * f[23][k];
+        out[45][k] += scale * 0.8660254037844387 * alpha[3][k] * f[46][k];
+        out[45][k] += scale * 0.9682458365518543 * alpha[4][k] * f[18][k];
+        out[45][k] += scale * 0.8660254037844387 * alpha[4][k] * f[47][k];
+        out[45][k] += scale * 0.8660254037844387 * alpha[10][k] * f[37][k];
+        out[45][k] += scale * 0.9682458365518543 * alpha[13][k] * f[6][k];
+        out[45][k] += scale * 0.8660254037844387 * alpha[13][k] * f[33][k];
+        out[45][k] += scale * 0.8660254037844387 * alpha[13][k] * f[41][k];
+        out[45][k] += scale * 0.8660254037844387 * alpha[14][k] * f[37][k];
+        out[45][k] += scale * 0.8660254037844387 * alpha[27][k] * f[18][k];
+        out[45][k] += scale * 0.7745966692414834 * alpha[27][k] * f[47][k];
+        out[45][k] += scale * 0.8660254037844387 * alpha[30][k] * f[23][k];
+        out[45][k] += scale * 0.7745966692414834 * alpha[30][k] * f[46][k];
+    }
+    for k in 0..L {
+        out[46][k] += scale * 0.43301270189221935 * alpha[0][k] * f[39][k];
+        out[46][k] += scale * 0.43301270189221935 * alpha[2][k] * f[46][k];
+        out[46][k] += scale * 0.3872983346207417 * alpha[3][k] * f[25][k];
+        out[46][k] += scale * 0.43301270189221935 * alpha[4][k] * f[20][k];
+        out[46][k] += scale * 0.43301270189221935 * alpha[10][k] * f[11][k];
+        out[46][k] += scale * 0.27664166758624403 * alpha[10][k] * f[39][k];
+        out[46][k] += scale * 0.3872983346207417 * alpha[13][k] * f[8][k];
+        out[46][k] += scale * 0.34641016151377546 * alpha[13][k] * f[42][k];
+        out[46][k] += scale * 0.3872983346207417 * alpha[14][k] * f[39][k];
+        out[46][k] += scale * 0.43301270189221935 * alpha[27][k] * f[1][k];
+        out[46][k] += scale * 0.27664166758624403 * alpha[27][k] * f[20][k];
+        out[46][k] += scale * 0.3872983346207417 * alpha[27][k] * f[28][k];
+        out[46][k] += scale * 0.34641016151377546 * alpha[30][k] * f[25][k];
+    }
+    for k in 0..L {
+        out[47][k] += scale * 0.43301270189221935 * alpha[0][k] * f[42][k];
+        out[47][k] += scale * 0.43301270189221935 * alpha[2][k] * f[47][k];
+        out[47][k] += scale * 0.43301270189221935 * alpha[3][k] * f[28][k];
+        out[47][k] += scale * 0.3872983346207417 * alpha[4][k] * f[25][k];
+        out[47][k] += scale * 0.3872983346207417 * alpha[10][k] * f[42][k];
+        out[47][k] += scale * 0.3872983346207417 * alpha[13][k] * f[11][k];
+        out[47][k] += scale * 0.34641016151377546 * alpha[13][k] * f[39][k];
+        out[47][k] += scale * 0.43301270189221935 * alpha[14][k] * f[8][k];
+        out[47][k] += scale * 0.27664166758624403 * alpha[14][k] * f[42][k];
+        out[47][k] += scale * 0.34641016151377546 * alpha[27][k] * f[25][k];
+        out[47][k] += scale * 0.43301270189221935 * alpha[30][k] * f[1][k];
+        out[47][k] += scale * 0.3872983346207417 * alpha[30][k] * f[20][k];
+        out[47][k] += scale * 0.27664166758624403 * alpha[30][k] * f[28][k];
+    }
 }
 
 /// LBO drag surface term in v0 at one interior face (`vstar` = face
@@ -339,446 +426,521 @@ pub fn lbo_2x2v_p2_ser_drag_vol_v0(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x2v_p2_ser_drag_surf_v0(nu: f64, vstar: f64, dv: f64, u: &[f64], f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_2x2v_p2_ser_drag_surf_v0_body::<1>(nu, vstar, dv, u.as_chunks().0, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_2x2v_p2_ser_drag_surf_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_drag_surf_v0_b4(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_drag_surf_v0_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// [`lbo_2x2v_p2_ser_drag_surf_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_drag_surf_v0_b4_avx2(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_drag_surf_v0_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_2x2v_p2_ser_drag_surf_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x2v_p2_ser_drag_surf_v0_body<const L: usize>(nu: f64, vstar: f64, dv: f64, u: &[[f64; L]], f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 8] = u.first_chunk().expect("u: 8 coefficients");
+    let f_lo: &[[f64; L]; 48] = f_lo.first_chunk().expect("f_lo: 48 coefficients");
+    let f_hi: &[[f64; L]; 48] = f_hi.first_chunk().expect("f_hi: 48 coefficients");
+    let out_lo: &mut [[f64; L]; 48] = out_lo.first_chunk_mut().expect("out_lo: 48 coefficients");
+    let out_hi: &mut [[f64; L]; 48] = out_hi.first_chunk_mut().expect("out_hi: 48 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 20];
-    alpha[0] = -nu * vstar * 2.8284271247461903;
-    alpha[0] += nu * 1.4142135623730951 * u[0];
-    alpha[2] += nu * 1.4142135623730951 * u[1];
-    alpha[3] += nu * 1.4142135623730951 * u[2];
-    alpha[6] += nu * 1.4142135623730951 * u[3];
-    alpha[8] += nu * 1.4142135623730951 * u[4];
-    alpha[9] += nu * 1.4142135623730951 * u[5];
-    alpha[14] += nu * 1.4142135623730951 * u[6];
-    alpha[16] += nu * 1.4142135623730951 * u[7];
-    let lam = alpha[0].abs() * 0.35355339059327384 + alpha[2].abs() * 0.6123724356957946 + alpha[3].abs() * 0.6123724356957946 + alpha[6].abs() * 0.7905694150420949 + alpha[8].abs() * 1.0606601717798212 + alpha[9].abs() * 0.7905694150420949 + alpha[14].abs() * 1.3693063937629153 + alpha[16].abs() * 1.3693063937629153;
-    let mut fm = [0.0f64; 20];
-    let mut fp = [0.0f64; 20];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[1] += 0.7071067811865476 * f_lo[1];
-    fm[0] += 1.224744871391589 * f_lo[2];
-    fm[2] += 0.7071067811865476 * f_lo[3];
-    fm[3] += 0.7071067811865476 * f_lo[4];
-    fm[4] += 0.7071067811865476 * f_lo[5];
-    fm[1] += 1.224744871391589 * f_lo[6];
-    fm[0] += 1.5811388300841898 * f_lo[7];
-    fm[5] += 0.7071067811865476 * f_lo[8];
-    fm[2] += 1.224744871391589 * f_lo[9];
-    fm[6] += 0.7071067811865476 * f_lo[10];
-    fm[7] += 0.7071067811865476 * f_lo[11];
-    fm[3] += 1.224744871391589 * f_lo[12];
-    fm[8] += 0.7071067811865476 * f_lo[13];
-    fm[9] += 0.7071067811865476 * f_lo[14];
-    fm[4] += 1.224744871391589 * f_lo[15];
-    fm[1] += 1.5811388300841898 * f_lo[16];
-    fm[10] += 0.7071067811865476 * f_lo[17];
-    fm[5] += 1.224744871391589 * f_lo[18];
-    fm[2] += 1.5811388300841898 * f_lo[19];
-    fm[11] += 0.7071067811865476 * f_lo[20];
-    fm[6] += 1.224744871391589 * f_lo[21];
-    fm[12] += 0.7071067811865476 * f_lo[22];
-    fm[7] += 1.224744871391589 * f_lo[23];
-    fm[3] += 1.5811388300841898 * f_lo[24];
-    fm[13] += 0.7071067811865476 * f_lo[25];
-    fm[8] += 1.224744871391589 * f_lo[26];
-    fm[14] += 0.7071067811865476 * f_lo[27];
-    fm[15] += 0.7071067811865476 * f_lo[28];
-    fm[9] += 1.224744871391589 * f_lo[29];
-    fm[16] += 0.7071067811865476 * f_lo[30];
-    fm[10] += 1.224744871391589 * f_lo[31];
-    fm[5] += 1.5811388300841898 * f_lo[32];
-    fm[11] += 1.224744871391589 * f_lo[33];
-    fm[12] += 1.224744871391589 * f_lo[34];
-    fm[7] += 1.5811388300841898 * f_lo[35];
-    fm[17] += 0.7071067811865476 * f_lo[36];
-    fm[13] += 1.224744871391589 * f_lo[37];
-    fm[8] += 1.5811388300841898 * f_lo[38];
-    fm[18] += 0.7071067811865476 * f_lo[39];
-    fm[14] += 1.224744871391589 * f_lo[40];
-    fm[15] += 1.224744871391589 * f_lo[41];
-    fm[19] += 0.7071067811865476 * f_lo[42];
-    fm[16] += 1.224744871391589 * f_lo[43];
-    fm[17] += 1.224744871391589 * f_lo[44];
-    fm[13] += 1.5811388300841898 * f_lo[45];
-    fm[18] += 1.224744871391589 * f_lo[46];
-    fm[19] += 1.224744871391589 * f_lo[47];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[1] += 0.7071067811865476 * f_hi[1];
-    fp[0] += -1.224744871391589 * f_hi[2];
-    fp[2] += 0.7071067811865476 * f_hi[3];
-    fp[3] += 0.7071067811865476 * f_hi[4];
-    fp[4] += 0.7071067811865476 * f_hi[5];
-    fp[1] += -1.224744871391589 * f_hi[6];
-    fp[0] += 1.5811388300841898 * f_hi[7];
-    fp[5] += 0.7071067811865476 * f_hi[8];
-    fp[2] += -1.224744871391589 * f_hi[9];
-    fp[6] += 0.7071067811865476 * f_hi[10];
-    fp[7] += 0.7071067811865476 * f_hi[11];
-    fp[3] += -1.224744871391589 * f_hi[12];
-    fp[8] += 0.7071067811865476 * f_hi[13];
-    fp[9] += 0.7071067811865476 * f_hi[14];
-    fp[4] += -1.224744871391589 * f_hi[15];
-    fp[1] += 1.5811388300841898 * f_hi[16];
-    fp[10] += 0.7071067811865476 * f_hi[17];
-    fp[5] += -1.224744871391589 * f_hi[18];
-    fp[2] += 1.5811388300841898 * f_hi[19];
-    fp[11] += 0.7071067811865476 * f_hi[20];
-    fp[6] += -1.224744871391589 * f_hi[21];
-    fp[12] += 0.7071067811865476 * f_hi[22];
-    fp[7] += -1.224744871391589 * f_hi[23];
-    fp[3] += 1.5811388300841898 * f_hi[24];
-    fp[13] += 0.7071067811865476 * f_hi[25];
-    fp[8] += -1.224744871391589 * f_hi[26];
-    fp[14] += 0.7071067811865476 * f_hi[27];
-    fp[15] += 0.7071067811865476 * f_hi[28];
-    fp[9] += -1.224744871391589 * f_hi[29];
-    fp[16] += 0.7071067811865476 * f_hi[30];
-    fp[10] += -1.224744871391589 * f_hi[31];
-    fp[5] += 1.5811388300841898 * f_hi[32];
-    fp[11] += -1.224744871391589 * f_hi[33];
-    fp[12] += -1.224744871391589 * f_hi[34];
-    fp[7] += 1.5811388300841898 * f_hi[35];
-    fp[17] += 0.7071067811865476 * f_hi[36];
-    fp[13] += -1.224744871391589 * f_hi[37];
-    fp[8] += 1.5811388300841898 * f_hi[38];
-    fp[18] += 0.7071067811865476 * f_hi[39];
-    fp[14] += -1.224744871391589 * f_hi[40];
-    fp[15] += -1.224744871391589 * f_hi[41];
-    fp[19] += 0.7071067811865476 * f_hi[42];
-    fp[16] += -1.224744871391589 * f_hi[43];
-    fp[17] += -1.224744871391589 * f_hi[44];
-    fp[13] += 1.5811388300841898 * f_hi[45];
-    fp[18] += -1.224744871391589 * f_hi[46];
-    fp[19] += -1.224744871391589 * f_hi[47];
-    let mut favg = [0.0f64; 20];
-    let mut ghat = [0.0f64; 20];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    favg[8] = 0.5 * (fm[8] + fp[8]);
-    ghat[8] = -0.5 * lam * (fp[8] - fm[8]);
-    favg[9] = 0.5 * (fm[9] + fp[9]);
-    ghat[9] = -0.5 * lam * (fp[9] - fm[9]);
-    favg[10] = 0.5 * (fm[10] + fp[10]);
-    ghat[10] = -0.5 * lam * (fp[10] - fm[10]);
-    favg[11] = 0.5 * (fm[11] + fp[11]);
-    ghat[11] = -0.5 * lam * (fp[11] - fm[11]);
-    favg[12] = 0.5 * (fm[12] + fp[12]);
-    ghat[12] = -0.5 * lam * (fp[12] - fm[12]);
-    favg[13] = 0.5 * (fm[13] + fp[13]);
-    ghat[13] = -0.5 * lam * (fp[13] - fm[13]);
-    favg[14] = 0.5 * (fm[14] + fp[14]);
-    ghat[14] = -0.5 * lam * (fp[14] - fm[14]);
-    favg[15] = 0.5 * (fm[15] + fp[15]);
-    ghat[15] = -0.5 * lam * (fp[15] - fm[15]);
-    favg[16] = 0.5 * (fm[16] + fp[16]);
-    ghat[16] = -0.5 * lam * (fp[16] - fm[16]);
-    favg[17] = 0.5 * (fm[17] + fp[17]);
-    ghat[17] = -0.5 * lam * (fp[17] - fm[17]);
-    favg[18] = 0.5 * (fm[18] + fp[18]);
-    ghat[18] = -0.5 * lam * (fp[18] - fm[18]);
-    favg[19] = 0.5 * (fm[19] + fp[19]);
-    ghat[19] = -0.5 * lam * (fp[19] - fm[19]);
-    ghat[0] += 0.3535533905932738 * alpha[0] * favg[0];
-    ghat[0] += 0.35355339059327373 * alpha[2] * favg[2];
-    ghat[0] += 0.35355339059327373 * alpha[3] * favg[3];
-    ghat[0] += 0.3535533905932738 * alpha[6] * favg[6];
-    ghat[0] += 0.35355339059327373 * alpha[8] * favg[8];
-    ghat[0] += 0.3535533905932738 * alpha[9] * favg[9];
-    ghat[0] += 0.3535533905932738 * alpha[14] * favg[14];
-    ghat[0] += 0.3535533905932738 * alpha[16] * favg[16];
-    ghat[1] += 0.35355339059327373 * alpha[0] * favg[1];
-    ghat[1] += 0.35355339059327373 * alpha[2] * favg[5];
-    ghat[1] += 0.35355339059327373 * alpha[3] * favg[7];
-    ghat[1] += 0.3535533905932738 * alpha[6] * favg[11];
-    ghat[1] += 0.3535533905932738 * alpha[8] * favg[13];
-    ghat[1] += 0.3535533905932738 * alpha[9] * favg[15];
-    ghat[1] += 0.3535533905932738 * alpha[14] * favg[18];
-    ghat[1] += 0.3535533905932738 * alpha[16] * favg[19];
-    ghat[2] += 0.35355339059327373 * alpha[0] * favg[2];
-    ghat[2] += 0.35355339059327373 * alpha[2] * favg[0];
-    ghat[2] += 0.31622776601683794 * alpha[2] * favg[6];
-    ghat[2] += 0.35355339059327373 * alpha[3] * favg[8];
-    ghat[2] += 0.31622776601683794 * alpha[6] * favg[2];
-    ghat[2] += 0.35355339059327373 * alpha[8] * favg[3];
-    ghat[2] += 0.31622776601683794 * alpha[8] * favg[14];
-    ghat[2] += 0.3535533905932738 * alpha[9] * favg[16];
-    ghat[2] += 0.31622776601683794 * alpha[14] * favg[8];
-    ghat[2] += 0.3535533905932738 * alpha[16] * favg[9];
-    ghat[3] += 0.35355339059327373 * alpha[0] * favg[3];
-    ghat[3] += 0.35355339059327373 * alpha[2] * favg[8];
-    ghat[3] += 0.35355339059327373 * alpha[3] * favg[0];
-    ghat[3] += 0.31622776601683794 * alpha[3] * favg[9];
-    ghat[3] += 0.3535533905932738 * alpha[6] * favg[14];
-    ghat[3] += 0.35355339059327373 * alpha[8] * favg[2];
-    ghat[3] += 0.31622776601683794 * alpha[8] * favg[16];
-    ghat[3] += 0.31622776601683794 * alpha[9] * favg[3];
-    ghat[3] += 0.3535533905932738 * alpha[14] * favg[6];
-    ghat[3] += 0.31622776601683794 * alpha[16] * favg[8];
-    ghat[4] += 0.3535533905932738 * alpha[0] * favg[4];
-    ghat[4] += 0.3535533905932738 * alpha[2] * favg[10];
-    ghat[4] += 0.3535533905932738 * alpha[3] * favg[12];
-    ghat[4] += 0.3535533905932738 * alpha[8] * favg[17];
-    ghat[5] += 0.35355339059327373 * alpha[0] * favg[5];
-    ghat[5] += 0.35355339059327373 * alpha[2] * favg[1];
-    ghat[5] += 0.31622776601683794 * alpha[2] * favg[11];
-    ghat[5] += 0.3535533905932738 * alpha[3] * favg[13];
-    ghat[5] += 0.31622776601683794 * alpha[6] * favg[5];
-    ghat[5] += 0.3535533905932738 * alpha[8] * favg[7];
-    ghat[5] += 0.31622776601683794 * alpha[8] * favg[18];
-    ghat[5] += 0.3535533905932738 * alpha[9] * favg[19];
-    ghat[5] += 0.31622776601683794 * alpha[14] * favg[13];
-    ghat[5] += 0.3535533905932738 * alpha[16] * favg[15];
-    ghat[6] += 0.3535533905932738 * alpha[0] * favg[6];
-    ghat[6] += 0.31622776601683794 * alpha[2] * favg[2];
-    ghat[6] += 0.3535533905932738 * alpha[3] * favg[14];
-    ghat[6] += 0.3535533905932738 * alpha[6] * favg[0];
-    ghat[6] += 0.2258769757263128 * alpha[6] * favg[6];
-    ghat[6] += 0.31622776601683794 * alpha[8] * favg[8];
-    ghat[6] += 0.3535533905932738 * alpha[14] * favg[3];
-    ghat[6] += 0.22587697572631282 * alpha[14] * favg[14];
-    ghat[6] += 0.31622776601683794 * alpha[16] * favg[16];
-    ghat[7] += 0.35355339059327373 * alpha[0] * favg[7];
-    ghat[7] += 0.3535533905932738 * alpha[2] * favg[13];
-    ghat[7] += 0.35355339059327373 * alpha[3] * favg[1];
-    ghat[7] += 0.31622776601683794 * alpha[3] * favg[15];
-    ghat[7] += 0.3535533905932738 * alpha[6] * favg[18];
-    ghat[7] += 0.3535533905932738 * alpha[8] * favg[5];
-    ghat[7] += 0.31622776601683794 * alpha[8] * favg[19];
-    ghat[7] += 0.31622776601683794 * alpha[9] * favg[7];
-    ghat[7] += 0.3535533905932738 * alpha[14] * favg[11];
-    ghat[7] += 0.31622776601683794 * alpha[16] * favg[13];
-    ghat[8] += 0.35355339059327373 * alpha[0] * favg[8];
-    ghat[8] += 0.35355339059327373 * alpha[2] * favg[3];
-    ghat[8] += 0.31622776601683794 * alpha[2] * favg[14];
-    ghat[8] += 0.35355339059327373 * alpha[3] * favg[2];
-    ghat[8] += 0.31622776601683794 * alpha[3] * favg[16];
-    ghat[8] += 0.31622776601683794 * alpha[6] * favg[8];
-    ghat[8] += 0.35355339059327373 * alpha[8] * favg[0];
-    ghat[8] += 0.31622776601683794 * alpha[8] * favg[6];
-    ghat[8] += 0.31622776601683794 * alpha[8] * favg[9];
-    ghat[8] += 0.31622776601683794 * alpha[9] * favg[8];
-    ghat[8] += 0.31622776601683794 * alpha[14] * favg[2];
-    ghat[8] += 0.282842712474619 * alpha[14] * favg[16];
-    ghat[8] += 0.31622776601683794 * alpha[16] * favg[3];
-    ghat[8] += 0.282842712474619 * alpha[16] * favg[14];
-    ghat[9] += 0.3535533905932738 * alpha[0] * favg[9];
-    ghat[9] += 0.3535533905932738 * alpha[2] * favg[16];
-    ghat[9] += 0.31622776601683794 * alpha[3] * favg[3];
-    ghat[9] += 0.31622776601683794 * alpha[8] * favg[8];
-    ghat[9] += 0.3535533905932738 * alpha[9] * favg[0];
-    ghat[9] += 0.2258769757263128 * alpha[9] * favg[9];
-    ghat[9] += 0.31622776601683794 * alpha[14] * favg[14];
-    ghat[9] += 0.3535533905932738 * alpha[16] * favg[2];
-    ghat[9] += 0.22587697572631282 * alpha[16] * favg[16];
-    ghat[10] += 0.3535533905932738 * alpha[0] * favg[10];
-    ghat[10] += 0.3535533905932738 * alpha[2] * favg[4];
-    ghat[10] += 0.3535533905932738 * alpha[3] * favg[17];
-    ghat[10] += 0.31622776601683794 * alpha[6] * favg[10];
-    ghat[10] += 0.3535533905932738 * alpha[8] * favg[12];
-    ghat[10] += 0.31622776601683794 * alpha[14] * favg[17];
-    ghat[11] += 0.3535533905932738 * alpha[0] * favg[11];
-    ghat[11] += 0.31622776601683794 * alpha[2] * favg[5];
-    ghat[11] += 0.3535533905932738 * alpha[3] * favg[18];
-    ghat[11] += 0.3535533905932738 * alpha[6] * favg[1];
-    ghat[11] += 0.22587697572631282 * alpha[6] * favg[11];
-    ghat[11] += 0.31622776601683794 * alpha[8] * favg[13];
-    ghat[11] += 0.3535533905932738 * alpha[14] * favg[7];
-    ghat[11] += 0.2258769757263128 * alpha[14] * favg[18];
-    ghat[11] += 0.31622776601683794 * alpha[16] * favg[19];
-    ghat[12] += 0.3535533905932738 * alpha[0] * favg[12];
-    ghat[12] += 0.3535533905932738 * alpha[2] * favg[17];
-    ghat[12] += 0.3535533905932738 * alpha[3] * favg[4];
-    ghat[12] += 0.3535533905932738 * alpha[8] * favg[10];
-    ghat[12] += 0.31622776601683794 * alpha[9] * favg[12];
-    ghat[12] += 0.31622776601683794 * alpha[16] * favg[17];
-    ghat[13] += 0.3535533905932738 * alpha[0] * favg[13];
-    ghat[13] += 0.3535533905932738 * alpha[2] * favg[7];
-    ghat[13] += 0.31622776601683794 * alpha[2] * favg[18];
-    ghat[13] += 0.3535533905932738 * alpha[3] * favg[5];
-    ghat[13] += 0.31622776601683794 * alpha[3] * favg[19];
-    ghat[13] += 0.31622776601683794 * alpha[6] * favg[13];
-    ghat[13] += 0.3535533905932738 * alpha[8] * favg[1];
-    ghat[13] += 0.31622776601683794 * alpha[8] * favg[11];
-    ghat[13] += 0.31622776601683794 * alpha[8] * favg[15];
-    ghat[13] += 0.31622776601683794 * alpha[9] * favg[13];
-    ghat[13] += 0.31622776601683794 * alpha[14] * favg[5];
-    ghat[13] += 0.282842712474619 * alpha[14] * favg[19];
-    ghat[13] += 0.31622776601683794 * alpha[16] * favg[7];
-    ghat[13] += 0.282842712474619 * alpha[16] * favg[18];
-    ghat[14] += 0.3535533905932738 * alpha[0] * favg[14];
-    ghat[14] += 0.31622776601683794 * alpha[2] * favg[8];
-    ghat[14] += 0.3535533905932738 * alpha[3] * favg[6];
-    ghat[14] += 0.3535533905932738 * alpha[6] * favg[3];
-    ghat[14] += 0.22587697572631282 * alpha[6] * favg[14];
-    ghat[14] += 0.31622776601683794 * alpha[8] * favg[2];
-    ghat[14] += 0.282842712474619 * alpha[8] * favg[16];
-    ghat[14] += 0.31622776601683794 * alpha[9] * favg[14];
-    ghat[14] += 0.3535533905932738 * alpha[14] * favg[0];
-    ghat[14] += 0.22587697572631282 * alpha[14] * favg[6];
-    ghat[14] += 0.31622776601683794 * alpha[14] * favg[9];
-    ghat[14] += 0.282842712474619 * alpha[16] * favg[8];
-    ghat[15] += 0.3535533905932738 * alpha[0] * favg[15];
-    ghat[15] += 0.3535533905932738 * alpha[2] * favg[19];
-    ghat[15] += 0.31622776601683794 * alpha[3] * favg[7];
-    ghat[15] += 0.31622776601683794 * alpha[8] * favg[13];
-    ghat[15] += 0.3535533905932738 * alpha[9] * favg[1];
-    ghat[15] += 0.22587697572631282 * alpha[9] * favg[15];
-    ghat[15] += 0.31622776601683794 * alpha[14] * favg[18];
-    ghat[15] += 0.3535533905932738 * alpha[16] * favg[5];
-    ghat[15] += 0.2258769757263128 * alpha[16] * favg[19];
-    ghat[16] += 0.3535533905932738 * alpha[0] * favg[16];
-    ghat[16] += 0.3535533905932738 * alpha[2] * favg[9];
-    ghat[16] += 0.31622776601683794 * alpha[3] * favg[8];
-    ghat[16] += 0.31622776601683794 * alpha[6] * favg[16];
-    ghat[16] += 0.31622776601683794 * alpha[8] * favg[3];
-    ghat[16] += 0.282842712474619 * alpha[8] * favg[14];
-    ghat[16] += 0.3535533905932738 * alpha[9] * favg[2];
-    ghat[16] += 0.22587697572631282 * alpha[9] * favg[16];
-    ghat[16] += 0.282842712474619 * alpha[14] * favg[8];
-    ghat[16] += 0.3535533905932738 * alpha[16] * favg[0];
-    ghat[16] += 0.31622776601683794 * alpha[16] * favg[6];
-    ghat[16] += 0.22587697572631282 * alpha[16] * favg[9];
-    ghat[17] += 0.3535533905932738 * alpha[0] * favg[17];
-    ghat[17] += 0.3535533905932738 * alpha[2] * favg[12];
-    ghat[17] += 0.3535533905932738 * alpha[3] * favg[10];
-    ghat[17] += 0.31622776601683794 * alpha[6] * favg[17];
-    ghat[17] += 0.3535533905932738 * alpha[8] * favg[4];
-    ghat[17] += 0.31622776601683794 * alpha[9] * favg[17];
-    ghat[17] += 0.31622776601683794 * alpha[14] * favg[10];
-    ghat[17] += 0.31622776601683794 * alpha[16] * favg[12];
-    ghat[18] += 0.3535533905932738 * alpha[0] * favg[18];
-    ghat[18] += 0.31622776601683794 * alpha[2] * favg[13];
-    ghat[18] += 0.3535533905932738 * alpha[3] * favg[11];
-    ghat[18] += 0.3535533905932738 * alpha[6] * favg[7];
-    ghat[18] += 0.2258769757263128 * alpha[6] * favg[18];
-    ghat[18] += 0.31622776601683794 * alpha[8] * favg[5];
-    ghat[18] += 0.282842712474619 * alpha[8] * favg[19];
-    ghat[18] += 0.31622776601683794 * alpha[9] * favg[18];
-    ghat[18] += 0.3535533905932738 * alpha[14] * favg[1];
-    ghat[18] += 0.2258769757263128 * alpha[14] * favg[11];
-    ghat[18] += 0.31622776601683794 * alpha[14] * favg[15];
-    ghat[18] += 0.282842712474619 * alpha[16] * favg[13];
-    ghat[19] += 0.3535533905932738 * alpha[0] * favg[19];
-    ghat[19] += 0.3535533905932738 * alpha[2] * favg[15];
-    ghat[19] += 0.31622776601683794 * alpha[3] * favg[13];
-    ghat[19] += 0.31622776601683794 * alpha[6] * favg[19];
-    ghat[19] += 0.31622776601683794 * alpha[8] * favg[7];
-    ghat[19] += 0.282842712474619 * alpha[8] * favg[18];
-    ghat[19] += 0.3535533905932738 * alpha[9] * favg[5];
-    ghat[19] += 0.2258769757263128 * alpha[9] * favg[19];
-    ghat[19] += 0.282842712474619 * alpha[14] * favg[13];
-    ghat[19] += 0.3535533905932738 * alpha[16] * favg[1];
-    ghat[19] += 0.31622776601683794 * alpha[16] * favg[11];
-    ghat[19] += 0.2258769757263128 * alpha[16] * favg[15];
-    out_lo[0] += -scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -scale * 0.7071067811865476 * ghat[1];
-    out_lo[2] += -scale * 1.224744871391589 * ghat[0];
-    out_lo[3] += -scale * 0.7071067811865476 * ghat[2];
-    out_lo[4] += -scale * 0.7071067811865476 * ghat[3];
-    out_lo[5] += -scale * 0.7071067811865476 * ghat[4];
-    out_lo[6] += -scale * 1.224744871391589 * ghat[1];
-    out_lo[7] += -scale * 1.5811388300841898 * ghat[0];
-    out_lo[8] += -scale * 0.7071067811865476 * ghat[5];
-    out_lo[9] += -scale * 1.224744871391589 * ghat[2];
-    out_lo[10] += -scale * 0.7071067811865476 * ghat[6];
-    out_lo[11] += -scale * 0.7071067811865476 * ghat[7];
-    out_lo[12] += -scale * 1.224744871391589 * ghat[3];
-    out_lo[13] += -scale * 0.7071067811865476 * ghat[8];
-    out_lo[14] += -scale * 0.7071067811865476 * ghat[9];
-    out_lo[15] += -scale * 1.224744871391589 * ghat[4];
-    out_lo[16] += -scale * 1.5811388300841898 * ghat[1];
-    out_lo[17] += -scale * 0.7071067811865476 * ghat[10];
-    out_lo[18] += -scale * 1.224744871391589 * ghat[5];
-    out_lo[19] += -scale * 1.5811388300841898 * ghat[2];
-    out_lo[20] += -scale * 0.7071067811865476 * ghat[11];
-    out_lo[21] += -scale * 1.224744871391589 * ghat[6];
-    out_lo[22] += -scale * 0.7071067811865476 * ghat[12];
-    out_lo[23] += -scale * 1.224744871391589 * ghat[7];
-    out_lo[24] += -scale * 1.5811388300841898 * ghat[3];
-    out_lo[25] += -scale * 0.7071067811865476 * ghat[13];
-    out_lo[26] += -scale * 1.224744871391589 * ghat[8];
-    out_lo[27] += -scale * 0.7071067811865476 * ghat[14];
-    out_lo[28] += -scale * 0.7071067811865476 * ghat[15];
-    out_lo[29] += -scale * 1.224744871391589 * ghat[9];
-    out_lo[30] += -scale * 0.7071067811865476 * ghat[16];
-    out_lo[31] += -scale * 1.224744871391589 * ghat[10];
-    out_lo[32] += -scale * 1.5811388300841898 * ghat[5];
-    out_lo[33] += -scale * 1.224744871391589 * ghat[11];
-    out_lo[34] += -scale * 1.224744871391589 * ghat[12];
-    out_lo[35] += -scale * 1.5811388300841898 * ghat[7];
-    out_lo[36] += -scale * 0.7071067811865476 * ghat[17];
-    out_lo[37] += -scale * 1.224744871391589 * ghat[13];
-    out_lo[38] += -scale * 1.5811388300841898 * ghat[8];
-    out_lo[39] += -scale * 0.7071067811865476 * ghat[18];
-    out_lo[40] += -scale * 1.224744871391589 * ghat[14];
-    out_lo[41] += -scale * 1.224744871391589 * ghat[15];
-    out_lo[42] += -scale * 0.7071067811865476 * ghat[19];
-    out_lo[43] += -scale * 1.224744871391589 * ghat[16];
-    out_lo[44] += -scale * 1.224744871391589 * ghat[17];
-    out_lo[45] += -scale * 1.5811388300841898 * ghat[13];
-    out_lo[46] += -scale * 1.224744871391589 * ghat[18];
-    out_lo[47] += -scale * 1.224744871391589 * ghat[19];
-    out_hi[0] += scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += scale * 0.7071067811865476 * ghat[1];
-    out_hi[2] += scale * -1.224744871391589 * ghat[0];
-    out_hi[3] += scale * 0.7071067811865476 * ghat[2];
-    out_hi[4] += scale * 0.7071067811865476 * ghat[3];
-    out_hi[5] += scale * 0.7071067811865476 * ghat[4];
-    out_hi[6] += scale * -1.224744871391589 * ghat[1];
-    out_hi[7] += scale * 1.5811388300841898 * ghat[0];
-    out_hi[8] += scale * 0.7071067811865476 * ghat[5];
-    out_hi[9] += scale * -1.224744871391589 * ghat[2];
-    out_hi[10] += scale * 0.7071067811865476 * ghat[6];
-    out_hi[11] += scale * 0.7071067811865476 * ghat[7];
-    out_hi[12] += scale * -1.224744871391589 * ghat[3];
-    out_hi[13] += scale * 0.7071067811865476 * ghat[8];
-    out_hi[14] += scale * 0.7071067811865476 * ghat[9];
-    out_hi[15] += scale * -1.224744871391589 * ghat[4];
-    out_hi[16] += scale * 1.5811388300841898 * ghat[1];
-    out_hi[17] += scale * 0.7071067811865476 * ghat[10];
-    out_hi[18] += scale * -1.224744871391589 * ghat[5];
-    out_hi[19] += scale * 1.5811388300841898 * ghat[2];
-    out_hi[20] += scale * 0.7071067811865476 * ghat[11];
-    out_hi[21] += scale * -1.224744871391589 * ghat[6];
-    out_hi[22] += scale * 0.7071067811865476 * ghat[12];
-    out_hi[23] += scale * -1.224744871391589 * ghat[7];
-    out_hi[24] += scale * 1.5811388300841898 * ghat[3];
-    out_hi[25] += scale * 0.7071067811865476 * ghat[13];
-    out_hi[26] += scale * -1.224744871391589 * ghat[8];
-    out_hi[27] += scale * 0.7071067811865476 * ghat[14];
-    out_hi[28] += scale * 0.7071067811865476 * ghat[15];
-    out_hi[29] += scale * -1.224744871391589 * ghat[9];
-    out_hi[30] += scale * 0.7071067811865476 * ghat[16];
-    out_hi[31] += scale * -1.224744871391589 * ghat[10];
-    out_hi[32] += scale * 1.5811388300841898 * ghat[5];
-    out_hi[33] += scale * -1.224744871391589 * ghat[11];
-    out_hi[34] += scale * -1.224744871391589 * ghat[12];
-    out_hi[35] += scale * 1.5811388300841898 * ghat[7];
-    out_hi[36] += scale * 0.7071067811865476 * ghat[17];
-    out_hi[37] += scale * -1.224744871391589 * ghat[13];
-    out_hi[38] += scale * 1.5811388300841898 * ghat[8];
-    out_hi[39] += scale * 0.7071067811865476 * ghat[18];
-    out_hi[40] += scale * -1.224744871391589 * ghat[14];
-    out_hi[41] += scale * -1.224744871391589 * ghat[15];
-    out_hi[42] += scale * 0.7071067811865476 * ghat[19];
-    out_hi[43] += scale * -1.224744871391589 * ghat[16];
-    out_hi[44] += scale * -1.224744871391589 * ghat[17];
-    out_hi[45] += scale * 1.5811388300841898 * ghat[13];
-    out_hi[46] += scale * -1.224744871391589 * ghat[18];
-    out_hi[47] += scale * -1.224744871391589 * ghat[19];
+    let mut alpha = [[0.0f64; L]; 20];
+    let mut lam = [0.0f64; L];
+    for k in 0..L {
+        alpha[0][k] = -nu * vstar * 2.8284271247461903;
+        alpha[0][k] += nu * 1.4142135623730951 * u[0][k];
+        alpha[2][k] += nu * 1.4142135623730951 * u[1][k];
+        alpha[3][k] += nu * 1.4142135623730951 * u[2][k];
+        alpha[6][k] += nu * 1.4142135623730951 * u[3][k];
+        alpha[8][k] += nu * 1.4142135623730951 * u[4][k];
+        alpha[9][k] += nu * 1.4142135623730951 * u[5][k];
+        alpha[14][k] += nu * 1.4142135623730951 * u[6][k];
+        alpha[16][k] += nu * 1.4142135623730951 * u[7][k];
+        lam[k] = alpha[0][k].abs() * 0.35355339059327384 + alpha[2][k].abs() * 0.6123724356957946 + alpha[3][k].abs() * 0.6123724356957946 + alpha[6][k].abs() * 0.7905694150420949 + alpha[8][k].abs() * 1.0606601717798212 + alpha[9][k].abs() * 0.7905694150420949 + alpha[14][k].abs() * 1.3693063937629153 + alpha[16][k].abs() * 1.3693063937629153;
+    }
+    let mut fm = [[0.0f64; L]; 20];
+    let mut fp = [[0.0f64; L]; 20];
+    sxn(&mut fm[0], 0.7071067811865476, &f_lo[0]);
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[1]);
+    sxn(&mut fm[0], 1.224744871391589, &f_lo[2]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[3]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[4]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[5]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[6]);
+    sxn(&mut fm[0], 1.5811388300841898, &f_lo[7]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[8]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[9]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[10]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[11]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[12]);
+    sxn(&mut fm[8], 0.7071067811865476, &f_lo[13]);
+    sxn(&mut fm[9], 0.7071067811865476, &f_lo[14]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[15]);
+    sxn(&mut fm[1], 1.5811388300841898, &f_lo[16]);
+    sxn(&mut fm[10], 0.7071067811865476, &f_lo[17]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[18]);
+    sxn(&mut fm[2], 1.5811388300841898, &f_lo[19]);
+    sxn(&mut fm[11], 0.7071067811865476, &f_lo[20]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[21]);
+    sxn(&mut fm[12], 0.7071067811865476, &f_lo[22]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[23]);
+    sxn(&mut fm[3], 1.5811388300841898, &f_lo[24]);
+    sxn(&mut fm[13], 0.7071067811865476, &f_lo[25]);
+    sxn(&mut fm[8], 1.224744871391589, &f_lo[26]);
+    sxn(&mut fm[14], 0.7071067811865476, &f_lo[27]);
+    sxn(&mut fm[15], 0.7071067811865476, &f_lo[28]);
+    sxn(&mut fm[9], 1.224744871391589, &f_lo[29]);
+    sxn(&mut fm[16], 0.7071067811865476, &f_lo[30]);
+    sxn(&mut fm[10], 1.224744871391589, &f_lo[31]);
+    sxn(&mut fm[5], 1.5811388300841898, &f_lo[32]);
+    sxn(&mut fm[11], 1.224744871391589, &f_lo[33]);
+    sxn(&mut fm[12], 1.224744871391589, &f_lo[34]);
+    sxn(&mut fm[7], 1.5811388300841898, &f_lo[35]);
+    sxn(&mut fm[17], 0.7071067811865476, &f_lo[36]);
+    sxn(&mut fm[13], 1.224744871391589, &f_lo[37]);
+    sxn(&mut fm[8], 1.5811388300841898, &f_lo[38]);
+    sxn(&mut fm[18], 0.7071067811865476, &f_lo[39]);
+    sxn(&mut fm[14], 1.224744871391589, &f_lo[40]);
+    sxn(&mut fm[15], 1.224744871391589, &f_lo[41]);
+    sxn(&mut fm[19], 0.7071067811865476, &f_lo[42]);
+    sxn(&mut fm[16], 1.224744871391589, &f_lo[43]);
+    sxn(&mut fm[17], 1.224744871391589, &f_lo[44]);
+    sxn(&mut fm[13], 1.5811388300841898, &f_lo[45]);
+    sxn(&mut fm[18], 1.224744871391589, &f_lo[46]);
+    sxn(&mut fm[19], 1.224744871391589, &f_lo[47]);
+    sxn(&mut fp[0], 0.7071067811865476, &f_hi[0]);
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[1]);
+    sxn(&mut fp[0], -1.224744871391589, &f_hi[2]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[3]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[4]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[5]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[6]);
+    sxn(&mut fp[0], 1.5811388300841898, &f_hi[7]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[8]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[9]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[10]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[11]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[12]);
+    sxn(&mut fp[8], 0.7071067811865476, &f_hi[13]);
+    sxn(&mut fp[9], 0.7071067811865476, &f_hi[14]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[15]);
+    sxn(&mut fp[1], 1.5811388300841898, &f_hi[16]);
+    sxn(&mut fp[10], 0.7071067811865476, &f_hi[17]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[18]);
+    sxn(&mut fp[2], 1.5811388300841898, &f_hi[19]);
+    sxn(&mut fp[11], 0.7071067811865476, &f_hi[20]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[21]);
+    sxn(&mut fp[12], 0.7071067811865476, &f_hi[22]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[23]);
+    sxn(&mut fp[3], 1.5811388300841898, &f_hi[24]);
+    sxn(&mut fp[13], 0.7071067811865476, &f_hi[25]);
+    sxn(&mut fp[8], -1.224744871391589, &f_hi[26]);
+    sxn(&mut fp[14], 0.7071067811865476, &f_hi[27]);
+    sxn(&mut fp[15], 0.7071067811865476, &f_hi[28]);
+    sxn(&mut fp[9], -1.224744871391589, &f_hi[29]);
+    sxn(&mut fp[16], 0.7071067811865476, &f_hi[30]);
+    sxn(&mut fp[10], -1.224744871391589, &f_hi[31]);
+    sxn(&mut fp[5], 1.5811388300841898, &f_hi[32]);
+    sxn(&mut fp[11], -1.224744871391589, &f_hi[33]);
+    sxn(&mut fp[12], -1.224744871391589, &f_hi[34]);
+    sxn(&mut fp[7], 1.5811388300841898, &f_hi[35]);
+    sxn(&mut fp[17], 0.7071067811865476, &f_hi[36]);
+    sxn(&mut fp[13], -1.224744871391589, &f_hi[37]);
+    sxn(&mut fp[8], 1.5811388300841898, &f_hi[38]);
+    sxn(&mut fp[18], 0.7071067811865476, &f_hi[39]);
+    sxn(&mut fp[14], -1.224744871391589, &f_hi[40]);
+    sxn(&mut fp[15], -1.224744871391589, &f_hi[41]);
+    sxn(&mut fp[19], 0.7071067811865476, &f_hi[42]);
+    sxn(&mut fp[16], -1.224744871391589, &f_hi[43]);
+    sxn(&mut fp[17], -1.224744871391589, &f_hi[44]);
+    sxn(&mut fp[13], 1.5811388300841898, &f_hi[45]);
+    sxn(&mut fp[18], -1.224744871391589, &f_hi[46]);
+    sxn(&mut fp[19], -1.224744871391589, &f_hi[47]);
+    let mut favg = [[0.0f64; L]; 20];
+    let mut ghat = [[0.0f64; L]; 20];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
+        favg[8][k] = 0.5 * (fm[8][k] + fp[8][k]);
+        ghat[8][k] = -0.5 * lam[k] * (fp[8][k] - fm[8][k]);
+        favg[9][k] = 0.5 * (fm[9][k] + fp[9][k]);
+        ghat[9][k] = -0.5 * lam[k] * (fp[9][k] - fm[9][k]);
+        favg[10][k] = 0.5 * (fm[10][k] + fp[10][k]);
+        ghat[10][k] = -0.5 * lam[k] * (fp[10][k] - fm[10][k]);
+        favg[11][k] = 0.5 * (fm[11][k] + fp[11][k]);
+        ghat[11][k] = -0.5 * lam[k] * (fp[11][k] - fm[11][k]);
+        favg[12][k] = 0.5 * (fm[12][k] + fp[12][k]);
+        ghat[12][k] = -0.5 * lam[k] * (fp[12][k] - fm[12][k]);
+        favg[13][k] = 0.5 * (fm[13][k] + fp[13][k]);
+        ghat[13][k] = -0.5 * lam[k] * (fp[13][k] - fm[13][k]);
+        favg[14][k] = 0.5 * (fm[14][k] + fp[14][k]);
+        ghat[14][k] = -0.5 * lam[k] * (fp[14][k] - fm[14][k]);
+        favg[15][k] = 0.5 * (fm[15][k] + fp[15][k]);
+        ghat[15][k] = -0.5 * lam[k] * (fp[15][k] - fm[15][k]);
+        favg[16][k] = 0.5 * (fm[16][k] + fp[16][k]);
+        ghat[16][k] = -0.5 * lam[k] * (fp[16][k] - fm[16][k]);
+        favg[17][k] = 0.5 * (fm[17][k] + fp[17][k]);
+        ghat[17][k] = -0.5 * lam[k] * (fp[17][k] - fm[17][k]);
+        favg[18][k] = 0.5 * (fm[18][k] + fp[18][k]);
+        ghat[18][k] = -0.5 * lam[k] * (fp[18][k] - fm[18][k]);
+        favg[19][k] = 0.5 * (fm[19][k] + fp[19][k]);
+        ghat[19][k] = -0.5 * lam[k] * (fp[19][k] - fm[19][k]);
+    }
+    for k in 0..L {
+        ghat[0][k] += 0.3535533905932738 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.35355339059327373 * alpha[2][k] * favg[2][k];
+        ghat[0][k] += 0.35355339059327373 * alpha[3][k] * favg[3][k];
+        ghat[0][k] += 0.3535533905932738 * alpha[6][k] * favg[6][k];
+        ghat[0][k] += 0.35355339059327373 * alpha[8][k] * favg[8][k];
+        ghat[0][k] += 0.3535533905932738 * alpha[9][k] * favg[9][k];
+        ghat[0][k] += 0.3535533905932738 * alpha[14][k] * favg[14][k];
+        ghat[0][k] += 0.3535533905932738 * alpha[16][k] * favg[16][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.35355339059327373 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.35355339059327373 * alpha[2][k] * favg[5][k];
+        ghat[1][k] += 0.35355339059327373 * alpha[3][k] * favg[7][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[6][k] * favg[11][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[8][k] * favg[13][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[9][k] * favg[15][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[14][k] * favg[18][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[16][k] * favg[19][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.35355339059327373 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.35355339059327373 * alpha[2][k] * favg[0][k];
+        ghat[2][k] += 0.31622776601683794 * alpha[2][k] * favg[6][k];
+        ghat[2][k] += 0.35355339059327373 * alpha[3][k] * favg[8][k];
+        ghat[2][k] += 0.31622776601683794 * alpha[6][k] * favg[2][k];
+        ghat[2][k] += 0.35355339059327373 * alpha[8][k] * favg[3][k];
+        ghat[2][k] += 0.31622776601683794 * alpha[8][k] * favg[14][k];
+        ghat[2][k] += 0.3535533905932738 * alpha[9][k] * favg[16][k];
+        ghat[2][k] += 0.31622776601683794 * alpha[14][k] * favg[8][k];
+        ghat[2][k] += 0.3535533905932738 * alpha[16][k] * favg[9][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.35355339059327373 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.35355339059327373 * alpha[2][k] * favg[8][k];
+        ghat[3][k] += 0.35355339059327373 * alpha[3][k] * favg[0][k];
+        ghat[3][k] += 0.31622776601683794 * alpha[3][k] * favg[9][k];
+        ghat[3][k] += 0.3535533905932738 * alpha[6][k] * favg[14][k];
+        ghat[3][k] += 0.35355339059327373 * alpha[8][k] * favg[2][k];
+        ghat[3][k] += 0.31622776601683794 * alpha[8][k] * favg[16][k];
+        ghat[3][k] += 0.31622776601683794 * alpha[9][k] * favg[3][k];
+        ghat[3][k] += 0.3535533905932738 * alpha[14][k] * favg[6][k];
+        ghat[3][k] += 0.31622776601683794 * alpha[16][k] * favg[8][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.3535533905932738 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.3535533905932738 * alpha[2][k] * favg[10][k];
+        ghat[4][k] += 0.3535533905932738 * alpha[3][k] * favg[12][k];
+        ghat[4][k] += 0.3535533905932738 * alpha[8][k] * favg[17][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.35355339059327373 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.35355339059327373 * alpha[2][k] * favg[1][k];
+        ghat[5][k] += 0.31622776601683794 * alpha[2][k] * favg[11][k];
+        ghat[5][k] += 0.3535533905932738 * alpha[3][k] * favg[13][k];
+        ghat[5][k] += 0.31622776601683794 * alpha[6][k] * favg[5][k];
+        ghat[5][k] += 0.3535533905932738 * alpha[8][k] * favg[7][k];
+        ghat[5][k] += 0.31622776601683794 * alpha[8][k] * favg[18][k];
+        ghat[5][k] += 0.3535533905932738 * alpha[9][k] * favg[19][k];
+        ghat[5][k] += 0.31622776601683794 * alpha[14][k] * favg[13][k];
+        ghat[5][k] += 0.3535533905932738 * alpha[16][k] * favg[15][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.3535533905932738 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.31622776601683794 * alpha[2][k] * favg[2][k];
+        ghat[6][k] += 0.3535533905932738 * alpha[3][k] * favg[14][k];
+        ghat[6][k] += 0.3535533905932738 * alpha[6][k] * favg[0][k];
+        ghat[6][k] += 0.2258769757263128 * alpha[6][k] * favg[6][k];
+        ghat[6][k] += 0.31622776601683794 * alpha[8][k] * favg[8][k];
+        ghat[6][k] += 0.3535533905932738 * alpha[14][k] * favg[3][k];
+        ghat[6][k] += 0.22587697572631282 * alpha[14][k] * favg[14][k];
+        ghat[6][k] += 0.31622776601683794 * alpha[16][k] * favg[16][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.35355339059327373 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.3535533905932738 * alpha[2][k] * favg[13][k];
+        ghat[7][k] += 0.35355339059327373 * alpha[3][k] * favg[1][k];
+        ghat[7][k] += 0.31622776601683794 * alpha[3][k] * favg[15][k];
+        ghat[7][k] += 0.3535533905932738 * alpha[6][k] * favg[18][k];
+        ghat[7][k] += 0.3535533905932738 * alpha[8][k] * favg[5][k];
+        ghat[7][k] += 0.31622776601683794 * alpha[8][k] * favg[19][k];
+        ghat[7][k] += 0.31622776601683794 * alpha[9][k] * favg[7][k];
+        ghat[7][k] += 0.3535533905932738 * alpha[14][k] * favg[11][k];
+        ghat[7][k] += 0.31622776601683794 * alpha[16][k] * favg[13][k];
+    }
+    for k in 0..L {
+        ghat[8][k] += 0.35355339059327373 * alpha[0][k] * favg[8][k];
+        ghat[8][k] += 0.35355339059327373 * alpha[2][k] * favg[3][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[2][k] * favg[14][k];
+        ghat[8][k] += 0.35355339059327373 * alpha[3][k] * favg[2][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[3][k] * favg[16][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[6][k] * favg[8][k];
+        ghat[8][k] += 0.35355339059327373 * alpha[8][k] * favg[0][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[8][k] * favg[6][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[8][k] * favg[9][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[9][k] * favg[8][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[14][k] * favg[2][k];
+        ghat[8][k] += 0.282842712474619 * alpha[14][k] * favg[16][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[16][k] * favg[3][k];
+        ghat[8][k] += 0.282842712474619 * alpha[16][k] * favg[14][k];
+    }
+    for k in 0..L {
+        ghat[9][k] += 0.3535533905932738 * alpha[0][k] * favg[9][k];
+        ghat[9][k] += 0.3535533905932738 * alpha[2][k] * favg[16][k];
+        ghat[9][k] += 0.31622776601683794 * alpha[3][k] * favg[3][k];
+        ghat[9][k] += 0.31622776601683794 * alpha[8][k] * favg[8][k];
+        ghat[9][k] += 0.3535533905932738 * alpha[9][k] * favg[0][k];
+        ghat[9][k] += 0.2258769757263128 * alpha[9][k] * favg[9][k];
+        ghat[9][k] += 0.31622776601683794 * alpha[14][k] * favg[14][k];
+        ghat[9][k] += 0.3535533905932738 * alpha[16][k] * favg[2][k];
+        ghat[9][k] += 0.22587697572631282 * alpha[16][k] * favg[16][k];
+    }
+    for k in 0..L {
+        ghat[10][k] += 0.3535533905932738 * alpha[0][k] * favg[10][k];
+        ghat[10][k] += 0.3535533905932738 * alpha[2][k] * favg[4][k];
+        ghat[10][k] += 0.3535533905932738 * alpha[3][k] * favg[17][k];
+        ghat[10][k] += 0.31622776601683794 * alpha[6][k] * favg[10][k];
+        ghat[10][k] += 0.3535533905932738 * alpha[8][k] * favg[12][k];
+        ghat[10][k] += 0.31622776601683794 * alpha[14][k] * favg[17][k];
+    }
+    for k in 0..L {
+        ghat[11][k] += 0.3535533905932738 * alpha[0][k] * favg[11][k];
+        ghat[11][k] += 0.31622776601683794 * alpha[2][k] * favg[5][k];
+        ghat[11][k] += 0.3535533905932738 * alpha[3][k] * favg[18][k];
+        ghat[11][k] += 0.3535533905932738 * alpha[6][k] * favg[1][k];
+        ghat[11][k] += 0.22587697572631282 * alpha[6][k] * favg[11][k];
+        ghat[11][k] += 0.31622776601683794 * alpha[8][k] * favg[13][k];
+        ghat[11][k] += 0.3535533905932738 * alpha[14][k] * favg[7][k];
+        ghat[11][k] += 0.2258769757263128 * alpha[14][k] * favg[18][k];
+        ghat[11][k] += 0.31622776601683794 * alpha[16][k] * favg[19][k];
+    }
+    for k in 0..L {
+        ghat[12][k] += 0.3535533905932738 * alpha[0][k] * favg[12][k];
+        ghat[12][k] += 0.3535533905932738 * alpha[2][k] * favg[17][k];
+        ghat[12][k] += 0.3535533905932738 * alpha[3][k] * favg[4][k];
+        ghat[12][k] += 0.3535533905932738 * alpha[8][k] * favg[10][k];
+        ghat[12][k] += 0.31622776601683794 * alpha[9][k] * favg[12][k];
+        ghat[12][k] += 0.31622776601683794 * alpha[16][k] * favg[17][k];
+    }
+    for k in 0..L {
+        ghat[13][k] += 0.3535533905932738 * alpha[0][k] * favg[13][k];
+        ghat[13][k] += 0.3535533905932738 * alpha[2][k] * favg[7][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[2][k] * favg[18][k];
+        ghat[13][k] += 0.3535533905932738 * alpha[3][k] * favg[5][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[3][k] * favg[19][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[6][k] * favg[13][k];
+        ghat[13][k] += 0.3535533905932738 * alpha[8][k] * favg[1][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[8][k] * favg[11][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[8][k] * favg[15][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[9][k] * favg[13][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[14][k] * favg[5][k];
+        ghat[13][k] += 0.282842712474619 * alpha[14][k] * favg[19][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[16][k] * favg[7][k];
+        ghat[13][k] += 0.282842712474619 * alpha[16][k] * favg[18][k];
+    }
+    for k in 0..L {
+        ghat[14][k] += 0.3535533905932738 * alpha[0][k] * favg[14][k];
+        ghat[14][k] += 0.31622776601683794 * alpha[2][k] * favg[8][k];
+        ghat[14][k] += 0.3535533905932738 * alpha[3][k] * favg[6][k];
+        ghat[14][k] += 0.3535533905932738 * alpha[6][k] * favg[3][k];
+        ghat[14][k] += 0.22587697572631282 * alpha[6][k] * favg[14][k];
+        ghat[14][k] += 0.31622776601683794 * alpha[8][k] * favg[2][k];
+        ghat[14][k] += 0.282842712474619 * alpha[8][k] * favg[16][k];
+        ghat[14][k] += 0.31622776601683794 * alpha[9][k] * favg[14][k];
+        ghat[14][k] += 0.3535533905932738 * alpha[14][k] * favg[0][k];
+        ghat[14][k] += 0.22587697572631282 * alpha[14][k] * favg[6][k];
+        ghat[14][k] += 0.31622776601683794 * alpha[14][k] * favg[9][k];
+        ghat[14][k] += 0.282842712474619 * alpha[16][k] * favg[8][k];
+    }
+    for k in 0..L {
+        ghat[15][k] += 0.3535533905932738 * alpha[0][k] * favg[15][k];
+        ghat[15][k] += 0.3535533905932738 * alpha[2][k] * favg[19][k];
+        ghat[15][k] += 0.31622776601683794 * alpha[3][k] * favg[7][k];
+        ghat[15][k] += 0.31622776601683794 * alpha[8][k] * favg[13][k];
+        ghat[15][k] += 0.3535533905932738 * alpha[9][k] * favg[1][k];
+        ghat[15][k] += 0.22587697572631282 * alpha[9][k] * favg[15][k];
+        ghat[15][k] += 0.31622776601683794 * alpha[14][k] * favg[18][k];
+        ghat[15][k] += 0.3535533905932738 * alpha[16][k] * favg[5][k];
+        ghat[15][k] += 0.2258769757263128 * alpha[16][k] * favg[19][k];
+    }
+    for k in 0..L {
+        ghat[16][k] += 0.3535533905932738 * alpha[0][k] * favg[16][k];
+        ghat[16][k] += 0.3535533905932738 * alpha[2][k] * favg[9][k];
+        ghat[16][k] += 0.31622776601683794 * alpha[3][k] * favg[8][k];
+        ghat[16][k] += 0.31622776601683794 * alpha[6][k] * favg[16][k];
+        ghat[16][k] += 0.31622776601683794 * alpha[8][k] * favg[3][k];
+        ghat[16][k] += 0.282842712474619 * alpha[8][k] * favg[14][k];
+        ghat[16][k] += 0.3535533905932738 * alpha[9][k] * favg[2][k];
+        ghat[16][k] += 0.22587697572631282 * alpha[9][k] * favg[16][k];
+        ghat[16][k] += 0.282842712474619 * alpha[14][k] * favg[8][k];
+        ghat[16][k] += 0.3535533905932738 * alpha[16][k] * favg[0][k];
+        ghat[16][k] += 0.31622776601683794 * alpha[16][k] * favg[6][k];
+        ghat[16][k] += 0.22587697572631282 * alpha[16][k] * favg[9][k];
+    }
+    for k in 0..L {
+        ghat[17][k] += 0.3535533905932738 * alpha[0][k] * favg[17][k];
+        ghat[17][k] += 0.3535533905932738 * alpha[2][k] * favg[12][k];
+        ghat[17][k] += 0.3535533905932738 * alpha[3][k] * favg[10][k];
+        ghat[17][k] += 0.31622776601683794 * alpha[6][k] * favg[17][k];
+        ghat[17][k] += 0.3535533905932738 * alpha[8][k] * favg[4][k];
+        ghat[17][k] += 0.31622776601683794 * alpha[9][k] * favg[17][k];
+        ghat[17][k] += 0.31622776601683794 * alpha[14][k] * favg[10][k];
+        ghat[17][k] += 0.31622776601683794 * alpha[16][k] * favg[12][k];
+    }
+    for k in 0..L {
+        ghat[18][k] += 0.3535533905932738 * alpha[0][k] * favg[18][k];
+        ghat[18][k] += 0.31622776601683794 * alpha[2][k] * favg[13][k];
+        ghat[18][k] += 0.3535533905932738 * alpha[3][k] * favg[11][k];
+        ghat[18][k] += 0.3535533905932738 * alpha[6][k] * favg[7][k];
+        ghat[18][k] += 0.2258769757263128 * alpha[6][k] * favg[18][k];
+        ghat[18][k] += 0.31622776601683794 * alpha[8][k] * favg[5][k];
+        ghat[18][k] += 0.282842712474619 * alpha[8][k] * favg[19][k];
+        ghat[18][k] += 0.31622776601683794 * alpha[9][k] * favg[18][k];
+        ghat[18][k] += 0.3535533905932738 * alpha[14][k] * favg[1][k];
+        ghat[18][k] += 0.2258769757263128 * alpha[14][k] * favg[11][k];
+        ghat[18][k] += 0.31622776601683794 * alpha[14][k] * favg[15][k];
+        ghat[18][k] += 0.282842712474619 * alpha[16][k] * favg[13][k];
+    }
+    for k in 0..L {
+        ghat[19][k] += 0.3535533905932738 * alpha[0][k] * favg[19][k];
+        ghat[19][k] += 0.3535533905932738 * alpha[2][k] * favg[15][k];
+        ghat[19][k] += 0.31622776601683794 * alpha[3][k] * favg[13][k];
+        ghat[19][k] += 0.31622776601683794 * alpha[6][k] * favg[19][k];
+        ghat[19][k] += 0.31622776601683794 * alpha[8][k] * favg[7][k];
+        ghat[19][k] += 0.282842712474619 * alpha[8][k] * favg[18][k];
+        ghat[19][k] += 0.3535533905932738 * alpha[9][k] * favg[5][k];
+        ghat[19][k] += 0.2258769757263128 * alpha[9][k] * favg[19][k];
+        ghat[19][k] += 0.282842712474619 * alpha[14][k] * favg[13][k];
+        ghat[19][k] += 0.3535533905932738 * alpha[16][k] * favg[1][k];
+        ghat[19][k] += 0.31622776601683794 * alpha[16][k] * favg[11][k];
+        ghat[19][k] += 0.2258769757263128 * alpha[16][k] * favg[15][k];
+    }
+    sxn(&mut out_lo[0], -scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], -scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[3], -scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], -scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], -scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], -scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[7], -scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_lo[8], -scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[9], -scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[10], -scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[11], -scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[12], -scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[13], -scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[14], -scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[15], -scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[16], -scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_lo[17], -scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[18], -scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[19], -scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_lo[20], -scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[21], -scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[22], -scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[23], -scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[24], -scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_lo[25], -scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[26], -scale * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[27], -scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[28], -scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[29], -scale * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[30], -scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_lo[31], -scale * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[32], -scale * 1.5811388300841898, &ghat[5]);
+    sxn(&mut out_lo[33], -scale * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[34], -scale * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[35], -scale * 1.5811388300841898, &ghat[7]);
+    sxn(&mut out_lo[36], -scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_lo[37], -scale * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[38], -scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_lo[39], -scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_lo[40], -scale * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[41], -scale * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_lo[42], -scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_lo[43], -scale * 1.224744871391589, &ghat[16]);
+    sxn(&mut out_lo[44], -scale * 1.224744871391589, &ghat[17]);
+    sxn(&mut out_lo[45], -scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_lo[46], -scale * 1.224744871391589, &ghat[18]);
+    sxn(&mut out_lo[47], -scale * 1.224744871391589, &ghat[19]);
+    sxn(&mut out_hi[0], scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[3], scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[7], scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_hi[8], scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[9], scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[10], scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[11], scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[12], scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[13], scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[14], scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[15], scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[16], scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_hi[17], scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[18], scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[19], scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_hi[20], scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[21], scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[22], scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[23], scale * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[24], scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_hi[25], scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[26], scale * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[27], scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[28], scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[29], scale * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[30], scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_hi[31], scale * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[32], scale * 1.5811388300841898, &ghat[5]);
+    sxn(&mut out_hi[33], scale * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[34], scale * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[35], scale * 1.5811388300841898, &ghat[7]);
+    sxn(&mut out_hi[36], scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_hi[37], scale * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[38], scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_hi[39], scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_hi[40], scale * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[41], scale * -1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[42], scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_hi[43], scale * -1.224744871391589, &ghat[16]);
+    sxn(&mut out_hi[44], scale * -1.224744871391589, &ghat[17]);
+    sxn(&mut out_hi[45], scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_hi[46], scale * -1.224744871391589, &ghat[18]);
+    sxn(&mut out_hi[47], scale * -1.224744871391589, &ghat[19]);
 }
 
 /// LDG gradient in v0 for one cell: volume gradient-mass plus the
@@ -787,572 +949,686 @@ pub fn lbo_2x2v_p2_ser_drag_surf_v0(nu: f64, vstar: f64, dv: f64, u: &[f64], f_l
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x2v_p2_ser_diff_grad_v0(dv: f64, at_upper: bool, f: &[f64], f_up: &[f64], g: &mut [f64]) {
+    lbo_2x2v_p2_ser_diff_grad_v0_body::<1>(dv, at_upper, f.as_chunks().0, f_up.as_chunks().0, g.as_chunks_mut().0)
+}
+
+/// [`lbo_2x2v_p2_ser_diff_grad_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_diff_grad_v0_b4(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_diff_grad_v0_body(dv, at_upper, f, f_up, g)
+}
+
+/// [`lbo_2x2v_p2_ser_diff_grad_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_diff_grad_v0_b4_avx2(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_diff_grad_v0_body(dv, at_upper, f, f_up, g)
+}
+
+/// Shared lane-generic body of [`lbo_2x2v_p2_ser_diff_grad_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x2v_p2_ser_diff_grad_v0_body<const L: usize>(dv: f64, at_upper: bool, f: &[[f64; L]], f_up: &[[f64; L]], g: &mut [[f64; L]]) {
+    let f: &[[f64; L]; 48] = f.first_chunk().expect("f: 48 coefficients");
+    let f_up: &[[f64; L]; 48] = f_up.first_chunk().expect("f_up: 48 coefficients");
+    let g: &mut [[f64; L]; 48] = g.first_chunk_mut().expect("g: 48 coefficients");
     let scale = 2.0 / dv;
-    g[2] += -scale * 1.7320508075688772 * f[0];
-    g[6] += -scale * 1.7320508075688772 * f[1];
-    g[7] += -scale * 3.872983346207417 * f[2];
-    g[9] += -scale * 1.7320508075688772 * f[3];
-    g[12] += -scale * 1.7320508075688772 * f[4];
-    g[15] += -scale * 1.7320508075688772 * f[5];
-    g[16] += -scale * 3.872983346207417 * f[6];
-    g[18] += -scale * 1.7320508075688772 * f[8];
-    g[19] += -scale * 3.872983346207417 * f[9];
-    g[21] += -scale * 1.7320508075688772 * f[10];
-    g[23] += -scale * 1.7320508075688772 * f[11];
-    g[24] += -scale * 3.872983346207417 * f[12];
-    g[26] += -scale * 1.7320508075688772 * f[13];
-    g[29] += -scale * 1.7320508075688772 * f[14];
-    g[31] += -scale * 1.7320508075688772 * f[17];
-    g[32] += -scale * 3.872983346207417 * f[18];
-    g[33] += -scale * 1.7320508075688772 * f[20];
-    g[34] += -scale * 1.7320508075688772 * f[22];
-    g[35] += -scale * 3.872983346207417 * f[23];
-    g[37] += -scale * 1.7320508075688772 * f[25];
-    g[38] += -scale * 3.872983346207417 * f[26];
-    g[40] += -scale * 1.7320508075688772 * f[27];
-    g[41] += -scale * 1.7320508075688772 * f[28];
-    g[43] += -scale * 1.7320508075688772 * f[30];
-    g[44] += -scale * 1.7320508075688772 * f[36];
-    g[45] += -scale * 3.872983346207417 * f[37];
-    g[46] += -scale * 1.7320508075688772 * f[39];
-    g[47] += -scale * 1.7320508075688772 * f[42];
-    let mut tr = [0.0f64; 20];
+    sxn(&mut g[2], -scale * 1.7320508075688772, &f[0]);
+    sxn(&mut g[6], -scale * 1.7320508075688772, &f[1]);
+    sxn(&mut g[7], -scale * 3.872983346207417, &f[2]);
+    sxn(&mut g[9], -scale * 1.7320508075688772, &f[3]);
+    sxn(&mut g[12], -scale * 1.7320508075688772, &f[4]);
+    sxn(&mut g[15], -scale * 1.7320508075688772, &f[5]);
+    sxn(&mut g[16], -scale * 3.872983346207417, &f[6]);
+    sxn(&mut g[18], -scale * 1.7320508075688772, &f[8]);
+    sxn(&mut g[19], -scale * 3.872983346207417, &f[9]);
+    sxn(&mut g[21], -scale * 1.7320508075688772, &f[10]);
+    sxn(&mut g[23], -scale * 1.7320508075688772, &f[11]);
+    sxn(&mut g[24], -scale * 3.872983346207417, &f[12]);
+    sxn(&mut g[26], -scale * 1.7320508075688772, &f[13]);
+    sxn(&mut g[29], -scale * 1.7320508075688772, &f[14]);
+    sxn(&mut g[31], -scale * 1.7320508075688772, &f[17]);
+    sxn(&mut g[32], -scale * 3.872983346207417, &f[18]);
+    sxn(&mut g[33], -scale * 1.7320508075688772, &f[20]);
+    sxn(&mut g[34], -scale * 1.7320508075688772, &f[22]);
+    sxn(&mut g[35], -scale * 3.872983346207417, &f[23]);
+    sxn(&mut g[37], -scale * 1.7320508075688772, &f[25]);
+    sxn(&mut g[38], -scale * 3.872983346207417, &f[26]);
+    sxn(&mut g[40], -scale * 1.7320508075688772, &f[27]);
+    sxn(&mut g[41], -scale * 1.7320508075688772, &f[28]);
+    sxn(&mut g[43], -scale * 1.7320508075688772, &f[30]);
+    sxn(&mut g[44], -scale * 1.7320508075688772, &f[36]);
+    sxn(&mut g[45], -scale * 3.872983346207417, &f[37]);
+    sxn(&mut g[46], -scale * 1.7320508075688772, &f[39]);
+    sxn(&mut g[47], -scale * 1.7320508075688772, &f[42]);
+    let mut tr = [[0.0f64; L]; 20];
     if at_upper {
-        tr[0] += 0.7071067811865476 * f[0];
-        tr[1] += 0.7071067811865476 * f[1];
-        tr[0] += 1.224744871391589 * f[2];
-        tr[2] += 0.7071067811865476 * f[3];
-        tr[3] += 0.7071067811865476 * f[4];
-        tr[4] += 0.7071067811865476 * f[5];
-        tr[1] += 1.224744871391589 * f[6];
-        tr[0] += 1.5811388300841898 * f[7];
-        tr[5] += 0.7071067811865476 * f[8];
-        tr[2] += 1.224744871391589 * f[9];
-        tr[6] += 0.7071067811865476 * f[10];
-        tr[7] += 0.7071067811865476 * f[11];
-        tr[3] += 1.224744871391589 * f[12];
-        tr[8] += 0.7071067811865476 * f[13];
-        tr[9] += 0.7071067811865476 * f[14];
-        tr[4] += 1.224744871391589 * f[15];
-        tr[1] += 1.5811388300841898 * f[16];
-        tr[10] += 0.7071067811865476 * f[17];
-        tr[5] += 1.224744871391589 * f[18];
-        tr[2] += 1.5811388300841898 * f[19];
-        tr[11] += 0.7071067811865476 * f[20];
-        tr[6] += 1.224744871391589 * f[21];
-        tr[12] += 0.7071067811865476 * f[22];
-        tr[7] += 1.224744871391589 * f[23];
-        tr[3] += 1.5811388300841898 * f[24];
-        tr[13] += 0.7071067811865476 * f[25];
-        tr[8] += 1.224744871391589 * f[26];
-        tr[14] += 0.7071067811865476 * f[27];
-        tr[15] += 0.7071067811865476 * f[28];
-        tr[9] += 1.224744871391589 * f[29];
-        tr[16] += 0.7071067811865476 * f[30];
-        tr[10] += 1.224744871391589 * f[31];
-        tr[5] += 1.5811388300841898 * f[32];
-        tr[11] += 1.224744871391589 * f[33];
-        tr[12] += 1.224744871391589 * f[34];
-        tr[7] += 1.5811388300841898 * f[35];
-        tr[17] += 0.7071067811865476 * f[36];
-        tr[13] += 1.224744871391589 * f[37];
-        tr[8] += 1.5811388300841898 * f[38];
-        tr[18] += 0.7071067811865476 * f[39];
-        tr[14] += 1.224744871391589 * f[40];
-        tr[15] += 1.224744871391589 * f[41];
-        tr[19] += 0.7071067811865476 * f[42];
-        tr[16] += 1.224744871391589 * f[43];
-        tr[17] += 1.224744871391589 * f[44];
-        tr[13] += 1.5811388300841898 * f[45];
-        tr[18] += 1.224744871391589 * f[46];
-        tr[19] += 1.224744871391589 * f[47];
+        sxn(&mut tr[0], 0.7071067811865476, &f[0]);
+        sxn(&mut tr[1], 0.7071067811865476, &f[1]);
+        sxn(&mut tr[0], 1.224744871391589, &f[2]);
+        sxn(&mut tr[2], 0.7071067811865476, &f[3]);
+        sxn(&mut tr[3], 0.7071067811865476, &f[4]);
+        sxn(&mut tr[4], 0.7071067811865476, &f[5]);
+        sxn(&mut tr[1], 1.224744871391589, &f[6]);
+        sxn(&mut tr[0], 1.5811388300841898, &f[7]);
+        sxn(&mut tr[5], 0.7071067811865476, &f[8]);
+        sxn(&mut tr[2], 1.224744871391589, &f[9]);
+        sxn(&mut tr[6], 0.7071067811865476, &f[10]);
+        sxn(&mut tr[7], 0.7071067811865476, &f[11]);
+        sxn(&mut tr[3], 1.224744871391589, &f[12]);
+        sxn(&mut tr[8], 0.7071067811865476, &f[13]);
+        sxn(&mut tr[9], 0.7071067811865476, &f[14]);
+        sxn(&mut tr[4], 1.224744871391589, &f[15]);
+        sxn(&mut tr[1], 1.5811388300841898, &f[16]);
+        sxn(&mut tr[10], 0.7071067811865476, &f[17]);
+        sxn(&mut tr[5], 1.224744871391589, &f[18]);
+        sxn(&mut tr[2], 1.5811388300841898, &f[19]);
+        sxn(&mut tr[11], 0.7071067811865476, &f[20]);
+        sxn(&mut tr[6], 1.224744871391589, &f[21]);
+        sxn(&mut tr[12], 0.7071067811865476, &f[22]);
+        sxn(&mut tr[7], 1.224744871391589, &f[23]);
+        sxn(&mut tr[3], 1.5811388300841898, &f[24]);
+        sxn(&mut tr[13], 0.7071067811865476, &f[25]);
+        sxn(&mut tr[8], 1.224744871391589, &f[26]);
+        sxn(&mut tr[14], 0.7071067811865476, &f[27]);
+        sxn(&mut tr[15], 0.7071067811865476, &f[28]);
+        sxn(&mut tr[9], 1.224744871391589, &f[29]);
+        sxn(&mut tr[16], 0.7071067811865476, &f[30]);
+        sxn(&mut tr[10], 1.224744871391589, &f[31]);
+        sxn(&mut tr[5], 1.5811388300841898, &f[32]);
+        sxn(&mut tr[11], 1.224744871391589, &f[33]);
+        sxn(&mut tr[12], 1.224744871391589, &f[34]);
+        sxn(&mut tr[7], 1.5811388300841898, &f[35]);
+        sxn(&mut tr[17], 0.7071067811865476, &f[36]);
+        sxn(&mut tr[13], 1.224744871391589, &f[37]);
+        sxn(&mut tr[8], 1.5811388300841898, &f[38]);
+        sxn(&mut tr[18], 0.7071067811865476, &f[39]);
+        sxn(&mut tr[14], 1.224744871391589, &f[40]);
+        sxn(&mut tr[15], 1.224744871391589, &f[41]);
+        sxn(&mut tr[19], 0.7071067811865476, &f[42]);
+        sxn(&mut tr[16], 1.224744871391589, &f[43]);
+        sxn(&mut tr[17], 1.224744871391589, &f[44]);
+        sxn(&mut tr[13], 1.5811388300841898, &f[45]);
+        sxn(&mut tr[18], 1.224744871391589, &f[46]);
+        sxn(&mut tr[19], 1.224744871391589, &f[47]);
     } else {
-        tr[0] += 0.7071067811865476 * f_up[0];
-        tr[1] += 0.7071067811865476 * f_up[1];
-        tr[0] += -1.224744871391589 * f_up[2];
-        tr[2] += 0.7071067811865476 * f_up[3];
-        tr[3] += 0.7071067811865476 * f_up[4];
-        tr[4] += 0.7071067811865476 * f_up[5];
-        tr[1] += -1.224744871391589 * f_up[6];
-        tr[0] += 1.5811388300841898 * f_up[7];
-        tr[5] += 0.7071067811865476 * f_up[8];
-        tr[2] += -1.224744871391589 * f_up[9];
-        tr[6] += 0.7071067811865476 * f_up[10];
-        tr[7] += 0.7071067811865476 * f_up[11];
-        tr[3] += -1.224744871391589 * f_up[12];
-        tr[8] += 0.7071067811865476 * f_up[13];
-        tr[9] += 0.7071067811865476 * f_up[14];
-        tr[4] += -1.224744871391589 * f_up[15];
-        tr[1] += 1.5811388300841898 * f_up[16];
-        tr[10] += 0.7071067811865476 * f_up[17];
-        tr[5] += -1.224744871391589 * f_up[18];
-        tr[2] += 1.5811388300841898 * f_up[19];
-        tr[11] += 0.7071067811865476 * f_up[20];
-        tr[6] += -1.224744871391589 * f_up[21];
-        tr[12] += 0.7071067811865476 * f_up[22];
-        tr[7] += -1.224744871391589 * f_up[23];
-        tr[3] += 1.5811388300841898 * f_up[24];
-        tr[13] += 0.7071067811865476 * f_up[25];
-        tr[8] += -1.224744871391589 * f_up[26];
-        tr[14] += 0.7071067811865476 * f_up[27];
-        tr[15] += 0.7071067811865476 * f_up[28];
-        tr[9] += -1.224744871391589 * f_up[29];
-        tr[16] += 0.7071067811865476 * f_up[30];
-        tr[10] += -1.224744871391589 * f_up[31];
-        tr[5] += 1.5811388300841898 * f_up[32];
-        tr[11] += -1.224744871391589 * f_up[33];
-        tr[12] += -1.224744871391589 * f_up[34];
-        tr[7] += 1.5811388300841898 * f_up[35];
-        tr[17] += 0.7071067811865476 * f_up[36];
-        tr[13] += -1.224744871391589 * f_up[37];
-        tr[8] += 1.5811388300841898 * f_up[38];
-        tr[18] += 0.7071067811865476 * f_up[39];
-        tr[14] += -1.224744871391589 * f_up[40];
-        tr[15] += -1.224744871391589 * f_up[41];
-        tr[19] += 0.7071067811865476 * f_up[42];
-        tr[16] += -1.224744871391589 * f_up[43];
-        tr[17] += -1.224744871391589 * f_up[44];
-        tr[13] += 1.5811388300841898 * f_up[45];
-        tr[18] += -1.224744871391589 * f_up[46];
-        tr[19] += -1.224744871391589 * f_up[47];
+        sxn(&mut tr[0], 0.7071067811865476, &f_up[0]);
+        sxn(&mut tr[1], 0.7071067811865476, &f_up[1]);
+        sxn(&mut tr[0], -1.224744871391589, &f_up[2]);
+        sxn(&mut tr[2], 0.7071067811865476, &f_up[3]);
+        sxn(&mut tr[3], 0.7071067811865476, &f_up[4]);
+        sxn(&mut tr[4], 0.7071067811865476, &f_up[5]);
+        sxn(&mut tr[1], -1.224744871391589, &f_up[6]);
+        sxn(&mut tr[0], 1.5811388300841898, &f_up[7]);
+        sxn(&mut tr[5], 0.7071067811865476, &f_up[8]);
+        sxn(&mut tr[2], -1.224744871391589, &f_up[9]);
+        sxn(&mut tr[6], 0.7071067811865476, &f_up[10]);
+        sxn(&mut tr[7], 0.7071067811865476, &f_up[11]);
+        sxn(&mut tr[3], -1.224744871391589, &f_up[12]);
+        sxn(&mut tr[8], 0.7071067811865476, &f_up[13]);
+        sxn(&mut tr[9], 0.7071067811865476, &f_up[14]);
+        sxn(&mut tr[4], -1.224744871391589, &f_up[15]);
+        sxn(&mut tr[1], 1.5811388300841898, &f_up[16]);
+        sxn(&mut tr[10], 0.7071067811865476, &f_up[17]);
+        sxn(&mut tr[5], -1.224744871391589, &f_up[18]);
+        sxn(&mut tr[2], 1.5811388300841898, &f_up[19]);
+        sxn(&mut tr[11], 0.7071067811865476, &f_up[20]);
+        sxn(&mut tr[6], -1.224744871391589, &f_up[21]);
+        sxn(&mut tr[12], 0.7071067811865476, &f_up[22]);
+        sxn(&mut tr[7], -1.224744871391589, &f_up[23]);
+        sxn(&mut tr[3], 1.5811388300841898, &f_up[24]);
+        sxn(&mut tr[13], 0.7071067811865476, &f_up[25]);
+        sxn(&mut tr[8], -1.224744871391589, &f_up[26]);
+        sxn(&mut tr[14], 0.7071067811865476, &f_up[27]);
+        sxn(&mut tr[15], 0.7071067811865476, &f_up[28]);
+        sxn(&mut tr[9], -1.224744871391589, &f_up[29]);
+        sxn(&mut tr[16], 0.7071067811865476, &f_up[30]);
+        sxn(&mut tr[10], -1.224744871391589, &f_up[31]);
+        sxn(&mut tr[5], 1.5811388300841898, &f_up[32]);
+        sxn(&mut tr[11], -1.224744871391589, &f_up[33]);
+        sxn(&mut tr[12], -1.224744871391589, &f_up[34]);
+        sxn(&mut tr[7], 1.5811388300841898, &f_up[35]);
+        sxn(&mut tr[17], 0.7071067811865476, &f_up[36]);
+        sxn(&mut tr[13], -1.224744871391589, &f_up[37]);
+        sxn(&mut tr[8], 1.5811388300841898, &f_up[38]);
+        sxn(&mut tr[18], 0.7071067811865476, &f_up[39]);
+        sxn(&mut tr[14], -1.224744871391589, &f_up[40]);
+        sxn(&mut tr[15], -1.224744871391589, &f_up[41]);
+        sxn(&mut tr[19], 0.7071067811865476, &f_up[42]);
+        sxn(&mut tr[16], -1.224744871391589, &f_up[43]);
+        sxn(&mut tr[17], -1.224744871391589, &f_up[44]);
+        sxn(&mut tr[13], 1.5811388300841898, &f_up[45]);
+        sxn(&mut tr[18], -1.224744871391589, &f_up[46]);
+        sxn(&mut tr[19], -1.224744871391589, &f_up[47]);
     }
-    g[0] += scale * 0.7071067811865476 * tr[0];
-    g[1] += scale * 0.7071067811865476 * tr[1];
-    g[2] += scale * 1.224744871391589 * tr[0];
-    g[3] += scale * 0.7071067811865476 * tr[2];
-    g[4] += scale * 0.7071067811865476 * tr[3];
-    g[5] += scale * 0.7071067811865476 * tr[4];
-    g[6] += scale * 1.224744871391589 * tr[1];
-    g[7] += scale * 1.5811388300841898 * tr[0];
-    g[8] += scale * 0.7071067811865476 * tr[5];
-    g[9] += scale * 1.224744871391589 * tr[2];
-    g[10] += scale * 0.7071067811865476 * tr[6];
-    g[11] += scale * 0.7071067811865476 * tr[7];
-    g[12] += scale * 1.224744871391589 * tr[3];
-    g[13] += scale * 0.7071067811865476 * tr[8];
-    g[14] += scale * 0.7071067811865476 * tr[9];
-    g[15] += scale * 1.224744871391589 * tr[4];
-    g[16] += scale * 1.5811388300841898 * tr[1];
-    g[17] += scale * 0.7071067811865476 * tr[10];
-    g[18] += scale * 1.224744871391589 * tr[5];
-    g[19] += scale * 1.5811388300841898 * tr[2];
-    g[20] += scale * 0.7071067811865476 * tr[11];
-    g[21] += scale * 1.224744871391589 * tr[6];
-    g[22] += scale * 0.7071067811865476 * tr[12];
-    g[23] += scale * 1.224744871391589 * tr[7];
-    g[24] += scale * 1.5811388300841898 * tr[3];
-    g[25] += scale * 0.7071067811865476 * tr[13];
-    g[26] += scale * 1.224744871391589 * tr[8];
-    g[27] += scale * 0.7071067811865476 * tr[14];
-    g[28] += scale * 0.7071067811865476 * tr[15];
-    g[29] += scale * 1.224744871391589 * tr[9];
-    g[30] += scale * 0.7071067811865476 * tr[16];
-    g[31] += scale * 1.224744871391589 * tr[10];
-    g[32] += scale * 1.5811388300841898 * tr[5];
-    g[33] += scale * 1.224744871391589 * tr[11];
-    g[34] += scale * 1.224744871391589 * tr[12];
-    g[35] += scale * 1.5811388300841898 * tr[7];
-    g[36] += scale * 0.7071067811865476 * tr[17];
-    g[37] += scale * 1.224744871391589 * tr[13];
-    g[38] += scale * 1.5811388300841898 * tr[8];
-    g[39] += scale * 0.7071067811865476 * tr[18];
-    g[40] += scale * 1.224744871391589 * tr[14];
-    g[41] += scale * 1.224744871391589 * tr[15];
-    g[42] += scale * 0.7071067811865476 * tr[19];
-    g[43] += scale * 1.224744871391589 * tr[16];
-    g[44] += scale * 1.224744871391589 * tr[17];
-    g[45] += scale * 1.5811388300841898 * tr[13];
-    g[46] += scale * 1.224744871391589 * tr[18];
-    g[47] += scale * 1.224744871391589 * tr[19];
-    let mut tl = [0.0f64; 20];
-    tl[0] += 0.7071067811865476 * f[0];
-    tl[1] += 0.7071067811865476 * f[1];
-    tl[0] += -1.224744871391589 * f[2];
-    tl[2] += 0.7071067811865476 * f[3];
-    tl[3] += 0.7071067811865476 * f[4];
-    tl[4] += 0.7071067811865476 * f[5];
-    tl[1] += -1.224744871391589 * f[6];
-    tl[0] += 1.5811388300841898 * f[7];
-    tl[5] += 0.7071067811865476 * f[8];
-    tl[2] += -1.224744871391589 * f[9];
-    tl[6] += 0.7071067811865476 * f[10];
-    tl[7] += 0.7071067811865476 * f[11];
-    tl[3] += -1.224744871391589 * f[12];
-    tl[8] += 0.7071067811865476 * f[13];
-    tl[9] += 0.7071067811865476 * f[14];
-    tl[4] += -1.224744871391589 * f[15];
-    tl[1] += 1.5811388300841898 * f[16];
-    tl[10] += 0.7071067811865476 * f[17];
-    tl[5] += -1.224744871391589 * f[18];
-    tl[2] += 1.5811388300841898 * f[19];
-    tl[11] += 0.7071067811865476 * f[20];
-    tl[6] += -1.224744871391589 * f[21];
-    tl[12] += 0.7071067811865476 * f[22];
-    tl[7] += -1.224744871391589 * f[23];
-    tl[3] += 1.5811388300841898 * f[24];
-    tl[13] += 0.7071067811865476 * f[25];
-    tl[8] += -1.224744871391589 * f[26];
-    tl[14] += 0.7071067811865476 * f[27];
-    tl[15] += 0.7071067811865476 * f[28];
-    tl[9] += -1.224744871391589 * f[29];
-    tl[16] += 0.7071067811865476 * f[30];
-    tl[10] += -1.224744871391589 * f[31];
-    tl[5] += 1.5811388300841898 * f[32];
-    tl[11] += -1.224744871391589 * f[33];
-    tl[12] += -1.224744871391589 * f[34];
-    tl[7] += 1.5811388300841898 * f[35];
-    tl[17] += 0.7071067811865476 * f[36];
-    tl[13] += -1.224744871391589 * f[37];
-    tl[8] += 1.5811388300841898 * f[38];
-    tl[18] += 0.7071067811865476 * f[39];
-    tl[14] += -1.224744871391589 * f[40];
-    tl[15] += -1.224744871391589 * f[41];
-    tl[19] += 0.7071067811865476 * f[42];
-    tl[16] += -1.224744871391589 * f[43];
-    tl[17] += -1.224744871391589 * f[44];
-    tl[13] += 1.5811388300841898 * f[45];
-    tl[18] += -1.224744871391589 * f[46];
-    tl[19] += -1.224744871391589 * f[47];
-    g[0] += -scale * 0.7071067811865476 * tl[0];
-    g[1] += -scale * 0.7071067811865476 * tl[1];
-    g[2] += -scale * -1.224744871391589 * tl[0];
-    g[3] += -scale * 0.7071067811865476 * tl[2];
-    g[4] += -scale * 0.7071067811865476 * tl[3];
-    g[5] += -scale * 0.7071067811865476 * tl[4];
-    g[6] += -scale * -1.224744871391589 * tl[1];
-    g[7] += -scale * 1.5811388300841898 * tl[0];
-    g[8] += -scale * 0.7071067811865476 * tl[5];
-    g[9] += -scale * -1.224744871391589 * tl[2];
-    g[10] += -scale * 0.7071067811865476 * tl[6];
-    g[11] += -scale * 0.7071067811865476 * tl[7];
-    g[12] += -scale * -1.224744871391589 * tl[3];
-    g[13] += -scale * 0.7071067811865476 * tl[8];
-    g[14] += -scale * 0.7071067811865476 * tl[9];
-    g[15] += -scale * -1.224744871391589 * tl[4];
-    g[16] += -scale * 1.5811388300841898 * tl[1];
-    g[17] += -scale * 0.7071067811865476 * tl[10];
-    g[18] += -scale * -1.224744871391589 * tl[5];
-    g[19] += -scale * 1.5811388300841898 * tl[2];
-    g[20] += -scale * 0.7071067811865476 * tl[11];
-    g[21] += -scale * -1.224744871391589 * tl[6];
-    g[22] += -scale * 0.7071067811865476 * tl[12];
-    g[23] += -scale * -1.224744871391589 * tl[7];
-    g[24] += -scale * 1.5811388300841898 * tl[3];
-    g[25] += -scale * 0.7071067811865476 * tl[13];
-    g[26] += -scale * -1.224744871391589 * tl[8];
-    g[27] += -scale * 0.7071067811865476 * tl[14];
-    g[28] += -scale * 0.7071067811865476 * tl[15];
-    g[29] += -scale * -1.224744871391589 * tl[9];
-    g[30] += -scale * 0.7071067811865476 * tl[16];
-    g[31] += -scale * -1.224744871391589 * tl[10];
-    g[32] += -scale * 1.5811388300841898 * tl[5];
-    g[33] += -scale * -1.224744871391589 * tl[11];
-    g[34] += -scale * -1.224744871391589 * tl[12];
-    g[35] += -scale * 1.5811388300841898 * tl[7];
-    g[36] += -scale * 0.7071067811865476 * tl[17];
-    g[37] += -scale * -1.224744871391589 * tl[13];
-    g[38] += -scale * 1.5811388300841898 * tl[8];
-    g[39] += -scale * 0.7071067811865476 * tl[18];
-    g[40] += -scale * -1.224744871391589 * tl[14];
-    g[41] += -scale * -1.224744871391589 * tl[15];
-    g[42] += -scale * 0.7071067811865476 * tl[19];
-    g[43] += -scale * -1.224744871391589 * tl[16];
-    g[44] += -scale * -1.224744871391589 * tl[17];
-    g[45] += -scale * 1.5811388300841898 * tl[13];
-    g[46] += -scale * -1.224744871391589 * tl[18];
-    g[47] += -scale * -1.224744871391589 * tl[19];
+    sxn(&mut g[0], scale * 0.7071067811865476, &tr[0]);
+    sxn(&mut g[1], scale * 0.7071067811865476, &tr[1]);
+    sxn(&mut g[2], scale * 1.224744871391589, &tr[0]);
+    sxn(&mut g[3], scale * 0.7071067811865476, &tr[2]);
+    sxn(&mut g[4], scale * 0.7071067811865476, &tr[3]);
+    sxn(&mut g[5], scale * 0.7071067811865476, &tr[4]);
+    sxn(&mut g[6], scale * 1.224744871391589, &tr[1]);
+    sxn(&mut g[7], scale * 1.5811388300841898, &tr[0]);
+    sxn(&mut g[8], scale * 0.7071067811865476, &tr[5]);
+    sxn(&mut g[9], scale * 1.224744871391589, &tr[2]);
+    sxn(&mut g[10], scale * 0.7071067811865476, &tr[6]);
+    sxn(&mut g[11], scale * 0.7071067811865476, &tr[7]);
+    sxn(&mut g[12], scale * 1.224744871391589, &tr[3]);
+    sxn(&mut g[13], scale * 0.7071067811865476, &tr[8]);
+    sxn(&mut g[14], scale * 0.7071067811865476, &tr[9]);
+    sxn(&mut g[15], scale * 1.224744871391589, &tr[4]);
+    sxn(&mut g[16], scale * 1.5811388300841898, &tr[1]);
+    sxn(&mut g[17], scale * 0.7071067811865476, &tr[10]);
+    sxn(&mut g[18], scale * 1.224744871391589, &tr[5]);
+    sxn(&mut g[19], scale * 1.5811388300841898, &tr[2]);
+    sxn(&mut g[20], scale * 0.7071067811865476, &tr[11]);
+    sxn(&mut g[21], scale * 1.224744871391589, &tr[6]);
+    sxn(&mut g[22], scale * 0.7071067811865476, &tr[12]);
+    sxn(&mut g[23], scale * 1.224744871391589, &tr[7]);
+    sxn(&mut g[24], scale * 1.5811388300841898, &tr[3]);
+    sxn(&mut g[25], scale * 0.7071067811865476, &tr[13]);
+    sxn(&mut g[26], scale * 1.224744871391589, &tr[8]);
+    sxn(&mut g[27], scale * 0.7071067811865476, &tr[14]);
+    sxn(&mut g[28], scale * 0.7071067811865476, &tr[15]);
+    sxn(&mut g[29], scale * 1.224744871391589, &tr[9]);
+    sxn(&mut g[30], scale * 0.7071067811865476, &tr[16]);
+    sxn(&mut g[31], scale * 1.224744871391589, &tr[10]);
+    sxn(&mut g[32], scale * 1.5811388300841898, &tr[5]);
+    sxn(&mut g[33], scale * 1.224744871391589, &tr[11]);
+    sxn(&mut g[34], scale * 1.224744871391589, &tr[12]);
+    sxn(&mut g[35], scale * 1.5811388300841898, &tr[7]);
+    sxn(&mut g[36], scale * 0.7071067811865476, &tr[17]);
+    sxn(&mut g[37], scale * 1.224744871391589, &tr[13]);
+    sxn(&mut g[38], scale * 1.5811388300841898, &tr[8]);
+    sxn(&mut g[39], scale * 0.7071067811865476, &tr[18]);
+    sxn(&mut g[40], scale * 1.224744871391589, &tr[14]);
+    sxn(&mut g[41], scale * 1.224744871391589, &tr[15]);
+    sxn(&mut g[42], scale * 0.7071067811865476, &tr[19]);
+    sxn(&mut g[43], scale * 1.224744871391589, &tr[16]);
+    sxn(&mut g[44], scale * 1.224744871391589, &tr[17]);
+    sxn(&mut g[45], scale * 1.5811388300841898, &tr[13]);
+    sxn(&mut g[46], scale * 1.224744871391589, &tr[18]);
+    sxn(&mut g[47], scale * 1.224744871391589, &tr[19]);
+    let mut tl = [[0.0f64; L]; 20];
+    sxn(&mut tl[0], 0.7071067811865476, &f[0]);
+    sxn(&mut tl[1], 0.7071067811865476, &f[1]);
+    sxn(&mut tl[0], -1.224744871391589, &f[2]);
+    sxn(&mut tl[2], 0.7071067811865476, &f[3]);
+    sxn(&mut tl[3], 0.7071067811865476, &f[4]);
+    sxn(&mut tl[4], 0.7071067811865476, &f[5]);
+    sxn(&mut tl[1], -1.224744871391589, &f[6]);
+    sxn(&mut tl[0], 1.5811388300841898, &f[7]);
+    sxn(&mut tl[5], 0.7071067811865476, &f[8]);
+    sxn(&mut tl[2], -1.224744871391589, &f[9]);
+    sxn(&mut tl[6], 0.7071067811865476, &f[10]);
+    sxn(&mut tl[7], 0.7071067811865476, &f[11]);
+    sxn(&mut tl[3], -1.224744871391589, &f[12]);
+    sxn(&mut tl[8], 0.7071067811865476, &f[13]);
+    sxn(&mut tl[9], 0.7071067811865476, &f[14]);
+    sxn(&mut tl[4], -1.224744871391589, &f[15]);
+    sxn(&mut tl[1], 1.5811388300841898, &f[16]);
+    sxn(&mut tl[10], 0.7071067811865476, &f[17]);
+    sxn(&mut tl[5], -1.224744871391589, &f[18]);
+    sxn(&mut tl[2], 1.5811388300841898, &f[19]);
+    sxn(&mut tl[11], 0.7071067811865476, &f[20]);
+    sxn(&mut tl[6], -1.224744871391589, &f[21]);
+    sxn(&mut tl[12], 0.7071067811865476, &f[22]);
+    sxn(&mut tl[7], -1.224744871391589, &f[23]);
+    sxn(&mut tl[3], 1.5811388300841898, &f[24]);
+    sxn(&mut tl[13], 0.7071067811865476, &f[25]);
+    sxn(&mut tl[8], -1.224744871391589, &f[26]);
+    sxn(&mut tl[14], 0.7071067811865476, &f[27]);
+    sxn(&mut tl[15], 0.7071067811865476, &f[28]);
+    sxn(&mut tl[9], -1.224744871391589, &f[29]);
+    sxn(&mut tl[16], 0.7071067811865476, &f[30]);
+    sxn(&mut tl[10], -1.224744871391589, &f[31]);
+    sxn(&mut tl[5], 1.5811388300841898, &f[32]);
+    sxn(&mut tl[11], -1.224744871391589, &f[33]);
+    sxn(&mut tl[12], -1.224744871391589, &f[34]);
+    sxn(&mut tl[7], 1.5811388300841898, &f[35]);
+    sxn(&mut tl[17], 0.7071067811865476, &f[36]);
+    sxn(&mut tl[13], -1.224744871391589, &f[37]);
+    sxn(&mut tl[8], 1.5811388300841898, &f[38]);
+    sxn(&mut tl[18], 0.7071067811865476, &f[39]);
+    sxn(&mut tl[14], -1.224744871391589, &f[40]);
+    sxn(&mut tl[15], -1.224744871391589, &f[41]);
+    sxn(&mut tl[19], 0.7071067811865476, &f[42]);
+    sxn(&mut tl[16], -1.224744871391589, &f[43]);
+    sxn(&mut tl[17], -1.224744871391589, &f[44]);
+    sxn(&mut tl[13], 1.5811388300841898, &f[45]);
+    sxn(&mut tl[18], -1.224744871391589, &f[46]);
+    sxn(&mut tl[19], -1.224744871391589, &f[47]);
+    sxn(&mut g[0], -scale * 0.7071067811865476, &tl[0]);
+    sxn(&mut g[1], -scale * 0.7071067811865476, &tl[1]);
+    sxn(&mut g[2], -scale * -1.224744871391589, &tl[0]);
+    sxn(&mut g[3], -scale * 0.7071067811865476, &tl[2]);
+    sxn(&mut g[4], -scale * 0.7071067811865476, &tl[3]);
+    sxn(&mut g[5], -scale * 0.7071067811865476, &tl[4]);
+    sxn(&mut g[6], -scale * -1.224744871391589, &tl[1]);
+    sxn(&mut g[7], -scale * 1.5811388300841898, &tl[0]);
+    sxn(&mut g[8], -scale * 0.7071067811865476, &tl[5]);
+    sxn(&mut g[9], -scale * -1.224744871391589, &tl[2]);
+    sxn(&mut g[10], -scale * 0.7071067811865476, &tl[6]);
+    sxn(&mut g[11], -scale * 0.7071067811865476, &tl[7]);
+    sxn(&mut g[12], -scale * -1.224744871391589, &tl[3]);
+    sxn(&mut g[13], -scale * 0.7071067811865476, &tl[8]);
+    sxn(&mut g[14], -scale * 0.7071067811865476, &tl[9]);
+    sxn(&mut g[15], -scale * -1.224744871391589, &tl[4]);
+    sxn(&mut g[16], -scale * 1.5811388300841898, &tl[1]);
+    sxn(&mut g[17], -scale * 0.7071067811865476, &tl[10]);
+    sxn(&mut g[18], -scale * -1.224744871391589, &tl[5]);
+    sxn(&mut g[19], -scale * 1.5811388300841898, &tl[2]);
+    sxn(&mut g[20], -scale * 0.7071067811865476, &tl[11]);
+    sxn(&mut g[21], -scale * -1.224744871391589, &tl[6]);
+    sxn(&mut g[22], -scale * 0.7071067811865476, &tl[12]);
+    sxn(&mut g[23], -scale * -1.224744871391589, &tl[7]);
+    sxn(&mut g[24], -scale * 1.5811388300841898, &tl[3]);
+    sxn(&mut g[25], -scale * 0.7071067811865476, &tl[13]);
+    sxn(&mut g[26], -scale * -1.224744871391589, &tl[8]);
+    sxn(&mut g[27], -scale * 0.7071067811865476, &tl[14]);
+    sxn(&mut g[28], -scale * 0.7071067811865476, &tl[15]);
+    sxn(&mut g[29], -scale * -1.224744871391589, &tl[9]);
+    sxn(&mut g[30], -scale * 0.7071067811865476, &tl[16]);
+    sxn(&mut g[31], -scale * -1.224744871391589, &tl[10]);
+    sxn(&mut g[32], -scale * 1.5811388300841898, &tl[5]);
+    sxn(&mut g[33], -scale * -1.224744871391589, &tl[11]);
+    sxn(&mut g[34], -scale * -1.224744871391589, &tl[12]);
+    sxn(&mut g[35], -scale * 1.5811388300841898, &tl[7]);
+    sxn(&mut g[36], -scale * 0.7071067811865476, &tl[17]);
+    sxn(&mut g[37], -scale * -1.224744871391589, &tl[13]);
+    sxn(&mut g[38], -scale * 1.5811388300841898, &tl[8]);
+    sxn(&mut g[39], -scale * 0.7071067811865476, &tl[18]);
+    sxn(&mut g[40], -scale * -1.224744871391589, &tl[14]);
+    sxn(&mut g[41], -scale * -1.224744871391589, &tl[15]);
+    sxn(&mut g[42], -scale * 0.7071067811865476, &tl[19]);
+    sxn(&mut g[43], -scale * -1.224744871391589, &tl[16]);
+    sxn(&mut g[44], -scale * -1.224744871391589, &tl[17]);
+    sxn(&mut g[45], -scale * 1.5811388300841898, &tl[13]);
+    sxn(&mut g[46], -scale * -1.224744871391589, &tl[18]);
+    sxn(&mut g[47], -scale * -1.224744871391589, &tl[19]);
 }
 
 /// LBO diffusion volume term in v0: weak `ν vth²(x) ∂_v g`.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x2v_p2_ser_diff_vol_v0(nu: f64, dv: f64, vth2: &[f64], g: &[f64], out: &mut [f64]) {
+    lbo_2x2v_p2_ser_diff_vol_v0_body::<1>(nu, dv, vth2.as_chunks().0, g.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_2x2v_p2_ser_diff_vol_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_diff_vol_v0_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_diff_vol_v0_body(nu, dv, vth2, g, out)
+}
+
+/// [`lbo_2x2v_p2_ser_diff_vol_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_diff_vol_v0_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_diff_vol_v0_body(nu, dv, vth2, g, out)
+}
+
+/// Shared lane-generic body of [`lbo_2x2v_p2_ser_diff_vol_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x2v_p2_ser_diff_vol_v0_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g: &[[f64; L]], out: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 8] = vth2.first_chunk().expect("vth2: 8 coefficients");
+    let g: &[[f64; L]; 48] = g.first_chunk().expect("g: 48 coefficients");
+    let out: &mut [[f64; L]; 48] = out.first_chunk_mut().expect("out: 48 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 48];
-    alpha[0] = 2.0 * vth2[0];
-    alpha[3] = 2.0 * vth2[1];
-    alpha[4] = 2.0 * vth2[2];
-    alpha[10] = 2.0 * vth2[3];
-    alpha[13] = 2.0 * vth2[4];
-    alpha[14] = 2.0 * vth2[5];
-    alpha[27] = 2.0 * vth2[6];
-    alpha[30] = 2.0 * vth2[7];
-    out[2] += -nu * scale * 0.4330127018922193 * alpha[0] * g[0];
-    out[2] += -nu * scale * 0.4330127018922193 * alpha[3] * g[3];
-    out[2] += -nu * scale * 0.4330127018922193 * alpha[4] * g[4];
-    out[2] += -nu * scale * 0.4330127018922194 * alpha[10] * g[10];
-    out[2] += -nu * scale * 0.4330127018922193 * alpha[13] * g[13];
-    out[2] += -nu * scale * 0.4330127018922194 * alpha[14] * g[14];
-    out[2] += -nu * scale * 0.43301270189221935 * alpha[27] * g[27];
-    out[2] += -nu * scale * 0.43301270189221935 * alpha[30] * g[30];
-    out[6] += -nu * scale * 0.4330127018922193 * alpha[0] * g[1];
-    out[6] += -nu * scale * 0.4330127018922193 * alpha[3] * g[8];
-    out[6] += -nu * scale * 0.4330127018922193 * alpha[4] * g[11];
-    out[6] += -nu * scale * 0.43301270189221935 * alpha[10] * g[20];
-    out[6] += -nu * scale * 0.4330127018922193 * alpha[13] * g[25];
-    out[6] += -nu * scale * 0.43301270189221935 * alpha[14] * g[28];
-    out[6] += -nu * scale * 0.43301270189221935 * alpha[27] * g[39];
-    out[6] += -nu * scale * 0.43301270189221935 * alpha[30] * g[42];
-    out[7] += -nu * scale * 0.9682458365518543 * alpha[0] * g[2];
-    out[7] += -nu * scale * 0.9682458365518541 * alpha[3] * g[9];
-    out[7] += -nu * scale * 0.9682458365518541 * alpha[4] * g[12];
-    out[7] += -nu * scale * 0.9682458365518543 * alpha[10] * g[21];
-    out[7] += -nu * scale * 0.968245836551854 * alpha[13] * g[26];
-    out[7] += -nu * scale * 0.9682458365518543 * alpha[14] * g[29];
-    out[7] += -nu * scale * 0.9682458365518541 * alpha[27] * g[40];
-    out[7] += -nu * scale * 0.9682458365518541 * alpha[30] * g[43];
-    out[9] += -nu * scale * 0.4330127018922193 * alpha[0] * g[3];
-    out[9] += -nu * scale * 0.4330127018922193 * alpha[3] * g[0];
-    out[9] += -nu * scale * 0.38729833462074165 * alpha[3] * g[10];
-    out[9] += -nu * scale * 0.4330127018922193 * alpha[4] * g[13];
-    out[9] += -nu * scale * 0.38729833462074165 * alpha[10] * g[3];
-    out[9] += -nu * scale * 0.4330127018922193 * alpha[13] * g[4];
-    out[9] += -nu * scale * 0.38729833462074165 * alpha[13] * g[27];
-    out[9] += -nu * scale * 0.43301270189221935 * alpha[14] * g[30];
-    out[9] += -nu * scale * 0.38729833462074165 * alpha[27] * g[13];
-    out[9] += -nu * scale * 0.43301270189221935 * alpha[30] * g[14];
-    out[12] += -nu * scale * 0.4330127018922193 * alpha[0] * g[4];
-    out[12] += -nu * scale * 0.4330127018922193 * alpha[3] * g[13];
-    out[12] += -nu * scale * 0.4330127018922193 * alpha[4] * g[0];
-    out[12] += -nu * scale * 0.38729833462074165 * alpha[4] * g[14];
-    out[12] += -nu * scale * 0.43301270189221935 * alpha[10] * g[27];
-    out[12] += -nu * scale * 0.4330127018922193 * alpha[13] * g[3];
-    out[12] += -nu * scale * 0.38729833462074165 * alpha[13] * g[30];
-    out[12] += -nu * scale * 0.38729833462074165 * alpha[14] * g[4];
-    out[12] += -nu * scale * 0.43301270189221935 * alpha[27] * g[10];
-    out[12] += -nu * scale * 0.38729833462074165 * alpha[30] * g[13];
-    out[15] += -nu * scale * 0.4330127018922194 * alpha[0] * g[5];
-    out[15] += -nu * scale * 0.43301270189221935 * alpha[3] * g[17];
-    out[15] += -nu * scale * 0.43301270189221935 * alpha[4] * g[22];
-    out[15] += -nu * scale * 0.43301270189221935 * alpha[13] * g[36];
-    out[16] += -nu * scale * 0.9682458365518541 * alpha[0] * g[6];
-    out[16] += -nu * scale * 0.968245836551854 * alpha[3] * g[18];
-    out[16] += -nu * scale * 0.968245836551854 * alpha[4] * g[23];
-    out[16] += -nu * scale * 0.9682458365518541 * alpha[10] * g[33];
-    out[16] += -nu * scale * 0.9682458365518543 * alpha[13] * g[37];
-    out[16] += -nu * scale * 0.9682458365518541 * alpha[14] * g[41];
-    out[16] += -nu * scale * 0.9682458365518543 * alpha[27] * g[46];
-    out[16] += -nu * scale * 0.9682458365518543 * alpha[30] * g[47];
-    out[18] += -nu * scale * 0.4330127018922193 * alpha[0] * g[8];
-    out[18] += -nu * scale * 0.4330127018922193 * alpha[3] * g[1];
-    out[18] += -nu * scale * 0.38729833462074165 * alpha[3] * g[20];
-    out[18] += -nu * scale * 0.4330127018922193 * alpha[4] * g[25];
-    out[18] += -nu * scale * 0.38729833462074165 * alpha[10] * g[8];
-    out[18] += -nu * scale * 0.4330127018922193 * alpha[13] * g[11];
-    out[18] += -nu * scale * 0.3872983346207417 * alpha[13] * g[39];
-    out[18] += -nu * scale * 0.43301270189221935 * alpha[14] * g[42];
-    out[18] += -nu * scale * 0.3872983346207417 * alpha[27] * g[25];
-    out[18] += -nu * scale * 0.43301270189221935 * alpha[30] * g[28];
-    out[19] += -nu * scale * 0.9682458365518541 * alpha[0] * g[9];
-    out[19] += -nu * scale * 0.9682458365518541 * alpha[3] * g[2];
-    out[19] += -nu * scale * 0.8660254037844387 * alpha[3] * g[21];
-    out[19] += -nu * scale * 0.968245836551854 * alpha[4] * g[26];
-    out[19] += -nu * scale * 0.8660254037844387 * alpha[10] * g[9];
-    out[19] += -nu * scale * 0.968245836551854 * alpha[13] * g[12];
-    out[19] += -nu * scale * 0.8660254037844387 * alpha[13] * g[40];
-    out[19] += -nu * scale * 0.9682458365518541 * alpha[14] * g[43];
-    out[19] += -nu * scale * 0.8660254037844387 * alpha[27] * g[26];
-    out[19] += -nu * scale * 0.9682458365518541 * alpha[30] * g[29];
-    out[21] += -nu * scale * 0.4330127018922194 * alpha[0] * g[10];
-    out[21] += -nu * scale * 0.38729833462074165 * alpha[3] * g[3];
-    out[21] += -nu * scale * 0.43301270189221935 * alpha[4] * g[27];
-    out[21] += -nu * scale * 0.4330127018922194 * alpha[10] * g[0];
-    out[21] += -nu * scale * 0.27664166758624403 * alpha[10] * g[10];
-    out[21] += -nu * scale * 0.38729833462074165 * alpha[13] * g[13];
-    out[21] += -nu * scale * 0.43301270189221935 * alpha[27] * g[4];
-    out[21] += -nu * scale * 0.2766416675862441 * alpha[27] * g[27];
-    out[21] += -nu * scale * 0.3872983346207417 * alpha[30] * g[30];
-    out[23] += -nu * scale * 0.4330127018922193 * alpha[0] * g[11];
-    out[23] += -nu * scale * 0.4330127018922193 * alpha[3] * g[25];
-    out[23] += -nu * scale * 0.4330127018922193 * alpha[4] * g[1];
-    out[23] += -nu * scale * 0.38729833462074165 * alpha[4] * g[28];
-    out[23] += -nu * scale * 0.43301270189221935 * alpha[10] * g[39];
-    out[23] += -nu * scale * 0.4330127018922193 * alpha[13] * g[8];
-    out[23] += -nu * scale * 0.3872983346207417 * alpha[13] * g[42];
-    out[23] += -nu * scale * 0.38729833462074165 * alpha[14] * g[11];
-    out[23] += -nu * scale * 0.43301270189221935 * alpha[27] * g[20];
-    out[23] += -nu * scale * 0.3872983346207417 * alpha[30] * g[25];
-    out[24] += -nu * scale * 0.9682458365518541 * alpha[0] * g[12];
-    out[24] += -nu * scale * 0.968245836551854 * alpha[3] * g[26];
-    out[24] += -nu * scale * 0.9682458365518541 * alpha[4] * g[2];
-    out[24] += -nu * scale * 0.8660254037844387 * alpha[4] * g[29];
-    out[24] += -nu * scale * 0.9682458365518541 * alpha[10] * g[40];
-    out[24] += -nu * scale * 0.968245836551854 * alpha[13] * g[9];
-    out[24] += -nu * scale * 0.8660254037844387 * alpha[13] * g[43];
-    out[24] += -nu * scale * 0.8660254037844387 * alpha[14] * g[12];
-    out[24] += -nu * scale * 0.9682458365518541 * alpha[27] * g[21];
-    out[24] += -nu * scale * 0.8660254037844387 * alpha[30] * g[26];
-    out[26] += -nu * scale * 0.4330127018922193 * alpha[0] * g[13];
-    out[26] += -nu * scale * 0.4330127018922193 * alpha[3] * g[4];
-    out[26] += -nu * scale * 0.38729833462074165 * alpha[3] * g[27];
-    out[26] += -nu * scale * 0.4330127018922193 * alpha[4] * g[3];
-    out[26] += -nu * scale * 0.38729833462074165 * alpha[4] * g[30];
-    out[26] += -nu * scale * 0.38729833462074165 * alpha[10] * g[13];
-    out[26] += -nu * scale * 0.4330127018922193 * alpha[13] * g[0];
-    out[26] += -nu * scale * 0.38729833462074165 * alpha[13] * g[10];
-    out[26] += -nu * scale * 0.38729833462074165 * alpha[13] * g[14];
-    out[26] += -nu * scale * 0.38729833462074165 * alpha[14] * g[13];
-    out[26] += -nu * scale * 0.38729833462074165 * alpha[27] * g[3];
-    out[26] += -nu * scale * 0.34641016151377546 * alpha[27] * g[30];
-    out[26] += -nu * scale * 0.38729833462074165 * alpha[30] * g[4];
-    out[26] += -nu * scale * 0.34641016151377546 * alpha[30] * g[27];
-    out[29] += -nu * scale * 0.4330127018922194 * alpha[0] * g[14];
-    out[29] += -nu * scale * 0.43301270189221935 * alpha[3] * g[30];
-    out[29] += -nu * scale * 0.38729833462074165 * alpha[4] * g[4];
-    out[29] += -nu * scale * 0.38729833462074165 * alpha[13] * g[13];
-    out[29] += -nu * scale * 0.4330127018922194 * alpha[14] * g[0];
-    out[29] += -nu * scale * 0.27664166758624403 * alpha[14] * g[14];
-    out[29] += -nu * scale * 0.3872983346207417 * alpha[27] * g[27];
-    out[29] += -nu * scale * 0.43301270189221935 * alpha[30] * g[3];
-    out[29] += -nu * scale * 0.2766416675862441 * alpha[30] * g[30];
-    out[31] += -nu * scale * 0.43301270189221935 * alpha[0] * g[17];
-    out[31] += -nu * scale * 0.43301270189221935 * alpha[3] * g[5];
-    out[31] += -nu * scale * 0.43301270189221935 * alpha[4] * g[36];
-    out[31] += -nu * scale * 0.3872983346207417 * alpha[10] * g[17];
-    out[31] += -nu * scale * 0.43301270189221935 * alpha[13] * g[22];
-    out[31] += -nu * scale * 0.3872983346207417 * alpha[27] * g[36];
-    out[32] += -nu * scale * 0.968245836551854 * alpha[0] * g[18];
-    out[32] += -nu * scale * 0.968245836551854 * alpha[3] * g[6];
-    out[32] += -nu * scale * 0.8660254037844387 * alpha[3] * g[33];
-    out[32] += -nu * scale * 0.9682458365518543 * alpha[4] * g[37];
-    out[32] += -nu * scale * 0.8660254037844387 * alpha[10] * g[18];
-    out[32] += -nu * scale * 0.9682458365518543 * alpha[13] * g[23];
-    out[32] += -nu * scale * 0.8660254037844387 * alpha[13] * g[46];
-    out[32] += -nu * scale * 0.9682458365518543 * alpha[14] * g[47];
-    out[32] += -nu * scale * 0.8660254037844387 * alpha[27] * g[37];
-    out[32] += -nu * scale * 0.9682458365518543 * alpha[30] * g[41];
-    out[33] += -nu * scale * 0.43301270189221935 * alpha[0] * g[20];
-    out[33] += -nu * scale * 0.38729833462074165 * alpha[3] * g[8];
-    out[33] += -nu * scale * 0.43301270189221935 * alpha[4] * g[39];
-    out[33] += -nu * scale * 0.43301270189221935 * alpha[10] * g[1];
-    out[33] += -nu * scale * 0.2766416675862441 * alpha[10] * g[20];
-    out[33] += -nu * scale * 0.3872983346207417 * alpha[13] * g[25];
-    out[33] += -nu * scale * 0.43301270189221935 * alpha[27] * g[11];
-    out[33] += -nu * scale * 0.27664166758624403 * alpha[27] * g[39];
-    out[33] += -nu * scale * 0.3872983346207417 * alpha[30] * g[42];
-    out[34] += -nu * scale * 0.43301270189221935 * alpha[0] * g[22];
-    out[34] += -nu * scale * 0.43301270189221935 * alpha[3] * g[36];
-    out[34] += -nu * scale * 0.43301270189221935 * alpha[4] * g[5];
-    out[34] += -nu * scale * 0.43301270189221935 * alpha[13] * g[17];
-    out[34] += -nu * scale * 0.3872983346207417 * alpha[14] * g[22];
-    out[34] += -nu * scale * 0.3872983346207417 * alpha[30] * g[36];
-    out[35] += -nu * scale * 0.968245836551854 * alpha[0] * g[23];
-    out[35] += -nu * scale * 0.9682458365518543 * alpha[3] * g[37];
-    out[35] += -nu * scale * 0.968245836551854 * alpha[4] * g[6];
-    out[35] += -nu * scale * 0.8660254037844387 * alpha[4] * g[41];
-    out[35] += -nu * scale * 0.9682458365518543 * alpha[10] * g[46];
-    out[35] += -nu * scale * 0.9682458365518543 * alpha[13] * g[18];
-    out[35] += -nu * scale * 0.8660254037844387 * alpha[13] * g[47];
-    out[35] += -nu * scale * 0.8660254037844387 * alpha[14] * g[23];
-    out[35] += -nu * scale * 0.9682458365518543 * alpha[27] * g[33];
-    out[35] += -nu * scale * 0.8660254037844387 * alpha[30] * g[37];
-    out[37] += -nu * scale * 0.4330127018922193 * alpha[0] * g[25];
-    out[37] += -nu * scale * 0.4330127018922193 * alpha[3] * g[11];
-    out[37] += -nu * scale * 0.3872983346207417 * alpha[3] * g[39];
-    out[37] += -nu * scale * 0.4330127018922193 * alpha[4] * g[8];
-    out[37] += -nu * scale * 0.3872983346207417 * alpha[4] * g[42];
-    out[37] += -nu * scale * 0.3872983346207417 * alpha[10] * g[25];
-    out[37] += -nu * scale * 0.4330127018922193 * alpha[13] * g[1];
-    out[37] += -nu * scale * 0.3872983346207417 * alpha[13] * g[20];
-    out[37] += -nu * scale * 0.3872983346207417 * alpha[13] * g[28];
-    out[37] += -nu * scale * 0.3872983346207417 * alpha[14] * g[25];
-    out[37] += -nu * scale * 0.3872983346207417 * alpha[27] * g[8];
-    out[37] += -nu * scale * 0.34641016151377546 * alpha[27] * g[42];
-    out[37] += -nu * scale * 0.3872983346207417 * alpha[30] * g[11];
-    out[37] += -nu * scale * 0.34641016151377546 * alpha[30] * g[39];
-    out[38] += -nu * scale * 0.968245836551854 * alpha[0] * g[26];
-    out[38] += -nu * scale * 0.968245836551854 * alpha[3] * g[12];
-    out[38] += -nu * scale * 0.8660254037844387 * alpha[3] * g[40];
-    out[38] += -nu * scale * 0.968245836551854 * alpha[4] * g[9];
-    out[38] += -nu * scale * 0.8660254037844387 * alpha[4] * g[43];
-    out[38] += -nu * scale * 0.8660254037844387 * alpha[10] * g[26];
-    out[38] += -nu * scale * 0.968245836551854 * alpha[13] * g[2];
-    out[38] += -nu * scale * 0.8660254037844387 * alpha[13] * g[21];
-    out[38] += -nu * scale * 0.8660254037844387 * alpha[13] * g[29];
-    out[38] += -nu * scale * 0.8660254037844387 * alpha[14] * g[26];
-    out[38] += -nu * scale * 0.8660254037844387 * alpha[27] * g[9];
-    out[38] += -nu * scale * 0.7745966692414834 * alpha[27] * g[43];
-    out[38] += -nu * scale * 0.8660254037844387 * alpha[30] * g[12];
-    out[38] += -nu * scale * 0.7745966692414834 * alpha[30] * g[40];
-    out[40] += -nu * scale * 0.43301270189221935 * alpha[0] * g[27];
-    out[40] += -nu * scale * 0.38729833462074165 * alpha[3] * g[13];
-    out[40] += -nu * scale * 0.43301270189221935 * alpha[4] * g[10];
-    out[40] += -nu * scale * 0.43301270189221935 * alpha[10] * g[4];
-    out[40] += -nu * scale * 0.2766416675862441 * alpha[10] * g[27];
-    out[40] += -nu * scale * 0.38729833462074165 * alpha[13] * g[3];
-    out[40] += -nu * scale * 0.34641016151377546 * alpha[13] * g[30];
-    out[40] += -nu * scale * 0.3872983346207417 * alpha[14] * g[27];
-    out[40] += -nu * scale * 0.43301270189221935 * alpha[27] * g[0];
-    out[40] += -nu * scale * 0.2766416675862441 * alpha[27] * g[10];
-    out[40] += -nu * scale * 0.3872983346207417 * alpha[27] * g[14];
-    out[40] += -nu * scale * 0.34641016151377546 * alpha[30] * g[13];
-    out[41] += -nu * scale * 0.43301270189221935 * alpha[0] * g[28];
-    out[41] += -nu * scale * 0.43301270189221935 * alpha[3] * g[42];
-    out[41] += -nu * scale * 0.38729833462074165 * alpha[4] * g[11];
-    out[41] += -nu * scale * 0.3872983346207417 * alpha[13] * g[25];
-    out[41] += -nu * scale * 0.43301270189221935 * alpha[14] * g[1];
-    out[41] += -nu * scale * 0.2766416675862441 * alpha[14] * g[28];
-    out[41] += -nu * scale * 0.3872983346207417 * alpha[27] * g[39];
-    out[41] += -nu * scale * 0.43301270189221935 * alpha[30] * g[8];
-    out[41] += -nu * scale * 0.27664166758624403 * alpha[30] * g[42];
-    out[43] += -nu * scale * 0.43301270189221935 * alpha[0] * g[30];
-    out[43] += -nu * scale * 0.43301270189221935 * alpha[3] * g[14];
-    out[43] += -nu * scale * 0.38729833462074165 * alpha[4] * g[13];
-    out[43] += -nu * scale * 0.3872983346207417 * alpha[10] * g[30];
-    out[43] += -nu * scale * 0.38729833462074165 * alpha[13] * g[4];
-    out[43] += -nu * scale * 0.34641016151377546 * alpha[13] * g[27];
-    out[43] += -nu * scale * 0.43301270189221935 * alpha[14] * g[3];
-    out[43] += -nu * scale * 0.2766416675862441 * alpha[14] * g[30];
-    out[43] += -nu * scale * 0.34641016151377546 * alpha[27] * g[13];
-    out[43] += -nu * scale * 0.43301270189221935 * alpha[30] * g[0];
-    out[43] += -nu * scale * 0.3872983346207417 * alpha[30] * g[10];
-    out[43] += -nu * scale * 0.2766416675862441 * alpha[30] * g[14];
-    out[44] += -nu * scale * 0.43301270189221935 * alpha[0] * g[36];
-    out[44] += -nu * scale * 0.43301270189221935 * alpha[3] * g[22];
-    out[44] += -nu * scale * 0.43301270189221935 * alpha[4] * g[17];
-    out[44] += -nu * scale * 0.3872983346207417 * alpha[10] * g[36];
-    out[44] += -nu * scale * 0.43301270189221935 * alpha[13] * g[5];
-    out[44] += -nu * scale * 0.3872983346207417 * alpha[14] * g[36];
-    out[44] += -nu * scale * 0.3872983346207417 * alpha[27] * g[17];
-    out[44] += -nu * scale * 0.3872983346207417 * alpha[30] * g[22];
-    out[45] += -nu * scale * 0.9682458365518543 * alpha[0] * g[37];
-    out[45] += -nu * scale * 0.9682458365518543 * alpha[3] * g[23];
-    out[45] += -nu * scale * 0.8660254037844387 * alpha[3] * g[46];
-    out[45] += -nu * scale * 0.9682458365518543 * alpha[4] * g[18];
-    out[45] += -nu * scale * 0.8660254037844387 * alpha[4] * g[47];
-    out[45] += -nu * scale * 0.8660254037844387 * alpha[10] * g[37];
-    out[45] += -nu * scale * 0.9682458365518543 * alpha[13] * g[6];
-    out[45] += -nu * scale * 0.8660254037844387 * alpha[13] * g[33];
-    out[45] += -nu * scale * 0.8660254037844387 * alpha[13] * g[41];
-    out[45] += -nu * scale * 0.8660254037844387 * alpha[14] * g[37];
-    out[45] += -nu * scale * 0.8660254037844387 * alpha[27] * g[18];
-    out[45] += -nu * scale * 0.7745966692414834 * alpha[27] * g[47];
-    out[45] += -nu * scale * 0.8660254037844387 * alpha[30] * g[23];
-    out[45] += -nu * scale * 0.7745966692414834 * alpha[30] * g[46];
-    out[46] += -nu * scale * 0.43301270189221935 * alpha[0] * g[39];
-    out[46] += -nu * scale * 0.3872983346207417 * alpha[3] * g[25];
-    out[46] += -nu * scale * 0.43301270189221935 * alpha[4] * g[20];
-    out[46] += -nu * scale * 0.43301270189221935 * alpha[10] * g[11];
-    out[46] += -nu * scale * 0.27664166758624403 * alpha[10] * g[39];
-    out[46] += -nu * scale * 0.3872983346207417 * alpha[13] * g[8];
-    out[46] += -nu * scale * 0.34641016151377546 * alpha[13] * g[42];
-    out[46] += -nu * scale * 0.3872983346207417 * alpha[14] * g[39];
-    out[46] += -nu * scale * 0.43301270189221935 * alpha[27] * g[1];
-    out[46] += -nu * scale * 0.27664166758624403 * alpha[27] * g[20];
-    out[46] += -nu * scale * 0.3872983346207417 * alpha[27] * g[28];
-    out[46] += -nu * scale * 0.34641016151377546 * alpha[30] * g[25];
-    out[47] += -nu * scale * 0.43301270189221935 * alpha[0] * g[42];
-    out[47] += -nu * scale * 0.43301270189221935 * alpha[3] * g[28];
-    out[47] += -nu * scale * 0.3872983346207417 * alpha[4] * g[25];
-    out[47] += -nu * scale * 0.3872983346207417 * alpha[10] * g[42];
-    out[47] += -nu * scale * 0.3872983346207417 * alpha[13] * g[11];
-    out[47] += -nu * scale * 0.34641016151377546 * alpha[13] * g[39];
-    out[47] += -nu * scale * 0.43301270189221935 * alpha[14] * g[8];
-    out[47] += -nu * scale * 0.27664166758624403 * alpha[14] * g[42];
-    out[47] += -nu * scale * 0.34641016151377546 * alpha[27] * g[25];
-    out[47] += -nu * scale * 0.43301270189221935 * alpha[30] * g[1];
-    out[47] += -nu * scale * 0.3872983346207417 * alpha[30] * g[20];
-    out[47] += -nu * scale * 0.27664166758624403 * alpha[30] * g[28];
+    let mut alpha = [[0.0f64; L]; 48];
+    for k in 0..L {
+        alpha[0][k] = 2.0 * vth2[0][k];
+        alpha[3][k] = 2.0 * vth2[1][k];
+        alpha[4][k] = 2.0 * vth2[2][k];
+        alpha[10][k] = 2.0 * vth2[3][k];
+        alpha[13][k] = 2.0 * vth2[4][k];
+        alpha[14][k] = 2.0 * vth2[5][k];
+        alpha[27][k] = 2.0 * vth2[6][k];
+        alpha[30][k] = 2.0 * vth2[7][k];
+    }
+    for k in 0..L {
+        out[2][k] += -nu * scale * 0.4330127018922193 * alpha[0][k] * g[0][k];
+        out[2][k] += -nu * scale * 0.4330127018922193 * alpha[3][k] * g[3][k];
+        out[2][k] += -nu * scale * 0.4330127018922193 * alpha[4][k] * g[4][k];
+        out[2][k] += -nu * scale * 0.4330127018922194 * alpha[10][k] * g[10][k];
+        out[2][k] += -nu * scale * 0.4330127018922193 * alpha[13][k] * g[13][k];
+        out[2][k] += -nu * scale * 0.4330127018922194 * alpha[14][k] * g[14][k];
+        out[2][k] += -nu * scale * 0.43301270189221935 * alpha[27][k] * g[27][k];
+        out[2][k] += -nu * scale * 0.43301270189221935 * alpha[30][k] * g[30][k];
+    }
+    for k in 0..L {
+        out[6][k] += -nu * scale * 0.4330127018922193 * alpha[0][k] * g[1][k];
+        out[6][k] += -nu * scale * 0.4330127018922193 * alpha[3][k] * g[8][k];
+        out[6][k] += -nu * scale * 0.4330127018922193 * alpha[4][k] * g[11][k];
+        out[6][k] += -nu * scale * 0.43301270189221935 * alpha[10][k] * g[20][k];
+        out[6][k] += -nu * scale * 0.4330127018922193 * alpha[13][k] * g[25][k];
+        out[6][k] += -nu * scale * 0.43301270189221935 * alpha[14][k] * g[28][k];
+        out[6][k] += -nu * scale * 0.43301270189221935 * alpha[27][k] * g[39][k];
+        out[6][k] += -nu * scale * 0.43301270189221935 * alpha[30][k] * g[42][k];
+    }
+    for k in 0..L {
+        out[7][k] += -nu * scale * 0.9682458365518543 * alpha[0][k] * g[2][k];
+        out[7][k] += -nu * scale * 0.9682458365518541 * alpha[3][k] * g[9][k];
+        out[7][k] += -nu * scale * 0.9682458365518541 * alpha[4][k] * g[12][k];
+        out[7][k] += -nu * scale * 0.9682458365518543 * alpha[10][k] * g[21][k];
+        out[7][k] += -nu * scale * 0.968245836551854 * alpha[13][k] * g[26][k];
+        out[7][k] += -nu * scale * 0.9682458365518543 * alpha[14][k] * g[29][k];
+        out[7][k] += -nu * scale * 0.9682458365518541 * alpha[27][k] * g[40][k];
+        out[7][k] += -nu * scale * 0.9682458365518541 * alpha[30][k] * g[43][k];
+    }
+    for k in 0..L {
+        out[9][k] += -nu * scale * 0.4330127018922193 * alpha[0][k] * g[3][k];
+        out[9][k] += -nu * scale * 0.4330127018922193 * alpha[3][k] * g[0][k];
+        out[9][k] += -nu * scale * 0.38729833462074165 * alpha[3][k] * g[10][k];
+        out[9][k] += -nu * scale * 0.4330127018922193 * alpha[4][k] * g[13][k];
+        out[9][k] += -nu * scale * 0.38729833462074165 * alpha[10][k] * g[3][k];
+        out[9][k] += -nu * scale * 0.4330127018922193 * alpha[13][k] * g[4][k];
+        out[9][k] += -nu * scale * 0.38729833462074165 * alpha[13][k] * g[27][k];
+        out[9][k] += -nu * scale * 0.43301270189221935 * alpha[14][k] * g[30][k];
+        out[9][k] += -nu * scale * 0.38729833462074165 * alpha[27][k] * g[13][k];
+        out[9][k] += -nu * scale * 0.43301270189221935 * alpha[30][k] * g[14][k];
+    }
+    for k in 0..L {
+        out[12][k] += -nu * scale * 0.4330127018922193 * alpha[0][k] * g[4][k];
+        out[12][k] += -nu * scale * 0.4330127018922193 * alpha[3][k] * g[13][k];
+        out[12][k] += -nu * scale * 0.4330127018922193 * alpha[4][k] * g[0][k];
+        out[12][k] += -nu * scale * 0.38729833462074165 * alpha[4][k] * g[14][k];
+        out[12][k] += -nu * scale * 0.43301270189221935 * alpha[10][k] * g[27][k];
+        out[12][k] += -nu * scale * 0.4330127018922193 * alpha[13][k] * g[3][k];
+        out[12][k] += -nu * scale * 0.38729833462074165 * alpha[13][k] * g[30][k];
+        out[12][k] += -nu * scale * 0.38729833462074165 * alpha[14][k] * g[4][k];
+        out[12][k] += -nu * scale * 0.43301270189221935 * alpha[27][k] * g[10][k];
+        out[12][k] += -nu * scale * 0.38729833462074165 * alpha[30][k] * g[13][k];
+    }
+    for k in 0..L {
+        out[15][k] += -nu * scale * 0.4330127018922194 * alpha[0][k] * g[5][k];
+        out[15][k] += -nu * scale * 0.43301270189221935 * alpha[3][k] * g[17][k];
+        out[15][k] += -nu * scale * 0.43301270189221935 * alpha[4][k] * g[22][k];
+        out[15][k] += -nu * scale * 0.43301270189221935 * alpha[13][k] * g[36][k];
+    }
+    for k in 0..L {
+        out[16][k] += -nu * scale * 0.9682458365518541 * alpha[0][k] * g[6][k];
+        out[16][k] += -nu * scale * 0.968245836551854 * alpha[3][k] * g[18][k];
+        out[16][k] += -nu * scale * 0.968245836551854 * alpha[4][k] * g[23][k];
+        out[16][k] += -nu * scale * 0.9682458365518541 * alpha[10][k] * g[33][k];
+        out[16][k] += -nu * scale * 0.9682458365518543 * alpha[13][k] * g[37][k];
+        out[16][k] += -nu * scale * 0.9682458365518541 * alpha[14][k] * g[41][k];
+        out[16][k] += -nu * scale * 0.9682458365518543 * alpha[27][k] * g[46][k];
+        out[16][k] += -nu * scale * 0.9682458365518543 * alpha[30][k] * g[47][k];
+    }
+    for k in 0..L {
+        out[18][k] += -nu * scale * 0.4330127018922193 * alpha[0][k] * g[8][k];
+        out[18][k] += -nu * scale * 0.4330127018922193 * alpha[3][k] * g[1][k];
+        out[18][k] += -nu * scale * 0.38729833462074165 * alpha[3][k] * g[20][k];
+        out[18][k] += -nu * scale * 0.4330127018922193 * alpha[4][k] * g[25][k];
+        out[18][k] += -nu * scale * 0.38729833462074165 * alpha[10][k] * g[8][k];
+        out[18][k] += -nu * scale * 0.4330127018922193 * alpha[13][k] * g[11][k];
+        out[18][k] += -nu * scale * 0.3872983346207417 * alpha[13][k] * g[39][k];
+        out[18][k] += -nu * scale * 0.43301270189221935 * alpha[14][k] * g[42][k];
+        out[18][k] += -nu * scale * 0.3872983346207417 * alpha[27][k] * g[25][k];
+        out[18][k] += -nu * scale * 0.43301270189221935 * alpha[30][k] * g[28][k];
+    }
+    for k in 0..L {
+        out[19][k] += -nu * scale * 0.9682458365518541 * alpha[0][k] * g[9][k];
+        out[19][k] += -nu * scale * 0.9682458365518541 * alpha[3][k] * g[2][k];
+        out[19][k] += -nu * scale * 0.8660254037844387 * alpha[3][k] * g[21][k];
+        out[19][k] += -nu * scale * 0.968245836551854 * alpha[4][k] * g[26][k];
+        out[19][k] += -nu * scale * 0.8660254037844387 * alpha[10][k] * g[9][k];
+        out[19][k] += -nu * scale * 0.968245836551854 * alpha[13][k] * g[12][k];
+        out[19][k] += -nu * scale * 0.8660254037844387 * alpha[13][k] * g[40][k];
+        out[19][k] += -nu * scale * 0.9682458365518541 * alpha[14][k] * g[43][k];
+        out[19][k] += -nu * scale * 0.8660254037844387 * alpha[27][k] * g[26][k];
+        out[19][k] += -nu * scale * 0.9682458365518541 * alpha[30][k] * g[29][k];
+    }
+    for k in 0..L {
+        out[21][k] += -nu * scale * 0.4330127018922194 * alpha[0][k] * g[10][k];
+        out[21][k] += -nu * scale * 0.38729833462074165 * alpha[3][k] * g[3][k];
+        out[21][k] += -nu * scale * 0.43301270189221935 * alpha[4][k] * g[27][k];
+        out[21][k] += -nu * scale * 0.4330127018922194 * alpha[10][k] * g[0][k];
+        out[21][k] += -nu * scale * 0.27664166758624403 * alpha[10][k] * g[10][k];
+        out[21][k] += -nu * scale * 0.38729833462074165 * alpha[13][k] * g[13][k];
+        out[21][k] += -nu * scale * 0.43301270189221935 * alpha[27][k] * g[4][k];
+        out[21][k] += -nu * scale * 0.2766416675862441 * alpha[27][k] * g[27][k];
+        out[21][k] += -nu * scale * 0.3872983346207417 * alpha[30][k] * g[30][k];
+    }
+    for k in 0..L {
+        out[23][k] += -nu * scale * 0.4330127018922193 * alpha[0][k] * g[11][k];
+        out[23][k] += -nu * scale * 0.4330127018922193 * alpha[3][k] * g[25][k];
+        out[23][k] += -nu * scale * 0.4330127018922193 * alpha[4][k] * g[1][k];
+        out[23][k] += -nu * scale * 0.38729833462074165 * alpha[4][k] * g[28][k];
+        out[23][k] += -nu * scale * 0.43301270189221935 * alpha[10][k] * g[39][k];
+        out[23][k] += -nu * scale * 0.4330127018922193 * alpha[13][k] * g[8][k];
+        out[23][k] += -nu * scale * 0.3872983346207417 * alpha[13][k] * g[42][k];
+        out[23][k] += -nu * scale * 0.38729833462074165 * alpha[14][k] * g[11][k];
+        out[23][k] += -nu * scale * 0.43301270189221935 * alpha[27][k] * g[20][k];
+        out[23][k] += -nu * scale * 0.3872983346207417 * alpha[30][k] * g[25][k];
+    }
+    for k in 0..L {
+        out[24][k] += -nu * scale * 0.9682458365518541 * alpha[0][k] * g[12][k];
+        out[24][k] += -nu * scale * 0.968245836551854 * alpha[3][k] * g[26][k];
+        out[24][k] += -nu * scale * 0.9682458365518541 * alpha[4][k] * g[2][k];
+        out[24][k] += -nu * scale * 0.8660254037844387 * alpha[4][k] * g[29][k];
+        out[24][k] += -nu * scale * 0.9682458365518541 * alpha[10][k] * g[40][k];
+        out[24][k] += -nu * scale * 0.968245836551854 * alpha[13][k] * g[9][k];
+        out[24][k] += -nu * scale * 0.8660254037844387 * alpha[13][k] * g[43][k];
+        out[24][k] += -nu * scale * 0.8660254037844387 * alpha[14][k] * g[12][k];
+        out[24][k] += -nu * scale * 0.9682458365518541 * alpha[27][k] * g[21][k];
+        out[24][k] += -nu * scale * 0.8660254037844387 * alpha[30][k] * g[26][k];
+    }
+    for k in 0..L {
+        out[26][k] += -nu * scale * 0.4330127018922193 * alpha[0][k] * g[13][k];
+        out[26][k] += -nu * scale * 0.4330127018922193 * alpha[3][k] * g[4][k];
+        out[26][k] += -nu * scale * 0.38729833462074165 * alpha[3][k] * g[27][k];
+        out[26][k] += -nu * scale * 0.4330127018922193 * alpha[4][k] * g[3][k];
+        out[26][k] += -nu * scale * 0.38729833462074165 * alpha[4][k] * g[30][k];
+        out[26][k] += -nu * scale * 0.38729833462074165 * alpha[10][k] * g[13][k];
+        out[26][k] += -nu * scale * 0.4330127018922193 * alpha[13][k] * g[0][k];
+        out[26][k] += -nu * scale * 0.38729833462074165 * alpha[13][k] * g[10][k];
+        out[26][k] += -nu * scale * 0.38729833462074165 * alpha[13][k] * g[14][k];
+        out[26][k] += -nu * scale * 0.38729833462074165 * alpha[14][k] * g[13][k];
+        out[26][k] += -nu * scale * 0.38729833462074165 * alpha[27][k] * g[3][k];
+        out[26][k] += -nu * scale * 0.34641016151377546 * alpha[27][k] * g[30][k];
+        out[26][k] += -nu * scale * 0.38729833462074165 * alpha[30][k] * g[4][k];
+        out[26][k] += -nu * scale * 0.34641016151377546 * alpha[30][k] * g[27][k];
+    }
+    for k in 0..L {
+        out[29][k] += -nu * scale * 0.4330127018922194 * alpha[0][k] * g[14][k];
+        out[29][k] += -nu * scale * 0.43301270189221935 * alpha[3][k] * g[30][k];
+        out[29][k] += -nu * scale * 0.38729833462074165 * alpha[4][k] * g[4][k];
+        out[29][k] += -nu * scale * 0.38729833462074165 * alpha[13][k] * g[13][k];
+        out[29][k] += -nu * scale * 0.4330127018922194 * alpha[14][k] * g[0][k];
+        out[29][k] += -nu * scale * 0.27664166758624403 * alpha[14][k] * g[14][k];
+        out[29][k] += -nu * scale * 0.3872983346207417 * alpha[27][k] * g[27][k];
+        out[29][k] += -nu * scale * 0.43301270189221935 * alpha[30][k] * g[3][k];
+        out[29][k] += -nu * scale * 0.2766416675862441 * alpha[30][k] * g[30][k];
+    }
+    for k in 0..L {
+        out[31][k] += -nu * scale * 0.43301270189221935 * alpha[0][k] * g[17][k];
+        out[31][k] += -nu * scale * 0.43301270189221935 * alpha[3][k] * g[5][k];
+        out[31][k] += -nu * scale * 0.43301270189221935 * alpha[4][k] * g[36][k];
+        out[31][k] += -nu * scale * 0.3872983346207417 * alpha[10][k] * g[17][k];
+        out[31][k] += -nu * scale * 0.43301270189221935 * alpha[13][k] * g[22][k];
+        out[31][k] += -nu * scale * 0.3872983346207417 * alpha[27][k] * g[36][k];
+    }
+    for k in 0..L {
+        out[32][k] += -nu * scale * 0.968245836551854 * alpha[0][k] * g[18][k];
+        out[32][k] += -nu * scale * 0.968245836551854 * alpha[3][k] * g[6][k];
+        out[32][k] += -nu * scale * 0.8660254037844387 * alpha[3][k] * g[33][k];
+        out[32][k] += -nu * scale * 0.9682458365518543 * alpha[4][k] * g[37][k];
+        out[32][k] += -nu * scale * 0.8660254037844387 * alpha[10][k] * g[18][k];
+        out[32][k] += -nu * scale * 0.9682458365518543 * alpha[13][k] * g[23][k];
+        out[32][k] += -nu * scale * 0.8660254037844387 * alpha[13][k] * g[46][k];
+        out[32][k] += -nu * scale * 0.9682458365518543 * alpha[14][k] * g[47][k];
+        out[32][k] += -nu * scale * 0.8660254037844387 * alpha[27][k] * g[37][k];
+        out[32][k] += -nu * scale * 0.9682458365518543 * alpha[30][k] * g[41][k];
+    }
+    for k in 0..L {
+        out[33][k] += -nu * scale * 0.43301270189221935 * alpha[0][k] * g[20][k];
+        out[33][k] += -nu * scale * 0.38729833462074165 * alpha[3][k] * g[8][k];
+        out[33][k] += -nu * scale * 0.43301270189221935 * alpha[4][k] * g[39][k];
+        out[33][k] += -nu * scale * 0.43301270189221935 * alpha[10][k] * g[1][k];
+        out[33][k] += -nu * scale * 0.2766416675862441 * alpha[10][k] * g[20][k];
+        out[33][k] += -nu * scale * 0.3872983346207417 * alpha[13][k] * g[25][k];
+        out[33][k] += -nu * scale * 0.43301270189221935 * alpha[27][k] * g[11][k];
+        out[33][k] += -nu * scale * 0.27664166758624403 * alpha[27][k] * g[39][k];
+        out[33][k] += -nu * scale * 0.3872983346207417 * alpha[30][k] * g[42][k];
+    }
+    for k in 0..L {
+        out[34][k] += -nu * scale * 0.43301270189221935 * alpha[0][k] * g[22][k];
+        out[34][k] += -nu * scale * 0.43301270189221935 * alpha[3][k] * g[36][k];
+        out[34][k] += -nu * scale * 0.43301270189221935 * alpha[4][k] * g[5][k];
+        out[34][k] += -nu * scale * 0.43301270189221935 * alpha[13][k] * g[17][k];
+        out[34][k] += -nu * scale * 0.3872983346207417 * alpha[14][k] * g[22][k];
+        out[34][k] += -nu * scale * 0.3872983346207417 * alpha[30][k] * g[36][k];
+    }
+    for k in 0..L {
+        out[35][k] += -nu * scale * 0.968245836551854 * alpha[0][k] * g[23][k];
+        out[35][k] += -nu * scale * 0.9682458365518543 * alpha[3][k] * g[37][k];
+        out[35][k] += -nu * scale * 0.968245836551854 * alpha[4][k] * g[6][k];
+        out[35][k] += -nu * scale * 0.8660254037844387 * alpha[4][k] * g[41][k];
+        out[35][k] += -nu * scale * 0.9682458365518543 * alpha[10][k] * g[46][k];
+        out[35][k] += -nu * scale * 0.9682458365518543 * alpha[13][k] * g[18][k];
+        out[35][k] += -nu * scale * 0.8660254037844387 * alpha[13][k] * g[47][k];
+        out[35][k] += -nu * scale * 0.8660254037844387 * alpha[14][k] * g[23][k];
+        out[35][k] += -nu * scale * 0.9682458365518543 * alpha[27][k] * g[33][k];
+        out[35][k] += -nu * scale * 0.8660254037844387 * alpha[30][k] * g[37][k];
+    }
+    for k in 0..L {
+        out[37][k] += -nu * scale * 0.4330127018922193 * alpha[0][k] * g[25][k];
+        out[37][k] += -nu * scale * 0.4330127018922193 * alpha[3][k] * g[11][k];
+        out[37][k] += -nu * scale * 0.3872983346207417 * alpha[3][k] * g[39][k];
+        out[37][k] += -nu * scale * 0.4330127018922193 * alpha[4][k] * g[8][k];
+        out[37][k] += -nu * scale * 0.3872983346207417 * alpha[4][k] * g[42][k];
+        out[37][k] += -nu * scale * 0.3872983346207417 * alpha[10][k] * g[25][k];
+        out[37][k] += -nu * scale * 0.4330127018922193 * alpha[13][k] * g[1][k];
+        out[37][k] += -nu * scale * 0.3872983346207417 * alpha[13][k] * g[20][k];
+        out[37][k] += -nu * scale * 0.3872983346207417 * alpha[13][k] * g[28][k];
+        out[37][k] += -nu * scale * 0.3872983346207417 * alpha[14][k] * g[25][k];
+        out[37][k] += -nu * scale * 0.3872983346207417 * alpha[27][k] * g[8][k];
+        out[37][k] += -nu * scale * 0.34641016151377546 * alpha[27][k] * g[42][k];
+        out[37][k] += -nu * scale * 0.3872983346207417 * alpha[30][k] * g[11][k];
+        out[37][k] += -nu * scale * 0.34641016151377546 * alpha[30][k] * g[39][k];
+    }
+    for k in 0..L {
+        out[38][k] += -nu * scale * 0.968245836551854 * alpha[0][k] * g[26][k];
+        out[38][k] += -nu * scale * 0.968245836551854 * alpha[3][k] * g[12][k];
+        out[38][k] += -nu * scale * 0.8660254037844387 * alpha[3][k] * g[40][k];
+        out[38][k] += -nu * scale * 0.968245836551854 * alpha[4][k] * g[9][k];
+        out[38][k] += -nu * scale * 0.8660254037844387 * alpha[4][k] * g[43][k];
+        out[38][k] += -nu * scale * 0.8660254037844387 * alpha[10][k] * g[26][k];
+        out[38][k] += -nu * scale * 0.968245836551854 * alpha[13][k] * g[2][k];
+        out[38][k] += -nu * scale * 0.8660254037844387 * alpha[13][k] * g[21][k];
+        out[38][k] += -nu * scale * 0.8660254037844387 * alpha[13][k] * g[29][k];
+        out[38][k] += -nu * scale * 0.8660254037844387 * alpha[14][k] * g[26][k];
+        out[38][k] += -nu * scale * 0.8660254037844387 * alpha[27][k] * g[9][k];
+        out[38][k] += -nu * scale * 0.7745966692414834 * alpha[27][k] * g[43][k];
+        out[38][k] += -nu * scale * 0.8660254037844387 * alpha[30][k] * g[12][k];
+        out[38][k] += -nu * scale * 0.7745966692414834 * alpha[30][k] * g[40][k];
+    }
+    for k in 0..L {
+        out[40][k] += -nu * scale * 0.43301270189221935 * alpha[0][k] * g[27][k];
+        out[40][k] += -nu * scale * 0.38729833462074165 * alpha[3][k] * g[13][k];
+        out[40][k] += -nu * scale * 0.43301270189221935 * alpha[4][k] * g[10][k];
+        out[40][k] += -nu * scale * 0.43301270189221935 * alpha[10][k] * g[4][k];
+        out[40][k] += -nu * scale * 0.2766416675862441 * alpha[10][k] * g[27][k];
+        out[40][k] += -nu * scale * 0.38729833462074165 * alpha[13][k] * g[3][k];
+        out[40][k] += -nu * scale * 0.34641016151377546 * alpha[13][k] * g[30][k];
+        out[40][k] += -nu * scale * 0.3872983346207417 * alpha[14][k] * g[27][k];
+        out[40][k] += -nu * scale * 0.43301270189221935 * alpha[27][k] * g[0][k];
+        out[40][k] += -nu * scale * 0.2766416675862441 * alpha[27][k] * g[10][k];
+        out[40][k] += -nu * scale * 0.3872983346207417 * alpha[27][k] * g[14][k];
+        out[40][k] += -nu * scale * 0.34641016151377546 * alpha[30][k] * g[13][k];
+    }
+    for k in 0..L {
+        out[41][k] += -nu * scale * 0.43301270189221935 * alpha[0][k] * g[28][k];
+        out[41][k] += -nu * scale * 0.43301270189221935 * alpha[3][k] * g[42][k];
+        out[41][k] += -nu * scale * 0.38729833462074165 * alpha[4][k] * g[11][k];
+        out[41][k] += -nu * scale * 0.3872983346207417 * alpha[13][k] * g[25][k];
+        out[41][k] += -nu * scale * 0.43301270189221935 * alpha[14][k] * g[1][k];
+        out[41][k] += -nu * scale * 0.2766416675862441 * alpha[14][k] * g[28][k];
+        out[41][k] += -nu * scale * 0.3872983346207417 * alpha[27][k] * g[39][k];
+        out[41][k] += -nu * scale * 0.43301270189221935 * alpha[30][k] * g[8][k];
+        out[41][k] += -nu * scale * 0.27664166758624403 * alpha[30][k] * g[42][k];
+    }
+    for k in 0..L {
+        out[43][k] += -nu * scale * 0.43301270189221935 * alpha[0][k] * g[30][k];
+        out[43][k] += -nu * scale * 0.43301270189221935 * alpha[3][k] * g[14][k];
+        out[43][k] += -nu * scale * 0.38729833462074165 * alpha[4][k] * g[13][k];
+        out[43][k] += -nu * scale * 0.3872983346207417 * alpha[10][k] * g[30][k];
+        out[43][k] += -nu * scale * 0.38729833462074165 * alpha[13][k] * g[4][k];
+        out[43][k] += -nu * scale * 0.34641016151377546 * alpha[13][k] * g[27][k];
+        out[43][k] += -nu * scale * 0.43301270189221935 * alpha[14][k] * g[3][k];
+        out[43][k] += -nu * scale * 0.2766416675862441 * alpha[14][k] * g[30][k];
+        out[43][k] += -nu * scale * 0.34641016151377546 * alpha[27][k] * g[13][k];
+        out[43][k] += -nu * scale * 0.43301270189221935 * alpha[30][k] * g[0][k];
+        out[43][k] += -nu * scale * 0.3872983346207417 * alpha[30][k] * g[10][k];
+        out[43][k] += -nu * scale * 0.2766416675862441 * alpha[30][k] * g[14][k];
+    }
+    for k in 0..L {
+        out[44][k] += -nu * scale * 0.43301270189221935 * alpha[0][k] * g[36][k];
+        out[44][k] += -nu * scale * 0.43301270189221935 * alpha[3][k] * g[22][k];
+        out[44][k] += -nu * scale * 0.43301270189221935 * alpha[4][k] * g[17][k];
+        out[44][k] += -nu * scale * 0.3872983346207417 * alpha[10][k] * g[36][k];
+        out[44][k] += -nu * scale * 0.43301270189221935 * alpha[13][k] * g[5][k];
+        out[44][k] += -nu * scale * 0.3872983346207417 * alpha[14][k] * g[36][k];
+        out[44][k] += -nu * scale * 0.3872983346207417 * alpha[27][k] * g[17][k];
+        out[44][k] += -nu * scale * 0.3872983346207417 * alpha[30][k] * g[22][k];
+    }
+    for k in 0..L {
+        out[45][k] += -nu * scale * 0.9682458365518543 * alpha[0][k] * g[37][k];
+        out[45][k] += -nu * scale * 0.9682458365518543 * alpha[3][k] * g[23][k];
+        out[45][k] += -nu * scale * 0.8660254037844387 * alpha[3][k] * g[46][k];
+        out[45][k] += -nu * scale * 0.9682458365518543 * alpha[4][k] * g[18][k];
+        out[45][k] += -nu * scale * 0.8660254037844387 * alpha[4][k] * g[47][k];
+        out[45][k] += -nu * scale * 0.8660254037844387 * alpha[10][k] * g[37][k];
+        out[45][k] += -nu * scale * 0.9682458365518543 * alpha[13][k] * g[6][k];
+        out[45][k] += -nu * scale * 0.8660254037844387 * alpha[13][k] * g[33][k];
+        out[45][k] += -nu * scale * 0.8660254037844387 * alpha[13][k] * g[41][k];
+        out[45][k] += -nu * scale * 0.8660254037844387 * alpha[14][k] * g[37][k];
+        out[45][k] += -nu * scale * 0.8660254037844387 * alpha[27][k] * g[18][k];
+        out[45][k] += -nu * scale * 0.7745966692414834 * alpha[27][k] * g[47][k];
+        out[45][k] += -nu * scale * 0.8660254037844387 * alpha[30][k] * g[23][k];
+        out[45][k] += -nu * scale * 0.7745966692414834 * alpha[30][k] * g[46][k];
+    }
+    for k in 0..L {
+        out[46][k] += -nu * scale * 0.43301270189221935 * alpha[0][k] * g[39][k];
+        out[46][k] += -nu * scale * 0.3872983346207417 * alpha[3][k] * g[25][k];
+        out[46][k] += -nu * scale * 0.43301270189221935 * alpha[4][k] * g[20][k];
+        out[46][k] += -nu * scale * 0.43301270189221935 * alpha[10][k] * g[11][k];
+        out[46][k] += -nu * scale * 0.27664166758624403 * alpha[10][k] * g[39][k];
+        out[46][k] += -nu * scale * 0.3872983346207417 * alpha[13][k] * g[8][k];
+        out[46][k] += -nu * scale * 0.34641016151377546 * alpha[13][k] * g[42][k];
+        out[46][k] += -nu * scale * 0.3872983346207417 * alpha[14][k] * g[39][k];
+        out[46][k] += -nu * scale * 0.43301270189221935 * alpha[27][k] * g[1][k];
+        out[46][k] += -nu * scale * 0.27664166758624403 * alpha[27][k] * g[20][k];
+        out[46][k] += -nu * scale * 0.3872983346207417 * alpha[27][k] * g[28][k];
+        out[46][k] += -nu * scale * 0.34641016151377546 * alpha[30][k] * g[25][k];
+    }
+    for k in 0..L {
+        out[47][k] += -nu * scale * 0.43301270189221935 * alpha[0][k] * g[42][k];
+        out[47][k] += -nu * scale * 0.43301270189221935 * alpha[3][k] * g[28][k];
+        out[47][k] += -nu * scale * 0.3872983346207417 * alpha[4][k] * g[25][k];
+        out[47][k] += -nu * scale * 0.3872983346207417 * alpha[10][k] * g[42][k];
+        out[47][k] += -nu * scale * 0.3872983346207417 * alpha[13][k] * g[11][k];
+        out[47][k] += -nu * scale * 0.34641016151377546 * alpha[13][k] * g[39][k];
+        out[47][k] += -nu * scale * 0.43301270189221935 * alpha[14][k] * g[8][k];
+        out[47][k] += -nu * scale * 0.27664166758624403 * alpha[14][k] * g[42][k];
+        out[47][k] += -nu * scale * 0.34641016151377546 * alpha[27][k] * g[25][k];
+        out[47][k] += -nu * scale * 0.43301270189221935 * alpha[30][k] * g[1][k];
+        out[47][k] += -nu * scale * 0.3872983346207417 * alpha[30][k] * g[20][k];
+        out[47][k] += -nu * scale * 0.27664166758624403 * alpha[30][k] * g[28][k];
+    }
 }
 
 /// LBO diffusion surface term in v0 at one interior face: one-sided
@@ -1361,684 +1637,841 @@ pub fn lbo_2x2v_p2_ser_diff_vol_v0(nu: f64, dv: f64, vth2: &[f64], g: &[f64], ou
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x2v_p2_ser_diff_surf_v0(nu: f64, dv: f64, vth2: &[f64], g_lo: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_2x2v_p2_ser_diff_surf_v0_body::<1>(nu, dv, vth2.as_chunks().0, g_lo.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_2x2v_p2_ser_diff_surf_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_diff_surf_v0_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_diff_surf_v0_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// [`lbo_2x2v_p2_ser_diff_surf_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_diff_surf_v0_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_diff_surf_v0_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_2x2v_p2_ser_diff_surf_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x2v_p2_ser_diff_surf_v0_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g_lo: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 8] = vth2.first_chunk().expect("vth2: 8 coefficients");
+    let g_lo: &[[f64; L]; 48] = g_lo.first_chunk().expect("g_lo: 48 coefficients");
+    let out_lo: &mut [[f64; L]; 48] = out_lo.first_chunk_mut().expect("out_lo: 48 coefficients");
+    let out_hi: &mut [[f64; L]; 48] = out_hi.first_chunk_mut().expect("out_hi: 48 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 20];
-    alpha[0] = 1.4142135623730951 * vth2[0];
-    alpha[2] = 1.4142135623730951 * vth2[1];
-    alpha[3] = 1.4142135623730951 * vth2[2];
-    alpha[6] = 1.4142135623730951 * vth2[3];
-    alpha[8] = 1.4142135623730951 * vth2[4];
-    alpha[9] = 1.4142135623730951 * vth2[5];
-    alpha[14] = 1.4142135623730951 * vth2[6];
-    alpha[16] = 1.4142135623730951 * vth2[7];
-    let mut tr = [0.0f64; 20];
-    tr[0] += 0.7071067811865476 * g_lo[0];
-    tr[1] += 0.7071067811865476 * g_lo[1];
-    tr[0] += 1.224744871391589 * g_lo[2];
-    tr[2] += 0.7071067811865476 * g_lo[3];
-    tr[3] += 0.7071067811865476 * g_lo[4];
-    tr[4] += 0.7071067811865476 * g_lo[5];
-    tr[1] += 1.224744871391589 * g_lo[6];
-    tr[0] += 1.5811388300841898 * g_lo[7];
-    tr[5] += 0.7071067811865476 * g_lo[8];
-    tr[2] += 1.224744871391589 * g_lo[9];
-    tr[6] += 0.7071067811865476 * g_lo[10];
-    tr[7] += 0.7071067811865476 * g_lo[11];
-    tr[3] += 1.224744871391589 * g_lo[12];
-    tr[8] += 0.7071067811865476 * g_lo[13];
-    tr[9] += 0.7071067811865476 * g_lo[14];
-    tr[4] += 1.224744871391589 * g_lo[15];
-    tr[1] += 1.5811388300841898 * g_lo[16];
-    tr[10] += 0.7071067811865476 * g_lo[17];
-    tr[5] += 1.224744871391589 * g_lo[18];
-    tr[2] += 1.5811388300841898 * g_lo[19];
-    tr[11] += 0.7071067811865476 * g_lo[20];
-    tr[6] += 1.224744871391589 * g_lo[21];
-    tr[12] += 0.7071067811865476 * g_lo[22];
-    tr[7] += 1.224744871391589 * g_lo[23];
-    tr[3] += 1.5811388300841898 * g_lo[24];
-    tr[13] += 0.7071067811865476 * g_lo[25];
-    tr[8] += 1.224744871391589 * g_lo[26];
-    tr[14] += 0.7071067811865476 * g_lo[27];
-    tr[15] += 0.7071067811865476 * g_lo[28];
-    tr[9] += 1.224744871391589 * g_lo[29];
-    tr[16] += 0.7071067811865476 * g_lo[30];
-    tr[10] += 1.224744871391589 * g_lo[31];
-    tr[5] += 1.5811388300841898 * g_lo[32];
-    tr[11] += 1.224744871391589 * g_lo[33];
-    tr[12] += 1.224744871391589 * g_lo[34];
-    tr[7] += 1.5811388300841898 * g_lo[35];
-    tr[17] += 0.7071067811865476 * g_lo[36];
-    tr[13] += 1.224744871391589 * g_lo[37];
-    tr[8] += 1.5811388300841898 * g_lo[38];
-    tr[18] += 0.7071067811865476 * g_lo[39];
-    tr[14] += 1.224744871391589 * g_lo[40];
-    tr[15] += 1.224744871391589 * g_lo[41];
-    tr[19] += 0.7071067811865476 * g_lo[42];
-    tr[16] += 1.224744871391589 * g_lo[43];
-    tr[17] += 1.224744871391589 * g_lo[44];
-    tr[13] += 1.5811388300841898 * g_lo[45];
-    tr[18] += 1.224744871391589 * g_lo[46];
-    tr[19] += 1.224744871391589 * g_lo[47];
-    let mut ghat = [0.0f64; 20];
-    ghat[0] += 0.3535533905932738 * alpha[0] * tr[0];
-    ghat[0] += 0.35355339059327373 * alpha[2] * tr[2];
-    ghat[0] += 0.35355339059327373 * alpha[3] * tr[3];
-    ghat[0] += 0.3535533905932738 * alpha[6] * tr[6];
-    ghat[0] += 0.35355339059327373 * alpha[8] * tr[8];
-    ghat[0] += 0.3535533905932738 * alpha[9] * tr[9];
-    ghat[0] += 0.3535533905932738 * alpha[14] * tr[14];
-    ghat[0] += 0.3535533905932738 * alpha[16] * tr[16];
-    ghat[1] += 0.35355339059327373 * alpha[0] * tr[1];
-    ghat[1] += 0.35355339059327373 * alpha[2] * tr[5];
-    ghat[1] += 0.35355339059327373 * alpha[3] * tr[7];
-    ghat[1] += 0.3535533905932738 * alpha[6] * tr[11];
-    ghat[1] += 0.3535533905932738 * alpha[8] * tr[13];
-    ghat[1] += 0.3535533905932738 * alpha[9] * tr[15];
-    ghat[1] += 0.3535533905932738 * alpha[14] * tr[18];
-    ghat[1] += 0.3535533905932738 * alpha[16] * tr[19];
-    ghat[2] += 0.35355339059327373 * alpha[0] * tr[2];
-    ghat[2] += 0.35355339059327373 * alpha[2] * tr[0];
-    ghat[2] += 0.31622776601683794 * alpha[2] * tr[6];
-    ghat[2] += 0.35355339059327373 * alpha[3] * tr[8];
-    ghat[2] += 0.31622776601683794 * alpha[6] * tr[2];
-    ghat[2] += 0.35355339059327373 * alpha[8] * tr[3];
-    ghat[2] += 0.31622776601683794 * alpha[8] * tr[14];
-    ghat[2] += 0.3535533905932738 * alpha[9] * tr[16];
-    ghat[2] += 0.31622776601683794 * alpha[14] * tr[8];
-    ghat[2] += 0.3535533905932738 * alpha[16] * tr[9];
-    ghat[3] += 0.35355339059327373 * alpha[0] * tr[3];
-    ghat[3] += 0.35355339059327373 * alpha[2] * tr[8];
-    ghat[3] += 0.35355339059327373 * alpha[3] * tr[0];
-    ghat[3] += 0.31622776601683794 * alpha[3] * tr[9];
-    ghat[3] += 0.3535533905932738 * alpha[6] * tr[14];
-    ghat[3] += 0.35355339059327373 * alpha[8] * tr[2];
-    ghat[3] += 0.31622776601683794 * alpha[8] * tr[16];
-    ghat[3] += 0.31622776601683794 * alpha[9] * tr[3];
-    ghat[3] += 0.3535533905932738 * alpha[14] * tr[6];
-    ghat[3] += 0.31622776601683794 * alpha[16] * tr[8];
-    ghat[4] += 0.3535533905932738 * alpha[0] * tr[4];
-    ghat[4] += 0.3535533905932738 * alpha[2] * tr[10];
-    ghat[4] += 0.3535533905932738 * alpha[3] * tr[12];
-    ghat[4] += 0.3535533905932738 * alpha[8] * tr[17];
-    ghat[5] += 0.35355339059327373 * alpha[0] * tr[5];
-    ghat[5] += 0.35355339059327373 * alpha[2] * tr[1];
-    ghat[5] += 0.31622776601683794 * alpha[2] * tr[11];
-    ghat[5] += 0.3535533905932738 * alpha[3] * tr[13];
-    ghat[5] += 0.31622776601683794 * alpha[6] * tr[5];
-    ghat[5] += 0.3535533905932738 * alpha[8] * tr[7];
-    ghat[5] += 0.31622776601683794 * alpha[8] * tr[18];
-    ghat[5] += 0.3535533905932738 * alpha[9] * tr[19];
-    ghat[5] += 0.31622776601683794 * alpha[14] * tr[13];
-    ghat[5] += 0.3535533905932738 * alpha[16] * tr[15];
-    ghat[6] += 0.3535533905932738 * alpha[0] * tr[6];
-    ghat[6] += 0.31622776601683794 * alpha[2] * tr[2];
-    ghat[6] += 0.3535533905932738 * alpha[3] * tr[14];
-    ghat[6] += 0.3535533905932738 * alpha[6] * tr[0];
-    ghat[6] += 0.2258769757263128 * alpha[6] * tr[6];
-    ghat[6] += 0.31622776601683794 * alpha[8] * tr[8];
-    ghat[6] += 0.3535533905932738 * alpha[14] * tr[3];
-    ghat[6] += 0.22587697572631282 * alpha[14] * tr[14];
-    ghat[6] += 0.31622776601683794 * alpha[16] * tr[16];
-    ghat[7] += 0.35355339059327373 * alpha[0] * tr[7];
-    ghat[7] += 0.3535533905932738 * alpha[2] * tr[13];
-    ghat[7] += 0.35355339059327373 * alpha[3] * tr[1];
-    ghat[7] += 0.31622776601683794 * alpha[3] * tr[15];
-    ghat[7] += 0.3535533905932738 * alpha[6] * tr[18];
-    ghat[7] += 0.3535533905932738 * alpha[8] * tr[5];
-    ghat[7] += 0.31622776601683794 * alpha[8] * tr[19];
-    ghat[7] += 0.31622776601683794 * alpha[9] * tr[7];
-    ghat[7] += 0.3535533905932738 * alpha[14] * tr[11];
-    ghat[7] += 0.31622776601683794 * alpha[16] * tr[13];
-    ghat[8] += 0.35355339059327373 * alpha[0] * tr[8];
-    ghat[8] += 0.35355339059327373 * alpha[2] * tr[3];
-    ghat[8] += 0.31622776601683794 * alpha[2] * tr[14];
-    ghat[8] += 0.35355339059327373 * alpha[3] * tr[2];
-    ghat[8] += 0.31622776601683794 * alpha[3] * tr[16];
-    ghat[8] += 0.31622776601683794 * alpha[6] * tr[8];
-    ghat[8] += 0.35355339059327373 * alpha[8] * tr[0];
-    ghat[8] += 0.31622776601683794 * alpha[8] * tr[6];
-    ghat[8] += 0.31622776601683794 * alpha[8] * tr[9];
-    ghat[8] += 0.31622776601683794 * alpha[9] * tr[8];
-    ghat[8] += 0.31622776601683794 * alpha[14] * tr[2];
-    ghat[8] += 0.282842712474619 * alpha[14] * tr[16];
-    ghat[8] += 0.31622776601683794 * alpha[16] * tr[3];
-    ghat[8] += 0.282842712474619 * alpha[16] * tr[14];
-    ghat[9] += 0.3535533905932738 * alpha[0] * tr[9];
-    ghat[9] += 0.3535533905932738 * alpha[2] * tr[16];
-    ghat[9] += 0.31622776601683794 * alpha[3] * tr[3];
-    ghat[9] += 0.31622776601683794 * alpha[8] * tr[8];
-    ghat[9] += 0.3535533905932738 * alpha[9] * tr[0];
-    ghat[9] += 0.2258769757263128 * alpha[9] * tr[9];
-    ghat[9] += 0.31622776601683794 * alpha[14] * tr[14];
-    ghat[9] += 0.3535533905932738 * alpha[16] * tr[2];
-    ghat[9] += 0.22587697572631282 * alpha[16] * tr[16];
-    ghat[10] += 0.3535533905932738 * alpha[0] * tr[10];
-    ghat[10] += 0.3535533905932738 * alpha[2] * tr[4];
-    ghat[10] += 0.3535533905932738 * alpha[3] * tr[17];
-    ghat[10] += 0.31622776601683794 * alpha[6] * tr[10];
-    ghat[10] += 0.3535533905932738 * alpha[8] * tr[12];
-    ghat[10] += 0.31622776601683794 * alpha[14] * tr[17];
-    ghat[11] += 0.3535533905932738 * alpha[0] * tr[11];
-    ghat[11] += 0.31622776601683794 * alpha[2] * tr[5];
-    ghat[11] += 0.3535533905932738 * alpha[3] * tr[18];
-    ghat[11] += 0.3535533905932738 * alpha[6] * tr[1];
-    ghat[11] += 0.22587697572631282 * alpha[6] * tr[11];
-    ghat[11] += 0.31622776601683794 * alpha[8] * tr[13];
-    ghat[11] += 0.3535533905932738 * alpha[14] * tr[7];
-    ghat[11] += 0.2258769757263128 * alpha[14] * tr[18];
-    ghat[11] += 0.31622776601683794 * alpha[16] * tr[19];
-    ghat[12] += 0.3535533905932738 * alpha[0] * tr[12];
-    ghat[12] += 0.3535533905932738 * alpha[2] * tr[17];
-    ghat[12] += 0.3535533905932738 * alpha[3] * tr[4];
-    ghat[12] += 0.3535533905932738 * alpha[8] * tr[10];
-    ghat[12] += 0.31622776601683794 * alpha[9] * tr[12];
-    ghat[12] += 0.31622776601683794 * alpha[16] * tr[17];
-    ghat[13] += 0.3535533905932738 * alpha[0] * tr[13];
-    ghat[13] += 0.3535533905932738 * alpha[2] * tr[7];
-    ghat[13] += 0.31622776601683794 * alpha[2] * tr[18];
-    ghat[13] += 0.3535533905932738 * alpha[3] * tr[5];
-    ghat[13] += 0.31622776601683794 * alpha[3] * tr[19];
-    ghat[13] += 0.31622776601683794 * alpha[6] * tr[13];
-    ghat[13] += 0.3535533905932738 * alpha[8] * tr[1];
-    ghat[13] += 0.31622776601683794 * alpha[8] * tr[11];
-    ghat[13] += 0.31622776601683794 * alpha[8] * tr[15];
-    ghat[13] += 0.31622776601683794 * alpha[9] * tr[13];
-    ghat[13] += 0.31622776601683794 * alpha[14] * tr[5];
-    ghat[13] += 0.282842712474619 * alpha[14] * tr[19];
-    ghat[13] += 0.31622776601683794 * alpha[16] * tr[7];
-    ghat[13] += 0.282842712474619 * alpha[16] * tr[18];
-    ghat[14] += 0.3535533905932738 * alpha[0] * tr[14];
-    ghat[14] += 0.31622776601683794 * alpha[2] * tr[8];
-    ghat[14] += 0.3535533905932738 * alpha[3] * tr[6];
-    ghat[14] += 0.3535533905932738 * alpha[6] * tr[3];
-    ghat[14] += 0.22587697572631282 * alpha[6] * tr[14];
-    ghat[14] += 0.31622776601683794 * alpha[8] * tr[2];
-    ghat[14] += 0.282842712474619 * alpha[8] * tr[16];
-    ghat[14] += 0.31622776601683794 * alpha[9] * tr[14];
-    ghat[14] += 0.3535533905932738 * alpha[14] * tr[0];
-    ghat[14] += 0.22587697572631282 * alpha[14] * tr[6];
-    ghat[14] += 0.31622776601683794 * alpha[14] * tr[9];
-    ghat[14] += 0.282842712474619 * alpha[16] * tr[8];
-    ghat[15] += 0.3535533905932738 * alpha[0] * tr[15];
-    ghat[15] += 0.3535533905932738 * alpha[2] * tr[19];
-    ghat[15] += 0.31622776601683794 * alpha[3] * tr[7];
-    ghat[15] += 0.31622776601683794 * alpha[8] * tr[13];
-    ghat[15] += 0.3535533905932738 * alpha[9] * tr[1];
-    ghat[15] += 0.22587697572631282 * alpha[9] * tr[15];
-    ghat[15] += 0.31622776601683794 * alpha[14] * tr[18];
-    ghat[15] += 0.3535533905932738 * alpha[16] * tr[5];
-    ghat[15] += 0.2258769757263128 * alpha[16] * tr[19];
-    ghat[16] += 0.3535533905932738 * alpha[0] * tr[16];
-    ghat[16] += 0.3535533905932738 * alpha[2] * tr[9];
-    ghat[16] += 0.31622776601683794 * alpha[3] * tr[8];
-    ghat[16] += 0.31622776601683794 * alpha[6] * tr[16];
-    ghat[16] += 0.31622776601683794 * alpha[8] * tr[3];
-    ghat[16] += 0.282842712474619 * alpha[8] * tr[14];
-    ghat[16] += 0.3535533905932738 * alpha[9] * tr[2];
-    ghat[16] += 0.22587697572631282 * alpha[9] * tr[16];
-    ghat[16] += 0.282842712474619 * alpha[14] * tr[8];
-    ghat[16] += 0.3535533905932738 * alpha[16] * tr[0];
-    ghat[16] += 0.31622776601683794 * alpha[16] * tr[6];
-    ghat[16] += 0.22587697572631282 * alpha[16] * tr[9];
-    ghat[17] += 0.3535533905932738 * alpha[0] * tr[17];
-    ghat[17] += 0.3535533905932738 * alpha[2] * tr[12];
-    ghat[17] += 0.3535533905932738 * alpha[3] * tr[10];
-    ghat[17] += 0.31622776601683794 * alpha[6] * tr[17];
-    ghat[17] += 0.3535533905932738 * alpha[8] * tr[4];
-    ghat[17] += 0.31622776601683794 * alpha[9] * tr[17];
-    ghat[17] += 0.31622776601683794 * alpha[14] * tr[10];
-    ghat[17] += 0.31622776601683794 * alpha[16] * tr[12];
-    ghat[18] += 0.3535533905932738 * alpha[0] * tr[18];
-    ghat[18] += 0.31622776601683794 * alpha[2] * tr[13];
-    ghat[18] += 0.3535533905932738 * alpha[3] * tr[11];
-    ghat[18] += 0.3535533905932738 * alpha[6] * tr[7];
-    ghat[18] += 0.2258769757263128 * alpha[6] * tr[18];
-    ghat[18] += 0.31622776601683794 * alpha[8] * tr[5];
-    ghat[18] += 0.282842712474619 * alpha[8] * tr[19];
-    ghat[18] += 0.31622776601683794 * alpha[9] * tr[18];
-    ghat[18] += 0.3535533905932738 * alpha[14] * tr[1];
-    ghat[18] += 0.2258769757263128 * alpha[14] * tr[11];
-    ghat[18] += 0.31622776601683794 * alpha[14] * tr[15];
-    ghat[18] += 0.282842712474619 * alpha[16] * tr[13];
-    ghat[19] += 0.3535533905932738 * alpha[0] * tr[19];
-    ghat[19] += 0.3535533905932738 * alpha[2] * tr[15];
-    ghat[19] += 0.31622776601683794 * alpha[3] * tr[13];
-    ghat[19] += 0.31622776601683794 * alpha[6] * tr[19];
-    ghat[19] += 0.31622776601683794 * alpha[8] * tr[7];
-    ghat[19] += 0.282842712474619 * alpha[8] * tr[18];
-    ghat[19] += 0.3535533905932738 * alpha[9] * tr[5];
-    ghat[19] += 0.2258769757263128 * alpha[9] * tr[19];
-    ghat[19] += 0.282842712474619 * alpha[14] * tr[13];
-    ghat[19] += 0.3535533905932738 * alpha[16] * tr[1];
-    ghat[19] += 0.31622776601683794 * alpha[16] * tr[11];
-    ghat[19] += 0.2258769757263128 * alpha[16] * tr[15];
-    out_lo[0] += nu * scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += nu * scale * 0.7071067811865476 * ghat[1];
-    out_lo[2] += nu * scale * 1.224744871391589 * ghat[0];
-    out_lo[3] += nu * scale * 0.7071067811865476 * ghat[2];
-    out_lo[4] += nu * scale * 0.7071067811865476 * ghat[3];
-    out_lo[5] += nu * scale * 0.7071067811865476 * ghat[4];
-    out_lo[6] += nu * scale * 1.224744871391589 * ghat[1];
-    out_lo[7] += nu * scale * 1.5811388300841898 * ghat[0];
-    out_lo[8] += nu * scale * 0.7071067811865476 * ghat[5];
-    out_lo[9] += nu * scale * 1.224744871391589 * ghat[2];
-    out_lo[10] += nu * scale * 0.7071067811865476 * ghat[6];
-    out_lo[11] += nu * scale * 0.7071067811865476 * ghat[7];
-    out_lo[12] += nu * scale * 1.224744871391589 * ghat[3];
-    out_lo[13] += nu * scale * 0.7071067811865476 * ghat[8];
-    out_lo[14] += nu * scale * 0.7071067811865476 * ghat[9];
-    out_lo[15] += nu * scale * 1.224744871391589 * ghat[4];
-    out_lo[16] += nu * scale * 1.5811388300841898 * ghat[1];
-    out_lo[17] += nu * scale * 0.7071067811865476 * ghat[10];
-    out_lo[18] += nu * scale * 1.224744871391589 * ghat[5];
-    out_lo[19] += nu * scale * 1.5811388300841898 * ghat[2];
-    out_lo[20] += nu * scale * 0.7071067811865476 * ghat[11];
-    out_lo[21] += nu * scale * 1.224744871391589 * ghat[6];
-    out_lo[22] += nu * scale * 0.7071067811865476 * ghat[12];
-    out_lo[23] += nu * scale * 1.224744871391589 * ghat[7];
-    out_lo[24] += nu * scale * 1.5811388300841898 * ghat[3];
-    out_lo[25] += nu * scale * 0.7071067811865476 * ghat[13];
-    out_lo[26] += nu * scale * 1.224744871391589 * ghat[8];
-    out_lo[27] += nu * scale * 0.7071067811865476 * ghat[14];
-    out_lo[28] += nu * scale * 0.7071067811865476 * ghat[15];
-    out_lo[29] += nu * scale * 1.224744871391589 * ghat[9];
-    out_lo[30] += nu * scale * 0.7071067811865476 * ghat[16];
-    out_lo[31] += nu * scale * 1.224744871391589 * ghat[10];
-    out_lo[32] += nu * scale * 1.5811388300841898 * ghat[5];
-    out_lo[33] += nu * scale * 1.224744871391589 * ghat[11];
-    out_lo[34] += nu * scale * 1.224744871391589 * ghat[12];
-    out_lo[35] += nu * scale * 1.5811388300841898 * ghat[7];
-    out_lo[36] += nu * scale * 0.7071067811865476 * ghat[17];
-    out_lo[37] += nu * scale * 1.224744871391589 * ghat[13];
-    out_lo[38] += nu * scale * 1.5811388300841898 * ghat[8];
-    out_lo[39] += nu * scale * 0.7071067811865476 * ghat[18];
-    out_lo[40] += nu * scale * 1.224744871391589 * ghat[14];
-    out_lo[41] += nu * scale * 1.224744871391589 * ghat[15];
-    out_lo[42] += nu * scale * 0.7071067811865476 * ghat[19];
-    out_lo[43] += nu * scale * 1.224744871391589 * ghat[16];
-    out_lo[44] += nu * scale * 1.224744871391589 * ghat[17];
-    out_lo[45] += nu * scale * 1.5811388300841898 * ghat[13];
-    out_lo[46] += nu * scale * 1.224744871391589 * ghat[18];
-    out_lo[47] += nu * scale * 1.224744871391589 * ghat[19];
-    out_hi[0] += -nu * scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += -nu * scale * 0.7071067811865476 * ghat[1];
-    out_hi[2] += -nu * scale * -1.224744871391589 * ghat[0];
-    out_hi[3] += -nu * scale * 0.7071067811865476 * ghat[2];
-    out_hi[4] += -nu * scale * 0.7071067811865476 * ghat[3];
-    out_hi[5] += -nu * scale * 0.7071067811865476 * ghat[4];
-    out_hi[6] += -nu * scale * -1.224744871391589 * ghat[1];
-    out_hi[7] += -nu * scale * 1.5811388300841898 * ghat[0];
-    out_hi[8] += -nu * scale * 0.7071067811865476 * ghat[5];
-    out_hi[9] += -nu * scale * -1.224744871391589 * ghat[2];
-    out_hi[10] += -nu * scale * 0.7071067811865476 * ghat[6];
-    out_hi[11] += -nu * scale * 0.7071067811865476 * ghat[7];
-    out_hi[12] += -nu * scale * -1.224744871391589 * ghat[3];
-    out_hi[13] += -nu * scale * 0.7071067811865476 * ghat[8];
-    out_hi[14] += -nu * scale * 0.7071067811865476 * ghat[9];
-    out_hi[15] += -nu * scale * -1.224744871391589 * ghat[4];
-    out_hi[16] += -nu * scale * 1.5811388300841898 * ghat[1];
-    out_hi[17] += -nu * scale * 0.7071067811865476 * ghat[10];
-    out_hi[18] += -nu * scale * -1.224744871391589 * ghat[5];
-    out_hi[19] += -nu * scale * 1.5811388300841898 * ghat[2];
-    out_hi[20] += -nu * scale * 0.7071067811865476 * ghat[11];
-    out_hi[21] += -nu * scale * -1.224744871391589 * ghat[6];
-    out_hi[22] += -nu * scale * 0.7071067811865476 * ghat[12];
-    out_hi[23] += -nu * scale * -1.224744871391589 * ghat[7];
-    out_hi[24] += -nu * scale * 1.5811388300841898 * ghat[3];
-    out_hi[25] += -nu * scale * 0.7071067811865476 * ghat[13];
-    out_hi[26] += -nu * scale * -1.224744871391589 * ghat[8];
-    out_hi[27] += -nu * scale * 0.7071067811865476 * ghat[14];
-    out_hi[28] += -nu * scale * 0.7071067811865476 * ghat[15];
-    out_hi[29] += -nu * scale * -1.224744871391589 * ghat[9];
-    out_hi[30] += -nu * scale * 0.7071067811865476 * ghat[16];
-    out_hi[31] += -nu * scale * -1.224744871391589 * ghat[10];
-    out_hi[32] += -nu * scale * 1.5811388300841898 * ghat[5];
-    out_hi[33] += -nu * scale * -1.224744871391589 * ghat[11];
-    out_hi[34] += -nu * scale * -1.224744871391589 * ghat[12];
-    out_hi[35] += -nu * scale * 1.5811388300841898 * ghat[7];
-    out_hi[36] += -nu * scale * 0.7071067811865476 * ghat[17];
-    out_hi[37] += -nu * scale * -1.224744871391589 * ghat[13];
-    out_hi[38] += -nu * scale * 1.5811388300841898 * ghat[8];
-    out_hi[39] += -nu * scale * 0.7071067811865476 * ghat[18];
-    out_hi[40] += -nu * scale * -1.224744871391589 * ghat[14];
-    out_hi[41] += -nu * scale * -1.224744871391589 * ghat[15];
-    out_hi[42] += -nu * scale * 0.7071067811865476 * ghat[19];
-    out_hi[43] += -nu * scale * -1.224744871391589 * ghat[16];
-    out_hi[44] += -nu * scale * -1.224744871391589 * ghat[17];
-    out_hi[45] += -nu * scale * 1.5811388300841898 * ghat[13];
-    out_hi[46] += -nu * scale * -1.224744871391589 * ghat[18];
-    out_hi[47] += -nu * scale * -1.224744871391589 * ghat[19];
+    let mut alpha = [[0.0f64; L]; 20];
+    for k in 0..L {
+        alpha[0][k] = 1.4142135623730951 * vth2[0][k];
+        alpha[2][k] = 1.4142135623730951 * vth2[1][k];
+        alpha[3][k] = 1.4142135623730951 * vth2[2][k];
+        alpha[6][k] = 1.4142135623730951 * vth2[3][k];
+        alpha[8][k] = 1.4142135623730951 * vth2[4][k];
+        alpha[9][k] = 1.4142135623730951 * vth2[5][k];
+        alpha[14][k] = 1.4142135623730951 * vth2[6][k];
+        alpha[16][k] = 1.4142135623730951 * vth2[7][k];
+    }
+    let mut tr = [[0.0f64; L]; 20];
+    sxn(&mut tr[0], 0.7071067811865476, &g_lo[0]);
+    sxn(&mut tr[1], 0.7071067811865476, &g_lo[1]);
+    sxn(&mut tr[0], 1.224744871391589, &g_lo[2]);
+    sxn(&mut tr[2], 0.7071067811865476, &g_lo[3]);
+    sxn(&mut tr[3], 0.7071067811865476, &g_lo[4]);
+    sxn(&mut tr[4], 0.7071067811865476, &g_lo[5]);
+    sxn(&mut tr[1], 1.224744871391589, &g_lo[6]);
+    sxn(&mut tr[0], 1.5811388300841898, &g_lo[7]);
+    sxn(&mut tr[5], 0.7071067811865476, &g_lo[8]);
+    sxn(&mut tr[2], 1.224744871391589, &g_lo[9]);
+    sxn(&mut tr[6], 0.7071067811865476, &g_lo[10]);
+    sxn(&mut tr[7], 0.7071067811865476, &g_lo[11]);
+    sxn(&mut tr[3], 1.224744871391589, &g_lo[12]);
+    sxn(&mut tr[8], 0.7071067811865476, &g_lo[13]);
+    sxn(&mut tr[9], 0.7071067811865476, &g_lo[14]);
+    sxn(&mut tr[4], 1.224744871391589, &g_lo[15]);
+    sxn(&mut tr[1], 1.5811388300841898, &g_lo[16]);
+    sxn(&mut tr[10], 0.7071067811865476, &g_lo[17]);
+    sxn(&mut tr[5], 1.224744871391589, &g_lo[18]);
+    sxn(&mut tr[2], 1.5811388300841898, &g_lo[19]);
+    sxn(&mut tr[11], 0.7071067811865476, &g_lo[20]);
+    sxn(&mut tr[6], 1.224744871391589, &g_lo[21]);
+    sxn(&mut tr[12], 0.7071067811865476, &g_lo[22]);
+    sxn(&mut tr[7], 1.224744871391589, &g_lo[23]);
+    sxn(&mut tr[3], 1.5811388300841898, &g_lo[24]);
+    sxn(&mut tr[13], 0.7071067811865476, &g_lo[25]);
+    sxn(&mut tr[8], 1.224744871391589, &g_lo[26]);
+    sxn(&mut tr[14], 0.7071067811865476, &g_lo[27]);
+    sxn(&mut tr[15], 0.7071067811865476, &g_lo[28]);
+    sxn(&mut tr[9], 1.224744871391589, &g_lo[29]);
+    sxn(&mut tr[16], 0.7071067811865476, &g_lo[30]);
+    sxn(&mut tr[10], 1.224744871391589, &g_lo[31]);
+    sxn(&mut tr[5], 1.5811388300841898, &g_lo[32]);
+    sxn(&mut tr[11], 1.224744871391589, &g_lo[33]);
+    sxn(&mut tr[12], 1.224744871391589, &g_lo[34]);
+    sxn(&mut tr[7], 1.5811388300841898, &g_lo[35]);
+    sxn(&mut tr[17], 0.7071067811865476, &g_lo[36]);
+    sxn(&mut tr[13], 1.224744871391589, &g_lo[37]);
+    sxn(&mut tr[8], 1.5811388300841898, &g_lo[38]);
+    sxn(&mut tr[18], 0.7071067811865476, &g_lo[39]);
+    sxn(&mut tr[14], 1.224744871391589, &g_lo[40]);
+    sxn(&mut tr[15], 1.224744871391589, &g_lo[41]);
+    sxn(&mut tr[19], 0.7071067811865476, &g_lo[42]);
+    sxn(&mut tr[16], 1.224744871391589, &g_lo[43]);
+    sxn(&mut tr[17], 1.224744871391589, &g_lo[44]);
+    sxn(&mut tr[13], 1.5811388300841898, &g_lo[45]);
+    sxn(&mut tr[18], 1.224744871391589, &g_lo[46]);
+    sxn(&mut tr[19], 1.224744871391589, &g_lo[47]);
+    let mut ghat = [[0.0f64; L]; 20];
+    for k in 0..L {
+        ghat[0][k] += 0.3535533905932738 * alpha[0][k] * tr[0][k];
+        ghat[0][k] += 0.35355339059327373 * alpha[2][k] * tr[2][k];
+        ghat[0][k] += 0.35355339059327373 * alpha[3][k] * tr[3][k];
+        ghat[0][k] += 0.3535533905932738 * alpha[6][k] * tr[6][k];
+        ghat[0][k] += 0.35355339059327373 * alpha[8][k] * tr[8][k];
+        ghat[0][k] += 0.3535533905932738 * alpha[9][k] * tr[9][k];
+        ghat[0][k] += 0.3535533905932738 * alpha[14][k] * tr[14][k];
+        ghat[0][k] += 0.3535533905932738 * alpha[16][k] * tr[16][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.35355339059327373 * alpha[0][k] * tr[1][k];
+        ghat[1][k] += 0.35355339059327373 * alpha[2][k] * tr[5][k];
+        ghat[1][k] += 0.35355339059327373 * alpha[3][k] * tr[7][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[6][k] * tr[11][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[8][k] * tr[13][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[9][k] * tr[15][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[14][k] * tr[18][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[16][k] * tr[19][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.35355339059327373 * alpha[0][k] * tr[2][k];
+        ghat[2][k] += 0.35355339059327373 * alpha[2][k] * tr[0][k];
+        ghat[2][k] += 0.31622776601683794 * alpha[2][k] * tr[6][k];
+        ghat[2][k] += 0.35355339059327373 * alpha[3][k] * tr[8][k];
+        ghat[2][k] += 0.31622776601683794 * alpha[6][k] * tr[2][k];
+        ghat[2][k] += 0.35355339059327373 * alpha[8][k] * tr[3][k];
+        ghat[2][k] += 0.31622776601683794 * alpha[8][k] * tr[14][k];
+        ghat[2][k] += 0.3535533905932738 * alpha[9][k] * tr[16][k];
+        ghat[2][k] += 0.31622776601683794 * alpha[14][k] * tr[8][k];
+        ghat[2][k] += 0.3535533905932738 * alpha[16][k] * tr[9][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.35355339059327373 * alpha[0][k] * tr[3][k];
+        ghat[3][k] += 0.35355339059327373 * alpha[2][k] * tr[8][k];
+        ghat[3][k] += 0.35355339059327373 * alpha[3][k] * tr[0][k];
+        ghat[3][k] += 0.31622776601683794 * alpha[3][k] * tr[9][k];
+        ghat[3][k] += 0.3535533905932738 * alpha[6][k] * tr[14][k];
+        ghat[3][k] += 0.35355339059327373 * alpha[8][k] * tr[2][k];
+        ghat[3][k] += 0.31622776601683794 * alpha[8][k] * tr[16][k];
+        ghat[3][k] += 0.31622776601683794 * alpha[9][k] * tr[3][k];
+        ghat[3][k] += 0.3535533905932738 * alpha[14][k] * tr[6][k];
+        ghat[3][k] += 0.31622776601683794 * alpha[16][k] * tr[8][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.3535533905932738 * alpha[0][k] * tr[4][k];
+        ghat[4][k] += 0.3535533905932738 * alpha[2][k] * tr[10][k];
+        ghat[4][k] += 0.3535533905932738 * alpha[3][k] * tr[12][k];
+        ghat[4][k] += 0.3535533905932738 * alpha[8][k] * tr[17][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.35355339059327373 * alpha[0][k] * tr[5][k];
+        ghat[5][k] += 0.35355339059327373 * alpha[2][k] * tr[1][k];
+        ghat[5][k] += 0.31622776601683794 * alpha[2][k] * tr[11][k];
+        ghat[5][k] += 0.3535533905932738 * alpha[3][k] * tr[13][k];
+        ghat[5][k] += 0.31622776601683794 * alpha[6][k] * tr[5][k];
+        ghat[5][k] += 0.3535533905932738 * alpha[8][k] * tr[7][k];
+        ghat[5][k] += 0.31622776601683794 * alpha[8][k] * tr[18][k];
+        ghat[5][k] += 0.3535533905932738 * alpha[9][k] * tr[19][k];
+        ghat[5][k] += 0.31622776601683794 * alpha[14][k] * tr[13][k];
+        ghat[5][k] += 0.3535533905932738 * alpha[16][k] * tr[15][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.3535533905932738 * alpha[0][k] * tr[6][k];
+        ghat[6][k] += 0.31622776601683794 * alpha[2][k] * tr[2][k];
+        ghat[6][k] += 0.3535533905932738 * alpha[3][k] * tr[14][k];
+        ghat[6][k] += 0.3535533905932738 * alpha[6][k] * tr[0][k];
+        ghat[6][k] += 0.2258769757263128 * alpha[6][k] * tr[6][k];
+        ghat[6][k] += 0.31622776601683794 * alpha[8][k] * tr[8][k];
+        ghat[6][k] += 0.3535533905932738 * alpha[14][k] * tr[3][k];
+        ghat[6][k] += 0.22587697572631282 * alpha[14][k] * tr[14][k];
+        ghat[6][k] += 0.31622776601683794 * alpha[16][k] * tr[16][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.35355339059327373 * alpha[0][k] * tr[7][k];
+        ghat[7][k] += 0.3535533905932738 * alpha[2][k] * tr[13][k];
+        ghat[7][k] += 0.35355339059327373 * alpha[3][k] * tr[1][k];
+        ghat[7][k] += 0.31622776601683794 * alpha[3][k] * tr[15][k];
+        ghat[7][k] += 0.3535533905932738 * alpha[6][k] * tr[18][k];
+        ghat[7][k] += 0.3535533905932738 * alpha[8][k] * tr[5][k];
+        ghat[7][k] += 0.31622776601683794 * alpha[8][k] * tr[19][k];
+        ghat[7][k] += 0.31622776601683794 * alpha[9][k] * tr[7][k];
+        ghat[7][k] += 0.3535533905932738 * alpha[14][k] * tr[11][k];
+        ghat[7][k] += 0.31622776601683794 * alpha[16][k] * tr[13][k];
+    }
+    for k in 0..L {
+        ghat[8][k] += 0.35355339059327373 * alpha[0][k] * tr[8][k];
+        ghat[8][k] += 0.35355339059327373 * alpha[2][k] * tr[3][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[2][k] * tr[14][k];
+        ghat[8][k] += 0.35355339059327373 * alpha[3][k] * tr[2][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[3][k] * tr[16][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[6][k] * tr[8][k];
+        ghat[8][k] += 0.35355339059327373 * alpha[8][k] * tr[0][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[8][k] * tr[6][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[8][k] * tr[9][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[9][k] * tr[8][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[14][k] * tr[2][k];
+        ghat[8][k] += 0.282842712474619 * alpha[14][k] * tr[16][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[16][k] * tr[3][k];
+        ghat[8][k] += 0.282842712474619 * alpha[16][k] * tr[14][k];
+    }
+    for k in 0..L {
+        ghat[9][k] += 0.3535533905932738 * alpha[0][k] * tr[9][k];
+        ghat[9][k] += 0.3535533905932738 * alpha[2][k] * tr[16][k];
+        ghat[9][k] += 0.31622776601683794 * alpha[3][k] * tr[3][k];
+        ghat[9][k] += 0.31622776601683794 * alpha[8][k] * tr[8][k];
+        ghat[9][k] += 0.3535533905932738 * alpha[9][k] * tr[0][k];
+        ghat[9][k] += 0.2258769757263128 * alpha[9][k] * tr[9][k];
+        ghat[9][k] += 0.31622776601683794 * alpha[14][k] * tr[14][k];
+        ghat[9][k] += 0.3535533905932738 * alpha[16][k] * tr[2][k];
+        ghat[9][k] += 0.22587697572631282 * alpha[16][k] * tr[16][k];
+    }
+    for k in 0..L {
+        ghat[10][k] += 0.3535533905932738 * alpha[0][k] * tr[10][k];
+        ghat[10][k] += 0.3535533905932738 * alpha[2][k] * tr[4][k];
+        ghat[10][k] += 0.3535533905932738 * alpha[3][k] * tr[17][k];
+        ghat[10][k] += 0.31622776601683794 * alpha[6][k] * tr[10][k];
+        ghat[10][k] += 0.3535533905932738 * alpha[8][k] * tr[12][k];
+        ghat[10][k] += 0.31622776601683794 * alpha[14][k] * tr[17][k];
+    }
+    for k in 0..L {
+        ghat[11][k] += 0.3535533905932738 * alpha[0][k] * tr[11][k];
+        ghat[11][k] += 0.31622776601683794 * alpha[2][k] * tr[5][k];
+        ghat[11][k] += 0.3535533905932738 * alpha[3][k] * tr[18][k];
+        ghat[11][k] += 0.3535533905932738 * alpha[6][k] * tr[1][k];
+        ghat[11][k] += 0.22587697572631282 * alpha[6][k] * tr[11][k];
+        ghat[11][k] += 0.31622776601683794 * alpha[8][k] * tr[13][k];
+        ghat[11][k] += 0.3535533905932738 * alpha[14][k] * tr[7][k];
+        ghat[11][k] += 0.2258769757263128 * alpha[14][k] * tr[18][k];
+        ghat[11][k] += 0.31622776601683794 * alpha[16][k] * tr[19][k];
+    }
+    for k in 0..L {
+        ghat[12][k] += 0.3535533905932738 * alpha[0][k] * tr[12][k];
+        ghat[12][k] += 0.3535533905932738 * alpha[2][k] * tr[17][k];
+        ghat[12][k] += 0.3535533905932738 * alpha[3][k] * tr[4][k];
+        ghat[12][k] += 0.3535533905932738 * alpha[8][k] * tr[10][k];
+        ghat[12][k] += 0.31622776601683794 * alpha[9][k] * tr[12][k];
+        ghat[12][k] += 0.31622776601683794 * alpha[16][k] * tr[17][k];
+    }
+    for k in 0..L {
+        ghat[13][k] += 0.3535533905932738 * alpha[0][k] * tr[13][k];
+        ghat[13][k] += 0.3535533905932738 * alpha[2][k] * tr[7][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[2][k] * tr[18][k];
+        ghat[13][k] += 0.3535533905932738 * alpha[3][k] * tr[5][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[3][k] * tr[19][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[6][k] * tr[13][k];
+        ghat[13][k] += 0.3535533905932738 * alpha[8][k] * tr[1][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[8][k] * tr[11][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[8][k] * tr[15][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[9][k] * tr[13][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[14][k] * tr[5][k];
+        ghat[13][k] += 0.282842712474619 * alpha[14][k] * tr[19][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[16][k] * tr[7][k];
+        ghat[13][k] += 0.282842712474619 * alpha[16][k] * tr[18][k];
+    }
+    for k in 0..L {
+        ghat[14][k] += 0.3535533905932738 * alpha[0][k] * tr[14][k];
+        ghat[14][k] += 0.31622776601683794 * alpha[2][k] * tr[8][k];
+        ghat[14][k] += 0.3535533905932738 * alpha[3][k] * tr[6][k];
+        ghat[14][k] += 0.3535533905932738 * alpha[6][k] * tr[3][k];
+        ghat[14][k] += 0.22587697572631282 * alpha[6][k] * tr[14][k];
+        ghat[14][k] += 0.31622776601683794 * alpha[8][k] * tr[2][k];
+        ghat[14][k] += 0.282842712474619 * alpha[8][k] * tr[16][k];
+        ghat[14][k] += 0.31622776601683794 * alpha[9][k] * tr[14][k];
+        ghat[14][k] += 0.3535533905932738 * alpha[14][k] * tr[0][k];
+        ghat[14][k] += 0.22587697572631282 * alpha[14][k] * tr[6][k];
+        ghat[14][k] += 0.31622776601683794 * alpha[14][k] * tr[9][k];
+        ghat[14][k] += 0.282842712474619 * alpha[16][k] * tr[8][k];
+    }
+    for k in 0..L {
+        ghat[15][k] += 0.3535533905932738 * alpha[0][k] * tr[15][k];
+        ghat[15][k] += 0.3535533905932738 * alpha[2][k] * tr[19][k];
+        ghat[15][k] += 0.31622776601683794 * alpha[3][k] * tr[7][k];
+        ghat[15][k] += 0.31622776601683794 * alpha[8][k] * tr[13][k];
+        ghat[15][k] += 0.3535533905932738 * alpha[9][k] * tr[1][k];
+        ghat[15][k] += 0.22587697572631282 * alpha[9][k] * tr[15][k];
+        ghat[15][k] += 0.31622776601683794 * alpha[14][k] * tr[18][k];
+        ghat[15][k] += 0.3535533905932738 * alpha[16][k] * tr[5][k];
+        ghat[15][k] += 0.2258769757263128 * alpha[16][k] * tr[19][k];
+    }
+    for k in 0..L {
+        ghat[16][k] += 0.3535533905932738 * alpha[0][k] * tr[16][k];
+        ghat[16][k] += 0.3535533905932738 * alpha[2][k] * tr[9][k];
+        ghat[16][k] += 0.31622776601683794 * alpha[3][k] * tr[8][k];
+        ghat[16][k] += 0.31622776601683794 * alpha[6][k] * tr[16][k];
+        ghat[16][k] += 0.31622776601683794 * alpha[8][k] * tr[3][k];
+        ghat[16][k] += 0.282842712474619 * alpha[8][k] * tr[14][k];
+        ghat[16][k] += 0.3535533905932738 * alpha[9][k] * tr[2][k];
+        ghat[16][k] += 0.22587697572631282 * alpha[9][k] * tr[16][k];
+        ghat[16][k] += 0.282842712474619 * alpha[14][k] * tr[8][k];
+        ghat[16][k] += 0.3535533905932738 * alpha[16][k] * tr[0][k];
+        ghat[16][k] += 0.31622776601683794 * alpha[16][k] * tr[6][k];
+        ghat[16][k] += 0.22587697572631282 * alpha[16][k] * tr[9][k];
+    }
+    for k in 0..L {
+        ghat[17][k] += 0.3535533905932738 * alpha[0][k] * tr[17][k];
+        ghat[17][k] += 0.3535533905932738 * alpha[2][k] * tr[12][k];
+        ghat[17][k] += 0.3535533905932738 * alpha[3][k] * tr[10][k];
+        ghat[17][k] += 0.31622776601683794 * alpha[6][k] * tr[17][k];
+        ghat[17][k] += 0.3535533905932738 * alpha[8][k] * tr[4][k];
+        ghat[17][k] += 0.31622776601683794 * alpha[9][k] * tr[17][k];
+        ghat[17][k] += 0.31622776601683794 * alpha[14][k] * tr[10][k];
+        ghat[17][k] += 0.31622776601683794 * alpha[16][k] * tr[12][k];
+    }
+    for k in 0..L {
+        ghat[18][k] += 0.3535533905932738 * alpha[0][k] * tr[18][k];
+        ghat[18][k] += 0.31622776601683794 * alpha[2][k] * tr[13][k];
+        ghat[18][k] += 0.3535533905932738 * alpha[3][k] * tr[11][k];
+        ghat[18][k] += 0.3535533905932738 * alpha[6][k] * tr[7][k];
+        ghat[18][k] += 0.2258769757263128 * alpha[6][k] * tr[18][k];
+        ghat[18][k] += 0.31622776601683794 * alpha[8][k] * tr[5][k];
+        ghat[18][k] += 0.282842712474619 * alpha[8][k] * tr[19][k];
+        ghat[18][k] += 0.31622776601683794 * alpha[9][k] * tr[18][k];
+        ghat[18][k] += 0.3535533905932738 * alpha[14][k] * tr[1][k];
+        ghat[18][k] += 0.2258769757263128 * alpha[14][k] * tr[11][k];
+        ghat[18][k] += 0.31622776601683794 * alpha[14][k] * tr[15][k];
+        ghat[18][k] += 0.282842712474619 * alpha[16][k] * tr[13][k];
+    }
+    for k in 0..L {
+        ghat[19][k] += 0.3535533905932738 * alpha[0][k] * tr[19][k];
+        ghat[19][k] += 0.3535533905932738 * alpha[2][k] * tr[15][k];
+        ghat[19][k] += 0.31622776601683794 * alpha[3][k] * tr[13][k];
+        ghat[19][k] += 0.31622776601683794 * alpha[6][k] * tr[19][k];
+        ghat[19][k] += 0.31622776601683794 * alpha[8][k] * tr[7][k];
+        ghat[19][k] += 0.282842712474619 * alpha[8][k] * tr[18][k];
+        ghat[19][k] += 0.3535533905932738 * alpha[9][k] * tr[5][k];
+        ghat[19][k] += 0.2258769757263128 * alpha[9][k] * tr[19][k];
+        ghat[19][k] += 0.282842712474619 * alpha[14][k] * tr[13][k];
+        ghat[19][k] += 0.3535533905932738 * alpha[16][k] * tr[1][k];
+        ghat[19][k] += 0.31622776601683794 * alpha[16][k] * tr[11][k];
+        ghat[19][k] += 0.2258769757263128 * alpha[16][k] * tr[15][k];
+    }
+    sxn(&mut out_lo[0], nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], nu * scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[3], nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], nu * scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[7], nu * scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_lo[8], nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[9], nu * scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[10], nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[11], nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[12], nu * scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[13], nu * scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[14], nu * scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[15], nu * scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[16], nu * scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_lo[17], nu * scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[18], nu * scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[19], nu * scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_lo[20], nu * scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[21], nu * scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[22], nu * scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[23], nu * scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[24], nu * scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_lo[25], nu * scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[26], nu * scale * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[27], nu * scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[28], nu * scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[29], nu * scale * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[30], nu * scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_lo[31], nu * scale * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[32], nu * scale * 1.5811388300841898, &ghat[5]);
+    sxn(&mut out_lo[33], nu * scale * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[34], nu * scale * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[35], nu * scale * 1.5811388300841898, &ghat[7]);
+    sxn(&mut out_lo[36], nu * scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_lo[37], nu * scale * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[38], nu * scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_lo[39], nu * scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_lo[40], nu * scale * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[41], nu * scale * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_lo[42], nu * scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_lo[43], nu * scale * 1.224744871391589, &ghat[16]);
+    sxn(&mut out_lo[44], nu * scale * 1.224744871391589, &ghat[17]);
+    sxn(&mut out_lo[45], nu * scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_lo[46], nu * scale * 1.224744871391589, &ghat[18]);
+    sxn(&mut out_lo[47], nu * scale * 1.224744871391589, &ghat[19]);
+    sxn(&mut out_hi[0], -nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], -nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], -nu * scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[3], -nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], -nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], -nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], -nu * scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[7], -nu * scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_hi[8], -nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[9], -nu * scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[10], -nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[11], -nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[12], -nu * scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[13], -nu * scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[14], -nu * scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[15], -nu * scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[16], -nu * scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_hi[17], -nu * scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[18], -nu * scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[19], -nu * scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_hi[20], -nu * scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[21], -nu * scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[22], -nu * scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[23], -nu * scale * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[24], -nu * scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_hi[25], -nu * scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[26], -nu * scale * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[27], -nu * scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[28], -nu * scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[29], -nu * scale * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[30], -nu * scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_hi[31], -nu * scale * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[32], -nu * scale * 1.5811388300841898, &ghat[5]);
+    sxn(&mut out_hi[33], -nu * scale * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[34], -nu * scale * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[35], -nu * scale * 1.5811388300841898, &ghat[7]);
+    sxn(&mut out_hi[36], -nu * scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_hi[37], -nu * scale * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[38], -nu * scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_hi[39], -nu * scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_hi[40], -nu * scale * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[41], -nu * scale * -1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[42], -nu * scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_hi[43], -nu * scale * -1.224744871391589, &ghat[16]);
+    sxn(&mut out_hi[44], -nu * scale * -1.224744871391589, &ghat[17]);
+    sxn(&mut out_hi[45], -nu * scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_hi[46], -nu * scale * -1.224744871391589, &ghat[18]);
+    sxn(&mut out_hi[47], -nu * scale * -1.224744871391589, &ghat[19]);
 }
 
 /// LBO drag volume term in v1: weak `∇_v · (ν(v − u) f)`, cell interior.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x2v_p2_ser_drag_vol_v1(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f64], out: &mut [f64]) {
+    lbo_2x2v_p2_ser_drag_vol_v1_body::<1>(nu, v_c, dv, u.as_chunks().0, f.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_2x2v_p2_ser_drag_vol_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_drag_vol_v1_b4(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_drag_vol_v1_body(nu, v_c, dv, u, f, out)
+}
+
+/// [`lbo_2x2v_p2_ser_drag_vol_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_drag_vol_v1_b4_avx2(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_drag_vol_v1_body(nu, v_c, dv, u, f, out)
+}
+
+/// Shared lane-generic body of [`lbo_2x2v_p2_ser_drag_vol_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x2v_p2_ser_drag_vol_v1_body<const L: usize>(nu: f64, v_c: f64, dv: f64, u: &[[f64; L]], f: &[[f64; L]], out: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 8] = u.first_chunk().expect("u: 8 coefficients");
+    let f: &[[f64; L]; 48] = f.first_chunk().expect("f: 48 coefficients");
+    let out: &mut [[f64; L]; 48] = out.first_chunk_mut().expect("out: 48 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 48];
-    alpha[0] = -nu * v_c * 4.0;
-    alpha[1] = -nu * 0.5 * dv * 2.3094010767585034;
-    alpha[0] += nu * 2.0 * u[0];
-    alpha[3] += nu * 2.0 * u[1];
-    alpha[4] += nu * 2.0 * u[2];
-    alpha[10] += nu * 2.0 * u[3];
-    alpha[13] += nu * 2.0 * u[4];
-    alpha[14] += nu * 2.0 * u[5];
-    alpha[27] += nu * 2.0 * u[6];
-    alpha[30] += nu * 2.0 * u[7];
-    out[1] += scale * 0.4330127018922193 * alpha[0] * f[0];
-    out[1] += scale * 0.4330127018922193 * alpha[1] * f[1];
-    out[1] += scale * 0.4330127018922193 * alpha[3] * f[3];
-    out[1] += scale * 0.4330127018922193 * alpha[4] * f[4];
-    out[1] += scale * 0.4330127018922194 * alpha[10] * f[10];
-    out[1] += scale * 0.4330127018922193 * alpha[13] * f[13];
-    out[1] += scale * 0.4330127018922194 * alpha[14] * f[14];
-    out[1] += scale * 0.43301270189221935 * alpha[27] * f[27];
-    out[1] += scale * 0.43301270189221935 * alpha[30] * f[30];
-    out[5] += scale * 0.9682458365518543 * alpha[0] * f[1];
-    out[5] += scale * 0.9682458365518543 * alpha[1] * f[0];
-    out[5] += scale * 0.8660254037844388 * alpha[1] * f[5];
-    out[5] += scale * 0.9682458365518541 * alpha[3] * f[8];
-    out[5] += scale * 0.9682458365518541 * alpha[4] * f[11];
-    out[5] += scale * 0.9682458365518543 * alpha[10] * f[20];
-    out[5] += scale * 0.968245836551854 * alpha[13] * f[25];
-    out[5] += scale * 0.9682458365518543 * alpha[14] * f[28];
-    out[5] += scale * 0.9682458365518541 * alpha[27] * f[39];
-    out[5] += scale * 0.9682458365518541 * alpha[30] * f[42];
-    out[6] += scale * 0.4330127018922193 * alpha[0] * f[2];
-    out[6] += scale * 0.4330127018922193 * alpha[1] * f[6];
-    out[6] += scale * 0.4330127018922193 * alpha[3] * f[9];
-    out[6] += scale * 0.4330127018922193 * alpha[4] * f[12];
-    out[6] += scale * 0.43301270189221935 * alpha[10] * f[21];
-    out[6] += scale * 0.4330127018922193 * alpha[13] * f[26];
-    out[6] += scale * 0.43301270189221935 * alpha[14] * f[29];
-    out[6] += scale * 0.43301270189221935 * alpha[27] * f[40];
-    out[6] += scale * 0.43301270189221935 * alpha[30] * f[43];
-    out[8] += scale * 0.4330127018922193 * alpha[0] * f[3];
-    out[8] += scale * 0.4330127018922193 * alpha[1] * f[8];
-    out[8] += scale * 0.4330127018922193 * alpha[3] * f[0];
-    out[8] += scale * 0.38729833462074165 * alpha[3] * f[10];
-    out[8] += scale * 0.4330127018922193 * alpha[4] * f[13];
-    out[8] += scale * 0.38729833462074165 * alpha[10] * f[3];
-    out[8] += scale * 0.4330127018922193 * alpha[13] * f[4];
-    out[8] += scale * 0.38729833462074165 * alpha[13] * f[27];
-    out[8] += scale * 0.43301270189221935 * alpha[14] * f[30];
-    out[8] += scale * 0.38729833462074165 * alpha[27] * f[13];
-    out[8] += scale * 0.43301270189221935 * alpha[30] * f[14];
-    out[11] += scale * 0.4330127018922193 * alpha[0] * f[4];
-    out[11] += scale * 0.4330127018922193 * alpha[1] * f[11];
-    out[11] += scale * 0.4330127018922193 * alpha[3] * f[13];
-    out[11] += scale * 0.4330127018922193 * alpha[4] * f[0];
-    out[11] += scale * 0.38729833462074165 * alpha[4] * f[14];
-    out[11] += scale * 0.43301270189221935 * alpha[10] * f[27];
-    out[11] += scale * 0.4330127018922193 * alpha[13] * f[3];
-    out[11] += scale * 0.38729833462074165 * alpha[13] * f[30];
-    out[11] += scale * 0.38729833462074165 * alpha[14] * f[4];
-    out[11] += scale * 0.43301270189221935 * alpha[27] * f[10];
-    out[11] += scale * 0.38729833462074165 * alpha[30] * f[13];
-    out[15] += scale * 0.9682458365518541 * alpha[0] * f[6];
-    out[15] += scale * 0.9682458365518541 * alpha[1] * f[2];
-    out[15] += scale * 0.8660254037844387 * alpha[1] * f[15];
-    out[15] += scale * 0.968245836551854 * alpha[3] * f[18];
-    out[15] += scale * 0.968245836551854 * alpha[4] * f[23];
-    out[15] += scale * 0.9682458365518541 * alpha[10] * f[33];
-    out[15] += scale * 0.9682458365518543 * alpha[13] * f[37];
-    out[15] += scale * 0.9682458365518541 * alpha[14] * f[41];
-    out[15] += scale * 0.9682458365518543 * alpha[27] * f[46];
-    out[15] += scale * 0.9682458365518543 * alpha[30] * f[47];
-    out[16] += scale * 0.4330127018922194 * alpha[0] * f[7];
-    out[16] += scale * 0.43301270189221935 * alpha[1] * f[16];
-    out[16] += scale * 0.43301270189221935 * alpha[3] * f[19];
-    out[16] += scale * 0.43301270189221935 * alpha[4] * f[24];
-    out[16] += scale * 0.43301270189221935 * alpha[13] * f[38];
-    out[17] += scale * 0.9682458365518541 * alpha[0] * f[8];
-    out[17] += scale * 0.9682458365518541 * alpha[1] * f[3];
-    out[17] += scale * 0.8660254037844387 * alpha[1] * f[17];
-    out[17] += scale * 0.9682458365518541 * alpha[3] * f[1];
-    out[17] += scale * 0.8660254037844387 * alpha[3] * f[20];
-    out[17] += scale * 0.968245836551854 * alpha[4] * f[25];
-    out[17] += scale * 0.8660254037844387 * alpha[10] * f[8];
-    out[17] += scale * 0.968245836551854 * alpha[13] * f[11];
-    out[17] += scale * 0.8660254037844387 * alpha[13] * f[39];
-    out[17] += scale * 0.9682458365518541 * alpha[14] * f[42];
-    out[17] += scale * 0.8660254037844387 * alpha[27] * f[25];
-    out[17] += scale * 0.9682458365518541 * alpha[30] * f[28];
-    out[18] += scale * 0.4330127018922193 * alpha[0] * f[9];
-    out[18] += scale * 0.4330127018922193 * alpha[1] * f[18];
-    out[18] += scale * 0.4330127018922193 * alpha[3] * f[2];
-    out[18] += scale * 0.38729833462074165 * alpha[3] * f[21];
-    out[18] += scale * 0.4330127018922193 * alpha[4] * f[26];
-    out[18] += scale * 0.38729833462074165 * alpha[10] * f[9];
-    out[18] += scale * 0.4330127018922193 * alpha[13] * f[12];
-    out[18] += scale * 0.3872983346207417 * alpha[13] * f[40];
-    out[18] += scale * 0.43301270189221935 * alpha[14] * f[43];
-    out[18] += scale * 0.3872983346207417 * alpha[27] * f[26];
-    out[18] += scale * 0.43301270189221935 * alpha[30] * f[29];
-    out[20] += scale * 0.4330127018922194 * alpha[0] * f[10];
-    out[20] += scale * 0.43301270189221935 * alpha[1] * f[20];
-    out[20] += scale * 0.38729833462074165 * alpha[3] * f[3];
-    out[20] += scale * 0.43301270189221935 * alpha[4] * f[27];
-    out[20] += scale * 0.4330127018922194 * alpha[10] * f[0];
-    out[20] += scale * 0.27664166758624403 * alpha[10] * f[10];
-    out[20] += scale * 0.38729833462074165 * alpha[13] * f[13];
-    out[20] += scale * 0.43301270189221935 * alpha[27] * f[4];
-    out[20] += scale * 0.2766416675862441 * alpha[27] * f[27];
-    out[20] += scale * 0.3872983346207417 * alpha[30] * f[30];
-    out[22] += scale * 0.9682458365518541 * alpha[0] * f[11];
-    out[22] += scale * 0.9682458365518541 * alpha[1] * f[4];
-    out[22] += scale * 0.8660254037844387 * alpha[1] * f[22];
-    out[22] += scale * 0.968245836551854 * alpha[3] * f[25];
-    out[22] += scale * 0.9682458365518541 * alpha[4] * f[1];
-    out[22] += scale * 0.8660254037844387 * alpha[4] * f[28];
-    out[22] += scale * 0.9682458365518541 * alpha[10] * f[39];
-    out[22] += scale * 0.968245836551854 * alpha[13] * f[8];
-    out[22] += scale * 0.8660254037844387 * alpha[13] * f[42];
-    out[22] += scale * 0.8660254037844387 * alpha[14] * f[11];
-    out[22] += scale * 0.9682458365518541 * alpha[27] * f[20];
-    out[22] += scale * 0.8660254037844387 * alpha[30] * f[25];
-    out[23] += scale * 0.4330127018922193 * alpha[0] * f[12];
-    out[23] += scale * 0.4330127018922193 * alpha[1] * f[23];
-    out[23] += scale * 0.4330127018922193 * alpha[3] * f[26];
-    out[23] += scale * 0.4330127018922193 * alpha[4] * f[2];
-    out[23] += scale * 0.38729833462074165 * alpha[4] * f[29];
-    out[23] += scale * 0.43301270189221935 * alpha[10] * f[40];
-    out[23] += scale * 0.4330127018922193 * alpha[13] * f[9];
-    out[23] += scale * 0.3872983346207417 * alpha[13] * f[43];
-    out[23] += scale * 0.38729833462074165 * alpha[14] * f[12];
-    out[23] += scale * 0.43301270189221935 * alpha[27] * f[21];
-    out[23] += scale * 0.3872983346207417 * alpha[30] * f[26];
-    out[25] += scale * 0.4330127018922193 * alpha[0] * f[13];
-    out[25] += scale * 0.4330127018922193 * alpha[1] * f[25];
-    out[25] += scale * 0.4330127018922193 * alpha[3] * f[4];
-    out[25] += scale * 0.38729833462074165 * alpha[3] * f[27];
-    out[25] += scale * 0.4330127018922193 * alpha[4] * f[3];
-    out[25] += scale * 0.38729833462074165 * alpha[4] * f[30];
-    out[25] += scale * 0.38729833462074165 * alpha[10] * f[13];
-    out[25] += scale * 0.4330127018922193 * alpha[13] * f[0];
-    out[25] += scale * 0.38729833462074165 * alpha[13] * f[10];
-    out[25] += scale * 0.38729833462074165 * alpha[13] * f[14];
-    out[25] += scale * 0.38729833462074165 * alpha[14] * f[13];
-    out[25] += scale * 0.38729833462074165 * alpha[27] * f[3];
-    out[25] += scale * 0.34641016151377546 * alpha[27] * f[30];
-    out[25] += scale * 0.38729833462074165 * alpha[30] * f[4];
-    out[25] += scale * 0.34641016151377546 * alpha[30] * f[27];
-    out[28] += scale * 0.4330127018922194 * alpha[0] * f[14];
-    out[28] += scale * 0.43301270189221935 * alpha[1] * f[28];
-    out[28] += scale * 0.43301270189221935 * alpha[3] * f[30];
-    out[28] += scale * 0.38729833462074165 * alpha[4] * f[4];
-    out[28] += scale * 0.38729833462074165 * alpha[13] * f[13];
-    out[28] += scale * 0.4330127018922194 * alpha[14] * f[0];
-    out[28] += scale * 0.27664166758624403 * alpha[14] * f[14];
-    out[28] += scale * 0.3872983346207417 * alpha[27] * f[27];
-    out[28] += scale * 0.43301270189221935 * alpha[30] * f[3];
-    out[28] += scale * 0.2766416675862441 * alpha[30] * f[30];
-    out[31] += scale * 0.968245836551854 * alpha[0] * f[18];
-    out[31] += scale * 0.968245836551854 * alpha[1] * f[9];
-    out[31] += scale * 0.8660254037844387 * alpha[1] * f[31];
-    out[31] += scale * 0.968245836551854 * alpha[3] * f[6];
-    out[31] += scale * 0.8660254037844387 * alpha[3] * f[33];
-    out[31] += scale * 0.9682458365518543 * alpha[4] * f[37];
-    out[31] += scale * 0.8660254037844387 * alpha[10] * f[18];
-    out[31] += scale * 0.9682458365518543 * alpha[13] * f[23];
-    out[31] += scale * 0.8660254037844387 * alpha[13] * f[46];
-    out[31] += scale * 0.9682458365518543 * alpha[14] * f[47];
-    out[31] += scale * 0.8660254037844387 * alpha[27] * f[37];
-    out[31] += scale * 0.9682458365518543 * alpha[30] * f[41];
-    out[32] += scale * 0.43301270189221935 * alpha[0] * f[19];
-    out[32] += scale * 0.43301270189221935 * alpha[1] * f[32];
-    out[32] += scale * 0.43301270189221935 * alpha[3] * f[7];
-    out[32] += scale * 0.43301270189221935 * alpha[4] * f[38];
-    out[32] += scale * 0.3872983346207417 * alpha[10] * f[19];
-    out[32] += scale * 0.43301270189221935 * alpha[13] * f[24];
-    out[32] += scale * 0.3872983346207417 * alpha[27] * f[38];
-    out[33] += scale * 0.43301270189221935 * alpha[0] * f[21];
-    out[33] += scale * 0.43301270189221935 * alpha[1] * f[33];
-    out[33] += scale * 0.38729833462074165 * alpha[3] * f[9];
-    out[33] += scale * 0.43301270189221935 * alpha[4] * f[40];
-    out[33] += scale * 0.43301270189221935 * alpha[10] * f[2];
-    out[33] += scale * 0.2766416675862441 * alpha[10] * f[21];
-    out[33] += scale * 0.3872983346207417 * alpha[13] * f[26];
-    out[33] += scale * 0.43301270189221935 * alpha[27] * f[12];
-    out[33] += scale * 0.27664166758624403 * alpha[27] * f[40];
-    out[33] += scale * 0.3872983346207417 * alpha[30] * f[43];
-    out[34] += scale * 0.968245836551854 * alpha[0] * f[23];
-    out[34] += scale * 0.968245836551854 * alpha[1] * f[12];
-    out[34] += scale * 0.8660254037844387 * alpha[1] * f[34];
-    out[34] += scale * 0.9682458365518543 * alpha[3] * f[37];
-    out[34] += scale * 0.968245836551854 * alpha[4] * f[6];
-    out[34] += scale * 0.8660254037844387 * alpha[4] * f[41];
-    out[34] += scale * 0.9682458365518543 * alpha[10] * f[46];
-    out[34] += scale * 0.9682458365518543 * alpha[13] * f[18];
-    out[34] += scale * 0.8660254037844387 * alpha[13] * f[47];
-    out[34] += scale * 0.8660254037844387 * alpha[14] * f[23];
-    out[34] += scale * 0.9682458365518543 * alpha[27] * f[33];
-    out[34] += scale * 0.8660254037844387 * alpha[30] * f[37];
-    out[35] += scale * 0.43301270189221935 * alpha[0] * f[24];
-    out[35] += scale * 0.43301270189221935 * alpha[1] * f[35];
-    out[35] += scale * 0.43301270189221935 * alpha[3] * f[38];
-    out[35] += scale * 0.43301270189221935 * alpha[4] * f[7];
-    out[35] += scale * 0.43301270189221935 * alpha[13] * f[19];
-    out[35] += scale * 0.3872983346207417 * alpha[14] * f[24];
-    out[35] += scale * 0.3872983346207417 * alpha[30] * f[38];
-    out[36] += scale * 0.968245836551854 * alpha[0] * f[25];
-    out[36] += scale * 0.968245836551854 * alpha[1] * f[13];
-    out[36] += scale * 0.8660254037844387 * alpha[1] * f[36];
-    out[36] += scale * 0.968245836551854 * alpha[3] * f[11];
-    out[36] += scale * 0.8660254037844387 * alpha[3] * f[39];
-    out[36] += scale * 0.968245836551854 * alpha[4] * f[8];
-    out[36] += scale * 0.8660254037844387 * alpha[4] * f[42];
-    out[36] += scale * 0.8660254037844387 * alpha[10] * f[25];
-    out[36] += scale * 0.968245836551854 * alpha[13] * f[1];
-    out[36] += scale * 0.8660254037844387 * alpha[13] * f[20];
-    out[36] += scale * 0.8660254037844387 * alpha[13] * f[28];
-    out[36] += scale * 0.8660254037844387 * alpha[14] * f[25];
-    out[36] += scale * 0.8660254037844387 * alpha[27] * f[8];
-    out[36] += scale * 0.7745966692414834 * alpha[27] * f[42];
-    out[36] += scale * 0.8660254037844387 * alpha[30] * f[11];
-    out[36] += scale * 0.7745966692414834 * alpha[30] * f[39];
-    out[37] += scale * 0.4330127018922193 * alpha[0] * f[26];
-    out[37] += scale * 0.4330127018922193 * alpha[1] * f[37];
-    out[37] += scale * 0.4330127018922193 * alpha[3] * f[12];
-    out[37] += scale * 0.3872983346207417 * alpha[3] * f[40];
-    out[37] += scale * 0.4330127018922193 * alpha[4] * f[9];
-    out[37] += scale * 0.3872983346207417 * alpha[4] * f[43];
-    out[37] += scale * 0.3872983346207417 * alpha[10] * f[26];
-    out[37] += scale * 0.4330127018922193 * alpha[13] * f[2];
-    out[37] += scale * 0.3872983346207417 * alpha[13] * f[21];
-    out[37] += scale * 0.3872983346207417 * alpha[13] * f[29];
-    out[37] += scale * 0.3872983346207417 * alpha[14] * f[26];
-    out[37] += scale * 0.3872983346207417 * alpha[27] * f[9];
-    out[37] += scale * 0.34641016151377546 * alpha[27] * f[43];
-    out[37] += scale * 0.3872983346207417 * alpha[30] * f[12];
-    out[37] += scale * 0.34641016151377546 * alpha[30] * f[40];
-    out[39] += scale * 0.43301270189221935 * alpha[0] * f[27];
-    out[39] += scale * 0.43301270189221935 * alpha[1] * f[39];
-    out[39] += scale * 0.38729833462074165 * alpha[3] * f[13];
-    out[39] += scale * 0.43301270189221935 * alpha[4] * f[10];
-    out[39] += scale * 0.43301270189221935 * alpha[10] * f[4];
-    out[39] += scale * 0.2766416675862441 * alpha[10] * f[27];
-    out[39] += scale * 0.38729833462074165 * alpha[13] * f[3];
-    out[39] += scale * 0.34641016151377546 * alpha[13] * f[30];
-    out[39] += scale * 0.3872983346207417 * alpha[14] * f[27];
-    out[39] += scale * 0.43301270189221935 * alpha[27] * f[0];
-    out[39] += scale * 0.2766416675862441 * alpha[27] * f[10];
-    out[39] += scale * 0.3872983346207417 * alpha[27] * f[14];
-    out[39] += scale * 0.34641016151377546 * alpha[30] * f[13];
-    out[41] += scale * 0.43301270189221935 * alpha[0] * f[29];
-    out[41] += scale * 0.43301270189221935 * alpha[1] * f[41];
-    out[41] += scale * 0.43301270189221935 * alpha[3] * f[43];
-    out[41] += scale * 0.38729833462074165 * alpha[4] * f[12];
-    out[41] += scale * 0.3872983346207417 * alpha[13] * f[26];
-    out[41] += scale * 0.43301270189221935 * alpha[14] * f[2];
-    out[41] += scale * 0.2766416675862441 * alpha[14] * f[29];
-    out[41] += scale * 0.3872983346207417 * alpha[27] * f[40];
-    out[41] += scale * 0.43301270189221935 * alpha[30] * f[9];
-    out[41] += scale * 0.27664166758624403 * alpha[30] * f[43];
-    out[42] += scale * 0.43301270189221935 * alpha[0] * f[30];
-    out[42] += scale * 0.43301270189221935 * alpha[1] * f[42];
-    out[42] += scale * 0.43301270189221935 * alpha[3] * f[14];
-    out[42] += scale * 0.38729833462074165 * alpha[4] * f[13];
-    out[42] += scale * 0.3872983346207417 * alpha[10] * f[30];
-    out[42] += scale * 0.38729833462074165 * alpha[13] * f[4];
-    out[42] += scale * 0.34641016151377546 * alpha[13] * f[27];
-    out[42] += scale * 0.43301270189221935 * alpha[14] * f[3];
-    out[42] += scale * 0.2766416675862441 * alpha[14] * f[30];
-    out[42] += scale * 0.34641016151377546 * alpha[27] * f[13];
-    out[42] += scale * 0.43301270189221935 * alpha[30] * f[0];
-    out[42] += scale * 0.3872983346207417 * alpha[30] * f[10];
-    out[42] += scale * 0.2766416675862441 * alpha[30] * f[14];
-    out[44] += scale * 0.9682458365518543 * alpha[0] * f[37];
-    out[44] += scale * 0.9682458365518543 * alpha[1] * f[26];
-    out[44] += scale * 0.8660254037844387 * alpha[1] * f[44];
-    out[44] += scale * 0.9682458365518543 * alpha[3] * f[23];
-    out[44] += scale * 0.8660254037844387 * alpha[3] * f[46];
-    out[44] += scale * 0.9682458365518543 * alpha[4] * f[18];
-    out[44] += scale * 0.8660254037844387 * alpha[4] * f[47];
-    out[44] += scale * 0.8660254037844387 * alpha[10] * f[37];
-    out[44] += scale * 0.9682458365518543 * alpha[13] * f[6];
-    out[44] += scale * 0.8660254037844387 * alpha[13] * f[33];
-    out[44] += scale * 0.8660254037844387 * alpha[13] * f[41];
-    out[44] += scale * 0.8660254037844387 * alpha[14] * f[37];
-    out[44] += scale * 0.8660254037844387 * alpha[27] * f[18];
-    out[44] += scale * 0.7745966692414834 * alpha[27] * f[47];
-    out[44] += scale * 0.8660254037844387 * alpha[30] * f[23];
-    out[44] += scale * 0.7745966692414834 * alpha[30] * f[46];
-    out[45] += scale * 0.43301270189221935 * alpha[0] * f[38];
-    out[45] += scale * 0.43301270189221935 * alpha[1] * f[45];
-    out[45] += scale * 0.43301270189221935 * alpha[3] * f[24];
-    out[45] += scale * 0.43301270189221935 * alpha[4] * f[19];
-    out[45] += scale * 0.3872983346207417 * alpha[10] * f[38];
-    out[45] += scale * 0.43301270189221935 * alpha[13] * f[7];
-    out[45] += scale * 0.3872983346207417 * alpha[14] * f[38];
-    out[45] += scale * 0.3872983346207417 * alpha[27] * f[19];
-    out[45] += scale * 0.3872983346207417 * alpha[30] * f[24];
-    out[46] += scale * 0.43301270189221935 * alpha[0] * f[40];
-    out[46] += scale * 0.43301270189221935 * alpha[1] * f[46];
-    out[46] += scale * 0.3872983346207417 * alpha[3] * f[26];
-    out[46] += scale * 0.43301270189221935 * alpha[4] * f[21];
-    out[46] += scale * 0.43301270189221935 * alpha[10] * f[12];
-    out[46] += scale * 0.27664166758624403 * alpha[10] * f[40];
-    out[46] += scale * 0.3872983346207417 * alpha[13] * f[9];
-    out[46] += scale * 0.34641016151377546 * alpha[13] * f[43];
-    out[46] += scale * 0.3872983346207417 * alpha[14] * f[40];
-    out[46] += scale * 0.43301270189221935 * alpha[27] * f[2];
-    out[46] += scale * 0.27664166758624403 * alpha[27] * f[21];
-    out[46] += scale * 0.3872983346207417 * alpha[27] * f[29];
-    out[46] += scale * 0.34641016151377546 * alpha[30] * f[26];
-    out[47] += scale * 0.43301270189221935 * alpha[0] * f[43];
-    out[47] += scale * 0.43301270189221935 * alpha[1] * f[47];
-    out[47] += scale * 0.43301270189221935 * alpha[3] * f[29];
-    out[47] += scale * 0.3872983346207417 * alpha[4] * f[26];
-    out[47] += scale * 0.3872983346207417 * alpha[10] * f[43];
-    out[47] += scale * 0.3872983346207417 * alpha[13] * f[12];
-    out[47] += scale * 0.34641016151377546 * alpha[13] * f[40];
-    out[47] += scale * 0.43301270189221935 * alpha[14] * f[9];
-    out[47] += scale * 0.27664166758624403 * alpha[14] * f[43];
-    out[47] += scale * 0.34641016151377546 * alpha[27] * f[26];
-    out[47] += scale * 0.43301270189221935 * alpha[30] * f[2];
-    out[47] += scale * 0.3872983346207417 * alpha[30] * f[21];
-    out[47] += scale * 0.27664166758624403 * alpha[30] * f[29];
+    let mut alpha = [[0.0f64; L]; 48];
+    for k in 0..L {
+        alpha[0][k] = -nu * v_c * 4.0;
+        alpha[1][k] = -nu * 0.5 * dv * 2.3094010767585034;
+        alpha[0][k] += nu * 2.0 * u[0][k];
+        alpha[3][k] += nu * 2.0 * u[1][k];
+        alpha[4][k] += nu * 2.0 * u[2][k];
+        alpha[10][k] += nu * 2.0 * u[3][k];
+        alpha[13][k] += nu * 2.0 * u[4][k];
+        alpha[14][k] += nu * 2.0 * u[5][k];
+        alpha[27][k] += nu * 2.0 * u[6][k];
+        alpha[30][k] += nu * 2.0 * u[7][k];
+    }
+    for k in 0..L {
+        out[1][k] += scale * 0.4330127018922193 * alpha[0][k] * f[0][k];
+        out[1][k] += scale * 0.4330127018922193 * alpha[1][k] * f[1][k];
+        out[1][k] += scale * 0.4330127018922193 * alpha[3][k] * f[3][k];
+        out[1][k] += scale * 0.4330127018922193 * alpha[4][k] * f[4][k];
+        out[1][k] += scale * 0.4330127018922194 * alpha[10][k] * f[10][k];
+        out[1][k] += scale * 0.4330127018922193 * alpha[13][k] * f[13][k];
+        out[1][k] += scale * 0.4330127018922194 * alpha[14][k] * f[14][k];
+        out[1][k] += scale * 0.43301270189221935 * alpha[27][k] * f[27][k];
+        out[1][k] += scale * 0.43301270189221935 * alpha[30][k] * f[30][k];
+    }
+    for k in 0..L {
+        out[5][k] += scale * 0.9682458365518543 * alpha[0][k] * f[1][k];
+        out[5][k] += scale * 0.9682458365518543 * alpha[1][k] * f[0][k];
+        out[5][k] += scale * 0.8660254037844388 * alpha[1][k] * f[5][k];
+        out[5][k] += scale * 0.9682458365518541 * alpha[3][k] * f[8][k];
+        out[5][k] += scale * 0.9682458365518541 * alpha[4][k] * f[11][k];
+        out[5][k] += scale * 0.9682458365518543 * alpha[10][k] * f[20][k];
+        out[5][k] += scale * 0.968245836551854 * alpha[13][k] * f[25][k];
+        out[5][k] += scale * 0.9682458365518543 * alpha[14][k] * f[28][k];
+        out[5][k] += scale * 0.9682458365518541 * alpha[27][k] * f[39][k];
+        out[5][k] += scale * 0.9682458365518541 * alpha[30][k] * f[42][k];
+    }
+    for k in 0..L {
+        out[6][k] += scale * 0.4330127018922193 * alpha[0][k] * f[2][k];
+        out[6][k] += scale * 0.4330127018922193 * alpha[1][k] * f[6][k];
+        out[6][k] += scale * 0.4330127018922193 * alpha[3][k] * f[9][k];
+        out[6][k] += scale * 0.4330127018922193 * alpha[4][k] * f[12][k];
+        out[6][k] += scale * 0.43301270189221935 * alpha[10][k] * f[21][k];
+        out[6][k] += scale * 0.4330127018922193 * alpha[13][k] * f[26][k];
+        out[6][k] += scale * 0.43301270189221935 * alpha[14][k] * f[29][k];
+        out[6][k] += scale * 0.43301270189221935 * alpha[27][k] * f[40][k];
+        out[6][k] += scale * 0.43301270189221935 * alpha[30][k] * f[43][k];
+    }
+    for k in 0..L {
+        out[8][k] += scale * 0.4330127018922193 * alpha[0][k] * f[3][k];
+        out[8][k] += scale * 0.4330127018922193 * alpha[1][k] * f[8][k];
+        out[8][k] += scale * 0.4330127018922193 * alpha[3][k] * f[0][k];
+        out[8][k] += scale * 0.38729833462074165 * alpha[3][k] * f[10][k];
+        out[8][k] += scale * 0.4330127018922193 * alpha[4][k] * f[13][k];
+        out[8][k] += scale * 0.38729833462074165 * alpha[10][k] * f[3][k];
+        out[8][k] += scale * 0.4330127018922193 * alpha[13][k] * f[4][k];
+        out[8][k] += scale * 0.38729833462074165 * alpha[13][k] * f[27][k];
+        out[8][k] += scale * 0.43301270189221935 * alpha[14][k] * f[30][k];
+        out[8][k] += scale * 0.38729833462074165 * alpha[27][k] * f[13][k];
+        out[8][k] += scale * 0.43301270189221935 * alpha[30][k] * f[14][k];
+    }
+    for k in 0..L {
+        out[11][k] += scale * 0.4330127018922193 * alpha[0][k] * f[4][k];
+        out[11][k] += scale * 0.4330127018922193 * alpha[1][k] * f[11][k];
+        out[11][k] += scale * 0.4330127018922193 * alpha[3][k] * f[13][k];
+        out[11][k] += scale * 0.4330127018922193 * alpha[4][k] * f[0][k];
+        out[11][k] += scale * 0.38729833462074165 * alpha[4][k] * f[14][k];
+        out[11][k] += scale * 0.43301270189221935 * alpha[10][k] * f[27][k];
+        out[11][k] += scale * 0.4330127018922193 * alpha[13][k] * f[3][k];
+        out[11][k] += scale * 0.38729833462074165 * alpha[13][k] * f[30][k];
+        out[11][k] += scale * 0.38729833462074165 * alpha[14][k] * f[4][k];
+        out[11][k] += scale * 0.43301270189221935 * alpha[27][k] * f[10][k];
+        out[11][k] += scale * 0.38729833462074165 * alpha[30][k] * f[13][k];
+    }
+    for k in 0..L {
+        out[15][k] += scale * 0.9682458365518541 * alpha[0][k] * f[6][k];
+        out[15][k] += scale * 0.9682458365518541 * alpha[1][k] * f[2][k];
+        out[15][k] += scale * 0.8660254037844387 * alpha[1][k] * f[15][k];
+        out[15][k] += scale * 0.968245836551854 * alpha[3][k] * f[18][k];
+        out[15][k] += scale * 0.968245836551854 * alpha[4][k] * f[23][k];
+        out[15][k] += scale * 0.9682458365518541 * alpha[10][k] * f[33][k];
+        out[15][k] += scale * 0.9682458365518543 * alpha[13][k] * f[37][k];
+        out[15][k] += scale * 0.9682458365518541 * alpha[14][k] * f[41][k];
+        out[15][k] += scale * 0.9682458365518543 * alpha[27][k] * f[46][k];
+        out[15][k] += scale * 0.9682458365518543 * alpha[30][k] * f[47][k];
+    }
+    for k in 0..L {
+        out[16][k] += scale * 0.4330127018922194 * alpha[0][k] * f[7][k];
+        out[16][k] += scale * 0.43301270189221935 * alpha[1][k] * f[16][k];
+        out[16][k] += scale * 0.43301270189221935 * alpha[3][k] * f[19][k];
+        out[16][k] += scale * 0.43301270189221935 * alpha[4][k] * f[24][k];
+        out[16][k] += scale * 0.43301270189221935 * alpha[13][k] * f[38][k];
+    }
+    for k in 0..L {
+        out[17][k] += scale * 0.9682458365518541 * alpha[0][k] * f[8][k];
+        out[17][k] += scale * 0.9682458365518541 * alpha[1][k] * f[3][k];
+        out[17][k] += scale * 0.8660254037844387 * alpha[1][k] * f[17][k];
+        out[17][k] += scale * 0.9682458365518541 * alpha[3][k] * f[1][k];
+        out[17][k] += scale * 0.8660254037844387 * alpha[3][k] * f[20][k];
+        out[17][k] += scale * 0.968245836551854 * alpha[4][k] * f[25][k];
+        out[17][k] += scale * 0.8660254037844387 * alpha[10][k] * f[8][k];
+        out[17][k] += scale * 0.968245836551854 * alpha[13][k] * f[11][k];
+        out[17][k] += scale * 0.8660254037844387 * alpha[13][k] * f[39][k];
+        out[17][k] += scale * 0.9682458365518541 * alpha[14][k] * f[42][k];
+        out[17][k] += scale * 0.8660254037844387 * alpha[27][k] * f[25][k];
+        out[17][k] += scale * 0.9682458365518541 * alpha[30][k] * f[28][k];
+    }
+    for k in 0..L {
+        out[18][k] += scale * 0.4330127018922193 * alpha[0][k] * f[9][k];
+        out[18][k] += scale * 0.4330127018922193 * alpha[1][k] * f[18][k];
+        out[18][k] += scale * 0.4330127018922193 * alpha[3][k] * f[2][k];
+        out[18][k] += scale * 0.38729833462074165 * alpha[3][k] * f[21][k];
+        out[18][k] += scale * 0.4330127018922193 * alpha[4][k] * f[26][k];
+        out[18][k] += scale * 0.38729833462074165 * alpha[10][k] * f[9][k];
+        out[18][k] += scale * 0.4330127018922193 * alpha[13][k] * f[12][k];
+        out[18][k] += scale * 0.3872983346207417 * alpha[13][k] * f[40][k];
+        out[18][k] += scale * 0.43301270189221935 * alpha[14][k] * f[43][k];
+        out[18][k] += scale * 0.3872983346207417 * alpha[27][k] * f[26][k];
+        out[18][k] += scale * 0.43301270189221935 * alpha[30][k] * f[29][k];
+    }
+    for k in 0..L {
+        out[20][k] += scale * 0.4330127018922194 * alpha[0][k] * f[10][k];
+        out[20][k] += scale * 0.43301270189221935 * alpha[1][k] * f[20][k];
+        out[20][k] += scale * 0.38729833462074165 * alpha[3][k] * f[3][k];
+        out[20][k] += scale * 0.43301270189221935 * alpha[4][k] * f[27][k];
+        out[20][k] += scale * 0.4330127018922194 * alpha[10][k] * f[0][k];
+        out[20][k] += scale * 0.27664166758624403 * alpha[10][k] * f[10][k];
+        out[20][k] += scale * 0.38729833462074165 * alpha[13][k] * f[13][k];
+        out[20][k] += scale * 0.43301270189221935 * alpha[27][k] * f[4][k];
+        out[20][k] += scale * 0.2766416675862441 * alpha[27][k] * f[27][k];
+        out[20][k] += scale * 0.3872983346207417 * alpha[30][k] * f[30][k];
+    }
+    for k in 0..L {
+        out[22][k] += scale * 0.9682458365518541 * alpha[0][k] * f[11][k];
+        out[22][k] += scale * 0.9682458365518541 * alpha[1][k] * f[4][k];
+        out[22][k] += scale * 0.8660254037844387 * alpha[1][k] * f[22][k];
+        out[22][k] += scale * 0.968245836551854 * alpha[3][k] * f[25][k];
+        out[22][k] += scale * 0.9682458365518541 * alpha[4][k] * f[1][k];
+        out[22][k] += scale * 0.8660254037844387 * alpha[4][k] * f[28][k];
+        out[22][k] += scale * 0.9682458365518541 * alpha[10][k] * f[39][k];
+        out[22][k] += scale * 0.968245836551854 * alpha[13][k] * f[8][k];
+        out[22][k] += scale * 0.8660254037844387 * alpha[13][k] * f[42][k];
+        out[22][k] += scale * 0.8660254037844387 * alpha[14][k] * f[11][k];
+        out[22][k] += scale * 0.9682458365518541 * alpha[27][k] * f[20][k];
+        out[22][k] += scale * 0.8660254037844387 * alpha[30][k] * f[25][k];
+    }
+    for k in 0..L {
+        out[23][k] += scale * 0.4330127018922193 * alpha[0][k] * f[12][k];
+        out[23][k] += scale * 0.4330127018922193 * alpha[1][k] * f[23][k];
+        out[23][k] += scale * 0.4330127018922193 * alpha[3][k] * f[26][k];
+        out[23][k] += scale * 0.4330127018922193 * alpha[4][k] * f[2][k];
+        out[23][k] += scale * 0.38729833462074165 * alpha[4][k] * f[29][k];
+        out[23][k] += scale * 0.43301270189221935 * alpha[10][k] * f[40][k];
+        out[23][k] += scale * 0.4330127018922193 * alpha[13][k] * f[9][k];
+        out[23][k] += scale * 0.3872983346207417 * alpha[13][k] * f[43][k];
+        out[23][k] += scale * 0.38729833462074165 * alpha[14][k] * f[12][k];
+        out[23][k] += scale * 0.43301270189221935 * alpha[27][k] * f[21][k];
+        out[23][k] += scale * 0.3872983346207417 * alpha[30][k] * f[26][k];
+    }
+    for k in 0..L {
+        out[25][k] += scale * 0.4330127018922193 * alpha[0][k] * f[13][k];
+        out[25][k] += scale * 0.4330127018922193 * alpha[1][k] * f[25][k];
+        out[25][k] += scale * 0.4330127018922193 * alpha[3][k] * f[4][k];
+        out[25][k] += scale * 0.38729833462074165 * alpha[3][k] * f[27][k];
+        out[25][k] += scale * 0.4330127018922193 * alpha[4][k] * f[3][k];
+        out[25][k] += scale * 0.38729833462074165 * alpha[4][k] * f[30][k];
+        out[25][k] += scale * 0.38729833462074165 * alpha[10][k] * f[13][k];
+        out[25][k] += scale * 0.4330127018922193 * alpha[13][k] * f[0][k];
+        out[25][k] += scale * 0.38729833462074165 * alpha[13][k] * f[10][k];
+        out[25][k] += scale * 0.38729833462074165 * alpha[13][k] * f[14][k];
+        out[25][k] += scale * 0.38729833462074165 * alpha[14][k] * f[13][k];
+        out[25][k] += scale * 0.38729833462074165 * alpha[27][k] * f[3][k];
+        out[25][k] += scale * 0.34641016151377546 * alpha[27][k] * f[30][k];
+        out[25][k] += scale * 0.38729833462074165 * alpha[30][k] * f[4][k];
+        out[25][k] += scale * 0.34641016151377546 * alpha[30][k] * f[27][k];
+    }
+    for k in 0..L {
+        out[28][k] += scale * 0.4330127018922194 * alpha[0][k] * f[14][k];
+        out[28][k] += scale * 0.43301270189221935 * alpha[1][k] * f[28][k];
+        out[28][k] += scale * 0.43301270189221935 * alpha[3][k] * f[30][k];
+        out[28][k] += scale * 0.38729833462074165 * alpha[4][k] * f[4][k];
+        out[28][k] += scale * 0.38729833462074165 * alpha[13][k] * f[13][k];
+        out[28][k] += scale * 0.4330127018922194 * alpha[14][k] * f[0][k];
+        out[28][k] += scale * 0.27664166758624403 * alpha[14][k] * f[14][k];
+        out[28][k] += scale * 0.3872983346207417 * alpha[27][k] * f[27][k];
+        out[28][k] += scale * 0.43301270189221935 * alpha[30][k] * f[3][k];
+        out[28][k] += scale * 0.2766416675862441 * alpha[30][k] * f[30][k];
+    }
+    for k in 0..L {
+        out[31][k] += scale * 0.968245836551854 * alpha[0][k] * f[18][k];
+        out[31][k] += scale * 0.968245836551854 * alpha[1][k] * f[9][k];
+        out[31][k] += scale * 0.8660254037844387 * alpha[1][k] * f[31][k];
+        out[31][k] += scale * 0.968245836551854 * alpha[3][k] * f[6][k];
+        out[31][k] += scale * 0.8660254037844387 * alpha[3][k] * f[33][k];
+        out[31][k] += scale * 0.9682458365518543 * alpha[4][k] * f[37][k];
+        out[31][k] += scale * 0.8660254037844387 * alpha[10][k] * f[18][k];
+        out[31][k] += scale * 0.9682458365518543 * alpha[13][k] * f[23][k];
+        out[31][k] += scale * 0.8660254037844387 * alpha[13][k] * f[46][k];
+        out[31][k] += scale * 0.9682458365518543 * alpha[14][k] * f[47][k];
+        out[31][k] += scale * 0.8660254037844387 * alpha[27][k] * f[37][k];
+        out[31][k] += scale * 0.9682458365518543 * alpha[30][k] * f[41][k];
+    }
+    for k in 0..L {
+        out[32][k] += scale * 0.43301270189221935 * alpha[0][k] * f[19][k];
+        out[32][k] += scale * 0.43301270189221935 * alpha[1][k] * f[32][k];
+        out[32][k] += scale * 0.43301270189221935 * alpha[3][k] * f[7][k];
+        out[32][k] += scale * 0.43301270189221935 * alpha[4][k] * f[38][k];
+        out[32][k] += scale * 0.3872983346207417 * alpha[10][k] * f[19][k];
+        out[32][k] += scale * 0.43301270189221935 * alpha[13][k] * f[24][k];
+        out[32][k] += scale * 0.3872983346207417 * alpha[27][k] * f[38][k];
+    }
+    for k in 0..L {
+        out[33][k] += scale * 0.43301270189221935 * alpha[0][k] * f[21][k];
+        out[33][k] += scale * 0.43301270189221935 * alpha[1][k] * f[33][k];
+        out[33][k] += scale * 0.38729833462074165 * alpha[3][k] * f[9][k];
+        out[33][k] += scale * 0.43301270189221935 * alpha[4][k] * f[40][k];
+        out[33][k] += scale * 0.43301270189221935 * alpha[10][k] * f[2][k];
+        out[33][k] += scale * 0.2766416675862441 * alpha[10][k] * f[21][k];
+        out[33][k] += scale * 0.3872983346207417 * alpha[13][k] * f[26][k];
+        out[33][k] += scale * 0.43301270189221935 * alpha[27][k] * f[12][k];
+        out[33][k] += scale * 0.27664166758624403 * alpha[27][k] * f[40][k];
+        out[33][k] += scale * 0.3872983346207417 * alpha[30][k] * f[43][k];
+    }
+    for k in 0..L {
+        out[34][k] += scale * 0.968245836551854 * alpha[0][k] * f[23][k];
+        out[34][k] += scale * 0.968245836551854 * alpha[1][k] * f[12][k];
+        out[34][k] += scale * 0.8660254037844387 * alpha[1][k] * f[34][k];
+        out[34][k] += scale * 0.9682458365518543 * alpha[3][k] * f[37][k];
+        out[34][k] += scale * 0.968245836551854 * alpha[4][k] * f[6][k];
+        out[34][k] += scale * 0.8660254037844387 * alpha[4][k] * f[41][k];
+        out[34][k] += scale * 0.9682458365518543 * alpha[10][k] * f[46][k];
+        out[34][k] += scale * 0.9682458365518543 * alpha[13][k] * f[18][k];
+        out[34][k] += scale * 0.8660254037844387 * alpha[13][k] * f[47][k];
+        out[34][k] += scale * 0.8660254037844387 * alpha[14][k] * f[23][k];
+        out[34][k] += scale * 0.9682458365518543 * alpha[27][k] * f[33][k];
+        out[34][k] += scale * 0.8660254037844387 * alpha[30][k] * f[37][k];
+    }
+    for k in 0..L {
+        out[35][k] += scale * 0.43301270189221935 * alpha[0][k] * f[24][k];
+        out[35][k] += scale * 0.43301270189221935 * alpha[1][k] * f[35][k];
+        out[35][k] += scale * 0.43301270189221935 * alpha[3][k] * f[38][k];
+        out[35][k] += scale * 0.43301270189221935 * alpha[4][k] * f[7][k];
+        out[35][k] += scale * 0.43301270189221935 * alpha[13][k] * f[19][k];
+        out[35][k] += scale * 0.3872983346207417 * alpha[14][k] * f[24][k];
+        out[35][k] += scale * 0.3872983346207417 * alpha[30][k] * f[38][k];
+    }
+    for k in 0..L {
+        out[36][k] += scale * 0.968245836551854 * alpha[0][k] * f[25][k];
+        out[36][k] += scale * 0.968245836551854 * alpha[1][k] * f[13][k];
+        out[36][k] += scale * 0.8660254037844387 * alpha[1][k] * f[36][k];
+        out[36][k] += scale * 0.968245836551854 * alpha[3][k] * f[11][k];
+        out[36][k] += scale * 0.8660254037844387 * alpha[3][k] * f[39][k];
+        out[36][k] += scale * 0.968245836551854 * alpha[4][k] * f[8][k];
+        out[36][k] += scale * 0.8660254037844387 * alpha[4][k] * f[42][k];
+        out[36][k] += scale * 0.8660254037844387 * alpha[10][k] * f[25][k];
+        out[36][k] += scale * 0.968245836551854 * alpha[13][k] * f[1][k];
+        out[36][k] += scale * 0.8660254037844387 * alpha[13][k] * f[20][k];
+        out[36][k] += scale * 0.8660254037844387 * alpha[13][k] * f[28][k];
+        out[36][k] += scale * 0.8660254037844387 * alpha[14][k] * f[25][k];
+        out[36][k] += scale * 0.8660254037844387 * alpha[27][k] * f[8][k];
+        out[36][k] += scale * 0.7745966692414834 * alpha[27][k] * f[42][k];
+        out[36][k] += scale * 0.8660254037844387 * alpha[30][k] * f[11][k];
+        out[36][k] += scale * 0.7745966692414834 * alpha[30][k] * f[39][k];
+    }
+    for k in 0..L {
+        out[37][k] += scale * 0.4330127018922193 * alpha[0][k] * f[26][k];
+        out[37][k] += scale * 0.4330127018922193 * alpha[1][k] * f[37][k];
+        out[37][k] += scale * 0.4330127018922193 * alpha[3][k] * f[12][k];
+        out[37][k] += scale * 0.3872983346207417 * alpha[3][k] * f[40][k];
+        out[37][k] += scale * 0.4330127018922193 * alpha[4][k] * f[9][k];
+        out[37][k] += scale * 0.3872983346207417 * alpha[4][k] * f[43][k];
+        out[37][k] += scale * 0.3872983346207417 * alpha[10][k] * f[26][k];
+        out[37][k] += scale * 0.4330127018922193 * alpha[13][k] * f[2][k];
+        out[37][k] += scale * 0.3872983346207417 * alpha[13][k] * f[21][k];
+        out[37][k] += scale * 0.3872983346207417 * alpha[13][k] * f[29][k];
+        out[37][k] += scale * 0.3872983346207417 * alpha[14][k] * f[26][k];
+        out[37][k] += scale * 0.3872983346207417 * alpha[27][k] * f[9][k];
+        out[37][k] += scale * 0.34641016151377546 * alpha[27][k] * f[43][k];
+        out[37][k] += scale * 0.3872983346207417 * alpha[30][k] * f[12][k];
+        out[37][k] += scale * 0.34641016151377546 * alpha[30][k] * f[40][k];
+    }
+    for k in 0..L {
+        out[39][k] += scale * 0.43301270189221935 * alpha[0][k] * f[27][k];
+        out[39][k] += scale * 0.43301270189221935 * alpha[1][k] * f[39][k];
+        out[39][k] += scale * 0.38729833462074165 * alpha[3][k] * f[13][k];
+        out[39][k] += scale * 0.43301270189221935 * alpha[4][k] * f[10][k];
+        out[39][k] += scale * 0.43301270189221935 * alpha[10][k] * f[4][k];
+        out[39][k] += scale * 0.2766416675862441 * alpha[10][k] * f[27][k];
+        out[39][k] += scale * 0.38729833462074165 * alpha[13][k] * f[3][k];
+        out[39][k] += scale * 0.34641016151377546 * alpha[13][k] * f[30][k];
+        out[39][k] += scale * 0.3872983346207417 * alpha[14][k] * f[27][k];
+        out[39][k] += scale * 0.43301270189221935 * alpha[27][k] * f[0][k];
+        out[39][k] += scale * 0.2766416675862441 * alpha[27][k] * f[10][k];
+        out[39][k] += scale * 0.3872983346207417 * alpha[27][k] * f[14][k];
+        out[39][k] += scale * 0.34641016151377546 * alpha[30][k] * f[13][k];
+    }
+    for k in 0..L {
+        out[41][k] += scale * 0.43301270189221935 * alpha[0][k] * f[29][k];
+        out[41][k] += scale * 0.43301270189221935 * alpha[1][k] * f[41][k];
+        out[41][k] += scale * 0.43301270189221935 * alpha[3][k] * f[43][k];
+        out[41][k] += scale * 0.38729833462074165 * alpha[4][k] * f[12][k];
+        out[41][k] += scale * 0.3872983346207417 * alpha[13][k] * f[26][k];
+        out[41][k] += scale * 0.43301270189221935 * alpha[14][k] * f[2][k];
+        out[41][k] += scale * 0.2766416675862441 * alpha[14][k] * f[29][k];
+        out[41][k] += scale * 0.3872983346207417 * alpha[27][k] * f[40][k];
+        out[41][k] += scale * 0.43301270189221935 * alpha[30][k] * f[9][k];
+        out[41][k] += scale * 0.27664166758624403 * alpha[30][k] * f[43][k];
+    }
+    for k in 0..L {
+        out[42][k] += scale * 0.43301270189221935 * alpha[0][k] * f[30][k];
+        out[42][k] += scale * 0.43301270189221935 * alpha[1][k] * f[42][k];
+        out[42][k] += scale * 0.43301270189221935 * alpha[3][k] * f[14][k];
+        out[42][k] += scale * 0.38729833462074165 * alpha[4][k] * f[13][k];
+        out[42][k] += scale * 0.3872983346207417 * alpha[10][k] * f[30][k];
+        out[42][k] += scale * 0.38729833462074165 * alpha[13][k] * f[4][k];
+        out[42][k] += scale * 0.34641016151377546 * alpha[13][k] * f[27][k];
+        out[42][k] += scale * 0.43301270189221935 * alpha[14][k] * f[3][k];
+        out[42][k] += scale * 0.2766416675862441 * alpha[14][k] * f[30][k];
+        out[42][k] += scale * 0.34641016151377546 * alpha[27][k] * f[13][k];
+        out[42][k] += scale * 0.43301270189221935 * alpha[30][k] * f[0][k];
+        out[42][k] += scale * 0.3872983346207417 * alpha[30][k] * f[10][k];
+        out[42][k] += scale * 0.2766416675862441 * alpha[30][k] * f[14][k];
+    }
+    for k in 0..L {
+        out[44][k] += scale * 0.9682458365518543 * alpha[0][k] * f[37][k];
+        out[44][k] += scale * 0.9682458365518543 * alpha[1][k] * f[26][k];
+        out[44][k] += scale * 0.8660254037844387 * alpha[1][k] * f[44][k];
+        out[44][k] += scale * 0.9682458365518543 * alpha[3][k] * f[23][k];
+        out[44][k] += scale * 0.8660254037844387 * alpha[3][k] * f[46][k];
+        out[44][k] += scale * 0.9682458365518543 * alpha[4][k] * f[18][k];
+        out[44][k] += scale * 0.8660254037844387 * alpha[4][k] * f[47][k];
+        out[44][k] += scale * 0.8660254037844387 * alpha[10][k] * f[37][k];
+        out[44][k] += scale * 0.9682458365518543 * alpha[13][k] * f[6][k];
+        out[44][k] += scale * 0.8660254037844387 * alpha[13][k] * f[33][k];
+        out[44][k] += scale * 0.8660254037844387 * alpha[13][k] * f[41][k];
+        out[44][k] += scale * 0.8660254037844387 * alpha[14][k] * f[37][k];
+        out[44][k] += scale * 0.8660254037844387 * alpha[27][k] * f[18][k];
+        out[44][k] += scale * 0.7745966692414834 * alpha[27][k] * f[47][k];
+        out[44][k] += scale * 0.8660254037844387 * alpha[30][k] * f[23][k];
+        out[44][k] += scale * 0.7745966692414834 * alpha[30][k] * f[46][k];
+    }
+    for k in 0..L {
+        out[45][k] += scale * 0.43301270189221935 * alpha[0][k] * f[38][k];
+        out[45][k] += scale * 0.43301270189221935 * alpha[1][k] * f[45][k];
+        out[45][k] += scale * 0.43301270189221935 * alpha[3][k] * f[24][k];
+        out[45][k] += scale * 0.43301270189221935 * alpha[4][k] * f[19][k];
+        out[45][k] += scale * 0.3872983346207417 * alpha[10][k] * f[38][k];
+        out[45][k] += scale * 0.43301270189221935 * alpha[13][k] * f[7][k];
+        out[45][k] += scale * 0.3872983346207417 * alpha[14][k] * f[38][k];
+        out[45][k] += scale * 0.3872983346207417 * alpha[27][k] * f[19][k];
+        out[45][k] += scale * 0.3872983346207417 * alpha[30][k] * f[24][k];
+    }
+    for k in 0..L {
+        out[46][k] += scale * 0.43301270189221935 * alpha[0][k] * f[40][k];
+        out[46][k] += scale * 0.43301270189221935 * alpha[1][k] * f[46][k];
+        out[46][k] += scale * 0.3872983346207417 * alpha[3][k] * f[26][k];
+        out[46][k] += scale * 0.43301270189221935 * alpha[4][k] * f[21][k];
+        out[46][k] += scale * 0.43301270189221935 * alpha[10][k] * f[12][k];
+        out[46][k] += scale * 0.27664166758624403 * alpha[10][k] * f[40][k];
+        out[46][k] += scale * 0.3872983346207417 * alpha[13][k] * f[9][k];
+        out[46][k] += scale * 0.34641016151377546 * alpha[13][k] * f[43][k];
+        out[46][k] += scale * 0.3872983346207417 * alpha[14][k] * f[40][k];
+        out[46][k] += scale * 0.43301270189221935 * alpha[27][k] * f[2][k];
+        out[46][k] += scale * 0.27664166758624403 * alpha[27][k] * f[21][k];
+        out[46][k] += scale * 0.3872983346207417 * alpha[27][k] * f[29][k];
+        out[46][k] += scale * 0.34641016151377546 * alpha[30][k] * f[26][k];
+    }
+    for k in 0..L {
+        out[47][k] += scale * 0.43301270189221935 * alpha[0][k] * f[43][k];
+        out[47][k] += scale * 0.43301270189221935 * alpha[1][k] * f[47][k];
+        out[47][k] += scale * 0.43301270189221935 * alpha[3][k] * f[29][k];
+        out[47][k] += scale * 0.3872983346207417 * alpha[4][k] * f[26][k];
+        out[47][k] += scale * 0.3872983346207417 * alpha[10][k] * f[43][k];
+        out[47][k] += scale * 0.3872983346207417 * alpha[13][k] * f[12][k];
+        out[47][k] += scale * 0.34641016151377546 * alpha[13][k] * f[40][k];
+        out[47][k] += scale * 0.43301270189221935 * alpha[14][k] * f[9][k];
+        out[47][k] += scale * 0.27664166758624403 * alpha[14][k] * f[43][k];
+        out[47][k] += scale * 0.34641016151377546 * alpha[27][k] * f[26][k];
+        out[47][k] += scale * 0.43301270189221935 * alpha[30][k] * f[2][k];
+        out[47][k] += scale * 0.3872983346207417 * alpha[30][k] * f[21][k];
+        out[47][k] += scale * 0.27664166758624403 * alpha[30][k] * f[29][k];
+    }
 }
 
 /// LBO drag surface term in v1 at one interior face (`vstar` = face
@@ -2046,446 +2479,525 @@ pub fn lbo_2x2v_p2_ser_drag_vol_v1(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x2v_p2_ser_drag_surf_v1(nu: f64, vstar: f64, dv: f64, u: &[f64], f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_2x2v_p2_ser_drag_surf_v1_body::<1>(nu, vstar, dv, u.as_chunks().0, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_2x2v_p2_ser_drag_surf_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_drag_surf_v1_b4(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_drag_surf_v1_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// [`lbo_2x2v_p2_ser_drag_surf_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_drag_surf_v1_b4_avx2(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_drag_surf_v1_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_2x2v_p2_ser_drag_surf_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x2v_p2_ser_drag_surf_v1_body<const L: usize>(nu: f64, vstar: f64, dv: f64, u: &[[f64; L]], f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 8] = u.first_chunk().expect("u: 8 coefficients");
+    let f_lo: &[[f64; L]; 48] = f_lo.first_chunk().expect("f_lo: 48 coefficients");
+    let f_hi: &[[f64; L]; 48] = f_hi.first_chunk().expect("f_hi: 48 coefficients");
+    let out_lo: &mut [[f64; L]; 48] = out_lo.first_chunk_mut().expect("out_lo: 48 coefficients");
+    let out_hi: &mut [[f64; L]; 48] = out_hi.first_chunk_mut().expect("out_hi: 48 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 20];
-    alpha[0] = -nu * vstar * 2.8284271247461903;
-    alpha[0] += nu * 1.4142135623730951 * u[0];
-    alpha[2] += nu * 1.4142135623730951 * u[1];
-    alpha[3] += nu * 1.4142135623730951 * u[2];
-    alpha[6] += nu * 1.4142135623730951 * u[3];
-    alpha[8] += nu * 1.4142135623730951 * u[4];
-    alpha[9] += nu * 1.4142135623730951 * u[5];
-    alpha[14] += nu * 1.4142135623730951 * u[6];
-    alpha[16] += nu * 1.4142135623730951 * u[7];
-    let lam = alpha[0].abs() * 0.35355339059327384 + alpha[2].abs() * 0.6123724356957946 + alpha[3].abs() * 0.6123724356957946 + alpha[6].abs() * 0.7905694150420949 + alpha[8].abs() * 1.0606601717798212 + alpha[9].abs() * 0.7905694150420949 + alpha[14].abs() * 1.3693063937629153 + alpha[16].abs() * 1.3693063937629153;
-    let mut fm = [0.0f64; 20];
-    let mut fp = [0.0f64; 20];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[0] += 1.224744871391589 * f_lo[1];
-    fm[1] += 0.7071067811865476 * f_lo[2];
-    fm[2] += 0.7071067811865476 * f_lo[3];
-    fm[3] += 0.7071067811865476 * f_lo[4];
-    fm[0] += 1.5811388300841898 * f_lo[5];
-    fm[1] += 1.224744871391589 * f_lo[6];
-    fm[4] += 0.7071067811865476 * f_lo[7];
-    fm[2] += 1.224744871391589 * f_lo[8];
-    fm[5] += 0.7071067811865476 * f_lo[9];
-    fm[6] += 0.7071067811865476 * f_lo[10];
-    fm[3] += 1.224744871391589 * f_lo[11];
-    fm[7] += 0.7071067811865476 * f_lo[12];
-    fm[8] += 0.7071067811865476 * f_lo[13];
-    fm[9] += 0.7071067811865476 * f_lo[14];
-    fm[1] += 1.5811388300841898 * f_lo[15];
-    fm[4] += 1.224744871391589 * f_lo[16];
-    fm[2] += 1.5811388300841898 * f_lo[17];
-    fm[5] += 1.224744871391589 * f_lo[18];
-    fm[10] += 0.7071067811865476 * f_lo[19];
-    fm[6] += 1.224744871391589 * f_lo[20];
-    fm[11] += 0.7071067811865476 * f_lo[21];
-    fm[3] += 1.5811388300841898 * f_lo[22];
-    fm[7] += 1.224744871391589 * f_lo[23];
-    fm[12] += 0.7071067811865476 * f_lo[24];
-    fm[8] += 1.224744871391589 * f_lo[25];
-    fm[13] += 0.7071067811865476 * f_lo[26];
-    fm[14] += 0.7071067811865476 * f_lo[27];
-    fm[9] += 1.224744871391589 * f_lo[28];
-    fm[15] += 0.7071067811865476 * f_lo[29];
-    fm[16] += 0.7071067811865476 * f_lo[30];
-    fm[5] += 1.5811388300841898 * f_lo[31];
-    fm[10] += 1.224744871391589 * f_lo[32];
-    fm[11] += 1.224744871391589 * f_lo[33];
-    fm[7] += 1.5811388300841898 * f_lo[34];
-    fm[12] += 1.224744871391589 * f_lo[35];
-    fm[8] += 1.5811388300841898 * f_lo[36];
-    fm[13] += 1.224744871391589 * f_lo[37];
-    fm[17] += 0.7071067811865476 * f_lo[38];
-    fm[14] += 1.224744871391589 * f_lo[39];
-    fm[18] += 0.7071067811865476 * f_lo[40];
-    fm[15] += 1.224744871391589 * f_lo[41];
-    fm[16] += 1.224744871391589 * f_lo[42];
-    fm[19] += 0.7071067811865476 * f_lo[43];
-    fm[13] += 1.5811388300841898 * f_lo[44];
-    fm[17] += 1.224744871391589 * f_lo[45];
-    fm[18] += 1.224744871391589 * f_lo[46];
-    fm[19] += 1.224744871391589 * f_lo[47];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[0] += -1.224744871391589 * f_hi[1];
-    fp[1] += 0.7071067811865476 * f_hi[2];
-    fp[2] += 0.7071067811865476 * f_hi[3];
-    fp[3] += 0.7071067811865476 * f_hi[4];
-    fp[0] += 1.5811388300841898 * f_hi[5];
-    fp[1] += -1.224744871391589 * f_hi[6];
-    fp[4] += 0.7071067811865476 * f_hi[7];
-    fp[2] += -1.224744871391589 * f_hi[8];
-    fp[5] += 0.7071067811865476 * f_hi[9];
-    fp[6] += 0.7071067811865476 * f_hi[10];
-    fp[3] += -1.224744871391589 * f_hi[11];
-    fp[7] += 0.7071067811865476 * f_hi[12];
-    fp[8] += 0.7071067811865476 * f_hi[13];
-    fp[9] += 0.7071067811865476 * f_hi[14];
-    fp[1] += 1.5811388300841898 * f_hi[15];
-    fp[4] += -1.224744871391589 * f_hi[16];
-    fp[2] += 1.5811388300841898 * f_hi[17];
-    fp[5] += -1.224744871391589 * f_hi[18];
-    fp[10] += 0.7071067811865476 * f_hi[19];
-    fp[6] += -1.224744871391589 * f_hi[20];
-    fp[11] += 0.7071067811865476 * f_hi[21];
-    fp[3] += 1.5811388300841898 * f_hi[22];
-    fp[7] += -1.224744871391589 * f_hi[23];
-    fp[12] += 0.7071067811865476 * f_hi[24];
-    fp[8] += -1.224744871391589 * f_hi[25];
-    fp[13] += 0.7071067811865476 * f_hi[26];
-    fp[14] += 0.7071067811865476 * f_hi[27];
-    fp[9] += -1.224744871391589 * f_hi[28];
-    fp[15] += 0.7071067811865476 * f_hi[29];
-    fp[16] += 0.7071067811865476 * f_hi[30];
-    fp[5] += 1.5811388300841898 * f_hi[31];
-    fp[10] += -1.224744871391589 * f_hi[32];
-    fp[11] += -1.224744871391589 * f_hi[33];
-    fp[7] += 1.5811388300841898 * f_hi[34];
-    fp[12] += -1.224744871391589 * f_hi[35];
-    fp[8] += 1.5811388300841898 * f_hi[36];
-    fp[13] += -1.224744871391589 * f_hi[37];
-    fp[17] += 0.7071067811865476 * f_hi[38];
-    fp[14] += -1.224744871391589 * f_hi[39];
-    fp[18] += 0.7071067811865476 * f_hi[40];
-    fp[15] += -1.224744871391589 * f_hi[41];
-    fp[16] += -1.224744871391589 * f_hi[42];
-    fp[19] += 0.7071067811865476 * f_hi[43];
-    fp[13] += 1.5811388300841898 * f_hi[44];
-    fp[17] += -1.224744871391589 * f_hi[45];
-    fp[18] += -1.224744871391589 * f_hi[46];
-    fp[19] += -1.224744871391589 * f_hi[47];
-    let mut favg = [0.0f64; 20];
-    let mut ghat = [0.0f64; 20];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    favg[8] = 0.5 * (fm[8] + fp[8]);
-    ghat[8] = -0.5 * lam * (fp[8] - fm[8]);
-    favg[9] = 0.5 * (fm[9] + fp[9]);
-    ghat[9] = -0.5 * lam * (fp[9] - fm[9]);
-    favg[10] = 0.5 * (fm[10] + fp[10]);
-    ghat[10] = -0.5 * lam * (fp[10] - fm[10]);
-    favg[11] = 0.5 * (fm[11] + fp[11]);
-    ghat[11] = -0.5 * lam * (fp[11] - fm[11]);
-    favg[12] = 0.5 * (fm[12] + fp[12]);
-    ghat[12] = -0.5 * lam * (fp[12] - fm[12]);
-    favg[13] = 0.5 * (fm[13] + fp[13]);
-    ghat[13] = -0.5 * lam * (fp[13] - fm[13]);
-    favg[14] = 0.5 * (fm[14] + fp[14]);
-    ghat[14] = -0.5 * lam * (fp[14] - fm[14]);
-    favg[15] = 0.5 * (fm[15] + fp[15]);
-    ghat[15] = -0.5 * lam * (fp[15] - fm[15]);
-    favg[16] = 0.5 * (fm[16] + fp[16]);
-    ghat[16] = -0.5 * lam * (fp[16] - fm[16]);
-    favg[17] = 0.5 * (fm[17] + fp[17]);
-    ghat[17] = -0.5 * lam * (fp[17] - fm[17]);
-    favg[18] = 0.5 * (fm[18] + fp[18]);
-    ghat[18] = -0.5 * lam * (fp[18] - fm[18]);
-    favg[19] = 0.5 * (fm[19] + fp[19]);
-    ghat[19] = -0.5 * lam * (fp[19] - fm[19]);
-    ghat[0] += 0.3535533905932738 * alpha[0] * favg[0];
-    ghat[0] += 0.35355339059327373 * alpha[2] * favg[2];
-    ghat[0] += 0.35355339059327373 * alpha[3] * favg[3];
-    ghat[0] += 0.3535533905932738 * alpha[6] * favg[6];
-    ghat[0] += 0.35355339059327373 * alpha[8] * favg[8];
-    ghat[0] += 0.3535533905932738 * alpha[9] * favg[9];
-    ghat[0] += 0.3535533905932738 * alpha[14] * favg[14];
-    ghat[0] += 0.3535533905932738 * alpha[16] * favg[16];
-    ghat[1] += 0.35355339059327373 * alpha[0] * favg[1];
-    ghat[1] += 0.35355339059327373 * alpha[2] * favg[5];
-    ghat[1] += 0.35355339059327373 * alpha[3] * favg[7];
-    ghat[1] += 0.3535533905932738 * alpha[6] * favg[11];
-    ghat[1] += 0.3535533905932738 * alpha[8] * favg[13];
-    ghat[1] += 0.3535533905932738 * alpha[9] * favg[15];
-    ghat[1] += 0.3535533905932738 * alpha[14] * favg[18];
-    ghat[1] += 0.3535533905932738 * alpha[16] * favg[19];
-    ghat[2] += 0.35355339059327373 * alpha[0] * favg[2];
-    ghat[2] += 0.35355339059327373 * alpha[2] * favg[0];
-    ghat[2] += 0.31622776601683794 * alpha[2] * favg[6];
-    ghat[2] += 0.35355339059327373 * alpha[3] * favg[8];
-    ghat[2] += 0.31622776601683794 * alpha[6] * favg[2];
-    ghat[2] += 0.35355339059327373 * alpha[8] * favg[3];
-    ghat[2] += 0.31622776601683794 * alpha[8] * favg[14];
-    ghat[2] += 0.3535533905932738 * alpha[9] * favg[16];
-    ghat[2] += 0.31622776601683794 * alpha[14] * favg[8];
-    ghat[2] += 0.3535533905932738 * alpha[16] * favg[9];
-    ghat[3] += 0.35355339059327373 * alpha[0] * favg[3];
-    ghat[3] += 0.35355339059327373 * alpha[2] * favg[8];
-    ghat[3] += 0.35355339059327373 * alpha[3] * favg[0];
-    ghat[3] += 0.31622776601683794 * alpha[3] * favg[9];
-    ghat[3] += 0.3535533905932738 * alpha[6] * favg[14];
-    ghat[3] += 0.35355339059327373 * alpha[8] * favg[2];
-    ghat[3] += 0.31622776601683794 * alpha[8] * favg[16];
-    ghat[3] += 0.31622776601683794 * alpha[9] * favg[3];
-    ghat[3] += 0.3535533905932738 * alpha[14] * favg[6];
-    ghat[3] += 0.31622776601683794 * alpha[16] * favg[8];
-    ghat[4] += 0.3535533905932738 * alpha[0] * favg[4];
-    ghat[4] += 0.3535533905932738 * alpha[2] * favg[10];
-    ghat[4] += 0.3535533905932738 * alpha[3] * favg[12];
-    ghat[4] += 0.3535533905932738 * alpha[8] * favg[17];
-    ghat[5] += 0.35355339059327373 * alpha[0] * favg[5];
-    ghat[5] += 0.35355339059327373 * alpha[2] * favg[1];
-    ghat[5] += 0.31622776601683794 * alpha[2] * favg[11];
-    ghat[5] += 0.3535533905932738 * alpha[3] * favg[13];
-    ghat[5] += 0.31622776601683794 * alpha[6] * favg[5];
-    ghat[5] += 0.3535533905932738 * alpha[8] * favg[7];
-    ghat[5] += 0.31622776601683794 * alpha[8] * favg[18];
-    ghat[5] += 0.3535533905932738 * alpha[9] * favg[19];
-    ghat[5] += 0.31622776601683794 * alpha[14] * favg[13];
-    ghat[5] += 0.3535533905932738 * alpha[16] * favg[15];
-    ghat[6] += 0.3535533905932738 * alpha[0] * favg[6];
-    ghat[6] += 0.31622776601683794 * alpha[2] * favg[2];
-    ghat[6] += 0.3535533905932738 * alpha[3] * favg[14];
-    ghat[6] += 0.3535533905932738 * alpha[6] * favg[0];
-    ghat[6] += 0.2258769757263128 * alpha[6] * favg[6];
-    ghat[6] += 0.31622776601683794 * alpha[8] * favg[8];
-    ghat[6] += 0.3535533905932738 * alpha[14] * favg[3];
-    ghat[6] += 0.22587697572631282 * alpha[14] * favg[14];
-    ghat[6] += 0.31622776601683794 * alpha[16] * favg[16];
-    ghat[7] += 0.35355339059327373 * alpha[0] * favg[7];
-    ghat[7] += 0.3535533905932738 * alpha[2] * favg[13];
-    ghat[7] += 0.35355339059327373 * alpha[3] * favg[1];
-    ghat[7] += 0.31622776601683794 * alpha[3] * favg[15];
-    ghat[7] += 0.3535533905932738 * alpha[6] * favg[18];
-    ghat[7] += 0.3535533905932738 * alpha[8] * favg[5];
-    ghat[7] += 0.31622776601683794 * alpha[8] * favg[19];
-    ghat[7] += 0.31622776601683794 * alpha[9] * favg[7];
-    ghat[7] += 0.3535533905932738 * alpha[14] * favg[11];
-    ghat[7] += 0.31622776601683794 * alpha[16] * favg[13];
-    ghat[8] += 0.35355339059327373 * alpha[0] * favg[8];
-    ghat[8] += 0.35355339059327373 * alpha[2] * favg[3];
-    ghat[8] += 0.31622776601683794 * alpha[2] * favg[14];
-    ghat[8] += 0.35355339059327373 * alpha[3] * favg[2];
-    ghat[8] += 0.31622776601683794 * alpha[3] * favg[16];
-    ghat[8] += 0.31622776601683794 * alpha[6] * favg[8];
-    ghat[8] += 0.35355339059327373 * alpha[8] * favg[0];
-    ghat[8] += 0.31622776601683794 * alpha[8] * favg[6];
-    ghat[8] += 0.31622776601683794 * alpha[8] * favg[9];
-    ghat[8] += 0.31622776601683794 * alpha[9] * favg[8];
-    ghat[8] += 0.31622776601683794 * alpha[14] * favg[2];
-    ghat[8] += 0.282842712474619 * alpha[14] * favg[16];
-    ghat[8] += 0.31622776601683794 * alpha[16] * favg[3];
-    ghat[8] += 0.282842712474619 * alpha[16] * favg[14];
-    ghat[9] += 0.3535533905932738 * alpha[0] * favg[9];
-    ghat[9] += 0.3535533905932738 * alpha[2] * favg[16];
-    ghat[9] += 0.31622776601683794 * alpha[3] * favg[3];
-    ghat[9] += 0.31622776601683794 * alpha[8] * favg[8];
-    ghat[9] += 0.3535533905932738 * alpha[9] * favg[0];
-    ghat[9] += 0.2258769757263128 * alpha[9] * favg[9];
-    ghat[9] += 0.31622776601683794 * alpha[14] * favg[14];
-    ghat[9] += 0.3535533905932738 * alpha[16] * favg[2];
-    ghat[9] += 0.22587697572631282 * alpha[16] * favg[16];
-    ghat[10] += 0.3535533905932738 * alpha[0] * favg[10];
-    ghat[10] += 0.3535533905932738 * alpha[2] * favg[4];
-    ghat[10] += 0.3535533905932738 * alpha[3] * favg[17];
-    ghat[10] += 0.31622776601683794 * alpha[6] * favg[10];
-    ghat[10] += 0.3535533905932738 * alpha[8] * favg[12];
-    ghat[10] += 0.31622776601683794 * alpha[14] * favg[17];
-    ghat[11] += 0.3535533905932738 * alpha[0] * favg[11];
-    ghat[11] += 0.31622776601683794 * alpha[2] * favg[5];
-    ghat[11] += 0.3535533905932738 * alpha[3] * favg[18];
-    ghat[11] += 0.3535533905932738 * alpha[6] * favg[1];
-    ghat[11] += 0.22587697572631282 * alpha[6] * favg[11];
-    ghat[11] += 0.31622776601683794 * alpha[8] * favg[13];
-    ghat[11] += 0.3535533905932738 * alpha[14] * favg[7];
-    ghat[11] += 0.2258769757263128 * alpha[14] * favg[18];
-    ghat[11] += 0.31622776601683794 * alpha[16] * favg[19];
-    ghat[12] += 0.3535533905932738 * alpha[0] * favg[12];
-    ghat[12] += 0.3535533905932738 * alpha[2] * favg[17];
-    ghat[12] += 0.3535533905932738 * alpha[3] * favg[4];
-    ghat[12] += 0.3535533905932738 * alpha[8] * favg[10];
-    ghat[12] += 0.31622776601683794 * alpha[9] * favg[12];
-    ghat[12] += 0.31622776601683794 * alpha[16] * favg[17];
-    ghat[13] += 0.3535533905932738 * alpha[0] * favg[13];
-    ghat[13] += 0.3535533905932738 * alpha[2] * favg[7];
-    ghat[13] += 0.31622776601683794 * alpha[2] * favg[18];
-    ghat[13] += 0.3535533905932738 * alpha[3] * favg[5];
-    ghat[13] += 0.31622776601683794 * alpha[3] * favg[19];
-    ghat[13] += 0.31622776601683794 * alpha[6] * favg[13];
-    ghat[13] += 0.3535533905932738 * alpha[8] * favg[1];
-    ghat[13] += 0.31622776601683794 * alpha[8] * favg[11];
-    ghat[13] += 0.31622776601683794 * alpha[8] * favg[15];
-    ghat[13] += 0.31622776601683794 * alpha[9] * favg[13];
-    ghat[13] += 0.31622776601683794 * alpha[14] * favg[5];
-    ghat[13] += 0.282842712474619 * alpha[14] * favg[19];
-    ghat[13] += 0.31622776601683794 * alpha[16] * favg[7];
-    ghat[13] += 0.282842712474619 * alpha[16] * favg[18];
-    ghat[14] += 0.3535533905932738 * alpha[0] * favg[14];
-    ghat[14] += 0.31622776601683794 * alpha[2] * favg[8];
-    ghat[14] += 0.3535533905932738 * alpha[3] * favg[6];
-    ghat[14] += 0.3535533905932738 * alpha[6] * favg[3];
-    ghat[14] += 0.22587697572631282 * alpha[6] * favg[14];
-    ghat[14] += 0.31622776601683794 * alpha[8] * favg[2];
-    ghat[14] += 0.282842712474619 * alpha[8] * favg[16];
-    ghat[14] += 0.31622776601683794 * alpha[9] * favg[14];
-    ghat[14] += 0.3535533905932738 * alpha[14] * favg[0];
-    ghat[14] += 0.22587697572631282 * alpha[14] * favg[6];
-    ghat[14] += 0.31622776601683794 * alpha[14] * favg[9];
-    ghat[14] += 0.282842712474619 * alpha[16] * favg[8];
-    ghat[15] += 0.3535533905932738 * alpha[0] * favg[15];
-    ghat[15] += 0.3535533905932738 * alpha[2] * favg[19];
-    ghat[15] += 0.31622776601683794 * alpha[3] * favg[7];
-    ghat[15] += 0.31622776601683794 * alpha[8] * favg[13];
-    ghat[15] += 0.3535533905932738 * alpha[9] * favg[1];
-    ghat[15] += 0.22587697572631282 * alpha[9] * favg[15];
-    ghat[15] += 0.31622776601683794 * alpha[14] * favg[18];
-    ghat[15] += 0.3535533905932738 * alpha[16] * favg[5];
-    ghat[15] += 0.2258769757263128 * alpha[16] * favg[19];
-    ghat[16] += 0.3535533905932738 * alpha[0] * favg[16];
-    ghat[16] += 0.3535533905932738 * alpha[2] * favg[9];
-    ghat[16] += 0.31622776601683794 * alpha[3] * favg[8];
-    ghat[16] += 0.31622776601683794 * alpha[6] * favg[16];
-    ghat[16] += 0.31622776601683794 * alpha[8] * favg[3];
-    ghat[16] += 0.282842712474619 * alpha[8] * favg[14];
-    ghat[16] += 0.3535533905932738 * alpha[9] * favg[2];
-    ghat[16] += 0.22587697572631282 * alpha[9] * favg[16];
-    ghat[16] += 0.282842712474619 * alpha[14] * favg[8];
-    ghat[16] += 0.3535533905932738 * alpha[16] * favg[0];
-    ghat[16] += 0.31622776601683794 * alpha[16] * favg[6];
-    ghat[16] += 0.22587697572631282 * alpha[16] * favg[9];
-    ghat[17] += 0.3535533905932738 * alpha[0] * favg[17];
-    ghat[17] += 0.3535533905932738 * alpha[2] * favg[12];
-    ghat[17] += 0.3535533905932738 * alpha[3] * favg[10];
-    ghat[17] += 0.31622776601683794 * alpha[6] * favg[17];
-    ghat[17] += 0.3535533905932738 * alpha[8] * favg[4];
-    ghat[17] += 0.31622776601683794 * alpha[9] * favg[17];
-    ghat[17] += 0.31622776601683794 * alpha[14] * favg[10];
-    ghat[17] += 0.31622776601683794 * alpha[16] * favg[12];
-    ghat[18] += 0.3535533905932738 * alpha[0] * favg[18];
-    ghat[18] += 0.31622776601683794 * alpha[2] * favg[13];
-    ghat[18] += 0.3535533905932738 * alpha[3] * favg[11];
-    ghat[18] += 0.3535533905932738 * alpha[6] * favg[7];
-    ghat[18] += 0.2258769757263128 * alpha[6] * favg[18];
-    ghat[18] += 0.31622776601683794 * alpha[8] * favg[5];
-    ghat[18] += 0.282842712474619 * alpha[8] * favg[19];
-    ghat[18] += 0.31622776601683794 * alpha[9] * favg[18];
-    ghat[18] += 0.3535533905932738 * alpha[14] * favg[1];
-    ghat[18] += 0.2258769757263128 * alpha[14] * favg[11];
-    ghat[18] += 0.31622776601683794 * alpha[14] * favg[15];
-    ghat[18] += 0.282842712474619 * alpha[16] * favg[13];
-    ghat[19] += 0.3535533905932738 * alpha[0] * favg[19];
-    ghat[19] += 0.3535533905932738 * alpha[2] * favg[15];
-    ghat[19] += 0.31622776601683794 * alpha[3] * favg[13];
-    ghat[19] += 0.31622776601683794 * alpha[6] * favg[19];
-    ghat[19] += 0.31622776601683794 * alpha[8] * favg[7];
-    ghat[19] += 0.282842712474619 * alpha[8] * favg[18];
-    ghat[19] += 0.3535533905932738 * alpha[9] * favg[5];
-    ghat[19] += 0.2258769757263128 * alpha[9] * favg[19];
-    ghat[19] += 0.282842712474619 * alpha[14] * favg[13];
-    ghat[19] += 0.3535533905932738 * alpha[16] * favg[1];
-    ghat[19] += 0.31622776601683794 * alpha[16] * favg[11];
-    ghat[19] += 0.2258769757263128 * alpha[16] * favg[15];
-    out_lo[0] += -scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -scale * 1.224744871391589 * ghat[0];
-    out_lo[2] += -scale * 0.7071067811865476 * ghat[1];
-    out_lo[3] += -scale * 0.7071067811865476 * ghat[2];
-    out_lo[4] += -scale * 0.7071067811865476 * ghat[3];
-    out_lo[5] += -scale * 1.5811388300841898 * ghat[0];
-    out_lo[6] += -scale * 1.224744871391589 * ghat[1];
-    out_lo[7] += -scale * 0.7071067811865476 * ghat[4];
-    out_lo[8] += -scale * 1.224744871391589 * ghat[2];
-    out_lo[9] += -scale * 0.7071067811865476 * ghat[5];
-    out_lo[10] += -scale * 0.7071067811865476 * ghat[6];
-    out_lo[11] += -scale * 1.224744871391589 * ghat[3];
-    out_lo[12] += -scale * 0.7071067811865476 * ghat[7];
-    out_lo[13] += -scale * 0.7071067811865476 * ghat[8];
-    out_lo[14] += -scale * 0.7071067811865476 * ghat[9];
-    out_lo[15] += -scale * 1.5811388300841898 * ghat[1];
-    out_lo[16] += -scale * 1.224744871391589 * ghat[4];
-    out_lo[17] += -scale * 1.5811388300841898 * ghat[2];
-    out_lo[18] += -scale * 1.224744871391589 * ghat[5];
-    out_lo[19] += -scale * 0.7071067811865476 * ghat[10];
-    out_lo[20] += -scale * 1.224744871391589 * ghat[6];
-    out_lo[21] += -scale * 0.7071067811865476 * ghat[11];
-    out_lo[22] += -scale * 1.5811388300841898 * ghat[3];
-    out_lo[23] += -scale * 1.224744871391589 * ghat[7];
-    out_lo[24] += -scale * 0.7071067811865476 * ghat[12];
-    out_lo[25] += -scale * 1.224744871391589 * ghat[8];
-    out_lo[26] += -scale * 0.7071067811865476 * ghat[13];
-    out_lo[27] += -scale * 0.7071067811865476 * ghat[14];
-    out_lo[28] += -scale * 1.224744871391589 * ghat[9];
-    out_lo[29] += -scale * 0.7071067811865476 * ghat[15];
-    out_lo[30] += -scale * 0.7071067811865476 * ghat[16];
-    out_lo[31] += -scale * 1.5811388300841898 * ghat[5];
-    out_lo[32] += -scale * 1.224744871391589 * ghat[10];
-    out_lo[33] += -scale * 1.224744871391589 * ghat[11];
-    out_lo[34] += -scale * 1.5811388300841898 * ghat[7];
-    out_lo[35] += -scale * 1.224744871391589 * ghat[12];
-    out_lo[36] += -scale * 1.5811388300841898 * ghat[8];
-    out_lo[37] += -scale * 1.224744871391589 * ghat[13];
-    out_lo[38] += -scale * 0.7071067811865476 * ghat[17];
-    out_lo[39] += -scale * 1.224744871391589 * ghat[14];
-    out_lo[40] += -scale * 0.7071067811865476 * ghat[18];
-    out_lo[41] += -scale * 1.224744871391589 * ghat[15];
-    out_lo[42] += -scale * 1.224744871391589 * ghat[16];
-    out_lo[43] += -scale * 0.7071067811865476 * ghat[19];
-    out_lo[44] += -scale * 1.5811388300841898 * ghat[13];
-    out_lo[45] += -scale * 1.224744871391589 * ghat[17];
-    out_lo[46] += -scale * 1.224744871391589 * ghat[18];
-    out_lo[47] += -scale * 1.224744871391589 * ghat[19];
-    out_hi[0] += scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += scale * -1.224744871391589 * ghat[0];
-    out_hi[2] += scale * 0.7071067811865476 * ghat[1];
-    out_hi[3] += scale * 0.7071067811865476 * ghat[2];
-    out_hi[4] += scale * 0.7071067811865476 * ghat[3];
-    out_hi[5] += scale * 1.5811388300841898 * ghat[0];
-    out_hi[6] += scale * -1.224744871391589 * ghat[1];
-    out_hi[7] += scale * 0.7071067811865476 * ghat[4];
-    out_hi[8] += scale * -1.224744871391589 * ghat[2];
-    out_hi[9] += scale * 0.7071067811865476 * ghat[5];
-    out_hi[10] += scale * 0.7071067811865476 * ghat[6];
-    out_hi[11] += scale * -1.224744871391589 * ghat[3];
-    out_hi[12] += scale * 0.7071067811865476 * ghat[7];
-    out_hi[13] += scale * 0.7071067811865476 * ghat[8];
-    out_hi[14] += scale * 0.7071067811865476 * ghat[9];
-    out_hi[15] += scale * 1.5811388300841898 * ghat[1];
-    out_hi[16] += scale * -1.224744871391589 * ghat[4];
-    out_hi[17] += scale * 1.5811388300841898 * ghat[2];
-    out_hi[18] += scale * -1.224744871391589 * ghat[5];
-    out_hi[19] += scale * 0.7071067811865476 * ghat[10];
-    out_hi[20] += scale * -1.224744871391589 * ghat[6];
-    out_hi[21] += scale * 0.7071067811865476 * ghat[11];
-    out_hi[22] += scale * 1.5811388300841898 * ghat[3];
-    out_hi[23] += scale * -1.224744871391589 * ghat[7];
-    out_hi[24] += scale * 0.7071067811865476 * ghat[12];
-    out_hi[25] += scale * -1.224744871391589 * ghat[8];
-    out_hi[26] += scale * 0.7071067811865476 * ghat[13];
-    out_hi[27] += scale * 0.7071067811865476 * ghat[14];
-    out_hi[28] += scale * -1.224744871391589 * ghat[9];
-    out_hi[29] += scale * 0.7071067811865476 * ghat[15];
-    out_hi[30] += scale * 0.7071067811865476 * ghat[16];
-    out_hi[31] += scale * 1.5811388300841898 * ghat[5];
-    out_hi[32] += scale * -1.224744871391589 * ghat[10];
-    out_hi[33] += scale * -1.224744871391589 * ghat[11];
-    out_hi[34] += scale * 1.5811388300841898 * ghat[7];
-    out_hi[35] += scale * -1.224744871391589 * ghat[12];
-    out_hi[36] += scale * 1.5811388300841898 * ghat[8];
-    out_hi[37] += scale * -1.224744871391589 * ghat[13];
-    out_hi[38] += scale * 0.7071067811865476 * ghat[17];
-    out_hi[39] += scale * -1.224744871391589 * ghat[14];
-    out_hi[40] += scale * 0.7071067811865476 * ghat[18];
-    out_hi[41] += scale * -1.224744871391589 * ghat[15];
-    out_hi[42] += scale * -1.224744871391589 * ghat[16];
-    out_hi[43] += scale * 0.7071067811865476 * ghat[19];
-    out_hi[44] += scale * 1.5811388300841898 * ghat[13];
-    out_hi[45] += scale * -1.224744871391589 * ghat[17];
-    out_hi[46] += scale * -1.224744871391589 * ghat[18];
-    out_hi[47] += scale * -1.224744871391589 * ghat[19];
+    let mut alpha = [[0.0f64; L]; 20];
+    let mut lam = [0.0f64; L];
+    for k in 0..L {
+        alpha[0][k] = -nu * vstar * 2.8284271247461903;
+        alpha[0][k] += nu * 1.4142135623730951 * u[0][k];
+        alpha[2][k] += nu * 1.4142135623730951 * u[1][k];
+        alpha[3][k] += nu * 1.4142135623730951 * u[2][k];
+        alpha[6][k] += nu * 1.4142135623730951 * u[3][k];
+        alpha[8][k] += nu * 1.4142135623730951 * u[4][k];
+        alpha[9][k] += nu * 1.4142135623730951 * u[5][k];
+        alpha[14][k] += nu * 1.4142135623730951 * u[6][k];
+        alpha[16][k] += nu * 1.4142135623730951 * u[7][k];
+        lam[k] = alpha[0][k].abs() * 0.35355339059327384 + alpha[2][k].abs() * 0.6123724356957946 + alpha[3][k].abs() * 0.6123724356957946 + alpha[6][k].abs() * 0.7905694150420949 + alpha[8][k].abs() * 1.0606601717798212 + alpha[9][k].abs() * 0.7905694150420949 + alpha[14][k].abs() * 1.3693063937629153 + alpha[16][k].abs() * 1.3693063937629153;
+    }
+    let mut fm = [[0.0f64; L]; 20];
+    let mut fp = [[0.0f64; L]; 20];
+    for k in 0..L {
+        fm[0][k] += 0.7071067811865476 * f_lo[0][k];
+        fm[0][k] += 1.224744871391589 * f_lo[1][k];
+    }
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[2]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[3]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[4]);
+    sxn(&mut fm[0], 1.5811388300841898, &f_lo[5]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[6]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[7]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[8]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[9]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[10]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[11]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[12]);
+    sxn(&mut fm[8], 0.7071067811865476, &f_lo[13]);
+    sxn(&mut fm[9], 0.7071067811865476, &f_lo[14]);
+    sxn(&mut fm[1], 1.5811388300841898, &f_lo[15]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[16]);
+    sxn(&mut fm[2], 1.5811388300841898, &f_lo[17]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[18]);
+    sxn(&mut fm[10], 0.7071067811865476, &f_lo[19]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[20]);
+    sxn(&mut fm[11], 0.7071067811865476, &f_lo[21]);
+    sxn(&mut fm[3], 1.5811388300841898, &f_lo[22]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[23]);
+    sxn(&mut fm[12], 0.7071067811865476, &f_lo[24]);
+    sxn(&mut fm[8], 1.224744871391589, &f_lo[25]);
+    sxn(&mut fm[13], 0.7071067811865476, &f_lo[26]);
+    sxn(&mut fm[14], 0.7071067811865476, &f_lo[27]);
+    sxn(&mut fm[9], 1.224744871391589, &f_lo[28]);
+    sxn(&mut fm[15], 0.7071067811865476, &f_lo[29]);
+    sxn(&mut fm[16], 0.7071067811865476, &f_lo[30]);
+    sxn(&mut fm[5], 1.5811388300841898, &f_lo[31]);
+    sxn(&mut fm[10], 1.224744871391589, &f_lo[32]);
+    sxn(&mut fm[11], 1.224744871391589, &f_lo[33]);
+    sxn(&mut fm[7], 1.5811388300841898, &f_lo[34]);
+    sxn(&mut fm[12], 1.224744871391589, &f_lo[35]);
+    sxn(&mut fm[8], 1.5811388300841898, &f_lo[36]);
+    sxn(&mut fm[13], 1.224744871391589, &f_lo[37]);
+    sxn(&mut fm[17], 0.7071067811865476, &f_lo[38]);
+    sxn(&mut fm[14], 1.224744871391589, &f_lo[39]);
+    sxn(&mut fm[18], 0.7071067811865476, &f_lo[40]);
+    sxn(&mut fm[15], 1.224744871391589, &f_lo[41]);
+    sxn(&mut fm[16], 1.224744871391589, &f_lo[42]);
+    sxn(&mut fm[19], 0.7071067811865476, &f_lo[43]);
+    sxn(&mut fm[13], 1.5811388300841898, &f_lo[44]);
+    sxn(&mut fm[17], 1.224744871391589, &f_lo[45]);
+    sxn(&mut fm[18], 1.224744871391589, &f_lo[46]);
+    sxn(&mut fm[19], 1.224744871391589, &f_lo[47]);
+    for k in 0..L {
+        fp[0][k] += 0.7071067811865476 * f_hi[0][k];
+        fp[0][k] += -1.224744871391589 * f_hi[1][k];
+    }
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[2]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[3]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[4]);
+    sxn(&mut fp[0], 1.5811388300841898, &f_hi[5]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[6]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[7]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[8]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[9]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[10]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[11]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[12]);
+    sxn(&mut fp[8], 0.7071067811865476, &f_hi[13]);
+    sxn(&mut fp[9], 0.7071067811865476, &f_hi[14]);
+    sxn(&mut fp[1], 1.5811388300841898, &f_hi[15]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[16]);
+    sxn(&mut fp[2], 1.5811388300841898, &f_hi[17]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[18]);
+    sxn(&mut fp[10], 0.7071067811865476, &f_hi[19]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[20]);
+    sxn(&mut fp[11], 0.7071067811865476, &f_hi[21]);
+    sxn(&mut fp[3], 1.5811388300841898, &f_hi[22]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[23]);
+    sxn(&mut fp[12], 0.7071067811865476, &f_hi[24]);
+    sxn(&mut fp[8], -1.224744871391589, &f_hi[25]);
+    sxn(&mut fp[13], 0.7071067811865476, &f_hi[26]);
+    sxn(&mut fp[14], 0.7071067811865476, &f_hi[27]);
+    sxn(&mut fp[9], -1.224744871391589, &f_hi[28]);
+    sxn(&mut fp[15], 0.7071067811865476, &f_hi[29]);
+    sxn(&mut fp[16], 0.7071067811865476, &f_hi[30]);
+    sxn(&mut fp[5], 1.5811388300841898, &f_hi[31]);
+    sxn(&mut fp[10], -1.224744871391589, &f_hi[32]);
+    sxn(&mut fp[11], -1.224744871391589, &f_hi[33]);
+    sxn(&mut fp[7], 1.5811388300841898, &f_hi[34]);
+    sxn(&mut fp[12], -1.224744871391589, &f_hi[35]);
+    sxn(&mut fp[8], 1.5811388300841898, &f_hi[36]);
+    sxn(&mut fp[13], -1.224744871391589, &f_hi[37]);
+    sxn(&mut fp[17], 0.7071067811865476, &f_hi[38]);
+    sxn(&mut fp[14], -1.224744871391589, &f_hi[39]);
+    sxn(&mut fp[18], 0.7071067811865476, &f_hi[40]);
+    sxn(&mut fp[15], -1.224744871391589, &f_hi[41]);
+    sxn(&mut fp[16], -1.224744871391589, &f_hi[42]);
+    sxn(&mut fp[19], 0.7071067811865476, &f_hi[43]);
+    sxn(&mut fp[13], 1.5811388300841898, &f_hi[44]);
+    sxn(&mut fp[17], -1.224744871391589, &f_hi[45]);
+    sxn(&mut fp[18], -1.224744871391589, &f_hi[46]);
+    sxn(&mut fp[19], -1.224744871391589, &f_hi[47]);
+    let mut favg = [[0.0f64; L]; 20];
+    let mut ghat = [[0.0f64; L]; 20];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
+        favg[8][k] = 0.5 * (fm[8][k] + fp[8][k]);
+        ghat[8][k] = -0.5 * lam[k] * (fp[8][k] - fm[8][k]);
+        favg[9][k] = 0.5 * (fm[9][k] + fp[9][k]);
+        ghat[9][k] = -0.5 * lam[k] * (fp[9][k] - fm[9][k]);
+        favg[10][k] = 0.5 * (fm[10][k] + fp[10][k]);
+        ghat[10][k] = -0.5 * lam[k] * (fp[10][k] - fm[10][k]);
+        favg[11][k] = 0.5 * (fm[11][k] + fp[11][k]);
+        ghat[11][k] = -0.5 * lam[k] * (fp[11][k] - fm[11][k]);
+        favg[12][k] = 0.5 * (fm[12][k] + fp[12][k]);
+        ghat[12][k] = -0.5 * lam[k] * (fp[12][k] - fm[12][k]);
+        favg[13][k] = 0.5 * (fm[13][k] + fp[13][k]);
+        ghat[13][k] = -0.5 * lam[k] * (fp[13][k] - fm[13][k]);
+        favg[14][k] = 0.5 * (fm[14][k] + fp[14][k]);
+        ghat[14][k] = -0.5 * lam[k] * (fp[14][k] - fm[14][k]);
+        favg[15][k] = 0.5 * (fm[15][k] + fp[15][k]);
+        ghat[15][k] = -0.5 * lam[k] * (fp[15][k] - fm[15][k]);
+        favg[16][k] = 0.5 * (fm[16][k] + fp[16][k]);
+        ghat[16][k] = -0.5 * lam[k] * (fp[16][k] - fm[16][k]);
+        favg[17][k] = 0.5 * (fm[17][k] + fp[17][k]);
+        ghat[17][k] = -0.5 * lam[k] * (fp[17][k] - fm[17][k]);
+        favg[18][k] = 0.5 * (fm[18][k] + fp[18][k]);
+        ghat[18][k] = -0.5 * lam[k] * (fp[18][k] - fm[18][k]);
+        favg[19][k] = 0.5 * (fm[19][k] + fp[19][k]);
+        ghat[19][k] = -0.5 * lam[k] * (fp[19][k] - fm[19][k]);
+    }
+    for k in 0..L {
+        ghat[0][k] += 0.3535533905932738 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.35355339059327373 * alpha[2][k] * favg[2][k];
+        ghat[0][k] += 0.35355339059327373 * alpha[3][k] * favg[3][k];
+        ghat[0][k] += 0.3535533905932738 * alpha[6][k] * favg[6][k];
+        ghat[0][k] += 0.35355339059327373 * alpha[8][k] * favg[8][k];
+        ghat[0][k] += 0.3535533905932738 * alpha[9][k] * favg[9][k];
+        ghat[0][k] += 0.3535533905932738 * alpha[14][k] * favg[14][k];
+        ghat[0][k] += 0.3535533905932738 * alpha[16][k] * favg[16][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.35355339059327373 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.35355339059327373 * alpha[2][k] * favg[5][k];
+        ghat[1][k] += 0.35355339059327373 * alpha[3][k] * favg[7][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[6][k] * favg[11][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[8][k] * favg[13][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[9][k] * favg[15][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[14][k] * favg[18][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[16][k] * favg[19][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.35355339059327373 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.35355339059327373 * alpha[2][k] * favg[0][k];
+        ghat[2][k] += 0.31622776601683794 * alpha[2][k] * favg[6][k];
+        ghat[2][k] += 0.35355339059327373 * alpha[3][k] * favg[8][k];
+        ghat[2][k] += 0.31622776601683794 * alpha[6][k] * favg[2][k];
+        ghat[2][k] += 0.35355339059327373 * alpha[8][k] * favg[3][k];
+        ghat[2][k] += 0.31622776601683794 * alpha[8][k] * favg[14][k];
+        ghat[2][k] += 0.3535533905932738 * alpha[9][k] * favg[16][k];
+        ghat[2][k] += 0.31622776601683794 * alpha[14][k] * favg[8][k];
+        ghat[2][k] += 0.3535533905932738 * alpha[16][k] * favg[9][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.35355339059327373 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.35355339059327373 * alpha[2][k] * favg[8][k];
+        ghat[3][k] += 0.35355339059327373 * alpha[3][k] * favg[0][k];
+        ghat[3][k] += 0.31622776601683794 * alpha[3][k] * favg[9][k];
+        ghat[3][k] += 0.3535533905932738 * alpha[6][k] * favg[14][k];
+        ghat[3][k] += 0.35355339059327373 * alpha[8][k] * favg[2][k];
+        ghat[3][k] += 0.31622776601683794 * alpha[8][k] * favg[16][k];
+        ghat[3][k] += 0.31622776601683794 * alpha[9][k] * favg[3][k];
+        ghat[3][k] += 0.3535533905932738 * alpha[14][k] * favg[6][k];
+        ghat[3][k] += 0.31622776601683794 * alpha[16][k] * favg[8][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.3535533905932738 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.3535533905932738 * alpha[2][k] * favg[10][k];
+        ghat[4][k] += 0.3535533905932738 * alpha[3][k] * favg[12][k];
+        ghat[4][k] += 0.3535533905932738 * alpha[8][k] * favg[17][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.35355339059327373 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.35355339059327373 * alpha[2][k] * favg[1][k];
+        ghat[5][k] += 0.31622776601683794 * alpha[2][k] * favg[11][k];
+        ghat[5][k] += 0.3535533905932738 * alpha[3][k] * favg[13][k];
+        ghat[5][k] += 0.31622776601683794 * alpha[6][k] * favg[5][k];
+        ghat[5][k] += 0.3535533905932738 * alpha[8][k] * favg[7][k];
+        ghat[5][k] += 0.31622776601683794 * alpha[8][k] * favg[18][k];
+        ghat[5][k] += 0.3535533905932738 * alpha[9][k] * favg[19][k];
+        ghat[5][k] += 0.31622776601683794 * alpha[14][k] * favg[13][k];
+        ghat[5][k] += 0.3535533905932738 * alpha[16][k] * favg[15][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.3535533905932738 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.31622776601683794 * alpha[2][k] * favg[2][k];
+        ghat[6][k] += 0.3535533905932738 * alpha[3][k] * favg[14][k];
+        ghat[6][k] += 0.3535533905932738 * alpha[6][k] * favg[0][k];
+        ghat[6][k] += 0.2258769757263128 * alpha[6][k] * favg[6][k];
+        ghat[6][k] += 0.31622776601683794 * alpha[8][k] * favg[8][k];
+        ghat[6][k] += 0.3535533905932738 * alpha[14][k] * favg[3][k];
+        ghat[6][k] += 0.22587697572631282 * alpha[14][k] * favg[14][k];
+        ghat[6][k] += 0.31622776601683794 * alpha[16][k] * favg[16][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.35355339059327373 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.3535533905932738 * alpha[2][k] * favg[13][k];
+        ghat[7][k] += 0.35355339059327373 * alpha[3][k] * favg[1][k];
+        ghat[7][k] += 0.31622776601683794 * alpha[3][k] * favg[15][k];
+        ghat[7][k] += 0.3535533905932738 * alpha[6][k] * favg[18][k];
+        ghat[7][k] += 0.3535533905932738 * alpha[8][k] * favg[5][k];
+        ghat[7][k] += 0.31622776601683794 * alpha[8][k] * favg[19][k];
+        ghat[7][k] += 0.31622776601683794 * alpha[9][k] * favg[7][k];
+        ghat[7][k] += 0.3535533905932738 * alpha[14][k] * favg[11][k];
+        ghat[7][k] += 0.31622776601683794 * alpha[16][k] * favg[13][k];
+    }
+    for k in 0..L {
+        ghat[8][k] += 0.35355339059327373 * alpha[0][k] * favg[8][k];
+        ghat[8][k] += 0.35355339059327373 * alpha[2][k] * favg[3][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[2][k] * favg[14][k];
+        ghat[8][k] += 0.35355339059327373 * alpha[3][k] * favg[2][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[3][k] * favg[16][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[6][k] * favg[8][k];
+        ghat[8][k] += 0.35355339059327373 * alpha[8][k] * favg[0][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[8][k] * favg[6][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[8][k] * favg[9][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[9][k] * favg[8][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[14][k] * favg[2][k];
+        ghat[8][k] += 0.282842712474619 * alpha[14][k] * favg[16][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[16][k] * favg[3][k];
+        ghat[8][k] += 0.282842712474619 * alpha[16][k] * favg[14][k];
+    }
+    for k in 0..L {
+        ghat[9][k] += 0.3535533905932738 * alpha[0][k] * favg[9][k];
+        ghat[9][k] += 0.3535533905932738 * alpha[2][k] * favg[16][k];
+        ghat[9][k] += 0.31622776601683794 * alpha[3][k] * favg[3][k];
+        ghat[9][k] += 0.31622776601683794 * alpha[8][k] * favg[8][k];
+        ghat[9][k] += 0.3535533905932738 * alpha[9][k] * favg[0][k];
+        ghat[9][k] += 0.2258769757263128 * alpha[9][k] * favg[9][k];
+        ghat[9][k] += 0.31622776601683794 * alpha[14][k] * favg[14][k];
+        ghat[9][k] += 0.3535533905932738 * alpha[16][k] * favg[2][k];
+        ghat[9][k] += 0.22587697572631282 * alpha[16][k] * favg[16][k];
+    }
+    for k in 0..L {
+        ghat[10][k] += 0.3535533905932738 * alpha[0][k] * favg[10][k];
+        ghat[10][k] += 0.3535533905932738 * alpha[2][k] * favg[4][k];
+        ghat[10][k] += 0.3535533905932738 * alpha[3][k] * favg[17][k];
+        ghat[10][k] += 0.31622776601683794 * alpha[6][k] * favg[10][k];
+        ghat[10][k] += 0.3535533905932738 * alpha[8][k] * favg[12][k];
+        ghat[10][k] += 0.31622776601683794 * alpha[14][k] * favg[17][k];
+    }
+    for k in 0..L {
+        ghat[11][k] += 0.3535533905932738 * alpha[0][k] * favg[11][k];
+        ghat[11][k] += 0.31622776601683794 * alpha[2][k] * favg[5][k];
+        ghat[11][k] += 0.3535533905932738 * alpha[3][k] * favg[18][k];
+        ghat[11][k] += 0.3535533905932738 * alpha[6][k] * favg[1][k];
+        ghat[11][k] += 0.22587697572631282 * alpha[6][k] * favg[11][k];
+        ghat[11][k] += 0.31622776601683794 * alpha[8][k] * favg[13][k];
+        ghat[11][k] += 0.3535533905932738 * alpha[14][k] * favg[7][k];
+        ghat[11][k] += 0.2258769757263128 * alpha[14][k] * favg[18][k];
+        ghat[11][k] += 0.31622776601683794 * alpha[16][k] * favg[19][k];
+    }
+    for k in 0..L {
+        ghat[12][k] += 0.3535533905932738 * alpha[0][k] * favg[12][k];
+        ghat[12][k] += 0.3535533905932738 * alpha[2][k] * favg[17][k];
+        ghat[12][k] += 0.3535533905932738 * alpha[3][k] * favg[4][k];
+        ghat[12][k] += 0.3535533905932738 * alpha[8][k] * favg[10][k];
+        ghat[12][k] += 0.31622776601683794 * alpha[9][k] * favg[12][k];
+        ghat[12][k] += 0.31622776601683794 * alpha[16][k] * favg[17][k];
+    }
+    for k in 0..L {
+        ghat[13][k] += 0.3535533905932738 * alpha[0][k] * favg[13][k];
+        ghat[13][k] += 0.3535533905932738 * alpha[2][k] * favg[7][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[2][k] * favg[18][k];
+        ghat[13][k] += 0.3535533905932738 * alpha[3][k] * favg[5][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[3][k] * favg[19][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[6][k] * favg[13][k];
+        ghat[13][k] += 0.3535533905932738 * alpha[8][k] * favg[1][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[8][k] * favg[11][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[8][k] * favg[15][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[9][k] * favg[13][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[14][k] * favg[5][k];
+        ghat[13][k] += 0.282842712474619 * alpha[14][k] * favg[19][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[16][k] * favg[7][k];
+        ghat[13][k] += 0.282842712474619 * alpha[16][k] * favg[18][k];
+    }
+    for k in 0..L {
+        ghat[14][k] += 0.3535533905932738 * alpha[0][k] * favg[14][k];
+        ghat[14][k] += 0.31622776601683794 * alpha[2][k] * favg[8][k];
+        ghat[14][k] += 0.3535533905932738 * alpha[3][k] * favg[6][k];
+        ghat[14][k] += 0.3535533905932738 * alpha[6][k] * favg[3][k];
+        ghat[14][k] += 0.22587697572631282 * alpha[6][k] * favg[14][k];
+        ghat[14][k] += 0.31622776601683794 * alpha[8][k] * favg[2][k];
+        ghat[14][k] += 0.282842712474619 * alpha[8][k] * favg[16][k];
+        ghat[14][k] += 0.31622776601683794 * alpha[9][k] * favg[14][k];
+        ghat[14][k] += 0.3535533905932738 * alpha[14][k] * favg[0][k];
+        ghat[14][k] += 0.22587697572631282 * alpha[14][k] * favg[6][k];
+        ghat[14][k] += 0.31622776601683794 * alpha[14][k] * favg[9][k];
+        ghat[14][k] += 0.282842712474619 * alpha[16][k] * favg[8][k];
+    }
+    for k in 0..L {
+        ghat[15][k] += 0.3535533905932738 * alpha[0][k] * favg[15][k];
+        ghat[15][k] += 0.3535533905932738 * alpha[2][k] * favg[19][k];
+        ghat[15][k] += 0.31622776601683794 * alpha[3][k] * favg[7][k];
+        ghat[15][k] += 0.31622776601683794 * alpha[8][k] * favg[13][k];
+        ghat[15][k] += 0.3535533905932738 * alpha[9][k] * favg[1][k];
+        ghat[15][k] += 0.22587697572631282 * alpha[9][k] * favg[15][k];
+        ghat[15][k] += 0.31622776601683794 * alpha[14][k] * favg[18][k];
+        ghat[15][k] += 0.3535533905932738 * alpha[16][k] * favg[5][k];
+        ghat[15][k] += 0.2258769757263128 * alpha[16][k] * favg[19][k];
+    }
+    for k in 0..L {
+        ghat[16][k] += 0.3535533905932738 * alpha[0][k] * favg[16][k];
+        ghat[16][k] += 0.3535533905932738 * alpha[2][k] * favg[9][k];
+        ghat[16][k] += 0.31622776601683794 * alpha[3][k] * favg[8][k];
+        ghat[16][k] += 0.31622776601683794 * alpha[6][k] * favg[16][k];
+        ghat[16][k] += 0.31622776601683794 * alpha[8][k] * favg[3][k];
+        ghat[16][k] += 0.282842712474619 * alpha[8][k] * favg[14][k];
+        ghat[16][k] += 0.3535533905932738 * alpha[9][k] * favg[2][k];
+        ghat[16][k] += 0.22587697572631282 * alpha[9][k] * favg[16][k];
+        ghat[16][k] += 0.282842712474619 * alpha[14][k] * favg[8][k];
+        ghat[16][k] += 0.3535533905932738 * alpha[16][k] * favg[0][k];
+        ghat[16][k] += 0.31622776601683794 * alpha[16][k] * favg[6][k];
+        ghat[16][k] += 0.22587697572631282 * alpha[16][k] * favg[9][k];
+    }
+    for k in 0..L {
+        ghat[17][k] += 0.3535533905932738 * alpha[0][k] * favg[17][k];
+        ghat[17][k] += 0.3535533905932738 * alpha[2][k] * favg[12][k];
+        ghat[17][k] += 0.3535533905932738 * alpha[3][k] * favg[10][k];
+        ghat[17][k] += 0.31622776601683794 * alpha[6][k] * favg[17][k];
+        ghat[17][k] += 0.3535533905932738 * alpha[8][k] * favg[4][k];
+        ghat[17][k] += 0.31622776601683794 * alpha[9][k] * favg[17][k];
+        ghat[17][k] += 0.31622776601683794 * alpha[14][k] * favg[10][k];
+        ghat[17][k] += 0.31622776601683794 * alpha[16][k] * favg[12][k];
+    }
+    for k in 0..L {
+        ghat[18][k] += 0.3535533905932738 * alpha[0][k] * favg[18][k];
+        ghat[18][k] += 0.31622776601683794 * alpha[2][k] * favg[13][k];
+        ghat[18][k] += 0.3535533905932738 * alpha[3][k] * favg[11][k];
+        ghat[18][k] += 0.3535533905932738 * alpha[6][k] * favg[7][k];
+        ghat[18][k] += 0.2258769757263128 * alpha[6][k] * favg[18][k];
+        ghat[18][k] += 0.31622776601683794 * alpha[8][k] * favg[5][k];
+        ghat[18][k] += 0.282842712474619 * alpha[8][k] * favg[19][k];
+        ghat[18][k] += 0.31622776601683794 * alpha[9][k] * favg[18][k];
+        ghat[18][k] += 0.3535533905932738 * alpha[14][k] * favg[1][k];
+        ghat[18][k] += 0.2258769757263128 * alpha[14][k] * favg[11][k];
+        ghat[18][k] += 0.31622776601683794 * alpha[14][k] * favg[15][k];
+        ghat[18][k] += 0.282842712474619 * alpha[16][k] * favg[13][k];
+    }
+    for k in 0..L {
+        ghat[19][k] += 0.3535533905932738 * alpha[0][k] * favg[19][k];
+        ghat[19][k] += 0.3535533905932738 * alpha[2][k] * favg[15][k];
+        ghat[19][k] += 0.31622776601683794 * alpha[3][k] * favg[13][k];
+        ghat[19][k] += 0.31622776601683794 * alpha[6][k] * favg[19][k];
+        ghat[19][k] += 0.31622776601683794 * alpha[8][k] * favg[7][k];
+        ghat[19][k] += 0.282842712474619 * alpha[8][k] * favg[18][k];
+        ghat[19][k] += 0.3535533905932738 * alpha[9][k] * favg[5][k];
+        ghat[19][k] += 0.2258769757263128 * alpha[9][k] * favg[19][k];
+        ghat[19][k] += 0.282842712474619 * alpha[14][k] * favg[13][k];
+        ghat[19][k] += 0.3535533905932738 * alpha[16][k] * favg[1][k];
+        ghat[19][k] += 0.31622776601683794 * alpha[16][k] * favg[11][k];
+        ghat[19][k] += 0.2258769757263128 * alpha[16][k] * favg[15][k];
+    }
+    sxn(&mut out_lo[0], -scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[2], -scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[3], -scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], -scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], -scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_lo[6], -scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[7], -scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[8], -scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[9], -scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[10], -scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[11], -scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[12], -scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[13], -scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[14], -scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[15], -scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_lo[16], -scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[17], -scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_lo[18], -scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[19], -scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[20], -scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[21], -scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[22], -scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_lo[23], -scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[24], -scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[25], -scale * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[26], -scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[27], -scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[28], -scale * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[29], -scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[30], -scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_lo[31], -scale * 1.5811388300841898, &ghat[5]);
+    sxn(&mut out_lo[32], -scale * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[33], -scale * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[34], -scale * 1.5811388300841898, &ghat[7]);
+    sxn(&mut out_lo[35], -scale * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[36], -scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_lo[37], -scale * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[38], -scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_lo[39], -scale * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[40], -scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_lo[41], -scale * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_lo[42], -scale * 1.224744871391589, &ghat[16]);
+    sxn(&mut out_lo[43], -scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_lo[44], -scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_lo[45], -scale * 1.224744871391589, &ghat[17]);
+    sxn(&mut out_lo[46], -scale * 1.224744871391589, &ghat[18]);
+    sxn(&mut out_lo[47], -scale * 1.224744871391589, &ghat[19]);
+    sxn(&mut out_hi[0], scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[2], scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[3], scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_hi[6], scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[7], scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[8], scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[9], scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[10], scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[11], scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[12], scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[13], scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[14], scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[15], scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_hi[16], scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[17], scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_hi[18], scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[19], scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[20], scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[21], scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[22], scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_hi[23], scale * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[24], scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[25], scale * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[26], scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[27], scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[28], scale * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[29], scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[30], scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_hi[31], scale * 1.5811388300841898, &ghat[5]);
+    sxn(&mut out_hi[32], scale * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[33], scale * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[34], scale * 1.5811388300841898, &ghat[7]);
+    sxn(&mut out_hi[35], scale * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[36], scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_hi[37], scale * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[38], scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_hi[39], scale * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[40], scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_hi[41], scale * -1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[42], scale * -1.224744871391589, &ghat[16]);
+    sxn(&mut out_hi[43], scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_hi[44], scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_hi[45], scale * -1.224744871391589, &ghat[17]);
+    sxn(&mut out_hi[46], scale * -1.224744871391589, &ghat[18]);
+    sxn(&mut out_hi[47], scale * -1.224744871391589, &ghat[19]);
 }
 
 /// LDG gradient in v1 for one cell: volume gradient-mass plus the
@@ -2494,572 +3006,692 @@ pub fn lbo_2x2v_p2_ser_drag_surf_v1(nu: f64, vstar: f64, dv: f64, u: &[f64], f_l
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x2v_p2_ser_diff_grad_v1(dv: f64, at_upper: bool, f: &[f64], f_up: &[f64], g: &mut [f64]) {
+    lbo_2x2v_p2_ser_diff_grad_v1_body::<1>(dv, at_upper, f.as_chunks().0, f_up.as_chunks().0, g.as_chunks_mut().0)
+}
+
+/// [`lbo_2x2v_p2_ser_diff_grad_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_diff_grad_v1_b4(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_diff_grad_v1_body(dv, at_upper, f, f_up, g)
+}
+
+/// [`lbo_2x2v_p2_ser_diff_grad_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_diff_grad_v1_b4_avx2(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_diff_grad_v1_body(dv, at_upper, f, f_up, g)
+}
+
+/// Shared lane-generic body of [`lbo_2x2v_p2_ser_diff_grad_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x2v_p2_ser_diff_grad_v1_body<const L: usize>(dv: f64, at_upper: bool, f: &[[f64; L]], f_up: &[[f64; L]], g: &mut [[f64; L]]) {
+    let f: &[[f64; L]; 48] = f.first_chunk().expect("f: 48 coefficients");
+    let f_up: &[[f64; L]; 48] = f_up.first_chunk().expect("f_up: 48 coefficients");
+    let g: &mut [[f64; L]; 48] = g.first_chunk_mut().expect("g: 48 coefficients");
     let scale = 2.0 / dv;
-    g[1] += -scale * 1.7320508075688772 * f[0];
-    g[5] += -scale * 3.872983346207417 * f[1];
-    g[6] += -scale * 1.7320508075688772 * f[2];
-    g[8] += -scale * 1.7320508075688772 * f[3];
-    g[11] += -scale * 1.7320508075688772 * f[4];
-    g[15] += -scale * 3.872983346207417 * f[6];
-    g[16] += -scale * 1.7320508075688772 * f[7];
-    g[17] += -scale * 3.872983346207417 * f[8];
-    g[18] += -scale * 1.7320508075688772 * f[9];
-    g[20] += -scale * 1.7320508075688772 * f[10];
-    g[22] += -scale * 3.872983346207417 * f[11];
-    g[23] += -scale * 1.7320508075688772 * f[12];
-    g[25] += -scale * 1.7320508075688772 * f[13];
-    g[28] += -scale * 1.7320508075688772 * f[14];
-    g[31] += -scale * 3.872983346207417 * f[18];
-    g[32] += -scale * 1.7320508075688772 * f[19];
-    g[33] += -scale * 1.7320508075688772 * f[21];
-    g[34] += -scale * 3.872983346207417 * f[23];
-    g[35] += -scale * 1.7320508075688772 * f[24];
-    g[36] += -scale * 3.872983346207417 * f[25];
-    g[37] += -scale * 1.7320508075688772 * f[26];
-    g[39] += -scale * 1.7320508075688772 * f[27];
-    g[41] += -scale * 1.7320508075688772 * f[29];
-    g[42] += -scale * 1.7320508075688772 * f[30];
-    g[44] += -scale * 3.872983346207417 * f[37];
-    g[45] += -scale * 1.7320508075688772 * f[38];
-    g[46] += -scale * 1.7320508075688772 * f[40];
-    g[47] += -scale * 1.7320508075688772 * f[43];
-    let mut tr = [0.0f64; 20];
+    sxn(&mut g[1], -scale * 1.7320508075688772, &f[0]);
+    sxn(&mut g[5], -scale * 3.872983346207417, &f[1]);
+    sxn(&mut g[6], -scale * 1.7320508075688772, &f[2]);
+    sxn(&mut g[8], -scale * 1.7320508075688772, &f[3]);
+    sxn(&mut g[11], -scale * 1.7320508075688772, &f[4]);
+    sxn(&mut g[15], -scale * 3.872983346207417, &f[6]);
+    sxn(&mut g[16], -scale * 1.7320508075688772, &f[7]);
+    sxn(&mut g[17], -scale * 3.872983346207417, &f[8]);
+    sxn(&mut g[18], -scale * 1.7320508075688772, &f[9]);
+    sxn(&mut g[20], -scale * 1.7320508075688772, &f[10]);
+    sxn(&mut g[22], -scale * 3.872983346207417, &f[11]);
+    sxn(&mut g[23], -scale * 1.7320508075688772, &f[12]);
+    sxn(&mut g[25], -scale * 1.7320508075688772, &f[13]);
+    sxn(&mut g[28], -scale * 1.7320508075688772, &f[14]);
+    sxn(&mut g[31], -scale * 3.872983346207417, &f[18]);
+    sxn(&mut g[32], -scale * 1.7320508075688772, &f[19]);
+    sxn(&mut g[33], -scale * 1.7320508075688772, &f[21]);
+    sxn(&mut g[34], -scale * 3.872983346207417, &f[23]);
+    sxn(&mut g[35], -scale * 1.7320508075688772, &f[24]);
+    sxn(&mut g[36], -scale * 3.872983346207417, &f[25]);
+    sxn(&mut g[37], -scale * 1.7320508075688772, &f[26]);
+    sxn(&mut g[39], -scale * 1.7320508075688772, &f[27]);
+    sxn(&mut g[41], -scale * 1.7320508075688772, &f[29]);
+    sxn(&mut g[42], -scale * 1.7320508075688772, &f[30]);
+    sxn(&mut g[44], -scale * 3.872983346207417, &f[37]);
+    sxn(&mut g[45], -scale * 1.7320508075688772, &f[38]);
+    sxn(&mut g[46], -scale * 1.7320508075688772, &f[40]);
+    sxn(&mut g[47], -scale * 1.7320508075688772, &f[43]);
+    let mut tr = [[0.0f64; L]; 20];
     if at_upper {
-        tr[0] += 0.7071067811865476 * f[0];
-        tr[0] += 1.224744871391589 * f[1];
-        tr[1] += 0.7071067811865476 * f[2];
-        tr[2] += 0.7071067811865476 * f[3];
-        tr[3] += 0.7071067811865476 * f[4];
-        tr[0] += 1.5811388300841898 * f[5];
-        tr[1] += 1.224744871391589 * f[6];
-        tr[4] += 0.7071067811865476 * f[7];
-        tr[2] += 1.224744871391589 * f[8];
-        tr[5] += 0.7071067811865476 * f[9];
-        tr[6] += 0.7071067811865476 * f[10];
-        tr[3] += 1.224744871391589 * f[11];
-        tr[7] += 0.7071067811865476 * f[12];
-        tr[8] += 0.7071067811865476 * f[13];
-        tr[9] += 0.7071067811865476 * f[14];
-        tr[1] += 1.5811388300841898 * f[15];
-        tr[4] += 1.224744871391589 * f[16];
-        tr[2] += 1.5811388300841898 * f[17];
-        tr[5] += 1.224744871391589 * f[18];
-        tr[10] += 0.7071067811865476 * f[19];
-        tr[6] += 1.224744871391589 * f[20];
-        tr[11] += 0.7071067811865476 * f[21];
-        tr[3] += 1.5811388300841898 * f[22];
-        tr[7] += 1.224744871391589 * f[23];
-        tr[12] += 0.7071067811865476 * f[24];
-        tr[8] += 1.224744871391589 * f[25];
-        tr[13] += 0.7071067811865476 * f[26];
-        tr[14] += 0.7071067811865476 * f[27];
-        tr[9] += 1.224744871391589 * f[28];
-        tr[15] += 0.7071067811865476 * f[29];
-        tr[16] += 0.7071067811865476 * f[30];
-        tr[5] += 1.5811388300841898 * f[31];
-        tr[10] += 1.224744871391589 * f[32];
-        tr[11] += 1.224744871391589 * f[33];
-        tr[7] += 1.5811388300841898 * f[34];
-        tr[12] += 1.224744871391589 * f[35];
-        tr[8] += 1.5811388300841898 * f[36];
-        tr[13] += 1.224744871391589 * f[37];
-        tr[17] += 0.7071067811865476 * f[38];
-        tr[14] += 1.224744871391589 * f[39];
-        tr[18] += 0.7071067811865476 * f[40];
-        tr[15] += 1.224744871391589 * f[41];
-        tr[16] += 1.224744871391589 * f[42];
-        tr[19] += 0.7071067811865476 * f[43];
-        tr[13] += 1.5811388300841898 * f[44];
-        tr[17] += 1.224744871391589 * f[45];
-        tr[18] += 1.224744871391589 * f[46];
-        tr[19] += 1.224744871391589 * f[47];
+        for k in 0..L {
+            tr[0][k] += 0.7071067811865476 * f[0][k];
+            tr[0][k] += 1.224744871391589 * f[1][k];
+        }
+        sxn(&mut tr[1], 0.7071067811865476, &f[2]);
+        sxn(&mut tr[2], 0.7071067811865476, &f[3]);
+        sxn(&mut tr[3], 0.7071067811865476, &f[4]);
+        sxn(&mut tr[0], 1.5811388300841898, &f[5]);
+        sxn(&mut tr[1], 1.224744871391589, &f[6]);
+        sxn(&mut tr[4], 0.7071067811865476, &f[7]);
+        sxn(&mut tr[2], 1.224744871391589, &f[8]);
+        sxn(&mut tr[5], 0.7071067811865476, &f[9]);
+        sxn(&mut tr[6], 0.7071067811865476, &f[10]);
+        sxn(&mut tr[3], 1.224744871391589, &f[11]);
+        sxn(&mut tr[7], 0.7071067811865476, &f[12]);
+        sxn(&mut tr[8], 0.7071067811865476, &f[13]);
+        sxn(&mut tr[9], 0.7071067811865476, &f[14]);
+        sxn(&mut tr[1], 1.5811388300841898, &f[15]);
+        sxn(&mut tr[4], 1.224744871391589, &f[16]);
+        sxn(&mut tr[2], 1.5811388300841898, &f[17]);
+        sxn(&mut tr[5], 1.224744871391589, &f[18]);
+        sxn(&mut tr[10], 0.7071067811865476, &f[19]);
+        sxn(&mut tr[6], 1.224744871391589, &f[20]);
+        sxn(&mut tr[11], 0.7071067811865476, &f[21]);
+        sxn(&mut tr[3], 1.5811388300841898, &f[22]);
+        sxn(&mut tr[7], 1.224744871391589, &f[23]);
+        sxn(&mut tr[12], 0.7071067811865476, &f[24]);
+        sxn(&mut tr[8], 1.224744871391589, &f[25]);
+        sxn(&mut tr[13], 0.7071067811865476, &f[26]);
+        sxn(&mut tr[14], 0.7071067811865476, &f[27]);
+        sxn(&mut tr[9], 1.224744871391589, &f[28]);
+        sxn(&mut tr[15], 0.7071067811865476, &f[29]);
+        sxn(&mut tr[16], 0.7071067811865476, &f[30]);
+        sxn(&mut tr[5], 1.5811388300841898, &f[31]);
+        sxn(&mut tr[10], 1.224744871391589, &f[32]);
+        sxn(&mut tr[11], 1.224744871391589, &f[33]);
+        sxn(&mut tr[7], 1.5811388300841898, &f[34]);
+        sxn(&mut tr[12], 1.224744871391589, &f[35]);
+        sxn(&mut tr[8], 1.5811388300841898, &f[36]);
+        sxn(&mut tr[13], 1.224744871391589, &f[37]);
+        sxn(&mut tr[17], 0.7071067811865476, &f[38]);
+        sxn(&mut tr[14], 1.224744871391589, &f[39]);
+        sxn(&mut tr[18], 0.7071067811865476, &f[40]);
+        sxn(&mut tr[15], 1.224744871391589, &f[41]);
+        sxn(&mut tr[16], 1.224744871391589, &f[42]);
+        sxn(&mut tr[19], 0.7071067811865476, &f[43]);
+        sxn(&mut tr[13], 1.5811388300841898, &f[44]);
+        sxn(&mut tr[17], 1.224744871391589, &f[45]);
+        sxn(&mut tr[18], 1.224744871391589, &f[46]);
+        sxn(&mut tr[19], 1.224744871391589, &f[47]);
     } else {
-        tr[0] += 0.7071067811865476 * f_up[0];
-        tr[0] += -1.224744871391589 * f_up[1];
-        tr[1] += 0.7071067811865476 * f_up[2];
-        tr[2] += 0.7071067811865476 * f_up[3];
-        tr[3] += 0.7071067811865476 * f_up[4];
-        tr[0] += 1.5811388300841898 * f_up[5];
-        tr[1] += -1.224744871391589 * f_up[6];
-        tr[4] += 0.7071067811865476 * f_up[7];
-        tr[2] += -1.224744871391589 * f_up[8];
-        tr[5] += 0.7071067811865476 * f_up[9];
-        tr[6] += 0.7071067811865476 * f_up[10];
-        tr[3] += -1.224744871391589 * f_up[11];
-        tr[7] += 0.7071067811865476 * f_up[12];
-        tr[8] += 0.7071067811865476 * f_up[13];
-        tr[9] += 0.7071067811865476 * f_up[14];
-        tr[1] += 1.5811388300841898 * f_up[15];
-        tr[4] += -1.224744871391589 * f_up[16];
-        tr[2] += 1.5811388300841898 * f_up[17];
-        tr[5] += -1.224744871391589 * f_up[18];
-        tr[10] += 0.7071067811865476 * f_up[19];
-        tr[6] += -1.224744871391589 * f_up[20];
-        tr[11] += 0.7071067811865476 * f_up[21];
-        tr[3] += 1.5811388300841898 * f_up[22];
-        tr[7] += -1.224744871391589 * f_up[23];
-        tr[12] += 0.7071067811865476 * f_up[24];
-        tr[8] += -1.224744871391589 * f_up[25];
-        tr[13] += 0.7071067811865476 * f_up[26];
-        tr[14] += 0.7071067811865476 * f_up[27];
-        tr[9] += -1.224744871391589 * f_up[28];
-        tr[15] += 0.7071067811865476 * f_up[29];
-        tr[16] += 0.7071067811865476 * f_up[30];
-        tr[5] += 1.5811388300841898 * f_up[31];
-        tr[10] += -1.224744871391589 * f_up[32];
-        tr[11] += -1.224744871391589 * f_up[33];
-        tr[7] += 1.5811388300841898 * f_up[34];
-        tr[12] += -1.224744871391589 * f_up[35];
-        tr[8] += 1.5811388300841898 * f_up[36];
-        tr[13] += -1.224744871391589 * f_up[37];
-        tr[17] += 0.7071067811865476 * f_up[38];
-        tr[14] += -1.224744871391589 * f_up[39];
-        tr[18] += 0.7071067811865476 * f_up[40];
-        tr[15] += -1.224744871391589 * f_up[41];
-        tr[16] += -1.224744871391589 * f_up[42];
-        tr[19] += 0.7071067811865476 * f_up[43];
-        tr[13] += 1.5811388300841898 * f_up[44];
-        tr[17] += -1.224744871391589 * f_up[45];
-        tr[18] += -1.224744871391589 * f_up[46];
-        tr[19] += -1.224744871391589 * f_up[47];
+        for k in 0..L {
+            tr[0][k] += 0.7071067811865476 * f_up[0][k];
+            tr[0][k] += -1.224744871391589 * f_up[1][k];
+        }
+        sxn(&mut tr[1], 0.7071067811865476, &f_up[2]);
+        sxn(&mut tr[2], 0.7071067811865476, &f_up[3]);
+        sxn(&mut tr[3], 0.7071067811865476, &f_up[4]);
+        sxn(&mut tr[0], 1.5811388300841898, &f_up[5]);
+        sxn(&mut tr[1], -1.224744871391589, &f_up[6]);
+        sxn(&mut tr[4], 0.7071067811865476, &f_up[7]);
+        sxn(&mut tr[2], -1.224744871391589, &f_up[8]);
+        sxn(&mut tr[5], 0.7071067811865476, &f_up[9]);
+        sxn(&mut tr[6], 0.7071067811865476, &f_up[10]);
+        sxn(&mut tr[3], -1.224744871391589, &f_up[11]);
+        sxn(&mut tr[7], 0.7071067811865476, &f_up[12]);
+        sxn(&mut tr[8], 0.7071067811865476, &f_up[13]);
+        sxn(&mut tr[9], 0.7071067811865476, &f_up[14]);
+        sxn(&mut tr[1], 1.5811388300841898, &f_up[15]);
+        sxn(&mut tr[4], -1.224744871391589, &f_up[16]);
+        sxn(&mut tr[2], 1.5811388300841898, &f_up[17]);
+        sxn(&mut tr[5], -1.224744871391589, &f_up[18]);
+        sxn(&mut tr[10], 0.7071067811865476, &f_up[19]);
+        sxn(&mut tr[6], -1.224744871391589, &f_up[20]);
+        sxn(&mut tr[11], 0.7071067811865476, &f_up[21]);
+        sxn(&mut tr[3], 1.5811388300841898, &f_up[22]);
+        sxn(&mut tr[7], -1.224744871391589, &f_up[23]);
+        sxn(&mut tr[12], 0.7071067811865476, &f_up[24]);
+        sxn(&mut tr[8], -1.224744871391589, &f_up[25]);
+        sxn(&mut tr[13], 0.7071067811865476, &f_up[26]);
+        sxn(&mut tr[14], 0.7071067811865476, &f_up[27]);
+        sxn(&mut tr[9], -1.224744871391589, &f_up[28]);
+        sxn(&mut tr[15], 0.7071067811865476, &f_up[29]);
+        sxn(&mut tr[16], 0.7071067811865476, &f_up[30]);
+        sxn(&mut tr[5], 1.5811388300841898, &f_up[31]);
+        sxn(&mut tr[10], -1.224744871391589, &f_up[32]);
+        sxn(&mut tr[11], -1.224744871391589, &f_up[33]);
+        sxn(&mut tr[7], 1.5811388300841898, &f_up[34]);
+        sxn(&mut tr[12], -1.224744871391589, &f_up[35]);
+        sxn(&mut tr[8], 1.5811388300841898, &f_up[36]);
+        sxn(&mut tr[13], -1.224744871391589, &f_up[37]);
+        sxn(&mut tr[17], 0.7071067811865476, &f_up[38]);
+        sxn(&mut tr[14], -1.224744871391589, &f_up[39]);
+        sxn(&mut tr[18], 0.7071067811865476, &f_up[40]);
+        sxn(&mut tr[15], -1.224744871391589, &f_up[41]);
+        sxn(&mut tr[16], -1.224744871391589, &f_up[42]);
+        sxn(&mut tr[19], 0.7071067811865476, &f_up[43]);
+        sxn(&mut tr[13], 1.5811388300841898, &f_up[44]);
+        sxn(&mut tr[17], -1.224744871391589, &f_up[45]);
+        sxn(&mut tr[18], -1.224744871391589, &f_up[46]);
+        sxn(&mut tr[19], -1.224744871391589, &f_up[47]);
     }
-    g[0] += scale * 0.7071067811865476 * tr[0];
-    g[1] += scale * 1.224744871391589 * tr[0];
-    g[2] += scale * 0.7071067811865476 * tr[1];
-    g[3] += scale * 0.7071067811865476 * tr[2];
-    g[4] += scale * 0.7071067811865476 * tr[3];
-    g[5] += scale * 1.5811388300841898 * tr[0];
-    g[6] += scale * 1.224744871391589 * tr[1];
-    g[7] += scale * 0.7071067811865476 * tr[4];
-    g[8] += scale * 1.224744871391589 * tr[2];
-    g[9] += scale * 0.7071067811865476 * tr[5];
-    g[10] += scale * 0.7071067811865476 * tr[6];
-    g[11] += scale * 1.224744871391589 * tr[3];
-    g[12] += scale * 0.7071067811865476 * tr[7];
-    g[13] += scale * 0.7071067811865476 * tr[8];
-    g[14] += scale * 0.7071067811865476 * tr[9];
-    g[15] += scale * 1.5811388300841898 * tr[1];
-    g[16] += scale * 1.224744871391589 * tr[4];
-    g[17] += scale * 1.5811388300841898 * tr[2];
-    g[18] += scale * 1.224744871391589 * tr[5];
-    g[19] += scale * 0.7071067811865476 * tr[10];
-    g[20] += scale * 1.224744871391589 * tr[6];
-    g[21] += scale * 0.7071067811865476 * tr[11];
-    g[22] += scale * 1.5811388300841898 * tr[3];
-    g[23] += scale * 1.224744871391589 * tr[7];
-    g[24] += scale * 0.7071067811865476 * tr[12];
-    g[25] += scale * 1.224744871391589 * tr[8];
-    g[26] += scale * 0.7071067811865476 * tr[13];
-    g[27] += scale * 0.7071067811865476 * tr[14];
-    g[28] += scale * 1.224744871391589 * tr[9];
-    g[29] += scale * 0.7071067811865476 * tr[15];
-    g[30] += scale * 0.7071067811865476 * tr[16];
-    g[31] += scale * 1.5811388300841898 * tr[5];
-    g[32] += scale * 1.224744871391589 * tr[10];
-    g[33] += scale * 1.224744871391589 * tr[11];
-    g[34] += scale * 1.5811388300841898 * tr[7];
-    g[35] += scale * 1.224744871391589 * tr[12];
-    g[36] += scale * 1.5811388300841898 * tr[8];
-    g[37] += scale * 1.224744871391589 * tr[13];
-    g[38] += scale * 0.7071067811865476 * tr[17];
-    g[39] += scale * 1.224744871391589 * tr[14];
-    g[40] += scale * 0.7071067811865476 * tr[18];
-    g[41] += scale * 1.224744871391589 * tr[15];
-    g[42] += scale * 1.224744871391589 * tr[16];
-    g[43] += scale * 0.7071067811865476 * tr[19];
-    g[44] += scale * 1.5811388300841898 * tr[13];
-    g[45] += scale * 1.224744871391589 * tr[17];
-    g[46] += scale * 1.224744871391589 * tr[18];
-    g[47] += scale * 1.224744871391589 * tr[19];
-    let mut tl = [0.0f64; 20];
-    tl[0] += 0.7071067811865476 * f[0];
-    tl[0] += -1.224744871391589 * f[1];
-    tl[1] += 0.7071067811865476 * f[2];
-    tl[2] += 0.7071067811865476 * f[3];
-    tl[3] += 0.7071067811865476 * f[4];
-    tl[0] += 1.5811388300841898 * f[5];
-    tl[1] += -1.224744871391589 * f[6];
-    tl[4] += 0.7071067811865476 * f[7];
-    tl[2] += -1.224744871391589 * f[8];
-    tl[5] += 0.7071067811865476 * f[9];
-    tl[6] += 0.7071067811865476 * f[10];
-    tl[3] += -1.224744871391589 * f[11];
-    tl[7] += 0.7071067811865476 * f[12];
-    tl[8] += 0.7071067811865476 * f[13];
-    tl[9] += 0.7071067811865476 * f[14];
-    tl[1] += 1.5811388300841898 * f[15];
-    tl[4] += -1.224744871391589 * f[16];
-    tl[2] += 1.5811388300841898 * f[17];
-    tl[5] += -1.224744871391589 * f[18];
-    tl[10] += 0.7071067811865476 * f[19];
-    tl[6] += -1.224744871391589 * f[20];
-    tl[11] += 0.7071067811865476 * f[21];
-    tl[3] += 1.5811388300841898 * f[22];
-    tl[7] += -1.224744871391589 * f[23];
-    tl[12] += 0.7071067811865476 * f[24];
-    tl[8] += -1.224744871391589 * f[25];
-    tl[13] += 0.7071067811865476 * f[26];
-    tl[14] += 0.7071067811865476 * f[27];
-    tl[9] += -1.224744871391589 * f[28];
-    tl[15] += 0.7071067811865476 * f[29];
-    tl[16] += 0.7071067811865476 * f[30];
-    tl[5] += 1.5811388300841898 * f[31];
-    tl[10] += -1.224744871391589 * f[32];
-    tl[11] += -1.224744871391589 * f[33];
-    tl[7] += 1.5811388300841898 * f[34];
-    tl[12] += -1.224744871391589 * f[35];
-    tl[8] += 1.5811388300841898 * f[36];
-    tl[13] += -1.224744871391589 * f[37];
-    tl[17] += 0.7071067811865476 * f[38];
-    tl[14] += -1.224744871391589 * f[39];
-    tl[18] += 0.7071067811865476 * f[40];
-    tl[15] += -1.224744871391589 * f[41];
-    tl[16] += -1.224744871391589 * f[42];
-    tl[19] += 0.7071067811865476 * f[43];
-    tl[13] += 1.5811388300841898 * f[44];
-    tl[17] += -1.224744871391589 * f[45];
-    tl[18] += -1.224744871391589 * f[46];
-    tl[19] += -1.224744871391589 * f[47];
-    g[0] += -scale * 0.7071067811865476 * tl[0];
-    g[1] += -scale * -1.224744871391589 * tl[0];
-    g[2] += -scale * 0.7071067811865476 * tl[1];
-    g[3] += -scale * 0.7071067811865476 * tl[2];
-    g[4] += -scale * 0.7071067811865476 * tl[3];
-    g[5] += -scale * 1.5811388300841898 * tl[0];
-    g[6] += -scale * -1.224744871391589 * tl[1];
-    g[7] += -scale * 0.7071067811865476 * tl[4];
-    g[8] += -scale * -1.224744871391589 * tl[2];
-    g[9] += -scale * 0.7071067811865476 * tl[5];
-    g[10] += -scale * 0.7071067811865476 * tl[6];
-    g[11] += -scale * -1.224744871391589 * tl[3];
-    g[12] += -scale * 0.7071067811865476 * tl[7];
-    g[13] += -scale * 0.7071067811865476 * tl[8];
-    g[14] += -scale * 0.7071067811865476 * tl[9];
-    g[15] += -scale * 1.5811388300841898 * tl[1];
-    g[16] += -scale * -1.224744871391589 * tl[4];
-    g[17] += -scale * 1.5811388300841898 * tl[2];
-    g[18] += -scale * -1.224744871391589 * tl[5];
-    g[19] += -scale * 0.7071067811865476 * tl[10];
-    g[20] += -scale * -1.224744871391589 * tl[6];
-    g[21] += -scale * 0.7071067811865476 * tl[11];
-    g[22] += -scale * 1.5811388300841898 * tl[3];
-    g[23] += -scale * -1.224744871391589 * tl[7];
-    g[24] += -scale * 0.7071067811865476 * tl[12];
-    g[25] += -scale * -1.224744871391589 * tl[8];
-    g[26] += -scale * 0.7071067811865476 * tl[13];
-    g[27] += -scale * 0.7071067811865476 * tl[14];
-    g[28] += -scale * -1.224744871391589 * tl[9];
-    g[29] += -scale * 0.7071067811865476 * tl[15];
-    g[30] += -scale * 0.7071067811865476 * tl[16];
-    g[31] += -scale * 1.5811388300841898 * tl[5];
-    g[32] += -scale * -1.224744871391589 * tl[10];
-    g[33] += -scale * -1.224744871391589 * tl[11];
-    g[34] += -scale * 1.5811388300841898 * tl[7];
-    g[35] += -scale * -1.224744871391589 * tl[12];
-    g[36] += -scale * 1.5811388300841898 * tl[8];
-    g[37] += -scale * -1.224744871391589 * tl[13];
-    g[38] += -scale * 0.7071067811865476 * tl[17];
-    g[39] += -scale * -1.224744871391589 * tl[14];
-    g[40] += -scale * 0.7071067811865476 * tl[18];
-    g[41] += -scale * -1.224744871391589 * tl[15];
-    g[42] += -scale * -1.224744871391589 * tl[16];
-    g[43] += -scale * 0.7071067811865476 * tl[19];
-    g[44] += -scale * 1.5811388300841898 * tl[13];
-    g[45] += -scale * -1.224744871391589 * tl[17];
-    g[46] += -scale * -1.224744871391589 * tl[18];
-    g[47] += -scale * -1.224744871391589 * tl[19];
+    sxn(&mut g[0], scale * 0.7071067811865476, &tr[0]);
+    sxn(&mut g[1], scale * 1.224744871391589, &tr[0]);
+    sxn(&mut g[2], scale * 0.7071067811865476, &tr[1]);
+    sxn(&mut g[3], scale * 0.7071067811865476, &tr[2]);
+    sxn(&mut g[4], scale * 0.7071067811865476, &tr[3]);
+    sxn(&mut g[5], scale * 1.5811388300841898, &tr[0]);
+    sxn(&mut g[6], scale * 1.224744871391589, &tr[1]);
+    sxn(&mut g[7], scale * 0.7071067811865476, &tr[4]);
+    sxn(&mut g[8], scale * 1.224744871391589, &tr[2]);
+    sxn(&mut g[9], scale * 0.7071067811865476, &tr[5]);
+    sxn(&mut g[10], scale * 0.7071067811865476, &tr[6]);
+    sxn(&mut g[11], scale * 1.224744871391589, &tr[3]);
+    sxn(&mut g[12], scale * 0.7071067811865476, &tr[7]);
+    sxn(&mut g[13], scale * 0.7071067811865476, &tr[8]);
+    sxn(&mut g[14], scale * 0.7071067811865476, &tr[9]);
+    sxn(&mut g[15], scale * 1.5811388300841898, &tr[1]);
+    sxn(&mut g[16], scale * 1.224744871391589, &tr[4]);
+    sxn(&mut g[17], scale * 1.5811388300841898, &tr[2]);
+    sxn(&mut g[18], scale * 1.224744871391589, &tr[5]);
+    sxn(&mut g[19], scale * 0.7071067811865476, &tr[10]);
+    sxn(&mut g[20], scale * 1.224744871391589, &tr[6]);
+    sxn(&mut g[21], scale * 0.7071067811865476, &tr[11]);
+    sxn(&mut g[22], scale * 1.5811388300841898, &tr[3]);
+    sxn(&mut g[23], scale * 1.224744871391589, &tr[7]);
+    sxn(&mut g[24], scale * 0.7071067811865476, &tr[12]);
+    sxn(&mut g[25], scale * 1.224744871391589, &tr[8]);
+    sxn(&mut g[26], scale * 0.7071067811865476, &tr[13]);
+    sxn(&mut g[27], scale * 0.7071067811865476, &tr[14]);
+    sxn(&mut g[28], scale * 1.224744871391589, &tr[9]);
+    sxn(&mut g[29], scale * 0.7071067811865476, &tr[15]);
+    sxn(&mut g[30], scale * 0.7071067811865476, &tr[16]);
+    sxn(&mut g[31], scale * 1.5811388300841898, &tr[5]);
+    sxn(&mut g[32], scale * 1.224744871391589, &tr[10]);
+    sxn(&mut g[33], scale * 1.224744871391589, &tr[11]);
+    sxn(&mut g[34], scale * 1.5811388300841898, &tr[7]);
+    sxn(&mut g[35], scale * 1.224744871391589, &tr[12]);
+    sxn(&mut g[36], scale * 1.5811388300841898, &tr[8]);
+    sxn(&mut g[37], scale * 1.224744871391589, &tr[13]);
+    sxn(&mut g[38], scale * 0.7071067811865476, &tr[17]);
+    sxn(&mut g[39], scale * 1.224744871391589, &tr[14]);
+    sxn(&mut g[40], scale * 0.7071067811865476, &tr[18]);
+    sxn(&mut g[41], scale * 1.224744871391589, &tr[15]);
+    sxn(&mut g[42], scale * 1.224744871391589, &tr[16]);
+    sxn(&mut g[43], scale * 0.7071067811865476, &tr[19]);
+    sxn(&mut g[44], scale * 1.5811388300841898, &tr[13]);
+    sxn(&mut g[45], scale * 1.224744871391589, &tr[17]);
+    sxn(&mut g[46], scale * 1.224744871391589, &tr[18]);
+    sxn(&mut g[47], scale * 1.224744871391589, &tr[19]);
+    let mut tl = [[0.0f64; L]; 20];
+    for k in 0..L {
+        tl[0][k] += 0.7071067811865476 * f[0][k];
+        tl[0][k] += -1.224744871391589 * f[1][k];
+    }
+    sxn(&mut tl[1], 0.7071067811865476, &f[2]);
+    sxn(&mut tl[2], 0.7071067811865476, &f[3]);
+    sxn(&mut tl[3], 0.7071067811865476, &f[4]);
+    sxn(&mut tl[0], 1.5811388300841898, &f[5]);
+    sxn(&mut tl[1], -1.224744871391589, &f[6]);
+    sxn(&mut tl[4], 0.7071067811865476, &f[7]);
+    sxn(&mut tl[2], -1.224744871391589, &f[8]);
+    sxn(&mut tl[5], 0.7071067811865476, &f[9]);
+    sxn(&mut tl[6], 0.7071067811865476, &f[10]);
+    sxn(&mut tl[3], -1.224744871391589, &f[11]);
+    sxn(&mut tl[7], 0.7071067811865476, &f[12]);
+    sxn(&mut tl[8], 0.7071067811865476, &f[13]);
+    sxn(&mut tl[9], 0.7071067811865476, &f[14]);
+    sxn(&mut tl[1], 1.5811388300841898, &f[15]);
+    sxn(&mut tl[4], -1.224744871391589, &f[16]);
+    sxn(&mut tl[2], 1.5811388300841898, &f[17]);
+    sxn(&mut tl[5], -1.224744871391589, &f[18]);
+    sxn(&mut tl[10], 0.7071067811865476, &f[19]);
+    sxn(&mut tl[6], -1.224744871391589, &f[20]);
+    sxn(&mut tl[11], 0.7071067811865476, &f[21]);
+    sxn(&mut tl[3], 1.5811388300841898, &f[22]);
+    sxn(&mut tl[7], -1.224744871391589, &f[23]);
+    sxn(&mut tl[12], 0.7071067811865476, &f[24]);
+    sxn(&mut tl[8], -1.224744871391589, &f[25]);
+    sxn(&mut tl[13], 0.7071067811865476, &f[26]);
+    sxn(&mut tl[14], 0.7071067811865476, &f[27]);
+    sxn(&mut tl[9], -1.224744871391589, &f[28]);
+    sxn(&mut tl[15], 0.7071067811865476, &f[29]);
+    sxn(&mut tl[16], 0.7071067811865476, &f[30]);
+    sxn(&mut tl[5], 1.5811388300841898, &f[31]);
+    sxn(&mut tl[10], -1.224744871391589, &f[32]);
+    sxn(&mut tl[11], -1.224744871391589, &f[33]);
+    sxn(&mut tl[7], 1.5811388300841898, &f[34]);
+    sxn(&mut tl[12], -1.224744871391589, &f[35]);
+    sxn(&mut tl[8], 1.5811388300841898, &f[36]);
+    sxn(&mut tl[13], -1.224744871391589, &f[37]);
+    sxn(&mut tl[17], 0.7071067811865476, &f[38]);
+    sxn(&mut tl[14], -1.224744871391589, &f[39]);
+    sxn(&mut tl[18], 0.7071067811865476, &f[40]);
+    sxn(&mut tl[15], -1.224744871391589, &f[41]);
+    sxn(&mut tl[16], -1.224744871391589, &f[42]);
+    sxn(&mut tl[19], 0.7071067811865476, &f[43]);
+    sxn(&mut tl[13], 1.5811388300841898, &f[44]);
+    sxn(&mut tl[17], -1.224744871391589, &f[45]);
+    sxn(&mut tl[18], -1.224744871391589, &f[46]);
+    sxn(&mut tl[19], -1.224744871391589, &f[47]);
+    sxn(&mut g[0], -scale * 0.7071067811865476, &tl[0]);
+    sxn(&mut g[1], -scale * -1.224744871391589, &tl[0]);
+    sxn(&mut g[2], -scale * 0.7071067811865476, &tl[1]);
+    sxn(&mut g[3], -scale * 0.7071067811865476, &tl[2]);
+    sxn(&mut g[4], -scale * 0.7071067811865476, &tl[3]);
+    sxn(&mut g[5], -scale * 1.5811388300841898, &tl[0]);
+    sxn(&mut g[6], -scale * -1.224744871391589, &tl[1]);
+    sxn(&mut g[7], -scale * 0.7071067811865476, &tl[4]);
+    sxn(&mut g[8], -scale * -1.224744871391589, &tl[2]);
+    sxn(&mut g[9], -scale * 0.7071067811865476, &tl[5]);
+    sxn(&mut g[10], -scale * 0.7071067811865476, &tl[6]);
+    sxn(&mut g[11], -scale * -1.224744871391589, &tl[3]);
+    sxn(&mut g[12], -scale * 0.7071067811865476, &tl[7]);
+    sxn(&mut g[13], -scale * 0.7071067811865476, &tl[8]);
+    sxn(&mut g[14], -scale * 0.7071067811865476, &tl[9]);
+    sxn(&mut g[15], -scale * 1.5811388300841898, &tl[1]);
+    sxn(&mut g[16], -scale * -1.224744871391589, &tl[4]);
+    sxn(&mut g[17], -scale * 1.5811388300841898, &tl[2]);
+    sxn(&mut g[18], -scale * -1.224744871391589, &tl[5]);
+    sxn(&mut g[19], -scale * 0.7071067811865476, &tl[10]);
+    sxn(&mut g[20], -scale * -1.224744871391589, &tl[6]);
+    sxn(&mut g[21], -scale * 0.7071067811865476, &tl[11]);
+    sxn(&mut g[22], -scale * 1.5811388300841898, &tl[3]);
+    sxn(&mut g[23], -scale * -1.224744871391589, &tl[7]);
+    sxn(&mut g[24], -scale * 0.7071067811865476, &tl[12]);
+    sxn(&mut g[25], -scale * -1.224744871391589, &tl[8]);
+    sxn(&mut g[26], -scale * 0.7071067811865476, &tl[13]);
+    sxn(&mut g[27], -scale * 0.7071067811865476, &tl[14]);
+    sxn(&mut g[28], -scale * -1.224744871391589, &tl[9]);
+    sxn(&mut g[29], -scale * 0.7071067811865476, &tl[15]);
+    sxn(&mut g[30], -scale * 0.7071067811865476, &tl[16]);
+    sxn(&mut g[31], -scale * 1.5811388300841898, &tl[5]);
+    sxn(&mut g[32], -scale * -1.224744871391589, &tl[10]);
+    sxn(&mut g[33], -scale * -1.224744871391589, &tl[11]);
+    sxn(&mut g[34], -scale * 1.5811388300841898, &tl[7]);
+    sxn(&mut g[35], -scale * -1.224744871391589, &tl[12]);
+    sxn(&mut g[36], -scale * 1.5811388300841898, &tl[8]);
+    sxn(&mut g[37], -scale * -1.224744871391589, &tl[13]);
+    sxn(&mut g[38], -scale * 0.7071067811865476, &tl[17]);
+    sxn(&mut g[39], -scale * -1.224744871391589, &tl[14]);
+    sxn(&mut g[40], -scale * 0.7071067811865476, &tl[18]);
+    sxn(&mut g[41], -scale * -1.224744871391589, &tl[15]);
+    sxn(&mut g[42], -scale * -1.224744871391589, &tl[16]);
+    sxn(&mut g[43], -scale * 0.7071067811865476, &tl[19]);
+    sxn(&mut g[44], -scale * 1.5811388300841898, &tl[13]);
+    sxn(&mut g[45], -scale * -1.224744871391589, &tl[17]);
+    sxn(&mut g[46], -scale * -1.224744871391589, &tl[18]);
+    sxn(&mut g[47], -scale * -1.224744871391589, &tl[19]);
 }
 
 /// LBO diffusion volume term in v1: weak `ν vth²(x) ∂_v g`.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x2v_p2_ser_diff_vol_v1(nu: f64, dv: f64, vth2: &[f64], g: &[f64], out: &mut [f64]) {
+    lbo_2x2v_p2_ser_diff_vol_v1_body::<1>(nu, dv, vth2.as_chunks().0, g.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_2x2v_p2_ser_diff_vol_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_diff_vol_v1_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_diff_vol_v1_body(nu, dv, vth2, g, out)
+}
+
+/// [`lbo_2x2v_p2_ser_diff_vol_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_diff_vol_v1_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_diff_vol_v1_body(nu, dv, vth2, g, out)
+}
+
+/// Shared lane-generic body of [`lbo_2x2v_p2_ser_diff_vol_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x2v_p2_ser_diff_vol_v1_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g: &[[f64; L]], out: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 8] = vth2.first_chunk().expect("vth2: 8 coefficients");
+    let g: &[[f64; L]; 48] = g.first_chunk().expect("g: 48 coefficients");
+    let out: &mut [[f64; L]; 48] = out.first_chunk_mut().expect("out: 48 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 48];
-    alpha[0] = 2.0 * vth2[0];
-    alpha[3] = 2.0 * vth2[1];
-    alpha[4] = 2.0 * vth2[2];
-    alpha[10] = 2.0 * vth2[3];
-    alpha[13] = 2.0 * vth2[4];
-    alpha[14] = 2.0 * vth2[5];
-    alpha[27] = 2.0 * vth2[6];
-    alpha[30] = 2.0 * vth2[7];
-    out[1] += -nu * scale * 0.4330127018922193 * alpha[0] * g[0];
-    out[1] += -nu * scale * 0.4330127018922193 * alpha[3] * g[3];
-    out[1] += -nu * scale * 0.4330127018922193 * alpha[4] * g[4];
-    out[1] += -nu * scale * 0.4330127018922194 * alpha[10] * g[10];
-    out[1] += -nu * scale * 0.4330127018922193 * alpha[13] * g[13];
-    out[1] += -nu * scale * 0.4330127018922194 * alpha[14] * g[14];
-    out[1] += -nu * scale * 0.43301270189221935 * alpha[27] * g[27];
-    out[1] += -nu * scale * 0.43301270189221935 * alpha[30] * g[30];
-    out[5] += -nu * scale * 0.9682458365518543 * alpha[0] * g[1];
-    out[5] += -nu * scale * 0.9682458365518541 * alpha[3] * g[8];
-    out[5] += -nu * scale * 0.9682458365518541 * alpha[4] * g[11];
-    out[5] += -nu * scale * 0.9682458365518543 * alpha[10] * g[20];
-    out[5] += -nu * scale * 0.968245836551854 * alpha[13] * g[25];
-    out[5] += -nu * scale * 0.9682458365518543 * alpha[14] * g[28];
-    out[5] += -nu * scale * 0.9682458365518541 * alpha[27] * g[39];
-    out[5] += -nu * scale * 0.9682458365518541 * alpha[30] * g[42];
-    out[6] += -nu * scale * 0.4330127018922193 * alpha[0] * g[2];
-    out[6] += -nu * scale * 0.4330127018922193 * alpha[3] * g[9];
-    out[6] += -nu * scale * 0.4330127018922193 * alpha[4] * g[12];
-    out[6] += -nu * scale * 0.43301270189221935 * alpha[10] * g[21];
-    out[6] += -nu * scale * 0.4330127018922193 * alpha[13] * g[26];
-    out[6] += -nu * scale * 0.43301270189221935 * alpha[14] * g[29];
-    out[6] += -nu * scale * 0.43301270189221935 * alpha[27] * g[40];
-    out[6] += -nu * scale * 0.43301270189221935 * alpha[30] * g[43];
-    out[8] += -nu * scale * 0.4330127018922193 * alpha[0] * g[3];
-    out[8] += -nu * scale * 0.4330127018922193 * alpha[3] * g[0];
-    out[8] += -nu * scale * 0.38729833462074165 * alpha[3] * g[10];
-    out[8] += -nu * scale * 0.4330127018922193 * alpha[4] * g[13];
-    out[8] += -nu * scale * 0.38729833462074165 * alpha[10] * g[3];
-    out[8] += -nu * scale * 0.4330127018922193 * alpha[13] * g[4];
-    out[8] += -nu * scale * 0.38729833462074165 * alpha[13] * g[27];
-    out[8] += -nu * scale * 0.43301270189221935 * alpha[14] * g[30];
-    out[8] += -nu * scale * 0.38729833462074165 * alpha[27] * g[13];
-    out[8] += -nu * scale * 0.43301270189221935 * alpha[30] * g[14];
-    out[11] += -nu * scale * 0.4330127018922193 * alpha[0] * g[4];
-    out[11] += -nu * scale * 0.4330127018922193 * alpha[3] * g[13];
-    out[11] += -nu * scale * 0.4330127018922193 * alpha[4] * g[0];
-    out[11] += -nu * scale * 0.38729833462074165 * alpha[4] * g[14];
-    out[11] += -nu * scale * 0.43301270189221935 * alpha[10] * g[27];
-    out[11] += -nu * scale * 0.4330127018922193 * alpha[13] * g[3];
-    out[11] += -nu * scale * 0.38729833462074165 * alpha[13] * g[30];
-    out[11] += -nu * scale * 0.38729833462074165 * alpha[14] * g[4];
-    out[11] += -nu * scale * 0.43301270189221935 * alpha[27] * g[10];
-    out[11] += -nu * scale * 0.38729833462074165 * alpha[30] * g[13];
-    out[15] += -nu * scale * 0.9682458365518541 * alpha[0] * g[6];
-    out[15] += -nu * scale * 0.968245836551854 * alpha[3] * g[18];
-    out[15] += -nu * scale * 0.968245836551854 * alpha[4] * g[23];
-    out[15] += -nu * scale * 0.9682458365518541 * alpha[10] * g[33];
-    out[15] += -nu * scale * 0.9682458365518543 * alpha[13] * g[37];
-    out[15] += -nu * scale * 0.9682458365518541 * alpha[14] * g[41];
-    out[15] += -nu * scale * 0.9682458365518543 * alpha[27] * g[46];
-    out[15] += -nu * scale * 0.9682458365518543 * alpha[30] * g[47];
-    out[16] += -nu * scale * 0.4330127018922194 * alpha[0] * g[7];
-    out[16] += -nu * scale * 0.43301270189221935 * alpha[3] * g[19];
-    out[16] += -nu * scale * 0.43301270189221935 * alpha[4] * g[24];
-    out[16] += -nu * scale * 0.43301270189221935 * alpha[13] * g[38];
-    out[17] += -nu * scale * 0.9682458365518541 * alpha[0] * g[8];
-    out[17] += -nu * scale * 0.9682458365518541 * alpha[3] * g[1];
-    out[17] += -nu * scale * 0.8660254037844387 * alpha[3] * g[20];
-    out[17] += -nu * scale * 0.968245836551854 * alpha[4] * g[25];
-    out[17] += -nu * scale * 0.8660254037844387 * alpha[10] * g[8];
-    out[17] += -nu * scale * 0.968245836551854 * alpha[13] * g[11];
-    out[17] += -nu * scale * 0.8660254037844387 * alpha[13] * g[39];
-    out[17] += -nu * scale * 0.9682458365518541 * alpha[14] * g[42];
-    out[17] += -nu * scale * 0.8660254037844387 * alpha[27] * g[25];
-    out[17] += -nu * scale * 0.9682458365518541 * alpha[30] * g[28];
-    out[18] += -nu * scale * 0.4330127018922193 * alpha[0] * g[9];
-    out[18] += -nu * scale * 0.4330127018922193 * alpha[3] * g[2];
-    out[18] += -nu * scale * 0.38729833462074165 * alpha[3] * g[21];
-    out[18] += -nu * scale * 0.4330127018922193 * alpha[4] * g[26];
-    out[18] += -nu * scale * 0.38729833462074165 * alpha[10] * g[9];
-    out[18] += -nu * scale * 0.4330127018922193 * alpha[13] * g[12];
-    out[18] += -nu * scale * 0.3872983346207417 * alpha[13] * g[40];
-    out[18] += -nu * scale * 0.43301270189221935 * alpha[14] * g[43];
-    out[18] += -nu * scale * 0.3872983346207417 * alpha[27] * g[26];
-    out[18] += -nu * scale * 0.43301270189221935 * alpha[30] * g[29];
-    out[20] += -nu * scale * 0.4330127018922194 * alpha[0] * g[10];
-    out[20] += -nu * scale * 0.38729833462074165 * alpha[3] * g[3];
-    out[20] += -nu * scale * 0.43301270189221935 * alpha[4] * g[27];
-    out[20] += -nu * scale * 0.4330127018922194 * alpha[10] * g[0];
-    out[20] += -nu * scale * 0.27664166758624403 * alpha[10] * g[10];
-    out[20] += -nu * scale * 0.38729833462074165 * alpha[13] * g[13];
-    out[20] += -nu * scale * 0.43301270189221935 * alpha[27] * g[4];
-    out[20] += -nu * scale * 0.2766416675862441 * alpha[27] * g[27];
-    out[20] += -nu * scale * 0.3872983346207417 * alpha[30] * g[30];
-    out[22] += -nu * scale * 0.9682458365518541 * alpha[0] * g[11];
-    out[22] += -nu * scale * 0.968245836551854 * alpha[3] * g[25];
-    out[22] += -nu * scale * 0.9682458365518541 * alpha[4] * g[1];
-    out[22] += -nu * scale * 0.8660254037844387 * alpha[4] * g[28];
-    out[22] += -nu * scale * 0.9682458365518541 * alpha[10] * g[39];
-    out[22] += -nu * scale * 0.968245836551854 * alpha[13] * g[8];
-    out[22] += -nu * scale * 0.8660254037844387 * alpha[13] * g[42];
-    out[22] += -nu * scale * 0.8660254037844387 * alpha[14] * g[11];
-    out[22] += -nu * scale * 0.9682458365518541 * alpha[27] * g[20];
-    out[22] += -nu * scale * 0.8660254037844387 * alpha[30] * g[25];
-    out[23] += -nu * scale * 0.4330127018922193 * alpha[0] * g[12];
-    out[23] += -nu * scale * 0.4330127018922193 * alpha[3] * g[26];
-    out[23] += -nu * scale * 0.4330127018922193 * alpha[4] * g[2];
-    out[23] += -nu * scale * 0.38729833462074165 * alpha[4] * g[29];
-    out[23] += -nu * scale * 0.43301270189221935 * alpha[10] * g[40];
-    out[23] += -nu * scale * 0.4330127018922193 * alpha[13] * g[9];
-    out[23] += -nu * scale * 0.3872983346207417 * alpha[13] * g[43];
-    out[23] += -nu * scale * 0.38729833462074165 * alpha[14] * g[12];
-    out[23] += -nu * scale * 0.43301270189221935 * alpha[27] * g[21];
-    out[23] += -nu * scale * 0.3872983346207417 * alpha[30] * g[26];
-    out[25] += -nu * scale * 0.4330127018922193 * alpha[0] * g[13];
-    out[25] += -nu * scale * 0.4330127018922193 * alpha[3] * g[4];
-    out[25] += -nu * scale * 0.38729833462074165 * alpha[3] * g[27];
-    out[25] += -nu * scale * 0.4330127018922193 * alpha[4] * g[3];
-    out[25] += -nu * scale * 0.38729833462074165 * alpha[4] * g[30];
-    out[25] += -nu * scale * 0.38729833462074165 * alpha[10] * g[13];
-    out[25] += -nu * scale * 0.4330127018922193 * alpha[13] * g[0];
-    out[25] += -nu * scale * 0.38729833462074165 * alpha[13] * g[10];
-    out[25] += -nu * scale * 0.38729833462074165 * alpha[13] * g[14];
-    out[25] += -nu * scale * 0.38729833462074165 * alpha[14] * g[13];
-    out[25] += -nu * scale * 0.38729833462074165 * alpha[27] * g[3];
-    out[25] += -nu * scale * 0.34641016151377546 * alpha[27] * g[30];
-    out[25] += -nu * scale * 0.38729833462074165 * alpha[30] * g[4];
-    out[25] += -nu * scale * 0.34641016151377546 * alpha[30] * g[27];
-    out[28] += -nu * scale * 0.4330127018922194 * alpha[0] * g[14];
-    out[28] += -nu * scale * 0.43301270189221935 * alpha[3] * g[30];
-    out[28] += -nu * scale * 0.38729833462074165 * alpha[4] * g[4];
-    out[28] += -nu * scale * 0.38729833462074165 * alpha[13] * g[13];
-    out[28] += -nu * scale * 0.4330127018922194 * alpha[14] * g[0];
-    out[28] += -nu * scale * 0.27664166758624403 * alpha[14] * g[14];
-    out[28] += -nu * scale * 0.3872983346207417 * alpha[27] * g[27];
-    out[28] += -nu * scale * 0.43301270189221935 * alpha[30] * g[3];
-    out[28] += -nu * scale * 0.2766416675862441 * alpha[30] * g[30];
-    out[31] += -nu * scale * 0.968245836551854 * alpha[0] * g[18];
-    out[31] += -nu * scale * 0.968245836551854 * alpha[3] * g[6];
-    out[31] += -nu * scale * 0.8660254037844387 * alpha[3] * g[33];
-    out[31] += -nu * scale * 0.9682458365518543 * alpha[4] * g[37];
-    out[31] += -nu * scale * 0.8660254037844387 * alpha[10] * g[18];
-    out[31] += -nu * scale * 0.9682458365518543 * alpha[13] * g[23];
-    out[31] += -nu * scale * 0.8660254037844387 * alpha[13] * g[46];
-    out[31] += -nu * scale * 0.9682458365518543 * alpha[14] * g[47];
-    out[31] += -nu * scale * 0.8660254037844387 * alpha[27] * g[37];
-    out[31] += -nu * scale * 0.9682458365518543 * alpha[30] * g[41];
-    out[32] += -nu * scale * 0.43301270189221935 * alpha[0] * g[19];
-    out[32] += -nu * scale * 0.43301270189221935 * alpha[3] * g[7];
-    out[32] += -nu * scale * 0.43301270189221935 * alpha[4] * g[38];
-    out[32] += -nu * scale * 0.3872983346207417 * alpha[10] * g[19];
-    out[32] += -nu * scale * 0.43301270189221935 * alpha[13] * g[24];
-    out[32] += -nu * scale * 0.3872983346207417 * alpha[27] * g[38];
-    out[33] += -nu * scale * 0.43301270189221935 * alpha[0] * g[21];
-    out[33] += -nu * scale * 0.38729833462074165 * alpha[3] * g[9];
-    out[33] += -nu * scale * 0.43301270189221935 * alpha[4] * g[40];
-    out[33] += -nu * scale * 0.43301270189221935 * alpha[10] * g[2];
-    out[33] += -nu * scale * 0.2766416675862441 * alpha[10] * g[21];
-    out[33] += -nu * scale * 0.3872983346207417 * alpha[13] * g[26];
-    out[33] += -nu * scale * 0.43301270189221935 * alpha[27] * g[12];
-    out[33] += -nu * scale * 0.27664166758624403 * alpha[27] * g[40];
-    out[33] += -nu * scale * 0.3872983346207417 * alpha[30] * g[43];
-    out[34] += -nu * scale * 0.968245836551854 * alpha[0] * g[23];
-    out[34] += -nu * scale * 0.9682458365518543 * alpha[3] * g[37];
-    out[34] += -nu * scale * 0.968245836551854 * alpha[4] * g[6];
-    out[34] += -nu * scale * 0.8660254037844387 * alpha[4] * g[41];
-    out[34] += -nu * scale * 0.9682458365518543 * alpha[10] * g[46];
-    out[34] += -nu * scale * 0.9682458365518543 * alpha[13] * g[18];
-    out[34] += -nu * scale * 0.8660254037844387 * alpha[13] * g[47];
-    out[34] += -nu * scale * 0.8660254037844387 * alpha[14] * g[23];
-    out[34] += -nu * scale * 0.9682458365518543 * alpha[27] * g[33];
-    out[34] += -nu * scale * 0.8660254037844387 * alpha[30] * g[37];
-    out[35] += -nu * scale * 0.43301270189221935 * alpha[0] * g[24];
-    out[35] += -nu * scale * 0.43301270189221935 * alpha[3] * g[38];
-    out[35] += -nu * scale * 0.43301270189221935 * alpha[4] * g[7];
-    out[35] += -nu * scale * 0.43301270189221935 * alpha[13] * g[19];
-    out[35] += -nu * scale * 0.3872983346207417 * alpha[14] * g[24];
-    out[35] += -nu * scale * 0.3872983346207417 * alpha[30] * g[38];
-    out[36] += -nu * scale * 0.968245836551854 * alpha[0] * g[25];
-    out[36] += -nu * scale * 0.968245836551854 * alpha[3] * g[11];
-    out[36] += -nu * scale * 0.8660254037844387 * alpha[3] * g[39];
-    out[36] += -nu * scale * 0.968245836551854 * alpha[4] * g[8];
-    out[36] += -nu * scale * 0.8660254037844387 * alpha[4] * g[42];
-    out[36] += -nu * scale * 0.8660254037844387 * alpha[10] * g[25];
-    out[36] += -nu * scale * 0.968245836551854 * alpha[13] * g[1];
-    out[36] += -nu * scale * 0.8660254037844387 * alpha[13] * g[20];
-    out[36] += -nu * scale * 0.8660254037844387 * alpha[13] * g[28];
-    out[36] += -nu * scale * 0.8660254037844387 * alpha[14] * g[25];
-    out[36] += -nu * scale * 0.8660254037844387 * alpha[27] * g[8];
-    out[36] += -nu * scale * 0.7745966692414834 * alpha[27] * g[42];
-    out[36] += -nu * scale * 0.8660254037844387 * alpha[30] * g[11];
-    out[36] += -nu * scale * 0.7745966692414834 * alpha[30] * g[39];
-    out[37] += -nu * scale * 0.4330127018922193 * alpha[0] * g[26];
-    out[37] += -nu * scale * 0.4330127018922193 * alpha[3] * g[12];
-    out[37] += -nu * scale * 0.3872983346207417 * alpha[3] * g[40];
-    out[37] += -nu * scale * 0.4330127018922193 * alpha[4] * g[9];
-    out[37] += -nu * scale * 0.3872983346207417 * alpha[4] * g[43];
-    out[37] += -nu * scale * 0.3872983346207417 * alpha[10] * g[26];
-    out[37] += -nu * scale * 0.4330127018922193 * alpha[13] * g[2];
-    out[37] += -nu * scale * 0.3872983346207417 * alpha[13] * g[21];
-    out[37] += -nu * scale * 0.3872983346207417 * alpha[13] * g[29];
-    out[37] += -nu * scale * 0.3872983346207417 * alpha[14] * g[26];
-    out[37] += -nu * scale * 0.3872983346207417 * alpha[27] * g[9];
-    out[37] += -nu * scale * 0.34641016151377546 * alpha[27] * g[43];
-    out[37] += -nu * scale * 0.3872983346207417 * alpha[30] * g[12];
-    out[37] += -nu * scale * 0.34641016151377546 * alpha[30] * g[40];
-    out[39] += -nu * scale * 0.43301270189221935 * alpha[0] * g[27];
-    out[39] += -nu * scale * 0.38729833462074165 * alpha[3] * g[13];
-    out[39] += -nu * scale * 0.43301270189221935 * alpha[4] * g[10];
-    out[39] += -nu * scale * 0.43301270189221935 * alpha[10] * g[4];
-    out[39] += -nu * scale * 0.2766416675862441 * alpha[10] * g[27];
-    out[39] += -nu * scale * 0.38729833462074165 * alpha[13] * g[3];
-    out[39] += -nu * scale * 0.34641016151377546 * alpha[13] * g[30];
-    out[39] += -nu * scale * 0.3872983346207417 * alpha[14] * g[27];
-    out[39] += -nu * scale * 0.43301270189221935 * alpha[27] * g[0];
-    out[39] += -nu * scale * 0.2766416675862441 * alpha[27] * g[10];
-    out[39] += -nu * scale * 0.3872983346207417 * alpha[27] * g[14];
-    out[39] += -nu * scale * 0.34641016151377546 * alpha[30] * g[13];
-    out[41] += -nu * scale * 0.43301270189221935 * alpha[0] * g[29];
-    out[41] += -nu * scale * 0.43301270189221935 * alpha[3] * g[43];
-    out[41] += -nu * scale * 0.38729833462074165 * alpha[4] * g[12];
-    out[41] += -nu * scale * 0.3872983346207417 * alpha[13] * g[26];
-    out[41] += -nu * scale * 0.43301270189221935 * alpha[14] * g[2];
-    out[41] += -nu * scale * 0.2766416675862441 * alpha[14] * g[29];
-    out[41] += -nu * scale * 0.3872983346207417 * alpha[27] * g[40];
-    out[41] += -nu * scale * 0.43301270189221935 * alpha[30] * g[9];
-    out[41] += -nu * scale * 0.27664166758624403 * alpha[30] * g[43];
-    out[42] += -nu * scale * 0.43301270189221935 * alpha[0] * g[30];
-    out[42] += -nu * scale * 0.43301270189221935 * alpha[3] * g[14];
-    out[42] += -nu * scale * 0.38729833462074165 * alpha[4] * g[13];
-    out[42] += -nu * scale * 0.3872983346207417 * alpha[10] * g[30];
-    out[42] += -nu * scale * 0.38729833462074165 * alpha[13] * g[4];
-    out[42] += -nu * scale * 0.34641016151377546 * alpha[13] * g[27];
-    out[42] += -nu * scale * 0.43301270189221935 * alpha[14] * g[3];
-    out[42] += -nu * scale * 0.2766416675862441 * alpha[14] * g[30];
-    out[42] += -nu * scale * 0.34641016151377546 * alpha[27] * g[13];
-    out[42] += -nu * scale * 0.43301270189221935 * alpha[30] * g[0];
-    out[42] += -nu * scale * 0.3872983346207417 * alpha[30] * g[10];
-    out[42] += -nu * scale * 0.2766416675862441 * alpha[30] * g[14];
-    out[44] += -nu * scale * 0.9682458365518543 * alpha[0] * g[37];
-    out[44] += -nu * scale * 0.9682458365518543 * alpha[3] * g[23];
-    out[44] += -nu * scale * 0.8660254037844387 * alpha[3] * g[46];
-    out[44] += -nu * scale * 0.9682458365518543 * alpha[4] * g[18];
-    out[44] += -nu * scale * 0.8660254037844387 * alpha[4] * g[47];
-    out[44] += -nu * scale * 0.8660254037844387 * alpha[10] * g[37];
-    out[44] += -nu * scale * 0.9682458365518543 * alpha[13] * g[6];
-    out[44] += -nu * scale * 0.8660254037844387 * alpha[13] * g[33];
-    out[44] += -nu * scale * 0.8660254037844387 * alpha[13] * g[41];
-    out[44] += -nu * scale * 0.8660254037844387 * alpha[14] * g[37];
-    out[44] += -nu * scale * 0.8660254037844387 * alpha[27] * g[18];
-    out[44] += -nu * scale * 0.7745966692414834 * alpha[27] * g[47];
-    out[44] += -nu * scale * 0.8660254037844387 * alpha[30] * g[23];
-    out[44] += -nu * scale * 0.7745966692414834 * alpha[30] * g[46];
-    out[45] += -nu * scale * 0.43301270189221935 * alpha[0] * g[38];
-    out[45] += -nu * scale * 0.43301270189221935 * alpha[3] * g[24];
-    out[45] += -nu * scale * 0.43301270189221935 * alpha[4] * g[19];
-    out[45] += -nu * scale * 0.3872983346207417 * alpha[10] * g[38];
-    out[45] += -nu * scale * 0.43301270189221935 * alpha[13] * g[7];
-    out[45] += -nu * scale * 0.3872983346207417 * alpha[14] * g[38];
-    out[45] += -nu * scale * 0.3872983346207417 * alpha[27] * g[19];
-    out[45] += -nu * scale * 0.3872983346207417 * alpha[30] * g[24];
-    out[46] += -nu * scale * 0.43301270189221935 * alpha[0] * g[40];
-    out[46] += -nu * scale * 0.3872983346207417 * alpha[3] * g[26];
-    out[46] += -nu * scale * 0.43301270189221935 * alpha[4] * g[21];
-    out[46] += -nu * scale * 0.43301270189221935 * alpha[10] * g[12];
-    out[46] += -nu * scale * 0.27664166758624403 * alpha[10] * g[40];
-    out[46] += -nu * scale * 0.3872983346207417 * alpha[13] * g[9];
-    out[46] += -nu * scale * 0.34641016151377546 * alpha[13] * g[43];
-    out[46] += -nu * scale * 0.3872983346207417 * alpha[14] * g[40];
-    out[46] += -nu * scale * 0.43301270189221935 * alpha[27] * g[2];
-    out[46] += -nu * scale * 0.27664166758624403 * alpha[27] * g[21];
-    out[46] += -nu * scale * 0.3872983346207417 * alpha[27] * g[29];
-    out[46] += -nu * scale * 0.34641016151377546 * alpha[30] * g[26];
-    out[47] += -nu * scale * 0.43301270189221935 * alpha[0] * g[43];
-    out[47] += -nu * scale * 0.43301270189221935 * alpha[3] * g[29];
-    out[47] += -nu * scale * 0.3872983346207417 * alpha[4] * g[26];
-    out[47] += -nu * scale * 0.3872983346207417 * alpha[10] * g[43];
-    out[47] += -nu * scale * 0.3872983346207417 * alpha[13] * g[12];
-    out[47] += -nu * scale * 0.34641016151377546 * alpha[13] * g[40];
-    out[47] += -nu * scale * 0.43301270189221935 * alpha[14] * g[9];
-    out[47] += -nu * scale * 0.27664166758624403 * alpha[14] * g[43];
-    out[47] += -nu * scale * 0.34641016151377546 * alpha[27] * g[26];
-    out[47] += -nu * scale * 0.43301270189221935 * alpha[30] * g[2];
-    out[47] += -nu * scale * 0.3872983346207417 * alpha[30] * g[21];
-    out[47] += -nu * scale * 0.27664166758624403 * alpha[30] * g[29];
+    let mut alpha = [[0.0f64; L]; 48];
+    for k in 0..L {
+        alpha[0][k] = 2.0 * vth2[0][k];
+        alpha[3][k] = 2.0 * vth2[1][k];
+        alpha[4][k] = 2.0 * vth2[2][k];
+        alpha[10][k] = 2.0 * vth2[3][k];
+        alpha[13][k] = 2.0 * vth2[4][k];
+        alpha[14][k] = 2.0 * vth2[5][k];
+        alpha[27][k] = 2.0 * vth2[6][k];
+        alpha[30][k] = 2.0 * vth2[7][k];
+    }
+    for k in 0..L {
+        out[1][k] += -nu * scale * 0.4330127018922193 * alpha[0][k] * g[0][k];
+        out[1][k] += -nu * scale * 0.4330127018922193 * alpha[3][k] * g[3][k];
+        out[1][k] += -nu * scale * 0.4330127018922193 * alpha[4][k] * g[4][k];
+        out[1][k] += -nu * scale * 0.4330127018922194 * alpha[10][k] * g[10][k];
+        out[1][k] += -nu * scale * 0.4330127018922193 * alpha[13][k] * g[13][k];
+        out[1][k] += -nu * scale * 0.4330127018922194 * alpha[14][k] * g[14][k];
+        out[1][k] += -nu * scale * 0.43301270189221935 * alpha[27][k] * g[27][k];
+        out[1][k] += -nu * scale * 0.43301270189221935 * alpha[30][k] * g[30][k];
+    }
+    for k in 0..L {
+        out[5][k] += -nu * scale * 0.9682458365518543 * alpha[0][k] * g[1][k];
+        out[5][k] += -nu * scale * 0.9682458365518541 * alpha[3][k] * g[8][k];
+        out[5][k] += -nu * scale * 0.9682458365518541 * alpha[4][k] * g[11][k];
+        out[5][k] += -nu * scale * 0.9682458365518543 * alpha[10][k] * g[20][k];
+        out[5][k] += -nu * scale * 0.968245836551854 * alpha[13][k] * g[25][k];
+        out[5][k] += -nu * scale * 0.9682458365518543 * alpha[14][k] * g[28][k];
+        out[5][k] += -nu * scale * 0.9682458365518541 * alpha[27][k] * g[39][k];
+        out[5][k] += -nu * scale * 0.9682458365518541 * alpha[30][k] * g[42][k];
+    }
+    for k in 0..L {
+        out[6][k] += -nu * scale * 0.4330127018922193 * alpha[0][k] * g[2][k];
+        out[6][k] += -nu * scale * 0.4330127018922193 * alpha[3][k] * g[9][k];
+        out[6][k] += -nu * scale * 0.4330127018922193 * alpha[4][k] * g[12][k];
+        out[6][k] += -nu * scale * 0.43301270189221935 * alpha[10][k] * g[21][k];
+        out[6][k] += -nu * scale * 0.4330127018922193 * alpha[13][k] * g[26][k];
+        out[6][k] += -nu * scale * 0.43301270189221935 * alpha[14][k] * g[29][k];
+        out[6][k] += -nu * scale * 0.43301270189221935 * alpha[27][k] * g[40][k];
+        out[6][k] += -nu * scale * 0.43301270189221935 * alpha[30][k] * g[43][k];
+    }
+    for k in 0..L {
+        out[8][k] += -nu * scale * 0.4330127018922193 * alpha[0][k] * g[3][k];
+        out[8][k] += -nu * scale * 0.4330127018922193 * alpha[3][k] * g[0][k];
+        out[8][k] += -nu * scale * 0.38729833462074165 * alpha[3][k] * g[10][k];
+        out[8][k] += -nu * scale * 0.4330127018922193 * alpha[4][k] * g[13][k];
+        out[8][k] += -nu * scale * 0.38729833462074165 * alpha[10][k] * g[3][k];
+        out[8][k] += -nu * scale * 0.4330127018922193 * alpha[13][k] * g[4][k];
+        out[8][k] += -nu * scale * 0.38729833462074165 * alpha[13][k] * g[27][k];
+        out[8][k] += -nu * scale * 0.43301270189221935 * alpha[14][k] * g[30][k];
+        out[8][k] += -nu * scale * 0.38729833462074165 * alpha[27][k] * g[13][k];
+        out[8][k] += -nu * scale * 0.43301270189221935 * alpha[30][k] * g[14][k];
+    }
+    for k in 0..L {
+        out[11][k] += -nu * scale * 0.4330127018922193 * alpha[0][k] * g[4][k];
+        out[11][k] += -nu * scale * 0.4330127018922193 * alpha[3][k] * g[13][k];
+        out[11][k] += -nu * scale * 0.4330127018922193 * alpha[4][k] * g[0][k];
+        out[11][k] += -nu * scale * 0.38729833462074165 * alpha[4][k] * g[14][k];
+        out[11][k] += -nu * scale * 0.43301270189221935 * alpha[10][k] * g[27][k];
+        out[11][k] += -nu * scale * 0.4330127018922193 * alpha[13][k] * g[3][k];
+        out[11][k] += -nu * scale * 0.38729833462074165 * alpha[13][k] * g[30][k];
+        out[11][k] += -nu * scale * 0.38729833462074165 * alpha[14][k] * g[4][k];
+        out[11][k] += -nu * scale * 0.43301270189221935 * alpha[27][k] * g[10][k];
+        out[11][k] += -nu * scale * 0.38729833462074165 * alpha[30][k] * g[13][k];
+    }
+    for k in 0..L {
+        out[15][k] += -nu * scale * 0.9682458365518541 * alpha[0][k] * g[6][k];
+        out[15][k] += -nu * scale * 0.968245836551854 * alpha[3][k] * g[18][k];
+        out[15][k] += -nu * scale * 0.968245836551854 * alpha[4][k] * g[23][k];
+        out[15][k] += -nu * scale * 0.9682458365518541 * alpha[10][k] * g[33][k];
+        out[15][k] += -nu * scale * 0.9682458365518543 * alpha[13][k] * g[37][k];
+        out[15][k] += -nu * scale * 0.9682458365518541 * alpha[14][k] * g[41][k];
+        out[15][k] += -nu * scale * 0.9682458365518543 * alpha[27][k] * g[46][k];
+        out[15][k] += -nu * scale * 0.9682458365518543 * alpha[30][k] * g[47][k];
+    }
+    for k in 0..L {
+        out[16][k] += -nu * scale * 0.4330127018922194 * alpha[0][k] * g[7][k];
+        out[16][k] += -nu * scale * 0.43301270189221935 * alpha[3][k] * g[19][k];
+        out[16][k] += -nu * scale * 0.43301270189221935 * alpha[4][k] * g[24][k];
+        out[16][k] += -nu * scale * 0.43301270189221935 * alpha[13][k] * g[38][k];
+    }
+    for k in 0..L {
+        out[17][k] += -nu * scale * 0.9682458365518541 * alpha[0][k] * g[8][k];
+        out[17][k] += -nu * scale * 0.9682458365518541 * alpha[3][k] * g[1][k];
+        out[17][k] += -nu * scale * 0.8660254037844387 * alpha[3][k] * g[20][k];
+        out[17][k] += -nu * scale * 0.968245836551854 * alpha[4][k] * g[25][k];
+        out[17][k] += -nu * scale * 0.8660254037844387 * alpha[10][k] * g[8][k];
+        out[17][k] += -nu * scale * 0.968245836551854 * alpha[13][k] * g[11][k];
+        out[17][k] += -nu * scale * 0.8660254037844387 * alpha[13][k] * g[39][k];
+        out[17][k] += -nu * scale * 0.9682458365518541 * alpha[14][k] * g[42][k];
+        out[17][k] += -nu * scale * 0.8660254037844387 * alpha[27][k] * g[25][k];
+        out[17][k] += -nu * scale * 0.9682458365518541 * alpha[30][k] * g[28][k];
+    }
+    for k in 0..L {
+        out[18][k] += -nu * scale * 0.4330127018922193 * alpha[0][k] * g[9][k];
+        out[18][k] += -nu * scale * 0.4330127018922193 * alpha[3][k] * g[2][k];
+        out[18][k] += -nu * scale * 0.38729833462074165 * alpha[3][k] * g[21][k];
+        out[18][k] += -nu * scale * 0.4330127018922193 * alpha[4][k] * g[26][k];
+        out[18][k] += -nu * scale * 0.38729833462074165 * alpha[10][k] * g[9][k];
+        out[18][k] += -nu * scale * 0.4330127018922193 * alpha[13][k] * g[12][k];
+        out[18][k] += -nu * scale * 0.3872983346207417 * alpha[13][k] * g[40][k];
+        out[18][k] += -nu * scale * 0.43301270189221935 * alpha[14][k] * g[43][k];
+        out[18][k] += -nu * scale * 0.3872983346207417 * alpha[27][k] * g[26][k];
+        out[18][k] += -nu * scale * 0.43301270189221935 * alpha[30][k] * g[29][k];
+    }
+    for k in 0..L {
+        out[20][k] += -nu * scale * 0.4330127018922194 * alpha[0][k] * g[10][k];
+        out[20][k] += -nu * scale * 0.38729833462074165 * alpha[3][k] * g[3][k];
+        out[20][k] += -nu * scale * 0.43301270189221935 * alpha[4][k] * g[27][k];
+        out[20][k] += -nu * scale * 0.4330127018922194 * alpha[10][k] * g[0][k];
+        out[20][k] += -nu * scale * 0.27664166758624403 * alpha[10][k] * g[10][k];
+        out[20][k] += -nu * scale * 0.38729833462074165 * alpha[13][k] * g[13][k];
+        out[20][k] += -nu * scale * 0.43301270189221935 * alpha[27][k] * g[4][k];
+        out[20][k] += -nu * scale * 0.2766416675862441 * alpha[27][k] * g[27][k];
+        out[20][k] += -nu * scale * 0.3872983346207417 * alpha[30][k] * g[30][k];
+    }
+    for k in 0..L {
+        out[22][k] += -nu * scale * 0.9682458365518541 * alpha[0][k] * g[11][k];
+        out[22][k] += -nu * scale * 0.968245836551854 * alpha[3][k] * g[25][k];
+        out[22][k] += -nu * scale * 0.9682458365518541 * alpha[4][k] * g[1][k];
+        out[22][k] += -nu * scale * 0.8660254037844387 * alpha[4][k] * g[28][k];
+        out[22][k] += -nu * scale * 0.9682458365518541 * alpha[10][k] * g[39][k];
+        out[22][k] += -nu * scale * 0.968245836551854 * alpha[13][k] * g[8][k];
+        out[22][k] += -nu * scale * 0.8660254037844387 * alpha[13][k] * g[42][k];
+        out[22][k] += -nu * scale * 0.8660254037844387 * alpha[14][k] * g[11][k];
+        out[22][k] += -nu * scale * 0.9682458365518541 * alpha[27][k] * g[20][k];
+        out[22][k] += -nu * scale * 0.8660254037844387 * alpha[30][k] * g[25][k];
+    }
+    for k in 0..L {
+        out[23][k] += -nu * scale * 0.4330127018922193 * alpha[0][k] * g[12][k];
+        out[23][k] += -nu * scale * 0.4330127018922193 * alpha[3][k] * g[26][k];
+        out[23][k] += -nu * scale * 0.4330127018922193 * alpha[4][k] * g[2][k];
+        out[23][k] += -nu * scale * 0.38729833462074165 * alpha[4][k] * g[29][k];
+        out[23][k] += -nu * scale * 0.43301270189221935 * alpha[10][k] * g[40][k];
+        out[23][k] += -nu * scale * 0.4330127018922193 * alpha[13][k] * g[9][k];
+        out[23][k] += -nu * scale * 0.3872983346207417 * alpha[13][k] * g[43][k];
+        out[23][k] += -nu * scale * 0.38729833462074165 * alpha[14][k] * g[12][k];
+        out[23][k] += -nu * scale * 0.43301270189221935 * alpha[27][k] * g[21][k];
+        out[23][k] += -nu * scale * 0.3872983346207417 * alpha[30][k] * g[26][k];
+    }
+    for k in 0..L {
+        out[25][k] += -nu * scale * 0.4330127018922193 * alpha[0][k] * g[13][k];
+        out[25][k] += -nu * scale * 0.4330127018922193 * alpha[3][k] * g[4][k];
+        out[25][k] += -nu * scale * 0.38729833462074165 * alpha[3][k] * g[27][k];
+        out[25][k] += -nu * scale * 0.4330127018922193 * alpha[4][k] * g[3][k];
+        out[25][k] += -nu * scale * 0.38729833462074165 * alpha[4][k] * g[30][k];
+        out[25][k] += -nu * scale * 0.38729833462074165 * alpha[10][k] * g[13][k];
+        out[25][k] += -nu * scale * 0.4330127018922193 * alpha[13][k] * g[0][k];
+        out[25][k] += -nu * scale * 0.38729833462074165 * alpha[13][k] * g[10][k];
+        out[25][k] += -nu * scale * 0.38729833462074165 * alpha[13][k] * g[14][k];
+        out[25][k] += -nu * scale * 0.38729833462074165 * alpha[14][k] * g[13][k];
+        out[25][k] += -nu * scale * 0.38729833462074165 * alpha[27][k] * g[3][k];
+        out[25][k] += -nu * scale * 0.34641016151377546 * alpha[27][k] * g[30][k];
+        out[25][k] += -nu * scale * 0.38729833462074165 * alpha[30][k] * g[4][k];
+        out[25][k] += -nu * scale * 0.34641016151377546 * alpha[30][k] * g[27][k];
+    }
+    for k in 0..L {
+        out[28][k] += -nu * scale * 0.4330127018922194 * alpha[0][k] * g[14][k];
+        out[28][k] += -nu * scale * 0.43301270189221935 * alpha[3][k] * g[30][k];
+        out[28][k] += -nu * scale * 0.38729833462074165 * alpha[4][k] * g[4][k];
+        out[28][k] += -nu * scale * 0.38729833462074165 * alpha[13][k] * g[13][k];
+        out[28][k] += -nu * scale * 0.4330127018922194 * alpha[14][k] * g[0][k];
+        out[28][k] += -nu * scale * 0.27664166758624403 * alpha[14][k] * g[14][k];
+        out[28][k] += -nu * scale * 0.3872983346207417 * alpha[27][k] * g[27][k];
+        out[28][k] += -nu * scale * 0.43301270189221935 * alpha[30][k] * g[3][k];
+        out[28][k] += -nu * scale * 0.2766416675862441 * alpha[30][k] * g[30][k];
+    }
+    for k in 0..L {
+        out[31][k] += -nu * scale * 0.968245836551854 * alpha[0][k] * g[18][k];
+        out[31][k] += -nu * scale * 0.968245836551854 * alpha[3][k] * g[6][k];
+        out[31][k] += -nu * scale * 0.8660254037844387 * alpha[3][k] * g[33][k];
+        out[31][k] += -nu * scale * 0.9682458365518543 * alpha[4][k] * g[37][k];
+        out[31][k] += -nu * scale * 0.8660254037844387 * alpha[10][k] * g[18][k];
+        out[31][k] += -nu * scale * 0.9682458365518543 * alpha[13][k] * g[23][k];
+        out[31][k] += -nu * scale * 0.8660254037844387 * alpha[13][k] * g[46][k];
+        out[31][k] += -nu * scale * 0.9682458365518543 * alpha[14][k] * g[47][k];
+        out[31][k] += -nu * scale * 0.8660254037844387 * alpha[27][k] * g[37][k];
+        out[31][k] += -nu * scale * 0.9682458365518543 * alpha[30][k] * g[41][k];
+    }
+    for k in 0..L {
+        out[32][k] += -nu * scale * 0.43301270189221935 * alpha[0][k] * g[19][k];
+        out[32][k] += -nu * scale * 0.43301270189221935 * alpha[3][k] * g[7][k];
+        out[32][k] += -nu * scale * 0.43301270189221935 * alpha[4][k] * g[38][k];
+        out[32][k] += -nu * scale * 0.3872983346207417 * alpha[10][k] * g[19][k];
+        out[32][k] += -nu * scale * 0.43301270189221935 * alpha[13][k] * g[24][k];
+        out[32][k] += -nu * scale * 0.3872983346207417 * alpha[27][k] * g[38][k];
+    }
+    for k in 0..L {
+        out[33][k] += -nu * scale * 0.43301270189221935 * alpha[0][k] * g[21][k];
+        out[33][k] += -nu * scale * 0.38729833462074165 * alpha[3][k] * g[9][k];
+        out[33][k] += -nu * scale * 0.43301270189221935 * alpha[4][k] * g[40][k];
+        out[33][k] += -nu * scale * 0.43301270189221935 * alpha[10][k] * g[2][k];
+        out[33][k] += -nu * scale * 0.2766416675862441 * alpha[10][k] * g[21][k];
+        out[33][k] += -nu * scale * 0.3872983346207417 * alpha[13][k] * g[26][k];
+        out[33][k] += -nu * scale * 0.43301270189221935 * alpha[27][k] * g[12][k];
+        out[33][k] += -nu * scale * 0.27664166758624403 * alpha[27][k] * g[40][k];
+        out[33][k] += -nu * scale * 0.3872983346207417 * alpha[30][k] * g[43][k];
+    }
+    for k in 0..L {
+        out[34][k] += -nu * scale * 0.968245836551854 * alpha[0][k] * g[23][k];
+        out[34][k] += -nu * scale * 0.9682458365518543 * alpha[3][k] * g[37][k];
+        out[34][k] += -nu * scale * 0.968245836551854 * alpha[4][k] * g[6][k];
+        out[34][k] += -nu * scale * 0.8660254037844387 * alpha[4][k] * g[41][k];
+        out[34][k] += -nu * scale * 0.9682458365518543 * alpha[10][k] * g[46][k];
+        out[34][k] += -nu * scale * 0.9682458365518543 * alpha[13][k] * g[18][k];
+        out[34][k] += -nu * scale * 0.8660254037844387 * alpha[13][k] * g[47][k];
+        out[34][k] += -nu * scale * 0.8660254037844387 * alpha[14][k] * g[23][k];
+        out[34][k] += -nu * scale * 0.9682458365518543 * alpha[27][k] * g[33][k];
+        out[34][k] += -nu * scale * 0.8660254037844387 * alpha[30][k] * g[37][k];
+    }
+    for k in 0..L {
+        out[35][k] += -nu * scale * 0.43301270189221935 * alpha[0][k] * g[24][k];
+        out[35][k] += -nu * scale * 0.43301270189221935 * alpha[3][k] * g[38][k];
+        out[35][k] += -nu * scale * 0.43301270189221935 * alpha[4][k] * g[7][k];
+        out[35][k] += -nu * scale * 0.43301270189221935 * alpha[13][k] * g[19][k];
+        out[35][k] += -nu * scale * 0.3872983346207417 * alpha[14][k] * g[24][k];
+        out[35][k] += -nu * scale * 0.3872983346207417 * alpha[30][k] * g[38][k];
+    }
+    for k in 0..L {
+        out[36][k] += -nu * scale * 0.968245836551854 * alpha[0][k] * g[25][k];
+        out[36][k] += -nu * scale * 0.968245836551854 * alpha[3][k] * g[11][k];
+        out[36][k] += -nu * scale * 0.8660254037844387 * alpha[3][k] * g[39][k];
+        out[36][k] += -nu * scale * 0.968245836551854 * alpha[4][k] * g[8][k];
+        out[36][k] += -nu * scale * 0.8660254037844387 * alpha[4][k] * g[42][k];
+        out[36][k] += -nu * scale * 0.8660254037844387 * alpha[10][k] * g[25][k];
+        out[36][k] += -nu * scale * 0.968245836551854 * alpha[13][k] * g[1][k];
+        out[36][k] += -nu * scale * 0.8660254037844387 * alpha[13][k] * g[20][k];
+        out[36][k] += -nu * scale * 0.8660254037844387 * alpha[13][k] * g[28][k];
+        out[36][k] += -nu * scale * 0.8660254037844387 * alpha[14][k] * g[25][k];
+        out[36][k] += -nu * scale * 0.8660254037844387 * alpha[27][k] * g[8][k];
+        out[36][k] += -nu * scale * 0.7745966692414834 * alpha[27][k] * g[42][k];
+        out[36][k] += -nu * scale * 0.8660254037844387 * alpha[30][k] * g[11][k];
+        out[36][k] += -nu * scale * 0.7745966692414834 * alpha[30][k] * g[39][k];
+    }
+    for k in 0..L {
+        out[37][k] += -nu * scale * 0.4330127018922193 * alpha[0][k] * g[26][k];
+        out[37][k] += -nu * scale * 0.4330127018922193 * alpha[3][k] * g[12][k];
+        out[37][k] += -nu * scale * 0.3872983346207417 * alpha[3][k] * g[40][k];
+        out[37][k] += -nu * scale * 0.4330127018922193 * alpha[4][k] * g[9][k];
+        out[37][k] += -nu * scale * 0.3872983346207417 * alpha[4][k] * g[43][k];
+        out[37][k] += -nu * scale * 0.3872983346207417 * alpha[10][k] * g[26][k];
+        out[37][k] += -nu * scale * 0.4330127018922193 * alpha[13][k] * g[2][k];
+        out[37][k] += -nu * scale * 0.3872983346207417 * alpha[13][k] * g[21][k];
+        out[37][k] += -nu * scale * 0.3872983346207417 * alpha[13][k] * g[29][k];
+        out[37][k] += -nu * scale * 0.3872983346207417 * alpha[14][k] * g[26][k];
+        out[37][k] += -nu * scale * 0.3872983346207417 * alpha[27][k] * g[9][k];
+        out[37][k] += -nu * scale * 0.34641016151377546 * alpha[27][k] * g[43][k];
+        out[37][k] += -nu * scale * 0.3872983346207417 * alpha[30][k] * g[12][k];
+        out[37][k] += -nu * scale * 0.34641016151377546 * alpha[30][k] * g[40][k];
+    }
+    for k in 0..L {
+        out[39][k] += -nu * scale * 0.43301270189221935 * alpha[0][k] * g[27][k];
+        out[39][k] += -nu * scale * 0.38729833462074165 * alpha[3][k] * g[13][k];
+        out[39][k] += -nu * scale * 0.43301270189221935 * alpha[4][k] * g[10][k];
+        out[39][k] += -nu * scale * 0.43301270189221935 * alpha[10][k] * g[4][k];
+        out[39][k] += -nu * scale * 0.2766416675862441 * alpha[10][k] * g[27][k];
+        out[39][k] += -nu * scale * 0.38729833462074165 * alpha[13][k] * g[3][k];
+        out[39][k] += -nu * scale * 0.34641016151377546 * alpha[13][k] * g[30][k];
+        out[39][k] += -nu * scale * 0.3872983346207417 * alpha[14][k] * g[27][k];
+        out[39][k] += -nu * scale * 0.43301270189221935 * alpha[27][k] * g[0][k];
+        out[39][k] += -nu * scale * 0.2766416675862441 * alpha[27][k] * g[10][k];
+        out[39][k] += -nu * scale * 0.3872983346207417 * alpha[27][k] * g[14][k];
+        out[39][k] += -nu * scale * 0.34641016151377546 * alpha[30][k] * g[13][k];
+    }
+    for k in 0..L {
+        out[41][k] += -nu * scale * 0.43301270189221935 * alpha[0][k] * g[29][k];
+        out[41][k] += -nu * scale * 0.43301270189221935 * alpha[3][k] * g[43][k];
+        out[41][k] += -nu * scale * 0.38729833462074165 * alpha[4][k] * g[12][k];
+        out[41][k] += -nu * scale * 0.3872983346207417 * alpha[13][k] * g[26][k];
+        out[41][k] += -nu * scale * 0.43301270189221935 * alpha[14][k] * g[2][k];
+        out[41][k] += -nu * scale * 0.2766416675862441 * alpha[14][k] * g[29][k];
+        out[41][k] += -nu * scale * 0.3872983346207417 * alpha[27][k] * g[40][k];
+        out[41][k] += -nu * scale * 0.43301270189221935 * alpha[30][k] * g[9][k];
+        out[41][k] += -nu * scale * 0.27664166758624403 * alpha[30][k] * g[43][k];
+    }
+    for k in 0..L {
+        out[42][k] += -nu * scale * 0.43301270189221935 * alpha[0][k] * g[30][k];
+        out[42][k] += -nu * scale * 0.43301270189221935 * alpha[3][k] * g[14][k];
+        out[42][k] += -nu * scale * 0.38729833462074165 * alpha[4][k] * g[13][k];
+        out[42][k] += -nu * scale * 0.3872983346207417 * alpha[10][k] * g[30][k];
+        out[42][k] += -nu * scale * 0.38729833462074165 * alpha[13][k] * g[4][k];
+        out[42][k] += -nu * scale * 0.34641016151377546 * alpha[13][k] * g[27][k];
+        out[42][k] += -nu * scale * 0.43301270189221935 * alpha[14][k] * g[3][k];
+        out[42][k] += -nu * scale * 0.2766416675862441 * alpha[14][k] * g[30][k];
+        out[42][k] += -nu * scale * 0.34641016151377546 * alpha[27][k] * g[13][k];
+        out[42][k] += -nu * scale * 0.43301270189221935 * alpha[30][k] * g[0][k];
+        out[42][k] += -nu * scale * 0.3872983346207417 * alpha[30][k] * g[10][k];
+        out[42][k] += -nu * scale * 0.2766416675862441 * alpha[30][k] * g[14][k];
+    }
+    for k in 0..L {
+        out[44][k] += -nu * scale * 0.9682458365518543 * alpha[0][k] * g[37][k];
+        out[44][k] += -nu * scale * 0.9682458365518543 * alpha[3][k] * g[23][k];
+        out[44][k] += -nu * scale * 0.8660254037844387 * alpha[3][k] * g[46][k];
+        out[44][k] += -nu * scale * 0.9682458365518543 * alpha[4][k] * g[18][k];
+        out[44][k] += -nu * scale * 0.8660254037844387 * alpha[4][k] * g[47][k];
+        out[44][k] += -nu * scale * 0.8660254037844387 * alpha[10][k] * g[37][k];
+        out[44][k] += -nu * scale * 0.9682458365518543 * alpha[13][k] * g[6][k];
+        out[44][k] += -nu * scale * 0.8660254037844387 * alpha[13][k] * g[33][k];
+        out[44][k] += -nu * scale * 0.8660254037844387 * alpha[13][k] * g[41][k];
+        out[44][k] += -nu * scale * 0.8660254037844387 * alpha[14][k] * g[37][k];
+        out[44][k] += -nu * scale * 0.8660254037844387 * alpha[27][k] * g[18][k];
+        out[44][k] += -nu * scale * 0.7745966692414834 * alpha[27][k] * g[47][k];
+        out[44][k] += -nu * scale * 0.8660254037844387 * alpha[30][k] * g[23][k];
+        out[44][k] += -nu * scale * 0.7745966692414834 * alpha[30][k] * g[46][k];
+    }
+    for k in 0..L {
+        out[45][k] += -nu * scale * 0.43301270189221935 * alpha[0][k] * g[38][k];
+        out[45][k] += -nu * scale * 0.43301270189221935 * alpha[3][k] * g[24][k];
+        out[45][k] += -nu * scale * 0.43301270189221935 * alpha[4][k] * g[19][k];
+        out[45][k] += -nu * scale * 0.3872983346207417 * alpha[10][k] * g[38][k];
+        out[45][k] += -nu * scale * 0.43301270189221935 * alpha[13][k] * g[7][k];
+        out[45][k] += -nu * scale * 0.3872983346207417 * alpha[14][k] * g[38][k];
+        out[45][k] += -nu * scale * 0.3872983346207417 * alpha[27][k] * g[19][k];
+        out[45][k] += -nu * scale * 0.3872983346207417 * alpha[30][k] * g[24][k];
+    }
+    for k in 0..L {
+        out[46][k] += -nu * scale * 0.43301270189221935 * alpha[0][k] * g[40][k];
+        out[46][k] += -nu * scale * 0.3872983346207417 * alpha[3][k] * g[26][k];
+        out[46][k] += -nu * scale * 0.43301270189221935 * alpha[4][k] * g[21][k];
+        out[46][k] += -nu * scale * 0.43301270189221935 * alpha[10][k] * g[12][k];
+        out[46][k] += -nu * scale * 0.27664166758624403 * alpha[10][k] * g[40][k];
+        out[46][k] += -nu * scale * 0.3872983346207417 * alpha[13][k] * g[9][k];
+        out[46][k] += -nu * scale * 0.34641016151377546 * alpha[13][k] * g[43][k];
+        out[46][k] += -nu * scale * 0.3872983346207417 * alpha[14][k] * g[40][k];
+        out[46][k] += -nu * scale * 0.43301270189221935 * alpha[27][k] * g[2][k];
+        out[46][k] += -nu * scale * 0.27664166758624403 * alpha[27][k] * g[21][k];
+        out[46][k] += -nu * scale * 0.3872983346207417 * alpha[27][k] * g[29][k];
+        out[46][k] += -nu * scale * 0.34641016151377546 * alpha[30][k] * g[26][k];
+    }
+    for k in 0..L {
+        out[47][k] += -nu * scale * 0.43301270189221935 * alpha[0][k] * g[43][k];
+        out[47][k] += -nu * scale * 0.43301270189221935 * alpha[3][k] * g[29][k];
+        out[47][k] += -nu * scale * 0.3872983346207417 * alpha[4][k] * g[26][k];
+        out[47][k] += -nu * scale * 0.3872983346207417 * alpha[10][k] * g[43][k];
+        out[47][k] += -nu * scale * 0.3872983346207417 * alpha[13][k] * g[12][k];
+        out[47][k] += -nu * scale * 0.34641016151377546 * alpha[13][k] * g[40][k];
+        out[47][k] += -nu * scale * 0.43301270189221935 * alpha[14][k] * g[9][k];
+        out[47][k] += -nu * scale * 0.27664166758624403 * alpha[14][k] * g[43][k];
+        out[47][k] += -nu * scale * 0.34641016151377546 * alpha[27][k] * g[26][k];
+        out[47][k] += -nu * scale * 0.43301270189221935 * alpha[30][k] * g[2][k];
+        out[47][k] += -nu * scale * 0.3872983346207417 * alpha[30][k] * g[21][k];
+        out[47][k] += -nu * scale * 0.27664166758624403 * alpha[30][k] * g[29][k];
+    }
 }
 
 /// LBO diffusion surface term in v1 at one interior face: one-sided
@@ -3068,352 +3700,425 @@ pub fn lbo_2x2v_p2_ser_diff_vol_v1(nu: f64, dv: f64, vth2: &[f64], g: &[f64], ou
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x2v_p2_ser_diff_surf_v1(nu: f64, dv: f64, vth2: &[f64], g_lo: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_2x2v_p2_ser_diff_surf_v1_body::<1>(nu, dv, vth2.as_chunks().0, g_lo.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_2x2v_p2_ser_diff_surf_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_diff_surf_v1_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_diff_surf_v1_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// [`lbo_2x2v_p2_ser_diff_surf_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x2v_p2_ser_diff_surf_v1_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x2v_p2_ser_diff_surf_v1_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_2x2v_p2_ser_diff_surf_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x2v_p2_ser_diff_surf_v1_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g_lo: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 8] = vth2.first_chunk().expect("vth2: 8 coefficients");
+    let g_lo: &[[f64; L]; 48] = g_lo.first_chunk().expect("g_lo: 48 coefficients");
+    let out_lo: &mut [[f64; L]; 48] = out_lo.first_chunk_mut().expect("out_lo: 48 coefficients");
+    let out_hi: &mut [[f64; L]; 48] = out_hi.first_chunk_mut().expect("out_hi: 48 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 20];
-    alpha[0] = 1.4142135623730951 * vth2[0];
-    alpha[2] = 1.4142135623730951 * vth2[1];
-    alpha[3] = 1.4142135623730951 * vth2[2];
-    alpha[6] = 1.4142135623730951 * vth2[3];
-    alpha[8] = 1.4142135623730951 * vth2[4];
-    alpha[9] = 1.4142135623730951 * vth2[5];
-    alpha[14] = 1.4142135623730951 * vth2[6];
-    alpha[16] = 1.4142135623730951 * vth2[7];
-    let mut tr = [0.0f64; 20];
-    tr[0] += 0.7071067811865476 * g_lo[0];
-    tr[0] += 1.224744871391589 * g_lo[1];
-    tr[1] += 0.7071067811865476 * g_lo[2];
-    tr[2] += 0.7071067811865476 * g_lo[3];
-    tr[3] += 0.7071067811865476 * g_lo[4];
-    tr[0] += 1.5811388300841898 * g_lo[5];
-    tr[1] += 1.224744871391589 * g_lo[6];
-    tr[4] += 0.7071067811865476 * g_lo[7];
-    tr[2] += 1.224744871391589 * g_lo[8];
-    tr[5] += 0.7071067811865476 * g_lo[9];
-    tr[6] += 0.7071067811865476 * g_lo[10];
-    tr[3] += 1.224744871391589 * g_lo[11];
-    tr[7] += 0.7071067811865476 * g_lo[12];
-    tr[8] += 0.7071067811865476 * g_lo[13];
-    tr[9] += 0.7071067811865476 * g_lo[14];
-    tr[1] += 1.5811388300841898 * g_lo[15];
-    tr[4] += 1.224744871391589 * g_lo[16];
-    tr[2] += 1.5811388300841898 * g_lo[17];
-    tr[5] += 1.224744871391589 * g_lo[18];
-    tr[10] += 0.7071067811865476 * g_lo[19];
-    tr[6] += 1.224744871391589 * g_lo[20];
-    tr[11] += 0.7071067811865476 * g_lo[21];
-    tr[3] += 1.5811388300841898 * g_lo[22];
-    tr[7] += 1.224744871391589 * g_lo[23];
-    tr[12] += 0.7071067811865476 * g_lo[24];
-    tr[8] += 1.224744871391589 * g_lo[25];
-    tr[13] += 0.7071067811865476 * g_lo[26];
-    tr[14] += 0.7071067811865476 * g_lo[27];
-    tr[9] += 1.224744871391589 * g_lo[28];
-    tr[15] += 0.7071067811865476 * g_lo[29];
-    tr[16] += 0.7071067811865476 * g_lo[30];
-    tr[5] += 1.5811388300841898 * g_lo[31];
-    tr[10] += 1.224744871391589 * g_lo[32];
-    tr[11] += 1.224744871391589 * g_lo[33];
-    tr[7] += 1.5811388300841898 * g_lo[34];
-    tr[12] += 1.224744871391589 * g_lo[35];
-    tr[8] += 1.5811388300841898 * g_lo[36];
-    tr[13] += 1.224744871391589 * g_lo[37];
-    tr[17] += 0.7071067811865476 * g_lo[38];
-    tr[14] += 1.224744871391589 * g_lo[39];
-    tr[18] += 0.7071067811865476 * g_lo[40];
-    tr[15] += 1.224744871391589 * g_lo[41];
-    tr[16] += 1.224744871391589 * g_lo[42];
-    tr[19] += 0.7071067811865476 * g_lo[43];
-    tr[13] += 1.5811388300841898 * g_lo[44];
-    tr[17] += 1.224744871391589 * g_lo[45];
-    tr[18] += 1.224744871391589 * g_lo[46];
-    tr[19] += 1.224744871391589 * g_lo[47];
-    let mut ghat = [0.0f64; 20];
-    ghat[0] += 0.3535533905932738 * alpha[0] * tr[0];
-    ghat[0] += 0.35355339059327373 * alpha[2] * tr[2];
-    ghat[0] += 0.35355339059327373 * alpha[3] * tr[3];
-    ghat[0] += 0.3535533905932738 * alpha[6] * tr[6];
-    ghat[0] += 0.35355339059327373 * alpha[8] * tr[8];
-    ghat[0] += 0.3535533905932738 * alpha[9] * tr[9];
-    ghat[0] += 0.3535533905932738 * alpha[14] * tr[14];
-    ghat[0] += 0.3535533905932738 * alpha[16] * tr[16];
-    ghat[1] += 0.35355339059327373 * alpha[0] * tr[1];
-    ghat[1] += 0.35355339059327373 * alpha[2] * tr[5];
-    ghat[1] += 0.35355339059327373 * alpha[3] * tr[7];
-    ghat[1] += 0.3535533905932738 * alpha[6] * tr[11];
-    ghat[1] += 0.3535533905932738 * alpha[8] * tr[13];
-    ghat[1] += 0.3535533905932738 * alpha[9] * tr[15];
-    ghat[1] += 0.3535533905932738 * alpha[14] * tr[18];
-    ghat[1] += 0.3535533905932738 * alpha[16] * tr[19];
-    ghat[2] += 0.35355339059327373 * alpha[0] * tr[2];
-    ghat[2] += 0.35355339059327373 * alpha[2] * tr[0];
-    ghat[2] += 0.31622776601683794 * alpha[2] * tr[6];
-    ghat[2] += 0.35355339059327373 * alpha[3] * tr[8];
-    ghat[2] += 0.31622776601683794 * alpha[6] * tr[2];
-    ghat[2] += 0.35355339059327373 * alpha[8] * tr[3];
-    ghat[2] += 0.31622776601683794 * alpha[8] * tr[14];
-    ghat[2] += 0.3535533905932738 * alpha[9] * tr[16];
-    ghat[2] += 0.31622776601683794 * alpha[14] * tr[8];
-    ghat[2] += 0.3535533905932738 * alpha[16] * tr[9];
-    ghat[3] += 0.35355339059327373 * alpha[0] * tr[3];
-    ghat[3] += 0.35355339059327373 * alpha[2] * tr[8];
-    ghat[3] += 0.35355339059327373 * alpha[3] * tr[0];
-    ghat[3] += 0.31622776601683794 * alpha[3] * tr[9];
-    ghat[3] += 0.3535533905932738 * alpha[6] * tr[14];
-    ghat[3] += 0.35355339059327373 * alpha[8] * tr[2];
-    ghat[3] += 0.31622776601683794 * alpha[8] * tr[16];
-    ghat[3] += 0.31622776601683794 * alpha[9] * tr[3];
-    ghat[3] += 0.3535533905932738 * alpha[14] * tr[6];
-    ghat[3] += 0.31622776601683794 * alpha[16] * tr[8];
-    ghat[4] += 0.3535533905932738 * alpha[0] * tr[4];
-    ghat[4] += 0.3535533905932738 * alpha[2] * tr[10];
-    ghat[4] += 0.3535533905932738 * alpha[3] * tr[12];
-    ghat[4] += 0.3535533905932738 * alpha[8] * tr[17];
-    ghat[5] += 0.35355339059327373 * alpha[0] * tr[5];
-    ghat[5] += 0.35355339059327373 * alpha[2] * tr[1];
-    ghat[5] += 0.31622776601683794 * alpha[2] * tr[11];
-    ghat[5] += 0.3535533905932738 * alpha[3] * tr[13];
-    ghat[5] += 0.31622776601683794 * alpha[6] * tr[5];
-    ghat[5] += 0.3535533905932738 * alpha[8] * tr[7];
-    ghat[5] += 0.31622776601683794 * alpha[8] * tr[18];
-    ghat[5] += 0.3535533905932738 * alpha[9] * tr[19];
-    ghat[5] += 0.31622776601683794 * alpha[14] * tr[13];
-    ghat[5] += 0.3535533905932738 * alpha[16] * tr[15];
-    ghat[6] += 0.3535533905932738 * alpha[0] * tr[6];
-    ghat[6] += 0.31622776601683794 * alpha[2] * tr[2];
-    ghat[6] += 0.3535533905932738 * alpha[3] * tr[14];
-    ghat[6] += 0.3535533905932738 * alpha[6] * tr[0];
-    ghat[6] += 0.2258769757263128 * alpha[6] * tr[6];
-    ghat[6] += 0.31622776601683794 * alpha[8] * tr[8];
-    ghat[6] += 0.3535533905932738 * alpha[14] * tr[3];
-    ghat[6] += 0.22587697572631282 * alpha[14] * tr[14];
-    ghat[6] += 0.31622776601683794 * alpha[16] * tr[16];
-    ghat[7] += 0.35355339059327373 * alpha[0] * tr[7];
-    ghat[7] += 0.3535533905932738 * alpha[2] * tr[13];
-    ghat[7] += 0.35355339059327373 * alpha[3] * tr[1];
-    ghat[7] += 0.31622776601683794 * alpha[3] * tr[15];
-    ghat[7] += 0.3535533905932738 * alpha[6] * tr[18];
-    ghat[7] += 0.3535533905932738 * alpha[8] * tr[5];
-    ghat[7] += 0.31622776601683794 * alpha[8] * tr[19];
-    ghat[7] += 0.31622776601683794 * alpha[9] * tr[7];
-    ghat[7] += 0.3535533905932738 * alpha[14] * tr[11];
-    ghat[7] += 0.31622776601683794 * alpha[16] * tr[13];
-    ghat[8] += 0.35355339059327373 * alpha[0] * tr[8];
-    ghat[8] += 0.35355339059327373 * alpha[2] * tr[3];
-    ghat[8] += 0.31622776601683794 * alpha[2] * tr[14];
-    ghat[8] += 0.35355339059327373 * alpha[3] * tr[2];
-    ghat[8] += 0.31622776601683794 * alpha[3] * tr[16];
-    ghat[8] += 0.31622776601683794 * alpha[6] * tr[8];
-    ghat[8] += 0.35355339059327373 * alpha[8] * tr[0];
-    ghat[8] += 0.31622776601683794 * alpha[8] * tr[6];
-    ghat[8] += 0.31622776601683794 * alpha[8] * tr[9];
-    ghat[8] += 0.31622776601683794 * alpha[9] * tr[8];
-    ghat[8] += 0.31622776601683794 * alpha[14] * tr[2];
-    ghat[8] += 0.282842712474619 * alpha[14] * tr[16];
-    ghat[8] += 0.31622776601683794 * alpha[16] * tr[3];
-    ghat[8] += 0.282842712474619 * alpha[16] * tr[14];
-    ghat[9] += 0.3535533905932738 * alpha[0] * tr[9];
-    ghat[9] += 0.3535533905932738 * alpha[2] * tr[16];
-    ghat[9] += 0.31622776601683794 * alpha[3] * tr[3];
-    ghat[9] += 0.31622776601683794 * alpha[8] * tr[8];
-    ghat[9] += 0.3535533905932738 * alpha[9] * tr[0];
-    ghat[9] += 0.2258769757263128 * alpha[9] * tr[9];
-    ghat[9] += 0.31622776601683794 * alpha[14] * tr[14];
-    ghat[9] += 0.3535533905932738 * alpha[16] * tr[2];
-    ghat[9] += 0.22587697572631282 * alpha[16] * tr[16];
-    ghat[10] += 0.3535533905932738 * alpha[0] * tr[10];
-    ghat[10] += 0.3535533905932738 * alpha[2] * tr[4];
-    ghat[10] += 0.3535533905932738 * alpha[3] * tr[17];
-    ghat[10] += 0.31622776601683794 * alpha[6] * tr[10];
-    ghat[10] += 0.3535533905932738 * alpha[8] * tr[12];
-    ghat[10] += 0.31622776601683794 * alpha[14] * tr[17];
-    ghat[11] += 0.3535533905932738 * alpha[0] * tr[11];
-    ghat[11] += 0.31622776601683794 * alpha[2] * tr[5];
-    ghat[11] += 0.3535533905932738 * alpha[3] * tr[18];
-    ghat[11] += 0.3535533905932738 * alpha[6] * tr[1];
-    ghat[11] += 0.22587697572631282 * alpha[6] * tr[11];
-    ghat[11] += 0.31622776601683794 * alpha[8] * tr[13];
-    ghat[11] += 0.3535533905932738 * alpha[14] * tr[7];
-    ghat[11] += 0.2258769757263128 * alpha[14] * tr[18];
-    ghat[11] += 0.31622776601683794 * alpha[16] * tr[19];
-    ghat[12] += 0.3535533905932738 * alpha[0] * tr[12];
-    ghat[12] += 0.3535533905932738 * alpha[2] * tr[17];
-    ghat[12] += 0.3535533905932738 * alpha[3] * tr[4];
-    ghat[12] += 0.3535533905932738 * alpha[8] * tr[10];
-    ghat[12] += 0.31622776601683794 * alpha[9] * tr[12];
-    ghat[12] += 0.31622776601683794 * alpha[16] * tr[17];
-    ghat[13] += 0.3535533905932738 * alpha[0] * tr[13];
-    ghat[13] += 0.3535533905932738 * alpha[2] * tr[7];
-    ghat[13] += 0.31622776601683794 * alpha[2] * tr[18];
-    ghat[13] += 0.3535533905932738 * alpha[3] * tr[5];
-    ghat[13] += 0.31622776601683794 * alpha[3] * tr[19];
-    ghat[13] += 0.31622776601683794 * alpha[6] * tr[13];
-    ghat[13] += 0.3535533905932738 * alpha[8] * tr[1];
-    ghat[13] += 0.31622776601683794 * alpha[8] * tr[11];
-    ghat[13] += 0.31622776601683794 * alpha[8] * tr[15];
-    ghat[13] += 0.31622776601683794 * alpha[9] * tr[13];
-    ghat[13] += 0.31622776601683794 * alpha[14] * tr[5];
-    ghat[13] += 0.282842712474619 * alpha[14] * tr[19];
-    ghat[13] += 0.31622776601683794 * alpha[16] * tr[7];
-    ghat[13] += 0.282842712474619 * alpha[16] * tr[18];
-    ghat[14] += 0.3535533905932738 * alpha[0] * tr[14];
-    ghat[14] += 0.31622776601683794 * alpha[2] * tr[8];
-    ghat[14] += 0.3535533905932738 * alpha[3] * tr[6];
-    ghat[14] += 0.3535533905932738 * alpha[6] * tr[3];
-    ghat[14] += 0.22587697572631282 * alpha[6] * tr[14];
-    ghat[14] += 0.31622776601683794 * alpha[8] * tr[2];
-    ghat[14] += 0.282842712474619 * alpha[8] * tr[16];
-    ghat[14] += 0.31622776601683794 * alpha[9] * tr[14];
-    ghat[14] += 0.3535533905932738 * alpha[14] * tr[0];
-    ghat[14] += 0.22587697572631282 * alpha[14] * tr[6];
-    ghat[14] += 0.31622776601683794 * alpha[14] * tr[9];
-    ghat[14] += 0.282842712474619 * alpha[16] * tr[8];
-    ghat[15] += 0.3535533905932738 * alpha[0] * tr[15];
-    ghat[15] += 0.3535533905932738 * alpha[2] * tr[19];
-    ghat[15] += 0.31622776601683794 * alpha[3] * tr[7];
-    ghat[15] += 0.31622776601683794 * alpha[8] * tr[13];
-    ghat[15] += 0.3535533905932738 * alpha[9] * tr[1];
-    ghat[15] += 0.22587697572631282 * alpha[9] * tr[15];
-    ghat[15] += 0.31622776601683794 * alpha[14] * tr[18];
-    ghat[15] += 0.3535533905932738 * alpha[16] * tr[5];
-    ghat[15] += 0.2258769757263128 * alpha[16] * tr[19];
-    ghat[16] += 0.3535533905932738 * alpha[0] * tr[16];
-    ghat[16] += 0.3535533905932738 * alpha[2] * tr[9];
-    ghat[16] += 0.31622776601683794 * alpha[3] * tr[8];
-    ghat[16] += 0.31622776601683794 * alpha[6] * tr[16];
-    ghat[16] += 0.31622776601683794 * alpha[8] * tr[3];
-    ghat[16] += 0.282842712474619 * alpha[8] * tr[14];
-    ghat[16] += 0.3535533905932738 * alpha[9] * tr[2];
-    ghat[16] += 0.22587697572631282 * alpha[9] * tr[16];
-    ghat[16] += 0.282842712474619 * alpha[14] * tr[8];
-    ghat[16] += 0.3535533905932738 * alpha[16] * tr[0];
-    ghat[16] += 0.31622776601683794 * alpha[16] * tr[6];
-    ghat[16] += 0.22587697572631282 * alpha[16] * tr[9];
-    ghat[17] += 0.3535533905932738 * alpha[0] * tr[17];
-    ghat[17] += 0.3535533905932738 * alpha[2] * tr[12];
-    ghat[17] += 0.3535533905932738 * alpha[3] * tr[10];
-    ghat[17] += 0.31622776601683794 * alpha[6] * tr[17];
-    ghat[17] += 0.3535533905932738 * alpha[8] * tr[4];
-    ghat[17] += 0.31622776601683794 * alpha[9] * tr[17];
-    ghat[17] += 0.31622776601683794 * alpha[14] * tr[10];
-    ghat[17] += 0.31622776601683794 * alpha[16] * tr[12];
-    ghat[18] += 0.3535533905932738 * alpha[0] * tr[18];
-    ghat[18] += 0.31622776601683794 * alpha[2] * tr[13];
-    ghat[18] += 0.3535533905932738 * alpha[3] * tr[11];
-    ghat[18] += 0.3535533905932738 * alpha[6] * tr[7];
-    ghat[18] += 0.2258769757263128 * alpha[6] * tr[18];
-    ghat[18] += 0.31622776601683794 * alpha[8] * tr[5];
-    ghat[18] += 0.282842712474619 * alpha[8] * tr[19];
-    ghat[18] += 0.31622776601683794 * alpha[9] * tr[18];
-    ghat[18] += 0.3535533905932738 * alpha[14] * tr[1];
-    ghat[18] += 0.2258769757263128 * alpha[14] * tr[11];
-    ghat[18] += 0.31622776601683794 * alpha[14] * tr[15];
-    ghat[18] += 0.282842712474619 * alpha[16] * tr[13];
-    ghat[19] += 0.3535533905932738 * alpha[0] * tr[19];
-    ghat[19] += 0.3535533905932738 * alpha[2] * tr[15];
-    ghat[19] += 0.31622776601683794 * alpha[3] * tr[13];
-    ghat[19] += 0.31622776601683794 * alpha[6] * tr[19];
-    ghat[19] += 0.31622776601683794 * alpha[8] * tr[7];
-    ghat[19] += 0.282842712474619 * alpha[8] * tr[18];
-    ghat[19] += 0.3535533905932738 * alpha[9] * tr[5];
-    ghat[19] += 0.2258769757263128 * alpha[9] * tr[19];
-    ghat[19] += 0.282842712474619 * alpha[14] * tr[13];
-    ghat[19] += 0.3535533905932738 * alpha[16] * tr[1];
-    ghat[19] += 0.31622776601683794 * alpha[16] * tr[11];
-    ghat[19] += 0.2258769757263128 * alpha[16] * tr[15];
-    out_lo[0] += nu * scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += nu * scale * 1.224744871391589 * ghat[0];
-    out_lo[2] += nu * scale * 0.7071067811865476 * ghat[1];
-    out_lo[3] += nu * scale * 0.7071067811865476 * ghat[2];
-    out_lo[4] += nu * scale * 0.7071067811865476 * ghat[3];
-    out_lo[5] += nu * scale * 1.5811388300841898 * ghat[0];
-    out_lo[6] += nu * scale * 1.224744871391589 * ghat[1];
-    out_lo[7] += nu * scale * 0.7071067811865476 * ghat[4];
-    out_lo[8] += nu * scale * 1.224744871391589 * ghat[2];
-    out_lo[9] += nu * scale * 0.7071067811865476 * ghat[5];
-    out_lo[10] += nu * scale * 0.7071067811865476 * ghat[6];
-    out_lo[11] += nu * scale * 1.224744871391589 * ghat[3];
-    out_lo[12] += nu * scale * 0.7071067811865476 * ghat[7];
-    out_lo[13] += nu * scale * 0.7071067811865476 * ghat[8];
-    out_lo[14] += nu * scale * 0.7071067811865476 * ghat[9];
-    out_lo[15] += nu * scale * 1.5811388300841898 * ghat[1];
-    out_lo[16] += nu * scale * 1.224744871391589 * ghat[4];
-    out_lo[17] += nu * scale * 1.5811388300841898 * ghat[2];
-    out_lo[18] += nu * scale * 1.224744871391589 * ghat[5];
-    out_lo[19] += nu * scale * 0.7071067811865476 * ghat[10];
-    out_lo[20] += nu * scale * 1.224744871391589 * ghat[6];
-    out_lo[21] += nu * scale * 0.7071067811865476 * ghat[11];
-    out_lo[22] += nu * scale * 1.5811388300841898 * ghat[3];
-    out_lo[23] += nu * scale * 1.224744871391589 * ghat[7];
-    out_lo[24] += nu * scale * 0.7071067811865476 * ghat[12];
-    out_lo[25] += nu * scale * 1.224744871391589 * ghat[8];
-    out_lo[26] += nu * scale * 0.7071067811865476 * ghat[13];
-    out_lo[27] += nu * scale * 0.7071067811865476 * ghat[14];
-    out_lo[28] += nu * scale * 1.224744871391589 * ghat[9];
-    out_lo[29] += nu * scale * 0.7071067811865476 * ghat[15];
-    out_lo[30] += nu * scale * 0.7071067811865476 * ghat[16];
-    out_lo[31] += nu * scale * 1.5811388300841898 * ghat[5];
-    out_lo[32] += nu * scale * 1.224744871391589 * ghat[10];
-    out_lo[33] += nu * scale * 1.224744871391589 * ghat[11];
-    out_lo[34] += nu * scale * 1.5811388300841898 * ghat[7];
-    out_lo[35] += nu * scale * 1.224744871391589 * ghat[12];
-    out_lo[36] += nu * scale * 1.5811388300841898 * ghat[8];
-    out_lo[37] += nu * scale * 1.224744871391589 * ghat[13];
-    out_lo[38] += nu * scale * 0.7071067811865476 * ghat[17];
-    out_lo[39] += nu * scale * 1.224744871391589 * ghat[14];
-    out_lo[40] += nu * scale * 0.7071067811865476 * ghat[18];
-    out_lo[41] += nu * scale * 1.224744871391589 * ghat[15];
-    out_lo[42] += nu * scale * 1.224744871391589 * ghat[16];
-    out_lo[43] += nu * scale * 0.7071067811865476 * ghat[19];
-    out_lo[44] += nu * scale * 1.5811388300841898 * ghat[13];
-    out_lo[45] += nu * scale * 1.224744871391589 * ghat[17];
-    out_lo[46] += nu * scale * 1.224744871391589 * ghat[18];
-    out_lo[47] += nu * scale * 1.224744871391589 * ghat[19];
-    out_hi[0] += -nu * scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += -nu * scale * -1.224744871391589 * ghat[0];
-    out_hi[2] += -nu * scale * 0.7071067811865476 * ghat[1];
-    out_hi[3] += -nu * scale * 0.7071067811865476 * ghat[2];
-    out_hi[4] += -nu * scale * 0.7071067811865476 * ghat[3];
-    out_hi[5] += -nu * scale * 1.5811388300841898 * ghat[0];
-    out_hi[6] += -nu * scale * -1.224744871391589 * ghat[1];
-    out_hi[7] += -nu * scale * 0.7071067811865476 * ghat[4];
-    out_hi[8] += -nu * scale * -1.224744871391589 * ghat[2];
-    out_hi[9] += -nu * scale * 0.7071067811865476 * ghat[5];
-    out_hi[10] += -nu * scale * 0.7071067811865476 * ghat[6];
-    out_hi[11] += -nu * scale * -1.224744871391589 * ghat[3];
-    out_hi[12] += -nu * scale * 0.7071067811865476 * ghat[7];
-    out_hi[13] += -nu * scale * 0.7071067811865476 * ghat[8];
-    out_hi[14] += -nu * scale * 0.7071067811865476 * ghat[9];
-    out_hi[15] += -nu * scale * 1.5811388300841898 * ghat[1];
-    out_hi[16] += -nu * scale * -1.224744871391589 * ghat[4];
-    out_hi[17] += -nu * scale * 1.5811388300841898 * ghat[2];
-    out_hi[18] += -nu * scale * -1.224744871391589 * ghat[5];
-    out_hi[19] += -nu * scale * 0.7071067811865476 * ghat[10];
-    out_hi[20] += -nu * scale * -1.224744871391589 * ghat[6];
-    out_hi[21] += -nu * scale * 0.7071067811865476 * ghat[11];
-    out_hi[22] += -nu * scale * 1.5811388300841898 * ghat[3];
-    out_hi[23] += -nu * scale * -1.224744871391589 * ghat[7];
-    out_hi[24] += -nu * scale * 0.7071067811865476 * ghat[12];
-    out_hi[25] += -nu * scale * -1.224744871391589 * ghat[8];
-    out_hi[26] += -nu * scale * 0.7071067811865476 * ghat[13];
-    out_hi[27] += -nu * scale * 0.7071067811865476 * ghat[14];
-    out_hi[28] += -nu * scale * -1.224744871391589 * ghat[9];
-    out_hi[29] += -nu * scale * 0.7071067811865476 * ghat[15];
-    out_hi[30] += -nu * scale * 0.7071067811865476 * ghat[16];
-    out_hi[31] += -nu * scale * 1.5811388300841898 * ghat[5];
-    out_hi[32] += -nu * scale * -1.224744871391589 * ghat[10];
-    out_hi[33] += -nu * scale * -1.224744871391589 * ghat[11];
-    out_hi[34] += -nu * scale * 1.5811388300841898 * ghat[7];
-    out_hi[35] += -nu * scale * -1.224744871391589 * ghat[12];
-    out_hi[36] += -nu * scale * 1.5811388300841898 * ghat[8];
-    out_hi[37] += -nu * scale * -1.224744871391589 * ghat[13];
-    out_hi[38] += -nu * scale * 0.7071067811865476 * ghat[17];
-    out_hi[39] += -nu * scale * -1.224744871391589 * ghat[14];
-    out_hi[40] += -nu * scale * 0.7071067811865476 * ghat[18];
-    out_hi[41] += -nu * scale * -1.224744871391589 * ghat[15];
-    out_hi[42] += -nu * scale * -1.224744871391589 * ghat[16];
-    out_hi[43] += -nu * scale * 0.7071067811865476 * ghat[19];
-    out_hi[44] += -nu * scale * 1.5811388300841898 * ghat[13];
-    out_hi[45] += -nu * scale * -1.224744871391589 * ghat[17];
-    out_hi[46] += -nu * scale * -1.224744871391589 * ghat[18];
-    out_hi[47] += -nu * scale * -1.224744871391589 * ghat[19];
+    let mut alpha = [[0.0f64; L]; 20];
+    for k in 0..L {
+        alpha[0][k] = 1.4142135623730951 * vth2[0][k];
+        alpha[2][k] = 1.4142135623730951 * vth2[1][k];
+        alpha[3][k] = 1.4142135623730951 * vth2[2][k];
+        alpha[6][k] = 1.4142135623730951 * vth2[3][k];
+        alpha[8][k] = 1.4142135623730951 * vth2[4][k];
+        alpha[9][k] = 1.4142135623730951 * vth2[5][k];
+        alpha[14][k] = 1.4142135623730951 * vth2[6][k];
+        alpha[16][k] = 1.4142135623730951 * vth2[7][k];
+    }
+    let mut tr = [[0.0f64; L]; 20];
+    for k in 0..L {
+        tr[0][k] += 0.7071067811865476 * g_lo[0][k];
+        tr[0][k] += 1.224744871391589 * g_lo[1][k];
+    }
+    sxn(&mut tr[1], 0.7071067811865476, &g_lo[2]);
+    sxn(&mut tr[2], 0.7071067811865476, &g_lo[3]);
+    sxn(&mut tr[3], 0.7071067811865476, &g_lo[4]);
+    sxn(&mut tr[0], 1.5811388300841898, &g_lo[5]);
+    sxn(&mut tr[1], 1.224744871391589, &g_lo[6]);
+    sxn(&mut tr[4], 0.7071067811865476, &g_lo[7]);
+    sxn(&mut tr[2], 1.224744871391589, &g_lo[8]);
+    sxn(&mut tr[5], 0.7071067811865476, &g_lo[9]);
+    sxn(&mut tr[6], 0.7071067811865476, &g_lo[10]);
+    sxn(&mut tr[3], 1.224744871391589, &g_lo[11]);
+    sxn(&mut tr[7], 0.7071067811865476, &g_lo[12]);
+    sxn(&mut tr[8], 0.7071067811865476, &g_lo[13]);
+    sxn(&mut tr[9], 0.7071067811865476, &g_lo[14]);
+    sxn(&mut tr[1], 1.5811388300841898, &g_lo[15]);
+    sxn(&mut tr[4], 1.224744871391589, &g_lo[16]);
+    sxn(&mut tr[2], 1.5811388300841898, &g_lo[17]);
+    sxn(&mut tr[5], 1.224744871391589, &g_lo[18]);
+    sxn(&mut tr[10], 0.7071067811865476, &g_lo[19]);
+    sxn(&mut tr[6], 1.224744871391589, &g_lo[20]);
+    sxn(&mut tr[11], 0.7071067811865476, &g_lo[21]);
+    sxn(&mut tr[3], 1.5811388300841898, &g_lo[22]);
+    sxn(&mut tr[7], 1.224744871391589, &g_lo[23]);
+    sxn(&mut tr[12], 0.7071067811865476, &g_lo[24]);
+    sxn(&mut tr[8], 1.224744871391589, &g_lo[25]);
+    sxn(&mut tr[13], 0.7071067811865476, &g_lo[26]);
+    sxn(&mut tr[14], 0.7071067811865476, &g_lo[27]);
+    sxn(&mut tr[9], 1.224744871391589, &g_lo[28]);
+    sxn(&mut tr[15], 0.7071067811865476, &g_lo[29]);
+    sxn(&mut tr[16], 0.7071067811865476, &g_lo[30]);
+    sxn(&mut tr[5], 1.5811388300841898, &g_lo[31]);
+    sxn(&mut tr[10], 1.224744871391589, &g_lo[32]);
+    sxn(&mut tr[11], 1.224744871391589, &g_lo[33]);
+    sxn(&mut tr[7], 1.5811388300841898, &g_lo[34]);
+    sxn(&mut tr[12], 1.224744871391589, &g_lo[35]);
+    sxn(&mut tr[8], 1.5811388300841898, &g_lo[36]);
+    sxn(&mut tr[13], 1.224744871391589, &g_lo[37]);
+    sxn(&mut tr[17], 0.7071067811865476, &g_lo[38]);
+    sxn(&mut tr[14], 1.224744871391589, &g_lo[39]);
+    sxn(&mut tr[18], 0.7071067811865476, &g_lo[40]);
+    sxn(&mut tr[15], 1.224744871391589, &g_lo[41]);
+    sxn(&mut tr[16], 1.224744871391589, &g_lo[42]);
+    sxn(&mut tr[19], 0.7071067811865476, &g_lo[43]);
+    sxn(&mut tr[13], 1.5811388300841898, &g_lo[44]);
+    sxn(&mut tr[17], 1.224744871391589, &g_lo[45]);
+    sxn(&mut tr[18], 1.224744871391589, &g_lo[46]);
+    sxn(&mut tr[19], 1.224744871391589, &g_lo[47]);
+    let mut ghat = [[0.0f64; L]; 20];
+    for k in 0..L {
+        ghat[0][k] += 0.3535533905932738 * alpha[0][k] * tr[0][k];
+        ghat[0][k] += 0.35355339059327373 * alpha[2][k] * tr[2][k];
+        ghat[0][k] += 0.35355339059327373 * alpha[3][k] * tr[3][k];
+        ghat[0][k] += 0.3535533905932738 * alpha[6][k] * tr[6][k];
+        ghat[0][k] += 0.35355339059327373 * alpha[8][k] * tr[8][k];
+        ghat[0][k] += 0.3535533905932738 * alpha[9][k] * tr[9][k];
+        ghat[0][k] += 0.3535533905932738 * alpha[14][k] * tr[14][k];
+        ghat[0][k] += 0.3535533905932738 * alpha[16][k] * tr[16][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.35355339059327373 * alpha[0][k] * tr[1][k];
+        ghat[1][k] += 0.35355339059327373 * alpha[2][k] * tr[5][k];
+        ghat[1][k] += 0.35355339059327373 * alpha[3][k] * tr[7][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[6][k] * tr[11][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[8][k] * tr[13][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[9][k] * tr[15][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[14][k] * tr[18][k];
+        ghat[1][k] += 0.3535533905932738 * alpha[16][k] * tr[19][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.35355339059327373 * alpha[0][k] * tr[2][k];
+        ghat[2][k] += 0.35355339059327373 * alpha[2][k] * tr[0][k];
+        ghat[2][k] += 0.31622776601683794 * alpha[2][k] * tr[6][k];
+        ghat[2][k] += 0.35355339059327373 * alpha[3][k] * tr[8][k];
+        ghat[2][k] += 0.31622776601683794 * alpha[6][k] * tr[2][k];
+        ghat[2][k] += 0.35355339059327373 * alpha[8][k] * tr[3][k];
+        ghat[2][k] += 0.31622776601683794 * alpha[8][k] * tr[14][k];
+        ghat[2][k] += 0.3535533905932738 * alpha[9][k] * tr[16][k];
+        ghat[2][k] += 0.31622776601683794 * alpha[14][k] * tr[8][k];
+        ghat[2][k] += 0.3535533905932738 * alpha[16][k] * tr[9][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.35355339059327373 * alpha[0][k] * tr[3][k];
+        ghat[3][k] += 0.35355339059327373 * alpha[2][k] * tr[8][k];
+        ghat[3][k] += 0.35355339059327373 * alpha[3][k] * tr[0][k];
+        ghat[3][k] += 0.31622776601683794 * alpha[3][k] * tr[9][k];
+        ghat[3][k] += 0.3535533905932738 * alpha[6][k] * tr[14][k];
+        ghat[3][k] += 0.35355339059327373 * alpha[8][k] * tr[2][k];
+        ghat[3][k] += 0.31622776601683794 * alpha[8][k] * tr[16][k];
+        ghat[3][k] += 0.31622776601683794 * alpha[9][k] * tr[3][k];
+        ghat[3][k] += 0.3535533905932738 * alpha[14][k] * tr[6][k];
+        ghat[3][k] += 0.31622776601683794 * alpha[16][k] * tr[8][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.3535533905932738 * alpha[0][k] * tr[4][k];
+        ghat[4][k] += 0.3535533905932738 * alpha[2][k] * tr[10][k];
+        ghat[4][k] += 0.3535533905932738 * alpha[3][k] * tr[12][k];
+        ghat[4][k] += 0.3535533905932738 * alpha[8][k] * tr[17][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.35355339059327373 * alpha[0][k] * tr[5][k];
+        ghat[5][k] += 0.35355339059327373 * alpha[2][k] * tr[1][k];
+        ghat[5][k] += 0.31622776601683794 * alpha[2][k] * tr[11][k];
+        ghat[5][k] += 0.3535533905932738 * alpha[3][k] * tr[13][k];
+        ghat[5][k] += 0.31622776601683794 * alpha[6][k] * tr[5][k];
+        ghat[5][k] += 0.3535533905932738 * alpha[8][k] * tr[7][k];
+        ghat[5][k] += 0.31622776601683794 * alpha[8][k] * tr[18][k];
+        ghat[5][k] += 0.3535533905932738 * alpha[9][k] * tr[19][k];
+        ghat[5][k] += 0.31622776601683794 * alpha[14][k] * tr[13][k];
+        ghat[5][k] += 0.3535533905932738 * alpha[16][k] * tr[15][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.3535533905932738 * alpha[0][k] * tr[6][k];
+        ghat[6][k] += 0.31622776601683794 * alpha[2][k] * tr[2][k];
+        ghat[6][k] += 0.3535533905932738 * alpha[3][k] * tr[14][k];
+        ghat[6][k] += 0.3535533905932738 * alpha[6][k] * tr[0][k];
+        ghat[6][k] += 0.2258769757263128 * alpha[6][k] * tr[6][k];
+        ghat[6][k] += 0.31622776601683794 * alpha[8][k] * tr[8][k];
+        ghat[6][k] += 0.3535533905932738 * alpha[14][k] * tr[3][k];
+        ghat[6][k] += 0.22587697572631282 * alpha[14][k] * tr[14][k];
+        ghat[6][k] += 0.31622776601683794 * alpha[16][k] * tr[16][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.35355339059327373 * alpha[0][k] * tr[7][k];
+        ghat[7][k] += 0.3535533905932738 * alpha[2][k] * tr[13][k];
+        ghat[7][k] += 0.35355339059327373 * alpha[3][k] * tr[1][k];
+        ghat[7][k] += 0.31622776601683794 * alpha[3][k] * tr[15][k];
+        ghat[7][k] += 0.3535533905932738 * alpha[6][k] * tr[18][k];
+        ghat[7][k] += 0.3535533905932738 * alpha[8][k] * tr[5][k];
+        ghat[7][k] += 0.31622776601683794 * alpha[8][k] * tr[19][k];
+        ghat[7][k] += 0.31622776601683794 * alpha[9][k] * tr[7][k];
+        ghat[7][k] += 0.3535533905932738 * alpha[14][k] * tr[11][k];
+        ghat[7][k] += 0.31622776601683794 * alpha[16][k] * tr[13][k];
+    }
+    for k in 0..L {
+        ghat[8][k] += 0.35355339059327373 * alpha[0][k] * tr[8][k];
+        ghat[8][k] += 0.35355339059327373 * alpha[2][k] * tr[3][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[2][k] * tr[14][k];
+        ghat[8][k] += 0.35355339059327373 * alpha[3][k] * tr[2][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[3][k] * tr[16][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[6][k] * tr[8][k];
+        ghat[8][k] += 0.35355339059327373 * alpha[8][k] * tr[0][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[8][k] * tr[6][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[8][k] * tr[9][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[9][k] * tr[8][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[14][k] * tr[2][k];
+        ghat[8][k] += 0.282842712474619 * alpha[14][k] * tr[16][k];
+        ghat[8][k] += 0.31622776601683794 * alpha[16][k] * tr[3][k];
+        ghat[8][k] += 0.282842712474619 * alpha[16][k] * tr[14][k];
+    }
+    for k in 0..L {
+        ghat[9][k] += 0.3535533905932738 * alpha[0][k] * tr[9][k];
+        ghat[9][k] += 0.3535533905932738 * alpha[2][k] * tr[16][k];
+        ghat[9][k] += 0.31622776601683794 * alpha[3][k] * tr[3][k];
+        ghat[9][k] += 0.31622776601683794 * alpha[8][k] * tr[8][k];
+        ghat[9][k] += 0.3535533905932738 * alpha[9][k] * tr[0][k];
+        ghat[9][k] += 0.2258769757263128 * alpha[9][k] * tr[9][k];
+        ghat[9][k] += 0.31622776601683794 * alpha[14][k] * tr[14][k];
+        ghat[9][k] += 0.3535533905932738 * alpha[16][k] * tr[2][k];
+        ghat[9][k] += 0.22587697572631282 * alpha[16][k] * tr[16][k];
+    }
+    for k in 0..L {
+        ghat[10][k] += 0.3535533905932738 * alpha[0][k] * tr[10][k];
+        ghat[10][k] += 0.3535533905932738 * alpha[2][k] * tr[4][k];
+        ghat[10][k] += 0.3535533905932738 * alpha[3][k] * tr[17][k];
+        ghat[10][k] += 0.31622776601683794 * alpha[6][k] * tr[10][k];
+        ghat[10][k] += 0.3535533905932738 * alpha[8][k] * tr[12][k];
+        ghat[10][k] += 0.31622776601683794 * alpha[14][k] * tr[17][k];
+    }
+    for k in 0..L {
+        ghat[11][k] += 0.3535533905932738 * alpha[0][k] * tr[11][k];
+        ghat[11][k] += 0.31622776601683794 * alpha[2][k] * tr[5][k];
+        ghat[11][k] += 0.3535533905932738 * alpha[3][k] * tr[18][k];
+        ghat[11][k] += 0.3535533905932738 * alpha[6][k] * tr[1][k];
+        ghat[11][k] += 0.22587697572631282 * alpha[6][k] * tr[11][k];
+        ghat[11][k] += 0.31622776601683794 * alpha[8][k] * tr[13][k];
+        ghat[11][k] += 0.3535533905932738 * alpha[14][k] * tr[7][k];
+        ghat[11][k] += 0.2258769757263128 * alpha[14][k] * tr[18][k];
+        ghat[11][k] += 0.31622776601683794 * alpha[16][k] * tr[19][k];
+    }
+    for k in 0..L {
+        ghat[12][k] += 0.3535533905932738 * alpha[0][k] * tr[12][k];
+        ghat[12][k] += 0.3535533905932738 * alpha[2][k] * tr[17][k];
+        ghat[12][k] += 0.3535533905932738 * alpha[3][k] * tr[4][k];
+        ghat[12][k] += 0.3535533905932738 * alpha[8][k] * tr[10][k];
+        ghat[12][k] += 0.31622776601683794 * alpha[9][k] * tr[12][k];
+        ghat[12][k] += 0.31622776601683794 * alpha[16][k] * tr[17][k];
+    }
+    for k in 0..L {
+        ghat[13][k] += 0.3535533905932738 * alpha[0][k] * tr[13][k];
+        ghat[13][k] += 0.3535533905932738 * alpha[2][k] * tr[7][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[2][k] * tr[18][k];
+        ghat[13][k] += 0.3535533905932738 * alpha[3][k] * tr[5][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[3][k] * tr[19][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[6][k] * tr[13][k];
+        ghat[13][k] += 0.3535533905932738 * alpha[8][k] * tr[1][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[8][k] * tr[11][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[8][k] * tr[15][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[9][k] * tr[13][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[14][k] * tr[5][k];
+        ghat[13][k] += 0.282842712474619 * alpha[14][k] * tr[19][k];
+        ghat[13][k] += 0.31622776601683794 * alpha[16][k] * tr[7][k];
+        ghat[13][k] += 0.282842712474619 * alpha[16][k] * tr[18][k];
+    }
+    for k in 0..L {
+        ghat[14][k] += 0.3535533905932738 * alpha[0][k] * tr[14][k];
+        ghat[14][k] += 0.31622776601683794 * alpha[2][k] * tr[8][k];
+        ghat[14][k] += 0.3535533905932738 * alpha[3][k] * tr[6][k];
+        ghat[14][k] += 0.3535533905932738 * alpha[6][k] * tr[3][k];
+        ghat[14][k] += 0.22587697572631282 * alpha[6][k] * tr[14][k];
+        ghat[14][k] += 0.31622776601683794 * alpha[8][k] * tr[2][k];
+        ghat[14][k] += 0.282842712474619 * alpha[8][k] * tr[16][k];
+        ghat[14][k] += 0.31622776601683794 * alpha[9][k] * tr[14][k];
+        ghat[14][k] += 0.3535533905932738 * alpha[14][k] * tr[0][k];
+        ghat[14][k] += 0.22587697572631282 * alpha[14][k] * tr[6][k];
+        ghat[14][k] += 0.31622776601683794 * alpha[14][k] * tr[9][k];
+        ghat[14][k] += 0.282842712474619 * alpha[16][k] * tr[8][k];
+    }
+    for k in 0..L {
+        ghat[15][k] += 0.3535533905932738 * alpha[0][k] * tr[15][k];
+        ghat[15][k] += 0.3535533905932738 * alpha[2][k] * tr[19][k];
+        ghat[15][k] += 0.31622776601683794 * alpha[3][k] * tr[7][k];
+        ghat[15][k] += 0.31622776601683794 * alpha[8][k] * tr[13][k];
+        ghat[15][k] += 0.3535533905932738 * alpha[9][k] * tr[1][k];
+        ghat[15][k] += 0.22587697572631282 * alpha[9][k] * tr[15][k];
+        ghat[15][k] += 0.31622776601683794 * alpha[14][k] * tr[18][k];
+        ghat[15][k] += 0.3535533905932738 * alpha[16][k] * tr[5][k];
+        ghat[15][k] += 0.2258769757263128 * alpha[16][k] * tr[19][k];
+    }
+    for k in 0..L {
+        ghat[16][k] += 0.3535533905932738 * alpha[0][k] * tr[16][k];
+        ghat[16][k] += 0.3535533905932738 * alpha[2][k] * tr[9][k];
+        ghat[16][k] += 0.31622776601683794 * alpha[3][k] * tr[8][k];
+        ghat[16][k] += 0.31622776601683794 * alpha[6][k] * tr[16][k];
+        ghat[16][k] += 0.31622776601683794 * alpha[8][k] * tr[3][k];
+        ghat[16][k] += 0.282842712474619 * alpha[8][k] * tr[14][k];
+        ghat[16][k] += 0.3535533905932738 * alpha[9][k] * tr[2][k];
+        ghat[16][k] += 0.22587697572631282 * alpha[9][k] * tr[16][k];
+        ghat[16][k] += 0.282842712474619 * alpha[14][k] * tr[8][k];
+        ghat[16][k] += 0.3535533905932738 * alpha[16][k] * tr[0][k];
+        ghat[16][k] += 0.31622776601683794 * alpha[16][k] * tr[6][k];
+        ghat[16][k] += 0.22587697572631282 * alpha[16][k] * tr[9][k];
+    }
+    for k in 0..L {
+        ghat[17][k] += 0.3535533905932738 * alpha[0][k] * tr[17][k];
+        ghat[17][k] += 0.3535533905932738 * alpha[2][k] * tr[12][k];
+        ghat[17][k] += 0.3535533905932738 * alpha[3][k] * tr[10][k];
+        ghat[17][k] += 0.31622776601683794 * alpha[6][k] * tr[17][k];
+        ghat[17][k] += 0.3535533905932738 * alpha[8][k] * tr[4][k];
+        ghat[17][k] += 0.31622776601683794 * alpha[9][k] * tr[17][k];
+        ghat[17][k] += 0.31622776601683794 * alpha[14][k] * tr[10][k];
+        ghat[17][k] += 0.31622776601683794 * alpha[16][k] * tr[12][k];
+    }
+    for k in 0..L {
+        ghat[18][k] += 0.3535533905932738 * alpha[0][k] * tr[18][k];
+        ghat[18][k] += 0.31622776601683794 * alpha[2][k] * tr[13][k];
+        ghat[18][k] += 0.3535533905932738 * alpha[3][k] * tr[11][k];
+        ghat[18][k] += 0.3535533905932738 * alpha[6][k] * tr[7][k];
+        ghat[18][k] += 0.2258769757263128 * alpha[6][k] * tr[18][k];
+        ghat[18][k] += 0.31622776601683794 * alpha[8][k] * tr[5][k];
+        ghat[18][k] += 0.282842712474619 * alpha[8][k] * tr[19][k];
+        ghat[18][k] += 0.31622776601683794 * alpha[9][k] * tr[18][k];
+        ghat[18][k] += 0.3535533905932738 * alpha[14][k] * tr[1][k];
+        ghat[18][k] += 0.2258769757263128 * alpha[14][k] * tr[11][k];
+        ghat[18][k] += 0.31622776601683794 * alpha[14][k] * tr[15][k];
+        ghat[18][k] += 0.282842712474619 * alpha[16][k] * tr[13][k];
+    }
+    for k in 0..L {
+        ghat[19][k] += 0.3535533905932738 * alpha[0][k] * tr[19][k];
+        ghat[19][k] += 0.3535533905932738 * alpha[2][k] * tr[15][k];
+        ghat[19][k] += 0.31622776601683794 * alpha[3][k] * tr[13][k];
+        ghat[19][k] += 0.31622776601683794 * alpha[6][k] * tr[19][k];
+        ghat[19][k] += 0.31622776601683794 * alpha[8][k] * tr[7][k];
+        ghat[19][k] += 0.282842712474619 * alpha[8][k] * tr[18][k];
+        ghat[19][k] += 0.3535533905932738 * alpha[9][k] * tr[5][k];
+        ghat[19][k] += 0.2258769757263128 * alpha[9][k] * tr[19][k];
+        ghat[19][k] += 0.282842712474619 * alpha[14][k] * tr[13][k];
+        ghat[19][k] += 0.3535533905932738 * alpha[16][k] * tr[1][k];
+        ghat[19][k] += 0.31622776601683794 * alpha[16][k] * tr[11][k];
+        ghat[19][k] += 0.2258769757263128 * alpha[16][k] * tr[15][k];
+    }
+    sxn(&mut out_lo[0], nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], nu * scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[2], nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[3], nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], nu * scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_lo[6], nu * scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[7], nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[8], nu * scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[9], nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[10], nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[11], nu * scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[12], nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[13], nu * scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[14], nu * scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[15], nu * scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_lo[16], nu * scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[17], nu * scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_lo[18], nu * scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[19], nu * scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[20], nu * scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[21], nu * scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[22], nu * scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_lo[23], nu * scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[24], nu * scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[25], nu * scale * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[26], nu * scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[27], nu * scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[28], nu * scale * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[29], nu * scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[30], nu * scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_lo[31], nu * scale * 1.5811388300841898, &ghat[5]);
+    sxn(&mut out_lo[32], nu * scale * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[33], nu * scale * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[34], nu * scale * 1.5811388300841898, &ghat[7]);
+    sxn(&mut out_lo[35], nu * scale * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[36], nu * scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_lo[37], nu * scale * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[38], nu * scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_lo[39], nu * scale * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[40], nu * scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_lo[41], nu * scale * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_lo[42], nu * scale * 1.224744871391589, &ghat[16]);
+    sxn(&mut out_lo[43], nu * scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_lo[44], nu * scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_lo[45], nu * scale * 1.224744871391589, &ghat[17]);
+    sxn(&mut out_lo[46], nu * scale * 1.224744871391589, &ghat[18]);
+    sxn(&mut out_lo[47], nu * scale * 1.224744871391589, &ghat[19]);
+    sxn(&mut out_hi[0], -nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], -nu * scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[2], -nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[3], -nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], -nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], -nu * scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_hi[6], -nu * scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[7], -nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[8], -nu * scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[9], -nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[10], -nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[11], -nu * scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[12], -nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[13], -nu * scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[14], -nu * scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[15], -nu * scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_hi[16], -nu * scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[17], -nu * scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_hi[18], -nu * scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[19], -nu * scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[20], -nu * scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[21], -nu * scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[22], -nu * scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_hi[23], -nu * scale * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[24], -nu * scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[25], -nu * scale * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[26], -nu * scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[27], -nu * scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[28], -nu * scale * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[29], -nu * scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[30], -nu * scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_hi[31], -nu * scale * 1.5811388300841898, &ghat[5]);
+    sxn(&mut out_hi[32], -nu * scale * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[33], -nu * scale * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[34], -nu * scale * 1.5811388300841898, &ghat[7]);
+    sxn(&mut out_hi[35], -nu * scale * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[36], -nu * scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_hi[37], -nu * scale * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[38], -nu * scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_hi[39], -nu * scale * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[40], -nu * scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_hi[41], -nu * scale * -1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[42], -nu * scale * -1.224744871391589, &ghat[16]);
+    sxn(&mut out_hi[43], -nu * scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_hi[44], -nu * scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_hi[45], -nu * scale * -1.224744871391589, &ghat[17]);
+    sxn(&mut out_hi[46], -nu * scale * -1.224744871391589, &ghat[18]);
+    sxn(&mut out_hi[47], -nu * scale * -1.224744871391589, &ghat[19]);
 }

@@ -1,101 +1,164 @@
 // LBO (Lenard–Bernstein / Dougherty) collision kernels, 2x3v p=1 Serendipity basis.
 // Auto-generated from exact integral tables — do not edit by hand.
 // Five stage functions per velocity direction (drag volume/surface,
-// LDG gradient, diffusion volume/surface); see
+// LDG gradient, diffusion volume/surface), each one lane-generic body
+// behind a scalar, a `_b4` and a `_b4_avx2` entry point; see
 // `crate::dispatch::LboKernelEntry` for the calling conventions.
 
 /// LBO drag volume term in v0: weak `∇_v · (ν(v − u) f)`, cell interior.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p1_ser_drag_vol_v0(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f64], out: &mut [f64]) {
+    lbo_2x3v_p1_ser_drag_vol_v0_body::<1>(nu, v_c, dv, u.as_chunks().0, f.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p1_ser_drag_vol_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_drag_vol_v0_b4(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_drag_vol_v0_body(nu, v_c, dv, u, f, out)
+}
+
+/// [`lbo_2x3v_p1_ser_drag_vol_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_drag_vol_v0_b4_avx2(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_drag_vol_v0_body(nu, v_c, dv, u, f, out)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p1_ser_drag_vol_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p1_ser_drag_vol_v0_body<const L: usize>(nu: f64, v_c: f64, dv: f64, u: &[[f64; L]], f: &[[f64; L]], out: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 4] = u.first_chunk().expect("u: 4 coefficients");
+    let f: &[[f64; L]; 32] = f.first_chunk().expect("f: 32 coefficients");
+    let out: &mut [[f64; L]; 32] = out.first_chunk_mut().expect("out: 32 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 32];
-    alpha[0] = -nu * v_c * 5.656854249492381;
-    alpha[3] = -nu * 0.5 * dv * 3.265986323710904;
-    alpha[0] += nu * 2.8284271247461903 * u[0];
-    alpha[4] += nu * 2.8284271247461903 * u[1];
-    alpha[5] += nu * 2.8284271247461903 * u[2];
-    alpha[15] += nu * 2.8284271247461903 * u[3];
-    out[3] += scale * 0.30618621784789724 * alpha[0] * f[0];
-    out[3] += scale * 0.30618621784789724 * alpha[3] * f[3];
-    out[3] += scale * 0.30618621784789724 * alpha[4] * f[4];
-    out[3] += scale * 0.30618621784789724 * alpha[5] * f[5];
-    out[3] += scale * 0.30618621784789724 * alpha[15] * f[15];
-    out[7] += scale * 0.30618621784789724 * alpha[0] * f[1];
-    out[7] += scale * 0.30618621784789724 * alpha[3] * f[7];
-    out[7] += scale * 0.30618621784789724 * alpha[4] * f[9];
-    out[7] += scale * 0.30618621784789724 * alpha[5] * f[12];
-    out[7] += scale * 0.30618621784789724 * alpha[15] * f[23];
-    out[8] += scale * 0.30618621784789724 * alpha[0] * f[2];
-    out[8] += scale * 0.30618621784789724 * alpha[3] * f[8];
-    out[8] += scale * 0.30618621784789724 * alpha[4] * f[10];
-    out[8] += scale * 0.30618621784789724 * alpha[5] * f[13];
-    out[8] += scale * 0.30618621784789724 * alpha[15] * f[24];
-    out[11] += scale * 0.30618621784789724 * alpha[0] * f[4];
-    out[11] += scale * 0.30618621784789724 * alpha[3] * f[11];
-    out[11] += scale * 0.30618621784789724 * alpha[4] * f[0];
-    out[11] += scale * 0.30618621784789724 * alpha[5] * f[15];
-    out[11] += scale * 0.30618621784789724 * alpha[15] * f[5];
-    out[14] += scale * 0.30618621784789724 * alpha[0] * f[5];
-    out[14] += scale * 0.30618621784789724 * alpha[3] * f[14];
-    out[14] += scale * 0.30618621784789724 * alpha[4] * f[15];
-    out[14] += scale * 0.30618621784789724 * alpha[5] * f[0];
-    out[14] += scale * 0.30618621784789724 * alpha[15] * f[4];
-    out[16] += scale * 0.30618621784789724 * alpha[0] * f[6];
-    out[16] += scale * 0.30618621784789724 * alpha[3] * f[16];
-    out[16] += scale * 0.30618621784789724 * alpha[4] * f[17];
-    out[16] += scale * 0.30618621784789724 * alpha[5] * f[20];
-    out[16] += scale * 0.30618621784789724 * alpha[15] * f[28];
-    out[18] += scale * 0.30618621784789724 * alpha[0] * f[9];
-    out[18] += scale * 0.30618621784789724 * alpha[3] * f[18];
-    out[18] += scale * 0.30618621784789724 * alpha[4] * f[1];
-    out[18] += scale * 0.30618621784789724 * alpha[5] * f[23];
-    out[18] += scale * 0.30618621784789724 * alpha[15] * f[12];
-    out[19] += scale * 0.30618621784789724 * alpha[0] * f[10];
-    out[19] += scale * 0.30618621784789724 * alpha[3] * f[19];
-    out[19] += scale * 0.30618621784789724 * alpha[4] * f[2];
-    out[19] += scale * 0.30618621784789724 * alpha[5] * f[24];
-    out[19] += scale * 0.30618621784789724 * alpha[15] * f[13];
-    out[21] += scale * 0.30618621784789724 * alpha[0] * f[12];
-    out[21] += scale * 0.30618621784789724 * alpha[3] * f[21];
-    out[21] += scale * 0.30618621784789724 * alpha[4] * f[23];
-    out[21] += scale * 0.30618621784789724 * alpha[5] * f[1];
-    out[21] += scale * 0.30618621784789724 * alpha[15] * f[9];
-    out[22] += scale * 0.30618621784789724 * alpha[0] * f[13];
-    out[22] += scale * 0.30618621784789724 * alpha[3] * f[22];
-    out[22] += scale * 0.30618621784789724 * alpha[4] * f[24];
-    out[22] += scale * 0.30618621784789724 * alpha[5] * f[2];
-    out[22] += scale * 0.30618621784789724 * alpha[15] * f[10];
-    out[25] += scale * 0.30618621784789724 * alpha[0] * f[15];
-    out[25] += scale * 0.30618621784789724 * alpha[3] * f[25];
-    out[25] += scale * 0.30618621784789724 * alpha[4] * f[5];
-    out[25] += scale * 0.30618621784789724 * alpha[5] * f[4];
-    out[25] += scale * 0.30618621784789724 * alpha[15] * f[0];
-    out[26] += scale * 0.30618621784789724 * alpha[0] * f[17];
-    out[26] += scale * 0.30618621784789724 * alpha[3] * f[26];
-    out[26] += scale * 0.30618621784789724 * alpha[4] * f[6];
-    out[26] += scale * 0.30618621784789724 * alpha[5] * f[28];
-    out[26] += scale * 0.30618621784789724 * alpha[15] * f[20];
-    out[27] += scale * 0.30618621784789724 * alpha[0] * f[20];
-    out[27] += scale * 0.30618621784789724 * alpha[3] * f[27];
-    out[27] += scale * 0.30618621784789724 * alpha[4] * f[28];
-    out[27] += scale * 0.30618621784789724 * alpha[5] * f[6];
-    out[27] += scale * 0.30618621784789724 * alpha[15] * f[17];
-    out[29] += scale * 0.30618621784789724 * alpha[0] * f[23];
-    out[29] += scale * 0.30618621784789724 * alpha[3] * f[29];
-    out[29] += scale * 0.30618621784789724 * alpha[4] * f[12];
-    out[29] += scale * 0.30618621784789724 * alpha[5] * f[9];
-    out[29] += scale * 0.30618621784789724 * alpha[15] * f[1];
-    out[30] += scale * 0.30618621784789724 * alpha[0] * f[24];
-    out[30] += scale * 0.30618621784789724 * alpha[3] * f[30];
-    out[30] += scale * 0.30618621784789724 * alpha[4] * f[13];
-    out[30] += scale * 0.30618621784789724 * alpha[5] * f[10];
-    out[30] += scale * 0.30618621784789724 * alpha[15] * f[2];
-    out[31] += scale * 0.30618621784789724 * alpha[0] * f[28];
-    out[31] += scale * 0.3061862178478973 * alpha[3] * f[31];
-    out[31] += scale * 0.30618621784789724 * alpha[4] * f[20];
-    out[31] += scale * 0.30618621784789724 * alpha[5] * f[17];
-    out[31] += scale * 0.30618621784789724 * alpha[15] * f[6];
+    let mut alpha = [[0.0f64; L]; 32];
+    for k in 0..L {
+        alpha[0][k] = -nu * v_c * 5.656854249492381;
+        alpha[3][k] = -nu * 0.5 * dv * 3.265986323710904;
+        alpha[0][k] += nu * 2.8284271247461903 * u[0][k];
+        alpha[4][k] += nu * 2.8284271247461903 * u[1][k];
+        alpha[5][k] += nu * 2.8284271247461903 * u[2][k];
+        alpha[15][k] += nu * 2.8284271247461903 * u[3][k];
+    }
+    for k in 0..L {
+        out[3][k] += scale * 0.30618621784789724 * alpha[0][k] * f[0][k];
+        out[3][k] += scale * 0.30618621784789724 * alpha[3][k] * f[3][k];
+        out[3][k] += scale * 0.30618621784789724 * alpha[4][k] * f[4][k];
+        out[3][k] += scale * 0.30618621784789724 * alpha[5][k] * f[5][k];
+        out[3][k] += scale * 0.30618621784789724 * alpha[15][k] * f[15][k];
+    }
+    for k in 0..L {
+        out[7][k] += scale * 0.30618621784789724 * alpha[0][k] * f[1][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[3][k] * f[7][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[4][k] * f[9][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[5][k] * f[12][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[15][k] * f[23][k];
+    }
+    for k in 0..L {
+        out[8][k] += scale * 0.30618621784789724 * alpha[0][k] * f[2][k];
+        out[8][k] += scale * 0.30618621784789724 * alpha[3][k] * f[8][k];
+        out[8][k] += scale * 0.30618621784789724 * alpha[4][k] * f[10][k];
+        out[8][k] += scale * 0.30618621784789724 * alpha[5][k] * f[13][k];
+        out[8][k] += scale * 0.30618621784789724 * alpha[15][k] * f[24][k];
+    }
+    for k in 0..L {
+        out[11][k] += scale * 0.30618621784789724 * alpha[0][k] * f[4][k];
+        out[11][k] += scale * 0.30618621784789724 * alpha[3][k] * f[11][k];
+        out[11][k] += scale * 0.30618621784789724 * alpha[4][k] * f[0][k];
+        out[11][k] += scale * 0.30618621784789724 * alpha[5][k] * f[15][k];
+        out[11][k] += scale * 0.30618621784789724 * alpha[15][k] * f[5][k];
+    }
+    for k in 0..L {
+        out[14][k] += scale * 0.30618621784789724 * alpha[0][k] * f[5][k];
+        out[14][k] += scale * 0.30618621784789724 * alpha[3][k] * f[14][k];
+        out[14][k] += scale * 0.30618621784789724 * alpha[4][k] * f[15][k];
+        out[14][k] += scale * 0.30618621784789724 * alpha[5][k] * f[0][k];
+        out[14][k] += scale * 0.30618621784789724 * alpha[15][k] * f[4][k];
+    }
+    for k in 0..L {
+        out[16][k] += scale * 0.30618621784789724 * alpha[0][k] * f[6][k];
+        out[16][k] += scale * 0.30618621784789724 * alpha[3][k] * f[16][k];
+        out[16][k] += scale * 0.30618621784789724 * alpha[4][k] * f[17][k];
+        out[16][k] += scale * 0.30618621784789724 * alpha[5][k] * f[20][k];
+        out[16][k] += scale * 0.30618621784789724 * alpha[15][k] * f[28][k];
+    }
+    for k in 0..L {
+        out[18][k] += scale * 0.30618621784789724 * alpha[0][k] * f[9][k];
+        out[18][k] += scale * 0.30618621784789724 * alpha[3][k] * f[18][k];
+        out[18][k] += scale * 0.30618621784789724 * alpha[4][k] * f[1][k];
+        out[18][k] += scale * 0.30618621784789724 * alpha[5][k] * f[23][k];
+        out[18][k] += scale * 0.30618621784789724 * alpha[15][k] * f[12][k];
+    }
+    for k in 0..L {
+        out[19][k] += scale * 0.30618621784789724 * alpha[0][k] * f[10][k];
+        out[19][k] += scale * 0.30618621784789724 * alpha[3][k] * f[19][k];
+        out[19][k] += scale * 0.30618621784789724 * alpha[4][k] * f[2][k];
+        out[19][k] += scale * 0.30618621784789724 * alpha[5][k] * f[24][k];
+        out[19][k] += scale * 0.30618621784789724 * alpha[15][k] * f[13][k];
+    }
+    for k in 0..L {
+        out[21][k] += scale * 0.30618621784789724 * alpha[0][k] * f[12][k];
+        out[21][k] += scale * 0.30618621784789724 * alpha[3][k] * f[21][k];
+        out[21][k] += scale * 0.30618621784789724 * alpha[4][k] * f[23][k];
+        out[21][k] += scale * 0.30618621784789724 * alpha[5][k] * f[1][k];
+        out[21][k] += scale * 0.30618621784789724 * alpha[15][k] * f[9][k];
+    }
+    for k in 0..L {
+        out[22][k] += scale * 0.30618621784789724 * alpha[0][k] * f[13][k];
+        out[22][k] += scale * 0.30618621784789724 * alpha[3][k] * f[22][k];
+        out[22][k] += scale * 0.30618621784789724 * alpha[4][k] * f[24][k];
+        out[22][k] += scale * 0.30618621784789724 * alpha[5][k] * f[2][k];
+        out[22][k] += scale * 0.30618621784789724 * alpha[15][k] * f[10][k];
+    }
+    for k in 0..L {
+        out[25][k] += scale * 0.30618621784789724 * alpha[0][k] * f[15][k];
+        out[25][k] += scale * 0.30618621784789724 * alpha[3][k] * f[25][k];
+        out[25][k] += scale * 0.30618621784789724 * alpha[4][k] * f[5][k];
+        out[25][k] += scale * 0.30618621784789724 * alpha[5][k] * f[4][k];
+        out[25][k] += scale * 0.30618621784789724 * alpha[15][k] * f[0][k];
+    }
+    for k in 0..L {
+        out[26][k] += scale * 0.30618621784789724 * alpha[0][k] * f[17][k];
+        out[26][k] += scale * 0.30618621784789724 * alpha[3][k] * f[26][k];
+        out[26][k] += scale * 0.30618621784789724 * alpha[4][k] * f[6][k];
+        out[26][k] += scale * 0.30618621784789724 * alpha[5][k] * f[28][k];
+        out[26][k] += scale * 0.30618621784789724 * alpha[15][k] * f[20][k];
+    }
+    for k in 0..L {
+        out[27][k] += scale * 0.30618621784789724 * alpha[0][k] * f[20][k];
+        out[27][k] += scale * 0.30618621784789724 * alpha[3][k] * f[27][k];
+        out[27][k] += scale * 0.30618621784789724 * alpha[4][k] * f[28][k];
+        out[27][k] += scale * 0.30618621784789724 * alpha[5][k] * f[6][k];
+        out[27][k] += scale * 0.30618621784789724 * alpha[15][k] * f[17][k];
+    }
+    for k in 0..L {
+        out[29][k] += scale * 0.30618621784789724 * alpha[0][k] * f[23][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[3][k] * f[29][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[4][k] * f[12][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[5][k] * f[9][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[15][k] * f[1][k];
+    }
+    for k in 0..L {
+        out[30][k] += scale * 0.30618621784789724 * alpha[0][k] * f[24][k];
+        out[30][k] += scale * 0.30618621784789724 * alpha[3][k] * f[30][k];
+        out[30][k] += scale * 0.30618621784789724 * alpha[4][k] * f[13][k];
+        out[30][k] += scale * 0.30618621784789724 * alpha[5][k] * f[10][k];
+        out[30][k] += scale * 0.30618621784789724 * alpha[15][k] * f[2][k];
+    }
+    for k in 0..L {
+        out[31][k] += scale * 0.30618621784789724 * alpha[0][k] * f[28][k];
+        out[31][k] += scale * 0.3061862178478973 * alpha[3][k] * f[31][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[4][k] * f[20][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[5][k] * f[17][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[15][k] * f[6][k];
+    }
 }
 
 /// LBO drag surface term in v0 at one interior face (`vstar` = face
@@ -103,242 +166,309 @@ pub fn lbo_2x3v_p1_ser_drag_vol_v0(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p1_ser_drag_surf_v0(nu: f64, vstar: f64, dv: f64, u: &[f64], f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_2x3v_p1_ser_drag_surf_v0_body::<1>(nu, vstar, dv, u.as_chunks().0, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p1_ser_drag_surf_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_drag_surf_v0_b4(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_drag_surf_v0_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// [`lbo_2x3v_p1_ser_drag_surf_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_drag_surf_v0_b4_avx2(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_drag_surf_v0_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p1_ser_drag_surf_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p1_ser_drag_surf_v0_body<const L: usize>(nu: f64, vstar: f64, dv: f64, u: &[[f64; L]], f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 4] = u.first_chunk().expect("u: 4 coefficients");
+    let f_lo: &[[f64; L]; 32] = f_lo.first_chunk().expect("f_lo: 32 coefficients");
+    let f_hi: &[[f64; L]; 32] = f_hi.first_chunk().expect("f_hi: 32 coefficients");
+    let out_lo: &mut [[f64; L]; 32] = out_lo.first_chunk_mut().expect("out_lo: 32 coefficients");
+    let out_hi: &mut [[f64; L]; 32] = out_hi.first_chunk_mut().expect("out_hi: 32 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 16];
-    alpha[0] = -nu * vstar * 4.0;
-    alpha[0] += nu * 2.0 * u[0];
-    alpha[3] += nu * 2.0 * u[1];
-    alpha[4] += nu * 2.0 * u[2];
-    alpha[10] += nu * 2.0 * u[3];
-    let lam = alpha[0].abs() * 0.25000000000000006 + alpha[3].abs() * 0.4330127018922194 + alpha[4].abs() * 0.4330127018922194 + alpha[10].abs() * 0.75;
-    let mut fm = [0.0f64; 16];
-    let mut fp = [0.0f64; 16];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[1] += 0.7071067811865476 * f_lo[1];
-    fm[2] += 0.7071067811865476 * f_lo[2];
-    fm[0] += 1.224744871391589 * f_lo[3];
-    fm[3] += 0.7071067811865476 * f_lo[4];
-    fm[4] += 0.7071067811865476 * f_lo[5];
-    fm[5] += 0.7071067811865476 * f_lo[6];
-    fm[1] += 1.224744871391589 * f_lo[7];
-    fm[2] += 1.224744871391589 * f_lo[8];
-    fm[6] += 0.7071067811865476 * f_lo[9];
-    fm[7] += 0.7071067811865476 * f_lo[10];
-    fm[3] += 1.224744871391589 * f_lo[11];
-    fm[8] += 0.7071067811865476 * f_lo[12];
-    fm[9] += 0.7071067811865476 * f_lo[13];
-    fm[4] += 1.224744871391589 * f_lo[14];
-    fm[10] += 0.7071067811865476 * f_lo[15];
-    fm[5] += 1.224744871391589 * f_lo[16];
-    fm[11] += 0.7071067811865476 * f_lo[17];
-    fm[6] += 1.224744871391589 * f_lo[18];
-    fm[7] += 1.224744871391589 * f_lo[19];
-    fm[12] += 0.7071067811865476 * f_lo[20];
-    fm[8] += 1.224744871391589 * f_lo[21];
-    fm[9] += 1.224744871391589 * f_lo[22];
-    fm[13] += 0.7071067811865476 * f_lo[23];
-    fm[14] += 0.7071067811865476 * f_lo[24];
-    fm[10] += 1.224744871391589 * f_lo[25];
-    fm[11] += 1.224744871391589 * f_lo[26];
-    fm[12] += 1.224744871391589 * f_lo[27];
-    fm[15] += 0.7071067811865476 * f_lo[28];
-    fm[13] += 1.224744871391589 * f_lo[29];
-    fm[14] += 1.224744871391589 * f_lo[30];
-    fm[15] += 1.224744871391589 * f_lo[31];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[1] += 0.7071067811865476 * f_hi[1];
-    fp[2] += 0.7071067811865476 * f_hi[2];
-    fp[0] += -1.224744871391589 * f_hi[3];
-    fp[3] += 0.7071067811865476 * f_hi[4];
-    fp[4] += 0.7071067811865476 * f_hi[5];
-    fp[5] += 0.7071067811865476 * f_hi[6];
-    fp[1] += -1.224744871391589 * f_hi[7];
-    fp[2] += -1.224744871391589 * f_hi[8];
-    fp[6] += 0.7071067811865476 * f_hi[9];
-    fp[7] += 0.7071067811865476 * f_hi[10];
-    fp[3] += -1.224744871391589 * f_hi[11];
-    fp[8] += 0.7071067811865476 * f_hi[12];
-    fp[9] += 0.7071067811865476 * f_hi[13];
-    fp[4] += -1.224744871391589 * f_hi[14];
-    fp[10] += 0.7071067811865476 * f_hi[15];
-    fp[5] += -1.224744871391589 * f_hi[16];
-    fp[11] += 0.7071067811865476 * f_hi[17];
-    fp[6] += -1.224744871391589 * f_hi[18];
-    fp[7] += -1.224744871391589 * f_hi[19];
-    fp[12] += 0.7071067811865476 * f_hi[20];
-    fp[8] += -1.224744871391589 * f_hi[21];
-    fp[9] += -1.224744871391589 * f_hi[22];
-    fp[13] += 0.7071067811865476 * f_hi[23];
-    fp[14] += 0.7071067811865476 * f_hi[24];
-    fp[10] += -1.224744871391589 * f_hi[25];
-    fp[11] += -1.224744871391589 * f_hi[26];
-    fp[12] += -1.224744871391589 * f_hi[27];
-    fp[15] += 0.7071067811865476 * f_hi[28];
-    fp[13] += -1.224744871391589 * f_hi[29];
-    fp[14] += -1.224744871391589 * f_hi[30];
-    fp[15] += -1.224744871391589 * f_hi[31];
-    let mut favg = [0.0f64; 16];
-    let mut ghat = [0.0f64; 16];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    favg[8] = 0.5 * (fm[8] + fp[8]);
-    ghat[8] = -0.5 * lam * (fp[8] - fm[8]);
-    favg[9] = 0.5 * (fm[9] + fp[9]);
-    ghat[9] = -0.5 * lam * (fp[9] - fm[9]);
-    favg[10] = 0.5 * (fm[10] + fp[10]);
-    ghat[10] = -0.5 * lam * (fp[10] - fm[10]);
-    favg[11] = 0.5 * (fm[11] + fp[11]);
-    ghat[11] = -0.5 * lam * (fp[11] - fm[11]);
-    favg[12] = 0.5 * (fm[12] + fp[12]);
-    ghat[12] = -0.5 * lam * (fp[12] - fm[12]);
-    favg[13] = 0.5 * (fm[13] + fp[13]);
-    ghat[13] = -0.5 * lam * (fp[13] - fm[13]);
-    favg[14] = 0.5 * (fm[14] + fp[14]);
-    ghat[14] = -0.5 * lam * (fp[14] - fm[14]);
-    favg[15] = 0.5 * (fm[15] + fp[15]);
-    ghat[15] = -0.5 * lam * (fp[15] - fm[15]);
-    ghat[0] += 0.25 * alpha[0] * favg[0];
-    ghat[0] += 0.25 * alpha[3] * favg[3];
-    ghat[0] += 0.25 * alpha[4] * favg[4];
-    ghat[0] += 0.25 * alpha[10] * favg[10];
-    ghat[1] += 0.25 * alpha[0] * favg[1];
-    ghat[1] += 0.25 * alpha[3] * favg[6];
-    ghat[1] += 0.25 * alpha[4] * favg[8];
-    ghat[1] += 0.25 * alpha[10] * favg[13];
-    ghat[2] += 0.25 * alpha[0] * favg[2];
-    ghat[2] += 0.25 * alpha[3] * favg[7];
-    ghat[2] += 0.25 * alpha[4] * favg[9];
-    ghat[2] += 0.25 * alpha[10] * favg[14];
-    ghat[3] += 0.25 * alpha[0] * favg[3];
-    ghat[3] += 0.25 * alpha[3] * favg[0];
-    ghat[3] += 0.25 * alpha[4] * favg[10];
-    ghat[3] += 0.25 * alpha[10] * favg[4];
-    ghat[4] += 0.25 * alpha[0] * favg[4];
-    ghat[4] += 0.25 * alpha[3] * favg[10];
-    ghat[4] += 0.25 * alpha[4] * favg[0];
-    ghat[4] += 0.25 * alpha[10] * favg[3];
-    ghat[5] += 0.25 * alpha[0] * favg[5];
-    ghat[5] += 0.25 * alpha[3] * favg[11];
-    ghat[5] += 0.25 * alpha[4] * favg[12];
-    ghat[5] += 0.25 * alpha[10] * favg[15];
-    ghat[6] += 0.25 * alpha[0] * favg[6];
-    ghat[6] += 0.25 * alpha[3] * favg[1];
-    ghat[6] += 0.25 * alpha[4] * favg[13];
-    ghat[6] += 0.25 * alpha[10] * favg[8];
-    ghat[7] += 0.25 * alpha[0] * favg[7];
-    ghat[7] += 0.25 * alpha[3] * favg[2];
-    ghat[7] += 0.25 * alpha[4] * favg[14];
-    ghat[7] += 0.25 * alpha[10] * favg[9];
-    ghat[8] += 0.25 * alpha[0] * favg[8];
-    ghat[8] += 0.25 * alpha[3] * favg[13];
-    ghat[8] += 0.25 * alpha[4] * favg[1];
-    ghat[8] += 0.25 * alpha[10] * favg[6];
-    ghat[9] += 0.25 * alpha[0] * favg[9];
-    ghat[9] += 0.25 * alpha[3] * favg[14];
-    ghat[9] += 0.25 * alpha[4] * favg[2];
-    ghat[9] += 0.25 * alpha[10] * favg[7];
-    ghat[10] += 0.25 * alpha[0] * favg[10];
-    ghat[10] += 0.25 * alpha[3] * favg[4];
-    ghat[10] += 0.25 * alpha[4] * favg[3];
-    ghat[10] += 0.25 * alpha[10] * favg[0];
-    ghat[11] += 0.25 * alpha[0] * favg[11];
-    ghat[11] += 0.25 * alpha[3] * favg[5];
-    ghat[11] += 0.25 * alpha[4] * favg[15];
-    ghat[11] += 0.25 * alpha[10] * favg[12];
-    ghat[12] += 0.25 * alpha[0] * favg[12];
-    ghat[12] += 0.25 * alpha[3] * favg[15];
-    ghat[12] += 0.25 * alpha[4] * favg[5];
-    ghat[12] += 0.25 * alpha[10] * favg[11];
-    ghat[13] += 0.25 * alpha[0] * favg[13];
-    ghat[13] += 0.25 * alpha[3] * favg[8];
-    ghat[13] += 0.25 * alpha[4] * favg[6];
-    ghat[13] += 0.25 * alpha[10] * favg[1];
-    ghat[14] += 0.25 * alpha[0] * favg[14];
-    ghat[14] += 0.25 * alpha[3] * favg[9];
-    ghat[14] += 0.25 * alpha[4] * favg[7];
-    ghat[14] += 0.25 * alpha[10] * favg[2];
-    ghat[15] += 0.25 * alpha[0] * favg[15];
-    ghat[15] += 0.25 * alpha[3] * favg[12];
-    ghat[15] += 0.25 * alpha[4] * favg[11];
-    ghat[15] += 0.25 * alpha[10] * favg[5];
-    out_lo[0] += -scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -scale * 0.7071067811865476 * ghat[1];
-    out_lo[2] += -scale * 0.7071067811865476 * ghat[2];
-    out_lo[3] += -scale * 1.224744871391589 * ghat[0];
-    out_lo[4] += -scale * 0.7071067811865476 * ghat[3];
-    out_lo[5] += -scale * 0.7071067811865476 * ghat[4];
-    out_lo[6] += -scale * 0.7071067811865476 * ghat[5];
-    out_lo[7] += -scale * 1.224744871391589 * ghat[1];
-    out_lo[8] += -scale * 1.224744871391589 * ghat[2];
-    out_lo[9] += -scale * 0.7071067811865476 * ghat[6];
-    out_lo[10] += -scale * 0.7071067811865476 * ghat[7];
-    out_lo[11] += -scale * 1.224744871391589 * ghat[3];
-    out_lo[12] += -scale * 0.7071067811865476 * ghat[8];
-    out_lo[13] += -scale * 0.7071067811865476 * ghat[9];
-    out_lo[14] += -scale * 1.224744871391589 * ghat[4];
-    out_lo[15] += -scale * 0.7071067811865476 * ghat[10];
-    out_lo[16] += -scale * 1.224744871391589 * ghat[5];
-    out_lo[17] += -scale * 0.7071067811865476 * ghat[11];
-    out_lo[18] += -scale * 1.224744871391589 * ghat[6];
-    out_lo[19] += -scale * 1.224744871391589 * ghat[7];
-    out_lo[20] += -scale * 0.7071067811865476 * ghat[12];
-    out_lo[21] += -scale * 1.224744871391589 * ghat[8];
-    out_lo[22] += -scale * 1.224744871391589 * ghat[9];
-    out_lo[23] += -scale * 0.7071067811865476 * ghat[13];
-    out_lo[24] += -scale * 0.7071067811865476 * ghat[14];
-    out_lo[25] += -scale * 1.224744871391589 * ghat[10];
-    out_lo[26] += -scale * 1.224744871391589 * ghat[11];
-    out_lo[27] += -scale * 1.224744871391589 * ghat[12];
-    out_lo[28] += -scale * 0.7071067811865476 * ghat[15];
-    out_lo[29] += -scale * 1.224744871391589 * ghat[13];
-    out_lo[30] += -scale * 1.224744871391589 * ghat[14];
-    out_lo[31] += -scale * 1.224744871391589 * ghat[15];
-    out_hi[0] += scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += scale * 0.7071067811865476 * ghat[1];
-    out_hi[2] += scale * 0.7071067811865476 * ghat[2];
-    out_hi[3] += scale * -1.224744871391589 * ghat[0];
-    out_hi[4] += scale * 0.7071067811865476 * ghat[3];
-    out_hi[5] += scale * 0.7071067811865476 * ghat[4];
-    out_hi[6] += scale * 0.7071067811865476 * ghat[5];
-    out_hi[7] += scale * -1.224744871391589 * ghat[1];
-    out_hi[8] += scale * -1.224744871391589 * ghat[2];
-    out_hi[9] += scale * 0.7071067811865476 * ghat[6];
-    out_hi[10] += scale * 0.7071067811865476 * ghat[7];
-    out_hi[11] += scale * -1.224744871391589 * ghat[3];
-    out_hi[12] += scale * 0.7071067811865476 * ghat[8];
-    out_hi[13] += scale * 0.7071067811865476 * ghat[9];
-    out_hi[14] += scale * -1.224744871391589 * ghat[4];
-    out_hi[15] += scale * 0.7071067811865476 * ghat[10];
-    out_hi[16] += scale * -1.224744871391589 * ghat[5];
-    out_hi[17] += scale * 0.7071067811865476 * ghat[11];
-    out_hi[18] += scale * -1.224744871391589 * ghat[6];
-    out_hi[19] += scale * -1.224744871391589 * ghat[7];
-    out_hi[20] += scale * 0.7071067811865476 * ghat[12];
-    out_hi[21] += scale * -1.224744871391589 * ghat[8];
-    out_hi[22] += scale * -1.224744871391589 * ghat[9];
-    out_hi[23] += scale * 0.7071067811865476 * ghat[13];
-    out_hi[24] += scale * 0.7071067811865476 * ghat[14];
-    out_hi[25] += scale * -1.224744871391589 * ghat[10];
-    out_hi[26] += scale * -1.224744871391589 * ghat[11];
-    out_hi[27] += scale * -1.224744871391589 * ghat[12];
-    out_hi[28] += scale * 0.7071067811865476 * ghat[15];
-    out_hi[29] += scale * -1.224744871391589 * ghat[13];
-    out_hi[30] += scale * -1.224744871391589 * ghat[14];
-    out_hi[31] += scale * -1.224744871391589 * ghat[15];
+    let mut alpha = [[0.0f64; L]; 16];
+    let mut lam = [0.0f64; L];
+    for k in 0..L {
+        alpha[0][k] = -nu * vstar * 4.0;
+        alpha[0][k] += nu * 2.0 * u[0][k];
+        alpha[3][k] += nu * 2.0 * u[1][k];
+        alpha[4][k] += nu * 2.0 * u[2][k];
+        alpha[10][k] += nu * 2.0 * u[3][k];
+        lam[k] = alpha[0][k].abs() * 0.25000000000000006 + alpha[3][k].abs() * 0.4330127018922194 + alpha[4][k].abs() * 0.4330127018922194 + alpha[10][k].abs() * 0.75;
+    }
+    let mut fm = [[0.0f64; L]; 16];
+    let mut fp = [[0.0f64; L]; 16];
+    sxn(&mut fm[0], 0.7071067811865476, &f_lo[0]);
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[1]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[2]);
+    sxn(&mut fm[0], 1.224744871391589, &f_lo[3]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[4]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[5]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[6]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[7]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[8]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[9]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[10]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[11]);
+    sxn(&mut fm[8], 0.7071067811865476, &f_lo[12]);
+    sxn(&mut fm[9], 0.7071067811865476, &f_lo[13]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[14]);
+    sxn(&mut fm[10], 0.7071067811865476, &f_lo[15]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[16]);
+    sxn(&mut fm[11], 0.7071067811865476, &f_lo[17]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[18]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[19]);
+    sxn(&mut fm[12], 0.7071067811865476, &f_lo[20]);
+    sxn(&mut fm[8], 1.224744871391589, &f_lo[21]);
+    sxn(&mut fm[9], 1.224744871391589, &f_lo[22]);
+    sxn(&mut fm[13], 0.7071067811865476, &f_lo[23]);
+    sxn(&mut fm[14], 0.7071067811865476, &f_lo[24]);
+    sxn(&mut fm[10], 1.224744871391589, &f_lo[25]);
+    sxn(&mut fm[11], 1.224744871391589, &f_lo[26]);
+    sxn(&mut fm[12], 1.224744871391589, &f_lo[27]);
+    sxn(&mut fm[15], 0.7071067811865476, &f_lo[28]);
+    sxn(&mut fm[13], 1.224744871391589, &f_lo[29]);
+    sxn(&mut fm[14], 1.224744871391589, &f_lo[30]);
+    sxn(&mut fm[15], 1.224744871391589, &f_lo[31]);
+    sxn(&mut fp[0], 0.7071067811865476, &f_hi[0]);
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[1]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[2]);
+    sxn(&mut fp[0], -1.224744871391589, &f_hi[3]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[4]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[5]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[6]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[7]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[8]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[9]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[10]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[11]);
+    sxn(&mut fp[8], 0.7071067811865476, &f_hi[12]);
+    sxn(&mut fp[9], 0.7071067811865476, &f_hi[13]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[14]);
+    sxn(&mut fp[10], 0.7071067811865476, &f_hi[15]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[16]);
+    sxn(&mut fp[11], 0.7071067811865476, &f_hi[17]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[18]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[19]);
+    sxn(&mut fp[12], 0.7071067811865476, &f_hi[20]);
+    sxn(&mut fp[8], -1.224744871391589, &f_hi[21]);
+    sxn(&mut fp[9], -1.224744871391589, &f_hi[22]);
+    sxn(&mut fp[13], 0.7071067811865476, &f_hi[23]);
+    sxn(&mut fp[14], 0.7071067811865476, &f_hi[24]);
+    sxn(&mut fp[10], -1.224744871391589, &f_hi[25]);
+    sxn(&mut fp[11], -1.224744871391589, &f_hi[26]);
+    sxn(&mut fp[12], -1.224744871391589, &f_hi[27]);
+    sxn(&mut fp[15], 0.7071067811865476, &f_hi[28]);
+    sxn(&mut fp[13], -1.224744871391589, &f_hi[29]);
+    sxn(&mut fp[14], -1.224744871391589, &f_hi[30]);
+    sxn(&mut fp[15], -1.224744871391589, &f_hi[31]);
+    let mut favg = [[0.0f64; L]; 16];
+    let mut ghat = [[0.0f64; L]; 16];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
+        favg[8][k] = 0.5 * (fm[8][k] + fp[8][k]);
+        ghat[8][k] = -0.5 * lam[k] * (fp[8][k] - fm[8][k]);
+        favg[9][k] = 0.5 * (fm[9][k] + fp[9][k]);
+        ghat[9][k] = -0.5 * lam[k] * (fp[9][k] - fm[9][k]);
+        favg[10][k] = 0.5 * (fm[10][k] + fp[10][k]);
+        ghat[10][k] = -0.5 * lam[k] * (fp[10][k] - fm[10][k]);
+        favg[11][k] = 0.5 * (fm[11][k] + fp[11][k]);
+        ghat[11][k] = -0.5 * lam[k] * (fp[11][k] - fm[11][k]);
+        favg[12][k] = 0.5 * (fm[12][k] + fp[12][k]);
+        ghat[12][k] = -0.5 * lam[k] * (fp[12][k] - fm[12][k]);
+        favg[13][k] = 0.5 * (fm[13][k] + fp[13][k]);
+        ghat[13][k] = -0.5 * lam[k] * (fp[13][k] - fm[13][k]);
+        favg[14][k] = 0.5 * (fm[14][k] + fp[14][k]);
+        ghat[14][k] = -0.5 * lam[k] * (fp[14][k] - fm[14][k]);
+        favg[15][k] = 0.5 * (fm[15][k] + fp[15][k]);
+        ghat[15][k] = -0.5 * lam[k] * (fp[15][k] - fm[15][k]);
+    }
+    for k in 0..L {
+        ghat[0][k] += 0.25 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.25 * alpha[3][k] * favg[3][k];
+        ghat[0][k] += 0.25 * alpha[4][k] * favg[4][k];
+        ghat[0][k] += 0.25 * alpha[10][k] * favg[10][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.25 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.25 * alpha[3][k] * favg[6][k];
+        ghat[1][k] += 0.25 * alpha[4][k] * favg[8][k];
+        ghat[1][k] += 0.25 * alpha[10][k] * favg[13][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.25 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.25 * alpha[3][k] * favg[7][k];
+        ghat[2][k] += 0.25 * alpha[4][k] * favg[9][k];
+        ghat[2][k] += 0.25 * alpha[10][k] * favg[14][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.25 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.25 * alpha[3][k] * favg[0][k];
+        ghat[3][k] += 0.25 * alpha[4][k] * favg[10][k];
+        ghat[3][k] += 0.25 * alpha[10][k] * favg[4][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.25 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.25 * alpha[3][k] * favg[10][k];
+        ghat[4][k] += 0.25 * alpha[4][k] * favg[0][k];
+        ghat[4][k] += 0.25 * alpha[10][k] * favg[3][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.25 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.25 * alpha[3][k] * favg[11][k];
+        ghat[5][k] += 0.25 * alpha[4][k] * favg[12][k];
+        ghat[5][k] += 0.25 * alpha[10][k] * favg[15][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.25 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.25 * alpha[3][k] * favg[1][k];
+        ghat[6][k] += 0.25 * alpha[4][k] * favg[13][k];
+        ghat[6][k] += 0.25 * alpha[10][k] * favg[8][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.25 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.25 * alpha[3][k] * favg[2][k];
+        ghat[7][k] += 0.25 * alpha[4][k] * favg[14][k];
+        ghat[7][k] += 0.25 * alpha[10][k] * favg[9][k];
+    }
+    for k in 0..L {
+        ghat[8][k] += 0.25 * alpha[0][k] * favg[8][k];
+        ghat[8][k] += 0.25 * alpha[3][k] * favg[13][k];
+        ghat[8][k] += 0.25 * alpha[4][k] * favg[1][k];
+        ghat[8][k] += 0.25 * alpha[10][k] * favg[6][k];
+    }
+    for k in 0..L {
+        ghat[9][k] += 0.25 * alpha[0][k] * favg[9][k];
+        ghat[9][k] += 0.25 * alpha[3][k] * favg[14][k];
+        ghat[9][k] += 0.25 * alpha[4][k] * favg[2][k];
+        ghat[9][k] += 0.25 * alpha[10][k] * favg[7][k];
+    }
+    for k in 0..L {
+        ghat[10][k] += 0.25 * alpha[0][k] * favg[10][k];
+        ghat[10][k] += 0.25 * alpha[3][k] * favg[4][k];
+        ghat[10][k] += 0.25 * alpha[4][k] * favg[3][k];
+        ghat[10][k] += 0.25 * alpha[10][k] * favg[0][k];
+    }
+    for k in 0..L {
+        ghat[11][k] += 0.25 * alpha[0][k] * favg[11][k];
+        ghat[11][k] += 0.25 * alpha[3][k] * favg[5][k];
+        ghat[11][k] += 0.25 * alpha[4][k] * favg[15][k];
+        ghat[11][k] += 0.25 * alpha[10][k] * favg[12][k];
+    }
+    for k in 0..L {
+        ghat[12][k] += 0.25 * alpha[0][k] * favg[12][k];
+        ghat[12][k] += 0.25 * alpha[3][k] * favg[15][k];
+        ghat[12][k] += 0.25 * alpha[4][k] * favg[5][k];
+        ghat[12][k] += 0.25 * alpha[10][k] * favg[11][k];
+    }
+    for k in 0..L {
+        ghat[13][k] += 0.25 * alpha[0][k] * favg[13][k];
+        ghat[13][k] += 0.25 * alpha[3][k] * favg[8][k];
+        ghat[13][k] += 0.25 * alpha[4][k] * favg[6][k];
+        ghat[13][k] += 0.25 * alpha[10][k] * favg[1][k];
+    }
+    for k in 0..L {
+        ghat[14][k] += 0.25 * alpha[0][k] * favg[14][k];
+        ghat[14][k] += 0.25 * alpha[3][k] * favg[9][k];
+        ghat[14][k] += 0.25 * alpha[4][k] * favg[7][k];
+        ghat[14][k] += 0.25 * alpha[10][k] * favg[2][k];
+    }
+    for k in 0..L {
+        ghat[15][k] += 0.25 * alpha[0][k] * favg[15][k];
+        ghat[15][k] += 0.25 * alpha[3][k] * favg[12][k];
+        ghat[15][k] += 0.25 * alpha[4][k] * favg[11][k];
+        ghat[15][k] += 0.25 * alpha[10][k] * favg[5][k];
+    }
+    sxn(&mut out_lo[0], -scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], -scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[3], -scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[4], -scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], -scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], -scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[7], -scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[8], -scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[9], -scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[10], -scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[11], -scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[12], -scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[13], -scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[14], -scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[15], -scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[16], -scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[17], -scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[18], -scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[19], -scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[20], -scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[21], -scale * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[22], -scale * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[23], -scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[24], -scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[25], -scale * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[26], -scale * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[27], -scale * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[28], -scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[29], -scale * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[30], -scale * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[31], -scale * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[0], scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[3], scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[4], scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[7], scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[8], scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[9], scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[10], scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[11], scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[12], scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[13], scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[14], scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[15], scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[16], scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[17], scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[18], scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[19], scale * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[20], scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[21], scale * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[22], scale * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[23], scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[24], scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[25], scale * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[26], scale * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[27], scale * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[28], scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[29], scale * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[30], scale * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[31], scale * -1.224744871391589, &ghat[15]);
 }
 
 /// LDG gradient in v0 for one cell: volume gradient-mass plus the
@@ -347,264 +477,354 @@ pub fn lbo_2x3v_p1_ser_drag_surf_v0(nu: f64, vstar: f64, dv: f64, u: &[f64], f_l
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p1_ser_diff_grad_v0(dv: f64, at_upper: bool, f: &[f64], f_up: &[f64], g: &mut [f64]) {
+    lbo_2x3v_p1_ser_diff_grad_v0_body::<1>(dv, at_upper, f.as_chunks().0, f_up.as_chunks().0, g.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p1_ser_diff_grad_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_diff_grad_v0_b4(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_diff_grad_v0_body(dv, at_upper, f, f_up, g)
+}
+
+/// [`lbo_2x3v_p1_ser_diff_grad_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_diff_grad_v0_b4_avx2(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_diff_grad_v0_body(dv, at_upper, f, f_up, g)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p1_ser_diff_grad_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p1_ser_diff_grad_v0_body<const L: usize>(dv: f64, at_upper: bool, f: &[[f64; L]], f_up: &[[f64; L]], g: &mut [[f64; L]]) {
+    let f: &[[f64; L]; 32] = f.first_chunk().expect("f: 32 coefficients");
+    let f_up: &[[f64; L]; 32] = f_up.first_chunk().expect("f_up: 32 coefficients");
+    let g: &mut [[f64; L]; 32] = g.first_chunk_mut().expect("g: 32 coefficients");
     let scale = 2.0 / dv;
-    g[3] += -scale * 1.7320508075688772 * f[0];
-    g[7] += -scale * 1.7320508075688772 * f[1];
-    g[8] += -scale * 1.7320508075688772 * f[2];
-    g[11] += -scale * 1.7320508075688772 * f[4];
-    g[14] += -scale * 1.7320508075688772 * f[5];
-    g[16] += -scale * 1.7320508075688772 * f[6];
-    g[18] += -scale * 1.7320508075688772 * f[9];
-    g[19] += -scale * 1.7320508075688772 * f[10];
-    g[21] += -scale * 1.7320508075688772 * f[12];
-    g[22] += -scale * 1.7320508075688772 * f[13];
-    g[25] += -scale * 1.7320508075688772 * f[15];
-    g[26] += -scale * 1.7320508075688772 * f[17];
-    g[27] += -scale * 1.7320508075688772 * f[20];
-    g[29] += -scale * 1.7320508075688772 * f[23];
-    g[30] += -scale * 1.7320508075688772 * f[24];
-    g[31] += -scale * 1.7320508075688772 * f[28];
-    let mut tr = [0.0f64; 16];
+    sxn(&mut g[3], -scale * 1.7320508075688772, &f[0]);
+    sxn(&mut g[7], -scale * 1.7320508075688772, &f[1]);
+    sxn(&mut g[8], -scale * 1.7320508075688772, &f[2]);
+    sxn(&mut g[11], -scale * 1.7320508075688772, &f[4]);
+    sxn(&mut g[14], -scale * 1.7320508075688772, &f[5]);
+    sxn(&mut g[16], -scale * 1.7320508075688772, &f[6]);
+    sxn(&mut g[18], -scale * 1.7320508075688772, &f[9]);
+    sxn(&mut g[19], -scale * 1.7320508075688772, &f[10]);
+    sxn(&mut g[21], -scale * 1.7320508075688772, &f[12]);
+    sxn(&mut g[22], -scale * 1.7320508075688772, &f[13]);
+    sxn(&mut g[25], -scale * 1.7320508075688772, &f[15]);
+    sxn(&mut g[26], -scale * 1.7320508075688772, &f[17]);
+    sxn(&mut g[27], -scale * 1.7320508075688772, &f[20]);
+    sxn(&mut g[29], -scale * 1.7320508075688772, &f[23]);
+    sxn(&mut g[30], -scale * 1.7320508075688772, &f[24]);
+    sxn(&mut g[31], -scale * 1.7320508075688772, &f[28]);
+    let mut tr = [[0.0f64; L]; 16];
     if at_upper {
-        tr[0] += 0.7071067811865476 * f[0];
-        tr[1] += 0.7071067811865476 * f[1];
-        tr[2] += 0.7071067811865476 * f[2];
-        tr[0] += 1.224744871391589 * f[3];
-        tr[3] += 0.7071067811865476 * f[4];
-        tr[4] += 0.7071067811865476 * f[5];
-        tr[5] += 0.7071067811865476 * f[6];
-        tr[1] += 1.224744871391589 * f[7];
-        tr[2] += 1.224744871391589 * f[8];
-        tr[6] += 0.7071067811865476 * f[9];
-        tr[7] += 0.7071067811865476 * f[10];
-        tr[3] += 1.224744871391589 * f[11];
-        tr[8] += 0.7071067811865476 * f[12];
-        tr[9] += 0.7071067811865476 * f[13];
-        tr[4] += 1.224744871391589 * f[14];
-        tr[10] += 0.7071067811865476 * f[15];
-        tr[5] += 1.224744871391589 * f[16];
-        tr[11] += 0.7071067811865476 * f[17];
-        tr[6] += 1.224744871391589 * f[18];
-        tr[7] += 1.224744871391589 * f[19];
-        tr[12] += 0.7071067811865476 * f[20];
-        tr[8] += 1.224744871391589 * f[21];
-        tr[9] += 1.224744871391589 * f[22];
-        tr[13] += 0.7071067811865476 * f[23];
-        tr[14] += 0.7071067811865476 * f[24];
-        tr[10] += 1.224744871391589 * f[25];
-        tr[11] += 1.224744871391589 * f[26];
-        tr[12] += 1.224744871391589 * f[27];
-        tr[15] += 0.7071067811865476 * f[28];
-        tr[13] += 1.224744871391589 * f[29];
-        tr[14] += 1.224744871391589 * f[30];
-        tr[15] += 1.224744871391589 * f[31];
+        sxn(&mut tr[0], 0.7071067811865476, &f[0]);
+        sxn(&mut tr[1], 0.7071067811865476, &f[1]);
+        sxn(&mut tr[2], 0.7071067811865476, &f[2]);
+        sxn(&mut tr[0], 1.224744871391589, &f[3]);
+        sxn(&mut tr[3], 0.7071067811865476, &f[4]);
+        sxn(&mut tr[4], 0.7071067811865476, &f[5]);
+        sxn(&mut tr[5], 0.7071067811865476, &f[6]);
+        sxn(&mut tr[1], 1.224744871391589, &f[7]);
+        sxn(&mut tr[2], 1.224744871391589, &f[8]);
+        sxn(&mut tr[6], 0.7071067811865476, &f[9]);
+        sxn(&mut tr[7], 0.7071067811865476, &f[10]);
+        sxn(&mut tr[3], 1.224744871391589, &f[11]);
+        sxn(&mut tr[8], 0.7071067811865476, &f[12]);
+        sxn(&mut tr[9], 0.7071067811865476, &f[13]);
+        sxn(&mut tr[4], 1.224744871391589, &f[14]);
+        sxn(&mut tr[10], 0.7071067811865476, &f[15]);
+        sxn(&mut tr[5], 1.224744871391589, &f[16]);
+        sxn(&mut tr[11], 0.7071067811865476, &f[17]);
+        sxn(&mut tr[6], 1.224744871391589, &f[18]);
+        sxn(&mut tr[7], 1.224744871391589, &f[19]);
+        sxn(&mut tr[12], 0.7071067811865476, &f[20]);
+        sxn(&mut tr[8], 1.224744871391589, &f[21]);
+        sxn(&mut tr[9], 1.224744871391589, &f[22]);
+        sxn(&mut tr[13], 0.7071067811865476, &f[23]);
+        sxn(&mut tr[14], 0.7071067811865476, &f[24]);
+        sxn(&mut tr[10], 1.224744871391589, &f[25]);
+        sxn(&mut tr[11], 1.224744871391589, &f[26]);
+        sxn(&mut tr[12], 1.224744871391589, &f[27]);
+        sxn(&mut tr[15], 0.7071067811865476, &f[28]);
+        sxn(&mut tr[13], 1.224744871391589, &f[29]);
+        sxn(&mut tr[14], 1.224744871391589, &f[30]);
+        sxn(&mut tr[15], 1.224744871391589, &f[31]);
     } else {
-        tr[0] += 0.7071067811865476 * f_up[0];
-        tr[1] += 0.7071067811865476 * f_up[1];
-        tr[2] += 0.7071067811865476 * f_up[2];
-        tr[0] += -1.224744871391589 * f_up[3];
-        tr[3] += 0.7071067811865476 * f_up[4];
-        tr[4] += 0.7071067811865476 * f_up[5];
-        tr[5] += 0.7071067811865476 * f_up[6];
-        tr[1] += -1.224744871391589 * f_up[7];
-        tr[2] += -1.224744871391589 * f_up[8];
-        tr[6] += 0.7071067811865476 * f_up[9];
-        tr[7] += 0.7071067811865476 * f_up[10];
-        tr[3] += -1.224744871391589 * f_up[11];
-        tr[8] += 0.7071067811865476 * f_up[12];
-        tr[9] += 0.7071067811865476 * f_up[13];
-        tr[4] += -1.224744871391589 * f_up[14];
-        tr[10] += 0.7071067811865476 * f_up[15];
-        tr[5] += -1.224744871391589 * f_up[16];
-        tr[11] += 0.7071067811865476 * f_up[17];
-        tr[6] += -1.224744871391589 * f_up[18];
-        tr[7] += -1.224744871391589 * f_up[19];
-        tr[12] += 0.7071067811865476 * f_up[20];
-        tr[8] += -1.224744871391589 * f_up[21];
-        tr[9] += -1.224744871391589 * f_up[22];
-        tr[13] += 0.7071067811865476 * f_up[23];
-        tr[14] += 0.7071067811865476 * f_up[24];
-        tr[10] += -1.224744871391589 * f_up[25];
-        tr[11] += -1.224744871391589 * f_up[26];
-        tr[12] += -1.224744871391589 * f_up[27];
-        tr[15] += 0.7071067811865476 * f_up[28];
-        tr[13] += -1.224744871391589 * f_up[29];
-        tr[14] += -1.224744871391589 * f_up[30];
-        tr[15] += -1.224744871391589 * f_up[31];
+        sxn(&mut tr[0], 0.7071067811865476, &f_up[0]);
+        sxn(&mut tr[1], 0.7071067811865476, &f_up[1]);
+        sxn(&mut tr[2], 0.7071067811865476, &f_up[2]);
+        sxn(&mut tr[0], -1.224744871391589, &f_up[3]);
+        sxn(&mut tr[3], 0.7071067811865476, &f_up[4]);
+        sxn(&mut tr[4], 0.7071067811865476, &f_up[5]);
+        sxn(&mut tr[5], 0.7071067811865476, &f_up[6]);
+        sxn(&mut tr[1], -1.224744871391589, &f_up[7]);
+        sxn(&mut tr[2], -1.224744871391589, &f_up[8]);
+        sxn(&mut tr[6], 0.7071067811865476, &f_up[9]);
+        sxn(&mut tr[7], 0.7071067811865476, &f_up[10]);
+        sxn(&mut tr[3], -1.224744871391589, &f_up[11]);
+        sxn(&mut tr[8], 0.7071067811865476, &f_up[12]);
+        sxn(&mut tr[9], 0.7071067811865476, &f_up[13]);
+        sxn(&mut tr[4], -1.224744871391589, &f_up[14]);
+        sxn(&mut tr[10], 0.7071067811865476, &f_up[15]);
+        sxn(&mut tr[5], -1.224744871391589, &f_up[16]);
+        sxn(&mut tr[11], 0.7071067811865476, &f_up[17]);
+        sxn(&mut tr[6], -1.224744871391589, &f_up[18]);
+        sxn(&mut tr[7], -1.224744871391589, &f_up[19]);
+        sxn(&mut tr[12], 0.7071067811865476, &f_up[20]);
+        sxn(&mut tr[8], -1.224744871391589, &f_up[21]);
+        sxn(&mut tr[9], -1.224744871391589, &f_up[22]);
+        sxn(&mut tr[13], 0.7071067811865476, &f_up[23]);
+        sxn(&mut tr[14], 0.7071067811865476, &f_up[24]);
+        sxn(&mut tr[10], -1.224744871391589, &f_up[25]);
+        sxn(&mut tr[11], -1.224744871391589, &f_up[26]);
+        sxn(&mut tr[12], -1.224744871391589, &f_up[27]);
+        sxn(&mut tr[15], 0.7071067811865476, &f_up[28]);
+        sxn(&mut tr[13], -1.224744871391589, &f_up[29]);
+        sxn(&mut tr[14], -1.224744871391589, &f_up[30]);
+        sxn(&mut tr[15], -1.224744871391589, &f_up[31]);
     }
-    g[0] += scale * 0.7071067811865476 * tr[0];
-    g[1] += scale * 0.7071067811865476 * tr[1];
-    g[2] += scale * 0.7071067811865476 * tr[2];
-    g[3] += scale * 1.224744871391589 * tr[0];
-    g[4] += scale * 0.7071067811865476 * tr[3];
-    g[5] += scale * 0.7071067811865476 * tr[4];
-    g[6] += scale * 0.7071067811865476 * tr[5];
-    g[7] += scale * 1.224744871391589 * tr[1];
-    g[8] += scale * 1.224744871391589 * tr[2];
-    g[9] += scale * 0.7071067811865476 * tr[6];
-    g[10] += scale * 0.7071067811865476 * tr[7];
-    g[11] += scale * 1.224744871391589 * tr[3];
-    g[12] += scale * 0.7071067811865476 * tr[8];
-    g[13] += scale * 0.7071067811865476 * tr[9];
-    g[14] += scale * 1.224744871391589 * tr[4];
-    g[15] += scale * 0.7071067811865476 * tr[10];
-    g[16] += scale * 1.224744871391589 * tr[5];
-    g[17] += scale * 0.7071067811865476 * tr[11];
-    g[18] += scale * 1.224744871391589 * tr[6];
-    g[19] += scale * 1.224744871391589 * tr[7];
-    g[20] += scale * 0.7071067811865476 * tr[12];
-    g[21] += scale * 1.224744871391589 * tr[8];
-    g[22] += scale * 1.224744871391589 * tr[9];
-    g[23] += scale * 0.7071067811865476 * tr[13];
-    g[24] += scale * 0.7071067811865476 * tr[14];
-    g[25] += scale * 1.224744871391589 * tr[10];
-    g[26] += scale * 1.224744871391589 * tr[11];
-    g[27] += scale * 1.224744871391589 * tr[12];
-    g[28] += scale * 0.7071067811865476 * tr[15];
-    g[29] += scale * 1.224744871391589 * tr[13];
-    g[30] += scale * 1.224744871391589 * tr[14];
-    g[31] += scale * 1.224744871391589 * tr[15];
-    let mut tl = [0.0f64; 16];
-    tl[0] += 0.7071067811865476 * f[0];
-    tl[1] += 0.7071067811865476 * f[1];
-    tl[2] += 0.7071067811865476 * f[2];
-    tl[0] += -1.224744871391589 * f[3];
-    tl[3] += 0.7071067811865476 * f[4];
-    tl[4] += 0.7071067811865476 * f[5];
-    tl[5] += 0.7071067811865476 * f[6];
-    tl[1] += -1.224744871391589 * f[7];
-    tl[2] += -1.224744871391589 * f[8];
-    tl[6] += 0.7071067811865476 * f[9];
-    tl[7] += 0.7071067811865476 * f[10];
-    tl[3] += -1.224744871391589 * f[11];
-    tl[8] += 0.7071067811865476 * f[12];
-    tl[9] += 0.7071067811865476 * f[13];
-    tl[4] += -1.224744871391589 * f[14];
-    tl[10] += 0.7071067811865476 * f[15];
-    tl[5] += -1.224744871391589 * f[16];
-    tl[11] += 0.7071067811865476 * f[17];
-    tl[6] += -1.224744871391589 * f[18];
-    tl[7] += -1.224744871391589 * f[19];
-    tl[12] += 0.7071067811865476 * f[20];
-    tl[8] += -1.224744871391589 * f[21];
-    tl[9] += -1.224744871391589 * f[22];
-    tl[13] += 0.7071067811865476 * f[23];
-    tl[14] += 0.7071067811865476 * f[24];
-    tl[10] += -1.224744871391589 * f[25];
-    tl[11] += -1.224744871391589 * f[26];
-    tl[12] += -1.224744871391589 * f[27];
-    tl[15] += 0.7071067811865476 * f[28];
-    tl[13] += -1.224744871391589 * f[29];
-    tl[14] += -1.224744871391589 * f[30];
-    tl[15] += -1.224744871391589 * f[31];
-    g[0] += -scale * 0.7071067811865476 * tl[0];
-    g[1] += -scale * 0.7071067811865476 * tl[1];
-    g[2] += -scale * 0.7071067811865476 * tl[2];
-    g[3] += -scale * -1.224744871391589 * tl[0];
-    g[4] += -scale * 0.7071067811865476 * tl[3];
-    g[5] += -scale * 0.7071067811865476 * tl[4];
-    g[6] += -scale * 0.7071067811865476 * tl[5];
-    g[7] += -scale * -1.224744871391589 * tl[1];
-    g[8] += -scale * -1.224744871391589 * tl[2];
-    g[9] += -scale * 0.7071067811865476 * tl[6];
-    g[10] += -scale * 0.7071067811865476 * tl[7];
-    g[11] += -scale * -1.224744871391589 * tl[3];
-    g[12] += -scale * 0.7071067811865476 * tl[8];
-    g[13] += -scale * 0.7071067811865476 * tl[9];
-    g[14] += -scale * -1.224744871391589 * tl[4];
-    g[15] += -scale * 0.7071067811865476 * tl[10];
-    g[16] += -scale * -1.224744871391589 * tl[5];
-    g[17] += -scale * 0.7071067811865476 * tl[11];
-    g[18] += -scale * -1.224744871391589 * tl[6];
-    g[19] += -scale * -1.224744871391589 * tl[7];
-    g[20] += -scale * 0.7071067811865476 * tl[12];
-    g[21] += -scale * -1.224744871391589 * tl[8];
-    g[22] += -scale * -1.224744871391589 * tl[9];
-    g[23] += -scale * 0.7071067811865476 * tl[13];
-    g[24] += -scale * 0.7071067811865476 * tl[14];
-    g[25] += -scale * -1.224744871391589 * tl[10];
-    g[26] += -scale * -1.224744871391589 * tl[11];
-    g[27] += -scale * -1.224744871391589 * tl[12];
-    g[28] += -scale * 0.7071067811865476 * tl[15];
-    g[29] += -scale * -1.224744871391589 * tl[13];
-    g[30] += -scale * -1.224744871391589 * tl[14];
-    g[31] += -scale * -1.224744871391589 * tl[15];
+    sxn(&mut g[0], scale * 0.7071067811865476, &tr[0]);
+    sxn(&mut g[1], scale * 0.7071067811865476, &tr[1]);
+    sxn(&mut g[2], scale * 0.7071067811865476, &tr[2]);
+    sxn(&mut g[3], scale * 1.224744871391589, &tr[0]);
+    sxn(&mut g[4], scale * 0.7071067811865476, &tr[3]);
+    sxn(&mut g[5], scale * 0.7071067811865476, &tr[4]);
+    sxn(&mut g[6], scale * 0.7071067811865476, &tr[5]);
+    sxn(&mut g[7], scale * 1.224744871391589, &tr[1]);
+    sxn(&mut g[8], scale * 1.224744871391589, &tr[2]);
+    sxn(&mut g[9], scale * 0.7071067811865476, &tr[6]);
+    sxn(&mut g[10], scale * 0.7071067811865476, &tr[7]);
+    sxn(&mut g[11], scale * 1.224744871391589, &tr[3]);
+    sxn(&mut g[12], scale * 0.7071067811865476, &tr[8]);
+    sxn(&mut g[13], scale * 0.7071067811865476, &tr[9]);
+    sxn(&mut g[14], scale * 1.224744871391589, &tr[4]);
+    sxn(&mut g[15], scale * 0.7071067811865476, &tr[10]);
+    sxn(&mut g[16], scale * 1.224744871391589, &tr[5]);
+    sxn(&mut g[17], scale * 0.7071067811865476, &tr[11]);
+    sxn(&mut g[18], scale * 1.224744871391589, &tr[6]);
+    sxn(&mut g[19], scale * 1.224744871391589, &tr[7]);
+    sxn(&mut g[20], scale * 0.7071067811865476, &tr[12]);
+    sxn(&mut g[21], scale * 1.224744871391589, &tr[8]);
+    sxn(&mut g[22], scale * 1.224744871391589, &tr[9]);
+    sxn(&mut g[23], scale * 0.7071067811865476, &tr[13]);
+    sxn(&mut g[24], scale * 0.7071067811865476, &tr[14]);
+    sxn(&mut g[25], scale * 1.224744871391589, &tr[10]);
+    sxn(&mut g[26], scale * 1.224744871391589, &tr[11]);
+    sxn(&mut g[27], scale * 1.224744871391589, &tr[12]);
+    sxn(&mut g[28], scale * 0.7071067811865476, &tr[15]);
+    sxn(&mut g[29], scale * 1.224744871391589, &tr[13]);
+    sxn(&mut g[30], scale * 1.224744871391589, &tr[14]);
+    sxn(&mut g[31], scale * 1.224744871391589, &tr[15]);
+    let mut tl = [[0.0f64; L]; 16];
+    sxn(&mut tl[0], 0.7071067811865476, &f[0]);
+    sxn(&mut tl[1], 0.7071067811865476, &f[1]);
+    sxn(&mut tl[2], 0.7071067811865476, &f[2]);
+    sxn(&mut tl[0], -1.224744871391589, &f[3]);
+    sxn(&mut tl[3], 0.7071067811865476, &f[4]);
+    sxn(&mut tl[4], 0.7071067811865476, &f[5]);
+    sxn(&mut tl[5], 0.7071067811865476, &f[6]);
+    sxn(&mut tl[1], -1.224744871391589, &f[7]);
+    sxn(&mut tl[2], -1.224744871391589, &f[8]);
+    sxn(&mut tl[6], 0.7071067811865476, &f[9]);
+    sxn(&mut tl[7], 0.7071067811865476, &f[10]);
+    sxn(&mut tl[3], -1.224744871391589, &f[11]);
+    sxn(&mut tl[8], 0.7071067811865476, &f[12]);
+    sxn(&mut tl[9], 0.7071067811865476, &f[13]);
+    sxn(&mut tl[4], -1.224744871391589, &f[14]);
+    sxn(&mut tl[10], 0.7071067811865476, &f[15]);
+    sxn(&mut tl[5], -1.224744871391589, &f[16]);
+    sxn(&mut tl[11], 0.7071067811865476, &f[17]);
+    sxn(&mut tl[6], -1.224744871391589, &f[18]);
+    sxn(&mut tl[7], -1.224744871391589, &f[19]);
+    sxn(&mut tl[12], 0.7071067811865476, &f[20]);
+    sxn(&mut tl[8], -1.224744871391589, &f[21]);
+    sxn(&mut tl[9], -1.224744871391589, &f[22]);
+    sxn(&mut tl[13], 0.7071067811865476, &f[23]);
+    sxn(&mut tl[14], 0.7071067811865476, &f[24]);
+    sxn(&mut tl[10], -1.224744871391589, &f[25]);
+    sxn(&mut tl[11], -1.224744871391589, &f[26]);
+    sxn(&mut tl[12], -1.224744871391589, &f[27]);
+    sxn(&mut tl[15], 0.7071067811865476, &f[28]);
+    sxn(&mut tl[13], -1.224744871391589, &f[29]);
+    sxn(&mut tl[14], -1.224744871391589, &f[30]);
+    sxn(&mut tl[15], -1.224744871391589, &f[31]);
+    sxn(&mut g[0], -scale * 0.7071067811865476, &tl[0]);
+    sxn(&mut g[1], -scale * 0.7071067811865476, &tl[1]);
+    sxn(&mut g[2], -scale * 0.7071067811865476, &tl[2]);
+    sxn(&mut g[3], -scale * -1.224744871391589, &tl[0]);
+    sxn(&mut g[4], -scale * 0.7071067811865476, &tl[3]);
+    sxn(&mut g[5], -scale * 0.7071067811865476, &tl[4]);
+    sxn(&mut g[6], -scale * 0.7071067811865476, &tl[5]);
+    sxn(&mut g[7], -scale * -1.224744871391589, &tl[1]);
+    sxn(&mut g[8], -scale * -1.224744871391589, &tl[2]);
+    sxn(&mut g[9], -scale * 0.7071067811865476, &tl[6]);
+    sxn(&mut g[10], -scale * 0.7071067811865476, &tl[7]);
+    sxn(&mut g[11], -scale * -1.224744871391589, &tl[3]);
+    sxn(&mut g[12], -scale * 0.7071067811865476, &tl[8]);
+    sxn(&mut g[13], -scale * 0.7071067811865476, &tl[9]);
+    sxn(&mut g[14], -scale * -1.224744871391589, &tl[4]);
+    sxn(&mut g[15], -scale * 0.7071067811865476, &tl[10]);
+    sxn(&mut g[16], -scale * -1.224744871391589, &tl[5]);
+    sxn(&mut g[17], -scale * 0.7071067811865476, &tl[11]);
+    sxn(&mut g[18], -scale * -1.224744871391589, &tl[6]);
+    sxn(&mut g[19], -scale * -1.224744871391589, &tl[7]);
+    sxn(&mut g[20], -scale * 0.7071067811865476, &tl[12]);
+    sxn(&mut g[21], -scale * -1.224744871391589, &tl[8]);
+    sxn(&mut g[22], -scale * -1.224744871391589, &tl[9]);
+    sxn(&mut g[23], -scale * 0.7071067811865476, &tl[13]);
+    sxn(&mut g[24], -scale * 0.7071067811865476, &tl[14]);
+    sxn(&mut g[25], -scale * -1.224744871391589, &tl[10]);
+    sxn(&mut g[26], -scale * -1.224744871391589, &tl[11]);
+    sxn(&mut g[27], -scale * -1.224744871391589, &tl[12]);
+    sxn(&mut g[28], -scale * 0.7071067811865476, &tl[15]);
+    sxn(&mut g[29], -scale * -1.224744871391589, &tl[13]);
+    sxn(&mut g[30], -scale * -1.224744871391589, &tl[14]);
+    sxn(&mut g[31], -scale * -1.224744871391589, &tl[15]);
 }
 
 /// LBO diffusion volume term in v0: weak `ν vth²(x) ∂_v g`.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p1_ser_diff_vol_v0(nu: f64, dv: f64, vth2: &[f64], g: &[f64], out: &mut [f64]) {
+    lbo_2x3v_p1_ser_diff_vol_v0_body::<1>(nu, dv, vth2.as_chunks().0, g.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p1_ser_diff_vol_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_diff_vol_v0_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_diff_vol_v0_body(nu, dv, vth2, g, out)
+}
+
+/// [`lbo_2x3v_p1_ser_diff_vol_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_diff_vol_v0_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_diff_vol_v0_body(nu, dv, vth2, g, out)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p1_ser_diff_vol_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p1_ser_diff_vol_v0_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g: &[[f64; L]], out: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 4] = vth2.first_chunk().expect("vth2: 4 coefficients");
+    let g: &[[f64; L]; 32] = g.first_chunk().expect("g: 32 coefficients");
+    let out: &mut [[f64; L]; 32] = out.first_chunk_mut().expect("out: 32 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 32];
-    alpha[0] = 2.8284271247461903 * vth2[0];
-    alpha[4] = 2.8284271247461903 * vth2[1];
-    alpha[5] = 2.8284271247461903 * vth2[2];
-    alpha[15] = 2.8284271247461903 * vth2[3];
-    out[3] += -nu * scale * 0.30618621784789724 * alpha[0] * g[0];
-    out[3] += -nu * scale * 0.30618621784789724 * alpha[4] * g[4];
-    out[3] += -nu * scale * 0.30618621784789724 * alpha[5] * g[5];
-    out[3] += -nu * scale * 0.30618621784789724 * alpha[15] * g[15];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[0] * g[1];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[4] * g[9];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[5] * g[12];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[15] * g[23];
-    out[8] += -nu * scale * 0.30618621784789724 * alpha[0] * g[2];
-    out[8] += -nu * scale * 0.30618621784789724 * alpha[4] * g[10];
-    out[8] += -nu * scale * 0.30618621784789724 * alpha[5] * g[13];
-    out[8] += -nu * scale * 0.30618621784789724 * alpha[15] * g[24];
-    out[11] += -nu * scale * 0.30618621784789724 * alpha[0] * g[4];
-    out[11] += -nu * scale * 0.30618621784789724 * alpha[4] * g[0];
-    out[11] += -nu * scale * 0.30618621784789724 * alpha[5] * g[15];
-    out[11] += -nu * scale * 0.30618621784789724 * alpha[15] * g[5];
-    out[14] += -nu * scale * 0.30618621784789724 * alpha[0] * g[5];
-    out[14] += -nu * scale * 0.30618621784789724 * alpha[4] * g[15];
-    out[14] += -nu * scale * 0.30618621784789724 * alpha[5] * g[0];
-    out[14] += -nu * scale * 0.30618621784789724 * alpha[15] * g[4];
-    out[16] += -nu * scale * 0.30618621784789724 * alpha[0] * g[6];
-    out[16] += -nu * scale * 0.30618621784789724 * alpha[4] * g[17];
-    out[16] += -nu * scale * 0.30618621784789724 * alpha[5] * g[20];
-    out[16] += -nu * scale * 0.30618621784789724 * alpha[15] * g[28];
-    out[18] += -nu * scale * 0.30618621784789724 * alpha[0] * g[9];
-    out[18] += -nu * scale * 0.30618621784789724 * alpha[4] * g[1];
-    out[18] += -nu * scale * 0.30618621784789724 * alpha[5] * g[23];
-    out[18] += -nu * scale * 0.30618621784789724 * alpha[15] * g[12];
-    out[19] += -nu * scale * 0.30618621784789724 * alpha[0] * g[10];
-    out[19] += -nu * scale * 0.30618621784789724 * alpha[4] * g[2];
-    out[19] += -nu * scale * 0.30618621784789724 * alpha[5] * g[24];
-    out[19] += -nu * scale * 0.30618621784789724 * alpha[15] * g[13];
-    out[21] += -nu * scale * 0.30618621784789724 * alpha[0] * g[12];
-    out[21] += -nu * scale * 0.30618621784789724 * alpha[4] * g[23];
-    out[21] += -nu * scale * 0.30618621784789724 * alpha[5] * g[1];
-    out[21] += -nu * scale * 0.30618621784789724 * alpha[15] * g[9];
-    out[22] += -nu * scale * 0.30618621784789724 * alpha[0] * g[13];
-    out[22] += -nu * scale * 0.30618621784789724 * alpha[4] * g[24];
-    out[22] += -nu * scale * 0.30618621784789724 * alpha[5] * g[2];
-    out[22] += -nu * scale * 0.30618621784789724 * alpha[15] * g[10];
-    out[25] += -nu * scale * 0.30618621784789724 * alpha[0] * g[15];
-    out[25] += -nu * scale * 0.30618621784789724 * alpha[4] * g[5];
-    out[25] += -nu * scale * 0.30618621784789724 * alpha[5] * g[4];
-    out[25] += -nu * scale * 0.30618621784789724 * alpha[15] * g[0];
-    out[26] += -nu * scale * 0.30618621784789724 * alpha[0] * g[17];
-    out[26] += -nu * scale * 0.30618621784789724 * alpha[4] * g[6];
-    out[26] += -nu * scale * 0.30618621784789724 * alpha[5] * g[28];
-    out[26] += -nu * scale * 0.30618621784789724 * alpha[15] * g[20];
-    out[27] += -nu * scale * 0.30618621784789724 * alpha[0] * g[20];
-    out[27] += -nu * scale * 0.30618621784789724 * alpha[4] * g[28];
-    out[27] += -nu * scale * 0.30618621784789724 * alpha[5] * g[6];
-    out[27] += -nu * scale * 0.30618621784789724 * alpha[15] * g[17];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[0] * g[23];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[4] * g[12];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[5] * g[9];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[15] * g[1];
-    out[30] += -nu * scale * 0.30618621784789724 * alpha[0] * g[24];
-    out[30] += -nu * scale * 0.30618621784789724 * alpha[4] * g[13];
-    out[30] += -nu * scale * 0.30618621784789724 * alpha[5] * g[10];
-    out[30] += -nu * scale * 0.30618621784789724 * alpha[15] * g[2];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[0] * g[28];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[4] * g[20];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[5] * g[17];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[15] * g[6];
+    let mut alpha = [[0.0f64; L]; 32];
+    for k in 0..L {
+        alpha[0][k] = 2.8284271247461903 * vth2[0][k];
+        alpha[4][k] = 2.8284271247461903 * vth2[1][k];
+        alpha[5][k] = 2.8284271247461903 * vth2[2][k];
+        alpha[15][k] = 2.8284271247461903 * vth2[3][k];
+    }
+    for k in 0..L {
+        out[3][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[0][k];
+        out[3][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[4][k];
+        out[3][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[5][k];
+        out[3][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[15][k];
+    }
+    for k in 0..L {
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[1][k];
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[9][k];
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[12][k];
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[23][k];
+    }
+    for k in 0..L {
+        out[8][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[2][k];
+        out[8][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[10][k];
+        out[8][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[13][k];
+        out[8][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[24][k];
+    }
+    for k in 0..L {
+        out[11][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[4][k];
+        out[11][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[0][k];
+        out[11][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[15][k];
+        out[11][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[5][k];
+    }
+    for k in 0..L {
+        out[14][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[5][k];
+        out[14][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[15][k];
+        out[14][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[0][k];
+        out[14][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[4][k];
+    }
+    for k in 0..L {
+        out[16][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[6][k];
+        out[16][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[17][k];
+        out[16][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[20][k];
+        out[16][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[28][k];
+    }
+    for k in 0..L {
+        out[18][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[9][k];
+        out[18][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[1][k];
+        out[18][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[23][k];
+        out[18][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[12][k];
+    }
+    for k in 0..L {
+        out[19][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[10][k];
+        out[19][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[2][k];
+        out[19][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[24][k];
+        out[19][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[13][k];
+    }
+    for k in 0..L {
+        out[21][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[12][k];
+        out[21][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[23][k];
+        out[21][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[1][k];
+        out[21][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[9][k];
+    }
+    for k in 0..L {
+        out[22][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[13][k];
+        out[22][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[24][k];
+        out[22][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[2][k];
+        out[22][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[10][k];
+    }
+    for k in 0..L {
+        out[25][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[15][k];
+        out[25][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[5][k];
+        out[25][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[4][k];
+        out[25][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[0][k];
+    }
+    for k in 0..L {
+        out[26][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[17][k];
+        out[26][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[6][k];
+        out[26][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[28][k];
+        out[26][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[20][k];
+    }
+    for k in 0..L {
+        out[27][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[20][k];
+        out[27][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[28][k];
+        out[27][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[6][k];
+        out[27][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[17][k];
+    }
+    for k in 0..L {
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[23][k];
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[12][k];
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[9][k];
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[1][k];
+    }
+    for k in 0..L {
+        out[30][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[24][k];
+        out[30][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[13][k];
+        out[30][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[10][k];
+        out[30][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[2][k];
+    }
+    for k in 0..L {
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[28][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[20][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[17][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[6][k];
+    }
 }
 
 /// LBO diffusion surface term in v0 at one interior face: one-sided
@@ -613,268 +833,393 @@ pub fn lbo_2x3v_p1_ser_diff_vol_v0(nu: f64, dv: f64, vth2: &[f64], g: &[f64], ou
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p1_ser_diff_surf_v0(nu: f64, dv: f64, vth2: &[f64], g_lo: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_2x3v_p1_ser_diff_surf_v0_body::<1>(nu, dv, vth2.as_chunks().0, g_lo.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p1_ser_diff_surf_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_diff_surf_v0_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_diff_surf_v0_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// [`lbo_2x3v_p1_ser_diff_surf_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_diff_surf_v0_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_diff_surf_v0_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p1_ser_diff_surf_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p1_ser_diff_surf_v0_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g_lo: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 4] = vth2.first_chunk().expect("vth2: 4 coefficients");
+    let g_lo: &[[f64; L]; 32] = g_lo.first_chunk().expect("g_lo: 32 coefficients");
+    let out_lo: &mut [[f64; L]; 32] = out_lo.first_chunk_mut().expect("out_lo: 32 coefficients");
+    let out_hi: &mut [[f64; L]; 32] = out_hi.first_chunk_mut().expect("out_hi: 32 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 16];
-    alpha[0] = 2.0 * vth2[0];
-    alpha[3] = 2.0 * vth2[1];
-    alpha[4] = 2.0 * vth2[2];
-    alpha[10] = 2.0 * vth2[3];
-    let mut tr = [0.0f64; 16];
-    tr[0] += 0.7071067811865476 * g_lo[0];
-    tr[1] += 0.7071067811865476 * g_lo[1];
-    tr[2] += 0.7071067811865476 * g_lo[2];
-    tr[0] += 1.224744871391589 * g_lo[3];
-    tr[3] += 0.7071067811865476 * g_lo[4];
-    tr[4] += 0.7071067811865476 * g_lo[5];
-    tr[5] += 0.7071067811865476 * g_lo[6];
-    tr[1] += 1.224744871391589 * g_lo[7];
-    tr[2] += 1.224744871391589 * g_lo[8];
-    tr[6] += 0.7071067811865476 * g_lo[9];
-    tr[7] += 0.7071067811865476 * g_lo[10];
-    tr[3] += 1.224744871391589 * g_lo[11];
-    tr[8] += 0.7071067811865476 * g_lo[12];
-    tr[9] += 0.7071067811865476 * g_lo[13];
-    tr[4] += 1.224744871391589 * g_lo[14];
-    tr[10] += 0.7071067811865476 * g_lo[15];
-    tr[5] += 1.224744871391589 * g_lo[16];
-    tr[11] += 0.7071067811865476 * g_lo[17];
-    tr[6] += 1.224744871391589 * g_lo[18];
-    tr[7] += 1.224744871391589 * g_lo[19];
-    tr[12] += 0.7071067811865476 * g_lo[20];
-    tr[8] += 1.224744871391589 * g_lo[21];
-    tr[9] += 1.224744871391589 * g_lo[22];
-    tr[13] += 0.7071067811865476 * g_lo[23];
-    tr[14] += 0.7071067811865476 * g_lo[24];
-    tr[10] += 1.224744871391589 * g_lo[25];
-    tr[11] += 1.224744871391589 * g_lo[26];
-    tr[12] += 1.224744871391589 * g_lo[27];
-    tr[15] += 0.7071067811865476 * g_lo[28];
-    tr[13] += 1.224744871391589 * g_lo[29];
-    tr[14] += 1.224744871391589 * g_lo[30];
-    tr[15] += 1.224744871391589 * g_lo[31];
-    let mut ghat = [0.0f64; 16];
-    ghat[0] += 0.25 * alpha[0] * tr[0];
-    ghat[0] += 0.25 * alpha[3] * tr[3];
-    ghat[0] += 0.25 * alpha[4] * tr[4];
-    ghat[0] += 0.25 * alpha[10] * tr[10];
-    ghat[1] += 0.25 * alpha[0] * tr[1];
-    ghat[1] += 0.25 * alpha[3] * tr[6];
-    ghat[1] += 0.25 * alpha[4] * tr[8];
-    ghat[1] += 0.25 * alpha[10] * tr[13];
-    ghat[2] += 0.25 * alpha[0] * tr[2];
-    ghat[2] += 0.25 * alpha[3] * tr[7];
-    ghat[2] += 0.25 * alpha[4] * tr[9];
-    ghat[2] += 0.25 * alpha[10] * tr[14];
-    ghat[3] += 0.25 * alpha[0] * tr[3];
-    ghat[3] += 0.25 * alpha[3] * tr[0];
-    ghat[3] += 0.25 * alpha[4] * tr[10];
-    ghat[3] += 0.25 * alpha[10] * tr[4];
-    ghat[4] += 0.25 * alpha[0] * tr[4];
-    ghat[4] += 0.25 * alpha[3] * tr[10];
-    ghat[4] += 0.25 * alpha[4] * tr[0];
-    ghat[4] += 0.25 * alpha[10] * tr[3];
-    ghat[5] += 0.25 * alpha[0] * tr[5];
-    ghat[5] += 0.25 * alpha[3] * tr[11];
-    ghat[5] += 0.25 * alpha[4] * tr[12];
-    ghat[5] += 0.25 * alpha[10] * tr[15];
-    ghat[6] += 0.25 * alpha[0] * tr[6];
-    ghat[6] += 0.25 * alpha[3] * tr[1];
-    ghat[6] += 0.25 * alpha[4] * tr[13];
-    ghat[6] += 0.25 * alpha[10] * tr[8];
-    ghat[7] += 0.25 * alpha[0] * tr[7];
-    ghat[7] += 0.25 * alpha[3] * tr[2];
-    ghat[7] += 0.25 * alpha[4] * tr[14];
-    ghat[7] += 0.25 * alpha[10] * tr[9];
-    ghat[8] += 0.25 * alpha[0] * tr[8];
-    ghat[8] += 0.25 * alpha[3] * tr[13];
-    ghat[8] += 0.25 * alpha[4] * tr[1];
-    ghat[8] += 0.25 * alpha[10] * tr[6];
-    ghat[9] += 0.25 * alpha[0] * tr[9];
-    ghat[9] += 0.25 * alpha[3] * tr[14];
-    ghat[9] += 0.25 * alpha[4] * tr[2];
-    ghat[9] += 0.25 * alpha[10] * tr[7];
-    ghat[10] += 0.25 * alpha[0] * tr[10];
-    ghat[10] += 0.25 * alpha[3] * tr[4];
-    ghat[10] += 0.25 * alpha[4] * tr[3];
-    ghat[10] += 0.25 * alpha[10] * tr[0];
-    ghat[11] += 0.25 * alpha[0] * tr[11];
-    ghat[11] += 0.25 * alpha[3] * tr[5];
-    ghat[11] += 0.25 * alpha[4] * tr[15];
-    ghat[11] += 0.25 * alpha[10] * tr[12];
-    ghat[12] += 0.25 * alpha[0] * tr[12];
-    ghat[12] += 0.25 * alpha[3] * tr[15];
-    ghat[12] += 0.25 * alpha[4] * tr[5];
-    ghat[12] += 0.25 * alpha[10] * tr[11];
-    ghat[13] += 0.25 * alpha[0] * tr[13];
-    ghat[13] += 0.25 * alpha[3] * tr[8];
-    ghat[13] += 0.25 * alpha[4] * tr[6];
-    ghat[13] += 0.25 * alpha[10] * tr[1];
-    ghat[14] += 0.25 * alpha[0] * tr[14];
-    ghat[14] += 0.25 * alpha[3] * tr[9];
-    ghat[14] += 0.25 * alpha[4] * tr[7];
-    ghat[14] += 0.25 * alpha[10] * tr[2];
-    ghat[15] += 0.25 * alpha[0] * tr[15];
-    ghat[15] += 0.25 * alpha[3] * tr[12];
-    ghat[15] += 0.25 * alpha[4] * tr[11];
-    ghat[15] += 0.25 * alpha[10] * tr[5];
-    out_lo[0] += nu * scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += nu * scale * 0.7071067811865476 * ghat[1];
-    out_lo[2] += nu * scale * 0.7071067811865476 * ghat[2];
-    out_lo[3] += nu * scale * 1.224744871391589 * ghat[0];
-    out_lo[4] += nu * scale * 0.7071067811865476 * ghat[3];
-    out_lo[5] += nu * scale * 0.7071067811865476 * ghat[4];
-    out_lo[6] += nu * scale * 0.7071067811865476 * ghat[5];
-    out_lo[7] += nu * scale * 1.224744871391589 * ghat[1];
-    out_lo[8] += nu * scale * 1.224744871391589 * ghat[2];
-    out_lo[9] += nu * scale * 0.7071067811865476 * ghat[6];
-    out_lo[10] += nu * scale * 0.7071067811865476 * ghat[7];
-    out_lo[11] += nu * scale * 1.224744871391589 * ghat[3];
-    out_lo[12] += nu * scale * 0.7071067811865476 * ghat[8];
-    out_lo[13] += nu * scale * 0.7071067811865476 * ghat[9];
-    out_lo[14] += nu * scale * 1.224744871391589 * ghat[4];
-    out_lo[15] += nu * scale * 0.7071067811865476 * ghat[10];
-    out_lo[16] += nu * scale * 1.224744871391589 * ghat[5];
-    out_lo[17] += nu * scale * 0.7071067811865476 * ghat[11];
-    out_lo[18] += nu * scale * 1.224744871391589 * ghat[6];
-    out_lo[19] += nu * scale * 1.224744871391589 * ghat[7];
-    out_lo[20] += nu * scale * 0.7071067811865476 * ghat[12];
-    out_lo[21] += nu * scale * 1.224744871391589 * ghat[8];
-    out_lo[22] += nu * scale * 1.224744871391589 * ghat[9];
-    out_lo[23] += nu * scale * 0.7071067811865476 * ghat[13];
-    out_lo[24] += nu * scale * 0.7071067811865476 * ghat[14];
-    out_lo[25] += nu * scale * 1.224744871391589 * ghat[10];
-    out_lo[26] += nu * scale * 1.224744871391589 * ghat[11];
-    out_lo[27] += nu * scale * 1.224744871391589 * ghat[12];
-    out_lo[28] += nu * scale * 0.7071067811865476 * ghat[15];
-    out_lo[29] += nu * scale * 1.224744871391589 * ghat[13];
-    out_lo[30] += nu * scale * 1.224744871391589 * ghat[14];
-    out_lo[31] += nu * scale * 1.224744871391589 * ghat[15];
-    out_hi[0] += -nu * scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += -nu * scale * 0.7071067811865476 * ghat[1];
-    out_hi[2] += -nu * scale * 0.7071067811865476 * ghat[2];
-    out_hi[3] += -nu * scale * -1.224744871391589 * ghat[0];
-    out_hi[4] += -nu * scale * 0.7071067811865476 * ghat[3];
-    out_hi[5] += -nu * scale * 0.7071067811865476 * ghat[4];
-    out_hi[6] += -nu * scale * 0.7071067811865476 * ghat[5];
-    out_hi[7] += -nu * scale * -1.224744871391589 * ghat[1];
-    out_hi[8] += -nu * scale * -1.224744871391589 * ghat[2];
-    out_hi[9] += -nu * scale * 0.7071067811865476 * ghat[6];
-    out_hi[10] += -nu * scale * 0.7071067811865476 * ghat[7];
-    out_hi[11] += -nu * scale * -1.224744871391589 * ghat[3];
-    out_hi[12] += -nu * scale * 0.7071067811865476 * ghat[8];
-    out_hi[13] += -nu * scale * 0.7071067811865476 * ghat[9];
-    out_hi[14] += -nu * scale * -1.224744871391589 * ghat[4];
-    out_hi[15] += -nu * scale * 0.7071067811865476 * ghat[10];
-    out_hi[16] += -nu * scale * -1.224744871391589 * ghat[5];
-    out_hi[17] += -nu * scale * 0.7071067811865476 * ghat[11];
-    out_hi[18] += -nu * scale * -1.224744871391589 * ghat[6];
-    out_hi[19] += -nu * scale * -1.224744871391589 * ghat[7];
-    out_hi[20] += -nu * scale * 0.7071067811865476 * ghat[12];
-    out_hi[21] += -nu * scale * -1.224744871391589 * ghat[8];
-    out_hi[22] += -nu * scale * -1.224744871391589 * ghat[9];
-    out_hi[23] += -nu * scale * 0.7071067811865476 * ghat[13];
-    out_hi[24] += -nu * scale * 0.7071067811865476 * ghat[14];
-    out_hi[25] += -nu * scale * -1.224744871391589 * ghat[10];
-    out_hi[26] += -nu * scale * -1.224744871391589 * ghat[11];
-    out_hi[27] += -nu * scale * -1.224744871391589 * ghat[12];
-    out_hi[28] += -nu * scale * 0.7071067811865476 * ghat[15];
-    out_hi[29] += -nu * scale * -1.224744871391589 * ghat[13];
-    out_hi[30] += -nu * scale * -1.224744871391589 * ghat[14];
-    out_hi[31] += -nu * scale * -1.224744871391589 * ghat[15];
+    let mut alpha = [[0.0f64; L]; 16];
+    for k in 0..L {
+        alpha[0][k] = 2.0 * vth2[0][k];
+        alpha[3][k] = 2.0 * vth2[1][k];
+        alpha[4][k] = 2.0 * vth2[2][k];
+        alpha[10][k] = 2.0 * vth2[3][k];
+    }
+    let mut tr = [[0.0f64; L]; 16];
+    sxn(&mut tr[0], 0.7071067811865476, &g_lo[0]);
+    sxn(&mut tr[1], 0.7071067811865476, &g_lo[1]);
+    sxn(&mut tr[2], 0.7071067811865476, &g_lo[2]);
+    sxn(&mut tr[0], 1.224744871391589, &g_lo[3]);
+    sxn(&mut tr[3], 0.7071067811865476, &g_lo[4]);
+    sxn(&mut tr[4], 0.7071067811865476, &g_lo[5]);
+    sxn(&mut tr[5], 0.7071067811865476, &g_lo[6]);
+    sxn(&mut tr[1], 1.224744871391589, &g_lo[7]);
+    sxn(&mut tr[2], 1.224744871391589, &g_lo[8]);
+    sxn(&mut tr[6], 0.7071067811865476, &g_lo[9]);
+    sxn(&mut tr[7], 0.7071067811865476, &g_lo[10]);
+    sxn(&mut tr[3], 1.224744871391589, &g_lo[11]);
+    sxn(&mut tr[8], 0.7071067811865476, &g_lo[12]);
+    sxn(&mut tr[9], 0.7071067811865476, &g_lo[13]);
+    sxn(&mut tr[4], 1.224744871391589, &g_lo[14]);
+    sxn(&mut tr[10], 0.7071067811865476, &g_lo[15]);
+    sxn(&mut tr[5], 1.224744871391589, &g_lo[16]);
+    sxn(&mut tr[11], 0.7071067811865476, &g_lo[17]);
+    sxn(&mut tr[6], 1.224744871391589, &g_lo[18]);
+    sxn(&mut tr[7], 1.224744871391589, &g_lo[19]);
+    sxn(&mut tr[12], 0.7071067811865476, &g_lo[20]);
+    sxn(&mut tr[8], 1.224744871391589, &g_lo[21]);
+    sxn(&mut tr[9], 1.224744871391589, &g_lo[22]);
+    sxn(&mut tr[13], 0.7071067811865476, &g_lo[23]);
+    sxn(&mut tr[14], 0.7071067811865476, &g_lo[24]);
+    sxn(&mut tr[10], 1.224744871391589, &g_lo[25]);
+    sxn(&mut tr[11], 1.224744871391589, &g_lo[26]);
+    sxn(&mut tr[12], 1.224744871391589, &g_lo[27]);
+    sxn(&mut tr[15], 0.7071067811865476, &g_lo[28]);
+    sxn(&mut tr[13], 1.224744871391589, &g_lo[29]);
+    sxn(&mut tr[14], 1.224744871391589, &g_lo[30]);
+    sxn(&mut tr[15], 1.224744871391589, &g_lo[31]);
+    let mut ghat = [[0.0f64; L]; 16];
+    for k in 0..L {
+        ghat[0][k] += 0.25 * alpha[0][k] * tr[0][k];
+        ghat[0][k] += 0.25 * alpha[3][k] * tr[3][k];
+        ghat[0][k] += 0.25 * alpha[4][k] * tr[4][k];
+        ghat[0][k] += 0.25 * alpha[10][k] * tr[10][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.25 * alpha[0][k] * tr[1][k];
+        ghat[1][k] += 0.25 * alpha[3][k] * tr[6][k];
+        ghat[1][k] += 0.25 * alpha[4][k] * tr[8][k];
+        ghat[1][k] += 0.25 * alpha[10][k] * tr[13][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.25 * alpha[0][k] * tr[2][k];
+        ghat[2][k] += 0.25 * alpha[3][k] * tr[7][k];
+        ghat[2][k] += 0.25 * alpha[4][k] * tr[9][k];
+        ghat[2][k] += 0.25 * alpha[10][k] * tr[14][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.25 * alpha[0][k] * tr[3][k];
+        ghat[3][k] += 0.25 * alpha[3][k] * tr[0][k];
+        ghat[3][k] += 0.25 * alpha[4][k] * tr[10][k];
+        ghat[3][k] += 0.25 * alpha[10][k] * tr[4][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.25 * alpha[0][k] * tr[4][k];
+        ghat[4][k] += 0.25 * alpha[3][k] * tr[10][k];
+        ghat[4][k] += 0.25 * alpha[4][k] * tr[0][k];
+        ghat[4][k] += 0.25 * alpha[10][k] * tr[3][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.25 * alpha[0][k] * tr[5][k];
+        ghat[5][k] += 0.25 * alpha[3][k] * tr[11][k];
+        ghat[5][k] += 0.25 * alpha[4][k] * tr[12][k];
+        ghat[5][k] += 0.25 * alpha[10][k] * tr[15][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.25 * alpha[0][k] * tr[6][k];
+        ghat[6][k] += 0.25 * alpha[3][k] * tr[1][k];
+        ghat[6][k] += 0.25 * alpha[4][k] * tr[13][k];
+        ghat[6][k] += 0.25 * alpha[10][k] * tr[8][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.25 * alpha[0][k] * tr[7][k];
+        ghat[7][k] += 0.25 * alpha[3][k] * tr[2][k];
+        ghat[7][k] += 0.25 * alpha[4][k] * tr[14][k];
+        ghat[7][k] += 0.25 * alpha[10][k] * tr[9][k];
+    }
+    for k in 0..L {
+        ghat[8][k] += 0.25 * alpha[0][k] * tr[8][k];
+        ghat[8][k] += 0.25 * alpha[3][k] * tr[13][k];
+        ghat[8][k] += 0.25 * alpha[4][k] * tr[1][k];
+        ghat[8][k] += 0.25 * alpha[10][k] * tr[6][k];
+    }
+    for k in 0..L {
+        ghat[9][k] += 0.25 * alpha[0][k] * tr[9][k];
+        ghat[9][k] += 0.25 * alpha[3][k] * tr[14][k];
+        ghat[9][k] += 0.25 * alpha[4][k] * tr[2][k];
+        ghat[9][k] += 0.25 * alpha[10][k] * tr[7][k];
+    }
+    for k in 0..L {
+        ghat[10][k] += 0.25 * alpha[0][k] * tr[10][k];
+        ghat[10][k] += 0.25 * alpha[3][k] * tr[4][k];
+        ghat[10][k] += 0.25 * alpha[4][k] * tr[3][k];
+        ghat[10][k] += 0.25 * alpha[10][k] * tr[0][k];
+    }
+    for k in 0..L {
+        ghat[11][k] += 0.25 * alpha[0][k] * tr[11][k];
+        ghat[11][k] += 0.25 * alpha[3][k] * tr[5][k];
+        ghat[11][k] += 0.25 * alpha[4][k] * tr[15][k];
+        ghat[11][k] += 0.25 * alpha[10][k] * tr[12][k];
+    }
+    for k in 0..L {
+        ghat[12][k] += 0.25 * alpha[0][k] * tr[12][k];
+        ghat[12][k] += 0.25 * alpha[3][k] * tr[15][k];
+        ghat[12][k] += 0.25 * alpha[4][k] * tr[5][k];
+        ghat[12][k] += 0.25 * alpha[10][k] * tr[11][k];
+    }
+    for k in 0..L {
+        ghat[13][k] += 0.25 * alpha[0][k] * tr[13][k];
+        ghat[13][k] += 0.25 * alpha[3][k] * tr[8][k];
+        ghat[13][k] += 0.25 * alpha[4][k] * tr[6][k];
+        ghat[13][k] += 0.25 * alpha[10][k] * tr[1][k];
+    }
+    for k in 0..L {
+        ghat[14][k] += 0.25 * alpha[0][k] * tr[14][k];
+        ghat[14][k] += 0.25 * alpha[3][k] * tr[9][k];
+        ghat[14][k] += 0.25 * alpha[4][k] * tr[7][k];
+        ghat[14][k] += 0.25 * alpha[10][k] * tr[2][k];
+    }
+    for k in 0..L {
+        ghat[15][k] += 0.25 * alpha[0][k] * tr[15][k];
+        ghat[15][k] += 0.25 * alpha[3][k] * tr[12][k];
+        ghat[15][k] += 0.25 * alpha[4][k] * tr[11][k];
+        ghat[15][k] += 0.25 * alpha[10][k] * tr[5][k];
+    }
+    sxn(&mut out_lo[0], nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[3], nu * scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[4], nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[7], nu * scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[8], nu * scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[9], nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[10], nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[11], nu * scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[12], nu * scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[13], nu * scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[14], nu * scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[15], nu * scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[16], nu * scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[17], nu * scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[18], nu * scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[19], nu * scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[20], nu * scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[21], nu * scale * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[22], nu * scale * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[23], nu * scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[24], nu * scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[25], nu * scale * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[26], nu * scale * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[27], nu * scale * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[28], nu * scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[29], nu * scale * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[30], nu * scale * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[31], nu * scale * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[0], -nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], -nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], -nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[3], -nu * scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[4], -nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], -nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], -nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[7], -nu * scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[8], -nu * scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[9], -nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[10], -nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[11], -nu * scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[12], -nu * scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[13], -nu * scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[14], -nu * scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[15], -nu * scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[16], -nu * scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[17], -nu * scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[18], -nu * scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[19], -nu * scale * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[20], -nu * scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[21], -nu * scale * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[22], -nu * scale * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[23], -nu * scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[24], -nu * scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[25], -nu * scale * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[26], -nu * scale * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[27], -nu * scale * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[28], -nu * scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[29], -nu * scale * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[30], -nu * scale * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[31], -nu * scale * -1.224744871391589, &ghat[15]);
 }
 
 /// LBO drag volume term in v1: weak `∇_v · (ν(v − u) f)`, cell interior.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p1_ser_drag_vol_v1(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f64], out: &mut [f64]) {
+    lbo_2x3v_p1_ser_drag_vol_v1_body::<1>(nu, v_c, dv, u.as_chunks().0, f.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p1_ser_drag_vol_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_drag_vol_v1_b4(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_drag_vol_v1_body(nu, v_c, dv, u, f, out)
+}
+
+/// [`lbo_2x3v_p1_ser_drag_vol_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_drag_vol_v1_b4_avx2(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_drag_vol_v1_body(nu, v_c, dv, u, f, out)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p1_ser_drag_vol_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p1_ser_drag_vol_v1_body<const L: usize>(nu: f64, v_c: f64, dv: f64, u: &[[f64; L]], f: &[[f64; L]], out: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 4] = u.first_chunk().expect("u: 4 coefficients");
+    let f: &[[f64; L]; 32] = f.first_chunk().expect("f: 32 coefficients");
+    let out: &mut [[f64; L]; 32] = out.first_chunk_mut().expect("out: 32 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 32];
-    alpha[0] = -nu * v_c * 5.656854249492381;
-    alpha[2] = -nu * 0.5 * dv * 3.265986323710904;
-    alpha[0] += nu * 2.8284271247461903 * u[0];
-    alpha[4] += nu * 2.8284271247461903 * u[1];
-    alpha[5] += nu * 2.8284271247461903 * u[2];
-    alpha[15] += nu * 2.8284271247461903 * u[3];
-    out[2] += scale * 0.30618621784789724 * alpha[0] * f[0];
-    out[2] += scale * 0.30618621784789724 * alpha[2] * f[2];
-    out[2] += scale * 0.30618621784789724 * alpha[4] * f[4];
-    out[2] += scale * 0.30618621784789724 * alpha[5] * f[5];
-    out[2] += scale * 0.30618621784789724 * alpha[15] * f[15];
-    out[6] += scale * 0.30618621784789724 * alpha[0] * f[1];
-    out[6] += scale * 0.30618621784789724 * alpha[2] * f[6];
-    out[6] += scale * 0.30618621784789724 * alpha[4] * f[9];
-    out[6] += scale * 0.30618621784789724 * alpha[5] * f[12];
-    out[6] += scale * 0.30618621784789724 * alpha[15] * f[23];
-    out[8] += scale * 0.30618621784789724 * alpha[0] * f[3];
-    out[8] += scale * 0.30618621784789724 * alpha[2] * f[8];
-    out[8] += scale * 0.30618621784789724 * alpha[4] * f[11];
-    out[8] += scale * 0.30618621784789724 * alpha[5] * f[14];
-    out[8] += scale * 0.30618621784789724 * alpha[15] * f[25];
-    out[10] += scale * 0.30618621784789724 * alpha[0] * f[4];
-    out[10] += scale * 0.30618621784789724 * alpha[2] * f[10];
-    out[10] += scale * 0.30618621784789724 * alpha[4] * f[0];
-    out[10] += scale * 0.30618621784789724 * alpha[5] * f[15];
-    out[10] += scale * 0.30618621784789724 * alpha[15] * f[5];
-    out[13] += scale * 0.30618621784789724 * alpha[0] * f[5];
-    out[13] += scale * 0.30618621784789724 * alpha[2] * f[13];
-    out[13] += scale * 0.30618621784789724 * alpha[4] * f[15];
-    out[13] += scale * 0.30618621784789724 * alpha[5] * f[0];
-    out[13] += scale * 0.30618621784789724 * alpha[15] * f[4];
-    out[16] += scale * 0.30618621784789724 * alpha[0] * f[7];
-    out[16] += scale * 0.30618621784789724 * alpha[2] * f[16];
-    out[16] += scale * 0.30618621784789724 * alpha[4] * f[18];
-    out[16] += scale * 0.30618621784789724 * alpha[5] * f[21];
-    out[16] += scale * 0.30618621784789724 * alpha[15] * f[29];
-    out[17] += scale * 0.30618621784789724 * alpha[0] * f[9];
-    out[17] += scale * 0.30618621784789724 * alpha[2] * f[17];
-    out[17] += scale * 0.30618621784789724 * alpha[4] * f[1];
-    out[17] += scale * 0.30618621784789724 * alpha[5] * f[23];
-    out[17] += scale * 0.30618621784789724 * alpha[15] * f[12];
-    out[19] += scale * 0.30618621784789724 * alpha[0] * f[11];
-    out[19] += scale * 0.30618621784789724 * alpha[2] * f[19];
-    out[19] += scale * 0.30618621784789724 * alpha[4] * f[3];
-    out[19] += scale * 0.30618621784789724 * alpha[5] * f[25];
-    out[19] += scale * 0.30618621784789724 * alpha[15] * f[14];
-    out[20] += scale * 0.30618621784789724 * alpha[0] * f[12];
-    out[20] += scale * 0.30618621784789724 * alpha[2] * f[20];
-    out[20] += scale * 0.30618621784789724 * alpha[4] * f[23];
-    out[20] += scale * 0.30618621784789724 * alpha[5] * f[1];
-    out[20] += scale * 0.30618621784789724 * alpha[15] * f[9];
-    out[22] += scale * 0.30618621784789724 * alpha[0] * f[14];
-    out[22] += scale * 0.30618621784789724 * alpha[2] * f[22];
-    out[22] += scale * 0.30618621784789724 * alpha[4] * f[25];
-    out[22] += scale * 0.30618621784789724 * alpha[5] * f[3];
-    out[22] += scale * 0.30618621784789724 * alpha[15] * f[11];
-    out[24] += scale * 0.30618621784789724 * alpha[0] * f[15];
-    out[24] += scale * 0.30618621784789724 * alpha[2] * f[24];
-    out[24] += scale * 0.30618621784789724 * alpha[4] * f[5];
-    out[24] += scale * 0.30618621784789724 * alpha[5] * f[4];
-    out[24] += scale * 0.30618621784789724 * alpha[15] * f[0];
-    out[26] += scale * 0.30618621784789724 * alpha[0] * f[18];
-    out[26] += scale * 0.30618621784789724 * alpha[2] * f[26];
-    out[26] += scale * 0.30618621784789724 * alpha[4] * f[7];
-    out[26] += scale * 0.30618621784789724 * alpha[5] * f[29];
-    out[26] += scale * 0.30618621784789724 * alpha[15] * f[21];
-    out[27] += scale * 0.30618621784789724 * alpha[0] * f[21];
-    out[27] += scale * 0.30618621784789724 * alpha[2] * f[27];
-    out[27] += scale * 0.30618621784789724 * alpha[4] * f[29];
-    out[27] += scale * 0.30618621784789724 * alpha[5] * f[7];
-    out[27] += scale * 0.30618621784789724 * alpha[15] * f[18];
-    out[28] += scale * 0.30618621784789724 * alpha[0] * f[23];
-    out[28] += scale * 0.30618621784789724 * alpha[2] * f[28];
-    out[28] += scale * 0.30618621784789724 * alpha[4] * f[12];
-    out[28] += scale * 0.30618621784789724 * alpha[5] * f[9];
-    out[28] += scale * 0.30618621784789724 * alpha[15] * f[1];
-    out[30] += scale * 0.30618621784789724 * alpha[0] * f[25];
-    out[30] += scale * 0.30618621784789724 * alpha[2] * f[30];
-    out[30] += scale * 0.30618621784789724 * alpha[4] * f[14];
-    out[30] += scale * 0.30618621784789724 * alpha[5] * f[11];
-    out[30] += scale * 0.30618621784789724 * alpha[15] * f[3];
-    out[31] += scale * 0.30618621784789724 * alpha[0] * f[29];
-    out[31] += scale * 0.3061862178478973 * alpha[2] * f[31];
-    out[31] += scale * 0.30618621784789724 * alpha[4] * f[21];
-    out[31] += scale * 0.30618621784789724 * alpha[5] * f[18];
-    out[31] += scale * 0.30618621784789724 * alpha[15] * f[7];
+    let mut alpha = [[0.0f64; L]; 32];
+    for k in 0..L {
+        alpha[0][k] = -nu * v_c * 5.656854249492381;
+        alpha[2][k] = -nu * 0.5 * dv * 3.265986323710904;
+        alpha[0][k] += nu * 2.8284271247461903 * u[0][k];
+        alpha[4][k] += nu * 2.8284271247461903 * u[1][k];
+        alpha[5][k] += nu * 2.8284271247461903 * u[2][k];
+        alpha[15][k] += nu * 2.8284271247461903 * u[3][k];
+    }
+    for k in 0..L {
+        out[2][k] += scale * 0.30618621784789724 * alpha[0][k] * f[0][k];
+        out[2][k] += scale * 0.30618621784789724 * alpha[2][k] * f[2][k];
+        out[2][k] += scale * 0.30618621784789724 * alpha[4][k] * f[4][k];
+        out[2][k] += scale * 0.30618621784789724 * alpha[5][k] * f[5][k];
+        out[2][k] += scale * 0.30618621784789724 * alpha[15][k] * f[15][k];
+    }
+    for k in 0..L {
+        out[6][k] += scale * 0.30618621784789724 * alpha[0][k] * f[1][k];
+        out[6][k] += scale * 0.30618621784789724 * alpha[2][k] * f[6][k];
+        out[6][k] += scale * 0.30618621784789724 * alpha[4][k] * f[9][k];
+        out[6][k] += scale * 0.30618621784789724 * alpha[5][k] * f[12][k];
+        out[6][k] += scale * 0.30618621784789724 * alpha[15][k] * f[23][k];
+    }
+    for k in 0..L {
+        out[8][k] += scale * 0.30618621784789724 * alpha[0][k] * f[3][k];
+        out[8][k] += scale * 0.30618621784789724 * alpha[2][k] * f[8][k];
+        out[8][k] += scale * 0.30618621784789724 * alpha[4][k] * f[11][k];
+        out[8][k] += scale * 0.30618621784789724 * alpha[5][k] * f[14][k];
+        out[8][k] += scale * 0.30618621784789724 * alpha[15][k] * f[25][k];
+    }
+    for k in 0..L {
+        out[10][k] += scale * 0.30618621784789724 * alpha[0][k] * f[4][k];
+        out[10][k] += scale * 0.30618621784789724 * alpha[2][k] * f[10][k];
+        out[10][k] += scale * 0.30618621784789724 * alpha[4][k] * f[0][k];
+        out[10][k] += scale * 0.30618621784789724 * alpha[5][k] * f[15][k];
+        out[10][k] += scale * 0.30618621784789724 * alpha[15][k] * f[5][k];
+    }
+    for k in 0..L {
+        out[13][k] += scale * 0.30618621784789724 * alpha[0][k] * f[5][k];
+        out[13][k] += scale * 0.30618621784789724 * alpha[2][k] * f[13][k];
+        out[13][k] += scale * 0.30618621784789724 * alpha[4][k] * f[15][k];
+        out[13][k] += scale * 0.30618621784789724 * alpha[5][k] * f[0][k];
+        out[13][k] += scale * 0.30618621784789724 * alpha[15][k] * f[4][k];
+    }
+    for k in 0..L {
+        out[16][k] += scale * 0.30618621784789724 * alpha[0][k] * f[7][k];
+        out[16][k] += scale * 0.30618621784789724 * alpha[2][k] * f[16][k];
+        out[16][k] += scale * 0.30618621784789724 * alpha[4][k] * f[18][k];
+        out[16][k] += scale * 0.30618621784789724 * alpha[5][k] * f[21][k];
+        out[16][k] += scale * 0.30618621784789724 * alpha[15][k] * f[29][k];
+    }
+    for k in 0..L {
+        out[17][k] += scale * 0.30618621784789724 * alpha[0][k] * f[9][k];
+        out[17][k] += scale * 0.30618621784789724 * alpha[2][k] * f[17][k];
+        out[17][k] += scale * 0.30618621784789724 * alpha[4][k] * f[1][k];
+        out[17][k] += scale * 0.30618621784789724 * alpha[5][k] * f[23][k];
+        out[17][k] += scale * 0.30618621784789724 * alpha[15][k] * f[12][k];
+    }
+    for k in 0..L {
+        out[19][k] += scale * 0.30618621784789724 * alpha[0][k] * f[11][k];
+        out[19][k] += scale * 0.30618621784789724 * alpha[2][k] * f[19][k];
+        out[19][k] += scale * 0.30618621784789724 * alpha[4][k] * f[3][k];
+        out[19][k] += scale * 0.30618621784789724 * alpha[5][k] * f[25][k];
+        out[19][k] += scale * 0.30618621784789724 * alpha[15][k] * f[14][k];
+    }
+    for k in 0..L {
+        out[20][k] += scale * 0.30618621784789724 * alpha[0][k] * f[12][k];
+        out[20][k] += scale * 0.30618621784789724 * alpha[2][k] * f[20][k];
+        out[20][k] += scale * 0.30618621784789724 * alpha[4][k] * f[23][k];
+        out[20][k] += scale * 0.30618621784789724 * alpha[5][k] * f[1][k];
+        out[20][k] += scale * 0.30618621784789724 * alpha[15][k] * f[9][k];
+    }
+    for k in 0..L {
+        out[22][k] += scale * 0.30618621784789724 * alpha[0][k] * f[14][k];
+        out[22][k] += scale * 0.30618621784789724 * alpha[2][k] * f[22][k];
+        out[22][k] += scale * 0.30618621784789724 * alpha[4][k] * f[25][k];
+        out[22][k] += scale * 0.30618621784789724 * alpha[5][k] * f[3][k];
+        out[22][k] += scale * 0.30618621784789724 * alpha[15][k] * f[11][k];
+    }
+    for k in 0..L {
+        out[24][k] += scale * 0.30618621784789724 * alpha[0][k] * f[15][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[2][k] * f[24][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[4][k] * f[5][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[5][k] * f[4][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[15][k] * f[0][k];
+    }
+    for k in 0..L {
+        out[26][k] += scale * 0.30618621784789724 * alpha[0][k] * f[18][k];
+        out[26][k] += scale * 0.30618621784789724 * alpha[2][k] * f[26][k];
+        out[26][k] += scale * 0.30618621784789724 * alpha[4][k] * f[7][k];
+        out[26][k] += scale * 0.30618621784789724 * alpha[5][k] * f[29][k];
+        out[26][k] += scale * 0.30618621784789724 * alpha[15][k] * f[21][k];
+    }
+    for k in 0..L {
+        out[27][k] += scale * 0.30618621784789724 * alpha[0][k] * f[21][k];
+        out[27][k] += scale * 0.30618621784789724 * alpha[2][k] * f[27][k];
+        out[27][k] += scale * 0.30618621784789724 * alpha[4][k] * f[29][k];
+        out[27][k] += scale * 0.30618621784789724 * alpha[5][k] * f[7][k];
+        out[27][k] += scale * 0.30618621784789724 * alpha[15][k] * f[18][k];
+    }
+    for k in 0..L {
+        out[28][k] += scale * 0.30618621784789724 * alpha[0][k] * f[23][k];
+        out[28][k] += scale * 0.30618621784789724 * alpha[2][k] * f[28][k];
+        out[28][k] += scale * 0.30618621784789724 * alpha[4][k] * f[12][k];
+        out[28][k] += scale * 0.30618621784789724 * alpha[5][k] * f[9][k];
+        out[28][k] += scale * 0.30618621784789724 * alpha[15][k] * f[1][k];
+    }
+    for k in 0..L {
+        out[30][k] += scale * 0.30618621784789724 * alpha[0][k] * f[25][k];
+        out[30][k] += scale * 0.30618621784789724 * alpha[2][k] * f[30][k];
+        out[30][k] += scale * 0.30618621784789724 * alpha[4][k] * f[14][k];
+        out[30][k] += scale * 0.30618621784789724 * alpha[5][k] * f[11][k];
+        out[30][k] += scale * 0.30618621784789724 * alpha[15][k] * f[3][k];
+    }
+    for k in 0..L {
+        out[31][k] += scale * 0.30618621784789724 * alpha[0][k] * f[29][k];
+        out[31][k] += scale * 0.3061862178478973 * alpha[2][k] * f[31][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[4][k] * f[21][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[5][k] * f[18][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[15][k] * f[7][k];
+    }
 }
 
 /// LBO drag surface term in v1 at one interior face (`vstar` = face
@@ -882,242 +1227,309 @@ pub fn lbo_2x3v_p1_ser_drag_vol_v1(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p1_ser_drag_surf_v1(nu: f64, vstar: f64, dv: f64, u: &[f64], f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_2x3v_p1_ser_drag_surf_v1_body::<1>(nu, vstar, dv, u.as_chunks().0, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p1_ser_drag_surf_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_drag_surf_v1_b4(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_drag_surf_v1_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// [`lbo_2x3v_p1_ser_drag_surf_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_drag_surf_v1_b4_avx2(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_drag_surf_v1_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p1_ser_drag_surf_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p1_ser_drag_surf_v1_body<const L: usize>(nu: f64, vstar: f64, dv: f64, u: &[[f64; L]], f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 4] = u.first_chunk().expect("u: 4 coefficients");
+    let f_lo: &[[f64; L]; 32] = f_lo.first_chunk().expect("f_lo: 32 coefficients");
+    let f_hi: &[[f64; L]; 32] = f_hi.first_chunk().expect("f_hi: 32 coefficients");
+    let out_lo: &mut [[f64; L]; 32] = out_lo.first_chunk_mut().expect("out_lo: 32 coefficients");
+    let out_hi: &mut [[f64; L]; 32] = out_hi.first_chunk_mut().expect("out_hi: 32 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 16];
-    alpha[0] = -nu * vstar * 4.0;
-    alpha[0] += nu * 2.0 * u[0];
-    alpha[3] += nu * 2.0 * u[1];
-    alpha[4] += nu * 2.0 * u[2];
-    alpha[10] += nu * 2.0 * u[3];
-    let lam = alpha[0].abs() * 0.25000000000000006 + alpha[3].abs() * 0.4330127018922194 + alpha[4].abs() * 0.4330127018922194 + alpha[10].abs() * 0.75;
-    let mut fm = [0.0f64; 16];
-    let mut fp = [0.0f64; 16];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[1] += 0.7071067811865476 * f_lo[1];
-    fm[0] += 1.224744871391589 * f_lo[2];
-    fm[2] += 0.7071067811865476 * f_lo[3];
-    fm[3] += 0.7071067811865476 * f_lo[4];
-    fm[4] += 0.7071067811865476 * f_lo[5];
-    fm[1] += 1.224744871391589 * f_lo[6];
-    fm[5] += 0.7071067811865476 * f_lo[7];
-    fm[2] += 1.224744871391589 * f_lo[8];
-    fm[6] += 0.7071067811865476 * f_lo[9];
-    fm[3] += 1.224744871391589 * f_lo[10];
-    fm[7] += 0.7071067811865476 * f_lo[11];
-    fm[8] += 0.7071067811865476 * f_lo[12];
-    fm[4] += 1.224744871391589 * f_lo[13];
-    fm[9] += 0.7071067811865476 * f_lo[14];
-    fm[10] += 0.7071067811865476 * f_lo[15];
-    fm[5] += 1.224744871391589 * f_lo[16];
-    fm[6] += 1.224744871391589 * f_lo[17];
-    fm[11] += 0.7071067811865476 * f_lo[18];
-    fm[7] += 1.224744871391589 * f_lo[19];
-    fm[8] += 1.224744871391589 * f_lo[20];
-    fm[12] += 0.7071067811865476 * f_lo[21];
-    fm[9] += 1.224744871391589 * f_lo[22];
-    fm[13] += 0.7071067811865476 * f_lo[23];
-    fm[10] += 1.224744871391589 * f_lo[24];
-    fm[14] += 0.7071067811865476 * f_lo[25];
-    fm[11] += 1.224744871391589 * f_lo[26];
-    fm[12] += 1.224744871391589 * f_lo[27];
-    fm[13] += 1.224744871391589 * f_lo[28];
-    fm[15] += 0.7071067811865476 * f_lo[29];
-    fm[14] += 1.224744871391589 * f_lo[30];
-    fm[15] += 1.224744871391589 * f_lo[31];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[1] += 0.7071067811865476 * f_hi[1];
-    fp[0] += -1.224744871391589 * f_hi[2];
-    fp[2] += 0.7071067811865476 * f_hi[3];
-    fp[3] += 0.7071067811865476 * f_hi[4];
-    fp[4] += 0.7071067811865476 * f_hi[5];
-    fp[1] += -1.224744871391589 * f_hi[6];
-    fp[5] += 0.7071067811865476 * f_hi[7];
-    fp[2] += -1.224744871391589 * f_hi[8];
-    fp[6] += 0.7071067811865476 * f_hi[9];
-    fp[3] += -1.224744871391589 * f_hi[10];
-    fp[7] += 0.7071067811865476 * f_hi[11];
-    fp[8] += 0.7071067811865476 * f_hi[12];
-    fp[4] += -1.224744871391589 * f_hi[13];
-    fp[9] += 0.7071067811865476 * f_hi[14];
-    fp[10] += 0.7071067811865476 * f_hi[15];
-    fp[5] += -1.224744871391589 * f_hi[16];
-    fp[6] += -1.224744871391589 * f_hi[17];
-    fp[11] += 0.7071067811865476 * f_hi[18];
-    fp[7] += -1.224744871391589 * f_hi[19];
-    fp[8] += -1.224744871391589 * f_hi[20];
-    fp[12] += 0.7071067811865476 * f_hi[21];
-    fp[9] += -1.224744871391589 * f_hi[22];
-    fp[13] += 0.7071067811865476 * f_hi[23];
-    fp[10] += -1.224744871391589 * f_hi[24];
-    fp[14] += 0.7071067811865476 * f_hi[25];
-    fp[11] += -1.224744871391589 * f_hi[26];
-    fp[12] += -1.224744871391589 * f_hi[27];
-    fp[13] += -1.224744871391589 * f_hi[28];
-    fp[15] += 0.7071067811865476 * f_hi[29];
-    fp[14] += -1.224744871391589 * f_hi[30];
-    fp[15] += -1.224744871391589 * f_hi[31];
-    let mut favg = [0.0f64; 16];
-    let mut ghat = [0.0f64; 16];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    favg[8] = 0.5 * (fm[8] + fp[8]);
-    ghat[8] = -0.5 * lam * (fp[8] - fm[8]);
-    favg[9] = 0.5 * (fm[9] + fp[9]);
-    ghat[9] = -0.5 * lam * (fp[9] - fm[9]);
-    favg[10] = 0.5 * (fm[10] + fp[10]);
-    ghat[10] = -0.5 * lam * (fp[10] - fm[10]);
-    favg[11] = 0.5 * (fm[11] + fp[11]);
-    ghat[11] = -0.5 * lam * (fp[11] - fm[11]);
-    favg[12] = 0.5 * (fm[12] + fp[12]);
-    ghat[12] = -0.5 * lam * (fp[12] - fm[12]);
-    favg[13] = 0.5 * (fm[13] + fp[13]);
-    ghat[13] = -0.5 * lam * (fp[13] - fm[13]);
-    favg[14] = 0.5 * (fm[14] + fp[14]);
-    ghat[14] = -0.5 * lam * (fp[14] - fm[14]);
-    favg[15] = 0.5 * (fm[15] + fp[15]);
-    ghat[15] = -0.5 * lam * (fp[15] - fm[15]);
-    ghat[0] += 0.25 * alpha[0] * favg[0];
-    ghat[0] += 0.25 * alpha[3] * favg[3];
-    ghat[0] += 0.25 * alpha[4] * favg[4];
-    ghat[0] += 0.25 * alpha[10] * favg[10];
-    ghat[1] += 0.25 * alpha[0] * favg[1];
-    ghat[1] += 0.25 * alpha[3] * favg[6];
-    ghat[1] += 0.25 * alpha[4] * favg[8];
-    ghat[1] += 0.25 * alpha[10] * favg[13];
-    ghat[2] += 0.25 * alpha[0] * favg[2];
-    ghat[2] += 0.25 * alpha[3] * favg[7];
-    ghat[2] += 0.25 * alpha[4] * favg[9];
-    ghat[2] += 0.25 * alpha[10] * favg[14];
-    ghat[3] += 0.25 * alpha[0] * favg[3];
-    ghat[3] += 0.25 * alpha[3] * favg[0];
-    ghat[3] += 0.25 * alpha[4] * favg[10];
-    ghat[3] += 0.25 * alpha[10] * favg[4];
-    ghat[4] += 0.25 * alpha[0] * favg[4];
-    ghat[4] += 0.25 * alpha[3] * favg[10];
-    ghat[4] += 0.25 * alpha[4] * favg[0];
-    ghat[4] += 0.25 * alpha[10] * favg[3];
-    ghat[5] += 0.25 * alpha[0] * favg[5];
-    ghat[5] += 0.25 * alpha[3] * favg[11];
-    ghat[5] += 0.25 * alpha[4] * favg[12];
-    ghat[5] += 0.25 * alpha[10] * favg[15];
-    ghat[6] += 0.25 * alpha[0] * favg[6];
-    ghat[6] += 0.25 * alpha[3] * favg[1];
-    ghat[6] += 0.25 * alpha[4] * favg[13];
-    ghat[6] += 0.25 * alpha[10] * favg[8];
-    ghat[7] += 0.25 * alpha[0] * favg[7];
-    ghat[7] += 0.25 * alpha[3] * favg[2];
-    ghat[7] += 0.25 * alpha[4] * favg[14];
-    ghat[7] += 0.25 * alpha[10] * favg[9];
-    ghat[8] += 0.25 * alpha[0] * favg[8];
-    ghat[8] += 0.25 * alpha[3] * favg[13];
-    ghat[8] += 0.25 * alpha[4] * favg[1];
-    ghat[8] += 0.25 * alpha[10] * favg[6];
-    ghat[9] += 0.25 * alpha[0] * favg[9];
-    ghat[9] += 0.25 * alpha[3] * favg[14];
-    ghat[9] += 0.25 * alpha[4] * favg[2];
-    ghat[9] += 0.25 * alpha[10] * favg[7];
-    ghat[10] += 0.25 * alpha[0] * favg[10];
-    ghat[10] += 0.25 * alpha[3] * favg[4];
-    ghat[10] += 0.25 * alpha[4] * favg[3];
-    ghat[10] += 0.25 * alpha[10] * favg[0];
-    ghat[11] += 0.25 * alpha[0] * favg[11];
-    ghat[11] += 0.25 * alpha[3] * favg[5];
-    ghat[11] += 0.25 * alpha[4] * favg[15];
-    ghat[11] += 0.25 * alpha[10] * favg[12];
-    ghat[12] += 0.25 * alpha[0] * favg[12];
-    ghat[12] += 0.25 * alpha[3] * favg[15];
-    ghat[12] += 0.25 * alpha[4] * favg[5];
-    ghat[12] += 0.25 * alpha[10] * favg[11];
-    ghat[13] += 0.25 * alpha[0] * favg[13];
-    ghat[13] += 0.25 * alpha[3] * favg[8];
-    ghat[13] += 0.25 * alpha[4] * favg[6];
-    ghat[13] += 0.25 * alpha[10] * favg[1];
-    ghat[14] += 0.25 * alpha[0] * favg[14];
-    ghat[14] += 0.25 * alpha[3] * favg[9];
-    ghat[14] += 0.25 * alpha[4] * favg[7];
-    ghat[14] += 0.25 * alpha[10] * favg[2];
-    ghat[15] += 0.25 * alpha[0] * favg[15];
-    ghat[15] += 0.25 * alpha[3] * favg[12];
-    ghat[15] += 0.25 * alpha[4] * favg[11];
-    ghat[15] += 0.25 * alpha[10] * favg[5];
-    out_lo[0] += -scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -scale * 0.7071067811865476 * ghat[1];
-    out_lo[2] += -scale * 1.224744871391589 * ghat[0];
-    out_lo[3] += -scale * 0.7071067811865476 * ghat[2];
-    out_lo[4] += -scale * 0.7071067811865476 * ghat[3];
-    out_lo[5] += -scale * 0.7071067811865476 * ghat[4];
-    out_lo[6] += -scale * 1.224744871391589 * ghat[1];
-    out_lo[7] += -scale * 0.7071067811865476 * ghat[5];
-    out_lo[8] += -scale * 1.224744871391589 * ghat[2];
-    out_lo[9] += -scale * 0.7071067811865476 * ghat[6];
-    out_lo[10] += -scale * 1.224744871391589 * ghat[3];
-    out_lo[11] += -scale * 0.7071067811865476 * ghat[7];
-    out_lo[12] += -scale * 0.7071067811865476 * ghat[8];
-    out_lo[13] += -scale * 1.224744871391589 * ghat[4];
-    out_lo[14] += -scale * 0.7071067811865476 * ghat[9];
-    out_lo[15] += -scale * 0.7071067811865476 * ghat[10];
-    out_lo[16] += -scale * 1.224744871391589 * ghat[5];
-    out_lo[17] += -scale * 1.224744871391589 * ghat[6];
-    out_lo[18] += -scale * 0.7071067811865476 * ghat[11];
-    out_lo[19] += -scale * 1.224744871391589 * ghat[7];
-    out_lo[20] += -scale * 1.224744871391589 * ghat[8];
-    out_lo[21] += -scale * 0.7071067811865476 * ghat[12];
-    out_lo[22] += -scale * 1.224744871391589 * ghat[9];
-    out_lo[23] += -scale * 0.7071067811865476 * ghat[13];
-    out_lo[24] += -scale * 1.224744871391589 * ghat[10];
-    out_lo[25] += -scale * 0.7071067811865476 * ghat[14];
-    out_lo[26] += -scale * 1.224744871391589 * ghat[11];
-    out_lo[27] += -scale * 1.224744871391589 * ghat[12];
-    out_lo[28] += -scale * 1.224744871391589 * ghat[13];
-    out_lo[29] += -scale * 0.7071067811865476 * ghat[15];
-    out_lo[30] += -scale * 1.224744871391589 * ghat[14];
-    out_lo[31] += -scale * 1.224744871391589 * ghat[15];
-    out_hi[0] += scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += scale * 0.7071067811865476 * ghat[1];
-    out_hi[2] += scale * -1.224744871391589 * ghat[0];
-    out_hi[3] += scale * 0.7071067811865476 * ghat[2];
-    out_hi[4] += scale * 0.7071067811865476 * ghat[3];
-    out_hi[5] += scale * 0.7071067811865476 * ghat[4];
-    out_hi[6] += scale * -1.224744871391589 * ghat[1];
-    out_hi[7] += scale * 0.7071067811865476 * ghat[5];
-    out_hi[8] += scale * -1.224744871391589 * ghat[2];
-    out_hi[9] += scale * 0.7071067811865476 * ghat[6];
-    out_hi[10] += scale * -1.224744871391589 * ghat[3];
-    out_hi[11] += scale * 0.7071067811865476 * ghat[7];
-    out_hi[12] += scale * 0.7071067811865476 * ghat[8];
-    out_hi[13] += scale * -1.224744871391589 * ghat[4];
-    out_hi[14] += scale * 0.7071067811865476 * ghat[9];
-    out_hi[15] += scale * 0.7071067811865476 * ghat[10];
-    out_hi[16] += scale * -1.224744871391589 * ghat[5];
-    out_hi[17] += scale * -1.224744871391589 * ghat[6];
-    out_hi[18] += scale * 0.7071067811865476 * ghat[11];
-    out_hi[19] += scale * -1.224744871391589 * ghat[7];
-    out_hi[20] += scale * -1.224744871391589 * ghat[8];
-    out_hi[21] += scale * 0.7071067811865476 * ghat[12];
-    out_hi[22] += scale * -1.224744871391589 * ghat[9];
-    out_hi[23] += scale * 0.7071067811865476 * ghat[13];
-    out_hi[24] += scale * -1.224744871391589 * ghat[10];
-    out_hi[25] += scale * 0.7071067811865476 * ghat[14];
-    out_hi[26] += scale * -1.224744871391589 * ghat[11];
-    out_hi[27] += scale * -1.224744871391589 * ghat[12];
-    out_hi[28] += scale * -1.224744871391589 * ghat[13];
-    out_hi[29] += scale * 0.7071067811865476 * ghat[15];
-    out_hi[30] += scale * -1.224744871391589 * ghat[14];
-    out_hi[31] += scale * -1.224744871391589 * ghat[15];
+    let mut alpha = [[0.0f64; L]; 16];
+    let mut lam = [0.0f64; L];
+    for k in 0..L {
+        alpha[0][k] = -nu * vstar * 4.0;
+        alpha[0][k] += nu * 2.0 * u[0][k];
+        alpha[3][k] += nu * 2.0 * u[1][k];
+        alpha[4][k] += nu * 2.0 * u[2][k];
+        alpha[10][k] += nu * 2.0 * u[3][k];
+        lam[k] = alpha[0][k].abs() * 0.25000000000000006 + alpha[3][k].abs() * 0.4330127018922194 + alpha[4][k].abs() * 0.4330127018922194 + alpha[10][k].abs() * 0.75;
+    }
+    let mut fm = [[0.0f64; L]; 16];
+    let mut fp = [[0.0f64; L]; 16];
+    sxn(&mut fm[0], 0.7071067811865476, &f_lo[0]);
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[1]);
+    sxn(&mut fm[0], 1.224744871391589, &f_lo[2]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[3]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[4]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[5]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[6]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[7]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[8]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[9]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[10]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[11]);
+    sxn(&mut fm[8], 0.7071067811865476, &f_lo[12]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[13]);
+    sxn(&mut fm[9], 0.7071067811865476, &f_lo[14]);
+    sxn(&mut fm[10], 0.7071067811865476, &f_lo[15]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[16]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[17]);
+    sxn(&mut fm[11], 0.7071067811865476, &f_lo[18]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[19]);
+    sxn(&mut fm[8], 1.224744871391589, &f_lo[20]);
+    sxn(&mut fm[12], 0.7071067811865476, &f_lo[21]);
+    sxn(&mut fm[9], 1.224744871391589, &f_lo[22]);
+    sxn(&mut fm[13], 0.7071067811865476, &f_lo[23]);
+    sxn(&mut fm[10], 1.224744871391589, &f_lo[24]);
+    sxn(&mut fm[14], 0.7071067811865476, &f_lo[25]);
+    sxn(&mut fm[11], 1.224744871391589, &f_lo[26]);
+    sxn(&mut fm[12], 1.224744871391589, &f_lo[27]);
+    sxn(&mut fm[13], 1.224744871391589, &f_lo[28]);
+    sxn(&mut fm[15], 0.7071067811865476, &f_lo[29]);
+    sxn(&mut fm[14], 1.224744871391589, &f_lo[30]);
+    sxn(&mut fm[15], 1.224744871391589, &f_lo[31]);
+    sxn(&mut fp[0], 0.7071067811865476, &f_hi[0]);
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[1]);
+    sxn(&mut fp[0], -1.224744871391589, &f_hi[2]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[3]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[4]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[5]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[6]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[7]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[8]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[9]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[10]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[11]);
+    sxn(&mut fp[8], 0.7071067811865476, &f_hi[12]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[13]);
+    sxn(&mut fp[9], 0.7071067811865476, &f_hi[14]);
+    sxn(&mut fp[10], 0.7071067811865476, &f_hi[15]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[16]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[17]);
+    sxn(&mut fp[11], 0.7071067811865476, &f_hi[18]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[19]);
+    sxn(&mut fp[8], -1.224744871391589, &f_hi[20]);
+    sxn(&mut fp[12], 0.7071067811865476, &f_hi[21]);
+    sxn(&mut fp[9], -1.224744871391589, &f_hi[22]);
+    sxn(&mut fp[13], 0.7071067811865476, &f_hi[23]);
+    sxn(&mut fp[10], -1.224744871391589, &f_hi[24]);
+    sxn(&mut fp[14], 0.7071067811865476, &f_hi[25]);
+    sxn(&mut fp[11], -1.224744871391589, &f_hi[26]);
+    sxn(&mut fp[12], -1.224744871391589, &f_hi[27]);
+    sxn(&mut fp[13], -1.224744871391589, &f_hi[28]);
+    sxn(&mut fp[15], 0.7071067811865476, &f_hi[29]);
+    sxn(&mut fp[14], -1.224744871391589, &f_hi[30]);
+    sxn(&mut fp[15], -1.224744871391589, &f_hi[31]);
+    let mut favg = [[0.0f64; L]; 16];
+    let mut ghat = [[0.0f64; L]; 16];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
+        favg[8][k] = 0.5 * (fm[8][k] + fp[8][k]);
+        ghat[8][k] = -0.5 * lam[k] * (fp[8][k] - fm[8][k]);
+        favg[9][k] = 0.5 * (fm[9][k] + fp[9][k]);
+        ghat[9][k] = -0.5 * lam[k] * (fp[9][k] - fm[9][k]);
+        favg[10][k] = 0.5 * (fm[10][k] + fp[10][k]);
+        ghat[10][k] = -0.5 * lam[k] * (fp[10][k] - fm[10][k]);
+        favg[11][k] = 0.5 * (fm[11][k] + fp[11][k]);
+        ghat[11][k] = -0.5 * lam[k] * (fp[11][k] - fm[11][k]);
+        favg[12][k] = 0.5 * (fm[12][k] + fp[12][k]);
+        ghat[12][k] = -0.5 * lam[k] * (fp[12][k] - fm[12][k]);
+        favg[13][k] = 0.5 * (fm[13][k] + fp[13][k]);
+        ghat[13][k] = -0.5 * lam[k] * (fp[13][k] - fm[13][k]);
+        favg[14][k] = 0.5 * (fm[14][k] + fp[14][k]);
+        ghat[14][k] = -0.5 * lam[k] * (fp[14][k] - fm[14][k]);
+        favg[15][k] = 0.5 * (fm[15][k] + fp[15][k]);
+        ghat[15][k] = -0.5 * lam[k] * (fp[15][k] - fm[15][k]);
+    }
+    for k in 0..L {
+        ghat[0][k] += 0.25 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.25 * alpha[3][k] * favg[3][k];
+        ghat[0][k] += 0.25 * alpha[4][k] * favg[4][k];
+        ghat[0][k] += 0.25 * alpha[10][k] * favg[10][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.25 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.25 * alpha[3][k] * favg[6][k];
+        ghat[1][k] += 0.25 * alpha[4][k] * favg[8][k];
+        ghat[1][k] += 0.25 * alpha[10][k] * favg[13][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.25 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.25 * alpha[3][k] * favg[7][k];
+        ghat[2][k] += 0.25 * alpha[4][k] * favg[9][k];
+        ghat[2][k] += 0.25 * alpha[10][k] * favg[14][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.25 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.25 * alpha[3][k] * favg[0][k];
+        ghat[3][k] += 0.25 * alpha[4][k] * favg[10][k];
+        ghat[3][k] += 0.25 * alpha[10][k] * favg[4][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.25 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.25 * alpha[3][k] * favg[10][k];
+        ghat[4][k] += 0.25 * alpha[4][k] * favg[0][k];
+        ghat[4][k] += 0.25 * alpha[10][k] * favg[3][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.25 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.25 * alpha[3][k] * favg[11][k];
+        ghat[5][k] += 0.25 * alpha[4][k] * favg[12][k];
+        ghat[5][k] += 0.25 * alpha[10][k] * favg[15][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.25 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.25 * alpha[3][k] * favg[1][k];
+        ghat[6][k] += 0.25 * alpha[4][k] * favg[13][k];
+        ghat[6][k] += 0.25 * alpha[10][k] * favg[8][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.25 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.25 * alpha[3][k] * favg[2][k];
+        ghat[7][k] += 0.25 * alpha[4][k] * favg[14][k];
+        ghat[7][k] += 0.25 * alpha[10][k] * favg[9][k];
+    }
+    for k in 0..L {
+        ghat[8][k] += 0.25 * alpha[0][k] * favg[8][k];
+        ghat[8][k] += 0.25 * alpha[3][k] * favg[13][k];
+        ghat[8][k] += 0.25 * alpha[4][k] * favg[1][k];
+        ghat[8][k] += 0.25 * alpha[10][k] * favg[6][k];
+    }
+    for k in 0..L {
+        ghat[9][k] += 0.25 * alpha[0][k] * favg[9][k];
+        ghat[9][k] += 0.25 * alpha[3][k] * favg[14][k];
+        ghat[9][k] += 0.25 * alpha[4][k] * favg[2][k];
+        ghat[9][k] += 0.25 * alpha[10][k] * favg[7][k];
+    }
+    for k in 0..L {
+        ghat[10][k] += 0.25 * alpha[0][k] * favg[10][k];
+        ghat[10][k] += 0.25 * alpha[3][k] * favg[4][k];
+        ghat[10][k] += 0.25 * alpha[4][k] * favg[3][k];
+        ghat[10][k] += 0.25 * alpha[10][k] * favg[0][k];
+    }
+    for k in 0..L {
+        ghat[11][k] += 0.25 * alpha[0][k] * favg[11][k];
+        ghat[11][k] += 0.25 * alpha[3][k] * favg[5][k];
+        ghat[11][k] += 0.25 * alpha[4][k] * favg[15][k];
+        ghat[11][k] += 0.25 * alpha[10][k] * favg[12][k];
+    }
+    for k in 0..L {
+        ghat[12][k] += 0.25 * alpha[0][k] * favg[12][k];
+        ghat[12][k] += 0.25 * alpha[3][k] * favg[15][k];
+        ghat[12][k] += 0.25 * alpha[4][k] * favg[5][k];
+        ghat[12][k] += 0.25 * alpha[10][k] * favg[11][k];
+    }
+    for k in 0..L {
+        ghat[13][k] += 0.25 * alpha[0][k] * favg[13][k];
+        ghat[13][k] += 0.25 * alpha[3][k] * favg[8][k];
+        ghat[13][k] += 0.25 * alpha[4][k] * favg[6][k];
+        ghat[13][k] += 0.25 * alpha[10][k] * favg[1][k];
+    }
+    for k in 0..L {
+        ghat[14][k] += 0.25 * alpha[0][k] * favg[14][k];
+        ghat[14][k] += 0.25 * alpha[3][k] * favg[9][k];
+        ghat[14][k] += 0.25 * alpha[4][k] * favg[7][k];
+        ghat[14][k] += 0.25 * alpha[10][k] * favg[2][k];
+    }
+    for k in 0..L {
+        ghat[15][k] += 0.25 * alpha[0][k] * favg[15][k];
+        ghat[15][k] += 0.25 * alpha[3][k] * favg[12][k];
+        ghat[15][k] += 0.25 * alpha[4][k] * favg[11][k];
+        ghat[15][k] += 0.25 * alpha[10][k] * favg[5][k];
+    }
+    sxn(&mut out_lo[0], -scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], -scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[3], -scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], -scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], -scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], -scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[7], -scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[8], -scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[9], -scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[10], -scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[11], -scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[12], -scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[13], -scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[14], -scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[15], -scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[16], -scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[17], -scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[18], -scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[19], -scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[20], -scale * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[21], -scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[22], -scale * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[23], -scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[24], -scale * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[25], -scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[26], -scale * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[27], -scale * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[28], -scale * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[29], -scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[30], -scale * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[31], -scale * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[0], scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[3], scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[7], scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[8], scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[9], scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[10], scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[11], scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[12], scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[13], scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[14], scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[15], scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[16], scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[17], scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[18], scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[19], scale * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[20], scale * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[21], scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[22], scale * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[23], scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[24], scale * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[25], scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[26], scale * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[27], scale * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[28], scale * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[29], scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[30], scale * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[31], scale * -1.224744871391589, &ghat[15]);
 }
 
 /// LDG gradient in v1 for one cell: volume gradient-mass plus the
@@ -1126,264 +1538,354 @@ pub fn lbo_2x3v_p1_ser_drag_surf_v1(nu: f64, vstar: f64, dv: f64, u: &[f64], f_l
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p1_ser_diff_grad_v1(dv: f64, at_upper: bool, f: &[f64], f_up: &[f64], g: &mut [f64]) {
+    lbo_2x3v_p1_ser_diff_grad_v1_body::<1>(dv, at_upper, f.as_chunks().0, f_up.as_chunks().0, g.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p1_ser_diff_grad_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_diff_grad_v1_b4(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_diff_grad_v1_body(dv, at_upper, f, f_up, g)
+}
+
+/// [`lbo_2x3v_p1_ser_diff_grad_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_diff_grad_v1_b4_avx2(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_diff_grad_v1_body(dv, at_upper, f, f_up, g)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p1_ser_diff_grad_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p1_ser_diff_grad_v1_body<const L: usize>(dv: f64, at_upper: bool, f: &[[f64; L]], f_up: &[[f64; L]], g: &mut [[f64; L]]) {
+    let f: &[[f64; L]; 32] = f.first_chunk().expect("f: 32 coefficients");
+    let f_up: &[[f64; L]; 32] = f_up.first_chunk().expect("f_up: 32 coefficients");
+    let g: &mut [[f64; L]; 32] = g.first_chunk_mut().expect("g: 32 coefficients");
     let scale = 2.0 / dv;
-    g[2] += -scale * 1.7320508075688772 * f[0];
-    g[6] += -scale * 1.7320508075688772 * f[1];
-    g[8] += -scale * 1.7320508075688772 * f[3];
-    g[10] += -scale * 1.7320508075688772 * f[4];
-    g[13] += -scale * 1.7320508075688772 * f[5];
-    g[16] += -scale * 1.7320508075688772 * f[7];
-    g[17] += -scale * 1.7320508075688772 * f[9];
-    g[19] += -scale * 1.7320508075688772 * f[11];
-    g[20] += -scale * 1.7320508075688772 * f[12];
-    g[22] += -scale * 1.7320508075688772 * f[14];
-    g[24] += -scale * 1.7320508075688772 * f[15];
-    g[26] += -scale * 1.7320508075688772 * f[18];
-    g[27] += -scale * 1.7320508075688772 * f[21];
-    g[28] += -scale * 1.7320508075688772 * f[23];
-    g[30] += -scale * 1.7320508075688772 * f[25];
-    g[31] += -scale * 1.7320508075688772 * f[29];
-    let mut tr = [0.0f64; 16];
+    sxn(&mut g[2], -scale * 1.7320508075688772, &f[0]);
+    sxn(&mut g[6], -scale * 1.7320508075688772, &f[1]);
+    sxn(&mut g[8], -scale * 1.7320508075688772, &f[3]);
+    sxn(&mut g[10], -scale * 1.7320508075688772, &f[4]);
+    sxn(&mut g[13], -scale * 1.7320508075688772, &f[5]);
+    sxn(&mut g[16], -scale * 1.7320508075688772, &f[7]);
+    sxn(&mut g[17], -scale * 1.7320508075688772, &f[9]);
+    sxn(&mut g[19], -scale * 1.7320508075688772, &f[11]);
+    sxn(&mut g[20], -scale * 1.7320508075688772, &f[12]);
+    sxn(&mut g[22], -scale * 1.7320508075688772, &f[14]);
+    sxn(&mut g[24], -scale * 1.7320508075688772, &f[15]);
+    sxn(&mut g[26], -scale * 1.7320508075688772, &f[18]);
+    sxn(&mut g[27], -scale * 1.7320508075688772, &f[21]);
+    sxn(&mut g[28], -scale * 1.7320508075688772, &f[23]);
+    sxn(&mut g[30], -scale * 1.7320508075688772, &f[25]);
+    sxn(&mut g[31], -scale * 1.7320508075688772, &f[29]);
+    let mut tr = [[0.0f64; L]; 16];
     if at_upper {
-        tr[0] += 0.7071067811865476 * f[0];
-        tr[1] += 0.7071067811865476 * f[1];
-        tr[0] += 1.224744871391589 * f[2];
-        tr[2] += 0.7071067811865476 * f[3];
-        tr[3] += 0.7071067811865476 * f[4];
-        tr[4] += 0.7071067811865476 * f[5];
-        tr[1] += 1.224744871391589 * f[6];
-        tr[5] += 0.7071067811865476 * f[7];
-        tr[2] += 1.224744871391589 * f[8];
-        tr[6] += 0.7071067811865476 * f[9];
-        tr[3] += 1.224744871391589 * f[10];
-        tr[7] += 0.7071067811865476 * f[11];
-        tr[8] += 0.7071067811865476 * f[12];
-        tr[4] += 1.224744871391589 * f[13];
-        tr[9] += 0.7071067811865476 * f[14];
-        tr[10] += 0.7071067811865476 * f[15];
-        tr[5] += 1.224744871391589 * f[16];
-        tr[6] += 1.224744871391589 * f[17];
-        tr[11] += 0.7071067811865476 * f[18];
-        tr[7] += 1.224744871391589 * f[19];
-        tr[8] += 1.224744871391589 * f[20];
-        tr[12] += 0.7071067811865476 * f[21];
-        tr[9] += 1.224744871391589 * f[22];
-        tr[13] += 0.7071067811865476 * f[23];
-        tr[10] += 1.224744871391589 * f[24];
-        tr[14] += 0.7071067811865476 * f[25];
-        tr[11] += 1.224744871391589 * f[26];
-        tr[12] += 1.224744871391589 * f[27];
-        tr[13] += 1.224744871391589 * f[28];
-        tr[15] += 0.7071067811865476 * f[29];
-        tr[14] += 1.224744871391589 * f[30];
-        tr[15] += 1.224744871391589 * f[31];
+        sxn(&mut tr[0], 0.7071067811865476, &f[0]);
+        sxn(&mut tr[1], 0.7071067811865476, &f[1]);
+        sxn(&mut tr[0], 1.224744871391589, &f[2]);
+        sxn(&mut tr[2], 0.7071067811865476, &f[3]);
+        sxn(&mut tr[3], 0.7071067811865476, &f[4]);
+        sxn(&mut tr[4], 0.7071067811865476, &f[5]);
+        sxn(&mut tr[1], 1.224744871391589, &f[6]);
+        sxn(&mut tr[5], 0.7071067811865476, &f[7]);
+        sxn(&mut tr[2], 1.224744871391589, &f[8]);
+        sxn(&mut tr[6], 0.7071067811865476, &f[9]);
+        sxn(&mut tr[3], 1.224744871391589, &f[10]);
+        sxn(&mut tr[7], 0.7071067811865476, &f[11]);
+        sxn(&mut tr[8], 0.7071067811865476, &f[12]);
+        sxn(&mut tr[4], 1.224744871391589, &f[13]);
+        sxn(&mut tr[9], 0.7071067811865476, &f[14]);
+        sxn(&mut tr[10], 0.7071067811865476, &f[15]);
+        sxn(&mut tr[5], 1.224744871391589, &f[16]);
+        sxn(&mut tr[6], 1.224744871391589, &f[17]);
+        sxn(&mut tr[11], 0.7071067811865476, &f[18]);
+        sxn(&mut tr[7], 1.224744871391589, &f[19]);
+        sxn(&mut tr[8], 1.224744871391589, &f[20]);
+        sxn(&mut tr[12], 0.7071067811865476, &f[21]);
+        sxn(&mut tr[9], 1.224744871391589, &f[22]);
+        sxn(&mut tr[13], 0.7071067811865476, &f[23]);
+        sxn(&mut tr[10], 1.224744871391589, &f[24]);
+        sxn(&mut tr[14], 0.7071067811865476, &f[25]);
+        sxn(&mut tr[11], 1.224744871391589, &f[26]);
+        sxn(&mut tr[12], 1.224744871391589, &f[27]);
+        sxn(&mut tr[13], 1.224744871391589, &f[28]);
+        sxn(&mut tr[15], 0.7071067811865476, &f[29]);
+        sxn(&mut tr[14], 1.224744871391589, &f[30]);
+        sxn(&mut tr[15], 1.224744871391589, &f[31]);
     } else {
-        tr[0] += 0.7071067811865476 * f_up[0];
-        tr[1] += 0.7071067811865476 * f_up[1];
-        tr[0] += -1.224744871391589 * f_up[2];
-        tr[2] += 0.7071067811865476 * f_up[3];
-        tr[3] += 0.7071067811865476 * f_up[4];
-        tr[4] += 0.7071067811865476 * f_up[5];
-        tr[1] += -1.224744871391589 * f_up[6];
-        tr[5] += 0.7071067811865476 * f_up[7];
-        tr[2] += -1.224744871391589 * f_up[8];
-        tr[6] += 0.7071067811865476 * f_up[9];
-        tr[3] += -1.224744871391589 * f_up[10];
-        tr[7] += 0.7071067811865476 * f_up[11];
-        tr[8] += 0.7071067811865476 * f_up[12];
-        tr[4] += -1.224744871391589 * f_up[13];
-        tr[9] += 0.7071067811865476 * f_up[14];
-        tr[10] += 0.7071067811865476 * f_up[15];
-        tr[5] += -1.224744871391589 * f_up[16];
-        tr[6] += -1.224744871391589 * f_up[17];
-        tr[11] += 0.7071067811865476 * f_up[18];
-        tr[7] += -1.224744871391589 * f_up[19];
-        tr[8] += -1.224744871391589 * f_up[20];
-        tr[12] += 0.7071067811865476 * f_up[21];
-        tr[9] += -1.224744871391589 * f_up[22];
-        tr[13] += 0.7071067811865476 * f_up[23];
-        tr[10] += -1.224744871391589 * f_up[24];
-        tr[14] += 0.7071067811865476 * f_up[25];
-        tr[11] += -1.224744871391589 * f_up[26];
-        tr[12] += -1.224744871391589 * f_up[27];
-        tr[13] += -1.224744871391589 * f_up[28];
-        tr[15] += 0.7071067811865476 * f_up[29];
-        tr[14] += -1.224744871391589 * f_up[30];
-        tr[15] += -1.224744871391589 * f_up[31];
+        sxn(&mut tr[0], 0.7071067811865476, &f_up[0]);
+        sxn(&mut tr[1], 0.7071067811865476, &f_up[1]);
+        sxn(&mut tr[0], -1.224744871391589, &f_up[2]);
+        sxn(&mut tr[2], 0.7071067811865476, &f_up[3]);
+        sxn(&mut tr[3], 0.7071067811865476, &f_up[4]);
+        sxn(&mut tr[4], 0.7071067811865476, &f_up[5]);
+        sxn(&mut tr[1], -1.224744871391589, &f_up[6]);
+        sxn(&mut tr[5], 0.7071067811865476, &f_up[7]);
+        sxn(&mut tr[2], -1.224744871391589, &f_up[8]);
+        sxn(&mut tr[6], 0.7071067811865476, &f_up[9]);
+        sxn(&mut tr[3], -1.224744871391589, &f_up[10]);
+        sxn(&mut tr[7], 0.7071067811865476, &f_up[11]);
+        sxn(&mut tr[8], 0.7071067811865476, &f_up[12]);
+        sxn(&mut tr[4], -1.224744871391589, &f_up[13]);
+        sxn(&mut tr[9], 0.7071067811865476, &f_up[14]);
+        sxn(&mut tr[10], 0.7071067811865476, &f_up[15]);
+        sxn(&mut tr[5], -1.224744871391589, &f_up[16]);
+        sxn(&mut tr[6], -1.224744871391589, &f_up[17]);
+        sxn(&mut tr[11], 0.7071067811865476, &f_up[18]);
+        sxn(&mut tr[7], -1.224744871391589, &f_up[19]);
+        sxn(&mut tr[8], -1.224744871391589, &f_up[20]);
+        sxn(&mut tr[12], 0.7071067811865476, &f_up[21]);
+        sxn(&mut tr[9], -1.224744871391589, &f_up[22]);
+        sxn(&mut tr[13], 0.7071067811865476, &f_up[23]);
+        sxn(&mut tr[10], -1.224744871391589, &f_up[24]);
+        sxn(&mut tr[14], 0.7071067811865476, &f_up[25]);
+        sxn(&mut tr[11], -1.224744871391589, &f_up[26]);
+        sxn(&mut tr[12], -1.224744871391589, &f_up[27]);
+        sxn(&mut tr[13], -1.224744871391589, &f_up[28]);
+        sxn(&mut tr[15], 0.7071067811865476, &f_up[29]);
+        sxn(&mut tr[14], -1.224744871391589, &f_up[30]);
+        sxn(&mut tr[15], -1.224744871391589, &f_up[31]);
     }
-    g[0] += scale * 0.7071067811865476 * tr[0];
-    g[1] += scale * 0.7071067811865476 * tr[1];
-    g[2] += scale * 1.224744871391589 * tr[0];
-    g[3] += scale * 0.7071067811865476 * tr[2];
-    g[4] += scale * 0.7071067811865476 * tr[3];
-    g[5] += scale * 0.7071067811865476 * tr[4];
-    g[6] += scale * 1.224744871391589 * tr[1];
-    g[7] += scale * 0.7071067811865476 * tr[5];
-    g[8] += scale * 1.224744871391589 * tr[2];
-    g[9] += scale * 0.7071067811865476 * tr[6];
-    g[10] += scale * 1.224744871391589 * tr[3];
-    g[11] += scale * 0.7071067811865476 * tr[7];
-    g[12] += scale * 0.7071067811865476 * tr[8];
-    g[13] += scale * 1.224744871391589 * tr[4];
-    g[14] += scale * 0.7071067811865476 * tr[9];
-    g[15] += scale * 0.7071067811865476 * tr[10];
-    g[16] += scale * 1.224744871391589 * tr[5];
-    g[17] += scale * 1.224744871391589 * tr[6];
-    g[18] += scale * 0.7071067811865476 * tr[11];
-    g[19] += scale * 1.224744871391589 * tr[7];
-    g[20] += scale * 1.224744871391589 * tr[8];
-    g[21] += scale * 0.7071067811865476 * tr[12];
-    g[22] += scale * 1.224744871391589 * tr[9];
-    g[23] += scale * 0.7071067811865476 * tr[13];
-    g[24] += scale * 1.224744871391589 * tr[10];
-    g[25] += scale * 0.7071067811865476 * tr[14];
-    g[26] += scale * 1.224744871391589 * tr[11];
-    g[27] += scale * 1.224744871391589 * tr[12];
-    g[28] += scale * 1.224744871391589 * tr[13];
-    g[29] += scale * 0.7071067811865476 * tr[15];
-    g[30] += scale * 1.224744871391589 * tr[14];
-    g[31] += scale * 1.224744871391589 * tr[15];
-    let mut tl = [0.0f64; 16];
-    tl[0] += 0.7071067811865476 * f[0];
-    tl[1] += 0.7071067811865476 * f[1];
-    tl[0] += -1.224744871391589 * f[2];
-    tl[2] += 0.7071067811865476 * f[3];
-    tl[3] += 0.7071067811865476 * f[4];
-    tl[4] += 0.7071067811865476 * f[5];
-    tl[1] += -1.224744871391589 * f[6];
-    tl[5] += 0.7071067811865476 * f[7];
-    tl[2] += -1.224744871391589 * f[8];
-    tl[6] += 0.7071067811865476 * f[9];
-    tl[3] += -1.224744871391589 * f[10];
-    tl[7] += 0.7071067811865476 * f[11];
-    tl[8] += 0.7071067811865476 * f[12];
-    tl[4] += -1.224744871391589 * f[13];
-    tl[9] += 0.7071067811865476 * f[14];
-    tl[10] += 0.7071067811865476 * f[15];
-    tl[5] += -1.224744871391589 * f[16];
-    tl[6] += -1.224744871391589 * f[17];
-    tl[11] += 0.7071067811865476 * f[18];
-    tl[7] += -1.224744871391589 * f[19];
-    tl[8] += -1.224744871391589 * f[20];
-    tl[12] += 0.7071067811865476 * f[21];
-    tl[9] += -1.224744871391589 * f[22];
-    tl[13] += 0.7071067811865476 * f[23];
-    tl[10] += -1.224744871391589 * f[24];
-    tl[14] += 0.7071067811865476 * f[25];
-    tl[11] += -1.224744871391589 * f[26];
-    tl[12] += -1.224744871391589 * f[27];
-    tl[13] += -1.224744871391589 * f[28];
-    tl[15] += 0.7071067811865476 * f[29];
-    tl[14] += -1.224744871391589 * f[30];
-    tl[15] += -1.224744871391589 * f[31];
-    g[0] += -scale * 0.7071067811865476 * tl[0];
-    g[1] += -scale * 0.7071067811865476 * tl[1];
-    g[2] += -scale * -1.224744871391589 * tl[0];
-    g[3] += -scale * 0.7071067811865476 * tl[2];
-    g[4] += -scale * 0.7071067811865476 * tl[3];
-    g[5] += -scale * 0.7071067811865476 * tl[4];
-    g[6] += -scale * -1.224744871391589 * tl[1];
-    g[7] += -scale * 0.7071067811865476 * tl[5];
-    g[8] += -scale * -1.224744871391589 * tl[2];
-    g[9] += -scale * 0.7071067811865476 * tl[6];
-    g[10] += -scale * -1.224744871391589 * tl[3];
-    g[11] += -scale * 0.7071067811865476 * tl[7];
-    g[12] += -scale * 0.7071067811865476 * tl[8];
-    g[13] += -scale * -1.224744871391589 * tl[4];
-    g[14] += -scale * 0.7071067811865476 * tl[9];
-    g[15] += -scale * 0.7071067811865476 * tl[10];
-    g[16] += -scale * -1.224744871391589 * tl[5];
-    g[17] += -scale * -1.224744871391589 * tl[6];
-    g[18] += -scale * 0.7071067811865476 * tl[11];
-    g[19] += -scale * -1.224744871391589 * tl[7];
-    g[20] += -scale * -1.224744871391589 * tl[8];
-    g[21] += -scale * 0.7071067811865476 * tl[12];
-    g[22] += -scale * -1.224744871391589 * tl[9];
-    g[23] += -scale * 0.7071067811865476 * tl[13];
-    g[24] += -scale * -1.224744871391589 * tl[10];
-    g[25] += -scale * 0.7071067811865476 * tl[14];
-    g[26] += -scale * -1.224744871391589 * tl[11];
-    g[27] += -scale * -1.224744871391589 * tl[12];
-    g[28] += -scale * -1.224744871391589 * tl[13];
-    g[29] += -scale * 0.7071067811865476 * tl[15];
-    g[30] += -scale * -1.224744871391589 * tl[14];
-    g[31] += -scale * -1.224744871391589 * tl[15];
+    sxn(&mut g[0], scale * 0.7071067811865476, &tr[0]);
+    sxn(&mut g[1], scale * 0.7071067811865476, &tr[1]);
+    sxn(&mut g[2], scale * 1.224744871391589, &tr[0]);
+    sxn(&mut g[3], scale * 0.7071067811865476, &tr[2]);
+    sxn(&mut g[4], scale * 0.7071067811865476, &tr[3]);
+    sxn(&mut g[5], scale * 0.7071067811865476, &tr[4]);
+    sxn(&mut g[6], scale * 1.224744871391589, &tr[1]);
+    sxn(&mut g[7], scale * 0.7071067811865476, &tr[5]);
+    sxn(&mut g[8], scale * 1.224744871391589, &tr[2]);
+    sxn(&mut g[9], scale * 0.7071067811865476, &tr[6]);
+    sxn(&mut g[10], scale * 1.224744871391589, &tr[3]);
+    sxn(&mut g[11], scale * 0.7071067811865476, &tr[7]);
+    sxn(&mut g[12], scale * 0.7071067811865476, &tr[8]);
+    sxn(&mut g[13], scale * 1.224744871391589, &tr[4]);
+    sxn(&mut g[14], scale * 0.7071067811865476, &tr[9]);
+    sxn(&mut g[15], scale * 0.7071067811865476, &tr[10]);
+    sxn(&mut g[16], scale * 1.224744871391589, &tr[5]);
+    sxn(&mut g[17], scale * 1.224744871391589, &tr[6]);
+    sxn(&mut g[18], scale * 0.7071067811865476, &tr[11]);
+    sxn(&mut g[19], scale * 1.224744871391589, &tr[7]);
+    sxn(&mut g[20], scale * 1.224744871391589, &tr[8]);
+    sxn(&mut g[21], scale * 0.7071067811865476, &tr[12]);
+    sxn(&mut g[22], scale * 1.224744871391589, &tr[9]);
+    sxn(&mut g[23], scale * 0.7071067811865476, &tr[13]);
+    sxn(&mut g[24], scale * 1.224744871391589, &tr[10]);
+    sxn(&mut g[25], scale * 0.7071067811865476, &tr[14]);
+    sxn(&mut g[26], scale * 1.224744871391589, &tr[11]);
+    sxn(&mut g[27], scale * 1.224744871391589, &tr[12]);
+    sxn(&mut g[28], scale * 1.224744871391589, &tr[13]);
+    sxn(&mut g[29], scale * 0.7071067811865476, &tr[15]);
+    sxn(&mut g[30], scale * 1.224744871391589, &tr[14]);
+    sxn(&mut g[31], scale * 1.224744871391589, &tr[15]);
+    let mut tl = [[0.0f64; L]; 16];
+    sxn(&mut tl[0], 0.7071067811865476, &f[0]);
+    sxn(&mut tl[1], 0.7071067811865476, &f[1]);
+    sxn(&mut tl[0], -1.224744871391589, &f[2]);
+    sxn(&mut tl[2], 0.7071067811865476, &f[3]);
+    sxn(&mut tl[3], 0.7071067811865476, &f[4]);
+    sxn(&mut tl[4], 0.7071067811865476, &f[5]);
+    sxn(&mut tl[1], -1.224744871391589, &f[6]);
+    sxn(&mut tl[5], 0.7071067811865476, &f[7]);
+    sxn(&mut tl[2], -1.224744871391589, &f[8]);
+    sxn(&mut tl[6], 0.7071067811865476, &f[9]);
+    sxn(&mut tl[3], -1.224744871391589, &f[10]);
+    sxn(&mut tl[7], 0.7071067811865476, &f[11]);
+    sxn(&mut tl[8], 0.7071067811865476, &f[12]);
+    sxn(&mut tl[4], -1.224744871391589, &f[13]);
+    sxn(&mut tl[9], 0.7071067811865476, &f[14]);
+    sxn(&mut tl[10], 0.7071067811865476, &f[15]);
+    sxn(&mut tl[5], -1.224744871391589, &f[16]);
+    sxn(&mut tl[6], -1.224744871391589, &f[17]);
+    sxn(&mut tl[11], 0.7071067811865476, &f[18]);
+    sxn(&mut tl[7], -1.224744871391589, &f[19]);
+    sxn(&mut tl[8], -1.224744871391589, &f[20]);
+    sxn(&mut tl[12], 0.7071067811865476, &f[21]);
+    sxn(&mut tl[9], -1.224744871391589, &f[22]);
+    sxn(&mut tl[13], 0.7071067811865476, &f[23]);
+    sxn(&mut tl[10], -1.224744871391589, &f[24]);
+    sxn(&mut tl[14], 0.7071067811865476, &f[25]);
+    sxn(&mut tl[11], -1.224744871391589, &f[26]);
+    sxn(&mut tl[12], -1.224744871391589, &f[27]);
+    sxn(&mut tl[13], -1.224744871391589, &f[28]);
+    sxn(&mut tl[15], 0.7071067811865476, &f[29]);
+    sxn(&mut tl[14], -1.224744871391589, &f[30]);
+    sxn(&mut tl[15], -1.224744871391589, &f[31]);
+    sxn(&mut g[0], -scale * 0.7071067811865476, &tl[0]);
+    sxn(&mut g[1], -scale * 0.7071067811865476, &tl[1]);
+    sxn(&mut g[2], -scale * -1.224744871391589, &tl[0]);
+    sxn(&mut g[3], -scale * 0.7071067811865476, &tl[2]);
+    sxn(&mut g[4], -scale * 0.7071067811865476, &tl[3]);
+    sxn(&mut g[5], -scale * 0.7071067811865476, &tl[4]);
+    sxn(&mut g[6], -scale * -1.224744871391589, &tl[1]);
+    sxn(&mut g[7], -scale * 0.7071067811865476, &tl[5]);
+    sxn(&mut g[8], -scale * -1.224744871391589, &tl[2]);
+    sxn(&mut g[9], -scale * 0.7071067811865476, &tl[6]);
+    sxn(&mut g[10], -scale * -1.224744871391589, &tl[3]);
+    sxn(&mut g[11], -scale * 0.7071067811865476, &tl[7]);
+    sxn(&mut g[12], -scale * 0.7071067811865476, &tl[8]);
+    sxn(&mut g[13], -scale * -1.224744871391589, &tl[4]);
+    sxn(&mut g[14], -scale * 0.7071067811865476, &tl[9]);
+    sxn(&mut g[15], -scale * 0.7071067811865476, &tl[10]);
+    sxn(&mut g[16], -scale * -1.224744871391589, &tl[5]);
+    sxn(&mut g[17], -scale * -1.224744871391589, &tl[6]);
+    sxn(&mut g[18], -scale * 0.7071067811865476, &tl[11]);
+    sxn(&mut g[19], -scale * -1.224744871391589, &tl[7]);
+    sxn(&mut g[20], -scale * -1.224744871391589, &tl[8]);
+    sxn(&mut g[21], -scale * 0.7071067811865476, &tl[12]);
+    sxn(&mut g[22], -scale * -1.224744871391589, &tl[9]);
+    sxn(&mut g[23], -scale * 0.7071067811865476, &tl[13]);
+    sxn(&mut g[24], -scale * -1.224744871391589, &tl[10]);
+    sxn(&mut g[25], -scale * 0.7071067811865476, &tl[14]);
+    sxn(&mut g[26], -scale * -1.224744871391589, &tl[11]);
+    sxn(&mut g[27], -scale * -1.224744871391589, &tl[12]);
+    sxn(&mut g[28], -scale * -1.224744871391589, &tl[13]);
+    sxn(&mut g[29], -scale * 0.7071067811865476, &tl[15]);
+    sxn(&mut g[30], -scale * -1.224744871391589, &tl[14]);
+    sxn(&mut g[31], -scale * -1.224744871391589, &tl[15]);
 }
 
 /// LBO diffusion volume term in v1: weak `ν vth²(x) ∂_v g`.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p1_ser_diff_vol_v1(nu: f64, dv: f64, vth2: &[f64], g: &[f64], out: &mut [f64]) {
+    lbo_2x3v_p1_ser_diff_vol_v1_body::<1>(nu, dv, vth2.as_chunks().0, g.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p1_ser_diff_vol_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_diff_vol_v1_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_diff_vol_v1_body(nu, dv, vth2, g, out)
+}
+
+/// [`lbo_2x3v_p1_ser_diff_vol_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_diff_vol_v1_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_diff_vol_v1_body(nu, dv, vth2, g, out)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p1_ser_diff_vol_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p1_ser_diff_vol_v1_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g: &[[f64; L]], out: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 4] = vth2.first_chunk().expect("vth2: 4 coefficients");
+    let g: &[[f64; L]; 32] = g.first_chunk().expect("g: 32 coefficients");
+    let out: &mut [[f64; L]; 32] = out.first_chunk_mut().expect("out: 32 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 32];
-    alpha[0] = 2.8284271247461903 * vth2[0];
-    alpha[4] = 2.8284271247461903 * vth2[1];
-    alpha[5] = 2.8284271247461903 * vth2[2];
-    alpha[15] = 2.8284271247461903 * vth2[3];
-    out[2] += -nu * scale * 0.30618621784789724 * alpha[0] * g[0];
-    out[2] += -nu * scale * 0.30618621784789724 * alpha[4] * g[4];
-    out[2] += -nu * scale * 0.30618621784789724 * alpha[5] * g[5];
-    out[2] += -nu * scale * 0.30618621784789724 * alpha[15] * g[15];
-    out[6] += -nu * scale * 0.30618621784789724 * alpha[0] * g[1];
-    out[6] += -nu * scale * 0.30618621784789724 * alpha[4] * g[9];
-    out[6] += -nu * scale * 0.30618621784789724 * alpha[5] * g[12];
-    out[6] += -nu * scale * 0.30618621784789724 * alpha[15] * g[23];
-    out[8] += -nu * scale * 0.30618621784789724 * alpha[0] * g[3];
-    out[8] += -nu * scale * 0.30618621784789724 * alpha[4] * g[11];
-    out[8] += -nu * scale * 0.30618621784789724 * alpha[5] * g[14];
-    out[8] += -nu * scale * 0.30618621784789724 * alpha[15] * g[25];
-    out[10] += -nu * scale * 0.30618621784789724 * alpha[0] * g[4];
-    out[10] += -nu * scale * 0.30618621784789724 * alpha[4] * g[0];
-    out[10] += -nu * scale * 0.30618621784789724 * alpha[5] * g[15];
-    out[10] += -nu * scale * 0.30618621784789724 * alpha[15] * g[5];
-    out[13] += -nu * scale * 0.30618621784789724 * alpha[0] * g[5];
-    out[13] += -nu * scale * 0.30618621784789724 * alpha[4] * g[15];
-    out[13] += -nu * scale * 0.30618621784789724 * alpha[5] * g[0];
-    out[13] += -nu * scale * 0.30618621784789724 * alpha[15] * g[4];
-    out[16] += -nu * scale * 0.30618621784789724 * alpha[0] * g[7];
-    out[16] += -nu * scale * 0.30618621784789724 * alpha[4] * g[18];
-    out[16] += -nu * scale * 0.30618621784789724 * alpha[5] * g[21];
-    out[16] += -nu * scale * 0.30618621784789724 * alpha[15] * g[29];
-    out[17] += -nu * scale * 0.30618621784789724 * alpha[0] * g[9];
-    out[17] += -nu * scale * 0.30618621784789724 * alpha[4] * g[1];
-    out[17] += -nu * scale * 0.30618621784789724 * alpha[5] * g[23];
-    out[17] += -nu * scale * 0.30618621784789724 * alpha[15] * g[12];
-    out[19] += -nu * scale * 0.30618621784789724 * alpha[0] * g[11];
-    out[19] += -nu * scale * 0.30618621784789724 * alpha[4] * g[3];
-    out[19] += -nu * scale * 0.30618621784789724 * alpha[5] * g[25];
-    out[19] += -nu * scale * 0.30618621784789724 * alpha[15] * g[14];
-    out[20] += -nu * scale * 0.30618621784789724 * alpha[0] * g[12];
-    out[20] += -nu * scale * 0.30618621784789724 * alpha[4] * g[23];
-    out[20] += -nu * scale * 0.30618621784789724 * alpha[5] * g[1];
-    out[20] += -nu * scale * 0.30618621784789724 * alpha[15] * g[9];
-    out[22] += -nu * scale * 0.30618621784789724 * alpha[0] * g[14];
-    out[22] += -nu * scale * 0.30618621784789724 * alpha[4] * g[25];
-    out[22] += -nu * scale * 0.30618621784789724 * alpha[5] * g[3];
-    out[22] += -nu * scale * 0.30618621784789724 * alpha[15] * g[11];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[0] * g[15];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[4] * g[5];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[5] * g[4];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[15] * g[0];
-    out[26] += -nu * scale * 0.30618621784789724 * alpha[0] * g[18];
-    out[26] += -nu * scale * 0.30618621784789724 * alpha[4] * g[7];
-    out[26] += -nu * scale * 0.30618621784789724 * alpha[5] * g[29];
-    out[26] += -nu * scale * 0.30618621784789724 * alpha[15] * g[21];
-    out[27] += -nu * scale * 0.30618621784789724 * alpha[0] * g[21];
-    out[27] += -nu * scale * 0.30618621784789724 * alpha[4] * g[29];
-    out[27] += -nu * scale * 0.30618621784789724 * alpha[5] * g[7];
-    out[27] += -nu * scale * 0.30618621784789724 * alpha[15] * g[18];
-    out[28] += -nu * scale * 0.30618621784789724 * alpha[0] * g[23];
-    out[28] += -nu * scale * 0.30618621784789724 * alpha[4] * g[12];
-    out[28] += -nu * scale * 0.30618621784789724 * alpha[5] * g[9];
-    out[28] += -nu * scale * 0.30618621784789724 * alpha[15] * g[1];
-    out[30] += -nu * scale * 0.30618621784789724 * alpha[0] * g[25];
-    out[30] += -nu * scale * 0.30618621784789724 * alpha[4] * g[14];
-    out[30] += -nu * scale * 0.30618621784789724 * alpha[5] * g[11];
-    out[30] += -nu * scale * 0.30618621784789724 * alpha[15] * g[3];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[0] * g[29];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[4] * g[21];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[5] * g[18];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[15] * g[7];
+    let mut alpha = [[0.0f64; L]; 32];
+    for k in 0..L {
+        alpha[0][k] = 2.8284271247461903 * vth2[0][k];
+        alpha[4][k] = 2.8284271247461903 * vth2[1][k];
+        alpha[5][k] = 2.8284271247461903 * vth2[2][k];
+        alpha[15][k] = 2.8284271247461903 * vth2[3][k];
+    }
+    for k in 0..L {
+        out[2][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[0][k];
+        out[2][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[4][k];
+        out[2][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[5][k];
+        out[2][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[15][k];
+    }
+    for k in 0..L {
+        out[6][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[1][k];
+        out[6][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[9][k];
+        out[6][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[12][k];
+        out[6][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[23][k];
+    }
+    for k in 0..L {
+        out[8][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[3][k];
+        out[8][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[11][k];
+        out[8][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[14][k];
+        out[8][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[25][k];
+    }
+    for k in 0..L {
+        out[10][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[4][k];
+        out[10][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[0][k];
+        out[10][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[15][k];
+        out[10][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[5][k];
+    }
+    for k in 0..L {
+        out[13][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[5][k];
+        out[13][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[15][k];
+        out[13][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[0][k];
+        out[13][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[4][k];
+    }
+    for k in 0..L {
+        out[16][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[7][k];
+        out[16][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[18][k];
+        out[16][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[21][k];
+        out[16][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[29][k];
+    }
+    for k in 0..L {
+        out[17][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[9][k];
+        out[17][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[1][k];
+        out[17][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[23][k];
+        out[17][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[12][k];
+    }
+    for k in 0..L {
+        out[19][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[11][k];
+        out[19][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[3][k];
+        out[19][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[25][k];
+        out[19][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[14][k];
+    }
+    for k in 0..L {
+        out[20][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[12][k];
+        out[20][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[23][k];
+        out[20][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[1][k];
+        out[20][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[9][k];
+    }
+    for k in 0..L {
+        out[22][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[14][k];
+        out[22][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[25][k];
+        out[22][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[3][k];
+        out[22][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[11][k];
+    }
+    for k in 0..L {
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[15][k];
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[5][k];
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[4][k];
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[0][k];
+    }
+    for k in 0..L {
+        out[26][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[18][k];
+        out[26][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[7][k];
+        out[26][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[29][k];
+        out[26][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[21][k];
+    }
+    for k in 0..L {
+        out[27][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[21][k];
+        out[27][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[29][k];
+        out[27][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[7][k];
+        out[27][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[18][k];
+    }
+    for k in 0..L {
+        out[28][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[23][k];
+        out[28][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[12][k];
+        out[28][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[9][k];
+        out[28][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[1][k];
+    }
+    for k in 0..L {
+        out[30][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[25][k];
+        out[30][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[14][k];
+        out[30][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[11][k];
+        out[30][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[3][k];
+    }
+    for k in 0..L {
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[29][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[21][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[18][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[7][k];
+    }
 }
 
 /// LBO diffusion surface term in v1 at one interior face: one-sided
@@ -1392,268 +1894,393 @@ pub fn lbo_2x3v_p1_ser_diff_vol_v1(nu: f64, dv: f64, vth2: &[f64], g: &[f64], ou
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p1_ser_diff_surf_v1(nu: f64, dv: f64, vth2: &[f64], g_lo: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_2x3v_p1_ser_diff_surf_v1_body::<1>(nu, dv, vth2.as_chunks().0, g_lo.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p1_ser_diff_surf_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_diff_surf_v1_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_diff_surf_v1_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// [`lbo_2x3v_p1_ser_diff_surf_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_diff_surf_v1_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_diff_surf_v1_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p1_ser_diff_surf_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p1_ser_diff_surf_v1_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g_lo: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 4] = vth2.first_chunk().expect("vth2: 4 coefficients");
+    let g_lo: &[[f64; L]; 32] = g_lo.first_chunk().expect("g_lo: 32 coefficients");
+    let out_lo: &mut [[f64; L]; 32] = out_lo.first_chunk_mut().expect("out_lo: 32 coefficients");
+    let out_hi: &mut [[f64; L]; 32] = out_hi.first_chunk_mut().expect("out_hi: 32 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 16];
-    alpha[0] = 2.0 * vth2[0];
-    alpha[3] = 2.0 * vth2[1];
-    alpha[4] = 2.0 * vth2[2];
-    alpha[10] = 2.0 * vth2[3];
-    let mut tr = [0.0f64; 16];
-    tr[0] += 0.7071067811865476 * g_lo[0];
-    tr[1] += 0.7071067811865476 * g_lo[1];
-    tr[0] += 1.224744871391589 * g_lo[2];
-    tr[2] += 0.7071067811865476 * g_lo[3];
-    tr[3] += 0.7071067811865476 * g_lo[4];
-    tr[4] += 0.7071067811865476 * g_lo[5];
-    tr[1] += 1.224744871391589 * g_lo[6];
-    tr[5] += 0.7071067811865476 * g_lo[7];
-    tr[2] += 1.224744871391589 * g_lo[8];
-    tr[6] += 0.7071067811865476 * g_lo[9];
-    tr[3] += 1.224744871391589 * g_lo[10];
-    tr[7] += 0.7071067811865476 * g_lo[11];
-    tr[8] += 0.7071067811865476 * g_lo[12];
-    tr[4] += 1.224744871391589 * g_lo[13];
-    tr[9] += 0.7071067811865476 * g_lo[14];
-    tr[10] += 0.7071067811865476 * g_lo[15];
-    tr[5] += 1.224744871391589 * g_lo[16];
-    tr[6] += 1.224744871391589 * g_lo[17];
-    tr[11] += 0.7071067811865476 * g_lo[18];
-    tr[7] += 1.224744871391589 * g_lo[19];
-    tr[8] += 1.224744871391589 * g_lo[20];
-    tr[12] += 0.7071067811865476 * g_lo[21];
-    tr[9] += 1.224744871391589 * g_lo[22];
-    tr[13] += 0.7071067811865476 * g_lo[23];
-    tr[10] += 1.224744871391589 * g_lo[24];
-    tr[14] += 0.7071067811865476 * g_lo[25];
-    tr[11] += 1.224744871391589 * g_lo[26];
-    tr[12] += 1.224744871391589 * g_lo[27];
-    tr[13] += 1.224744871391589 * g_lo[28];
-    tr[15] += 0.7071067811865476 * g_lo[29];
-    tr[14] += 1.224744871391589 * g_lo[30];
-    tr[15] += 1.224744871391589 * g_lo[31];
-    let mut ghat = [0.0f64; 16];
-    ghat[0] += 0.25 * alpha[0] * tr[0];
-    ghat[0] += 0.25 * alpha[3] * tr[3];
-    ghat[0] += 0.25 * alpha[4] * tr[4];
-    ghat[0] += 0.25 * alpha[10] * tr[10];
-    ghat[1] += 0.25 * alpha[0] * tr[1];
-    ghat[1] += 0.25 * alpha[3] * tr[6];
-    ghat[1] += 0.25 * alpha[4] * tr[8];
-    ghat[1] += 0.25 * alpha[10] * tr[13];
-    ghat[2] += 0.25 * alpha[0] * tr[2];
-    ghat[2] += 0.25 * alpha[3] * tr[7];
-    ghat[2] += 0.25 * alpha[4] * tr[9];
-    ghat[2] += 0.25 * alpha[10] * tr[14];
-    ghat[3] += 0.25 * alpha[0] * tr[3];
-    ghat[3] += 0.25 * alpha[3] * tr[0];
-    ghat[3] += 0.25 * alpha[4] * tr[10];
-    ghat[3] += 0.25 * alpha[10] * tr[4];
-    ghat[4] += 0.25 * alpha[0] * tr[4];
-    ghat[4] += 0.25 * alpha[3] * tr[10];
-    ghat[4] += 0.25 * alpha[4] * tr[0];
-    ghat[4] += 0.25 * alpha[10] * tr[3];
-    ghat[5] += 0.25 * alpha[0] * tr[5];
-    ghat[5] += 0.25 * alpha[3] * tr[11];
-    ghat[5] += 0.25 * alpha[4] * tr[12];
-    ghat[5] += 0.25 * alpha[10] * tr[15];
-    ghat[6] += 0.25 * alpha[0] * tr[6];
-    ghat[6] += 0.25 * alpha[3] * tr[1];
-    ghat[6] += 0.25 * alpha[4] * tr[13];
-    ghat[6] += 0.25 * alpha[10] * tr[8];
-    ghat[7] += 0.25 * alpha[0] * tr[7];
-    ghat[7] += 0.25 * alpha[3] * tr[2];
-    ghat[7] += 0.25 * alpha[4] * tr[14];
-    ghat[7] += 0.25 * alpha[10] * tr[9];
-    ghat[8] += 0.25 * alpha[0] * tr[8];
-    ghat[8] += 0.25 * alpha[3] * tr[13];
-    ghat[8] += 0.25 * alpha[4] * tr[1];
-    ghat[8] += 0.25 * alpha[10] * tr[6];
-    ghat[9] += 0.25 * alpha[0] * tr[9];
-    ghat[9] += 0.25 * alpha[3] * tr[14];
-    ghat[9] += 0.25 * alpha[4] * tr[2];
-    ghat[9] += 0.25 * alpha[10] * tr[7];
-    ghat[10] += 0.25 * alpha[0] * tr[10];
-    ghat[10] += 0.25 * alpha[3] * tr[4];
-    ghat[10] += 0.25 * alpha[4] * tr[3];
-    ghat[10] += 0.25 * alpha[10] * tr[0];
-    ghat[11] += 0.25 * alpha[0] * tr[11];
-    ghat[11] += 0.25 * alpha[3] * tr[5];
-    ghat[11] += 0.25 * alpha[4] * tr[15];
-    ghat[11] += 0.25 * alpha[10] * tr[12];
-    ghat[12] += 0.25 * alpha[0] * tr[12];
-    ghat[12] += 0.25 * alpha[3] * tr[15];
-    ghat[12] += 0.25 * alpha[4] * tr[5];
-    ghat[12] += 0.25 * alpha[10] * tr[11];
-    ghat[13] += 0.25 * alpha[0] * tr[13];
-    ghat[13] += 0.25 * alpha[3] * tr[8];
-    ghat[13] += 0.25 * alpha[4] * tr[6];
-    ghat[13] += 0.25 * alpha[10] * tr[1];
-    ghat[14] += 0.25 * alpha[0] * tr[14];
-    ghat[14] += 0.25 * alpha[3] * tr[9];
-    ghat[14] += 0.25 * alpha[4] * tr[7];
-    ghat[14] += 0.25 * alpha[10] * tr[2];
-    ghat[15] += 0.25 * alpha[0] * tr[15];
-    ghat[15] += 0.25 * alpha[3] * tr[12];
-    ghat[15] += 0.25 * alpha[4] * tr[11];
-    ghat[15] += 0.25 * alpha[10] * tr[5];
-    out_lo[0] += nu * scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += nu * scale * 0.7071067811865476 * ghat[1];
-    out_lo[2] += nu * scale * 1.224744871391589 * ghat[0];
-    out_lo[3] += nu * scale * 0.7071067811865476 * ghat[2];
-    out_lo[4] += nu * scale * 0.7071067811865476 * ghat[3];
-    out_lo[5] += nu * scale * 0.7071067811865476 * ghat[4];
-    out_lo[6] += nu * scale * 1.224744871391589 * ghat[1];
-    out_lo[7] += nu * scale * 0.7071067811865476 * ghat[5];
-    out_lo[8] += nu * scale * 1.224744871391589 * ghat[2];
-    out_lo[9] += nu * scale * 0.7071067811865476 * ghat[6];
-    out_lo[10] += nu * scale * 1.224744871391589 * ghat[3];
-    out_lo[11] += nu * scale * 0.7071067811865476 * ghat[7];
-    out_lo[12] += nu * scale * 0.7071067811865476 * ghat[8];
-    out_lo[13] += nu * scale * 1.224744871391589 * ghat[4];
-    out_lo[14] += nu * scale * 0.7071067811865476 * ghat[9];
-    out_lo[15] += nu * scale * 0.7071067811865476 * ghat[10];
-    out_lo[16] += nu * scale * 1.224744871391589 * ghat[5];
-    out_lo[17] += nu * scale * 1.224744871391589 * ghat[6];
-    out_lo[18] += nu * scale * 0.7071067811865476 * ghat[11];
-    out_lo[19] += nu * scale * 1.224744871391589 * ghat[7];
-    out_lo[20] += nu * scale * 1.224744871391589 * ghat[8];
-    out_lo[21] += nu * scale * 0.7071067811865476 * ghat[12];
-    out_lo[22] += nu * scale * 1.224744871391589 * ghat[9];
-    out_lo[23] += nu * scale * 0.7071067811865476 * ghat[13];
-    out_lo[24] += nu * scale * 1.224744871391589 * ghat[10];
-    out_lo[25] += nu * scale * 0.7071067811865476 * ghat[14];
-    out_lo[26] += nu * scale * 1.224744871391589 * ghat[11];
-    out_lo[27] += nu * scale * 1.224744871391589 * ghat[12];
-    out_lo[28] += nu * scale * 1.224744871391589 * ghat[13];
-    out_lo[29] += nu * scale * 0.7071067811865476 * ghat[15];
-    out_lo[30] += nu * scale * 1.224744871391589 * ghat[14];
-    out_lo[31] += nu * scale * 1.224744871391589 * ghat[15];
-    out_hi[0] += -nu * scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += -nu * scale * 0.7071067811865476 * ghat[1];
-    out_hi[2] += -nu * scale * -1.224744871391589 * ghat[0];
-    out_hi[3] += -nu * scale * 0.7071067811865476 * ghat[2];
-    out_hi[4] += -nu * scale * 0.7071067811865476 * ghat[3];
-    out_hi[5] += -nu * scale * 0.7071067811865476 * ghat[4];
-    out_hi[6] += -nu * scale * -1.224744871391589 * ghat[1];
-    out_hi[7] += -nu * scale * 0.7071067811865476 * ghat[5];
-    out_hi[8] += -nu * scale * -1.224744871391589 * ghat[2];
-    out_hi[9] += -nu * scale * 0.7071067811865476 * ghat[6];
-    out_hi[10] += -nu * scale * -1.224744871391589 * ghat[3];
-    out_hi[11] += -nu * scale * 0.7071067811865476 * ghat[7];
-    out_hi[12] += -nu * scale * 0.7071067811865476 * ghat[8];
-    out_hi[13] += -nu * scale * -1.224744871391589 * ghat[4];
-    out_hi[14] += -nu * scale * 0.7071067811865476 * ghat[9];
-    out_hi[15] += -nu * scale * 0.7071067811865476 * ghat[10];
-    out_hi[16] += -nu * scale * -1.224744871391589 * ghat[5];
-    out_hi[17] += -nu * scale * -1.224744871391589 * ghat[6];
-    out_hi[18] += -nu * scale * 0.7071067811865476 * ghat[11];
-    out_hi[19] += -nu * scale * -1.224744871391589 * ghat[7];
-    out_hi[20] += -nu * scale * -1.224744871391589 * ghat[8];
-    out_hi[21] += -nu * scale * 0.7071067811865476 * ghat[12];
-    out_hi[22] += -nu * scale * -1.224744871391589 * ghat[9];
-    out_hi[23] += -nu * scale * 0.7071067811865476 * ghat[13];
-    out_hi[24] += -nu * scale * -1.224744871391589 * ghat[10];
-    out_hi[25] += -nu * scale * 0.7071067811865476 * ghat[14];
-    out_hi[26] += -nu * scale * -1.224744871391589 * ghat[11];
-    out_hi[27] += -nu * scale * -1.224744871391589 * ghat[12];
-    out_hi[28] += -nu * scale * -1.224744871391589 * ghat[13];
-    out_hi[29] += -nu * scale * 0.7071067811865476 * ghat[15];
-    out_hi[30] += -nu * scale * -1.224744871391589 * ghat[14];
-    out_hi[31] += -nu * scale * -1.224744871391589 * ghat[15];
+    let mut alpha = [[0.0f64; L]; 16];
+    for k in 0..L {
+        alpha[0][k] = 2.0 * vth2[0][k];
+        alpha[3][k] = 2.0 * vth2[1][k];
+        alpha[4][k] = 2.0 * vth2[2][k];
+        alpha[10][k] = 2.0 * vth2[3][k];
+    }
+    let mut tr = [[0.0f64; L]; 16];
+    sxn(&mut tr[0], 0.7071067811865476, &g_lo[0]);
+    sxn(&mut tr[1], 0.7071067811865476, &g_lo[1]);
+    sxn(&mut tr[0], 1.224744871391589, &g_lo[2]);
+    sxn(&mut tr[2], 0.7071067811865476, &g_lo[3]);
+    sxn(&mut tr[3], 0.7071067811865476, &g_lo[4]);
+    sxn(&mut tr[4], 0.7071067811865476, &g_lo[5]);
+    sxn(&mut tr[1], 1.224744871391589, &g_lo[6]);
+    sxn(&mut tr[5], 0.7071067811865476, &g_lo[7]);
+    sxn(&mut tr[2], 1.224744871391589, &g_lo[8]);
+    sxn(&mut tr[6], 0.7071067811865476, &g_lo[9]);
+    sxn(&mut tr[3], 1.224744871391589, &g_lo[10]);
+    sxn(&mut tr[7], 0.7071067811865476, &g_lo[11]);
+    sxn(&mut tr[8], 0.7071067811865476, &g_lo[12]);
+    sxn(&mut tr[4], 1.224744871391589, &g_lo[13]);
+    sxn(&mut tr[9], 0.7071067811865476, &g_lo[14]);
+    sxn(&mut tr[10], 0.7071067811865476, &g_lo[15]);
+    sxn(&mut tr[5], 1.224744871391589, &g_lo[16]);
+    sxn(&mut tr[6], 1.224744871391589, &g_lo[17]);
+    sxn(&mut tr[11], 0.7071067811865476, &g_lo[18]);
+    sxn(&mut tr[7], 1.224744871391589, &g_lo[19]);
+    sxn(&mut tr[8], 1.224744871391589, &g_lo[20]);
+    sxn(&mut tr[12], 0.7071067811865476, &g_lo[21]);
+    sxn(&mut tr[9], 1.224744871391589, &g_lo[22]);
+    sxn(&mut tr[13], 0.7071067811865476, &g_lo[23]);
+    sxn(&mut tr[10], 1.224744871391589, &g_lo[24]);
+    sxn(&mut tr[14], 0.7071067811865476, &g_lo[25]);
+    sxn(&mut tr[11], 1.224744871391589, &g_lo[26]);
+    sxn(&mut tr[12], 1.224744871391589, &g_lo[27]);
+    sxn(&mut tr[13], 1.224744871391589, &g_lo[28]);
+    sxn(&mut tr[15], 0.7071067811865476, &g_lo[29]);
+    sxn(&mut tr[14], 1.224744871391589, &g_lo[30]);
+    sxn(&mut tr[15], 1.224744871391589, &g_lo[31]);
+    let mut ghat = [[0.0f64; L]; 16];
+    for k in 0..L {
+        ghat[0][k] += 0.25 * alpha[0][k] * tr[0][k];
+        ghat[0][k] += 0.25 * alpha[3][k] * tr[3][k];
+        ghat[0][k] += 0.25 * alpha[4][k] * tr[4][k];
+        ghat[0][k] += 0.25 * alpha[10][k] * tr[10][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.25 * alpha[0][k] * tr[1][k];
+        ghat[1][k] += 0.25 * alpha[3][k] * tr[6][k];
+        ghat[1][k] += 0.25 * alpha[4][k] * tr[8][k];
+        ghat[1][k] += 0.25 * alpha[10][k] * tr[13][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.25 * alpha[0][k] * tr[2][k];
+        ghat[2][k] += 0.25 * alpha[3][k] * tr[7][k];
+        ghat[2][k] += 0.25 * alpha[4][k] * tr[9][k];
+        ghat[2][k] += 0.25 * alpha[10][k] * tr[14][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.25 * alpha[0][k] * tr[3][k];
+        ghat[3][k] += 0.25 * alpha[3][k] * tr[0][k];
+        ghat[3][k] += 0.25 * alpha[4][k] * tr[10][k];
+        ghat[3][k] += 0.25 * alpha[10][k] * tr[4][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.25 * alpha[0][k] * tr[4][k];
+        ghat[4][k] += 0.25 * alpha[3][k] * tr[10][k];
+        ghat[4][k] += 0.25 * alpha[4][k] * tr[0][k];
+        ghat[4][k] += 0.25 * alpha[10][k] * tr[3][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.25 * alpha[0][k] * tr[5][k];
+        ghat[5][k] += 0.25 * alpha[3][k] * tr[11][k];
+        ghat[5][k] += 0.25 * alpha[4][k] * tr[12][k];
+        ghat[5][k] += 0.25 * alpha[10][k] * tr[15][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.25 * alpha[0][k] * tr[6][k];
+        ghat[6][k] += 0.25 * alpha[3][k] * tr[1][k];
+        ghat[6][k] += 0.25 * alpha[4][k] * tr[13][k];
+        ghat[6][k] += 0.25 * alpha[10][k] * tr[8][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.25 * alpha[0][k] * tr[7][k];
+        ghat[7][k] += 0.25 * alpha[3][k] * tr[2][k];
+        ghat[7][k] += 0.25 * alpha[4][k] * tr[14][k];
+        ghat[7][k] += 0.25 * alpha[10][k] * tr[9][k];
+    }
+    for k in 0..L {
+        ghat[8][k] += 0.25 * alpha[0][k] * tr[8][k];
+        ghat[8][k] += 0.25 * alpha[3][k] * tr[13][k];
+        ghat[8][k] += 0.25 * alpha[4][k] * tr[1][k];
+        ghat[8][k] += 0.25 * alpha[10][k] * tr[6][k];
+    }
+    for k in 0..L {
+        ghat[9][k] += 0.25 * alpha[0][k] * tr[9][k];
+        ghat[9][k] += 0.25 * alpha[3][k] * tr[14][k];
+        ghat[9][k] += 0.25 * alpha[4][k] * tr[2][k];
+        ghat[9][k] += 0.25 * alpha[10][k] * tr[7][k];
+    }
+    for k in 0..L {
+        ghat[10][k] += 0.25 * alpha[0][k] * tr[10][k];
+        ghat[10][k] += 0.25 * alpha[3][k] * tr[4][k];
+        ghat[10][k] += 0.25 * alpha[4][k] * tr[3][k];
+        ghat[10][k] += 0.25 * alpha[10][k] * tr[0][k];
+    }
+    for k in 0..L {
+        ghat[11][k] += 0.25 * alpha[0][k] * tr[11][k];
+        ghat[11][k] += 0.25 * alpha[3][k] * tr[5][k];
+        ghat[11][k] += 0.25 * alpha[4][k] * tr[15][k];
+        ghat[11][k] += 0.25 * alpha[10][k] * tr[12][k];
+    }
+    for k in 0..L {
+        ghat[12][k] += 0.25 * alpha[0][k] * tr[12][k];
+        ghat[12][k] += 0.25 * alpha[3][k] * tr[15][k];
+        ghat[12][k] += 0.25 * alpha[4][k] * tr[5][k];
+        ghat[12][k] += 0.25 * alpha[10][k] * tr[11][k];
+    }
+    for k in 0..L {
+        ghat[13][k] += 0.25 * alpha[0][k] * tr[13][k];
+        ghat[13][k] += 0.25 * alpha[3][k] * tr[8][k];
+        ghat[13][k] += 0.25 * alpha[4][k] * tr[6][k];
+        ghat[13][k] += 0.25 * alpha[10][k] * tr[1][k];
+    }
+    for k in 0..L {
+        ghat[14][k] += 0.25 * alpha[0][k] * tr[14][k];
+        ghat[14][k] += 0.25 * alpha[3][k] * tr[9][k];
+        ghat[14][k] += 0.25 * alpha[4][k] * tr[7][k];
+        ghat[14][k] += 0.25 * alpha[10][k] * tr[2][k];
+    }
+    for k in 0..L {
+        ghat[15][k] += 0.25 * alpha[0][k] * tr[15][k];
+        ghat[15][k] += 0.25 * alpha[3][k] * tr[12][k];
+        ghat[15][k] += 0.25 * alpha[4][k] * tr[11][k];
+        ghat[15][k] += 0.25 * alpha[10][k] * tr[5][k];
+    }
+    sxn(&mut out_lo[0], nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], nu * scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[3], nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], nu * scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[7], nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[8], nu * scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[9], nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[10], nu * scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[11], nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[12], nu * scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[13], nu * scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[14], nu * scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[15], nu * scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[16], nu * scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[17], nu * scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[18], nu * scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[19], nu * scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[20], nu * scale * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[21], nu * scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[22], nu * scale * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[23], nu * scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[24], nu * scale * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[25], nu * scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[26], nu * scale * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[27], nu * scale * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[28], nu * scale * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[29], nu * scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[30], nu * scale * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[31], nu * scale * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[0], -nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], -nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], -nu * scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[3], -nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], -nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], -nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], -nu * scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[7], -nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[8], -nu * scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[9], -nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[10], -nu * scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[11], -nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[12], -nu * scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[13], -nu * scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[14], -nu * scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[15], -nu * scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[16], -nu * scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[17], -nu * scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[18], -nu * scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[19], -nu * scale * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[20], -nu * scale * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[21], -nu * scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[22], -nu * scale * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[23], -nu * scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[24], -nu * scale * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[25], -nu * scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[26], -nu * scale * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[27], -nu * scale * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[28], -nu * scale * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[29], -nu * scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[30], -nu * scale * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[31], -nu * scale * -1.224744871391589, &ghat[15]);
 }
 
 /// LBO drag volume term in v2: weak `∇_v · (ν(v − u) f)`, cell interior.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p1_ser_drag_vol_v2(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f64], out: &mut [f64]) {
+    lbo_2x3v_p1_ser_drag_vol_v2_body::<1>(nu, v_c, dv, u.as_chunks().0, f.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p1_ser_drag_vol_v2`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_drag_vol_v2_b4(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_drag_vol_v2_body(nu, v_c, dv, u, f, out)
+}
+
+/// [`lbo_2x3v_p1_ser_drag_vol_v2_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_drag_vol_v2_b4_avx2(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_drag_vol_v2_body(nu, v_c, dv, u, f, out)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p1_ser_drag_vol_v2`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p1_ser_drag_vol_v2_body<const L: usize>(nu: f64, v_c: f64, dv: f64, u: &[[f64; L]], f: &[[f64; L]], out: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 4] = u.first_chunk().expect("u: 4 coefficients");
+    let f: &[[f64; L]; 32] = f.first_chunk().expect("f: 32 coefficients");
+    let out: &mut [[f64; L]; 32] = out.first_chunk_mut().expect("out: 32 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 32];
-    alpha[0] = -nu * v_c * 5.656854249492381;
-    alpha[1] = -nu * 0.5 * dv * 3.265986323710904;
-    alpha[0] += nu * 2.8284271247461903 * u[0];
-    alpha[4] += nu * 2.8284271247461903 * u[1];
-    alpha[5] += nu * 2.8284271247461903 * u[2];
-    alpha[15] += nu * 2.8284271247461903 * u[3];
-    out[1] += scale * 0.30618621784789724 * alpha[0] * f[0];
-    out[1] += scale * 0.30618621784789724 * alpha[1] * f[1];
-    out[1] += scale * 0.30618621784789724 * alpha[4] * f[4];
-    out[1] += scale * 0.30618621784789724 * alpha[5] * f[5];
-    out[1] += scale * 0.30618621784789724 * alpha[15] * f[15];
-    out[6] += scale * 0.30618621784789724 * alpha[0] * f[2];
-    out[6] += scale * 0.30618621784789724 * alpha[1] * f[6];
-    out[6] += scale * 0.30618621784789724 * alpha[4] * f[10];
-    out[6] += scale * 0.30618621784789724 * alpha[5] * f[13];
-    out[6] += scale * 0.30618621784789724 * alpha[15] * f[24];
-    out[7] += scale * 0.30618621784789724 * alpha[0] * f[3];
-    out[7] += scale * 0.30618621784789724 * alpha[1] * f[7];
-    out[7] += scale * 0.30618621784789724 * alpha[4] * f[11];
-    out[7] += scale * 0.30618621784789724 * alpha[5] * f[14];
-    out[7] += scale * 0.30618621784789724 * alpha[15] * f[25];
-    out[9] += scale * 0.30618621784789724 * alpha[0] * f[4];
-    out[9] += scale * 0.30618621784789724 * alpha[1] * f[9];
-    out[9] += scale * 0.30618621784789724 * alpha[4] * f[0];
-    out[9] += scale * 0.30618621784789724 * alpha[5] * f[15];
-    out[9] += scale * 0.30618621784789724 * alpha[15] * f[5];
-    out[12] += scale * 0.30618621784789724 * alpha[0] * f[5];
-    out[12] += scale * 0.30618621784789724 * alpha[1] * f[12];
-    out[12] += scale * 0.30618621784789724 * alpha[4] * f[15];
-    out[12] += scale * 0.30618621784789724 * alpha[5] * f[0];
-    out[12] += scale * 0.30618621784789724 * alpha[15] * f[4];
-    out[16] += scale * 0.30618621784789724 * alpha[0] * f[8];
-    out[16] += scale * 0.30618621784789724 * alpha[1] * f[16];
-    out[16] += scale * 0.30618621784789724 * alpha[4] * f[19];
-    out[16] += scale * 0.30618621784789724 * alpha[5] * f[22];
-    out[16] += scale * 0.30618621784789724 * alpha[15] * f[30];
-    out[17] += scale * 0.30618621784789724 * alpha[0] * f[10];
-    out[17] += scale * 0.30618621784789724 * alpha[1] * f[17];
-    out[17] += scale * 0.30618621784789724 * alpha[4] * f[2];
-    out[17] += scale * 0.30618621784789724 * alpha[5] * f[24];
-    out[17] += scale * 0.30618621784789724 * alpha[15] * f[13];
-    out[18] += scale * 0.30618621784789724 * alpha[0] * f[11];
-    out[18] += scale * 0.30618621784789724 * alpha[1] * f[18];
-    out[18] += scale * 0.30618621784789724 * alpha[4] * f[3];
-    out[18] += scale * 0.30618621784789724 * alpha[5] * f[25];
-    out[18] += scale * 0.30618621784789724 * alpha[15] * f[14];
-    out[20] += scale * 0.30618621784789724 * alpha[0] * f[13];
-    out[20] += scale * 0.30618621784789724 * alpha[1] * f[20];
-    out[20] += scale * 0.30618621784789724 * alpha[4] * f[24];
-    out[20] += scale * 0.30618621784789724 * alpha[5] * f[2];
-    out[20] += scale * 0.30618621784789724 * alpha[15] * f[10];
-    out[21] += scale * 0.30618621784789724 * alpha[0] * f[14];
-    out[21] += scale * 0.30618621784789724 * alpha[1] * f[21];
-    out[21] += scale * 0.30618621784789724 * alpha[4] * f[25];
-    out[21] += scale * 0.30618621784789724 * alpha[5] * f[3];
-    out[21] += scale * 0.30618621784789724 * alpha[15] * f[11];
-    out[23] += scale * 0.30618621784789724 * alpha[0] * f[15];
-    out[23] += scale * 0.30618621784789724 * alpha[1] * f[23];
-    out[23] += scale * 0.30618621784789724 * alpha[4] * f[5];
-    out[23] += scale * 0.30618621784789724 * alpha[5] * f[4];
-    out[23] += scale * 0.30618621784789724 * alpha[15] * f[0];
-    out[26] += scale * 0.30618621784789724 * alpha[0] * f[19];
-    out[26] += scale * 0.30618621784789724 * alpha[1] * f[26];
-    out[26] += scale * 0.30618621784789724 * alpha[4] * f[8];
-    out[26] += scale * 0.30618621784789724 * alpha[5] * f[30];
-    out[26] += scale * 0.30618621784789724 * alpha[15] * f[22];
-    out[27] += scale * 0.30618621784789724 * alpha[0] * f[22];
-    out[27] += scale * 0.30618621784789724 * alpha[1] * f[27];
-    out[27] += scale * 0.30618621784789724 * alpha[4] * f[30];
-    out[27] += scale * 0.30618621784789724 * alpha[5] * f[8];
-    out[27] += scale * 0.30618621784789724 * alpha[15] * f[19];
-    out[28] += scale * 0.30618621784789724 * alpha[0] * f[24];
-    out[28] += scale * 0.30618621784789724 * alpha[1] * f[28];
-    out[28] += scale * 0.30618621784789724 * alpha[4] * f[13];
-    out[28] += scale * 0.30618621784789724 * alpha[5] * f[10];
-    out[28] += scale * 0.30618621784789724 * alpha[15] * f[2];
-    out[29] += scale * 0.30618621784789724 * alpha[0] * f[25];
-    out[29] += scale * 0.30618621784789724 * alpha[1] * f[29];
-    out[29] += scale * 0.30618621784789724 * alpha[4] * f[14];
-    out[29] += scale * 0.30618621784789724 * alpha[5] * f[11];
-    out[29] += scale * 0.30618621784789724 * alpha[15] * f[3];
-    out[31] += scale * 0.30618621784789724 * alpha[0] * f[30];
-    out[31] += scale * 0.3061862178478973 * alpha[1] * f[31];
-    out[31] += scale * 0.30618621784789724 * alpha[4] * f[22];
-    out[31] += scale * 0.30618621784789724 * alpha[5] * f[19];
-    out[31] += scale * 0.30618621784789724 * alpha[15] * f[8];
+    let mut alpha = [[0.0f64; L]; 32];
+    for k in 0..L {
+        alpha[0][k] = -nu * v_c * 5.656854249492381;
+        alpha[1][k] = -nu * 0.5 * dv * 3.265986323710904;
+        alpha[0][k] += nu * 2.8284271247461903 * u[0][k];
+        alpha[4][k] += nu * 2.8284271247461903 * u[1][k];
+        alpha[5][k] += nu * 2.8284271247461903 * u[2][k];
+        alpha[15][k] += nu * 2.8284271247461903 * u[3][k];
+    }
+    for k in 0..L {
+        out[1][k] += scale * 0.30618621784789724 * alpha[0][k] * f[0][k];
+        out[1][k] += scale * 0.30618621784789724 * alpha[1][k] * f[1][k];
+        out[1][k] += scale * 0.30618621784789724 * alpha[4][k] * f[4][k];
+        out[1][k] += scale * 0.30618621784789724 * alpha[5][k] * f[5][k];
+        out[1][k] += scale * 0.30618621784789724 * alpha[15][k] * f[15][k];
+    }
+    for k in 0..L {
+        out[6][k] += scale * 0.30618621784789724 * alpha[0][k] * f[2][k];
+        out[6][k] += scale * 0.30618621784789724 * alpha[1][k] * f[6][k];
+        out[6][k] += scale * 0.30618621784789724 * alpha[4][k] * f[10][k];
+        out[6][k] += scale * 0.30618621784789724 * alpha[5][k] * f[13][k];
+        out[6][k] += scale * 0.30618621784789724 * alpha[15][k] * f[24][k];
+    }
+    for k in 0..L {
+        out[7][k] += scale * 0.30618621784789724 * alpha[0][k] * f[3][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[1][k] * f[7][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[4][k] * f[11][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[5][k] * f[14][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[15][k] * f[25][k];
+    }
+    for k in 0..L {
+        out[9][k] += scale * 0.30618621784789724 * alpha[0][k] * f[4][k];
+        out[9][k] += scale * 0.30618621784789724 * alpha[1][k] * f[9][k];
+        out[9][k] += scale * 0.30618621784789724 * alpha[4][k] * f[0][k];
+        out[9][k] += scale * 0.30618621784789724 * alpha[5][k] * f[15][k];
+        out[9][k] += scale * 0.30618621784789724 * alpha[15][k] * f[5][k];
+    }
+    for k in 0..L {
+        out[12][k] += scale * 0.30618621784789724 * alpha[0][k] * f[5][k];
+        out[12][k] += scale * 0.30618621784789724 * alpha[1][k] * f[12][k];
+        out[12][k] += scale * 0.30618621784789724 * alpha[4][k] * f[15][k];
+        out[12][k] += scale * 0.30618621784789724 * alpha[5][k] * f[0][k];
+        out[12][k] += scale * 0.30618621784789724 * alpha[15][k] * f[4][k];
+    }
+    for k in 0..L {
+        out[16][k] += scale * 0.30618621784789724 * alpha[0][k] * f[8][k];
+        out[16][k] += scale * 0.30618621784789724 * alpha[1][k] * f[16][k];
+        out[16][k] += scale * 0.30618621784789724 * alpha[4][k] * f[19][k];
+        out[16][k] += scale * 0.30618621784789724 * alpha[5][k] * f[22][k];
+        out[16][k] += scale * 0.30618621784789724 * alpha[15][k] * f[30][k];
+    }
+    for k in 0..L {
+        out[17][k] += scale * 0.30618621784789724 * alpha[0][k] * f[10][k];
+        out[17][k] += scale * 0.30618621784789724 * alpha[1][k] * f[17][k];
+        out[17][k] += scale * 0.30618621784789724 * alpha[4][k] * f[2][k];
+        out[17][k] += scale * 0.30618621784789724 * alpha[5][k] * f[24][k];
+        out[17][k] += scale * 0.30618621784789724 * alpha[15][k] * f[13][k];
+    }
+    for k in 0..L {
+        out[18][k] += scale * 0.30618621784789724 * alpha[0][k] * f[11][k];
+        out[18][k] += scale * 0.30618621784789724 * alpha[1][k] * f[18][k];
+        out[18][k] += scale * 0.30618621784789724 * alpha[4][k] * f[3][k];
+        out[18][k] += scale * 0.30618621784789724 * alpha[5][k] * f[25][k];
+        out[18][k] += scale * 0.30618621784789724 * alpha[15][k] * f[14][k];
+    }
+    for k in 0..L {
+        out[20][k] += scale * 0.30618621784789724 * alpha[0][k] * f[13][k];
+        out[20][k] += scale * 0.30618621784789724 * alpha[1][k] * f[20][k];
+        out[20][k] += scale * 0.30618621784789724 * alpha[4][k] * f[24][k];
+        out[20][k] += scale * 0.30618621784789724 * alpha[5][k] * f[2][k];
+        out[20][k] += scale * 0.30618621784789724 * alpha[15][k] * f[10][k];
+    }
+    for k in 0..L {
+        out[21][k] += scale * 0.30618621784789724 * alpha[0][k] * f[14][k];
+        out[21][k] += scale * 0.30618621784789724 * alpha[1][k] * f[21][k];
+        out[21][k] += scale * 0.30618621784789724 * alpha[4][k] * f[25][k];
+        out[21][k] += scale * 0.30618621784789724 * alpha[5][k] * f[3][k];
+        out[21][k] += scale * 0.30618621784789724 * alpha[15][k] * f[11][k];
+    }
+    for k in 0..L {
+        out[23][k] += scale * 0.30618621784789724 * alpha[0][k] * f[15][k];
+        out[23][k] += scale * 0.30618621784789724 * alpha[1][k] * f[23][k];
+        out[23][k] += scale * 0.30618621784789724 * alpha[4][k] * f[5][k];
+        out[23][k] += scale * 0.30618621784789724 * alpha[5][k] * f[4][k];
+        out[23][k] += scale * 0.30618621784789724 * alpha[15][k] * f[0][k];
+    }
+    for k in 0..L {
+        out[26][k] += scale * 0.30618621784789724 * alpha[0][k] * f[19][k];
+        out[26][k] += scale * 0.30618621784789724 * alpha[1][k] * f[26][k];
+        out[26][k] += scale * 0.30618621784789724 * alpha[4][k] * f[8][k];
+        out[26][k] += scale * 0.30618621784789724 * alpha[5][k] * f[30][k];
+        out[26][k] += scale * 0.30618621784789724 * alpha[15][k] * f[22][k];
+    }
+    for k in 0..L {
+        out[27][k] += scale * 0.30618621784789724 * alpha[0][k] * f[22][k];
+        out[27][k] += scale * 0.30618621784789724 * alpha[1][k] * f[27][k];
+        out[27][k] += scale * 0.30618621784789724 * alpha[4][k] * f[30][k];
+        out[27][k] += scale * 0.30618621784789724 * alpha[5][k] * f[8][k];
+        out[27][k] += scale * 0.30618621784789724 * alpha[15][k] * f[19][k];
+    }
+    for k in 0..L {
+        out[28][k] += scale * 0.30618621784789724 * alpha[0][k] * f[24][k];
+        out[28][k] += scale * 0.30618621784789724 * alpha[1][k] * f[28][k];
+        out[28][k] += scale * 0.30618621784789724 * alpha[4][k] * f[13][k];
+        out[28][k] += scale * 0.30618621784789724 * alpha[5][k] * f[10][k];
+        out[28][k] += scale * 0.30618621784789724 * alpha[15][k] * f[2][k];
+    }
+    for k in 0..L {
+        out[29][k] += scale * 0.30618621784789724 * alpha[0][k] * f[25][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[1][k] * f[29][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[4][k] * f[14][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[5][k] * f[11][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[15][k] * f[3][k];
+    }
+    for k in 0..L {
+        out[31][k] += scale * 0.30618621784789724 * alpha[0][k] * f[30][k];
+        out[31][k] += scale * 0.3061862178478973 * alpha[1][k] * f[31][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[4][k] * f[22][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[5][k] * f[19][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[15][k] * f[8][k];
+    }
 }
 
 /// LBO drag surface term in v2 at one interior face (`vstar` = face
@@ -1661,242 +2288,317 @@ pub fn lbo_2x3v_p1_ser_drag_vol_v2(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p1_ser_drag_surf_v2(nu: f64, vstar: f64, dv: f64, u: &[f64], f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_2x3v_p1_ser_drag_surf_v2_body::<1>(nu, vstar, dv, u.as_chunks().0, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p1_ser_drag_surf_v2`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_drag_surf_v2_b4(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_drag_surf_v2_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// [`lbo_2x3v_p1_ser_drag_surf_v2_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_drag_surf_v2_b4_avx2(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_drag_surf_v2_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p1_ser_drag_surf_v2`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p1_ser_drag_surf_v2_body<const L: usize>(nu: f64, vstar: f64, dv: f64, u: &[[f64; L]], f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 4] = u.first_chunk().expect("u: 4 coefficients");
+    let f_lo: &[[f64; L]; 32] = f_lo.first_chunk().expect("f_lo: 32 coefficients");
+    let f_hi: &[[f64; L]; 32] = f_hi.first_chunk().expect("f_hi: 32 coefficients");
+    let out_lo: &mut [[f64; L]; 32] = out_lo.first_chunk_mut().expect("out_lo: 32 coefficients");
+    let out_hi: &mut [[f64; L]; 32] = out_hi.first_chunk_mut().expect("out_hi: 32 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 16];
-    alpha[0] = -nu * vstar * 4.0;
-    alpha[0] += nu * 2.0 * u[0];
-    alpha[3] += nu * 2.0 * u[1];
-    alpha[4] += nu * 2.0 * u[2];
-    alpha[10] += nu * 2.0 * u[3];
-    let lam = alpha[0].abs() * 0.25000000000000006 + alpha[3].abs() * 0.4330127018922194 + alpha[4].abs() * 0.4330127018922194 + alpha[10].abs() * 0.75;
-    let mut fm = [0.0f64; 16];
-    let mut fp = [0.0f64; 16];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[0] += 1.224744871391589 * f_lo[1];
-    fm[1] += 0.7071067811865476 * f_lo[2];
-    fm[2] += 0.7071067811865476 * f_lo[3];
-    fm[3] += 0.7071067811865476 * f_lo[4];
-    fm[4] += 0.7071067811865476 * f_lo[5];
-    fm[1] += 1.224744871391589 * f_lo[6];
-    fm[2] += 1.224744871391589 * f_lo[7];
-    fm[5] += 0.7071067811865476 * f_lo[8];
-    fm[3] += 1.224744871391589 * f_lo[9];
-    fm[6] += 0.7071067811865476 * f_lo[10];
-    fm[7] += 0.7071067811865476 * f_lo[11];
-    fm[4] += 1.224744871391589 * f_lo[12];
-    fm[8] += 0.7071067811865476 * f_lo[13];
-    fm[9] += 0.7071067811865476 * f_lo[14];
-    fm[10] += 0.7071067811865476 * f_lo[15];
-    fm[5] += 1.224744871391589 * f_lo[16];
-    fm[6] += 1.224744871391589 * f_lo[17];
-    fm[7] += 1.224744871391589 * f_lo[18];
-    fm[11] += 0.7071067811865476 * f_lo[19];
-    fm[8] += 1.224744871391589 * f_lo[20];
-    fm[9] += 1.224744871391589 * f_lo[21];
-    fm[12] += 0.7071067811865476 * f_lo[22];
-    fm[10] += 1.224744871391589 * f_lo[23];
-    fm[13] += 0.7071067811865476 * f_lo[24];
-    fm[14] += 0.7071067811865476 * f_lo[25];
-    fm[11] += 1.224744871391589 * f_lo[26];
-    fm[12] += 1.224744871391589 * f_lo[27];
-    fm[13] += 1.224744871391589 * f_lo[28];
-    fm[14] += 1.224744871391589 * f_lo[29];
-    fm[15] += 0.7071067811865476 * f_lo[30];
-    fm[15] += 1.224744871391589 * f_lo[31];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[0] += -1.224744871391589 * f_hi[1];
-    fp[1] += 0.7071067811865476 * f_hi[2];
-    fp[2] += 0.7071067811865476 * f_hi[3];
-    fp[3] += 0.7071067811865476 * f_hi[4];
-    fp[4] += 0.7071067811865476 * f_hi[5];
-    fp[1] += -1.224744871391589 * f_hi[6];
-    fp[2] += -1.224744871391589 * f_hi[7];
-    fp[5] += 0.7071067811865476 * f_hi[8];
-    fp[3] += -1.224744871391589 * f_hi[9];
-    fp[6] += 0.7071067811865476 * f_hi[10];
-    fp[7] += 0.7071067811865476 * f_hi[11];
-    fp[4] += -1.224744871391589 * f_hi[12];
-    fp[8] += 0.7071067811865476 * f_hi[13];
-    fp[9] += 0.7071067811865476 * f_hi[14];
-    fp[10] += 0.7071067811865476 * f_hi[15];
-    fp[5] += -1.224744871391589 * f_hi[16];
-    fp[6] += -1.224744871391589 * f_hi[17];
-    fp[7] += -1.224744871391589 * f_hi[18];
-    fp[11] += 0.7071067811865476 * f_hi[19];
-    fp[8] += -1.224744871391589 * f_hi[20];
-    fp[9] += -1.224744871391589 * f_hi[21];
-    fp[12] += 0.7071067811865476 * f_hi[22];
-    fp[10] += -1.224744871391589 * f_hi[23];
-    fp[13] += 0.7071067811865476 * f_hi[24];
-    fp[14] += 0.7071067811865476 * f_hi[25];
-    fp[11] += -1.224744871391589 * f_hi[26];
-    fp[12] += -1.224744871391589 * f_hi[27];
-    fp[13] += -1.224744871391589 * f_hi[28];
-    fp[14] += -1.224744871391589 * f_hi[29];
-    fp[15] += 0.7071067811865476 * f_hi[30];
-    fp[15] += -1.224744871391589 * f_hi[31];
-    let mut favg = [0.0f64; 16];
-    let mut ghat = [0.0f64; 16];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    favg[8] = 0.5 * (fm[8] + fp[8]);
-    ghat[8] = -0.5 * lam * (fp[8] - fm[8]);
-    favg[9] = 0.5 * (fm[9] + fp[9]);
-    ghat[9] = -0.5 * lam * (fp[9] - fm[9]);
-    favg[10] = 0.5 * (fm[10] + fp[10]);
-    ghat[10] = -0.5 * lam * (fp[10] - fm[10]);
-    favg[11] = 0.5 * (fm[11] + fp[11]);
-    ghat[11] = -0.5 * lam * (fp[11] - fm[11]);
-    favg[12] = 0.5 * (fm[12] + fp[12]);
-    ghat[12] = -0.5 * lam * (fp[12] - fm[12]);
-    favg[13] = 0.5 * (fm[13] + fp[13]);
-    ghat[13] = -0.5 * lam * (fp[13] - fm[13]);
-    favg[14] = 0.5 * (fm[14] + fp[14]);
-    ghat[14] = -0.5 * lam * (fp[14] - fm[14]);
-    favg[15] = 0.5 * (fm[15] + fp[15]);
-    ghat[15] = -0.5 * lam * (fp[15] - fm[15]);
-    ghat[0] += 0.25 * alpha[0] * favg[0];
-    ghat[0] += 0.25 * alpha[3] * favg[3];
-    ghat[0] += 0.25 * alpha[4] * favg[4];
-    ghat[0] += 0.25 * alpha[10] * favg[10];
-    ghat[1] += 0.25 * alpha[0] * favg[1];
-    ghat[1] += 0.25 * alpha[3] * favg[6];
-    ghat[1] += 0.25 * alpha[4] * favg[8];
-    ghat[1] += 0.25 * alpha[10] * favg[13];
-    ghat[2] += 0.25 * alpha[0] * favg[2];
-    ghat[2] += 0.25 * alpha[3] * favg[7];
-    ghat[2] += 0.25 * alpha[4] * favg[9];
-    ghat[2] += 0.25 * alpha[10] * favg[14];
-    ghat[3] += 0.25 * alpha[0] * favg[3];
-    ghat[3] += 0.25 * alpha[3] * favg[0];
-    ghat[3] += 0.25 * alpha[4] * favg[10];
-    ghat[3] += 0.25 * alpha[10] * favg[4];
-    ghat[4] += 0.25 * alpha[0] * favg[4];
-    ghat[4] += 0.25 * alpha[3] * favg[10];
-    ghat[4] += 0.25 * alpha[4] * favg[0];
-    ghat[4] += 0.25 * alpha[10] * favg[3];
-    ghat[5] += 0.25 * alpha[0] * favg[5];
-    ghat[5] += 0.25 * alpha[3] * favg[11];
-    ghat[5] += 0.25 * alpha[4] * favg[12];
-    ghat[5] += 0.25 * alpha[10] * favg[15];
-    ghat[6] += 0.25 * alpha[0] * favg[6];
-    ghat[6] += 0.25 * alpha[3] * favg[1];
-    ghat[6] += 0.25 * alpha[4] * favg[13];
-    ghat[6] += 0.25 * alpha[10] * favg[8];
-    ghat[7] += 0.25 * alpha[0] * favg[7];
-    ghat[7] += 0.25 * alpha[3] * favg[2];
-    ghat[7] += 0.25 * alpha[4] * favg[14];
-    ghat[7] += 0.25 * alpha[10] * favg[9];
-    ghat[8] += 0.25 * alpha[0] * favg[8];
-    ghat[8] += 0.25 * alpha[3] * favg[13];
-    ghat[8] += 0.25 * alpha[4] * favg[1];
-    ghat[8] += 0.25 * alpha[10] * favg[6];
-    ghat[9] += 0.25 * alpha[0] * favg[9];
-    ghat[9] += 0.25 * alpha[3] * favg[14];
-    ghat[9] += 0.25 * alpha[4] * favg[2];
-    ghat[9] += 0.25 * alpha[10] * favg[7];
-    ghat[10] += 0.25 * alpha[0] * favg[10];
-    ghat[10] += 0.25 * alpha[3] * favg[4];
-    ghat[10] += 0.25 * alpha[4] * favg[3];
-    ghat[10] += 0.25 * alpha[10] * favg[0];
-    ghat[11] += 0.25 * alpha[0] * favg[11];
-    ghat[11] += 0.25 * alpha[3] * favg[5];
-    ghat[11] += 0.25 * alpha[4] * favg[15];
-    ghat[11] += 0.25 * alpha[10] * favg[12];
-    ghat[12] += 0.25 * alpha[0] * favg[12];
-    ghat[12] += 0.25 * alpha[3] * favg[15];
-    ghat[12] += 0.25 * alpha[4] * favg[5];
-    ghat[12] += 0.25 * alpha[10] * favg[11];
-    ghat[13] += 0.25 * alpha[0] * favg[13];
-    ghat[13] += 0.25 * alpha[3] * favg[8];
-    ghat[13] += 0.25 * alpha[4] * favg[6];
-    ghat[13] += 0.25 * alpha[10] * favg[1];
-    ghat[14] += 0.25 * alpha[0] * favg[14];
-    ghat[14] += 0.25 * alpha[3] * favg[9];
-    ghat[14] += 0.25 * alpha[4] * favg[7];
-    ghat[14] += 0.25 * alpha[10] * favg[2];
-    ghat[15] += 0.25 * alpha[0] * favg[15];
-    ghat[15] += 0.25 * alpha[3] * favg[12];
-    ghat[15] += 0.25 * alpha[4] * favg[11];
-    ghat[15] += 0.25 * alpha[10] * favg[5];
-    out_lo[0] += -scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -scale * 1.224744871391589 * ghat[0];
-    out_lo[2] += -scale * 0.7071067811865476 * ghat[1];
-    out_lo[3] += -scale * 0.7071067811865476 * ghat[2];
-    out_lo[4] += -scale * 0.7071067811865476 * ghat[3];
-    out_lo[5] += -scale * 0.7071067811865476 * ghat[4];
-    out_lo[6] += -scale * 1.224744871391589 * ghat[1];
-    out_lo[7] += -scale * 1.224744871391589 * ghat[2];
-    out_lo[8] += -scale * 0.7071067811865476 * ghat[5];
-    out_lo[9] += -scale * 1.224744871391589 * ghat[3];
-    out_lo[10] += -scale * 0.7071067811865476 * ghat[6];
-    out_lo[11] += -scale * 0.7071067811865476 * ghat[7];
-    out_lo[12] += -scale * 1.224744871391589 * ghat[4];
-    out_lo[13] += -scale * 0.7071067811865476 * ghat[8];
-    out_lo[14] += -scale * 0.7071067811865476 * ghat[9];
-    out_lo[15] += -scale * 0.7071067811865476 * ghat[10];
-    out_lo[16] += -scale * 1.224744871391589 * ghat[5];
-    out_lo[17] += -scale * 1.224744871391589 * ghat[6];
-    out_lo[18] += -scale * 1.224744871391589 * ghat[7];
-    out_lo[19] += -scale * 0.7071067811865476 * ghat[11];
-    out_lo[20] += -scale * 1.224744871391589 * ghat[8];
-    out_lo[21] += -scale * 1.224744871391589 * ghat[9];
-    out_lo[22] += -scale * 0.7071067811865476 * ghat[12];
-    out_lo[23] += -scale * 1.224744871391589 * ghat[10];
-    out_lo[24] += -scale * 0.7071067811865476 * ghat[13];
-    out_lo[25] += -scale * 0.7071067811865476 * ghat[14];
-    out_lo[26] += -scale * 1.224744871391589 * ghat[11];
-    out_lo[27] += -scale * 1.224744871391589 * ghat[12];
-    out_lo[28] += -scale * 1.224744871391589 * ghat[13];
-    out_lo[29] += -scale * 1.224744871391589 * ghat[14];
-    out_lo[30] += -scale * 0.7071067811865476 * ghat[15];
-    out_lo[31] += -scale * 1.224744871391589 * ghat[15];
-    out_hi[0] += scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += scale * -1.224744871391589 * ghat[0];
-    out_hi[2] += scale * 0.7071067811865476 * ghat[1];
-    out_hi[3] += scale * 0.7071067811865476 * ghat[2];
-    out_hi[4] += scale * 0.7071067811865476 * ghat[3];
-    out_hi[5] += scale * 0.7071067811865476 * ghat[4];
-    out_hi[6] += scale * -1.224744871391589 * ghat[1];
-    out_hi[7] += scale * -1.224744871391589 * ghat[2];
-    out_hi[8] += scale * 0.7071067811865476 * ghat[5];
-    out_hi[9] += scale * -1.224744871391589 * ghat[3];
-    out_hi[10] += scale * 0.7071067811865476 * ghat[6];
-    out_hi[11] += scale * 0.7071067811865476 * ghat[7];
-    out_hi[12] += scale * -1.224744871391589 * ghat[4];
-    out_hi[13] += scale * 0.7071067811865476 * ghat[8];
-    out_hi[14] += scale * 0.7071067811865476 * ghat[9];
-    out_hi[15] += scale * 0.7071067811865476 * ghat[10];
-    out_hi[16] += scale * -1.224744871391589 * ghat[5];
-    out_hi[17] += scale * -1.224744871391589 * ghat[6];
-    out_hi[18] += scale * -1.224744871391589 * ghat[7];
-    out_hi[19] += scale * 0.7071067811865476 * ghat[11];
-    out_hi[20] += scale * -1.224744871391589 * ghat[8];
-    out_hi[21] += scale * -1.224744871391589 * ghat[9];
-    out_hi[22] += scale * 0.7071067811865476 * ghat[12];
-    out_hi[23] += scale * -1.224744871391589 * ghat[10];
-    out_hi[24] += scale * 0.7071067811865476 * ghat[13];
-    out_hi[25] += scale * 0.7071067811865476 * ghat[14];
-    out_hi[26] += scale * -1.224744871391589 * ghat[11];
-    out_hi[27] += scale * -1.224744871391589 * ghat[12];
-    out_hi[28] += scale * -1.224744871391589 * ghat[13];
-    out_hi[29] += scale * -1.224744871391589 * ghat[14];
-    out_hi[30] += scale * 0.7071067811865476 * ghat[15];
-    out_hi[31] += scale * -1.224744871391589 * ghat[15];
+    let mut alpha = [[0.0f64; L]; 16];
+    let mut lam = [0.0f64; L];
+    for k in 0..L {
+        alpha[0][k] = -nu * vstar * 4.0;
+        alpha[0][k] += nu * 2.0 * u[0][k];
+        alpha[3][k] += nu * 2.0 * u[1][k];
+        alpha[4][k] += nu * 2.0 * u[2][k];
+        alpha[10][k] += nu * 2.0 * u[3][k];
+        lam[k] = alpha[0][k].abs() * 0.25000000000000006 + alpha[3][k].abs() * 0.4330127018922194 + alpha[4][k].abs() * 0.4330127018922194 + alpha[10][k].abs() * 0.75;
+    }
+    let mut fm = [[0.0f64; L]; 16];
+    let mut fp = [[0.0f64; L]; 16];
+    for k in 0..L {
+        fm[0][k] += 0.7071067811865476 * f_lo[0][k];
+        fm[0][k] += 1.224744871391589 * f_lo[1][k];
+    }
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[2]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[3]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[4]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[5]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[6]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[7]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[8]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[9]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[10]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[11]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[12]);
+    sxn(&mut fm[8], 0.7071067811865476, &f_lo[13]);
+    sxn(&mut fm[9], 0.7071067811865476, &f_lo[14]);
+    sxn(&mut fm[10], 0.7071067811865476, &f_lo[15]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[16]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[17]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[18]);
+    sxn(&mut fm[11], 0.7071067811865476, &f_lo[19]);
+    sxn(&mut fm[8], 1.224744871391589, &f_lo[20]);
+    sxn(&mut fm[9], 1.224744871391589, &f_lo[21]);
+    sxn(&mut fm[12], 0.7071067811865476, &f_lo[22]);
+    sxn(&mut fm[10], 1.224744871391589, &f_lo[23]);
+    sxn(&mut fm[13], 0.7071067811865476, &f_lo[24]);
+    sxn(&mut fm[14], 0.7071067811865476, &f_lo[25]);
+    sxn(&mut fm[11], 1.224744871391589, &f_lo[26]);
+    sxn(&mut fm[12], 1.224744871391589, &f_lo[27]);
+    sxn(&mut fm[13], 1.224744871391589, &f_lo[28]);
+    sxn(&mut fm[14], 1.224744871391589, &f_lo[29]);
+    for k in 0..L {
+        fm[15][k] += 0.7071067811865476 * f_lo[30][k];
+        fm[15][k] += 1.224744871391589 * f_lo[31][k];
+    }
+    for k in 0..L {
+        fp[0][k] += 0.7071067811865476 * f_hi[0][k];
+        fp[0][k] += -1.224744871391589 * f_hi[1][k];
+    }
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[2]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[3]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[4]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[5]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[6]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[7]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[8]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[9]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[10]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[11]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[12]);
+    sxn(&mut fp[8], 0.7071067811865476, &f_hi[13]);
+    sxn(&mut fp[9], 0.7071067811865476, &f_hi[14]);
+    sxn(&mut fp[10], 0.7071067811865476, &f_hi[15]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[16]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[17]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[18]);
+    sxn(&mut fp[11], 0.7071067811865476, &f_hi[19]);
+    sxn(&mut fp[8], -1.224744871391589, &f_hi[20]);
+    sxn(&mut fp[9], -1.224744871391589, &f_hi[21]);
+    sxn(&mut fp[12], 0.7071067811865476, &f_hi[22]);
+    sxn(&mut fp[10], -1.224744871391589, &f_hi[23]);
+    sxn(&mut fp[13], 0.7071067811865476, &f_hi[24]);
+    sxn(&mut fp[14], 0.7071067811865476, &f_hi[25]);
+    sxn(&mut fp[11], -1.224744871391589, &f_hi[26]);
+    sxn(&mut fp[12], -1.224744871391589, &f_hi[27]);
+    sxn(&mut fp[13], -1.224744871391589, &f_hi[28]);
+    sxn(&mut fp[14], -1.224744871391589, &f_hi[29]);
+    for k in 0..L {
+        fp[15][k] += 0.7071067811865476 * f_hi[30][k];
+        fp[15][k] += -1.224744871391589 * f_hi[31][k];
+    }
+    let mut favg = [[0.0f64; L]; 16];
+    let mut ghat = [[0.0f64; L]; 16];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
+        favg[8][k] = 0.5 * (fm[8][k] + fp[8][k]);
+        ghat[8][k] = -0.5 * lam[k] * (fp[8][k] - fm[8][k]);
+        favg[9][k] = 0.5 * (fm[9][k] + fp[9][k]);
+        ghat[9][k] = -0.5 * lam[k] * (fp[9][k] - fm[9][k]);
+        favg[10][k] = 0.5 * (fm[10][k] + fp[10][k]);
+        ghat[10][k] = -0.5 * lam[k] * (fp[10][k] - fm[10][k]);
+        favg[11][k] = 0.5 * (fm[11][k] + fp[11][k]);
+        ghat[11][k] = -0.5 * lam[k] * (fp[11][k] - fm[11][k]);
+        favg[12][k] = 0.5 * (fm[12][k] + fp[12][k]);
+        ghat[12][k] = -0.5 * lam[k] * (fp[12][k] - fm[12][k]);
+        favg[13][k] = 0.5 * (fm[13][k] + fp[13][k]);
+        ghat[13][k] = -0.5 * lam[k] * (fp[13][k] - fm[13][k]);
+        favg[14][k] = 0.5 * (fm[14][k] + fp[14][k]);
+        ghat[14][k] = -0.5 * lam[k] * (fp[14][k] - fm[14][k]);
+        favg[15][k] = 0.5 * (fm[15][k] + fp[15][k]);
+        ghat[15][k] = -0.5 * lam[k] * (fp[15][k] - fm[15][k]);
+    }
+    for k in 0..L {
+        ghat[0][k] += 0.25 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.25 * alpha[3][k] * favg[3][k];
+        ghat[0][k] += 0.25 * alpha[4][k] * favg[4][k];
+        ghat[0][k] += 0.25 * alpha[10][k] * favg[10][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.25 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.25 * alpha[3][k] * favg[6][k];
+        ghat[1][k] += 0.25 * alpha[4][k] * favg[8][k];
+        ghat[1][k] += 0.25 * alpha[10][k] * favg[13][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.25 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.25 * alpha[3][k] * favg[7][k];
+        ghat[2][k] += 0.25 * alpha[4][k] * favg[9][k];
+        ghat[2][k] += 0.25 * alpha[10][k] * favg[14][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.25 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.25 * alpha[3][k] * favg[0][k];
+        ghat[3][k] += 0.25 * alpha[4][k] * favg[10][k];
+        ghat[3][k] += 0.25 * alpha[10][k] * favg[4][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.25 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.25 * alpha[3][k] * favg[10][k];
+        ghat[4][k] += 0.25 * alpha[4][k] * favg[0][k];
+        ghat[4][k] += 0.25 * alpha[10][k] * favg[3][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.25 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.25 * alpha[3][k] * favg[11][k];
+        ghat[5][k] += 0.25 * alpha[4][k] * favg[12][k];
+        ghat[5][k] += 0.25 * alpha[10][k] * favg[15][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.25 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.25 * alpha[3][k] * favg[1][k];
+        ghat[6][k] += 0.25 * alpha[4][k] * favg[13][k];
+        ghat[6][k] += 0.25 * alpha[10][k] * favg[8][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.25 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.25 * alpha[3][k] * favg[2][k];
+        ghat[7][k] += 0.25 * alpha[4][k] * favg[14][k];
+        ghat[7][k] += 0.25 * alpha[10][k] * favg[9][k];
+    }
+    for k in 0..L {
+        ghat[8][k] += 0.25 * alpha[0][k] * favg[8][k];
+        ghat[8][k] += 0.25 * alpha[3][k] * favg[13][k];
+        ghat[8][k] += 0.25 * alpha[4][k] * favg[1][k];
+        ghat[8][k] += 0.25 * alpha[10][k] * favg[6][k];
+    }
+    for k in 0..L {
+        ghat[9][k] += 0.25 * alpha[0][k] * favg[9][k];
+        ghat[9][k] += 0.25 * alpha[3][k] * favg[14][k];
+        ghat[9][k] += 0.25 * alpha[4][k] * favg[2][k];
+        ghat[9][k] += 0.25 * alpha[10][k] * favg[7][k];
+    }
+    for k in 0..L {
+        ghat[10][k] += 0.25 * alpha[0][k] * favg[10][k];
+        ghat[10][k] += 0.25 * alpha[3][k] * favg[4][k];
+        ghat[10][k] += 0.25 * alpha[4][k] * favg[3][k];
+        ghat[10][k] += 0.25 * alpha[10][k] * favg[0][k];
+    }
+    for k in 0..L {
+        ghat[11][k] += 0.25 * alpha[0][k] * favg[11][k];
+        ghat[11][k] += 0.25 * alpha[3][k] * favg[5][k];
+        ghat[11][k] += 0.25 * alpha[4][k] * favg[15][k];
+        ghat[11][k] += 0.25 * alpha[10][k] * favg[12][k];
+    }
+    for k in 0..L {
+        ghat[12][k] += 0.25 * alpha[0][k] * favg[12][k];
+        ghat[12][k] += 0.25 * alpha[3][k] * favg[15][k];
+        ghat[12][k] += 0.25 * alpha[4][k] * favg[5][k];
+        ghat[12][k] += 0.25 * alpha[10][k] * favg[11][k];
+    }
+    for k in 0..L {
+        ghat[13][k] += 0.25 * alpha[0][k] * favg[13][k];
+        ghat[13][k] += 0.25 * alpha[3][k] * favg[8][k];
+        ghat[13][k] += 0.25 * alpha[4][k] * favg[6][k];
+        ghat[13][k] += 0.25 * alpha[10][k] * favg[1][k];
+    }
+    for k in 0..L {
+        ghat[14][k] += 0.25 * alpha[0][k] * favg[14][k];
+        ghat[14][k] += 0.25 * alpha[3][k] * favg[9][k];
+        ghat[14][k] += 0.25 * alpha[4][k] * favg[7][k];
+        ghat[14][k] += 0.25 * alpha[10][k] * favg[2][k];
+    }
+    for k in 0..L {
+        ghat[15][k] += 0.25 * alpha[0][k] * favg[15][k];
+        ghat[15][k] += 0.25 * alpha[3][k] * favg[12][k];
+        ghat[15][k] += 0.25 * alpha[4][k] * favg[11][k];
+        ghat[15][k] += 0.25 * alpha[10][k] * favg[5][k];
+    }
+    sxn(&mut out_lo[0], -scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[2], -scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[3], -scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], -scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], -scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], -scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[7], -scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[8], -scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[9], -scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[10], -scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[11], -scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[12], -scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[13], -scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[14], -scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[15], -scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[16], -scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[17], -scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[18], -scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[19], -scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[20], -scale * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[21], -scale * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[22], -scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[23], -scale * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[24], -scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[25], -scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[26], -scale * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[27], -scale * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[28], -scale * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[29], -scale * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[30], -scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[31], -scale * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[0], scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[2], scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[3], scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[7], scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[8], scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[9], scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[10], scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[11], scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[12], scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[13], scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[14], scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[15], scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[16], scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[17], scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[18], scale * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[19], scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[20], scale * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[21], scale * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[22], scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[23], scale * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[24], scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[25], scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[26], scale * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[27], scale * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[28], scale * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[29], scale * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[30], scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[31], scale * -1.224744871391589, &ghat[15]);
 }
 
 /// LDG gradient in v2 for one cell: volume gradient-mass plus the
@@ -1905,264 +2607,366 @@ pub fn lbo_2x3v_p1_ser_drag_surf_v2(nu: f64, vstar: f64, dv: f64, u: &[f64], f_l
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p1_ser_diff_grad_v2(dv: f64, at_upper: bool, f: &[f64], f_up: &[f64], g: &mut [f64]) {
+    lbo_2x3v_p1_ser_diff_grad_v2_body::<1>(dv, at_upper, f.as_chunks().0, f_up.as_chunks().0, g.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p1_ser_diff_grad_v2`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_diff_grad_v2_b4(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_diff_grad_v2_body(dv, at_upper, f, f_up, g)
+}
+
+/// [`lbo_2x3v_p1_ser_diff_grad_v2_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_diff_grad_v2_b4_avx2(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_diff_grad_v2_body(dv, at_upper, f, f_up, g)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p1_ser_diff_grad_v2`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p1_ser_diff_grad_v2_body<const L: usize>(dv: f64, at_upper: bool, f: &[[f64; L]], f_up: &[[f64; L]], g: &mut [[f64; L]]) {
+    let f: &[[f64; L]; 32] = f.first_chunk().expect("f: 32 coefficients");
+    let f_up: &[[f64; L]; 32] = f_up.first_chunk().expect("f_up: 32 coefficients");
+    let g: &mut [[f64; L]; 32] = g.first_chunk_mut().expect("g: 32 coefficients");
     let scale = 2.0 / dv;
-    g[1] += -scale * 1.7320508075688772 * f[0];
-    g[6] += -scale * 1.7320508075688772 * f[2];
-    g[7] += -scale * 1.7320508075688772 * f[3];
-    g[9] += -scale * 1.7320508075688772 * f[4];
-    g[12] += -scale * 1.7320508075688772 * f[5];
-    g[16] += -scale * 1.7320508075688772 * f[8];
-    g[17] += -scale * 1.7320508075688772 * f[10];
-    g[18] += -scale * 1.7320508075688772 * f[11];
-    g[20] += -scale * 1.7320508075688772 * f[13];
-    g[21] += -scale * 1.7320508075688772 * f[14];
-    g[23] += -scale * 1.7320508075688772 * f[15];
-    g[26] += -scale * 1.7320508075688772 * f[19];
-    g[27] += -scale * 1.7320508075688772 * f[22];
-    g[28] += -scale * 1.7320508075688772 * f[24];
-    g[29] += -scale * 1.7320508075688772 * f[25];
-    g[31] += -scale * 1.7320508075688772 * f[30];
-    let mut tr = [0.0f64; 16];
+    sxn(&mut g[1], -scale * 1.7320508075688772, &f[0]);
+    sxn(&mut g[6], -scale * 1.7320508075688772, &f[2]);
+    sxn(&mut g[7], -scale * 1.7320508075688772, &f[3]);
+    sxn(&mut g[9], -scale * 1.7320508075688772, &f[4]);
+    sxn(&mut g[12], -scale * 1.7320508075688772, &f[5]);
+    sxn(&mut g[16], -scale * 1.7320508075688772, &f[8]);
+    sxn(&mut g[17], -scale * 1.7320508075688772, &f[10]);
+    sxn(&mut g[18], -scale * 1.7320508075688772, &f[11]);
+    sxn(&mut g[20], -scale * 1.7320508075688772, &f[13]);
+    sxn(&mut g[21], -scale * 1.7320508075688772, &f[14]);
+    sxn(&mut g[23], -scale * 1.7320508075688772, &f[15]);
+    sxn(&mut g[26], -scale * 1.7320508075688772, &f[19]);
+    sxn(&mut g[27], -scale * 1.7320508075688772, &f[22]);
+    sxn(&mut g[28], -scale * 1.7320508075688772, &f[24]);
+    sxn(&mut g[29], -scale * 1.7320508075688772, &f[25]);
+    sxn(&mut g[31], -scale * 1.7320508075688772, &f[30]);
+    let mut tr = [[0.0f64; L]; 16];
     if at_upper {
-        tr[0] += 0.7071067811865476 * f[0];
-        tr[0] += 1.224744871391589 * f[1];
-        tr[1] += 0.7071067811865476 * f[2];
-        tr[2] += 0.7071067811865476 * f[3];
-        tr[3] += 0.7071067811865476 * f[4];
-        tr[4] += 0.7071067811865476 * f[5];
-        tr[1] += 1.224744871391589 * f[6];
-        tr[2] += 1.224744871391589 * f[7];
-        tr[5] += 0.7071067811865476 * f[8];
-        tr[3] += 1.224744871391589 * f[9];
-        tr[6] += 0.7071067811865476 * f[10];
-        tr[7] += 0.7071067811865476 * f[11];
-        tr[4] += 1.224744871391589 * f[12];
-        tr[8] += 0.7071067811865476 * f[13];
-        tr[9] += 0.7071067811865476 * f[14];
-        tr[10] += 0.7071067811865476 * f[15];
-        tr[5] += 1.224744871391589 * f[16];
-        tr[6] += 1.224744871391589 * f[17];
-        tr[7] += 1.224744871391589 * f[18];
-        tr[11] += 0.7071067811865476 * f[19];
-        tr[8] += 1.224744871391589 * f[20];
-        tr[9] += 1.224744871391589 * f[21];
-        tr[12] += 0.7071067811865476 * f[22];
-        tr[10] += 1.224744871391589 * f[23];
-        tr[13] += 0.7071067811865476 * f[24];
-        tr[14] += 0.7071067811865476 * f[25];
-        tr[11] += 1.224744871391589 * f[26];
-        tr[12] += 1.224744871391589 * f[27];
-        tr[13] += 1.224744871391589 * f[28];
-        tr[14] += 1.224744871391589 * f[29];
-        tr[15] += 0.7071067811865476 * f[30];
-        tr[15] += 1.224744871391589 * f[31];
+        for k in 0..L {
+            tr[0][k] += 0.7071067811865476 * f[0][k];
+            tr[0][k] += 1.224744871391589 * f[1][k];
+        }
+        sxn(&mut tr[1], 0.7071067811865476, &f[2]);
+        sxn(&mut tr[2], 0.7071067811865476, &f[3]);
+        sxn(&mut tr[3], 0.7071067811865476, &f[4]);
+        sxn(&mut tr[4], 0.7071067811865476, &f[5]);
+        sxn(&mut tr[1], 1.224744871391589, &f[6]);
+        sxn(&mut tr[2], 1.224744871391589, &f[7]);
+        sxn(&mut tr[5], 0.7071067811865476, &f[8]);
+        sxn(&mut tr[3], 1.224744871391589, &f[9]);
+        sxn(&mut tr[6], 0.7071067811865476, &f[10]);
+        sxn(&mut tr[7], 0.7071067811865476, &f[11]);
+        sxn(&mut tr[4], 1.224744871391589, &f[12]);
+        sxn(&mut tr[8], 0.7071067811865476, &f[13]);
+        sxn(&mut tr[9], 0.7071067811865476, &f[14]);
+        sxn(&mut tr[10], 0.7071067811865476, &f[15]);
+        sxn(&mut tr[5], 1.224744871391589, &f[16]);
+        sxn(&mut tr[6], 1.224744871391589, &f[17]);
+        sxn(&mut tr[7], 1.224744871391589, &f[18]);
+        sxn(&mut tr[11], 0.7071067811865476, &f[19]);
+        sxn(&mut tr[8], 1.224744871391589, &f[20]);
+        sxn(&mut tr[9], 1.224744871391589, &f[21]);
+        sxn(&mut tr[12], 0.7071067811865476, &f[22]);
+        sxn(&mut tr[10], 1.224744871391589, &f[23]);
+        sxn(&mut tr[13], 0.7071067811865476, &f[24]);
+        sxn(&mut tr[14], 0.7071067811865476, &f[25]);
+        sxn(&mut tr[11], 1.224744871391589, &f[26]);
+        sxn(&mut tr[12], 1.224744871391589, &f[27]);
+        sxn(&mut tr[13], 1.224744871391589, &f[28]);
+        sxn(&mut tr[14], 1.224744871391589, &f[29]);
+        for k in 0..L {
+            tr[15][k] += 0.7071067811865476 * f[30][k];
+            tr[15][k] += 1.224744871391589 * f[31][k];
+        }
     } else {
-        tr[0] += 0.7071067811865476 * f_up[0];
-        tr[0] += -1.224744871391589 * f_up[1];
-        tr[1] += 0.7071067811865476 * f_up[2];
-        tr[2] += 0.7071067811865476 * f_up[3];
-        tr[3] += 0.7071067811865476 * f_up[4];
-        tr[4] += 0.7071067811865476 * f_up[5];
-        tr[1] += -1.224744871391589 * f_up[6];
-        tr[2] += -1.224744871391589 * f_up[7];
-        tr[5] += 0.7071067811865476 * f_up[8];
-        tr[3] += -1.224744871391589 * f_up[9];
-        tr[6] += 0.7071067811865476 * f_up[10];
-        tr[7] += 0.7071067811865476 * f_up[11];
-        tr[4] += -1.224744871391589 * f_up[12];
-        tr[8] += 0.7071067811865476 * f_up[13];
-        tr[9] += 0.7071067811865476 * f_up[14];
-        tr[10] += 0.7071067811865476 * f_up[15];
-        tr[5] += -1.224744871391589 * f_up[16];
-        tr[6] += -1.224744871391589 * f_up[17];
-        tr[7] += -1.224744871391589 * f_up[18];
-        tr[11] += 0.7071067811865476 * f_up[19];
-        tr[8] += -1.224744871391589 * f_up[20];
-        tr[9] += -1.224744871391589 * f_up[21];
-        tr[12] += 0.7071067811865476 * f_up[22];
-        tr[10] += -1.224744871391589 * f_up[23];
-        tr[13] += 0.7071067811865476 * f_up[24];
-        tr[14] += 0.7071067811865476 * f_up[25];
-        tr[11] += -1.224744871391589 * f_up[26];
-        tr[12] += -1.224744871391589 * f_up[27];
-        tr[13] += -1.224744871391589 * f_up[28];
-        tr[14] += -1.224744871391589 * f_up[29];
-        tr[15] += 0.7071067811865476 * f_up[30];
-        tr[15] += -1.224744871391589 * f_up[31];
+        for k in 0..L {
+            tr[0][k] += 0.7071067811865476 * f_up[0][k];
+            tr[0][k] += -1.224744871391589 * f_up[1][k];
+        }
+        sxn(&mut tr[1], 0.7071067811865476, &f_up[2]);
+        sxn(&mut tr[2], 0.7071067811865476, &f_up[3]);
+        sxn(&mut tr[3], 0.7071067811865476, &f_up[4]);
+        sxn(&mut tr[4], 0.7071067811865476, &f_up[5]);
+        sxn(&mut tr[1], -1.224744871391589, &f_up[6]);
+        sxn(&mut tr[2], -1.224744871391589, &f_up[7]);
+        sxn(&mut tr[5], 0.7071067811865476, &f_up[8]);
+        sxn(&mut tr[3], -1.224744871391589, &f_up[9]);
+        sxn(&mut tr[6], 0.7071067811865476, &f_up[10]);
+        sxn(&mut tr[7], 0.7071067811865476, &f_up[11]);
+        sxn(&mut tr[4], -1.224744871391589, &f_up[12]);
+        sxn(&mut tr[8], 0.7071067811865476, &f_up[13]);
+        sxn(&mut tr[9], 0.7071067811865476, &f_up[14]);
+        sxn(&mut tr[10], 0.7071067811865476, &f_up[15]);
+        sxn(&mut tr[5], -1.224744871391589, &f_up[16]);
+        sxn(&mut tr[6], -1.224744871391589, &f_up[17]);
+        sxn(&mut tr[7], -1.224744871391589, &f_up[18]);
+        sxn(&mut tr[11], 0.7071067811865476, &f_up[19]);
+        sxn(&mut tr[8], -1.224744871391589, &f_up[20]);
+        sxn(&mut tr[9], -1.224744871391589, &f_up[21]);
+        sxn(&mut tr[12], 0.7071067811865476, &f_up[22]);
+        sxn(&mut tr[10], -1.224744871391589, &f_up[23]);
+        sxn(&mut tr[13], 0.7071067811865476, &f_up[24]);
+        sxn(&mut tr[14], 0.7071067811865476, &f_up[25]);
+        sxn(&mut tr[11], -1.224744871391589, &f_up[26]);
+        sxn(&mut tr[12], -1.224744871391589, &f_up[27]);
+        sxn(&mut tr[13], -1.224744871391589, &f_up[28]);
+        sxn(&mut tr[14], -1.224744871391589, &f_up[29]);
+        for k in 0..L {
+            tr[15][k] += 0.7071067811865476 * f_up[30][k];
+            tr[15][k] += -1.224744871391589 * f_up[31][k];
+        }
     }
-    g[0] += scale * 0.7071067811865476 * tr[0];
-    g[1] += scale * 1.224744871391589 * tr[0];
-    g[2] += scale * 0.7071067811865476 * tr[1];
-    g[3] += scale * 0.7071067811865476 * tr[2];
-    g[4] += scale * 0.7071067811865476 * tr[3];
-    g[5] += scale * 0.7071067811865476 * tr[4];
-    g[6] += scale * 1.224744871391589 * tr[1];
-    g[7] += scale * 1.224744871391589 * tr[2];
-    g[8] += scale * 0.7071067811865476 * tr[5];
-    g[9] += scale * 1.224744871391589 * tr[3];
-    g[10] += scale * 0.7071067811865476 * tr[6];
-    g[11] += scale * 0.7071067811865476 * tr[7];
-    g[12] += scale * 1.224744871391589 * tr[4];
-    g[13] += scale * 0.7071067811865476 * tr[8];
-    g[14] += scale * 0.7071067811865476 * tr[9];
-    g[15] += scale * 0.7071067811865476 * tr[10];
-    g[16] += scale * 1.224744871391589 * tr[5];
-    g[17] += scale * 1.224744871391589 * tr[6];
-    g[18] += scale * 1.224744871391589 * tr[7];
-    g[19] += scale * 0.7071067811865476 * tr[11];
-    g[20] += scale * 1.224744871391589 * tr[8];
-    g[21] += scale * 1.224744871391589 * tr[9];
-    g[22] += scale * 0.7071067811865476 * tr[12];
-    g[23] += scale * 1.224744871391589 * tr[10];
-    g[24] += scale * 0.7071067811865476 * tr[13];
-    g[25] += scale * 0.7071067811865476 * tr[14];
-    g[26] += scale * 1.224744871391589 * tr[11];
-    g[27] += scale * 1.224744871391589 * tr[12];
-    g[28] += scale * 1.224744871391589 * tr[13];
-    g[29] += scale * 1.224744871391589 * tr[14];
-    g[30] += scale * 0.7071067811865476 * tr[15];
-    g[31] += scale * 1.224744871391589 * tr[15];
-    let mut tl = [0.0f64; 16];
-    tl[0] += 0.7071067811865476 * f[0];
-    tl[0] += -1.224744871391589 * f[1];
-    tl[1] += 0.7071067811865476 * f[2];
-    tl[2] += 0.7071067811865476 * f[3];
-    tl[3] += 0.7071067811865476 * f[4];
-    tl[4] += 0.7071067811865476 * f[5];
-    tl[1] += -1.224744871391589 * f[6];
-    tl[2] += -1.224744871391589 * f[7];
-    tl[5] += 0.7071067811865476 * f[8];
-    tl[3] += -1.224744871391589 * f[9];
-    tl[6] += 0.7071067811865476 * f[10];
-    tl[7] += 0.7071067811865476 * f[11];
-    tl[4] += -1.224744871391589 * f[12];
-    tl[8] += 0.7071067811865476 * f[13];
-    tl[9] += 0.7071067811865476 * f[14];
-    tl[10] += 0.7071067811865476 * f[15];
-    tl[5] += -1.224744871391589 * f[16];
-    tl[6] += -1.224744871391589 * f[17];
-    tl[7] += -1.224744871391589 * f[18];
-    tl[11] += 0.7071067811865476 * f[19];
-    tl[8] += -1.224744871391589 * f[20];
-    tl[9] += -1.224744871391589 * f[21];
-    tl[12] += 0.7071067811865476 * f[22];
-    tl[10] += -1.224744871391589 * f[23];
-    tl[13] += 0.7071067811865476 * f[24];
-    tl[14] += 0.7071067811865476 * f[25];
-    tl[11] += -1.224744871391589 * f[26];
-    tl[12] += -1.224744871391589 * f[27];
-    tl[13] += -1.224744871391589 * f[28];
-    tl[14] += -1.224744871391589 * f[29];
-    tl[15] += 0.7071067811865476 * f[30];
-    tl[15] += -1.224744871391589 * f[31];
-    g[0] += -scale * 0.7071067811865476 * tl[0];
-    g[1] += -scale * -1.224744871391589 * tl[0];
-    g[2] += -scale * 0.7071067811865476 * tl[1];
-    g[3] += -scale * 0.7071067811865476 * tl[2];
-    g[4] += -scale * 0.7071067811865476 * tl[3];
-    g[5] += -scale * 0.7071067811865476 * tl[4];
-    g[6] += -scale * -1.224744871391589 * tl[1];
-    g[7] += -scale * -1.224744871391589 * tl[2];
-    g[8] += -scale * 0.7071067811865476 * tl[5];
-    g[9] += -scale * -1.224744871391589 * tl[3];
-    g[10] += -scale * 0.7071067811865476 * tl[6];
-    g[11] += -scale * 0.7071067811865476 * tl[7];
-    g[12] += -scale * -1.224744871391589 * tl[4];
-    g[13] += -scale * 0.7071067811865476 * tl[8];
-    g[14] += -scale * 0.7071067811865476 * tl[9];
-    g[15] += -scale * 0.7071067811865476 * tl[10];
-    g[16] += -scale * -1.224744871391589 * tl[5];
-    g[17] += -scale * -1.224744871391589 * tl[6];
-    g[18] += -scale * -1.224744871391589 * tl[7];
-    g[19] += -scale * 0.7071067811865476 * tl[11];
-    g[20] += -scale * -1.224744871391589 * tl[8];
-    g[21] += -scale * -1.224744871391589 * tl[9];
-    g[22] += -scale * 0.7071067811865476 * tl[12];
-    g[23] += -scale * -1.224744871391589 * tl[10];
-    g[24] += -scale * 0.7071067811865476 * tl[13];
-    g[25] += -scale * 0.7071067811865476 * tl[14];
-    g[26] += -scale * -1.224744871391589 * tl[11];
-    g[27] += -scale * -1.224744871391589 * tl[12];
-    g[28] += -scale * -1.224744871391589 * tl[13];
-    g[29] += -scale * -1.224744871391589 * tl[14];
-    g[30] += -scale * 0.7071067811865476 * tl[15];
-    g[31] += -scale * -1.224744871391589 * tl[15];
+    sxn(&mut g[0], scale * 0.7071067811865476, &tr[0]);
+    sxn(&mut g[1], scale * 1.224744871391589, &tr[0]);
+    sxn(&mut g[2], scale * 0.7071067811865476, &tr[1]);
+    sxn(&mut g[3], scale * 0.7071067811865476, &tr[2]);
+    sxn(&mut g[4], scale * 0.7071067811865476, &tr[3]);
+    sxn(&mut g[5], scale * 0.7071067811865476, &tr[4]);
+    sxn(&mut g[6], scale * 1.224744871391589, &tr[1]);
+    sxn(&mut g[7], scale * 1.224744871391589, &tr[2]);
+    sxn(&mut g[8], scale * 0.7071067811865476, &tr[5]);
+    sxn(&mut g[9], scale * 1.224744871391589, &tr[3]);
+    sxn(&mut g[10], scale * 0.7071067811865476, &tr[6]);
+    sxn(&mut g[11], scale * 0.7071067811865476, &tr[7]);
+    sxn(&mut g[12], scale * 1.224744871391589, &tr[4]);
+    sxn(&mut g[13], scale * 0.7071067811865476, &tr[8]);
+    sxn(&mut g[14], scale * 0.7071067811865476, &tr[9]);
+    sxn(&mut g[15], scale * 0.7071067811865476, &tr[10]);
+    sxn(&mut g[16], scale * 1.224744871391589, &tr[5]);
+    sxn(&mut g[17], scale * 1.224744871391589, &tr[6]);
+    sxn(&mut g[18], scale * 1.224744871391589, &tr[7]);
+    sxn(&mut g[19], scale * 0.7071067811865476, &tr[11]);
+    sxn(&mut g[20], scale * 1.224744871391589, &tr[8]);
+    sxn(&mut g[21], scale * 1.224744871391589, &tr[9]);
+    sxn(&mut g[22], scale * 0.7071067811865476, &tr[12]);
+    sxn(&mut g[23], scale * 1.224744871391589, &tr[10]);
+    sxn(&mut g[24], scale * 0.7071067811865476, &tr[13]);
+    sxn(&mut g[25], scale * 0.7071067811865476, &tr[14]);
+    sxn(&mut g[26], scale * 1.224744871391589, &tr[11]);
+    sxn(&mut g[27], scale * 1.224744871391589, &tr[12]);
+    sxn(&mut g[28], scale * 1.224744871391589, &tr[13]);
+    sxn(&mut g[29], scale * 1.224744871391589, &tr[14]);
+    sxn(&mut g[30], scale * 0.7071067811865476, &tr[15]);
+    sxn(&mut g[31], scale * 1.224744871391589, &tr[15]);
+    let mut tl = [[0.0f64; L]; 16];
+    for k in 0..L {
+        tl[0][k] += 0.7071067811865476 * f[0][k];
+        tl[0][k] += -1.224744871391589 * f[1][k];
+    }
+    sxn(&mut tl[1], 0.7071067811865476, &f[2]);
+    sxn(&mut tl[2], 0.7071067811865476, &f[3]);
+    sxn(&mut tl[3], 0.7071067811865476, &f[4]);
+    sxn(&mut tl[4], 0.7071067811865476, &f[5]);
+    sxn(&mut tl[1], -1.224744871391589, &f[6]);
+    sxn(&mut tl[2], -1.224744871391589, &f[7]);
+    sxn(&mut tl[5], 0.7071067811865476, &f[8]);
+    sxn(&mut tl[3], -1.224744871391589, &f[9]);
+    sxn(&mut tl[6], 0.7071067811865476, &f[10]);
+    sxn(&mut tl[7], 0.7071067811865476, &f[11]);
+    sxn(&mut tl[4], -1.224744871391589, &f[12]);
+    sxn(&mut tl[8], 0.7071067811865476, &f[13]);
+    sxn(&mut tl[9], 0.7071067811865476, &f[14]);
+    sxn(&mut tl[10], 0.7071067811865476, &f[15]);
+    sxn(&mut tl[5], -1.224744871391589, &f[16]);
+    sxn(&mut tl[6], -1.224744871391589, &f[17]);
+    sxn(&mut tl[7], -1.224744871391589, &f[18]);
+    sxn(&mut tl[11], 0.7071067811865476, &f[19]);
+    sxn(&mut tl[8], -1.224744871391589, &f[20]);
+    sxn(&mut tl[9], -1.224744871391589, &f[21]);
+    sxn(&mut tl[12], 0.7071067811865476, &f[22]);
+    sxn(&mut tl[10], -1.224744871391589, &f[23]);
+    sxn(&mut tl[13], 0.7071067811865476, &f[24]);
+    sxn(&mut tl[14], 0.7071067811865476, &f[25]);
+    sxn(&mut tl[11], -1.224744871391589, &f[26]);
+    sxn(&mut tl[12], -1.224744871391589, &f[27]);
+    sxn(&mut tl[13], -1.224744871391589, &f[28]);
+    sxn(&mut tl[14], -1.224744871391589, &f[29]);
+    for k in 0..L {
+        tl[15][k] += 0.7071067811865476 * f[30][k];
+        tl[15][k] += -1.224744871391589 * f[31][k];
+    }
+    sxn(&mut g[0], -scale * 0.7071067811865476, &tl[0]);
+    sxn(&mut g[1], -scale * -1.224744871391589, &tl[0]);
+    sxn(&mut g[2], -scale * 0.7071067811865476, &tl[1]);
+    sxn(&mut g[3], -scale * 0.7071067811865476, &tl[2]);
+    sxn(&mut g[4], -scale * 0.7071067811865476, &tl[3]);
+    sxn(&mut g[5], -scale * 0.7071067811865476, &tl[4]);
+    sxn(&mut g[6], -scale * -1.224744871391589, &tl[1]);
+    sxn(&mut g[7], -scale * -1.224744871391589, &tl[2]);
+    sxn(&mut g[8], -scale * 0.7071067811865476, &tl[5]);
+    sxn(&mut g[9], -scale * -1.224744871391589, &tl[3]);
+    sxn(&mut g[10], -scale * 0.7071067811865476, &tl[6]);
+    sxn(&mut g[11], -scale * 0.7071067811865476, &tl[7]);
+    sxn(&mut g[12], -scale * -1.224744871391589, &tl[4]);
+    sxn(&mut g[13], -scale * 0.7071067811865476, &tl[8]);
+    sxn(&mut g[14], -scale * 0.7071067811865476, &tl[9]);
+    sxn(&mut g[15], -scale * 0.7071067811865476, &tl[10]);
+    sxn(&mut g[16], -scale * -1.224744871391589, &tl[5]);
+    sxn(&mut g[17], -scale * -1.224744871391589, &tl[6]);
+    sxn(&mut g[18], -scale * -1.224744871391589, &tl[7]);
+    sxn(&mut g[19], -scale * 0.7071067811865476, &tl[11]);
+    sxn(&mut g[20], -scale * -1.224744871391589, &tl[8]);
+    sxn(&mut g[21], -scale * -1.224744871391589, &tl[9]);
+    sxn(&mut g[22], -scale * 0.7071067811865476, &tl[12]);
+    sxn(&mut g[23], -scale * -1.224744871391589, &tl[10]);
+    sxn(&mut g[24], -scale * 0.7071067811865476, &tl[13]);
+    sxn(&mut g[25], -scale * 0.7071067811865476, &tl[14]);
+    sxn(&mut g[26], -scale * -1.224744871391589, &tl[11]);
+    sxn(&mut g[27], -scale * -1.224744871391589, &tl[12]);
+    sxn(&mut g[28], -scale * -1.224744871391589, &tl[13]);
+    sxn(&mut g[29], -scale * -1.224744871391589, &tl[14]);
+    sxn(&mut g[30], -scale * 0.7071067811865476, &tl[15]);
+    sxn(&mut g[31], -scale * -1.224744871391589, &tl[15]);
 }
 
 /// LBO diffusion volume term in v2: weak `ν vth²(x) ∂_v g`.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p1_ser_diff_vol_v2(nu: f64, dv: f64, vth2: &[f64], g: &[f64], out: &mut [f64]) {
+    lbo_2x3v_p1_ser_diff_vol_v2_body::<1>(nu, dv, vth2.as_chunks().0, g.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p1_ser_diff_vol_v2`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_diff_vol_v2_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_diff_vol_v2_body(nu, dv, vth2, g, out)
+}
+
+/// [`lbo_2x3v_p1_ser_diff_vol_v2_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_diff_vol_v2_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_diff_vol_v2_body(nu, dv, vth2, g, out)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p1_ser_diff_vol_v2`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p1_ser_diff_vol_v2_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g: &[[f64; L]], out: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 4] = vth2.first_chunk().expect("vth2: 4 coefficients");
+    let g: &[[f64; L]; 32] = g.first_chunk().expect("g: 32 coefficients");
+    let out: &mut [[f64; L]; 32] = out.first_chunk_mut().expect("out: 32 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 32];
-    alpha[0] = 2.8284271247461903 * vth2[0];
-    alpha[4] = 2.8284271247461903 * vth2[1];
-    alpha[5] = 2.8284271247461903 * vth2[2];
-    alpha[15] = 2.8284271247461903 * vth2[3];
-    out[1] += -nu * scale * 0.30618621784789724 * alpha[0] * g[0];
-    out[1] += -nu * scale * 0.30618621784789724 * alpha[4] * g[4];
-    out[1] += -nu * scale * 0.30618621784789724 * alpha[5] * g[5];
-    out[1] += -nu * scale * 0.30618621784789724 * alpha[15] * g[15];
-    out[6] += -nu * scale * 0.30618621784789724 * alpha[0] * g[2];
-    out[6] += -nu * scale * 0.30618621784789724 * alpha[4] * g[10];
-    out[6] += -nu * scale * 0.30618621784789724 * alpha[5] * g[13];
-    out[6] += -nu * scale * 0.30618621784789724 * alpha[15] * g[24];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[0] * g[3];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[4] * g[11];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[5] * g[14];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[15] * g[25];
-    out[9] += -nu * scale * 0.30618621784789724 * alpha[0] * g[4];
-    out[9] += -nu * scale * 0.30618621784789724 * alpha[4] * g[0];
-    out[9] += -nu * scale * 0.30618621784789724 * alpha[5] * g[15];
-    out[9] += -nu * scale * 0.30618621784789724 * alpha[15] * g[5];
-    out[12] += -nu * scale * 0.30618621784789724 * alpha[0] * g[5];
-    out[12] += -nu * scale * 0.30618621784789724 * alpha[4] * g[15];
-    out[12] += -nu * scale * 0.30618621784789724 * alpha[5] * g[0];
-    out[12] += -nu * scale * 0.30618621784789724 * alpha[15] * g[4];
-    out[16] += -nu * scale * 0.30618621784789724 * alpha[0] * g[8];
-    out[16] += -nu * scale * 0.30618621784789724 * alpha[4] * g[19];
-    out[16] += -nu * scale * 0.30618621784789724 * alpha[5] * g[22];
-    out[16] += -nu * scale * 0.30618621784789724 * alpha[15] * g[30];
-    out[17] += -nu * scale * 0.30618621784789724 * alpha[0] * g[10];
-    out[17] += -nu * scale * 0.30618621784789724 * alpha[4] * g[2];
-    out[17] += -nu * scale * 0.30618621784789724 * alpha[5] * g[24];
-    out[17] += -nu * scale * 0.30618621784789724 * alpha[15] * g[13];
-    out[18] += -nu * scale * 0.30618621784789724 * alpha[0] * g[11];
-    out[18] += -nu * scale * 0.30618621784789724 * alpha[4] * g[3];
-    out[18] += -nu * scale * 0.30618621784789724 * alpha[5] * g[25];
-    out[18] += -nu * scale * 0.30618621784789724 * alpha[15] * g[14];
-    out[20] += -nu * scale * 0.30618621784789724 * alpha[0] * g[13];
-    out[20] += -nu * scale * 0.30618621784789724 * alpha[4] * g[24];
-    out[20] += -nu * scale * 0.30618621784789724 * alpha[5] * g[2];
-    out[20] += -nu * scale * 0.30618621784789724 * alpha[15] * g[10];
-    out[21] += -nu * scale * 0.30618621784789724 * alpha[0] * g[14];
-    out[21] += -nu * scale * 0.30618621784789724 * alpha[4] * g[25];
-    out[21] += -nu * scale * 0.30618621784789724 * alpha[5] * g[3];
-    out[21] += -nu * scale * 0.30618621784789724 * alpha[15] * g[11];
-    out[23] += -nu * scale * 0.30618621784789724 * alpha[0] * g[15];
-    out[23] += -nu * scale * 0.30618621784789724 * alpha[4] * g[5];
-    out[23] += -nu * scale * 0.30618621784789724 * alpha[5] * g[4];
-    out[23] += -nu * scale * 0.30618621784789724 * alpha[15] * g[0];
-    out[26] += -nu * scale * 0.30618621784789724 * alpha[0] * g[19];
-    out[26] += -nu * scale * 0.30618621784789724 * alpha[4] * g[8];
-    out[26] += -nu * scale * 0.30618621784789724 * alpha[5] * g[30];
-    out[26] += -nu * scale * 0.30618621784789724 * alpha[15] * g[22];
-    out[27] += -nu * scale * 0.30618621784789724 * alpha[0] * g[22];
-    out[27] += -nu * scale * 0.30618621784789724 * alpha[4] * g[30];
-    out[27] += -nu * scale * 0.30618621784789724 * alpha[5] * g[8];
-    out[27] += -nu * scale * 0.30618621784789724 * alpha[15] * g[19];
-    out[28] += -nu * scale * 0.30618621784789724 * alpha[0] * g[24];
-    out[28] += -nu * scale * 0.30618621784789724 * alpha[4] * g[13];
-    out[28] += -nu * scale * 0.30618621784789724 * alpha[5] * g[10];
-    out[28] += -nu * scale * 0.30618621784789724 * alpha[15] * g[2];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[0] * g[25];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[4] * g[14];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[5] * g[11];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[15] * g[3];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[0] * g[30];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[4] * g[22];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[5] * g[19];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[15] * g[8];
+    let mut alpha = [[0.0f64; L]; 32];
+    for k in 0..L {
+        alpha[0][k] = 2.8284271247461903 * vth2[0][k];
+        alpha[4][k] = 2.8284271247461903 * vth2[1][k];
+        alpha[5][k] = 2.8284271247461903 * vth2[2][k];
+        alpha[15][k] = 2.8284271247461903 * vth2[3][k];
+    }
+    for k in 0..L {
+        out[1][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[0][k];
+        out[1][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[4][k];
+        out[1][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[5][k];
+        out[1][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[15][k];
+    }
+    for k in 0..L {
+        out[6][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[2][k];
+        out[6][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[10][k];
+        out[6][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[13][k];
+        out[6][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[24][k];
+    }
+    for k in 0..L {
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[3][k];
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[11][k];
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[14][k];
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[25][k];
+    }
+    for k in 0..L {
+        out[9][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[4][k];
+        out[9][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[0][k];
+        out[9][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[15][k];
+        out[9][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[5][k];
+    }
+    for k in 0..L {
+        out[12][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[5][k];
+        out[12][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[15][k];
+        out[12][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[0][k];
+        out[12][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[4][k];
+    }
+    for k in 0..L {
+        out[16][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[8][k];
+        out[16][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[19][k];
+        out[16][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[22][k];
+        out[16][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[30][k];
+    }
+    for k in 0..L {
+        out[17][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[10][k];
+        out[17][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[2][k];
+        out[17][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[24][k];
+        out[17][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[13][k];
+    }
+    for k in 0..L {
+        out[18][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[11][k];
+        out[18][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[3][k];
+        out[18][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[25][k];
+        out[18][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[14][k];
+    }
+    for k in 0..L {
+        out[20][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[13][k];
+        out[20][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[24][k];
+        out[20][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[2][k];
+        out[20][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[10][k];
+    }
+    for k in 0..L {
+        out[21][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[14][k];
+        out[21][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[25][k];
+        out[21][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[3][k];
+        out[21][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[11][k];
+    }
+    for k in 0..L {
+        out[23][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[15][k];
+        out[23][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[5][k];
+        out[23][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[4][k];
+        out[23][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[0][k];
+    }
+    for k in 0..L {
+        out[26][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[19][k];
+        out[26][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[8][k];
+        out[26][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[30][k];
+        out[26][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[22][k];
+    }
+    for k in 0..L {
+        out[27][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[22][k];
+        out[27][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[30][k];
+        out[27][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[8][k];
+        out[27][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[19][k];
+    }
+    for k in 0..L {
+        out[28][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[24][k];
+        out[28][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[13][k];
+        out[28][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[10][k];
+        out[28][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[2][k];
+    }
+    for k in 0..L {
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[25][k];
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[14][k];
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[11][k];
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[3][k];
+    }
+    for k in 0..L {
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[30][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[22][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[19][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[8][k];
+    }
 }
 
 /// LBO diffusion surface term in v2 at one interior face: one-sided
@@ -2171,172 +2975,239 @@ pub fn lbo_2x3v_p1_ser_diff_vol_v2(nu: f64, dv: f64, vth2: &[f64], g: &[f64], ou
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p1_ser_diff_surf_v2(nu: f64, dv: f64, vth2: &[f64], g_lo: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_2x3v_p1_ser_diff_surf_v2_body::<1>(nu, dv, vth2.as_chunks().0, g_lo.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p1_ser_diff_surf_v2`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_diff_surf_v2_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_diff_surf_v2_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// [`lbo_2x3v_p1_ser_diff_surf_v2_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p1_ser_diff_surf_v2_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p1_ser_diff_surf_v2_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p1_ser_diff_surf_v2`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p1_ser_diff_surf_v2_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g_lo: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 4] = vth2.first_chunk().expect("vth2: 4 coefficients");
+    let g_lo: &[[f64; L]; 32] = g_lo.first_chunk().expect("g_lo: 32 coefficients");
+    let out_lo: &mut [[f64; L]; 32] = out_lo.first_chunk_mut().expect("out_lo: 32 coefficients");
+    let out_hi: &mut [[f64; L]; 32] = out_hi.first_chunk_mut().expect("out_hi: 32 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 16];
-    alpha[0] = 2.0 * vth2[0];
-    alpha[3] = 2.0 * vth2[1];
-    alpha[4] = 2.0 * vth2[2];
-    alpha[10] = 2.0 * vth2[3];
-    let mut tr = [0.0f64; 16];
-    tr[0] += 0.7071067811865476 * g_lo[0];
-    tr[0] += 1.224744871391589 * g_lo[1];
-    tr[1] += 0.7071067811865476 * g_lo[2];
-    tr[2] += 0.7071067811865476 * g_lo[3];
-    tr[3] += 0.7071067811865476 * g_lo[4];
-    tr[4] += 0.7071067811865476 * g_lo[5];
-    tr[1] += 1.224744871391589 * g_lo[6];
-    tr[2] += 1.224744871391589 * g_lo[7];
-    tr[5] += 0.7071067811865476 * g_lo[8];
-    tr[3] += 1.224744871391589 * g_lo[9];
-    tr[6] += 0.7071067811865476 * g_lo[10];
-    tr[7] += 0.7071067811865476 * g_lo[11];
-    tr[4] += 1.224744871391589 * g_lo[12];
-    tr[8] += 0.7071067811865476 * g_lo[13];
-    tr[9] += 0.7071067811865476 * g_lo[14];
-    tr[10] += 0.7071067811865476 * g_lo[15];
-    tr[5] += 1.224744871391589 * g_lo[16];
-    tr[6] += 1.224744871391589 * g_lo[17];
-    tr[7] += 1.224744871391589 * g_lo[18];
-    tr[11] += 0.7071067811865476 * g_lo[19];
-    tr[8] += 1.224744871391589 * g_lo[20];
-    tr[9] += 1.224744871391589 * g_lo[21];
-    tr[12] += 0.7071067811865476 * g_lo[22];
-    tr[10] += 1.224744871391589 * g_lo[23];
-    tr[13] += 0.7071067811865476 * g_lo[24];
-    tr[14] += 0.7071067811865476 * g_lo[25];
-    tr[11] += 1.224744871391589 * g_lo[26];
-    tr[12] += 1.224744871391589 * g_lo[27];
-    tr[13] += 1.224744871391589 * g_lo[28];
-    tr[14] += 1.224744871391589 * g_lo[29];
-    tr[15] += 0.7071067811865476 * g_lo[30];
-    tr[15] += 1.224744871391589 * g_lo[31];
-    let mut ghat = [0.0f64; 16];
-    ghat[0] += 0.25 * alpha[0] * tr[0];
-    ghat[0] += 0.25 * alpha[3] * tr[3];
-    ghat[0] += 0.25 * alpha[4] * tr[4];
-    ghat[0] += 0.25 * alpha[10] * tr[10];
-    ghat[1] += 0.25 * alpha[0] * tr[1];
-    ghat[1] += 0.25 * alpha[3] * tr[6];
-    ghat[1] += 0.25 * alpha[4] * tr[8];
-    ghat[1] += 0.25 * alpha[10] * tr[13];
-    ghat[2] += 0.25 * alpha[0] * tr[2];
-    ghat[2] += 0.25 * alpha[3] * tr[7];
-    ghat[2] += 0.25 * alpha[4] * tr[9];
-    ghat[2] += 0.25 * alpha[10] * tr[14];
-    ghat[3] += 0.25 * alpha[0] * tr[3];
-    ghat[3] += 0.25 * alpha[3] * tr[0];
-    ghat[3] += 0.25 * alpha[4] * tr[10];
-    ghat[3] += 0.25 * alpha[10] * tr[4];
-    ghat[4] += 0.25 * alpha[0] * tr[4];
-    ghat[4] += 0.25 * alpha[3] * tr[10];
-    ghat[4] += 0.25 * alpha[4] * tr[0];
-    ghat[4] += 0.25 * alpha[10] * tr[3];
-    ghat[5] += 0.25 * alpha[0] * tr[5];
-    ghat[5] += 0.25 * alpha[3] * tr[11];
-    ghat[5] += 0.25 * alpha[4] * tr[12];
-    ghat[5] += 0.25 * alpha[10] * tr[15];
-    ghat[6] += 0.25 * alpha[0] * tr[6];
-    ghat[6] += 0.25 * alpha[3] * tr[1];
-    ghat[6] += 0.25 * alpha[4] * tr[13];
-    ghat[6] += 0.25 * alpha[10] * tr[8];
-    ghat[7] += 0.25 * alpha[0] * tr[7];
-    ghat[7] += 0.25 * alpha[3] * tr[2];
-    ghat[7] += 0.25 * alpha[4] * tr[14];
-    ghat[7] += 0.25 * alpha[10] * tr[9];
-    ghat[8] += 0.25 * alpha[0] * tr[8];
-    ghat[8] += 0.25 * alpha[3] * tr[13];
-    ghat[8] += 0.25 * alpha[4] * tr[1];
-    ghat[8] += 0.25 * alpha[10] * tr[6];
-    ghat[9] += 0.25 * alpha[0] * tr[9];
-    ghat[9] += 0.25 * alpha[3] * tr[14];
-    ghat[9] += 0.25 * alpha[4] * tr[2];
-    ghat[9] += 0.25 * alpha[10] * tr[7];
-    ghat[10] += 0.25 * alpha[0] * tr[10];
-    ghat[10] += 0.25 * alpha[3] * tr[4];
-    ghat[10] += 0.25 * alpha[4] * tr[3];
-    ghat[10] += 0.25 * alpha[10] * tr[0];
-    ghat[11] += 0.25 * alpha[0] * tr[11];
-    ghat[11] += 0.25 * alpha[3] * tr[5];
-    ghat[11] += 0.25 * alpha[4] * tr[15];
-    ghat[11] += 0.25 * alpha[10] * tr[12];
-    ghat[12] += 0.25 * alpha[0] * tr[12];
-    ghat[12] += 0.25 * alpha[3] * tr[15];
-    ghat[12] += 0.25 * alpha[4] * tr[5];
-    ghat[12] += 0.25 * alpha[10] * tr[11];
-    ghat[13] += 0.25 * alpha[0] * tr[13];
-    ghat[13] += 0.25 * alpha[3] * tr[8];
-    ghat[13] += 0.25 * alpha[4] * tr[6];
-    ghat[13] += 0.25 * alpha[10] * tr[1];
-    ghat[14] += 0.25 * alpha[0] * tr[14];
-    ghat[14] += 0.25 * alpha[3] * tr[9];
-    ghat[14] += 0.25 * alpha[4] * tr[7];
-    ghat[14] += 0.25 * alpha[10] * tr[2];
-    ghat[15] += 0.25 * alpha[0] * tr[15];
-    ghat[15] += 0.25 * alpha[3] * tr[12];
-    ghat[15] += 0.25 * alpha[4] * tr[11];
-    ghat[15] += 0.25 * alpha[10] * tr[5];
-    out_lo[0] += nu * scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += nu * scale * 1.224744871391589 * ghat[0];
-    out_lo[2] += nu * scale * 0.7071067811865476 * ghat[1];
-    out_lo[3] += nu * scale * 0.7071067811865476 * ghat[2];
-    out_lo[4] += nu * scale * 0.7071067811865476 * ghat[3];
-    out_lo[5] += nu * scale * 0.7071067811865476 * ghat[4];
-    out_lo[6] += nu * scale * 1.224744871391589 * ghat[1];
-    out_lo[7] += nu * scale * 1.224744871391589 * ghat[2];
-    out_lo[8] += nu * scale * 0.7071067811865476 * ghat[5];
-    out_lo[9] += nu * scale * 1.224744871391589 * ghat[3];
-    out_lo[10] += nu * scale * 0.7071067811865476 * ghat[6];
-    out_lo[11] += nu * scale * 0.7071067811865476 * ghat[7];
-    out_lo[12] += nu * scale * 1.224744871391589 * ghat[4];
-    out_lo[13] += nu * scale * 0.7071067811865476 * ghat[8];
-    out_lo[14] += nu * scale * 0.7071067811865476 * ghat[9];
-    out_lo[15] += nu * scale * 0.7071067811865476 * ghat[10];
-    out_lo[16] += nu * scale * 1.224744871391589 * ghat[5];
-    out_lo[17] += nu * scale * 1.224744871391589 * ghat[6];
-    out_lo[18] += nu * scale * 1.224744871391589 * ghat[7];
-    out_lo[19] += nu * scale * 0.7071067811865476 * ghat[11];
-    out_lo[20] += nu * scale * 1.224744871391589 * ghat[8];
-    out_lo[21] += nu * scale * 1.224744871391589 * ghat[9];
-    out_lo[22] += nu * scale * 0.7071067811865476 * ghat[12];
-    out_lo[23] += nu * scale * 1.224744871391589 * ghat[10];
-    out_lo[24] += nu * scale * 0.7071067811865476 * ghat[13];
-    out_lo[25] += nu * scale * 0.7071067811865476 * ghat[14];
-    out_lo[26] += nu * scale * 1.224744871391589 * ghat[11];
-    out_lo[27] += nu * scale * 1.224744871391589 * ghat[12];
-    out_lo[28] += nu * scale * 1.224744871391589 * ghat[13];
-    out_lo[29] += nu * scale * 1.224744871391589 * ghat[14];
-    out_lo[30] += nu * scale * 0.7071067811865476 * ghat[15];
-    out_lo[31] += nu * scale * 1.224744871391589 * ghat[15];
-    out_hi[0] += -nu * scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += -nu * scale * -1.224744871391589 * ghat[0];
-    out_hi[2] += -nu * scale * 0.7071067811865476 * ghat[1];
-    out_hi[3] += -nu * scale * 0.7071067811865476 * ghat[2];
-    out_hi[4] += -nu * scale * 0.7071067811865476 * ghat[3];
-    out_hi[5] += -nu * scale * 0.7071067811865476 * ghat[4];
-    out_hi[6] += -nu * scale * -1.224744871391589 * ghat[1];
-    out_hi[7] += -nu * scale * -1.224744871391589 * ghat[2];
-    out_hi[8] += -nu * scale * 0.7071067811865476 * ghat[5];
-    out_hi[9] += -nu * scale * -1.224744871391589 * ghat[3];
-    out_hi[10] += -nu * scale * 0.7071067811865476 * ghat[6];
-    out_hi[11] += -nu * scale * 0.7071067811865476 * ghat[7];
-    out_hi[12] += -nu * scale * -1.224744871391589 * ghat[4];
-    out_hi[13] += -nu * scale * 0.7071067811865476 * ghat[8];
-    out_hi[14] += -nu * scale * 0.7071067811865476 * ghat[9];
-    out_hi[15] += -nu * scale * 0.7071067811865476 * ghat[10];
-    out_hi[16] += -nu * scale * -1.224744871391589 * ghat[5];
-    out_hi[17] += -nu * scale * -1.224744871391589 * ghat[6];
-    out_hi[18] += -nu * scale * -1.224744871391589 * ghat[7];
-    out_hi[19] += -nu * scale * 0.7071067811865476 * ghat[11];
-    out_hi[20] += -nu * scale * -1.224744871391589 * ghat[8];
-    out_hi[21] += -nu * scale * -1.224744871391589 * ghat[9];
-    out_hi[22] += -nu * scale * 0.7071067811865476 * ghat[12];
-    out_hi[23] += -nu * scale * -1.224744871391589 * ghat[10];
-    out_hi[24] += -nu * scale * 0.7071067811865476 * ghat[13];
-    out_hi[25] += -nu * scale * 0.7071067811865476 * ghat[14];
-    out_hi[26] += -nu * scale * -1.224744871391589 * ghat[11];
-    out_hi[27] += -nu * scale * -1.224744871391589 * ghat[12];
-    out_hi[28] += -nu * scale * -1.224744871391589 * ghat[13];
-    out_hi[29] += -nu * scale * -1.224744871391589 * ghat[14];
-    out_hi[30] += -nu * scale * 0.7071067811865476 * ghat[15];
-    out_hi[31] += -nu * scale * -1.224744871391589 * ghat[15];
+    let mut alpha = [[0.0f64; L]; 16];
+    for k in 0..L {
+        alpha[0][k] = 2.0 * vth2[0][k];
+        alpha[3][k] = 2.0 * vth2[1][k];
+        alpha[4][k] = 2.0 * vth2[2][k];
+        alpha[10][k] = 2.0 * vth2[3][k];
+    }
+    let mut tr = [[0.0f64; L]; 16];
+    for k in 0..L {
+        tr[0][k] += 0.7071067811865476 * g_lo[0][k];
+        tr[0][k] += 1.224744871391589 * g_lo[1][k];
+    }
+    sxn(&mut tr[1], 0.7071067811865476, &g_lo[2]);
+    sxn(&mut tr[2], 0.7071067811865476, &g_lo[3]);
+    sxn(&mut tr[3], 0.7071067811865476, &g_lo[4]);
+    sxn(&mut tr[4], 0.7071067811865476, &g_lo[5]);
+    sxn(&mut tr[1], 1.224744871391589, &g_lo[6]);
+    sxn(&mut tr[2], 1.224744871391589, &g_lo[7]);
+    sxn(&mut tr[5], 0.7071067811865476, &g_lo[8]);
+    sxn(&mut tr[3], 1.224744871391589, &g_lo[9]);
+    sxn(&mut tr[6], 0.7071067811865476, &g_lo[10]);
+    sxn(&mut tr[7], 0.7071067811865476, &g_lo[11]);
+    sxn(&mut tr[4], 1.224744871391589, &g_lo[12]);
+    sxn(&mut tr[8], 0.7071067811865476, &g_lo[13]);
+    sxn(&mut tr[9], 0.7071067811865476, &g_lo[14]);
+    sxn(&mut tr[10], 0.7071067811865476, &g_lo[15]);
+    sxn(&mut tr[5], 1.224744871391589, &g_lo[16]);
+    sxn(&mut tr[6], 1.224744871391589, &g_lo[17]);
+    sxn(&mut tr[7], 1.224744871391589, &g_lo[18]);
+    sxn(&mut tr[11], 0.7071067811865476, &g_lo[19]);
+    sxn(&mut tr[8], 1.224744871391589, &g_lo[20]);
+    sxn(&mut tr[9], 1.224744871391589, &g_lo[21]);
+    sxn(&mut tr[12], 0.7071067811865476, &g_lo[22]);
+    sxn(&mut tr[10], 1.224744871391589, &g_lo[23]);
+    sxn(&mut tr[13], 0.7071067811865476, &g_lo[24]);
+    sxn(&mut tr[14], 0.7071067811865476, &g_lo[25]);
+    sxn(&mut tr[11], 1.224744871391589, &g_lo[26]);
+    sxn(&mut tr[12], 1.224744871391589, &g_lo[27]);
+    sxn(&mut tr[13], 1.224744871391589, &g_lo[28]);
+    sxn(&mut tr[14], 1.224744871391589, &g_lo[29]);
+    for k in 0..L {
+        tr[15][k] += 0.7071067811865476 * g_lo[30][k];
+        tr[15][k] += 1.224744871391589 * g_lo[31][k];
+    }
+    let mut ghat = [[0.0f64; L]; 16];
+    for k in 0..L {
+        ghat[0][k] += 0.25 * alpha[0][k] * tr[0][k];
+        ghat[0][k] += 0.25 * alpha[3][k] * tr[3][k];
+        ghat[0][k] += 0.25 * alpha[4][k] * tr[4][k];
+        ghat[0][k] += 0.25 * alpha[10][k] * tr[10][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.25 * alpha[0][k] * tr[1][k];
+        ghat[1][k] += 0.25 * alpha[3][k] * tr[6][k];
+        ghat[1][k] += 0.25 * alpha[4][k] * tr[8][k];
+        ghat[1][k] += 0.25 * alpha[10][k] * tr[13][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.25 * alpha[0][k] * tr[2][k];
+        ghat[2][k] += 0.25 * alpha[3][k] * tr[7][k];
+        ghat[2][k] += 0.25 * alpha[4][k] * tr[9][k];
+        ghat[2][k] += 0.25 * alpha[10][k] * tr[14][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.25 * alpha[0][k] * tr[3][k];
+        ghat[3][k] += 0.25 * alpha[3][k] * tr[0][k];
+        ghat[3][k] += 0.25 * alpha[4][k] * tr[10][k];
+        ghat[3][k] += 0.25 * alpha[10][k] * tr[4][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.25 * alpha[0][k] * tr[4][k];
+        ghat[4][k] += 0.25 * alpha[3][k] * tr[10][k];
+        ghat[4][k] += 0.25 * alpha[4][k] * tr[0][k];
+        ghat[4][k] += 0.25 * alpha[10][k] * tr[3][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.25 * alpha[0][k] * tr[5][k];
+        ghat[5][k] += 0.25 * alpha[3][k] * tr[11][k];
+        ghat[5][k] += 0.25 * alpha[4][k] * tr[12][k];
+        ghat[5][k] += 0.25 * alpha[10][k] * tr[15][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.25 * alpha[0][k] * tr[6][k];
+        ghat[6][k] += 0.25 * alpha[3][k] * tr[1][k];
+        ghat[6][k] += 0.25 * alpha[4][k] * tr[13][k];
+        ghat[6][k] += 0.25 * alpha[10][k] * tr[8][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.25 * alpha[0][k] * tr[7][k];
+        ghat[7][k] += 0.25 * alpha[3][k] * tr[2][k];
+        ghat[7][k] += 0.25 * alpha[4][k] * tr[14][k];
+        ghat[7][k] += 0.25 * alpha[10][k] * tr[9][k];
+    }
+    for k in 0..L {
+        ghat[8][k] += 0.25 * alpha[0][k] * tr[8][k];
+        ghat[8][k] += 0.25 * alpha[3][k] * tr[13][k];
+        ghat[8][k] += 0.25 * alpha[4][k] * tr[1][k];
+        ghat[8][k] += 0.25 * alpha[10][k] * tr[6][k];
+    }
+    for k in 0..L {
+        ghat[9][k] += 0.25 * alpha[0][k] * tr[9][k];
+        ghat[9][k] += 0.25 * alpha[3][k] * tr[14][k];
+        ghat[9][k] += 0.25 * alpha[4][k] * tr[2][k];
+        ghat[9][k] += 0.25 * alpha[10][k] * tr[7][k];
+    }
+    for k in 0..L {
+        ghat[10][k] += 0.25 * alpha[0][k] * tr[10][k];
+        ghat[10][k] += 0.25 * alpha[3][k] * tr[4][k];
+        ghat[10][k] += 0.25 * alpha[4][k] * tr[3][k];
+        ghat[10][k] += 0.25 * alpha[10][k] * tr[0][k];
+    }
+    for k in 0..L {
+        ghat[11][k] += 0.25 * alpha[0][k] * tr[11][k];
+        ghat[11][k] += 0.25 * alpha[3][k] * tr[5][k];
+        ghat[11][k] += 0.25 * alpha[4][k] * tr[15][k];
+        ghat[11][k] += 0.25 * alpha[10][k] * tr[12][k];
+    }
+    for k in 0..L {
+        ghat[12][k] += 0.25 * alpha[0][k] * tr[12][k];
+        ghat[12][k] += 0.25 * alpha[3][k] * tr[15][k];
+        ghat[12][k] += 0.25 * alpha[4][k] * tr[5][k];
+        ghat[12][k] += 0.25 * alpha[10][k] * tr[11][k];
+    }
+    for k in 0..L {
+        ghat[13][k] += 0.25 * alpha[0][k] * tr[13][k];
+        ghat[13][k] += 0.25 * alpha[3][k] * tr[8][k];
+        ghat[13][k] += 0.25 * alpha[4][k] * tr[6][k];
+        ghat[13][k] += 0.25 * alpha[10][k] * tr[1][k];
+    }
+    for k in 0..L {
+        ghat[14][k] += 0.25 * alpha[0][k] * tr[14][k];
+        ghat[14][k] += 0.25 * alpha[3][k] * tr[9][k];
+        ghat[14][k] += 0.25 * alpha[4][k] * tr[7][k];
+        ghat[14][k] += 0.25 * alpha[10][k] * tr[2][k];
+    }
+    for k in 0..L {
+        ghat[15][k] += 0.25 * alpha[0][k] * tr[15][k];
+        ghat[15][k] += 0.25 * alpha[3][k] * tr[12][k];
+        ghat[15][k] += 0.25 * alpha[4][k] * tr[11][k];
+        ghat[15][k] += 0.25 * alpha[10][k] * tr[5][k];
+    }
+    sxn(&mut out_lo[0], nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], nu * scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[2], nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[3], nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], nu * scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[7], nu * scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[8], nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[9], nu * scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[10], nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[11], nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[12], nu * scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[13], nu * scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[14], nu * scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[15], nu * scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[16], nu * scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[17], nu * scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[18], nu * scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[19], nu * scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[20], nu * scale * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[21], nu * scale * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[22], nu * scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[23], nu * scale * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[24], nu * scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[25], nu * scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[26], nu * scale * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[27], nu * scale * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[28], nu * scale * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[29], nu * scale * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[30], nu * scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[31], nu * scale * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[0], -nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], -nu * scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[2], -nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[3], -nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], -nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], -nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], -nu * scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[7], -nu * scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[8], -nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[9], -nu * scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[10], -nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[11], -nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[12], -nu * scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[13], -nu * scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[14], -nu * scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[15], -nu * scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[16], -nu * scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[17], -nu * scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[18], -nu * scale * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[19], -nu * scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[20], -nu * scale * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[21], -nu * scale * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[22], -nu * scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[23], -nu * scale * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[24], -nu * scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[25], -nu * scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[26], -nu * scale * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[27], -nu * scale * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[28], -nu * scale * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[29], -nu * scale * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[30], -nu * scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[31], -nu * scale * -1.224744871391589, &ghat[15]);
 }

@@ -1,705 +1,864 @@
 // LBO (Lenard–Bernstein / Dougherty) collision kernels, 2x3v p=2 Serendipity basis.
 // Auto-generated from exact integral tables — do not edit by hand.
 // Five stage functions per velocity direction (drag volume/surface,
-// LDG gradient, diffusion volume/surface); see
+// LDG gradient, diffusion volume/surface), each one lane-generic body
+// behind a scalar, a `_b4` and a `_b4_avx2` entry point; see
 // `crate::dispatch::LboKernelEntry` for the calling conventions.
 
 /// LBO drag volume term in v0: weak `∇_v · (ν(v − u) f)`, cell interior.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p2_ser_drag_vol_v0(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f64], out: &mut [f64]) {
+    lbo_2x3v_p2_ser_drag_vol_v0_body::<1>(nu, v_c, dv, u.as_chunks().0, f.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p2_ser_drag_vol_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_drag_vol_v0_b4(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_drag_vol_v0_body(nu, v_c, dv, u, f, out)
+}
+
+/// [`lbo_2x3v_p2_ser_drag_vol_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_drag_vol_v0_b4_avx2(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_drag_vol_v0_body(nu, v_c, dv, u, f, out)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p2_ser_drag_vol_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p2_ser_drag_vol_v0_body<const L: usize>(nu: f64, v_c: f64, dv: f64, u: &[[f64; L]], f: &[[f64; L]], out: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 8] = u.first_chunk().expect("u: 8 coefficients");
+    let f: &[[f64; L]; 112] = f.first_chunk().expect("f: 112 coefficients");
+    let out: &mut [[f64; L]; 112] = out.first_chunk_mut().expect("out: 112 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 112];
-    alpha[0] = -nu * v_c * 5.656854249492381;
-    alpha[3] = -nu * 0.5 * dv * 3.265986323710904;
-    alpha[0] += nu * 2.8284271247461903 * u[0];
-    alpha[4] += nu * 2.8284271247461903 * u[1];
-    alpha[5] += nu * 2.8284271247461903 * u[2];
-    alpha[15] += nu * 2.8284271247461903 * u[3];
-    alpha[19] += nu * 2.8284271247461903 * u[4];
-    alpha[20] += nu * 2.8284271247461903 * u[5];
-    alpha[46] += nu * 2.8284271247461903 * u[6];
-    alpha[50] += nu * 2.8284271247461903 * u[7];
-    out[3] += scale * 0.30618621784789724 * alpha[0] * f[0];
-    out[3] += scale * 0.30618621784789724 * alpha[3] * f[3];
-    out[3] += scale * 0.30618621784789724 * alpha[4] * f[4];
-    out[3] += scale * 0.30618621784789724 * alpha[5] * f[5];
-    out[3] += scale * 0.3061862178478973 * alpha[15] * f[15];
-    out[3] += scale * 0.30618621784789724 * alpha[19] * f[19];
-    out[3] += scale * 0.3061862178478973 * alpha[20] * f[20];
-    out[3] += scale * 0.3061862178478973 * alpha[46] * f[46];
-    out[3] += scale * 0.3061862178478973 * alpha[50] * f[50];
-    out[9] += scale * 0.30618621784789724 * alpha[0] * f[1];
-    out[9] += scale * 0.30618621784789724 * alpha[3] * f[9];
-    out[9] += scale * 0.30618621784789724 * alpha[4] * f[12];
-    out[9] += scale * 0.30618621784789724 * alpha[5] * f[16];
-    out[9] += scale * 0.3061862178478973 * alpha[15] * f[34];
-    out[9] += scale * 0.30618621784789724 * alpha[19] * f[43];
-    out[9] += scale * 0.3061862178478973 * alpha[20] * f[47];
-    out[9] += scale * 0.30618621784789724 * alpha[46] * f[77];
-    out[9] += scale * 0.30618621784789724 * alpha[50] * f[83];
-    out[10] += scale * 0.30618621784789724 * alpha[0] * f[2];
-    out[10] += scale * 0.30618621784789724 * alpha[3] * f[10];
-    out[10] += scale * 0.30618621784789724 * alpha[4] * f[13];
-    out[10] += scale * 0.30618621784789724 * alpha[5] * f[17];
-    out[10] += scale * 0.3061862178478973 * alpha[15] * f[35];
-    out[10] += scale * 0.30618621784789724 * alpha[19] * f[44];
-    out[10] += scale * 0.3061862178478973 * alpha[20] * f[48];
-    out[10] += scale * 0.30618621784789724 * alpha[46] * f[78];
-    out[10] += scale * 0.30618621784789724 * alpha[50] * f[84];
-    out[11] += scale * 0.6846531968814576 * alpha[0] * f[3];
-    out[11] += scale * 0.6846531968814576 * alpha[3] * f[0];
-    out[11] += scale * 0.6123724356957946 * alpha[3] * f[11];
-    out[11] += scale * 0.6846531968814575 * alpha[4] * f[14];
-    out[11] += scale * 0.6846531968814575 * alpha[5] * f[18];
-    out[11] += scale * 0.6846531968814578 * alpha[15] * f[36];
-    out[11] += scale * 0.6846531968814576 * alpha[19] * f[45];
-    out[11] += scale * 0.6846531968814578 * alpha[20] * f[49];
-    out[11] += scale * 0.6846531968814576 * alpha[46] * f[79];
-    out[11] += scale * 0.6846531968814576 * alpha[50] * f[85];
-    out[14] += scale * 0.30618621784789724 * alpha[0] * f[4];
-    out[14] += scale * 0.30618621784789724 * alpha[3] * f[14];
-    out[14] += scale * 0.30618621784789724 * alpha[4] * f[0];
-    out[14] += scale * 0.27386127875258304 * alpha[4] * f[15];
-    out[14] += scale * 0.30618621784789724 * alpha[5] * f[19];
-    out[14] += scale * 0.27386127875258304 * alpha[15] * f[4];
-    out[14] += scale * 0.30618621784789724 * alpha[19] * f[5];
-    out[14] += scale * 0.2738612787525831 * alpha[19] * f[46];
-    out[14] += scale * 0.3061862178478973 * alpha[20] * f[50];
-    out[14] += scale * 0.2738612787525831 * alpha[46] * f[19];
-    out[14] += scale * 0.3061862178478973 * alpha[50] * f[20];
-    out[18] += scale * 0.30618621784789724 * alpha[0] * f[5];
-    out[18] += scale * 0.30618621784789724 * alpha[3] * f[18];
-    out[18] += scale * 0.30618621784789724 * alpha[4] * f[19];
-    out[18] += scale * 0.30618621784789724 * alpha[5] * f[0];
-    out[18] += scale * 0.27386127875258304 * alpha[5] * f[20];
-    out[18] += scale * 0.3061862178478973 * alpha[15] * f[46];
-    out[18] += scale * 0.30618621784789724 * alpha[19] * f[4];
-    out[18] += scale * 0.2738612787525831 * alpha[19] * f[50];
-    out[18] += scale * 0.27386127875258304 * alpha[20] * f[5];
-    out[18] += scale * 0.3061862178478973 * alpha[46] * f[15];
-    out[18] += scale * 0.2738612787525831 * alpha[50] * f[19];
-    out[23] += scale * 0.3061862178478973 * alpha[0] * f[6];
-    out[23] += scale * 0.3061862178478973 * alpha[3] * f[23];
-    out[23] += scale * 0.3061862178478973 * alpha[4] * f[28];
-    out[23] += scale * 0.3061862178478973 * alpha[5] * f[37];
-    out[23] += scale * 0.30618621784789724 * alpha[19] * f[71];
-    out[24] += scale * 0.30618621784789724 * alpha[0] * f[7];
-    out[24] += scale * 0.30618621784789724 * alpha[3] * f[24];
-    out[24] += scale * 0.30618621784789724 * alpha[4] * f[29];
-    out[24] += scale * 0.30618621784789724 * alpha[5] * f[38];
-    out[24] += scale * 0.30618621784789724 * alpha[15] * f[61];
-    out[24] += scale * 0.30618621784789724 * alpha[19] * f[72];
-    out[24] += scale * 0.30618621784789724 * alpha[20] * f[80];
-    out[24] += scale * 0.3061862178478973 * alpha[46] * f[100];
-    out[24] += scale * 0.3061862178478973 * alpha[50] * f[104];
-    out[25] += scale * 0.3061862178478973 * alpha[0] * f[8];
-    out[25] += scale * 0.3061862178478973 * alpha[3] * f[25];
-    out[25] += scale * 0.3061862178478973 * alpha[4] * f[30];
-    out[25] += scale * 0.3061862178478973 * alpha[5] * f[39];
-    out[25] += scale * 0.30618621784789724 * alpha[19] * f[73];
-    out[26] += scale * 0.6846531968814575 * alpha[0] * f[9];
-    out[26] += scale * 0.6846531968814575 * alpha[3] * f[1];
-    out[26] += scale * 0.6123724356957946 * alpha[3] * f[26];
-    out[26] += scale * 0.6846531968814576 * alpha[4] * f[31];
-    out[26] += scale * 0.6846531968814576 * alpha[5] * f[40];
-    out[26] += scale * 0.6846531968814576 * alpha[15] * f[62];
-    out[26] += scale * 0.6846531968814576 * alpha[19] * f[74];
-    out[26] += scale * 0.6846531968814576 * alpha[20] * f[81];
-    out[26] += scale * 0.6846531968814576 * alpha[46] * f[101];
-    out[26] += scale * 0.6846531968814576 * alpha[50] * f[105];
-    out[27] += scale * 0.6846531968814575 * alpha[0] * f[10];
-    out[27] += scale * 0.6846531968814575 * alpha[3] * f[2];
-    out[27] += scale * 0.6123724356957946 * alpha[3] * f[27];
-    out[27] += scale * 0.6846531968814576 * alpha[4] * f[32];
-    out[27] += scale * 0.6846531968814576 * alpha[5] * f[41];
-    out[27] += scale * 0.6846531968814576 * alpha[15] * f[63];
-    out[27] += scale * 0.6846531968814576 * alpha[19] * f[75];
-    out[27] += scale * 0.6846531968814576 * alpha[20] * f[82];
-    out[27] += scale * 0.6846531968814576 * alpha[46] * f[102];
-    out[27] += scale * 0.6846531968814576 * alpha[50] * f[106];
-    out[31] += scale * 0.30618621784789724 * alpha[0] * f[12];
-    out[31] += scale * 0.30618621784789724 * alpha[3] * f[31];
-    out[31] += scale * 0.30618621784789724 * alpha[4] * f[1];
-    out[31] += scale * 0.2738612787525831 * alpha[4] * f[34];
-    out[31] += scale * 0.30618621784789724 * alpha[5] * f[43];
-    out[31] += scale * 0.2738612787525831 * alpha[15] * f[12];
-    out[31] += scale * 0.30618621784789724 * alpha[19] * f[16];
-    out[31] += scale * 0.2738612787525831 * alpha[19] * f[77];
-    out[31] += scale * 0.30618621784789724 * alpha[20] * f[83];
-    out[31] += scale * 0.2738612787525831 * alpha[46] * f[43];
-    out[31] += scale * 0.30618621784789724 * alpha[50] * f[47];
-    out[32] += scale * 0.30618621784789724 * alpha[0] * f[13];
-    out[32] += scale * 0.30618621784789724 * alpha[3] * f[32];
-    out[32] += scale * 0.30618621784789724 * alpha[4] * f[2];
-    out[32] += scale * 0.2738612787525831 * alpha[4] * f[35];
-    out[32] += scale * 0.30618621784789724 * alpha[5] * f[44];
-    out[32] += scale * 0.2738612787525831 * alpha[15] * f[13];
-    out[32] += scale * 0.30618621784789724 * alpha[19] * f[17];
-    out[32] += scale * 0.2738612787525831 * alpha[19] * f[78];
-    out[32] += scale * 0.30618621784789724 * alpha[20] * f[84];
-    out[32] += scale * 0.2738612787525831 * alpha[46] * f[44];
-    out[32] += scale * 0.30618621784789724 * alpha[50] * f[48];
-    out[33] += scale * 0.6846531968814575 * alpha[0] * f[14];
-    out[33] += scale * 0.6846531968814575 * alpha[3] * f[4];
-    out[33] += scale * 0.6123724356957946 * alpha[3] * f[33];
-    out[33] += scale * 0.6846531968814575 * alpha[4] * f[3];
-    out[33] += scale * 0.6123724356957946 * alpha[4] * f[36];
-    out[33] += scale * 0.6846531968814576 * alpha[5] * f[45];
-    out[33] += scale * 0.6123724356957946 * alpha[15] * f[14];
-    out[33] += scale * 0.6846531968814576 * alpha[19] * f[18];
-    out[33] += scale * 0.6123724356957945 * alpha[19] * f[79];
-    out[33] += scale * 0.6846531968814576 * alpha[20] * f[85];
-    out[33] += scale * 0.6123724356957945 * alpha[46] * f[45];
-    out[33] += scale * 0.6846531968814576 * alpha[50] * f[49];
-    out[36] += scale * 0.3061862178478973 * alpha[0] * f[15];
-    out[36] += scale * 0.3061862178478973 * alpha[3] * f[36];
-    out[36] += scale * 0.27386127875258304 * alpha[4] * f[4];
-    out[36] += scale * 0.3061862178478973 * alpha[5] * f[46];
-    out[36] += scale * 0.3061862178478973 * alpha[15] * f[0];
-    out[36] += scale * 0.1956151991089879 * alpha[15] * f[15];
-    out[36] += scale * 0.2738612787525831 * alpha[19] * f[19];
-    out[36] += scale * 0.3061862178478973 * alpha[46] * f[5];
-    out[36] += scale * 0.19561519910898792 * alpha[46] * f[46];
-    out[36] += scale * 0.2738612787525831 * alpha[50] * f[50];
-    out[40] += scale * 0.30618621784789724 * alpha[0] * f[16];
-    out[40] += scale * 0.30618621784789724 * alpha[3] * f[40];
-    out[40] += scale * 0.30618621784789724 * alpha[4] * f[43];
-    out[40] += scale * 0.30618621784789724 * alpha[5] * f[1];
-    out[40] += scale * 0.2738612787525831 * alpha[5] * f[47];
-    out[40] += scale * 0.30618621784789724 * alpha[15] * f[77];
-    out[40] += scale * 0.30618621784789724 * alpha[19] * f[12];
-    out[40] += scale * 0.2738612787525831 * alpha[19] * f[83];
-    out[40] += scale * 0.2738612787525831 * alpha[20] * f[16];
-    out[40] += scale * 0.30618621784789724 * alpha[46] * f[34];
-    out[40] += scale * 0.2738612787525831 * alpha[50] * f[43];
-    out[41] += scale * 0.30618621784789724 * alpha[0] * f[17];
-    out[41] += scale * 0.30618621784789724 * alpha[3] * f[41];
-    out[41] += scale * 0.30618621784789724 * alpha[4] * f[44];
-    out[41] += scale * 0.30618621784789724 * alpha[5] * f[2];
-    out[41] += scale * 0.2738612787525831 * alpha[5] * f[48];
-    out[41] += scale * 0.30618621784789724 * alpha[15] * f[78];
-    out[41] += scale * 0.30618621784789724 * alpha[19] * f[13];
-    out[41] += scale * 0.2738612787525831 * alpha[19] * f[84];
-    out[41] += scale * 0.2738612787525831 * alpha[20] * f[17];
-    out[41] += scale * 0.30618621784789724 * alpha[46] * f[35];
-    out[41] += scale * 0.2738612787525831 * alpha[50] * f[44];
-    out[42] += scale * 0.6846531968814575 * alpha[0] * f[18];
-    out[42] += scale * 0.6846531968814575 * alpha[3] * f[5];
-    out[42] += scale * 0.6123724356957946 * alpha[3] * f[42];
-    out[42] += scale * 0.6846531968814576 * alpha[4] * f[45];
-    out[42] += scale * 0.6846531968814575 * alpha[5] * f[3];
-    out[42] += scale * 0.6123724356957946 * alpha[5] * f[49];
-    out[42] += scale * 0.6846531968814576 * alpha[15] * f[79];
-    out[42] += scale * 0.6846531968814576 * alpha[19] * f[14];
-    out[42] += scale * 0.6123724356957945 * alpha[19] * f[85];
-    out[42] += scale * 0.6123724356957946 * alpha[20] * f[18];
-    out[42] += scale * 0.6846531968814576 * alpha[46] * f[36];
-    out[42] += scale * 0.6123724356957945 * alpha[50] * f[45];
-    out[45] += scale * 0.30618621784789724 * alpha[0] * f[19];
-    out[45] += scale * 0.30618621784789724 * alpha[3] * f[45];
-    out[45] += scale * 0.30618621784789724 * alpha[4] * f[5];
-    out[45] += scale * 0.2738612787525831 * alpha[4] * f[46];
-    out[45] += scale * 0.30618621784789724 * alpha[5] * f[4];
-    out[45] += scale * 0.2738612787525831 * alpha[5] * f[50];
-    out[45] += scale * 0.2738612787525831 * alpha[15] * f[19];
-    out[45] += scale * 0.30618621784789724 * alpha[19] * f[0];
-    out[45] += scale * 0.2738612787525831 * alpha[19] * f[15];
-    out[45] += scale * 0.2738612787525831 * alpha[19] * f[20];
-    out[45] += scale * 0.2738612787525831 * alpha[20] * f[19];
-    out[45] += scale * 0.2738612787525831 * alpha[46] * f[4];
-    out[45] += scale * 0.2449489742783178 * alpha[46] * f[50];
-    out[45] += scale * 0.2738612787525831 * alpha[50] * f[5];
-    out[45] += scale * 0.2449489742783178 * alpha[50] * f[46];
-    out[49] += scale * 0.3061862178478973 * alpha[0] * f[20];
-    out[49] += scale * 0.3061862178478973 * alpha[3] * f[49];
-    out[49] += scale * 0.3061862178478973 * alpha[4] * f[50];
-    out[49] += scale * 0.27386127875258304 * alpha[5] * f[5];
-    out[49] += scale * 0.2738612787525831 * alpha[19] * f[19];
-    out[49] += scale * 0.3061862178478973 * alpha[20] * f[0];
-    out[49] += scale * 0.1956151991089879 * alpha[20] * f[20];
-    out[49] += scale * 0.2738612787525831 * alpha[46] * f[46];
-    out[49] += scale * 0.3061862178478973 * alpha[50] * f[4];
-    out[49] += scale * 0.19561519910898792 * alpha[50] * f[50];
-    out[51] += scale * 0.3061862178478973 * alpha[0] * f[21];
-    out[51] += scale * 0.30618621784789724 * alpha[3] * f[51];
-    out[51] += scale * 0.30618621784789724 * alpha[4] * f[54];
-    out[51] += scale * 0.30618621784789724 * alpha[5] * f[64];
-    out[51] += scale * 0.3061862178478973 * alpha[19] * f[93];
-    out[52] += scale * 0.3061862178478973 * alpha[0] * f[22];
-    out[52] += scale * 0.30618621784789724 * alpha[3] * f[52];
-    out[52] += scale * 0.30618621784789724 * alpha[4] * f[55];
-    out[52] += scale * 0.30618621784789724 * alpha[5] * f[65];
-    out[52] += scale * 0.3061862178478973 * alpha[19] * f[94];
-    out[53] += scale * 0.6846531968814576 * alpha[0] * f[24];
-    out[53] += scale * 0.6846531968814576 * alpha[3] * f[7];
-    out[53] += scale * 0.6123724356957945 * alpha[3] * f[53];
-    out[53] += scale * 0.6846531968814576 * alpha[4] * f[57];
-    out[53] += scale * 0.6846531968814576 * alpha[5] * f[67];
-    out[53] += scale * 0.6846531968814576 * alpha[15] * f[89];
-    out[53] += scale * 0.6846531968814576 * alpha[19] * f[96];
-    out[53] += scale * 0.6846531968814576 * alpha[20] * f[103];
-    out[53] += scale * 0.6846531968814576 * alpha[46] * f[110];
-    out[53] += scale * 0.6846531968814576 * alpha[50] * f[111];
-    out[56] += scale * 0.3061862178478973 * alpha[0] * f[28];
-    out[56] += scale * 0.30618621784789724 * alpha[3] * f[56];
-    out[56] += scale * 0.3061862178478973 * alpha[4] * f[6];
-    out[56] += scale * 0.30618621784789724 * alpha[5] * f[71];
-    out[56] += scale * 0.2738612787525831 * alpha[15] * f[28];
-    out[56] += scale * 0.30618621784789724 * alpha[19] * f[37];
-    out[56] += scale * 0.27386127875258304 * alpha[46] * f[71];
-    out[57] += scale * 0.30618621784789724 * alpha[0] * f[29];
-    out[57] += scale * 0.30618621784789724 * alpha[3] * f[57];
-    out[57] += scale * 0.30618621784789724 * alpha[4] * f[7];
-    out[57] += scale * 0.2738612787525831 * alpha[4] * f[61];
-    out[57] += scale * 0.30618621784789724 * alpha[5] * f[72];
-    out[57] += scale * 0.2738612787525831 * alpha[15] * f[29];
-    out[57] += scale * 0.30618621784789724 * alpha[19] * f[38];
-    out[57] += scale * 0.27386127875258304 * alpha[19] * f[100];
-    out[57] += scale * 0.3061862178478973 * alpha[20] * f[104];
-    out[57] += scale * 0.27386127875258304 * alpha[46] * f[72];
-    out[57] += scale * 0.3061862178478973 * alpha[50] * f[80];
-    out[58] += scale * 0.3061862178478973 * alpha[0] * f[30];
-    out[58] += scale * 0.30618621784789724 * alpha[3] * f[58];
-    out[58] += scale * 0.3061862178478973 * alpha[4] * f[8];
-    out[58] += scale * 0.30618621784789724 * alpha[5] * f[73];
-    out[58] += scale * 0.2738612787525831 * alpha[15] * f[30];
-    out[58] += scale * 0.30618621784789724 * alpha[19] * f[39];
-    out[58] += scale * 0.27386127875258304 * alpha[46] * f[73];
-    out[59] += scale * 0.6846531968814576 * alpha[0] * f[31];
-    out[59] += scale * 0.6846531968814576 * alpha[3] * f[12];
-    out[59] += scale * 0.6123724356957945 * alpha[3] * f[59];
-    out[59] += scale * 0.6846531968814576 * alpha[4] * f[9];
-    out[59] += scale * 0.6123724356957945 * alpha[4] * f[62];
-    out[59] += scale * 0.6846531968814576 * alpha[5] * f[74];
-    out[59] += scale * 0.6123724356957945 * alpha[15] * f[31];
-    out[59] += scale * 0.6846531968814576 * alpha[19] * f[40];
-    out[59] += scale * 0.6123724356957946 * alpha[19] * f[101];
-    out[59] += scale * 0.6846531968814576 * alpha[20] * f[105];
-    out[59] += scale * 0.6123724356957946 * alpha[46] * f[74];
-    out[59] += scale * 0.6846531968814576 * alpha[50] * f[81];
-    out[60] += scale * 0.6846531968814576 * alpha[0] * f[32];
-    out[60] += scale * 0.6846531968814576 * alpha[3] * f[13];
-    out[60] += scale * 0.6123724356957945 * alpha[3] * f[60];
-    out[60] += scale * 0.6846531968814576 * alpha[4] * f[10];
-    out[60] += scale * 0.6123724356957945 * alpha[4] * f[63];
-    out[60] += scale * 0.6846531968814576 * alpha[5] * f[75];
-    out[60] += scale * 0.6123724356957945 * alpha[15] * f[32];
-    out[60] += scale * 0.6846531968814576 * alpha[19] * f[41];
-    out[60] += scale * 0.6123724356957946 * alpha[19] * f[102];
-    out[60] += scale * 0.6846531968814576 * alpha[20] * f[106];
-    out[60] += scale * 0.6123724356957946 * alpha[46] * f[75];
-    out[60] += scale * 0.6846531968814576 * alpha[50] * f[82];
-    out[62] += scale * 0.3061862178478973 * alpha[0] * f[34];
-    out[62] += scale * 0.30618621784789724 * alpha[3] * f[62];
-    out[62] += scale * 0.2738612787525831 * alpha[4] * f[12];
-    out[62] += scale * 0.30618621784789724 * alpha[5] * f[77];
-    out[62] += scale * 0.3061862178478973 * alpha[15] * f[1];
-    out[62] += scale * 0.19561519910898792 * alpha[15] * f[34];
-    out[62] += scale * 0.2738612787525831 * alpha[19] * f[43];
-    out[62] += scale * 0.30618621784789724 * alpha[46] * f[16];
-    out[62] += scale * 0.1956151991089879 * alpha[46] * f[77];
-    out[62] += scale * 0.27386127875258304 * alpha[50] * f[83];
-    out[63] += scale * 0.3061862178478973 * alpha[0] * f[35];
-    out[63] += scale * 0.30618621784789724 * alpha[3] * f[63];
-    out[63] += scale * 0.2738612787525831 * alpha[4] * f[13];
-    out[63] += scale * 0.30618621784789724 * alpha[5] * f[78];
-    out[63] += scale * 0.3061862178478973 * alpha[15] * f[2];
-    out[63] += scale * 0.19561519910898792 * alpha[15] * f[35];
-    out[63] += scale * 0.2738612787525831 * alpha[19] * f[44];
-    out[63] += scale * 0.30618621784789724 * alpha[46] * f[17];
-    out[63] += scale * 0.1956151991089879 * alpha[46] * f[78];
-    out[63] += scale * 0.27386127875258304 * alpha[50] * f[84];
-    out[66] += scale * 0.3061862178478973 * alpha[0] * f[37];
-    out[66] += scale * 0.30618621784789724 * alpha[3] * f[66];
-    out[66] += scale * 0.30618621784789724 * alpha[4] * f[71];
-    out[66] += scale * 0.3061862178478973 * alpha[5] * f[6];
-    out[66] += scale * 0.30618621784789724 * alpha[19] * f[28];
-    out[66] += scale * 0.2738612787525831 * alpha[20] * f[37];
-    out[66] += scale * 0.27386127875258304 * alpha[50] * f[71];
-    out[67] += scale * 0.30618621784789724 * alpha[0] * f[38];
-    out[67] += scale * 0.30618621784789724 * alpha[3] * f[67];
-    out[67] += scale * 0.30618621784789724 * alpha[4] * f[72];
-    out[67] += scale * 0.30618621784789724 * alpha[5] * f[7];
-    out[67] += scale * 0.2738612787525831 * alpha[5] * f[80];
-    out[67] += scale * 0.3061862178478973 * alpha[15] * f[100];
-    out[67] += scale * 0.30618621784789724 * alpha[19] * f[29];
-    out[67] += scale * 0.27386127875258304 * alpha[19] * f[104];
-    out[67] += scale * 0.2738612787525831 * alpha[20] * f[38];
-    out[67] += scale * 0.3061862178478973 * alpha[46] * f[61];
-    out[67] += scale * 0.27386127875258304 * alpha[50] * f[72];
-    out[68] += scale * 0.3061862178478973 * alpha[0] * f[39];
-    out[68] += scale * 0.30618621784789724 * alpha[3] * f[68];
-    out[68] += scale * 0.30618621784789724 * alpha[4] * f[73];
-    out[68] += scale * 0.3061862178478973 * alpha[5] * f[8];
-    out[68] += scale * 0.30618621784789724 * alpha[19] * f[30];
-    out[68] += scale * 0.2738612787525831 * alpha[20] * f[39];
-    out[68] += scale * 0.27386127875258304 * alpha[50] * f[73];
-    out[69] += scale * 0.6846531968814576 * alpha[0] * f[40];
-    out[69] += scale * 0.6846531968814576 * alpha[3] * f[16];
-    out[69] += scale * 0.6123724356957945 * alpha[3] * f[69];
-    out[69] += scale * 0.6846531968814576 * alpha[4] * f[74];
-    out[69] += scale * 0.6846531968814576 * alpha[5] * f[9];
-    out[69] += scale * 0.6123724356957945 * alpha[5] * f[81];
-    out[69] += scale * 0.6846531968814576 * alpha[15] * f[101];
-    out[69] += scale * 0.6846531968814576 * alpha[19] * f[31];
-    out[69] += scale * 0.6123724356957946 * alpha[19] * f[105];
-    out[69] += scale * 0.6123724356957945 * alpha[20] * f[40];
-    out[69] += scale * 0.6846531968814576 * alpha[46] * f[62];
-    out[69] += scale * 0.6123724356957946 * alpha[50] * f[74];
-    out[70] += scale * 0.6846531968814576 * alpha[0] * f[41];
-    out[70] += scale * 0.6846531968814576 * alpha[3] * f[17];
-    out[70] += scale * 0.6123724356957945 * alpha[3] * f[70];
-    out[70] += scale * 0.6846531968814576 * alpha[4] * f[75];
-    out[70] += scale * 0.6846531968814576 * alpha[5] * f[10];
-    out[70] += scale * 0.6123724356957945 * alpha[5] * f[82];
-    out[70] += scale * 0.6846531968814576 * alpha[15] * f[102];
-    out[70] += scale * 0.6846531968814576 * alpha[19] * f[32];
-    out[70] += scale * 0.6123724356957946 * alpha[19] * f[106];
-    out[70] += scale * 0.6123724356957945 * alpha[20] * f[41];
-    out[70] += scale * 0.6846531968814576 * alpha[46] * f[63];
-    out[70] += scale * 0.6123724356957946 * alpha[50] * f[75];
-    out[74] += scale * 0.30618621784789724 * alpha[0] * f[43];
-    out[74] += scale * 0.30618621784789724 * alpha[3] * f[74];
-    out[74] += scale * 0.30618621784789724 * alpha[4] * f[16];
-    out[74] += scale * 0.2738612787525831 * alpha[4] * f[77];
-    out[74] += scale * 0.30618621784789724 * alpha[5] * f[12];
-    out[74] += scale * 0.2738612787525831 * alpha[5] * f[83];
-    out[74] += scale * 0.2738612787525831 * alpha[15] * f[43];
-    out[74] += scale * 0.30618621784789724 * alpha[19] * f[1];
-    out[74] += scale * 0.2738612787525831 * alpha[19] * f[34];
-    out[74] += scale * 0.2738612787525831 * alpha[19] * f[47];
-    out[74] += scale * 0.2738612787525831 * alpha[20] * f[43];
-    out[74] += scale * 0.2738612787525831 * alpha[46] * f[12];
-    out[74] += scale * 0.2449489742783178 * alpha[46] * f[83];
-    out[74] += scale * 0.2738612787525831 * alpha[50] * f[16];
-    out[74] += scale * 0.2449489742783178 * alpha[50] * f[77];
-    out[75] += scale * 0.30618621784789724 * alpha[0] * f[44];
-    out[75] += scale * 0.30618621784789724 * alpha[3] * f[75];
-    out[75] += scale * 0.30618621784789724 * alpha[4] * f[17];
-    out[75] += scale * 0.2738612787525831 * alpha[4] * f[78];
-    out[75] += scale * 0.30618621784789724 * alpha[5] * f[13];
-    out[75] += scale * 0.2738612787525831 * alpha[5] * f[84];
-    out[75] += scale * 0.2738612787525831 * alpha[15] * f[44];
-    out[75] += scale * 0.30618621784789724 * alpha[19] * f[2];
-    out[75] += scale * 0.2738612787525831 * alpha[19] * f[35];
-    out[75] += scale * 0.2738612787525831 * alpha[19] * f[48];
-    out[75] += scale * 0.2738612787525831 * alpha[20] * f[44];
-    out[75] += scale * 0.2738612787525831 * alpha[46] * f[13];
-    out[75] += scale * 0.2449489742783178 * alpha[46] * f[84];
-    out[75] += scale * 0.2738612787525831 * alpha[50] * f[17];
-    out[75] += scale * 0.2449489742783178 * alpha[50] * f[78];
-    out[76] += scale * 0.6846531968814576 * alpha[0] * f[45];
-    out[76] += scale * 0.6846531968814576 * alpha[3] * f[19];
-    out[76] += scale * 0.6123724356957945 * alpha[3] * f[76];
-    out[76] += scale * 0.6846531968814576 * alpha[4] * f[18];
-    out[76] += scale * 0.6123724356957945 * alpha[4] * f[79];
-    out[76] += scale * 0.6846531968814576 * alpha[5] * f[14];
-    out[76] += scale * 0.6123724356957945 * alpha[5] * f[85];
-    out[76] += scale * 0.6123724356957945 * alpha[15] * f[45];
-    out[76] += scale * 0.6846531968814576 * alpha[19] * f[3];
-    out[76] += scale * 0.6123724356957945 * alpha[19] * f[36];
-    out[76] += scale * 0.6123724356957945 * alpha[19] * f[49];
-    out[76] += scale * 0.6123724356957945 * alpha[20] * f[45];
-    out[76] += scale * 0.6123724356957945 * alpha[46] * f[14];
-    out[76] += scale * 0.5477225575051661 * alpha[46] * f[85];
-    out[76] += scale * 0.6123724356957945 * alpha[50] * f[18];
-    out[76] += scale * 0.5477225575051661 * alpha[50] * f[79];
-    out[79] += scale * 0.3061862178478973 * alpha[0] * f[46];
-    out[79] += scale * 0.30618621784789724 * alpha[3] * f[79];
-    out[79] += scale * 0.2738612787525831 * alpha[4] * f[19];
-    out[79] += scale * 0.3061862178478973 * alpha[5] * f[15];
-    out[79] += scale * 0.3061862178478973 * alpha[15] * f[5];
-    out[79] += scale * 0.19561519910898792 * alpha[15] * f[46];
-    out[79] += scale * 0.2738612787525831 * alpha[19] * f[4];
-    out[79] += scale * 0.2449489742783178 * alpha[19] * f[50];
-    out[79] += scale * 0.2738612787525831 * alpha[20] * f[46];
-    out[79] += scale * 0.3061862178478973 * alpha[46] * f[0];
-    out[79] += scale * 0.19561519910898792 * alpha[46] * f[15];
-    out[79] += scale * 0.2738612787525831 * alpha[46] * f[20];
-    out[79] += scale * 0.2449489742783178 * alpha[50] * f[19];
-    out[81] += scale * 0.3061862178478973 * alpha[0] * f[47];
-    out[81] += scale * 0.30618621784789724 * alpha[3] * f[81];
-    out[81] += scale * 0.30618621784789724 * alpha[4] * f[83];
-    out[81] += scale * 0.2738612787525831 * alpha[5] * f[16];
-    out[81] += scale * 0.2738612787525831 * alpha[19] * f[43];
-    out[81] += scale * 0.3061862178478973 * alpha[20] * f[1];
-    out[81] += scale * 0.19561519910898792 * alpha[20] * f[47];
-    out[81] += scale * 0.27386127875258304 * alpha[46] * f[77];
-    out[81] += scale * 0.30618621784789724 * alpha[50] * f[12];
-    out[81] += scale * 0.1956151991089879 * alpha[50] * f[83];
-    out[82] += scale * 0.3061862178478973 * alpha[0] * f[48];
-    out[82] += scale * 0.30618621784789724 * alpha[3] * f[82];
-    out[82] += scale * 0.30618621784789724 * alpha[4] * f[84];
-    out[82] += scale * 0.2738612787525831 * alpha[5] * f[17];
-    out[82] += scale * 0.2738612787525831 * alpha[19] * f[44];
-    out[82] += scale * 0.3061862178478973 * alpha[20] * f[2];
-    out[82] += scale * 0.19561519910898792 * alpha[20] * f[48];
-    out[82] += scale * 0.27386127875258304 * alpha[46] * f[78];
-    out[82] += scale * 0.30618621784789724 * alpha[50] * f[13];
-    out[82] += scale * 0.1956151991089879 * alpha[50] * f[84];
-    out[85] += scale * 0.3061862178478973 * alpha[0] * f[50];
-    out[85] += scale * 0.30618621784789724 * alpha[3] * f[85];
-    out[85] += scale * 0.3061862178478973 * alpha[4] * f[20];
-    out[85] += scale * 0.2738612787525831 * alpha[5] * f[19];
-    out[85] += scale * 0.2738612787525831 * alpha[15] * f[50];
-    out[85] += scale * 0.2738612787525831 * alpha[19] * f[5];
-    out[85] += scale * 0.2449489742783178 * alpha[19] * f[46];
-    out[85] += scale * 0.3061862178478973 * alpha[20] * f[4];
-    out[85] += scale * 0.19561519910898792 * alpha[20] * f[50];
-    out[85] += scale * 0.2449489742783178 * alpha[46] * f[19];
-    out[85] += scale * 0.3061862178478973 * alpha[50] * f[0];
-    out[85] += scale * 0.2738612787525831 * alpha[50] * f[15];
-    out[85] += scale * 0.19561519910898792 * alpha[50] * f[20];
-    out[86] += scale * 0.30618621784789724 * alpha[0] * f[54];
-    out[86] += scale * 0.3061862178478973 * alpha[3] * f[86];
-    out[86] += scale * 0.30618621784789724 * alpha[4] * f[21];
-    out[86] += scale * 0.3061862178478973 * alpha[5] * f[93];
-    out[86] += scale * 0.27386127875258304 * alpha[15] * f[54];
-    out[86] += scale * 0.3061862178478973 * alpha[19] * f[64];
-    out[86] += scale * 0.27386127875258304 * alpha[46] * f[93];
-    out[87] += scale * 0.30618621784789724 * alpha[0] * f[55];
-    out[87] += scale * 0.3061862178478973 * alpha[3] * f[87];
-    out[87] += scale * 0.30618621784789724 * alpha[4] * f[22];
-    out[87] += scale * 0.3061862178478973 * alpha[5] * f[94];
-    out[87] += scale * 0.27386127875258304 * alpha[15] * f[55];
-    out[87] += scale * 0.3061862178478973 * alpha[19] * f[65];
-    out[87] += scale * 0.27386127875258304 * alpha[46] * f[94];
-    out[88] += scale * 0.6846531968814576 * alpha[0] * f[57];
-    out[88] += scale * 0.6846531968814576 * alpha[3] * f[29];
-    out[88] += scale * 0.6123724356957946 * alpha[3] * f[88];
-    out[88] += scale * 0.6846531968814576 * alpha[4] * f[24];
-    out[88] += scale * 0.6123724356957946 * alpha[4] * f[89];
-    out[88] += scale * 0.6846531968814576 * alpha[5] * f[96];
-    out[88] += scale * 0.6123724356957946 * alpha[15] * f[57];
-    out[88] += scale * 0.6846531968814576 * alpha[19] * f[67];
-    out[88] += scale * 0.6123724356957946 * alpha[19] * f[110];
-    out[88] += scale * 0.6846531968814576 * alpha[20] * f[111];
-    out[88] += scale * 0.6123724356957946 * alpha[46] * f[96];
-    out[88] += scale * 0.6846531968814576 * alpha[50] * f[103];
-    out[89] += scale * 0.30618621784789724 * alpha[0] * f[61];
-    out[89] += scale * 0.3061862178478973 * alpha[3] * f[89];
-    out[89] += scale * 0.2738612787525831 * alpha[4] * f[29];
-    out[89] += scale * 0.3061862178478973 * alpha[5] * f[100];
-    out[89] += scale * 0.30618621784789724 * alpha[15] * f[7];
-    out[89] += scale * 0.1956151991089879 * alpha[15] * f[61];
-    out[89] += scale * 0.27386127875258304 * alpha[19] * f[72];
-    out[89] += scale * 0.3061862178478973 * alpha[46] * f[38];
-    out[89] += scale * 0.19561519910898792 * alpha[46] * f[100];
-    out[89] += scale * 0.27386127875258304 * alpha[50] * f[104];
-    out[90] += scale * 0.30618621784789724 * alpha[0] * f[64];
-    out[90] += scale * 0.3061862178478973 * alpha[3] * f[90];
-    out[90] += scale * 0.3061862178478973 * alpha[4] * f[93];
-    out[90] += scale * 0.30618621784789724 * alpha[5] * f[21];
-    out[90] += scale * 0.3061862178478973 * alpha[19] * f[54];
-    out[90] += scale * 0.27386127875258304 * alpha[20] * f[64];
-    out[90] += scale * 0.27386127875258304 * alpha[50] * f[93];
-    out[91] += scale * 0.30618621784789724 * alpha[0] * f[65];
-    out[91] += scale * 0.3061862178478973 * alpha[3] * f[91];
-    out[91] += scale * 0.3061862178478973 * alpha[4] * f[94];
-    out[91] += scale * 0.30618621784789724 * alpha[5] * f[22];
-    out[91] += scale * 0.3061862178478973 * alpha[19] * f[55];
-    out[91] += scale * 0.27386127875258304 * alpha[20] * f[65];
-    out[91] += scale * 0.27386127875258304 * alpha[50] * f[94];
-    out[92] += scale * 0.6846531968814576 * alpha[0] * f[67];
-    out[92] += scale * 0.6846531968814576 * alpha[3] * f[38];
-    out[92] += scale * 0.6123724356957946 * alpha[3] * f[92];
-    out[92] += scale * 0.6846531968814576 * alpha[4] * f[96];
-    out[92] += scale * 0.6846531968814576 * alpha[5] * f[24];
-    out[92] += scale * 0.6123724356957946 * alpha[5] * f[103];
-    out[92] += scale * 0.6846531968814576 * alpha[15] * f[110];
-    out[92] += scale * 0.6846531968814576 * alpha[19] * f[57];
-    out[92] += scale * 0.6123724356957946 * alpha[19] * f[111];
-    out[92] += scale * 0.6123724356957946 * alpha[20] * f[67];
-    out[92] += scale * 0.6846531968814576 * alpha[46] * f[89];
-    out[92] += scale * 0.6123724356957946 * alpha[50] * f[96];
-    out[95] += scale * 0.30618621784789724 * alpha[0] * f[71];
-    out[95] += scale * 0.3061862178478973 * alpha[3] * f[95];
-    out[95] += scale * 0.30618621784789724 * alpha[4] * f[37];
-    out[95] += scale * 0.30618621784789724 * alpha[5] * f[28];
-    out[95] += scale * 0.27386127875258304 * alpha[15] * f[71];
-    out[95] += scale * 0.30618621784789724 * alpha[19] * f[6];
-    out[95] += scale * 0.27386127875258304 * alpha[20] * f[71];
-    out[95] += scale * 0.27386127875258304 * alpha[46] * f[28];
-    out[95] += scale * 0.27386127875258304 * alpha[50] * f[37];
-    out[96] += scale * 0.30618621784789724 * alpha[0] * f[72];
-    out[96] += scale * 0.3061862178478973 * alpha[3] * f[96];
-    out[96] += scale * 0.30618621784789724 * alpha[4] * f[38];
-    out[96] += scale * 0.27386127875258304 * alpha[4] * f[100];
-    out[96] += scale * 0.30618621784789724 * alpha[5] * f[29];
-    out[96] += scale * 0.27386127875258304 * alpha[5] * f[104];
-    out[96] += scale * 0.27386127875258304 * alpha[15] * f[72];
-    out[96] += scale * 0.30618621784789724 * alpha[19] * f[7];
-    out[96] += scale * 0.27386127875258304 * alpha[19] * f[61];
-    out[96] += scale * 0.27386127875258304 * alpha[19] * f[80];
-    out[96] += scale * 0.27386127875258304 * alpha[20] * f[72];
-    out[96] += scale * 0.27386127875258304 * alpha[46] * f[29];
-    out[96] += scale * 0.24494897427831783 * alpha[46] * f[104];
-    out[96] += scale * 0.27386127875258304 * alpha[50] * f[38];
-    out[96] += scale * 0.24494897427831783 * alpha[50] * f[100];
-    out[97] += scale * 0.30618621784789724 * alpha[0] * f[73];
-    out[97] += scale * 0.3061862178478973 * alpha[3] * f[97];
-    out[97] += scale * 0.30618621784789724 * alpha[4] * f[39];
-    out[97] += scale * 0.30618621784789724 * alpha[5] * f[30];
-    out[97] += scale * 0.27386127875258304 * alpha[15] * f[73];
-    out[97] += scale * 0.30618621784789724 * alpha[19] * f[8];
-    out[97] += scale * 0.27386127875258304 * alpha[20] * f[73];
-    out[97] += scale * 0.27386127875258304 * alpha[46] * f[30];
-    out[97] += scale * 0.27386127875258304 * alpha[50] * f[39];
-    out[98] += scale * 0.6846531968814576 * alpha[0] * f[74];
-    out[98] += scale * 0.6846531968814576 * alpha[3] * f[43];
-    out[98] += scale * 0.6123724356957946 * alpha[3] * f[98];
-    out[98] += scale * 0.6846531968814576 * alpha[4] * f[40];
-    out[98] += scale * 0.6123724356957946 * alpha[4] * f[101];
-    out[98] += scale * 0.6846531968814576 * alpha[5] * f[31];
-    out[98] += scale * 0.6123724356957946 * alpha[5] * f[105];
-    out[98] += scale * 0.6123724356957946 * alpha[15] * f[74];
-    out[98] += scale * 0.6846531968814576 * alpha[19] * f[9];
-    out[98] += scale * 0.6123724356957946 * alpha[19] * f[62];
-    out[98] += scale * 0.6123724356957946 * alpha[19] * f[81];
-    out[98] += scale * 0.6123724356957946 * alpha[20] * f[74];
-    out[98] += scale * 0.6123724356957946 * alpha[46] * f[31];
-    out[98] += scale * 0.5477225575051661 * alpha[46] * f[105];
-    out[98] += scale * 0.6123724356957946 * alpha[50] * f[40];
-    out[98] += scale * 0.5477225575051661 * alpha[50] * f[101];
-    out[99] += scale * 0.6846531968814576 * alpha[0] * f[75];
-    out[99] += scale * 0.6846531968814576 * alpha[3] * f[44];
-    out[99] += scale * 0.6123724356957946 * alpha[3] * f[99];
-    out[99] += scale * 0.6846531968814576 * alpha[4] * f[41];
-    out[99] += scale * 0.6123724356957946 * alpha[4] * f[102];
-    out[99] += scale * 0.6846531968814576 * alpha[5] * f[32];
-    out[99] += scale * 0.6123724356957946 * alpha[5] * f[106];
-    out[99] += scale * 0.6123724356957946 * alpha[15] * f[75];
-    out[99] += scale * 0.6846531968814576 * alpha[19] * f[10];
-    out[99] += scale * 0.6123724356957946 * alpha[19] * f[63];
-    out[99] += scale * 0.6123724356957946 * alpha[19] * f[82];
-    out[99] += scale * 0.6123724356957946 * alpha[20] * f[75];
-    out[99] += scale * 0.6123724356957946 * alpha[46] * f[32];
-    out[99] += scale * 0.5477225575051661 * alpha[46] * f[106];
-    out[99] += scale * 0.6123724356957946 * alpha[50] * f[41];
-    out[99] += scale * 0.5477225575051661 * alpha[50] * f[102];
-    out[101] += scale * 0.30618621784789724 * alpha[0] * f[77];
-    out[101] += scale * 0.3061862178478973 * alpha[3] * f[101];
-    out[101] += scale * 0.2738612787525831 * alpha[4] * f[43];
-    out[101] += scale * 0.30618621784789724 * alpha[5] * f[34];
-    out[101] += scale * 0.30618621784789724 * alpha[15] * f[16];
-    out[101] += scale * 0.1956151991089879 * alpha[15] * f[77];
-    out[101] += scale * 0.2738612787525831 * alpha[19] * f[12];
-    out[101] += scale * 0.2449489742783178 * alpha[19] * f[83];
-    out[101] += scale * 0.27386127875258304 * alpha[20] * f[77];
-    out[101] += scale * 0.30618621784789724 * alpha[46] * f[1];
-    out[101] += scale * 0.1956151991089879 * alpha[46] * f[34];
-    out[101] += scale * 0.27386127875258304 * alpha[46] * f[47];
-    out[101] += scale * 0.2449489742783178 * alpha[50] * f[43];
-    out[102] += scale * 0.30618621784789724 * alpha[0] * f[78];
-    out[102] += scale * 0.3061862178478973 * alpha[3] * f[102];
-    out[102] += scale * 0.2738612787525831 * alpha[4] * f[44];
-    out[102] += scale * 0.30618621784789724 * alpha[5] * f[35];
-    out[102] += scale * 0.30618621784789724 * alpha[15] * f[17];
-    out[102] += scale * 0.1956151991089879 * alpha[15] * f[78];
-    out[102] += scale * 0.2738612787525831 * alpha[19] * f[13];
-    out[102] += scale * 0.2449489742783178 * alpha[19] * f[84];
-    out[102] += scale * 0.27386127875258304 * alpha[20] * f[78];
-    out[102] += scale * 0.30618621784789724 * alpha[46] * f[2];
-    out[102] += scale * 0.1956151991089879 * alpha[46] * f[35];
-    out[102] += scale * 0.27386127875258304 * alpha[46] * f[48];
-    out[102] += scale * 0.2449489742783178 * alpha[50] * f[44];
-    out[103] += scale * 0.30618621784789724 * alpha[0] * f[80];
-    out[103] += scale * 0.3061862178478973 * alpha[3] * f[103];
-    out[103] += scale * 0.3061862178478973 * alpha[4] * f[104];
-    out[103] += scale * 0.2738612787525831 * alpha[5] * f[38];
-    out[103] += scale * 0.27386127875258304 * alpha[19] * f[72];
-    out[103] += scale * 0.30618621784789724 * alpha[20] * f[7];
-    out[103] += scale * 0.1956151991089879 * alpha[20] * f[80];
-    out[103] += scale * 0.27386127875258304 * alpha[46] * f[100];
-    out[103] += scale * 0.3061862178478973 * alpha[50] * f[29];
-    out[103] += scale * 0.19561519910898792 * alpha[50] * f[104];
-    out[105] += scale * 0.30618621784789724 * alpha[0] * f[83];
-    out[105] += scale * 0.3061862178478973 * alpha[3] * f[105];
-    out[105] += scale * 0.30618621784789724 * alpha[4] * f[47];
-    out[105] += scale * 0.2738612787525831 * alpha[5] * f[43];
-    out[105] += scale * 0.27386127875258304 * alpha[15] * f[83];
-    out[105] += scale * 0.2738612787525831 * alpha[19] * f[16];
-    out[105] += scale * 0.2449489742783178 * alpha[19] * f[77];
-    out[105] += scale * 0.30618621784789724 * alpha[20] * f[12];
-    out[105] += scale * 0.1956151991089879 * alpha[20] * f[83];
-    out[105] += scale * 0.2449489742783178 * alpha[46] * f[43];
-    out[105] += scale * 0.30618621784789724 * alpha[50] * f[1];
-    out[105] += scale * 0.27386127875258304 * alpha[50] * f[34];
-    out[105] += scale * 0.1956151991089879 * alpha[50] * f[47];
-    out[106] += scale * 0.30618621784789724 * alpha[0] * f[84];
-    out[106] += scale * 0.3061862178478973 * alpha[3] * f[106];
-    out[106] += scale * 0.30618621784789724 * alpha[4] * f[48];
-    out[106] += scale * 0.2738612787525831 * alpha[5] * f[44];
-    out[106] += scale * 0.27386127875258304 * alpha[15] * f[84];
-    out[106] += scale * 0.2738612787525831 * alpha[19] * f[17];
-    out[106] += scale * 0.2449489742783178 * alpha[19] * f[78];
-    out[106] += scale * 0.30618621784789724 * alpha[20] * f[13];
-    out[106] += scale * 0.1956151991089879 * alpha[20] * f[84];
-    out[106] += scale * 0.2449489742783178 * alpha[46] * f[44];
-    out[106] += scale * 0.30618621784789724 * alpha[50] * f[2];
-    out[106] += scale * 0.27386127875258304 * alpha[50] * f[35];
-    out[106] += scale * 0.1956151991089879 * alpha[50] * f[48];
-    out[107] += scale * 0.3061862178478973 * alpha[0] * f[93];
-    out[107] += scale * 0.3061862178478973 * alpha[3] * f[107];
-    out[107] += scale * 0.3061862178478973 * alpha[4] * f[64];
-    out[107] += scale * 0.3061862178478973 * alpha[5] * f[54];
-    out[107] += scale * 0.27386127875258304 * alpha[15] * f[93];
-    out[107] += scale * 0.3061862178478973 * alpha[19] * f[21];
-    out[107] += scale * 0.27386127875258304 * alpha[20] * f[93];
-    out[107] += scale * 0.27386127875258304 * alpha[46] * f[54];
-    out[107] += scale * 0.27386127875258304 * alpha[50] * f[64];
-    out[108] += scale * 0.3061862178478973 * alpha[0] * f[94];
-    out[108] += scale * 0.3061862178478973 * alpha[3] * f[108];
-    out[108] += scale * 0.3061862178478973 * alpha[4] * f[65];
-    out[108] += scale * 0.3061862178478973 * alpha[5] * f[55];
-    out[108] += scale * 0.27386127875258304 * alpha[15] * f[94];
-    out[108] += scale * 0.3061862178478973 * alpha[19] * f[22];
-    out[108] += scale * 0.27386127875258304 * alpha[20] * f[94];
-    out[108] += scale * 0.27386127875258304 * alpha[46] * f[55];
-    out[108] += scale * 0.27386127875258304 * alpha[50] * f[65];
-    out[109] += scale * 0.6846531968814576 * alpha[0] * f[96];
-    out[109] += scale * 0.6846531968814576 * alpha[3] * f[72];
-    out[109] += scale * 0.6123724356957946 * alpha[3] * f[109];
-    out[109] += scale * 0.6846531968814576 * alpha[4] * f[67];
-    out[109] += scale * 0.6123724356957946 * alpha[4] * f[110];
-    out[109] += scale * 0.6846531968814576 * alpha[5] * f[57];
-    out[109] += scale * 0.6123724356957946 * alpha[5] * f[111];
-    out[109] += scale * 0.6123724356957946 * alpha[15] * f[96];
-    out[109] += scale * 0.6846531968814576 * alpha[19] * f[24];
-    out[109] += scale * 0.6123724356957946 * alpha[19] * f[89];
-    out[109] += scale * 0.6123724356957946 * alpha[19] * f[103];
-    out[109] += scale * 0.6123724356957946 * alpha[20] * f[96];
-    out[109] += scale * 0.6123724356957946 * alpha[46] * f[57];
-    out[109] += scale * 0.5477225575051662 * alpha[46] * f[111];
-    out[109] += scale * 0.6123724356957946 * alpha[50] * f[67];
-    out[109] += scale * 0.5477225575051662 * alpha[50] * f[110];
-    out[110] += scale * 0.3061862178478973 * alpha[0] * f[100];
-    out[110] += scale * 0.3061862178478973 * alpha[3] * f[110];
-    out[110] += scale * 0.27386127875258304 * alpha[4] * f[72];
-    out[110] += scale * 0.3061862178478973 * alpha[5] * f[61];
-    out[110] += scale * 0.3061862178478973 * alpha[15] * f[38];
-    out[110] += scale * 0.19561519910898792 * alpha[15] * f[100];
-    out[110] += scale * 0.27386127875258304 * alpha[19] * f[29];
-    out[110] += scale * 0.24494897427831783 * alpha[19] * f[104];
-    out[110] += scale * 0.27386127875258304 * alpha[20] * f[100];
-    out[110] += scale * 0.3061862178478973 * alpha[46] * f[7];
-    out[110] += scale * 0.19561519910898792 * alpha[46] * f[61];
-    out[110] += scale * 0.27386127875258304 * alpha[46] * f[80];
-    out[110] += scale * 0.24494897427831783 * alpha[50] * f[72];
-    out[111] += scale * 0.3061862178478973 * alpha[0] * f[104];
-    out[111] += scale * 0.3061862178478973 * alpha[3] * f[111];
-    out[111] += scale * 0.3061862178478973 * alpha[4] * f[80];
-    out[111] += scale * 0.27386127875258304 * alpha[5] * f[72];
-    out[111] += scale * 0.27386127875258304 * alpha[15] * f[104];
-    out[111] += scale * 0.27386127875258304 * alpha[19] * f[38];
-    out[111] += scale * 0.24494897427831783 * alpha[19] * f[100];
-    out[111] += scale * 0.3061862178478973 * alpha[20] * f[29];
-    out[111] += scale * 0.19561519910898792 * alpha[20] * f[104];
-    out[111] += scale * 0.24494897427831783 * alpha[46] * f[72];
-    out[111] += scale * 0.3061862178478973 * alpha[50] * f[7];
-    out[111] += scale * 0.27386127875258304 * alpha[50] * f[61];
-    out[111] += scale * 0.19561519910898792 * alpha[50] * f[80];
+    let mut alpha = [[0.0f64; L]; 112];
+    for k in 0..L {
+        alpha[0][k] = -nu * v_c * 5.656854249492381;
+        alpha[3][k] = -nu * 0.5 * dv * 3.265986323710904;
+        alpha[0][k] += nu * 2.8284271247461903 * u[0][k];
+        alpha[4][k] += nu * 2.8284271247461903 * u[1][k];
+        alpha[5][k] += nu * 2.8284271247461903 * u[2][k];
+        alpha[15][k] += nu * 2.8284271247461903 * u[3][k];
+        alpha[19][k] += nu * 2.8284271247461903 * u[4][k];
+        alpha[20][k] += nu * 2.8284271247461903 * u[5][k];
+        alpha[46][k] += nu * 2.8284271247461903 * u[6][k];
+        alpha[50][k] += nu * 2.8284271247461903 * u[7][k];
+    }
+    for k in 0..L {
+        out[3][k] += scale * 0.30618621784789724 * alpha[0][k] * f[0][k];
+        out[3][k] += scale * 0.30618621784789724 * alpha[3][k] * f[3][k];
+        out[3][k] += scale * 0.30618621784789724 * alpha[4][k] * f[4][k];
+        out[3][k] += scale * 0.30618621784789724 * alpha[5][k] * f[5][k];
+        out[3][k] += scale * 0.3061862178478973 * alpha[15][k] * f[15][k];
+        out[3][k] += scale * 0.30618621784789724 * alpha[19][k] * f[19][k];
+        out[3][k] += scale * 0.3061862178478973 * alpha[20][k] * f[20][k];
+        out[3][k] += scale * 0.3061862178478973 * alpha[46][k] * f[46][k];
+        out[3][k] += scale * 0.3061862178478973 * alpha[50][k] * f[50][k];
+    }
+    for k in 0..L {
+        out[9][k] += scale * 0.30618621784789724 * alpha[0][k] * f[1][k];
+        out[9][k] += scale * 0.30618621784789724 * alpha[3][k] * f[9][k];
+        out[9][k] += scale * 0.30618621784789724 * alpha[4][k] * f[12][k];
+        out[9][k] += scale * 0.30618621784789724 * alpha[5][k] * f[16][k];
+        out[9][k] += scale * 0.3061862178478973 * alpha[15][k] * f[34][k];
+        out[9][k] += scale * 0.30618621784789724 * alpha[19][k] * f[43][k];
+        out[9][k] += scale * 0.3061862178478973 * alpha[20][k] * f[47][k];
+        out[9][k] += scale * 0.30618621784789724 * alpha[46][k] * f[77][k];
+        out[9][k] += scale * 0.30618621784789724 * alpha[50][k] * f[83][k];
+    }
+    for k in 0..L {
+        out[10][k] += scale * 0.30618621784789724 * alpha[0][k] * f[2][k];
+        out[10][k] += scale * 0.30618621784789724 * alpha[3][k] * f[10][k];
+        out[10][k] += scale * 0.30618621784789724 * alpha[4][k] * f[13][k];
+        out[10][k] += scale * 0.30618621784789724 * alpha[5][k] * f[17][k];
+        out[10][k] += scale * 0.3061862178478973 * alpha[15][k] * f[35][k];
+        out[10][k] += scale * 0.30618621784789724 * alpha[19][k] * f[44][k];
+        out[10][k] += scale * 0.3061862178478973 * alpha[20][k] * f[48][k];
+        out[10][k] += scale * 0.30618621784789724 * alpha[46][k] * f[78][k];
+        out[10][k] += scale * 0.30618621784789724 * alpha[50][k] * f[84][k];
+    }
+    for k in 0..L {
+        out[11][k] += scale * 0.6846531968814576 * alpha[0][k] * f[3][k];
+        out[11][k] += scale * 0.6846531968814576 * alpha[3][k] * f[0][k];
+        out[11][k] += scale * 0.6123724356957946 * alpha[3][k] * f[11][k];
+        out[11][k] += scale * 0.6846531968814575 * alpha[4][k] * f[14][k];
+        out[11][k] += scale * 0.6846531968814575 * alpha[5][k] * f[18][k];
+        out[11][k] += scale * 0.6846531968814578 * alpha[15][k] * f[36][k];
+        out[11][k] += scale * 0.6846531968814576 * alpha[19][k] * f[45][k];
+        out[11][k] += scale * 0.6846531968814578 * alpha[20][k] * f[49][k];
+        out[11][k] += scale * 0.6846531968814576 * alpha[46][k] * f[79][k];
+        out[11][k] += scale * 0.6846531968814576 * alpha[50][k] * f[85][k];
+    }
+    for k in 0..L {
+        out[14][k] += scale * 0.30618621784789724 * alpha[0][k] * f[4][k];
+        out[14][k] += scale * 0.30618621784789724 * alpha[3][k] * f[14][k];
+        out[14][k] += scale * 0.30618621784789724 * alpha[4][k] * f[0][k];
+        out[14][k] += scale * 0.27386127875258304 * alpha[4][k] * f[15][k];
+        out[14][k] += scale * 0.30618621784789724 * alpha[5][k] * f[19][k];
+        out[14][k] += scale * 0.27386127875258304 * alpha[15][k] * f[4][k];
+        out[14][k] += scale * 0.30618621784789724 * alpha[19][k] * f[5][k];
+        out[14][k] += scale * 0.2738612787525831 * alpha[19][k] * f[46][k];
+        out[14][k] += scale * 0.3061862178478973 * alpha[20][k] * f[50][k];
+        out[14][k] += scale * 0.2738612787525831 * alpha[46][k] * f[19][k];
+        out[14][k] += scale * 0.3061862178478973 * alpha[50][k] * f[20][k];
+    }
+    for k in 0..L {
+        out[18][k] += scale * 0.30618621784789724 * alpha[0][k] * f[5][k];
+        out[18][k] += scale * 0.30618621784789724 * alpha[3][k] * f[18][k];
+        out[18][k] += scale * 0.30618621784789724 * alpha[4][k] * f[19][k];
+        out[18][k] += scale * 0.30618621784789724 * alpha[5][k] * f[0][k];
+        out[18][k] += scale * 0.27386127875258304 * alpha[5][k] * f[20][k];
+        out[18][k] += scale * 0.3061862178478973 * alpha[15][k] * f[46][k];
+        out[18][k] += scale * 0.30618621784789724 * alpha[19][k] * f[4][k];
+        out[18][k] += scale * 0.2738612787525831 * alpha[19][k] * f[50][k];
+        out[18][k] += scale * 0.27386127875258304 * alpha[20][k] * f[5][k];
+        out[18][k] += scale * 0.3061862178478973 * alpha[46][k] * f[15][k];
+        out[18][k] += scale * 0.2738612787525831 * alpha[50][k] * f[19][k];
+    }
+    for k in 0..L {
+        out[23][k] += scale * 0.3061862178478973 * alpha[0][k] * f[6][k];
+        out[23][k] += scale * 0.3061862178478973 * alpha[3][k] * f[23][k];
+        out[23][k] += scale * 0.3061862178478973 * alpha[4][k] * f[28][k];
+        out[23][k] += scale * 0.3061862178478973 * alpha[5][k] * f[37][k];
+        out[23][k] += scale * 0.30618621784789724 * alpha[19][k] * f[71][k];
+    }
+    for k in 0..L {
+        out[24][k] += scale * 0.30618621784789724 * alpha[0][k] * f[7][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[3][k] * f[24][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[4][k] * f[29][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[5][k] * f[38][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[15][k] * f[61][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[19][k] * f[72][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[20][k] * f[80][k];
+        out[24][k] += scale * 0.3061862178478973 * alpha[46][k] * f[100][k];
+        out[24][k] += scale * 0.3061862178478973 * alpha[50][k] * f[104][k];
+    }
+    for k in 0..L {
+        out[25][k] += scale * 0.3061862178478973 * alpha[0][k] * f[8][k];
+        out[25][k] += scale * 0.3061862178478973 * alpha[3][k] * f[25][k];
+        out[25][k] += scale * 0.3061862178478973 * alpha[4][k] * f[30][k];
+        out[25][k] += scale * 0.3061862178478973 * alpha[5][k] * f[39][k];
+        out[25][k] += scale * 0.30618621784789724 * alpha[19][k] * f[73][k];
+    }
+    for k in 0..L {
+        out[26][k] += scale * 0.6846531968814575 * alpha[0][k] * f[9][k];
+        out[26][k] += scale * 0.6846531968814575 * alpha[3][k] * f[1][k];
+        out[26][k] += scale * 0.6123724356957946 * alpha[3][k] * f[26][k];
+        out[26][k] += scale * 0.6846531968814576 * alpha[4][k] * f[31][k];
+        out[26][k] += scale * 0.6846531968814576 * alpha[5][k] * f[40][k];
+        out[26][k] += scale * 0.6846531968814576 * alpha[15][k] * f[62][k];
+        out[26][k] += scale * 0.6846531968814576 * alpha[19][k] * f[74][k];
+        out[26][k] += scale * 0.6846531968814576 * alpha[20][k] * f[81][k];
+        out[26][k] += scale * 0.6846531968814576 * alpha[46][k] * f[101][k];
+        out[26][k] += scale * 0.6846531968814576 * alpha[50][k] * f[105][k];
+    }
+    for k in 0..L {
+        out[27][k] += scale * 0.6846531968814575 * alpha[0][k] * f[10][k];
+        out[27][k] += scale * 0.6846531968814575 * alpha[3][k] * f[2][k];
+        out[27][k] += scale * 0.6123724356957946 * alpha[3][k] * f[27][k];
+        out[27][k] += scale * 0.6846531968814576 * alpha[4][k] * f[32][k];
+        out[27][k] += scale * 0.6846531968814576 * alpha[5][k] * f[41][k];
+        out[27][k] += scale * 0.6846531968814576 * alpha[15][k] * f[63][k];
+        out[27][k] += scale * 0.6846531968814576 * alpha[19][k] * f[75][k];
+        out[27][k] += scale * 0.6846531968814576 * alpha[20][k] * f[82][k];
+        out[27][k] += scale * 0.6846531968814576 * alpha[46][k] * f[102][k];
+        out[27][k] += scale * 0.6846531968814576 * alpha[50][k] * f[106][k];
+    }
+    for k in 0..L {
+        out[31][k] += scale * 0.30618621784789724 * alpha[0][k] * f[12][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[3][k] * f[31][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[4][k] * f[1][k];
+        out[31][k] += scale * 0.2738612787525831 * alpha[4][k] * f[34][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[5][k] * f[43][k];
+        out[31][k] += scale * 0.2738612787525831 * alpha[15][k] * f[12][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[19][k] * f[16][k];
+        out[31][k] += scale * 0.2738612787525831 * alpha[19][k] * f[77][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[20][k] * f[83][k];
+        out[31][k] += scale * 0.2738612787525831 * alpha[46][k] * f[43][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[50][k] * f[47][k];
+    }
+    for k in 0..L {
+        out[32][k] += scale * 0.30618621784789724 * alpha[0][k] * f[13][k];
+        out[32][k] += scale * 0.30618621784789724 * alpha[3][k] * f[32][k];
+        out[32][k] += scale * 0.30618621784789724 * alpha[4][k] * f[2][k];
+        out[32][k] += scale * 0.2738612787525831 * alpha[4][k] * f[35][k];
+        out[32][k] += scale * 0.30618621784789724 * alpha[5][k] * f[44][k];
+        out[32][k] += scale * 0.2738612787525831 * alpha[15][k] * f[13][k];
+        out[32][k] += scale * 0.30618621784789724 * alpha[19][k] * f[17][k];
+        out[32][k] += scale * 0.2738612787525831 * alpha[19][k] * f[78][k];
+        out[32][k] += scale * 0.30618621784789724 * alpha[20][k] * f[84][k];
+        out[32][k] += scale * 0.2738612787525831 * alpha[46][k] * f[44][k];
+        out[32][k] += scale * 0.30618621784789724 * alpha[50][k] * f[48][k];
+    }
+    for k in 0..L {
+        out[33][k] += scale * 0.6846531968814575 * alpha[0][k] * f[14][k];
+        out[33][k] += scale * 0.6846531968814575 * alpha[3][k] * f[4][k];
+        out[33][k] += scale * 0.6123724356957946 * alpha[3][k] * f[33][k];
+        out[33][k] += scale * 0.6846531968814575 * alpha[4][k] * f[3][k];
+        out[33][k] += scale * 0.6123724356957946 * alpha[4][k] * f[36][k];
+        out[33][k] += scale * 0.6846531968814576 * alpha[5][k] * f[45][k];
+        out[33][k] += scale * 0.6123724356957946 * alpha[15][k] * f[14][k];
+        out[33][k] += scale * 0.6846531968814576 * alpha[19][k] * f[18][k];
+        out[33][k] += scale * 0.6123724356957945 * alpha[19][k] * f[79][k];
+        out[33][k] += scale * 0.6846531968814576 * alpha[20][k] * f[85][k];
+        out[33][k] += scale * 0.6123724356957945 * alpha[46][k] * f[45][k];
+        out[33][k] += scale * 0.6846531968814576 * alpha[50][k] * f[49][k];
+    }
+    for k in 0..L {
+        out[36][k] += scale * 0.3061862178478973 * alpha[0][k] * f[15][k];
+        out[36][k] += scale * 0.3061862178478973 * alpha[3][k] * f[36][k];
+        out[36][k] += scale * 0.27386127875258304 * alpha[4][k] * f[4][k];
+        out[36][k] += scale * 0.3061862178478973 * alpha[5][k] * f[46][k];
+        out[36][k] += scale * 0.3061862178478973 * alpha[15][k] * f[0][k];
+        out[36][k] += scale * 0.1956151991089879 * alpha[15][k] * f[15][k];
+        out[36][k] += scale * 0.2738612787525831 * alpha[19][k] * f[19][k];
+        out[36][k] += scale * 0.3061862178478973 * alpha[46][k] * f[5][k];
+        out[36][k] += scale * 0.19561519910898792 * alpha[46][k] * f[46][k];
+        out[36][k] += scale * 0.2738612787525831 * alpha[50][k] * f[50][k];
+    }
+    for k in 0..L {
+        out[40][k] += scale * 0.30618621784789724 * alpha[0][k] * f[16][k];
+        out[40][k] += scale * 0.30618621784789724 * alpha[3][k] * f[40][k];
+        out[40][k] += scale * 0.30618621784789724 * alpha[4][k] * f[43][k];
+        out[40][k] += scale * 0.30618621784789724 * alpha[5][k] * f[1][k];
+        out[40][k] += scale * 0.2738612787525831 * alpha[5][k] * f[47][k];
+        out[40][k] += scale * 0.30618621784789724 * alpha[15][k] * f[77][k];
+        out[40][k] += scale * 0.30618621784789724 * alpha[19][k] * f[12][k];
+        out[40][k] += scale * 0.2738612787525831 * alpha[19][k] * f[83][k];
+        out[40][k] += scale * 0.2738612787525831 * alpha[20][k] * f[16][k];
+        out[40][k] += scale * 0.30618621784789724 * alpha[46][k] * f[34][k];
+        out[40][k] += scale * 0.2738612787525831 * alpha[50][k] * f[43][k];
+    }
+    for k in 0..L {
+        out[41][k] += scale * 0.30618621784789724 * alpha[0][k] * f[17][k];
+        out[41][k] += scale * 0.30618621784789724 * alpha[3][k] * f[41][k];
+        out[41][k] += scale * 0.30618621784789724 * alpha[4][k] * f[44][k];
+        out[41][k] += scale * 0.30618621784789724 * alpha[5][k] * f[2][k];
+        out[41][k] += scale * 0.2738612787525831 * alpha[5][k] * f[48][k];
+        out[41][k] += scale * 0.30618621784789724 * alpha[15][k] * f[78][k];
+        out[41][k] += scale * 0.30618621784789724 * alpha[19][k] * f[13][k];
+        out[41][k] += scale * 0.2738612787525831 * alpha[19][k] * f[84][k];
+        out[41][k] += scale * 0.2738612787525831 * alpha[20][k] * f[17][k];
+        out[41][k] += scale * 0.30618621784789724 * alpha[46][k] * f[35][k];
+        out[41][k] += scale * 0.2738612787525831 * alpha[50][k] * f[44][k];
+    }
+    for k in 0..L {
+        out[42][k] += scale * 0.6846531968814575 * alpha[0][k] * f[18][k];
+        out[42][k] += scale * 0.6846531968814575 * alpha[3][k] * f[5][k];
+        out[42][k] += scale * 0.6123724356957946 * alpha[3][k] * f[42][k];
+        out[42][k] += scale * 0.6846531968814576 * alpha[4][k] * f[45][k];
+        out[42][k] += scale * 0.6846531968814575 * alpha[5][k] * f[3][k];
+        out[42][k] += scale * 0.6123724356957946 * alpha[5][k] * f[49][k];
+        out[42][k] += scale * 0.6846531968814576 * alpha[15][k] * f[79][k];
+        out[42][k] += scale * 0.6846531968814576 * alpha[19][k] * f[14][k];
+        out[42][k] += scale * 0.6123724356957945 * alpha[19][k] * f[85][k];
+        out[42][k] += scale * 0.6123724356957946 * alpha[20][k] * f[18][k];
+        out[42][k] += scale * 0.6846531968814576 * alpha[46][k] * f[36][k];
+        out[42][k] += scale * 0.6123724356957945 * alpha[50][k] * f[45][k];
+    }
+    for k in 0..L {
+        out[45][k] += scale * 0.30618621784789724 * alpha[0][k] * f[19][k];
+        out[45][k] += scale * 0.30618621784789724 * alpha[3][k] * f[45][k];
+        out[45][k] += scale * 0.30618621784789724 * alpha[4][k] * f[5][k];
+        out[45][k] += scale * 0.2738612787525831 * alpha[4][k] * f[46][k];
+        out[45][k] += scale * 0.30618621784789724 * alpha[5][k] * f[4][k];
+        out[45][k] += scale * 0.2738612787525831 * alpha[5][k] * f[50][k];
+        out[45][k] += scale * 0.2738612787525831 * alpha[15][k] * f[19][k];
+        out[45][k] += scale * 0.30618621784789724 * alpha[19][k] * f[0][k];
+        out[45][k] += scale * 0.2738612787525831 * alpha[19][k] * f[15][k];
+        out[45][k] += scale * 0.2738612787525831 * alpha[19][k] * f[20][k];
+        out[45][k] += scale * 0.2738612787525831 * alpha[20][k] * f[19][k];
+        out[45][k] += scale * 0.2738612787525831 * alpha[46][k] * f[4][k];
+        out[45][k] += scale * 0.2449489742783178 * alpha[46][k] * f[50][k];
+        out[45][k] += scale * 0.2738612787525831 * alpha[50][k] * f[5][k];
+        out[45][k] += scale * 0.2449489742783178 * alpha[50][k] * f[46][k];
+    }
+    for k in 0..L {
+        out[49][k] += scale * 0.3061862178478973 * alpha[0][k] * f[20][k];
+        out[49][k] += scale * 0.3061862178478973 * alpha[3][k] * f[49][k];
+        out[49][k] += scale * 0.3061862178478973 * alpha[4][k] * f[50][k];
+        out[49][k] += scale * 0.27386127875258304 * alpha[5][k] * f[5][k];
+        out[49][k] += scale * 0.2738612787525831 * alpha[19][k] * f[19][k];
+        out[49][k] += scale * 0.3061862178478973 * alpha[20][k] * f[0][k];
+        out[49][k] += scale * 0.1956151991089879 * alpha[20][k] * f[20][k];
+        out[49][k] += scale * 0.2738612787525831 * alpha[46][k] * f[46][k];
+        out[49][k] += scale * 0.3061862178478973 * alpha[50][k] * f[4][k];
+        out[49][k] += scale * 0.19561519910898792 * alpha[50][k] * f[50][k];
+    }
+    for k in 0..L {
+        out[51][k] += scale * 0.3061862178478973 * alpha[0][k] * f[21][k];
+        out[51][k] += scale * 0.30618621784789724 * alpha[3][k] * f[51][k];
+        out[51][k] += scale * 0.30618621784789724 * alpha[4][k] * f[54][k];
+        out[51][k] += scale * 0.30618621784789724 * alpha[5][k] * f[64][k];
+        out[51][k] += scale * 0.3061862178478973 * alpha[19][k] * f[93][k];
+    }
+    for k in 0..L {
+        out[52][k] += scale * 0.3061862178478973 * alpha[0][k] * f[22][k];
+        out[52][k] += scale * 0.30618621784789724 * alpha[3][k] * f[52][k];
+        out[52][k] += scale * 0.30618621784789724 * alpha[4][k] * f[55][k];
+        out[52][k] += scale * 0.30618621784789724 * alpha[5][k] * f[65][k];
+        out[52][k] += scale * 0.3061862178478973 * alpha[19][k] * f[94][k];
+    }
+    for k in 0..L {
+        out[53][k] += scale * 0.6846531968814576 * alpha[0][k] * f[24][k];
+        out[53][k] += scale * 0.6846531968814576 * alpha[3][k] * f[7][k];
+        out[53][k] += scale * 0.6123724356957945 * alpha[3][k] * f[53][k];
+        out[53][k] += scale * 0.6846531968814576 * alpha[4][k] * f[57][k];
+        out[53][k] += scale * 0.6846531968814576 * alpha[5][k] * f[67][k];
+        out[53][k] += scale * 0.6846531968814576 * alpha[15][k] * f[89][k];
+        out[53][k] += scale * 0.6846531968814576 * alpha[19][k] * f[96][k];
+        out[53][k] += scale * 0.6846531968814576 * alpha[20][k] * f[103][k];
+        out[53][k] += scale * 0.6846531968814576 * alpha[46][k] * f[110][k];
+        out[53][k] += scale * 0.6846531968814576 * alpha[50][k] * f[111][k];
+    }
+    for k in 0..L {
+        out[56][k] += scale * 0.3061862178478973 * alpha[0][k] * f[28][k];
+        out[56][k] += scale * 0.30618621784789724 * alpha[3][k] * f[56][k];
+        out[56][k] += scale * 0.3061862178478973 * alpha[4][k] * f[6][k];
+        out[56][k] += scale * 0.30618621784789724 * alpha[5][k] * f[71][k];
+        out[56][k] += scale * 0.2738612787525831 * alpha[15][k] * f[28][k];
+        out[56][k] += scale * 0.30618621784789724 * alpha[19][k] * f[37][k];
+        out[56][k] += scale * 0.27386127875258304 * alpha[46][k] * f[71][k];
+    }
+    for k in 0..L {
+        out[57][k] += scale * 0.30618621784789724 * alpha[0][k] * f[29][k];
+        out[57][k] += scale * 0.30618621784789724 * alpha[3][k] * f[57][k];
+        out[57][k] += scale * 0.30618621784789724 * alpha[4][k] * f[7][k];
+        out[57][k] += scale * 0.2738612787525831 * alpha[4][k] * f[61][k];
+        out[57][k] += scale * 0.30618621784789724 * alpha[5][k] * f[72][k];
+        out[57][k] += scale * 0.2738612787525831 * alpha[15][k] * f[29][k];
+        out[57][k] += scale * 0.30618621784789724 * alpha[19][k] * f[38][k];
+        out[57][k] += scale * 0.27386127875258304 * alpha[19][k] * f[100][k];
+        out[57][k] += scale * 0.3061862178478973 * alpha[20][k] * f[104][k];
+        out[57][k] += scale * 0.27386127875258304 * alpha[46][k] * f[72][k];
+        out[57][k] += scale * 0.3061862178478973 * alpha[50][k] * f[80][k];
+    }
+    for k in 0..L {
+        out[58][k] += scale * 0.3061862178478973 * alpha[0][k] * f[30][k];
+        out[58][k] += scale * 0.30618621784789724 * alpha[3][k] * f[58][k];
+        out[58][k] += scale * 0.3061862178478973 * alpha[4][k] * f[8][k];
+        out[58][k] += scale * 0.30618621784789724 * alpha[5][k] * f[73][k];
+        out[58][k] += scale * 0.2738612787525831 * alpha[15][k] * f[30][k];
+        out[58][k] += scale * 0.30618621784789724 * alpha[19][k] * f[39][k];
+        out[58][k] += scale * 0.27386127875258304 * alpha[46][k] * f[73][k];
+    }
+    for k in 0..L {
+        out[59][k] += scale * 0.6846531968814576 * alpha[0][k] * f[31][k];
+        out[59][k] += scale * 0.6846531968814576 * alpha[3][k] * f[12][k];
+        out[59][k] += scale * 0.6123724356957945 * alpha[3][k] * f[59][k];
+        out[59][k] += scale * 0.6846531968814576 * alpha[4][k] * f[9][k];
+        out[59][k] += scale * 0.6123724356957945 * alpha[4][k] * f[62][k];
+        out[59][k] += scale * 0.6846531968814576 * alpha[5][k] * f[74][k];
+        out[59][k] += scale * 0.6123724356957945 * alpha[15][k] * f[31][k];
+        out[59][k] += scale * 0.6846531968814576 * alpha[19][k] * f[40][k];
+        out[59][k] += scale * 0.6123724356957946 * alpha[19][k] * f[101][k];
+        out[59][k] += scale * 0.6846531968814576 * alpha[20][k] * f[105][k];
+        out[59][k] += scale * 0.6123724356957946 * alpha[46][k] * f[74][k];
+        out[59][k] += scale * 0.6846531968814576 * alpha[50][k] * f[81][k];
+    }
+    for k in 0..L {
+        out[60][k] += scale * 0.6846531968814576 * alpha[0][k] * f[32][k];
+        out[60][k] += scale * 0.6846531968814576 * alpha[3][k] * f[13][k];
+        out[60][k] += scale * 0.6123724356957945 * alpha[3][k] * f[60][k];
+        out[60][k] += scale * 0.6846531968814576 * alpha[4][k] * f[10][k];
+        out[60][k] += scale * 0.6123724356957945 * alpha[4][k] * f[63][k];
+        out[60][k] += scale * 0.6846531968814576 * alpha[5][k] * f[75][k];
+        out[60][k] += scale * 0.6123724356957945 * alpha[15][k] * f[32][k];
+        out[60][k] += scale * 0.6846531968814576 * alpha[19][k] * f[41][k];
+        out[60][k] += scale * 0.6123724356957946 * alpha[19][k] * f[102][k];
+        out[60][k] += scale * 0.6846531968814576 * alpha[20][k] * f[106][k];
+        out[60][k] += scale * 0.6123724356957946 * alpha[46][k] * f[75][k];
+        out[60][k] += scale * 0.6846531968814576 * alpha[50][k] * f[82][k];
+    }
+    for k in 0..L {
+        out[62][k] += scale * 0.3061862178478973 * alpha[0][k] * f[34][k];
+        out[62][k] += scale * 0.30618621784789724 * alpha[3][k] * f[62][k];
+        out[62][k] += scale * 0.2738612787525831 * alpha[4][k] * f[12][k];
+        out[62][k] += scale * 0.30618621784789724 * alpha[5][k] * f[77][k];
+        out[62][k] += scale * 0.3061862178478973 * alpha[15][k] * f[1][k];
+        out[62][k] += scale * 0.19561519910898792 * alpha[15][k] * f[34][k];
+        out[62][k] += scale * 0.2738612787525831 * alpha[19][k] * f[43][k];
+        out[62][k] += scale * 0.30618621784789724 * alpha[46][k] * f[16][k];
+        out[62][k] += scale * 0.1956151991089879 * alpha[46][k] * f[77][k];
+        out[62][k] += scale * 0.27386127875258304 * alpha[50][k] * f[83][k];
+    }
+    for k in 0..L {
+        out[63][k] += scale * 0.3061862178478973 * alpha[0][k] * f[35][k];
+        out[63][k] += scale * 0.30618621784789724 * alpha[3][k] * f[63][k];
+        out[63][k] += scale * 0.2738612787525831 * alpha[4][k] * f[13][k];
+        out[63][k] += scale * 0.30618621784789724 * alpha[5][k] * f[78][k];
+        out[63][k] += scale * 0.3061862178478973 * alpha[15][k] * f[2][k];
+        out[63][k] += scale * 0.19561519910898792 * alpha[15][k] * f[35][k];
+        out[63][k] += scale * 0.2738612787525831 * alpha[19][k] * f[44][k];
+        out[63][k] += scale * 0.30618621784789724 * alpha[46][k] * f[17][k];
+        out[63][k] += scale * 0.1956151991089879 * alpha[46][k] * f[78][k];
+        out[63][k] += scale * 0.27386127875258304 * alpha[50][k] * f[84][k];
+    }
+    for k in 0..L {
+        out[66][k] += scale * 0.3061862178478973 * alpha[0][k] * f[37][k];
+        out[66][k] += scale * 0.30618621784789724 * alpha[3][k] * f[66][k];
+        out[66][k] += scale * 0.30618621784789724 * alpha[4][k] * f[71][k];
+        out[66][k] += scale * 0.3061862178478973 * alpha[5][k] * f[6][k];
+        out[66][k] += scale * 0.30618621784789724 * alpha[19][k] * f[28][k];
+        out[66][k] += scale * 0.2738612787525831 * alpha[20][k] * f[37][k];
+        out[66][k] += scale * 0.27386127875258304 * alpha[50][k] * f[71][k];
+    }
+    for k in 0..L {
+        out[67][k] += scale * 0.30618621784789724 * alpha[0][k] * f[38][k];
+        out[67][k] += scale * 0.30618621784789724 * alpha[3][k] * f[67][k];
+        out[67][k] += scale * 0.30618621784789724 * alpha[4][k] * f[72][k];
+        out[67][k] += scale * 0.30618621784789724 * alpha[5][k] * f[7][k];
+        out[67][k] += scale * 0.2738612787525831 * alpha[5][k] * f[80][k];
+        out[67][k] += scale * 0.3061862178478973 * alpha[15][k] * f[100][k];
+        out[67][k] += scale * 0.30618621784789724 * alpha[19][k] * f[29][k];
+        out[67][k] += scale * 0.27386127875258304 * alpha[19][k] * f[104][k];
+        out[67][k] += scale * 0.2738612787525831 * alpha[20][k] * f[38][k];
+        out[67][k] += scale * 0.3061862178478973 * alpha[46][k] * f[61][k];
+        out[67][k] += scale * 0.27386127875258304 * alpha[50][k] * f[72][k];
+    }
+    for k in 0..L {
+        out[68][k] += scale * 0.3061862178478973 * alpha[0][k] * f[39][k];
+        out[68][k] += scale * 0.30618621784789724 * alpha[3][k] * f[68][k];
+        out[68][k] += scale * 0.30618621784789724 * alpha[4][k] * f[73][k];
+        out[68][k] += scale * 0.3061862178478973 * alpha[5][k] * f[8][k];
+        out[68][k] += scale * 0.30618621784789724 * alpha[19][k] * f[30][k];
+        out[68][k] += scale * 0.2738612787525831 * alpha[20][k] * f[39][k];
+        out[68][k] += scale * 0.27386127875258304 * alpha[50][k] * f[73][k];
+    }
+    for k in 0..L {
+        out[69][k] += scale * 0.6846531968814576 * alpha[0][k] * f[40][k];
+        out[69][k] += scale * 0.6846531968814576 * alpha[3][k] * f[16][k];
+        out[69][k] += scale * 0.6123724356957945 * alpha[3][k] * f[69][k];
+        out[69][k] += scale * 0.6846531968814576 * alpha[4][k] * f[74][k];
+        out[69][k] += scale * 0.6846531968814576 * alpha[5][k] * f[9][k];
+        out[69][k] += scale * 0.6123724356957945 * alpha[5][k] * f[81][k];
+        out[69][k] += scale * 0.6846531968814576 * alpha[15][k] * f[101][k];
+        out[69][k] += scale * 0.6846531968814576 * alpha[19][k] * f[31][k];
+        out[69][k] += scale * 0.6123724356957946 * alpha[19][k] * f[105][k];
+        out[69][k] += scale * 0.6123724356957945 * alpha[20][k] * f[40][k];
+        out[69][k] += scale * 0.6846531968814576 * alpha[46][k] * f[62][k];
+        out[69][k] += scale * 0.6123724356957946 * alpha[50][k] * f[74][k];
+    }
+    for k in 0..L {
+        out[70][k] += scale * 0.6846531968814576 * alpha[0][k] * f[41][k];
+        out[70][k] += scale * 0.6846531968814576 * alpha[3][k] * f[17][k];
+        out[70][k] += scale * 0.6123724356957945 * alpha[3][k] * f[70][k];
+        out[70][k] += scale * 0.6846531968814576 * alpha[4][k] * f[75][k];
+        out[70][k] += scale * 0.6846531968814576 * alpha[5][k] * f[10][k];
+        out[70][k] += scale * 0.6123724356957945 * alpha[5][k] * f[82][k];
+        out[70][k] += scale * 0.6846531968814576 * alpha[15][k] * f[102][k];
+        out[70][k] += scale * 0.6846531968814576 * alpha[19][k] * f[32][k];
+        out[70][k] += scale * 0.6123724356957946 * alpha[19][k] * f[106][k];
+        out[70][k] += scale * 0.6123724356957945 * alpha[20][k] * f[41][k];
+        out[70][k] += scale * 0.6846531968814576 * alpha[46][k] * f[63][k];
+        out[70][k] += scale * 0.6123724356957946 * alpha[50][k] * f[75][k];
+    }
+    for k in 0..L {
+        out[74][k] += scale * 0.30618621784789724 * alpha[0][k] * f[43][k];
+        out[74][k] += scale * 0.30618621784789724 * alpha[3][k] * f[74][k];
+        out[74][k] += scale * 0.30618621784789724 * alpha[4][k] * f[16][k];
+        out[74][k] += scale * 0.2738612787525831 * alpha[4][k] * f[77][k];
+        out[74][k] += scale * 0.30618621784789724 * alpha[5][k] * f[12][k];
+        out[74][k] += scale * 0.2738612787525831 * alpha[5][k] * f[83][k];
+        out[74][k] += scale * 0.2738612787525831 * alpha[15][k] * f[43][k];
+        out[74][k] += scale * 0.30618621784789724 * alpha[19][k] * f[1][k];
+        out[74][k] += scale * 0.2738612787525831 * alpha[19][k] * f[34][k];
+        out[74][k] += scale * 0.2738612787525831 * alpha[19][k] * f[47][k];
+        out[74][k] += scale * 0.2738612787525831 * alpha[20][k] * f[43][k];
+        out[74][k] += scale * 0.2738612787525831 * alpha[46][k] * f[12][k];
+        out[74][k] += scale * 0.2449489742783178 * alpha[46][k] * f[83][k];
+        out[74][k] += scale * 0.2738612787525831 * alpha[50][k] * f[16][k];
+        out[74][k] += scale * 0.2449489742783178 * alpha[50][k] * f[77][k];
+    }
+    for k in 0..L {
+        out[75][k] += scale * 0.30618621784789724 * alpha[0][k] * f[44][k];
+        out[75][k] += scale * 0.30618621784789724 * alpha[3][k] * f[75][k];
+        out[75][k] += scale * 0.30618621784789724 * alpha[4][k] * f[17][k];
+        out[75][k] += scale * 0.2738612787525831 * alpha[4][k] * f[78][k];
+        out[75][k] += scale * 0.30618621784789724 * alpha[5][k] * f[13][k];
+        out[75][k] += scale * 0.2738612787525831 * alpha[5][k] * f[84][k];
+        out[75][k] += scale * 0.2738612787525831 * alpha[15][k] * f[44][k];
+        out[75][k] += scale * 0.30618621784789724 * alpha[19][k] * f[2][k];
+        out[75][k] += scale * 0.2738612787525831 * alpha[19][k] * f[35][k];
+        out[75][k] += scale * 0.2738612787525831 * alpha[19][k] * f[48][k];
+        out[75][k] += scale * 0.2738612787525831 * alpha[20][k] * f[44][k];
+        out[75][k] += scale * 0.2738612787525831 * alpha[46][k] * f[13][k];
+        out[75][k] += scale * 0.2449489742783178 * alpha[46][k] * f[84][k];
+        out[75][k] += scale * 0.2738612787525831 * alpha[50][k] * f[17][k];
+        out[75][k] += scale * 0.2449489742783178 * alpha[50][k] * f[78][k];
+    }
+    for k in 0..L {
+        out[76][k] += scale * 0.6846531968814576 * alpha[0][k] * f[45][k];
+        out[76][k] += scale * 0.6846531968814576 * alpha[3][k] * f[19][k];
+        out[76][k] += scale * 0.6123724356957945 * alpha[3][k] * f[76][k];
+        out[76][k] += scale * 0.6846531968814576 * alpha[4][k] * f[18][k];
+        out[76][k] += scale * 0.6123724356957945 * alpha[4][k] * f[79][k];
+        out[76][k] += scale * 0.6846531968814576 * alpha[5][k] * f[14][k];
+        out[76][k] += scale * 0.6123724356957945 * alpha[5][k] * f[85][k];
+        out[76][k] += scale * 0.6123724356957945 * alpha[15][k] * f[45][k];
+        out[76][k] += scale * 0.6846531968814576 * alpha[19][k] * f[3][k];
+        out[76][k] += scale * 0.6123724356957945 * alpha[19][k] * f[36][k];
+        out[76][k] += scale * 0.6123724356957945 * alpha[19][k] * f[49][k];
+        out[76][k] += scale * 0.6123724356957945 * alpha[20][k] * f[45][k];
+        out[76][k] += scale * 0.6123724356957945 * alpha[46][k] * f[14][k];
+        out[76][k] += scale * 0.5477225575051661 * alpha[46][k] * f[85][k];
+        out[76][k] += scale * 0.6123724356957945 * alpha[50][k] * f[18][k];
+        out[76][k] += scale * 0.5477225575051661 * alpha[50][k] * f[79][k];
+    }
+    for k in 0..L {
+        out[79][k] += scale * 0.3061862178478973 * alpha[0][k] * f[46][k];
+        out[79][k] += scale * 0.30618621784789724 * alpha[3][k] * f[79][k];
+        out[79][k] += scale * 0.2738612787525831 * alpha[4][k] * f[19][k];
+        out[79][k] += scale * 0.3061862178478973 * alpha[5][k] * f[15][k];
+        out[79][k] += scale * 0.3061862178478973 * alpha[15][k] * f[5][k];
+        out[79][k] += scale * 0.19561519910898792 * alpha[15][k] * f[46][k];
+        out[79][k] += scale * 0.2738612787525831 * alpha[19][k] * f[4][k];
+        out[79][k] += scale * 0.2449489742783178 * alpha[19][k] * f[50][k];
+        out[79][k] += scale * 0.2738612787525831 * alpha[20][k] * f[46][k];
+        out[79][k] += scale * 0.3061862178478973 * alpha[46][k] * f[0][k];
+        out[79][k] += scale * 0.19561519910898792 * alpha[46][k] * f[15][k];
+        out[79][k] += scale * 0.2738612787525831 * alpha[46][k] * f[20][k];
+        out[79][k] += scale * 0.2449489742783178 * alpha[50][k] * f[19][k];
+    }
+    for k in 0..L {
+        out[81][k] += scale * 0.3061862178478973 * alpha[0][k] * f[47][k];
+        out[81][k] += scale * 0.30618621784789724 * alpha[3][k] * f[81][k];
+        out[81][k] += scale * 0.30618621784789724 * alpha[4][k] * f[83][k];
+        out[81][k] += scale * 0.2738612787525831 * alpha[5][k] * f[16][k];
+        out[81][k] += scale * 0.2738612787525831 * alpha[19][k] * f[43][k];
+        out[81][k] += scale * 0.3061862178478973 * alpha[20][k] * f[1][k];
+        out[81][k] += scale * 0.19561519910898792 * alpha[20][k] * f[47][k];
+        out[81][k] += scale * 0.27386127875258304 * alpha[46][k] * f[77][k];
+        out[81][k] += scale * 0.30618621784789724 * alpha[50][k] * f[12][k];
+        out[81][k] += scale * 0.1956151991089879 * alpha[50][k] * f[83][k];
+    }
+    for k in 0..L {
+        out[82][k] += scale * 0.3061862178478973 * alpha[0][k] * f[48][k];
+        out[82][k] += scale * 0.30618621784789724 * alpha[3][k] * f[82][k];
+        out[82][k] += scale * 0.30618621784789724 * alpha[4][k] * f[84][k];
+        out[82][k] += scale * 0.2738612787525831 * alpha[5][k] * f[17][k];
+        out[82][k] += scale * 0.2738612787525831 * alpha[19][k] * f[44][k];
+        out[82][k] += scale * 0.3061862178478973 * alpha[20][k] * f[2][k];
+        out[82][k] += scale * 0.19561519910898792 * alpha[20][k] * f[48][k];
+        out[82][k] += scale * 0.27386127875258304 * alpha[46][k] * f[78][k];
+        out[82][k] += scale * 0.30618621784789724 * alpha[50][k] * f[13][k];
+        out[82][k] += scale * 0.1956151991089879 * alpha[50][k] * f[84][k];
+    }
+    for k in 0..L {
+        out[85][k] += scale * 0.3061862178478973 * alpha[0][k] * f[50][k];
+        out[85][k] += scale * 0.30618621784789724 * alpha[3][k] * f[85][k];
+        out[85][k] += scale * 0.3061862178478973 * alpha[4][k] * f[20][k];
+        out[85][k] += scale * 0.2738612787525831 * alpha[5][k] * f[19][k];
+        out[85][k] += scale * 0.2738612787525831 * alpha[15][k] * f[50][k];
+        out[85][k] += scale * 0.2738612787525831 * alpha[19][k] * f[5][k];
+        out[85][k] += scale * 0.2449489742783178 * alpha[19][k] * f[46][k];
+        out[85][k] += scale * 0.3061862178478973 * alpha[20][k] * f[4][k];
+        out[85][k] += scale * 0.19561519910898792 * alpha[20][k] * f[50][k];
+        out[85][k] += scale * 0.2449489742783178 * alpha[46][k] * f[19][k];
+        out[85][k] += scale * 0.3061862178478973 * alpha[50][k] * f[0][k];
+        out[85][k] += scale * 0.2738612787525831 * alpha[50][k] * f[15][k];
+        out[85][k] += scale * 0.19561519910898792 * alpha[50][k] * f[20][k];
+    }
+    for k in 0..L {
+        out[86][k] += scale * 0.30618621784789724 * alpha[0][k] * f[54][k];
+        out[86][k] += scale * 0.3061862178478973 * alpha[3][k] * f[86][k];
+        out[86][k] += scale * 0.30618621784789724 * alpha[4][k] * f[21][k];
+        out[86][k] += scale * 0.3061862178478973 * alpha[5][k] * f[93][k];
+        out[86][k] += scale * 0.27386127875258304 * alpha[15][k] * f[54][k];
+        out[86][k] += scale * 0.3061862178478973 * alpha[19][k] * f[64][k];
+        out[86][k] += scale * 0.27386127875258304 * alpha[46][k] * f[93][k];
+    }
+    for k in 0..L {
+        out[87][k] += scale * 0.30618621784789724 * alpha[0][k] * f[55][k];
+        out[87][k] += scale * 0.3061862178478973 * alpha[3][k] * f[87][k];
+        out[87][k] += scale * 0.30618621784789724 * alpha[4][k] * f[22][k];
+        out[87][k] += scale * 0.3061862178478973 * alpha[5][k] * f[94][k];
+        out[87][k] += scale * 0.27386127875258304 * alpha[15][k] * f[55][k];
+        out[87][k] += scale * 0.3061862178478973 * alpha[19][k] * f[65][k];
+        out[87][k] += scale * 0.27386127875258304 * alpha[46][k] * f[94][k];
+    }
+    for k in 0..L {
+        out[88][k] += scale * 0.6846531968814576 * alpha[0][k] * f[57][k];
+        out[88][k] += scale * 0.6846531968814576 * alpha[3][k] * f[29][k];
+        out[88][k] += scale * 0.6123724356957946 * alpha[3][k] * f[88][k];
+        out[88][k] += scale * 0.6846531968814576 * alpha[4][k] * f[24][k];
+        out[88][k] += scale * 0.6123724356957946 * alpha[4][k] * f[89][k];
+        out[88][k] += scale * 0.6846531968814576 * alpha[5][k] * f[96][k];
+        out[88][k] += scale * 0.6123724356957946 * alpha[15][k] * f[57][k];
+        out[88][k] += scale * 0.6846531968814576 * alpha[19][k] * f[67][k];
+        out[88][k] += scale * 0.6123724356957946 * alpha[19][k] * f[110][k];
+        out[88][k] += scale * 0.6846531968814576 * alpha[20][k] * f[111][k];
+        out[88][k] += scale * 0.6123724356957946 * alpha[46][k] * f[96][k];
+        out[88][k] += scale * 0.6846531968814576 * alpha[50][k] * f[103][k];
+    }
+    for k in 0..L {
+        out[89][k] += scale * 0.30618621784789724 * alpha[0][k] * f[61][k];
+        out[89][k] += scale * 0.3061862178478973 * alpha[3][k] * f[89][k];
+        out[89][k] += scale * 0.2738612787525831 * alpha[4][k] * f[29][k];
+        out[89][k] += scale * 0.3061862178478973 * alpha[5][k] * f[100][k];
+        out[89][k] += scale * 0.30618621784789724 * alpha[15][k] * f[7][k];
+        out[89][k] += scale * 0.1956151991089879 * alpha[15][k] * f[61][k];
+        out[89][k] += scale * 0.27386127875258304 * alpha[19][k] * f[72][k];
+        out[89][k] += scale * 0.3061862178478973 * alpha[46][k] * f[38][k];
+        out[89][k] += scale * 0.19561519910898792 * alpha[46][k] * f[100][k];
+        out[89][k] += scale * 0.27386127875258304 * alpha[50][k] * f[104][k];
+    }
+    for k in 0..L {
+        out[90][k] += scale * 0.30618621784789724 * alpha[0][k] * f[64][k];
+        out[90][k] += scale * 0.3061862178478973 * alpha[3][k] * f[90][k];
+        out[90][k] += scale * 0.3061862178478973 * alpha[4][k] * f[93][k];
+        out[90][k] += scale * 0.30618621784789724 * alpha[5][k] * f[21][k];
+        out[90][k] += scale * 0.3061862178478973 * alpha[19][k] * f[54][k];
+        out[90][k] += scale * 0.27386127875258304 * alpha[20][k] * f[64][k];
+        out[90][k] += scale * 0.27386127875258304 * alpha[50][k] * f[93][k];
+    }
+    for k in 0..L {
+        out[91][k] += scale * 0.30618621784789724 * alpha[0][k] * f[65][k];
+        out[91][k] += scale * 0.3061862178478973 * alpha[3][k] * f[91][k];
+        out[91][k] += scale * 0.3061862178478973 * alpha[4][k] * f[94][k];
+        out[91][k] += scale * 0.30618621784789724 * alpha[5][k] * f[22][k];
+        out[91][k] += scale * 0.3061862178478973 * alpha[19][k] * f[55][k];
+        out[91][k] += scale * 0.27386127875258304 * alpha[20][k] * f[65][k];
+        out[91][k] += scale * 0.27386127875258304 * alpha[50][k] * f[94][k];
+    }
+    for k in 0..L {
+        out[92][k] += scale * 0.6846531968814576 * alpha[0][k] * f[67][k];
+        out[92][k] += scale * 0.6846531968814576 * alpha[3][k] * f[38][k];
+        out[92][k] += scale * 0.6123724356957946 * alpha[3][k] * f[92][k];
+        out[92][k] += scale * 0.6846531968814576 * alpha[4][k] * f[96][k];
+        out[92][k] += scale * 0.6846531968814576 * alpha[5][k] * f[24][k];
+        out[92][k] += scale * 0.6123724356957946 * alpha[5][k] * f[103][k];
+        out[92][k] += scale * 0.6846531968814576 * alpha[15][k] * f[110][k];
+        out[92][k] += scale * 0.6846531968814576 * alpha[19][k] * f[57][k];
+        out[92][k] += scale * 0.6123724356957946 * alpha[19][k] * f[111][k];
+        out[92][k] += scale * 0.6123724356957946 * alpha[20][k] * f[67][k];
+        out[92][k] += scale * 0.6846531968814576 * alpha[46][k] * f[89][k];
+        out[92][k] += scale * 0.6123724356957946 * alpha[50][k] * f[96][k];
+    }
+    for k in 0..L {
+        out[95][k] += scale * 0.30618621784789724 * alpha[0][k] * f[71][k];
+        out[95][k] += scale * 0.3061862178478973 * alpha[3][k] * f[95][k];
+        out[95][k] += scale * 0.30618621784789724 * alpha[4][k] * f[37][k];
+        out[95][k] += scale * 0.30618621784789724 * alpha[5][k] * f[28][k];
+        out[95][k] += scale * 0.27386127875258304 * alpha[15][k] * f[71][k];
+        out[95][k] += scale * 0.30618621784789724 * alpha[19][k] * f[6][k];
+        out[95][k] += scale * 0.27386127875258304 * alpha[20][k] * f[71][k];
+        out[95][k] += scale * 0.27386127875258304 * alpha[46][k] * f[28][k];
+        out[95][k] += scale * 0.27386127875258304 * alpha[50][k] * f[37][k];
+    }
+    for k in 0..L {
+        out[96][k] += scale * 0.30618621784789724 * alpha[0][k] * f[72][k];
+        out[96][k] += scale * 0.3061862178478973 * alpha[3][k] * f[96][k];
+        out[96][k] += scale * 0.30618621784789724 * alpha[4][k] * f[38][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[4][k] * f[100][k];
+        out[96][k] += scale * 0.30618621784789724 * alpha[5][k] * f[29][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[5][k] * f[104][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[15][k] * f[72][k];
+        out[96][k] += scale * 0.30618621784789724 * alpha[19][k] * f[7][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[19][k] * f[61][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[19][k] * f[80][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[20][k] * f[72][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[46][k] * f[29][k];
+        out[96][k] += scale * 0.24494897427831783 * alpha[46][k] * f[104][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[50][k] * f[38][k];
+        out[96][k] += scale * 0.24494897427831783 * alpha[50][k] * f[100][k];
+    }
+    for k in 0..L {
+        out[97][k] += scale * 0.30618621784789724 * alpha[0][k] * f[73][k];
+        out[97][k] += scale * 0.3061862178478973 * alpha[3][k] * f[97][k];
+        out[97][k] += scale * 0.30618621784789724 * alpha[4][k] * f[39][k];
+        out[97][k] += scale * 0.30618621784789724 * alpha[5][k] * f[30][k];
+        out[97][k] += scale * 0.27386127875258304 * alpha[15][k] * f[73][k];
+        out[97][k] += scale * 0.30618621784789724 * alpha[19][k] * f[8][k];
+        out[97][k] += scale * 0.27386127875258304 * alpha[20][k] * f[73][k];
+        out[97][k] += scale * 0.27386127875258304 * alpha[46][k] * f[30][k];
+        out[97][k] += scale * 0.27386127875258304 * alpha[50][k] * f[39][k];
+    }
+    for k in 0..L {
+        out[98][k] += scale * 0.6846531968814576 * alpha[0][k] * f[74][k];
+        out[98][k] += scale * 0.6846531968814576 * alpha[3][k] * f[43][k];
+        out[98][k] += scale * 0.6123724356957946 * alpha[3][k] * f[98][k];
+        out[98][k] += scale * 0.6846531968814576 * alpha[4][k] * f[40][k];
+        out[98][k] += scale * 0.6123724356957946 * alpha[4][k] * f[101][k];
+        out[98][k] += scale * 0.6846531968814576 * alpha[5][k] * f[31][k];
+        out[98][k] += scale * 0.6123724356957946 * alpha[5][k] * f[105][k];
+        out[98][k] += scale * 0.6123724356957946 * alpha[15][k] * f[74][k];
+        out[98][k] += scale * 0.6846531968814576 * alpha[19][k] * f[9][k];
+        out[98][k] += scale * 0.6123724356957946 * alpha[19][k] * f[62][k];
+        out[98][k] += scale * 0.6123724356957946 * alpha[19][k] * f[81][k];
+        out[98][k] += scale * 0.6123724356957946 * alpha[20][k] * f[74][k];
+        out[98][k] += scale * 0.6123724356957946 * alpha[46][k] * f[31][k];
+        out[98][k] += scale * 0.5477225575051661 * alpha[46][k] * f[105][k];
+        out[98][k] += scale * 0.6123724356957946 * alpha[50][k] * f[40][k];
+        out[98][k] += scale * 0.5477225575051661 * alpha[50][k] * f[101][k];
+    }
+    for k in 0..L {
+        out[99][k] += scale * 0.6846531968814576 * alpha[0][k] * f[75][k];
+        out[99][k] += scale * 0.6846531968814576 * alpha[3][k] * f[44][k];
+        out[99][k] += scale * 0.6123724356957946 * alpha[3][k] * f[99][k];
+        out[99][k] += scale * 0.6846531968814576 * alpha[4][k] * f[41][k];
+        out[99][k] += scale * 0.6123724356957946 * alpha[4][k] * f[102][k];
+        out[99][k] += scale * 0.6846531968814576 * alpha[5][k] * f[32][k];
+        out[99][k] += scale * 0.6123724356957946 * alpha[5][k] * f[106][k];
+        out[99][k] += scale * 0.6123724356957946 * alpha[15][k] * f[75][k];
+        out[99][k] += scale * 0.6846531968814576 * alpha[19][k] * f[10][k];
+        out[99][k] += scale * 0.6123724356957946 * alpha[19][k] * f[63][k];
+        out[99][k] += scale * 0.6123724356957946 * alpha[19][k] * f[82][k];
+        out[99][k] += scale * 0.6123724356957946 * alpha[20][k] * f[75][k];
+        out[99][k] += scale * 0.6123724356957946 * alpha[46][k] * f[32][k];
+        out[99][k] += scale * 0.5477225575051661 * alpha[46][k] * f[106][k];
+        out[99][k] += scale * 0.6123724356957946 * alpha[50][k] * f[41][k];
+        out[99][k] += scale * 0.5477225575051661 * alpha[50][k] * f[102][k];
+    }
+    for k in 0..L {
+        out[101][k] += scale * 0.30618621784789724 * alpha[0][k] * f[77][k];
+        out[101][k] += scale * 0.3061862178478973 * alpha[3][k] * f[101][k];
+        out[101][k] += scale * 0.2738612787525831 * alpha[4][k] * f[43][k];
+        out[101][k] += scale * 0.30618621784789724 * alpha[5][k] * f[34][k];
+        out[101][k] += scale * 0.30618621784789724 * alpha[15][k] * f[16][k];
+        out[101][k] += scale * 0.1956151991089879 * alpha[15][k] * f[77][k];
+        out[101][k] += scale * 0.2738612787525831 * alpha[19][k] * f[12][k];
+        out[101][k] += scale * 0.2449489742783178 * alpha[19][k] * f[83][k];
+        out[101][k] += scale * 0.27386127875258304 * alpha[20][k] * f[77][k];
+        out[101][k] += scale * 0.30618621784789724 * alpha[46][k] * f[1][k];
+        out[101][k] += scale * 0.1956151991089879 * alpha[46][k] * f[34][k];
+        out[101][k] += scale * 0.27386127875258304 * alpha[46][k] * f[47][k];
+        out[101][k] += scale * 0.2449489742783178 * alpha[50][k] * f[43][k];
+    }
+    for k in 0..L {
+        out[102][k] += scale * 0.30618621784789724 * alpha[0][k] * f[78][k];
+        out[102][k] += scale * 0.3061862178478973 * alpha[3][k] * f[102][k];
+        out[102][k] += scale * 0.2738612787525831 * alpha[4][k] * f[44][k];
+        out[102][k] += scale * 0.30618621784789724 * alpha[5][k] * f[35][k];
+        out[102][k] += scale * 0.30618621784789724 * alpha[15][k] * f[17][k];
+        out[102][k] += scale * 0.1956151991089879 * alpha[15][k] * f[78][k];
+        out[102][k] += scale * 0.2738612787525831 * alpha[19][k] * f[13][k];
+        out[102][k] += scale * 0.2449489742783178 * alpha[19][k] * f[84][k];
+        out[102][k] += scale * 0.27386127875258304 * alpha[20][k] * f[78][k];
+        out[102][k] += scale * 0.30618621784789724 * alpha[46][k] * f[2][k];
+        out[102][k] += scale * 0.1956151991089879 * alpha[46][k] * f[35][k];
+        out[102][k] += scale * 0.27386127875258304 * alpha[46][k] * f[48][k];
+        out[102][k] += scale * 0.2449489742783178 * alpha[50][k] * f[44][k];
+    }
+    for k in 0..L {
+        out[103][k] += scale * 0.30618621784789724 * alpha[0][k] * f[80][k];
+        out[103][k] += scale * 0.3061862178478973 * alpha[3][k] * f[103][k];
+        out[103][k] += scale * 0.3061862178478973 * alpha[4][k] * f[104][k];
+        out[103][k] += scale * 0.2738612787525831 * alpha[5][k] * f[38][k];
+        out[103][k] += scale * 0.27386127875258304 * alpha[19][k] * f[72][k];
+        out[103][k] += scale * 0.30618621784789724 * alpha[20][k] * f[7][k];
+        out[103][k] += scale * 0.1956151991089879 * alpha[20][k] * f[80][k];
+        out[103][k] += scale * 0.27386127875258304 * alpha[46][k] * f[100][k];
+        out[103][k] += scale * 0.3061862178478973 * alpha[50][k] * f[29][k];
+        out[103][k] += scale * 0.19561519910898792 * alpha[50][k] * f[104][k];
+    }
+    for k in 0..L {
+        out[105][k] += scale * 0.30618621784789724 * alpha[0][k] * f[83][k];
+        out[105][k] += scale * 0.3061862178478973 * alpha[3][k] * f[105][k];
+        out[105][k] += scale * 0.30618621784789724 * alpha[4][k] * f[47][k];
+        out[105][k] += scale * 0.2738612787525831 * alpha[5][k] * f[43][k];
+        out[105][k] += scale * 0.27386127875258304 * alpha[15][k] * f[83][k];
+        out[105][k] += scale * 0.2738612787525831 * alpha[19][k] * f[16][k];
+        out[105][k] += scale * 0.2449489742783178 * alpha[19][k] * f[77][k];
+        out[105][k] += scale * 0.30618621784789724 * alpha[20][k] * f[12][k];
+        out[105][k] += scale * 0.1956151991089879 * alpha[20][k] * f[83][k];
+        out[105][k] += scale * 0.2449489742783178 * alpha[46][k] * f[43][k];
+        out[105][k] += scale * 0.30618621784789724 * alpha[50][k] * f[1][k];
+        out[105][k] += scale * 0.27386127875258304 * alpha[50][k] * f[34][k];
+        out[105][k] += scale * 0.1956151991089879 * alpha[50][k] * f[47][k];
+    }
+    for k in 0..L {
+        out[106][k] += scale * 0.30618621784789724 * alpha[0][k] * f[84][k];
+        out[106][k] += scale * 0.3061862178478973 * alpha[3][k] * f[106][k];
+        out[106][k] += scale * 0.30618621784789724 * alpha[4][k] * f[48][k];
+        out[106][k] += scale * 0.2738612787525831 * alpha[5][k] * f[44][k];
+        out[106][k] += scale * 0.27386127875258304 * alpha[15][k] * f[84][k];
+        out[106][k] += scale * 0.2738612787525831 * alpha[19][k] * f[17][k];
+        out[106][k] += scale * 0.2449489742783178 * alpha[19][k] * f[78][k];
+        out[106][k] += scale * 0.30618621784789724 * alpha[20][k] * f[13][k];
+        out[106][k] += scale * 0.1956151991089879 * alpha[20][k] * f[84][k];
+        out[106][k] += scale * 0.2449489742783178 * alpha[46][k] * f[44][k];
+        out[106][k] += scale * 0.30618621784789724 * alpha[50][k] * f[2][k];
+        out[106][k] += scale * 0.27386127875258304 * alpha[50][k] * f[35][k];
+        out[106][k] += scale * 0.1956151991089879 * alpha[50][k] * f[48][k];
+    }
+    for k in 0..L {
+        out[107][k] += scale * 0.3061862178478973 * alpha[0][k] * f[93][k];
+        out[107][k] += scale * 0.3061862178478973 * alpha[3][k] * f[107][k];
+        out[107][k] += scale * 0.3061862178478973 * alpha[4][k] * f[64][k];
+        out[107][k] += scale * 0.3061862178478973 * alpha[5][k] * f[54][k];
+        out[107][k] += scale * 0.27386127875258304 * alpha[15][k] * f[93][k];
+        out[107][k] += scale * 0.3061862178478973 * alpha[19][k] * f[21][k];
+        out[107][k] += scale * 0.27386127875258304 * alpha[20][k] * f[93][k];
+        out[107][k] += scale * 0.27386127875258304 * alpha[46][k] * f[54][k];
+        out[107][k] += scale * 0.27386127875258304 * alpha[50][k] * f[64][k];
+    }
+    for k in 0..L {
+        out[108][k] += scale * 0.3061862178478973 * alpha[0][k] * f[94][k];
+        out[108][k] += scale * 0.3061862178478973 * alpha[3][k] * f[108][k];
+        out[108][k] += scale * 0.3061862178478973 * alpha[4][k] * f[65][k];
+        out[108][k] += scale * 0.3061862178478973 * alpha[5][k] * f[55][k];
+        out[108][k] += scale * 0.27386127875258304 * alpha[15][k] * f[94][k];
+        out[108][k] += scale * 0.3061862178478973 * alpha[19][k] * f[22][k];
+        out[108][k] += scale * 0.27386127875258304 * alpha[20][k] * f[94][k];
+        out[108][k] += scale * 0.27386127875258304 * alpha[46][k] * f[55][k];
+        out[108][k] += scale * 0.27386127875258304 * alpha[50][k] * f[65][k];
+    }
+    for k in 0..L {
+        out[109][k] += scale * 0.6846531968814576 * alpha[0][k] * f[96][k];
+        out[109][k] += scale * 0.6846531968814576 * alpha[3][k] * f[72][k];
+        out[109][k] += scale * 0.6123724356957946 * alpha[3][k] * f[109][k];
+        out[109][k] += scale * 0.6846531968814576 * alpha[4][k] * f[67][k];
+        out[109][k] += scale * 0.6123724356957946 * alpha[4][k] * f[110][k];
+        out[109][k] += scale * 0.6846531968814576 * alpha[5][k] * f[57][k];
+        out[109][k] += scale * 0.6123724356957946 * alpha[5][k] * f[111][k];
+        out[109][k] += scale * 0.6123724356957946 * alpha[15][k] * f[96][k];
+        out[109][k] += scale * 0.6846531968814576 * alpha[19][k] * f[24][k];
+        out[109][k] += scale * 0.6123724356957946 * alpha[19][k] * f[89][k];
+        out[109][k] += scale * 0.6123724356957946 * alpha[19][k] * f[103][k];
+        out[109][k] += scale * 0.6123724356957946 * alpha[20][k] * f[96][k];
+        out[109][k] += scale * 0.6123724356957946 * alpha[46][k] * f[57][k];
+        out[109][k] += scale * 0.5477225575051662 * alpha[46][k] * f[111][k];
+        out[109][k] += scale * 0.6123724356957946 * alpha[50][k] * f[67][k];
+        out[109][k] += scale * 0.5477225575051662 * alpha[50][k] * f[110][k];
+    }
+    for k in 0..L {
+        out[110][k] += scale * 0.3061862178478973 * alpha[0][k] * f[100][k];
+        out[110][k] += scale * 0.3061862178478973 * alpha[3][k] * f[110][k];
+        out[110][k] += scale * 0.27386127875258304 * alpha[4][k] * f[72][k];
+        out[110][k] += scale * 0.3061862178478973 * alpha[5][k] * f[61][k];
+        out[110][k] += scale * 0.3061862178478973 * alpha[15][k] * f[38][k];
+        out[110][k] += scale * 0.19561519910898792 * alpha[15][k] * f[100][k];
+        out[110][k] += scale * 0.27386127875258304 * alpha[19][k] * f[29][k];
+        out[110][k] += scale * 0.24494897427831783 * alpha[19][k] * f[104][k];
+        out[110][k] += scale * 0.27386127875258304 * alpha[20][k] * f[100][k];
+        out[110][k] += scale * 0.3061862178478973 * alpha[46][k] * f[7][k];
+        out[110][k] += scale * 0.19561519910898792 * alpha[46][k] * f[61][k];
+        out[110][k] += scale * 0.27386127875258304 * alpha[46][k] * f[80][k];
+        out[110][k] += scale * 0.24494897427831783 * alpha[50][k] * f[72][k];
+    }
+    for k in 0..L {
+        out[111][k] += scale * 0.3061862178478973 * alpha[0][k] * f[104][k];
+        out[111][k] += scale * 0.3061862178478973 * alpha[3][k] * f[111][k];
+        out[111][k] += scale * 0.3061862178478973 * alpha[4][k] * f[80][k];
+        out[111][k] += scale * 0.27386127875258304 * alpha[5][k] * f[72][k];
+        out[111][k] += scale * 0.27386127875258304 * alpha[15][k] * f[104][k];
+        out[111][k] += scale * 0.27386127875258304 * alpha[19][k] * f[38][k];
+        out[111][k] += scale * 0.24494897427831783 * alpha[19][k] * f[100][k];
+        out[111][k] += scale * 0.3061862178478973 * alpha[20][k] * f[29][k];
+        out[111][k] += scale * 0.19561519910898792 * alpha[20][k] * f[104][k];
+        out[111][k] += scale * 0.24494897427831783 * alpha[46][k] * f[72][k];
+        out[111][k] += scale * 0.3061862178478973 * alpha[50][k] * f[7][k];
+        out[111][k] += scale * 0.27386127875258304 * alpha[50][k] * f[61][k];
+        out[111][k] += scale * 0.19561519910898792 * alpha[50][k] * f[80][k];
+    }
 }
 
 /// LBO drag surface term in v0 at one interior face (`vstar` = face
@@ -707,998 +866,1129 @@ pub fn lbo_2x3v_p2_ser_drag_vol_v0(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p2_ser_drag_surf_v0(nu: f64, vstar: f64, dv: f64, u: &[f64], f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_2x3v_p2_ser_drag_surf_v0_body::<1>(nu, vstar, dv, u.as_chunks().0, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p2_ser_drag_surf_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_drag_surf_v0_b4(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_drag_surf_v0_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// [`lbo_2x3v_p2_ser_drag_surf_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_drag_surf_v0_b4_avx2(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_drag_surf_v0_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p2_ser_drag_surf_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p2_ser_drag_surf_v0_body<const L: usize>(nu: f64, vstar: f64, dv: f64, u: &[[f64; L]], f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 8] = u.first_chunk().expect("u: 8 coefficients");
+    let f_lo: &[[f64; L]; 112] = f_lo.first_chunk().expect("f_lo: 112 coefficients");
+    let f_hi: &[[f64; L]; 112] = f_hi.first_chunk().expect("f_hi: 112 coefficients");
+    let out_lo: &mut [[f64; L]; 112] = out_lo.first_chunk_mut().expect("out_lo: 112 coefficients");
+    let out_hi: &mut [[f64; L]; 112] = out_hi.first_chunk_mut().expect("out_hi: 112 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 48];
-    alpha[0] = -nu * vstar * 4.0;
-    alpha[0] += nu * 2.0 * u[0];
-    alpha[3] += nu * 2.0 * u[1];
-    alpha[4] += nu * 2.0 * u[2];
-    alpha[10] += nu * 2.0 * u[3];
-    alpha[13] += nu * 2.0 * u[4];
-    alpha[14] += nu * 2.0 * u[5];
-    alpha[27] += nu * 2.0 * u[6];
-    alpha[30] += nu * 2.0 * u[7];
-    let lam = alpha[0].abs() * 0.25000000000000006 + alpha[3].abs() * 0.4330127018922194 + alpha[4].abs() * 0.4330127018922194 + alpha[10].abs() * 0.5590169943749475 + alpha[13].abs() * 0.75 + alpha[14].abs() * 0.5590169943749475 + alpha[27].abs() * 0.9682458365518543 + alpha[30].abs() * 0.9682458365518543;
-    let mut fm = [0.0f64; 48];
-    let mut fp = [0.0f64; 48];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[1] += 0.7071067811865476 * f_lo[1];
-    fm[2] += 0.7071067811865476 * f_lo[2];
-    fm[0] += 1.224744871391589 * f_lo[3];
-    fm[3] += 0.7071067811865476 * f_lo[4];
-    fm[4] += 0.7071067811865476 * f_lo[5];
-    fm[5] += 0.7071067811865476 * f_lo[6];
-    fm[6] += 0.7071067811865476 * f_lo[7];
-    fm[7] += 0.7071067811865476 * f_lo[8];
-    fm[1] += 1.224744871391589 * f_lo[9];
-    fm[2] += 1.224744871391589 * f_lo[10];
-    fm[0] += 1.5811388300841898 * f_lo[11];
-    fm[8] += 0.7071067811865476 * f_lo[12];
-    fm[9] += 0.7071067811865476 * f_lo[13];
-    fm[3] += 1.224744871391589 * f_lo[14];
-    fm[10] += 0.7071067811865476 * f_lo[15];
-    fm[11] += 0.7071067811865476 * f_lo[16];
-    fm[12] += 0.7071067811865476 * f_lo[17];
-    fm[4] += 1.224744871391589 * f_lo[18];
-    fm[13] += 0.7071067811865476 * f_lo[19];
-    fm[14] += 0.7071067811865476 * f_lo[20];
-    fm[15] += 0.7071067811865476 * f_lo[21];
-    fm[16] += 0.7071067811865476 * f_lo[22];
-    fm[5] += 1.224744871391589 * f_lo[23];
-    fm[6] += 1.224744871391589 * f_lo[24];
-    fm[7] += 1.224744871391589 * f_lo[25];
-    fm[1] += 1.5811388300841898 * f_lo[26];
-    fm[2] += 1.5811388300841898 * f_lo[27];
-    fm[17] += 0.7071067811865476 * f_lo[28];
-    fm[18] += 0.7071067811865476 * f_lo[29];
-    fm[19] += 0.7071067811865476 * f_lo[30];
-    fm[8] += 1.224744871391589 * f_lo[31];
-    fm[9] += 1.224744871391589 * f_lo[32];
-    fm[3] += 1.5811388300841898 * f_lo[33];
-    fm[20] += 0.7071067811865476 * f_lo[34];
-    fm[21] += 0.7071067811865476 * f_lo[35];
-    fm[10] += 1.224744871391589 * f_lo[36];
-    fm[22] += 0.7071067811865476 * f_lo[37];
-    fm[23] += 0.7071067811865476 * f_lo[38];
-    fm[24] += 0.7071067811865476 * f_lo[39];
-    fm[11] += 1.224744871391589 * f_lo[40];
-    fm[12] += 1.224744871391589 * f_lo[41];
-    fm[4] += 1.5811388300841898 * f_lo[42];
-    fm[25] += 0.7071067811865476 * f_lo[43];
-    fm[26] += 0.7071067811865476 * f_lo[44];
-    fm[13] += 1.224744871391589 * f_lo[45];
-    fm[27] += 0.7071067811865476 * f_lo[46];
-    fm[28] += 0.7071067811865476 * f_lo[47];
-    fm[29] += 0.7071067811865476 * f_lo[48];
-    fm[14] += 1.224744871391589 * f_lo[49];
-    fm[30] += 0.7071067811865476 * f_lo[50];
-    fm[15] += 1.224744871391589 * f_lo[51];
-    fm[16] += 1.224744871391589 * f_lo[52];
-    fm[6] += 1.5811388300841898 * f_lo[53];
-    fm[31] += 0.7071067811865476 * f_lo[54];
-    fm[32] += 0.7071067811865476 * f_lo[55];
-    fm[17] += 1.224744871391589 * f_lo[56];
-    fm[18] += 1.224744871391589 * f_lo[57];
-    fm[19] += 1.224744871391589 * f_lo[58];
-    fm[8] += 1.5811388300841898 * f_lo[59];
-    fm[9] += 1.5811388300841898 * f_lo[60];
-    fm[33] += 0.7071067811865476 * f_lo[61];
-    fm[20] += 1.224744871391589 * f_lo[62];
-    fm[21] += 1.224744871391589 * f_lo[63];
-    fm[34] += 0.7071067811865476 * f_lo[64];
-    fm[35] += 0.7071067811865476 * f_lo[65];
-    fm[22] += 1.224744871391589 * f_lo[66];
-    fm[23] += 1.224744871391589 * f_lo[67];
-    fm[24] += 1.224744871391589 * f_lo[68];
-    fm[11] += 1.5811388300841898 * f_lo[69];
-    fm[12] += 1.5811388300841898 * f_lo[70];
-    fm[36] += 0.7071067811865476 * f_lo[71];
-    fm[37] += 0.7071067811865476 * f_lo[72];
-    fm[38] += 0.7071067811865476 * f_lo[73];
-    fm[25] += 1.224744871391589 * f_lo[74];
-    fm[26] += 1.224744871391589 * f_lo[75];
-    fm[13] += 1.5811388300841898 * f_lo[76];
-    fm[39] += 0.7071067811865476 * f_lo[77];
-    fm[40] += 0.7071067811865476 * f_lo[78];
-    fm[27] += 1.224744871391589 * f_lo[79];
-    fm[41] += 0.7071067811865476 * f_lo[80];
-    fm[28] += 1.224744871391589 * f_lo[81];
-    fm[29] += 1.224744871391589 * f_lo[82];
-    fm[42] += 0.7071067811865476 * f_lo[83];
-    fm[43] += 0.7071067811865476 * f_lo[84];
-    fm[30] += 1.224744871391589 * f_lo[85];
-    fm[31] += 1.224744871391589 * f_lo[86];
-    fm[32] += 1.224744871391589 * f_lo[87];
-    fm[18] += 1.5811388300841898 * f_lo[88];
-    fm[33] += 1.224744871391589 * f_lo[89];
-    fm[34] += 1.224744871391589 * f_lo[90];
-    fm[35] += 1.224744871391589 * f_lo[91];
-    fm[23] += 1.5811388300841898 * f_lo[92];
-    fm[44] += 0.7071067811865476 * f_lo[93];
-    fm[45] += 0.7071067811865476 * f_lo[94];
-    fm[36] += 1.224744871391589 * f_lo[95];
-    fm[37] += 1.224744871391589 * f_lo[96];
-    fm[38] += 1.224744871391589 * f_lo[97];
-    fm[25] += 1.5811388300841898 * f_lo[98];
-    fm[26] += 1.5811388300841898 * f_lo[99];
-    fm[46] += 0.7071067811865476 * f_lo[100];
-    fm[39] += 1.224744871391589 * f_lo[101];
-    fm[40] += 1.224744871391589 * f_lo[102];
-    fm[41] += 1.224744871391589 * f_lo[103];
-    fm[47] += 0.7071067811865476 * f_lo[104];
-    fm[42] += 1.224744871391589 * f_lo[105];
-    fm[43] += 1.224744871391589 * f_lo[106];
-    fm[44] += 1.224744871391589 * f_lo[107];
-    fm[45] += 1.224744871391589 * f_lo[108];
-    fm[37] += 1.5811388300841898 * f_lo[109];
-    fm[46] += 1.224744871391589 * f_lo[110];
-    fm[47] += 1.224744871391589 * f_lo[111];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[1] += 0.7071067811865476 * f_hi[1];
-    fp[2] += 0.7071067811865476 * f_hi[2];
-    fp[0] += -1.224744871391589 * f_hi[3];
-    fp[3] += 0.7071067811865476 * f_hi[4];
-    fp[4] += 0.7071067811865476 * f_hi[5];
-    fp[5] += 0.7071067811865476 * f_hi[6];
-    fp[6] += 0.7071067811865476 * f_hi[7];
-    fp[7] += 0.7071067811865476 * f_hi[8];
-    fp[1] += -1.224744871391589 * f_hi[9];
-    fp[2] += -1.224744871391589 * f_hi[10];
-    fp[0] += 1.5811388300841898 * f_hi[11];
-    fp[8] += 0.7071067811865476 * f_hi[12];
-    fp[9] += 0.7071067811865476 * f_hi[13];
-    fp[3] += -1.224744871391589 * f_hi[14];
-    fp[10] += 0.7071067811865476 * f_hi[15];
-    fp[11] += 0.7071067811865476 * f_hi[16];
-    fp[12] += 0.7071067811865476 * f_hi[17];
-    fp[4] += -1.224744871391589 * f_hi[18];
-    fp[13] += 0.7071067811865476 * f_hi[19];
-    fp[14] += 0.7071067811865476 * f_hi[20];
-    fp[15] += 0.7071067811865476 * f_hi[21];
-    fp[16] += 0.7071067811865476 * f_hi[22];
-    fp[5] += -1.224744871391589 * f_hi[23];
-    fp[6] += -1.224744871391589 * f_hi[24];
-    fp[7] += -1.224744871391589 * f_hi[25];
-    fp[1] += 1.5811388300841898 * f_hi[26];
-    fp[2] += 1.5811388300841898 * f_hi[27];
-    fp[17] += 0.7071067811865476 * f_hi[28];
-    fp[18] += 0.7071067811865476 * f_hi[29];
-    fp[19] += 0.7071067811865476 * f_hi[30];
-    fp[8] += -1.224744871391589 * f_hi[31];
-    fp[9] += -1.224744871391589 * f_hi[32];
-    fp[3] += 1.5811388300841898 * f_hi[33];
-    fp[20] += 0.7071067811865476 * f_hi[34];
-    fp[21] += 0.7071067811865476 * f_hi[35];
-    fp[10] += -1.224744871391589 * f_hi[36];
-    fp[22] += 0.7071067811865476 * f_hi[37];
-    fp[23] += 0.7071067811865476 * f_hi[38];
-    fp[24] += 0.7071067811865476 * f_hi[39];
-    fp[11] += -1.224744871391589 * f_hi[40];
-    fp[12] += -1.224744871391589 * f_hi[41];
-    fp[4] += 1.5811388300841898 * f_hi[42];
-    fp[25] += 0.7071067811865476 * f_hi[43];
-    fp[26] += 0.7071067811865476 * f_hi[44];
-    fp[13] += -1.224744871391589 * f_hi[45];
-    fp[27] += 0.7071067811865476 * f_hi[46];
-    fp[28] += 0.7071067811865476 * f_hi[47];
-    fp[29] += 0.7071067811865476 * f_hi[48];
-    fp[14] += -1.224744871391589 * f_hi[49];
-    fp[30] += 0.7071067811865476 * f_hi[50];
-    fp[15] += -1.224744871391589 * f_hi[51];
-    fp[16] += -1.224744871391589 * f_hi[52];
-    fp[6] += 1.5811388300841898 * f_hi[53];
-    fp[31] += 0.7071067811865476 * f_hi[54];
-    fp[32] += 0.7071067811865476 * f_hi[55];
-    fp[17] += -1.224744871391589 * f_hi[56];
-    fp[18] += -1.224744871391589 * f_hi[57];
-    fp[19] += -1.224744871391589 * f_hi[58];
-    fp[8] += 1.5811388300841898 * f_hi[59];
-    fp[9] += 1.5811388300841898 * f_hi[60];
-    fp[33] += 0.7071067811865476 * f_hi[61];
-    fp[20] += -1.224744871391589 * f_hi[62];
-    fp[21] += -1.224744871391589 * f_hi[63];
-    fp[34] += 0.7071067811865476 * f_hi[64];
-    fp[35] += 0.7071067811865476 * f_hi[65];
-    fp[22] += -1.224744871391589 * f_hi[66];
-    fp[23] += -1.224744871391589 * f_hi[67];
-    fp[24] += -1.224744871391589 * f_hi[68];
-    fp[11] += 1.5811388300841898 * f_hi[69];
-    fp[12] += 1.5811388300841898 * f_hi[70];
-    fp[36] += 0.7071067811865476 * f_hi[71];
-    fp[37] += 0.7071067811865476 * f_hi[72];
-    fp[38] += 0.7071067811865476 * f_hi[73];
-    fp[25] += -1.224744871391589 * f_hi[74];
-    fp[26] += -1.224744871391589 * f_hi[75];
-    fp[13] += 1.5811388300841898 * f_hi[76];
-    fp[39] += 0.7071067811865476 * f_hi[77];
-    fp[40] += 0.7071067811865476 * f_hi[78];
-    fp[27] += -1.224744871391589 * f_hi[79];
-    fp[41] += 0.7071067811865476 * f_hi[80];
-    fp[28] += -1.224744871391589 * f_hi[81];
-    fp[29] += -1.224744871391589 * f_hi[82];
-    fp[42] += 0.7071067811865476 * f_hi[83];
-    fp[43] += 0.7071067811865476 * f_hi[84];
-    fp[30] += -1.224744871391589 * f_hi[85];
-    fp[31] += -1.224744871391589 * f_hi[86];
-    fp[32] += -1.224744871391589 * f_hi[87];
-    fp[18] += 1.5811388300841898 * f_hi[88];
-    fp[33] += -1.224744871391589 * f_hi[89];
-    fp[34] += -1.224744871391589 * f_hi[90];
-    fp[35] += -1.224744871391589 * f_hi[91];
-    fp[23] += 1.5811388300841898 * f_hi[92];
-    fp[44] += 0.7071067811865476 * f_hi[93];
-    fp[45] += 0.7071067811865476 * f_hi[94];
-    fp[36] += -1.224744871391589 * f_hi[95];
-    fp[37] += -1.224744871391589 * f_hi[96];
-    fp[38] += -1.224744871391589 * f_hi[97];
-    fp[25] += 1.5811388300841898 * f_hi[98];
-    fp[26] += 1.5811388300841898 * f_hi[99];
-    fp[46] += 0.7071067811865476 * f_hi[100];
-    fp[39] += -1.224744871391589 * f_hi[101];
-    fp[40] += -1.224744871391589 * f_hi[102];
-    fp[41] += -1.224744871391589 * f_hi[103];
-    fp[47] += 0.7071067811865476 * f_hi[104];
-    fp[42] += -1.224744871391589 * f_hi[105];
-    fp[43] += -1.224744871391589 * f_hi[106];
-    fp[44] += -1.224744871391589 * f_hi[107];
-    fp[45] += -1.224744871391589 * f_hi[108];
-    fp[37] += 1.5811388300841898 * f_hi[109];
-    fp[46] += -1.224744871391589 * f_hi[110];
-    fp[47] += -1.224744871391589 * f_hi[111];
-    let mut favg = [0.0f64; 48];
-    let mut ghat = [0.0f64; 48];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    favg[8] = 0.5 * (fm[8] + fp[8]);
-    ghat[8] = -0.5 * lam * (fp[8] - fm[8]);
-    favg[9] = 0.5 * (fm[9] + fp[9]);
-    ghat[9] = -0.5 * lam * (fp[9] - fm[9]);
-    favg[10] = 0.5 * (fm[10] + fp[10]);
-    ghat[10] = -0.5 * lam * (fp[10] - fm[10]);
-    favg[11] = 0.5 * (fm[11] + fp[11]);
-    ghat[11] = -0.5 * lam * (fp[11] - fm[11]);
-    favg[12] = 0.5 * (fm[12] + fp[12]);
-    ghat[12] = -0.5 * lam * (fp[12] - fm[12]);
-    favg[13] = 0.5 * (fm[13] + fp[13]);
-    ghat[13] = -0.5 * lam * (fp[13] - fm[13]);
-    favg[14] = 0.5 * (fm[14] + fp[14]);
-    ghat[14] = -0.5 * lam * (fp[14] - fm[14]);
-    favg[15] = 0.5 * (fm[15] + fp[15]);
-    ghat[15] = -0.5 * lam * (fp[15] - fm[15]);
-    favg[16] = 0.5 * (fm[16] + fp[16]);
-    ghat[16] = -0.5 * lam * (fp[16] - fm[16]);
-    favg[17] = 0.5 * (fm[17] + fp[17]);
-    ghat[17] = -0.5 * lam * (fp[17] - fm[17]);
-    favg[18] = 0.5 * (fm[18] + fp[18]);
-    ghat[18] = -0.5 * lam * (fp[18] - fm[18]);
-    favg[19] = 0.5 * (fm[19] + fp[19]);
-    ghat[19] = -0.5 * lam * (fp[19] - fm[19]);
-    favg[20] = 0.5 * (fm[20] + fp[20]);
-    ghat[20] = -0.5 * lam * (fp[20] - fm[20]);
-    favg[21] = 0.5 * (fm[21] + fp[21]);
-    ghat[21] = -0.5 * lam * (fp[21] - fm[21]);
-    favg[22] = 0.5 * (fm[22] + fp[22]);
-    ghat[22] = -0.5 * lam * (fp[22] - fm[22]);
-    favg[23] = 0.5 * (fm[23] + fp[23]);
-    ghat[23] = -0.5 * lam * (fp[23] - fm[23]);
-    favg[24] = 0.5 * (fm[24] + fp[24]);
-    ghat[24] = -0.5 * lam * (fp[24] - fm[24]);
-    favg[25] = 0.5 * (fm[25] + fp[25]);
-    ghat[25] = -0.5 * lam * (fp[25] - fm[25]);
-    favg[26] = 0.5 * (fm[26] + fp[26]);
-    ghat[26] = -0.5 * lam * (fp[26] - fm[26]);
-    favg[27] = 0.5 * (fm[27] + fp[27]);
-    ghat[27] = -0.5 * lam * (fp[27] - fm[27]);
-    favg[28] = 0.5 * (fm[28] + fp[28]);
-    ghat[28] = -0.5 * lam * (fp[28] - fm[28]);
-    favg[29] = 0.5 * (fm[29] + fp[29]);
-    ghat[29] = -0.5 * lam * (fp[29] - fm[29]);
-    favg[30] = 0.5 * (fm[30] + fp[30]);
-    ghat[30] = -0.5 * lam * (fp[30] - fm[30]);
-    favg[31] = 0.5 * (fm[31] + fp[31]);
-    ghat[31] = -0.5 * lam * (fp[31] - fm[31]);
-    favg[32] = 0.5 * (fm[32] + fp[32]);
-    ghat[32] = -0.5 * lam * (fp[32] - fm[32]);
-    favg[33] = 0.5 * (fm[33] + fp[33]);
-    ghat[33] = -0.5 * lam * (fp[33] - fm[33]);
-    favg[34] = 0.5 * (fm[34] + fp[34]);
-    ghat[34] = -0.5 * lam * (fp[34] - fm[34]);
-    favg[35] = 0.5 * (fm[35] + fp[35]);
-    ghat[35] = -0.5 * lam * (fp[35] - fm[35]);
-    favg[36] = 0.5 * (fm[36] + fp[36]);
-    ghat[36] = -0.5 * lam * (fp[36] - fm[36]);
-    favg[37] = 0.5 * (fm[37] + fp[37]);
-    ghat[37] = -0.5 * lam * (fp[37] - fm[37]);
-    favg[38] = 0.5 * (fm[38] + fp[38]);
-    ghat[38] = -0.5 * lam * (fp[38] - fm[38]);
-    favg[39] = 0.5 * (fm[39] + fp[39]);
-    ghat[39] = -0.5 * lam * (fp[39] - fm[39]);
-    favg[40] = 0.5 * (fm[40] + fp[40]);
-    ghat[40] = -0.5 * lam * (fp[40] - fm[40]);
-    favg[41] = 0.5 * (fm[41] + fp[41]);
-    ghat[41] = -0.5 * lam * (fp[41] - fm[41]);
-    favg[42] = 0.5 * (fm[42] + fp[42]);
-    ghat[42] = -0.5 * lam * (fp[42] - fm[42]);
-    favg[43] = 0.5 * (fm[43] + fp[43]);
-    ghat[43] = -0.5 * lam * (fp[43] - fm[43]);
-    favg[44] = 0.5 * (fm[44] + fp[44]);
-    ghat[44] = -0.5 * lam * (fp[44] - fm[44]);
-    favg[45] = 0.5 * (fm[45] + fp[45]);
-    ghat[45] = -0.5 * lam * (fp[45] - fm[45]);
-    favg[46] = 0.5 * (fm[46] + fp[46]);
-    ghat[46] = -0.5 * lam * (fp[46] - fm[46]);
-    favg[47] = 0.5 * (fm[47] + fp[47]);
-    ghat[47] = -0.5 * lam * (fp[47] - fm[47]);
-    ghat[0] += 0.25 * alpha[0] * favg[0];
-    ghat[0] += 0.25 * alpha[3] * favg[3];
-    ghat[0] += 0.25 * alpha[4] * favg[4];
-    ghat[0] += 0.25 * alpha[10] * favg[10];
-    ghat[0] += 0.25 * alpha[13] * favg[13];
-    ghat[0] += 0.25 * alpha[14] * favg[14];
-    ghat[0] += 0.25 * alpha[27] * favg[27];
-    ghat[0] += 0.25 * alpha[30] * favg[30];
-    ghat[1] += 0.25 * alpha[0] * favg[1];
-    ghat[1] += 0.25 * alpha[3] * favg[8];
-    ghat[1] += 0.25 * alpha[4] * favg[11];
-    ghat[1] += 0.25 * alpha[10] * favg[20];
-    ghat[1] += 0.25 * alpha[13] * favg[25];
-    ghat[1] += 0.25 * alpha[14] * favg[28];
-    ghat[1] += 0.25 * alpha[27] * favg[39];
-    ghat[1] += 0.25 * alpha[30] * favg[42];
-    ghat[2] += 0.25 * alpha[0] * favg[2];
-    ghat[2] += 0.25 * alpha[3] * favg[9];
-    ghat[2] += 0.25 * alpha[4] * favg[12];
-    ghat[2] += 0.25 * alpha[10] * favg[21];
-    ghat[2] += 0.25 * alpha[13] * favg[26];
-    ghat[2] += 0.25 * alpha[14] * favg[29];
-    ghat[2] += 0.25 * alpha[27] * favg[40];
-    ghat[2] += 0.25 * alpha[30] * favg[43];
-    ghat[3] += 0.25 * alpha[0] * favg[3];
-    ghat[3] += 0.25 * alpha[3] * favg[0];
-    ghat[3] += 0.22360679774997896 * alpha[3] * favg[10];
-    ghat[3] += 0.25 * alpha[4] * favg[13];
-    ghat[3] += 0.22360679774997896 * alpha[10] * favg[3];
-    ghat[3] += 0.25 * alpha[13] * favg[4];
-    ghat[3] += 0.223606797749979 * alpha[13] * favg[27];
-    ghat[3] += 0.25 * alpha[14] * favg[30];
-    ghat[3] += 0.223606797749979 * alpha[27] * favg[13];
-    ghat[3] += 0.25 * alpha[30] * favg[14];
-    ghat[4] += 0.25 * alpha[0] * favg[4];
-    ghat[4] += 0.25 * alpha[3] * favg[13];
-    ghat[4] += 0.25 * alpha[4] * favg[0];
-    ghat[4] += 0.22360679774997896 * alpha[4] * favg[14];
-    ghat[4] += 0.25 * alpha[10] * favg[27];
-    ghat[4] += 0.25 * alpha[13] * favg[3];
-    ghat[4] += 0.223606797749979 * alpha[13] * favg[30];
-    ghat[4] += 0.22360679774997896 * alpha[14] * favg[4];
-    ghat[4] += 0.25 * alpha[27] * favg[10];
-    ghat[4] += 0.223606797749979 * alpha[30] * favg[13];
-    ghat[5] += 0.25 * alpha[0] * favg[5];
-    ghat[5] += 0.25 * alpha[3] * favg[17];
-    ghat[5] += 0.25 * alpha[4] * favg[22];
-    ghat[5] += 0.25 * alpha[13] * favg[36];
-    ghat[6] += 0.25 * alpha[0] * favg[6];
-    ghat[6] += 0.25 * alpha[3] * favg[18];
-    ghat[6] += 0.25 * alpha[4] * favg[23];
-    ghat[6] += 0.25 * alpha[10] * favg[33];
-    ghat[6] += 0.25 * alpha[13] * favg[37];
-    ghat[6] += 0.25 * alpha[14] * favg[41];
-    ghat[6] += 0.25 * alpha[27] * favg[46];
-    ghat[6] += 0.25 * alpha[30] * favg[47];
-    ghat[7] += 0.25 * alpha[0] * favg[7];
-    ghat[7] += 0.25 * alpha[3] * favg[19];
-    ghat[7] += 0.25 * alpha[4] * favg[24];
-    ghat[7] += 0.25 * alpha[13] * favg[38];
-    ghat[8] += 0.25 * alpha[0] * favg[8];
-    ghat[8] += 0.25 * alpha[3] * favg[1];
-    ghat[8] += 0.223606797749979 * alpha[3] * favg[20];
-    ghat[8] += 0.25 * alpha[4] * favg[25];
-    ghat[8] += 0.223606797749979 * alpha[10] * favg[8];
-    ghat[8] += 0.25 * alpha[13] * favg[11];
-    ghat[8] += 0.22360679774997896 * alpha[13] * favg[39];
-    ghat[8] += 0.25 * alpha[14] * favg[42];
-    ghat[8] += 0.22360679774997896 * alpha[27] * favg[25];
-    ghat[8] += 0.25 * alpha[30] * favg[28];
-    ghat[9] += 0.25 * alpha[0] * favg[9];
-    ghat[9] += 0.25 * alpha[3] * favg[2];
-    ghat[9] += 0.223606797749979 * alpha[3] * favg[21];
-    ghat[9] += 0.25 * alpha[4] * favg[26];
-    ghat[9] += 0.223606797749979 * alpha[10] * favg[9];
-    ghat[9] += 0.25 * alpha[13] * favg[12];
-    ghat[9] += 0.22360679774997896 * alpha[13] * favg[40];
-    ghat[9] += 0.25 * alpha[14] * favg[43];
-    ghat[9] += 0.22360679774997896 * alpha[27] * favg[26];
-    ghat[9] += 0.25 * alpha[30] * favg[29];
-    ghat[10] += 0.25 * alpha[0] * favg[10];
-    ghat[10] += 0.22360679774997896 * alpha[3] * favg[3];
-    ghat[10] += 0.25 * alpha[4] * favg[27];
-    ghat[10] += 0.25 * alpha[10] * favg[0];
-    ghat[10] += 0.15971914124998499 * alpha[10] * favg[10];
-    ghat[10] += 0.223606797749979 * alpha[13] * favg[13];
-    ghat[10] += 0.25 * alpha[27] * favg[4];
-    ghat[10] += 0.15971914124998499 * alpha[27] * favg[27];
-    ghat[10] += 0.22360679774997896 * alpha[30] * favg[30];
-    ghat[11] += 0.25 * alpha[0] * favg[11];
-    ghat[11] += 0.25 * alpha[3] * favg[25];
-    ghat[11] += 0.25 * alpha[4] * favg[1];
-    ghat[11] += 0.223606797749979 * alpha[4] * favg[28];
-    ghat[11] += 0.25 * alpha[10] * favg[39];
-    ghat[11] += 0.25 * alpha[13] * favg[8];
-    ghat[11] += 0.22360679774997896 * alpha[13] * favg[42];
-    ghat[11] += 0.223606797749979 * alpha[14] * favg[11];
-    ghat[11] += 0.25 * alpha[27] * favg[20];
-    ghat[11] += 0.22360679774997896 * alpha[30] * favg[25];
-    ghat[12] += 0.25 * alpha[0] * favg[12];
-    ghat[12] += 0.25 * alpha[3] * favg[26];
-    ghat[12] += 0.25 * alpha[4] * favg[2];
-    ghat[12] += 0.223606797749979 * alpha[4] * favg[29];
-    ghat[12] += 0.25 * alpha[10] * favg[40];
-    ghat[12] += 0.25 * alpha[13] * favg[9];
-    ghat[12] += 0.22360679774997896 * alpha[13] * favg[43];
-    ghat[12] += 0.223606797749979 * alpha[14] * favg[12];
-    ghat[12] += 0.25 * alpha[27] * favg[21];
-    ghat[12] += 0.22360679774997896 * alpha[30] * favg[26];
-    ghat[13] += 0.25 * alpha[0] * favg[13];
-    ghat[13] += 0.25 * alpha[3] * favg[4];
-    ghat[13] += 0.223606797749979 * alpha[3] * favg[27];
-    ghat[13] += 0.25 * alpha[4] * favg[3];
-    ghat[13] += 0.223606797749979 * alpha[4] * favg[30];
-    ghat[13] += 0.223606797749979 * alpha[10] * favg[13];
-    ghat[13] += 0.25 * alpha[13] * favg[0];
-    ghat[13] += 0.223606797749979 * alpha[13] * favg[10];
-    ghat[13] += 0.223606797749979 * alpha[13] * favg[14];
-    ghat[13] += 0.223606797749979 * alpha[14] * favg[13];
-    ghat[13] += 0.223606797749979 * alpha[27] * favg[3];
-    ghat[13] += 0.2 * alpha[27] * favg[30];
-    ghat[13] += 0.223606797749979 * alpha[30] * favg[4];
-    ghat[13] += 0.2 * alpha[30] * favg[27];
-    ghat[14] += 0.25 * alpha[0] * favg[14];
-    ghat[14] += 0.25 * alpha[3] * favg[30];
-    ghat[14] += 0.22360679774997896 * alpha[4] * favg[4];
-    ghat[14] += 0.223606797749979 * alpha[13] * favg[13];
-    ghat[14] += 0.25 * alpha[14] * favg[0];
-    ghat[14] += 0.15971914124998499 * alpha[14] * favg[14];
-    ghat[14] += 0.22360679774997896 * alpha[27] * favg[27];
-    ghat[14] += 0.25 * alpha[30] * favg[3];
-    ghat[14] += 0.15971914124998499 * alpha[30] * favg[30];
-    ghat[15] += 0.25 * alpha[0] * favg[15];
-    ghat[15] += 0.25 * alpha[3] * favg[31];
-    ghat[15] += 0.25 * alpha[4] * favg[34];
-    ghat[15] += 0.25 * alpha[13] * favg[44];
-    ghat[16] += 0.25 * alpha[0] * favg[16];
-    ghat[16] += 0.25 * alpha[3] * favg[32];
-    ghat[16] += 0.25 * alpha[4] * favg[35];
-    ghat[16] += 0.25 * alpha[13] * favg[45];
-    ghat[17] += 0.25 * alpha[0] * favg[17];
-    ghat[17] += 0.25 * alpha[3] * favg[5];
-    ghat[17] += 0.25 * alpha[4] * favg[36];
-    ghat[17] += 0.22360679774997896 * alpha[10] * favg[17];
-    ghat[17] += 0.25 * alpha[13] * favg[22];
-    ghat[17] += 0.22360679774997896 * alpha[27] * favg[36];
-    ghat[18] += 0.25 * alpha[0] * favg[18];
-    ghat[18] += 0.25 * alpha[3] * favg[6];
-    ghat[18] += 0.22360679774997896 * alpha[3] * favg[33];
-    ghat[18] += 0.25 * alpha[4] * favg[37];
-    ghat[18] += 0.22360679774997896 * alpha[10] * favg[18];
-    ghat[18] += 0.25 * alpha[13] * favg[23];
-    ghat[18] += 0.22360679774997896 * alpha[13] * favg[46];
-    ghat[18] += 0.25 * alpha[14] * favg[47];
-    ghat[18] += 0.22360679774997896 * alpha[27] * favg[37];
-    ghat[18] += 0.25 * alpha[30] * favg[41];
-    ghat[19] += 0.25 * alpha[0] * favg[19];
-    ghat[19] += 0.25 * alpha[3] * favg[7];
-    ghat[19] += 0.25 * alpha[4] * favg[38];
-    ghat[19] += 0.22360679774997896 * alpha[10] * favg[19];
-    ghat[19] += 0.25 * alpha[13] * favg[24];
-    ghat[19] += 0.22360679774997896 * alpha[27] * favg[38];
-    ghat[20] += 0.25 * alpha[0] * favg[20];
-    ghat[20] += 0.223606797749979 * alpha[3] * favg[8];
-    ghat[20] += 0.25 * alpha[4] * favg[39];
-    ghat[20] += 0.25 * alpha[10] * favg[1];
-    ghat[20] += 0.15971914124998499 * alpha[10] * favg[20];
-    ghat[20] += 0.22360679774997896 * alpha[13] * favg[25];
-    ghat[20] += 0.25 * alpha[27] * favg[11];
-    ghat[20] += 0.15971914124998499 * alpha[27] * favg[39];
-    ghat[20] += 0.22360679774997896 * alpha[30] * favg[42];
-    ghat[21] += 0.25 * alpha[0] * favg[21];
-    ghat[21] += 0.223606797749979 * alpha[3] * favg[9];
-    ghat[21] += 0.25 * alpha[4] * favg[40];
-    ghat[21] += 0.25 * alpha[10] * favg[2];
-    ghat[21] += 0.15971914124998499 * alpha[10] * favg[21];
-    ghat[21] += 0.22360679774997896 * alpha[13] * favg[26];
-    ghat[21] += 0.25 * alpha[27] * favg[12];
-    ghat[21] += 0.15971914124998499 * alpha[27] * favg[40];
-    ghat[21] += 0.22360679774997896 * alpha[30] * favg[43];
-    ghat[22] += 0.25 * alpha[0] * favg[22];
-    ghat[22] += 0.25 * alpha[3] * favg[36];
-    ghat[22] += 0.25 * alpha[4] * favg[5];
-    ghat[22] += 0.25 * alpha[13] * favg[17];
-    ghat[22] += 0.22360679774997896 * alpha[14] * favg[22];
-    ghat[22] += 0.22360679774997896 * alpha[30] * favg[36];
-    ghat[23] += 0.25 * alpha[0] * favg[23];
-    ghat[23] += 0.25 * alpha[3] * favg[37];
-    ghat[23] += 0.25 * alpha[4] * favg[6];
-    ghat[23] += 0.22360679774997896 * alpha[4] * favg[41];
-    ghat[23] += 0.25 * alpha[10] * favg[46];
-    ghat[23] += 0.25 * alpha[13] * favg[18];
-    ghat[23] += 0.22360679774997896 * alpha[13] * favg[47];
-    ghat[23] += 0.22360679774997896 * alpha[14] * favg[23];
-    ghat[23] += 0.25 * alpha[27] * favg[33];
-    ghat[23] += 0.22360679774997896 * alpha[30] * favg[37];
-    ghat[24] += 0.25 * alpha[0] * favg[24];
-    ghat[24] += 0.25 * alpha[3] * favg[38];
-    ghat[24] += 0.25 * alpha[4] * favg[7];
-    ghat[24] += 0.25 * alpha[13] * favg[19];
-    ghat[24] += 0.22360679774997896 * alpha[14] * favg[24];
-    ghat[24] += 0.22360679774997896 * alpha[30] * favg[38];
-    ghat[25] += 0.25 * alpha[0] * favg[25];
-    ghat[25] += 0.25 * alpha[3] * favg[11];
-    ghat[25] += 0.22360679774997896 * alpha[3] * favg[39];
-    ghat[25] += 0.25 * alpha[4] * favg[8];
-    ghat[25] += 0.22360679774997896 * alpha[4] * favg[42];
-    ghat[25] += 0.22360679774997896 * alpha[10] * favg[25];
-    ghat[25] += 0.25 * alpha[13] * favg[1];
-    ghat[25] += 0.22360679774997896 * alpha[13] * favg[20];
-    ghat[25] += 0.22360679774997896 * alpha[13] * favg[28];
-    ghat[25] += 0.22360679774997896 * alpha[14] * favg[25];
-    ghat[25] += 0.22360679774997896 * alpha[27] * favg[8];
-    ghat[25] += 0.19999999999999998 * alpha[27] * favg[42];
-    ghat[25] += 0.22360679774997896 * alpha[30] * favg[11];
-    ghat[25] += 0.19999999999999998 * alpha[30] * favg[39];
-    ghat[26] += 0.25 * alpha[0] * favg[26];
-    ghat[26] += 0.25 * alpha[3] * favg[12];
-    ghat[26] += 0.22360679774997896 * alpha[3] * favg[40];
-    ghat[26] += 0.25 * alpha[4] * favg[9];
-    ghat[26] += 0.22360679774997896 * alpha[4] * favg[43];
-    ghat[26] += 0.22360679774997896 * alpha[10] * favg[26];
-    ghat[26] += 0.25 * alpha[13] * favg[2];
-    ghat[26] += 0.22360679774997896 * alpha[13] * favg[21];
-    ghat[26] += 0.22360679774997896 * alpha[13] * favg[29];
-    ghat[26] += 0.22360679774997896 * alpha[14] * favg[26];
-    ghat[26] += 0.22360679774997896 * alpha[27] * favg[9];
-    ghat[26] += 0.19999999999999998 * alpha[27] * favg[43];
-    ghat[26] += 0.22360679774997896 * alpha[30] * favg[12];
-    ghat[26] += 0.19999999999999998 * alpha[30] * favg[40];
-    ghat[27] += 0.25 * alpha[0] * favg[27];
-    ghat[27] += 0.223606797749979 * alpha[3] * favg[13];
-    ghat[27] += 0.25 * alpha[4] * favg[10];
-    ghat[27] += 0.25 * alpha[10] * favg[4];
-    ghat[27] += 0.15971914124998499 * alpha[10] * favg[27];
-    ghat[27] += 0.223606797749979 * alpha[13] * favg[3];
-    ghat[27] += 0.2 * alpha[13] * favg[30];
-    ghat[27] += 0.22360679774997896 * alpha[14] * favg[27];
-    ghat[27] += 0.25 * alpha[27] * favg[0];
-    ghat[27] += 0.15971914124998499 * alpha[27] * favg[10];
-    ghat[27] += 0.22360679774997896 * alpha[27] * favg[14];
-    ghat[27] += 0.2 * alpha[30] * favg[13];
-    ghat[28] += 0.25 * alpha[0] * favg[28];
-    ghat[28] += 0.25 * alpha[3] * favg[42];
-    ghat[28] += 0.223606797749979 * alpha[4] * favg[11];
-    ghat[28] += 0.22360679774997896 * alpha[13] * favg[25];
-    ghat[28] += 0.25 * alpha[14] * favg[1];
-    ghat[28] += 0.15971914124998499 * alpha[14] * favg[28];
-    ghat[28] += 0.22360679774997896 * alpha[27] * favg[39];
-    ghat[28] += 0.25 * alpha[30] * favg[8];
-    ghat[28] += 0.15971914124998499 * alpha[30] * favg[42];
-    ghat[29] += 0.25 * alpha[0] * favg[29];
-    ghat[29] += 0.25 * alpha[3] * favg[43];
-    ghat[29] += 0.223606797749979 * alpha[4] * favg[12];
-    ghat[29] += 0.22360679774997896 * alpha[13] * favg[26];
-    ghat[29] += 0.25 * alpha[14] * favg[2];
-    ghat[29] += 0.15971914124998499 * alpha[14] * favg[29];
-    ghat[29] += 0.22360679774997896 * alpha[27] * favg[40];
-    ghat[29] += 0.25 * alpha[30] * favg[9];
-    ghat[29] += 0.15971914124998499 * alpha[30] * favg[43];
-    ghat[30] += 0.25 * alpha[0] * favg[30];
-    ghat[30] += 0.25 * alpha[3] * favg[14];
-    ghat[30] += 0.223606797749979 * alpha[4] * favg[13];
-    ghat[30] += 0.22360679774997896 * alpha[10] * favg[30];
-    ghat[30] += 0.223606797749979 * alpha[13] * favg[4];
-    ghat[30] += 0.2 * alpha[13] * favg[27];
-    ghat[30] += 0.25 * alpha[14] * favg[3];
-    ghat[30] += 0.15971914124998499 * alpha[14] * favg[30];
-    ghat[30] += 0.2 * alpha[27] * favg[13];
-    ghat[30] += 0.25 * alpha[30] * favg[0];
-    ghat[30] += 0.22360679774997896 * alpha[30] * favg[10];
-    ghat[30] += 0.15971914124998499 * alpha[30] * favg[14];
-    ghat[31] += 0.25 * alpha[0] * favg[31];
-    ghat[31] += 0.25 * alpha[3] * favg[15];
-    ghat[31] += 0.25 * alpha[4] * favg[44];
-    ghat[31] += 0.22360679774997896 * alpha[10] * favg[31];
-    ghat[31] += 0.25 * alpha[13] * favg[34];
-    ghat[31] += 0.22360679774997896 * alpha[27] * favg[44];
-    ghat[32] += 0.25 * alpha[0] * favg[32];
-    ghat[32] += 0.25 * alpha[3] * favg[16];
-    ghat[32] += 0.25 * alpha[4] * favg[45];
-    ghat[32] += 0.22360679774997896 * alpha[10] * favg[32];
-    ghat[32] += 0.25 * alpha[13] * favg[35];
-    ghat[32] += 0.22360679774997896 * alpha[27] * favg[45];
-    ghat[33] += 0.25 * alpha[0] * favg[33];
-    ghat[33] += 0.22360679774997896 * alpha[3] * favg[18];
-    ghat[33] += 0.25 * alpha[4] * favg[46];
-    ghat[33] += 0.25 * alpha[10] * favg[6];
-    ghat[33] += 0.15971914124998499 * alpha[10] * favg[33];
-    ghat[33] += 0.22360679774997896 * alpha[13] * favg[37];
-    ghat[33] += 0.25 * alpha[27] * favg[23];
-    ghat[33] += 0.15971914124998499 * alpha[27] * favg[46];
-    ghat[33] += 0.22360679774997896 * alpha[30] * favg[47];
-    ghat[34] += 0.25 * alpha[0] * favg[34];
-    ghat[34] += 0.25 * alpha[3] * favg[44];
-    ghat[34] += 0.25 * alpha[4] * favg[15];
-    ghat[34] += 0.25 * alpha[13] * favg[31];
-    ghat[34] += 0.22360679774997896 * alpha[14] * favg[34];
-    ghat[34] += 0.22360679774997896 * alpha[30] * favg[44];
-    ghat[35] += 0.25 * alpha[0] * favg[35];
-    ghat[35] += 0.25 * alpha[3] * favg[45];
-    ghat[35] += 0.25 * alpha[4] * favg[16];
-    ghat[35] += 0.25 * alpha[13] * favg[32];
-    ghat[35] += 0.22360679774997896 * alpha[14] * favg[35];
-    ghat[35] += 0.22360679774997896 * alpha[30] * favg[45];
-    ghat[36] += 0.25 * alpha[0] * favg[36];
-    ghat[36] += 0.25 * alpha[3] * favg[22];
-    ghat[36] += 0.25 * alpha[4] * favg[17];
-    ghat[36] += 0.22360679774997896 * alpha[10] * favg[36];
-    ghat[36] += 0.25 * alpha[13] * favg[5];
-    ghat[36] += 0.22360679774997896 * alpha[14] * favg[36];
-    ghat[36] += 0.22360679774997896 * alpha[27] * favg[17];
-    ghat[36] += 0.22360679774997896 * alpha[30] * favg[22];
-    ghat[37] += 0.25 * alpha[0] * favg[37];
-    ghat[37] += 0.25 * alpha[3] * favg[23];
-    ghat[37] += 0.22360679774997896 * alpha[3] * favg[46];
-    ghat[37] += 0.25 * alpha[4] * favg[18];
-    ghat[37] += 0.22360679774997896 * alpha[4] * favg[47];
-    ghat[37] += 0.22360679774997896 * alpha[10] * favg[37];
-    ghat[37] += 0.25 * alpha[13] * favg[6];
-    ghat[37] += 0.22360679774997896 * alpha[13] * favg[33];
-    ghat[37] += 0.22360679774997896 * alpha[13] * favg[41];
-    ghat[37] += 0.22360679774997896 * alpha[14] * favg[37];
-    ghat[37] += 0.22360679774997896 * alpha[27] * favg[18];
-    ghat[37] += 0.2 * alpha[27] * favg[47];
-    ghat[37] += 0.22360679774997896 * alpha[30] * favg[23];
-    ghat[37] += 0.2 * alpha[30] * favg[46];
-    ghat[38] += 0.25 * alpha[0] * favg[38];
-    ghat[38] += 0.25 * alpha[3] * favg[24];
-    ghat[38] += 0.25 * alpha[4] * favg[19];
-    ghat[38] += 0.22360679774997896 * alpha[10] * favg[38];
-    ghat[38] += 0.25 * alpha[13] * favg[7];
-    ghat[38] += 0.22360679774997896 * alpha[14] * favg[38];
-    ghat[38] += 0.22360679774997896 * alpha[27] * favg[19];
-    ghat[38] += 0.22360679774997896 * alpha[30] * favg[24];
-    ghat[39] += 0.25 * alpha[0] * favg[39];
-    ghat[39] += 0.22360679774997896 * alpha[3] * favg[25];
-    ghat[39] += 0.25 * alpha[4] * favg[20];
-    ghat[39] += 0.25 * alpha[10] * favg[11];
-    ghat[39] += 0.15971914124998499 * alpha[10] * favg[39];
-    ghat[39] += 0.22360679774997896 * alpha[13] * favg[8];
-    ghat[39] += 0.19999999999999998 * alpha[13] * favg[42];
-    ghat[39] += 0.22360679774997896 * alpha[14] * favg[39];
-    ghat[39] += 0.25 * alpha[27] * favg[1];
-    ghat[39] += 0.15971914124998499 * alpha[27] * favg[20];
-    ghat[39] += 0.22360679774997896 * alpha[27] * favg[28];
-    ghat[39] += 0.19999999999999998 * alpha[30] * favg[25];
-    ghat[40] += 0.25 * alpha[0] * favg[40];
-    ghat[40] += 0.22360679774997896 * alpha[3] * favg[26];
-    ghat[40] += 0.25 * alpha[4] * favg[21];
-    ghat[40] += 0.25 * alpha[10] * favg[12];
-    ghat[40] += 0.15971914124998499 * alpha[10] * favg[40];
-    ghat[40] += 0.22360679774997896 * alpha[13] * favg[9];
-    ghat[40] += 0.19999999999999998 * alpha[13] * favg[43];
-    ghat[40] += 0.22360679774997896 * alpha[14] * favg[40];
-    ghat[40] += 0.25 * alpha[27] * favg[2];
-    ghat[40] += 0.15971914124998499 * alpha[27] * favg[21];
-    ghat[40] += 0.22360679774997896 * alpha[27] * favg[29];
-    ghat[40] += 0.19999999999999998 * alpha[30] * favg[26];
-    ghat[41] += 0.25 * alpha[0] * favg[41];
-    ghat[41] += 0.25 * alpha[3] * favg[47];
-    ghat[41] += 0.22360679774997896 * alpha[4] * favg[23];
-    ghat[41] += 0.22360679774997896 * alpha[13] * favg[37];
-    ghat[41] += 0.25 * alpha[14] * favg[6];
-    ghat[41] += 0.15971914124998499 * alpha[14] * favg[41];
-    ghat[41] += 0.22360679774997896 * alpha[27] * favg[46];
-    ghat[41] += 0.25 * alpha[30] * favg[18];
-    ghat[41] += 0.15971914124998499 * alpha[30] * favg[47];
-    ghat[42] += 0.25 * alpha[0] * favg[42];
-    ghat[42] += 0.25 * alpha[3] * favg[28];
-    ghat[42] += 0.22360679774997896 * alpha[4] * favg[25];
-    ghat[42] += 0.22360679774997896 * alpha[10] * favg[42];
-    ghat[42] += 0.22360679774997896 * alpha[13] * favg[11];
-    ghat[42] += 0.19999999999999998 * alpha[13] * favg[39];
-    ghat[42] += 0.25 * alpha[14] * favg[8];
-    ghat[42] += 0.15971914124998499 * alpha[14] * favg[42];
-    ghat[42] += 0.19999999999999998 * alpha[27] * favg[25];
-    ghat[42] += 0.25 * alpha[30] * favg[1];
-    ghat[42] += 0.22360679774997896 * alpha[30] * favg[20];
-    ghat[42] += 0.15971914124998499 * alpha[30] * favg[28];
-    ghat[43] += 0.25 * alpha[0] * favg[43];
-    ghat[43] += 0.25 * alpha[3] * favg[29];
-    ghat[43] += 0.22360679774997896 * alpha[4] * favg[26];
-    ghat[43] += 0.22360679774997896 * alpha[10] * favg[43];
-    ghat[43] += 0.22360679774997896 * alpha[13] * favg[12];
-    ghat[43] += 0.19999999999999998 * alpha[13] * favg[40];
-    ghat[43] += 0.25 * alpha[14] * favg[9];
-    ghat[43] += 0.15971914124998499 * alpha[14] * favg[43];
-    ghat[43] += 0.19999999999999998 * alpha[27] * favg[26];
-    ghat[43] += 0.25 * alpha[30] * favg[2];
-    ghat[43] += 0.22360679774997896 * alpha[30] * favg[21];
-    ghat[43] += 0.15971914124998499 * alpha[30] * favg[29];
-    ghat[44] += 0.25 * alpha[0] * favg[44];
-    ghat[44] += 0.25 * alpha[3] * favg[34];
-    ghat[44] += 0.25 * alpha[4] * favg[31];
-    ghat[44] += 0.22360679774997896 * alpha[10] * favg[44];
-    ghat[44] += 0.25 * alpha[13] * favg[15];
-    ghat[44] += 0.22360679774997896 * alpha[14] * favg[44];
-    ghat[44] += 0.22360679774997896 * alpha[27] * favg[31];
-    ghat[44] += 0.22360679774997896 * alpha[30] * favg[34];
-    ghat[45] += 0.25 * alpha[0] * favg[45];
-    ghat[45] += 0.25 * alpha[3] * favg[35];
-    ghat[45] += 0.25 * alpha[4] * favg[32];
-    ghat[45] += 0.22360679774997896 * alpha[10] * favg[45];
-    ghat[45] += 0.25 * alpha[13] * favg[16];
-    ghat[45] += 0.22360679774997896 * alpha[14] * favg[45];
-    ghat[45] += 0.22360679774997896 * alpha[27] * favg[32];
-    ghat[45] += 0.22360679774997896 * alpha[30] * favg[35];
-    ghat[46] += 0.25 * alpha[0] * favg[46];
-    ghat[46] += 0.22360679774997896 * alpha[3] * favg[37];
-    ghat[46] += 0.25 * alpha[4] * favg[33];
-    ghat[46] += 0.25 * alpha[10] * favg[23];
-    ghat[46] += 0.15971914124998499 * alpha[10] * favg[46];
-    ghat[46] += 0.22360679774997896 * alpha[13] * favg[18];
-    ghat[46] += 0.2 * alpha[13] * favg[47];
-    ghat[46] += 0.22360679774997896 * alpha[14] * favg[46];
-    ghat[46] += 0.25 * alpha[27] * favg[6];
-    ghat[46] += 0.15971914124998499 * alpha[27] * favg[33];
-    ghat[46] += 0.22360679774997896 * alpha[27] * favg[41];
-    ghat[46] += 0.2 * alpha[30] * favg[37];
-    ghat[47] += 0.25 * alpha[0] * favg[47];
-    ghat[47] += 0.25 * alpha[3] * favg[41];
-    ghat[47] += 0.22360679774997896 * alpha[4] * favg[37];
-    ghat[47] += 0.22360679774997896 * alpha[10] * favg[47];
-    ghat[47] += 0.22360679774997896 * alpha[13] * favg[23];
-    ghat[47] += 0.2 * alpha[13] * favg[46];
-    ghat[47] += 0.25 * alpha[14] * favg[18];
-    ghat[47] += 0.15971914124998499 * alpha[14] * favg[47];
-    ghat[47] += 0.2 * alpha[27] * favg[37];
-    ghat[47] += 0.25 * alpha[30] * favg[6];
-    ghat[47] += 0.22360679774997896 * alpha[30] * favg[33];
-    ghat[47] += 0.15971914124998499 * alpha[30] * favg[41];
-    out_lo[0] += -scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -scale * 0.7071067811865476 * ghat[1];
-    out_lo[2] += -scale * 0.7071067811865476 * ghat[2];
-    out_lo[3] += -scale * 1.224744871391589 * ghat[0];
-    out_lo[4] += -scale * 0.7071067811865476 * ghat[3];
-    out_lo[5] += -scale * 0.7071067811865476 * ghat[4];
-    out_lo[6] += -scale * 0.7071067811865476 * ghat[5];
-    out_lo[7] += -scale * 0.7071067811865476 * ghat[6];
-    out_lo[8] += -scale * 0.7071067811865476 * ghat[7];
-    out_lo[9] += -scale * 1.224744871391589 * ghat[1];
-    out_lo[10] += -scale * 1.224744871391589 * ghat[2];
-    out_lo[11] += -scale * 1.5811388300841898 * ghat[0];
-    out_lo[12] += -scale * 0.7071067811865476 * ghat[8];
-    out_lo[13] += -scale * 0.7071067811865476 * ghat[9];
-    out_lo[14] += -scale * 1.224744871391589 * ghat[3];
-    out_lo[15] += -scale * 0.7071067811865476 * ghat[10];
-    out_lo[16] += -scale * 0.7071067811865476 * ghat[11];
-    out_lo[17] += -scale * 0.7071067811865476 * ghat[12];
-    out_lo[18] += -scale * 1.224744871391589 * ghat[4];
-    out_lo[19] += -scale * 0.7071067811865476 * ghat[13];
-    out_lo[20] += -scale * 0.7071067811865476 * ghat[14];
-    out_lo[21] += -scale * 0.7071067811865476 * ghat[15];
-    out_lo[22] += -scale * 0.7071067811865476 * ghat[16];
-    out_lo[23] += -scale * 1.224744871391589 * ghat[5];
-    out_lo[24] += -scale * 1.224744871391589 * ghat[6];
-    out_lo[25] += -scale * 1.224744871391589 * ghat[7];
-    out_lo[26] += -scale * 1.5811388300841898 * ghat[1];
-    out_lo[27] += -scale * 1.5811388300841898 * ghat[2];
-    out_lo[28] += -scale * 0.7071067811865476 * ghat[17];
-    out_lo[29] += -scale * 0.7071067811865476 * ghat[18];
-    out_lo[30] += -scale * 0.7071067811865476 * ghat[19];
-    out_lo[31] += -scale * 1.224744871391589 * ghat[8];
-    out_lo[32] += -scale * 1.224744871391589 * ghat[9];
-    out_lo[33] += -scale * 1.5811388300841898 * ghat[3];
-    out_lo[34] += -scale * 0.7071067811865476 * ghat[20];
-    out_lo[35] += -scale * 0.7071067811865476 * ghat[21];
-    out_lo[36] += -scale * 1.224744871391589 * ghat[10];
-    out_lo[37] += -scale * 0.7071067811865476 * ghat[22];
-    out_lo[38] += -scale * 0.7071067811865476 * ghat[23];
-    out_lo[39] += -scale * 0.7071067811865476 * ghat[24];
-    out_lo[40] += -scale * 1.224744871391589 * ghat[11];
-    out_lo[41] += -scale * 1.224744871391589 * ghat[12];
-    out_lo[42] += -scale * 1.5811388300841898 * ghat[4];
-    out_lo[43] += -scale * 0.7071067811865476 * ghat[25];
-    out_lo[44] += -scale * 0.7071067811865476 * ghat[26];
-    out_lo[45] += -scale * 1.224744871391589 * ghat[13];
-    out_lo[46] += -scale * 0.7071067811865476 * ghat[27];
-    out_lo[47] += -scale * 0.7071067811865476 * ghat[28];
-    out_lo[48] += -scale * 0.7071067811865476 * ghat[29];
-    out_lo[49] += -scale * 1.224744871391589 * ghat[14];
-    out_lo[50] += -scale * 0.7071067811865476 * ghat[30];
-    out_lo[51] += -scale * 1.224744871391589 * ghat[15];
-    out_lo[52] += -scale * 1.224744871391589 * ghat[16];
-    out_lo[53] += -scale * 1.5811388300841898 * ghat[6];
-    out_lo[54] += -scale * 0.7071067811865476 * ghat[31];
-    out_lo[55] += -scale * 0.7071067811865476 * ghat[32];
-    out_lo[56] += -scale * 1.224744871391589 * ghat[17];
-    out_lo[57] += -scale * 1.224744871391589 * ghat[18];
-    out_lo[58] += -scale * 1.224744871391589 * ghat[19];
-    out_lo[59] += -scale * 1.5811388300841898 * ghat[8];
-    out_lo[60] += -scale * 1.5811388300841898 * ghat[9];
-    out_lo[61] += -scale * 0.7071067811865476 * ghat[33];
-    out_lo[62] += -scale * 1.224744871391589 * ghat[20];
-    out_lo[63] += -scale * 1.224744871391589 * ghat[21];
-    out_lo[64] += -scale * 0.7071067811865476 * ghat[34];
-    out_lo[65] += -scale * 0.7071067811865476 * ghat[35];
-    out_lo[66] += -scale * 1.224744871391589 * ghat[22];
-    out_lo[67] += -scale * 1.224744871391589 * ghat[23];
-    out_lo[68] += -scale * 1.224744871391589 * ghat[24];
-    out_lo[69] += -scale * 1.5811388300841898 * ghat[11];
-    out_lo[70] += -scale * 1.5811388300841898 * ghat[12];
-    out_lo[71] += -scale * 0.7071067811865476 * ghat[36];
-    out_lo[72] += -scale * 0.7071067811865476 * ghat[37];
-    out_lo[73] += -scale * 0.7071067811865476 * ghat[38];
-    out_lo[74] += -scale * 1.224744871391589 * ghat[25];
-    out_lo[75] += -scale * 1.224744871391589 * ghat[26];
-    out_lo[76] += -scale * 1.5811388300841898 * ghat[13];
-    out_lo[77] += -scale * 0.7071067811865476 * ghat[39];
-    out_lo[78] += -scale * 0.7071067811865476 * ghat[40];
-    out_lo[79] += -scale * 1.224744871391589 * ghat[27];
-    out_lo[80] += -scale * 0.7071067811865476 * ghat[41];
-    out_lo[81] += -scale * 1.224744871391589 * ghat[28];
-    out_lo[82] += -scale * 1.224744871391589 * ghat[29];
-    out_lo[83] += -scale * 0.7071067811865476 * ghat[42];
-    out_lo[84] += -scale * 0.7071067811865476 * ghat[43];
-    out_lo[85] += -scale * 1.224744871391589 * ghat[30];
-    out_lo[86] += -scale * 1.224744871391589 * ghat[31];
-    out_lo[87] += -scale * 1.224744871391589 * ghat[32];
-    out_lo[88] += -scale * 1.5811388300841898 * ghat[18];
-    out_lo[89] += -scale * 1.224744871391589 * ghat[33];
-    out_lo[90] += -scale * 1.224744871391589 * ghat[34];
-    out_lo[91] += -scale * 1.224744871391589 * ghat[35];
-    out_lo[92] += -scale * 1.5811388300841898 * ghat[23];
-    out_lo[93] += -scale * 0.7071067811865476 * ghat[44];
-    out_lo[94] += -scale * 0.7071067811865476 * ghat[45];
-    out_lo[95] += -scale * 1.224744871391589 * ghat[36];
-    out_lo[96] += -scale * 1.224744871391589 * ghat[37];
-    out_lo[97] += -scale * 1.224744871391589 * ghat[38];
-    out_lo[98] += -scale * 1.5811388300841898 * ghat[25];
-    out_lo[99] += -scale * 1.5811388300841898 * ghat[26];
-    out_lo[100] += -scale * 0.7071067811865476 * ghat[46];
-    out_lo[101] += -scale * 1.224744871391589 * ghat[39];
-    out_lo[102] += -scale * 1.224744871391589 * ghat[40];
-    out_lo[103] += -scale * 1.224744871391589 * ghat[41];
-    out_lo[104] += -scale * 0.7071067811865476 * ghat[47];
-    out_lo[105] += -scale * 1.224744871391589 * ghat[42];
-    out_lo[106] += -scale * 1.224744871391589 * ghat[43];
-    out_lo[107] += -scale * 1.224744871391589 * ghat[44];
-    out_lo[108] += -scale * 1.224744871391589 * ghat[45];
-    out_lo[109] += -scale * 1.5811388300841898 * ghat[37];
-    out_lo[110] += -scale * 1.224744871391589 * ghat[46];
-    out_lo[111] += -scale * 1.224744871391589 * ghat[47];
-    out_hi[0] += scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += scale * 0.7071067811865476 * ghat[1];
-    out_hi[2] += scale * 0.7071067811865476 * ghat[2];
-    out_hi[3] += scale * -1.224744871391589 * ghat[0];
-    out_hi[4] += scale * 0.7071067811865476 * ghat[3];
-    out_hi[5] += scale * 0.7071067811865476 * ghat[4];
-    out_hi[6] += scale * 0.7071067811865476 * ghat[5];
-    out_hi[7] += scale * 0.7071067811865476 * ghat[6];
-    out_hi[8] += scale * 0.7071067811865476 * ghat[7];
-    out_hi[9] += scale * -1.224744871391589 * ghat[1];
-    out_hi[10] += scale * -1.224744871391589 * ghat[2];
-    out_hi[11] += scale * 1.5811388300841898 * ghat[0];
-    out_hi[12] += scale * 0.7071067811865476 * ghat[8];
-    out_hi[13] += scale * 0.7071067811865476 * ghat[9];
-    out_hi[14] += scale * -1.224744871391589 * ghat[3];
-    out_hi[15] += scale * 0.7071067811865476 * ghat[10];
-    out_hi[16] += scale * 0.7071067811865476 * ghat[11];
-    out_hi[17] += scale * 0.7071067811865476 * ghat[12];
-    out_hi[18] += scale * -1.224744871391589 * ghat[4];
-    out_hi[19] += scale * 0.7071067811865476 * ghat[13];
-    out_hi[20] += scale * 0.7071067811865476 * ghat[14];
-    out_hi[21] += scale * 0.7071067811865476 * ghat[15];
-    out_hi[22] += scale * 0.7071067811865476 * ghat[16];
-    out_hi[23] += scale * -1.224744871391589 * ghat[5];
-    out_hi[24] += scale * -1.224744871391589 * ghat[6];
-    out_hi[25] += scale * -1.224744871391589 * ghat[7];
-    out_hi[26] += scale * 1.5811388300841898 * ghat[1];
-    out_hi[27] += scale * 1.5811388300841898 * ghat[2];
-    out_hi[28] += scale * 0.7071067811865476 * ghat[17];
-    out_hi[29] += scale * 0.7071067811865476 * ghat[18];
-    out_hi[30] += scale * 0.7071067811865476 * ghat[19];
-    out_hi[31] += scale * -1.224744871391589 * ghat[8];
-    out_hi[32] += scale * -1.224744871391589 * ghat[9];
-    out_hi[33] += scale * 1.5811388300841898 * ghat[3];
-    out_hi[34] += scale * 0.7071067811865476 * ghat[20];
-    out_hi[35] += scale * 0.7071067811865476 * ghat[21];
-    out_hi[36] += scale * -1.224744871391589 * ghat[10];
-    out_hi[37] += scale * 0.7071067811865476 * ghat[22];
-    out_hi[38] += scale * 0.7071067811865476 * ghat[23];
-    out_hi[39] += scale * 0.7071067811865476 * ghat[24];
-    out_hi[40] += scale * -1.224744871391589 * ghat[11];
-    out_hi[41] += scale * -1.224744871391589 * ghat[12];
-    out_hi[42] += scale * 1.5811388300841898 * ghat[4];
-    out_hi[43] += scale * 0.7071067811865476 * ghat[25];
-    out_hi[44] += scale * 0.7071067811865476 * ghat[26];
-    out_hi[45] += scale * -1.224744871391589 * ghat[13];
-    out_hi[46] += scale * 0.7071067811865476 * ghat[27];
-    out_hi[47] += scale * 0.7071067811865476 * ghat[28];
-    out_hi[48] += scale * 0.7071067811865476 * ghat[29];
-    out_hi[49] += scale * -1.224744871391589 * ghat[14];
-    out_hi[50] += scale * 0.7071067811865476 * ghat[30];
-    out_hi[51] += scale * -1.224744871391589 * ghat[15];
-    out_hi[52] += scale * -1.224744871391589 * ghat[16];
-    out_hi[53] += scale * 1.5811388300841898 * ghat[6];
-    out_hi[54] += scale * 0.7071067811865476 * ghat[31];
-    out_hi[55] += scale * 0.7071067811865476 * ghat[32];
-    out_hi[56] += scale * -1.224744871391589 * ghat[17];
-    out_hi[57] += scale * -1.224744871391589 * ghat[18];
-    out_hi[58] += scale * -1.224744871391589 * ghat[19];
-    out_hi[59] += scale * 1.5811388300841898 * ghat[8];
-    out_hi[60] += scale * 1.5811388300841898 * ghat[9];
-    out_hi[61] += scale * 0.7071067811865476 * ghat[33];
-    out_hi[62] += scale * -1.224744871391589 * ghat[20];
-    out_hi[63] += scale * -1.224744871391589 * ghat[21];
-    out_hi[64] += scale * 0.7071067811865476 * ghat[34];
-    out_hi[65] += scale * 0.7071067811865476 * ghat[35];
-    out_hi[66] += scale * -1.224744871391589 * ghat[22];
-    out_hi[67] += scale * -1.224744871391589 * ghat[23];
-    out_hi[68] += scale * -1.224744871391589 * ghat[24];
-    out_hi[69] += scale * 1.5811388300841898 * ghat[11];
-    out_hi[70] += scale * 1.5811388300841898 * ghat[12];
-    out_hi[71] += scale * 0.7071067811865476 * ghat[36];
-    out_hi[72] += scale * 0.7071067811865476 * ghat[37];
-    out_hi[73] += scale * 0.7071067811865476 * ghat[38];
-    out_hi[74] += scale * -1.224744871391589 * ghat[25];
-    out_hi[75] += scale * -1.224744871391589 * ghat[26];
-    out_hi[76] += scale * 1.5811388300841898 * ghat[13];
-    out_hi[77] += scale * 0.7071067811865476 * ghat[39];
-    out_hi[78] += scale * 0.7071067811865476 * ghat[40];
-    out_hi[79] += scale * -1.224744871391589 * ghat[27];
-    out_hi[80] += scale * 0.7071067811865476 * ghat[41];
-    out_hi[81] += scale * -1.224744871391589 * ghat[28];
-    out_hi[82] += scale * -1.224744871391589 * ghat[29];
-    out_hi[83] += scale * 0.7071067811865476 * ghat[42];
-    out_hi[84] += scale * 0.7071067811865476 * ghat[43];
-    out_hi[85] += scale * -1.224744871391589 * ghat[30];
-    out_hi[86] += scale * -1.224744871391589 * ghat[31];
-    out_hi[87] += scale * -1.224744871391589 * ghat[32];
-    out_hi[88] += scale * 1.5811388300841898 * ghat[18];
-    out_hi[89] += scale * -1.224744871391589 * ghat[33];
-    out_hi[90] += scale * -1.224744871391589 * ghat[34];
-    out_hi[91] += scale * -1.224744871391589 * ghat[35];
-    out_hi[92] += scale * 1.5811388300841898 * ghat[23];
-    out_hi[93] += scale * 0.7071067811865476 * ghat[44];
-    out_hi[94] += scale * 0.7071067811865476 * ghat[45];
-    out_hi[95] += scale * -1.224744871391589 * ghat[36];
-    out_hi[96] += scale * -1.224744871391589 * ghat[37];
-    out_hi[97] += scale * -1.224744871391589 * ghat[38];
-    out_hi[98] += scale * 1.5811388300841898 * ghat[25];
-    out_hi[99] += scale * 1.5811388300841898 * ghat[26];
-    out_hi[100] += scale * 0.7071067811865476 * ghat[46];
-    out_hi[101] += scale * -1.224744871391589 * ghat[39];
-    out_hi[102] += scale * -1.224744871391589 * ghat[40];
-    out_hi[103] += scale * -1.224744871391589 * ghat[41];
-    out_hi[104] += scale * 0.7071067811865476 * ghat[47];
-    out_hi[105] += scale * -1.224744871391589 * ghat[42];
-    out_hi[106] += scale * -1.224744871391589 * ghat[43];
-    out_hi[107] += scale * -1.224744871391589 * ghat[44];
-    out_hi[108] += scale * -1.224744871391589 * ghat[45];
-    out_hi[109] += scale * 1.5811388300841898 * ghat[37];
-    out_hi[110] += scale * -1.224744871391589 * ghat[46];
-    out_hi[111] += scale * -1.224744871391589 * ghat[47];
+    let mut alpha = [[0.0f64; L]; 48];
+    let mut lam = [0.0f64; L];
+    for k in 0..L {
+        alpha[0][k] = -nu * vstar * 4.0;
+        alpha[0][k] += nu * 2.0 * u[0][k];
+        alpha[3][k] += nu * 2.0 * u[1][k];
+        alpha[4][k] += nu * 2.0 * u[2][k];
+        alpha[10][k] += nu * 2.0 * u[3][k];
+        alpha[13][k] += nu * 2.0 * u[4][k];
+        alpha[14][k] += nu * 2.0 * u[5][k];
+        alpha[27][k] += nu * 2.0 * u[6][k];
+        alpha[30][k] += nu * 2.0 * u[7][k];
+        lam[k] = alpha[0][k].abs() * 0.25000000000000006 + alpha[3][k].abs() * 0.4330127018922194 + alpha[4][k].abs() * 0.4330127018922194 + alpha[10][k].abs() * 0.5590169943749475 + alpha[13][k].abs() * 0.75 + alpha[14][k].abs() * 0.5590169943749475 + alpha[27][k].abs() * 0.9682458365518543 + alpha[30][k].abs() * 0.9682458365518543;
+    }
+    let mut fm = [[0.0f64; L]; 48];
+    let mut fp = [[0.0f64; L]; 48];
+    sxn(&mut fm[0], 0.7071067811865476, &f_lo[0]);
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[1]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[2]);
+    sxn(&mut fm[0], 1.224744871391589, &f_lo[3]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[4]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[5]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[6]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[7]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[8]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[9]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[10]);
+    sxn(&mut fm[0], 1.5811388300841898, &f_lo[11]);
+    sxn(&mut fm[8], 0.7071067811865476, &f_lo[12]);
+    sxn(&mut fm[9], 0.7071067811865476, &f_lo[13]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[14]);
+    sxn(&mut fm[10], 0.7071067811865476, &f_lo[15]);
+    sxn(&mut fm[11], 0.7071067811865476, &f_lo[16]);
+    sxn(&mut fm[12], 0.7071067811865476, &f_lo[17]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[18]);
+    sxn(&mut fm[13], 0.7071067811865476, &f_lo[19]);
+    sxn(&mut fm[14], 0.7071067811865476, &f_lo[20]);
+    sxn(&mut fm[15], 0.7071067811865476, &f_lo[21]);
+    sxn(&mut fm[16], 0.7071067811865476, &f_lo[22]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[23]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[24]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[25]);
+    sxn(&mut fm[1], 1.5811388300841898, &f_lo[26]);
+    sxn(&mut fm[2], 1.5811388300841898, &f_lo[27]);
+    sxn(&mut fm[17], 0.7071067811865476, &f_lo[28]);
+    sxn(&mut fm[18], 0.7071067811865476, &f_lo[29]);
+    sxn(&mut fm[19], 0.7071067811865476, &f_lo[30]);
+    sxn(&mut fm[8], 1.224744871391589, &f_lo[31]);
+    sxn(&mut fm[9], 1.224744871391589, &f_lo[32]);
+    sxn(&mut fm[3], 1.5811388300841898, &f_lo[33]);
+    sxn(&mut fm[20], 0.7071067811865476, &f_lo[34]);
+    sxn(&mut fm[21], 0.7071067811865476, &f_lo[35]);
+    sxn(&mut fm[10], 1.224744871391589, &f_lo[36]);
+    sxn(&mut fm[22], 0.7071067811865476, &f_lo[37]);
+    sxn(&mut fm[23], 0.7071067811865476, &f_lo[38]);
+    sxn(&mut fm[24], 0.7071067811865476, &f_lo[39]);
+    sxn(&mut fm[11], 1.224744871391589, &f_lo[40]);
+    sxn(&mut fm[12], 1.224744871391589, &f_lo[41]);
+    sxn(&mut fm[4], 1.5811388300841898, &f_lo[42]);
+    sxn(&mut fm[25], 0.7071067811865476, &f_lo[43]);
+    sxn(&mut fm[26], 0.7071067811865476, &f_lo[44]);
+    sxn(&mut fm[13], 1.224744871391589, &f_lo[45]);
+    sxn(&mut fm[27], 0.7071067811865476, &f_lo[46]);
+    sxn(&mut fm[28], 0.7071067811865476, &f_lo[47]);
+    sxn(&mut fm[29], 0.7071067811865476, &f_lo[48]);
+    sxn(&mut fm[14], 1.224744871391589, &f_lo[49]);
+    sxn(&mut fm[30], 0.7071067811865476, &f_lo[50]);
+    sxn(&mut fm[15], 1.224744871391589, &f_lo[51]);
+    sxn(&mut fm[16], 1.224744871391589, &f_lo[52]);
+    sxn(&mut fm[6], 1.5811388300841898, &f_lo[53]);
+    sxn(&mut fm[31], 0.7071067811865476, &f_lo[54]);
+    sxn(&mut fm[32], 0.7071067811865476, &f_lo[55]);
+    sxn(&mut fm[17], 1.224744871391589, &f_lo[56]);
+    sxn(&mut fm[18], 1.224744871391589, &f_lo[57]);
+    sxn(&mut fm[19], 1.224744871391589, &f_lo[58]);
+    sxn(&mut fm[8], 1.5811388300841898, &f_lo[59]);
+    sxn(&mut fm[9], 1.5811388300841898, &f_lo[60]);
+    sxn(&mut fm[33], 0.7071067811865476, &f_lo[61]);
+    sxn(&mut fm[20], 1.224744871391589, &f_lo[62]);
+    sxn(&mut fm[21], 1.224744871391589, &f_lo[63]);
+    sxn(&mut fm[34], 0.7071067811865476, &f_lo[64]);
+    sxn(&mut fm[35], 0.7071067811865476, &f_lo[65]);
+    sxn(&mut fm[22], 1.224744871391589, &f_lo[66]);
+    sxn(&mut fm[23], 1.224744871391589, &f_lo[67]);
+    sxn(&mut fm[24], 1.224744871391589, &f_lo[68]);
+    sxn(&mut fm[11], 1.5811388300841898, &f_lo[69]);
+    sxn(&mut fm[12], 1.5811388300841898, &f_lo[70]);
+    sxn(&mut fm[36], 0.7071067811865476, &f_lo[71]);
+    sxn(&mut fm[37], 0.7071067811865476, &f_lo[72]);
+    sxn(&mut fm[38], 0.7071067811865476, &f_lo[73]);
+    sxn(&mut fm[25], 1.224744871391589, &f_lo[74]);
+    sxn(&mut fm[26], 1.224744871391589, &f_lo[75]);
+    sxn(&mut fm[13], 1.5811388300841898, &f_lo[76]);
+    sxn(&mut fm[39], 0.7071067811865476, &f_lo[77]);
+    sxn(&mut fm[40], 0.7071067811865476, &f_lo[78]);
+    sxn(&mut fm[27], 1.224744871391589, &f_lo[79]);
+    sxn(&mut fm[41], 0.7071067811865476, &f_lo[80]);
+    sxn(&mut fm[28], 1.224744871391589, &f_lo[81]);
+    sxn(&mut fm[29], 1.224744871391589, &f_lo[82]);
+    sxn(&mut fm[42], 0.7071067811865476, &f_lo[83]);
+    sxn(&mut fm[43], 0.7071067811865476, &f_lo[84]);
+    sxn(&mut fm[30], 1.224744871391589, &f_lo[85]);
+    sxn(&mut fm[31], 1.224744871391589, &f_lo[86]);
+    sxn(&mut fm[32], 1.224744871391589, &f_lo[87]);
+    sxn(&mut fm[18], 1.5811388300841898, &f_lo[88]);
+    sxn(&mut fm[33], 1.224744871391589, &f_lo[89]);
+    sxn(&mut fm[34], 1.224744871391589, &f_lo[90]);
+    sxn(&mut fm[35], 1.224744871391589, &f_lo[91]);
+    sxn(&mut fm[23], 1.5811388300841898, &f_lo[92]);
+    sxn(&mut fm[44], 0.7071067811865476, &f_lo[93]);
+    sxn(&mut fm[45], 0.7071067811865476, &f_lo[94]);
+    sxn(&mut fm[36], 1.224744871391589, &f_lo[95]);
+    sxn(&mut fm[37], 1.224744871391589, &f_lo[96]);
+    sxn(&mut fm[38], 1.224744871391589, &f_lo[97]);
+    sxn(&mut fm[25], 1.5811388300841898, &f_lo[98]);
+    sxn(&mut fm[26], 1.5811388300841898, &f_lo[99]);
+    sxn(&mut fm[46], 0.7071067811865476, &f_lo[100]);
+    sxn(&mut fm[39], 1.224744871391589, &f_lo[101]);
+    sxn(&mut fm[40], 1.224744871391589, &f_lo[102]);
+    sxn(&mut fm[41], 1.224744871391589, &f_lo[103]);
+    sxn(&mut fm[47], 0.7071067811865476, &f_lo[104]);
+    sxn(&mut fm[42], 1.224744871391589, &f_lo[105]);
+    sxn(&mut fm[43], 1.224744871391589, &f_lo[106]);
+    sxn(&mut fm[44], 1.224744871391589, &f_lo[107]);
+    sxn(&mut fm[45], 1.224744871391589, &f_lo[108]);
+    sxn(&mut fm[37], 1.5811388300841898, &f_lo[109]);
+    sxn(&mut fm[46], 1.224744871391589, &f_lo[110]);
+    sxn(&mut fm[47], 1.224744871391589, &f_lo[111]);
+    sxn(&mut fp[0], 0.7071067811865476, &f_hi[0]);
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[1]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[2]);
+    sxn(&mut fp[0], -1.224744871391589, &f_hi[3]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[4]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[5]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[6]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[7]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[8]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[9]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[10]);
+    sxn(&mut fp[0], 1.5811388300841898, &f_hi[11]);
+    sxn(&mut fp[8], 0.7071067811865476, &f_hi[12]);
+    sxn(&mut fp[9], 0.7071067811865476, &f_hi[13]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[14]);
+    sxn(&mut fp[10], 0.7071067811865476, &f_hi[15]);
+    sxn(&mut fp[11], 0.7071067811865476, &f_hi[16]);
+    sxn(&mut fp[12], 0.7071067811865476, &f_hi[17]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[18]);
+    sxn(&mut fp[13], 0.7071067811865476, &f_hi[19]);
+    sxn(&mut fp[14], 0.7071067811865476, &f_hi[20]);
+    sxn(&mut fp[15], 0.7071067811865476, &f_hi[21]);
+    sxn(&mut fp[16], 0.7071067811865476, &f_hi[22]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[23]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[24]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[25]);
+    sxn(&mut fp[1], 1.5811388300841898, &f_hi[26]);
+    sxn(&mut fp[2], 1.5811388300841898, &f_hi[27]);
+    sxn(&mut fp[17], 0.7071067811865476, &f_hi[28]);
+    sxn(&mut fp[18], 0.7071067811865476, &f_hi[29]);
+    sxn(&mut fp[19], 0.7071067811865476, &f_hi[30]);
+    sxn(&mut fp[8], -1.224744871391589, &f_hi[31]);
+    sxn(&mut fp[9], -1.224744871391589, &f_hi[32]);
+    sxn(&mut fp[3], 1.5811388300841898, &f_hi[33]);
+    sxn(&mut fp[20], 0.7071067811865476, &f_hi[34]);
+    sxn(&mut fp[21], 0.7071067811865476, &f_hi[35]);
+    sxn(&mut fp[10], -1.224744871391589, &f_hi[36]);
+    sxn(&mut fp[22], 0.7071067811865476, &f_hi[37]);
+    sxn(&mut fp[23], 0.7071067811865476, &f_hi[38]);
+    sxn(&mut fp[24], 0.7071067811865476, &f_hi[39]);
+    sxn(&mut fp[11], -1.224744871391589, &f_hi[40]);
+    sxn(&mut fp[12], -1.224744871391589, &f_hi[41]);
+    sxn(&mut fp[4], 1.5811388300841898, &f_hi[42]);
+    sxn(&mut fp[25], 0.7071067811865476, &f_hi[43]);
+    sxn(&mut fp[26], 0.7071067811865476, &f_hi[44]);
+    sxn(&mut fp[13], -1.224744871391589, &f_hi[45]);
+    sxn(&mut fp[27], 0.7071067811865476, &f_hi[46]);
+    sxn(&mut fp[28], 0.7071067811865476, &f_hi[47]);
+    sxn(&mut fp[29], 0.7071067811865476, &f_hi[48]);
+    sxn(&mut fp[14], -1.224744871391589, &f_hi[49]);
+    sxn(&mut fp[30], 0.7071067811865476, &f_hi[50]);
+    sxn(&mut fp[15], -1.224744871391589, &f_hi[51]);
+    sxn(&mut fp[16], -1.224744871391589, &f_hi[52]);
+    sxn(&mut fp[6], 1.5811388300841898, &f_hi[53]);
+    sxn(&mut fp[31], 0.7071067811865476, &f_hi[54]);
+    sxn(&mut fp[32], 0.7071067811865476, &f_hi[55]);
+    sxn(&mut fp[17], -1.224744871391589, &f_hi[56]);
+    sxn(&mut fp[18], -1.224744871391589, &f_hi[57]);
+    sxn(&mut fp[19], -1.224744871391589, &f_hi[58]);
+    sxn(&mut fp[8], 1.5811388300841898, &f_hi[59]);
+    sxn(&mut fp[9], 1.5811388300841898, &f_hi[60]);
+    sxn(&mut fp[33], 0.7071067811865476, &f_hi[61]);
+    sxn(&mut fp[20], -1.224744871391589, &f_hi[62]);
+    sxn(&mut fp[21], -1.224744871391589, &f_hi[63]);
+    sxn(&mut fp[34], 0.7071067811865476, &f_hi[64]);
+    sxn(&mut fp[35], 0.7071067811865476, &f_hi[65]);
+    sxn(&mut fp[22], -1.224744871391589, &f_hi[66]);
+    sxn(&mut fp[23], -1.224744871391589, &f_hi[67]);
+    sxn(&mut fp[24], -1.224744871391589, &f_hi[68]);
+    sxn(&mut fp[11], 1.5811388300841898, &f_hi[69]);
+    sxn(&mut fp[12], 1.5811388300841898, &f_hi[70]);
+    sxn(&mut fp[36], 0.7071067811865476, &f_hi[71]);
+    sxn(&mut fp[37], 0.7071067811865476, &f_hi[72]);
+    sxn(&mut fp[38], 0.7071067811865476, &f_hi[73]);
+    sxn(&mut fp[25], -1.224744871391589, &f_hi[74]);
+    sxn(&mut fp[26], -1.224744871391589, &f_hi[75]);
+    sxn(&mut fp[13], 1.5811388300841898, &f_hi[76]);
+    sxn(&mut fp[39], 0.7071067811865476, &f_hi[77]);
+    sxn(&mut fp[40], 0.7071067811865476, &f_hi[78]);
+    sxn(&mut fp[27], -1.224744871391589, &f_hi[79]);
+    sxn(&mut fp[41], 0.7071067811865476, &f_hi[80]);
+    sxn(&mut fp[28], -1.224744871391589, &f_hi[81]);
+    sxn(&mut fp[29], -1.224744871391589, &f_hi[82]);
+    sxn(&mut fp[42], 0.7071067811865476, &f_hi[83]);
+    sxn(&mut fp[43], 0.7071067811865476, &f_hi[84]);
+    sxn(&mut fp[30], -1.224744871391589, &f_hi[85]);
+    sxn(&mut fp[31], -1.224744871391589, &f_hi[86]);
+    sxn(&mut fp[32], -1.224744871391589, &f_hi[87]);
+    sxn(&mut fp[18], 1.5811388300841898, &f_hi[88]);
+    sxn(&mut fp[33], -1.224744871391589, &f_hi[89]);
+    sxn(&mut fp[34], -1.224744871391589, &f_hi[90]);
+    sxn(&mut fp[35], -1.224744871391589, &f_hi[91]);
+    sxn(&mut fp[23], 1.5811388300841898, &f_hi[92]);
+    sxn(&mut fp[44], 0.7071067811865476, &f_hi[93]);
+    sxn(&mut fp[45], 0.7071067811865476, &f_hi[94]);
+    sxn(&mut fp[36], -1.224744871391589, &f_hi[95]);
+    sxn(&mut fp[37], -1.224744871391589, &f_hi[96]);
+    sxn(&mut fp[38], -1.224744871391589, &f_hi[97]);
+    sxn(&mut fp[25], 1.5811388300841898, &f_hi[98]);
+    sxn(&mut fp[26], 1.5811388300841898, &f_hi[99]);
+    sxn(&mut fp[46], 0.7071067811865476, &f_hi[100]);
+    sxn(&mut fp[39], -1.224744871391589, &f_hi[101]);
+    sxn(&mut fp[40], -1.224744871391589, &f_hi[102]);
+    sxn(&mut fp[41], -1.224744871391589, &f_hi[103]);
+    sxn(&mut fp[47], 0.7071067811865476, &f_hi[104]);
+    sxn(&mut fp[42], -1.224744871391589, &f_hi[105]);
+    sxn(&mut fp[43], -1.224744871391589, &f_hi[106]);
+    sxn(&mut fp[44], -1.224744871391589, &f_hi[107]);
+    sxn(&mut fp[45], -1.224744871391589, &f_hi[108]);
+    sxn(&mut fp[37], 1.5811388300841898, &f_hi[109]);
+    sxn(&mut fp[46], -1.224744871391589, &f_hi[110]);
+    sxn(&mut fp[47], -1.224744871391589, &f_hi[111]);
+    let mut favg = [[0.0f64; L]; 48];
+    let mut ghat = [[0.0f64; L]; 48];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
+        favg[8][k] = 0.5 * (fm[8][k] + fp[8][k]);
+        ghat[8][k] = -0.5 * lam[k] * (fp[8][k] - fm[8][k]);
+        favg[9][k] = 0.5 * (fm[9][k] + fp[9][k]);
+        ghat[9][k] = -0.5 * lam[k] * (fp[9][k] - fm[9][k]);
+        favg[10][k] = 0.5 * (fm[10][k] + fp[10][k]);
+        ghat[10][k] = -0.5 * lam[k] * (fp[10][k] - fm[10][k]);
+        favg[11][k] = 0.5 * (fm[11][k] + fp[11][k]);
+        ghat[11][k] = -0.5 * lam[k] * (fp[11][k] - fm[11][k]);
+        favg[12][k] = 0.5 * (fm[12][k] + fp[12][k]);
+        ghat[12][k] = -0.5 * lam[k] * (fp[12][k] - fm[12][k]);
+        favg[13][k] = 0.5 * (fm[13][k] + fp[13][k]);
+        ghat[13][k] = -0.5 * lam[k] * (fp[13][k] - fm[13][k]);
+        favg[14][k] = 0.5 * (fm[14][k] + fp[14][k]);
+        ghat[14][k] = -0.5 * lam[k] * (fp[14][k] - fm[14][k]);
+        favg[15][k] = 0.5 * (fm[15][k] + fp[15][k]);
+        ghat[15][k] = -0.5 * lam[k] * (fp[15][k] - fm[15][k]);
+        favg[16][k] = 0.5 * (fm[16][k] + fp[16][k]);
+        ghat[16][k] = -0.5 * lam[k] * (fp[16][k] - fm[16][k]);
+        favg[17][k] = 0.5 * (fm[17][k] + fp[17][k]);
+        ghat[17][k] = -0.5 * lam[k] * (fp[17][k] - fm[17][k]);
+        favg[18][k] = 0.5 * (fm[18][k] + fp[18][k]);
+        ghat[18][k] = -0.5 * lam[k] * (fp[18][k] - fm[18][k]);
+        favg[19][k] = 0.5 * (fm[19][k] + fp[19][k]);
+        ghat[19][k] = -0.5 * lam[k] * (fp[19][k] - fm[19][k]);
+        favg[20][k] = 0.5 * (fm[20][k] + fp[20][k]);
+        ghat[20][k] = -0.5 * lam[k] * (fp[20][k] - fm[20][k]);
+        favg[21][k] = 0.5 * (fm[21][k] + fp[21][k]);
+        ghat[21][k] = -0.5 * lam[k] * (fp[21][k] - fm[21][k]);
+        favg[22][k] = 0.5 * (fm[22][k] + fp[22][k]);
+        ghat[22][k] = -0.5 * lam[k] * (fp[22][k] - fm[22][k]);
+        favg[23][k] = 0.5 * (fm[23][k] + fp[23][k]);
+        ghat[23][k] = -0.5 * lam[k] * (fp[23][k] - fm[23][k]);
+        favg[24][k] = 0.5 * (fm[24][k] + fp[24][k]);
+        ghat[24][k] = -0.5 * lam[k] * (fp[24][k] - fm[24][k]);
+        favg[25][k] = 0.5 * (fm[25][k] + fp[25][k]);
+        ghat[25][k] = -0.5 * lam[k] * (fp[25][k] - fm[25][k]);
+        favg[26][k] = 0.5 * (fm[26][k] + fp[26][k]);
+        ghat[26][k] = -0.5 * lam[k] * (fp[26][k] - fm[26][k]);
+        favg[27][k] = 0.5 * (fm[27][k] + fp[27][k]);
+        ghat[27][k] = -0.5 * lam[k] * (fp[27][k] - fm[27][k]);
+        favg[28][k] = 0.5 * (fm[28][k] + fp[28][k]);
+        ghat[28][k] = -0.5 * lam[k] * (fp[28][k] - fm[28][k]);
+        favg[29][k] = 0.5 * (fm[29][k] + fp[29][k]);
+        ghat[29][k] = -0.5 * lam[k] * (fp[29][k] - fm[29][k]);
+        favg[30][k] = 0.5 * (fm[30][k] + fp[30][k]);
+        ghat[30][k] = -0.5 * lam[k] * (fp[30][k] - fm[30][k]);
+        favg[31][k] = 0.5 * (fm[31][k] + fp[31][k]);
+        ghat[31][k] = -0.5 * lam[k] * (fp[31][k] - fm[31][k]);
+        favg[32][k] = 0.5 * (fm[32][k] + fp[32][k]);
+        ghat[32][k] = -0.5 * lam[k] * (fp[32][k] - fm[32][k]);
+        favg[33][k] = 0.5 * (fm[33][k] + fp[33][k]);
+        ghat[33][k] = -0.5 * lam[k] * (fp[33][k] - fm[33][k]);
+        favg[34][k] = 0.5 * (fm[34][k] + fp[34][k]);
+        ghat[34][k] = -0.5 * lam[k] * (fp[34][k] - fm[34][k]);
+        favg[35][k] = 0.5 * (fm[35][k] + fp[35][k]);
+        ghat[35][k] = -0.5 * lam[k] * (fp[35][k] - fm[35][k]);
+        favg[36][k] = 0.5 * (fm[36][k] + fp[36][k]);
+        ghat[36][k] = -0.5 * lam[k] * (fp[36][k] - fm[36][k]);
+        favg[37][k] = 0.5 * (fm[37][k] + fp[37][k]);
+        ghat[37][k] = -0.5 * lam[k] * (fp[37][k] - fm[37][k]);
+        favg[38][k] = 0.5 * (fm[38][k] + fp[38][k]);
+        ghat[38][k] = -0.5 * lam[k] * (fp[38][k] - fm[38][k]);
+        favg[39][k] = 0.5 * (fm[39][k] + fp[39][k]);
+        ghat[39][k] = -0.5 * lam[k] * (fp[39][k] - fm[39][k]);
+        favg[40][k] = 0.5 * (fm[40][k] + fp[40][k]);
+        ghat[40][k] = -0.5 * lam[k] * (fp[40][k] - fm[40][k]);
+        favg[41][k] = 0.5 * (fm[41][k] + fp[41][k]);
+        ghat[41][k] = -0.5 * lam[k] * (fp[41][k] - fm[41][k]);
+        favg[42][k] = 0.5 * (fm[42][k] + fp[42][k]);
+        ghat[42][k] = -0.5 * lam[k] * (fp[42][k] - fm[42][k]);
+        favg[43][k] = 0.5 * (fm[43][k] + fp[43][k]);
+        ghat[43][k] = -0.5 * lam[k] * (fp[43][k] - fm[43][k]);
+        favg[44][k] = 0.5 * (fm[44][k] + fp[44][k]);
+        ghat[44][k] = -0.5 * lam[k] * (fp[44][k] - fm[44][k]);
+        favg[45][k] = 0.5 * (fm[45][k] + fp[45][k]);
+        ghat[45][k] = -0.5 * lam[k] * (fp[45][k] - fm[45][k]);
+        favg[46][k] = 0.5 * (fm[46][k] + fp[46][k]);
+        ghat[46][k] = -0.5 * lam[k] * (fp[46][k] - fm[46][k]);
+        favg[47][k] = 0.5 * (fm[47][k] + fp[47][k]);
+        ghat[47][k] = -0.5 * lam[k] * (fp[47][k] - fm[47][k]);
+    }
+    for k in 0..L {
+        ghat[0][k] += 0.25 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.25 * alpha[3][k] * favg[3][k];
+        ghat[0][k] += 0.25 * alpha[4][k] * favg[4][k];
+        ghat[0][k] += 0.25 * alpha[10][k] * favg[10][k];
+        ghat[0][k] += 0.25 * alpha[13][k] * favg[13][k];
+        ghat[0][k] += 0.25 * alpha[14][k] * favg[14][k];
+        ghat[0][k] += 0.25 * alpha[27][k] * favg[27][k];
+        ghat[0][k] += 0.25 * alpha[30][k] * favg[30][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.25 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.25 * alpha[3][k] * favg[8][k];
+        ghat[1][k] += 0.25 * alpha[4][k] * favg[11][k];
+        ghat[1][k] += 0.25 * alpha[10][k] * favg[20][k];
+        ghat[1][k] += 0.25 * alpha[13][k] * favg[25][k];
+        ghat[1][k] += 0.25 * alpha[14][k] * favg[28][k];
+        ghat[1][k] += 0.25 * alpha[27][k] * favg[39][k];
+        ghat[1][k] += 0.25 * alpha[30][k] * favg[42][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.25 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.25 * alpha[3][k] * favg[9][k];
+        ghat[2][k] += 0.25 * alpha[4][k] * favg[12][k];
+        ghat[2][k] += 0.25 * alpha[10][k] * favg[21][k];
+        ghat[2][k] += 0.25 * alpha[13][k] * favg[26][k];
+        ghat[2][k] += 0.25 * alpha[14][k] * favg[29][k];
+        ghat[2][k] += 0.25 * alpha[27][k] * favg[40][k];
+        ghat[2][k] += 0.25 * alpha[30][k] * favg[43][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.25 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.25 * alpha[3][k] * favg[0][k];
+        ghat[3][k] += 0.22360679774997896 * alpha[3][k] * favg[10][k];
+        ghat[3][k] += 0.25 * alpha[4][k] * favg[13][k];
+        ghat[3][k] += 0.22360679774997896 * alpha[10][k] * favg[3][k];
+        ghat[3][k] += 0.25 * alpha[13][k] * favg[4][k];
+        ghat[3][k] += 0.223606797749979 * alpha[13][k] * favg[27][k];
+        ghat[3][k] += 0.25 * alpha[14][k] * favg[30][k];
+        ghat[3][k] += 0.223606797749979 * alpha[27][k] * favg[13][k];
+        ghat[3][k] += 0.25 * alpha[30][k] * favg[14][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.25 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.25 * alpha[3][k] * favg[13][k];
+        ghat[4][k] += 0.25 * alpha[4][k] * favg[0][k];
+        ghat[4][k] += 0.22360679774997896 * alpha[4][k] * favg[14][k];
+        ghat[4][k] += 0.25 * alpha[10][k] * favg[27][k];
+        ghat[4][k] += 0.25 * alpha[13][k] * favg[3][k];
+        ghat[4][k] += 0.223606797749979 * alpha[13][k] * favg[30][k];
+        ghat[4][k] += 0.22360679774997896 * alpha[14][k] * favg[4][k];
+        ghat[4][k] += 0.25 * alpha[27][k] * favg[10][k];
+        ghat[4][k] += 0.223606797749979 * alpha[30][k] * favg[13][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.25 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.25 * alpha[3][k] * favg[17][k];
+        ghat[5][k] += 0.25 * alpha[4][k] * favg[22][k];
+        ghat[5][k] += 0.25 * alpha[13][k] * favg[36][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.25 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.25 * alpha[3][k] * favg[18][k];
+        ghat[6][k] += 0.25 * alpha[4][k] * favg[23][k];
+        ghat[6][k] += 0.25 * alpha[10][k] * favg[33][k];
+        ghat[6][k] += 0.25 * alpha[13][k] * favg[37][k];
+        ghat[6][k] += 0.25 * alpha[14][k] * favg[41][k];
+        ghat[6][k] += 0.25 * alpha[27][k] * favg[46][k];
+        ghat[6][k] += 0.25 * alpha[30][k] * favg[47][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.25 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.25 * alpha[3][k] * favg[19][k];
+        ghat[7][k] += 0.25 * alpha[4][k] * favg[24][k];
+        ghat[7][k] += 0.25 * alpha[13][k] * favg[38][k];
+    }
+    for k in 0..L {
+        ghat[8][k] += 0.25 * alpha[0][k] * favg[8][k];
+        ghat[8][k] += 0.25 * alpha[3][k] * favg[1][k];
+        ghat[8][k] += 0.223606797749979 * alpha[3][k] * favg[20][k];
+        ghat[8][k] += 0.25 * alpha[4][k] * favg[25][k];
+        ghat[8][k] += 0.223606797749979 * alpha[10][k] * favg[8][k];
+        ghat[8][k] += 0.25 * alpha[13][k] * favg[11][k];
+        ghat[8][k] += 0.22360679774997896 * alpha[13][k] * favg[39][k];
+        ghat[8][k] += 0.25 * alpha[14][k] * favg[42][k];
+        ghat[8][k] += 0.22360679774997896 * alpha[27][k] * favg[25][k];
+        ghat[8][k] += 0.25 * alpha[30][k] * favg[28][k];
+    }
+    for k in 0..L {
+        ghat[9][k] += 0.25 * alpha[0][k] * favg[9][k];
+        ghat[9][k] += 0.25 * alpha[3][k] * favg[2][k];
+        ghat[9][k] += 0.223606797749979 * alpha[3][k] * favg[21][k];
+        ghat[9][k] += 0.25 * alpha[4][k] * favg[26][k];
+        ghat[9][k] += 0.223606797749979 * alpha[10][k] * favg[9][k];
+        ghat[9][k] += 0.25 * alpha[13][k] * favg[12][k];
+        ghat[9][k] += 0.22360679774997896 * alpha[13][k] * favg[40][k];
+        ghat[9][k] += 0.25 * alpha[14][k] * favg[43][k];
+        ghat[9][k] += 0.22360679774997896 * alpha[27][k] * favg[26][k];
+        ghat[9][k] += 0.25 * alpha[30][k] * favg[29][k];
+    }
+    for k in 0..L {
+        ghat[10][k] += 0.25 * alpha[0][k] * favg[10][k];
+        ghat[10][k] += 0.22360679774997896 * alpha[3][k] * favg[3][k];
+        ghat[10][k] += 0.25 * alpha[4][k] * favg[27][k];
+        ghat[10][k] += 0.25 * alpha[10][k] * favg[0][k];
+        ghat[10][k] += 0.15971914124998499 * alpha[10][k] * favg[10][k];
+        ghat[10][k] += 0.223606797749979 * alpha[13][k] * favg[13][k];
+        ghat[10][k] += 0.25 * alpha[27][k] * favg[4][k];
+        ghat[10][k] += 0.15971914124998499 * alpha[27][k] * favg[27][k];
+        ghat[10][k] += 0.22360679774997896 * alpha[30][k] * favg[30][k];
+    }
+    for k in 0..L {
+        ghat[11][k] += 0.25 * alpha[0][k] * favg[11][k];
+        ghat[11][k] += 0.25 * alpha[3][k] * favg[25][k];
+        ghat[11][k] += 0.25 * alpha[4][k] * favg[1][k];
+        ghat[11][k] += 0.223606797749979 * alpha[4][k] * favg[28][k];
+        ghat[11][k] += 0.25 * alpha[10][k] * favg[39][k];
+        ghat[11][k] += 0.25 * alpha[13][k] * favg[8][k];
+        ghat[11][k] += 0.22360679774997896 * alpha[13][k] * favg[42][k];
+        ghat[11][k] += 0.223606797749979 * alpha[14][k] * favg[11][k];
+        ghat[11][k] += 0.25 * alpha[27][k] * favg[20][k];
+        ghat[11][k] += 0.22360679774997896 * alpha[30][k] * favg[25][k];
+    }
+    for k in 0..L {
+        ghat[12][k] += 0.25 * alpha[0][k] * favg[12][k];
+        ghat[12][k] += 0.25 * alpha[3][k] * favg[26][k];
+        ghat[12][k] += 0.25 * alpha[4][k] * favg[2][k];
+        ghat[12][k] += 0.223606797749979 * alpha[4][k] * favg[29][k];
+        ghat[12][k] += 0.25 * alpha[10][k] * favg[40][k];
+        ghat[12][k] += 0.25 * alpha[13][k] * favg[9][k];
+        ghat[12][k] += 0.22360679774997896 * alpha[13][k] * favg[43][k];
+        ghat[12][k] += 0.223606797749979 * alpha[14][k] * favg[12][k];
+        ghat[12][k] += 0.25 * alpha[27][k] * favg[21][k];
+        ghat[12][k] += 0.22360679774997896 * alpha[30][k] * favg[26][k];
+    }
+    for k in 0..L {
+        ghat[13][k] += 0.25 * alpha[0][k] * favg[13][k];
+        ghat[13][k] += 0.25 * alpha[3][k] * favg[4][k];
+        ghat[13][k] += 0.223606797749979 * alpha[3][k] * favg[27][k];
+        ghat[13][k] += 0.25 * alpha[4][k] * favg[3][k];
+        ghat[13][k] += 0.223606797749979 * alpha[4][k] * favg[30][k];
+        ghat[13][k] += 0.223606797749979 * alpha[10][k] * favg[13][k];
+        ghat[13][k] += 0.25 * alpha[13][k] * favg[0][k];
+        ghat[13][k] += 0.223606797749979 * alpha[13][k] * favg[10][k];
+        ghat[13][k] += 0.223606797749979 * alpha[13][k] * favg[14][k];
+        ghat[13][k] += 0.223606797749979 * alpha[14][k] * favg[13][k];
+        ghat[13][k] += 0.223606797749979 * alpha[27][k] * favg[3][k];
+        ghat[13][k] += 0.2 * alpha[27][k] * favg[30][k];
+        ghat[13][k] += 0.223606797749979 * alpha[30][k] * favg[4][k];
+        ghat[13][k] += 0.2 * alpha[30][k] * favg[27][k];
+    }
+    for k in 0..L {
+        ghat[14][k] += 0.25 * alpha[0][k] * favg[14][k];
+        ghat[14][k] += 0.25 * alpha[3][k] * favg[30][k];
+        ghat[14][k] += 0.22360679774997896 * alpha[4][k] * favg[4][k];
+        ghat[14][k] += 0.223606797749979 * alpha[13][k] * favg[13][k];
+        ghat[14][k] += 0.25 * alpha[14][k] * favg[0][k];
+        ghat[14][k] += 0.15971914124998499 * alpha[14][k] * favg[14][k];
+        ghat[14][k] += 0.22360679774997896 * alpha[27][k] * favg[27][k];
+        ghat[14][k] += 0.25 * alpha[30][k] * favg[3][k];
+        ghat[14][k] += 0.15971914124998499 * alpha[30][k] * favg[30][k];
+    }
+    for k in 0..L {
+        ghat[15][k] += 0.25 * alpha[0][k] * favg[15][k];
+        ghat[15][k] += 0.25 * alpha[3][k] * favg[31][k];
+        ghat[15][k] += 0.25 * alpha[4][k] * favg[34][k];
+        ghat[15][k] += 0.25 * alpha[13][k] * favg[44][k];
+    }
+    for k in 0..L {
+        ghat[16][k] += 0.25 * alpha[0][k] * favg[16][k];
+        ghat[16][k] += 0.25 * alpha[3][k] * favg[32][k];
+        ghat[16][k] += 0.25 * alpha[4][k] * favg[35][k];
+        ghat[16][k] += 0.25 * alpha[13][k] * favg[45][k];
+    }
+    for k in 0..L {
+        ghat[17][k] += 0.25 * alpha[0][k] * favg[17][k];
+        ghat[17][k] += 0.25 * alpha[3][k] * favg[5][k];
+        ghat[17][k] += 0.25 * alpha[4][k] * favg[36][k];
+        ghat[17][k] += 0.22360679774997896 * alpha[10][k] * favg[17][k];
+        ghat[17][k] += 0.25 * alpha[13][k] * favg[22][k];
+        ghat[17][k] += 0.22360679774997896 * alpha[27][k] * favg[36][k];
+    }
+    for k in 0..L {
+        ghat[18][k] += 0.25 * alpha[0][k] * favg[18][k];
+        ghat[18][k] += 0.25 * alpha[3][k] * favg[6][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[3][k] * favg[33][k];
+        ghat[18][k] += 0.25 * alpha[4][k] * favg[37][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[10][k] * favg[18][k];
+        ghat[18][k] += 0.25 * alpha[13][k] * favg[23][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[13][k] * favg[46][k];
+        ghat[18][k] += 0.25 * alpha[14][k] * favg[47][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[27][k] * favg[37][k];
+        ghat[18][k] += 0.25 * alpha[30][k] * favg[41][k];
+    }
+    for k in 0..L {
+        ghat[19][k] += 0.25 * alpha[0][k] * favg[19][k];
+        ghat[19][k] += 0.25 * alpha[3][k] * favg[7][k];
+        ghat[19][k] += 0.25 * alpha[4][k] * favg[38][k];
+        ghat[19][k] += 0.22360679774997896 * alpha[10][k] * favg[19][k];
+        ghat[19][k] += 0.25 * alpha[13][k] * favg[24][k];
+        ghat[19][k] += 0.22360679774997896 * alpha[27][k] * favg[38][k];
+    }
+    for k in 0..L {
+        ghat[20][k] += 0.25 * alpha[0][k] * favg[20][k];
+        ghat[20][k] += 0.223606797749979 * alpha[3][k] * favg[8][k];
+        ghat[20][k] += 0.25 * alpha[4][k] * favg[39][k];
+        ghat[20][k] += 0.25 * alpha[10][k] * favg[1][k];
+        ghat[20][k] += 0.15971914124998499 * alpha[10][k] * favg[20][k];
+        ghat[20][k] += 0.22360679774997896 * alpha[13][k] * favg[25][k];
+        ghat[20][k] += 0.25 * alpha[27][k] * favg[11][k];
+        ghat[20][k] += 0.15971914124998499 * alpha[27][k] * favg[39][k];
+        ghat[20][k] += 0.22360679774997896 * alpha[30][k] * favg[42][k];
+    }
+    for k in 0..L {
+        ghat[21][k] += 0.25 * alpha[0][k] * favg[21][k];
+        ghat[21][k] += 0.223606797749979 * alpha[3][k] * favg[9][k];
+        ghat[21][k] += 0.25 * alpha[4][k] * favg[40][k];
+        ghat[21][k] += 0.25 * alpha[10][k] * favg[2][k];
+        ghat[21][k] += 0.15971914124998499 * alpha[10][k] * favg[21][k];
+        ghat[21][k] += 0.22360679774997896 * alpha[13][k] * favg[26][k];
+        ghat[21][k] += 0.25 * alpha[27][k] * favg[12][k];
+        ghat[21][k] += 0.15971914124998499 * alpha[27][k] * favg[40][k];
+        ghat[21][k] += 0.22360679774997896 * alpha[30][k] * favg[43][k];
+    }
+    for k in 0..L {
+        ghat[22][k] += 0.25 * alpha[0][k] * favg[22][k];
+        ghat[22][k] += 0.25 * alpha[3][k] * favg[36][k];
+        ghat[22][k] += 0.25 * alpha[4][k] * favg[5][k];
+        ghat[22][k] += 0.25 * alpha[13][k] * favg[17][k];
+        ghat[22][k] += 0.22360679774997896 * alpha[14][k] * favg[22][k];
+        ghat[22][k] += 0.22360679774997896 * alpha[30][k] * favg[36][k];
+    }
+    for k in 0..L {
+        ghat[23][k] += 0.25 * alpha[0][k] * favg[23][k];
+        ghat[23][k] += 0.25 * alpha[3][k] * favg[37][k];
+        ghat[23][k] += 0.25 * alpha[4][k] * favg[6][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[4][k] * favg[41][k];
+        ghat[23][k] += 0.25 * alpha[10][k] * favg[46][k];
+        ghat[23][k] += 0.25 * alpha[13][k] * favg[18][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[13][k] * favg[47][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[14][k] * favg[23][k];
+        ghat[23][k] += 0.25 * alpha[27][k] * favg[33][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[30][k] * favg[37][k];
+    }
+    for k in 0..L {
+        ghat[24][k] += 0.25 * alpha[0][k] * favg[24][k];
+        ghat[24][k] += 0.25 * alpha[3][k] * favg[38][k];
+        ghat[24][k] += 0.25 * alpha[4][k] * favg[7][k];
+        ghat[24][k] += 0.25 * alpha[13][k] * favg[19][k];
+        ghat[24][k] += 0.22360679774997896 * alpha[14][k] * favg[24][k];
+        ghat[24][k] += 0.22360679774997896 * alpha[30][k] * favg[38][k];
+    }
+    for k in 0..L {
+        ghat[25][k] += 0.25 * alpha[0][k] * favg[25][k];
+        ghat[25][k] += 0.25 * alpha[3][k] * favg[11][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[3][k] * favg[39][k];
+        ghat[25][k] += 0.25 * alpha[4][k] * favg[8][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[4][k] * favg[42][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[10][k] * favg[25][k];
+        ghat[25][k] += 0.25 * alpha[13][k] * favg[1][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[13][k] * favg[20][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[13][k] * favg[28][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[14][k] * favg[25][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[27][k] * favg[8][k];
+        ghat[25][k] += 0.19999999999999998 * alpha[27][k] * favg[42][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[30][k] * favg[11][k];
+        ghat[25][k] += 0.19999999999999998 * alpha[30][k] * favg[39][k];
+    }
+    for k in 0..L {
+        ghat[26][k] += 0.25 * alpha[0][k] * favg[26][k];
+        ghat[26][k] += 0.25 * alpha[3][k] * favg[12][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[3][k] * favg[40][k];
+        ghat[26][k] += 0.25 * alpha[4][k] * favg[9][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[4][k] * favg[43][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[10][k] * favg[26][k];
+        ghat[26][k] += 0.25 * alpha[13][k] * favg[2][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[13][k] * favg[21][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[13][k] * favg[29][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[14][k] * favg[26][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[27][k] * favg[9][k];
+        ghat[26][k] += 0.19999999999999998 * alpha[27][k] * favg[43][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[30][k] * favg[12][k];
+        ghat[26][k] += 0.19999999999999998 * alpha[30][k] * favg[40][k];
+    }
+    for k in 0..L {
+        ghat[27][k] += 0.25 * alpha[0][k] * favg[27][k];
+        ghat[27][k] += 0.223606797749979 * alpha[3][k] * favg[13][k];
+        ghat[27][k] += 0.25 * alpha[4][k] * favg[10][k];
+        ghat[27][k] += 0.25 * alpha[10][k] * favg[4][k];
+        ghat[27][k] += 0.15971914124998499 * alpha[10][k] * favg[27][k];
+        ghat[27][k] += 0.223606797749979 * alpha[13][k] * favg[3][k];
+        ghat[27][k] += 0.2 * alpha[13][k] * favg[30][k];
+        ghat[27][k] += 0.22360679774997896 * alpha[14][k] * favg[27][k];
+        ghat[27][k] += 0.25 * alpha[27][k] * favg[0][k];
+        ghat[27][k] += 0.15971914124998499 * alpha[27][k] * favg[10][k];
+        ghat[27][k] += 0.22360679774997896 * alpha[27][k] * favg[14][k];
+        ghat[27][k] += 0.2 * alpha[30][k] * favg[13][k];
+    }
+    for k in 0..L {
+        ghat[28][k] += 0.25 * alpha[0][k] * favg[28][k];
+        ghat[28][k] += 0.25 * alpha[3][k] * favg[42][k];
+        ghat[28][k] += 0.223606797749979 * alpha[4][k] * favg[11][k];
+        ghat[28][k] += 0.22360679774997896 * alpha[13][k] * favg[25][k];
+        ghat[28][k] += 0.25 * alpha[14][k] * favg[1][k];
+        ghat[28][k] += 0.15971914124998499 * alpha[14][k] * favg[28][k];
+        ghat[28][k] += 0.22360679774997896 * alpha[27][k] * favg[39][k];
+        ghat[28][k] += 0.25 * alpha[30][k] * favg[8][k];
+        ghat[28][k] += 0.15971914124998499 * alpha[30][k] * favg[42][k];
+    }
+    for k in 0..L {
+        ghat[29][k] += 0.25 * alpha[0][k] * favg[29][k];
+        ghat[29][k] += 0.25 * alpha[3][k] * favg[43][k];
+        ghat[29][k] += 0.223606797749979 * alpha[4][k] * favg[12][k];
+        ghat[29][k] += 0.22360679774997896 * alpha[13][k] * favg[26][k];
+        ghat[29][k] += 0.25 * alpha[14][k] * favg[2][k];
+        ghat[29][k] += 0.15971914124998499 * alpha[14][k] * favg[29][k];
+        ghat[29][k] += 0.22360679774997896 * alpha[27][k] * favg[40][k];
+        ghat[29][k] += 0.25 * alpha[30][k] * favg[9][k];
+        ghat[29][k] += 0.15971914124998499 * alpha[30][k] * favg[43][k];
+    }
+    for k in 0..L {
+        ghat[30][k] += 0.25 * alpha[0][k] * favg[30][k];
+        ghat[30][k] += 0.25 * alpha[3][k] * favg[14][k];
+        ghat[30][k] += 0.223606797749979 * alpha[4][k] * favg[13][k];
+        ghat[30][k] += 0.22360679774997896 * alpha[10][k] * favg[30][k];
+        ghat[30][k] += 0.223606797749979 * alpha[13][k] * favg[4][k];
+        ghat[30][k] += 0.2 * alpha[13][k] * favg[27][k];
+        ghat[30][k] += 0.25 * alpha[14][k] * favg[3][k];
+        ghat[30][k] += 0.15971914124998499 * alpha[14][k] * favg[30][k];
+        ghat[30][k] += 0.2 * alpha[27][k] * favg[13][k];
+        ghat[30][k] += 0.25 * alpha[30][k] * favg[0][k];
+        ghat[30][k] += 0.22360679774997896 * alpha[30][k] * favg[10][k];
+        ghat[30][k] += 0.15971914124998499 * alpha[30][k] * favg[14][k];
+    }
+    for k in 0..L {
+        ghat[31][k] += 0.25 * alpha[0][k] * favg[31][k];
+        ghat[31][k] += 0.25 * alpha[3][k] * favg[15][k];
+        ghat[31][k] += 0.25 * alpha[4][k] * favg[44][k];
+        ghat[31][k] += 0.22360679774997896 * alpha[10][k] * favg[31][k];
+        ghat[31][k] += 0.25 * alpha[13][k] * favg[34][k];
+        ghat[31][k] += 0.22360679774997896 * alpha[27][k] * favg[44][k];
+    }
+    for k in 0..L {
+        ghat[32][k] += 0.25 * alpha[0][k] * favg[32][k];
+        ghat[32][k] += 0.25 * alpha[3][k] * favg[16][k];
+        ghat[32][k] += 0.25 * alpha[4][k] * favg[45][k];
+        ghat[32][k] += 0.22360679774997896 * alpha[10][k] * favg[32][k];
+        ghat[32][k] += 0.25 * alpha[13][k] * favg[35][k];
+        ghat[32][k] += 0.22360679774997896 * alpha[27][k] * favg[45][k];
+    }
+    for k in 0..L {
+        ghat[33][k] += 0.25 * alpha[0][k] * favg[33][k];
+        ghat[33][k] += 0.22360679774997896 * alpha[3][k] * favg[18][k];
+        ghat[33][k] += 0.25 * alpha[4][k] * favg[46][k];
+        ghat[33][k] += 0.25 * alpha[10][k] * favg[6][k];
+        ghat[33][k] += 0.15971914124998499 * alpha[10][k] * favg[33][k];
+        ghat[33][k] += 0.22360679774997896 * alpha[13][k] * favg[37][k];
+        ghat[33][k] += 0.25 * alpha[27][k] * favg[23][k];
+        ghat[33][k] += 0.15971914124998499 * alpha[27][k] * favg[46][k];
+        ghat[33][k] += 0.22360679774997896 * alpha[30][k] * favg[47][k];
+    }
+    for k in 0..L {
+        ghat[34][k] += 0.25 * alpha[0][k] * favg[34][k];
+        ghat[34][k] += 0.25 * alpha[3][k] * favg[44][k];
+        ghat[34][k] += 0.25 * alpha[4][k] * favg[15][k];
+        ghat[34][k] += 0.25 * alpha[13][k] * favg[31][k];
+        ghat[34][k] += 0.22360679774997896 * alpha[14][k] * favg[34][k];
+        ghat[34][k] += 0.22360679774997896 * alpha[30][k] * favg[44][k];
+    }
+    for k in 0..L {
+        ghat[35][k] += 0.25 * alpha[0][k] * favg[35][k];
+        ghat[35][k] += 0.25 * alpha[3][k] * favg[45][k];
+        ghat[35][k] += 0.25 * alpha[4][k] * favg[16][k];
+        ghat[35][k] += 0.25 * alpha[13][k] * favg[32][k];
+        ghat[35][k] += 0.22360679774997896 * alpha[14][k] * favg[35][k];
+        ghat[35][k] += 0.22360679774997896 * alpha[30][k] * favg[45][k];
+    }
+    for k in 0..L {
+        ghat[36][k] += 0.25 * alpha[0][k] * favg[36][k];
+        ghat[36][k] += 0.25 * alpha[3][k] * favg[22][k];
+        ghat[36][k] += 0.25 * alpha[4][k] * favg[17][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[10][k] * favg[36][k];
+        ghat[36][k] += 0.25 * alpha[13][k] * favg[5][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[14][k] * favg[36][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[27][k] * favg[17][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[30][k] * favg[22][k];
+    }
+    for k in 0..L {
+        ghat[37][k] += 0.25 * alpha[0][k] * favg[37][k];
+        ghat[37][k] += 0.25 * alpha[3][k] * favg[23][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[3][k] * favg[46][k];
+        ghat[37][k] += 0.25 * alpha[4][k] * favg[18][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[4][k] * favg[47][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[10][k] * favg[37][k];
+        ghat[37][k] += 0.25 * alpha[13][k] * favg[6][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[13][k] * favg[33][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[13][k] * favg[41][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[14][k] * favg[37][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[27][k] * favg[18][k];
+        ghat[37][k] += 0.2 * alpha[27][k] * favg[47][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[30][k] * favg[23][k];
+        ghat[37][k] += 0.2 * alpha[30][k] * favg[46][k];
+    }
+    for k in 0..L {
+        ghat[38][k] += 0.25 * alpha[0][k] * favg[38][k];
+        ghat[38][k] += 0.25 * alpha[3][k] * favg[24][k];
+        ghat[38][k] += 0.25 * alpha[4][k] * favg[19][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[10][k] * favg[38][k];
+        ghat[38][k] += 0.25 * alpha[13][k] * favg[7][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[14][k] * favg[38][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[27][k] * favg[19][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[30][k] * favg[24][k];
+    }
+    for k in 0..L {
+        ghat[39][k] += 0.25 * alpha[0][k] * favg[39][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[3][k] * favg[25][k];
+        ghat[39][k] += 0.25 * alpha[4][k] * favg[20][k];
+        ghat[39][k] += 0.25 * alpha[10][k] * favg[11][k];
+        ghat[39][k] += 0.15971914124998499 * alpha[10][k] * favg[39][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[13][k] * favg[8][k];
+        ghat[39][k] += 0.19999999999999998 * alpha[13][k] * favg[42][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[14][k] * favg[39][k];
+        ghat[39][k] += 0.25 * alpha[27][k] * favg[1][k];
+        ghat[39][k] += 0.15971914124998499 * alpha[27][k] * favg[20][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[27][k] * favg[28][k];
+        ghat[39][k] += 0.19999999999999998 * alpha[30][k] * favg[25][k];
+    }
+    for k in 0..L {
+        ghat[40][k] += 0.25 * alpha[0][k] * favg[40][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[3][k] * favg[26][k];
+        ghat[40][k] += 0.25 * alpha[4][k] * favg[21][k];
+        ghat[40][k] += 0.25 * alpha[10][k] * favg[12][k];
+        ghat[40][k] += 0.15971914124998499 * alpha[10][k] * favg[40][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[13][k] * favg[9][k];
+        ghat[40][k] += 0.19999999999999998 * alpha[13][k] * favg[43][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[14][k] * favg[40][k];
+        ghat[40][k] += 0.25 * alpha[27][k] * favg[2][k];
+        ghat[40][k] += 0.15971914124998499 * alpha[27][k] * favg[21][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[27][k] * favg[29][k];
+        ghat[40][k] += 0.19999999999999998 * alpha[30][k] * favg[26][k];
+    }
+    for k in 0..L {
+        ghat[41][k] += 0.25 * alpha[0][k] * favg[41][k];
+        ghat[41][k] += 0.25 * alpha[3][k] * favg[47][k];
+        ghat[41][k] += 0.22360679774997896 * alpha[4][k] * favg[23][k];
+        ghat[41][k] += 0.22360679774997896 * alpha[13][k] * favg[37][k];
+        ghat[41][k] += 0.25 * alpha[14][k] * favg[6][k];
+        ghat[41][k] += 0.15971914124998499 * alpha[14][k] * favg[41][k];
+        ghat[41][k] += 0.22360679774997896 * alpha[27][k] * favg[46][k];
+        ghat[41][k] += 0.25 * alpha[30][k] * favg[18][k];
+        ghat[41][k] += 0.15971914124998499 * alpha[30][k] * favg[47][k];
+    }
+    for k in 0..L {
+        ghat[42][k] += 0.25 * alpha[0][k] * favg[42][k];
+        ghat[42][k] += 0.25 * alpha[3][k] * favg[28][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[4][k] * favg[25][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[10][k] * favg[42][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[13][k] * favg[11][k];
+        ghat[42][k] += 0.19999999999999998 * alpha[13][k] * favg[39][k];
+        ghat[42][k] += 0.25 * alpha[14][k] * favg[8][k];
+        ghat[42][k] += 0.15971914124998499 * alpha[14][k] * favg[42][k];
+        ghat[42][k] += 0.19999999999999998 * alpha[27][k] * favg[25][k];
+        ghat[42][k] += 0.25 * alpha[30][k] * favg[1][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[30][k] * favg[20][k];
+        ghat[42][k] += 0.15971914124998499 * alpha[30][k] * favg[28][k];
+    }
+    for k in 0..L {
+        ghat[43][k] += 0.25 * alpha[0][k] * favg[43][k];
+        ghat[43][k] += 0.25 * alpha[3][k] * favg[29][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[4][k] * favg[26][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[10][k] * favg[43][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[13][k] * favg[12][k];
+        ghat[43][k] += 0.19999999999999998 * alpha[13][k] * favg[40][k];
+        ghat[43][k] += 0.25 * alpha[14][k] * favg[9][k];
+        ghat[43][k] += 0.15971914124998499 * alpha[14][k] * favg[43][k];
+        ghat[43][k] += 0.19999999999999998 * alpha[27][k] * favg[26][k];
+        ghat[43][k] += 0.25 * alpha[30][k] * favg[2][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[30][k] * favg[21][k];
+        ghat[43][k] += 0.15971914124998499 * alpha[30][k] * favg[29][k];
+    }
+    for k in 0..L {
+        ghat[44][k] += 0.25 * alpha[0][k] * favg[44][k];
+        ghat[44][k] += 0.25 * alpha[3][k] * favg[34][k];
+        ghat[44][k] += 0.25 * alpha[4][k] * favg[31][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[10][k] * favg[44][k];
+        ghat[44][k] += 0.25 * alpha[13][k] * favg[15][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[14][k] * favg[44][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[27][k] * favg[31][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[30][k] * favg[34][k];
+    }
+    for k in 0..L {
+        ghat[45][k] += 0.25 * alpha[0][k] * favg[45][k];
+        ghat[45][k] += 0.25 * alpha[3][k] * favg[35][k];
+        ghat[45][k] += 0.25 * alpha[4][k] * favg[32][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[10][k] * favg[45][k];
+        ghat[45][k] += 0.25 * alpha[13][k] * favg[16][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[14][k] * favg[45][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[27][k] * favg[32][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[30][k] * favg[35][k];
+    }
+    for k in 0..L {
+        ghat[46][k] += 0.25 * alpha[0][k] * favg[46][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[3][k] * favg[37][k];
+        ghat[46][k] += 0.25 * alpha[4][k] * favg[33][k];
+        ghat[46][k] += 0.25 * alpha[10][k] * favg[23][k];
+        ghat[46][k] += 0.15971914124998499 * alpha[10][k] * favg[46][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[13][k] * favg[18][k];
+        ghat[46][k] += 0.2 * alpha[13][k] * favg[47][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[14][k] * favg[46][k];
+        ghat[46][k] += 0.25 * alpha[27][k] * favg[6][k];
+        ghat[46][k] += 0.15971914124998499 * alpha[27][k] * favg[33][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[27][k] * favg[41][k];
+        ghat[46][k] += 0.2 * alpha[30][k] * favg[37][k];
+    }
+    for k in 0..L {
+        ghat[47][k] += 0.25 * alpha[0][k] * favg[47][k];
+        ghat[47][k] += 0.25 * alpha[3][k] * favg[41][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[4][k] * favg[37][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[10][k] * favg[47][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[13][k] * favg[23][k];
+        ghat[47][k] += 0.2 * alpha[13][k] * favg[46][k];
+        ghat[47][k] += 0.25 * alpha[14][k] * favg[18][k];
+        ghat[47][k] += 0.15971914124998499 * alpha[14][k] * favg[47][k];
+        ghat[47][k] += 0.2 * alpha[27][k] * favg[37][k];
+        ghat[47][k] += 0.25 * alpha[30][k] * favg[6][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[30][k] * favg[33][k];
+        ghat[47][k] += 0.15971914124998499 * alpha[30][k] * favg[41][k];
+    }
+    sxn(&mut out_lo[0], -scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], -scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[3], -scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[4], -scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], -scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], -scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[7], -scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[8], -scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[9], -scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[10], -scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[11], -scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_lo[12], -scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[13], -scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[14], -scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[15], -scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[16], -scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[17], -scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[18], -scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[19], -scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[20], -scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[21], -scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[22], -scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_lo[23], -scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[24], -scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[25], -scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[26], -scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_lo[27], -scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_lo[28], -scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_lo[29], -scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_lo[30], -scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_lo[31], -scale * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[32], -scale * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[33], -scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_lo[34], -scale * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_lo[35], -scale * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_lo[36], -scale * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[37], -scale * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_lo[38], -scale * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_lo[39], -scale * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_lo[40], -scale * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[41], -scale * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[42], -scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_lo[43], -scale * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_lo[44], -scale * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_lo[45], -scale * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[46], -scale * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_lo[47], -scale * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_lo[48], -scale * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_lo[49], -scale * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[50], -scale * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_lo[51], -scale * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_lo[52], -scale * 1.224744871391589, &ghat[16]);
+    sxn(&mut out_lo[53], -scale * 1.5811388300841898, &ghat[6]);
+    sxn(&mut out_lo[54], -scale * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_lo[55], -scale * 0.7071067811865476, &ghat[32]);
+    sxn(&mut out_lo[56], -scale * 1.224744871391589, &ghat[17]);
+    sxn(&mut out_lo[57], -scale * 1.224744871391589, &ghat[18]);
+    sxn(&mut out_lo[58], -scale * 1.224744871391589, &ghat[19]);
+    sxn(&mut out_lo[59], -scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_lo[60], -scale * 1.5811388300841898, &ghat[9]);
+    sxn(&mut out_lo[61], -scale * 0.7071067811865476, &ghat[33]);
+    sxn(&mut out_lo[62], -scale * 1.224744871391589, &ghat[20]);
+    sxn(&mut out_lo[63], -scale * 1.224744871391589, &ghat[21]);
+    sxn(&mut out_lo[64], -scale * 0.7071067811865476, &ghat[34]);
+    sxn(&mut out_lo[65], -scale * 0.7071067811865476, &ghat[35]);
+    sxn(&mut out_lo[66], -scale * 1.224744871391589, &ghat[22]);
+    sxn(&mut out_lo[67], -scale * 1.224744871391589, &ghat[23]);
+    sxn(&mut out_lo[68], -scale * 1.224744871391589, &ghat[24]);
+    sxn(&mut out_lo[69], -scale * 1.5811388300841898, &ghat[11]);
+    sxn(&mut out_lo[70], -scale * 1.5811388300841898, &ghat[12]);
+    sxn(&mut out_lo[71], -scale * 0.7071067811865476, &ghat[36]);
+    sxn(&mut out_lo[72], -scale * 0.7071067811865476, &ghat[37]);
+    sxn(&mut out_lo[73], -scale * 0.7071067811865476, &ghat[38]);
+    sxn(&mut out_lo[74], -scale * 1.224744871391589, &ghat[25]);
+    sxn(&mut out_lo[75], -scale * 1.224744871391589, &ghat[26]);
+    sxn(&mut out_lo[76], -scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_lo[77], -scale * 0.7071067811865476, &ghat[39]);
+    sxn(&mut out_lo[78], -scale * 0.7071067811865476, &ghat[40]);
+    sxn(&mut out_lo[79], -scale * 1.224744871391589, &ghat[27]);
+    sxn(&mut out_lo[80], -scale * 0.7071067811865476, &ghat[41]);
+    sxn(&mut out_lo[81], -scale * 1.224744871391589, &ghat[28]);
+    sxn(&mut out_lo[82], -scale * 1.224744871391589, &ghat[29]);
+    sxn(&mut out_lo[83], -scale * 0.7071067811865476, &ghat[42]);
+    sxn(&mut out_lo[84], -scale * 0.7071067811865476, &ghat[43]);
+    sxn(&mut out_lo[85], -scale * 1.224744871391589, &ghat[30]);
+    sxn(&mut out_lo[86], -scale * 1.224744871391589, &ghat[31]);
+    sxn(&mut out_lo[87], -scale * 1.224744871391589, &ghat[32]);
+    sxn(&mut out_lo[88], -scale * 1.5811388300841898, &ghat[18]);
+    sxn(&mut out_lo[89], -scale * 1.224744871391589, &ghat[33]);
+    sxn(&mut out_lo[90], -scale * 1.224744871391589, &ghat[34]);
+    sxn(&mut out_lo[91], -scale * 1.224744871391589, &ghat[35]);
+    sxn(&mut out_lo[92], -scale * 1.5811388300841898, &ghat[23]);
+    sxn(&mut out_lo[93], -scale * 0.7071067811865476, &ghat[44]);
+    sxn(&mut out_lo[94], -scale * 0.7071067811865476, &ghat[45]);
+    sxn(&mut out_lo[95], -scale * 1.224744871391589, &ghat[36]);
+    sxn(&mut out_lo[96], -scale * 1.224744871391589, &ghat[37]);
+    sxn(&mut out_lo[97], -scale * 1.224744871391589, &ghat[38]);
+    sxn(&mut out_lo[98], -scale * 1.5811388300841898, &ghat[25]);
+    sxn(&mut out_lo[99], -scale * 1.5811388300841898, &ghat[26]);
+    sxn(&mut out_lo[100], -scale * 0.7071067811865476, &ghat[46]);
+    sxn(&mut out_lo[101], -scale * 1.224744871391589, &ghat[39]);
+    sxn(&mut out_lo[102], -scale * 1.224744871391589, &ghat[40]);
+    sxn(&mut out_lo[103], -scale * 1.224744871391589, &ghat[41]);
+    sxn(&mut out_lo[104], -scale * 0.7071067811865476, &ghat[47]);
+    sxn(&mut out_lo[105], -scale * 1.224744871391589, &ghat[42]);
+    sxn(&mut out_lo[106], -scale * 1.224744871391589, &ghat[43]);
+    sxn(&mut out_lo[107], -scale * 1.224744871391589, &ghat[44]);
+    sxn(&mut out_lo[108], -scale * 1.224744871391589, &ghat[45]);
+    sxn(&mut out_lo[109], -scale * 1.5811388300841898, &ghat[37]);
+    sxn(&mut out_lo[110], -scale * 1.224744871391589, &ghat[46]);
+    sxn(&mut out_lo[111], -scale * 1.224744871391589, &ghat[47]);
+    sxn(&mut out_hi[0], scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[3], scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[4], scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[7], scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[8], scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[9], scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[10], scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[11], scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_hi[12], scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[13], scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[14], scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[15], scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[16], scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[17], scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[18], scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[19], scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[20], scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[21], scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[22], scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_hi[23], scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[24], scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[25], scale * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[26], scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_hi[27], scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_hi[28], scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_hi[29], scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_hi[30], scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_hi[31], scale * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[32], scale * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[33], scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_hi[34], scale * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_hi[35], scale * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_hi[36], scale * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[37], scale * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_hi[38], scale * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_hi[39], scale * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_hi[40], scale * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[41], scale * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[42], scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_hi[43], scale * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_hi[44], scale * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_hi[45], scale * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[46], scale * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_hi[47], scale * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_hi[48], scale * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_hi[49], scale * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[50], scale * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_hi[51], scale * -1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[52], scale * -1.224744871391589, &ghat[16]);
+    sxn(&mut out_hi[53], scale * 1.5811388300841898, &ghat[6]);
+    sxn(&mut out_hi[54], scale * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_hi[55], scale * 0.7071067811865476, &ghat[32]);
+    sxn(&mut out_hi[56], scale * -1.224744871391589, &ghat[17]);
+    sxn(&mut out_hi[57], scale * -1.224744871391589, &ghat[18]);
+    sxn(&mut out_hi[58], scale * -1.224744871391589, &ghat[19]);
+    sxn(&mut out_hi[59], scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_hi[60], scale * 1.5811388300841898, &ghat[9]);
+    sxn(&mut out_hi[61], scale * 0.7071067811865476, &ghat[33]);
+    sxn(&mut out_hi[62], scale * -1.224744871391589, &ghat[20]);
+    sxn(&mut out_hi[63], scale * -1.224744871391589, &ghat[21]);
+    sxn(&mut out_hi[64], scale * 0.7071067811865476, &ghat[34]);
+    sxn(&mut out_hi[65], scale * 0.7071067811865476, &ghat[35]);
+    sxn(&mut out_hi[66], scale * -1.224744871391589, &ghat[22]);
+    sxn(&mut out_hi[67], scale * -1.224744871391589, &ghat[23]);
+    sxn(&mut out_hi[68], scale * -1.224744871391589, &ghat[24]);
+    sxn(&mut out_hi[69], scale * 1.5811388300841898, &ghat[11]);
+    sxn(&mut out_hi[70], scale * 1.5811388300841898, &ghat[12]);
+    sxn(&mut out_hi[71], scale * 0.7071067811865476, &ghat[36]);
+    sxn(&mut out_hi[72], scale * 0.7071067811865476, &ghat[37]);
+    sxn(&mut out_hi[73], scale * 0.7071067811865476, &ghat[38]);
+    sxn(&mut out_hi[74], scale * -1.224744871391589, &ghat[25]);
+    sxn(&mut out_hi[75], scale * -1.224744871391589, &ghat[26]);
+    sxn(&mut out_hi[76], scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_hi[77], scale * 0.7071067811865476, &ghat[39]);
+    sxn(&mut out_hi[78], scale * 0.7071067811865476, &ghat[40]);
+    sxn(&mut out_hi[79], scale * -1.224744871391589, &ghat[27]);
+    sxn(&mut out_hi[80], scale * 0.7071067811865476, &ghat[41]);
+    sxn(&mut out_hi[81], scale * -1.224744871391589, &ghat[28]);
+    sxn(&mut out_hi[82], scale * -1.224744871391589, &ghat[29]);
+    sxn(&mut out_hi[83], scale * 0.7071067811865476, &ghat[42]);
+    sxn(&mut out_hi[84], scale * 0.7071067811865476, &ghat[43]);
+    sxn(&mut out_hi[85], scale * -1.224744871391589, &ghat[30]);
+    sxn(&mut out_hi[86], scale * -1.224744871391589, &ghat[31]);
+    sxn(&mut out_hi[87], scale * -1.224744871391589, &ghat[32]);
+    sxn(&mut out_hi[88], scale * 1.5811388300841898, &ghat[18]);
+    sxn(&mut out_hi[89], scale * -1.224744871391589, &ghat[33]);
+    sxn(&mut out_hi[90], scale * -1.224744871391589, &ghat[34]);
+    sxn(&mut out_hi[91], scale * -1.224744871391589, &ghat[35]);
+    sxn(&mut out_hi[92], scale * 1.5811388300841898, &ghat[23]);
+    sxn(&mut out_hi[93], scale * 0.7071067811865476, &ghat[44]);
+    sxn(&mut out_hi[94], scale * 0.7071067811865476, &ghat[45]);
+    sxn(&mut out_hi[95], scale * -1.224744871391589, &ghat[36]);
+    sxn(&mut out_hi[96], scale * -1.224744871391589, &ghat[37]);
+    sxn(&mut out_hi[97], scale * -1.224744871391589, &ghat[38]);
+    sxn(&mut out_hi[98], scale * 1.5811388300841898, &ghat[25]);
+    sxn(&mut out_hi[99], scale * 1.5811388300841898, &ghat[26]);
+    sxn(&mut out_hi[100], scale * 0.7071067811865476, &ghat[46]);
+    sxn(&mut out_hi[101], scale * -1.224744871391589, &ghat[39]);
+    sxn(&mut out_hi[102], scale * -1.224744871391589, &ghat[40]);
+    sxn(&mut out_hi[103], scale * -1.224744871391589, &ghat[41]);
+    sxn(&mut out_hi[104], scale * 0.7071067811865476, &ghat[47]);
+    sxn(&mut out_hi[105], scale * -1.224744871391589, &ghat[42]);
+    sxn(&mut out_hi[106], scale * -1.224744871391589, &ghat[43]);
+    sxn(&mut out_hi[107], scale * -1.224744871391589, &ghat[44]);
+    sxn(&mut out_hi[108], scale * -1.224744871391589, &ghat[45]);
+    sxn(&mut out_hi[109], scale * 1.5811388300841898, &ghat[37]);
+    sxn(&mut out_hi[110], scale * -1.224744871391589, &ghat[46]);
+    sxn(&mut out_hi[111], scale * -1.224744871391589, &ghat[47]);
 }
 
 /// LDG gradient in v0 for one cell: volume gradient-mass plus the
@@ -1707,1252 +1997,1438 @@ pub fn lbo_2x3v_p2_ser_drag_surf_v0(nu: f64, vstar: f64, dv: f64, u: &[f64], f_l
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p2_ser_diff_grad_v0(dv: f64, at_upper: bool, f: &[f64], f_up: &[f64], g: &mut [f64]) {
+    lbo_2x3v_p2_ser_diff_grad_v0_body::<1>(dv, at_upper, f.as_chunks().0, f_up.as_chunks().0, g.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p2_ser_diff_grad_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_diff_grad_v0_b4(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_diff_grad_v0_body(dv, at_upper, f, f_up, g)
+}
+
+/// [`lbo_2x3v_p2_ser_diff_grad_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_diff_grad_v0_b4_avx2(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_diff_grad_v0_body(dv, at_upper, f, f_up, g)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p2_ser_diff_grad_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p2_ser_diff_grad_v0_body<const L: usize>(dv: f64, at_upper: bool, f: &[[f64; L]], f_up: &[[f64; L]], g: &mut [[f64; L]]) {
+    let f: &[[f64; L]; 112] = f.first_chunk().expect("f: 112 coefficients");
+    let f_up: &[[f64; L]; 112] = f_up.first_chunk().expect("f_up: 112 coefficients");
+    let g: &mut [[f64; L]; 112] = g.first_chunk_mut().expect("g: 112 coefficients");
     let scale = 2.0 / dv;
-    g[3] += -scale * 1.7320508075688772 * f[0];
-    g[9] += -scale * 1.7320508075688772 * f[1];
-    g[10] += -scale * 1.7320508075688772 * f[2];
-    g[11] += -scale * 3.872983346207417 * f[3];
-    g[14] += -scale * 1.7320508075688772 * f[4];
-    g[18] += -scale * 1.7320508075688772 * f[5];
-    g[23] += -scale * 1.7320508075688772 * f[6];
-    g[24] += -scale * 1.7320508075688772 * f[7];
-    g[25] += -scale * 1.7320508075688772 * f[8];
-    g[26] += -scale * 3.872983346207417 * f[9];
-    g[27] += -scale * 3.872983346207417 * f[10];
-    g[31] += -scale * 1.7320508075688772 * f[12];
-    g[32] += -scale * 1.7320508075688772 * f[13];
-    g[33] += -scale * 3.872983346207417 * f[14];
-    g[36] += -scale * 1.7320508075688772 * f[15];
-    g[40] += -scale * 1.7320508075688772 * f[16];
-    g[41] += -scale * 1.7320508075688772 * f[17];
-    g[42] += -scale * 3.872983346207417 * f[18];
-    g[45] += -scale * 1.7320508075688772 * f[19];
-    g[49] += -scale * 1.7320508075688772 * f[20];
-    g[51] += -scale * 1.7320508075688772 * f[21];
-    g[52] += -scale * 1.7320508075688772 * f[22];
-    g[53] += -scale * 3.872983346207417 * f[24];
-    g[56] += -scale * 1.7320508075688772 * f[28];
-    g[57] += -scale * 1.7320508075688772 * f[29];
-    g[58] += -scale * 1.7320508075688772 * f[30];
-    g[59] += -scale * 3.872983346207417 * f[31];
-    g[60] += -scale * 3.872983346207417 * f[32];
-    g[62] += -scale * 1.7320508075688772 * f[34];
-    g[63] += -scale * 1.7320508075688772 * f[35];
-    g[66] += -scale * 1.7320508075688772 * f[37];
-    g[67] += -scale * 1.7320508075688772 * f[38];
-    g[68] += -scale * 1.7320508075688772 * f[39];
-    g[69] += -scale * 3.872983346207417 * f[40];
-    g[70] += -scale * 3.872983346207417 * f[41];
-    g[74] += -scale * 1.7320508075688772 * f[43];
-    g[75] += -scale * 1.7320508075688772 * f[44];
-    g[76] += -scale * 3.872983346207417 * f[45];
-    g[79] += -scale * 1.7320508075688772 * f[46];
-    g[81] += -scale * 1.7320508075688772 * f[47];
-    g[82] += -scale * 1.7320508075688772 * f[48];
-    g[85] += -scale * 1.7320508075688772 * f[50];
-    g[86] += -scale * 1.7320508075688772 * f[54];
-    g[87] += -scale * 1.7320508075688772 * f[55];
-    g[88] += -scale * 3.872983346207417 * f[57];
-    g[89] += -scale * 1.7320508075688772 * f[61];
-    g[90] += -scale * 1.7320508075688772 * f[64];
-    g[91] += -scale * 1.7320508075688772 * f[65];
-    g[92] += -scale * 3.872983346207417 * f[67];
-    g[95] += -scale * 1.7320508075688772 * f[71];
-    g[96] += -scale * 1.7320508075688772 * f[72];
-    g[97] += -scale * 1.7320508075688772 * f[73];
-    g[98] += -scale * 3.872983346207417 * f[74];
-    g[99] += -scale * 3.872983346207417 * f[75];
-    g[101] += -scale * 1.7320508075688772 * f[77];
-    g[102] += -scale * 1.7320508075688772 * f[78];
-    g[103] += -scale * 1.7320508075688772 * f[80];
-    g[105] += -scale * 1.7320508075688772 * f[83];
-    g[106] += -scale * 1.7320508075688772 * f[84];
-    g[107] += -scale * 1.7320508075688772 * f[93];
-    g[108] += -scale * 1.7320508075688772 * f[94];
-    g[109] += -scale * 3.872983346207417 * f[96];
-    g[110] += -scale * 1.7320508075688772 * f[100];
-    g[111] += -scale * 1.7320508075688772 * f[104];
-    let mut tr = [0.0f64; 48];
+    sxn(&mut g[3], -scale * 1.7320508075688772, &f[0]);
+    sxn(&mut g[9], -scale * 1.7320508075688772, &f[1]);
+    sxn(&mut g[10], -scale * 1.7320508075688772, &f[2]);
+    sxn(&mut g[11], -scale * 3.872983346207417, &f[3]);
+    sxn(&mut g[14], -scale * 1.7320508075688772, &f[4]);
+    sxn(&mut g[18], -scale * 1.7320508075688772, &f[5]);
+    sxn(&mut g[23], -scale * 1.7320508075688772, &f[6]);
+    sxn(&mut g[24], -scale * 1.7320508075688772, &f[7]);
+    sxn(&mut g[25], -scale * 1.7320508075688772, &f[8]);
+    sxn(&mut g[26], -scale * 3.872983346207417, &f[9]);
+    sxn(&mut g[27], -scale * 3.872983346207417, &f[10]);
+    sxn(&mut g[31], -scale * 1.7320508075688772, &f[12]);
+    sxn(&mut g[32], -scale * 1.7320508075688772, &f[13]);
+    sxn(&mut g[33], -scale * 3.872983346207417, &f[14]);
+    sxn(&mut g[36], -scale * 1.7320508075688772, &f[15]);
+    sxn(&mut g[40], -scale * 1.7320508075688772, &f[16]);
+    sxn(&mut g[41], -scale * 1.7320508075688772, &f[17]);
+    sxn(&mut g[42], -scale * 3.872983346207417, &f[18]);
+    sxn(&mut g[45], -scale * 1.7320508075688772, &f[19]);
+    sxn(&mut g[49], -scale * 1.7320508075688772, &f[20]);
+    sxn(&mut g[51], -scale * 1.7320508075688772, &f[21]);
+    sxn(&mut g[52], -scale * 1.7320508075688772, &f[22]);
+    sxn(&mut g[53], -scale * 3.872983346207417, &f[24]);
+    sxn(&mut g[56], -scale * 1.7320508075688772, &f[28]);
+    sxn(&mut g[57], -scale * 1.7320508075688772, &f[29]);
+    sxn(&mut g[58], -scale * 1.7320508075688772, &f[30]);
+    sxn(&mut g[59], -scale * 3.872983346207417, &f[31]);
+    sxn(&mut g[60], -scale * 3.872983346207417, &f[32]);
+    sxn(&mut g[62], -scale * 1.7320508075688772, &f[34]);
+    sxn(&mut g[63], -scale * 1.7320508075688772, &f[35]);
+    sxn(&mut g[66], -scale * 1.7320508075688772, &f[37]);
+    sxn(&mut g[67], -scale * 1.7320508075688772, &f[38]);
+    sxn(&mut g[68], -scale * 1.7320508075688772, &f[39]);
+    sxn(&mut g[69], -scale * 3.872983346207417, &f[40]);
+    sxn(&mut g[70], -scale * 3.872983346207417, &f[41]);
+    sxn(&mut g[74], -scale * 1.7320508075688772, &f[43]);
+    sxn(&mut g[75], -scale * 1.7320508075688772, &f[44]);
+    sxn(&mut g[76], -scale * 3.872983346207417, &f[45]);
+    sxn(&mut g[79], -scale * 1.7320508075688772, &f[46]);
+    sxn(&mut g[81], -scale * 1.7320508075688772, &f[47]);
+    sxn(&mut g[82], -scale * 1.7320508075688772, &f[48]);
+    sxn(&mut g[85], -scale * 1.7320508075688772, &f[50]);
+    sxn(&mut g[86], -scale * 1.7320508075688772, &f[54]);
+    sxn(&mut g[87], -scale * 1.7320508075688772, &f[55]);
+    sxn(&mut g[88], -scale * 3.872983346207417, &f[57]);
+    sxn(&mut g[89], -scale * 1.7320508075688772, &f[61]);
+    sxn(&mut g[90], -scale * 1.7320508075688772, &f[64]);
+    sxn(&mut g[91], -scale * 1.7320508075688772, &f[65]);
+    sxn(&mut g[92], -scale * 3.872983346207417, &f[67]);
+    sxn(&mut g[95], -scale * 1.7320508075688772, &f[71]);
+    sxn(&mut g[96], -scale * 1.7320508075688772, &f[72]);
+    sxn(&mut g[97], -scale * 1.7320508075688772, &f[73]);
+    sxn(&mut g[98], -scale * 3.872983346207417, &f[74]);
+    sxn(&mut g[99], -scale * 3.872983346207417, &f[75]);
+    sxn(&mut g[101], -scale * 1.7320508075688772, &f[77]);
+    sxn(&mut g[102], -scale * 1.7320508075688772, &f[78]);
+    sxn(&mut g[103], -scale * 1.7320508075688772, &f[80]);
+    sxn(&mut g[105], -scale * 1.7320508075688772, &f[83]);
+    sxn(&mut g[106], -scale * 1.7320508075688772, &f[84]);
+    sxn(&mut g[107], -scale * 1.7320508075688772, &f[93]);
+    sxn(&mut g[108], -scale * 1.7320508075688772, &f[94]);
+    sxn(&mut g[109], -scale * 3.872983346207417, &f[96]);
+    sxn(&mut g[110], -scale * 1.7320508075688772, &f[100]);
+    sxn(&mut g[111], -scale * 1.7320508075688772, &f[104]);
+    let mut tr = [[0.0f64; L]; 48];
     if at_upper {
-        tr[0] += 0.7071067811865476 * f[0];
-        tr[1] += 0.7071067811865476 * f[1];
-        tr[2] += 0.7071067811865476 * f[2];
-        tr[0] += 1.224744871391589 * f[3];
-        tr[3] += 0.7071067811865476 * f[4];
-        tr[4] += 0.7071067811865476 * f[5];
-        tr[5] += 0.7071067811865476 * f[6];
-        tr[6] += 0.7071067811865476 * f[7];
-        tr[7] += 0.7071067811865476 * f[8];
-        tr[1] += 1.224744871391589 * f[9];
-        tr[2] += 1.224744871391589 * f[10];
-        tr[0] += 1.5811388300841898 * f[11];
-        tr[8] += 0.7071067811865476 * f[12];
-        tr[9] += 0.7071067811865476 * f[13];
-        tr[3] += 1.224744871391589 * f[14];
-        tr[10] += 0.7071067811865476 * f[15];
-        tr[11] += 0.7071067811865476 * f[16];
-        tr[12] += 0.7071067811865476 * f[17];
-        tr[4] += 1.224744871391589 * f[18];
-        tr[13] += 0.7071067811865476 * f[19];
-        tr[14] += 0.7071067811865476 * f[20];
-        tr[15] += 0.7071067811865476 * f[21];
-        tr[16] += 0.7071067811865476 * f[22];
-        tr[5] += 1.224744871391589 * f[23];
-        tr[6] += 1.224744871391589 * f[24];
-        tr[7] += 1.224744871391589 * f[25];
-        tr[1] += 1.5811388300841898 * f[26];
-        tr[2] += 1.5811388300841898 * f[27];
-        tr[17] += 0.7071067811865476 * f[28];
-        tr[18] += 0.7071067811865476 * f[29];
-        tr[19] += 0.7071067811865476 * f[30];
-        tr[8] += 1.224744871391589 * f[31];
-        tr[9] += 1.224744871391589 * f[32];
-        tr[3] += 1.5811388300841898 * f[33];
-        tr[20] += 0.7071067811865476 * f[34];
-        tr[21] += 0.7071067811865476 * f[35];
-        tr[10] += 1.224744871391589 * f[36];
-        tr[22] += 0.7071067811865476 * f[37];
-        tr[23] += 0.7071067811865476 * f[38];
-        tr[24] += 0.7071067811865476 * f[39];
-        tr[11] += 1.224744871391589 * f[40];
-        tr[12] += 1.224744871391589 * f[41];
-        tr[4] += 1.5811388300841898 * f[42];
-        tr[25] += 0.7071067811865476 * f[43];
-        tr[26] += 0.7071067811865476 * f[44];
-        tr[13] += 1.224744871391589 * f[45];
-        tr[27] += 0.7071067811865476 * f[46];
-        tr[28] += 0.7071067811865476 * f[47];
-        tr[29] += 0.7071067811865476 * f[48];
-        tr[14] += 1.224744871391589 * f[49];
-        tr[30] += 0.7071067811865476 * f[50];
-        tr[15] += 1.224744871391589 * f[51];
-        tr[16] += 1.224744871391589 * f[52];
-        tr[6] += 1.5811388300841898 * f[53];
-        tr[31] += 0.7071067811865476 * f[54];
-        tr[32] += 0.7071067811865476 * f[55];
-        tr[17] += 1.224744871391589 * f[56];
-        tr[18] += 1.224744871391589 * f[57];
-        tr[19] += 1.224744871391589 * f[58];
-        tr[8] += 1.5811388300841898 * f[59];
-        tr[9] += 1.5811388300841898 * f[60];
-        tr[33] += 0.7071067811865476 * f[61];
-        tr[20] += 1.224744871391589 * f[62];
-        tr[21] += 1.224744871391589 * f[63];
-        tr[34] += 0.7071067811865476 * f[64];
-        tr[35] += 0.7071067811865476 * f[65];
-        tr[22] += 1.224744871391589 * f[66];
-        tr[23] += 1.224744871391589 * f[67];
-        tr[24] += 1.224744871391589 * f[68];
-        tr[11] += 1.5811388300841898 * f[69];
-        tr[12] += 1.5811388300841898 * f[70];
-        tr[36] += 0.7071067811865476 * f[71];
-        tr[37] += 0.7071067811865476 * f[72];
-        tr[38] += 0.7071067811865476 * f[73];
-        tr[25] += 1.224744871391589 * f[74];
-        tr[26] += 1.224744871391589 * f[75];
-        tr[13] += 1.5811388300841898 * f[76];
-        tr[39] += 0.7071067811865476 * f[77];
-        tr[40] += 0.7071067811865476 * f[78];
-        tr[27] += 1.224744871391589 * f[79];
-        tr[41] += 0.7071067811865476 * f[80];
-        tr[28] += 1.224744871391589 * f[81];
-        tr[29] += 1.224744871391589 * f[82];
-        tr[42] += 0.7071067811865476 * f[83];
-        tr[43] += 0.7071067811865476 * f[84];
-        tr[30] += 1.224744871391589 * f[85];
-        tr[31] += 1.224744871391589 * f[86];
-        tr[32] += 1.224744871391589 * f[87];
-        tr[18] += 1.5811388300841898 * f[88];
-        tr[33] += 1.224744871391589 * f[89];
-        tr[34] += 1.224744871391589 * f[90];
-        tr[35] += 1.224744871391589 * f[91];
-        tr[23] += 1.5811388300841898 * f[92];
-        tr[44] += 0.7071067811865476 * f[93];
-        tr[45] += 0.7071067811865476 * f[94];
-        tr[36] += 1.224744871391589 * f[95];
-        tr[37] += 1.224744871391589 * f[96];
-        tr[38] += 1.224744871391589 * f[97];
-        tr[25] += 1.5811388300841898 * f[98];
-        tr[26] += 1.5811388300841898 * f[99];
-        tr[46] += 0.7071067811865476 * f[100];
-        tr[39] += 1.224744871391589 * f[101];
-        tr[40] += 1.224744871391589 * f[102];
-        tr[41] += 1.224744871391589 * f[103];
-        tr[47] += 0.7071067811865476 * f[104];
-        tr[42] += 1.224744871391589 * f[105];
-        tr[43] += 1.224744871391589 * f[106];
-        tr[44] += 1.224744871391589 * f[107];
-        tr[45] += 1.224744871391589 * f[108];
-        tr[37] += 1.5811388300841898 * f[109];
-        tr[46] += 1.224744871391589 * f[110];
-        tr[47] += 1.224744871391589 * f[111];
+        sxn(&mut tr[0], 0.7071067811865476, &f[0]);
+        sxn(&mut tr[1], 0.7071067811865476, &f[1]);
+        sxn(&mut tr[2], 0.7071067811865476, &f[2]);
+        sxn(&mut tr[0], 1.224744871391589, &f[3]);
+        sxn(&mut tr[3], 0.7071067811865476, &f[4]);
+        sxn(&mut tr[4], 0.7071067811865476, &f[5]);
+        sxn(&mut tr[5], 0.7071067811865476, &f[6]);
+        sxn(&mut tr[6], 0.7071067811865476, &f[7]);
+        sxn(&mut tr[7], 0.7071067811865476, &f[8]);
+        sxn(&mut tr[1], 1.224744871391589, &f[9]);
+        sxn(&mut tr[2], 1.224744871391589, &f[10]);
+        sxn(&mut tr[0], 1.5811388300841898, &f[11]);
+        sxn(&mut tr[8], 0.7071067811865476, &f[12]);
+        sxn(&mut tr[9], 0.7071067811865476, &f[13]);
+        sxn(&mut tr[3], 1.224744871391589, &f[14]);
+        sxn(&mut tr[10], 0.7071067811865476, &f[15]);
+        sxn(&mut tr[11], 0.7071067811865476, &f[16]);
+        sxn(&mut tr[12], 0.7071067811865476, &f[17]);
+        sxn(&mut tr[4], 1.224744871391589, &f[18]);
+        sxn(&mut tr[13], 0.7071067811865476, &f[19]);
+        sxn(&mut tr[14], 0.7071067811865476, &f[20]);
+        sxn(&mut tr[15], 0.7071067811865476, &f[21]);
+        sxn(&mut tr[16], 0.7071067811865476, &f[22]);
+        sxn(&mut tr[5], 1.224744871391589, &f[23]);
+        sxn(&mut tr[6], 1.224744871391589, &f[24]);
+        sxn(&mut tr[7], 1.224744871391589, &f[25]);
+        sxn(&mut tr[1], 1.5811388300841898, &f[26]);
+        sxn(&mut tr[2], 1.5811388300841898, &f[27]);
+        sxn(&mut tr[17], 0.7071067811865476, &f[28]);
+        sxn(&mut tr[18], 0.7071067811865476, &f[29]);
+        sxn(&mut tr[19], 0.7071067811865476, &f[30]);
+        sxn(&mut tr[8], 1.224744871391589, &f[31]);
+        sxn(&mut tr[9], 1.224744871391589, &f[32]);
+        sxn(&mut tr[3], 1.5811388300841898, &f[33]);
+        sxn(&mut tr[20], 0.7071067811865476, &f[34]);
+        sxn(&mut tr[21], 0.7071067811865476, &f[35]);
+        sxn(&mut tr[10], 1.224744871391589, &f[36]);
+        sxn(&mut tr[22], 0.7071067811865476, &f[37]);
+        sxn(&mut tr[23], 0.7071067811865476, &f[38]);
+        sxn(&mut tr[24], 0.7071067811865476, &f[39]);
+        sxn(&mut tr[11], 1.224744871391589, &f[40]);
+        sxn(&mut tr[12], 1.224744871391589, &f[41]);
+        sxn(&mut tr[4], 1.5811388300841898, &f[42]);
+        sxn(&mut tr[25], 0.7071067811865476, &f[43]);
+        sxn(&mut tr[26], 0.7071067811865476, &f[44]);
+        sxn(&mut tr[13], 1.224744871391589, &f[45]);
+        sxn(&mut tr[27], 0.7071067811865476, &f[46]);
+        sxn(&mut tr[28], 0.7071067811865476, &f[47]);
+        sxn(&mut tr[29], 0.7071067811865476, &f[48]);
+        sxn(&mut tr[14], 1.224744871391589, &f[49]);
+        sxn(&mut tr[30], 0.7071067811865476, &f[50]);
+        sxn(&mut tr[15], 1.224744871391589, &f[51]);
+        sxn(&mut tr[16], 1.224744871391589, &f[52]);
+        sxn(&mut tr[6], 1.5811388300841898, &f[53]);
+        sxn(&mut tr[31], 0.7071067811865476, &f[54]);
+        sxn(&mut tr[32], 0.7071067811865476, &f[55]);
+        sxn(&mut tr[17], 1.224744871391589, &f[56]);
+        sxn(&mut tr[18], 1.224744871391589, &f[57]);
+        sxn(&mut tr[19], 1.224744871391589, &f[58]);
+        sxn(&mut tr[8], 1.5811388300841898, &f[59]);
+        sxn(&mut tr[9], 1.5811388300841898, &f[60]);
+        sxn(&mut tr[33], 0.7071067811865476, &f[61]);
+        sxn(&mut tr[20], 1.224744871391589, &f[62]);
+        sxn(&mut tr[21], 1.224744871391589, &f[63]);
+        sxn(&mut tr[34], 0.7071067811865476, &f[64]);
+        sxn(&mut tr[35], 0.7071067811865476, &f[65]);
+        sxn(&mut tr[22], 1.224744871391589, &f[66]);
+        sxn(&mut tr[23], 1.224744871391589, &f[67]);
+        sxn(&mut tr[24], 1.224744871391589, &f[68]);
+        sxn(&mut tr[11], 1.5811388300841898, &f[69]);
+        sxn(&mut tr[12], 1.5811388300841898, &f[70]);
+        sxn(&mut tr[36], 0.7071067811865476, &f[71]);
+        sxn(&mut tr[37], 0.7071067811865476, &f[72]);
+        sxn(&mut tr[38], 0.7071067811865476, &f[73]);
+        sxn(&mut tr[25], 1.224744871391589, &f[74]);
+        sxn(&mut tr[26], 1.224744871391589, &f[75]);
+        sxn(&mut tr[13], 1.5811388300841898, &f[76]);
+        sxn(&mut tr[39], 0.7071067811865476, &f[77]);
+        sxn(&mut tr[40], 0.7071067811865476, &f[78]);
+        sxn(&mut tr[27], 1.224744871391589, &f[79]);
+        sxn(&mut tr[41], 0.7071067811865476, &f[80]);
+        sxn(&mut tr[28], 1.224744871391589, &f[81]);
+        sxn(&mut tr[29], 1.224744871391589, &f[82]);
+        sxn(&mut tr[42], 0.7071067811865476, &f[83]);
+        sxn(&mut tr[43], 0.7071067811865476, &f[84]);
+        sxn(&mut tr[30], 1.224744871391589, &f[85]);
+        sxn(&mut tr[31], 1.224744871391589, &f[86]);
+        sxn(&mut tr[32], 1.224744871391589, &f[87]);
+        sxn(&mut tr[18], 1.5811388300841898, &f[88]);
+        sxn(&mut tr[33], 1.224744871391589, &f[89]);
+        sxn(&mut tr[34], 1.224744871391589, &f[90]);
+        sxn(&mut tr[35], 1.224744871391589, &f[91]);
+        sxn(&mut tr[23], 1.5811388300841898, &f[92]);
+        sxn(&mut tr[44], 0.7071067811865476, &f[93]);
+        sxn(&mut tr[45], 0.7071067811865476, &f[94]);
+        sxn(&mut tr[36], 1.224744871391589, &f[95]);
+        sxn(&mut tr[37], 1.224744871391589, &f[96]);
+        sxn(&mut tr[38], 1.224744871391589, &f[97]);
+        sxn(&mut tr[25], 1.5811388300841898, &f[98]);
+        sxn(&mut tr[26], 1.5811388300841898, &f[99]);
+        sxn(&mut tr[46], 0.7071067811865476, &f[100]);
+        sxn(&mut tr[39], 1.224744871391589, &f[101]);
+        sxn(&mut tr[40], 1.224744871391589, &f[102]);
+        sxn(&mut tr[41], 1.224744871391589, &f[103]);
+        sxn(&mut tr[47], 0.7071067811865476, &f[104]);
+        sxn(&mut tr[42], 1.224744871391589, &f[105]);
+        sxn(&mut tr[43], 1.224744871391589, &f[106]);
+        sxn(&mut tr[44], 1.224744871391589, &f[107]);
+        sxn(&mut tr[45], 1.224744871391589, &f[108]);
+        sxn(&mut tr[37], 1.5811388300841898, &f[109]);
+        sxn(&mut tr[46], 1.224744871391589, &f[110]);
+        sxn(&mut tr[47], 1.224744871391589, &f[111]);
     } else {
-        tr[0] += 0.7071067811865476 * f_up[0];
-        tr[1] += 0.7071067811865476 * f_up[1];
-        tr[2] += 0.7071067811865476 * f_up[2];
-        tr[0] += -1.224744871391589 * f_up[3];
-        tr[3] += 0.7071067811865476 * f_up[4];
-        tr[4] += 0.7071067811865476 * f_up[5];
-        tr[5] += 0.7071067811865476 * f_up[6];
-        tr[6] += 0.7071067811865476 * f_up[7];
-        tr[7] += 0.7071067811865476 * f_up[8];
-        tr[1] += -1.224744871391589 * f_up[9];
-        tr[2] += -1.224744871391589 * f_up[10];
-        tr[0] += 1.5811388300841898 * f_up[11];
-        tr[8] += 0.7071067811865476 * f_up[12];
-        tr[9] += 0.7071067811865476 * f_up[13];
-        tr[3] += -1.224744871391589 * f_up[14];
-        tr[10] += 0.7071067811865476 * f_up[15];
-        tr[11] += 0.7071067811865476 * f_up[16];
-        tr[12] += 0.7071067811865476 * f_up[17];
-        tr[4] += -1.224744871391589 * f_up[18];
-        tr[13] += 0.7071067811865476 * f_up[19];
-        tr[14] += 0.7071067811865476 * f_up[20];
-        tr[15] += 0.7071067811865476 * f_up[21];
-        tr[16] += 0.7071067811865476 * f_up[22];
-        tr[5] += -1.224744871391589 * f_up[23];
-        tr[6] += -1.224744871391589 * f_up[24];
-        tr[7] += -1.224744871391589 * f_up[25];
-        tr[1] += 1.5811388300841898 * f_up[26];
-        tr[2] += 1.5811388300841898 * f_up[27];
-        tr[17] += 0.7071067811865476 * f_up[28];
-        tr[18] += 0.7071067811865476 * f_up[29];
-        tr[19] += 0.7071067811865476 * f_up[30];
-        tr[8] += -1.224744871391589 * f_up[31];
-        tr[9] += -1.224744871391589 * f_up[32];
-        tr[3] += 1.5811388300841898 * f_up[33];
-        tr[20] += 0.7071067811865476 * f_up[34];
-        tr[21] += 0.7071067811865476 * f_up[35];
-        tr[10] += -1.224744871391589 * f_up[36];
-        tr[22] += 0.7071067811865476 * f_up[37];
-        tr[23] += 0.7071067811865476 * f_up[38];
-        tr[24] += 0.7071067811865476 * f_up[39];
-        tr[11] += -1.224744871391589 * f_up[40];
-        tr[12] += -1.224744871391589 * f_up[41];
-        tr[4] += 1.5811388300841898 * f_up[42];
-        tr[25] += 0.7071067811865476 * f_up[43];
-        tr[26] += 0.7071067811865476 * f_up[44];
-        tr[13] += -1.224744871391589 * f_up[45];
-        tr[27] += 0.7071067811865476 * f_up[46];
-        tr[28] += 0.7071067811865476 * f_up[47];
-        tr[29] += 0.7071067811865476 * f_up[48];
-        tr[14] += -1.224744871391589 * f_up[49];
-        tr[30] += 0.7071067811865476 * f_up[50];
-        tr[15] += -1.224744871391589 * f_up[51];
-        tr[16] += -1.224744871391589 * f_up[52];
-        tr[6] += 1.5811388300841898 * f_up[53];
-        tr[31] += 0.7071067811865476 * f_up[54];
-        tr[32] += 0.7071067811865476 * f_up[55];
-        tr[17] += -1.224744871391589 * f_up[56];
-        tr[18] += -1.224744871391589 * f_up[57];
-        tr[19] += -1.224744871391589 * f_up[58];
-        tr[8] += 1.5811388300841898 * f_up[59];
-        tr[9] += 1.5811388300841898 * f_up[60];
-        tr[33] += 0.7071067811865476 * f_up[61];
-        tr[20] += -1.224744871391589 * f_up[62];
-        tr[21] += -1.224744871391589 * f_up[63];
-        tr[34] += 0.7071067811865476 * f_up[64];
-        tr[35] += 0.7071067811865476 * f_up[65];
-        tr[22] += -1.224744871391589 * f_up[66];
-        tr[23] += -1.224744871391589 * f_up[67];
-        tr[24] += -1.224744871391589 * f_up[68];
-        tr[11] += 1.5811388300841898 * f_up[69];
-        tr[12] += 1.5811388300841898 * f_up[70];
-        tr[36] += 0.7071067811865476 * f_up[71];
-        tr[37] += 0.7071067811865476 * f_up[72];
-        tr[38] += 0.7071067811865476 * f_up[73];
-        tr[25] += -1.224744871391589 * f_up[74];
-        tr[26] += -1.224744871391589 * f_up[75];
-        tr[13] += 1.5811388300841898 * f_up[76];
-        tr[39] += 0.7071067811865476 * f_up[77];
-        tr[40] += 0.7071067811865476 * f_up[78];
-        tr[27] += -1.224744871391589 * f_up[79];
-        tr[41] += 0.7071067811865476 * f_up[80];
-        tr[28] += -1.224744871391589 * f_up[81];
-        tr[29] += -1.224744871391589 * f_up[82];
-        tr[42] += 0.7071067811865476 * f_up[83];
-        tr[43] += 0.7071067811865476 * f_up[84];
-        tr[30] += -1.224744871391589 * f_up[85];
-        tr[31] += -1.224744871391589 * f_up[86];
-        tr[32] += -1.224744871391589 * f_up[87];
-        tr[18] += 1.5811388300841898 * f_up[88];
-        tr[33] += -1.224744871391589 * f_up[89];
-        tr[34] += -1.224744871391589 * f_up[90];
-        tr[35] += -1.224744871391589 * f_up[91];
-        tr[23] += 1.5811388300841898 * f_up[92];
-        tr[44] += 0.7071067811865476 * f_up[93];
-        tr[45] += 0.7071067811865476 * f_up[94];
-        tr[36] += -1.224744871391589 * f_up[95];
-        tr[37] += -1.224744871391589 * f_up[96];
-        tr[38] += -1.224744871391589 * f_up[97];
-        tr[25] += 1.5811388300841898 * f_up[98];
-        tr[26] += 1.5811388300841898 * f_up[99];
-        tr[46] += 0.7071067811865476 * f_up[100];
-        tr[39] += -1.224744871391589 * f_up[101];
-        tr[40] += -1.224744871391589 * f_up[102];
-        tr[41] += -1.224744871391589 * f_up[103];
-        tr[47] += 0.7071067811865476 * f_up[104];
-        tr[42] += -1.224744871391589 * f_up[105];
-        tr[43] += -1.224744871391589 * f_up[106];
-        tr[44] += -1.224744871391589 * f_up[107];
-        tr[45] += -1.224744871391589 * f_up[108];
-        tr[37] += 1.5811388300841898 * f_up[109];
-        tr[46] += -1.224744871391589 * f_up[110];
-        tr[47] += -1.224744871391589 * f_up[111];
+        sxn(&mut tr[0], 0.7071067811865476, &f_up[0]);
+        sxn(&mut tr[1], 0.7071067811865476, &f_up[1]);
+        sxn(&mut tr[2], 0.7071067811865476, &f_up[2]);
+        sxn(&mut tr[0], -1.224744871391589, &f_up[3]);
+        sxn(&mut tr[3], 0.7071067811865476, &f_up[4]);
+        sxn(&mut tr[4], 0.7071067811865476, &f_up[5]);
+        sxn(&mut tr[5], 0.7071067811865476, &f_up[6]);
+        sxn(&mut tr[6], 0.7071067811865476, &f_up[7]);
+        sxn(&mut tr[7], 0.7071067811865476, &f_up[8]);
+        sxn(&mut tr[1], -1.224744871391589, &f_up[9]);
+        sxn(&mut tr[2], -1.224744871391589, &f_up[10]);
+        sxn(&mut tr[0], 1.5811388300841898, &f_up[11]);
+        sxn(&mut tr[8], 0.7071067811865476, &f_up[12]);
+        sxn(&mut tr[9], 0.7071067811865476, &f_up[13]);
+        sxn(&mut tr[3], -1.224744871391589, &f_up[14]);
+        sxn(&mut tr[10], 0.7071067811865476, &f_up[15]);
+        sxn(&mut tr[11], 0.7071067811865476, &f_up[16]);
+        sxn(&mut tr[12], 0.7071067811865476, &f_up[17]);
+        sxn(&mut tr[4], -1.224744871391589, &f_up[18]);
+        sxn(&mut tr[13], 0.7071067811865476, &f_up[19]);
+        sxn(&mut tr[14], 0.7071067811865476, &f_up[20]);
+        sxn(&mut tr[15], 0.7071067811865476, &f_up[21]);
+        sxn(&mut tr[16], 0.7071067811865476, &f_up[22]);
+        sxn(&mut tr[5], -1.224744871391589, &f_up[23]);
+        sxn(&mut tr[6], -1.224744871391589, &f_up[24]);
+        sxn(&mut tr[7], -1.224744871391589, &f_up[25]);
+        sxn(&mut tr[1], 1.5811388300841898, &f_up[26]);
+        sxn(&mut tr[2], 1.5811388300841898, &f_up[27]);
+        sxn(&mut tr[17], 0.7071067811865476, &f_up[28]);
+        sxn(&mut tr[18], 0.7071067811865476, &f_up[29]);
+        sxn(&mut tr[19], 0.7071067811865476, &f_up[30]);
+        sxn(&mut tr[8], -1.224744871391589, &f_up[31]);
+        sxn(&mut tr[9], -1.224744871391589, &f_up[32]);
+        sxn(&mut tr[3], 1.5811388300841898, &f_up[33]);
+        sxn(&mut tr[20], 0.7071067811865476, &f_up[34]);
+        sxn(&mut tr[21], 0.7071067811865476, &f_up[35]);
+        sxn(&mut tr[10], -1.224744871391589, &f_up[36]);
+        sxn(&mut tr[22], 0.7071067811865476, &f_up[37]);
+        sxn(&mut tr[23], 0.7071067811865476, &f_up[38]);
+        sxn(&mut tr[24], 0.7071067811865476, &f_up[39]);
+        sxn(&mut tr[11], -1.224744871391589, &f_up[40]);
+        sxn(&mut tr[12], -1.224744871391589, &f_up[41]);
+        sxn(&mut tr[4], 1.5811388300841898, &f_up[42]);
+        sxn(&mut tr[25], 0.7071067811865476, &f_up[43]);
+        sxn(&mut tr[26], 0.7071067811865476, &f_up[44]);
+        sxn(&mut tr[13], -1.224744871391589, &f_up[45]);
+        sxn(&mut tr[27], 0.7071067811865476, &f_up[46]);
+        sxn(&mut tr[28], 0.7071067811865476, &f_up[47]);
+        sxn(&mut tr[29], 0.7071067811865476, &f_up[48]);
+        sxn(&mut tr[14], -1.224744871391589, &f_up[49]);
+        sxn(&mut tr[30], 0.7071067811865476, &f_up[50]);
+        sxn(&mut tr[15], -1.224744871391589, &f_up[51]);
+        sxn(&mut tr[16], -1.224744871391589, &f_up[52]);
+        sxn(&mut tr[6], 1.5811388300841898, &f_up[53]);
+        sxn(&mut tr[31], 0.7071067811865476, &f_up[54]);
+        sxn(&mut tr[32], 0.7071067811865476, &f_up[55]);
+        sxn(&mut tr[17], -1.224744871391589, &f_up[56]);
+        sxn(&mut tr[18], -1.224744871391589, &f_up[57]);
+        sxn(&mut tr[19], -1.224744871391589, &f_up[58]);
+        sxn(&mut tr[8], 1.5811388300841898, &f_up[59]);
+        sxn(&mut tr[9], 1.5811388300841898, &f_up[60]);
+        sxn(&mut tr[33], 0.7071067811865476, &f_up[61]);
+        sxn(&mut tr[20], -1.224744871391589, &f_up[62]);
+        sxn(&mut tr[21], -1.224744871391589, &f_up[63]);
+        sxn(&mut tr[34], 0.7071067811865476, &f_up[64]);
+        sxn(&mut tr[35], 0.7071067811865476, &f_up[65]);
+        sxn(&mut tr[22], -1.224744871391589, &f_up[66]);
+        sxn(&mut tr[23], -1.224744871391589, &f_up[67]);
+        sxn(&mut tr[24], -1.224744871391589, &f_up[68]);
+        sxn(&mut tr[11], 1.5811388300841898, &f_up[69]);
+        sxn(&mut tr[12], 1.5811388300841898, &f_up[70]);
+        sxn(&mut tr[36], 0.7071067811865476, &f_up[71]);
+        sxn(&mut tr[37], 0.7071067811865476, &f_up[72]);
+        sxn(&mut tr[38], 0.7071067811865476, &f_up[73]);
+        sxn(&mut tr[25], -1.224744871391589, &f_up[74]);
+        sxn(&mut tr[26], -1.224744871391589, &f_up[75]);
+        sxn(&mut tr[13], 1.5811388300841898, &f_up[76]);
+        sxn(&mut tr[39], 0.7071067811865476, &f_up[77]);
+        sxn(&mut tr[40], 0.7071067811865476, &f_up[78]);
+        sxn(&mut tr[27], -1.224744871391589, &f_up[79]);
+        sxn(&mut tr[41], 0.7071067811865476, &f_up[80]);
+        sxn(&mut tr[28], -1.224744871391589, &f_up[81]);
+        sxn(&mut tr[29], -1.224744871391589, &f_up[82]);
+        sxn(&mut tr[42], 0.7071067811865476, &f_up[83]);
+        sxn(&mut tr[43], 0.7071067811865476, &f_up[84]);
+        sxn(&mut tr[30], -1.224744871391589, &f_up[85]);
+        sxn(&mut tr[31], -1.224744871391589, &f_up[86]);
+        sxn(&mut tr[32], -1.224744871391589, &f_up[87]);
+        sxn(&mut tr[18], 1.5811388300841898, &f_up[88]);
+        sxn(&mut tr[33], -1.224744871391589, &f_up[89]);
+        sxn(&mut tr[34], -1.224744871391589, &f_up[90]);
+        sxn(&mut tr[35], -1.224744871391589, &f_up[91]);
+        sxn(&mut tr[23], 1.5811388300841898, &f_up[92]);
+        sxn(&mut tr[44], 0.7071067811865476, &f_up[93]);
+        sxn(&mut tr[45], 0.7071067811865476, &f_up[94]);
+        sxn(&mut tr[36], -1.224744871391589, &f_up[95]);
+        sxn(&mut tr[37], -1.224744871391589, &f_up[96]);
+        sxn(&mut tr[38], -1.224744871391589, &f_up[97]);
+        sxn(&mut tr[25], 1.5811388300841898, &f_up[98]);
+        sxn(&mut tr[26], 1.5811388300841898, &f_up[99]);
+        sxn(&mut tr[46], 0.7071067811865476, &f_up[100]);
+        sxn(&mut tr[39], -1.224744871391589, &f_up[101]);
+        sxn(&mut tr[40], -1.224744871391589, &f_up[102]);
+        sxn(&mut tr[41], -1.224744871391589, &f_up[103]);
+        sxn(&mut tr[47], 0.7071067811865476, &f_up[104]);
+        sxn(&mut tr[42], -1.224744871391589, &f_up[105]);
+        sxn(&mut tr[43], -1.224744871391589, &f_up[106]);
+        sxn(&mut tr[44], -1.224744871391589, &f_up[107]);
+        sxn(&mut tr[45], -1.224744871391589, &f_up[108]);
+        sxn(&mut tr[37], 1.5811388300841898, &f_up[109]);
+        sxn(&mut tr[46], -1.224744871391589, &f_up[110]);
+        sxn(&mut tr[47], -1.224744871391589, &f_up[111]);
     }
-    g[0] += scale * 0.7071067811865476 * tr[0];
-    g[1] += scale * 0.7071067811865476 * tr[1];
-    g[2] += scale * 0.7071067811865476 * tr[2];
-    g[3] += scale * 1.224744871391589 * tr[0];
-    g[4] += scale * 0.7071067811865476 * tr[3];
-    g[5] += scale * 0.7071067811865476 * tr[4];
-    g[6] += scale * 0.7071067811865476 * tr[5];
-    g[7] += scale * 0.7071067811865476 * tr[6];
-    g[8] += scale * 0.7071067811865476 * tr[7];
-    g[9] += scale * 1.224744871391589 * tr[1];
-    g[10] += scale * 1.224744871391589 * tr[2];
-    g[11] += scale * 1.5811388300841898 * tr[0];
-    g[12] += scale * 0.7071067811865476 * tr[8];
-    g[13] += scale * 0.7071067811865476 * tr[9];
-    g[14] += scale * 1.224744871391589 * tr[3];
-    g[15] += scale * 0.7071067811865476 * tr[10];
-    g[16] += scale * 0.7071067811865476 * tr[11];
-    g[17] += scale * 0.7071067811865476 * tr[12];
-    g[18] += scale * 1.224744871391589 * tr[4];
-    g[19] += scale * 0.7071067811865476 * tr[13];
-    g[20] += scale * 0.7071067811865476 * tr[14];
-    g[21] += scale * 0.7071067811865476 * tr[15];
-    g[22] += scale * 0.7071067811865476 * tr[16];
-    g[23] += scale * 1.224744871391589 * tr[5];
-    g[24] += scale * 1.224744871391589 * tr[6];
-    g[25] += scale * 1.224744871391589 * tr[7];
-    g[26] += scale * 1.5811388300841898 * tr[1];
-    g[27] += scale * 1.5811388300841898 * tr[2];
-    g[28] += scale * 0.7071067811865476 * tr[17];
-    g[29] += scale * 0.7071067811865476 * tr[18];
-    g[30] += scale * 0.7071067811865476 * tr[19];
-    g[31] += scale * 1.224744871391589 * tr[8];
-    g[32] += scale * 1.224744871391589 * tr[9];
-    g[33] += scale * 1.5811388300841898 * tr[3];
-    g[34] += scale * 0.7071067811865476 * tr[20];
-    g[35] += scale * 0.7071067811865476 * tr[21];
-    g[36] += scale * 1.224744871391589 * tr[10];
-    g[37] += scale * 0.7071067811865476 * tr[22];
-    g[38] += scale * 0.7071067811865476 * tr[23];
-    g[39] += scale * 0.7071067811865476 * tr[24];
-    g[40] += scale * 1.224744871391589 * tr[11];
-    g[41] += scale * 1.224744871391589 * tr[12];
-    g[42] += scale * 1.5811388300841898 * tr[4];
-    g[43] += scale * 0.7071067811865476 * tr[25];
-    g[44] += scale * 0.7071067811865476 * tr[26];
-    g[45] += scale * 1.224744871391589 * tr[13];
-    g[46] += scale * 0.7071067811865476 * tr[27];
-    g[47] += scale * 0.7071067811865476 * tr[28];
-    g[48] += scale * 0.7071067811865476 * tr[29];
-    g[49] += scale * 1.224744871391589 * tr[14];
-    g[50] += scale * 0.7071067811865476 * tr[30];
-    g[51] += scale * 1.224744871391589 * tr[15];
-    g[52] += scale * 1.224744871391589 * tr[16];
-    g[53] += scale * 1.5811388300841898 * tr[6];
-    g[54] += scale * 0.7071067811865476 * tr[31];
-    g[55] += scale * 0.7071067811865476 * tr[32];
-    g[56] += scale * 1.224744871391589 * tr[17];
-    g[57] += scale * 1.224744871391589 * tr[18];
-    g[58] += scale * 1.224744871391589 * tr[19];
-    g[59] += scale * 1.5811388300841898 * tr[8];
-    g[60] += scale * 1.5811388300841898 * tr[9];
-    g[61] += scale * 0.7071067811865476 * tr[33];
-    g[62] += scale * 1.224744871391589 * tr[20];
-    g[63] += scale * 1.224744871391589 * tr[21];
-    g[64] += scale * 0.7071067811865476 * tr[34];
-    g[65] += scale * 0.7071067811865476 * tr[35];
-    g[66] += scale * 1.224744871391589 * tr[22];
-    g[67] += scale * 1.224744871391589 * tr[23];
-    g[68] += scale * 1.224744871391589 * tr[24];
-    g[69] += scale * 1.5811388300841898 * tr[11];
-    g[70] += scale * 1.5811388300841898 * tr[12];
-    g[71] += scale * 0.7071067811865476 * tr[36];
-    g[72] += scale * 0.7071067811865476 * tr[37];
-    g[73] += scale * 0.7071067811865476 * tr[38];
-    g[74] += scale * 1.224744871391589 * tr[25];
-    g[75] += scale * 1.224744871391589 * tr[26];
-    g[76] += scale * 1.5811388300841898 * tr[13];
-    g[77] += scale * 0.7071067811865476 * tr[39];
-    g[78] += scale * 0.7071067811865476 * tr[40];
-    g[79] += scale * 1.224744871391589 * tr[27];
-    g[80] += scale * 0.7071067811865476 * tr[41];
-    g[81] += scale * 1.224744871391589 * tr[28];
-    g[82] += scale * 1.224744871391589 * tr[29];
-    g[83] += scale * 0.7071067811865476 * tr[42];
-    g[84] += scale * 0.7071067811865476 * tr[43];
-    g[85] += scale * 1.224744871391589 * tr[30];
-    g[86] += scale * 1.224744871391589 * tr[31];
-    g[87] += scale * 1.224744871391589 * tr[32];
-    g[88] += scale * 1.5811388300841898 * tr[18];
-    g[89] += scale * 1.224744871391589 * tr[33];
-    g[90] += scale * 1.224744871391589 * tr[34];
-    g[91] += scale * 1.224744871391589 * tr[35];
-    g[92] += scale * 1.5811388300841898 * tr[23];
-    g[93] += scale * 0.7071067811865476 * tr[44];
-    g[94] += scale * 0.7071067811865476 * tr[45];
-    g[95] += scale * 1.224744871391589 * tr[36];
-    g[96] += scale * 1.224744871391589 * tr[37];
-    g[97] += scale * 1.224744871391589 * tr[38];
-    g[98] += scale * 1.5811388300841898 * tr[25];
-    g[99] += scale * 1.5811388300841898 * tr[26];
-    g[100] += scale * 0.7071067811865476 * tr[46];
-    g[101] += scale * 1.224744871391589 * tr[39];
-    g[102] += scale * 1.224744871391589 * tr[40];
-    g[103] += scale * 1.224744871391589 * tr[41];
-    g[104] += scale * 0.7071067811865476 * tr[47];
-    g[105] += scale * 1.224744871391589 * tr[42];
-    g[106] += scale * 1.224744871391589 * tr[43];
-    g[107] += scale * 1.224744871391589 * tr[44];
-    g[108] += scale * 1.224744871391589 * tr[45];
-    g[109] += scale * 1.5811388300841898 * tr[37];
-    g[110] += scale * 1.224744871391589 * tr[46];
-    g[111] += scale * 1.224744871391589 * tr[47];
-    let mut tl = [0.0f64; 48];
-    tl[0] += 0.7071067811865476 * f[0];
-    tl[1] += 0.7071067811865476 * f[1];
-    tl[2] += 0.7071067811865476 * f[2];
-    tl[0] += -1.224744871391589 * f[3];
-    tl[3] += 0.7071067811865476 * f[4];
-    tl[4] += 0.7071067811865476 * f[5];
-    tl[5] += 0.7071067811865476 * f[6];
-    tl[6] += 0.7071067811865476 * f[7];
-    tl[7] += 0.7071067811865476 * f[8];
-    tl[1] += -1.224744871391589 * f[9];
-    tl[2] += -1.224744871391589 * f[10];
-    tl[0] += 1.5811388300841898 * f[11];
-    tl[8] += 0.7071067811865476 * f[12];
-    tl[9] += 0.7071067811865476 * f[13];
-    tl[3] += -1.224744871391589 * f[14];
-    tl[10] += 0.7071067811865476 * f[15];
-    tl[11] += 0.7071067811865476 * f[16];
-    tl[12] += 0.7071067811865476 * f[17];
-    tl[4] += -1.224744871391589 * f[18];
-    tl[13] += 0.7071067811865476 * f[19];
-    tl[14] += 0.7071067811865476 * f[20];
-    tl[15] += 0.7071067811865476 * f[21];
-    tl[16] += 0.7071067811865476 * f[22];
-    tl[5] += -1.224744871391589 * f[23];
-    tl[6] += -1.224744871391589 * f[24];
-    tl[7] += -1.224744871391589 * f[25];
-    tl[1] += 1.5811388300841898 * f[26];
-    tl[2] += 1.5811388300841898 * f[27];
-    tl[17] += 0.7071067811865476 * f[28];
-    tl[18] += 0.7071067811865476 * f[29];
-    tl[19] += 0.7071067811865476 * f[30];
-    tl[8] += -1.224744871391589 * f[31];
-    tl[9] += -1.224744871391589 * f[32];
-    tl[3] += 1.5811388300841898 * f[33];
-    tl[20] += 0.7071067811865476 * f[34];
-    tl[21] += 0.7071067811865476 * f[35];
-    tl[10] += -1.224744871391589 * f[36];
-    tl[22] += 0.7071067811865476 * f[37];
-    tl[23] += 0.7071067811865476 * f[38];
-    tl[24] += 0.7071067811865476 * f[39];
-    tl[11] += -1.224744871391589 * f[40];
-    tl[12] += -1.224744871391589 * f[41];
-    tl[4] += 1.5811388300841898 * f[42];
-    tl[25] += 0.7071067811865476 * f[43];
-    tl[26] += 0.7071067811865476 * f[44];
-    tl[13] += -1.224744871391589 * f[45];
-    tl[27] += 0.7071067811865476 * f[46];
-    tl[28] += 0.7071067811865476 * f[47];
-    tl[29] += 0.7071067811865476 * f[48];
-    tl[14] += -1.224744871391589 * f[49];
-    tl[30] += 0.7071067811865476 * f[50];
-    tl[15] += -1.224744871391589 * f[51];
-    tl[16] += -1.224744871391589 * f[52];
-    tl[6] += 1.5811388300841898 * f[53];
-    tl[31] += 0.7071067811865476 * f[54];
-    tl[32] += 0.7071067811865476 * f[55];
-    tl[17] += -1.224744871391589 * f[56];
-    tl[18] += -1.224744871391589 * f[57];
-    tl[19] += -1.224744871391589 * f[58];
-    tl[8] += 1.5811388300841898 * f[59];
-    tl[9] += 1.5811388300841898 * f[60];
-    tl[33] += 0.7071067811865476 * f[61];
-    tl[20] += -1.224744871391589 * f[62];
-    tl[21] += -1.224744871391589 * f[63];
-    tl[34] += 0.7071067811865476 * f[64];
-    tl[35] += 0.7071067811865476 * f[65];
-    tl[22] += -1.224744871391589 * f[66];
-    tl[23] += -1.224744871391589 * f[67];
-    tl[24] += -1.224744871391589 * f[68];
-    tl[11] += 1.5811388300841898 * f[69];
-    tl[12] += 1.5811388300841898 * f[70];
-    tl[36] += 0.7071067811865476 * f[71];
-    tl[37] += 0.7071067811865476 * f[72];
-    tl[38] += 0.7071067811865476 * f[73];
-    tl[25] += -1.224744871391589 * f[74];
-    tl[26] += -1.224744871391589 * f[75];
-    tl[13] += 1.5811388300841898 * f[76];
-    tl[39] += 0.7071067811865476 * f[77];
-    tl[40] += 0.7071067811865476 * f[78];
-    tl[27] += -1.224744871391589 * f[79];
-    tl[41] += 0.7071067811865476 * f[80];
-    tl[28] += -1.224744871391589 * f[81];
-    tl[29] += -1.224744871391589 * f[82];
-    tl[42] += 0.7071067811865476 * f[83];
-    tl[43] += 0.7071067811865476 * f[84];
-    tl[30] += -1.224744871391589 * f[85];
-    tl[31] += -1.224744871391589 * f[86];
-    tl[32] += -1.224744871391589 * f[87];
-    tl[18] += 1.5811388300841898 * f[88];
-    tl[33] += -1.224744871391589 * f[89];
-    tl[34] += -1.224744871391589 * f[90];
-    tl[35] += -1.224744871391589 * f[91];
-    tl[23] += 1.5811388300841898 * f[92];
-    tl[44] += 0.7071067811865476 * f[93];
-    tl[45] += 0.7071067811865476 * f[94];
-    tl[36] += -1.224744871391589 * f[95];
-    tl[37] += -1.224744871391589 * f[96];
-    tl[38] += -1.224744871391589 * f[97];
-    tl[25] += 1.5811388300841898 * f[98];
-    tl[26] += 1.5811388300841898 * f[99];
-    tl[46] += 0.7071067811865476 * f[100];
-    tl[39] += -1.224744871391589 * f[101];
-    tl[40] += -1.224744871391589 * f[102];
-    tl[41] += -1.224744871391589 * f[103];
-    tl[47] += 0.7071067811865476 * f[104];
-    tl[42] += -1.224744871391589 * f[105];
-    tl[43] += -1.224744871391589 * f[106];
-    tl[44] += -1.224744871391589 * f[107];
-    tl[45] += -1.224744871391589 * f[108];
-    tl[37] += 1.5811388300841898 * f[109];
-    tl[46] += -1.224744871391589 * f[110];
-    tl[47] += -1.224744871391589 * f[111];
-    g[0] += -scale * 0.7071067811865476 * tl[0];
-    g[1] += -scale * 0.7071067811865476 * tl[1];
-    g[2] += -scale * 0.7071067811865476 * tl[2];
-    g[3] += -scale * -1.224744871391589 * tl[0];
-    g[4] += -scale * 0.7071067811865476 * tl[3];
-    g[5] += -scale * 0.7071067811865476 * tl[4];
-    g[6] += -scale * 0.7071067811865476 * tl[5];
-    g[7] += -scale * 0.7071067811865476 * tl[6];
-    g[8] += -scale * 0.7071067811865476 * tl[7];
-    g[9] += -scale * -1.224744871391589 * tl[1];
-    g[10] += -scale * -1.224744871391589 * tl[2];
-    g[11] += -scale * 1.5811388300841898 * tl[0];
-    g[12] += -scale * 0.7071067811865476 * tl[8];
-    g[13] += -scale * 0.7071067811865476 * tl[9];
-    g[14] += -scale * -1.224744871391589 * tl[3];
-    g[15] += -scale * 0.7071067811865476 * tl[10];
-    g[16] += -scale * 0.7071067811865476 * tl[11];
-    g[17] += -scale * 0.7071067811865476 * tl[12];
-    g[18] += -scale * -1.224744871391589 * tl[4];
-    g[19] += -scale * 0.7071067811865476 * tl[13];
-    g[20] += -scale * 0.7071067811865476 * tl[14];
-    g[21] += -scale * 0.7071067811865476 * tl[15];
-    g[22] += -scale * 0.7071067811865476 * tl[16];
-    g[23] += -scale * -1.224744871391589 * tl[5];
-    g[24] += -scale * -1.224744871391589 * tl[6];
-    g[25] += -scale * -1.224744871391589 * tl[7];
-    g[26] += -scale * 1.5811388300841898 * tl[1];
-    g[27] += -scale * 1.5811388300841898 * tl[2];
-    g[28] += -scale * 0.7071067811865476 * tl[17];
-    g[29] += -scale * 0.7071067811865476 * tl[18];
-    g[30] += -scale * 0.7071067811865476 * tl[19];
-    g[31] += -scale * -1.224744871391589 * tl[8];
-    g[32] += -scale * -1.224744871391589 * tl[9];
-    g[33] += -scale * 1.5811388300841898 * tl[3];
-    g[34] += -scale * 0.7071067811865476 * tl[20];
-    g[35] += -scale * 0.7071067811865476 * tl[21];
-    g[36] += -scale * -1.224744871391589 * tl[10];
-    g[37] += -scale * 0.7071067811865476 * tl[22];
-    g[38] += -scale * 0.7071067811865476 * tl[23];
-    g[39] += -scale * 0.7071067811865476 * tl[24];
-    g[40] += -scale * -1.224744871391589 * tl[11];
-    g[41] += -scale * -1.224744871391589 * tl[12];
-    g[42] += -scale * 1.5811388300841898 * tl[4];
-    g[43] += -scale * 0.7071067811865476 * tl[25];
-    g[44] += -scale * 0.7071067811865476 * tl[26];
-    g[45] += -scale * -1.224744871391589 * tl[13];
-    g[46] += -scale * 0.7071067811865476 * tl[27];
-    g[47] += -scale * 0.7071067811865476 * tl[28];
-    g[48] += -scale * 0.7071067811865476 * tl[29];
-    g[49] += -scale * -1.224744871391589 * tl[14];
-    g[50] += -scale * 0.7071067811865476 * tl[30];
-    g[51] += -scale * -1.224744871391589 * tl[15];
-    g[52] += -scale * -1.224744871391589 * tl[16];
-    g[53] += -scale * 1.5811388300841898 * tl[6];
-    g[54] += -scale * 0.7071067811865476 * tl[31];
-    g[55] += -scale * 0.7071067811865476 * tl[32];
-    g[56] += -scale * -1.224744871391589 * tl[17];
-    g[57] += -scale * -1.224744871391589 * tl[18];
-    g[58] += -scale * -1.224744871391589 * tl[19];
-    g[59] += -scale * 1.5811388300841898 * tl[8];
-    g[60] += -scale * 1.5811388300841898 * tl[9];
-    g[61] += -scale * 0.7071067811865476 * tl[33];
-    g[62] += -scale * -1.224744871391589 * tl[20];
-    g[63] += -scale * -1.224744871391589 * tl[21];
-    g[64] += -scale * 0.7071067811865476 * tl[34];
-    g[65] += -scale * 0.7071067811865476 * tl[35];
-    g[66] += -scale * -1.224744871391589 * tl[22];
-    g[67] += -scale * -1.224744871391589 * tl[23];
-    g[68] += -scale * -1.224744871391589 * tl[24];
-    g[69] += -scale * 1.5811388300841898 * tl[11];
-    g[70] += -scale * 1.5811388300841898 * tl[12];
-    g[71] += -scale * 0.7071067811865476 * tl[36];
-    g[72] += -scale * 0.7071067811865476 * tl[37];
-    g[73] += -scale * 0.7071067811865476 * tl[38];
-    g[74] += -scale * -1.224744871391589 * tl[25];
-    g[75] += -scale * -1.224744871391589 * tl[26];
-    g[76] += -scale * 1.5811388300841898 * tl[13];
-    g[77] += -scale * 0.7071067811865476 * tl[39];
-    g[78] += -scale * 0.7071067811865476 * tl[40];
-    g[79] += -scale * -1.224744871391589 * tl[27];
-    g[80] += -scale * 0.7071067811865476 * tl[41];
-    g[81] += -scale * -1.224744871391589 * tl[28];
-    g[82] += -scale * -1.224744871391589 * tl[29];
-    g[83] += -scale * 0.7071067811865476 * tl[42];
-    g[84] += -scale * 0.7071067811865476 * tl[43];
-    g[85] += -scale * -1.224744871391589 * tl[30];
-    g[86] += -scale * -1.224744871391589 * tl[31];
-    g[87] += -scale * -1.224744871391589 * tl[32];
-    g[88] += -scale * 1.5811388300841898 * tl[18];
-    g[89] += -scale * -1.224744871391589 * tl[33];
-    g[90] += -scale * -1.224744871391589 * tl[34];
-    g[91] += -scale * -1.224744871391589 * tl[35];
-    g[92] += -scale * 1.5811388300841898 * tl[23];
-    g[93] += -scale * 0.7071067811865476 * tl[44];
-    g[94] += -scale * 0.7071067811865476 * tl[45];
-    g[95] += -scale * -1.224744871391589 * tl[36];
-    g[96] += -scale * -1.224744871391589 * tl[37];
-    g[97] += -scale * -1.224744871391589 * tl[38];
-    g[98] += -scale * 1.5811388300841898 * tl[25];
-    g[99] += -scale * 1.5811388300841898 * tl[26];
-    g[100] += -scale * 0.7071067811865476 * tl[46];
-    g[101] += -scale * -1.224744871391589 * tl[39];
-    g[102] += -scale * -1.224744871391589 * tl[40];
-    g[103] += -scale * -1.224744871391589 * tl[41];
-    g[104] += -scale * 0.7071067811865476 * tl[47];
-    g[105] += -scale * -1.224744871391589 * tl[42];
-    g[106] += -scale * -1.224744871391589 * tl[43];
-    g[107] += -scale * -1.224744871391589 * tl[44];
-    g[108] += -scale * -1.224744871391589 * tl[45];
-    g[109] += -scale * 1.5811388300841898 * tl[37];
-    g[110] += -scale * -1.224744871391589 * tl[46];
-    g[111] += -scale * -1.224744871391589 * tl[47];
+    sxn(&mut g[0], scale * 0.7071067811865476, &tr[0]);
+    sxn(&mut g[1], scale * 0.7071067811865476, &tr[1]);
+    sxn(&mut g[2], scale * 0.7071067811865476, &tr[2]);
+    sxn(&mut g[3], scale * 1.224744871391589, &tr[0]);
+    sxn(&mut g[4], scale * 0.7071067811865476, &tr[3]);
+    sxn(&mut g[5], scale * 0.7071067811865476, &tr[4]);
+    sxn(&mut g[6], scale * 0.7071067811865476, &tr[5]);
+    sxn(&mut g[7], scale * 0.7071067811865476, &tr[6]);
+    sxn(&mut g[8], scale * 0.7071067811865476, &tr[7]);
+    sxn(&mut g[9], scale * 1.224744871391589, &tr[1]);
+    sxn(&mut g[10], scale * 1.224744871391589, &tr[2]);
+    sxn(&mut g[11], scale * 1.5811388300841898, &tr[0]);
+    sxn(&mut g[12], scale * 0.7071067811865476, &tr[8]);
+    sxn(&mut g[13], scale * 0.7071067811865476, &tr[9]);
+    sxn(&mut g[14], scale * 1.224744871391589, &tr[3]);
+    sxn(&mut g[15], scale * 0.7071067811865476, &tr[10]);
+    sxn(&mut g[16], scale * 0.7071067811865476, &tr[11]);
+    sxn(&mut g[17], scale * 0.7071067811865476, &tr[12]);
+    sxn(&mut g[18], scale * 1.224744871391589, &tr[4]);
+    sxn(&mut g[19], scale * 0.7071067811865476, &tr[13]);
+    sxn(&mut g[20], scale * 0.7071067811865476, &tr[14]);
+    sxn(&mut g[21], scale * 0.7071067811865476, &tr[15]);
+    sxn(&mut g[22], scale * 0.7071067811865476, &tr[16]);
+    sxn(&mut g[23], scale * 1.224744871391589, &tr[5]);
+    sxn(&mut g[24], scale * 1.224744871391589, &tr[6]);
+    sxn(&mut g[25], scale * 1.224744871391589, &tr[7]);
+    sxn(&mut g[26], scale * 1.5811388300841898, &tr[1]);
+    sxn(&mut g[27], scale * 1.5811388300841898, &tr[2]);
+    sxn(&mut g[28], scale * 0.7071067811865476, &tr[17]);
+    sxn(&mut g[29], scale * 0.7071067811865476, &tr[18]);
+    sxn(&mut g[30], scale * 0.7071067811865476, &tr[19]);
+    sxn(&mut g[31], scale * 1.224744871391589, &tr[8]);
+    sxn(&mut g[32], scale * 1.224744871391589, &tr[9]);
+    sxn(&mut g[33], scale * 1.5811388300841898, &tr[3]);
+    sxn(&mut g[34], scale * 0.7071067811865476, &tr[20]);
+    sxn(&mut g[35], scale * 0.7071067811865476, &tr[21]);
+    sxn(&mut g[36], scale * 1.224744871391589, &tr[10]);
+    sxn(&mut g[37], scale * 0.7071067811865476, &tr[22]);
+    sxn(&mut g[38], scale * 0.7071067811865476, &tr[23]);
+    sxn(&mut g[39], scale * 0.7071067811865476, &tr[24]);
+    sxn(&mut g[40], scale * 1.224744871391589, &tr[11]);
+    sxn(&mut g[41], scale * 1.224744871391589, &tr[12]);
+    sxn(&mut g[42], scale * 1.5811388300841898, &tr[4]);
+    sxn(&mut g[43], scale * 0.7071067811865476, &tr[25]);
+    sxn(&mut g[44], scale * 0.7071067811865476, &tr[26]);
+    sxn(&mut g[45], scale * 1.224744871391589, &tr[13]);
+    sxn(&mut g[46], scale * 0.7071067811865476, &tr[27]);
+    sxn(&mut g[47], scale * 0.7071067811865476, &tr[28]);
+    sxn(&mut g[48], scale * 0.7071067811865476, &tr[29]);
+    sxn(&mut g[49], scale * 1.224744871391589, &tr[14]);
+    sxn(&mut g[50], scale * 0.7071067811865476, &tr[30]);
+    sxn(&mut g[51], scale * 1.224744871391589, &tr[15]);
+    sxn(&mut g[52], scale * 1.224744871391589, &tr[16]);
+    sxn(&mut g[53], scale * 1.5811388300841898, &tr[6]);
+    sxn(&mut g[54], scale * 0.7071067811865476, &tr[31]);
+    sxn(&mut g[55], scale * 0.7071067811865476, &tr[32]);
+    sxn(&mut g[56], scale * 1.224744871391589, &tr[17]);
+    sxn(&mut g[57], scale * 1.224744871391589, &tr[18]);
+    sxn(&mut g[58], scale * 1.224744871391589, &tr[19]);
+    sxn(&mut g[59], scale * 1.5811388300841898, &tr[8]);
+    sxn(&mut g[60], scale * 1.5811388300841898, &tr[9]);
+    sxn(&mut g[61], scale * 0.7071067811865476, &tr[33]);
+    sxn(&mut g[62], scale * 1.224744871391589, &tr[20]);
+    sxn(&mut g[63], scale * 1.224744871391589, &tr[21]);
+    sxn(&mut g[64], scale * 0.7071067811865476, &tr[34]);
+    sxn(&mut g[65], scale * 0.7071067811865476, &tr[35]);
+    sxn(&mut g[66], scale * 1.224744871391589, &tr[22]);
+    sxn(&mut g[67], scale * 1.224744871391589, &tr[23]);
+    sxn(&mut g[68], scale * 1.224744871391589, &tr[24]);
+    sxn(&mut g[69], scale * 1.5811388300841898, &tr[11]);
+    sxn(&mut g[70], scale * 1.5811388300841898, &tr[12]);
+    sxn(&mut g[71], scale * 0.7071067811865476, &tr[36]);
+    sxn(&mut g[72], scale * 0.7071067811865476, &tr[37]);
+    sxn(&mut g[73], scale * 0.7071067811865476, &tr[38]);
+    sxn(&mut g[74], scale * 1.224744871391589, &tr[25]);
+    sxn(&mut g[75], scale * 1.224744871391589, &tr[26]);
+    sxn(&mut g[76], scale * 1.5811388300841898, &tr[13]);
+    sxn(&mut g[77], scale * 0.7071067811865476, &tr[39]);
+    sxn(&mut g[78], scale * 0.7071067811865476, &tr[40]);
+    sxn(&mut g[79], scale * 1.224744871391589, &tr[27]);
+    sxn(&mut g[80], scale * 0.7071067811865476, &tr[41]);
+    sxn(&mut g[81], scale * 1.224744871391589, &tr[28]);
+    sxn(&mut g[82], scale * 1.224744871391589, &tr[29]);
+    sxn(&mut g[83], scale * 0.7071067811865476, &tr[42]);
+    sxn(&mut g[84], scale * 0.7071067811865476, &tr[43]);
+    sxn(&mut g[85], scale * 1.224744871391589, &tr[30]);
+    sxn(&mut g[86], scale * 1.224744871391589, &tr[31]);
+    sxn(&mut g[87], scale * 1.224744871391589, &tr[32]);
+    sxn(&mut g[88], scale * 1.5811388300841898, &tr[18]);
+    sxn(&mut g[89], scale * 1.224744871391589, &tr[33]);
+    sxn(&mut g[90], scale * 1.224744871391589, &tr[34]);
+    sxn(&mut g[91], scale * 1.224744871391589, &tr[35]);
+    sxn(&mut g[92], scale * 1.5811388300841898, &tr[23]);
+    sxn(&mut g[93], scale * 0.7071067811865476, &tr[44]);
+    sxn(&mut g[94], scale * 0.7071067811865476, &tr[45]);
+    sxn(&mut g[95], scale * 1.224744871391589, &tr[36]);
+    sxn(&mut g[96], scale * 1.224744871391589, &tr[37]);
+    sxn(&mut g[97], scale * 1.224744871391589, &tr[38]);
+    sxn(&mut g[98], scale * 1.5811388300841898, &tr[25]);
+    sxn(&mut g[99], scale * 1.5811388300841898, &tr[26]);
+    sxn(&mut g[100], scale * 0.7071067811865476, &tr[46]);
+    sxn(&mut g[101], scale * 1.224744871391589, &tr[39]);
+    sxn(&mut g[102], scale * 1.224744871391589, &tr[40]);
+    sxn(&mut g[103], scale * 1.224744871391589, &tr[41]);
+    sxn(&mut g[104], scale * 0.7071067811865476, &tr[47]);
+    sxn(&mut g[105], scale * 1.224744871391589, &tr[42]);
+    sxn(&mut g[106], scale * 1.224744871391589, &tr[43]);
+    sxn(&mut g[107], scale * 1.224744871391589, &tr[44]);
+    sxn(&mut g[108], scale * 1.224744871391589, &tr[45]);
+    sxn(&mut g[109], scale * 1.5811388300841898, &tr[37]);
+    sxn(&mut g[110], scale * 1.224744871391589, &tr[46]);
+    sxn(&mut g[111], scale * 1.224744871391589, &tr[47]);
+    let mut tl = [[0.0f64; L]; 48];
+    sxn(&mut tl[0], 0.7071067811865476, &f[0]);
+    sxn(&mut tl[1], 0.7071067811865476, &f[1]);
+    sxn(&mut tl[2], 0.7071067811865476, &f[2]);
+    sxn(&mut tl[0], -1.224744871391589, &f[3]);
+    sxn(&mut tl[3], 0.7071067811865476, &f[4]);
+    sxn(&mut tl[4], 0.7071067811865476, &f[5]);
+    sxn(&mut tl[5], 0.7071067811865476, &f[6]);
+    sxn(&mut tl[6], 0.7071067811865476, &f[7]);
+    sxn(&mut tl[7], 0.7071067811865476, &f[8]);
+    sxn(&mut tl[1], -1.224744871391589, &f[9]);
+    sxn(&mut tl[2], -1.224744871391589, &f[10]);
+    sxn(&mut tl[0], 1.5811388300841898, &f[11]);
+    sxn(&mut tl[8], 0.7071067811865476, &f[12]);
+    sxn(&mut tl[9], 0.7071067811865476, &f[13]);
+    sxn(&mut tl[3], -1.224744871391589, &f[14]);
+    sxn(&mut tl[10], 0.7071067811865476, &f[15]);
+    sxn(&mut tl[11], 0.7071067811865476, &f[16]);
+    sxn(&mut tl[12], 0.7071067811865476, &f[17]);
+    sxn(&mut tl[4], -1.224744871391589, &f[18]);
+    sxn(&mut tl[13], 0.7071067811865476, &f[19]);
+    sxn(&mut tl[14], 0.7071067811865476, &f[20]);
+    sxn(&mut tl[15], 0.7071067811865476, &f[21]);
+    sxn(&mut tl[16], 0.7071067811865476, &f[22]);
+    sxn(&mut tl[5], -1.224744871391589, &f[23]);
+    sxn(&mut tl[6], -1.224744871391589, &f[24]);
+    sxn(&mut tl[7], -1.224744871391589, &f[25]);
+    sxn(&mut tl[1], 1.5811388300841898, &f[26]);
+    sxn(&mut tl[2], 1.5811388300841898, &f[27]);
+    sxn(&mut tl[17], 0.7071067811865476, &f[28]);
+    sxn(&mut tl[18], 0.7071067811865476, &f[29]);
+    sxn(&mut tl[19], 0.7071067811865476, &f[30]);
+    sxn(&mut tl[8], -1.224744871391589, &f[31]);
+    sxn(&mut tl[9], -1.224744871391589, &f[32]);
+    sxn(&mut tl[3], 1.5811388300841898, &f[33]);
+    sxn(&mut tl[20], 0.7071067811865476, &f[34]);
+    sxn(&mut tl[21], 0.7071067811865476, &f[35]);
+    sxn(&mut tl[10], -1.224744871391589, &f[36]);
+    sxn(&mut tl[22], 0.7071067811865476, &f[37]);
+    sxn(&mut tl[23], 0.7071067811865476, &f[38]);
+    sxn(&mut tl[24], 0.7071067811865476, &f[39]);
+    sxn(&mut tl[11], -1.224744871391589, &f[40]);
+    sxn(&mut tl[12], -1.224744871391589, &f[41]);
+    sxn(&mut tl[4], 1.5811388300841898, &f[42]);
+    sxn(&mut tl[25], 0.7071067811865476, &f[43]);
+    sxn(&mut tl[26], 0.7071067811865476, &f[44]);
+    sxn(&mut tl[13], -1.224744871391589, &f[45]);
+    sxn(&mut tl[27], 0.7071067811865476, &f[46]);
+    sxn(&mut tl[28], 0.7071067811865476, &f[47]);
+    sxn(&mut tl[29], 0.7071067811865476, &f[48]);
+    sxn(&mut tl[14], -1.224744871391589, &f[49]);
+    sxn(&mut tl[30], 0.7071067811865476, &f[50]);
+    sxn(&mut tl[15], -1.224744871391589, &f[51]);
+    sxn(&mut tl[16], -1.224744871391589, &f[52]);
+    sxn(&mut tl[6], 1.5811388300841898, &f[53]);
+    sxn(&mut tl[31], 0.7071067811865476, &f[54]);
+    sxn(&mut tl[32], 0.7071067811865476, &f[55]);
+    sxn(&mut tl[17], -1.224744871391589, &f[56]);
+    sxn(&mut tl[18], -1.224744871391589, &f[57]);
+    sxn(&mut tl[19], -1.224744871391589, &f[58]);
+    sxn(&mut tl[8], 1.5811388300841898, &f[59]);
+    sxn(&mut tl[9], 1.5811388300841898, &f[60]);
+    sxn(&mut tl[33], 0.7071067811865476, &f[61]);
+    sxn(&mut tl[20], -1.224744871391589, &f[62]);
+    sxn(&mut tl[21], -1.224744871391589, &f[63]);
+    sxn(&mut tl[34], 0.7071067811865476, &f[64]);
+    sxn(&mut tl[35], 0.7071067811865476, &f[65]);
+    sxn(&mut tl[22], -1.224744871391589, &f[66]);
+    sxn(&mut tl[23], -1.224744871391589, &f[67]);
+    sxn(&mut tl[24], -1.224744871391589, &f[68]);
+    sxn(&mut tl[11], 1.5811388300841898, &f[69]);
+    sxn(&mut tl[12], 1.5811388300841898, &f[70]);
+    sxn(&mut tl[36], 0.7071067811865476, &f[71]);
+    sxn(&mut tl[37], 0.7071067811865476, &f[72]);
+    sxn(&mut tl[38], 0.7071067811865476, &f[73]);
+    sxn(&mut tl[25], -1.224744871391589, &f[74]);
+    sxn(&mut tl[26], -1.224744871391589, &f[75]);
+    sxn(&mut tl[13], 1.5811388300841898, &f[76]);
+    sxn(&mut tl[39], 0.7071067811865476, &f[77]);
+    sxn(&mut tl[40], 0.7071067811865476, &f[78]);
+    sxn(&mut tl[27], -1.224744871391589, &f[79]);
+    sxn(&mut tl[41], 0.7071067811865476, &f[80]);
+    sxn(&mut tl[28], -1.224744871391589, &f[81]);
+    sxn(&mut tl[29], -1.224744871391589, &f[82]);
+    sxn(&mut tl[42], 0.7071067811865476, &f[83]);
+    sxn(&mut tl[43], 0.7071067811865476, &f[84]);
+    sxn(&mut tl[30], -1.224744871391589, &f[85]);
+    sxn(&mut tl[31], -1.224744871391589, &f[86]);
+    sxn(&mut tl[32], -1.224744871391589, &f[87]);
+    sxn(&mut tl[18], 1.5811388300841898, &f[88]);
+    sxn(&mut tl[33], -1.224744871391589, &f[89]);
+    sxn(&mut tl[34], -1.224744871391589, &f[90]);
+    sxn(&mut tl[35], -1.224744871391589, &f[91]);
+    sxn(&mut tl[23], 1.5811388300841898, &f[92]);
+    sxn(&mut tl[44], 0.7071067811865476, &f[93]);
+    sxn(&mut tl[45], 0.7071067811865476, &f[94]);
+    sxn(&mut tl[36], -1.224744871391589, &f[95]);
+    sxn(&mut tl[37], -1.224744871391589, &f[96]);
+    sxn(&mut tl[38], -1.224744871391589, &f[97]);
+    sxn(&mut tl[25], 1.5811388300841898, &f[98]);
+    sxn(&mut tl[26], 1.5811388300841898, &f[99]);
+    sxn(&mut tl[46], 0.7071067811865476, &f[100]);
+    sxn(&mut tl[39], -1.224744871391589, &f[101]);
+    sxn(&mut tl[40], -1.224744871391589, &f[102]);
+    sxn(&mut tl[41], -1.224744871391589, &f[103]);
+    sxn(&mut tl[47], 0.7071067811865476, &f[104]);
+    sxn(&mut tl[42], -1.224744871391589, &f[105]);
+    sxn(&mut tl[43], -1.224744871391589, &f[106]);
+    sxn(&mut tl[44], -1.224744871391589, &f[107]);
+    sxn(&mut tl[45], -1.224744871391589, &f[108]);
+    sxn(&mut tl[37], 1.5811388300841898, &f[109]);
+    sxn(&mut tl[46], -1.224744871391589, &f[110]);
+    sxn(&mut tl[47], -1.224744871391589, &f[111]);
+    sxn(&mut g[0], -scale * 0.7071067811865476, &tl[0]);
+    sxn(&mut g[1], -scale * 0.7071067811865476, &tl[1]);
+    sxn(&mut g[2], -scale * 0.7071067811865476, &tl[2]);
+    sxn(&mut g[3], -scale * -1.224744871391589, &tl[0]);
+    sxn(&mut g[4], -scale * 0.7071067811865476, &tl[3]);
+    sxn(&mut g[5], -scale * 0.7071067811865476, &tl[4]);
+    sxn(&mut g[6], -scale * 0.7071067811865476, &tl[5]);
+    sxn(&mut g[7], -scale * 0.7071067811865476, &tl[6]);
+    sxn(&mut g[8], -scale * 0.7071067811865476, &tl[7]);
+    sxn(&mut g[9], -scale * -1.224744871391589, &tl[1]);
+    sxn(&mut g[10], -scale * -1.224744871391589, &tl[2]);
+    sxn(&mut g[11], -scale * 1.5811388300841898, &tl[0]);
+    sxn(&mut g[12], -scale * 0.7071067811865476, &tl[8]);
+    sxn(&mut g[13], -scale * 0.7071067811865476, &tl[9]);
+    sxn(&mut g[14], -scale * -1.224744871391589, &tl[3]);
+    sxn(&mut g[15], -scale * 0.7071067811865476, &tl[10]);
+    sxn(&mut g[16], -scale * 0.7071067811865476, &tl[11]);
+    sxn(&mut g[17], -scale * 0.7071067811865476, &tl[12]);
+    sxn(&mut g[18], -scale * -1.224744871391589, &tl[4]);
+    sxn(&mut g[19], -scale * 0.7071067811865476, &tl[13]);
+    sxn(&mut g[20], -scale * 0.7071067811865476, &tl[14]);
+    sxn(&mut g[21], -scale * 0.7071067811865476, &tl[15]);
+    sxn(&mut g[22], -scale * 0.7071067811865476, &tl[16]);
+    sxn(&mut g[23], -scale * -1.224744871391589, &tl[5]);
+    sxn(&mut g[24], -scale * -1.224744871391589, &tl[6]);
+    sxn(&mut g[25], -scale * -1.224744871391589, &tl[7]);
+    sxn(&mut g[26], -scale * 1.5811388300841898, &tl[1]);
+    sxn(&mut g[27], -scale * 1.5811388300841898, &tl[2]);
+    sxn(&mut g[28], -scale * 0.7071067811865476, &tl[17]);
+    sxn(&mut g[29], -scale * 0.7071067811865476, &tl[18]);
+    sxn(&mut g[30], -scale * 0.7071067811865476, &tl[19]);
+    sxn(&mut g[31], -scale * -1.224744871391589, &tl[8]);
+    sxn(&mut g[32], -scale * -1.224744871391589, &tl[9]);
+    sxn(&mut g[33], -scale * 1.5811388300841898, &tl[3]);
+    sxn(&mut g[34], -scale * 0.7071067811865476, &tl[20]);
+    sxn(&mut g[35], -scale * 0.7071067811865476, &tl[21]);
+    sxn(&mut g[36], -scale * -1.224744871391589, &tl[10]);
+    sxn(&mut g[37], -scale * 0.7071067811865476, &tl[22]);
+    sxn(&mut g[38], -scale * 0.7071067811865476, &tl[23]);
+    sxn(&mut g[39], -scale * 0.7071067811865476, &tl[24]);
+    sxn(&mut g[40], -scale * -1.224744871391589, &tl[11]);
+    sxn(&mut g[41], -scale * -1.224744871391589, &tl[12]);
+    sxn(&mut g[42], -scale * 1.5811388300841898, &tl[4]);
+    sxn(&mut g[43], -scale * 0.7071067811865476, &tl[25]);
+    sxn(&mut g[44], -scale * 0.7071067811865476, &tl[26]);
+    sxn(&mut g[45], -scale * -1.224744871391589, &tl[13]);
+    sxn(&mut g[46], -scale * 0.7071067811865476, &tl[27]);
+    sxn(&mut g[47], -scale * 0.7071067811865476, &tl[28]);
+    sxn(&mut g[48], -scale * 0.7071067811865476, &tl[29]);
+    sxn(&mut g[49], -scale * -1.224744871391589, &tl[14]);
+    sxn(&mut g[50], -scale * 0.7071067811865476, &tl[30]);
+    sxn(&mut g[51], -scale * -1.224744871391589, &tl[15]);
+    sxn(&mut g[52], -scale * -1.224744871391589, &tl[16]);
+    sxn(&mut g[53], -scale * 1.5811388300841898, &tl[6]);
+    sxn(&mut g[54], -scale * 0.7071067811865476, &tl[31]);
+    sxn(&mut g[55], -scale * 0.7071067811865476, &tl[32]);
+    sxn(&mut g[56], -scale * -1.224744871391589, &tl[17]);
+    sxn(&mut g[57], -scale * -1.224744871391589, &tl[18]);
+    sxn(&mut g[58], -scale * -1.224744871391589, &tl[19]);
+    sxn(&mut g[59], -scale * 1.5811388300841898, &tl[8]);
+    sxn(&mut g[60], -scale * 1.5811388300841898, &tl[9]);
+    sxn(&mut g[61], -scale * 0.7071067811865476, &tl[33]);
+    sxn(&mut g[62], -scale * -1.224744871391589, &tl[20]);
+    sxn(&mut g[63], -scale * -1.224744871391589, &tl[21]);
+    sxn(&mut g[64], -scale * 0.7071067811865476, &tl[34]);
+    sxn(&mut g[65], -scale * 0.7071067811865476, &tl[35]);
+    sxn(&mut g[66], -scale * -1.224744871391589, &tl[22]);
+    sxn(&mut g[67], -scale * -1.224744871391589, &tl[23]);
+    sxn(&mut g[68], -scale * -1.224744871391589, &tl[24]);
+    sxn(&mut g[69], -scale * 1.5811388300841898, &tl[11]);
+    sxn(&mut g[70], -scale * 1.5811388300841898, &tl[12]);
+    sxn(&mut g[71], -scale * 0.7071067811865476, &tl[36]);
+    sxn(&mut g[72], -scale * 0.7071067811865476, &tl[37]);
+    sxn(&mut g[73], -scale * 0.7071067811865476, &tl[38]);
+    sxn(&mut g[74], -scale * -1.224744871391589, &tl[25]);
+    sxn(&mut g[75], -scale * -1.224744871391589, &tl[26]);
+    sxn(&mut g[76], -scale * 1.5811388300841898, &tl[13]);
+    sxn(&mut g[77], -scale * 0.7071067811865476, &tl[39]);
+    sxn(&mut g[78], -scale * 0.7071067811865476, &tl[40]);
+    sxn(&mut g[79], -scale * -1.224744871391589, &tl[27]);
+    sxn(&mut g[80], -scale * 0.7071067811865476, &tl[41]);
+    sxn(&mut g[81], -scale * -1.224744871391589, &tl[28]);
+    sxn(&mut g[82], -scale * -1.224744871391589, &tl[29]);
+    sxn(&mut g[83], -scale * 0.7071067811865476, &tl[42]);
+    sxn(&mut g[84], -scale * 0.7071067811865476, &tl[43]);
+    sxn(&mut g[85], -scale * -1.224744871391589, &tl[30]);
+    sxn(&mut g[86], -scale * -1.224744871391589, &tl[31]);
+    sxn(&mut g[87], -scale * -1.224744871391589, &tl[32]);
+    sxn(&mut g[88], -scale * 1.5811388300841898, &tl[18]);
+    sxn(&mut g[89], -scale * -1.224744871391589, &tl[33]);
+    sxn(&mut g[90], -scale * -1.224744871391589, &tl[34]);
+    sxn(&mut g[91], -scale * -1.224744871391589, &tl[35]);
+    sxn(&mut g[92], -scale * 1.5811388300841898, &tl[23]);
+    sxn(&mut g[93], -scale * 0.7071067811865476, &tl[44]);
+    sxn(&mut g[94], -scale * 0.7071067811865476, &tl[45]);
+    sxn(&mut g[95], -scale * -1.224744871391589, &tl[36]);
+    sxn(&mut g[96], -scale * -1.224744871391589, &tl[37]);
+    sxn(&mut g[97], -scale * -1.224744871391589, &tl[38]);
+    sxn(&mut g[98], -scale * 1.5811388300841898, &tl[25]);
+    sxn(&mut g[99], -scale * 1.5811388300841898, &tl[26]);
+    sxn(&mut g[100], -scale * 0.7071067811865476, &tl[46]);
+    sxn(&mut g[101], -scale * -1.224744871391589, &tl[39]);
+    sxn(&mut g[102], -scale * -1.224744871391589, &tl[40]);
+    sxn(&mut g[103], -scale * -1.224744871391589, &tl[41]);
+    sxn(&mut g[104], -scale * 0.7071067811865476, &tl[47]);
+    sxn(&mut g[105], -scale * -1.224744871391589, &tl[42]);
+    sxn(&mut g[106], -scale * -1.224744871391589, &tl[43]);
+    sxn(&mut g[107], -scale * -1.224744871391589, &tl[44]);
+    sxn(&mut g[108], -scale * -1.224744871391589, &tl[45]);
+    sxn(&mut g[109], -scale * 1.5811388300841898, &tl[37]);
+    sxn(&mut g[110], -scale * -1.224744871391589, &tl[46]);
+    sxn(&mut g[111], -scale * -1.224744871391589, &tl[47]);
 }
 
 /// LBO diffusion volume term in v0: weak `ν vth²(x) ∂_v g`.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p2_ser_diff_vol_v0(nu: f64, dv: f64, vth2: &[f64], g: &[f64], out: &mut [f64]) {
+    lbo_2x3v_p2_ser_diff_vol_v0_body::<1>(nu, dv, vth2.as_chunks().0, g.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p2_ser_diff_vol_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_diff_vol_v0_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_diff_vol_v0_body(nu, dv, vth2, g, out)
+}
+
+/// [`lbo_2x3v_p2_ser_diff_vol_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_diff_vol_v0_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_diff_vol_v0_body(nu, dv, vth2, g, out)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p2_ser_diff_vol_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p2_ser_diff_vol_v0_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g: &[[f64; L]], out: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 8] = vth2.first_chunk().expect("vth2: 8 coefficients");
+    let g: &[[f64; L]; 112] = g.first_chunk().expect("g: 112 coefficients");
+    let out: &mut [[f64; L]; 112] = out.first_chunk_mut().expect("out: 112 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 112];
-    alpha[0] = 2.8284271247461903 * vth2[0];
-    alpha[4] = 2.8284271247461903 * vth2[1];
-    alpha[5] = 2.8284271247461903 * vth2[2];
-    alpha[15] = 2.8284271247461903 * vth2[3];
-    alpha[19] = 2.8284271247461903 * vth2[4];
-    alpha[20] = 2.8284271247461903 * vth2[5];
-    alpha[46] = 2.8284271247461903 * vth2[6];
-    alpha[50] = 2.8284271247461903 * vth2[7];
-    out[3] += -nu * scale * 0.30618621784789724 * alpha[0] * g[0];
-    out[3] += -nu * scale * 0.30618621784789724 * alpha[4] * g[4];
-    out[3] += -nu * scale * 0.30618621784789724 * alpha[5] * g[5];
-    out[3] += -nu * scale * 0.3061862178478973 * alpha[15] * g[15];
-    out[3] += -nu * scale * 0.30618621784789724 * alpha[19] * g[19];
-    out[3] += -nu * scale * 0.3061862178478973 * alpha[20] * g[20];
-    out[3] += -nu * scale * 0.3061862178478973 * alpha[46] * g[46];
-    out[3] += -nu * scale * 0.3061862178478973 * alpha[50] * g[50];
-    out[9] += -nu * scale * 0.30618621784789724 * alpha[0] * g[1];
-    out[9] += -nu * scale * 0.30618621784789724 * alpha[4] * g[12];
-    out[9] += -nu * scale * 0.30618621784789724 * alpha[5] * g[16];
-    out[9] += -nu * scale * 0.3061862178478973 * alpha[15] * g[34];
-    out[9] += -nu * scale * 0.30618621784789724 * alpha[19] * g[43];
-    out[9] += -nu * scale * 0.3061862178478973 * alpha[20] * g[47];
-    out[9] += -nu * scale * 0.30618621784789724 * alpha[46] * g[77];
-    out[9] += -nu * scale * 0.30618621784789724 * alpha[50] * g[83];
-    out[10] += -nu * scale * 0.30618621784789724 * alpha[0] * g[2];
-    out[10] += -nu * scale * 0.30618621784789724 * alpha[4] * g[13];
-    out[10] += -nu * scale * 0.30618621784789724 * alpha[5] * g[17];
-    out[10] += -nu * scale * 0.3061862178478973 * alpha[15] * g[35];
-    out[10] += -nu * scale * 0.30618621784789724 * alpha[19] * g[44];
-    out[10] += -nu * scale * 0.3061862178478973 * alpha[20] * g[48];
-    out[10] += -nu * scale * 0.30618621784789724 * alpha[46] * g[78];
-    out[10] += -nu * scale * 0.30618621784789724 * alpha[50] * g[84];
-    out[11] += -nu * scale * 0.6846531968814576 * alpha[0] * g[3];
-    out[11] += -nu * scale * 0.6846531968814575 * alpha[4] * g[14];
-    out[11] += -nu * scale * 0.6846531968814575 * alpha[5] * g[18];
-    out[11] += -nu * scale * 0.6846531968814578 * alpha[15] * g[36];
-    out[11] += -nu * scale * 0.6846531968814576 * alpha[19] * g[45];
-    out[11] += -nu * scale * 0.6846531968814578 * alpha[20] * g[49];
-    out[11] += -nu * scale * 0.6846531968814576 * alpha[46] * g[79];
-    out[11] += -nu * scale * 0.6846531968814576 * alpha[50] * g[85];
-    out[14] += -nu * scale * 0.30618621784789724 * alpha[0] * g[4];
-    out[14] += -nu * scale * 0.30618621784789724 * alpha[4] * g[0];
-    out[14] += -nu * scale * 0.27386127875258304 * alpha[4] * g[15];
-    out[14] += -nu * scale * 0.30618621784789724 * alpha[5] * g[19];
-    out[14] += -nu * scale * 0.27386127875258304 * alpha[15] * g[4];
-    out[14] += -nu * scale * 0.30618621784789724 * alpha[19] * g[5];
-    out[14] += -nu * scale * 0.2738612787525831 * alpha[19] * g[46];
-    out[14] += -nu * scale * 0.3061862178478973 * alpha[20] * g[50];
-    out[14] += -nu * scale * 0.2738612787525831 * alpha[46] * g[19];
-    out[14] += -nu * scale * 0.3061862178478973 * alpha[50] * g[20];
-    out[18] += -nu * scale * 0.30618621784789724 * alpha[0] * g[5];
-    out[18] += -nu * scale * 0.30618621784789724 * alpha[4] * g[19];
-    out[18] += -nu * scale * 0.30618621784789724 * alpha[5] * g[0];
-    out[18] += -nu * scale * 0.27386127875258304 * alpha[5] * g[20];
-    out[18] += -nu * scale * 0.3061862178478973 * alpha[15] * g[46];
-    out[18] += -nu * scale * 0.30618621784789724 * alpha[19] * g[4];
-    out[18] += -nu * scale * 0.2738612787525831 * alpha[19] * g[50];
-    out[18] += -nu * scale * 0.27386127875258304 * alpha[20] * g[5];
-    out[18] += -nu * scale * 0.3061862178478973 * alpha[46] * g[15];
-    out[18] += -nu * scale * 0.2738612787525831 * alpha[50] * g[19];
-    out[23] += -nu * scale * 0.3061862178478973 * alpha[0] * g[6];
-    out[23] += -nu * scale * 0.3061862178478973 * alpha[4] * g[28];
-    out[23] += -nu * scale * 0.3061862178478973 * alpha[5] * g[37];
-    out[23] += -nu * scale * 0.30618621784789724 * alpha[19] * g[71];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[0] * g[7];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[4] * g[29];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[5] * g[38];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[15] * g[61];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[19] * g[72];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[20] * g[80];
-    out[24] += -nu * scale * 0.3061862178478973 * alpha[46] * g[100];
-    out[24] += -nu * scale * 0.3061862178478973 * alpha[50] * g[104];
-    out[25] += -nu * scale * 0.3061862178478973 * alpha[0] * g[8];
-    out[25] += -nu * scale * 0.3061862178478973 * alpha[4] * g[30];
-    out[25] += -nu * scale * 0.3061862178478973 * alpha[5] * g[39];
-    out[25] += -nu * scale * 0.30618621784789724 * alpha[19] * g[73];
-    out[26] += -nu * scale * 0.6846531968814575 * alpha[0] * g[9];
-    out[26] += -nu * scale * 0.6846531968814576 * alpha[4] * g[31];
-    out[26] += -nu * scale * 0.6846531968814576 * alpha[5] * g[40];
-    out[26] += -nu * scale * 0.6846531968814576 * alpha[15] * g[62];
-    out[26] += -nu * scale * 0.6846531968814576 * alpha[19] * g[74];
-    out[26] += -nu * scale * 0.6846531968814576 * alpha[20] * g[81];
-    out[26] += -nu * scale * 0.6846531968814576 * alpha[46] * g[101];
-    out[26] += -nu * scale * 0.6846531968814576 * alpha[50] * g[105];
-    out[27] += -nu * scale * 0.6846531968814575 * alpha[0] * g[10];
-    out[27] += -nu * scale * 0.6846531968814576 * alpha[4] * g[32];
-    out[27] += -nu * scale * 0.6846531968814576 * alpha[5] * g[41];
-    out[27] += -nu * scale * 0.6846531968814576 * alpha[15] * g[63];
-    out[27] += -nu * scale * 0.6846531968814576 * alpha[19] * g[75];
-    out[27] += -nu * scale * 0.6846531968814576 * alpha[20] * g[82];
-    out[27] += -nu * scale * 0.6846531968814576 * alpha[46] * g[102];
-    out[27] += -nu * scale * 0.6846531968814576 * alpha[50] * g[106];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[0] * g[12];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[4] * g[1];
-    out[31] += -nu * scale * 0.2738612787525831 * alpha[4] * g[34];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[5] * g[43];
-    out[31] += -nu * scale * 0.2738612787525831 * alpha[15] * g[12];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[19] * g[16];
-    out[31] += -nu * scale * 0.2738612787525831 * alpha[19] * g[77];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[20] * g[83];
-    out[31] += -nu * scale * 0.2738612787525831 * alpha[46] * g[43];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[50] * g[47];
-    out[32] += -nu * scale * 0.30618621784789724 * alpha[0] * g[13];
-    out[32] += -nu * scale * 0.30618621784789724 * alpha[4] * g[2];
-    out[32] += -nu * scale * 0.2738612787525831 * alpha[4] * g[35];
-    out[32] += -nu * scale * 0.30618621784789724 * alpha[5] * g[44];
-    out[32] += -nu * scale * 0.2738612787525831 * alpha[15] * g[13];
-    out[32] += -nu * scale * 0.30618621784789724 * alpha[19] * g[17];
-    out[32] += -nu * scale * 0.2738612787525831 * alpha[19] * g[78];
-    out[32] += -nu * scale * 0.30618621784789724 * alpha[20] * g[84];
-    out[32] += -nu * scale * 0.2738612787525831 * alpha[46] * g[44];
-    out[32] += -nu * scale * 0.30618621784789724 * alpha[50] * g[48];
-    out[33] += -nu * scale * 0.6846531968814575 * alpha[0] * g[14];
-    out[33] += -nu * scale * 0.6846531968814575 * alpha[4] * g[3];
-    out[33] += -nu * scale * 0.6123724356957946 * alpha[4] * g[36];
-    out[33] += -nu * scale * 0.6846531968814576 * alpha[5] * g[45];
-    out[33] += -nu * scale * 0.6123724356957946 * alpha[15] * g[14];
-    out[33] += -nu * scale * 0.6846531968814576 * alpha[19] * g[18];
-    out[33] += -nu * scale * 0.6123724356957945 * alpha[19] * g[79];
-    out[33] += -nu * scale * 0.6846531968814576 * alpha[20] * g[85];
-    out[33] += -nu * scale * 0.6123724356957945 * alpha[46] * g[45];
-    out[33] += -nu * scale * 0.6846531968814576 * alpha[50] * g[49];
-    out[36] += -nu * scale * 0.3061862178478973 * alpha[0] * g[15];
-    out[36] += -nu * scale * 0.27386127875258304 * alpha[4] * g[4];
-    out[36] += -nu * scale * 0.3061862178478973 * alpha[5] * g[46];
-    out[36] += -nu * scale * 0.3061862178478973 * alpha[15] * g[0];
-    out[36] += -nu * scale * 0.1956151991089879 * alpha[15] * g[15];
-    out[36] += -nu * scale * 0.2738612787525831 * alpha[19] * g[19];
-    out[36] += -nu * scale * 0.3061862178478973 * alpha[46] * g[5];
-    out[36] += -nu * scale * 0.19561519910898792 * alpha[46] * g[46];
-    out[36] += -nu * scale * 0.2738612787525831 * alpha[50] * g[50];
-    out[40] += -nu * scale * 0.30618621784789724 * alpha[0] * g[16];
-    out[40] += -nu * scale * 0.30618621784789724 * alpha[4] * g[43];
-    out[40] += -nu * scale * 0.30618621784789724 * alpha[5] * g[1];
-    out[40] += -nu * scale * 0.2738612787525831 * alpha[5] * g[47];
-    out[40] += -nu * scale * 0.30618621784789724 * alpha[15] * g[77];
-    out[40] += -nu * scale * 0.30618621784789724 * alpha[19] * g[12];
-    out[40] += -nu * scale * 0.2738612787525831 * alpha[19] * g[83];
-    out[40] += -nu * scale * 0.2738612787525831 * alpha[20] * g[16];
-    out[40] += -nu * scale * 0.30618621784789724 * alpha[46] * g[34];
-    out[40] += -nu * scale * 0.2738612787525831 * alpha[50] * g[43];
-    out[41] += -nu * scale * 0.30618621784789724 * alpha[0] * g[17];
-    out[41] += -nu * scale * 0.30618621784789724 * alpha[4] * g[44];
-    out[41] += -nu * scale * 0.30618621784789724 * alpha[5] * g[2];
-    out[41] += -nu * scale * 0.2738612787525831 * alpha[5] * g[48];
-    out[41] += -nu * scale * 0.30618621784789724 * alpha[15] * g[78];
-    out[41] += -nu * scale * 0.30618621784789724 * alpha[19] * g[13];
-    out[41] += -nu * scale * 0.2738612787525831 * alpha[19] * g[84];
-    out[41] += -nu * scale * 0.2738612787525831 * alpha[20] * g[17];
-    out[41] += -nu * scale * 0.30618621784789724 * alpha[46] * g[35];
-    out[41] += -nu * scale * 0.2738612787525831 * alpha[50] * g[44];
-    out[42] += -nu * scale * 0.6846531968814575 * alpha[0] * g[18];
-    out[42] += -nu * scale * 0.6846531968814576 * alpha[4] * g[45];
-    out[42] += -nu * scale * 0.6846531968814575 * alpha[5] * g[3];
-    out[42] += -nu * scale * 0.6123724356957946 * alpha[5] * g[49];
-    out[42] += -nu * scale * 0.6846531968814576 * alpha[15] * g[79];
-    out[42] += -nu * scale * 0.6846531968814576 * alpha[19] * g[14];
-    out[42] += -nu * scale * 0.6123724356957945 * alpha[19] * g[85];
-    out[42] += -nu * scale * 0.6123724356957946 * alpha[20] * g[18];
-    out[42] += -nu * scale * 0.6846531968814576 * alpha[46] * g[36];
-    out[42] += -nu * scale * 0.6123724356957945 * alpha[50] * g[45];
-    out[45] += -nu * scale * 0.30618621784789724 * alpha[0] * g[19];
-    out[45] += -nu * scale * 0.30618621784789724 * alpha[4] * g[5];
-    out[45] += -nu * scale * 0.2738612787525831 * alpha[4] * g[46];
-    out[45] += -nu * scale * 0.30618621784789724 * alpha[5] * g[4];
-    out[45] += -nu * scale * 0.2738612787525831 * alpha[5] * g[50];
-    out[45] += -nu * scale * 0.2738612787525831 * alpha[15] * g[19];
-    out[45] += -nu * scale * 0.30618621784789724 * alpha[19] * g[0];
-    out[45] += -nu * scale * 0.2738612787525831 * alpha[19] * g[15];
-    out[45] += -nu * scale * 0.2738612787525831 * alpha[19] * g[20];
-    out[45] += -nu * scale * 0.2738612787525831 * alpha[20] * g[19];
-    out[45] += -nu * scale * 0.2738612787525831 * alpha[46] * g[4];
-    out[45] += -nu * scale * 0.2449489742783178 * alpha[46] * g[50];
-    out[45] += -nu * scale * 0.2738612787525831 * alpha[50] * g[5];
-    out[45] += -nu * scale * 0.2449489742783178 * alpha[50] * g[46];
-    out[49] += -nu * scale * 0.3061862178478973 * alpha[0] * g[20];
-    out[49] += -nu * scale * 0.3061862178478973 * alpha[4] * g[50];
-    out[49] += -nu * scale * 0.27386127875258304 * alpha[5] * g[5];
-    out[49] += -nu * scale * 0.2738612787525831 * alpha[19] * g[19];
-    out[49] += -nu * scale * 0.3061862178478973 * alpha[20] * g[0];
-    out[49] += -nu * scale * 0.1956151991089879 * alpha[20] * g[20];
-    out[49] += -nu * scale * 0.2738612787525831 * alpha[46] * g[46];
-    out[49] += -nu * scale * 0.3061862178478973 * alpha[50] * g[4];
-    out[49] += -nu * scale * 0.19561519910898792 * alpha[50] * g[50];
-    out[51] += -nu * scale * 0.3061862178478973 * alpha[0] * g[21];
-    out[51] += -nu * scale * 0.30618621784789724 * alpha[4] * g[54];
-    out[51] += -nu * scale * 0.30618621784789724 * alpha[5] * g[64];
-    out[51] += -nu * scale * 0.3061862178478973 * alpha[19] * g[93];
-    out[52] += -nu * scale * 0.3061862178478973 * alpha[0] * g[22];
-    out[52] += -nu * scale * 0.30618621784789724 * alpha[4] * g[55];
-    out[52] += -nu * scale * 0.30618621784789724 * alpha[5] * g[65];
-    out[52] += -nu * scale * 0.3061862178478973 * alpha[19] * g[94];
-    out[53] += -nu * scale * 0.6846531968814576 * alpha[0] * g[24];
-    out[53] += -nu * scale * 0.6846531968814576 * alpha[4] * g[57];
-    out[53] += -nu * scale * 0.6846531968814576 * alpha[5] * g[67];
-    out[53] += -nu * scale * 0.6846531968814576 * alpha[15] * g[89];
-    out[53] += -nu * scale * 0.6846531968814576 * alpha[19] * g[96];
-    out[53] += -nu * scale * 0.6846531968814576 * alpha[20] * g[103];
-    out[53] += -nu * scale * 0.6846531968814576 * alpha[46] * g[110];
-    out[53] += -nu * scale * 0.6846531968814576 * alpha[50] * g[111];
-    out[56] += -nu * scale * 0.3061862178478973 * alpha[0] * g[28];
-    out[56] += -nu * scale * 0.3061862178478973 * alpha[4] * g[6];
-    out[56] += -nu * scale * 0.30618621784789724 * alpha[5] * g[71];
-    out[56] += -nu * scale * 0.2738612787525831 * alpha[15] * g[28];
-    out[56] += -nu * scale * 0.30618621784789724 * alpha[19] * g[37];
-    out[56] += -nu * scale * 0.27386127875258304 * alpha[46] * g[71];
-    out[57] += -nu * scale * 0.30618621784789724 * alpha[0] * g[29];
-    out[57] += -nu * scale * 0.30618621784789724 * alpha[4] * g[7];
-    out[57] += -nu * scale * 0.2738612787525831 * alpha[4] * g[61];
-    out[57] += -nu * scale * 0.30618621784789724 * alpha[5] * g[72];
-    out[57] += -nu * scale * 0.2738612787525831 * alpha[15] * g[29];
-    out[57] += -nu * scale * 0.30618621784789724 * alpha[19] * g[38];
-    out[57] += -nu * scale * 0.27386127875258304 * alpha[19] * g[100];
-    out[57] += -nu * scale * 0.3061862178478973 * alpha[20] * g[104];
-    out[57] += -nu * scale * 0.27386127875258304 * alpha[46] * g[72];
-    out[57] += -nu * scale * 0.3061862178478973 * alpha[50] * g[80];
-    out[58] += -nu * scale * 0.3061862178478973 * alpha[0] * g[30];
-    out[58] += -nu * scale * 0.3061862178478973 * alpha[4] * g[8];
-    out[58] += -nu * scale * 0.30618621784789724 * alpha[5] * g[73];
-    out[58] += -nu * scale * 0.2738612787525831 * alpha[15] * g[30];
-    out[58] += -nu * scale * 0.30618621784789724 * alpha[19] * g[39];
-    out[58] += -nu * scale * 0.27386127875258304 * alpha[46] * g[73];
-    out[59] += -nu * scale * 0.6846531968814576 * alpha[0] * g[31];
-    out[59] += -nu * scale * 0.6846531968814576 * alpha[4] * g[9];
-    out[59] += -nu * scale * 0.6123724356957945 * alpha[4] * g[62];
-    out[59] += -nu * scale * 0.6846531968814576 * alpha[5] * g[74];
-    out[59] += -nu * scale * 0.6123724356957945 * alpha[15] * g[31];
-    out[59] += -nu * scale * 0.6846531968814576 * alpha[19] * g[40];
-    out[59] += -nu * scale * 0.6123724356957946 * alpha[19] * g[101];
-    out[59] += -nu * scale * 0.6846531968814576 * alpha[20] * g[105];
-    out[59] += -nu * scale * 0.6123724356957946 * alpha[46] * g[74];
-    out[59] += -nu * scale * 0.6846531968814576 * alpha[50] * g[81];
-    out[60] += -nu * scale * 0.6846531968814576 * alpha[0] * g[32];
-    out[60] += -nu * scale * 0.6846531968814576 * alpha[4] * g[10];
-    out[60] += -nu * scale * 0.6123724356957945 * alpha[4] * g[63];
-    out[60] += -nu * scale * 0.6846531968814576 * alpha[5] * g[75];
-    out[60] += -nu * scale * 0.6123724356957945 * alpha[15] * g[32];
-    out[60] += -nu * scale * 0.6846531968814576 * alpha[19] * g[41];
-    out[60] += -nu * scale * 0.6123724356957946 * alpha[19] * g[102];
-    out[60] += -nu * scale * 0.6846531968814576 * alpha[20] * g[106];
-    out[60] += -nu * scale * 0.6123724356957946 * alpha[46] * g[75];
-    out[60] += -nu * scale * 0.6846531968814576 * alpha[50] * g[82];
-    out[62] += -nu * scale * 0.3061862178478973 * alpha[0] * g[34];
-    out[62] += -nu * scale * 0.2738612787525831 * alpha[4] * g[12];
-    out[62] += -nu * scale * 0.30618621784789724 * alpha[5] * g[77];
-    out[62] += -nu * scale * 0.3061862178478973 * alpha[15] * g[1];
-    out[62] += -nu * scale * 0.19561519910898792 * alpha[15] * g[34];
-    out[62] += -nu * scale * 0.2738612787525831 * alpha[19] * g[43];
-    out[62] += -nu * scale * 0.30618621784789724 * alpha[46] * g[16];
-    out[62] += -nu * scale * 0.1956151991089879 * alpha[46] * g[77];
-    out[62] += -nu * scale * 0.27386127875258304 * alpha[50] * g[83];
-    out[63] += -nu * scale * 0.3061862178478973 * alpha[0] * g[35];
-    out[63] += -nu * scale * 0.2738612787525831 * alpha[4] * g[13];
-    out[63] += -nu * scale * 0.30618621784789724 * alpha[5] * g[78];
-    out[63] += -nu * scale * 0.3061862178478973 * alpha[15] * g[2];
-    out[63] += -nu * scale * 0.19561519910898792 * alpha[15] * g[35];
-    out[63] += -nu * scale * 0.2738612787525831 * alpha[19] * g[44];
-    out[63] += -nu * scale * 0.30618621784789724 * alpha[46] * g[17];
-    out[63] += -nu * scale * 0.1956151991089879 * alpha[46] * g[78];
-    out[63] += -nu * scale * 0.27386127875258304 * alpha[50] * g[84];
-    out[66] += -nu * scale * 0.3061862178478973 * alpha[0] * g[37];
-    out[66] += -nu * scale * 0.30618621784789724 * alpha[4] * g[71];
-    out[66] += -nu * scale * 0.3061862178478973 * alpha[5] * g[6];
-    out[66] += -nu * scale * 0.30618621784789724 * alpha[19] * g[28];
-    out[66] += -nu * scale * 0.2738612787525831 * alpha[20] * g[37];
-    out[66] += -nu * scale * 0.27386127875258304 * alpha[50] * g[71];
-    out[67] += -nu * scale * 0.30618621784789724 * alpha[0] * g[38];
-    out[67] += -nu * scale * 0.30618621784789724 * alpha[4] * g[72];
-    out[67] += -nu * scale * 0.30618621784789724 * alpha[5] * g[7];
-    out[67] += -nu * scale * 0.2738612787525831 * alpha[5] * g[80];
-    out[67] += -nu * scale * 0.3061862178478973 * alpha[15] * g[100];
-    out[67] += -nu * scale * 0.30618621784789724 * alpha[19] * g[29];
-    out[67] += -nu * scale * 0.27386127875258304 * alpha[19] * g[104];
-    out[67] += -nu * scale * 0.2738612787525831 * alpha[20] * g[38];
-    out[67] += -nu * scale * 0.3061862178478973 * alpha[46] * g[61];
-    out[67] += -nu * scale * 0.27386127875258304 * alpha[50] * g[72];
-    out[68] += -nu * scale * 0.3061862178478973 * alpha[0] * g[39];
-    out[68] += -nu * scale * 0.30618621784789724 * alpha[4] * g[73];
-    out[68] += -nu * scale * 0.3061862178478973 * alpha[5] * g[8];
-    out[68] += -nu * scale * 0.30618621784789724 * alpha[19] * g[30];
-    out[68] += -nu * scale * 0.2738612787525831 * alpha[20] * g[39];
-    out[68] += -nu * scale * 0.27386127875258304 * alpha[50] * g[73];
-    out[69] += -nu * scale * 0.6846531968814576 * alpha[0] * g[40];
-    out[69] += -nu * scale * 0.6846531968814576 * alpha[4] * g[74];
-    out[69] += -nu * scale * 0.6846531968814576 * alpha[5] * g[9];
-    out[69] += -nu * scale * 0.6123724356957945 * alpha[5] * g[81];
-    out[69] += -nu * scale * 0.6846531968814576 * alpha[15] * g[101];
-    out[69] += -nu * scale * 0.6846531968814576 * alpha[19] * g[31];
-    out[69] += -nu * scale * 0.6123724356957946 * alpha[19] * g[105];
-    out[69] += -nu * scale * 0.6123724356957945 * alpha[20] * g[40];
-    out[69] += -nu * scale * 0.6846531968814576 * alpha[46] * g[62];
-    out[69] += -nu * scale * 0.6123724356957946 * alpha[50] * g[74];
-    out[70] += -nu * scale * 0.6846531968814576 * alpha[0] * g[41];
-    out[70] += -nu * scale * 0.6846531968814576 * alpha[4] * g[75];
-    out[70] += -nu * scale * 0.6846531968814576 * alpha[5] * g[10];
-    out[70] += -nu * scale * 0.6123724356957945 * alpha[5] * g[82];
-    out[70] += -nu * scale * 0.6846531968814576 * alpha[15] * g[102];
-    out[70] += -nu * scale * 0.6846531968814576 * alpha[19] * g[32];
-    out[70] += -nu * scale * 0.6123724356957946 * alpha[19] * g[106];
-    out[70] += -nu * scale * 0.6123724356957945 * alpha[20] * g[41];
-    out[70] += -nu * scale * 0.6846531968814576 * alpha[46] * g[63];
-    out[70] += -nu * scale * 0.6123724356957946 * alpha[50] * g[75];
-    out[74] += -nu * scale * 0.30618621784789724 * alpha[0] * g[43];
-    out[74] += -nu * scale * 0.30618621784789724 * alpha[4] * g[16];
-    out[74] += -nu * scale * 0.2738612787525831 * alpha[4] * g[77];
-    out[74] += -nu * scale * 0.30618621784789724 * alpha[5] * g[12];
-    out[74] += -nu * scale * 0.2738612787525831 * alpha[5] * g[83];
-    out[74] += -nu * scale * 0.2738612787525831 * alpha[15] * g[43];
-    out[74] += -nu * scale * 0.30618621784789724 * alpha[19] * g[1];
-    out[74] += -nu * scale * 0.2738612787525831 * alpha[19] * g[34];
-    out[74] += -nu * scale * 0.2738612787525831 * alpha[19] * g[47];
-    out[74] += -nu * scale * 0.2738612787525831 * alpha[20] * g[43];
-    out[74] += -nu * scale * 0.2738612787525831 * alpha[46] * g[12];
-    out[74] += -nu * scale * 0.2449489742783178 * alpha[46] * g[83];
-    out[74] += -nu * scale * 0.2738612787525831 * alpha[50] * g[16];
-    out[74] += -nu * scale * 0.2449489742783178 * alpha[50] * g[77];
-    out[75] += -nu * scale * 0.30618621784789724 * alpha[0] * g[44];
-    out[75] += -nu * scale * 0.30618621784789724 * alpha[4] * g[17];
-    out[75] += -nu * scale * 0.2738612787525831 * alpha[4] * g[78];
-    out[75] += -nu * scale * 0.30618621784789724 * alpha[5] * g[13];
-    out[75] += -nu * scale * 0.2738612787525831 * alpha[5] * g[84];
-    out[75] += -nu * scale * 0.2738612787525831 * alpha[15] * g[44];
-    out[75] += -nu * scale * 0.30618621784789724 * alpha[19] * g[2];
-    out[75] += -nu * scale * 0.2738612787525831 * alpha[19] * g[35];
-    out[75] += -nu * scale * 0.2738612787525831 * alpha[19] * g[48];
-    out[75] += -nu * scale * 0.2738612787525831 * alpha[20] * g[44];
-    out[75] += -nu * scale * 0.2738612787525831 * alpha[46] * g[13];
-    out[75] += -nu * scale * 0.2449489742783178 * alpha[46] * g[84];
-    out[75] += -nu * scale * 0.2738612787525831 * alpha[50] * g[17];
-    out[75] += -nu * scale * 0.2449489742783178 * alpha[50] * g[78];
-    out[76] += -nu * scale * 0.6846531968814576 * alpha[0] * g[45];
-    out[76] += -nu * scale * 0.6846531968814576 * alpha[4] * g[18];
-    out[76] += -nu * scale * 0.6123724356957945 * alpha[4] * g[79];
-    out[76] += -nu * scale * 0.6846531968814576 * alpha[5] * g[14];
-    out[76] += -nu * scale * 0.6123724356957945 * alpha[5] * g[85];
-    out[76] += -nu * scale * 0.6123724356957945 * alpha[15] * g[45];
-    out[76] += -nu * scale * 0.6846531968814576 * alpha[19] * g[3];
-    out[76] += -nu * scale * 0.6123724356957945 * alpha[19] * g[36];
-    out[76] += -nu * scale * 0.6123724356957945 * alpha[19] * g[49];
-    out[76] += -nu * scale * 0.6123724356957945 * alpha[20] * g[45];
-    out[76] += -nu * scale * 0.6123724356957945 * alpha[46] * g[14];
-    out[76] += -nu * scale * 0.5477225575051661 * alpha[46] * g[85];
-    out[76] += -nu * scale * 0.6123724356957945 * alpha[50] * g[18];
-    out[76] += -nu * scale * 0.5477225575051661 * alpha[50] * g[79];
-    out[79] += -nu * scale * 0.3061862178478973 * alpha[0] * g[46];
-    out[79] += -nu * scale * 0.2738612787525831 * alpha[4] * g[19];
-    out[79] += -nu * scale * 0.3061862178478973 * alpha[5] * g[15];
-    out[79] += -nu * scale * 0.3061862178478973 * alpha[15] * g[5];
-    out[79] += -nu * scale * 0.19561519910898792 * alpha[15] * g[46];
-    out[79] += -nu * scale * 0.2738612787525831 * alpha[19] * g[4];
-    out[79] += -nu * scale * 0.2449489742783178 * alpha[19] * g[50];
-    out[79] += -nu * scale * 0.2738612787525831 * alpha[20] * g[46];
-    out[79] += -nu * scale * 0.3061862178478973 * alpha[46] * g[0];
-    out[79] += -nu * scale * 0.19561519910898792 * alpha[46] * g[15];
-    out[79] += -nu * scale * 0.2738612787525831 * alpha[46] * g[20];
-    out[79] += -nu * scale * 0.2449489742783178 * alpha[50] * g[19];
-    out[81] += -nu * scale * 0.3061862178478973 * alpha[0] * g[47];
-    out[81] += -nu * scale * 0.30618621784789724 * alpha[4] * g[83];
-    out[81] += -nu * scale * 0.2738612787525831 * alpha[5] * g[16];
-    out[81] += -nu * scale * 0.2738612787525831 * alpha[19] * g[43];
-    out[81] += -nu * scale * 0.3061862178478973 * alpha[20] * g[1];
-    out[81] += -nu * scale * 0.19561519910898792 * alpha[20] * g[47];
-    out[81] += -nu * scale * 0.27386127875258304 * alpha[46] * g[77];
-    out[81] += -nu * scale * 0.30618621784789724 * alpha[50] * g[12];
-    out[81] += -nu * scale * 0.1956151991089879 * alpha[50] * g[83];
-    out[82] += -nu * scale * 0.3061862178478973 * alpha[0] * g[48];
-    out[82] += -nu * scale * 0.30618621784789724 * alpha[4] * g[84];
-    out[82] += -nu * scale * 0.2738612787525831 * alpha[5] * g[17];
-    out[82] += -nu * scale * 0.2738612787525831 * alpha[19] * g[44];
-    out[82] += -nu * scale * 0.3061862178478973 * alpha[20] * g[2];
-    out[82] += -nu * scale * 0.19561519910898792 * alpha[20] * g[48];
-    out[82] += -nu * scale * 0.27386127875258304 * alpha[46] * g[78];
-    out[82] += -nu * scale * 0.30618621784789724 * alpha[50] * g[13];
-    out[82] += -nu * scale * 0.1956151991089879 * alpha[50] * g[84];
-    out[85] += -nu * scale * 0.3061862178478973 * alpha[0] * g[50];
-    out[85] += -nu * scale * 0.3061862178478973 * alpha[4] * g[20];
-    out[85] += -nu * scale * 0.2738612787525831 * alpha[5] * g[19];
-    out[85] += -nu * scale * 0.2738612787525831 * alpha[15] * g[50];
-    out[85] += -nu * scale * 0.2738612787525831 * alpha[19] * g[5];
-    out[85] += -nu * scale * 0.2449489742783178 * alpha[19] * g[46];
-    out[85] += -nu * scale * 0.3061862178478973 * alpha[20] * g[4];
-    out[85] += -nu * scale * 0.19561519910898792 * alpha[20] * g[50];
-    out[85] += -nu * scale * 0.2449489742783178 * alpha[46] * g[19];
-    out[85] += -nu * scale * 0.3061862178478973 * alpha[50] * g[0];
-    out[85] += -nu * scale * 0.2738612787525831 * alpha[50] * g[15];
-    out[85] += -nu * scale * 0.19561519910898792 * alpha[50] * g[20];
-    out[86] += -nu * scale * 0.30618621784789724 * alpha[0] * g[54];
-    out[86] += -nu * scale * 0.30618621784789724 * alpha[4] * g[21];
-    out[86] += -nu * scale * 0.3061862178478973 * alpha[5] * g[93];
-    out[86] += -nu * scale * 0.27386127875258304 * alpha[15] * g[54];
-    out[86] += -nu * scale * 0.3061862178478973 * alpha[19] * g[64];
-    out[86] += -nu * scale * 0.27386127875258304 * alpha[46] * g[93];
-    out[87] += -nu * scale * 0.30618621784789724 * alpha[0] * g[55];
-    out[87] += -nu * scale * 0.30618621784789724 * alpha[4] * g[22];
-    out[87] += -nu * scale * 0.3061862178478973 * alpha[5] * g[94];
-    out[87] += -nu * scale * 0.27386127875258304 * alpha[15] * g[55];
-    out[87] += -nu * scale * 0.3061862178478973 * alpha[19] * g[65];
-    out[87] += -nu * scale * 0.27386127875258304 * alpha[46] * g[94];
-    out[88] += -nu * scale * 0.6846531968814576 * alpha[0] * g[57];
-    out[88] += -nu * scale * 0.6846531968814576 * alpha[4] * g[24];
-    out[88] += -nu * scale * 0.6123724356957946 * alpha[4] * g[89];
-    out[88] += -nu * scale * 0.6846531968814576 * alpha[5] * g[96];
-    out[88] += -nu * scale * 0.6123724356957946 * alpha[15] * g[57];
-    out[88] += -nu * scale * 0.6846531968814576 * alpha[19] * g[67];
-    out[88] += -nu * scale * 0.6123724356957946 * alpha[19] * g[110];
-    out[88] += -nu * scale * 0.6846531968814576 * alpha[20] * g[111];
-    out[88] += -nu * scale * 0.6123724356957946 * alpha[46] * g[96];
-    out[88] += -nu * scale * 0.6846531968814576 * alpha[50] * g[103];
-    out[89] += -nu * scale * 0.30618621784789724 * alpha[0] * g[61];
-    out[89] += -nu * scale * 0.2738612787525831 * alpha[4] * g[29];
-    out[89] += -nu * scale * 0.3061862178478973 * alpha[5] * g[100];
-    out[89] += -nu * scale * 0.30618621784789724 * alpha[15] * g[7];
-    out[89] += -nu * scale * 0.1956151991089879 * alpha[15] * g[61];
-    out[89] += -nu * scale * 0.27386127875258304 * alpha[19] * g[72];
-    out[89] += -nu * scale * 0.3061862178478973 * alpha[46] * g[38];
-    out[89] += -nu * scale * 0.19561519910898792 * alpha[46] * g[100];
-    out[89] += -nu * scale * 0.27386127875258304 * alpha[50] * g[104];
-    out[90] += -nu * scale * 0.30618621784789724 * alpha[0] * g[64];
-    out[90] += -nu * scale * 0.3061862178478973 * alpha[4] * g[93];
-    out[90] += -nu * scale * 0.30618621784789724 * alpha[5] * g[21];
-    out[90] += -nu * scale * 0.3061862178478973 * alpha[19] * g[54];
-    out[90] += -nu * scale * 0.27386127875258304 * alpha[20] * g[64];
-    out[90] += -nu * scale * 0.27386127875258304 * alpha[50] * g[93];
-    out[91] += -nu * scale * 0.30618621784789724 * alpha[0] * g[65];
-    out[91] += -nu * scale * 0.3061862178478973 * alpha[4] * g[94];
-    out[91] += -nu * scale * 0.30618621784789724 * alpha[5] * g[22];
-    out[91] += -nu * scale * 0.3061862178478973 * alpha[19] * g[55];
-    out[91] += -nu * scale * 0.27386127875258304 * alpha[20] * g[65];
-    out[91] += -nu * scale * 0.27386127875258304 * alpha[50] * g[94];
-    out[92] += -nu * scale * 0.6846531968814576 * alpha[0] * g[67];
-    out[92] += -nu * scale * 0.6846531968814576 * alpha[4] * g[96];
-    out[92] += -nu * scale * 0.6846531968814576 * alpha[5] * g[24];
-    out[92] += -nu * scale * 0.6123724356957946 * alpha[5] * g[103];
-    out[92] += -nu * scale * 0.6846531968814576 * alpha[15] * g[110];
-    out[92] += -nu * scale * 0.6846531968814576 * alpha[19] * g[57];
-    out[92] += -nu * scale * 0.6123724356957946 * alpha[19] * g[111];
-    out[92] += -nu * scale * 0.6123724356957946 * alpha[20] * g[67];
-    out[92] += -nu * scale * 0.6846531968814576 * alpha[46] * g[89];
-    out[92] += -nu * scale * 0.6123724356957946 * alpha[50] * g[96];
-    out[95] += -nu * scale * 0.30618621784789724 * alpha[0] * g[71];
-    out[95] += -nu * scale * 0.30618621784789724 * alpha[4] * g[37];
-    out[95] += -nu * scale * 0.30618621784789724 * alpha[5] * g[28];
-    out[95] += -nu * scale * 0.27386127875258304 * alpha[15] * g[71];
-    out[95] += -nu * scale * 0.30618621784789724 * alpha[19] * g[6];
-    out[95] += -nu * scale * 0.27386127875258304 * alpha[20] * g[71];
-    out[95] += -nu * scale * 0.27386127875258304 * alpha[46] * g[28];
-    out[95] += -nu * scale * 0.27386127875258304 * alpha[50] * g[37];
-    out[96] += -nu * scale * 0.30618621784789724 * alpha[0] * g[72];
-    out[96] += -nu * scale * 0.30618621784789724 * alpha[4] * g[38];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[4] * g[100];
-    out[96] += -nu * scale * 0.30618621784789724 * alpha[5] * g[29];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[5] * g[104];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[15] * g[72];
-    out[96] += -nu * scale * 0.30618621784789724 * alpha[19] * g[7];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[19] * g[61];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[19] * g[80];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[20] * g[72];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[46] * g[29];
-    out[96] += -nu * scale * 0.24494897427831783 * alpha[46] * g[104];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[50] * g[38];
-    out[96] += -nu * scale * 0.24494897427831783 * alpha[50] * g[100];
-    out[97] += -nu * scale * 0.30618621784789724 * alpha[0] * g[73];
-    out[97] += -nu * scale * 0.30618621784789724 * alpha[4] * g[39];
-    out[97] += -nu * scale * 0.30618621784789724 * alpha[5] * g[30];
-    out[97] += -nu * scale * 0.27386127875258304 * alpha[15] * g[73];
-    out[97] += -nu * scale * 0.30618621784789724 * alpha[19] * g[8];
-    out[97] += -nu * scale * 0.27386127875258304 * alpha[20] * g[73];
-    out[97] += -nu * scale * 0.27386127875258304 * alpha[46] * g[30];
-    out[97] += -nu * scale * 0.27386127875258304 * alpha[50] * g[39];
-    out[98] += -nu * scale * 0.6846531968814576 * alpha[0] * g[74];
-    out[98] += -nu * scale * 0.6846531968814576 * alpha[4] * g[40];
-    out[98] += -nu * scale * 0.6123724356957946 * alpha[4] * g[101];
-    out[98] += -nu * scale * 0.6846531968814576 * alpha[5] * g[31];
-    out[98] += -nu * scale * 0.6123724356957946 * alpha[5] * g[105];
-    out[98] += -nu * scale * 0.6123724356957946 * alpha[15] * g[74];
-    out[98] += -nu * scale * 0.6846531968814576 * alpha[19] * g[9];
-    out[98] += -nu * scale * 0.6123724356957946 * alpha[19] * g[62];
-    out[98] += -nu * scale * 0.6123724356957946 * alpha[19] * g[81];
-    out[98] += -nu * scale * 0.6123724356957946 * alpha[20] * g[74];
-    out[98] += -nu * scale * 0.6123724356957946 * alpha[46] * g[31];
-    out[98] += -nu * scale * 0.5477225575051661 * alpha[46] * g[105];
-    out[98] += -nu * scale * 0.6123724356957946 * alpha[50] * g[40];
-    out[98] += -nu * scale * 0.5477225575051661 * alpha[50] * g[101];
-    out[99] += -nu * scale * 0.6846531968814576 * alpha[0] * g[75];
-    out[99] += -nu * scale * 0.6846531968814576 * alpha[4] * g[41];
-    out[99] += -nu * scale * 0.6123724356957946 * alpha[4] * g[102];
-    out[99] += -nu * scale * 0.6846531968814576 * alpha[5] * g[32];
-    out[99] += -nu * scale * 0.6123724356957946 * alpha[5] * g[106];
-    out[99] += -nu * scale * 0.6123724356957946 * alpha[15] * g[75];
-    out[99] += -nu * scale * 0.6846531968814576 * alpha[19] * g[10];
-    out[99] += -nu * scale * 0.6123724356957946 * alpha[19] * g[63];
-    out[99] += -nu * scale * 0.6123724356957946 * alpha[19] * g[82];
-    out[99] += -nu * scale * 0.6123724356957946 * alpha[20] * g[75];
-    out[99] += -nu * scale * 0.6123724356957946 * alpha[46] * g[32];
-    out[99] += -nu * scale * 0.5477225575051661 * alpha[46] * g[106];
-    out[99] += -nu * scale * 0.6123724356957946 * alpha[50] * g[41];
-    out[99] += -nu * scale * 0.5477225575051661 * alpha[50] * g[102];
-    out[101] += -nu * scale * 0.30618621784789724 * alpha[0] * g[77];
-    out[101] += -nu * scale * 0.2738612787525831 * alpha[4] * g[43];
-    out[101] += -nu * scale * 0.30618621784789724 * alpha[5] * g[34];
-    out[101] += -nu * scale * 0.30618621784789724 * alpha[15] * g[16];
-    out[101] += -nu * scale * 0.1956151991089879 * alpha[15] * g[77];
-    out[101] += -nu * scale * 0.2738612787525831 * alpha[19] * g[12];
-    out[101] += -nu * scale * 0.2449489742783178 * alpha[19] * g[83];
-    out[101] += -nu * scale * 0.27386127875258304 * alpha[20] * g[77];
-    out[101] += -nu * scale * 0.30618621784789724 * alpha[46] * g[1];
-    out[101] += -nu * scale * 0.1956151991089879 * alpha[46] * g[34];
-    out[101] += -nu * scale * 0.27386127875258304 * alpha[46] * g[47];
-    out[101] += -nu * scale * 0.2449489742783178 * alpha[50] * g[43];
-    out[102] += -nu * scale * 0.30618621784789724 * alpha[0] * g[78];
-    out[102] += -nu * scale * 0.2738612787525831 * alpha[4] * g[44];
-    out[102] += -nu * scale * 0.30618621784789724 * alpha[5] * g[35];
-    out[102] += -nu * scale * 0.30618621784789724 * alpha[15] * g[17];
-    out[102] += -nu * scale * 0.1956151991089879 * alpha[15] * g[78];
-    out[102] += -nu * scale * 0.2738612787525831 * alpha[19] * g[13];
-    out[102] += -nu * scale * 0.2449489742783178 * alpha[19] * g[84];
-    out[102] += -nu * scale * 0.27386127875258304 * alpha[20] * g[78];
-    out[102] += -nu * scale * 0.30618621784789724 * alpha[46] * g[2];
-    out[102] += -nu * scale * 0.1956151991089879 * alpha[46] * g[35];
-    out[102] += -nu * scale * 0.27386127875258304 * alpha[46] * g[48];
-    out[102] += -nu * scale * 0.2449489742783178 * alpha[50] * g[44];
-    out[103] += -nu * scale * 0.30618621784789724 * alpha[0] * g[80];
-    out[103] += -nu * scale * 0.3061862178478973 * alpha[4] * g[104];
-    out[103] += -nu * scale * 0.2738612787525831 * alpha[5] * g[38];
-    out[103] += -nu * scale * 0.27386127875258304 * alpha[19] * g[72];
-    out[103] += -nu * scale * 0.30618621784789724 * alpha[20] * g[7];
-    out[103] += -nu * scale * 0.1956151991089879 * alpha[20] * g[80];
-    out[103] += -nu * scale * 0.27386127875258304 * alpha[46] * g[100];
-    out[103] += -nu * scale * 0.3061862178478973 * alpha[50] * g[29];
-    out[103] += -nu * scale * 0.19561519910898792 * alpha[50] * g[104];
-    out[105] += -nu * scale * 0.30618621784789724 * alpha[0] * g[83];
-    out[105] += -nu * scale * 0.30618621784789724 * alpha[4] * g[47];
-    out[105] += -nu * scale * 0.2738612787525831 * alpha[5] * g[43];
-    out[105] += -nu * scale * 0.27386127875258304 * alpha[15] * g[83];
-    out[105] += -nu * scale * 0.2738612787525831 * alpha[19] * g[16];
-    out[105] += -nu * scale * 0.2449489742783178 * alpha[19] * g[77];
-    out[105] += -nu * scale * 0.30618621784789724 * alpha[20] * g[12];
-    out[105] += -nu * scale * 0.1956151991089879 * alpha[20] * g[83];
-    out[105] += -nu * scale * 0.2449489742783178 * alpha[46] * g[43];
-    out[105] += -nu * scale * 0.30618621784789724 * alpha[50] * g[1];
-    out[105] += -nu * scale * 0.27386127875258304 * alpha[50] * g[34];
-    out[105] += -nu * scale * 0.1956151991089879 * alpha[50] * g[47];
-    out[106] += -nu * scale * 0.30618621784789724 * alpha[0] * g[84];
-    out[106] += -nu * scale * 0.30618621784789724 * alpha[4] * g[48];
-    out[106] += -nu * scale * 0.2738612787525831 * alpha[5] * g[44];
-    out[106] += -nu * scale * 0.27386127875258304 * alpha[15] * g[84];
-    out[106] += -nu * scale * 0.2738612787525831 * alpha[19] * g[17];
-    out[106] += -nu * scale * 0.2449489742783178 * alpha[19] * g[78];
-    out[106] += -nu * scale * 0.30618621784789724 * alpha[20] * g[13];
-    out[106] += -nu * scale * 0.1956151991089879 * alpha[20] * g[84];
-    out[106] += -nu * scale * 0.2449489742783178 * alpha[46] * g[44];
-    out[106] += -nu * scale * 0.30618621784789724 * alpha[50] * g[2];
-    out[106] += -nu * scale * 0.27386127875258304 * alpha[50] * g[35];
-    out[106] += -nu * scale * 0.1956151991089879 * alpha[50] * g[48];
-    out[107] += -nu * scale * 0.3061862178478973 * alpha[0] * g[93];
-    out[107] += -nu * scale * 0.3061862178478973 * alpha[4] * g[64];
-    out[107] += -nu * scale * 0.3061862178478973 * alpha[5] * g[54];
-    out[107] += -nu * scale * 0.27386127875258304 * alpha[15] * g[93];
-    out[107] += -nu * scale * 0.3061862178478973 * alpha[19] * g[21];
-    out[107] += -nu * scale * 0.27386127875258304 * alpha[20] * g[93];
-    out[107] += -nu * scale * 0.27386127875258304 * alpha[46] * g[54];
-    out[107] += -nu * scale * 0.27386127875258304 * alpha[50] * g[64];
-    out[108] += -nu * scale * 0.3061862178478973 * alpha[0] * g[94];
-    out[108] += -nu * scale * 0.3061862178478973 * alpha[4] * g[65];
-    out[108] += -nu * scale * 0.3061862178478973 * alpha[5] * g[55];
-    out[108] += -nu * scale * 0.27386127875258304 * alpha[15] * g[94];
-    out[108] += -nu * scale * 0.3061862178478973 * alpha[19] * g[22];
-    out[108] += -nu * scale * 0.27386127875258304 * alpha[20] * g[94];
-    out[108] += -nu * scale * 0.27386127875258304 * alpha[46] * g[55];
-    out[108] += -nu * scale * 0.27386127875258304 * alpha[50] * g[65];
-    out[109] += -nu * scale * 0.6846531968814576 * alpha[0] * g[96];
-    out[109] += -nu * scale * 0.6846531968814576 * alpha[4] * g[67];
-    out[109] += -nu * scale * 0.6123724356957946 * alpha[4] * g[110];
-    out[109] += -nu * scale * 0.6846531968814576 * alpha[5] * g[57];
-    out[109] += -nu * scale * 0.6123724356957946 * alpha[5] * g[111];
-    out[109] += -nu * scale * 0.6123724356957946 * alpha[15] * g[96];
-    out[109] += -nu * scale * 0.6846531968814576 * alpha[19] * g[24];
-    out[109] += -nu * scale * 0.6123724356957946 * alpha[19] * g[89];
-    out[109] += -nu * scale * 0.6123724356957946 * alpha[19] * g[103];
-    out[109] += -nu * scale * 0.6123724356957946 * alpha[20] * g[96];
-    out[109] += -nu * scale * 0.6123724356957946 * alpha[46] * g[57];
-    out[109] += -nu * scale * 0.5477225575051662 * alpha[46] * g[111];
-    out[109] += -nu * scale * 0.6123724356957946 * alpha[50] * g[67];
-    out[109] += -nu * scale * 0.5477225575051662 * alpha[50] * g[110];
-    out[110] += -nu * scale * 0.3061862178478973 * alpha[0] * g[100];
-    out[110] += -nu * scale * 0.27386127875258304 * alpha[4] * g[72];
-    out[110] += -nu * scale * 0.3061862178478973 * alpha[5] * g[61];
-    out[110] += -nu * scale * 0.3061862178478973 * alpha[15] * g[38];
-    out[110] += -nu * scale * 0.19561519910898792 * alpha[15] * g[100];
-    out[110] += -nu * scale * 0.27386127875258304 * alpha[19] * g[29];
-    out[110] += -nu * scale * 0.24494897427831783 * alpha[19] * g[104];
-    out[110] += -nu * scale * 0.27386127875258304 * alpha[20] * g[100];
-    out[110] += -nu * scale * 0.3061862178478973 * alpha[46] * g[7];
-    out[110] += -nu * scale * 0.19561519910898792 * alpha[46] * g[61];
-    out[110] += -nu * scale * 0.27386127875258304 * alpha[46] * g[80];
-    out[110] += -nu * scale * 0.24494897427831783 * alpha[50] * g[72];
-    out[111] += -nu * scale * 0.3061862178478973 * alpha[0] * g[104];
-    out[111] += -nu * scale * 0.3061862178478973 * alpha[4] * g[80];
-    out[111] += -nu * scale * 0.27386127875258304 * alpha[5] * g[72];
-    out[111] += -nu * scale * 0.27386127875258304 * alpha[15] * g[104];
-    out[111] += -nu * scale * 0.27386127875258304 * alpha[19] * g[38];
-    out[111] += -nu * scale * 0.24494897427831783 * alpha[19] * g[100];
-    out[111] += -nu * scale * 0.3061862178478973 * alpha[20] * g[29];
-    out[111] += -nu * scale * 0.19561519910898792 * alpha[20] * g[104];
-    out[111] += -nu * scale * 0.24494897427831783 * alpha[46] * g[72];
-    out[111] += -nu * scale * 0.3061862178478973 * alpha[50] * g[7];
-    out[111] += -nu * scale * 0.27386127875258304 * alpha[50] * g[61];
-    out[111] += -nu * scale * 0.19561519910898792 * alpha[50] * g[80];
+    let mut alpha = [[0.0f64; L]; 112];
+    for k in 0..L {
+        alpha[0][k] = 2.8284271247461903 * vth2[0][k];
+        alpha[4][k] = 2.8284271247461903 * vth2[1][k];
+        alpha[5][k] = 2.8284271247461903 * vth2[2][k];
+        alpha[15][k] = 2.8284271247461903 * vth2[3][k];
+        alpha[19][k] = 2.8284271247461903 * vth2[4][k];
+        alpha[20][k] = 2.8284271247461903 * vth2[5][k];
+        alpha[46][k] = 2.8284271247461903 * vth2[6][k];
+        alpha[50][k] = 2.8284271247461903 * vth2[7][k];
+    }
+    for k in 0..L {
+        out[3][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[0][k];
+        out[3][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[4][k];
+        out[3][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[5][k];
+        out[3][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[15][k];
+        out[3][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[19][k];
+        out[3][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[20][k];
+        out[3][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[46][k];
+        out[3][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[50][k];
+    }
+    for k in 0..L {
+        out[9][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[1][k];
+        out[9][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[12][k];
+        out[9][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[16][k];
+        out[9][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[34][k];
+        out[9][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[43][k];
+        out[9][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[47][k];
+        out[9][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[77][k];
+        out[9][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[83][k];
+    }
+    for k in 0..L {
+        out[10][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[2][k];
+        out[10][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[13][k];
+        out[10][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[17][k];
+        out[10][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[35][k];
+        out[10][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[44][k];
+        out[10][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[48][k];
+        out[10][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[78][k];
+        out[10][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[84][k];
+    }
+    for k in 0..L {
+        out[11][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[3][k];
+        out[11][k] += -nu * scale * 0.6846531968814575 * alpha[4][k] * g[14][k];
+        out[11][k] += -nu * scale * 0.6846531968814575 * alpha[5][k] * g[18][k];
+        out[11][k] += -nu * scale * 0.6846531968814578 * alpha[15][k] * g[36][k];
+        out[11][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[45][k];
+        out[11][k] += -nu * scale * 0.6846531968814578 * alpha[20][k] * g[49][k];
+        out[11][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[79][k];
+        out[11][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[85][k];
+    }
+    for k in 0..L {
+        out[14][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[4][k];
+        out[14][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[0][k];
+        out[14][k] += -nu * scale * 0.27386127875258304 * alpha[4][k] * g[15][k];
+        out[14][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[19][k];
+        out[14][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[4][k];
+        out[14][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[5][k];
+        out[14][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[46][k];
+        out[14][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[50][k];
+        out[14][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[19][k];
+        out[14][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[20][k];
+    }
+    for k in 0..L {
+        out[18][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[5][k];
+        out[18][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[19][k];
+        out[18][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[0][k];
+        out[18][k] += -nu * scale * 0.27386127875258304 * alpha[5][k] * g[20][k];
+        out[18][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[46][k];
+        out[18][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[4][k];
+        out[18][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[50][k];
+        out[18][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[5][k];
+        out[18][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[15][k];
+        out[18][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[19][k];
+    }
+    for k in 0..L {
+        out[23][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[6][k];
+        out[23][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[28][k];
+        out[23][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[37][k];
+        out[23][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[71][k];
+    }
+    for k in 0..L {
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[7][k];
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[29][k];
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[38][k];
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[61][k];
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[72][k];
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[20][k] * g[80][k];
+        out[24][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[100][k];
+        out[24][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[104][k];
+    }
+    for k in 0..L {
+        out[25][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[8][k];
+        out[25][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[30][k];
+        out[25][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[39][k];
+        out[25][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[73][k];
+    }
+    for k in 0..L {
+        out[26][k] += -nu * scale * 0.6846531968814575 * alpha[0][k] * g[9][k];
+        out[26][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[31][k];
+        out[26][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[40][k];
+        out[26][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[62][k];
+        out[26][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[74][k];
+        out[26][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[81][k];
+        out[26][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[101][k];
+        out[26][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[105][k];
+    }
+    for k in 0..L {
+        out[27][k] += -nu * scale * 0.6846531968814575 * alpha[0][k] * g[10][k];
+        out[27][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[32][k];
+        out[27][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[41][k];
+        out[27][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[63][k];
+        out[27][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[75][k];
+        out[27][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[82][k];
+        out[27][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[102][k];
+        out[27][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[106][k];
+    }
+    for k in 0..L {
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[12][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[1][k];
+        out[31][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[34][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[43][k];
+        out[31][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[12][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[16][k];
+        out[31][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[77][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[20][k] * g[83][k];
+        out[31][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[43][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[47][k];
+    }
+    for k in 0..L {
+        out[32][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[13][k];
+        out[32][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[2][k];
+        out[32][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[35][k];
+        out[32][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[44][k];
+        out[32][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[13][k];
+        out[32][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[17][k];
+        out[32][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[78][k];
+        out[32][k] += -nu * scale * 0.30618621784789724 * alpha[20][k] * g[84][k];
+        out[32][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[44][k];
+        out[32][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[48][k];
+    }
+    for k in 0..L {
+        out[33][k] += -nu * scale * 0.6846531968814575 * alpha[0][k] * g[14][k];
+        out[33][k] += -nu * scale * 0.6846531968814575 * alpha[4][k] * g[3][k];
+        out[33][k] += -nu * scale * 0.6123724356957946 * alpha[4][k] * g[36][k];
+        out[33][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[45][k];
+        out[33][k] += -nu * scale * 0.6123724356957946 * alpha[15][k] * g[14][k];
+        out[33][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[18][k];
+        out[33][k] += -nu * scale * 0.6123724356957945 * alpha[19][k] * g[79][k];
+        out[33][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[85][k];
+        out[33][k] += -nu * scale * 0.6123724356957945 * alpha[46][k] * g[45][k];
+        out[33][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[49][k];
+    }
+    for k in 0..L {
+        out[36][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[15][k];
+        out[36][k] += -nu * scale * 0.27386127875258304 * alpha[4][k] * g[4][k];
+        out[36][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[46][k];
+        out[36][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[0][k];
+        out[36][k] += -nu * scale * 0.1956151991089879 * alpha[15][k] * g[15][k];
+        out[36][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[19][k];
+        out[36][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[5][k];
+        out[36][k] += -nu * scale * 0.19561519910898792 * alpha[46][k] * g[46][k];
+        out[36][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[50][k];
+    }
+    for k in 0..L {
+        out[40][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[16][k];
+        out[40][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[43][k];
+        out[40][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[1][k];
+        out[40][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[47][k];
+        out[40][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[77][k];
+        out[40][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[12][k];
+        out[40][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[83][k];
+        out[40][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[16][k];
+        out[40][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[34][k];
+        out[40][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[43][k];
+    }
+    for k in 0..L {
+        out[41][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[17][k];
+        out[41][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[44][k];
+        out[41][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[2][k];
+        out[41][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[48][k];
+        out[41][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[78][k];
+        out[41][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[13][k];
+        out[41][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[84][k];
+        out[41][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[17][k];
+        out[41][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[35][k];
+        out[41][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[44][k];
+    }
+    for k in 0..L {
+        out[42][k] += -nu * scale * 0.6846531968814575 * alpha[0][k] * g[18][k];
+        out[42][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[45][k];
+        out[42][k] += -nu * scale * 0.6846531968814575 * alpha[5][k] * g[3][k];
+        out[42][k] += -nu * scale * 0.6123724356957946 * alpha[5][k] * g[49][k];
+        out[42][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[79][k];
+        out[42][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[14][k];
+        out[42][k] += -nu * scale * 0.6123724356957945 * alpha[19][k] * g[85][k];
+        out[42][k] += -nu * scale * 0.6123724356957946 * alpha[20][k] * g[18][k];
+        out[42][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[36][k];
+        out[42][k] += -nu * scale * 0.6123724356957945 * alpha[50][k] * g[45][k];
+    }
+    for k in 0..L {
+        out[45][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[19][k];
+        out[45][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[5][k];
+        out[45][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[46][k];
+        out[45][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[4][k];
+        out[45][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[50][k];
+        out[45][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[19][k];
+        out[45][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[0][k];
+        out[45][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[15][k];
+        out[45][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[20][k];
+        out[45][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[19][k];
+        out[45][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[4][k];
+        out[45][k] += -nu * scale * 0.2449489742783178 * alpha[46][k] * g[50][k];
+        out[45][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[5][k];
+        out[45][k] += -nu * scale * 0.2449489742783178 * alpha[50][k] * g[46][k];
+    }
+    for k in 0..L {
+        out[49][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[20][k];
+        out[49][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[50][k];
+        out[49][k] += -nu * scale * 0.27386127875258304 * alpha[5][k] * g[5][k];
+        out[49][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[19][k];
+        out[49][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[0][k];
+        out[49][k] += -nu * scale * 0.1956151991089879 * alpha[20][k] * g[20][k];
+        out[49][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[46][k];
+        out[49][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[4][k];
+        out[49][k] += -nu * scale * 0.19561519910898792 * alpha[50][k] * g[50][k];
+    }
+    for k in 0..L {
+        out[51][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[21][k];
+        out[51][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[54][k];
+        out[51][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[64][k];
+        out[51][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[93][k];
+    }
+    for k in 0..L {
+        out[52][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[22][k];
+        out[52][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[55][k];
+        out[52][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[65][k];
+        out[52][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[94][k];
+    }
+    for k in 0..L {
+        out[53][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[24][k];
+        out[53][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[57][k];
+        out[53][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[67][k];
+        out[53][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[89][k];
+        out[53][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[96][k];
+        out[53][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[103][k];
+        out[53][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[110][k];
+        out[53][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[111][k];
+    }
+    for k in 0..L {
+        out[56][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[28][k];
+        out[56][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[6][k];
+        out[56][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[71][k];
+        out[56][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[28][k];
+        out[56][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[37][k];
+        out[56][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[71][k];
+    }
+    for k in 0..L {
+        out[57][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[29][k];
+        out[57][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[7][k];
+        out[57][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[61][k];
+        out[57][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[72][k];
+        out[57][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[29][k];
+        out[57][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[38][k];
+        out[57][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[100][k];
+        out[57][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[104][k];
+        out[57][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[72][k];
+        out[57][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[80][k];
+    }
+    for k in 0..L {
+        out[58][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[30][k];
+        out[58][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[8][k];
+        out[58][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[73][k];
+        out[58][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[30][k];
+        out[58][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[39][k];
+        out[58][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[73][k];
+    }
+    for k in 0..L {
+        out[59][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[31][k];
+        out[59][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[9][k];
+        out[59][k] += -nu * scale * 0.6123724356957945 * alpha[4][k] * g[62][k];
+        out[59][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[74][k];
+        out[59][k] += -nu * scale * 0.6123724356957945 * alpha[15][k] * g[31][k];
+        out[59][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[40][k];
+        out[59][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[101][k];
+        out[59][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[105][k];
+        out[59][k] += -nu * scale * 0.6123724356957946 * alpha[46][k] * g[74][k];
+        out[59][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[81][k];
+    }
+    for k in 0..L {
+        out[60][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[32][k];
+        out[60][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[10][k];
+        out[60][k] += -nu * scale * 0.6123724356957945 * alpha[4][k] * g[63][k];
+        out[60][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[75][k];
+        out[60][k] += -nu * scale * 0.6123724356957945 * alpha[15][k] * g[32][k];
+        out[60][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[41][k];
+        out[60][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[102][k];
+        out[60][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[106][k];
+        out[60][k] += -nu * scale * 0.6123724356957946 * alpha[46][k] * g[75][k];
+        out[60][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[82][k];
+    }
+    for k in 0..L {
+        out[62][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[34][k];
+        out[62][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[12][k];
+        out[62][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[77][k];
+        out[62][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[1][k];
+        out[62][k] += -nu * scale * 0.19561519910898792 * alpha[15][k] * g[34][k];
+        out[62][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[43][k];
+        out[62][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[16][k];
+        out[62][k] += -nu * scale * 0.1956151991089879 * alpha[46][k] * g[77][k];
+        out[62][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[83][k];
+    }
+    for k in 0..L {
+        out[63][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[35][k];
+        out[63][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[13][k];
+        out[63][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[78][k];
+        out[63][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[2][k];
+        out[63][k] += -nu * scale * 0.19561519910898792 * alpha[15][k] * g[35][k];
+        out[63][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[44][k];
+        out[63][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[17][k];
+        out[63][k] += -nu * scale * 0.1956151991089879 * alpha[46][k] * g[78][k];
+        out[63][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[84][k];
+    }
+    for k in 0..L {
+        out[66][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[37][k];
+        out[66][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[71][k];
+        out[66][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[6][k];
+        out[66][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[28][k];
+        out[66][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[37][k];
+        out[66][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[71][k];
+    }
+    for k in 0..L {
+        out[67][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[38][k];
+        out[67][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[72][k];
+        out[67][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[7][k];
+        out[67][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[80][k];
+        out[67][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[100][k];
+        out[67][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[29][k];
+        out[67][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[104][k];
+        out[67][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[38][k];
+        out[67][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[61][k];
+        out[67][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[72][k];
+    }
+    for k in 0..L {
+        out[68][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[39][k];
+        out[68][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[73][k];
+        out[68][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[8][k];
+        out[68][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[30][k];
+        out[68][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[39][k];
+        out[68][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[73][k];
+    }
+    for k in 0..L {
+        out[69][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[40][k];
+        out[69][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[74][k];
+        out[69][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[9][k];
+        out[69][k] += -nu * scale * 0.6123724356957945 * alpha[5][k] * g[81][k];
+        out[69][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[101][k];
+        out[69][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[31][k];
+        out[69][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[105][k];
+        out[69][k] += -nu * scale * 0.6123724356957945 * alpha[20][k] * g[40][k];
+        out[69][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[62][k];
+        out[69][k] += -nu * scale * 0.6123724356957946 * alpha[50][k] * g[74][k];
+    }
+    for k in 0..L {
+        out[70][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[41][k];
+        out[70][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[75][k];
+        out[70][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[10][k];
+        out[70][k] += -nu * scale * 0.6123724356957945 * alpha[5][k] * g[82][k];
+        out[70][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[102][k];
+        out[70][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[32][k];
+        out[70][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[106][k];
+        out[70][k] += -nu * scale * 0.6123724356957945 * alpha[20][k] * g[41][k];
+        out[70][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[63][k];
+        out[70][k] += -nu * scale * 0.6123724356957946 * alpha[50][k] * g[75][k];
+    }
+    for k in 0..L {
+        out[74][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[43][k];
+        out[74][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[16][k];
+        out[74][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[77][k];
+        out[74][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[12][k];
+        out[74][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[83][k];
+        out[74][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[43][k];
+        out[74][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[1][k];
+        out[74][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[34][k];
+        out[74][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[47][k];
+        out[74][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[43][k];
+        out[74][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[12][k];
+        out[74][k] += -nu * scale * 0.2449489742783178 * alpha[46][k] * g[83][k];
+        out[74][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[16][k];
+        out[74][k] += -nu * scale * 0.2449489742783178 * alpha[50][k] * g[77][k];
+    }
+    for k in 0..L {
+        out[75][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[44][k];
+        out[75][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[17][k];
+        out[75][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[78][k];
+        out[75][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[13][k];
+        out[75][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[84][k];
+        out[75][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[44][k];
+        out[75][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[2][k];
+        out[75][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[35][k];
+        out[75][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[48][k];
+        out[75][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[44][k];
+        out[75][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[13][k];
+        out[75][k] += -nu * scale * 0.2449489742783178 * alpha[46][k] * g[84][k];
+        out[75][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[17][k];
+        out[75][k] += -nu * scale * 0.2449489742783178 * alpha[50][k] * g[78][k];
+    }
+    for k in 0..L {
+        out[76][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[45][k];
+        out[76][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[18][k];
+        out[76][k] += -nu * scale * 0.6123724356957945 * alpha[4][k] * g[79][k];
+        out[76][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[14][k];
+        out[76][k] += -nu * scale * 0.6123724356957945 * alpha[5][k] * g[85][k];
+        out[76][k] += -nu * scale * 0.6123724356957945 * alpha[15][k] * g[45][k];
+        out[76][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[3][k];
+        out[76][k] += -nu * scale * 0.6123724356957945 * alpha[19][k] * g[36][k];
+        out[76][k] += -nu * scale * 0.6123724356957945 * alpha[19][k] * g[49][k];
+        out[76][k] += -nu * scale * 0.6123724356957945 * alpha[20][k] * g[45][k];
+        out[76][k] += -nu * scale * 0.6123724356957945 * alpha[46][k] * g[14][k];
+        out[76][k] += -nu * scale * 0.5477225575051661 * alpha[46][k] * g[85][k];
+        out[76][k] += -nu * scale * 0.6123724356957945 * alpha[50][k] * g[18][k];
+        out[76][k] += -nu * scale * 0.5477225575051661 * alpha[50][k] * g[79][k];
+    }
+    for k in 0..L {
+        out[79][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[46][k];
+        out[79][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[19][k];
+        out[79][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[15][k];
+        out[79][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[5][k];
+        out[79][k] += -nu * scale * 0.19561519910898792 * alpha[15][k] * g[46][k];
+        out[79][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[4][k];
+        out[79][k] += -nu * scale * 0.2449489742783178 * alpha[19][k] * g[50][k];
+        out[79][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[46][k];
+        out[79][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[0][k];
+        out[79][k] += -nu * scale * 0.19561519910898792 * alpha[46][k] * g[15][k];
+        out[79][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[20][k];
+        out[79][k] += -nu * scale * 0.2449489742783178 * alpha[50][k] * g[19][k];
+    }
+    for k in 0..L {
+        out[81][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[47][k];
+        out[81][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[83][k];
+        out[81][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[16][k];
+        out[81][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[43][k];
+        out[81][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[1][k];
+        out[81][k] += -nu * scale * 0.19561519910898792 * alpha[20][k] * g[47][k];
+        out[81][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[77][k];
+        out[81][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[12][k];
+        out[81][k] += -nu * scale * 0.1956151991089879 * alpha[50][k] * g[83][k];
+    }
+    for k in 0..L {
+        out[82][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[48][k];
+        out[82][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[84][k];
+        out[82][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[17][k];
+        out[82][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[44][k];
+        out[82][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[2][k];
+        out[82][k] += -nu * scale * 0.19561519910898792 * alpha[20][k] * g[48][k];
+        out[82][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[78][k];
+        out[82][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[13][k];
+        out[82][k] += -nu * scale * 0.1956151991089879 * alpha[50][k] * g[84][k];
+    }
+    for k in 0..L {
+        out[85][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[50][k];
+        out[85][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[20][k];
+        out[85][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[19][k];
+        out[85][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[50][k];
+        out[85][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[5][k];
+        out[85][k] += -nu * scale * 0.2449489742783178 * alpha[19][k] * g[46][k];
+        out[85][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[4][k];
+        out[85][k] += -nu * scale * 0.19561519910898792 * alpha[20][k] * g[50][k];
+        out[85][k] += -nu * scale * 0.2449489742783178 * alpha[46][k] * g[19][k];
+        out[85][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[0][k];
+        out[85][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[15][k];
+        out[85][k] += -nu * scale * 0.19561519910898792 * alpha[50][k] * g[20][k];
+    }
+    for k in 0..L {
+        out[86][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[54][k];
+        out[86][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[21][k];
+        out[86][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[93][k];
+        out[86][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[54][k];
+        out[86][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[64][k];
+        out[86][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[93][k];
+    }
+    for k in 0..L {
+        out[87][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[55][k];
+        out[87][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[22][k];
+        out[87][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[94][k];
+        out[87][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[55][k];
+        out[87][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[65][k];
+        out[87][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[94][k];
+    }
+    for k in 0..L {
+        out[88][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[57][k];
+        out[88][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[24][k];
+        out[88][k] += -nu * scale * 0.6123724356957946 * alpha[4][k] * g[89][k];
+        out[88][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[96][k];
+        out[88][k] += -nu * scale * 0.6123724356957946 * alpha[15][k] * g[57][k];
+        out[88][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[67][k];
+        out[88][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[110][k];
+        out[88][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[111][k];
+        out[88][k] += -nu * scale * 0.6123724356957946 * alpha[46][k] * g[96][k];
+        out[88][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[103][k];
+    }
+    for k in 0..L {
+        out[89][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[61][k];
+        out[89][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[29][k];
+        out[89][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[100][k];
+        out[89][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[7][k];
+        out[89][k] += -nu * scale * 0.1956151991089879 * alpha[15][k] * g[61][k];
+        out[89][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[72][k];
+        out[89][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[38][k];
+        out[89][k] += -nu * scale * 0.19561519910898792 * alpha[46][k] * g[100][k];
+        out[89][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[104][k];
+    }
+    for k in 0..L {
+        out[90][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[64][k];
+        out[90][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[93][k];
+        out[90][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[21][k];
+        out[90][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[54][k];
+        out[90][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[64][k];
+        out[90][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[93][k];
+    }
+    for k in 0..L {
+        out[91][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[65][k];
+        out[91][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[94][k];
+        out[91][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[22][k];
+        out[91][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[55][k];
+        out[91][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[65][k];
+        out[91][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[94][k];
+    }
+    for k in 0..L {
+        out[92][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[67][k];
+        out[92][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[96][k];
+        out[92][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[24][k];
+        out[92][k] += -nu * scale * 0.6123724356957946 * alpha[5][k] * g[103][k];
+        out[92][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[110][k];
+        out[92][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[57][k];
+        out[92][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[111][k];
+        out[92][k] += -nu * scale * 0.6123724356957946 * alpha[20][k] * g[67][k];
+        out[92][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[89][k];
+        out[92][k] += -nu * scale * 0.6123724356957946 * alpha[50][k] * g[96][k];
+    }
+    for k in 0..L {
+        out[95][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[71][k];
+        out[95][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[37][k];
+        out[95][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[28][k];
+        out[95][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[71][k];
+        out[95][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[6][k];
+        out[95][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[71][k];
+        out[95][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[28][k];
+        out[95][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[37][k];
+    }
+    for k in 0..L {
+        out[96][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[72][k];
+        out[96][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[38][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[4][k] * g[100][k];
+        out[96][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[29][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[5][k] * g[104][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[72][k];
+        out[96][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[7][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[61][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[80][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[72][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[29][k];
+        out[96][k] += -nu * scale * 0.24494897427831783 * alpha[46][k] * g[104][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[38][k];
+        out[96][k] += -nu * scale * 0.24494897427831783 * alpha[50][k] * g[100][k];
+    }
+    for k in 0..L {
+        out[97][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[73][k];
+        out[97][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[39][k];
+        out[97][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[30][k];
+        out[97][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[73][k];
+        out[97][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[8][k];
+        out[97][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[73][k];
+        out[97][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[30][k];
+        out[97][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[39][k];
+    }
+    for k in 0..L {
+        out[98][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[74][k];
+        out[98][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[40][k];
+        out[98][k] += -nu * scale * 0.6123724356957946 * alpha[4][k] * g[101][k];
+        out[98][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[31][k];
+        out[98][k] += -nu * scale * 0.6123724356957946 * alpha[5][k] * g[105][k];
+        out[98][k] += -nu * scale * 0.6123724356957946 * alpha[15][k] * g[74][k];
+        out[98][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[9][k];
+        out[98][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[62][k];
+        out[98][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[81][k];
+        out[98][k] += -nu * scale * 0.6123724356957946 * alpha[20][k] * g[74][k];
+        out[98][k] += -nu * scale * 0.6123724356957946 * alpha[46][k] * g[31][k];
+        out[98][k] += -nu * scale * 0.5477225575051661 * alpha[46][k] * g[105][k];
+        out[98][k] += -nu * scale * 0.6123724356957946 * alpha[50][k] * g[40][k];
+        out[98][k] += -nu * scale * 0.5477225575051661 * alpha[50][k] * g[101][k];
+    }
+    for k in 0..L {
+        out[99][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[75][k];
+        out[99][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[41][k];
+        out[99][k] += -nu * scale * 0.6123724356957946 * alpha[4][k] * g[102][k];
+        out[99][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[32][k];
+        out[99][k] += -nu * scale * 0.6123724356957946 * alpha[5][k] * g[106][k];
+        out[99][k] += -nu * scale * 0.6123724356957946 * alpha[15][k] * g[75][k];
+        out[99][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[10][k];
+        out[99][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[63][k];
+        out[99][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[82][k];
+        out[99][k] += -nu * scale * 0.6123724356957946 * alpha[20][k] * g[75][k];
+        out[99][k] += -nu * scale * 0.6123724356957946 * alpha[46][k] * g[32][k];
+        out[99][k] += -nu * scale * 0.5477225575051661 * alpha[46][k] * g[106][k];
+        out[99][k] += -nu * scale * 0.6123724356957946 * alpha[50][k] * g[41][k];
+        out[99][k] += -nu * scale * 0.5477225575051661 * alpha[50][k] * g[102][k];
+    }
+    for k in 0..L {
+        out[101][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[77][k];
+        out[101][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[43][k];
+        out[101][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[34][k];
+        out[101][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[16][k];
+        out[101][k] += -nu * scale * 0.1956151991089879 * alpha[15][k] * g[77][k];
+        out[101][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[12][k];
+        out[101][k] += -nu * scale * 0.2449489742783178 * alpha[19][k] * g[83][k];
+        out[101][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[77][k];
+        out[101][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[1][k];
+        out[101][k] += -nu * scale * 0.1956151991089879 * alpha[46][k] * g[34][k];
+        out[101][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[47][k];
+        out[101][k] += -nu * scale * 0.2449489742783178 * alpha[50][k] * g[43][k];
+    }
+    for k in 0..L {
+        out[102][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[78][k];
+        out[102][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[44][k];
+        out[102][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[35][k];
+        out[102][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[17][k];
+        out[102][k] += -nu * scale * 0.1956151991089879 * alpha[15][k] * g[78][k];
+        out[102][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[13][k];
+        out[102][k] += -nu * scale * 0.2449489742783178 * alpha[19][k] * g[84][k];
+        out[102][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[78][k];
+        out[102][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[2][k];
+        out[102][k] += -nu * scale * 0.1956151991089879 * alpha[46][k] * g[35][k];
+        out[102][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[48][k];
+        out[102][k] += -nu * scale * 0.2449489742783178 * alpha[50][k] * g[44][k];
+    }
+    for k in 0..L {
+        out[103][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[80][k];
+        out[103][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[104][k];
+        out[103][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[38][k];
+        out[103][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[72][k];
+        out[103][k] += -nu * scale * 0.30618621784789724 * alpha[20][k] * g[7][k];
+        out[103][k] += -nu * scale * 0.1956151991089879 * alpha[20][k] * g[80][k];
+        out[103][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[100][k];
+        out[103][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[29][k];
+        out[103][k] += -nu * scale * 0.19561519910898792 * alpha[50][k] * g[104][k];
+    }
+    for k in 0..L {
+        out[105][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[83][k];
+        out[105][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[47][k];
+        out[105][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[43][k];
+        out[105][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[83][k];
+        out[105][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[16][k];
+        out[105][k] += -nu * scale * 0.2449489742783178 * alpha[19][k] * g[77][k];
+        out[105][k] += -nu * scale * 0.30618621784789724 * alpha[20][k] * g[12][k];
+        out[105][k] += -nu * scale * 0.1956151991089879 * alpha[20][k] * g[83][k];
+        out[105][k] += -nu * scale * 0.2449489742783178 * alpha[46][k] * g[43][k];
+        out[105][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[1][k];
+        out[105][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[34][k];
+        out[105][k] += -nu * scale * 0.1956151991089879 * alpha[50][k] * g[47][k];
+    }
+    for k in 0..L {
+        out[106][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[84][k];
+        out[106][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[48][k];
+        out[106][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[44][k];
+        out[106][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[84][k];
+        out[106][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[17][k];
+        out[106][k] += -nu * scale * 0.2449489742783178 * alpha[19][k] * g[78][k];
+        out[106][k] += -nu * scale * 0.30618621784789724 * alpha[20][k] * g[13][k];
+        out[106][k] += -nu * scale * 0.1956151991089879 * alpha[20][k] * g[84][k];
+        out[106][k] += -nu * scale * 0.2449489742783178 * alpha[46][k] * g[44][k];
+        out[106][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[2][k];
+        out[106][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[35][k];
+        out[106][k] += -nu * scale * 0.1956151991089879 * alpha[50][k] * g[48][k];
+    }
+    for k in 0..L {
+        out[107][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[93][k];
+        out[107][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[64][k];
+        out[107][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[54][k];
+        out[107][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[93][k];
+        out[107][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[21][k];
+        out[107][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[93][k];
+        out[107][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[54][k];
+        out[107][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[64][k];
+    }
+    for k in 0..L {
+        out[108][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[94][k];
+        out[108][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[65][k];
+        out[108][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[55][k];
+        out[108][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[94][k];
+        out[108][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[22][k];
+        out[108][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[94][k];
+        out[108][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[55][k];
+        out[108][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[65][k];
+    }
+    for k in 0..L {
+        out[109][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[96][k];
+        out[109][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[67][k];
+        out[109][k] += -nu * scale * 0.6123724356957946 * alpha[4][k] * g[110][k];
+        out[109][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[57][k];
+        out[109][k] += -nu * scale * 0.6123724356957946 * alpha[5][k] * g[111][k];
+        out[109][k] += -nu * scale * 0.6123724356957946 * alpha[15][k] * g[96][k];
+        out[109][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[24][k];
+        out[109][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[89][k];
+        out[109][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[103][k];
+        out[109][k] += -nu * scale * 0.6123724356957946 * alpha[20][k] * g[96][k];
+        out[109][k] += -nu * scale * 0.6123724356957946 * alpha[46][k] * g[57][k];
+        out[109][k] += -nu * scale * 0.5477225575051662 * alpha[46][k] * g[111][k];
+        out[109][k] += -nu * scale * 0.6123724356957946 * alpha[50][k] * g[67][k];
+        out[109][k] += -nu * scale * 0.5477225575051662 * alpha[50][k] * g[110][k];
+    }
+    for k in 0..L {
+        out[110][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[100][k];
+        out[110][k] += -nu * scale * 0.27386127875258304 * alpha[4][k] * g[72][k];
+        out[110][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[61][k];
+        out[110][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[38][k];
+        out[110][k] += -nu * scale * 0.19561519910898792 * alpha[15][k] * g[100][k];
+        out[110][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[29][k];
+        out[110][k] += -nu * scale * 0.24494897427831783 * alpha[19][k] * g[104][k];
+        out[110][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[100][k];
+        out[110][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[7][k];
+        out[110][k] += -nu * scale * 0.19561519910898792 * alpha[46][k] * g[61][k];
+        out[110][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[80][k];
+        out[110][k] += -nu * scale * 0.24494897427831783 * alpha[50][k] * g[72][k];
+    }
+    for k in 0..L {
+        out[111][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[104][k];
+        out[111][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[80][k];
+        out[111][k] += -nu * scale * 0.27386127875258304 * alpha[5][k] * g[72][k];
+        out[111][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[104][k];
+        out[111][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[38][k];
+        out[111][k] += -nu * scale * 0.24494897427831783 * alpha[19][k] * g[100][k];
+        out[111][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[29][k];
+        out[111][k] += -nu * scale * 0.19561519910898792 * alpha[20][k] * g[104][k];
+        out[111][k] += -nu * scale * 0.24494897427831783 * alpha[46][k] * g[72][k];
+        out[111][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[7][k];
+        out[111][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[61][k];
+        out[111][k] += -nu * scale * 0.19561519910898792 * alpha[50][k] * g[80][k];
+    }
 }
 
 /// LBO diffusion surface term in v0 at one interior face: one-sided
@@ -2961,1484 +3437,1769 @@ pub fn lbo_2x3v_p2_ser_diff_vol_v0(nu: f64, dv: f64, vth2: &[f64], g: &[f64], ou
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p2_ser_diff_surf_v0(nu: f64, dv: f64, vth2: &[f64], g_lo: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_2x3v_p2_ser_diff_surf_v0_body::<1>(nu, dv, vth2.as_chunks().0, g_lo.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p2_ser_diff_surf_v0`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_diff_surf_v0_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_diff_surf_v0_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// [`lbo_2x3v_p2_ser_diff_surf_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_diff_surf_v0_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_diff_surf_v0_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p2_ser_diff_surf_v0`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p2_ser_diff_surf_v0_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g_lo: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 8] = vth2.first_chunk().expect("vth2: 8 coefficients");
+    let g_lo: &[[f64; L]; 112] = g_lo.first_chunk().expect("g_lo: 112 coefficients");
+    let out_lo: &mut [[f64; L]; 112] = out_lo.first_chunk_mut().expect("out_lo: 112 coefficients");
+    let out_hi: &mut [[f64; L]; 112] = out_hi.first_chunk_mut().expect("out_hi: 112 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 48];
-    alpha[0] = 2.0 * vth2[0];
-    alpha[3] = 2.0 * vth2[1];
-    alpha[4] = 2.0 * vth2[2];
-    alpha[10] = 2.0 * vth2[3];
-    alpha[13] = 2.0 * vth2[4];
-    alpha[14] = 2.0 * vth2[5];
-    alpha[27] = 2.0 * vth2[6];
-    alpha[30] = 2.0 * vth2[7];
-    let mut tr = [0.0f64; 48];
-    tr[0] += 0.7071067811865476 * g_lo[0];
-    tr[1] += 0.7071067811865476 * g_lo[1];
-    tr[2] += 0.7071067811865476 * g_lo[2];
-    tr[0] += 1.224744871391589 * g_lo[3];
-    tr[3] += 0.7071067811865476 * g_lo[4];
-    tr[4] += 0.7071067811865476 * g_lo[5];
-    tr[5] += 0.7071067811865476 * g_lo[6];
-    tr[6] += 0.7071067811865476 * g_lo[7];
-    tr[7] += 0.7071067811865476 * g_lo[8];
-    tr[1] += 1.224744871391589 * g_lo[9];
-    tr[2] += 1.224744871391589 * g_lo[10];
-    tr[0] += 1.5811388300841898 * g_lo[11];
-    tr[8] += 0.7071067811865476 * g_lo[12];
-    tr[9] += 0.7071067811865476 * g_lo[13];
-    tr[3] += 1.224744871391589 * g_lo[14];
-    tr[10] += 0.7071067811865476 * g_lo[15];
-    tr[11] += 0.7071067811865476 * g_lo[16];
-    tr[12] += 0.7071067811865476 * g_lo[17];
-    tr[4] += 1.224744871391589 * g_lo[18];
-    tr[13] += 0.7071067811865476 * g_lo[19];
-    tr[14] += 0.7071067811865476 * g_lo[20];
-    tr[15] += 0.7071067811865476 * g_lo[21];
-    tr[16] += 0.7071067811865476 * g_lo[22];
-    tr[5] += 1.224744871391589 * g_lo[23];
-    tr[6] += 1.224744871391589 * g_lo[24];
-    tr[7] += 1.224744871391589 * g_lo[25];
-    tr[1] += 1.5811388300841898 * g_lo[26];
-    tr[2] += 1.5811388300841898 * g_lo[27];
-    tr[17] += 0.7071067811865476 * g_lo[28];
-    tr[18] += 0.7071067811865476 * g_lo[29];
-    tr[19] += 0.7071067811865476 * g_lo[30];
-    tr[8] += 1.224744871391589 * g_lo[31];
-    tr[9] += 1.224744871391589 * g_lo[32];
-    tr[3] += 1.5811388300841898 * g_lo[33];
-    tr[20] += 0.7071067811865476 * g_lo[34];
-    tr[21] += 0.7071067811865476 * g_lo[35];
-    tr[10] += 1.224744871391589 * g_lo[36];
-    tr[22] += 0.7071067811865476 * g_lo[37];
-    tr[23] += 0.7071067811865476 * g_lo[38];
-    tr[24] += 0.7071067811865476 * g_lo[39];
-    tr[11] += 1.224744871391589 * g_lo[40];
-    tr[12] += 1.224744871391589 * g_lo[41];
-    tr[4] += 1.5811388300841898 * g_lo[42];
-    tr[25] += 0.7071067811865476 * g_lo[43];
-    tr[26] += 0.7071067811865476 * g_lo[44];
-    tr[13] += 1.224744871391589 * g_lo[45];
-    tr[27] += 0.7071067811865476 * g_lo[46];
-    tr[28] += 0.7071067811865476 * g_lo[47];
-    tr[29] += 0.7071067811865476 * g_lo[48];
-    tr[14] += 1.224744871391589 * g_lo[49];
-    tr[30] += 0.7071067811865476 * g_lo[50];
-    tr[15] += 1.224744871391589 * g_lo[51];
-    tr[16] += 1.224744871391589 * g_lo[52];
-    tr[6] += 1.5811388300841898 * g_lo[53];
-    tr[31] += 0.7071067811865476 * g_lo[54];
-    tr[32] += 0.7071067811865476 * g_lo[55];
-    tr[17] += 1.224744871391589 * g_lo[56];
-    tr[18] += 1.224744871391589 * g_lo[57];
-    tr[19] += 1.224744871391589 * g_lo[58];
-    tr[8] += 1.5811388300841898 * g_lo[59];
-    tr[9] += 1.5811388300841898 * g_lo[60];
-    tr[33] += 0.7071067811865476 * g_lo[61];
-    tr[20] += 1.224744871391589 * g_lo[62];
-    tr[21] += 1.224744871391589 * g_lo[63];
-    tr[34] += 0.7071067811865476 * g_lo[64];
-    tr[35] += 0.7071067811865476 * g_lo[65];
-    tr[22] += 1.224744871391589 * g_lo[66];
-    tr[23] += 1.224744871391589 * g_lo[67];
-    tr[24] += 1.224744871391589 * g_lo[68];
-    tr[11] += 1.5811388300841898 * g_lo[69];
-    tr[12] += 1.5811388300841898 * g_lo[70];
-    tr[36] += 0.7071067811865476 * g_lo[71];
-    tr[37] += 0.7071067811865476 * g_lo[72];
-    tr[38] += 0.7071067811865476 * g_lo[73];
-    tr[25] += 1.224744871391589 * g_lo[74];
-    tr[26] += 1.224744871391589 * g_lo[75];
-    tr[13] += 1.5811388300841898 * g_lo[76];
-    tr[39] += 0.7071067811865476 * g_lo[77];
-    tr[40] += 0.7071067811865476 * g_lo[78];
-    tr[27] += 1.224744871391589 * g_lo[79];
-    tr[41] += 0.7071067811865476 * g_lo[80];
-    tr[28] += 1.224744871391589 * g_lo[81];
-    tr[29] += 1.224744871391589 * g_lo[82];
-    tr[42] += 0.7071067811865476 * g_lo[83];
-    tr[43] += 0.7071067811865476 * g_lo[84];
-    tr[30] += 1.224744871391589 * g_lo[85];
-    tr[31] += 1.224744871391589 * g_lo[86];
-    tr[32] += 1.224744871391589 * g_lo[87];
-    tr[18] += 1.5811388300841898 * g_lo[88];
-    tr[33] += 1.224744871391589 * g_lo[89];
-    tr[34] += 1.224744871391589 * g_lo[90];
-    tr[35] += 1.224744871391589 * g_lo[91];
-    tr[23] += 1.5811388300841898 * g_lo[92];
-    tr[44] += 0.7071067811865476 * g_lo[93];
-    tr[45] += 0.7071067811865476 * g_lo[94];
-    tr[36] += 1.224744871391589 * g_lo[95];
-    tr[37] += 1.224744871391589 * g_lo[96];
-    tr[38] += 1.224744871391589 * g_lo[97];
-    tr[25] += 1.5811388300841898 * g_lo[98];
-    tr[26] += 1.5811388300841898 * g_lo[99];
-    tr[46] += 0.7071067811865476 * g_lo[100];
-    tr[39] += 1.224744871391589 * g_lo[101];
-    tr[40] += 1.224744871391589 * g_lo[102];
-    tr[41] += 1.224744871391589 * g_lo[103];
-    tr[47] += 0.7071067811865476 * g_lo[104];
-    tr[42] += 1.224744871391589 * g_lo[105];
-    tr[43] += 1.224744871391589 * g_lo[106];
-    tr[44] += 1.224744871391589 * g_lo[107];
-    tr[45] += 1.224744871391589 * g_lo[108];
-    tr[37] += 1.5811388300841898 * g_lo[109];
-    tr[46] += 1.224744871391589 * g_lo[110];
-    tr[47] += 1.224744871391589 * g_lo[111];
-    let mut ghat = [0.0f64; 48];
-    ghat[0] += 0.25 * alpha[0] * tr[0];
-    ghat[0] += 0.25 * alpha[3] * tr[3];
-    ghat[0] += 0.25 * alpha[4] * tr[4];
-    ghat[0] += 0.25 * alpha[10] * tr[10];
-    ghat[0] += 0.25 * alpha[13] * tr[13];
-    ghat[0] += 0.25 * alpha[14] * tr[14];
-    ghat[0] += 0.25 * alpha[27] * tr[27];
-    ghat[0] += 0.25 * alpha[30] * tr[30];
-    ghat[1] += 0.25 * alpha[0] * tr[1];
-    ghat[1] += 0.25 * alpha[3] * tr[8];
-    ghat[1] += 0.25 * alpha[4] * tr[11];
-    ghat[1] += 0.25 * alpha[10] * tr[20];
-    ghat[1] += 0.25 * alpha[13] * tr[25];
-    ghat[1] += 0.25 * alpha[14] * tr[28];
-    ghat[1] += 0.25 * alpha[27] * tr[39];
-    ghat[1] += 0.25 * alpha[30] * tr[42];
-    ghat[2] += 0.25 * alpha[0] * tr[2];
-    ghat[2] += 0.25 * alpha[3] * tr[9];
-    ghat[2] += 0.25 * alpha[4] * tr[12];
-    ghat[2] += 0.25 * alpha[10] * tr[21];
-    ghat[2] += 0.25 * alpha[13] * tr[26];
-    ghat[2] += 0.25 * alpha[14] * tr[29];
-    ghat[2] += 0.25 * alpha[27] * tr[40];
-    ghat[2] += 0.25 * alpha[30] * tr[43];
-    ghat[3] += 0.25 * alpha[0] * tr[3];
-    ghat[3] += 0.25 * alpha[3] * tr[0];
-    ghat[3] += 0.22360679774997896 * alpha[3] * tr[10];
-    ghat[3] += 0.25 * alpha[4] * tr[13];
-    ghat[3] += 0.22360679774997896 * alpha[10] * tr[3];
-    ghat[3] += 0.25 * alpha[13] * tr[4];
-    ghat[3] += 0.223606797749979 * alpha[13] * tr[27];
-    ghat[3] += 0.25 * alpha[14] * tr[30];
-    ghat[3] += 0.223606797749979 * alpha[27] * tr[13];
-    ghat[3] += 0.25 * alpha[30] * tr[14];
-    ghat[4] += 0.25 * alpha[0] * tr[4];
-    ghat[4] += 0.25 * alpha[3] * tr[13];
-    ghat[4] += 0.25 * alpha[4] * tr[0];
-    ghat[4] += 0.22360679774997896 * alpha[4] * tr[14];
-    ghat[4] += 0.25 * alpha[10] * tr[27];
-    ghat[4] += 0.25 * alpha[13] * tr[3];
-    ghat[4] += 0.223606797749979 * alpha[13] * tr[30];
-    ghat[4] += 0.22360679774997896 * alpha[14] * tr[4];
-    ghat[4] += 0.25 * alpha[27] * tr[10];
-    ghat[4] += 0.223606797749979 * alpha[30] * tr[13];
-    ghat[5] += 0.25 * alpha[0] * tr[5];
-    ghat[5] += 0.25 * alpha[3] * tr[17];
-    ghat[5] += 0.25 * alpha[4] * tr[22];
-    ghat[5] += 0.25 * alpha[13] * tr[36];
-    ghat[6] += 0.25 * alpha[0] * tr[6];
-    ghat[6] += 0.25 * alpha[3] * tr[18];
-    ghat[6] += 0.25 * alpha[4] * tr[23];
-    ghat[6] += 0.25 * alpha[10] * tr[33];
-    ghat[6] += 0.25 * alpha[13] * tr[37];
-    ghat[6] += 0.25 * alpha[14] * tr[41];
-    ghat[6] += 0.25 * alpha[27] * tr[46];
-    ghat[6] += 0.25 * alpha[30] * tr[47];
-    ghat[7] += 0.25 * alpha[0] * tr[7];
-    ghat[7] += 0.25 * alpha[3] * tr[19];
-    ghat[7] += 0.25 * alpha[4] * tr[24];
-    ghat[7] += 0.25 * alpha[13] * tr[38];
-    ghat[8] += 0.25 * alpha[0] * tr[8];
-    ghat[8] += 0.25 * alpha[3] * tr[1];
-    ghat[8] += 0.223606797749979 * alpha[3] * tr[20];
-    ghat[8] += 0.25 * alpha[4] * tr[25];
-    ghat[8] += 0.223606797749979 * alpha[10] * tr[8];
-    ghat[8] += 0.25 * alpha[13] * tr[11];
-    ghat[8] += 0.22360679774997896 * alpha[13] * tr[39];
-    ghat[8] += 0.25 * alpha[14] * tr[42];
-    ghat[8] += 0.22360679774997896 * alpha[27] * tr[25];
-    ghat[8] += 0.25 * alpha[30] * tr[28];
-    ghat[9] += 0.25 * alpha[0] * tr[9];
-    ghat[9] += 0.25 * alpha[3] * tr[2];
-    ghat[9] += 0.223606797749979 * alpha[3] * tr[21];
-    ghat[9] += 0.25 * alpha[4] * tr[26];
-    ghat[9] += 0.223606797749979 * alpha[10] * tr[9];
-    ghat[9] += 0.25 * alpha[13] * tr[12];
-    ghat[9] += 0.22360679774997896 * alpha[13] * tr[40];
-    ghat[9] += 0.25 * alpha[14] * tr[43];
-    ghat[9] += 0.22360679774997896 * alpha[27] * tr[26];
-    ghat[9] += 0.25 * alpha[30] * tr[29];
-    ghat[10] += 0.25 * alpha[0] * tr[10];
-    ghat[10] += 0.22360679774997896 * alpha[3] * tr[3];
-    ghat[10] += 0.25 * alpha[4] * tr[27];
-    ghat[10] += 0.25 * alpha[10] * tr[0];
-    ghat[10] += 0.15971914124998499 * alpha[10] * tr[10];
-    ghat[10] += 0.223606797749979 * alpha[13] * tr[13];
-    ghat[10] += 0.25 * alpha[27] * tr[4];
-    ghat[10] += 0.15971914124998499 * alpha[27] * tr[27];
-    ghat[10] += 0.22360679774997896 * alpha[30] * tr[30];
-    ghat[11] += 0.25 * alpha[0] * tr[11];
-    ghat[11] += 0.25 * alpha[3] * tr[25];
-    ghat[11] += 0.25 * alpha[4] * tr[1];
-    ghat[11] += 0.223606797749979 * alpha[4] * tr[28];
-    ghat[11] += 0.25 * alpha[10] * tr[39];
-    ghat[11] += 0.25 * alpha[13] * tr[8];
-    ghat[11] += 0.22360679774997896 * alpha[13] * tr[42];
-    ghat[11] += 0.223606797749979 * alpha[14] * tr[11];
-    ghat[11] += 0.25 * alpha[27] * tr[20];
-    ghat[11] += 0.22360679774997896 * alpha[30] * tr[25];
-    ghat[12] += 0.25 * alpha[0] * tr[12];
-    ghat[12] += 0.25 * alpha[3] * tr[26];
-    ghat[12] += 0.25 * alpha[4] * tr[2];
-    ghat[12] += 0.223606797749979 * alpha[4] * tr[29];
-    ghat[12] += 0.25 * alpha[10] * tr[40];
-    ghat[12] += 0.25 * alpha[13] * tr[9];
-    ghat[12] += 0.22360679774997896 * alpha[13] * tr[43];
-    ghat[12] += 0.223606797749979 * alpha[14] * tr[12];
-    ghat[12] += 0.25 * alpha[27] * tr[21];
-    ghat[12] += 0.22360679774997896 * alpha[30] * tr[26];
-    ghat[13] += 0.25 * alpha[0] * tr[13];
-    ghat[13] += 0.25 * alpha[3] * tr[4];
-    ghat[13] += 0.223606797749979 * alpha[3] * tr[27];
-    ghat[13] += 0.25 * alpha[4] * tr[3];
-    ghat[13] += 0.223606797749979 * alpha[4] * tr[30];
-    ghat[13] += 0.223606797749979 * alpha[10] * tr[13];
-    ghat[13] += 0.25 * alpha[13] * tr[0];
-    ghat[13] += 0.223606797749979 * alpha[13] * tr[10];
-    ghat[13] += 0.223606797749979 * alpha[13] * tr[14];
-    ghat[13] += 0.223606797749979 * alpha[14] * tr[13];
-    ghat[13] += 0.223606797749979 * alpha[27] * tr[3];
-    ghat[13] += 0.2 * alpha[27] * tr[30];
-    ghat[13] += 0.223606797749979 * alpha[30] * tr[4];
-    ghat[13] += 0.2 * alpha[30] * tr[27];
-    ghat[14] += 0.25 * alpha[0] * tr[14];
-    ghat[14] += 0.25 * alpha[3] * tr[30];
-    ghat[14] += 0.22360679774997896 * alpha[4] * tr[4];
-    ghat[14] += 0.223606797749979 * alpha[13] * tr[13];
-    ghat[14] += 0.25 * alpha[14] * tr[0];
-    ghat[14] += 0.15971914124998499 * alpha[14] * tr[14];
-    ghat[14] += 0.22360679774997896 * alpha[27] * tr[27];
-    ghat[14] += 0.25 * alpha[30] * tr[3];
-    ghat[14] += 0.15971914124998499 * alpha[30] * tr[30];
-    ghat[15] += 0.25 * alpha[0] * tr[15];
-    ghat[15] += 0.25 * alpha[3] * tr[31];
-    ghat[15] += 0.25 * alpha[4] * tr[34];
-    ghat[15] += 0.25 * alpha[13] * tr[44];
-    ghat[16] += 0.25 * alpha[0] * tr[16];
-    ghat[16] += 0.25 * alpha[3] * tr[32];
-    ghat[16] += 0.25 * alpha[4] * tr[35];
-    ghat[16] += 0.25 * alpha[13] * tr[45];
-    ghat[17] += 0.25 * alpha[0] * tr[17];
-    ghat[17] += 0.25 * alpha[3] * tr[5];
-    ghat[17] += 0.25 * alpha[4] * tr[36];
-    ghat[17] += 0.22360679774997896 * alpha[10] * tr[17];
-    ghat[17] += 0.25 * alpha[13] * tr[22];
-    ghat[17] += 0.22360679774997896 * alpha[27] * tr[36];
-    ghat[18] += 0.25 * alpha[0] * tr[18];
-    ghat[18] += 0.25 * alpha[3] * tr[6];
-    ghat[18] += 0.22360679774997896 * alpha[3] * tr[33];
-    ghat[18] += 0.25 * alpha[4] * tr[37];
-    ghat[18] += 0.22360679774997896 * alpha[10] * tr[18];
-    ghat[18] += 0.25 * alpha[13] * tr[23];
-    ghat[18] += 0.22360679774997896 * alpha[13] * tr[46];
-    ghat[18] += 0.25 * alpha[14] * tr[47];
-    ghat[18] += 0.22360679774997896 * alpha[27] * tr[37];
-    ghat[18] += 0.25 * alpha[30] * tr[41];
-    ghat[19] += 0.25 * alpha[0] * tr[19];
-    ghat[19] += 0.25 * alpha[3] * tr[7];
-    ghat[19] += 0.25 * alpha[4] * tr[38];
-    ghat[19] += 0.22360679774997896 * alpha[10] * tr[19];
-    ghat[19] += 0.25 * alpha[13] * tr[24];
-    ghat[19] += 0.22360679774997896 * alpha[27] * tr[38];
-    ghat[20] += 0.25 * alpha[0] * tr[20];
-    ghat[20] += 0.223606797749979 * alpha[3] * tr[8];
-    ghat[20] += 0.25 * alpha[4] * tr[39];
-    ghat[20] += 0.25 * alpha[10] * tr[1];
-    ghat[20] += 0.15971914124998499 * alpha[10] * tr[20];
-    ghat[20] += 0.22360679774997896 * alpha[13] * tr[25];
-    ghat[20] += 0.25 * alpha[27] * tr[11];
-    ghat[20] += 0.15971914124998499 * alpha[27] * tr[39];
-    ghat[20] += 0.22360679774997896 * alpha[30] * tr[42];
-    ghat[21] += 0.25 * alpha[0] * tr[21];
-    ghat[21] += 0.223606797749979 * alpha[3] * tr[9];
-    ghat[21] += 0.25 * alpha[4] * tr[40];
-    ghat[21] += 0.25 * alpha[10] * tr[2];
-    ghat[21] += 0.15971914124998499 * alpha[10] * tr[21];
-    ghat[21] += 0.22360679774997896 * alpha[13] * tr[26];
-    ghat[21] += 0.25 * alpha[27] * tr[12];
-    ghat[21] += 0.15971914124998499 * alpha[27] * tr[40];
-    ghat[21] += 0.22360679774997896 * alpha[30] * tr[43];
-    ghat[22] += 0.25 * alpha[0] * tr[22];
-    ghat[22] += 0.25 * alpha[3] * tr[36];
-    ghat[22] += 0.25 * alpha[4] * tr[5];
-    ghat[22] += 0.25 * alpha[13] * tr[17];
-    ghat[22] += 0.22360679774997896 * alpha[14] * tr[22];
-    ghat[22] += 0.22360679774997896 * alpha[30] * tr[36];
-    ghat[23] += 0.25 * alpha[0] * tr[23];
-    ghat[23] += 0.25 * alpha[3] * tr[37];
-    ghat[23] += 0.25 * alpha[4] * tr[6];
-    ghat[23] += 0.22360679774997896 * alpha[4] * tr[41];
-    ghat[23] += 0.25 * alpha[10] * tr[46];
-    ghat[23] += 0.25 * alpha[13] * tr[18];
-    ghat[23] += 0.22360679774997896 * alpha[13] * tr[47];
-    ghat[23] += 0.22360679774997896 * alpha[14] * tr[23];
-    ghat[23] += 0.25 * alpha[27] * tr[33];
-    ghat[23] += 0.22360679774997896 * alpha[30] * tr[37];
-    ghat[24] += 0.25 * alpha[0] * tr[24];
-    ghat[24] += 0.25 * alpha[3] * tr[38];
-    ghat[24] += 0.25 * alpha[4] * tr[7];
-    ghat[24] += 0.25 * alpha[13] * tr[19];
-    ghat[24] += 0.22360679774997896 * alpha[14] * tr[24];
-    ghat[24] += 0.22360679774997896 * alpha[30] * tr[38];
-    ghat[25] += 0.25 * alpha[0] * tr[25];
-    ghat[25] += 0.25 * alpha[3] * tr[11];
-    ghat[25] += 0.22360679774997896 * alpha[3] * tr[39];
-    ghat[25] += 0.25 * alpha[4] * tr[8];
-    ghat[25] += 0.22360679774997896 * alpha[4] * tr[42];
-    ghat[25] += 0.22360679774997896 * alpha[10] * tr[25];
-    ghat[25] += 0.25 * alpha[13] * tr[1];
-    ghat[25] += 0.22360679774997896 * alpha[13] * tr[20];
-    ghat[25] += 0.22360679774997896 * alpha[13] * tr[28];
-    ghat[25] += 0.22360679774997896 * alpha[14] * tr[25];
-    ghat[25] += 0.22360679774997896 * alpha[27] * tr[8];
-    ghat[25] += 0.19999999999999998 * alpha[27] * tr[42];
-    ghat[25] += 0.22360679774997896 * alpha[30] * tr[11];
-    ghat[25] += 0.19999999999999998 * alpha[30] * tr[39];
-    ghat[26] += 0.25 * alpha[0] * tr[26];
-    ghat[26] += 0.25 * alpha[3] * tr[12];
-    ghat[26] += 0.22360679774997896 * alpha[3] * tr[40];
-    ghat[26] += 0.25 * alpha[4] * tr[9];
-    ghat[26] += 0.22360679774997896 * alpha[4] * tr[43];
-    ghat[26] += 0.22360679774997896 * alpha[10] * tr[26];
-    ghat[26] += 0.25 * alpha[13] * tr[2];
-    ghat[26] += 0.22360679774997896 * alpha[13] * tr[21];
-    ghat[26] += 0.22360679774997896 * alpha[13] * tr[29];
-    ghat[26] += 0.22360679774997896 * alpha[14] * tr[26];
-    ghat[26] += 0.22360679774997896 * alpha[27] * tr[9];
-    ghat[26] += 0.19999999999999998 * alpha[27] * tr[43];
-    ghat[26] += 0.22360679774997896 * alpha[30] * tr[12];
-    ghat[26] += 0.19999999999999998 * alpha[30] * tr[40];
-    ghat[27] += 0.25 * alpha[0] * tr[27];
-    ghat[27] += 0.223606797749979 * alpha[3] * tr[13];
-    ghat[27] += 0.25 * alpha[4] * tr[10];
-    ghat[27] += 0.25 * alpha[10] * tr[4];
-    ghat[27] += 0.15971914124998499 * alpha[10] * tr[27];
-    ghat[27] += 0.223606797749979 * alpha[13] * tr[3];
-    ghat[27] += 0.2 * alpha[13] * tr[30];
-    ghat[27] += 0.22360679774997896 * alpha[14] * tr[27];
-    ghat[27] += 0.25 * alpha[27] * tr[0];
-    ghat[27] += 0.15971914124998499 * alpha[27] * tr[10];
-    ghat[27] += 0.22360679774997896 * alpha[27] * tr[14];
-    ghat[27] += 0.2 * alpha[30] * tr[13];
-    ghat[28] += 0.25 * alpha[0] * tr[28];
-    ghat[28] += 0.25 * alpha[3] * tr[42];
-    ghat[28] += 0.223606797749979 * alpha[4] * tr[11];
-    ghat[28] += 0.22360679774997896 * alpha[13] * tr[25];
-    ghat[28] += 0.25 * alpha[14] * tr[1];
-    ghat[28] += 0.15971914124998499 * alpha[14] * tr[28];
-    ghat[28] += 0.22360679774997896 * alpha[27] * tr[39];
-    ghat[28] += 0.25 * alpha[30] * tr[8];
-    ghat[28] += 0.15971914124998499 * alpha[30] * tr[42];
-    ghat[29] += 0.25 * alpha[0] * tr[29];
-    ghat[29] += 0.25 * alpha[3] * tr[43];
-    ghat[29] += 0.223606797749979 * alpha[4] * tr[12];
-    ghat[29] += 0.22360679774997896 * alpha[13] * tr[26];
-    ghat[29] += 0.25 * alpha[14] * tr[2];
-    ghat[29] += 0.15971914124998499 * alpha[14] * tr[29];
-    ghat[29] += 0.22360679774997896 * alpha[27] * tr[40];
-    ghat[29] += 0.25 * alpha[30] * tr[9];
-    ghat[29] += 0.15971914124998499 * alpha[30] * tr[43];
-    ghat[30] += 0.25 * alpha[0] * tr[30];
-    ghat[30] += 0.25 * alpha[3] * tr[14];
-    ghat[30] += 0.223606797749979 * alpha[4] * tr[13];
-    ghat[30] += 0.22360679774997896 * alpha[10] * tr[30];
-    ghat[30] += 0.223606797749979 * alpha[13] * tr[4];
-    ghat[30] += 0.2 * alpha[13] * tr[27];
-    ghat[30] += 0.25 * alpha[14] * tr[3];
-    ghat[30] += 0.15971914124998499 * alpha[14] * tr[30];
-    ghat[30] += 0.2 * alpha[27] * tr[13];
-    ghat[30] += 0.25 * alpha[30] * tr[0];
-    ghat[30] += 0.22360679774997896 * alpha[30] * tr[10];
-    ghat[30] += 0.15971914124998499 * alpha[30] * tr[14];
-    ghat[31] += 0.25 * alpha[0] * tr[31];
-    ghat[31] += 0.25 * alpha[3] * tr[15];
-    ghat[31] += 0.25 * alpha[4] * tr[44];
-    ghat[31] += 0.22360679774997896 * alpha[10] * tr[31];
-    ghat[31] += 0.25 * alpha[13] * tr[34];
-    ghat[31] += 0.22360679774997896 * alpha[27] * tr[44];
-    ghat[32] += 0.25 * alpha[0] * tr[32];
-    ghat[32] += 0.25 * alpha[3] * tr[16];
-    ghat[32] += 0.25 * alpha[4] * tr[45];
-    ghat[32] += 0.22360679774997896 * alpha[10] * tr[32];
-    ghat[32] += 0.25 * alpha[13] * tr[35];
-    ghat[32] += 0.22360679774997896 * alpha[27] * tr[45];
-    ghat[33] += 0.25 * alpha[0] * tr[33];
-    ghat[33] += 0.22360679774997896 * alpha[3] * tr[18];
-    ghat[33] += 0.25 * alpha[4] * tr[46];
-    ghat[33] += 0.25 * alpha[10] * tr[6];
-    ghat[33] += 0.15971914124998499 * alpha[10] * tr[33];
-    ghat[33] += 0.22360679774997896 * alpha[13] * tr[37];
-    ghat[33] += 0.25 * alpha[27] * tr[23];
-    ghat[33] += 0.15971914124998499 * alpha[27] * tr[46];
-    ghat[33] += 0.22360679774997896 * alpha[30] * tr[47];
-    ghat[34] += 0.25 * alpha[0] * tr[34];
-    ghat[34] += 0.25 * alpha[3] * tr[44];
-    ghat[34] += 0.25 * alpha[4] * tr[15];
-    ghat[34] += 0.25 * alpha[13] * tr[31];
-    ghat[34] += 0.22360679774997896 * alpha[14] * tr[34];
-    ghat[34] += 0.22360679774997896 * alpha[30] * tr[44];
-    ghat[35] += 0.25 * alpha[0] * tr[35];
-    ghat[35] += 0.25 * alpha[3] * tr[45];
-    ghat[35] += 0.25 * alpha[4] * tr[16];
-    ghat[35] += 0.25 * alpha[13] * tr[32];
-    ghat[35] += 0.22360679774997896 * alpha[14] * tr[35];
-    ghat[35] += 0.22360679774997896 * alpha[30] * tr[45];
-    ghat[36] += 0.25 * alpha[0] * tr[36];
-    ghat[36] += 0.25 * alpha[3] * tr[22];
-    ghat[36] += 0.25 * alpha[4] * tr[17];
-    ghat[36] += 0.22360679774997896 * alpha[10] * tr[36];
-    ghat[36] += 0.25 * alpha[13] * tr[5];
-    ghat[36] += 0.22360679774997896 * alpha[14] * tr[36];
-    ghat[36] += 0.22360679774997896 * alpha[27] * tr[17];
-    ghat[36] += 0.22360679774997896 * alpha[30] * tr[22];
-    ghat[37] += 0.25 * alpha[0] * tr[37];
-    ghat[37] += 0.25 * alpha[3] * tr[23];
-    ghat[37] += 0.22360679774997896 * alpha[3] * tr[46];
-    ghat[37] += 0.25 * alpha[4] * tr[18];
-    ghat[37] += 0.22360679774997896 * alpha[4] * tr[47];
-    ghat[37] += 0.22360679774997896 * alpha[10] * tr[37];
-    ghat[37] += 0.25 * alpha[13] * tr[6];
-    ghat[37] += 0.22360679774997896 * alpha[13] * tr[33];
-    ghat[37] += 0.22360679774997896 * alpha[13] * tr[41];
-    ghat[37] += 0.22360679774997896 * alpha[14] * tr[37];
-    ghat[37] += 0.22360679774997896 * alpha[27] * tr[18];
-    ghat[37] += 0.2 * alpha[27] * tr[47];
-    ghat[37] += 0.22360679774997896 * alpha[30] * tr[23];
-    ghat[37] += 0.2 * alpha[30] * tr[46];
-    ghat[38] += 0.25 * alpha[0] * tr[38];
-    ghat[38] += 0.25 * alpha[3] * tr[24];
-    ghat[38] += 0.25 * alpha[4] * tr[19];
-    ghat[38] += 0.22360679774997896 * alpha[10] * tr[38];
-    ghat[38] += 0.25 * alpha[13] * tr[7];
-    ghat[38] += 0.22360679774997896 * alpha[14] * tr[38];
-    ghat[38] += 0.22360679774997896 * alpha[27] * tr[19];
-    ghat[38] += 0.22360679774997896 * alpha[30] * tr[24];
-    ghat[39] += 0.25 * alpha[0] * tr[39];
-    ghat[39] += 0.22360679774997896 * alpha[3] * tr[25];
-    ghat[39] += 0.25 * alpha[4] * tr[20];
-    ghat[39] += 0.25 * alpha[10] * tr[11];
-    ghat[39] += 0.15971914124998499 * alpha[10] * tr[39];
-    ghat[39] += 0.22360679774997896 * alpha[13] * tr[8];
-    ghat[39] += 0.19999999999999998 * alpha[13] * tr[42];
-    ghat[39] += 0.22360679774997896 * alpha[14] * tr[39];
-    ghat[39] += 0.25 * alpha[27] * tr[1];
-    ghat[39] += 0.15971914124998499 * alpha[27] * tr[20];
-    ghat[39] += 0.22360679774997896 * alpha[27] * tr[28];
-    ghat[39] += 0.19999999999999998 * alpha[30] * tr[25];
-    ghat[40] += 0.25 * alpha[0] * tr[40];
-    ghat[40] += 0.22360679774997896 * alpha[3] * tr[26];
-    ghat[40] += 0.25 * alpha[4] * tr[21];
-    ghat[40] += 0.25 * alpha[10] * tr[12];
-    ghat[40] += 0.15971914124998499 * alpha[10] * tr[40];
-    ghat[40] += 0.22360679774997896 * alpha[13] * tr[9];
-    ghat[40] += 0.19999999999999998 * alpha[13] * tr[43];
-    ghat[40] += 0.22360679774997896 * alpha[14] * tr[40];
-    ghat[40] += 0.25 * alpha[27] * tr[2];
-    ghat[40] += 0.15971914124998499 * alpha[27] * tr[21];
-    ghat[40] += 0.22360679774997896 * alpha[27] * tr[29];
-    ghat[40] += 0.19999999999999998 * alpha[30] * tr[26];
-    ghat[41] += 0.25 * alpha[0] * tr[41];
-    ghat[41] += 0.25 * alpha[3] * tr[47];
-    ghat[41] += 0.22360679774997896 * alpha[4] * tr[23];
-    ghat[41] += 0.22360679774997896 * alpha[13] * tr[37];
-    ghat[41] += 0.25 * alpha[14] * tr[6];
-    ghat[41] += 0.15971914124998499 * alpha[14] * tr[41];
-    ghat[41] += 0.22360679774997896 * alpha[27] * tr[46];
-    ghat[41] += 0.25 * alpha[30] * tr[18];
-    ghat[41] += 0.15971914124998499 * alpha[30] * tr[47];
-    ghat[42] += 0.25 * alpha[0] * tr[42];
-    ghat[42] += 0.25 * alpha[3] * tr[28];
-    ghat[42] += 0.22360679774997896 * alpha[4] * tr[25];
-    ghat[42] += 0.22360679774997896 * alpha[10] * tr[42];
-    ghat[42] += 0.22360679774997896 * alpha[13] * tr[11];
-    ghat[42] += 0.19999999999999998 * alpha[13] * tr[39];
-    ghat[42] += 0.25 * alpha[14] * tr[8];
-    ghat[42] += 0.15971914124998499 * alpha[14] * tr[42];
-    ghat[42] += 0.19999999999999998 * alpha[27] * tr[25];
-    ghat[42] += 0.25 * alpha[30] * tr[1];
-    ghat[42] += 0.22360679774997896 * alpha[30] * tr[20];
-    ghat[42] += 0.15971914124998499 * alpha[30] * tr[28];
-    ghat[43] += 0.25 * alpha[0] * tr[43];
-    ghat[43] += 0.25 * alpha[3] * tr[29];
-    ghat[43] += 0.22360679774997896 * alpha[4] * tr[26];
-    ghat[43] += 0.22360679774997896 * alpha[10] * tr[43];
-    ghat[43] += 0.22360679774997896 * alpha[13] * tr[12];
-    ghat[43] += 0.19999999999999998 * alpha[13] * tr[40];
-    ghat[43] += 0.25 * alpha[14] * tr[9];
-    ghat[43] += 0.15971914124998499 * alpha[14] * tr[43];
-    ghat[43] += 0.19999999999999998 * alpha[27] * tr[26];
-    ghat[43] += 0.25 * alpha[30] * tr[2];
-    ghat[43] += 0.22360679774997896 * alpha[30] * tr[21];
-    ghat[43] += 0.15971914124998499 * alpha[30] * tr[29];
-    ghat[44] += 0.25 * alpha[0] * tr[44];
-    ghat[44] += 0.25 * alpha[3] * tr[34];
-    ghat[44] += 0.25 * alpha[4] * tr[31];
-    ghat[44] += 0.22360679774997896 * alpha[10] * tr[44];
-    ghat[44] += 0.25 * alpha[13] * tr[15];
-    ghat[44] += 0.22360679774997896 * alpha[14] * tr[44];
-    ghat[44] += 0.22360679774997896 * alpha[27] * tr[31];
-    ghat[44] += 0.22360679774997896 * alpha[30] * tr[34];
-    ghat[45] += 0.25 * alpha[0] * tr[45];
-    ghat[45] += 0.25 * alpha[3] * tr[35];
-    ghat[45] += 0.25 * alpha[4] * tr[32];
-    ghat[45] += 0.22360679774997896 * alpha[10] * tr[45];
-    ghat[45] += 0.25 * alpha[13] * tr[16];
-    ghat[45] += 0.22360679774997896 * alpha[14] * tr[45];
-    ghat[45] += 0.22360679774997896 * alpha[27] * tr[32];
-    ghat[45] += 0.22360679774997896 * alpha[30] * tr[35];
-    ghat[46] += 0.25 * alpha[0] * tr[46];
-    ghat[46] += 0.22360679774997896 * alpha[3] * tr[37];
-    ghat[46] += 0.25 * alpha[4] * tr[33];
-    ghat[46] += 0.25 * alpha[10] * tr[23];
-    ghat[46] += 0.15971914124998499 * alpha[10] * tr[46];
-    ghat[46] += 0.22360679774997896 * alpha[13] * tr[18];
-    ghat[46] += 0.2 * alpha[13] * tr[47];
-    ghat[46] += 0.22360679774997896 * alpha[14] * tr[46];
-    ghat[46] += 0.25 * alpha[27] * tr[6];
-    ghat[46] += 0.15971914124998499 * alpha[27] * tr[33];
-    ghat[46] += 0.22360679774997896 * alpha[27] * tr[41];
-    ghat[46] += 0.2 * alpha[30] * tr[37];
-    ghat[47] += 0.25 * alpha[0] * tr[47];
-    ghat[47] += 0.25 * alpha[3] * tr[41];
-    ghat[47] += 0.22360679774997896 * alpha[4] * tr[37];
-    ghat[47] += 0.22360679774997896 * alpha[10] * tr[47];
-    ghat[47] += 0.22360679774997896 * alpha[13] * tr[23];
-    ghat[47] += 0.2 * alpha[13] * tr[46];
-    ghat[47] += 0.25 * alpha[14] * tr[18];
-    ghat[47] += 0.15971914124998499 * alpha[14] * tr[47];
-    ghat[47] += 0.2 * alpha[27] * tr[37];
-    ghat[47] += 0.25 * alpha[30] * tr[6];
-    ghat[47] += 0.22360679774997896 * alpha[30] * tr[33];
-    ghat[47] += 0.15971914124998499 * alpha[30] * tr[41];
-    out_lo[0] += nu * scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += nu * scale * 0.7071067811865476 * ghat[1];
-    out_lo[2] += nu * scale * 0.7071067811865476 * ghat[2];
-    out_lo[3] += nu * scale * 1.224744871391589 * ghat[0];
-    out_lo[4] += nu * scale * 0.7071067811865476 * ghat[3];
-    out_lo[5] += nu * scale * 0.7071067811865476 * ghat[4];
-    out_lo[6] += nu * scale * 0.7071067811865476 * ghat[5];
-    out_lo[7] += nu * scale * 0.7071067811865476 * ghat[6];
-    out_lo[8] += nu * scale * 0.7071067811865476 * ghat[7];
-    out_lo[9] += nu * scale * 1.224744871391589 * ghat[1];
-    out_lo[10] += nu * scale * 1.224744871391589 * ghat[2];
-    out_lo[11] += nu * scale * 1.5811388300841898 * ghat[0];
-    out_lo[12] += nu * scale * 0.7071067811865476 * ghat[8];
-    out_lo[13] += nu * scale * 0.7071067811865476 * ghat[9];
-    out_lo[14] += nu * scale * 1.224744871391589 * ghat[3];
-    out_lo[15] += nu * scale * 0.7071067811865476 * ghat[10];
-    out_lo[16] += nu * scale * 0.7071067811865476 * ghat[11];
-    out_lo[17] += nu * scale * 0.7071067811865476 * ghat[12];
-    out_lo[18] += nu * scale * 1.224744871391589 * ghat[4];
-    out_lo[19] += nu * scale * 0.7071067811865476 * ghat[13];
-    out_lo[20] += nu * scale * 0.7071067811865476 * ghat[14];
-    out_lo[21] += nu * scale * 0.7071067811865476 * ghat[15];
-    out_lo[22] += nu * scale * 0.7071067811865476 * ghat[16];
-    out_lo[23] += nu * scale * 1.224744871391589 * ghat[5];
-    out_lo[24] += nu * scale * 1.224744871391589 * ghat[6];
-    out_lo[25] += nu * scale * 1.224744871391589 * ghat[7];
-    out_lo[26] += nu * scale * 1.5811388300841898 * ghat[1];
-    out_lo[27] += nu * scale * 1.5811388300841898 * ghat[2];
-    out_lo[28] += nu * scale * 0.7071067811865476 * ghat[17];
-    out_lo[29] += nu * scale * 0.7071067811865476 * ghat[18];
-    out_lo[30] += nu * scale * 0.7071067811865476 * ghat[19];
-    out_lo[31] += nu * scale * 1.224744871391589 * ghat[8];
-    out_lo[32] += nu * scale * 1.224744871391589 * ghat[9];
-    out_lo[33] += nu * scale * 1.5811388300841898 * ghat[3];
-    out_lo[34] += nu * scale * 0.7071067811865476 * ghat[20];
-    out_lo[35] += nu * scale * 0.7071067811865476 * ghat[21];
-    out_lo[36] += nu * scale * 1.224744871391589 * ghat[10];
-    out_lo[37] += nu * scale * 0.7071067811865476 * ghat[22];
-    out_lo[38] += nu * scale * 0.7071067811865476 * ghat[23];
-    out_lo[39] += nu * scale * 0.7071067811865476 * ghat[24];
-    out_lo[40] += nu * scale * 1.224744871391589 * ghat[11];
-    out_lo[41] += nu * scale * 1.224744871391589 * ghat[12];
-    out_lo[42] += nu * scale * 1.5811388300841898 * ghat[4];
-    out_lo[43] += nu * scale * 0.7071067811865476 * ghat[25];
-    out_lo[44] += nu * scale * 0.7071067811865476 * ghat[26];
-    out_lo[45] += nu * scale * 1.224744871391589 * ghat[13];
-    out_lo[46] += nu * scale * 0.7071067811865476 * ghat[27];
-    out_lo[47] += nu * scale * 0.7071067811865476 * ghat[28];
-    out_lo[48] += nu * scale * 0.7071067811865476 * ghat[29];
-    out_lo[49] += nu * scale * 1.224744871391589 * ghat[14];
-    out_lo[50] += nu * scale * 0.7071067811865476 * ghat[30];
-    out_lo[51] += nu * scale * 1.224744871391589 * ghat[15];
-    out_lo[52] += nu * scale * 1.224744871391589 * ghat[16];
-    out_lo[53] += nu * scale * 1.5811388300841898 * ghat[6];
-    out_lo[54] += nu * scale * 0.7071067811865476 * ghat[31];
-    out_lo[55] += nu * scale * 0.7071067811865476 * ghat[32];
-    out_lo[56] += nu * scale * 1.224744871391589 * ghat[17];
-    out_lo[57] += nu * scale * 1.224744871391589 * ghat[18];
-    out_lo[58] += nu * scale * 1.224744871391589 * ghat[19];
-    out_lo[59] += nu * scale * 1.5811388300841898 * ghat[8];
-    out_lo[60] += nu * scale * 1.5811388300841898 * ghat[9];
-    out_lo[61] += nu * scale * 0.7071067811865476 * ghat[33];
-    out_lo[62] += nu * scale * 1.224744871391589 * ghat[20];
-    out_lo[63] += nu * scale * 1.224744871391589 * ghat[21];
-    out_lo[64] += nu * scale * 0.7071067811865476 * ghat[34];
-    out_lo[65] += nu * scale * 0.7071067811865476 * ghat[35];
-    out_lo[66] += nu * scale * 1.224744871391589 * ghat[22];
-    out_lo[67] += nu * scale * 1.224744871391589 * ghat[23];
-    out_lo[68] += nu * scale * 1.224744871391589 * ghat[24];
-    out_lo[69] += nu * scale * 1.5811388300841898 * ghat[11];
-    out_lo[70] += nu * scale * 1.5811388300841898 * ghat[12];
-    out_lo[71] += nu * scale * 0.7071067811865476 * ghat[36];
-    out_lo[72] += nu * scale * 0.7071067811865476 * ghat[37];
-    out_lo[73] += nu * scale * 0.7071067811865476 * ghat[38];
-    out_lo[74] += nu * scale * 1.224744871391589 * ghat[25];
-    out_lo[75] += nu * scale * 1.224744871391589 * ghat[26];
-    out_lo[76] += nu * scale * 1.5811388300841898 * ghat[13];
-    out_lo[77] += nu * scale * 0.7071067811865476 * ghat[39];
-    out_lo[78] += nu * scale * 0.7071067811865476 * ghat[40];
-    out_lo[79] += nu * scale * 1.224744871391589 * ghat[27];
-    out_lo[80] += nu * scale * 0.7071067811865476 * ghat[41];
-    out_lo[81] += nu * scale * 1.224744871391589 * ghat[28];
-    out_lo[82] += nu * scale * 1.224744871391589 * ghat[29];
-    out_lo[83] += nu * scale * 0.7071067811865476 * ghat[42];
-    out_lo[84] += nu * scale * 0.7071067811865476 * ghat[43];
-    out_lo[85] += nu * scale * 1.224744871391589 * ghat[30];
-    out_lo[86] += nu * scale * 1.224744871391589 * ghat[31];
-    out_lo[87] += nu * scale * 1.224744871391589 * ghat[32];
-    out_lo[88] += nu * scale * 1.5811388300841898 * ghat[18];
-    out_lo[89] += nu * scale * 1.224744871391589 * ghat[33];
-    out_lo[90] += nu * scale * 1.224744871391589 * ghat[34];
-    out_lo[91] += nu * scale * 1.224744871391589 * ghat[35];
-    out_lo[92] += nu * scale * 1.5811388300841898 * ghat[23];
-    out_lo[93] += nu * scale * 0.7071067811865476 * ghat[44];
-    out_lo[94] += nu * scale * 0.7071067811865476 * ghat[45];
-    out_lo[95] += nu * scale * 1.224744871391589 * ghat[36];
-    out_lo[96] += nu * scale * 1.224744871391589 * ghat[37];
-    out_lo[97] += nu * scale * 1.224744871391589 * ghat[38];
-    out_lo[98] += nu * scale * 1.5811388300841898 * ghat[25];
-    out_lo[99] += nu * scale * 1.5811388300841898 * ghat[26];
-    out_lo[100] += nu * scale * 0.7071067811865476 * ghat[46];
-    out_lo[101] += nu * scale * 1.224744871391589 * ghat[39];
-    out_lo[102] += nu * scale * 1.224744871391589 * ghat[40];
-    out_lo[103] += nu * scale * 1.224744871391589 * ghat[41];
-    out_lo[104] += nu * scale * 0.7071067811865476 * ghat[47];
-    out_lo[105] += nu * scale * 1.224744871391589 * ghat[42];
-    out_lo[106] += nu * scale * 1.224744871391589 * ghat[43];
-    out_lo[107] += nu * scale * 1.224744871391589 * ghat[44];
-    out_lo[108] += nu * scale * 1.224744871391589 * ghat[45];
-    out_lo[109] += nu * scale * 1.5811388300841898 * ghat[37];
-    out_lo[110] += nu * scale * 1.224744871391589 * ghat[46];
-    out_lo[111] += nu * scale * 1.224744871391589 * ghat[47];
-    out_hi[0] += -nu * scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += -nu * scale * 0.7071067811865476 * ghat[1];
-    out_hi[2] += -nu * scale * 0.7071067811865476 * ghat[2];
-    out_hi[3] += -nu * scale * -1.224744871391589 * ghat[0];
-    out_hi[4] += -nu * scale * 0.7071067811865476 * ghat[3];
-    out_hi[5] += -nu * scale * 0.7071067811865476 * ghat[4];
-    out_hi[6] += -nu * scale * 0.7071067811865476 * ghat[5];
-    out_hi[7] += -nu * scale * 0.7071067811865476 * ghat[6];
-    out_hi[8] += -nu * scale * 0.7071067811865476 * ghat[7];
-    out_hi[9] += -nu * scale * -1.224744871391589 * ghat[1];
-    out_hi[10] += -nu * scale * -1.224744871391589 * ghat[2];
-    out_hi[11] += -nu * scale * 1.5811388300841898 * ghat[0];
-    out_hi[12] += -nu * scale * 0.7071067811865476 * ghat[8];
-    out_hi[13] += -nu * scale * 0.7071067811865476 * ghat[9];
-    out_hi[14] += -nu * scale * -1.224744871391589 * ghat[3];
-    out_hi[15] += -nu * scale * 0.7071067811865476 * ghat[10];
-    out_hi[16] += -nu * scale * 0.7071067811865476 * ghat[11];
-    out_hi[17] += -nu * scale * 0.7071067811865476 * ghat[12];
-    out_hi[18] += -nu * scale * -1.224744871391589 * ghat[4];
-    out_hi[19] += -nu * scale * 0.7071067811865476 * ghat[13];
-    out_hi[20] += -nu * scale * 0.7071067811865476 * ghat[14];
-    out_hi[21] += -nu * scale * 0.7071067811865476 * ghat[15];
-    out_hi[22] += -nu * scale * 0.7071067811865476 * ghat[16];
-    out_hi[23] += -nu * scale * -1.224744871391589 * ghat[5];
-    out_hi[24] += -nu * scale * -1.224744871391589 * ghat[6];
-    out_hi[25] += -nu * scale * -1.224744871391589 * ghat[7];
-    out_hi[26] += -nu * scale * 1.5811388300841898 * ghat[1];
-    out_hi[27] += -nu * scale * 1.5811388300841898 * ghat[2];
-    out_hi[28] += -nu * scale * 0.7071067811865476 * ghat[17];
-    out_hi[29] += -nu * scale * 0.7071067811865476 * ghat[18];
-    out_hi[30] += -nu * scale * 0.7071067811865476 * ghat[19];
-    out_hi[31] += -nu * scale * -1.224744871391589 * ghat[8];
-    out_hi[32] += -nu * scale * -1.224744871391589 * ghat[9];
-    out_hi[33] += -nu * scale * 1.5811388300841898 * ghat[3];
-    out_hi[34] += -nu * scale * 0.7071067811865476 * ghat[20];
-    out_hi[35] += -nu * scale * 0.7071067811865476 * ghat[21];
-    out_hi[36] += -nu * scale * -1.224744871391589 * ghat[10];
-    out_hi[37] += -nu * scale * 0.7071067811865476 * ghat[22];
-    out_hi[38] += -nu * scale * 0.7071067811865476 * ghat[23];
-    out_hi[39] += -nu * scale * 0.7071067811865476 * ghat[24];
-    out_hi[40] += -nu * scale * -1.224744871391589 * ghat[11];
-    out_hi[41] += -nu * scale * -1.224744871391589 * ghat[12];
-    out_hi[42] += -nu * scale * 1.5811388300841898 * ghat[4];
-    out_hi[43] += -nu * scale * 0.7071067811865476 * ghat[25];
-    out_hi[44] += -nu * scale * 0.7071067811865476 * ghat[26];
-    out_hi[45] += -nu * scale * -1.224744871391589 * ghat[13];
-    out_hi[46] += -nu * scale * 0.7071067811865476 * ghat[27];
-    out_hi[47] += -nu * scale * 0.7071067811865476 * ghat[28];
-    out_hi[48] += -nu * scale * 0.7071067811865476 * ghat[29];
-    out_hi[49] += -nu * scale * -1.224744871391589 * ghat[14];
-    out_hi[50] += -nu * scale * 0.7071067811865476 * ghat[30];
-    out_hi[51] += -nu * scale * -1.224744871391589 * ghat[15];
-    out_hi[52] += -nu * scale * -1.224744871391589 * ghat[16];
-    out_hi[53] += -nu * scale * 1.5811388300841898 * ghat[6];
-    out_hi[54] += -nu * scale * 0.7071067811865476 * ghat[31];
-    out_hi[55] += -nu * scale * 0.7071067811865476 * ghat[32];
-    out_hi[56] += -nu * scale * -1.224744871391589 * ghat[17];
-    out_hi[57] += -nu * scale * -1.224744871391589 * ghat[18];
-    out_hi[58] += -nu * scale * -1.224744871391589 * ghat[19];
-    out_hi[59] += -nu * scale * 1.5811388300841898 * ghat[8];
-    out_hi[60] += -nu * scale * 1.5811388300841898 * ghat[9];
-    out_hi[61] += -nu * scale * 0.7071067811865476 * ghat[33];
-    out_hi[62] += -nu * scale * -1.224744871391589 * ghat[20];
-    out_hi[63] += -nu * scale * -1.224744871391589 * ghat[21];
-    out_hi[64] += -nu * scale * 0.7071067811865476 * ghat[34];
-    out_hi[65] += -nu * scale * 0.7071067811865476 * ghat[35];
-    out_hi[66] += -nu * scale * -1.224744871391589 * ghat[22];
-    out_hi[67] += -nu * scale * -1.224744871391589 * ghat[23];
-    out_hi[68] += -nu * scale * -1.224744871391589 * ghat[24];
-    out_hi[69] += -nu * scale * 1.5811388300841898 * ghat[11];
-    out_hi[70] += -nu * scale * 1.5811388300841898 * ghat[12];
-    out_hi[71] += -nu * scale * 0.7071067811865476 * ghat[36];
-    out_hi[72] += -nu * scale * 0.7071067811865476 * ghat[37];
-    out_hi[73] += -nu * scale * 0.7071067811865476 * ghat[38];
-    out_hi[74] += -nu * scale * -1.224744871391589 * ghat[25];
-    out_hi[75] += -nu * scale * -1.224744871391589 * ghat[26];
-    out_hi[76] += -nu * scale * 1.5811388300841898 * ghat[13];
-    out_hi[77] += -nu * scale * 0.7071067811865476 * ghat[39];
-    out_hi[78] += -nu * scale * 0.7071067811865476 * ghat[40];
-    out_hi[79] += -nu * scale * -1.224744871391589 * ghat[27];
-    out_hi[80] += -nu * scale * 0.7071067811865476 * ghat[41];
-    out_hi[81] += -nu * scale * -1.224744871391589 * ghat[28];
-    out_hi[82] += -nu * scale * -1.224744871391589 * ghat[29];
-    out_hi[83] += -nu * scale * 0.7071067811865476 * ghat[42];
-    out_hi[84] += -nu * scale * 0.7071067811865476 * ghat[43];
-    out_hi[85] += -nu * scale * -1.224744871391589 * ghat[30];
-    out_hi[86] += -nu * scale * -1.224744871391589 * ghat[31];
-    out_hi[87] += -nu * scale * -1.224744871391589 * ghat[32];
-    out_hi[88] += -nu * scale * 1.5811388300841898 * ghat[18];
-    out_hi[89] += -nu * scale * -1.224744871391589 * ghat[33];
-    out_hi[90] += -nu * scale * -1.224744871391589 * ghat[34];
-    out_hi[91] += -nu * scale * -1.224744871391589 * ghat[35];
-    out_hi[92] += -nu * scale * 1.5811388300841898 * ghat[23];
-    out_hi[93] += -nu * scale * 0.7071067811865476 * ghat[44];
-    out_hi[94] += -nu * scale * 0.7071067811865476 * ghat[45];
-    out_hi[95] += -nu * scale * -1.224744871391589 * ghat[36];
-    out_hi[96] += -nu * scale * -1.224744871391589 * ghat[37];
-    out_hi[97] += -nu * scale * -1.224744871391589 * ghat[38];
-    out_hi[98] += -nu * scale * 1.5811388300841898 * ghat[25];
-    out_hi[99] += -nu * scale * 1.5811388300841898 * ghat[26];
-    out_hi[100] += -nu * scale * 0.7071067811865476 * ghat[46];
-    out_hi[101] += -nu * scale * -1.224744871391589 * ghat[39];
-    out_hi[102] += -nu * scale * -1.224744871391589 * ghat[40];
-    out_hi[103] += -nu * scale * -1.224744871391589 * ghat[41];
-    out_hi[104] += -nu * scale * 0.7071067811865476 * ghat[47];
-    out_hi[105] += -nu * scale * -1.224744871391589 * ghat[42];
-    out_hi[106] += -nu * scale * -1.224744871391589 * ghat[43];
-    out_hi[107] += -nu * scale * -1.224744871391589 * ghat[44];
-    out_hi[108] += -nu * scale * -1.224744871391589 * ghat[45];
-    out_hi[109] += -nu * scale * 1.5811388300841898 * ghat[37];
-    out_hi[110] += -nu * scale * -1.224744871391589 * ghat[46];
-    out_hi[111] += -nu * scale * -1.224744871391589 * ghat[47];
+    let mut alpha = [[0.0f64; L]; 48];
+    for k in 0..L {
+        alpha[0][k] = 2.0 * vth2[0][k];
+        alpha[3][k] = 2.0 * vth2[1][k];
+        alpha[4][k] = 2.0 * vth2[2][k];
+        alpha[10][k] = 2.0 * vth2[3][k];
+        alpha[13][k] = 2.0 * vth2[4][k];
+        alpha[14][k] = 2.0 * vth2[5][k];
+        alpha[27][k] = 2.0 * vth2[6][k];
+        alpha[30][k] = 2.0 * vth2[7][k];
+    }
+    let mut tr = [[0.0f64; L]; 48];
+    sxn(&mut tr[0], 0.7071067811865476, &g_lo[0]);
+    sxn(&mut tr[1], 0.7071067811865476, &g_lo[1]);
+    sxn(&mut tr[2], 0.7071067811865476, &g_lo[2]);
+    sxn(&mut tr[0], 1.224744871391589, &g_lo[3]);
+    sxn(&mut tr[3], 0.7071067811865476, &g_lo[4]);
+    sxn(&mut tr[4], 0.7071067811865476, &g_lo[5]);
+    sxn(&mut tr[5], 0.7071067811865476, &g_lo[6]);
+    sxn(&mut tr[6], 0.7071067811865476, &g_lo[7]);
+    sxn(&mut tr[7], 0.7071067811865476, &g_lo[8]);
+    sxn(&mut tr[1], 1.224744871391589, &g_lo[9]);
+    sxn(&mut tr[2], 1.224744871391589, &g_lo[10]);
+    sxn(&mut tr[0], 1.5811388300841898, &g_lo[11]);
+    sxn(&mut tr[8], 0.7071067811865476, &g_lo[12]);
+    sxn(&mut tr[9], 0.7071067811865476, &g_lo[13]);
+    sxn(&mut tr[3], 1.224744871391589, &g_lo[14]);
+    sxn(&mut tr[10], 0.7071067811865476, &g_lo[15]);
+    sxn(&mut tr[11], 0.7071067811865476, &g_lo[16]);
+    sxn(&mut tr[12], 0.7071067811865476, &g_lo[17]);
+    sxn(&mut tr[4], 1.224744871391589, &g_lo[18]);
+    sxn(&mut tr[13], 0.7071067811865476, &g_lo[19]);
+    sxn(&mut tr[14], 0.7071067811865476, &g_lo[20]);
+    sxn(&mut tr[15], 0.7071067811865476, &g_lo[21]);
+    sxn(&mut tr[16], 0.7071067811865476, &g_lo[22]);
+    sxn(&mut tr[5], 1.224744871391589, &g_lo[23]);
+    sxn(&mut tr[6], 1.224744871391589, &g_lo[24]);
+    sxn(&mut tr[7], 1.224744871391589, &g_lo[25]);
+    sxn(&mut tr[1], 1.5811388300841898, &g_lo[26]);
+    sxn(&mut tr[2], 1.5811388300841898, &g_lo[27]);
+    sxn(&mut tr[17], 0.7071067811865476, &g_lo[28]);
+    sxn(&mut tr[18], 0.7071067811865476, &g_lo[29]);
+    sxn(&mut tr[19], 0.7071067811865476, &g_lo[30]);
+    sxn(&mut tr[8], 1.224744871391589, &g_lo[31]);
+    sxn(&mut tr[9], 1.224744871391589, &g_lo[32]);
+    sxn(&mut tr[3], 1.5811388300841898, &g_lo[33]);
+    sxn(&mut tr[20], 0.7071067811865476, &g_lo[34]);
+    sxn(&mut tr[21], 0.7071067811865476, &g_lo[35]);
+    sxn(&mut tr[10], 1.224744871391589, &g_lo[36]);
+    sxn(&mut tr[22], 0.7071067811865476, &g_lo[37]);
+    sxn(&mut tr[23], 0.7071067811865476, &g_lo[38]);
+    sxn(&mut tr[24], 0.7071067811865476, &g_lo[39]);
+    sxn(&mut tr[11], 1.224744871391589, &g_lo[40]);
+    sxn(&mut tr[12], 1.224744871391589, &g_lo[41]);
+    sxn(&mut tr[4], 1.5811388300841898, &g_lo[42]);
+    sxn(&mut tr[25], 0.7071067811865476, &g_lo[43]);
+    sxn(&mut tr[26], 0.7071067811865476, &g_lo[44]);
+    sxn(&mut tr[13], 1.224744871391589, &g_lo[45]);
+    sxn(&mut tr[27], 0.7071067811865476, &g_lo[46]);
+    sxn(&mut tr[28], 0.7071067811865476, &g_lo[47]);
+    sxn(&mut tr[29], 0.7071067811865476, &g_lo[48]);
+    sxn(&mut tr[14], 1.224744871391589, &g_lo[49]);
+    sxn(&mut tr[30], 0.7071067811865476, &g_lo[50]);
+    sxn(&mut tr[15], 1.224744871391589, &g_lo[51]);
+    sxn(&mut tr[16], 1.224744871391589, &g_lo[52]);
+    sxn(&mut tr[6], 1.5811388300841898, &g_lo[53]);
+    sxn(&mut tr[31], 0.7071067811865476, &g_lo[54]);
+    sxn(&mut tr[32], 0.7071067811865476, &g_lo[55]);
+    sxn(&mut tr[17], 1.224744871391589, &g_lo[56]);
+    sxn(&mut tr[18], 1.224744871391589, &g_lo[57]);
+    sxn(&mut tr[19], 1.224744871391589, &g_lo[58]);
+    sxn(&mut tr[8], 1.5811388300841898, &g_lo[59]);
+    sxn(&mut tr[9], 1.5811388300841898, &g_lo[60]);
+    sxn(&mut tr[33], 0.7071067811865476, &g_lo[61]);
+    sxn(&mut tr[20], 1.224744871391589, &g_lo[62]);
+    sxn(&mut tr[21], 1.224744871391589, &g_lo[63]);
+    sxn(&mut tr[34], 0.7071067811865476, &g_lo[64]);
+    sxn(&mut tr[35], 0.7071067811865476, &g_lo[65]);
+    sxn(&mut tr[22], 1.224744871391589, &g_lo[66]);
+    sxn(&mut tr[23], 1.224744871391589, &g_lo[67]);
+    sxn(&mut tr[24], 1.224744871391589, &g_lo[68]);
+    sxn(&mut tr[11], 1.5811388300841898, &g_lo[69]);
+    sxn(&mut tr[12], 1.5811388300841898, &g_lo[70]);
+    sxn(&mut tr[36], 0.7071067811865476, &g_lo[71]);
+    sxn(&mut tr[37], 0.7071067811865476, &g_lo[72]);
+    sxn(&mut tr[38], 0.7071067811865476, &g_lo[73]);
+    sxn(&mut tr[25], 1.224744871391589, &g_lo[74]);
+    sxn(&mut tr[26], 1.224744871391589, &g_lo[75]);
+    sxn(&mut tr[13], 1.5811388300841898, &g_lo[76]);
+    sxn(&mut tr[39], 0.7071067811865476, &g_lo[77]);
+    sxn(&mut tr[40], 0.7071067811865476, &g_lo[78]);
+    sxn(&mut tr[27], 1.224744871391589, &g_lo[79]);
+    sxn(&mut tr[41], 0.7071067811865476, &g_lo[80]);
+    sxn(&mut tr[28], 1.224744871391589, &g_lo[81]);
+    sxn(&mut tr[29], 1.224744871391589, &g_lo[82]);
+    sxn(&mut tr[42], 0.7071067811865476, &g_lo[83]);
+    sxn(&mut tr[43], 0.7071067811865476, &g_lo[84]);
+    sxn(&mut tr[30], 1.224744871391589, &g_lo[85]);
+    sxn(&mut tr[31], 1.224744871391589, &g_lo[86]);
+    sxn(&mut tr[32], 1.224744871391589, &g_lo[87]);
+    sxn(&mut tr[18], 1.5811388300841898, &g_lo[88]);
+    sxn(&mut tr[33], 1.224744871391589, &g_lo[89]);
+    sxn(&mut tr[34], 1.224744871391589, &g_lo[90]);
+    sxn(&mut tr[35], 1.224744871391589, &g_lo[91]);
+    sxn(&mut tr[23], 1.5811388300841898, &g_lo[92]);
+    sxn(&mut tr[44], 0.7071067811865476, &g_lo[93]);
+    sxn(&mut tr[45], 0.7071067811865476, &g_lo[94]);
+    sxn(&mut tr[36], 1.224744871391589, &g_lo[95]);
+    sxn(&mut tr[37], 1.224744871391589, &g_lo[96]);
+    sxn(&mut tr[38], 1.224744871391589, &g_lo[97]);
+    sxn(&mut tr[25], 1.5811388300841898, &g_lo[98]);
+    sxn(&mut tr[26], 1.5811388300841898, &g_lo[99]);
+    sxn(&mut tr[46], 0.7071067811865476, &g_lo[100]);
+    sxn(&mut tr[39], 1.224744871391589, &g_lo[101]);
+    sxn(&mut tr[40], 1.224744871391589, &g_lo[102]);
+    sxn(&mut tr[41], 1.224744871391589, &g_lo[103]);
+    sxn(&mut tr[47], 0.7071067811865476, &g_lo[104]);
+    sxn(&mut tr[42], 1.224744871391589, &g_lo[105]);
+    sxn(&mut tr[43], 1.224744871391589, &g_lo[106]);
+    sxn(&mut tr[44], 1.224744871391589, &g_lo[107]);
+    sxn(&mut tr[45], 1.224744871391589, &g_lo[108]);
+    sxn(&mut tr[37], 1.5811388300841898, &g_lo[109]);
+    sxn(&mut tr[46], 1.224744871391589, &g_lo[110]);
+    sxn(&mut tr[47], 1.224744871391589, &g_lo[111]);
+    let mut ghat = [[0.0f64; L]; 48];
+    for k in 0..L {
+        ghat[0][k] += 0.25 * alpha[0][k] * tr[0][k];
+        ghat[0][k] += 0.25 * alpha[3][k] * tr[3][k];
+        ghat[0][k] += 0.25 * alpha[4][k] * tr[4][k];
+        ghat[0][k] += 0.25 * alpha[10][k] * tr[10][k];
+        ghat[0][k] += 0.25 * alpha[13][k] * tr[13][k];
+        ghat[0][k] += 0.25 * alpha[14][k] * tr[14][k];
+        ghat[0][k] += 0.25 * alpha[27][k] * tr[27][k];
+        ghat[0][k] += 0.25 * alpha[30][k] * tr[30][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.25 * alpha[0][k] * tr[1][k];
+        ghat[1][k] += 0.25 * alpha[3][k] * tr[8][k];
+        ghat[1][k] += 0.25 * alpha[4][k] * tr[11][k];
+        ghat[1][k] += 0.25 * alpha[10][k] * tr[20][k];
+        ghat[1][k] += 0.25 * alpha[13][k] * tr[25][k];
+        ghat[1][k] += 0.25 * alpha[14][k] * tr[28][k];
+        ghat[1][k] += 0.25 * alpha[27][k] * tr[39][k];
+        ghat[1][k] += 0.25 * alpha[30][k] * tr[42][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.25 * alpha[0][k] * tr[2][k];
+        ghat[2][k] += 0.25 * alpha[3][k] * tr[9][k];
+        ghat[2][k] += 0.25 * alpha[4][k] * tr[12][k];
+        ghat[2][k] += 0.25 * alpha[10][k] * tr[21][k];
+        ghat[2][k] += 0.25 * alpha[13][k] * tr[26][k];
+        ghat[2][k] += 0.25 * alpha[14][k] * tr[29][k];
+        ghat[2][k] += 0.25 * alpha[27][k] * tr[40][k];
+        ghat[2][k] += 0.25 * alpha[30][k] * tr[43][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.25 * alpha[0][k] * tr[3][k];
+        ghat[3][k] += 0.25 * alpha[3][k] * tr[0][k];
+        ghat[3][k] += 0.22360679774997896 * alpha[3][k] * tr[10][k];
+        ghat[3][k] += 0.25 * alpha[4][k] * tr[13][k];
+        ghat[3][k] += 0.22360679774997896 * alpha[10][k] * tr[3][k];
+        ghat[3][k] += 0.25 * alpha[13][k] * tr[4][k];
+        ghat[3][k] += 0.223606797749979 * alpha[13][k] * tr[27][k];
+        ghat[3][k] += 0.25 * alpha[14][k] * tr[30][k];
+        ghat[3][k] += 0.223606797749979 * alpha[27][k] * tr[13][k];
+        ghat[3][k] += 0.25 * alpha[30][k] * tr[14][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.25 * alpha[0][k] * tr[4][k];
+        ghat[4][k] += 0.25 * alpha[3][k] * tr[13][k];
+        ghat[4][k] += 0.25 * alpha[4][k] * tr[0][k];
+        ghat[4][k] += 0.22360679774997896 * alpha[4][k] * tr[14][k];
+        ghat[4][k] += 0.25 * alpha[10][k] * tr[27][k];
+        ghat[4][k] += 0.25 * alpha[13][k] * tr[3][k];
+        ghat[4][k] += 0.223606797749979 * alpha[13][k] * tr[30][k];
+        ghat[4][k] += 0.22360679774997896 * alpha[14][k] * tr[4][k];
+        ghat[4][k] += 0.25 * alpha[27][k] * tr[10][k];
+        ghat[4][k] += 0.223606797749979 * alpha[30][k] * tr[13][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.25 * alpha[0][k] * tr[5][k];
+        ghat[5][k] += 0.25 * alpha[3][k] * tr[17][k];
+        ghat[5][k] += 0.25 * alpha[4][k] * tr[22][k];
+        ghat[5][k] += 0.25 * alpha[13][k] * tr[36][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.25 * alpha[0][k] * tr[6][k];
+        ghat[6][k] += 0.25 * alpha[3][k] * tr[18][k];
+        ghat[6][k] += 0.25 * alpha[4][k] * tr[23][k];
+        ghat[6][k] += 0.25 * alpha[10][k] * tr[33][k];
+        ghat[6][k] += 0.25 * alpha[13][k] * tr[37][k];
+        ghat[6][k] += 0.25 * alpha[14][k] * tr[41][k];
+        ghat[6][k] += 0.25 * alpha[27][k] * tr[46][k];
+        ghat[6][k] += 0.25 * alpha[30][k] * tr[47][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.25 * alpha[0][k] * tr[7][k];
+        ghat[7][k] += 0.25 * alpha[3][k] * tr[19][k];
+        ghat[7][k] += 0.25 * alpha[4][k] * tr[24][k];
+        ghat[7][k] += 0.25 * alpha[13][k] * tr[38][k];
+    }
+    for k in 0..L {
+        ghat[8][k] += 0.25 * alpha[0][k] * tr[8][k];
+        ghat[8][k] += 0.25 * alpha[3][k] * tr[1][k];
+        ghat[8][k] += 0.223606797749979 * alpha[3][k] * tr[20][k];
+        ghat[8][k] += 0.25 * alpha[4][k] * tr[25][k];
+        ghat[8][k] += 0.223606797749979 * alpha[10][k] * tr[8][k];
+        ghat[8][k] += 0.25 * alpha[13][k] * tr[11][k];
+        ghat[8][k] += 0.22360679774997896 * alpha[13][k] * tr[39][k];
+        ghat[8][k] += 0.25 * alpha[14][k] * tr[42][k];
+        ghat[8][k] += 0.22360679774997896 * alpha[27][k] * tr[25][k];
+        ghat[8][k] += 0.25 * alpha[30][k] * tr[28][k];
+    }
+    for k in 0..L {
+        ghat[9][k] += 0.25 * alpha[0][k] * tr[9][k];
+        ghat[9][k] += 0.25 * alpha[3][k] * tr[2][k];
+        ghat[9][k] += 0.223606797749979 * alpha[3][k] * tr[21][k];
+        ghat[9][k] += 0.25 * alpha[4][k] * tr[26][k];
+        ghat[9][k] += 0.223606797749979 * alpha[10][k] * tr[9][k];
+        ghat[9][k] += 0.25 * alpha[13][k] * tr[12][k];
+        ghat[9][k] += 0.22360679774997896 * alpha[13][k] * tr[40][k];
+        ghat[9][k] += 0.25 * alpha[14][k] * tr[43][k];
+        ghat[9][k] += 0.22360679774997896 * alpha[27][k] * tr[26][k];
+        ghat[9][k] += 0.25 * alpha[30][k] * tr[29][k];
+    }
+    for k in 0..L {
+        ghat[10][k] += 0.25 * alpha[0][k] * tr[10][k];
+        ghat[10][k] += 0.22360679774997896 * alpha[3][k] * tr[3][k];
+        ghat[10][k] += 0.25 * alpha[4][k] * tr[27][k];
+        ghat[10][k] += 0.25 * alpha[10][k] * tr[0][k];
+        ghat[10][k] += 0.15971914124998499 * alpha[10][k] * tr[10][k];
+        ghat[10][k] += 0.223606797749979 * alpha[13][k] * tr[13][k];
+        ghat[10][k] += 0.25 * alpha[27][k] * tr[4][k];
+        ghat[10][k] += 0.15971914124998499 * alpha[27][k] * tr[27][k];
+        ghat[10][k] += 0.22360679774997896 * alpha[30][k] * tr[30][k];
+    }
+    for k in 0..L {
+        ghat[11][k] += 0.25 * alpha[0][k] * tr[11][k];
+        ghat[11][k] += 0.25 * alpha[3][k] * tr[25][k];
+        ghat[11][k] += 0.25 * alpha[4][k] * tr[1][k];
+        ghat[11][k] += 0.223606797749979 * alpha[4][k] * tr[28][k];
+        ghat[11][k] += 0.25 * alpha[10][k] * tr[39][k];
+        ghat[11][k] += 0.25 * alpha[13][k] * tr[8][k];
+        ghat[11][k] += 0.22360679774997896 * alpha[13][k] * tr[42][k];
+        ghat[11][k] += 0.223606797749979 * alpha[14][k] * tr[11][k];
+        ghat[11][k] += 0.25 * alpha[27][k] * tr[20][k];
+        ghat[11][k] += 0.22360679774997896 * alpha[30][k] * tr[25][k];
+    }
+    for k in 0..L {
+        ghat[12][k] += 0.25 * alpha[0][k] * tr[12][k];
+        ghat[12][k] += 0.25 * alpha[3][k] * tr[26][k];
+        ghat[12][k] += 0.25 * alpha[4][k] * tr[2][k];
+        ghat[12][k] += 0.223606797749979 * alpha[4][k] * tr[29][k];
+        ghat[12][k] += 0.25 * alpha[10][k] * tr[40][k];
+        ghat[12][k] += 0.25 * alpha[13][k] * tr[9][k];
+        ghat[12][k] += 0.22360679774997896 * alpha[13][k] * tr[43][k];
+        ghat[12][k] += 0.223606797749979 * alpha[14][k] * tr[12][k];
+        ghat[12][k] += 0.25 * alpha[27][k] * tr[21][k];
+        ghat[12][k] += 0.22360679774997896 * alpha[30][k] * tr[26][k];
+    }
+    for k in 0..L {
+        ghat[13][k] += 0.25 * alpha[0][k] * tr[13][k];
+        ghat[13][k] += 0.25 * alpha[3][k] * tr[4][k];
+        ghat[13][k] += 0.223606797749979 * alpha[3][k] * tr[27][k];
+        ghat[13][k] += 0.25 * alpha[4][k] * tr[3][k];
+        ghat[13][k] += 0.223606797749979 * alpha[4][k] * tr[30][k];
+        ghat[13][k] += 0.223606797749979 * alpha[10][k] * tr[13][k];
+        ghat[13][k] += 0.25 * alpha[13][k] * tr[0][k];
+        ghat[13][k] += 0.223606797749979 * alpha[13][k] * tr[10][k];
+        ghat[13][k] += 0.223606797749979 * alpha[13][k] * tr[14][k];
+        ghat[13][k] += 0.223606797749979 * alpha[14][k] * tr[13][k];
+        ghat[13][k] += 0.223606797749979 * alpha[27][k] * tr[3][k];
+        ghat[13][k] += 0.2 * alpha[27][k] * tr[30][k];
+        ghat[13][k] += 0.223606797749979 * alpha[30][k] * tr[4][k];
+        ghat[13][k] += 0.2 * alpha[30][k] * tr[27][k];
+    }
+    for k in 0..L {
+        ghat[14][k] += 0.25 * alpha[0][k] * tr[14][k];
+        ghat[14][k] += 0.25 * alpha[3][k] * tr[30][k];
+        ghat[14][k] += 0.22360679774997896 * alpha[4][k] * tr[4][k];
+        ghat[14][k] += 0.223606797749979 * alpha[13][k] * tr[13][k];
+        ghat[14][k] += 0.25 * alpha[14][k] * tr[0][k];
+        ghat[14][k] += 0.15971914124998499 * alpha[14][k] * tr[14][k];
+        ghat[14][k] += 0.22360679774997896 * alpha[27][k] * tr[27][k];
+        ghat[14][k] += 0.25 * alpha[30][k] * tr[3][k];
+        ghat[14][k] += 0.15971914124998499 * alpha[30][k] * tr[30][k];
+    }
+    for k in 0..L {
+        ghat[15][k] += 0.25 * alpha[0][k] * tr[15][k];
+        ghat[15][k] += 0.25 * alpha[3][k] * tr[31][k];
+        ghat[15][k] += 0.25 * alpha[4][k] * tr[34][k];
+        ghat[15][k] += 0.25 * alpha[13][k] * tr[44][k];
+    }
+    for k in 0..L {
+        ghat[16][k] += 0.25 * alpha[0][k] * tr[16][k];
+        ghat[16][k] += 0.25 * alpha[3][k] * tr[32][k];
+        ghat[16][k] += 0.25 * alpha[4][k] * tr[35][k];
+        ghat[16][k] += 0.25 * alpha[13][k] * tr[45][k];
+    }
+    for k in 0..L {
+        ghat[17][k] += 0.25 * alpha[0][k] * tr[17][k];
+        ghat[17][k] += 0.25 * alpha[3][k] * tr[5][k];
+        ghat[17][k] += 0.25 * alpha[4][k] * tr[36][k];
+        ghat[17][k] += 0.22360679774997896 * alpha[10][k] * tr[17][k];
+        ghat[17][k] += 0.25 * alpha[13][k] * tr[22][k];
+        ghat[17][k] += 0.22360679774997896 * alpha[27][k] * tr[36][k];
+    }
+    for k in 0..L {
+        ghat[18][k] += 0.25 * alpha[0][k] * tr[18][k];
+        ghat[18][k] += 0.25 * alpha[3][k] * tr[6][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[3][k] * tr[33][k];
+        ghat[18][k] += 0.25 * alpha[4][k] * tr[37][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[10][k] * tr[18][k];
+        ghat[18][k] += 0.25 * alpha[13][k] * tr[23][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[13][k] * tr[46][k];
+        ghat[18][k] += 0.25 * alpha[14][k] * tr[47][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[27][k] * tr[37][k];
+        ghat[18][k] += 0.25 * alpha[30][k] * tr[41][k];
+    }
+    for k in 0..L {
+        ghat[19][k] += 0.25 * alpha[0][k] * tr[19][k];
+        ghat[19][k] += 0.25 * alpha[3][k] * tr[7][k];
+        ghat[19][k] += 0.25 * alpha[4][k] * tr[38][k];
+        ghat[19][k] += 0.22360679774997896 * alpha[10][k] * tr[19][k];
+        ghat[19][k] += 0.25 * alpha[13][k] * tr[24][k];
+        ghat[19][k] += 0.22360679774997896 * alpha[27][k] * tr[38][k];
+    }
+    for k in 0..L {
+        ghat[20][k] += 0.25 * alpha[0][k] * tr[20][k];
+        ghat[20][k] += 0.223606797749979 * alpha[3][k] * tr[8][k];
+        ghat[20][k] += 0.25 * alpha[4][k] * tr[39][k];
+        ghat[20][k] += 0.25 * alpha[10][k] * tr[1][k];
+        ghat[20][k] += 0.15971914124998499 * alpha[10][k] * tr[20][k];
+        ghat[20][k] += 0.22360679774997896 * alpha[13][k] * tr[25][k];
+        ghat[20][k] += 0.25 * alpha[27][k] * tr[11][k];
+        ghat[20][k] += 0.15971914124998499 * alpha[27][k] * tr[39][k];
+        ghat[20][k] += 0.22360679774997896 * alpha[30][k] * tr[42][k];
+    }
+    for k in 0..L {
+        ghat[21][k] += 0.25 * alpha[0][k] * tr[21][k];
+        ghat[21][k] += 0.223606797749979 * alpha[3][k] * tr[9][k];
+        ghat[21][k] += 0.25 * alpha[4][k] * tr[40][k];
+        ghat[21][k] += 0.25 * alpha[10][k] * tr[2][k];
+        ghat[21][k] += 0.15971914124998499 * alpha[10][k] * tr[21][k];
+        ghat[21][k] += 0.22360679774997896 * alpha[13][k] * tr[26][k];
+        ghat[21][k] += 0.25 * alpha[27][k] * tr[12][k];
+        ghat[21][k] += 0.15971914124998499 * alpha[27][k] * tr[40][k];
+        ghat[21][k] += 0.22360679774997896 * alpha[30][k] * tr[43][k];
+    }
+    for k in 0..L {
+        ghat[22][k] += 0.25 * alpha[0][k] * tr[22][k];
+        ghat[22][k] += 0.25 * alpha[3][k] * tr[36][k];
+        ghat[22][k] += 0.25 * alpha[4][k] * tr[5][k];
+        ghat[22][k] += 0.25 * alpha[13][k] * tr[17][k];
+        ghat[22][k] += 0.22360679774997896 * alpha[14][k] * tr[22][k];
+        ghat[22][k] += 0.22360679774997896 * alpha[30][k] * tr[36][k];
+    }
+    for k in 0..L {
+        ghat[23][k] += 0.25 * alpha[0][k] * tr[23][k];
+        ghat[23][k] += 0.25 * alpha[3][k] * tr[37][k];
+        ghat[23][k] += 0.25 * alpha[4][k] * tr[6][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[4][k] * tr[41][k];
+        ghat[23][k] += 0.25 * alpha[10][k] * tr[46][k];
+        ghat[23][k] += 0.25 * alpha[13][k] * tr[18][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[13][k] * tr[47][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[14][k] * tr[23][k];
+        ghat[23][k] += 0.25 * alpha[27][k] * tr[33][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[30][k] * tr[37][k];
+    }
+    for k in 0..L {
+        ghat[24][k] += 0.25 * alpha[0][k] * tr[24][k];
+        ghat[24][k] += 0.25 * alpha[3][k] * tr[38][k];
+        ghat[24][k] += 0.25 * alpha[4][k] * tr[7][k];
+        ghat[24][k] += 0.25 * alpha[13][k] * tr[19][k];
+        ghat[24][k] += 0.22360679774997896 * alpha[14][k] * tr[24][k];
+        ghat[24][k] += 0.22360679774997896 * alpha[30][k] * tr[38][k];
+    }
+    for k in 0..L {
+        ghat[25][k] += 0.25 * alpha[0][k] * tr[25][k];
+        ghat[25][k] += 0.25 * alpha[3][k] * tr[11][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[3][k] * tr[39][k];
+        ghat[25][k] += 0.25 * alpha[4][k] * tr[8][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[4][k] * tr[42][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[10][k] * tr[25][k];
+        ghat[25][k] += 0.25 * alpha[13][k] * tr[1][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[13][k] * tr[20][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[13][k] * tr[28][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[14][k] * tr[25][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[27][k] * tr[8][k];
+        ghat[25][k] += 0.19999999999999998 * alpha[27][k] * tr[42][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[30][k] * tr[11][k];
+        ghat[25][k] += 0.19999999999999998 * alpha[30][k] * tr[39][k];
+    }
+    for k in 0..L {
+        ghat[26][k] += 0.25 * alpha[0][k] * tr[26][k];
+        ghat[26][k] += 0.25 * alpha[3][k] * tr[12][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[3][k] * tr[40][k];
+        ghat[26][k] += 0.25 * alpha[4][k] * tr[9][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[4][k] * tr[43][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[10][k] * tr[26][k];
+        ghat[26][k] += 0.25 * alpha[13][k] * tr[2][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[13][k] * tr[21][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[13][k] * tr[29][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[14][k] * tr[26][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[27][k] * tr[9][k];
+        ghat[26][k] += 0.19999999999999998 * alpha[27][k] * tr[43][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[30][k] * tr[12][k];
+        ghat[26][k] += 0.19999999999999998 * alpha[30][k] * tr[40][k];
+    }
+    for k in 0..L {
+        ghat[27][k] += 0.25 * alpha[0][k] * tr[27][k];
+        ghat[27][k] += 0.223606797749979 * alpha[3][k] * tr[13][k];
+        ghat[27][k] += 0.25 * alpha[4][k] * tr[10][k];
+        ghat[27][k] += 0.25 * alpha[10][k] * tr[4][k];
+        ghat[27][k] += 0.15971914124998499 * alpha[10][k] * tr[27][k];
+        ghat[27][k] += 0.223606797749979 * alpha[13][k] * tr[3][k];
+        ghat[27][k] += 0.2 * alpha[13][k] * tr[30][k];
+        ghat[27][k] += 0.22360679774997896 * alpha[14][k] * tr[27][k];
+        ghat[27][k] += 0.25 * alpha[27][k] * tr[0][k];
+        ghat[27][k] += 0.15971914124998499 * alpha[27][k] * tr[10][k];
+        ghat[27][k] += 0.22360679774997896 * alpha[27][k] * tr[14][k];
+        ghat[27][k] += 0.2 * alpha[30][k] * tr[13][k];
+    }
+    for k in 0..L {
+        ghat[28][k] += 0.25 * alpha[0][k] * tr[28][k];
+        ghat[28][k] += 0.25 * alpha[3][k] * tr[42][k];
+        ghat[28][k] += 0.223606797749979 * alpha[4][k] * tr[11][k];
+        ghat[28][k] += 0.22360679774997896 * alpha[13][k] * tr[25][k];
+        ghat[28][k] += 0.25 * alpha[14][k] * tr[1][k];
+        ghat[28][k] += 0.15971914124998499 * alpha[14][k] * tr[28][k];
+        ghat[28][k] += 0.22360679774997896 * alpha[27][k] * tr[39][k];
+        ghat[28][k] += 0.25 * alpha[30][k] * tr[8][k];
+        ghat[28][k] += 0.15971914124998499 * alpha[30][k] * tr[42][k];
+    }
+    for k in 0..L {
+        ghat[29][k] += 0.25 * alpha[0][k] * tr[29][k];
+        ghat[29][k] += 0.25 * alpha[3][k] * tr[43][k];
+        ghat[29][k] += 0.223606797749979 * alpha[4][k] * tr[12][k];
+        ghat[29][k] += 0.22360679774997896 * alpha[13][k] * tr[26][k];
+        ghat[29][k] += 0.25 * alpha[14][k] * tr[2][k];
+        ghat[29][k] += 0.15971914124998499 * alpha[14][k] * tr[29][k];
+        ghat[29][k] += 0.22360679774997896 * alpha[27][k] * tr[40][k];
+        ghat[29][k] += 0.25 * alpha[30][k] * tr[9][k];
+        ghat[29][k] += 0.15971914124998499 * alpha[30][k] * tr[43][k];
+    }
+    for k in 0..L {
+        ghat[30][k] += 0.25 * alpha[0][k] * tr[30][k];
+        ghat[30][k] += 0.25 * alpha[3][k] * tr[14][k];
+        ghat[30][k] += 0.223606797749979 * alpha[4][k] * tr[13][k];
+        ghat[30][k] += 0.22360679774997896 * alpha[10][k] * tr[30][k];
+        ghat[30][k] += 0.223606797749979 * alpha[13][k] * tr[4][k];
+        ghat[30][k] += 0.2 * alpha[13][k] * tr[27][k];
+        ghat[30][k] += 0.25 * alpha[14][k] * tr[3][k];
+        ghat[30][k] += 0.15971914124998499 * alpha[14][k] * tr[30][k];
+        ghat[30][k] += 0.2 * alpha[27][k] * tr[13][k];
+        ghat[30][k] += 0.25 * alpha[30][k] * tr[0][k];
+        ghat[30][k] += 0.22360679774997896 * alpha[30][k] * tr[10][k];
+        ghat[30][k] += 0.15971914124998499 * alpha[30][k] * tr[14][k];
+    }
+    for k in 0..L {
+        ghat[31][k] += 0.25 * alpha[0][k] * tr[31][k];
+        ghat[31][k] += 0.25 * alpha[3][k] * tr[15][k];
+        ghat[31][k] += 0.25 * alpha[4][k] * tr[44][k];
+        ghat[31][k] += 0.22360679774997896 * alpha[10][k] * tr[31][k];
+        ghat[31][k] += 0.25 * alpha[13][k] * tr[34][k];
+        ghat[31][k] += 0.22360679774997896 * alpha[27][k] * tr[44][k];
+    }
+    for k in 0..L {
+        ghat[32][k] += 0.25 * alpha[0][k] * tr[32][k];
+        ghat[32][k] += 0.25 * alpha[3][k] * tr[16][k];
+        ghat[32][k] += 0.25 * alpha[4][k] * tr[45][k];
+        ghat[32][k] += 0.22360679774997896 * alpha[10][k] * tr[32][k];
+        ghat[32][k] += 0.25 * alpha[13][k] * tr[35][k];
+        ghat[32][k] += 0.22360679774997896 * alpha[27][k] * tr[45][k];
+    }
+    for k in 0..L {
+        ghat[33][k] += 0.25 * alpha[0][k] * tr[33][k];
+        ghat[33][k] += 0.22360679774997896 * alpha[3][k] * tr[18][k];
+        ghat[33][k] += 0.25 * alpha[4][k] * tr[46][k];
+        ghat[33][k] += 0.25 * alpha[10][k] * tr[6][k];
+        ghat[33][k] += 0.15971914124998499 * alpha[10][k] * tr[33][k];
+        ghat[33][k] += 0.22360679774997896 * alpha[13][k] * tr[37][k];
+        ghat[33][k] += 0.25 * alpha[27][k] * tr[23][k];
+        ghat[33][k] += 0.15971914124998499 * alpha[27][k] * tr[46][k];
+        ghat[33][k] += 0.22360679774997896 * alpha[30][k] * tr[47][k];
+    }
+    for k in 0..L {
+        ghat[34][k] += 0.25 * alpha[0][k] * tr[34][k];
+        ghat[34][k] += 0.25 * alpha[3][k] * tr[44][k];
+        ghat[34][k] += 0.25 * alpha[4][k] * tr[15][k];
+        ghat[34][k] += 0.25 * alpha[13][k] * tr[31][k];
+        ghat[34][k] += 0.22360679774997896 * alpha[14][k] * tr[34][k];
+        ghat[34][k] += 0.22360679774997896 * alpha[30][k] * tr[44][k];
+    }
+    for k in 0..L {
+        ghat[35][k] += 0.25 * alpha[0][k] * tr[35][k];
+        ghat[35][k] += 0.25 * alpha[3][k] * tr[45][k];
+        ghat[35][k] += 0.25 * alpha[4][k] * tr[16][k];
+        ghat[35][k] += 0.25 * alpha[13][k] * tr[32][k];
+        ghat[35][k] += 0.22360679774997896 * alpha[14][k] * tr[35][k];
+        ghat[35][k] += 0.22360679774997896 * alpha[30][k] * tr[45][k];
+    }
+    for k in 0..L {
+        ghat[36][k] += 0.25 * alpha[0][k] * tr[36][k];
+        ghat[36][k] += 0.25 * alpha[3][k] * tr[22][k];
+        ghat[36][k] += 0.25 * alpha[4][k] * tr[17][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[10][k] * tr[36][k];
+        ghat[36][k] += 0.25 * alpha[13][k] * tr[5][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[14][k] * tr[36][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[27][k] * tr[17][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[30][k] * tr[22][k];
+    }
+    for k in 0..L {
+        ghat[37][k] += 0.25 * alpha[0][k] * tr[37][k];
+        ghat[37][k] += 0.25 * alpha[3][k] * tr[23][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[3][k] * tr[46][k];
+        ghat[37][k] += 0.25 * alpha[4][k] * tr[18][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[4][k] * tr[47][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[10][k] * tr[37][k];
+        ghat[37][k] += 0.25 * alpha[13][k] * tr[6][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[13][k] * tr[33][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[13][k] * tr[41][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[14][k] * tr[37][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[27][k] * tr[18][k];
+        ghat[37][k] += 0.2 * alpha[27][k] * tr[47][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[30][k] * tr[23][k];
+        ghat[37][k] += 0.2 * alpha[30][k] * tr[46][k];
+    }
+    for k in 0..L {
+        ghat[38][k] += 0.25 * alpha[0][k] * tr[38][k];
+        ghat[38][k] += 0.25 * alpha[3][k] * tr[24][k];
+        ghat[38][k] += 0.25 * alpha[4][k] * tr[19][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[10][k] * tr[38][k];
+        ghat[38][k] += 0.25 * alpha[13][k] * tr[7][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[14][k] * tr[38][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[27][k] * tr[19][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[30][k] * tr[24][k];
+    }
+    for k in 0..L {
+        ghat[39][k] += 0.25 * alpha[0][k] * tr[39][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[3][k] * tr[25][k];
+        ghat[39][k] += 0.25 * alpha[4][k] * tr[20][k];
+        ghat[39][k] += 0.25 * alpha[10][k] * tr[11][k];
+        ghat[39][k] += 0.15971914124998499 * alpha[10][k] * tr[39][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[13][k] * tr[8][k];
+        ghat[39][k] += 0.19999999999999998 * alpha[13][k] * tr[42][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[14][k] * tr[39][k];
+        ghat[39][k] += 0.25 * alpha[27][k] * tr[1][k];
+        ghat[39][k] += 0.15971914124998499 * alpha[27][k] * tr[20][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[27][k] * tr[28][k];
+        ghat[39][k] += 0.19999999999999998 * alpha[30][k] * tr[25][k];
+    }
+    for k in 0..L {
+        ghat[40][k] += 0.25 * alpha[0][k] * tr[40][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[3][k] * tr[26][k];
+        ghat[40][k] += 0.25 * alpha[4][k] * tr[21][k];
+        ghat[40][k] += 0.25 * alpha[10][k] * tr[12][k];
+        ghat[40][k] += 0.15971914124998499 * alpha[10][k] * tr[40][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[13][k] * tr[9][k];
+        ghat[40][k] += 0.19999999999999998 * alpha[13][k] * tr[43][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[14][k] * tr[40][k];
+        ghat[40][k] += 0.25 * alpha[27][k] * tr[2][k];
+        ghat[40][k] += 0.15971914124998499 * alpha[27][k] * tr[21][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[27][k] * tr[29][k];
+        ghat[40][k] += 0.19999999999999998 * alpha[30][k] * tr[26][k];
+    }
+    for k in 0..L {
+        ghat[41][k] += 0.25 * alpha[0][k] * tr[41][k];
+        ghat[41][k] += 0.25 * alpha[3][k] * tr[47][k];
+        ghat[41][k] += 0.22360679774997896 * alpha[4][k] * tr[23][k];
+        ghat[41][k] += 0.22360679774997896 * alpha[13][k] * tr[37][k];
+        ghat[41][k] += 0.25 * alpha[14][k] * tr[6][k];
+        ghat[41][k] += 0.15971914124998499 * alpha[14][k] * tr[41][k];
+        ghat[41][k] += 0.22360679774997896 * alpha[27][k] * tr[46][k];
+        ghat[41][k] += 0.25 * alpha[30][k] * tr[18][k];
+        ghat[41][k] += 0.15971914124998499 * alpha[30][k] * tr[47][k];
+    }
+    for k in 0..L {
+        ghat[42][k] += 0.25 * alpha[0][k] * tr[42][k];
+        ghat[42][k] += 0.25 * alpha[3][k] * tr[28][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[4][k] * tr[25][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[10][k] * tr[42][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[13][k] * tr[11][k];
+        ghat[42][k] += 0.19999999999999998 * alpha[13][k] * tr[39][k];
+        ghat[42][k] += 0.25 * alpha[14][k] * tr[8][k];
+        ghat[42][k] += 0.15971914124998499 * alpha[14][k] * tr[42][k];
+        ghat[42][k] += 0.19999999999999998 * alpha[27][k] * tr[25][k];
+        ghat[42][k] += 0.25 * alpha[30][k] * tr[1][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[30][k] * tr[20][k];
+        ghat[42][k] += 0.15971914124998499 * alpha[30][k] * tr[28][k];
+    }
+    for k in 0..L {
+        ghat[43][k] += 0.25 * alpha[0][k] * tr[43][k];
+        ghat[43][k] += 0.25 * alpha[3][k] * tr[29][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[4][k] * tr[26][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[10][k] * tr[43][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[13][k] * tr[12][k];
+        ghat[43][k] += 0.19999999999999998 * alpha[13][k] * tr[40][k];
+        ghat[43][k] += 0.25 * alpha[14][k] * tr[9][k];
+        ghat[43][k] += 0.15971914124998499 * alpha[14][k] * tr[43][k];
+        ghat[43][k] += 0.19999999999999998 * alpha[27][k] * tr[26][k];
+        ghat[43][k] += 0.25 * alpha[30][k] * tr[2][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[30][k] * tr[21][k];
+        ghat[43][k] += 0.15971914124998499 * alpha[30][k] * tr[29][k];
+    }
+    for k in 0..L {
+        ghat[44][k] += 0.25 * alpha[0][k] * tr[44][k];
+        ghat[44][k] += 0.25 * alpha[3][k] * tr[34][k];
+        ghat[44][k] += 0.25 * alpha[4][k] * tr[31][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[10][k] * tr[44][k];
+        ghat[44][k] += 0.25 * alpha[13][k] * tr[15][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[14][k] * tr[44][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[27][k] * tr[31][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[30][k] * tr[34][k];
+    }
+    for k in 0..L {
+        ghat[45][k] += 0.25 * alpha[0][k] * tr[45][k];
+        ghat[45][k] += 0.25 * alpha[3][k] * tr[35][k];
+        ghat[45][k] += 0.25 * alpha[4][k] * tr[32][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[10][k] * tr[45][k];
+        ghat[45][k] += 0.25 * alpha[13][k] * tr[16][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[14][k] * tr[45][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[27][k] * tr[32][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[30][k] * tr[35][k];
+    }
+    for k in 0..L {
+        ghat[46][k] += 0.25 * alpha[0][k] * tr[46][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[3][k] * tr[37][k];
+        ghat[46][k] += 0.25 * alpha[4][k] * tr[33][k];
+        ghat[46][k] += 0.25 * alpha[10][k] * tr[23][k];
+        ghat[46][k] += 0.15971914124998499 * alpha[10][k] * tr[46][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[13][k] * tr[18][k];
+        ghat[46][k] += 0.2 * alpha[13][k] * tr[47][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[14][k] * tr[46][k];
+        ghat[46][k] += 0.25 * alpha[27][k] * tr[6][k];
+        ghat[46][k] += 0.15971914124998499 * alpha[27][k] * tr[33][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[27][k] * tr[41][k];
+        ghat[46][k] += 0.2 * alpha[30][k] * tr[37][k];
+    }
+    for k in 0..L {
+        ghat[47][k] += 0.25 * alpha[0][k] * tr[47][k];
+        ghat[47][k] += 0.25 * alpha[3][k] * tr[41][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[4][k] * tr[37][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[10][k] * tr[47][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[13][k] * tr[23][k];
+        ghat[47][k] += 0.2 * alpha[13][k] * tr[46][k];
+        ghat[47][k] += 0.25 * alpha[14][k] * tr[18][k];
+        ghat[47][k] += 0.15971914124998499 * alpha[14][k] * tr[47][k];
+        ghat[47][k] += 0.2 * alpha[27][k] * tr[37][k];
+        ghat[47][k] += 0.25 * alpha[30][k] * tr[6][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[30][k] * tr[33][k];
+        ghat[47][k] += 0.15971914124998499 * alpha[30][k] * tr[41][k];
+    }
+    sxn(&mut out_lo[0], nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[3], nu * scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[4], nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[7], nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[8], nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[9], nu * scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[10], nu * scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[11], nu * scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_lo[12], nu * scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[13], nu * scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[14], nu * scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[15], nu * scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[16], nu * scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[17], nu * scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[18], nu * scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[19], nu * scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[20], nu * scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[21], nu * scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[22], nu * scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_lo[23], nu * scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[24], nu * scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[25], nu * scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[26], nu * scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_lo[27], nu * scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_lo[28], nu * scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_lo[29], nu * scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_lo[30], nu * scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_lo[31], nu * scale * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[32], nu * scale * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[33], nu * scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_lo[34], nu * scale * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_lo[35], nu * scale * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_lo[36], nu * scale * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[37], nu * scale * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_lo[38], nu * scale * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_lo[39], nu * scale * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_lo[40], nu * scale * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[41], nu * scale * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[42], nu * scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_lo[43], nu * scale * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_lo[44], nu * scale * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_lo[45], nu * scale * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[46], nu * scale * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_lo[47], nu * scale * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_lo[48], nu * scale * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_lo[49], nu * scale * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[50], nu * scale * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_lo[51], nu * scale * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_lo[52], nu * scale * 1.224744871391589, &ghat[16]);
+    sxn(&mut out_lo[53], nu * scale * 1.5811388300841898, &ghat[6]);
+    sxn(&mut out_lo[54], nu * scale * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_lo[55], nu * scale * 0.7071067811865476, &ghat[32]);
+    sxn(&mut out_lo[56], nu * scale * 1.224744871391589, &ghat[17]);
+    sxn(&mut out_lo[57], nu * scale * 1.224744871391589, &ghat[18]);
+    sxn(&mut out_lo[58], nu * scale * 1.224744871391589, &ghat[19]);
+    sxn(&mut out_lo[59], nu * scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_lo[60], nu * scale * 1.5811388300841898, &ghat[9]);
+    sxn(&mut out_lo[61], nu * scale * 0.7071067811865476, &ghat[33]);
+    sxn(&mut out_lo[62], nu * scale * 1.224744871391589, &ghat[20]);
+    sxn(&mut out_lo[63], nu * scale * 1.224744871391589, &ghat[21]);
+    sxn(&mut out_lo[64], nu * scale * 0.7071067811865476, &ghat[34]);
+    sxn(&mut out_lo[65], nu * scale * 0.7071067811865476, &ghat[35]);
+    sxn(&mut out_lo[66], nu * scale * 1.224744871391589, &ghat[22]);
+    sxn(&mut out_lo[67], nu * scale * 1.224744871391589, &ghat[23]);
+    sxn(&mut out_lo[68], nu * scale * 1.224744871391589, &ghat[24]);
+    sxn(&mut out_lo[69], nu * scale * 1.5811388300841898, &ghat[11]);
+    sxn(&mut out_lo[70], nu * scale * 1.5811388300841898, &ghat[12]);
+    sxn(&mut out_lo[71], nu * scale * 0.7071067811865476, &ghat[36]);
+    sxn(&mut out_lo[72], nu * scale * 0.7071067811865476, &ghat[37]);
+    sxn(&mut out_lo[73], nu * scale * 0.7071067811865476, &ghat[38]);
+    sxn(&mut out_lo[74], nu * scale * 1.224744871391589, &ghat[25]);
+    sxn(&mut out_lo[75], nu * scale * 1.224744871391589, &ghat[26]);
+    sxn(&mut out_lo[76], nu * scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_lo[77], nu * scale * 0.7071067811865476, &ghat[39]);
+    sxn(&mut out_lo[78], nu * scale * 0.7071067811865476, &ghat[40]);
+    sxn(&mut out_lo[79], nu * scale * 1.224744871391589, &ghat[27]);
+    sxn(&mut out_lo[80], nu * scale * 0.7071067811865476, &ghat[41]);
+    sxn(&mut out_lo[81], nu * scale * 1.224744871391589, &ghat[28]);
+    sxn(&mut out_lo[82], nu * scale * 1.224744871391589, &ghat[29]);
+    sxn(&mut out_lo[83], nu * scale * 0.7071067811865476, &ghat[42]);
+    sxn(&mut out_lo[84], nu * scale * 0.7071067811865476, &ghat[43]);
+    sxn(&mut out_lo[85], nu * scale * 1.224744871391589, &ghat[30]);
+    sxn(&mut out_lo[86], nu * scale * 1.224744871391589, &ghat[31]);
+    sxn(&mut out_lo[87], nu * scale * 1.224744871391589, &ghat[32]);
+    sxn(&mut out_lo[88], nu * scale * 1.5811388300841898, &ghat[18]);
+    sxn(&mut out_lo[89], nu * scale * 1.224744871391589, &ghat[33]);
+    sxn(&mut out_lo[90], nu * scale * 1.224744871391589, &ghat[34]);
+    sxn(&mut out_lo[91], nu * scale * 1.224744871391589, &ghat[35]);
+    sxn(&mut out_lo[92], nu * scale * 1.5811388300841898, &ghat[23]);
+    sxn(&mut out_lo[93], nu * scale * 0.7071067811865476, &ghat[44]);
+    sxn(&mut out_lo[94], nu * scale * 0.7071067811865476, &ghat[45]);
+    sxn(&mut out_lo[95], nu * scale * 1.224744871391589, &ghat[36]);
+    sxn(&mut out_lo[96], nu * scale * 1.224744871391589, &ghat[37]);
+    sxn(&mut out_lo[97], nu * scale * 1.224744871391589, &ghat[38]);
+    sxn(&mut out_lo[98], nu * scale * 1.5811388300841898, &ghat[25]);
+    sxn(&mut out_lo[99], nu * scale * 1.5811388300841898, &ghat[26]);
+    sxn(&mut out_lo[100], nu * scale * 0.7071067811865476, &ghat[46]);
+    sxn(&mut out_lo[101], nu * scale * 1.224744871391589, &ghat[39]);
+    sxn(&mut out_lo[102], nu * scale * 1.224744871391589, &ghat[40]);
+    sxn(&mut out_lo[103], nu * scale * 1.224744871391589, &ghat[41]);
+    sxn(&mut out_lo[104], nu * scale * 0.7071067811865476, &ghat[47]);
+    sxn(&mut out_lo[105], nu * scale * 1.224744871391589, &ghat[42]);
+    sxn(&mut out_lo[106], nu * scale * 1.224744871391589, &ghat[43]);
+    sxn(&mut out_lo[107], nu * scale * 1.224744871391589, &ghat[44]);
+    sxn(&mut out_lo[108], nu * scale * 1.224744871391589, &ghat[45]);
+    sxn(&mut out_lo[109], nu * scale * 1.5811388300841898, &ghat[37]);
+    sxn(&mut out_lo[110], nu * scale * 1.224744871391589, &ghat[46]);
+    sxn(&mut out_lo[111], nu * scale * 1.224744871391589, &ghat[47]);
+    sxn(&mut out_hi[0], -nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], -nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], -nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[3], -nu * scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[4], -nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], -nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], -nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[7], -nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[8], -nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[9], -nu * scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[10], -nu * scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[11], -nu * scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_hi[12], -nu * scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[13], -nu * scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[14], -nu * scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[15], -nu * scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[16], -nu * scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[17], -nu * scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[18], -nu * scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[19], -nu * scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[20], -nu * scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[21], -nu * scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[22], -nu * scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_hi[23], -nu * scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[24], -nu * scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[25], -nu * scale * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[26], -nu * scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_hi[27], -nu * scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_hi[28], -nu * scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_hi[29], -nu * scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_hi[30], -nu * scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_hi[31], -nu * scale * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[32], -nu * scale * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[33], -nu * scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_hi[34], -nu * scale * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_hi[35], -nu * scale * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_hi[36], -nu * scale * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[37], -nu * scale * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_hi[38], -nu * scale * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_hi[39], -nu * scale * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_hi[40], -nu * scale * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[41], -nu * scale * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[42], -nu * scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_hi[43], -nu * scale * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_hi[44], -nu * scale * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_hi[45], -nu * scale * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[46], -nu * scale * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_hi[47], -nu * scale * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_hi[48], -nu * scale * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_hi[49], -nu * scale * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[50], -nu * scale * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_hi[51], -nu * scale * -1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[52], -nu * scale * -1.224744871391589, &ghat[16]);
+    sxn(&mut out_hi[53], -nu * scale * 1.5811388300841898, &ghat[6]);
+    sxn(&mut out_hi[54], -nu * scale * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_hi[55], -nu * scale * 0.7071067811865476, &ghat[32]);
+    sxn(&mut out_hi[56], -nu * scale * -1.224744871391589, &ghat[17]);
+    sxn(&mut out_hi[57], -nu * scale * -1.224744871391589, &ghat[18]);
+    sxn(&mut out_hi[58], -nu * scale * -1.224744871391589, &ghat[19]);
+    sxn(&mut out_hi[59], -nu * scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_hi[60], -nu * scale * 1.5811388300841898, &ghat[9]);
+    sxn(&mut out_hi[61], -nu * scale * 0.7071067811865476, &ghat[33]);
+    sxn(&mut out_hi[62], -nu * scale * -1.224744871391589, &ghat[20]);
+    sxn(&mut out_hi[63], -nu * scale * -1.224744871391589, &ghat[21]);
+    sxn(&mut out_hi[64], -nu * scale * 0.7071067811865476, &ghat[34]);
+    sxn(&mut out_hi[65], -nu * scale * 0.7071067811865476, &ghat[35]);
+    sxn(&mut out_hi[66], -nu * scale * -1.224744871391589, &ghat[22]);
+    sxn(&mut out_hi[67], -nu * scale * -1.224744871391589, &ghat[23]);
+    sxn(&mut out_hi[68], -nu * scale * -1.224744871391589, &ghat[24]);
+    sxn(&mut out_hi[69], -nu * scale * 1.5811388300841898, &ghat[11]);
+    sxn(&mut out_hi[70], -nu * scale * 1.5811388300841898, &ghat[12]);
+    sxn(&mut out_hi[71], -nu * scale * 0.7071067811865476, &ghat[36]);
+    sxn(&mut out_hi[72], -nu * scale * 0.7071067811865476, &ghat[37]);
+    sxn(&mut out_hi[73], -nu * scale * 0.7071067811865476, &ghat[38]);
+    sxn(&mut out_hi[74], -nu * scale * -1.224744871391589, &ghat[25]);
+    sxn(&mut out_hi[75], -nu * scale * -1.224744871391589, &ghat[26]);
+    sxn(&mut out_hi[76], -nu * scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_hi[77], -nu * scale * 0.7071067811865476, &ghat[39]);
+    sxn(&mut out_hi[78], -nu * scale * 0.7071067811865476, &ghat[40]);
+    sxn(&mut out_hi[79], -nu * scale * -1.224744871391589, &ghat[27]);
+    sxn(&mut out_hi[80], -nu * scale * 0.7071067811865476, &ghat[41]);
+    sxn(&mut out_hi[81], -nu * scale * -1.224744871391589, &ghat[28]);
+    sxn(&mut out_hi[82], -nu * scale * -1.224744871391589, &ghat[29]);
+    sxn(&mut out_hi[83], -nu * scale * 0.7071067811865476, &ghat[42]);
+    sxn(&mut out_hi[84], -nu * scale * 0.7071067811865476, &ghat[43]);
+    sxn(&mut out_hi[85], -nu * scale * -1.224744871391589, &ghat[30]);
+    sxn(&mut out_hi[86], -nu * scale * -1.224744871391589, &ghat[31]);
+    sxn(&mut out_hi[87], -nu * scale * -1.224744871391589, &ghat[32]);
+    sxn(&mut out_hi[88], -nu * scale * 1.5811388300841898, &ghat[18]);
+    sxn(&mut out_hi[89], -nu * scale * -1.224744871391589, &ghat[33]);
+    sxn(&mut out_hi[90], -nu * scale * -1.224744871391589, &ghat[34]);
+    sxn(&mut out_hi[91], -nu * scale * -1.224744871391589, &ghat[35]);
+    sxn(&mut out_hi[92], -nu * scale * 1.5811388300841898, &ghat[23]);
+    sxn(&mut out_hi[93], -nu * scale * 0.7071067811865476, &ghat[44]);
+    sxn(&mut out_hi[94], -nu * scale * 0.7071067811865476, &ghat[45]);
+    sxn(&mut out_hi[95], -nu * scale * -1.224744871391589, &ghat[36]);
+    sxn(&mut out_hi[96], -nu * scale * -1.224744871391589, &ghat[37]);
+    sxn(&mut out_hi[97], -nu * scale * -1.224744871391589, &ghat[38]);
+    sxn(&mut out_hi[98], -nu * scale * 1.5811388300841898, &ghat[25]);
+    sxn(&mut out_hi[99], -nu * scale * 1.5811388300841898, &ghat[26]);
+    sxn(&mut out_hi[100], -nu * scale * 0.7071067811865476, &ghat[46]);
+    sxn(&mut out_hi[101], -nu * scale * -1.224744871391589, &ghat[39]);
+    sxn(&mut out_hi[102], -nu * scale * -1.224744871391589, &ghat[40]);
+    sxn(&mut out_hi[103], -nu * scale * -1.224744871391589, &ghat[41]);
+    sxn(&mut out_hi[104], -nu * scale * 0.7071067811865476, &ghat[47]);
+    sxn(&mut out_hi[105], -nu * scale * -1.224744871391589, &ghat[42]);
+    sxn(&mut out_hi[106], -nu * scale * -1.224744871391589, &ghat[43]);
+    sxn(&mut out_hi[107], -nu * scale * -1.224744871391589, &ghat[44]);
+    sxn(&mut out_hi[108], -nu * scale * -1.224744871391589, &ghat[45]);
+    sxn(&mut out_hi[109], -nu * scale * 1.5811388300841898, &ghat[37]);
+    sxn(&mut out_hi[110], -nu * scale * -1.224744871391589, &ghat[46]);
+    sxn(&mut out_hi[111], -nu * scale * -1.224744871391589, &ghat[47]);
 }
 
 /// LBO drag volume term in v1: weak `∇_v · (ν(v − u) f)`, cell interior.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p2_ser_drag_vol_v1(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f64], out: &mut [f64]) {
+    lbo_2x3v_p2_ser_drag_vol_v1_body::<1>(nu, v_c, dv, u.as_chunks().0, f.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p2_ser_drag_vol_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_drag_vol_v1_b4(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_drag_vol_v1_body(nu, v_c, dv, u, f, out)
+}
+
+/// [`lbo_2x3v_p2_ser_drag_vol_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_drag_vol_v1_b4_avx2(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_drag_vol_v1_body(nu, v_c, dv, u, f, out)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p2_ser_drag_vol_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p2_ser_drag_vol_v1_body<const L: usize>(nu: f64, v_c: f64, dv: f64, u: &[[f64; L]], f: &[[f64; L]], out: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 8] = u.first_chunk().expect("u: 8 coefficients");
+    let f: &[[f64; L]; 112] = f.first_chunk().expect("f: 112 coefficients");
+    let out: &mut [[f64; L]; 112] = out.first_chunk_mut().expect("out: 112 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 112];
-    alpha[0] = -nu * v_c * 5.656854249492381;
-    alpha[2] = -nu * 0.5 * dv * 3.265986323710904;
-    alpha[0] += nu * 2.8284271247461903 * u[0];
-    alpha[4] += nu * 2.8284271247461903 * u[1];
-    alpha[5] += nu * 2.8284271247461903 * u[2];
-    alpha[15] += nu * 2.8284271247461903 * u[3];
-    alpha[19] += nu * 2.8284271247461903 * u[4];
-    alpha[20] += nu * 2.8284271247461903 * u[5];
-    alpha[46] += nu * 2.8284271247461903 * u[6];
-    alpha[50] += nu * 2.8284271247461903 * u[7];
-    out[2] += scale * 0.30618621784789724 * alpha[0] * f[0];
-    out[2] += scale * 0.30618621784789724 * alpha[2] * f[2];
-    out[2] += scale * 0.30618621784789724 * alpha[4] * f[4];
-    out[2] += scale * 0.30618621784789724 * alpha[5] * f[5];
-    out[2] += scale * 0.3061862178478973 * alpha[15] * f[15];
-    out[2] += scale * 0.30618621784789724 * alpha[19] * f[19];
-    out[2] += scale * 0.3061862178478973 * alpha[20] * f[20];
-    out[2] += scale * 0.3061862178478973 * alpha[46] * f[46];
-    out[2] += scale * 0.3061862178478973 * alpha[50] * f[50];
-    out[7] += scale * 0.30618621784789724 * alpha[0] * f[1];
-    out[7] += scale * 0.30618621784789724 * alpha[2] * f[7];
-    out[7] += scale * 0.30618621784789724 * alpha[4] * f[12];
-    out[7] += scale * 0.30618621784789724 * alpha[5] * f[16];
-    out[7] += scale * 0.3061862178478973 * alpha[15] * f[34];
-    out[7] += scale * 0.30618621784789724 * alpha[19] * f[43];
-    out[7] += scale * 0.3061862178478973 * alpha[20] * f[47];
-    out[7] += scale * 0.30618621784789724 * alpha[46] * f[77];
-    out[7] += scale * 0.30618621784789724 * alpha[50] * f[83];
-    out[8] += scale * 0.6846531968814576 * alpha[0] * f[2];
-    out[8] += scale * 0.6846531968814576 * alpha[2] * f[0];
-    out[8] += scale * 0.6123724356957946 * alpha[2] * f[8];
-    out[8] += scale * 0.6846531968814575 * alpha[4] * f[13];
-    out[8] += scale * 0.6846531968814575 * alpha[5] * f[17];
-    out[8] += scale * 0.6846531968814578 * alpha[15] * f[35];
-    out[8] += scale * 0.6846531968814576 * alpha[19] * f[44];
-    out[8] += scale * 0.6846531968814578 * alpha[20] * f[48];
-    out[8] += scale * 0.6846531968814576 * alpha[46] * f[78];
-    out[8] += scale * 0.6846531968814576 * alpha[50] * f[84];
-    out[10] += scale * 0.30618621784789724 * alpha[0] * f[3];
-    out[10] += scale * 0.30618621784789724 * alpha[2] * f[10];
-    out[10] += scale * 0.30618621784789724 * alpha[4] * f[14];
-    out[10] += scale * 0.30618621784789724 * alpha[5] * f[18];
-    out[10] += scale * 0.3061862178478973 * alpha[15] * f[36];
-    out[10] += scale * 0.30618621784789724 * alpha[19] * f[45];
-    out[10] += scale * 0.3061862178478973 * alpha[20] * f[49];
-    out[10] += scale * 0.30618621784789724 * alpha[46] * f[79];
-    out[10] += scale * 0.30618621784789724 * alpha[50] * f[85];
-    out[13] += scale * 0.30618621784789724 * alpha[0] * f[4];
-    out[13] += scale * 0.30618621784789724 * alpha[2] * f[13];
-    out[13] += scale * 0.30618621784789724 * alpha[4] * f[0];
-    out[13] += scale * 0.27386127875258304 * alpha[4] * f[15];
-    out[13] += scale * 0.30618621784789724 * alpha[5] * f[19];
-    out[13] += scale * 0.27386127875258304 * alpha[15] * f[4];
-    out[13] += scale * 0.30618621784789724 * alpha[19] * f[5];
-    out[13] += scale * 0.2738612787525831 * alpha[19] * f[46];
-    out[13] += scale * 0.3061862178478973 * alpha[20] * f[50];
-    out[13] += scale * 0.2738612787525831 * alpha[46] * f[19];
-    out[13] += scale * 0.3061862178478973 * alpha[50] * f[20];
-    out[17] += scale * 0.30618621784789724 * alpha[0] * f[5];
-    out[17] += scale * 0.30618621784789724 * alpha[2] * f[17];
-    out[17] += scale * 0.30618621784789724 * alpha[4] * f[19];
-    out[17] += scale * 0.30618621784789724 * alpha[5] * f[0];
-    out[17] += scale * 0.27386127875258304 * alpha[5] * f[20];
-    out[17] += scale * 0.3061862178478973 * alpha[15] * f[46];
-    out[17] += scale * 0.30618621784789724 * alpha[19] * f[4];
-    out[17] += scale * 0.2738612787525831 * alpha[19] * f[50];
-    out[17] += scale * 0.27386127875258304 * alpha[20] * f[5];
-    out[17] += scale * 0.3061862178478973 * alpha[46] * f[15];
-    out[17] += scale * 0.2738612787525831 * alpha[50] * f[19];
-    out[21] += scale * 0.3061862178478973 * alpha[0] * f[6];
-    out[21] += scale * 0.3061862178478973 * alpha[2] * f[21];
-    out[21] += scale * 0.3061862178478973 * alpha[4] * f[28];
-    out[21] += scale * 0.3061862178478973 * alpha[5] * f[37];
-    out[21] += scale * 0.30618621784789724 * alpha[19] * f[71];
-    out[22] += scale * 0.6846531968814575 * alpha[0] * f[7];
-    out[22] += scale * 0.6846531968814575 * alpha[2] * f[1];
-    out[22] += scale * 0.6123724356957946 * alpha[2] * f[22];
-    out[22] += scale * 0.6846531968814576 * alpha[4] * f[29];
-    out[22] += scale * 0.6846531968814576 * alpha[5] * f[38];
-    out[22] += scale * 0.6846531968814576 * alpha[15] * f[61];
-    out[22] += scale * 0.6846531968814576 * alpha[19] * f[72];
-    out[22] += scale * 0.6846531968814576 * alpha[20] * f[80];
-    out[22] += scale * 0.6846531968814576 * alpha[46] * f[100];
-    out[22] += scale * 0.6846531968814576 * alpha[50] * f[104];
-    out[24] += scale * 0.30618621784789724 * alpha[0] * f[9];
-    out[24] += scale * 0.30618621784789724 * alpha[2] * f[24];
-    out[24] += scale * 0.30618621784789724 * alpha[4] * f[31];
-    out[24] += scale * 0.30618621784789724 * alpha[5] * f[40];
-    out[24] += scale * 0.30618621784789724 * alpha[15] * f[62];
-    out[24] += scale * 0.30618621784789724 * alpha[19] * f[74];
-    out[24] += scale * 0.30618621784789724 * alpha[20] * f[81];
-    out[24] += scale * 0.3061862178478973 * alpha[46] * f[101];
-    out[24] += scale * 0.3061862178478973 * alpha[50] * f[105];
-    out[25] += scale * 0.6846531968814575 * alpha[0] * f[10];
-    out[25] += scale * 0.6846531968814575 * alpha[2] * f[3];
-    out[25] += scale * 0.6123724356957946 * alpha[2] * f[25];
-    out[25] += scale * 0.6846531968814576 * alpha[4] * f[32];
-    out[25] += scale * 0.6846531968814576 * alpha[5] * f[41];
-    out[25] += scale * 0.6846531968814576 * alpha[15] * f[63];
-    out[25] += scale * 0.6846531968814576 * alpha[19] * f[75];
-    out[25] += scale * 0.6846531968814576 * alpha[20] * f[82];
-    out[25] += scale * 0.6846531968814576 * alpha[46] * f[102];
-    out[25] += scale * 0.6846531968814576 * alpha[50] * f[106];
-    out[27] += scale * 0.3061862178478973 * alpha[0] * f[11];
-    out[27] += scale * 0.3061862178478973 * alpha[2] * f[27];
-    out[27] += scale * 0.3061862178478973 * alpha[4] * f[33];
-    out[27] += scale * 0.3061862178478973 * alpha[5] * f[42];
-    out[27] += scale * 0.30618621784789724 * alpha[19] * f[76];
-    out[29] += scale * 0.30618621784789724 * alpha[0] * f[12];
-    out[29] += scale * 0.30618621784789724 * alpha[2] * f[29];
-    out[29] += scale * 0.30618621784789724 * alpha[4] * f[1];
-    out[29] += scale * 0.2738612787525831 * alpha[4] * f[34];
-    out[29] += scale * 0.30618621784789724 * alpha[5] * f[43];
-    out[29] += scale * 0.2738612787525831 * alpha[15] * f[12];
-    out[29] += scale * 0.30618621784789724 * alpha[19] * f[16];
-    out[29] += scale * 0.2738612787525831 * alpha[19] * f[77];
-    out[29] += scale * 0.30618621784789724 * alpha[20] * f[83];
-    out[29] += scale * 0.2738612787525831 * alpha[46] * f[43];
-    out[29] += scale * 0.30618621784789724 * alpha[50] * f[47];
-    out[30] += scale * 0.6846531968814575 * alpha[0] * f[13];
-    out[30] += scale * 0.6846531968814575 * alpha[2] * f[4];
-    out[30] += scale * 0.6123724356957946 * alpha[2] * f[30];
-    out[30] += scale * 0.6846531968814575 * alpha[4] * f[2];
-    out[30] += scale * 0.6123724356957946 * alpha[4] * f[35];
-    out[30] += scale * 0.6846531968814576 * alpha[5] * f[44];
-    out[30] += scale * 0.6123724356957946 * alpha[15] * f[13];
-    out[30] += scale * 0.6846531968814576 * alpha[19] * f[17];
-    out[30] += scale * 0.6123724356957945 * alpha[19] * f[78];
-    out[30] += scale * 0.6846531968814576 * alpha[20] * f[84];
-    out[30] += scale * 0.6123724356957945 * alpha[46] * f[44];
-    out[30] += scale * 0.6846531968814576 * alpha[50] * f[48];
-    out[32] += scale * 0.30618621784789724 * alpha[0] * f[14];
-    out[32] += scale * 0.30618621784789724 * alpha[2] * f[32];
-    out[32] += scale * 0.30618621784789724 * alpha[4] * f[3];
-    out[32] += scale * 0.2738612787525831 * alpha[4] * f[36];
-    out[32] += scale * 0.30618621784789724 * alpha[5] * f[45];
-    out[32] += scale * 0.2738612787525831 * alpha[15] * f[14];
-    out[32] += scale * 0.30618621784789724 * alpha[19] * f[18];
-    out[32] += scale * 0.2738612787525831 * alpha[19] * f[79];
-    out[32] += scale * 0.30618621784789724 * alpha[20] * f[85];
-    out[32] += scale * 0.2738612787525831 * alpha[46] * f[45];
-    out[32] += scale * 0.30618621784789724 * alpha[50] * f[49];
-    out[35] += scale * 0.3061862178478973 * alpha[0] * f[15];
-    out[35] += scale * 0.3061862178478973 * alpha[2] * f[35];
-    out[35] += scale * 0.27386127875258304 * alpha[4] * f[4];
-    out[35] += scale * 0.3061862178478973 * alpha[5] * f[46];
-    out[35] += scale * 0.3061862178478973 * alpha[15] * f[0];
-    out[35] += scale * 0.1956151991089879 * alpha[15] * f[15];
-    out[35] += scale * 0.2738612787525831 * alpha[19] * f[19];
-    out[35] += scale * 0.3061862178478973 * alpha[46] * f[5];
-    out[35] += scale * 0.19561519910898792 * alpha[46] * f[46];
-    out[35] += scale * 0.2738612787525831 * alpha[50] * f[50];
-    out[38] += scale * 0.30618621784789724 * alpha[0] * f[16];
-    out[38] += scale * 0.30618621784789724 * alpha[2] * f[38];
-    out[38] += scale * 0.30618621784789724 * alpha[4] * f[43];
-    out[38] += scale * 0.30618621784789724 * alpha[5] * f[1];
-    out[38] += scale * 0.2738612787525831 * alpha[5] * f[47];
-    out[38] += scale * 0.30618621784789724 * alpha[15] * f[77];
-    out[38] += scale * 0.30618621784789724 * alpha[19] * f[12];
-    out[38] += scale * 0.2738612787525831 * alpha[19] * f[83];
-    out[38] += scale * 0.2738612787525831 * alpha[20] * f[16];
-    out[38] += scale * 0.30618621784789724 * alpha[46] * f[34];
-    out[38] += scale * 0.2738612787525831 * alpha[50] * f[43];
-    out[39] += scale * 0.6846531968814575 * alpha[0] * f[17];
-    out[39] += scale * 0.6846531968814575 * alpha[2] * f[5];
-    out[39] += scale * 0.6123724356957946 * alpha[2] * f[39];
-    out[39] += scale * 0.6846531968814576 * alpha[4] * f[44];
-    out[39] += scale * 0.6846531968814575 * alpha[5] * f[2];
-    out[39] += scale * 0.6123724356957946 * alpha[5] * f[48];
-    out[39] += scale * 0.6846531968814576 * alpha[15] * f[78];
-    out[39] += scale * 0.6846531968814576 * alpha[19] * f[13];
-    out[39] += scale * 0.6123724356957945 * alpha[19] * f[84];
-    out[39] += scale * 0.6123724356957946 * alpha[20] * f[17];
-    out[39] += scale * 0.6846531968814576 * alpha[46] * f[35];
-    out[39] += scale * 0.6123724356957945 * alpha[50] * f[44];
-    out[41] += scale * 0.30618621784789724 * alpha[0] * f[18];
-    out[41] += scale * 0.30618621784789724 * alpha[2] * f[41];
-    out[41] += scale * 0.30618621784789724 * alpha[4] * f[45];
-    out[41] += scale * 0.30618621784789724 * alpha[5] * f[3];
-    out[41] += scale * 0.2738612787525831 * alpha[5] * f[49];
-    out[41] += scale * 0.30618621784789724 * alpha[15] * f[79];
-    out[41] += scale * 0.30618621784789724 * alpha[19] * f[14];
-    out[41] += scale * 0.2738612787525831 * alpha[19] * f[85];
-    out[41] += scale * 0.2738612787525831 * alpha[20] * f[18];
-    out[41] += scale * 0.30618621784789724 * alpha[46] * f[36];
-    out[41] += scale * 0.2738612787525831 * alpha[50] * f[45];
-    out[44] += scale * 0.30618621784789724 * alpha[0] * f[19];
-    out[44] += scale * 0.30618621784789724 * alpha[2] * f[44];
-    out[44] += scale * 0.30618621784789724 * alpha[4] * f[5];
-    out[44] += scale * 0.2738612787525831 * alpha[4] * f[46];
-    out[44] += scale * 0.30618621784789724 * alpha[5] * f[4];
-    out[44] += scale * 0.2738612787525831 * alpha[5] * f[50];
-    out[44] += scale * 0.2738612787525831 * alpha[15] * f[19];
-    out[44] += scale * 0.30618621784789724 * alpha[19] * f[0];
-    out[44] += scale * 0.2738612787525831 * alpha[19] * f[15];
-    out[44] += scale * 0.2738612787525831 * alpha[19] * f[20];
-    out[44] += scale * 0.2738612787525831 * alpha[20] * f[19];
-    out[44] += scale * 0.2738612787525831 * alpha[46] * f[4];
-    out[44] += scale * 0.2449489742783178 * alpha[46] * f[50];
-    out[44] += scale * 0.2738612787525831 * alpha[50] * f[5];
-    out[44] += scale * 0.2449489742783178 * alpha[50] * f[46];
-    out[48] += scale * 0.3061862178478973 * alpha[0] * f[20];
-    out[48] += scale * 0.3061862178478973 * alpha[2] * f[48];
-    out[48] += scale * 0.3061862178478973 * alpha[4] * f[50];
-    out[48] += scale * 0.27386127875258304 * alpha[5] * f[5];
-    out[48] += scale * 0.2738612787525831 * alpha[19] * f[19];
-    out[48] += scale * 0.3061862178478973 * alpha[20] * f[0];
-    out[48] += scale * 0.1956151991089879 * alpha[20] * f[20];
-    out[48] += scale * 0.2738612787525831 * alpha[46] * f[46];
-    out[48] += scale * 0.3061862178478973 * alpha[50] * f[4];
-    out[48] += scale * 0.19561519910898792 * alpha[50] * f[50];
-    out[51] += scale * 0.3061862178478973 * alpha[0] * f[23];
-    out[51] += scale * 0.30618621784789724 * alpha[2] * f[51];
-    out[51] += scale * 0.30618621784789724 * alpha[4] * f[56];
-    out[51] += scale * 0.30618621784789724 * alpha[5] * f[66];
-    out[51] += scale * 0.3061862178478973 * alpha[19] * f[95];
-    out[52] += scale * 0.6846531968814576 * alpha[0] * f[24];
-    out[52] += scale * 0.6846531968814576 * alpha[2] * f[9];
-    out[52] += scale * 0.6123724356957945 * alpha[2] * f[52];
-    out[52] += scale * 0.6846531968814576 * alpha[4] * f[57];
-    out[52] += scale * 0.6846531968814576 * alpha[5] * f[67];
-    out[52] += scale * 0.6846531968814576 * alpha[15] * f[89];
-    out[52] += scale * 0.6846531968814576 * alpha[19] * f[96];
-    out[52] += scale * 0.6846531968814576 * alpha[20] * f[103];
-    out[52] += scale * 0.6846531968814576 * alpha[46] * f[110];
-    out[52] += scale * 0.6846531968814576 * alpha[50] * f[111];
-    out[53] += scale * 0.3061862178478973 * alpha[0] * f[26];
-    out[53] += scale * 0.30618621784789724 * alpha[2] * f[53];
-    out[53] += scale * 0.30618621784789724 * alpha[4] * f[59];
-    out[53] += scale * 0.30618621784789724 * alpha[5] * f[69];
-    out[53] += scale * 0.3061862178478973 * alpha[19] * f[98];
-    out[54] += scale * 0.3061862178478973 * alpha[0] * f[28];
-    out[54] += scale * 0.30618621784789724 * alpha[2] * f[54];
-    out[54] += scale * 0.3061862178478973 * alpha[4] * f[6];
-    out[54] += scale * 0.30618621784789724 * alpha[5] * f[71];
-    out[54] += scale * 0.2738612787525831 * alpha[15] * f[28];
-    out[54] += scale * 0.30618621784789724 * alpha[19] * f[37];
-    out[54] += scale * 0.27386127875258304 * alpha[46] * f[71];
-    out[55] += scale * 0.6846531968814576 * alpha[0] * f[29];
-    out[55] += scale * 0.6846531968814576 * alpha[2] * f[12];
-    out[55] += scale * 0.6123724356957945 * alpha[2] * f[55];
-    out[55] += scale * 0.6846531968814576 * alpha[4] * f[7];
-    out[55] += scale * 0.6123724356957945 * alpha[4] * f[61];
-    out[55] += scale * 0.6846531968814576 * alpha[5] * f[72];
-    out[55] += scale * 0.6123724356957945 * alpha[15] * f[29];
-    out[55] += scale * 0.6846531968814576 * alpha[19] * f[38];
-    out[55] += scale * 0.6123724356957946 * alpha[19] * f[100];
-    out[55] += scale * 0.6846531968814576 * alpha[20] * f[104];
-    out[55] += scale * 0.6123724356957946 * alpha[46] * f[72];
-    out[55] += scale * 0.6846531968814576 * alpha[50] * f[80];
-    out[57] += scale * 0.30618621784789724 * alpha[0] * f[31];
-    out[57] += scale * 0.30618621784789724 * alpha[2] * f[57];
-    out[57] += scale * 0.30618621784789724 * alpha[4] * f[9];
-    out[57] += scale * 0.2738612787525831 * alpha[4] * f[62];
-    out[57] += scale * 0.30618621784789724 * alpha[5] * f[74];
-    out[57] += scale * 0.2738612787525831 * alpha[15] * f[31];
-    out[57] += scale * 0.30618621784789724 * alpha[19] * f[40];
-    out[57] += scale * 0.27386127875258304 * alpha[19] * f[101];
-    out[57] += scale * 0.3061862178478973 * alpha[20] * f[105];
-    out[57] += scale * 0.27386127875258304 * alpha[46] * f[74];
-    out[57] += scale * 0.3061862178478973 * alpha[50] * f[81];
-    out[58] += scale * 0.6846531968814576 * alpha[0] * f[32];
-    out[58] += scale * 0.6846531968814576 * alpha[2] * f[14];
-    out[58] += scale * 0.6123724356957945 * alpha[2] * f[58];
-    out[58] += scale * 0.6846531968814576 * alpha[4] * f[10];
-    out[58] += scale * 0.6123724356957945 * alpha[4] * f[63];
-    out[58] += scale * 0.6846531968814576 * alpha[5] * f[75];
-    out[58] += scale * 0.6123724356957945 * alpha[15] * f[32];
-    out[58] += scale * 0.6846531968814576 * alpha[19] * f[41];
-    out[58] += scale * 0.6123724356957946 * alpha[19] * f[102];
-    out[58] += scale * 0.6846531968814576 * alpha[20] * f[106];
-    out[58] += scale * 0.6123724356957946 * alpha[46] * f[75];
-    out[58] += scale * 0.6846531968814576 * alpha[50] * f[82];
-    out[60] += scale * 0.3061862178478973 * alpha[0] * f[33];
-    out[60] += scale * 0.30618621784789724 * alpha[2] * f[60];
-    out[60] += scale * 0.3061862178478973 * alpha[4] * f[11];
-    out[60] += scale * 0.30618621784789724 * alpha[5] * f[76];
-    out[60] += scale * 0.2738612787525831 * alpha[15] * f[33];
-    out[60] += scale * 0.30618621784789724 * alpha[19] * f[42];
-    out[60] += scale * 0.27386127875258304 * alpha[46] * f[76];
-    out[61] += scale * 0.3061862178478973 * alpha[0] * f[34];
-    out[61] += scale * 0.30618621784789724 * alpha[2] * f[61];
-    out[61] += scale * 0.2738612787525831 * alpha[4] * f[12];
-    out[61] += scale * 0.30618621784789724 * alpha[5] * f[77];
-    out[61] += scale * 0.3061862178478973 * alpha[15] * f[1];
-    out[61] += scale * 0.19561519910898792 * alpha[15] * f[34];
-    out[61] += scale * 0.2738612787525831 * alpha[19] * f[43];
-    out[61] += scale * 0.30618621784789724 * alpha[46] * f[16];
-    out[61] += scale * 0.1956151991089879 * alpha[46] * f[77];
-    out[61] += scale * 0.27386127875258304 * alpha[50] * f[83];
-    out[63] += scale * 0.3061862178478973 * alpha[0] * f[36];
-    out[63] += scale * 0.30618621784789724 * alpha[2] * f[63];
-    out[63] += scale * 0.2738612787525831 * alpha[4] * f[14];
-    out[63] += scale * 0.30618621784789724 * alpha[5] * f[79];
-    out[63] += scale * 0.3061862178478973 * alpha[15] * f[3];
-    out[63] += scale * 0.19561519910898792 * alpha[15] * f[36];
-    out[63] += scale * 0.2738612787525831 * alpha[19] * f[45];
-    out[63] += scale * 0.30618621784789724 * alpha[46] * f[18];
-    out[63] += scale * 0.1956151991089879 * alpha[46] * f[79];
-    out[63] += scale * 0.27386127875258304 * alpha[50] * f[85];
-    out[64] += scale * 0.3061862178478973 * alpha[0] * f[37];
-    out[64] += scale * 0.30618621784789724 * alpha[2] * f[64];
-    out[64] += scale * 0.30618621784789724 * alpha[4] * f[71];
-    out[64] += scale * 0.3061862178478973 * alpha[5] * f[6];
-    out[64] += scale * 0.30618621784789724 * alpha[19] * f[28];
-    out[64] += scale * 0.2738612787525831 * alpha[20] * f[37];
-    out[64] += scale * 0.27386127875258304 * alpha[50] * f[71];
-    out[65] += scale * 0.6846531968814576 * alpha[0] * f[38];
-    out[65] += scale * 0.6846531968814576 * alpha[2] * f[16];
-    out[65] += scale * 0.6123724356957945 * alpha[2] * f[65];
-    out[65] += scale * 0.6846531968814576 * alpha[4] * f[72];
-    out[65] += scale * 0.6846531968814576 * alpha[5] * f[7];
-    out[65] += scale * 0.6123724356957945 * alpha[5] * f[80];
-    out[65] += scale * 0.6846531968814576 * alpha[15] * f[100];
-    out[65] += scale * 0.6846531968814576 * alpha[19] * f[29];
-    out[65] += scale * 0.6123724356957946 * alpha[19] * f[104];
-    out[65] += scale * 0.6123724356957945 * alpha[20] * f[38];
-    out[65] += scale * 0.6846531968814576 * alpha[46] * f[61];
-    out[65] += scale * 0.6123724356957946 * alpha[50] * f[72];
-    out[67] += scale * 0.30618621784789724 * alpha[0] * f[40];
-    out[67] += scale * 0.30618621784789724 * alpha[2] * f[67];
-    out[67] += scale * 0.30618621784789724 * alpha[4] * f[74];
-    out[67] += scale * 0.30618621784789724 * alpha[5] * f[9];
-    out[67] += scale * 0.2738612787525831 * alpha[5] * f[81];
-    out[67] += scale * 0.3061862178478973 * alpha[15] * f[101];
-    out[67] += scale * 0.30618621784789724 * alpha[19] * f[31];
-    out[67] += scale * 0.27386127875258304 * alpha[19] * f[105];
-    out[67] += scale * 0.2738612787525831 * alpha[20] * f[40];
-    out[67] += scale * 0.3061862178478973 * alpha[46] * f[62];
-    out[67] += scale * 0.27386127875258304 * alpha[50] * f[74];
-    out[68] += scale * 0.6846531968814576 * alpha[0] * f[41];
-    out[68] += scale * 0.6846531968814576 * alpha[2] * f[18];
-    out[68] += scale * 0.6123724356957945 * alpha[2] * f[68];
-    out[68] += scale * 0.6846531968814576 * alpha[4] * f[75];
-    out[68] += scale * 0.6846531968814576 * alpha[5] * f[10];
-    out[68] += scale * 0.6123724356957945 * alpha[5] * f[82];
-    out[68] += scale * 0.6846531968814576 * alpha[15] * f[102];
-    out[68] += scale * 0.6846531968814576 * alpha[19] * f[32];
-    out[68] += scale * 0.6123724356957946 * alpha[19] * f[106];
-    out[68] += scale * 0.6123724356957945 * alpha[20] * f[41];
-    out[68] += scale * 0.6846531968814576 * alpha[46] * f[63];
-    out[68] += scale * 0.6123724356957946 * alpha[50] * f[75];
-    out[70] += scale * 0.3061862178478973 * alpha[0] * f[42];
-    out[70] += scale * 0.30618621784789724 * alpha[2] * f[70];
-    out[70] += scale * 0.30618621784789724 * alpha[4] * f[76];
-    out[70] += scale * 0.3061862178478973 * alpha[5] * f[11];
-    out[70] += scale * 0.30618621784789724 * alpha[19] * f[33];
-    out[70] += scale * 0.2738612787525831 * alpha[20] * f[42];
-    out[70] += scale * 0.27386127875258304 * alpha[50] * f[76];
-    out[72] += scale * 0.30618621784789724 * alpha[0] * f[43];
-    out[72] += scale * 0.30618621784789724 * alpha[2] * f[72];
-    out[72] += scale * 0.30618621784789724 * alpha[4] * f[16];
-    out[72] += scale * 0.2738612787525831 * alpha[4] * f[77];
-    out[72] += scale * 0.30618621784789724 * alpha[5] * f[12];
-    out[72] += scale * 0.2738612787525831 * alpha[5] * f[83];
-    out[72] += scale * 0.2738612787525831 * alpha[15] * f[43];
-    out[72] += scale * 0.30618621784789724 * alpha[19] * f[1];
-    out[72] += scale * 0.2738612787525831 * alpha[19] * f[34];
-    out[72] += scale * 0.2738612787525831 * alpha[19] * f[47];
-    out[72] += scale * 0.2738612787525831 * alpha[20] * f[43];
-    out[72] += scale * 0.2738612787525831 * alpha[46] * f[12];
-    out[72] += scale * 0.2449489742783178 * alpha[46] * f[83];
-    out[72] += scale * 0.2738612787525831 * alpha[50] * f[16];
-    out[72] += scale * 0.2449489742783178 * alpha[50] * f[77];
-    out[73] += scale * 0.6846531968814576 * alpha[0] * f[44];
-    out[73] += scale * 0.6846531968814576 * alpha[2] * f[19];
-    out[73] += scale * 0.6123724356957945 * alpha[2] * f[73];
-    out[73] += scale * 0.6846531968814576 * alpha[4] * f[17];
-    out[73] += scale * 0.6123724356957945 * alpha[4] * f[78];
-    out[73] += scale * 0.6846531968814576 * alpha[5] * f[13];
-    out[73] += scale * 0.6123724356957945 * alpha[5] * f[84];
-    out[73] += scale * 0.6123724356957945 * alpha[15] * f[44];
-    out[73] += scale * 0.6846531968814576 * alpha[19] * f[2];
-    out[73] += scale * 0.6123724356957945 * alpha[19] * f[35];
-    out[73] += scale * 0.6123724356957945 * alpha[19] * f[48];
-    out[73] += scale * 0.6123724356957945 * alpha[20] * f[44];
-    out[73] += scale * 0.6123724356957945 * alpha[46] * f[13];
-    out[73] += scale * 0.5477225575051661 * alpha[46] * f[84];
-    out[73] += scale * 0.6123724356957945 * alpha[50] * f[17];
-    out[73] += scale * 0.5477225575051661 * alpha[50] * f[78];
-    out[75] += scale * 0.30618621784789724 * alpha[0] * f[45];
-    out[75] += scale * 0.30618621784789724 * alpha[2] * f[75];
-    out[75] += scale * 0.30618621784789724 * alpha[4] * f[18];
-    out[75] += scale * 0.2738612787525831 * alpha[4] * f[79];
-    out[75] += scale * 0.30618621784789724 * alpha[5] * f[14];
-    out[75] += scale * 0.2738612787525831 * alpha[5] * f[85];
-    out[75] += scale * 0.2738612787525831 * alpha[15] * f[45];
-    out[75] += scale * 0.30618621784789724 * alpha[19] * f[3];
-    out[75] += scale * 0.2738612787525831 * alpha[19] * f[36];
-    out[75] += scale * 0.2738612787525831 * alpha[19] * f[49];
-    out[75] += scale * 0.2738612787525831 * alpha[20] * f[45];
-    out[75] += scale * 0.2738612787525831 * alpha[46] * f[14];
-    out[75] += scale * 0.2449489742783178 * alpha[46] * f[85];
-    out[75] += scale * 0.2738612787525831 * alpha[50] * f[18];
-    out[75] += scale * 0.2449489742783178 * alpha[50] * f[79];
-    out[78] += scale * 0.3061862178478973 * alpha[0] * f[46];
-    out[78] += scale * 0.30618621784789724 * alpha[2] * f[78];
-    out[78] += scale * 0.2738612787525831 * alpha[4] * f[19];
-    out[78] += scale * 0.3061862178478973 * alpha[5] * f[15];
-    out[78] += scale * 0.3061862178478973 * alpha[15] * f[5];
-    out[78] += scale * 0.19561519910898792 * alpha[15] * f[46];
-    out[78] += scale * 0.2738612787525831 * alpha[19] * f[4];
-    out[78] += scale * 0.2449489742783178 * alpha[19] * f[50];
-    out[78] += scale * 0.2738612787525831 * alpha[20] * f[46];
-    out[78] += scale * 0.3061862178478973 * alpha[46] * f[0];
-    out[78] += scale * 0.19561519910898792 * alpha[46] * f[15];
-    out[78] += scale * 0.2738612787525831 * alpha[46] * f[20];
-    out[78] += scale * 0.2449489742783178 * alpha[50] * f[19];
-    out[80] += scale * 0.3061862178478973 * alpha[0] * f[47];
-    out[80] += scale * 0.30618621784789724 * alpha[2] * f[80];
-    out[80] += scale * 0.30618621784789724 * alpha[4] * f[83];
-    out[80] += scale * 0.2738612787525831 * alpha[5] * f[16];
-    out[80] += scale * 0.2738612787525831 * alpha[19] * f[43];
-    out[80] += scale * 0.3061862178478973 * alpha[20] * f[1];
-    out[80] += scale * 0.19561519910898792 * alpha[20] * f[47];
-    out[80] += scale * 0.27386127875258304 * alpha[46] * f[77];
-    out[80] += scale * 0.30618621784789724 * alpha[50] * f[12];
-    out[80] += scale * 0.1956151991089879 * alpha[50] * f[83];
-    out[82] += scale * 0.3061862178478973 * alpha[0] * f[49];
-    out[82] += scale * 0.30618621784789724 * alpha[2] * f[82];
-    out[82] += scale * 0.30618621784789724 * alpha[4] * f[85];
-    out[82] += scale * 0.2738612787525831 * alpha[5] * f[18];
-    out[82] += scale * 0.2738612787525831 * alpha[19] * f[45];
-    out[82] += scale * 0.3061862178478973 * alpha[20] * f[3];
-    out[82] += scale * 0.19561519910898792 * alpha[20] * f[49];
-    out[82] += scale * 0.27386127875258304 * alpha[46] * f[79];
-    out[82] += scale * 0.30618621784789724 * alpha[50] * f[14];
-    out[82] += scale * 0.1956151991089879 * alpha[50] * f[85];
-    out[84] += scale * 0.3061862178478973 * alpha[0] * f[50];
-    out[84] += scale * 0.30618621784789724 * alpha[2] * f[84];
-    out[84] += scale * 0.3061862178478973 * alpha[4] * f[20];
-    out[84] += scale * 0.2738612787525831 * alpha[5] * f[19];
-    out[84] += scale * 0.2738612787525831 * alpha[15] * f[50];
-    out[84] += scale * 0.2738612787525831 * alpha[19] * f[5];
-    out[84] += scale * 0.2449489742783178 * alpha[19] * f[46];
-    out[84] += scale * 0.3061862178478973 * alpha[20] * f[4];
-    out[84] += scale * 0.19561519910898792 * alpha[20] * f[50];
-    out[84] += scale * 0.2449489742783178 * alpha[46] * f[19];
-    out[84] += scale * 0.3061862178478973 * alpha[50] * f[0];
-    out[84] += scale * 0.2738612787525831 * alpha[50] * f[15];
-    out[84] += scale * 0.19561519910898792 * alpha[50] * f[20];
-    out[86] += scale * 0.30618621784789724 * alpha[0] * f[56];
-    out[86] += scale * 0.3061862178478973 * alpha[2] * f[86];
-    out[86] += scale * 0.30618621784789724 * alpha[4] * f[23];
-    out[86] += scale * 0.3061862178478973 * alpha[5] * f[95];
-    out[86] += scale * 0.27386127875258304 * alpha[15] * f[56];
-    out[86] += scale * 0.3061862178478973 * alpha[19] * f[66];
-    out[86] += scale * 0.27386127875258304 * alpha[46] * f[95];
-    out[87] += scale * 0.6846531968814576 * alpha[0] * f[57];
-    out[87] += scale * 0.6846531968814576 * alpha[2] * f[31];
-    out[87] += scale * 0.6123724356957946 * alpha[2] * f[87];
-    out[87] += scale * 0.6846531968814576 * alpha[4] * f[24];
-    out[87] += scale * 0.6123724356957946 * alpha[4] * f[89];
-    out[87] += scale * 0.6846531968814576 * alpha[5] * f[96];
-    out[87] += scale * 0.6123724356957946 * alpha[15] * f[57];
-    out[87] += scale * 0.6846531968814576 * alpha[19] * f[67];
-    out[87] += scale * 0.6123724356957946 * alpha[19] * f[110];
-    out[87] += scale * 0.6846531968814576 * alpha[20] * f[111];
-    out[87] += scale * 0.6123724356957946 * alpha[46] * f[96];
-    out[87] += scale * 0.6846531968814576 * alpha[50] * f[103];
-    out[88] += scale * 0.30618621784789724 * alpha[0] * f[59];
-    out[88] += scale * 0.3061862178478973 * alpha[2] * f[88];
-    out[88] += scale * 0.30618621784789724 * alpha[4] * f[26];
-    out[88] += scale * 0.3061862178478973 * alpha[5] * f[98];
-    out[88] += scale * 0.27386127875258304 * alpha[15] * f[59];
-    out[88] += scale * 0.3061862178478973 * alpha[19] * f[69];
-    out[88] += scale * 0.27386127875258304 * alpha[46] * f[98];
-    out[89] += scale * 0.30618621784789724 * alpha[0] * f[62];
-    out[89] += scale * 0.3061862178478973 * alpha[2] * f[89];
-    out[89] += scale * 0.2738612787525831 * alpha[4] * f[31];
-    out[89] += scale * 0.3061862178478973 * alpha[5] * f[101];
-    out[89] += scale * 0.30618621784789724 * alpha[15] * f[9];
-    out[89] += scale * 0.1956151991089879 * alpha[15] * f[62];
-    out[89] += scale * 0.27386127875258304 * alpha[19] * f[74];
-    out[89] += scale * 0.3061862178478973 * alpha[46] * f[40];
-    out[89] += scale * 0.19561519910898792 * alpha[46] * f[101];
-    out[89] += scale * 0.27386127875258304 * alpha[50] * f[105];
-    out[90] += scale * 0.30618621784789724 * alpha[0] * f[66];
-    out[90] += scale * 0.3061862178478973 * alpha[2] * f[90];
-    out[90] += scale * 0.3061862178478973 * alpha[4] * f[95];
-    out[90] += scale * 0.30618621784789724 * alpha[5] * f[23];
-    out[90] += scale * 0.3061862178478973 * alpha[19] * f[56];
-    out[90] += scale * 0.27386127875258304 * alpha[20] * f[66];
-    out[90] += scale * 0.27386127875258304 * alpha[50] * f[95];
-    out[91] += scale * 0.6846531968814576 * alpha[0] * f[67];
-    out[91] += scale * 0.6846531968814576 * alpha[2] * f[40];
-    out[91] += scale * 0.6123724356957946 * alpha[2] * f[91];
-    out[91] += scale * 0.6846531968814576 * alpha[4] * f[96];
-    out[91] += scale * 0.6846531968814576 * alpha[5] * f[24];
-    out[91] += scale * 0.6123724356957946 * alpha[5] * f[103];
-    out[91] += scale * 0.6846531968814576 * alpha[15] * f[110];
-    out[91] += scale * 0.6846531968814576 * alpha[19] * f[57];
-    out[91] += scale * 0.6123724356957946 * alpha[19] * f[111];
-    out[91] += scale * 0.6123724356957946 * alpha[20] * f[67];
-    out[91] += scale * 0.6846531968814576 * alpha[46] * f[89];
-    out[91] += scale * 0.6123724356957946 * alpha[50] * f[96];
-    out[92] += scale * 0.30618621784789724 * alpha[0] * f[69];
-    out[92] += scale * 0.3061862178478973 * alpha[2] * f[92];
-    out[92] += scale * 0.3061862178478973 * alpha[4] * f[98];
-    out[92] += scale * 0.30618621784789724 * alpha[5] * f[26];
-    out[92] += scale * 0.3061862178478973 * alpha[19] * f[59];
-    out[92] += scale * 0.27386127875258304 * alpha[20] * f[69];
-    out[92] += scale * 0.27386127875258304 * alpha[50] * f[98];
-    out[93] += scale * 0.30618621784789724 * alpha[0] * f[71];
-    out[93] += scale * 0.3061862178478973 * alpha[2] * f[93];
-    out[93] += scale * 0.30618621784789724 * alpha[4] * f[37];
-    out[93] += scale * 0.30618621784789724 * alpha[5] * f[28];
-    out[93] += scale * 0.27386127875258304 * alpha[15] * f[71];
-    out[93] += scale * 0.30618621784789724 * alpha[19] * f[6];
-    out[93] += scale * 0.27386127875258304 * alpha[20] * f[71];
-    out[93] += scale * 0.27386127875258304 * alpha[46] * f[28];
-    out[93] += scale * 0.27386127875258304 * alpha[50] * f[37];
-    out[94] += scale * 0.6846531968814576 * alpha[0] * f[72];
-    out[94] += scale * 0.6846531968814576 * alpha[2] * f[43];
-    out[94] += scale * 0.6123724356957946 * alpha[2] * f[94];
-    out[94] += scale * 0.6846531968814576 * alpha[4] * f[38];
-    out[94] += scale * 0.6123724356957946 * alpha[4] * f[100];
-    out[94] += scale * 0.6846531968814576 * alpha[5] * f[29];
-    out[94] += scale * 0.6123724356957946 * alpha[5] * f[104];
-    out[94] += scale * 0.6123724356957946 * alpha[15] * f[72];
-    out[94] += scale * 0.6846531968814576 * alpha[19] * f[7];
-    out[94] += scale * 0.6123724356957946 * alpha[19] * f[61];
-    out[94] += scale * 0.6123724356957946 * alpha[19] * f[80];
-    out[94] += scale * 0.6123724356957946 * alpha[20] * f[72];
-    out[94] += scale * 0.6123724356957946 * alpha[46] * f[29];
-    out[94] += scale * 0.5477225575051661 * alpha[46] * f[104];
-    out[94] += scale * 0.6123724356957946 * alpha[50] * f[38];
-    out[94] += scale * 0.5477225575051661 * alpha[50] * f[100];
-    out[96] += scale * 0.30618621784789724 * alpha[0] * f[74];
-    out[96] += scale * 0.3061862178478973 * alpha[2] * f[96];
-    out[96] += scale * 0.30618621784789724 * alpha[4] * f[40];
-    out[96] += scale * 0.27386127875258304 * alpha[4] * f[101];
-    out[96] += scale * 0.30618621784789724 * alpha[5] * f[31];
-    out[96] += scale * 0.27386127875258304 * alpha[5] * f[105];
-    out[96] += scale * 0.27386127875258304 * alpha[15] * f[74];
-    out[96] += scale * 0.30618621784789724 * alpha[19] * f[9];
-    out[96] += scale * 0.27386127875258304 * alpha[19] * f[62];
-    out[96] += scale * 0.27386127875258304 * alpha[19] * f[81];
-    out[96] += scale * 0.27386127875258304 * alpha[20] * f[74];
-    out[96] += scale * 0.27386127875258304 * alpha[46] * f[31];
-    out[96] += scale * 0.24494897427831783 * alpha[46] * f[105];
-    out[96] += scale * 0.27386127875258304 * alpha[50] * f[40];
-    out[96] += scale * 0.24494897427831783 * alpha[50] * f[101];
-    out[97] += scale * 0.6846531968814576 * alpha[0] * f[75];
-    out[97] += scale * 0.6846531968814576 * alpha[2] * f[45];
-    out[97] += scale * 0.6123724356957946 * alpha[2] * f[97];
-    out[97] += scale * 0.6846531968814576 * alpha[4] * f[41];
-    out[97] += scale * 0.6123724356957946 * alpha[4] * f[102];
-    out[97] += scale * 0.6846531968814576 * alpha[5] * f[32];
-    out[97] += scale * 0.6123724356957946 * alpha[5] * f[106];
-    out[97] += scale * 0.6123724356957946 * alpha[15] * f[75];
-    out[97] += scale * 0.6846531968814576 * alpha[19] * f[10];
-    out[97] += scale * 0.6123724356957946 * alpha[19] * f[63];
-    out[97] += scale * 0.6123724356957946 * alpha[19] * f[82];
-    out[97] += scale * 0.6123724356957946 * alpha[20] * f[75];
-    out[97] += scale * 0.6123724356957946 * alpha[46] * f[32];
-    out[97] += scale * 0.5477225575051661 * alpha[46] * f[106];
-    out[97] += scale * 0.6123724356957946 * alpha[50] * f[41];
-    out[97] += scale * 0.5477225575051661 * alpha[50] * f[102];
-    out[99] += scale * 0.30618621784789724 * alpha[0] * f[76];
-    out[99] += scale * 0.3061862178478973 * alpha[2] * f[99];
-    out[99] += scale * 0.30618621784789724 * alpha[4] * f[42];
-    out[99] += scale * 0.30618621784789724 * alpha[5] * f[33];
-    out[99] += scale * 0.27386127875258304 * alpha[15] * f[76];
-    out[99] += scale * 0.30618621784789724 * alpha[19] * f[11];
-    out[99] += scale * 0.27386127875258304 * alpha[20] * f[76];
-    out[99] += scale * 0.27386127875258304 * alpha[46] * f[33];
-    out[99] += scale * 0.27386127875258304 * alpha[50] * f[42];
-    out[100] += scale * 0.30618621784789724 * alpha[0] * f[77];
-    out[100] += scale * 0.3061862178478973 * alpha[2] * f[100];
-    out[100] += scale * 0.2738612787525831 * alpha[4] * f[43];
-    out[100] += scale * 0.30618621784789724 * alpha[5] * f[34];
-    out[100] += scale * 0.30618621784789724 * alpha[15] * f[16];
-    out[100] += scale * 0.1956151991089879 * alpha[15] * f[77];
-    out[100] += scale * 0.2738612787525831 * alpha[19] * f[12];
-    out[100] += scale * 0.2449489742783178 * alpha[19] * f[83];
-    out[100] += scale * 0.27386127875258304 * alpha[20] * f[77];
-    out[100] += scale * 0.30618621784789724 * alpha[46] * f[1];
-    out[100] += scale * 0.1956151991089879 * alpha[46] * f[34];
-    out[100] += scale * 0.27386127875258304 * alpha[46] * f[47];
-    out[100] += scale * 0.2449489742783178 * alpha[50] * f[43];
-    out[102] += scale * 0.30618621784789724 * alpha[0] * f[79];
-    out[102] += scale * 0.3061862178478973 * alpha[2] * f[102];
-    out[102] += scale * 0.2738612787525831 * alpha[4] * f[45];
-    out[102] += scale * 0.30618621784789724 * alpha[5] * f[36];
-    out[102] += scale * 0.30618621784789724 * alpha[15] * f[18];
-    out[102] += scale * 0.1956151991089879 * alpha[15] * f[79];
-    out[102] += scale * 0.2738612787525831 * alpha[19] * f[14];
-    out[102] += scale * 0.2449489742783178 * alpha[19] * f[85];
-    out[102] += scale * 0.27386127875258304 * alpha[20] * f[79];
-    out[102] += scale * 0.30618621784789724 * alpha[46] * f[3];
-    out[102] += scale * 0.1956151991089879 * alpha[46] * f[36];
-    out[102] += scale * 0.27386127875258304 * alpha[46] * f[49];
-    out[102] += scale * 0.2449489742783178 * alpha[50] * f[45];
-    out[103] += scale * 0.30618621784789724 * alpha[0] * f[81];
-    out[103] += scale * 0.3061862178478973 * alpha[2] * f[103];
-    out[103] += scale * 0.3061862178478973 * alpha[4] * f[105];
-    out[103] += scale * 0.2738612787525831 * alpha[5] * f[40];
-    out[103] += scale * 0.27386127875258304 * alpha[19] * f[74];
-    out[103] += scale * 0.30618621784789724 * alpha[20] * f[9];
-    out[103] += scale * 0.1956151991089879 * alpha[20] * f[81];
-    out[103] += scale * 0.27386127875258304 * alpha[46] * f[101];
-    out[103] += scale * 0.3061862178478973 * alpha[50] * f[31];
-    out[103] += scale * 0.19561519910898792 * alpha[50] * f[105];
-    out[104] += scale * 0.30618621784789724 * alpha[0] * f[83];
-    out[104] += scale * 0.3061862178478973 * alpha[2] * f[104];
-    out[104] += scale * 0.30618621784789724 * alpha[4] * f[47];
-    out[104] += scale * 0.2738612787525831 * alpha[5] * f[43];
-    out[104] += scale * 0.27386127875258304 * alpha[15] * f[83];
-    out[104] += scale * 0.2738612787525831 * alpha[19] * f[16];
-    out[104] += scale * 0.2449489742783178 * alpha[19] * f[77];
-    out[104] += scale * 0.30618621784789724 * alpha[20] * f[12];
-    out[104] += scale * 0.1956151991089879 * alpha[20] * f[83];
-    out[104] += scale * 0.2449489742783178 * alpha[46] * f[43];
-    out[104] += scale * 0.30618621784789724 * alpha[50] * f[1];
-    out[104] += scale * 0.27386127875258304 * alpha[50] * f[34];
-    out[104] += scale * 0.1956151991089879 * alpha[50] * f[47];
-    out[106] += scale * 0.30618621784789724 * alpha[0] * f[85];
-    out[106] += scale * 0.3061862178478973 * alpha[2] * f[106];
-    out[106] += scale * 0.30618621784789724 * alpha[4] * f[49];
-    out[106] += scale * 0.2738612787525831 * alpha[5] * f[45];
-    out[106] += scale * 0.27386127875258304 * alpha[15] * f[85];
-    out[106] += scale * 0.2738612787525831 * alpha[19] * f[18];
-    out[106] += scale * 0.2449489742783178 * alpha[19] * f[79];
-    out[106] += scale * 0.30618621784789724 * alpha[20] * f[14];
-    out[106] += scale * 0.1956151991089879 * alpha[20] * f[85];
-    out[106] += scale * 0.2449489742783178 * alpha[46] * f[45];
-    out[106] += scale * 0.30618621784789724 * alpha[50] * f[3];
-    out[106] += scale * 0.27386127875258304 * alpha[50] * f[36];
-    out[106] += scale * 0.1956151991089879 * alpha[50] * f[49];
-    out[107] += scale * 0.3061862178478973 * alpha[0] * f[95];
-    out[107] += scale * 0.3061862178478973 * alpha[2] * f[107];
-    out[107] += scale * 0.3061862178478973 * alpha[4] * f[66];
-    out[107] += scale * 0.3061862178478973 * alpha[5] * f[56];
-    out[107] += scale * 0.27386127875258304 * alpha[15] * f[95];
-    out[107] += scale * 0.3061862178478973 * alpha[19] * f[23];
-    out[107] += scale * 0.27386127875258304 * alpha[20] * f[95];
-    out[107] += scale * 0.27386127875258304 * alpha[46] * f[56];
-    out[107] += scale * 0.27386127875258304 * alpha[50] * f[66];
-    out[108] += scale * 0.6846531968814576 * alpha[0] * f[96];
-    out[108] += scale * 0.6846531968814576 * alpha[2] * f[74];
-    out[108] += scale * 0.6123724356957946 * alpha[2] * f[108];
-    out[108] += scale * 0.6846531968814576 * alpha[4] * f[67];
-    out[108] += scale * 0.6123724356957946 * alpha[4] * f[110];
-    out[108] += scale * 0.6846531968814576 * alpha[5] * f[57];
-    out[108] += scale * 0.6123724356957946 * alpha[5] * f[111];
-    out[108] += scale * 0.6123724356957946 * alpha[15] * f[96];
-    out[108] += scale * 0.6846531968814576 * alpha[19] * f[24];
-    out[108] += scale * 0.6123724356957946 * alpha[19] * f[89];
-    out[108] += scale * 0.6123724356957946 * alpha[19] * f[103];
-    out[108] += scale * 0.6123724356957946 * alpha[20] * f[96];
-    out[108] += scale * 0.6123724356957946 * alpha[46] * f[57];
-    out[108] += scale * 0.5477225575051662 * alpha[46] * f[111];
-    out[108] += scale * 0.6123724356957946 * alpha[50] * f[67];
-    out[108] += scale * 0.5477225575051662 * alpha[50] * f[110];
-    out[109] += scale * 0.3061862178478973 * alpha[0] * f[98];
-    out[109] += scale * 0.3061862178478973 * alpha[2] * f[109];
-    out[109] += scale * 0.3061862178478973 * alpha[4] * f[69];
-    out[109] += scale * 0.3061862178478973 * alpha[5] * f[59];
-    out[109] += scale * 0.27386127875258304 * alpha[15] * f[98];
-    out[109] += scale * 0.3061862178478973 * alpha[19] * f[26];
-    out[109] += scale * 0.27386127875258304 * alpha[20] * f[98];
-    out[109] += scale * 0.27386127875258304 * alpha[46] * f[59];
-    out[109] += scale * 0.27386127875258304 * alpha[50] * f[69];
-    out[110] += scale * 0.3061862178478973 * alpha[0] * f[101];
-    out[110] += scale * 0.3061862178478973 * alpha[2] * f[110];
-    out[110] += scale * 0.27386127875258304 * alpha[4] * f[74];
-    out[110] += scale * 0.3061862178478973 * alpha[5] * f[62];
-    out[110] += scale * 0.3061862178478973 * alpha[15] * f[40];
-    out[110] += scale * 0.19561519910898792 * alpha[15] * f[101];
-    out[110] += scale * 0.27386127875258304 * alpha[19] * f[31];
-    out[110] += scale * 0.24494897427831783 * alpha[19] * f[105];
-    out[110] += scale * 0.27386127875258304 * alpha[20] * f[101];
-    out[110] += scale * 0.3061862178478973 * alpha[46] * f[9];
-    out[110] += scale * 0.19561519910898792 * alpha[46] * f[62];
-    out[110] += scale * 0.27386127875258304 * alpha[46] * f[81];
-    out[110] += scale * 0.24494897427831783 * alpha[50] * f[74];
-    out[111] += scale * 0.3061862178478973 * alpha[0] * f[105];
-    out[111] += scale * 0.3061862178478973 * alpha[2] * f[111];
-    out[111] += scale * 0.3061862178478973 * alpha[4] * f[81];
-    out[111] += scale * 0.27386127875258304 * alpha[5] * f[74];
-    out[111] += scale * 0.27386127875258304 * alpha[15] * f[105];
-    out[111] += scale * 0.27386127875258304 * alpha[19] * f[40];
-    out[111] += scale * 0.24494897427831783 * alpha[19] * f[101];
-    out[111] += scale * 0.3061862178478973 * alpha[20] * f[31];
-    out[111] += scale * 0.19561519910898792 * alpha[20] * f[105];
-    out[111] += scale * 0.24494897427831783 * alpha[46] * f[74];
-    out[111] += scale * 0.3061862178478973 * alpha[50] * f[9];
-    out[111] += scale * 0.27386127875258304 * alpha[50] * f[62];
-    out[111] += scale * 0.19561519910898792 * alpha[50] * f[81];
+    let mut alpha = [[0.0f64; L]; 112];
+    for k in 0..L {
+        alpha[0][k] = -nu * v_c * 5.656854249492381;
+        alpha[2][k] = -nu * 0.5 * dv * 3.265986323710904;
+        alpha[0][k] += nu * 2.8284271247461903 * u[0][k];
+        alpha[4][k] += nu * 2.8284271247461903 * u[1][k];
+        alpha[5][k] += nu * 2.8284271247461903 * u[2][k];
+        alpha[15][k] += nu * 2.8284271247461903 * u[3][k];
+        alpha[19][k] += nu * 2.8284271247461903 * u[4][k];
+        alpha[20][k] += nu * 2.8284271247461903 * u[5][k];
+        alpha[46][k] += nu * 2.8284271247461903 * u[6][k];
+        alpha[50][k] += nu * 2.8284271247461903 * u[7][k];
+    }
+    for k in 0..L {
+        out[2][k] += scale * 0.30618621784789724 * alpha[0][k] * f[0][k];
+        out[2][k] += scale * 0.30618621784789724 * alpha[2][k] * f[2][k];
+        out[2][k] += scale * 0.30618621784789724 * alpha[4][k] * f[4][k];
+        out[2][k] += scale * 0.30618621784789724 * alpha[5][k] * f[5][k];
+        out[2][k] += scale * 0.3061862178478973 * alpha[15][k] * f[15][k];
+        out[2][k] += scale * 0.30618621784789724 * alpha[19][k] * f[19][k];
+        out[2][k] += scale * 0.3061862178478973 * alpha[20][k] * f[20][k];
+        out[2][k] += scale * 0.3061862178478973 * alpha[46][k] * f[46][k];
+        out[2][k] += scale * 0.3061862178478973 * alpha[50][k] * f[50][k];
+    }
+    for k in 0..L {
+        out[7][k] += scale * 0.30618621784789724 * alpha[0][k] * f[1][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[2][k] * f[7][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[4][k] * f[12][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[5][k] * f[16][k];
+        out[7][k] += scale * 0.3061862178478973 * alpha[15][k] * f[34][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[19][k] * f[43][k];
+        out[7][k] += scale * 0.3061862178478973 * alpha[20][k] * f[47][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[46][k] * f[77][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[50][k] * f[83][k];
+    }
+    for k in 0..L {
+        out[8][k] += scale * 0.6846531968814576 * alpha[0][k] * f[2][k];
+        out[8][k] += scale * 0.6846531968814576 * alpha[2][k] * f[0][k];
+        out[8][k] += scale * 0.6123724356957946 * alpha[2][k] * f[8][k];
+        out[8][k] += scale * 0.6846531968814575 * alpha[4][k] * f[13][k];
+        out[8][k] += scale * 0.6846531968814575 * alpha[5][k] * f[17][k];
+        out[8][k] += scale * 0.6846531968814578 * alpha[15][k] * f[35][k];
+        out[8][k] += scale * 0.6846531968814576 * alpha[19][k] * f[44][k];
+        out[8][k] += scale * 0.6846531968814578 * alpha[20][k] * f[48][k];
+        out[8][k] += scale * 0.6846531968814576 * alpha[46][k] * f[78][k];
+        out[8][k] += scale * 0.6846531968814576 * alpha[50][k] * f[84][k];
+    }
+    for k in 0..L {
+        out[10][k] += scale * 0.30618621784789724 * alpha[0][k] * f[3][k];
+        out[10][k] += scale * 0.30618621784789724 * alpha[2][k] * f[10][k];
+        out[10][k] += scale * 0.30618621784789724 * alpha[4][k] * f[14][k];
+        out[10][k] += scale * 0.30618621784789724 * alpha[5][k] * f[18][k];
+        out[10][k] += scale * 0.3061862178478973 * alpha[15][k] * f[36][k];
+        out[10][k] += scale * 0.30618621784789724 * alpha[19][k] * f[45][k];
+        out[10][k] += scale * 0.3061862178478973 * alpha[20][k] * f[49][k];
+        out[10][k] += scale * 0.30618621784789724 * alpha[46][k] * f[79][k];
+        out[10][k] += scale * 0.30618621784789724 * alpha[50][k] * f[85][k];
+    }
+    for k in 0..L {
+        out[13][k] += scale * 0.30618621784789724 * alpha[0][k] * f[4][k];
+        out[13][k] += scale * 0.30618621784789724 * alpha[2][k] * f[13][k];
+        out[13][k] += scale * 0.30618621784789724 * alpha[4][k] * f[0][k];
+        out[13][k] += scale * 0.27386127875258304 * alpha[4][k] * f[15][k];
+        out[13][k] += scale * 0.30618621784789724 * alpha[5][k] * f[19][k];
+        out[13][k] += scale * 0.27386127875258304 * alpha[15][k] * f[4][k];
+        out[13][k] += scale * 0.30618621784789724 * alpha[19][k] * f[5][k];
+        out[13][k] += scale * 0.2738612787525831 * alpha[19][k] * f[46][k];
+        out[13][k] += scale * 0.3061862178478973 * alpha[20][k] * f[50][k];
+        out[13][k] += scale * 0.2738612787525831 * alpha[46][k] * f[19][k];
+        out[13][k] += scale * 0.3061862178478973 * alpha[50][k] * f[20][k];
+    }
+    for k in 0..L {
+        out[17][k] += scale * 0.30618621784789724 * alpha[0][k] * f[5][k];
+        out[17][k] += scale * 0.30618621784789724 * alpha[2][k] * f[17][k];
+        out[17][k] += scale * 0.30618621784789724 * alpha[4][k] * f[19][k];
+        out[17][k] += scale * 0.30618621784789724 * alpha[5][k] * f[0][k];
+        out[17][k] += scale * 0.27386127875258304 * alpha[5][k] * f[20][k];
+        out[17][k] += scale * 0.3061862178478973 * alpha[15][k] * f[46][k];
+        out[17][k] += scale * 0.30618621784789724 * alpha[19][k] * f[4][k];
+        out[17][k] += scale * 0.2738612787525831 * alpha[19][k] * f[50][k];
+        out[17][k] += scale * 0.27386127875258304 * alpha[20][k] * f[5][k];
+        out[17][k] += scale * 0.3061862178478973 * alpha[46][k] * f[15][k];
+        out[17][k] += scale * 0.2738612787525831 * alpha[50][k] * f[19][k];
+    }
+    for k in 0..L {
+        out[21][k] += scale * 0.3061862178478973 * alpha[0][k] * f[6][k];
+        out[21][k] += scale * 0.3061862178478973 * alpha[2][k] * f[21][k];
+        out[21][k] += scale * 0.3061862178478973 * alpha[4][k] * f[28][k];
+        out[21][k] += scale * 0.3061862178478973 * alpha[5][k] * f[37][k];
+        out[21][k] += scale * 0.30618621784789724 * alpha[19][k] * f[71][k];
+    }
+    for k in 0..L {
+        out[22][k] += scale * 0.6846531968814575 * alpha[0][k] * f[7][k];
+        out[22][k] += scale * 0.6846531968814575 * alpha[2][k] * f[1][k];
+        out[22][k] += scale * 0.6123724356957946 * alpha[2][k] * f[22][k];
+        out[22][k] += scale * 0.6846531968814576 * alpha[4][k] * f[29][k];
+        out[22][k] += scale * 0.6846531968814576 * alpha[5][k] * f[38][k];
+        out[22][k] += scale * 0.6846531968814576 * alpha[15][k] * f[61][k];
+        out[22][k] += scale * 0.6846531968814576 * alpha[19][k] * f[72][k];
+        out[22][k] += scale * 0.6846531968814576 * alpha[20][k] * f[80][k];
+        out[22][k] += scale * 0.6846531968814576 * alpha[46][k] * f[100][k];
+        out[22][k] += scale * 0.6846531968814576 * alpha[50][k] * f[104][k];
+    }
+    for k in 0..L {
+        out[24][k] += scale * 0.30618621784789724 * alpha[0][k] * f[9][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[2][k] * f[24][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[4][k] * f[31][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[5][k] * f[40][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[15][k] * f[62][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[19][k] * f[74][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[20][k] * f[81][k];
+        out[24][k] += scale * 0.3061862178478973 * alpha[46][k] * f[101][k];
+        out[24][k] += scale * 0.3061862178478973 * alpha[50][k] * f[105][k];
+    }
+    for k in 0..L {
+        out[25][k] += scale * 0.6846531968814575 * alpha[0][k] * f[10][k];
+        out[25][k] += scale * 0.6846531968814575 * alpha[2][k] * f[3][k];
+        out[25][k] += scale * 0.6123724356957946 * alpha[2][k] * f[25][k];
+        out[25][k] += scale * 0.6846531968814576 * alpha[4][k] * f[32][k];
+        out[25][k] += scale * 0.6846531968814576 * alpha[5][k] * f[41][k];
+        out[25][k] += scale * 0.6846531968814576 * alpha[15][k] * f[63][k];
+        out[25][k] += scale * 0.6846531968814576 * alpha[19][k] * f[75][k];
+        out[25][k] += scale * 0.6846531968814576 * alpha[20][k] * f[82][k];
+        out[25][k] += scale * 0.6846531968814576 * alpha[46][k] * f[102][k];
+        out[25][k] += scale * 0.6846531968814576 * alpha[50][k] * f[106][k];
+    }
+    for k in 0..L {
+        out[27][k] += scale * 0.3061862178478973 * alpha[0][k] * f[11][k];
+        out[27][k] += scale * 0.3061862178478973 * alpha[2][k] * f[27][k];
+        out[27][k] += scale * 0.3061862178478973 * alpha[4][k] * f[33][k];
+        out[27][k] += scale * 0.3061862178478973 * alpha[5][k] * f[42][k];
+        out[27][k] += scale * 0.30618621784789724 * alpha[19][k] * f[76][k];
+    }
+    for k in 0..L {
+        out[29][k] += scale * 0.30618621784789724 * alpha[0][k] * f[12][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[2][k] * f[29][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[4][k] * f[1][k];
+        out[29][k] += scale * 0.2738612787525831 * alpha[4][k] * f[34][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[5][k] * f[43][k];
+        out[29][k] += scale * 0.2738612787525831 * alpha[15][k] * f[12][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[19][k] * f[16][k];
+        out[29][k] += scale * 0.2738612787525831 * alpha[19][k] * f[77][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[20][k] * f[83][k];
+        out[29][k] += scale * 0.2738612787525831 * alpha[46][k] * f[43][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[50][k] * f[47][k];
+    }
+    for k in 0..L {
+        out[30][k] += scale * 0.6846531968814575 * alpha[0][k] * f[13][k];
+        out[30][k] += scale * 0.6846531968814575 * alpha[2][k] * f[4][k];
+        out[30][k] += scale * 0.6123724356957946 * alpha[2][k] * f[30][k];
+        out[30][k] += scale * 0.6846531968814575 * alpha[4][k] * f[2][k];
+        out[30][k] += scale * 0.6123724356957946 * alpha[4][k] * f[35][k];
+        out[30][k] += scale * 0.6846531968814576 * alpha[5][k] * f[44][k];
+        out[30][k] += scale * 0.6123724356957946 * alpha[15][k] * f[13][k];
+        out[30][k] += scale * 0.6846531968814576 * alpha[19][k] * f[17][k];
+        out[30][k] += scale * 0.6123724356957945 * alpha[19][k] * f[78][k];
+        out[30][k] += scale * 0.6846531968814576 * alpha[20][k] * f[84][k];
+        out[30][k] += scale * 0.6123724356957945 * alpha[46][k] * f[44][k];
+        out[30][k] += scale * 0.6846531968814576 * alpha[50][k] * f[48][k];
+    }
+    for k in 0..L {
+        out[32][k] += scale * 0.30618621784789724 * alpha[0][k] * f[14][k];
+        out[32][k] += scale * 0.30618621784789724 * alpha[2][k] * f[32][k];
+        out[32][k] += scale * 0.30618621784789724 * alpha[4][k] * f[3][k];
+        out[32][k] += scale * 0.2738612787525831 * alpha[4][k] * f[36][k];
+        out[32][k] += scale * 0.30618621784789724 * alpha[5][k] * f[45][k];
+        out[32][k] += scale * 0.2738612787525831 * alpha[15][k] * f[14][k];
+        out[32][k] += scale * 0.30618621784789724 * alpha[19][k] * f[18][k];
+        out[32][k] += scale * 0.2738612787525831 * alpha[19][k] * f[79][k];
+        out[32][k] += scale * 0.30618621784789724 * alpha[20][k] * f[85][k];
+        out[32][k] += scale * 0.2738612787525831 * alpha[46][k] * f[45][k];
+        out[32][k] += scale * 0.30618621784789724 * alpha[50][k] * f[49][k];
+    }
+    for k in 0..L {
+        out[35][k] += scale * 0.3061862178478973 * alpha[0][k] * f[15][k];
+        out[35][k] += scale * 0.3061862178478973 * alpha[2][k] * f[35][k];
+        out[35][k] += scale * 0.27386127875258304 * alpha[4][k] * f[4][k];
+        out[35][k] += scale * 0.3061862178478973 * alpha[5][k] * f[46][k];
+        out[35][k] += scale * 0.3061862178478973 * alpha[15][k] * f[0][k];
+        out[35][k] += scale * 0.1956151991089879 * alpha[15][k] * f[15][k];
+        out[35][k] += scale * 0.2738612787525831 * alpha[19][k] * f[19][k];
+        out[35][k] += scale * 0.3061862178478973 * alpha[46][k] * f[5][k];
+        out[35][k] += scale * 0.19561519910898792 * alpha[46][k] * f[46][k];
+        out[35][k] += scale * 0.2738612787525831 * alpha[50][k] * f[50][k];
+    }
+    for k in 0..L {
+        out[38][k] += scale * 0.30618621784789724 * alpha[0][k] * f[16][k];
+        out[38][k] += scale * 0.30618621784789724 * alpha[2][k] * f[38][k];
+        out[38][k] += scale * 0.30618621784789724 * alpha[4][k] * f[43][k];
+        out[38][k] += scale * 0.30618621784789724 * alpha[5][k] * f[1][k];
+        out[38][k] += scale * 0.2738612787525831 * alpha[5][k] * f[47][k];
+        out[38][k] += scale * 0.30618621784789724 * alpha[15][k] * f[77][k];
+        out[38][k] += scale * 0.30618621784789724 * alpha[19][k] * f[12][k];
+        out[38][k] += scale * 0.2738612787525831 * alpha[19][k] * f[83][k];
+        out[38][k] += scale * 0.2738612787525831 * alpha[20][k] * f[16][k];
+        out[38][k] += scale * 0.30618621784789724 * alpha[46][k] * f[34][k];
+        out[38][k] += scale * 0.2738612787525831 * alpha[50][k] * f[43][k];
+    }
+    for k in 0..L {
+        out[39][k] += scale * 0.6846531968814575 * alpha[0][k] * f[17][k];
+        out[39][k] += scale * 0.6846531968814575 * alpha[2][k] * f[5][k];
+        out[39][k] += scale * 0.6123724356957946 * alpha[2][k] * f[39][k];
+        out[39][k] += scale * 0.6846531968814576 * alpha[4][k] * f[44][k];
+        out[39][k] += scale * 0.6846531968814575 * alpha[5][k] * f[2][k];
+        out[39][k] += scale * 0.6123724356957946 * alpha[5][k] * f[48][k];
+        out[39][k] += scale * 0.6846531968814576 * alpha[15][k] * f[78][k];
+        out[39][k] += scale * 0.6846531968814576 * alpha[19][k] * f[13][k];
+        out[39][k] += scale * 0.6123724356957945 * alpha[19][k] * f[84][k];
+        out[39][k] += scale * 0.6123724356957946 * alpha[20][k] * f[17][k];
+        out[39][k] += scale * 0.6846531968814576 * alpha[46][k] * f[35][k];
+        out[39][k] += scale * 0.6123724356957945 * alpha[50][k] * f[44][k];
+    }
+    for k in 0..L {
+        out[41][k] += scale * 0.30618621784789724 * alpha[0][k] * f[18][k];
+        out[41][k] += scale * 0.30618621784789724 * alpha[2][k] * f[41][k];
+        out[41][k] += scale * 0.30618621784789724 * alpha[4][k] * f[45][k];
+        out[41][k] += scale * 0.30618621784789724 * alpha[5][k] * f[3][k];
+        out[41][k] += scale * 0.2738612787525831 * alpha[5][k] * f[49][k];
+        out[41][k] += scale * 0.30618621784789724 * alpha[15][k] * f[79][k];
+        out[41][k] += scale * 0.30618621784789724 * alpha[19][k] * f[14][k];
+        out[41][k] += scale * 0.2738612787525831 * alpha[19][k] * f[85][k];
+        out[41][k] += scale * 0.2738612787525831 * alpha[20][k] * f[18][k];
+        out[41][k] += scale * 0.30618621784789724 * alpha[46][k] * f[36][k];
+        out[41][k] += scale * 0.2738612787525831 * alpha[50][k] * f[45][k];
+    }
+    for k in 0..L {
+        out[44][k] += scale * 0.30618621784789724 * alpha[0][k] * f[19][k];
+        out[44][k] += scale * 0.30618621784789724 * alpha[2][k] * f[44][k];
+        out[44][k] += scale * 0.30618621784789724 * alpha[4][k] * f[5][k];
+        out[44][k] += scale * 0.2738612787525831 * alpha[4][k] * f[46][k];
+        out[44][k] += scale * 0.30618621784789724 * alpha[5][k] * f[4][k];
+        out[44][k] += scale * 0.2738612787525831 * alpha[5][k] * f[50][k];
+        out[44][k] += scale * 0.2738612787525831 * alpha[15][k] * f[19][k];
+        out[44][k] += scale * 0.30618621784789724 * alpha[19][k] * f[0][k];
+        out[44][k] += scale * 0.2738612787525831 * alpha[19][k] * f[15][k];
+        out[44][k] += scale * 0.2738612787525831 * alpha[19][k] * f[20][k];
+        out[44][k] += scale * 0.2738612787525831 * alpha[20][k] * f[19][k];
+        out[44][k] += scale * 0.2738612787525831 * alpha[46][k] * f[4][k];
+        out[44][k] += scale * 0.2449489742783178 * alpha[46][k] * f[50][k];
+        out[44][k] += scale * 0.2738612787525831 * alpha[50][k] * f[5][k];
+        out[44][k] += scale * 0.2449489742783178 * alpha[50][k] * f[46][k];
+    }
+    for k in 0..L {
+        out[48][k] += scale * 0.3061862178478973 * alpha[0][k] * f[20][k];
+        out[48][k] += scale * 0.3061862178478973 * alpha[2][k] * f[48][k];
+        out[48][k] += scale * 0.3061862178478973 * alpha[4][k] * f[50][k];
+        out[48][k] += scale * 0.27386127875258304 * alpha[5][k] * f[5][k];
+        out[48][k] += scale * 0.2738612787525831 * alpha[19][k] * f[19][k];
+        out[48][k] += scale * 0.3061862178478973 * alpha[20][k] * f[0][k];
+        out[48][k] += scale * 0.1956151991089879 * alpha[20][k] * f[20][k];
+        out[48][k] += scale * 0.2738612787525831 * alpha[46][k] * f[46][k];
+        out[48][k] += scale * 0.3061862178478973 * alpha[50][k] * f[4][k];
+        out[48][k] += scale * 0.19561519910898792 * alpha[50][k] * f[50][k];
+    }
+    for k in 0..L {
+        out[51][k] += scale * 0.3061862178478973 * alpha[0][k] * f[23][k];
+        out[51][k] += scale * 0.30618621784789724 * alpha[2][k] * f[51][k];
+        out[51][k] += scale * 0.30618621784789724 * alpha[4][k] * f[56][k];
+        out[51][k] += scale * 0.30618621784789724 * alpha[5][k] * f[66][k];
+        out[51][k] += scale * 0.3061862178478973 * alpha[19][k] * f[95][k];
+    }
+    for k in 0..L {
+        out[52][k] += scale * 0.6846531968814576 * alpha[0][k] * f[24][k];
+        out[52][k] += scale * 0.6846531968814576 * alpha[2][k] * f[9][k];
+        out[52][k] += scale * 0.6123724356957945 * alpha[2][k] * f[52][k];
+        out[52][k] += scale * 0.6846531968814576 * alpha[4][k] * f[57][k];
+        out[52][k] += scale * 0.6846531968814576 * alpha[5][k] * f[67][k];
+        out[52][k] += scale * 0.6846531968814576 * alpha[15][k] * f[89][k];
+        out[52][k] += scale * 0.6846531968814576 * alpha[19][k] * f[96][k];
+        out[52][k] += scale * 0.6846531968814576 * alpha[20][k] * f[103][k];
+        out[52][k] += scale * 0.6846531968814576 * alpha[46][k] * f[110][k];
+        out[52][k] += scale * 0.6846531968814576 * alpha[50][k] * f[111][k];
+    }
+    for k in 0..L {
+        out[53][k] += scale * 0.3061862178478973 * alpha[0][k] * f[26][k];
+        out[53][k] += scale * 0.30618621784789724 * alpha[2][k] * f[53][k];
+        out[53][k] += scale * 0.30618621784789724 * alpha[4][k] * f[59][k];
+        out[53][k] += scale * 0.30618621784789724 * alpha[5][k] * f[69][k];
+        out[53][k] += scale * 0.3061862178478973 * alpha[19][k] * f[98][k];
+    }
+    for k in 0..L {
+        out[54][k] += scale * 0.3061862178478973 * alpha[0][k] * f[28][k];
+        out[54][k] += scale * 0.30618621784789724 * alpha[2][k] * f[54][k];
+        out[54][k] += scale * 0.3061862178478973 * alpha[4][k] * f[6][k];
+        out[54][k] += scale * 0.30618621784789724 * alpha[5][k] * f[71][k];
+        out[54][k] += scale * 0.2738612787525831 * alpha[15][k] * f[28][k];
+        out[54][k] += scale * 0.30618621784789724 * alpha[19][k] * f[37][k];
+        out[54][k] += scale * 0.27386127875258304 * alpha[46][k] * f[71][k];
+    }
+    for k in 0..L {
+        out[55][k] += scale * 0.6846531968814576 * alpha[0][k] * f[29][k];
+        out[55][k] += scale * 0.6846531968814576 * alpha[2][k] * f[12][k];
+        out[55][k] += scale * 0.6123724356957945 * alpha[2][k] * f[55][k];
+        out[55][k] += scale * 0.6846531968814576 * alpha[4][k] * f[7][k];
+        out[55][k] += scale * 0.6123724356957945 * alpha[4][k] * f[61][k];
+        out[55][k] += scale * 0.6846531968814576 * alpha[5][k] * f[72][k];
+        out[55][k] += scale * 0.6123724356957945 * alpha[15][k] * f[29][k];
+        out[55][k] += scale * 0.6846531968814576 * alpha[19][k] * f[38][k];
+        out[55][k] += scale * 0.6123724356957946 * alpha[19][k] * f[100][k];
+        out[55][k] += scale * 0.6846531968814576 * alpha[20][k] * f[104][k];
+        out[55][k] += scale * 0.6123724356957946 * alpha[46][k] * f[72][k];
+        out[55][k] += scale * 0.6846531968814576 * alpha[50][k] * f[80][k];
+    }
+    for k in 0..L {
+        out[57][k] += scale * 0.30618621784789724 * alpha[0][k] * f[31][k];
+        out[57][k] += scale * 0.30618621784789724 * alpha[2][k] * f[57][k];
+        out[57][k] += scale * 0.30618621784789724 * alpha[4][k] * f[9][k];
+        out[57][k] += scale * 0.2738612787525831 * alpha[4][k] * f[62][k];
+        out[57][k] += scale * 0.30618621784789724 * alpha[5][k] * f[74][k];
+        out[57][k] += scale * 0.2738612787525831 * alpha[15][k] * f[31][k];
+        out[57][k] += scale * 0.30618621784789724 * alpha[19][k] * f[40][k];
+        out[57][k] += scale * 0.27386127875258304 * alpha[19][k] * f[101][k];
+        out[57][k] += scale * 0.3061862178478973 * alpha[20][k] * f[105][k];
+        out[57][k] += scale * 0.27386127875258304 * alpha[46][k] * f[74][k];
+        out[57][k] += scale * 0.3061862178478973 * alpha[50][k] * f[81][k];
+    }
+    for k in 0..L {
+        out[58][k] += scale * 0.6846531968814576 * alpha[0][k] * f[32][k];
+        out[58][k] += scale * 0.6846531968814576 * alpha[2][k] * f[14][k];
+        out[58][k] += scale * 0.6123724356957945 * alpha[2][k] * f[58][k];
+        out[58][k] += scale * 0.6846531968814576 * alpha[4][k] * f[10][k];
+        out[58][k] += scale * 0.6123724356957945 * alpha[4][k] * f[63][k];
+        out[58][k] += scale * 0.6846531968814576 * alpha[5][k] * f[75][k];
+        out[58][k] += scale * 0.6123724356957945 * alpha[15][k] * f[32][k];
+        out[58][k] += scale * 0.6846531968814576 * alpha[19][k] * f[41][k];
+        out[58][k] += scale * 0.6123724356957946 * alpha[19][k] * f[102][k];
+        out[58][k] += scale * 0.6846531968814576 * alpha[20][k] * f[106][k];
+        out[58][k] += scale * 0.6123724356957946 * alpha[46][k] * f[75][k];
+        out[58][k] += scale * 0.6846531968814576 * alpha[50][k] * f[82][k];
+    }
+    for k in 0..L {
+        out[60][k] += scale * 0.3061862178478973 * alpha[0][k] * f[33][k];
+        out[60][k] += scale * 0.30618621784789724 * alpha[2][k] * f[60][k];
+        out[60][k] += scale * 0.3061862178478973 * alpha[4][k] * f[11][k];
+        out[60][k] += scale * 0.30618621784789724 * alpha[5][k] * f[76][k];
+        out[60][k] += scale * 0.2738612787525831 * alpha[15][k] * f[33][k];
+        out[60][k] += scale * 0.30618621784789724 * alpha[19][k] * f[42][k];
+        out[60][k] += scale * 0.27386127875258304 * alpha[46][k] * f[76][k];
+    }
+    for k in 0..L {
+        out[61][k] += scale * 0.3061862178478973 * alpha[0][k] * f[34][k];
+        out[61][k] += scale * 0.30618621784789724 * alpha[2][k] * f[61][k];
+        out[61][k] += scale * 0.2738612787525831 * alpha[4][k] * f[12][k];
+        out[61][k] += scale * 0.30618621784789724 * alpha[5][k] * f[77][k];
+        out[61][k] += scale * 0.3061862178478973 * alpha[15][k] * f[1][k];
+        out[61][k] += scale * 0.19561519910898792 * alpha[15][k] * f[34][k];
+        out[61][k] += scale * 0.2738612787525831 * alpha[19][k] * f[43][k];
+        out[61][k] += scale * 0.30618621784789724 * alpha[46][k] * f[16][k];
+        out[61][k] += scale * 0.1956151991089879 * alpha[46][k] * f[77][k];
+        out[61][k] += scale * 0.27386127875258304 * alpha[50][k] * f[83][k];
+    }
+    for k in 0..L {
+        out[63][k] += scale * 0.3061862178478973 * alpha[0][k] * f[36][k];
+        out[63][k] += scale * 0.30618621784789724 * alpha[2][k] * f[63][k];
+        out[63][k] += scale * 0.2738612787525831 * alpha[4][k] * f[14][k];
+        out[63][k] += scale * 0.30618621784789724 * alpha[5][k] * f[79][k];
+        out[63][k] += scale * 0.3061862178478973 * alpha[15][k] * f[3][k];
+        out[63][k] += scale * 0.19561519910898792 * alpha[15][k] * f[36][k];
+        out[63][k] += scale * 0.2738612787525831 * alpha[19][k] * f[45][k];
+        out[63][k] += scale * 0.30618621784789724 * alpha[46][k] * f[18][k];
+        out[63][k] += scale * 0.1956151991089879 * alpha[46][k] * f[79][k];
+        out[63][k] += scale * 0.27386127875258304 * alpha[50][k] * f[85][k];
+    }
+    for k in 0..L {
+        out[64][k] += scale * 0.3061862178478973 * alpha[0][k] * f[37][k];
+        out[64][k] += scale * 0.30618621784789724 * alpha[2][k] * f[64][k];
+        out[64][k] += scale * 0.30618621784789724 * alpha[4][k] * f[71][k];
+        out[64][k] += scale * 0.3061862178478973 * alpha[5][k] * f[6][k];
+        out[64][k] += scale * 0.30618621784789724 * alpha[19][k] * f[28][k];
+        out[64][k] += scale * 0.2738612787525831 * alpha[20][k] * f[37][k];
+        out[64][k] += scale * 0.27386127875258304 * alpha[50][k] * f[71][k];
+    }
+    for k in 0..L {
+        out[65][k] += scale * 0.6846531968814576 * alpha[0][k] * f[38][k];
+        out[65][k] += scale * 0.6846531968814576 * alpha[2][k] * f[16][k];
+        out[65][k] += scale * 0.6123724356957945 * alpha[2][k] * f[65][k];
+        out[65][k] += scale * 0.6846531968814576 * alpha[4][k] * f[72][k];
+        out[65][k] += scale * 0.6846531968814576 * alpha[5][k] * f[7][k];
+        out[65][k] += scale * 0.6123724356957945 * alpha[5][k] * f[80][k];
+        out[65][k] += scale * 0.6846531968814576 * alpha[15][k] * f[100][k];
+        out[65][k] += scale * 0.6846531968814576 * alpha[19][k] * f[29][k];
+        out[65][k] += scale * 0.6123724356957946 * alpha[19][k] * f[104][k];
+        out[65][k] += scale * 0.6123724356957945 * alpha[20][k] * f[38][k];
+        out[65][k] += scale * 0.6846531968814576 * alpha[46][k] * f[61][k];
+        out[65][k] += scale * 0.6123724356957946 * alpha[50][k] * f[72][k];
+    }
+    for k in 0..L {
+        out[67][k] += scale * 0.30618621784789724 * alpha[0][k] * f[40][k];
+        out[67][k] += scale * 0.30618621784789724 * alpha[2][k] * f[67][k];
+        out[67][k] += scale * 0.30618621784789724 * alpha[4][k] * f[74][k];
+        out[67][k] += scale * 0.30618621784789724 * alpha[5][k] * f[9][k];
+        out[67][k] += scale * 0.2738612787525831 * alpha[5][k] * f[81][k];
+        out[67][k] += scale * 0.3061862178478973 * alpha[15][k] * f[101][k];
+        out[67][k] += scale * 0.30618621784789724 * alpha[19][k] * f[31][k];
+        out[67][k] += scale * 0.27386127875258304 * alpha[19][k] * f[105][k];
+        out[67][k] += scale * 0.2738612787525831 * alpha[20][k] * f[40][k];
+        out[67][k] += scale * 0.3061862178478973 * alpha[46][k] * f[62][k];
+        out[67][k] += scale * 0.27386127875258304 * alpha[50][k] * f[74][k];
+    }
+    for k in 0..L {
+        out[68][k] += scale * 0.6846531968814576 * alpha[0][k] * f[41][k];
+        out[68][k] += scale * 0.6846531968814576 * alpha[2][k] * f[18][k];
+        out[68][k] += scale * 0.6123724356957945 * alpha[2][k] * f[68][k];
+        out[68][k] += scale * 0.6846531968814576 * alpha[4][k] * f[75][k];
+        out[68][k] += scale * 0.6846531968814576 * alpha[5][k] * f[10][k];
+        out[68][k] += scale * 0.6123724356957945 * alpha[5][k] * f[82][k];
+        out[68][k] += scale * 0.6846531968814576 * alpha[15][k] * f[102][k];
+        out[68][k] += scale * 0.6846531968814576 * alpha[19][k] * f[32][k];
+        out[68][k] += scale * 0.6123724356957946 * alpha[19][k] * f[106][k];
+        out[68][k] += scale * 0.6123724356957945 * alpha[20][k] * f[41][k];
+        out[68][k] += scale * 0.6846531968814576 * alpha[46][k] * f[63][k];
+        out[68][k] += scale * 0.6123724356957946 * alpha[50][k] * f[75][k];
+    }
+    for k in 0..L {
+        out[70][k] += scale * 0.3061862178478973 * alpha[0][k] * f[42][k];
+        out[70][k] += scale * 0.30618621784789724 * alpha[2][k] * f[70][k];
+        out[70][k] += scale * 0.30618621784789724 * alpha[4][k] * f[76][k];
+        out[70][k] += scale * 0.3061862178478973 * alpha[5][k] * f[11][k];
+        out[70][k] += scale * 0.30618621784789724 * alpha[19][k] * f[33][k];
+        out[70][k] += scale * 0.2738612787525831 * alpha[20][k] * f[42][k];
+        out[70][k] += scale * 0.27386127875258304 * alpha[50][k] * f[76][k];
+    }
+    for k in 0..L {
+        out[72][k] += scale * 0.30618621784789724 * alpha[0][k] * f[43][k];
+        out[72][k] += scale * 0.30618621784789724 * alpha[2][k] * f[72][k];
+        out[72][k] += scale * 0.30618621784789724 * alpha[4][k] * f[16][k];
+        out[72][k] += scale * 0.2738612787525831 * alpha[4][k] * f[77][k];
+        out[72][k] += scale * 0.30618621784789724 * alpha[5][k] * f[12][k];
+        out[72][k] += scale * 0.2738612787525831 * alpha[5][k] * f[83][k];
+        out[72][k] += scale * 0.2738612787525831 * alpha[15][k] * f[43][k];
+        out[72][k] += scale * 0.30618621784789724 * alpha[19][k] * f[1][k];
+        out[72][k] += scale * 0.2738612787525831 * alpha[19][k] * f[34][k];
+        out[72][k] += scale * 0.2738612787525831 * alpha[19][k] * f[47][k];
+        out[72][k] += scale * 0.2738612787525831 * alpha[20][k] * f[43][k];
+        out[72][k] += scale * 0.2738612787525831 * alpha[46][k] * f[12][k];
+        out[72][k] += scale * 0.2449489742783178 * alpha[46][k] * f[83][k];
+        out[72][k] += scale * 0.2738612787525831 * alpha[50][k] * f[16][k];
+        out[72][k] += scale * 0.2449489742783178 * alpha[50][k] * f[77][k];
+    }
+    for k in 0..L {
+        out[73][k] += scale * 0.6846531968814576 * alpha[0][k] * f[44][k];
+        out[73][k] += scale * 0.6846531968814576 * alpha[2][k] * f[19][k];
+        out[73][k] += scale * 0.6123724356957945 * alpha[2][k] * f[73][k];
+        out[73][k] += scale * 0.6846531968814576 * alpha[4][k] * f[17][k];
+        out[73][k] += scale * 0.6123724356957945 * alpha[4][k] * f[78][k];
+        out[73][k] += scale * 0.6846531968814576 * alpha[5][k] * f[13][k];
+        out[73][k] += scale * 0.6123724356957945 * alpha[5][k] * f[84][k];
+        out[73][k] += scale * 0.6123724356957945 * alpha[15][k] * f[44][k];
+        out[73][k] += scale * 0.6846531968814576 * alpha[19][k] * f[2][k];
+        out[73][k] += scale * 0.6123724356957945 * alpha[19][k] * f[35][k];
+        out[73][k] += scale * 0.6123724356957945 * alpha[19][k] * f[48][k];
+        out[73][k] += scale * 0.6123724356957945 * alpha[20][k] * f[44][k];
+        out[73][k] += scale * 0.6123724356957945 * alpha[46][k] * f[13][k];
+        out[73][k] += scale * 0.5477225575051661 * alpha[46][k] * f[84][k];
+        out[73][k] += scale * 0.6123724356957945 * alpha[50][k] * f[17][k];
+        out[73][k] += scale * 0.5477225575051661 * alpha[50][k] * f[78][k];
+    }
+    for k in 0..L {
+        out[75][k] += scale * 0.30618621784789724 * alpha[0][k] * f[45][k];
+        out[75][k] += scale * 0.30618621784789724 * alpha[2][k] * f[75][k];
+        out[75][k] += scale * 0.30618621784789724 * alpha[4][k] * f[18][k];
+        out[75][k] += scale * 0.2738612787525831 * alpha[4][k] * f[79][k];
+        out[75][k] += scale * 0.30618621784789724 * alpha[5][k] * f[14][k];
+        out[75][k] += scale * 0.2738612787525831 * alpha[5][k] * f[85][k];
+        out[75][k] += scale * 0.2738612787525831 * alpha[15][k] * f[45][k];
+        out[75][k] += scale * 0.30618621784789724 * alpha[19][k] * f[3][k];
+        out[75][k] += scale * 0.2738612787525831 * alpha[19][k] * f[36][k];
+        out[75][k] += scale * 0.2738612787525831 * alpha[19][k] * f[49][k];
+        out[75][k] += scale * 0.2738612787525831 * alpha[20][k] * f[45][k];
+        out[75][k] += scale * 0.2738612787525831 * alpha[46][k] * f[14][k];
+        out[75][k] += scale * 0.2449489742783178 * alpha[46][k] * f[85][k];
+        out[75][k] += scale * 0.2738612787525831 * alpha[50][k] * f[18][k];
+        out[75][k] += scale * 0.2449489742783178 * alpha[50][k] * f[79][k];
+    }
+    for k in 0..L {
+        out[78][k] += scale * 0.3061862178478973 * alpha[0][k] * f[46][k];
+        out[78][k] += scale * 0.30618621784789724 * alpha[2][k] * f[78][k];
+        out[78][k] += scale * 0.2738612787525831 * alpha[4][k] * f[19][k];
+        out[78][k] += scale * 0.3061862178478973 * alpha[5][k] * f[15][k];
+        out[78][k] += scale * 0.3061862178478973 * alpha[15][k] * f[5][k];
+        out[78][k] += scale * 0.19561519910898792 * alpha[15][k] * f[46][k];
+        out[78][k] += scale * 0.2738612787525831 * alpha[19][k] * f[4][k];
+        out[78][k] += scale * 0.2449489742783178 * alpha[19][k] * f[50][k];
+        out[78][k] += scale * 0.2738612787525831 * alpha[20][k] * f[46][k];
+        out[78][k] += scale * 0.3061862178478973 * alpha[46][k] * f[0][k];
+        out[78][k] += scale * 0.19561519910898792 * alpha[46][k] * f[15][k];
+        out[78][k] += scale * 0.2738612787525831 * alpha[46][k] * f[20][k];
+        out[78][k] += scale * 0.2449489742783178 * alpha[50][k] * f[19][k];
+    }
+    for k in 0..L {
+        out[80][k] += scale * 0.3061862178478973 * alpha[0][k] * f[47][k];
+        out[80][k] += scale * 0.30618621784789724 * alpha[2][k] * f[80][k];
+        out[80][k] += scale * 0.30618621784789724 * alpha[4][k] * f[83][k];
+        out[80][k] += scale * 0.2738612787525831 * alpha[5][k] * f[16][k];
+        out[80][k] += scale * 0.2738612787525831 * alpha[19][k] * f[43][k];
+        out[80][k] += scale * 0.3061862178478973 * alpha[20][k] * f[1][k];
+        out[80][k] += scale * 0.19561519910898792 * alpha[20][k] * f[47][k];
+        out[80][k] += scale * 0.27386127875258304 * alpha[46][k] * f[77][k];
+        out[80][k] += scale * 0.30618621784789724 * alpha[50][k] * f[12][k];
+        out[80][k] += scale * 0.1956151991089879 * alpha[50][k] * f[83][k];
+    }
+    for k in 0..L {
+        out[82][k] += scale * 0.3061862178478973 * alpha[0][k] * f[49][k];
+        out[82][k] += scale * 0.30618621784789724 * alpha[2][k] * f[82][k];
+        out[82][k] += scale * 0.30618621784789724 * alpha[4][k] * f[85][k];
+        out[82][k] += scale * 0.2738612787525831 * alpha[5][k] * f[18][k];
+        out[82][k] += scale * 0.2738612787525831 * alpha[19][k] * f[45][k];
+        out[82][k] += scale * 0.3061862178478973 * alpha[20][k] * f[3][k];
+        out[82][k] += scale * 0.19561519910898792 * alpha[20][k] * f[49][k];
+        out[82][k] += scale * 0.27386127875258304 * alpha[46][k] * f[79][k];
+        out[82][k] += scale * 0.30618621784789724 * alpha[50][k] * f[14][k];
+        out[82][k] += scale * 0.1956151991089879 * alpha[50][k] * f[85][k];
+    }
+    for k in 0..L {
+        out[84][k] += scale * 0.3061862178478973 * alpha[0][k] * f[50][k];
+        out[84][k] += scale * 0.30618621784789724 * alpha[2][k] * f[84][k];
+        out[84][k] += scale * 0.3061862178478973 * alpha[4][k] * f[20][k];
+        out[84][k] += scale * 0.2738612787525831 * alpha[5][k] * f[19][k];
+        out[84][k] += scale * 0.2738612787525831 * alpha[15][k] * f[50][k];
+        out[84][k] += scale * 0.2738612787525831 * alpha[19][k] * f[5][k];
+        out[84][k] += scale * 0.2449489742783178 * alpha[19][k] * f[46][k];
+        out[84][k] += scale * 0.3061862178478973 * alpha[20][k] * f[4][k];
+        out[84][k] += scale * 0.19561519910898792 * alpha[20][k] * f[50][k];
+        out[84][k] += scale * 0.2449489742783178 * alpha[46][k] * f[19][k];
+        out[84][k] += scale * 0.3061862178478973 * alpha[50][k] * f[0][k];
+        out[84][k] += scale * 0.2738612787525831 * alpha[50][k] * f[15][k];
+        out[84][k] += scale * 0.19561519910898792 * alpha[50][k] * f[20][k];
+    }
+    for k in 0..L {
+        out[86][k] += scale * 0.30618621784789724 * alpha[0][k] * f[56][k];
+        out[86][k] += scale * 0.3061862178478973 * alpha[2][k] * f[86][k];
+        out[86][k] += scale * 0.30618621784789724 * alpha[4][k] * f[23][k];
+        out[86][k] += scale * 0.3061862178478973 * alpha[5][k] * f[95][k];
+        out[86][k] += scale * 0.27386127875258304 * alpha[15][k] * f[56][k];
+        out[86][k] += scale * 0.3061862178478973 * alpha[19][k] * f[66][k];
+        out[86][k] += scale * 0.27386127875258304 * alpha[46][k] * f[95][k];
+    }
+    for k in 0..L {
+        out[87][k] += scale * 0.6846531968814576 * alpha[0][k] * f[57][k];
+        out[87][k] += scale * 0.6846531968814576 * alpha[2][k] * f[31][k];
+        out[87][k] += scale * 0.6123724356957946 * alpha[2][k] * f[87][k];
+        out[87][k] += scale * 0.6846531968814576 * alpha[4][k] * f[24][k];
+        out[87][k] += scale * 0.6123724356957946 * alpha[4][k] * f[89][k];
+        out[87][k] += scale * 0.6846531968814576 * alpha[5][k] * f[96][k];
+        out[87][k] += scale * 0.6123724356957946 * alpha[15][k] * f[57][k];
+        out[87][k] += scale * 0.6846531968814576 * alpha[19][k] * f[67][k];
+        out[87][k] += scale * 0.6123724356957946 * alpha[19][k] * f[110][k];
+        out[87][k] += scale * 0.6846531968814576 * alpha[20][k] * f[111][k];
+        out[87][k] += scale * 0.6123724356957946 * alpha[46][k] * f[96][k];
+        out[87][k] += scale * 0.6846531968814576 * alpha[50][k] * f[103][k];
+    }
+    for k in 0..L {
+        out[88][k] += scale * 0.30618621784789724 * alpha[0][k] * f[59][k];
+        out[88][k] += scale * 0.3061862178478973 * alpha[2][k] * f[88][k];
+        out[88][k] += scale * 0.30618621784789724 * alpha[4][k] * f[26][k];
+        out[88][k] += scale * 0.3061862178478973 * alpha[5][k] * f[98][k];
+        out[88][k] += scale * 0.27386127875258304 * alpha[15][k] * f[59][k];
+        out[88][k] += scale * 0.3061862178478973 * alpha[19][k] * f[69][k];
+        out[88][k] += scale * 0.27386127875258304 * alpha[46][k] * f[98][k];
+    }
+    for k in 0..L {
+        out[89][k] += scale * 0.30618621784789724 * alpha[0][k] * f[62][k];
+        out[89][k] += scale * 0.3061862178478973 * alpha[2][k] * f[89][k];
+        out[89][k] += scale * 0.2738612787525831 * alpha[4][k] * f[31][k];
+        out[89][k] += scale * 0.3061862178478973 * alpha[5][k] * f[101][k];
+        out[89][k] += scale * 0.30618621784789724 * alpha[15][k] * f[9][k];
+        out[89][k] += scale * 0.1956151991089879 * alpha[15][k] * f[62][k];
+        out[89][k] += scale * 0.27386127875258304 * alpha[19][k] * f[74][k];
+        out[89][k] += scale * 0.3061862178478973 * alpha[46][k] * f[40][k];
+        out[89][k] += scale * 0.19561519910898792 * alpha[46][k] * f[101][k];
+        out[89][k] += scale * 0.27386127875258304 * alpha[50][k] * f[105][k];
+    }
+    for k in 0..L {
+        out[90][k] += scale * 0.30618621784789724 * alpha[0][k] * f[66][k];
+        out[90][k] += scale * 0.3061862178478973 * alpha[2][k] * f[90][k];
+        out[90][k] += scale * 0.3061862178478973 * alpha[4][k] * f[95][k];
+        out[90][k] += scale * 0.30618621784789724 * alpha[5][k] * f[23][k];
+        out[90][k] += scale * 0.3061862178478973 * alpha[19][k] * f[56][k];
+        out[90][k] += scale * 0.27386127875258304 * alpha[20][k] * f[66][k];
+        out[90][k] += scale * 0.27386127875258304 * alpha[50][k] * f[95][k];
+    }
+    for k in 0..L {
+        out[91][k] += scale * 0.6846531968814576 * alpha[0][k] * f[67][k];
+        out[91][k] += scale * 0.6846531968814576 * alpha[2][k] * f[40][k];
+        out[91][k] += scale * 0.6123724356957946 * alpha[2][k] * f[91][k];
+        out[91][k] += scale * 0.6846531968814576 * alpha[4][k] * f[96][k];
+        out[91][k] += scale * 0.6846531968814576 * alpha[5][k] * f[24][k];
+        out[91][k] += scale * 0.6123724356957946 * alpha[5][k] * f[103][k];
+        out[91][k] += scale * 0.6846531968814576 * alpha[15][k] * f[110][k];
+        out[91][k] += scale * 0.6846531968814576 * alpha[19][k] * f[57][k];
+        out[91][k] += scale * 0.6123724356957946 * alpha[19][k] * f[111][k];
+        out[91][k] += scale * 0.6123724356957946 * alpha[20][k] * f[67][k];
+        out[91][k] += scale * 0.6846531968814576 * alpha[46][k] * f[89][k];
+        out[91][k] += scale * 0.6123724356957946 * alpha[50][k] * f[96][k];
+    }
+    for k in 0..L {
+        out[92][k] += scale * 0.30618621784789724 * alpha[0][k] * f[69][k];
+        out[92][k] += scale * 0.3061862178478973 * alpha[2][k] * f[92][k];
+        out[92][k] += scale * 0.3061862178478973 * alpha[4][k] * f[98][k];
+        out[92][k] += scale * 0.30618621784789724 * alpha[5][k] * f[26][k];
+        out[92][k] += scale * 0.3061862178478973 * alpha[19][k] * f[59][k];
+        out[92][k] += scale * 0.27386127875258304 * alpha[20][k] * f[69][k];
+        out[92][k] += scale * 0.27386127875258304 * alpha[50][k] * f[98][k];
+    }
+    for k in 0..L {
+        out[93][k] += scale * 0.30618621784789724 * alpha[0][k] * f[71][k];
+        out[93][k] += scale * 0.3061862178478973 * alpha[2][k] * f[93][k];
+        out[93][k] += scale * 0.30618621784789724 * alpha[4][k] * f[37][k];
+        out[93][k] += scale * 0.30618621784789724 * alpha[5][k] * f[28][k];
+        out[93][k] += scale * 0.27386127875258304 * alpha[15][k] * f[71][k];
+        out[93][k] += scale * 0.30618621784789724 * alpha[19][k] * f[6][k];
+        out[93][k] += scale * 0.27386127875258304 * alpha[20][k] * f[71][k];
+        out[93][k] += scale * 0.27386127875258304 * alpha[46][k] * f[28][k];
+        out[93][k] += scale * 0.27386127875258304 * alpha[50][k] * f[37][k];
+    }
+    for k in 0..L {
+        out[94][k] += scale * 0.6846531968814576 * alpha[0][k] * f[72][k];
+        out[94][k] += scale * 0.6846531968814576 * alpha[2][k] * f[43][k];
+        out[94][k] += scale * 0.6123724356957946 * alpha[2][k] * f[94][k];
+        out[94][k] += scale * 0.6846531968814576 * alpha[4][k] * f[38][k];
+        out[94][k] += scale * 0.6123724356957946 * alpha[4][k] * f[100][k];
+        out[94][k] += scale * 0.6846531968814576 * alpha[5][k] * f[29][k];
+        out[94][k] += scale * 0.6123724356957946 * alpha[5][k] * f[104][k];
+        out[94][k] += scale * 0.6123724356957946 * alpha[15][k] * f[72][k];
+        out[94][k] += scale * 0.6846531968814576 * alpha[19][k] * f[7][k];
+        out[94][k] += scale * 0.6123724356957946 * alpha[19][k] * f[61][k];
+        out[94][k] += scale * 0.6123724356957946 * alpha[19][k] * f[80][k];
+        out[94][k] += scale * 0.6123724356957946 * alpha[20][k] * f[72][k];
+        out[94][k] += scale * 0.6123724356957946 * alpha[46][k] * f[29][k];
+        out[94][k] += scale * 0.5477225575051661 * alpha[46][k] * f[104][k];
+        out[94][k] += scale * 0.6123724356957946 * alpha[50][k] * f[38][k];
+        out[94][k] += scale * 0.5477225575051661 * alpha[50][k] * f[100][k];
+    }
+    for k in 0..L {
+        out[96][k] += scale * 0.30618621784789724 * alpha[0][k] * f[74][k];
+        out[96][k] += scale * 0.3061862178478973 * alpha[2][k] * f[96][k];
+        out[96][k] += scale * 0.30618621784789724 * alpha[4][k] * f[40][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[4][k] * f[101][k];
+        out[96][k] += scale * 0.30618621784789724 * alpha[5][k] * f[31][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[5][k] * f[105][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[15][k] * f[74][k];
+        out[96][k] += scale * 0.30618621784789724 * alpha[19][k] * f[9][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[19][k] * f[62][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[19][k] * f[81][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[20][k] * f[74][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[46][k] * f[31][k];
+        out[96][k] += scale * 0.24494897427831783 * alpha[46][k] * f[105][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[50][k] * f[40][k];
+        out[96][k] += scale * 0.24494897427831783 * alpha[50][k] * f[101][k];
+    }
+    for k in 0..L {
+        out[97][k] += scale * 0.6846531968814576 * alpha[0][k] * f[75][k];
+        out[97][k] += scale * 0.6846531968814576 * alpha[2][k] * f[45][k];
+        out[97][k] += scale * 0.6123724356957946 * alpha[2][k] * f[97][k];
+        out[97][k] += scale * 0.6846531968814576 * alpha[4][k] * f[41][k];
+        out[97][k] += scale * 0.6123724356957946 * alpha[4][k] * f[102][k];
+        out[97][k] += scale * 0.6846531968814576 * alpha[5][k] * f[32][k];
+        out[97][k] += scale * 0.6123724356957946 * alpha[5][k] * f[106][k];
+        out[97][k] += scale * 0.6123724356957946 * alpha[15][k] * f[75][k];
+        out[97][k] += scale * 0.6846531968814576 * alpha[19][k] * f[10][k];
+        out[97][k] += scale * 0.6123724356957946 * alpha[19][k] * f[63][k];
+        out[97][k] += scale * 0.6123724356957946 * alpha[19][k] * f[82][k];
+        out[97][k] += scale * 0.6123724356957946 * alpha[20][k] * f[75][k];
+        out[97][k] += scale * 0.6123724356957946 * alpha[46][k] * f[32][k];
+        out[97][k] += scale * 0.5477225575051661 * alpha[46][k] * f[106][k];
+        out[97][k] += scale * 0.6123724356957946 * alpha[50][k] * f[41][k];
+        out[97][k] += scale * 0.5477225575051661 * alpha[50][k] * f[102][k];
+    }
+    for k in 0..L {
+        out[99][k] += scale * 0.30618621784789724 * alpha[0][k] * f[76][k];
+        out[99][k] += scale * 0.3061862178478973 * alpha[2][k] * f[99][k];
+        out[99][k] += scale * 0.30618621784789724 * alpha[4][k] * f[42][k];
+        out[99][k] += scale * 0.30618621784789724 * alpha[5][k] * f[33][k];
+        out[99][k] += scale * 0.27386127875258304 * alpha[15][k] * f[76][k];
+        out[99][k] += scale * 0.30618621784789724 * alpha[19][k] * f[11][k];
+        out[99][k] += scale * 0.27386127875258304 * alpha[20][k] * f[76][k];
+        out[99][k] += scale * 0.27386127875258304 * alpha[46][k] * f[33][k];
+        out[99][k] += scale * 0.27386127875258304 * alpha[50][k] * f[42][k];
+    }
+    for k in 0..L {
+        out[100][k] += scale * 0.30618621784789724 * alpha[0][k] * f[77][k];
+        out[100][k] += scale * 0.3061862178478973 * alpha[2][k] * f[100][k];
+        out[100][k] += scale * 0.2738612787525831 * alpha[4][k] * f[43][k];
+        out[100][k] += scale * 0.30618621784789724 * alpha[5][k] * f[34][k];
+        out[100][k] += scale * 0.30618621784789724 * alpha[15][k] * f[16][k];
+        out[100][k] += scale * 0.1956151991089879 * alpha[15][k] * f[77][k];
+        out[100][k] += scale * 0.2738612787525831 * alpha[19][k] * f[12][k];
+        out[100][k] += scale * 0.2449489742783178 * alpha[19][k] * f[83][k];
+        out[100][k] += scale * 0.27386127875258304 * alpha[20][k] * f[77][k];
+        out[100][k] += scale * 0.30618621784789724 * alpha[46][k] * f[1][k];
+        out[100][k] += scale * 0.1956151991089879 * alpha[46][k] * f[34][k];
+        out[100][k] += scale * 0.27386127875258304 * alpha[46][k] * f[47][k];
+        out[100][k] += scale * 0.2449489742783178 * alpha[50][k] * f[43][k];
+    }
+    for k in 0..L {
+        out[102][k] += scale * 0.30618621784789724 * alpha[0][k] * f[79][k];
+        out[102][k] += scale * 0.3061862178478973 * alpha[2][k] * f[102][k];
+        out[102][k] += scale * 0.2738612787525831 * alpha[4][k] * f[45][k];
+        out[102][k] += scale * 0.30618621784789724 * alpha[5][k] * f[36][k];
+        out[102][k] += scale * 0.30618621784789724 * alpha[15][k] * f[18][k];
+        out[102][k] += scale * 0.1956151991089879 * alpha[15][k] * f[79][k];
+        out[102][k] += scale * 0.2738612787525831 * alpha[19][k] * f[14][k];
+        out[102][k] += scale * 0.2449489742783178 * alpha[19][k] * f[85][k];
+        out[102][k] += scale * 0.27386127875258304 * alpha[20][k] * f[79][k];
+        out[102][k] += scale * 0.30618621784789724 * alpha[46][k] * f[3][k];
+        out[102][k] += scale * 0.1956151991089879 * alpha[46][k] * f[36][k];
+        out[102][k] += scale * 0.27386127875258304 * alpha[46][k] * f[49][k];
+        out[102][k] += scale * 0.2449489742783178 * alpha[50][k] * f[45][k];
+    }
+    for k in 0..L {
+        out[103][k] += scale * 0.30618621784789724 * alpha[0][k] * f[81][k];
+        out[103][k] += scale * 0.3061862178478973 * alpha[2][k] * f[103][k];
+        out[103][k] += scale * 0.3061862178478973 * alpha[4][k] * f[105][k];
+        out[103][k] += scale * 0.2738612787525831 * alpha[5][k] * f[40][k];
+        out[103][k] += scale * 0.27386127875258304 * alpha[19][k] * f[74][k];
+        out[103][k] += scale * 0.30618621784789724 * alpha[20][k] * f[9][k];
+        out[103][k] += scale * 0.1956151991089879 * alpha[20][k] * f[81][k];
+        out[103][k] += scale * 0.27386127875258304 * alpha[46][k] * f[101][k];
+        out[103][k] += scale * 0.3061862178478973 * alpha[50][k] * f[31][k];
+        out[103][k] += scale * 0.19561519910898792 * alpha[50][k] * f[105][k];
+    }
+    for k in 0..L {
+        out[104][k] += scale * 0.30618621784789724 * alpha[0][k] * f[83][k];
+        out[104][k] += scale * 0.3061862178478973 * alpha[2][k] * f[104][k];
+        out[104][k] += scale * 0.30618621784789724 * alpha[4][k] * f[47][k];
+        out[104][k] += scale * 0.2738612787525831 * alpha[5][k] * f[43][k];
+        out[104][k] += scale * 0.27386127875258304 * alpha[15][k] * f[83][k];
+        out[104][k] += scale * 0.2738612787525831 * alpha[19][k] * f[16][k];
+        out[104][k] += scale * 0.2449489742783178 * alpha[19][k] * f[77][k];
+        out[104][k] += scale * 0.30618621784789724 * alpha[20][k] * f[12][k];
+        out[104][k] += scale * 0.1956151991089879 * alpha[20][k] * f[83][k];
+        out[104][k] += scale * 0.2449489742783178 * alpha[46][k] * f[43][k];
+        out[104][k] += scale * 0.30618621784789724 * alpha[50][k] * f[1][k];
+        out[104][k] += scale * 0.27386127875258304 * alpha[50][k] * f[34][k];
+        out[104][k] += scale * 0.1956151991089879 * alpha[50][k] * f[47][k];
+    }
+    for k in 0..L {
+        out[106][k] += scale * 0.30618621784789724 * alpha[0][k] * f[85][k];
+        out[106][k] += scale * 0.3061862178478973 * alpha[2][k] * f[106][k];
+        out[106][k] += scale * 0.30618621784789724 * alpha[4][k] * f[49][k];
+        out[106][k] += scale * 0.2738612787525831 * alpha[5][k] * f[45][k];
+        out[106][k] += scale * 0.27386127875258304 * alpha[15][k] * f[85][k];
+        out[106][k] += scale * 0.2738612787525831 * alpha[19][k] * f[18][k];
+        out[106][k] += scale * 0.2449489742783178 * alpha[19][k] * f[79][k];
+        out[106][k] += scale * 0.30618621784789724 * alpha[20][k] * f[14][k];
+        out[106][k] += scale * 0.1956151991089879 * alpha[20][k] * f[85][k];
+        out[106][k] += scale * 0.2449489742783178 * alpha[46][k] * f[45][k];
+        out[106][k] += scale * 0.30618621784789724 * alpha[50][k] * f[3][k];
+        out[106][k] += scale * 0.27386127875258304 * alpha[50][k] * f[36][k];
+        out[106][k] += scale * 0.1956151991089879 * alpha[50][k] * f[49][k];
+    }
+    for k in 0..L {
+        out[107][k] += scale * 0.3061862178478973 * alpha[0][k] * f[95][k];
+        out[107][k] += scale * 0.3061862178478973 * alpha[2][k] * f[107][k];
+        out[107][k] += scale * 0.3061862178478973 * alpha[4][k] * f[66][k];
+        out[107][k] += scale * 0.3061862178478973 * alpha[5][k] * f[56][k];
+        out[107][k] += scale * 0.27386127875258304 * alpha[15][k] * f[95][k];
+        out[107][k] += scale * 0.3061862178478973 * alpha[19][k] * f[23][k];
+        out[107][k] += scale * 0.27386127875258304 * alpha[20][k] * f[95][k];
+        out[107][k] += scale * 0.27386127875258304 * alpha[46][k] * f[56][k];
+        out[107][k] += scale * 0.27386127875258304 * alpha[50][k] * f[66][k];
+    }
+    for k in 0..L {
+        out[108][k] += scale * 0.6846531968814576 * alpha[0][k] * f[96][k];
+        out[108][k] += scale * 0.6846531968814576 * alpha[2][k] * f[74][k];
+        out[108][k] += scale * 0.6123724356957946 * alpha[2][k] * f[108][k];
+        out[108][k] += scale * 0.6846531968814576 * alpha[4][k] * f[67][k];
+        out[108][k] += scale * 0.6123724356957946 * alpha[4][k] * f[110][k];
+        out[108][k] += scale * 0.6846531968814576 * alpha[5][k] * f[57][k];
+        out[108][k] += scale * 0.6123724356957946 * alpha[5][k] * f[111][k];
+        out[108][k] += scale * 0.6123724356957946 * alpha[15][k] * f[96][k];
+        out[108][k] += scale * 0.6846531968814576 * alpha[19][k] * f[24][k];
+        out[108][k] += scale * 0.6123724356957946 * alpha[19][k] * f[89][k];
+        out[108][k] += scale * 0.6123724356957946 * alpha[19][k] * f[103][k];
+        out[108][k] += scale * 0.6123724356957946 * alpha[20][k] * f[96][k];
+        out[108][k] += scale * 0.6123724356957946 * alpha[46][k] * f[57][k];
+        out[108][k] += scale * 0.5477225575051662 * alpha[46][k] * f[111][k];
+        out[108][k] += scale * 0.6123724356957946 * alpha[50][k] * f[67][k];
+        out[108][k] += scale * 0.5477225575051662 * alpha[50][k] * f[110][k];
+    }
+    for k in 0..L {
+        out[109][k] += scale * 0.3061862178478973 * alpha[0][k] * f[98][k];
+        out[109][k] += scale * 0.3061862178478973 * alpha[2][k] * f[109][k];
+        out[109][k] += scale * 0.3061862178478973 * alpha[4][k] * f[69][k];
+        out[109][k] += scale * 0.3061862178478973 * alpha[5][k] * f[59][k];
+        out[109][k] += scale * 0.27386127875258304 * alpha[15][k] * f[98][k];
+        out[109][k] += scale * 0.3061862178478973 * alpha[19][k] * f[26][k];
+        out[109][k] += scale * 0.27386127875258304 * alpha[20][k] * f[98][k];
+        out[109][k] += scale * 0.27386127875258304 * alpha[46][k] * f[59][k];
+        out[109][k] += scale * 0.27386127875258304 * alpha[50][k] * f[69][k];
+    }
+    for k in 0..L {
+        out[110][k] += scale * 0.3061862178478973 * alpha[0][k] * f[101][k];
+        out[110][k] += scale * 0.3061862178478973 * alpha[2][k] * f[110][k];
+        out[110][k] += scale * 0.27386127875258304 * alpha[4][k] * f[74][k];
+        out[110][k] += scale * 0.3061862178478973 * alpha[5][k] * f[62][k];
+        out[110][k] += scale * 0.3061862178478973 * alpha[15][k] * f[40][k];
+        out[110][k] += scale * 0.19561519910898792 * alpha[15][k] * f[101][k];
+        out[110][k] += scale * 0.27386127875258304 * alpha[19][k] * f[31][k];
+        out[110][k] += scale * 0.24494897427831783 * alpha[19][k] * f[105][k];
+        out[110][k] += scale * 0.27386127875258304 * alpha[20][k] * f[101][k];
+        out[110][k] += scale * 0.3061862178478973 * alpha[46][k] * f[9][k];
+        out[110][k] += scale * 0.19561519910898792 * alpha[46][k] * f[62][k];
+        out[110][k] += scale * 0.27386127875258304 * alpha[46][k] * f[81][k];
+        out[110][k] += scale * 0.24494897427831783 * alpha[50][k] * f[74][k];
+    }
+    for k in 0..L {
+        out[111][k] += scale * 0.3061862178478973 * alpha[0][k] * f[105][k];
+        out[111][k] += scale * 0.3061862178478973 * alpha[2][k] * f[111][k];
+        out[111][k] += scale * 0.3061862178478973 * alpha[4][k] * f[81][k];
+        out[111][k] += scale * 0.27386127875258304 * alpha[5][k] * f[74][k];
+        out[111][k] += scale * 0.27386127875258304 * alpha[15][k] * f[105][k];
+        out[111][k] += scale * 0.27386127875258304 * alpha[19][k] * f[40][k];
+        out[111][k] += scale * 0.24494897427831783 * alpha[19][k] * f[101][k];
+        out[111][k] += scale * 0.3061862178478973 * alpha[20][k] * f[31][k];
+        out[111][k] += scale * 0.19561519910898792 * alpha[20][k] * f[105][k];
+        out[111][k] += scale * 0.24494897427831783 * alpha[46][k] * f[74][k];
+        out[111][k] += scale * 0.3061862178478973 * alpha[50][k] * f[9][k];
+        out[111][k] += scale * 0.27386127875258304 * alpha[50][k] * f[62][k];
+        out[111][k] += scale * 0.19561519910898792 * alpha[50][k] * f[81][k];
+    }
 }
 
 /// LBO drag surface term in v1 at one interior face (`vstar` = face
@@ -4446,998 +5207,1129 @@ pub fn lbo_2x3v_p2_ser_drag_vol_v1(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p2_ser_drag_surf_v1(nu: f64, vstar: f64, dv: f64, u: &[f64], f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_2x3v_p2_ser_drag_surf_v1_body::<1>(nu, vstar, dv, u.as_chunks().0, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p2_ser_drag_surf_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_drag_surf_v1_b4(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_drag_surf_v1_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// [`lbo_2x3v_p2_ser_drag_surf_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_drag_surf_v1_b4_avx2(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_drag_surf_v1_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p2_ser_drag_surf_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p2_ser_drag_surf_v1_body<const L: usize>(nu: f64, vstar: f64, dv: f64, u: &[[f64; L]], f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 8] = u.first_chunk().expect("u: 8 coefficients");
+    let f_lo: &[[f64; L]; 112] = f_lo.first_chunk().expect("f_lo: 112 coefficients");
+    let f_hi: &[[f64; L]; 112] = f_hi.first_chunk().expect("f_hi: 112 coefficients");
+    let out_lo: &mut [[f64; L]; 112] = out_lo.first_chunk_mut().expect("out_lo: 112 coefficients");
+    let out_hi: &mut [[f64; L]; 112] = out_hi.first_chunk_mut().expect("out_hi: 112 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 48];
-    alpha[0] = -nu * vstar * 4.0;
-    alpha[0] += nu * 2.0 * u[0];
-    alpha[3] += nu * 2.0 * u[1];
-    alpha[4] += nu * 2.0 * u[2];
-    alpha[10] += nu * 2.0 * u[3];
-    alpha[13] += nu * 2.0 * u[4];
-    alpha[14] += nu * 2.0 * u[5];
-    alpha[27] += nu * 2.0 * u[6];
-    alpha[30] += nu * 2.0 * u[7];
-    let lam = alpha[0].abs() * 0.25000000000000006 + alpha[3].abs() * 0.4330127018922194 + alpha[4].abs() * 0.4330127018922194 + alpha[10].abs() * 0.5590169943749475 + alpha[13].abs() * 0.75 + alpha[14].abs() * 0.5590169943749475 + alpha[27].abs() * 0.9682458365518543 + alpha[30].abs() * 0.9682458365518543;
-    let mut fm = [0.0f64; 48];
-    let mut fp = [0.0f64; 48];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[1] += 0.7071067811865476 * f_lo[1];
-    fm[0] += 1.224744871391589 * f_lo[2];
-    fm[2] += 0.7071067811865476 * f_lo[3];
-    fm[3] += 0.7071067811865476 * f_lo[4];
-    fm[4] += 0.7071067811865476 * f_lo[5];
-    fm[5] += 0.7071067811865476 * f_lo[6];
-    fm[1] += 1.224744871391589 * f_lo[7];
-    fm[0] += 1.5811388300841898 * f_lo[8];
-    fm[6] += 0.7071067811865476 * f_lo[9];
-    fm[2] += 1.224744871391589 * f_lo[10];
-    fm[7] += 0.7071067811865476 * f_lo[11];
-    fm[8] += 0.7071067811865476 * f_lo[12];
-    fm[3] += 1.224744871391589 * f_lo[13];
-    fm[9] += 0.7071067811865476 * f_lo[14];
-    fm[10] += 0.7071067811865476 * f_lo[15];
-    fm[11] += 0.7071067811865476 * f_lo[16];
-    fm[4] += 1.224744871391589 * f_lo[17];
-    fm[12] += 0.7071067811865476 * f_lo[18];
-    fm[13] += 0.7071067811865476 * f_lo[19];
-    fm[14] += 0.7071067811865476 * f_lo[20];
-    fm[5] += 1.224744871391589 * f_lo[21];
-    fm[1] += 1.5811388300841898 * f_lo[22];
-    fm[15] += 0.7071067811865476 * f_lo[23];
-    fm[6] += 1.224744871391589 * f_lo[24];
-    fm[2] += 1.5811388300841898 * f_lo[25];
-    fm[16] += 0.7071067811865476 * f_lo[26];
-    fm[7] += 1.224744871391589 * f_lo[27];
-    fm[17] += 0.7071067811865476 * f_lo[28];
-    fm[8] += 1.224744871391589 * f_lo[29];
-    fm[3] += 1.5811388300841898 * f_lo[30];
-    fm[18] += 0.7071067811865476 * f_lo[31];
-    fm[9] += 1.224744871391589 * f_lo[32];
-    fm[19] += 0.7071067811865476 * f_lo[33];
-    fm[20] += 0.7071067811865476 * f_lo[34];
-    fm[10] += 1.224744871391589 * f_lo[35];
-    fm[21] += 0.7071067811865476 * f_lo[36];
-    fm[22] += 0.7071067811865476 * f_lo[37];
-    fm[11] += 1.224744871391589 * f_lo[38];
-    fm[4] += 1.5811388300841898 * f_lo[39];
-    fm[23] += 0.7071067811865476 * f_lo[40];
-    fm[12] += 1.224744871391589 * f_lo[41];
-    fm[24] += 0.7071067811865476 * f_lo[42];
-    fm[25] += 0.7071067811865476 * f_lo[43];
-    fm[13] += 1.224744871391589 * f_lo[44];
-    fm[26] += 0.7071067811865476 * f_lo[45];
-    fm[27] += 0.7071067811865476 * f_lo[46];
-    fm[28] += 0.7071067811865476 * f_lo[47];
-    fm[14] += 1.224744871391589 * f_lo[48];
-    fm[29] += 0.7071067811865476 * f_lo[49];
-    fm[30] += 0.7071067811865476 * f_lo[50];
-    fm[15] += 1.224744871391589 * f_lo[51];
-    fm[6] += 1.5811388300841898 * f_lo[52];
-    fm[16] += 1.224744871391589 * f_lo[53];
-    fm[17] += 1.224744871391589 * f_lo[54];
-    fm[8] += 1.5811388300841898 * f_lo[55];
-    fm[31] += 0.7071067811865476 * f_lo[56];
-    fm[18] += 1.224744871391589 * f_lo[57];
-    fm[9] += 1.5811388300841898 * f_lo[58];
-    fm[32] += 0.7071067811865476 * f_lo[59];
-    fm[19] += 1.224744871391589 * f_lo[60];
-    fm[20] += 1.224744871391589 * f_lo[61];
-    fm[33] += 0.7071067811865476 * f_lo[62];
-    fm[21] += 1.224744871391589 * f_lo[63];
-    fm[22] += 1.224744871391589 * f_lo[64];
-    fm[11] += 1.5811388300841898 * f_lo[65];
-    fm[34] += 0.7071067811865476 * f_lo[66];
-    fm[23] += 1.224744871391589 * f_lo[67];
-    fm[12] += 1.5811388300841898 * f_lo[68];
-    fm[35] += 0.7071067811865476 * f_lo[69];
-    fm[24] += 1.224744871391589 * f_lo[70];
-    fm[36] += 0.7071067811865476 * f_lo[71];
-    fm[25] += 1.224744871391589 * f_lo[72];
-    fm[13] += 1.5811388300841898 * f_lo[73];
-    fm[37] += 0.7071067811865476 * f_lo[74];
-    fm[26] += 1.224744871391589 * f_lo[75];
-    fm[38] += 0.7071067811865476 * f_lo[76];
-    fm[39] += 0.7071067811865476 * f_lo[77];
-    fm[27] += 1.224744871391589 * f_lo[78];
-    fm[40] += 0.7071067811865476 * f_lo[79];
-    fm[28] += 1.224744871391589 * f_lo[80];
-    fm[41] += 0.7071067811865476 * f_lo[81];
-    fm[29] += 1.224744871391589 * f_lo[82];
-    fm[42] += 0.7071067811865476 * f_lo[83];
-    fm[30] += 1.224744871391589 * f_lo[84];
-    fm[43] += 0.7071067811865476 * f_lo[85];
-    fm[31] += 1.224744871391589 * f_lo[86];
-    fm[18] += 1.5811388300841898 * f_lo[87];
-    fm[32] += 1.224744871391589 * f_lo[88];
-    fm[33] += 1.224744871391589 * f_lo[89];
-    fm[34] += 1.224744871391589 * f_lo[90];
-    fm[23] += 1.5811388300841898 * f_lo[91];
-    fm[35] += 1.224744871391589 * f_lo[92];
-    fm[36] += 1.224744871391589 * f_lo[93];
-    fm[25] += 1.5811388300841898 * f_lo[94];
-    fm[44] += 0.7071067811865476 * f_lo[95];
-    fm[37] += 1.224744871391589 * f_lo[96];
-    fm[26] += 1.5811388300841898 * f_lo[97];
-    fm[45] += 0.7071067811865476 * f_lo[98];
-    fm[38] += 1.224744871391589 * f_lo[99];
-    fm[39] += 1.224744871391589 * f_lo[100];
-    fm[46] += 0.7071067811865476 * f_lo[101];
-    fm[40] += 1.224744871391589 * f_lo[102];
-    fm[41] += 1.224744871391589 * f_lo[103];
-    fm[42] += 1.224744871391589 * f_lo[104];
-    fm[47] += 0.7071067811865476 * f_lo[105];
-    fm[43] += 1.224744871391589 * f_lo[106];
-    fm[44] += 1.224744871391589 * f_lo[107];
-    fm[37] += 1.5811388300841898 * f_lo[108];
-    fm[45] += 1.224744871391589 * f_lo[109];
-    fm[46] += 1.224744871391589 * f_lo[110];
-    fm[47] += 1.224744871391589 * f_lo[111];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[1] += 0.7071067811865476 * f_hi[1];
-    fp[0] += -1.224744871391589 * f_hi[2];
-    fp[2] += 0.7071067811865476 * f_hi[3];
-    fp[3] += 0.7071067811865476 * f_hi[4];
-    fp[4] += 0.7071067811865476 * f_hi[5];
-    fp[5] += 0.7071067811865476 * f_hi[6];
-    fp[1] += -1.224744871391589 * f_hi[7];
-    fp[0] += 1.5811388300841898 * f_hi[8];
-    fp[6] += 0.7071067811865476 * f_hi[9];
-    fp[2] += -1.224744871391589 * f_hi[10];
-    fp[7] += 0.7071067811865476 * f_hi[11];
-    fp[8] += 0.7071067811865476 * f_hi[12];
-    fp[3] += -1.224744871391589 * f_hi[13];
-    fp[9] += 0.7071067811865476 * f_hi[14];
-    fp[10] += 0.7071067811865476 * f_hi[15];
-    fp[11] += 0.7071067811865476 * f_hi[16];
-    fp[4] += -1.224744871391589 * f_hi[17];
-    fp[12] += 0.7071067811865476 * f_hi[18];
-    fp[13] += 0.7071067811865476 * f_hi[19];
-    fp[14] += 0.7071067811865476 * f_hi[20];
-    fp[5] += -1.224744871391589 * f_hi[21];
-    fp[1] += 1.5811388300841898 * f_hi[22];
-    fp[15] += 0.7071067811865476 * f_hi[23];
-    fp[6] += -1.224744871391589 * f_hi[24];
-    fp[2] += 1.5811388300841898 * f_hi[25];
-    fp[16] += 0.7071067811865476 * f_hi[26];
-    fp[7] += -1.224744871391589 * f_hi[27];
-    fp[17] += 0.7071067811865476 * f_hi[28];
-    fp[8] += -1.224744871391589 * f_hi[29];
-    fp[3] += 1.5811388300841898 * f_hi[30];
-    fp[18] += 0.7071067811865476 * f_hi[31];
-    fp[9] += -1.224744871391589 * f_hi[32];
-    fp[19] += 0.7071067811865476 * f_hi[33];
-    fp[20] += 0.7071067811865476 * f_hi[34];
-    fp[10] += -1.224744871391589 * f_hi[35];
-    fp[21] += 0.7071067811865476 * f_hi[36];
-    fp[22] += 0.7071067811865476 * f_hi[37];
-    fp[11] += -1.224744871391589 * f_hi[38];
-    fp[4] += 1.5811388300841898 * f_hi[39];
-    fp[23] += 0.7071067811865476 * f_hi[40];
-    fp[12] += -1.224744871391589 * f_hi[41];
-    fp[24] += 0.7071067811865476 * f_hi[42];
-    fp[25] += 0.7071067811865476 * f_hi[43];
-    fp[13] += -1.224744871391589 * f_hi[44];
-    fp[26] += 0.7071067811865476 * f_hi[45];
-    fp[27] += 0.7071067811865476 * f_hi[46];
-    fp[28] += 0.7071067811865476 * f_hi[47];
-    fp[14] += -1.224744871391589 * f_hi[48];
-    fp[29] += 0.7071067811865476 * f_hi[49];
-    fp[30] += 0.7071067811865476 * f_hi[50];
-    fp[15] += -1.224744871391589 * f_hi[51];
-    fp[6] += 1.5811388300841898 * f_hi[52];
-    fp[16] += -1.224744871391589 * f_hi[53];
-    fp[17] += -1.224744871391589 * f_hi[54];
-    fp[8] += 1.5811388300841898 * f_hi[55];
-    fp[31] += 0.7071067811865476 * f_hi[56];
-    fp[18] += -1.224744871391589 * f_hi[57];
-    fp[9] += 1.5811388300841898 * f_hi[58];
-    fp[32] += 0.7071067811865476 * f_hi[59];
-    fp[19] += -1.224744871391589 * f_hi[60];
-    fp[20] += -1.224744871391589 * f_hi[61];
-    fp[33] += 0.7071067811865476 * f_hi[62];
-    fp[21] += -1.224744871391589 * f_hi[63];
-    fp[22] += -1.224744871391589 * f_hi[64];
-    fp[11] += 1.5811388300841898 * f_hi[65];
-    fp[34] += 0.7071067811865476 * f_hi[66];
-    fp[23] += -1.224744871391589 * f_hi[67];
-    fp[12] += 1.5811388300841898 * f_hi[68];
-    fp[35] += 0.7071067811865476 * f_hi[69];
-    fp[24] += -1.224744871391589 * f_hi[70];
-    fp[36] += 0.7071067811865476 * f_hi[71];
-    fp[25] += -1.224744871391589 * f_hi[72];
-    fp[13] += 1.5811388300841898 * f_hi[73];
-    fp[37] += 0.7071067811865476 * f_hi[74];
-    fp[26] += -1.224744871391589 * f_hi[75];
-    fp[38] += 0.7071067811865476 * f_hi[76];
-    fp[39] += 0.7071067811865476 * f_hi[77];
-    fp[27] += -1.224744871391589 * f_hi[78];
-    fp[40] += 0.7071067811865476 * f_hi[79];
-    fp[28] += -1.224744871391589 * f_hi[80];
-    fp[41] += 0.7071067811865476 * f_hi[81];
-    fp[29] += -1.224744871391589 * f_hi[82];
-    fp[42] += 0.7071067811865476 * f_hi[83];
-    fp[30] += -1.224744871391589 * f_hi[84];
-    fp[43] += 0.7071067811865476 * f_hi[85];
-    fp[31] += -1.224744871391589 * f_hi[86];
-    fp[18] += 1.5811388300841898 * f_hi[87];
-    fp[32] += -1.224744871391589 * f_hi[88];
-    fp[33] += -1.224744871391589 * f_hi[89];
-    fp[34] += -1.224744871391589 * f_hi[90];
-    fp[23] += 1.5811388300841898 * f_hi[91];
-    fp[35] += -1.224744871391589 * f_hi[92];
-    fp[36] += -1.224744871391589 * f_hi[93];
-    fp[25] += 1.5811388300841898 * f_hi[94];
-    fp[44] += 0.7071067811865476 * f_hi[95];
-    fp[37] += -1.224744871391589 * f_hi[96];
-    fp[26] += 1.5811388300841898 * f_hi[97];
-    fp[45] += 0.7071067811865476 * f_hi[98];
-    fp[38] += -1.224744871391589 * f_hi[99];
-    fp[39] += -1.224744871391589 * f_hi[100];
-    fp[46] += 0.7071067811865476 * f_hi[101];
-    fp[40] += -1.224744871391589 * f_hi[102];
-    fp[41] += -1.224744871391589 * f_hi[103];
-    fp[42] += -1.224744871391589 * f_hi[104];
-    fp[47] += 0.7071067811865476 * f_hi[105];
-    fp[43] += -1.224744871391589 * f_hi[106];
-    fp[44] += -1.224744871391589 * f_hi[107];
-    fp[37] += 1.5811388300841898 * f_hi[108];
-    fp[45] += -1.224744871391589 * f_hi[109];
-    fp[46] += -1.224744871391589 * f_hi[110];
-    fp[47] += -1.224744871391589 * f_hi[111];
-    let mut favg = [0.0f64; 48];
-    let mut ghat = [0.0f64; 48];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    favg[8] = 0.5 * (fm[8] + fp[8]);
-    ghat[8] = -0.5 * lam * (fp[8] - fm[8]);
-    favg[9] = 0.5 * (fm[9] + fp[9]);
-    ghat[9] = -0.5 * lam * (fp[9] - fm[9]);
-    favg[10] = 0.5 * (fm[10] + fp[10]);
-    ghat[10] = -0.5 * lam * (fp[10] - fm[10]);
-    favg[11] = 0.5 * (fm[11] + fp[11]);
-    ghat[11] = -0.5 * lam * (fp[11] - fm[11]);
-    favg[12] = 0.5 * (fm[12] + fp[12]);
-    ghat[12] = -0.5 * lam * (fp[12] - fm[12]);
-    favg[13] = 0.5 * (fm[13] + fp[13]);
-    ghat[13] = -0.5 * lam * (fp[13] - fm[13]);
-    favg[14] = 0.5 * (fm[14] + fp[14]);
-    ghat[14] = -0.5 * lam * (fp[14] - fm[14]);
-    favg[15] = 0.5 * (fm[15] + fp[15]);
-    ghat[15] = -0.5 * lam * (fp[15] - fm[15]);
-    favg[16] = 0.5 * (fm[16] + fp[16]);
-    ghat[16] = -0.5 * lam * (fp[16] - fm[16]);
-    favg[17] = 0.5 * (fm[17] + fp[17]);
-    ghat[17] = -0.5 * lam * (fp[17] - fm[17]);
-    favg[18] = 0.5 * (fm[18] + fp[18]);
-    ghat[18] = -0.5 * lam * (fp[18] - fm[18]);
-    favg[19] = 0.5 * (fm[19] + fp[19]);
-    ghat[19] = -0.5 * lam * (fp[19] - fm[19]);
-    favg[20] = 0.5 * (fm[20] + fp[20]);
-    ghat[20] = -0.5 * lam * (fp[20] - fm[20]);
-    favg[21] = 0.5 * (fm[21] + fp[21]);
-    ghat[21] = -0.5 * lam * (fp[21] - fm[21]);
-    favg[22] = 0.5 * (fm[22] + fp[22]);
-    ghat[22] = -0.5 * lam * (fp[22] - fm[22]);
-    favg[23] = 0.5 * (fm[23] + fp[23]);
-    ghat[23] = -0.5 * lam * (fp[23] - fm[23]);
-    favg[24] = 0.5 * (fm[24] + fp[24]);
-    ghat[24] = -0.5 * lam * (fp[24] - fm[24]);
-    favg[25] = 0.5 * (fm[25] + fp[25]);
-    ghat[25] = -0.5 * lam * (fp[25] - fm[25]);
-    favg[26] = 0.5 * (fm[26] + fp[26]);
-    ghat[26] = -0.5 * lam * (fp[26] - fm[26]);
-    favg[27] = 0.5 * (fm[27] + fp[27]);
-    ghat[27] = -0.5 * lam * (fp[27] - fm[27]);
-    favg[28] = 0.5 * (fm[28] + fp[28]);
-    ghat[28] = -0.5 * lam * (fp[28] - fm[28]);
-    favg[29] = 0.5 * (fm[29] + fp[29]);
-    ghat[29] = -0.5 * lam * (fp[29] - fm[29]);
-    favg[30] = 0.5 * (fm[30] + fp[30]);
-    ghat[30] = -0.5 * lam * (fp[30] - fm[30]);
-    favg[31] = 0.5 * (fm[31] + fp[31]);
-    ghat[31] = -0.5 * lam * (fp[31] - fm[31]);
-    favg[32] = 0.5 * (fm[32] + fp[32]);
-    ghat[32] = -0.5 * lam * (fp[32] - fm[32]);
-    favg[33] = 0.5 * (fm[33] + fp[33]);
-    ghat[33] = -0.5 * lam * (fp[33] - fm[33]);
-    favg[34] = 0.5 * (fm[34] + fp[34]);
-    ghat[34] = -0.5 * lam * (fp[34] - fm[34]);
-    favg[35] = 0.5 * (fm[35] + fp[35]);
-    ghat[35] = -0.5 * lam * (fp[35] - fm[35]);
-    favg[36] = 0.5 * (fm[36] + fp[36]);
-    ghat[36] = -0.5 * lam * (fp[36] - fm[36]);
-    favg[37] = 0.5 * (fm[37] + fp[37]);
-    ghat[37] = -0.5 * lam * (fp[37] - fm[37]);
-    favg[38] = 0.5 * (fm[38] + fp[38]);
-    ghat[38] = -0.5 * lam * (fp[38] - fm[38]);
-    favg[39] = 0.5 * (fm[39] + fp[39]);
-    ghat[39] = -0.5 * lam * (fp[39] - fm[39]);
-    favg[40] = 0.5 * (fm[40] + fp[40]);
-    ghat[40] = -0.5 * lam * (fp[40] - fm[40]);
-    favg[41] = 0.5 * (fm[41] + fp[41]);
-    ghat[41] = -0.5 * lam * (fp[41] - fm[41]);
-    favg[42] = 0.5 * (fm[42] + fp[42]);
-    ghat[42] = -0.5 * lam * (fp[42] - fm[42]);
-    favg[43] = 0.5 * (fm[43] + fp[43]);
-    ghat[43] = -0.5 * lam * (fp[43] - fm[43]);
-    favg[44] = 0.5 * (fm[44] + fp[44]);
-    ghat[44] = -0.5 * lam * (fp[44] - fm[44]);
-    favg[45] = 0.5 * (fm[45] + fp[45]);
-    ghat[45] = -0.5 * lam * (fp[45] - fm[45]);
-    favg[46] = 0.5 * (fm[46] + fp[46]);
-    ghat[46] = -0.5 * lam * (fp[46] - fm[46]);
-    favg[47] = 0.5 * (fm[47] + fp[47]);
-    ghat[47] = -0.5 * lam * (fp[47] - fm[47]);
-    ghat[0] += 0.25 * alpha[0] * favg[0];
-    ghat[0] += 0.25 * alpha[3] * favg[3];
-    ghat[0] += 0.25 * alpha[4] * favg[4];
-    ghat[0] += 0.25 * alpha[10] * favg[10];
-    ghat[0] += 0.25 * alpha[13] * favg[13];
-    ghat[0] += 0.25 * alpha[14] * favg[14];
-    ghat[0] += 0.25 * alpha[27] * favg[27];
-    ghat[0] += 0.25 * alpha[30] * favg[30];
-    ghat[1] += 0.25 * alpha[0] * favg[1];
-    ghat[1] += 0.25 * alpha[3] * favg[8];
-    ghat[1] += 0.25 * alpha[4] * favg[11];
-    ghat[1] += 0.25 * alpha[10] * favg[20];
-    ghat[1] += 0.25 * alpha[13] * favg[25];
-    ghat[1] += 0.25 * alpha[14] * favg[28];
-    ghat[1] += 0.25 * alpha[27] * favg[39];
-    ghat[1] += 0.25 * alpha[30] * favg[42];
-    ghat[2] += 0.25 * alpha[0] * favg[2];
-    ghat[2] += 0.25 * alpha[3] * favg[9];
-    ghat[2] += 0.25 * alpha[4] * favg[12];
-    ghat[2] += 0.25 * alpha[10] * favg[21];
-    ghat[2] += 0.25 * alpha[13] * favg[26];
-    ghat[2] += 0.25 * alpha[14] * favg[29];
-    ghat[2] += 0.25 * alpha[27] * favg[40];
-    ghat[2] += 0.25 * alpha[30] * favg[43];
-    ghat[3] += 0.25 * alpha[0] * favg[3];
-    ghat[3] += 0.25 * alpha[3] * favg[0];
-    ghat[3] += 0.22360679774997896 * alpha[3] * favg[10];
-    ghat[3] += 0.25 * alpha[4] * favg[13];
-    ghat[3] += 0.22360679774997896 * alpha[10] * favg[3];
-    ghat[3] += 0.25 * alpha[13] * favg[4];
-    ghat[3] += 0.223606797749979 * alpha[13] * favg[27];
-    ghat[3] += 0.25 * alpha[14] * favg[30];
-    ghat[3] += 0.223606797749979 * alpha[27] * favg[13];
-    ghat[3] += 0.25 * alpha[30] * favg[14];
-    ghat[4] += 0.25 * alpha[0] * favg[4];
-    ghat[4] += 0.25 * alpha[3] * favg[13];
-    ghat[4] += 0.25 * alpha[4] * favg[0];
-    ghat[4] += 0.22360679774997896 * alpha[4] * favg[14];
-    ghat[4] += 0.25 * alpha[10] * favg[27];
-    ghat[4] += 0.25 * alpha[13] * favg[3];
-    ghat[4] += 0.223606797749979 * alpha[13] * favg[30];
-    ghat[4] += 0.22360679774997896 * alpha[14] * favg[4];
-    ghat[4] += 0.25 * alpha[27] * favg[10];
-    ghat[4] += 0.223606797749979 * alpha[30] * favg[13];
-    ghat[5] += 0.25 * alpha[0] * favg[5];
-    ghat[5] += 0.25 * alpha[3] * favg[17];
-    ghat[5] += 0.25 * alpha[4] * favg[22];
-    ghat[5] += 0.25 * alpha[13] * favg[36];
-    ghat[6] += 0.25 * alpha[0] * favg[6];
-    ghat[6] += 0.25 * alpha[3] * favg[18];
-    ghat[6] += 0.25 * alpha[4] * favg[23];
-    ghat[6] += 0.25 * alpha[10] * favg[33];
-    ghat[6] += 0.25 * alpha[13] * favg[37];
-    ghat[6] += 0.25 * alpha[14] * favg[41];
-    ghat[6] += 0.25 * alpha[27] * favg[46];
-    ghat[6] += 0.25 * alpha[30] * favg[47];
-    ghat[7] += 0.25 * alpha[0] * favg[7];
-    ghat[7] += 0.25 * alpha[3] * favg[19];
-    ghat[7] += 0.25 * alpha[4] * favg[24];
-    ghat[7] += 0.25 * alpha[13] * favg[38];
-    ghat[8] += 0.25 * alpha[0] * favg[8];
-    ghat[8] += 0.25 * alpha[3] * favg[1];
-    ghat[8] += 0.223606797749979 * alpha[3] * favg[20];
-    ghat[8] += 0.25 * alpha[4] * favg[25];
-    ghat[8] += 0.223606797749979 * alpha[10] * favg[8];
-    ghat[8] += 0.25 * alpha[13] * favg[11];
-    ghat[8] += 0.22360679774997896 * alpha[13] * favg[39];
-    ghat[8] += 0.25 * alpha[14] * favg[42];
-    ghat[8] += 0.22360679774997896 * alpha[27] * favg[25];
-    ghat[8] += 0.25 * alpha[30] * favg[28];
-    ghat[9] += 0.25 * alpha[0] * favg[9];
-    ghat[9] += 0.25 * alpha[3] * favg[2];
-    ghat[9] += 0.223606797749979 * alpha[3] * favg[21];
-    ghat[9] += 0.25 * alpha[4] * favg[26];
-    ghat[9] += 0.223606797749979 * alpha[10] * favg[9];
-    ghat[9] += 0.25 * alpha[13] * favg[12];
-    ghat[9] += 0.22360679774997896 * alpha[13] * favg[40];
-    ghat[9] += 0.25 * alpha[14] * favg[43];
-    ghat[9] += 0.22360679774997896 * alpha[27] * favg[26];
-    ghat[9] += 0.25 * alpha[30] * favg[29];
-    ghat[10] += 0.25 * alpha[0] * favg[10];
-    ghat[10] += 0.22360679774997896 * alpha[3] * favg[3];
-    ghat[10] += 0.25 * alpha[4] * favg[27];
-    ghat[10] += 0.25 * alpha[10] * favg[0];
-    ghat[10] += 0.15971914124998499 * alpha[10] * favg[10];
-    ghat[10] += 0.223606797749979 * alpha[13] * favg[13];
-    ghat[10] += 0.25 * alpha[27] * favg[4];
-    ghat[10] += 0.15971914124998499 * alpha[27] * favg[27];
-    ghat[10] += 0.22360679774997896 * alpha[30] * favg[30];
-    ghat[11] += 0.25 * alpha[0] * favg[11];
-    ghat[11] += 0.25 * alpha[3] * favg[25];
-    ghat[11] += 0.25 * alpha[4] * favg[1];
-    ghat[11] += 0.223606797749979 * alpha[4] * favg[28];
-    ghat[11] += 0.25 * alpha[10] * favg[39];
-    ghat[11] += 0.25 * alpha[13] * favg[8];
-    ghat[11] += 0.22360679774997896 * alpha[13] * favg[42];
-    ghat[11] += 0.223606797749979 * alpha[14] * favg[11];
-    ghat[11] += 0.25 * alpha[27] * favg[20];
-    ghat[11] += 0.22360679774997896 * alpha[30] * favg[25];
-    ghat[12] += 0.25 * alpha[0] * favg[12];
-    ghat[12] += 0.25 * alpha[3] * favg[26];
-    ghat[12] += 0.25 * alpha[4] * favg[2];
-    ghat[12] += 0.223606797749979 * alpha[4] * favg[29];
-    ghat[12] += 0.25 * alpha[10] * favg[40];
-    ghat[12] += 0.25 * alpha[13] * favg[9];
-    ghat[12] += 0.22360679774997896 * alpha[13] * favg[43];
-    ghat[12] += 0.223606797749979 * alpha[14] * favg[12];
-    ghat[12] += 0.25 * alpha[27] * favg[21];
-    ghat[12] += 0.22360679774997896 * alpha[30] * favg[26];
-    ghat[13] += 0.25 * alpha[0] * favg[13];
-    ghat[13] += 0.25 * alpha[3] * favg[4];
-    ghat[13] += 0.223606797749979 * alpha[3] * favg[27];
-    ghat[13] += 0.25 * alpha[4] * favg[3];
-    ghat[13] += 0.223606797749979 * alpha[4] * favg[30];
-    ghat[13] += 0.223606797749979 * alpha[10] * favg[13];
-    ghat[13] += 0.25 * alpha[13] * favg[0];
-    ghat[13] += 0.223606797749979 * alpha[13] * favg[10];
-    ghat[13] += 0.223606797749979 * alpha[13] * favg[14];
-    ghat[13] += 0.223606797749979 * alpha[14] * favg[13];
-    ghat[13] += 0.223606797749979 * alpha[27] * favg[3];
-    ghat[13] += 0.2 * alpha[27] * favg[30];
-    ghat[13] += 0.223606797749979 * alpha[30] * favg[4];
-    ghat[13] += 0.2 * alpha[30] * favg[27];
-    ghat[14] += 0.25 * alpha[0] * favg[14];
-    ghat[14] += 0.25 * alpha[3] * favg[30];
-    ghat[14] += 0.22360679774997896 * alpha[4] * favg[4];
-    ghat[14] += 0.223606797749979 * alpha[13] * favg[13];
-    ghat[14] += 0.25 * alpha[14] * favg[0];
-    ghat[14] += 0.15971914124998499 * alpha[14] * favg[14];
-    ghat[14] += 0.22360679774997896 * alpha[27] * favg[27];
-    ghat[14] += 0.25 * alpha[30] * favg[3];
-    ghat[14] += 0.15971914124998499 * alpha[30] * favg[30];
-    ghat[15] += 0.25 * alpha[0] * favg[15];
-    ghat[15] += 0.25 * alpha[3] * favg[31];
-    ghat[15] += 0.25 * alpha[4] * favg[34];
-    ghat[15] += 0.25 * alpha[13] * favg[44];
-    ghat[16] += 0.25 * alpha[0] * favg[16];
-    ghat[16] += 0.25 * alpha[3] * favg[32];
-    ghat[16] += 0.25 * alpha[4] * favg[35];
-    ghat[16] += 0.25 * alpha[13] * favg[45];
-    ghat[17] += 0.25 * alpha[0] * favg[17];
-    ghat[17] += 0.25 * alpha[3] * favg[5];
-    ghat[17] += 0.25 * alpha[4] * favg[36];
-    ghat[17] += 0.22360679774997896 * alpha[10] * favg[17];
-    ghat[17] += 0.25 * alpha[13] * favg[22];
-    ghat[17] += 0.22360679774997896 * alpha[27] * favg[36];
-    ghat[18] += 0.25 * alpha[0] * favg[18];
-    ghat[18] += 0.25 * alpha[3] * favg[6];
-    ghat[18] += 0.22360679774997896 * alpha[3] * favg[33];
-    ghat[18] += 0.25 * alpha[4] * favg[37];
-    ghat[18] += 0.22360679774997896 * alpha[10] * favg[18];
-    ghat[18] += 0.25 * alpha[13] * favg[23];
-    ghat[18] += 0.22360679774997896 * alpha[13] * favg[46];
-    ghat[18] += 0.25 * alpha[14] * favg[47];
-    ghat[18] += 0.22360679774997896 * alpha[27] * favg[37];
-    ghat[18] += 0.25 * alpha[30] * favg[41];
-    ghat[19] += 0.25 * alpha[0] * favg[19];
-    ghat[19] += 0.25 * alpha[3] * favg[7];
-    ghat[19] += 0.25 * alpha[4] * favg[38];
-    ghat[19] += 0.22360679774997896 * alpha[10] * favg[19];
-    ghat[19] += 0.25 * alpha[13] * favg[24];
-    ghat[19] += 0.22360679774997896 * alpha[27] * favg[38];
-    ghat[20] += 0.25 * alpha[0] * favg[20];
-    ghat[20] += 0.223606797749979 * alpha[3] * favg[8];
-    ghat[20] += 0.25 * alpha[4] * favg[39];
-    ghat[20] += 0.25 * alpha[10] * favg[1];
-    ghat[20] += 0.15971914124998499 * alpha[10] * favg[20];
-    ghat[20] += 0.22360679774997896 * alpha[13] * favg[25];
-    ghat[20] += 0.25 * alpha[27] * favg[11];
-    ghat[20] += 0.15971914124998499 * alpha[27] * favg[39];
-    ghat[20] += 0.22360679774997896 * alpha[30] * favg[42];
-    ghat[21] += 0.25 * alpha[0] * favg[21];
-    ghat[21] += 0.223606797749979 * alpha[3] * favg[9];
-    ghat[21] += 0.25 * alpha[4] * favg[40];
-    ghat[21] += 0.25 * alpha[10] * favg[2];
-    ghat[21] += 0.15971914124998499 * alpha[10] * favg[21];
-    ghat[21] += 0.22360679774997896 * alpha[13] * favg[26];
-    ghat[21] += 0.25 * alpha[27] * favg[12];
-    ghat[21] += 0.15971914124998499 * alpha[27] * favg[40];
-    ghat[21] += 0.22360679774997896 * alpha[30] * favg[43];
-    ghat[22] += 0.25 * alpha[0] * favg[22];
-    ghat[22] += 0.25 * alpha[3] * favg[36];
-    ghat[22] += 0.25 * alpha[4] * favg[5];
-    ghat[22] += 0.25 * alpha[13] * favg[17];
-    ghat[22] += 0.22360679774997896 * alpha[14] * favg[22];
-    ghat[22] += 0.22360679774997896 * alpha[30] * favg[36];
-    ghat[23] += 0.25 * alpha[0] * favg[23];
-    ghat[23] += 0.25 * alpha[3] * favg[37];
-    ghat[23] += 0.25 * alpha[4] * favg[6];
-    ghat[23] += 0.22360679774997896 * alpha[4] * favg[41];
-    ghat[23] += 0.25 * alpha[10] * favg[46];
-    ghat[23] += 0.25 * alpha[13] * favg[18];
-    ghat[23] += 0.22360679774997896 * alpha[13] * favg[47];
-    ghat[23] += 0.22360679774997896 * alpha[14] * favg[23];
-    ghat[23] += 0.25 * alpha[27] * favg[33];
-    ghat[23] += 0.22360679774997896 * alpha[30] * favg[37];
-    ghat[24] += 0.25 * alpha[0] * favg[24];
-    ghat[24] += 0.25 * alpha[3] * favg[38];
-    ghat[24] += 0.25 * alpha[4] * favg[7];
-    ghat[24] += 0.25 * alpha[13] * favg[19];
-    ghat[24] += 0.22360679774997896 * alpha[14] * favg[24];
-    ghat[24] += 0.22360679774997896 * alpha[30] * favg[38];
-    ghat[25] += 0.25 * alpha[0] * favg[25];
-    ghat[25] += 0.25 * alpha[3] * favg[11];
-    ghat[25] += 0.22360679774997896 * alpha[3] * favg[39];
-    ghat[25] += 0.25 * alpha[4] * favg[8];
-    ghat[25] += 0.22360679774997896 * alpha[4] * favg[42];
-    ghat[25] += 0.22360679774997896 * alpha[10] * favg[25];
-    ghat[25] += 0.25 * alpha[13] * favg[1];
-    ghat[25] += 0.22360679774997896 * alpha[13] * favg[20];
-    ghat[25] += 0.22360679774997896 * alpha[13] * favg[28];
-    ghat[25] += 0.22360679774997896 * alpha[14] * favg[25];
-    ghat[25] += 0.22360679774997896 * alpha[27] * favg[8];
-    ghat[25] += 0.19999999999999998 * alpha[27] * favg[42];
-    ghat[25] += 0.22360679774997896 * alpha[30] * favg[11];
-    ghat[25] += 0.19999999999999998 * alpha[30] * favg[39];
-    ghat[26] += 0.25 * alpha[0] * favg[26];
-    ghat[26] += 0.25 * alpha[3] * favg[12];
-    ghat[26] += 0.22360679774997896 * alpha[3] * favg[40];
-    ghat[26] += 0.25 * alpha[4] * favg[9];
-    ghat[26] += 0.22360679774997896 * alpha[4] * favg[43];
-    ghat[26] += 0.22360679774997896 * alpha[10] * favg[26];
-    ghat[26] += 0.25 * alpha[13] * favg[2];
-    ghat[26] += 0.22360679774997896 * alpha[13] * favg[21];
-    ghat[26] += 0.22360679774997896 * alpha[13] * favg[29];
-    ghat[26] += 0.22360679774997896 * alpha[14] * favg[26];
-    ghat[26] += 0.22360679774997896 * alpha[27] * favg[9];
-    ghat[26] += 0.19999999999999998 * alpha[27] * favg[43];
-    ghat[26] += 0.22360679774997896 * alpha[30] * favg[12];
-    ghat[26] += 0.19999999999999998 * alpha[30] * favg[40];
-    ghat[27] += 0.25 * alpha[0] * favg[27];
-    ghat[27] += 0.223606797749979 * alpha[3] * favg[13];
-    ghat[27] += 0.25 * alpha[4] * favg[10];
-    ghat[27] += 0.25 * alpha[10] * favg[4];
-    ghat[27] += 0.15971914124998499 * alpha[10] * favg[27];
-    ghat[27] += 0.223606797749979 * alpha[13] * favg[3];
-    ghat[27] += 0.2 * alpha[13] * favg[30];
-    ghat[27] += 0.22360679774997896 * alpha[14] * favg[27];
-    ghat[27] += 0.25 * alpha[27] * favg[0];
-    ghat[27] += 0.15971914124998499 * alpha[27] * favg[10];
-    ghat[27] += 0.22360679774997896 * alpha[27] * favg[14];
-    ghat[27] += 0.2 * alpha[30] * favg[13];
-    ghat[28] += 0.25 * alpha[0] * favg[28];
-    ghat[28] += 0.25 * alpha[3] * favg[42];
-    ghat[28] += 0.223606797749979 * alpha[4] * favg[11];
-    ghat[28] += 0.22360679774997896 * alpha[13] * favg[25];
-    ghat[28] += 0.25 * alpha[14] * favg[1];
-    ghat[28] += 0.15971914124998499 * alpha[14] * favg[28];
-    ghat[28] += 0.22360679774997896 * alpha[27] * favg[39];
-    ghat[28] += 0.25 * alpha[30] * favg[8];
-    ghat[28] += 0.15971914124998499 * alpha[30] * favg[42];
-    ghat[29] += 0.25 * alpha[0] * favg[29];
-    ghat[29] += 0.25 * alpha[3] * favg[43];
-    ghat[29] += 0.223606797749979 * alpha[4] * favg[12];
-    ghat[29] += 0.22360679774997896 * alpha[13] * favg[26];
-    ghat[29] += 0.25 * alpha[14] * favg[2];
-    ghat[29] += 0.15971914124998499 * alpha[14] * favg[29];
-    ghat[29] += 0.22360679774997896 * alpha[27] * favg[40];
-    ghat[29] += 0.25 * alpha[30] * favg[9];
-    ghat[29] += 0.15971914124998499 * alpha[30] * favg[43];
-    ghat[30] += 0.25 * alpha[0] * favg[30];
-    ghat[30] += 0.25 * alpha[3] * favg[14];
-    ghat[30] += 0.223606797749979 * alpha[4] * favg[13];
-    ghat[30] += 0.22360679774997896 * alpha[10] * favg[30];
-    ghat[30] += 0.223606797749979 * alpha[13] * favg[4];
-    ghat[30] += 0.2 * alpha[13] * favg[27];
-    ghat[30] += 0.25 * alpha[14] * favg[3];
-    ghat[30] += 0.15971914124998499 * alpha[14] * favg[30];
-    ghat[30] += 0.2 * alpha[27] * favg[13];
-    ghat[30] += 0.25 * alpha[30] * favg[0];
-    ghat[30] += 0.22360679774997896 * alpha[30] * favg[10];
-    ghat[30] += 0.15971914124998499 * alpha[30] * favg[14];
-    ghat[31] += 0.25 * alpha[0] * favg[31];
-    ghat[31] += 0.25 * alpha[3] * favg[15];
-    ghat[31] += 0.25 * alpha[4] * favg[44];
-    ghat[31] += 0.22360679774997896 * alpha[10] * favg[31];
-    ghat[31] += 0.25 * alpha[13] * favg[34];
-    ghat[31] += 0.22360679774997896 * alpha[27] * favg[44];
-    ghat[32] += 0.25 * alpha[0] * favg[32];
-    ghat[32] += 0.25 * alpha[3] * favg[16];
-    ghat[32] += 0.25 * alpha[4] * favg[45];
-    ghat[32] += 0.22360679774997896 * alpha[10] * favg[32];
-    ghat[32] += 0.25 * alpha[13] * favg[35];
-    ghat[32] += 0.22360679774997896 * alpha[27] * favg[45];
-    ghat[33] += 0.25 * alpha[0] * favg[33];
-    ghat[33] += 0.22360679774997896 * alpha[3] * favg[18];
-    ghat[33] += 0.25 * alpha[4] * favg[46];
-    ghat[33] += 0.25 * alpha[10] * favg[6];
-    ghat[33] += 0.15971914124998499 * alpha[10] * favg[33];
-    ghat[33] += 0.22360679774997896 * alpha[13] * favg[37];
-    ghat[33] += 0.25 * alpha[27] * favg[23];
-    ghat[33] += 0.15971914124998499 * alpha[27] * favg[46];
-    ghat[33] += 0.22360679774997896 * alpha[30] * favg[47];
-    ghat[34] += 0.25 * alpha[0] * favg[34];
-    ghat[34] += 0.25 * alpha[3] * favg[44];
-    ghat[34] += 0.25 * alpha[4] * favg[15];
-    ghat[34] += 0.25 * alpha[13] * favg[31];
-    ghat[34] += 0.22360679774997896 * alpha[14] * favg[34];
-    ghat[34] += 0.22360679774997896 * alpha[30] * favg[44];
-    ghat[35] += 0.25 * alpha[0] * favg[35];
-    ghat[35] += 0.25 * alpha[3] * favg[45];
-    ghat[35] += 0.25 * alpha[4] * favg[16];
-    ghat[35] += 0.25 * alpha[13] * favg[32];
-    ghat[35] += 0.22360679774997896 * alpha[14] * favg[35];
-    ghat[35] += 0.22360679774997896 * alpha[30] * favg[45];
-    ghat[36] += 0.25 * alpha[0] * favg[36];
-    ghat[36] += 0.25 * alpha[3] * favg[22];
-    ghat[36] += 0.25 * alpha[4] * favg[17];
-    ghat[36] += 0.22360679774997896 * alpha[10] * favg[36];
-    ghat[36] += 0.25 * alpha[13] * favg[5];
-    ghat[36] += 0.22360679774997896 * alpha[14] * favg[36];
-    ghat[36] += 0.22360679774997896 * alpha[27] * favg[17];
-    ghat[36] += 0.22360679774997896 * alpha[30] * favg[22];
-    ghat[37] += 0.25 * alpha[0] * favg[37];
-    ghat[37] += 0.25 * alpha[3] * favg[23];
-    ghat[37] += 0.22360679774997896 * alpha[3] * favg[46];
-    ghat[37] += 0.25 * alpha[4] * favg[18];
-    ghat[37] += 0.22360679774997896 * alpha[4] * favg[47];
-    ghat[37] += 0.22360679774997896 * alpha[10] * favg[37];
-    ghat[37] += 0.25 * alpha[13] * favg[6];
-    ghat[37] += 0.22360679774997896 * alpha[13] * favg[33];
-    ghat[37] += 0.22360679774997896 * alpha[13] * favg[41];
-    ghat[37] += 0.22360679774997896 * alpha[14] * favg[37];
-    ghat[37] += 0.22360679774997896 * alpha[27] * favg[18];
-    ghat[37] += 0.2 * alpha[27] * favg[47];
-    ghat[37] += 0.22360679774997896 * alpha[30] * favg[23];
-    ghat[37] += 0.2 * alpha[30] * favg[46];
-    ghat[38] += 0.25 * alpha[0] * favg[38];
-    ghat[38] += 0.25 * alpha[3] * favg[24];
-    ghat[38] += 0.25 * alpha[4] * favg[19];
-    ghat[38] += 0.22360679774997896 * alpha[10] * favg[38];
-    ghat[38] += 0.25 * alpha[13] * favg[7];
-    ghat[38] += 0.22360679774997896 * alpha[14] * favg[38];
-    ghat[38] += 0.22360679774997896 * alpha[27] * favg[19];
-    ghat[38] += 0.22360679774997896 * alpha[30] * favg[24];
-    ghat[39] += 0.25 * alpha[0] * favg[39];
-    ghat[39] += 0.22360679774997896 * alpha[3] * favg[25];
-    ghat[39] += 0.25 * alpha[4] * favg[20];
-    ghat[39] += 0.25 * alpha[10] * favg[11];
-    ghat[39] += 0.15971914124998499 * alpha[10] * favg[39];
-    ghat[39] += 0.22360679774997896 * alpha[13] * favg[8];
-    ghat[39] += 0.19999999999999998 * alpha[13] * favg[42];
-    ghat[39] += 0.22360679774997896 * alpha[14] * favg[39];
-    ghat[39] += 0.25 * alpha[27] * favg[1];
-    ghat[39] += 0.15971914124998499 * alpha[27] * favg[20];
-    ghat[39] += 0.22360679774997896 * alpha[27] * favg[28];
-    ghat[39] += 0.19999999999999998 * alpha[30] * favg[25];
-    ghat[40] += 0.25 * alpha[0] * favg[40];
-    ghat[40] += 0.22360679774997896 * alpha[3] * favg[26];
-    ghat[40] += 0.25 * alpha[4] * favg[21];
-    ghat[40] += 0.25 * alpha[10] * favg[12];
-    ghat[40] += 0.15971914124998499 * alpha[10] * favg[40];
-    ghat[40] += 0.22360679774997896 * alpha[13] * favg[9];
-    ghat[40] += 0.19999999999999998 * alpha[13] * favg[43];
-    ghat[40] += 0.22360679774997896 * alpha[14] * favg[40];
-    ghat[40] += 0.25 * alpha[27] * favg[2];
-    ghat[40] += 0.15971914124998499 * alpha[27] * favg[21];
-    ghat[40] += 0.22360679774997896 * alpha[27] * favg[29];
-    ghat[40] += 0.19999999999999998 * alpha[30] * favg[26];
-    ghat[41] += 0.25 * alpha[0] * favg[41];
-    ghat[41] += 0.25 * alpha[3] * favg[47];
-    ghat[41] += 0.22360679774997896 * alpha[4] * favg[23];
-    ghat[41] += 0.22360679774997896 * alpha[13] * favg[37];
-    ghat[41] += 0.25 * alpha[14] * favg[6];
-    ghat[41] += 0.15971914124998499 * alpha[14] * favg[41];
-    ghat[41] += 0.22360679774997896 * alpha[27] * favg[46];
-    ghat[41] += 0.25 * alpha[30] * favg[18];
-    ghat[41] += 0.15971914124998499 * alpha[30] * favg[47];
-    ghat[42] += 0.25 * alpha[0] * favg[42];
-    ghat[42] += 0.25 * alpha[3] * favg[28];
-    ghat[42] += 0.22360679774997896 * alpha[4] * favg[25];
-    ghat[42] += 0.22360679774997896 * alpha[10] * favg[42];
-    ghat[42] += 0.22360679774997896 * alpha[13] * favg[11];
-    ghat[42] += 0.19999999999999998 * alpha[13] * favg[39];
-    ghat[42] += 0.25 * alpha[14] * favg[8];
-    ghat[42] += 0.15971914124998499 * alpha[14] * favg[42];
-    ghat[42] += 0.19999999999999998 * alpha[27] * favg[25];
-    ghat[42] += 0.25 * alpha[30] * favg[1];
-    ghat[42] += 0.22360679774997896 * alpha[30] * favg[20];
-    ghat[42] += 0.15971914124998499 * alpha[30] * favg[28];
-    ghat[43] += 0.25 * alpha[0] * favg[43];
-    ghat[43] += 0.25 * alpha[3] * favg[29];
-    ghat[43] += 0.22360679774997896 * alpha[4] * favg[26];
-    ghat[43] += 0.22360679774997896 * alpha[10] * favg[43];
-    ghat[43] += 0.22360679774997896 * alpha[13] * favg[12];
-    ghat[43] += 0.19999999999999998 * alpha[13] * favg[40];
-    ghat[43] += 0.25 * alpha[14] * favg[9];
-    ghat[43] += 0.15971914124998499 * alpha[14] * favg[43];
-    ghat[43] += 0.19999999999999998 * alpha[27] * favg[26];
-    ghat[43] += 0.25 * alpha[30] * favg[2];
-    ghat[43] += 0.22360679774997896 * alpha[30] * favg[21];
-    ghat[43] += 0.15971914124998499 * alpha[30] * favg[29];
-    ghat[44] += 0.25 * alpha[0] * favg[44];
-    ghat[44] += 0.25 * alpha[3] * favg[34];
-    ghat[44] += 0.25 * alpha[4] * favg[31];
-    ghat[44] += 0.22360679774997896 * alpha[10] * favg[44];
-    ghat[44] += 0.25 * alpha[13] * favg[15];
-    ghat[44] += 0.22360679774997896 * alpha[14] * favg[44];
-    ghat[44] += 0.22360679774997896 * alpha[27] * favg[31];
-    ghat[44] += 0.22360679774997896 * alpha[30] * favg[34];
-    ghat[45] += 0.25 * alpha[0] * favg[45];
-    ghat[45] += 0.25 * alpha[3] * favg[35];
-    ghat[45] += 0.25 * alpha[4] * favg[32];
-    ghat[45] += 0.22360679774997896 * alpha[10] * favg[45];
-    ghat[45] += 0.25 * alpha[13] * favg[16];
-    ghat[45] += 0.22360679774997896 * alpha[14] * favg[45];
-    ghat[45] += 0.22360679774997896 * alpha[27] * favg[32];
-    ghat[45] += 0.22360679774997896 * alpha[30] * favg[35];
-    ghat[46] += 0.25 * alpha[0] * favg[46];
-    ghat[46] += 0.22360679774997896 * alpha[3] * favg[37];
-    ghat[46] += 0.25 * alpha[4] * favg[33];
-    ghat[46] += 0.25 * alpha[10] * favg[23];
-    ghat[46] += 0.15971914124998499 * alpha[10] * favg[46];
-    ghat[46] += 0.22360679774997896 * alpha[13] * favg[18];
-    ghat[46] += 0.2 * alpha[13] * favg[47];
-    ghat[46] += 0.22360679774997896 * alpha[14] * favg[46];
-    ghat[46] += 0.25 * alpha[27] * favg[6];
-    ghat[46] += 0.15971914124998499 * alpha[27] * favg[33];
-    ghat[46] += 0.22360679774997896 * alpha[27] * favg[41];
-    ghat[46] += 0.2 * alpha[30] * favg[37];
-    ghat[47] += 0.25 * alpha[0] * favg[47];
-    ghat[47] += 0.25 * alpha[3] * favg[41];
-    ghat[47] += 0.22360679774997896 * alpha[4] * favg[37];
-    ghat[47] += 0.22360679774997896 * alpha[10] * favg[47];
-    ghat[47] += 0.22360679774997896 * alpha[13] * favg[23];
-    ghat[47] += 0.2 * alpha[13] * favg[46];
-    ghat[47] += 0.25 * alpha[14] * favg[18];
-    ghat[47] += 0.15971914124998499 * alpha[14] * favg[47];
-    ghat[47] += 0.2 * alpha[27] * favg[37];
-    ghat[47] += 0.25 * alpha[30] * favg[6];
-    ghat[47] += 0.22360679774997896 * alpha[30] * favg[33];
-    ghat[47] += 0.15971914124998499 * alpha[30] * favg[41];
-    out_lo[0] += -scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -scale * 0.7071067811865476 * ghat[1];
-    out_lo[2] += -scale * 1.224744871391589 * ghat[0];
-    out_lo[3] += -scale * 0.7071067811865476 * ghat[2];
-    out_lo[4] += -scale * 0.7071067811865476 * ghat[3];
-    out_lo[5] += -scale * 0.7071067811865476 * ghat[4];
-    out_lo[6] += -scale * 0.7071067811865476 * ghat[5];
-    out_lo[7] += -scale * 1.224744871391589 * ghat[1];
-    out_lo[8] += -scale * 1.5811388300841898 * ghat[0];
-    out_lo[9] += -scale * 0.7071067811865476 * ghat[6];
-    out_lo[10] += -scale * 1.224744871391589 * ghat[2];
-    out_lo[11] += -scale * 0.7071067811865476 * ghat[7];
-    out_lo[12] += -scale * 0.7071067811865476 * ghat[8];
-    out_lo[13] += -scale * 1.224744871391589 * ghat[3];
-    out_lo[14] += -scale * 0.7071067811865476 * ghat[9];
-    out_lo[15] += -scale * 0.7071067811865476 * ghat[10];
-    out_lo[16] += -scale * 0.7071067811865476 * ghat[11];
-    out_lo[17] += -scale * 1.224744871391589 * ghat[4];
-    out_lo[18] += -scale * 0.7071067811865476 * ghat[12];
-    out_lo[19] += -scale * 0.7071067811865476 * ghat[13];
-    out_lo[20] += -scale * 0.7071067811865476 * ghat[14];
-    out_lo[21] += -scale * 1.224744871391589 * ghat[5];
-    out_lo[22] += -scale * 1.5811388300841898 * ghat[1];
-    out_lo[23] += -scale * 0.7071067811865476 * ghat[15];
-    out_lo[24] += -scale * 1.224744871391589 * ghat[6];
-    out_lo[25] += -scale * 1.5811388300841898 * ghat[2];
-    out_lo[26] += -scale * 0.7071067811865476 * ghat[16];
-    out_lo[27] += -scale * 1.224744871391589 * ghat[7];
-    out_lo[28] += -scale * 0.7071067811865476 * ghat[17];
-    out_lo[29] += -scale * 1.224744871391589 * ghat[8];
-    out_lo[30] += -scale * 1.5811388300841898 * ghat[3];
-    out_lo[31] += -scale * 0.7071067811865476 * ghat[18];
-    out_lo[32] += -scale * 1.224744871391589 * ghat[9];
-    out_lo[33] += -scale * 0.7071067811865476 * ghat[19];
-    out_lo[34] += -scale * 0.7071067811865476 * ghat[20];
-    out_lo[35] += -scale * 1.224744871391589 * ghat[10];
-    out_lo[36] += -scale * 0.7071067811865476 * ghat[21];
-    out_lo[37] += -scale * 0.7071067811865476 * ghat[22];
-    out_lo[38] += -scale * 1.224744871391589 * ghat[11];
-    out_lo[39] += -scale * 1.5811388300841898 * ghat[4];
-    out_lo[40] += -scale * 0.7071067811865476 * ghat[23];
-    out_lo[41] += -scale * 1.224744871391589 * ghat[12];
-    out_lo[42] += -scale * 0.7071067811865476 * ghat[24];
-    out_lo[43] += -scale * 0.7071067811865476 * ghat[25];
-    out_lo[44] += -scale * 1.224744871391589 * ghat[13];
-    out_lo[45] += -scale * 0.7071067811865476 * ghat[26];
-    out_lo[46] += -scale * 0.7071067811865476 * ghat[27];
-    out_lo[47] += -scale * 0.7071067811865476 * ghat[28];
-    out_lo[48] += -scale * 1.224744871391589 * ghat[14];
-    out_lo[49] += -scale * 0.7071067811865476 * ghat[29];
-    out_lo[50] += -scale * 0.7071067811865476 * ghat[30];
-    out_lo[51] += -scale * 1.224744871391589 * ghat[15];
-    out_lo[52] += -scale * 1.5811388300841898 * ghat[6];
-    out_lo[53] += -scale * 1.224744871391589 * ghat[16];
-    out_lo[54] += -scale * 1.224744871391589 * ghat[17];
-    out_lo[55] += -scale * 1.5811388300841898 * ghat[8];
-    out_lo[56] += -scale * 0.7071067811865476 * ghat[31];
-    out_lo[57] += -scale * 1.224744871391589 * ghat[18];
-    out_lo[58] += -scale * 1.5811388300841898 * ghat[9];
-    out_lo[59] += -scale * 0.7071067811865476 * ghat[32];
-    out_lo[60] += -scale * 1.224744871391589 * ghat[19];
-    out_lo[61] += -scale * 1.224744871391589 * ghat[20];
-    out_lo[62] += -scale * 0.7071067811865476 * ghat[33];
-    out_lo[63] += -scale * 1.224744871391589 * ghat[21];
-    out_lo[64] += -scale * 1.224744871391589 * ghat[22];
-    out_lo[65] += -scale * 1.5811388300841898 * ghat[11];
-    out_lo[66] += -scale * 0.7071067811865476 * ghat[34];
-    out_lo[67] += -scale * 1.224744871391589 * ghat[23];
-    out_lo[68] += -scale * 1.5811388300841898 * ghat[12];
-    out_lo[69] += -scale * 0.7071067811865476 * ghat[35];
-    out_lo[70] += -scale * 1.224744871391589 * ghat[24];
-    out_lo[71] += -scale * 0.7071067811865476 * ghat[36];
-    out_lo[72] += -scale * 1.224744871391589 * ghat[25];
-    out_lo[73] += -scale * 1.5811388300841898 * ghat[13];
-    out_lo[74] += -scale * 0.7071067811865476 * ghat[37];
-    out_lo[75] += -scale * 1.224744871391589 * ghat[26];
-    out_lo[76] += -scale * 0.7071067811865476 * ghat[38];
-    out_lo[77] += -scale * 0.7071067811865476 * ghat[39];
-    out_lo[78] += -scale * 1.224744871391589 * ghat[27];
-    out_lo[79] += -scale * 0.7071067811865476 * ghat[40];
-    out_lo[80] += -scale * 1.224744871391589 * ghat[28];
-    out_lo[81] += -scale * 0.7071067811865476 * ghat[41];
-    out_lo[82] += -scale * 1.224744871391589 * ghat[29];
-    out_lo[83] += -scale * 0.7071067811865476 * ghat[42];
-    out_lo[84] += -scale * 1.224744871391589 * ghat[30];
-    out_lo[85] += -scale * 0.7071067811865476 * ghat[43];
-    out_lo[86] += -scale * 1.224744871391589 * ghat[31];
-    out_lo[87] += -scale * 1.5811388300841898 * ghat[18];
-    out_lo[88] += -scale * 1.224744871391589 * ghat[32];
-    out_lo[89] += -scale * 1.224744871391589 * ghat[33];
-    out_lo[90] += -scale * 1.224744871391589 * ghat[34];
-    out_lo[91] += -scale * 1.5811388300841898 * ghat[23];
-    out_lo[92] += -scale * 1.224744871391589 * ghat[35];
-    out_lo[93] += -scale * 1.224744871391589 * ghat[36];
-    out_lo[94] += -scale * 1.5811388300841898 * ghat[25];
-    out_lo[95] += -scale * 0.7071067811865476 * ghat[44];
-    out_lo[96] += -scale * 1.224744871391589 * ghat[37];
-    out_lo[97] += -scale * 1.5811388300841898 * ghat[26];
-    out_lo[98] += -scale * 0.7071067811865476 * ghat[45];
-    out_lo[99] += -scale * 1.224744871391589 * ghat[38];
-    out_lo[100] += -scale * 1.224744871391589 * ghat[39];
-    out_lo[101] += -scale * 0.7071067811865476 * ghat[46];
-    out_lo[102] += -scale * 1.224744871391589 * ghat[40];
-    out_lo[103] += -scale * 1.224744871391589 * ghat[41];
-    out_lo[104] += -scale * 1.224744871391589 * ghat[42];
-    out_lo[105] += -scale * 0.7071067811865476 * ghat[47];
-    out_lo[106] += -scale * 1.224744871391589 * ghat[43];
-    out_lo[107] += -scale * 1.224744871391589 * ghat[44];
-    out_lo[108] += -scale * 1.5811388300841898 * ghat[37];
-    out_lo[109] += -scale * 1.224744871391589 * ghat[45];
-    out_lo[110] += -scale * 1.224744871391589 * ghat[46];
-    out_lo[111] += -scale * 1.224744871391589 * ghat[47];
-    out_hi[0] += scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += scale * 0.7071067811865476 * ghat[1];
-    out_hi[2] += scale * -1.224744871391589 * ghat[0];
-    out_hi[3] += scale * 0.7071067811865476 * ghat[2];
-    out_hi[4] += scale * 0.7071067811865476 * ghat[3];
-    out_hi[5] += scale * 0.7071067811865476 * ghat[4];
-    out_hi[6] += scale * 0.7071067811865476 * ghat[5];
-    out_hi[7] += scale * -1.224744871391589 * ghat[1];
-    out_hi[8] += scale * 1.5811388300841898 * ghat[0];
-    out_hi[9] += scale * 0.7071067811865476 * ghat[6];
-    out_hi[10] += scale * -1.224744871391589 * ghat[2];
-    out_hi[11] += scale * 0.7071067811865476 * ghat[7];
-    out_hi[12] += scale * 0.7071067811865476 * ghat[8];
-    out_hi[13] += scale * -1.224744871391589 * ghat[3];
-    out_hi[14] += scale * 0.7071067811865476 * ghat[9];
-    out_hi[15] += scale * 0.7071067811865476 * ghat[10];
-    out_hi[16] += scale * 0.7071067811865476 * ghat[11];
-    out_hi[17] += scale * -1.224744871391589 * ghat[4];
-    out_hi[18] += scale * 0.7071067811865476 * ghat[12];
-    out_hi[19] += scale * 0.7071067811865476 * ghat[13];
-    out_hi[20] += scale * 0.7071067811865476 * ghat[14];
-    out_hi[21] += scale * -1.224744871391589 * ghat[5];
-    out_hi[22] += scale * 1.5811388300841898 * ghat[1];
-    out_hi[23] += scale * 0.7071067811865476 * ghat[15];
-    out_hi[24] += scale * -1.224744871391589 * ghat[6];
-    out_hi[25] += scale * 1.5811388300841898 * ghat[2];
-    out_hi[26] += scale * 0.7071067811865476 * ghat[16];
-    out_hi[27] += scale * -1.224744871391589 * ghat[7];
-    out_hi[28] += scale * 0.7071067811865476 * ghat[17];
-    out_hi[29] += scale * -1.224744871391589 * ghat[8];
-    out_hi[30] += scale * 1.5811388300841898 * ghat[3];
-    out_hi[31] += scale * 0.7071067811865476 * ghat[18];
-    out_hi[32] += scale * -1.224744871391589 * ghat[9];
-    out_hi[33] += scale * 0.7071067811865476 * ghat[19];
-    out_hi[34] += scale * 0.7071067811865476 * ghat[20];
-    out_hi[35] += scale * -1.224744871391589 * ghat[10];
-    out_hi[36] += scale * 0.7071067811865476 * ghat[21];
-    out_hi[37] += scale * 0.7071067811865476 * ghat[22];
-    out_hi[38] += scale * -1.224744871391589 * ghat[11];
-    out_hi[39] += scale * 1.5811388300841898 * ghat[4];
-    out_hi[40] += scale * 0.7071067811865476 * ghat[23];
-    out_hi[41] += scale * -1.224744871391589 * ghat[12];
-    out_hi[42] += scale * 0.7071067811865476 * ghat[24];
-    out_hi[43] += scale * 0.7071067811865476 * ghat[25];
-    out_hi[44] += scale * -1.224744871391589 * ghat[13];
-    out_hi[45] += scale * 0.7071067811865476 * ghat[26];
-    out_hi[46] += scale * 0.7071067811865476 * ghat[27];
-    out_hi[47] += scale * 0.7071067811865476 * ghat[28];
-    out_hi[48] += scale * -1.224744871391589 * ghat[14];
-    out_hi[49] += scale * 0.7071067811865476 * ghat[29];
-    out_hi[50] += scale * 0.7071067811865476 * ghat[30];
-    out_hi[51] += scale * -1.224744871391589 * ghat[15];
-    out_hi[52] += scale * 1.5811388300841898 * ghat[6];
-    out_hi[53] += scale * -1.224744871391589 * ghat[16];
-    out_hi[54] += scale * -1.224744871391589 * ghat[17];
-    out_hi[55] += scale * 1.5811388300841898 * ghat[8];
-    out_hi[56] += scale * 0.7071067811865476 * ghat[31];
-    out_hi[57] += scale * -1.224744871391589 * ghat[18];
-    out_hi[58] += scale * 1.5811388300841898 * ghat[9];
-    out_hi[59] += scale * 0.7071067811865476 * ghat[32];
-    out_hi[60] += scale * -1.224744871391589 * ghat[19];
-    out_hi[61] += scale * -1.224744871391589 * ghat[20];
-    out_hi[62] += scale * 0.7071067811865476 * ghat[33];
-    out_hi[63] += scale * -1.224744871391589 * ghat[21];
-    out_hi[64] += scale * -1.224744871391589 * ghat[22];
-    out_hi[65] += scale * 1.5811388300841898 * ghat[11];
-    out_hi[66] += scale * 0.7071067811865476 * ghat[34];
-    out_hi[67] += scale * -1.224744871391589 * ghat[23];
-    out_hi[68] += scale * 1.5811388300841898 * ghat[12];
-    out_hi[69] += scale * 0.7071067811865476 * ghat[35];
-    out_hi[70] += scale * -1.224744871391589 * ghat[24];
-    out_hi[71] += scale * 0.7071067811865476 * ghat[36];
-    out_hi[72] += scale * -1.224744871391589 * ghat[25];
-    out_hi[73] += scale * 1.5811388300841898 * ghat[13];
-    out_hi[74] += scale * 0.7071067811865476 * ghat[37];
-    out_hi[75] += scale * -1.224744871391589 * ghat[26];
-    out_hi[76] += scale * 0.7071067811865476 * ghat[38];
-    out_hi[77] += scale * 0.7071067811865476 * ghat[39];
-    out_hi[78] += scale * -1.224744871391589 * ghat[27];
-    out_hi[79] += scale * 0.7071067811865476 * ghat[40];
-    out_hi[80] += scale * -1.224744871391589 * ghat[28];
-    out_hi[81] += scale * 0.7071067811865476 * ghat[41];
-    out_hi[82] += scale * -1.224744871391589 * ghat[29];
-    out_hi[83] += scale * 0.7071067811865476 * ghat[42];
-    out_hi[84] += scale * -1.224744871391589 * ghat[30];
-    out_hi[85] += scale * 0.7071067811865476 * ghat[43];
-    out_hi[86] += scale * -1.224744871391589 * ghat[31];
-    out_hi[87] += scale * 1.5811388300841898 * ghat[18];
-    out_hi[88] += scale * -1.224744871391589 * ghat[32];
-    out_hi[89] += scale * -1.224744871391589 * ghat[33];
-    out_hi[90] += scale * -1.224744871391589 * ghat[34];
-    out_hi[91] += scale * 1.5811388300841898 * ghat[23];
-    out_hi[92] += scale * -1.224744871391589 * ghat[35];
-    out_hi[93] += scale * -1.224744871391589 * ghat[36];
-    out_hi[94] += scale * 1.5811388300841898 * ghat[25];
-    out_hi[95] += scale * 0.7071067811865476 * ghat[44];
-    out_hi[96] += scale * -1.224744871391589 * ghat[37];
-    out_hi[97] += scale * 1.5811388300841898 * ghat[26];
-    out_hi[98] += scale * 0.7071067811865476 * ghat[45];
-    out_hi[99] += scale * -1.224744871391589 * ghat[38];
-    out_hi[100] += scale * -1.224744871391589 * ghat[39];
-    out_hi[101] += scale * 0.7071067811865476 * ghat[46];
-    out_hi[102] += scale * -1.224744871391589 * ghat[40];
-    out_hi[103] += scale * -1.224744871391589 * ghat[41];
-    out_hi[104] += scale * -1.224744871391589 * ghat[42];
-    out_hi[105] += scale * 0.7071067811865476 * ghat[47];
-    out_hi[106] += scale * -1.224744871391589 * ghat[43];
-    out_hi[107] += scale * -1.224744871391589 * ghat[44];
-    out_hi[108] += scale * 1.5811388300841898 * ghat[37];
-    out_hi[109] += scale * -1.224744871391589 * ghat[45];
-    out_hi[110] += scale * -1.224744871391589 * ghat[46];
-    out_hi[111] += scale * -1.224744871391589 * ghat[47];
+    let mut alpha = [[0.0f64; L]; 48];
+    let mut lam = [0.0f64; L];
+    for k in 0..L {
+        alpha[0][k] = -nu * vstar * 4.0;
+        alpha[0][k] += nu * 2.0 * u[0][k];
+        alpha[3][k] += nu * 2.0 * u[1][k];
+        alpha[4][k] += nu * 2.0 * u[2][k];
+        alpha[10][k] += nu * 2.0 * u[3][k];
+        alpha[13][k] += nu * 2.0 * u[4][k];
+        alpha[14][k] += nu * 2.0 * u[5][k];
+        alpha[27][k] += nu * 2.0 * u[6][k];
+        alpha[30][k] += nu * 2.0 * u[7][k];
+        lam[k] = alpha[0][k].abs() * 0.25000000000000006 + alpha[3][k].abs() * 0.4330127018922194 + alpha[4][k].abs() * 0.4330127018922194 + alpha[10][k].abs() * 0.5590169943749475 + alpha[13][k].abs() * 0.75 + alpha[14][k].abs() * 0.5590169943749475 + alpha[27][k].abs() * 0.9682458365518543 + alpha[30][k].abs() * 0.9682458365518543;
+    }
+    let mut fm = [[0.0f64; L]; 48];
+    let mut fp = [[0.0f64; L]; 48];
+    sxn(&mut fm[0], 0.7071067811865476, &f_lo[0]);
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[1]);
+    sxn(&mut fm[0], 1.224744871391589, &f_lo[2]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[3]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[4]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[5]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[6]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[7]);
+    sxn(&mut fm[0], 1.5811388300841898, &f_lo[8]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[9]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[10]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[11]);
+    sxn(&mut fm[8], 0.7071067811865476, &f_lo[12]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[13]);
+    sxn(&mut fm[9], 0.7071067811865476, &f_lo[14]);
+    sxn(&mut fm[10], 0.7071067811865476, &f_lo[15]);
+    sxn(&mut fm[11], 0.7071067811865476, &f_lo[16]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[17]);
+    sxn(&mut fm[12], 0.7071067811865476, &f_lo[18]);
+    sxn(&mut fm[13], 0.7071067811865476, &f_lo[19]);
+    sxn(&mut fm[14], 0.7071067811865476, &f_lo[20]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[21]);
+    sxn(&mut fm[1], 1.5811388300841898, &f_lo[22]);
+    sxn(&mut fm[15], 0.7071067811865476, &f_lo[23]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[24]);
+    sxn(&mut fm[2], 1.5811388300841898, &f_lo[25]);
+    sxn(&mut fm[16], 0.7071067811865476, &f_lo[26]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[27]);
+    sxn(&mut fm[17], 0.7071067811865476, &f_lo[28]);
+    sxn(&mut fm[8], 1.224744871391589, &f_lo[29]);
+    sxn(&mut fm[3], 1.5811388300841898, &f_lo[30]);
+    sxn(&mut fm[18], 0.7071067811865476, &f_lo[31]);
+    sxn(&mut fm[9], 1.224744871391589, &f_lo[32]);
+    sxn(&mut fm[19], 0.7071067811865476, &f_lo[33]);
+    sxn(&mut fm[20], 0.7071067811865476, &f_lo[34]);
+    sxn(&mut fm[10], 1.224744871391589, &f_lo[35]);
+    sxn(&mut fm[21], 0.7071067811865476, &f_lo[36]);
+    sxn(&mut fm[22], 0.7071067811865476, &f_lo[37]);
+    sxn(&mut fm[11], 1.224744871391589, &f_lo[38]);
+    sxn(&mut fm[4], 1.5811388300841898, &f_lo[39]);
+    sxn(&mut fm[23], 0.7071067811865476, &f_lo[40]);
+    sxn(&mut fm[12], 1.224744871391589, &f_lo[41]);
+    sxn(&mut fm[24], 0.7071067811865476, &f_lo[42]);
+    sxn(&mut fm[25], 0.7071067811865476, &f_lo[43]);
+    sxn(&mut fm[13], 1.224744871391589, &f_lo[44]);
+    sxn(&mut fm[26], 0.7071067811865476, &f_lo[45]);
+    sxn(&mut fm[27], 0.7071067811865476, &f_lo[46]);
+    sxn(&mut fm[28], 0.7071067811865476, &f_lo[47]);
+    sxn(&mut fm[14], 1.224744871391589, &f_lo[48]);
+    sxn(&mut fm[29], 0.7071067811865476, &f_lo[49]);
+    sxn(&mut fm[30], 0.7071067811865476, &f_lo[50]);
+    sxn(&mut fm[15], 1.224744871391589, &f_lo[51]);
+    sxn(&mut fm[6], 1.5811388300841898, &f_lo[52]);
+    sxn(&mut fm[16], 1.224744871391589, &f_lo[53]);
+    sxn(&mut fm[17], 1.224744871391589, &f_lo[54]);
+    sxn(&mut fm[8], 1.5811388300841898, &f_lo[55]);
+    sxn(&mut fm[31], 0.7071067811865476, &f_lo[56]);
+    sxn(&mut fm[18], 1.224744871391589, &f_lo[57]);
+    sxn(&mut fm[9], 1.5811388300841898, &f_lo[58]);
+    sxn(&mut fm[32], 0.7071067811865476, &f_lo[59]);
+    sxn(&mut fm[19], 1.224744871391589, &f_lo[60]);
+    sxn(&mut fm[20], 1.224744871391589, &f_lo[61]);
+    sxn(&mut fm[33], 0.7071067811865476, &f_lo[62]);
+    sxn(&mut fm[21], 1.224744871391589, &f_lo[63]);
+    sxn(&mut fm[22], 1.224744871391589, &f_lo[64]);
+    sxn(&mut fm[11], 1.5811388300841898, &f_lo[65]);
+    sxn(&mut fm[34], 0.7071067811865476, &f_lo[66]);
+    sxn(&mut fm[23], 1.224744871391589, &f_lo[67]);
+    sxn(&mut fm[12], 1.5811388300841898, &f_lo[68]);
+    sxn(&mut fm[35], 0.7071067811865476, &f_lo[69]);
+    sxn(&mut fm[24], 1.224744871391589, &f_lo[70]);
+    sxn(&mut fm[36], 0.7071067811865476, &f_lo[71]);
+    sxn(&mut fm[25], 1.224744871391589, &f_lo[72]);
+    sxn(&mut fm[13], 1.5811388300841898, &f_lo[73]);
+    sxn(&mut fm[37], 0.7071067811865476, &f_lo[74]);
+    sxn(&mut fm[26], 1.224744871391589, &f_lo[75]);
+    sxn(&mut fm[38], 0.7071067811865476, &f_lo[76]);
+    sxn(&mut fm[39], 0.7071067811865476, &f_lo[77]);
+    sxn(&mut fm[27], 1.224744871391589, &f_lo[78]);
+    sxn(&mut fm[40], 0.7071067811865476, &f_lo[79]);
+    sxn(&mut fm[28], 1.224744871391589, &f_lo[80]);
+    sxn(&mut fm[41], 0.7071067811865476, &f_lo[81]);
+    sxn(&mut fm[29], 1.224744871391589, &f_lo[82]);
+    sxn(&mut fm[42], 0.7071067811865476, &f_lo[83]);
+    sxn(&mut fm[30], 1.224744871391589, &f_lo[84]);
+    sxn(&mut fm[43], 0.7071067811865476, &f_lo[85]);
+    sxn(&mut fm[31], 1.224744871391589, &f_lo[86]);
+    sxn(&mut fm[18], 1.5811388300841898, &f_lo[87]);
+    sxn(&mut fm[32], 1.224744871391589, &f_lo[88]);
+    sxn(&mut fm[33], 1.224744871391589, &f_lo[89]);
+    sxn(&mut fm[34], 1.224744871391589, &f_lo[90]);
+    sxn(&mut fm[23], 1.5811388300841898, &f_lo[91]);
+    sxn(&mut fm[35], 1.224744871391589, &f_lo[92]);
+    sxn(&mut fm[36], 1.224744871391589, &f_lo[93]);
+    sxn(&mut fm[25], 1.5811388300841898, &f_lo[94]);
+    sxn(&mut fm[44], 0.7071067811865476, &f_lo[95]);
+    sxn(&mut fm[37], 1.224744871391589, &f_lo[96]);
+    sxn(&mut fm[26], 1.5811388300841898, &f_lo[97]);
+    sxn(&mut fm[45], 0.7071067811865476, &f_lo[98]);
+    sxn(&mut fm[38], 1.224744871391589, &f_lo[99]);
+    sxn(&mut fm[39], 1.224744871391589, &f_lo[100]);
+    sxn(&mut fm[46], 0.7071067811865476, &f_lo[101]);
+    sxn(&mut fm[40], 1.224744871391589, &f_lo[102]);
+    sxn(&mut fm[41], 1.224744871391589, &f_lo[103]);
+    sxn(&mut fm[42], 1.224744871391589, &f_lo[104]);
+    sxn(&mut fm[47], 0.7071067811865476, &f_lo[105]);
+    sxn(&mut fm[43], 1.224744871391589, &f_lo[106]);
+    sxn(&mut fm[44], 1.224744871391589, &f_lo[107]);
+    sxn(&mut fm[37], 1.5811388300841898, &f_lo[108]);
+    sxn(&mut fm[45], 1.224744871391589, &f_lo[109]);
+    sxn(&mut fm[46], 1.224744871391589, &f_lo[110]);
+    sxn(&mut fm[47], 1.224744871391589, &f_lo[111]);
+    sxn(&mut fp[0], 0.7071067811865476, &f_hi[0]);
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[1]);
+    sxn(&mut fp[0], -1.224744871391589, &f_hi[2]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[3]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[4]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[5]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[6]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[7]);
+    sxn(&mut fp[0], 1.5811388300841898, &f_hi[8]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[9]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[10]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[11]);
+    sxn(&mut fp[8], 0.7071067811865476, &f_hi[12]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[13]);
+    sxn(&mut fp[9], 0.7071067811865476, &f_hi[14]);
+    sxn(&mut fp[10], 0.7071067811865476, &f_hi[15]);
+    sxn(&mut fp[11], 0.7071067811865476, &f_hi[16]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[17]);
+    sxn(&mut fp[12], 0.7071067811865476, &f_hi[18]);
+    sxn(&mut fp[13], 0.7071067811865476, &f_hi[19]);
+    sxn(&mut fp[14], 0.7071067811865476, &f_hi[20]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[21]);
+    sxn(&mut fp[1], 1.5811388300841898, &f_hi[22]);
+    sxn(&mut fp[15], 0.7071067811865476, &f_hi[23]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[24]);
+    sxn(&mut fp[2], 1.5811388300841898, &f_hi[25]);
+    sxn(&mut fp[16], 0.7071067811865476, &f_hi[26]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[27]);
+    sxn(&mut fp[17], 0.7071067811865476, &f_hi[28]);
+    sxn(&mut fp[8], -1.224744871391589, &f_hi[29]);
+    sxn(&mut fp[3], 1.5811388300841898, &f_hi[30]);
+    sxn(&mut fp[18], 0.7071067811865476, &f_hi[31]);
+    sxn(&mut fp[9], -1.224744871391589, &f_hi[32]);
+    sxn(&mut fp[19], 0.7071067811865476, &f_hi[33]);
+    sxn(&mut fp[20], 0.7071067811865476, &f_hi[34]);
+    sxn(&mut fp[10], -1.224744871391589, &f_hi[35]);
+    sxn(&mut fp[21], 0.7071067811865476, &f_hi[36]);
+    sxn(&mut fp[22], 0.7071067811865476, &f_hi[37]);
+    sxn(&mut fp[11], -1.224744871391589, &f_hi[38]);
+    sxn(&mut fp[4], 1.5811388300841898, &f_hi[39]);
+    sxn(&mut fp[23], 0.7071067811865476, &f_hi[40]);
+    sxn(&mut fp[12], -1.224744871391589, &f_hi[41]);
+    sxn(&mut fp[24], 0.7071067811865476, &f_hi[42]);
+    sxn(&mut fp[25], 0.7071067811865476, &f_hi[43]);
+    sxn(&mut fp[13], -1.224744871391589, &f_hi[44]);
+    sxn(&mut fp[26], 0.7071067811865476, &f_hi[45]);
+    sxn(&mut fp[27], 0.7071067811865476, &f_hi[46]);
+    sxn(&mut fp[28], 0.7071067811865476, &f_hi[47]);
+    sxn(&mut fp[14], -1.224744871391589, &f_hi[48]);
+    sxn(&mut fp[29], 0.7071067811865476, &f_hi[49]);
+    sxn(&mut fp[30], 0.7071067811865476, &f_hi[50]);
+    sxn(&mut fp[15], -1.224744871391589, &f_hi[51]);
+    sxn(&mut fp[6], 1.5811388300841898, &f_hi[52]);
+    sxn(&mut fp[16], -1.224744871391589, &f_hi[53]);
+    sxn(&mut fp[17], -1.224744871391589, &f_hi[54]);
+    sxn(&mut fp[8], 1.5811388300841898, &f_hi[55]);
+    sxn(&mut fp[31], 0.7071067811865476, &f_hi[56]);
+    sxn(&mut fp[18], -1.224744871391589, &f_hi[57]);
+    sxn(&mut fp[9], 1.5811388300841898, &f_hi[58]);
+    sxn(&mut fp[32], 0.7071067811865476, &f_hi[59]);
+    sxn(&mut fp[19], -1.224744871391589, &f_hi[60]);
+    sxn(&mut fp[20], -1.224744871391589, &f_hi[61]);
+    sxn(&mut fp[33], 0.7071067811865476, &f_hi[62]);
+    sxn(&mut fp[21], -1.224744871391589, &f_hi[63]);
+    sxn(&mut fp[22], -1.224744871391589, &f_hi[64]);
+    sxn(&mut fp[11], 1.5811388300841898, &f_hi[65]);
+    sxn(&mut fp[34], 0.7071067811865476, &f_hi[66]);
+    sxn(&mut fp[23], -1.224744871391589, &f_hi[67]);
+    sxn(&mut fp[12], 1.5811388300841898, &f_hi[68]);
+    sxn(&mut fp[35], 0.7071067811865476, &f_hi[69]);
+    sxn(&mut fp[24], -1.224744871391589, &f_hi[70]);
+    sxn(&mut fp[36], 0.7071067811865476, &f_hi[71]);
+    sxn(&mut fp[25], -1.224744871391589, &f_hi[72]);
+    sxn(&mut fp[13], 1.5811388300841898, &f_hi[73]);
+    sxn(&mut fp[37], 0.7071067811865476, &f_hi[74]);
+    sxn(&mut fp[26], -1.224744871391589, &f_hi[75]);
+    sxn(&mut fp[38], 0.7071067811865476, &f_hi[76]);
+    sxn(&mut fp[39], 0.7071067811865476, &f_hi[77]);
+    sxn(&mut fp[27], -1.224744871391589, &f_hi[78]);
+    sxn(&mut fp[40], 0.7071067811865476, &f_hi[79]);
+    sxn(&mut fp[28], -1.224744871391589, &f_hi[80]);
+    sxn(&mut fp[41], 0.7071067811865476, &f_hi[81]);
+    sxn(&mut fp[29], -1.224744871391589, &f_hi[82]);
+    sxn(&mut fp[42], 0.7071067811865476, &f_hi[83]);
+    sxn(&mut fp[30], -1.224744871391589, &f_hi[84]);
+    sxn(&mut fp[43], 0.7071067811865476, &f_hi[85]);
+    sxn(&mut fp[31], -1.224744871391589, &f_hi[86]);
+    sxn(&mut fp[18], 1.5811388300841898, &f_hi[87]);
+    sxn(&mut fp[32], -1.224744871391589, &f_hi[88]);
+    sxn(&mut fp[33], -1.224744871391589, &f_hi[89]);
+    sxn(&mut fp[34], -1.224744871391589, &f_hi[90]);
+    sxn(&mut fp[23], 1.5811388300841898, &f_hi[91]);
+    sxn(&mut fp[35], -1.224744871391589, &f_hi[92]);
+    sxn(&mut fp[36], -1.224744871391589, &f_hi[93]);
+    sxn(&mut fp[25], 1.5811388300841898, &f_hi[94]);
+    sxn(&mut fp[44], 0.7071067811865476, &f_hi[95]);
+    sxn(&mut fp[37], -1.224744871391589, &f_hi[96]);
+    sxn(&mut fp[26], 1.5811388300841898, &f_hi[97]);
+    sxn(&mut fp[45], 0.7071067811865476, &f_hi[98]);
+    sxn(&mut fp[38], -1.224744871391589, &f_hi[99]);
+    sxn(&mut fp[39], -1.224744871391589, &f_hi[100]);
+    sxn(&mut fp[46], 0.7071067811865476, &f_hi[101]);
+    sxn(&mut fp[40], -1.224744871391589, &f_hi[102]);
+    sxn(&mut fp[41], -1.224744871391589, &f_hi[103]);
+    sxn(&mut fp[42], -1.224744871391589, &f_hi[104]);
+    sxn(&mut fp[47], 0.7071067811865476, &f_hi[105]);
+    sxn(&mut fp[43], -1.224744871391589, &f_hi[106]);
+    sxn(&mut fp[44], -1.224744871391589, &f_hi[107]);
+    sxn(&mut fp[37], 1.5811388300841898, &f_hi[108]);
+    sxn(&mut fp[45], -1.224744871391589, &f_hi[109]);
+    sxn(&mut fp[46], -1.224744871391589, &f_hi[110]);
+    sxn(&mut fp[47], -1.224744871391589, &f_hi[111]);
+    let mut favg = [[0.0f64; L]; 48];
+    let mut ghat = [[0.0f64; L]; 48];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
+        favg[8][k] = 0.5 * (fm[8][k] + fp[8][k]);
+        ghat[8][k] = -0.5 * lam[k] * (fp[8][k] - fm[8][k]);
+        favg[9][k] = 0.5 * (fm[9][k] + fp[9][k]);
+        ghat[9][k] = -0.5 * lam[k] * (fp[9][k] - fm[9][k]);
+        favg[10][k] = 0.5 * (fm[10][k] + fp[10][k]);
+        ghat[10][k] = -0.5 * lam[k] * (fp[10][k] - fm[10][k]);
+        favg[11][k] = 0.5 * (fm[11][k] + fp[11][k]);
+        ghat[11][k] = -0.5 * lam[k] * (fp[11][k] - fm[11][k]);
+        favg[12][k] = 0.5 * (fm[12][k] + fp[12][k]);
+        ghat[12][k] = -0.5 * lam[k] * (fp[12][k] - fm[12][k]);
+        favg[13][k] = 0.5 * (fm[13][k] + fp[13][k]);
+        ghat[13][k] = -0.5 * lam[k] * (fp[13][k] - fm[13][k]);
+        favg[14][k] = 0.5 * (fm[14][k] + fp[14][k]);
+        ghat[14][k] = -0.5 * lam[k] * (fp[14][k] - fm[14][k]);
+        favg[15][k] = 0.5 * (fm[15][k] + fp[15][k]);
+        ghat[15][k] = -0.5 * lam[k] * (fp[15][k] - fm[15][k]);
+        favg[16][k] = 0.5 * (fm[16][k] + fp[16][k]);
+        ghat[16][k] = -0.5 * lam[k] * (fp[16][k] - fm[16][k]);
+        favg[17][k] = 0.5 * (fm[17][k] + fp[17][k]);
+        ghat[17][k] = -0.5 * lam[k] * (fp[17][k] - fm[17][k]);
+        favg[18][k] = 0.5 * (fm[18][k] + fp[18][k]);
+        ghat[18][k] = -0.5 * lam[k] * (fp[18][k] - fm[18][k]);
+        favg[19][k] = 0.5 * (fm[19][k] + fp[19][k]);
+        ghat[19][k] = -0.5 * lam[k] * (fp[19][k] - fm[19][k]);
+        favg[20][k] = 0.5 * (fm[20][k] + fp[20][k]);
+        ghat[20][k] = -0.5 * lam[k] * (fp[20][k] - fm[20][k]);
+        favg[21][k] = 0.5 * (fm[21][k] + fp[21][k]);
+        ghat[21][k] = -0.5 * lam[k] * (fp[21][k] - fm[21][k]);
+        favg[22][k] = 0.5 * (fm[22][k] + fp[22][k]);
+        ghat[22][k] = -0.5 * lam[k] * (fp[22][k] - fm[22][k]);
+        favg[23][k] = 0.5 * (fm[23][k] + fp[23][k]);
+        ghat[23][k] = -0.5 * lam[k] * (fp[23][k] - fm[23][k]);
+        favg[24][k] = 0.5 * (fm[24][k] + fp[24][k]);
+        ghat[24][k] = -0.5 * lam[k] * (fp[24][k] - fm[24][k]);
+        favg[25][k] = 0.5 * (fm[25][k] + fp[25][k]);
+        ghat[25][k] = -0.5 * lam[k] * (fp[25][k] - fm[25][k]);
+        favg[26][k] = 0.5 * (fm[26][k] + fp[26][k]);
+        ghat[26][k] = -0.5 * lam[k] * (fp[26][k] - fm[26][k]);
+        favg[27][k] = 0.5 * (fm[27][k] + fp[27][k]);
+        ghat[27][k] = -0.5 * lam[k] * (fp[27][k] - fm[27][k]);
+        favg[28][k] = 0.5 * (fm[28][k] + fp[28][k]);
+        ghat[28][k] = -0.5 * lam[k] * (fp[28][k] - fm[28][k]);
+        favg[29][k] = 0.5 * (fm[29][k] + fp[29][k]);
+        ghat[29][k] = -0.5 * lam[k] * (fp[29][k] - fm[29][k]);
+        favg[30][k] = 0.5 * (fm[30][k] + fp[30][k]);
+        ghat[30][k] = -0.5 * lam[k] * (fp[30][k] - fm[30][k]);
+        favg[31][k] = 0.5 * (fm[31][k] + fp[31][k]);
+        ghat[31][k] = -0.5 * lam[k] * (fp[31][k] - fm[31][k]);
+        favg[32][k] = 0.5 * (fm[32][k] + fp[32][k]);
+        ghat[32][k] = -0.5 * lam[k] * (fp[32][k] - fm[32][k]);
+        favg[33][k] = 0.5 * (fm[33][k] + fp[33][k]);
+        ghat[33][k] = -0.5 * lam[k] * (fp[33][k] - fm[33][k]);
+        favg[34][k] = 0.5 * (fm[34][k] + fp[34][k]);
+        ghat[34][k] = -0.5 * lam[k] * (fp[34][k] - fm[34][k]);
+        favg[35][k] = 0.5 * (fm[35][k] + fp[35][k]);
+        ghat[35][k] = -0.5 * lam[k] * (fp[35][k] - fm[35][k]);
+        favg[36][k] = 0.5 * (fm[36][k] + fp[36][k]);
+        ghat[36][k] = -0.5 * lam[k] * (fp[36][k] - fm[36][k]);
+        favg[37][k] = 0.5 * (fm[37][k] + fp[37][k]);
+        ghat[37][k] = -0.5 * lam[k] * (fp[37][k] - fm[37][k]);
+        favg[38][k] = 0.5 * (fm[38][k] + fp[38][k]);
+        ghat[38][k] = -0.5 * lam[k] * (fp[38][k] - fm[38][k]);
+        favg[39][k] = 0.5 * (fm[39][k] + fp[39][k]);
+        ghat[39][k] = -0.5 * lam[k] * (fp[39][k] - fm[39][k]);
+        favg[40][k] = 0.5 * (fm[40][k] + fp[40][k]);
+        ghat[40][k] = -0.5 * lam[k] * (fp[40][k] - fm[40][k]);
+        favg[41][k] = 0.5 * (fm[41][k] + fp[41][k]);
+        ghat[41][k] = -0.5 * lam[k] * (fp[41][k] - fm[41][k]);
+        favg[42][k] = 0.5 * (fm[42][k] + fp[42][k]);
+        ghat[42][k] = -0.5 * lam[k] * (fp[42][k] - fm[42][k]);
+        favg[43][k] = 0.5 * (fm[43][k] + fp[43][k]);
+        ghat[43][k] = -0.5 * lam[k] * (fp[43][k] - fm[43][k]);
+        favg[44][k] = 0.5 * (fm[44][k] + fp[44][k]);
+        ghat[44][k] = -0.5 * lam[k] * (fp[44][k] - fm[44][k]);
+        favg[45][k] = 0.5 * (fm[45][k] + fp[45][k]);
+        ghat[45][k] = -0.5 * lam[k] * (fp[45][k] - fm[45][k]);
+        favg[46][k] = 0.5 * (fm[46][k] + fp[46][k]);
+        ghat[46][k] = -0.5 * lam[k] * (fp[46][k] - fm[46][k]);
+        favg[47][k] = 0.5 * (fm[47][k] + fp[47][k]);
+        ghat[47][k] = -0.5 * lam[k] * (fp[47][k] - fm[47][k]);
+    }
+    for k in 0..L {
+        ghat[0][k] += 0.25 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.25 * alpha[3][k] * favg[3][k];
+        ghat[0][k] += 0.25 * alpha[4][k] * favg[4][k];
+        ghat[0][k] += 0.25 * alpha[10][k] * favg[10][k];
+        ghat[0][k] += 0.25 * alpha[13][k] * favg[13][k];
+        ghat[0][k] += 0.25 * alpha[14][k] * favg[14][k];
+        ghat[0][k] += 0.25 * alpha[27][k] * favg[27][k];
+        ghat[0][k] += 0.25 * alpha[30][k] * favg[30][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.25 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.25 * alpha[3][k] * favg[8][k];
+        ghat[1][k] += 0.25 * alpha[4][k] * favg[11][k];
+        ghat[1][k] += 0.25 * alpha[10][k] * favg[20][k];
+        ghat[1][k] += 0.25 * alpha[13][k] * favg[25][k];
+        ghat[1][k] += 0.25 * alpha[14][k] * favg[28][k];
+        ghat[1][k] += 0.25 * alpha[27][k] * favg[39][k];
+        ghat[1][k] += 0.25 * alpha[30][k] * favg[42][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.25 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.25 * alpha[3][k] * favg[9][k];
+        ghat[2][k] += 0.25 * alpha[4][k] * favg[12][k];
+        ghat[2][k] += 0.25 * alpha[10][k] * favg[21][k];
+        ghat[2][k] += 0.25 * alpha[13][k] * favg[26][k];
+        ghat[2][k] += 0.25 * alpha[14][k] * favg[29][k];
+        ghat[2][k] += 0.25 * alpha[27][k] * favg[40][k];
+        ghat[2][k] += 0.25 * alpha[30][k] * favg[43][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.25 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.25 * alpha[3][k] * favg[0][k];
+        ghat[3][k] += 0.22360679774997896 * alpha[3][k] * favg[10][k];
+        ghat[3][k] += 0.25 * alpha[4][k] * favg[13][k];
+        ghat[3][k] += 0.22360679774997896 * alpha[10][k] * favg[3][k];
+        ghat[3][k] += 0.25 * alpha[13][k] * favg[4][k];
+        ghat[3][k] += 0.223606797749979 * alpha[13][k] * favg[27][k];
+        ghat[3][k] += 0.25 * alpha[14][k] * favg[30][k];
+        ghat[3][k] += 0.223606797749979 * alpha[27][k] * favg[13][k];
+        ghat[3][k] += 0.25 * alpha[30][k] * favg[14][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.25 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.25 * alpha[3][k] * favg[13][k];
+        ghat[4][k] += 0.25 * alpha[4][k] * favg[0][k];
+        ghat[4][k] += 0.22360679774997896 * alpha[4][k] * favg[14][k];
+        ghat[4][k] += 0.25 * alpha[10][k] * favg[27][k];
+        ghat[4][k] += 0.25 * alpha[13][k] * favg[3][k];
+        ghat[4][k] += 0.223606797749979 * alpha[13][k] * favg[30][k];
+        ghat[4][k] += 0.22360679774997896 * alpha[14][k] * favg[4][k];
+        ghat[4][k] += 0.25 * alpha[27][k] * favg[10][k];
+        ghat[4][k] += 0.223606797749979 * alpha[30][k] * favg[13][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.25 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.25 * alpha[3][k] * favg[17][k];
+        ghat[5][k] += 0.25 * alpha[4][k] * favg[22][k];
+        ghat[5][k] += 0.25 * alpha[13][k] * favg[36][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.25 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.25 * alpha[3][k] * favg[18][k];
+        ghat[6][k] += 0.25 * alpha[4][k] * favg[23][k];
+        ghat[6][k] += 0.25 * alpha[10][k] * favg[33][k];
+        ghat[6][k] += 0.25 * alpha[13][k] * favg[37][k];
+        ghat[6][k] += 0.25 * alpha[14][k] * favg[41][k];
+        ghat[6][k] += 0.25 * alpha[27][k] * favg[46][k];
+        ghat[6][k] += 0.25 * alpha[30][k] * favg[47][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.25 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.25 * alpha[3][k] * favg[19][k];
+        ghat[7][k] += 0.25 * alpha[4][k] * favg[24][k];
+        ghat[7][k] += 0.25 * alpha[13][k] * favg[38][k];
+    }
+    for k in 0..L {
+        ghat[8][k] += 0.25 * alpha[0][k] * favg[8][k];
+        ghat[8][k] += 0.25 * alpha[3][k] * favg[1][k];
+        ghat[8][k] += 0.223606797749979 * alpha[3][k] * favg[20][k];
+        ghat[8][k] += 0.25 * alpha[4][k] * favg[25][k];
+        ghat[8][k] += 0.223606797749979 * alpha[10][k] * favg[8][k];
+        ghat[8][k] += 0.25 * alpha[13][k] * favg[11][k];
+        ghat[8][k] += 0.22360679774997896 * alpha[13][k] * favg[39][k];
+        ghat[8][k] += 0.25 * alpha[14][k] * favg[42][k];
+        ghat[8][k] += 0.22360679774997896 * alpha[27][k] * favg[25][k];
+        ghat[8][k] += 0.25 * alpha[30][k] * favg[28][k];
+    }
+    for k in 0..L {
+        ghat[9][k] += 0.25 * alpha[0][k] * favg[9][k];
+        ghat[9][k] += 0.25 * alpha[3][k] * favg[2][k];
+        ghat[9][k] += 0.223606797749979 * alpha[3][k] * favg[21][k];
+        ghat[9][k] += 0.25 * alpha[4][k] * favg[26][k];
+        ghat[9][k] += 0.223606797749979 * alpha[10][k] * favg[9][k];
+        ghat[9][k] += 0.25 * alpha[13][k] * favg[12][k];
+        ghat[9][k] += 0.22360679774997896 * alpha[13][k] * favg[40][k];
+        ghat[9][k] += 0.25 * alpha[14][k] * favg[43][k];
+        ghat[9][k] += 0.22360679774997896 * alpha[27][k] * favg[26][k];
+        ghat[9][k] += 0.25 * alpha[30][k] * favg[29][k];
+    }
+    for k in 0..L {
+        ghat[10][k] += 0.25 * alpha[0][k] * favg[10][k];
+        ghat[10][k] += 0.22360679774997896 * alpha[3][k] * favg[3][k];
+        ghat[10][k] += 0.25 * alpha[4][k] * favg[27][k];
+        ghat[10][k] += 0.25 * alpha[10][k] * favg[0][k];
+        ghat[10][k] += 0.15971914124998499 * alpha[10][k] * favg[10][k];
+        ghat[10][k] += 0.223606797749979 * alpha[13][k] * favg[13][k];
+        ghat[10][k] += 0.25 * alpha[27][k] * favg[4][k];
+        ghat[10][k] += 0.15971914124998499 * alpha[27][k] * favg[27][k];
+        ghat[10][k] += 0.22360679774997896 * alpha[30][k] * favg[30][k];
+    }
+    for k in 0..L {
+        ghat[11][k] += 0.25 * alpha[0][k] * favg[11][k];
+        ghat[11][k] += 0.25 * alpha[3][k] * favg[25][k];
+        ghat[11][k] += 0.25 * alpha[4][k] * favg[1][k];
+        ghat[11][k] += 0.223606797749979 * alpha[4][k] * favg[28][k];
+        ghat[11][k] += 0.25 * alpha[10][k] * favg[39][k];
+        ghat[11][k] += 0.25 * alpha[13][k] * favg[8][k];
+        ghat[11][k] += 0.22360679774997896 * alpha[13][k] * favg[42][k];
+        ghat[11][k] += 0.223606797749979 * alpha[14][k] * favg[11][k];
+        ghat[11][k] += 0.25 * alpha[27][k] * favg[20][k];
+        ghat[11][k] += 0.22360679774997896 * alpha[30][k] * favg[25][k];
+    }
+    for k in 0..L {
+        ghat[12][k] += 0.25 * alpha[0][k] * favg[12][k];
+        ghat[12][k] += 0.25 * alpha[3][k] * favg[26][k];
+        ghat[12][k] += 0.25 * alpha[4][k] * favg[2][k];
+        ghat[12][k] += 0.223606797749979 * alpha[4][k] * favg[29][k];
+        ghat[12][k] += 0.25 * alpha[10][k] * favg[40][k];
+        ghat[12][k] += 0.25 * alpha[13][k] * favg[9][k];
+        ghat[12][k] += 0.22360679774997896 * alpha[13][k] * favg[43][k];
+        ghat[12][k] += 0.223606797749979 * alpha[14][k] * favg[12][k];
+        ghat[12][k] += 0.25 * alpha[27][k] * favg[21][k];
+        ghat[12][k] += 0.22360679774997896 * alpha[30][k] * favg[26][k];
+    }
+    for k in 0..L {
+        ghat[13][k] += 0.25 * alpha[0][k] * favg[13][k];
+        ghat[13][k] += 0.25 * alpha[3][k] * favg[4][k];
+        ghat[13][k] += 0.223606797749979 * alpha[3][k] * favg[27][k];
+        ghat[13][k] += 0.25 * alpha[4][k] * favg[3][k];
+        ghat[13][k] += 0.223606797749979 * alpha[4][k] * favg[30][k];
+        ghat[13][k] += 0.223606797749979 * alpha[10][k] * favg[13][k];
+        ghat[13][k] += 0.25 * alpha[13][k] * favg[0][k];
+        ghat[13][k] += 0.223606797749979 * alpha[13][k] * favg[10][k];
+        ghat[13][k] += 0.223606797749979 * alpha[13][k] * favg[14][k];
+        ghat[13][k] += 0.223606797749979 * alpha[14][k] * favg[13][k];
+        ghat[13][k] += 0.223606797749979 * alpha[27][k] * favg[3][k];
+        ghat[13][k] += 0.2 * alpha[27][k] * favg[30][k];
+        ghat[13][k] += 0.223606797749979 * alpha[30][k] * favg[4][k];
+        ghat[13][k] += 0.2 * alpha[30][k] * favg[27][k];
+    }
+    for k in 0..L {
+        ghat[14][k] += 0.25 * alpha[0][k] * favg[14][k];
+        ghat[14][k] += 0.25 * alpha[3][k] * favg[30][k];
+        ghat[14][k] += 0.22360679774997896 * alpha[4][k] * favg[4][k];
+        ghat[14][k] += 0.223606797749979 * alpha[13][k] * favg[13][k];
+        ghat[14][k] += 0.25 * alpha[14][k] * favg[0][k];
+        ghat[14][k] += 0.15971914124998499 * alpha[14][k] * favg[14][k];
+        ghat[14][k] += 0.22360679774997896 * alpha[27][k] * favg[27][k];
+        ghat[14][k] += 0.25 * alpha[30][k] * favg[3][k];
+        ghat[14][k] += 0.15971914124998499 * alpha[30][k] * favg[30][k];
+    }
+    for k in 0..L {
+        ghat[15][k] += 0.25 * alpha[0][k] * favg[15][k];
+        ghat[15][k] += 0.25 * alpha[3][k] * favg[31][k];
+        ghat[15][k] += 0.25 * alpha[4][k] * favg[34][k];
+        ghat[15][k] += 0.25 * alpha[13][k] * favg[44][k];
+    }
+    for k in 0..L {
+        ghat[16][k] += 0.25 * alpha[0][k] * favg[16][k];
+        ghat[16][k] += 0.25 * alpha[3][k] * favg[32][k];
+        ghat[16][k] += 0.25 * alpha[4][k] * favg[35][k];
+        ghat[16][k] += 0.25 * alpha[13][k] * favg[45][k];
+    }
+    for k in 0..L {
+        ghat[17][k] += 0.25 * alpha[0][k] * favg[17][k];
+        ghat[17][k] += 0.25 * alpha[3][k] * favg[5][k];
+        ghat[17][k] += 0.25 * alpha[4][k] * favg[36][k];
+        ghat[17][k] += 0.22360679774997896 * alpha[10][k] * favg[17][k];
+        ghat[17][k] += 0.25 * alpha[13][k] * favg[22][k];
+        ghat[17][k] += 0.22360679774997896 * alpha[27][k] * favg[36][k];
+    }
+    for k in 0..L {
+        ghat[18][k] += 0.25 * alpha[0][k] * favg[18][k];
+        ghat[18][k] += 0.25 * alpha[3][k] * favg[6][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[3][k] * favg[33][k];
+        ghat[18][k] += 0.25 * alpha[4][k] * favg[37][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[10][k] * favg[18][k];
+        ghat[18][k] += 0.25 * alpha[13][k] * favg[23][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[13][k] * favg[46][k];
+        ghat[18][k] += 0.25 * alpha[14][k] * favg[47][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[27][k] * favg[37][k];
+        ghat[18][k] += 0.25 * alpha[30][k] * favg[41][k];
+    }
+    for k in 0..L {
+        ghat[19][k] += 0.25 * alpha[0][k] * favg[19][k];
+        ghat[19][k] += 0.25 * alpha[3][k] * favg[7][k];
+        ghat[19][k] += 0.25 * alpha[4][k] * favg[38][k];
+        ghat[19][k] += 0.22360679774997896 * alpha[10][k] * favg[19][k];
+        ghat[19][k] += 0.25 * alpha[13][k] * favg[24][k];
+        ghat[19][k] += 0.22360679774997896 * alpha[27][k] * favg[38][k];
+    }
+    for k in 0..L {
+        ghat[20][k] += 0.25 * alpha[0][k] * favg[20][k];
+        ghat[20][k] += 0.223606797749979 * alpha[3][k] * favg[8][k];
+        ghat[20][k] += 0.25 * alpha[4][k] * favg[39][k];
+        ghat[20][k] += 0.25 * alpha[10][k] * favg[1][k];
+        ghat[20][k] += 0.15971914124998499 * alpha[10][k] * favg[20][k];
+        ghat[20][k] += 0.22360679774997896 * alpha[13][k] * favg[25][k];
+        ghat[20][k] += 0.25 * alpha[27][k] * favg[11][k];
+        ghat[20][k] += 0.15971914124998499 * alpha[27][k] * favg[39][k];
+        ghat[20][k] += 0.22360679774997896 * alpha[30][k] * favg[42][k];
+    }
+    for k in 0..L {
+        ghat[21][k] += 0.25 * alpha[0][k] * favg[21][k];
+        ghat[21][k] += 0.223606797749979 * alpha[3][k] * favg[9][k];
+        ghat[21][k] += 0.25 * alpha[4][k] * favg[40][k];
+        ghat[21][k] += 0.25 * alpha[10][k] * favg[2][k];
+        ghat[21][k] += 0.15971914124998499 * alpha[10][k] * favg[21][k];
+        ghat[21][k] += 0.22360679774997896 * alpha[13][k] * favg[26][k];
+        ghat[21][k] += 0.25 * alpha[27][k] * favg[12][k];
+        ghat[21][k] += 0.15971914124998499 * alpha[27][k] * favg[40][k];
+        ghat[21][k] += 0.22360679774997896 * alpha[30][k] * favg[43][k];
+    }
+    for k in 0..L {
+        ghat[22][k] += 0.25 * alpha[0][k] * favg[22][k];
+        ghat[22][k] += 0.25 * alpha[3][k] * favg[36][k];
+        ghat[22][k] += 0.25 * alpha[4][k] * favg[5][k];
+        ghat[22][k] += 0.25 * alpha[13][k] * favg[17][k];
+        ghat[22][k] += 0.22360679774997896 * alpha[14][k] * favg[22][k];
+        ghat[22][k] += 0.22360679774997896 * alpha[30][k] * favg[36][k];
+    }
+    for k in 0..L {
+        ghat[23][k] += 0.25 * alpha[0][k] * favg[23][k];
+        ghat[23][k] += 0.25 * alpha[3][k] * favg[37][k];
+        ghat[23][k] += 0.25 * alpha[4][k] * favg[6][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[4][k] * favg[41][k];
+        ghat[23][k] += 0.25 * alpha[10][k] * favg[46][k];
+        ghat[23][k] += 0.25 * alpha[13][k] * favg[18][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[13][k] * favg[47][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[14][k] * favg[23][k];
+        ghat[23][k] += 0.25 * alpha[27][k] * favg[33][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[30][k] * favg[37][k];
+    }
+    for k in 0..L {
+        ghat[24][k] += 0.25 * alpha[0][k] * favg[24][k];
+        ghat[24][k] += 0.25 * alpha[3][k] * favg[38][k];
+        ghat[24][k] += 0.25 * alpha[4][k] * favg[7][k];
+        ghat[24][k] += 0.25 * alpha[13][k] * favg[19][k];
+        ghat[24][k] += 0.22360679774997896 * alpha[14][k] * favg[24][k];
+        ghat[24][k] += 0.22360679774997896 * alpha[30][k] * favg[38][k];
+    }
+    for k in 0..L {
+        ghat[25][k] += 0.25 * alpha[0][k] * favg[25][k];
+        ghat[25][k] += 0.25 * alpha[3][k] * favg[11][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[3][k] * favg[39][k];
+        ghat[25][k] += 0.25 * alpha[4][k] * favg[8][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[4][k] * favg[42][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[10][k] * favg[25][k];
+        ghat[25][k] += 0.25 * alpha[13][k] * favg[1][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[13][k] * favg[20][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[13][k] * favg[28][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[14][k] * favg[25][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[27][k] * favg[8][k];
+        ghat[25][k] += 0.19999999999999998 * alpha[27][k] * favg[42][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[30][k] * favg[11][k];
+        ghat[25][k] += 0.19999999999999998 * alpha[30][k] * favg[39][k];
+    }
+    for k in 0..L {
+        ghat[26][k] += 0.25 * alpha[0][k] * favg[26][k];
+        ghat[26][k] += 0.25 * alpha[3][k] * favg[12][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[3][k] * favg[40][k];
+        ghat[26][k] += 0.25 * alpha[4][k] * favg[9][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[4][k] * favg[43][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[10][k] * favg[26][k];
+        ghat[26][k] += 0.25 * alpha[13][k] * favg[2][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[13][k] * favg[21][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[13][k] * favg[29][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[14][k] * favg[26][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[27][k] * favg[9][k];
+        ghat[26][k] += 0.19999999999999998 * alpha[27][k] * favg[43][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[30][k] * favg[12][k];
+        ghat[26][k] += 0.19999999999999998 * alpha[30][k] * favg[40][k];
+    }
+    for k in 0..L {
+        ghat[27][k] += 0.25 * alpha[0][k] * favg[27][k];
+        ghat[27][k] += 0.223606797749979 * alpha[3][k] * favg[13][k];
+        ghat[27][k] += 0.25 * alpha[4][k] * favg[10][k];
+        ghat[27][k] += 0.25 * alpha[10][k] * favg[4][k];
+        ghat[27][k] += 0.15971914124998499 * alpha[10][k] * favg[27][k];
+        ghat[27][k] += 0.223606797749979 * alpha[13][k] * favg[3][k];
+        ghat[27][k] += 0.2 * alpha[13][k] * favg[30][k];
+        ghat[27][k] += 0.22360679774997896 * alpha[14][k] * favg[27][k];
+        ghat[27][k] += 0.25 * alpha[27][k] * favg[0][k];
+        ghat[27][k] += 0.15971914124998499 * alpha[27][k] * favg[10][k];
+        ghat[27][k] += 0.22360679774997896 * alpha[27][k] * favg[14][k];
+        ghat[27][k] += 0.2 * alpha[30][k] * favg[13][k];
+    }
+    for k in 0..L {
+        ghat[28][k] += 0.25 * alpha[0][k] * favg[28][k];
+        ghat[28][k] += 0.25 * alpha[3][k] * favg[42][k];
+        ghat[28][k] += 0.223606797749979 * alpha[4][k] * favg[11][k];
+        ghat[28][k] += 0.22360679774997896 * alpha[13][k] * favg[25][k];
+        ghat[28][k] += 0.25 * alpha[14][k] * favg[1][k];
+        ghat[28][k] += 0.15971914124998499 * alpha[14][k] * favg[28][k];
+        ghat[28][k] += 0.22360679774997896 * alpha[27][k] * favg[39][k];
+        ghat[28][k] += 0.25 * alpha[30][k] * favg[8][k];
+        ghat[28][k] += 0.15971914124998499 * alpha[30][k] * favg[42][k];
+    }
+    for k in 0..L {
+        ghat[29][k] += 0.25 * alpha[0][k] * favg[29][k];
+        ghat[29][k] += 0.25 * alpha[3][k] * favg[43][k];
+        ghat[29][k] += 0.223606797749979 * alpha[4][k] * favg[12][k];
+        ghat[29][k] += 0.22360679774997896 * alpha[13][k] * favg[26][k];
+        ghat[29][k] += 0.25 * alpha[14][k] * favg[2][k];
+        ghat[29][k] += 0.15971914124998499 * alpha[14][k] * favg[29][k];
+        ghat[29][k] += 0.22360679774997896 * alpha[27][k] * favg[40][k];
+        ghat[29][k] += 0.25 * alpha[30][k] * favg[9][k];
+        ghat[29][k] += 0.15971914124998499 * alpha[30][k] * favg[43][k];
+    }
+    for k in 0..L {
+        ghat[30][k] += 0.25 * alpha[0][k] * favg[30][k];
+        ghat[30][k] += 0.25 * alpha[3][k] * favg[14][k];
+        ghat[30][k] += 0.223606797749979 * alpha[4][k] * favg[13][k];
+        ghat[30][k] += 0.22360679774997896 * alpha[10][k] * favg[30][k];
+        ghat[30][k] += 0.223606797749979 * alpha[13][k] * favg[4][k];
+        ghat[30][k] += 0.2 * alpha[13][k] * favg[27][k];
+        ghat[30][k] += 0.25 * alpha[14][k] * favg[3][k];
+        ghat[30][k] += 0.15971914124998499 * alpha[14][k] * favg[30][k];
+        ghat[30][k] += 0.2 * alpha[27][k] * favg[13][k];
+        ghat[30][k] += 0.25 * alpha[30][k] * favg[0][k];
+        ghat[30][k] += 0.22360679774997896 * alpha[30][k] * favg[10][k];
+        ghat[30][k] += 0.15971914124998499 * alpha[30][k] * favg[14][k];
+    }
+    for k in 0..L {
+        ghat[31][k] += 0.25 * alpha[0][k] * favg[31][k];
+        ghat[31][k] += 0.25 * alpha[3][k] * favg[15][k];
+        ghat[31][k] += 0.25 * alpha[4][k] * favg[44][k];
+        ghat[31][k] += 0.22360679774997896 * alpha[10][k] * favg[31][k];
+        ghat[31][k] += 0.25 * alpha[13][k] * favg[34][k];
+        ghat[31][k] += 0.22360679774997896 * alpha[27][k] * favg[44][k];
+    }
+    for k in 0..L {
+        ghat[32][k] += 0.25 * alpha[0][k] * favg[32][k];
+        ghat[32][k] += 0.25 * alpha[3][k] * favg[16][k];
+        ghat[32][k] += 0.25 * alpha[4][k] * favg[45][k];
+        ghat[32][k] += 0.22360679774997896 * alpha[10][k] * favg[32][k];
+        ghat[32][k] += 0.25 * alpha[13][k] * favg[35][k];
+        ghat[32][k] += 0.22360679774997896 * alpha[27][k] * favg[45][k];
+    }
+    for k in 0..L {
+        ghat[33][k] += 0.25 * alpha[0][k] * favg[33][k];
+        ghat[33][k] += 0.22360679774997896 * alpha[3][k] * favg[18][k];
+        ghat[33][k] += 0.25 * alpha[4][k] * favg[46][k];
+        ghat[33][k] += 0.25 * alpha[10][k] * favg[6][k];
+        ghat[33][k] += 0.15971914124998499 * alpha[10][k] * favg[33][k];
+        ghat[33][k] += 0.22360679774997896 * alpha[13][k] * favg[37][k];
+        ghat[33][k] += 0.25 * alpha[27][k] * favg[23][k];
+        ghat[33][k] += 0.15971914124998499 * alpha[27][k] * favg[46][k];
+        ghat[33][k] += 0.22360679774997896 * alpha[30][k] * favg[47][k];
+    }
+    for k in 0..L {
+        ghat[34][k] += 0.25 * alpha[0][k] * favg[34][k];
+        ghat[34][k] += 0.25 * alpha[3][k] * favg[44][k];
+        ghat[34][k] += 0.25 * alpha[4][k] * favg[15][k];
+        ghat[34][k] += 0.25 * alpha[13][k] * favg[31][k];
+        ghat[34][k] += 0.22360679774997896 * alpha[14][k] * favg[34][k];
+        ghat[34][k] += 0.22360679774997896 * alpha[30][k] * favg[44][k];
+    }
+    for k in 0..L {
+        ghat[35][k] += 0.25 * alpha[0][k] * favg[35][k];
+        ghat[35][k] += 0.25 * alpha[3][k] * favg[45][k];
+        ghat[35][k] += 0.25 * alpha[4][k] * favg[16][k];
+        ghat[35][k] += 0.25 * alpha[13][k] * favg[32][k];
+        ghat[35][k] += 0.22360679774997896 * alpha[14][k] * favg[35][k];
+        ghat[35][k] += 0.22360679774997896 * alpha[30][k] * favg[45][k];
+    }
+    for k in 0..L {
+        ghat[36][k] += 0.25 * alpha[0][k] * favg[36][k];
+        ghat[36][k] += 0.25 * alpha[3][k] * favg[22][k];
+        ghat[36][k] += 0.25 * alpha[4][k] * favg[17][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[10][k] * favg[36][k];
+        ghat[36][k] += 0.25 * alpha[13][k] * favg[5][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[14][k] * favg[36][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[27][k] * favg[17][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[30][k] * favg[22][k];
+    }
+    for k in 0..L {
+        ghat[37][k] += 0.25 * alpha[0][k] * favg[37][k];
+        ghat[37][k] += 0.25 * alpha[3][k] * favg[23][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[3][k] * favg[46][k];
+        ghat[37][k] += 0.25 * alpha[4][k] * favg[18][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[4][k] * favg[47][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[10][k] * favg[37][k];
+        ghat[37][k] += 0.25 * alpha[13][k] * favg[6][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[13][k] * favg[33][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[13][k] * favg[41][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[14][k] * favg[37][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[27][k] * favg[18][k];
+        ghat[37][k] += 0.2 * alpha[27][k] * favg[47][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[30][k] * favg[23][k];
+        ghat[37][k] += 0.2 * alpha[30][k] * favg[46][k];
+    }
+    for k in 0..L {
+        ghat[38][k] += 0.25 * alpha[0][k] * favg[38][k];
+        ghat[38][k] += 0.25 * alpha[3][k] * favg[24][k];
+        ghat[38][k] += 0.25 * alpha[4][k] * favg[19][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[10][k] * favg[38][k];
+        ghat[38][k] += 0.25 * alpha[13][k] * favg[7][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[14][k] * favg[38][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[27][k] * favg[19][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[30][k] * favg[24][k];
+    }
+    for k in 0..L {
+        ghat[39][k] += 0.25 * alpha[0][k] * favg[39][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[3][k] * favg[25][k];
+        ghat[39][k] += 0.25 * alpha[4][k] * favg[20][k];
+        ghat[39][k] += 0.25 * alpha[10][k] * favg[11][k];
+        ghat[39][k] += 0.15971914124998499 * alpha[10][k] * favg[39][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[13][k] * favg[8][k];
+        ghat[39][k] += 0.19999999999999998 * alpha[13][k] * favg[42][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[14][k] * favg[39][k];
+        ghat[39][k] += 0.25 * alpha[27][k] * favg[1][k];
+        ghat[39][k] += 0.15971914124998499 * alpha[27][k] * favg[20][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[27][k] * favg[28][k];
+        ghat[39][k] += 0.19999999999999998 * alpha[30][k] * favg[25][k];
+    }
+    for k in 0..L {
+        ghat[40][k] += 0.25 * alpha[0][k] * favg[40][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[3][k] * favg[26][k];
+        ghat[40][k] += 0.25 * alpha[4][k] * favg[21][k];
+        ghat[40][k] += 0.25 * alpha[10][k] * favg[12][k];
+        ghat[40][k] += 0.15971914124998499 * alpha[10][k] * favg[40][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[13][k] * favg[9][k];
+        ghat[40][k] += 0.19999999999999998 * alpha[13][k] * favg[43][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[14][k] * favg[40][k];
+        ghat[40][k] += 0.25 * alpha[27][k] * favg[2][k];
+        ghat[40][k] += 0.15971914124998499 * alpha[27][k] * favg[21][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[27][k] * favg[29][k];
+        ghat[40][k] += 0.19999999999999998 * alpha[30][k] * favg[26][k];
+    }
+    for k in 0..L {
+        ghat[41][k] += 0.25 * alpha[0][k] * favg[41][k];
+        ghat[41][k] += 0.25 * alpha[3][k] * favg[47][k];
+        ghat[41][k] += 0.22360679774997896 * alpha[4][k] * favg[23][k];
+        ghat[41][k] += 0.22360679774997896 * alpha[13][k] * favg[37][k];
+        ghat[41][k] += 0.25 * alpha[14][k] * favg[6][k];
+        ghat[41][k] += 0.15971914124998499 * alpha[14][k] * favg[41][k];
+        ghat[41][k] += 0.22360679774997896 * alpha[27][k] * favg[46][k];
+        ghat[41][k] += 0.25 * alpha[30][k] * favg[18][k];
+        ghat[41][k] += 0.15971914124998499 * alpha[30][k] * favg[47][k];
+    }
+    for k in 0..L {
+        ghat[42][k] += 0.25 * alpha[0][k] * favg[42][k];
+        ghat[42][k] += 0.25 * alpha[3][k] * favg[28][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[4][k] * favg[25][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[10][k] * favg[42][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[13][k] * favg[11][k];
+        ghat[42][k] += 0.19999999999999998 * alpha[13][k] * favg[39][k];
+        ghat[42][k] += 0.25 * alpha[14][k] * favg[8][k];
+        ghat[42][k] += 0.15971914124998499 * alpha[14][k] * favg[42][k];
+        ghat[42][k] += 0.19999999999999998 * alpha[27][k] * favg[25][k];
+        ghat[42][k] += 0.25 * alpha[30][k] * favg[1][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[30][k] * favg[20][k];
+        ghat[42][k] += 0.15971914124998499 * alpha[30][k] * favg[28][k];
+    }
+    for k in 0..L {
+        ghat[43][k] += 0.25 * alpha[0][k] * favg[43][k];
+        ghat[43][k] += 0.25 * alpha[3][k] * favg[29][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[4][k] * favg[26][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[10][k] * favg[43][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[13][k] * favg[12][k];
+        ghat[43][k] += 0.19999999999999998 * alpha[13][k] * favg[40][k];
+        ghat[43][k] += 0.25 * alpha[14][k] * favg[9][k];
+        ghat[43][k] += 0.15971914124998499 * alpha[14][k] * favg[43][k];
+        ghat[43][k] += 0.19999999999999998 * alpha[27][k] * favg[26][k];
+        ghat[43][k] += 0.25 * alpha[30][k] * favg[2][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[30][k] * favg[21][k];
+        ghat[43][k] += 0.15971914124998499 * alpha[30][k] * favg[29][k];
+    }
+    for k in 0..L {
+        ghat[44][k] += 0.25 * alpha[0][k] * favg[44][k];
+        ghat[44][k] += 0.25 * alpha[3][k] * favg[34][k];
+        ghat[44][k] += 0.25 * alpha[4][k] * favg[31][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[10][k] * favg[44][k];
+        ghat[44][k] += 0.25 * alpha[13][k] * favg[15][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[14][k] * favg[44][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[27][k] * favg[31][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[30][k] * favg[34][k];
+    }
+    for k in 0..L {
+        ghat[45][k] += 0.25 * alpha[0][k] * favg[45][k];
+        ghat[45][k] += 0.25 * alpha[3][k] * favg[35][k];
+        ghat[45][k] += 0.25 * alpha[4][k] * favg[32][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[10][k] * favg[45][k];
+        ghat[45][k] += 0.25 * alpha[13][k] * favg[16][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[14][k] * favg[45][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[27][k] * favg[32][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[30][k] * favg[35][k];
+    }
+    for k in 0..L {
+        ghat[46][k] += 0.25 * alpha[0][k] * favg[46][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[3][k] * favg[37][k];
+        ghat[46][k] += 0.25 * alpha[4][k] * favg[33][k];
+        ghat[46][k] += 0.25 * alpha[10][k] * favg[23][k];
+        ghat[46][k] += 0.15971914124998499 * alpha[10][k] * favg[46][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[13][k] * favg[18][k];
+        ghat[46][k] += 0.2 * alpha[13][k] * favg[47][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[14][k] * favg[46][k];
+        ghat[46][k] += 0.25 * alpha[27][k] * favg[6][k];
+        ghat[46][k] += 0.15971914124998499 * alpha[27][k] * favg[33][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[27][k] * favg[41][k];
+        ghat[46][k] += 0.2 * alpha[30][k] * favg[37][k];
+    }
+    for k in 0..L {
+        ghat[47][k] += 0.25 * alpha[0][k] * favg[47][k];
+        ghat[47][k] += 0.25 * alpha[3][k] * favg[41][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[4][k] * favg[37][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[10][k] * favg[47][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[13][k] * favg[23][k];
+        ghat[47][k] += 0.2 * alpha[13][k] * favg[46][k];
+        ghat[47][k] += 0.25 * alpha[14][k] * favg[18][k];
+        ghat[47][k] += 0.15971914124998499 * alpha[14][k] * favg[47][k];
+        ghat[47][k] += 0.2 * alpha[27][k] * favg[37][k];
+        ghat[47][k] += 0.25 * alpha[30][k] * favg[6][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[30][k] * favg[33][k];
+        ghat[47][k] += 0.15971914124998499 * alpha[30][k] * favg[41][k];
+    }
+    sxn(&mut out_lo[0], -scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], -scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[3], -scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], -scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], -scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], -scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[7], -scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[8], -scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_lo[9], -scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[10], -scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[11], -scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[12], -scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[13], -scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[14], -scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[15], -scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[16], -scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[17], -scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[18], -scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[19], -scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[20], -scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[21], -scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[22], -scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_lo[23], -scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[24], -scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[25], -scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_lo[26], -scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_lo[27], -scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[28], -scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_lo[29], -scale * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[30], -scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_lo[31], -scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_lo[32], -scale * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[33], -scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_lo[34], -scale * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_lo[35], -scale * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[36], -scale * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_lo[37], -scale * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_lo[38], -scale * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[39], -scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_lo[40], -scale * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_lo[41], -scale * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[42], -scale * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_lo[43], -scale * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_lo[44], -scale * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[45], -scale * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_lo[46], -scale * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_lo[47], -scale * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_lo[48], -scale * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[49], -scale * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_lo[50], -scale * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_lo[51], -scale * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_lo[52], -scale * 1.5811388300841898, &ghat[6]);
+    sxn(&mut out_lo[53], -scale * 1.224744871391589, &ghat[16]);
+    sxn(&mut out_lo[54], -scale * 1.224744871391589, &ghat[17]);
+    sxn(&mut out_lo[55], -scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_lo[56], -scale * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_lo[57], -scale * 1.224744871391589, &ghat[18]);
+    sxn(&mut out_lo[58], -scale * 1.5811388300841898, &ghat[9]);
+    sxn(&mut out_lo[59], -scale * 0.7071067811865476, &ghat[32]);
+    sxn(&mut out_lo[60], -scale * 1.224744871391589, &ghat[19]);
+    sxn(&mut out_lo[61], -scale * 1.224744871391589, &ghat[20]);
+    sxn(&mut out_lo[62], -scale * 0.7071067811865476, &ghat[33]);
+    sxn(&mut out_lo[63], -scale * 1.224744871391589, &ghat[21]);
+    sxn(&mut out_lo[64], -scale * 1.224744871391589, &ghat[22]);
+    sxn(&mut out_lo[65], -scale * 1.5811388300841898, &ghat[11]);
+    sxn(&mut out_lo[66], -scale * 0.7071067811865476, &ghat[34]);
+    sxn(&mut out_lo[67], -scale * 1.224744871391589, &ghat[23]);
+    sxn(&mut out_lo[68], -scale * 1.5811388300841898, &ghat[12]);
+    sxn(&mut out_lo[69], -scale * 0.7071067811865476, &ghat[35]);
+    sxn(&mut out_lo[70], -scale * 1.224744871391589, &ghat[24]);
+    sxn(&mut out_lo[71], -scale * 0.7071067811865476, &ghat[36]);
+    sxn(&mut out_lo[72], -scale * 1.224744871391589, &ghat[25]);
+    sxn(&mut out_lo[73], -scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_lo[74], -scale * 0.7071067811865476, &ghat[37]);
+    sxn(&mut out_lo[75], -scale * 1.224744871391589, &ghat[26]);
+    sxn(&mut out_lo[76], -scale * 0.7071067811865476, &ghat[38]);
+    sxn(&mut out_lo[77], -scale * 0.7071067811865476, &ghat[39]);
+    sxn(&mut out_lo[78], -scale * 1.224744871391589, &ghat[27]);
+    sxn(&mut out_lo[79], -scale * 0.7071067811865476, &ghat[40]);
+    sxn(&mut out_lo[80], -scale * 1.224744871391589, &ghat[28]);
+    sxn(&mut out_lo[81], -scale * 0.7071067811865476, &ghat[41]);
+    sxn(&mut out_lo[82], -scale * 1.224744871391589, &ghat[29]);
+    sxn(&mut out_lo[83], -scale * 0.7071067811865476, &ghat[42]);
+    sxn(&mut out_lo[84], -scale * 1.224744871391589, &ghat[30]);
+    sxn(&mut out_lo[85], -scale * 0.7071067811865476, &ghat[43]);
+    sxn(&mut out_lo[86], -scale * 1.224744871391589, &ghat[31]);
+    sxn(&mut out_lo[87], -scale * 1.5811388300841898, &ghat[18]);
+    sxn(&mut out_lo[88], -scale * 1.224744871391589, &ghat[32]);
+    sxn(&mut out_lo[89], -scale * 1.224744871391589, &ghat[33]);
+    sxn(&mut out_lo[90], -scale * 1.224744871391589, &ghat[34]);
+    sxn(&mut out_lo[91], -scale * 1.5811388300841898, &ghat[23]);
+    sxn(&mut out_lo[92], -scale * 1.224744871391589, &ghat[35]);
+    sxn(&mut out_lo[93], -scale * 1.224744871391589, &ghat[36]);
+    sxn(&mut out_lo[94], -scale * 1.5811388300841898, &ghat[25]);
+    sxn(&mut out_lo[95], -scale * 0.7071067811865476, &ghat[44]);
+    sxn(&mut out_lo[96], -scale * 1.224744871391589, &ghat[37]);
+    sxn(&mut out_lo[97], -scale * 1.5811388300841898, &ghat[26]);
+    sxn(&mut out_lo[98], -scale * 0.7071067811865476, &ghat[45]);
+    sxn(&mut out_lo[99], -scale * 1.224744871391589, &ghat[38]);
+    sxn(&mut out_lo[100], -scale * 1.224744871391589, &ghat[39]);
+    sxn(&mut out_lo[101], -scale * 0.7071067811865476, &ghat[46]);
+    sxn(&mut out_lo[102], -scale * 1.224744871391589, &ghat[40]);
+    sxn(&mut out_lo[103], -scale * 1.224744871391589, &ghat[41]);
+    sxn(&mut out_lo[104], -scale * 1.224744871391589, &ghat[42]);
+    sxn(&mut out_lo[105], -scale * 0.7071067811865476, &ghat[47]);
+    sxn(&mut out_lo[106], -scale * 1.224744871391589, &ghat[43]);
+    sxn(&mut out_lo[107], -scale * 1.224744871391589, &ghat[44]);
+    sxn(&mut out_lo[108], -scale * 1.5811388300841898, &ghat[37]);
+    sxn(&mut out_lo[109], -scale * 1.224744871391589, &ghat[45]);
+    sxn(&mut out_lo[110], -scale * 1.224744871391589, &ghat[46]);
+    sxn(&mut out_lo[111], -scale * 1.224744871391589, &ghat[47]);
+    sxn(&mut out_hi[0], scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[3], scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[7], scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[8], scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_hi[9], scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[10], scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[11], scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[12], scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[13], scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[14], scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[15], scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[16], scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[17], scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[18], scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[19], scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[20], scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[21], scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[22], scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_hi[23], scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[24], scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[25], scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_hi[26], scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_hi[27], scale * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[28], scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_hi[29], scale * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[30], scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_hi[31], scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_hi[32], scale * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[33], scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_hi[34], scale * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_hi[35], scale * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[36], scale * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_hi[37], scale * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_hi[38], scale * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[39], scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_hi[40], scale * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_hi[41], scale * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[42], scale * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_hi[43], scale * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_hi[44], scale * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[45], scale * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_hi[46], scale * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_hi[47], scale * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_hi[48], scale * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[49], scale * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_hi[50], scale * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_hi[51], scale * -1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[52], scale * 1.5811388300841898, &ghat[6]);
+    sxn(&mut out_hi[53], scale * -1.224744871391589, &ghat[16]);
+    sxn(&mut out_hi[54], scale * -1.224744871391589, &ghat[17]);
+    sxn(&mut out_hi[55], scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_hi[56], scale * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_hi[57], scale * -1.224744871391589, &ghat[18]);
+    sxn(&mut out_hi[58], scale * 1.5811388300841898, &ghat[9]);
+    sxn(&mut out_hi[59], scale * 0.7071067811865476, &ghat[32]);
+    sxn(&mut out_hi[60], scale * -1.224744871391589, &ghat[19]);
+    sxn(&mut out_hi[61], scale * -1.224744871391589, &ghat[20]);
+    sxn(&mut out_hi[62], scale * 0.7071067811865476, &ghat[33]);
+    sxn(&mut out_hi[63], scale * -1.224744871391589, &ghat[21]);
+    sxn(&mut out_hi[64], scale * -1.224744871391589, &ghat[22]);
+    sxn(&mut out_hi[65], scale * 1.5811388300841898, &ghat[11]);
+    sxn(&mut out_hi[66], scale * 0.7071067811865476, &ghat[34]);
+    sxn(&mut out_hi[67], scale * -1.224744871391589, &ghat[23]);
+    sxn(&mut out_hi[68], scale * 1.5811388300841898, &ghat[12]);
+    sxn(&mut out_hi[69], scale * 0.7071067811865476, &ghat[35]);
+    sxn(&mut out_hi[70], scale * -1.224744871391589, &ghat[24]);
+    sxn(&mut out_hi[71], scale * 0.7071067811865476, &ghat[36]);
+    sxn(&mut out_hi[72], scale * -1.224744871391589, &ghat[25]);
+    sxn(&mut out_hi[73], scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_hi[74], scale * 0.7071067811865476, &ghat[37]);
+    sxn(&mut out_hi[75], scale * -1.224744871391589, &ghat[26]);
+    sxn(&mut out_hi[76], scale * 0.7071067811865476, &ghat[38]);
+    sxn(&mut out_hi[77], scale * 0.7071067811865476, &ghat[39]);
+    sxn(&mut out_hi[78], scale * -1.224744871391589, &ghat[27]);
+    sxn(&mut out_hi[79], scale * 0.7071067811865476, &ghat[40]);
+    sxn(&mut out_hi[80], scale * -1.224744871391589, &ghat[28]);
+    sxn(&mut out_hi[81], scale * 0.7071067811865476, &ghat[41]);
+    sxn(&mut out_hi[82], scale * -1.224744871391589, &ghat[29]);
+    sxn(&mut out_hi[83], scale * 0.7071067811865476, &ghat[42]);
+    sxn(&mut out_hi[84], scale * -1.224744871391589, &ghat[30]);
+    sxn(&mut out_hi[85], scale * 0.7071067811865476, &ghat[43]);
+    sxn(&mut out_hi[86], scale * -1.224744871391589, &ghat[31]);
+    sxn(&mut out_hi[87], scale * 1.5811388300841898, &ghat[18]);
+    sxn(&mut out_hi[88], scale * -1.224744871391589, &ghat[32]);
+    sxn(&mut out_hi[89], scale * -1.224744871391589, &ghat[33]);
+    sxn(&mut out_hi[90], scale * -1.224744871391589, &ghat[34]);
+    sxn(&mut out_hi[91], scale * 1.5811388300841898, &ghat[23]);
+    sxn(&mut out_hi[92], scale * -1.224744871391589, &ghat[35]);
+    sxn(&mut out_hi[93], scale * -1.224744871391589, &ghat[36]);
+    sxn(&mut out_hi[94], scale * 1.5811388300841898, &ghat[25]);
+    sxn(&mut out_hi[95], scale * 0.7071067811865476, &ghat[44]);
+    sxn(&mut out_hi[96], scale * -1.224744871391589, &ghat[37]);
+    sxn(&mut out_hi[97], scale * 1.5811388300841898, &ghat[26]);
+    sxn(&mut out_hi[98], scale * 0.7071067811865476, &ghat[45]);
+    sxn(&mut out_hi[99], scale * -1.224744871391589, &ghat[38]);
+    sxn(&mut out_hi[100], scale * -1.224744871391589, &ghat[39]);
+    sxn(&mut out_hi[101], scale * 0.7071067811865476, &ghat[46]);
+    sxn(&mut out_hi[102], scale * -1.224744871391589, &ghat[40]);
+    sxn(&mut out_hi[103], scale * -1.224744871391589, &ghat[41]);
+    sxn(&mut out_hi[104], scale * -1.224744871391589, &ghat[42]);
+    sxn(&mut out_hi[105], scale * 0.7071067811865476, &ghat[47]);
+    sxn(&mut out_hi[106], scale * -1.224744871391589, &ghat[43]);
+    sxn(&mut out_hi[107], scale * -1.224744871391589, &ghat[44]);
+    sxn(&mut out_hi[108], scale * 1.5811388300841898, &ghat[37]);
+    sxn(&mut out_hi[109], scale * -1.224744871391589, &ghat[45]);
+    sxn(&mut out_hi[110], scale * -1.224744871391589, &ghat[46]);
+    sxn(&mut out_hi[111], scale * -1.224744871391589, &ghat[47]);
 }
 
 /// LDG gradient in v1 for one cell: volume gradient-mass plus the
@@ -5446,1252 +6338,1438 @@ pub fn lbo_2x3v_p2_ser_drag_surf_v1(nu: f64, vstar: f64, dv: f64, u: &[f64], f_l
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p2_ser_diff_grad_v1(dv: f64, at_upper: bool, f: &[f64], f_up: &[f64], g: &mut [f64]) {
+    lbo_2x3v_p2_ser_diff_grad_v1_body::<1>(dv, at_upper, f.as_chunks().0, f_up.as_chunks().0, g.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p2_ser_diff_grad_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_diff_grad_v1_b4(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_diff_grad_v1_body(dv, at_upper, f, f_up, g)
+}
+
+/// [`lbo_2x3v_p2_ser_diff_grad_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_diff_grad_v1_b4_avx2(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_diff_grad_v1_body(dv, at_upper, f, f_up, g)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p2_ser_diff_grad_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p2_ser_diff_grad_v1_body<const L: usize>(dv: f64, at_upper: bool, f: &[[f64; L]], f_up: &[[f64; L]], g: &mut [[f64; L]]) {
+    let f: &[[f64; L]; 112] = f.first_chunk().expect("f: 112 coefficients");
+    let f_up: &[[f64; L]; 112] = f_up.first_chunk().expect("f_up: 112 coefficients");
+    let g: &mut [[f64; L]; 112] = g.first_chunk_mut().expect("g: 112 coefficients");
     let scale = 2.0 / dv;
-    g[2] += -scale * 1.7320508075688772 * f[0];
-    g[7] += -scale * 1.7320508075688772 * f[1];
-    g[8] += -scale * 3.872983346207417 * f[2];
-    g[10] += -scale * 1.7320508075688772 * f[3];
-    g[13] += -scale * 1.7320508075688772 * f[4];
-    g[17] += -scale * 1.7320508075688772 * f[5];
-    g[21] += -scale * 1.7320508075688772 * f[6];
-    g[22] += -scale * 3.872983346207417 * f[7];
-    g[24] += -scale * 1.7320508075688772 * f[9];
-    g[25] += -scale * 3.872983346207417 * f[10];
-    g[27] += -scale * 1.7320508075688772 * f[11];
-    g[29] += -scale * 1.7320508075688772 * f[12];
-    g[30] += -scale * 3.872983346207417 * f[13];
-    g[32] += -scale * 1.7320508075688772 * f[14];
-    g[35] += -scale * 1.7320508075688772 * f[15];
-    g[38] += -scale * 1.7320508075688772 * f[16];
-    g[39] += -scale * 3.872983346207417 * f[17];
-    g[41] += -scale * 1.7320508075688772 * f[18];
-    g[44] += -scale * 1.7320508075688772 * f[19];
-    g[48] += -scale * 1.7320508075688772 * f[20];
-    g[51] += -scale * 1.7320508075688772 * f[23];
-    g[52] += -scale * 3.872983346207417 * f[24];
-    g[53] += -scale * 1.7320508075688772 * f[26];
-    g[54] += -scale * 1.7320508075688772 * f[28];
-    g[55] += -scale * 3.872983346207417 * f[29];
-    g[57] += -scale * 1.7320508075688772 * f[31];
-    g[58] += -scale * 3.872983346207417 * f[32];
-    g[60] += -scale * 1.7320508075688772 * f[33];
-    g[61] += -scale * 1.7320508075688772 * f[34];
-    g[63] += -scale * 1.7320508075688772 * f[36];
-    g[64] += -scale * 1.7320508075688772 * f[37];
-    g[65] += -scale * 3.872983346207417 * f[38];
-    g[67] += -scale * 1.7320508075688772 * f[40];
-    g[68] += -scale * 3.872983346207417 * f[41];
-    g[70] += -scale * 1.7320508075688772 * f[42];
-    g[72] += -scale * 1.7320508075688772 * f[43];
-    g[73] += -scale * 3.872983346207417 * f[44];
-    g[75] += -scale * 1.7320508075688772 * f[45];
-    g[78] += -scale * 1.7320508075688772 * f[46];
-    g[80] += -scale * 1.7320508075688772 * f[47];
-    g[82] += -scale * 1.7320508075688772 * f[49];
-    g[84] += -scale * 1.7320508075688772 * f[50];
-    g[86] += -scale * 1.7320508075688772 * f[56];
-    g[87] += -scale * 3.872983346207417 * f[57];
-    g[88] += -scale * 1.7320508075688772 * f[59];
-    g[89] += -scale * 1.7320508075688772 * f[62];
-    g[90] += -scale * 1.7320508075688772 * f[66];
-    g[91] += -scale * 3.872983346207417 * f[67];
-    g[92] += -scale * 1.7320508075688772 * f[69];
-    g[93] += -scale * 1.7320508075688772 * f[71];
-    g[94] += -scale * 3.872983346207417 * f[72];
-    g[96] += -scale * 1.7320508075688772 * f[74];
-    g[97] += -scale * 3.872983346207417 * f[75];
-    g[99] += -scale * 1.7320508075688772 * f[76];
-    g[100] += -scale * 1.7320508075688772 * f[77];
-    g[102] += -scale * 1.7320508075688772 * f[79];
-    g[103] += -scale * 1.7320508075688772 * f[81];
-    g[104] += -scale * 1.7320508075688772 * f[83];
-    g[106] += -scale * 1.7320508075688772 * f[85];
-    g[107] += -scale * 1.7320508075688772 * f[95];
-    g[108] += -scale * 3.872983346207417 * f[96];
-    g[109] += -scale * 1.7320508075688772 * f[98];
-    g[110] += -scale * 1.7320508075688772 * f[101];
-    g[111] += -scale * 1.7320508075688772 * f[105];
-    let mut tr = [0.0f64; 48];
+    sxn(&mut g[2], -scale * 1.7320508075688772, &f[0]);
+    sxn(&mut g[7], -scale * 1.7320508075688772, &f[1]);
+    sxn(&mut g[8], -scale * 3.872983346207417, &f[2]);
+    sxn(&mut g[10], -scale * 1.7320508075688772, &f[3]);
+    sxn(&mut g[13], -scale * 1.7320508075688772, &f[4]);
+    sxn(&mut g[17], -scale * 1.7320508075688772, &f[5]);
+    sxn(&mut g[21], -scale * 1.7320508075688772, &f[6]);
+    sxn(&mut g[22], -scale * 3.872983346207417, &f[7]);
+    sxn(&mut g[24], -scale * 1.7320508075688772, &f[9]);
+    sxn(&mut g[25], -scale * 3.872983346207417, &f[10]);
+    sxn(&mut g[27], -scale * 1.7320508075688772, &f[11]);
+    sxn(&mut g[29], -scale * 1.7320508075688772, &f[12]);
+    sxn(&mut g[30], -scale * 3.872983346207417, &f[13]);
+    sxn(&mut g[32], -scale * 1.7320508075688772, &f[14]);
+    sxn(&mut g[35], -scale * 1.7320508075688772, &f[15]);
+    sxn(&mut g[38], -scale * 1.7320508075688772, &f[16]);
+    sxn(&mut g[39], -scale * 3.872983346207417, &f[17]);
+    sxn(&mut g[41], -scale * 1.7320508075688772, &f[18]);
+    sxn(&mut g[44], -scale * 1.7320508075688772, &f[19]);
+    sxn(&mut g[48], -scale * 1.7320508075688772, &f[20]);
+    sxn(&mut g[51], -scale * 1.7320508075688772, &f[23]);
+    sxn(&mut g[52], -scale * 3.872983346207417, &f[24]);
+    sxn(&mut g[53], -scale * 1.7320508075688772, &f[26]);
+    sxn(&mut g[54], -scale * 1.7320508075688772, &f[28]);
+    sxn(&mut g[55], -scale * 3.872983346207417, &f[29]);
+    sxn(&mut g[57], -scale * 1.7320508075688772, &f[31]);
+    sxn(&mut g[58], -scale * 3.872983346207417, &f[32]);
+    sxn(&mut g[60], -scale * 1.7320508075688772, &f[33]);
+    sxn(&mut g[61], -scale * 1.7320508075688772, &f[34]);
+    sxn(&mut g[63], -scale * 1.7320508075688772, &f[36]);
+    sxn(&mut g[64], -scale * 1.7320508075688772, &f[37]);
+    sxn(&mut g[65], -scale * 3.872983346207417, &f[38]);
+    sxn(&mut g[67], -scale * 1.7320508075688772, &f[40]);
+    sxn(&mut g[68], -scale * 3.872983346207417, &f[41]);
+    sxn(&mut g[70], -scale * 1.7320508075688772, &f[42]);
+    sxn(&mut g[72], -scale * 1.7320508075688772, &f[43]);
+    sxn(&mut g[73], -scale * 3.872983346207417, &f[44]);
+    sxn(&mut g[75], -scale * 1.7320508075688772, &f[45]);
+    sxn(&mut g[78], -scale * 1.7320508075688772, &f[46]);
+    sxn(&mut g[80], -scale * 1.7320508075688772, &f[47]);
+    sxn(&mut g[82], -scale * 1.7320508075688772, &f[49]);
+    sxn(&mut g[84], -scale * 1.7320508075688772, &f[50]);
+    sxn(&mut g[86], -scale * 1.7320508075688772, &f[56]);
+    sxn(&mut g[87], -scale * 3.872983346207417, &f[57]);
+    sxn(&mut g[88], -scale * 1.7320508075688772, &f[59]);
+    sxn(&mut g[89], -scale * 1.7320508075688772, &f[62]);
+    sxn(&mut g[90], -scale * 1.7320508075688772, &f[66]);
+    sxn(&mut g[91], -scale * 3.872983346207417, &f[67]);
+    sxn(&mut g[92], -scale * 1.7320508075688772, &f[69]);
+    sxn(&mut g[93], -scale * 1.7320508075688772, &f[71]);
+    sxn(&mut g[94], -scale * 3.872983346207417, &f[72]);
+    sxn(&mut g[96], -scale * 1.7320508075688772, &f[74]);
+    sxn(&mut g[97], -scale * 3.872983346207417, &f[75]);
+    sxn(&mut g[99], -scale * 1.7320508075688772, &f[76]);
+    sxn(&mut g[100], -scale * 1.7320508075688772, &f[77]);
+    sxn(&mut g[102], -scale * 1.7320508075688772, &f[79]);
+    sxn(&mut g[103], -scale * 1.7320508075688772, &f[81]);
+    sxn(&mut g[104], -scale * 1.7320508075688772, &f[83]);
+    sxn(&mut g[106], -scale * 1.7320508075688772, &f[85]);
+    sxn(&mut g[107], -scale * 1.7320508075688772, &f[95]);
+    sxn(&mut g[108], -scale * 3.872983346207417, &f[96]);
+    sxn(&mut g[109], -scale * 1.7320508075688772, &f[98]);
+    sxn(&mut g[110], -scale * 1.7320508075688772, &f[101]);
+    sxn(&mut g[111], -scale * 1.7320508075688772, &f[105]);
+    let mut tr = [[0.0f64; L]; 48];
     if at_upper {
-        tr[0] += 0.7071067811865476 * f[0];
-        tr[1] += 0.7071067811865476 * f[1];
-        tr[0] += 1.224744871391589 * f[2];
-        tr[2] += 0.7071067811865476 * f[3];
-        tr[3] += 0.7071067811865476 * f[4];
-        tr[4] += 0.7071067811865476 * f[5];
-        tr[5] += 0.7071067811865476 * f[6];
-        tr[1] += 1.224744871391589 * f[7];
-        tr[0] += 1.5811388300841898 * f[8];
-        tr[6] += 0.7071067811865476 * f[9];
-        tr[2] += 1.224744871391589 * f[10];
-        tr[7] += 0.7071067811865476 * f[11];
-        tr[8] += 0.7071067811865476 * f[12];
-        tr[3] += 1.224744871391589 * f[13];
-        tr[9] += 0.7071067811865476 * f[14];
-        tr[10] += 0.7071067811865476 * f[15];
-        tr[11] += 0.7071067811865476 * f[16];
-        tr[4] += 1.224744871391589 * f[17];
-        tr[12] += 0.7071067811865476 * f[18];
-        tr[13] += 0.7071067811865476 * f[19];
-        tr[14] += 0.7071067811865476 * f[20];
-        tr[5] += 1.224744871391589 * f[21];
-        tr[1] += 1.5811388300841898 * f[22];
-        tr[15] += 0.7071067811865476 * f[23];
-        tr[6] += 1.224744871391589 * f[24];
-        tr[2] += 1.5811388300841898 * f[25];
-        tr[16] += 0.7071067811865476 * f[26];
-        tr[7] += 1.224744871391589 * f[27];
-        tr[17] += 0.7071067811865476 * f[28];
-        tr[8] += 1.224744871391589 * f[29];
-        tr[3] += 1.5811388300841898 * f[30];
-        tr[18] += 0.7071067811865476 * f[31];
-        tr[9] += 1.224744871391589 * f[32];
-        tr[19] += 0.7071067811865476 * f[33];
-        tr[20] += 0.7071067811865476 * f[34];
-        tr[10] += 1.224744871391589 * f[35];
-        tr[21] += 0.7071067811865476 * f[36];
-        tr[22] += 0.7071067811865476 * f[37];
-        tr[11] += 1.224744871391589 * f[38];
-        tr[4] += 1.5811388300841898 * f[39];
-        tr[23] += 0.7071067811865476 * f[40];
-        tr[12] += 1.224744871391589 * f[41];
-        tr[24] += 0.7071067811865476 * f[42];
-        tr[25] += 0.7071067811865476 * f[43];
-        tr[13] += 1.224744871391589 * f[44];
-        tr[26] += 0.7071067811865476 * f[45];
-        tr[27] += 0.7071067811865476 * f[46];
-        tr[28] += 0.7071067811865476 * f[47];
-        tr[14] += 1.224744871391589 * f[48];
-        tr[29] += 0.7071067811865476 * f[49];
-        tr[30] += 0.7071067811865476 * f[50];
-        tr[15] += 1.224744871391589 * f[51];
-        tr[6] += 1.5811388300841898 * f[52];
-        tr[16] += 1.224744871391589 * f[53];
-        tr[17] += 1.224744871391589 * f[54];
-        tr[8] += 1.5811388300841898 * f[55];
-        tr[31] += 0.7071067811865476 * f[56];
-        tr[18] += 1.224744871391589 * f[57];
-        tr[9] += 1.5811388300841898 * f[58];
-        tr[32] += 0.7071067811865476 * f[59];
-        tr[19] += 1.224744871391589 * f[60];
-        tr[20] += 1.224744871391589 * f[61];
-        tr[33] += 0.7071067811865476 * f[62];
-        tr[21] += 1.224744871391589 * f[63];
-        tr[22] += 1.224744871391589 * f[64];
-        tr[11] += 1.5811388300841898 * f[65];
-        tr[34] += 0.7071067811865476 * f[66];
-        tr[23] += 1.224744871391589 * f[67];
-        tr[12] += 1.5811388300841898 * f[68];
-        tr[35] += 0.7071067811865476 * f[69];
-        tr[24] += 1.224744871391589 * f[70];
-        tr[36] += 0.7071067811865476 * f[71];
-        tr[25] += 1.224744871391589 * f[72];
-        tr[13] += 1.5811388300841898 * f[73];
-        tr[37] += 0.7071067811865476 * f[74];
-        tr[26] += 1.224744871391589 * f[75];
-        tr[38] += 0.7071067811865476 * f[76];
-        tr[39] += 0.7071067811865476 * f[77];
-        tr[27] += 1.224744871391589 * f[78];
-        tr[40] += 0.7071067811865476 * f[79];
-        tr[28] += 1.224744871391589 * f[80];
-        tr[41] += 0.7071067811865476 * f[81];
-        tr[29] += 1.224744871391589 * f[82];
-        tr[42] += 0.7071067811865476 * f[83];
-        tr[30] += 1.224744871391589 * f[84];
-        tr[43] += 0.7071067811865476 * f[85];
-        tr[31] += 1.224744871391589 * f[86];
-        tr[18] += 1.5811388300841898 * f[87];
-        tr[32] += 1.224744871391589 * f[88];
-        tr[33] += 1.224744871391589 * f[89];
-        tr[34] += 1.224744871391589 * f[90];
-        tr[23] += 1.5811388300841898 * f[91];
-        tr[35] += 1.224744871391589 * f[92];
-        tr[36] += 1.224744871391589 * f[93];
-        tr[25] += 1.5811388300841898 * f[94];
-        tr[44] += 0.7071067811865476 * f[95];
-        tr[37] += 1.224744871391589 * f[96];
-        tr[26] += 1.5811388300841898 * f[97];
-        tr[45] += 0.7071067811865476 * f[98];
-        tr[38] += 1.224744871391589 * f[99];
-        tr[39] += 1.224744871391589 * f[100];
-        tr[46] += 0.7071067811865476 * f[101];
-        tr[40] += 1.224744871391589 * f[102];
-        tr[41] += 1.224744871391589 * f[103];
-        tr[42] += 1.224744871391589 * f[104];
-        tr[47] += 0.7071067811865476 * f[105];
-        tr[43] += 1.224744871391589 * f[106];
-        tr[44] += 1.224744871391589 * f[107];
-        tr[37] += 1.5811388300841898 * f[108];
-        tr[45] += 1.224744871391589 * f[109];
-        tr[46] += 1.224744871391589 * f[110];
-        tr[47] += 1.224744871391589 * f[111];
+        sxn(&mut tr[0], 0.7071067811865476, &f[0]);
+        sxn(&mut tr[1], 0.7071067811865476, &f[1]);
+        sxn(&mut tr[0], 1.224744871391589, &f[2]);
+        sxn(&mut tr[2], 0.7071067811865476, &f[3]);
+        sxn(&mut tr[3], 0.7071067811865476, &f[4]);
+        sxn(&mut tr[4], 0.7071067811865476, &f[5]);
+        sxn(&mut tr[5], 0.7071067811865476, &f[6]);
+        sxn(&mut tr[1], 1.224744871391589, &f[7]);
+        sxn(&mut tr[0], 1.5811388300841898, &f[8]);
+        sxn(&mut tr[6], 0.7071067811865476, &f[9]);
+        sxn(&mut tr[2], 1.224744871391589, &f[10]);
+        sxn(&mut tr[7], 0.7071067811865476, &f[11]);
+        sxn(&mut tr[8], 0.7071067811865476, &f[12]);
+        sxn(&mut tr[3], 1.224744871391589, &f[13]);
+        sxn(&mut tr[9], 0.7071067811865476, &f[14]);
+        sxn(&mut tr[10], 0.7071067811865476, &f[15]);
+        sxn(&mut tr[11], 0.7071067811865476, &f[16]);
+        sxn(&mut tr[4], 1.224744871391589, &f[17]);
+        sxn(&mut tr[12], 0.7071067811865476, &f[18]);
+        sxn(&mut tr[13], 0.7071067811865476, &f[19]);
+        sxn(&mut tr[14], 0.7071067811865476, &f[20]);
+        sxn(&mut tr[5], 1.224744871391589, &f[21]);
+        sxn(&mut tr[1], 1.5811388300841898, &f[22]);
+        sxn(&mut tr[15], 0.7071067811865476, &f[23]);
+        sxn(&mut tr[6], 1.224744871391589, &f[24]);
+        sxn(&mut tr[2], 1.5811388300841898, &f[25]);
+        sxn(&mut tr[16], 0.7071067811865476, &f[26]);
+        sxn(&mut tr[7], 1.224744871391589, &f[27]);
+        sxn(&mut tr[17], 0.7071067811865476, &f[28]);
+        sxn(&mut tr[8], 1.224744871391589, &f[29]);
+        sxn(&mut tr[3], 1.5811388300841898, &f[30]);
+        sxn(&mut tr[18], 0.7071067811865476, &f[31]);
+        sxn(&mut tr[9], 1.224744871391589, &f[32]);
+        sxn(&mut tr[19], 0.7071067811865476, &f[33]);
+        sxn(&mut tr[20], 0.7071067811865476, &f[34]);
+        sxn(&mut tr[10], 1.224744871391589, &f[35]);
+        sxn(&mut tr[21], 0.7071067811865476, &f[36]);
+        sxn(&mut tr[22], 0.7071067811865476, &f[37]);
+        sxn(&mut tr[11], 1.224744871391589, &f[38]);
+        sxn(&mut tr[4], 1.5811388300841898, &f[39]);
+        sxn(&mut tr[23], 0.7071067811865476, &f[40]);
+        sxn(&mut tr[12], 1.224744871391589, &f[41]);
+        sxn(&mut tr[24], 0.7071067811865476, &f[42]);
+        sxn(&mut tr[25], 0.7071067811865476, &f[43]);
+        sxn(&mut tr[13], 1.224744871391589, &f[44]);
+        sxn(&mut tr[26], 0.7071067811865476, &f[45]);
+        sxn(&mut tr[27], 0.7071067811865476, &f[46]);
+        sxn(&mut tr[28], 0.7071067811865476, &f[47]);
+        sxn(&mut tr[14], 1.224744871391589, &f[48]);
+        sxn(&mut tr[29], 0.7071067811865476, &f[49]);
+        sxn(&mut tr[30], 0.7071067811865476, &f[50]);
+        sxn(&mut tr[15], 1.224744871391589, &f[51]);
+        sxn(&mut tr[6], 1.5811388300841898, &f[52]);
+        sxn(&mut tr[16], 1.224744871391589, &f[53]);
+        sxn(&mut tr[17], 1.224744871391589, &f[54]);
+        sxn(&mut tr[8], 1.5811388300841898, &f[55]);
+        sxn(&mut tr[31], 0.7071067811865476, &f[56]);
+        sxn(&mut tr[18], 1.224744871391589, &f[57]);
+        sxn(&mut tr[9], 1.5811388300841898, &f[58]);
+        sxn(&mut tr[32], 0.7071067811865476, &f[59]);
+        sxn(&mut tr[19], 1.224744871391589, &f[60]);
+        sxn(&mut tr[20], 1.224744871391589, &f[61]);
+        sxn(&mut tr[33], 0.7071067811865476, &f[62]);
+        sxn(&mut tr[21], 1.224744871391589, &f[63]);
+        sxn(&mut tr[22], 1.224744871391589, &f[64]);
+        sxn(&mut tr[11], 1.5811388300841898, &f[65]);
+        sxn(&mut tr[34], 0.7071067811865476, &f[66]);
+        sxn(&mut tr[23], 1.224744871391589, &f[67]);
+        sxn(&mut tr[12], 1.5811388300841898, &f[68]);
+        sxn(&mut tr[35], 0.7071067811865476, &f[69]);
+        sxn(&mut tr[24], 1.224744871391589, &f[70]);
+        sxn(&mut tr[36], 0.7071067811865476, &f[71]);
+        sxn(&mut tr[25], 1.224744871391589, &f[72]);
+        sxn(&mut tr[13], 1.5811388300841898, &f[73]);
+        sxn(&mut tr[37], 0.7071067811865476, &f[74]);
+        sxn(&mut tr[26], 1.224744871391589, &f[75]);
+        sxn(&mut tr[38], 0.7071067811865476, &f[76]);
+        sxn(&mut tr[39], 0.7071067811865476, &f[77]);
+        sxn(&mut tr[27], 1.224744871391589, &f[78]);
+        sxn(&mut tr[40], 0.7071067811865476, &f[79]);
+        sxn(&mut tr[28], 1.224744871391589, &f[80]);
+        sxn(&mut tr[41], 0.7071067811865476, &f[81]);
+        sxn(&mut tr[29], 1.224744871391589, &f[82]);
+        sxn(&mut tr[42], 0.7071067811865476, &f[83]);
+        sxn(&mut tr[30], 1.224744871391589, &f[84]);
+        sxn(&mut tr[43], 0.7071067811865476, &f[85]);
+        sxn(&mut tr[31], 1.224744871391589, &f[86]);
+        sxn(&mut tr[18], 1.5811388300841898, &f[87]);
+        sxn(&mut tr[32], 1.224744871391589, &f[88]);
+        sxn(&mut tr[33], 1.224744871391589, &f[89]);
+        sxn(&mut tr[34], 1.224744871391589, &f[90]);
+        sxn(&mut tr[23], 1.5811388300841898, &f[91]);
+        sxn(&mut tr[35], 1.224744871391589, &f[92]);
+        sxn(&mut tr[36], 1.224744871391589, &f[93]);
+        sxn(&mut tr[25], 1.5811388300841898, &f[94]);
+        sxn(&mut tr[44], 0.7071067811865476, &f[95]);
+        sxn(&mut tr[37], 1.224744871391589, &f[96]);
+        sxn(&mut tr[26], 1.5811388300841898, &f[97]);
+        sxn(&mut tr[45], 0.7071067811865476, &f[98]);
+        sxn(&mut tr[38], 1.224744871391589, &f[99]);
+        sxn(&mut tr[39], 1.224744871391589, &f[100]);
+        sxn(&mut tr[46], 0.7071067811865476, &f[101]);
+        sxn(&mut tr[40], 1.224744871391589, &f[102]);
+        sxn(&mut tr[41], 1.224744871391589, &f[103]);
+        sxn(&mut tr[42], 1.224744871391589, &f[104]);
+        sxn(&mut tr[47], 0.7071067811865476, &f[105]);
+        sxn(&mut tr[43], 1.224744871391589, &f[106]);
+        sxn(&mut tr[44], 1.224744871391589, &f[107]);
+        sxn(&mut tr[37], 1.5811388300841898, &f[108]);
+        sxn(&mut tr[45], 1.224744871391589, &f[109]);
+        sxn(&mut tr[46], 1.224744871391589, &f[110]);
+        sxn(&mut tr[47], 1.224744871391589, &f[111]);
     } else {
-        tr[0] += 0.7071067811865476 * f_up[0];
-        tr[1] += 0.7071067811865476 * f_up[1];
-        tr[0] += -1.224744871391589 * f_up[2];
-        tr[2] += 0.7071067811865476 * f_up[3];
-        tr[3] += 0.7071067811865476 * f_up[4];
-        tr[4] += 0.7071067811865476 * f_up[5];
-        tr[5] += 0.7071067811865476 * f_up[6];
-        tr[1] += -1.224744871391589 * f_up[7];
-        tr[0] += 1.5811388300841898 * f_up[8];
-        tr[6] += 0.7071067811865476 * f_up[9];
-        tr[2] += -1.224744871391589 * f_up[10];
-        tr[7] += 0.7071067811865476 * f_up[11];
-        tr[8] += 0.7071067811865476 * f_up[12];
-        tr[3] += -1.224744871391589 * f_up[13];
-        tr[9] += 0.7071067811865476 * f_up[14];
-        tr[10] += 0.7071067811865476 * f_up[15];
-        tr[11] += 0.7071067811865476 * f_up[16];
-        tr[4] += -1.224744871391589 * f_up[17];
-        tr[12] += 0.7071067811865476 * f_up[18];
-        tr[13] += 0.7071067811865476 * f_up[19];
-        tr[14] += 0.7071067811865476 * f_up[20];
-        tr[5] += -1.224744871391589 * f_up[21];
-        tr[1] += 1.5811388300841898 * f_up[22];
-        tr[15] += 0.7071067811865476 * f_up[23];
-        tr[6] += -1.224744871391589 * f_up[24];
-        tr[2] += 1.5811388300841898 * f_up[25];
-        tr[16] += 0.7071067811865476 * f_up[26];
-        tr[7] += -1.224744871391589 * f_up[27];
-        tr[17] += 0.7071067811865476 * f_up[28];
-        tr[8] += -1.224744871391589 * f_up[29];
-        tr[3] += 1.5811388300841898 * f_up[30];
-        tr[18] += 0.7071067811865476 * f_up[31];
-        tr[9] += -1.224744871391589 * f_up[32];
-        tr[19] += 0.7071067811865476 * f_up[33];
-        tr[20] += 0.7071067811865476 * f_up[34];
-        tr[10] += -1.224744871391589 * f_up[35];
-        tr[21] += 0.7071067811865476 * f_up[36];
-        tr[22] += 0.7071067811865476 * f_up[37];
-        tr[11] += -1.224744871391589 * f_up[38];
-        tr[4] += 1.5811388300841898 * f_up[39];
-        tr[23] += 0.7071067811865476 * f_up[40];
-        tr[12] += -1.224744871391589 * f_up[41];
-        tr[24] += 0.7071067811865476 * f_up[42];
-        tr[25] += 0.7071067811865476 * f_up[43];
-        tr[13] += -1.224744871391589 * f_up[44];
-        tr[26] += 0.7071067811865476 * f_up[45];
-        tr[27] += 0.7071067811865476 * f_up[46];
-        tr[28] += 0.7071067811865476 * f_up[47];
-        tr[14] += -1.224744871391589 * f_up[48];
-        tr[29] += 0.7071067811865476 * f_up[49];
-        tr[30] += 0.7071067811865476 * f_up[50];
-        tr[15] += -1.224744871391589 * f_up[51];
-        tr[6] += 1.5811388300841898 * f_up[52];
-        tr[16] += -1.224744871391589 * f_up[53];
-        tr[17] += -1.224744871391589 * f_up[54];
-        tr[8] += 1.5811388300841898 * f_up[55];
-        tr[31] += 0.7071067811865476 * f_up[56];
-        tr[18] += -1.224744871391589 * f_up[57];
-        tr[9] += 1.5811388300841898 * f_up[58];
-        tr[32] += 0.7071067811865476 * f_up[59];
-        tr[19] += -1.224744871391589 * f_up[60];
-        tr[20] += -1.224744871391589 * f_up[61];
-        tr[33] += 0.7071067811865476 * f_up[62];
-        tr[21] += -1.224744871391589 * f_up[63];
-        tr[22] += -1.224744871391589 * f_up[64];
-        tr[11] += 1.5811388300841898 * f_up[65];
-        tr[34] += 0.7071067811865476 * f_up[66];
-        tr[23] += -1.224744871391589 * f_up[67];
-        tr[12] += 1.5811388300841898 * f_up[68];
-        tr[35] += 0.7071067811865476 * f_up[69];
-        tr[24] += -1.224744871391589 * f_up[70];
-        tr[36] += 0.7071067811865476 * f_up[71];
-        tr[25] += -1.224744871391589 * f_up[72];
-        tr[13] += 1.5811388300841898 * f_up[73];
-        tr[37] += 0.7071067811865476 * f_up[74];
-        tr[26] += -1.224744871391589 * f_up[75];
-        tr[38] += 0.7071067811865476 * f_up[76];
-        tr[39] += 0.7071067811865476 * f_up[77];
-        tr[27] += -1.224744871391589 * f_up[78];
-        tr[40] += 0.7071067811865476 * f_up[79];
-        tr[28] += -1.224744871391589 * f_up[80];
-        tr[41] += 0.7071067811865476 * f_up[81];
-        tr[29] += -1.224744871391589 * f_up[82];
-        tr[42] += 0.7071067811865476 * f_up[83];
-        tr[30] += -1.224744871391589 * f_up[84];
-        tr[43] += 0.7071067811865476 * f_up[85];
-        tr[31] += -1.224744871391589 * f_up[86];
-        tr[18] += 1.5811388300841898 * f_up[87];
-        tr[32] += -1.224744871391589 * f_up[88];
-        tr[33] += -1.224744871391589 * f_up[89];
-        tr[34] += -1.224744871391589 * f_up[90];
-        tr[23] += 1.5811388300841898 * f_up[91];
-        tr[35] += -1.224744871391589 * f_up[92];
-        tr[36] += -1.224744871391589 * f_up[93];
-        tr[25] += 1.5811388300841898 * f_up[94];
-        tr[44] += 0.7071067811865476 * f_up[95];
-        tr[37] += -1.224744871391589 * f_up[96];
-        tr[26] += 1.5811388300841898 * f_up[97];
-        tr[45] += 0.7071067811865476 * f_up[98];
-        tr[38] += -1.224744871391589 * f_up[99];
-        tr[39] += -1.224744871391589 * f_up[100];
-        tr[46] += 0.7071067811865476 * f_up[101];
-        tr[40] += -1.224744871391589 * f_up[102];
-        tr[41] += -1.224744871391589 * f_up[103];
-        tr[42] += -1.224744871391589 * f_up[104];
-        tr[47] += 0.7071067811865476 * f_up[105];
-        tr[43] += -1.224744871391589 * f_up[106];
-        tr[44] += -1.224744871391589 * f_up[107];
-        tr[37] += 1.5811388300841898 * f_up[108];
-        tr[45] += -1.224744871391589 * f_up[109];
-        tr[46] += -1.224744871391589 * f_up[110];
-        tr[47] += -1.224744871391589 * f_up[111];
+        sxn(&mut tr[0], 0.7071067811865476, &f_up[0]);
+        sxn(&mut tr[1], 0.7071067811865476, &f_up[1]);
+        sxn(&mut tr[0], -1.224744871391589, &f_up[2]);
+        sxn(&mut tr[2], 0.7071067811865476, &f_up[3]);
+        sxn(&mut tr[3], 0.7071067811865476, &f_up[4]);
+        sxn(&mut tr[4], 0.7071067811865476, &f_up[5]);
+        sxn(&mut tr[5], 0.7071067811865476, &f_up[6]);
+        sxn(&mut tr[1], -1.224744871391589, &f_up[7]);
+        sxn(&mut tr[0], 1.5811388300841898, &f_up[8]);
+        sxn(&mut tr[6], 0.7071067811865476, &f_up[9]);
+        sxn(&mut tr[2], -1.224744871391589, &f_up[10]);
+        sxn(&mut tr[7], 0.7071067811865476, &f_up[11]);
+        sxn(&mut tr[8], 0.7071067811865476, &f_up[12]);
+        sxn(&mut tr[3], -1.224744871391589, &f_up[13]);
+        sxn(&mut tr[9], 0.7071067811865476, &f_up[14]);
+        sxn(&mut tr[10], 0.7071067811865476, &f_up[15]);
+        sxn(&mut tr[11], 0.7071067811865476, &f_up[16]);
+        sxn(&mut tr[4], -1.224744871391589, &f_up[17]);
+        sxn(&mut tr[12], 0.7071067811865476, &f_up[18]);
+        sxn(&mut tr[13], 0.7071067811865476, &f_up[19]);
+        sxn(&mut tr[14], 0.7071067811865476, &f_up[20]);
+        sxn(&mut tr[5], -1.224744871391589, &f_up[21]);
+        sxn(&mut tr[1], 1.5811388300841898, &f_up[22]);
+        sxn(&mut tr[15], 0.7071067811865476, &f_up[23]);
+        sxn(&mut tr[6], -1.224744871391589, &f_up[24]);
+        sxn(&mut tr[2], 1.5811388300841898, &f_up[25]);
+        sxn(&mut tr[16], 0.7071067811865476, &f_up[26]);
+        sxn(&mut tr[7], -1.224744871391589, &f_up[27]);
+        sxn(&mut tr[17], 0.7071067811865476, &f_up[28]);
+        sxn(&mut tr[8], -1.224744871391589, &f_up[29]);
+        sxn(&mut tr[3], 1.5811388300841898, &f_up[30]);
+        sxn(&mut tr[18], 0.7071067811865476, &f_up[31]);
+        sxn(&mut tr[9], -1.224744871391589, &f_up[32]);
+        sxn(&mut tr[19], 0.7071067811865476, &f_up[33]);
+        sxn(&mut tr[20], 0.7071067811865476, &f_up[34]);
+        sxn(&mut tr[10], -1.224744871391589, &f_up[35]);
+        sxn(&mut tr[21], 0.7071067811865476, &f_up[36]);
+        sxn(&mut tr[22], 0.7071067811865476, &f_up[37]);
+        sxn(&mut tr[11], -1.224744871391589, &f_up[38]);
+        sxn(&mut tr[4], 1.5811388300841898, &f_up[39]);
+        sxn(&mut tr[23], 0.7071067811865476, &f_up[40]);
+        sxn(&mut tr[12], -1.224744871391589, &f_up[41]);
+        sxn(&mut tr[24], 0.7071067811865476, &f_up[42]);
+        sxn(&mut tr[25], 0.7071067811865476, &f_up[43]);
+        sxn(&mut tr[13], -1.224744871391589, &f_up[44]);
+        sxn(&mut tr[26], 0.7071067811865476, &f_up[45]);
+        sxn(&mut tr[27], 0.7071067811865476, &f_up[46]);
+        sxn(&mut tr[28], 0.7071067811865476, &f_up[47]);
+        sxn(&mut tr[14], -1.224744871391589, &f_up[48]);
+        sxn(&mut tr[29], 0.7071067811865476, &f_up[49]);
+        sxn(&mut tr[30], 0.7071067811865476, &f_up[50]);
+        sxn(&mut tr[15], -1.224744871391589, &f_up[51]);
+        sxn(&mut tr[6], 1.5811388300841898, &f_up[52]);
+        sxn(&mut tr[16], -1.224744871391589, &f_up[53]);
+        sxn(&mut tr[17], -1.224744871391589, &f_up[54]);
+        sxn(&mut tr[8], 1.5811388300841898, &f_up[55]);
+        sxn(&mut tr[31], 0.7071067811865476, &f_up[56]);
+        sxn(&mut tr[18], -1.224744871391589, &f_up[57]);
+        sxn(&mut tr[9], 1.5811388300841898, &f_up[58]);
+        sxn(&mut tr[32], 0.7071067811865476, &f_up[59]);
+        sxn(&mut tr[19], -1.224744871391589, &f_up[60]);
+        sxn(&mut tr[20], -1.224744871391589, &f_up[61]);
+        sxn(&mut tr[33], 0.7071067811865476, &f_up[62]);
+        sxn(&mut tr[21], -1.224744871391589, &f_up[63]);
+        sxn(&mut tr[22], -1.224744871391589, &f_up[64]);
+        sxn(&mut tr[11], 1.5811388300841898, &f_up[65]);
+        sxn(&mut tr[34], 0.7071067811865476, &f_up[66]);
+        sxn(&mut tr[23], -1.224744871391589, &f_up[67]);
+        sxn(&mut tr[12], 1.5811388300841898, &f_up[68]);
+        sxn(&mut tr[35], 0.7071067811865476, &f_up[69]);
+        sxn(&mut tr[24], -1.224744871391589, &f_up[70]);
+        sxn(&mut tr[36], 0.7071067811865476, &f_up[71]);
+        sxn(&mut tr[25], -1.224744871391589, &f_up[72]);
+        sxn(&mut tr[13], 1.5811388300841898, &f_up[73]);
+        sxn(&mut tr[37], 0.7071067811865476, &f_up[74]);
+        sxn(&mut tr[26], -1.224744871391589, &f_up[75]);
+        sxn(&mut tr[38], 0.7071067811865476, &f_up[76]);
+        sxn(&mut tr[39], 0.7071067811865476, &f_up[77]);
+        sxn(&mut tr[27], -1.224744871391589, &f_up[78]);
+        sxn(&mut tr[40], 0.7071067811865476, &f_up[79]);
+        sxn(&mut tr[28], -1.224744871391589, &f_up[80]);
+        sxn(&mut tr[41], 0.7071067811865476, &f_up[81]);
+        sxn(&mut tr[29], -1.224744871391589, &f_up[82]);
+        sxn(&mut tr[42], 0.7071067811865476, &f_up[83]);
+        sxn(&mut tr[30], -1.224744871391589, &f_up[84]);
+        sxn(&mut tr[43], 0.7071067811865476, &f_up[85]);
+        sxn(&mut tr[31], -1.224744871391589, &f_up[86]);
+        sxn(&mut tr[18], 1.5811388300841898, &f_up[87]);
+        sxn(&mut tr[32], -1.224744871391589, &f_up[88]);
+        sxn(&mut tr[33], -1.224744871391589, &f_up[89]);
+        sxn(&mut tr[34], -1.224744871391589, &f_up[90]);
+        sxn(&mut tr[23], 1.5811388300841898, &f_up[91]);
+        sxn(&mut tr[35], -1.224744871391589, &f_up[92]);
+        sxn(&mut tr[36], -1.224744871391589, &f_up[93]);
+        sxn(&mut tr[25], 1.5811388300841898, &f_up[94]);
+        sxn(&mut tr[44], 0.7071067811865476, &f_up[95]);
+        sxn(&mut tr[37], -1.224744871391589, &f_up[96]);
+        sxn(&mut tr[26], 1.5811388300841898, &f_up[97]);
+        sxn(&mut tr[45], 0.7071067811865476, &f_up[98]);
+        sxn(&mut tr[38], -1.224744871391589, &f_up[99]);
+        sxn(&mut tr[39], -1.224744871391589, &f_up[100]);
+        sxn(&mut tr[46], 0.7071067811865476, &f_up[101]);
+        sxn(&mut tr[40], -1.224744871391589, &f_up[102]);
+        sxn(&mut tr[41], -1.224744871391589, &f_up[103]);
+        sxn(&mut tr[42], -1.224744871391589, &f_up[104]);
+        sxn(&mut tr[47], 0.7071067811865476, &f_up[105]);
+        sxn(&mut tr[43], -1.224744871391589, &f_up[106]);
+        sxn(&mut tr[44], -1.224744871391589, &f_up[107]);
+        sxn(&mut tr[37], 1.5811388300841898, &f_up[108]);
+        sxn(&mut tr[45], -1.224744871391589, &f_up[109]);
+        sxn(&mut tr[46], -1.224744871391589, &f_up[110]);
+        sxn(&mut tr[47], -1.224744871391589, &f_up[111]);
     }
-    g[0] += scale * 0.7071067811865476 * tr[0];
-    g[1] += scale * 0.7071067811865476 * tr[1];
-    g[2] += scale * 1.224744871391589 * tr[0];
-    g[3] += scale * 0.7071067811865476 * tr[2];
-    g[4] += scale * 0.7071067811865476 * tr[3];
-    g[5] += scale * 0.7071067811865476 * tr[4];
-    g[6] += scale * 0.7071067811865476 * tr[5];
-    g[7] += scale * 1.224744871391589 * tr[1];
-    g[8] += scale * 1.5811388300841898 * tr[0];
-    g[9] += scale * 0.7071067811865476 * tr[6];
-    g[10] += scale * 1.224744871391589 * tr[2];
-    g[11] += scale * 0.7071067811865476 * tr[7];
-    g[12] += scale * 0.7071067811865476 * tr[8];
-    g[13] += scale * 1.224744871391589 * tr[3];
-    g[14] += scale * 0.7071067811865476 * tr[9];
-    g[15] += scale * 0.7071067811865476 * tr[10];
-    g[16] += scale * 0.7071067811865476 * tr[11];
-    g[17] += scale * 1.224744871391589 * tr[4];
-    g[18] += scale * 0.7071067811865476 * tr[12];
-    g[19] += scale * 0.7071067811865476 * tr[13];
-    g[20] += scale * 0.7071067811865476 * tr[14];
-    g[21] += scale * 1.224744871391589 * tr[5];
-    g[22] += scale * 1.5811388300841898 * tr[1];
-    g[23] += scale * 0.7071067811865476 * tr[15];
-    g[24] += scale * 1.224744871391589 * tr[6];
-    g[25] += scale * 1.5811388300841898 * tr[2];
-    g[26] += scale * 0.7071067811865476 * tr[16];
-    g[27] += scale * 1.224744871391589 * tr[7];
-    g[28] += scale * 0.7071067811865476 * tr[17];
-    g[29] += scale * 1.224744871391589 * tr[8];
-    g[30] += scale * 1.5811388300841898 * tr[3];
-    g[31] += scale * 0.7071067811865476 * tr[18];
-    g[32] += scale * 1.224744871391589 * tr[9];
-    g[33] += scale * 0.7071067811865476 * tr[19];
-    g[34] += scale * 0.7071067811865476 * tr[20];
-    g[35] += scale * 1.224744871391589 * tr[10];
-    g[36] += scale * 0.7071067811865476 * tr[21];
-    g[37] += scale * 0.7071067811865476 * tr[22];
-    g[38] += scale * 1.224744871391589 * tr[11];
-    g[39] += scale * 1.5811388300841898 * tr[4];
-    g[40] += scale * 0.7071067811865476 * tr[23];
-    g[41] += scale * 1.224744871391589 * tr[12];
-    g[42] += scale * 0.7071067811865476 * tr[24];
-    g[43] += scale * 0.7071067811865476 * tr[25];
-    g[44] += scale * 1.224744871391589 * tr[13];
-    g[45] += scale * 0.7071067811865476 * tr[26];
-    g[46] += scale * 0.7071067811865476 * tr[27];
-    g[47] += scale * 0.7071067811865476 * tr[28];
-    g[48] += scale * 1.224744871391589 * tr[14];
-    g[49] += scale * 0.7071067811865476 * tr[29];
-    g[50] += scale * 0.7071067811865476 * tr[30];
-    g[51] += scale * 1.224744871391589 * tr[15];
-    g[52] += scale * 1.5811388300841898 * tr[6];
-    g[53] += scale * 1.224744871391589 * tr[16];
-    g[54] += scale * 1.224744871391589 * tr[17];
-    g[55] += scale * 1.5811388300841898 * tr[8];
-    g[56] += scale * 0.7071067811865476 * tr[31];
-    g[57] += scale * 1.224744871391589 * tr[18];
-    g[58] += scale * 1.5811388300841898 * tr[9];
-    g[59] += scale * 0.7071067811865476 * tr[32];
-    g[60] += scale * 1.224744871391589 * tr[19];
-    g[61] += scale * 1.224744871391589 * tr[20];
-    g[62] += scale * 0.7071067811865476 * tr[33];
-    g[63] += scale * 1.224744871391589 * tr[21];
-    g[64] += scale * 1.224744871391589 * tr[22];
-    g[65] += scale * 1.5811388300841898 * tr[11];
-    g[66] += scale * 0.7071067811865476 * tr[34];
-    g[67] += scale * 1.224744871391589 * tr[23];
-    g[68] += scale * 1.5811388300841898 * tr[12];
-    g[69] += scale * 0.7071067811865476 * tr[35];
-    g[70] += scale * 1.224744871391589 * tr[24];
-    g[71] += scale * 0.7071067811865476 * tr[36];
-    g[72] += scale * 1.224744871391589 * tr[25];
-    g[73] += scale * 1.5811388300841898 * tr[13];
-    g[74] += scale * 0.7071067811865476 * tr[37];
-    g[75] += scale * 1.224744871391589 * tr[26];
-    g[76] += scale * 0.7071067811865476 * tr[38];
-    g[77] += scale * 0.7071067811865476 * tr[39];
-    g[78] += scale * 1.224744871391589 * tr[27];
-    g[79] += scale * 0.7071067811865476 * tr[40];
-    g[80] += scale * 1.224744871391589 * tr[28];
-    g[81] += scale * 0.7071067811865476 * tr[41];
-    g[82] += scale * 1.224744871391589 * tr[29];
-    g[83] += scale * 0.7071067811865476 * tr[42];
-    g[84] += scale * 1.224744871391589 * tr[30];
-    g[85] += scale * 0.7071067811865476 * tr[43];
-    g[86] += scale * 1.224744871391589 * tr[31];
-    g[87] += scale * 1.5811388300841898 * tr[18];
-    g[88] += scale * 1.224744871391589 * tr[32];
-    g[89] += scale * 1.224744871391589 * tr[33];
-    g[90] += scale * 1.224744871391589 * tr[34];
-    g[91] += scale * 1.5811388300841898 * tr[23];
-    g[92] += scale * 1.224744871391589 * tr[35];
-    g[93] += scale * 1.224744871391589 * tr[36];
-    g[94] += scale * 1.5811388300841898 * tr[25];
-    g[95] += scale * 0.7071067811865476 * tr[44];
-    g[96] += scale * 1.224744871391589 * tr[37];
-    g[97] += scale * 1.5811388300841898 * tr[26];
-    g[98] += scale * 0.7071067811865476 * tr[45];
-    g[99] += scale * 1.224744871391589 * tr[38];
-    g[100] += scale * 1.224744871391589 * tr[39];
-    g[101] += scale * 0.7071067811865476 * tr[46];
-    g[102] += scale * 1.224744871391589 * tr[40];
-    g[103] += scale * 1.224744871391589 * tr[41];
-    g[104] += scale * 1.224744871391589 * tr[42];
-    g[105] += scale * 0.7071067811865476 * tr[47];
-    g[106] += scale * 1.224744871391589 * tr[43];
-    g[107] += scale * 1.224744871391589 * tr[44];
-    g[108] += scale * 1.5811388300841898 * tr[37];
-    g[109] += scale * 1.224744871391589 * tr[45];
-    g[110] += scale * 1.224744871391589 * tr[46];
-    g[111] += scale * 1.224744871391589 * tr[47];
-    let mut tl = [0.0f64; 48];
-    tl[0] += 0.7071067811865476 * f[0];
-    tl[1] += 0.7071067811865476 * f[1];
-    tl[0] += -1.224744871391589 * f[2];
-    tl[2] += 0.7071067811865476 * f[3];
-    tl[3] += 0.7071067811865476 * f[4];
-    tl[4] += 0.7071067811865476 * f[5];
-    tl[5] += 0.7071067811865476 * f[6];
-    tl[1] += -1.224744871391589 * f[7];
-    tl[0] += 1.5811388300841898 * f[8];
-    tl[6] += 0.7071067811865476 * f[9];
-    tl[2] += -1.224744871391589 * f[10];
-    tl[7] += 0.7071067811865476 * f[11];
-    tl[8] += 0.7071067811865476 * f[12];
-    tl[3] += -1.224744871391589 * f[13];
-    tl[9] += 0.7071067811865476 * f[14];
-    tl[10] += 0.7071067811865476 * f[15];
-    tl[11] += 0.7071067811865476 * f[16];
-    tl[4] += -1.224744871391589 * f[17];
-    tl[12] += 0.7071067811865476 * f[18];
-    tl[13] += 0.7071067811865476 * f[19];
-    tl[14] += 0.7071067811865476 * f[20];
-    tl[5] += -1.224744871391589 * f[21];
-    tl[1] += 1.5811388300841898 * f[22];
-    tl[15] += 0.7071067811865476 * f[23];
-    tl[6] += -1.224744871391589 * f[24];
-    tl[2] += 1.5811388300841898 * f[25];
-    tl[16] += 0.7071067811865476 * f[26];
-    tl[7] += -1.224744871391589 * f[27];
-    tl[17] += 0.7071067811865476 * f[28];
-    tl[8] += -1.224744871391589 * f[29];
-    tl[3] += 1.5811388300841898 * f[30];
-    tl[18] += 0.7071067811865476 * f[31];
-    tl[9] += -1.224744871391589 * f[32];
-    tl[19] += 0.7071067811865476 * f[33];
-    tl[20] += 0.7071067811865476 * f[34];
-    tl[10] += -1.224744871391589 * f[35];
-    tl[21] += 0.7071067811865476 * f[36];
-    tl[22] += 0.7071067811865476 * f[37];
-    tl[11] += -1.224744871391589 * f[38];
-    tl[4] += 1.5811388300841898 * f[39];
-    tl[23] += 0.7071067811865476 * f[40];
-    tl[12] += -1.224744871391589 * f[41];
-    tl[24] += 0.7071067811865476 * f[42];
-    tl[25] += 0.7071067811865476 * f[43];
-    tl[13] += -1.224744871391589 * f[44];
-    tl[26] += 0.7071067811865476 * f[45];
-    tl[27] += 0.7071067811865476 * f[46];
-    tl[28] += 0.7071067811865476 * f[47];
-    tl[14] += -1.224744871391589 * f[48];
-    tl[29] += 0.7071067811865476 * f[49];
-    tl[30] += 0.7071067811865476 * f[50];
-    tl[15] += -1.224744871391589 * f[51];
-    tl[6] += 1.5811388300841898 * f[52];
-    tl[16] += -1.224744871391589 * f[53];
-    tl[17] += -1.224744871391589 * f[54];
-    tl[8] += 1.5811388300841898 * f[55];
-    tl[31] += 0.7071067811865476 * f[56];
-    tl[18] += -1.224744871391589 * f[57];
-    tl[9] += 1.5811388300841898 * f[58];
-    tl[32] += 0.7071067811865476 * f[59];
-    tl[19] += -1.224744871391589 * f[60];
-    tl[20] += -1.224744871391589 * f[61];
-    tl[33] += 0.7071067811865476 * f[62];
-    tl[21] += -1.224744871391589 * f[63];
-    tl[22] += -1.224744871391589 * f[64];
-    tl[11] += 1.5811388300841898 * f[65];
-    tl[34] += 0.7071067811865476 * f[66];
-    tl[23] += -1.224744871391589 * f[67];
-    tl[12] += 1.5811388300841898 * f[68];
-    tl[35] += 0.7071067811865476 * f[69];
-    tl[24] += -1.224744871391589 * f[70];
-    tl[36] += 0.7071067811865476 * f[71];
-    tl[25] += -1.224744871391589 * f[72];
-    tl[13] += 1.5811388300841898 * f[73];
-    tl[37] += 0.7071067811865476 * f[74];
-    tl[26] += -1.224744871391589 * f[75];
-    tl[38] += 0.7071067811865476 * f[76];
-    tl[39] += 0.7071067811865476 * f[77];
-    tl[27] += -1.224744871391589 * f[78];
-    tl[40] += 0.7071067811865476 * f[79];
-    tl[28] += -1.224744871391589 * f[80];
-    tl[41] += 0.7071067811865476 * f[81];
-    tl[29] += -1.224744871391589 * f[82];
-    tl[42] += 0.7071067811865476 * f[83];
-    tl[30] += -1.224744871391589 * f[84];
-    tl[43] += 0.7071067811865476 * f[85];
-    tl[31] += -1.224744871391589 * f[86];
-    tl[18] += 1.5811388300841898 * f[87];
-    tl[32] += -1.224744871391589 * f[88];
-    tl[33] += -1.224744871391589 * f[89];
-    tl[34] += -1.224744871391589 * f[90];
-    tl[23] += 1.5811388300841898 * f[91];
-    tl[35] += -1.224744871391589 * f[92];
-    tl[36] += -1.224744871391589 * f[93];
-    tl[25] += 1.5811388300841898 * f[94];
-    tl[44] += 0.7071067811865476 * f[95];
-    tl[37] += -1.224744871391589 * f[96];
-    tl[26] += 1.5811388300841898 * f[97];
-    tl[45] += 0.7071067811865476 * f[98];
-    tl[38] += -1.224744871391589 * f[99];
-    tl[39] += -1.224744871391589 * f[100];
-    tl[46] += 0.7071067811865476 * f[101];
-    tl[40] += -1.224744871391589 * f[102];
-    tl[41] += -1.224744871391589 * f[103];
-    tl[42] += -1.224744871391589 * f[104];
-    tl[47] += 0.7071067811865476 * f[105];
-    tl[43] += -1.224744871391589 * f[106];
-    tl[44] += -1.224744871391589 * f[107];
-    tl[37] += 1.5811388300841898 * f[108];
-    tl[45] += -1.224744871391589 * f[109];
-    tl[46] += -1.224744871391589 * f[110];
-    tl[47] += -1.224744871391589 * f[111];
-    g[0] += -scale * 0.7071067811865476 * tl[0];
-    g[1] += -scale * 0.7071067811865476 * tl[1];
-    g[2] += -scale * -1.224744871391589 * tl[0];
-    g[3] += -scale * 0.7071067811865476 * tl[2];
-    g[4] += -scale * 0.7071067811865476 * tl[3];
-    g[5] += -scale * 0.7071067811865476 * tl[4];
-    g[6] += -scale * 0.7071067811865476 * tl[5];
-    g[7] += -scale * -1.224744871391589 * tl[1];
-    g[8] += -scale * 1.5811388300841898 * tl[0];
-    g[9] += -scale * 0.7071067811865476 * tl[6];
-    g[10] += -scale * -1.224744871391589 * tl[2];
-    g[11] += -scale * 0.7071067811865476 * tl[7];
-    g[12] += -scale * 0.7071067811865476 * tl[8];
-    g[13] += -scale * -1.224744871391589 * tl[3];
-    g[14] += -scale * 0.7071067811865476 * tl[9];
-    g[15] += -scale * 0.7071067811865476 * tl[10];
-    g[16] += -scale * 0.7071067811865476 * tl[11];
-    g[17] += -scale * -1.224744871391589 * tl[4];
-    g[18] += -scale * 0.7071067811865476 * tl[12];
-    g[19] += -scale * 0.7071067811865476 * tl[13];
-    g[20] += -scale * 0.7071067811865476 * tl[14];
-    g[21] += -scale * -1.224744871391589 * tl[5];
-    g[22] += -scale * 1.5811388300841898 * tl[1];
-    g[23] += -scale * 0.7071067811865476 * tl[15];
-    g[24] += -scale * -1.224744871391589 * tl[6];
-    g[25] += -scale * 1.5811388300841898 * tl[2];
-    g[26] += -scale * 0.7071067811865476 * tl[16];
-    g[27] += -scale * -1.224744871391589 * tl[7];
-    g[28] += -scale * 0.7071067811865476 * tl[17];
-    g[29] += -scale * -1.224744871391589 * tl[8];
-    g[30] += -scale * 1.5811388300841898 * tl[3];
-    g[31] += -scale * 0.7071067811865476 * tl[18];
-    g[32] += -scale * -1.224744871391589 * tl[9];
-    g[33] += -scale * 0.7071067811865476 * tl[19];
-    g[34] += -scale * 0.7071067811865476 * tl[20];
-    g[35] += -scale * -1.224744871391589 * tl[10];
-    g[36] += -scale * 0.7071067811865476 * tl[21];
-    g[37] += -scale * 0.7071067811865476 * tl[22];
-    g[38] += -scale * -1.224744871391589 * tl[11];
-    g[39] += -scale * 1.5811388300841898 * tl[4];
-    g[40] += -scale * 0.7071067811865476 * tl[23];
-    g[41] += -scale * -1.224744871391589 * tl[12];
-    g[42] += -scale * 0.7071067811865476 * tl[24];
-    g[43] += -scale * 0.7071067811865476 * tl[25];
-    g[44] += -scale * -1.224744871391589 * tl[13];
-    g[45] += -scale * 0.7071067811865476 * tl[26];
-    g[46] += -scale * 0.7071067811865476 * tl[27];
-    g[47] += -scale * 0.7071067811865476 * tl[28];
-    g[48] += -scale * -1.224744871391589 * tl[14];
-    g[49] += -scale * 0.7071067811865476 * tl[29];
-    g[50] += -scale * 0.7071067811865476 * tl[30];
-    g[51] += -scale * -1.224744871391589 * tl[15];
-    g[52] += -scale * 1.5811388300841898 * tl[6];
-    g[53] += -scale * -1.224744871391589 * tl[16];
-    g[54] += -scale * -1.224744871391589 * tl[17];
-    g[55] += -scale * 1.5811388300841898 * tl[8];
-    g[56] += -scale * 0.7071067811865476 * tl[31];
-    g[57] += -scale * -1.224744871391589 * tl[18];
-    g[58] += -scale * 1.5811388300841898 * tl[9];
-    g[59] += -scale * 0.7071067811865476 * tl[32];
-    g[60] += -scale * -1.224744871391589 * tl[19];
-    g[61] += -scale * -1.224744871391589 * tl[20];
-    g[62] += -scale * 0.7071067811865476 * tl[33];
-    g[63] += -scale * -1.224744871391589 * tl[21];
-    g[64] += -scale * -1.224744871391589 * tl[22];
-    g[65] += -scale * 1.5811388300841898 * tl[11];
-    g[66] += -scale * 0.7071067811865476 * tl[34];
-    g[67] += -scale * -1.224744871391589 * tl[23];
-    g[68] += -scale * 1.5811388300841898 * tl[12];
-    g[69] += -scale * 0.7071067811865476 * tl[35];
-    g[70] += -scale * -1.224744871391589 * tl[24];
-    g[71] += -scale * 0.7071067811865476 * tl[36];
-    g[72] += -scale * -1.224744871391589 * tl[25];
-    g[73] += -scale * 1.5811388300841898 * tl[13];
-    g[74] += -scale * 0.7071067811865476 * tl[37];
-    g[75] += -scale * -1.224744871391589 * tl[26];
-    g[76] += -scale * 0.7071067811865476 * tl[38];
-    g[77] += -scale * 0.7071067811865476 * tl[39];
-    g[78] += -scale * -1.224744871391589 * tl[27];
-    g[79] += -scale * 0.7071067811865476 * tl[40];
-    g[80] += -scale * -1.224744871391589 * tl[28];
-    g[81] += -scale * 0.7071067811865476 * tl[41];
-    g[82] += -scale * -1.224744871391589 * tl[29];
-    g[83] += -scale * 0.7071067811865476 * tl[42];
-    g[84] += -scale * -1.224744871391589 * tl[30];
-    g[85] += -scale * 0.7071067811865476 * tl[43];
-    g[86] += -scale * -1.224744871391589 * tl[31];
-    g[87] += -scale * 1.5811388300841898 * tl[18];
-    g[88] += -scale * -1.224744871391589 * tl[32];
-    g[89] += -scale * -1.224744871391589 * tl[33];
-    g[90] += -scale * -1.224744871391589 * tl[34];
-    g[91] += -scale * 1.5811388300841898 * tl[23];
-    g[92] += -scale * -1.224744871391589 * tl[35];
-    g[93] += -scale * -1.224744871391589 * tl[36];
-    g[94] += -scale * 1.5811388300841898 * tl[25];
-    g[95] += -scale * 0.7071067811865476 * tl[44];
-    g[96] += -scale * -1.224744871391589 * tl[37];
-    g[97] += -scale * 1.5811388300841898 * tl[26];
-    g[98] += -scale * 0.7071067811865476 * tl[45];
-    g[99] += -scale * -1.224744871391589 * tl[38];
-    g[100] += -scale * -1.224744871391589 * tl[39];
-    g[101] += -scale * 0.7071067811865476 * tl[46];
-    g[102] += -scale * -1.224744871391589 * tl[40];
-    g[103] += -scale * -1.224744871391589 * tl[41];
-    g[104] += -scale * -1.224744871391589 * tl[42];
-    g[105] += -scale * 0.7071067811865476 * tl[47];
-    g[106] += -scale * -1.224744871391589 * tl[43];
-    g[107] += -scale * -1.224744871391589 * tl[44];
-    g[108] += -scale * 1.5811388300841898 * tl[37];
-    g[109] += -scale * -1.224744871391589 * tl[45];
-    g[110] += -scale * -1.224744871391589 * tl[46];
-    g[111] += -scale * -1.224744871391589 * tl[47];
+    sxn(&mut g[0], scale * 0.7071067811865476, &tr[0]);
+    sxn(&mut g[1], scale * 0.7071067811865476, &tr[1]);
+    sxn(&mut g[2], scale * 1.224744871391589, &tr[0]);
+    sxn(&mut g[3], scale * 0.7071067811865476, &tr[2]);
+    sxn(&mut g[4], scale * 0.7071067811865476, &tr[3]);
+    sxn(&mut g[5], scale * 0.7071067811865476, &tr[4]);
+    sxn(&mut g[6], scale * 0.7071067811865476, &tr[5]);
+    sxn(&mut g[7], scale * 1.224744871391589, &tr[1]);
+    sxn(&mut g[8], scale * 1.5811388300841898, &tr[0]);
+    sxn(&mut g[9], scale * 0.7071067811865476, &tr[6]);
+    sxn(&mut g[10], scale * 1.224744871391589, &tr[2]);
+    sxn(&mut g[11], scale * 0.7071067811865476, &tr[7]);
+    sxn(&mut g[12], scale * 0.7071067811865476, &tr[8]);
+    sxn(&mut g[13], scale * 1.224744871391589, &tr[3]);
+    sxn(&mut g[14], scale * 0.7071067811865476, &tr[9]);
+    sxn(&mut g[15], scale * 0.7071067811865476, &tr[10]);
+    sxn(&mut g[16], scale * 0.7071067811865476, &tr[11]);
+    sxn(&mut g[17], scale * 1.224744871391589, &tr[4]);
+    sxn(&mut g[18], scale * 0.7071067811865476, &tr[12]);
+    sxn(&mut g[19], scale * 0.7071067811865476, &tr[13]);
+    sxn(&mut g[20], scale * 0.7071067811865476, &tr[14]);
+    sxn(&mut g[21], scale * 1.224744871391589, &tr[5]);
+    sxn(&mut g[22], scale * 1.5811388300841898, &tr[1]);
+    sxn(&mut g[23], scale * 0.7071067811865476, &tr[15]);
+    sxn(&mut g[24], scale * 1.224744871391589, &tr[6]);
+    sxn(&mut g[25], scale * 1.5811388300841898, &tr[2]);
+    sxn(&mut g[26], scale * 0.7071067811865476, &tr[16]);
+    sxn(&mut g[27], scale * 1.224744871391589, &tr[7]);
+    sxn(&mut g[28], scale * 0.7071067811865476, &tr[17]);
+    sxn(&mut g[29], scale * 1.224744871391589, &tr[8]);
+    sxn(&mut g[30], scale * 1.5811388300841898, &tr[3]);
+    sxn(&mut g[31], scale * 0.7071067811865476, &tr[18]);
+    sxn(&mut g[32], scale * 1.224744871391589, &tr[9]);
+    sxn(&mut g[33], scale * 0.7071067811865476, &tr[19]);
+    sxn(&mut g[34], scale * 0.7071067811865476, &tr[20]);
+    sxn(&mut g[35], scale * 1.224744871391589, &tr[10]);
+    sxn(&mut g[36], scale * 0.7071067811865476, &tr[21]);
+    sxn(&mut g[37], scale * 0.7071067811865476, &tr[22]);
+    sxn(&mut g[38], scale * 1.224744871391589, &tr[11]);
+    sxn(&mut g[39], scale * 1.5811388300841898, &tr[4]);
+    sxn(&mut g[40], scale * 0.7071067811865476, &tr[23]);
+    sxn(&mut g[41], scale * 1.224744871391589, &tr[12]);
+    sxn(&mut g[42], scale * 0.7071067811865476, &tr[24]);
+    sxn(&mut g[43], scale * 0.7071067811865476, &tr[25]);
+    sxn(&mut g[44], scale * 1.224744871391589, &tr[13]);
+    sxn(&mut g[45], scale * 0.7071067811865476, &tr[26]);
+    sxn(&mut g[46], scale * 0.7071067811865476, &tr[27]);
+    sxn(&mut g[47], scale * 0.7071067811865476, &tr[28]);
+    sxn(&mut g[48], scale * 1.224744871391589, &tr[14]);
+    sxn(&mut g[49], scale * 0.7071067811865476, &tr[29]);
+    sxn(&mut g[50], scale * 0.7071067811865476, &tr[30]);
+    sxn(&mut g[51], scale * 1.224744871391589, &tr[15]);
+    sxn(&mut g[52], scale * 1.5811388300841898, &tr[6]);
+    sxn(&mut g[53], scale * 1.224744871391589, &tr[16]);
+    sxn(&mut g[54], scale * 1.224744871391589, &tr[17]);
+    sxn(&mut g[55], scale * 1.5811388300841898, &tr[8]);
+    sxn(&mut g[56], scale * 0.7071067811865476, &tr[31]);
+    sxn(&mut g[57], scale * 1.224744871391589, &tr[18]);
+    sxn(&mut g[58], scale * 1.5811388300841898, &tr[9]);
+    sxn(&mut g[59], scale * 0.7071067811865476, &tr[32]);
+    sxn(&mut g[60], scale * 1.224744871391589, &tr[19]);
+    sxn(&mut g[61], scale * 1.224744871391589, &tr[20]);
+    sxn(&mut g[62], scale * 0.7071067811865476, &tr[33]);
+    sxn(&mut g[63], scale * 1.224744871391589, &tr[21]);
+    sxn(&mut g[64], scale * 1.224744871391589, &tr[22]);
+    sxn(&mut g[65], scale * 1.5811388300841898, &tr[11]);
+    sxn(&mut g[66], scale * 0.7071067811865476, &tr[34]);
+    sxn(&mut g[67], scale * 1.224744871391589, &tr[23]);
+    sxn(&mut g[68], scale * 1.5811388300841898, &tr[12]);
+    sxn(&mut g[69], scale * 0.7071067811865476, &tr[35]);
+    sxn(&mut g[70], scale * 1.224744871391589, &tr[24]);
+    sxn(&mut g[71], scale * 0.7071067811865476, &tr[36]);
+    sxn(&mut g[72], scale * 1.224744871391589, &tr[25]);
+    sxn(&mut g[73], scale * 1.5811388300841898, &tr[13]);
+    sxn(&mut g[74], scale * 0.7071067811865476, &tr[37]);
+    sxn(&mut g[75], scale * 1.224744871391589, &tr[26]);
+    sxn(&mut g[76], scale * 0.7071067811865476, &tr[38]);
+    sxn(&mut g[77], scale * 0.7071067811865476, &tr[39]);
+    sxn(&mut g[78], scale * 1.224744871391589, &tr[27]);
+    sxn(&mut g[79], scale * 0.7071067811865476, &tr[40]);
+    sxn(&mut g[80], scale * 1.224744871391589, &tr[28]);
+    sxn(&mut g[81], scale * 0.7071067811865476, &tr[41]);
+    sxn(&mut g[82], scale * 1.224744871391589, &tr[29]);
+    sxn(&mut g[83], scale * 0.7071067811865476, &tr[42]);
+    sxn(&mut g[84], scale * 1.224744871391589, &tr[30]);
+    sxn(&mut g[85], scale * 0.7071067811865476, &tr[43]);
+    sxn(&mut g[86], scale * 1.224744871391589, &tr[31]);
+    sxn(&mut g[87], scale * 1.5811388300841898, &tr[18]);
+    sxn(&mut g[88], scale * 1.224744871391589, &tr[32]);
+    sxn(&mut g[89], scale * 1.224744871391589, &tr[33]);
+    sxn(&mut g[90], scale * 1.224744871391589, &tr[34]);
+    sxn(&mut g[91], scale * 1.5811388300841898, &tr[23]);
+    sxn(&mut g[92], scale * 1.224744871391589, &tr[35]);
+    sxn(&mut g[93], scale * 1.224744871391589, &tr[36]);
+    sxn(&mut g[94], scale * 1.5811388300841898, &tr[25]);
+    sxn(&mut g[95], scale * 0.7071067811865476, &tr[44]);
+    sxn(&mut g[96], scale * 1.224744871391589, &tr[37]);
+    sxn(&mut g[97], scale * 1.5811388300841898, &tr[26]);
+    sxn(&mut g[98], scale * 0.7071067811865476, &tr[45]);
+    sxn(&mut g[99], scale * 1.224744871391589, &tr[38]);
+    sxn(&mut g[100], scale * 1.224744871391589, &tr[39]);
+    sxn(&mut g[101], scale * 0.7071067811865476, &tr[46]);
+    sxn(&mut g[102], scale * 1.224744871391589, &tr[40]);
+    sxn(&mut g[103], scale * 1.224744871391589, &tr[41]);
+    sxn(&mut g[104], scale * 1.224744871391589, &tr[42]);
+    sxn(&mut g[105], scale * 0.7071067811865476, &tr[47]);
+    sxn(&mut g[106], scale * 1.224744871391589, &tr[43]);
+    sxn(&mut g[107], scale * 1.224744871391589, &tr[44]);
+    sxn(&mut g[108], scale * 1.5811388300841898, &tr[37]);
+    sxn(&mut g[109], scale * 1.224744871391589, &tr[45]);
+    sxn(&mut g[110], scale * 1.224744871391589, &tr[46]);
+    sxn(&mut g[111], scale * 1.224744871391589, &tr[47]);
+    let mut tl = [[0.0f64; L]; 48];
+    sxn(&mut tl[0], 0.7071067811865476, &f[0]);
+    sxn(&mut tl[1], 0.7071067811865476, &f[1]);
+    sxn(&mut tl[0], -1.224744871391589, &f[2]);
+    sxn(&mut tl[2], 0.7071067811865476, &f[3]);
+    sxn(&mut tl[3], 0.7071067811865476, &f[4]);
+    sxn(&mut tl[4], 0.7071067811865476, &f[5]);
+    sxn(&mut tl[5], 0.7071067811865476, &f[6]);
+    sxn(&mut tl[1], -1.224744871391589, &f[7]);
+    sxn(&mut tl[0], 1.5811388300841898, &f[8]);
+    sxn(&mut tl[6], 0.7071067811865476, &f[9]);
+    sxn(&mut tl[2], -1.224744871391589, &f[10]);
+    sxn(&mut tl[7], 0.7071067811865476, &f[11]);
+    sxn(&mut tl[8], 0.7071067811865476, &f[12]);
+    sxn(&mut tl[3], -1.224744871391589, &f[13]);
+    sxn(&mut tl[9], 0.7071067811865476, &f[14]);
+    sxn(&mut tl[10], 0.7071067811865476, &f[15]);
+    sxn(&mut tl[11], 0.7071067811865476, &f[16]);
+    sxn(&mut tl[4], -1.224744871391589, &f[17]);
+    sxn(&mut tl[12], 0.7071067811865476, &f[18]);
+    sxn(&mut tl[13], 0.7071067811865476, &f[19]);
+    sxn(&mut tl[14], 0.7071067811865476, &f[20]);
+    sxn(&mut tl[5], -1.224744871391589, &f[21]);
+    sxn(&mut tl[1], 1.5811388300841898, &f[22]);
+    sxn(&mut tl[15], 0.7071067811865476, &f[23]);
+    sxn(&mut tl[6], -1.224744871391589, &f[24]);
+    sxn(&mut tl[2], 1.5811388300841898, &f[25]);
+    sxn(&mut tl[16], 0.7071067811865476, &f[26]);
+    sxn(&mut tl[7], -1.224744871391589, &f[27]);
+    sxn(&mut tl[17], 0.7071067811865476, &f[28]);
+    sxn(&mut tl[8], -1.224744871391589, &f[29]);
+    sxn(&mut tl[3], 1.5811388300841898, &f[30]);
+    sxn(&mut tl[18], 0.7071067811865476, &f[31]);
+    sxn(&mut tl[9], -1.224744871391589, &f[32]);
+    sxn(&mut tl[19], 0.7071067811865476, &f[33]);
+    sxn(&mut tl[20], 0.7071067811865476, &f[34]);
+    sxn(&mut tl[10], -1.224744871391589, &f[35]);
+    sxn(&mut tl[21], 0.7071067811865476, &f[36]);
+    sxn(&mut tl[22], 0.7071067811865476, &f[37]);
+    sxn(&mut tl[11], -1.224744871391589, &f[38]);
+    sxn(&mut tl[4], 1.5811388300841898, &f[39]);
+    sxn(&mut tl[23], 0.7071067811865476, &f[40]);
+    sxn(&mut tl[12], -1.224744871391589, &f[41]);
+    sxn(&mut tl[24], 0.7071067811865476, &f[42]);
+    sxn(&mut tl[25], 0.7071067811865476, &f[43]);
+    sxn(&mut tl[13], -1.224744871391589, &f[44]);
+    sxn(&mut tl[26], 0.7071067811865476, &f[45]);
+    sxn(&mut tl[27], 0.7071067811865476, &f[46]);
+    sxn(&mut tl[28], 0.7071067811865476, &f[47]);
+    sxn(&mut tl[14], -1.224744871391589, &f[48]);
+    sxn(&mut tl[29], 0.7071067811865476, &f[49]);
+    sxn(&mut tl[30], 0.7071067811865476, &f[50]);
+    sxn(&mut tl[15], -1.224744871391589, &f[51]);
+    sxn(&mut tl[6], 1.5811388300841898, &f[52]);
+    sxn(&mut tl[16], -1.224744871391589, &f[53]);
+    sxn(&mut tl[17], -1.224744871391589, &f[54]);
+    sxn(&mut tl[8], 1.5811388300841898, &f[55]);
+    sxn(&mut tl[31], 0.7071067811865476, &f[56]);
+    sxn(&mut tl[18], -1.224744871391589, &f[57]);
+    sxn(&mut tl[9], 1.5811388300841898, &f[58]);
+    sxn(&mut tl[32], 0.7071067811865476, &f[59]);
+    sxn(&mut tl[19], -1.224744871391589, &f[60]);
+    sxn(&mut tl[20], -1.224744871391589, &f[61]);
+    sxn(&mut tl[33], 0.7071067811865476, &f[62]);
+    sxn(&mut tl[21], -1.224744871391589, &f[63]);
+    sxn(&mut tl[22], -1.224744871391589, &f[64]);
+    sxn(&mut tl[11], 1.5811388300841898, &f[65]);
+    sxn(&mut tl[34], 0.7071067811865476, &f[66]);
+    sxn(&mut tl[23], -1.224744871391589, &f[67]);
+    sxn(&mut tl[12], 1.5811388300841898, &f[68]);
+    sxn(&mut tl[35], 0.7071067811865476, &f[69]);
+    sxn(&mut tl[24], -1.224744871391589, &f[70]);
+    sxn(&mut tl[36], 0.7071067811865476, &f[71]);
+    sxn(&mut tl[25], -1.224744871391589, &f[72]);
+    sxn(&mut tl[13], 1.5811388300841898, &f[73]);
+    sxn(&mut tl[37], 0.7071067811865476, &f[74]);
+    sxn(&mut tl[26], -1.224744871391589, &f[75]);
+    sxn(&mut tl[38], 0.7071067811865476, &f[76]);
+    sxn(&mut tl[39], 0.7071067811865476, &f[77]);
+    sxn(&mut tl[27], -1.224744871391589, &f[78]);
+    sxn(&mut tl[40], 0.7071067811865476, &f[79]);
+    sxn(&mut tl[28], -1.224744871391589, &f[80]);
+    sxn(&mut tl[41], 0.7071067811865476, &f[81]);
+    sxn(&mut tl[29], -1.224744871391589, &f[82]);
+    sxn(&mut tl[42], 0.7071067811865476, &f[83]);
+    sxn(&mut tl[30], -1.224744871391589, &f[84]);
+    sxn(&mut tl[43], 0.7071067811865476, &f[85]);
+    sxn(&mut tl[31], -1.224744871391589, &f[86]);
+    sxn(&mut tl[18], 1.5811388300841898, &f[87]);
+    sxn(&mut tl[32], -1.224744871391589, &f[88]);
+    sxn(&mut tl[33], -1.224744871391589, &f[89]);
+    sxn(&mut tl[34], -1.224744871391589, &f[90]);
+    sxn(&mut tl[23], 1.5811388300841898, &f[91]);
+    sxn(&mut tl[35], -1.224744871391589, &f[92]);
+    sxn(&mut tl[36], -1.224744871391589, &f[93]);
+    sxn(&mut tl[25], 1.5811388300841898, &f[94]);
+    sxn(&mut tl[44], 0.7071067811865476, &f[95]);
+    sxn(&mut tl[37], -1.224744871391589, &f[96]);
+    sxn(&mut tl[26], 1.5811388300841898, &f[97]);
+    sxn(&mut tl[45], 0.7071067811865476, &f[98]);
+    sxn(&mut tl[38], -1.224744871391589, &f[99]);
+    sxn(&mut tl[39], -1.224744871391589, &f[100]);
+    sxn(&mut tl[46], 0.7071067811865476, &f[101]);
+    sxn(&mut tl[40], -1.224744871391589, &f[102]);
+    sxn(&mut tl[41], -1.224744871391589, &f[103]);
+    sxn(&mut tl[42], -1.224744871391589, &f[104]);
+    sxn(&mut tl[47], 0.7071067811865476, &f[105]);
+    sxn(&mut tl[43], -1.224744871391589, &f[106]);
+    sxn(&mut tl[44], -1.224744871391589, &f[107]);
+    sxn(&mut tl[37], 1.5811388300841898, &f[108]);
+    sxn(&mut tl[45], -1.224744871391589, &f[109]);
+    sxn(&mut tl[46], -1.224744871391589, &f[110]);
+    sxn(&mut tl[47], -1.224744871391589, &f[111]);
+    sxn(&mut g[0], -scale * 0.7071067811865476, &tl[0]);
+    sxn(&mut g[1], -scale * 0.7071067811865476, &tl[1]);
+    sxn(&mut g[2], -scale * -1.224744871391589, &tl[0]);
+    sxn(&mut g[3], -scale * 0.7071067811865476, &tl[2]);
+    sxn(&mut g[4], -scale * 0.7071067811865476, &tl[3]);
+    sxn(&mut g[5], -scale * 0.7071067811865476, &tl[4]);
+    sxn(&mut g[6], -scale * 0.7071067811865476, &tl[5]);
+    sxn(&mut g[7], -scale * -1.224744871391589, &tl[1]);
+    sxn(&mut g[8], -scale * 1.5811388300841898, &tl[0]);
+    sxn(&mut g[9], -scale * 0.7071067811865476, &tl[6]);
+    sxn(&mut g[10], -scale * -1.224744871391589, &tl[2]);
+    sxn(&mut g[11], -scale * 0.7071067811865476, &tl[7]);
+    sxn(&mut g[12], -scale * 0.7071067811865476, &tl[8]);
+    sxn(&mut g[13], -scale * -1.224744871391589, &tl[3]);
+    sxn(&mut g[14], -scale * 0.7071067811865476, &tl[9]);
+    sxn(&mut g[15], -scale * 0.7071067811865476, &tl[10]);
+    sxn(&mut g[16], -scale * 0.7071067811865476, &tl[11]);
+    sxn(&mut g[17], -scale * -1.224744871391589, &tl[4]);
+    sxn(&mut g[18], -scale * 0.7071067811865476, &tl[12]);
+    sxn(&mut g[19], -scale * 0.7071067811865476, &tl[13]);
+    sxn(&mut g[20], -scale * 0.7071067811865476, &tl[14]);
+    sxn(&mut g[21], -scale * -1.224744871391589, &tl[5]);
+    sxn(&mut g[22], -scale * 1.5811388300841898, &tl[1]);
+    sxn(&mut g[23], -scale * 0.7071067811865476, &tl[15]);
+    sxn(&mut g[24], -scale * -1.224744871391589, &tl[6]);
+    sxn(&mut g[25], -scale * 1.5811388300841898, &tl[2]);
+    sxn(&mut g[26], -scale * 0.7071067811865476, &tl[16]);
+    sxn(&mut g[27], -scale * -1.224744871391589, &tl[7]);
+    sxn(&mut g[28], -scale * 0.7071067811865476, &tl[17]);
+    sxn(&mut g[29], -scale * -1.224744871391589, &tl[8]);
+    sxn(&mut g[30], -scale * 1.5811388300841898, &tl[3]);
+    sxn(&mut g[31], -scale * 0.7071067811865476, &tl[18]);
+    sxn(&mut g[32], -scale * -1.224744871391589, &tl[9]);
+    sxn(&mut g[33], -scale * 0.7071067811865476, &tl[19]);
+    sxn(&mut g[34], -scale * 0.7071067811865476, &tl[20]);
+    sxn(&mut g[35], -scale * -1.224744871391589, &tl[10]);
+    sxn(&mut g[36], -scale * 0.7071067811865476, &tl[21]);
+    sxn(&mut g[37], -scale * 0.7071067811865476, &tl[22]);
+    sxn(&mut g[38], -scale * -1.224744871391589, &tl[11]);
+    sxn(&mut g[39], -scale * 1.5811388300841898, &tl[4]);
+    sxn(&mut g[40], -scale * 0.7071067811865476, &tl[23]);
+    sxn(&mut g[41], -scale * -1.224744871391589, &tl[12]);
+    sxn(&mut g[42], -scale * 0.7071067811865476, &tl[24]);
+    sxn(&mut g[43], -scale * 0.7071067811865476, &tl[25]);
+    sxn(&mut g[44], -scale * -1.224744871391589, &tl[13]);
+    sxn(&mut g[45], -scale * 0.7071067811865476, &tl[26]);
+    sxn(&mut g[46], -scale * 0.7071067811865476, &tl[27]);
+    sxn(&mut g[47], -scale * 0.7071067811865476, &tl[28]);
+    sxn(&mut g[48], -scale * -1.224744871391589, &tl[14]);
+    sxn(&mut g[49], -scale * 0.7071067811865476, &tl[29]);
+    sxn(&mut g[50], -scale * 0.7071067811865476, &tl[30]);
+    sxn(&mut g[51], -scale * -1.224744871391589, &tl[15]);
+    sxn(&mut g[52], -scale * 1.5811388300841898, &tl[6]);
+    sxn(&mut g[53], -scale * -1.224744871391589, &tl[16]);
+    sxn(&mut g[54], -scale * -1.224744871391589, &tl[17]);
+    sxn(&mut g[55], -scale * 1.5811388300841898, &tl[8]);
+    sxn(&mut g[56], -scale * 0.7071067811865476, &tl[31]);
+    sxn(&mut g[57], -scale * -1.224744871391589, &tl[18]);
+    sxn(&mut g[58], -scale * 1.5811388300841898, &tl[9]);
+    sxn(&mut g[59], -scale * 0.7071067811865476, &tl[32]);
+    sxn(&mut g[60], -scale * -1.224744871391589, &tl[19]);
+    sxn(&mut g[61], -scale * -1.224744871391589, &tl[20]);
+    sxn(&mut g[62], -scale * 0.7071067811865476, &tl[33]);
+    sxn(&mut g[63], -scale * -1.224744871391589, &tl[21]);
+    sxn(&mut g[64], -scale * -1.224744871391589, &tl[22]);
+    sxn(&mut g[65], -scale * 1.5811388300841898, &tl[11]);
+    sxn(&mut g[66], -scale * 0.7071067811865476, &tl[34]);
+    sxn(&mut g[67], -scale * -1.224744871391589, &tl[23]);
+    sxn(&mut g[68], -scale * 1.5811388300841898, &tl[12]);
+    sxn(&mut g[69], -scale * 0.7071067811865476, &tl[35]);
+    sxn(&mut g[70], -scale * -1.224744871391589, &tl[24]);
+    sxn(&mut g[71], -scale * 0.7071067811865476, &tl[36]);
+    sxn(&mut g[72], -scale * -1.224744871391589, &tl[25]);
+    sxn(&mut g[73], -scale * 1.5811388300841898, &tl[13]);
+    sxn(&mut g[74], -scale * 0.7071067811865476, &tl[37]);
+    sxn(&mut g[75], -scale * -1.224744871391589, &tl[26]);
+    sxn(&mut g[76], -scale * 0.7071067811865476, &tl[38]);
+    sxn(&mut g[77], -scale * 0.7071067811865476, &tl[39]);
+    sxn(&mut g[78], -scale * -1.224744871391589, &tl[27]);
+    sxn(&mut g[79], -scale * 0.7071067811865476, &tl[40]);
+    sxn(&mut g[80], -scale * -1.224744871391589, &tl[28]);
+    sxn(&mut g[81], -scale * 0.7071067811865476, &tl[41]);
+    sxn(&mut g[82], -scale * -1.224744871391589, &tl[29]);
+    sxn(&mut g[83], -scale * 0.7071067811865476, &tl[42]);
+    sxn(&mut g[84], -scale * -1.224744871391589, &tl[30]);
+    sxn(&mut g[85], -scale * 0.7071067811865476, &tl[43]);
+    sxn(&mut g[86], -scale * -1.224744871391589, &tl[31]);
+    sxn(&mut g[87], -scale * 1.5811388300841898, &tl[18]);
+    sxn(&mut g[88], -scale * -1.224744871391589, &tl[32]);
+    sxn(&mut g[89], -scale * -1.224744871391589, &tl[33]);
+    sxn(&mut g[90], -scale * -1.224744871391589, &tl[34]);
+    sxn(&mut g[91], -scale * 1.5811388300841898, &tl[23]);
+    sxn(&mut g[92], -scale * -1.224744871391589, &tl[35]);
+    sxn(&mut g[93], -scale * -1.224744871391589, &tl[36]);
+    sxn(&mut g[94], -scale * 1.5811388300841898, &tl[25]);
+    sxn(&mut g[95], -scale * 0.7071067811865476, &tl[44]);
+    sxn(&mut g[96], -scale * -1.224744871391589, &tl[37]);
+    sxn(&mut g[97], -scale * 1.5811388300841898, &tl[26]);
+    sxn(&mut g[98], -scale * 0.7071067811865476, &tl[45]);
+    sxn(&mut g[99], -scale * -1.224744871391589, &tl[38]);
+    sxn(&mut g[100], -scale * -1.224744871391589, &tl[39]);
+    sxn(&mut g[101], -scale * 0.7071067811865476, &tl[46]);
+    sxn(&mut g[102], -scale * -1.224744871391589, &tl[40]);
+    sxn(&mut g[103], -scale * -1.224744871391589, &tl[41]);
+    sxn(&mut g[104], -scale * -1.224744871391589, &tl[42]);
+    sxn(&mut g[105], -scale * 0.7071067811865476, &tl[47]);
+    sxn(&mut g[106], -scale * -1.224744871391589, &tl[43]);
+    sxn(&mut g[107], -scale * -1.224744871391589, &tl[44]);
+    sxn(&mut g[108], -scale * 1.5811388300841898, &tl[37]);
+    sxn(&mut g[109], -scale * -1.224744871391589, &tl[45]);
+    sxn(&mut g[110], -scale * -1.224744871391589, &tl[46]);
+    sxn(&mut g[111], -scale * -1.224744871391589, &tl[47]);
 }
 
 /// LBO diffusion volume term in v1: weak `ν vth²(x) ∂_v g`.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p2_ser_diff_vol_v1(nu: f64, dv: f64, vth2: &[f64], g: &[f64], out: &mut [f64]) {
+    lbo_2x3v_p2_ser_diff_vol_v1_body::<1>(nu, dv, vth2.as_chunks().0, g.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p2_ser_diff_vol_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_diff_vol_v1_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_diff_vol_v1_body(nu, dv, vth2, g, out)
+}
+
+/// [`lbo_2x3v_p2_ser_diff_vol_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_diff_vol_v1_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_diff_vol_v1_body(nu, dv, vth2, g, out)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p2_ser_diff_vol_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p2_ser_diff_vol_v1_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g: &[[f64; L]], out: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 8] = vth2.first_chunk().expect("vth2: 8 coefficients");
+    let g: &[[f64; L]; 112] = g.first_chunk().expect("g: 112 coefficients");
+    let out: &mut [[f64; L]; 112] = out.first_chunk_mut().expect("out: 112 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 112];
-    alpha[0] = 2.8284271247461903 * vth2[0];
-    alpha[4] = 2.8284271247461903 * vth2[1];
-    alpha[5] = 2.8284271247461903 * vth2[2];
-    alpha[15] = 2.8284271247461903 * vth2[3];
-    alpha[19] = 2.8284271247461903 * vth2[4];
-    alpha[20] = 2.8284271247461903 * vth2[5];
-    alpha[46] = 2.8284271247461903 * vth2[6];
-    alpha[50] = 2.8284271247461903 * vth2[7];
-    out[2] += -nu * scale * 0.30618621784789724 * alpha[0] * g[0];
-    out[2] += -nu * scale * 0.30618621784789724 * alpha[4] * g[4];
-    out[2] += -nu * scale * 0.30618621784789724 * alpha[5] * g[5];
-    out[2] += -nu * scale * 0.3061862178478973 * alpha[15] * g[15];
-    out[2] += -nu * scale * 0.30618621784789724 * alpha[19] * g[19];
-    out[2] += -nu * scale * 0.3061862178478973 * alpha[20] * g[20];
-    out[2] += -nu * scale * 0.3061862178478973 * alpha[46] * g[46];
-    out[2] += -nu * scale * 0.3061862178478973 * alpha[50] * g[50];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[0] * g[1];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[4] * g[12];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[5] * g[16];
-    out[7] += -nu * scale * 0.3061862178478973 * alpha[15] * g[34];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[19] * g[43];
-    out[7] += -nu * scale * 0.3061862178478973 * alpha[20] * g[47];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[46] * g[77];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[50] * g[83];
-    out[8] += -nu * scale * 0.6846531968814576 * alpha[0] * g[2];
-    out[8] += -nu * scale * 0.6846531968814575 * alpha[4] * g[13];
-    out[8] += -nu * scale * 0.6846531968814575 * alpha[5] * g[17];
-    out[8] += -nu * scale * 0.6846531968814578 * alpha[15] * g[35];
-    out[8] += -nu * scale * 0.6846531968814576 * alpha[19] * g[44];
-    out[8] += -nu * scale * 0.6846531968814578 * alpha[20] * g[48];
-    out[8] += -nu * scale * 0.6846531968814576 * alpha[46] * g[78];
-    out[8] += -nu * scale * 0.6846531968814576 * alpha[50] * g[84];
-    out[10] += -nu * scale * 0.30618621784789724 * alpha[0] * g[3];
-    out[10] += -nu * scale * 0.30618621784789724 * alpha[4] * g[14];
-    out[10] += -nu * scale * 0.30618621784789724 * alpha[5] * g[18];
-    out[10] += -nu * scale * 0.3061862178478973 * alpha[15] * g[36];
-    out[10] += -nu * scale * 0.30618621784789724 * alpha[19] * g[45];
-    out[10] += -nu * scale * 0.3061862178478973 * alpha[20] * g[49];
-    out[10] += -nu * scale * 0.30618621784789724 * alpha[46] * g[79];
-    out[10] += -nu * scale * 0.30618621784789724 * alpha[50] * g[85];
-    out[13] += -nu * scale * 0.30618621784789724 * alpha[0] * g[4];
-    out[13] += -nu * scale * 0.30618621784789724 * alpha[4] * g[0];
-    out[13] += -nu * scale * 0.27386127875258304 * alpha[4] * g[15];
-    out[13] += -nu * scale * 0.30618621784789724 * alpha[5] * g[19];
-    out[13] += -nu * scale * 0.27386127875258304 * alpha[15] * g[4];
-    out[13] += -nu * scale * 0.30618621784789724 * alpha[19] * g[5];
-    out[13] += -nu * scale * 0.2738612787525831 * alpha[19] * g[46];
-    out[13] += -nu * scale * 0.3061862178478973 * alpha[20] * g[50];
-    out[13] += -nu * scale * 0.2738612787525831 * alpha[46] * g[19];
-    out[13] += -nu * scale * 0.3061862178478973 * alpha[50] * g[20];
-    out[17] += -nu * scale * 0.30618621784789724 * alpha[0] * g[5];
-    out[17] += -nu * scale * 0.30618621784789724 * alpha[4] * g[19];
-    out[17] += -nu * scale * 0.30618621784789724 * alpha[5] * g[0];
-    out[17] += -nu * scale * 0.27386127875258304 * alpha[5] * g[20];
-    out[17] += -nu * scale * 0.3061862178478973 * alpha[15] * g[46];
-    out[17] += -nu * scale * 0.30618621784789724 * alpha[19] * g[4];
-    out[17] += -nu * scale * 0.2738612787525831 * alpha[19] * g[50];
-    out[17] += -nu * scale * 0.27386127875258304 * alpha[20] * g[5];
-    out[17] += -nu * scale * 0.3061862178478973 * alpha[46] * g[15];
-    out[17] += -nu * scale * 0.2738612787525831 * alpha[50] * g[19];
-    out[21] += -nu * scale * 0.3061862178478973 * alpha[0] * g[6];
-    out[21] += -nu * scale * 0.3061862178478973 * alpha[4] * g[28];
-    out[21] += -nu * scale * 0.3061862178478973 * alpha[5] * g[37];
-    out[21] += -nu * scale * 0.30618621784789724 * alpha[19] * g[71];
-    out[22] += -nu * scale * 0.6846531968814575 * alpha[0] * g[7];
-    out[22] += -nu * scale * 0.6846531968814576 * alpha[4] * g[29];
-    out[22] += -nu * scale * 0.6846531968814576 * alpha[5] * g[38];
-    out[22] += -nu * scale * 0.6846531968814576 * alpha[15] * g[61];
-    out[22] += -nu * scale * 0.6846531968814576 * alpha[19] * g[72];
-    out[22] += -nu * scale * 0.6846531968814576 * alpha[20] * g[80];
-    out[22] += -nu * scale * 0.6846531968814576 * alpha[46] * g[100];
-    out[22] += -nu * scale * 0.6846531968814576 * alpha[50] * g[104];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[0] * g[9];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[4] * g[31];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[5] * g[40];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[15] * g[62];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[19] * g[74];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[20] * g[81];
-    out[24] += -nu * scale * 0.3061862178478973 * alpha[46] * g[101];
-    out[24] += -nu * scale * 0.3061862178478973 * alpha[50] * g[105];
-    out[25] += -nu * scale * 0.6846531968814575 * alpha[0] * g[10];
-    out[25] += -nu * scale * 0.6846531968814576 * alpha[4] * g[32];
-    out[25] += -nu * scale * 0.6846531968814576 * alpha[5] * g[41];
-    out[25] += -nu * scale * 0.6846531968814576 * alpha[15] * g[63];
-    out[25] += -nu * scale * 0.6846531968814576 * alpha[19] * g[75];
-    out[25] += -nu * scale * 0.6846531968814576 * alpha[20] * g[82];
-    out[25] += -nu * scale * 0.6846531968814576 * alpha[46] * g[102];
-    out[25] += -nu * scale * 0.6846531968814576 * alpha[50] * g[106];
-    out[27] += -nu * scale * 0.3061862178478973 * alpha[0] * g[11];
-    out[27] += -nu * scale * 0.3061862178478973 * alpha[4] * g[33];
-    out[27] += -nu * scale * 0.3061862178478973 * alpha[5] * g[42];
-    out[27] += -nu * scale * 0.30618621784789724 * alpha[19] * g[76];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[0] * g[12];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[4] * g[1];
-    out[29] += -nu * scale * 0.2738612787525831 * alpha[4] * g[34];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[5] * g[43];
-    out[29] += -nu * scale * 0.2738612787525831 * alpha[15] * g[12];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[19] * g[16];
-    out[29] += -nu * scale * 0.2738612787525831 * alpha[19] * g[77];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[20] * g[83];
-    out[29] += -nu * scale * 0.2738612787525831 * alpha[46] * g[43];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[50] * g[47];
-    out[30] += -nu * scale * 0.6846531968814575 * alpha[0] * g[13];
-    out[30] += -nu * scale * 0.6846531968814575 * alpha[4] * g[2];
-    out[30] += -nu * scale * 0.6123724356957946 * alpha[4] * g[35];
-    out[30] += -nu * scale * 0.6846531968814576 * alpha[5] * g[44];
-    out[30] += -nu * scale * 0.6123724356957946 * alpha[15] * g[13];
-    out[30] += -nu * scale * 0.6846531968814576 * alpha[19] * g[17];
-    out[30] += -nu * scale * 0.6123724356957945 * alpha[19] * g[78];
-    out[30] += -nu * scale * 0.6846531968814576 * alpha[20] * g[84];
-    out[30] += -nu * scale * 0.6123724356957945 * alpha[46] * g[44];
-    out[30] += -nu * scale * 0.6846531968814576 * alpha[50] * g[48];
-    out[32] += -nu * scale * 0.30618621784789724 * alpha[0] * g[14];
-    out[32] += -nu * scale * 0.30618621784789724 * alpha[4] * g[3];
-    out[32] += -nu * scale * 0.2738612787525831 * alpha[4] * g[36];
-    out[32] += -nu * scale * 0.30618621784789724 * alpha[5] * g[45];
-    out[32] += -nu * scale * 0.2738612787525831 * alpha[15] * g[14];
-    out[32] += -nu * scale * 0.30618621784789724 * alpha[19] * g[18];
-    out[32] += -nu * scale * 0.2738612787525831 * alpha[19] * g[79];
-    out[32] += -nu * scale * 0.30618621784789724 * alpha[20] * g[85];
-    out[32] += -nu * scale * 0.2738612787525831 * alpha[46] * g[45];
-    out[32] += -nu * scale * 0.30618621784789724 * alpha[50] * g[49];
-    out[35] += -nu * scale * 0.3061862178478973 * alpha[0] * g[15];
-    out[35] += -nu * scale * 0.27386127875258304 * alpha[4] * g[4];
-    out[35] += -nu * scale * 0.3061862178478973 * alpha[5] * g[46];
-    out[35] += -nu * scale * 0.3061862178478973 * alpha[15] * g[0];
-    out[35] += -nu * scale * 0.1956151991089879 * alpha[15] * g[15];
-    out[35] += -nu * scale * 0.2738612787525831 * alpha[19] * g[19];
-    out[35] += -nu * scale * 0.3061862178478973 * alpha[46] * g[5];
-    out[35] += -nu * scale * 0.19561519910898792 * alpha[46] * g[46];
-    out[35] += -nu * scale * 0.2738612787525831 * alpha[50] * g[50];
-    out[38] += -nu * scale * 0.30618621784789724 * alpha[0] * g[16];
-    out[38] += -nu * scale * 0.30618621784789724 * alpha[4] * g[43];
-    out[38] += -nu * scale * 0.30618621784789724 * alpha[5] * g[1];
-    out[38] += -nu * scale * 0.2738612787525831 * alpha[5] * g[47];
-    out[38] += -nu * scale * 0.30618621784789724 * alpha[15] * g[77];
-    out[38] += -nu * scale * 0.30618621784789724 * alpha[19] * g[12];
-    out[38] += -nu * scale * 0.2738612787525831 * alpha[19] * g[83];
-    out[38] += -nu * scale * 0.2738612787525831 * alpha[20] * g[16];
-    out[38] += -nu * scale * 0.30618621784789724 * alpha[46] * g[34];
-    out[38] += -nu * scale * 0.2738612787525831 * alpha[50] * g[43];
-    out[39] += -nu * scale * 0.6846531968814575 * alpha[0] * g[17];
-    out[39] += -nu * scale * 0.6846531968814576 * alpha[4] * g[44];
-    out[39] += -nu * scale * 0.6846531968814575 * alpha[5] * g[2];
-    out[39] += -nu * scale * 0.6123724356957946 * alpha[5] * g[48];
-    out[39] += -nu * scale * 0.6846531968814576 * alpha[15] * g[78];
-    out[39] += -nu * scale * 0.6846531968814576 * alpha[19] * g[13];
-    out[39] += -nu * scale * 0.6123724356957945 * alpha[19] * g[84];
-    out[39] += -nu * scale * 0.6123724356957946 * alpha[20] * g[17];
-    out[39] += -nu * scale * 0.6846531968814576 * alpha[46] * g[35];
-    out[39] += -nu * scale * 0.6123724356957945 * alpha[50] * g[44];
-    out[41] += -nu * scale * 0.30618621784789724 * alpha[0] * g[18];
-    out[41] += -nu * scale * 0.30618621784789724 * alpha[4] * g[45];
-    out[41] += -nu * scale * 0.30618621784789724 * alpha[5] * g[3];
-    out[41] += -nu * scale * 0.2738612787525831 * alpha[5] * g[49];
-    out[41] += -nu * scale * 0.30618621784789724 * alpha[15] * g[79];
-    out[41] += -nu * scale * 0.30618621784789724 * alpha[19] * g[14];
-    out[41] += -nu * scale * 0.2738612787525831 * alpha[19] * g[85];
-    out[41] += -nu * scale * 0.2738612787525831 * alpha[20] * g[18];
-    out[41] += -nu * scale * 0.30618621784789724 * alpha[46] * g[36];
-    out[41] += -nu * scale * 0.2738612787525831 * alpha[50] * g[45];
-    out[44] += -nu * scale * 0.30618621784789724 * alpha[0] * g[19];
-    out[44] += -nu * scale * 0.30618621784789724 * alpha[4] * g[5];
-    out[44] += -nu * scale * 0.2738612787525831 * alpha[4] * g[46];
-    out[44] += -nu * scale * 0.30618621784789724 * alpha[5] * g[4];
-    out[44] += -nu * scale * 0.2738612787525831 * alpha[5] * g[50];
-    out[44] += -nu * scale * 0.2738612787525831 * alpha[15] * g[19];
-    out[44] += -nu * scale * 0.30618621784789724 * alpha[19] * g[0];
-    out[44] += -nu * scale * 0.2738612787525831 * alpha[19] * g[15];
-    out[44] += -nu * scale * 0.2738612787525831 * alpha[19] * g[20];
-    out[44] += -nu * scale * 0.2738612787525831 * alpha[20] * g[19];
-    out[44] += -nu * scale * 0.2738612787525831 * alpha[46] * g[4];
-    out[44] += -nu * scale * 0.2449489742783178 * alpha[46] * g[50];
-    out[44] += -nu * scale * 0.2738612787525831 * alpha[50] * g[5];
-    out[44] += -nu * scale * 0.2449489742783178 * alpha[50] * g[46];
-    out[48] += -nu * scale * 0.3061862178478973 * alpha[0] * g[20];
-    out[48] += -nu * scale * 0.3061862178478973 * alpha[4] * g[50];
-    out[48] += -nu * scale * 0.27386127875258304 * alpha[5] * g[5];
-    out[48] += -nu * scale * 0.2738612787525831 * alpha[19] * g[19];
-    out[48] += -nu * scale * 0.3061862178478973 * alpha[20] * g[0];
-    out[48] += -nu * scale * 0.1956151991089879 * alpha[20] * g[20];
-    out[48] += -nu * scale * 0.2738612787525831 * alpha[46] * g[46];
-    out[48] += -nu * scale * 0.3061862178478973 * alpha[50] * g[4];
-    out[48] += -nu * scale * 0.19561519910898792 * alpha[50] * g[50];
-    out[51] += -nu * scale * 0.3061862178478973 * alpha[0] * g[23];
-    out[51] += -nu * scale * 0.30618621784789724 * alpha[4] * g[56];
-    out[51] += -nu * scale * 0.30618621784789724 * alpha[5] * g[66];
-    out[51] += -nu * scale * 0.3061862178478973 * alpha[19] * g[95];
-    out[52] += -nu * scale * 0.6846531968814576 * alpha[0] * g[24];
-    out[52] += -nu * scale * 0.6846531968814576 * alpha[4] * g[57];
-    out[52] += -nu * scale * 0.6846531968814576 * alpha[5] * g[67];
-    out[52] += -nu * scale * 0.6846531968814576 * alpha[15] * g[89];
-    out[52] += -nu * scale * 0.6846531968814576 * alpha[19] * g[96];
-    out[52] += -nu * scale * 0.6846531968814576 * alpha[20] * g[103];
-    out[52] += -nu * scale * 0.6846531968814576 * alpha[46] * g[110];
-    out[52] += -nu * scale * 0.6846531968814576 * alpha[50] * g[111];
-    out[53] += -nu * scale * 0.3061862178478973 * alpha[0] * g[26];
-    out[53] += -nu * scale * 0.30618621784789724 * alpha[4] * g[59];
-    out[53] += -nu * scale * 0.30618621784789724 * alpha[5] * g[69];
-    out[53] += -nu * scale * 0.3061862178478973 * alpha[19] * g[98];
-    out[54] += -nu * scale * 0.3061862178478973 * alpha[0] * g[28];
-    out[54] += -nu * scale * 0.3061862178478973 * alpha[4] * g[6];
-    out[54] += -nu * scale * 0.30618621784789724 * alpha[5] * g[71];
-    out[54] += -nu * scale * 0.2738612787525831 * alpha[15] * g[28];
-    out[54] += -nu * scale * 0.30618621784789724 * alpha[19] * g[37];
-    out[54] += -nu * scale * 0.27386127875258304 * alpha[46] * g[71];
-    out[55] += -nu * scale * 0.6846531968814576 * alpha[0] * g[29];
-    out[55] += -nu * scale * 0.6846531968814576 * alpha[4] * g[7];
-    out[55] += -nu * scale * 0.6123724356957945 * alpha[4] * g[61];
-    out[55] += -nu * scale * 0.6846531968814576 * alpha[5] * g[72];
-    out[55] += -nu * scale * 0.6123724356957945 * alpha[15] * g[29];
-    out[55] += -nu * scale * 0.6846531968814576 * alpha[19] * g[38];
-    out[55] += -nu * scale * 0.6123724356957946 * alpha[19] * g[100];
-    out[55] += -nu * scale * 0.6846531968814576 * alpha[20] * g[104];
-    out[55] += -nu * scale * 0.6123724356957946 * alpha[46] * g[72];
-    out[55] += -nu * scale * 0.6846531968814576 * alpha[50] * g[80];
-    out[57] += -nu * scale * 0.30618621784789724 * alpha[0] * g[31];
-    out[57] += -nu * scale * 0.30618621784789724 * alpha[4] * g[9];
-    out[57] += -nu * scale * 0.2738612787525831 * alpha[4] * g[62];
-    out[57] += -nu * scale * 0.30618621784789724 * alpha[5] * g[74];
-    out[57] += -nu * scale * 0.2738612787525831 * alpha[15] * g[31];
-    out[57] += -nu * scale * 0.30618621784789724 * alpha[19] * g[40];
-    out[57] += -nu * scale * 0.27386127875258304 * alpha[19] * g[101];
-    out[57] += -nu * scale * 0.3061862178478973 * alpha[20] * g[105];
-    out[57] += -nu * scale * 0.27386127875258304 * alpha[46] * g[74];
-    out[57] += -nu * scale * 0.3061862178478973 * alpha[50] * g[81];
-    out[58] += -nu * scale * 0.6846531968814576 * alpha[0] * g[32];
-    out[58] += -nu * scale * 0.6846531968814576 * alpha[4] * g[10];
-    out[58] += -nu * scale * 0.6123724356957945 * alpha[4] * g[63];
-    out[58] += -nu * scale * 0.6846531968814576 * alpha[5] * g[75];
-    out[58] += -nu * scale * 0.6123724356957945 * alpha[15] * g[32];
-    out[58] += -nu * scale * 0.6846531968814576 * alpha[19] * g[41];
-    out[58] += -nu * scale * 0.6123724356957946 * alpha[19] * g[102];
-    out[58] += -nu * scale * 0.6846531968814576 * alpha[20] * g[106];
-    out[58] += -nu * scale * 0.6123724356957946 * alpha[46] * g[75];
-    out[58] += -nu * scale * 0.6846531968814576 * alpha[50] * g[82];
-    out[60] += -nu * scale * 0.3061862178478973 * alpha[0] * g[33];
-    out[60] += -nu * scale * 0.3061862178478973 * alpha[4] * g[11];
-    out[60] += -nu * scale * 0.30618621784789724 * alpha[5] * g[76];
-    out[60] += -nu * scale * 0.2738612787525831 * alpha[15] * g[33];
-    out[60] += -nu * scale * 0.30618621784789724 * alpha[19] * g[42];
-    out[60] += -nu * scale * 0.27386127875258304 * alpha[46] * g[76];
-    out[61] += -nu * scale * 0.3061862178478973 * alpha[0] * g[34];
-    out[61] += -nu * scale * 0.2738612787525831 * alpha[4] * g[12];
-    out[61] += -nu * scale * 0.30618621784789724 * alpha[5] * g[77];
-    out[61] += -nu * scale * 0.3061862178478973 * alpha[15] * g[1];
-    out[61] += -nu * scale * 0.19561519910898792 * alpha[15] * g[34];
-    out[61] += -nu * scale * 0.2738612787525831 * alpha[19] * g[43];
-    out[61] += -nu * scale * 0.30618621784789724 * alpha[46] * g[16];
-    out[61] += -nu * scale * 0.1956151991089879 * alpha[46] * g[77];
-    out[61] += -nu * scale * 0.27386127875258304 * alpha[50] * g[83];
-    out[63] += -nu * scale * 0.3061862178478973 * alpha[0] * g[36];
-    out[63] += -nu * scale * 0.2738612787525831 * alpha[4] * g[14];
-    out[63] += -nu * scale * 0.30618621784789724 * alpha[5] * g[79];
-    out[63] += -nu * scale * 0.3061862178478973 * alpha[15] * g[3];
-    out[63] += -nu * scale * 0.19561519910898792 * alpha[15] * g[36];
-    out[63] += -nu * scale * 0.2738612787525831 * alpha[19] * g[45];
-    out[63] += -nu * scale * 0.30618621784789724 * alpha[46] * g[18];
-    out[63] += -nu * scale * 0.1956151991089879 * alpha[46] * g[79];
-    out[63] += -nu * scale * 0.27386127875258304 * alpha[50] * g[85];
-    out[64] += -nu * scale * 0.3061862178478973 * alpha[0] * g[37];
-    out[64] += -nu * scale * 0.30618621784789724 * alpha[4] * g[71];
-    out[64] += -nu * scale * 0.3061862178478973 * alpha[5] * g[6];
-    out[64] += -nu * scale * 0.30618621784789724 * alpha[19] * g[28];
-    out[64] += -nu * scale * 0.2738612787525831 * alpha[20] * g[37];
-    out[64] += -nu * scale * 0.27386127875258304 * alpha[50] * g[71];
-    out[65] += -nu * scale * 0.6846531968814576 * alpha[0] * g[38];
-    out[65] += -nu * scale * 0.6846531968814576 * alpha[4] * g[72];
-    out[65] += -nu * scale * 0.6846531968814576 * alpha[5] * g[7];
-    out[65] += -nu * scale * 0.6123724356957945 * alpha[5] * g[80];
-    out[65] += -nu * scale * 0.6846531968814576 * alpha[15] * g[100];
-    out[65] += -nu * scale * 0.6846531968814576 * alpha[19] * g[29];
-    out[65] += -nu * scale * 0.6123724356957946 * alpha[19] * g[104];
-    out[65] += -nu * scale * 0.6123724356957945 * alpha[20] * g[38];
-    out[65] += -nu * scale * 0.6846531968814576 * alpha[46] * g[61];
-    out[65] += -nu * scale * 0.6123724356957946 * alpha[50] * g[72];
-    out[67] += -nu * scale * 0.30618621784789724 * alpha[0] * g[40];
-    out[67] += -nu * scale * 0.30618621784789724 * alpha[4] * g[74];
-    out[67] += -nu * scale * 0.30618621784789724 * alpha[5] * g[9];
-    out[67] += -nu * scale * 0.2738612787525831 * alpha[5] * g[81];
-    out[67] += -nu * scale * 0.3061862178478973 * alpha[15] * g[101];
-    out[67] += -nu * scale * 0.30618621784789724 * alpha[19] * g[31];
-    out[67] += -nu * scale * 0.27386127875258304 * alpha[19] * g[105];
-    out[67] += -nu * scale * 0.2738612787525831 * alpha[20] * g[40];
-    out[67] += -nu * scale * 0.3061862178478973 * alpha[46] * g[62];
-    out[67] += -nu * scale * 0.27386127875258304 * alpha[50] * g[74];
-    out[68] += -nu * scale * 0.6846531968814576 * alpha[0] * g[41];
-    out[68] += -nu * scale * 0.6846531968814576 * alpha[4] * g[75];
-    out[68] += -nu * scale * 0.6846531968814576 * alpha[5] * g[10];
-    out[68] += -nu * scale * 0.6123724356957945 * alpha[5] * g[82];
-    out[68] += -nu * scale * 0.6846531968814576 * alpha[15] * g[102];
-    out[68] += -nu * scale * 0.6846531968814576 * alpha[19] * g[32];
-    out[68] += -nu * scale * 0.6123724356957946 * alpha[19] * g[106];
-    out[68] += -nu * scale * 0.6123724356957945 * alpha[20] * g[41];
-    out[68] += -nu * scale * 0.6846531968814576 * alpha[46] * g[63];
-    out[68] += -nu * scale * 0.6123724356957946 * alpha[50] * g[75];
-    out[70] += -nu * scale * 0.3061862178478973 * alpha[0] * g[42];
-    out[70] += -nu * scale * 0.30618621784789724 * alpha[4] * g[76];
-    out[70] += -nu * scale * 0.3061862178478973 * alpha[5] * g[11];
-    out[70] += -nu * scale * 0.30618621784789724 * alpha[19] * g[33];
-    out[70] += -nu * scale * 0.2738612787525831 * alpha[20] * g[42];
-    out[70] += -nu * scale * 0.27386127875258304 * alpha[50] * g[76];
-    out[72] += -nu * scale * 0.30618621784789724 * alpha[0] * g[43];
-    out[72] += -nu * scale * 0.30618621784789724 * alpha[4] * g[16];
-    out[72] += -nu * scale * 0.2738612787525831 * alpha[4] * g[77];
-    out[72] += -nu * scale * 0.30618621784789724 * alpha[5] * g[12];
-    out[72] += -nu * scale * 0.2738612787525831 * alpha[5] * g[83];
-    out[72] += -nu * scale * 0.2738612787525831 * alpha[15] * g[43];
-    out[72] += -nu * scale * 0.30618621784789724 * alpha[19] * g[1];
-    out[72] += -nu * scale * 0.2738612787525831 * alpha[19] * g[34];
-    out[72] += -nu * scale * 0.2738612787525831 * alpha[19] * g[47];
-    out[72] += -nu * scale * 0.2738612787525831 * alpha[20] * g[43];
-    out[72] += -nu * scale * 0.2738612787525831 * alpha[46] * g[12];
-    out[72] += -nu * scale * 0.2449489742783178 * alpha[46] * g[83];
-    out[72] += -nu * scale * 0.2738612787525831 * alpha[50] * g[16];
-    out[72] += -nu * scale * 0.2449489742783178 * alpha[50] * g[77];
-    out[73] += -nu * scale * 0.6846531968814576 * alpha[0] * g[44];
-    out[73] += -nu * scale * 0.6846531968814576 * alpha[4] * g[17];
-    out[73] += -nu * scale * 0.6123724356957945 * alpha[4] * g[78];
-    out[73] += -nu * scale * 0.6846531968814576 * alpha[5] * g[13];
-    out[73] += -nu * scale * 0.6123724356957945 * alpha[5] * g[84];
-    out[73] += -nu * scale * 0.6123724356957945 * alpha[15] * g[44];
-    out[73] += -nu * scale * 0.6846531968814576 * alpha[19] * g[2];
-    out[73] += -nu * scale * 0.6123724356957945 * alpha[19] * g[35];
-    out[73] += -nu * scale * 0.6123724356957945 * alpha[19] * g[48];
-    out[73] += -nu * scale * 0.6123724356957945 * alpha[20] * g[44];
-    out[73] += -nu * scale * 0.6123724356957945 * alpha[46] * g[13];
-    out[73] += -nu * scale * 0.5477225575051661 * alpha[46] * g[84];
-    out[73] += -nu * scale * 0.6123724356957945 * alpha[50] * g[17];
-    out[73] += -nu * scale * 0.5477225575051661 * alpha[50] * g[78];
-    out[75] += -nu * scale * 0.30618621784789724 * alpha[0] * g[45];
-    out[75] += -nu * scale * 0.30618621784789724 * alpha[4] * g[18];
-    out[75] += -nu * scale * 0.2738612787525831 * alpha[4] * g[79];
-    out[75] += -nu * scale * 0.30618621784789724 * alpha[5] * g[14];
-    out[75] += -nu * scale * 0.2738612787525831 * alpha[5] * g[85];
-    out[75] += -nu * scale * 0.2738612787525831 * alpha[15] * g[45];
-    out[75] += -nu * scale * 0.30618621784789724 * alpha[19] * g[3];
-    out[75] += -nu * scale * 0.2738612787525831 * alpha[19] * g[36];
-    out[75] += -nu * scale * 0.2738612787525831 * alpha[19] * g[49];
-    out[75] += -nu * scale * 0.2738612787525831 * alpha[20] * g[45];
-    out[75] += -nu * scale * 0.2738612787525831 * alpha[46] * g[14];
-    out[75] += -nu * scale * 0.2449489742783178 * alpha[46] * g[85];
-    out[75] += -nu * scale * 0.2738612787525831 * alpha[50] * g[18];
-    out[75] += -nu * scale * 0.2449489742783178 * alpha[50] * g[79];
-    out[78] += -nu * scale * 0.3061862178478973 * alpha[0] * g[46];
-    out[78] += -nu * scale * 0.2738612787525831 * alpha[4] * g[19];
-    out[78] += -nu * scale * 0.3061862178478973 * alpha[5] * g[15];
-    out[78] += -nu * scale * 0.3061862178478973 * alpha[15] * g[5];
-    out[78] += -nu * scale * 0.19561519910898792 * alpha[15] * g[46];
-    out[78] += -nu * scale * 0.2738612787525831 * alpha[19] * g[4];
-    out[78] += -nu * scale * 0.2449489742783178 * alpha[19] * g[50];
-    out[78] += -nu * scale * 0.2738612787525831 * alpha[20] * g[46];
-    out[78] += -nu * scale * 0.3061862178478973 * alpha[46] * g[0];
-    out[78] += -nu * scale * 0.19561519910898792 * alpha[46] * g[15];
-    out[78] += -nu * scale * 0.2738612787525831 * alpha[46] * g[20];
-    out[78] += -nu * scale * 0.2449489742783178 * alpha[50] * g[19];
-    out[80] += -nu * scale * 0.3061862178478973 * alpha[0] * g[47];
-    out[80] += -nu * scale * 0.30618621784789724 * alpha[4] * g[83];
-    out[80] += -nu * scale * 0.2738612787525831 * alpha[5] * g[16];
-    out[80] += -nu * scale * 0.2738612787525831 * alpha[19] * g[43];
-    out[80] += -nu * scale * 0.3061862178478973 * alpha[20] * g[1];
-    out[80] += -nu * scale * 0.19561519910898792 * alpha[20] * g[47];
-    out[80] += -nu * scale * 0.27386127875258304 * alpha[46] * g[77];
-    out[80] += -nu * scale * 0.30618621784789724 * alpha[50] * g[12];
-    out[80] += -nu * scale * 0.1956151991089879 * alpha[50] * g[83];
-    out[82] += -nu * scale * 0.3061862178478973 * alpha[0] * g[49];
-    out[82] += -nu * scale * 0.30618621784789724 * alpha[4] * g[85];
-    out[82] += -nu * scale * 0.2738612787525831 * alpha[5] * g[18];
-    out[82] += -nu * scale * 0.2738612787525831 * alpha[19] * g[45];
-    out[82] += -nu * scale * 0.3061862178478973 * alpha[20] * g[3];
-    out[82] += -nu * scale * 0.19561519910898792 * alpha[20] * g[49];
-    out[82] += -nu * scale * 0.27386127875258304 * alpha[46] * g[79];
-    out[82] += -nu * scale * 0.30618621784789724 * alpha[50] * g[14];
-    out[82] += -nu * scale * 0.1956151991089879 * alpha[50] * g[85];
-    out[84] += -nu * scale * 0.3061862178478973 * alpha[0] * g[50];
-    out[84] += -nu * scale * 0.3061862178478973 * alpha[4] * g[20];
-    out[84] += -nu * scale * 0.2738612787525831 * alpha[5] * g[19];
-    out[84] += -nu * scale * 0.2738612787525831 * alpha[15] * g[50];
-    out[84] += -nu * scale * 0.2738612787525831 * alpha[19] * g[5];
-    out[84] += -nu * scale * 0.2449489742783178 * alpha[19] * g[46];
-    out[84] += -nu * scale * 0.3061862178478973 * alpha[20] * g[4];
-    out[84] += -nu * scale * 0.19561519910898792 * alpha[20] * g[50];
-    out[84] += -nu * scale * 0.2449489742783178 * alpha[46] * g[19];
-    out[84] += -nu * scale * 0.3061862178478973 * alpha[50] * g[0];
-    out[84] += -nu * scale * 0.2738612787525831 * alpha[50] * g[15];
-    out[84] += -nu * scale * 0.19561519910898792 * alpha[50] * g[20];
-    out[86] += -nu * scale * 0.30618621784789724 * alpha[0] * g[56];
-    out[86] += -nu * scale * 0.30618621784789724 * alpha[4] * g[23];
-    out[86] += -nu * scale * 0.3061862178478973 * alpha[5] * g[95];
-    out[86] += -nu * scale * 0.27386127875258304 * alpha[15] * g[56];
-    out[86] += -nu * scale * 0.3061862178478973 * alpha[19] * g[66];
-    out[86] += -nu * scale * 0.27386127875258304 * alpha[46] * g[95];
-    out[87] += -nu * scale * 0.6846531968814576 * alpha[0] * g[57];
-    out[87] += -nu * scale * 0.6846531968814576 * alpha[4] * g[24];
-    out[87] += -nu * scale * 0.6123724356957946 * alpha[4] * g[89];
-    out[87] += -nu * scale * 0.6846531968814576 * alpha[5] * g[96];
-    out[87] += -nu * scale * 0.6123724356957946 * alpha[15] * g[57];
-    out[87] += -nu * scale * 0.6846531968814576 * alpha[19] * g[67];
-    out[87] += -nu * scale * 0.6123724356957946 * alpha[19] * g[110];
-    out[87] += -nu * scale * 0.6846531968814576 * alpha[20] * g[111];
-    out[87] += -nu * scale * 0.6123724356957946 * alpha[46] * g[96];
-    out[87] += -nu * scale * 0.6846531968814576 * alpha[50] * g[103];
-    out[88] += -nu * scale * 0.30618621784789724 * alpha[0] * g[59];
-    out[88] += -nu * scale * 0.30618621784789724 * alpha[4] * g[26];
-    out[88] += -nu * scale * 0.3061862178478973 * alpha[5] * g[98];
-    out[88] += -nu * scale * 0.27386127875258304 * alpha[15] * g[59];
-    out[88] += -nu * scale * 0.3061862178478973 * alpha[19] * g[69];
-    out[88] += -nu * scale * 0.27386127875258304 * alpha[46] * g[98];
-    out[89] += -nu * scale * 0.30618621784789724 * alpha[0] * g[62];
-    out[89] += -nu * scale * 0.2738612787525831 * alpha[4] * g[31];
-    out[89] += -nu * scale * 0.3061862178478973 * alpha[5] * g[101];
-    out[89] += -nu * scale * 0.30618621784789724 * alpha[15] * g[9];
-    out[89] += -nu * scale * 0.1956151991089879 * alpha[15] * g[62];
-    out[89] += -nu * scale * 0.27386127875258304 * alpha[19] * g[74];
-    out[89] += -nu * scale * 0.3061862178478973 * alpha[46] * g[40];
-    out[89] += -nu * scale * 0.19561519910898792 * alpha[46] * g[101];
-    out[89] += -nu * scale * 0.27386127875258304 * alpha[50] * g[105];
-    out[90] += -nu * scale * 0.30618621784789724 * alpha[0] * g[66];
-    out[90] += -nu * scale * 0.3061862178478973 * alpha[4] * g[95];
-    out[90] += -nu * scale * 0.30618621784789724 * alpha[5] * g[23];
-    out[90] += -nu * scale * 0.3061862178478973 * alpha[19] * g[56];
-    out[90] += -nu * scale * 0.27386127875258304 * alpha[20] * g[66];
-    out[90] += -nu * scale * 0.27386127875258304 * alpha[50] * g[95];
-    out[91] += -nu * scale * 0.6846531968814576 * alpha[0] * g[67];
-    out[91] += -nu * scale * 0.6846531968814576 * alpha[4] * g[96];
-    out[91] += -nu * scale * 0.6846531968814576 * alpha[5] * g[24];
-    out[91] += -nu * scale * 0.6123724356957946 * alpha[5] * g[103];
-    out[91] += -nu * scale * 0.6846531968814576 * alpha[15] * g[110];
-    out[91] += -nu * scale * 0.6846531968814576 * alpha[19] * g[57];
-    out[91] += -nu * scale * 0.6123724356957946 * alpha[19] * g[111];
-    out[91] += -nu * scale * 0.6123724356957946 * alpha[20] * g[67];
-    out[91] += -nu * scale * 0.6846531968814576 * alpha[46] * g[89];
-    out[91] += -nu * scale * 0.6123724356957946 * alpha[50] * g[96];
-    out[92] += -nu * scale * 0.30618621784789724 * alpha[0] * g[69];
-    out[92] += -nu * scale * 0.3061862178478973 * alpha[4] * g[98];
-    out[92] += -nu * scale * 0.30618621784789724 * alpha[5] * g[26];
-    out[92] += -nu * scale * 0.3061862178478973 * alpha[19] * g[59];
-    out[92] += -nu * scale * 0.27386127875258304 * alpha[20] * g[69];
-    out[92] += -nu * scale * 0.27386127875258304 * alpha[50] * g[98];
-    out[93] += -nu * scale * 0.30618621784789724 * alpha[0] * g[71];
-    out[93] += -nu * scale * 0.30618621784789724 * alpha[4] * g[37];
-    out[93] += -nu * scale * 0.30618621784789724 * alpha[5] * g[28];
-    out[93] += -nu * scale * 0.27386127875258304 * alpha[15] * g[71];
-    out[93] += -nu * scale * 0.30618621784789724 * alpha[19] * g[6];
-    out[93] += -nu * scale * 0.27386127875258304 * alpha[20] * g[71];
-    out[93] += -nu * scale * 0.27386127875258304 * alpha[46] * g[28];
-    out[93] += -nu * scale * 0.27386127875258304 * alpha[50] * g[37];
-    out[94] += -nu * scale * 0.6846531968814576 * alpha[0] * g[72];
-    out[94] += -nu * scale * 0.6846531968814576 * alpha[4] * g[38];
-    out[94] += -nu * scale * 0.6123724356957946 * alpha[4] * g[100];
-    out[94] += -nu * scale * 0.6846531968814576 * alpha[5] * g[29];
-    out[94] += -nu * scale * 0.6123724356957946 * alpha[5] * g[104];
-    out[94] += -nu * scale * 0.6123724356957946 * alpha[15] * g[72];
-    out[94] += -nu * scale * 0.6846531968814576 * alpha[19] * g[7];
-    out[94] += -nu * scale * 0.6123724356957946 * alpha[19] * g[61];
-    out[94] += -nu * scale * 0.6123724356957946 * alpha[19] * g[80];
-    out[94] += -nu * scale * 0.6123724356957946 * alpha[20] * g[72];
-    out[94] += -nu * scale * 0.6123724356957946 * alpha[46] * g[29];
-    out[94] += -nu * scale * 0.5477225575051661 * alpha[46] * g[104];
-    out[94] += -nu * scale * 0.6123724356957946 * alpha[50] * g[38];
-    out[94] += -nu * scale * 0.5477225575051661 * alpha[50] * g[100];
-    out[96] += -nu * scale * 0.30618621784789724 * alpha[0] * g[74];
-    out[96] += -nu * scale * 0.30618621784789724 * alpha[4] * g[40];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[4] * g[101];
-    out[96] += -nu * scale * 0.30618621784789724 * alpha[5] * g[31];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[5] * g[105];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[15] * g[74];
-    out[96] += -nu * scale * 0.30618621784789724 * alpha[19] * g[9];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[19] * g[62];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[19] * g[81];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[20] * g[74];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[46] * g[31];
-    out[96] += -nu * scale * 0.24494897427831783 * alpha[46] * g[105];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[50] * g[40];
-    out[96] += -nu * scale * 0.24494897427831783 * alpha[50] * g[101];
-    out[97] += -nu * scale * 0.6846531968814576 * alpha[0] * g[75];
-    out[97] += -nu * scale * 0.6846531968814576 * alpha[4] * g[41];
-    out[97] += -nu * scale * 0.6123724356957946 * alpha[4] * g[102];
-    out[97] += -nu * scale * 0.6846531968814576 * alpha[5] * g[32];
-    out[97] += -nu * scale * 0.6123724356957946 * alpha[5] * g[106];
-    out[97] += -nu * scale * 0.6123724356957946 * alpha[15] * g[75];
-    out[97] += -nu * scale * 0.6846531968814576 * alpha[19] * g[10];
-    out[97] += -nu * scale * 0.6123724356957946 * alpha[19] * g[63];
-    out[97] += -nu * scale * 0.6123724356957946 * alpha[19] * g[82];
-    out[97] += -nu * scale * 0.6123724356957946 * alpha[20] * g[75];
-    out[97] += -nu * scale * 0.6123724356957946 * alpha[46] * g[32];
-    out[97] += -nu * scale * 0.5477225575051661 * alpha[46] * g[106];
-    out[97] += -nu * scale * 0.6123724356957946 * alpha[50] * g[41];
-    out[97] += -nu * scale * 0.5477225575051661 * alpha[50] * g[102];
-    out[99] += -nu * scale * 0.30618621784789724 * alpha[0] * g[76];
-    out[99] += -nu * scale * 0.30618621784789724 * alpha[4] * g[42];
-    out[99] += -nu * scale * 0.30618621784789724 * alpha[5] * g[33];
-    out[99] += -nu * scale * 0.27386127875258304 * alpha[15] * g[76];
-    out[99] += -nu * scale * 0.30618621784789724 * alpha[19] * g[11];
-    out[99] += -nu * scale * 0.27386127875258304 * alpha[20] * g[76];
-    out[99] += -nu * scale * 0.27386127875258304 * alpha[46] * g[33];
-    out[99] += -nu * scale * 0.27386127875258304 * alpha[50] * g[42];
-    out[100] += -nu * scale * 0.30618621784789724 * alpha[0] * g[77];
-    out[100] += -nu * scale * 0.2738612787525831 * alpha[4] * g[43];
-    out[100] += -nu * scale * 0.30618621784789724 * alpha[5] * g[34];
-    out[100] += -nu * scale * 0.30618621784789724 * alpha[15] * g[16];
-    out[100] += -nu * scale * 0.1956151991089879 * alpha[15] * g[77];
-    out[100] += -nu * scale * 0.2738612787525831 * alpha[19] * g[12];
-    out[100] += -nu * scale * 0.2449489742783178 * alpha[19] * g[83];
-    out[100] += -nu * scale * 0.27386127875258304 * alpha[20] * g[77];
-    out[100] += -nu * scale * 0.30618621784789724 * alpha[46] * g[1];
-    out[100] += -nu * scale * 0.1956151991089879 * alpha[46] * g[34];
-    out[100] += -nu * scale * 0.27386127875258304 * alpha[46] * g[47];
-    out[100] += -nu * scale * 0.2449489742783178 * alpha[50] * g[43];
-    out[102] += -nu * scale * 0.30618621784789724 * alpha[0] * g[79];
-    out[102] += -nu * scale * 0.2738612787525831 * alpha[4] * g[45];
-    out[102] += -nu * scale * 0.30618621784789724 * alpha[5] * g[36];
-    out[102] += -nu * scale * 0.30618621784789724 * alpha[15] * g[18];
-    out[102] += -nu * scale * 0.1956151991089879 * alpha[15] * g[79];
-    out[102] += -nu * scale * 0.2738612787525831 * alpha[19] * g[14];
-    out[102] += -nu * scale * 0.2449489742783178 * alpha[19] * g[85];
-    out[102] += -nu * scale * 0.27386127875258304 * alpha[20] * g[79];
-    out[102] += -nu * scale * 0.30618621784789724 * alpha[46] * g[3];
-    out[102] += -nu * scale * 0.1956151991089879 * alpha[46] * g[36];
-    out[102] += -nu * scale * 0.27386127875258304 * alpha[46] * g[49];
-    out[102] += -nu * scale * 0.2449489742783178 * alpha[50] * g[45];
-    out[103] += -nu * scale * 0.30618621784789724 * alpha[0] * g[81];
-    out[103] += -nu * scale * 0.3061862178478973 * alpha[4] * g[105];
-    out[103] += -nu * scale * 0.2738612787525831 * alpha[5] * g[40];
-    out[103] += -nu * scale * 0.27386127875258304 * alpha[19] * g[74];
-    out[103] += -nu * scale * 0.30618621784789724 * alpha[20] * g[9];
-    out[103] += -nu * scale * 0.1956151991089879 * alpha[20] * g[81];
-    out[103] += -nu * scale * 0.27386127875258304 * alpha[46] * g[101];
-    out[103] += -nu * scale * 0.3061862178478973 * alpha[50] * g[31];
-    out[103] += -nu * scale * 0.19561519910898792 * alpha[50] * g[105];
-    out[104] += -nu * scale * 0.30618621784789724 * alpha[0] * g[83];
-    out[104] += -nu * scale * 0.30618621784789724 * alpha[4] * g[47];
-    out[104] += -nu * scale * 0.2738612787525831 * alpha[5] * g[43];
-    out[104] += -nu * scale * 0.27386127875258304 * alpha[15] * g[83];
-    out[104] += -nu * scale * 0.2738612787525831 * alpha[19] * g[16];
-    out[104] += -nu * scale * 0.2449489742783178 * alpha[19] * g[77];
-    out[104] += -nu * scale * 0.30618621784789724 * alpha[20] * g[12];
-    out[104] += -nu * scale * 0.1956151991089879 * alpha[20] * g[83];
-    out[104] += -nu * scale * 0.2449489742783178 * alpha[46] * g[43];
-    out[104] += -nu * scale * 0.30618621784789724 * alpha[50] * g[1];
-    out[104] += -nu * scale * 0.27386127875258304 * alpha[50] * g[34];
-    out[104] += -nu * scale * 0.1956151991089879 * alpha[50] * g[47];
-    out[106] += -nu * scale * 0.30618621784789724 * alpha[0] * g[85];
-    out[106] += -nu * scale * 0.30618621784789724 * alpha[4] * g[49];
-    out[106] += -nu * scale * 0.2738612787525831 * alpha[5] * g[45];
-    out[106] += -nu * scale * 0.27386127875258304 * alpha[15] * g[85];
-    out[106] += -nu * scale * 0.2738612787525831 * alpha[19] * g[18];
-    out[106] += -nu * scale * 0.2449489742783178 * alpha[19] * g[79];
-    out[106] += -nu * scale * 0.30618621784789724 * alpha[20] * g[14];
-    out[106] += -nu * scale * 0.1956151991089879 * alpha[20] * g[85];
-    out[106] += -nu * scale * 0.2449489742783178 * alpha[46] * g[45];
-    out[106] += -nu * scale * 0.30618621784789724 * alpha[50] * g[3];
-    out[106] += -nu * scale * 0.27386127875258304 * alpha[50] * g[36];
-    out[106] += -nu * scale * 0.1956151991089879 * alpha[50] * g[49];
-    out[107] += -nu * scale * 0.3061862178478973 * alpha[0] * g[95];
-    out[107] += -nu * scale * 0.3061862178478973 * alpha[4] * g[66];
-    out[107] += -nu * scale * 0.3061862178478973 * alpha[5] * g[56];
-    out[107] += -nu * scale * 0.27386127875258304 * alpha[15] * g[95];
-    out[107] += -nu * scale * 0.3061862178478973 * alpha[19] * g[23];
-    out[107] += -nu * scale * 0.27386127875258304 * alpha[20] * g[95];
-    out[107] += -nu * scale * 0.27386127875258304 * alpha[46] * g[56];
-    out[107] += -nu * scale * 0.27386127875258304 * alpha[50] * g[66];
-    out[108] += -nu * scale * 0.6846531968814576 * alpha[0] * g[96];
-    out[108] += -nu * scale * 0.6846531968814576 * alpha[4] * g[67];
-    out[108] += -nu * scale * 0.6123724356957946 * alpha[4] * g[110];
-    out[108] += -nu * scale * 0.6846531968814576 * alpha[5] * g[57];
-    out[108] += -nu * scale * 0.6123724356957946 * alpha[5] * g[111];
-    out[108] += -nu * scale * 0.6123724356957946 * alpha[15] * g[96];
-    out[108] += -nu * scale * 0.6846531968814576 * alpha[19] * g[24];
-    out[108] += -nu * scale * 0.6123724356957946 * alpha[19] * g[89];
-    out[108] += -nu * scale * 0.6123724356957946 * alpha[19] * g[103];
-    out[108] += -nu * scale * 0.6123724356957946 * alpha[20] * g[96];
-    out[108] += -nu * scale * 0.6123724356957946 * alpha[46] * g[57];
-    out[108] += -nu * scale * 0.5477225575051662 * alpha[46] * g[111];
-    out[108] += -nu * scale * 0.6123724356957946 * alpha[50] * g[67];
-    out[108] += -nu * scale * 0.5477225575051662 * alpha[50] * g[110];
-    out[109] += -nu * scale * 0.3061862178478973 * alpha[0] * g[98];
-    out[109] += -nu * scale * 0.3061862178478973 * alpha[4] * g[69];
-    out[109] += -nu * scale * 0.3061862178478973 * alpha[5] * g[59];
-    out[109] += -nu * scale * 0.27386127875258304 * alpha[15] * g[98];
-    out[109] += -nu * scale * 0.3061862178478973 * alpha[19] * g[26];
-    out[109] += -nu * scale * 0.27386127875258304 * alpha[20] * g[98];
-    out[109] += -nu * scale * 0.27386127875258304 * alpha[46] * g[59];
-    out[109] += -nu * scale * 0.27386127875258304 * alpha[50] * g[69];
-    out[110] += -nu * scale * 0.3061862178478973 * alpha[0] * g[101];
-    out[110] += -nu * scale * 0.27386127875258304 * alpha[4] * g[74];
-    out[110] += -nu * scale * 0.3061862178478973 * alpha[5] * g[62];
-    out[110] += -nu * scale * 0.3061862178478973 * alpha[15] * g[40];
-    out[110] += -nu * scale * 0.19561519910898792 * alpha[15] * g[101];
-    out[110] += -nu * scale * 0.27386127875258304 * alpha[19] * g[31];
-    out[110] += -nu * scale * 0.24494897427831783 * alpha[19] * g[105];
-    out[110] += -nu * scale * 0.27386127875258304 * alpha[20] * g[101];
-    out[110] += -nu * scale * 0.3061862178478973 * alpha[46] * g[9];
-    out[110] += -nu * scale * 0.19561519910898792 * alpha[46] * g[62];
-    out[110] += -nu * scale * 0.27386127875258304 * alpha[46] * g[81];
-    out[110] += -nu * scale * 0.24494897427831783 * alpha[50] * g[74];
-    out[111] += -nu * scale * 0.3061862178478973 * alpha[0] * g[105];
-    out[111] += -nu * scale * 0.3061862178478973 * alpha[4] * g[81];
-    out[111] += -nu * scale * 0.27386127875258304 * alpha[5] * g[74];
-    out[111] += -nu * scale * 0.27386127875258304 * alpha[15] * g[105];
-    out[111] += -nu * scale * 0.27386127875258304 * alpha[19] * g[40];
-    out[111] += -nu * scale * 0.24494897427831783 * alpha[19] * g[101];
-    out[111] += -nu * scale * 0.3061862178478973 * alpha[20] * g[31];
-    out[111] += -nu * scale * 0.19561519910898792 * alpha[20] * g[105];
-    out[111] += -nu * scale * 0.24494897427831783 * alpha[46] * g[74];
-    out[111] += -nu * scale * 0.3061862178478973 * alpha[50] * g[9];
-    out[111] += -nu * scale * 0.27386127875258304 * alpha[50] * g[62];
-    out[111] += -nu * scale * 0.19561519910898792 * alpha[50] * g[81];
+    let mut alpha = [[0.0f64; L]; 112];
+    for k in 0..L {
+        alpha[0][k] = 2.8284271247461903 * vth2[0][k];
+        alpha[4][k] = 2.8284271247461903 * vth2[1][k];
+        alpha[5][k] = 2.8284271247461903 * vth2[2][k];
+        alpha[15][k] = 2.8284271247461903 * vth2[3][k];
+        alpha[19][k] = 2.8284271247461903 * vth2[4][k];
+        alpha[20][k] = 2.8284271247461903 * vth2[5][k];
+        alpha[46][k] = 2.8284271247461903 * vth2[6][k];
+        alpha[50][k] = 2.8284271247461903 * vth2[7][k];
+    }
+    for k in 0..L {
+        out[2][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[0][k];
+        out[2][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[4][k];
+        out[2][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[5][k];
+        out[2][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[15][k];
+        out[2][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[19][k];
+        out[2][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[20][k];
+        out[2][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[46][k];
+        out[2][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[50][k];
+    }
+    for k in 0..L {
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[1][k];
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[12][k];
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[16][k];
+        out[7][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[34][k];
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[43][k];
+        out[7][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[47][k];
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[77][k];
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[83][k];
+    }
+    for k in 0..L {
+        out[8][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[2][k];
+        out[8][k] += -nu * scale * 0.6846531968814575 * alpha[4][k] * g[13][k];
+        out[8][k] += -nu * scale * 0.6846531968814575 * alpha[5][k] * g[17][k];
+        out[8][k] += -nu * scale * 0.6846531968814578 * alpha[15][k] * g[35][k];
+        out[8][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[44][k];
+        out[8][k] += -nu * scale * 0.6846531968814578 * alpha[20][k] * g[48][k];
+        out[8][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[78][k];
+        out[8][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[84][k];
+    }
+    for k in 0..L {
+        out[10][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[3][k];
+        out[10][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[14][k];
+        out[10][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[18][k];
+        out[10][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[36][k];
+        out[10][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[45][k];
+        out[10][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[49][k];
+        out[10][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[79][k];
+        out[10][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[85][k];
+    }
+    for k in 0..L {
+        out[13][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[4][k];
+        out[13][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[0][k];
+        out[13][k] += -nu * scale * 0.27386127875258304 * alpha[4][k] * g[15][k];
+        out[13][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[19][k];
+        out[13][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[4][k];
+        out[13][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[5][k];
+        out[13][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[46][k];
+        out[13][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[50][k];
+        out[13][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[19][k];
+        out[13][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[20][k];
+    }
+    for k in 0..L {
+        out[17][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[5][k];
+        out[17][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[19][k];
+        out[17][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[0][k];
+        out[17][k] += -nu * scale * 0.27386127875258304 * alpha[5][k] * g[20][k];
+        out[17][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[46][k];
+        out[17][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[4][k];
+        out[17][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[50][k];
+        out[17][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[5][k];
+        out[17][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[15][k];
+        out[17][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[19][k];
+    }
+    for k in 0..L {
+        out[21][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[6][k];
+        out[21][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[28][k];
+        out[21][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[37][k];
+        out[21][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[71][k];
+    }
+    for k in 0..L {
+        out[22][k] += -nu * scale * 0.6846531968814575 * alpha[0][k] * g[7][k];
+        out[22][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[29][k];
+        out[22][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[38][k];
+        out[22][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[61][k];
+        out[22][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[72][k];
+        out[22][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[80][k];
+        out[22][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[100][k];
+        out[22][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[104][k];
+    }
+    for k in 0..L {
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[9][k];
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[31][k];
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[40][k];
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[62][k];
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[74][k];
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[20][k] * g[81][k];
+        out[24][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[101][k];
+        out[24][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[105][k];
+    }
+    for k in 0..L {
+        out[25][k] += -nu * scale * 0.6846531968814575 * alpha[0][k] * g[10][k];
+        out[25][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[32][k];
+        out[25][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[41][k];
+        out[25][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[63][k];
+        out[25][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[75][k];
+        out[25][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[82][k];
+        out[25][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[102][k];
+        out[25][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[106][k];
+    }
+    for k in 0..L {
+        out[27][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[11][k];
+        out[27][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[33][k];
+        out[27][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[42][k];
+        out[27][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[76][k];
+    }
+    for k in 0..L {
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[12][k];
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[1][k];
+        out[29][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[34][k];
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[43][k];
+        out[29][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[12][k];
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[16][k];
+        out[29][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[77][k];
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[20][k] * g[83][k];
+        out[29][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[43][k];
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[47][k];
+    }
+    for k in 0..L {
+        out[30][k] += -nu * scale * 0.6846531968814575 * alpha[0][k] * g[13][k];
+        out[30][k] += -nu * scale * 0.6846531968814575 * alpha[4][k] * g[2][k];
+        out[30][k] += -nu * scale * 0.6123724356957946 * alpha[4][k] * g[35][k];
+        out[30][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[44][k];
+        out[30][k] += -nu * scale * 0.6123724356957946 * alpha[15][k] * g[13][k];
+        out[30][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[17][k];
+        out[30][k] += -nu * scale * 0.6123724356957945 * alpha[19][k] * g[78][k];
+        out[30][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[84][k];
+        out[30][k] += -nu * scale * 0.6123724356957945 * alpha[46][k] * g[44][k];
+        out[30][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[48][k];
+    }
+    for k in 0..L {
+        out[32][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[14][k];
+        out[32][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[3][k];
+        out[32][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[36][k];
+        out[32][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[45][k];
+        out[32][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[14][k];
+        out[32][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[18][k];
+        out[32][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[79][k];
+        out[32][k] += -nu * scale * 0.30618621784789724 * alpha[20][k] * g[85][k];
+        out[32][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[45][k];
+        out[32][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[49][k];
+    }
+    for k in 0..L {
+        out[35][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[15][k];
+        out[35][k] += -nu * scale * 0.27386127875258304 * alpha[4][k] * g[4][k];
+        out[35][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[46][k];
+        out[35][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[0][k];
+        out[35][k] += -nu * scale * 0.1956151991089879 * alpha[15][k] * g[15][k];
+        out[35][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[19][k];
+        out[35][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[5][k];
+        out[35][k] += -nu * scale * 0.19561519910898792 * alpha[46][k] * g[46][k];
+        out[35][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[50][k];
+    }
+    for k in 0..L {
+        out[38][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[16][k];
+        out[38][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[43][k];
+        out[38][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[1][k];
+        out[38][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[47][k];
+        out[38][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[77][k];
+        out[38][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[12][k];
+        out[38][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[83][k];
+        out[38][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[16][k];
+        out[38][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[34][k];
+        out[38][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[43][k];
+    }
+    for k in 0..L {
+        out[39][k] += -nu * scale * 0.6846531968814575 * alpha[0][k] * g[17][k];
+        out[39][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[44][k];
+        out[39][k] += -nu * scale * 0.6846531968814575 * alpha[5][k] * g[2][k];
+        out[39][k] += -nu * scale * 0.6123724356957946 * alpha[5][k] * g[48][k];
+        out[39][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[78][k];
+        out[39][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[13][k];
+        out[39][k] += -nu * scale * 0.6123724356957945 * alpha[19][k] * g[84][k];
+        out[39][k] += -nu * scale * 0.6123724356957946 * alpha[20][k] * g[17][k];
+        out[39][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[35][k];
+        out[39][k] += -nu * scale * 0.6123724356957945 * alpha[50][k] * g[44][k];
+    }
+    for k in 0..L {
+        out[41][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[18][k];
+        out[41][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[45][k];
+        out[41][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[3][k];
+        out[41][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[49][k];
+        out[41][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[79][k];
+        out[41][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[14][k];
+        out[41][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[85][k];
+        out[41][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[18][k];
+        out[41][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[36][k];
+        out[41][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[45][k];
+    }
+    for k in 0..L {
+        out[44][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[19][k];
+        out[44][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[5][k];
+        out[44][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[46][k];
+        out[44][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[4][k];
+        out[44][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[50][k];
+        out[44][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[19][k];
+        out[44][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[0][k];
+        out[44][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[15][k];
+        out[44][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[20][k];
+        out[44][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[19][k];
+        out[44][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[4][k];
+        out[44][k] += -nu * scale * 0.2449489742783178 * alpha[46][k] * g[50][k];
+        out[44][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[5][k];
+        out[44][k] += -nu * scale * 0.2449489742783178 * alpha[50][k] * g[46][k];
+    }
+    for k in 0..L {
+        out[48][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[20][k];
+        out[48][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[50][k];
+        out[48][k] += -nu * scale * 0.27386127875258304 * alpha[5][k] * g[5][k];
+        out[48][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[19][k];
+        out[48][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[0][k];
+        out[48][k] += -nu * scale * 0.1956151991089879 * alpha[20][k] * g[20][k];
+        out[48][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[46][k];
+        out[48][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[4][k];
+        out[48][k] += -nu * scale * 0.19561519910898792 * alpha[50][k] * g[50][k];
+    }
+    for k in 0..L {
+        out[51][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[23][k];
+        out[51][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[56][k];
+        out[51][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[66][k];
+        out[51][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[95][k];
+    }
+    for k in 0..L {
+        out[52][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[24][k];
+        out[52][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[57][k];
+        out[52][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[67][k];
+        out[52][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[89][k];
+        out[52][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[96][k];
+        out[52][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[103][k];
+        out[52][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[110][k];
+        out[52][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[111][k];
+    }
+    for k in 0..L {
+        out[53][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[26][k];
+        out[53][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[59][k];
+        out[53][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[69][k];
+        out[53][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[98][k];
+    }
+    for k in 0..L {
+        out[54][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[28][k];
+        out[54][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[6][k];
+        out[54][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[71][k];
+        out[54][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[28][k];
+        out[54][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[37][k];
+        out[54][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[71][k];
+    }
+    for k in 0..L {
+        out[55][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[29][k];
+        out[55][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[7][k];
+        out[55][k] += -nu * scale * 0.6123724356957945 * alpha[4][k] * g[61][k];
+        out[55][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[72][k];
+        out[55][k] += -nu * scale * 0.6123724356957945 * alpha[15][k] * g[29][k];
+        out[55][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[38][k];
+        out[55][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[100][k];
+        out[55][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[104][k];
+        out[55][k] += -nu * scale * 0.6123724356957946 * alpha[46][k] * g[72][k];
+        out[55][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[80][k];
+    }
+    for k in 0..L {
+        out[57][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[31][k];
+        out[57][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[9][k];
+        out[57][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[62][k];
+        out[57][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[74][k];
+        out[57][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[31][k];
+        out[57][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[40][k];
+        out[57][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[101][k];
+        out[57][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[105][k];
+        out[57][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[74][k];
+        out[57][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[81][k];
+    }
+    for k in 0..L {
+        out[58][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[32][k];
+        out[58][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[10][k];
+        out[58][k] += -nu * scale * 0.6123724356957945 * alpha[4][k] * g[63][k];
+        out[58][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[75][k];
+        out[58][k] += -nu * scale * 0.6123724356957945 * alpha[15][k] * g[32][k];
+        out[58][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[41][k];
+        out[58][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[102][k];
+        out[58][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[106][k];
+        out[58][k] += -nu * scale * 0.6123724356957946 * alpha[46][k] * g[75][k];
+        out[58][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[82][k];
+    }
+    for k in 0..L {
+        out[60][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[33][k];
+        out[60][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[11][k];
+        out[60][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[76][k];
+        out[60][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[33][k];
+        out[60][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[42][k];
+        out[60][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[76][k];
+    }
+    for k in 0..L {
+        out[61][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[34][k];
+        out[61][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[12][k];
+        out[61][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[77][k];
+        out[61][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[1][k];
+        out[61][k] += -nu * scale * 0.19561519910898792 * alpha[15][k] * g[34][k];
+        out[61][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[43][k];
+        out[61][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[16][k];
+        out[61][k] += -nu * scale * 0.1956151991089879 * alpha[46][k] * g[77][k];
+        out[61][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[83][k];
+    }
+    for k in 0..L {
+        out[63][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[36][k];
+        out[63][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[14][k];
+        out[63][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[79][k];
+        out[63][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[3][k];
+        out[63][k] += -nu * scale * 0.19561519910898792 * alpha[15][k] * g[36][k];
+        out[63][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[45][k];
+        out[63][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[18][k];
+        out[63][k] += -nu * scale * 0.1956151991089879 * alpha[46][k] * g[79][k];
+        out[63][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[85][k];
+    }
+    for k in 0..L {
+        out[64][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[37][k];
+        out[64][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[71][k];
+        out[64][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[6][k];
+        out[64][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[28][k];
+        out[64][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[37][k];
+        out[64][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[71][k];
+    }
+    for k in 0..L {
+        out[65][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[38][k];
+        out[65][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[72][k];
+        out[65][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[7][k];
+        out[65][k] += -nu * scale * 0.6123724356957945 * alpha[5][k] * g[80][k];
+        out[65][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[100][k];
+        out[65][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[29][k];
+        out[65][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[104][k];
+        out[65][k] += -nu * scale * 0.6123724356957945 * alpha[20][k] * g[38][k];
+        out[65][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[61][k];
+        out[65][k] += -nu * scale * 0.6123724356957946 * alpha[50][k] * g[72][k];
+    }
+    for k in 0..L {
+        out[67][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[40][k];
+        out[67][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[74][k];
+        out[67][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[9][k];
+        out[67][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[81][k];
+        out[67][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[101][k];
+        out[67][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[31][k];
+        out[67][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[105][k];
+        out[67][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[40][k];
+        out[67][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[62][k];
+        out[67][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[74][k];
+    }
+    for k in 0..L {
+        out[68][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[41][k];
+        out[68][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[75][k];
+        out[68][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[10][k];
+        out[68][k] += -nu * scale * 0.6123724356957945 * alpha[5][k] * g[82][k];
+        out[68][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[102][k];
+        out[68][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[32][k];
+        out[68][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[106][k];
+        out[68][k] += -nu * scale * 0.6123724356957945 * alpha[20][k] * g[41][k];
+        out[68][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[63][k];
+        out[68][k] += -nu * scale * 0.6123724356957946 * alpha[50][k] * g[75][k];
+    }
+    for k in 0..L {
+        out[70][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[42][k];
+        out[70][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[76][k];
+        out[70][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[11][k];
+        out[70][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[33][k];
+        out[70][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[42][k];
+        out[70][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[76][k];
+    }
+    for k in 0..L {
+        out[72][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[43][k];
+        out[72][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[16][k];
+        out[72][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[77][k];
+        out[72][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[12][k];
+        out[72][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[83][k];
+        out[72][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[43][k];
+        out[72][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[1][k];
+        out[72][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[34][k];
+        out[72][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[47][k];
+        out[72][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[43][k];
+        out[72][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[12][k];
+        out[72][k] += -nu * scale * 0.2449489742783178 * alpha[46][k] * g[83][k];
+        out[72][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[16][k];
+        out[72][k] += -nu * scale * 0.2449489742783178 * alpha[50][k] * g[77][k];
+    }
+    for k in 0..L {
+        out[73][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[44][k];
+        out[73][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[17][k];
+        out[73][k] += -nu * scale * 0.6123724356957945 * alpha[4][k] * g[78][k];
+        out[73][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[13][k];
+        out[73][k] += -nu * scale * 0.6123724356957945 * alpha[5][k] * g[84][k];
+        out[73][k] += -nu * scale * 0.6123724356957945 * alpha[15][k] * g[44][k];
+        out[73][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[2][k];
+        out[73][k] += -nu * scale * 0.6123724356957945 * alpha[19][k] * g[35][k];
+        out[73][k] += -nu * scale * 0.6123724356957945 * alpha[19][k] * g[48][k];
+        out[73][k] += -nu * scale * 0.6123724356957945 * alpha[20][k] * g[44][k];
+        out[73][k] += -nu * scale * 0.6123724356957945 * alpha[46][k] * g[13][k];
+        out[73][k] += -nu * scale * 0.5477225575051661 * alpha[46][k] * g[84][k];
+        out[73][k] += -nu * scale * 0.6123724356957945 * alpha[50][k] * g[17][k];
+        out[73][k] += -nu * scale * 0.5477225575051661 * alpha[50][k] * g[78][k];
+    }
+    for k in 0..L {
+        out[75][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[45][k];
+        out[75][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[18][k];
+        out[75][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[79][k];
+        out[75][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[14][k];
+        out[75][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[85][k];
+        out[75][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[45][k];
+        out[75][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[3][k];
+        out[75][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[36][k];
+        out[75][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[49][k];
+        out[75][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[45][k];
+        out[75][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[14][k];
+        out[75][k] += -nu * scale * 0.2449489742783178 * alpha[46][k] * g[85][k];
+        out[75][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[18][k];
+        out[75][k] += -nu * scale * 0.2449489742783178 * alpha[50][k] * g[79][k];
+    }
+    for k in 0..L {
+        out[78][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[46][k];
+        out[78][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[19][k];
+        out[78][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[15][k];
+        out[78][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[5][k];
+        out[78][k] += -nu * scale * 0.19561519910898792 * alpha[15][k] * g[46][k];
+        out[78][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[4][k];
+        out[78][k] += -nu * scale * 0.2449489742783178 * alpha[19][k] * g[50][k];
+        out[78][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[46][k];
+        out[78][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[0][k];
+        out[78][k] += -nu * scale * 0.19561519910898792 * alpha[46][k] * g[15][k];
+        out[78][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[20][k];
+        out[78][k] += -nu * scale * 0.2449489742783178 * alpha[50][k] * g[19][k];
+    }
+    for k in 0..L {
+        out[80][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[47][k];
+        out[80][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[83][k];
+        out[80][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[16][k];
+        out[80][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[43][k];
+        out[80][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[1][k];
+        out[80][k] += -nu * scale * 0.19561519910898792 * alpha[20][k] * g[47][k];
+        out[80][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[77][k];
+        out[80][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[12][k];
+        out[80][k] += -nu * scale * 0.1956151991089879 * alpha[50][k] * g[83][k];
+    }
+    for k in 0..L {
+        out[82][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[49][k];
+        out[82][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[85][k];
+        out[82][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[18][k];
+        out[82][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[45][k];
+        out[82][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[3][k];
+        out[82][k] += -nu * scale * 0.19561519910898792 * alpha[20][k] * g[49][k];
+        out[82][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[79][k];
+        out[82][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[14][k];
+        out[82][k] += -nu * scale * 0.1956151991089879 * alpha[50][k] * g[85][k];
+    }
+    for k in 0..L {
+        out[84][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[50][k];
+        out[84][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[20][k];
+        out[84][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[19][k];
+        out[84][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[50][k];
+        out[84][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[5][k];
+        out[84][k] += -nu * scale * 0.2449489742783178 * alpha[19][k] * g[46][k];
+        out[84][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[4][k];
+        out[84][k] += -nu * scale * 0.19561519910898792 * alpha[20][k] * g[50][k];
+        out[84][k] += -nu * scale * 0.2449489742783178 * alpha[46][k] * g[19][k];
+        out[84][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[0][k];
+        out[84][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[15][k];
+        out[84][k] += -nu * scale * 0.19561519910898792 * alpha[50][k] * g[20][k];
+    }
+    for k in 0..L {
+        out[86][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[56][k];
+        out[86][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[23][k];
+        out[86][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[95][k];
+        out[86][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[56][k];
+        out[86][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[66][k];
+        out[86][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[95][k];
+    }
+    for k in 0..L {
+        out[87][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[57][k];
+        out[87][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[24][k];
+        out[87][k] += -nu * scale * 0.6123724356957946 * alpha[4][k] * g[89][k];
+        out[87][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[96][k];
+        out[87][k] += -nu * scale * 0.6123724356957946 * alpha[15][k] * g[57][k];
+        out[87][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[67][k];
+        out[87][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[110][k];
+        out[87][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[111][k];
+        out[87][k] += -nu * scale * 0.6123724356957946 * alpha[46][k] * g[96][k];
+        out[87][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[103][k];
+    }
+    for k in 0..L {
+        out[88][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[59][k];
+        out[88][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[26][k];
+        out[88][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[98][k];
+        out[88][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[59][k];
+        out[88][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[69][k];
+        out[88][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[98][k];
+    }
+    for k in 0..L {
+        out[89][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[62][k];
+        out[89][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[31][k];
+        out[89][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[101][k];
+        out[89][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[9][k];
+        out[89][k] += -nu * scale * 0.1956151991089879 * alpha[15][k] * g[62][k];
+        out[89][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[74][k];
+        out[89][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[40][k];
+        out[89][k] += -nu * scale * 0.19561519910898792 * alpha[46][k] * g[101][k];
+        out[89][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[105][k];
+    }
+    for k in 0..L {
+        out[90][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[66][k];
+        out[90][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[95][k];
+        out[90][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[23][k];
+        out[90][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[56][k];
+        out[90][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[66][k];
+        out[90][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[95][k];
+    }
+    for k in 0..L {
+        out[91][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[67][k];
+        out[91][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[96][k];
+        out[91][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[24][k];
+        out[91][k] += -nu * scale * 0.6123724356957946 * alpha[5][k] * g[103][k];
+        out[91][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[110][k];
+        out[91][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[57][k];
+        out[91][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[111][k];
+        out[91][k] += -nu * scale * 0.6123724356957946 * alpha[20][k] * g[67][k];
+        out[91][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[89][k];
+        out[91][k] += -nu * scale * 0.6123724356957946 * alpha[50][k] * g[96][k];
+    }
+    for k in 0..L {
+        out[92][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[69][k];
+        out[92][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[98][k];
+        out[92][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[26][k];
+        out[92][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[59][k];
+        out[92][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[69][k];
+        out[92][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[98][k];
+    }
+    for k in 0..L {
+        out[93][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[71][k];
+        out[93][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[37][k];
+        out[93][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[28][k];
+        out[93][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[71][k];
+        out[93][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[6][k];
+        out[93][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[71][k];
+        out[93][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[28][k];
+        out[93][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[37][k];
+    }
+    for k in 0..L {
+        out[94][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[72][k];
+        out[94][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[38][k];
+        out[94][k] += -nu * scale * 0.6123724356957946 * alpha[4][k] * g[100][k];
+        out[94][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[29][k];
+        out[94][k] += -nu * scale * 0.6123724356957946 * alpha[5][k] * g[104][k];
+        out[94][k] += -nu * scale * 0.6123724356957946 * alpha[15][k] * g[72][k];
+        out[94][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[7][k];
+        out[94][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[61][k];
+        out[94][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[80][k];
+        out[94][k] += -nu * scale * 0.6123724356957946 * alpha[20][k] * g[72][k];
+        out[94][k] += -nu * scale * 0.6123724356957946 * alpha[46][k] * g[29][k];
+        out[94][k] += -nu * scale * 0.5477225575051661 * alpha[46][k] * g[104][k];
+        out[94][k] += -nu * scale * 0.6123724356957946 * alpha[50][k] * g[38][k];
+        out[94][k] += -nu * scale * 0.5477225575051661 * alpha[50][k] * g[100][k];
+    }
+    for k in 0..L {
+        out[96][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[74][k];
+        out[96][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[40][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[4][k] * g[101][k];
+        out[96][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[31][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[5][k] * g[105][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[74][k];
+        out[96][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[9][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[62][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[81][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[74][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[31][k];
+        out[96][k] += -nu * scale * 0.24494897427831783 * alpha[46][k] * g[105][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[40][k];
+        out[96][k] += -nu * scale * 0.24494897427831783 * alpha[50][k] * g[101][k];
+    }
+    for k in 0..L {
+        out[97][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[75][k];
+        out[97][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[41][k];
+        out[97][k] += -nu * scale * 0.6123724356957946 * alpha[4][k] * g[102][k];
+        out[97][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[32][k];
+        out[97][k] += -nu * scale * 0.6123724356957946 * alpha[5][k] * g[106][k];
+        out[97][k] += -nu * scale * 0.6123724356957946 * alpha[15][k] * g[75][k];
+        out[97][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[10][k];
+        out[97][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[63][k];
+        out[97][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[82][k];
+        out[97][k] += -nu * scale * 0.6123724356957946 * alpha[20][k] * g[75][k];
+        out[97][k] += -nu * scale * 0.6123724356957946 * alpha[46][k] * g[32][k];
+        out[97][k] += -nu * scale * 0.5477225575051661 * alpha[46][k] * g[106][k];
+        out[97][k] += -nu * scale * 0.6123724356957946 * alpha[50][k] * g[41][k];
+        out[97][k] += -nu * scale * 0.5477225575051661 * alpha[50][k] * g[102][k];
+    }
+    for k in 0..L {
+        out[99][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[76][k];
+        out[99][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[42][k];
+        out[99][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[33][k];
+        out[99][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[76][k];
+        out[99][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[11][k];
+        out[99][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[76][k];
+        out[99][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[33][k];
+        out[99][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[42][k];
+    }
+    for k in 0..L {
+        out[100][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[77][k];
+        out[100][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[43][k];
+        out[100][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[34][k];
+        out[100][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[16][k];
+        out[100][k] += -nu * scale * 0.1956151991089879 * alpha[15][k] * g[77][k];
+        out[100][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[12][k];
+        out[100][k] += -nu * scale * 0.2449489742783178 * alpha[19][k] * g[83][k];
+        out[100][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[77][k];
+        out[100][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[1][k];
+        out[100][k] += -nu * scale * 0.1956151991089879 * alpha[46][k] * g[34][k];
+        out[100][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[47][k];
+        out[100][k] += -nu * scale * 0.2449489742783178 * alpha[50][k] * g[43][k];
+    }
+    for k in 0..L {
+        out[102][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[79][k];
+        out[102][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[45][k];
+        out[102][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[36][k];
+        out[102][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[18][k];
+        out[102][k] += -nu * scale * 0.1956151991089879 * alpha[15][k] * g[79][k];
+        out[102][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[14][k];
+        out[102][k] += -nu * scale * 0.2449489742783178 * alpha[19][k] * g[85][k];
+        out[102][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[79][k];
+        out[102][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[3][k];
+        out[102][k] += -nu * scale * 0.1956151991089879 * alpha[46][k] * g[36][k];
+        out[102][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[49][k];
+        out[102][k] += -nu * scale * 0.2449489742783178 * alpha[50][k] * g[45][k];
+    }
+    for k in 0..L {
+        out[103][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[81][k];
+        out[103][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[105][k];
+        out[103][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[40][k];
+        out[103][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[74][k];
+        out[103][k] += -nu * scale * 0.30618621784789724 * alpha[20][k] * g[9][k];
+        out[103][k] += -nu * scale * 0.1956151991089879 * alpha[20][k] * g[81][k];
+        out[103][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[101][k];
+        out[103][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[31][k];
+        out[103][k] += -nu * scale * 0.19561519910898792 * alpha[50][k] * g[105][k];
+    }
+    for k in 0..L {
+        out[104][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[83][k];
+        out[104][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[47][k];
+        out[104][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[43][k];
+        out[104][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[83][k];
+        out[104][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[16][k];
+        out[104][k] += -nu * scale * 0.2449489742783178 * alpha[19][k] * g[77][k];
+        out[104][k] += -nu * scale * 0.30618621784789724 * alpha[20][k] * g[12][k];
+        out[104][k] += -nu * scale * 0.1956151991089879 * alpha[20][k] * g[83][k];
+        out[104][k] += -nu * scale * 0.2449489742783178 * alpha[46][k] * g[43][k];
+        out[104][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[1][k];
+        out[104][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[34][k];
+        out[104][k] += -nu * scale * 0.1956151991089879 * alpha[50][k] * g[47][k];
+    }
+    for k in 0..L {
+        out[106][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[85][k];
+        out[106][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[49][k];
+        out[106][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[45][k];
+        out[106][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[85][k];
+        out[106][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[18][k];
+        out[106][k] += -nu * scale * 0.2449489742783178 * alpha[19][k] * g[79][k];
+        out[106][k] += -nu * scale * 0.30618621784789724 * alpha[20][k] * g[14][k];
+        out[106][k] += -nu * scale * 0.1956151991089879 * alpha[20][k] * g[85][k];
+        out[106][k] += -nu * scale * 0.2449489742783178 * alpha[46][k] * g[45][k];
+        out[106][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[3][k];
+        out[106][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[36][k];
+        out[106][k] += -nu * scale * 0.1956151991089879 * alpha[50][k] * g[49][k];
+    }
+    for k in 0..L {
+        out[107][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[95][k];
+        out[107][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[66][k];
+        out[107][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[56][k];
+        out[107][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[95][k];
+        out[107][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[23][k];
+        out[107][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[95][k];
+        out[107][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[56][k];
+        out[107][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[66][k];
+    }
+    for k in 0..L {
+        out[108][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[96][k];
+        out[108][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[67][k];
+        out[108][k] += -nu * scale * 0.6123724356957946 * alpha[4][k] * g[110][k];
+        out[108][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[57][k];
+        out[108][k] += -nu * scale * 0.6123724356957946 * alpha[5][k] * g[111][k];
+        out[108][k] += -nu * scale * 0.6123724356957946 * alpha[15][k] * g[96][k];
+        out[108][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[24][k];
+        out[108][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[89][k];
+        out[108][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[103][k];
+        out[108][k] += -nu * scale * 0.6123724356957946 * alpha[20][k] * g[96][k];
+        out[108][k] += -nu * scale * 0.6123724356957946 * alpha[46][k] * g[57][k];
+        out[108][k] += -nu * scale * 0.5477225575051662 * alpha[46][k] * g[111][k];
+        out[108][k] += -nu * scale * 0.6123724356957946 * alpha[50][k] * g[67][k];
+        out[108][k] += -nu * scale * 0.5477225575051662 * alpha[50][k] * g[110][k];
+    }
+    for k in 0..L {
+        out[109][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[98][k];
+        out[109][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[69][k];
+        out[109][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[59][k];
+        out[109][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[98][k];
+        out[109][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[26][k];
+        out[109][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[98][k];
+        out[109][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[59][k];
+        out[109][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[69][k];
+    }
+    for k in 0..L {
+        out[110][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[101][k];
+        out[110][k] += -nu * scale * 0.27386127875258304 * alpha[4][k] * g[74][k];
+        out[110][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[62][k];
+        out[110][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[40][k];
+        out[110][k] += -nu * scale * 0.19561519910898792 * alpha[15][k] * g[101][k];
+        out[110][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[31][k];
+        out[110][k] += -nu * scale * 0.24494897427831783 * alpha[19][k] * g[105][k];
+        out[110][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[101][k];
+        out[110][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[9][k];
+        out[110][k] += -nu * scale * 0.19561519910898792 * alpha[46][k] * g[62][k];
+        out[110][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[81][k];
+        out[110][k] += -nu * scale * 0.24494897427831783 * alpha[50][k] * g[74][k];
+    }
+    for k in 0..L {
+        out[111][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[105][k];
+        out[111][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[81][k];
+        out[111][k] += -nu * scale * 0.27386127875258304 * alpha[5][k] * g[74][k];
+        out[111][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[105][k];
+        out[111][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[40][k];
+        out[111][k] += -nu * scale * 0.24494897427831783 * alpha[19][k] * g[101][k];
+        out[111][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[31][k];
+        out[111][k] += -nu * scale * 0.19561519910898792 * alpha[20][k] * g[105][k];
+        out[111][k] += -nu * scale * 0.24494897427831783 * alpha[46][k] * g[74][k];
+        out[111][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[9][k];
+        out[111][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[62][k];
+        out[111][k] += -nu * scale * 0.19561519910898792 * alpha[50][k] * g[81][k];
+    }
 }
 
 /// LBO diffusion surface term in v1 at one interior face: one-sided
@@ -6700,1484 +7778,1769 @@ pub fn lbo_2x3v_p2_ser_diff_vol_v1(nu: f64, dv: f64, vth2: &[f64], g: &[f64], ou
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p2_ser_diff_surf_v1(nu: f64, dv: f64, vth2: &[f64], g_lo: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_2x3v_p2_ser_diff_surf_v1_body::<1>(nu, dv, vth2.as_chunks().0, g_lo.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p2_ser_diff_surf_v1`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_diff_surf_v1_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_diff_surf_v1_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// [`lbo_2x3v_p2_ser_diff_surf_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_diff_surf_v1_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_diff_surf_v1_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p2_ser_diff_surf_v1`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p2_ser_diff_surf_v1_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g_lo: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 8] = vth2.first_chunk().expect("vth2: 8 coefficients");
+    let g_lo: &[[f64; L]; 112] = g_lo.first_chunk().expect("g_lo: 112 coefficients");
+    let out_lo: &mut [[f64; L]; 112] = out_lo.first_chunk_mut().expect("out_lo: 112 coefficients");
+    let out_hi: &mut [[f64; L]; 112] = out_hi.first_chunk_mut().expect("out_hi: 112 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 48];
-    alpha[0] = 2.0 * vth2[0];
-    alpha[3] = 2.0 * vth2[1];
-    alpha[4] = 2.0 * vth2[2];
-    alpha[10] = 2.0 * vth2[3];
-    alpha[13] = 2.0 * vth2[4];
-    alpha[14] = 2.0 * vth2[5];
-    alpha[27] = 2.0 * vth2[6];
-    alpha[30] = 2.0 * vth2[7];
-    let mut tr = [0.0f64; 48];
-    tr[0] += 0.7071067811865476 * g_lo[0];
-    tr[1] += 0.7071067811865476 * g_lo[1];
-    tr[0] += 1.224744871391589 * g_lo[2];
-    tr[2] += 0.7071067811865476 * g_lo[3];
-    tr[3] += 0.7071067811865476 * g_lo[4];
-    tr[4] += 0.7071067811865476 * g_lo[5];
-    tr[5] += 0.7071067811865476 * g_lo[6];
-    tr[1] += 1.224744871391589 * g_lo[7];
-    tr[0] += 1.5811388300841898 * g_lo[8];
-    tr[6] += 0.7071067811865476 * g_lo[9];
-    tr[2] += 1.224744871391589 * g_lo[10];
-    tr[7] += 0.7071067811865476 * g_lo[11];
-    tr[8] += 0.7071067811865476 * g_lo[12];
-    tr[3] += 1.224744871391589 * g_lo[13];
-    tr[9] += 0.7071067811865476 * g_lo[14];
-    tr[10] += 0.7071067811865476 * g_lo[15];
-    tr[11] += 0.7071067811865476 * g_lo[16];
-    tr[4] += 1.224744871391589 * g_lo[17];
-    tr[12] += 0.7071067811865476 * g_lo[18];
-    tr[13] += 0.7071067811865476 * g_lo[19];
-    tr[14] += 0.7071067811865476 * g_lo[20];
-    tr[5] += 1.224744871391589 * g_lo[21];
-    tr[1] += 1.5811388300841898 * g_lo[22];
-    tr[15] += 0.7071067811865476 * g_lo[23];
-    tr[6] += 1.224744871391589 * g_lo[24];
-    tr[2] += 1.5811388300841898 * g_lo[25];
-    tr[16] += 0.7071067811865476 * g_lo[26];
-    tr[7] += 1.224744871391589 * g_lo[27];
-    tr[17] += 0.7071067811865476 * g_lo[28];
-    tr[8] += 1.224744871391589 * g_lo[29];
-    tr[3] += 1.5811388300841898 * g_lo[30];
-    tr[18] += 0.7071067811865476 * g_lo[31];
-    tr[9] += 1.224744871391589 * g_lo[32];
-    tr[19] += 0.7071067811865476 * g_lo[33];
-    tr[20] += 0.7071067811865476 * g_lo[34];
-    tr[10] += 1.224744871391589 * g_lo[35];
-    tr[21] += 0.7071067811865476 * g_lo[36];
-    tr[22] += 0.7071067811865476 * g_lo[37];
-    tr[11] += 1.224744871391589 * g_lo[38];
-    tr[4] += 1.5811388300841898 * g_lo[39];
-    tr[23] += 0.7071067811865476 * g_lo[40];
-    tr[12] += 1.224744871391589 * g_lo[41];
-    tr[24] += 0.7071067811865476 * g_lo[42];
-    tr[25] += 0.7071067811865476 * g_lo[43];
-    tr[13] += 1.224744871391589 * g_lo[44];
-    tr[26] += 0.7071067811865476 * g_lo[45];
-    tr[27] += 0.7071067811865476 * g_lo[46];
-    tr[28] += 0.7071067811865476 * g_lo[47];
-    tr[14] += 1.224744871391589 * g_lo[48];
-    tr[29] += 0.7071067811865476 * g_lo[49];
-    tr[30] += 0.7071067811865476 * g_lo[50];
-    tr[15] += 1.224744871391589 * g_lo[51];
-    tr[6] += 1.5811388300841898 * g_lo[52];
-    tr[16] += 1.224744871391589 * g_lo[53];
-    tr[17] += 1.224744871391589 * g_lo[54];
-    tr[8] += 1.5811388300841898 * g_lo[55];
-    tr[31] += 0.7071067811865476 * g_lo[56];
-    tr[18] += 1.224744871391589 * g_lo[57];
-    tr[9] += 1.5811388300841898 * g_lo[58];
-    tr[32] += 0.7071067811865476 * g_lo[59];
-    tr[19] += 1.224744871391589 * g_lo[60];
-    tr[20] += 1.224744871391589 * g_lo[61];
-    tr[33] += 0.7071067811865476 * g_lo[62];
-    tr[21] += 1.224744871391589 * g_lo[63];
-    tr[22] += 1.224744871391589 * g_lo[64];
-    tr[11] += 1.5811388300841898 * g_lo[65];
-    tr[34] += 0.7071067811865476 * g_lo[66];
-    tr[23] += 1.224744871391589 * g_lo[67];
-    tr[12] += 1.5811388300841898 * g_lo[68];
-    tr[35] += 0.7071067811865476 * g_lo[69];
-    tr[24] += 1.224744871391589 * g_lo[70];
-    tr[36] += 0.7071067811865476 * g_lo[71];
-    tr[25] += 1.224744871391589 * g_lo[72];
-    tr[13] += 1.5811388300841898 * g_lo[73];
-    tr[37] += 0.7071067811865476 * g_lo[74];
-    tr[26] += 1.224744871391589 * g_lo[75];
-    tr[38] += 0.7071067811865476 * g_lo[76];
-    tr[39] += 0.7071067811865476 * g_lo[77];
-    tr[27] += 1.224744871391589 * g_lo[78];
-    tr[40] += 0.7071067811865476 * g_lo[79];
-    tr[28] += 1.224744871391589 * g_lo[80];
-    tr[41] += 0.7071067811865476 * g_lo[81];
-    tr[29] += 1.224744871391589 * g_lo[82];
-    tr[42] += 0.7071067811865476 * g_lo[83];
-    tr[30] += 1.224744871391589 * g_lo[84];
-    tr[43] += 0.7071067811865476 * g_lo[85];
-    tr[31] += 1.224744871391589 * g_lo[86];
-    tr[18] += 1.5811388300841898 * g_lo[87];
-    tr[32] += 1.224744871391589 * g_lo[88];
-    tr[33] += 1.224744871391589 * g_lo[89];
-    tr[34] += 1.224744871391589 * g_lo[90];
-    tr[23] += 1.5811388300841898 * g_lo[91];
-    tr[35] += 1.224744871391589 * g_lo[92];
-    tr[36] += 1.224744871391589 * g_lo[93];
-    tr[25] += 1.5811388300841898 * g_lo[94];
-    tr[44] += 0.7071067811865476 * g_lo[95];
-    tr[37] += 1.224744871391589 * g_lo[96];
-    tr[26] += 1.5811388300841898 * g_lo[97];
-    tr[45] += 0.7071067811865476 * g_lo[98];
-    tr[38] += 1.224744871391589 * g_lo[99];
-    tr[39] += 1.224744871391589 * g_lo[100];
-    tr[46] += 0.7071067811865476 * g_lo[101];
-    tr[40] += 1.224744871391589 * g_lo[102];
-    tr[41] += 1.224744871391589 * g_lo[103];
-    tr[42] += 1.224744871391589 * g_lo[104];
-    tr[47] += 0.7071067811865476 * g_lo[105];
-    tr[43] += 1.224744871391589 * g_lo[106];
-    tr[44] += 1.224744871391589 * g_lo[107];
-    tr[37] += 1.5811388300841898 * g_lo[108];
-    tr[45] += 1.224744871391589 * g_lo[109];
-    tr[46] += 1.224744871391589 * g_lo[110];
-    tr[47] += 1.224744871391589 * g_lo[111];
-    let mut ghat = [0.0f64; 48];
-    ghat[0] += 0.25 * alpha[0] * tr[0];
-    ghat[0] += 0.25 * alpha[3] * tr[3];
-    ghat[0] += 0.25 * alpha[4] * tr[4];
-    ghat[0] += 0.25 * alpha[10] * tr[10];
-    ghat[0] += 0.25 * alpha[13] * tr[13];
-    ghat[0] += 0.25 * alpha[14] * tr[14];
-    ghat[0] += 0.25 * alpha[27] * tr[27];
-    ghat[0] += 0.25 * alpha[30] * tr[30];
-    ghat[1] += 0.25 * alpha[0] * tr[1];
-    ghat[1] += 0.25 * alpha[3] * tr[8];
-    ghat[1] += 0.25 * alpha[4] * tr[11];
-    ghat[1] += 0.25 * alpha[10] * tr[20];
-    ghat[1] += 0.25 * alpha[13] * tr[25];
-    ghat[1] += 0.25 * alpha[14] * tr[28];
-    ghat[1] += 0.25 * alpha[27] * tr[39];
-    ghat[1] += 0.25 * alpha[30] * tr[42];
-    ghat[2] += 0.25 * alpha[0] * tr[2];
-    ghat[2] += 0.25 * alpha[3] * tr[9];
-    ghat[2] += 0.25 * alpha[4] * tr[12];
-    ghat[2] += 0.25 * alpha[10] * tr[21];
-    ghat[2] += 0.25 * alpha[13] * tr[26];
-    ghat[2] += 0.25 * alpha[14] * tr[29];
-    ghat[2] += 0.25 * alpha[27] * tr[40];
-    ghat[2] += 0.25 * alpha[30] * tr[43];
-    ghat[3] += 0.25 * alpha[0] * tr[3];
-    ghat[3] += 0.25 * alpha[3] * tr[0];
-    ghat[3] += 0.22360679774997896 * alpha[3] * tr[10];
-    ghat[3] += 0.25 * alpha[4] * tr[13];
-    ghat[3] += 0.22360679774997896 * alpha[10] * tr[3];
-    ghat[3] += 0.25 * alpha[13] * tr[4];
-    ghat[3] += 0.223606797749979 * alpha[13] * tr[27];
-    ghat[3] += 0.25 * alpha[14] * tr[30];
-    ghat[3] += 0.223606797749979 * alpha[27] * tr[13];
-    ghat[3] += 0.25 * alpha[30] * tr[14];
-    ghat[4] += 0.25 * alpha[0] * tr[4];
-    ghat[4] += 0.25 * alpha[3] * tr[13];
-    ghat[4] += 0.25 * alpha[4] * tr[0];
-    ghat[4] += 0.22360679774997896 * alpha[4] * tr[14];
-    ghat[4] += 0.25 * alpha[10] * tr[27];
-    ghat[4] += 0.25 * alpha[13] * tr[3];
-    ghat[4] += 0.223606797749979 * alpha[13] * tr[30];
-    ghat[4] += 0.22360679774997896 * alpha[14] * tr[4];
-    ghat[4] += 0.25 * alpha[27] * tr[10];
-    ghat[4] += 0.223606797749979 * alpha[30] * tr[13];
-    ghat[5] += 0.25 * alpha[0] * tr[5];
-    ghat[5] += 0.25 * alpha[3] * tr[17];
-    ghat[5] += 0.25 * alpha[4] * tr[22];
-    ghat[5] += 0.25 * alpha[13] * tr[36];
-    ghat[6] += 0.25 * alpha[0] * tr[6];
-    ghat[6] += 0.25 * alpha[3] * tr[18];
-    ghat[6] += 0.25 * alpha[4] * tr[23];
-    ghat[6] += 0.25 * alpha[10] * tr[33];
-    ghat[6] += 0.25 * alpha[13] * tr[37];
-    ghat[6] += 0.25 * alpha[14] * tr[41];
-    ghat[6] += 0.25 * alpha[27] * tr[46];
-    ghat[6] += 0.25 * alpha[30] * tr[47];
-    ghat[7] += 0.25 * alpha[0] * tr[7];
-    ghat[7] += 0.25 * alpha[3] * tr[19];
-    ghat[7] += 0.25 * alpha[4] * tr[24];
-    ghat[7] += 0.25 * alpha[13] * tr[38];
-    ghat[8] += 0.25 * alpha[0] * tr[8];
-    ghat[8] += 0.25 * alpha[3] * tr[1];
-    ghat[8] += 0.223606797749979 * alpha[3] * tr[20];
-    ghat[8] += 0.25 * alpha[4] * tr[25];
-    ghat[8] += 0.223606797749979 * alpha[10] * tr[8];
-    ghat[8] += 0.25 * alpha[13] * tr[11];
-    ghat[8] += 0.22360679774997896 * alpha[13] * tr[39];
-    ghat[8] += 0.25 * alpha[14] * tr[42];
-    ghat[8] += 0.22360679774997896 * alpha[27] * tr[25];
-    ghat[8] += 0.25 * alpha[30] * tr[28];
-    ghat[9] += 0.25 * alpha[0] * tr[9];
-    ghat[9] += 0.25 * alpha[3] * tr[2];
-    ghat[9] += 0.223606797749979 * alpha[3] * tr[21];
-    ghat[9] += 0.25 * alpha[4] * tr[26];
-    ghat[9] += 0.223606797749979 * alpha[10] * tr[9];
-    ghat[9] += 0.25 * alpha[13] * tr[12];
-    ghat[9] += 0.22360679774997896 * alpha[13] * tr[40];
-    ghat[9] += 0.25 * alpha[14] * tr[43];
-    ghat[9] += 0.22360679774997896 * alpha[27] * tr[26];
-    ghat[9] += 0.25 * alpha[30] * tr[29];
-    ghat[10] += 0.25 * alpha[0] * tr[10];
-    ghat[10] += 0.22360679774997896 * alpha[3] * tr[3];
-    ghat[10] += 0.25 * alpha[4] * tr[27];
-    ghat[10] += 0.25 * alpha[10] * tr[0];
-    ghat[10] += 0.15971914124998499 * alpha[10] * tr[10];
-    ghat[10] += 0.223606797749979 * alpha[13] * tr[13];
-    ghat[10] += 0.25 * alpha[27] * tr[4];
-    ghat[10] += 0.15971914124998499 * alpha[27] * tr[27];
-    ghat[10] += 0.22360679774997896 * alpha[30] * tr[30];
-    ghat[11] += 0.25 * alpha[0] * tr[11];
-    ghat[11] += 0.25 * alpha[3] * tr[25];
-    ghat[11] += 0.25 * alpha[4] * tr[1];
-    ghat[11] += 0.223606797749979 * alpha[4] * tr[28];
-    ghat[11] += 0.25 * alpha[10] * tr[39];
-    ghat[11] += 0.25 * alpha[13] * tr[8];
-    ghat[11] += 0.22360679774997896 * alpha[13] * tr[42];
-    ghat[11] += 0.223606797749979 * alpha[14] * tr[11];
-    ghat[11] += 0.25 * alpha[27] * tr[20];
-    ghat[11] += 0.22360679774997896 * alpha[30] * tr[25];
-    ghat[12] += 0.25 * alpha[0] * tr[12];
-    ghat[12] += 0.25 * alpha[3] * tr[26];
-    ghat[12] += 0.25 * alpha[4] * tr[2];
-    ghat[12] += 0.223606797749979 * alpha[4] * tr[29];
-    ghat[12] += 0.25 * alpha[10] * tr[40];
-    ghat[12] += 0.25 * alpha[13] * tr[9];
-    ghat[12] += 0.22360679774997896 * alpha[13] * tr[43];
-    ghat[12] += 0.223606797749979 * alpha[14] * tr[12];
-    ghat[12] += 0.25 * alpha[27] * tr[21];
-    ghat[12] += 0.22360679774997896 * alpha[30] * tr[26];
-    ghat[13] += 0.25 * alpha[0] * tr[13];
-    ghat[13] += 0.25 * alpha[3] * tr[4];
-    ghat[13] += 0.223606797749979 * alpha[3] * tr[27];
-    ghat[13] += 0.25 * alpha[4] * tr[3];
-    ghat[13] += 0.223606797749979 * alpha[4] * tr[30];
-    ghat[13] += 0.223606797749979 * alpha[10] * tr[13];
-    ghat[13] += 0.25 * alpha[13] * tr[0];
-    ghat[13] += 0.223606797749979 * alpha[13] * tr[10];
-    ghat[13] += 0.223606797749979 * alpha[13] * tr[14];
-    ghat[13] += 0.223606797749979 * alpha[14] * tr[13];
-    ghat[13] += 0.223606797749979 * alpha[27] * tr[3];
-    ghat[13] += 0.2 * alpha[27] * tr[30];
-    ghat[13] += 0.223606797749979 * alpha[30] * tr[4];
-    ghat[13] += 0.2 * alpha[30] * tr[27];
-    ghat[14] += 0.25 * alpha[0] * tr[14];
-    ghat[14] += 0.25 * alpha[3] * tr[30];
-    ghat[14] += 0.22360679774997896 * alpha[4] * tr[4];
-    ghat[14] += 0.223606797749979 * alpha[13] * tr[13];
-    ghat[14] += 0.25 * alpha[14] * tr[0];
-    ghat[14] += 0.15971914124998499 * alpha[14] * tr[14];
-    ghat[14] += 0.22360679774997896 * alpha[27] * tr[27];
-    ghat[14] += 0.25 * alpha[30] * tr[3];
-    ghat[14] += 0.15971914124998499 * alpha[30] * tr[30];
-    ghat[15] += 0.25 * alpha[0] * tr[15];
-    ghat[15] += 0.25 * alpha[3] * tr[31];
-    ghat[15] += 0.25 * alpha[4] * tr[34];
-    ghat[15] += 0.25 * alpha[13] * tr[44];
-    ghat[16] += 0.25 * alpha[0] * tr[16];
-    ghat[16] += 0.25 * alpha[3] * tr[32];
-    ghat[16] += 0.25 * alpha[4] * tr[35];
-    ghat[16] += 0.25 * alpha[13] * tr[45];
-    ghat[17] += 0.25 * alpha[0] * tr[17];
-    ghat[17] += 0.25 * alpha[3] * tr[5];
-    ghat[17] += 0.25 * alpha[4] * tr[36];
-    ghat[17] += 0.22360679774997896 * alpha[10] * tr[17];
-    ghat[17] += 0.25 * alpha[13] * tr[22];
-    ghat[17] += 0.22360679774997896 * alpha[27] * tr[36];
-    ghat[18] += 0.25 * alpha[0] * tr[18];
-    ghat[18] += 0.25 * alpha[3] * tr[6];
-    ghat[18] += 0.22360679774997896 * alpha[3] * tr[33];
-    ghat[18] += 0.25 * alpha[4] * tr[37];
-    ghat[18] += 0.22360679774997896 * alpha[10] * tr[18];
-    ghat[18] += 0.25 * alpha[13] * tr[23];
-    ghat[18] += 0.22360679774997896 * alpha[13] * tr[46];
-    ghat[18] += 0.25 * alpha[14] * tr[47];
-    ghat[18] += 0.22360679774997896 * alpha[27] * tr[37];
-    ghat[18] += 0.25 * alpha[30] * tr[41];
-    ghat[19] += 0.25 * alpha[0] * tr[19];
-    ghat[19] += 0.25 * alpha[3] * tr[7];
-    ghat[19] += 0.25 * alpha[4] * tr[38];
-    ghat[19] += 0.22360679774997896 * alpha[10] * tr[19];
-    ghat[19] += 0.25 * alpha[13] * tr[24];
-    ghat[19] += 0.22360679774997896 * alpha[27] * tr[38];
-    ghat[20] += 0.25 * alpha[0] * tr[20];
-    ghat[20] += 0.223606797749979 * alpha[3] * tr[8];
-    ghat[20] += 0.25 * alpha[4] * tr[39];
-    ghat[20] += 0.25 * alpha[10] * tr[1];
-    ghat[20] += 0.15971914124998499 * alpha[10] * tr[20];
-    ghat[20] += 0.22360679774997896 * alpha[13] * tr[25];
-    ghat[20] += 0.25 * alpha[27] * tr[11];
-    ghat[20] += 0.15971914124998499 * alpha[27] * tr[39];
-    ghat[20] += 0.22360679774997896 * alpha[30] * tr[42];
-    ghat[21] += 0.25 * alpha[0] * tr[21];
-    ghat[21] += 0.223606797749979 * alpha[3] * tr[9];
-    ghat[21] += 0.25 * alpha[4] * tr[40];
-    ghat[21] += 0.25 * alpha[10] * tr[2];
-    ghat[21] += 0.15971914124998499 * alpha[10] * tr[21];
-    ghat[21] += 0.22360679774997896 * alpha[13] * tr[26];
-    ghat[21] += 0.25 * alpha[27] * tr[12];
-    ghat[21] += 0.15971914124998499 * alpha[27] * tr[40];
-    ghat[21] += 0.22360679774997896 * alpha[30] * tr[43];
-    ghat[22] += 0.25 * alpha[0] * tr[22];
-    ghat[22] += 0.25 * alpha[3] * tr[36];
-    ghat[22] += 0.25 * alpha[4] * tr[5];
-    ghat[22] += 0.25 * alpha[13] * tr[17];
-    ghat[22] += 0.22360679774997896 * alpha[14] * tr[22];
-    ghat[22] += 0.22360679774997896 * alpha[30] * tr[36];
-    ghat[23] += 0.25 * alpha[0] * tr[23];
-    ghat[23] += 0.25 * alpha[3] * tr[37];
-    ghat[23] += 0.25 * alpha[4] * tr[6];
-    ghat[23] += 0.22360679774997896 * alpha[4] * tr[41];
-    ghat[23] += 0.25 * alpha[10] * tr[46];
-    ghat[23] += 0.25 * alpha[13] * tr[18];
-    ghat[23] += 0.22360679774997896 * alpha[13] * tr[47];
-    ghat[23] += 0.22360679774997896 * alpha[14] * tr[23];
-    ghat[23] += 0.25 * alpha[27] * tr[33];
-    ghat[23] += 0.22360679774997896 * alpha[30] * tr[37];
-    ghat[24] += 0.25 * alpha[0] * tr[24];
-    ghat[24] += 0.25 * alpha[3] * tr[38];
-    ghat[24] += 0.25 * alpha[4] * tr[7];
-    ghat[24] += 0.25 * alpha[13] * tr[19];
-    ghat[24] += 0.22360679774997896 * alpha[14] * tr[24];
-    ghat[24] += 0.22360679774997896 * alpha[30] * tr[38];
-    ghat[25] += 0.25 * alpha[0] * tr[25];
-    ghat[25] += 0.25 * alpha[3] * tr[11];
-    ghat[25] += 0.22360679774997896 * alpha[3] * tr[39];
-    ghat[25] += 0.25 * alpha[4] * tr[8];
-    ghat[25] += 0.22360679774997896 * alpha[4] * tr[42];
-    ghat[25] += 0.22360679774997896 * alpha[10] * tr[25];
-    ghat[25] += 0.25 * alpha[13] * tr[1];
-    ghat[25] += 0.22360679774997896 * alpha[13] * tr[20];
-    ghat[25] += 0.22360679774997896 * alpha[13] * tr[28];
-    ghat[25] += 0.22360679774997896 * alpha[14] * tr[25];
-    ghat[25] += 0.22360679774997896 * alpha[27] * tr[8];
-    ghat[25] += 0.19999999999999998 * alpha[27] * tr[42];
-    ghat[25] += 0.22360679774997896 * alpha[30] * tr[11];
-    ghat[25] += 0.19999999999999998 * alpha[30] * tr[39];
-    ghat[26] += 0.25 * alpha[0] * tr[26];
-    ghat[26] += 0.25 * alpha[3] * tr[12];
-    ghat[26] += 0.22360679774997896 * alpha[3] * tr[40];
-    ghat[26] += 0.25 * alpha[4] * tr[9];
-    ghat[26] += 0.22360679774997896 * alpha[4] * tr[43];
-    ghat[26] += 0.22360679774997896 * alpha[10] * tr[26];
-    ghat[26] += 0.25 * alpha[13] * tr[2];
-    ghat[26] += 0.22360679774997896 * alpha[13] * tr[21];
-    ghat[26] += 0.22360679774997896 * alpha[13] * tr[29];
-    ghat[26] += 0.22360679774997896 * alpha[14] * tr[26];
-    ghat[26] += 0.22360679774997896 * alpha[27] * tr[9];
-    ghat[26] += 0.19999999999999998 * alpha[27] * tr[43];
-    ghat[26] += 0.22360679774997896 * alpha[30] * tr[12];
-    ghat[26] += 0.19999999999999998 * alpha[30] * tr[40];
-    ghat[27] += 0.25 * alpha[0] * tr[27];
-    ghat[27] += 0.223606797749979 * alpha[3] * tr[13];
-    ghat[27] += 0.25 * alpha[4] * tr[10];
-    ghat[27] += 0.25 * alpha[10] * tr[4];
-    ghat[27] += 0.15971914124998499 * alpha[10] * tr[27];
-    ghat[27] += 0.223606797749979 * alpha[13] * tr[3];
-    ghat[27] += 0.2 * alpha[13] * tr[30];
-    ghat[27] += 0.22360679774997896 * alpha[14] * tr[27];
-    ghat[27] += 0.25 * alpha[27] * tr[0];
-    ghat[27] += 0.15971914124998499 * alpha[27] * tr[10];
-    ghat[27] += 0.22360679774997896 * alpha[27] * tr[14];
-    ghat[27] += 0.2 * alpha[30] * tr[13];
-    ghat[28] += 0.25 * alpha[0] * tr[28];
-    ghat[28] += 0.25 * alpha[3] * tr[42];
-    ghat[28] += 0.223606797749979 * alpha[4] * tr[11];
-    ghat[28] += 0.22360679774997896 * alpha[13] * tr[25];
-    ghat[28] += 0.25 * alpha[14] * tr[1];
-    ghat[28] += 0.15971914124998499 * alpha[14] * tr[28];
-    ghat[28] += 0.22360679774997896 * alpha[27] * tr[39];
-    ghat[28] += 0.25 * alpha[30] * tr[8];
-    ghat[28] += 0.15971914124998499 * alpha[30] * tr[42];
-    ghat[29] += 0.25 * alpha[0] * tr[29];
-    ghat[29] += 0.25 * alpha[3] * tr[43];
-    ghat[29] += 0.223606797749979 * alpha[4] * tr[12];
-    ghat[29] += 0.22360679774997896 * alpha[13] * tr[26];
-    ghat[29] += 0.25 * alpha[14] * tr[2];
-    ghat[29] += 0.15971914124998499 * alpha[14] * tr[29];
-    ghat[29] += 0.22360679774997896 * alpha[27] * tr[40];
-    ghat[29] += 0.25 * alpha[30] * tr[9];
-    ghat[29] += 0.15971914124998499 * alpha[30] * tr[43];
-    ghat[30] += 0.25 * alpha[0] * tr[30];
-    ghat[30] += 0.25 * alpha[3] * tr[14];
-    ghat[30] += 0.223606797749979 * alpha[4] * tr[13];
-    ghat[30] += 0.22360679774997896 * alpha[10] * tr[30];
-    ghat[30] += 0.223606797749979 * alpha[13] * tr[4];
-    ghat[30] += 0.2 * alpha[13] * tr[27];
-    ghat[30] += 0.25 * alpha[14] * tr[3];
-    ghat[30] += 0.15971914124998499 * alpha[14] * tr[30];
-    ghat[30] += 0.2 * alpha[27] * tr[13];
-    ghat[30] += 0.25 * alpha[30] * tr[0];
-    ghat[30] += 0.22360679774997896 * alpha[30] * tr[10];
-    ghat[30] += 0.15971914124998499 * alpha[30] * tr[14];
-    ghat[31] += 0.25 * alpha[0] * tr[31];
-    ghat[31] += 0.25 * alpha[3] * tr[15];
-    ghat[31] += 0.25 * alpha[4] * tr[44];
-    ghat[31] += 0.22360679774997896 * alpha[10] * tr[31];
-    ghat[31] += 0.25 * alpha[13] * tr[34];
-    ghat[31] += 0.22360679774997896 * alpha[27] * tr[44];
-    ghat[32] += 0.25 * alpha[0] * tr[32];
-    ghat[32] += 0.25 * alpha[3] * tr[16];
-    ghat[32] += 0.25 * alpha[4] * tr[45];
-    ghat[32] += 0.22360679774997896 * alpha[10] * tr[32];
-    ghat[32] += 0.25 * alpha[13] * tr[35];
-    ghat[32] += 0.22360679774997896 * alpha[27] * tr[45];
-    ghat[33] += 0.25 * alpha[0] * tr[33];
-    ghat[33] += 0.22360679774997896 * alpha[3] * tr[18];
-    ghat[33] += 0.25 * alpha[4] * tr[46];
-    ghat[33] += 0.25 * alpha[10] * tr[6];
-    ghat[33] += 0.15971914124998499 * alpha[10] * tr[33];
-    ghat[33] += 0.22360679774997896 * alpha[13] * tr[37];
-    ghat[33] += 0.25 * alpha[27] * tr[23];
-    ghat[33] += 0.15971914124998499 * alpha[27] * tr[46];
-    ghat[33] += 0.22360679774997896 * alpha[30] * tr[47];
-    ghat[34] += 0.25 * alpha[0] * tr[34];
-    ghat[34] += 0.25 * alpha[3] * tr[44];
-    ghat[34] += 0.25 * alpha[4] * tr[15];
-    ghat[34] += 0.25 * alpha[13] * tr[31];
-    ghat[34] += 0.22360679774997896 * alpha[14] * tr[34];
-    ghat[34] += 0.22360679774997896 * alpha[30] * tr[44];
-    ghat[35] += 0.25 * alpha[0] * tr[35];
-    ghat[35] += 0.25 * alpha[3] * tr[45];
-    ghat[35] += 0.25 * alpha[4] * tr[16];
-    ghat[35] += 0.25 * alpha[13] * tr[32];
-    ghat[35] += 0.22360679774997896 * alpha[14] * tr[35];
-    ghat[35] += 0.22360679774997896 * alpha[30] * tr[45];
-    ghat[36] += 0.25 * alpha[0] * tr[36];
-    ghat[36] += 0.25 * alpha[3] * tr[22];
-    ghat[36] += 0.25 * alpha[4] * tr[17];
-    ghat[36] += 0.22360679774997896 * alpha[10] * tr[36];
-    ghat[36] += 0.25 * alpha[13] * tr[5];
-    ghat[36] += 0.22360679774997896 * alpha[14] * tr[36];
-    ghat[36] += 0.22360679774997896 * alpha[27] * tr[17];
-    ghat[36] += 0.22360679774997896 * alpha[30] * tr[22];
-    ghat[37] += 0.25 * alpha[0] * tr[37];
-    ghat[37] += 0.25 * alpha[3] * tr[23];
-    ghat[37] += 0.22360679774997896 * alpha[3] * tr[46];
-    ghat[37] += 0.25 * alpha[4] * tr[18];
-    ghat[37] += 0.22360679774997896 * alpha[4] * tr[47];
-    ghat[37] += 0.22360679774997896 * alpha[10] * tr[37];
-    ghat[37] += 0.25 * alpha[13] * tr[6];
-    ghat[37] += 0.22360679774997896 * alpha[13] * tr[33];
-    ghat[37] += 0.22360679774997896 * alpha[13] * tr[41];
-    ghat[37] += 0.22360679774997896 * alpha[14] * tr[37];
-    ghat[37] += 0.22360679774997896 * alpha[27] * tr[18];
-    ghat[37] += 0.2 * alpha[27] * tr[47];
-    ghat[37] += 0.22360679774997896 * alpha[30] * tr[23];
-    ghat[37] += 0.2 * alpha[30] * tr[46];
-    ghat[38] += 0.25 * alpha[0] * tr[38];
-    ghat[38] += 0.25 * alpha[3] * tr[24];
-    ghat[38] += 0.25 * alpha[4] * tr[19];
-    ghat[38] += 0.22360679774997896 * alpha[10] * tr[38];
-    ghat[38] += 0.25 * alpha[13] * tr[7];
-    ghat[38] += 0.22360679774997896 * alpha[14] * tr[38];
-    ghat[38] += 0.22360679774997896 * alpha[27] * tr[19];
-    ghat[38] += 0.22360679774997896 * alpha[30] * tr[24];
-    ghat[39] += 0.25 * alpha[0] * tr[39];
-    ghat[39] += 0.22360679774997896 * alpha[3] * tr[25];
-    ghat[39] += 0.25 * alpha[4] * tr[20];
-    ghat[39] += 0.25 * alpha[10] * tr[11];
-    ghat[39] += 0.15971914124998499 * alpha[10] * tr[39];
-    ghat[39] += 0.22360679774997896 * alpha[13] * tr[8];
-    ghat[39] += 0.19999999999999998 * alpha[13] * tr[42];
-    ghat[39] += 0.22360679774997896 * alpha[14] * tr[39];
-    ghat[39] += 0.25 * alpha[27] * tr[1];
-    ghat[39] += 0.15971914124998499 * alpha[27] * tr[20];
-    ghat[39] += 0.22360679774997896 * alpha[27] * tr[28];
-    ghat[39] += 0.19999999999999998 * alpha[30] * tr[25];
-    ghat[40] += 0.25 * alpha[0] * tr[40];
-    ghat[40] += 0.22360679774997896 * alpha[3] * tr[26];
-    ghat[40] += 0.25 * alpha[4] * tr[21];
-    ghat[40] += 0.25 * alpha[10] * tr[12];
-    ghat[40] += 0.15971914124998499 * alpha[10] * tr[40];
-    ghat[40] += 0.22360679774997896 * alpha[13] * tr[9];
-    ghat[40] += 0.19999999999999998 * alpha[13] * tr[43];
-    ghat[40] += 0.22360679774997896 * alpha[14] * tr[40];
-    ghat[40] += 0.25 * alpha[27] * tr[2];
-    ghat[40] += 0.15971914124998499 * alpha[27] * tr[21];
-    ghat[40] += 0.22360679774997896 * alpha[27] * tr[29];
-    ghat[40] += 0.19999999999999998 * alpha[30] * tr[26];
-    ghat[41] += 0.25 * alpha[0] * tr[41];
-    ghat[41] += 0.25 * alpha[3] * tr[47];
-    ghat[41] += 0.22360679774997896 * alpha[4] * tr[23];
-    ghat[41] += 0.22360679774997896 * alpha[13] * tr[37];
-    ghat[41] += 0.25 * alpha[14] * tr[6];
-    ghat[41] += 0.15971914124998499 * alpha[14] * tr[41];
-    ghat[41] += 0.22360679774997896 * alpha[27] * tr[46];
-    ghat[41] += 0.25 * alpha[30] * tr[18];
-    ghat[41] += 0.15971914124998499 * alpha[30] * tr[47];
-    ghat[42] += 0.25 * alpha[0] * tr[42];
-    ghat[42] += 0.25 * alpha[3] * tr[28];
-    ghat[42] += 0.22360679774997896 * alpha[4] * tr[25];
-    ghat[42] += 0.22360679774997896 * alpha[10] * tr[42];
-    ghat[42] += 0.22360679774997896 * alpha[13] * tr[11];
-    ghat[42] += 0.19999999999999998 * alpha[13] * tr[39];
-    ghat[42] += 0.25 * alpha[14] * tr[8];
-    ghat[42] += 0.15971914124998499 * alpha[14] * tr[42];
-    ghat[42] += 0.19999999999999998 * alpha[27] * tr[25];
-    ghat[42] += 0.25 * alpha[30] * tr[1];
-    ghat[42] += 0.22360679774997896 * alpha[30] * tr[20];
-    ghat[42] += 0.15971914124998499 * alpha[30] * tr[28];
-    ghat[43] += 0.25 * alpha[0] * tr[43];
-    ghat[43] += 0.25 * alpha[3] * tr[29];
-    ghat[43] += 0.22360679774997896 * alpha[4] * tr[26];
-    ghat[43] += 0.22360679774997896 * alpha[10] * tr[43];
-    ghat[43] += 0.22360679774997896 * alpha[13] * tr[12];
-    ghat[43] += 0.19999999999999998 * alpha[13] * tr[40];
-    ghat[43] += 0.25 * alpha[14] * tr[9];
-    ghat[43] += 0.15971914124998499 * alpha[14] * tr[43];
-    ghat[43] += 0.19999999999999998 * alpha[27] * tr[26];
-    ghat[43] += 0.25 * alpha[30] * tr[2];
-    ghat[43] += 0.22360679774997896 * alpha[30] * tr[21];
-    ghat[43] += 0.15971914124998499 * alpha[30] * tr[29];
-    ghat[44] += 0.25 * alpha[0] * tr[44];
-    ghat[44] += 0.25 * alpha[3] * tr[34];
-    ghat[44] += 0.25 * alpha[4] * tr[31];
-    ghat[44] += 0.22360679774997896 * alpha[10] * tr[44];
-    ghat[44] += 0.25 * alpha[13] * tr[15];
-    ghat[44] += 0.22360679774997896 * alpha[14] * tr[44];
-    ghat[44] += 0.22360679774997896 * alpha[27] * tr[31];
-    ghat[44] += 0.22360679774997896 * alpha[30] * tr[34];
-    ghat[45] += 0.25 * alpha[0] * tr[45];
-    ghat[45] += 0.25 * alpha[3] * tr[35];
-    ghat[45] += 0.25 * alpha[4] * tr[32];
-    ghat[45] += 0.22360679774997896 * alpha[10] * tr[45];
-    ghat[45] += 0.25 * alpha[13] * tr[16];
-    ghat[45] += 0.22360679774997896 * alpha[14] * tr[45];
-    ghat[45] += 0.22360679774997896 * alpha[27] * tr[32];
-    ghat[45] += 0.22360679774997896 * alpha[30] * tr[35];
-    ghat[46] += 0.25 * alpha[0] * tr[46];
-    ghat[46] += 0.22360679774997896 * alpha[3] * tr[37];
-    ghat[46] += 0.25 * alpha[4] * tr[33];
-    ghat[46] += 0.25 * alpha[10] * tr[23];
-    ghat[46] += 0.15971914124998499 * alpha[10] * tr[46];
-    ghat[46] += 0.22360679774997896 * alpha[13] * tr[18];
-    ghat[46] += 0.2 * alpha[13] * tr[47];
-    ghat[46] += 0.22360679774997896 * alpha[14] * tr[46];
-    ghat[46] += 0.25 * alpha[27] * tr[6];
-    ghat[46] += 0.15971914124998499 * alpha[27] * tr[33];
-    ghat[46] += 0.22360679774997896 * alpha[27] * tr[41];
-    ghat[46] += 0.2 * alpha[30] * tr[37];
-    ghat[47] += 0.25 * alpha[0] * tr[47];
-    ghat[47] += 0.25 * alpha[3] * tr[41];
-    ghat[47] += 0.22360679774997896 * alpha[4] * tr[37];
-    ghat[47] += 0.22360679774997896 * alpha[10] * tr[47];
-    ghat[47] += 0.22360679774997896 * alpha[13] * tr[23];
-    ghat[47] += 0.2 * alpha[13] * tr[46];
-    ghat[47] += 0.25 * alpha[14] * tr[18];
-    ghat[47] += 0.15971914124998499 * alpha[14] * tr[47];
-    ghat[47] += 0.2 * alpha[27] * tr[37];
-    ghat[47] += 0.25 * alpha[30] * tr[6];
-    ghat[47] += 0.22360679774997896 * alpha[30] * tr[33];
-    ghat[47] += 0.15971914124998499 * alpha[30] * tr[41];
-    out_lo[0] += nu * scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += nu * scale * 0.7071067811865476 * ghat[1];
-    out_lo[2] += nu * scale * 1.224744871391589 * ghat[0];
-    out_lo[3] += nu * scale * 0.7071067811865476 * ghat[2];
-    out_lo[4] += nu * scale * 0.7071067811865476 * ghat[3];
-    out_lo[5] += nu * scale * 0.7071067811865476 * ghat[4];
-    out_lo[6] += nu * scale * 0.7071067811865476 * ghat[5];
-    out_lo[7] += nu * scale * 1.224744871391589 * ghat[1];
-    out_lo[8] += nu * scale * 1.5811388300841898 * ghat[0];
-    out_lo[9] += nu * scale * 0.7071067811865476 * ghat[6];
-    out_lo[10] += nu * scale * 1.224744871391589 * ghat[2];
-    out_lo[11] += nu * scale * 0.7071067811865476 * ghat[7];
-    out_lo[12] += nu * scale * 0.7071067811865476 * ghat[8];
-    out_lo[13] += nu * scale * 1.224744871391589 * ghat[3];
-    out_lo[14] += nu * scale * 0.7071067811865476 * ghat[9];
-    out_lo[15] += nu * scale * 0.7071067811865476 * ghat[10];
-    out_lo[16] += nu * scale * 0.7071067811865476 * ghat[11];
-    out_lo[17] += nu * scale * 1.224744871391589 * ghat[4];
-    out_lo[18] += nu * scale * 0.7071067811865476 * ghat[12];
-    out_lo[19] += nu * scale * 0.7071067811865476 * ghat[13];
-    out_lo[20] += nu * scale * 0.7071067811865476 * ghat[14];
-    out_lo[21] += nu * scale * 1.224744871391589 * ghat[5];
-    out_lo[22] += nu * scale * 1.5811388300841898 * ghat[1];
-    out_lo[23] += nu * scale * 0.7071067811865476 * ghat[15];
-    out_lo[24] += nu * scale * 1.224744871391589 * ghat[6];
-    out_lo[25] += nu * scale * 1.5811388300841898 * ghat[2];
-    out_lo[26] += nu * scale * 0.7071067811865476 * ghat[16];
-    out_lo[27] += nu * scale * 1.224744871391589 * ghat[7];
-    out_lo[28] += nu * scale * 0.7071067811865476 * ghat[17];
-    out_lo[29] += nu * scale * 1.224744871391589 * ghat[8];
-    out_lo[30] += nu * scale * 1.5811388300841898 * ghat[3];
-    out_lo[31] += nu * scale * 0.7071067811865476 * ghat[18];
-    out_lo[32] += nu * scale * 1.224744871391589 * ghat[9];
-    out_lo[33] += nu * scale * 0.7071067811865476 * ghat[19];
-    out_lo[34] += nu * scale * 0.7071067811865476 * ghat[20];
-    out_lo[35] += nu * scale * 1.224744871391589 * ghat[10];
-    out_lo[36] += nu * scale * 0.7071067811865476 * ghat[21];
-    out_lo[37] += nu * scale * 0.7071067811865476 * ghat[22];
-    out_lo[38] += nu * scale * 1.224744871391589 * ghat[11];
-    out_lo[39] += nu * scale * 1.5811388300841898 * ghat[4];
-    out_lo[40] += nu * scale * 0.7071067811865476 * ghat[23];
-    out_lo[41] += nu * scale * 1.224744871391589 * ghat[12];
-    out_lo[42] += nu * scale * 0.7071067811865476 * ghat[24];
-    out_lo[43] += nu * scale * 0.7071067811865476 * ghat[25];
-    out_lo[44] += nu * scale * 1.224744871391589 * ghat[13];
-    out_lo[45] += nu * scale * 0.7071067811865476 * ghat[26];
-    out_lo[46] += nu * scale * 0.7071067811865476 * ghat[27];
-    out_lo[47] += nu * scale * 0.7071067811865476 * ghat[28];
-    out_lo[48] += nu * scale * 1.224744871391589 * ghat[14];
-    out_lo[49] += nu * scale * 0.7071067811865476 * ghat[29];
-    out_lo[50] += nu * scale * 0.7071067811865476 * ghat[30];
-    out_lo[51] += nu * scale * 1.224744871391589 * ghat[15];
-    out_lo[52] += nu * scale * 1.5811388300841898 * ghat[6];
-    out_lo[53] += nu * scale * 1.224744871391589 * ghat[16];
-    out_lo[54] += nu * scale * 1.224744871391589 * ghat[17];
-    out_lo[55] += nu * scale * 1.5811388300841898 * ghat[8];
-    out_lo[56] += nu * scale * 0.7071067811865476 * ghat[31];
-    out_lo[57] += nu * scale * 1.224744871391589 * ghat[18];
-    out_lo[58] += nu * scale * 1.5811388300841898 * ghat[9];
-    out_lo[59] += nu * scale * 0.7071067811865476 * ghat[32];
-    out_lo[60] += nu * scale * 1.224744871391589 * ghat[19];
-    out_lo[61] += nu * scale * 1.224744871391589 * ghat[20];
-    out_lo[62] += nu * scale * 0.7071067811865476 * ghat[33];
-    out_lo[63] += nu * scale * 1.224744871391589 * ghat[21];
-    out_lo[64] += nu * scale * 1.224744871391589 * ghat[22];
-    out_lo[65] += nu * scale * 1.5811388300841898 * ghat[11];
-    out_lo[66] += nu * scale * 0.7071067811865476 * ghat[34];
-    out_lo[67] += nu * scale * 1.224744871391589 * ghat[23];
-    out_lo[68] += nu * scale * 1.5811388300841898 * ghat[12];
-    out_lo[69] += nu * scale * 0.7071067811865476 * ghat[35];
-    out_lo[70] += nu * scale * 1.224744871391589 * ghat[24];
-    out_lo[71] += nu * scale * 0.7071067811865476 * ghat[36];
-    out_lo[72] += nu * scale * 1.224744871391589 * ghat[25];
-    out_lo[73] += nu * scale * 1.5811388300841898 * ghat[13];
-    out_lo[74] += nu * scale * 0.7071067811865476 * ghat[37];
-    out_lo[75] += nu * scale * 1.224744871391589 * ghat[26];
-    out_lo[76] += nu * scale * 0.7071067811865476 * ghat[38];
-    out_lo[77] += nu * scale * 0.7071067811865476 * ghat[39];
-    out_lo[78] += nu * scale * 1.224744871391589 * ghat[27];
-    out_lo[79] += nu * scale * 0.7071067811865476 * ghat[40];
-    out_lo[80] += nu * scale * 1.224744871391589 * ghat[28];
-    out_lo[81] += nu * scale * 0.7071067811865476 * ghat[41];
-    out_lo[82] += nu * scale * 1.224744871391589 * ghat[29];
-    out_lo[83] += nu * scale * 0.7071067811865476 * ghat[42];
-    out_lo[84] += nu * scale * 1.224744871391589 * ghat[30];
-    out_lo[85] += nu * scale * 0.7071067811865476 * ghat[43];
-    out_lo[86] += nu * scale * 1.224744871391589 * ghat[31];
-    out_lo[87] += nu * scale * 1.5811388300841898 * ghat[18];
-    out_lo[88] += nu * scale * 1.224744871391589 * ghat[32];
-    out_lo[89] += nu * scale * 1.224744871391589 * ghat[33];
-    out_lo[90] += nu * scale * 1.224744871391589 * ghat[34];
-    out_lo[91] += nu * scale * 1.5811388300841898 * ghat[23];
-    out_lo[92] += nu * scale * 1.224744871391589 * ghat[35];
-    out_lo[93] += nu * scale * 1.224744871391589 * ghat[36];
-    out_lo[94] += nu * scale * 1.5811388300841898 * ghat[25];
-    out_lo[95] += nu * scale * 0.7071067811865476 * ghat[44];
-    out_lo[96] += nu * scale * 1.224744871391589 * ghat[37];
-    out_lo[97] += nu * scale * 1.5811388300841898 * ghat[26];
-    out_lo[98] += nu * scale * 0.7071067811865476 * ghat[45];
-    out_lo[99] += nu * scale * 1.224744871391589 * ghat[38];
-    out_lo[100] += nu * scale * 1.224744871391589 * ghat[39];
-    out_lo[101] += nu * scale * 0.7071067811865476 * ghat[46];
-    out_lo[102] += nu * scale * 1.224744871391589 * ghat[40];
-    out_lo[103] += nu * scale * 1.224744871391589 * ghat[41];
-    out_lo[104] += nu * scale * 1.224744871391589 * ghat[42];
-    out_lo[105] += nu * scale * 0.7071067811865476 * ghat[47];
-    out_lo[106] += nu * scale * 1.224744871391589 * ghat[43];
-    out_lo[107] += nu * scale * 1.224744871391589 * ghat[44];
-    out_lo[108] += nu * scale * 1.5811388300841898 * ghat[37];
-    out_lo[109] += nu * scale * 1.224744871391589 * ghat[45];
-    out_lo[110] += nu * scale * 1.224744871391589 * ghat[46];
-    out_lo[111] += nu * scale * 1.224744871391589 * ghat[47];
-    out_hi[0] += -nu * scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += -nu * scale * 0.7071067811865476 * ghat[1];
-    out_hi[2] += -nu * scale * -1.224744871391589 * ghat[0];
-    out_hi[3] += -nu * scale * 0.7071067811865476 * ghat[2];
-    out_hi[4] += -nu * scale * 0.7071067811865476 * ghat[3];
-    out_hi[5] += -nu * scale * 0.7071067811865476 * ghat[4];
-    out_hi[6] += -nu * scale * 0.7071067811865476 * ghat[5];
-    out_hi[7] += -nu * scale * -1.224744871391589 * ghat[1];
-    out_hi[8] += -nu * scale * 1.5811388300841898 * ghat[0];
-    out_hi[9] += -nu * scale * 0.7071067811865476 * ghat[6];
-    out_hi[10] += -nu * scale * -1.224744871391589 * ghat[2];
-    out_hi[11] += -nu * scale * 0.7071067811865476 * ghat[7];
-    out_hi[12] += -nu * scale * 0.7071067811865476 * ghat[8];
-    out_hi[13] += -nu * scale * -1.224744871391589 * ghat[3];
-    out_hi[14] += -nu * scale * 0.7071067811865476 * ghat[9];
-    out_hi[15] += -nu * scale * 0.7071067811865476 * ghat[10];
-    out_hi[16] += -nu * scale * 0.7071067811865476 * ghat[11];
-    out_hi[17] += -nu * scale * -1.224744871391589 * ghat[4];
-    out_hi[18] += -nu * scale * 0.7071067811865476 * ghat[12];
-    out_hi[19] += -nu * scale * 0.7071067811865476 * ghat[13];
-    out_hi[20] += -nu * scale * 0.7071067811865476 * ghat[14];
-    out_hi[21] += -nu * scale * -1.224744871391589 * ghat[5];
-    out_hi[22] += -nu * scale * 1.5811388300841898 * ghat[1];
-    out_hi[23] += -nu * scale * 0.7071067811865476 * ghat[15];
-    out_hi[24] += -nu * scale * -1.224744871391589 * ghat[6];
-    out_hi[25] += -nu * scale * 1.5811388300841898 * ghat[2];
-    out_hi[26] += -nu * scale * 0.7071067811865476 * ghat[16];
-    out_hi[27] += -nu * scale * -1.224744871391589 * ghat[7];
-    out_hi[28] += -nu * scale * 0.7071067811865476 * ghat[17];
-    out_hi[29] += -nu * scale * -1.224744871391589 * ghat[8];
-    out_hi[30] += -nu * scale * 1.5811388300841898 * ghat[3];
-    out_hi[31] += -nu * scale * 0.7071067811865476 * ghat[18];
-    out_hi[32] += -nu * scale * -1.224744871391589 * ghat[9];
-    out_hi[33] += -nu * scale * 0.7071067811865476 * ghat[19];
-    out_hi[34] += -nu * scale * 0.7071067811865476 * ghat[20];
-    out_hi[35] += -nu * scale * -1.224744871391589 * ghat[10];
-    out_hi[36] += -nu * scale * 0.7071067811865476 * ghat[21];
-    out_hi[37] += -nu * scale * 0.7071067811865476 * ghat[22];
-    out_hi[38] += -nu * scale * -1.224744871391589 * ghat[11];
-    out_hi[39] += -nu * scale * 1.5811388300841898 * ghat[4];
-    out_hi[40] += -nu * scale * 0.7071067811865476 * ghat[23];
-    out_hi[41] += -nu * scale * -1.224744871391589 * ghat[12];
-    out_hi[42] += -nu * scale * 0.7071067811865476 * ghat[24];
-    out_hi[43] += -nu * scale * 0.7071067811865476 * ghat[25];
-    out_hi[44] += -nu * scale * -1.224744871391589 * ghat[13];
-    out_hi[45] += -nu * scale * 0.7071067811865476 * ghat[26];
-    out_hi[46] += -nu * scale * 0.7071067811865476 * ghat[27];
-    out_hi[47] += -nu * scale * 0.7071067811865476 * ghat[28];
-    out_hi[48] += -nu * scale * -1.224744871391589 * ghat[14];
-    out_hi[49] += -nu * scale * 0.7071067811865476 * ghat[29];
-    out_hi[50] += -nu * scale * 0.7071067811865476 * ghat[30];
-    out_hi[51] += -nu * scale * -1.224744871391589 * ghat[15];
-    out_hi[52] += -nu * scale * 1.5811388300841898 * ghat[6];
-    out_hi[53] += -nu * scale * -1.224744871391589 * ghat[16];
-    out_hi[54] += -nu * scale * -1.224744871391589 * ghat[17];
-    out_hi[55] += -nu * scale * 1.5811388300841898 * ghat[8];
-    out_hi[56] += -nu * scale * 0.7071067811865476 * ghat[31];
-    out_hi[57] += -nu * scale * -1.224744871391589 * ghat[18];
-    out_hi[58] += -nu * scale * 1.5811388300841898 * ghat[9];
-    out_hi[59] += -nu * scale * 0.7071067811865476 * ghat[32];
-    out_hi[60] += -nu * scale * -1.224744871391589 * ghat[19];
-    out_hi[61] += -nu * scale * -1.224744871391589 * ghat[20];
-    out_hi[62] += -nu * scale * 0.7071067811865476 * ghat[33];
-    out_hi[63] += -nu * scale * -1.224744871391589 * ghat[21];
-    out_hi[64] += -nu * scale * -1.224744871391589 * ghat[22];
-    out_hi[65] += -nu * scale * 1.5811388300841898 * ghat[11];
-    out_hi[66] += -nu * scale * 0.7071067811865476 * ghat[34];
-    out_hi[67] += -nu * scale * -1.224744871391589 * ghat[23];
-    out_hi[68] += -nu * scale * 1.5811388300841898 * ghat[12];
-    out_hi[69] += -nu * scale * 0.7071067811865476 * ghat[35];
-    out_hi[70] += -nu * scale * -1.224744871391589 * ghat[24];
-    out_hi[71] += -nu * scale * 0.7071067811865476 * ghat[36];
-    out_hi[72] += -nu * scale * -1.224744871391589 * ghat[25];
-    out_hi[73] += -nu * scale * 1.5811388300841898 * ghat[13];
-    out_hi[74] += -nu * scale * 0.7071067811865476 * ghat[37];
-    out_hi[75] += -nu * scale * -1.224744871391589 * ghat[26];
-    out_hi[76] += -nu * scale * 0.7071067811865476 * ghat[38];
-    out_hi[77] += -nu * scale * 0.7071067811865476 * ghat[39];
-    out_hi[78] += -nu * scale * -1.224744871391589 * ghat[27];
-    out_hi[79] += -nu * scale * 0.7071067811865476 * ghat[40];
-    out_hi[80] += -nu * scale * -1.224744871391589 * ghat[28];
-    out_hi[81] += -nu * scale * 0.7071067811865476 * ghat[41];
-    out_hi[82] += -nu * scale * -1.224744871391589 * ghat[29];
-    out_hi[83] += -nu * scale * 0.7071067811865476 * ghat[42];
-    out_hi[84] += -nu * scale * -1.224744871391589 * ghat[30];
-    out_hi[85] += -nu * scale * 0.7071067811865476 * ghat[43];
-    out_hi[86] += -nu * scale * -1.224744871391589 * ghat[31];
-    out_hi[87] += -nu * scale * 1.5811388300841898 * ghat[18];
-    out_hi[88] += -nu * scale * -1.224744871391589 * ghat[32];
-    out_hi[89] += -nu * scale * -1.224744871391589 * ghat[33];
-    out_hi[90] += -nu * scale * -1.224744871391589 * ghat[34];
-    out_hi[91] += -nu * scale * 1.5811388300841898 * ghat[23];
-    out_hi[92] += -nu * scale * -1.224744871391589 * ghat[35];
-    out_hi[93] += -nu * scale * -1.224744871391589 * ghat[36];
-    out_hi[94] += -nu * scale * 1.5811388300841898 * ghat[25];
-    out_hi[95] += -nu * scale * 0.7071067811865476 * ghat[44];
-    out_hi[96] += -nu * scale * -1.224744871391589 * ghat[37];
-    out_hi[97] += -nu * scale * 1.5811388300841898 * ghat[26];
-    out_hi[98] += -nu * scale * 0.7071067811865476 * ghat[45];
-    out_hi[99] += -nu * scale * -1.224744871391589 * ghat[38];
-    out_hi[100] += -nu * scale * -1.224744871391589 * ghat[39];
-    out_hi[101] += -nu * scale * 0.7071067811865476 * ghat[46];
-    out_hi[102] += -nu * scale * -1.224744871391589 * ghat[40];
-    out_hi[103] += -nu * scale * -1.224744871391589 * ghat[41];
-    out_hi[104] += -nu * scale * -1.224744871391589 * ghat[42];
-    out_hi[105] += -nu * scale * 0.7071067811865476 * ghat[47];
-    out_hi[106] += -nu * scale * -1.224744871391589 * ghat[43];
-    out_hi[107] += -nu * scale * -1.224744871391589 * ghat[44];
-    out_hi[108] += -nu * scale * 1.5811388300841898 * ghat[37];
-    out_hi[109] += -nu * scale * -1.224744871391589 * ghat[45];
-    out_hi[110] += -nu * scale * -1.224744871391589 * ghat[46];
-    out_hi[111] += -nu * scale * -1.224744871391589 * ghat[47];
+    let mut alpha = [[0.0f64; L]; 48];
+    for k in 0..L {
+        alpha[0][k] = 2.0 * vth2[0][k];
+        alpha[3][k] = 2.0 * vth2[1][k];
+        alpha[4][k] = 2.0 * vth2[2][k];
+        alpha[10][k] = 2.0 * vth2[3][k];
+        alpha[13][k] = 2.0 * vth2[4][k];
+        alpha[14][k] = 2.0 * vth2[5][k];
+        alpha[27][k] = 2.0 * vth2[6][k];
+        alpha[30][k] = 2.0 * vth2[7][k];
+    }
+    let mut tr = [[0.0f64; L]; 48];
+    sxn(&mut tr[0], 0.7071067811865476, &g_lo[0]);
+    sxn(&mut tr[1], 0.7071067811865476, &g_lo[1]);
+    sxn(&mut tr[0], 1.224744871391589, &g_lo[2]);
+    sxn(&mut tr[2], 0.7071067811865476, &g_lo[3]);
+    sxn(&mut tr[3], 0.7071067811865476, &g_lo[4]);
+    sxn(&mut tr[4], 0.7071067811865476, &g_lo[5]);
+    sxn(&mut tr[5], 0.7071067811865476, &g_lo[6]);
+    sxn(&mut tr[1], 1.224744871391589, &g_lo[7]);
+    sxn(&mut tr[0], 1.5811388300841898, &g_lo[8]);
+    sxn(&mut tr[6], 0.7071067811865476, &g_lo[9]);
+    sxn(&mut tr[2], 1.224744871391589, &g_lo[10]);
+    sxn(&mut tr[7], 0.7071067811865476, &g_lo[11]);
+    sxn(&mut tr[8], 0.7071067811865476, &g_lo[12]);
+    sxn(&mut tr[3], 1.224744871391589, &g_lo[13]);
+    sxn(&mut tr[9], 0.7071067811865476, &g_lo[14]);
+    sxn(&mut tr[10], 0.7071067811865476, &g_lo[15]);
+    sxn(&mut tr[11], 0.7071067811865476, &g_lo[16]);
+    sxn(&mut tr[4], 1.224744871391589, &g_lo[17]);
+    sxn(&mut tr[12], 0.7071067811865476, &g_lo[18]);
+    sxn(&mut tr[13], 0.7071067811865476, &g_lo[19]);
+    sxn(&mut tr[14], 0.7071067811865476, &g_lo[20]);
+    sxn(&mut tr[5], 1.224744871391589, &g_lo[21]);
+    sxn(&mut tr[1], 1.5811388300841898, &g_lo[22]);
+    sxn(&mut tr[15], 0.7071067811865476, &g_lo[23]);
+    sxn(&mut tr[6], 1.224744871391589, &g_lo[24]);
+    sxn(&mut tr[2], 1.5811388300841898, &g_lo[25]);
+    sxn(&mut tr[16], 0.7071067811865476, &g_lo[26]);
+    sxn(&mut tr[7], 1.224744871391589, &g_lo[27]);
+    sxn(&mut tr[17], 0.7071067811865476, &g_lo[28]);
+    sxn(&mut tr[8], 1.224744871391589, &g_lo[29]);
+    sxn(&mut tr[3], 1.5811388300841898, &g_lo[30]);
+    sxn(&mut tr[18], 0.7071067811865476, &g_lo[31]);
+    sxn(&mut tr[9], 1.224744871391589, &g_lo[32]);
+    sxn(&mut tr[19], 0.7071067811865476, &g_lo[33]);
+    sxn(&mut tr[20], 0.7071067811865476, &g_lo[34]);
+    sxn(&mut tr[10], 1.224744871391589, &g_lo[35]);
+    sxn(&mut tr[21], 0.7071067811865476, &g_lo[36]);
+    sxn(&mut tr[22], 0.7071067811865476, &g_lo[37]);
+    sxn(&mut tr[11], 1.224744871391589, &g_lo[38]);
+    sxn(&mut tr[4], 1.5811388300841898, &g_lo[39]);
+    sxn(&mut tr[23], 0.7071067811865476, &g_lo[40]);
+    sxn(&mut tr[12], 1.224744871391589, &g_lo[41]);
+    sxn(&mut tr[24], 0.7071067811865476, &g_lo[42]);
+    sxn(&mut tr[25], 0.7071067811865476, &g_lo[43]);
+    sxn(&mut tr[13], 1.224744871391589, &g_lo[44]);
+    sxn(&mut tr[26], 0.7071067811865476, &g_lo[45]);
+    sxn(&mut tr[27], 0.7071067811865476, &g_lo[46]);
+    sxn(&mut tr[28], 0.7071067811865476, &g_lo[47]);
+    sxn(&mut tr[14], 1.224744871391589, &g_lo[48]);
+    sxn(&mut tr[29], 0.7071067811865476, &g_lo[49]);
+    sxn(&mut tr[30], 0.7071067811865476, &g_lo[50]);
+    sxn(&mut tr[15], 1.224744871391589, &g_lo[51]);
+    sxn(&mut tr[6], 1.5811388300841898, &g_lo[52]);
+    sxn(&mut tr[16], 1.224744871391589, &g_lo[53]);
+    sxn(&mut tr[17], 1.224744871391589, &g_lo[54]);
+    sxn(&mut tr[8], 1.5811388300841898, &g_lo[55]);
+    sxn(&mut tr[31], 0.7071067811865476, &g_lo[56]);
+    sxn(&mut tr[18], 1.224744871391589, &g_lo[57]);
+    sxn(&mut tr[9], 1.5811388300841898, &g_lo[58]);
+    sxn(&mut tr[32], 0.7071067811865476, &g_lo[59]);
+    sxn(&mut tr[19], 1.224744871391589, &g_lo[60]);
+    sxn(&mut tr[20], 1.224744871391589, &g_lo[61]);
+    sxn(&mut tr[33], 0.7071067811865476, &g_lo[62]);
+    sxn(&mut tr[21], 1.224744871391589, &g_lo[63]);
+    sxn(&mut tr[22], 1.224744871391589, &g_lo[64]);
+    sxn(&mut tr[11], 1.5811388300841898, &g_lo[65]);
+    sxn(&mut tr[34], 0.7071067811865476, &g_lo[66]);
+    sxn(&mut tr[23], 1.224744871391589, &g_lo[67]);
+    sxn(&mut tr[12], 1.5811388300841898, &g_lo[68]);
+    sxn(&mut tr[35], 0.7071067811865476, &g_lo[69]);
+    sxn(&mut tr[24], 1.224744871391589, &g_lo[70]);
+    sxn(&mut tr[36], 0.7071067811865476, &g_lo[71]);
+    sxn(&mut tr[25], 1.224744871391589, &g_lo[72]);
+    sxn(&mut tr[13], 1.5811388300841898, &g_lo[73]);
+    sxn(&mut tr[37], 0.7071067811865476, &g_lo[74]);
+    sxn(&mut tr[26], 1.224744871391589, &g_lo[75]);
+    sxn(&mut tr[38], 0.7071067811865476, &g_lo[76]);
+    sxn(&mut tr[39], 0.7071067811865476, &g_lo[77]);
+    sxn(&mut tr[27], 1.224744871391589, &g_lo[78]);
+    sxn(&mut tr[40], 0.7071067811865476, &g_lo[79]);
+    sxn(&mut tr[28], 1.224744871391589, &g_lo[80]);
+    sxn(&mut tr[41], 0.7071067811865476, &g_lo[81]);
+    sxn(&mut tr[29], 1.224744871391589, &g_lo[82]);
+    sxn(&mut tr[42], 0.7071067811865476, &g_lo[83]);
+    sxn(&mut tr[30], 1.224744871391589, &g_lo[84]);
+    sxn(&mut tr[43], 0.7071067811865476, &g_lo[85]);
+    sxn(&mut tr[31], 1.224744871391589, &g_lo[86]);
+    sxn(&mut tr[18], 1.5811388300841898, &g_lo[87]);
+    sxn(&mut tr[32], 1.224744871391589, &g_lo[88]);
+    sxn(&mut tr[33], 1.224744871391589, &g_lo[89]);
+    sxn(&mut tr[34], 1.224744871391589, &g_lo[90]);
+    sxn(&mut tr[23], 1.5811388300841898, &g_lo[91]);
+    sxn(&mut tr[35], 1.224744871391589, &g_lo[92]);
+    sxn(&mut tr[36], 1.224744871391589, &g_lo[93]);
+    sxn(&mut tr[25], 1.5811388300841898, &g_lo[94]);
+    sxn(&mut tr[44], 0.7071067811865476, &g_lo[95]);
+    sxn(&mut tr[37], 1.224744871391589, &g_lo[96]);
+    sxn(&mut tr[26], 1.5811388300841898, &g_lo[97]);
+    sxn(&mut tr[45], 0.7071067811865476, &g_lo[98]);
+    sxn(&mut tr[38], 1.224744871391589, &g_lo[99]);
+    sxn(&mut tr[39], 1.224744871391589, &g_lo[100]);
+    sxn(&mut tr[46], 0.7071067811865476, &g_lo[101]);
+    sxn(&mut tr[40], 1.224744871391589, &g_lo[102]);
+    sxn(&mut tr[41], 1.224744871391589, &g_lo[103]);
+    sxn(&mut tr[42], 1.224744871391589, &g_lo[104]);
+    sxn(&mut tr[47], 0.7071067811865476, &g_lo[105]);
+    sxn(&mut tr[43], 1.224744871391589, &g_lo[106]);
+    sxn(&mut tr[44], 1.224744871391589, &g_lo[107]);
+    sxn(&mut tr[37], 1.5811388300841898, &g_lo[108]);
+    sxn(&mut tr[45], 1.224744871391589, &g_lo[109]);
+    sxn(&mut tr[46], 1.224744871391589, &g_lo[110]);
+    sxn(&mut tr[47], 1.224744871391589, &g_lo[111]);
+    let mut ghat = [[0.0f64; L]; 48];
+    for k in 0..L {
+        ghat[0][k] += 0.25 * alpha[0][k] * tr[0][k];
+        ghat[0][k] += 0.25 * alpha[3][k] * tr[3][k];
+        ghat[0][k] += 0.25 * alpha[4][k] * tr[4][k];
+        ghat[0][k] += 0.25 * alpha[10][k] * tr[10][k];
+        ghat[0][k] += 0.25 * alpha[13][k] * tr[13][k];
+        ghat[0][k] += 0.25 * alpha[14][k] * tr[14][k];
+        ghat[0][k] += 0.25 * alpha[27][k] * tr[27][k];
+        ghat[0][k] += 0.25 * alpha[30][k] * tr[30][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.25 * alpha[0][k] * tr[1][k];
+        ghat[1][k] += 0.25 * alpha[3][k] * tr[8][k];
+        ghat[1][k] += 0.25 * alpha[4][k] * tr[11][k];
+        ghat[1][k] += 0.25 * alpha[10][k] * tr[20][k];
+        ghat[1][k] += 0.25 * alpha[13][k] * tr[25][k];
+        ghat[1][k] += 0.25 * alpha[14][k] * tr[28][k];
+        ghat[1][k] += 0.25 * alpha[27][k] * tr[39][k];
+        ghat[1][k] += 0.25 * alpha[30][k] * tr[42][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.25 * alpha[0][k] * tr[2][k];
+        ghat[2][k] += 0.25 * alpha[3][k] * tr[9][k];
+        ghat[2][k] += 0.25 * alpha[4][k] * tr[12][k];
+        ghat[2][k] += 0.25 * alpha[10][k] * tr[21][k];
+        ghat[2][k] += 0.25 * alpha[13][k] * tr[26][k];
+        ghat[2][k] += 0.25 * alpha[14][k] * tr[29][k];
+        ghat[2][k] += 0.25 * alpha[27][k] * tr[40][k];
+        ghat[2][k] += 0.25 * alpha[30][k] * tr[43][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.25 * alpha[0][k] * tr[3][k];
+        ghat[3][k] += 0.25 * alpha[3][k] * tr[0][k];
+        ghat[3][k] += 0.22360679774997896 * alpha[3][k] * tr[10][k];
+        ghat[3][k] += 0.25 * alpha[4][k] * tr[13][k];
+        ghat[3][k] += 0.22360679774997896 * alpha[10][k] * tr[3][k];
+        ghat[3][k] += 0.25 * alpha[13][k] * tr[4][k];
+        ghat[3][k] += 0.223606797749979 * alpha[13][k] * tr[27][k];
+        ghat[3][k] += 0.25 * alpha[14][k] * tr[30][k];
+        ghat[3][k] += 0.223606797749979 * alpha[27][k] * tr[13][k];
+        ghat[3][k] += 0.25 * alpha[30][k] * tr[14][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.25 * alpha[0][k] * tr[4][k];
+        ghat[4][k] += 0.25 * alpha[3][k] * tr[13][k];
+        ghat[4][k] += 0.25 * alpha[4][k] * tr[0][k];
+        ghat[4][k] += 0.22360679774997896 * alpha[4][k] * tr[14][k];
+        ghat[4][k] += 0.25 * alpha[10][k] * tr[27][k];
+        ghat[4][k] += 0.25 * alpha[13][k] * tr[3][k];
+        ghat[4][k] += 0.223606797749979 * alpha[13][k] * tr[30][k];
+        ghat[4][k] += 0.22360679774997896 * alpha[14][k] * tr[4][k];
+        ghat[4][k] += 0.25 * alpha[27][k] * tr[10][k];
+        ghat[4][k] += 0.223606797749979 * alpha[30][k] * tr[13][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.25 * alpha[0][k] * tr[5][k];
+        ghat[5][k] += 0.25 * alpha[3][k] * tr[17][k];
+        ghat[5][k] += 0.25 * alpha[4][k] * tr[22][k];
+        ghat[5][k] += 0.25 * alpha[13][k] * tr[36][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.25 * alpha[0][k] * tr[6][k];
+        ghat[6][k] += 0.25 * alpha[3][k] * tr[18][k];
+        ghat[6][k] += 0.25 * alpha[4][k] * tr[23][k];
+        ghat[6][k] += 0.25 * alpha[10][k] * tr[33][k];
+        ghat[6][k] += 0.25 * alpha[13][k] * tr[37][k];
+        ghat[6][k] += 0.25 * alpha[14][k] * tr[41][k];
+        ghat[6][k] += 0.25 * alpha[27][k] * tr[46][k];
+        ghat[6][k] += 0.25 * alpha[30][k] * tr[47][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.25 * alpha[0][k] * tr[7][k];
+        ghat[7][k] += 0.25 * alpha[3][k] * tr[19][k];
+        ghat[7][k] += 0.25 * alpha[4][k] * tr[24][k];
+        ghat[7][k] += 0.25 * alpha[13][k] * tr[38][k];
+    }
+    for k in 0..L {
+        ghat[8][k] += 0.25 * alpha[0][k] * tr[8][k];
+        ghat[8][k] += 0.25 * alpha[3][k] * tr[1][k];
+        ghat[8][k] += 0.223606797749979 * alpha[3][k] * tr[20][k];
+        ghat[8][k] += 0.25 * alpha[4][k] * tr[25][k];
+        ghat[8][k] += 0.223606797749979 * alpha[10][k] * tr[8][k];
+        ghat[8][k] += 0.25 * alpha[13][k] * tr[11][k];
+        ghat[8][k] += 0.22360679774997896 * alpha[13][k] * tr[39][k];
+        ghat[8][k] += 0.25 * alpha[14][k] * tr[42][k];
+        ghat[8][k] += 0.22360679774997896 * alpha[27][k] * tr[25][k];
+        ghat[8][k] += 0.25 * alpha[30][k] * tr[28][k];
+    }
+    for k in 0..L {
+        ghat[9][k] += 0.25 * alpha[0][k] * tr[9][k];
+        ghat[9][k] += 0.25 * alpha[3][k] * tr[2][k];
+        ghat[9][k] += 0.223606797749979 * alpha[3][k] * tr[21][k];
+        ghat[9][k] += 0.25 * alpha[4][k] * tr[26][k];
+        ghat[9][k] += 0.223606797749979 * alpha[10][k] * tr[9][k];
+        ghat[9][k] += 0.25 * alpha[13][k] * tr[12][k];
+        ghat[9][k] += 0.22360679774997896 * alpha[13][k] * tr[40][k];
+        ghat[9][k] += 0.25 * alpha[14][k] * tr[43][k];
+        ghat[9][k] += 0.22360679774997896 * alpha[27][k] * tr[26][k];
+        ghat[9][k] += 0.25 * alpha[30][k] * tr[29][k];
+    }
+    for k in 0..L {
+        ghat[10][k] += 0.25 * alpha[0][k] * tr[10][k];
+        ghat[10][k] += 0.22360679774997896 * alpha[3][k] * tr[3][k];
+        ghat[10][k] += 0.25 * alpha[4][k] * tr[27][k];
+        ghat[10][k] += 0.25 * alpha[10][k] * tr[0][k];
+        ghat[10][k] += 0.15971914124998499 * alpha[10][k] * tr[10][k];
+        ghat[10][k] += 0.223606797749979 * alpha[13][k] * tr[13][k];
+        ghat[10][k] += 0.25 * alpha[27][k] * tr[4][k];
+        ghat[10][k] += 0.15971914124998499 * alpha[27][k] * tr[27][k];
+        ghat[10][k] += 0.22360679774997896 * alpha[30][k] * tr[30][k];
+    }
+    for k in 0..L {
+        ghat[11][k] += 0.25 * alpha[0][k] * tr[11][k];
+        ghat[11][k] += 0.25 * alpha[3][k] * tr[25][k];
+        ghat[11][k] += 0.25 * alpha[4][k] * tr[1][k];
+        ghat[11][k] += 0.223606797749979 * alpha[4][k] * tr[28][k];
+        ghat[11][k] += 0.25 * alpha[10][k] * tr[39][k];
+        ghat[11][k] += 0.25 * alpha[13][k] * tr[8][k];
+        ghat[11][k] += 0.22360679774997896 * alpha[13][k] * tr[42][k];
+        ghat[11][k] += 0.223606797749979 * alpha[14][k] * tr[11][k];
+        ghat[11][k] += 0.25 * alpha[27][k] * tr[20][k];
+        ghat[11][k] += 0.22360679774997896 * alpha[30][k] * tr[25][k];
+    }
+    for k in 0..L {
+        ghat[12][k] += 0.25 * alpha[0][k] * tr[12][k];
+        ghat[12][k] += 0.25 * alpha[3][k] * tr[26][k];
+        ghat[12][k] += 0.25 * alpha[4][k] * tr[2][k];
+        ghat[12][k] += 0.223606797749979 * alpha[4][k] * tr[29][k];
+        ghat[12][k] += 0.25 * alpha[10][k] * tr[40][k];
+        ghat[12][k] += 0.25 * alpha[13][k] * tr[9][k];
+        ghat[12][k] += 0.22360679774997896 * alpha[13][k] * tr[43][k];
+        ghat[12][k] += 0.223606797749979 * alpha[14][k] * tr[12][k];
+        ghat[12][k] += 0.25 * alpha[27][k] * tr[21][k];
+        ghat[12][k] += 0.22360679774997896 * alpha[30][k] * tr[26][k];
+    }
+    for k in 0..L {
+        ghat[13][k] += 0.25 * alpha[0][k] * tr[13][k];
+        ghat[13][k] += 0.25 * alpha[3][k] * tr[4][k];
+        ghat[13][k] += 0.223606797749979 * alpha[3][k] * tr[27][k];
+        ghat[13][k] += 0.25 * alpha[4][k] * tr[3][k];
+        ghat[13][k] += 0.223606797749979 * alpha[4][k] * tr[30][k];
+        ghat[13][k] += 0.223606797749979 * alpha[10][k] * tr[13][k];
+        ghat[13][k] += 0.25 * alpha[13][k] * tr[0][k];
+        ghat[13][k] += 0.223606797749979 * alpha[13][k] * tr[10][k];
+        ghat[13][k] += 0.223606797749979 * alpha[13][k] * tr[14][k];
+        ghat[13][k] += 0.223606797749979 * alpha[14][k] * tr[13][k];
+        ghat[13][k] += 0.223606797749979 * alpha[27][k] * tr[3][k];
+        ghat[13][k] += 0.2 * alpha[27][k] * tr[30][k];
+        ghat[13][k] += 0.223606797749979 * alpha[30][k] * tr[4][k];
+        ghat[13][k] += 0.2 * alpha[30][k] * tr[27][k];
+    }
+    for k in 0..L {
+        ghat[14][k] += 0.25 * alpha[0][k] * tr[14][k];
+        ghat[14][k] += 0.25 * alpha[3][k] * tr[30][k];
+        ghat[14][k] += 0.22360679774997896 * alpha[4][k] * tr[4][k];
+        ghat[14][k] += 0.223606797749979 * alpha[13][k] * tr[13][k];
+        ghat[14][k] += 0.25 * alpha[14][k] * tr[0][k];
+        ghat[14][k] += 0.15971914124998499 * alpha[14][k] * tr[14][k];
+        ghat[14][k] += 0.22360679774997896 * alpha[27][k] * tr[27][k];
+        ghat[14][k] += 0.25 * alpha[30][k] * tr[3][k];
+        ghat[14][k] += 0.15971914124998499 * alpha[30][k] * tr[30][k];
+    }
+    for k in 0..L {
+        ghat[15][k] += 0.25 * alpha[0][k] * tr[15][k];
+        ghat[15][k] += 0.25 * alpha[3][k] * tr[31][k];
+        ghat[15][k] += 0.25 * alpha[4][k] * tr[34][k];
+        ghat[15][k] += 0.25 * alpha[13][k] * tr[44][k];
+    }
+    for k in 0..L {
+        ghat[16][k] += 0.25 * alpha[0][k] * tr[16][k];
+        ghat[16][k] += 0.25 * alpha[3][k] * tr[32][k];
+        ghat[16][k] += 0.25 * alpha[4][k] * tr[35][k];
+        ghat[16][k] += 0.25 * alpha[13][k] * tr[45][k];
+    }
+    for k in 0..L {
+        ghat[17][k] += 0.25 * alpha[0][k] * tr[17][k];
+        ghat[17][k] += 0.25 * alpha[3][k] * tr[5][k];
+        ghat[17][k] += 0.25 * alpha[4][k] * tr[36][k];
+        ghat[17][k] += 0.22360679774997896 * alpha[10][k] * tr[17][k];
+        ghat[17][k] += 0.25 * alpha[13][k] * tr[22][k];
+        ghat[17][k] += 0.22360679774997896 * alpha[27][k] * tr[36][k];
+    }
+    for k in 0..L {
+        ghat[18][k] += 0.25 * alpha[0][k] * tr[18][k];
+        ghat[18][k] += 0.25 * alpha[3][k] * tr[6][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[3][k] * tr[33][k];
+        ghat[18][k] += 0.25 * alpha[4][k] * tr[37][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[10][k] * tr[18][k];
+        ghat[18][k] += 0.25 * alpha[13][k] * tr[23][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[13][k] * tr[46][k];
+        ghat[18][k] += 0.25 * alpha[14][k] * tr[47][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[27][k] * tr[37][k];
+        ghat[18][k] += 0.25 * alpha[30][k] * tr[41][k];
+    }
+    for k in 0..L {
+        ghat[19][k] += 0.25 * alpha[0][k] * tr[19][k];
+        ghat[19][k] += 0.25 * alpha[3][k] * tr[7][k];
+        ghat[19][k] += 0.25 * alpha[4][k] * tr[38][k];
+        ghat[19][k] += 0.22360679774997896 * alpha[10][k] * tr[19][k];
+        ghat[19][k] += 0.25 * alpha[13][k] * tr[24][k];
+        ghat[19][k] += 0.22360679774997896 * alpha[27][k] * tr[38][k];
+    }
+    for k in 0..L {
+        ghat[20][k] += 0.25 * alpha[0][k] * tr[20][k];
+        ghat[20][k] += 0.223606797749979 * alpha[3][k] * tr[8][k];
+        ghat[20][k] += 0.25 * alpha[4][k] * tr[39][k];
+        ghat[20][k] += 0.25 * alpha[10][k] * tr[1][k];
+        ghat[20][k] += 0.15971914124998499 * alpha[10][k] * tr[20][k];
+        ghat[20][k] += 0.22360679774997896 * alpha[13][k] * tr[25][k];
+        ghat[20][k] += 0.25 * alpha[27][k] * tr[11][k];
+        ghat[20][k] += 0.15971914124998499 * alpha[27][k] * tr[39][k];
+        ghat[20][k] += 0.22360679774997896 * alpha[30][k] * tr[42][k];
+    }
+    for k in 0..L {
+        ghat[21][k] += 0.25 * alpha[0][k] * tr[21][k];
+        ghat[21][k] += 0.223606797749979 * alpha[3][k] * tr[9][k];
+        ghat[21][k] += 0.25 * alpha[4][k] * tr[40][k];
+        ghat[21][k] += 0.25 * alpha[10][k] * tr[2][k];
+        ghat[21][k] += 0.15971914124998499 * alpha[10][k] * tr[21][k];
+        ghat[21][k] += 0.22360679774997896 * alpha[13][k] * tr[26][k];
+        ghat[21][k] += 0.25 * alpha[27][k] * tr[12][k];
+        ghat[21][k] += 0.15971914124998499 * alpha[27][k] * tr[40][k];
+        ghat[21][k] += 0.22360679774997896 * alpha[30][k] * tr[43][k];
+    }
+    for k in 0..L {
+        ghat[22][k] += 0.25 * alpha[0][k] * tr[22][k];
+        ghat[22][k] += 0.25 * alpha[3][k] * tr[36][k];
+        ghat[22][k] += 0.25 * alpha[4][k] * tr[5][k];
+        ghat[22][k] += 0.25 * alpha[13][k] * tr[17][k];
+        ghat[22][k] += 0.22360679774997896 * alpha[14][k] * tr[22][k];
+        ghat[22][k] += 0.22360679774997896 * alpha[30][k] * tr[36][k];
+    }
+    for k in 0..L {
+        ghat[23][k] += 0.25 * alpha[0][k] * tr[23][k];
+        ghat[23][k] += 0.25 * alpha[3][k] * tr[37][k];
+        ghat[23][k] += 0.25 * alpha[4][k] * tr[6][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[4][k] * tr[41][k];
+        ghat[23][k] += 0.25 * alpha[10][k] * tr[46][k];
+        ghat[23][k] += 0.25 * alpha[13][k] * tr[18][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[13][k] * tr[47][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[14][k] * tr[23][k];
+        ghat[23][k] += 0.25 * alpha[27][k] * tr[33][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[30][k] * tr[37][k];
+    }
+    for k in 0..L {
+        ghat[24][k] += 0.25 * alpha[0][k] * tr[24][k];
+        ghat[24][k] += 0.25 * alpha[3][k] * tr[38][k];
+        ghat[24][k] += 0.25 * alpha[4][k] * tr[7][k];
+        ghat[24][k] += 0.25 * alpha[13][k] * tr[19][k];
+        ghat[24][k] += 0.22360679774997896 * alpha[14][k] * tr[24][k];
+        ghat[24][k] += 0.22360679774997896 * alpha[30][k] * tr[38][k];
+    }
+    for k in 0..L {
+        ghat[25][k] += 0.25 * alpha[0][k] * tr[25][k];
+        ghat[25][k] += 0.25 * alpha[3][k] * tr[11][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[3][k] * tr[39][k];
+        ghat[25][k] += 0.25 * alpha[4][k] * tr[8][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[4][k] * tr[42][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[10][k] * tr[25][k];
+        ghat[25][k] += 0.25 * alpha[13][k] * tr[1][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[13][k] * tr[20][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[13][k] * tr[28][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[14][k] * tr[25][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[27][k] * tr[8][k];
+        ghat[25][k] += 0.19999999999999998 * alpha[27][k] * tr[42][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[30][k] * tr[11][k];
+        ghat[25][k] += 0.19999999999999998 * alpha[30][k] * tr[39][k];
+    }
+    for k in 0..L {
+        ghat[26][k] += 0.25 * alpha[0][k] * tr[26][k];
+        ghat[26][k] += 0.25 * alpha[3][k] * tr[12][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[3][k] * tr[40][k];
+        ghat[26][k] += 0.25 * alpha[4][k] * tr[9][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[4][k] * tr[43][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[10][k] * tr[26][k];
+        ghat[26][k] += 0.25 * alpha[13][k] * tr[2][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[13][k] * tr[21][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[13][k] * tr[29][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[14][k] * tr[26][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[27][k] * tr[9][k];
+        ghat[26][k] += 0.19999999999999998 * alpha[27][k] * tr[43][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[30][k] * tr[12][k];
+        ghat[26][k] += 0.19999999999999998 * alpha[30][k] * tr[40][k];
+    }
+    for k in 0..L {
+        ghat[27][k] += 0.25 * alpha[0][k] * tr[27][k];
+        ghat[27][k] += 0.223606797749979 * alpha[3][k] * tr[13][k];
+        ghat[27][k] += 0.25 * alpha[4][k] * tr[10][k];
+        ghat[27][k] += 0.25 * alpha[10][k] * tr[4][k];
+        ghat[27][k] += 0.15971914124998499 * alpha[10][k] * tr[27][k];
+        ghat[27][k] += 0.223606797749979 * alpha[13][k] * tr[3][k];
+        ghat[27][k] += 0.2 * alpha[13][k] * tr[30][k];
+        ghat[27][k] += 0.22360679774997896 * alpha[14][k] * tr[27][k];
+        ghat[27][k] += 0.25 * alpha[27][k] * tr[0][k];
+        ghat[27][k] += 0.15971914124998499 * alpha[27][k] * tr[10][k];
+        ghat[27][k] += 0.22360679774997896 * alpha[27][k] * tr[14][k];
+        ghat[27][k] += 0.2 * alpha[30][k] * tr[13][k];
+    }
+    for k in 0..L {
+        ghat[28][k] += 0.25 * alpha[0][k] * tr[28][k];
+        ghat[28][k] += 0.25 * alpha[3][k] * tr[42][k];
+        ghat[28][k] += 0.223606797749979 * alpha[4][k] * tr[11][k];
+        ghat[28][k] += 0.22360679774997896 * alpha[13][k] * tr[25][k];
+        ghat[28][k] += 0.25 * alpha[14][k] * tr[1][k];
+        ghat[28][k] += 0.15971914124998499 * alpha[14][k] * tr[28][k];
+        ghat[28][k] += 0.22360679774997896 * alpha[27][k] * tr[39][k];
+        ghat[28][k] += 0.25 * alpha[30][k] * tr[8][k];
+        ghat[28][k] += 0.15971914124998499 * alpha[30][k] * tr[42][k];
+    }
+    for k in 0..L {
+        ghat[29][k] += 0.25 * alpha[0][k] * tr[29][k];
+        ghat[29][k] += 0.25 * alpha[3][k] * tr[43][k];
+        ghat[29][k] += 0.223606797749979 * alpha[4][k] * tr[12][k];
+        ghat[29][k] += 0.22360679774997896 * alpha[13][k] * tr[26][k];
+        ghat[29][k] += 0.25 * alpha[14][k] * tr[2][k];
+        ghat[29][k] += 0.15971914124998499 * alpha[14][k] * tr[29][k];
+        ghat[29][k] += 0.22360679774997896 * alpha[27][k] * tr[40][k];
+        ghat[29][k] += 0.25 * alpha[30][k] * tr[9][k];
+        ghat[29][k] += 0.15971914124998499 * alpha[30][k] * tr[43][k];
+    }
+    for k in 0..L {
+        ghat[30][k] += 0.25 * alpha[0][k] * tr[30][k];
+        ghat[30][k] += 0.25 * alpha[3][k] * tr[14][k];
+        ghat[30][k] += 0.223606797749979 * alpha[4][k] * tr[13][k];
+        ghat[30][k] += 0.22360679774997896 * alpha[10][k] * tr[30][k];
+        ghat[30][k] += 0.223606797749979 * alpha[13][k] * tr[4][k];
+        ghat[30][k] += 0.2 * alpha[13][k] * tr[27][k];
+        ghat[30][k] += 0.25 * alpha[14][k] * tr[3][k];
+        ghat[30][k] += 0.15971914124998499 * alpha[14][k] * tr[30][k];
+        ghat[30][k] += 0.2 * alpha[27][k] * tr[13][k];
+        ghat[30][k] += 0.25 * alpha[30][k] * tr[0][k];
+        ghat[30][k] += 0.22360679774997896 * alpha[30][k] * tr[10][k];
+        ghat[30][k] += 0.15971914124998499 * alpha[30][k] * tr[14][k];
+    }
+    for k in 0..L {
+        ghat[31][k] += 0.25 * alpha[0][k] * tr[31][k];
+        ghat[31][k] += 0.25 * alpha[3][k] * tr[15][k];
+        ghat[31][k] += 0.25 * alpha[4][k] * tr[44][k];
+        ghat[31][k] += 0.22360679774997896 * alpha[10][k] * tr[31][k];
+        ghat[31][k] += 0.25 * alpha[13][k] * tr[34][k];
+        ghat[31][k] += 0.22360679774997896 * alpha[27][k] * tr[44][k];
+    }
+    for k in 0..L {
+        ghat[32][k] += 0.25 * alpha[0][k] * tr[32][k];
+        ghat[32][k] += 0.25 * alpha[3][k] * tr[16][k];
+        ghat[32][k] += 0.25 * alpha[4][k] * tr[45][k];
+        ghat[32][k] += 0.22360679774997896 * alpha[10][k] * tr[32][k];
+        ghat[32][k] += 0.25 * alpha[13][k] * tr[35][k];
+        ghat[32][k] += 0.22360679774997896 * alpha[27][k] * tr[45][k];
+    }
+    for k in 0..L {
+        ghat[33][k] += 0.25 * alpha[0][k] * tr[33][k];
+        ghat[33][k] += 0.22360679774997896 * alpha[3][k] * tr[18][k];
+        ghat[33][k] += 0.25 * alpha[4][k] * tr[46][k];
+        ghat[33][k] += 0.25 * alpha[10][k] * tr[6][k];
+        ghat[33][k] += 0.15971914124998499 * alpha[10][k] * tr[33][k];
+        ghat[33][k] += 0.22360679774997896 * alpha[13][k] * tr[37][k];
+        ghat[33][k] += 0.25 * alpha[27][k] * tr[23][k];
+        ghat[33][k] += 0.15971914124998499 * alpha[27][k] * tr[46][k];
+        ghat[33][k] += 0.22360679774997896 * alpha[30][k] * tr[47][k];
+    }
+    for k in 0..L {
+        ghat[34][k] += 0.25 * alpha[0][k] * tr[34][k];
+        ghat[34][k] += 0.25 * alpha[3][k] * tr[44][k];
+        ghat[34][k] += 0.25 * alpha[4][k] * tr[15][k];
+        ghat[34][k] += 0.25 * alpha[13][k] * tr[31][k];
+        ghat[34][k] += 0.22360679774997896 * alpha[14][k] * tr[34][k];
+        ghat[34][k] += 0.22360679774997896 * alpha[30][k] * tr[44][k];
+    }
+    for k in 0..L {
+        ghat[35][k] += 0.25 * alpha[0][k] * tr[35][k];
+        ghat[35][k] += 0.25 * alpha[3][k] * tr[45][k];
+        ghat[35][k] += 0.25 * alpha[4][k] * tr[16][k];
+        ghat[35][k] += 0.25 * alpha[13][k] * tr[32][k];
+        ghat[35][k] += 0.22360679774997896 * alpha[14][k] * tr[35][k];
+        ghat[35][k] += 0.22360679774997896 * alpha[30][k] * tr[45][k];
+    }
+    for k in 0..L {
+        ghat[36][k] += 0.25 * alpha[0][k] * tr[36][k];
+        ghat[36][k] += 0.25 * alpha[3][k] * tr[22][k];
+        ghat[36][k] += 0.25 * alpha[4][k] * tr[17][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[10][k] * tr[36][k];
+        ghat[36][k] += 0.25 * alpha[13][k] * tr[5][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[14][k] * tr[36][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[27][k] * tr[17][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[30][k] * tr[22][k];
+    }
+    for k in 0..L {
+        ghat[37][k] += 0.25 * alpha[0][k] * tr[37][k];
+        ghat[37][k] += 0.25 * alpha[3][k] * tr[23][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[3][k] * tr[46][k];
+        ghat[37][k] += 0.25 * alpha[4][k] * tr[18][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[4][k] * tr[47][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[10][k] * tr[37][k];
+        ghat[37][k] += 0.25 * alpha[13][k] * tr[6][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[13][k] * tr[33][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[13][k] * tr[41][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[14][k] * tr[37][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[27][k] * tr[18][k];
+        ghat[37][k] += 0.2 * alpha[27][k] * tr[47][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[30][k] * tr[23][k];
+        ghat[37][k] += 0.2 * alpha[30][k] * tr[46][k];
+    }
+    for k in 0..L {
+        ghat[38][k] += 0.25 * alpha[0][k] * tr[38][k];
+        ghat[38][k] += 0.25 * alpha[3][k] * tr[24][k];
+        ghat[38][k] += 0.25 * alpha[4][k] * tr[19][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[10][k] * tr[38][k];
+        ghat[38][k] += 0.25 * alpha[13][k] * tr[7][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[14][k] * tr[38][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[27][k] * tr[19][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[30][k] * tr[24][k];
+    }
+    for k in 0..L {
+        ghat[39][k] += 0.25 * alpha[0][k] * tr[39][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[3][k] * tr[25][k];
+        ghat[39][k] += 0.25 * alpha[4][k] * tr[20][k];
+        ghat[39][k] += 0.25 * alpha[10][k] * tr[11][k];
+        ghat[39][k] += 0.15971914124998499 * alpha[10][k] * tr[39][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[13][k] * tr[8][k];
+        ghat[39][k] += 0.19999999999999998 * alpha[13][k] * tr[42][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[14][k] * tr[39][k];
+        ghat[39][k] += 0.25 * alpha[27][k] * tr[1][k];
+        ghat[39][k] += 0.15971914124998499 * alpha[27][k] * tr[20][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[27][k] * tr[28][k];
+        ghat[39][k] += 0.19999999999999998 * alpha[30][k] * tr[25][k];
+    }
+    for k in 0..L {
+        ghat[40][k] += 0.25 * alpha[0][k] * tr[40][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[3][k] * tr[26][k];
+        ghat[40][k] += 0.25 * alpha[4][k] * tr[21][k];
+        ghat[40][k] += 0.25 * alpha[10][k] * tr[12][k];
+        ghat[40][k] += 0.15971914124998499 * alpha[10][k] * tr[40][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[13][k] * tr[9][k];
+        ghat[40][k] += 0.19999999999999998 * alpha[13][k] * tr[43][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[14][k] * tr[40][k];
+        ghat[40][k] += 0.25 * alpha[27][k] * tr[2][k];
+        ghat[40][k] += 0.15971914124998499 * alpha[27][k] * tr[21][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[27][k] * tr[29][k];
+        ghat[40][k] += 0.19999999999999998 * alpha[30][k] * tr[26][k];
+    }
+    for k in 0..L {
+        ghat[41][k] += 0.25 * alpha[0][k] * tr[41][k];
+        ghat[41][k] += 0.25 * alpha[3][k] * tr[47][k];
+        ghat[41][k] += 0.22360679774997896 * alpha[4][k] * tr[23][k];
+        ghat[41][k] += 0.22360679774997896 * alpha[13][k] * tr[37][k];
+        ghat[41][k] += 0.25 * alpha[14][k] * tr[6][k];
+        ghat[41][k] += 0.15971914124998499 * alpha[14][k] * tr[41][k];
+        ghat[41][k] += 0.22360679774997896 * alpha[27][k] * tr[46][k];
+        ghat[41][k] += 0.25 * alpha[30][k] * tr[18][k];
+        ghat[41][k] += 0.15971914124998499 * alpha[30][k] * tr[47][k];
+    }
+    for k in 0..L {
+        ghat[42][k] += 0.25 * alpha[0][k] * tr[42][k];
+        ghat[42][k] += 0.25 * alpha[3][k] * tr[28][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[4][k] * tr[25][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[10][k] * tr[42][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[13][k] * tr[11][k];
+        ghat[42][k] += 0.19999999999999998 * alpha[13][k] * tr[39][k];
+        ghat[42][k] += 0.25 * alpha[14][k] * tr[8][k];
+        ghat[42][k] += 0.15971914124998499 * alpha[14][k] * tr[42][k];
+        ghat[42][k] += 0.19999999999999998 * alpha[27][k] * tr[25][k];
+        ghat[42][k] += 0.25 * alpha[30][k] * tr[1][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[30][k] * tr[20][k];
+        ghat[42][k] += 0.15971914124998499 * alpha[30][k] * tr[28][k];
+    }
+    for k in 0..L {
+        ghat[43][k] += 0.25 * alpha[0][k] * tr[43][k];
+        ghat[43][k] += 0.25 * alpha[3][k] * tr[29][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[4][k] * tr[26][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[10][k] * tr[43][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[13][k] * tr[12][k];
+        ghat[43][k] += 0.19999999999999998 * alpha[13][k] * tr[40][k];
+        ghat[43][k] += 0.25 * alpha[14][k] * tr[9][k];
+        ghat[43][k] += 0.15971914124998499 * alpha[14][k] * tr[43][k];
+        ghat[43][k] += 0.19999999999999998 * alpha[27][k] * tr[26][k];
+        ghat[43][k] += 0.25 * alpha[30][k] * tr[2][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[30][k] * tr[21][k];
+        ghat[43][k] += 0.15971914124998499 * alpha[30][k] * tr[29][k];
+    }
+    for k in 0..L {
+        ghat[44][k] += 0.25 * alpha[0][k] * tr[44][k];
+        ghat[44][k] += 0.25 * alpha[3][k] * tr[34][k];
+        ghat[44][k] += 0.25 * alpha[4][k] * tr[31][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[10][k] * tr[44][k];
+        ghat[44][k] += 0.25 * alpha[13][k] * tr[15][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[14][k] * tr[44][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[27][k] * tr[31][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[30][k] * tr[34][k];
+    }
+    for k in 0..L {
+        ghat[45][k] += 0.25 * alpha[0][k] * tr[45][k];
+        ghat[45][k] += 0.25 * alpha[3][k] * tr[35][k];
+        ghat[45][k] += 0.25 * alpha[4][k] * tr[32][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[10][k] * tr[45][k];
+        ghat[45][k] += 0.25 * alpha[13][k] * tr[16][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[14][k] * tr[45][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[27][k] * tr[32][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[30][k] * tr[35][k];
+    }
+    for k in 0..L {
+        ghat[46][k] += 0.25 * alpha[0][k] * tr[46][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[3][k] * tr[37][k];
+        ghat[46][k] += 0.25 * alpha[4][k] * tr[33][k];
+        ghat[46][k] += 0.25 * alpha[10][k] * tr[23][k];
+        ghat[46][k] += 0.15971914124998499 * alpha[10][k] * tr[46][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[13][k] * tr[18][k];
+        ghat[46][k] += 0.2 * alpha[13][k] * tr[47][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[14][k] * tr[46][k];
+        ghat[46][k] += 0.25 * alpha[27][k] * tr[6][k];
+        ghat[46][k] += 0.15971914124998499 * alpha[27][k] * tr[33][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[27][k] * tr[41][k];
+        ghat[46][k] += 0.2 * alpha[30][k] * tr[37][k];
+    }
+    for k in 0..L {
+        ghat[47][k] += 0.25 * alpha[0][k] * tr[47][k];
+        ghat[47][k] += 0.25 * alpha[3][k] * tr[41][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[4][k] * tr[37][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[10][k] * tr[47][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[13][k] * tr[23][k];
+        ghat[47][k] += 0.2 * alpha[13][k] * tr[46][k];
+        ghat[47][k] += 0.25 * alpha[14][k] * tr[18][k];
+        ghat[47][k] += 0.15971914124998499 * alpha[14][k] * tr[47][k];
+        ghat[47][k] += 0.2 * alpha[27][k] * tr[37][k];
+        ghat[47][k] += 0.25 * alpha[30][k] * tr[6][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[30][k] * tr[33][k];
+        ghat[47][k] += 0.15971914124998499 * alpha[30][k] * tr[41][k];
+    }
+    sxn(&mut out_lo[0], nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], nu * scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[3], nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[7], nu * scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[8], nu * scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_lo[9], nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[10], nu * scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[11], nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[12], nu * scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[13], nu * scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[14], nu * scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[15], nu * scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[16], nu * scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[17], nu * scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[18], nu * scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[19], nu * scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[20], nu * scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[21], nu * scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[22], nu * scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_lo[23], nu * scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[24], nu * scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[25], nu * scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_lo[26], nu * scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_lo[27], nu * scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[28], nu * scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_lo[29], nu * scale * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[30], nu * scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_lo[31], nu * scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_lo[32], nu * scale * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[33], nu * scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_lo[34], nu * scale * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_lo[35], nu * scale * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[36], nu * scale * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_lo[37], nu * scale * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_lo[38], nu * scale * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[39], nu * scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_lo[40], nu * scale * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_lo[41], nu * scale * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[42], nu * scale * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_lo[43], nu * scale * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_lo[44], nu * scale * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[45], nu * scale * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_lo[46], nu * scale * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_lo[47], nu * scale * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_lo[48], nu * scale * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[49], nu * scale * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_lo[50], nu * scale * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_lo[51], nu * scale * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_lo[52], nu * scale * 1.5811388300841898, &ghat[6]);
+    sxn(&mut out_lo[53], nu * scale * 1.224744871391589, &ghat[16]);
+    sxn(&mut out_lo[54], nu * scale * 1.224744871391589, &ghat[17]);
+    sxn(&mut out_lo[55], nu * scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_lo[56], nu * scale * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_lo[57], nu * scale * 1.224744871391589, &ghat[18]);
+    sxn(&mut out_lo[58], nu * scale * 1.5811388300841898, &ghat[9]);
+    sxn(&mut out_lo[59], nu * scale * 0.7071067811865476, &ghat[32]);
+    sxn(&mut out_lo[60], nu * scale * 1.224744871391589, &ghat[19]);
+    sxn(&mut out_lo[61], nu * scale * 1.224744871391589, &ghat[20]);
+    sxn(&mut out_lo[62], nu * scale * 0.7071067811865476, &ghat[33]);
+    sxn(&mut out_lo[63], nu * scale * 1.224744871391589, &ghat[21]);
+    sxn(&mut out_lo[64], nu * scale * 1.224744871391589, &ghat[22]);
+    sxn(&mut out_lo[65], nu * scale * 1.5811388300841898, &ghat[11]);
+    sxn(&mut out_lo[66], nu * scale * 0.7071067811865476, &ghat[34]);
+    sxn(&mut out_lo[67], nu * scale * 1.224744871391589, &ghat[23]);
+    sxn(&mut out_lo[68], nu * scale * 1.5811388300841898, &ghat[12]);
+    sxn(&mut out_lo[69], nu * scale * 0.7071067811865476, &ghat[35]);
+    sxn(&mut out_lo[70], nu * scale * 1.224744871391589, &ghat[24]);
+    sxn(&mut out_lo[71], nu * scale * 0.7071067811865476, &ghat[36]);
+    sxn(&mut out_lo[72], nu * scale * 1.224744871391589, &ghat[25]);
+    sxn(&mut out_lo[73], nu * scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_lo[74], nu * scale * 0.7071067811865476, &ghat[37]);
+    sxn(&mut out_lo[75], nu * scale * 1.224744871391589, &ghat[26]);
+    sxn(&mut out_lo[76], nu * scale * 0.7071067811865476, &ghat[38]);
+    sxn(&mut out_lo[77], nu * scale * 0.7071067811865476, &ghat[39]);
+    sxn(&mut out_lo[78], nu * scale * 1.224744871391589, &ghat[27]);
+    sxn(&mut out_lo[79], nu * scale * 0.7071067811865476, &ghat[40]);
+    sxn(&mut out_lo[80], nu * scale * 1.224744871391589, &ghat[28]);
+    sxn(&mut out_lo[81], nu * scale * 0.7071067811865476, &ghat[41]);
+    sxn(&mut out_lo[82], nu * scale * 1.224744871391589, &ghat[29]);
+    sxn(&mut out_lo[83], nu * scale * 0.7071067811865476, &ghat[42]);
+    sxn(&mut out_lo[84], nu * scale * 1.224744871391589, &ghat[30]);
+    sxn(&mut out_lo[85], nu * scale * 0.7071067811865476, &ghat[43]);
+    sxn(&mut out_lo[86], nu * scale * 1.224744871391589, &ghat[31]);
+    sxn(&mut out_lo[87], nu * scale * 1.5811388300841898, &ghat[18]);
+    sxn(&mut out_lo[88], nu * scale * 1.224744871391589, &ghat[32]);
+    sxn(&mut out_lo[89], nu * scale * 1.224744871391589, &ghat[33]);
+    sxn(&mut out_lo[90], nu * scale * 1.224744871391589, &ghat[34]);
+    sxn(&mut out_lo[91], nu * scale * 1.5811388300841898, &ghat[23]);
+    sxn(&mut out_lo[92], nu * scale * 1.224744871391589, &ghat[35]);
+    sxn(&mut out_lo[93], nu * scale * 1.224744871391589, &ghat[36]);
+    sxn(&mut out_lo[94], nu * scale * 1.5811388300841898, &ghat[25]);
+    sxn(&mut out_lo[95], nu * scale * 0.7071067811865476, &ghat[44]);
+    sxn(&mut out_lo[96], nu * scale * 1.224744871391589, &ghat[37]);
+    sxn(&mut out_lo[97], nu * scale * 1.5811388300841898, &ghat[26]);
+    sxn(&mut out_lo[98], nu * scale * 0.7071067811865476, &ghat[45]);
+    sxn(&mut out_lo[99], nu * scale * 1.224744871391589, &ghat[38]);
+    sxn(&mut out_lo[100], nu * scale * 1.224744871391589, &ghat[39]);
+    sxn(&mut out_lo[101], nu * scale * 0.7071067811865476, &ghat[46]);
+    sxn(&mut out_lo[102], nu * scale * 1.224744871391589, &ghat[40]);
+    sxn(&mut out_lo[103], nu * scale * 1.224744871391589, &ghat[41]);
+    sxn(&mut out_lo[104], nu * scale * 1.224744871391589, &ghat[42]);
+    sxn(&mut out_lo[105], nu * scale * 0.7071067811865476, &ghat[47]);
+    sxn(&mut out_lo[106], nu * scale * 1.224744871391589, &ghat[43]);
+    sxn(&mut out_lo[107], nu * scale * 1.224744871391589, &ghat[44]);
+    sxn(&mut out_lo[108], nu * scale * 1.5811388300841898, &ghat[37]);
+    sxn(&mut out_lo[109], nu * scale * 1.224744871391589, &ghat[45]);
+    sxn(&mut out_lo[110], nu * scale * 1.224744871391589, &ghat[46]);
+    sxn(&mut out_lo[111], nu * scale * 1.224744871391589, &ghat[47]);
+    sxn(&mut out_hi[0], -nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], -nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], -nu * scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[3], -nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], -nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], -nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], -nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[7], -nu * scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[8], -nu * scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_hi[9], -nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[10], -nu * scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[11], -nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[12], -nu * scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[13], -nu * scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[14], -nu * scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[15], -nu * scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[16], -nu * scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[17], -nu * scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[18], -nu * scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[19], -nu * scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[20], -nu * scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[21], -nu * scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[22], -nu * scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_hi[23], -nu * scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[24], -nu * scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[25], -nu * scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_hi[26], -nu * scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_hi[27], -nu * scale * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[28], -nu * scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_hi[29], -nu * scale * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[30], -nu * scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_hi[31], -nu * scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_hi[32], -nu * scale * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[33], -nu * scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_hi[34], -nu * scale * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_hi[35], -nu * scale * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[36], -nu * scale * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_hi[37], -nu * scale * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_hi[38], -nu * scale * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[39], -nu * scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_hi[40], -nu * scale * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_hi[41], -nu * scale * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[42], -nu * scale * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_hi[43], -nu * scale * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_hi[44], -nu * scale * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[45], -nu * scale * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_hi[46], -nu * scale * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_hi[47], -nu * scale * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_hi[48], -nu * scale * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[49], -nu * scale * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_hi[50], -nu * scale * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_hi[51], -nu * scale * -1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[52], -nu * scale * 1.5811388300841898, &ghat[6]);
+    sxn(&mut out_hi[53], -nu * scale * -1.224744871391589, &ghat[16]);
+    sxn(&mut out_hi[54], -nu * scale * -1.224744871391589, &ghat[17]);
+    sxn(&mut out_hi[55], -nu * scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_hi[56], -nu * scale * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_hi[57], -nu * scale * -1.224744871391589, &ghat[18]);
+    sxn(&mut out_hi[58], -nu * scale * 1.5811388300841898, &ghat[9]);
+    sxn(&mut out_hi[59], -nu * scale * 0.7071067811865476, &ghat[32]);
+    sxn(&mut out_hi[60], -nu * scale * -1.224744871391589, &ghat[19]);
+    sxn(&mut out_hi[61], -nu * scale * -1.224744871391589, &ghat[20]);
+    sxn(&mut out_hi[62], -nu * scale * 0.7071067811865476, &ghat[33]);
+    sxn(&mut out_hi[63], -nu * scale * -1.224744871391589, &ghat[21]);
+    sxn(&mut out_hi[64], -nu * scale * -1.224744871391589, &ghat[22]);
+    sxn(&mut out_hi[65], -nu * scale * 1.5811388300841898, &ghat[11]);
+    sxn(&mut out_hi[66], -nu * scale * 0.7071067811865476, &ghat[34]);
+    sxn(&mut out_hi[67], -nu * scale * -1.224744871391589, &ghat[23]);
+    sxn(&mut out_hi[68], -nu * scale * 1.5811388300841898, &ghat[12]);
+    sxn(&mut out_hi[69], -nu * scale * 0.7071067811865476, &ghat[35]);
+    sxn(&mut out_hi[70], -nu * scale * -1.224744871391589, &ghat[24]);
+    sxn(&mut out_hi[71], -nu * scale * 0.7071067811865476, &ghat[36]);
+    sxn(&mut out_hi[72], -nu * scale * -1.224744871391589, &ghat[25]);
+    sxn(&mut out_hi[73], -nu * scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_hi[74], -nu * scale * 0.7071067811865476, &ghat[37]);
+    sxn(&mut out_hi[75], -nu * scale * -1.224744871391589, &ghat[26]);
+    sxn(&mut out_hi[76], -nu * scale * 0.7071067811865476, &ghat[38]);
+    sxn(&mut out_hi[77], -nu * scale * 0.7071067811865476, &ghat[39]);
+    sxn(&mut out_hi[78], -nu * scale * -1.224744871391589, &ghat[27]);
+    sxn(&mut out_hi[79], -nu * scale * 0.7071067811865476, &ghat[40]);
+    sxn(&mut out_hi[80], -nu * scale * -1.224744871391589, &ghat[28]);
+    sxn(&mut out_hi[81], -nu * scale * 0.7071067811865476, &ghat[41]);
+    sxn(&mut out_hi[82], -nu * scale * -1.224744871391589, &ghat[29]);
+    sxn(&mut out_hi[83], -nu * scale * 0.7071067811865476, &ghat[42]);
+    sxn(&mut out_hi[84], -nu * scale * -1.224744871391589, &ghat[30]);
+    sxn(&mut out_hi[85], -nu * scale * 0.7071067811865476, &ghat[43]);
+    sxn(&mut out_hi[86], -nu * scale * -1.224744871391589, &ghat[31]);
+    sxn(&mut out_hi[87], -nu * scale * 1.5811388300841898, &ghat[18]);
+    sxn(&mut out_hi[88], -nu * scale * -1.224744871391589, &ghat[32]);
+    sxn(&mut out_hi[89], -nu * scale * -1.224744871391589, &ghat[33]);
+    sxn(&mut out_hi[90], -nu * scale * -1.224744871391589, &ghat[34]);
+    sxn(&mut out_hi[91], -nu * scale * 1.5811388300841898, &ghat[23]);
+    sxn(&mut out_hi[92], -nu * scale * -1.224744871391589, &ghat[35]);
+    sxn(&mut out_hi[93], -nu * scale * -1.224744871391589, &ghat[36]);
+    sxn(&mut out_hi[94], -nu * scale * 1.5811388300841898, &ghat[25]);
+    sxn(&mut out_hi[95], -nu * scale * 0.7071067811865476, &ghat[44]);
+    sxn(&mut out_hi[96], -nu * scale * -1.224744871391589, &ghat[37]);
+    sxn(&mut out_hi[97], -nu * scale * 1.5811388300841898, &ghat[26]);
+    sxn(&mut out_hi[98], -nu * scale * 0.7071067811865476, &ghat[45]);
+    sxn(&mut out_hi[99], -nu * scale * -1.224744871391589, &ghat[38]);
+    sxn(&mut out_hi[100], -nu * scale * -1.224744871391589, &ghat[39]);
+    sxn(&mut out_hi[101], -nu * scale * 0.7071067811865476, &ghat[46]);
+    sxn(&mut out_hi[102], -nu * scale * -1.224744871391589, &ghat[40]);
+    sxn(&mut out_hi[103], -nu * scale * -1.224744871391589, &ghat[41]);
+    sxn(&mut out_hi[104], -nu * scale * -1.224744871391589, &ghat[42]);
+    sxn(&mut out_hi[105], -nu * scale * 0.7071067811865476, &ghat[47]);
+    sxn(&mut out_hi[106], -nu * scale * -1.224744871391589, &ghat[43]);
+    sxn(&mut out_hi[107], -nu * scale * -1.224744871391589, &ghat[44]);
+    sxn(&mut out_hi[108], -nu * scale * 1.5811388300841898, &ghat[37]);
+    sxn(&mut out_hi[109], -nu * scale * -1.224744871391589, &ghat[45]);
+    sxn(&mut out_hi[110], -nu * scale * -1.224744871391589, &ghat[46]);
+    sxn(&mut out_hi[111], -nu * scale * -1.224744871391589, &ghat[47]);
 }
 
 /// LBO drag volume term in v2: weak `∇_v · (ν(v − u) f)`, cell interior.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p2_ser_drag_vol_v2(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f64], out: &mut [f64]) {
+    lbo_2x3v_p2_ser_drag_vol_v2_body::<1>(nu, v_c, dv, u.as_chunks().0, f.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p2_ser_drag_vol_v2`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_drag_vol_v2_b4(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_drag_vol_v2_body(nu, v_c, dv, u, f, out)
+}
+
+/// [`lbo_2x3v_p2_ser_drag_vol_v2_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_drag_vol_v2_b4_avx2(nu: f64, v_c: f64, dv: f64, u: &[[f64; LANES]], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_drag_vol_v2_body(nu, v_c, dv, u, f, out)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p2_ser_drag_vol_v2`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p2_ser_drag_vol_v2_body<const L: usize>(nu: f64, v_c: f64, dv: f64, u: &[[f64; L]], f: &[[f64; L]], out: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 8] = u.first_chunk().expect("u: 8 coefficients");
+    let f: &[[f64; L]; 112] = f.first_chunk().expect("f: 112 coefficients");
+    let out: &mut [[f64; L]; 112] = out.first_chunk_mut().expect("out: 112 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 112];
-    alpha[0] = -nu * v_c * 5.656854249492381;
-    alpha[1] = -nu * 0.5 * dv * 3.265986323710904;
-    alpha[0] += nu * 2.8284271247461903 * u[0];
-    alpha[4] += nu * 2.8284271247461903 * u[1];
-    alpha[5] += nu * 2.8284271247461903 * u[2];
-    alpha[15] += nu * 2.8284271247461903 * u[3];
-    alpha[19] += nu * 2.8284271247461903 * u[4];
-    alpha[20] += nu * 2.8284271247461903 * u[5];
-    alpha[46] += nu * 2.8284271247461903 * u[6];
-    alpha[50] += nu * 2.8284271247461903 * u[7];
-    out[1] += scale * 0.30618621784789724 * alpha[0] * f[0];
-    out[1] += scale * 0.30618621784789724 * alpha[1] * f[1];
-    out[1] += scale * 0.30618621784789724 * alpha[4] * f[4];
-    out[1] += scale * 0.30618621784789724 * alpha[5] * f[5];
-    out[1] += scale * 0.3061862178478973 * alpha[15] * f[15];
-    out[1] += scale * 0.30618621784789724 * alpha[19] * f[19];
-    out[1] += scale * 0.3061862178478973 * alpha[20] * f[20];
-    out[1] += scale * 0.3061862178478973 * alpha[46] * f[46];
-    out[1] += scale * 0.3061862178478973 * alpha[50] * f[50];
-    out[6] += scale * 0.6846531968814576 * alpha[0] * f[1];
-    out[6] += scale * 0.6846531968814576 * alpha[1] * f[0];
-    out[6] += scale * 0.6123724356957946 * alpha[1] * f[6];
-    out[6] += scale * 0.6846531968814575 * alpha[4] * f[12];
-    out[6] += scale * 0.6846531968814575 * alpha[5] * f[16];
-    out[6] += scale * 0.6846531968814578 * alpha[15] * f[34];
-    out[6] += scale * 0.6846531968814576 * alpha[19] * f[43];
-    out[6] += scale * 0.6846531968814578 * alpha[20] * f[47];
-    out[6] += scale * 0.6846531968814576 * alpha[46] * f[77];
-    out[6] += scale * 0.6846531968814576 * alpha[50] * f[83];
-    out[7] += scale * 0.30618621784789724 * alpha[0] * f[2];
-    out[7] += scale * 0.30618621784789724 * alpha[1] * f[7];
-    out[7] += scale * 0.30618621784789724 * alpha[4] * f[13];
-    out[7] += scale * 0.30618621784789724 * alpha[5] * f[17];
-    out[7] += scale * 0.3061862178478973 * alpha[15] * f[35];
-    out[7] += scale * 0.30618621784789724 * alpha[19] * f[44];
-    out[7] += scale * 0.3061862178478973 * alpha[20] * f[48];
-    out[7] += scale * 0.30618621784789724 * alpha[46] * f[78];
-    out[7] += scale * 0.30618621784789724 * alpha[50] * f[84];
-    out[9] += scale * 0.30618621784789724 * alpha[0] * f[3];
-    out[9] += scale * 0.30618621784789724 * alpha[1] * f[9];
-    out[9] += scale * 0.30618621784789724 * alpha[4] * f[14];
-    out[9] += scale * 0.30618621784789724 * alpha[5] * f[18];
-    out[9] += scale * 0.3061862178478973 * alpha[15] * f[36];
-    out[9] += scale * 0.30618621784789724 * alpha[19] * f[45];
-    out[9] += scale * 0.3061862178478973 * alpha[20] * f[49];
-    out[9] += scale * 0.30618621784789724 * alpha[46] * f[79];
-    out[9] += scale * 0.30618621784789724 * alpha[50] * f[85];
-    out[12] += scale * 0.30618621784789724 * alpha[0] * f[4];
-    out[12] += scale * 0.30618621784789724 * alpha[1] * f[12];
-    out[12] += scale * 0.30618621784789724 * alpha[4] * f[0];
-    out[12] += scale * 0.27386127875258304 * alpha[4] * f[15];
-    out[12] += scale * 0.30618621784789724 * alpha[5] * f[19];
-    out[12] += scale * 0.27386127875258304 * alpha[15] * f[4];
-    out[12] += scale * 0.30618621784789724 * alpha[19] * f[5];
-    out[12] += scale * 0.2738612787525831 * alpha[19] * f[46];
-    out[12] += scale * 0.3061862178478973 * alpha[20] * f[50];
-    out[12] += scale * 0.2738612787525831 * alpha[46] * f[19];
-    out[12] += scale * 0.3061862178478973 * alpha[50] * f[20];
-    out[16] += scale * 0.30618621784789724 * alpha[0] * f[5];
-    out[16] += scale * 0.30618621784789724 * alpha[1] * f[16];
-    out[16] += scale * 0.30618621784789724 * alpha[4] * f[19];
-    out[16] += scale * 0.30618621784789724 * alpha[5] * f[0];
-    out[16] += scale * 0.27386127875258304 * alpha[5] * f[20];
-    out[16] += scale * 0.3061862178478973 * alpha[15] * f[46];
-    out[16] += scale * 0.30618621784789724 * alpha[19] * f[4];
-    out[16] += scale * 0.2738612787525831 * alpha[19] * f[50];
-    out[16] += scale * 0.27386127875258304 * alpha[20] * f[5];
-    out[16] += scale * 0.3061862178478973 * alpha[46] * f[15];
-    out[16] += scale * 0.2738612787525831 * alpha[50] * f[19];
-    out[21] += scale * 0.6846531968814575 * alpha[0] * f[7];
-    out[21] += scale * 0.6846531968814575 * alpha[1] * f[2];
-    out[21] += scale * 0.6123724356957946 * alpha[1] * f[21];
-    out[21] += scale * 0.6846531968814576 * alpha[4] * f[29];
-    out[21] += scale * 0.6846531968814576 * alpha[5] * f[38];
-    out[21] += scale * 0.6846531968814576 * alpha[15] * f[61];
-    out[21] += scale * 0.6846531968814576 * alpha[19] * f[72];
-    out[21] += scale * 0.6846531968814576 * alpha[20] * f[80];
-    out[21] += scale * 0.6846531968814576 * alpha[46] * f[100];
-    out[21] += scale * 0.6846531968814576 * alpha[50] * f[104];
-    out[22] += scale * 0.3061862178478973 * alpha[0] * f[8];
-    out[22] += scale * 0.3061862178478973 * alpha[1] * f[22];
-    out[22] += scale * 0.3061862178478973 * alpha[4] * f[30];
-    out[22] += scale * 0.3061862178478973 * alpha[5] * f[39];
-    out[22] += scale * 0.30618621784789724 * alpha[19] * f[73];
-    out[23] += scale * 0.6846531968814575 * alpha[0] * f[9];
-    out[23] += scale * 0.6846531968814575 * alpha[1] * f[3];
-    out[23] += scale * 0.6123724356957946 * alpha[1] * f[23];
-    out[23] += scale * 0.6846531968814576 * alpha[4] * f[31];
-    out[23] += scale * 0.6846531968814576 * alpha[5] * f[40];
-    out[23] += scale * 0.6846531968814576 * alpha[15] * f[62];
-    out[23] += scale * 0.6846531968814576 * alpha[19] * f[74];
-    out[23] += scale * 0.6846531968814576 * alpha[20] * f[81];
-    out[23] += scale * 0.6846531968814576 * alpha[46] * f[101];
-    out[23] += scale * 0.6846531968814576 * alpha[50] * f[105];
-    out[24] += scale * 0.30618621784789724 * alpha[0] * f[10];
-    out[24] += scale * 0.30618621784789724 * alpha[1] * f[24];
-    out[24] += scale * 0.30618621784789724 * alpha[4] * f[32];
-    out[24] += scale * 0.30618621784789724 * alpha[5] * f[41];
-    out[24] += scale * 0.30618621784789724 * alpha[15] * f[63];
-    out[24] += scale * 0.30618621784789724 * alpha[19] * f[75];
-    out[24] += scale * 0.30618621784789724 * alpha[20] * f[82];
-    out[24] += scale * 0.3061862178478973 * alpha[46] * f[102];
-    out[24] += scale * 0.3061862178478973 * alpha[50] * f[106];
-    out[26] += scale * 0.3061862178478973 * alpha[0] * f[11];
-    out[26] += scale * 0.3061862178478973 * alpha[1] * f[26];
-    out[26] += scale * 0.3061862178478973 * alpha[4] * f[33];
-    out[26] += scale * 0.3061862178478973 * alpha[5] * f[42];
-    out[26] += scale * 0.30618621784789724 * alpha[19] * f[76];
-    out[28] += scale * 0.6846531968814575 * alpha[0] * f[12];
-    out[28] += scale * 0.6846531968814575 * alpha[1] * f[4];
-    out[28] += scale * 0.6123724356957946 * alpha[1] * f[28];
-    out[28] += scale * 0.6846531968814575 * alpha[4] * f[1];
-    out[28] += scale * 0.6123724356957946 * alpha[4] * f[34];
-    out[28] += scale * 0.6846531968814576 * alpha[5] * f[43];
-    out[28] += scale * 0.6123724356957946 * alpha[15] * f[12];
-    out[28] += scale * 0.6846531968814576 * alpha[19] * f[16];
-    out[28] += scale * 0.6123724356957945 * alpha[19] * f[77];
-    out[28] += scale * 0.6846531968814576 * alpha[20] * f[83];
-    out[28] += scale * 0.6123724356957945 * alpha[46] * f[43];
-    out[28] += scale * 0.6846531968814576 * alpha[50] * f[47];
-    out[29] += scale * 0.30618621784789724 * alpha[0] * f[13];
-    out[29] += scale * 0.30618621784789724 * alpha[1] * f[29];
-    out[29] += scale * 0.30618621784789724 * alpha[4] * f[2];
-    out[29] += scale * 0.2738612787525831 * alpha[4] * f[35];
-    out[29] += scale * 0.30618621784789724 * alpha[5] * f[44];
-    out[29] += scale * 0.2738612787525831 * alpha[15] * f[13];
-    out[29] += scale * 0.30618621784789724 * alpha[19] * f[17];
-    out[29] += scale * 0.2738612787525831 * alpha[19] * f[78];
-    out[29] += scale * 0.30618621784789724 * alpha[20] * f[84];
-    out[29] += scale * 0.2738612787525831 * alpha[46] * f[44];
-    out[29] += scale * 0.30618621784789724 * alpha[50] * f[48];
-    out[31] += scale * 0.30618621784789724 * alpha[0] * f[14];
-    out[31] += scale * 0.30618621784789724 * alpha[1] * f[31];
-    out[31] += scale * 0.30618621784789724 * alpha[4] * f[3];
-    out[31] += scale * 0.2738612787525831 * alpha[4] * f[36];
-    out[31] += scale * 0.30618621784789724 * alpha[5] * f[45];
-    out[31] += scale * 0.2738612787525831 * alpha[15] * f[14];
-    out[31] += scale * 0.30618621784789724 * alpha[19] * f[18];
-    out[31] += scale * 0.2738612787525831 * alpha[19] * f[79];
-    out[31] += scale * 0.30618621784789724 * alpha[20] * f[85];
-    out[31] += scale * 0.2738612787525831 * alpha[46] * f[45];
-    out[31] += scale * 0.30618621784789724 * alpha[50] * f[49];
-    out[34] += scale * 0.3061862178478973 * alpha[0] * f[15];
-    out[34] += scale * 0.3061862178478973 * alpha[1] * f[34];
-    out[34] += scale * 0.27386127875258304 * alpha[4] * f[4];
-    out[34] += scale * 0.3061862178478973 * alpha[5] * f[46];
-    out[34] += scale * 0.3061862178478973 * alpha[15] * f[0];
-    out[34] += scale * 0.1956151991089879 * alpha[15] * f[15];
-    out[34] += scale * 0.2738612787525831 * alpha[19] * f[19];
-    out[34] += scale * 0.3061862178478973 * alpha[46] * f[5];
-    out[34] += scale * 0.19561519910898792 * alpha[46] * f[46];
-    out[34] += scale * 0.2738612787525831 * alpha[50] * f[50];
-    out[37] += scale * 0.6846531968814575 * alpha[0] * f[16];
-    out[37] += scale * 0.6846531968814575 * alpha[1] * f[5];
-    out[37] += scale * 0.6123724356957946 * alpha[1] * f[37];
-    out[37] += scale * 0.6846531968814576 * alpha[4] * f[43];
-    out[37] += scale * 0.6846531968814575 * alpha[5] * f[1];
-    out[37] += scale * 0.6123724356957946 * alpha[5] * f[47];
-    out[37] += scale * 0.6846531968814576 * alpha[15] * f[77];
-    out[37] += scale * 0.6846531968814576 * alpha[19] * f[12];
-    out[37] += scale * 0.6123724356957945 * alpha[19] * f[83];
-    out[37] += scale * 0.6123724356957946 * alpha[20] * f[16];
-    out[37] += scale * 0.6846531968814576 * alpha[46] * f[34];
-    out[37] += scale * 0.6123724356957945 * alpha[50] * f[43];
-    out[38] += scale * 0.30618621784789724 * alpha[0] * f[17];
-    out[38] += scale * 0.30618621784789724 * alpha[1] * f[38];
-    out[38] += scale * 0.30618621784789724 * alpha[4] * f[44];
-    out[38] += scale * 0.30618621784789724 * alpha[5] * f[2];
-    out[38] += scale * 0.2738612787525831 * alpha[5] * f[48];
-    out[38] += scale * 0.30618621784789724 * alpha[15] * f[78];
-    out[38] += scale * 0.30618621784789724 * alpha[19] * f[13];
-    out[38] += scale * 0.2738612787525831 * alpha[19] * f[84];
-    out[38] += scale * 0.2738612787525831 * alpha[20] * f[17];
-    out[38] += scale * 0.30618621784789724 * alpha[46] * f[35];
-    out[38] += scale * 0.2738612787525831 * alpha[50] * f[44];
-    out[40] += scale * 0.30618621784789724 * alpha[0] * f[18];
-    out[40] += scale * 0.30618621784789724 * alpha[1] * f[40];
-    out[40] += scale * 0.30618621784789724 * alpha[4] * f[45];
-    out[40] += scale * 0.30618621784789724 * alpha[5] * f[3];
-    out[40] += scale * 0.2738612787525831 * alpha[5] * f[49];
-    out[40] += scale * 0.30618621784789724 * alpha[15] * f[79];
-    out[40] += scale * 0.30618621784789724 * alpha[19] * f[14];
-    out[40] += scale * 0.2738612787525831 * alpha[19] * f[85];
-    out[40] += scale * 0.2738612787525831 * alpha[20] * f[18];
-    out[40] += scale * 0.30618621784789724 * alpha[46] * f[36];
-    out[40] += scale * 0.2738612787525831 * alpha[50] * f[45];
-    out[43] += scale * 0.30618621784789724 * alpha[0] * f[19];
-    out[43] += scale * 0.30618621784789724 * alpha[1] * f[43];
-    out[43] += scale * 0.30618621784789724 * alpha[4] * f[5];
-    out[43] += scale * 0.2738612787525831 * alpha[4] * f[46];
-    out[43] += scale * 0.30618621784789724 * alpha[5] * f[4];
-    out[43] += scale * 0.2738612787525831 * alpha[5] * f[50];
-    out[43] += scale * 0.2738612787525831 * alpha[15] * f[19];
-    out[43] += scale * 0.30618621784789724 * alpha[19] * f[0];
-    out[43] += scale * 0.2738612787525831 * alpha[19] * f[15];
-    out[43] += scale * 0.2738612787525831 * alpha[19] * f[20];
-    out[43] += scale * 0.2738612787525831 * alpha[20] * f[19];
-    out[43] += scale * 0.2738612787525831 * alpha[46] * f[4];
-    out[43] += scale * 0.2449489742783178 * alpha[46] * f[50];
-    out[43] += scale * 0.2738612787525831 * alpha[50] * f[5];
-    out[43] += scale * 0.2449489742783178 * alpha[50] * f[46];
-    out[47] += scale * 0.3061862178478973 * alpha[0] * f[20];
-    out[47] += scale * 0.3061862178478973 * alpha[1] * f[47];
-    out[47] += scale * 0.3061862178478973 * alpha[4] * f[50];
-    out[47] += scale * 0.27386127875258304 * alpha[5] * f[5];
-    out[47] += scale * 0.2738612787525831 * alpha[19] * f[19];
-    out[47] += scale * 0.3061862178478973 * alpha[20] * f[0];
-    out[47] += scale * 0.1956151991089879 * alpha[20] * f[20];
-    out[47] += scale * 0.2738612787525831 * alpha[46] * f[46];
-    out[47] += scale * 0.3061862178478973 * alpha[50] * f[4];
-    out[47] += scale * 0.19561519910898792 * alpha[50] * f[50];
-    out[51] += scale * 0.6846531968814576 * alpha[0] * f[24];
-    out[51] += scale * 0.6846531968814576 * alpha[1] * f[10];
-    out[51] += scale * 0.6123724356957945 * alpha[1] * f[51];
-    out[51] += scale * 0.6846531968814576 * alpha[4] * f[57];
-    out[51] += scale * 0.6846531968814576 * alpha[5] * f[67];
-    out[51] += scale * 0.6846531968814576 * alpha[15] * f[89];
-    out[51] += scale * 0.6846531968814576 * alpha[19] * f[96];
-    out[51] += scale * 0.6846531968814576 * alpha[20] * f[103];
-    out[51] += scale * 0.6846531968814576 * alpha[46] * f[110];
-    out[51] += scale * 0.6846531968814576 * alpha[50] * f[111];
-    out[52] += scale * 0.3061862178478973 * alpha[0] * f[25];
-    out[52] += scale * 0.30618621784789724 * alpha[1] * f[52];
-    out[52] += scale * 0.30618621784789724 * alpha[4] * f[58];
-    out[52] += scale * 0.30618621784789724 * alpha[5] * f[68];
-    out[52] += scale * 0.3061862178478973 * alpha[19] * f[97];
-    out[53] += scale * 0.3061862178478973 * alpha[0] * f[27];
-    out[53] += scale * 0.30618621784789724 * alpha[1] * f[53];
-    out[53] += scale * 0.30618621784789724 * alpha[4] * f[60];
-    out[53] += scale * 0.30618621784789724 * alpha[5] * f[70];
-    out[53] += scale * 0.3061862178478973 * alpha[19] * f[99];
-    out[54] += scale * 0.6846531968814576 * alpha[0] * f[29];
-    out[54] += scale * 0.6846531968814576 * alpha[1] * f[13];
-    out[54] += scale * 0.6123724356957945 * alpha[1] * f[54];
-    out[54] += scale * 0.6846531968814576 * alpha[4] * f[7];
-    out[54] += scale * 0.6123724356957945 * alpha[4] * f[61];
-    out[54] += scale * 0.6846531968814576 * alpha[5] * f[72];
-    out[54] += scale * 0.6123724356957945 * alpha[15] * f[29];
-    out[54] += scale * 0.6846531968814576 * alpha[19] * f[38];
-    out[54] += scale * 0.6123724356957946 * alpha[19] * f[100];
-    out[54] += scale * 0.6846531968814576 * alpha[20] * f[104];
-    out[54] += scale * 0.6123724356957946 * alpha[46] * f[72];
-    out[54] += scale * 0.6846531968814576 * alpha[50] * f[80];
-    out[55] += scale * 0.3061862178478973 * alpha[0] * f[30];
-    out[55] += scale * 0.30618621784789724 * alpha[1] * f[55];
-    out[55] += scale * 0.3061862178478973 * alpha[4] * f[8];
-    out[55] += scale * 0.30618621784789724 * alpha[5] * f[73];
-    out[55] += scale * 0.2738612787525831 * alpha[15] * f[30];
-    out[55] += scale * 0.30618621784789724 * alpha[19] * f[39];
-    out[55] += scale * 0.27386127875258304 * alpha[46] * f[73];
-    out[56] += scale * 0.6846531968814576 * alpha[0] * f[31];
-    out[56] += scale * 0.6846531968814576 * alpha[1] * f[14];
-    out[56] += scale * 0.6123724356957945 * alpha[1] * f[56];
-    out[56] += scale * 0.6846531968814576 * alpha[4] * f[9];
-    out[56] += scale * 0.6123724356957945 * alpha[4] * f[62];
-    out[56] += scale * 0.6846531968814576 * alpha[5] * f[74];
-    out[56] += scale * 0.6123724356957945 * alpha[15] * f[31];
-    out[56] += scale * 0.6846531968814576 * alpha[19] * f[40];
-    out[56] += scale * 0.6123724356957946 * alpha[19] * f[101];
-    out[56] += scale * 0.6846531968814576 * alpha[20] * f[105];
-    out[56] += scale * 0.6123724356957946 * alpha[46] * f[74];
-    out[56] += scale * 0.6846531968814576 * alpha[50] * f[81];
-    out[57] += scale * 0.30618621784789724 * alpha[0] * f[32];
-    out[57] += scale * 0.30618621784789724 * alpha[1] * f[57];
-    out[57] += scale * 0.30618621784789724 * alpha[4] * f[10];
-    out[57] += scale * 0.2738612787525831 * alpha[4] * f[63];
-    out[57] += scale * 0.30618621784789724 * alpha[5] * f[75];
-    out[57] += scale * 0.2738612787525831 * alpha[15] * f[32];
-    out[57] += scale * 0.30618621784789724 * alpha[19] * f[41];
-    out[57] += scale * 0.27386127875258304 * alpha[19] * f[102];
-    out[57] += scale * 0.3061862178478973 * alpha[20] * f[106];
-    out[57] += scale * 0.27386127875258304 * alpha[46] * f[75];
-    out[57] += scale * 0.3061862178478973 * alpha[50] * f[82];
-    out[59] += scale * 0.3061862178478973 * alpha[0] * f[33];
-    out[59] += scale * 0.30618621784789724 * alpha[1] * f[59];
-    out[59] += scale * 0.3061862178478973 * alpha[4] * f[11];
-    out[59] += scale * 0.30618621784789724 * alpha[5] * f[76];
-    out[59] += scale * 0.2738612787525831 * alpha[15] * f[33];
-    out[59] += scale * 0.30618621784789724 * alpha[19] * f[42];
-    out[59] += scale * 0.27386127875258304 * alpha[46] * f[76];
-    out[61] += scale * 0.3061862178478973 * alpha[0] * f[35];
-    out[61] += scale * 0.30618621784789724 * alpha[1] * f[61];
-    out[61] += scale * 0.2738612787525831 * alpha[4] * f[13];
-    out[61] += scale * 0.30618621784789724 * alpha[5] * f[78];
-    out[61] += scale * 0.3061862178478973 * alpha[15] * f[2];
-    out[61] += scale * 0.19561519910898792 * alpha[15] * f[35];
-    out[61] += scale * 0.2738612787525831 * alpha[19] * f[44];
-    out[61] += scale * 0.30618621784789724 * alpha[46] * f[17];
-    out[61] += scale * 0.1956151991089879 * alpha[46] * f[78];
-    out[61] += scale * 0.27386127875258304 * alpha[50] * f[84];
-    out[62] += scale * 0.3061862178478973 * alpha[0] * f[36];
-    out[62] += scale * 0.30618621784789724 * alpha[1] * f[62];
-    out[62] += scale * 0.2738612787525831 * alpha[4] * f[14];
-    out[62] += scale * 0.30618621784789724 * alpha[5] * f[79];
-    out[62] += scale * 0.3061862178478973 * alpha[15] * f[3];
-    out[62] += scale * 0.19561519910898792 * alpha[15] * f[36];
-    out[62] += scale * 0.2738612787525831 * alpha[19] * f[45];
-    out[62] += scale * 0.30618621784789724 * alpha[46] * f[18];
-    out[62] += scale * 0.1956151991089879 * alpha[46] * f[79];
-    out[62] += scale * 0.27386127875258304 * alpha[50] * f[85];
-    out[64] += scale * 0.6846531968814576 * alpha[0] * f[38];
-    out[64] += scale * 0.6846531968814576 * alpha[1] * f[17];
-    out[64] += scale * 0.6123724356957945 * alpha[1] * f[64];
-    out[64] += scale * 0.6846531968814576 * alpha[4] * f[72];
-    out[64] += scale * 0.6846531968814576 * alpha[5] * f[7];
-    out[64] += scale * 0.6123724356957945 * alpha[5] * f[80];
-    out[64] += scale * 0.6846531968814576 * alpha[15] * f[100];
-    out[64] += scale * 0.6846531968814576 * alpha[19] * f[29];
-    out[64] += scale * 0.6123724356957946 * alpha[19] * f[104];
-    out[64] += scale * 0.6123724356957945 * alpha[20] * f[38];
-    out[64] += scale * 0.6846531968814576 * alpha[46] * f[61];
-    out[64] += scale * 0.6123724356957946 * alpha[50] * f[72];
-    out[65] += scale * 0.3061862178478973 * alpha[0] * f[39];
-    out[65] += scale * 0.30618621784789724 * alpha[1] * f[65];
-    out[65] += scale * 0.30618621784789724 * alpha[4] * f[73];
-    out[65] += scale * 0.3061862178478973 * alpha[5] * f[8];
-    out[65] += scale * 0.30618621784789724 * alpha[19] * f[30];
-    out[65] += scale * 0.2738612787525831 * alpha[20] * f[39];
-    out[65] += scale * 0.27386127875258304 * alpha[50] * f[73];
-    out[66] += scale * 0.6846531968814576 * alpha[0] * f[40];
-    out[66] += scale * 0.6846531968814576 * alpha[1] * f[18];
-    out[66] += scale * 0.6123724356957945 * alpha[1] * f[66];
-    out[66] += scale * 0.6846531968814576 * alpha[4] * f[74];
-    out[66] += scale * 0.6846531968814576 * alpha[5] * f[9];
-    out[66] += scale * 0.6123724356957945 * alpha[5] * f[81];
-    out[66] += scale * 0.6846531968814576 * alpha[15] * f[101];
-    out[66] += scale * 0.6846531968814576 * alpha[19] * f[31];
-    out[66] += scale * 0.6123724356957946 * alpha[19] * f[105];
-    out[66] += scale * 0.6123724356957945 * alpha[20] * f[40];
-    out[66] += scale * 0.6846531968814576 * alpha[46] * f[62];
-    out[66] += scale * 0.6123724356957946 * alpha[50] * f[74];
-    out[67] += scale * 0.30618621784789724 * alpha[0] * f[41];
-    out[67] += scale * 0.30618621784789724 * alpha[1] * f[67];
-    out[67] += scale * 0.30618621784789724 * alpha[4] * f[75];
-    out[67] += scale * 0.30618621784789724 * alpha[5] * f[10];
-    out[67] += scale * 0.2738612787525831 * alpha[5] * f[82];
-    out[67] += scale * 0.3061862178478973 * alpha[15] * f[102];
-    out[67] += scale * 0.30618621784789724 * alpha[19] * f[32];
-    out[67] += scale * 0.27386127875258304 * alpha[19] * f[106];
-    out[67] += scale * 0.2738612787525831 * alpha[20] * f[41];
-    out[67] += scale * 0.3061862178478973 * alpha[46] * f[63];
-    out[67] += scale * 0.27386127875258304 * alpha[50] * f[75];
-    out[69] += scale * 0.3061862178478973 * alpha[0] * f[42];
-    out[69] += scale * 0.30618621784789724 * alpha[1] * f[69];
-    out[69] += scale * 0.30618621784789724 * alpha[4] * f[76];
-    out[69] += scale * 0.3061862178478973 * alpha[5] * f[11];
-    out[69] += scale * 0.30618621784789724 * alpha[19] * f[33];
-    out[69] += scale * 0.2738612787525831 * alpha[20] * f[42];
-    out[69] += scale * 0.27386127875258304 * alpha[50] * f[76];
-    out[71] += scale * 0.6846531968814576 * alpha[0] * f[43];
-    out[71] += scale * 0.6846531968814576 * alpha[1] * f[19];
-    out[71] += scale * 0.6123724356957945 * alpha[1] * f[71];
-    out[71] += scale * 0.6846531968814576 * alpha[4] * f[16];
-    out[71] += scale * 0.6123724356957945 * alpha[4] * f[77];
-    out[71] += scale * 0.6846531968814576 * alpha[5] * f[12];
-    out[71] += scale * 0.6123724356957945 * alpha[5] * f[83];
-    out[71] += scale * 0.6123724356957945 * alpha[15] * f[43];
-    out[71] += scale * 0.6846531968814576 * alpha[19] * f[1];
-    out[71] += scale * 0.6123724356957945 * alpha[19] * f[34];
-    out[71] += scale * 0.6123724356957945 * alpha[19] * f[47];
-    out[71] += scale * 0.6123724356957945 * alpha[20] * f[43];
-    out[71] += scale * 0.6123724356957945 * alpha[46] * f[12];
-    out[71] += scale * 0.5477225575051661 * alpha[46] * f[83];
-    out[71] += scale * 0.6123724356957945 * alpha[50] * f[16];
-    out[71] += scale * 0.5477225575051661 * alpha[50] * f[77];
-    out[72] += scale * 0.30618621784789724 * alpha[0] * f[44];
-    out[72] += scale * 0.30618621784789724 * alpha[1] * f[72];
-    out[72] += scale * 0.30618621784789724 * alpha[4] * f[17];
-    out[72] += scale * 0.2738612787525831 * alpha[4] * f[78];
-    out[72] += scale * 0.30618621784789724 * alpha[5] * f[13];
-    out[72] += scale * 0.2738612787525831 * alpha[5] * f[84];
-    out[72] += scale * 0.2738612787525831 * alpha[15] * f[44];
-    out[72] += scale * 0.30618621784789724 * alpha[19] * f[2];
-    out[72] += scale * 0.2738612787525831 * alpha[19] * f[35];
-    out[72] += scale * 0.2738612787525831 * alpha[19] * f[48];
-    out[72] += scale * 0.2738612787525831 * alpha[20] * f[44];
-    out[72] += scale * 0.2738612787525831 * alpha[46] * f[13];
-    out[72] += scale * 0.2449489742783178 * alpha[46] * f[84];
-    out[72] += scale * 0.2738612787525831 * alpha[50] * f[17];
-    out[72] += scale * 0.2449489742783178 * alpha[50] * f[78];
-    out[74] += scale * 0.30618621784789724 * alpha[0] * f[45];
-    out[74] += scale * 0.30618621784789724 * alpha[1] * f[74];
-    out[74] += scale * 0.30618621784789724 * alpha[4] * f[18];
-    out[74] += scale * 0.2738612787525831 * alpha[4] * f[79];
-    out[74] += scale * 0.30618621784789724 * alpha[5] * f[14];
-    out[74] += scale * 0.2738612787525831 * alpha[5] * f[85];
-    out[74] += scale * 0.2738612787525831 * alpha[15] * f[45];
-    out[74] += scale * 0.30618621784789724 * alpha[19] * f[3];
-    out[74] += scale * 0.2738612787525831 * alpha[19] * f[36];
-    out[74] += scale * 0.2738612787525831 * alpha[19] * f[49];
-    out[74] += scale * 0.2738612787525831 * alpha[20] * f[45];
-    out[74] += scale * 0.2738612787525831 * alpha[46] * f[14];
-    out[74] += scale * 0.2449489742783178 * alpha[46] * f[85];
-    out[74] += scale * 0.2738612787525831 * alpha[50] * f[18];
-    out[74] += scale * 0.2449489742783178 * alpha[50] * f[79];
-    out[77] += scale * 0.3061862178478973 * alpha[0] * f[46];
-    out[77] += scale * 0.30618621784789724 * alpha[1] * f[77];
-    out[77] += scale * 0.2738612787525831 * alpha[4] * f[19];
-    out[77] += scale * 0.3061862178478973 * alpha[5] * f[15];
-    out[77] += scale * 0.3061862178478973 * alpha[15] * f[5];
-    out[77] += scale * 0.19561519910898792 * alpha[15] * f[46];
-    out[77] += scale * 0.2738612787525831 * alpha[19] * f[4];
-    out[77] += scale * 0.2449489742783178 * alpha[19] * f[50];
-    out[77] += scale * 0.2738612787525831 * alpha[20] * f[46];
-    out[77] += scale * 0.3061862178478973 * alpha[46] * f[0];
-    out[77] += scale * 0.19561519910898792 * alpha[46] * f[15];
-    out[77] += scale * 0.2738612787525831 * alpha[46] * f[20];
-    out[77] += scale * 0.2449489742783178 * alpha[50] * f[19];
-    out[80] += scale * 0.3061862178478973 * alpha[0] * f[48];
-    out[80] += scale * 0.30618621784789724 * alpha[1] * f[80];
-    out[80] += scale * 0.30618621784789724 * alpha[4] * f[84];
-    out[80] += scale * 0.2738612787525831 * alpha[5] * f[17];
-    out[80] += scale * 0.2738612787525831 * alpha[19] * f[44];
-    out[80] += scale * 0.3061862178478973 * alpha[20] * f[2];
-    out[80] += scale * 0.19561519910898792 * alpha[20] * f[48];
-    out[80] += scale * 0.27386127875258304 * alpha[46] * f[78];
-    out[80] += scale * 0.30618621784789724 * alpha[50] * f[13];
-    out[80] += scale * 0.1956151991089879 * alpha[50] * f[84];
-    out[81] += scale * 0.3061862178478973 * alpha[0] * f[49];
-    out[81] += scale * 0.30618621784789724 * alpha[1] * f[81];
-    out[81] += scale * 0.30618621784789724 * alpha[4] * f[85];
-    out[81] += scale * 0.2738612787525831 * alpha[5] * f[18];
-    out[81] += scale * 0.2738612787525831 * alpha[19] * f[45];
-    out[81] += scale * 0.3061862178478973 * alpha[20] * f[3];
-    out[81] += scale * 0.19561519910898792 * alpha[20] * f[49];
-    out[81] += scale * 0.27386127875258304 * alpha[46] * f[79];
-    out[81] += scale * 0.30618621784789724 * alpha[50] * f[14];
-    out[81] += scale * 0.1956151991089879 * alpha[50] * f[85];
-    out[83] += scale * 0.3061862178478973 * alpha[0] * f[50];
-    out[83] += scale * 0.30618621784789724 * alpha[1] * f[83];
-    out[83] += scale * 0.3061862178478973 * alpha[4] * f[20];
-    out[83] += scale * 0.2738612787525831 * alpha[5] * f[19];
-    out[83] += scale * 0.2738612787525831 * alpha[15] * f[50];
-    out[83] += scale * 0.2738612787525831 * alpha[19] * f[5];
-    out[83] += scale * 0.2449489742783178 * alpha[19] * f[46];
-    out[83] += scale * 0.3061862178478973 * alpha[20] * f[4];
-    out[83] += scale * 0.19561519910898792 * alpha[20] * f[50];
-    out[83] += scale * 0.2449489742783178 * alpha[46] * f[19];
-    out[83] += scale * 0.3061862178478973 * alpha[50] * f[0];
-    out[83] += scale * 0.2738612787525831 * alpha[50] * f[15];
-    out[83] += scale * 0.19561519910898792 * alpha[50] * f[20];
-    out[86] += scale * 0.6846531968814576 * alpha[0] * f[57];
-    out[86] += scale * 0.6846531968814576 * alpha[1] * f[32];
-    out[86] += scale * 0.6123724356957946 * alpha[1] * f[86];
-    out[86] += scale * 0.6846531968814576 * alpha[4] * f[24];
-    out[86] += scale * 0.6123724356957946 * alpha[4] * f[89];
-    out[86] += scale * 0.6846531968814576 * alpha[5] * f[96];
-    out[86] += scale * 0.6123724356957946 * alpha[15] * f[57];
-    out[86] += scale * 0.6846531968814576 * alpha[19] * f[67];
-    out[86] += scale * 0.6123724356957946 * alpha[19] * f[110];
-    out[86] += scale * 0.6846531968814576 * alpha[20] * f[111];
-    out[86] += scale * 0.6123724356957946 * alpha[46] * f[96];
-    out[86] += scale * 0.6846531968814576 * alpha[50] * f[103];
-    out[87] += scale * 0.30618621784789724 * alpha[0] * f[58];
-    out[87] += scale * 0.3061862178478973 * alpha[1] * f[87];
-    out[87] += scale * 0.30618621784789724 * alpha[4] * f[25];
-    out[87] += scale * 0.3061862178478973 * alpha[5] * f[97];
-    out[87] += scale * 0.27386127875258304 * alpha[15] * f[58];
-    out[87] += scale * 0.3061862178478973 * alpha[19] * f[68];
-    out[87] += scale * 0.27386127875258304 * alpha[46] * f[97];
-    out[88] += scale * 0.30618621784789724 * alpha[0] * f[60];
-    out[88] += scale * 0.3061862178478973 * alpha[1] * f[88];
-    out[88] += scale * 0.30618621784789724 * alpha[4] * f[27];
-    out[88] += scale * 0.3061862178478973 * alpha[5] * f[99];
-    out[88] += scale * 0.27386127875258304 * alpha[15] * f[60];
-    out[88] += scale * 0.3061862178478973 * alpha[19] * f[70];
-    out[88] += scale * 0.27386127875258304 * alpha[46] * f[99];
-    out[89] += scale * 0.30618621784789724 * alpha[0] * f[63];
-    out[89] += scale * 0.3061862178478973 * alpha[1] * f[89];
-    out[89] += scale * 0.2738612787525831 * alpha[4] * f[32];
-    out[89] += scale * 0.3061862178478973 * alpha[5] * f[102];
-    out[89] += scale * 0.30618621784789724 * alpha[15] * f[10];
-    out[89] += scale * 0.1956151991089879 * alpha[15] * f[63];
-    out[89] += scale * 0.27386127875258304 * alpha[19] * f[75];
-    out[89] += scale * 0.3061862178478973 * alpha[46] * f[41];
-    out[89] += scale * 0.19561519910898792 * alpha[46] * f[102];
-    out[89] += scale * 0.27386127875258304 * alpha[50] * f[106];
-    out[90] += scale * 0.6846531968814576 * alpha[0] * f[67];
-    out[90] += scale * 0.6846531968814576 * alpha[1] * f[41];
-    out[90] += scale * 0.6123724356957946 * alpha[1] * f[90];
-    out[90] += scale * 0.6846531968814576 * alpha[4] * f[96];
-    out[90] += scale * 0.6846531968814576 * alpha[5] * f[24];
-    out[90] += scale * 0.6123724356957946 * alpha[5] * f[103];
-    out[90] += scale * 0.6846531968814576 * alpha[15] * f[110];
-    out[90] += scale * 0.6846531968814576 * alpha[19] * f[57];
-    out[90] += scale * 0.6123724356957946 * alpha[19] * f[111];
-    out[90] += scale * 0.6123724356957946 * alpha[20] * f[67];
-    out[90] += scale * 0.6846531968814576 * alpha[46] * f[89];
-    out[90] += scale * 0.6123724356957946 * alpha[50] * f[96];
-    out[91] += scale * 0.30618621784789724 * alpha[0] * f[68];
-    out[91] += scale * 0.3061862178478973 * alpha[1] * f[91];
-    out[91] += scale * 0.3061862178478973 * alpha[4] * f[97];
-    out[91] += scale * 0.30618621784789724 * alpha[5] * f[25];
-    out[91] += scale * 0.3061862178478973 * alpha[19] * f[58];
-    out[91] += scale * 0.27386127875258304 * alpha[20] * f[68];
-    out[91] += scale * 0.27386127875258304 * alpha[50] * f[97];
-    out[92] += scale * 0.30618621784789724 * alpha[0] * f[70];
-    out[92] += scale * 0.3061862178478973 * alpha[1] * f[92];
-    out[92] += scale * 0.3061862178478973 * alpha[4] * f[99];
-    out[92] += scale * 0.30618621784789724 * alpha[5] * f[27];
-    out[92] += scale * 0.3061862178478973 * alpha[19] * f[60];
-    out[92] += scale * 0.27386127875258304 * alpha[20] * f[70];
-    out[92] += scale * 0.27386127875258304 * alpha[50] * f[99];
-    out[93] += scale * 0.6846531968814576 * alpha[0] * f[72];
-    out[93] += scale * 0.6846531968814576 * alpha[1] * f[44];
-    out[93] += scale * 0.6123724356957946 * alpha[1] * f[93];
-    out[93] += scale * 0.6846531968814576 * alpha[4] * f[38];
-    out[93] += scale * 0.6123724356957946 * alpha[4] * f[100];
-    out[93] += scale * 0.6846531968814576 * alpha[5] * f[29];
-    out[93] += scale * 0.6123724356957946 * alpha[5] * f[104];
-    out[93] += scale * 0.6123724356957946 * alpha[15] * f[72];
-    out[93] += scale * 0.6846531968814576 * alpha[19] * f[7];
-    out[93] += scale * 0.6123724356957946 * alpha[19] * f[61];
-    out[93] += scale * 0.6123724356957946 * alpha[19] * f[80];
-    out[93] += scale * 0.6123724356957946 * alpha[20] * f[72];
-    out[93] += scale * 0.6123724356957946 * alpha[46] * f[29];
-    out[93] += scale * 0.5477225575051661 * alpha[46] * f[104];
-    out[93] += scale * 0.6123724356957946 * alpha[50] * f[38];
-    out[93] += scale * 0.5477225575051661 * alpha[50] * f[100];
-    out[94] += scale * 0.30618621784789724 * alpha[0] * f[73];
-    out[94] += scale * 0.3061862178478973 * alpha[1] * f[94];
-    out[94] += scale * 0.30618621784789724 * alpha[4] * f[39];
-    out[94] += scale * 0.30618621784789724 * alpha[5] * f[30];
-    out[94] += scale * 0.27386127875258304 * alpha[15] * f[73];
-    out[94] += scale * 0.30618621784789724 * alpha[19] * f[8];
-    out[94] += scale * 0.27386127875258304 * alpha[20] * f[73];
-    out[94] += scale * 0.27386127875258304 * alpha[46] * f[30];
-    out[94] += scale * 0.27386127875258304 * alpha[50] * f[39];
-    out[95] += scale * 0.6846531968814576 * alpha[0] * f[74];
-    out[95] += scale * 0.6846531968814576 * alpha[1] * f[45];
-    out[95] += scale * 0.6123724356957946 * alpha[1] * f[95];
-    out[95] += scale * 0.6846531968814576 * alpha[4] * f[40];
-    out[95] += scale * 0.6123724356957946 * alpha[4] * f[101];
-    out[95] += scale * 0.6846531968814576 * alpha[5] * f[31];
-    out[95] += scale * 0.6123724356957946 * alpha[5] * f[105];
-    out[95] += scale * 0.6123724356957946 * alpha[15] * f[74];
-    out[95] += scale * 0.6846531968814576 * alpha[19] * f[9];
-    out[95] += scale * 0.6123724356957946 * alpha[19] * f[62];
-    out[95] += scale * 0.6123724356957946 * alpha[19] * f[81];
-    out[95] += scale * 0.6123724356957946 * alpha[20] * f[74];
-    out[95] += scale * 0.6123724356957946 * alpha[46] * f[31];
-    out[95] += scale * 0.5477225575051661 * alpha[46] * f[105];
-    out[95] += scale * 0.6123724356957946 * alpha[50] * f[40];
-    out[95] += scale * 0.5477225575051661 * alpha[50] * f[101];
-    out[96] += scale * 0.30618621784789724 * alpha[0] * f[75];
-    out[96] += scale * 0.3061862178478973 * alpha[1] * f[96];
-    out[96] += scale * 0.30618621784789724 * alpha[4] * f[41];
-    out[96] += scale * 0.27386127875258304 * alpha[4] * f[102];
-    out[96] += scale * 0.30618621784789724 * alpha[5] * f[32];
-    out[96] += scale * 0.27386127875258304 * alpha[5] * f[106];
-    out[96] += scale * 0.27386127875258304 * alpha[15] * f[75];
-    out[96] += scale * 0.30618621784789724 * alpha[19] * f[10];
-    out[96] += scale * 0.27386127875258304 * alpha[19] * f[63];
-    out[96] += scale * 0.27386127875258304 * alpha[19] * f[82];
-    out[96] += scale * 0.27386127875258304 * alpha[20] * f[75];
-    out[96] += scale * 0.27386127875258304 * alpha[46] * f[32];
-    out[96] += scale * 0.24494897427831783 * alpha[46] * f[106];
-    out[96] += scale * 0.27386127875258304 * alpha[50] * f[41];
-    out[96] += scale * 0.24494897427831783 * alpha[50] * f[102];
-    out[98] += scale * 0.30618621784789724 * alpha[0] * f[76];
-    out[98] += scale * 0.3061862178478973 * alpha[1] * f[98];
-    out[98] += scale * 0.30618621784789724 * alpha[4] * f[42];
-    out[98] += scale * 0.30618621784789724 * alpha[5] * f[33];
-    out[98] += scale * 0.27386127875258304 * alpha[15] * f[76];
-    out[98] += scale * 0.30618621784789724 * alpha[19] * f[11];
-    out[98] += scale * 0.27386127875258304 * alpha[20] * f[76];
-    out[98] += scale * 0.27386127875258304 * alpha[46] * f[33];
-    out[98] += scale * 0.27386127875258304 * alpha[50] * f[42];
-    out[100] += scale * 0.30618621784789724 * alpha[0] * f[78];
-    out[100] += scale * 0.3061862178478973 * alpha[1] * f[100];
-    out[100] += scale * 0.2738612787525831 * alpha[4] * f[44];
-    out[100] += scale * 0.30618621784789724 * alpha[5] * f[35];
-    out[100] += scale * 0.30618621784789724 * alpha[15] * f[17];
-    out[100] += scale * 0.1956151991089879 * alpha[15] * f[78];
-    out[100] += scale * 0.2738612787525831 * alpha[19] * f[13];
-    out[100] += scale * 0.2449489742783178 * alpha[19] * f[84];
-    out[100] += scale * 0.27386127875258304 * alpha[20] * f[78];
-    out[100] += scale * 0.30618621784789724 * alpha[46] * f[2];
-    out[100] += scale * 0.1956151991089879 * alpha[46] * f[35];
-    out[100] += scale * 0.27386127875258304 * alpha[46] * f[48];
-    out[100] += scale * 0.2449489742783178 * alpha[50] * f[44];
-    out[101] += scale * 0.30618621784789724 * alpha[0] * f[79];
-    out[101] += scale * 0.3061862178478973 * alpha[1] * f[101];
-    out[101] += scale * 0.2738612787525831 * alpha[4] * f[45];
-    out[101] += scale * 0.30618621784789724 * alpha[5] * f[36];
-    out[101] += scale * 0.30618621784789724 * alpha[15] * f[18];
-    out[101] += scale * 0.1956151991089879 * alpha[15] * f[79];
-    out[101] += scale * 0.2738612787525831 * alpha[19] * f[14];
-    out[101] += scale * 0.2449489742783178 * alpha[19] * f[85];
-    out[101] += scale * 0.27386127875258304 * alpha[20] * f[79];
-    out[101] += scale * 0.30618621784789724 * alpha[46] * f[3];
-    out[101] += scale * 0.1956151991089879 * alpha[46] * f[36];
-    out[101] += scale * 0.27386127875258304 * alpha[46] * f[49];
-    out[101] += scale * 0.2449489742783178 * alpha[50] * f[45];
-    out[103] += scale * 0.30618621784789724 * alpha[0] * f[82];
-    out[103] += scale * 0.3061862178478973 * alpha[1] * f[103];
-    out[103] += scale * 0.3061862178478973 * alpha[4] * f[106];
-    out[103] += scale * 0.2738612787525831 * alpha[5] * f[41];
-    out[103] += scale * 0.27386127875258304 * alpha[19] * f[75];
-    out[103] += scale * 0.30618621784789724 * alpha[20] * f[10];
-    out[103] += scale * 0.1956151991089879 * alpha[20] * f[82];
-    out[103] += scale * 0.27386127875258304 * alpha[46] * f[102];
-    out[103] += scale * 0.3061862178478973 * alpha[50] * f[32];
-    out[103] += scale * 0.19561519910898792 * alpha[50] * f[106];
-    out[104] += scale * 0.30618621784789724 * alpha[0] * f[84];
-    out[104] += scale * 0.3061862178478973 * alpha[1] * f[104];
-    out[104] += scale * 0.30618621784789724 * alpha[4] * f[48];
-    out[104] += scale * 0.2738612787525831 * alpha[5] * f[44];
-    out[104] += scale * 0.27386127875258304 * alpha[15] * f[84];
-    out[104] += scale * 0.2738612787525831 * alpha[19] * f[17];
-    out[104] += scale * 0.2449489742783178 * alpha[19] * f[78];
-    out[104] += scale * 0.30618621784789724 * alpha[20] * f[13];
-    out[104] += scale * 0.1956151991089879 * alpha[20] * f[84];
-    out[104] += scale * 0.2449489742783178 * alpha[46] * f[44];
-    out[104] += scale * 0.30618621784789724 * alpha[50] * f[2];
-    out[104] += scale * 0.27386127875258304 * alpha[50] * f[35];
-    out[104] += scale * 0.1956151991089879 * alpha[50] * f[48];
-    out[105] += scale * 0.30618621784789724 * alpha[0] * f[85];
-    out[105] += scale * 0.3061862178478973 * alpha[1] * f[105];
-    out[105] += scale * 0.30618621784789724 * alpha[4] * f[49];
-    out[105] += scale * 0.2738612787525831 * alpha[5] * f[45];
-    out[105] += scale * 0.27386127875258304 * alpha[15] * f[85];
-    out[105] += scale * 0.2738612787525831 * alpha[19] * f[18];
-    out[105] += scale * 0.2449489742783178 * alpha[19] * f[79];
-    out[105] += scale * 0.30618621784789724 * alpha[20] * f[14];
-    out[105] += scale * 0.1956151991089879 * alpha[20] * f[85];
-    out[105] += scale * 0.2449489742783178 * alpha[46] * f[45];
-    out[105] += scale * 0.30618621784789724 * alpha[50] * f[3];
-    out[105] += scale * 0.27386127875258304 * alpha[50] * f[36];
-    out[105] += scale * 0.1956151991089879 * alpha[50] * f[49];
-    out[107] += scale * 0.6846531968814576 * alpha[0] * f[96];
-    out[107] += scale * 0.6846531968814576 * alpha[1] * f[75];
-    out[107] += scale * 0.6123724356957946 * alpha[1] * f[107];
-    out[107] += scale * 0.6846531968814576 * alpha[4] * f[67];
-    out[107] += scale * 0.6123724356957946 * alpha[4] * f[110];
-    out[107] += scale * 0.6846531968814576 * alpha[5] * f[57];
-    out[107] += scale * 0.6123724356957946 * alpha[5] * f[111];
-    out[107] += scale * 0.6123724356957946 * alpha[15] * f[96];
-    out[107] += scale * 0.6846531968814576 * alpha[19] * f[24];
-    out[107] += scale * 0.6123724356957946 * alpha[19] * f[89];
-    out[107] += scale * 0.6123724356957946 * alpha[19] * f[103];
-    out[107] += scale * 0.6123724356957946 * alpha[20] * f[96];
-    out[107] += scale * 0.6123724356957946 * alpha[46] * f[57];
-    out[107] += scale * 0.5477225575051662 * alpha[46] * f[111];
-    out[107] += scale * 0.6123724356957946 * alpha[50] * f[67];
-    out[107] += scale * 0.5477225575051662 * alpha[50] * f[110];
-    out[108] += scale * 0.3061862178478973 * alpha[0] * f[97];
-    out[108] += scale * 0.3061862178478973 * alpha[1] * f[108];
-    out[108] += scale * 0.3061862178478973 * alpha[4] * f[68];
-    out[108] += scale * 0.3061862178478973 * alpha[5] * f[58];
-    out[108] += scale * 0.27386127875258304 * alpha[15] * f[97];
-    out[108] += scale * 0.3061862178478973 * alpha[19] * f[25];
-    out[108] += scale * 0.27386127875258304 * alpha[20] * f[97];
-    out[108] += scale * 0.27386127875258304 * alpha[46] * f[58];
-    out[108] += scale * 0.27386127875258304 * alpha[50] * f[68];
-    out[109] += scale * 0.3061862178478973 * alpha[0] * f[99];
-    out[109] += scale * 0.3061862178478973 * alpha[1] * f[109];
-    out[109] += scale * 0.3061862178478973 * alpha[4] * f[70];
-    out[109] += scale * 0.3061862178478973 * alpha[5] * f[60];
-    out[109] += scale * 0.27386127875258304 * alpha[15] * f[99];
-    out[109] += scale * 0.3061862178478973 * alpha[19] * f[27];
-    out[109] += scale * 0.27386127875258304 * alpha[20] * f[99];
-    out[109] += scale * 0.27386127875258304 * alpha[46] * f[60];
-    out[109] += scale * 0.27386127875258304 * alpha[50] * f[70];
-    out[110] += scale * 0.3061862178478973 * alpha[0] * f[102];
-    out[110] += scale * 0.3061862178478973 * alpha[1] * f[110];
-    out[110] += scale * 0.27386127875258304 * alpha[4] * f[75];
-    out[110] += scale * 0.3061862178478973 * alpha[5] * f[63];
-    out[110] += scale * 0.3061862178478973 * alpha[15] * f[41];
-    out[110] += scale * 0.19561519910898792 * alpha[15] * f[102];
-    out[110] += scale * 0.27386127875258304 * alpha[19] * f[32];
-    out[110] += scale * 0.24494897427831783 * alpha[19] * f[106];
-    out[110] += scale * 0.27386127875258304 * alpha[20] * f[102];
-    out[110] += scale * 0.3061862178478973 * alpha[46] * f[10];
-    out[110] += scale * 0.19561519910898792 * alpha[46] * f[63];
-    out[110] += scale * 0.27386127875258304 * alpha[46] * f[82];
-    out[110] += scale * 0.24494897427831783 * alpha[50] * f[75];
-    out[111] += scale * 0.3061862178478973 * alpha[0] * f[106];
-    out[111] += scale * 0.3061862178478973 * alpha[1] * f[111];
-    out[111] += scale * 0.3061862178478973 * alpha[4] * f[82];
-    out[111] += scale * 0.27386127875258304 * alpha[5] * f[75];
-    out[111] += scale * 0.27386127875258304 * alpha[15] * f[106];
-    out[111] += scale * 0.27386127875258304 * alpha[19] * f[41];
-    out[111] += scale * 0.24494897427831783 * alpha[19] * f[102];
-    out[111] += scale * 0.3061862178478973 * alpha[20] * f[32];
-    out[111] += scale * 0.19561519910898792 * alpha[20] * f[106];
-    out[111] += scale * 0.24494897427831783 * alpha[46] * f[75];
-    out[111] += scale * 0.3061862178478973 * alpha[50] * f[10];
-    out[111] += scale * 0.27386127875258304 * alpha[50] * f[63];
-    out[111] += scale * 0.19561519910898792 * alpha[50] * f[82];
+    let mut alpha = [[0.0f64; L]; 112];
+    for k in 0..L {
+        alpha[0][k] = -nu * v_c * 5.656854249492381;
+        alpha[1][k] = -nu * 0.5 * dv * 3.265986323710904;
+        alpha[0][k] += nu * 2.8284271247461903 * u[0][k];
+        alpha[4][k] += nu * 2.8284271247461903 * u[1][k];
+        alpha[5][k] += nu * 2.8284271247461903 * u[2][k];
+        alpha[15][k] += nu * 2.8284271247461903 * u[3][k];
+        alpha[19][k] += nu * 2.8284271247461903 * u[4][k];
+        alpha[20][k] += nu * 2.8284271247461903 * u[5][k];
+        alpha[46][k] += nu * 2.8284271247461903 * u[6][k];
+        alpha[50][k] += nu * 2.8284271247461903 * u[7][k];
+    }
+    for k in 0..L {
+        out[1][k] += scale * 0.30618621784789724 * alpha[0][k] * f[0][k];
+        out[1][k] += scale * 0.30618621784789724 * alpha[1][k] * f[1][k];
+        out[1][k] += scale * 0.30618621784789724 * alpha[4][k] * f[4][k];
+        out[1][k] += scale * 0.30618621784789724 * alpha[5][k] * f[5][k];
+        out[1][k] += scale * 0.3061862178478973 * alpha[15][k] * f[15][k];
+        out[1][k] += scale * 0.30618621784789724 * alpha[19][k] * f[19][k];
+        out[1][k] += scale * 0.3061862178478973 * alpha[20][k] * f[20][k];
+        out[1][k] += scale * 0.3061862178478973 * alpha[46][k] * f[46][k];
+        out[1][k] += scale * 0.3061862178478973 * alpha[50][k] * f[50][k];
+    }
+    for k in 0..L {
+        out[6][k] += scale * 0.6846531968814576 * alpha[0][k] * f[1][k];
+        out[6][k] += scale * 0.6846531968814576 * alpha[1][k] * f[0][k];
+        out[6][k] += scale * 0.6123724356957946 * alpha[1][k] * f[6][k];
+        out[6][k] += scale * 0.6846531968814575 * alpha[4][k] * f[12][k];
+        out[6][k] += scale * 0.6846531968814575 * alpha[5][k] * f[16][k];
+        out[6][k] += scale * 0.6846531968814578 * alpha[15][k] * f[34][k];
+        out[6][k] += scale * 0.6846531968814576 * alpha[19][k] * f[43][k];
+        out[6][k] += scale * 0.6846531968814578 * alpha[20][k] * f[47][k];
+        out[6][k] += scale * 0.6846531968814576 * alpha[46][k] * f[77][k];
+        out[6][k] += scale * 0.6846531968814576 * alpha[50][k] * f[83][k];
+    }
+    for k in 0..L {
+        out[7][k] += scale * 0.30618621784789724 * alpha[0][k] * f[2][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[1][k] * f[7][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[4][k] * f[13][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[5][k] * f[17][k];
+        out[7][k] += scale * 0.3061862178478973 * alpha[15][k] * f[35][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[19][k] * f[44][k];
+        out[7][k] += scale * 0.3061862178478973 * alpha[20][k] * f[48][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[46][k] * f[78][k];
+        out[7][k] += scale * 0.30618621784789724 * alpha[50][k] * f[84][k];
+    }
+    for k in 0..L {
+        out[9][k] += scale * 0.30618621784789724 * alpha[0][k] * f[3][k];
+        out[9][k] += scale * 0.30618621784789724 * alpha[1][k] * f[9][k];
+        out[9][k] += scale * 0.30618621784789724 * alpha[4][k] * f[14][k];
+        out[9][k] += scale * 0.30618621784789724 * alpha[5][k] * f[18][k];
+        out[9][k] += scale * 0.3061862178478973 * alpha[15][k] * f[36][k];
+        out[9][k] += scale * 0.30618621784789724 * alpha[19][k] * f[45][k];
+        out[9][k] += scale * 0.3061862178478973 * alpha[20][k] * f[49][k];
+        out[9][k] += scale * 0.30618621784789724 * alpha[46][k] * f[79][k];
+        out[9][k] += scale * 0.30618621784789724 * alpha[50][k] * f[85][k];
+    }
+    for k in 0..L {
+        out[12][k] += scale * 0.30618621784789724 * alpha[0][k] * f[4][k];
+        out[12][k] += scale * 0.30618621784789724 * alpha[1][k] * f[12][k];
+        out[12][k] += scale * 0.30618621784789724 * alpha[4][k] * f[0][k];
+        out[12][k] += scale * 0.27386127875258304 * alpha[4][k] * f[15][k];
+        out[12][k] += scale * 0.30618621784789724 * alpha[5][k] * f[19][k];
+        out[12][k] += scale * 0.27386127875258304 * alpha[15][k] * f[4][k];
+        out[12][k] += scale * 0.30618621784789724 * alpha[19][k] * f[5][k];
+        out[12][k] += scale * 0.2738612787525831 * alpha[19][k] * f[46][k];
+        out[12][k] += scale * 0.3061862178478973 * alpha[20][k] * f[50][k];
+        out[12][k] += scale * 0.2738612787525831 * alpha[46][k] * f[19][k];
+        out[12][k] += scale * 0.3061862178478973 * alpha[50][k] * f[20][k];
+    }
+    for k in 0..L {
+        out[16][k] += scale * 0.30618621784789724 * alpha[0][k] * f[5][k];
+        out[16][k] += scale * 0.30618621784789724 * alpha[1][k] * f[16][k];
+        out[16][k] += scale * 0.30618621784789724 * alpha[4][k] * f[19][k];
+        out[16][k] += scale * 0.30618621784789724 * alpha[5][k] * f[0][k];
+        out[16][k] += scale * 0.27386127875258304 * alpha[5][k] * f[20][k];
+        out[16][k] += scale * 0.3061862178478973 * alpha[15][k] * f[46][k];
+        out[16][k] += scale * 0.30618621784789724 * alpha[19][k] * f[4][k];
+        out[16][k] += scale * 0.2738612787525831 * alpha[19][k] * f[50][k];
+        out[16][k] += scale * 0.27386127875258304 * alpha[20][k] * f[5][k];
+        out[16][k] += scale * 0.3061862178478973 * alpha[46][k] * f[15][k];
+        out[16][k] += scale * 0.2738612787525831 * alpha[50][k] * f[19][k];
+    }
+    for k in 0..L {
+        out[21][k] += scale * 0.6846531968814575 * alpha[0][k] * f[7][k];
+        out[21][k] += scale * 0.6846531968814575 * alpha[1][k] * f[2][k];
+        out[21][k] += scale * 0.6123724356957946 * alpha[1][k] * f[21][k];
+        out[21][k] += scale * 0.6846531968814576 * alpha[4][k] * f[29][k];
+        out[21][k] += scale * 0.6846531968814576 * alpha[5][k] * f[38][k];
+        out[21][k] += scale * 0.6846531968814576 * alpha[15][k] * f[61][k];
+        out[21][k] += scale * 0.6846531968814576 * alpha[19][k] * f[72][k];
+        out[21][k] += scale * 0.6846531968814576 * alpha[20][k] * f[80][k];
+        out[21][k] += scale * 0.6846531968814576 * alpha[46][k] * f[100][k];
+        out[21][k] += scale * 0.6846531968814576 * alpha[50][k] * f[104][k];
+    }
+    for k in 0..L {
+        out[22][k] += scale * 0.3061862178478973 * alpha[0][k] * f[8][k];
+        out[22][k] += scale * 0.3061862178478973 * alpha[1][k] * f[22][k];
+        out[22][k] += scale * 0.3061862178478973 * alpha[4][k] * f[30][k];
+        out[22][k] += scale * 0.3061862178478973 * alpha[5][k] * f[39][k];
+        out[22][k] += scale * 0.30618621784789724 * alpha[19][k] * f[73][k];
+    }
+    for k in 0..L {
+        out[23][k] += scale * 0.6846531968814575 * alpha[0][k] * f[9][k];
+        out[23][k] += scale * 0.6846531968814575 * alpha[1][k] * f[3][k];
+        out[23][k] += scale * 0.6123724356957946 * alpha[1][k] * f[23][k];
+        out[23][k] += scale * 0.6846531968814576 * alpha[4][k] * f[31][k];
+        out[23][k] += scale * 0.6846531968814576 * alpha[5][k] * f[40][k];
+        out[23][k] += scale * 0.6846531968814576 * alpha[15][k] * f[62][k];
+        out[23][k] += scale * 0.6846531968814576 * alpha[19][k] * f[74][k];
+        out[23][k] += scale * 0.6846531968814576 * alpha[20][k] * f[81][k];
+        out[23][k] += scale * 0.6846531968814576 * alpha[46][k] * f[101][k];
+        out[23][k] += scale * 0.6846531968814576 * alpha[50][k] * f[105][k];
+    }
+    for k in 0..L {
+        out[24][k] += scale * 0.30618621784789724 * alpha[0][k] * f[10][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[1][k] * f[24][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[4][k] * f[32][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[5][k] * f[41][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[15][k] * f[63][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[19][k] * f[75][k];
+        out[24][k] += scale * 0.30618621784789724 * alpha[20][k] * f[82][k];
+        out[24][k] += scale * 0.3061862178478973 * alpha[46][k] * f[102][k];
+        out[24][k] += scale * 0.3061862178478973 * alpha[50][k] * f[106][k];
+    }
+    for k in 0..L {
+        out[26][k] += scale * 0.3061862178478973 * alpha[0][k] * f[11][k];
+        out[26][k] += scale * 0.3061862178478973 * alpha[1][k] * f[26][k];
+        out[26][k] += scale * 0.3061862178478973 * alpha[4][k] * f[33][k];
+        out[26][k] += scale * 0.3061862178478973 * alpha[5][k] * f[42][k];
+        out[26][k] += scale * 0.30618621784789724 * alpha[19][k] * f[76][k];
+    }
+    for k in 0..L {
+        out[28][k] += scale * 0.6846531968814575 * alpha[0][k] * f[12][k];
+        out[28][k] += scale * 0.6846531968814575 * alpha[1][k] * f[4][k];
+        out[28][k] += scale * 0.6123724356957946 * alpha[1][k] * f[28][k];
+        out[28][k] += scale * 0.6846531968814575 * alpha[4][k] * f[1][k];
+        out[28][k] += scale * 0.6123724356957946 * alpha[4][k] * f[34][k];
+        out[28][k] += scale * 0.6846531968814576 * alpha[5][k] * f[43][k];
+        out[28][k] += scale * 0.6123724356957946 * alpha[15][k] * f[12][k];
+        out[28][k] += scale * 0.6846531968814576 * alpha[19][k] * f[16][k];
+        out[28][k] += scale * 0.6123724356957945 * alpha[19][k] * f[77][k];
+        out[28][k] += scale * 0.6846531968814576 * alpha[20][k] * f[83][k];
+        out[28][k] += scale * 0.6123724356957945 * alpha[46][k] * f[43][k];
+        out[28][k] += scale * 0.6846531968814576 * alpha[50][k] * f[47][k];
+    }
+    for k in 0..L {
+        out[29][k] += scale * 0.30618621784789724 * alpha[0][k] * f[13][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[1][k] * f[29][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[4][k] * f[2][k];
+        out[29][k] += scale * 0.2738612787525831 * alpha[4][k] * f[35][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[5][k] * f[44][k];
+        out[29][k] += scale * 0.2738612787525831 * alpha[15][k] * f[13][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[19][k] * f[17][k];
+        out[29][k] += scale * 0.2738612787525831 * alpha[19][k] * f[78][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[20][k] * f[84][k];
+        out[29][k] += scale * 0.2738612787525831 * alpha[46][k] * f[44][k];
+        out[29][k] += scale * 0.30618621784789724 * alpha[50][k] * f[48][k];
+    }
+    for k in 0..L {
+        out[31][k] += scale * 0.30618621784789724 * alpha[0][k] * f[14][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[1][k] * f[31][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[4][k] * f[3][k];
+        out[31][k] += scale * 0.2738612787525831 * alpha[4][k] * f[36][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[5][k] * f[45][k];
+        out[31][k] += scale * 0.2738612787525831 * alpha[15][k] * f[14][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[19][k] * f[18][k];
+        out[31][k] += scale * 0.2738612787525831 * alpha[19][k] * f[79][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[20][k] * f[85][k];
+        out[31][k] += scale * 0.2738612787525831 * alpha[46][k] * f[45][k];
+        out[31][k] += scale * 0.30618621784789724 * alpha[50][k] * f[49][k];
+    }
+    for k in 0..L {
+        out[34][k] += scale * 0.3061862178478973 * alpha[0][k] * f[15][k];
+        out[34][k] += scale * 0.3061862178478973 * alpha[1][k] * f[34][k];
+        out[34][k] += scale * 0.27386127875258304 * alpha[4][k] * f[4][k];
+        out[34][k] += scale * 0.3061862178478973 * alpha[5][k] * f[46][k];
+        out[34][k] += scale * 0.3061862178478973 * alpha[15][k] * f[0][k];
+        out[34][k] += scale * 0.1956151991089879 * alpha[15][k] * f[15][k];
+        out[34][k] += scale * 0.2738612787525831 * alpha[19][k] * f[19][k];
+        out[34][k] += scale * 0.3061862178478973 * alpha[46][k] * f[5][k];
+        out[34][k] += scale * 0.19561519910898792 * alpha[46][k] * f[46][k];
+        out[34][k] += scale * 0.2738612787525831 * alpha[50][k] * f[50][k];
+    }
+    for k in 0..L {
+        out[37][k] += scale * 0.6846531968814575 * alpha[0][k] * f[16][k];
+        out[37][k] += scale * 0.6846531968814575 * alpha[1][k] * f[5][k];
+        out[37][k] += scale * 0.6123724356957946 * alpha[1][k] * f[37][k];
+        out[37][k] += scale * 0.6846531968814576 * alpha[4][k] * f[43][k];
+        out[37][k] += scale * 0.6846531968814575 * alpha[5][k] * f[1][k];
+        out[37][k] += scale * 0.6123724356957946 * alpha[5][k] * f[47][k];
+        out[37][k] += scale * 0.6846531968814576 * alpha[15][k] * f[77][k];
+        out[37][k] += scale * 0.6846531968814576 * alpha[19][k] * f[12][k];
+        out[37][k] += scale * 0.6123724356957945 * alpha[19][k] * f[83][k];
+        out[37][k] += scale * 0.6123724356957946 * alpha[20][k] * f[16][k];
+        out[37][k] += scale * 0.6846531968814576 * alpha[46][k] * f[34][k];
+        out[37][k] += scale * 0.6123724356957945 * alpha[50][k] * f[43][k];
+    }
+    for k in 0..L {
+        out[38][k] += scale * 0.30618621784789724 * alpha[0][k] * f[17][k];
+        out[38][k] += scale * 0.30618621784789724 * alpha[1][k] * f[38][k];
+        out[38][k] += scale * 0.30618621784789724 * alpha[4][k] * f[44][k];
+        out[38][k] += scale * 0.30618621784789724 * alpha[5][k] * f[2][k];
+        out[38][k] += scale * 0.2738612787525831 * alpha[5][k] * f[48][k];
+        out[38][k] += scale * 0.30618621784789724 * alpha[15][k] * f[78][k];
+        out[38][k] += scale * 0.30618621784789724 * alpha[19][k] * f[13][k];
+        out[38][k] += scale * 0.2738612787525831 * alpha[19][k] * f[84][k];
+        out[38][k] += scale * 0.2738612787525831 * alpha[20][k] * f[17][k];
+        out[38][k] += scale * 0.30618621784789724 * alpha[46][k] * f[35][k];
+        out[38][k] += scale * 0.2738612787525831 * alpha[50][k] * f[44][k];
+    }
+    for k in 0..L {
+        out[40][k] += scale * 0.30618621784789724 * alpha[0][k] * f[18][k];
+        out[40][k] += scale * 0.30618621784789724 * alpha[1][k] * f[40][k];
+        out[40][k] += scale * 0.30618621784789724 * alpha[4][k] * f[45][k];
+        out[40][k] += scale * 0.30618621784789724 * alpha[5][k] * f[3][k];
+        out[40][k] += scale * 0.2738612787525831 * alpha[5][k] * f[49][k];
+        out[40][k] += scale * 0.30618621784789724 * alpha[15][k] * f[79][k];
+        out[40][k] += scale * 0.30618621784789724 * alpha[19][k] * f[14][k];
+        out[40][k] += scale * 0.2738612787525831 * alpha[19][k] * f[85][k];
+        out[40][k] += scale * 0.2738612787525831 * alpha[20][k] * f[18][k];
+        out[40][k] += scale * 0.30618621784789724 * alpha[46][k] * f[36][k];
+        out[40][k] += scale * 0.2738612787525831 * alpha[50][k] * f[45][k];
+    }
+    for k in 0..L {
+        out[43][k] += scale * 0.30618621784789724 * alpha[0][k] * f[19][k];
+        out[43][k] += scale * 0.30618621784789724 * alpha[1][k] * f[43][k];
+        out[43][k] += scale * 0.30618621784789724 * alpha[4][k] * f[5][k];
+        out[43][k] += scale * 0.2738612787525831 * alpha[4][k] * f[46][k];
+        out[43][k] += scale * 0.30618621784789724 * alpha[5][k] * f[4][k];
+        out[43][k] += scale * 0.2738612787525831 * alpha[5][k] * f[50][k];
+        out[43][k] += scale * 0.2738612787525831 * alpha[15][k] * f[19][k];
+        out[43][k] += scale * 0.30618621784789724 * alpha[19][k] * f[0][k];
+        out[43][k] += scale * 0.2738612787525831 * alpha[19][k] * f[15][k];
+        out[43][k] += scale * 0.2738612787525831 * alpha[19][k] * f[20][k];
+        out[43][k] += scale * 0.2738612787525831 * alpha[20][k] * f[19][k];
+        out[43][k] += scale * 0.2738612787525831 * alpha[46][k] * f[4][k];
+        out[43][k] += scale * 0.2449489742783178 * alpha[46][k] * f[50][k];
+        out[43][k] += scale * 0.2738612787525831 * alpha[50][k] * f[5][k];
+        out[43][k] += scale * 0.2449489742783178 * alpha[50][k] * f[46][k];
+    }
+    for k in 0..L {
+        out[47][k] += scale * 0.3061862178478973 * alpha[0][k] * f[20][k];
+        out[47][k] += scale * 0.3061862178478973 * alpha[1][k] * f[47][k];
+        out[47][k] += scale * 0.3061862178478973 * alpha[4][k] * f[50][k];
+        out[47][k] += scale * 0.27386127875258304 * alpha[5][k] * f[5][k];
+        out[47][k] += scale * 0.2738612787525831 * alpha[19][k] * f[19][k];
+        out[47][k] += scale * 0.3061862178478973 * alpha[20][k] * f[0][k];
+        out[47][k] += scale * 0.1956151991089879 * alpha[20][k] * f[20][k];
+        out[47][k] += scale * 0.2738612787525831 * alpha[46][k] * f[46][k];
+        out[47][k] += scale * 0.3061862178478973 * alpha[50][k] * f[4][k];
+        out[47][k] += scale * 0.19561519910898792 * alpha[50][k] * f[50][k];
+    }
+    for k in 0..L {
+        out[51][k] += scale * 0.6846531968814576 * alpha[0][k] * f[24][k];
+        out[51][k] += scale * 0.6846531968814576 * alpha[1][k] * f[10][k];
+        out[51][k] += scale * 0.6123724356957945 * alpha[1][k] * f[51][k];
+        out[51][k] += scale * 0.6846531968814576 * alpha[4][k] * f[57][k];
+        out[51][k] += scale * 0.6846531968814576 * alpha[5][k] * f[67][k];
+        out[51][k] += scale * 0.6846531968814576 * alpha[15][k] * f[89][k];
+        out[51][k] += scale * 0.6846531968814576 * alpha[19][k] * f[96][k];
+        out[51][k] += scale * 0.6846531968814576 * alpha[20][k] * f[103][k];
+        out[51][k] += scale * 0.6846531968814576 * alpha[46][k] * f[110][k];
+        out[51][k] += scale * 0.6846531968814576 * alpha[50][k] * f[111][k];
+    }
+    for k in 0..L {
+        out[52][k] += scale * 0.3061862178478973 * alpha[0][k] * f[25][k];
+        out[52][k] += scale * 0.30618621784789724 * alpha[1][k] * f[52][k];
+        out[52][k] += scale * 0.30618621784789724 * alpha[4][k] * f[58][k];
+        out[52][k] += scale * 0.30618621784789724 * alpha[5][k] * f[68][k];
+        out[52][k] += scale * 0.3061862178478973 * alpha[19][k] * f[97][k];
+    }
+    for k in 0..L {
+        out[53][k] += scale * 0.3061862178478973 * alpha[0][k] * f[27][k];
+        out[53][k] += scale * 0.30618621784789724 * alpha[1][k] * f[53][k];
+        out[53][k] += scale * 0.30618621784789724 * alpha[4][k] * f[60][k];
+        out[53][k] += scale * 0.30618621784789724 * alpha[5][k] * f[70][k];
+        out[53][k] += scale * 0.3061862178478973 * alpha[19][k] * f[99][k];
+    }
+    for k in 0..L {
+        out[54][k] += scale * 0.6846531968814576 * alpha[0][k] * f[29][k];
+        out[54][k] += scale * 0.6846531968814576 * alpha[1][k] * f[13][k];
+        out[54][k] += scale * 0.6123724356957945 * alpha[1][k] * f[54][k];
+        out[54][k] += scale * 0.6846531968814576 * alpha[4][k] * f[7][k];
+        out[54][k] += scale * 0.6123724356957945 * alpha[4][k] * f[61][k];
+        out[54][k] += scale * 0.6846531968814576 * alpha[5][k] * f[72][k];
+        out[54][k] += scale * 0.6123724356957945 * alpha[15][k] * f[29][k];
+        out[54][k] += scale * 0.6846531968814576 * alpha[19][k] * f[38][k];
+        out[54][k] += scale * 0.6123724356957946 * alpha[19][k] * f[100][k];
+        out[54][k] += scale * 0.6846531968814576 * alpha[20][k] * f[104][k];
+        out[54][k] += scale * 0.6123724356957946 * alpha[46][k] * f[72][k];
+        out[54][k] += scale * 0.6846531968814576 * alpha[50][k] * f[80][k];
+    }
+    for k in 0..L {
+        out[55][k] += scale * 0.3061862178478973 * alpha[0][k] * f[30][k];
+        out[55][k] += scale * 0.30618621784789724 * alpha[1][k] * f[55][k];
+        out[55][k] += scale * 0.3061862178478973 * alpha[4][k] * f[8][k];
+        out[55][k] += scale * 0.30618621784789724 * alpha[5][k] * f[73][k];
+        out[55][k] += scale * 0.2738612787525831 * alpha[15][k] * f[30][k];
+        out[55][k] += scale * 0.30618621784789724 * alpha[19][k] * f[39][k];
+        out[55][k] += scale * 0.27386127875258304 * alpha[46][k] * f[73][k];
+    }
+    for k in 0..L {
+        out[56][k] += scale * 0.6846531968814576 * alpha[0][k] * f[31][k];
+        out[56][k] += scale * 0.6846531968814576 * alpha[1][k] * f[14][k];
+        out[56][k] += scale * 0.6123724356957945 * alpha[1][k] * f[56][k];
+        out[56][k] += scale * 0.6846531968814576 * alpha[4][k] * f[9][k];
+        out[56][k] += scale * 0.6123724356957945 * alpha[4][k] * f[62][k];
+        out[56][k] += scale * 0.6846531968814576 * alpha[5][k] * f[74][k];
+        out[56][k] += scale * 0.6123724356957945 * alpha[15][k] * f[31][k];
+        out[56][k] += scale * 0.6846531968814576 * alpha[19][k] * f[40][k];
+        out[56][k] += scale * 0.6123724356957946 * alpha[19][k] * f[101][k];
+        out[56][k] += scale * 0.6846531968814576 * alpha[20][k] * f[105][k];
+        out[56][k] += scale * 0.6123724356957946 * alpha[46][k] * f[74][k];
+        out[56][k] += scale * 0.6846531968814576 * alpha[50][k] * f[81][k];
+    }
+    for k in 0..L {
+        out[57][k] += scale * 0.30618621784789724 * alpha[0][k] * f[32][k];
+        out[57][k] += scale * 0.30618621784789724 * alpha[1][k] * f[57][k];
+        out[57][k] += scale * 0.30618621784789724 * alpha[4][k] * f[10][k];
+        out[57][k] += scale * 0.2738612787525831 * alpha[4][k] * f[63][k];
+        out[57][k] += scale * 0.30618621784789724 * alpha[5][k] * f[75][k];
+        out[57][k] += scale * 0.2738612787525831 * alpha[15][k] * f[32][k];
+        out[57][k] += scale * 0.30618621784789724 * alpha[19][k] * f[41][k];
+        out[57][k] += scale * 0.27386127875258304 * alpha[19][k] * f[102][k];
+        out[57][k] += scale * 0.3061862178478973 * alpha[20][k] * f[106][k];
+        out[57][k] += scale * 0.27386127875258304 * alpha[46][k] * f[75][k];
+        out[57][k] += scale * 0.3061862178478973 * alpha[50][k] * f[82][k];
+    }
+    for k in 0..L {
+        out[59][k] += scale * 0.3061862178478973 * alpha[0][k] * f[33][k];
+        out[59][k] += scale * 0.30618621784789724 * alpha[1][k] * f[59][k];
+        out[59][k] += scale * 0.3061862178478973 * alpha[4][k] * f[11][k];
+        out[59][k] += scale * 0.30618621784789724 * alpha[5][k] * f[76][k];
+        out[59][k] += scale * 0.2738612787525831 * alpha[15][k] * f[33][k];
+        out[59][k] += scale * 0.30618621784789724 * alpha[19][k] * f[42][k];
+        out[59][k] += scale * 0.27386127875258304 * alpha[46][k] * f[76][k];
+    }
+    for k in 0..L {
+        out[61][k] += scale * 0.3061862178478973 * alpha[0][k] * f[35][k];
+        out[61][k] += scale * 0.30618621784789724 * alpha[1][k] * f[61][k];
+        out[61][k] += scale * 0.2738612787525831 * alpha[4][k] * f[13][k];
+        out[61][k] += scale * 0.30618621784789724 * alpha[5][k] * f[78][k];
+        out[61][k] += scale * 0.3061862178478973 * alpha[15][k] * f[2][k];
+        out[61][k] += scale * 0.19561519910898792 * alpha[15][k] * f[35][k];
+        out[61][k] += scale * 0.2738612787525831 * alpha[19][k] * f[44][k];
+        out[61][k] += scale * 0.30618621784789724 * alpha[46][k] * f[17][k];
+        out[61][k] += scale * 0.1956151991089879 * alpha[46][k] * f[78][k];
+        out[61][k] += scale * 0.27386127875258304 * alpha[50][k] * f[84][k];
+    }
+    for k in 0..L {
+        out[62][k] += scale * 0.3061862178478973 * alpha[0][k] * f[36][k];
+        out[62][k] += scale * 0.30618621784789724 * alpha[1][k] * f[62][k];
+        out[62][k] += scale * 0.2738612787525831 * alpha[4][k] * f[14][k];
+        out[62][k] += scale * 0.30618621784789724 * alpha[5][k] * f[79][k];
+        out[62][k] += scale * 0.3061862178478973 * alpha[15][k] * f[3][k];
+        out[62][k] += scale * 0.19561519910898792 * alpha[15][k] * f[36][k];
+        out[62][k] += scale * 0.2738612787525831 * alpha[19][k] * f[45][k];
+        out[62][k] += scale * 0.30618621784789724 * alpha[46][k] * f[18][k];
+        out[62][k] += scale * 0.1956151991089879 * alpha[46][k] * f[79][k];
+        out[62][k] += scale * 0.27386127875258304 * alpha[50][k] * f[85][k];
+    }
+    for k in 0..L {
+        out[64][k] += scale * 0.6846531968814576 * alpha[0][k] * f[38][k];
+        out[64][k] += scale * 0.6846531968814576 * alpha[1][k] * f[17][k];
+        out[64][k] += scale * 0.6123724356957945 * alpha[1][k] * f[64][k];
+        out[64][k] += scale * 0.6846531968814576 * alpha[4][k] * f[72][k];
+        out[64][k] += scale * 0.6846531968814576 * alpha[5][k] * f[7][k];
+        out[64][k] += scale * 0.6123724356957945 * alpha[5][k] * f[80][k];
+        out[64][k] += scale * 0.6846531968814576 * alpha[15][k] * f[100][k];
+        out[64][k] += scale * 0.6846531968814576 * alpha[19][k] * f[29][k];
+        out[64][k] += scale * 0.6123724356957946 * alpha[19][k] * f[104][k];
+        out[64][k] += scale * 0.6123724356957945 * alpha[20][k] * f[38][k];
+        out[64][k] += scale * 0.6846531968814576 * alpha[46][k] * f[61][k];
+        out[64][k] += scale * 0.6123724356957946 * alpha[50][k] * f[72][k];
+    }
+    for k in 0..L {
+        out[65][k] += scale * 0.3061862178478973 * alpha[0][k] * f[39][k];
+        out[65][k] += scale * 0.30618621784789724 * alpha[1][k] * f[65][k];
+        out[65][k] += scale * 0.30618621784789724 * alpha[4][k] * f[73][k];
+        out[65][k] += scale * 0.3061862178478973 * alpha[5][k] * f[8][k];
+        out[65][k] += scale * 0.30618621784789724 * alpha[19][k] * f[30][k];
+        out[65][k] += scale * 0.2738612787525831 * alpha[20][k] * f[39][k];
+        out[65][k] += scale * 0.27386127875258304 * alpha[50][k] * f[73][k];
+    }
+    for k in 0..L {
+        out[66][k] += scale * 0.6846531968814576 * alpha[0][k] * f[40][k];
+        out[66][k] += scale * 0.6846531968814576 * alpha[1][k] * f[18][k];
+        out[66][k] += scale * 0.6123724356957945 * alpha[1][k] * f[66][k];
+        out[66][k] += scale * 0.6846531968814576 * alpha[4][k] * f[74][k];
+        out[66][k] += scale * 0.6846531968814576 * alpha[5][k] * f[9][k];
+        out[66][k] += scale * 0.6123724356957945 * alpha[5][k] * f[81][k];
+        out[66][k] += scale * 0.6846531968814576 * alpha[15][k] * f[101][k];
+        out[66][k] += scale * 0.6846531968814576 * alpha[19][k] * f[31][k];
+        out[66][k] += scale * 0.6123724356957946 * alpha[19][k] * f[105][k];
+        out[66][k] += scale * 0.6123724356957945 * alpha[20][k] * f[40][k];
+        out[66][k] += scale * 0.6846531968814576 * alpha[46][k] * f[62][k];
+        out[66][k] += scale * 0.6123724356957946 * alpha[50][k] * f[74][k];
+    }
+    for k in 0..L {
+        out[67][k] += scale * 0.30618621784789724 * alpha[0][k] * f[41][k];
+        out[67][k] += scale * 0.30618621784789724 * alpha[1][k] * f[67][k];
+        out[67][k] += scale * 0.30618621784789724 * alpha[4][k] * f[75][k];
+        out[67][k] += scale * 0.30618621784789724 * alpha[5][k] * f[10][k];
+        out[67][k] += scale * 0.2738612787525831 * alpha[5][k] * f[82][k];
+        out[67][k] += scale * 0.3061862178478973 * alpha[15][k] * f[102][k];
+        out[67][k] += scale * 0.30618621784789724 * alpha[19][k] * f[32][k];
+        out[67][k] += scale * 0.27386127875258304 * alpha[19][k] * f[106][k];
+        out[67][k] += scale * 0.2738612787525831 * alpha[20][k] * f[41][k];
+        out[67][k] += scale * 0.3061862178478973 * alpha[46][k] * f[63][k];
+        out[67][k] += scale * 0.27386127875258304 * alpha[50][k] * f[75][k];
+    }
+    for k in 0..L {
+        out[69][k] += scale * 0.3061862178478973 * alpha[0][k] * f[42][k];
+        out[69][k] += scale * 0.30618621784789724 * alpha[1][k] * f[69][k];
+        out[69][k] += scale * 0.30618621784789724 * alpha[4][k] * f[76][k];
+        out[69][k] += scale * 0.3061862178478973 * alpha[5][k] * f[11][k];
+        out[69][k] += scale * 0.30618621784789724 * alpha[19][k] * f[33][k];
+        out[69][k] += scale * 0.2738612787525831 * alpha[20][k] * f[42][k];
+        out[69][k] += scale * 0.27386127875258304 * alpha[50][k] * f[76][k];
+    }
+    for k in 0..L {
+        out[71][k] += scale * 0.6846531968814576 * alpha[0][k] * f[43][k];
+        out[71][k] += scale * 0.6846531968814576 * alpha[1][k] * f[19][k];
+        out[71][k] += scale * 0.6123724356957945 * alpha[1][k] * f[71][k];
+        out[71][k] += scale * 0.6846531968814576 * alpha[4][k] * f[16][k];
+        out[71][k] += scale * 0.6123724356957945 * alpha[4][k] * f[77][k];
+        out[71][k] += scale * 0.6846531968814576 * alpha[5][k] * f[12][k];
+        out[71][k] += scale * 0.6123724356957945 * alpha[5][k] * f[83][k];
+        out[71][k] += scale * 0.6123724356957945 * alpha[15][k] * f[43][k];
+        out[71][k] += scale * 0.6846531968814576 * alpha[19][k] * f[1][k];
+        out[71][k] += scale * 0.6123724356957945 * alpha[19][k] * f[34][k];
+        out[71][k] += scale * 0.6123724356957945 * alpha[19][k] * f[47][k];
+        out[71][k] += scale * 0.6123724356957945 * alpha[20][k] * f[43][k];
+        out[71][k] += scale * 0.6123724356957945 * alpha[46][k] * f[12][k];
+        out[71][k] += scale * 0.5477225575051661 * alpha[46][k] * f[83][k];
+        out[71][k] += scale * 0.6123724356957945 * alpha[50][k] * f[16][k];
+        out[71][k] += scale * 0.5477225575051661 * alpha[50][k] * f[77][k];
+    }
+    for k in 0..L {
+        out[72][k] += scale * 0.30618621784789724 * alpha[0][k] * f[44][k];
+        out[72][k] += scale * 0.30618621784789724 * alpha[1][k] * f[72][k];
+        out[72][k] += scale * 0.30618621784789724 * alpha[4][k] * f[17][k];
+        out[72][k] += scale * 0.2738612787525831 * alpha[4][k] * f[78][k];
+        out[72][k] += scale * 0.30618621784789724 * alpha[5][k] * f[13][k];
+        out[72][k] += scale * 0.2738612787525831 * alpha[5][k] * f[84][k];
+        out[72][k] += scale * 0.2738612787525831 * alpha[15][k] * f[44][k];
+        out[72][k] += scale * 0.30618621784789724 * alpha[19][k] * f[2][k];
+        out[72][k] += scale * 0.2738612787525831 * alpha[19][k] * f[35][k];
+        out[72][k] += scale * 0.2738612787525831 * alpha[19][k] * f[48][k];
+        out[72][k] += scale * 0.2738612787525831 * alpha[20][k] * f[44][k];
+        out[72][k] += scale * 0.2738612787525831 * alpha[46][k] * f[13][k];
+        out[72][k] += scale * 0.2449489742783178 * alpha[46][k] * f[84][k];
+        out[72][k] += scale * 0.2738612787525831 * alpha[50][k] * f[17][k];
+        out[72][k] += scale * 0.2449489742783178 * alpha[50][k] * f[78][k];
+    }
+    for k in 0..L {
+        out[74][k] += scale * 0.30618621784789724 * alpha[0][k] * f[45][k];
+        out[74][k] += scale * 0.30618621784789724 * alpha[1][k] * f[74][k];
+        out[74][k] += scale * 0.30618621784789724 * alpha[4][k] * f[18][k];
+        out[74][k] += scale * 0.2738612787525831 * alpha[4][k] * f[79][k];
+        out[74][k] += scale * 0.30618621784789724 * alpha[5][k] * f[14][k];
+        out[74][k] += scale * 0.2738612787525831 * alpha[5][k] * f[85][k];
+        out[74][k] += scale * 0.2738612787525831 * alpha[15][k] * f[45][k];
+        out[74][k] += scale * 0.30618621784789724 * alpha[19][k] * f[3][k];
+        out[74][k] += scale * 0.2738612787525831 * alpha[19][k] * f[36][k];
+        out[74][k] += scale * 0.2738612787525831 * alpha[19][k] * f[49][k];
+        out[74][k] += scale * 0.2738612787525831 * alpha[20][k] * f[45][k];
+        out[74][k] += scale * 0.2738612787525831 * alpha[46][k] * f[14][k];
+        out[74][k] += scale * 0.2449489742783178 * alpha[46][k] * f[85][k];
+        out[74][k] += scale * 0.2738612787525831 * alpha[50][k] * f[18][k];
+        out[74][k] += scale * 0.2449489742783178 * alpha[50][k] * f[79][k];
+    }
+    for k in 0..L {
+        out[77][k] += scale * 0.3061862178478973 * alpha[0][k] * f[46][k];
+        out[77][k] += scale * 0.30618621784789724 * alpha[1][k] * f[77][k];
+        out[77][k] += scale * 0.2738612787525831 * alpha[4][k] * f[19][k];
+        out[77][k] += scale * 0.3061862178478973 * alpha[5][k] * f[15][k];
+        out[77][k] += scale * 0.3061862178478973 * alpha[15][k] * f[5][k];
+        out[77][k] += scale * 0.19561519910898792 * alpha[15][k] * f[46][k];
+        out[77][k] += scale * 0.2738612787525831 * alpha[19][k] * f[4][k];
+        out[77][k] += scale * 0.2449489742783178 * alpha[19][k] * f[50][k];
+        out[77][k] += scale * 0.2738612787525831 * alpha[20][k] * f[46][k];
+        out[77][k] += scale * 0.3061862178478973 * alpha[46][k] * f[0][k];
+        out[77][k] += scale * 0.19561519910898792 * alpha[46][k] * f[15][k];
+        out[77][k] += scale * 0.2738612787525831 * alpha[46][k] * f[20][k];
+        out[77][k] += scale * 0.2449489742783178 * alpha[50][k] * f[19][k];
+    }
+    for k in 0..L {
+        out[80][k] += scale * 0.3061862178478973 * alpha[0][k] * f[48][k];
+        out[80][k] += scale * 0.30618621784789724 * alpha[1][k] * f[80][k];
+        out[80][k] += scale * 0.30618621784789724 * alpha[4][k] * f[84][k];
+        out[80][k] += scale * 0.2738612787525831 * alpha[5][k] * f[17][k];
+        out[80][k] += scale * 0.2738612787525831 * alpha[19][k] * f[44][k];
+        out[80][k] += scale * 0.3061862178478973 * alpha[20][k] * f[2][k];
+        out[80][k] += scale * 0.19561519910898792 * alpha[20][k] * f[48][k];
+        out[80][k] += scale * 0.27386127875258304 * alpha[46][k] * f[78][k];
+        out[80][k] += scale * 0.30618621784789724 * alpha[50][k] * f[13][k];
+        out[80][k] += scale * 0.1956151991089879 * alpha[50][k] * f[84][k];
+    }
+    for k in 0..L {
+        out[81][k] += scale * 0.3061862178478973 * alpha[0][k] * f[49][k];
+        out[81][k] += scale * 0.30618621784789724 * alpha[1][k] * f[81][k];
+        out[81][k] += scale * 0.30618621784789724 * alpha[4][k] * f[85][k];
+        out[81][k] += scale * 0.2738612787525831 * alpha[5][k] * f[18][k];
+        out[81][k] += scale * 0.2738612787525831 * alpha[19][k] * f[45][k];
+        out[81][k] += scale * 0.3061862178478973 * alpha[20][k] * f[3][k];
+        out[81][k] += scale * 0.19561519910898792 * alpha[20][k] * f[49][k];
+        out[81][k] += scale * 0.27386127875258304 * alpha[46][k] * f[79][k];
+        out[81][k] += scale * 0.30618621784789724 * alpha[50][k] * f[14][k];
+        out[81][k] += scale * 0.1956151991089879 * alpha[50][k] * f[85][k];
+    }
+    for k in 0..L {
+        out[83][k] += scale * 0.3061862178478973 * alpha[0][k] * f[50][k];
+        out[83][k] += scale * 0.30618621784789724 * alpha[1][k] * f[83][k];
+        out[83][k] += scale * 0.3061862178478973 * alpha[4][k] * f[20][k];
+        out[83][k] += scale * 0.2738612787525831 * alpha[5][k] * f[19][k];
+        out[83][k] += scale * 0.2738612787525831 * alpha[15][k] * f[50][k];
+        out[83][k] += scale * 0.2738612787525831 * alpha[19][k] * f[5][k];
+        out[83][k] += scale * 0.2449489742783178 * alpha[19][k] * f[46][k];
+        out[83][k] += scale * 0.3061862178478973 * alpha[20][k] * f[4][k];
+        out[83][k] += scale * 0.19561519910898792 * alpha[20][k] * f[50][k];
+        out[83][k] += scale * 0.2449489742783178 * alpha[46][k] * f[19][k];
+        out[83][k] += scale * 0.3061862178478973 * alpha[50][k] * f[0][k];
+        out[83][k] += scale * 0.2738612787525831 * alpha[50][k] * f[15][k];
+        out[83][k] += scale * 0.19561519910898792 * alpha[50][k] * f[20][k];
+    }
+    for k in 0..L {
+        out[86][k] += scale * 0.6846531968814576 * alpha[0][k] * f[57][k];
+        out[86][k] += scale * 0.6846531968814576 * alpha[1][k] * f[32][k];
+        out[86][k] += scale * 0.6123724356957946 * alpha[1][k] * f[86][k];
+        out[86][k] += scale * 0.6846531968814576 * alpha[4][k] * f[24][k];
+        out[86][k] += scale * 0.6123724356957946 * alpha[4][k] * f[89][k];
+        out[86][k] += scale * 0.6846531968814576 * alpha[5][k] * f[96][k];
+        out[86][k] += scale * 0.6123724356957946 * alpha[15][k] * f[57][k];
+        out[86][k] += scale * 0.6846531968814576 * alpha[19][k] * f[67][k];
+        out[86][k] += scale * 0.6123724356957946 * alpha[19][k] * f[110][k];
+        out[86][k] += scale * 0.6846531968814576 * alpha[20][k] * f[111][k];
+        out[86][k] += scale * 0.6123724356957946 * alpha[46][k] * f[96][k];
+        out[86][k] += scale * 0.6846531968814576 * alpha[50][k] * f[103][k];
+    }
+    for k in 0..L {
+        out[87][k] += scale * 0.30618621784789724 * alpha[0][k] * f[58][k];
+        out[87][k] += scale * 0.3061862178478973 * alpha[1][k] * f[87][k];
+        out[87][k] += scale * 0.30618621784789724 * alpha[4][k] * f[25][k];
+        out[87][k] += scale * 0.3061862178478973 * alpha[5][k] * f[97][k];
+        out[87][k] += scale * 0.27386127875258304 * alpha[15][k] * f[58][k];
+        out[87][k] += scale * 0.3061862178478973 * alpha[19][k] * f[68][k];
+        out[87][k] += scale * 0.27386127875258304 * alpha[46][k] * f[97][k];
+    }
+    for k in 0..L {
+        out[88][k] += scale * 0.30618621784789724 * alpha[0][k] * f[60][k];
+        out[88][k] += scale * 0.3061862178478973 * alpha[1][k] * f[88][k];
+        out[88][k] += scale * 0.30618621784789724 * alpha[4][k] * f[27][k];
+        out[88][k] += scale * 0.3061862178478973 * alpha[5][k] * f[99][k];
+        out[88][k] += scale * 0.27386127875258304 * alpha[15][k] * f[60][k];
+        out[88][k] += scale * 0.3061862178478973 * alpha[19][k] * f[70][k];
+        out[88][k] += scale * 0.27386127875258304 * alpha[46][k] * f[99][k];
+    }
+    for k in 0..L {
+        out[89][k] += scale * 0.30618621784789724 * alpha[0][k] * f[63][k];
+        out[89][k] += scale * 0.3061862178478973 * alpha[1][k] * f[89][k];
+        out[89][k] += scale * 0.2738612787525831 * alpha[4][k] * f[32][k];
+        out[89][k] += scale * 0.3061862178478973 * alpha[5][k] * f[102][k];
+        out[89][k] += scale * 0.30618621784789724 * alpha[15][k] * f[10][k];
+        out[89][k] += scale * 0.1956151991089879 * alpha[15][k] * f[63][k];
+        out[89][k] += scale * 0.27386127875258304 * alpha[19][k] * f[75][k];
+        out[89][k] += scale * 0.3061862178478973 * alpha[46][k] * f[41][k];
+        out[89][k] += scale * 0.19561519910898792 * alpha[46][k] * f[102][k];
+        out[89][k] += scale * 0.27386127875258304 * alpha[50][k] * f[106][k];
+    }
+    for k in 0..L {
+        out[90][k] += scale * 0.6846531968814576 * alpha[0][k] * f[67][k];
+        out[90][k] += scale * 0.6846531968814576 * alpha[1][k] * f[41][k];
+        out[90][k] += scale * 0.6123724356957946 * alpha[1][k] * f[90][k];
+        out[90][k] += scale * 0.6846531968814576 * alpha[4][k] * f[96][k];
+        out[90][k] += scale * 0.6846531968814576 * alpha[5][k] * f[24][k];
+        out[90][k] += scale * 0.6123724356957946 * alpha[5][k] * f[103][k];
+        out[90][k] += scale * 0.6846531968814576 * alpha[15][k] * f[110][k];
+        out[90][k] += scale * 0.6846531968814576 * alpha[19][k] * f[57][k];
+        out[90][k] += scale * 0.6123724356957946 * alpha[19][k] * f[111][k];
+        out[90][k] += scale * 0.6123724356957946 * alpha[20][k] * f[67][k];
+        out[90][k] += scale * 0.6846531968814576 * alpha[46][k] * f[89][k];
+        out[90][k] += scale * 0.6123724356957946 * alpha[50][k] * f[96][k];
+    }
+    for k in 0..L {
+        out[91][k] += scale * 0.30618621784789724 * alpha[0][k] * f[68][k];
+        out[91][k] += scale * 0.3061862178478973 * alpha[1][k] * f[91][k];
+        out[91][k] += scale * 0.3061862178478973 * alpha[4][k] * f[97][k];
+        out[91][k] += scale * 0.30618621784789724 * alpha[5][k] * f[25][k];
+        out[91][k] += scale * 0.3061862178478973 * alpha[19][k] * f[58][k];
+        out[91][k] += scale * 0.27386127875258304 * alpha[20][k] * f[68][k];
+        out[91][k] += scale * 0.27386127875258304 * alpha[50][k] * f[97][k];
+    }
+    for k in 0..L {
+        out[92][k] += scale * 0.30618621784789724 * alpha[0][k] * f[70][k];
+        out[92][k] += scale * 0.3061862178478973 * alpha[1][k] * f[92][k];
+        out[92][k] += scale * 0.3061862178478973 * alpha[4][k] * f[99][k];
+        out[92][k] += scale * 0.30618621784789724 * alpha[5][k] * f[27][k];
+        out[92][k] += scale * 0.3061862178478973 * alpha[19][k] * f[60][k];
+        out[92][k] += scale * 0.27386127875258304 * alpha[20][k] * f[70][k];
+        out[92][k] += scale * 0.27386127875258304 * alpha[50][k] * f[99][k];
+    }
+    for k in 0..L {
+        out[93][k] += scale * 0.6846531968814576 * alpha[0][k] * f[72][k];
+        out[93][k] += scale * 0.6846531968814576 * alpha[1][k] * f[44][k];
+        out[93][k] += scale * 0.6123724356957946 * alpha[1][k] * f[93][k];
+        out[93][k] += scale * 0.6846531968814576 * alpha[4][k] * f[38][k];
+        out[93][k] += scale * 0.6123724356957946 * alpha[4][k] * f[100][k];
+        out[93][k] += scale * 0.6846531968814576 * alpha[5][k] * f[29][k];
+        out[93][k] += scale * 0.6123724356957946 * alpha[5][k] * f[104][k];
+        out[93][k] += scale * 0.6123724356957946 * alpha[15][k] * f[72][k];
+        out[93][k] += scale * 0.6846531968814576 * alpha[19][k] * f[7][k];
+        out[93][k] += scale * 0.6123724356957946 * alpha[19][k] * f[61][k];
+        out[93][k] += scale * 0.6123724356957946 * alpha[19][k] * f[80][k];
+        out[93][k] += scale * 0.6123724356957946 * alpha[20][k] * f[72][k];
+        out[93][k] += scale * 0.6123724356957946 * alpha[46][k] * f[29][k];
+        out[93][k] += scale * 0.5477225575051661 * alpha[46][k] * f[104][k];
+        out[93][k] += scale * 0.6123724356957946 * alpha[50][k] * f[38][k];
+        out[93][k] += scale * 0.5477225575051661 * alpha[50][k] * f[100][k];
+    }
+    for k in 0..L {
+        out[94][k] += scale * 0.30618621784789724 * alpha[0][k] * f[73][k];
+        out[94][k] += scale * 0.3061862178478973 * alpha[1][k] * f[94][k];
+        out[94][k] += scale * 0.30618621784789724 * alpha[4][k] * f[39][k];
+        out[94][k] += scale * 0.30618621784789724 * alpha[5][k] * f[30][k];
+        out[94][k] += scale * 0.27386127875258304 * alpha[15][k] * f[73][k];
+        out[94][k] += scale * 0.30618621784789724 * alpha[19][k] * f[8][k];
+        out[94][k] += scale * 0.27386127875258304 * alpha[20][k] * f[73][k];
+        out[94][k] += scale * 0.27386127875258304 * alpha[46][k] * f[30][k];
+        out[94][k] += scale * 0.27386127875258304 * alpha[50][k] * f[39][k];
+    }
+    for k in 0..L {
+        out[95][k] += scale * 0.6846531968814576 * alpha[0][k] * f[74][k];
+        out[95][k] += scale * 0.6846531968814576 * alpha[1][k] * f[45][k];
+        out[95][k] += scale * 0.6123724356957946 * alpha[1][k] * f[95][k];
+        out[95][k] += scale * 0.6846531968814576 * alpha[4][k] * f[40][k];
+        out[95][k] += scale * 0.6123724356957946 * alpha[4][k] * f[101][k];
+        out[95][k] += scale * 0.6846531968814576 * alpha[5][k] * f[31][k];
+        out[95][k] += scale * 0.6123724356957946 * alpha[5][k] * f[105][k];
+        out[95][k] += scale * 0.6123724356957946 * alpha[15][k] * f[74][k];
+        out[95][k] += scale * 0.6846531968814576 * alpha[19][k] * f[9][k];
+        out[95][k] += scale * 0.6123724356957946 * alpha[19][k] * f[62][k];
+        out[95][k] += scale * 0.6123724356957946 * alpha[19][k] * f[81][k];
+        out[95][k] += scale * 0.6123724356957946 * alpha[20][k] * f[74][k];
+        out[95][k] += scale * 0.6123724356957946 * alpha[46][k] * f[31][k];
+        out[95][k] += scale * 0.5477225575051661 * alpha[46][k] * f[105][k];
+        out[95][k] += scale * 0.6123724356957946 * alpha[50][k] * f[40][k];
+        out[95][k] += scale * 0.5477225575051661 * alpha[50][k] * f[101][k];
+    }
+    for k in 0..L {
+        out[96][k] += scale * 0.30618621784789724 * alpha[0][k] * f[75][k];
+        out[96][k] += scale * 0.3061862178478973 * alpha[1][k] * f[96][k];
+        out[96][k] += scale * 0.30618621784789724 * alpha[4][k] * f[41][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[4][k] * f[102][k];
+        out[96][k] += scale * 0.30618621784789724 * alpha[5][k] * f[32][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[5][k] * f[106][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[15][k] * f[75][k];
+        out[96][k] += scale * 0.30618621784789724 * alpha[19][k] * f[10][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[19][k] * f[63][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[19][k] * f[82][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[20][k] * f[75][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[46][k] * f[32][k];
+        out[96][k] += scale * 0.24494897427831783 * alpha[46][k] * f[106][k];
+        out[96][k] += scale * 0.27386127875258304 * alpha[50][k] * f[41][k];
+        out[96][k] += scale * 0.24494897427831783 * alpha[50][k] * f[102][k];
+    }
+    for k in 0..L {
+        out[98][k] += scale * 0.30618621784789724 * alpha[0][k] * f[76][k];
+        out[98][k] += scale * 0.3061862178478973 * alpha[1][k] * f[98][k];
+        out[98][k] += scale * 0.30618621784789724 * alpha[4][k] * f[42][k];
+        out[98][k] += scale * 0.30618621784789724 * alpha[5][k] * f[33][k];
+        out[98][k] += scale * 0.27386127875258304 * alpha[15][k] * f[76][k];
+        out[98][k] += scale * 0.30618621784789724 * alpha[19][k] * f[11][k];
+        out[98][k] += scale * 0.27386127875258304 * alpha[20][k] * f[76][k];
+        out[98][k] += scale * 0.27386127875258304 * alpha[46][k] * f[33][k];
+        out[98][k] += scale * 0.27386127875258304 * alpha[50][k] * f[42][k];
+    }
+    for k in 0..L {
+        out[100][k] += scale * 0.30618621784789724 * alpha[0][k] * f[78][k];
+        out[100][k] += scale * 0.3061862178478973 * alpha[1][k] * f[100][k];
+        out[100][k] += scale * 0.2738612787525831 * alpha[4][k] * f[44][k];
+        out[100][k] += scale * 0.30618621784789724 * alpha[5][k] * f[35][k];
+        out[100][k] += scale * 0.30618621784789724 * alpha[15][k] * f[17][k];
+        out[100][k] += scale * 0.1956151991089879 * alpha[15][k] * f[78][k];
+        out[100][k] += scale * 0.2738612787525831 * alpha[19][k] * f[13][k];
+        out[100][k] += scale * 0.2449489742783178 * alpha[19][k] * f[84][k];
+        out[100][k] += scale * 0.27386127875258304 * alpha[20][k] * f[78][k];
+        out[100][k] += scale * 0.30618621784789724 * alpha[46][k] * f[2][k];
+        out[100][k] += scale * 0.1956151991089879 * alpha[46][k] * f[35][k];
+        out[100][k] += scale * 0.27386127875258304 * alpha[46][k] * f[48][k];
+        out[100][k] += scale * 0.2449489742783178 * alpha[50][k] * f[44][k];
+    }
+    for k in 0..L {
+        out[101][k] += scale * 0.30618621784789724 * alpha[0][k] * f[79][k];
+        out[101][k] += scale * 0.3061862178478973 * alpha[1][k] * f[101][k];
+        out[101][k] += scale * 0.2738612787525831 * alpha[4][k] * f[45][k];
+        out[101][k] += scale * 0.30618621784789724 * alpha[5][k] * f[36][k];
+        out[101][k] += scale * 0.30618621784789724 * alpha[15][k] * f[18][k];
+        out[101][k] += scale * 0.1956151991089879 * alpha[15][k] * f[79][k];
+        out[101][k] += scale * 0.2738612787525831 * alpha[19][k] * f[14][k];
+        out[101][k] += scale * 0.2449489742783178 * alpha[19][k] * f[85][k];
+        out[101][k] += scale * 0.27386127875258304 * alpha[20][k] * f[79][k];
+        out[101][k] += scale * 0.30618621784789724 * alpha[46][k] * f[3][k];
+        out[101][k] += scale * 0.1956151991089879 * alpha[46][k] * f[36][k];
+        out[101][k] += scale * 0.27386127875258304 * alpha[46][k] * f[49][k];
+        out[101][k] += scale * 0.2449489742783178 * alpha[50][k] * f[45][k];
+    }
+    for k in 0..L {
+        out[103][k] += scale * 0.30618621784789724 * alpha[0][k] * f[82][k];
+        out[103][k] += scale * 0.3061862178478973 * alpha[1][k] * f[103][k];
+        out[103][k] += scale * 0.3061862178478973 * alpha[4][k] * f[106][k];
+        out[103][k] += scale * 0.2738612787525831 * alpha[5][k] * f[41][k];
+        out[103][k] += scale * 0.27386127875258304 * alpha[19][k] * f[75][k];
+        out[103][k] += scale * 0.30618621784789724 * alpha[20][k] * f[10][k];
+        out[103][k] += scale * 0.1956151991089879 * alpha[20][k] * f[82][k];
+        out[103][k] += scale * 0.27386127875258304 * alpha[46][k] * f[102][k];
+        out[103][k] += scale * 0.3061862178478973 * alpha[50][k] * f[32][k];
+        out[103][k] += scale * 0.19561519910898792 * alpha[50][k] * f[106][k];
+    }
+    for k in 0..L {
+        out[104][k] += scale * 0.30618621784789724 * alpha[0][k] * f[84][k];
+        out[104][k] += scale * 0.3061862178478973 * alpha[1][k] * f[104][k];
+        out[104][k] += scale * 0.30618621784789724 * alpha[4][k] * f[48][k];
+        out[104][k] += scale * 0.2738612787525831 * alpha[5][k] * f[44][k];
+        out[104][k] += scale * 0.27386127875258304 * alpha[15][k] * f[84][k];
+        out[104][k] += scale * 0.2738612787525831 * alpha[19][k] * f[17][k];
+        out[104][k] += scale * 0.2449489742783178 * alpha[19][k] * f[78][k];
+        out[104][k] += scale * 0.30618621784789724 * alpha[20][k] * f[13][k];
+        out[104][k] += scale * 0.1956151991089879 * alpha[20][k] * f[84][k];
+        out[104][k] += scale * 0.2449489742783178 * alpha[46][k] * f[44][k];
+        out[104][k] += scale * 0.30618621784789724 * alpha[50][k] * f[2][k];
+        out[104][k] += scale * 0.27386127875258304 * alpha[50][k] * f[35][k];
+        out[104][k] += scale * 0.1956151991089879 * alpha[50][k] * f[48][k];
+    }
+    for k in 0..L {
+        out[105][k] += scale * 0.30618621784789724 * alpha[0][k] * f[85][k];
+        out[105][k] += scale * 0.3061862178478973 * alpha[1][k] * f[105][k];
+        out[105][k] += scale * 0.30618621784789724 * alpha[4][k] * f[49][k];
+        out[105][k] += scale * 0.2738612787525831 * alpha[5][k] * f[45][k];
+        out[105][k] += scale * 0.27386127875258304 * alpha[15][k] * f[85][k];
+        out[105][k] += scale * 0.2738612787525831 * alpha[19][k] * f[18][k];
+        out[105][k] += scale * 0.2449489742783178 * alpha[19][k] * f[79][k];
+        out[105][k] += scale * 0.30618621784789724 * alpha[20][k] * f[14][k];
+        out[105][k] += scale * 0.1956151991089879 * alpha[20][k] * f[85][k];
+        out[105][k] += scale * 0.2449489742783178 * alpha[46][k] * f[45][k];
+        out[105][k] += scale * 0.30618621784789724 * alpha[50][k] * f[3][k];
+        out[105][k] += scale * 0.27386127875258304 * alpha[50][k] * f[36][k];
+        out[105][k] += scale * 0.1956151991089879 * alpha[50][k] * f[49][k];
+    }
+    for k in 0..L {
+        out[107][k] += scale * 0.6846531968814576 * alpha[0][k] * f[96][k];
+        out[107][k] += scale * 0.6846531968814576 * alpha[1][k] * f[75][k];
+        out[107][k] += scale * 0.6123724356957946 * alpha[1][k] * f[107][k];
+        out[107][k] += scale * 0.6846531968814576 * alpha[4][k] * f[67][k];
+        out[107][k] += scale * 0.6123724356957946 * alpha[4][k] * f[110][k];
+        out[107][k] += scale * 0.6846531968814576 * alpha[5][k] * f[57][k];
+        out[107][k] += scale * 0.6123724356957946 * alpha[5][k] * f[111][k];
+        out[107][k] += scale * 0.6123724356957946 * alpha[15][k] * f[96][k];
+        out[107][k] += scale * 0.6846531968814576 * alpha[19][k] * f[24][k];
+        out[107][k] += scale * 0.6123724356957946 * alpha[19][k] * f[89][k];
+        out[107][k] += scale * 0.6123724356957946 * alpha[19][k] * f[103][k];
+        out[107][k] += scale * 0.6123724356957946 * alpha[20][k] * f[96][k];
+        out[107][k] += scale * 0.6123724356957946 * alpha[46][k] * f[57][k];
+        out[107][k] += scale * 0.5477225575051662 * alpha[46][k] * f[111][k];
+        out[107][k] += scale * 0.6123724356957946 * alpha[50][k] * f[67][k];
+        out[107][k] += scale * 0.5477225575051662 * alpha[50][k] * f[110][k];
+    }
+    for k in 0..L {
+        out[108][k] += scale * 0.3061862178478973 * alpha[0][k] * f[97][k];
+        out[108][k] += scale * 0.3061862178478973 * alpha[1][k] * f[108][k];
+        out[108][k] += scale * 0.3061862178478973 * alpha[4][k] * f[68][k];
+        out[108][k] += scale * 0.3061862178478973 * alpha[5][k] * f[58][k];
+        out[108][k] += scale * 0.27386127875258304 * alpha[15][k] * f[97][k];
+        out[108][k] += scale * 0.3061862178478973 * alpha[19][k] * f[25][k];
+        out[108][k] += scale * 0.27386127875258304 * alpha[20][k] * f[97][k];
+        out[108][k] += scale * 0.27386127875258304 * alpha[46][k] * f[58][k];
+        out[108][k] += scale * 0.27386127875258304 * alpha[50][k] * f[68][k];
+    }
+    for k in 0..L {
+        out[109][k] += scale * 0.3061862178478973 * alpha[0][k] * f[99][k];
+        out[109][k] += scale * 0.3061862178478973 * alpha[1][k] * f[109][k];
+        out[109][k] += scale * 0.3061862178478973 * alpha[4][k] * f[70][k];
+        out[109][k] += scale * 0.3061862178478973 * alpha[5][k] * f[60][k];
+        out[109][k] += scale * 0.27386127875258304 * alpha[15][k] * f[99][k];
+        out[109][k] += scale * 0.3061862178478973 * alpha[19][k] * f[27][k];
+        out[109][k] += scale * 0.27386127875258304 * alpha[20][k] * f[99][k];
+        out[109][k] += scale * 0.27386127875258304 * alpha[46][k] * f[60][k];
+        out[109][k] += scale * 0.27386127875258304 * alpha[50][k] * f[70][k];
+    }
+    for k in 0..L {
+        out[110][k] += scale * 0.3061862178478973 * alpha[0][k] * f[102][k];
+        out[110][k] += scale * 0.3061862178478973 * alpha[1][k] * f[110][k];
+        out[110][k] += scale * 0.27386127875258304 * alpha[4][k] * f[75][k];
+        out[110][k] += scale * 0.3061862178478973 * alpha[5][k] * f[63][k];
+        out[110][k] += scale * 0.3061862178478973 * alpha[15][k] * f[41][k];
+        out[110][k] += scale * 0.19561519910898792 * alpha[15][k] * f[102][k];
+        out[110][k] += scale * 0.27386127875258304 * alpha[19][k] * f[32][k];
+        out[110][k] += scale * 0.24494897427831783 * alpha[19][k] * f[106][k];
+        out[110][k] += scale * 0.27386127875258304 * alpha[20][k] * f[102][k];
+        out[110][k] += scale * 0.3061862178478973 * alpha[46][k] * f[10][k];
+        out[110][k] += scale * 0.19561519910898792 * alpha[46][k] * f[63][k];
+        out[110][k] += scale * 0.27386127875258304 * alpha[46][k] * f[82][k];
+        out[110][k] += scale * 0.24494897427831783 * alpha[50][k] * f[75][k];
+    }
+    for k in 0..L {
+        out[111][k] += scale * 0.3061862178478973 * alpha[0][k] * f[106][k];
+        out[111][k] += scale * 0.3061862178478973 * alpha[1][k] * f[111][k];
+        out[111][k] += scale * 0.3061862178478973 * alpha[4][k] * f[82][k];
+        out[111][k] += scale * 0.27386127875258304 * alpha[5][k] * f[75][k];
+        out[111][k] += scale * 0.27386127875258304 * alpha[15][k] * f[106][k];
+        out[111][k] += scale * 0.27386127875258304 * alpha[19][k] * f[41][k];
+        out[111][k] += scale * 0.24494897427831783 * alpha[19][k] * f[102][k];
+        out[111][k] += scale * 0.3061862178478973 * alpha[20][k] * f[32][k];
+        out[111][k] += scale * 0.19561519910898792 * alpha[20][k] * f[106][k];
+        out[111][k] += scale * 0.24494897427831783 * alpha[46][k] * f[75][k];
+        out[111][k] += scale * 0.3061862178478973 * alpha[50][k] * f[10][k];
+        out[111][k] += scale * 0.27386127875258304 * alpha[50][k] * f[63][k];
+        out[111][k] += scale * 0.19561519910898792 * alpha[50][k] * f[82][k];
+    }
 }
 
 /// LBO drag surface term in v2 at one interior face (`vstar` = face
@@ -8185,998 +9548,1133 @@ pub fn lbo_2x3v_p2_ser_drag_vol_v2(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p2_ser_drag_surf_v2(nu: f64, vstar: f64, dv: f64, u: &[f64], f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_2x3v_p2_ser_drag_surf_v2_body::<1>(nu, vstar, dv, u.as_chunks().0, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p2_ser_drag_surf_v2`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_drag_surf_v2_b4(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_drag_surf_v2_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// [`lbo_2x3v_p2_ser_drag_surf_v2_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_drag_surf_v2_b4_avx2(nu: f64, vstar: f64, dv: f64, u: &[[f64; LANES]], f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_drag_surf_v2_body(nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p2_ser_drag_surf_v2`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p2_ser_drag_surf_v2_body<const L: usize>(nu: f64, vstar: f64, dv: f64, u: &[[f64; L]], f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let u: &[[f64; L]; 8] = u.first_chunk().expect("u: 8 coefficients");
+    let f_lo: &[[f64; L]; 112] = f_lo.first_chunk().expect("f_lo: 112 coefficients");
+    let f_hi: &[[f64; L]; 112] = f_hi.first_chunk().expect("f_hi: 112 coefficients");
+    let out_lo: &mut [[f64; L]; 112] = out_lo.first_chunk_mut().expect("out_lo: 112 coefficients");
+    let out_hi: &mut [[f64; L]; 112] = out_hi.first_chunk_mut().expect("out_hi: 112 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 48];
-    alpha[0] = -nu * vstar * 4.0;
-    alpha[0] += nu * 2.0 * u[0];
-    alpha[3] += nu * 2.0 * u[1];
-    alpha[4] += nu * 2.0 * u[2];
-    alpha[10] += nu * 2.0 * u[3];
-    alpha[13] += nu * 2.0 * u[4];
-    alpha[14] += nu * 2.0 * u[5];
-    alpha[27] += nu * 2.0 * u[6];
-    alpha[30] += nu * 2.0 * u[7];
-    let lam = alpha[0].abs() * 0.25000000000000006 + alpha[3].abs() * 0.4330127018922194 + alpha[4].abs() * 0.4330127018922194 + alpha[10].abs() * 0.5590169943749475 + alpha[13].abs() * 0.75 + alpha[14].abs() * 0.5590169943749475 + alpha[27].abs() * 0.9682458365518543 + alpha[30].abs() * 0.9682458365518543;
-    let mut fm = [0.0f64; 48];
-    let mut fp = [0.0f64; 48];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[0] += 1.224744871391589 * f_lo[1];
-    fm[1] += 0.7071067811865476 * f_lo[2];
-    fm[2] += 0.7071067811865476 * f_lo[3];
-    fm[3] += 0.7071067811865476 * f_lo[4];
-    fm[4] += 0.7071067811865476 * f_lo[5];
-    fm[0] += 1.5811388300841898 * f_lo[6];
-    fm[1] += 1.224744871391589 * f_lo[7];
-    fm[5] += 0.7071067811865476 * f_lo[8];
-    fm[2] += 1.224744871391589 * f_lo[9];
-    fm[6] += 0.7071067811865476 * f_lo[10];
-    fm[7] += 0.7071067811865476 * f_lo[11];
-    fm[3] += 1.224744871391589 * f_lo[12];
-    fm[8] += 0.7071067811865476 * f_lo[13];
-    fm[9] += 0.7071067811865476 * f_lo[14];
-    fm[10] += 0.7071067811865476 * f_lo[15];
-    fm[4] += 1.224744871391589 * f_lo[16];
-    fm[11] += 0.7071067811865476 * f_lo[17];
-    fm[12] += 0.7071067811865476 * f_lo[18];
-    fm[13] += 0.7071067811865476 * f_lo[19];
-    fm[14] += 0.7071067811865476 * f_lo[20];
-    fm[1] += 1.5811388300841898 * f_lo[21];
-    fm[5] += 1.224744871391589 * f_lo[22];
-    fm[2] += 1.5811388300841898 * f_lo[23];
-    fm[6] += 1.224744871391589 * f_lo[24];
-    fm[15] += 0.7071067811865476 * f_lo[25];
-    fm[7] += 1.224744871391589 * f_lo[26];
-    fm[16] += 0.7071067811865476 * f_lo[27];
-    fm[3] += 1.5811388300841898 * f_lo[28];
-    fm[8] += 1.224744871391589 * f_lo[29];
-    fm[17] += 0.7071067811865476 * f_lo[30];
-    fm[9] += 1.224744871391589 * f_lo[31];
-    fm[18] += 0.7071067811865476 * f_lo[32];
-    fm[19] += 0.7071067811865476 * f_lo[33];
-    fm[10] += 1.224744871391589 * f_lo[34];
-    fm[20] += 0.7071067811865476 * f_lo[35];
-    fm[21] += 0.7071067811865476 * f_lo[36];
-    fm[4] += 1.5811388300841898 * f_lo[37];
-    fm[11] += 1.224744871391589 * f_lo[38];
-    fm[22] += 0.7071067811865476 * f_lo[39];
-    fm[12] += 1.224744871391589 * f_lo[40];
-    fm[23] += 0.7071067811865476 * f_lo[41];
-    fm[24] += 0.7071067811865476 * f_lo[42];
-    fm[13] += 1.224744871391589 * f_lo[43];
-    fm[25] += 0.7071067811865476 * f_lo[44];
-    fm[26] += 0.7071067811865476 * f_lo[45];
-    fm[27] += 0.7071067811865476 * f_lo[46];
-    fm[14] += 1.224744871391589 * f_lo[47];
-    fm[28] += 0.7071067811865476 * f_lo[48];
-    fm[29] += 0.7071067811865476 * f_lo[49];
-    fm[30] += 0.7071067811865476 * f_lo[50];
-    fm[6] += 1.5811388300841898 * f_lo[51];
-    fm[15] += 1.224744871391589 * f_lo[52];
-    fm[16] += 1.224744871391589 * f_lo[53];
-    fm[8] += 1.5811388300841898 * f_lo[54];
-    fm[17] += 1.224744871391589 * f_lo[55];
-    fm[9] += 1.5811388300841898 * f_lo[56];
-    fm[18] += 1.224744871391589 * f_lo[57];
-    fm[31] += 0.7071067811865476 * f_lo[58];
-    fm[19] += 1.224744871391589 * f_lo[59];
-    fm[32] += 0.7071067811865476 * f_lo[60];
-    fm[20] += 1.224744871391589 * f_lo[61];
-    fm[21] += 1.224744871391589 * f_lo[62];
-    fm[33] += 0.7071067811865476 * f_lo[63];
-    fm[11] += 1.5811388300841898 * f_lo[64];
-    fm[22] += 1.224744871391589 * f_lo[65];
-    fm[12] += 1.5811388300841898 * f_lo[66];
-    fm[23] += 1.224744871391589 * f_lo[67];
-    fm[34] += 0.7071067811865476 * f_lo[68];
-    fm[24] += 1.224744871391589 * f_lo[69];
-    fm[35] += 0.7071067811865476 * f_lo[70];
-    fm[13] += 1.5811388300841898 * f_lo[71];
-    fm[25] += 1.224744871391589 * f_lo[72];
-    fm[36] += 0.7071067811865476 * f_lo[73];
-    fm[26] += 1.224744871391589 * f_lo[74];
-    fm[37] += 0.7071067811865476 * f_lo[75];
-    fm[38] += 0.7071067811865476 * f_lo[76];
-    fm[27] += 1.224744871391589 * f_lo[77];
-    fm[39] += 0.7071067811865476 * f_lo[78];
-    fm[40] += 0.7071067811865476 * f_lo[79];
-    fm[28] += 1.224744871391589 * f_lo[80];
-    fm[29] += 1.224744871391589 * f_lo[81];
-    fm[41] += 0.7071067811865476 * f_lo[82];
-    fm[30] += 1.224744871391589 * f_lo[83];
-    fm[42] += 0.7071067811865476 * f_lo[84];
-    fm[43] += 0.7071067811865476 * f_lo[85];
-    fm[18] += 1.5811388300841898 * f_lo[86];
-    fm[31] += 1.224744871391589 * f_lo[87];
-    fm[32] += 1.224744871391589 * f_lo[88];
-    fm[33] += 1.224744871391589 * f_lo[89];
-    fm[23] += 1.5811388300841898 * f_lo[90];
-    fm[34] += 1.224744871391589 * f_lo[91];
-    fm[35] += 1.224744871391589 * f_lo[92];
-    fm[25] += 1.5811388300841898 * f_lo[93];
-    fm[36] += 1.224744871391589 * f_lo[94];
-    fm[26] += 1.5811388300841898 * f_lo[95];
-    fm[37] += 1.224744871391589 * f_lo[96];
-    fm[44] += 0.7071067811865476 * f_lo[97];
-    fm[38] += 1.224744871391589 * f_lo[98];
-    fm[45] += 0.7071067811865476 * f_lo[99];
-    fm[39] += 1.224744871391589 * f_lo[100];
-    fm[40] += 1.224744871391589 * f_lo[101];
-    fm[46] += 0.7071067811865476 * f_lo[102];
-    fm[41] += 1.224744871391589 * f_lo[103];
-    fm[42] += 1.224744871391589 * f_lo[104];
-    fm[43] += 1.224744871391589 * f_lo[105];
-    fm[47] += 0.7071067811865476 * f_lo[106];
-    fm[37] += 1.5811388300841898 * f_lo[107];
-    fm[44] += 1.224744871391589 * f_lo[108];
-    fm[45] += 1.224744871391589 * f_lo[109];
-    fm[46] += 1.224744871391589 * f_lo[110];
-    fm[47] += 1.224744871391589 * f_lo[111];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[0] += -1.224744871391589 * f_hi[1];
-    fp[1] += 0.7071067811865476 * f_hi[2];
-    fp[2] += 0.7071067811865476 * f_hi[3];
-    fp[3] += 0.7071067811865476 * f_hi[4];
-    fp[4] += 0.7071067811865476 * f_hi[5];
-    fp[0] += 1.5811388300841898 * f_hi[6];
-    fp[1] += -1.224744871391589 * f_hi[7];
-    fp[5] += 0.7071067811865476 * f_hi[8];
-    fp[2] += -1.224744871391589 * f_hi[9];
-    fp[6] += 0.7071067811865476 * f_hi[10];
-    fp[7] += 0.7071067811865476 * f_hi[11];
-    fp[3] += -1.224744871391589 * f_hi[12];
-    fp[8] += 0.7071067811865476 * f_hi[13];
-    fp[9] += 0.7071067811865476 * f_hi[14];
-    fp[10] += 0.7071067811865476 * f_hi[15];
-    fp[4] += -1.224744871391589 * f_hi[16];
-    fp[11] += 0.7071067811865476 * f_hi[17];
-    fp[12] += 0.7071067811865476 * f_hi[18];
-    fp[13] += 0.7071067811865476 * f_hi[19];
-    fp[14] += 0.7071067811865476 * f_hi[20];
-    fp[1] += 1.5811388300841898 * f_hi[21];
-    fp[5] += -1.224744871391589 * f_hi[22];
-    fp[2] += 1.5811388300841898 * f_hi[23];
-    fp[6] += -1.224744871391589 * f_hi[24];
-    fp[15] += 0.7071067811865476 * f_hi[25];
-    fp[7] += -1.224744871391589 * f_hi[26];
-    fp[16] += 0.7071067811865476 * f_hi[27];
-    fp[3] += 1.5811388300841898 * f_hi[28];
-    fp[8] += -1.224744871391589 * f_hi[29];
-    fp[17] += 0.7071067811865476 * f_hi[30];
-    fp[9] += -1.224744871391589 * f_hi[31];
-    fp[18] += 0.7071067811865476 * f_hi[32];
-    fp[19] += 0.7071067811865476 * f_hi[33];
-    fp[10] += -1.224744871391589 * f_hi[34];
-    fp[20] += 0.7071067811865476 * f_hi[35];
-    fp[21] += 0.7071067811865476 * f_hi[36];
-    fp[4] += 1.5811388300841898 * f_hi[37];
-    fp[11] += -1.224744871391589 * f_hi[38];
-    fp[22] += 0.7071067811865476 * f_hi[39];
-    fp[12] += -1.224744871391589 * f_hi[40];
-    fp[23] += 0.7071067811865476 * f_hi[41];
-    fp[24] += 0.7071067811865476 * f_hi[42];
-    fp[13] += -1.224744871391589 * f_hi[43];
-    fp[25] += 0.7071067811865476 * f_hi[44];
-    fp[26] += 0.7071067811865476 * f_hi[45];
-    fp[27] += 0.7071067811865476 * f_hi[46];
-    fp[14] += -1.224744871391589 * f_hi[47];
-    fp[28] += 0.7071067811865476 * f_hi[48];
-    fp[29] += 0.7071067811865476 * f_hi[49];
-    fp[30] += 0.7071067811865476 * f_hi[50];
-    fp[6] += 1.5811388300841898 * f_hi[51];
-    fp[15] += -1.224744871391589 * f_hi[52];
-    fp[16] += -1.224744871391589 * f_hi[53];
-    fp[8] += 1.5811388300841898 * f_hi[54];
-    fp[17] += -1.224744871391589 * f_hi[55];
-    fp[9] += 1.5811388300841898 * f_hi[56];
-    fp[18] += -1.224744871391589 * f_hi[57];
-    fp[31] += 0.7071067811865476 * f_hi[58];
-    fp[19] += -1.224744871391589 * f_hi[59];
-    fp[32] += 0.7071067811865476 * f_hi[60];
-    fp[20] += -1.224744871391589 * f_hi[61];
-    fp[21] += -1.224744871391589 * f_hi[62];
-    fp[33] += 0.7071067811865476 * f_hi[63];
-    fp[11] += 1.5811388300841898 * f_hi[64];
-    fp[22] += -1.224744871391589 * f_hi[65];
-    fp[12] += 1.5811388300841898 * f_hi[66];
-    fp[23] += -1.224744871391589 * f_hi[67];
-    fp[34] += 0.7071067811865476 * f_hi[68];
-    fp[24] += -1.224744871391589 * f_hi[69];
-    fp[35] += 0.7071067811865476 * f_hi[70];
-    fp[13] += 1.5811388300841898 * f_hi[71];
-    fp[25] += -1.224744871391589 * f_hi[72];
-    fp[36] += 0.7071067811865476 * f_hi[73];
-    fp[26] += -1.224744871391589 * f_hi[74];
-    fp[37] += 0.7071067811865476 * f_hi[75];
-    fp[38] += 0.7071067811865476 * f_hi[76];
-    fp[27] += -1.224744871391589 * f_hi[77];
-    fp[39] += 0.7071067811865476 * f_hi[78];
-    fp[40] += 0.7071067811865476 * f_hi[79];
-    fp[28] += -1.224744871391589 * f_hi[80];
-    fp[29] += -1.224744871391589 * f_hi[81];
-    fp[41] += 0.7071067811865476 * f_hi[82];
-    fp[30] += -1.224744871391589 * f_hi[83];
-    fp[42] += 0.7071067811865476 * f_hi[84];
-    fp[43] += 0.7071067811865476 * f_hi[85];
-    fp[18] += 1.5811388300841898 * f_hi[86];
-    fp[31] += -1.224744871391589 * f_hi[87];
-    fp[32] += -1.224744871391589 * f_hi[88];
-    fp[33] += -1.224744871391589 * f_hi[89];
-    fp[23] += 1.5811388300841898 * f_hi[90];
-    fp[34] += -1.224744871391589 * f_hi[91];
-    fp[35] += -1.224744871391589 * f_hi[92];
-    fp[25] += 1.5811388300841898 * f_hi[93];
-    fp[36] += -1.224744871391589 * f_hi[94];
-    fp[26] += 1.5811388300841898 * f_hi[95];
-    fp[37] += -1.224744871391589 * f_hi[96];
-    fp[44] += 0.7071067811865476 * f_hi[97];
-    fp[38] += -1.224744871391589 * f_hi[98];
-    fp[45] += 0.7071067811865476 * f_hi[99];
-    fp[39] += -1.224744871391589 * f_hi[100];
-    fp[40] += -1.224744871391589 * f_hi[101];
-    fp[46] += 0.7071067811865476 * f_hi[102];
-    fp[41] += -1.224744871391589 * f_hi[103];
-    fp[42] += -1.224744871391589 * f_hi[104];
-    fp[43] += -1.224744871391589 * f_hi[105];
-    fp[47] += 0.7071067811865476 * f_hi[106];
-    fp[37] += 1.5811388300841898 * f_hi[107];
-    fp[44] += -1.224744871391589 * f_hi[108];
-    fp[45] += -1.224744871391589 * f_hi[109];
-    fp[46] += -1.224744871391589 * f_hi[110];
-    fp[47] += -1.224744871391589 * f_hi[111];
-    let mut favg = [0.0f64; 48];
-    let mut ghat = [0.0f64; 48];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    favg[8] = 0.5 * (fm[8] + fp[8]);
-    ghat[8] = -0.5 * lam * (fp[8] - fm[8]);
-    favg[9] = 0.5 * (fm[9] + fp[9]);
-    ghat[9] = -0.5 * lam * (fp[9] - fm[9]);
-    favg[10] = 0.5 * (fm[10] + fp[10]);
-    ghat[10] = -0.5 * lam * (fp[10] - fm[10]);
-    favg[11] = 0.5 * (fm[11] + fp[11]);
-    ghat[11] = -0.5 * lam * (fp[11] - fm[11]);
-    favg[12] = 0.5 * (fm[12] + fp[12]);
-    ghat[12] = -0.5 * lam * (fp[12] - fm[12]);
-    favg[13] = 0.5 * (fm[13] + fp[13]);
-    ghat[13] = -0.5 * lam * (fp[13] - fm[13]);
-    favg[14] = 0.5 * (fm[14] + fp[14]);
-    ghat[14] = -0.5 * lam * (fp[14] - fm[14]);
-    favg[15] = 0.5 * (fm[15] + fp[15]);
-    ghat[15] = -0.5 * lam * (fp[15] - fm[15]);
-    favg[16] = 0.5 * (fm[16] + fp[16]);
-    ghat[16] = -0.5 * lam * (fp[16] - fm[16]);
-    favg[17] = 0.5 * (fm[17] + fp[17]);
-    ghat[17] = -0.5 * lam * (fp[17] - fm[17]);
-    favg[18] = 0.5 * (fm[18] + fp[18]);
-    ghat[18] = -0.5 * lam * (fp[18] - fm[18]);
-    favg[19] = 0.5 * (fm[19] + fp[19]);
-    ghat[19] = -0.5 * lam * (fp[19] - fm[19]);
-    favg[20] = 0.5 * (fm[20] + fp[20]);
-    ghat[20] = -0.5 * lam * (fp[20] - fm[20]);
-    favg[21] = 0.5 * (fm[21] + fp[21]);
-    ghat[21] = -0.5 * lam * (fp[21] - fm[21]);
-    favg[22] = 0.5 * (fm[22] + fp[22]);
-    ghat[22] = -0.5 * lam * (fp[22] - fm[22]);
-    favg[23] = 0.5 * (fm[23] + fp[23]);
-    ghat[23] = -0.5 * lam * (fp[23] - fm[23]);
-    favg[24] = 0.5 * (fm[24] + fp[24]);
-    ghat[24] = -0.5 * lam * (fp[24] - fm[24]);
-    favg[25] = 0.5 * (fm[25] + fp[25]);
-    ghat[25] = -0.5 * lam * (fp[25] - fm[25]);
-    favg[26] = 0.5 * (fm[26] + fp[26]);
-    ghat[26] = -0.5 * lam * (fp[26] - fm[26]);
-    favg[27] = 0.5 * (fm[27] + fp[27]);
-    ghat[27] = -0.5 * lam * (fp[27] - fm[27]);
-    favg[28] = 0.5 * (fm[28] + fp[28]);
-    ghat[28] = -0.5 * lam * (fp[28] - fm[28]);
-    favg[29] = 0.5 * (fm[29] + fp[29]);
-    ghat[29] = -0.5 * lam * (fp[29] - fm[29]);
-    favg[30] = 0.5 * (fm[30] + fp[30]);
-    ghat[30] = -0.5 * lam * (fp[30] - fm[30]);
-    favg[31] = 0.5 * (fm[31] + fp[31]);
-    ghat[31] = -0.5 * lam * (fp[31] - fm[31]);
-    favg[32] = 0.5 * (fm[32] + fp[32]);
-    ghat[32] = -0.5 * lam * (fp[32] - fm[32]);
-    favg[33] = 0.5 * (fm[33] + fp[33]);
-    ghat[33] = -0.5 * lam * (fp[33] - fm[33]);
-    favg[34] = 0.5 * (fm[34] + fp[34]);
-    ghat[34] = -0.5 * lam * (fp[34] - fm[34]);
-    favg[35] = 0.5 * (fm[35] + fp[35]);
-    ghat[35] = -0.5 * lam * (fp[35] - fm[35]);
-    favg[36] = 0.5 * (fm[36] + fp[36]);
-    ghat[36] = -0.5 * lam * (fp[36] - fm[36]);
-    favg[37] = 0.5 * (fm[37] + fp[37]);
-    ghat[37] = -0.5 * lam * (fp[37] - fm[37]);
-    favg[38] = 0.5 * (fm[38] + fp[38]);
-    ghat[38] = -0.5 * lam * (fp[38] - fm[38]);
-    favg[39] = 0.5 * (fm[39] + fp[39]);
-    ghat[39] = -0.5 * lam * (fp[39] - fm[39]);
-    favg[40] = 0.5 * (fm[40] + fp[40]);
-    ghat[40] = -0.5 * lam * (fp[40] - fm[40]);
-    favg[41] = 0.5 * (fm[41] + fp[41]);
-    ghat[41] = -0.5 * lam * (fp[41] - fm[41]);
-    favg[42] = 0.5 * (fm[42] + fp[42]);
-    ghat[42] = -0.5 * lam * (fp[42] - fm[42]);
-    favg[43] = 0.5 * (fm[43] + fp[43]);
-    ghat[43] = -0.5 * lam * (fp[43] - fm[43]);
-    favg[44] = 0.5 * (fm[44] + fp[44]);
-    ghat[44] = -0.5 * lam * (fp[44] - fm[44]);
-    favg[45] = 0.5 * (fm[45] + fp[45]);
-    ghat[45] = -0.5 * lam * (fp[45] - fm[45]);
-    favg[46] = 0.5 * (fm[46] + fp[46]);
-    ghat[46] = -0.5 * lam * (fp[46] - fm[46]);
-    favg[47] = 0.5 * (fm[47] + fp[47]);
-    ghat[47] = -0.5 * lam * (fp[47] - fm[47]);
-    ghat[0] += 0.25 * alpha[0] * favg[0];
-    ghat[0] += 0.25 * alpha[3] * favg[3];
-    ghat[0] += 0.25 * alpha[4] * favg[4];
-    ghat[0] += 0.25 * alpha[10] * favg[10];
-    ghat[0] += 0.25 * alpha[13] * favg[13];
-    ghat[0] += 0.25 * alpha[14] * favg[14];
-    ghat[0] += 0.25 * alpha[27] * favg[27];
-    ghat[0] += 0.25 * alpha[30] * favg[30];
-    ghat[1] += 0.25 * alpha[0] * favg[1];
-    ghat[1] += 0.25 * alpha[3] * favg[8];
-    ghat[1] += 0.25 * alpha[4] * favg[11];
-    ghat[1] += 0.25 * alpha[10] * favg[20];
-    ghat[1] += 0.25 * alpha[13] * favg[25];
-    ghat[1] += 0.25 * alpha[14] * favg[28];
-    ghat[1] += 0.25 * alpha[27] * favg[39];
-    ghat[1] += 0.25 * alpha[30] * favg[42];
-    ghat[2] += 0.25 * alpha[0] * favg[2];
-    ghat[2] += 0.25 * alpha[3] * favg[9];
-    ghat[2] += 0.25 * alpha[4] * favg[12];
-    ghat[2] += 0.25 * alpha[10] * favg[21];
-    ghat[2] += 0.25 * alpha[13] * favg[26];
-    ghat[2] += 0.25 * alpha[14] * favg[29];
-    ghat[2] += 0.25 * alpha[27] * favg[40];
-    ghat[2] += 0.25 * alpha[30] * favg[43];
-    ghat[3] += 0.25 * alpha[0] * favg[3];
-    ghat[3] += 0.25 * alpha[3] * favg[0];
-    ghat[3] += 0.22360679774997896 * alpha[3] * favg[10];
-    ghat[3] += 0.25 * alpha[4] * favg[13];
-    ghat[3] += 0.22360679774997896 * alpha[10] * favg[3];
-    ghat[3] += 0.25 * alpha[13] * favg[4];
-    ghat[3] += 0.223606797749979 * alpha[13] * favg[27];
-    ghat[3] += 0.25 * alpha[14] * favg[30];
-    ghat[3] += 0.223606797749979 * alpha[27] * favg[13];
-    ghat[3] += 0.25 * alpha[30] * favg[14];
-    ghat[4] += 0.25 * alpha[0] * favg[4];
-    ghat[4] += 0.25 * alpha[3] * favg[13];
-    ghat[4] += 0.25 * alpha[4] * favg[0];
-    ghat[4] += 0.22360679774997896 * alpha[4] * favg[14];
-    ghat[4] += 0.25 * alpha[10] * favg[27];
-    ghat[4] += 0.25 * alpha[13] * favg[3];
-    ghat[4] += 0.223606797749979 * alpha[13] * favg[30];
-    ghat[4] += 0.22360679774997896 * alpha[14] * favg[4];
-    ghat[4] += 0.25 * alpha[27] * favg[10];
-    ghat[4] += 0.223606797749979 * alpha[30] * favg[13];
-    ghat[5] += 0.25 * alpha[0] * favg[5];
-    ghat[5] += 0.25 * alpha[3] * favg[17];
-    ghat[5] += 0.25 * alpha[4] * favg[22];
-    ghat[5] += 0.25 * alpha[13] * favg[36];
-    ghat[6] += 0.25 * alpha[0] * favg[6];
-    ghat[6] += 0.25 * alpha[3] * favg[18];
-    ghat[6] += 0.25 * alpha[4] * favg[23];
-    ghat[6] += 0.25 * alpha[10] * favg[33];
-    ghat[6] += 0.25 * alpha[13] * favg[37];
-    ghat[6] += 0.25 * alpha[14] * favg[41];
-    ghat[6] += 0.25 * alpha[27] * favg[46];
-    ghat[6] += 0.25 * alpha[30] * favg[47];
-    ghat[7] += 0.25 * alpha[0] * favg[7];
-    ghat[7] += 0.25 * alpha[3] * favg[19];
-    ghat[7] += 0.25 * alpha[4] * favg[24];
-    ghat[7] += 0.25 * alpha[13] * favg[38];
-    ghat[8] += 0.25 * alpha[0] * favg[8];
-    ghat[8] += 0.25 * alpha[3] * favg[1];
-    ghat[8] += 0.223606797749979 * alpha[3] * favg[20];
-    ghat[8] += 0.25 * alpha[4] * favg[25];
-    ghat[8] += 0.223606797749979 * alpha[10] * favg[8];
-    ghat[8] += 0.25 * alpha[13] * favg[11];
-    ghat[8] += 0.22360679774997896 * alpha[13] * favg[39];
-    ghat[8] += 0.25 * alpha[14] * favg[42];
-    ghat[8] += 0.22360679774997896 * alpha[27] * favg[25];
-    ghat[8] += 0.25 * alpha[30] * favg[28];
-    ghat[9] += 0.25 * alpha[0] * favg[9];
-    ghat[9] += 0.25 * alpha[3] * favg[2];
-    ghat[9] += 0.223606797749979 * alpha[3] * favg[21];
-    ghat[9] += 0.25 * alpha[4] * favg[26];
-    ghat[9] += 0.223606797749979 * alpha[10] * favg[9];
-    ghat[9] += 0.25 * alpha[13] * favg[12];
-    ghat[9] += 0.22360679774997896 * alpha[13] * favg[40];
-    ghat[9] += 0.25 * alpha[14] * favg[43];
-    ghat[9] += 0.22360679774997896 * alpha[27] * favg[26];
-    ghat[9] += 0.25 * alpha[30] * favg[29];
-    ghat[10] += 0.25 * alpha[0] * favg[10];
-    ghat[10] += 0.22360679774997896 * alpha[3] * favg[3];
-    ghat[10] += 0.25 * alpha[4] * favg[27];
-    ghat[10] += 0.25 * alpha[10] * favg[0];
-    ghat[10] += 0.15971914124998499 * alpha[10] * favg[10];
-    ghat[10] += 0.223606797749979 * alpha[13] * favg[13];
-    ghat[10] += 0.25 * alpha[27] * favg[4];
-    ghat[10] += 0.15971914124998499 * alpha[27] * favg[27];
-    ghat[10] += 0.22360679774997896 * alpha[30] * favg[30];
-    ghat[11] += 0.25 * alpha[0] * favg[11];
-    ghat[11] += 0.25 * alpha[3] * favg[25];
-    ghat[11] += 0.25 * alpha[4] * favg[1];
-    ghat[11] += 0.223606797749979 * alpha[4] * favg[28];
-    ghat[11] += 0.25 * alpha[10] * favg[39];
-    ghat[11] += 0.25 * alpha[13] * favg[8];
-    ghat[11] += 0.22360679774997896 * alpha[13] * favg[42];
-    ghat[11] += 0.223606797749979 * alpha[14] * favg[11];
-    ghat[11] += 0.25 * alpha[27] * favg[20];
-    ghat[11] += 0.22360679774997896 * alpha[30] * favg[25];
-    ghat[12] += 0.25 * alpha[0] * favg[12];
-    ghat[12] += 0.25 * alpha[3] * favg[26];
-    ghat[12] += 0.25 * alpha[4] * favg[2];
-    ghat[12] += 0.223606797749979 * alpha[4] * favg[29];
-    ghat[12] += 0.25 * alpha[10] * favg[40];
-    ghat[12] += 0.25 * alpha[13] * favg[9];
-    ghat[12] += 0.22360679774997896 * alpha[13] * favg[43];
-    ghat[12] += 0.223606797749979 * alpha[14] * favg[12];
-    ghat[12] += 0.25 * alpha[27] * favg[21];
-    ghat[12] += 0.22360679774997896 * alpha[30] * favg[26];
-    ghat[13] += 0.25 * alpha[0] * favg[13];
-    ghat[13] += 0.25 * alpha[3] * favg[4];
-    ghat[13] += 0.223606797749979 * alpha[3] * favg[27];
-    ghat[13] += 0.25 * alpha[4] * favg[3];
-    ghat[13] += 0.223606797749979 * alpha[4] * favg[30];
-    ghat[13] += 0.223606797749979 * alpha[10] * favg[13];
-    ghat[13] += 0.25 * alpha[13] * favg[0];
-    ghat[13] += 0.223606797749979 * alpha[13] * favg[10];
-    ghat[13] += 0.223606797749979 * alpha[13] * favg[14];
-    ghat[13] += 0.223606797749979 * alpha[14] * favg[13];
-    ghat[13] += 0.223606797749979 * alpha[27] * favg[3];
-    ghat[13] += 0.2 * alpha[27] * favg[30];
-    ghat[13] += 0.223606797749979 * alpha[30] * favg[4];
-    ghat[13] += 0.2 * alpha[30] * favg[27];
-    ghat[14] += 0.25 * alpha[0] * favg[14];
-    ghat[14] += 0.25 * alpha[3] * favg[30];
-    ghat[14] += 0.22360679774997896 * alpha[4] * favg[4];
-    ghat[14] += 0.223606797749979 * alpha[13] * favg[13];
-    ghat[14] += 0.25 * alpha[14] * favg[0];
-    ghat[14] += 0.15971914124998499 * alpha[14] * favg[14];
-    ghat[14] += 0.22360679774997896 * alpha[27] * favg[27];
-    ghat[14] += 0.25 * alpha[30] * favg[3];
-    ghat[14] += 0.15971914124998499 * alpha[30] * favg[30];
-    ghat[15] += 0.25 * alpha[0] * favg[15];
-    ghat[15] += 0.25 * alpha[3] * favg[31];
-    ghat[15] += 0.25 * alpha[4] * favg[34];
-    ghat[15] += 0.25 * alpha[13] * favg[44];
-    ghat[16] += 0.25 * alpha[0] * favg[16];
-    ghat[16] += 0.25 * alpha[3] * favg[32];
-    ghat[16] += 0.25 * alpha[4] * favg[35];
-    ghat[16] += 0.25 * alpha[13] * favg[45];
-    ghat[17] += 0.25 * alpha[0] * favg[17];
-    ghat[17] += 0.25 * alpha[3] * favg[5];
-    ghat[17] += 0.25 * alpha[4] * favg[36];
-    ghat[17] += 0.22360679774997896 * alpha[10] * favg[17];
-    ghat[17] += 0.25 * alpha[13] * favg[22];
-    ghat[17] += 0.22360679774997896 * alpha[27] * favg[36];
-    ghat[18] += 0.25 * alpha[0] * favg[18];
-    ghat[18] += 0.25 * alpha[3] * favg[6];
-    ghat[18] += 0.22360679774997896 * alpha[3] * favg[33];
-    ghat[18] += 0.25 * alpha[4] * favg[37];
-    ghat[18] += 0.22360679774997896 * alpha[10] * favg[18];
-    ghat[18] += 0.25 * alpha[13] * favg[23];
-    ghat[18] += 0.22360679774997896 * alpha[13] * favg[46];
-    ghat[18] += 0.25 * alpha[14] * favg[47];
-    ghat[18] += 0.22360679774997896 * alpha[27] * favg[37];
-    ghat[18] += 0.25 * alpha[30] * favg[41];
-    ghat[19] += 0.25 * alpha[0] * favg[19];
-    ghat[19] += 0.25 * alpha[3] * favg[7];
-    ghat[19] += 0.25 * alpha[4] * favg[38];
-    ghat[19] += 0.22360679774997896 * alpha[10] * favg[19];
-    ghat[19] += 0.25 * alpha[13] * favg[24];
-    ghat[19] += 0.22360679774997896 * alpha[27] * favg[38];
-    ghat[20] += 0.25 * alpha[0] * favg[20];
-    ghat[20] += 0.223606797749979 * alpha[3] * favg[8];
-    ghat[20] += 0.25 * alpha[4] * favg[39];
-    ghat[20] += 0.25 * alpha[10] * favg[1];
-    ghat[20] += 0.15971914124998499 * alpha[10] * favg[20];
-    ghat[20] += 0.22360679774997896 * alpha[13] * favg[25];
-    ghat[20] += 0.25 * alpha[27] * favg[11];
-    ghat[20] += 0.15971914124998499 * alpha[27] * favg[39];
-    ghat[20] += 0.22360679774997896 * alpha[30] * favg[42];
-    ghat[21] += 0.25 * alpha[0] * favg[21];
-    ghat[21] += 0.223606797749979 * alpha[3] * favg[9];
-    ghat[21] += 0.25 * alpha[4] * favg[40];
-    ghat[21] += 0.25 * alpha[10] * favg[2];
-    ghat[21] += 0.15971914124998499 * alpha[10] * favg[21];
-    ghat[21] += 0.22360679774997896 * alpha[13] * favg[26];
-    ghat[21] += 0.25 * alpha[27] * favg[12];
-    ghat[21] += 0.15971914124998499 * alpha[27] * favg[40];
-    ghat[21] += 0.22360679774997896 * alpha[30] * favg[43];
-    ghat[22] += 0.25 * alpha[0] * favg[22];
-    ghat[22] += 0.25 * alpha[3] * favg[36];
-    ghat[22] += 0.25 * alpha[4] * favg[5];
-    ghat[22] += 0.25 * alpha[13] * favg[17];
-    ghat[22] += 0.22360679774997896 * alpha[14] * favg[22];
-    ghat[22] += 0.22360679774997896 * alpha[30] * favg[36];
-    ghat[23] += 0.25 * alpha[0] * favg[23];
-    ghat[23] += 0.25 * alpha[3] * favg[37];
-    ghat[23] += 0.25 * alpha[4] * favg[6];
-    ghat[23] += 0.22360679774997896 * alpha[4] * favg[41];
-    ghat[23] += 0.25 * alpha[10] * favg[46];
-    ghat[23] += 0.25 * alpha[13] * favg[18];
-    ghat[23] += 0.22360679774997896 * alpha[13] * favg[47];
-    ghat[23] += 0.22360679774997896 * alpha[14] * favg[23];
-    ghat[23] += 0.25 * alpha[27] * favg[33];
-    ghat[23] += 0.22360679774997896 * alpha[30] * favg[37];
-    ghat[24] += 0.25 * alpha[0] * favg[24];
-    ghat[24] += 0.25 * alpha[3] * favg[38];
-    ghat[24] += 0.25 * alpha[4] * favg[7];
-    ghat[24] += 0.25 * alpha[13] * favg[19];
-    ghat[24] += 0.22360679774997896 * alpha[14] * favg[24];
-    ghat[24] += 0.22360679774997896 * alpha[30] * favg[38];
-    ghat[25] += 0.25 * alpha[0] * favg[25];
-    ghat[25] += 0.25 * alpha[3] * favg[11];
-    ghat[25] += 0.22360679774997896 * alpha[3] * favg[39];
-    ghat[25] += 0.25 * alpha[4] * favg[8];
-    ghat[25] += 0.22360679774997896 * alpha[4] * favg[42];
-    ghat[25] += 0.22360679774997896 * alpha[10] * favg[25];
-    ghat[25] += 0.25 * alpha[13] * favg[1];
-    ghat[25] += 0.22360679774997896 * alpha[13] * favg[20];
-    ghat[25] += 0.22360679774997896 * alpha[13] * favg[28];
-    ghat[25] += 0.22360679774997896 * alpha[14] * favg[25];
-    ghat[25] += 0.22360679774997896 * alpha[27] * favg[8];
-    ghat[25] += 0.19999999999999998 * alpha[27] * favg[42];
-    ghat[25] += 0.22360679774997896 * alpha[30] * favg[11];
-    ghat[25] += 0.19999999999999998 * alpha[30] * favg[39];
-    ghat[26] += 0.25 * alpha[0] * favg[26];
-    ghat[26] += 0.25 * alpha[3] * favg[12];
-    ghat[26] += 0.22360679774997896 * alpha[3] * favg[40];
-    ghat[26] += 0.25 * alpha[4] * favg[9];
-    ghat[26] += 0.22360679774997896 * alpha[4] * favg[43];
-    ghat[26] += 0.22360679774997896 * alpha[10] * favg[26];
-    ghat[26] += 0.25 * alpha[13] * favg[2];
-    ghat[26] += 0.22360679774997896 * alpha[13] * favg[21];
-    ghat[26] += 0.22360679774997896 * alpha[13] * favg[29];
-    ghat[26] += 0.22360679774997896 * alpha[14] * favg[26];
-    ghat[26] += 0.22360679774997896 * alpha[27] * favg[9];
-    ghat[26] += 0.19999999999999998 * alpha[27] * favg[43];
-    ghat[26] += 0.22360679774997896 * alpha[30] * favg[12];
-    ghat[26] += 0.19999999999999998 * alpha[30] * favg[40];
-    ghat[27] += 0.25 * alpha[0] * favg[27];
-    ghat[27] += 0.223606797749979 * alpha[3] * favg[13];
-    ghat[27] += 0.25 * alpha[4] * favg[10];
-    ghat[27] += 0.25 * alpha[10] * favg[4];
-    ghat[27] += 0.15971914124998499 * alpha[10] * favg[27];
-    ghat[27] += 0.223606797749979 * alpha[13] * favg[3];
-    ghat[27] += 0.2 * alpha[13] * favg[30];
-    ghat[27] += 0.22360679774997896 * alpha[14] * favg[27];
-    ghat[27] += 0.25 * alpha[27] * favg[0];
-    ghat[27] += 0.15971914124998499 * alpha[27] * favg[10];
-    ghat[27] += 0.22360679774997896 * alpha[27] * favg[14];
-    ghat[27] += 0.2 * alpha[30] * favg[13];
-    ghat[28] += 0.25 * alpha[0] * favg[28];
-    ghat[28] += 0.25 * alpha[3] * favg[42];
-    ghat[28] += 0.223606797749979 * alpha[4] * favg[11];
-    ghat[28] += 0.22360679774997896 * alpha[13] * favg[25];
-    ghat[28] += 0.25 * alpha[14] * favg[1];
-    ghat[28] += 0.15971914124998499 * alpha[14] * favg[28];
-    ghat[28] += 0.22360679774997896 * alpha[27] * favg[39];
-    ghat[28] += 0.25 * alpha[30] * favg[8];
-    ghat[28] += 0.15971914124998499 * alpha[30] * favg[42];
-    ghat[29] += 0.25 * alpha[0] * favg[29];
-    ghat[29] += 0.25 * alpha[3] * favg[43];
-    ghat[29] += 0.223606797749979 * alpha[4] * favg[12];
-    ghat[29] += 0.22360679774997896 * alpha[13] * favg[26];
-    ghat[29] += 0.25 * alpha[14] * favg[2];
-    ghat[29] += 0.15971914124998499 * alpha[14] * favg[29];
-    ghat[29] += 0.22360679774997896 * alpha[27] * favg[40];
-    ghat[29] += 0.25 * alpha[30] * favg[9];
-    ghat[29] += 0.15971914124998499 * alpha[30] * favg[43];
-    ghat[30] += 0.25 * alpha[0] * favg[30];
-    ghat[30] += 0.25 * alpha[3] * favg[14];
-    ghat[30] += 0.223606797749979 * alpha[4] * favg[13];
-    ghat[30] += 0.22360679774997896 * alpha[10] * favg[30];
-    ghat[30] += 0.223606797749979 * alpha[13] * favg[4];
-    ghat[30] += 0.2 * alpha[13] * favg[27];
-    ghat[30] += 0.25 * alpha[14] * favg[3];
-    ghat[30] += 0.15971914124998499 * alpha[14] * favg[30];
-    ghat[30] += 0.2 * alpha[27] * favg[13];
-    ghat[30] += 0.25 * alpha[30] * favg[0];
-    ghat[30] += 0.22360679774997896 * alpha[30] * favg[10];
-    ghat[30] += 0.15971914124998499 * alpha[30] * favg[14];
-    ghat[31] += 0.25 * alpha[0] * favg[31];
-    ghat[31] += 0.25 * alpha[3] * favg[15];
-    ghat[31] += 0.25 * alpha[4] * favg[44];
-    ghat[31] += 0.22360679774997896 * alpha[10] * favg[31];
-    ghat[31] += 0.25 * alpha[13] * favg[34];
-    ghat[31] += 0.22360679774997896 * alpha[27] * favg[44];
-    ghat[32] += 0.25 * alpha[0] * favg[32];
-    ghat[32] += 0.25 * alpha[3] * favg[16];
-    ghat[32] += 0.25 * alpha[4] * favg[45];
-    ghat[32] += 0.22360679774997896 * alpha[10] * favg[32];
-    ghat[32] += 0.25 * alpha[13] * favg[35];
-    ghat[32] += 0.22360679774997896 * alpha[27] * favg[45];
-    ghat[33] += 0.25 * alpha[0] * favg[33];
-    ghat[33] += 0.22360679774997896 * alpha[3] * favg[18];
-    ghat[33] += 0.25 * alpha[4] * favg[46];
-    ghat[33] += 0.25 * alpha[10] * favg[6];
-    ghat[33] += 0.15971914124998499 * alpha[10] * favg[33];
-    ghat[33] += 0.22360679774997896 * alpha[13] * favg[37];
-    ghat[33] += 0.25 * alpha[27] * favg[23];
-    ghat[33] += 0.15971914124998499 * alpha[27] * favg[46];
-    ghat[33] += 0.22360679774997896 * alpha[30] * favg[47];
-    ghat[34] += 0.25 * alpha[0] * favg[34];
-    ghat[34] += 0.25 * alpha[3] * favg[44];
-    ghat[34] += 0.25 * alpha[4] * favg[15];
-    ghat[34] += 0.25 * alpha[13] * favg[31];
-    ghat[34] += 0.22360679774997896 * alpha[14] * favg[34];
-    ghat[34] += 0.22360679774997896 * alpha[30] * favg[44];
-    ghat[35] += 0.25 * alpha[0] * favg[35];
-    ghat[35] += 0.25 * alpha[3] * favg[45];
-    ghat[35] += 0.25 * alpha[4] * favg[16];
-    ghat[35] += 0.25 * alpha[13] * favg[32];
-    ghat[35] += 0.22360679774997896 * alpha[14] * favg[35];
-    ghat[35] += 0.22360679774997896 * alpha[30] * favg[45];
-    ghat[36] += 0.25 * alpha[0] * favg[36];
-    ghat[36] += 0.25 * alpha[3] * favg[22];
-    ghat[36] += 0.25 * alpha[4] * favg[17];
-    ghat[36] += 0.22360679774997896 * alpha[10] * favg[36];
-    ghat[36] += 0.25 * alpha[13] * favg[5];
-    ghat[36] += 0.22360679774997896 * alpha[14] * favg[36];
-    ghat[36] += 0.22360679774997896 * alpha[27] * favg[17];
-    ghat[36] += 0.22360679774997896 * alpha[30] * favg[22];
-    ghat[37] += 0.25 * alpha[0] * favg[37];
-    ghat[37] += 0.25 * alpha[3] * favg[23];
-    ghat[37] += 0.22360679774997896 * alpha[3] * favg[46];
-    ghat[37] += 0.25 * alpha[4] * favg[18];
-    ghat[37] += 0.22360679774997896 * alpha[4] * favg[47];
-    ghat[37] += 0.22360679774997896 * alpha[10] * favg[37];
-    ghat[37] += 0.25 * alpha[13] * favg[6];
-    ghat[37] += 0.22360679774997896 * alpha[13] * favg[33];
-    ghat[37] += 0.22360679774997896 * alpha[13] * favg[41];
-    ghat[37] += 0.22360679774997896 * alpha[14] * favg[37];
-    ghat[37] += 0.22360679774997896 * alpha[27] * favg[18];
-    ghat[37] += 0.2 * alpha[27] * favg[47];
-    ghat[37] += 0.22360679774997896 * alpha[30] * favg[23];
-    ghat[37] += 0.2 * alpha[30] * favg[46];
-    ghat[38] += 0.25 * alpha[0] * favg[38];
-    ghat[38] += 0.25 * alpha[3] * favg[24];
-    ghat[38] += 0.25 * alpha[4] * favg[19];
-    ghat[38] += 0.22360679774997896 * alpha[10] * favg[38];
-    ghat[38] += 0.25 * alpha[13] * favg[7];
-    ghat[38] += 0.22360679774997896 * alpha[14] * favg[38];
-    ghat[38] += 0.22360679774997896 * alpha[27] * favg[19];
-    ghat[38] += 0.22360679774997896 * alpha[30] * favg[24];
-    ghat[39] += 0.25 * alpha[0] * favg[39];
-    ghat[39] += 0.22360679774997896 * alpha[3] * favg[25];
-    ghat[39] += 0.25 * alpha[4] * favg[20];
-    ghat[39] += 0.25 * alpha[10] * favg[11];
-    ghat[39] += 0.15971914124998499 * alpha[10] * favg[39];
-    ghat[39] += 0.22360679774997896 * alpha[13] * favg[8];
-    ghat[39] += 0.19999999999999998 * alpha[13] * favg[42];
-    ghat[39] += 0.22360679774997896 * alpha[14] * favg[39];
-    ghat[39] += 0.25 * alpha[27] * favg[1];
-    ghat[39] += 0.15971914124998499 * alpha[27] * favg[20];
-    ghat[39] += 0.22360679774997896 * alpha[27] * favg[28];
-    ghat[39] += 0.19999999999999998 * alpha[30] * favg[25];
-    ghat[40] += 0.25 * alpha[0] * favg[40];
-    ghat[40] += 0.22360679774997896 * alpha[3] * favg[26];
-    ghat[40] += 0.25 * alpha[4] * favg[21];
-    ghat[40] += 0.25 * alpha[10] * favg[12];
-    ghat[40] += 0.15971914124998499 * alpha[10] * favg[40];
-    ghat[40] += 0.22360679774997896 * alpha[13] * favg[9];
-    ghat[40] += 0.19999999999999998 * alpha[13] * favg[43];
-    ghat[40] += 0.22360679774997896 * alpha[14] * favg[40];
-    ghat[40] += 0.25 * alpha[27] * favg[2];
-    ghat[40] += 0.15971914124998499 * alpha[27] * favg[21];
-    ghat[40] += 0.22360679774997896 * alpha[27] * favg[29];
-    ghat[40] += 0.19999999999999998 * alpha[30] * favg[26];
-    ghat[41] += 0.25 * alpha[0] * favg[41];
-    ghat[41] += 0.25 * alpha[3] * favg[47];
-    ghat[41] += 0.22360679774997896 * alpha[4] * favg[23];
-    ghat[41] += 0.22360679774997896 * alpha[13] * favg[37];
-    ghat[41] += 0.25 * alpha[14] * favg[6];
-    ghat[41] += 0.15971914124998499 * alpha[14] * favg[41];
-    ghat[41] += 0.22360679774997896 * alpha[27] * favg[46];
-    ghat[41] += 0.25 * alpha[30] * favg[18];
-    ghat[41] += 0.15971914124998499 * alpha[30] * favg[47];
-    ghat[42] += 0.25 * alpha[0] * favg[42];
-    ghat[42] += 0.25 * alpha[3] * favg[28];
-    ghat[42] += 0.22360679774997896 * alpha[4] * favg[25];
-    ghat[42] += 0.22360679774997896 * alpha[10] * favg[42];
-    ghat[42] += 0.22360679774997896 * alpha[13] * favg[11];
-    ghat[42] += 0.19999999999999998 * alpha[13] * favg[39];
-    ghat[42] += 0.25 * alpha[14] * favg[8];
-    ghat[42] += 0.15971914124998499 * alpha[14] * favg[42];
-    ghat[42] += 0.19999999999999998 * alpha[27] * favg[25];
-    ghat[42] += 0.25 * alpha[30] * favg[1];
-    ghat[42] += 0.22360679774997896 * alpha[30] * favg[20];
-    ghat[42] += 0.15971914124998499 * alpha[30] * favg[28];
-    ghat[43] += 0.25 * alpha[0] * favg[43];
-    ghat[43] += 0.25 * alpha[3] * favg[29];
-    ghat[43] += 0.22360679774997896 * alpha[4] * favg[26];
-    ghat[43] += 0.22360679774997896 * alpha[10] * favg[43];
-    ghat[43] += 0.22360679774997896 * alpha[13] * favg[12];
-    ghat[43] += 0.19999999999999998 * alpha[13] * favg[40];
-    ghat[43] += 0.25 * alpha[14] * favg[9];
-    ghat[43] += 0.15971914124998499 * alpha[14] * favg[43];
-    ghat[43] += 0.19999999999999998 * alpha[27] * favg[26];
-    ghat[43] += 0.25 * alpha[30] * favg[2];
-    ghat[43] += 0.22360679774997896 * alpha[30] * favg[21];
-    ghat[43] += 0.15971914124998499 * alpha[30] * favg[29];
-    ghat[44] += 0.25 * alpha[0] * favg[44];
-    ghat[44] += 0.25 * alpha[3] * favg[34];
-    ghat[44] += 0.25 * alpha[4] * favg[31];
-    ghat[44] += 0.22360679774997896 * alpha[10] * favg[44];
-    ghat[44] += 0.25 * alpha[13] * favg[15];
-    ghat[44] += 0.22360679774997896 * alpha[14] * favg[44];
-    ghat[44] += 0.22360679774997896 * alpha[27] * favg[31];
-    ghat[44] += 0.22360679774997896 * alpha[30] * favg[34];
-    ghat[45] += 0.25 * alpha[0] * favg[45];
-    ghat[45] += 0.25 * alpha[3] * favg[35];
-    ghat[45] += 0.25 * alpha[4] * favg[32];
-    ghat[45] += 0.22360679774997896 * alpha[10] * favg[45];
-    ghat[45] += 0.25 * alpha[13] * favg[16];
-    ghat[45] += 0.22360679774997896 * alpha[14] * favg[45];
-    ghat[45] += 0.22360679774997896 * alpha[27] * favg[32];
-    ghat[45] += 0.22360679774997896 * alpha[30] * favg[35];
-    ghat[46] += 0.25 * alpha[0] * favg[46];
-    ghat[46] += 0.22360679774997896 * alpha[3] * favg[37];
-    ghat[46] += 0.25 * alpha[4] * favg[33];
-    ghat[46] += 0.25 * alpha[10] * favg[23];
-    ghat[46] += 0.15971914124998499 * alpha[10] * favg[46];
-    ghat[46] += 0.22360679774997896 * alpha[13] * favg[18];
-    ghat[46] += 0.2 * alpha[13] * favg[47];
-    ghat[46] += 0.22360679774997896 * alpha[14] * favg[46];
-    ghat[46] += 0.25 * alpha[27] * favg[6];
-    ghat[46] += 0.15971914124998499 * alpha[27] * favg[33];
-    ghat[46] += 0.22360679774997896 * alpha[27] * favg[41];
-    ghat[46] += 0.2 * alpha[30] * favg[37];
-    ghat[47] += 0.25 * alpha[0] * favg[47];
-    ghat[47] += 0.25 * alpha[3] * favg[41];
-    ghat[47] += 0.22360679774997896 * alpha[4] * favg[37];
-    ghat[47] += 0.22360679774997896 * alpha[10] * favg[47];
-    ghat[47] += 0.22360679774997896 * alpha[13] * favg[23];
-    ghat[47] += 0.2 * alpha[13] * favg[46];
-    ghat[47] += 0.25 * alpha[14] * favg[18];
-    ghat[47] += 0.15971914124998499 * alpha[14] * favg[47];
-    ghat[47] += 0.2 * alpha[27] * favg[37];
-    ghat[47] += 0.25 * alpha[30] * favg[6];
-    ghat[47] += 0.22360679774997896 * alpha[30] * favg[33];
-    ghat[47] += 0.15971914124998499 * alpha[30] * favg[41];
-    out_lo[0] += -scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -scale * 1.224744871391589 * ghat[0];
-    out_lo[2] += -scale * 0.7071067811865476 * ghat[1];
-    out_lo[3] += -scale * 0.7071067811865476 * ghat[2];
-    out_lo[4] += -scale * 0.7071067811865476 * ghat[3];
-    out_lo[5] += -scale * 0.7071067811865476 * ghat[4];
-    out_lo[6] += -scale * 1.5811388300841898 * ghat[0];
-    out_lo[7] += -scale * 1.224744871391589 * ghat[1];
-    out_lo[8] += -scale * 0.7071067811865476 * ghat[5];
-    out_lo[9] += -scale * 1.224744871391589 * ghat[2];
-    out_lo[10] += -scale * 0.7071067811865476 * ghat[6];
-    out_lo[11] += -scale * 0.7071067811865476 * ghat[7];
-    out_lo[12] += -scale * 1.224744871391589 * ghat[3];
-    out_lo[13] += -scale * 0.7071067811865476 * ghat[8];
-    out_lo[14] += -scale * 0.7071067811865476 * ghat[9];
-    out_lo[15] += -scale * 0.7071067811865476 * ghat[10];
-    out_lo[16] += -scale * 1.224744871391589 * ghat[4];
-    out_lo[17] += -scale * 0.7071067811865476 * ghat[11];
-    out_lo[18] += -scale * 0.7071067811865476 * ghat[12];
-    out_lo[19] += -scale * 0.7071067811865476 * ghat[13];
-    out_lo[20] += -scale * 0.7071067811865476 * ghat[14];
-    out_lo[21] += -scale * 1.5811388300841898 * ghat[1];
-    out_lo[22] += -scale * 1.224744871391589 * ghat[5];
-    out_lo[23] += -scale * 1.5811388300841898 * ghat[2];
-    out_lo[24] += -scale * 1.224744871391589 * ghat[6];
-    out_lo[25] += -scale * 0.7071067811865476 * ghat[15];
-    out_lo[26] += -scale * 1.224744871391589 * ghat[7];
-    out_lo[27] += -scale * 0.7071067811865476 * ghat[16];
-    out_lo[28] += -scale * 1.5811388300841898 * ghat[3];
-    out_lo[29] += -scale * 1.224744871391589 * ghat[8];
-    out_lo[30] += -scale * 0.7071067811865476 * ghat[17];
-    out_lo[31] += -scale * 1.224744871391589 * ghat[9];
-    out_lo[32] += -scale * 0.7071067811865476 * ghat[18];
-    out_lo[33] += -scale * 0.7071067811865476 * ghat[19];
-    out_lo[34] += -scale * 1.224744871391589 * ghat[10];
-    out_lo[35] += -scale * 0.7071067811865476 * ghat[20];
-    out_lo[36] += -scale * 0.7071067811865476 * ghat[21];
-    out_lo[37] += -scale * 1.5811388300841898 * ghat[4];
-    out_lo[38] += -scale * 1.224744871391589 * ghat[11];
-    out_lo[39] += -scale * 0.7071067811865476 * ghat[22];
-    out_lo[40] += -scale * 1.224744871391589 * ghat[12];
-    out_lo[41] += -scale * 0.7071067811865476 * ghat[23];
-    out_lo[42] += -scale * 0.7071067811865476 * ghat[24];
-    out_lo[43] += -scale * 1.224744871391589 * ghat[13];
-    out_lo[44] += -scale * 0.7071067811865476 * ghat[25];
-    out_lo[45] += -scale * 0.7071067811865476 * ghat[26];
-    out_lo[46] += -scale * 0.7071067811865476 * ghat[27];
-    out_lo[47] += -scale * 1.224744871391589 * ghat[14];
-    out_lo[48] += -scale * 0.7071067811865476 * ghat[28];
-    out_lo[49] += -scale * 0.7071067811865476 * ghat[29];
-    out_lo[50] += -scale * 0.7071067811865476 * ghat[30];
-    out_lo[51] += -scale * 1.5811388300841898 * ghat[6];
-    out_lo[52] += -scale * 1.224744871391589 * ghat[15];
-    out_lo[53] += -scale * 1.224744871391589 * ghat[16];
-    out_lo[54] += -scale * 1.5811388300841898 * ghat[8];
-    out_lo[55] += -scale * 1.224744871391589 * ghat[17];
-    out_lo[56] += -scale * 1.5811388300841898 * ghat[9];
-    out_lo[57] += -scale * 1.224744871391589 * ghat[18];
-    out_lo[58] += -scale * 0.7071067811865476 * ghat[31];
-    out_lo[59] += -scale * 1.224744871391589 * ghat[19];
-    out_lo[60] += -scale * 0.7071067811865476 * ghat[32];
-    out_lo[61] += -scale * 1.224744871391589 * ghat[20];
-    out_lo[62] += -scale * 1.224744871391589 * ghat[21];
-    out_lo[63] += -scale * 0.7071067811865476 * ghat[33];
-    out_lo[64] += -scale * 1.5811388300841898 * ghat[11];
-    out_lo[65] += -scale * 1.224744871391589 * ghat[22];
-    out_lo[66] += -scale * 1.5811388300841898 * ghat[12];
-    out_lo[67] += -scale * 1.224744871391589 * ghat[23];
-    out_lo[68] += -scale * 0.7071067811865476 * ghat[34];
-    out_lo[69] += -scale * 1.224744871391589 * ghat[24];
-    out_lo[70] += -scale * 0.7071067811865476 * ghat[35];
-    out_lo[71] += -scale * 1.5811388300841898 * ghat[13];
-    out_lo[72] += -scale * 1.224744871391589 * ghat[25];
-    out_lo[73] += -scale * 0.7071067811865476 * ghat[36];
-    out_lo[74] += -scale * 1.224744871391589 * ghat[26];
-    out_lo[75] += -scale * 0.7071067811865476 * ghat[37];
-    out_lo[76] += -scale * 0.7071067811865476 * ghat[38];
-    out_lo[77] += -scale * 1.224744871391589 * ghat[27];
-    out_lo[78] += -scale * 0.7071067811865476 * ghat[39];
-    out_lo[79] += -scale * 0.7071067811865476 * ghat[40];
-    out_lo[80] += -scale * 1.224744871391589 * ghat[28];
-    out_lo[81] += -scale * 1.224744871391589 * ghat[29];
-    out_lo[82] += -scale * 0.7071067811865476 * ghat[41];
-    out_lo[83] += -scale * 1.224744871391589 * ghat[30];
-    out_lo[84] += -scale * 0.7071067811865476 * ghat[42];
-    out_lo[85] += -scale * 0.7071067811865476 * ghat[43];
-    out_lo[86] += -scale * 1.5811388300841898 * ghat[18];
-    out_lo[87] += -scale * 1.224744871391589 * ghat[31];
-    out_lo[88] += -scale * 1.224744871391589 * ghat[32];
-    out_lo[89] += -scale * 1.224744871391589 * ghat[33];
-    out_lo[90] += -scale * 1.5811388300841898 * ghat[23];
-    out_lo[91] += -scale * 1.224744871391589 * ghat[34];
-    out_lo[92] += -scale * 1.224744871391589 * ghat[35];
-    out_lo[93] += -scale * 1.5811388300841898 * ghat[25];
-    out_lo[94] += -scale * 1.224744871391589 * ghat[36];
-    out_lo[95] += -scale * 1.5811388300841898 * ghat[26];
-    out_lo[96] += -scale * 1.224744871391589 * ghat[37];
-    out_lo[97] += -scale * 0.7071067811865476 * ghat[44];
-    out_lo[98] += -scale * 1.224744871391589 * ghat[38];
-    out_lo[99] += -scale * 0.7071067811865476 * ghat[45];
-    out_lo[100] += -scale * 1.224744871391589 * ghat[39];
-    out_lo[101] += -scale * 1.224744871391589 * ghat[40];
-    out_lo[102] += -scale * 0.7071067811865476 * ghat[46];
-    out_lo[103] += -scale * 1.224744871391589 * ghat[41];
-    out_lo[104] += -scale * 1.224744871391589 * ghat[42];
-    out_lo[105] += -scale * 1.224744871391589 * ghat[43];
-    out_lo[106] += -scale * 0.7071067811865476 * ghat[47];
-    out_lo[107] += -scale * 1.5811388300841898 * ghat[37];
-    out_lo[108] += -scale * 1.224744871391589 * ghat[44];
-    out_lo[109] += -scale * 1.224744871391589 * ghat[45];
-    out_lo[110] += -scale * 1.224744871391589 * ghat[46];
-    out_lo[111] += -scale * 1.224744871391589 * ghat[47];
-    out_hi[0] += scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += scale * -1.224744871391589 * ghat[0];
-    out_hi[2] += scale * 0.7071067811865476 * ghat[1];
-    out_hi[3] += scale * 0.7071067811865476 * ghat[2];
-    out_hi[4] += scale * 0.7071067811865476 * ghat[3];
-    out_hi[5] += scale * 0.7071067811865476 * ghat[4];
-    out_hi[6] += scale * 1.5811388300841898 * ghat[0];
-    out_hi[7] += scale * -1.224744871391589 * ghat[1];
-    out_hi[8] += scale * 0.7071067811865476 * ghat[5];
-    out_hi[9] += scale * -1.224744871391589 * ghat[2];
-    out_hi[10] += scale * 0.7071067811865476 * ghat[6];
-    out_hi[11] += scale * 0.7071067811865476 * ghat[7];
-    out_hi[12] += scale * -1.224744871391589 * ghat[3];
-    out_hi[13] += scale * 0.7071067811865476 * ghat[8];
-    out_hi[14] += scale * 0.7071067811865476 * ghat[9];
-    out_hi[15] += scale * 0.7071067811865476 * ghat[10];
-    out_hi[16] += scale * -1.224744871391589 * ghat[4];
-    out_hi[17] += scale * 0.7071067811865476 * ghat[11];
-    out_hi[18] += scale * 0.7071067811865476 * ghat[12];
-    out_hi[19] += scale * 0.7071067811865476 * ghat[13];
-    out_hi[20] += scale * 0.7071067811865476 * ghat[14];
-    out_hi[21] += scale * 1.5811388300841898 * ghat[1];
-    out_hi[22] += scale * -1.224744871391589 * ghat[5];
-    out_hi[23] += scale * 1.5811388300841898 * ghat[2];
-    out_hi[24] += scale * -1.224744871391589 * ghat[6];
-    out_hi[25] += scale * 0.7071067811865476 * ghat[15];
-    out_hi[26] += scale * -1.224744871391589 * ghat[7];
-    out_hi[27] += scale * 0.7071067811865476 * ghat[16];
-    out_hi[28] += scale * 1.5811388300841898 * ghat[3];
-    out_hi[29] += scale * -1.224744871391589 * ghat[8];
-    out_hi[30] += scale * 0.7071067811865476 * ghat[17];
-    out_hi[31] += scale * -1.224744871391589 * ghat[9];
-    out_hi[32] += scale * 0.7071067811865476 * ghat[18];
-    out_hi[33] += scale * 0.7071067811865476 * ghat[19];
-    out_hi[34] += scale * -1.224744871391589 * ghat[10];
-    out_hi[35] += scale * 0.7071067811865476 * ghat[20];
-    out_hi[36] += scale * 0.7071067811865476 * ghat[21];
-    out_hi[37] += scale * 1.5811388300841898 * ghat[4];
-    out_hi[38] += scale * -1.224744871391589 * ghat[11];
-    out_hi[39] += scale * 0.7071067811865476 * ghat[22];
-    out_hi[40] += scale * -1.224744871391589 * ghat[12];
-    out_hi[41] += scale * 0.7071067811865476 * ghat[23];
-    out_hi[42] += scale * 0.7071067811865476 * ghat[24];
-    out_hi[43] += scale * -1.224744871391589 * ghat[13];
-    out_hi[44] += scale * 0.7071067811865476 * ghat[25];
-    out_hi[45] += scale * 0.7071067811865476 * ghat[26];
-    out_hi[46] += scale * 0.7071067811865476 * ghat[27];
-    out_hi[47] += scale * -1.224744871391589 * ghat[14];
-    out_hi[48] += scale * 0.7071067811865476 * ghat[28];
-    out_hi[49] += scale * 0.7071067811865476 * ghat[29];
-    out_hi[50] += scale * 0.7071067811865476 * ghat[30];
-    out_hi[51] += scale * 1.5811388300841898 * ghat[6];
-    out_hi[52] += scale * -1.224744871391589 * ghat[15];
-    out_hi[53] += scale * -1.224744871391589 * ghat[16];
-    out_hi[54] += scale * 1.5811388300841898 * ghat[8];
-    out_hi[55] += scale * -1.224744871391589 * ghat[17];
-    out_hi[56] += scale * 1.5811388300841898 * ghat[9];
-    out_hi[57] += scale * -1.224744871391589 * ghat[18];
-    out_hi[58] += scale * 0.7071067811865476 * ghat[31];
-    out_hi[59] += scale * -1.224744871391589 * ghat[19];
-    out_hi[60] += scale * 0.7071067811865476 * ghat[32];
-    out_hi[61] += scale * -1.224744871391589 * ghat[20];
-    out_hi[62] += scale * -1.224744871391589 * ghat[21];
-    out_hi[63] += scale * 0.7071067811865476 * ghat[33];
-    out_hi[64] += scale * 1.5811388300841898 * ghat[11];
-    out_hi[65] += scale * -1.224744871391589 * ghat[22];
-    out_hi[66] += scale * 1.5811388300841898 * ghat[12];
-    out_hi[67] += scale * -1.224744871391589 * ghat[23];
-    out_hi[68] += scale * 0.7071067811865476 * ghat[34];
-    out_hi[69] += scale * -1.224744871391589 * ghat[24];
-    out_hi[70] += scale * 0.7071067811865476 * ghat[35];
-    out_hi[71] += scale * 1.5811388300841898 * ghat[13];
-    out_hi[72] += scale * -1.224744871391589 * ghat[25];
-    out_hi[73] += scale * 0.7071067811865476 * ghat[36];
-    out_hi[74] += scale * -1.224744871391589 * ghat[26];
-    out_hi[75] += scale * 0.7071067811865476 * ghat[37];
-    out_hi[76] += scale * 0.7071067811865476 * ghat[38];
-    out_hi[77] += scale * -1.224744871391589 * ghat[27];
-    out_hi[78] += scale * 0.7071067811865476 * ghat[39];
-    out_hi[79] += scale * 0.7071067811865476 * ghat[40];
-    out_hi[80] += scale * -1.224744871391589 * ghat[28];
-    out_hi[81] += scale * -1.224744871391589 * ghat[29];
-    out_hi[82] += scale * 0.7071067811865476 * ghat[41];
-    out_hi[83] += scale * -1.224744871391589 * ghat[30];
-    out_hi[84] += scale * 0.7071067811865476 * ghat[42];
-    out_hi[85] += scale * 0.7071067811865476 * ghat[43];
-    out_hi[86] += scale * 1.5811388300841898 * ghat[18];
-    out_hi[87] += scale * -1.224744871391589 * ghat[31];
-    out_hi[88] += scale * -1.224744871391589 * ghat[32];
-    out_hi[89] += scale * -1.224744871391589 * ghat[33];
-    out_hi[90] += scale * 1.5811388300841898 * ghat[23];
-    out_hi[91] += scale * -1.224744871391589 * ghat[34];
-    out_hi[92] += scale * -1.224744871391589 * ghat[35];
-    out_hi[93] += scale * 1.5811388300841898 * ghat[25];
-    out_hi[94] += scale * -1.224744871391589 * ghat[36];
-    out_hi[95] += scale * 1.5811388300841898 * ghat[26];
-    out_hi[96] += scale * -1.224744871391589 * ghat[37];
-    out_hi[97] += scale * 0.7071067811865476 * ghat[44];
-    out_hi[98] += scale * -1.224744871391589 * ghat[38];
-    out_hi[99] += scale * 0.7071067811865476 * ghat[45];
-    out_hi[100] += scale * -1.224744871391589 * ghat[39];
-    out_hi[101] += scale * -1.224744871391589 * ghat[40];
-    out_hi[102] += scale * 0.7071067811865476 * ghat[46];
-    out_hi[103] += scale * -1.224744871391589 * ghat[41];
-    out_hi[104] += scale * -1.224744871391589 * ghat[42];
-    out_hi[105] += scale * -1.224744871391589 * ghat[43];
-    out_hi[106] += scale * 0.7071067811865476 * ghat[47];
-    out_hi[107] += scale * 1.5811388300841898 * ghat[37];
-    out_hi[108] += scale * -1.224744871391589 * ghat[44];
-    out_hi[109] += scale * -1.224744871391589 * ghat[45];
-    out_hi[110] += scale * -1.224744871391589 * ghat[46];
-    out_hi[111] += scale * -1.224744871391589 * ghat[47];
+    let mut alpha = [[0.0f64; L]; 48];
+    let mut lam = [0.0f64; L];
+    for k in 0..L {
+        alpha[0][k] = -nu * vstar * 4.0;
+        alpha[0][k] += nu * 2.0 * u[0][k];
+        alpha[3][k] += nu * 2.0 * u[1][k];
+        alpha[4][k] += nu * 2.0 * u[2][k];
+        alpha[10][k] += nu * 2.0 * u[3][k];
+        alpha[13][k] += nu * 2.0 * u[4][k];
+        alpha[14][k] += nu * 2.0 * u[5][k];
+        alpha[27][k] += nu * 2.0 * u[6][k];
+        alpha[30][k] += nu * 2.0 * u[7][k];
+        lam[k] = alpha[0][k].abs() * 0.25000000000000006 + alpha[3][k].abs() * 0.4330127018922194 + alpha[4][k].abs() * 0.4330127018922194 + alpha[10][k].abs() * 0.5590169943749475 + alpha[13][k].abs() * 0.75 + alpha[14][k].abs() * 0.5590169943749475 + alpha[27][k].abs() * 0.9682458365518543 + alpha[30][k].abs() * 0.9682458365518543;
+    }
+    let mut fm = [[0.0f64; L]; 48];
+    let mut fp = [[0.0f64; L]; 48];
+    for k in 0..L {
+        fm[0][k] += 0.7071067811865476 * f_lo[0][k];
+        fm[0][k] += 1.224744871391589 * f_lo[1][k];
+    }
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[2]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[3]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[4]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[5]);
+    sxn(&mut fm[0], 1.5811388300841898, &f_lo[6]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[7]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[8]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[9]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[10]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[11]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[12]);
+    sxn(&mut fm[8], 0.7071067811865476, &f_lo[13]);
+    sxn(&mut fm[9], 0.7071067811865476, &f_lo[14]);
+    sxn(&mut fm[10], 0.7071067811865476, &f_lo[15]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[16]);
+    sxn(&mut fm[11], 0.7071067811865476, &f_lo[17]);
+    sxn(&mut fm[12], 0.7071067811865476, &f_lo[18]);
+    sxn(&mut fm[13], 0.7071067811865476, &f_lo[19]);
+    sxn(&mut fm[14], 0.7071067811865476, &f_lo[20]);
+    sxn(&mut fm[1], 1.5811388300841898, &f_lo[21]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[22]);
+    sxn(&mut fm[2], 1.5811388300841898, &f_lo[23]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[24]);
+    sxn(&mut fm[15], 0.7071067811865476, &f_lo[25]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[26]);
+    sxn(&mut fm[16], 0.7071067811865476, &f_lo[27]);
+    sxn(&mut fm[3], 1.5811388300841898, &f_lo[28]);
+    sxn(&mut fm[8], 1.224744871391589, &f_lo[29]);
+    sxn(&mut fm[17], 0.7071067811865476, &f_lo[30]);
+    sxn(&mut fm[9], 1.224744871391589, &f_lo[31]);
+    sxn(&mut fm[18], 0.7071067811865476, &f_lo[32]);
+    sxn(&mut fm[19], 0.7071067811865476, &f_lo[33]);
+    sxn(&mut fm[10], 1.224744871391589, &f_lo[34]);
+    sxn(&mut fm[20], 0.7071067811865476, &f_lo[35]);
+    sxn(&mut fm[21], 0.7071067811865476, &f_lo[36]);
+    sxn(&mut fm[4], 1.5811388300841898, &f_lo[37]);
+    sxn(&mut fm[11], 1.224744871391589, &f_lo[38]);
+    sxn(&mut fm[22], 0.7071067811865476, &f_lo[39]);
+    sxn(&mut fm[12], 1.224744871391589, &f_lo[40]);
+    sxn(&mut fm[23], 0.7071067811865476, &f_lo[41]);
+    sxn(&mut fm[24], 0.7071067811865476, &f_lo[42]);
+    sxn(&mut fm[13], 1.224744871391589, &f_lo[43]);
+    sxn(&mut fm[25], 0.7071067811865476, &f_lo[44]);
+    sxn(&mut fm[26], 0.7071067811865476, &f_lo[45]);
+    sxn(&mut fm[27], 0.7071067811865476, &f_lo[46]);
+    sxn(&mut fm[14], 1.224744871391589, &f_lo[47]);
+    sxn(&mut fm[28], 0.7071067811865476, &f_lo[48]);
+    sxn(&mut fm[29], 0.7071067811865476, &f_lo[49]);
+    sxn(&mut fm[30], 0.7071067811865476, &f_lo[50]);
+    sxn(&mut fm[6], 1.5811388300841898, &f_lo[51]);
+    sxn(&mut fm[15], 1.224744871391589, &f_lo[52]);
+    sxn(&mut fm[16], 1.224744871391589, &f_lo[53]);
+    sxn(&mut fm[8], 1.5811388300841898, &f_lo[54]);
+    sxn(&mut fm[17], 1.224744871391589, &f_lo[55]);
+    sxn(&mut fm[9], 1.5811388300841898, &f_lo[56]);
+    sxn(&mut fm[18], 1.224744871391589, &f_lo[57]);
+    sxn(&mut fm[31], 0.7071067811865476, &f_lo[58]);
+    sxn(&mut fm[19], 1.224744871391589, &f_lo[59]);
+    sxn(&mut fm[32], 0.7071067811865476, &f_lo[60]);
+    sxn(&mut fm[20], 1.224744871391589, &f_lo[61]);
+    sxn(&mut fm[21], 1.224744871391589, &f_lo[62]);
+    sxn(&mut fm[33], 0.7071067811865476, &f_lo[63]);
+    sxn(&mut fm[11], 1.5811388300841898, &f_lo[64]);
+    sxn(&mut fm[22], 1.224744871391589, &f_lo[65]);
+    sxn(&mut fm[12], 1.5811388300841898, &f_lo[66]);
+    sxn(&mut fm[23], 1.224744871391589, &f_lo[67]);
+    sxn(&mut fm[34], 0.7071067811865476, &f_lo[68]);
+    sxn(&mut fm[24], 1.224744871391589, &f_lo[69]);
+    sxn(&mut fm[35], 0.7071067811865476, &f_lo[70]);
+    sxn(&mut fm[13], 1.5811388300841898, &f_lo[71]);
+    sxn(&mut fm[25], 1.224744871391589, &f_lo[72]);
+    sxn(&mut fm[36], 0.7071067811865476, &f_lo[73]);
+    sxn(&mut fm[26], 1.224744871391589, &f_lo[74]);
+    sxn(&mut fm[37], 0.7071067811865476, &f_lo[75]);
+    sxn(&mut fm[38], 0.7071067811865476, &f_lo[76]);
+    sxn(&mut fm[27], 1.224744871391589, &f_lo[77]);
+    sxn(&mut fm[39], 0.7071067811865476, &f_lo[78]);
+    sxn(&mut fm[40], 0.7071067811865476, &f_lo[79]);
+    sxn(&mut fm[28], 1.224744871391589, &f_lo[80]);
+    sxn(&mut fm[29], 1.224744871391589, &f_lo[81]);
+    sxn(&mut fm[41], 0.7071067811865476, &f_lo[82]);
+    sxn(&mut fm[30], 1.224744871391589, &f_lo[83]);
+    sxn(&mut fm[42], 0.7071067811865476, &f_lo[84]);
+    sxn(&mut fm[43], 0.7071067811865476, &f_lo[85]);
+    sxn(&mut fm[18], 1.5811388300841898, &f_lo[86]);
+    sxn(&mut fm[31], 1.224744871391589, &f_lo[87]);
+    sxn(&mut fm[32], 1.224744871391589, &f_lo[88]);
+    sxn(&mut fm[33], 1.224744871391589, &f_lo[89]);
+    sxn(&mut fm[23], 1.5811388300841898, &f_lo[90]);
+    sxn(&mut fm[34], 1.224744871391589, &f_lo[91]);
+    sxn(&mut fm[35], 1.224744871391589, &f_lo[92]);
+    sxn(&mut fm[25], 1.5811388300841898, &f_lo[93]);
+    sxn(&mut fm[36], 1.224744871391589, &f_lo[94]);
+    sxn(&mut fm[26], 1.5811388300841898, &f_lo[95]);
+    sxn(&mut fm[37], 1.224744871391589, &f_lo[96]);
+    sxn(&mut fm[44], 0.7071067811865476, &f_lo[97]);
+    sxn(&mut fm[38], 1.224744871391589, &f_lo[98]);
+    sxn(&mut fm[45], 0.7071067811865476, &f_lo[99]);
+    sxn(&mut fm[39], 1.224744871391589, &f_lo[100]);
+    sxn(&mut fm[40], 1.224744871391589, &f_lo[101]);
+    sxn(&mut fm[46], 0.7071067811865476, &f_lo[102]);
+    sxn(&mut fm[41], 1.224744871391589, &f_lo[103]);
+    sxn(&mut fm[42], 1.224744871391589, &f_lo[104]);
+    sxn(&mut fm[43], 1.224744871391589, &f_lo[105]);
+    sxn(&mut fm[47], 0.7071067811865476, &f_lo[106]);
+    sxn(&mut fm[37], 1.5811388300841898, &f_lo[107]);
+    sxn(&mut fm[44], 1.224744871391589, &f_lo[108]);
+    sxn(&mut fm[45], 1.224744871391589, &f_lo[109]);
+    sxn(&mut fm[46], 1.224744871391589, &f_lo[110]);
+    sxn(&mut fm[47], 1.224744871391589, &f_lo[111]);
+    for k in 0..L {
+        fp[0][k] += 0.7071067811865476 * f_hi[0][k];
+        fp[0][k] += -1.224744871391589 * f_hi[1][k];
+    }
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[2]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[3]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[4]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[5]);
+    sxn(&mut fp[0], 1.5811388300841898, &f_hi[6]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[7]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[8]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[9]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[10]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[11]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[12]);
+    sxn(&mut fp[8], 0.7071067811865476, &f_hi[13]);
+    sxn(&mut fp[9], 0.7071067811865476, &f_hi[14]);
+    sxn(&mut fp[10], 0.7071067811865476, &f_hi[15]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[16]);
+    sxn(&mut fp[11], 0.7071067811865476, &f_hi[17]);
+    sxn(&mut fp[12], 0.7071067811865476, &f_hi[18]);
+    sxn(&mut fp[13], 0.7071067811865476, &f_hi[19]);
+    sxn(&mut fp[14], 0.7071067811865476, &f_hi[20]);
+    sxn(&mut fp[1], 1.5811388300841898, &f_hi[21]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[22]);
+    sxn(&mut fp[2], 1.5811388300841898, &f_hi[23]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[24]);
+    sxn(&mut fp[15], 0.7071067811865476, &f_hi[25]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[26]);
+    sxn(&mut fp[16], 0.7071067811865476, &f_hi[27]);
+    sxn(&mut fp[3], 1.5811388300841898, &f_hi[28]);
+    sxn(&mut fp[8], -1.224744871391589, &f_hi[29]);
+    sxn(&mut fp[17], 0.7071067811865476, &f_hi[30]);
+    sxn(&mut fp[9], -1.224744871391589, &f_hi[31]);
+    sxn(&mut fp[18], 0.7071067811865476, &f_hi[32]);
+    sxn(&mut fp[19], 0.7071067811865476, &f_hi[33]);
+    sxn(&mut fp[10], -1.224744871391589, &f_hi[34]);
+    sxn(&mut fp[20], 0.7071067811865476, &f_hi[35]);
+    sxn(&mut fp[21], 0.7071067811865476, &f_hi[36]);
+    sxn(&mut fp[4], 1.5811388300841898, &f_hi[37]);
+    sxn(&mut fp[11], -1.224744871391589, &f_hi[38]);
+    sxn(&mut fp[22], 0.7071067811865476, &f_hi[39]);
+    sxn(&mut fp[12], -1.224744871391589, &f_hi[40]);
+    sxn(&mut fp[23], 0.7071067811865476, &f_hi[41]);
+    sxn(&mut fp[24], 0.7071067811865476, &f_hi[42]);
+    sxn(&mut fp[13], -1.224744871391589, &f_hi[43]);
+    sxn(&mut fp[25], 0.7071067811865476, &f_hi[44]);
+    sxn(&mut fp[26], 0.7071067811865476, &f_hi[45]);
+    sxn(&mut fp[27], 0.7071067811865476, &f_hi[46]);
+    sxn(&mut fp[14], -1.224744871391589, &f_hi[47]);
+    sxn(&mut fp[28], 0.7071067811865476, &f_hi[48]);
+    sxn(&mut fp[29], 0.7071067811865476, &f_hi[49]);
+    sxn(&mut fp[30], 0.7071067811865476, &f_hi[50]);
+    sxn(&mut fp[6], 1.5811388300841898, &f_hi[51]);
+    sxn(&mut fp[15], -1.224744871391589, &f_hi[52]);
+    sxn(&mut fp[16], -1.224744871391589, &f_hi[53]);
+    sxn(&mut fp[8], 1.5811388300841898, &f_hi[54]);
+    sxn(&mut fp[17], -1.224744871391589, &f_hi[55]);
+    sxn(&mut fp[9], 1.5811388300841898, &f_hi[56]);
+    sxn(&mut fp[18], -1.224744871391589, &f_hi[57]);
+    sxn(&mut fp[31], 0.7071067811865476, &f_hi[58]);
+    sxn(&mut fp[19], -1.224744871391589, &f_hi[59]);
+    sxn(&mut fp[32], 0.7071067811865476, &f_hi[60]);
+    sxn(&mut fp[20], -1.224744871391589, &f_hi[61]);
+    sxn(&mut fp[21], -1.224744871391589, &f_hi[62]);
+    sxn(&mut fp[33], 0.7071067811865476, &f_hi[63]);
+    sxn(&mut fp[11], 1.5811388300841898, &f_hi[64]);
+    sxn(&mut fp[22], -1.224744871391589, &f_hi[65]);
+    sxn(&mut fp[12], 1.5811388300841898, &f_hi[66]);
+    sxn(&mut fp[23], -1.224744871391589, &f_hi[67]);
+    sxn(&mut fp[34], 0.7071067811865476, &f_hi[68]);
+    sxn(&mut fp[24], -1.224744871391589, &f_hi[69]);
+    sxn(&mut fp[35], 0.7071067811865476, &f_hi[70]);
+    sxn(&mut fp[13], 1.5811388300841898, &f_hi[71]);
+    sxn(&mut fp[25], -1.224744871391589, &f_hi[72]);
+    sxn(&mut fp[36], 0.7071067811865476, &f_hi[73]);
+    sxn(&mut fp[26], -1.224744871391589, &f_hi[74]);
+    sxn(&mut fp[37], 0.7071067811865476, &f_hi[75]);
+    sxn(&mut fp[38], 0.7071067811865476, &f_hi[76]);
+    sxn(&mut fp[27], -1.224744871391589, &f_hi[77]);
+    sxn(&mut fp[39], 0.7071067811865476, &f_hi[78]);
+    sxn(&mut fp[40], 0.7071067811865476, &f_hi[79]);
+    sxn(&mut fp[28], -1.224744871391589, &f_hi[80]);
+    sxn(&mut fp[29], -1.224744871391589, &f_hi[81]);
+    sxn(&mut fp[41], 0.7071067811865476, &f_hi[82]);
+    sxn(&mut fp[30], -1.224744871391589, &f_hi[83]);
+    sxn(&mut fp[42], 0.7071067811865476, &f_hi[84]);
+    sxn(&mut fp[43], 0.7071067811865476, &f_hi[85]);
+    sxn(&mut fp[18], 1.5811388300841898, &f_hi[86]);
+    sxn(&mut fp[31], -1.224744871391589, &f_hi[87]);
+    sxn(&mut fp[32], -1.224744871391589, &f_hi[88]);
+    sxn(&mut fp[33], -1.224744871391589, &f_hi[89]);
+    sxn(&mut fp[23], 1.5811388300841898, &f_hi[90]);
+    sxn(&mut fp[34], -1.224744871391589, &f_hi[91]);
+    sxn(&mut fp[35], -1.224744871391589, &f_hi[92]);
+    sxn(&mut fp[25], 1.5811388300841898, &f_hi[93]);
+    sxn(&mut fp[36], -1.224744871391589, &f_hi[94]);
+    sxn(&mut fp[26], 1.5811388300841898, &f_hi[95]);
+    sxn(&mut fp[37], -1.224744871391589, &f_hi[96]);
+    sxn(&mut fp[44], 0.7071067811865476, &f_hi[97]);
+    sxn(&mut fp[38], -1.224744871391589, &f_hi[98]);
+    sxn(&mut fp[45], 0.7071067811865476, &f_hi[99]);
+    sxn(&mut fp[39], -1.224744871391589, &f_hi[100]);
+    sxn(&mut fp[40], -1.224744871391589, &f_hi[101]);
+    sxn(&mut fp[46], 0.7071067811865476, &f_hi[102]);
+    sxn(&mut fp[41], -1.224744871391589, &f_hi[103]);
+    sxn(&mut fp[42], -1.224744871391589, &f_hi[104]);
+    sxn(&mut fp[43], -1.224744871391589, &f_hi[105]);
+    sxn(&mut fp[47], 0.7071067811865476, &f_hi[106]);
+    sxn(&mut fp[37], 1.5811388300841898, &f_hi[107]);
+    sxn(&mut fp[44], -1.224744871391589, &f_hi[108]);
+    sxn(&mut fp[45], -1.224744871391589, &f_hi[109]);
+    sxn(&mut fp[46], -1.224744871391589, &f_hi[110]);
+    sxn(&mut fp[47], -1.224744871391589, &f_hi[111]);
+    let mut favg = [[0.0f64; L]; 48];
+    let mut ghat = [[0.0f64; L]; 48];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
+        favg[8][k] = 0.5 * (fm[8][k] + fp[8][k]);
+        ghat[8][k] = -0.5 * lam[k] * (fp[8][k] - fm[8][k]);
+        favg[9][k] = 0.5 * (fm[9][k] + fp[9][k]);
+        ghat[9][k] = -0.5 * lam[k] * (fp[9][k] - fm[9][k]);
+        favg[10][k] = 0.5 * (fm[10][k] + fp[10][k]);
+        ghat[10][k] = -0.5 * lam[k] * (fp[10][k] - fm[10][k]);
+        favg[11][k] = 0.5 * (fm[11][k] + fp[11][k]);
+        ghat[11][k] = -0.5 * lam[k] * (fp[11][k] - fm[11][k]);
+        favg[12][k] = 0.5 * (fm[12][k] + fp[12][k]);
+        ghat[12][k] = -0.5 * lam[k] * (fp[12][k] - fm[12][k]);
+        favg[13][k] = 0.5 * (fm[13][k] + fp[13][k]);
+        ghat[13][k] = -0.5 * lam[k] * (fp[13][k] - fm[13][k]);
+        favg[14][k] = 0.5 * (fm[14][k] + fp[14][k]);
+        ghat[14][k] = -0.5 * lam[k] * (fp[14][k] - fm[14][k]);
+        favg[15][k] = 0.5 * (fm[15][k] + fp[15][k]);
+        ghat[15][k] = -0.5 * lam[k] * (fp[15][k] - fm[15][k]);
+        favg[16][k] = 0.5 * (fm[16][k] + fp[16][k]);
+        ghat[16][k] = -0.5 * lam[k] * (fp[16][k] - fm[16][k]);
+        favg[17][k] = 0.5 * (fm[17][k] + fp[17][k]);
+        ghat[17][k] = -0.5 * lam[k] * (fp[17][k] - fm[17][k]);
+        favg[18][k] = 0.5 * (fm[18][k] + fp[18][k]);
+        ghat[18][k] = -0.5 * lam[k] * (fp[18][k] - fm[18][k]);
+        favg[19][k] = 0.5 * (fm[19][k] + fp[19][k]);
+        ghat[19][k] = -0.5 * lam[k] * (fp[19][k] - fm[19][k]);
+        favg[20][k] = 0.5 * (fm[20][k] + fp[20][k]);
+        ghat[20][k] = -0.5 * lam[k] * (fp[20][k] - fm[20][k]);
+        favg[21][k] = 0.5 * (fm[21][k] + fp[21][k]);
+        ghat[21][k] = -0.5 * lam[k] * (fp[21][k] - fm[21][k]);
+        favg[22][k] = 0.5 * (fm[22][k] + fp[22][k]);
+        ghat[22][k] = -0.5 * lam[k] * (fp[22][k] - fm[22][k]);
+        favg[23][k] = 0.5 * (fm[23][k] + fp[23][k]);
+        ghat[23][k] = -0.5 * lam[k] * (fp[23][k] - fm[23][k]);
+        favg[24][k] = 0.5 * (fm[24][k] + fp[24][k]);
+        ghat[24][k] = -0.5 * lam[k] * (fp[24][k] - fm[24][k]);
+        favg[25][k] = 0.5 * (fm[25][k] + fp[25][k]);
+        ghat[25][k] = -0.5 * lam[k] * (fp[25][k] - fm[25][k]);
+        favg[26][k] = 0.5 * (fm[26][k] + fp[26][k]);
+        ghat[26][k] = -0.5 * lam[k] * (fp[26][k] - fm[26][k]);
+        favg[27][k] = 0.5 * (fm[27][k] + fp[27][k]);
+        ghat[27][k] = -0.5 * lam[k] * (fp[27][k] - fm[27][k]);
+        favg[28][k] = 0.5 * (fm[28][k] + fp[28][k]);
+        ghat[28][k] = -0.5 * lam[k] * (fp[28][k] - fm[28][k]);
+        favg[29][k] = 0.5 * (fm[29][k] + fp[29][k]);
+        ghat[29][k] = -0.5 * lam[k] * (fp[29][k] - fm[29][k]);
+        favg[30][k] = 0.5 * (fm[30][k] + fp[30][k]);
+        ghat[30][k] = -0.5 * lam[k] * (fp[30][k] - fm[30][k]);
+        favg[31][k] = 0.5 * (fm[31][k] + fp[31][k]);
+        ghat[31][k] = -0.5 * lam[k] * (fp[31][k] - fm[31][k]);
+        favg[32][k] = 0.5 * (fm[32][k] + fp[32][k]);
+        ghat[32][k] = -0.5 * lam[k] * (fp[32][k] - fm[32][k]);
+        favg[33][k] = 0.5 * (fm[33][k] + fp[33][k]);
+        ghat[33][k] = -0.5 * lam[k] * (fp[33][k] - fm[33][k]);
+        favg[34][k] = 0.5 * (fm[34][k] + fp[34][k]);
+        ghat[34][k] = -0.5 * lam[k] * (fp[34][k] - fm[34][k]);
+        favg[35][k] = 0.5 * (fm[35][k] + fp[35][k]);
+        ghat[35][k] = -0.5 * lam[k] * (fp[35][k] - fm[35][k]);
+        favg[36][k] = 0.5 * (fm[36][k] + fp[36][k]);
+        ghat[36][k] = -0.5 * lam[k] * (fp[36][k] - fm[36][k]);
+        favg[37][k] = 0.5 * (fm[37][k] + fp[37][k]);
+        ghat[37][k] = -0.5 * lam[k] * (fp[37][k] - fm[37][k]);
+        favg[38][k] = 0.5 * (fm[38][k] + fp[38][k]);
+        ghat[38][k] = -0.5 * lam[k] * (fp[38][k] - fm[38][k]);
+        favg[39][k] = 0.5 * (fm[39][k] + fp[39][k]);
+        ghat[39][k] = -0.5 * lam[k] * (fp[39][k] - fm[39][k]);
+        favg[40][k] = 0.5 * (fm[40][k] + fp[40][k]);
+        ghat[40][k] = -0.5 * lam[k] * (fp[40][k] - fm[40][k]);
+        favg[41][k] = 0.5 * (fm[41][k] + fp[41][k]);
+        ghat[41][k] = -0.5 * lam[k] * (fp[41][k] - fm[41][k]);
+        favg[42][k] = 0.5 * (fm[42][k] + fp[42][k]);
+        ghat[42][k] = -0.5 * lam[k] * (fp[42][k] - fm[42][k]);
+        favg[43][k] = 0.5 * (fm[43][k] + fp[43][k]);
+        ghat[43][k] = -0.5 * lam[k] * (fp[43][k] - fm[43][k]);
+        favg[44][k] = 0.5 * (fm[44][k] + fp[44][k]);
+        ghat[44][k] = -0.5 * lam[k] * (fp[44][k] - fm[44][k]);
+        favg[45][k] = 0.5 * (fm[45][k] + fp[45][k]);
+        ghat[45][k] = -0.5 * lam[k] * (fp[45][k] - fm[45][k]);
+        favg[46][k] = 0.5 * (fm[46][k] + fp[46][k]);
+        ghat[46][k] = -0.5 * lam[k] * (fp[46][k] - fm[46][k]);
+        favg[47][k] = 0.5 * (fm[47][k] + fp[47][k]);
+        ghat[47][k] = -0.5 * lam[k] * (fp[47][k] - fm[47][k]);
+    }
+    for k in 0..L {
+        ghat[0][k] += 0.25 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.25 * alpha[3][k] * favg[3][k];
+        ghat[0][k] += 0.25 * alpha[4][k] * favg[4][k];
+        ghat[0][k] += 0.25 * alpha[10][k] * favg[10][k];
+        ghat[0][k] += 0.25 * alpha[13][k] * favg[13][k];
+        ghat[0][k] += 0.25 * alpha[14][k] * favg[14][k];
+        ghat[0][k] += 0.25 * alpha[27][k] * favg[27][k];
+        ghat[0][k] += 0.25 * alpha[30][k] * favg[30][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.25 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.25 * alpha[3][k] * favg[8][k];
+        ghat[1][k] += 0.25 * alpha[4][k] * favg[11][k];
+        ghat[1][k] += 0.25 * alpha[10][k] * favg[20][k];
+        ghat[1][k] += 0.25 * alpha[13][k] * favg[25][k];
+        ghat[1][k] += 0.25 * alpha[14][k] * favg[28][k];
+        ghat[1][k] += 0.25 * alpha[27][k] * favg[39][k];
+        ghat[1][k] += 0.25 * alpha[30][k] * favg[42][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.25 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.25 * alpha[3][k] * favg[9][k];
+        ghat[2][k] += 0.25 * alpha[4][k] * favg[12][k];
+        ghat[2][k] += 0.25 * alpha[10][k] * favg[21][k];
+        ghat[2][k] += 0.25 * alpha[13][k] * favg[26][k];
+        ghat[2][k] += 0.25 * alpha[14][k] * favg[29][k];
+        ghat[2][k] += 0.25 * alpha[27][k] * favg[40][k];
+        ghat[2][k] += 0.25 * alpha[30][k] * favg[43][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.25 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.25 * alpha[3][k] * favg[0][k];
+        ghat[3][k] += 0.22360679774997896 * alpha[3][k] * favg[10][k];
+        ghat[3][k] += 0.25 * alpha[4][k] * favg[13][k];
+        ghat[3][k] += 0.22360679774997896 * alpha[10][k] * favg[3][k];
+        ghat[3][k] += 0.25 * alpha[13][k] * favg[4][k];
+        ghat[3][k] += 0.223606797749979 * alpha[13][k] * favg[27][k];
+        ghat[3][k] += 0.25 * alpha[14][k] * favg[30][k];
+        ghat[3][k] += 0.223606797749979 * alpha[27][k] * favg[13][k];
+        ghat[3][k] += 0.25 * alpha[30][k] * favg[14][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.25 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.25 * alpha[3][k] * favg[13][k];
+        ghat[4][k] += 0.25 * alpha[4][k] * favg[0][k];
+        ghat[4][k] += 0.22360679774997896 * alpha[4][k] * favg[14][k];
+        ghat[4][k] += 0.25 * alpha[10][k] * favg[27][k];
+        ghat[4][k] += 0.25 * alpha[13][k] * favg[3][k];
+        ghat[4][k] += 0.223606797749979 * alpha[13][k] * favg[30][k];
+        ghat[4][k] += 0.22360679774997896 * alpha[14][k] * favg[4][k];
+        ghat[4][k] += 0.25 * alpha[27][k] * favg[10][k];
+        ghat[4][k] += 0.223606797749979 * alpha[30][k] * favg[13][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.25 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.25 * alpha[3][k] * favg[17][k];
+        ghat[5][k] += 0.25 * alpha[4][k] * favg[22][k];
+        ghat[5][k] += 0.25 * alpha[13][k] * favg[36][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.25 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.25 * alpha[3][k] * favg[18][k];
+        ghat[6][k] += 0.25 * alpha[4][k] * favg[23][k];
+        ghat[6][k] += 0.25 * alpha[10][k] * favg[33][k];
+        ghat[6][k] += 0.25 * alpha[13][k] * favg[37][k];
+        ghat[6][k] += 0.25 * alpha[14][k] * favg[41][k];
+        ghat[6][k] += 0.25 * alpha[27][k] * favg[46][k];
+        ghat[6][k] += 0.25 * alpha[30][k] * favg[47][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.25 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.25 * alpha[3][k] * favg[19][k];
+        ghat[7][k] += 0.25 * alpha[4][k] * favg[24][k];
+        ghat[7][k] += 0.25 * alpha[13][k] * favg[38][k];
+    }
+    for k in 0..L {
+        ghat[8][k] += 0.25 * alpha[0][k] * favg[8][k];
+        ghat[8][k] += 0.25 * alpha[3][k] * favg[1][k];
+        ghat[8][k] += 0.223606797749979 * alpha[3][k] * favg[20][k];
+        ghat[8][k] += 0.25 * alpha[4][k] * favg[25][k];
+        ghat[8][k] += 0.223606797749979 * alpha[10][k] * favg[8][k];
+        ghat[8][k] += 0.25 * alpha[13][k] * favg[11][k];
+        ghat[8][k] += 0.22360679774997896 * alpha[13][k] * favg[39][k];
+        ghat[8][k] += 0.25 * alpha[14][k] * favg[42][k];
+        ghat[8][k] += 0.22360679774997896 * alpha[27][k] * favg[25][k];
+        ghat[8][k] += 0.25 * alpha[30][k] * favg[28][k];
+    }
+    for k in 0..L {
+        ghat[9][k] += 0.25 * alpha[0][k] * favg[9][k];
+        ghat[9][k] += 0.25 * alpha[3][k] * favg[2][k];
+        ghat[9][k] += 0.223606797749979 * alpha[3][k] * favg[21][k];
+        ghat[9][k] += 0.25 * alpha[4][k] * favg[26][k];
+        ghat[9][k] += 0.223606797749979 * alpha[10][k] * favg[9][k];
+        ghat[9][k] += 0.25 * alpha[13][k] * favg[12][k];
+        ghat[9][k] += 0.22360679774997896 * alpha[13][k] * favg[40][k];
+        ghat[9][k] += 0.25 * alpha[14][k] * favg[43][k];
+        ghat[9][k] += 0.22360679774997896 * alpha[27][k] * favg[26][k];
+        ghat[9][k] += 0.25 * alpha[30][k] * favg[29][k];
+    }
+    for k in 0..L {
+        ghat[10][k] += 0.25 * alpha[0][k] * favg[10][k];
+        ghat[10][k] += 0.22360679774997896 * alpha[3][k] * favg[3][k];
+        ghat[10][k] += 0.25 * alpha[4][k] * favg[27][k];
+        ghat[10][k] += 0.25 * alpha[10][k] * favg[0][k];
+        ghat[10][k] += 0.15971914124998499 * alpha[10][k] * favg[10][k];
+        ghat[10][k] += 0.223606797749979 * alpha[13][k] * favg[13][k];
+        ghat[10][k] += 0.25 * alpha[27][k] * favg[4][k];
+        ghat[10][k] += 0.15971914124998499 * alpha[27][k] * favg[27][k];
+        ghat[10][k] += 0.22360679774997896 * alpha[30][k] * favg[30][k];
+    }
+    for k in 0..L {
+        ghat[11][k] += 0.25 * alpha[0][k] * favg[11][k];
+        ghat[11][k] += 0.25 * alpha[3][k] * favg[25][k];
+        ghat[11][k] += 0.25 * alpha[4][k] * favg[1][k];
+        ghat[11][k] += 0.223606797749979 * alpha[4][k] * favg[28][k];
+        ghat[11][k] += 0.25 * alpha[10][k] * favg[39][k];
+        ghat[11][k] += 0.25 * alpha[13][k] * favg[8][k];
+        ghat[11][k] += 0.22360679774997896 * alpha[13][k] * favg[42][k];
+        ghat[11][k] += 0.223606797749979 * alpha[14][k] * favg[11][k];
+        ghat[11][k] += 0.25 * alpha[27][k] * favg[20][k];
+        ghat[11][k] += 0.22360679774997896 * alpha[30][k] * favg[25][k];
+    }
+    for k in 0..L {
+        ghat[12][k] += 0.25 * alpha[0][k] * favg[12][k];
+        ghat[12][k] += 0.25 * alpha[3][k] * favg[26][k];
+        ghat[12][k] += 0.25 * alpha[4][k] * favg[2][k];
+        ghat[12][k] += 0.223606797749979 * alpha[4][k] * favg[29][k];
+        ghat[12][k] += 0.25 * alpha[10][k] * favg[40][k];
+        ghat[12][k] += 0.25 * alpha[13][k] * favg[9][k];
+        ghat[12][k] += 0.22360679774997896 * alpha[13][k] * favg[43][k];
+        ghat[12][k] += 0.223606797749979 * alpha[14][k] * favg[12][k];
+        ghat[12][k] += 0.25 * alpha[27][k] * favg[21][k];
+        ghat[12][k] += 0.22360679774997896 * alpha[30][k] * favg[26][k];
+    }
+    for k in 0..L {
+        ghat[13][k] += 0.25 * alpha[0][k] * favg[13][k];
+        ghat[13][k] += 0.25 * alpha[3][k] * favg[4][k];
+        ghat[13][k] += 0.223606797749979 * alpha[3][k] * favg[27][k];
+        ghat[13][k] += 0.25 * alpha[4][k] * favg[3][k];
+        ghat[13][k] += 0.223606797749979 * alpha[4][k] * favg[30][k];
+        ghat[13][k] += 0.223606797749979 * alpha[10][k] * favg[13][k];
+        ghat[13][k] += 0.25 * alpha[13][k] * favg[0][k];
+        ghat[13][k] += 0.223606797749979 * alpha[13][k] * favg[10][k];
+        ghat[13][k] += 0.223606797749979 * alpha[13][k] * favg[14][k];
+        ghat[13][k] += 0.223606797749979 * alpha[14][k] * favg[13][k];
+        ghat[13][k] += 0.223606797749979 * alpha[27][k] * favg[3][k];
+        ghat[13][k] += 0.2 * alpha[27][k] * favg[30][k];
+        ghat[13][k] += 0.223606797749979 * alpha[30][k] * favg[4][k];
+        ghat[13][k] += 0.2 * alpha[30][k] * favg[27][k];
+    }
+    for k in 0..L {
+        ghat[14][k] += 0.25 * alpha[0][k] * favg[14][k];
+        ghat[14][k] += 0.25 * alpha[3][k] * favg[30][k];
+        ghat[14][k] += 0.22360679774997896 * alpha[4][k] * favg[4][k];
+        ghat[14][k] += 0.223606797749979 * alpha[13][k] * favg[13][k];
+        ghat[14][k] += 0.25 * alpha[14][k] * favg[0][k];
+        ghat[14][k] += 0.15971914124998499 * alpha[14][k] * favg[14][k];
+        ghat[14][k] += 0.22360679774997896 * alpha[27][k] * favg[27][k];
+        ghat[14][k] += 0.25 * alpha[30][k] * favg[3][k];
+        ghat[14][k] += 0.15971914124998499 * alpha[30][k] * favg[30][k];
+    }
+    for k in 0..L {
+        ghat[15][k] += 0.25 * alpha[0][k] * favg[15][k];
+        ghat[15][k] += 0.25 * alpha[3][k] * favg[31][k];
+        ghat[15][k] += 0.25 * alpha[4][k] * favg[34][k];
+        ghat[15][k] += 0.25 * alpha[13][k] * favg[44][k];
+    }
+    for k in 0..L {
+        ghat[16][k] += 0.25 * alpha[0][k] * favg[16][k];
+        ghat[16][k] += 0.25 * alpha[3][k] * favg[32][k];
+        ghat[16][k] += 0.25 * alpha[4][k] * favg[35][k];
+        ghat[16][k] += 0.25 * alpha[13][k] * favg[45][k];
+    }
+    for k in 0..L {
+        ghat[17][k] += 0.25 * alpha[0][k] * favg[17][k];
+        ghat[17][k] += 0.25 * alpha[3][k] * favg[5][k];
+        ghat[17][k] += 0.25 * alpha[4][k] * favg[36][k];
+        ghat[17][k] += 0.22360679774997896 * alpha[10][k] * favg[17][k];
+        ghat[17][k] += 0.25 * alpha[13][k] * favg[22][k];
+        ghat[17][k] += 0.22360679774997896 * alpha[27][k] * favg[36][k];
+    }
+    for k in 0..L {
+        ghat[18][k] += 0.25 * alpha[0][k] * favg[18][k];
+        ghat[18][k] += 0.25 * alpha[3][k] * favg[6][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[3][k] * favg[33][k];
+        ghat[18][k] += 0.25 * alpha[4][k] * favg[37][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[10][k] * favg[18][k];
+        ghat[18][k] += 0.25 * alpha[13][k] * favg[23][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[13][k] * favg[46][k];
+        ghat[18][k] += 0.25 * alpha[14][k] * favg[47][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[27][k] * favg[37][k];
+        ghat[18][k] += 0.25 * alpha[30][k] * favg[41][k];
+    }
+    for k in 0..L {
+        ghat[19][k] += 0.25 * alpha[0][k] * favg[19][k];
+        ghat[19][k] += 0.25 * alpha[3][k] * favg[7][k];
+        ghat[19][k] += 0.25 * alpha[4][k] * favg[38][k];
+        ghat[19][k] += 0.22360679774997896 * alpha[10][k] * favg[19][k];
+        ghat[19][k] += 0.25 * alpha[13][k] * favg[24][k];
+        ghat[19][k] += 0.22360679774997896 * alpha[27][k] * favg[38][k];
+    }
+    for k in 0..L {
+        ghat[20][k] += 0.25 * alpha[0][k] * favg[20][k];
+        ghat[20][k] += 0.223606797749979 * alpha[3][k] * favg[8][k];
+        ghat[20][k] += 0.25 * alpha[4][k] * favg[39][k];
+        ghat[20][k] += 0.25 * alpha[10][k] * favg[1][k];
+        ghat[20][k] += 0.15971914124998499 * alpha[10][k] * favg[20][k];
+        ghat[20][k] += 0.22360679774997896 * alpha[13][k] * favg[25][k];
+        ghat[20][k] += 0.25 * alpha[27][k] * favg[11][k];
+        ghat[20][k] += 0.15971914124998499 * alpha[27][k] * favg[39][k];
+        ghat[20][k] += 0.22360679774997896 * alpha[30][k] * favg[42][k];
+    }
+    for k in 0..L {
+        ghat[21][k] += 0.25 * alpha[0][k] * favg[21][k];
+        ghat[21][k] += 0.223606797749979 * alpha[3][k] * favg[9][k];
+        ghat[21][k] += 0.25 * alpha[4][k] * favg[40][k];
+        ghat[21][k] += 0.25 * alpha[10][k] * favg[2][k];
+        ghat[21][k] += 0.15971914124998499 * alpha[10][k] * favg[21][k];
+        ghat[21][k] += 0.22360679774997896 * alpha[13][k] * favg[26][k];
+        ghat[21][k] += 0.25 * alpha[27][k] * favg[12][k];
+        ghat[21][k] += 0.15971914124998499 * alpha[27][k] * favg[40][k];
+        ghat[21][k] += 0.22360679774997896 * alpha[30][k] * favg[43][k];
+    }
+    for k in 0..L {
+        ghat[22][k] += 0.25 * alpha[0][k] * favg[22][k];
+        ghat[22][k] += 0.25 * alpha[3][k] * favg[36][k];
+        ghat[22][k] += 0.25 * alpha[4][k] * favg[5][k];
+        ghat[22][k] += 0.25 * alpha[13][k] * favg[17][k];
+        ghat[22][k] += 0.22360679774997896 * alpha[14][k] * favg[22][k];
+        ghat[22][k] += 0.22360679774997896 * alpha[30][k] * favg[36][k];
+    }
+    for k in 0..L {
+        ghat[23][k] += 0.25 * alpha[0][k] * favg[23][k];
+        ghat[23][k] += 0.25 * alpha[3][k] * favg[37][k];
+        ghat[23][k] += 0.25 * alpha[4][k] * favg[6][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[4][k] * favg[41][k];
+        ghat[23][k] += 0.25 * alpha[10][k] * favg[46][k];
+        ghat[23][k] += 0.25 * alpha[13][k] * favg[18][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[13][k] * favg[47][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[14][k] * favg[23][k];
+        ghat[23][k] += 0.25 * alpha[27][k] * favg[33][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[30][k] * favg[37][k];
+    }
+    for k in 0..L {
+        ghat[24][k] += 0.25 * alpha[0][k] * favg[24][k];
+        ghat[24][k] += 0.25 * alpha[3][k] * favg[38][k];
+        ghat[24][k] += 0.25 * alpha[4][k] * favg[7][k];
+        ghat[24][k] += 0.25 * alpha[13][k] * favg[19][k];
+        ghat[24][k] += 0.22360679774997896 * alpha[14][k] * favg[24][k];
+        ghat[24][k] += 0.22360679774997896 * alpha[30][k] * favg[38][k];
+    }
+    for k in 0..L {
+        ghat[25][k] += 0.25 * alpha[0][k] * favg[25][k];
+        ghat[25][k] += 0.25 * alpha[3][k] * favg[11][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[3][k] * favg[39][k];
+        ghat[25][k] += 0.25 * alpha[4][k] * favg[8][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[4][k] * favg[42][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[10][k] * favg[25][k];
+        ghat[25][k] += 0.25 * alpha[13][k] * favg[1][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[13][k] * favg[20][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[13][k] * favg[28][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[14][k] * favg[25][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[27][k] * favg[8][k];
+        ghat[25][k] += 0.19999999999999998 * alpha[27][k] * favg[42][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[30][k] * favg[11][k];
+        ghat[25][k] += 0.19999999999999998 * alpha[30][k] * favg[39][k];
+    }
+    for k in 0..L {
+        ghat[26][k] += 0.25 * alpha[0][k] * favg[26][k];
+        ghat[26][k] += 0.25 * alpha[3][k] * favg[12][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[3][k] * favg[40][k];
+        ghat[26][k] += 0.25 * alpha[4][k] * favg[9][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[4][k] * favg[43][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[10][k] * favg[26][k];
+        ghat[26][k] += 0.25 * alpha[13][k] * favg[2][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[13][k] * favg[21][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[13][k] * favg[29][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[14][k] * favg[26][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[27][k] * favg[9][k];
+        ghat[26][k] += 0.19999999999999998 * alpha[27][k] * favg[43][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[30][k] * favg[12][k];
+        ghat[26][k] += 0.19999999999999998 * alpha[30][k] * favg[40][k];
+    }
+    for k in 0..L {
+        ghat[27][k] += 0.25 * alpha[0][k] * favg[27][k];
+        ghat[27][k] += 0.223606797749979 * alpha[3][k] * favg[13][k];
+        ghat[27][k] += 0.25 * alpha[4][k] * favg[10][k];
+        ghat[27][k] += 0.25 * alpha[10][k] * favg[4][k];
+        ghat[27][k] += 0.15971914124998499 * alpha[10][k] * favg[27][k];
+        ghat[27][k] += 0.223606797749979 * alpha[13][k] * favg[3][k];
+        ghat[27][k] += 0.2 * alpha[13][k] * favg[30][k];
+        ghat[27][k] += 0.22360679774997896 * alpha[14][k] * favg[27][k];
+        ghat[27][k] += 0.25 * alpha[27][k] * favg[0][k];
+        ghat[27][k] += 0.15971914124998499 * alpha[27][k] * favg[10][k];
+        ghat[27][k] += 0.22360679774997896 * alpha[27][k] * favg[14][k];
+        ghat[27][k] += 0.2 * alpha[30][k] * favg[13][k];
+    }
+    for k in 0..L {
+        ghat[28][k] += 0.25 * alpha[0][k] * favg[28][k];
+        ghat[28][k] += 0.25 * alpha[3][k] * favg[42][k];
+        ghat[28][k] += 0.223606797749979 * alpha[4][k] * favg[11][k];
+        ghat[28][k] += 0.22360679774997896 * alpha[13][k] * favg[25][k];
+        ghat[28][k] += 0.25 * alpha[14][k] * favg[1][k];
+        ghat[28][k] += 0.15971914124998499 * alpha[14][k] * favg[28][k];
+        ghat[28][k] += 0.22360679774997896 * alpha[27][k] * favg[39][k];
+        ghat[28][k] += 0.25 * alpha[30][k] * favg[8][k];
+        ghat[28][k] += 0.15971914124998499 * alpha[30][k] * favg[42][k];
+    }
+    for k in 0..L {
+        ghat[29][k] += 0.25 * alpha[0][k] * favg[29][k];
+        ghat[29][k] += 0.25 * alpha[3][k] * favg[43][k];
+        ghat[29][k] += 0.223606797749979 * alpha[4][k] * favg[12][k];
+        ghat[29][k] += 0.22360679774997896 * alpha[13][k] * favg[26][k];
+        ghat[29][k] += 0.25 * alpha[14][k] * favg[2][k];
+        ghat[29][k] += 0.15971914124998499 * alpha[14][k] * favg[29][k];
+        ghat[29][k] += 0.22360679774997896 * alpha[27][k] * favg[40][k];
+        ghat[29][k] += 0.25 * alpha[30][k] * favg[9][k];
+        ghat[29][k] += 0.15971914124998499 * alpha[30][k] * favg[43][k];
+    }
+    for k in 0..L {
+        ghat[30][k] += 0.25 * alpha[0][k] * favg[30][k];
+        ghat[30][k] += 0.25 * alpha[3][k] * favg[14][k];
+        ghat[30][k] += 0.223606797749979 * alpha[4][k] * favg[13][k];
+        ghat[30][k] += 0.22360679774997896 * alpha[10][k] * favg[30][k];
+        ghat[30][k] += 0.223606797749979 * alpha[13][k] * favg[4][k];
+        ghat[30][k] += 0.2 * alpha[13][k] * favg[27][k];
+        ghat[30][k] += 0.25 * alpha[14][k] * favg[3][k];
+        ghat[30][k] += 0.15971914124998499 * alpha[14][k] * favg[30][k];
+        ghat[30][k] += 0.2 * alpha[27][k] * favg[13][k];
+        ghat[30][k] += 0.25 * alpha[30][k] * favg[0][k];
+        ghat[30][k] += 0.22360679774997896 * alpha[30][k] * favg[10][k];
+        ghat[30][k] += 0.15971914124998499 * alpha[30][k] * favg[14][k];
+    }
+    for k in 0..L {
+        ghat[31][k] += 0.25 * alpha[0][k] * favg[31][k];
+        ghat[31][k] += 0.25 * alpha[3][k] * favg[15][k];
+        ghat[31][k] += 0.25 * alpha[4][k] * favg[44][k];
+        ghat[31][k] += 0.22360679774997896 * alpha[10][k] * favg[31][k];
+        ghat[31][k] += 0.25 * alpha[13][k] * favg[34][k];
+        ghat[31][k] += 0.22360679774997896 * alpha[27][k] * favg[44][k];
+    }
+    for k in 0..L {
+        ghat[32][k] += 0.25 * alpha[0][k] * favg[32][k];
+        ghat[32][k] += 0.25 * alpha[3][k] * favg[16][k];
+        ghat[32][k] += 0.25 * alpha[4][k] * favg[45][k];
+        ghat[32][k] += 0.22360679774997896 * alpha[10][k] * favg[32][k];
+        ghat[32][k] += 0.25 * alpha[13][k] * favg[35][k];
+        ghat[32][k] += 0.22360679774997896 * alpha[27][k] * favg[45][k];
+    }
+    for k in 0..L {
+        ghat[33][k] += 0.25 * alpha[0][k] * favg[33][k];
+        ghat[33][k] += 0.22360679774997896 * alpha[3][k] * favg[18][k];
+        ghat[33][k] += 0.25 * alpha[4][k] * favg[46][k];
+        ghat[33][k] += 0.25 * alpha[10][k] * favg[6][k];
+        ghat[33][k] += 0.15971914124998499 * alpha[10][k] * favg[33][k];
+        ghat[33][k] += 0.22360679774997896 * alpha[13][k] * favg[37][k];
+        ghat[33][k] += 0.25 * alpha[27][k] * favg[23][k];
+        ghat[33][k] += 0.15971914124998499 * alpha[27][k] * favg[46][k];
+        ghat[33][k] += 0.22360679774997896 * alpha[30][k] * favg[47][k];
+    }
+    for k in 0..L {
+        ghat[34][k] += 0.25 * alpha[0][k] * favg[34][k];
+        ghat[34][k] += 0.25 * alpha[3][k] * favg[44][k];
+        ghat[34][k] += 0.25 * alpha[4][k] * favg[15][k];
+        ghat[34][k] += 0.25 * alpha[13][k] * favg[31][k];
+        ghat[34][k] += 0.22360679774997896 * alpha[14][k] * favg[34][k];
+        ghat[34][k] += 0.22360679774997896 * alpha[30][k] * favg[44][k];
+    }
+    for k in 0..L {
+        ghat[35][k] += 0.25 * alpha[0][k] * favg[35][k];
+        ghat[35][k] += 0.25 * alpha[3][k] * favg[45][k];
+        ghat[35][k] += 0.25 * alpha[4][k] * favg[16][k];
+        ghat[35][k] += 0.25 * alpha[13][k] * favg[32][k];
+        ghat[35][k] += 0.22360679774997896 * alpha[14][k] * favg[35][k];
+        ghat[35][k] += 0.22360679774997896 * alpha[30][k] * favg[45][k];
+    }
+    for k in 0..L {
+        ghat[36][k] += 0.25 * alpha[0][k] * favg[36][k];
+        ghat[36][k] += 0.25 * alpha[3][k] * favg[22][k];
+        ghat[36][k] += 0.25 * alpha[4][k] * favg[17][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[10][k] * favg[36][k];
+        ghat[36][k] += 0.25 * alpha[13][k] * favg[5][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[14][k] * favg[36][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[27][k] * favg[17][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[30][k] * favg[22][k];
+    }
+    for k in 0..L {
+        ghat[37][k] += 0.25 * alpha[0][k] * favg[37][k];
+        ghat[37][k] += 0.25 * alpha[3][k] * favg[23][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[3][k] * favg[46][k];
+        ghat[37][k] += 0.25 * alpha[4][k] * favg[18][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[4][k] * favg[47][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[10][k] * favg[37][k];
+        ghat[37][k] += 0.25 * alpha[13][k] * favg[6][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[13][k] * favg[33][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[13][k] * favg[41][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[14][k] * favg[37][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[27][k] * favg[18][k];
+        ghat[37][k] += 0.2 * alpha[27][k] * favg[47][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[30][k] * favg[23][k];
+        ghat[37][k] += 0.2 * alpha[30][k] * favg[46][k];
+    }
+    for k in 0..L {
+        ghat[38][k] += 0.25 * alpha[0][k] * favg[38][k];
+        ghat[38][k] += 0.25 * alpha[3][k] * favg[24][k];
+        ghat[38][k] += 0.25 * alpha[4][k] * favg[19][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[10][k] * favg[38][k];
+        ghat[38][k] += 0.25 * alpha[13][k] * favg[7][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[14][k] * favg[38][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[27][k] * favg[19][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[30][k] * favg[24][k];
+    }
+    for k in 0..L {
+        ghat[39][k] += 0.25 * alpha[0][k] * favg[39][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[3][k] * favg[25][k];
+        ghat[39][k] += 0.25 * alpha[4][k] * favg[20][k];
+        ghat[39][k] += 0.25 * alpha[10][k] * favg[11][k];
+        ghat[39][k] += 0.15971914124998499 * alpha[10][k] * favg[39][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[13][k] * favg[8][k];
+        ghat[39][k] += 0.19999999999999998 * alpha[13][k] * favg[42][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[14][k] * favg[39][k];
+        ghat[39][k] += 0.25 * alpha[27][k] * favg[1][k];
+        ghat[39][k] += 0.15971914124998499 * alpha[27][k] * favg[20][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[27][k] * favg[28][k];
+        ghat[39][k] += 0.19999999999999998 * alpha[30][k] * favg[25][k];
+    }
+    for k in 0..L {
+        ghat[40][k] += 0.25 * alpha[0][k] * favg[40][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[3][k] * favg[26][k];
+        ghat[40][k] += 0.25 * alpha[4][k] * favg[21][k];
+        ghat[40][k] += 0.25 * alpha[10][k] * favg[12][k];
+        ghat[40][k] += 0.15971914124998499 * alpha[10][k] * favg[40][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[13][k] * favg[9][k];
+        ghat[40][k] += 0.19999999999999998 * alpha[13][k] * favg[43][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[14][k] * favg[40][k];
+        ghat[40][k] += 0.25 * alpha[27][k] * favg[2][k];
+        ghat[40][k] += 0.15971914124998499 * alpha[27][k] * favg[21][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[27][k] * favg[29][k];
+        ghat[40][k] += 0.19999999999999998 * alpha[30][k] * favg[26][k];
+    }
+    for k in 0..L {
+        ghat[41][k] += 0.25 * alpha[0][k] * favg[41][k];
+        ghat[41][k] += 0.25 * alpha[3][k] * favg[47][k];
+        ghat[41][k] += 0.22360679774997896 * alpha[4][k] * favg[23][k];
+        ghat[41][k] += 0.22360679774997896 * alpha[13][k] * favg[37][k];
+        ghat[41][k] += 0.25 * alpha[14][k] * favg[6][k];
+        ghat[41][k] += 0.15971914124998499 * alpha[14][k] * favg[41][k];
+        ghat[41][k] += 0.22360679774997896 * alpha[27][k] * favg[46][k];
+        ghat[41][k] += 0.25 * alpha[30][k] * favg[18][k];
+        ghat[41][k] += 0.15971914124998499 * alpha[30][k] * favg[47][k];
+    }
+    for k in 0..L {
+        ghat[42][k] += 0.25 * alpha[0][k] * favg[42][k];
+        ghat[42][k] += 0.25 * alpha[3][k] * favg[28][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[4][k] * favg[25][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[10][k] * favg[42][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[13][k] * favg[11][k];
+        ghat[42][k] += 0.19999999999999998 * alpha[13][k] * favg[39][k];
+        ghat[42][k] += 0.25 * alpha[14][k] * favg[8][k];
+        ghat[42][k] += 0.15971914124998499 * alpha[14][k] * favg[42][k];
+        ghat[42][k] += 0.19999999999999998 * alpha[27][k] * favg[25][k];
+        ghat[42][k] += 0.25 * alpha[30][k] * favg[1][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[30][k] * favg[20][k];
+        ghat[42][k] += 0.15971914124998499 * alpha[30][k] * favg[28][k];
+    }
+    for k in 0..L {
+        ghat[43][k] += 0.25 * alpha[0][k] * favg[43][k];
+        ghat[43][k] += 0.25 * alpha[3][k] * favg[29][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[4][k] * favg[26][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[10][k] * favg[43][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[13][k] * favg[12][k];
+        ghat[43][k] += 0.19999999999999998 * alpha[13][k] * favg[40][k];
+        ghat[43][k] += 0.25 * alpha[14][k] * favg[9][k];
+        ghat[43][k] += 0.15971914124998499 * alpha[14][k] * favg[43][k];
+        ghat[43][k] += 0.19999999999999998 * alpha[27][k] * favg[26][k];
+        ghat[43][k] += 0.25 * alpha[30][k] * favg[2][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[30][k] * favg[21][k];
+        ghat[43][k] += 0.15971914124998499 * alpha[30][k] * favg[29][k];
+    }
+    for k in 0..L {
+        ghat[44][k] += 0.25 * alpha[0][k] * favg[44][k];
+        ghat[44][k] += 0.25 * alpha[3][k] * favg[34][k];
+        ghat[44][k] += 0.25 * alpha[4][k] * favg[31][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[10][k] * favg[44][k];
+        ghat[44][k] += 0.25 * alpha[13][k] * favg[15][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[14][k] * favg[44][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[27][k] * favg[31][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[30][k] * favg[34][k];
+    }
+    for k in 0..L {
+        ghat[45][k] += 0.25 * alpha[0][k] * favg[45][k];
+        ghat[45][k] += 0.25 * alpha[3][k] * favg[35][k];
+        ghat[45][k] += 0.25 * alpha[4][k] * favg[32][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[10][k] * favg[45][k];
+        ghat[45][k] += 0.25 * alpha[13][k] * favg[16][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[14][k] * favg[45][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[27][k] * favg[32][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[30][k] * favg[35][k];
+    }
+    for k in 0..L {
+        ghat[46][k] += 0.25 * alpha[0][k] * favg[46][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[3][k] * favg[37][k];
+        ghat[46][k] += 0.25 * alpha[4][k] * favg[33][k];
+        ghat[46][k] += 0.25 * alpha[10][k] * favg[23][k];
+        ghat[46][k] += 0.15971914124998499 * alpha[10][k] * favg[46][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[13][k] * favg[18][k];
+        ghat[46][k] += 0.2 * alpha[13][k] * favg[47][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[14][k] * favg[46][k];
+        ghat[46][k] += 0.25 * alpha[27][k] * favg[6][k];
+        ghat[46][k] += 0.15971914124998499 * alpha[27][k] * favg[33][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[27][k] * favg[41][k];
+        ghat[46][k] += 0.2 * alpha[30][k] * favg[37][k];
+    }
+    for k in 0..L {
+        ghat[47][k] += 0.25 * alpha[0][k] * favg[47][k];
+        ghat[47][k] += 0.25 * alpha[3][k] * favg[41][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[4][k] * favg[37][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[10][k] * favg[47][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[13][k] * favg[23][k];
+        ghat[47][k] += 0.2 * alpha[13][k] * favg[46][k];
+        ghat[47][k] += 0.25 * alpha[14][k] * favg[18][k];
+        ghat[47][k] += 0.15971914124998499 * alpha[14][k] * favg[47][k];
+        ghat[47][k] += 0.2 * alpha[27][k] * favg[37][k];
+        ghat[47][k] += 0.25 * alpha[30][k] * favg[6][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[30][k] * favg[33][k];
+        ghat[47][k] += 0.15971914124998499 * alpha[30][k] * favg[41][k];
+    }
+    sxn(&mut out_lo[0], -scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[2], -scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[3], -scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], -scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], -scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], -scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_lo[7], -scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[8], -scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[9], -scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[10], -scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[11], -scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[12], -scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[13], -scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[14], -scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[15], -scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[16], -scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[17], -scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[18], -scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[19], -scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[20], -scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[21], -scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_lo[22], -scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[23], -scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_lo[24], -scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[25], -scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[26], -scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[27], -scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_lo[28], -scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_lo[29], -scale * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[30], -scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_lo[31], -scale * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[32], -scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_lo[33], -scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_lo[34], -scale * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[35], -scale * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_lo[36], -scale * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_lo[37], -scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_lo[38], -scale * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[39], -scale * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_lo[40], -scale * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[41], -scale * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_lo[42], -scale * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_lo[43], -scale * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[44], -scale * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_lo[45], -scale * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_lo[46], -scale * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_lo[47], -scale * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[48], -scale * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_lo[49], -scale * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_lo[50], -scale * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_lo[51], -scale * 1.5811388300841898, &ghat[6]);
+    sxn(&mut out_lo[52], -scale * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_lo[53], -scale * 1.224744871391589, &ghat[16]);
+    sxn(&mut out_lo[54], -scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_lo[55], -scale * 1.224744871391589, &ghat[17]);
+    sxn(&mut out_lo[56], -scale * 1.5811388300841898, &ghat[9]);
+    sxn(&mut out_lo[57], -scale * 1.224744871391589, &ghat[18]);
+    sxn(&mut out_lo[58], -scale * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_lo[59], -scale * 1.224744871391589, &ghat[19]);
+    sxn(&mut out_lo[60], -scale * 0.7071067811865476, &ghat[32]);
+    sxn(&mut out_lo[61], -scale * 1.224744871391589, &ghat[20]);
+    sxn(&mut out_lo[62], -scale * 1.224744871391589, &ghat[21]);
+    sxn(&mut out_lo[63], -scale * 0.7071067811865476, &ghat[33]);
+    sxn(&mut out_lo[64], -scale * 1.5811388300841898, &ghat[11]);
+    sxn(&mut out_lo[65], -scale * 1.224744871391589, &ghat[22]);
+    sxn(&mut out_lo[66], -scale * 1.5811388300841898, &ghat[12]);
+    sxn(&mut out_lo[67], -scale * 1.224744871391589, &ghat[23]);
+    sxn(&mut out_lo[68], -scale * 0.7071067811865476, &ghat[34]);
+    sxn(&mut out_lo[69], -scale * 1.224744871391589, &ghat[24]);
+    sxn(&mut out_lo[70], -scale * 0.7071067811865476, &ghat[35]);
+    sxn(&mut out_lo[71], -scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_lo[72], -scale * 1.224744871391589, &ghat[25]);
+    sxn(&mut out_lo[73], -scale * 0.7071067811865476, &ghat[36]);
+    sxn(&mut out_lo[74], -scale * 1.224744871391589, &ghat[26]);
+    sxn(&mut out_lo[75], -scale * 0.7071067811865476, &ghat[37]);
+    sxn(&mut out_lo[76], -scale * 0.7071067811865476, &ghat[38]);
+    sxn(&mut out_lo[77], -scale * 1.224744871391589, &ghat[27]);
+    sxn(&mut out_lo[78], -scale * 0.7071067811865476, &ghat[39]);
+    sxn(&mut out_lo[79], -scale * 0.7071067811865476, &ghat[40]);
+    sxn(&mut out_lo[80], -scale * 1.224744871391589, &ghat[28]);
+    sxn(&mut out_lo[81], -scale * 1.224744871391589, &ghat[29]);
+    sxn(&mut out_lo[82], -scale * 0.7071067811865476, &ghat[41]);
+    sxn(&mut out_lo[83], -scale * 1.224744871391589, &ghat[30]);
+    sxn(&mut out_lo[84], -scale * 0.7071067811865476, &ghat[42]);
+    sxn(&mut out_lo[85], -scale * 0.7071067811865476, &ghat[43]);
+    sxn(&mut out_lo[86], -scale * 1.5811388300841898, &ghat[18]);
+    sxn(&mut out_lo[87], -scale * 1.224744871391589, &ghat[31]);
+    sxn(&mut out_lo[88], -scale * 1.224744871391589, &ghat[32]);
+    sxn(&mut out_lo[89], -scale * 1.224744871391589, &ghat[33]);
+    sxn(&mut out_lo[90], -scale * 1.5811388300841898, &ghat[23]);
+    sxn(&mut out_lo[91], -scale * 1.224744871391589, &ghat[34]);
+    sxn(&mut out_lo[92], -scale * 1.224744871391589, &ghat[35]);
+    sxn(&mut out_lo[93], -scale * 1.5811388300841898, &ghat[25]);
+    sxn(&mut out_lo[94], -scale * 1.224744871391589, &ghat[36]);
+    sxn(&mut out_lo[95], -scale * 1.5811388300841898, &ghat[26]);
+    sxn(&mut out_lo[96], -scale * 1.224744871391589, &ghat[37]);
+    sxn(&mut out_lo[97], -scale * 0.7071067811865476, &ghat[44]);
+    sxn(&mut out_lo[98], -scale * 1.224744871391589, &ghat[38]);
+    sxn(&mut out_lo[99], -scale * 0.7071067811865476, &ghat[45]);
+    sxn(&mut out_lo[100], -scale * 1.224744871391589, &ghat[39]);
+    sxn(&mut out_lo[101], -scale * 1.224744871391589, &ghat[40]);
+    sxn(&mut out_lo[102], -scale * 0.7071067811865476, &ghat[46]);
+    sxn(&mut out_lo[103], -scale * 1.224744871391589, &ghat[41]);
+    sxn(&mut out_lo[104], -scale * 1.224744871391589, &ghat[42]);
+    sxn(&mut out_lo[105], -scale * 1.224744871391589, &ghat[43]);
+    sxn(&mut out_lo[106], -scale * 0.7071067811865476, &ghat[47]);
+    sxn(&mut out_lo[107], -scale * 1.5811388300841898, &ghat[37]);
+    sxn(&mut out_lo[108], -scale * 1.224744871391589, &ghat[44]);
+    sxn(&mut out_lo[109], -scale * 1.224744871391589, &ghat[45]);
+    sxn(&mut out_lo[110], -scale * 1.224744871391589, &ghat[46]);
+    sxn(&mut out_lo[111], -scale * 1.224744871391589, &ghat[47]);
+    sxn(&mut out_hi[0], scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[2], scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[3], scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_hi[7], scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[8], scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[9], scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[10], scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[11], scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[12], scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[13], scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[14], scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[15], scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[16], scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[17], scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[18], scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[19], scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[20], scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[21], scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_hi[22], scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[23], scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_hi[24], scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[25], scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[26], scale * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[27], scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_hi[28], scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_hi[29], scale * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[30], scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_hi[31], scale * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[32], scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_hi[33], scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_hi[34], scale * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[35], scale * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_hi[36], scale * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_hi[37], scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_hi[38], scale * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[39], scale * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_hi[40], scale * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[41], scale * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_hi[42], scale * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_hi[43], scale * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[44], scale * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_hi[45], scale * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_hi[46], scale * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_hi[47], scale * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[48], scale * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_hi[49], scale * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_hi[50], scale * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_hi[51], scale * 1.5811388300841898, &ghat[6]);
+    sxn(&mut out_hi[52], scale * -1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[53], scale * -1.224744871391589, &ghat[16]);
+    sxn(&mut out_hi[54], scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_hi[55], scale * -1.224744871391589, &ghat[17]);
+    sxn(&mut out_hi[56], scale * 1.5811388300841898, &ghat[9]);
+    sxn(&mut out_hi[57], scale * -1.224744871391589, &ghat[18]);
+    sxn(&mut out_hi[58], scale * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_hi[59], scale * -1.224744871391589, &ghat[19]);
+    sxn(&mut out_hi[60], scale * 0.7071067811865476, &ghat[32]);
+    sxn(&mut out_hi[61], scale * -1.224744871391589, &ghat[20]);
+    sxn(&mut out_hi[62], scale * -1.224744871391589, &ghat[21]);
+    sxn(&mut out_hi[63], scale * 0.7071067811865476, &ghat[33]);
+    sxn(&mut out_hi[64], scale * 1.5811388300841898, &ghat[11]);
+    sxn(&mut out_hi[65], scale * -1.224744871391589, &ghat[22]);
+    sxn(&mut out_hi[66], scale * 1.5811388300841898, &ghat[12]);
+    sxn(&mut out_hi[67], scale * -1.224744871391589, &ghat[23]);
+    sxn(&mut out_hi[68], scale * 0.7071067811865476, &ghat[34]);
+    sxn(&mut out_hi[69], scale * -1.224744871391589, &ghat[24]);
+    sxn(&mut out_hi[70], scale * 0.7071067811865476, &ghat[35]);
+    sxn(&mut out_hi[71], scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_hi[72], scale * -1.224744871391589, &ghat[25]);
+    sxn(&mut out_hi[73], scale * 0.7071067811865476, &ghat[36]);
+    sxn(&mut out_hi[74], scale * -1.224744871391589, &ghat[26]);
+    sxn(&mut out_hi[75], scale * 0.7071067811865476, &ghat[37]);
+    sxn(&mut out_hi[76], scale * 0.7071067811865476, &ghat[38]);
+    sxn(&mut out_hi[77], scale * -1.224744871391589, &ghat[27]);
+    sxn(&mut out_hi[78], scale * 0.7071067811865476, &ghat[39]);
+    sxn(&mut out_hi[79], scale * 0.7071067811865476, &ghat[40]);
+    sxn(&mut out_hi[80], scale * -1.224744871391589, &ghat[28]);
+    sxn(&mut out_hi[81], scale * -1.224744871391589, &ghat[29]);
+    sxn(&mut out_hi[82], scale * 0.7071067811865476, &ghat[41]);
+    sxn(&mut out_hi[83], scale * -1.224744871391589, &ghat[30]);
+    sxn(&mut out_hi[84], scale * 0.7071067811865476, &ghat[42]);
+    sxn(&mut out_hi[85], scale * 0.7071067811865476, &ghat[43]);
+    sxn(&mut out_hi[86], scale * 1.5811388300841898, &ghat[18]);
+    sxn(&mut out_hi[87], scale * -1.224744871391589, &ghat[31]);
+    sxn(&mut out_hi[88], scale * -1.224744871391589, &ghat[32]);
+    sxn(&mut out_hi[89], scale * -1.224744871391589, &ghat[33]);
+    sxn(&mut out_hi[90], scale * 1.5811388300841898, &ghat[23]);
+    sxn(&mut out_hi[91], scale * -1.224744871391589, &ghat[34]);
+    sxn(&mut out_hi[92], scale * -1.224744871391589, &ghat[35]);
+    sxn(&mut out_hi[93], scale * 1.5811388300841898, &ghat[25]);
+    sxn(&mut out_hi[94], scale * -1.224744871391589, &ghat[36]);
+    sxn(&mut out_hi[95], scale * 1.5811388300841898, &ghat[26]);
+    sxn(&mut out_hi[96], scale * -1.224744871391589, &ghat[37]);
+    sxn(&mut out_hi[97], scale * 0.7071067811865476, &ghat[44]);
+    sxn(&mut out_hi[98], scale * -1.224744871391589, &ghat[38]);
+    sxn(&mut out_hi[99], scale * 0.7071067811865476, &ghat[45]);
+    sxn(&mut out_hi[100], scale * -1.224744871391589, &ghat[39]);
+    sxn(&mut out_hi[101], scale * -1.224744871391589, &ghat[40]);
+    sxn(&mut out_hi[102], scale * 0.7071067811865476, &ghat[46]);
+    sxn(&mut out_hi[103], scale * -1.224744871391589, &ghat[41]);
+    sxn(&mut out_hi[104], scale * -1.224744871391589, &ghat[42]);
+    sxn(&mut out_hi[105], scale * -1.224744871391589, &ghat[43]);
+    sxn(&mut out_hi[106], scale * 0.7071067811865476, &ghat[47]);
+    sxn(&mut out_hi[107], scale * 1.5811388300841898, &ghat[37]);
+    sxn(&mut out_hi[108], scale * -1.224744871391589, &ghat[44]);
+    sxn(&mut out_hi[109], scale * -1.224744871391589, &ghat[45]);
+    sxn(&mut out_hi[110], scale * -1.224744871391589, &ghat[46]);
+    sxn(&mut out_hi[111], scale * -1.224744871391589, &ghat[47]);
 }
 
 /// LDG gradient in v2 for one cell: volume gradient-mass plus the
@@ -9185,1252 +10683,1444 @@ pub fn lbo_2x3v_p2_ser_drag_surf_v2(nu: f64, vstar: f64, dv: f64, u: &[f64], f_l
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p2_ser_diff_grad_v2(dv: f64, at_upper: bool, f: &[f64], f_up: &[f64], g: &mut [f64]) {
+    lbo_2x3v_p2_ser_diff_grad_v2_body::<1>(dv, at_upper, f.as_chunks().0, f_up.as_chunks().0, g.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p2_ser_diff_grad_v2`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_diff_grad_v2_b4(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_diff_grad_v2_body(dv, at_upper, f, f_up, g)
+}
+
+/// [`lbo_2x3v_p2_ser_diff_grad_v2_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_diff_grad_v2_b4_avx2(dv: f64, at_upper: bool, f: &[[f64; LANES]], f_up: &[[f64; LANES]], g: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_diff_grad_v2_body(dv, at_upper, f, f_up, g)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p2_ser_diff_grad_v2`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p2_ser_diff_grad_v2_body<const L: usize>(dv: f64, at_upper: bool, f: &[[f64; L]], f_up: &[[f64; L]], g: &mut [[f64; L]]) {
+    let f: &[[f64; L]; 112] = f.first_chunk().expect("f: 112 coefficients");
+    let f_up: &[[f64; L]; 112] = f_up.first_chunk().expect("f_up: 112 coefficients");
+    let g: &mut [[f64; L]; 112] = g.first_chunk_mut().expect("g: 112 coefficients");
     let scale = 2.0 / dv;
-    g[1] += -scale * 1.7320508075688772 * f[0];
-    g[6] += -scale * 3.872983346207417 * f[1];
-    g[7] += -scale * 1.7320508075688772 * f[2];
-    g[9] += -scale * 1.7320508075688772 * f[3];
-    g[12] += -scale * 1.7320508075688772 * f[4];
-    g[16] += -scale * 1.7320508075688772 * f[5];
-    g[21] += -scale * 3.872983346207417 * f[7];
-    g[22] += -scale * 1.7320508075688772 * f[8];
-    g[23] += -scale * 3.872983346207417 * f[9];
-    g[24] += -scale * 1.7320508075688772 * f[10];
-    g[26] += -scale * 1.7320508075688772 * f[11];
-    g[28] += -scale * 3.872983346207417 * f[12];
-    g[29] += -scale * 1.7320508075688772 * f[13];
-    g[31] += -scale * 1.7320508075688772 * f[14];
-    g[34] += -scale * 1.7320508075688772 * f[15];
-    g[37] += -scale * 3.872983346207417 * f[16];
-    g[38] += -scale * 1.7320508075688772 * f[17];
-    g[40] += -scale * 1.7320508075688772 * f[18];
-    g[43] += -scale * 1.7320508075688772 * f[19];
-    g[47] += -scale * 1.7320508075688772 * f[20];
-    g[51] += -scale * 3.872983346207417 * f[24];
-    g[52] += -scale * 1.7320508075688772 * f[25];
-    g[53] += -scale * 1.7320508075688772 * f[27];
-    g[54] += -scale * 3.872983346207417 * f[29];
-    g[55] += -scale * 1.7320508075688772 * f[30];
-    g[56] += -scale * 3.872983346207417 * f[31];
-    g[57] += -scale * 1.7320508075688772 * f[32];
-    g[59] += -scale * 1.7320508075688772 * f[33];
-    g[61] += -scale * 1.7320508075688772 * f[35];
-    g[62] += -scale * 1.7320508075688772 * f[36];
-    g[64] += -scale * 3.872983346207417 * f[38];
-    g[65] += -scale * 1.7320508075688772 * f[39];
-    g[66] += -scale * 3.872983346207417 * f[40];
-    g[67] += -scale * 1.7320508075688772 * f[41];
-    g[69] += -scale * 1.7320508075688772 * f[42];
-    g[71] += -scale * 3.872983346207417 * f[43];
-    g[72] += -scale * 1.7320508075688772 * f[44];
-    g[74] += -scale * 1.7320508075688772 * f[45];
-    g[77] += -scale * 1.7320508075688772 * f[46];
-    g[80] += -scale * 1.7320508075688772 * f[48];
-    g[81] += -scale * 1.7320508075688772 * f[49];
-    g[83] += -scale * 1.7320508075688772 * f[50];
-    g[86] += -scale * 3.872983346207417 * f[57];
-    g[87] += -scale * 1.7320508075688772 * f[58];
-    g[88] += -scale * 1.7320508075688772 * f[60];
-    g[89] += -scale * 1.7320508075688772 * f[63];
-    g[90] += -scale * 3.872983346207417 * f[67];
-    g[91] += -scale * 1.7320508075688772 * f[68];
-    g[92] += -scale * 1.7320508075688772 * f[70];
-    g[93] += -scale * 3.872983346207417 * f[72];
-    g[94] += -scale * 1.7320508075688772 * f[73];
-    g[95] += -scale * 3.872983346207417 * f[74];
-    g[96] += -scale * 1.7320508075688772 * f[75];
-    g[98] += -scale * 1.7320508075688772 * f[76];
-    g[100] += -scale * 1.7320508075688772 * f[78];
-    g[101] += -scale * 1.7320508075688772 * f[79];
-    g[103] += -scale * 1.7320508075688772 * f[82];
-    g[104] += -scale * 1.7320508075688772 * f[84];
-    g[105] += -scale * 1.7320508075688772 * f[85];
-    g[107] += -scale * 3.872983346207417 * f[96];
-    g[108] += -scale * 1.7320508075688772 * f[97];
-    g[109] += -scale * 1.7320508075688772 * f[99];
-    g[110] += -scale * 1.7320508075688772 * f[102];
-    g[111] += -scale * 1.7320508075688772 * f[106];
-    let mut tr = [0.0f64; 48];
+    sxn(&mut g[1], -scale * 1.7320508075688772, &f[0]);
+    sxn(&mut g[6], -scale * 3.872983346207417, &f[1]);
+    sxn(&mut g[7], -scale * 1.7320508075688772, &f[2]);
+    sxn(&mut g[9], -scale * 1.7320508075688772, &f[3]);
+    sxn(&mut g[12], -scale * 1.7320508075688772, &f[4]);
+    sxn(&mut g[16], -scale * 1.7320508075688772, &f[5]);
+    sxn(&mut g[21], -scale * 3.872983346207417, &f[7]);
+    sxn(&mut g[22], -scale * 1.7320508075688772, &f[8]);
+    sxn(&mut g[23], -scale * 3.872983346207417, &f[9]);
+    sxn(&mut g[24], -scale * 1.7320508075688772, &f[10]);
+    sxn(&mut g[26], -scale * 1.7320508075688772, &f[11]);
+    sxn(&mut g[28], -scale * 3.872983346207417, &f[12]);
+    sxn(&mut g[29], -scale * 1.7320508075688772, &f[13]);
+    sxn(&mut g[31], -scale * 1.7320508075688772, &f[14]);
+    sxn(&mut g[34], -scale * 1.7320508075688772, &f[15]);
+    sxn(&mut g[37], -scale * 3.872983346207417, &f[16]);
+    sxn(&mut g[38], -scale * 1.7320508075688772, &f[17]);
+    sxn(&mut g[40], -scale * 1.7320508075688772, &f[18]);
+    sxn(&mut g[43], -scale * 1.7320508075688772, &f[19]);
+    sxn(&mut g[47], -scale * 1.7320508075688772, &f[20]);
+    sxn(&mut g[51], -scale * 3.872983346207417, &f[24]);
+    sxn(&mut g[52], -scale * 1.7320508075688772, &f[25]);
+    sxn(&mut g[53], -scale * 1.7320508075688772, &f[27]);
+    sxn(&mut g[54], -scale * 3.872983346207417, &f[29]);
+    sxn(&mut g[55], -scale * 1.7320508075688772, &f[30]);
+    sxn(&mut g[56], -scale * 3.872983346207417, &f[31]);
+    sxn(&mut g[57], -scale * 1.7320508075688772, &f[32]);
+    sxn(&mut g[59], -scale * 1.7320508075688772, &f[33]);
+    sxn(&mut g[61], -scale * 1.7320508075688772, &f[35]);
+    sxn(&mut g[62], -scale * 1.7320508075688772, &f[36]);
+    sxn(&mut g[64], -scale * 3.872983346207417, &f[38]);
+    sxn(&mut g[65], -scale * 1.7320508075688772, &f[39]);
+    sxn(&mut g[66], -scale * 3.872983346207417, &f[40]);
+    sxn(&mut g[67], -scale * 1.7320508075688772, &f[41]);
+    sxn(&mut g[69], -scale * 1.7320508075688772, &f[42]);
+    sxn(&mut g[71], -scale * 3.872983346207417, &f[43]);
+    sxn(&mut g[72], -scale * 1.7320508075688772, &f[44]);
+    sxn(&mut g[74], -scale * 1.7320508075688772, &f[45]);
+    sxn(&mut g[77], -scale * 1.7320508075688772, &f[46]);
+    sxn(&mut g[80], -scale * 1.7320508075688772, &f[48]);
+    sxn(&mut g[81], -scale * 1.7320508075688772, &f[49]);
+    sxn(&mut g[83], -scale * 1.7320508075688772, &f[50]);
+    sxn(&mut g[86], -scale * 3.872983346207417, &f[57]);
+    sxn(&mut g[87], -scale * 1.7320508075688772, &f[58]);
+    sxn(&mut g[88], -scale * 1.7320508075688772, &f[60]);
+    sxn(&mut g[89], -scale * 1.7320508075688772, &f[63]);
+    sxn(&mut g[90], -scale * 3.872983346207417, &f[67]);
+    sxn(&mut g[91], -scale * 1.7320508075688772, &f[68]);
+    sxn(&mut g[92], -scale * 1.7320508075688772, &f[70]);
+    sxn(&mut g[93], -scale * 3.872983346207417, &f[72]);
+    sxn(&mut g[94], -scale * 1.7320508075688772, &f[73]);
+    sxn(&mut g[95], -scale * 3.872983346207417, &f[74]);
+    sxn(&mut g[96], -scale * 1.7320508075688772, &f[75]);
+    sxn(&mut g[98], -scale * 1.7320508075688772, &f[76]);
+    sxn(&mut g[100], -scale * 1.7320508075688772, &f[78]);
+    sxn(&mut g[101], -scale * 1.7320508075688772, &f[79]);
+    sxn(&mut g[103], -scale * 1.7320508075688772, &f[82]);
+    sxn(&mut g[104], -scale * 1.7320508075688772, &f[84]);
+    sxn(&mut g[105], -scale * 1.7320508075688772, &f[85]);
+    sxn(&mut g[107], -scale * 3.872983346207417, &f[96]);
+    sxn(&mut g[108], -scale * 1.7320508075688772, &f[97]);
+    sxn(&mut g[109], -scale * 1.7320508075688772, &f[99]);
+    sxn(&mut g[110], -scale * 1.7320508075688772, &f[102]);
+    sxn(&mut g[111], -scale * 1.7320508075688772, &f[106]);
+    let mut tr = [[0.0f64; L]; 48];
     if at_upper {
-        tr[0] += 0.7071067811865476 * f[0];
-        tr[0] += 1.224744871391589 * f[1];
-        tr[1] += 0.7071067811865476 * f[2];
-        tr[2] += 0.7071067811865476 * f[3];
-        tr[3] += 0.7071067811865476 * f[4];
-        tr[4] += 0.7071067811865476 * f[5];
-        tr[0] += 1.5811388300841898 * f[6];
-        tr[1] += 1.224744871391589 * f[7];
-        tr[5] += 0.7071067811865476 * f[8];
-        tr[2] += 1.224744871391589 * f[9];
-        tr[6] += 0.7071067811865476 * f[10];
-        tr[7] += 0.7071067811865476 * f[11];
-        tr[3] += 1.224744871391589 * f[12];
-        tr[8] += 0.7071067811865476 * f[13];
-        tr[9] += 0.7071067811865476 * f[14];
-        tr[10] += 0.7071067811865476 * f[15];
-        tr[4] += 1.224744871391589 * f[16];
-        tr[11] += 0.7071067811865476 * f[17];
-        tr[12] += 0.7071067811865476 * f[18];
-        tr[13] += 0.7071067811865476 * f[19];
-        tr[14] += 0.7071067811865476 * f[20];
-        tr[1] += 1.5811388300841898 * f[21];
-        tr[5] += 1.224744871391589 * f[22];
-        tr[2] += 1.5811388300841898 * f[23];
-        tr[6] += 1.224744871391589 * f[24];
-        tr[15] += 0.7071067811865476 * f[25];
-        tr[7] += 1.224744871391589 * f[26];
-        tr[16] += 0.7071067811865476 * f[27];
-        tr[3] += 1.5811388300841898 * f[28];
-        tr[8] += 1.224744871391589 * f[29];
-        tr[17] += 0.7071067811865476 * f[30];
-        tr[9] += 1.224744871391589 * f[31];
-        tr[18] += 0.7071067811865476 * f[32];
-        tr[19] += 0.7071067811865476 * f[33];
-        tr[10] += 1.224744871391589 * f[34];
-        tr[20] += 0.7071067811865476 * f[35];
-        tr[21] += 0.7071067811865476 * f[36];
-        tr[4] += 1.5811388300841898 * f[37];
-        tr[11] += 1.224744871391589 * f[38];
-        tr[22] += 0.7071067811865476 * f[39];
-        tr[12] += 1.224744871391589 * f[40];
-        tr[23] += 0.7071067811865476 * f[41];
-        tr[24] += 0.7071067811865476 * f[42];
-        tr[13] += 1.224744871391589 * f[43];
-        tr[25] += 0.7071067811865476 * f[44];
-        tr[26] += 0.7071067811865476 * f[45];
-        tr[27] += 0.7071067811865476 * f[46];
-        tr[14] += 1.224744871391589 * f[47];
-        tr[28] += 0.7071067811865476 * f[48];
-        tr[29] += 0.7071067811865476 * f[49];
-        tr[30] += 0.7071067811865476 * f[50];
-        tr[6] += 1.5811388300841898 * f[51];
-        tr[15] += 1.224744871391589 * f[52];
-        tr[16] += 1.224744871391589 * f[53];
-        tr[8] += 1.5811388300841898 * f[54];
-        tr[17] += 1.224744871391589 * f[55];
-        tr[9] += 1.5811388300841898 * f[56];
-        tr[18] += 1.224744871391589 * f[57];
-        tr[31] += 0.7071067811865476 * f[58];
-        tr[19] += 1.224744871391589 * f[59];
-        tr[32] += 0.7071067811865476 * f[60];
-        tr[20] += 1.224744871391589 * f[61];
-        tr[21] += 1.224744871391589 * f[62];
-        tr[33] += 0.7071067811865476 * f[63];
-        tr[11] += 1.5811388300841898 * f[64];
-        tr[22] += 1.224744871391589 * f[65];
-        tr[12] += 1.5811388300841898 * f[66];
-        tr[23] += 1.224744871391589 * f[67];
-        tr[34] += 0.7071067811865476 * f[68];
-        tr[24] += 1.224744871391589 * f[69];
-        tr[35] += 0.7071067811865476 * f[70];
-        tr[13] += 1.5811388300841898 * f[71];
-        tr[25] += 1.224744871391589 * f[72];
-        tr[36] += 0.7071067811865476 * f[73];
-        tr[26] += 1.224744871391589 * f[74];
-        tr[37] += 0.7071067811865476 * f[75];
-        tr[38] += 0.7071067811865476 * f[76];
-        tr[27] += 1.224744871391589 * f[77];
-        tr[39] += 0.7071067811865476 * f[78];
-        tr[40] += 0.7071067811865476 * f[79];
-        tr[28] += 1.224744871391589 * f[80];
-        tr[29] += 1.224744871391589 * f[81];
-        tr[41] += 0.7071067811865476 * f[82];
-        tr[30] += 1.224744871391589 * f[83];
-        tr[42] += 0.7071067811865476 * f[84];
-        tr[43] += 0.7071067811865476 * f[85];
-        tr[18] += 1.5811388300841898 * f[86];
-        tr[31] += 1.224744871391589 * f[87];
-        tr[32] += 1.224744871391589 * f[88];
-        tr[33] += 1.224744871391589 * f[89];
-        tr[23] += 1.5811388300841898 * f[90];
-        tr[34] += 1.224744871391589 * f[91];
-        tr[35] += 1.224744871391589 * f[92];
-        tr[25] += 1.5811388300841898 * f[93];
-        tr[36] += 1.224744871391589 * f[94];
-        tr[26] += 1.5811388300841898 * f[95];
-        tr[37] += 1.224744871391589 * f[96];
-        tr[44] += 0.7071067811865476 * f[97];
-        tr[38] += 1.224744871391589 * f[98];
-        tr[45] += 0.7071067811865476 * f[99];
-        tr[39] += 1.224744871391589 * f[100];
-        tr[40] += 1.224744871391589 * f[101];
-        tr[46] += 0.7071067811865476 * f[102];
-        tr[41] += 1.224744871391589 * f[103];
-        tr[42] += 1.224744871391589 * f[104];
-        tr[43] += 1.224744871391589 * f[105];
-        tr[47] += 0.7071067811865476 * f[106];
-        tr[37] += 1.5811388300841898 * f[107];
-        tr[44] += 1.224744871391589 * f[108];
-        tr[45] += 1.224744871391589 * f[109];
-        tr[46] += 1.224744871391589 * f[110];
-        tr[47] += 1.224744871391589 * f[111];
+        for k in 0..L {
+            tr[0][k] += 0.7071067811865476 * f[0][k];
+            tr[0][k] += 1.224744871391589 * f[1][k];
+        }
+        sxn(&mut tr[1], 0.7071067811865476, &f[2]);
+        sxn(&mut tr[2], 0.7071067811865476, &f[3]);
+        sxn(&mut tr[3], 0.7071067811865476, &f[4]);
+        sxn(&mut tr[4], 0.7071067811865476, &f[5]);
+        sxn(&mut tr[0], 1.5811388300841898, &f[6]);
+        sxn(&mut tr[1], 1.224744871391589, &f[7]);
+        sxn(&mut tr[5], 0.7071067811865476, &f[8]);
+        sxn(&mut tr[2], 1.224744871391589, &f[9]);
+        sxn(&mut tr[6], 0.7071067811865476, &f[10]);
+        sxn(&mut tr[7], 0.7071067811865476, &f[11]);
+        sxn(&mut tr[3], 1.224744871391589, &f[12]);
+        sxn(&mut tr[8], 0.7071067811865476, &f[13]);
+        sxn(&mut tr[9], 0.7071067811865476, &f[14]);
+        sxn(&mut tr[10], 0.7071067811865476, &f[15]);
+        sxn(&mut tr[4], 1.224744871391589, &f[16]);
+        sxn(&mut tr[11], 0.7071067811865476, &f[17]);
+        sxn(&mut tr[12], 0.7071067811865476, &f[18]);
+        sxn(&mut tr[13], 0.7071067811865476, &f[19]);
+        sxn(&mut tr[14], 0.7071067811865476, &f[20]);
+        sxn(&mut tr[1], 1.5811388300841898, &f[21]);
+        sxn(&mut tr[5], 1.224744871391589, &f[22]);
+        sxn(&mut tr[2], 1.5811388300841898, &f[23]);
+        sxn(&mut tr[6], 1.224744871391589, &f[24]);
+        sxn(&mut tr[15], 0.7071067811865476, &f[25]);
+        sxn(&mut tr[7], 1.224744871391589, &f[26]);
+        sxn(&mut tr[16], 0.7071067811865476, &f[27]);
+        sxn(&mut tr[3], 1.5811388300841898, &f[28]);
+        sxn(&mut tr[8], 1.224744871391589, &f[29]);
+        sxn(&mut tr[17], 0.7071067811865476, &f[30]);
+        sxn(&mut tr[9], 1.224744871391589, &f[31]);
+        sxn(&mut tr[18], 0.7071067811865476, &f[32]);
+        sxn(&mut tr[19], 0.7071067811865476, &f[33]);
+        sxn(&mut tr[10], 1.224744871391589, &f[34]);
+        sxn(&mut tr[20], 0.7071067811865476, &f[35]);
+        sxn(&mut tr[21], 0.7071067811865476, &f[36]);
+        sxn(&mut tr[4], 1.5811388300841898, &f[37]);
+        sxn(&mut tr[11], 1.224744871391589, &f[38]);
+        sxn(&mut tr[22], 0.7071067811865476, &f[39]);
+        sxn(&mut tr[12], 1.224744871391589, &f[40]);
+        sxn(&mut tr[23], 0.7071067811865476, &f[41]);
+        sxn(&mut tr[24], 0.7071067811865476, &f[42]);
+        sxn(&mut tr[13], 1.224744871391589, &f[43]);
+        sxn(&mut tr[25], 0.7071067811865476, &f[44]);
+        sxn(&mut tr[26], 0.7071067811865476, &f[45]);
+        sxn(&mut tr[27], 0.7071067811865476, &f[46]);
+        sxn(&mut tr[14], 1.224744871391589, &f[47]);
+        sxn(&mut tr[28], 0.7071067811865476, &f[48]);
+        sxn(&mut tr[29], 0.7071067811865476, &f[49]);
+        sxn(&mut tr[30], 0.7071067811865476, &f[50]);
+        sxn(&mut tr[6], 1.5811388300841898, &f[51]);
+        sxn(&mut tr[15], 1.224744871391589, &f[52]);
+        sxn(&mut tr[16], 1.224744871391589, &f[53]);
+        sxn(&mut tr[8], 1.5811388300841898, &f[54]);
+        sxn(&mut tr[17], 1.224744871391589, &f[55]);
+        sxn(&mut tr[9], 1.5811388300841898, &f[56]);
+        sxn(&mut tr[18], 1.224744871391589, &f[57]);
+        sxn(&mut tr[31], 0.7071067811865476, &f[58]);
+        sxn(&mut tr[19], 1.224744871391589, &f[59]);
+        sxn(&mut tr[32], 0.7071067811865476, &f[60]);
+        sxn(&mut tr[20], 1.224744871391589, &f[61]);
+        sxn(&mut tr[21], 1.224744871391589, &f[62]);
+        sxn(&mut tr[33], 0.7071067811865476, &f[63]);
+        sxn(&mut tr[11], 1.5811388300841898, &f[64]);
+        sxn(&mut tr[22], 1.224744871391589, &f[65]);
+        sxn(&mut tr[12], 1.5811388300841898, &f[66]);
+        sxn(&mut tr[23], 1.224744871391589, &f[67]);
+        sxn(&mut tr[34], 0.7071067811865476, &f[68]);
+        sxn(&mut tr[24], 1.224744871391589, &f[69]);
+        sxn(&mut tr[35], 0.7071067811865476, &f[70]);
+        sxn(&mut tr[13], 1.5811388300841898, &f[71]);
+        sxn(&mut tr[25], 1.224744871391589, &f[72]);
+        sxn(&mut tr[36], 0.7071067811865476, &f[73]);
+        sxn(&mut tr[26], 1.224744871391589, &f[74]);
+        sxn(&mut tr[37], 0.7071067811865476, &f[75]);
+        sxn(&mut tr[38], 0.7071067811865476, &f[76]);
+        sxn(&mut tr[27], 1.224744871391589, &f[77]);
+        sxn(&mut tr[39], 0.7071067811865476, &f[78]);
+        sxn(&mut tr[40], 0.7071067811865476, &f[79]);
+        sxn(&mut tr[28], 1.224744871391589, &f[80]);
+        sxn(&mut tr[29], 1.224744871391589, &f[81]);
+        sxn(&mut tr[41], 0.7071067811865476, &f[82]);
+        sxn(&mut tr[30], 1.224744871391589, &f[83]);
+        sxn(&mut tr[42], 0.7071067811865476, &f[84]);
+        sxn(&mut tr[43], 0.7071067811865476, &f[85]);
+        sxn(&mut tr[18], 1.5811388300841898, &f[86]);
+        sxn(&mut tr[31], 1.224744871391589, &f[87]);
+        sxn(&mut tr[32], 1.224744871391589, &f[88]);
+        sxn(&mut tr[33], 1.224744871391589, &f[89]);
+        sxn(&mut tr[23], 1.5811388300841898, &f[90]);
+        sxn(&mut tr[34], 1.224744871391589, &f[91]);
+        sxn(&mut tr[35], 1.224744871391589, &f[92]);
+        sxn(&mut tr[25], 1.5811388300841898, &f[93]);
+        sxn(&mut tr[36], 1.224744871391589, &f[94]);
+        sxn(&mut tr[26], 1.5811388300841898, &f[95]);
+        sxn(&mut tr[37], 1.224744871391589, &f[96]);
+        sxn(&mut tr[44], 0.7071067811865476, &f[97]);
+        sxn(&mut tr[38], 1.224744871391589, &f[98]);
+        sxn(&mut tr[45], 0.7071067811865476, &f[99]);
+        sxn(&mut tr[39], 1.224744871391589, &f[100]);
+        sxn(&mut tr[40], 1.224744871391589, &f[101]);
+        sxn(&mut tr[46], 0.7071067811865476, &f[102]);
+        sxn(&mut tr[41], 1.224744871391589, &f[103]);
+        sxn(&mut tr[42], 1.224744871391589, &f[104]);
+        sxn(&mut tr[43], 1.224744871391589, &f[105]);
+        sxn(&mut tr[47], 0.7071067811865476, &f[106]);
+        sxn(&mut tr[37], 1.5811388300841898, &f[107]);
+        sxn(&mut tr[44], 1.224744871391589, &f[108]);
+        sxn(&mut tr[45], 1.224744871391589, &f[109]);
+        sxn(&mut tr[46], 1.224744871391589, &f[110]);
+        sxn(&mut tr[47], 1.224744871391589, &f[111]);
     } else {
-        tr[0] += 0.7071067811865476 * f_up[0];
-        tr[0] += -1.224744871391589 * f_up[1];
-        tr[1] += 0.7071067811865476 * f_up[2];
-        tr[2] += 0.7071067811865476 * f_up[3];
-        tr[3] += 0.7071067811865476 * f_up[4];
-        tr[4] += 0.7071067811865476 * f_up[5];
-        tr[0] += 1.5811388300841898 * f_up[6];
-        tr[1] += -1.224744871391589 * f_up[7];
-        tr[5] += 0.7071067811865476 * f_up[8];
-        tr[2] += -1.224744871391589 * f_up[9];
-        tr[6] += 0.7071067811865476 * f_up[10];
-        tr[7] += 0.7071067811865476 * f_up[11];
-        tr[3] += -1.224744871391589 * f_up[12];
-        tr[8] += 0.7071067811865476 * f_up[13];
-        tr[9] += 0.7071067811865476 * f_up[14];
-        tr[10] += 0.7071067811865476 * f_up[15];
-        tr[4] += -1.224744871391589 * f_up[16];
-        tr[11] += 0.7071067811865476 * f_up[17];
-        tr[12] += 0.7071067811865476 * f_up[18];
-        tr[13] += 0.7071067811865476 * f_up[19];
-        tr[14] += 0.7071067811865476 * f_up[20];
-        tr[1] += 1.5811388300841898 * f_up[21];
-        tr[5] += -1.224744871391589 * f_up[22];
-        tr[2] += 1.5811388300841898 * f_up[23];
-        tr[6] += -1.224744871391589 * f_up[24];
-        tr[15] += 0.7071067811865476 * f_up[25];
-        tr[7] += -1.224744871391589 * f_up[26];
-        tr[16] += 0.7071067811865476 * f_up[27];
-        tr[3] += 1.5811388300841898 * f_up[28];
-        tr[8] += -1.224744871391589 * f_up[29];
-        tr[17] += 0.7071067811865476 * f_up[30];
-        tr[9] += -1.224744871391589 * f_up[31];
-        tr[18] += 0.7071067811865476 * f_up[32];
-        tr[19] += 0.7071067811865476 * f_up[33];
-        tr[10] += -1.224744871391589 * f_up[34];
-        tr[20] += 0.7071067811865476 * f_up[35];
-        tr[21] += 0.7071067811865476 * f_up[36];
-        tr[4] += 1.5811388300841898 * f_up[37];
-        tr[11] += -1.224744871391589 * f_up[38];
-        tr[22] += 0.7071067811865476 * f_up[39];
-        tr[12] += -1.224744871391589 * f_up[40];
-        tr[23] += 0.7071067811865476 * f_up[41];
-        tr[24] += 0.7071067811865476 * f_up[42];
-        tr[13] += -1.224744871391589 * f_up[43];
-        tr[25] += 0.7071067811865476 * f_up[44];
-        tr[26] += 0.7071067811865476 * f_up[45];
-        tr[27] += 0.7071067811865476 * f_up[46];
-        tr[14] += -1.224744871391589 * f_up[47];
-        tr[28] += 0.7071067811865476 * f_up[48];
-        tr[29] += 0.7071067811865476 * f_up[49];
-        tr[30] += 0.7071067811865476 * f_up[50];
-        tr[6] += 1.5811388300841898 * f_up[51];
-        tr[15] += -1.224744871391589 * f_up[52];
-        tr[16] += -1.224744871391589 * f_up[53];
-        tr[8] += 1.5811388300841898 * f_up[54];
-        tr[17] += -1.224744871391589 * f_up[55];
-        tr[9] += 1.5811388300841898 * f_up[56];
-        tr[18] += -1.224744871391589 * f_up[57];
-        tr[31] += 0.7071067811865476 * f_up[58];
-        tr[19] += -1.224744871391589 * f_up[59];
-        tr[32] += 0.7071067811865476 * f_up[60];
-        tr[20] += -1.224744871391589 * f_up[61];
-        tr[21] += -1.224744871391589 * f_up[62];
-        tr[33] += 0.7071067811865476 * f_up[63];
-        tr[11] += 1.5811388300841898 * f_up[64];
-        tr[22] += -1.224744871391589 * f_up[65];
-        tr[12] += 1.5811388300841898 * f_up[66];
-        tr[23] += -1.224744871391589 * f_up[67];
-        tr[34] += 0.7071067811865476 * f_up[68];
-        tr[24] += -1.224744871391589 * f_up[69];
-        tr[35] += 0.7071067811865476 * f_up[70];
-        tr[13] += 1.5811388300841898 * f_up[71];
-        tr[25] += -1.224744871391589 * f_up[72];
-        tr[36] += 0.7071067811865476 * f_up[73];
-        tr[26] += -1.224744871391589 * f_up[74];
-        tr[37] += 0.7071067811865476 * f_up[75];
-        tr[38] += 0.7071067811865476 * f_up[76];
-        tr[27] += -1.224744871391589 * f_up[77];
-        tr[39] += 0.7071067811865476 * f_up[78];
-        tr[40] += 0.7071067811865476 * f_up[79];
-        tr[28] += -1.224744871391589 * f_up[80];
-        tr[29] += -1.224744871391589 * f_up[81];
-        tr[41] += 0.7071067811865476 * f_up[82];
-        tr[30] += -1.224744871391589 * f_up[83];
-        tr[42] += 0.7071067811865476 * f_up[84];
-        tr[43] += 0.7071067811865476 * f_up[85];
-        tr[18] += 1.5811388300841898 * f_up[86];
-        tr[31] += -1.224744871391589 * f_up[87];
-        tr[32] += -1.224744871391589 * f_up[88];
-        tr[33] += -1.224744871391589 * f_up[89];
-        tr[23] += 1.5811388300841898 * f_up[90];
-        tr[34] += -1.224744871391589 * f_up[91];
-        tr[35] += -1.224744871391589 * f_up[92];
-        tr[25] += 1.5811388300841898 * f_up[93];
-        tr[36] += -1.224744871391589 * f_up[94];
-        tr[26] += 1.5811388300841898 * f_up[95];
-        tr[37] += -1.224744871391589 * f_up[96];
-        tr[44] += 0.7071067811865476 * f_up[97];
-        tr[38] += -1.224744871391589 * f_up[98];
-        tr[45] += 0.7071067811865476 * f_up[99];
-        tr[39] += -1.224744871391589 * f_up[100];
-        tr[40] += -1.224744871391589 * f_up[101];
-        tr[46] += 0.7071067811865476 * f_up[102];
-        tr[41] += -1.224744871391589 * f_up[103];
-        tr[42] += -1.224744871391589 * f_up[104];
-        tr[43] += -1.224744871391589 * f_up[105];
-        tr[47] += 0.7071067811865476 * f_up[106];
-        tr[37] += 1.5811388300841898 * f_up[107];
-        tr[44] += -1.224744871391589 * f_up[108];
-        tr[45] += -1.224744871391589 * f_up[109];
-        tr[46] += -1.224744871391589 * f_up[110];
-        tr[47] += -1.224744871391589 * f_up[111];
+        for k in 0..L {
+            tr[0][k] += 0.7071067811865476 * f_up[0][k];
+            tr[0][k] += -1.224744871391589 * f_up[1][k];
+        }
+        sxn(&mut tr[1], 0.7071067811865476, &f_up[2]);
+        sxn(&mut tr[2], 0.7071067811865476, &f_up[3]);
+        sxn(&mut tr[3], 0.7071067811865476, &f_up[4]);
+        sxn(&mut tr[4], 0.7071067811865476, &f_up[5]);
+        sxn(&mut tr[0], 1.5811388300841898, &f_up[6]);
+        sxn(&mut tr[1], -1.224744871391589, &f_up[7]);
+        sxn(&mut tr[5], 0.7071067811865476, &f_up[8]);
+        sxn(&mut tr[2], -1.224744871391589, &f_up[9]);
+        sxn(&mut tr[6], 0.7071067811865476, &f_up[10]);
+        sxn(&mut tr[7], 0.7071067811865476, &f_up[11]);
+        sxn(&mut tr[3], -1.224744871391589, &f_up[12]);
+        sxn(&mut tr[8], 0.7071067811865476, &f_up[13]);
+        sxn(&mut tr[9], 0.7071067811865476, &f_up[14]);
+        sxn(&mut tr[10], 0.7071067811865476, &f_up[15]);
+        sxn(&mut tr[4], -1.224744871391589, &f_up[16]);
+        sxn(&mut tr[11], 0.7071067811865476, &f_up[17]);
+        sxn(&mut tr[12], 0.7071067811865476, &f_up[18]);
+        sxn(&mut tr[13], 0.7071067811865476, &f_up[19]);
+        sxn(&mut tr[14], 0.7071067811865476, &f_up[20]);
+        sxn(&mut tr[1], 1.5811388300841898, &f_up[21]);
+        sxn(&mut tr[5], -1.224744871391589, &f_up[22]);
+        sxn(&mut tr[2], 1.5811388300841898, &f_up[23]);
+        sxn(&mut tr[6], -1.224744871391589, &f_up[24]);
+        sxn(&mut tr[15], 0.7071067811865476, &f_up[25]);
+        sxn(&mut tr[7], -1.224744871391589, &f_up[26]);
+        sxn(&mut tr[16], 0.7071067811865476, &f_up[27]);
+        sxn(&mut tr[3], 1.5811388300841898, &f_up[28]);
+        sxn(&mut tr[8], -1.224744871391589, &f_up[29]);
+        sxn(&mut tr[17], 0.7071067811865476, &f_up[30]);
+        sxn(&mut tr[9], -1.224744871391589, &f_up[31]);
+        sxn(&mut tr[18], 0.7071067811865476, &f_up[32]);
+        sxn(&mut tr[19], 0.7071067811865476, &f_up[33]);
+        sxn(&mut tr[10], -1.224744871391589, &f_up[34]);
+        sxn(&mut tr[20], 0.7071067811865476, &f_up[35]);
+        sxn(&mut tr[21], 0.7071067811865476, &f_up[36]);
+        sxn(&mut tr[4], 1.5811388300841898, &f_up[37]);
+        sxn(&mut tr[11], -1.224744871391589, &f_up[38]);
+        sxn(&mut tr[22], 0.7071067811865476, &f_up[39]);
+        sxn(&mut tr[12], -1.224744871391589, &f_up[40]);
+        sxn(&mut tr[23], 0.7071067811865476, &f_up[41]);
+        sxn(&mut tr[24], 0.7071067811865476, &f_up[42]);
+        sxn(&mut tr[13], -1.224744871391589, &f_up[43]);
+        sxn(&mut tr[25], 0.7071067811865476, &f_up[44]);
+        sxn(&mut tr[26], 0.7071067811865476, &f_up[45]);
+        sxn(&mut tr[27], 0.7071067811865476, &f_up[46]);
+        sxn(&mut tr[14], -1.224744871391589, &f_up[47]);
+        sxn(&mut tr[28], 0.7071067811865476, &f_up[48]);
+        sxn(&mut tr[29], 0.7071067811865476, &f_up[49]);
+        sxn(&mut tr[30], 0.7071067811865476, &f_up[50]);
+        sxn(&mut tr[6], 1.5811388300841898, &f_up[51]);
+        sxn(&mut tr[15], -1.224744871391589, &f_up[52]);
+        sxn(&mut tr[16], -1.224744871391589, &f_up[53]);
+        sxn(&mut tr[8], 1.5811388300841898, &f_up[54]);
+        sxn(&mut tr[17], -1.224744871391589, &f_up[55]);
+        sxn(&mut tr[9], 1.5811388300841898, &f_up[56]);
+        sxn(&mut tr[18], -1.224744871391589, &f_up[57]);
+        sxn(&mut tr[31], 0.7071067811865476, &f_up[58]);
+        sxn(&mut tr[19], -1.224744871391589, &f_up[59]);
+        sxn(&mut tr[32], 0.7071067811865476, &f_up[60]);
+        sxn(&mut tr[20], -1.224744871391589, &f_up[61]);
+        sxn(&mut tr[21], -1.224744871391589, &f_up[62]);
+        sxn(&mut tr[33], 0.7071067811865476, &f_up[63]);
+        sxn(&mut tr[11], 1.5811388300841898, &f_up[64]);
+        sxn(&mut tr[22], -1.224744871391589, &f_up[65]);
+        sxn(&mut tr[12], 1.5811388300841898, &f_up[66]);
+        sxn(&mut tr[23], -1.224744871391589, &f_up[67]);
+        sxn(&mut tr[34], 0.7071067811865476, &f_up[68]);
+        sxn(&mut tr[24], -1.224744871391589, &f_up[69]);
+        sxn(&mut tr[35], 0.7071067811865476, &f_up[70]);
+        sxn(&mut tr[13], 1.5811388300841898, &f_up[71]);
+        sxn(&mut tr[25], -1.224744871391589, &f_up[72]);
+        sxn(&mut tr[36], 0.7071067811865476, &f_up[73]);
+        sxn(&mut tr[26], -1.224744871391589, &f_up[74]);
+        sxn(&mut tr[37], 0.7071067811865476, &f_up[75]);
+        sxn(&mut tr[38], 0.7071067811865476, &f_up[76]);
+        sxn(&mut tr[27], -1.224744871391589, &f_up[77]);
+        sxn(&mut tr[39], 0.7071067811865476, &f_up[78]);
+        sxn(&mut tr[40], 0.7071067811865476, &f_up[79]);
+        sxn(&mut tr[28], -1.224744871391589, &f_up[80]);
+        sxn(&mut tr[29], -1.224744871391589, &f_up[81]);
+        sxn(&mut tr[41], 0.7071067811865476, &f_up[82]);
+        sxn(&mut tr[30], -1.224744871391589, &f_up[83]);
+        sxn(&mut tr[42], 0.7071067811865476, &f_up[84]);
+        sxn(&mut tr[43], 0.7071067811865476, &f_up[85]);
+        sxn(&mut tr[18], 1.5811388300841898, &f_up[86]);
+        sxn(&mut tr[31], -1.224744871391589, &f_up[87]);
+        sxn(&mut tr[32], -1.224744871391589, &f_up[88]);
+        sxn(&mut tr[33], -1.224744871391589, &f_up[89]);
+        sxn(&mut tr[23], 1.5811388300841898, &f_up[90]);
+        sxn(&mut tr[34], -1.224744871391589, &f_up[91]);
+        sxn(&mut tr[35], -1.224744871391589, &f_up[92]);
+        sxn(&mut tr[25], 1.5811388300841898, &f_up[93]);
+        sxn(&mut tr[36], -1.224744871391589, &f_up[94]);
+        sxn(&mut tr[26], 1.5811388300841898, &f_up[95]);
+        sxn(&mut tr[37], -1.224744871391589, &f_up[96]);
+        sxn(&mut tr[44], 0.7071067811865476, &f_up[97]);
+        sxn(&mut tr[38], -1.224744871391589, &f_up[98]);
+        sxn(&mut tr[45], 0.7071067811865476, &f_up[99]);
+        sxn(&mut tr[39], -1.224744871391589, &f_up[100]);
+        sxn(&mut tr[40], -1.224744871391589, &f_up[101]);
+        sxn(&mut tr[46], 0.7071067811865476, &f_up[102]);
+        sxn(&mut tr[41], -1.224744871391589, &f_up[103]);
+        sxn(&mut tr[42], -1.224744871391589, &f_up[104]);
+        sxn(&mut tr[43], -1.224744871391589, &f_up[105]);
+        sxn(&mut tr[47], 0.7071067811865476, &f_up[106]);
+        sxn(&mut tr[37], 1.5811388300841898, &f_up[107]);
+        sxn(&mut tr[44], -1.224744871391589, &f_up[108]);
+        sxn(&mut tr[45], -1.224744871391589, &f_up[109]);
+        sxn(&mut tr[46], -1.224744871391589, &f_up[110]);
+        sxn(&mut tr[47], -1.224744871391589, &f_up[111]);
     }
-    g[0] += scale * 0.7071067811865476 * tr[0];
-    g[1] += scale * 1.224744871391589 * tr[0];
-    g[2] += scale * 0.7071067811865476 * tr[1];
-    g[3] += scale * 0.7071067811865476 * tr[2];
-    g[4] += scale * 0.7071067811865476 * tr[3];
-    g[5] += scale * 0.7071067811865476 * tr[4];
-    g[6] += scale * 1.5811388300841898 * tr[0];
-    g[7] += scale * 1.224744871391589 * tr[1];
-    g[8] += scale * 0.7071067811865476 * tr[5];
-    g[9] += scale * 1.224744871391589 * tr[2];
-    g[10] += scale * 0.7071067811865476 * tr[6];
-    g[11] += scale * 0.7071067811865476 * tr[7];
-    g[12] += scale * 1.224744871391589 * tr[3];
-    g[13] += scale * 0.7071067811865476 * tr[8];
-    g[14] += scale * 0.7071067811865476 * tr[9];
-    g[15] += scale * 0.7071067811865476 * tr[10];
-    g[16] += scale * 1.224744871391589 * tr[4];
-    g[17] += scale * 0.7071067811865476 * tr[11];
-    g[18] += scale * 0.7071067811865476 * tr[12];
-    g[19] += scale * 0.7071067811865476 * tr[13];
-    g[20] += scale * 0.7071067811865476 * tr[14];
-    g[21] += scale * 1.5811388300841898 * tr[1];
-    g[22] += scale * 1.224744871391589 * tr[5];
-    g[23] += scale * 1.5811388300841898 * tr[2];
-    g[24] += scale * 1.224744871391589 * tr[6];
-    g[25] += scale * 0.7071067811865476 * tr[15];
-    g[26] += scale * 1.224744871391589 * tr[7];
-    g[27] += scale * 0.7071067811865476 * tr[16];
-    g[28] += scale * 1.5811388300841898 * tr[3];
-    g[29] += scale * 1.224744871391589 * tr[8];
-    g[30] += scale * 0.7071067811865476 * tr[17];
-    g[31] += scale * 1.224744871391589 * tr[9];
-    g[32] += scale * 0.7071067811865476 * tr[18];
-    g[33] += scale * 0.7071067811865476 * tr[19];
-    g[34] += scale * 1.224744871391589 * tr[10];
-    g[35] += scale * 0.7071067811865476 * tr[20];
-    g[36] += scale * 0.7071067811865476 * tr[21];
-    g[37] += scale * 1.5811388300841898 * tr[4];
-    g[38] += scale * 1.224744871391589 * tr[11];
-    g[39] += scale * 0.7071067811865476 * tr[22];
-    g[40] += scale * 1.224744871391589 * tr[12];
-    g[41] += scale * 0.7071067811865476 * tr[23];
-    g[42] += scale * 0.7071067811865476 * tr[24];
-    g[43] += scale * 1.224744871391589 * tr[13];
-    g[44] += scale * 0.7071067811865476 * tr[25];
-    g[45] += scale * 0.7071067811865476 * tr[26];
-    g[46] += scale * 0.7071067811865476 * tr[27];
-    g[47] += scale * 1.224744871391589 * tr[14];
-    g[48] += scale * 0.7071067811865476 * tr[28];
-    g[49] += scale * 0.7071067811865476 * tr[29];
-    g[50] += scale * 0.7071067811865476 * tr[30];
-    g[51] += scale * 1.5811388300841898 * tr[6];
-    g[52] += scale * 1.224744871391589 * tr[15];
-    g[53] += scale * 1.224744871391589 * tr[16];
-    g[54] += scale * 1.5811388300841898 * tr[8];
-    g[55] += scale * 1.224744871391589 * tr[17];
-    g[56] += scale * 1.5811388300841898 * tr[9];
-    g[57] += scale * 1.224744871391589 * tr[18];
-    g[58] += scale * 0.7071067811865476 * tr[31];
-    g[59] += scale * 1.224744871391589 * tr[19];
-    g[60] += scale * 0.7071067811865476 * tr[32];
-    g[61] += scale * 1.224744871391589 * tr[20];
-    g[62] += scale * 1.224744871391589 * tr[21];
-    g[63] += scale * 0.7071067811865476 * tr[33];
-    g[64] += scale * 1.5811388300841898 * tr[11];
-    g[65] += scale * 1.224744871391589 * tr[22];
-    g[66] += scale * 1.5811388300841898 * tr[12];
-    g[67] += scale * 1.224744871391589 * tr[23];
-    g[68] += scale * 0.7071067811865476 * tr[34];
-    g[69] += scale * 1.224744871391589 * tr[24];
-    g[70] += scale * 0.7071067811865476 * tr[35];
-    g[71] += scale * 1.5811388300841898 * tr[13];
-    g[72] += scale * 1.224744871391589 * tr[25];
-    g[73] += scale * 0.7071067811865476 * tr[36];
-    g[74] += scale * 1.224744871391589 * tr[26];
-    g[75] += scale * 0.7071067811865476 * tr[37];
-    g[76] += scale * 0.7071067811865476 * tr[38];
-    g[77] += scale * 1.224744871391589 * tr[27];
-    g[78] += scale * 0.7071067811865476 * tr[39];
-    g[79] += scale * 0.7071067811865476 * tr[40];
-    g[80] += scale * 1.224744871391589 * tr[28];
-    g[81] += scale * 1.224744871391589 * tr[29];
-    g[82] += scale * 0.7071067811865476 * tr[41];
-    g[83] += scale * 1.224744871391589 * tr[30];
-    g[84] += scale * 0.7071067811865476 * tr[42];
-    g[85] += scale * 0.7071067811865476 * tr[43];
-    g[86] += scale * 1.5811388300841898 * tr[18];
-    g[87] += scale * 1.224744871391589 * tr[31];
-    g[88] += scale * 1.224744871391589 * tr[32];
-    g[89] += scale * 1.224744871391589 * tr[33];
-    g[90] += scale * 1.5811388300841898 * tr[23];
-    g[91] += scale * 1.224744871391589 * tr[34];
-    g[92] += scale * 1.224744871391589 * tr[35];
-    g[93] += scale * 1.5811388300841898 * tr[25];
-    g[94] += scale * 1.224744871391589 * tr[36];
-    g[95] += scale * 1.5811388300841898 * tr[26];
-    g[96] += scale * 1.224744871391589 * tr[37];
-    g[97] += scale * 0.7071067811865476 * tr[44];
-    g[98] += scale * 1.224744871391589 * tr[38];
-    g[99] += scale * 0.7071067811865476 * tr[45];
-    g[100] += scale * 1.224744871391589 * tr[39];
-    g[101] += scale * 1.224744871391589 * tr[40];
-    g[102] += scale * 0.7071067811865476 * tr[46];
-    g[103] += scale * 1.224744871391589 * tr[41];
-    g[104] += scale * 1.224744871391589 * tr[42];
-    g[105] += scale * 1.224744871391589 * tr[43];
-    g[106] += scale * 0.7071067811865476 * tr[47];
-    g[107] += scale * 1.5811388300841898 * tr[37];
-    g[108] += scale * 1.224744871391589 * tr[44];
-    g[109] += scale * 1.224744871391589 * tr[45];
-    g[110] += scale * 1.224744871391589 * tr[46];
-    g[111] += scale * 1.224744871391589 * tr[47];
-    let mut tl = [0.0f64; 48];
-    tl[0] += 0.7071067811865476 * f[0];
-    tl[0] += -1.224744871391589 * f[1];
-    tl[1] += 0.7071067811865476 * f[2];
-    tl[2] += 0.7071067811865476 * f[3];
-    tl[3] += 0.7071067811865476 * f[4];
-    tl[4] += 0.7071067811865476 * f[5];
-    tl[0] += 1.5811388300841898 * f[6];
-    tl[1] += -1.224744871391589 * f[7];
-    tl[5] += 0.7071067811865476 * f[8];
-    tl[2] += -1.224744871391589 * f[9];
-    tl[6] += 0.7071067811865476 * f[10];
-    tl[7] += 0.7071067811865476 * f[11];
-    tl[3] += -1.224744871391589 * f[12];
-    tl[8] += 0.7071067811865476 * f[13];
-    tl[9] += 0.7071067811865476 * f[14];
-    tl[10] += 0.7071067811865476 * f[15];
-    tl[4] += -1.224744871391589 * f[16];
-    tl[11] += 0.7071067811865476 * f[17];
-    tl[12] += 0.7071067811865476 * f[18];
-    tl[13] += 0.7071067811865476 * f[19];
-    tl[14] += 0.7071067811865476 * f[20];
-    tl[1] += 1.5811388300841898 * f[21];
-    tl[5] += -1.224744871391589 * f[22];
-    tl[2] += 1.5811388300841898 * f[23];
-    tl[6] += -1.224744871391589 * f[24];
-    tl[15] += 0.7071067811865476 * f[25];
-    tl[7] += -1.224744871391589 * f[26];
-    tl[16] += 0.7071067811865476 * f[27];
-    tl[3] += 1.5811388300841898 * f[28];
-    tl[8] += -1.224744871391589 * f[29];
-    tl[17] += 0.7071067811865476 * f[30];
-    tl[9] += -1.224744871391589 * f[31];
-    tl[18] += 0.7071067811865476 * f[32];
-    tl[19] += 0.7071067811865476 * f[33];
-    tl[10] += -1.224744871391589 * f[34];
-    tl[20] += 0.7071067811865476 * f[35];
-    tl[21] += 0.7071067811865476 * f[36];
-    tl[4] += 1.5811388300841898 * f[37];
-    tl[11] += -1.224744871391589 * f[38];
-    tl[22] += 0.7071067811865476 * f[39];
-    tl[12] += -1.224744871391589 * f[40];
-    tl[23] += 0.7071067811865476 * f[41];
-    tl[24] += 0.7071067811865476 * f[42];
-    tl[13] += -1.224744871391589 * f[43];
-    tl[25] += 0.7071067811865476 * f[44];
-    tl[26] += 0.7071067811865476 * f[45];
-    tl[27] += 0.7071067811865476 * f[46];
-    tl[14] += -1.224744871391589 * f[47];
-    tl[28] += 0.7071067811865476 * f[48];
-    tl[29] += 0.7071067811865476 * f[49];
-    tl[30] += 0.7071067811865476 * f[50];
-    tl[6] += 1.5811388300841898 * f[51];
-    tl[15] += -1.224744871391589 * f[52];
-    tl[16] += -1.224744871391589 * f[53];
-    tl[8] += 1.5811388300841898 * f[54];
-    tl[17] += -1.224744871391589 * f[55];
-    tl[9] += 1.5811388300841898 * f[56];
-    tl[18] += -1.224744871391589 * f[57];
-    tl[31] += 0.7071067811865476 * f[58];
-    tl[19] += -1.224744871391589 * f[59];
-    tl[32] += 0.7071067811865476 * f[60];
-    tl[20] += -1.224744871391589 * f[61];
-    tl[21] += -1.224744871391589 * f[62];
-    tl[33] += 0.7071067811865476 * f[63];
-    tl[11] += 1.5811388300841898 * f[64];
-    tl[22] += -1.224744871391589 * f[65];
-    tl[12] += 1.5811388300841898 * f[66];
-    tl[23] += -1.224744871391589 * f[67];
-    tl[34] += 0.7071067811865476 * f[68];
-    tl[24] += -1.224744871391589 * f[69];
-    tl[35] += 0.7071067811865476 * f[70];
-    tl[13] += 1.5811388300841898 * f[71];
-    tl[25] += -1.224744871391589 * f[72];
-    tl[36] += 0.7071067811865476 * f[73];
-    tl[26] += -1.224744871391589 * f[74];
-    tl[37] += 0.7071067811865476 * f[75];
-    tl[38] += 0.7071067811865476 * f[76];
-    tl[27] += -1.224744871391589 * f[77];
-    tl[39] += 0.7071067811865476 * f[78];
-    tl[40] += 0.7071067811865476 * f[79];
-    tl[28] += -1.224744871391589 * f[80];
-    tl[29] += -1.224744871391589 * f[81];
-    tl[41] += 0.7071067811865476 * f[82];
-    tl[30] += -1.224744871391589 * f[83];
-    tl[42] += 0.7071067811865476 * f[84];
-    tl[43] += 0.7071067811865476 * f[85];
-    tl[18] += 1.5811388300841898 * f[86];
-    tl[31] += -1.224744871391589 * f[87];
-    tl[32] += -1.224744871391589 * f[88];
-    tl[33] += -1.224744871391589 * f[89];
-    tl[23] += 1.5811388300841898 * f[90];
-    tl[34] += -1.224744871391589 * f[91];
-    tl[35] += -1.224744871391589 * f[92];
-    tl[25] += 1.5811388300841898 * f[93];
-    tl[36] += -1.224744871391589 * f[94];
-    tl[26] += 1.5811388300841898 * f[95];
-    tl[37] += -1.224744871391589 * f[96];
-    tl[44] += 0.7071067811865476 * f[97];
-    tl[38] += -1.224744871391589 * f[98];
-    tl[45] += 0.7071067811865476 * f[99];
-    tl[39] += -1.224744871391589 * f[100];
-    tl[40] += -1.224744871391589 * f[101];
-    tl[46] += 0.7071067811865476 * f[102];
-    tl[41] += -1.224744871391589 * f[103];
-    tl[42] += -1.224744871391589 * f[104];
-    tl[43] += -1.224744871391589 * f[105];
-    tl[47] += 0.7071067811865476 * f[106];
-    tl[37] += 1.5811388300841898 * f[107];
-    tl[44] += -1.224744871391589 * f[108];
-    tl[45] += -1.224744871391589 * f[109];
-    tl[46] += -1.224744871391589 * f[110];
-    tl[47] += -1.224744871391589 * f[111];
-    g[0] += -scale * 0.7071067811865476 * tl[0];
-    g[1] += -scale * -1.224744871391589 * tl[0];
-    g[2] += -scale * 0.7071067811865476 * tl[1];
-    g[3] += -scale * 0.7071067811865476 * tl[2];
-    g[4] += -scale * 0.7071067811865476 * tl[3];
-    g[5] += -scale * 0.7071067811865476 * tl[4];
-    g[6] += -scale * 1.5811388300841898 * tl[0];
-    g[7] += -scale * -1.224744871391589 * tl[1];
-    g[8] += -scale * 0.7071067811865476 * tl[5];
-    g[9] += -scale * -1.224744871391589 * tl[2];
-    g[10] += -scale * 0.7071067811865476 * tl[6];
-    g[11] += -scale * 0.7071067811865476 * tl[7];
-    g[12] += -scale * -1.224744871391589 * tl[3];
-    g[13] += -scale * 0.7071067811865476 * tl[8];
-    g[14] += -scale * 0.7071067811865476 * tl[9];
-    g[15] += -scale * 0.7071067811865476 * tl[10];
-    g[16] += -scale * -1.224744871391589 * tl[4];
-    g[17] += -scale * 0.7071067811865476 * tl[11];
-    g[18] += -scale * 0.7071067811865476 * tl[12];
-    g[19] += -scale * 0.7071067811865476 * tl[13];
-    g[20] += -scale * 0.7071067811865476 * tl[14];
-    g[21] += -scale * 1.5811388300841898 * tl[1];
-    g[22] += -scale * -1.224744871391589 * tl[5];
-    g[23] += -scale * 1.5811388300841898 * tl[2];
-    g[24] += -scale * -1.224744871391589 * tl[6];
-    g[25] += -scale * 0.7071067811865476 * tl[15];
-    g[26] += -scale * -1.224744871391589 * tl[7];
-    g[27] += -scale * 0.7071067811865476 * tl[16];
-    g[28] += -scale * 1.5811388300841898 * tl[3];
-    g[29] += -scale * -1.224744871391589 * tl[8];
-    g[30] += -scale * 0.7071067811865476 * tl[17];
-    g[31] += -scale * -1.224744871391589 * tl[9];
-    g[32] += -scale * 0.7071067811865476 * tl[18];
-    g[33] += -scale * 0.7071067811865476 * tl[19];
-    g[34] += -scale * -1.224744871391589 * tl[10];
-    g[35] += -scale * 0.7071067811865476 * tl[20];
-    g[36] += -scale * 0.7071067811865476 * tl[21];
-    g[37] += -scale * 1.5811388300841898 * tl[4];
-    g[38] += -scale * -1.224744871391589 * tl[11];
-    g[39] += -scale * 0.7071067811865476 * tl[22];
-    g[40] += -scale * -1.224744871391589 * tl[12];
-    g[41] += -scale * 0.7071067811865476 * tl[23];
-    g[42] += -scale * 0.7071067811865476 * tl[24];
-    g[43] += -scale * -1.224744871391589 * tl[13];
-    g[44] += -scale * 0.7071067811865476 * tl[25];
-    g[45] += -scale * 0.7071067811865476 * tl[26];
-    g[46] += -scale * 0.7071067811865476 * tl[27];
-    g[47] += -scale * -1.224744871391589 * tl[14];
-    g[48] += -scale * 0.7071067811865476 * tl[28];
-    g[49] += -scale * 0.7071067811865476 * tl[29];
-    g[50] += -scale * 0.7071067811865476 * tl[30];
-    g[51] += -scale * 1.5811388300841898 * tl[6];
-    g[52] += -scale * -1.224744871391589 * tl[15];
-    g[53] += -scale * -1.224744871391589 * tl[16];
-    g[54] += -scale * 1.5811388300841898 * tl[8];
-    g[55] += -scale * -1.224744871391589 * tl[17];
-    g[56] += -scale * 1.5811388300841898 * tl[9];
-    g[57] += -scale * -1.224744871391589 * tl[18];
-    g[58] += -scale * 0.7071067811865476 * tl[31];
-    g[59] += -scale * -1.224744871391589 * tl[19];
-    g[60] += -scale * 0.7071067811865476 * tl[32];
-    g[61] += -scale * -1.224744871391589 * tl[20];
-    g[62] += -scale * -1.224744871391589 * tl[21];
-    g[63] += -scale * 0.7071067811865476 * tl[33];
-    g[64] += -scale * 1.5811388300841898 * tl[11];
-    g[65] += -scale * -1.224744871391589 * tl[22];
-    g[66] += -scale * 1.5811388300841898 * tl[12];
-    g[67] += -scale * -1.224744871391589 * tl[23];
-    g[68] += -scale * 0.7071067811865476 * tl[34];
-    g[69] += -scale * -1.224744871391589 * tl[24];
-    g[70] += -scale * 0.7071067811865476 * tl[35];
-    g[71] += -scale * 1.5811388300841898 * tl[13];
-    g[72] += -scale * -1.224744871391589 * tl[25];
-    g[73] += -scale * 0.7071067811865476 * tl[36];
-    g[74] += -scale * -1.224744871391589 * tl[26];
-    g[75] += -scale * 0.7071067811865476 * tl[37];
-    g[76] += -scale * 0.7071067811865476 * tl[38];
-    g[77] += -scale * -1.224744871391589 * tl[27];
-    g[78] += -scale * 0.7071067811865476 * tl[39];
-    g[79] += -scale * 0.7071067811865476 * tl[40];
-    g[80] += -scale * -1.224744871391589 * tl[28];
-    g[81] += -scale * -1.224744871391589 * tl[29];
-    g[82] += -scale * 0.7071067811865476 * tl[41];
-    g[83] += -scale * -1.224744871391589 * tl[30];
-    g[84] += -scale * 0.7071067811865476 * tl[42];
-    g[85] += -scale * 0.7071067811865476 * tl[43];
-    g[86] += -scale * 1.5811388300841898 * tl[18];
-    g[87] += -scale * -1.224744871391589 * tl[31];
-    g[88] += -scale * -1.224744871391589 * tl[32];
-    g[89] += -scale * -1.224744871391589 * tl[33];
-    g[90] += -scale * 1.5811388300841898 * tl[23];
-    g[91] += -scale * -1.224744871391589 * tl[34];
-    g[92] += -scale * -1.224744871391589 * tl[35];
-    g[93] += -scale * 1.5811388300841898 * tl[25];
-    g[94] += -scale * -1.224744871391589 * tl[36];
-    g[95] += -scale * 1.5811388300841898 * tl[26];
-    g[96] += -scale * -1.224744871391589 * tl[37];
-    g[97] += -scale * 0.7071067811865476 * tl[44];
-    g[98] += -scale * -1.224744871391589 * tl[38];
-    g[99] += -scale * 0.7071067811865476 * tl[45];
-    g[100] += -scale * -1.224744871391589 * tl[39];
-    g[101] += -scale * -1.224744871391589 * tl[40];
-    g[102] += -scale * 0.7071067811865476 * tl[46];
-    g[103] += -scale * -1.224744871391589 * tl[41];
-    g[104] += -scale * -1.224744871391589 * tl[42];
-    g[105] += -scale * -1.224744871391589 * tl[43];
-    g[106] += -scale * 0.7071067811865476 * tl[47];
-    g[107] += -scale * 1.5811388300841898 * tl[37];
-    g[108] += -scale * -1.224744871391589 * tl[44];
-    g[109] += -scale * -1.224744871391589 * tl[45];
-    g[110] += -scale * -1.224744871391589 * tl[46];
-    g[111] += -scale * -1.224744871391589 * tl[47];
+    sxn(&mut g[0], scale * 0.7071067811865476, &tr[0]);
+    sxn(&mut g[1], scale * 1.224744871391589, &tr[0]);
+    sxn(&mut g[2], scale * 0.7071067811865476, &tr[1]);
+    sxn(&mut g[3], scale * 0.7071067811865476, &tr[2]);
+    sxn(&mut g[4], scale * 0.7071067811865476, &tr[3]);
+    sxn(&mut g[5], scale * 0.7071067811865476, &tr[4]);
+    sxn(&mut g[6], scale * 1.5811388300841898, &tr[0]);
+    sxn(&mut g[7], scale * 1.224744871391589, &tr[1]);
+    sxn(&mut g[8], scale * 0.7071067811865476, &tr[5]);
+    sxn(&mut g[9], scale * 1.224744871391589, &tr[2]);
+    sxn(&mut g[10], scale * 0.7071067811865476, &tr[6]);
+    sxn(&mut g[11], scale * 0.7071067811865476, &tr[7]);
+    sxn(&mut g[12], scale * 1.224744871391589, &tr[3]);
+    sxn(&mut g[13], scale * 0.7071067811865476, &tr[8]);
+    sxn(&mut g[14], scale * 0.7071067811865476, &tr[9]);
+    sxn(&mut g[15], scale * 0.7071067811865476, &tr[10]);
+    sxn(&mut g[16], scale * 1.224744871391589, &tr[4]);
+    sxn(&mut g[17], scale * 0.7071067811865476, &tr[11]);
+    sxn(&mut g[18], scale * 0.7071067811865476, &tr[12]);
+    sxn(&mut g[19], scale * 0.7071067811865476, &tr[13]);
+    sxn(&mut g[20], scale * 0.7071067811865476, &tr[14]);
+    sxn(&mut g[21], scale * 1.5811388300841898, &tr[1]);
+    sxn(&mut g[22], scale * 1.224744871391589, &tr[5]);
+    sxn(&mut g[23], scale * 1.5811388300841898, &tr[2]);
+    sxn(&mut g[24], scale * 1.224744871391589, &tr[6]);
+    sxn(&mut g[25], scale * 0.7071067811865476, &tr[15]);
+    sxn(&mut g[26], scale * 1.224744871391589, &tr[7]);
+    sxn(&mut g[27], scale * 0.7071067811865476, &tr[16]);
+    sxn(&mut g[28], scale * 1.5811388300841898, &tr[3]);
+    sxn(&mut g[29], scale * 1.224744871391589, &tr[8]);
+    sxn(&mut g[30], scale * 0.7071067811865476, &tr[17]);
+    sxn(&mut g[31], scale * 1.224744871391589, &tr[9]);
+    sxn(&mut g[32], scale * 0.7071067811865476, &tr[18]);
+    sxn(&mut g[33], scale * 0.7071067811865476, &tr[19]);
+    sxn(&mut g[34], scale * 1.224744871391589, &tr[10]);
+    sxn(&mut g[35], scale * 0.7071067811865476, &tr[20]);
+    sxn(&mut g[36], scale * 0.7071067811865476, &tr[21]);
+    sxn(&mut g[37], scale * 1.5811388300841898, &tr[4]);
+    sxn(&mut g[38], scale * 1.224744871391589, &tr[11]);
+    sxn(&mut g[39], scale * 0.7071067811865476, &tr[22]);
+    sxn(&mut g[40], scale * 1.224744871391589, &tr[12]);
+    sxn(&mut g[41], scale * 0.7071067811865476, &tr[23]);
+    sxn(&mut g[42], scale * 0.7071067811865476, &tr[24]);
+    sxn(&mut g[43], scale * 1.224744871391589, &tr[13]);
+    sxn(&mut g[44], scale * 0.7071067811865476, &tr[25]);
+    sxn(&mut g[45], scale * 0.7071067811865476, &tr[26]);
+    sxn(&mut g[46], scale * 0.7071067811865476, &tr[27]);
+    sxn(&mut g[47], scale * 1.224744871391589, &tr[14]);
+    sxn(&mut g[48], scale * 0.7071067811865476, &tr[28]);
+    sxn(&mut g[49], scale * 0.7071067811865476, &tr[29]);
+    sxn(&mut g[50], scale * 0.7071067811865476, &tr[30]);
+    sxn(&mut g[51], scale * 1.5811388300841898, &tr[6]);
+    sxn(&mut g[52], scale * 1.224744871391589, &tr[15]);
+    sxn(&mut g[53], scale * 1.224744871391589, &tr[16]);
+    sxn(&mut g[54], scale * 1.5811388300841898, &tr[8]);
+    sxn(&mut g[55], scale * 1.224744871391589, &tr[17]);
+    sxn(&mut g[56], scale * 1.5811388300841898, &tr[9]);
+    sxn(&mut g[57], scale * 1.224744871391589, &tr[18]);
+    sxn(&mut g[58], scale * 0.7071067811865476, &tr[31]);
+    sxn(&mut g[59], scale * 1.224744871391589, &tr[19]);
+    sxn(&mut g[60], scale * 0.7071067811865476, &tr[32]);
+    sxn(&mut g[61], scale * 1.224744871391589, &tr[20]);
+    sxn(&mut g[62], scale * 1.224744871391589, &tr[21]);
+    sxn(&mut g[63], scale * 0.7071067811865476, &tr[33]);
+    sxn(&mut g[64], scale * 1.5811388300841898, &tr[11]);
+    sxn(&mut g[65], scale * 1.224744871391589, &tr[22]);
+    sxn(&mut g[66], scale * 1.5811388300841898, &tr[12]);
+    sxn(&mut g[67], scale * 1.224744871391589, &tr[23]);
+    sxn(&mut g[68], scale * 0.7071067811865476, &tr[34]);
+    sxn(&mut g[69], scale * 1.224744871391589, &tr[24]);
+    sxn(&mut g[70], scale * 0.7071067811865476, &tr[35]);
+    sxn(&mut g[71], scale * 1.5811388300841898, &tr[13]);
+    sxn(&mut g[72], scale * 1.224744871391589, &tr[25]);
+    sxn(&mut g[73], scale * 0.7071067811865476, &tr[36]);
+    sxn(&mut g[74], scale * 1.224744871391589, &tr[26]);
+    sxn(&mut g[75], scale * 0.7071067811865476, &tr[37]);
+    sxn(&mut g[76], scale * 0.7071067811865476, &tr[38]);
+    sxn(&mut g[77], scale * 1.224744871391589, &tr[27]);
+    sxn(&mut g[78], scale * 0.7071067811865476, &tr[39]);
+    sxn(&mut g[79], scale * 0.7071067811865476, &tr[40]);
+    sxn(&mut g[80], scale * 1.224744871391589, &tr[28]);
+    sxn(&mut g[81], scale * 1.224744871391589, &tr[29]);
+    sxn(&mut g[82], scale * 0.7071067811865476, &tr[41]);
+    sxn(&mut g[83], scale * 1.224744871391589, &tr[30]);
+    sxn(&mut g[84], scale * 0.7071067811865476, &tr[42]);
+    sxn(&mut g[85], scale * 0.7071067811865476, &tr[43]);
+    sxn(&mut g[86], scale * 1.5811388300841898, &tr[18]);
+    sxn(&mut g[87], scale * 1.224744871391589, &tr[31]);
+    sxn(&mut g[88], scale * 1.224744871391589, &tr[32]);
+    sxn(&mut g[89], scale * 1.224744871391589, &tr[33]);
+    sxn(&mut g[90], scale * 1.5811388300841898, &tr[23]);
+    sxn(&mut g[91], scale * 1.224744871391589, &tr[34]);
+    sxn(&mut g[92], scale * 1.224744871391589, &tr[35]);
+    sxn(&mut g[93], scale * 1.5811388300841898, &tr[25]);
+    sxn(&mut g[94], scale * 1.224744871391589, &tr[36]);
+    sxn(&mut g[95], scale * 1.5811388300841898, &tr[26]);
+    sxn(&mut g[96], scale * 1.224744871391589, &tr[37]);
+    sxn(&mut g[97], scale * 0.7071067811865476, &tr[44]);
+    sxn(&mut g[98], scale * 1.224744871391589, &tr[38]);
+    sxn(&mut g[99], scale * 0.7071067811865476, &tr[45]);
+    sxn(&mut g[100], scale * 1.224744871391589, &tr[39]);
+    sxn(&mut g[101], scale * 1.224744871391589, &tr[40]);
+    sxn(&mut g[102], scale * 0.7071067811865476, &tr[46]);
+    sxn(&mut g[103], scale * 1.224744871391589, &tr[41]);
+    sxn(&mut g[104], scale * 1.224744871391589, &tr[42]);
+    sxn(&mut g[105], scale * 1.224744871391589, &tr[43]);
+    sxn(&mut g[106], scale * 0.7071067811865476, &tr[47]);
+    sxn(&mut g[107], scale * 1.5811388300841898, &tr[37]);
+    sxn(&mut g[108], scale * 1.224744871391589, &tr[44]);
+    sxn(&mut g[109], scale * 1.224744871391589, &tr[45]);
+    sxn(&mut g[110], scale * 1.224744871391589, &tr[46]);
+    sxn(&mut g[111], scale * 1.224744871391589, &tr[47]);
+    let mut tl = [[0.0f64; L]; 48];
+    for k in 0..L {
+        tl[0][k] += 0.7071067811865476 * f[0][k];
+        tl[0][k] += -1.224744871391589 * f[1][k];
+    }
+    sxn(&mut tl[1], 0.7071067811865476, &f[2]);
+    sxn(&mut tl[2], 0.7071067811865476, &f[3]);
+    sxn(&mut tl[3], 0.7071067811865476, &f[4]);
+    sxn(&mut tl[4], 0.7071067811865476, &f[5]);
+    sxn(&mut tl[0], 1.5811388300841898, &f[6]);
+    sxn(&mut tl[1], -1.224744871391589, &f[7]);
+    sxn(&mut tl[5], 0.7071067811865476, &f[8]);
+    sxn(&mut tl[2], -1.224744871391589, &f[9]);
+    sxn(&mut tl[6], 0.7071067811865476, &f[10]);
+    sxn(&mut tl[7], 0.7071067811865476, &f[11]);
+    sxn(&mut tl[3], -1.224744871391589, &f[12]);
+    sxn(&mut tl[8], 0.7071067811865476, &f[13]);
+    sxn(&mut tl[9], 0.7071067811865476, &f[14]);
+    sxn(&mut tl[10], 0.7071067811865476, &f[15]);
+    sxn(&mut tl[4], -1.224744871391589, &f[16]);
+    sxn(&mut tl[11], 0.7071067811865476, &f[17]);
+    sxn(&mut tl[12], 0.7071067811865476, &f[18]);
+    sxn(&mut tl[13], 0.7071067811865476, &f[19]);
+    sxn(&mut tl[14], 0.7071067811865476, &f[20]);
+    sxn(&mut tl[1], 1.5811388300841898, &f[21]);
+    sxn(&mut tl[5], -1.224744871391589, &f[22]);
+    sxn(&mut tl[2], 1.5811388300841898, &f[23]);
+    sxn(&mut tl[6], -1.224744871391589, &f[24]);
+    sxn(&mut tl[15], 0.7071067811865476, &f[25]);
+    sxn(&mut tl[7], -1.224744871391589, &f[26]);
+    sxn(&mut tl[16], 0.7071067811865476, &f[27]);
+    sxn(&mut tl[3], 1.5811388300841898, &f[28]);
+    sxn(&mut tl[8], -1.224744871391589, &f[29]);
+    sxn(&mut tl[17], 0.7071067811865476, &f[30]);
+    sxn(&mut tl[9], -1.224744871391589, &f[31]);
+    sxn(&mut tl[18], 0.7071067811865476, &f[32]);
+    sxn(&mut tl[19], 0.7071067811865476, &f[33]);
+    sxn(&mut tl[10], -1.224744871391589, &f[34]);
+    sxn(&mut tl[20], 0.7071067811865476, &f[35]);
+    sxn(&mut tl[21], 0.7071067811865476, &f[36]);
+    sxn(&mut tl[4], 1.5811388300841898, &f[37]);
+    sxn(&mut tl[11], -1.224744871391589, &f[38]);
+    sxn(&mut tl[22], 0.7071067811865476, &f[39]);
+    sxn(&mut tl[12], -1.224744871391589, &f[40]);
+    sxn(&mut tl[23], 0.7071067811865476, &f[41]);
+    sxn(&mut tl[24], 0.7071067811865476, &f[42]);
+    sxn(&mut tl[13], -1.224744871391589, &f[43]);
+    sxn(&mut tl[25], 0.7071067811865476, &f[44]);
+    sxn(&mut tl[26], 0.7071067811865476, &f[45]);
+    sxn(&mut tl[27], 0.7071067811865476, &f[46]);
+    sxn(&mut tl[14], -1.224744871391589, &f[47]);
+    sxn(&mut tl[28], 0.7071067811865476, &f[48]);
+    sxn(&mut tl[29], 0.7071067811865476, &f[49]);
+    sxn(&mut tl[30], 0.7071067811865476, &f[50]);
+    sxn(&mut tl[6], 1.5811388300841898, &f[51]);
+    sxn(&mut tl[15], -1.224744871391589, &f[52]);
+    sxn(&mut tl[16], -1.224744871391589, &f[53]);
+    sxn(&mut tl[8], 1.5811388300841898, &f[54]);
+    sxn(&mut tl[17], -1.224744871391589, &f[55]);
+    sxn(&mut tl[9], 1.5811388300841898, &f[56]);
+    sxn(&mut tl[18], -1.224744871391589, &f[57]);
+    sxn(&mut tl[31], 0.7071067811865476, &f[58]);
+    sxn(&mut tl[19], -1.224744871391589, &f[59]);
+    sxn(&mut tl[32], 0.7071067811865476, &f[60]);
+    sxn(&mut tl[20], -1.224744871391589, &f[61]);
+    sxn(&mut tl[21], -1.224744871391589, &f[62]);
+    sxn(&mut tl[33], 0.7071067811865476, &f[63]);
+    sxn(&mut tl[11], 1.5811388300841898, &f[64]);
+    sxn(&mut tl[22], -1.224744871391589, &f[65]);
+    sxn(&mut tl[12], 1.5811388300841898, &f[66]);
+    sxn(&mut tl[23], -1.224744871391589, &f[67]);
+    sxn(&mut tl[34], 0.7071067811865476, &f[68]);
+    sxn(&mut tl[24], -1.224744871391589, &f[69]);
+    sxn(&mut tl[35], 0.7071067811865476, &f[70]);
+    sxn(&mut tl[13], 1.5811388300841898, &f[71]);
+    sxn(&mut tl[25], -1.224744871391589, &f[72]);
+    sxn(&mut tl[36], 0.7071067811865476, &f[73]);
+    sxn(&mut tl[26], -1.224744871391589, &f[74]);
+    sxn(&mut tl[37], 0.7071067811865476, &f[75]);
+    sxn(&mut tl[38], 0.7071067811865476, &f[76]);
+    sxn(&mut tl[27], -1.224744871391589, &f[77]);
+    sxn(&mut tl[39], 0.7071067811865476, &f[78]);
+    sxn(&mut tl[40], 0.7071067811865476, &f[79]);
+    sxn(&mut tl[28], -1.224744871391589, &f[80]);
+    sxn(&mut tl[29], -1.224744871391589, &f[81]);
+    sxn(&mut tl[41], 0.7071067811865476, &f[82]);
+    sxn(&mut tl[30], -1.224744871391589, &f[83]);
+    sxn(&mut tl[42], 0.7071067811865476, &f[84]);
+    sxn(&mut tl[43], 0.7071067811865476, &f[85]);
+    sxn(&mut tl[18], 1.5811388300841898, &f[86]);
+    sxn(&mut tl[31], -1.224744871391589, &f[87]);
+    sxn(&mut tl[32], -1.224744871391589, &f[88]);
+    sxn(&mut tl[33], -1.224744871391589, &f[89]);
+    sxn(&mut tl[23], 1.5811388300841898, &f[90]);
+    sxn(&mut tl[34], -1.224744871391589, &f[91]);
+    sxn(&mut tl[35], -1.224744871391589, &f[92]);
+    sxn(&mut tl[25], 1.5811388300841898, &f[93]);
+    sxn(&mut tl[36], -1.224744871391589, &f[94]);
+    sxn(&mut tl[26], 1.5811388300841898, &f[95]);
+    sxn(&mut tl[37], -1.224744871391589, &f[96]);
+    sxn(&mut tl[44], 0.7071067811865476, &f[97]);
+    sxn(&mut tl[38], -1.224744871391589, &f[98]);
+    sxn(&mut tl[45], 0.7071067811865476, &f[99]);
+    sxn(&mut tl[39], -1.224744871391589, &f[100]);
+    sxn(&mut tl[40], -1.224744871391589, &f[101]);
+    sxn(&mut tl[46], 0.7071067811865476, &f[102]);
+    sxn(&mut tl[41], -1.224744871391589, &f[103]);
+    sxn(&mut tl[42], -1.224744871391589, &f[104]);
+    sxn(&mut tl[43], -1.224744871391589, &f[105]);
+    sxn(&mut tl[47], 0.7071067811865476, &f[106]);
+    sxn(&mut tl[37], 1.5811388300841898, &f[107]);
+    sxn(&mut tl[44], -1.224744871391589, &f[108]);
+    sxn(&mut tl[45], -1.224744871391589, &f[109]);
+    sxn(&mut tl[46], -1.224744871391589, &f[110]);
+    sxn(&mut tl[47], -1.224744871391589, &f[111]);
+    sxn(&mut g[0], -scale * 0.7071067811865476, &tl[0]);
+    sxn(&mut g[1], -scale * -1.224744871391589, &tl[0]);
+    sxn(&mut g[2], -scale * 0.7071067811865476, &tl[1]);
+    sxn(&mut g[3], -scale * 0.7071067811865476, &tl[2]);
+    sxn(&mut g[4], -scale * 0.7071067811865476, &tl[3]);
+    sxn(&mut g[5], -scale * 0.7071067811865476, &tl[4]);
+    sxn(&mut g[6], -scale * 1.5811388300841898, &tl[0]);
+    sxn(&mut g[7], -scale * -1.224744871391589, &tl[1]);
+    sxn(&mut g[8], -scale * 0.7071067811865476, &tl[5]);
+    sxn(&mut g[9], -scale * -1.224744871391589, &tl[2]);
+    sxn(&mut g[10], -scale * 0.7071067811865476, &tl[6]);
+    sxn(&mut g[11], -scale * 0.7071067811865476, &tl[7]);
+    sxn(&mut g[12], -scale * -1.224744871391589, &tl[3]);
+    sxn(&mut g[13], -scale * 0.7071067811865476, &tl[8]);
+    sxn(&mut g[14], -scale * 0.7071067811865476, &tl[9]);
+    sxn(&mut g[15], -scale * 0.7071067811865476, &tl[10]);
+    sxn(&mut g[16], -scale * -1.224744871391589, &tl[4]);
+    sxn(&mut g[17], -scale * 0.7071067811865476, &tl[11]);
+    sxn(&mut g[18], -scale * 0.7071067811865476, &tl[12]);
+    sxn(&mut g[19], -scale * 0.7071067811865476, &tl[13]);
+    sxn(&mut g[20], -scale * 0.7071067811865476, &tl[14]);
+    sxn(&mut g[21], -scale * 1.5811388300841898, &tl[1]);
+    sxn(&mut g[22], -scale * -1.224744871391589, &tl[5]);
+    sxn(&mut g[23], -scale * 1.5811388300841898, &tl[2]);
+    sxn(&mut g[24], -scale * -1.224744871391589, &tl[6]);
+    sxn(&mut g[25], -scale * 0.7071067811865476, &tl[15]);
+    sxn(&mut g[26], -scale * -1.224744871391589, &tl[7]);
+    sxn(&mut g[27], -scale * 0.7071067811865476, &tl[16]);
+    sxn(&mut g[28], -scale * 1.5811388300841898, &tl[3]);
+    sxn(&mut g[29], -scale * -1.224744871391589, &tl[8]);
+    sxn(&mut g[30], -scale * 0.7071067811865476, &tl[17]);
+    sxn(&mut g[31], -scale * -1.224744871391589, &tl[9]);
+    sxn(&mut g[32], -scale * 0.7071067811865476, &tl[18]);
+    sxn(&mut g[33], -scale * 0.7071067811865476, &tl[19]);
+    sxn(&mut g[34], -scale * -1.224744871391589, &tl[10]);
+    sxn(&mut g[35], -scale * 0.7071067811865476, &tl[20]);
+    sxn(&mut g[36], -scale * 0.7071067811865476, &tl[21]);
+    sxn(&mut g[37], -scale * 1.5811388300841898, &tl[4]);
+    sxn(&mut g[38], -scale * -1.224744871391589, &tl[11]);
+    sxn(&mut g[39], -scale * 0.7071067811865476, &tl[22]);
+    sxn(&mut g[40], -scale * -1.224744871391589, &tl[12]);
+    sxn(&mut g[41], -scale * 0.7071067811865476, &tl[23]);
+    sxn(&mut g[42], -scale * 0.7071067811865476, &tl[24]);
+    sxn(&mut g[43], -scale * -1.224744871391589, &tl[13]);
+    sxn(&mut g[44], -scale * 0.7071067811865476, &tl[25]);
+    sxn(&mut g[45], -scale * 0.7071067811865476, &tl[26]);
+    sxn(&mut g[46], -scale * 0.7071067811865476, &tl[27]);
+    sxn(&mut g[47], -scale * -1.224744871391589, &tl[14]);
+    sxn(&mut g[48], -scale * 0.7071067811865476, &tl[28]);
+    sxn(&mut g[49], -scale * 0.7071067811865476, &tl[29]);
+    sxn(&mut g[50], -scale * 0.7071067811865476, &tl[30]);
+    sxn(&mut g[51], -scale * 1.5811388300841898, &tl[6]);
+    sxn(&mut g[52], -scale * -1.224744871391589, &tl[15]);
+    sxn(&mut g[53], -scale * -1.224744871391589, &tl[16]);
+    sxn(&mut g[54], -scale * 1.5811388300841898, &tl[8]);
+    sxn(&mut g[55], -scale * -1.224744871391589, &tl[17]);
+    sxn(&mut g[56], -scale * 1.5811388300841898, &tl[9]);
+    sxn(&mut g[57], -scale * -1.224744871391589, &tl[18]);
+    sxn(&mut g[58], -scale * 0.7071067811865476, &tl[31]);
+    sxn(&mut g[59], -scale * -1.224744871391589, &tl[19]);
+    sxn(&mut g[60], -scale * 0.7071067811865476, &tl[32]);
+    sxn(&mut g[61], -scale * -1.224744871391589, &tl[20]);
+    sxn(&mut g[62], -scale * -1.224744871391589, &tl[21]);
+    sxn(&mut g[63], -scale * 0.7071067811865476, &tl[33]);
+    sxn(&mut g[64], -scale * 1.5811388300841898, &tl[11]);
+    sxn(&mut g[65], -scale * -1.224744871391589, &tl[22]);
+    sxn(&mut g[66], -scale * 1.5811388300841898, &tl[12]);
+    sxn(&mut g[67], -scale * -1.224744871391589, &tl[23]);
+    sxn(&mut g[68], -scale * 0.7071067811865476, &tl[34]);
+    sxn(&mut g[69], -scale * -1.224744871391589, &tl[24]);
+    sxn(&mut g[70], -scale * 0.7071067811865476, &tl[35]);
+    sxn(&mut g[71], -scale * 1.5811388300841898, &tl[13]);
+    sxn(&mut g[72], -scale * -1.224744871391589, &tl[25]);
+    sxn(&mut g[73], -scale * 0.7071067811865476, &tl[36]);
+    sxn(&mut g[74], -scale * -1.224744871391589, &tl[26]);
+    sxn(&mut g[75], -scale * 0.7071067811865476, &tl[37]);
+    sxn(&mut g[76], -scale * 0.7071067811865476, &tl[38]);
+    sxn(&mut g[77], -scale * -1.224744871391589, &tl[27]);
+    sxn(&mut g[78], -scale * 0.7071067811865476, &tl[39]);
+    sxn(&mut g[79], -scale * 0.7071067811865476, &tl[40]);
+    sxn(&mut g[80], -scale * -1.224744871391589, &tl[28]);
+    sxn(&mut g[81], -scale * -1.224744871391589, &tl[29]);
+    sxn(&mut g[82], -scale * 0.7071067811865476, &tl[41]);
+    sxn(&mut g[83], -scale * -1.224744871391589, &tl[30]);
+    sxn(&mut g[84], -scale * 0.7071067811865476, &tl[42]);
+    sxn(&mut g[85], -scale * 0.7071067811865476, &tl[43]);
+    sxn(&mut g[86], -scale * 1.5811388300841898, &tl[18]);
+    sxn(&mut g[87], -scale * -1.224744871391589, &tl[31]);
+    sxn(&mut g[88], -scale * -1.224744871391589, &tl[32]);
+    sxn(&mut g[89], -scale * -1.224744871391589, &tl[33]);
+    sxn(&mut g[90], -scale * 1.5811388300841898, &tl[23]);
+    sxn(&mut g[91], -scale * -1.224744871391589, &tl[34]);
+    sxn(&mut g[92], -scale * -1.224744871391589, &tl[35]);
+    sxn(&mut g[93], -scale * 1.5811388300841898, &tl[25]);
+    sxn(&mut g[94], -scale * -1.224744871391589, &tl[36]);
+    sxn(&mut g[95], -scale * 1.5811388300841898, &tl[26]);
+    sxn(&mut g[96], -scale * -1.224744871391589, &tl[37]);
+    sxn(&mut g[97], -scale * 0.7071067811865476, &tl[44]);
+    sxn(&mut g[98], -scale * -1.224744871391589, &tl[38]);
+    sxn(&mut g[99], -scale * 0.7071067811865476, &tl[45]);
+    sxn(&mut g[100], -scale * -1.224744871391589, &tl[39]);
+    sxn(&mut g[101], -scale * -1.224744871391589, &tl[40]);
+    sxn(&mut g[102], -scale * 0.7071067811865476, &tl[46]);
+    sxn(&mut g[103], -scale * -1.224744871391589, &tl[41]);
+    sxn(&mut g[104], -scale * -1.224744871391589, &tl[42]);
+    sxn(&mut g[105], -scale * -1.224744871391589, &tl[43]);
+    sxn(&mut g[106], -scale * 0.7071067811865476, &tl[47]);
+    sxn(&mut g[107], -scale * 1.5811388300841898, &tl[37]);
+    sxn(&mut g[108], -scale * -1.224744871391589, &tl[44]);
+    sxn(&mut g[109], -scale * -1.224744871391589, &tl[45]);
+    sxn(&mut g[110], -scale * -1.224744871391589, &tl[46]);
+    sxn(&mut g[111], -scale * -1.224744871391589, &tl[47]);
 }
 
 /// LBO diffusion volume term in v2: weak `ν vth²(x) ∂_v g`.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p2_ser_diff_vol_v2(nu: f64, dv: f64, vth2: &[f64], g: &[f64], out: &mut [f64]) {
+    lbo_2x3v_p2_ser_diff_vol_v2_body::<1>(nu, dv, vth2.as_chunks().0, g.as_chunks().0, out.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p2_ser_diff_vol_v2`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_diff_vol_v2_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_diff_vol_v2_body(nu, dv, vth2, g, out)
+}
+
+/// [`lbo_2x3v_p2_ser_diff_vol_v2_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_diff_vol_v2_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_diff_vol_v2_body(nu, dv, vth2, g, out)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p2_ser_diff_vol_v2`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p2_ser_diff_vol_v2_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g: &[[f64; L]], out: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 8] = vth2.first_chunk().expect("vth2: 8 coefficients");
+    let g: &[[f64; L]; 112] = g.first_chunk().expect("g: 112 coefficients");
+    let out: &mut [[f64; L]; 112] = out.first_chunk_mut().expect("out: 112 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 112];
-    alpha[0] = 2.8284271247461903 * vth2[0];
-    alpha[4] = 2.8284271247461903 * vth2[1];
-    alpha[5] = 2.8284271247461903 * vth2[2];
-    alpha[15] = 2.8284271247461903 * vth2[3];
-    alpha[19] = 2.8284271247461903 * vth2[4];
-    alpha[20] = 2.8284271247461903 * vth2[5];
-    alpha[46] = 2.8284271247461903 * vth2[6];
-    alpha[50] = 2.8284271247461903 * vth2[7];
-    out[1] += -nu * scale * 0.30618621784789724 * alpha[0] * g[0];
-    out[1] += -nu * scale * 0.30618621784789724 * alpha[4] * g[4];
-    out[1] += -nu * scale * 0.30618621784789724 * alpha[5] * g[5];
-    out[1] += -nu * scale * 0.3061862178478973 * alpha[15] * g[15];
-    out[1] += -nu * scale * 0.30618621784789724 * alpha[19] * g[19];
-    out[1] += -nu * scale * 0.3061862178478973 * alpha[20] * g[20];
-    out[1] += -nu * scale * 0.3061862178478973 * alpha[46] * g[46];
-    out[1] += -nu * scale * 0.3061862178478973 * alpha[50] * g[50];
-    out[6] += -nu * scale * 0.6846531968814576 * alpha[0] * g[1];
-    out[6] += -nu * scale * 0.6846531968814575 * alpha[4] * g[12];
-    out[6] += -nu * scale * 0.6846531968814575 * alpha[5] * g[16];
-    out[6] += -nu * scale * 0.6846531968814578 * alpha[15] * g[34];
-    out[6] += -nu * scale * 0.6846531968814576 * alpha[19] * g[43];
-    out[6] += -nu * scale * 0.6846531968814578 * alpha[20] * g[47];
-    out[6] += -nu * scale * 0.6846531968814576 * alpha[46] * g[77];
-    out[6] += -nu * scale * 0.6846531968814576 * alpha[50] * g[83];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[0] * g[2];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[4] * g[13];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[5] * g[17];
-    out[7] += -nu * scale * 0.3061862178478973 * alpha[15] * g[35];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[19] * g[44];
-    out[7] += -nu * scale * 0.3061862178478973 * alpha[20] * g[48];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[46] * g[78];
-    out[7] += -nu * scale * 0.30618621784789724 * alpha[50] * g[84];
-    out[9] += -nu * scale * 0.30618621784789724 * alpha[0] * g[3];
-    out[9] += -nu * scale * 0.30618621784789724 * alpha[4] * g[14];
-    out[9] += -nu * scale * 0.30618621784789724 * alpha[5] * g[18];
-    out[9] += -nu * scale * 0.3061862178478973 * alpha[15] * g[36];
-    out[9] += -nu * scale * 0.30618621784789724 * alpha[19] * g[45];
-    out[9] += -nu * scale * 0.3061862178478973 * alpha[20] * g[49];
-    out[9] += -nu * scale * 0.30618621784789724 * alpha[46] * g[79];
-    out[9] += -nu * scale * 0.30618621784789724 * alpha[50] * g[85];
-    out[12] += -nu * scale * 0.30618621784789724 * alpha[0] * g[4];
-    out[12] += -nu * scale * 0.30618621784789724 * alpha[4] * g[0];
-    out[12] += -nu * scale * 0.27386127875258304 * alpha[4] * g[15];
-    out[12] += -nu * scale * 0.30618621784789724 * alpha[5] * g[19];
-    out[12] += -nu * scale * 0.27386127875258304 * alpha[15] * g[4];
-    out[12] += -nu * scale * 0.30618621784789724 * alpha[19] * g[5];
-    out[12] += -nu * scale * 0.2738612787525831 * alpha[19] * g[46];
-    out[12] += -nu * scale * 0.3061862178478973 * alpha[20] * g[50];
-    out[12] += -nu * scale * 0.2738612787525831 * alpha[46] * g[19];
-    out[12] += -nu * scale * 0.3061862178478973 * alpha[50] * g[20];
-    out[16] += -nu * scale * 0.30618621784789724 * alpha[0] * g[5];
-    out[16] += -nu * scale * 0.30618621784789724 * alpha[4] * g[19];
-    out[16] += -nu * scale * 0.30618621784789724 * alpha[5] * g[0];
-    out[16] += -nu * scale * 0.27386127875258304 * alpha[5] * g[20];
-    out[16] += -nu * scale * 0.3061862178478973 * alpha[15] * g[46];
-    out[16] += -nu * scale * 0.30618621784789724 * alpha[19] * g[4];
-    out[16] += -nu * scale * 0.2738612787525831 * alpha[19] * g[50];
-    out[16] += -nu * scale * 0.27386127875258304 * alpha[20] * g[5];
-    out[16] += -nu * scale * 0.3061862178478973 * alpha[46] * g[15];
-    out[16] += -nu * scale * 0.2738612787525831 * alpha[50] * g[19];
-    out[21] += -nu * scale * 0.6846531968814575 * alpha[0] * g[7];
-    out[21] += -nu * scale * 0.6846531968814576 * alpha[4] * g[29];
-    out[21] += -nu * scale * 0.6846531968814576 * alpha[5] * g[38];
-    out[21] += -nu * scale * 0.6846531968814576 * alpha[15] * g[61];
-    out[21] += -nu * scale * 0.6846531968814576 * alpha[19] * g[72];
-    out[21] += -nu * scale * 0.6846531968814576 * alpha[20] * g[80];
-    out[21] += -nu * scale * 0.6846531968814576 * alpha[46] * g[100];
-    out[21] += -nu * scale * 0.6846531968814576 * alpha[50] * g[104];
-    out[22] += -nu * scale * 0.3061862178478973 * alpha[0] * g[8];
-    out[22] += -nu * scale * 0.3061862178478973 * alpha[4] * g[30];
-    out[22] += -nu * scale * 0.3061862178478973 * alpha[5] * g[39];
-    out[22] += -nu * scale * 0.30618621784789724 * alpha[19] * g[73];
-    out[23] += -nu * scale * 0.6846531968814575 * alpha[0] * g[9];
-    out[23] += -nu * scale * 0.6846531968814576 * alpha[4] * g[31];
-    out[23] += -nu * scale * 0.6846531968814576 * alpha[5] * g[40];
-    out[23] += -nu * scale * 0.6846531968814576 * alpha[15] * g[62];
-    out[23] += -nu * scale * 0.6846531968814576 * alpha[19] * g[74];
-    out[23] += -nu * scale * 0.6846531968814576 * alpha[20] * g[81];
-    out[23] += -nu * scale * 0.6846531968814576 * alpha[46] * g[101];
-    out[23] += -nu * scale * 0.6846531968814576 * alpha[50] * g[105];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[0] * g[10];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[4] * g[32];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[5] * g[41];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[15] * g[63];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[19] * g[75];
-    out[24] += -nu * scale * 0.30618621784789724 * alpha[20] * g[82];
-    out[24] += -nu * scale * 0.3061862178478973 * alpha[46] * g[102];
-    out[24] += -nu * scale * 0.3061862178478973 * alpha[50] * g[106];
-    out[26] += -nu * scale * 0.3061862178478973 * alpha[0] * g[11];
-    out[26] += -nu * scale * 0.3061862178478973 * alpha[4] * g[33];
-    out[26] += -nu * scale * 0.3061862178478973 * alpha[5] * g[42];
-    out[26] += -nu * scale * 0.30618621784789724 * alpha[19] * g[76];
-    out[28] += -nu * scale * 0.6846531968814575 * alpha[0] * g[12];
-    out[28] += -nu * scale * 0.6846531968814575 * alpha[4] * g[1];
-    out[28] += -nu * scale * 0.6123724356957946 * alpha[4] * g[34];
-    out[28] += -nu * scale * 0.6846531968814576 * alpha[5] * g[43];
-    out[28] += -nu * scale * 0.6123724356957946 * alpha[15] * g[12];
-    out[28] += -nu * scale * 0.6846531968814576 * alpha[19] * g[16];
-    out[28] += -nu * scale * 0.6123724356957945 * alpha[19] * g[77];
-    out[28] += -nu * scale * 0.6846531968814576 * alpha[20] * g[83];
-    out[28] += -nu * scale * 0.6123724356957945 * alpha[46] * g[43];
-    out[28] += -nu * scale * 0.6846531968814576 * alpha[50] * g[47];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[0] * g[13];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[4] * g[2];
-    out[29] += -nu * scale * 0.2738612787525831 * alpha[4] * g[35];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[5] * g[44];
-    out[29] += -nu * scale * 0.2738612787525831 * alpha[15] * g[13];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[19] * g[17];
-    out[29] += -nu * scale * 0.2738612787525831 * alpha[19] * g[78];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[20] * g[84];
-    out[29] += -nu * scale * 0.2738612787525831 * alpha[46] * g[44];
-    out[29] += -nu * scale * 0.30618621784789724 * alpha[50] * g[48];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[0] * g[14];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[4] * g[3];
-    out[31] += -nu * scale * 0.2738612787525831 * alpha[4] * g[36];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[5] * g[45];
-    out[31] += -nu * scale * 0.2738612787525831 * alpha[15] * g[14];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[19] * g[18];
-    out[31] += -nu * scale * 0.2738612787525831 * alpha[19] * g[79];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[20] * g[85];
-    out[31] += -nu * scale * 0.2738612787525831 * alpha[46] * g[45];
-    out[31] += -nu * scale * 0.30618621784789724 * alpha[50] * g[49];
-    out[34] += -nu * scale * 0.3061862178478973 * alpha[0] * g[15];
-    out[34] += -nu * scale * 0.27386127875258304 * alpha[4] * g[4];
-    out[34] += -nu * scale * 0.3061862178478973 * alpha[5] * g[46];
-    out[34] += -nu * scale * 0.3061862178478973 * alpha[15] * g[0];
-    out[34] += -nu * scale * 0.1956151991089879 * alpha[15] * g[15];
-    out[34] += -nu * scale * 0.2738612787525831 * alpha[19] * g[19];
-    out[34] += -nu * scale * 0.3061862178478973 * alpha[46] * g[5];
-    out[34] += -nu * scale * 0.19561519910898792 * alpha[46] * g[46];
-    out[34] += -nu * scale * 0.2738612787525831 * alpha[50] * g[50];
-    out[37] += -nu * scale * 0.6846531968814575 * alpha[0] * g[16];
-    out[37] += -nu * scale * 0.6846531968814576 * alpha[4] * g[43];
-    out[37] += -nu * scale * 0.6846531968814575 * alpha[5] * g[1];
-    out[37] += -nu * scale * 0.6123724356957946 * alpha[5] * g[47];
-    out[37] += -nu * scale * 0.6846531968814576 * alpha[15] * g[77];
-    out[37] += -nu * scale * 0.6846531968814576 * alpha[19] * g[12];
-    out[37] += -nu * scale * 0.6123724356957945 * alpha[19] * g[83];
-    out[37] += -nu * scale * 0.6123724356957946 * alpha[20] * g[16];
-    out[37] += -nu * scale * 0.6846531968814576 * alpha[46] * g[34];
-    out[37] += -nu * scale * 0.6123724356957945 * alpha[50] * g[43];
-    out[38] += -nu * scale * 0.30618621784789724 * alpha[0] * g[17];
-    out[38] += -nu * scale * 0.30618621784789724 * alpha[4] * g[44];
-    out[38] += -nu * scale * 0.30618621784789724 * alpha[5] * g[2];
-    out[38] += -nu * scale * 0.2738612787525831 * alpha[5] * g[48];
-    out[38] += -nu * scale * 0.30618621784789724 * alpha[15] * g[78];
-    out[38] += -nu * scale * 0.30618621784789724 * alpha[19] * g[13];
-    out[38] += -nu * scale * 0.2738612787525831 * alpha[19] * g[84];
-    out[38] += -nu * scale * 0.2738612787525831 * alpha[20] * g[17];
-    out[38] += -nu * scale * 0.30618621784789724 * alpha[46] * g[35];
-    out[38] += -nu * scale * 0.2738612787525831 * alpha[50] * g[44];
-    out[40] += -nu * scale * 0.30618621784789724 * alpha[0] * g[18];
-    out[40] += -nu * scale * 0.30618621784789724 * alpha[4] * g[45];
-    out[40] += -nu * scale * 0.30618621784789724 * alpha[5] * g[3];
-    out[40] += -nu * scale * 0.2738612787525831 * alpha[5] * g[49];
-    out[40] += -nu * scale * 0.30618621784789724 * alpha[15] * g[79];
-    out[40] += -nu * scale * 0.30618621784789724 * alpha[19] * g[14];
-    out[40] += -nu * scale * 0.2738612787525831 * alpha[19] * g[85];
-    out[40] += -nu * scale * 0.2738612787525831 * alpha[20] * g[18];
-    out[40] += -nu * scale * 0.30618621784789724 * alpha[46] * g[36];
-    out[40] += -nu * scale * 0.2738612787525831 * alpha[50] * g[45];
-    out[43] += -nu * scale * 0.30618621784789724 * alpha[0] * g[19];
-    out[43] += -nu * scale * 0.30618621784789724 * alpha[4] * g[5];
-    out[43] += -nu * scale * 0.2738612787525831 * alpha[4] * g[46];
-    out[43] += -nu * scale * 0.30618621784789724 * alpha[5] * g[4];
-    out[43] += -nu * scale * 0.2738612787525831 * alpha[5] * g[50];
-    out[43] += -nu * scale * 0.2738612787525831 * alpha[15] * g[19];
-    out[43] += -nu * scale * 0.30618621784789724 * alpha[19] * g[0];
-    out[43] += -nu * scale * 0.2738612787525831 * alpha[19] * g[15];
-    out[43] += -nu * scale * 0.2738612787525831 * alpha[19] * g[20];
-    out[43] += -nu * scale * 0.2738612787525831 * alpha[20] * g[19];
-    out[43] += -nu * scale * 0.2738612787525831 * alpha[46] * g[4];
-    out[43] += -nu * scale * 0.2449489742783178 * alpha[46] * g[50];
-    out[43] += -nu * scale * 0.2738612787525831 * alpha[50] * g[5];
-    out[43] += -nu * scale * 0.2449489742783178 * alpha[50] * g[46];
-    out[47] += -nu * scale * 0.3061862178478973 * alpha[0] * g[20];
-    out[47] += -nu * scale * 0.3061862178478973 * alpha[4] * g[50];
-    out[47] += -nu * scale * 0.27386127875258304 * alpha[5] * g[5];
-    out[47] += -nu * scale * 0.2738612787525831 * alpha[19] * g[19];
-    out[47] += -nu * scale * 0.3061862178478973 * alpha[20] * g[0];
-    out[47] += -nu * scale * 0.1956151991089879 * alpha[20] * g[20];
-    out[47] += -nu * scale * 0.2738612787525831 * alpha[46] * g[46];
-    out[47] += -nu * scale * 0.3061862178478973 * alpha[50] * g[4];
-    out[47] += -nu * scale * 0.19561519910898792 * alpha[50] * g[50];
-    out[51] += -nu * scale * 0.6846531968814576 * alpha[0] * g[24];
-    out[51] += -nu * scale * 0.6846531968814576 * alpha[4] * g[57];
-    out[51] += -nu * scale * 0.6846531968814576 * alpha[5] * g[67];
-    out[51] += -nu * scale * 0.6846531968814576 * alpha[15] * g[89];
-    out[51] += -nu * scale * 0.6846531968814576 * alpha[19] * g[96];
-    out[51] += -nu * scale * 0.6846531968814576 * alpha[20] * g[103];
-    out[51] += -nu * scale * 0.6846531968814576 * alpha[46] * g[110];
-    out[51] += -nu * scale * 0.6846531968814576 * alpha[50] * g[111];
-    out[52] += -nu * scale * 0.3061862178478973 * alpha[0] * g[25];
-    out[52] += -nu * scale * 0.30618621784789724 * alpha[4] * g[58];
-    out[52] += -nu * scale * 0.30618621784789724 * alpha[5] * g[68];
-    out[52] += -nu * scale * 0.3061862178478973 * alpha[19] * g[97];
-    out[53] += -nu * scale * 0.3061862178478973 * alpha[0] * g[27];
-    out[53] += -nu * scale * 0.30618621784789724 * alpha[4] * g[60];
-    out[53] += -nu * scale * 0.30618621784789724 * alpha[5] * g[70];
-    out[53] += -nu * scale * 0.3061862178478973 * alpha[19] * g[99];
-    out[54] += -nu * scale * 0.6846531968814576 * alpha[0] * g[29];
-    out[54] += -nu * scale * 0.6846531968814576 * alpha[4] * g[7];
-    out[54] += -nu * scale * 0.6123724356957945 * alpha[4] * g[61];
-    out[54] += -nu * scale * 0.6846531968814576 * alpha[5] * g[72];
-    out[54] += -nu * scale * 0.6123724356957945 * alpha[15] * g[29];
-    out[54] += -nu * scale * 0.6846531968814576 * alpha[19] * g[38];
-    out[54] += -nu * scale * 0.6123724356957946 * alpha[19] * g[100];
-    out[54] += -nu * scale * 0.6846531968814576 * alpha[20] * g[104];
-    out[54] += -nu * scale * 0.6123724356957946 * alpha[46] * g[72];
-    out[54] += -nu * scale * 0.6846531968814576 * alpha[50] * g[80];
-    out[55] += -nu * scale * 0.3061862178478973 * alpha[0] * g[30];
-    out[55] += -nu * scale * 0.3061862178478973 * alpha[4] * g[8];
-    out[55] += -nu * scale * 0.30618621784789724 * alpha[5] * g[73];
-    out[55] += -nu * scale * 0.2738612787525831 * alpha[15] * g[30];
-    out[55] += -nu * scale * 0.30618621784789724 * alpha[19] * g[39];
-    out[55] += -nu * scale * 0.27386127875258304 * alpha[46] * g[73];
-    out[56] += -nu * scale * 0.6846531968814576 * alpha[0] * g[31];
-    out[56] += -nu * scale * 0.6846531968814576 * alpha[4] * g[9];
-    out[56] += -nu * scale * 0.6123724356957945 * alpha[4] * g[62];
-    out[56] += -nu * scale * 0.6846531968814576 * alpha[5] * g[74];
-    out[56] += -nu * scale * 0.6123724356957945 * alpha[15] * g[31];
-    out[56] += -nu * scale * 0.6846531968814576 * alpha[19] * g[40];
-    out[56] += -nu * scale * 0.6123724356957946 * alpha[19] * g[101];
-    out[56] += -nu * scale * 0.6846531968814576 * alpha[20] * g[105];
-    out[56] += -nu * scale * 0.6123724356957946 * alpha[46] * g[74];
-    out[56] += -nu * scale * 0.6846531968814576 * alpha[50] * g[81];
-    out[57] += -nu * scale * 0.30618621784789724 * alpha[0] * g[32];
-    out[57] += -nu * scale * 0.30618621784789724 * alpha[4] * g[10];
-    out[57] += -nu * scale * 0.2738612787525831 * alpha[4] * g[63];
-    out[57] += -nu * scale * 0.30618621784789724 * alpha[5] * g[75];
-    out[57] += -nu * scale * 0.2738612787525831 * alpha[15] * g[32];
-    out[57] += -nu * scale * 0.30618621784789724 * alpha[19] * g[41];
-    out[57] += -nu * scale * 0.27386127875258304 * alpha[19] * g[102];
-    out[57] += -nu * scale * 0.3061862178478973 * alpha[20] * g[106];
-    out[57] += -nu * scale * 0.27386127875258304 * alpha[46] * g[75];
-    out[57] += -nu * scale * 0.3061862178478973 * alpha[50] * g[82];
-    out[59] += -nu * scale * 0.3061862178478973 * alpha[0] * g[33];
-    out[59] += -nu * scale * 0.3061862178478973 * alpha[4] * g[11];
-    out[59] += -nu * scale * 0.30618621784789724 * alpha[5] * g[76];
-    out[59] += -nu * scale * 0.2738612787525831 * alpha[15] * g[33];
-    out[59] += -nu * scale * 0.30618621784789724 * alpha[19] * g[42];
-    out[59] += -nu * scale * 0.27386127875258304 * alpha[46] * g[76];
-    out[61] += -nu * scale * 0.3061862178478973 * alpha[0] * g[35];
-    out[61] += -nu * scale * 0.2738612787525831 * alpha[4] * g[13];
-    out[61] += -nu * scale * 0.30618621784789724 * alpha[5] * g[78];
-    out[61] += -nu * scale * 0.3061862178478973 * alpha[15] * g[2];
-    out[61] += -nu * scale * 0.19561519910898792 * alpha[15] * g[35];
-    out[61] += -nu * scale * 0.2738612787525831 * alpha[19] * g[44];
-    out[61] += -nu * scale * 0.30618621784789724 * alpha[46] * g[17];
-    out[61] += -nu * scale * 0.1956151991089879 * alpha[46] * g[78];
-    out[61] += -nu * scale * 0.27386127875258304 * alpha[50] * g[84];
-    out[62] += -nu * scale * 0.3061862178478973 * alpha[0] * g[36];
-    out[62] += -nu * scale * 0.2738612787525831 * alpha[4] * g[14];
-    out[62] += -nu * scale * 0.30618621784789724 * alpha[5] * g[79];
-    out[62] += -nu * scale * 0.3061862178478973 * alpha[15] * g[3];
-    out[62] += -nu * scale * 0.19561519910898792 * alpha[15] * g[36];
-    out[62] += -nu * scale * 0.2738612787525831 * alpha[19] * g[45];
-    out[62] += -nu * scale * 0.30618621784789724 * alpha[46] * g[18];
-    out[62] += -nu * scale * 0.1956151991089879 * alpha[46] * g[79];
-    out[62] += -nu * scale * 0.27386127875258304 * alpha[50] * g[85];
-    out[64] += -nu * scale * 0.6846531968814576 * alpha[0] * g[38];
-    out[64] += -nu * scale * 0.6846531968814576 * alpha[4] * g[72];
-    out[64] += -nu * scale * 0.6846531968814576 * alpha[5] * g[7];
-    out[64] += -nu * scale * 0.6123724356957945 * alpha[5] * g[80];
-    out[64] += -nu * scale * 0.6846531968814576 * alpha[15] * g[100];
-    out[64] += -nu * scale * 0.6846531968814576 * alpha[19] * g[29];
-    out[64] += -nu * scale * 0.6123724356957946 * alpha[19] * g[104];
-    out[64] += -nu * scale * 0.6123724356957945 * alpha[20] * g[38];
-    out[64] += -nu * scale * 0.6846531968814576 * alpha[46] * g[61];
-    out[64] += -nu * scale * 0.6123724356957946 * alpha[50] * g[72];
-    out[65] += -nu * scale * 0.3061862178478973 * alpha[0] * g[39];
-    out[65] += -nu * scale * 0.30618621784789724 * alpha[4] * g[73];
-    out[65] += -nu * scale * 0.3061862178478973 * alpha[5] * g[8];
-    out[65] += -nu * scale * 0.30618621784789724 * alpha[19] * g[30];
-    out[65] += -nu * scale * 0.2738612787525831 * alpha[20] * g[39];
-    out[65] += -nu * scale * 0.27386127875258304 * alpha[50] * g[73];
-    out[66] += -nu * scale * 0.6846531968814576 * alpha[0] * g[40];
-    out[66] += -nu * scale * 0.6846531968814576 * alpha[4] * g[74];
-    out[66] += -nu * scale * 0.6846531968814576 * alpha[5] * g[9];
-    out[66] += -nu * scale * 0.6123724356957945 * alpha[5] * g[81];
-    out[66] += -nu * scale * 0.6846531968814576 * alpha[15] * g[101];
-    out[66] += -nu * scale * 0.6846531968814576 * alpha[19] * g[31];
-    out[66] += -nu * scale * 0.6123724356957946 * alpha[19] * g[105];
-    out[66] += -nu * scale * 0.6123724356957945 * alpha[20] * g[40];
-    out[66] += -nu * scale * 0.6846531968814576 * alpha[46] * g[62];
-    out[66] += -nu * scale * 0.6123724356957946 * alpha[50] * g[74];
-    out[67] += -nu * scale * 0.30618621784789724 * alpha[0] * g[41];
-    out[67] += -nu * scale * 0.30618621784789724 * alpha[4] * g[75];
-    out[67] += -nu * scale * 0.30618621784789724 * alpha[5] * g[10];
-    out[67] += -nu * scale * 0.2738612787525831 * alpha[5] * g[82];
-    out[67] += -nu * scale * 0.3061862178478973 * alpha[15] * g[102];
-    out[67] += -nu * scale * 0.30618621784789724 * alpha[19] * g[32];
-    out[67] += -nu * scale * 0.27386127875258304 * alpha[19] * g[106];
-    out[67] += -nu * scale * 0.2738612787525831 * alpha[20] * g[41];
-    out[67] += -nu * scale * 0.3061862178478973 * alpha[46] * g[63];
-    out[67] += -nu * scale * 0.27386127875258304 * alpha[50] * g[75];
-    out[69] += -nu * scale * 0.3061862178478973 * alpha[0] * g[42];
-    out[69] += -nu * scale * 0.30618621784789724 * alpha[4] * g[76];
-    out[69] += -nu * scale * 0.3061862178478973 * alpha[5] * g[11];
-    out[69] += -nu * scale * 0.30618621784789724 * alpha[19] * g[33];
-    out[69] += -nu * scale * 0.2738612787525831 * alpha[20] * g[42];
-    out[69] += -nu * scale * 0.27386127875258304 * alpha[50] * g[76];
-    out[71] += -nu * scale * 0.6846531968814576 * alpha[0] * g[43];
-    out[71] += -nu * scale * 0.6846531968814576 * alpha[4] * g[16];
-    out[71] += -nu * scale * 0.6123724356957945 * alpha[4] * g[77];
-    out[71] += -nu * scale * 0.6846531968814576 * alpha[5] * g[12];
-    out[71] += -nu * scale * 0.6123724356957945 * alpha[5] * g[83];
-    out[71] += -nu * scale * 0.6123724356957945 * alpha[15] * g[43];
-    out[71] += -nu * scale * 0.6846531968814576 * alpha[19] * g[1];
-    out[71] += -nu * scale * 0.6123724356957945 * alpha[19] * g[34];
-    out[71] += -nu * scale * 0.6123724356957945 * alpha[19] * g[47];
-    out[71] += -nu * scale * 0.6123724356957945 * alpha[20] * g[43];
-    out[71] += -nu * scale * 0.6123724356957945 * alpha[46] * g[12];
-    out[71] += -nu * scale * 0.5477225575051661 * alpha[46] * g[83];
-    out[71] += -nu * scale * 0.6123724356957945 * alpha[50] * g[16];
-    out[71] += -nu * scale * 0.5477225575051661 * alpha[50] * g[77];
-    out[72] += -nu * scale * 0.30618621784789724 * alpha[0] * g[44];
-    out[72] += -nu * scale * 0.30618621784789724 * alpha[4] * g[17];
-    out[72] += -nu * scale * 0.2738612787525831 * alpha[4] * g[78];
-    out[72] += -nu * scale * 0.30618621784789724 * alpha[5] * g[13];
-    out[72] += -nu * scale * 0.2738612787525831 * alpha[5] * g[84];
-    out[72] += -nu * scale * 0.2738612787525831 * alpha[15] * g[44];
-    out[72] += -nu * scale * 0.30618621784789724 * alpha[19] * g[2];
-    out[72] += -nu * scale * 0.2738612787525831 * alpha[19] * g[35];
-    out[72] += -nu * scale * 0.2738612787525831 * alpha[19] * g[48];
-    out[72] += -nu * scale * 0.2738612787525831 * alpha[20] * g[44];
-    out[72] += -nu * scale * 0.2738612787525831 * alpha[46] * g[13];
-    out[72] += -nu * scale * 0.2449489742783178 * alpha[46] * g[84];
-    out[72] += -nu * scale * 0.2738612787525831 * alpha[50] * g[17];
-    out[72] += -nu * scale * 0.2449489742783178 * alpha[50] * g[78];
-    out[74] += -nu * scale * 0.30618621784789724 * alpha[0] * g[45];
-    out[74] += -nu * scale * 0.30618621784789724 * alpha[4] * g[18];
-    out[74] += -nu * scale * 0.2738612787525831 * alpha[4] * g[79];
-    out[74] += -nu * scale * 0.30618621784789724 * alpha[5] * g[14];
-    out[74] += -nu * scale * 0.2738612787525831 * alpha[5] * g[85];
-    out[74] += -nu * scale * 0.2738612787525831 * alpha[15] * g[45];
-    out[74] += -nu * scale * 0.30618621784789724 * alpha[19] * g[3];
-    out[74] += -nu * scale * 0.2738612787525831 * alpha[19] * g[36];
-    out[74] += -nu * scale * 0.2738612787525831 * alpha[19] * g[49];
-    out[74] += -nu * scale * 0.2738612787525831 * alpha[20] * g[45];
-    out[74] += -nu * scale * 0.2738612787525831 * alpha[46] * g[14];
-    out[74] += -nu * scale * 0.2449489742783178 * alpha[46] * g[85];
-    out[74] += -nu * scale * 0.2738612787525831 * alpha[50] * g[18];
-    out[74] += -nu * scale * 0.2449489742783178 * alpha[50] * g[79];
-    out[77] += -nu * scale * 0.3061862178478973 * alpha[0] * g[46];
-    out[77] += -nu * scale * 0.2738612787525831 * alpha[4] * g[19];
-    out[77] += -nu * scale * 0.3061862178478973 * alpha[5] * g[15];
-    out[77] += -nu * scale * 0.3061862178478973 * alpha[15] * g[5];
-    out[77] += -nu * scale * 0.19561519910898792 * alpha[15] * g[46];
-    out[77] += -nu * scale * 0.2738612787525831 * alpha[19] * g[4];
-    out[77] += -nu * scale * 0.2449489742783178 * alpha[19] * g[50];
-    out[77] += -nu * scale * 0.2738612787525831 * alpha[20] * g[46];
-    out[77] += -nu * scale * 0.3061862178478973 * alpha[46] * g[0];
-    out[77] += -nu * scale * 0.19561519910898792 * alpha[46] * g[15];
-    out[77] += -nu * scale * 0.2738612787525831 * alpha[46] * g[20];
-    out[77] += -nu * scale * 0.2449489742783178 * alpha[50] * g[19];
-    out[80] += -nu * scale * 0.3061862178478973 * alpha[0] * g[48];
-    out[80] += -nu * scale * 0.30618621784789724 * alpha[4] * g[84];
-    out[80] += -nu * scale * 0.2738612787525831 * alpha[5] * g[17];
-    out[80] += -nu * scale * 0.2738612787525831 * alpha[19] * g[44];
-    out[80] += -nu * scale * 0.3061862178478973 * alpha[20] * g[2];
-    out[80] += -nu * scale * 0.19561519910898792 * alpha[20] * g[48];
-    out[80] += -nu * scale * 0.27386127875258304 * alpha[46] * g[78];
-    out[80] += -nu * scale * 0.30618621784789724 * alpha[50] * g[13];
-    out[80] += -nu * scale * 0.1956151991089879 * alpha[50] * g[84];
-    out[81] += -nu * scale * 0.3061862178478973 * alpha[0] * g[49];
-    out[81] += -nu * scale * 0.30618621784789724 * alpha[4] * g[85];
-    out[81] += -nu * scale * 0.2738612787525831 * alpha[5] * g[18];
-    out[81] += -nu * scale * 0.2738612787525831 * alpha[19] * g[45];
-    out[81] += -nu * scale * 0.3061862178478973 * alpha[20] * g[3];
-    out[81] += -nu * scale * 0.19561519910898792 * alpha[20] * g[49];
-    out[81] += -nu * scale * 0.27386127875258304 * alpha[46] * g[79];
-    out[81] += -nu * scale * 0.30618621784789724 * alpha[50] * g[14];
-    out[81] += -nu * scale * 0.1956151991089879 * alpha[50] * g[85];
-    out[83] += -nu * scale * 0.3061862178478973 * alpha[0] * g[50];
-    out[83] += -nu * scale * 0.3061862178478973 * alpha[4] * g[20];
-    out[83] += -nu * scale * 0.2738612787525831 * alpha[5] * g[19];
-    out[83] += -nu * scale * 0.2738612787525831 * alpha[15] * g[50];
-    out[83] += -nu * scale * 0.2738612787525831 * alpha[19] * g[5];
-    out[83] += -nu * scale * 0.2449489742783178 * alpha[19] * g[46];
-    out[83] += -nu * scale * 0.3061862178478973 * alpha[20] * g[4];
-    out[83] += -nu * scale * 0.19561519910898792 * alpha[20] * g[50];
-    out[83] += -nu * scale * 0.2449489742783178 * alpha[46] * g[19];
-    out[83] += -nu * scale * 0.3061862178478973 * alpha[50] * g[0];
-    out[83] += -nu * scale * 0.2738612787525831 * alpha[50] * g[15];
-    out[83] += -nu * scale * 0.19561519910898792 * alpha[50] * g[20];
-    out[86] += -nu * scale * 0.6846531968814576 * alpha[0] * g[57];
-    out[86] += -nu * scale * 0.6846531968814576 * alpha[4] * g[24];
-    out[86] += -nu * scale * 0.6123724356957946 * alpha[4] * g[89];
-    out[86] += -nu * scale * 0.6846531968814576 * alpha[5] * g[96];
-    out[86] += -nu * scale * 0.6123724356957946 * alpha[15] * g[57];
-    out[86] += -nu * scale * 0.6846531968814576 * alpha[19] * g[67];
-    out[86] += -nu * scale * 0.6123724356957946 * alpha[19] * g[110];
-    out[86] += -nu * scale * 0.6846531968814576 * alpha[20] * g[111];
-    out[86] += -nu * scale * 0.6123724356957946 * alpha[46] * g[96];
-    out[86] += -nu * scale * 0.6846531968814576 * alpha[50] * g[103];
-    out[87] += -nu * scale * 0.30618621784789724 * alpha[0] * g[58];
-    out[87] += -nu * scale * 0.30618621784789724 * alpha[4] * g[25];
-    out[87] += -nu * scale * 0.3061862178478973 * alpha[5] * g[97];
-    out[87] += -nu * scale * 0.27386127875258304 * alpha[15] * g[58];
-    out[87] += -nu * scale * 0.3061862178478973 * alpha[19] * g[68];
-    out[87] += -nu * scale * 0.27386127875258304 * alpha[46] * g[97];
-    out[88] += -nu * scale * 0.30618621784789724 * alpha[0] * g[60];
-    out[88] += -nu * scale * 0.30618621784789724 * alpha[4] * g[27];
-    out[88] += -nu * scale * 0.3061862178478973 * alpha[5] * g[99];
-    out[88] += -nu * scale * 0.27386127875258304 * alpha[15] * g[60];
-    out[88] += -nu * scale * 0.3061862178478973 * alpha[19] * g[70];
-    out[88] += -nu * scale * 0.27386127875258304 * alpha[46] * g[99];
-    out[89] += -nu * scale * 0.30618621784789724 * alpha[0] * g[63];
-    out[89] += -nu * scale * 0.2738612787525831 * alpha[4] * g[32];
-    out[89] += -nu * scale * 0.3061862178478973 * alpha[5] * g[102];
-    out[89] += -nu * scale * 0.30618621784789724 * alpha[15] * g[10];
-    out[89] += -nu * scale * 0.1956151991089879 * alpha[15] * g[63];
-    out[89] += -nu * scale * 0.27386127875258304 * alpha[19] * g[75];
-    out[89] += -nu * scale * 0.3061862178478973 * alpha[46] * g[41];
-    out[89] += -nu * scale * 0.19561519910898792 * alpha[46] * g[102];
-    out[89] += -nu * scale * 0.27386127875258304 * alpha[50] * g[106];
-    out[90] += -nu * scale * 0.6846531968814576 * alpha[0] * g[67];
-    out[90] += -nu * scale * 0.6846531968814576 * alpha[4] * g[96];
-    out[90] += -nu * scale * 0.6846531968814576 * alpha[5] * g[24];
-    out[90] += -nu * scale * 0.6123724356957946 * alpha[5] * g[103];
-    out[90] += -nu * scale * 0.6846531968814576 * alpha[15] * g[110];
-    out[90] += -nu * scale * 0.6846531968814576 * alpha[19] * g[57];
-    out[90] += -nu * scale * 0.6123724356957946 * alpha[19] * g[111];
-    out[90] += -nu * scale * 0.6123724356957946 * alpha[20] * g[67];
-    out[90] += -nu * scale * 0.6846531968814576 * alpha[46] * g[89];
-    out[90] += -nu * scale * 0.6123724356957946 * alpha[50] * g[96];
-    out[91] += -nu * scale * 0.30618621784789724 * alpha[0] * g[68];
-    out[91] += -nu * scale * 0.3061862178478973 * alpha[4] * g[97];
-    out[91] += -nu * scale * 0.30618621784789724 * alpha[5] * g[25];
-    out[91] += -nu * scale * 0.3061862178478973 * alpha[19] * g[58];
-    out[91] += -nu * scale * 0.27386127875258304 * alpha[20] * g[68];
-    out[91] += -nu * scale * 0.27386127875258304 * alpha[50] * g[97];
-    out[92] += -nu * scale * 0.30618621784789724 * alpha[0] * g[70];
-    out[92] += -nu * scale * 0.3061862178478973 * alpha[4] * g[99];
-    out[92] += -nu * scale * 0.30618621784789724 * alpha[5] * g[27];
-    out[92] += -nu * scale * 0.3061862178478973 * alpha[19] * g[60];
-    out[92] += -nu * scale * 0.27386127875258304 * alpha[20] * g[70];
-    out[92] += -nu * scale * 0.27386127875258304 * alpha[50] * g[99];
-    out[93] += -nu * scale * 0.6846531968814576 * alpha[0] * g[72];
-    out[93] += -nu * scale * 0.6846531968814576 * alpha[4] * g[38];
-    out[93] += -nu * scale * 0.6123724356957946 * alpha[4] * g[100];
-    out[93] += -nu * scale * 0.6846531968814576 * alpha[5] * g[29];
-    out[93] += -nu * scale * 0.6123724356957946 * alpha[5] * g[104];
-    out[93] += -nu * scale * 0.6123724356957946 * alpha[15] * g[72];
-    out[93] += -nu * scale * 0.6846531968814576 * alpha[19] * g[7];
-    out[93] += -nu * scale * 0.6123724356957946 * alpha[19] * g[61];
-    out[93] += -nu * scale * 0.6123724356957946 * alpha[19] * g[80];
-    out[93] += -nu * scale * 0.6123724356957946 * alpha[20] * g[72];
-    out[93] += -nu * scale * 0.6123724356957946 * alpha[46] * g[29];
-    out[93] += -nu * scale * 0.5477225575051661 * alpha[46] * g[104];
-    out[93] += -nu * scale * 0.6123724356957946 * alpha[50] * g[38];
-    out[93] += -nu * scale * 0.5477225575051661 * alpha[50] * g[100];
-    out[94] += -nu * scale * 0.30618621784789724 * alpha[0] * g[73];
-    out[94] += -nu * scale * 0.30618621784789724 * alpha[4] * g[39];
-    out[94] += -nu * scale * 0.30618621784789724 * alpha[5] * g[30];
-    out[94] += -nu * scale * 0.27386127875258304 * alpha[15] * g[73];
-    out[94] += -nu * scale * 0.30618621784789724 * alpha[19] * g[8];
-    out[94] += -nu * scale * 0.27386127875258304 * alpha[20] * g[73];
-    out[94] += -nu * scale * 0.27386127875258304 * alpha[46] * g[30];
-    out[94] += -nu * scale * 0.27386127875258304 * alpha[50] * g[39];
-    out[95] += -nu * scale * 0.6846531968814576 * alpha[0] * g[74];
-    out[95] += -nu * scale * 0.6846531968814576 * alpha[4] * g[40];
-    out[95] += -nu * scale * 0.6123724356957946 * alpha[4] * g[101];
-    out[95] += -nu * scale * 0.6846531968814576 * alpha[5] * g[31];
-    out[95] += -nu * scale * 0.6123724356957946 * alpha[5] * g[105];
-    out[95] += -nu * scale * 0.6123724356957946 * alpha[15] * g[74];
-    out[95] += -nu * scale * 0.6846531968814576 * alpha[19] * g[9];
-    out[95] += -nu * scale * 0.6123724356957946 * alpha[19] * g[62];
-    out[95] += -nu * scale * 0.6123724356957946 * alpha[19] * g[81];
-    out[95] += -nu * scale * 0.6123724356957946 * alpha[20] * g[74];
-    out[95] += -nu * scale * 0.6123724356957946 * alpha[46] * g[31];
-    out[95] += -nu * scale * 0.5477225575051661 * alpha[46] * g[105];
-    out[95] += -nu * scale * 0.6123724356957946 * alpha[50] * g[40];
-    out[95] += -nu * scale * 0.5477225575051661 * alpha[50] * g[101];
-    out[96] += -nu * scale * 0.30618621784789724 * alpha[0] * g[75];
-    out[96] += -nu * scale * 0.30618621784789724 * alpha[4] * g[41];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[4] * g[102];
-    out[96] += -nu * scale * 0.30618621784789724 * alpha[5] * g[32];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[5] * g[106];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[15] * g[75];
-    out[96] += -nu * scale * 0.30618621784789724 * alpha[19] * g[10];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[19] * g[63];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[19] * g[82];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[20] * g[75];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[46] * g[32];
-    out[96] += -nu * scale * 0.24494897427831783 * alpha[46] * g[106];
-    out[96] += -nu * scale * 0.27386127875258304 * alpha[50] * g[41];
-    out[96] += -nu * scale * 0.24494897427831783 * alpha[50] * g[102];
-    out[98] += -nu * scale * 0.30618621784789724 * alpha[0] * g[76];
-    out[98] += -nu * scale * 0.30618621784789724 * alpha[4] * g[42];
-    out[98] += -nu * scale * 0.30618621784789724 * alpha[5] * g[33];
-    out[98] += -nu * scale * 0.27386127875258304 * alpha[15] * g[76];
-    out[98] += -nu * scale * 0.30618621784789724 * alpha[19] * g[11];
-    out[98] += -nu * scale * 0.27386127875258304 * alpha[20] * g[76];
-    out[98] += -nu * scale * 0.27386127875258304 * alpha[46] * g[33];
-    out[98] += -nu * scale * 0.27386127875258304 * alpha[50] * g[42];
-    out[100] += -nu * scale * 0.30618621784789724 * alpha[0] * g[78];
-    out[100] += -nu * scale * 0.2738612787525831 * alpha[4] * g[44];
-    out[100] += -nu * scale * 0.30618621784789724 * alpha[5] * g[35];
-    out[100] += -nu * scale * 0.30618621784789724 * alpha[15] * g[17];
-    out[100] += -nu * scale * 0.1956151991089879 * alpha[15] * g[78];
-    out[100] += -nu * scale * 0.2738612787525831 * alpha[19] * g[13];
-    out[100] += -nu * scale * 0.2449489742783178 * alpha[19] * g[84];
-    out[100] += -nu * scale * 0.27386127875258304 * alpha[20] * g[78];
-    out[100] += -nu * scale * 0.30618621784789724 * alpha[46] * g[2];
-    out[100] += -nu * scale * 0.1956151991089879 * alpha[46] * g[35];
-    out[100] += -nu * scale * 0.27386127875258304 * alpha[46] * g[48];
-    out[100] += -nu * scale * 0.2449489742783178 * alpha[50] * g[44];
-    out[101] += -nu * scale * 0.30618621784789724 * alpha[0] * g[79];
-    out[101] += -nu * scale * 0.2738612787525831 * alpha[4] * g[45];
-    out[101] += -nu * scale * 0.30618621784789724 * alpha[5] * g[36];
-    out[101] += -nu * scale * 0.30618621784789724 * alpha[15] * g[18];
-    out[101] += -nu * scale * 0.1956151991089879 * alpha[15] * g[79];
-    out[101] += -nu * scale * 0.2738612787525831 * alpha[19] * g[14];
-    out[101] += -nu * scale * 0.2449489742783178 * alpha[19] * g[85];
-    out[101] += -nu * scale * 0.27386127875258304 * alpha[20] * g[79];
-    out[101] += -nu * scale * 0.30618621784789724 * alpha[46] * g[3];
-    out[101] += -nu * scale * 0.1956151991089879 * alpha[46] * g[36];
-    out[101] += -nu * scale * 0.27386127875258304 * alpha[46] * g[49];
-    out[101] += -nu * scale * 0.2449489742783178 * alpha[50] * g[45];
-    out[103] += -nu * scale * 0.30618621784789724 * alpha[0] * g[82];
-    out[103] += -nu * scale * 0.3061862178478973 * alpha[4] * g[106];
-    out[103] += -nu * scale * 0.2738612787525831 * alpha[5] * g[41];
-    out[103] += -nu * scale * 0.27386127875258304 * alpha[19] * g[75];
-    out[103] += -nu * scale * 0.30618621784789724 * alpha[20] * g[10];
-    out[103] += -nu * scale * 0.1956151991089879 * alpha[20] * g[82];
-    out[103] += -nu * scale * 0.27386127875258304 * alpha[46] * g[102];
-    out[103] += -nu * scale * 0.3061862178478973 * alpha[50] * g[32];
-    out[103] += -nu * scale * 0.19561519910898792 * alpha[50] * g[106];
-    out[104] += -nu * scale * 0.30618621784789724 * alpha[0] * g[84];
-    out[104] += -nu * scale * 0.30618621784789724 * alpha[4] * g[48];
-    out[104] += -nu * scale * 0.2738612787525831 * alpha[5] * g[44];
-    out[104] += -nu * scale * 0.27386127875258304 * alpha[15] * g[84];
-    out[104] += -nu * scale * 0.2738612787525831 * alpha[19] * g[17];
-    out[104] += -nu * scale * 0.2449489742783178 * alpha[19] * g[78];
-    out[104] += -nu * scale * 0.30618621784789724 * alpha[20] * g[13];
-    out[104] += -nu * scale * 0.1956151991089879 * alpha[20] * g[84];
-    out[104] += -nu * scale * 0.2449489742783178 * alpha[46] * g[44];
-    out[104] += -nu * scale * 0.30618621784789724 * alpha[50] * g[2];
-    out[104] += -nu * scale * 0.27386127875258304 * alpha[50] * g[35];
-    out[104] += -nu * scale * 0.1956151991089879 * alpha[50] * g[48];
-    out[105] += -nu * scale * 0.30618621784789724 * alpha[0] * g[85];
-    out[105] += -nu * scale * 0.30618621784789724 * alpha[4] * g[49];
-    out[105] += -nu * scale * 0.2738612787525831 * alpha[5] * g[45];
-    out[105] += -nu * scale * 0.27386127875258304 * alpha[15] * g[85];
-    out[105] += -nu * scale * 0.2738612787525831 * alpha[19] * g[18];
-    out[105] += -nu * scale * 0.2449489742783178 * alpha[19] * g[79];
-    out[105] += -nu * scale * 0.30618621784789724 * alpha[20] * g[14];
-    out[105] += -nu * scale * 0.1956151991089879 * alpha[20] * g[85];
-    out[105] += -nu * scale * 0.2449489742783178 * alpha[46] * g[45];
-    out[105] += -nu * scale * 0.30618621784789724 * alpha[50] * g[3];
-    out[105] += -nu * scale * 0.27386127875258304 * alpha[50] * g[36];
-    out[105] += -nu * scale * 0.1956151991089879 * alpha[50] * g[49];
-    out[107] += -nu * scale * 0.6846531968814576 * alpha[0] * g[96];
-    out[107] += -nu * scale * 0.6846531968814576 * alpha[4] * g[67];
-    out[107] += -nu * scale * 0.6123724356957946 * alpha[4] * g[110];
-    out[107] += -nu * scale * 0.6846531968814576 * alpha[5] * g[57];
-    out[107] += -nu * scale * 0.6123724356957946 * alpha[5] * g[111];
-    out[107] += -nu * scale * 0.6123724356957946 * alpha[15] * g[96];
-    out[107] += -nu * scale * 0.6846531968814576 * alpha[19] * g[24];
-    out[107] += -nu * scale * 0.6123724356957946 * alpha[19] * g[89];
-    out[107] += -nu * scale * 0.6123724356957946 * alpha[19] * g[103];
-    out[107] += -nu * scale * 0.6123724356957946 * alpha[20] * g[96];
-    out[107] += -nu * scale * 0.6123724356957946 * alpha[46] * g[57];
-    out[107] += -nu * scale * 0.5477225575051662 * alpha[46] * g[111];
-    out[107] += -nu * scale * 0.6123724356957946 * alpha[50] * g[67];
-    out[107] += -nu * scale * 0.5477225575051662 * alpha[50] * g[110];
-    out[108] += -nu * scale * 0.3061862178478973 * alpha[0] * g[97];
-    out[108] += -nu * scale * 0.3061862178478973 * alpha[4] * g[68];
-    out[108] += -nu * scale * 0.3061862178478973 * alpha[5] * g[58];
-    out[108] += -nu * scale * 0.27386127875258304 * alpha[15] * g[97];
-    out[108] += -nu * scale * 0.3061862178478973 * alpha[19] * g[25];
-    out[108] += -nu * scale * 0.27386127875258304 * alpha[20] * g[97];
-    out[108] += -nu * scale * 0.27386127875258304 * alpha[46] * g[58];
-    out[108] += -nu * scale * 0.27386127875258304 * alpha[50] * g[68];
-    out[109] += -nu * scale * 0.3061862178478973 * alpha[0] * g[99];
-    out[109] += -nu * scale * 0.3061862178478973 * alpha[4] * g[70];
-    out[109] += -nu * scale * 0.3061862178478973 * alpha[5] * g[60];
-    out[109] += -nu * scale * 0.27386127875258304 * alpha[15] * g[99];
-    out[109] += -nu * scale * 0.3061862178478973 * alpha[19] * g[27];
-    out[109] += -nu * scale * 0.27386127875258304 * alpha[20] * g[99];
-    out[109] += -nu * scale * 0.27386127875258304 * alpha[46] * g[60];
-    out[109] += -nu * scale * 0.27386127875258304 * alpha[50] * g[70];
-    out[110] += -nu * scale * 0.3061862178478973 * alpha[0] * g[102];
-    out[110] += -nu * scale * 0.27386127875258304 * alpha[4] * g[75];
-    out[110] += -nu * scale * 0.3061862178478973 * alpha[5] * g[63];
-    out[110] += -nu * scale * 0.3061862178478973 * alpha[15] * g[41];
-    out[110] += -nu * scale * 0.19561519910898792 * alpha[15] * g[102];
-    out[110] += -nu * scale * 0.27386127875258304 * alpha[19] * g[32];
-    out[110] += -nu * scale * 0.24494897427831783 * alpha[19] * g[106];
-    out[110] += -nu * scale * 0.27386127875258304 * alpha[20] * g[102];
-    out[110] += -nu * scale * 0.3061862178478973 * alpha[46] * g[10];
-    out[110] += -nu * scale * 0.19561519910898792 * alpha[46] * g[63];
-    out[110] += -nu * scale * 0.27386127875258304 * alpha[46] * g[82];
-    out[110] += -nu * scale * 0.24494897427831783 * alpha[50] * g[75];
-    out[111] += -nu * scale * 0.3061862178478973 * alpha[0] * g[106];
-    out[111] += -nu * scale * 0.3061862178478973 * alpha[4] * g[82];
-    out[111] += -nu * scale * 0.27386127875258304 * alpha[5] * g[75];
-    out[111] += -nu * scale * 0.27386127875258304 * alpha[15] * g[106];
-    out[111] += -nu * scale * 0.27386127875258304 * alpha[19] * g[41];
-    out[111] += -nu * scale * 0.24494897427831783 * alpha[19] * g[102];
-    out[111] += -nu * scale * 0.3061862178478973 * alpha[20] * g[32];
-    out[111] += -nu * scale * 0.19561519910898792 * alpha[20] * g[106];
-    out[111] += -nu * scale * 0.24494897427831783 * alpha[46] * g[75];
-    out[111] += -nu * scale * 0.3061862178478973 * alpha[50] * g[10];
-    out[111] += -nu * scale * 0.27386127875258304 * alpha[50] * g[63];
-    out[111] += -nu * scale * 0.19561519910898792 * alpha[50] * g[82];
+    let mut alpha = [[0.0f64; L]; 112];
+    for k in 0..L {
+        alpha[0][k] = 2.8284271247461903 * vth2[0][k];
+        alpha[4][k] = 2.8284271247461903 * vth2[1][k];
+        alpha[5][k] = 2.8284271247461903 * vth2[2][k];
+        alpha[15][k] = 2.8284271247461903 * vth2[3][k];
+        alpha[19][k] = 2.8284271247461903 * vth2[4][k];
+        alpha[20][k] = 2.8284271247461903 * vth2[5][k];
+        alpha[46][k] = 2.8284271247461903 * vth2[6][k];
+        alpha[50][k] = 2.8284271247461903 * vth2[7][k];
+    }
+    for k in 0..L {
+        out[1][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[0][k];
+        out[1][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[4][k];
+        out[1][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[5][k];
+        out[1][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[15][k];
+        out[1][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[19][k];
+        out[1][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[20][k];
+        out[1][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[46][k];
+        out[1][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[50][k];
+    }
+    for k in 0..L {
+        out[6][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[1][k];
+        out[6][k] += -nu * scale * 0.6846531968814575 * alpha[4][k] * g[12][k];
+        out[6][k] += -nu * scale * 0.6846531968814575 * alpha[5][k] * g[16][k];
+        out[6][k] += -nu * scale * 0.6846531968814578 * alpha[15][k] * g[34][k];
+        out[6][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[43][k];
+        out[6][k] += -nu * scale * 0.6846531968814578 * alpha[20][k] * g[47][k];
+        out[6][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[77][k];
+        out[6][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[83][k];
+    }
+    for k in 0..L {
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[2][k];
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[13][k];
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[17][k];
+        out[7][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[35][k];
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[44][k];
+        out[7][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[48][k];
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[78][k];
+        out[7][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[84][k];
+    }
+    for k in 0..L {
+        out[9][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[3][k];
+        out[9][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[14][k];
+        out[9][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[18][k];
+        out[9][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[36][k];
+        out[9][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[45][k];
+        out[9][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[49][k];
+        out[9][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[79][k];
+        out[9][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[85][k];
+    }
+    for k in 0..L {
+        out[12][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[4][k];
+        out[12][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[0][k];
+        out[12][k] += -nu * scale * 0.27386127875258304 * alpha[4][k] * g[15][k];
+        out[12][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[19][k];
+        out[12][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[4][k];
+        out[12][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[5][k];
+        out[12][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[46][k];
+        out[12][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[50][k];
+        out[12][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[19][k];
+        out[12][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[20][k];
+    }
+    for k in 0..L {
+        out[16][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[5][k];
+        out[16][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[19][k];
+        out[16][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[0][k];
+        out[16][k] += -nu * scale * 0.27386127875258304 * alpha[5][k] * g[20][k];
+        out[16][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[46][k];
+        out[16][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[4][k];
+        out[16][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[50][k];
+        out[16][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[5][k];
+        out[16][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[15][k];
+        out[16][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[19][k];
+    }
+    for k in 0..L {
+        out[21][k] += -nu * scale * 0.6846531968814575 * alpha[0][k] * g[7][k];
+        out[21][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[29][k];
+        out[21][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[38][k];
+        out[21][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[61][k];
+        out[21][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[72][k];
+        out[21][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[80][k];
+        out[21][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[100][k];
+        out[21][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[104][k];
+    }
+    for k in 0..L {
+        out[22][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[8][k];
+        out[22][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[30][k];
+        out[22][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[39][k];
+        out[22][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[73][k];
+    }
+    for k in 0..L {
+        out[23][k] += -nu * scale * 0.6846531968814575 * alpha[0][k] * g[9][k];
+        out[23][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[31][k];
+        out[23][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[40][k];
+        out[23][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[62][k];
+        out[23][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[74][k];
+        out[23][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[81][k];
+        out[23][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[101][k];
+        out[23][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[105][k];
+    }
+    for k in 0..L {
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[10][k];
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[32][k];
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[41][k];
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[63][k];
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[75][k];
+        out[24][k] += -nu * scale * 0.30618621784789724 * alpha[20][k] * g[82][k];
+        out[24][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[102][k];
+        out[24][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[106][k];
+    }
+    for k in 0..L {
+        out[26][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[11][k];
+        out[26][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[33][k];
+        out[26][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[42][k];
+        out[26][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[76][k];
+    }
+    for k in 0..L {
+        out[28][k] += -nu * scale * 0.6846531968814575 * alpha[0][k] * g[12][k];
+        out[28][k] += -nu * scale * 0.6846531968814575 * alpha[4][k] * g[1][k];
+        out[28][k] += -nu * scale * 0.6123724356957946 * alpha[4][k] * g[34][k];
+        out[28][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[43][k];
+        out[28][k] += -nu * scale * 0.6123724356957946 * alpha[15][k] * g[12][k];
+        out[28][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[16][k];
+        out[28][k] += -nu * scale * 0.6123724356957945 * alpha[19][k] * g[77][k];
+        out[28][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[83][k];
+        out[28][k] += -nu * scale * 0.6123724356957945 * alpha[46][k] * g[43][k];
+        out[28][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[47][k];
+    }
+    for k in 0..L {
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[13][k];
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[2][k];
+        out[29][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[35][k];
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[44][k];
+        out[29][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[13][k];
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[17][k];
+        out[29][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[78][k];
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[20][k] * g[84][k];
+        out[29][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[44][k];
+        out[29][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[48][k];
+    }
+    for k in 0..L {
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[14][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[3][k];
+        out[31][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[36][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[45][k];
+        out[31][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[14][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[18][k];
+        out[31][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[79][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[20][k] * g[85][k];
+        out[31][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[45][k];
+        out[31][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[49][k];
+    }
+    for k in 0..L {
+        out[34][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[15][k];
+        out[34][k] += -nu * scale * 0.27386127875258304 * alpha[4][k] * g[4][k];
+        out[34][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[46][k];
+        out[34][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[0][k];
+        out[34][k] += -nu * scale * 0.1956151991089879 * alpha[15][k] * g[15][k];
+        out[34][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[19][k];
+        out[34][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[5][k];
+        out[34][k] += -nu * scale * 0.19561519910898792 * alpha[46][k] * g[46][k];
+        out[34][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[50][k];
+    }
+    for k in 0..L {
+        out[37][k] += -nu * scale * 0.6846531968814575 * alpha[0][k] * g[16][k];
+        out[37][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[43][k];
+        out[37][k] += -nu * scale * 0.6846531968814575 * alpha[5][k] * g[1][k];
+        out[37][k] += -nu * scale * 0.6123724356957946 * alpha[5][k] * g[47][k];
+        out[37][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[77][k];
+        out[37][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[12][k];
+        out[37][k] += -nu * scale * 0.6123724356957945 * alpha[19][k] * g[83][k];
+        out[37][k] += -nu * scale * 0.6123724356957946 * alpha[20][k] * g[16][k];
+        out[37][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[34][k];
+        out[37][k] += -nu * scale * 0.6123724356957945 * alpha[50][k] * g[43][k];
+    }
+    for k in 0..L {
+        out[38][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[17][k];
+        out[38][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[44][k];
+        out[38][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[2][k];
+        out[38][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[48][k];
+        out[38][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[78][k];
+        out[38][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[13][k];
+        out[38][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[84][k];
+        out[38][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[17][k];
+        out[38][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[35][k];
+        out[38][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[44][k];
+    }
+    for k in 0..L {
+        out[40][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[18][k];
+        out[40][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[45][k];
+        out[40][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[3][k];
+        out[40][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[49][k];
+        out[40][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[79][k];
+        out[40][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[14][k];
+        out[40][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[85][k];
+        out[40][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[18][k];
+        out[40][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[36][k];
+        out[40][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[45][k];
+    }
+    for k in 0..L {
+        out[43][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[19][k];
+        out[43][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[5][k];
+        out[43][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[46][k];
+        out[43][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[4][k];
+        out[43][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[50][k];
+        out[43][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[19][k];
+        out[43][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[0][k];
+        out[43][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[15][k];
+        out[43][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[20][k];
+        out[43][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[19][k];
+        out[43][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[4][k];
+        out[43][k] += -nu * scale * 0.2449489742783178 * alpha[46][k] * g[50][k];
+        out[43][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[5][k];
+        out[43][k] += -nu * scale * 0.2449489742783178 * alpha[50][k] * g[46][k];
+    }
+    for k in 0..L {
+        out[47][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[20][k];
+        out[47][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[50][k];
+        out[47][k] += -nu * scale * 0.27386127875258304 * alpha[5][k] * g[5][k];
+        out[47][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[19][k];
+        out[47][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[0][k];
+        out[47][k] += -nu * scale * 0.1956151991089879 * alpha[20][k] * g[20][k];
+        out[47][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[46][k];
+        out[47][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[4][k];
+        out[47][k] += -nu * scale * 0.19561519910898792 * alpha[50][k] * g[50][k];
+    }
+    for k in 0..L {
+        out[51][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[24][k];
+        out[51][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[57][k];
+        out[51][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[67][k];
+        out[51][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[89][k];
+        out[51][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[96][k];
+        out[51][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[103][k];
+        out[51][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[110][k];
+        out[51][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[111][k];
+    }
+    for k in 0..L {
+        out[52][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[25][k];
+        out[52][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[58][k];
+        out[52][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[68][k];
+        out[52][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[97][k];
+    }
+    for k in 0..L {
+        out[53][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[27][k];
+        out[53][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[60][k];
+        out[53][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[70][k];
+        out[53][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[99][k];
+    }
+    for k in 0..L {
+        out[54][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[29][k];
+        out[54][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[7][k];
+        out[54][k] += -nu * scale * 0.6123724356957945 * alpha[4][k] * g[61][k];
+        out[54][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[72][k];
+        out[54][k] += -nu * scale * 0.6123724356957945 * alpha[15][k] * g[29][k];
+        out[54][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[38][k];
+        out[54][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[100][k];
+        out[54][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[104][k];
+        out[54][k] += -nu * scale * 0.6123724356957946 * alpha[46][k] * g[72][k];
+        out[54][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[80][k];
+    }
+    for k in 0..L {
+        out[55][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[30][k];
+        out[55][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[8][k];
+        out[55][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[73][k];
+        out[55][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[30][k];
+        out[55][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[39][k];
+        out[55][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[73][k];
+    }
+    for k in 0..L {
+        out[56][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[31][k];
+        out[56][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[9][k];
+        out[56][k] += -nu * scale * 0.6123724356957945 * alpha[4][k] * g[62][k];
+        out[56][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[74][k];
+        out[56][k] += -nu * scale * 0.6123724356957945 * alpha[15][k] * g[31][k];
+        out[56][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[40][k];
+        out[56][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[101][k];
+        out[56][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[105][k];
+        out[56][k] += -nu * scale * 0.6123724356957946 * alpha[46][k] * g[74][k];
+        out[56][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[81][k];
+    }
+    for k in 0..L {
+        out[57][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[32][k];
+        out[57][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[10][k];
+        out[57][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[63][k];
+        out[57][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[75][k];
+        out[57][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[32][k];
+        out[57][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[41][k];
+        out[57][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[102][k];
+        out[57][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[106][k];
+        out[57][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[75][k];
+        out[57][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[82][k];
+    }
+    for k in 0..L {
+        out[59][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[33][k];
+        out[59][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[11][k];
+        out[59][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[76][k];
+        out[59][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[33][k];
+        out[59][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[42][k];
+        out[59][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[76][k];
+    }
+    for k in 0..L {
+        out[61][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[35][k];
+        out[61][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[13][k];
+        out[61][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[78][k];
+        out[61][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[2][k];
+        out[61][k] += -nu * scale * 0.19561519910898792 * alpha[15][k] * g[35][k];
+        out[61][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[44][k];
+        out[61][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[17][k];
+        out[61][k] += -nu * scale * 0.1956151991089879 * alpha[46][k] * g[78][k];
+        out[61][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[84][k];
+    }
+    for k in 0..L {
+        out[62][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[36][k];
+        out[62][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[14][k];
+        out[62][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[79][k];
+        out[62][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[3][k];
+        out[62][k] += -nu * scale * 0.19561519910898792 * alpha[15][k] * g[36][k];
+        out[62][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[45][k];
+        out[62][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[18][k];
+        out[62][k] += -nu * scale * 0.1956151991089879 * alpha[46][k] * g[79][k];
+        out[62][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[85][k];
+    }
+    for k in 0..L {
+        out[64][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[38][k];
+        out[64][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[72][k];
+        out[64][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[7][k];
+        out[64][k] += -nu * scale * 0.6123724356957945 * alpha[5][k] * g[80][k];
+        out[64][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[100][k];
+        out[64][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[29][k];
+        out[64][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[104][k];
+        out[64][k] += -nu * scale * 0.6123724356957945 * alpha[20][k] * g[38][k];
+        out[64][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[61][k];
+        out[64][k] += -nu * scale * 0.6123724356957946 * alpha[50][k] * g[72][k];
+    }
+    for k in 0..L {
+        out[65][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[39][k];
+        out[65][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[73][k];
+        out[65][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[8][k];
+        out[65][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[30][k];
+        out[65][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[39][k];
+        out[65][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[73][k];
+    }
+    for k in 0..L {
+        out[66][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[40][k];
+        out[66][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[74][k];
+        out[66][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[9][k];
+        out[66][k] += -nu * scale * 0.6123724356957945 * alpha[5][k] * g[81][k];
+        out[66][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[101][k];
+        out[66][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[31][k];
+        out[66][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[105][k];
+        out[66][k] += -nu * scale * 0.6123724356957945 * alpha[20][k] * g[40][k];
+        out[66][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[62][k];
+        out[66][k] += -nu * scale * 0.6123724356957946 * alpha[50][k] * g[74][k];
+    }
+    for k in 0..L {
+        out[67][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[41][k];
+        out[67][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[75][k];
+        out[67][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[10][k];
+        out[67][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[82][k];
+        out[67][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[102][k];
+        out[67][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[32][k];
+        out[67][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[106][k];
+        out[67][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[41][k];
+        out[67][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[63][k];
+        out[67][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[75][k];
+    }
+    for k in 0..L {
+        out[69][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[42][k];
+        out[69][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[76][k];
+        out[69][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[11][k];
+        out[69][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[33][k];
+        out[69][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[42][k];
+        out[69][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[76][k];
+    }
+    for k in 0..L {
+        out[71][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[43][k];
+        out[71][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[16][k];
+        out[71][k] += -nu * scale * 0.6123724356957945 * alpha[4][k] * g[77][k];
+        out[71][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[12][k];
+        out[71][k] += -nu * scale * 0.6123724356957945 * alpha[5][k] * g[83][k];
+        out[71][k] += -nu * scale * 0.6123724356957945 * alpha[15][k] * g[43][k];
+        out[71][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[1][k];
+        out[71][k] += -nu * scale * 0.6123724356957945 * alpha[19][k] * g[34][k];
+        out[71][k] += -nu * scale * 0.6123724356957945 * alpha[19][k] * g[47][k];
+        out[71][k] += -nu * scale * 0.6123724356957945 * alpha[20][k] * g[43][k];
+        out[71][k] += -nu * scale * 0.6123724356957945 * alpha[46][k] * g[12][k];
+        out[71][k] += -nu * scale * 0.5477225575051661 * alpha[46][k] * g[83][k];
+        out[71][k] += -nu * scale * 0.6123724356957945 * alpha[50][k] * g[16][k];
+        out[71][k] += -nu * scale * 0.5477225575051661 * alpha[50][k] * g[77][k];
+    }
+    for k in 0..L {
+        out[72][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[44][k];
+        out[72][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[17][k];
+        out[72][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[78][k];
+        out[72][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[13][k];
+        out[72][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[84][k];
+        out[72][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[44][k];
+        out[72][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[2][k];
+        out[72][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[35][k];
+        out[72][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[48][k];
+        out[72][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[44][k];
+        out[72][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[13][k];
+        out[72][k] += -nu * scale * 0.2449489742783178 * alpha[46][k] * g[84][k];
+        out[72][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[17][k];
+        out[72][k] += -nu * scale * 0.2449489742783178 * alpha[50][k] * g[78][k];
+    }
+    for k in 0..L {
+        out[74][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[45][k];
+        out[74][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[18][k];
+        out[74][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[79][k];
+        out[74][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[14][k];
+        out[74][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[85][k];
+        out[74][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[45][k];
+        out[74][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[3][k];
+        out[74][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[36][k];
+        out[74][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[49][k];
+        out[74][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[45][k];
+        out[74][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[14][k];
+        out[74][k] += -nu * scale * 0.2449489742783178 * alpha[46][k] * g[85][k];
+        out[74][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[18][k];
+        out[74][k] += -nu * scale * 0.2449489742783178 * alpha[50][k] * g[79][k];
+    }
+    for k in 0..L {
+        out[77][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[46][k];
+        out[77][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[19][k];
+        out[77][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[15][k];
+        out[77][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[5][k];
+        out[77][k] += -nu * scale * 0.19561519910898792 * alpha[15][k] * g[46][k];
+        out[77][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[4][k];
+        out[77][k] += -nu * scale * 0.2449489742783178 * alpha[19][k] * g[50][k];
+        out[77][k] += -nu * scale * 0.2738612787525831 * alpha[20][k] * g[46][k];
+        out[77][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[0][k];
+        out[77][k] += -nu * scale * 0.19561519910898792 * alpha[46][k] * g[15][k];
+        out[77][k] += -nu * scale * 0.2738612787525831 * alpha[46][k] * g[20][k];
+        out[77][k] += -nu * scale * 0.2449489742783178 * alpha[50][k] * g[19][k];
+    }
+    for k in 0..L {
+        out[80][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[48][k];
+        out[80][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[84][k];
+        out[80][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[17][k];
+        out[80][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[44][k];
+        out[80][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[2][k];
+        out[80][k] += -nu * scale * 0.19561519910898792 * alpha[20][k] * g[48][k];
+        out[80][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[78][k];
+        out[80][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[13][k];
+        out[80][k] += -nu * scale * 0.1956151991089879 * alpha[50][k] * g[84][k];
+    }
+    for k in 0..L {
+        out[81][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[49][k];
+        out[81][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[85][k];
+        out[81][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[18][k];
+        out[81][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[45][k];
+        out[81][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[3][k];
+        out[81][k] += -nu * scale * 0.19561519910898792 * alpha[20][k] * g[49][k];
+        out[81][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[79][k];
+        out[81][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[14][k];
+        out[81][k] += -nu * scale * 0.1956151991089879 * alpha[50][k] * g[85][k];
+    }
+    for k in 0..L {
+        out[83][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[50][k];
+        out[83][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[20][k];
+        out[83][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[19][k];
+        out[83][k] += -nu * scale * 0.2738612787525831 * alpha[15][k] * g[50][k];
+        out[83][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[5][k];
+        out[83][k] += -nu * scale * 0.2449489742783178 * alpha[19][k] * g[46][k];
+        out[83][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[4][k];
+        out[83][k] += -nu * scale * 0.19561519910898792 * alpha[20][k] * g[50][k];
+        out[83][k] += -nu * scale * 0.2449489742783178 * alpha[46][k] * g[19][k];
+        out[83][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[0][k];
+        out[83][k] += -nu * scale * 0.2738612787525831 * alpha[50][k] * g[15][k];
+        out[83][k] += -nu * scale * 0.19561519910898792 * alpha[50][k] * g[20][k];
+    }
+    for k in 0..L {
+        out[86][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[57][k];
+        out[86][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[24][k];
+        out[86][k] += -nu * scale * 0.6123724356957946 * alpha[4][k] * g[89][k];
+        out[86][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[96][k];
+        out[86][k] += -nu * scale * 0.6123724356957946 * alpha[15][k] * g[57][k];
+        out[86][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[67][k];
+        out[86][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[110][k];
+        out[86][k] += -nu * scale * 0.6846531968814576 * alpha[20][k] * g[111][k];
+        out[86][k] += -nu * scale * 0.6123724356957946 * alpha[46][k] * g[96][k];
+        out[86][k] += -nu * scale * 0.6846531968814576 * alpha[50][k] * g[103][k];
+    }
+    for k in 0..L {
+        out[87][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[58][k];
+        out[87][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[25][k];
+        out[87][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[97][k];
+        out[87][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[58][k];
+        out[87][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[68][k];
+        out[87][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[97][k];
+    }
+    for k in 0..L {
+        out[88][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[60][k];
+        out[88][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[27][k];
+        out[88][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[99][k];
+        out[88][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[60][k];
+        out[88][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[70][k];
+        out[88][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[99][k];
+    }
+    for k in 0..L {
+        out[89][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[63][k];
+        out[89][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[32][k];
+        out[89][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[102][k];
+        out[89][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[10][k];
+        out[89][k] += -nu * scale * 0.1956151991089879 * alpha[15][k] * g[63][k];
+        out[89][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[75][k];
+        out[89][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[41][k];
+        out[89][k] += -nu * scale * 0.19561519910898792 * alpha[46][k] * g[102][k];
+        out[89][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[106][k];
+    }
+    for k in 0..L {
+        out[90][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[67][k];
+        out[90][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[96][k];
+        out[90][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[24][k];
+        out[90][k] += -nu * scale * 0.6123724356957946 * alpha[5][k] * g[103][k];
+        out[90][k] += -nu * scale * 0.6846531968814576 * alpha[15][k] * g[110][k];
+        out[90][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[57][k];
+        out[90][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[111][k];
+        out[90][k] += -nu * scale * 0.6123724356957946 * alpha[20][k] * g[67][k];
+        out[90][k] += -nu * scale * 0.6846531968814576 * alpha[46][k] * g[89][k];
+        out[90][k] += -nu * scale * 0.6123724356957946 * alpha[50][k] * g[96][k];
+    }
+    for k in 0..L {
+        out[91][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[68][k];
+        out[91][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[97][k];
+        out[91][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[25][k];
+        out[91][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[58][k];
+        out[91][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[68][k];
+        out[91][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[97][k];
+    }
+    for k in 0..L {
+        out[92][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[70][k];
+        out[92][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[99][k];
+        out[92][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[27][k];
+        out[92][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[60][k];
+        out[92][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[70][k];
+        out[92][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[99][k];
+    }
+    for k in 0..L {
+        out[93][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[72][k];
+        out[93][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[38][k];
+        out[93][k] += -nu * scale * 0.6123724356957946 * alpha[4][k] * g[100][k];
+        out[93][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[29][k];
+        out[93][k] += -nu * scale * 0.6123724356957946 * alpha[5][k] * g[104][k];
+        out[93][k] += -nu * scale * 0.6123724356957946 * alpha[15][k] * g[72][k];
+        out[93][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[7][k];
+        out[93][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[61][k];
+        out[93][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[80][k];
+        out[93][k] += -nu * scale * 0.6123724356957946 * alpha[20][k] * g[72][k];
+        out[93][k] += -nu * scale * 0.6123724356957946 * alpha[46][k] * g[29][k];
+        out[93][k] += -nu * scale * 0.5477225575051661 * alpha[46][k] * g[104][k];
+        out[93][k] += -nu * scale * 0.6123724356957946 * alpha[50][k] * g[38][k];
+        out[93][k] += -nu * scale * 0.5477225575051661 * alpha[50][k] * g[100][k];
+    }
+    for k in 0..L {
+        out[94][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[73][k];
+        out[94][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[39][k];
+        out[94][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[30][k];
+        out[94][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[73][k];
+        out[94][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[8][k];
+        out[94][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[73][k];
+        out[94][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[30][k];
+        out[94][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[39][k];
+    }
+    for k in 0..L {
+        out[95][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[74][k];
+        out[95][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[40][k];
+        out[95][k] += -nu * scale * 0.6123724356957946 * alpha[4][k] * g[101][k];
+        out[95][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[31][k];
+        out[95][k] += -nu * scale * 0.6123724356957946 * alpha[5][k] * g[105][k];
+        out[95][k] += -nu * scale * 0.6123724356957946 * alpha[15][k] * g[74][k];
+        out[95][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[9][k];
+        out[95][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[62][k];
+        out[95][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[81][k];
+        out[95][k] += -nu * scale * 0.6123724356957946 * alpha[20][k] * g[74][k];
+        out[95][k] += -nu * scale * 0.6123724356957946 * alpha[46][k] * g[31][k];
+        out[95][k] += -nu * scale * 0.5477225575051661 * alpha[46][k] * g[105][k];
+        out[95][k] += -nu * scale * 0.6123724356957946 * alpha[50][k] * g[40][k];
+        out[95][k] += -nu * scale * 0.5477225575051661 * alpha[50][k] * g[101][k];
+    }
+    for k in 0..L {
+        out[96][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[75][k];
+        out[96][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[41][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[4][k] * g[102][k];
+        out[96][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[32][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[5][k] * g[106][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[75][k];
+        out[96][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[10][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[63][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[82][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[75][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[32][k];
+        out[96][k] += -nu * scale * 0.24494897427831783 * alpha[46][k] * g[106][k];
+        out[96][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[41][k];
+        out[96][k] += -nu * scale * 0.24494897427831783 * alpha[50][k] * g[102][k];
+    }
+    for k in 0..L {
+        out[98][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[76][k];
+        out[98][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[42][k];
+        out[98][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[33][k];
+        out[98][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[76][k];
+        out[98][k] += -nu * scale * 0.30618621784789724 * alpha[19][k] * g[11][k];
+        out[98][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[76][k];
+        out[98][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[33][k];
+        out[98][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[42][k];
+    }
+    for k in 0..L {
+        out[100][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[78][k];
+        out[100][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[44][k];
+        out[100][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[35][k];
+        out[100][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[17][k];
+        out[100][k] += -nu * scale * 0.1956151991089879 * alpha[15][k] * g[78][k];
+        out[100][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[13][k];
+        out[100][k] += -nu * scale * 0.2449489742783178 * alpha[19][k] * g[84][k];
+        out[100][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[78][k];
+        out[100][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[2][k];
+        out[100][k] += -nu * scale * 0.1956151991089879 * alpha[46][k] * g[35][k];
+        out[100][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[48][k];
+        out[100][k] += -nu * scale * 0.2449489742783178 * alpha[50][k] * g[44][k];
+    }
+    for k in 0..L {
+        out[101][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[79][k];
+        out[101][k] += -nu * scale * 0.2738612787525831 * alpha[4][k] * g[45][k];
+        out[101][k] += -nu * scale * 0.30618621784789724 * alpha[5][k] * g[36][k];
+        out[101][k] += -nu * scale * 0.30618621784789724 * alpha[15][k] * g[18][k];
+        out[101][k] += -nu * scale * 0.1956151991089879 * alpha[15][k] * g[79][k];
+        out[101][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[14][k];
+        out[101][k] += -nu * scale * 0.2449489742783178 * alpha[19][k] * g[85][k];
+        out[101][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[79][k];
+        out[101][k] += -nu * scale * 0.30618621784789724 * alpha[46][k] * g[3][k];
+        out[101][k] += -nu * scale * 0.1956151991089879 * alpha[46][k] * g[36][k];
+        out[101][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[49][k];
+        out[101][k] += -nu * scale * 0.2449489742783178 * alpha[50][k] * g[45][k];
+    }
+    for k in 0..L {
+        out[103][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[82][k];
+        out[103][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[106][k];
+        out[103][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[41][k];
+        out[103][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[75][k];
+        out[103][k] += -nu * scale * 0.30618621784789724 * alpha[20][k] * g[10][k];
+        out[103][k] += -nu * scale * 0.1956151991089879 * alpha[20][k] * g[82][k];
+        out[103][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[102][k];
+        out[103][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[32][k];
+        out[103][k] += -nu * scale * 0.19561519910898792 * alpha[50][k] * g[106][k];
+    }
+    for k in 0..L {
+        out[104][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[84][k];
+        out[104][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[48][k];
+        out[104][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[44][k];
+        out[104][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[84][k];
+        out[104][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[17][k];
+        out[104][k] += -nu * scale * 0.2449489742783178 * alpha[19][k] * g[78][k];
+        out[104][k] += -nu * scale * 0.30618621784789724 * alpha[20][k] * g[13][k];
+        out[104][k] += -nu * scale * 0.1956151991089879 * alpha[20][k] * g[84][k];
+        out[104][k] += -nu * scale * 0.2449489742783178 * alpha[46][k] * g[44][k];
+        out[104][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[2][k];
+        out[104][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[35][k];
+        out[104][k] += -nu * scale * 0.1956151991089879 * alpha[50][k] * g[48][k];
+    }
+    for k in 0..L {
+        out[105][k] += -nu * scale * 0.30618621784789724 * alpha[0][k] * g[85][k];
+        out[105][k] += -nu * scale * 0.30618621784789724 * alpha[4][k] * g[49][k];
+        out[105][k] += -nu * scale * 0.2738612787525831 * alpha[5][k] * g[45][k];
+        out[105][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[85][k];
+        out[105][k] += -nu * scale * 0.2738612787525831 * alpha[19][k] * g[18][k];
+        out[105][k] += -nu * scale * 0.2449489742783178 * alpha[19][k] * g[79][k];
+        out[105][k] += -nu * scale * 0.30618621784789724 * alpha[20][k] * g[14][k];
+        out[105][k] += -nu * scale * 0.1956151991089879 * alpha[20][k] * g[85][k];
+        out[105][k] += -nu * scale * 0.2449489742783178 * alpha[46][k] * g[45][k];
+        out[105][k] += -nu * scale * 0.30618621784789724 * alpha[50][k] * g[3][k];
+        out[105][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[36][k];
+        out[105][k] += -nu * scale * 0.1956151991089879 * alpha[50][k] * g[49][k];
+    }
+    for k in 0..L {
+        out[107][k] += -nu * scale * 0.6846531968814576 * alpha[0][k] * g[96][k];
+        out[107][k] += -nu * scale * 0.6846531968814576 * alpha[4][k] * g[67][k];
+        out[107][k] += -nu * scale * 0.6123724356957946 * alpha[4][k] * g[110][k];
+        out[107][k] += -nu * scale * 0.6846531968814576 * alpha[5][k] * g[57][k];
+        out[107][k] += -nu * scale * 0.6123724356957946 * alpha[5][k] * g[111][k];
+        out[107][k] += -nu * scale * 0.6123724356957946 * alpha[15][k] * g[96][k];
+        out[107][k] += -nu * scale * 0.6846531968814576 * alpha[19][k] * g[24][k];
+        out[107][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[89][k];
+        out[107][k] += -nu * scale * 0.6123724356957946 * alpha[19][k] * g[103][k];
+        out[107][k] += -nu * scale * 0.6123724356957946 * alpha[20][k] * g[96][k];
+        out[107][k] += -nu * scale * 0.6123724356957946 * alpha[46][k] * g[57][k];
+        out[107][k] += -nu * scale * 0.5477225575051662 * alpha[46][k] * g[111][k];
+        out[107][k] += -nu * scale * 0.6123724356957946 * alpha[50][k] * g[67][k];
+        out[107][k] += -nu * scale * 0.5477225575051662 * alpha[50][k] * g[110][k];
+    }
+    for k in 0..L {
+        out[108][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[97][k];
+        out[108][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[68][k];
+        out[108][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[58][k];
+        out[108][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[97][k];
+        out[108][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[25][k];
+        out[108][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[97][k];
+        out[108][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[58][k];
+        out[108][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[68][k];
+    }
+    for k in 0..L {
+        out[109][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[99][k];
+        out[109][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[70][k];
+        out[109][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[60][k];
+        out[109][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[99][k];
+        out[109][k] += -nu * scale * 0.3061862178478973 * alpha[19][k] * g[27][k];
+        out[109][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[99][k];
+        out[109][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[60][k];
+        out[109][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[70][k];
+    }
+    for k in 0..L {
+        out[110][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[102][k];
+        out[110][k] += -nu * scale * 0.27386127875258304 * alpha[4][k] * g[75][k];
+        out[110][k] += -nu * scale * 0.3061862178478973 * alpha[5][k] * g[63][k];
+        out[110][k] += -nu * scale * 0.3061862178478973 * alpha[15][k] * g[41][k];
+        out[110][k] += -nu * scale * 0.19561519910898792 * alpha[15][k] * g[102][k];
+        out[110][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[32][k];
+        out[110][k] += -nu * scale * 0.24494897427831783 * alpha[19][k] * g[106][k];
+        out[110][k] += -nu * scale * 0.27386127875258304 * alpha[20][k] * g[102][k];
+        out[110][k] += -nu * scale * 0.3061862178478973 * alpha[46][k] * g[10][k];
+        out[110][k] += -nu * scale * 0.19561519910898792 * alpha[46][k] * g[63][k];
+        out[110][k] += -nu * scale * 0.27386127875258304 * alpha[46][k] * g[82][k];
+        out[110][k] += -nu * scale * 0.24494897427831783 * alpha[50][k] * g[75][k];
+    }
+    for k in 0..L {
+        out[111][k] += -nu * scale * 0.3061862178478973 * alpha[0][k] * g[106][k];
+        out[111][k] += -nu * scale * 0.3061862178478973 * alpha[4][k] * g[82][k];
+        out[111][k] += -nu * scale * 0.27386127875258304 * alpha[5][k] * g[75][k];
+        out[111][k] += -nu * scale * 0.27386127875258304 * alpha[15][k] * g[106][k];
+        out[111][k] += -nu * scale * 0.27386127875258304 * alpha[19][k] * g[41][k];
+        out[111][k] += -nu * scale * 0.24494897427831783 * alpha[19][k] * g[102][k];
+        out[111][k] += -nu * scale * 0.3061862178478973 * alpha[20][k] * g[32][k];
+        out[111][k] += -nu * scale * 0.19561519910898792 * alpha[20][k] * g[106][k];
+        out[111][k] += -nu * scale * 0.24494897427831783 * alpha[46][k] * g[75][k];
+        out[111][k] += -nu * scale * 0.3061862178478973 * alpha[50][k] * g[10][k];
+        out[111][k] += -nu * scale * 0.27386127875258304 * alpha[50][k] * g[63][k];
+        out[111][k] += -nu * scale * 0.19561519910898792 * alpha[50][k] * g[82][k];
+    }
 }
 
 /// LBO diffusion surface term in v2 at one interior face: one-sided
@@ -10439,784 +12129,913 @@ pub fn lbo_2x3v_p2_ser_diff_vol_v2(nu: f64, dv: f64, vth2: &[f64], g: &[f64], ou
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn lbo_2x3v_p2_ser_diff_surf_v2(nu: f64, dv: f64, vth2: &[f64], g_lo: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
+    lbo_2x3v_p2_ser_diff_surf_v2_body::<1>(nu, dv, vth2.as_chunks().0, g_lo.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
+}
+
+/// [`lbo_2x3v_p2_ser_diff_surf_v2`] over `LANES` pencils: the same body, bit-identical per lane.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_diff_surf_v2_b4(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_diff_surf_v2_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// [`lbo_2x3v_p2_ser_diff_surf_v2_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn lbo_2x3v_p2_ser_diff_surf_v2_b4_avx2(nu: f64, dv: f64, vth2: &[[f64; LANES]], g_lo: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    lbo_2x3v_p2_ser_diff_surf_v2_body(nu, dv, vth2, g_lo, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`lbo_2x3v_p2_ser_diff_surf_v2`] and its batched entry points.
+#[allow(clippy::all)]
+#[rustfmt::skip]
+#[inline(always)]
+fn lbo_2x3v_p2_ser_diff_surf_v2_body<const L: usize>(nu: f64, dv: f64, vth2: &[[f64; L]], g_lo: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let vth2: &[[f64; L]; 8] = vth2.first_chunk().expect("vth2: 8 coefficients");
+    let g_lo: &[[f64; L]; 112] = g_lo.first_chunk().expect("g_lo: 112 coefficients");
+    let out_lo: &mut [[f64; L]; 112] = out_lo.first_chunk_mut().expect("out_lo: 112 coefficients");
+    let out_hi: &mut [[f64; L]; 112] = out_hi.first_chunk_mut().expect("out_hi: 112 coefficients");
     let scale = 2.0 / dv;
-    let mut alpha = [0.0f64; 48];
-    alpha[0] = 2.0 * vth2[0];
-    alpha[3] = 2.0 * vth2[1];
-    alpha[4] = 2.0 * vth2[2];
-    alpha[10] = 2.0 * vth2[3];
-    alpha[13] = 2.0 * vth2[4];
-    alpha[14] = 2.0 * vth2[5];
-    alpha[27] = 2.0 * vth2[6];
-    alpha[30] = 2.0 * vth2[7];
-    let mut tr = [0.0f64; 48];
-    tr[0] += 0.7071067811865476 * g_lo[0];
-    tr[0] += 1.224744871391589 * g_lo[1];
-    tr[1] += 0.7071067811865476 * g_lo[2];
-    tr[2] += 0.7071067811865476 * g_lo[3];
-    tr[3] += 0.7071067811865476 * g_lo[4];
-    tr[4] += 0.7071067811865476 * g_lo[5];
-    tr[0] += 1.5811388300841898 * g_lo[6];
-    tr[1] += 1.224744871391589 * g_lo[7];
-    tr[5] += 0.7071067811865476 * g_lo[8];
-    tr[2] += 1.224744871391589 * g_lo[9];
-    tr[6] += 0.7071067811865476 * g_lo[10];
-    tr[7] += 0.7071067811865476 * g_lo[11];
-    tr[3] += 1.224744871391589 * g_lo[12];
-    tr[8] += 0.7071067811865476 * g_lo[13];
-    tr[9] += 0.7071067811865476 * g_lo[14];
-    tr[10] += 0.7071067811865476 * g_lo[15];
-    tr[4] += 1.224744871391589 * g_lo[16];
-    tr[11] += 0.7071067811865476 * g_lo[17];
-    tr[12] += 0.7071067811865476 * g_lo[18];
-    tr[13] += 0.7071067811865476 * g_lo[19];
-    tr[14] += 0.7071067811865476 * g_lo[20];
-    tr[1] += 1.5811388300841898 * g_lo[21];
-    tr[5] += 1.224744871391589 * g_lo[22];
-    tr[2] += 1.5811388300841898 * g_lo[23];
-    tr[6] += 1.224744871391589 * g_lo[24];
-    tr[15] += 0.7071067811865476 * g_lo[25];
-    tr[7] += 1.224744871391589 * g_lo[26];
-    tr[16] += 0.7071067811865476 * g_lo[27];
-    tr[3] += 1.5811388300841898 * g_lo[28];
-    tr[8] += 1.224744871391589 * g_lo[29];
-    tr[17] += 0.7071067811865476 * g_lo[30];
-    tr[9] += 1.224744871391589 * g_lo[31];
-    tr[18] += 0.7071067811865476 * g_lo[32];
-    tr[19] += 0.7071067811865476 * g_lo[33];
-    tr[10] += 1.224744871391589 * g_lo[34];
-    tr[20] += 0.7071067811865476 * g_lo[35];
-    tr[21] += 0.7071067811865476 * g_lo[36];
-    tr[4] += 1.5811388300841898 * g_lo[37];
-    tr[11] += 1.224744871391589 * g_lo[38];
-    tr[22] += 0.7071067811865476 * g_lo[39];
-    tr[12] += 1.224744871391589 * g_lo[40];
-    tr[23] += 0.7071067811865476 * g_lo[41];
-    tr[24] += 0.7071067811865476 * g_lo[42];
-    tr[13] += 1.224744871391589 * g_lo[43];
-    tr[25] += 0.7071067811865476 * g_lo[44];
-    tr[26] += 0.7071067811865476 * g_lo[45];
-    tr[27] += 0.7071067811865476 * g_lo[46];
-    tr[14] += 1.224744871391589 * g_lo[47];
-    tr[28] += 0.7071067811865476 * g_lo[48];
-    tr[29] += 0.7071067811865476 * g_lo[49];
-    tr[30] += 0.7071067811865476 * g_lo[50];
-    tr[6] += 1.5811388300841898 * g_lo[51];
-    tr[15] += 1.224744871391589 * g_lo[52];
-    tr[16] += 1.224744871391589 * g_lo[53];
-    tr[8] += 1.5811388300841898 * g_lo[54];
-    tr[17] += 1.224744871391589 * g_lo[55];
-    tr[9] += 1.5811388300841898 * g_lo[56];
-    tr[18] += 1.224744871391589 * g_lo[57];
-    tr[31] += 0.7071067811865476 * g_lo[58];
-    tr[19] += 1.224744871391589 * g_lo[59];
-    tr[32] += 0.7071067811865476 * g_lo[60];
-    tr[20] += 1.224744871391589 * g_lo[61];
-    tr[21] += 1.224744871391589 * g_lo[62];
-    tr[33] += 0.7071067811865476 * g_lo[63];
-    tr[11] += 1.5811388300841898 * g_lo[64];
-    tr[22] += 1.224744871391589 * g_lo[65];
-    tr[12] += 1.5811388300841898 * g_lo[66];
-    tr[23] += 1.224744871391589 * g_lo[67];
-    tr[34] += 0.7071067811865476 * g_lo[68];
-    tr[24] += 1.224744871391589 * g_lo[69];
-    tr[35] += 0.7071067811865476 * g_lo[70];
-    tr[13] += 1.5811388300841898 * g_lo[71];
-    tr[25] += 1.224744871391589 * g_lo[72];
-    tr[36] += 0.7071067811865476 * g_lo[73];
-    tr[26] += 1.224744871391589 * g_lo[74];
-    tr[37] += 0.7071067811865476 * g_lo[75];
-    tr[38] += 0.7071067811865476 * g_lo[76];
-    tr[27] += 1.224744871391589 * g_lo[77];
-    tr[39] += 0.7071067811865476 * g_lo[78];
-    tr[40] += 0.7071067811865476 * g_lo[79];
-    tr[28] += 1.224744871391589 * g_lo[80];
-    tr[29] += 1.224744871391589 * g_lo[81];
-    tr[41] += 0.7071067811865476 * g_lo[82];
-    tr[30] += 1.224744871391589 * g_lo[83];
-    tr[42] += 0.7071067811865476 * g_lo[84];
-    tr[43] += 0.7071067811865476 * g_lo[85];
-    tr[18] += 1.5811388300841898 * g_lo[86];
-    tr[31] += 1.224744871391589 * g_lo[87];
-    tr[32] += 1.224744871391589 * g_lo[88];
-    tr[33] += 1.224744871391589 * g_lo[89];
-    tr[23] += 1.5811388300841898 * g_lo[90];
-    tr[34] += 1.224744871391589 * g_lo[91];
-    tr[35] += 1.224744871391589 * g_lo[92];
-    tr[25] += 1.5811388300841898 * g_lo[93];
-    tr[36] += 1.224744871391589 * g_lo[94];
-    tr[26] += 1.5811388300841898 * g_lo[95];
-    tr[37] += 1.224744871391589 * g_lo[96];
-    tr[44] += 0.7071067811865476 * g_lo[97];
-    tr[38] += 1.224744871391589 * g_lo[98];
-    tr[45] += 0.7071067811865476 * g_lo[99];
-    tr[39] += 1.224744871391589 * g_lo[100];
-    tr[40] += 1.224744871391589 * g_lo[101];
-    tr[46] += 0.7071067811865476 * g_lo[102];
-    tr[41] += 1.224744871391589 * g_lo[103];
-    tr[42] += 1.224744871391589 * g_lo[104];
-    tr[43] += 1.224744871391589 * g_lo[105];
-    tr[47] += 0.7071067811865476 * g_lo[106];
-    tr[37] += 1.5811388300841898 * g_lo[107];
-    tr[44] += 1.224744871391589 * g_lo[108];
-    tr[45] += 1.224744871391589 * g_lo[109];
-    tr[46] += 1.224744871391589 * g_lo[110];
-    tr[47] += 1.224744871391589 * g_lo[111];
-    let mut ghat = [0.0f64; 48];
-    ghat[0] += 0.25 * alpha[0] * tr[0];
-    ghat[0] += 0.25 * alpha[3] * tr[3];
-    ghat[0] += 0.25 * alpha[4] * tr[4];
-    ghat[0] += 0.25 * alpha[10] * tr[10];
-    ghat[0] += 0.25 * alpha[13] * tr[13];
-    ghat[0] += 0.25 * alpha[14] * tr[14];
-    ghat[0] += 0.25 * alpha[27] * tr[27];
-    ghat[0] += 0.25 * alpha[30] * tr[30];
-    ghat[1] += 0.25 * alpha[0] * tr[1];
-    ghat[1] += 0.25 * alpha[3] * tr[8];
-    ghat[1] += 0.25 * alpha[4] * tr[11];
-    ghat[1] += 0.25 * alpha[10] * tr[20];
-    ghat[1] += 0.25 * alpha[13] * tr[25];
-    ghat[1] += 0.25 * alpha[14] * tr[28];
-    ghat[1] += 0.25 * alpha[27] * tr[39];
-    ghat[1] += 0.25 * alpha[30] * tr[42];
-    ghat[2] += 0.25 * alpha[0] * tr[2];
-    ghat[2] += 0.25 * alpha[3] * tr[9];
-    ghat[2] += 0.25 * alpha[4] * tr[12];
-    ghat[2] += 0.25 * alpha[10] * tr[21];
-    ghat[2] += 0.25 * alpha[13] * tr[26];
-    ghat[2] += 0.25 * alpha[14] * tr[29];
-    ghat[2] += 0.25 * alpha[27] * tr[40];
-    ghat[2] += 0.25 * alpha[30] * tr[43];
-    ghat[3] += 0.25 * alpha[0] * tr[3];
-    ghat[3] += 0.25 * alpha[3] * tr[0];
-    ghat[3] += 0.22360679774997896 * alpha[3] * tr[10];
-    ghat[3] += 0.25 * alpha[4] * tr[13];
-    ghat[3] += 0.22360679774997896 * alpha[10] * tr[3];
-    ghat[3] += 0.25 * alpha[13] * tr[4];
-    ghat[3] += 0.223606797749979 * alpha[13] * tr[27];
-    ghat[3] += 0.25 * alpha[14] * tr[30];
-    ghat[3] += 0.223606797749979 * alpha[27] * tr[13];
-    ghat[3] += 0.25 * alpha[30] * tr[14];
-    ghat[4] += 0.25 * alpha[0] * tr[4];
-    ghat[4] += 0.25 * alpha[3] * tr[13];
-    ghat[4] += 0.25 * alpha[4] * tr[0];
-    ghat[4] += 0.22360679774997896 * alpha[4] * tr[14];
-    ghat[4] += 0.25 * alpha[10] * tr[27];
-    ghat[4] += 0.25 * alpha[13] * tr[3];
-    ghat[4] += 0.223606797749979 * alpha[13] * tr[30];
-    ghat[4] += 0.22360679774997896 * alpha[14] * tr[4];
-    ghat[4] += 0.25 * alpha[27] * tr[10];
-    ghat[4] += 0.223606797749979 * alpha[30] * tr[13];
-    ghat[5] += 0.25 * alpha[0] * tr[5];
-    ghat[5] += 0.25 * alpha[3] * tr[17];
-    ghat[5] += 0.25 * alpha[4] * tr[22];
-    ghat[5] += 0.25 * alpha[13] * tr[36];
-    ghat[6] += 0.25 * alpha[0] * tr[6];
-    ghat[6] += 0.25 * alpha[3] * tr[18];
-    ghat[6] += 0.25 * alpha[4] * tr[23];
-    ghat[6] += 0.25 * alpha[10] * tr[33];
-    ghat[6] += 0.25 * alpha[13] * tr[37];
-    ghat[6] += 0.25 * alpha[14] * tr[41];
-    ghat[6] += 0.25 * alpha[27] * tr[46];
-    ghat[6] += 0.25 * alpha[30] * tr[47];
-    ghat[7] += 0.25 * alpha[0] * tr[7];
-    ghat[7] += 0.25 * alpha[3] * tr[19];
-    ghat[7] += 0.25 * alpha[4] * tr[24];
-    ghat[7] += 0.25 * alpha[13] * tr[38];
-    ghat[8] += 0.25 * alpha[0] * tr[8];
-    ghat[8] += 0.25 * alpha[3] * tr[1];
-    ghat[8] += 0.223606797749979 * alpha[3] * tr[20];
-    ghat[8] += 0.25 * alpha[4] * tr[25];
-    ghat[8] += 0.223606797749979 * alpha[10] * tr[8];
-    ghat[8] += 0.25 * alpha[13] * tr[11];
-    ghat[8] += 0.22360679774997896 * alpha[13] * tr[39];
-    ghat[8] += 0.25 * alpha[14] * tr[42];
-    ghat[8] += 0.22360679774997896 * alpha[27] * tr[25];
-    ghat[8] += 0.25 * alpha[30] * tr[28];
-    ghat[9] += 0.25 * alpha[0] * tr[9];
-    ghat[9] += 0.25 * alpha[3] * tr[2];
-    ghat[9] += 0.223606797749979 * alpha[3] * tr[21];
-    ghat[9] += 0.25 * alpha[4] * tr[26];
-    ghat[9] += 0.223606797749979 * alpha[10] * tr[9];
-    ghat[9] += 0.25 * alpha[13] * tr[12];
-    ghat[9] += 0.22360679774997896 * alpha[13] * tr[40];
-    ghat[9] += 0.25 * alpha[14] * tr[43];
-    ghat[9] += 0.22360679774997896 * alpha[27] * tr[26];
-    ghat[9] += 0.25 * alpha[30] * tr[29];
-    ghat[10] += 0.25 * alpha[0] * tr[10];
-    ghat[10] += 0.22360679774997896 * alpha[3] * tr[3];
-    ghat[10] += 0.25 * alpha[4] * tr[27];
-    ghat[10] += 0.25 * alpha[10] * tr[0];
-    ghat[10] += 0.15971914124998499 * alpha[10] * tr[10];
-    ghat[10] += 0.223606797749979 * alpha[13] * tr[13];
-    ghat[10] += 0.25 * alpha[27] * tr[4];
-    ghat[10] += 0.15971914124998499 * alpha[27] * tr[27];
-    ghat[10] += 0.22360679774997896 * alpha[30] * tr[30];
-    ghat[11] += 0.25 * alpha[0] * tr[11];
-    ghat[11] += 0.25 * alpha[3] * tr[25];
-    ghat[11] += 0.25 * alpha[4] * tr[1];
-    ghat[11] += 0.223606797749979 * alpha[4] * tr[28];
-    ghat[11] += 0.25 * alpha[10] * tr[39];
-    ghat[11] += 0.25 * alpha[13] * tr[8];
-    ghat[11] += 0.22360679774997896 * alpha[13] * tr[42];
-    ghat[11] += 0.223606797749979 * alpha[14] * tr[11];
-    ghat[11] += 0.25 * alpha[27] * tr[20];
-    ghat[11] += 0.22360679774997896 * alpha[30] * tr[25];
-    ghat[12] += 0.25 * alpha[0] * tr[12];
-    ghat[12] += 0.25 * alpha[3] * tr[26];
-    ghat[12] += 0.25 * alpha[4] * tr[2];
-    ghat[12] += 0.223606797749979 * alpha[4] * tr[29];
-    ghat[12] += 0.25 * alpha[10] * tr[40];
-    ghat[12] += 0.25 * alpha[13] * tr[9];
-    ghat[12] += 0.22360679774997896 * alpha[13] * tr[43];
-    ghat[12] += 0.223606797749979 * alpha[14] * tr[12];
-    ghat[12] += 0.25 * alpha[27] * tr[21];
-    ghat[12] += 0.22360679774997896 * alpha[30] * tr[26];
-    ghat[13] += 0.25 * alpha[0] * tr[13];
-    ghat[13] += 0.25 * alpha[3] * tr[4];
-    ghat[13] += 0.223606797749979 * alpha[3] * tr[27];
-    ghat[13] += 0.25 * alpha[4] * tr[3];
-    ghat[13] += 0.223606797749979 * alpha[4] * tr[30];
-    ghat[13] += 0.223606797749979 * alpha[10] * tr[13];
-    ghat[13] += 0.25 * alpha[13] * tr[0];
-    ghat[13] += 0.223606797749979 * alpha[13] * tr[10];
-    ghat[13] += 0.223606797749979 * alpha[13] * tr[14];
-    ghat[13] += 0.223606797749979 * alpha[14] * tr[13];
-    ghat[13] += 0.223606797749979 * alpha[27] * tr[3];
-    ghat[13] += 0.2 * alpha[27] * tr[30];
-    ghat[13] += 0.223606797749979 * alpha[30] * tr[4];
-    ghat[13] += 0.2 * alpha[30] * tr[27];
-    ghat[14] += 0.25 * alpha[0] * tr[14];
-    ghat[14] += 0.25 * alpha[3] * tr[30];
-    ghat[14] += 0.22360679774997896 * alpha[4] * tr[4];
-    ghat[14] += 0.223606797749979 * alpha[13] * tr[13];
-    ghat[14] += 0.25 * alpha[14] * tr[0];
-    ghat[14] += 0.15971914124998499 * alpha[14] * tr[14];
-    ghat[14] += 0.22360679774997896 * alpha[27] * tr[27];
-    ghat[14] += 0.25 * alpha[30] * tr[3];
-    ghat[14] += 0.15971914124998499 * alpha[30] * tr[30];
-    ghat[15] += 0.25 * alpha[0] * tr[15];
-    ghat[15] += 0.25 * alpha[3] * tr[31];
-    ghat[15] += 0.25 * alpha[4] * tr[34];
-    ghat[15] += 0.25 * alpha[13] * tr[44];
-    ghat[16] += 0.25 * alpha[0] * tr[16];
-    ghat[16] += 0.25 * alpha[3] * tr[32];
-    ghat[16] += 0.25 * alpha[4] * tr[35];
-    ghat[16] += 0.25 * alpha[13] * tr[45];
-    ghat[17] += 0.25 * alpha[0] * tr[17];
-    ghat[17] += 0.25 * alpha[3] * tr[5];
-    ghat[17] += 0.25 * alpha[4] * tr[36];
-    ghat[17] += 0.22360679774997896 * alpha[10] * tr[17];
-    ghat[17] += 0.25 * alpha[13] * tr[22];
-    ghat[17] += 0.22360679774997896 * alpha[27] * tr[36];
-    ghat[18] += 0.25 * alpha[0] * tr[18];
-    ghat[18] += 0.25 * alpha[3] * tr[6];
-    ghat[18] += 0.22360679774997896 * alpha[3] * tr[33];
-    ghat[18] += 0.25 * alpha[4] * tr[37];
-    ghat[18] += 0.22360679774997896 * alpha[10] * tr[18];
-    ghat[18] += 0.25 * alpha[13] * tr[23];
-    ghat[18] += 0.22360679774997896 * alpha[13] * tr[46];
-    ghat[18] += 0.25 * alpha[14] * tr[47];
-    ghat[18] += 0.22360679774997896 * alpha[27] * tr[37];
-    ghat[18] += 0.25 * alpha[30] * tr[41];
-    ghat[19] += 0.25 * alpha[0] * tr[19];
-    ghat[19] += 0.25 * alpha[3] * tr[7];
-    ghat[19] += 0.25 * alpha[4] * tr[38];
-    ghat[19] += 0.22360679774997896 * alpha[10] * tr[19];
-    ghat[19] += 0.25 * alpha[13] * tr[24];
-    ghat[19] += 0.22360679774997896 * alpha[27] * tr[38];
-    ghat[20] += 0.25 * alpha[0] * tr[20];
-    ghat[20] += 0.223606797749979 * alpha[3] * tr[8];
-    ghat[20] += 0.25 * alpha[4] * tr[39];
-    ghat[20] += 0.25 * alpha[10] * tr[1];
-    ghat[20] += 0.15971914124998499 * alpha[10] * tr[20];
-    ghat[20] += 0.22360679774997896 * alpha[13] * tr[25];
-    ghat[20] += 0.25 * alpha[27] * tr[11];
-    ghat[20] += 0.15971914124998499 * alpha[27] * tr[39];
-    ghat[20] += 0.22360679774997896 * alpha[30] * tr[42];
-    ghat[21] += 0.25 * alpha[0] * tr[21];
-    ghat[21] += 0.223606797749979 * alpha[3] * tr[9];
-    ghat[21] += 0.25 * alpha[4] * tr[40];
-    ghat[21] += 0.25 * alpha[10] * tr[2];
-    ghat[21] += 0.15971914124998499 * alpha[10] * tr[21];
-    ghat[21] += 0.22360679774997896 * alpha[13] * tr[26];
-    ghat[21] += 0.25 * alpha[27] * tr[12];
-    ghat[21] += 0.15971914124998499 * alpha[27] * tr[40];
-    ghat[21] += 0.22360679774997896 * alpha[30] * tr[43];
-    ghat[22] += 0.25 * alpha[0] * tr[22];
-    ghat[22] += 0.25 * alpha[3] * tr[36];
-    ghat[22] += 0.25 * alpha[4] * tr[5];
-    ghat[22] += 0.25 * alpha[13] * tr[17];
-    ghat[22] += 0.22360679774997896 * alpha[14] * tr[22];
-    ghat[22] += 0.22360679774997896 * alpha[30] * tr[36];
-    ghat[23] += 0.25 * alpha[0] * tr[23];
-    ghat[23] += 0.25 * alpha[3] * tr[37];
-    ghat[23] += 0.25 * alpha[4] * tr[6];
-    ghat[23] += 0.22360679774997896 * alpha[4] * tr[41];
-    ghat[23] += 0.25 * alpha[10] * tr[46];
-    ghat[23] += 0.25 * alpha[13] * tr[18];
-    ghat[23] += 0.22360679774997896 * alpha[13] * tr[47];
-    ghat[23] += 0.22360679774997896 * alpha[14] * tr[23];
-    ghat[23] += 0.25 * alpha[27] * tr[33];
-    ghat[23] += 0.22360679774997896 * alpha[30] * tr[37];
-    ghat[24] += 0.25 * alpha[0] * tr[24];
-    ghat[24] += 0.25 * alpha[3] * tr[38];
-    ghat[24] += 0.25 * alpha[4] * tr[7];
-    ghat[24] += 0.25 * alpha[13] * tr[19];
-    ghat[24] += 0.22360679774997896 * alpha[14] * tr[24];
-    ghat[24] += 0.22360679774997896 * alpha[30] * tr[38];
-    ghat[25] += 0.25 * alpha[0] * tr[25];
-    ghat[25] += 0.25 * alpha[3] * tr[11];
-    ghat[25] += 0.22360679774997896 * alpha[3] * tr[39];
-    ghat[25] += 0.25 * alpha[4] * tr[8];
-    ghat[25] += 0.22360679774997896 * alpha[4] * tr[42];
-    ghat[25] += 0.22360679774997896 * alpha[10] * tr[25];
-    ghat[25] += 0.25 * alpha[13] * tr[1];
-    ghat[25] += 0.22360679774997896 * alpha[13] * tr[20];
-    ghat[25] += 0.22360679774997896 * alpha[13] * tr[28];
-    ghat[25] += 0.22360679774997896 * alpha[14] * tr[25];
-    ghat[25] += 0.22360679774997896 * alpha[27] * tr[8];
-    ghat[25] += 0.19999999999999998 * alpha[27] * tr[42];
-    ghat[25] += 0.22360679774997896 * alpha[30] * tr[11];
-    ghat[25] += 0.19999999999999998 * alpha[30] * tr[39];
-    ghat[26] += 0.25 * alpha[0] * tr[26];
-    ghat[26] += 0.25 * alpha[3] * tr[12];
-    ghat[26] += 0.22360679774997896 * alpha[3] * tr[40];
-    ghat[26] += 0.25 * alpha[4] * tr[9];
-    ghat[26] += 0.22360679774997896 * alpha[4] * tr[43];
-    ghat[26] += 0.22360679774997896 * alpha[10] * tr[26];
-    ghat[26] += 0.25 * alpha[13] * tr[2];
-    ghat[26] += 0.22360679774997896 * alpha[13] * tr[21];
-    ghat[26] += 0.22360679774997896 * alpha[13] * tr[29];
-    ghat[26] += 0.22360679774997896 * alpha[14] * tr[26];
-    ghat[26] += 0.22360679774997896 * alpha[27] * tr[9];
-    ghat[26] += 0.19999999999999998 * alpha[27] * tr[43];
-    ghat[26] += 0.22360679774997896 * alpha[30] * tr[12];
-    ghat[26] += 0.19999999999999998 * alpha[30] * tr[40];
-    ghat[27] += 0.25 * alpha[0] * tr[27];
-    ghat[27] += 0.223606797749979 * alpha[3] * tr[13];
-    ghat[27] += 0.25 * alpha[4] * tr[10];
-    ghat[27] += 0.25 * alpha[10] * tr[4];
-    ghat[27] += 0.15971914124998499 * alpha[10] * tr[27];
-    ghat[27] += 0.223606797749979 * alpha[13] * tr[3];
-    ghat[27] += 0.2 * alpha[13] * tr[30];
-    ghat[27] += 0.22360679774997896 * alpha[14] * tr[27];
-    ghat[27] += 0.25 * alpha[27] * tr[0];
-    ghat[27] += 0.15971914124998499 * alpha[27] * tr[10];
-    ghat[27] += 0.22360679774997896 * alpha[27] * tr[14];
-    ghat[27] += 0.2 * alpha[30] * tr[13];
-    ghat[28] += 0.25 * alpha[0] * tr[28];
-    ghat[28] += 0.25 * alpha[3] * tr[42];
-    ghat[28] += 0.223606797749979 * alpha[4] * tr[11];
-    ghat[28] += 0.22360679774997896 * alpha[13] * tr[25];
-    ghat[28] += 0.25 * alpha[14] * tr[1];
-    ghat[28] += 0.15971914124998499 * alpha[14] * tr[28];
-    ghat[28] += 0.22360679774997896 * alpha[27] * tr[39];
-    ghat[28] += 0.25 * alpha[30] * tr[8];
-    ghat[28] += 0.15971914124998499 * alpha[30] * tr[42];
-    ghat[29] += 0.25 * alpha[0] * tr[29];
-    ghat[29] += 0.25 * alpha[3] * tr[43];
-    ghat[29] += 0.223606797749979 * alpha[4] * tr[12];
-    ghat[29] += 0.22360679774997896 * alpha[13] * tr[26];
-    ghat[29] += 0.25 * alpha[14] * tr[2];
-    ghat[29] += 0.15971914124998499 * alpha[14] * tr[29];
-    ghat[29] += 0.22360679774997896 * alpha[27] * tr[40];
-    ghat[29] += 0.25 * alpha[30] * tr[9];
-    ghat[29] += 0.15971914124998499 * alpha[30] * tr[43];
-    ghat[30] += 0.25 * alpha[0] * tr[30];
-    ghat[30] += 0.25 * alpha[3] * tr[14];
-    ghat[30] += 0.223606797749979 * alpha[4] * tr[13];
-    ghat[30] += 0.22360679774997896 * alpha[10] * tr[30];
-    ghat[30] += 0.223606797749979 * alpha[13] * tr[4];
-    ghat[30] += 0.2 * alpha[13] * tr[27];
-    ghat[30] += 0.25 * alpha[14] * tr[3];
-    ghat[30] += 0.15971914124998499 * alpha[14] * tr[30];
-    ghat[30] += 0.2 * alpha[27] * tr[13];
-    ghat[30] += 0.25 * alpha[30] * tr[0];
-    ghat[30] += 0.22360679774997896 * alpha[30] * tr[10];
-    ghat[30] += 0.15971914124998499 * alpha[30] * tr[14];
-    ghat[31] += 0.25 * alpha[0] * tr[31];
-    ghat[31] += 0.25 * alpha[3] * tr[15];
-    ghat[31] += 0.25 * alpha[4] * tr[44];
-    ghat[31] += 0.22360679774997896 * alpha[10] * tr[31];
-    ghat[31] += 0.25 * alpha[13] * tr[34];
-    ghat[31] += 0.22360679774997896 * alpha[27] * tr[44];
-    ghat[32] += 0.25 * alpha[0] * tr[32];
-    ghat[32] += 0.25 * alpha[3] * tr[16];
-    ghat[32] += 0.25 * alpha[4] * tr[45];
-    ghat[32] += 0.22360679774997896 * alpha[10] * tr[32];
-    ghat[32] += 0.25 * alpha[13] * tr[35];
-    ghat[32] += 0.22360679774997896 * alpha[27] * tr[45];
-    ghat[33] += 0.25 * alpha[0] * tr[33];
-    ghat[33] += 0.22360679774997896 * alpha[3] * tr[18];
-    ghat[33] += 0.25 * alpha[4] * tr[46];
-    ghat[33] += 0.25 * alpha[10] * tr[6];
-    ghat[33] += 0.15971914124998499 * alpha[10] * tr[33];
-    ghat[33] += 0.22360679774997896 * alpha[13] * tr[37];
-    ghat[33] += 0.25 * alpha[27] * tr[23];
-    ghat[33] += 0.15971914124998499 * alpha[27] * tr[46];
-    ghat[33] += 0.22360679774997896 * alpha[30] * tr[47];
-    ghat[34] += 0.25 * alpha[0] * tr[34];
-    ghat[34] += 0.25 * alpha[3] * tr[44];
-    ghat[34] += 0.25 * alpha[4] * tr[15];
-    ghat[34] += 0.25 * alpha[13] * tr[31];
-    ghat[34] += 0.22360679774997896 * alpha[14] * tr[34];
-    ghat[34] += 0.22360679774997896 * alpha[30] * tr[44];
-    ghat[35] += 0.25 * alpha[0] * tr[35];
-    ghat[35] += 0.25 * alpha[3] * tr[45];
-    ghat[35] += 0.25 * alpha[4] * tr[16];
-    ghat[35] += 0.25 * alpha[13] * tr[32];
-    ghat[35] += 0.22360679774997896 * alpha[14] * tr[35];
-    ghat[35] += 0.22360679774997896 * alpha[30] * tr[45];
-    ghat[36] += 0.25 * alpha[0] * tr[36];
-    ghat[36] += 0.25 * alpha[3] * tr[22];
-    ghat[36] += 0.25 * alpha[4] * tr[17];
-    ghat[36] += 0.22360679774997896 * alpha[10] * tr[36];
-    ghat[36] += 0.25 * alpha[13] * tr[5];
-    ghat[36] += 0.22360679774997896 * alpha[14] * tr[36];
-    ghat[36] += 0.22360679774997896 * alpha[27] * tr[17];
-    ghat[36] += 0.22360679774997896 * alpha[30] * tr[22];
-    ghat[37] += 0.25 * alpha[0] * tr[37];
-    ghat[37] += 0.25 * alpha[3] * tr[23];
-    ghat[37] += 0.22360679774997896 * alpha[3] * tr[46];
-    ghat[37] += 0.25 * alpha[4] * tr[18];
-    ghat[37] += 0.22360679774997896 * alpha[4] * tr[47];
-    ghat[37] += 0.22360679774997896 * alpha[10] * tr[37];
-    ghat[37] += 0.25 * alpha[13] * tr[6];
-    ghat[37] += 0.22360679774997896 * alpha[13] * tr[33];
-    ghat[37] += 0.22360679774997896 * alpha[13] * tr[41];
-    ghat[37] += 0.22360679774997896 * alpha[14] * tr[37];
-    ghat[37] += 0.22360679774997896 * alpha[27] * tr[18];
-    ghat[37] += 0.2 * alpha[27] * tr[47];
-    ghat[37] += 0.22360679774997896 * alpha[30] * tr[23];
-    ghat[37] += 0.2 * alpha[30] * tr[46];
-    ghat[38] += 0.25 * alpha[0] * tr[38];
-    ghat[38] += 0.25 * alpha[3] * tr[24];
-    ghat[38] += 0.25 * alpha[4] * tr[19];
-    ghat[38] += 0.22360679774997896 * alpha[10] * tr[38];
-    ghat[38] += 0.25 * alpha[13] * tr[7];
-    ghat[38] += 0.22360679774997896 * alpha[14] * tr[38];
-    ghat[38] += 0.22360679774997896 * alpha[27] * tr[19];
-    ghat[38] += 0.22360679774997896 * alpha[30] * tr[24];
-    ghat[39] += 0.25 * alpha[0] * tr[39];
-    ghat[39] += 0.22360679774997896 * alpha[3] * tr[25];
-    ghat[39] += 0.25 * alpha[4] * tr[20];
-    ghat[39] += 0.25 * alpha[10] * tr[11];
-    ghat[39] += 0.15971914124998499 * alpha[10] * tr[39];
-    ghat[39] += 0.22360679774997896 * alpha[13] * tr[8];
-    ghat[39] += 0.19999999999999998 * alpha[13] * tr[42];
-    ghat[39] += 0.22360679774997896 * alpha[14] * tr[39];
-    ghat[39] += 0.25 * alpha[27] * tr[1];
-    ghat[39] += 0.15971914124998499 * alpha[27] * tr[20];
-    ghat[39] += 0.22360679774997896 * alpha[27] * tr[28];
-    ghat[39] += 0.19999999999999998 * alpha[30] * tr[25];
-    ghat[40] += 0.25 * alpha[0] * tr[40];
-    ghat[40] += 0.22360679774997896 * alpha[3] * tr[26];
-    ghat[40] += 0.25 * alpha[4] * tr[21];
-    ghat[40] += 0.25 * alpha[10] * tr[12];
-    ghat[40] += 0.15971914124998499 * alpha[10] * tr[40];
-    ghat[40] += 0.22360679774997896 * alpha[13] * tr[9];
-    ghat[40] += 0.19999999999999998 * alpha[13] * tr[43];
-    ghat[40] += 0.22360679774997896 * alpha[14] * tr[40];
-    ghat[40] += 0.25 * alpha[27] * tr[2];
-    ghat[40] += 0.15971914124998499 * alpha[27] * tr[21];
-    ghat[40] += 0.22360679774997896 * alpha[27] * tr[29];
-    ghat[40] += 0.19999999999999998 * alpha[30] * tr[26];
-    ghat[41] += 0.25 * alpha[0] * tr[41];
-    ghat[41] += 0.25 * alpha[3] * tr[47];
-    ghat[41] += 0.22360679774997896 * alpha[4] * tr[23];
-    ghat[41] += 0.22360679774997896 * alpha[13] * tr[37];
-    ghat[41] += 0.25 * alpha[14] * tr[6];
-    ghat[41] += 0.15971914124998499 * alpha[14] * tr[41];
-    ghat[41] += 0.22360679774997896 * alpha[27] * tr[46];
-    ghat[41] += 0.25 * alpha[30] * tr[18];
-    ghat[41] += 0.15971914124998499 * alpha[30] * tr[47];
-    ghat[42] += 0.25 * alpha[0] * tr[42];
-    ghat[42] += 0.25 * alpha[3] * tr[28];
-    ghat[42] += 0.22360679774997896 * alpha[4] * tr[25];
-    ghat[42] += 0.22360679774997896 * alpha[10] * tr[42];
-    ghat[42] += 0.22360679774997896 * alpha[13] * tr[11];
-    ghat[42] += 0.19999999999999998 * alpha[13] * tr[39];
-    ghat[42] += 0.25 * alpha[14] * tr[8];
-    ghat[42] += 0.15971914124998499 * alpha[14] * tr[42];
-    ghat[42] += 0.19999999999999998 * alpha[27] * tr[25];
-    ghat[42] += 0.25 * alpha[30] * tr[1];
-    ghat[42] += 0.22360679774997896 * alpha[30] * tr[20];
-    ghat[42] += 0.15971914124998499 * alpha[30] * tr[28];
-    ghat[43] += 0.25 * alpha[0] * tr[43];
-    ghat[43] += 0.25 * alpha[3] * tr[29];
-    ghat[43] += 0.22360679774997896 * alpha[4] * tr[26];
-    ghat[43] += 0.22360679774997896 * alpha[10] * tr[43];
-    ghat[43] += 0.22360679774997896 * alpha[13] * tr[12];
-    ghat[43] += 0.19999999999999998 * alpha[13] * tr[40];
-    ghat[43] += 0.25 * alpha[14] * tr[9];
-    ghat[43] += 0.15971914124998499 * alpha[14] * tr[43];
-    ghat[43] += 0.19999999999999998 * alpha[27] * tr[26];
-    ghat[43] += 0.25 * alpha[30] * tr[2];
-    ghat[43] += 0.22360679774997896 * alpha[30] * tr[21];
-    ghat[43] += 0.15971914124998499 * alpha[30] * tr[29];
-    ghat[44] += 0.25 * alpha[0] * tr[44];
-    ghat[44] += 0.25 * alpha[3] * tr[34];
-    ghat[44] += 0.25 * alpha[4] * tr[31];
-    ghat[44] += 0.22360679774997896 * alpha[10] * tr[44];
-    ghat[44] += 0.25 * alpha[13] * tr[15];
-    ghat[44] += 0.22360679774997896 * alpha[14] * tr[44];
-    ghat[44] += 0.22360679774997896 * alpha[27] * tr[31];
-    ghat[44] += 0.22360679774997896 * alpha[30] * tr[34];
-    ghat[45] += 0.25 * alpha[0] * tr[45];
-    ghat[45] += 0.25 * alpha[3] * tr[35];
-    ghat[45] += 0.25 * alpha[4] * tr[32];
-    ghat[45] += 0.22360679774997896 * alpha[10] * tr[45];
-    ghat[45] += 0.25 * alpha[13] * tr[16];
-    ghat[45] += 0.22360679774997896 * alpha[14] * tr[45];
-    ghat[45] += 0.22360679774997896 * alpha[27] * tr[32];
-    ghat[45] += 0.22360679774997896 * alpha[30] * tr[35];
-    ghat[46] += 0.25 * alpha[0] * tr[46];
-    ghat[46] += 0.22360679774997896 * alpha[3] * tr[37];
-    ghat[46] += 0.25 * alpha[4] * tr[33];
-    ghat[46] += 0.25 * alpha[10] * tr[23];
-    ghat[46] += 0.15971914124998499 * alpha[10] * tr[46];
-    ghat[46] += 0.22360679774997896 * alpha[13] * tr[18];
-    ghat[46] += 0.2 * alpha[13] * tr[47];
-    ghat[46] += 0.22360679774997896 * alpha[14] * tr[46];
-    ghat[46] += 0.25 * alpha[27] * tr[6];
-    ghat[46] += 0.15971914124998499 * alpha[27] * tr[33];
-    ghat[46] += 0.22360679774997896 * alpha[27] * tr[41];
-    ghat[46] += 0.2 * alpha[30] * tr[37];
-    ghat[47] += 0.25 * alpha[0] * tr[47];
-    ghat[47] += 0.25 * alpha[3] * tr[41];
-    ghat[47] += 0.22360679774997896 * alpha[4] * tr[37];
-    ghat[47] += 0.22360679774997896 * alpha[10] * tr[47];
-    ghat[47] += 0.22360679774997896 * alpha[13] * tr[23];
-    ghat[47] += 0.2 * alpha[13] * tr[46];
-    ghat[47] += 0.25 * alpha[14] * tr[18];
-    ghat[47] += 0.15971914124998499 * alpha[14] * tr[47];
-    ghat[47] += 0.2 * alpha[27] * tr[37];
-    ghat[47] += 0.25 * alpha[30] * tr[6];
-    ghat[47] += 0.22360679774997896 * alpha[30] * tr[33];
-    ghat[47] += 0.15971914124998499 * alpha[30] * tr[41];
-    out_lo[0] += nu * scale * 0.7071067811865476 * ghat[0];
-    out_lo[1] += nu * scale * 1.224744871391589 * ghat[0];
-    out_lo[2] += nu * scale * 0.7071067811865476 * ghat[1];
-    out_lo[3] += nu * scale * 0.7071067811865476 * ghat[2];
-    out_lo[4] += nu * scale * 0.7071067811865476 * ghat[3];
-    out_lo[5] += nu * scale * 0.7071067811865476 * ghat[4];
-    out_lo[6] += nu * scale * 1.5811388300841898 * ghat[0];
-    out_lo[7] += nu * scale * 1.224744871391589 * ghat[1];
-    out_lo[8] += nu * scale * 0.7071067811865476 * ghat[5];
-    out_lo[9] += nu * scale * 1.224744871391589 * ghat[2];
-    out_lo[10] += nu * scale * 0.7071067811865476 * ghat[6];
-    out_lo[11] += nu * scale * 0.7071067811865476 * ghat[7];
-    out_lo[12] += nu * scale * 1.224744871391589 * ghat[3];
-    out_lo[13] += nu * scale * 0.7071067811865476 * ghat[8];
-    out_lo[14] += nu * scale * 0.7071067811865476 * ghat[9];
-    out_lo[15] += nu * scale * 0.7071067811865476 * ghat[10];
-    out_lo[16] += nu * scale * 1.224744871391589 * ghat[4];
-    out_lo[17] += nu * scale * 0.7071067811865476 * ghat[11];
-    out_lo[18] += nu * scale * 0.7071067811865476 * ghat[12];
-    out_lo[19] += nu * scale * 0.7071067811865476 * ghat[13];
-    out_lo[20] += nu * scale * 0.7071067811865476 * ghat[14];
-    out_lo[21] += nu * scale * 1.5811388300841898 * ghat[1];
-    out_lo[22] += nu * scale * 1.224744871391589 * ghat[5];
-    out_lo[23] += nu * scale * 1.5811388300841898 * ghat[2];
-    out_lo[24] += nu * scale * 1.224744871391589 * ghat[6];
-    out_lo[25] += nu * scale * 0.7071067811865476 * ghat[15];
-    out_lo[26] += nu * scale * 1.224744871391589 * ghat[7];
-    out_lo[27] += nu * scale * 0.7071067811865476 * ghat[16];
-    out_lo[28] += nu * scale * 1.5811388300841898 * ghat[3];
-    out_lo[29] += nu * scale * 1.224744871391589 * ghat[8];
-    out_lo[30] += nu * scale * 0.7071067811865476 * ghat[17];
-    out_lo[31] += nu * scale * 1.224744871391589 * ghat[9];
-    out_lo[32] += nu * scale * 0.7071067811865476 * ghat[18];
-    out_lo[33] += nu * scale * 0.7071067811865476 * ghat[19];
-    out_lo[34] += nu * scale * 1.224744871391589 * ghat[10];
-    out_lo[35] += nu * scale * 0.7071067811865476 * ghat[20];
-    out_lo[36] += nu * scale * 0.7071067811865476 * ghat[21];
-    out_lo[37] += nu * scale * 1.5811388300841898 * ghat[4];
-    out_lo[38] += nu * scale * 1.224744871391589 * ghat[11];
-    out_lo[39] += nu * scale * 0.7071067811865476 * ghat[22];
-    out_lo[40] += nu * scale * 1.224744871391589 * ghat[12];
-    out_lo[41] += nu * scale * 0.7071067811865476 * ghat[23];
-    out_lo[42] += nu * scale * 0.7071067811865476 * ghat[24];
-    out_lo[43] += nu * scale * 1.224744871391589 * ghat[13];
-    out_lo[44] += nu * scale * 0.7071067811865476 * ghat[25];
-    out_lo[45] += nu * scale * 0.7071067811865476 * ghat[26];
-    out_lo[46] += nu * scale * 0.7071067811865476 * ghat[27];
-    out_lo[47] += nu * scale * 1.224744871391589 * ghat[14];
-    out_lo[48] += nu * scale * 0.7071067811865476 * ghat[28];
-    out_lo[49] += nu * scale * 0.7071067811865476 * ghat[29];
-    out_lo[50] += nu * scale * 0.7071067811865476 * ghat[30];
-    out_lo[51] += nu * scale * 1.5811388300841898 * ghat[6];
-    out_lo[52] += nu * scale * 1.224744871391589 * ghat[15];
-    out_lo[53] += nu * scale * 1.224744871391589 * ghat[16];
-    out_lo[54] += nu * scale * 1.5811388300841898 * ghat[8];
-    out_lo[55] += nu * scale * 1.224744871391589 * ghat[17];
-    out_lo[56] += nu * scale * 1.5811388300841898 * ghat[9];
-    out_lo[57] += nu * scale * 1.224744871391589 * ghat[18];
-    out_lo[58] += nu * scale * 0.7071067811865476 * ghat[31];
-    out_lo[59] += nu * scale * 1.224744871391589 * ghat[19];
-    out_lo[60] += nu * scale * 0.7071067811865476 * ghat[32];
-    out_lo[61] += nu * scale * 1.224744871391589 * ghat[20];
-    out_lo[62] += nu * scale * 1.224744871391589 * ghat[21];
-    out_lo[63] += nu * scale * 0.7071067811865476 * ghat[33];
-    out_lo[64] += nu * scale * 1.5811388300841898 * ghat[11];
-    out_lo[65] += nu * scale * 1.224744871391589 * ghat[22];
-    out_lo[66] += nu * scale * 1.5811388300841898 * ghat[12];
-    out_lo[67] += nu * scale * 1.224744871391589 * ghat[23];
-    out_lo[68] += nu * scale * 0.7071067811865476 * ghat[34];
-    out_lo[69] += nu * scale * 1.224744871391589 * ghat[24];
-    out_lo[70] += nu * scale * 0.7071067811865476 * ghat[35];
-    out_lo[71] += nu * scale * 1.5811388300841898 * ghat[13];
-    out_lo[72] += nu * scale * 1.224744871391589 * ghat[25];
-    out_lo[73] += nu * scale * 0.7071067811865476 * ghat[36];
-    out_lo[74] += nu * scale * 1.224744871391589 * ghat[26];
-    out_lo[75] += nu * scale * 0.7071067811865476 * ghat[37];
-    out_lo[76] += nu * scale * 0.7071067811865476 * ghat[38];
-    out_lo[77] += nu * scale * 1.224744871391589 * ghat[27];
-    out_lo[78] += nu * scale * 0.7071067811865476 * ghat[39];
-    out_lo[79] += nu * scale * 0.7071067811865476 * ghat[40];
-    out_lo[80] += nu * scale * 1.224744871391589 * ghat[28];
-    out_lo[81] += nu * scale * 1.224744871391589 * ghat[29];
-    out_lo[82] += nu * scale * 0.7071067811865476 * ghat[41];
-    out_lo[83] += nu * scale * 1.224744871391589 * ghat[30];
-    out_lo[84] += nu * scale * 0.7071067811865476 * ghat[42];
-    out_lo[85] += nu * scale * 0.7071067811865476 * ghat[43];
-    out_lo[86] += nu * scale * 1.5811388300841898 * ghat[18];
-    out_lo[87] += nu * scale * 1.224744871391589 * ghat[31];
-    out_lo[88] += nu * scale * 1.224744871391589 * ghat[32];
-    out_lo[89] += nu * scale * 1.224744871391589 * ghat[33];
-    out_lo[90] += nu * scale * 1.5811388300841898 * ghat[23];
-    out_lo[91] += nu * scale * 1.224744871391589 * ghat[34];
-    out_lo[92] += nu * scale * 1.224744871391589 * ghat[35];
-    out_lo[93] += nu * scale * 1.5811388300841898 * ghat[25];
-    out_lo[94] += nu * scale * 1.224744871391589 * ghat[36];
-    out_lo[95] += nu * scale * 1.5811388300841898 * ghat[26];
-    out_lo[96] += nu * scale * 1.224744871391589 * ghat[37];
-    out_lo[97] += nu * scale * 0.7071067811865476 * ghat[44];
-    out_lo[98] += nu * scale * 1.224744871391589 * ghat[38];
-    out_lo[99] += nu * scale * 0.7071067811865476 * ghat[45];
-    out_lo[100] += nu * scale * 1.224744871391589 * ghat[39];
-    out_lo[101] += nu * scale * 1.224744871391589 * ghat[40];
-    out_lo[102] += nu * scale * 0.7071067811865476 * ghat[46];
-    out_lo[103] += nu * scale * 1.224744871391589 * ghat[41];
-    out_lo[104] += nu * scale * 1.224744871391589 * ghat[42];
-    out_lo[105] += nu * scale * 1.224744871391589 * ghat[43];
-    out_lo[106] += nu * scale * 0.7071067811865476 * ghat[47];
-    out_lo[107] += nu * scale * 1.5811388300841898 * ghat[37];
-    out_lo[108] += nu * scale * 1.224744871391589 * ghat[44];
-    out_lo[109] += nu * scale * 1.224744871391589 * ghat[45];
-    out_lo[110] += nu * scale * 1.224744871391589 * ghat[46];
-    out_lo[111] += nu * scale * 1.224744871391589 * ghat[47];
-    out_hi[0] += -nu * scale * 0.7071067811865476 * ghat[0];
-    out_hi[1] += -nu * scale * -1.224744871391589 * ghat[0];
-    out_hi[2] += -nu * scale * 0.7071067811865476 * ghat[1];
-    out_hi[3] += -nu * scale * 0.7071067811865476 * ghat[2];
-    out_hi[4] += -nu * scale * 0.7071067811865476 * ghat[3];
-    out_hi[5] += -nu * scale * 0.7071067811865476 * ghat[4];
-    out_hi[6] += -nu * scale * 1.5811388300841898 * ghat[0];
-    out_hi[7] += -nu * scale * -1.224744871391589 * ghat[1];
-    out_hi[8] += -nu * scale * 0.7071067811865476 * ghat[5];
-    out_hi[9] += -nu * scale * -1.224744871391589 * ghat[2];
-    out_hi[10] += -nu * scale * 0.7071067811865476 * ghat[6];
-    out_hi[11] += -nu * scale * 0.7071067811865476 * ghat[7];
-    out_hi[12] += -nu * scale * -1.224744871391589 * ghat[3];
-    out_hi[13] += -nu * scale * 0.7071067811865476 * ghat[8];
-    out_hi[14] += -nu * scale * 0.7071067811865476 * ghat[9];
-    out_hi[15] += -nu * scale * 0.7071067811865476 * ghat[10];
-    out_hi[16] += -nu * scale * -1.224744871391589 * ghat[4];
-    out_hi[17] += -nu * scale * 0.7071067811865476 * ghat[11];
-    out_hi[18] += -nu * scale * 0.7071067811865476 * ghat[12];
-    out_hi[19] += -nu * scale * 0.7071067811865476 * ghat[13];
-    out_hi[20] += -nu * scale * 0.7071067811865476 * ghat[14];
-    out_hi[21] += -nu * scale * 1.5811388300841898 * ghat[1];
-    out_hi[22] += -nu * scale * -1.224744871391589 * ghat[5];
-    out_hi[23] += -nu * scale * 1.5811388300841898 * ghat[2];
-    out_hi[24] += -nu * scale * -1.224744871391589 * ghat[6];
-    out_hi[25] += -nu * scale * 0.7071067811865476 * ghat[15];
-    out_hi[26] += -nu * scale * -1.224744871391589 * ghat[7];
-    out_hi[27] += -nu * scale * 0.7071067811865476 * ghat[16];
-    out_hi[28] += -nu * scale * 1.5811388300841898 * ghat[3];
-    out_hi[29] += -nu * scale * -1.224744871391589 * ghat[8];
-    out_hi[30] += -nu * scale * 0.7071067811865476 * ghat[17];
-    out_hi[31] += -nu * scale * -1.224744871391589 * ghat[9];
-    out_hi[32] += -nu * scale * 0.7071067811865476 * ghat[18];
-    out_hi[33] += -nu * scale * 0.7071067811865476 * ghat[19];
-    out_hi[34] += -nu * scale * -1.224744871391589 * ghat[10];
-    out_hi[35] += -nu * scale * 0.7071067811865476 * ghat[20];
-    out_hi[36] += -nu * scale * 0.7071067811865476 * ghat[21];
-    out_hi[37] += -nu * scale * 1.5811388300841898 * ghat[4];
-    out_hi[38] += -nu * scale * -1.224744871391589 * ghat[11];
-    out_hi[39] += -nu * scale * 0.7071067811865476 * ghat[22];
-    out_hi[40] += -nu * scale * -1.224744871391589 * ghat[12];
-    out_hi[41] += -nu * scale * 0.7071067811865476 * ghat[23];
-    out_hi[42] += -nu * scale * 0.7071067811865476 * ghat[24];
-    out_hi[43] += -nu * scale * -1.224744871391589 * ghat[13];
-    out_hi[44] += -nu * scale * 0.7071067811865476 * ghat[25];
-    out_hi[45] += -nu * scale * 0.7071067811865476 * ghat[26];
-    out_hi[46] += -nu * scale * 0.7071067811865476 * ghat[27];
-    out_hi[47] += -nu * scale * -1.224744871391589 * ghat[14];
-    out_hi[48] += -nu * scale * 0.7071067811865476 * ghat[28];
-    out_hi[49] += -nu * scale * 0.7071067811865476 * ghat[29];
-    out_hi[50] += -nu * scale * 0.7071067811865476 * ghat[30];
-    out_hi[51] += -nu * scale * 1.5811388300841898 * ghat[6];
-    out_hi[52] += -nu * scale * -1.224744871391589 * ghat[15];
-    out_hi[53] += -nu * scale * -1.224744871391589 * ghat[16];
-    out_hi[54] += -nu * scale * 1.5811388300841898 * ghat[8];
-    out_hi[55] += -nu * scale * -1.224744871391589 * ghat[17];
-    out_hi[56] += -nu * scale * 1.5811388300841898 * ghat[9];
-    out_hi[57] += -nu * scale * -1.224744871391589 * ghat[18];
-    out_hi[58] += -nu * scale * 0.7071067811865476 * ghat[31];
-    out_hi[59] += -nu * scale * -1.224744871391589 * ghat[19];
-    out_hi[60] += -nu * scale * 0.7071067811865476 * ghat[32];
-    out_hi[61] += -nu * scale * -1.224744871391589 * ghat[20];
-    out_hi[62] += -nu * scale * -1.224744871391589 * ghat[21];
-    out_hi[63] += -nu * scale * 0.7071067811865476 * ghat[33];
-    out_hi[64] += -nu * scale * 1.5811388300841898 * ghat[11];
-    out_hi[65] += -nu * scale * -1.224744871391589 * ghat[22];
-    out_hi[66] += -nu * scale * 1.5811388300841898 * ghat[12];
-    out_hi[67] += -nu * scale * -1.224744871391589 * ghat[23];
-    out_hi[68] += -nu * scale * 0.7071067811865476 * ghat[34];
-    out_hi[69] += -nu * scale * -1.224744871391589 * ghat[24];
-    out_hi[70] += -nu * scale * 0.7071067811865476 * ghat[35];
-    out_hi[71] += -nu * scale * 1.5811388300841898 * ghat[13];
-    out_hi[72] += -nu * scale * -1.224744871391589 * ghat[25];
-    out_hi[73] += -nu * scale * 0.7071067811865476 * ghat[36];
-    out_hi[74] += -nu * scale * -1.224744871391589 * ghat[26];
-    out_hi[75] += -nu * scale * 0.7071067811865476 * ghat[37];
-    out_hi[76] += -nu * scale * 0.7071067811865476 * ghat[38];
-    out_hi[77] += -nu * scale * -1.224744871391589 * ghat[27];
-    out_hi[78] += -nu * scale * 0.7071067811865476 * ghat[39];
-    out_hi[79] += -nu * scale * 0.7071067811865476 * ghat[40];
-    out_hi[80] += -nu * scale * -1.224744871391589 * ghat[28];
-    out_hi[81] += -nu * scale * -1.224744871391589 * ghat[29];
-    out_hi[82] += -nu * scale * 0.7071067811865476 * ghat[41];
-    out_hi[83] += -nu * scale * -1.224744871391589 * ghat[30];
-    out_hi[84] += -nu * scale * 0.7071067811865476 * ghat[42];
-    out_hi[85] += -nu * scale * 0.7071067811865476 * ghat[43];
-    out_hi[86] += -nu * scale * 1.5811388300841898 * ghat[18];
-    out_hi[87] += -nu * scale * -1.224744871391589 * ghat[31];
-    out_hi[88] += -nu * scale * -1.224744871391589 * ghat[32];
-    out_hi[89] += -nu * scale * -1.224744871391589 * ghat[33];
-    out_hi[90] += -nu * scale * 1.5811388300841898 * ghat[23];
-    out_hi[91] += -nu * scale * -1.224744871391589 * ghat[34];
-    out_hi[92] += -nu * scale * -1.224744871391589 * ghat[35];
-    out_hi[93] += -nu * scale * 1.5811388300841898 * ghat[25];
-    out_hi[94] += -nu * scale * -1.224744871391589 * ghat[36];
-    out_hi[95] += -nu * scale * 1.5811388300841898 * ghat[26];
-    out_hi[96] += -nu * scale * -1.224744871391589 * ghat[37];
-    out_hi[97] += -nu * scale * 0.7071067811865476 * ghat[44];
-    out_hi[98] += -nu * scale * -1.224744871391589 * ghat[38];
-    out_hi[99] += -nu * scale * 0.7071067811865476 * ghat[45];
-    out_hi[100] += -nu * scale * -1.224744871391589 * ghat[39];
-    out_hi[101] += -nu * scale * -1.224744871391589 * ghat[40];
-    out_hi[102] += -nu * scale * 0.7071067811865476 * ghat[46];
-    out_hi[103] += -nu * scale * -1.224744871391589 * ghat[41];
-    out_hi[104] += -nu * scale * -1.224744871391589 * ghat[42];
-    out_hi[105] += -nu * scale * -1.224744871391589 * ghat[43];
-    out_hi[106] += -nu * scale * 0.7071067811865476 * ghat[47];
-    out_hi[107] += -nu * scale * 1.5811388300841898 * ghat[37];
-    out_hi[108] += -nu * scale * -1.224744871391589 * ghat[44];
-    out_hi[109] += -nu * scale * -1.224744871391589 * ghat[45];
-    out_hi[110] += -nu * scale * -1.224744871391589 * ghat[46];
-    out_hi[111] += -nu * scale * -1.224744871391589 * ghat[47];
+    let mut alpha = [[0.0f64; L]; 48];
+    for k in 0..L {
+        alpha[0][k] = 2.0 * vth2[0][k];
+        alpha[3][k] = 2.0 * vth2[1][k];
+        alpha[4][k] = 2.0 * vth2[2][k];
+        alpha[10][k] = 2.0 * vth2[3][k];
+        alpha[13][k] = 2.0 * vth2[4][k];
+        alpha[14][k] = 2.0 * vth2[5][k];
+        alpha[27][k] = 2.0 * vth2[6][k];
+        alpha[30][k] = 2.0 * vth2[7][k];
+    }
+    let mut tr = [[0.0f64; L]; 48];
+    for k in 0..L {
+        tr[0][k] += 0.7071067811865476 * g_lo[0][k];
+        tr[0][k] += 1.224744871391589 * g_lo[1][k];
+    }
+    sxn(&mut tr[1], 0.7071067811865476, &g_lo[2]);
+    sxn(&mut tr[2], 0.7071067811865476, &g_lo[3]);
+    sxn(&mut tr[3], 0.7071067811865476, &g_lo[4]);
+    sxn(&mut tr[4], 0.7071067811865476, &g_lo[5]);
+    sxn(&mut tr[0], 1.5811388300841898, &g_lo[6]);
+    sxn(&mut tr[1], 1.224744871391589, &g_lo[7]);
+    sxn(&mut tr[5], 0.7071067811865476, &g_lo[8]);
+    sxn(&mut tr[2], 1.224744871391589, &g_lo[9]);
+    sxn(&mut tr[6], 0.7071067811865476, &g_lo[10]);
+    sxn(&mut tr[7], 0.7071067811865476, &g_lo[11]);
+    sxn(&mut tr[3], 1.224744871391589, &g_lo[12]);
+    sxn(&mut tr[8], 0.7071067811865476, &g_lo[13]);
+    sxn(&mut tr[9], 0.7071067811865476, &g_lo[14]);
+    sxn(&mut tr[10], 0.7071067811865476, &g_lo[15]);
+    sxn(&mut tr[4], 1.224744871391589, &g_lo[16]);
+    sxn(&mut tr[11], 0.7071067811865476, &g_lo[17]);
+    sxn(&mut tr[12], 0.7071067811865476, &g_lo[18]);
+    sxn(&mut tr[13], 0.7071067811865476, &g_lo[19]);
+    sxn(&mut tr[14], 0.7071067811865476, &g_lo[20]);
+    sxn(&mut tr[1], 1.5811388300841898, &g_lo[21]);
+    sxn(&mut tr[5], 1.224744871391589, &g_lo[22]);
+    sxn(&mut tr[2], 1.5811388300841898, &g_lo[23]);
+    sxn(&mut tr[6], 1.224744871391589, &g_lo[24]);
+    sxn(&mut tr[15], 0.7071067811865476, &g_lo[25]);
+    sxn(&mut tr[7], 1.224744871391589, &g_lo[26]);
+    sxn(&mut tr[16], 0.7071067811865476, &g_lo[27]);
+    sxn(&mut tr[3], 1.5811388300841898, &g_lo[28]);
+    sxn(&mut tr[8], 1.224744871391589, &g_lo[29]);
+    sxn(&mut tr[17], 0.7071067811865476, &g_lo[30]);
+    sxn(&mut tr[9], 1.224744871391589, &g_lo[31]);
+    sxn(&mut tr[18], 0.7071067811865476, &g_lo[32]);
+    sxn(&mut tr[19], 0.7071067811865476, &g_lo[33]);
+    sxn(&mut tr[10], 1.224744871391589, &g_lo[34]);
+    sxn(&mut tr[20], 0.7071067811865476, &g_lo[35]);
+    sxn(&mut tr[21], 0.7071067811865476, &g_lo[36]);
+    sxn(&mut tr[4], 1.5811388300841898, &g_lo[37]);
+    sxn(&mut tr[11], 1.224744871391589, &g_lo[38]);
+    sxn(&mut tr[22], 0.7071067811865476, &g_lo[39]);
+    sxn(&mut tr[12], 1.224744871391589, &g_lo[40]);
+    sxn(&mut tr[23], 0.7071067811865476, &g_lo[41]);
+    sxn(&mut tr[24], 0.7071067811865476, &g_lo[42]);
+    sxn(&mut tr[13], 1.224744871391589, &g_lo[43]);
+    sxn(&mut tr[25], 0.7071067811865476, &g_lo[44]);
+    sxn(&mut tr[26], 0.7071067811865476, &g_lo[45]);
+    sxn(&mut tr[27], 0.7071067811865476, &g_lo[46]);
+    sxn(&mut tr[14], 1.224744871391589, &g_lo[47]);
+    sxn(&mut tr[28], 0.7071067811865476, &g_lo[48]);
+    sxn(&mut tr[29], 0.7071067811865476, &g_lo[49]);
+    sxn(&mut tr[30], 0.7071067811865476, &g_lo[50]);
+    sxn(&mut tr[6], 1.5811388300841898, &g_lo[51]);
+    sxn(&mut tr[15], 1.224744871391589, &g_lo[52]);
+    sxn(&mut tr[16], 1.224744871391589, &g_lo[53]);
+    sxn(&mut tr[8], 1.5811388300841898, &g_lo[54]);
+    sxn(&mut tr[17], 1.224744871391589, &g_lo[55]);
+    sxn(&mut tr[9], 1.5811388300841898, &g_lo[56]);
+    sxn(&mut tr[18], 1.224744871391589, &g_lo[57]);
+    sxn(&mut tr[31], 0.7071067811865476, &g_lo[58]);
+    sxn(&mut tr[19], 1.224744871391589, &g_lo[59]);
+    sxn(&mut tr[32], 0.7071067811865476, &g_lo[60]);
+    sxn(&mut tr[20], 1.224744871391589, &g_lo[61]);
+    sxn(&mut tr[21], 1.224744871391589, &g_lo[62]);
+    sxn(&mut tr[33], 0.7071067811865476, &g_lo[63]);
+    sxn(&mut tr[11], 1.5811388300841898, &g_lo[64]);
+    sxn(&mut tr[22], 1.224744871391589, &g_lo[65]);
+    sxn(&mut tr[12], 1.5811388300841898, &g_lo[66]);
+    sxn(&mut tr[23], 1.224744871391589, &g_lo[67]);
+    sxn(&mut tr[34], 0.7071067811865476, &g_lo[68]);
+    sxn(&mut tr[24], 1.224744871391589, &g_lo[69]);
+    sxn(&mut tr[35], 0.7071067811865476, &g_lo[70]);
+    sxn(&mut tr[13], 1.5811388300841898, &g_lo[71]);
+    sxn(&mut tr[25], 1.224744871391589, &g_lo[72]);
+    sxn(&mut tr[36], 0.7071067811865476, &g_lo[73]);
+    sxn(&mut tr[26], 1.224744871391589, &g_lo[74]);
+    sxn(&mut tr[37], 0.7071067811865476, &g_lo[75]);
+    sxn(&mut tr[38], 0.7071067811865476, &g_lo[76]);
+    sxn(&mut tr[27], 1.224744871391589, &g_lo[77]);
+    sxn(&mut tr[39], 0.7071067811865476, &g_lo[78]);
+    sxn(&mut tr[40], 0.7071067811865476, &g_lo[79]);
+    sxn(&mut tr[28], 1.224744871391589, &g_lo[80]);
+    sxn(&mut tr[29], 1.224744871391589, &g_lo[81]);
+    sxn(&mut tr[41], 0.7071067811865476, &g_lo[82]);
+    sxn(&mut tr[30], 1.224744871391589, &g_lo[83]);
+    sxn(&mut tr[42], 0.7071067811865476, &g_lo[84]);
+    sxn(&mut tr[43], 0.7071067811865476, &g_lo[85]);
+    sxn(&mut tr[18], 1.5811388300841898, &g_lo[86]);
+    sxn(&mut tr[31], 1.224744871391589, &g_lo[87]);
+    sxn(&mut tr[32], 1.224744871391589, &g_lo[88]);
+    sxn(&mut tr[33], 1.224744871391589, &g_lo[89]);
+    sxn(&mut tr[23], 1.5811388300841898, &g_lo[90]);
+    sxn(&mut tr[34], 1.224744871391589, &g_lo[91]);
+    sxn(&mut tr[35], 1.224744871391589, &g_lo[92]);
+    sxn(&mut tr[25], 1.5811388300841898, &g_lo[93]);
+    sxn(&mut tr[36], 1.224744871391589, &g_lo[94]);
+    sxn(&mut tr[26], 1.5811388300841898, &g_lo[95]);
+    sxn(&mut tr[37], 1.224744871391589, &g_lo[96]);
+    sxn(&mut tr[44], 0.7071067811865476, &g_lo[97]);
+    sxn(&mut tr[38], 1.224744871391589, &g_lo[98]);
+    sxn(&mut tr[45], 0.7071067811865476, &g_lo[99]);
+    sxn(&mut tr[39], 1.224744871391589, &g_lo[100]);
+    sxn(&mut tr[40], 1.224744871391589, &g_lo[101]);
+    sxn(&mut tr[46], 0.7071067811865476, &g_lo[102]);
+    sxn(&mut tr[41], 1.224744871391589, &g_lo[103]);
+    sxn(&mut tr[42], 1.224744871391589, &g_lo[104]);
+    sxn(&mut tr[43], 1.224744871391589, &g_lo[105]);
+    sxn(&mut tr[47], 0.7071067811865476, &g_lo[106]);
+    sxn(&mut tr[37], 1.5811388300841898, &g_lo[107]);
+    sxn(&mut tr[44], 1.224744871391589, &g_lo[108]);
+    sxn(&mut tr[45], 1.224744871391589, &g_lo[109]);
+    sxn(&mut tr[46], 1.224744871391589, &g_lo[110]);
+    sxn(&mut tr[47], 1.224744871391589, &g_lo[111]);
+    let mut ghat = [[0.0f64; L]; 48];
+    for k in 0..L {
+        ghat[0][k] += 0.25 * alpha[0][k] * tr[0][k];
+        ghat[0][k] += 0.25 * alpha[3][k] * tr[3][k];
+        ghat[0][k] += 0.25 * alpha[4][k] * tr[4][k];
+        ghat[0][k] += 0.25 * alpha[10][k] * tr[10][k];
+        ghat[0][k] += 0.25 * alpha[13][k] * tr[13][k];
+        ghat[0][k] += 0.25 * alpha[14][k] * tr[14][k];
+        ghat[0][k] += 0.25 * alpha[27][k] * tr[27][k];
+        ghat[0][k] += 0.25 * alpha[30][k] * tr[30][k];
+    }
+    for k in 0..L {
+        ghat[1][k] += 0.25 * alpha[0][k] * tr[1][k];
+        ghat[1][k] += 0.25 * alpha[3][k] * tr[8][k];
+        ghat[1][k] += 0.25 * alpha[4][k] * tr[11][k];
+        ghat[1][k] += 0.25 * alpha[10][k] * tr[20][k];
+        ghat[1][k] += 0.25 * alpha[13][k] * tr[25][k];
+        ghat[1][k] += 0.25 * alpha[14][k] * tr[28][k];
+        ghat[1][k] += 0.25 * alpha[27][k] * tr[39][k];
+        ghat[1][k] += 0.25 * alpha[30][k] * tr[42][k];
+    }
+    for k in 0..L {
+        ghat[2][k] += 0.25 * alpha[0][k] * tr[2][k];
+        ghat[2][k] += 0.25 * alpha[3][k] * tr[9][k];
+        ghat[2][k] += 0.25 * alpha[4][k] * tr[12][k];
+        ghat[2][k] += 0.25 * alpha[10][k] * tr[21][k];
+        ghat[2][k] += 0.25 * alpha[13][k] * tr[26][k];
+        ghat[2][k] += 0.25 * alpha[14][k] * tr[29][k];
+        ghat[2][k] += 0.25 * alpha[27][k] * tr[40][k];
+        ghat[2][k] += 0.25 * alpha[30][k] * tr[43][k];
+    }
+    for k in 0..L {
+        ghat[3][k] += 0.25 * alpha[0][k] * tr[3][k];
+        ghat[3][k] += 0.25 * alpha[3][k] * tr[0][k];
+        ghat[3][k] += 0.22360679774997896 * alpha[3][k] * tr[10][k];
+        ghat[3][k] += 0.25 * alpha[4][k] * tr[13][k];
+        ghat[3][k] += 0.22360679774997896 * alpha[10][k] * tr[3][k];
+        ghat[3][k] += 0.25 * alpha[13][k] * tr[4][k];
+        ghat[3][k] += 0.223606797749979 * alpha[13][k] * tr[27][k];
+        ghat[3][k] += 0.25 * alpha[14][k] * tr[30][k];
+        ghat[3][k] += 0.223606797749979 * alpha[27][k] * tr[13][k];
+        ghat[3][k] += 0.25 * alpha[30][k] * tr[14][k];
+    }
+    for k in 0..L {
+        ghat[4][k] += 0.25 * alpha[0][k] * tr[4][k];
+        ghat[4][k] += 0.25 * alpha[3][k] * tr[13][k];
+        ghat[4][k] += 0.25 * alpha[4][k] * tr[0][k];
+        ghat[4][k] += 0.22360679774997896 * alpha[4][k] * tr[14][k];
+        ghat[4][k] += 0.25 * alpha[10][k] * tr[27][k];
+        ghat[4][k] += 0.25 * alpha[13][k] * tr[3][k];
+        ghat[4][k] += 0.223606797749979 * alpha[13][k] * tr[30][k];
+        ghat[4][k] += 0.22360679774997896 * alpha[14][k] * tr[4][k];
+        ghat[4][k] += 0.25 * alpha[27][k] * tr[10][k];
+        ghat[4][k] += 0.223606797749979 * alpha[30][k] * tr[13][k];
+    }
+    for k in 0..L {
+        ghat[5][k] += 0.25 * alpha[0][k] * tr[5][k];
+        ghat[5][k] += 0.25 * alpha[3][k] * tr[17][k];
+        ghat[5][k] += 0.25 * alpha[4][k] * tr[22][k];
+        ghat[5][k] += 0.25 * alpha[13][k] * tr[36][k];
+    }
+    for k in 0..L {
+        ghat[6][k] += 0.25 * alpha[0][k] * tr[6][k];
+        ghat[6][k] += 0.25 * alpha[3][k] * tr[18][k];
+        ghat[6][k] += 0.25 * alpha[4][k] * tr[23][k];
+        ghat[6][k] += 0.25 * alpha[10][k] * tr[33][k];
+        ghat[6][k] += 0.25 * alpha[13][k] * tr[37][k];
+        ghat[6][k] += 0.25 * alpha[14][k] * tr[41][k];
+        ghat[6][k] += 0.25 * alpha[27][k] * tr[46][k];
+        ghat[6][k] += 0.25 * alpha[30][k] * tr[47][k];
+    }
+    for k in 0..L {
+        ghat[7][k] += 0.25 * alpha[0][k] * tr[7][k];
+        ghat[7][k] += 0.25 * alpha[3][k] * tr[19][k];
+        ghat[7][k] += 0.25 * alpha[4][k] * tr[24][k];
+        ghat[7][k] += 0.25 * alpha[13][k] * tr[38][k];
+    }
+    for k in 0..L {
+        ghat[8][k] += 0.25 * alpha[0][k] * tr[8][k];
+        ghat[8][k] += 0.25 * alpha[3][k] * tr[1][k];
+        ghat[8][k] += 0.223606797749979 * alpha[3][k] * tr[20][k];
+        ghat[8][k] += 0.25 * alpha[4][k] * tr[25][k];
+        ghat[8][k] += 0.223606797749979 * alpha[10][k] * tr[8][k];
+        ghat[8][k] += 0.25 * alpha[13][k] * tr[11][k];
+        ghat[8][k] += 0.22360679774997896 * alpha[13][k] * tr[39][k];
+        ghat[8][k] += 0.25 * alpha[14][k] * tr[42][k];
+        ghat[8][k] += 0.22360679774997896 * alpha[27][k] * tr[25][k];
+        ghat[8][k] += 0.25 * alpha[30][k] * tr[28][k];
+    }
+    for k in 0..L {
+        ghat[9][k] += 0.25 * alpha[0][k] * tr[9][k];
+        ghat[9][k] += 0.25 * alpha[3][k] * tr[2][k];
+        ghat[9][k] += 0.223606797749979 * alpha[3][k] * tr[21][k];
+        ghat[9][k] += 0.25 * alpha[4][k] * tr[26][k];
+        ghat[9][k] += 0.223606797749979 * alpha[10][k] * tr[9][k];
+        ghat[9][k] += 0.25 * alpha[13][k] * tr[12][k];
+        ghat[9][k] += 0.22360679774997896 * alpha[13][k] * tr[40][k];
+        ghat[9][k] += 0.25 * alpha[14][k] * tr[43][k];
+        ghat[9][k] += 0.22360679774997896 * alpha[27][k] * tr[26][k];
+        ghat[9][k] += 0.25 * alpha[30][k] * tr[29][k];
+    }
+    for k in 0..L {
+        ghat[10][k] += 0.25 * alpha[0][k] * tr[10][k];
+        ghat[10][k] += 0.22360679774997896 * alpha[3][k] * tr[3][k];
+        ghat[10][k] += 0.25 * alpha[4][k] * tr[27][k];
+        ghat[10][k] += 0.25 * alpha[10][k] * tr[0][k];
+        ghat[10][k] += 0.15971914124998499 * alpha[10][k] * tr[10][k];
+        ghat[10][k] += 0.223606797749979 * alpha[13][k] * tr[13][k];
+        ghat[10][k] += 0.25 * alpha[27][k] * tr[4][k];
+        ghat[10][k] += 0.15971914124998499 * alpha[27][k] * tr[27][k];
+        ghat[10][k] += 0.22360679774997896 * alpha[30][k] * tr[30][k];
+    }
+    for k in 0..L {
+        ghat[11][k] += 0.25 * alpha[0][k] * tr[11][k];
+        ghat[11][k] += 0.25 * alpha[3][k] * tr[25][k];
+        ghat[11][k] += 0.25 * alpha[4][k] * tr[1][k];
+        ghat[11][k] += 0.223606797749979 * alpha[4][k] * tr[28][k];
+        ghat[11][k] += 0.25 * alpha[10][k] * tr[39][k];
+        ghat[11][k] += 0.25 * alpha[13][k] * tr[8][k];
+        ghat[11][k] += 0.22360679774997896 * alpha[13][k] * tr[42][k];
+        ghat[11][k] += 0.223606797749979 * alpha[14][k] * tr[11][k];
+        ghat[11][k] += 0.25 * alpha[27][k] * tr[20][k];
+        ghat[11][k] += 0.22360679774997896 * alpha[30][k] * tr[25][k];
+    }
+    for k in 0..L {
+        ghat[12][k] += 0.25 * alpha[0][k] * tr[12][k];
+        ghat[12][k] += 0.25 * alpha[3][k] * tr[26][k];
+        ghat[12][k] += 0.25 * alpha[4][k] * tr[2][k];
+        ghat[12][k] += 0.223606797749979 * alpha[4][k] * tr[29][k];
+        ghat[12][k] += 0.25 * alpha[10][k] * tr[40][k];
+        ghat[12][k] += 0.25 * alpha[13][k] * tr[9][k];
+        ghat[12][k] += 0.22360679774997896 * alpha[13][k] * tr[43][k];
+        ghat[12][k] += 0.223606797749979 * alpha[14][k] * tr[12][k];
+        ghat[12][k] += 0.25 * alpha[27][k] * tr[21][k];
+        ghat[12][k] += 0.22360679774997896 * alpha[30][k] * tr[26][k];
+    }
+    for k in 0..L {
+        ghat[13][k] += 0.25 * alpha[0][k] * tr[13][k];
+        ghat[13][k] += 0.25 * alpha[3][k] * tr[4][k];
+        ghat[13][k] += 0.223606797749979 * alpha[3][k] * tr[27][k];
+        ghat[13][k] += 0.25 * alpha[4][k] * tr[3][k];
+        ghat[13][k] += 0.223606797749979 * alpha[4][k] * tr[30][k];
+        ghat[13][k] += 0.223606797749979 * alpha[10][k] * tr[13][k];
+        ghat[13][k] += 0.25 * alpha[13][k] * tr[0][k];
+        ghat[13][k] += 0.223606797749979 * alpha[13][k] * tr[10][k];
+        ghat[13][k] += 0.223606797749979 * alpha[13][k] * tr[14][k];
+        ghat[13][k] += 0.223606797749979 * alpha[14][k] * tr[13][k];
+        ghat[13][k] += 0.223606797749979 * alpha[27][k] * tr[3][k];
+        ghat[13][k] += 0.2 * alpha[27][k] * tr[30][k];
+        ghat[13][k] += 0.223606797749979 * alpha[30][k] * tr[4][k];
+        ghat[13][k] += 0.2 * alpha[30][k] * tr[27][k];
+    }
+    for k in 0..L {
+        ghat[14][k] += 0.25 * alpha[0][k] * tr[14][k];
+        ghat[14][k] += 0.25 * alpha[3][k] * tr[30][k];
+        ghat[14][k] += 0.22360679774997896 * alpha[4][k] * tr[4][k];
+        ghat[14][k] += 0.223606797749979 * alpha[13][k] * tr[13][k];
+        ghat[14][k] += 0.25 * alpha[14][k] * tr[0][k];
+        ghat[14][k] += 0.15971914124998499 * alpha[14][k] * tr[14][k];
+        ghat[14][k] += 0.22360679774997896 * alpha[27][k] * tr[27][k];
+        ghat[14][k] += 0.25 * alpha[30][k] * tr[3][k];
+        ghat[14][k] += 0.15971914124998499 * alpha[30][k] * tr[30][k];
+    }
+    for k in 0..L {
+        ghat[15][k] += 0.25 * alpha[0][k] * tr[15][k];
+        ghat[15][k] += 0.25 * alpha[3][k] * tr[31][k];
+        ghat[15][k] += 0.25 * alpha[4][k] * tr[34][k];
+        ghat[15][k] += 0.25 * alpha[13][k] * tr[44][k];
+    }
+    for k in 0..L {
+        ghat[16][k] += 0.25 * alpha[0][k] * tr[16][k];
+        ghat[16][k] += 0.25 * alpha[3][k] * tr[32][k];
+        ghat[16][k] += 0.25 * alpha[4][k] * tr[35][k];
+        ghat[16][k] += 0.25 * alpha[13][k] * tr[45][k];
+    }
+    for k in 0..L {
+        ghat[17][k] += 0.25 * alpha[0][k] * tr[17][k];
+        ghat[17][k] += 0.25 * alpha[3][k] * tr[5][k];
+        ghat[17][k] += 0.25 * alpha[4][k] * tr[36][k];
+        ghat[17][k] += 0.22360679774997896 * alpha[10][k] * tr[17][k];
+        ghat[17][k] += 0.25 * alpha[13][k] * tr[22][k];
+        ghat[17][k] += 0.22360679774997896 * alpha[27][k] * tr[36][k];
+    }
+    for k in 0..L {
+        ghat[18][k] += 0.25 * alpha[0][k] * tr[18][k];
+        ghat[18][k] += 0.25 * alpha[3][k] * tr[6][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[3][k] * tr[33][k];
+        ghat[18][k] += 0.25 * alpha[4][k] * tr[37][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[10][k] * tr[18][k];
+        ghat[18][k] += 0.25 * alpha[13][k] * tr[23][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[13][k] * tr[46][k];
+        ghat[18][k] += 0.25 * alpha[14][k] * tr[47][k];
+        ghat[18][k] += 0.22360679774997896 * alpha[27][k] * tr[37][k];
+        ghat[18][k] += 0.25 * alpha[30][k] * tr[41][k];
+    }
+    for k in 0..L {
+        ghat[19][k] += 0.25 * alpha[0][k] * tr[19][k];
+        ghat[19][k] += 0.25 * alpha[3][k] * tr[7][k];
+        ghat[19][k] += 0.25 * alpha[4][k] * tr[38][k];
+        ghat[19][k] += 0.22360679774997896 * alpha[10][k] * tr[19][k];
+        ghat[19][k] += 0.25 * alpha[13][k] * tr[24][k];
+        ghat[19][k] += 0.22360679774997896 * alpha[27][k] * tr[38][k];
+    }
+    for k in 0..L {
+        ghat[20][k] += 0.25 * alpha[0][k] * tr[20][k];
+        ghat[20][k] += 0.223606797749979 * alpha[3][k] * tr[8][k];
+        ghat[20][k] += 0.25 * alpha[4][k] * tr[39][k];
+        ghat[20][k] += 0.25 * alpha[10][k] * tr[1][k];
+        ghat[20][k] += 0.15971914124998499 * alpha[10][k] * tr[20][k];
+        ghat[20][k] += 0.22360679774997896 * alpha[13][k] * tr[25][k];
+        ghat[20][k] += 0.25 * alpha[27][k] * tr[11][k];
+        ghat[20][k] += 0.15971914124998499 * alpha[27][k] * tr[39][k];
+        ghat[20][k] += 0.22360679774997896 * alpha[30][k] * tr[42][k];
+    }
+    for k in 0..L {
+        ghat[21][k] += 0.25 * alpha[0][k] * tr[21][k];
+        ghat[21][k] += 0.223606797749979 * alpha[3][k] * tr[9][k];
+        ghat[21][k] += 0.25 * alpha[4][k] * tr[40][k];
+        ghat[21][k] += 0.25 * alpha[10][k] * tr[2][k];
+        ghat[21][k] += 0.15971914124998499 * alpha[10][k] * tr[21][k];
+        ghat[21][k] += 0.22360679774997896 * alpha[13][k] * tr[26][k];
+        ghat[21][k] += 0.25 * alpha[27][k] * tr[12][k];
+        ghat[21][k] += 0.15971914124998499 * alpha[27][k] * tr[40][k];
+        ghat[21][k] += 0.22360679774997896 * alpha[30][k] * tr[43][k];
+    }
+    for k in 0..L {
+        ghat[22][k] += 0.25 * alpha[0][k] * tr[22][k];
+        ghat[22][k] += 0.25 * alpha[3][k] * tr[36][k];
+        ghat[22][k] += 0.25 * alpha[4][k] * tr[5][k];
+        ghat[22][k] += 0.25 * alpha[13][k] * tr[17][k];
+        ghat[22][k] += 0.22360679774997896 * alpha[14][k] * tr[22][k];
+        ghat[22][k] += 0.22360679774997896 * alpha[30][k] * tr[36][k];
+    }
+    for k in 0..L {
+        ghat[23][k] += 0.25 * alpha[0][k] * tr[23][k];
+        ghat[23][k] += 0.25 * alpha[3][k] * tr[37][k];
+        ghat[23][k] += 0.25 * alpha[4][k] * tr[6][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[4][k] * tr[41][k];
+        ghat[23][k] += 0.25 * alpha[10][k] * tr[46][k];
+        ghat[23][k] += 0.25 * alpha[13][k] * tr[18][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[13][k] * tr[47][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[14][k] * tr[23][k];
+        ghat[23][k] += 0.25 * alpha[27][k] * tr[33][k];
+        ghat[23][k] += 0.22360679774997896 * alpha[30][k] * tr[37][k];
+    }
+    for k in 0..L {
+        ghat[24][k] += 0.25 * alpha[0][k] * tr[24][k];
+        ghat[24][k] += 0.25 * alpha[3][k] * tr[38][k];
+        ghat[24][k] += 0.25 * alpha[4][k] * tr[7][k];
+        ghat[24][k] += 0.25 * alpha[13][k] * tr[19][k];
+        ghat[24][k] += 0.22360679774997896 * alpha[14][k] * tr[24][k];
+        ghat[24][k] += 0.22360679774997896 * alpha[30][k] * tr[38][k];
+    }
+    for k in 0..L {
+        ghat[25][k] += 0.25 * alpha[0][k] * tr[25][k];
+        ghat[25][k] += 0.25 * alpha[3][k] * tr[11][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[3][k] * tr[39][k];
+        ghat[25][k] += 0.25 * alpha[4][k] * tr[8][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[4][k] * tr[42][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[10][k] * tr[25][k];
+        ghat[25][k] += 0.25 * alpha[13][k] * tr[1][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[13][k] * tr[20][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[13][k] * tr[28][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[14][k] * tr[25][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[27][k] * tr[8][k];
+        ghat[25][k] += 0.19999999999999998 * alpha[27][k] * tr[42][k];
+        ghat[25][k] += 0.22360679774997896 * alpha[30][k] * tr[11][k];
+        ghat[25][k] += 0.19999999999999998 * alpha[30][k] * tr[39][k];
+    }
+    for k in 0..L {
+        ghat[26][k] += 0.25 * alpha[0][k] * tr[26][k];
+        ghat[26][k] += 0.25 * alpha[3][k] * tr[12][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[3][k] * tr[40][k];
+        ghat[26][k] += 0.25 * alpha[4][k] * tr[9][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[4][k] * tr[43][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[10][k] * tr[26][k];
+        ghat[26][k] += 0.25 * alpha[13][k] * tr[2][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[13][k] * tr[21][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[13][k] * tr[29][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[14][k] * tr[26][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[27][k] * tr[9][k];
+        ghat[26][k] += 0.19999999999999998 * alpha[27][k] * tr[43][k];
+        ghat[26][k] += 0.22360679774997896 * alpha[30][k] * tr[12][k];
+        ghat[26][k] += 0.19999999999999998 * alpha[30][k] * tr[40][k];
+    }
+    for k in 0..L {
+        ghat[27][k] += 0.25 * alpha[0][k] * tr[27][k];
+        ghat[27][k] += 0.223606797749979 * alpha[3][k] * tr[13][k];
+        ghat[27][k] += 0.25 * alpha[4][k] * tr[10][k];
+        ghat[27][k] += 0.25 * alpha[10][k] * tr[4][k];
+        ghat[27][k] += 0.15971914124998499 * alpha[10][k] * tr[27][k];
+        ghat[27][k] += 0.223606797749979 * alpha[13][k] * tr[3][k];
+        ghat[27][k] += 0.2 * alpha[13][k] * tr[30][k];
+        ghat[27][k] += 0.22360679774997896 * alpha[14][k] * tr[27][k];
+        ghat[27][k] += 0.25 * alpha[27][k] * tr[0][k];
+        ghat[27][k] += 0.15971914124998499 * alpha[27][k] * tr[10][k];
+        ghat[27][k] += 0.22360679774997896 * alpha[27][k] * tr[14][k];
+        ghat[27][k] += 0.2 * alpha[30][k] * tr[13][k];
+    }
+    for k in 0..L {
+        ghat[28][k] += 0.25 * alpha[0][k] * tr[28][k];
+        ghat[28][k] += 0.25 * alpha[3][k] * tr[42][k];
+        ghat[28][k] += 0.223606797749979 * alpha[4][k] * tr[11][k];
+        ghat[28][k] += 0.22360679774997896 * alpha[13][k] * tr[25][k];
+        ghat[28][k] += 0.25 * alpha[14][k] * tr[1][k];
+        ghat[28][k] += 0.15971914124998499 * alpha[14][k] * tr[28][k];
+        ghat[28][k] += 0.22360679774997896 * alpha[27][k] * tr[39][k];
+        ghat[28][k] += 0.25 * alpha[30][k] * tr[8][k];
+        ghat[28][k] += 0.15971914124998499 * alpha[30][k] * tr[42][k];
+    }
+    for k in 0..L {
+        ghat[29][k] += 0.25 * alpha[0][k] * tr[29][k];
+        ghat[29][k] += 0.25 * alpha[3][k] * tr[43][k];
+        ghat[29][k] += 0.223606797749979 * alpha[4][k] * tr[12][k];
+        ghat[29][k] += 0.22360679774997896 * alpha[13][k] * tr[26][k];
+        ghat[29][k] += 0.25 * alpha[14][k] * tr[2][k];
+        ghat[29][k] += 0.15971914124998499 * alpha[14][k] * tr[29][k];
+        ghat[29][k] += 0.22360679774997896 * alpha[27][k] * tr[40][k];
+        ghat[29][k] += 0.25 * alpha[30][k] * tr[9][k];
+        ghat[29][k] += 0.15971914124998499 * alpha[30][k] * tr[43][k];
+    }
+    for k in 0..L {
+        ghat[30][k] += 0.25 * alpha[0][k] * tr[30][k];
+        ghat[30][k] += 0.25 * alpha[3][k] * tr[14][k];
+        ghat[30][k] += 0.223606797749979 * alpha[4][k] * tr[13][k];
+        ghat[30][k] += 0.22360679774997896 * alpha[10][k] * tr[30][k];
+        ghat[30][k] += 0.223606797749979 * alpha[13][k] * tr[4][k];
+        ghat[30][k] += 0.2 * alpha[13][k] * tr[27][k];
+        ghat[30][k] += 0.25 * alpha[14][k] * tr[3][k];
+        ghat[30][k] += 0.15971914124998499 * alpha[14][k] * tr[30][k];
+        ghat[30][k] += 0.2 * alpha[27][k] * tr[13][k];
+        ghat[30][k] += 0.25 * alpha[30][k] * tr[0][k];
+        ghat[30][k] += 0.22360679774997896 * alpha[30][k] * tr[10][k];
+        ghat[30][k] += 0.15971914124998499 * alpha[30][k] * tr[14][k];
+    }
+    for k in 0..L {
+        ghat[31][k] += 0.25 * alpha[0][k] * tr[31][k];
+        ghat[31][k] += 0.25 * alpha[3][k] * tr[15][k];
+        ghat[31][k] += 0.25 * alpha[4][k] * tr[44][k];
+        ghat[31][k] += 0.22360679774997896 * alpha[10][k] * tr[31][k];
+        ghat[31][k] += 0.25 * alpha[13][k] * tr[34][k];
+        ghat[31][k] += 0.22360679774997896 * alpha[27][k] * tr[44][k];
+    }
+    for k in 0..L {
+        ghat[32][k] += 0.25 * alpha[0][k] * tr[32][k];
+        ghat[32][k] += 0.25 * alpha[3][k] * tr[16][k];
+        ghat[32][k] += 0.25 * alpha[4][k] * tr[45][k];
+        ghat[32][k] += 0.22360679774997896 * alpha[10][k] * tr[32][k];
+        ghat[32][k] += 0.25 * alpha[13][k] * tr[35][k];
+        ghat[32][k] += 0.22360679774997896 * alpha[27][k] * tr[45][k];
+    }
+    for k in 0..L {
+        ghat[33][k] += 0.25 * alpha[0][k] * tr[33][k];
+        ghat[33][k] += 0.22360679774997896 * alpha[3][k] * tr[18][k];
+        ghat[33][k] += 0.25 * alpha[4][k] * tr[46][k];
+        ghat[33][k] += 0.25 * alpha[10][k] * tr[6][k];
+        ghat[33][k] += 0.15971914124998499 * alpha[10][k] * tr[33][k];
+        ghat[33][k] += 0.22360679774997896 * alpha[13][k] * tr[37][k];
+        ghat[33][k] += 0.25 * alpha[27][k] * tr[23][k];
+        ghat[33][k] += 0.15971914124998499 * alpha[27][k] * tr[46][k];
+        ghat[33][k] += 0.22360679774997896 * alpha[30][k] * tr[47][k];
+    }
+    for k in 0..L {
+        ghat[34][k] += 0.25 * alpha[0][k] * tr[34][k];
+        ghat[34][k] += 0.25 * alpha[3][k] * tr[44][k];
+        ghat[34][k] += 0.25 * alpha[4][k] * tr[15][k];
+        ghat[34][k] += 0.25 * alpha[13][k] * tr[31][k];
+        ghat[34][k] += 0.22360679774997896 * alpha[14][k] * tr[34][k];
+        ghat[34][k] += 0.22360679774997896 * alpha[30][k] * tr[44][k];
+    }
+    for k in 0..L {
+        ghat[35][k] += 0.25 * alpha[0][k] * tr[35][k];
+        ghat[35][k] += 0.25 * alpha[3][k] * tr[45][k];
+        ghat[35][k] += 0.25 * alpha[4][k] * tr[16][k];
+        ghat[35][k] += 0.25 * alpha[13][k] * tr[32][k];
+        ghat[35][k] += 0.22360679774997896 * alpha[14][k] * tr[35][k];
+        ghat[35][k] += 0.22360679774997896 * alpha[30][k] * tr[45][k];
+    }
+    for k in 0..L {
+        ghat[36][k] += 0.25 * alpha[0][k] * tr[36][k];
+        ghat[36][k] += 0.25 * alpha[3][k] * tr[22][k];
+        ghat[36][k] += 0.25 * alpha[4][k] * tr[17][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[10][k] * tr[36][k];
+        ghat[36][k] += 0.25 * alpha[13][k] * tr[5][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[14][k] * tr[36][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[27][k] * tr[17][k];
+        ghat[36][k] += 0.22360679774997896 * alpha[30][k] * tr[22][k];
+    }
+    for k in 0..L {
+        ghat[37][k] += 0.25 * alpha[0][k] * tr[37][k];
+        ghat[37][k] += 0.25 * alpha[3][k] * tr[23][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[3][k] * tr[46][k];
+        ghat[37][k] += 0.25 * alpha[4][k] * tr[18][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[4][k] * tr[47][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[10][k] * tr[37][k];
+        ghat[37][k] += 0.25 * alpha[13][k] * tr[6][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[13][k] * tr[33][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[13][k] * tr[41][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[14][k] * tr[37][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[27][k] * tr[18][k];
+        ghat[37][k] += 0.2 * alpha[27][k] * tr[47][k];
+        ghat[37][k] += 0.22360679774997896 * alpha[30][k] * tr[23][k];
+        ghat[37][k] += 0.2 * alpha[30][k] * tr[46][k];
+    }
+    for k in 0..L {
+        ghat[38][k] += 0.25 * alpha[0][k] * tr[38][k];
+        ghat[38][k] += 0.25 * alpha[3][k] * tr[24][k];
+        ghat[38][k] += 0.25 * alpha[4][k] * tr[19][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[10][k] * tr[38][k];
+        ghat[38][k] += 0.25 * alpha[13][k] * tr[7][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[14][k] * tr[38][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[27][k] * tr[19][k];
+        ghat[38][k] += 0.22360679774997896 * alpha[30][k] * tr[24][k];
+    }
+    for k in 0..L {
+        ghat[39][k] += 0.25 * alpha[0][k] * tr[39][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[3][k] * tr[25][k];
+        ghat[39][k] += 0.25 * alpha[4][k] * tr[20][k];
+        ghat[39][k] += 0.25 * alpha[10][k] * tr[11][k];
+        ghat[39][k] += 0.15971914124998499 * alpha[10][k] * tr[39][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[13][k] * tr[8][k];
+        ghat[39][k] += 0.19999999999999998 * alpha[13][k] * tr[42][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[14][k] * tr[39][k];
+        ghat[39][k] += 0.25 * alpha[27][k] * tr[1][k];
+        ghat[39][k] += 0.15971914124998499 * alpha[27][k] * tr[20][k];
+        ghat[39][k] += 0.22360679774997896 * alpha[27][k] * tr[28][k];
+        ghat[39][k] += 0.19999999999999998 * alpha[30][k] * tr[25][k];
+    }
+    for k in 0..L {
+        ghat[40][k] += 0.25 * alpha[0][k] * tr[40][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[3][k] * tr[26][k];
+        ghat[40][k] += 0.25 * alpha[4][k] * tr[21][k];
+        ghat[40][k] += 0.25 * alpha[10][k] * tr[12][k];
+        ghat[40][k] += 0.15971914124998499 * alpha[10][k] * tr[40][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[13][k] * tr[9][k];
+        ghat[40][k] += 0.19999999999999998 * alpha[13][k] * tr[43][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[14][k] * tr[40][k];
+        ghat[40][k] += 0.25 * alpha[27][k] * tr[2][k];
+        ghat[40][k] += 0.15971914124998499 * alpha[27][k] * tr[21][k];
+        ghat[40][k] += 0.22360679774997896 * alpha[27][k] * tr[29][k];
+        ghat[40][k] += 0.19999999999999998 * alpha[30][k] * tr[26][k];
+    }
+    for k in 0..L {
+        ghat[41][k] += 0.25 * alpha[0][k] * tr[41][k];
+        ghat[41][k] += 0.25 * alpha[3][k] * tr[47][k];
+        ghat[41][k] += 0.22360679774997896 * alpha[4][k] * tr[23][k];
+        ghat[41][k] += 0.22360679774997896 * alpha[13][k] * tr[37][k];
+        ghat[41][k] += 0.25 * alpha[14][k] * tr[6][k];
+        ghat[41][k] += 0.15971914124998499 * alpha[14][k] * tr[41][k];
+        ghat[41][k] += 0.22360679774997896 * alpha[27][k] * tr[46][k];
+        ghat[41][k] += 0.25 * alpha[30][k] * tr[18][k];
+        ghat[41][k] += 0.15971914124998499 * alpha[30][k] * tr[47][k];
+    }
+    for k in 0..L {
+        ghat[42][k] += 0.25 * alpha[0][k] * tr[42][k];
+        ghat[42][k] += 0.25 * alpha[3][k] * tr[28][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[4][k] * tr[25][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[10][k] * tr[42][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[13][k] * tr[11][k];
+        ghat[42][k] += 0.19999999999999998 * alpha[13][k] * tr[39][k];
+        ghat[42][k] += 0.25 * alpha[14][k] * tr[8][k];
+        ghat[42][k] += 0.15971914124998499 * alpha[14][k] * tr[42][k];
+        ghat[42][k] += 0.19999999999999998 * alpha[27][k] * tr[25][k];
+        ghat[42][k] += 0.25 * alpha[30][k] * tr[1][k];
+        ghat[42][k] += 0.22360679774997896 * alpha[30][k] * tr[20][k];
+        ghat[42][k] += 0.15971914124998499 * alpha[30][k] * tr[28][k];
+    }
+    for k in 0..L {
+        ghat[43][k] += 0.25 * alpha[0][k] * tr[43][k];
+        ghat[43][k] += 0.25 * alpha[3][k] * tr[29][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[4][k] * tr[26][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[10][k] * tr[43][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[13][k] * tr[12][k];
+        ghat[43][k] += 0.19999999999999998 * alpha[13][k] * tr[40][k];
+        ghat[43][k] += 0.25 * alpha[14][k] * tr[9][k];
+        ghat[43][k] += 0.15971914124998499 * alpha[14][k] * tr[43][k];
+        ghat[43][k] += 0.19999999999999998 * alpha[27][k] * tr[26][k];
+        ghat[43][k] += 0.25 * alpha[30][k] * tr[2][k];
+        ghat[43][k] += 0.22360679774997896 * alpha[30][k] * tr[21][k];
+        ghat[43][k] += 0.15971914124998499 * alpha[30][k] * tr[29][k];
+    }
+    for k in 0..L {
+        ghat[44][k] += 0.25 * alpha[0][k] * tr[44][k];
+        ghat[44][k] += 0.25 * alpha[3][k] * tr[34][k];
+        ghat[44][k] += 0.25 * alpha[4][k] * tr[31][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[10][k] * tr[44][k];
+        ghat[44][k] += 0.25 * alpha[13][k] * tr[15][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[14][k] * tr[44][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[27][k] * tr[31][k];
+        ghat[44][k] += 0.22360679774997896 * alpha[30][k] * tr[34][k];
+    }
+    for k in 0..L {
+        ghat[45][k] += 0.25 * alpha[0][k] * tr[45][k];
+        ghat[45][k] += 0.25 * alpha[3][k] * tr[35][k];
+        ghat[45][k] += 0.25 * alpha[4][k] * tr[32][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[10][k] * tr[45][k];
+        ghat[45][k] += 0.25 * alpha[13][k] * tr[16][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[14][k] * tr[45][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[27][k] * tr[32][k];
+        ghat[45][k] += 0.22360679774997896 * alpha[30][k] * tr[35][k];
+    }
+    for k in 0..L {
+        ghat[46][k] += 0.25 * alpha[0][k] * tr[46][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[3][k] * tr[37][k];
+        ghat[46][k] += 0.25 * alpha[4][k] * tr[33][k];
+        ghat[46][k] += 0.25 * alpha[10][k] * tr[23][k];
+        ghat[46][k] += 0.15971914124998499 * alpha[10][k] * tr[46][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[13][k] * tr[18][k];
+        ghat[46][k] += 0.2 * alpha[13][k] * tr[47][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[14][k] * tr[46][k];
+        ghat[46][k] += 0.25 * alpha[27][k] * tr[6][k];
+        ghat[46][k] += 0.15971914124998499 * alpha[27][k] * tr[33][k];
+        ghat[46][k] += 0.22360679774997896 * alpha[27][k] * tr[41][k];
+        ghat[46][k] += 0.2 * alpha[30][k] * tr[37][k];
+    }
+    for k in 0..L {
+        ghat[47][k] += 0.25 * alpha[0][k] * tr[47][k];
+        ghat[47][k] += 0.25 * alpha[3][k] * tr[41][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[4][k] * tr[37][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[10][k] * tr[47][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[13][k] * tr[23][k];
+        ghat[47][k] += 0.2 * alpha[13][k] * tr[46][k];
+        ghat[47][k] += 0.25 * alpha[14][k] * tr[18][k];
+        ghat[47][k] += 0.15971914124998499 * alpha[14][k] * tr[47][k];
+        ghat[47][k] += 0.2 * alpha[27][k] * tr[37][k];
+        ghat[47][k] += 0.25 * alpha[30][k] * tr[6][k];
+        ghat[47][k] += 0.22360679774997896 * alpha[30][k] * tr[33][k];
+        ghat[47][k] += 0.15971914124998499 * alpha[30][k] * tr[41][k];
+    }
+    sxn(&mut out_lo[0], nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], nu * scale * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[2], nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[3], nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], nu * scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_lo[7], nu * scale * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[8], nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[9], nu * scale * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[10], nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[11], nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[12], nu * scale * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[13], nu * scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[14], nu * scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[15], nu * scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[16], nu * scale * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[17], nu * scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[18], nu * scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[19], nu * scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[20], nu * scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[21], nu * scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_lo[22], nu * scale * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[23], nu * scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_lo[24], nu * scale * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[25], nu * scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[26], nu * scale * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[27], nu * scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_lo[28], nu * scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_lo[29], nu * scale * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[30], nu * scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_lo[31], nu * scale * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[32], nu * scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_lo[33], nu * scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_lo[34], nu * scale * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[35], nu * scale * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_lo[36], nu * scale * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_lo[37], nu * scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_lo[38], nu * scale * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[39], nu * scale * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_lo[40], nu * scale * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[41], nu * scale * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_lo[42], nu * scale * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_lo[43], nu * scale * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[44], nu * scale * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_lo[45], nu * scale * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_lo[46], nu * scale * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_lo[47], nu * scale * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[48], nu * scale * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_lo[49], nu * scale * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_lo[50], nu * scale * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_lo[51], nu * scale * 1.5811388300841898, &ghat[6]);
+    sxn(&mut out_lo[52], nu * scale * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_lo[53], nu * scale * 1.224744871391589, &ghat[16]);
+    sxn(&mut out_lo[54], nu * scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_lo[55], nu * scale * 1.224744871391589, &ghat[17]);
+    sxn(&mut out_lo[56], nu * scale * 1.5811388300841898, &ghat[9]);
+    sxn(&mut out_lo[57], nu * scale * 1.224744871391589, &ghat[18]);
+    sxn(&mut out_lo[58], nu * scale * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_lo[59], nu * scale * 1.224744871391589, &ghat[19]);
+    sxn(&mut out_lo[60], nu * scale * 0.7071067811865476, &ghat[32]);
+    sxn(&mut out_lo[61], nu * scale * 1.224744871391589, &ghat[20]);
+    sxn(&mut out_lo[62], nu * scale * 1.224744871391589, &ghat[21]);
+    sxn(&mut out_lo[63], nu * scale * 0.7071067811865476, &ghat[33]);
+    sxn(&mut out_lo[64], nu * scale * 1.5811388300841898, &ghat[11]);
+    sxn(&mut out_lo[65], nu * scale * 1.224744871391589, &ghat[22]);
+    sxn(&mut out_lo[66], nu * scale * 1.5811388300841898, &ghat[12]);
+    sxn(&mut out_lo[67], nu * scale * 1.224744871391589, &ghat[23]);
+    sxn(&mut out_lo[68], nu * scale * 0.7071067811865476, &ghat[34]);
+    sxn(&mut out_lo[69], nu * scale * 1.224744871391589, &ghat[24]);
+    sxn(&mut out_lo[70], nu * scale * 0.7071067811865476, &ghat[35]);
+    sxn(&mut out_lo[71], nu * scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_lo[72], nu * scale * 1.224744871391589, &ghat[25]);
+    sxn(&mut out_lo[73], nu * scale * 0.7071067811865476, &ghat[36]);
+    sxn(&mut out_lo[74], nu * scale * 1.224744871391589, &ghat[26]);
+    sxn(&mut out_lo[75], nu * scale * 0.7071067811865476, &ghat[37]);
+    sxn(&mut out_lo[76], nu * scale * 0.7071067811865476, &ghat[38]);
+    sxn(&mut out_lo[77], nu * scale * 1.224744871391589, &ghat[27]);
+    sxn(&mut out_lo[78], nu * scale * 0.7071067811865476, &ghat[39]);
+    sxn(&mut out_lo[79], nu * scale * 0.7071067811865476, &ghat[40]);
+    sxn(&mut out_lo[80], nu * scale * 1.224744871391589, &ghat[28]);
+    sxn(&mut out_lo[81], nu * scale * 1.224744871391589, &ghat[29]);
+    sxn(&mut out_lo[82], nu * scale * 0.7071067811865476, &ghat[41]);
+    sxn(&mut out_lo[83], nu * scale * 1.224744871391589, &ghat[30]);
+    sxn(&mut out_lo[84], nu * scale * 0.7071067811865476, &ghat[42]);
+    sxn(&mut out_lo[85], nu * scale * 0.7071067811865476, &ghat[43]);
+    sxn(&mut out_lo[86], nu * scale * 1.5811388300841898, &ghat[18]);
+    sxn(&mut out_lo[87], nu * scale * 1.224744871391589, &ghat[31]);
+    sxn(&mut out_lo[88], nu * scale * 1.224744871391589, &ghat[32]);
+    sxn(&mut out_lo[89], nu * scale * 1.224744871391589, &ghat[33]);
+    sxn(&mut out_lo[90], nu * scale * 1.5811388300841898, &ghat[23]);
+    sxn(&mut out_lo[91], nu * scale * 1.224744871391589, &ghat[34]);
+    sxn(&mut out_lo[92], nu * scale * 1.224744871391589, &ghat[35]);
+    sxn(&mut out_lo[93], nu * scale * 1.5811388300841898, &ghat[25]);
+    sxn(&mut out_lo[94], nu * scale * 1.224744871391589, &ghat[36]);
+    sxn(&mut out_lo[95], nu * scale * 1.5811388300841898, &ghat[26]);
+    sxn(&mut out_lo[96], nu * scale * 1.224744871391589, &ghat[37]);
+    sxn(&mut out_lo[97], nu * scale * 0.7071067811865476, &ghat[44]);
+    sxn(&mut out_lo[98], nu * scale * 1.224744871391589, &ghat[38]);
+    sxn(&mut out_lo[99], nu * scale * 0.7071067811865476, &ghat[45]);
+    sxn(&mut out_lo[100], nu * scale * 1.224744871391589, &ghat[39]);
+    sxn(&mut out_lo[101], nu * scale * 1.224744871391589, &ghat[40]);
+    sxn(&mut out_lo[102], nu * scale * 0.7071067811865476, &ghat[46]);
+    sxn(&mut out_lo[103], nu * scale * 1.224744871391589, &ghat[41]);
+    sxn(&mut out_lo[104], nu * scale * 1.224744871391589, &ghat[42]);
+    sxn(&mut out_lo[105], nu * scale * 1.224744871391589, &ghat[43]);
+    sxn(&mut out_lo[106], nu * scale * 0.7071067811865476, &ghat[47]);
+    sxn(&mut out_lo[107], nu * scale * 1.5811388300841898, &ghat[37]);
+    sxn(&mut out_lo[108], nu * scale * 1.224744871391589, &ghat[44]);
+    sxn(&mut out_lo[109], nu * scale * 1.224744871391589, &ghat[45]);
+    sxn(&mut out_lo[110], nu * scale * 1.224744871391589, &ghat[46]);
+    sxn(&mut out_lo[111], nu * scale * 1.224744871391589, &ghat[47]);
+    sxn(&mut out_hi[0], -nu * scale * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], -nu * scale * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[2], -nu * scale * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[3], -nu * scale * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], -nu * scale * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], -nu * scale * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], -nu * scale * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_hi[7], -nu * scale * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[8], -nu * scale * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[9], -nu * scale * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[10], -nu * scale * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[11], -nu * scale * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[12], -nu * scale * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[13], -nu * scale * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[14], -nu * scale * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[15], -nu * scale * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[16], -nu * scale * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[17], -nu * scale * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[18], -nu * scale * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[19], -nu * scale * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[20], -nu * scale * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[21], -nu * scale * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_hi[22], -nu * scale * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[23], -nu * scale * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_hi[24], -nu * scale * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[25], -nu * scale * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[26], -nu * scale * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[27], -nu * scale * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_hi[28], -nu * scale * 1.5811388300841898, &ghat[3]);
+    sxn(&mut out_hi[29], -nu * scale * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[30], -nu * scale * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_hi[31], -nu * scale * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[32], -nu * scale * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_hi[33], -nu * scale * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_hi[34], -nu * scale * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[35], -nu * scale * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_hi[36], -nu * scale * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_hi[37], -nu * scale * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_hi[38], -nu * scale * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[39], -nu * scale * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_hi[40], -nu * scale * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[41], -nu * scale * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_hi[42], -nu * scale * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_hi[43], -nu * scale * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[44], -nu * scale * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_hi[45], -nu * scale * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_hi[46], -nu * scale * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_hi[47], -nu * scale * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[48], -nu * scale * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_hi[49], -nu * scale * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_hi[50], -nu * scale * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_hi[51], -nu * scale * 1.5811388300841898, &ghat[6]);
+    sxn(&mut out_hi[52], -nu * scale * -1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[53], -nu * scale * -1.224744871391589, &ghat[16]);
+    sxn(&mut out_hi[54], -nu * scale * 1.5811388300841898, &ghat[8]);
+    sxn(&mut out_hi[55], -nu * scale * -1.224744871391589, &ghat[17]);
+    sxn(&mut out_hi[56], -nu * scale * 1.5811388300841898, &ghat[9]);
+    sxn(&mut out_hi[57], -nu * scale * -1.224744871391589, &ghat[18]);
+    sxn(&mut out_hi[58], -nu * scale * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_hi[59], -nu * scale * -1.224744871391589, &ghat[19]);
+    sxn(&mut out_hi[60], -nu * scale * 0.7071067811865476, &ghat[32]);
+    sxn(&mut out_hi[61], -nu * scale * -1.224744871391589, &ghat[20]);
+    sxn(&mut out_hi[62], -nu * scale * -1.224744871391589, &ghat[21]);
+    sxn(&mut out_hi[63], -nu * scale * 0.7071067811865476, &ghat[33]);
+    sxn(&mut out_hi[64], -nu * scale * 1.5811388300841898, &ghat[11]);
+    sxn(&mut out_hi[65], -nu * scale * -1.224744871391589, &ghat[22]);
+    sxn(&mut out_hi[66], -nu * scale * 1.5811388300841898, &ghat[12]);
+    sxn(&mut out_hi[67], -nu * scale * -1.224744871391589, &ghat[23]);
+    sxn(&mut out_hi[68], -nu * scale * 0.7071067811865476, &ghat[34]);
+    sxn(&mut out_hi[69], -nu * scale * -1.224744871391589, &ghat[24]);
+    sxn(&mut out_hi[70], -nu * scale * 0.7071067811865476, &ghat[35]);
+    sxn(&mut out_hi[71], -nu * scale * 1.5811388300841898, &ghat[13]);
+    sxn(&mut out_hi[72], -nu * scale * -1.224744871391589, &ghat[25]);
+    sxn(&mut out_hi[73], -nu * scale * 0.7071067811865476, &ghat[36]);
+    sxn(&mut out_hi[74], -nu * scale * -1.224744871391589, &ghat[26]);
+    sxn(&mut out_hi[75], -nu * scale * 0.7071067811865476, &ghat[37]);
+    sxn(&mut out_hi[76], -nu * scale * 0.7071067811865476, &ghat[38]);
+    sxn(&mut out_hi[77], -nu * scale * -1.224744871391589, &ghat[27]);
+    sxn(&mut out_hi[78], -nu * scale * 0.7071067811865476, &ghat[39]);
+    sxn(&mut out_hi[79], -nu * scale * 0.7071067811865476, &ghat[40]);
+    sxn(&mut out_hi[80], -nu * scale * -1.224744871391589, &ghat[28]);
+    sxn(&mut out_hi[81], -nu * scale * -1.224744871391589, &ghat[29]);
+    sxn(&mut out_hi[82], -nu * scale * 0.7071067811865476, &ghat[41]);
+    sxn(&mut out_hi[83], -nu * scale * -1.224744871391589, &ghat[30]);
+    sxn(&mut out_hi[84], -nu * scale * 0.7071067811865476, &ghat[42]);
+    sxn(&mut out_hi[85], -nu * scale * 0.7071067811865476, &ghat[43]);
+    sxn(&mut out_hi[86], -nu * scale * 1.5811388300841898, &ghat[18]);
+    sxn(&mut out_hi[87], -nu * scale * -1.224744871391589, &ghat[31]);
+    sxn(&mut out_hi[88], -nu * scale * -1.224744871391589, &ghat[32]);
+    sxn(&mut out_hi[89], -nu * scale * -1.224744871391589, &ghat[33]);
+    sxn(&mut out_hi[90], -nu * scale * 1.5811388300841898, &ghat[23]);
+    sxn(&mut out_hi[91], -nu * scale * -1.224744871391589, &ghat[34]);
+    sxn(&mut out_hi[92], -nu * scale * -1.224744871391589, &ghat[35]);
+    sxn(&mut out_hi[93], -nu * scale * 1.5811388300841898, &ghat[25]);
+    sxn(&mut out_hi[94], -nu * scale * -1.224744871391589, &ghat[36]);
+    sxn(&mut out_hi[95], -nu * scale * 1.5811388300841898, &ghat[26]);
+    sxn(&mut out_hi[96], -nu * scale * -1.224744871391589, &ghat[37]);
+    sxn(&mut out_hi[97], -nu * scale * 0.7071067811865476, &ghat[44]);
+    sxn(&mut out_hi[98], -nu * scale * -1.224744871391589, &ghat[38]);
+    sxn(&mut out_hi[99], -nu * scale * 0.7071067811865476, &ghat[45]);
+    sxn(&mut out_hi[100], -nu * scale * -1.224744871391589, &ghat[39]);
+    sxn(&mut out_hi[101], -nu * scale * -1.224744871391589, &ghat[40]);
+    sxn(&mut out_hi[102], -nu * scale * 0.7071067811865476, &ghat[46]);
+    sxn(&mut out_hi[103], -nu * scale * -1.224744871391589, &ghat[41]);
+    sxn(&mut out_hi[104], -nu * scale * -1.224744871391589, &ghat[42]);
+    sxn(&mut out_hi[105], -nu * scale * -1.224744871391589, &ghat[43]);
+    sxn(&mut out_hi[106], -nu * scale * 0.7071067811865476, &ghat[47]);
+    sxn(&mut out_hi[107], -nu * scale * 1.5811388300841898, &ghat[37]);
+    sxn(&mut out_hi[108], -nu * scale * -1.224744871391589, &ghat[44]);
+    sxn(&mut out_hi[109], -nu * scale * -1.224744871391589, &ghat[45]);
+    sxn(&mut out_hi[110], -nu * scale * -1.224744871391589, &ghat[46]);
+    sxn(&mut out_hi[111], -nu * scale * -1.224744871391589, &ghat[47]);
 }

@@ -36,22 +36,29 @@ include!("vlasov_mom_2x2v_p2_ser.rs");
 include!("vlasov_mom_2x3v_p1_ser.rs");
 include!("vlasov_mom_2x3v_p2_ser.rs");
 include!("vlasov_mom_3x3v_p1_ser.rs");
-include!("lbo_1x1v_p1_ser.rs");
-include!("lbo_1x1v_p2_ser.rs");
-include!("lbo_1x2v_p1_tensor.rs");
-include!("lbo_1x2v_p1_ser.rs");
-include!("lbo_1x2v_p2_ser.rs");
-include!("lbo_2x2v_p1_ser.rs");
-include!("lbo_2x2v_p2_ser.rs");
-include!("lbo_2x3v_p1_ser.rs");
-include!("lbo_2x3v_p2_ser.rs");
-include!("lbo_3x3v_p1_ser.rs");
+
+/// The LBO stage kernels, in a module (and so a codegen unit) of their own.
+mod lbo {
+    use crate::dispatch::{sxn, LANES};
+
+    include!("lbo_1x1v_p1_ser.rs");
+    include!("lbo_1x1v_p2_ser.rs");
+    include!("lbo_1x2v_p1_tensor.rs");
+    include!("lbo_1x2v_p1_ser.rs");
+    include!("lbo_1x2v_p2_ser.rs");
+    include!("lbo_2x2v_p1_ser.rs");
+    include!("lbo_2x2v_p2_ser.rs");
+    include!("lbo_2x3v_p1_ser.rs");
+    include!("lbo_2x3v_p2_ser.rs");
+    include!("lbo_3x3v_p1_ser.rs");
+}
 
 use crate::dispatch::{
-    sx4, CellLanes, KernelKey, LboKernelEntry, MomentKernelEntry, SurfaceKernelEntry,
+    sx4, CellLanes, KernelKey, LboBatchFns, LboKernelEntry, MomentKernelEntry, SurfaceKernelEntry,
     VolumeKernelEntry, LANES,
 };
 use dg_basis::BasisKind;
+use lbo::*;
 
 /// Registry of all committed unrolled volume kernels (one row per
 /// manifest entry, in manifest order).
@@ -608,6 +615,21 @@ pub static LBO_REGISTRY: &[LboKernelEntry] = &[
         diff_grad: &[lbo_1x1v_p1_ser_diff_grad_v0],
         diff_vol: &[lbo_1x1v_p1_ser_diff_vol_v0],
         diff_surf: &[lbo_1x1v_p1_ser_diff_surf_v0],
+        batch: &[LboBatchFns {
+            drag_vol: lbo_1x1v_p1_ser_drag_vol_v0_b4,
+            drag_surf: lbo_1x1v_p1_ser_drag_surf_v0_b4,
+            diff_grad: lbo_1x1v_p1_ser_diff_grad_v0_b4,
+            diff_vol: lbo_1x1v_p1_ser_diff_vol_v0_b4,
+            diff_surf: lbo_1x1v_p1_ser_diff_surf_v0_b4,
+        }],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[LboBatchFns {
+            drag_vol: lbo_1x1v_p1_ser_drag_vol_v0_b4_avx2,
+            drag_surf: lbo_1x1v_p1_ser_drag_surf_v0_b4_avx2,
+            diff_grad: lbo_1x1v_p1_ser_diff_grad_v0_b4_avx2,
+            diff_vol: lbo_1x1v_p1_ser_diff_vol_v0_b4_avx2,
+            diff_surf: lbo_1x1v_p1_ser_diff_surf_v0_b4_avx2,
+        }],
     },
     LboKernelEntry {
         key: KernelKey {
@@ -622,6 +644,21 @@ pub static LBO_REGISTRY: &[LboKernelEntry] = &[
         diff_grad: &[lbo_1x1v_p2_ser_diff_grad_v0],
         diff_vol: &[lbo_1x1v_p2_ser_diff_vol_v0],
         diff_surf: &[lbo_1x1v_p2_ser_diff_surf_v0],
+        batch: &[LboBatchFns {
+            drag_vol: lbo_1x1v_p2_ser_drag_vol_v0_b4,
+            drag_surf: lbo_1x1v_p2_ser_drag_surf_v0_b4,
+            diff_grad: lbo_1x1v_p2_ser_diff_grad_v0_b4,
+            diff_vol: lbo_1x1v_p2_ser_diff_vol_v0_b4,
+            diff_surf: lbo_1x1v_p2_ser_diff_surf_v0_b4,
+        }],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[LboBatchFns {
+            drag_vol: lbo_1x1v_p2_ser_drag_vol_v0_b4_avx2,
+            drag_surf: lbo_1x1v_p2_ser_drag_surf_v0_b4_avx2,
+            diff_grad: lbo_1x1v_p2_ser_diff_grad_v0_b4_avx2,
+            diff_vol: lbo_1x1v_p2_ser_diff_vol_v0_b4_avx2,
+            diff_surf: lbo_1x1v_p2_ser_diff_surf_v0_b4_avx2,
+        }],
     },
     LboKernelEntry {
         key: KernelKey {
@@ -651,6 +688,39 @@ pub static LBO_REGISTRY: &[LboKernelEntry] = &[
             lbo_1x2v_p1_tensor_diff_surf_v0,
             lbo_1x2v_p1_tensor_diff_surf_v1,
         ],
+        batch: &[
+            LboBatchFns {
+                drag_vol: lbo_1x2v_p1_tensor_drag_vol_v0_b4,
+                drag_surf: lbo_1x2v_p1_tensor_drag_surf_v0_b4,
+                diff_grad: lbo_1x2v_p1_tensor_diff_grad_v0_b4,
+                diff_vol: lbo_1x2v_p1_tensor_diff_vol_v0_b4,
+                diff_surf: lbo_1x2v_p1_tensor_diff_surf_v0_b4,
+            },
+            LboBatchFns {
+                drag_vol: lbo_1x2v_p1_tensor_drag_vol_v1_b4,
+                drag_surf: lbo_1x2v_p1_tensor_drag_surf_v1_b4,
+                diff_grad: lbo_1x2v_p1_tensor_diff_grad_v1_b4,
+                diff_vol: lbo_1x2v_p1_tensor_diff_vol_v1_b4,
+                diff_surf: lbo_1x2v_p1_tensor_diff_surf_v1_b4,
+            },
+        ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[
+            LboBatchFns {
+                drag_vol: lbo_1x2v_p1_tensor_drag_vol_v0_b4_avx2,
+                drag_surf: lbo_1x2v_p1_tensor_drag_surf_v0_b4_avx2,
+                diff_grad: lbo_1x2v_p1_tensor_diff_grad_v0_b4_avx2,
+                diff_vol: lbo_1x2v_p1_tensor_diff_vol_v0_b4_avx2,
+                diff_surf: lbo_1x2v_p1_tensor_diff_surf_v0_b4_avx2,
+            },
+            LboBatchFns {
+                drag_vol: lbo_1x2v_p1_tensor_drag_vol_v1_b4_avx2,
+                drag_surf: lbo_1x2v_p1_tensor_drag_surf_v1_b4_avx2,
+                diff_grad: lbo_1x2v_p1_tensor_diff_grad_v1_b4_avx2,
+                diff_vol: lbo_1x2v_p1_tensor_diff_vol_v1_b4_avx2,
+                diff_surf: lbo_1x2v_p1_tensor_diff_surf_v1_b4_avx2,
+            },
+        ],
     },
     LboKernelEntry {
         key: KernelKey {
@@ -665,6 +735,39 @@ pub static LBO_REGISTRY: &[LboKernelEntry] = &[
         diff_grad: &[lbo_1x2v_p1_ser_diff_grad_v0, lbo_1x2v_p1_ser_diff_grad_v1],
         diff_vol: &[lbo_1x2v_p1_ser_diff_vol_v0, lbo_1x2v_p1_ser_diff_vol_v1],
         diff_surf: &[lbo_1x2v_p1_ser_diff_surf_v0, lbo_1x2v_p1_ser_diff_surf_v1],
+        batch: &[
+            LboBatchFns {
+                drag_vol: lbo_1x2v_p1_ser_drag_vol_v0_b4,
+                drag_surf: lbo_1x2v_p1_ser_drag_surf_v0_b4,
+                diff_grad: lbo_1x2v_p1_ser_diff_grad_v0_b4,
+                diff_vol: lbo_1x2v_p1_ser_diff_vol_v0_b4,
+                diff_surf: lbo_1x2v_p1_ser_diff_surf_v0_b4,
+            },
+            LboBatchFns {
+                drag_vol: lbo_1x2v_p1_ser_drag_vol_v1_b4,
+                drag_surf: lbo_1x2v_p1_ser_drag_surf_v1_b4,
+                diff_grad: lbo_1x2v_p1_ser_diff_grad_v1_b4,
+                diff_vol: lbo_1x2v_p1_ser_diff_vol_v1_b4,
+                diff_surf: lbo_1x2v_p1_ser_diff_surf_v1_b4,
+            },
+        ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[
+            LboBatchFns {
+                drag_vol: lbo_1x2v_p1_ser_drag_vol_v0_b4_avx2,
+                drag_surf: lbo_1x2v_p1_ser_drag_surf_v0_b4_avx2,
+                diff_grad: lbo_1x2v_p1_ser_diff_grad_v0_b4_avx2,
+                diff_vol: lbo_1x2v_p1_ser_diff_vol_v0_b4_avx2,
+                diff_surf: lbo_1x2v_p1_ser_diff_surf_v0_b4_avx2,
+            },
+            LboBatchFns {
+                drag_vol: lbo_1x2v_p1_ser_drag_vol_v1_b4_avx2,
+                drag_surf: lbo_1x2v_p1_ser_drag_surf_v1_b4_avx2,
+                diff_grad: lbo_1x2v_p1_ser_diff_grad_v1_b4_avx2,
+                diff_vol: lbo_1x2v_p1_ser_diff_vol_v1_b4_avx2,
+                diff_surf: lbo_1x2v_p1_ser_diff_surf_v1_b4_avx2,
+            },
+        ],
     },
     LboKernelEntry {
         key: KernelKey {
@@ -679,6 +782,39 @@ pub static LBO_REGISTRY: &[LboKernelEntry] = &[
         diff_grad: &[lbo_1x2v_p2_ser_diff_grad_v0, lbo_1x2v_p2_ser_diff_grad_v1],
         diff_vol: &[lbo_1x2v_p2_ser_diff_vol_v0, lbo_1x2v_p2_ser_diff_vol_v1],
         diff_surf: &[lbo_1x2v_p2_ser_diff_surf_v0, lbo_1x2v_p2_ser_diff_surf_v1],
+        batch: &[
+            LboBatchFns {
+                drag_vol: lbo_1x2v_p2_ser_drag_vol_v0_b4,
+                drag_surf: lbo_1x2v_p2_ser_drag_surf_v0_b4,
+                diff_grad: lbo_1x2v_p2_ser_diff_grad_v0_b4,
+                diff_vol: lbo_1x2v_p2_ser_diff_vol_v0_b4,
+                diff_surf: lbo_1x2v_p2_ser_diff_surf_v0_b4,
+            },
+            LboBatchFns {
+                drag_vol: lbo_1x2v_p2_ser_drag_vol_v1_b4,
+                drag_surf: lbo_1x2v_p2_ser_drag_surf_v1_b4,
+                diff_grad: lbo_1x2v_p2_ser_diff_grad_v1_b4,
+                diff_vol: lbo_1x2v_p2_ser_diff_vol_v1_b4,
+                diff_surf: lbo_1x2v_p2_ser_diff_surf_v1_b4,
+            },
+        ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[
+            LboBatchFns {
+                drag_vol: lbo_1x2v_p2_ser_drag_vol_v0_b4_avx2,
+                drag_surf: lbo_1x2v_p2_ser_drag_surf_v0_b4_avx2,
+                diff_grad: lbo_1x2v_p2_ser_diff_grad_v0_b4_avx2,
+                diff_vol: lbo_1x2v_p2_ser_diff_vol_v0_b4_avx2,
+                diff_surf: lbo_1x2v_p2_ser_diff_surf_v0_b4_avx2,
+            },
+            LboBatchFns {
+                drag_vol: lbo_1x2v_p2_ser_drag_vol_v1_b4_avx2,
+                drag_surf: lbo_1x2v_p2_ser_drag_surf_v1_b4_avx2,
+                diff_grad: lbo_1x2v_p2_ser_diff_grad_v1_b4_avx2,
+                diff_vol: lbo_1x2v_p2_ser_diff_vol_v1_b4_avx2,
+                diff_surf: lbo_1x2v_p2_ser_diff_surf_v1_b4_avx2,
+            },
+        ],
     },
     LboKernelEntry {
         key: KernelKey {
@@ -693,6 +829,39 @@ pub static LBO_REGISTRY: &[LboKernelEntry] = &[
         diff_grad: &[lbo_2x2v_p1_ser_diff_grad_v0, lbo_2x2v_p1_ser_diff_grad_v1],
         diff_vol: &[lbo_2x2v_p1_ser_diff_vol_v0, lbo_2x2v_p1_ser_diff_vol_v1],
         diff_surf: &[lbo_2x2v_p1_ser_diff_surf_v0, lbo_2x2v_p1_ser_diff_surf_v1],
+        batch: &[
+            LboBatchFns {
+                drag_vol: lbo_2x2v_p1_ser_drag_vol_v0_b4,
+                drag_surf: lbo_2x2v_p1_ser_drag_surf_v0_b4,
+                diff_grad: lbo_2x2v_p1_ser_diff_grad_v0_b4,
+                diff_vol: lbo_2x2v_p1_ser_diff_vol_v0_b4,
+                diff_surf: lbo_2x2v_p1_ser_diff_surf_v0_b4,
+            },
+            LboBatchFns {
+                drag_vol: lbo_2x2v_p1_ser_drag_vol_v1_b4,
+                drag_surf: lbo_2x2v_p1_ser_drag_surf_v1_b4,
+                diff_grad: lbo_2x2v_p1_ser_diff_grad_v1_b4,
+                diff_vol: lbo_2x2v_p1_ser_diff_vol_v1_b4,
+                diff_surf: lbo_2x2v_p1_ser_diff_surf_v1_b4,
+            },
+        ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[
+            LboBatchFns {
+                drag_vol: lbo_2x2v_p1_ser_drag_vol_v0_b4_avx2,
+                drag_surf: lbo_2x2v_p1_ser_drag_surf_v0_b4_avx2,
+                diff_grad: lbo_2x2v_p1_ser_diff_grad_v0_b4_avx2,
+                diff_vol: lbo_2x2v_p1_ser_diff_vol_v0_b4_avx2,
+                diff_surf: lbo_2x2v_p1_ser_diff_surf_v0_b4_avx2,
+            },
+            LboBatchFns {
+                drag_vol: lbo_2x2v_p1_ser_drag_vol_v1_b4_avx2,
+                drag_surf: lbo_2x2v_p1_ser_drag_surf_v1_b4_avx2,
+                diff_grad: lbo_2x2v_p1_ser_diff_grad_v1_b4_avx2,
+                diff_vol: lbo_2x2v_p1_ser_diff_vol_v1_b4_avx2,
+                diff_surf: lbo_2x2v_p1_ser_diff_surf_v1_b4_avx2,
+            },
+        ],
     },
     LboKernelEntry {
         key: KernelKey {
@@ -707,6 +876,39 @@ pub static LBO_REGISTRY: &[LboKernelEntry] = &[
         diff_grad: &[lbo_2x2v_p2_ser_diff_grad_v0, lbo_2x2v_p2_ser_diff_grad_v1],
         diff_vol: &[lbo_2x2v_p2_ser_diff_vol_v0, lbo_2x2v_p2_ser_diff_vol_v1],
         diff_surf: &[lbo_2x2v_p2_ser_diff_surf_v0, lbo_2x2v_p2_ser_diff_surf_v1],
+        batch: &[
+            LboBatchFns {
+                drag_vol: lbo_2x2v_p2_ser_drag_vol_v0_b4,
+                drag_surf: lbo_2x2v_p2_ser_drag_surf_v0_b4,
+                diff_grad: lbo_2x2v_p2_ser_diff_grad_v0_b4,
+                diff_vol: lbo_2x2v_p2_ser_diff_vol_v0_b4,
+                diff_surf: lbo_2x2v_p2_ser_diff_surf_v0_b4,
+            },
+            LboBatchFns {
+                drag_vol: lbo_2x2v_p2_ser_drag_vol_v1_b4,
+                drag_surf: lbo_2x2v_p2_ser_drag_surf_v1_b4,
+                diff_grad: lbo_2x2v_p2_ser_diff_grad_v1_b4,
+                diff_vol: lbo_2x2v_p2_ser_diff_vol_v1_b4,
+                diff_surf: lbo_2x2v_p2_ser_diff_surf_v1_b4,
+            },
+        ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[
+            LboBatchFns {
+                drag_vol: lbo_2x2v_p2_ser_drag_vol_v0_b4_avx2,
+                drag_surf: lbo_2x2v_p2_ser_drag_surf_v0_b4_avx2,
+                diff_grad: lbo_2x2v_p2_ser_diff_grad_v0_b4_avx2,
+                diff_vol: lbo_2x2v_p2_ser_diff_vol_v0_b4_avx2,
+                diff_surf: lbo_2x2v_p2_ser_diff_surf_v0_b4_avx2,
+            },
+            LboBatchFns {
+                drag_vol: lbo_2x2v_p2_ser_drag_vol_v1_b4_avx2,
+                drag_surf: lbo_2x2v_p2_ser_drag_surf_v1_b4_avx2,
+                diff_grad: lbo_2x2v_p2_ser_diff_grad_v1_b4_avx2,
+                diff_vol: lbo_2x2v_p2_ser_diff_vol_v1_b4_avx2,
+                diff_surf: lbo_2x2v_p2_ser_diff_surf_v1_b4_avx2,
+            },
+        ],
     },
     LboKernelEntry {
         key: KernelKey {
@@ -740,6 +942,53 @@ pub static LBO_REGISTRY: &[LboKernelEntry] = &[
             lbo_2x3v_p1_ser_diff_surf_v0,
             lbo_2x3v_p1_ser_diff_surf_v1,
             lbo_2x3v_p1_ser_diff_surf_v2,
+        ],
+        batch: &[
+            LboBatchFns {
+                drag_vol: lbo_2x3v_p1_ser_drag_vol_v0_b4,
+                drag_surf: lbo_2x3v_p1_ser_drag_surf_v0_b4,
+                diff_grad: lbo_2x3v_p1_ser_diff_grad_v0_b4,
+                diff_vol: lbo_2x3v_p1_ser_diff_vol_v0_b4,
+                diff_surf: lbo_2x3v_p1_ser_diff_surf_v0_b4,
+            },
+            LboBatchFns {
+                drag_vol: lbo_2x3v_p1_ser_drag_vol_v1_b4,
+                drag_surf: lbo_2x3v_p1_ser_drag_surf_v1_b4,
+                diff_grad: lbo_2x3v_p1_ser_diff_grad_v1_b4,
+                diff_vol: lbo_2x3v_p1_ser_diff_vol_v1_b4,
+                diff_surf: lbo_2x3v_p1_ser_diff_surf_v1_b4,
+            },
+            LboBatchFns {
+                drag_vol: lbo_2x3v_p1_ser_drag_vol_v2_b4,
+                drag_surf: lbo_2x3v_p1_ser_drag_surf_v2_b4,
+                diff_grad: lbo_2x3v_p1_ser_diff_grad_v2_b4,
+                diff_vol: lbo_2x3v_p1_ser_diff_vol_v2_b4,
+                diff_surf: lbo_2x3v_p1_ser_diff_surf_v2_b4,
+            },
+        ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[
+            LboBatchFns {
+                drag_vol: lbo_2x3v_p1_ser_drag_vol_v0_b4_avx2,
+                drag_surf: lbo_2x3v_p1_ser_drag_surf_v0_b4_avx2,
+                diff_grad: lbo_2x3v_p1_ser_diff_grad_v0_b4_avx2,
+                diff_vol: lbo_2x3v_p1_ser_diff_vol_v0_b4_avx2,
+                diff_surf: lbo_2x3v_p1_ser_diff_surf_v0_b4_avx2,
+            },
+            LboBatchFns {
+                drag_vol: lbo_2x3v_p1_ser_drag_vol_v1_b4_avx2,
+                drag_surf: lbo_2x3v_p1_ser_drag_surf_v1_b4_avx2,
+                diff_grad: lbo_2x3v_p1_ser_diff_grad_v1_b4_avx2,
+                diff_vol: lbo_2x3v_p1_ser_diff_vol_v1_b4_avx2,
+                diff_surf: lbo_2x3v_p1_ser_diff_surf_v1_b4_avx2,
+            },
+            LboBatchFns {
+                drag_vol: lbo_2x3v_p1_ser_drag_vol_v2_b4_avx2,
+                drag_surf: lbo_2x3v_p1_ser_drag_surf_v2_b4_avx2,
+                diff_grad: lbo_2x3v_p1_ser_diff_grad_v2_b4_avx2,
+                diff_vol: lbo_2x3v_p1_ser_diff_vol_v2_b4_avx2,
+                diff_surf: lbo_2x3v_p1_ser_diff_surf_v2_b4_avx2,
+            },
         ],
     },
     LboKernelEntry {
@@ -775,6 +1024,53 @@ pub static LBO_REGISTRY: &[LboKernelEntry] = &[
             lbo_2x3v_p2_ser_diff_surf_v1,
             lbo_2x3v_p2_ser_diff_surf_v2,
         ],
+        batch: &[
+            LboBatchFns {
+                drag_vol: lbo_2x3v_p2_ser_drag_vol_v0_b4,
+                drag_surf: lbo_2x3v_p2_ser_drag_surf_v0_b4,
+                diff_grad: lbo_2x3v_p2_ser_diff_grad_v0_b4,
+                diff_vol: lbo_2x3v_p2_ser_diff_vol_v0_b4,
+                diff_surf: lbo_2x3v_p2_ser_diff_surf_v0_b4,
+            },
+            LboBatchFns {
+                drag_vol: lbo_2x3v_p2_ser_drag_vol_v1_b4,
+                drag_surf: lbo_2x3v_p2_ser_drag_surf_v1_b4,
+                diff_grad: lbo_2x3v_p2_ser_diff_grad_v1_b4,
+                diff_vol: lbo_2x3v_p2_ser_diff_vol_v1_b4,
+                diff_surf: lbo_2x3v_p2_ser_diff_surf_v1_b4,
+            },
+            LboBatchFns {
+                drag_vol: lbo_2x3v_p2_ser_drag_vol_v2_b4,
+                drag_surf: lbo_2x3v_p2_ser_drag_surf_v2_b4,
+                diff_grad: lbo_2x3v_p2_ser_diff_grad_v2_b4,
+                diff_vol: lbo_2x3v_p2_ser_diff_vol_v2_b4,
+                diff_surf: lbo_2x3v_p2_ser_diff_surf_v2_b4,
+            },
+        ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[
+            LboBatchFns {
+                drag_vol: lbo_2x3v_p2_ser_drag_vol_v0_b4_avx2,
+                drag_surf: lbo_2x3v_p2_ser_drag_surf_v0_b4_avx2,
+                diff_grad: lbo_2x3v_p2_ser_diff_grad_v0_b4_avx2,
+                diff_vol: lbo_2x3v_p2_ser_diff_vol_v0_b4_avx2,
+                diff_surf: lbo_2x3v_p2_ser_diff_surf_v0_b4_avx2,
+            },
+            LboBatchFns {
+                drag_vol: lbo_2x3v_p2_ser_drag_vol_v1_b4_avx2,
+                drag_surf: lbo_2x3v_p2_ser_drag_surf_v1_b4_avx2,
+                diff_grad: lbo_2x3v_p2_ser_diff_grad_v1_b4_avx2,
+                diff_vol: lbo_2x3v_p2_ser_diff_vol_v1_b4_avx2,
+                diff_surf: lbo_2x3v_p2_ser_diff_surf_v1_b4_avx2,
+            },
+            LboBatchFns {
+                drag_vol: lbo_2x3v_p2_ser_drag_vol_v2_b4_avx2,
+                drag_surf: lbo_2x3v_p2_ser_drag_surf_v2_b4_avx2,
+                diff_grad: lbo_2x3v_p2_ser_diff_grad_v2_b4_avx2,
+                diff_vol: lbo_2x3v_p2_ser_diff_vol_v2_b4_avx2,
+                diff_surf: lbo_2x3v_p2_ser_diff_surf_v2_b4_avx2,
+            },
+        ],
     },
     LboKernelEntry {
         key: KernelKey {
@@ -808,6 +1104,53 @@ pub static LBO_REGISTRY: &[LboKernelEntry] = &[
             lbo_3x3v_p1_ser_diff_surf_v0,
             lbo_3x3v_p1_ser_diff_surf_v1,
             lbo_3x3v_p1_ser_diff_surf_v2,
+        ],
+        batch: &[
+            LboBatchFns {
+                drag_vol: lbo_3x3v_p1_ser_drag_vol_v0_b4,
+                drag_surf: lbo_3x3v_p1_ser_drag_surf_v0_b4,
+                diff_grad: lbo_3x3v_p1_ser_diff_grad_v0_b4,
+                diff_vol: lbo_3x3v_p1_ser_diff_vol_v0_b4,
+                diff_surf: lbo_3x3v_p1_ser_diff_surf_v0_b4,
+            },
+            LboBatchFns {
+                drag_vol: lbo_3x3v_p1_ser_drag_vol_v1_b4,
+                drag_surf: lbo_3x3v_p1_ser_drag_surf_v1_b4,
+                diff_grad: lbo_3x3v_p1_ser_diff_grad_v1_b4,
+                diff_vol: lbo_3x3v_p1_ser_diff_vol_v1_b4,
+                diff_surf: lbo_3x3v_p1_ser_diff_surf_v1_b4,
+            },
+            LboBatchFns {
+                drag_vol: lbo_3x3v_p1_ser_drag_vol_v2_b4,
+                drag_surf: lbo_3x3v_p1_ser_drag_surf_v2_b4,
+                diff_grad: lbo_3x3v_p1_ser_diff_grad_v2_b4,
+                diff_vol: lbo_3x3v_p1_ser_diff_vol_v2_b4,
+                diff_surf: lbo_3x3v_p1_ser_diff_surf_v2_b4,
+            },
+        ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx2: &[
+            LboBatchFns {
+                drag_vol: lbo_3x3v_p1_ser_drag_vol_v0_b4_avx2,
+                drag_surf: lbo_3x3v_p1_ser_drag_surf_v0_b4_avx2,
+                diff_grad: lbo_3x3v_p1_ser_diff_grad_v0_b4_avx2,
+                diff_vol: lbo_3x3v_p1_ser_diff_vol_v0_b4_avx2,
+                diff_surf: lbo_3x3v_p1_ser_diff_surf_v0_b4_avx2,
+            },
+            LboBatchFns {
+                drag_vol: lbo_3x3v_p1_ser_drag_vol_v1_b4_avx2,
+                drag_surf: lbo_3x3v_p1_ser_drag_surf_v1_b4_avx2,
+                diff_grad: lbo_3x3v_p1_ser_diff_grad_v1_b4_avx2,
+                diff_vol: lbo_3x3v_p1_ser_diff_vol_v1_b4_avx2,
+                diff_surf: lbo_3x3v_p1_ser_diff_surf_v1_b4_avx2,
+            },
+            LboBatchFns {
+                drag_vol: lbo_3x3v_p1_ser_drag_vol_v2_b4_avx2,
+                drag_surf: lbo_3x3v_p1_ser_drag_surf_v2_b4_avx2,
+                diff_grad: lbo_3x3v_p1_ser_diff_grad_v2_b4_avx2,
+                diff_vol: lbo_3x3v_p1_ser_diff_vol_v2_b4_avx2,
+                diff_surf: lbo_3x3v_p1_ser_diff_surf_v2_b4_avx2,
+            },
         ],
     },
 ];

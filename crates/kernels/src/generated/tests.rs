@@ -14,9 +14,11 @@
 //!    for the volume kernel, every per-direction surface kernel, all three
 //!    moment kernels, and all five LBO stage-kernel families;
 //! 3. **bitwise batching** — both entry points of the SIMD companions
-//!    (the portable `_b4` and, where the CPU has it, `_b4_avx2`; volume and
-//!    surface) reproduce their scalar kernels bit for bit on mixed
-//!    panel-plus-remainder sweeps.
+//!    (the portable `_b4` and, where the CPU has it, `_b4_avx2`) reproduce
+//!    their scalar kernels bit for bit: volume and surface on mixed
+//!    panel-plus-remainder sweeps, the five LBO stage families (one
+//!    lane-generic body each) lane by lane with per-lane primitive moments
+//!    and non-zero incoming outputs.
 
 // Stencil/loop style: index-coupled kernel-argument sweeps index several arrays in lockstep;
 // `needless_range_loop` rewrites would obscure that (workspace allow
@@ -28,8 +30,8 @@ use crate::codegen::{
     manifest_moment_source, manifest_surface_source, LboDirTables, MANIFEST,
 };
 use crate::dispatch::{
-    lbo_registry, moment_registry, surface_registry, volume_registry, CellLanes, SurfaceBatch,
-    VolumeBatch, LANES,
+    lbo_registry, moment_registry, surface_registry, volume_registry, CellLanes, LboBatch,
+    PencilLanes, SurfaceBatch, VolumeBatch, LANES,
 };
 use crate::kernels_for;
 use crate::surface::FaceScratch;
@@ -772,6 +774,137 @@ proptest! {
                 runtime_lbo_diff_surf(&pk, td, j, nu, dv, vth2, f, &mut rt, &mut rt_hi);
                 compare(&gen, &rt, &format!("diff_surf_v{j} lower"));
                 compare(&gen_hi, &rt_hi, &format!("diff_surf_v{j} upper"));
+            }
+        }
+    }
+}
+
+/// Lane `lane` of an SoA panel as one cell's coefficients.
+fn lane_of(panel: &[PencilLanes], lane: usize) -> Vec<f64> {
+    panel.iter().map(|p| p[lane]).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    /// The three instantiations of every LBO stage body agree bit for bit,
+    /// lane by lane: one lane (the scalar entry point) ≡ `_b4` ≡
+    /// `_b4_avx2`, for all five stage families and every velocity
+    /// direction — with *different* `u`/`vth2` in every lane (the pencils
+    /// of a group may sit in different configuration cells), both
+    /// `at_upper` values, and non-zero incoming `out`/`g` (the pencil sweep
+    /// accumulates into packed outputs, never into zeroed ones). This is
+    /// what lets `LboOp` run pencil groups, split ranges anywhere and pick
+    /// the entry point from the CPU without perturbing the trajectory.
+    #[test]
+    fn every_lbo_batch_kernel_matches_scalar_bitwise(
+        nu in 0.1..2.0f64,
+        v_c in -2.0..2.0f64,
+        vstar in -2.0..2.0f64,
+        dv_raw in proptest::collection::vec(0.1..2.0f64, 3),
+        u_raw in proptest::collection::vec(-1.0..1.0f64, 8 * LANES),
+        vth2_raw in proptest::collection::vec(0.1..2.0f64, 8 * LANES),
+        f_raw in proptest::collection::vec(-1.0..1.0f64, 128 * LANES),
+        f2_raw in proptest::collection::vec(-1.0..1.0f64, 128 * LANES),
+        out_raw in proptest::collection::vec(-1.0..1.0f64, 128 * LANES),
+        out2_raw in proptest::collection::vec(-1.0..1.0f64, 128 * LANES),
+    ) {
+        static AVX2_ARM: std::sync::Once = std::sync::Once::new();
+        // `raw` as an SoA panel of `n` coefficients (lane-major input).
+        let panel = |raw: &[f64], n: usize| -> Vec<PencilLanes> {
+            (0..n)
+                .map(|i| std::array::from_fn(|lane| raw[lane * (raw.len() / LANES) + i]))
+                .collect()
+        };
+        for entry in lbo_registry() {
+            let k = entry.key;
+            let pk = kernels_for(k.kind, k.layout(), k.poly_order);
+            let (np, nc) = (pk.np(), pk.nc());
+            prop_assert!(np <= 128 && nc <= 8);
+            prop_assert!(entry.batch.len() == k.vdim, "{}: batch count", entry.name);
+            let (u, vth2) = (panel(&u_raw, nc), panel(&vth2_raw, nc));
+            let (f, f2) = (panel(&f_raw, np), panel(&f2_raw, np));
+            let (out, out2) = (panel(&out_raw, np), panel(&out2_raw, np));
+
+            for j in 0..k.vdim {
+                let dv = dv_raw[j];
+                let avx2 = LboBatch::avx2(entry, j);
+                report_avx2_arm(
+                    &AVX2_ARM,
+                    "every_lbo_batch_kernel_matches_scalar_bitwise",
+                    avx2.is_some(),
+                );
+                let arms = [("_b4", Some(LboBatch::baseline(entry, j))), ("_b4_avx2", avx2)];
+                for (arm, batch) in arms {
+                    let Some(batch) = batch else { continue };
+                    // Each stage: the batched call on the panels, then per
+                    // lane the scalar call on that lane's cells, from the
+                    // same incoming outputs.
+                    let same = |stage: &str, got: &[PencilLanes], lane: usize, want: &[f64]| {
+                        for i in 0..np {
+                            prop_assert!(
+                                got[i][lane].to_bits() == want[i].to_bits(),
+                                "{}_{stage}_v{j}{arm} lane {lane} mode {i}: batched {} vs scalar {}",
+                                entry.name, got[i][lane], want[i]
+                            );
+                        }
+                    };
+
+                    let mut o = out.clone();
+                    batch.drag_vol(nu, v_c, dv, &u, &f, &mut o);
+                    for lane in 0..LANES {
+                        let mut want = lane_of(&out, lane);
+                        (entry.drag_vol[j])(
+                            nu, v_c, dv, &lane_of(&u, lane), &lane_of(&f, lane), &mut want,
+                        );
+                        same("drag_vol", &o, lane, &want);
+                    }
+
+                    let (mut o, mut o2) = (out.clone(), out2.clone());
+                    batch.drag_surf(nu, vstar, dv, &u, &f, &f2, &mut o, &mut o2);
+                    for lane in 0..LANES {
+                        let (mut want, mut want2) = (lane_of(&out, lane), lane_of(&out2, lane));
+                        (entry.drag_surf[j])(
+                            nu, vstar, dv, &lane_of(&u, lane),
+                            &lane_of(&f, lane), &lane_of(&f2, lane), &mut want, &mut want2,
+                        );
+                        same("drag_surf lower", &o, lane, &want);
+                        same("drag_surf upper", &o2, lane, &want2);
+                    }
+
+                    for at_upper in [false, true] {
+                        let mut g = out.clone();
+                        batch.diff_grad(dv, at_upper, &f, &f2, &mut g);
+                        for lane in 0..LANES {
+                            let mut want = lane_of(&out, lane);
+                            (entry.diff_grad[j])(
+                                dv, at_upper, &lane_of(&f, lane), &lane_of(&f2, lane), &mut want,
+                            );
+                            same(&format!("diff_grad at_upper={at_upper}"), &g, lane, &want);
+                        }
+                    }
+
+                    let mut o = out.clone();
+                    batch.diff_vol(nu, dv, &vth2, &f, &mut o);
+                    for lane in 0..LANES {
+                        let mut want = lane_of(&out, lane);
+                        (entry.diff_vol[j])(
+                            nu, dv, &lane_of(&vth2, lane), &lane_of(&f, lane), &mut want,
+                        );
+                        same("diff_vol", &o, lane, &want);
+                    }
+
+                    let (mut o, mut o2) = (out.clone(), out2.clone());
+                    batch.diff_surf(nu, dv, &vth2, &f, &mut o, &mut o2);
+                    for lane in 0..LANES {
+                        let (mut want, mut want2) = (lane_of(&out, lane), lane_of(&out2, lane));
+                        (entry.diff_surf[j])(
+                            nu, dv, &lane_of(&vth2, lane), &lane_of(&f, lane),
+                            &mut want, &mut want2,
+                        );
+                        same("diff_surf lower", &o, lane, &want);
+                        same("diff_surf upper", &o2, lane, &want2);
+                    }
+                }
             }
         }
     }

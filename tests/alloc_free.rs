@@ -203,11 +203,13 @@ fn rhs_and_lbo_loops_allocate_nothing() {
     }
 
     // --- LBO collision RHS, 1x1v p=2 (weak divides, drag + LDG
-    // diffusion) — both dispatch paths: the committed stage kernels and
-    // the runtime sparse sweep each run out of `LboScratch`. ---
+    // diffusion) — both dispatch paths: the committed stage kernels'
+    // pencil-group sweep and the runtime sparse sweep each run out of
+    // `LboScratch`. Six configuration cells are six pencils: one full
+    // group of LANES and a partial one, both spanning cells. ---
     let kernels = kernels_for(BasisKind::Serendipity, PhaseLayout::new(1, 1), 2);
     let grid = PhaseGrid::new(
-        CartGrid::new(&[0.0], &[1.0], &[2]),
+        CartGrid::new(&[0.0], &[1.0], &[6]),
         CartGrid::new(&[-6.0], &[6.0], &[12]),
         vec![Bc::Periodic],
     );
