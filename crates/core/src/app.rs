@@ -28,7 +28,8 @@ use crate::lbo::LboOp;
 use crate::observer::{Frame, Observer, Trigger};
 use crate::species::Species;
 use crate::system::{validate_conf_bcs, FluxKind, SystemState, VlasovMaxwell};
-use dg_basis::{project, Basis, BasisKind};
+use dg_basis::project::Projector;
+use dg_basis::{Basis, BasisKind};
 use dg_grid::{Bc, CartGrid, DgField, DimBc, PhaseGrid};
 use dg_kernels::{kernels_for, KernelDispatch, PhaseLayout};
 use dg_maxwell::flux::PhmParams;
@@ -272,7 +273,8 @@ impl AppBuilder {
     }
 
     /// Gauss points per dimension for initial-condition projection
-    /// (default `p + 3`).
+    /// (default `p + 3`). Fewer than `p + 1` cannot integrate the mass
+    /// matrix exactly and is a build error.
     pub fn init_quadrature(mut self, npts: usize) -> Self {
         self.init_quad_npts = Some(npts);
         self
@@ -400,12 +402,34 @@ impl AppBuilder {
         );
 
         let npts = self.init_quad_npts.unwrap_or(self.poly_order + 3);
+        if npts < self.poly_order + 1 {
+            return Err(Error::Build(format!(
+                "init_quadrature({npts}) under-integrates the p = {} projection: \
+                 at least p + 1 = {} Gauss points per dimension are needed",
+                self.poly_order,
+                self.poly_order + 1,
+            )));
+        }
         let mut species = Vec::new();
         let mut collisions: Vec<Option<LboOp>> = Vec::new();
         for spec in self.species.iter_mut() {
             let mut sp = Species::new(&spec.name, spec.charge, spec.mass, &grid, kernels.np());
             if let Some(init) = spec.init.as_mut() {
                 sp.project_initial(&kernels, &grid, npts, init);
+                if let Some(cell) = first_non_finite_cell(&sp.f) {
+                    let (clin, vlin) = grid.split_index(cell);
+                    let mut cidx = vec![0usize; cdim];
+                    let mut vidx = vec![0usize; vdim];
+                    let mut center = vec![0.0; cdim + vdim];
+                    grid.conf.delinearize(clin, &mut cidx);
+                    grid.vel.delinearize(vlin, &mut vidx);
+                    grid.cell_center(&cidx, &vidx, &mut center);
+                    return Err(Error::Build(format!(
+                        "species {}: initial condition is not finite in the cell centred at \
+                         (x, v) = {center:?}",
+                        spec.name
+                    )));
+                }
             }
             collisions.push(spec.collision_nu.map(|nu| {
                 LboOp::with_dispatch(Arc::clone(&kernels), grid.clone(), nu, self.dispatch)
@@ -430,13 +454,17 @@ impl AppBuilder {
         // Initial EM field.
         let mut em = system.maxwell.new_field();
         if let Some(mut init) = fspec.init {
-            project_field_ic(
-                &system.maxwell.basis,
-                &system.maxwell.grid,
-                npts,
-                &mut init,
-                &mut em,
-            );
+            let conf = &system.maxwell.grid;
+            project_field_ic(&system.maxwell.basis, conf, npts, &mut init, &mut em);
+            if let Some(cell) = first_non_finite_cell(&em) {
+                let mut cidx = vec![0usize; cdim];
+                let mut center = vec![0.0; cdim];
+                conf.delinearize(cell, &mut cidx);
+                conf.cell_center(&cidx, &mut center);
+                return Err(Error::Build(format!(
+                    "field initial condition is not finite in the cell centred at x = {center:?}"
+                )));
+            }
         }
         if fspec.poisson_init {
             if cdim != 1 {
@@ -508,7 +536,19 @@ fn env_telemetry() -> bool {
         .unwrap_or(false)
 }
 
-/// Project per-component field initial conditions onto the conf basis.
+/// The first cell of `f` holding a non-finite coefficient, if any. One
+/// NaN-aware reduction over the field decides; cells are searched only
+/// when it fails.
+fn first_non_finite_cell(f: &DgField) -> Option<usize> {
+    if f.max_abs().is_finite() {
+        return None;
+    }
+    (0..f.ncells()).find(|&c| f.cell(c).iter().any(|x| !x.is_finite()))
+}
+
+/// Project per-component field initial conditions onto the conf basis:
+/// `init` is sampled once per Gauss point, and the six components'
+/// point values are contracted one after the other.
 fn project_field_ic(
     basis: &Basis,
     grid: &CartGrid,
@@ -518,16 +558,22 @@ fn project_field_ic(
 ) {
     let cdim = grid.ndim();
     let nc = basis.len();
+    let mut projector = Projector::new(basis, npts);
+    let nq = projector.npoints();
     let mut cidx = vec![0usize; cdim];
     let mut center = vec![0.0; cdim];
-    let mut buf = vec![0.0; nc];
+    let mut vals = vec![0.0; 6 * nq];
     for lin in 0..grid.len() {
         grid.delinearize(lin, &mut cidx);
         grid.cell_center(&cidx, &mut center);
-        for comp in 0..6 {
-            let mut g = |z: &[f64]| init(z)[comp];
-            project::project_cell(basis, npts, &center, grid.dx(), &mut g, &mut buf);
-            em.cell_mut(lin)[comp * nc..(comp + 1) * nc].copy_from_slice(&buf);
+        projector.for_each_point(&center, grid.dx(), |n, z| {
+            for (comp, v) in init(z).into_iter().enumerate() {
+                vals[comp * nq + n] = v;
+            }
+        });
+        let cell = em.cell_mut(lin);
+        for (v, out) in vals.chunks_exact(nq).zip(cell.chunks_exact_mut(nc)) {
+            projector.contract(v, out);
         }
     }
 }
@@ -557,44 +603,10 @@ fn poisson_init_1d(system: &mut VlasovMaxwell, em: &mut DgField) -> Result<(), E
     }
     system.set_background_charge(mean);
 
-    // Cumulative integration cell by cell; E(ξ) inside a cell is the exact
-    // antiderivative of the modal ρ, projected back onto the basis.
-    let dx = grid.dx()[0];
-    let basis = &system.maxwell.basis;
-    let inner = GaussRule::new(basis.poly_order() + 2);
-    let proj_rule = GaussRule::new(basis.poly_order() + 2);
     let inv_eps = 1.0 / system.maxwell.params.epsilon0;
-    let mut e_in = 0.0;
-    let mut exc = vec![0.0; nc];
-    let mut e_means = Vec::with_capacity(nconf);
-    for c in 0..nconf {
-        let r = rho.cell(c);
-        // E(ξ) = E_in + (Δx/2)/ε₀ ∫_{−1}^{ξ} ρ_h dξ'.
-        let e_at = |xi: f64| -> f64 {
-            // Map the inner rule to [−1, ξ].
-            let half = 0.5 * (xi + 1.0);
-            let mut acc = 0.0;
-            for (node, wgt) in inner.nodes.iter().zip(&inner.weights) {
-                let t = -1.0 + half * (node + 1.0);
-                acc += wgt * half * basis.eval_expansion(r, &[t]);
-            }
-            e_in + 0.5 * dx * inv_eps * acc
-        };
-        // Project E(ξ) onto the basis.
-        exc.fill(0.0);
-        for (node, wgt) in proj_rule.nodes.iter().zip(&proj_rule.weights) {
-            let vals = basis.eval_all(&[*node]);
-            let ev = e_at(*node);
-            for l in 0..nc {
-                exc[l] += wgt * ev * vals[l];
-            }
-        }
-        em.cell_mut(c)[..nc].copy_from_slice(&exc);
-        e_means.push(exc[0] / c0);
-        e_in = e_at(1.0);
-    }
+    let (e_in, emean) =
+        integrate_gauss_law_1d(&system.maxwell.basis, grid.dx()[0], inv_eps, &rho, em);
     // Periodic gauge: subtract the mean field.
-    let emean: f64 = e_means.iter().sum::<f64>() / nconf as f64;
     for c in 0..nconf {
         em.cell_mut(c)[0] -= emean * c0;
     }
@@ -606,6 +618,69 @@ fn poisson_init_1d(system: &mut VlasovMaxwell, em: &mut DgField) -> Result<(), E
         )));
     }
     Ok(())
+}
+
+/// Integrate `dE_x/dx = ρ/ε₀` cell by cell from `E = 0` at the left edge,
+/// writing the `E_x` coefficients into `em`; `E(ξ)` inside a cell is the
+/// exact antiderivative of the modal `ρ`, projected back onto the basis.
+/// Returns the field at the right edge (the net jump) and the domain
+/// mean of `E_x`.
+fn integrate_gauss_law_1d(
+    basis: &Basis,
+    dx: f64,
+    inv_eps: f64,
+    rho: &DgField,
+    em: &mut DgField,
+) -> (f64, f64) {
+    let nc = basis.len();
+    let nconf = rho.ncells();
+    let c0 = dg_basis::expand::const_coeff(basis);
+    // One rule serves both the antiderivative and the projection, and the
+    // basis values at its nodes are the same in every cell.
+    let rule = GaussRule::new(basis.poly_order() + 2);
+    let mut legendre = vec![0.0; basis.poly_order() + 1];
+    let mut node_vals = vec![0.0; rule.len() * nc];
+    for (node, vals) in rule.nodes.iter().zip(node_vals.chunks_exact_mut(nc)) {
+        basis.eval_all_with(&[*node], &mut legendre, vals);
+    }
+    let mut vals = vec![0.0; nc];
+    let mut e_in = 0.0;
+    let mut exc = vec![0.0; nc];
+    let mut e_means = Vec::with_capacity(nconf);
+    for c in 0..nconf {
+        let r = rho.cell(c);
+        // E(ξ) = E_in + (Δx/2)/ε₀ ∫_{−1}^{ξ} ρ_h dξ'.
+        let mut e_at = |xi: f64| -> f64 {
+            // Map the rule to [−1, ξ].
+            let half = 0.5 * (xi + 1.0);
+            let mut acc = 0.0;
+            for (node, wgt) in rule.nodes.iter().zip(&rule.weights) {
+                let t = -1.0 + half * (node + 1.0);
+                basis.eval_all_with(&[t], &mut legendre, &mut vals);
+                let rho_t: f64 = r.iter().zip(&vals).map(|(c, w)| c * w).sum();
+                acc += wgt * half * rho_t;
+            }
+            e_in + 0.5 * dx * inv_eps * acc
+        };
+        // Project E(ξ) onto the basis.
+        exc.fill(0.0);
+        for ((node, wgt), vals) in rule
+            .nodes
+            .iter()
+            .zip(&rule.weights)
+            .zip(node_vals.chunks_exact(nc))
+        {
+            let ev = e_at(*node);
+            for l in 0..nc {
+                exc[l] += wgt * ev * vals[l];
+            }
+        }
+        em.cell_mut(c)[..nc].copy_from_slice(&exc);
+        e_means.push(exc[0] / c0);
+        e_in = e_at(1.0);
+    }
+    let emean = e_means.iter().sum::<f64>() / nconf as f64;
+    (e_in, emean)
 }
 
 /// Termination tolerance for the run/advance loops: relative to the
@@ -1067,6 +1142,186 @@ mod tests {
                 let want = -0.1 * (kx * x).sin() / kx;
                 let got = basis.eval_expansion(ex, &[xi]);
                 assert!((got - want).abs() < 2e-4, "E at x={x}: {got} vs {want}");
+            }
+        }
+    }
+
+    /// `integrate_gauss_law_1d` as it was first written: two rules, the
+    /// allocating `eval_all`/`eval_expansion` inside the node loops.
+    fn gauss_law_reference(
+        basis: &Basis,
+        dx: f64,
+        inv_eps: f64,
+        rho: &DgField,
+        em: &mut DgField,
+    ) -> (f64, f64) {
+        let nc = basis.len();
+        let c0 = dg_basis::expand::const_coeff(basis);
+        let inner = GaussRule::new(basis.poly_order() + 2);
+        let proj_rule = GaussRule::new(basis.poly_order() + 2);
+        let mut e_in = 0.0;
+        let mut e_means = Vec::new();
+        for c in 0..rho.ncells() {
+            let r = rho.cell(c);
+            let e_at = |xi: f64| -> f64 {
+                let half = 0.5 * (xi + 1.0);
+                let mut acc = 0.0;
+                for (node, wgt) in inner.nodes.iter().zip(&inner.weights) {
+                    let t = -1.0 + half * (node + 1.0);
+                    acc += wgt * half * basis.eval_expansion(r, &[t]);
+                }
+                e_in + 0.5 * dx * inv_eps * acc
+            };
+            let mut exc = vec![0.0; nc];
+            for (node, wgt) in proj_rule.nodes.iter().zip(&proj_rule.weights) {
+                let vals = basis.eval_all(&[*node]);
+                let ev = e_at(*node);
+                for l in 0..nc {
+                    exc[l] += wgt * ev * vals[l];
+                }
+            }
+            em.cell_mut(c)[..nc].copy_from_slice(&exc);
+            e_means.push(exc[0] / c0);
+            e_in = e_at(1.0);
+        }
+        let emean = e_means.iter().sum::<f64>() / rho.ncells() as f64;
+        (e_in, emean)
+    }
+
+    #[test]
+    fn gauss_law_integration_keeps_the_reference_bits() {
+        // The shapes of the `coll_1x2v_p2` and Landau benchmark problems:
+        // p = 2 on 16 and 64 cells of a 4π box.
+        let basis = Basis::new(BasisKind::Serendipity, 1, 2);
+        let nc = basis.len();
+        let length = 4.0 * std::f64::consts::PI;
+        for (nx, inv_eps) in [(16usize, 1.0), (64, 0.25)] {
+            let grid = CartGrid::new(&[0.0], &[length], &[nx]);
+            let mut projector = Projector::new(&basis, 5);
+            let mut rho = DgField::zeros(nx, nc);
+            for c in 0..nx {
+                projector.project(
+                    &[grid.center(0, c)],
+                    grid.dx(),
+                    &mut |z: &[f64]| -0.05 * (0.5 * z[0] + 0.3).cos() + 1e-3 * (1.5 * z[0]).sin(),
+                    rho.cell_mut(c),
+                );
+            }
+            let mut want = DgField::zeros(nx, 6 * nc);
+            let mut got = DgField::zeros(nx, 6 * nc);
+            let w = gauss_law_reference(&basis, grid.dx()[0], inv_eps, &rho, &mut want);
+            let g = integrate_gauss_law_1d(&basis, grid.dx()[0], inv_eps, &rho, &mut got);
+            assert_eq!(
+                (g.0.to_bits(), g.1.to_bits()),
+                (w.0.to_bits(), w.1.to_bits())
+            );
+            let bits = |f: &DgField| f.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "nx = {nx}");
+            assert!(got.max_abs() > 1e-2, "E was computed at all");
+        }
+    }
+
+    fn builder_1x1v() -> AppBuilder {
+        AppBuilder::new()
+            .conf_grid(&[0.0], &[1.0], &[4])
+            .poly_order(2)
+            .field(FieldSpec::new(1.0))
+    }
+
+    #[test]
+    fn init_quadrature_below_p_plus_one_is_a_build_error() {
+        let species = || {
+            SpeciesSpec::new("elc", -1.0, 1.0, &[-6.0], &[6.0], &[8])
+                .initial(|_x, v| maxwellian(1.0, &[0.0], 1.0, v))
+        };
+        for n in 0..3 {
+            match builder_1x1v().species(species()).init_quadrature(n).build() {
+                Err(Error::Build(msg)) => {
+                    assert!(msg.contains(&format!("init_quadrature({n})")), "{msg}")
+                }
+                other => panic!("init_quadrature({n}) at p = 2: {:?}", other.map(|_| ())),
+            }
+        }
+        builder_1x1v()
+            .species(species())
+            .init_quadrature(3)
+            .build()
+            .unwrap();
+    }
+
+    #[test]
+    fn non_finite_initial_conditions_are_build_errors() {
+        // NaN and ±∞ alike, reported with the species and the centre of
+        // the first offending cell: x ∈ (0.5, 0.75), v ∈ (0, 1.5).
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let res = builder_1x1v()
+                .species(
+                    SpeciesSpec::new("ion", 1.0, 1.0, &[-6.0], &[6.0], &[8]).initial(
+                        move |x, v| {
+                            if x[0] > 0.5 && v[0] > 0.0 {
+                                bad
+                            } else {
+                                maxwellian(1.0, &[0.0], 1.0, v)
+                            }
+                        },
+                    ),
+                )
+                .build();
+            match res {
+                Err(Error::Build(msg)) => {
+                    assert!(msg.contains("species ion"), "{msg}");
+                    assert!(msg.contains("[0.625, 0.75]"), "{msg}");
+                }
+                other => panic!("IC returning {bad}: {:?}", other.map(|_| ())),
+            }
+        }
+        let res = builder_1x1v()
+            .species(SpeciesSpec::new("elc", -1.0, 1.0, &[-6.0], &[6.0], &[8]))
+            .field(FieldSpec::new(1.0).with_ic(|x| {
+                let ey = if x[0] > 0.75 { f64::NAN } else { 1.0 };
+                [0.0, ey, 0.0, 0.0, 0.0, 0.0]
+            }))
+            .build();
+        match res {
+            Err(Error::Build(msg)) => assert!(msg.contains("field") && msg.contains("[0.875]")),
+            other => panic!("field IC returning NaN: {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn field_ic_samples_once_per_point_and_matches_per_component_projection() {
+        let basis = Basis::new(BasisKind::Serendipity, 2, 2);
+        let grid = CartGrid::new(&[0.0, -1.0], &[1.0, 1.0], &[3, 2]);
+        let npts = 4;
+        let field = |z: &[f64]| -> [f64; 6] {
+            std::array::from_fn(|c| ((c + 1) as f64 * z[0]).sin() * (z[1] - 0.1 * c as f64).exp())
+        };
+        let calls = std::rc::Rc::new(std::cell::Cell::new(0usize));
+        let counter = std::rc::Rc::clone(&calls);
+        let mut init: FieldFn = Box::new(move |z| {
+            counter.set(counter.get() + 1);
+            field(z)
+        });
+        let nc = basis.len();
+        let mut em = DgField::zeros(grid.len(), 6 * nc);
+        project_field_ic(&basis, &grid, npts, &mut init, &mut em);
+        assert_eq!(calls.get(), grid.len() * npts * npts);
+
+        let (mut cidx, mut center) = ([0usize; 2], [0.0; 2]);
+        let mut want = vec![0.0; nc];
+        for lin in 0..grid.len() {
+            grid.delinearize(lin, &mut cidx);
+            grid.cell_center(&cidx, &mut center);
+            for comp in 0..6 {
+                dg_basis::project::project_cell(
+                    &basis,
+                    npts,
+                    &center,
+                    grid.dx(),
+                    &mut |z: &[f64]| field(z)[comp],
+                    &mut want,
+                );
+                assert_eq!(&em.cell(lin)[comp * nc..(comp + 1) * nc], &want[..]);
             }
         }
     }

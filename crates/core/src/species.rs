@@ -4,7 +4,7 @@
 // `needless_range_loop` rewrites would obscure that (workspace allow
 // was scoped down to the modules that need it).
 #![allow(clippy::needless_range_loop)]
-use dg_basis::project;
+use dg_basis::project::Projector;
 use dg_grid::{DgField, PhaseGrid};
 use dg_kernels::PhaseKernels;
 use std::sync::Arc;
@@ -39,7 +39,10 @@ impl Species {
     }
 
     /// Project an initial condition `f0(x, v)` onto every phase cell with
-    /// `npts` Gauss points per dimension.
+    /// `npts` Gauss points per dimension: one [`Projector`] for the whole
+    /// sweep, no allocation per cell. Each cell's coefficients depend on
+    /// that cell alone, so the field is the same bit for bit however the
+    /// grid is later decomposed.
     pub fn project_initial(
         &mut self,
         kernels: &Arc<PhaseKernels>,
@@ -49,26 +52,20 @@ impl Species {
     ) {
         let ndim = grid.ndim();
         let cdim = grid.cdim();
+        let mut projector = Projector::new(&kernels.phase_basis, npts);
         let mut center = vec![0.0; ndim];
         let mut size = vec![0.0; ndim];
         grid.cell_size(&mut size);
         let mut cidx = vec![0usize; cdim];
         let mut vidx = vec![0usize; grid.vdim()];
+        let mut g = |z: &[f64]| f0(&z[..cdim], &z[cdim..]);
         for clin in 0..grid.conf.len() {
             grid.conf.delinearize(clin, &mut cidx);
             for vlin in 0..grid.vel.len() {
                 grid.vel.delinearize(vlin, &mut vidx);
                 grid.cell_center(&cidx, &vidx, &mut center);
                 let cell = grid.phase_index(clin, vlin);
-                let mut g = |z: &[f64]| f0(&z[..cdim], &z[cdim..]);
-                project::project_cell(
-                    &kernels.phase_basis,
-                    npts,
-                    &center,
-                    &size,
-                    &mut g,
-                    self.f.cell_mut(cell),
-                );
+                projector.project(&center, &size, &mut g, self.f.cell_mut(cell));
             }
         }
     }
@@ -125,6 +122,53 @@ mod tests {
         // Configuration volume is 1; velocity integral of the Maxwellian is
         // 1 up to the exp(-18) tail cut by the velocity extents.
         assert!((n - 1.0).abs() < 1e-6, "total number {n}");
+    }
+
+    #[test]
+    fn sweep_equals_per_cell_projector_and_carries_the_analytic_mass() {
+        // 2x3v, 2² × 2³ cells: the sweep is nothing but one Projector
+        // applied cell by cell, so it must match a fresh Projector per
+        // cell bit for bit (no state leaks from one cell to the next).
+        let k = kernels_for(BasisKind::Serendipity, PhaseLayout::new(2, 3), 2);
+        let grid = PhaseGrid::new(
+            CartGrid::new(&[0.0, 0.0], &[1.0, 1.0], &[2, 2]),
+            CartGrid::new(&[-1.0; 3], &[1.0; 3], &[2, 2, 2]),
+            vec![Bc::Periodic; 2],
+        );
+        // In the p = 2 space, so 3 points integrate it exactly.
+        let mut f0 = |x: &[f64], v: &[f64]| {
+            (1.0 + 0.3 * x[0] + 0.2 * x[1] * x[1]) * (2.0 + v[0] * v[0] + 0.5 * v[1] + v[2] * v[2])
+        };
+        let npts = 3;
+        let mut s = Species::new("elc", -1.0, 1.0, &grid, k.np());
+        s.project_initial(&k, &grid, npts, &mut f0);
+
+        let mut size = [0.0; 5];
+        grid.cell_size(&mut size);
+        let (mut cidx, mut vidx, mut center) = ([0; 2], [0; 3], [0.0; 5]);
+        let mut want = vec![0.0; k.np()];
+        for cell in 0..grid.len() {
+            let (clin, vlin) = grid.split_index(cell);
+            grid.conf.delinearize(clin, &mut cidx);
+            grid.vel.delinearize(vlin, &mut vidx);
+            grid.cell_center(&cidx, &vidx, &mut center);
+            Projector::new(&k.phase_basis, npts).project(
+                &center,
+                &size,
+                &mut |z: &[f64]| f0(&z[..2], &z[2..]),
+                &mut want,
+            );
+            assert_eq!(s.f.cell(cell), &want[..], "cell {cell}");
+        }
+
+        // ∫(1 + 0.3x + 0.2y²) over [0,1]² times ∫(2 + vx² + vy/2 + vz²)
+        // over [−1,1]³.
+        let mass = (1.0 + 0.15 + 0.2 / 3.0) * (16.0 + 8.0 / 3.0 + 8.0 / 3.0);
+        let n = s.total_number(&k, &grid);
+        assert!(
+            (n - mass).abs() < 1e-12 * mass,
+            "total number {n} vs {mass}"
+        );
     }
 
     #[test]

@@ -1,13 +1,20 @@
 //! Gauss–Legendre quadrature on `[-1, 1]`.
 //!
 //! The modal solver never calls quadrature in its update loop — that is the
-//! point of the paper. Quadrature appears in exactly two supporting roles:
+//! point of the paper. Quadrature appears only in set-up and in the
+//! baseline the paper compares against:
 //!
 //! 1. projecting analytic initial conditions onto the DG basis (Gkeyll does
-//!    the same), and
-//! 2. the alias-free **nodal** baseline (`dg-nodal`), which evaluates the
+//!    the same): `dg_basis::project::Projector` builds one 1D
+//!    [`GaussRule`] and contracts dimension by dimension, so it never
+//!    walks the tensor grid point by basis function;
+//! 2. the 1D Gauss-law solve behind `FieldSpec::with_poisson_init`, which
+//!    integrates the modal charge density with one [`GaussRule`];
+//! 3. the alias-free **nodal** baseline (`dg-nodal`), which evaluates the
 //!    very same discrete operator through interpolation → pointwise product
-//!    → projection pipelines so Table I's cost comparison can be reproduced.
+//!    → projection pipelines over [`TensorGauss`] so Table I's cost
+//!    comparison can be reproduced. Tests use [`TensorGauss`] as the
+//!    brute-force oracle for everything above.
 
 // Stencil/loop style: index-coupled node sweeps index several arrays in lockstep;
 // `needless_range_loop` rewrites would obscure that (workspace allow

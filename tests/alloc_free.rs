@@ -9,6 +9,9 @@
 //! lives in persistent scratch. A counting global allocator enforces this
 //! directly: warm everything up once, then count.
 //!
+//! Set-up is held to the weaker rule that fits it: the initial
+//! projection may allocate its tables, but not per cell.
+//!
 //! This file deliberately holds a single `#[test]` — the counter is
 //! process-global, and a sibling test allocating concurrently would
 //! produce false positives.
@@ -80,6 +83,34 @@ fn count_allocs(body: impl FnOnce()) -> usize {
 
 #[test]
 fn rhs_and_lbo_loops_allocate_nothing() {
+    // --- Initial projection: one `Projector` per sweep, nothing per
+    // cell — the allocation count of `project_initial` is the same on a
+    // 4-cell and a 64-cell grid. ---
+    {
+        let kernels = kernels_for(BasisKind::Serendipity, PhaseLayout::new(1, 2), 2);
+        let sweep_allocs = |nx: usize, nv: usize| {
+            let grid = PhaseGrid::new(
+                CartGrid::new(&[0.0], &[1.0], &[nx]),
+                CartGrid::new(&[-4.0, -4.0], &[4.0, 4.0], &[nv, nv]),
+                vec![Bc::Periodic],
+            );
+            let mut sp = Species::new("elc", -1.0, 1.0, &grid, kernels.np());
+            let n = count_allocs(|| {
+                sp.project_initial(&kernels, &grid, 4, &mut |x, v| {
+                    maxwellian(1.0 + 0.05 * (2.0 * x[0]).cos(), &[0.3, -0.2], 0.9, v)
+                })
+            });
+            assert!(sp.f.max_abs() > 0.0);
+            n
+        };
+        let (small, large) = (sweep_allocs(1, 2), sweep_allocs(4, 4));
+        assert!(small > 0, "the counter was not armed");
+        assert_eq!(
+            small, large,
+            "project_initial allocated {small} times on 4 cells but {large} on 64"
+        );
+    }
+
     // --- Collisionless RHS, both dispatch paths, 1x2v p=2 Serendipity
     // (in the committed registry; exercises streaming + both acceleration
     // directions, pencil reuse, and the v×B cross terms). ---

@@ -68,10 +68,9 @@ fn free_streaming_converges_at_p_plus_one() {
         let e1 = advection_error(p, 8, 0.4);
         let e2 = advection_error(p, 16, 0.4);
         let order = (e1 / e2).log2();
-        assert!(
-            order > min_order,
-            "p={p}: observed order {order:.2} (errors {e1:.3e} → {e2:.3e})"
-        );
+        let observed = format!("p={p}: observed order {order:.2} (errors {e1:.3e} → {e2:.3e})");
+        println!("{observed}");
+        assert!(order > min_order, "{observed}");
     }
 }
 
