@@ -39,22 +39,27 @@ impl ManifestEntry {
     fn expected_fns(&self) -> Vec<(String, String)> {
         let mut fns = Vec::new();
         let ndim = self.cdim + self.vdim;
-        // Batched kernels have two entry points around one shared body:
-        // the portable `_b4` and the x86-64 `_b4_avx2` (dispatch selects
-        // at run time; a registry row names both). Volume and surface
-        // kernels first, the LBO stage kernels below.
-        fns.push((self.vol.clone(), self.vol.clone()));
-        fns.push((self.vol.clone(), format!("{}_b4", self.vol)));
-        fns.push((self.vol.clone(), format!("{}_b4_avx2", self.vol)));
+        // Every Vlasov volume and surface kernel is one lane-generic body
+        // behind four entry points: scalar (one lane), the portable `_b4`,
+        // and the x86-64 `_b4_avx2` and 8-lane `_b8_avx512` (dispatch
+        // selects at run time; a registry row names all of them). The LBO
+        // stage kernels below stop at `_b4_avx2`.
+        const VLASOV_ENTRY_POINTS: [&str; 4] = ["", "_b4", "_b4_avx2", "_b8_avx512"];
+        for entry_point in VLASOV_ENTRY_POINTS {
+            fns.push((self.vol.clone(), format!("{}{entry_point}", self.vol)));
+        }
         for d in 0..ndim {
             let suffix = if d < self.cdim {
                 format!("_x{d}")
             } else {
                 format!("_v{}", d - self.cdim)
             };
-            fns.push((self.surf.clone(), format!("{}{suffix}", self.surf)));
-            fns.push((self.surf.clone(), format!("{}{suffix}_b4", self.surf)));
-            fns.push((self.surf.clone(), format!("{}{suffix}_b4_avx2", self.surf)));
+            for entry_point in VLASOV_ENTRY_POINTS {
+                fns.push((
+                    self.surf.clone(),
+                    format!("{}{suffix}{entry_point}", self.surf),
+                ));
+            }
         }
         fns.push((self.mom.clone(), format!("{}_m0", self.mom)));
         for j in 0..self.vdim {

@@ -1,7 +1,8 @@
 // Seeded-bad generated-module fixture. Against the golden ManifestEntry
 // (demo 1x1v config) this directory is wrong in five ways (its artifacts
-// add two more: demo_surf lacks one direction's batched entry points,
-// demo_lbo those of its diff_surf stage):
+// add three more: demo_surf lacks one direction's batched entry points
+// and the other direction's `_b8_avx512` alone, demo_lbo the batched entry
+// points of its diff_surf stage):
 //   1. demo_mom_1x1v_p1.rs is not committed at all;
 //   2. demo_surf_1x1v_p1.rs is committed but never include!d here;
 //   3. SURFACE_REGISTRY has no row for demo_surf_1x1v_p1;

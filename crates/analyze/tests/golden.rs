@@ -173,8 +173,8 @@ fn registry_fires_on_seeded_fixture_dir() {
             "registry_bad/stale_artifact.rs",
             "orphan generated artifact",
         ),
-        // 6. surf artifact exists but lacks both batched entry points of
-        //    one direction (the portable one and its AVX2 twin)
+        // 6. surf artifact exists but lacks every batched entry point of
+        //    one direction (the portable one and both ISA twins) ...
         (
             "registry_bad/demo_surf_1x1v_p1.rs",
             "`pub fn demo_surf_1x1v_p1_v0_b4`",
@@ -182,6 +182,15 @@ fn registry_fires_on_seeded_fixture_dir() {
         (
             "registry_bad/demo_surf_1x1v_p1.rs",
             "`pub fn demo_surf_1x1v_p1_v0_b4_avx2`",
+        ),
+        (
+            "registry_bad/demo_surf_1x1v_p1.rs",
+            "`pub fn demo_surf_1x1v_p1_v0_b8_avx512`",
+        ),
+        //    ... and exactly one entry point of the other
+        (
+            "registry_bad/demo_surf_1x1v_p1.rs",
+            "`pub fn demo_surf_1x1v_p1_x0_b8_avx512`",
         ),
         // 7. lbo artifact exists but one stage has only its scalar
         //    (one-lane) entry point
@@ -205,6 +214,7 @@ fn registry_fires_on_seeded_fixture_dir() {
     // Entry points the fixture does define must not be reported.
     for present in [
         "demo_vol_1x1v_p1_b4_avx2",
+        "demo_vol_1x1v_p1_b8_avx512",
         "demo_surf_1x1v_p1_x0_b4_avx2",
         "demo_lbo_1x1v_p1_drag_vol_v0_b4",
         "demo_lbo_1x1v_p1_diff_vol_v0_b4_avx2",

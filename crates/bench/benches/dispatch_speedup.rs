@@ -58,13 +58,9 @@ fn main() {
 
     println!("# Dispatch speedup: generated (committed unrolled) vs runtime sparse kernels");
     println!("# conf cells/dim = {nx}, vel cells/dim = {nv}, >= {min_ms} ms per measurement");
+    println!("# gen / rt = the entry points each forced operator resolved (last column)");
     println!(
-        "# gen = {}, rt = {}",
-        DispatchPath::Generated.tag(),
-        DispatchPath::RuntimeSparse.tag()
-    );
-    println!(
-        "# {:<16} {:>4} {:>10} | {:>12} {:>12} {:>8} | {:>12} {:>12} {:>8}",
+        "# {:<16} {:>4} {:>10} | {:>12} {:>12} {:>8} | {:>12} {:>12} {:>8} | gen entry points",
         "config", "Np", "mults", "vol gen", "vol rt", "vol", "rhs gen", "rhs rt", "rhs"
     );
 
@@ -128,10 +124,13 @@ fn main() {
         // Both tags on each report: the volume *and* surface paths were
         // forced together, and the counts are identical across paths.
         let (rg, rr) = (op_gen.op_report(), op_rt.op_report());
-        assert!(rg.path.tag().starts_with("generated/"));
-        assert_eq!(rg.surface_path.tag(), rg.path.tag());
-        assert_eq!(rr.path.tag(), "runtime-sparse");
-        assert_eq!(rr.surface_path.tag(), "runtime-sparse");
+        assert_eq!(rg.path, DispatchPath::Generated);
+        assert_eq!(rg.surface_path, DispatchPath::Generated);
+        assert_eq!(rr.path, DispatchPath::RuntimeSparse);
+        assert_eq!(rr.surface_path, DispatchPath::RuntimeSparse);
+        let gen_entry_points = op_gen.kernel_entry_points().to_string();
+        assert!(gen_entry_points.starts_with("generated/"));
+        assert_eq!(op_rt.kernel_entry_points().to_string(), "runtime-sparse");
 
         let mut time_op = |op: &VlasovOp, full: bool| -> f64 {
             let (f, em, out, ws) = (&f, &em, &mut out, &mut ws);
@@ -154,7 +153,7 @@ fn main() {
         let s_rhs = t_rhs_rt / t_rhs_gen;
 
         println!(
-            "{:<18} {:>4} {:>10} | {:>12.1} {:>12.1} {:>7.2}x | {:>12.1} {:>12.1} {:>7.2}x",
+            "{:<18} {:>4} {:>10} | {:>12.1} {:>12.1} {:>7.2}x | {:>12.1} {:>12.1} {:>7.2}x | {}",
             format!("{}_p{}_{}", layout.tag(), spec.poly_order, spec.kind_tag()),
             np,
             rg.total(),
@@ -163,7 +162,8 @@ fn main() {
             s_vol,
             t_rhs_gen,
             t_rhs_rt,
-            s_rhs
+            s_rhs,
+            gen_entry_points
         );
         if spec.kind_tag() == "tensor" && layout.cdim == 1 && layout.vdim == 2 {
             fig1_vol = Some(s_vol);

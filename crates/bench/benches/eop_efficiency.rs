@@ -104,11 +104,15 @@ fn main() {
     let t_with_lbo = t0.elapsed().as_secs_f64() / reps as f64;
     let eop_lbo = dofs / t_with_lbo;
 
-    let entry_points = sys.vlasov.op_report().path.tag();
+    let entry_points = format!(
+        "vlasov {}, lbo {}",
+        sys.vlasov.kernel_entry_points(),
+        lbo.kernel_entry_points()
+    );
     println!("{:<44}{:>14}", "quantity", "value");
     println!("{:-<58}", "");
     println!("{:<44}{:>14}", "DOFs (cells x Np)", dofs as u64);
-    println!("{:<40}{:>18}", "kernel entry points", entry_points);
+    println!("kernel entry points: {entry_points}");
     println!("{:<44}{:>14.3e}", "collisionless Eop (DOF/s/core)", eop);
     println!(
         "{:<44}{:>14.3e}",
@@ -138,6 +142,7 @@ fn main() {
         last_dt: 0.0,
         dt_trace: Vec::new(),
         nslots: 1,
+        kernel_entry_points: entry_points.clone(),
         snapshot: timed,
     };
     println!();
@@ -160,7 +165,7 @@ fn main() {
                 .int("conf_cells_per_dim", nx as u64)
                 .int("vel_cells_per_dim", nv as u64)
                 .int("dofs", dofs as u64)
-                .str("kernel_entry_points", entry_points),
+                .str("kernel_entry_points", &entry_points),
         )
         .num("eop_collisionless_dof_per_s_per_core", eop)
         .num("eop_collisionless_dof_per_s_telemetry", eop_tel)

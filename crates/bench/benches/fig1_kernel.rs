@@ -35,7 +35,7 @@ fn main() {
     let nodal_vol = 3 * nq_vol * r.np + nq_vol;
     println!("{:<46}{:>10}", "quantity", "count");
     println!("{:-<56}", "");
-    println!("{:<46}{:>10}", "op counts from path", r.path.tag());
+    println!("{:<36}{:>20}", "op counts from path", resolved.tag());
     println!("{:<46}{:>10}", "Np (DOF per cell)", r.np);
     println!("{:<46}{:>10}", "modal volume multiplications", modal_vol);
     println!("{:<46}{:>10}", "modal volume update statements", statements);

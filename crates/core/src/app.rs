@@ -1028,6 +1028,7 @@ impl App {
             last_dt: self.last_dt,
             dt_trace: tel.dt_ring.to_vec(),
             nslots: tel.reg.nslots(),
+            kernel_entry_points: self.backend.system().kernel_entry_points(),
             snapshot: tel.reg.snapshot(),
         })
     }

@@ -28,8 +28,9 @@
 use dg_basis::expand;
 use dg_grid::{CellStoreMut, DgField, PhaseGrid};
 use dg_kernels::dispatch::{
-    DispatchPath, KernelDispatch, LboBatch, PencilLanes, PencilPanel, ResolvedLbo, LANES,
+    DispatchPath, KernelDispatch, LboBatch, PencilLanes, ResolvedLbo, LANES, RUNTIME_SPARSE_TAG,
 };
+use dg_kernels::panel::LanePanel;
 use dg_kernels::surface::FaceScratch;
 use dg_kernels::triple::{build_triple, DimTable, SparseTriple, TripleSpec};
 use dg_kernels::weak::WeakDivScratch;
@@ -111,11 +112,11 @@ pub struct LboScratch {
     /// `out` of its [`LANES`] pencils (`max_j n_j × Np` lane groups each),
     /// the LDG gradient `g = ∂f/∂v_j` of one position along them (`Np`),
     /// and the pencils' primitive moments `u_j` / `vth²` (`Nc` each).
-    pencil_f: PencilPanel,
-    pencil_out: PencilPanel,
-    lane_g: PencilPanel,
-    lane_u: PencilPanel,
-    lane_vth2: PencilPanel,
+    pencil_f: LanePanel,
+    pencil_out: LanePanel,
+    lane_g: LanePanel,
+    lane_u: LanePanel,
+    lane_vth2: LanePanel,
     /// Runtime-sparse path: the LDG gradient of one configuration cell's
     /// velocity block.
     g: DgField,
@@ -149,7 +150,7 @@ impl LboScratch {
         fs.ensure(nf);
         // Only the path the operator resolved to gets its buffers.
         let generated = resolve_path(kernels, dispatch).path() == DispatchPath::Generated;
-        let pencil = |groups: usize| PencilPanel::zeros(if generated { groups } else { 0 });
+        let pencil = |groups: usize| LanePanel::zeros(if generated { groups * LANES } else { 0 });
         let longest = grid.vel.cells().iter().copied().max().unwrap_or(0);
         LboScratch {
             m0: DgField::zeros(nconf, nc),
@@ -397,6 +398,15 @@ impl LboOp {
         self.path.path()
     }
 
+    /// The entry points the sweep runs (`generated/avx2x4`, …, or
+    /// `runtime-sparse`) — what this operator resolved, which need not be
+    /// what the Vlasov operator beside it runs.
+    pub fn kernel_entry_points(&self) -> &'static str {
+        self.pencils
+            .first()
+            .map_or(RUNTIME_SPARSE_TAG, |dir| dir.batch.isa().tag())
+    }
+
     /// A fresh scratch instance sized for this operator — one per thread
     /// in the cell-block parallel sweep.
     pub fn make_scratch(&self) -> LboScratch {
@@ -533,11 +543,11 @@ impl LboOp {
         let nu = self.nu;
         let (np, nv) = (self.kernels.np(), grid.vel.len());
         let probe = &ws.probe;
-        let pf = ws.pencil_f.lanes_mut();
-        let po = ws.pencil_out.lanes_mut();
-        let g = ws.lane_g.lanes_mut();
-        let lane_u = ws.lane_u.lanes_mut();
-        let lane_vth2 = ws.lane_vth2.lanes_mut();
+        let pf = ws.pencil_f.lanes_mut::<LANES>();
+        let po = ws.pencil_out.lanes_mut::<LANES>();
+        let g = ws.lane_g.lanes_mut::<LANES>();
+        let lane_u = ws.lane_u.lanes_mut::<LANES>();
+        let lane_vth2 = ws.lane_vth2.lanes_mut::<LANES>();
         for (j, dir) in self.pencils.iter().enumerate() {
             let (u, vth2) = (&ws.u[j], &ws.vth2);
             let dv = grid.vel.dx()[j];

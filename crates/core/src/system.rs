@@ -243,6 +243,18 @@ impl VlasovMaxwell {
         &self.collisions
     }
 
+    /// The kernel entry points each operator of this system resolved
+    /// (`vlasov <tags>`, then `lbo <tag>` when a species collides) — for
+    /// run reports and bench output.
+    pub fn kernel_entry_points(&self) -> String {
+        let mut s = format!("vlasov {}", self.vlasov.kernel_entry_points());
+        if let Some(lbo) = self.collisions.iter().flatten().next() {
+            s.push_str(", lbo ");
+            s.push_str(lbo.kernel_entry_points());
+        }
+        s
+    }
+
     /// Evolve the EM field and couple currents (off = external fields only).
     pub fn set_evolve_field(&mut self, evolve: bool) {
         self.evolve_field = evolve;

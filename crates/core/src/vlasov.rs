@@ -39,10 +39,11 @@
 use dg_grid::{Bc, CellStoreMut, DgField, DimBc, PhaseGrid};
 use dg_kernels::accel::VelGeom;
 use dg_kernels::dispatch::{
-    CellLanes, DispatchPath, KernelDispatch, ResolvedSurfaceDir, ResolvedVolume, SurfaceBatch,
-    SurfaceKernelFn, LANES,
+    DispatchPath, KernelDispatch, ResolvedSurfaceDir, ResolvedVolume, SurfaceBatch,
+    SurfaceKernelFn, SurfaceLanes, VolumeBatch, VolumeLanes,
 };
 use dg_kernels::ops::OpReport;
+use dg_kernels::panel::LanePanel;
 use dg_kernels::surface::FaceScratch;
 use dg_kernels::PhaseKernels;
 use dg_maxwell::NCOMP;
@@ -148,18 +149,19 @@ pub struct VlasovWorkspace {
     /// length).
     wall_m2: Vec<f64>,
     /// SoA panels for the batched volume kernel: cell centers (`ndim`
-    /// coordinates × [`LANES`] velocity cells of one configuration cell),
-    /// distribution coefficients, and the zero-initialized accumulation
-    /// panel whose lanes are unpacked into `out` (phase-dim / `Np` / `Np`
-    /// slots).
-    panel_w: Vec<CellLanes>,
-    panel_f: Vec<CellLanes>,
-    panel_out: Vec<CellLanes>,
+    /// coordinates × the velocity cells of one panel), distribution
+    /// coefficients, and the zero-initialized accumulation panel whose
+    /// lanes are unpacked into `out` (phase-dim / `Np` / `Np` lane
+    /// groups). Sized for the widest entry point there is; a sweep views
+    /// them at the lane width its operator resolved.
+    panel_w: LanePanel,
+    panel_f: LanePanel,
+    panel_out: LanePanel,
     /// Second coefficient/accumulation panels for the batched *surface*
     /// kernels (the upper side of each face; `panel_f`/`panel_out` carry
     /// the lower side).
-    panel_f2: Vec<CellLanes>,
-    panel_out2: Vec<CellLanes>,
+    panel_f2: LanePanel,
+    panel_out2: LanePanel,
     /// Wall-flux ledger accumulators, filled by the configuration-surface
     /// sweep; reset by [`VlasovOp::accumulate_rhs_bc`] (or manually when
     /// driving the sweep methods directly, as `dg-parallel` does).
@@ -182,30 +184,43 @@ impl VlasovWorkspace {
             tmp_hi: vec![0.0; k.np()],
             ghost: vec![0.0; k.np()],
             wall_m2: vec![0.0; k.nc()],
-            panel_w: vec![CellLanes::default(); k.layout.ndim()],
-            panel_f: vec![CellLanes::default(); k.np()],
-            panel_out: vec![CellLanes::default(); k.np()],
-            panel_f2: vec![CellLanes::default(); k.np()],
-            panel_out2: vec![CellLanes::default(); k.np()],
+            panel_w: LanePanel::zeros(k.layout.ndim() * MAX_LANES),
+            panel_f: LanePanel::zeros(k.np() * MAX_LANES),
+            panel_out: LanePanel::zeros(k.np() * MAX_LANES),
+            panel_f2: LanePanel::zeros(k.np() * MAX_LANES),
+            panel_out2: LanePanel::zeros(k.np() * MAX_LANES),
             wall: WallAccum::for_cdim(k.layout.cdim),
             probe: Collector::Noop,
         }
     }
 }
 
-/// Copy one cell's coefficients into lane `lane` of an SoA panel.
-#[inline]
-fn pack_lane(panel: &mut [CellLanes], lane: usize, cell: &[f64]) {
-    for (p, &c) in panel.iter_mut().zip(cell) {
-        p.0[lane] = c;
-    }
+/// The widest panel a resolved entry point sweeps (`_b8_avx512`).
+const MAX_LANES: usize = 8;
+
+/// The workspace panels viewed at one lane width: cell centers (`ndim`
+/// lane groups), then coefficients and accumulated increments (`Np` lane
+/// groups each) of the lower — or only — and the upper side.
+struct Panels<'a, const L: usize> {
+    w: &'a mut [[f64; L]],
+    f: [&'a mut [[f64; L]]; 2],
+    out: [&'a mut [[f64; L]]; 2],
 }
 
-/// `cell += ` lane `lane` of an accumulation panel.
-#[inline]
-fn unpack_add_lane(cell: &mut [f64], panel: &[CellLanes], lane: usize) {
-    for (o, p) in cell.iter_mut().zip(panel) {
-        *o += p.0[lane];
+impl VlasovWorkspace {
+    fn panels<const L: usize>(&mut self, k: &PhaseKernels) -> Panels<'_, L> {
+        let np = k.np();
+        Panels {
+            w: &mut self.panel_w.lanes_mut()[..k.layout.ndim()],
+            f: [
+                &mut self.panel_f.lanes_mut()[..np],
+                &mut self.panel_f2.lanes_mut()[..np],
+            ],
+            out: [
+                &mut self.panel_out.lanes_mut()[..np],
+                &mut self.panel_out2.lanes_mut()[..np],
+            ],
+        }
     }
 }
 
@@ -258,6 +273,24 @@ pub struct VlasovOp {
     /// paired velocity dimension mirrored (`idx_d → n_d − 1 − idx_d`) —
     /// the cell holding `−v_d` on a symmetric grid (`Bc::Reflect`).
     vel_mirror: Vec<Vec<u32>>,
+}
+
+/// [`VlasovOp::kernel_entry_points`].
+struct EntryPoints<'a>(&'a VlasovOp);
+
+impl std::fmt::Display for EntryPoints<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let op = self.0;
+        let volume = op.volume_path.tag();
+        f.write_str(volume)?;
+        for (d, dir) in op.surface_paths.iter().enumerate() {
+            let seen = op.surface_paths[..d].iter().any(|p| p.tag() == dir.tag());
+            if dir.tag() != volume && !seen {
+                write!(f, " + {}", dir.tag())?;
+            }
+        }
+        Ok(())
+    }
 }
 
 impl VlasovOp {
@@ -401,6 +434,16 @@ impl VlasovOp {
         self.surface_path_tag
     }
 
+    /// The entry points this operator's sweeps run, from what it resolved
+    /// (displayed, not allocated — this file is on the hot path): the
+    /// volume kernel's tag (`generated/avx512x8`, `generated/avx2x4`,
+    /// `generated/baselinex4` or `runtime-sparse`), then — joined by `+` —
+    /// that of every face direction that resolved differently
+    /// (configuration directions stop at 4 lanes).
+    pub fn kernel_entry_points(&self) -> impl std::fmt::Display + '_ {
+        EntryPoints(self)
+    }
+
     /// Per-cell operation counts, tagged with the resolved volume *and*
     /// surface dispatch paths so bench output states explicitly which
     /// paths were measured.
@@ -443,77 +486,18 @@ impl VlasovOp {
     ) {
         let k = &*self.kernels;
         let (cdim, vdim) = (k.layout.cdim, k.layout.vdim);
-        let ndim = cdim + vdim;
         let nv = self.grid.vel.len();
         span!(ws.probe, Phase::Volume);
         let swept = (conf_range.len() * nv) as u64;
         ws.probe.count(Counter::CellsSwept, swept);
         ws.probe.count(Counter::DofProcessed, swept * k.np() as u64);
         match self.volume_path {
-            ResolvedVolume::Generated {
-                func: kernel,
-                batch,
-            } => {
-                // Committed unrolled kernel. Runs of LANES velocity cells
-                // of one configuration cell go through the SIMD-batched
-                // companion (SoA panels from workspace scratch — zeroed
-                // accumulation panel, lanes unpacked into `out`), the
-                // `nv % LANES` tail through the scalar kernel. The split
-                // depends only on `nv`, never on `conf_range`, so any
-                // block decomposition batches identically; per lane the
-                // batched kernel is bit-identical to the scalar one, and
-                // the volume term is each cell's first contribution (out
-                // still zero), so the unpack-add reproduces the scalar
-                // accumulation exactly. The EM cell slice is passed whole
-                // (the kernels read only the leading 6 × Nc E/B
-                // coefficients).
-                let np = k.np();
-                let nv_full = nv - nv % LANES;
-                let mut w = [0.0f64; MAX_DIM];
-                for clin in conf_range {
-                    let em_cell = em.cell(clin);
-                    w[..cdim].copy_from_slice(&self.conf_centers[clin * cdim..][..cdim]);
-                    for d in 0..cdim {
-                        ws.panel_w[d].0.fill(w[d]);
-                    }
-                    let mut v0 = 0;
-                    while v0 < nv_full {
-                        for lane in 0..LANES {
-                            let vlin = v0 + lane;
-                            for j in 0..vdim {
-                                ws.panel_w[cdim + j].0[lane] = self.vel_centers[vlin][j];
-                            }
-                            pack_lane(&mut ws.panel_f[..np], lane, f.cell(clin * nv + vlin));
-                        }
-                        ws.panel_out[..np].fill(CellLanes::default());
-                        batch.call(
-                            &ws.panel_w[..ndim],
-                            &self.dxv,
-                            qm,
-                            em_cell,
-                            &ws.panel_f[..np],
-                            &mut ws.panel_out[..np],
-                        );
-                        for lane in 0..LANES {
-                            let oc = out.cell_mut(clin * nv + v0 + lane);
-                            unpack_add_lane(oc, &ws.panel_out[..np], lane);
-                        }
-                        v0 += LANES;
-                    }
-                    for vlin in nv_full..nv {
-                        let cell = clin * nv + vlin;
-                        w[cdim..ndim].copy_from_slice(&self.vel_centers[vlin][..vdim]);
-                        kernel(
-                            &w[..ndim],
-                            &self.dxv,
-                            qm,
-                            em_cell,
-                            f.cell(cell),
-                            out.cell_mut(cell),
-                        );
-                    }
-                }
-            }
+            // One `match` on the lane width the operator resolved; the
+            // sweep itself is generic over it.
+            ResolvedVolume::Generated { batch, .. } => match batch {
+                VolumeBatch::X4(kernel) => self.volume_gen(kernel, qm, f, em, out, ws, conf_range),
+                VolumeBatch::X8(kernel) => self.volume_gen(kernel, qm, f, em, out, ws, conf_range),
+            },
             ResolvedVolume::RuntimeSparse => {
                 let cdx = self.grid.conf.dx();
                 let vdx = self.grid.vel.dx();
@@ -544,6 +528,71 @@ impl VlasovOp {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Committed-kernel variant of the volume sweep. Runs of `L` velocity
+    /// cells of one configuration cell go through the batched kernel: SoA
+    /// panels from workspace scratch, a zeroed accumulation panel, lanes
+    /// unpacked into `out`. The last run of a configuration cell may be a
+    /// *partial panel*, whose spare lanes repeat its last cell — finite
+    /// data, computed and never unpacked. The split depends only on `nv`,
+    /// never on `conf_range`, so any block decomposition batches
+    /// identically; per lane the batched kernel is the scalar kernel's own
+    /// body, and the volume term is each cell's first contribution (out
+    /// still zero), so the unpack-add reproduces the scalar accumulation
+    /// exactly. The EM cell slice is passed whole (the kernels read only
+    /// the leading 6 × Nc E/B coefficients).
+    #[allow(clippy::too_many_arguments)]
+    fn volume_gen<const L: usize, S: CellStoreMut>(
+        &self,
+        kernel: VolumeLanes<L>,
+        qm: f64,
+        f: &DgField,
+        em: &DgField,
+        out: &mut S,
+        ws: &mut VlasovWorkspace,
+        conf_range: Range<usize>,
+    ) {
+        let nv = self.grid.vel.len();
+        let Panels {
+            w,
+            f: [pf, _],
+            out: [po, _],
+        } = ws.panels::<L>(&self.kernels);
+        for clin in conf_range {
+            let em_cell = em.cell(clin);
+            self.fill_conf_center(w, clin);
+            for v0 in (0..nv).step_by(L) {
+                let lanes = L.min(nv - v0);
+                let vlin: [usize; L] = std::array::from_fn(|lane| v0 + lane.min(lanes - 1));
+                self.fill_vel_centers(w, &vlin);
+                let cells = vlin.map(|v| clin * nv + v);
+                kernel.moves.pack(pf, cells.map(|c| f.cell(c)));
+                po.fill([0.0; L]);
+                kernel.call(w, &self.dxv, qm, em_cell, pf, po);
+                kernel.moves.unpack_add(out.cells_mut(&cells, lanes), po);
+            }
+        }
+    }
+
+    /// The center of configuration cell `clin` into every lane of the
+    /// configuration rows of a center panel.
+    fn fill_conf_center<const L: usize>(&self, w: &mut [[f64; L]], clin: usize) {
+        let cdim = self.kernels.layout.cdim;
+        for d in 0..cdim {
+            w[d].fill(self.conf_centers[clin * cdim + d]);
+        }
+    }
+
+    /// The centers of velocity cells `vlin`, one per lane, into the velocity
+    /// rows of a center panel.
+    fn fill_vel_centers<const L: usize>(&self, w: &mut [[f64; L]], vlin: &[usize; L]) {
+        let (cdim, vdim) = (self.kernels.layout.cdim, self.kernels.layout.vdim);
+        for (lane, &v) in vlin.iter().enumerate() {
+            for j in 0..vdim {
+                w[cdim + j][lane] = self.vel_centers[v][j];
             }
         }
     }
@@ -581,16 +630,9 @@ impl VlasovOp {
     }
 
     /// Committed-kernel variant of one configuration-direction face. Every
-    /// face between two distinct cells goes through the SIMD-batched kernel
-    /// in runs of [`LANES`] velocity cells (SoA panels from workspace
-    /// scratch); a final run shorter than `LANES` is a partial panel whose
-    /// spare lanes hold stale finite coefficients and are never unpacked.
-    /// Each output coefficient receives exactly one increment per face (one
-    /// face mode per cell mode), so unpacking the zeroed accumulation
-    /// panels reproduces the scalar accumulation bit for bit. The kernels
-    /// always compute both sides; a one-sided face (a block or rank edge)
-    /// unpacks only the side it owns — the other cell may lie outside
-    /// `out`. Only the single-cell periodic wrap, whose two sides alias,
+    /// face between two distinct cells goes through the batched kernel
+    /// ([`Self::surface_config_panels`], at the lane width this direction
+    /// resolved). Only the single-cell periodic wrap, whose two sides alias,
     /// stays on the scalar kernel, staged in the workspace.
     #[allow(clippy::too_many_arguments)]
     fn surface_config_face_gen<S: CellStoreMut>(
@@ -608,6 +650,19 @@ impl VlasovOp {
         if !write_lo && !write_hi {
             return;
         }
+        if clo != chi {
+            return match batch {
+                SurfaceBatch::X4(k) => {
+                    self.surface_config_panels(k, f, out, ws, clo, chi, write_lo, write_hi)
+                }
+                SurfaceBatch::X8(k) => {
+                    self.surface_config_panels(k, f, out, ws, clo, chi, write_lo, write_hi)
+                }
+            };
+        }
+        // Single-cell periodic direction: both sides are the same cell;
+        // stage and accumulate sequentially. Streaming kernels never read
+        // `qm`/`em` (α̂ = v_d).
         let k = &*self.kernels;
         let (cdim, vdim) = (k.layout.cdim, k.layout.vdim);
         let ndim = cdim + vdim;
@@ -616,68 +671,79 @@ impl VlasovOp {
         let penalty = self.flux != FluxKind::Central;
         let mut w = [0.0f64; MAX_DIM];
         w[..cdim].copy_from_slice(&self.conf_centers[clo * cdim..][..cdim]);
-        // Streaming kernels never read `qm`/`em` (α̂ = v_d).
-        if clo == chi {
-            // Single-cell periodic direction: both sides are the same
-            // cell; stage and accumulate sequentially.
-            for vlin in 0..nv {
-                w[cdim..ndim].copy_from_slice(&self.vel_centers[vlin][..vdim]);
-                let cell = clo * nv + vlin;
-                let fc = f.cell(cell);
-                ws.tmp_lo[..np].fill(0.0);
-                ws.tmp_hi[..np].fill(0.0);
-                kernel(
-                    &w[..ndim],
-                    &self.dxv,
-                    0.0,
-                    &[],
-                    penalty,
-                    fc,
-                    fc,
-                    &mut ws.tmp_lo,
-                    &mut ws.tmp_hi,
-                );
-                let oc = out.cell_mut(cell);
-                for (o, (a, b)) in oc.iter_mut().zip(ws.tmp_lo.iter().zip(&ws.tmp_hi)) {
-                    *o += a + b;
-                }
-            }
-            return;
-        }
-        for d in 0..cdim {
-            ws.panel_w[d].0.fill(w[d]);
-        }
-        for v0 in (0..nv).step_by(LANES) {
-            let lanes = LANES.min(nv - v0);
-            for lane in 0..lanes {
-                let vlin = v0 + lane;
-                for j in 0..vdim {
-                    ws.panel_w[cdim + j].0[lane] = self.vel_centers[vlin][j];
-                }
-                pack_lane(&mut ws.panel_f[..np], lane, f.cell(clo * nv + vlin));
-                pack_lane(&mut ws.panel_f2[..np], lane, f.cell(chi * nv + vlin));
-            }
-            ws.panel_out[..np].fill(CellLanes::default());
-            ws.panel_out2[..np].fill(CellLanes::default());
-            batch.call(
-                &ws.panel_w[..ndim],
+        for vlin in 0..nv {
+            w[cdim..ndim].copy_from_slice(&self.vel_centers[vlin][..vdim]);
+            let cell = clo * nv + vlin;
+            let fc = f.cell(cell);
+            ws.tmp_lo[..np].fill(0.0);
+            ws.tmp_hi[..np].fill(0.0);
+            kernel(
+                &w[..ndim],
                 &self.dxv,
                 0.0,
                 &[],
                 penalty,
-                &ws.panel_f[..np],
-                &ws.panel_f2[..np],
-                &mut ws.panel_out[..np],
-                &mut ws.panel_out2[..np],
+                fc,
+                fc,
+                &mut ws.tmp_lo,
+                &mut ws.tmp_hi,
             );
-            for lane in 0..lanes {
-                let vlin = v0 + lane;
-                if write_lo {
-                    unpack_add_lane(out.cell_mut(clo * nv + vlin), &ws.panel_out[..np], lane);
-                }
-                if write_hi {
-                    unpack_add_lane(out.cell_mut(chi * nv + vlin), &ws.panel_out2[..np], lane);
-                }
+            let oc = out.cell_mut(cell);
+            for (o, (a, b)) in oc.iter_mut().zip(ws.tmp_lo.iter().zip(&ws.tmp_hi)) {
+                *o += a + b;
+            }
+        }
+    }
+
+    /// One configuration-direction face between two distinct cells, in
+    /// runs of `L` velocity cells (SoA panels from workspace scratch); a
+    /// final run shorter than `L` is a partial panel whose spare lanes
+    /// repeat its last cell and are never unpacked. Each output coefficient
+    /// receives exactly one increment per face (one face mode per cell
+    /// mode), so unpacking the zeroed accumulation panels reproduces the
+    /// scalar accumulation bit for bit. The kernels always compute both
+    /// sides; a one-sided face (a block or rank edge) unpacks only the side
+    /// it owns — the other cell may lie outside `out`.
+    #[allow(clippy::too_many_arguments)]
+    fn surface_config_panels<const L: usize, S: CellStoreMut>(
+        &self,
+        kernel: SurfaceLanes<L>,
+        f: &DgField,
+        out: &mut S,
+        ws: &mut VlasovWorkspace,
+        clo: usize,
+        chi: usize,
+        write_lo: bool,
+        write_hi: bool,
+    ) {
+        let nv = self.grid.vel.len();
+        let penalty = self.flux != FluxKind::Central;
+        let Panels {
+            w,
+            f: [f_lo, f_hi],
+            out: [o_lo, o_hi],
+        } = ws.panels::<L>(&self.kernels);
+        self.fill_conf_center(w, clo);
+        for v0 in (0..nv).step_by(L) {
+            let lanes = L.min(nv - v0);
+            let vlin: [usize; L] = std::array::from_fn(|lane| v0 + lane.min(lanes - 1));
+            self.fill_vel_centers(w, &vlin);
+            let (lo_cells, hi_cells) = (vlin.map(|v| clo * nv + v), vlin.map(|v| chi * nv + v));
+            kernel.moves.pack(f_lo, lo_cells.map(|c| f.cell(c)));
+            kernel.moves.pack(f_hi, hi_cells.map(|c| f.cell(c)));
+            o_lo.fill([0.0; L]);
+            o_hi.fill([0.0; L]);
+            // Streaming kernels never read `qm`/`em` (α̂ = v_d).
+            kernel.call(w, &self.dxv, 0.0, &[], penalty, f_lo, f_hi, o_lo, o_hi);
+            if write_lo {
+                kernel
+                    .moves
+                    .unpack_add(out.cells_mut(&lo_cells, lanes), o_lo);
+            }
+            if write_hi {
+                kernel
+                    .moves
+                    .unpack_add(out.cells_mut(&hi_cells, lanes), o_hi);
             }
         }
     }
@@ -997,12 +1063,10 @@ impl VlasovOp {
     ) {
         let k = &*self.kernels;
         let (cdim, vdim) = (k.layout.cdim, k.layout.vdim);
-        let ndim = cdim + vdim;
         let nv = self.grid.vel.len();
         let nc = self.nc_em();
         let vdx = self.grid.vel.dx();
         let central = self.flux == FluxKind::Central;
-        let penalty = !central;
         span!(ws.probe, Phase::Surface);
         let faces_per_conf: u64 = self.vel_faces.iter().map(|v| v.len() as u64).sum();
         ws.probe.count(
@@ -1015,60 +1079,14 @@ impl VlasovOp {
                 let dir = cdim + j;
                 let stride = self.grid.vel.stride(j);
                 match self.surface_paths[dir] {
-                    ResolvedSurfaceDir::Generated { batch, .. } => {
-                        // Committed unrolled kernel: the direction's
-                        // precomputed face list, LANES faces per panel
-                        // (the last panel may be partial — its spare lanes
-                        // hold stale finite data and are never unpacked).
-                        // The list runs face-index-major across pencils,
-                        // so a pencil's faces appear in ascending order
-                        // and every cell still receives its lower face's
-                        // increment before its upper face's. The zeroed
-                        // accumulation panels are unpacked lane by lane in
-                        // list order, each side's unpack-add being the
-                        // single increment the scalar kernel would apply —
-                        // so the result equals calling the scalar kernel
-                        // face by face in list order, and (per cell, the
-                        // same two increments in the same order) a
-                        // pencil-by-pencil sweep, bit for bit. The inlined
-                        // α̂ projection reads only the transverse velocity
-                        // centers, so it is the same exact polynomial the
-                        // runtime path projects once per pencil.
-                        let np = k.np();
-                        for d in 0..cdim {
-                            ws.panel_w[d].0.fill(self.conf_centers[clin * cdim + d]);
+                    ResolvedSurfaceDir::Generated { batch, .. } => match batch {
+                        SurfaceBatch::X4(k) => {
+                            self.surface_velocity_panels(k, j, qm, f, em_cell, out, ws, clin)
                         }
-                        for faces in self.vel_faces[j].chunks(LANES) {
-                            for (lane, &vlo) in faces.iter().enumerate() {
-                                let vlo = vlo as usize;
-                                for jj in 0..vdim {
-                                    ws.panel_w[cdim + jj].0[lane] = self.vel_centers[vlo][jj];
-                                }
-                                let lo_cell = clin * nv + vlo;
-                                pack_lane(&mut ws.panel_f[..np], lane, f.cell(lo_cell));
-                                pack_lane(&mut ws.panel_f2[..np], lane, f.cell(lo_cell + stride));
-                            }
-                            ws.panel_out[..np].fill(CellLanes::default());
-                            ws.panel_out2[..np].fill(CellLanes::default());
-                            batch.call(
-                                &ws.panel_w[..ndim],
-                                &self.dxv,
-                                qm,
-                                em_cell,
-                                penalty,
-                                &ws.panel_f[..np],
-                                &ws.panel_f2[..np],
-                                &mut ws.panel_out[..np],
-                                &mut ws.panel_out2[..np],
-                            );
-                            for (lane, &vlo) in faces.iter().enumerate() {
-                                let lo_cell = clin * nv + vlo as usize;
-                                let (o_lo, o_hi) = out.cell_pair_mut(lo_cell, lo_cell + stride);
-                                unpack_add_lane(o_lo, &ws.panel_out[..np], lane);
-                                unpack_add_lane(o_hi, &ws.panel_out2[..np], lane);
-                            }
+                        SurfaceBatch::X8(k) => {
+                            self.surface_velocity_panels(k, j, qm, f, em_cell, out, ws, clin)
                         }
-                    }
+                    },
                     ResolvedSurfaceDir::RuntimeSparse => {
                         let (e, b) = self.em_slices(em_cell);
                         let surf = &k.surfaces[dir];
@@ -1111,6 +1129,63 @@ impl VlasovOp {
                     }
                 }
             }
+        }
+    }
+
+    /// Committed-kernel variant of the `v_j` faces of one configuration
+    /// cell: the direction's precomputed face list, `L` faces per panel
+    /// (the last panel may be partial — its spare lanes repeat its last
+    /// face and are never unpacked). The list runs face-index-major across
+    /// pencils, so a pencil's faces appear in ascending order and every
+    /// cell still receives its lower face's increment before its upper
+    /// face's — also inside one panel, which is why the upper sides are
+    /// unpacked first: a cell can be the upper cell of one lane and the
+    /// lower cell of a later one, never the other way round. Each side's
+    /// unpack-add of the zeroed accumulation panel is the single increment
+    /// the scalar kernel would apply, so the result equals calling the
+    /// scalar kernel face by face in list order, and (per cell, the same
+    /// two increments in the same order) a pencil-by-pencil sweep, bit for
+    /// bit. The inlined α̂ projection reads only the transverse velocity
+    /// centers, so it is the same exact polynomial the runtime path
+    /// projects once per pencil.
+    #[allow(clippy::too_many_arguments)]
+    fn surface_velocity_panels<const L: usize, S: CellStoreMut>(
+        &self,
+        kernel: SurfaceLanes<L>,
+        j: usize,
+        qm: f64,
+        f: &DgField,
+        em_cell: &[f64],
+        out: &mut S,
+        ws: &mut VlasovWorkspace,
+        clin: usize,
+    ) {
+        let nv = self.grid.vel.len();
+        let stride = self.grid.vel.stride(j);
+        let penalty = self.flux != FluxKind::Central;
+        let Panels {
+            w,
+            f: [f_lo, f_hi],
+            out: [o_lo, o_hi],
+        } = ws.panels::<L>(&self.kernels);
+        self.fill_conf_center(w, clin);
+        for faces in self.vel_faces[j].chunks(L) {
+            let lanes = faces.len();
+            let vlo: [usize; L] = std::array::from_fn(|lane| faces[lane.min(lanes - 1)] as usize);
+            self.fill_vel_centers(w, &vlo);
+            let lo_cells = vlo.map(|v| clin * nv + v);
+            let hi_cells = lo_cells.map(|c| c + stride);
+            kernel.moves.pack(f_lo, lo_cells.map(|c| f.cell(c)));
+            kernel.moves.pack(f_hi, hi_cells.map(|c| f.cell(c)));
+            o_lo.fill([0.0; L]);
+            o_hi.fill([0.0; L]);
+            kernel.call(w, &self.dxv, qm, em_cell, penalty, f_lo, f_hi, o_lo, o_hi);
+            kernel
+                .moves
+                .unpack_add(out.cells_mut(&hi_cells, lanes), o_hi);
+            kernel
+                .moves
+                .unpack_add(out.cells_mut(&lo_cells, lanes), o_lo);
         }
     }
 
@@ -1164,6 +1239,7 @@ mod tests {
     use crate::species::{maxwellian, Species};
     use dg_basis::BasisKind;
     use dg_grid::{Bc, CartGrid};
+    use dg_kernels::dispatch::{find_surface_kernel, find_volume_kernel, BatchIsa};
     use dg_kernels::{kernels_for, PhaseLayout};
 
     fn setup_1x1v(nx: usize, nvx: usize, p: usize) -> (VlasovOp, Species, DgField) {
@@ -1283,64 +1359,133 @@ mod tests {
         }
     }
 
+    /// Grids chosen to break a panel schedule — (poly order, configuration
+    /// cells, velocity cells): pencil counts that are not multiples of a
+    /// lane width, `n_j = 2` (one face per pencil), `n_j = 1` (no faces),
+    /// fewer faces than lanes in a whole direction, one long pencil (1x1v,
+    /// 63 faces), 2x3v with 3×5×2, and `nv % 8` ∈ {0, 1, 4, 7} for the
+    /// partial panels of the cell sweeps.
+    const SCHEDULE_CASES: &[(usize, &[usize], &[usize])] = &[
+        (1, &[2], &[5, 3]),
+        (2, &[1], &[2, 7]),
+        (1, &[2], &[1, 6]),
+        (1, &[1], &[2, 2]),
+        (2, &[2], &[64]),
+        (2, &[2], &[9]),
+        (1, &[2], &[3, 4]),
+        (1, &[2, 1], &[3, 5, 2]),
+    ];
+
+    /// A forced-`Generated` operator on one schedule case, with synthetic
+    /// `f` and `em`.
+    fn schedule_case(
+        p: usize,
+        conf_cells: &[usize],
+        vel_cells: &[usize],
+        flux: FluxKind,
+    ) -> (VlasovOp, DgField, DgField) {
+        let (cdim, vdim) = (conf_cells.len(), vel_cells.len());
+        let kernels = kernels_for(BasisKind::Serendipity, PhaseLayout::new(cdim, vdim), p);
+        let grid = PhaseGrid::new(
+            CartGrid::new(&vec![0.0; cdim], &vec![1.0; cdim], conf_cells),
+            CartGrid::new(&vec![-3.0; vdim], &vec![3.0; vdim], vel_cells),
+            vec![Bc::Periodic; cdim],
+        );
+        let mut f = DgField::zeros(grid.conf.len() * grid.vel.len(), kernels.np());
+        for (i, v) in f.as_mut_slice().iter_mut().enumerate() {
+            *v = ((i * 37 % 101) as f64 - 50.0) * 1e-2;
+        }
+        let mut em = DgField::zeros(grid.conf.len(), NCOMP * kernels.nc());
+        for (i, v) in em.as_mut_slice().iter_mut().enumerate() {
+            *v = ((i * 13 % 17) as f64 - 8.0) * 0.1;
+        }
+        let op = VlasovOp::with_dispatch(kernels, grid, flux, KernelDispatch::Generated);
+        (op, f, em)
+    }
+
+    /// Re-resolve every batched entry point of `op` to `isa` — what the
+    /// operator would have picked on a CPU whose widest ISA that is;
+    /// `false` when this host cannot run it.
+    fn force_isa(op: &mut VlasovOp, isa: BatchIsa) -> bool {
+        let k = &op.kernels;
+        let (kind, p) = (k.phase_basis.kind(), k.phase_basis.poly_order());
+        let vol = find_volume_kernel(kind, k.layout, p).expect("case is in the registry");
+        let surf = find_surface_kernel(kind, k.layout, p).expect("case is in the registry");
+        let volume = match isa {
+            BatchIsa::Baseline => Some(VolumeBatch::baseline(vol)),
+            BatchIsa::Avx2 => VolumeBatch::avx2(vol),
+            BatchIsa::Avx512 => VolumeBatch::avx512(vol),
+        };
+        let Some(batch) = volume else { return false };
+        op.volume_path = ResolvedVolume::Generated {
+            func: vol.func,
+            batch,
+        };
+        for (d, path) in op.surface_paths.iter_mut().enumerate() {
+            let batch = match isa {
+                BatchIsa::Baseline => SurfaceBatch::baseline(surf, d),
+                BatchIsa::Avx2 => SurfaceBatch::avx2(surf, d).expect("volume resolved"),
+                BatchIsa::Avx512 => SurfaceBatch::avx512(surf, d).expect("volume resolved"),
+            };
+            *path = ResolvedSurfaceDir::Generated {
+                func: surf.dirs[d],
+                batch,
+            };
+        }
+        true
+    }
+
+    const ISAS: [BatchIsa; 3] = [BatchIsa::Baseline, BatchIsa::Avx2, BatchIsa::Avx512];
+
+    /// Run `check` on the operator as resolved for this host, then forced
+    /// to every entry-point family the host offers (so an AVX-512 machine
+    /// also covers what an AVX2-only and a non-x86 one would run); which of
+    /// [`ISAS`] ran comes back for [`report_widths`].
+    fn at_every_width(op: &mut VlasovOp, mut check: impl FnMut(&VlasovOp, &str)) -> [bool; 3] {
+        check(op, "as resolved");
+        ISAS.map(|isa| {
+            let ran = force_isa(op, isa);
+            if ran {
+                check(op, isa.tag());
+            }
+            ran
+        })
+    }
+
+    fn report_widths(test: &str, ran: [bool; 3]) {
+        for (isa, ran) in ISAS.iter().zip(ran) {
+            let what = if ran {
+                "ran"
+            } else {
+                "skipped: not on this CPU"
+            };
+            println!("{test}: {} {what}", isa.tag());
+        }
+    }
+
     #[test]
     fn face_panel_schedule_matches_scalar_pencil_sweep_bitwise() {
         // `surface_velocity` batches a face-index-major face list across
         // pencils. The reference below is the sweep it replaced: the scalar
         // committed kernels, pencil by pencil, faces ascending — built from
-        // the grid alone, not from the operator's face tables. Velocity
-        // grids are chosen to break a schedule: pencil counts that are not
-        // multiples of LANES, `n_j = 2` (one face per pencil), `n_j = 1`
-        // (no faces), fewer than LANES faces in a whole direction, one
-        // long pencil (1x1v, 63 faces), and 2x3v with 3×5×2.
-        // (poly order, configuration cells, velocity cells)
-        let cases: &[(usize, &[usize], &[usize])] = &[
-            (1, &[2], &[5, 3]),
-            (2, &[1], &[2, 7]),
-            (1, &[2], &[1, 6]),
-            (1, &[1], &[2, 2]),
-            (2, &[2], &[64]),
-            (1, &[2, 1], &[3, 5, 2]),
-        ];
-        for &(p, conf_cells, vel_cells) in cases {
+        // the grid alone, not from the operator's face tables.
+        let mut ran = [false; 3];
+        for &(p, conf_cells, vel_cells) in SCHEDULE_CASES {
             let (cdim, vdim) = (conf_cells.len(), vel_cells.len());
-            let layout = PhaseLayout::new(cdim, vdim);
-            let kernels = kernels_for(BasisKind::Serendipity, layout, p);
-            let grid = PhaseGrid::new(
-                CartGrid::new(&vec![0.0; cdim], &vec![1.0; cdim], conf_cells),
-                CartGrid::new(&vec![-3.0; vdim], &vec![3.0; vdim], vel_cells),
-                vec![Bc::Periodic; cdim],
-            );
-            let (np, nv, nconf) = (kernels.np(), grid.vel.len(), grid.conf.len());
-            let mut f = DgField::zeros(nconf * nv, np);
-            for (i, v) in f.as_mut_slice().iter_mut().enumerate() {
-                *v = ((i * 37 % 101) as f64 - 50.0) * 1e-2;
-            }
-            let mut em = DgField::zeros(nconf, NCOMP * kernels.nc());
-            for (i, v) in em.as_mut_slice().iter_mut().enumerate() {
-                *v = ((i * 13 % 17) as f64 - 8.0) * 0.1;
-            }
-            // Non-zero starting increments, so the order in which a cell
-            // receives its two face contributions shows in the bits.
-            let mut start = DgField::zeros(nconf * nv, np);
-            for (i, v) in start.as_mut_slice().iter_mut().enumerate() {
-                *v = ((i * 29 % 53) as f64 - 26.0) * 0.3;
-            }
             for flux in [FluxKind::Upwind, FluxKind::Central] {
-                let op = VlasovOp::with_dispatch(
-                    Arc::clone(&kernels),
-                    grid.clone(),
-                    flux,
-                    KernelDispatch::Generated,
-                );
+                let (mut op, f, em) = schedule_case(p, conf_cells, vel_cells, flux);
+                let grid = op.grid.clone();
+                let (nv, nconf) = (grid.vel.len(), grid.conf.len());
+                // Non-zero starting increments, so the order in which a cell
+                // receives its two face contributions shows in the bits.
+                let mut start = DgField::zeros(nconf * nv, op.kernels.np());
+                for (i, v) in start.as_mut_slice().iter_mut().enumerate() {
+                    *v = ((i * 29 % 53) as f64 - 26.0) * 0.3;
+                }
                 let qm = -1.5;
-                let mut got = start.clone();
-                let mut ws = VlasovWorkspace::for_kernels(&kernels);
-                op.surface_velocity(qm, &f, &em, &mut got, &mut ws, 0..nconf);
 
-                let entry =
-                    dg_kernels::dispatch::find_surface_kernel(BasisKind::Serendipity, layout, p)
-                        .expect("case is in the registry");
+                let entry = find_surface_kernel(BasisKind::Serendipity, op.kernels.layout, p)
+                    .expect("case is in the registry");
                 let mut want = start.clone();
                 let mut vidx = vec![0usize; vdim];
                 let mut w = vec![0.0; cdim + vdim];
@@ -1373,15 +1518,119 @@ mod tests {
                         }
                     }
                 }
-                for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
-                    assert!(
-                        a.to_bits() == b.to_bits(),
-                        "{cdim}x{vdim}v p{p} vel {vel_cells:?} {flux:?}: coefficient {i} \
-                         face-panel sweep {a} vs scalar pencil sweep {b}"
+
+                ran = at_every_width(&mut op, |op, width| {
+                    let mut got = start.clone();
+                    let mut ws = VlasovWorkspace::for_kernels(&op.kernels);
+                    op.surface_velocity(qm, &f, &em, &mut got, &mut ws, 0..nconf);
+                    for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                        assert!(
+                            a.to_bits() == b.to_bits(),
+                            "{cdim}x{vdim}v p{p} vel {vel_cells:?} {flux:?} {width}: coefficient \
+                             {i} face-panel sweep {a} vs scalar pencil sweep {b}"
+                        );
+                    }
+                });
+            }
+        }
+        report_widths("face_panel_schedule", ran);
+    }
+
+    #[test]
+    fn cell_panel_schedule_matches_scalar_cell_sweep_bitwise() {
+        // The volume twin of the face-panel test, and the configuration
+        // faces with it: `volume` and `surface_config` batch runs of
+        // velocity cells with a partial last panel per configuration cell.
+        // The reference is the scalar committed kernels cell by cell — the
+        // volume term from zero (it is each cell's first contribution), the
+        // faces into non-zero increments, lower face of a cell first.
+        let mut ran = [false; 3];
+        for &(p, conf_cells, vel_cells) in SCHEDULE_CASES {
+            let (cdim, vdim) = (conf_cells.len(), vel_cells.len());
+            let (mut op, f, em) = schedule_case(p, conf_cells, vel_cells, FluxKind::Upwind);
+            let (nv, nconf, np) = (op.grid.vel.len(), op.grid.conf.len(), op.kernels.np());
+            let qm = 0.75;
+            let layout = op.kernels.layout;
+            let vol = find_volume_kernel(BasisKind::Serendipity, layout, p).unwrap();
+            let surf = find_surface_kernel(BasisKind::Serendipity, layout, p).unwrap();
+
+            let mut w = vec![0.0; cdim + vdim];
+            let mut want_vol = DgField::zeros(nconf * nv, np);
+            for clin in 0..nconf {
+                w[..cdim].copy_from_slice(&op.conf_centers[clin * cdim..][..cdim]);
+                for vlin in 0..nv {
+                    w[cdim..].copy_from_slice(&op.vel_centers[vlin][..vdim]);
+                    let cell = clin * nv + vlin;
+                    (vol.func)(
+                        &w,
+                        &op.dxv,
+                        qm,
+                        em.cell(clin),
+                        f.cell(cell),
+                        want_vol.cell_mut(cell),
                     );
                 }
             }
+            let mut start = DgField::zeros(nconf * nv, np);
+            for (i, v) in start.as_mut_slice().iter_mut().enumerate() {
+                *v = ((i * 31 % 47) as f64 - 23.0) * 0.2;
+            }
+            let mut want_faces = start.clone();
+            for d in 0..cdim {
+                for clo in 0..nconf {
+                    let Some(chi) = op.conf_nbr[d][clo] else {
+                        continue;
+                    };
+                    let chi = chi as usize;
+                    if chi == clo {
+                        continue; // the single-cell wrap is scalar in both
+                    }
+                    w[..cdim].copy_from_slice(&op.conf_centers[clo * cdim..][..cdim]);
+                    for vlin in 0..nv {
+                        w[cdim..].copy_from_slice(&op.vel_centers[vlin][..vdim]);
+                        let (lo, hi) = (clo * nv + vlin, chi * nv + vlin);
+                        let (o_lo, o_hi) = want_faces.cell_pair_mut(lo, hi);
+                        (surf.dirs[d])(
+                            &w,
+                            &op.dxv,
+                            0.0,
+                            &[],
+                            true,
+                            f.cell(lo),
+                            f.cell(hi),
+                            o_lo,
+                            o_hi,
+                        );
+                    }
+                }
+            }
+
+            ran = at_every_width(&mut op, |op, width| {
+                let mut ws = VlasovWorkspace::for_kernels(&op.kernels);
+                let mut got_vol = DgField::zeros(nconf * nv, np);
+                op.volume(qm, &f, &em, &mut got_vol, &mut ws, 0..nconf);
+                let mut got_faces = start.clone();
+                for d in 0..cdim {
+                    if conf_cells[d] > 1 {
+                        let bc = op.grid.conf_bc[d];
+                        op.surface_config(d, &f, &mut got_faces, &mut ws, 0..nconf, bc);
+                    }
+                }
+                for (what, got, want) in [
+                    ("volume", &got_vol, &want_vol),
+                    ("config faces", &got_faces, &want_faces),
+                ] {
+                    for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                        assert!(
+                            a.to_bits() == b.to_bits(),
+                            "{cdim}x{vdim}v p{p} vel {vel_cells:?} {width}: {what} coefficient \
+                             {i} panel sweep {a} vs scalar cell sweep {b}"
+                        );
+                    }
+                }
+            });
         }
+        report_widths("cell_panel_schedule", ran);
     }
 
     #[test]

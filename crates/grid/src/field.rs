@@ -14,6 +14,43 @@ pub trait CellStoreMut {
     fn cell_mut(&mut self, i: usize) -> &mut [f64];
     /// Two disjoint cells at once (face updates touch both sides).
     fn cell_pair_mut(&mut self, i: usize, j: usize) -> (&mut [f64], &mut [f64]);
+    /// The pairwise distinct cells `idx[..n]` at once (a panel unpack writes
+    /// a whole lane group); slots `n..` come back empty, whatever they name.
+    fn cells_mut<const N: usize>(&mut self, idx: &[usize; N], n: usize) -> [&mut [f64]; N];
+}
+
+/// [`CellStoreMut::cells_mut`] over a flat coefficient slice whose first
+/// cell is `first_cell`.
+fn disjoint_cells_mut<'a, const N: usize>(
+    data: &'a mut [f64],
+    ncoeff: usize,
+    first_cell: usize,
+    idx: &[usize; N],
+    n: usize,
+) -> [&'a mut [f64]; N] {
+    let local = |cell: usize| {
+        cell.checked_sub(first_cell)
+            .expect("cell below this store's range")
+    };
+    // A run of consecutive cells — every panel of the cell sweeps, and of
+    // the face sweeps along the slowest velocity direction — is one block
+    // cut into cells: no pairwise overlap checks (23 ns for eight cells,
+    // as much as unpacking them at Np = 8).
+    if ncoeff > 0 && n > 0 && idx[..n].windows(2).all(|w| w[1] == w[0] + 1) {
+        let first = local(idx[0]);
+        let mut cells = data[first * ncoeff..(first + n) * ncoeff].chunks_exact_mut(ncoeff);
+        return std::array::from_fn(|_| cells.next().unwrap_or_default());
+    }
+    // Spare slots ask for the empty range, which overlaps nothing.
+    let ranges = std::array::from_fn(|k| {
+        if k < n {
+            local(idx[k]) * ncoeff..(local(idx[k]) + 1) * ncoeff
+        } else {
+            0..0
+        }
+    });
+    data.get_disjoint_mut(ranges)
+        .expect("distinct cells inside this store")
 }
 
 /// Modal DG coefficients for every cell of some grid: `ncoeff` doubles per
@@ -175,6 +212,11 @@ impl CellStoreMut for DgField {
     fn cell_pair_mut(&mut self, i: usize, j: usize) -> (&mut [f64], &mut [f64]) {
         DgField::cell_pair_mut(self, i, j)
     }
+
+    #[inline]
+    fn cells_mut<const N: usize>(&mut self, idx: &[usize; N], n: usize) -> [&mut [f64]; N] {
+        disjoint_cells_mut(&mut self.data, self.ncoeff, 0, idx, n)
+    }
 }
 
 /// A contiguous, exclusively borrowed cell range of a [`DgField`], indexed
@@ -256,6 +298,11 @@ impl CellStoreMut for DgFieldSlice<'_> {
             (bi, &mut a[lj * nc..(lj + 1) * nc])
         }
     }
+
+    #[inline]
+    fn cells_mut<const N: usize>(&mut self, idx: &[usize; N], n: usize) -> [&mut [f64]; N] {
+        disjoint_cells_mut(self.data, self.ncoeff, self.first_cell, idx, n)
+    }
 }
 
 #[cfg(test)]
@@ -297,6 +344,43 @@ mod tests {
     fn cell_pair_mut_rejects_aliasing() {
         let mut f = DgField::zeros(3, 2);
         let _ = f.cell_pair_mut(1, 1);
+    }
+
+    #[test]
+    fn cells_mut_any_order_spare_slots_empty() {
+        let mut f = DgField::zeros(5, 2);
+        {
+            // Slot 2 is spare: its index (a repeat) is never looked at.
+            let [a, b, spare] = CellStoreMut::cells_mut(&mut f, &[4, 1, 1], 2);
+            a[0] = 4.0;
+            b[1] = 1.0;
+            assert!(spare.is_empty());
+        }
+        assert_eq!(f.cell(4), &[4.0, 0.0]);
+        assert_eq!(f.cell(1), &[0.0, 1.0]);
+        // A consecutive run (cut from one block), partial and full.
+        {
+            let [a, b, spare] = CellStoreMut::cells_mut(&mut f, &[2, 3, 3], 2);
+            a[1] = 2.0;
+            b[0] = 3.0;
+            assert!(spare.is_empty());
+            let [a, _, c] = CellStoreMut::cells_mut(&mut f, &[2, 3, 4], 3);
+            assert_eq!((a[1], c[0]), (2.0, 4.0));
+        }
+        assert_eq!(f.cell(3), &[3.0, 0.0]);
+        // Through a view, with global numbering.
+        let mut views = f.split_cells_mut(&[3]);
+        let [c] = views[1].cells_mut(&[4], 1);
+        assert_eq!(c, &[4.0, 0.0]);
+        let [b, c] = views[1].cells_mut(&[3, 4], 2);
+        assert_eq!((b[0], c[0]), (3.0, 4.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct cells")]
+    fn cells_mut_rejects_aliasing() {
+        let mut f = DgField::zeros(3, 2);
+        let _ = CellStoreMut::cells_mut(&mut f, &[1, 1], 2);
     }
 
     #[test]

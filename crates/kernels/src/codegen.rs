@@ -159,19 +159,16 @@ pub const MANIFEST: &[KernelSpec] = &[
     KernelSpec::new(BasisKind::Serendipity, 3, 3, 1),
 ];
 
-/// Emit the volume-kernel source for one manifest entry: the scalar
-/// function followed by its SIMD-batched `_b4` companion (both committed
-/// into the same artifact file and registered in the same registry row).
+/// Emit the volume-kernel source for one manifest entry: one lane-generic
+/// body behind its scalar and batched entry points (one artifact file, one
+/// registry row).
 pub fn manifest_kernel_source(spec: &KernelSpec) -> String {
     let pk = crate::cache::kernels_for(spec.kind, spec.layout(), spec.poly_order);
-    let scalar = volume_kernel_source(&pk, &spec.fn_name());
-    let batch = volume_kernel_batch_source(&pk, &spec.fn_name());
-    format!("{scalar}\n{batch}")
+    volume_kernel_source(&pk, &spec.fn_name())
 }
 
 /// Emit the surface-kernel source (all phase directions) for one manifest
-/// entry: each direction's scalar function followed by its SIMD-batched
-/// `_b4` companion.
+/// entry.
 pub fn manifest_surface_source(spec: &KernelSpec) -> String {
     let pk = crate::cache::kernels_for(spec.kind, spec.layout(), spec.poly_order);
     surface_kernel_source(&pk, spec)
@@ -348,43 +345,45 @@ pub fn generated_mod_source() -> String {
         "//! them. Equivalence and no-drift tests live in `tests.rs` (handwritten)."
     );
     let _ = writeln!(s);
-    for spec in MANIFEST {
-        let _ = writeln!(s, "include!(\"{}\");", spec.file_name());
-    }
-    for spec in MANIFEST {
-        let _ = writeln!(s, "include!(\"{}\");", spec.surf_file_name());
-    }
+    // rustc cuts codegen units along module lines, and a lane-generic body
+    // is compiled once per entry point — four times for a Vlasov kernel,
+    // three for an LBO stage. The three big families get a module, hence a
+    // unit, each, so the crate's build spreads over the cores there are.
+    write_family_module(
+        &mut s,
+        "vol",
+        "The Vlasov volume kernels",
+        KernelSpec::file_name,
+    );
+    write_family_module(
+        &mut s,
+        "surf",
+        "The Vlasov surface kernels",
+        KernelSpec::surf_file_name,
+    );
+    write_family_module(
+        &mut s,
+        "lbo",
+        "The LBO stage kernels",
+        KernelSpec::lbo_file_name,
+    );
     for spec in MANIFEST {
         let _ = writeln!(s, "include!(\"{}\");", spec.mom_file_name());
     }
-    let _ = writeln!(s);
-    // rustc cuts codegen units along module lines, and everything
-    // `include!`d above lands in this module's one unit, compiled on one
-    // core. The LBO kernels — three instantiations per body — get a module,
-    // hence a unit, of their own, so a second core takes them.
-    let _ = writeln!(
-        s,
-        "/// The LBO stage kernels, in a module (and so a codegen unit) of their own."
-    );
-    let _ = writeln!(s, "mod lbo {{");
-    let _ = writeln!(s, "    use crate::dispatch::{{sxn, LANES}};");
-    let _ = writeln!(s);
-    for spec in MANIFEST {
-        let _ = writeln!(s, "    include!(\"{}\");", spec.lbo_file_name());
-    }
-    let _ = writeln!(s, "}}");
     let _ = writeln!(s);
     // Emitted pre-wrapped in rustfmt's item order (lowercase, CamelCase,
     // SCREAMING_CASE) so the artifact is a fmt fixed point.
     let _ = writeln!(s, "use crate::dispatch::{{");
     let _ = writeln!(
         s,
-        "    sx4, CellLanes, KernelKey, LboBatchFns, LboKernelEntry, MomentKernelEntry, SurfaceKernelEntry,"
+        "    KernelKey, LboBatchFns, LboKernelEntry, MomentKernelEntry, SurfaceKernelEntry,"
     );
-    let _ = writeln!(s, "    VolumeKernelEntry, LANES,");
+    let _ = writeln!(s, "    VolumeKernelEntry,");
     let _ = writeln!(s, "}};");
     let _ = writeln!(s, "use dg_basis::BasisKind;");
     let _ = writeln!(s, "use lbo::*;");
+    let _ = writeln!(s, "use surf::*;");
+    let _ = writeln!(s, "use vol::*;");
     let _ = writeln!(s);
     let _ = writeln!(
         s,
@@ -407,6 +406,8 @@ pub fn generated_mod_source() -> String {
         let _ = writeln!(s, "        batch: {}_b4,", spec.fn_name());
         let _ = writeln!(s, "        #[cfg(target_arch = \"x86_64\")]");
         let _ = writeln!(s, "        batch_avx2: {}_b4_avx2,", spec.fn_name());
+        let _ = writeln!(s, "        #[cfg(target_arch = \"x86_64\")]");
+        let _ = writeln!(s, "        batch_avx512: {}_b8_avx512,", spec.fn_name());
         let _ = writeln!(s, "    }},");
     }
     let _ = writeln!(s, "];");
@@ -440,6 +441,9 @@ pub fn generated_mod_source() -> String {
         let avx2_names: Vec<String> = names.iter().map(|n| format!("{n}_b4_avx2")).collect();
         let _ = writeln!(s, "        #[cfg(target_arch = \"x86_64\")]");
         write_fn_array(&mut s, "batch_avx2", &avx2_names);
+        let avx512_names: Vec<String> = names.iter().map(|n| format!("{n}_b8_avx512")).collect();
+        let _ = writeln!(s, "        #[cfg(target_arch = \"x86_64\")]");
+        write_fn_array(&mut s, "batch_avx512", &avx512_names);
         let _ = writeln!(s, "    }},");
     }
     let _ = writeln!(s, "];");
@@ -529,6 +533,29 @@ pub fn generated_mod_source() -> String {
     s
 }
 
+/// One kernel family's artifacts `include!`d into a module of their own
+/// (see [`generated_mod_source`]).
+fn write_family_module(
+    s: &mut String,
+    module: &str,
+    what: &str,
+    file_name: fn(&KernelSpec) -> String,
+) {
+    let _ = writeln!(
+        s,
+        "/// {what}, in a module (and so a codegen unit) of their own."
+    );
+    let _ = writeln!(s, "mod {module} {{");
+    let _ = writeln!(s, "    use crate::dispatch::LANES;");
+    let _ = writeln!(s, "    use crate::panel::sxn;");
+    let _ = writeln!(s);
+    for spec in MANIFEST {
+        let _ = writeln!(s, "    include!(\"{}\");", file_name(spec));
+    }
+    let _ = writeln!(s, "}}");
+    let _ = writeln!(s);
+}
+
 /// The five LBO stage families, in registry-field order.
 const LBO_STAGES: [&str; 5] = [
     "drag_vol",
@@ -555,206 +582,135 @@ fn write_fn_array(s: &mut String, field: &str, names: &[String]) {
     }
 }
 
+/// Vlasov volume and surface kernels get all four entry points: their
+/// panel width follows the ISA (8 cells or faces on AVX-512).
+const VOLUME_ENTRY_POINTS: EntryPoints = EntryPoints {
+    unit: "cells",
+    avx512: true,
+};
+const SURFACE_ENTRY_POINTS: EntryPoints = EntryPoints {
+    unit: "faces",
+    avx512: true,
+};
+
+/// `α_j` assembly statements of one acceleration term (volume: the phase
+/// expansion, surface: the face expansion — `proj` says which), for the
+/// lane loop: `q/m (E_j + (v×B)_j)` with the cell centers per lane and the
+/// E/B coefficients lane-constant. Mirrors `AccelProject::project` exactly.
+fn accel_alpha_stmts(
+    alpha: &str,
+    proj: &crate::accel::AccelProject,
+    j: usize,
+    cdim: usize,
+    vdim: usize,
+    nc: usize,
+) -> Vec<String> {
+    let terms = cross_terms_pub(j, vdim);
+    let mut stmts = Vec::new();
+    for l in 0..nc {
+        let mut center = format!("em[{}]", j * nc + l);
+        for &(k, bc, sign) in &terms {
+            let op = if sign > 0.0 { "+" } else { "-" };
+            let _ = write!(
+                center,
+                " {op} w[{}][k] * em[{}]",
+                cdim + k,
+                (3 + bc) * nc + l
+            );
+        }
+        let i0 = proj.emb0[l];
+        stmts.push(format!(
+            "{alpha}[{i0}][k] += qm * {:?} * ({center});",
+            proj.w0
+        ));
+        for &(k, bc, sign) in &terms {
+            if let Some(i1) = proj.emb1[k][l] {
+                stmts.push(format!(
+                    "{alpha}[{i1}][k] += qm * {:?} * (0.5 * dxv[{}]) * em[{}];",
+                    proj.w1 * sign,
+                    cdim + k,
+                    (3 + bc) * nc + l
+                ));
+            }
+        }
+    }
+    stmts
+}
+
 /// Emit the volume kernel (streaming + acceleration, all directions) for a
 /// kernel set, in the calling convention of the paper's Fig. 1: cell center
 /// `w`, cell sizes `dxv`, charge-to-mass ratio `qm`, flattened E/B
 /// configuration coefficients `em` (`[Ex, Ey, Ez, Bx, By, Bz] × Nc`), the
 /// distribution-function coefficients `f`, and the output increment `out`.
-pub fn volume_kernel_source(pk: &PhaseKernels, fn_name: &str) -> String {
-    let layout = pk.layout;
-    let (cdim, vdim) = (layout.cdim, layout.vdim);
-    let nc = pk.nc();
-    let np = pk.np();
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "/// Volume kernel for the Vlasov phase-space advection, {} p={} {} basis.",
-        layout.tag(),
-        pk.phase_basis.poly_order(),
-        pk.phase_basis.kind()
-    );
-    let _ = writeln!(
-        s,
-        "/// Auto-generated from exact integral tables — do not edit by hand."
-    );
-    let _ = writeln!(s, "///");
-    let _ = writeln!(
-        s,
-        "/// * `w`   — phase-space cell center, `[x…, v…]`, length {}",
-        cdim + vdim
-    );
-    let _ = writeln!(
-        s,
-        "/// * `dxv` — phase-space cell size, length {}",
-        cdim + vdim
-    );
-    let _ = writeln!(s, "/// * `qm`  — charge-to-mass ratio q/m");
-    let _ = writeln!(
-        s,
-        "/// * `em`  — E/B conf-space coefficients, 6 components × {nc}"
-    );
-    let _ = writeln!(s, "/// * `f`   — distribution coefficients, length {np}");
-    let _ = writeln!(s, "/// * `out` — RHS increment, length {np}");
-    let _ = writeln!(s, "#[allow(clippy::all)]");
-    let _ = writeln!(s, "#[rustfmt::skip]");
-    let _ = writeln!(
-        s,
-        "pub fn {fn_name}(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], f: &[f64], out: &mut [f64]) {{"
-    );
-
-    // Streaming terms.
-    for sv in &pk.streaming {
-        let d = sv.dir;
-        let vd = sv.vdim_of;
-        let _ = writeln!(s, "    // streaming: ∂/∂x{d} of (v{} f)", vd - cdim);
-        let _ = writeln!(s, "    let rd{d} = 2.0 / dxv[{d}];");
-        let _ = writeln!(s, "    let a0_{d} = {:?} * w[{vd}] * rd{d};", sv.c0);
-        let _ = writeln!(s, "    let a1_{d} = {:?} * 0.5 * dxv[{vd}] * rd{d};", sv.c1);
-        for &(l, n, c) in &sv.s0.entries {
-            let _ = writeln!(s, "    out[{l}] += {c:?} * a0_{d} * f[{n}];");
-        }
-        for &(l, n, c) in &sv.s1.entries {
-            let _ = writeln!(s, "    out[{l}] += {c:?} * a1_{d} * f[{n}];");
-        }
-    }
-
-    // Acceleration terms: assemble α_j then contract.
-    for j in 0..vdim {
-        let pd = cdim + j;
-        let proj = &pk.cell_accel[j];
-        let _ = writeln!(s, "    // acceleration: ∂/∂v{j} of (q/m (E + v×B)_{j} f)");
-        let _ = writeln!(s, "    let rv{j} = 2.0 / dxv[{pd}];");
-        let _ = writeln!(s, "    let mut alpha{j} = [0.0f64; {np}];");
-        // Mirror AccelProject::project exactly.
-        let terms: Vec<(usize, usize, f64)> = crate::codegen::cross_terms_pub(j, vdim);
-        for l in 0..nc {
-            let mut center = format!("em[{}]", j * nc + l);
-            for &(k, bc, sign) in &terms {
-                let op = if sign > 0.0 { "+" } else { "-" };
-                let _ = write!(center, " {op} w[{}] * em[{}]", cdim + k, (3 + bc) * nc + l);
-            }
-            let i0 = proj.emb0[l];
-            let _ = writeln!(s, "    alpha{j}[{i0}] += qm * {:?} * ({center});", proj.w0);
-            for &(k, bc, sign) in &terms {
-                if let Some(i1) = proj.emb1[k][l] {
-                    let _ = writeln!(
-                        s,
-                        "    alpha{j}[{i1}] += qm * {:?} * (0.5 * dxv[{}]) * em[{}];",
-                        proj.w1 * sign,
-                        cdim + k,
-                        (3 + bc) * nc + l
-                    );
-                }
-            }
-        }
-        for e in pk.accel_vol[j].entries() {
-            let _ = writeln!(
-                s,
-                "    out[{}] += {:?} * rv{j} * alpha{j}[{}] * f[{}];",
-                e.l, e.coeff, e.m, e.n
-            );
-        }
-    }
-    let _ = writeln!(s, "}}");
-    s
-}
-
-/// Emit the entry points of one batched kernel `name` (`<…>_b4`) and open
-/// its shared body, which the caller then fills with statements and
-/// closes. The body is written **once**, as a private `#[inline(always)]`
-/// function, and inlined into two thin entry points: the portable `name`
-/// and, on `x86_64` only, `name_avx2` carrying `#[target_feature(enable =
-/// "avx2")]` — so the compiler vectorizes the same statement stream for
-/// 256-bit registers without a second copy of the source. No `fma` feature
-/// is enabled and the body contains no `mul_add`, hence both compilations
-/// perform identical IEEE operations per lane and stay bit-identical
-/// (three-way proptest in `generated/tests.rs`). Which one runs is decided
-/// from the CPU alone by [`crate::dispatch::VolumeBatch`] /
-/// [`crate::dispatch::SurfaceBatch`].
-fn write_batch_entry_points(s: &mut String, name: &str, doc: &str, params: &str, args: &str) {
-    let _ = write!(s, "{doc}");
-    let _ = writeln!(s, "#[allow(clippy::all)]");
-    let _ = writeln!(s, "#[rustfmt::skip]");
-    let _ = writeln!(s, "pub fn {name}({params}) {{");
-    let _ = writeln!(s, "    {name}_body({args})");
-    let _ = writeln!(s, "}}");
-    let _ = writeln!(s);
-    let _ = writeln!(
-        s,
-        "/// [`{name}`] compiled for AVX2: the same body, bit-identical per lane."
-    );
-    let _ = writeln!(
-        s,
-        "/// Reach it through `crate::dispatch`, which checks the CPU first."
-    );
-    let _ = writeln!(s, "#[cfg(target_arch = \"x86_64\")]");
-    let _ = writeln!(s, "#[target_feature(enable = \"avx2\")]");
-    let _ = writeln!(s, "#[allow(clippy::all)]");
-    let _ = writeln!(s, "#[rustfmt::skip]");
-    let _ = writeln!(s, "pub fn {name}_avx2({params}) {{");
-    let _ = writeln!(s, "    {name}_body({args})");
-    let _ = writeln!(s, "}}");
-    let _ = writeln!(s);
-    let _ = writeln!(s, "/// Shared body of [`{name}`] and its AVX2 entry point.");
-    let _ = writeln!(s, "#[allow(clippy::all)]");
-    let _ = writeln!(s, "#[rustfmt::skip]");
-    let _ = writeln!(s, "#[inline(always)]");
-    let _ = writeln!(s, "fn {name}_body({params}) {{");
-}
-
-/// Emit the SIMD-batched volume kernel (`<fn_name>_b4`) for a kernel set,
-/// in the [`crate::dispatch::VolumeKernelBatchFn`] calling convention:
-/// the scalar kernel over a structure-of-arrays panel of `LANES` phase
-/// cells sharing one configuration cell (`em` lane-constant, `w` per
-/// lane).
 ///
-/// Every emitted statement performs, per lane, the *same* floating-point
-/// operations in the *same* association order as the corresponding scalar
-/// statement — `out[l] += c * a * f[n]` becomes the same expression on
-/// lane `k` of each operand, inside a lane loop
-/// (`write_lane_accumulates`), with the identical `(c * a) * f` grouping;
-/// lane-constant scale factors are pre-multiplied exactly as the scalar
-/// kernel parenthesizes them. Batched results therefore match the scalar
-/// kernel bit for bit (asserted by proptest in `generated/tests.rs`),
-/// which is what lets dispatch mix batched panels and scalar remainders
-/// freely.
-pub fn volume_kernel_batch_source(pk: &PhaseKernels, fn_name: &str) -> String {
-    const VOL_PARAMS: &str =
-        "w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]";
-    const VOL_ARGS: &str = "w, dxv, qm, em, f, out";
+/// The body is emitted **once**, generic over the lane count
+/// (`write_lane_generic_entry_points`): `w`, `f` and `out` are panels of
+/// `[f64; L]` lane groups — `L` phase cells sharing one configuration cell,
+/// so `em` is lane-constant while the cell centers vary per lane — and
+/// `dxv`, `qm`, `em` are shared. The one-lane instantiation *is* the scalar
+/// kernel (`fn_name`); `<fn_name>_b4`, `<fn_name>_b4_avx2` and
+/// `<fn_name>_b8_avx512` run the same statements per lane at 4 and 8 lanes,
+/// bit-identical (four-way proptest in `generated/tests.rs`).
+pub fn volume_kernel_source(pk: &PhaseKernels, fn_name: &str) -> String {
+    use LaneParam::{In, Out, Shared};
     let layout = pk.layout;
     let (cdim, vdim) = (layout.cdim, layout.vdim);
+    let ndim = cdim + vdim;
     let nc = pk.nc();
     let np = pk.np();
     let mut s = String::new();
     let doc = format!(
-        "/// Batched volume kernel, {} p={} {} basis: [`{fn_name}`] over an SoA\n\
-         /// panel of `LANES` cells sharing one configuration cell, bit-identical\n\
-         /// per lane. Auto-generated from exact integral tables — do not edit by\n\
-         /// hand.\n",
+        "/// Volume kernel for the Vlasov phase-space advection, {} p={} {} basis.\n\
+         /// Auto-generated from exact integral tables — do not edit by hand.\n\
+         ///\n\
+         /// * `w`   — phase-space cell center, `[x…, v…]`, length {ndim}\n\
+         /// * `dxv` — phase-space cell size, length {ndim}\n\
+         /// * `qm`  — charge-to-mass ratio q/m\n\
+         /// * `em`  — E/B conf-space coefficients, 6 components × {nc}\n\
+         /// * `f`   — distribution coefficients, length {np}\n\
+         /// * `out` — RHS increment, length {np}\n",
         layout.tag(),
         pk.phase_basis.poly_order(),
         pk.phase_basis.kind()
     );
-    write_batch_entry_points(&mut s, &format!("{fn_name}_b4"), &doc, VOL_PARAMS, VOL_ARGS);
+    write_lane_generic_entry_points(
+        &mut s,
+        fn_name,
+        &doc,
+        &[
+            In("w", ndim),
+            Shared("dxv", "&[f64]"),
+            Shared("qm", "f64"),
+            Shared("em", "&[f64]"),
+            In("f", np),
+            Out("out", np),
+        ],
+        VOLUME_ENTRY_POINTS,
+    );
     // The body only sequences one `#[inline(always)]` part per term
     // (streaming direction, acceleration direction): rustc's borrow checker
     // is quadratic in function size, and the 2x3v p2 body in one piece
     // (6.5k lane statements) spent 40 s there against 4 s per part.
     let mut parts = String::new();
-    let mut write_part =
-        |s: &mut String, part: &str, what: &str, sig: (&str, &str), stmts: &str| {
-            let (params, args) = sig;
-            let _ = writeln!(s, "    {fn_name}_b4_{part}({args});");
-            let _ = writeln!(parts);
-            let _ = writeln!(parts, "/// {what} term of [`{fn_name}_b4`].");
-            let _ = writeln!(parts, "#[allow(clippy::all)]");
-            let _ = writeln!(parts, "#[rustfmt::skip]");
-            let _ = writeln!(parts, "#[inline(always)]");
-            let _ = writeln!(parts, "fn {fn_name}_b4_{part}({params}) {{");
-            let _ = write!(parts, "{stmts}");
-            let _ = writeln!(parts, "}}");
+    let mut write_part = |s: &mut String, part: &str, what: &str, with_em: bool, stmts: &str| {
+        let (em_params, em_args) = if with_em {
+            (", qm: f64, em: &[f64]", ", qm, em")
+        } else {
+            ("", "")
         };
+        let _ = writeln!(s, "    {fn_name}_{part}(w, dxv{em_args}, f, out);");
+        let _ = writeln!(parts);
+        let _ = writeln!(parts, "/// {what} term of [`{fn_name}`].");
+        let _ = writeln!(parts, "#[allow(clippy::all)]");
+        let _ = writeln!(parts, "#[rustfmt::skip]");
+        let _ = writeln!(parts, "#[inline(always)]");
+        let _ = writeln!(
+            parts,
+            "fn {fn_name}_{part}<const L: usize>(w: &[[f64; L]; {ndim}], dxv: &[f64]{em_params}, f: &[[f64; L]; {np}], out: &mut [[f64; L]; {np}]) {{"
+        );
+        let _ = write!(parts, "{stmts}");
+        let _ = writeln!(parts, "}}");
+    };
 
     // Streaming terms: `a0` carries the per-lane cell center, `a1` is
     // lane-constant (cell sizes are one grid).
@@ -763,135 +719,72 @@ pub fn volume_kernel_batch_source(pk: &PhaseKernels, fn_name: &str) -> String {
         let vd = sv.vdim_of;
         let mut p = String::new();
         let _ = writeln!(p, "    let rd{d} = 2.0 / dxv[{d}];");
-        let _ = writeln!(p, "    let mut a0_{d} = CellLanes([0.0f64; LANES]);");
-        let _ = writeln!(p, "    for k in 0..LANES {{");
-        let _ = writeln!(
-            p,
-            "        a0_{d}.0[k] = {:?} * w[{vd}].0[k] * rd{d};",
-            sv.c0
+        let _ = writeln!(p, "    let mut a0_{d} = [0.0f64; L];");
+        write_lane_block(
+            &mut p,
+            &[format!("a0_{d}[k] = {:?} * w[{vd}][k] * rd{d};", sv.c0)],
         );
-        let _ = writeln!(p, "    }}");
         let _ = writeln!(p, "    let a1_{d} = {:?} * 0.5 * dxv[{vd}] * rd{d};", sv.c1);
-        let s0: Vec<(String, String)> = sv
+        let s0: Vec<LaneAxpy> = sv
             .s0
             .entries
             .iter()
-            .map(|&(l, n, c)| {
-                (
-                    format!("out[{l}]"),
-                    format!("{c:?} * a0_{d}.0[k] * f[{n}].0[k]"),
-                )
+            .map(|&(l, n, c)| LaneAxpy {
+                target: format!("out[{l}]"),
+                coeff: format!("{c:?}"),
+                operands: vec![format!("a0_{d}"), format!("f[{n}]")],
             })
             .collect();
-        write_lane_accumulates(&mut p, &s0);
+        write_lane_runs(&mut p, &s0);
         for &(l, n, c) in &sv.s1.entries {
-            let _ = writeln!(p, "    sx4(&mut out[{l}], {c:?} * a1_{d}, &f[{n}]);");
+            let _ = writeln!(p, "    sxn(&mut out[{l}], {c:?} * a1_{d}, &f[{n}]);");
         }
         write_part(
             &mut s,
             &format!("stream{d}"),
             &format!("Streaming `∂/∂x{d} (v{} f)`", vd - cdim),
-            (
-                "w: &[CellLanes], dxv: &[f64], f: &[CellLanes], out: &mut [CellLanes]",
-                "w, dxv, f, out",
-            ),
+            false,
             &p,
         );
     }
 
     // Acceleration terms: α_j assembled per lane (velocity coordinates
     // vary across the panel; E/B coefficients are lane-constant), then
-    // contracted in the scalar kernel's association order.
+    // contracted.
     for j in 0..vdim {
         let pd = cdim + j;
-        let proj = &pk.cell_accel[j];
         let mut p = String::new();
         let _ = writeln!(p, "    let rv{j} = 2.0 / dxv[{pd}];");
-        let _ = writeln!(
-            p,
-            "    let mut alpha{j} = [CellLanes([0.0f64; LANES]); {np}];"
-        );
-        let terms: Vec<(usize, usize, f64)> = crate::codegen::cross_terms_pub(j, vdim);
-        if terms.is_empty() {
+        let _ = writeln!(p, "    let mut alpha{j} = [[0.0f64; L]; {np}];");
+        if cross_terms_pub(j, vdim).is_empty() {
             // 1V: no v×B cross terms, so the cell centers are never read.
             let _ = writeln!(p, "    let _ = w;");
         }
-        let _ = writeln!(p, "    for k in 0..LANES {{");
-        for l in 0..nc {
-            let mut center = format!("em[{}]", j * nc + l);
-            for &(k, bc, sign) in &terms {
-                let op = if sign > 0.0 { "+" } else { "-" };
-                let _ = write!(
-                    center,
-                    " {op} w[{}].0[k] * em[{}]",
-                    cdim + k,
-                    (3 + bc) * nc + l
-                );
-            }
-            let i0 = proj.emb0[l];
-            let _ = writeln!(
-                p,
-                "        alpha{j}[{i0}].0[k] += qm * {:?} * ({center});",
-                proj.w0
-            );
-            for &(k, bc, sign) in &terms {
-                if let Some(i1) = proj.emb1[k][l] {
-                    let _ = writeln!(
-                        p,
-                        "        alpha{j}[{i1}].0[k] += qm * {:?} * (0.5 * dxv[{}]) * em[{}];",
-                        proj.w1 * sign,
-                        cdim + k,
-                        (3 + bc) * nc + l
-                    );
-                }
-            }
-        }
-        let _ = writeln!(p, "    }}");
-        let contraction: Vec<(String, String)> = pk.accel_vol[j]
+        write_lane_block(
+            &mut p,
+            &accel_alpha_stmts(&format!("alpha{j}"), &pk.cell_accel[j], j, cdim, vdim, nc),
+        );
+        let contraction: Vec<LaneAxpy> = pk.accel_vol[j]
             .entries()
             .iter()
-            .map(|e| {
-                (
-                    format!("out[{}]", e.l),
-                    format!(
-                        "{:?} * rv{j} * alpha{j}[{}].0[k] * f[{}].0[k]",
-                        e.coeff, e.m, e.n
-                    ),
-                )
+            .map(|e| LaneAxpy {
+                target: format!("out[{}]", e.l),
+                coeff: format!("{:?} * rv{j}", e.coeff),
+                operands: vec![format!("alpha{j}[{}]", e.m), format!("f[{}]", e.n)],
             })
             .collect();
-        write_lane_accumulates(&mut p, &contraction);
+        write_lane_runs(&mut p, &contraction);
         write_part(
             &mut s,
             &format!("accel{j}"),
             &format!("Acceleration `∂/∂v{j} (q/m (E + v×B)_{j} f)`"),
-            (VOL_PARAMS, VOL_ARGS),
+            true,
             &p,
         );
     }
     let _ = writeln!(s, "}}");
     s.push_str(&parts);
     s
-}
-
-/// Write batched accumulates `target.0[k] += rhs` (`rhs` an expression in
-/// the lane index `k`), consecutive statements with the same target sharing
-/// one `for k in 0..LANES` loop. Per lane the statements run in the order
-/// given, so grouping changes no result; it changes what the compiler
-/// sees. A loop over a run of statements is vectorized as a unit — the
-/// target's lanes live in one register across the run — where thousands of
-/// one-statement lane loops were unrolled to scalars first and left the
-/// SLP vectorizer to rediscover the lanes, superlinearly in the size of the
-/// block: that search was most of the kernels crate's build time (2x3v p2
-/// volume body: 130 s of LLVM time, 5 s emitted this way).
-fn write_lane_accumulates(s: &mut String, terms: &[(String, String)]) {
-    for run in terms.chunk_by(|a, b| a.0 == b.0) {
-        let _ = writeln!(s, "    for k in 0..LANES {{");
-        for (target, rhs) in run {
-            let _ = writeln!(s, "        {target}.0[k] += {rhs};");
-        }
-        let _ = writeln!(s, "    }}");
-    }
 }
 
 /// Emit the surface kernels (one fully unrolled function per phase
@@ -906,7 +799,15 @@ fn write_lane_accumulates(s: &mut String, terms: &[(String, String)]) {
 /// trace → flux-tensor → lift pipeline is emitted statement by statement
 /// from the same exact tables the runtime kernels interpret, so the two
 /// paths are the same arithmetic.
+///
+/// Like the volume kernel, each direction's body is emitted **once**,
+/// generic over the lane count: `L` faces that share one configuration
+/// cell (`em` lane-constant, the lower-cell centers `w` — hence `α̂` and
+/// the penalty speed `λ` — per lane, both adjacent cells' coefficients and
+/// increments as panels), behind the scalar, `_b4`, `_b4_avx2` and
+/// `_b8_avx512` entry points.
 pub fn surface_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
+    use LaneParam::{In, Out, Shared};
     let layout = pk.layout;
     let (cdim, vdim) = (layout.cdim, layout.vdim);
     let ndim = cdim + vdim;
@@ -928,83 +829,74 @@ pub fn surface_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
     );
     let _ = writeln!(
         s,
-        "// One function per face-normal phase direction (configuration first);"
+        "// One lane-generic body per face-normal phase direction (configuration"
     );
     let _ = writeln!(
         s,
-        "// see `crate::dispatch::SurfaceKernelFn` for the calling convention."
+        "// first) behind a scalar, a `_b4`, a `_b4_avx2` and a `_b8_avx512` entry"
+    );
+    let _ = writeln!(
+        s,
+        "// point; see `crate::dispatch::SurfaceKernelFn` for the calling convention."
     );
     for dir in 0..ndim {
         let surf = &pk.surfaces[dir];
         let fb = &surf.kernel.face;
         let nf = fb.len();
-        let fn_name = spec.surf_fn_name(dir);
         let is_conf = layout.is_config_dir(dir);
         let _ = writeln!(s);
-        if is_conf {
-            let _ = writeln!(
-                s,
-                "/// Streaming surface kernel, faces normal to x{dir} (α̂ = v{dir})."
-            );
+        let doc = if is_conf {
+            format!("/// Streaming surface kernel, faces normal to x{dir} (α̂ = v{dir}).\n")
         } else {
-            let _ = writeln!(
-                s,
-                "/// Acceleration surface kernel, faces normal to v{} (α̂ = q/m (E + v×B)_{}).",
-                dir - cdim,
-                dir - cdim
-            );
-        }
-        let _ = writeln!(s, "#[allow(clippy::all)]");
-        let _ = writeln!(s, "#[rustfmt::skip]");
-        let _ = writeln!(
-            s,
-            "pub fn {fn_name}(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {{"
+            format!(
+                "/// Acceleration surface kernel, faces normal to v{j} (α̂ = q/m (E + v×B)_{j}).\n",
+                j = dir - cdim
+            )
+        };
+        write_lane_generic_entry_points(
+            &mut s,
+            &spec.surf_fn_name(dir),
+            &doc,
+            &[
+                In("w", ndim),
+                Shared("dxv", "&[f64]"),
+                Shared("qm", "f64"),
+                Shared("em", "&[f64]"),
+                Shared("penalty", "bool"),
+                In("f_lo", np),
+                In("f_hi", np),
+                Out("out_lo", np),
+                Out("out_hi", np),
+            ],
+            SURFACE_ENTRY_POINTS,
         );
         let _ = writeln!(s, "    let rd = 2.0 / dxv[{dir}];");
-        let _ = writeln!(s, "    let mut alpha = [0.0f64; {nf}];");
+        let _ = writeln!(s, "    let mut alpha = [[0.0f64; L]; {nf}];");
+        let _ = writeln!(s, "    let mut lam = [0.0f64; L];");
         // α̂ assembly + penalty speed λ, mirroring the runtime builders
         // operation for operation.
-        if is_conf {
+        let mut block = if is_conf {
             let _ = writeln!(s, "    let _ = (qm, em);");
             let vd = layout.vel_phase_dim(dir);
             let (lin_idx, c0, c1) = surf.stream_affine.expect("config dir has affine α̂");
-            let _ = writeln!(s, "    alpha[0] = w[{vd}] * {c0:?};");
-            let _ = writeln!(s, "    alpha[{lin_idx}] += 0.5 * dxv[{vd}] * {c1:?};");
-            let _ = writeln!(
-                s,
-                "    let lam = if penalty {{ w[{vd}].abs() + 0.5 * dxv[{vd}].abs() }} else {{ 0.0 }};"
-            );
+            vec![
+                format!("alpha[0][k] = w[{vd}][k] * {c0:?};"),
+                format!("alpha[{lin_idx}][k] += 0.5 * dxv[{vd}] * {c1:?};"),
+                format!(
+                    "lam[k] = if penalty {{ w[{vd}][k].abs() + 0.5 * dxv[{vd}].abs() }} else {{ 0.0 }};"
+                ),
+            ]
         } else {
             let j = dir - cdim;
             let proj = surf
                 .face_accel
                 .as_ref()
                 .expect("velocity dir has projector");
-            let terms: Vec<(usize, usize, f64)> = cross_terms_pub(j, vdim);
-            if terms.is_empty() {
-                // 1V: no v×B cross terms, so the cell center is never read.
+            if cross_terms_pub(j, vdim).is_empty() {
+                // 1V: no v×B cross terms, so the cell centers are never read.
                 let _ = writeln!(s, "    let _ = w;");
             }
-            for l in 0..nc {
-                let mut center = format!("em[{}]", j * nc + l);
-                for &(k, bc, sign) in &terms {
-                    let op = if sign > 0.0 { "+" } else { "-" };
-                    let _ = write!(center, " {op} w[{}] * em[{}]", cdim + k, (3 + bc) * nc + l);
-                }
-                let i0 = proj.emb0[l];
-                let _ = writeln!(s, "    alpha[{i0}] += qm * {:?} * ({center});", proj.w0);
-                for &(k, bc, sign) in &terms {
-                    if let Some(i1) = proj.emb1[k][l] {
-                        let _ = writeln!(
-                            s,
-                            "    alpha[{i1}] += qm * {:?} * (0.5 * dxv[{}]) * em[{}];",
-                            proj.w1 * sign,
-                            cdim + k,
-                            (3 + bc) * nc + l
-                        );
-                    }
-                }
-            }
+            let mut block = accel_alpha_stmts("alpha", proj, j, cdim, vdim, nc);
             // Modal sup bound over the face modes α̂ can populate, in
             // ascending mode order (matches the runtime reduction; the
             // structurally-zero modes contribute exact zeros there).
@@ -1021,211 +913,58 @@ pub fn surface_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
             support.dedup();
             let bound = support
                 .iter()
-                .map(|&a| format!("alpha[{a}].abs() * {:?}", surf.kernel.sup[a]))
+                .map(|&a| format!("alpha[{a}][k].abs() * {:?}", surf.kernel.sup[a]))
                 .collect::<Vec<_>>()
                 .join(" + ");
-            let _ = writeln!(s, "    let lam = if penalty {{ {bound} }} else {{ 0.0 }};");
-        }
+            block.push(format!("lam[k] = if penalty {{ {bound} }} else {{ 0.0 }};"));
+            block
+        };
+        write_lane_block(&mut s, &block);
         // Traces: exactly one face mode per cell mode (sparse restrict).
-        let _ = writeln!(s, "    let mut fm = [0.0f64; {nf}];");
-        let _ = writeln!(s, "    let mut fp = [0.0f64; {nf}];");
+        let _ = writeln!(s, "    let mut fm = [[0.0f64; L]; {nf}];");
+        let _ = writeln!(s, "    let mut fp = [[0.0f64; L]; {nf}];");
         for i in 0..np {
             let (a, v) = fb.trace_of(1, i);
-            let _ = writeln!(s, "    fm[{a}] += {v:?} * f_lo[{i}];");
+            let _ = writeln!(s, "    sxn(&mut fm[{a}], {v:?}, &f_lo[{i}]);");
         }
         for i in 0..np {
             let (a, v) = fb.trace_of(-1, i);
-            let _ = writeln!(s, "    fp[{a}] += {v:?} * f_hi[{i}];");
+            let _ = writeln!(s, "    sxn(&mut fp[{a}], {v:?}, &f_hi[{i}]);");
         }
         // Numerical flux Ĝ = D·α̂·½(f⁻+f⁺) − (λ/2)(f⁺−f⁻).
-        let _ = writeln!(s, "    let mut favg = [0.0f64; {nf}];");
-        let _ = writeln!(s, "    let mut ghat = [0.0f64; {nf}];");
+        let _ = writeln!(s, "    let mut favg = [[0.0f64; L]; {nf}];");
+        let _ = writeln!(s, "    let mut ghat = [[0.0f64; L]; {nf}];");
+        block.clear();
         for a in 0..nf {
-            let _ = writeln!(s, "    favg[{a}] = 0.5 * (fm[{a}] + fp[{a}]);");
-            let _ = writeln!(s, "    ghat[{a}] = -0.5 * lam * (fp[{a}] - fm[{a}]);");
+            block.push(format!("favg[{a}][k] = 0.5 * (fm[{a}][k] + fp[{a}][k]);"));
+            block.push(format!(
+                "ghat[{a}][k] = -0.5 * lam[k] * (fp[{a}][k] - fm[{a}][k]);"
+            ));
         }
-        for e in &surf.kernel.dmat.entries {
-            let _ = writeln!(
-                s,
-                "    ghat[{}] += {:?} * alpha[{}] * favg[{}];",
-                e.l, e.coeff, e.m, e.n
-            );
-        }
+        write_lane_block(&mut s, &block);
+        let flux: Vec<LaneAxpy> = surf
+            .kernel
+            .dmat
+            .entries
+            .iter()
+            .map(|e| LaneAxpy {
+                target: format!("ghat[{}]", e.l),
+                coeff: format!("{:?}", e.coeff),
+                operands: vec![format!("alpha[{}]", e.m), format!("favg[{}]", e.n)],
+            })
+            .collect();
+        write_lane_runs(&mut s, &flux);
         // Lift to both cells (sparse transpose of the traces).
         for i in 0..np {
             let (a, v) = fb.trace_of(1, i);
-            let _ = writeln!(s, "    out_lo[{i}] += -rd * {v:?} * ghat[{a}];");
+            let _ = writeln!(s, "    sxn(&mut out_lo[{i}], -rd * {v:?}, &ghat[{a}]);");
         }
         for i in 0..np {
             let (a, v) = fb.trace_of(-1, i);
-            let _ = writeln!(s, "    out_hi[{i}] += rd * {v:?} * ghat[{a}];");
+            let _ = writeln!(s, "    sxn(&mut out_hi[{i}], rd * {v:?}, &ghat[{a}]);");
         }
         let _ = writeln!(s, "}}");
-        let _ = write!(s, "{}", surface_kernel_batch_dir(pk, spec, dir));
     }
-    s
-}
-
-/// Emit the SIMD-batched surface kernel (`<fn_name>_b4`) for one face
-/// direction, in the [`crate::dispatch::SurfaceKernelBatchFn`] calling
-/// convention: the scalar kernel over SoA panels of `LANES` faces that
-/// share one configuration cell (`em` lane-constant, `w` per lane, both
-/// adjacent cells' coefficients and increments as panels).
-///
-/// Every statement performs, per lane, the same floating-point operations
-/// in the same association order as the scalar kernel — including the
-/// per-lane penalty speed `λ` (the face flux `α̂` varies across the panel
-/// through the cell centers) — so batched faces match the scalar kernel
-/// bit for bit (asserted by proptest in `generated/tests.rs`).
-fn surface_kernel_batch_dir(pk: &PhaseKernels, spec: &KernelSpec, dir: usize) -> String {
-    let layout = pk.layout;
-    let (cdim, vdim) = (layout.cdim, layout.vdim);
-    let nc = pk.nc();
-    let np = pk.np();
-    let surf = &pk.surfaces[dir];
-    let fb = &surf.kernel.face;
-    let nf = fb.len();
-    let fn_name = spec.surf_fn_name(dir);
-    let is_conf = layout.is_config_dir(dir);
-    let mut s = String::new();
-    let _ = writeln!(s);
-    write_batch_entry_points(
-        &mut s,
-        &format!("{fn_name}_b4"),
-        &format!(
-            "/// Batched companion of [`{fn_name}`]: `LANES` faces per call, bit-identical per lane.\n"
-        ),
-        "w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]",
-        "w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi",
-    );
-    let _ = writeln!(s, "    let rd = 2.0 / dxv[{dir}];");
-    let _ = writeln!(s, "    let mut alpha = [CellLanes([0.0f64; LANES]); {nf}];");
-    let _ = writeln!(s, "    let mut lam = CellLanes([0.0f64; LANES]);");
-    if is_conf {
-        let _ = writeln!(s, "    let _ = (qm, em);");
-        let vd = layout.vel_phase_dim(dir);
-        let (lin_idx, c0, c1) = surf.stream_affine.expect("config dir has affine α̂");
-        let _ = writeln!(s, "    for k in 0..LANES {{");
-        let _ = writeln!(s, "        alpha[0].0[k] = w[{vd}].0[k] * {c0:?};");
-        let _ = writeln!(
-            s,
-            "        alpha[{lin_idx}].0[k] += 0.5 * dxv[{vd}] * {c1:?};"
-        );
-        let _ = writeln!(
-            s,
-            "        lam.0[k] = if penalty {{ w[{vd}].0[k].abs() + 0.5 * dxv[{vd}].abs() }} else {{ 0.0 }};"
-        );
-        let _ = writeln!(s, "    }}");
-    } else {
-        let j = dir - cdim;
-        let proj = surf
-            .face_accel
-            .as_ref()
-            .expect("velocity dir has projector");
-        let terms: Vec<(usize, usize, f64)> = cross_terms_pub(j, vdim);
-        if terms.is_empty() {
-            // 1V: no v×B cross terms, so the cell centers are never read.
-            let _ = writeln!(s, "    let _ = w;");
-        }
-        let _ = writeln!(s, "    for k in 0..LANES {{");
-        for l in 0..nc {
-            let mut center = format!("em[{}]", j * nc + l);
-            for &(k, bc, sign) in &terms {
-                let op = if sign > 0.0 { "+" } else { "-" };
-                let _ = write!(
-                    center,
-                    " {op} w[{}].0[k] * em[{}]",
-                    cdim + k,
-                    (3 + bc) * nc + l
-                );
-            }
-            let i0 = proj.emb0[l];
-            let _ = writeln!(
-                s,
-                "        alpha[{i0}].0[k] += qm * {:?} * ({center});",
-                proj.w0
-            );
-            for &(k, bc, sign) in &terms {
-                if let Some(i1) = proj.emb1[k][l] {
-                    let _ = writeln!(
-                        s,
-                        "        alpha[{i1}].0[k] += qm * {:?} * (0.5 * dxv[{}]) * em[{}];",
-                        proj.w1 * sign,
-                        cdim + k,
-                        (3 + bc) * nc + l
-                    );
-                }
-            }
-        }
-        let mut support: Vec<usize> = Vec::new();
-        for l in 0..nc {
-            support.push(proj.emb0[l] as usize);
-            for emb in &proj.emb1 {
-                if let Some(i1) = emb[l] {
-                    support.push(i1 as usize);
-                }
-            }
-        }
-        support.sort_unstable();
-        support.dedup();
-        let bound = support
-            .iter()
-            .map(|&a| format!("alpha[{a}].0[k].abs() * {:?}", surf.kernel.sup[a]))
-            .collect::<Vec<_>>()
-            .join(" + ");
-        let _ = writeln!(
-            s,
-            "        lam.0[k] = if penalty {{ {bound} }} else {{ 0.0 }};"
-        );
-        let _ = writeln!(s, "    }}");
-    }
-    // Traces, per lane via the fused accumulate helpers.
-    let _ = writeln!(s, "    let mut fm = [CellLanes([0.0f64; LANES]); {nf}];");
-    let _ = writeln!(s, "    let mut fp = [CellLanes([0.0f64; LANES]); {nf}];");
-    for i in 0..np {
-        let (a, v) = fb.trace_of(1, i);
-        let _ = writeln!(s, "    sx4(&mut fm[{a}], {v:?}, &f_lo[{i}]);");
-    }
-    for i in 0..np {
-        let (a, v) = fb.trace_of(-1, i);
-        let _ = writeln!(s, "    sx4(&mut fp[{a}], {v:?}, &f_hi[{i}]);");
-    }
-    let _ = writeln!(s, "    let mut favg = [CellLanes([0.0f64; LANES]); {nf}];");
-    let _ = writeln!(s, "    let mut ghat = [CellLanes([0.0f64; LANES]); {nf}];");
-    let _ = writeln!(s, "    for k in 0..LANES {{");
-    for a in 0..nf {
-        let _ = writeln!(
-            s,
-            "        favg[{a}].0[k] = 0.5 * (fm[{a}].0[k] + fp[{a}].0[k]);"
-        );
-        let _ = writeln!(
-            s,
-            "        ghat[{a}].0[k] = -0.5 * lam.0[k] * (fp[{a}].0[k] - fm[{a}].0[k]);"
-        );
-    }
-    let _ = writeln!(s, "    }}");
-    let flux: Vec<(String, String)> = surf
-        .kernel
-        .dmat
-        .entries
-        .iter()
-        .map(|e| {
-            (
-                format!("ghat[{}]", e.l),
-                format!("{:?} * alpha[{}].0[k] * favg[{}].0[k]", e.coeff, e.m, e.n),
-            )
-        })
-        .collect();
-    write_lane_accumulates(&mut s, &flux);
-    for i in 0..np {
-        let (a, v) = fb.trace_of(1, i);
-        let _ = writeln!(s, "    sx4(&mut out_lo[{i}], -rd * {v:?}, &ghat[{a}]);");
-    }
-    for i in 0..np {
-        let (a, v) = fb.trace_of(-1, i);
-        let _ = writeln!(s, "    sx4(&mut out_hi[{i}], rd * {v:?}, &ghat[{a}]);");
-    }
-    let _ = writeln!(s, "}}");
     s
 }
 
@@ -1335,29 +1074,47 @@ pub fn moment_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
     s
 }
 
-/// One parameter of a lane-generic LBO stage kernel: a scalar shared by
-/// the lane group (name, type), or a coefficient panel (name, length):
-/// `&[[f64; L]]` / `&mut [[f64; L]]` in the body.
+/// One parameter of a lane-generic kernel: a value shared by the lane
+/// group (name, type), or a coefficient panel (name, length): `&[[f64; L]]`
+/// / `&mut [[f64; L]]` in the body.
 enum LaneParam {
     Shared(&'static str, &'static str),
     In(&'static str, usize),
     Out(&'static str, usize),
 }
 
+/// Which entry points a lane-generic body gets beside the scalar, `_b4`
+/// and `_b4_avx2` ones, and what a lane holds (for the doc lines).
+#[derive(Clone, Copy)]
+struct EntryPoints {
+    /// What one lane is: `"cells"`, `"pencils"`.
+    unit: &'static str,
+    /// Also emit the 8-lane `_b8_avx512` entry point.
+    avx512: bool,
+}
+
 /// Emit the entry points of one lane-generic kernel `name` and open its
 /// shared body, which the caller then fills with statements and closes.
 /// The body is written **once**, as a private `#[inline(always)]` function
 /// generic over the lane count `const L: usize` (panels are slices of
-/// `[f64; L]` lane groups), and instantiated by three thin entry points:
-/// the scalar `name` (`L = 1`: its `&[f64]` arguments viewed as
-/// `&[[f64; 1]]` through `as_chunks`), the portable `name_b4`
-/// ([`crate::dispatch::PencilLanes`], `L = LANES`) and, on `x86_64` only,
-/// `name_b4_avx2` carrying `#[target_feature(enable = "avx2")]`. Per lane
-/// all three run the same statement stream — no `fma`, no `mul_add` — so
-/// they are bit-identical (three-way proptest in `generated/tests.rs`);
-/// which batched one runs is decided from the CPU alone by
-/// [`crate::dispatch::LboBatch`].
-fn write_lane_generic_entry_points(s: &mut String, name: &str, doc: &str, params: &[LaneParam]) {
+/// `[f64; L]` lane groups), and instantiated by thin entry points: the
+/// scalar `name` (`L = 1`: its `&[f64]` arguments viewed as `&[[f64; 1]]`
+/// through `as_chunks`), the portable `name_b4` (`L = LANES`), and on
+/// `x86_64` only `name_b4_avx2` carrying `#[target_feature(enable =
+/// "avx2")]` and — where `entry_points.avx512` — the 8-lane
+/// `name_b8_avx512` under `#[target_feature(enable = "avx512f")]`. Per lane
+/// all of them run the same statement stream — no `fma`, no `mul_add` — so
+/// they are bit-identical (registry-wide proptests in
+/// `generated/tests.rs`); which batched one runs is decided from the CPU
+/// alone by [`crate::dispatch::VolumeBatch`] /
+/// [`crate::dispatch::SurfaceBatch`] / [`crate::dispatch::LboBatch`].
+fn write_lane_generic_entry_points(
+    s: &mut String,
+    name: &str,
+    doc: &str,
+    params: &[LaneParam],
+    entry_points: EntryPoints,
+) {
     let sig = |panel: &str| -> String {
         params
             .iter()
@@ -1385,6 +1142,7 @@ fn write_lane_generic_entry_points(s: &mut String, name: &str, doc: &str, params
         })
         .collect::<Vec<_>>()
         .join(", ");
+    let unit = entry_points.unit;
     let _ = write!(s, "{doc}");
     let _ = writeln!(s, "#[allow(clippy::all)]");
     let _ = writeln!(s, "#[rustfmt::skip]");
@@ -1394,7 +1152,7 @@ fn write_lane_generic_entry_points(s: &mut String, name: &str, doc: &str, params
     let _ = writeln!(s);
     let _ = writeln!(
         s,
-        "/// [`{name}`] over `LANES` pencils: the same body, bit-identical per lane."
+        "/// [`{name}`] over `LANES` {unit}: the same body, bit-identical per lane."
     );
     let _ = writeln!(s, "#[allow(clippy::all)]");
     let _ = writeln!(s, "#[rustfmt::skip]");
@@ -1415,6 +1173,21 @@ fn write_lane_generic_entry_points(s: &mut String, name: &str, doc: &str, params
     let _ = writeln!(s, "    {name}_body({args})");
     let _ = writeln!(s, "}}");
     let _ = writeln!(s);
+    if entry_points.avx512 {
+        let _ = writeln!(
+            s,
+            "/// [`{name}`] over 8 {unit}, compiled for AVX-512F. Reach it through"
+        );
+        let _ = writeln!(s, "/// `crate::dispatch`, which checks the CPU first.");
+        let _ = writeln!(s, "#[cfg(target_arch = \"x86_64\")]");
+        let _ = writeln!(s, "#[target_feature(enable = \"avx512f\")]");
+        let _ = writeln!(s, "#[allow(clippy::all)]");
+        let _ = writeln!(s, "#[rustfmt::skip]");
+        let _ = writeln!(s, "pub fn {name}_b8_avx512({}) {{", sig("[f64; 8]"));
+        let _ = writeln!(s, "    {name}_body({args})");
+        let _ = writeln!(s, "}}");
+        let _ = writeln!(s);
+    }
     let _ = writeln!(
         s,
         "/// Shared lane-generic body of [`{name}`] and its batched entry points."
@@ -1445,6 +1218,13 @@ fn write_lane_generic_entry_points(s: &mut String, name: &str, doc: &str, params
     }
 }
 
+/// LBO stage kernels stop at four lanes: pencil groups stay `LANES` wide on
+/// every ISA.
+const LBO_ENTRY_POINTS: EntryPoints = EntryPoints {
+    unit: "pencils",
+    avx512: false,
+};
+
 /// One lane-generic accumulate `target[k] += coeff * operands[k]…`: `coeff`
 /// is an expression shared by the lanes, `operands` the per-lane factors
 /// (written without the lane index).
@@ -1465,11 +1245,17 @@ impl LaneAxpy {
 }
 
 /// Write lane-generic accumulates, consecutive statements with the same
-/// target sharing one `for k in 0..L` loop — the grouping of
-/// [`write_lane_accumulates`], for the same reason. A lone one-operand
-/// accumulate (traces, lifts) goes through `sxn` instead, a third of the
-/// source text. At one lane the loops vanish and the scalar statement
-/// stream is left.
+/// target sharing one `for k in 0..L` loop. Per lane the statements run in
+/// the order given, so grouping changes no result; it changes what the
+/// compiler sees. A loop over a run of statements is vectorized as a unit —
+/// the target's lanes live in one register across the run — where thousands
+/// of one-statement lane loops were unrolled to scalars first and left the
+/// SLP vectorizer to rediscover the lanes, superlinearly in the size of the
+/// block: that search was most of the kernels crate's build time (2x3v p2
+/// volume body: 130 s of LLVM time, 5 s emitted this way). A lone
+/// one-operand accumulate (traces, lifts) goes through `sxn` instead, a
+/// third of the source text. At one lane the loops vanish and the scalar
+/// statement stream is left.
 fn write_lane_runs(s: &mut String, stmts: &[LaneAxpy]) {
     write_lane_runs_at(s, "    ", stmts);
 }
@@ -1610,6 +1396,7 @@ pub fn lbo_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
                 In("f", np),
                 Out("out", np),
             ],
+            LBO_ENTRY_POINTS,
         );
         let _ = writeln!(s, "    let scale = 2.0 / dv;");
         let _ = writeln!(s, "    let mut alpha = [[0.0f64; L]; {np}];");
@@ -1657,6 +1444,7 @@ pub fn lbo_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
                 Out("out_lo", np),
                 Out("out_hi", np),
             ],
+            LBO_ENTRY_POINTS,
         );
         let _ = writeln!(s, "    let scale = 2.0 / dv;");
         let _ = writeln!(s, "    let mut alpha = [[0.0f64; L]; {nf}];");
@@ -1723,6 +1511,7 @@ pub fn lbo_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
                 In("f_up", np),
                 Out("g", np),
             ],
+            LBO_ENTRY_POINTS,
         );
         let _ = writeln!(s, "    let scale = 2.0 / dv;");
         let grad: Vec<LaneAxpy> = td
@@ -1762,6 +1551,7 @@ pub fn lbo_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
                 In("g", np),
                 Out("out", np),
             ],
+            LBO_ENTRY_POINTS,
         );
         let _ = writeln!(s, "    let scale = 2.0 / dv;");
         let _ = writeln!(s, "    let mut alpha = [[0.0f64; L]; {np}];");
@@ -1805,6 +1595,7 @@ pub fn lbo_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
                 Out("out_lo", np),
                 Out("out_hi", np),
             ],
+            LBO_ENTRY_POINTS,
         );
         let _ = writeln!(s, "    let scale = 2.0 / dv;");
         let _ = writeln!(s, "    let mut alpha = [[0.0f64; L]; {nf}];");
@@ -1850,10 +1641,13 @@ pub fn cross_terms_pub(j: usize, vdim: usize) -> Vec<(usize, usize, f64)> {
     TERMS[j].into_iter().filter(|&(k, _, _)| k < vdim).collect()
 }
 
-/// Count of `out[...] +=` statements in generated source (for audits).
+/// Count of accumulates into `out[...]` in generated volume-kernel source
+/// (for audits): the lane-loop statements `out[l][k] += …` and the one-off
+/// `sxn(&mut out[l], …)` calls.
 pub fn count_update_statements(src: &str) -> usize {
     src.lines()
-        .filter(|l| l.trim_start().starts_with("out["))
+        .map(str::trim_start)
+        .filter(|l| l.starts_with("out[") || l.starts_with("sxn(&mut out["))
         .count()
 }
 

@@ -26,14 +26,16 @@
 //! hot loop then calls through the resolved [`ResolvedVolume`] /
 //! [`ResolvedSurfaceDir`] with zero per-cell (and per-face) branching.
 //! The same step picks, from the CPU alone, which compilation of the
-//! SIMD-batched `_b4` kernels the operator calls ([`BatchIsa`],
-//! [`VolumeBatch`], [`SurfaceBatch`], [`LboBatch`]) — bit-identical either
-//! way.
+//! lane-generic kernel bodies the operator calls — and with it the lane
+//! width of its panels and the pack/unpack moves ([`BatchIsa`],
+//! [`VolumeBatch`], [`SurfaceBatch`], [`LboBatch`]) — bit-identical
+//! whichever it is.
 //!
 //! To add a configuration, extend [`crate::codegen::MANIFEST`] and rerun
 //! `cargo run -p dg-bench --bin gen_kernel` (see DESIGN.md, "Kernel
 //! dispatch").
 
+use crate::panel::PanelMoves;
 use crate::phase::PhaseLayout;
 use dg_basis::BasisKind;
 
@@ -83,160 +85,104 @@ pub type SurfaceKernelFn = fn(
     out_hi: &mut [f64],
 );
 
-/// SIMD batch width of the batched (`_b4`) volume and surface kernels:
-/// four cells or faces per panel. Four `f64` fill one 256-bit register —
-/// the width the `_b4_avx2` entry points run at when the CPU has AVX2 (see
-/// [`BatchIsa`]) — and split into two 128-bit SSE2/NEON operations in the
-/// portable `_b4` entry points; small enough that velocity-grid remainders
-/// stay cheap.
+/// Lane count of the `_b4` / `_b4_avx2` entry points, and the width of an
+/// LBO pencil group. Four `f64` fill one 256-bit register — the width the
+/// `_b4_avx2` entry points run at — and split into two 128-bit SSE2/NEON
+/// operations in the portable `_b4` ones. It is *not* the width of a Vlasov
+/// panel: that follows the entry point an operator resolved
+/// ([`VolumeBatch`], [`SurfaceBatch`]) and is 8 on AVX-512.
 pub const LANES: usize = 4;
 
-/// One coefficient across [`LANES`] cells — the structure-of-arrays unit
-/// of the batched calling convention. Aligned to its own size (32 bytes),
-/// so a lane group is one aligned 256-bit load/store and panels carry no
-/// padding (the five `Np`-long workspace panels of 2x3v p2 are 17.5 KB,
-/// inside a 32 KB L1d with the kernel's temporaries).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-#[repr(align(32))]
-pub struct CellLanes(pub [f64; LANES]);
-
-/// `out[k] += c * x[k]` over the four lanes (lane-constant coefficient) —
-/// the batched kernels' one-off accumulate (traces, lifts); runs of
-/// accumulates into one target are emitted as explicit lane loops instead.
-/// `#[inline(always)]` so the generated kernels stay straight-line code.
-#[inline(always)]
-pub fn sx4(out: &mut CellLanes, c: f64, x: &CellLanes) {
-    for k in 0..LANES {
-        out.0[k] += c * x.0[k];
-    }
-}
-
 /// One coefficient across the [`LANES`] pencils of an LBO pencil group —
-/// the 4-lane instance of the `[f64; L]` lane groups the lane-generic LBO
-/// stage bodies are written over (`x[n][k]` = coefficient `n` of lane `k`).
-/// A plain array, not [`CellLanes`]: the generator emits each LBO stage
-/// body once, generic over `const L: usize`, and `L = 1` must *be* the
-/// scalar kernel — a `&[f64]` viewed as `&[[f64; 1]]` through `as_chunks`
-/// — which an over-aligned wrapper type cannot be. Per lane every
-/// instantiation runs the same statements in the same order, so they agree
-/// bit for bit. Alignment is the caller's business: see [`PencilPanel`].
+/// the 4-lane instance of the `[f64; L]` lane groups every lane-generic
+/// body is written over (`x[n][k]` = coefficient `n` of lane `k`). A plain
+/// array: the generator emits each body once, generic over `const L:
+/// usize`, and `L = 1` must *be* the scalar kernel — a `&[f64]` viewed as
+/// `&[[f64; 1]]` through `as_chunks` — which an over-aligned wrapper type
+/// cannot be. Per lane every instantiation runs the same statements in the
+/// same order, so they agree bit for bit. Alignment is the caller's
+/// business: see [`crate::panel::LanePanel`].
 pub type PencilLanes = [f64; LANES];
 
-/// A buffer of [`PencilLanes`] groups whose first group starts on a 32-byte
-/// boundary, so each group is one aligned 256-bit access — what
-/// [`CellLanes`] gets from its type, obtained here by skipping up to three
-/// leading `f64` of a plain `Vec<f64>` (a misaligned panel costs the AVX2
-/// entry points ≈ 8 % on 1x2v p2: every other group straddles a cache line).
-/// The offset is recomputed per access, so clones and moves stay aligned.
-#[derive(Clone, Debug)]
-pub struct PencilPanel {
-    buf: Vec<f64>,
-    groups: usize,
-}
-
-impl PencilPanel {
-    /// A zeroed panel of `groups` lane groups.
-    pub fn zeros(groups: usize) -> Self {
-        PencilPanel {
-            buf: vec![0.0; (groups + 1) * LANES],
-            groups,
-        }
-    }
-
-    /// The lane groups, mutably (reading goes through this as well: a
-    /// panel is scratch, only ever held exclusively).
-    #[inline]
-    pub fn lanes_mut(&mut self) -> &mut [PencilLanes] {
-        // `align_offset` counts in `f64`; it may decline (`usize::MAX`), in
-        // which case the panel is merely unaligned.
-        let skip = match self.buf.as_ptr().align_offset(32) {
-            skip if skip < LANES => skip,
-            _ => 0,
-        };
-        self.buf[skip..skip + self.groups * LANES].as_chunks_mut().0
-    }
-}
-
-/// `out[k] += c * x[k]` over the lanes of a lane group — [`sx4`] for the
-/// lane-generic bodies (one-off traces and lifts).
-#[inline(always)]
-pub fn sxn<const L: usize>(out: &mut [f64; L], c: f64, x: &[f64; L]) {
-    for k in 0..L {
-        out[k] += c * x[k];
-    }
-}
-
-/// Calling convention of a committed batched volume kernel: the scalar
-/// [`VolumeKernelFn`] over an SoA panel of [`LANES`] phase cells that
-/// share one configuration cell (so `em` is lane-constant while `w`
-/// varies per lane).
+/// Calling convention of the portable batched volume entry point
+/// (`<name>_b4`): the scalar [`VolumeKernelFn`] over an SoA panel of
+/// [`LANES`] phase cells that share one configuration cell (so `em` is
+/// lane-constant while `w` varies per lane).
 ///
-/// * `w`   — per-coordinate SoA panel of the four cell centers, length
-///   `cdim + vdim` (`w[d].0[k]` = coordinate `d` of lane `k`);
+/// * `w`   — per-coordinate SoA panel of the cell centers, length
+///   `cdim + vdim` (`w[d][k]` = coordinate `d` of lane `k`);
 /// * `dxv` — phase-space cell sizes (lane-constant: one grid), length
 ///   `cdim + vdim`;
 /// * `qm`  — charge-to-mass ratio;
 /// * `em`  — flattened EM coefficients of the shared configuration cell,
 ///   as for [`VolumeKernelFn`];
 /// * `f`   — SoA panel of distribution coefficients, length `Np`
-///   (`f[n].0[k]` = coefficient `n` of lane `k`);
+///   (`f[n][k]` = coefficient `n` of lane `k`);
 /// * `out` — SoA panel of RHS increments, length `Np` (accumulated).
 ///
-/// Per lane, the arithmetic is statement-for-statement identical to the
-/// scalar kernel (same products, same association, same order), so
-/// packing four cells, running the batch, and unpacking produces the
-/// scalar results **bit for bit** — dispatch may freely mix batched and
-/// scalar calls over a sweep (asserted in `generated/tests.rs`).
-pub type VolumeKernelBatchFn =
-    fn(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]);
-
-/// A [`VolumeKernelBatchFn`] compiled with `#[target_feature(enable =
-/// "avx2")]` (`<name>_b4_avx2`): the same generated body, so the same
-/// statement stream per lane, at 256-bit width. Calling it on a CPU
-/// without AVX2 is undefined behaviour — go through [`VolumeBatch`], which
-/// also stores the portable entry point under this type (a safe `fn`
-/// coerces to it); only `x86_64` registries hold real `_b4_avx2` values.
-pub type VolumeKernelBatchAvx2Fn = unsafe fn(
-    w: &[CellLanes],
+/// Scalar and batched entry points are instantiations of **one** generated
+/// body (`L = 1` is the scalar kernel), so per lane the arithmetic is the
+/// same statements in the same order and packing cells, running a batch
+/// and unpacking reproduces the scalar results **bit for bit** at every
+/// width (asserted in `generated/tests.rs`).
+pub type VolumeKernelBatchFn = fn(
+    w: &[[f64; LANES]],
     dxv: &[f64],
     qm: f64,
     em: &[f64],
-    f: &[CellLanes],
-    out: &mut [CellLanes],
+    f: &[[f64; LANES]],
+    out: &mut [[f64; LANES]],
 );
 
-/// Calling convention of a committed batched surface kernel: the scalar
-/// [`SurfaceKernelFn`] over an SoA panel of [`LANES`] faces that share one
-/// configuration cell (`em` lane-constant, the lower-cell centers `w` per
-/// lane). As with [`VolumeKernelBatchFn`], each lane's arithmetic is
-/// statement-for-statement identical to the scalar kernel — including the
-/// per-lane penalty speed `λ` — so batched and scalar calls may be mixed
-/// freely over a sweep, bit for bit (asserted in `generated/tests.rs`).
+/// [`VolumeKernelBatchFn`] at lane width `L`, possibly compiled with
+/// `#[target_feature]` (`<name>_b4_avx2` at `L = 4`, `<name>_b8_avx512` at
+/// `L = 8`): the same generated body, so the same statement stream per
+/// lane, at the ISA's vector width. Calling one on a CPU without its
+/// feature is undefined behaviour — go through [`VolumeBatch`], which also
+/// stores the portable entry point under this type (a safe `fn` coerces to
+/// it); only `x86_64` registries hold the `#[target_feature]` ones.
+pub type VolumeKernelLanesFn<const L: usize> = unsafe fn(
+    w: &[[f64; L]],
+    dxv: &[f64],
+    qm: f64,
+    em: &[f64],
+    f: &[[f64; L]],
+    out: &mut [[f64; L]],
+);
+
+/// Calling convention of the portable batched surface entry point
+/// (`<dir name>_b4`): the scalar [`SurfaceKernelFn`] over SoA panels of
+/// [`LANES`] faces that share one configuration cell (`em` lane-constant,
+/// the lower-cell centers `w` per lane). As with [`VolumeKernelBatchFn`],
+/// every width is an instantiation of the scalar kernel's own body —
+/// including the per-lane penalty speed `λ` — so batched and scalar calls
+/// may be mixed freely over a sweep, bit for bit (asserted in
+/// `generated/tests.rs`).
 pub type SurfaceKernelBatchFn = fn(
-    w: &[CellLanes],
+    w: &[[f64; LANES]],
     dxv: &[f64],
     qm: f64,
     em: &[f64],
     penalty: bool,
-    f_lo: &[CellLanes],
-    f_hi: &[CellLanes],
-    out_lo: &mut [CellLanes],
-    out_hi: &mut [CellLanes],
+    f_lo: &[[f64; LANES]],
+    f_hi: &[[f64; LANES]],
+    out_lo: &mut [[f64; LANES]],
+    out_hi: &mut [[f64; LANES]],
 );
 
-/// A [`SurfaceKernelBatchFn`] compiled with `#[target_feature(enable =
-/// "avx2")]` (`<dir name>_b4_avx2`); see [`VolumeKernelBatchAvx2Fn`]. Go
-/// through [`SurfaceBatch`].
-pub type SurfaceKernelBatchAvx2Fn = unsafe fn(
-    w: &[CellLanes],
+/// [`SurfaceKernelBatchFn`] at lane width `L`, possibly compiled with
+/// `#[target_feature]` (`<dir name>_b4_avx2`, `<dir name>_b8_avx512`); see
+/// [`VolumeKernelLanesFn`]. Go through [`SurfaceBatch`].
+pub type SurfaceKernelLanesFn<const L: usize> = unsafe fn(
+    w: &[[f64; L]],
     dxv: &[f64],
     qm: f64,
     em: &[f64],
     penalty: bool,
-    f_lo: &[CellLanes],
-    f_hi: &[CellLanes],
-    out_lo: &mut [CellLanes],
-    out_hi: &mut [CellLanes],
+    f_lo: &[[f64; L]],
+    f_hi: &[[f64; L]],
+    out_lo: &mut [[f64; L]],
+    out_hi: &mut [[f64; L]],
 );
 
 /// Calling convention of a committed `M0` moment kernel: accumulate one
@@ -382,13 +328,17 @@ pub struct VolumeKernelEntry {
     pub key: KernelKey,
     /// The generated function's name (also its source file stem).
     pub name: &'static str,
+    /// The one-lane (scalar) entry point of the generated body.
     pub func: VolumeKernelFn,
-    /// The SIMD-batched companion (`<name>_b4`): `func` over an SoA panel
-    /// of [`LANES`] cells, bit-identical per lane.
+    /// The portable 4-lane entry point (`<name>_b4`): `func` over an SoA
+    /// panel of [`LANES`] cells, bit-identical per lane.
     pub batch: VolumeKernelBatchFn,
     /// `batch` compiled for AVX2 (`<name>_b4_avx2`), bit-identical again.
     #[cfg(target_arch = "x86_64")]
-    pub batch_avx2: VolumeKernelBatchAvx2Fn,
+    pub batch_avx2: VolumeKernelLanesFn<4>,
+    /// The 8-lane entry point compiled for AVX-512F (`<name>_b8_avx512`).
+    #[cfg(target_arch = "x86_64")]
+    pub batch_avx512: VolumeKernelLanesFn<8>,
 }
 
 /// One row of the committed surface-kernel registry: all per-direction
@@ -403,13 +353,17 @@ pub struct SurfaceKernelEntry {
     /// One kernel per phase direction: configuration (streaming) directions
     /// `0..cdim` first, then velocity (acceleration) directions.
     pub dirs: &'static [SurfaceKernelFn],
-    /// The SIMD-batched companions (`<dir name>_b4`), same order as
+    /// The portable 4-lane entry points (`<dir name>_b4`), same order as
     /// [`Self::dirs`]: each direction's kernel over an SoA panel of
     /// [`LANES`] faces, bit-identical per lane.
     pub batch: &'static [SurfaceKernelBatchFn],
     /// `batch` compiled for AVX2 (`<dir name>_b4_avx2`), same order.
     #[cfg(target_arch = "x86_64")]
-    pub batch_avx2: &'static [SurfaceKernelBatchAvx2Fn],
+    pub batch_avx2: &'static [SurfaceKernelLanesFn<4>],
+    /// The 8-lane entry points compiled for AVX-512F
+    /// (`<dir name>_b8_avx512`), same order.
+    #[cfg(target_arch = "x86_64")]
+    pub batch_avx512: &'static [SurfaceKernelLanesFn<8>],
 }
 
 /// One row of the committed moment-kernel registry: the unrolled
@@ -526,8 +480,10 @@ pub enum KernelDispatch {
     RuntimeSparse,
 }
 
-/// Which path a resolution (or a measurement) actually used — the tag
-/// carried by [`crate::ops::OpReport`] and printed by the benches.
+/// Which path a resolution (or a measurement) actually used — carried by
+/// [`crate::ops::OpReport`]. *Which entry points* a generated path runs is a
+/// property of each resolution, not of the process: see
+/// [`ResolvedVolume::tag`], [`ResolvedSurfaceDir::tag`], [`LboBatch::isa`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DispatchPath {
     Generated,
@@ -535,156 +491,255 @@ pub enum DispatchPath {
     RuntimeSparse,
 }
 
-impl DispatchPath {
-    /// Short human-readable tag for bench output. The generated path names
-    /// the `_b4` entry points this CPU selects (`generated/avx2` or
-    /// `generated/baseline`, see [`BatchIsa`]) — for the volume, surface
-    /// and LBO stage kernels alike; only the moment kernels are scalar —
-    /// so a recorded number says which machine code produced it.
-    pub fn tag(&self) -> &'static str {
-        match (self, BatchIsa::detect()) {
-            (DispatchPath::Generated, BatchIsa::Avx2) => "generated/avx2",
-            (DispatchPath::Generated, BatchIsa::Baseline) => "generated/baseline",
-            (DispatchPath::RuntimeSparse, _) => "runtime-sparse",
+/// Tag of the runtime sparse-tensor path in bench and report output; the
+/// generated paths print [`BatchIsa::tag`].
+pub const RUNTIME_SPARSE_TAG: &str = "runtime-sparse";
+
+/// Which compilation of a lane-generic body an operator runs. The
+/// generator emits every Vlasov volume/surface and LBO stage body once and
+/// wraps it in thin entry points: the scalar one (one lane), the portable
+/// `<name>_b4` (baseline target features) and, on `x86_64`, `<name>_b4_avx2`
+/// and — Vlasov kernels only — the 8-lane `<name>_b8_avx512`. None enables
+/// `fma` and the body has no `mul_add`, so all execute the same IEEE
+/// operations in the same order per lane — the choice changes speed, never
+/// bits. The CPU is the only input: there is no option, feature or
+/// environment variable that selects the width.
+///
+/// The lane count follows the ISA rather than being a constant of its own:
+/// measured on the 2x3v p2 volume body, 8 lanes on AVX2 buy 1.25× over 4
+/// and lose on the streaming faces, 16 lanes on AVX-512 lose to 8.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BatchIsa {
+    /// The portable 4-lane entry points: every non-`x86_64` target, and
+    /// `x86_64` CPUs without AVX2.
+    Baseline,
+    /// The 4-lane `_b4_avx2` entry points (`x86_64` with AVX2 detected at
+    /// run time).
+    Avx2,
+    /// The 8-lane `_b8_avx512` entry points (`x86_64` with AVX-512F
+    /// detected at run time).
+    Avx512,
+}
+
+impl BatchIsa {
+    /// Short human-readable tag for bench and report output — ISA and lane
+    /// count of the entry points, so a recorded number says which machine
+    /// code produced it.
+    pub fn tag(self) -> &'static str {
+        match self {
+            BatchIsa::Avx512 => "generated/avx512x8",
+            BatchIsa::Avx2 => "generated/avx2x4",
+            BatchIsa::Baseline => "generated/baselinex4",
         }
     }
 }
 
-/// Which compilation of the batched (`_b4`) kernels this CPU runs. The
-/// generator emits every `_b4` body once and wraps it in two entry points:
-/// the portable `<name>_b4` (baseline target features) and, on `x86_64`,
-/// `<name>_b4_avx2`. Neither enables `fma` and the body has no `mul_add`,
-/// so both execute the same IEEE operations in the same order per lane —
-/// the choice changes speed, never bits. The CPU is the only input: there
-/// is no option, feature or environment variable that selects the width.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchIsa {
-    /// The portable entry points: every non-`x86_64` target, and `x86_64`
-    /// CPUs without AVX2.
-    Baseline,
-    /// The `_b4_avx2` entry points (`x86_64` with AVX2 detected at run
-    /// time).
-    Avx2,
+/// One batched volume entry point at lane width `L` with the panel moves
+/// of the same ISA. The kernel pointer is private and only
+/// [`VolumeBatch`]'s constructors store one, each after the check its
+/// target features need — which is what makes [`VolumeLanes::call`] safe,
+/// and this type (with [`SurfaceLanes`]) the only caller of the
+/// `#[target_feature]` Vlasov entry points.
+#[derive(Clone, Copy, Debug)]
+pub struct VolumeLanes<const L: usize> {
+    kernel: VolumeKernelLanesFn<L>,
+    /// Pack / unpack-add compiled for the same ISA as the kernel.
+    pub moves: PanelMoves<L>,
+    isa: BatchIsa,
 }
 
-impl BatchIsa {
-    /// What this CPU runs (`std` caches the feature probe, so this is one
-    /// atomic load after the first call).
-    pub fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return BatchIsa::Avx2;
-        }
-        BatchIsa::Baseline
+impl<const L: usize> VolumeLanes<L> {
+    /// Run the batched kernel ([`VolumeKernelBatchFn`] convention).
+    #[inline]
+    pub fn call(
+        &self,
+        w: &[[f64; L]],
+        dxv: &[f64],
+        qm: f64,
+        em: &[f64],
+        f: &[[f64; L]],
+        out: &mut [[f64; L]],
+    ) {
+        // SAFETY: the pointer is either a safe portable `_b4` function or a
+        // `#[target_feature]` one, and `VolumeBatch::avx2` /
+        // `VolumeBatch::avx512` — the only places the latter are stored —
+        // do so only after `is_x86_feature_detected!` confirmed the feature
+        // on this CPU. The feature is the function's only extra
+        // requirement; its arguments are ordinary checked slices.
+        unsafe { (self.kernel)(w, dxv, qm, em, f, out) }
     }
 }
 
 /// The batched volume entry point an operator calls: one of a registry
-/// row's `_b4` compilations, chosen for this CPU. The pointer is private
-/// and only the constructors below store one, each after the check its
-/// target features need — which is what makes [`VolumeBatch::call`] safe,
-/// and this type (with [`SurfaceBatch`]) the only caller of the
-/// `_b4_avx2` functions.
+/// row's compilations, chosen for this CPU, at the lane width that comes
+/// with it. Sweeps `match` on the width once and run generic over it.
 #[derive(Clone, Copy, Debug)]
-pub struct VolumeBatch(VolumeKernelBatchAvx2Fn);
+pub enum VolumeBatch {
+    X4(VolumeLanes<4>),
+    X8(VolumeLanes<8>),
+}
 
 impl VolumeBatch {
-    /// The entry point this CPU runs fastest: AVX2 when detected, else
-    /// the portable one.
+    /// The entry point this CPU runs fastest: 8-lane AVX-512 when
+    /// detected, else 4-lane AVX2, else the portable one.
     pub fn select(entry: &VolumeKernelEntry) -> Self {
-        Self::avx2(entry).unwrap_or_else(|| Self::baseline(entry))
+        Self::avx512(entry)
+            .or_else(|| Self::avx2(entry))
+            .unwrap_or_else(|| Self::baseline(entry))
     }
 
     /// The portable `<name>_b4` entry point (no CPU requirement).
     pub fn baseline(entry: &VolumeKernelEntry) -> Self {
-        VolumeBatch(entry.batch)
+        VolumeBatch::X4(VolumeLanes {
+            kernel: entry.batch,
+            moves: PanelMoves::lane_copy(),
+            isa: BatchIsa::Baseline,
+        })
     }
 
     /// The `<name>_b4_avx2` entry point; `None` unless this is an `x86_64`
     /// CPU with AVX2.
     pub fn avx2(entry: &VolumeKernelEntry) -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
-        if BatchIsa::detect() == BatchIsa::Avx2 {
-            return Some(VolumeBatch(entry.batch_avx2));
+        if let Some(moves) = PanelMoves::avx2() {
+            return Some(VolumeBatch::X4(VolumeLanes {
+                kernel: entry.batch_avx2,
+                moves,
+                isa: BatchIsa::Avx2,
+            }));
         }
         let _ = entry;
         None
     }
 
-    /// Run the batched kernel ([`VolumeKernelBatchFn`] convention).
+    /// The `<name>_b8_avx512` entry point; `None` unless this is an
+    /// `x86_64` CPU with AVX-512F.
+    pub fn avx512(entry: &VolumeKernelEntry) -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(moves) = PanelMoves::avx512() {
+            return Some(VolumeBatch::X8(VolumeLanes {
+                kernel: entry.batch_avx512,
+                moves,
+                isa: BatchIsa::Avx512,
+            }));
+        }
+        let _ = entry;
+        None
+    }
+
+    /// Which compilation this is.
+    pub fn isa(&self) -> BatchIsa {
+        match self {
+            VolumeBatch::X4(k) => k.isa,
+            VolumeBatch::X8(k) => k.isa,
+        }
+    }
+}
+
+/// One batched surface entry point of one face direction at lane width
+/// `L`; the surface twin of [`VolumeLanes`], with the same invariant.
+#[derive(Clone, Copy, Debug)]
+pub struct SurfaceLanes<const L: usize> {
+    kernel: SurfaceKernelLanesFn<L>,
+    /// Pack / unpack-add compiled for the same ISA as the kernel.
+    pub moves: PanelMoves<L>,
+    isa: BatchIsa,
+}
+
+impl<const L: usize> SurfaceLanes<L> {
+    /// Run the batched kernel ([`SurfaceKernelBatchFn`] convention).
     #[inline]
+    #[allow(clippy::too_many_arguments)]
     pub fn call(
         &self,
-        w: &[CellLanes],
+        w: &[[f64; L]],
         dxv: &[f64],
         qm: f64,
         em: &[f64],
-        f: &[CellLanes],
-        out: &mut [CellLanes],
+        penalty: bool,
+        f_lo: &[[f64; L]],
+        f_hi: &[[f64; L]],
+        out_lo: &mut [[f64; L]],
+        out_hi: &mut [[f64; L]],
     ) {
-        // SAFETY: the pointer is either a safe portable `_b4` function or a
-        // `_b4_avx2` one, and `Self::avx2` — the only place the latter is
-        // stored — does so only after `is_x86_feature_detected!("avx2")`
-        // returned true on this CPU. AVX2 is the function's only extra
-        // requirement; its arguments are ordinary checked slices.
-        unsafe { (self.0)(w, dxv, qm, em, f, out) }
+        // SAFETY: as for `VolumeLanes::call` — a `#[target_feature]`
+        // pointer is only ever stored by `SurfaceBatch::avx2` /
+        // `SurfaceBatch::avx512`, after the runtime check for its feature.
+        unsafe { (self.kernel)(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi) }
     }
 }
 
 /// The batched surface entry point of one face direction, chosen for this
-/// CPU; the surface twin of [`VolumeBatch`], with the same invariant.
+/// CPU; the surface twin of [`VolumeBatch`].
 #[derive(Clone, Copy, Debug)]
-pub struct SurfaceBatch(SurfaceKernelBatchAvx2Fn);
+pub enum SurfaceBatch {
+    X4(SurfaceLanes<4>),
+    X8(SurfaceLanes<8>),
+}
 
 impl SurfaceBatch {
     /// The entry point of direction `dir` this CPU runs fastest.
     pub fn select(entry: &SurfaceKernelEntry, dir: usize) -> Self {
-        Self::avx2(entry, dir).unwrap_or_else(|| Self::baseline(entry, dir))
+        Self::avx512(entry, dir)
+            .or_else(|| Self::avx2(entry, dir))
+            .unwrap_or_else(|| Self::baseline(entry, dir))
     }
 
     /// The portable `<dir name>_b4` entry point (no CPU requirement).
     pub fn baseline(entry: &SurfaceKernelEntry, dir: usize) -> Self {
-        SurfaceBatch(entry.batch[dir])
+        SurfaceBatch::X4(SurfaceLanes {
+            kernel: entry.batch[dir],
+            moves: PanelMoves::lane_copy(),
+            isa: BatchIsa::Baseline,
+        })
     }
 
     /// The `<dir name>_b4_avx2` entry point; `None` unless this is an
     /// `x86_64` CPU with AVX2.
     pub fn avx2(entry: &SurfaceKernelEntry, dir: usize) -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
-        if BatchIsa::detect() == BatchIsa::Avx2 {
-            return Some(SurfaceBatch(entry.batch_avx2[dir]));
+        if let Some(moves) = PanelMoves::avx2() {
+            return Some(SurfaceBatch::X4(SurfaceLanes {
+                kernel: entry.batch_avx2[dir],
+                moves,
+                isa: BatchIsa::Avx2,
+            }));
         }
         let _ = (entry, dir);
         None
     }
 
-    /// Run the batched kernel ([`SurfaceKernelBatchFn`] convention).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn call(
-        &self,
-        w: &[CellLanes],
-        dxv: &[f64],
-        qm: f64,
-        em: &[f64],
-        penalty: bool,
-        f_lo: &[CellLanes],
-        f_hi: &[CellLanes],
-        out_lo: &mut [CellLanes],
-        out_hi: &mut [CellLanes],
-    ) {
-        // SAFETY: as for `VolumeBatch::call` — a `_b4_avx2` pointer is only
-        // ever stored by `Self::avx2`, after the runtime AVX2 check.
-        unsafe { (self.0)(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi) }
+    /// The `<dir name>_b8_avx512` entry point; `None` unless this is an
+    /// `x86_64` CPU with AVX-512F.
+    pub fn avx512(entry: &SurfaceKernelEntry, dir: usize) -> Option<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(moves) = PanelMoves::avx512() {
+            return Some(SurfaceBatch::X8(SurfaceLanes {
+                kernel: entry.batch_avx512[dir],
+                moves,
+                isa: BatchIsa::Avx512,
+            }));
+        }
+        let _ = (entry, dir);
+        None
+    }
+
+    /// Which compilation this is.
+    pub fn isa(&self) -> BatchIsa {
+        match self {
+            SurfaceBatch::X4(k) => k.isa,
+            SurfaceBatch::X8(k) => k.isa,
+        }
     }
 }
 
 /// The batched LBO stage kernels of one velocity direction, chosen for this
 /// CPU; the LBO twin of [`VolumeBatch`], with the same invariant: the
 /// pointers are private and an `_b4_avx2` one is only ever stored by
-/// [`LboBatch::avx2`], after the runtime AVX2 check.
+/// [`LboBatch::avx2`], after the runtime AVX2 check. LBO pencil groups stay
+/// 4 lanes wide on every ISA (no `_b8_avx512` entry points yet).
 #[derive(Clone, Copy, Debug)]
-pub struct LboBatch(LboBatchFns);
+pub struct LboBatch(LboBatchFns, BatchIsa);
 
 impl LboBatch {
     /// The entry points of velocity direction `j` this CPU runs fastest.
@@ -694,18 +749,23 @@ impl LboBatch {
 
     /// The portable `<stage fn>_b4` entry points (no CPU requirement).
     pub fn baseline(entry: &LboKernelEntry, j: usize) -> Self {
-        LboBatch(entry.batch[j])
+        LboBatch(entry.batch[j], BatchIsa::Baseline)
     }
 
     /// The `<stage fn>_b4_avx2` entry points; `None` unless this is an
     /// `x86_64` CPU with AVX2.
     pub fn avx2(entry: &LboKernelEntry, j: usize) -> Option<Self> {
         #[cfg(target_arch = "x86_64")]
-        if BatchIsa::detect() == BatchIsa::Avx2 {
-            return Some(LboBatch(entry.batch_avx2[j]));
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Some(LboBatch(entry.batch_avx2[j], BatchIsa::Avx2));
         }
         let _ = (entry, j);
         None
+    }
+
+    /// Which compilation this is.
+    pub fn isa(&self) -> BatchIsa {
+        self.1
     }
 
     /// Drag volume term ([`LboDragVolFn`] convention over panels).
@@ -821,6 +881,15 @@ impl ResolvedVolume {
             ResolvedVolume::RuntimeSparse => DispatchPath::RuntimeSparse,
         }
     }
+
+    /// The entry points this resolution runs ([`BatchIsa::tag`] or
+    /// [`RUNTIME_SPARSE_TAG`]).
+    pub fn tag(&self) -> &'static str {
+        match self {
+            ResolvedVolume::Generated { batch, .. } => batch.isa().tag(),
+            ResolvedVolume::RuntimeSparse => RUNTIME_SPARSE_TAG,
+        }
+    }
 }
 
 /// Outcome of resolving [`KernelDispatch`] for the surface terms; all
@@ -855,14 +924,36 @@ impl ResolvedSurface {
 
     /// The resolved kernel for one phase direction (configuration
     /// directions first, as in [`SurfaceKernelEntry::dirs`]); the batched
-    /// entry point is picked for this CPU here, once per direction.
+    /// entry point is picked here, once per direction, from the CPU and the
+    /// direction kind: velocity (acceleration) directions take the widest
+    /// entry point there is, configuration (streaming) directions stop at
+    /// the 4-lane AVX2 one. A streaming kernel is all moves — traces and
+    /// lifts around a two-entry `α̂` — and at 8 lanes its four face-sized
+    /// temporaries and five panels no longer share L1 with anything (2x3v
+    /// p2: 40 KB against 20): measured slower there than at 4 lanes, where
+    /// the acceleration kernels are faster at 8.
     pub fn dir(&self, d: usize) -> ResolvedSurfaceDir {
         match self {
             ResolvedSurface::Generated(e) => ResolvedSurfaceDir::Generated {
                 func: e.dirs[d],
-                batch: SurfaceBatch::select(e, d),
+                batch: if d < e.key.cdim {
+                    SurfaceBatch::avx2(e, d).unwrap_or_else(|| SurfaceBatch::baseline(e, d))
+                } else {
+                    SurfaceBatch::select(e, d)
+                },
             },
             ResolvedSurface::RuntimeSparse => ResolvedSurfaceDir::RuntimeSparse,
+        }
+    }
+}
+
+impl ResolvedSurfaceDir {
+    /// The entry points this direction runs ([`BatchIsa::tag`] or
+    /// [`RUNTIME_SPARSE_TAG`]).
+    pub fn tag(&self) -> &'static str {
+        match self {
+            ResolvedSurfaceDir::Generated { batch, .. } => batch.isa().tag(),
+            ResolvedSurfaceDir::RuntimeSparse => RUNTIME_SPARSE_TAG,
         }
     }
 }
@@ -1159,6 +1250,50 @@ mod tests {
             .resolve(BasisKind::Tensor, layout, 1)
             .unwrap();
         assert_eq!(rt.path(), DispatchPath::RuntimeSparse);
+    }
+
+    #[test]
+    fn entry_points_follow_the_cpu_and_the_direction_kind() {
+        // Volume and velocity faces take the widest entry point the CPU
+        // has; configuration faces stop at 4 lanes; LBO stops at AVX2. The
+        // tags say so per resolution, not per process.
+        let widest = if PanelMoves::avx512().is_some() {
+            BatchIsa::Avx512
+        } else if PanelMoves::avx2().is_some() {
+            BatchIsa::Avx2
+        } else {
+            BatchIsa::Baseline
+        };
+        let four_lane = match widest {
+            BatchIsa::Avx512 => BatchIsa::Avx2,
+            isa => isa,
+        };
+        for spec in MANIFEST {
+            let (kind, layout, p) = (spec.kind, spec.layout(), spec.poly_order);
+            let vol = KernelDispatch::Generated.resolve(kind, layout, p).unwrap();
+            assert_eq!(vol.tag(), widest.tag());
+            let surf = KernelDispatch::Generated
+                .resolve_surface(kind, layout, p)
+                .unwrap();
+            for d in 0..spec.cdim + spec.vdim {
+                let want = if d < spec.cdim { four_lane } else { widest };
+                assert_eq!(
+                    surf.dir(d).tag(),
+                    want.tag(),
+                    "{} dir {d}",
+                    spec.surf_name()
+                );
+            }
+            let lbo = find_lbo_kernel(kind, layout, p).unwrap();
+            assert_eq!(LboBatch::select(lbo, 0).isa(), four_lane);
+        }
+        let rt = KernelDispatch::RuntimeSparse
+            .resolve(BasisKind::Tensor, PhaseLayout::new(1, 2), 1)
+            .unwrap();
+        assert_eq!(rt.tag(), RUNTIME_SPARSE_TAG);
+        assert_eq!(BatchIsa::Avx512.tag(), "generated/avx512x8");
+        assert_eq!(BatchIsa::Avx2.tag(), "generated/avx2x4");
+        assert_eq!(BatchIsa::Baseline.tag(), "generated/baselinex4");
     }
 
     #[test]

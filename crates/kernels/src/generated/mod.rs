@@ -6,40 +6,44 @@
 //! same artifact in Rust, and [`crate::dispatch`] routes solvers onto
 //! them. Equivalence and no-drift tests live in `tests.rs` (handwritten).
 
-include!("vlasov_vol_1x1v_p1_ser.rs");
-include!("vlasov_vol_1x1v_p2_ser.rs");
-include!("vlasov_vol_1x2v_p1_tensor.rs");
-include!("vlasov_vol_1x2v_p1_ser.rs");
-include!("vlasov_vol_1x2v_p2_ser.rs");
-include!("vlasov_vol_2x2v_p1_ser.rs");
-include!("vlasov_vol_2x2v_p2_ser.rs");
-include!("vlasov_vol_2x3v_p1_ser.rs");
-include!("vlasov_vol_2x3v_p2_ser.rs");
-include!("vlasov_vol_3x3v_p1_ser.rs");
-include!("vlasov_surf_1x1v_p1_ser.rs");
-include!("vlasov_surf_1x1v_p2_ser.rs");
-include!("vlasov_surf_1x2v_p1_tensor.rs");
-include!("vlasov_surf_1x2v_p1_ser.rs");
-include!("vlasov_surf_1x2v_p2_ser.rs");
-include!("vlasov_surf_2x2v_p1_ser.rs");
-include!("vlasov_surf_2x2v_p2_ser.rs");
-include!("vlasov_surf_2x3v_p1_ser.rs");
-include!("vlasov_surf_2x3v_p2_ser.rs");
-include!("vlasov_surf_3x3v_p1_ser.rs");
-include!("vlasov_mom_1x1v_p1_ser.rs");
-include!("vlasov_mom_1x1v_p2_ser.rs");
-include!("vlasov_mom_1x2v_p1_tensor.rs");
-include!("vlasov_mom_1x2v_p1_ser.rs");
-include!("vlasov_mom_1x2v_p2_ser.rs");
-include!("vlasov_mom_2x2v_p1_ser.rs");
-include!("vlasov_mom_2x2v_p2_ser.rs");
-include!("vlasov_mom_2x3v_p1_ser.rs");
-include!("vlasov_mom_2x3v_p2_ser.rs");
-include!("vlasov_mom_3x3v_p1_ser.rs");
+/// The Vlasov volume kernels, in a module (and so a codegen unit) of their own.
+mod vol {
+    use crate::dispatch::LANES;
+    use crate::panel::sxn;
+
+    include!("vlasov_vol_1x1v_p1_ser.rs");
+    include!("vlasov_vol_1x1v_p2_ser.rs");
+    include!("vlasov_vol_1x2v_p1_tensor.rs");
+    include!("vlasov_vol_1x2v_p1_ser.rs");
+    include!("vlasov_vol_1x2v_p2_ser.rs");
+    include!("vlasov_vol_2x2v_p1_ser.rs");
+    include!("vlasov_vol_2x2v_p2_ser.rs");
+    include!("vlasov_vol_2x3v_p1_ser.rs");
+    include!("vlasov_vol_2x3v_p2_ser.rs");
+    include!("vlasov_vol_3x3v_p1_ser.rs");
+}
+
+/// The Vlasov surface kernels, in a module (and so a codegen unit) of their own.
+mod surf {
+    use crate::dispatch::LANES;
+    use crate::panel::sxn;
+
+    include!("vlasov_surf_1x1v_p1_ser.rs");
+    include!("vlasov_surf_1x1v_p2_ser.rs");
+    include!("vlasov_surf_1x2v_p1_tensor.rs");
+    include!("vlasov_surf_1x2v_p1_ser.rs");
+    include!("vlasov_surf_1x2v_p2_ser.rs");
+    include!("vlasov_surf_2x2v_p1_ser.rs");
+    include!("vlasov_surf_2x2v_p2_ser.rs");
+    include!("vlasov_surf_2x3v_p1_ser.rs");
+    include!("vlasov_surf_2x3v_p2_ser.rs");
+    include!("vlasov_surf_3x3v_p1_ser.rs");
+}
 
 /// The LBO stage kernels, in a module (and so a codegen unit) of their own.
 mod lbo {
-    use crate::dispatch::{sxn, LANES};
+    use crate::dispatch::LANES;
+    use crate::panel::sxn;
 
     include!("lbo_1x1v_p1_ser.rs");
     include!("lbo_1x1v_p2_ser.rs");
@@ -53,12 +57,25 @@ mod lbo {
     include!("lbo_3x3v_p1_ser.rs");
 }
 
+include!("vlasov_mom_1x1v_p1_ser.rs");
+include!("vlasov_mom_1x1v_p2_ser.rs");
+include!("vlasov_mom_1x2v_p1_tensor.rs");
+include!("vlasov_mom_1x2v_p1_ser.rs");
+include!("vlasov_mom_1x2v_p2_ser.rs");
+include!("vlasov_mom_2x2v_p1_ser.rs");
+include!("vlasov_mom_2x2v_p2_ser.rs");
+include!("vlasov_mom_2x3v_p1_ser.rs");
+include!("vlasov_mom_2x3v_p2_ser.rs");
+include!("vlasov_mom_3x3v_p1_ser.rs");
+
 use crate::dispatch::{
-    sx4, CellLanes, KernelKey, LboBatchFns, LboKernelEntry, MomentKernelEntry, SurfaceKernelEntry,
-    VolumeKernelEntry, LANES,
+    KernelKey, LboBatchFns, LboKernelEntry, MomentKernelEntry, SurfaceKernelEntry,
+    VolumeKernelEntry,
 };
 use dg_basis::BasisKind;
 use lbo::*;
+use surf::*;
+use vol::*;
 
 /// Registry of all committed unrolled volume kernels (one row per
 /// manifest entry, in manifest order).
@@ -75,6 +92,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         batch: vlasov_vol_1x1v_p1_ser_b4,
         #[cfg(target_arch = "x86_64")]
         batch_avx2: vlasov_vol_1x1v_p1_ser_b4_avx2,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: vlasov_vol_1x1v_p1_ser_b8_avx512,
     },
     VolumeKernelEntry {
         key: KernelKey {
@@ -88,6 +107,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         batch: vlasov_vol_1x1v_p2_ser_b4,
         #[cfg(target_arch = "x86_64")]
         batch_avx2: vlasov_vol_1x1v_p2_ser_b4_avx2,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: vlasov_vol_1x1v_p2_ser_b8_avx512,
     },
     VolumeKernelEntry {
         key: KernelKey {
@@ -101,6 +122,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         batch: vlasov_vol_1x2v_p1_tensor_b4,
         #[cfg(target_arch = "x86_64")]
         batch_avx2: vlasov_vol_1x2v_p1_tensor_b4_avx2,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: vlasov_vol_1x2v_p1_tensor_b8_avx512,
     },
     VolumeKernelEntry {
         key: KernelKey {
@@ -114,6 +137,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         batch: vlasov_vol_1x2v_p1_ser_b4,
         #[cfg(target_arch = "x86_64")]
         batch_avx2: vlasov_vol_1x2v_p1_ser_b4_avx2,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: vlasov_vol_1x2v_p1_ser_b8_avx512,
     },
     VolumeKernelEntry {
         key: KernelKey {
@@ -127,6 +152,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         batch: vlasov_vol_1x2v_p2_ser_b4,
         #[cfg(target_arch = "x86_64")]
         batch_avx2: vlasov_vol_1x2v_p2_ser_b4_avx2,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: vlasov_vol_1x2v_p2_ser_b8_avx512,
     },
     VolumeKernelEntry {
         key: KernelKey {
@@ -140,6 +167,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         batch: vlasov_vol_2x2v_p1_ser_b4,
         #[cfg(target_arch = "x86_64")]
         batch_avx2: vlasov_vol_2x2v_p1_ser_b4_avx2,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: vlasov_vol_2x2v_p1_ser_b8_avx512,
     },
     VolumeKernelEntry {
         key: KernelKey {
@@ -153,6 +182,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         batch: vlasov_vol_2x2v_p2_ser_b4,
         #[cfg(target_arch = "x86_64")]
         batch_avx2: vlasov_vol_2x2v_p2_ser_b4_avx2,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: vlasov_vol_2x2v_p2_ser_b8_avx512,
     },
     VolumeKernelEntry {
         key: KernelKey {
@@ -166,6 +197,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         batch: vlasov_vol_2x3v_p1_ser_b4,
         #[cfg(target_arch = "x86_64")]
         batch_avx2: vlasov_vol_2x3v_p1_ser_b4_avx2,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: vlasov_vol_2x3v_p1_ser_b8_avx512,
     },
     VolumeKernelEntry {
         key: KernelKey {
@@ -179,6 +212,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         batch: vlasov_vol_2x3v_p2_ser_b4,
         #[cfg(target_arch = "x86_64")]
         batch_avx2: vlasov_vol_2x3v_p2_ser_b4_avx2,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: vlasov_vol_2x3v_p2_ser_b8_avx512,
     },
     VolumeKernelEntry {
         key: KernelKey {
@@ -192,6 +227,8 @@ pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[
         batch: vlasov_vol_3x3v_p1_ser_b4,
         #[cfg(target_arch = "x86_64")]
         batch_avx2: vlasov_vol_3x3v_p1_ser_b4_avx2,
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: vlasov_vol_3x3v_p1_ser_b8_avx512,
     },
 ];
 
@@ -213,6 +250,11 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
             vlasov_surf_1x1v_p1_ser_x0_b4_avx2,
             vlasov_surf_1x1v_p1_ser_v0_b4_avx2,
         ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: &[
+            vlasov_surf_1x1v_p1_ser_x0_b8_avx512,
+            vlasov_surf_1x1v_p1_ser_v0_b8_avx512,
+        ],
     },
     SurfaceKernelEntry {
         key: KernelKey {
@@ -228,6 +270,11 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
         batch_avx2: &[
             vlasov_surf_1x1v_p2_ser_x0_b4_avx2,
             vlasov_surf_1x1v_p2_ser_v0_b4_avx2,
+        ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: &[
+            vlasov_surf_1x1v_p2_ser_x0_b8_avx512,
+            vlasov_surf_1x1v_p2_ser_v0_b8_avx512,
         ],
     },
     SurfaceKernelEntry {
@@ -254,6 +301,12 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
             vlasov_surf_1x2v_p1_tensor_v0_b4_avx2,
             vlasov_surf_1x2v_p1_tensor_v1_b4_avx2,
         ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: &[
+            vlasov_surf_1x2v_p1_tensor_x0_b8_avx512,
+            vlasov_surf_1x2v_p1_tensor_v0_b8_avx512,
+            vlasov_surf_1x2v_p1_tensor_v1_b8_avx512,
+        ],
     },
     SurfaceKernelEntry {
         key: KernelKey {
@@ -279,6 +332,12 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
             vlasov_surf_1x2v_p1_ser_v0_b4_avx2,
             vlasov_surf_1x2v_p1_ser_v1_b4_avx2,
         ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: &[
+            vlasov_surf_1x2v_p1_ser_x0_b8_avx512,
+            vlasov_surf_1x2v_p1_ser_v0_b8_avx512,
+            vlasov_surf_1x2v_p1_ser_v1_b8_avx512,
+        ],
     },
     SurfaceKernelEntry {
         key: KernelKey {
@@ -303,6 +362,12 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
             vlasov_surf_1x2v_p2_ser_x0_b4_avx2,
             vlasov_surf_1x2v_p2_ser_v0_b4_avx2,
             vlasov_surf_1x2v_p2_ser_v1_b4_avx2,
+        ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: &[
+            vlasov_surf_1x2v_p2_ser_x0_b8_avx512,
+            vlasov_surf_1x2v_p2_ser_v0_b8_avx512,
+            vlasov_surf_1x2v_p2_ser_v1_b8_avx512,
         ],
     },
     SurfaceKernelEntry {
@@ -332,6 +397,13 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
             vlasov_surf_2x2v_p1_ser_v0_b4_avx2,
             vlasov_surf_2x2v_p1_ser_v1_b4_avx2,
         ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: &[
+            vlasov_surf_2x2v_p1_ser_x0_b8_avx512,
+            vlasov_surf_2x2v_p1_ser_x1_b8_avx512,
+            vlasov_surf_2x2v_p1_ser_v0_b8_avx512,
+            vlasov_surf_2x2v_p1_ser_v1_b8_avx512,
+        ],
     },
     SurfaceKernelEntry {
         key: KernelKey {
@@ -359,6 +431,13 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
             vlasov_surf_2x2v_p2_ser_x1_b4_avx2,
             vlasov_surf_2x2v_p2_ser_v0_b4_avx2,
             vlasov_surf_2x2v_p2_ser_v1_b4_avx2,
+        ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: &[
+            vlasov_surf_2x2v_p2_ser_x0_b8_avx512,
+            vlasov_surf_2x2v_p2_ser_x1_b8_avx512,
+            vlasov_surf_2x2v_p2_ser_v0_b8_avx512,
+            vlasov_surf_2x2v_p2_ser_v1_b8_avx512,
         ],
     },
     SurfaceKernelEntry {
@@ -391,6 +470,14 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
             vlasov_surf_2x3v_p1_ser_v1_b4_avx2,
             vlasov_surf_2x3v_p1_ser_v2_b4_avx2,
         ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: &[
+            vlasov_surf_2x3v_p1_ser_x0_b8_avx512,
+            vlasov_surf_2x3v_p1_ser_x1_b8_avx512,
+            vlasov_surf_2x3v_p1_ser_v0_b8_avx512,
+            vlasov_surf_2x3v_p1_ser_v1_b8_avx512,
+            vlasov_surf_2x3v_p1_ser_v2_b8_avx512,
+        ],
     },
     SurfaceKernelEntry {
         key: KernelKey {
@@ -421,6 +508,14 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
             vlasov_surf_2x3v_p2_ser_v0_b4_avx2,
             vlasov_surf_2x3v_p2_ser_v1_b4_avx2,
             vlasov_surf_2x3v_p2_ser_v2_b4_avx2,
+        ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: &[
+            vlasov_surf_2x3v_p2_ser_x0_b8_avx512,
+            vlasov_surf_2x3v_p2_ser_x1_b8_avx512,
+            vlasov_surf_2x3v_p2_ser_v0_b8_avx512,
+            vlasov_surf_2x3v_p2_ser_v1_b8_avx512,
+            vlasov_surf_2x3v_p2_ser_v2_b8_avx512,
         ],
     },
     SurfaceKernelEntry {
@@ -455,6 +550,15 @@ pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[
             vlasov_surf_3x3v_p1_ser_v0_b4_avx2,
             vlasov_surf_3x3v_p1_ser_v1_b4_avx2,
             vlasov_surf_3x3v_p1_ser_v2_b4_avx2,
+        ],
+        #[cfg(target_arch = "x86_64")]
+        batch_avx512: &[
+            vlasov_surf_3x3v_p1_ser_x0_b8_avx512,
+            vlasov_surf_3x3v_p1_ser_x1_b8_avx512,
+            vlasov_surf_3x3v_p1_ser_x2_b8_avx512,
+            vlasov_surf_3x3v_p1_ser_v0_b8_avx512,
+            vlasov_surf_3x3v_p1_ser_v1_b8_avx512,
+            vlasov_surf_3x3v_p1_ser_v2_b8_avx512,
         ],
     },
 ];

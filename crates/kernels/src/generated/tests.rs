@@ -13,12 +13,13 @@
 //!    round-off (the property the dispatch layer's correctness rests on),
 //!    for the volume kernel, every per-direction surface kernel, all three
 //!    moment kernels, and all five LBO stage-kernel families;
-//! 3. **bitwise batching** — both entry points of the SIMD companions
-//!    (the portable `_b4` and, where the CPU has it, `_b4_avx2`) reproduce
-//!    their scalar kernels bit for bit: volume and surface on mixed
-//!    panel-plus-remainder sweeps, the five LBO stage families (one
-//!    lane-generic body each) lane by lane with per-lane primitive moments
-//!    and non-zero incoming outputs.
+//! 3. **bitwise batching** — every batched entry point of a lane-generic
+//!    body (the portable `_b4` and, where the CPU has them, `_b4_avx2` and
+//!    `_b8_avx512`) reproduces the one-lane (scalar) entry point bit for
+//!    bit: volume and surface on panel sweeps with a partial last panel,
+//!    moved by the arm's own pack / unpack-add, the five LBO stage families
+//!    lane by lane with per-lane primitive moments and non-zero incoming
+//!    outputs.
 
 // Stencil/loop style: index-coupled kernel-argument sweeps index several arrays in lockstep;
 // `needless_range_loop` rewrites would obscure that (workspace allow
@@ -30,8 +31,8 @@ use crate::codegen::{
     manifest_moment_source, manifest_surface_source, LboDirTables, MANIFEST,
 };
 use crate::dispatch::{
-    lbo_registry, moment_registry, surface_registry, volume_registry, CellLanes, LboBatch,
-    PencilLanes, SurfaceBatch, VolumeBatch, LANES,
+    lbo_registry, moment_registry, surface_registry, volume_registry, LboBatch, PencilLanes,
+    SurfaceBatch, SurfaceKernelFn, SurfaceLanes, VolumeBatch, VolumeKernelFn, VolumeLanes, LANES,
 };
 use crate::kernels_for;
 use crate::surface::FaceScratch;
@@ -160,30 +161,100 @@ proptest! {
     }
 }
 
-/// The `_b4_avx2` entry points are one more input of the bitwise batch
-/// proptests, but one the host may lack: say so once per test (CI fails
-/// an AVX2 runner whose arm reports `skipped`) instead of passing silently.
-fn report_avx2_arm(once: &std::sync::Once, test: &str, available: bool) {
-    once.call_once(|| {
-        let host = crate::DispatchPath::Generated.tag();
-        if available {
-            println!("{test}: host selects {host}; _b4_avx2 arm ran");
-        } else {
-            println!("{test}: host selects {host}; _b4_avx2 arm skipped: no avx2");
-        }
+/// The batched entry points are the inputs of the bitwise proptests, but
+/// two of them the host may lack: every arm says once per test whether it
+/// `ran` or was `skipped: no <isa>` (CI requires all arms to report, and
+/// fails a runner that has the ISA but skipped its arm) instead of passing
+/// silently. `missing` names the CPU feature an arm could not find.
+fn report_arm(once: &std::sync::Once, test: &str, arm: &str, missing: Option<&str>) {
+    once.call_once(|| match missing {
+        None => println!("{test}: {arm} arm ran"),
+        Some(isa) => println!("{test}: {arm} arm skipped: no {isa}"),
     });
+}
+
+/// A run of cells (or faces) sharing one configuration cell, as the
+/// proptests draw it: per-item centers and coefficients, shared grid and
+/// field data.
+struct Run<'a> {
+    n: usize,
+    ndim: usize,
+    np: usize,
+    dxv: &'a [f64],
+    qm: f64,
+    em: &'a [f64],
+    w_raw: &'a [f64],
+}
+
+impl Run<'_> {
+    fn w(&self, i: usize) -> &[f64] {
+        &self.w_raw[i * 6..i * 6 + self.ndim]
+    }
+
+    /// Item `i`'s coefficients in `raw` (128 slots per item).
+    fn coeffs<'a>(&self, raw: &'a [f64], i: usize) -> &'a [f64] {
+        &raw[i * 128..i * 128 + self.np]
+    }
+
+    /// The items of the panel starting at `i0` — a partial panel repeats
+    /// its last item in the spare lanes — and how many are real.
+    fn panel<const L: usize>(&self, i0: usize) -> ([usize; L], usize) {
+        let lanes = L.min(self.n - i0);
+        (std::array::from_fn(|k| i0 + k.min(lanes - 1)), lanes)
+    }
+
+    /// The centers of `items` as an SoA panel.
+    fn w_panel<const L: usize>(&self, items: &[usize; L]) -> Vec<[f64; L]> {
+        (0..self.ndim)
+            .map(|d| items.map(|i| self.w(i)[d]))
+            .collect()
+    }
+}
+
+/// `out[items[k]] += panel lane k` for the real lanes, through the arm's
+/// own unpack-add (an empty cell marks a spare lane).
+fn unpack_run<const L: usize>(
+    moves: &crate::panel::PanelMoves<L>,
+    out: &mut [Vec<f64>],
+    items: &[usize; L],
+    lanes: usize,
+    panel: &[[f64; L]],
+) {
+    let mut cells: [&mut [f64]; L] = std::array::from_fn(|_| Default::default());
+    for (i, cell) in out.iter_mut().enumerate() {
+        if let Some(k) = items[..lanes].iter().position(|&item| item == i) {
+            cells[k] = cell;
+        }
+    }
+    moves.unpack_add(cells, panel);
+}
+
+/// The volume sweep of `VlasovOp::volume` over one run, at lane width `L`:
+/// panels packed, run and unpack-added with the arm's own moves.
+fn volume_run<const L: usize>(k: VolumeLanes<L>, run: &Run, f_raw: &[f64]) -> Vec<Vec<f64>> {
+    let mut out = vec![vec![0.0f64; run.np]; run.n];
+    for i0 in (0..run.n).step_by(L) {
+        let (items, lanes) = run.panel::<L>(i0);
+        let wp = run.w_panel(&items);
+        let mut fp = vec![[0.0; L]; run.np];
+        k.moves.pack(&mut fp, items.map(|i| run.coeffs(f_raw, i)));
+        let mut op = vec![[0.0; L]; run.np];
+        k.call(&wp, run.dxv, run.qm, run.em, &fp, &mut op);
+        unpack_run(&k.moves, &mut out, &items, lanes, &op);
+    }
+    out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-    /// Every committed batched kernel reproduces its scalar companion —
-    /// **bit for bit**, not merely to round-off — when a run of cells is
-    /// evaluated as full SoA panels plus a scalar remainder, for every run
-    /// length 1..=9 (so every misalignment 1..LANES of the remainder is
-    /// exercised), through **each** batched entry point: scalar ≡ `_b4` ≡
-    /// `_b4_avx2`. This is the property that lets dispatch batch aligned
-    /// blocks, fall back to scalar cells, and pick the entry point from the
-    /// CPU, all without perturbing the solver's trajectory.
+    /// Every batched entry point of every committed volume kernel
+    /// reproduces the one-lane entry point — **bit for bit**, not merely to
+    /// round-off — when a run of cells is evaluated as SoA panels with a
+    /// partial last one, for every run length 1..=9 (so every partial lane
+    /// count of both widths is exercised): `L = 1` ≡ `_b4` ≡ `_b4_avx2` ≡
+    /// `_b8_avx512`. This is the property that lets dispatch batch any run
+    /// of cells and pick entry point and lane width from the CPU, all
+    /// without perturbing the solver's trajectory.
     #[test]
     fn every_registry_batch_kernel_matches_scalar_bitwise(
         qm in -3.0..3.0f64,
@@ -193,69 +264,53 @@ proptest! {
         em_raw in proptest::collection::vec(-1.0..1.0f64, 8 * 16),
         f_raw in proptest::collection::vec(-1.0..1.0f64, 128 * 9),
     ) {
-        static AVX2_ARM: std::sync::Once = std::sync::Once::new();
+        const TEST: &str = "every_registry_batch_kernel_matches_scalar_bitwise";
+        static ARMS: [std::sync::Once; 4] = [const { std::sync::Once::new() }; 4];
         for entry in volume_registry() {
             let k = entry.key;
             let pk = kernels_for(k.kind, k.layout(), k.poly_order);
-            let ndim = k.cdim + k.vdim;
             let (np, nc) = (pk.np(), pk.nc());
             prop_assert!(np <= 128 && 8 * nc <= em_raw.len());
-            let dxv = &dxv_raw[..ndim];
-            let em = &em_raw[..8 * nc];
-            let w_of = |c: usize| &w_raw[c * 6..c * 6 + ndim];
-            let f_of = |c: usize| &f_raw[c * 128..c * 128 + np];
+            let run = Run {
+                n: ncells,
+                ndim: k.cdim + k.vdim,
+                np,
+                dxv: &dxv_raw[..k.cdim + k.vdim],
+                qm,
+                em: &em_raw[..8 * nc],
+                w_raw: &w_raw,
+            };
 
-            // Per-cell scalar reference (accumulating from zero, as the
+            // Per-cell one-lane reference (accumulating from zero, as the
             // volume term does in the RHS sweep).
+            let func: VolumeKernelFn = entry.func;
             let mut scalar_out = vec![vec![0.0f64; np]; ncells];
             for c in 0..ncells {
-                (entry.func)(w_of(c), dxv, qm, em, f_of(c), &mut scalar_out[c]);
+                func(run.w(c), run.dxv, qm, run.em, run.coeffs(&f_raw, c), &mut scalar_out[c]);
             }
+            report_arm(&ARMS[0], TEST, "L = 1", None);
 
-            let avx2 = VolumeBatch::avx2(entry);
-            report_avx2_arm(
-                &AVX2_ARM,
-                "every_registry_batch_kernel_matches_scalar_bitwise",
-                avx2.is_some(),
-            );
-            let arms = [("_b4", Some(VolumeBatch::baseline(entry))), ("_b4_avx2", avx2)];
+            let (avx2, avx512) = (VolumeBatch::avx2(entry), VolumeBatch::avx512(entry));
+            report_arm(&ARMS[1], TEST, "_b4", None);
+            report_arm(&ARMS[2], TEST, "_b4_avx2", avx2.is_none().then_some("avx2"));
+            report_arm(&ARMS[3], TEST, "_b8_avx512", avx512.is_none().then_some("avx512f"));
+            let arms = [
+                ("_b4", Some(VolumeBatch::baseline(entry))),
+                ("_b4_avx2", avx2),
+                ("_b8_avx512", avx512),
+            ];
             for (arm, batch) in arms {
                 let Some(batch) = batch else { continue };
-                // Mixed path: full panels through the batched kernel
-                // (zeroed panel, unpack-add), remainder cells through the
-                // scalar one.
-                let mut mixed_out = vec![vec![0.0f64; np]; ncells];
-                let mut c0 = 0;
-                while c0 + LANES <= ncells {
-                    let mut wp = vec![CellLanes([0.0; LANES]); ndim];
-                    let mut fp = vec![CellLanes([0.0; LANES]); np];
-                    let mut op = vec![CellLanes([0.0; LANES]); np];
-                    for lane in 0..LANES {
-                        for d in 0..ndim {
-                            wp[d].0[lane] = w_of(c0 + lane)[d];
-                        }
-                        for n in 0..np {
-                            fp[n].0[lane] = f_of(c0 + lane)[n];
-                        }
-                    }
-                    batch.call(&wp, dxv, qm, em, &fp, &mut op);
-                    for lane in 0..LANES {
-                        for n in 0..np {
-                            mixed_out[c0 + lane][n] += op[n].0[lane];
-                        }
-                    }
-                    c0 += LANES;
-                }
-                for c in c0..ncells {
-                    (entry.func)(w_of(c), dxv, qm, em, f_of(c), &mut mixed_out[c]);
-                }
-
+                let batched_out = match batch {
+                    VolumeBatch::X4(k) => volume_run(k, &run, &f_raw),
+                    VolumeBatch::X8(k) => volume_run(k, &run, &f_raw),
+                };
                 for c in 0..ncells {
                     for i in 0..np {
                         prop_assert!(
-                            scalar_out[c][i].to_bits() == mixed_out[c][i].to_bits(),
+                            scalar_out[c][i].to_bits() == batched_out[c][i].to_bits(),
                             "{}{arm} cell {c} mode {i}: batched {} vs scalar {}",
-                            entry.name, mixed_out[c][i], scalar_out[c][i]
+                            entry.name, batched_out[c][i], scalar_out[c][i]
                         );
                     }
                 }
@@ -375,14 +430,44 @@ proptest! {
     }
 }
 
+/// One direction's face sweep over one run at lane width `L` — the panel
+/// loop of `VlasovOp::surface_velocity_panels`, with distinct cells on
+/// either side of every face.
+fn surface_run<const L: usize>(
+    k: SurfaceLanes<L>,
+    run: &Run,
+    penalty: bool,
+    f_lo_raw: &[f64],
+    f_hi_raw: &[f64],
+) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    let mut lo = vec![vec![0.0f64; run.np]; run.n];
+    let mut hi = vec![vec![0.0f64; run.np]; run.n];
+    for i0 in (0..run.n).step_by(L) {
+        let (items, lanes) = run.panel::<L>(i0);
+        let wp = run.w_panel(&items);
+        let (mut flp, mut fhp) = (vec![[0.0; L]; run.np], vec![[0.0; L]; run.np]);
+        k.moves
+            .pack(&mut flp, items.map(|i| run.coeffs(f_lo_raw, i)));
+        k.moves
+            .pack(&mut fhp, items.map(|i| run.coeffs(f_hi_raw, i)));
+        let (mut olp, mut ohp) = (vec![[0.0; L]; run.np], vec![[0.0; L]; run.np]);
+        k.call(
+            &wp, run.dxv, run.qm, run.em, penalty, &flp, &fhp, &mut olp, &mut ohp,
+        );
+        unpack_run(&k.moves, &mut hi, &items, lanes, &ohp);
+        unpack_run(&k.moves, &mut lo, &items, lanes, &olp);
+    }
+    (lo, hi)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-    /// Both entry points of the surface companions (`_b4`, `_b4_avx2`)
-    /// reproduce their scalar kernels bit for bit on a mixed sweep: full
-    /// SoA panels of [`LANES`] faces (zeroed panel outputs, unpack-add)
-    /// plus a scalar remainder, for every run length 1..=9. This is what
-    /// lets the RHS sweep batch faces, keep wall faces scalar, and pick the
-    /// entry point from the CPU without perturbing the trajectory.
+    /// Every batched entry point of every committed surface kernel
+    /// (`_b4`, `_b4_avx2`, `_b8_avx512`) reproduces the one-lane entry
+    /// point bit for bit on a panel sweep with a partial last panel, for
+    /// every run length 1..=9. This is what lets the RHS sweep batch faces,
+    /// keep wall faces scalar, and pick entry point and lane width from
+    /// the CPU without perturbing the trajectory.
     #[test]
     fn every_registry_surface_batch_matches_scalar_bitwise(
         qm in -3.0..3.0f64,
@@ -394,7 +479,8 @@ proptest! {
         f_lo_raw in proptest::collection::vec(-1.0..1.0f64, 128 * 9),
         f_hi_raw in proptest::collection::vec(-1.0..1.0f64, 128 * 9),
     ) {
-        static AVX2_ARM: std::sync::Once = std::sync::Once::new();
+        const TEST: &str = "every_registry_surface_batch_matches_scalar_bitwise";
+        static ARMS: [std::sync::Once; 4] = [const { std::sync::Once::new() }; 4];
         let penalty = penalty_raw == 1;
         for entry in surface_registry() {
             let k = entry.key;
@@ -402,79 +488,58 @@ proptest! {
             let ndim = k.cdim + k.vdim;
             let (np, nc) = (pk.np(), pk.nc());
             prop_assert!(np <= 128 && 8 * nc <= em_raw.len());
-            let dxv = &dxv_raw[..ndim];
-            let em = &em_raw[..8 * nc];
-            let w_of = |i: usize| &w_raw[i * 6..i * 6 + ndim];
-            let fl_of = |i: usize| &f_lo_raw[i * 128..i * 128 + np];
-            let fh_of = |i: usize| &f_hi_raw[i * 128..i * 128 + np];
+            let run = Run {
+                n: n_faces,
+                ndim,
+                np,
+                dxv: &dxv_raw[..ndim],
+                qm,
+                em: &em_raw[..8 * nc],
+                w_raw: &w_raw,
+            };
 
             prop_assert!(entry.batch.len() == ndim, "{}: batch count", entry.name);
-            for (dir, kernel) in entry.dirs.iter().enumerate() {
-                // Per-face scalar reference (zero-initialized outputs).
+            for dir in 0..ndim {
+                // Per-face one-lane reference (zero-initialized outputs).
+                let kernel: SurfaceKernelFn = entry.dirs[dir];
                 let mut lo_ref = vec![vec![0.0f64; np]; n_faces];
                 let mut hi_ref = vec![vec![0.0f64; np]; n_faces];
                 for i in 0..n_faces {
                     kernel(
-                        w_of(i), dxv, qm, em, penalty,
-                        fl_of(i), fh_of(i), &mut lo_ref[i], &mut hi_ref[i],
+                        run.w(i), run.dxv, qm, run.em, penalty,
+                        run.coeffs(&f_lo_raw, i), run.coeffs(&f_hi_raw, i),
+                        &mut lo_ref[i], &mut hi_ref[i],
                     );
                 }
+                report_arm(&ARMS[0], TEST, "L = 1", None);
 
                 let avx2 = SurfaceBatch::avx2(entry, dir);
-                report_avx2_arm(
-                    &AVX2_ARM,
-                    "every_registry_surface_batch_matches_scalar_bitwise",
-                    avx2.is_some(),
-                );
-                let arms = [("_b4", Some(SurfaceBatch::baseline(entry, dir))), ("_b4_avx2", avx2)];
+                let avx512 = SurfaceBatch::avx512(entry, dir);
+                report_arm(&ARMS[1], TEST, "_b4", None);
+                report_arm(&ARMS[2], TEST, "_b4_avx2", avx2.is_none().then_some("avx2"));
+                report_arm(&ARMS[3], TEST, "_b8_avx512", avx512.is_none().then_some("avx512f"));
+                let arms = [
+                    ("_b4", Some(SurfaceBatch::baseline(entry, dir))),
+                    ("_b4_avx2", avx2),
+                    ("_b8_avx512", avx512),
+                ];
                 for (arm, batch) in arms {
                     let Some(batch) = batch else { continue };
-                    // Mixed path: full panels batched, remainder scalar.
-                    let mut lo_mix = vec![vec![0.0f64; np]; n_faces];
-                    let mut hi_mix = vec![vec![0.0f64; np]; n_faces];
-                    let mut i0 = 0;
-                    while i0 + LANES <= n_faces {
-                        let mut wp = vec![CellLanes([0.0; LANES]); ndim];
-                        let mut flp = vec![CellLanes([0.0; LANES]); np];
-                        let mut fhp = vec![CellLanes([0.0; LANES]); np];
-                        let mut olp = vec![CellLanes([0.0; LANES]); np];
-                        let mut ohp = vec![CellLanes([0.0; LANES]); np];
-                        for lane in 0..LANES {
-                            for d in 0..ndim {
-                                wp[d].0[lane] = w_of(i0 + lane)[d];
-                            }
-                            for n in 0..np {
-                                flp[n].0[lane] = fl_of(i0 + lane)[n];
-                                fhp[n].0[lane] = fh_of(i0 + lane)[n];
-                            }
-                        }
-                        batch.call(&wp, dxv, qm, em, penalty, &flp, &fhp, &mut olp, &mut ohp);
-                        for lane in 0..LANES {
-                            for n in 0..np {
-                                lo_mix[i0 + lane][n] += olp[n].0[lane];
-                                hi_mix[i0 + lane][n] += ohp[n].0[lane];
-                            }
-                        }
-                        i0 += LANES;
-                    }
-                    for i in i0..n_faces {
-                        kernel(
-                            w_of(i), dxv, qm, em, penalty,
-                            fl_of(i), fh_of(i), &mut lo_mix[i], &mut hi_mix[i],
-                        );
-                    }
-
+                    let (lo, hi) = match batch {
+                        SurfaceBatch::X4(k) => surface_run(k, &run, penalty, &f_lo_raw, &f_hi_raw),
+                        SurfaceBatch::X8(k) => surface_run(k, &run, penalty, &f_lo_raw, &f_hi_raw),
+                    };
                     for i in 0..n_faces {
                         for n in 0..np {
                             prop_assert!(
-                                lo_ref[i][n].to_bits() == lo_mix[i][n].to_bits(),
+                                lo_ref[i][n].to_bits() == lo[i][n].to_bits(),
                                 "{}{arm} dir {dir} face {i} lower mode {n}: batched {} vs scalar {}",
-                                entry.name, lo_mix[i][n], lo_ref[i][n]
+                                entry.name, lo[i][n], lo_ref[i][n]
                             );
                             prop_assert!(
-                                hi_ref[i][n].to_bits() == hi_mix[i][n].to_bits(),
+                                hi_ref[i][n].to_bits() == hi[i][n].to_bits(),
                                 "{}{arm} dir {dir} face {i} upper mode {n}: batched {} vs scalar {}",
-                                entry.name, hi_mix[i][n], hi_ref[i][n]
+                                entry.name, hi[i][n], hi_ref[i][n]
                             );
                         }
                     }
@@ -808,7 +873,8 @@ proptest! {
         out_raw in proptest::collection::vec(-1.0..1.0f64, 128 * LANES),
         out2_raw in proptest::collection::vec(-1.0..1.0f64, 128 * LANES),
     ) {
-        static AVX2_ARM: std::sync::Once = std::sync::Once::new();
+        const TEST: &str = "every_lbo_batch_kernel_matches_scalar_bitwise";
+        static ARMS: [std::sync::Once; 3] = [const { std::sync::Once::new() }; 3];
         // `raw` as an SoA panel of `n` coefficients (lane-major input).
         let panel = |raw: &[f64], n: usize| -> Vec<PencilLanes> {
             (0..n)
@@ -828,11 +894,9 @@ proptest! {
             for j in 0..k.vdim {
                 let dv = dv_raw[j];
                 let avx2 = LboBatch::avx2(entry, j);
-                report_avx2_arm(
-                    &AVX2_ARM,
-                    "every_lbo_batch_kernel_matches_scalar_bitwise",
-                    avx2.is_some(),
-                );
+                report_arm(&ARMS[0], TEST, "L = 1", None);
+                report_arm(&ARMS[1], TEST, "_b4", None);
+                report_arm(&ARMS[2], TEST, "_b4_avx2", avx2.is_none().then_some("avx2"));
                 let arms = [("_b4", Some(LboBatch::baseline(entry, j))), ("_b4_avx2", avx2)];
                 for (arm, batch) in arms {
                     let Some(batch) = batch else { continue };

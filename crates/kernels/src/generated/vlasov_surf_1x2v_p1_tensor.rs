@@ -1,517 +1,374 @@
 // Surface kernels for the Vlasov phase-space advection, 1x2v p=1 tensor basis.
 // Auto-generated from exact integral tables — do not edit by hand.
-// One function per face-normal phase direction (configuration first);
-// see `crate::dispatch::SurfaceKernelFn` for the calling convention.
+// One lane-generic body per face-normal phase direction (configuration
+// first) behind a scalar, a `_b4`, a `_b4_avx2` and a `_b8_avx512` entry
+// point; see `crate::dispatch::SurfaceKernelFn` for the calling convention.
 
 /// Streaming surface kernel, faces normal to x0 (α̂ = v0).
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_surf_1x2v_p1_tensor_x0(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
-    let rd = 2.0 / dxv[0];
-    let mut alpha = [0.0f64; 4];
-    let _ = (qm, em);
-    alpha[0] = w[1] * 2.0;
-    alpha[2] += 0.5 * dxv[1] * 1.1547005383792517;
-    let lam = if penalty { w[1].abs() + 0.5 * dxv[1].abs() } else { 0.0 };
-    let mut fm = [0.0f64; 4];
-    let mut fp = [0.0f64; 4];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[1] += 0.7071067811865476 * f_lo[1];
-    fm[2] += 0.7071067811865476 * f_lo[2];
-    fm[0] += 1.224744871391589 * f_lo[3];
-    fm[3] += 0.7071067811865476 * f_lo[4];
-    fm[1] += 1.224744871391589 * f_lo[5];
-    fm[2] += 1.224744871391589 * f_lo[6];
-    fm[3] += 1.224744871391589 * f_lo[7];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[1] += 0.7071067811865476 * f_hi[1];
-    fp[2] += 0.7071067811865476 * f_hi[2];
-    fp[0] += -1.224744871391589 * f_hi[3];
-    fp[3] += 0.7071067811865476 * f_hi[4];
-    fp[1] += -1.224744871391589 * f_hi[5];
-    fp[2] += -1.224744871391589 * f_hi[6];
-    fp[3] += -1.224744871391589 * f_hi[7];
-    let mut favg = [0.0f64; 4];
-    let mut ghat = [0.0f64; 4];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    ghat[0] += 0.5 * alpha[0] * favg[0];
-    ghat[0] += 0.5 * alpha[2] * favg[2];
-    ghat[1] += 0.5 * alpha[0] * favg[1];
-    ghat[1] += 0.5 * alpha[2] * favg[3];
-    ghat[2] += 0.5 * alpha[0] * favg[2];
-    ghat[2] += 0.5 * alpha[2] * favg[0];
-    ghat[3] += 0.5 * alpha[0] * favg[3];
-    ghat[3] += 0.5 * alpha[2] * favg[1];
-    out_lo[0] += -rd * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -rd * 0.7071067811865476 * ghat[1];
-    out_lo[2] += -rd * 0.7071067811865476 * ghat[2];
-    out_lo[3] += -rd * 1.224744871391589 * ghat[0];
-    out_lo[4] += -rd * 0.7071067811865476 * ghat[3];
-    out_lo[5] += -rd * 1.224744871391589 * ghat[1];
-    out_lo[6] += -rd * 1.224744871391589 * ghat[2];
-    out_lo[7] += -rd * 1.224744871391589 * ghat[3];
-    out_hi[0] += rd * 0.7071067811865476 * ghat[0];
-    out_hi[1] += rd * 0.7071067811865476 * ghat[1];
-    out_hi[2] += rd * 0.7071067811865476 * ghat[2];
-    out_hi[3] += rd * -1.224744871391589 * ghat[0];
-    out_hi[4] += rd * 0.7071067811865476 * ghat[3];
-    out_hi[5] += rd * -1.224744871391589 * ghat[1];
-    out_hi[6] += rd * -1.224744871391589 * ghat[2];
-    out_hi[7] += rd * -1.224744871391589 * ghat[3];
+    vlasov_surf_1x2v_p1_tensor_x0_body::<1>(w.as_chunks().0, dxv, qm, em, penalty, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
 }
 
-/// Batched companion of [`vlasov_surf_1x2v_p1_tensor_x0`]: `LANES` faces per call, bit-identical per lane.
+/// [`vlasov_surf_1x2v_p1_tensor_x0`] over `LANES` faces: the same body, bit-identical per lane.
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_1x2v_p1_tensor_x0_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_1x2v_p1_tensor_x0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_1x2v_p1_tensor_x0_b4(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_1x2v_p1_tensor_x0_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// [`vlasov_surf_1x2v_p1_tensor_x0_b4`] compiled for AVX2: the same body, bit-identical per lane.
-/// Reach it through `crate::dispatch`, which checks the CPU first.
+/// [`vlasov_surf_1x2v_p1_tensor_x0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_1x2v_p1_tensor_x0_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_1x2v_p1_tensor_x0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_1x2v_p1_tensor_x0_b4_avx2(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_1x2v_p1_tensor_x0_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// Shared body of [`vlasov_surf_1x2v_p1_tensor_x0_b4`] and its AVX2 entry point.
+/// [`vlasov_surf_1x2v_p1_tensor_x0`] over 8 faces, compiled for AVX-512F. Reach it through
+/// `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_surf_1x2v_p1_tensor_x0_b8_avx512(w: &[[f64; 8]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; 8]], f_hi: &[[f64; 8]], out_lo: &mut [[f64; 8]], out_hi: &mut [[f64; 8]]) {
+    vlasov_surf_1x2v_p1_tensor_x0_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`vlasov_surf_1x2v_p1_tensor_x0`] and its batched entry points.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_surf_1x2v_p1_tensor_x0_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+fn vlasov_surf_1x2v_p1_tensor_x0_body<const L: usize>(w: &[[f64; L]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let w: &[[f64; L]; 3] = w.first_chunk().expect("w: 3 coefficients");
+    let f_lo: &[[f64; L]; 8] = f_lo.first_chunk().expect("f_lo: 8 coefficients");
+    let f_hi: &[[f64; L]; 8] = f_hi.first_chunk().expect("f_hi: 8 coefficients");
+    let out_lo: &mut [[f64; L]; 8] = out_lo.first_chunk_mut().expect("out_lo: 8 coefficients");
+    let out_hi: &mut [[f64; L]; 8] = out_hi.first_chunk_mut().expect("out_hi: 8 coefficients");
     let rd = 2.0 / dxv[0];
-    let mut alpha = [CellLanes([0.0f64; LANES]); 4];
-    let mut lam = CellLanes([0.0f64; LANES]);
+    let mut alpha = [[0.0f64; L]; 4];
+    let mut lam = [0.0f64; L];
     let _ = (qm, em);
-    for k in 0..LANES {
-        alpha[0].0[k] = w[1].0[k] * 2.0;
-        alpha[2].0[k] += 0.5 * dxv[1] * 1.1547005383792517;
-        lam.0[k] = if penalty { w[1].0[k].abs() + 0.5 * dxv[1].abs() } else { 0.0 };
+    for k in 0..L {
+        alpha[0][k] = w[1][k] * 2.0;
+        alpha[2][k] += 0.5 * dxv[1] * 1.1547005383792517;
+        lam[k] = if penalty { w[1][k].abs() + 0.5 * dxv[1].abs() } else { 0.0 };
     }
-    let mut fm = [CellLanes([0.0f64; LANES]); 4];
-    let mut fp = [CellLanes([0.0f64; LANES]); 4];
-    sx4(&mut fm[0], 0.7071067811865476, &f_lo[0]);
-    sx4(&mut fm[1], 0.7071067811865476, &f_lo[1]);
-    sx4(&mut fm[2], 0.7071067811865476, &f_lo[2]);
-    sx4(&mut fm[0], 1.224744871391589, &f_lo[3]);
-    sx4(&mut fm[3], 0.7071067811865476, &f_lo[4]);
-    sx4(&mut fm[1], 1.224744871391589, &f_lo[5]);
-    sx4(&mut fm[2], 1.224744871391589, &f_lo[6]);
-    sx4(&mut fm[3], 1.224744871391589, &f_lo[7]);
-    sx4(&mut fp[0], 0.7071067811865476, &f_hi[0]);
-    sx4(&mut fp[1], 0.7071067811865476, &f_hi[1]);
-    sx4(&mut fp[2], 0.7071067811865476, &f_hi[2]);
-    sx4(&mut fp[0], -1.224744871391589, &f_hi[3]);
-    sx4(&mut fp[3], 0.7071067811865476, &f_hi[4]);
-    sx4(&mut fp[1], -1.224744871391589, &f_hi[5]);
-    sx4(&mut fp[2], -1.224744871391589, &f_hi[6]);
-    sx4(&mut fp[3], -1.224744871391589, &f_hi[7]);
-    let mut favg = [CellLanes([0.0f64; LANES]); 4];
-    let mut ghat = [CellLanes([0.0f64; LANES]); 4];
-    for k in 0..LANES {
-        favg[0].0[k] = 0.5 * (fm[0].0[k] + fp[0].0[k]);
-        ghat[0].0[k] = -0.5 * lam.0[k] * (fp[0].0[k] - fm[0].0[k]);
-        favg[1].0[k] = 0.5 * (fm[1].0[k] + fp[1].0[k]);
-        ghat[1].0[k] = -0.5 * lam.0[k] * (fp[1].0[k] - fm[1].0[k]);
-        favg[2].0[k] = 0.5 * (fm[2].0[k] + fp[2].0[k]);
-        ghat[2].0[k] = -0.5 * lam.0[k] * (fp[2].0[k] - fm[2].0[k]);
-        favg[3].0[k] = 0.5 * (fm[3].0[k] + fp[3].0[k]);
-        ghat[3].0[k] = -0.5 * lam.0[k] * (fp[3].0[k] - fm[3].0[k]);
+    let mut fm = [[0.0f64; L]; 4];
+    let mut fp = [[0.0f64; L]; 4];
+    sxn(&mut fm[0], 0.7071067811865476, &f_lo[0]);
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[1]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[2]);
+    sxn(&mut fm[0], 1.224744871391589, &f_lo[3]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[4]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[5]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[6]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[7]);
+    sxn(&mut fp[0], 0.7071067811865476, &f_hi[0]);
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[1]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[2]);
+    sxn(&mut fp[0], -1.224744871391589, &f_hi[3]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[4]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[5]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[6]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[7]);
+    let mut favg = [[0.0f64; L]; 4];
+    let mut ghat = [[0.0f64; L]; 4];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
     }
-    for k in 0..LANES {
-        ghat[0].0[k] += 0.5 * alpha[0].0[k] * favg[0].0[k];
-        ghat[0].0[k] += 0.5 * alpha[2].0[k] * favg[2].0[k];
+    for k in 0..L {
+        ghat[0][k] += 0.5 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.5 * alpha[2][k] * favg[2][k];
     }
-    for k in 0..LANES {
-        ghat[1].0[k] += 0.5 * alpha[0].0[k] * favg[1].0[k];
-        ghat[1].0[k] += 0.5 * alpha[2].0[k] * favg[3].0[k];
+    for k in 0..L {
+        ghat[1][k] += 0.5 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.5 * alpha[2][k] * favg[3][k];
     }
-    for k in 0..LANES {
-        ghat[2].0[k] += 0.5 * alpha[0].0[k] * favg[2].0[k];
-        ghat[2].0[k] += 0.5 * alpha[2].0[k] * favg[0].0[k];
+    for k in 0..L {
+        ghat[2][k] += 0.5 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.5 * alpha[2][k] * favg[0][k];
     }
-    for k in 0..LANES {
-        ghat[3].0[k] += 0.5 * alpha[0].0[k] * favg[3].0[k];
-        ghat[3].0[k] += 0.5 * alpha[2].0[k] * favg[1].0[k];
+    for k in 0..L {
+        ghat[3][k] += 0.5 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.5 * alpha[2][k] * favg[1][k];
     }
-    sx4(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_lo[3], -rd * 1.224744871391589, &ghat[0]);
-    sx4(&mut out_lo[4], -rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_lo[5], -rd * 1.224744871391589, &ghat[1]);
-    sx4(&mut out_lo[6], -rd * 1.224744871391589, &ghat[2]);
-    sx4(&mut out_lo[7], -rd * 1.224744871391589, &ghat[3]);
-    sx4(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_hi[1], rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_hi[2], rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_hi[3], rd * -1.224744871391589, &ghat[0]);
-    sx4(&mut out_hi[4], rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_hi[5], rd * -1.224744871391589, &ghat[1]);
-    sx4(&mut out_hi[6], rd * -1.224744871391589, &ghat[2]);
-    sx4(&mut out_hi[7], rd * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[3], -rd * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[4], -rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], -rd * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[6], -rd * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[7], -rd * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[3], rd * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[4], rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], rd * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[6], rd * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[7], rd * -1.224744871391589, &ghat[3]);
 }
 
 /// Acceleration surface kernel, faces normal to v0 (α̂ = q/m (E + v×B)_0).
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_surf_1x2v_p1_tensor_v0(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
-    let rd = 2.0 / dxv[1];
-    let mut alpha = [0.0f64; 4];
-    alpha[0] += qm * 1.4142135623730951 * (em[0] + w[2] * em[10]);
-    alpha[1] += qm * 0.816496580927726 * (0.5 * dxv[2]) * em[10];
-    alpha[2] += qm * 1.4142135623730951 * (em[1] + w[2] * em[11]);
-    alpha[3] += qm * 0.816496580927726 * (0.5 * dxv[2]) * em[11];
-    let lam = if penalty { alpha[0].abs() * 0.5000000000000001 + alpha[1].abs() * 0.8660254037844386 + alpha[2].abs() * 0.8660254037844386 + alpha[3].abs() * 1.4999999999999998 } else { 0.0 };
-    let mut fm = [0.0f64; 4];
-    let mut fp = [0.0f64; 4];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[1] += 0.7071067811865476 * f_lo[1];
-    fm[0] += 1.224744871391589 * f_lo[2];
-    fm[2] += 0.7071067811865476 * f_lo[3];
-    fm[1] += 1.224744871391589 * f_lo[4];
-    fm[3] += 0.7071067811865476 * f_lo[5];
-    fm[2] += 1.224744871391589 * f_lo[6];
-    fm[3] += 1.224744871391589 * f_lo[7];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[1] += 0.7071067811865476 * f_hi[1];
-    fp[0] += -1.224744871391589 * f_hi[2];
-    fp[2] += 0.7071067811865476 * f_hi[3];
-    fp[1] += -1.224744871391589 * f_hi[4];
-    fp[3] += 0.7071067811865476 * f_hi[5];
-    fp[2] += -1.224744871391589 * f_hi[6];
-    fp[3] += -1.224744871391589 * f_hi[7];
-    let mut favg = [0.0f64; 4];
-    let mut ghat = [0.0f64; 4];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    ghat[0] += 0.5 * alpha[0] * favg[0];
-    ghat[0] += 0.5 * alpha[1] * favg[1];
-    ghat[0] += 0.5 * alpha[2] * favg[2];
-    ghat[0] += 0.5 * alpha[3] * favg[3];
-    ghat[1] += 0.5 * alpha[0] * favg[1];
-    ghat[1] += 0.5 * alpha[1] * favg[0];
-    ghat[1] += 0.5 * alpha[2] * favg[3];
-    ghat[1] += 0.5 * alpha[3] * favg[2];
-    ghat[2] += 0.5 * alpha[0] * favg[2];
-    ghat[2] += 0.5 * alpha[1] * favg[3];
-    ghat[2] += 0.5 * alpha[2] * favg[0];
-    ghat[2] += 0.5 * alpha[3] * favg[1];
-    ghat[3] += 0.5 * alpha[0] * favg[3];
-    ghat[3] += 0.5 * alpha[1] * favg[2];
-    ghat[3] += 0.5 * alpha[2] * favg[1];
-    ghat[3] += 0.5 * alpha[3] * favg[0];
-    out_lo[0] += -rd * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -rd * 0.7071067811865476 * ghat[1];
-    out_lo[2] += -rd * 1.224744871391589 * ghat[0];
-    out_lo[3] += -rd * 0.7071067811865476 * ghat[2];
-    out_lo[4] += -rd * 1.224744871391589 * ghat[1];
-    out_lo[5] += -rd * 0.7071067811865476 * ghat[3];
-    out_lo[6] += -rd * 1.224744871391589 * ghat[2];
-    out_lo[7] += -rd * 1.224744871391589 * ghat[3];
-    out_hi[0] += rd * 0.7071067811865476 * ghat[0];
-    out_hi[1] += rd * 0.7071067811865476 * ghat[1];
-    out_hi[2] += rd * -1.224744871391589 * ghat[0];
-    out_hi[3] += rd * 0.7071067811865476 * ghat[2];
-    out_hi[4] += rd * -1.224744871391589 * ghat[1];
-    out_hi[5] += rd * 0.7071067811865476 * ghat[3];
-    out_hi[6] += rd * -1.224744871391589 * ghat[2];
-    out_hi[7] += rd * -1.224744871391589 * ghat[3];
+    vlasov_surf_1x2v_p1_tensor_v0_body::<1>(w.as_chunks().0, dxv, qm, em, penalty, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
 }
 
-/// Batched companion of [`vlasov_surf_1x2v_p1_tensor_v0`]: `LANES` faces per call, bit-identical per lane.
+/// [`vlasov_surf_1x2v_p1_tensor_v0`] over `LANES` faces: the same body, bit-identical per lane.
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_1x2v_p1_tensor_v0_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_1x2v_p1_tensor_v0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_1x2v_p1_tensor_v0_b4(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_1x2v_p1_tensor_v0_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// [`vlasov_surf_1x2v_p1_tensor_v0_b4`] compiled for AVX2: the same body, bit-identical per lane.
-/// Reach it through `crate::dispatch`, which checks the CPU first.
+/// [`vlasov_surf_1x2v_p1_tensor_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_1x2v_p1_tensor_v0_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_1x2v_p1_tensor_v0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_1x2v_p1_tensor_v0_b4_avx2(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_1x2v_p1_tensor_v0_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// Shared body of [`vlasov_surf_1x2v_p1_tensor_v0_b4`] and its AVX2 entry point.
+/// [`vlasov_surf_1x2v_p1_tensor_v0`] over 8 faces, compiled for AVX-512F. Reach it through
+/// `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_surf_1x2v_p1_tensor_v0_b8_avx512(w: &[[f64; 8]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; 8]], f_hi: &[[f64; 8]], out_lo: &mut [[f64; 8]], out_hi: &mut [[f64; 8]]) {
+    vlasov_surf_1x2v_p1_tensor_v0_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`vlasov_surf_1x2v_p1_tensor_v0`] and its batched entry points.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_surf_1x2v_p1_tensor_v0_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+fn vlasov_surf_1x2v_p1_tensor_v0_body<const L: usize>(w: &[[f64; L]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let w: &[[f64; L]; 3] = w.first_chunk().expect("w: 3 coefficients");
+    let f_lo: &[[f64; L]; 8] = f_lo.first_chunk().expect("f_lo: 8 coefficients");
+    let f_hi: &[[f64; L]; 8] = f_hi.first_chunk().expect("f_hi: 8 coefficients");
+    let out_lo: &mut [[f64; L]; 8] = out_lo.first_chunk_mut().expect("out_lo: 8 coefficients");
+    let out_hi: &mut [[f64; L]; 8] = out_hi.first_chunk_mut().expect("out_hi: 8 coefficients");
     let rd = 2.0 / dxv[1];
-    let mut alpha = [CellLanes([0.0f64; LANES]); 4];
-    let mut lam = CellLanes([0.0f64; LANES]);
-    for k in 0..LANES {
-        alpha[0].0[k] += qm * 1.4142135623730951 * (em[0] + w[2].0[k] * em[10]);
-        alpha[1].0[k] += qm * 0.816496580927726 * (0.5 * dxv[2]) * em[10];
-        alpha[2].0[k] += qm * 1.4142135623730951 * (em[1] + w[2].0[k] * em[11]);
-        alpha[3].0[k] += qm * 0.816496580927726 * (0.5 * dxv[2]) * em[11];
-        lam.0[k] = if penalty { alpha[0].0[k].abs() * 0.5000000000000001 + alpha[1].0[k].abs() * 0.8660254037844386 + alpha[2].0[k].abs() * 0.8660254037844386 + alpha[3].0[k].abs() * 1.4999999999999998 } else { 0.0 };
+    let mut alpha = [[0.0f64; L]; 4];
+    let mut lam = [0.0f64; L];
+    for k in 0..L {
+        alpha[0][k] += qm * 1.4142135623730951 * (em[0] + w[2][k] * em[10]);
+        alpha[1][k] += qm * 0.816496580927726 * (0.5 * dxv[2]) * em[10];
+        alpha[2][k] += qm * 1.4142135623730951 * (em[1] + w[2][k] * em[11]);
+        alpha[3][k] += qm * 0.816496580927726 * (0.5 * dxv[2]) * em[11];
+        lam[k] = if penalty { alpha[0][k].abs() * 0.5000000000000001 + alpha[1][k].abs() * 0.8660254037844386 + alpha[2][k].abs() * 0.8660254037844386 + alpha[3][k].abs() * 1.4999999999999998 } else { 0.0 };
     }
-    let mut fm = [CellLanes([0.0f64; LANES]); 4];
-    let mut fp = [CellLanes([0.0f64; LANES]); 4];
-    sx4(&mut fm[0], 0.7071067811865476, &f_lo[0]);
-    sx4(&mut fm[1], 0.7071067811865476, &f_lo[1]);
-    sx4(&mut fm[0], 1.224744871391589, &f_lo[2]);
-    sx4(&mut fm[2], 0.7071067811865476, &f_lo[3]);
-    sx4(&mut fm[1], 1.224744871391589, &f_lo[4]);
-    sx4(&mut fm[3], 0.7071067811865476, &f_lo[5]);
-    sx4(&mut fm[2], 1.224744871391589, &f_lo[6]);
-    sx4(&mut fm[3], 1.224744871391589, &f_lo[7]);
-    sx4(&mut fp[0], 0.7071067811865476, &f_hi[0]);
-    sx4(&mut fp[1], 0.7071067811865476, &f_hi[1]);
-    sx4(&mut fp[0], -1.224744871391589, &f_hi[2]);
-    sx4(&mut fp[2], 0.7071067811865476, &f_hi[3]);
-    sx4(&mut fp[1], -1.224744871391589, &f_hi[4]);
-    sx4(&mut fp[3], 0.7071067811865476, &f_hi[5]);
-    sx4(&mut fp[2], -1.224744871391589, &f_hi[6]);
-    sx4(&mut fp[3], -1.224744871391589, &f_hi[7]);
-    let mut favg = [CellLanes([0.0f64; LANES]); 4];
-    let mut ghat = [CellLanes([0.0f64; LANES]); 4];
-    for k in 0..LANES {
-        favg[0].0[k] = 0.5 * (fm[0].0[k] + fp[0].0[k]);
-        ghat[0].0[k] = -0.5 * lam.0[k] * (fp[0].0[k] - fm[0].0[k]);
-        favg[1].0[k] = 0.5 * (fm[1].0[k] + fp[1].0[k]);
-        ghat[1].0[k] = -0.5 * lam.0[k] * (fp[1].0[k] - fm[1].0[k]);
-        favg[2].0[k] = 0.5 * (fm[2].0[k] + fp[2].0[k]);
-        ghat[2].0[k] = -0.5 * lam.0[k] * (fp[2].0[k] - fm[2].0[k]);
-        favg[3].0[k] = 0.5 * (fm[3].0[k] + fp[3].0[k]);
-        ghat[3].0[k] = -0.5 * lam.0[k] * (fp[3].0[k] - fm[3].0[k]);
+    let mut fm = [[0.0f64; L]; 4];
+    let mut fp = [[0.0f64; L]; 4];
+    sxn(&mut fm[0], 0.7071067811865476, &f_lo[0]);
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[1]);
+    sxn(&mut fm[0], 1.224744871391589, &f_lo[2]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[3]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[4]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[5]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[6]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[7]);
+    sxn(&mut fp[0], 0.7071067811865476, &f_hi[0]);
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[1]);
+    sxn(&mut fp[0], -1.224744871391589, &f_hi[2]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[3]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[4]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[5]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[6]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[7]);
+    let mut favg = [[0.0f64; L]; 4];
+    let mut ghat = [[0.0f64; L]; 4];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
     }
-    for k in 0..LANES {
-        ghat[0].0[k] += 0.5 * alpha[0].0[k] * favg[0].0[k];
-        ghat[0].0[k] += 0.5 * alpha[1].0[k] * favg[1].0[k];
-        ghat[0].0[k] += 0.5 * alpha[2].0[k] * favg[2].0[k];
-        ghat[0].0[k] += 0.5 * alpha[3].0[k] * favg[3].0[k];
+    for k in 0..L {
+        ghat[0][k] += 0.5 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.5 * alpha[1][k] * favg[1][k];
+        ghat[0][k] += 0.5 * alpha[2][k] * favg[2][k];
+        ghat[0][k] += 0.5 * alpha[3][k] * favg[3][k];
     }
-    for k in 0..LANES {
-        ghat[1].0[k] += 0.5 * alpha[0].0[k] * favg[1].0[k];
-        ghat[1].0[k] += 0.5 * alpha[1].0[k] * favg[0].0[k];
-        ghat[1].0[k] += 0.5 * alpha[2].0[k] * favg[3].0[k];
-        ghat[1].0[k] += 0.5 * alpha[3].0[k] * favg[2].0[k];
+    for k in 0..L {
+        ghat[1][k] += 0.5 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.5 * alpha[1][k] * favg[0][k];
+        ghat[1][k] += 0.5 * alpha[2][k] * favg[3][k];
+        ghat[1][k] += 0.5 * alpha[3][k] * favg[2][k];
     }
-    for k in 0..LANES {
-        ghat[2].0[k] += 0.5 * alpha[0].0[k] * favg[2].0[k];
-        ghat[2].0[k] += 0.5 * alpha[1].0[k] * favg[3].0[k];
-        ghat[2].0[k] += 0.5 * alpha[2].0[k] * favg[0].0[k];
-        ghat[2].0[k] += 0.5 * alpha[3].0[k] * favg[1].0[k];
+    for k in 0..L {
+        ghat[2][k] += 0.5 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.5 * alpha[1][k] * favg[3][k];
+        ghat[2][k] += 0.5 * alpha[2][k] * favg[0][k];
+        ghat[2][k] += 0.5 * alpha[3][k] * favg[1][k];
     }
-    for k in 0..LANES {
-        ghat[3].0[k] += 0.5 * alpha[0].0[k] * favg[3].0[k];
-        ghat[3].0[k] += 0.5 * alpha[1].0[k] * favg[2].0[k];
-        ghat[3].0[k] += 0.5 * alpha[2].0[k] * favg[1].0[k];
-        ghat[3].0[k] += 0.5 * alpha[3].0[k] * favg[0].0[k];
+    for k in 0..L {
+        ghat[3][k] += 0.5 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.5 * alpha[1][k] * favg[2][k];
+        ghat[3][k] += 0.5 * alpha[2][k] * favg[1][k];
+        ghat[3][k] += 0.5 * alpha[3][k] * favg[0][k];
     }
-    sx4(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_lo[2], -rd * 1.224744871391589, &ghat[0]);
-    sx4(&mut out_lo[3], -rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_lo[4], -rd * 1.224744871391589, &ghat[1]);
-    sx4(&mut out_lo[5], -rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_lo[6], -rd * 1.224744871391589, &ghat[2]);
-    sx4(&mut out_lo[7], -rd * 1.224744871391589, &ghat[3]);
-    sx4(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_hi[1], rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_hi[2], rd * -1.224744871391589, &ghat[0]);
-    sx4(&mut out_hi[3], rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_hi[4], rd * -1.224744871391589, &ghat[1]);
-    sx4(&mut out_hi[5], rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_hi[6], rd * -1.224744871391589, &ghat[2]);
-    sx4(&mut out_hi[7], rd * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], -rd * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[3], -rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], -rd * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[5], -rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[6], -rd * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[7], -rd * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], rd * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[3], rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], rd * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[5], rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[6], rd * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[7], rd * -1.224744871391589, &ghat[3]);
 }
 
 /// Acceleration surface kernel, faces normal to v1 (α̂ = q/m (E + v×B)_1).
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_surf_1x2v_p1_tensor_v1(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
-    let rd = 2.0 / dxv[2];
-    let mut alpha = [0.0f64; 4];
-    alpha[0] += qm * 1.4142135623730951 * (em[2] - w[1] * em[10]);
-    alpha[1] += qm * -0.816496580927726 * (0.5 * dxv[1]) * em[10];
-    alpha[2] += qm * 1.4142135623730951 * (em[3] - w[1] * em[11]);
-    alpha[3] += qm * -0.816496580927726 * (0.5 * dxv[1]) * em[11];
-    let lam = if penalty { alpha[0].abs() * 0.5000000000000001 + alpha[1].abs() * 0.8660254037844386 + alpha[2].abs() * 0.8660254037844386 + alpha[3].abs() * 1.4999999999999998 } else { 0.0 };
-    let mut fm = [0.0f64; 4];
-    let mut fp = [0.0f64; 4];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[0] += 1.224744871391589 * f_lo[1];
-    fm[1] += 0.7071067811865476 * f_lo[2];
-    fm[2] += 0.7071067811865476 * f_lo[3];
-    fm[1] += 1.224744871391589 * f_lo[4];
-    fm[2] += 1.224744871391589 * f_lo[5];
-    fm[3] += 0.7071067811865476 * f_lo[6];
-    fm[3] += 1.224744871391589 * f_lo[7];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[0] += -1.224744871391589 * f_hi[1];
-    fp[1] += 0.7071067811865476 * f_hi[2];
-    fp[2] += 0.7071067811865476 * f_hi[3];
-    fp[1] += -1.224744871391589 * f_hi[4];
-    fp[2] += -1.224744871391589 * f_hi[5];
-    fp[3] += 0.7071067811865476 * f_hi[6];
-    fp[3] += -1.224744871391589 * f_hi[7];
-    let mut favg = [0.0f64; 4];
-    let mut ghat = [0.0f64; 4];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    ghat[0] += 0.5 * alpha[0] * favg[0];
-    ghat[0] += 0.5 * alpha[1] * favg[1];
-    ghat[0] += 0.5 * alpha[2] * favg[2];
-    ghat[0] += 0.5 * alpha[3] * favg[3];
-    ghat[1] += 0.5 * alpha[0] * favg[1];
-    ghat[1] += 0.5 * alpha[1] * favg[0];
-    ghat[1] += 0.5 * alpha[2] * favg[3];
-    ghat[1] += 0.5 * alpha[3] * favg[2];
-    ghat[2] += 0.5 * alpha[0] * favg[2];
-    ghat[2] += 0.5 * alpha[1] * favg[3];
-    ghat[2] += 0.5 * alpha[2] * favg[0];
-    ghat[2] += 0.5 * alpha[3] * favg[1];
-    ghat[3] += 0.5 * alpha[0] * favg[3];
-    ghat[3] += 0.5 * alpha[1] * favg[2];
-    ghat[3] += 0.5 * alpha[2] * favg[1];
-    ghat[3] += 0.5 * alpha[3] * favg[0];
-    out_lo[0] += -rd * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -rd * 1.224744871391589 * ghat[0];
-    out_lo[2] += -rd * 0.7071067811865476 * ghat[1];
-    out_lo[3] += -rd * 0.7071067811865476 * ghat[2];
-    out_lo[4] += -rd * 1.224744871391589 * ghat[1];
-    out_lo[5] += -rd * 1.224744871391589 * ghat[2];
-    out_lo[6] += -rd * 0.7071067811865476 * ghat[3];
-    out_lo[7] += -rd * 1.224744871391589 * ghat[3];
-    out_hi[0] += rd * 0.7071067811865476 * ghat[0];
-    out_hi[1] += rd * -1.224744871391589 * ghat[0];
-    out_hi[2] += rd * 0.7071067811865476 * ghat[1];
-    out_hi[3] += rd * 0.7071067811865476 * ghat[2];
-    out_hi[4] += rd * -1.224744871391589 * ghat[1];
-    out_hi[5] += rd * -1.224744871391589 * ghat[2];
-    out_hi[6] += rd * 0.7071067811865476 * ghat[3];
-    out_hi[7] += rd * -1.224744871391589 * ghat[3];
+    vlasov_surf_1x2v_p1_tensor_v1_body::<1>(w.as_chunks().0, dxv, qm, em, penalty, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
 }
 
-/// Batched companion of [`vlasov_surf_1x2v_p1_tensor_v1`]: `LANES` faces per call, bit-identical per lane.
+/// [`vlasov_surf_1x2v_p1_tensor_v1`] over `LANES` faces: the same body, bit-identical per lane.
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_1x2v_p1_tensor_v1_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_1x2v_p1_tensor_v1_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_1x2v_p1_tensor_v1_b4(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_1x2v_p1_tensor_v1_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// [`vlasov_surf_1x2v_p1_tensor_v1_b4`] compiled for AVX2: the same body, bit-identical per lane.
-/// Reach it through `crate::dispatch`, which checks the CPU first.
+/// [`vlasov_surf_1x2v_p1_tensor_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_1x2v_p1_tensor_v1_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_1x2v_p1_tensor_v1_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_1x2v_p1_tensor_v1_b4_avx2(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_1x2v_p1_tensor_v1_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// Shared body of [`vlasov_surf_1x2v_p1_tensor_v1_b4`] and its AVX2 entry point.
+/// [`vlasov_surf_1x2v_p1_tensor_v1`] over 8 faces, compiled for AVX-512F. Reach it through
+/// `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_surf_1x2v_p1_tensor_v1_b8_avx512(w: &[[f64; 8]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; 8]], f_hi: &[[f64; 8]], out_lo: &mut [[f64; 8]], out_hi: &mut [[f64; 8]]) {
+    vlasov_surf_1x2v_p1_tensor_v1_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`vlasov_surf_1x2v_p1_tensor_v1`] and its batched entry points.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_surf_1x2v_p1_tensor_v1_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+fn vlasov_surf_1x2v_p1_tensor_v1_body<const L: usize>(w: &[[f64; L]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let w: &[[f64; L]; 3] = w.first_chunk().expect("w: 3 coefficients");
+    let f_lo: &[[f64; L]; 8] = f_lo.first_chunk().expect("f_lo: 8 coefficients");
+    let f_hi: &[[f64; L]; 8] = f_hi.first_chunk().expect("f_hi: 8 coefficients");
+    let out_lo: &mut [[f64; L]; 8] = out_lo.first_chunk_mut().expect("out_lo: 8 coefficients");
+    let out_hi: &mut [[f64; L]; 8] = out_hi.first_chunk_mut().expect("out_hi: 8 coefficients");
     let rd = 2.0 / dxv[2];
-    let mut alpha = [CellLanes([0.0f64; LANES]); 4];
-    let mut lam = CellLanes([0.0f64; LANES]);
-    for k in 0..LANES {
-        alpha[0].0[k] += qm * 1.4142135623730951 * (em[2] - w[1].0[k] * em[10]);
-        alpha[1].0[k] += qm * -0.816496580927726 * (0.5 * dxv[1]) * em[10];
-        alpha[2].0[k] += qm * 1.4142135623730951 * (em[3] - w[1].0[k] * em[11]);
-        alpha[3].0[k] += qm * -0.816496580927726 * (0.5 * dxv[1]) * em[11];
-        lam.0[k] = if penalty { alpha[0].0[k].abs() * 0.5000000000000001 + alpha[1].0[k].abs() * 0.8660254037844386 + alpha[2].0[k].abs() * 0.8660254037844386 + alpha[3].0[k].abs() * 1.4999999999999998 } else { 0.0 };
+    let mut alpha = [[0.0f64; L]; 4];
+    let mut lam = [0.0f64; L];
+    for k in 0..L {
+        alpha[0][k] += qm * 1.4142135623730951 * (em[2] - w[1][k] * em[10]);
+        alpha[1][k] += qm * -0.816496580927726 * (0.5 * dxv[1]) * em[10];
+        alpha[2][k] += qm * 1.4142135623730951 * (em[3] - w[1][k] * em[11]);
+        alpha[3][k] += qm * -0.816496580927726 * (0.5 * dxv[1]) * em[11];
+        lam[k] = if penalty { alpha[0][k].abs() * 0.5000000000000001 + alpha[1][k].abs() * 0.8660254037844386 + alpha[2][k].abs() * 0.8660254037844386 + alpha[3][k].abs() * 1.4999999999999998 } else { 0.0 };
     }
-    let mut fm = [CellLanes([0.0f64; LANES]); 4];
-    let mut fp = [CellLanes([0.0f64; LANES]); 4];
-    sx4(&mut fm[0], 0.7071067811865476, &f_lo[0]);
-    sx4(&mut fm[0], 1.224744871391589, &f_lo[1]);
-    sx4(&mut fm[1], 0.7071067811865476, &f_lo[2]);
-    sx4(&mut fm[2], 0.7071067811865476, &f_lo[3]);
-    sx4(&mut fm[1], 1.224744871391589, &f_lo[4]);
-    sx4(&mut fm[2], 1.224744871391589, &f_lo[5]);
-    sx4(&mut fm[3], 0.7071067811865476, &f_lo[6]);
-    sx4(&mut fm[3], 1.224744871391589, &f_lo[7]);
-    sx4(&mut fp[0], 0.7071067811865476, &f_hi[0]);
-    sx4(&mut fp[0], -1.224744871391589, &f_hi[1]);
-    sx4(&mut fp[1], 0.7071067811865476, &f_hi[2]);
-    sx4(&mut fp[2], 0.7071067811865476, &f_hi[3]);
-    sx4(&mut fp[1], -1.224744871391589, &f_hi[4]);
-    sx4(&mut fp[2], -1.224744871391589, &f_hi[5]);
-    sx4(&mut fp[3], 0.7071067811865476, &f_hi[6]);
-    sx4(&mut fp[3], -1.224744871391589, &f_hi[7]);
-    let mut favg = [CellLanes([0.0f64; LANES]); 4];
-    let mut ghat = [CellLanes([0.0f64; LANES]); 4];
-    for k in 0..LANES {
-        favg[0].0[k] = 0.5 * (fm[0].0[k] + fp[0].0[k]);
-        ghat[0].0[k] = -0.5 * lam.0[k] * (fp[0].0[k] - fm[0].0[k]);
-        favg[1].0[k] = 0.5 * (fm[1].0[k] + fp[1].0[k]);
-        ghat[1].0[k] = -0.5 * lam.0[k] * (fp[1].0[k] - fm[1].0[k]);
-        favg[2].0[k] = 0.5 * (fm[2].0[k] + fp[2].0[k]);
-        ghat[2].0[k] = -0.5 * lam.0[k] * (fp[2].0[k] - fm[2].0[k]);
-        favg[3].0[k] = 0.5 * (fm[3].0[k] + fp[3].0[k]);
-        ghat[3].0[k] = -0.5 * lam.0[k] * (fp[3].0[k] - fm[3].0[k]);
+    let mut fm = [[0.0f64; L]; 4];
+    let mut fp = [[0.0f64; L]; 4];
+    sxn(&mut fm[0], 0.7071067811865476, &f_lo[0]);
+    sxn(&mut fm[0], 1.224744871391589, &f_lo[1]);
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[2]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[3]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[4]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[5]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[6]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[7]);
+    sxn(&mut fp[0], 0.7071067811865476, &f_hi[0]);
+    sxn(&mut fp[0], -1.224744871391589, &f_hi[1]);
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[2]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[3]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[4]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[5]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[6]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[7]);
+    let mut favg = [[0.0f64; L]; 4];
+    let mut ghat = [[0.0f64; L]; 4];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
     }
-    for k in 0..LANES {
-        ghat[0].0[k] += 0.5 * alpha[0].0[k] * favg[0].0[k];
-        ghat[0].0[k] += 0.5 * alpha[1].0[k] * favg[1].0[k];
-        ghat[0].0[k] += 0.5 * alpha[2].0[k] * favg[2].0[k];
-        ghat[0].0[k] += 0.5 * alpha[3].0[k] * favg[3].0[k];
+    for k in 0..L {
+        ghat[0][k] += 0.5 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.5 * alpha[1][k] * favg[1][k];
+        ghat[0][k] += 0.5 * alpha[2][k] * favg[2][k];
+        ghat[0][k] += 0.5 * alpha[3][k] * favg[3][k];
     }
-    for k in 0..LANES {
-        ghat[1].0[k] += 0.5 * alpha[0].0[k] * favg[1].0[k];
-        ghat[1].0[k] += 0.5 * alpha[1].0[k] * favg[0].0[k];
-        ghat[1].0[k] += 0.5 * alpha[2].0[k] * favg[3].0[k];
-        ghat[1].0[k] += 0.5 * alpha[3].0[k] * favg[2].0[k];
+    for k in 0..L {
+        ghat[1][k] += 0.5 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.5 * alpha[1][k] * favg[0][k];
+        ghat[1][k] += 0.5 * alpha[2][k] * favg[3][k];
+        ghat[1][k] += 0.5 * alpha[3][k] * favg[2][k];
     }
-    for k in 0..LANES {
-        ghat[2].0[k] += 0.5 * alpha[0].0[k] * favg[2].0[k];
-        ghat[2].0[k] += 0.5 * alpha[1].0[k] * favg[3].0[k];
-        ghat[2].0[k] += 0.5 * alpha[2].0[k] * favg[0].0[k];
-        ghat[2].0[k] += 0.5 * alpha[3].0[k] * favg[1].0[k];
+    for k in 0..L {
+        ghat[2][k] += 0.5 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.5 * alpha[1][k] * favg[3][k];
+        ghat[2][k] += 0.5 * alpha[2][k] * favg[0][k];
+        ghat[2][k] += 0.5 * alpha[3][k] * favg[1][k];
     }
-    for k in 0..LANES {
-        ghat[3].0[k] += 0.5 * alpha[0].0[k] * favg[3].0[k];
-        ghat[3].0[k] += 0.5 * alpha[1].0[k] * favg[2].0[k];
-        ghat[3].0[k] += 0.5 * alpha[2].0[k] * favg[1].0[k];
-        ghat[3].0[k] += 0.5 * alpha[3].0[k] * favg[0].0[k];
+    for k in 0..L {
+        ghat[3][k] += 0.5 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.5 * alpha[1][k] * favg[2][k];
+        ghat[3][k] += 0.5 * alpha[2][k] * favg[1][k];
+        ghat[3][k] += 0.5 * alpha[3][k] * favg[0][k];
     }
-    sx4(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_lo[1], -rd * 1.224744871391589, &ghat[0]);
-    sx4(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_lo[3], -rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_lo[4], -rd * 1.224744871391589, &ghat[1]);
-    sx4(&mut out_lo[5], -rd * 1.224744871391589, &ghat[2]);
-    sx4(&mut out_lo[6], -rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_lo[7], -rd * 1.224744871391589, &ghat[3]);
-    sx4(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_hi[1], rd * -1.224744871391589, &ghat[0]);
-    sx4(&mut out_hi[2], rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_hi[3], rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_hi[4], rd * -1.224744871391589, &ghat[1]);
-    sx4(&mut out_hi[5], rd * -1.224744871391589, &ghat[2]);
-    sx4(&mut out_hi[6], rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_hi[7], rd * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -rd * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[3], -rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], -rd * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[5], -rd * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[6], -rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[7], -rd * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], rd * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[2], rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[3], rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], rd * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[5], rd * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[6], rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[7], rd * -1.224744871391589, &ghat[3]);
 }

@@ -1,1093 +1,674 @@
 // Surface kernels for the Vlasov phase-space advection, 1x2v p=2 Serendipity basis.
 // Auto-generated from exact integral tables — do not edit by hand.
-// One function per face-normal phase direction (configuration first);
-// see `crate::dispatch::SurfaceKernelFn` for the calling convention.
+// One lane-generic body per face-normal phase direction (configuration
+// first) behind a scalar, a `_b4`, a `_b4_avx2` and a `_b8_avx512` entry
+// point; see `crate::dispatch::SurfaceKernelFn` for the calling convention.
 
 /// Streaming surface kernel, faces normal to x0 (α̂ = v0).
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_surf_1x2v_p2_ser_x0(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
-    let rd = 2.0 / dxv[0];
-    let mut alpha = [0.0f64; 8];
-    let _ = (qm, em);
-    alpha[0] = w[1] * 2.0;
-    alpha[2] += 0.5 * dxv[1] * 1.1547005383792517;
-    let lam = if penalty { w[1].abs() + 0.5 * dxv[1].abs() } else { 0.0 };
-    let mut fm = [0.0f64; 8];
-    let mut fp = [0.0f64; 8];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[1] += 0.7071067811865476 * f_lo[1];
-    fm[2] += 0.7071067811865476 * f_lo[2];
-    fm[0] += 1.224744871391589 * f_lo[3];
-    fm[3] += 0.7071067811865476 * f_lo[4];
-    fm[4] += 0.7071067811865476 * f_lo[5];
-    fm[5] += 0.7071067811865476 * f_lo[6];
-    fm[1] += 1.224744871391589 * f_lo[7];
-    fm[2] += 1.224744871391589 * f_lo[8];
-    fm[0] += 1.5811388300841898 * f_lo[9];
-    fm[6] += 0.7071067811865476 * f_lo[10];
-    fm[7] += 0.7071067811865476 * f_lo[11];
-    fm[3] += 1.224744871391589 * f_lo[12];
-    fm[4] += 1.224744871391589 * f_lo[13];
-    fm[5] += 1.224744871391589 * f_lo[14];
-    fm[1] += 1.5811388300841898 * f_lo[15];
-    fm[2] += 1.5811388300841898 * f_lo[16];
-    fm[6] += 1.224744871391589 * f_lo[17];
-    fm[7] += 1.224744871391589 * f_lo[18];
-    fm[4] += 1.5811388300841898 * f_lo[19];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[1] += 0.7071067811865476 * f_hi[1];
-    fp[2] += 0.7071067811865476 * f_hi[2];
-    fp[0] += -1.224744871391589 * f_hi[3];
-    fp[3] += 0.7071067811865476 * f_hi[4];
-    fp[4] += 0.7071067811865476 * f_hi[5];
-    fp[5] += 0.7071067811865476 * f_hi[6];
-    fp[1] += -1.224744871391589 * f_hi[7];
-    fp[2] += -1.224744871391589 * f_hi[8];
-    fp[0] += 1.5811388300841898 * f_hi[9];
-    fp[6] += 0.7071067811865476 * f_hi[10];
-    fp[7] += 0.7071067811865476 * f_hi[11];
-    fp[3] += -1.224744871391589 * f_hi[12];
-    fp[4] += -1.224744871391589 * f_hi[13];
-    fp[5] += -1.224744871391589 * f_hi[14];
-    fp[1] += 1.5811388300841898 * f_hi[15];
-    fp[2] += 1.5811388300841898 * f_hi[16];
-    fp[6] += -1.224744871391589 * f_hi[17];
-    fp[7] += -1.224744871391589 * f_hi[18];
-    fp[4] += 1.5811388300841898 * f_hi[19];
-    let mut favg = [0.0f64; 8];
-    let mut ghat = [0.0f64; 8];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    ghat[0] += 0.5 * alpha[0] * favg[0];
-    ghat[0] += 0.5 * alpha[2] * favg[2];
-    ghat[1] += 0.5 * alpha[0] * favg[1];
-    ghat[1] += 0.5 * alpha[2] * favg[4];
-    ghat[2] += 0.5 * alpha[0] * favg[2];
-    ghat[2] += 0.5 * alpha[2] * favg[0];
-    ghat[2] += 0.4472135954999579 * alpha[2] * favg[5];
-    ghat[3] += 0.5 * alpha[0] * favg[3];
-    ghat[3] += 0.5 * alpha[2] * favg[6];
-    ghat[4] += 0.5 * alpha[0] * favg[4];
-    ghat[4] += 0.5 * alpha[2] * favg[1];
-    ghat[4] += 0.447213595499958 * alpha[2] * favg[7];
-    ghat[5] += 0.5 * alpha[0] * favg[5];
-    ghat[5] += 0.4472135954999579 * alpha[2] * favg[2];
-    ghat[6] += 0.5 * alpha[0] * favg[6];
-    ghat[6] += 0.5 * alpha[2] * favg[3];
-    ghat[7] += 0.5 * alpha[0] * favg[7];
-    ghat[7] += 0.447213595499958 * alpha[2] * favg[4];
-    out_lo[0] += -rd * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -rd * 0.7071067811865476 * ghat[1];
-    out_lo[2] += -rd * 0.7071067811865476 * ghat[2];
-    out_lo[3] += -rd * 1.224744871391589 * ghat[0];
-    out_lo[4] += -rd * 0.7071067811865476 * ghat[3];
-    out_lo[5] += -rd * 0.7071067811865476 * ghat[4];
-    out_lo[6] += -rd * 0.7071067811865476 * ghat[5];
-    out_lo[7] += -rd * 1.224744871391589 * ghat[1];
-    out_lo[8] += -rd * 1.224744871391589 * ghat[2];
-    out_lo[9] += -rd * 1.5811388300841898 * ghat[0];
-    out_lo[10] += -rd * 0.7071067811865476 * ghat[6];
-    out_lo[11] += -rd * 0.7071067811865476 * ghat[7];
-    out_lo[12] += -rd * 1.224744871391589 * ghat[3];
-    out_lo[13] += -rd * 1.224744871391589 * ghat[4];
-    out_lo[14] += -rd * 1.224744871391589 * ghat[5];
-    out_lo[15] += -rd * 1.5811388300841898 * ghat[1];
-    out_lo[16] += -rd * 1.5811388300841898 * ghat[2];
-    out_lo[17] += -rd * 1.224744871391589 * ghat[6];
-    out_lo[18] += -rd * 1.224744871391589 * ghat[7];
-    out_lo[19] += -rd * 1.5811388300841898 * ghat[4];
-    out_hi[0] += rd * 0.7071067811865476 * ghat[0];
-    out_hi[1] += rd * 0.7071067811865476 * ghat[1];
-    out_hi[2] += rd * 0.7071067811865476 * ghat[2];
-    out_hi[3] += rd * -1.224744871391589 * ghat[0];
-    out_hi[4] += rd * 0.7071067811865476 * ghat[3];
-    out_hi[5] += rd * 0.7071067811865476 * ghat[4];
-    out_hi[6] += rd * 0.7071067811865476 * ghat[5];
-    out_hi[7] += rd * -1.224744871391589 * ghat[1];
-    out_hi[8] += rd * -1.224744871391589 * ghat[2];
-    out_hi[9] += rd * 1.5811388300841898 * ghat[0];
-    out_hi[10] += rd * 0.7071067811865476 * ghat[6];
-    out_hi[11] += rd * 0.7071067811865476 * ghat[7];
-    out_hi[12] += rd * -1.224744871391589 * ghat[3];
-    out_hi[13] += rd * -1.224744871391589 * ghat[4];
-    out_hi[14] += rd * -1.224744871391589 * ghat[5];
-    out_hi[15] += rd * 1.5811388300841898 * ghat[1];
-    out_hi[16] += rd * 1.5811388300841898 * ghat[2];
-    out_hi[17] += rd * -1.224744871391589 * ghat[6];
-    out_hi[18] += rd * -1.224744871391589 * ghat[7];
-    out_hi[19] += rd * 1.5811388300841898 * ghat[4];
+    vlasov_surf_1x2v_p2_ser_x0_body::<1>(w.as_chunks().0, dxv, qm, em, penalty, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
 }
 
-/// Batched companion of [`vlasov_surf_1x2v_p2_ser_x0`]: `LANES` faces per call, bit-identical per lane.
+/// [`vlasov_surf_1x2v_p2_ser_x0`] over `LANES` faces: the same body, bit-identical per lane.
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_1x2v_p2_ser_x0_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_1x2v_p2_ser_x0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_1x2v_p2_ser_x0_b4(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_1x2v_p2_ser_x0_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// [`vlasov_surf_1x2v_p2_ser_x0_b4`] compiled for AVX2: the same body, bit-identical per lane.
-/// Reach it through `crate::dispatch`, which checks the CPU first.
+/// [`vlasov_surf_1x2v_p2_ser_x0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_1x2v_p2_ser_x0_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_1x2v_p2_ser_x0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_1x2v_p2_ser_x0_b4_avx2(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_1x2v_p2_ser_x0_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// Shared body of [`vlasov_surf_1x2v_p2_ser_x0_b4`] and its AVX2 entry point.
+/// [`vlasov_surf_1x2v_p2_ser_x0`] over 8 faces, compiled for AVX-512F. Reach it through
+/// `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_surf_1x2v_p2_ser_x0_b8_avx512(w: &[[f64; 8]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; 8]], f_hi: &[[f64; 8]], out_lo: &mut [[f64; 8]], out_hi: &mut [[f64; 8]]) {
+    vlasov_surf_1x2v_p2_ser_x0_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`vlasov_surf_1x2v_p2_ser_x0`] and its batched entry points.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_surf_1x2v_p2_ser_x0_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+fn vlasov_surf_1x2v_p2_ser_x0_body<const L: usize>(w: &[[f64; L]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let w: &[[f64; L]; 3] = w.first_chunk().expect("w: 3 coefficients");
+    let f_lo: &[[f64; L]; 20] = f_lo.first_chunk().expect("f_lo: 20 coefficients");
+    let f_hi: &[[f64; L]; 20] = f_hi.first_chunk().expect("f_hi: 20 coefficients");
+    let out_lo: &mut [[f64; L]; 20] = out_lo.first_chunk_mut().expect("out_lo: 20 coefficients");
+    let out_hi: &mut [[f64; L]; 20] = out_hi.first_chunk_mut().expect("out_hi: 20 coefficients");
     let rd = 2.0 / dxv[0];
-    let mut alpha = [CellLanes([0.0f64; LANES]); 8];
-    let mut lam = CellLanes([0.0f64; LANES]);
+    let mut alpha = [[0.0f64; L]; 8];
+    let mut lam = [0.0f64; L];
     let _ = (qm, em);
-    for k in 0..LANES {
-        alpha[0].0[k] = w[1].0[k] * 2.0;
-        alpha[2].0[k] += 0.5 * dxv[1] * 1.1547005383792517;
-        lam.0[k] = if penalty { w[1].0[k].abs() + 0.5 * dxv[1].abs() } else { 0.0 };
+    for k in 0..L {
+        alpha[0][k] = w[1][k] * 2.0;
+        alpha[2][k] += 0.5 * dxv[1] * 1.1547005383792517;
+        lam[k] = if penalty { w[1][k].abs() + 0.5 * dxv[1].abs() } else { 0.0 };
     }
-    let mut fm = [CellLanes([0.0f64; LANES]); 8];
-    let mut fp = [CellLanes([0.0f64; LANES]); 8];
-    sx4(&mut fm[0], 0.7071067811865476, &f_lo[0]);
-    sx4(&mut fm[1], 0.7071067811865476, &f_lo[1]);
-    sx4(&mut fm[2], 0.7071067811865476, &f_lo[2]);
-    sx4(&mut fm[0], 1.224744871391589, &f_lo[3]);
-    sx4(&mut fm[3], 0.7071067811865476, &f_lo[4]);
-    sx4(&mut fm[4], 0.7071067811865476, &f_lo[5]);
-    sx4(&mut fm[5], 0.7071067811865476, &f_lo[6]);
-    sx4(&mut fm[1], 1.224744871391589, &f_lo[7]);
-    sx4(&mut fm[2], 1.224744871391589, &f_lo[8]);
-    sx4(&mut fm[0], 1.5811388300841898, &f_lo[9]);
-    sx4(&mut fm[6], 0.7071067811865476, &f_lo[10]);
-    sx4(&mut fm[7], 0.7071067811865476, &f_lo[11]);
-    sx4(&mut fm[3], 1.224744871391589, &f_lo[12]);
-    sx4(&mut fm[4], 1.224744871391589, &f_lo[13]);
-    sx4(&mut fm[5], 1.224744871391589, &f_lo[14]);
-    sx4(&mut fm[1], 1.5811388300841898, &f_lo[15]);
-    sx4(&mut fm[2], 1.5811388300841898, &f_lo[16]);
-    sx4(&mut fm[6], 1.224744871391589, &f_lo[17]);
-    sx4(&mut fm[7], 1.224744871391589, &f_lo[18]);
-    sx4(&mut fm[4], 1.5811388300841898, &f_lo[19]);
-    sx4(&mut fp[0], 0.7071067811865476, &f_hi[0]);
-    sx4(&mut fp[1], 0.7071067811865476, &f_hi[1]);
-    sx4(&mut fp[2], 0.7071067811865476, &f_hi[2]);
-    sx4(&mut fp[0], -1.224744871391589, &f_hi[3]);
-    sx4(&mut fp[3], 0.7071067811865476, &f_hi[4]);
-    sx4(&mut fp[4], 0.7071067811865476, &f_hi[5]);
-    sx4(&mut fp[5], 0.7071067811865476, &f_hi[6]);
-    sx4(&mut fp[1], -1.224744871391589, &f_hi[7]);
-    sx4(&mut fp[2], -1.224744871391589, &f_hi[8]);
-    sx4(&mut fp[0], 1.5811388300841898, &f_hi[9]);
-    sx4(&mut fp[6], 0.7071067811865476, &f_hi[10]);
-    sx4(&mut fp[7], 0.7071067811865476, &f_hi[11]);
-    sx4(&mut fp[3], -1.224744871391589, &f_hi[12]);
-    sx4(&mut fp[4], -1.224744871391589, &f_hi[13]);
-    sx4(&mut fp[5], -1.224744871391589, &f_hi[14]);
-    sx4(&mut fp[1], 1.5811388300841898, &f_hi[15]);
-    sx4(&mut fp[2], 1.5811388300841898, &f_hi[16]);
-    sx4(&mut fp[6], -1.224744871391589, &f_hi[17]);
-    sx4(&mut fp[7], -1.224744871391589, &f_hi[18]);
-    sx4(&mut fp[4], 1.5811388300841898, &f_hi[19]);
-    let mut favg = [CellLanes([0.0f64; LANES]); 8];
-    let mut ghat = [CellLanes([0.0f64; LANES]); 8];
-    for k in 0..LANES {
-        favg[0].0[k] = 0.5 * (fm[0].0[k] + fp[0].0[k]);
-        ghat[0].0[k] = -0.5 * lam.0[k] * (fp[0].0[k] - fm[0].0[k]);
-        favg[1].0[k] = 0.5 * (fm[1].0[k] + fp[1].0[k]);
-        ghat[1].0[k] = -0.5 * lam.0[k] * (fp[1].0[k] - fm[1].0[k]);
-        favg[2].0[k] = 0.5 * (fm[2].0[k] + fp[2].0[k]);
-        ghat[2].0[k] = -0.5 * lam.0[k] * (fp[2].0[k] - fm[2].0[k]);
-        favg[3].0[k] = 0.5 * (fm[3].0[k] + fp[3].0[k]);
-        ghat[3].0[k] = -0.5 * lam.0[k] * (fp[3].0[k] - fm[3].0[k]);
-        favg[4].0[k] = 0.5 * (fm[4].0[k] + fp[4].0[k]);
-        ghat[4].0[k] = -0.5 * lam.0[k] * (fp[4].0[k] - fm[4].0[k]);
-        favg[5].0[k] = 0.5 * (fm[5].0[k] + fp[5].0[k]);
-        ghat[5].0[k] = -0.5 * lam.0[k] * (fp[5].0[k] - fm[5].0[k]);
-        favg[6].0[k] = 0.5 * (fm[6].0[k] + fp[6].0[k]);
-        ghat[6].0[k] = -0.5 * lam.0[k] * (fp[6].0[k] - fm[6].0[k]);
-        favg[7].0[k] = 0.5 * (fm[7].0[k] + fp[7].0[k]);
-        ghat[7].0[k] = -0.5 * lam.0[k] * (fp[7].0[k] - fm[7].0[k]);
+    let mut fm = [[0.0f64; L]; 8];
+    let mut fp = [[0.0f64; L]; 8];
+    sxn(&mut fm[0], 0.7071067811865476, &f_lo[0]);
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[1]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[2]);
+    sxn(&mut fm[0], 1.224744871391589, &f_lo[3]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[4]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[5]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[6]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[7]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[8]);
+    sxn(&mut fm[0], 1.5811388300841898, &f_lo[9]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[10]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[11]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[12]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[13]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[14]);
+    sxn(&mut fm[1], 1.5811388300841898, &f_lo[15]);
+    sxn(&mut fm[2], 1.5811388300841898, &f_lo[16]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[17]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[18]);
+    sxn(&mut fm[4], 1.5811388300841898, &f_lo[19]);
+    sxn(&mut fp[0], 0.7071067811865476, &f_hi[0]);
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[1]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[2]);
+    sxn(&mut fp[0], -1.224744871391589, &f_hi[3]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[4]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[5]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[6]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[7]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[8]);
+    sxn(&mut fp[0], 1.5811388300841898, &f_hi[9]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[10]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[11]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[12]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[13]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[14]);
+    sxn(&mut fp[1], 1.5811388300841898, &f_hi[15]);
+    sxn(&mut fp[2], 1.5811388300841898, &f_hi[16]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[17]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[18]);
+    sxn(&mut fp[4], 1.5811388300841898, &f_hi[19]);
+    let mut favg = [[0.0f64; L]; 8];
+    let mut ghat = [[0.0f64; L]; 8];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
     }
-    for k in 0..LANES {
-        ghat[0].0[k] += 0.5 * alpha[0].0[k] * favg[0].0[k];
-        ghat[0].0[k] += 0.5 * alpha[2].0[k] * favg[2].0[k];
+    for k in 0..L {
+        ghat[0][k] += 0.5 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.5 * alpha[2][k] * favg[2][k];
     }
-    for k in 0..LANES {
-        ghat[1].0[k] += 0.5 * alpha[0].0[k] * favg[1].0[k];
-        ghat[1].0[k] += 0.5 * alpha[2].0[k] * favg[4].0[k];
+    for k in 0..L {
+        ghat[1][k] += 0.5 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.5 * alpha[2][k] * favg[4][k];
     }
-    for k in 0..LANES {
-        ghat[2].0[k] += 0.5 * alpha[0].0[k] * favg[2].0[k];
-        ghat[2].0[k] += 0.5 * alpha[2].0[k] * favg[0].0[k];
-        ghat[2].0[k] += 0.4472135954999579 * alpha[2].0[k] * favg[5].0[k];
+    for k in 0..L {
+        ghat[2][k] += 0.5 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.5 * alpha[2][k] * favg[0][k];
+        ghat[2][k] += 0.4472135954999579 * alpha[2][k] * favg[5][k];
     }
-    for k in 0..LANES {
-        ghat[3].0[k] += 0.5 * alpha[0].0[k] * favg[3].0[k];
-        ghat[3].0[k] += 0.5 * alpha[2].0[k] * favg[6].0[k];
+    for k in 0..L {
+        ghat[3][k] += 0.5 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.5 * alpha[2][k] * favg[6][k];
     }
-    for k in 0..LANES {
-        ghat[4].0[k] += 0.5 * alpha[0].0[k] * favg[4].0[k];
-        ghat[4].0[k] += 0.5 * alpha[2].0[k] * favg[1].0[k];
-        ghat[4].0[k] += 0.447213595499958 * alpha[2].0[k] * favg[7].0[k];
+    for k in 0..L {
+        ghat[4][k] += 0.5 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.5 * alpha[2][k] * favg[1][k];
+        ghat[4][k] += 0.447213595499958 * alpha[2][k] * favg[7][k];
     }
-    for k in 0..LANES {
-        ghat[5].0[k] += 0.5 * alpha[0].0[k] * favg[5].0[k];
-        ghat[5].0[k] += 0.4472135954999579 * alpha[2].0[k] * favg[2].0[k];
+    for k in 0..L {
+        ghat[5][k] += 0.5 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.4472135954999579 * alpha[2][k] * favg[2][k];
     }
-    for k in 0..LANES {
-        ghat[6].0[k] += 0.5 * alpha[0].0[k] * favg[6].0[k];
-        ghat[6].0[k] += 0.5 * alpha[2].0[k] * favg[3].0[k];
+    for k in 0..L {
+        ghat[6][k] += 0.5 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.5 * alpha[2][k] * favg[3][k];
     }
-    for k in 0..LANES {
-        ghat[7].0[k] += 0.5 * alpha[0].0[k] * favg[7].0[k];
-        ghat[7].0[k] += 0.447213595499958 * alpha[2].0[k] * favg[4].0[k];
+    for k in 0..L {
+        ghat[7][k] += 0.5 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.447213595499958 * alpha[2][k] * favg[4][k];
     }
-    sx4(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_lo[3], -rd * 1.224744871391589, &ghat[0]);
-    sx4(&mut out_lo[4], -rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_lo[5], -rd * 0.7071067811865476, &ghat[4]);
-    sx4(&mut out_lo[6], -rd * 0.7071067811865476, &ghat[5]);
-    sx4(&mut out_lo[7], -rd * 1.224744871391589, &ghat[1]);
-    sx4(&mut out_lo[8], -rd * 1.224744871391589, &ghat[2]);
-    sx4(&mut out_lo[9], -rd * 1.5811388300841898, &ghat[0]);
-    sx4(&mut out_lo[10], -rd * 0.7071067811865476, &ghat[6]);
-    sx4(&mut out_lo[11], -rd * 0.7071067811865476, &ghat[7]);
-    sx4(&mut out_lo[12], -rd * 1.224744871391589, &ghat[3]);
-    sx4(&mut out_lo[13], -rd * 1.224744871391589, &ghat[4]);
-    sx4(&mut out_lo[14], -rd * 1.224744871391589, &ghat[5]);
-    sx4(&mut out_lo[15], -rd * 1.5811388300841898, &ghat[1]);
-    sx4(&mut out_lo[16], -rd * 1.5811388300841898, &ghat[2]);
-    sx4(&mut out_lo[17], -rd * 1.224744871391589, &ghat[6]);
-    sx4(&mut out_lo[18], -rd * 1.224744871391589, &ghat[7]);
-    sx4(&mut out_lo[19], -rd * 1.5811388300841898, &ghat[4]);
-    sx4(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_hi[1], rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_hi[2], rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_hi[3], rd * -1.224744871391589, &ghat[0]);
-    sx4(&mut out_hi[4], rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_hi[5], rd * 0.7071067811865476, &ghat[4]);
-    sx4(&mut out_hi[6], rd * 0.7071067811865476, &ghat[5]);
-    sx4(&mut out_hi[7], rd * -1.224744871391589, &ghat[1]);
-    sx4(&mut out_hi[8], rd * -1.224744871391589, &ghat[2]);
-    sx4(&mut out_hi[9], rd * 1.5811388300841898, &ghat[0]);
-    sx4(&mut out_hi[10], rd * 0.7071067811865476, &ghat[6]);
-    sx4(&mut out_hi[11], rd * 0.7071067811865476, &ghat[7]);
-    sx4(&mut out_hi[12], rd * -1.224744871391589, &ghat[3]);
-    sx4(&mut out_hi[13], rd * -1.224744871391589, &ghat[4]);
-    sx4(&mut out_hi[14], rd * -1.224744871391589, &ghat[5]);
-    sx4(&mut out_hi[15], rd * 1.5811388300841898, &ghat[1]);
-    sx4(&mut out_hi[16], rd * 1.5811388300841898, &ghat[2]);
-    sx4(&mut out_hi[17], rd * -1.224744871391589, &ghat[6]);
-    sx4(&mut out_hi[18], rd * -1.224744871391589, &ghat[7]);
-    sx4(&mut out_hi[19], rd * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[3], -rd * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[4], -rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], -rd * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], -rd * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[7], -rd * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[8], -rd * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[9], -rd * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_lo[10], -rd * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[11], -rd * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[12], -rd * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[13], -rd * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[14], -rd * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[15], -rd * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_lo[16], -rd * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_lo[17], -rd * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[18], -rd * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[19], -rd * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[3], rd * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[4], rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], rd * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], rd * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[7], rd * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[8], rd * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[9], rd * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_hi[10], rd * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[11], rd * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[12], rd * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[13], rd * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[14], rd * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[15], rd * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_hi[16], rd * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_hi[17], rd * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[18], rd * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[19], rd * 1.5811388300841898, &ghat[4]);
 }
 
 /// Acceleration surface kernel, faces normal to v0 (α̂ = q/m (E + v×B)_0).
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_surf_1x2v_p2_ser_v0(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
-    let rd = 2.0 / dxv[1];
-    let mut alpha = [0.0f64; 8];
-    alpha[0] += qm * 1.4142135623730951 * (em[0] + w[2] * em[15]);
-    alpha[1] += qm * 0.816496580927726 * (0.5 * dxv[2]) * em[15];
-    alpha[2] += qm * 1.4142135623730951 * (em[1] + w[2] * em[16]);
-    alpha[4] += qm * 0.816496580927726 * (0.5 * dxv[2]) * em[16];
-    alpha[5] += qm * 1.4142135623730951 * (em[2] + w[2] * em[17]);
-    alpha[7] += qm * 0.816496580927726 * (0.5 * dxv[2]) * em[17];
-    let lam = if penalty { alpha[0].abs() * 0.5000000000000001 + alpha[1].abs() * 0.8660254037844386 + alpha[2].abs() * 0.8660254037844386 + alpha[4].abs() * 1.4999999999999998 + alpha[5].abs() * 1.118033988749895 + alpha[7].abs() * 1.9364916731037083 } else { 0.0 };
-    let mut fm = [0.0f64; 8];
-    let mut fp = [0.0f64; 8];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[1] += 0.7071067811865476 * f_lo[1];
-    fm[0] += 1.224744871391589 * f_lo[2];
-    fm[2] += 0.7071067811865476 * f_lo[3];
-    fm[3] += 0.7071067811865476 * f_lo[4];
-    fm[1] += 1.224744871391589 * f_lo[5];
-    fm[0] += 1.5811388300841898 * f_lo[6];
-    fm[4] += 0.7071067811865476 * f_lo[7];
-    fm[2] += 1.224744871391589 * f_lo[8];
-    fm[5] += 0.7071067811865476 * f_lo[9];
-    fm[3] += 1.224744871391589 * f_lo[10];
-    fm[1] += 1.5811388300841898 * f_lo[11];
-    fm[6] += 0.7071067811865476 * f_lo[12];
-    fm[4] += 1.224744871391589 * f_lo[13];
-    fm[2] += 1.5811388300841898 * f_lo[14];
-    fm[7] += 0.7071067811865476 * f_lo[15];
-    fm[5] += 1.224744871391589 * f_lo[16];
-    fm[6] += 1.224744871391589 * f_lo[17];
-    fm[4] += 1.5811388300841898 * f_lo[18];
-    fm[7] += 1.224744871391589 * f_lo[19];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[1] += 0.7071067811865476 * f_hi[1];
-    fp[0] += -1.224744871391589 * f_hi[2];
-    fp[2] += 0.7071067811865476 * f_hi[3];
-    fp[3] += 0.7071067811865476 * f_hi[4];
-    fp[1] += -1.224744871391589 * f_hi[5];
-    fp[0] += 1.5811388300841898 * f_hi[6];
-    fp[4] += 0.7071067811865476 * f_hi[7];
-    fp[2] += -1.224744871391589 * f_hi[8];
-    fp[5] += 0.7071067811865476 * f_hi[9];
-    fp[3] += -1.224744871391589 * f_hi[10];
-    fp[1] += 1.5811388300841898 * f_hi[11];
-    fp[6] += 0.7071067811865476 * f_hi[12];
-    fp[4] += -1.224744871391589 * f_hi[13];
-    fp[2] += 1.5811388300841898 * f_hi[14];
-    fp[7] += 0.7071067811865476 * f_hi[15];
-    fp[5] += -1.224744871391589 * f_hi[16];
-    fp[6] += -1.224744871391589 * f_hi[17];
-    fp[4] += 1.5811388300841898 * f_hi[18];
-    fp[7] += -1.224744871391589 * f_hi[19];
-    let mut favg = [0.0f64; 8];
-    let mut ghat = [0.0f64; 8];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    ghat[0] += 0.5 * alpha[0] * favg[0];
-    ghat[0] += 0.5 * alpha[1] * favg[1];
-    ghat[0] += 0.5 * alpha[2] * favg[2];
-    ghat[0] += 0.5 * alpha[4] * favg[4];
-    ghat[0] += 0.5 * alpha[5] * favg[5];
-    ghat[0] += 0.5 * alpha[7] * favg[7];
-    ghat[1] += 0.5 * alpha[0] * favg[1];
-    ghat[1] += 0.5 * alpha[1] * favg[0];
-    ghat[1] += 0.4472135954999579 * alpha[1] * favg[3];
-    ghat[1] += 0.5 * alpha[2] * favg[4];
-    ghat[1] += 0.5 * alpha[4] * favg[2];
-    ghat[1] += 0.447213595499958 * alpha[4] * favg[6];
-    ghat[1] += 0.5 * alpha[5] * favg[7];
-    ghat[1] += 0.5 * alpha[7] * favg[5];
-    ghat[2] += 0.5 * alpha[0] * favg[2];
-    ghat[2] += 0.5 * alpha[1] * favg[4];
-    ghat[2] += 0.5 * alpha[2] * favg[0];
-    ghat[2] += 0.4472135954999579 * alpha[2] * favg[5];
-    ghat[2] += 0.5 * alpha[4] * favg[1];
-    ghat[2] += 0.447213595499958 * alpha[4] * favg[7];
-    ghat[2] += 0.4472135954999579 * alpha[5] * favg[2];
-    ghat[2] += 0.447213595499958 * alpha[7] * favg[4];
-    ghat[3] += 0.5 * alpha[0] * favg[3];
-    ghat[3] += 0.4472135954999579 * alpha[1] * favg[1];
-    ghat[3] += 0.5 * alpha[2] * favg[6];
-    ghat[3] += 0.447213595499958 * alpha[4] * favg[4];
-    ghat[3] += 0.4472135954999579 * alpha[7] * favg[7];
-    ghat[4] += 0.5 * alpha[0] * favg[4];
-    ghat[4] += 0.5 * alpha[1] * favg[2];
-    ghat[4] += 0.447213595499958 * alpha[1] * favg[6];
-    ghat[4] += 0.5 * alpha[2] * favg[1];
-    ghat[4] += 0.447213595499958 * alpha[2] * favg[7];
-    ghat[4] += 0.5 * alpha[4] * favg[0];
-    ghat[4] += 0.447213595499958 * alpha[4] * favg[3];
-    ghat[4] += 0.447213595499958 * alpha[4] * favg[5];
-    ghat[4] += 0.447213595499958 * alpha[5] * favg[4];
-    ghat[4] += 0.447213595499958 * alpha[7] * favg[2];
-    ghat[4] += 0.4 * alpha[7] * favg[6];
-    ghat[5] += 0.5 * alpha[0] * favg[5];
-    ghat[5] += 0.5 * alpha[1] * favg[7];
-    ghat[5] += 0.4472135954999579 * alpha[2] * favg[2];
-    ghat[5] += 0.447213595499958 * alpha[4] * favg[4];
-    ghat[5] += 0.5 * alpha[5] * favg[0];
-    ghat[5] += 0.31943828249996997 * alpha[5] * favg[5];
-    ghat[5] += 0.5 * alpha[7] * favg[1];
-    ghat[5] += 0.31943828249996997 * alpha[7] * favg[7];
-    ghat[6] += 0.5 * alpha[0] * favg[6];
-    ghat[6] += 0.447213595499958 * alpha[1] * favg[4];
-    ghat[6] += 0.5 * alpha[2] * favg[3];
-    ghat[6] += 0.447213595499958 * alpha[4] * favg[1];
-    ghat[6] += 0.4 * alpha[4] * favg[7];
-    ghat[6] += 0.4472135954999579 * alpha[5] * favg[6];
-    ghat[6] += 0.4 * alpha[7] * favg[4];
-    ghat[7] += 0.5 * alpha[0] * favg[7];
-    ghat[7] += 0.5 * alpha[1] * favg[5];
-    ghat[7] += 0.447213595499958 * alpha[2] * favg[4];
-    ghat[7] += 0.447213595499958 * alpha[4] * favg[2];
-    ghat[7] += 0.4 * alpha[4] * favg[6];
-    ghat[7] += 0.5 * alpha[5] * favg[1];
-    ghat[7] += 0.31943828249996997 * alpha[5] * favg[7];
-    ghat[7] += 0.5 * alpha[7] * favg[0];
-    ghat[7] += 0.4472135954999579 * alpha[7] * favg[3];
-    ghat[7] += 0.31943828249996997 * alpha[7] * favg[5];
-    out_lo[0] += -rd * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -rd * 0.7071067811865476 * ghat[1];
-    out_lo[2] += -rd * 1.224744871391589 * ghat[0];
-    out_lo[3] += -rd * 0.7071067811865476 * ghat[2];
-    out_lo[4] += -rd * 0.7071067811865476 * ghat[3];
-    out_lo[5] += -rd * 1.224744871391589 * ghat[1];
-    out_lo[6] += -rd * 1.5811388300841898 * ghat[0];
-    out_lo[7] += -rd * 0.7071067811865476 * ghat[4];
-    out_lo[8] += -rd * 1.224744871391589 * ghat[2];
-    out_lo[9] += -rd * 0.7071067811865476 * ghat[5];
-    out_lo[10] += -rd * 1.224744871391589 * ghat[3];
-    out_lo[11] += -rd * 1.5811388300841898 * ghat[1];
-    out_lo[12] += -rd * 0.7071067811865476 * ghat[6];
-    out_lo[13] += -rd * 1.224744871391589 * ghat[4];
-    out_lo[14] += -rd * 1.5811388300841898 * ghat[2];
-    out_lo[15] += -rd * 0.7071067811865476 * ghat[7];
-    out_lo[16] += -rd * 1.224744871391589 * ghat[5];
-    out_lo[17] += -rd * 1.224744871391589 * ghat[6];
-    out_lo[18] += -rd * 1.5811388300841898 * ghat[4];
-    out_lo[19] += -rd * 1.224744871391589 * ghat[7];
-    out_hi[0] += rd * 0.7071067811865476 * ghat[0];
-    out_hi[1] += rd * 0.7071067811865476 * ghat[1];
-    out_hi[2] += rd * -1.224744871391589 * ghat[0];
-    out_hi[3] += rd * 0.7071067811865476 * ghat[2];
-    out_hi[4] += rd * 0.7071067811865476 * ghat[3];
-    out_hi[5] += rd * -1.224744871391589 * ghat[1];
-    out_hi[6] += rd * 1.5811388300841898 * ghat[0];
-    out_hi[7] += rd * 0.7071067811865476 * ghat[4];
-    out_hi[8] += rd * -1.224744871391589 * ghat[2];
-    out_hi[9] += rd * 0.7071067811865476 * ghat[5];
-    out_hi[10] += rd * -1.224744871391589 * ghat[3];
-    out_hi[11] += rd * 1.5811388300841898 * ghat[1];
-    out_hi[12] += rd * 0.7071067811865476 * ghat[6];
-    out_hi[13] += rd * -1.224744871391589 * ghat[4];
-    out_hi[14] += rd * 1.5811388300841898 * ghat[2];
-    out_hi[15] += rd * 0.7071067811865476 * ghat[7];
-    out_hi[16] += rd * -1.224744871391589 * ghat[5];
-    out_hi[17] += rd * -1.224744871391589 * ghat[6];
-    out_hi[18] += rd * 1.5811388300841898 * ghat[4];
-    out_hi[19] += rd * -1.224744871391589 * ghat[7];
+    vlasov_surf_1x2v_p2_ser_v0_body::<1>(w.as_chunks().0, dxv, qm, em, penalty, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
 }
 
-/// Batched companion of [`vlasov_surf_1x2v_p2_ser_v0`]: `LANES` faces per call, bit-identical per lane.
+/// [`vlasov_surf_1x2v_p2_ser_v0`] over `LANES` faces: the same body, bit-identical per lane.
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_1x2v_p2_ser_v0_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_1x2v_p2_ser_v0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_1x2v_p2_ser_v0_b4(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_1x2v_p2_ser_v0_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// [`vlasov_surf_1x2v_p2_ser_v0_b4`] compiled for AVX2: the same body, bit-identical per lane.
-/// Reach it through `crate::dispatch`, which checks the CPU first.
+/// [`vlasov_surf_1x2v_p2_ser_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_1x2v_p2_ser_v0_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_1x2v_p2_ser_v0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_1x2v_p2_ser_v0_b4_avx2(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_1x2v_p2_ser_v0_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// Shared body of [`vlasov_surf_1x2v_p2_ser_v0_b4`] and its AVX2 entry point.
+/// [`vlasov_surf_1x2v_p2_ser_v0`] over 8 faces, compiled for AVX-512F. Reach it through
+/// `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_surf_1x2v_p2_ser_v0_b8_avx512(w: &[[f64; 8]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; 8]], f_hi: &[[f64; 8]], out_lo: &mut [[f64; 8]], out_hi: &mut [[f64; 8]]) {
+    vlasov_surf_1x2v_p2_ser_v0_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`vlasov_surf_1x2v_p2_ser_v0`] and its batched entry points.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_surf_1x2v_p2_ser_v0_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+fn vlasov_surf_1x2v_p2_ser_v0_body<const L: usize>(w: &[[f64; L]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let w: &[[f64; L]; 3] = w.first_chunk().expect("w: 3 coefficients");
+    let f_lo: &[[f64; L]; 20] = f_lo.first_chunk().expect("f_lo: 20 coefficients");
+    let f_hi: &[[f64; L]; 20] = f_hi.first_chunk().expect("f_hi: 20 coefficients");
+    let out_lo: &mut [[f64; L]; 20] = out_lo.first_chunk_mut().expect("out_lo: 20 coefficients");
+    let out_hi: &mut [[f64; L]; 20] = out_hi.first_chunk_mut().expect("out_hi: 20 coefficients");
     let rd = 2.0 / dxv[1];
-    let mut alpha = [CellLanes([0.0f64; LANES]); 8];
-    let mut lam = CellLanes([0.0f64; LANES]);
-    for k in 0..LANES {
-        alpha[0].0[k] += qm * 1.4142135623730951 * (em[0] + w[2].0[k] * em[15]);
-        alpha[1].0[k] += qm * 0.816496580927726 * (0.5 * dxv[2]) * em[15];
-        alpha[2].0[k] += qm * 1.4142135623730951 * (em[1] + w[2].0[k] * em[16]);
-        alpha[4].0[k] += qm * 0.816496580927726 * (0.5 * dxv[2]) * em[16];
-        alpha[5].0[k] += qm * 1.4142135623730951 * (em[2] + w[2].0[k] * em[17]);
-        alpha[7].0[k] += qm * 0.816496580927726 * (0.5 * dxv[2]) * em[17];
-        lam.0[k] = if penalty { alpha[0].0[k].abs() * 0.5000000000000001 + alpha[1].0[k].abs() * 0.8660254037844386 + alpha[2].0[k].abs() * 0.8660254037844386 + alpha[4].0[k].abs() * 1.4999999999999998 + alpha[5].0[k].abs() * 1.118033988749895 + alpha[7].0[k].abs() * 1.9364916731037083 } else { 0.0 };
+    let mut alpha = [[0.0f64; L]; 8];
+    let mut lam = [0.0f64; L];
+    for k in 0..L {
+        alpha[0][k] += qm * 1.4142135623730951 * (em[0] + w[2][k] * em[15]);
+        alpha[1][k] += qm * 0.816496580927726 * (0.5 * dxv[2]) * em[15];
+        alpha[2][k] += qm * 1.4142135623730951 * (em[1] + w[2][k] * em[16]);
+        alpha[4][k] += qm * 0.816496580927726 * (0.5 * dxv[2]) * em[16];
+        alpha[5][k] += qm * 1.4142135623730951 * (em[2] + w[2][k] * em[17]);
+        alpha[7][k] += qm * 0.816496580927726 * (0.5 * dxv[2]) * em[17];
+        lam[k] = if penalty { alpha[0][k].abs() * 0.5000000000000001 + alpha[1][k].abs() * 0.8660254037844386 + alpha[2][k].abs() * 0.8660254037844386 + alpha[4][k].abs() * 1.4999999999999998 + alpha[5][k].abs() * 1.118033988749895 + alpha[7][k].abs() * 1.9364916731037083 } else { 0.0 };
     }
-    let mut fm = [CellLanes([0.0f64; LANES]); 8];
-    let mut fp = [CellLanes([0.0f64; LANES]); 8];
-    sx4(&mut fm[0], 0.7071067811865476, &f_lo[0]);
-    sx4(&mut fm[1], 0.7071067811865476, &f_lo[1]);
-    sx4(&mut fm[0], 1.224744871391589, &f_lo[2]);
-    sx4(&mut fm[2], 0.7071067811865476, &f_lo[3]);
-    sx4(&mut fm[3], 0.7071067811865476, &f_lo[4]);
-    sx4(&mut fm[1], 1.224744871391589, &f_lo[5]);
-    sx4(&mut fm[0], 1.5811388300841898, &f_lo[6]);
-    sx4(&mut fm[4], 0.7071067811865476, &f_lo[7]);
-    sx4(&mut fm[2], 1.224744871391589, &f_lo[8]);
-    sx4(&mut fm[5], 0.7071067811865476, &f_lo[9]);
-    sx4(&mut fm[3], 1.224744871391589, &f_lo[10]);
-    sx4(&mut fm[1], 1.5811388300841898, &f_lo[11]);
-    sx4(&mut fm[6], 0.7071067811865476, &f_lo[12]);
-    sx4(&mut fm[4], 1.224744871391589, &f_lo[13]);
-    sx4(&mut fm[2], 1.5811388300841898, &f_lo[14]);
-    sx4(&mut fm[7], 0.7071067811865476, &f_lo[15]);
-    sx4(&mut fm[5], 1.224744871391589, &f_lo[16]);
-    sx4(&mut fm[6], 1.224744871391589, &f_lo[17]);
-    sx4(&mut fm[4], 1.5811388300841898, &f_lo[18]);
-    sx4(&mut fm[7], 1.224744871391589, &f_lo[19]);
-    sx4(&mut fp[0], 0.7071067811865476, &f_hi[0]);
-    sx4(&mut fp[1], 0.7071067811865476, &f_hi[1]);
-    sx4(&mut fp[0], -1.224744871391589, &f_hi[2]);
-    sx4(&mut fp[2], 0.7071067811865476, &f_hi[3]);
-    sx4(&mut fp[3], 0.7071067811865476, &f_hi[4]);
-    sx4(&mut fp[1], -1.224744871391589, &f_hi[5]);
-    sx4(&mut fp[0], 1.5811388300841898, &f_hi[6]);
-    sx4(&mut fp[4], 0.7071067811865476, &f_hi[7]);
-    sx4(&mut fp[2], -1.224744871391589, &f_hi[8]);
-    sx4(&mut fp[5], 0.7071067811865476, &f_hi[9]);
-    sx4(&mut fp[3], -1.224744871391589, &f_hi[10]);
-    sx4(&mut fp[1], 1.5811388300841898, &f_hi[11]);
-    sx4(&mut fp[6], 0.7071067811865476, &f_hi[12]);
-    sx4(&mut fp[4], -1.224744871391589, &f_hi[13]);
-    sx4(&mut fp[2], 1.5811388300841898, &f_hi[14]);
-    sx4(&mut fp[7], 0.7071067811865476, &f_hi[15]);
-    sx4(&mut fp[5], -1.224744871391589, &f_hi[16]);
-    sx4(&mut fp[6], -1.224744871391589, &f_hi[17]);
-    sx4(&mut fp[4], 1.5811388300841898, &f_hi[18]);
-    sx4(&mut fp[7], -1.224744871391589, &f_hi[19]);
-    let mut favg = [CellLanes([0.0f64; LANES]); 8];
-    let mut ghat = [CellLanes([0.0f64; LANES]); 8];
-    for k in 0..LANES {
-        favg[0].0[k] = 0.5 * (fm[0].0[k] + fp[0].0[k]);
-        ghat[0].0[k] = -0.5 * lam.0[k] * (fp[0].0[k] - fm[0].0[k]);
-        favg[1].0[k] = 0.5 * (fm[1].0[k] + fp[1].0[k]);
-        ghat[1].0[k] = -0.5 * lam.0[k] * (fp[1].0[k] - fm[1].0[k]);
-        favg[2].0[k] = 0.5 * (fm[2].0[k] + fp[2].0[k]);
-        ghat[2].0[k] = -0.5 * lam.0[k] * (fp[2].0[k] - fm[2].0[k]);
-        favg[3].0[k] = 0.5 * (fm[3].0[k] + fp[3].0[k]);
-        ghat[3].0[k] = -0.5 * lam.0[k] * (fp[3].0[k] - fm[3].0[k]);
-        favg[4].0[k] = 0.5 * (fm[4].0[k] + fp[4].0[k]);
-        ghat[4].0[k] = -0.5 * lam.0[k] * (fp[4].0[k] - fm[4].0[k]);
-        favg[5].0[k] = 0.5 * (fm[5].0[k] + fp[5].0[k]);
-        ghat[5].0[k] = -0.5 * lam.0[k] * (fp[5].0[k] - fm[5].0[k]);
-        favg[6].0[k] = 0.5 * (fm[6].0[k] + fp[6].0[k]);
-        ghat[6].0[k] = -0.5 * lam.0[k] * (fp[6].0[k] - fm[6].0[k]);
-        favg[7].0[k] = 0.5 * (fm[7].0[k] + fp[7].0[k]);
-        ghat[7].0[k] = -0.5 * lam.0[k] * (fp[7].0[k] - fm[7].0[k]);
+    let mut fm = [[0.0f64; L]; 8];
+    let mut fp = [[0.0f64; L]; 8];
+    sxn(&mut fm[0], 0.7071067811865476, &f_lo[0]);
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[1]);
+    sxn(&mut fm[0], 1.224744871391589, &f_lo[2]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[3]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[4]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[5]);
+    sxn(&mut fm[0], 1.5811388300841898, &f_lo[6]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[7]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[8]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[9]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[10]);
+    sxn(&mut fm[1], 1.5811388300841898, &f_lo[11]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[12]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[13]);
+    sxn(&mut fm[2], 1.5811388300841898, &f_lo[14]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[15]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[16]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[17]);
+    sxn(&mut fm[4], 1.5811388300841898, &f_lo[18]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[19]);
+    sxn(&mut fp[0], 0.7071067811865476, &f_hi[0]);
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[1]);
+    sxn(&mut fp[0], -1.224744871391589, &f_hi[2]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[3]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[4]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[5]);
+    sxn(&mut fp[0], 1.5811388300841898, &f_hi[6]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[7]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[8]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[9]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[10]);
+    sxn(&mut fp[1], 1.5811388300841898, &f_hi[11]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[12]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[13]);
+    sxn(&mut fp[2], 1.5811388300841898, &f_hi[14]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[15]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[16]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[17]);
+    sxn(&mut fp[4], 1.5811388300841898, &f_hi[18]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[19]);
+    let mut favg = [[0.0f64; L]; 8];
+    let mut ghat = [[0.0f64; L]; 8];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
     }
-    for k in 0..LANES {
-        ghat[0].0[k] += 0.5 * alpha[0].0[k] * favg[0].0[k];
-        ghat[0].0[k] += 0.5 * alpha[1].0[k] * favg[1].0[k];
-        ghat[0].0[k] += 0.5 * alpha[2].0[k] * favg[2].0[k];
-        ghat[0].0[k] += 0.5 * alpha[4].0[k] * favg[4].0[k];
-        ghat[0].0[k] += 0.5 * alpha[5].0[k] * favg[5].0[k];
-        ghat[0].0[k] += 0.5 * alpha[7].0[k] * favg[7].0[k];
+    for k in 0..L {
+        ghat[0][k] += 0.5 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.5 * alpha[1][k] * favg[1][k];
+        ghat[0][k] += 0.5 * alpha[2][k] * favg[2][k];
+        ghat[0][k] += 0.5 * alpha[4][k] * favg[4][k];
+        ghat[0][k] += 0.5 * alpha[5][k] * favg[5][k];
+        ghat[0][k] += 0.5 * alpha[7][k] * favg[7][k];
     }
-    for k in 0..LANES {
-        ghat[1].0[k] += 0.5 * alpha[0].0[k] * favg[1].0[k];
-        ghat[1].0[k] += 0.5 * alpha[1].0[k] * favg[0].0[k];
-        ghat[1].0[k] += 0.4472135954999579 * alpha[1].0[k] * favg[3].0[k];
-        ghat[1].0[k] += 0.5 * alpha[2].0[k] * favg[4].0[k];
-        ghat[1].0[k] += 0.5 * alpha[4].0[k] * favg[2].0[k];
-        ghat[1].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[6].0[k];
-        ghat[1].0[k] += 0.5 * alpha[5].0[k] * favg[7].0[k];
-        ghat[1].0[k] += 0.5 * alpha[7].0[k] * favg[5].0[k];
+    for k in 0..L {
+        ghat[1][k] += 0.5 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.5 * alpha[1][k] * favg[0][k];
+        ghat[1][k] += 0.4472135954999579 * alpha[1][k] * favg[3][k];
+        ghat[1][k] += 0.5 * alpha[2][k] * favg[4][k];
+        ghat[1][k] += 0.5 * alpha[4][k] * favg[2][k];
+        ghat[1][k] += 0.447213595499958 * alpha[4][k] * favg[6][k];
+        ghat[1][k] += 0.5 * alpha[5][k] * favg[7][k];
+        ghat[1][k] += 0.5 * alpha[7][k] * favg[5][k];
     }
-    for k in 0..LANES {
-        ghat[2].0[k] += 0.5 * alpha[0].0[k] * favg[2].0[k];
-        ghat[2].0[k] += 0.5 * alpha[1].0[k] * favg[4].0[k];
-        ghat[2].0[k] += 0.5 * alpha[2].0[k] * favg[0].0[k];
-        ghat[2].0[k] += 0.4472135954999579 * alpha[2].0[k] * favg[5].0[k];
-        ghat[2].0[k] += 0.5 * alpha[4].0[k] * favg[1].0[k];
-        ghat[2].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[7].0[k];
-        ghat[2].0[k] += 0.4472135954999579 * alpha[5].0[k] * favg[2].0[k];
-        ghat[2].0[k] += 0.447213595499958 * alpha[7].0[k] * favg[4].0[k];
+    for k in 0..L {
+        ghat[2][k] += 0.5 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.5 * alpha[1][k] * favg[4][k];
+        ghat[2][k] += 0.5 * alpha[2][k] * favg[0][k];
+        ghat[2][k] += 0.4472135954999579 * alpha[2][k] * favg[5][k];
+        ghat[2][k] += 0.5 * alpha[4][k] * favg[1][k];
+        ghat[2][k] += 0.447213595499958 * alpha[4][k] * favg[7][k];
+        ghat[2][k] += 0.4472135954999579 * alpha[5][k] * favg[2][k];
+        ghat[2][k] += 0.447213595499958 * alpha[7][k] * favg[4][k];
     }
-    for k in 0..LANES {
-        ghat[3].0[k] += 0.5 * alpha[0].0[k] * favg[3].0[k];
-        ghat[3].0[k] += 0.4472135954999579 * alpha[1].0[k] * favg[1].0[k];
-        ghat[3].0[k] += 0.5 * alpha[2].0[k] * favg[6].0[k];
-        ghat[3].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[4].0[k];
-        ghat[3].0[k] += 0.4472135954999579 * alpha[7].0[k] * favg[7].0[k];
+    for k in 0..L {
+        ghat[3][k] += 0.5 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.4472135954999579 * alpha[1][k] * favg[1][k];
+        ghat[3][k] += 0.5 * alpha[2][k] * favg[6][k];
+        ghat[3][k] += 0.447213595499958 * alpha[4][k] * favg[4][k];
+        ghat[3][k] += 0.4472135954999579 * alpha[7][k] * favg[7][k];
     }
-    for k in 0..LANES {
-        ghat[4].0[k] += 0.5 * alpha[0].0[k] * favg[4].0[k];
-        ghat[4].0[k] += 0.5 * alpha[1].0[k] * favg[2].0[k];
-        ghat[4].0[k] += 0.447213595499958 * alpha[1].0[k] * favg[6].0[k];
-        ghat[4].0[k] += 0.5 * alpha[2].0[k] * favg[1].0[k];
-        ghat[4].0[k] += 0.447213595499958 * alpha[2].0[k] * favg[7].0[k];
-        ghat[4].0[k] += 0.5 * alpha[4].0[k] * favg[0].0[k];
-        ghat[4].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[3].0[k];
-        ghat[4].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[5].0[k];
-        ghat[4].0[k] += 0.447213595499958 * alpha[5].0[k] * favg[4].0[k];
-        ghat[4].0[k] += 0.447213595499958 * alpha[7].0[k] * favg[2].0[k];
-        ghat[4].0[k] += 0.4 * alpha[7].0[k] * favg[6].0[k];
+    for k in 0..L {
+        ghat[4][k] += 0.5 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.5 * alpha[1][k] * favg[2][k];
+        ghat[4][k] += 0.447213595499958 * alpha[1][k] * favg[6][k];
+        ghat[4][k] += 0.5 * alpha[2][k] * favg[1][k];
+        ghat[4][k] += 0.447213595499958 * alpha[2][k] * favg[7][k];
+        ghat[4][k] += 0.5 * alpha[4][k] * favg[0][k];
+        ghat[4][k] += 0.447213595499958 * alpha[4][k] * favg[3][k];
+        ghat[4][k] += 0.447213595499958 * alpha[4][k] * favg[5][k];
+        ghat[4][k] += 0.447213595499958 * alpha[5][k] * favg[4][k];
+        ghat[4][k] += 0.447213595499958 * alpha[7][k] * favg[2][k];
+        ghat[4][k] += 0.4 * alpha[7][k] * favg[6][k];
     }
-    for k in 0..LANES {
-        ghat[5].0[k] += 0.5 * alpha[0].0[k] * favg[5].0[k];
-        ghat[5].0[k] += 0.5 * alpha[1].0[k] * favg[7].0[k];
-        ghat[5].0[k] += 0.4472135954999579 * alpha[2].0[k] * favg[2].0[k];
-        ghat[5].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[4].0[k];
-        ghat[5].0[k] += 0.5 * alpha[5].0[k] * favg[0].0[k];
-        ghat[5].0[k] += 0.31943828249996997 * alpha[5].0[k] * favg[5].0[k];
-        ghat[5].0[k] += 0.5 * alpha[7].0[k] * favg[1].0[k];
-        ghat[5].0[k] += 0.31943828249996997 * alpha[7].0[k] * favg[7].0[k];
+    for k in 0..L {
+        ghat[5][k] += 0.5 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.5 * alpha[1][k] * favg[7][k];
+        ghat[5][k] += 0.4472135954999579 * alpha[2][k] * favg[2][k];
+        ghat[5][k] += 0.447213595499958 * alpha[4][k] * favg[4][k];
+        ghat[5][k] += 0.5 * alpha[5][k] * favg[0][k];
+        ghat[5][k] += 0.31943828249996997 * alpha[5][k] * favg[5][k];
+        ghat[5][k] += 0.5 * alpha[7][k] * favg[1][k];
+        ghat[5][k] += 0.31943828249996997 * alpha[7][k] * favg[7][k];
     }
-    for k in 0..LANES {
-        ghat[6].0[k] += 0.5 * alpha[0].0[k] * favg[6].0[k];
-        ghat[6].0[k] += 0.447213595499958 * alpha[1].0[k] * favg[4].0[k];
-        ghat[6].0[k] += 0.5 * alpha[2].0[k] * favg[3].0[k];
-        ghat[6].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[1].0[k];
-        ghat[6].0[k] += 0.4 * alpha[4].0[k] * favg[7].0[k];
-        ghat[6].0[k] += 0.4472135954999579 * alpha[5].0[k] * favg[6].0[k];
-        ghat[6].0[k] += 0.4 * alpha[7].0[k] * favg[4].0[k];
+    for k in 0..L {
+        ghat[6][k] += 0.5 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.447213595499958 * alpha[1][k] * favg[4][k];
+        ghat[6][k] += 0.5 * alpha[2][k] * favg[3][k];
+        ghat[6][k] += 0.447213595499958 * alpha[4][k] * favg[1][k];
+        ghat[6][k] += 0.4 * alpha[4][k] * favg[7][k];
+        ghat[6][k] += 0.4472135954999579 * alpha[5][k] * favg[6][k];
+        ghat[6][k] += 0.4 * alpha[7][k] * favg[4][k];
     }
-    for k in 0..LANES {
-        ghat[7].0[k] += 0.5 * alpha[0].0[k] * favg[7].0[k];
-        ghat[7].0[k] += 0.5 * alpha[1].0[k] * favg[5].0[k];
-        ghat[7].0[k] += 0.447213595499958 * alpha[2].0[k] * favg[4].0[k];
-        ghat[7].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[2].0[k];
-        ghat[7].0[k] += 0.4 * alpha[4].0[k] * favg[6].0[k];
-        ghat[7].0[k] += 0.5 * alpha[5].0[k] * favg[1].0[k];
-        ghat[7].0[k] += 0.31943828249996997 * alpha[5].0[k] * favg[7].0[k];
-        ghat[7].0[k] += 0.5 * alpha[7].0[k] * favg[0].0[k];
-        ghat[7].0[k] += 0.4472135954999579 * alpha[7].0[k] * favg[3].0[k];
-        ghat[7].0[k] += 0.31943828249996997 * alpha[7].0[k] * favg[5].0[k];
+    for k in 0..L {
+        ghat[7][k] += 0.5 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.5 * alpha[1][k] * favg[5][k];
+        ghat[7][k] += 0.447213595499958 * alpha[2][k] * favg[4][k];
+        ghat[7][k] += 0.447213595499958 * alpha[4][k] * favg[2][k];
+        ghat[7][k] += 0.4 * alpha[4][k] * favg[6][k];
+        ghat[7][k] += 0.5 * alpha[5][k] * favg[1][k];
+        ghat[7][k] += 0.31943828249996997 * alpha[5][k] * favg[7][k];
+        ghat[7][k] += 0.5 * alpha[7][k] * favg[0][k];
+        ghat[7][k] += 0.4472135954999579 * alpha[7][k] * favg[3][k];
+        ghat[7][k] += 0.31943828249996997 * alpha[7][k] * favg[5][k];
     }
-    sx4(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_lo[2], -rd * 1.224744871391589, &ghat[0]);
-    sx4(&mut out_lo[3], -rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_lo[4], -rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_lo[5], -rd * 1.224744871391589, &ghat[1]);
-    sx4(&mut out_lo[6], -rd * 1.5811388300841898, &ghat[0]);
-    sx4(&mut out_lo[7], -rd * 0.7071067811865476, &ghat[4]);
-    sx4(&mut out_lo[8], -rd * 1.224744871391589, &ghat[2]);
-    sx4(&mut out_lo[9], -rd * 0.7071067811865476, &ghat[5]);
-    sx4(&mut out_lo[10], -rd * 1.224744871391589, &ghat[3]);
-    sx4(&mut out_lo[11], -rd * 1.5811388300841898, &ghat[1]);
-    sx4(&mut out_lo[12], -rd * 0.7071067811865476, &ghat[6]);
-    sx4(&mut out_lo[13], -rd * 1.224744871391589, &ghat[4]);
-    sx4(&mut out_lo[14], -rd * 1.5811388300841898, &ghat[2]);
-    sx4(&mut out_lo[15], -rd * 0.7071067811865476, &ghat[7]);
-    sx4(&mut out_lo[16], -rd * 1.224744871391589, &ghat[5]);
-    sx4(&mut out_lo[17], -rd * 1.224744871391589, &ghat[6]);
-    sx4(&mut out_lo[18], -rd * 1.5811388300841898, &ghat[4]);
-    sx4(&mut out_lo[19], -rd * 1.224744871391589, &ghat[7]);
-    sx4(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_hi[1], rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_hi[2], rd * -1.224744871391589, &ghat[0]);
-    sx4(&mut out_hi[3], rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_hi[4], rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_hi[5], rd * -1.224744871391589, &ghat[1]);
-    sx4(&mut out_hi[6], rd * 1.5811388300841898, &ghat[0]);
-    sx4(&mut out_hi[7], rd * 0.7071067811865476, &ghat[4]);
-    sx4(&mut out_hi[8], rd * -1.224744871391589, &ghat[2]);
-    sx4(&mut out_hi[9], rd * 0.7071067811865476, &ghat[5]);
-    sx4(&mut out_hi[10], rd * -1.224744871391589, &ghat[3]);
-    sx4(&mut out_hi[11], rd * 1.5811388300841898, &ghat[1]);
-    sx4(&mut out_hi[12], rd * 0.7071067811865476, &ghat[6]);
-    sx4(&mut out_hi[13], rd * -1.224744871391589, &ghat[4]);
-    sx4(&mut out_hi[14], rd * 1.5811388300841898, &ghat[2]);
-    sx4(&mut out_hi[15], rd * 0.7071067811865476, &ghat[7]);
-    sx4(&mut out_hi[16], rd * -1.224744871391589, &ghat[5]);
-    sx4(&mut out_hi[17], rd * -1.224744871391589, &ghat[6]);
-    sx4(&mut out_hi[18], rd * 1.5811388300841898, &ghat[4]);
-    sx4(&mut out_hi[19], rd * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], -rd * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[3], -rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], -rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], -rd * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[6], -rd * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_lo[7], -rd * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[8], -rd * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[9], -rd * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[10], -rd * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[11], -rd * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_lo[12], -rd * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[13], -rd * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[14], -rd * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_lo[15], -rd * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[16], -rd * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[17], -rd * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[18], -rd * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_lo[19], -rd * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], rd * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[3], rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], rd * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[6], rd * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_hi[7], rd * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[8], rd * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[9], rd * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[10], rd * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[11], rd * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_hi[12], rd * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[13], rd * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[14], rd * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_hi[15], rd * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[16], rd * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[17], rd * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[18], rd * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_hi[19], rd * -1.224744871391589, &ghat[7]);
 }
 
 /// Acceleration surface kernel, faces normal to v1 (α̂ = q/m (E + v×B)_1).
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_surf_1x2v_p2_ser_v1(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
-    let rd = 2.0 / dxv[2];
-    let mut alpha = [0.0f64; 8];
-    alpha[0] += qm * 1.4142135623730951 * (em[3] - w[1] * em[15]);
-    alpha[1] += qm * -0.816496580927726 * (0.5 * dxv[1]) * em[15];
-    alpha[2] += qm * 1.4142135623730951 * (em[4] - w[1] * em[16]);
-    alpha[4] += qm * -0.816496580927726 * (0.5 * dxv[1]) * em[16];
-    alpha[5] += qm * 1.4142135623730951 * (em[5] - w[1] * em[17]);
-    alpha[7] += qm * -0.816496580927726 * (0.5 * dxv[1]) * em[17];
-    let lam = if penalty { alpha[0].abs() * 0.5000000000000001 + alpha[1].abs() * 0.8660254037844386 + alpha[2].abs() * 0.8660254037844386 + alpha[4].abs() * 1.4999999999999998 + alpha[5].abs() * 1.118033988749895 + alpha[7].abs() * 1.9364916731037083 } else { 0.0 };
-    let mut fm = [0.0f64; 8];
-    let mut fp = [0.0f64; 8];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[0] += 1.224744871391589 * f_lo[1];
-    fm[1] += 0.7071067811865476 * f_lo[2];
-    fm[2] += 0.7071067811865476 * f_lo[3];
-    fm[0] += 1.5811388300841898 * f_lo[4];
-    fm[1] += 1.224744871391589 * f_lo[5];
-    fm[3] += 0.7071067811865476 * f_lo[6];
-    fm[2] += 1.224744871391589 * f_lo[7];
-    fm[4] += 0.7071067811865476 * f_lo[8];
-    fm[5] += 0.7071067811865476 * f_lo[9];
-    fm[1] += 1.5811388300841898 * f_lo[10];
-    fm[3] += 1.224744871391589 * f_lo[11];
-    fm[2] += 1.5811388300841898 * f_lo[12];
-    fm[4] += 1.224744871391589 * f_lo[13];
-    fm[6] += 0.7071067811865476 * f_lo[14];
-    fm[5] += 1.224744871391589 * f_lo[15];
-    fm[7] += 0.7071067811865476 * f_lo[16];
-    fm[4] += 1.5811388300841898 * f_lo[17];
-    fm[6] += 1.224744871391589 * f_lo[18];
-    fm[7] += 1.224744871391589 * f_lo[19];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[0] += -1.224744871391589 * f_hi[1];
-    fp[1] += 0.7071067811865476 * f_hi[2];
-    fp[2] += 0.7071067811865476 * f_hi[3];
-    fp[0] += 1.5811388300841898 * f_hi[4];
-    fp[1] += -1.224744871391589 * f_hi[5];
-    fp[3] += 0.7071067811865476 * f_hi[6];
-    fp[2] += -1.224744871391589 * f_hi[7];
-    fp[4] += 0.7071067811865476 * f_hi[8];
-    fp[5] += 0.7071067811865476 * f_hi[9];
-    fp[1] += 1.5811388300841898 * f_hi[10];
-    fp[3] += -1.224744871391589 * f_hi[11];
-    fp[2] += 1.5811388300841898 * f_hi[12];
-    fp[4] += -1.224744871391589 * f_hi[13];
-    fp[6] += 0.7071067811865476 * f_hi[14];
-    fp[5] += -1.224744871391589 * f_hi[15];
-    fp[7] += 0.7071067811865476 * f_hi[16];
-    fp[4] += 1.5811388300841898 * f_hi[17];
-    fp[6] += -1.224744871391589 * f_hi[18];
-    fp[7] += -1.224744871391589 * f_hi[19];
-    let mut favg = [0.0f64; 8];
-    let mut ghat = [0.0f64; 8];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    ghat[0] += 0.5 * alpha[0] * favg[0];
-    ghat[0] += 0.5 * alpha[1] * favg[1];
-    ghat[0] += 0.5 * alpha[2] * favg[2];
-    ghat[0] += 0.5 * alpha[4] * favg[4];
-    ghat[0] += 0.5 * alpha[5] * favg[5];
-    ghat[0] += 0.5 * alpha[7] * favg[7];
-    ghat[1] += 0.5 * alpha[0] * favg[1];
-    ghat[1] += 0.5 * alpha[1] * favg[0];
-    ghat[1] += 0.4472135954999579 * alpha[1] * favg[3];
-    ghat[1] += 0.5 * alpha[2] * favg[4];
-    ghat[1] += 0.5 * alpha[4] * favg[2];
-    ghat[1] += 0.447213595499958 * alpha[4] * favg[6];
-    ghat[1] += 0.5 * alpha[5] * favg[7];
-    ghat[1] += 0.5 * alpha[7] * favg[5];
-    ghat[2] += 0.5 * alpha[0] * favg[2];
-    ghat[2] += 0.5 * alpha[1] * favg[4];
-    ghat[2] += 0.5 * alpha[2] * favg[0];
-    ghat[2] += 0.4472135954999579 * alpha[2] * favg[5];
-    ghat[2] += 0.5 * alpha[4] * favg[1];
-    ghat[2] += 0.447213595499958 * alpha[4] * favg[7];
-    ghat[2] += 0.4472135954999579 * alpha[5] * favg[2];
-    ghat[2] += 0.447213595499958 * alpha[7] * favg[4];
-    ghat[3] += 0.5 * alpha[0] * favg[3];
-    ghat[3] += 0.4472135954999579 * alpha[1] * favg[1];
-    ghat[3] += 0.5 * alpha[2] * favg[6];
-    ghat[3] += 0.447213595499958 * alpha[4] * favg[4];
-    ghat[3] += 0.4472135954999579 * alpha[7] * favg[7];
-    ghat[4] += 0.5 * alpha[0] * favg[4];
-    ghat[4] += 0.5 * alpha[1] * favg[2];
-    ghat[4] += 0.447213595499958 * alpha[1] * favg[6];
-    ghat[4] += 0.5 * alpha[2] * favg[1];
-    ghat[4] += 0.447213595499958 * alpha[2] * favg[7];
-    ghat[4] += 0.5 * alpha[4] * favg[0];
-    ghat[4] += 0.447213595499958 * alpha[4] * favg[3];
-    ghat[4] += 0.447213595499958 * alpha[4] * favg[5];
-    ghat[4] += 0.447213595499958 * alpha[5] * favg[4];
-    ghat[4] += 0.447213595499958 * alpha[7] * favg[2];
-    ghat[4] += 0.4 * alpha[7] * favg[6];
-    ghat[5] += 0.5 * alpha[0] * favg[5];
-    ghat[5] += 0.5 * alpha[1] * favg[7];
-    ghat[5] += 0.4472135954999579 * alpha[2] * favg[2];
-    ghat[5] += 0.447213595499958 * alpha[4] * favg[4];
-    ghat[5] += 0.5 * alpha[5] * favg[0];
-    ghat[5] += 0.31943828249996997 * alpha[5] * favg[5];
-    ghat[5] += 0.5 * alpha[7] * favg[1];
-    ghat[5] += 0.31943828249996997 * alpha[7] * favg[7];
-    ghat[6] += 0.5 * alpha[0] * favg[6];
-    ghat[6] += 0.447213595499958 * alpha[1] * favg[4];
-    ghat[6] += 0.5 * alpha[2] * favg[3];
-    ghat[6] += 0.447213595499958 * alpha[4] * favg[1];
-    ghat[6] += 0.4 * alpha[4] * favg[7];
-    ghat[6] += 0.4472135954999579 * alpha[5] * favg[6];
-    ghat[6] += 0.4 * alpha[7] * favg[4];
-    ghat[7] += 0.5 * alpha[0] * favg[7];
-    ghat[7] += 0.5 * alpha[1] * favg[5];
-    ghat[7] += 0.447213595499958 * alpha[2] * favg[4];
-    ghat[7] += 0.447213595499958 * alpha[4] * favg[2];
-    ghat[7] += 0.4 * alpha[4] * favg[6];
-    ghat[7] += 0.5 * alpha[5] * favg[1];
-    ghat[7] += 0.31943828249996997 * alpha[5] * favg[7];
-    ghat[7] += 0.5 * alpha[7] * favg[0];
-    ghat[7] += 0.4472135954999579 * alpha[7] * favg[3];
-    ghat[7] += 0.31943828249996997 * alpha[7] * favg[5];
-    out_lo[0] += -rd * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -rd * 1.224744871391589 * ghat[0];
-    out_lo[2] += -rd * 0.7071067811865476 * ghat[1];
-    out_lo[3] += -rd * 0.7071067811865476 * ghat[2];
-    out_lo[4] += -rd * 1.5811388300841898 * ghat[0];
-    out_lo[5] += -rd * 1.224744871391589 * ghat[1];
-    out_lo[6] += -rd * 0.7071067811865476 * ghat[3];
-    out_lo[7] += -rd * 1.224744871391589 * ghat[2];
-    out_lo[8] += -rd * 0.7071067811865476 * ghat[4];
-    out_lo[9] += -rd * 0.7071067811865476 * ghat[5];
-    out_lo[10] += -rd * 1.5811388300841898 * ghat[1];
-    out_lo[11] += -rd * 1.224744871391589 * ghat[3];
-    out_lo[12] += -rd * 1.5811388300841898 * ghat[2];
-    out_lo[13] += -rd * 1.224744871391589 * ghat[4];
-    out_lo[14] += -rd * 0.7071067811865476 * ghat[6];
-    out_lo[15] += -rd * 1.224744871391589 * ghat[5];
-    out_lo[16] += -rd * 0.7071067811865476 * ghat[7];
-    out_lo[17] += -rd * 1.5811388300841898 * ghat[4];
-    out_lo[18] += -rd * 1.224744871391589 * ghat[6];
-    out_lo[19] += -rd * 1.224744871391589 * ghat[7];
-    out_hi[0] += rd * 0.7071067811865476 * ghat[0];
-    out_hi[1] += rd * -1.224744871391589 * ghat[0];
-    out_hi[2] += rd * 0.7071067811865476 * ghat[1];
-    out_hi[3] += rd * 0.7071067811865476 * ghat[2];
-    out_hi[4] += rd * 1.5811388300841898 * ghat[0];
-    out_hi[5] += rd * -1.224744871391589 * ghat[1];
-    out_hi[6] += rd * 0.7071067811865476 * ghat[3];
-    out_hi[7] += rd * -1.224744871391589 * ghat[2];
-    out_hi[8] += rd * 0.7071067811865476 * ghat[4];
-    out_hi[9] += rd * 0.7071067811865476 * ghat[5];
-    out_hi[10] += rd * 1.5811388300841898 * ghat[1];
-    out_hi[11] += rd * -1.224744871391589 * ghat[3];
-    out_hi[12] += rd * 1.5811388300841898 * ghat[2];
-    out_hi[13] += rd * -1.224744871391589 * ghat[4];
-    out_hi[14] += rd * 0.7071067811865476 * ghat[6];
-    out_hi[15] += rd * -1.224744871391589 * ghat[5];
-    out_hi[16] += rd * 0.7071067811865476 * ghat[7];
-    out_hi[17] += rd * 1.5811388300841898 * ghat[4];
-    out_hi[18] += rd * -1.224744871391589 * ghat[6];
-    out_hi[19] += rd * -1.224744871391589 * ghat[7];
+    vlasov_surf_1x2v_p2_ser_v1_body::<1>(w.as_chunks().0, dxv, qm, em, penalty, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
 }
 
-/// Batched companion of [`vlasov_surf_1x2v_p2_ser_v1`]: `LANES` faces per call, bit-identical per lane.
+/// [`vlasov_surf_1x2v_p2_ser_v1`] over `LANES` faces: the same body, bit-identical per lane.
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_1x2v_p2_ser_v1_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_1x2v_p2_ser_v1_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_1x2v_p2_ser_v1_b4(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_1x2v_p2_ser_v1_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// [`vlasov_surf_1x2v_p2_ser_v1_b4`] compiled for AVX2: the same body, bit-identical per lane.
-/// Reach it through `crate::dispatch`, which checks the CPU first.
+/// [`vlasov_surf_1x2v_p2_ser_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_1x2v_p2_ser_v1_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_1x2v_p2_ser_v1_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_1x2v_p2_ser_v1_b4_avx2(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_1x2v_p2_ser_v1_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// Shared body of [`vlasov_surf_1x2v_p2_ser_v1_b4`] and its AVX2 entry point.
+/// [`vlasov_surf_1x2v_p2_ser_v1`] over 8 faces, compiled for AVX-512F. Reach it through
+/// `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_surf_1x2v_p2_ser_v1_b8_avx512(w: &[[f64; 8]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; 8]], f_hi: &[[f64; 8]], out_lo: &mut [[f64; 8]], out_hi: &mut [[f64; 8]]) {
+    vlasov_surf_1x2v_p2_ser_v1_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`vlasov_surf_1x2v_p2_ser_v1`] and its batched entry points.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_surf_1x2v_p2_ser_v1_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+fn vlasov_surf_1x2v_p2_ser_v1_body<const L: usize>(w: &[[f64; L]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let w: &[[f64; L]; 3] = w.first_chunk().expect("w: 3 coefficients");
+    let f_lo: &[[f64; L]; 20] = f_lo.first_chunk().expect("f_lo: 20 coefficients");
+    let f_hi: &[[f64; L]; 20] = f_hi.first_chunk().expect("f_hi: 20 coefficients");
+    let out_lo: &mut [[f64; L]; 20] = out_lo.first_chunk_mut().expect("out_lo: 20 coefficients");
+    let out_hi: &mut [[f64; L]; 20] = out_hi.first_chunk_mut().expect("out_hi: 20 coefficients");
     let rd = 2.0 / dxv[2];
-    let mut alpha = [CellLanes([0.0f64; LANES]); 8];
-    let mut lam = CellLanes([0.0f64; LANES]);
-    for k in 0..LANES {
-        alpha[0].0[k] += qm * 1.4142135623730951 * (em[3] - w[1].0[k] * em[15]);
-        alpha[1].0[k] += qm * -0.816496580927726 * (0.5 * dxv[1]) * em[15];
-        alpha[2].0[k] += qm * 1.4142135623730951 * (em[4] - w[1].0[k] * em[16]);
-        alpha[4].0[k] += qm * -0.816496580927726 * (0.5 * dxv[1]) * em[16];
-        alpha[5].0[k] += qm * 1.4142135623730951 * (em[5] - w[1].0[k] * em[17]);
-        alpha[7].0[k] += qm * -0.816496580927726 * (0.5 * dxv[1]) * em[17];
-        lam.0[k] = if penalty { alpha[0].0[k].abs() * 0.5000000000000001 + alpha[1].0[k].abs() * 0.8660254037844386 + alpha[2].0[k].abs() * 0.8660254037844386 + alpha[4].0[k].abs() * 1.4999999999999998 + alpha[5].0[k].abs() * 1.118033988749895 + alpha[7].0[k].abs() * 1.9364916731037083 } else { 0.0 };
+    let mut alpha = [[0.0f64; L]; 8];
+    let mut lam = [0.0f64; L];
+    for k in 0..L {
+        alpha[0][k] += qm * 1.4142135623730951 * (em[3] - w[1][k] * em[15]);
+        alpha[1][k] += qm * -0.816496580927726 * (0.5 * dxv[1]) * em[15];
+        alpha[2][k] += qm * 1.4142135623730951 * (em[4] - w[1][k] * em[16]);
+        alpha[4][k] += qm * -0.816496580927726 * (0.5 * dxv[1]) * em[16];
+        alpha[5][k] += qm * 1.4142135623730951 * (em[5] - w[1][k] * em[17]);
+        alpha[7][k] += qm * -0.816496580927726 * (0.5 * dxv[1]) * em[17];
+        lam[k] = if penalty { alpha[0][k].abs() * 0.5000000000000001 + alpha[1][k].abs() * 0.8660254037844386 + alpha[2][k].abs() * 0.8660254037844386 + alpha[4][k].abs() * 1.4999999999999998 + alpha[5][k].abs() * 1.118033988749895 + alpha[7][k].abs() * 1.9364916731037083 } else { 0.0 };
     }
-    let mut fm = [CellLanes([0.0f64; LANES]); 8];
-    let mut fp = [CellLanes([0.0f64; LANES]); 8];
-    sx4(&mut fm[0], 0.7071067811865476, &f_lo[0]);
-    sx4(&mut fm[0], 1.224744871391589, &f_lo[1]);
-    sx4(&mut fm[1], 0.7071067811865476, &f_lo[2]);
-    sx4(&mut fm[2], 0.7071067811865476, &f_lo[3]);
-    sx4(&mut fm[0], 1.5811388300841898, &f_lo[4]);
-    sx4(&mut fm[1], 1.224744871391589, &f_lo[5]);
-    sx4(&mut fm[3], 0.7071067811865476, &f_lo[6]);
-    sx4(&mut fm[2], 1.224744871391589, &f_lo[7]);
-    sx4(&mut fm[4], 0.7071067811865476, &f_lo[8]);
-    sx4(&mut fm[5], 0.7071067811865476, &f_lo[9]);
-    sx4(&mut fm[1], 1.5811388300841898, &f_lo[10]);
-    sx4(&mut fm[3], 1.224744871391589, &f_lo[11]);
-    sx4(&mut fm[2], 1.5811388300841898, &f_lo[12]);
-    sx4(&mut fm[4], 1.224744871391589, &f_lo[13]);
-    sx4(&mut fm[6], 0.7071067811865476, &f_lo[14]);
-    sx4(&mut fm[5], 1.224744871391589, &f_lo[15]);
-    sx4(&mut fm[7], 0.7071067811865476, &f_lo[16]);
-    sx4(&mut fm[4], 1.5811388300841898, &f_lo[17]);
-    sx4(&mut fm[6], 1.224744871391589, &f_lo[18]);
-    sx4(&mut fm[7], 1.224744871391589, &f_lo[19]);
-    sx4(&mut fp[0], 0.7071067811865476, &f_hi[0]);
-    sx4(&mut fp[0], -1.224744871391589, &f_hi[1]);
-    sx4(&mut fp[1], 0.7071067811865476, &f_hi[2]);
-    sx4(&mut fp[2], 0.7071067811865476, &f_hi[3]);
-    sx4(&mut fp[0], 1.5811388300841898, &f_hi[4]);
-    sx4(&mut fp[1], -1.224744871391589, &f_hi[5]);
-    sx4(&mut fp[3], 0.7071067811865476, &f_hi[6]);
-    sx4(&mut fp[2], -1.224744871391589, &f_hi[7]);
-    sx4(&mut fp[4], 0.7071067811865476, &f_hi[8]);
-    sx4(&mut fp[5], 0.7071067811865476, &f_hi[9]);
-    sx4(&mut fp[1], 1.5811388300841898, &f_hi[10]);
-    sx4(&mut fp[3], -1.224744871391589, &f_hi[11]);
-    sx4(&mut fp[2], 1.5811388300841898, &f_hi[12]);
-    sx4(&mut fp[4], -1.224744871391589, &f_hi[13]);
-    sx4(&mut fp[6], 0.7071067811865476, &f_hi[14]);
-    sx4(&mut fp[5], -1.224744871391589, &f_hi[15]);
-    sx4(&mut fp[7], 0.7071067811865476, &f_hi[16]);
-    sx4(&mut fp[4], 1.5811388300841898, &f_hi[17]);
-    sx4(&mut fp[6], -1.224744871391589, &f_hi[18]);
-    sx4(&mut fp[7], -1.224744871391589, &f_hi[19]);
-    let mut favg = [CellLanes([0.0f64; LANES]); 8];
-    let mut ghat = [CellLanes([0.0f64; LANES]); 8];
-    for k in 0..LANES {
-        favg[0].0[k] = 0.5 * (fm[0].0[k] + fp[0].0[k]);
-        ghat[0].0[k] = -0.5 * lam.0[k] * (fp[0].0[k] - fm[0].0[k]);
-        favg[1].0[k] = 0.5 * (fm[1].0[k] + fp[1].0[k]);
-        ghat[1].0[k] = -0.5 * lam.0[k] * (fp[1].0[k] - fm[1].0[k]);
-        favg[2].0[k] = 0.5 * (fm[2].0[k] + fp[2].0[k]);
-        ghat[2].0[k] = -0.5 * lam.0[k] * (fp[2].0[k] - fm[2].0[k]);
-        favg[3].0[k] = 0.5 * (fm[3].0[k] + fp[3].0[k]);
-        ghat[3].0[k] = -0.5 * lam.0[k] * (fp[3].0[k] - fm[3].0[k]);
-        favg[4].0[k] = 0.5 * (fm[4].0[k] + fp[4].0[k]);
-        ghat[4].0[k] = -0.5 * lam.0[k] * (fp[4].0[k] - fm[4].0[k]);
-        favg[5].0[k] = 0.5 * (fm[5].0[k] + fp[5].0[k]);
-        ghat[5].0[k] = -0.5 * lam.0[k] * (fp[5].0[k] - fm[5].0[k]);
-        favg[6].0[k] = 0.5 * (fm[6].0[k] + fp[6].0[k]);
-        ghat[6].0[k] = -0.5 * lam.0[k] * (fp[6].0[k] - fm[6].0[k]);
-        favg[7].0[k] = 0.5 * (fm[7].0[k] + fp[7].0[k]);
-        ghat[7].0[k] = -0.5 * lam.0[k] * (fp[7].0[k] - fm[7].0[k]);
+    let mut fm = [[0.0f64; L]; 8];
+    let mut fp = [[0.0f64; L]; 8];
+    sxn(&mut fm[0], 0.7071067811865476, &f_lo[0]);
+    sxn(&mut fm[0], 1.224744871391589, &f_lo[1]);
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[2]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[3]);
+    sxn(&mut fm[0], 1.5811388300841898, &f_lo[4]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[5]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[6]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[7]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[8]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[9]);
+    sxn(&mut fm[1], 1.5811388300841898, &f_lo[10]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[11]);
+    sxn(&mut fm[2], 1.5811388300841898, &f_lo[12]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[13]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[14]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[15]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[16]);
+    sxn(&mut fm[4], 1.5811388300841898, &f_lo[17]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[18]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[19]);
+    sxn(&mut fp[0], 0.7071067811865476, &f_hi[0]);
+    sxn(&mut fp[0], -1.224744871391589, &f_hi[1]);
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[2]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[3]);
+    sxn(&mut fp[0], 1.5811388300841898, &f_hi[4]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[5]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[6]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[7]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[8]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[9]);
+    sxn(&mut fp[1], 1.5811388300841898, &f_hi[10]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[11]);
+    sxn(&mut fp[2], 1.5811388300841898, &f_hi[12]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[13]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[14]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[15]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[16]);
+    sxn(&mut fp[4], 1.5811388300841898, &f_hi[17]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[18]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[19]);
+    let mut favg = [[0.0f64; L]; 8];
+    let mut ghat = [[0.0f64; L]; 8];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
     }
-    for k in 0..LANES {
-        ghat[0].0[k] += 0.5 * alpha[0].0[k] * favg[0].0[k];
-        ghat[0].0[k] += 0.5 * alpha[1].0[k] * favg[1].0[k];
-        ghat[0].0[k] += 0.5 * alpha[2].0[k] * favg[2].0[k];
-        ghat[0].0[k] += 0.5 * alpha[4].0[k] * favg[4].0[k];
-        ghat[0].0[k] += 0.5 * alpha[5].0[k] * favg[5].0[k];
-        ghat[0].0[k] += 0.5 * alpha[7].0[k] * favg[7].0[k];
+    for k in 0..L {
+        ghat[0][k] += 0.5 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.5 * alpha[1][k] * favg[1][k];
+        ghat[0][k] += 0.5 * alpha[2][k] * favg[2][k];
+        ghat[0][k] += 0.5 * alpha[4][k] * favg[4][k];
+        ghat[0][k] += 0.5 * alpha[5][k] * favg[5][k];
+        ghat[0][k] += 0.5 * alpha[7][k] * favg[7][k];
     }
-    for k in 0..LANES {
-        ghat[1].0[k] += 0.5 * alpha[0].0[k] * favg[1].0[k];
-        ghat[1].0[k] += 0.5 * alpha[1].0[k] * favg[0].0[k];
-        ghat[1].0[k] += 0.4472135954999579 * alpha[1].0[k] * favg[3].0[k];
-        ghat[1].0[k] += 0.5 * alpha[2].0[k] * favg[4].0[k];
-        ghat[1].0[k] += 0.5 * alpha[4].0[k] * favg[2].0[k];
-        ghat[1].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[6].0[k];
-        ghat[1].0[k] += 0.5 * alpha[5].0[k] * favg[7].0[k];
-        ghat[1].0[k] += 0.5 * alpha[7].0[k] * favg[5].0[k];
+    for k in 0..L {
+        ghat[1][k] += 0.5 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.5 * alpha[1][k] * favg[0][k];
+        ghat[1][k] += 0.4472135954999579 * alpha[1][k] * favg[3][k];
+        ghat[1][k] += 0.5 * alpha[2][k] * favg[4][k];
+        ghat[1][k] += 0.5 * alpha[4][k] * favg[2][k];
+        ghat[1][k] += 0.447213595499958 * alpha[4][k] * favg[6][k];
+        ghat[1][k] += 0.5 * alpha[5][k] * favg[7][k];
+        ghat[1][k] += 0.5 * alpha[7][k] * favg[5][k];
     }
-    for k in 0..LANES {
-        ghat[2].0[k] += 0.5 * alpha[0].0[k] * favg[2].0[k];
-        ghat[2].0[k] += 0.5 * alpha[1].0[k] * favg[4].0[k];
-        ghat[2].0[k] += 0.5 * alpha[2].0[k] * favg[0].0[k];
-        ghat[2].0[k] += 0.4472135954999579 * alpha[2].0[k] * favg[5].0[k];
-        ghat[2].0[k] += 0.5 * alpha[4].0[k] * favg[1].0[k];
-        ghat[2].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[7].0[k];
-        ghat[2].0[k] += 0.4472135954999579 * alpha[5].0[k] * favg[2].0[k];
-        ghat[2].0[k] += 0.447213595499958 * alpha[7].0[k] * favg[4].0[k];
+    for k in 0..L {
+        ghat[2][k] += 0.5 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.5 * alpha[1][k] * favg[4][k];
+        ghat[2][k] += 0.5 * alpha[2][k] * favg[0][k];
+        ghat[2][k] += 0.4472135954999579 * alpha[2][k] * favg[5][k];
+        ghat[2][k] += 0.5 * alpha[4][k] * favg[1][k];
+        ghat[2][k] += 0.447213595499958 * alpha[4][k] * favg[7][k];
+        ghat[2][k] += 0.4472135954999579 * alpha[5][k] * favg[2][k];
+        ghat[2][k] += 0.447213595499958 * alpha[7][k] * favg[4][k];
     }
-    for k in 0..LANES {
-        ghat[3].0[k] += 0.5 * alpha[0].0[k] * favg[3].0[k];
-        ghat[3].0[k] += 0.4472135954999579 * alpha[1].0[k] * favg[1].0[k];
-        ghat[3].0[k] += 0.5 * alpha[2].0[k] * favg[6].0[k];
-        ghat[3].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[4].0[k];
-        ghat[3].0[k] += 0.4472135954999579 * alpha[7].0[k] * favg[7].0[k];
+    for k in 0..L {
+        ghat[3][k] += 0.5 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.4472135954999579 * alpha[1][k] * favg[1][k];
+        ghat[3][k] += 0.5 * alpha[2][k] * favg[6][k];
+        ghat[3][k] += 0.447213595499958 * alpha[4][k] * favg[4][k];
+        ghat[3][k] += 0.4472135954999579 * alpha[7][k] * favg[7][k];
     }
-    for k in 0..LANES {
-        ghat[4].0[k] += 0.5 * alpha[0].0[k] * favg[4].0[k];
-        ghat[4].0[k] += 0.5 * alpha[1].0[k] * favg[2].0[k];
-        ghat[4].0[k] += 0.447213595499958 * alpha[1].0[k] * favg[6].0[k];
-        ghat[4].0[k] += 0.5 * alpha[2].0[k] * favg[1].0[k];
-        ghat[4].0[k] += 0.447213595499958 * alpha[2].0[k] * favg[7].0[k];
-        ghat[4].0[k] += 0.5 * alpha[4].0[k] * favg[0].0[k];
-        ghat[4].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[3].0[k];
-        ghat[4].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[5].0[k];
-        ghat[4].0[k] += 0.447213595499958 * alpha[5].0[k] * favg[4].0[k];
-        ghat[4].0[k] += 0.447213595499958 * alpha[7].0[k] * favg[2].0[k];
-        ghat[4].0[k] += 0.4 * alpha[7].0[k] * favg[6].0[k];
+    for k in 0..L {
+        ghat[4][k] += 0.5 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.5 * alpha[1][k] * favg[2][k];
+        ghat[4][k] += 0.447213595499958 * alpha[1][k] * favg[6][k];
+        ghat[4][k] += 0.5 * alpha[2][k] * favg[1][k];
+        ghat[4][k] += 0.447213595499958 * alpha[2][k] * favg[7][k];
+        ghat[4][k] += 0.5 * alpha[4][k] * favg[0][k];
+        ghat[4][k] += 0.447213595499958 * alpha[4][k] * favg[3][k];
+        ghat[4][k] += 0.447213595499958 * alpha[4][k] * favg[5][k];
+        ghat[4][k] += 0.447213595499958 * alpha[5][k] * favg[4][k];
+        ghat[4][k] += 0.447213595499958 * alpha[7][k] * favg[2][k];
+        ghat[4][k] += 0.4 * alpha[7][k] * favg[6][k];
     }
-    for k in 0..LANES {
-        ghat[5].0[k] += 0.5 * alpha[0].0[k] * favg[5].0[k];
-        ghat[5].0[k] += 0.5 * alpha[1].0[k] * favg[7].0[k];
-        ghat[5].0[k] += 0.4472135954999579 * alpha[2].0[k] * favg[2].0[k];
-        ghat[5].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[4].0[k];
-        ghat[5].0[k] += 0.5 * alpha[5].0[k] * favg[0].0[k];
-        ghat[5].0[k] += 0.31943828249996997 * alpha[5].0[k] * favg[5].0[k];
-        ghat[5].0[k] += 0.5 * alpha[7].0[k] * favg[1].0[k];
-        ghat[5].0[k] += 0.31943828249996997 * alpha[7].0[k] * favg[7].0[k];
+    for k in 0..L {
+        ghat[5][k] += 0.5 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.5 * alpha[1][k] * favg[7][k];
+        ghat[5][k] += 0.4472135954999579 * alpha[2][k] * favg[2][k];
+        ghat[5][k] += 0.447213595499958 * alpha[4][k] * favg[4][k];
+        ghat[5][k] += 0.5 * alpha[5][k] * favg[0][k];
+        ghat[5][k] += 0.31943828249996997 * alpha[5][k] * favg[5][k];
+        ghat[5][k] += 0.5 * alpha[7][k] * favg[1][k];
+        ghat[5][k] += 0.31943828249996997 * alpha[7][k] * favg[7][k];
     }
-    for k in 0..LANES {
-        ghat[6].0[k] += 0.5 * alpha[0].0[k] * favg[6].0[k];
-        ghat[6].0[k] += 0.447213595499958 * alpha[1].0[k] * favg[4].0[k];
-        ghat[6].0[k] += 0.5 * alpha[2].0[k] * favg[3].0[k];
-        ghat[6].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[1].0[k];
-        ghat[6].0[k] += 0.4 * alpha[4].0[k] * favg[7].0[k];
-        ghat[6].0[k] += 0.4472135954999579 * alpha[5].0[k] * favg[6].0[k];
-        ghat[6].0[k] += 0.4 * alpha[7].0[k] * favg[4].0[k];
+    for k in 0..L {
+        ghat[6][k] += 0.5 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.447213595499958 * alpha[1][k] * favg[4][k];
+        ghat[6][k] += 0.5 * alpha[2][k] * favg[3][k];
+        ghat[6][k] += 0.447213595499958 * alpha[4][k] * favg[1][k];
+        ghat[6][k] += 0.4 * alpha[4][k] * favg[7][k];
+        ghat[6][k] += 0.4472135954999579 * alpha[5][k] * favg[6][k];
+        ghat[6][k] += 0.4 * alpha[7][k] * favg[4][k];
     }
-    for k in 0..LANES {
-        ghat[7].0[k] += 0.5 * alpha[0].0[k] * favg[7].0[k];
-        ghat[7].0[k] += 0.5 * alpha[1].0[k] * favg[5].0[k];
-        ghat[7].0[k] += 0.447213595499958 * alpha[2].0[k] * favg[4].0[k];
-        ghat[7].0[k] += 0.447213595499958 * alpha[4].0[k] * favg[2].0[k];
-        ghat[7].0[k] += 0.4 * alpha[4].0[k] * favg[6].0[k];
-        ghat[7].0[k] += 0.5 * alpha[5].0[k] * favg[1].0[k];
-        ghat[7].0[k] += 0.31943828249996997 * alpha[5].0[k] * favg[7].0[k];
-        ghat[7].0[k] += 0.5 * alpha[7].0[k] * favg[0].0[k];
-        ghat[7].0[k] += 0.4472135954999579 * alpha[7].0[k] * favg[3].0[k];
-        ghat[7].0[k] += 0.31943828249996997 * alpha[7].0[k] * favg[5].0[k];
+    for k in 0..L {
+        ghat[7][k] += 0.5 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.5 * alpha[1][k] * favg[5][k];
+        ghat[7][k] += 0.447213595499958 * alpha[2][k] * favg[4][k];
+        ghat[7][k] += 0.447213595499958 * alpha[4][k] * favg[2][k];
+        ghat[7][k] += 0.4 * alpha[4][k] * favg[6][k];
+        ghat[7][k] += 0.5 * alpha[5][k] * favg[1][k];
+        ghat[7][k] += 0.31943828249996997 * alpha[5][k] * favg[7][k];
+        ghat[7][k] += 0.5 * alpha[7][k] * favg[0][k];
+        ghat[7][k] += 0.4472135954999579 * alpha[7][k] * favg[3][k];
+        ghat[7][k] += 0.31943828249996997 * alpha[7][k] * favg[5][k];
     }
-    sx4(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_lo[1], -rd * 1.224744871391589, &ghat[0]);
-    sx4(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_lo[3], -rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_lo[4], -rd * 1.5811388300841898, &ghat[0]);
-    sx4(&mut out_lo[5], -rd * 1.224744871391589, &ghat[1]);
-    sx4(&mut out_lo[6], -rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_lo[7], -rd * 1.224744871391589, &ghat[2]);
-    sx4(&mut out_lo[8], -rd * 0.7071067811865476, &ghat[4]);
-    sx4(&mut out_lo[9], -rd * 0.7071067811865476, &ghat[5]);
-    sx4(&mut out_lo[10], -rd * 1.5811388300841898, &ghat[1]);
-    sx4(&mut out_lo[11], -rd * 1.224744871391589, &ghat[3]);
-    sx4(&mut out_lo[12], -rd * 1.5811388300841898, &ghat[2]);
-    sx4(&mut out_lo[13], -rd * 1.224744871391589, &ghat[4]);
-    sx4(&mut out_lo[14], -rd * 0.7071067811865476, &ghat[6]);
-    sx4(&mut out_lo[15], -rd * 1.224744871391589, &ghat[5]);
-    sx4(&mut out_lo[16], -rd * 0.7071067811865476, &ghat[7]);
-    sx4(&mut out_lo[17], -rd * 1.5811388300841898, &ghat[4]);
-    sx4(&mut out_lo[18], -rd * 1.224744871391589, &ghat[6]);
-    sx4(&mut out_lo[19], -rd * 1.224744871391589, &ghat[7]);
-    sx4(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_hi[1], rd * -1.224744871391589, &ghat[0]);
-    sx4(&mut out_hi[2], rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_hi[3], rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_hi[4], rd * 1.5811388300841898, &ghat[0]);
-    sx4(&mut out_hi[5], rd * -1.224744871391589, &ghat[1]);
-    sx4(&mut out_hi[6], rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_hi[7], rd * -1.224744871391589, &ghat[2]);
-    sx4(&mut out_hi[8], rd * 0.7071067811865476, &ghat[4]);
-    sx4(&mut out_hi[9], rd * 0.7071067811865476, &ghat[5]);
-    sx4(&mut out_hi[10], rd * 1.5811388300841898, &ghat[1]);
-    sx4(&mut out_hi[11], rd * -1.224744871391589, &ghat[3]);
-    sx4(&mut out_hi[12], rd * 1.5811388300841898, &ghat[2]);
-    sx4(&mut out_hi[13], rd * -1.224744871391589, &ghat[4]);
-    sx4(&mut out_hi[14], rd * 0.7071067811865476, &ghat[6]);
-    sx4(&mut out_hi[15], rd * -1.224744871391589, &ghat[5]);
-    sx4(&mut out_hi[16], rd * 0.7071067811865476, &ghat[7]);
-    sx4(&mut out_hi[17], rd * 1.5811388300841898, &ghat[4]);
-    sx4(&mut out_hi[18], rd * -1.224744871391589, &ghat[6]);
-    sx4(&mut out_hi[19], rd * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -rd * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[3], -rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], -rd * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_lo[5], -rd * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[6], -rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[7], -rd * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[8], -rd * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[9], -rd * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[10], -rd * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_lo[11], -rd * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[12], -rd * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_lo[13], -rd * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[14], -rd * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[15], -rd * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[16], -rd * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[17], -rd * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_lo[18], -rd * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[19], -rd * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], rd * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[2], rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[3], rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], rd * 1.5811388300841898, &ghat[0]);
+    sxn(&mut out_hi[5], rd * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[6], rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[7], rd * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[8], rd * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[9], rd * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[10], rd * 1.5811388300841898, &ghat[1]);
+    sxn(&mut out_hi[11], rd * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[12], rd * 1.5811388300841898, &ghat[2]);
+    sxn(&mut out_hi[13], rd * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[14], rd * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[15], rd * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[16], rd * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[17], rd * 1.5811388300841898, &ghat[4]);
+    sxn(&mut out_hi[18], rd * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[19], rd * -1.224744871391589, &ghat[7]);
 }

@@ -1,9676 +1,5234 @@
 // Surface kernels for the Vlasov phase-space advection, 3x3v p=1 Serendipity basis.
 // Auto-generated from exact integral tables — do not edit by hand.
-// One function per face-normal phase direction (configuration first);
-// see `crate::dispatch::SurfaceKernelFn` for the calling convention.
+// One lane-generic body per face-normal phase direction (configuration
+// first) behind a scalar, a `_b4`, a `_b4_avx2` and a `_b8_avx512` entry
+// point; see `crate::dispatch::SurfaceKernelFn` for the calling convention.
 
 /// Streaming surface kernel, faces normal to x0 (α̂ = v0).
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_surf_3x3v_p1_ser_x0(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
-    let rd = 2.0 / dxv[0];
-    let mut alpha = [0.0f64; 32];
-    let _ = (qm, em);
-    alpha[0] = w[3] * 5.656854249492381;
-    alpha[3] += 0.5 * dxv[3] * 3.265986323710904;
-    let lam = if penalty { w[3].abs() + 0.5 * dxv[3].abs() } else { 0.0 };
-    let mut fm = [0.0f64; 32];
-    let mut fp = [0.0f64; 32];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[1] += 0.7071067811865476 * f_lo[1];
-    fm[2] += 0.7071067811865476 * f_lo[2];
-    fm[3] += 0.7071067811865476 * f_lo[3];
-    fm[4] += 0.7071067811865476 * f_lo[4];
-    fm[5] += 0.7071067811865476 * f_lo[5];
-    fm[0] += 1.224744871391589 * f_lo[6];
-    fm[6] += 0.7071067811865476 * f_lo[7];
-    fm[7] += 0.7071067811865476 * f_lo[8];
-    fm[8] += 0.7071067811865476 * f_lo[9];
-    fm[9] += 0.7071067811865476 * f_lo[10];
-    fm[10] += 0.7071067811865476 * f_lo[11];
-    fm[11] += 0.7071067811865476 * f_lo[12];
-    fm[12] += 0.7071067811865476 * f_lo[13];
-    fm[13] += 0.7071067811865476 * f_lo[14];
-    fm[14] += 0.7071067811865476 * f_lo[15];
-    fm[15] += 0.7071067811865476 * f_lo[16];
-    fm[1] += 1.224744871391589 * f_lo[17];
-    fm[2] += 1.224744871391589 * f_lo[18];
-    fm[3] += 1.224744871391589 * f_lo[19];
-    fm[4] += 1.224744871391589 * f_lo[20];
-    fm[5] += 1.224744871391589 * f_lo[21];
-    fm[16] += 0.7071067811865476 * f_lo[22];
-    fm[17] += 0.7071067811865476 * f_lo[23];
-    fm[18] += 0.7071067811865476 * f_lo[24];
-    fm[19] += 0.7071067811865476 * f_lo[25];
-    fm[20] += 0.7071067811865476 * f_lo[26];
-    fm[21] += 0.7071067811865476 * f_lo[27];
-    fm[22] += 0.7071067811865476 * f_lo[28];
-    fm[23] += 0.7071067811865476 * f_lo[29];
-    fm[24] += 0.7071067811865476 * f_lo[30];
-    fm[25] += 0.7071067811865476 * f_lo[31];
-    fm[6] += 1.224744871391589 * f_lo[32];
-    fm[7] += 1.224744871391589 * f_lo[33];
-    fm[8] += 1.224744871391589 * f_lo[34];
-    fm[9] += 1.224744871391589 * f_lo[35];
-    fm[10] += 1.224744871391589 * f_lo[36];
-    fm[11] += 1.224744871391589 * f_lo[37];
-    fm[12] += 1.224744871391589 * f_lo[38];
-    fm[13] += 1.224744871391589 * f_lo[39];
-    fm[14] += 1.224744871391589 * f_lo[40];
-    fm[15] += 1.224744871391589 * f_lo[41];
-    fm[26] += 0.7071067811865476 * f_lo[42];
-    fm[27] += 0.7071067811865476 * f_lo[43];
-    fm[28] += 0.7071067811865476 * f_lo[44];
-    fm[29] += 0.7071067811865476 * f_lo[45];
-    fm[30] += 0.7071067811865476 * f_lo[46];
-    fm[16] += 1.224744871391589 * f_lo[47];
-    fm[17] += 1.224744871391589 * f_lo[48];
-    fm[18] += 1.224744871391589 * f_lo[49];
-    fm[19] += 1.224744871391589 * f_lo[50];
-    fm[20] += 1.224744871391589 * f_lo[51];
-    fm[21] += 1.224744871391589 * f_lo[52];
-    fm[22] += 1.224744871391589 * f_lo[53];
-    fm[23] += 1.224744871391589 * f_lo[54];
-    fm[24] += 1.224744871391589 * f_lo[55];
-    fm[25] += 1.224744871391589 * f_lo[56];
-    fm[31] += 0.7071067811865476 * f_lo[57];
-    fm[26] += 1.224744871391589 * f_lo[58];
-    fm[27] += 1.224744871391589 * f_lo[59];
-    fm[28] += 1.224744871391589 * f_lo[60];
-    fm[29] += 1.224744871391589 * f_lo[61];
-    fm[30] += 1.224744871391589 * f_lo[62];
-    fm[31] += 1.224744871391589 * f_lo[63];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[1] += 0.7071067811865476 * f_hi[1];
-    fp[2] += 0.7071067811865476 * f_hi[2];
-    fp[3] += 0.7071067811865476 * f_hi[3];
-    fp[4] += 0.7071067811865476 * f_hi[4];
-    fp[5] += 0.7071067811865476 * f_hi[5];
-    fp[0] += -1.224744871391589 * f_hi[6];
-    fp[6] += 0.7071067811865476 * f_hi[7];
-    fp[7] += 0.7071067811865476 * f_hi[8];
-    fp[8] += 0.7071067811865476 * f_hi[9];
-    fp[9] += 0.7071067811865476 * f_hi[10];
-    fp[10] += 0.7071067811865476 * f_hi[11];
-    fp[11] += 0.7071067811865476 * f_hi[12];
-    fp[12] += 0.7071067811865476 * f_hi[13];
-    fp[13] += 0.7071067811865476 * f_hi[14];
-    fp[14] += 0.7071067811865476 * f_hi[15];
-    fp[15] += 0.7071067811865476 * f_hi[16];
-    fp[1] += -1.224744871391589 * f_hi[17];
-    fp[2] += -1.224744871391589 * f_hi[18];
-    fp[3] += -1.224744871391589 * f_hi[19];
-    fp[4] += -1.224744871391589 * f_hi[20];
-    fp[5] += -1.224744871391589 * f_hi[21];
-    fp[16] += 0.7071067811865476 * f_hi[22];
-    fp[17] += 0.7071067811865476 * f_hi[23];
-    fp[18] += 0.7071067811865476 * f_hi[24];
-    fp[19] += 0.7071067811865476 * f_hi[25];
-    fp[20] += 0.7071067811865476 * f_hi[26];
-    fp[21] += 0.7071067811865476 * f_hi[27];
-    fp[22] += 0.7071067811865476 * f_hi[28];
-    fp[23] += 0.7071067811865476 * f_hi[29];
-    fp[24] += 0.7071067811865476 * f_hi[30];
-    fp[25] += 0.7071067811865476 * f_hi[31];
-    fp[6] += -1.224744871391589 * f_hi[32];
-    fp[7] += -1.224744871391589 * f_hi[33];
-    fp[8] += -1.224744871391589 * f_hi[34];
-    fp[9] += -1.224744871391589 * f_hi[35];
-    fp[10] += -1.224744871391589 * f_hi[36];
-    fp[11] += -1.224744871391589 * f_hi[37];
-    fp[12] += -1.224744871391589 * f_hi[38];
-    fp[13] += -1.224744871391589 * f_hi[39];
-    fp[14] += -1.224744871391589 * f_hi[40];
-    fp[15] += -1.224744871391589 * f_hi[41];
-    fp[26] += 0.7071067811865476 * f_hi[42];
-    fp[27] += 0.7071067811865476 * f_hi[43];
-    fp[28] += 0.7071067811865476 * f_hi[44];
-    fp[29] += 0.7071067811865476 * f_hi[45];
-    fp[30] += 0.7071067811865476 * f_hi[46];
-    fp[16] += -1.224744871391589 * f_hi[47];
-    fp[17] += -1.224744871391589 * f_hi[48];
-    fp[18] += -1.224744871391589 * f_hi[49];
-    fp[19] += -1.224744871391589 * f_hi[50];
-    fp[20] += -1.224744871391589 * f_hi[51];
-    fp[21] += -1.224744871391589 * f_hi[52];
-    fp[22] += -1.224744871391589 * f_hi[53];
-    fp[23] += -1.224744871391589 * f_hi[54];
-    fp[24] += -1.224744871391589 * f_hi[55];
-    fp[25] += -1.224744871391589 * f_hi[56];
-    fp[31] += 0.7071067811865476 * f_hi[57];
-    fp[26] += -1.224744871391589 * f_hi[58];
-    fp[27] += -1.224744871391589 * f_hi[59];
-    fp[28] += -1.224744871391589 * f_hi[60];
-    fp[29] += -1.224744871391589 * f_hi[61];
-    fp[30] += -1.224744871391589 * f_hi[62];
-    fp[31] += -1.224744871391589 * f_hi[63];
-    let mut favg = [0.0f64; 32];
-    let mut ghat = [0.0f64; 32];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    favg[8] = 0.5 * (fm[8] + fp[8]);
-    ghat[8] = -0.5 * lam * (fp[8] - fm[8]);
-    favg[9] = 0.5 * (fm[9] + fp[9]);
-    ghat[9] = -0.5 * lam * (fp[9] - fm[9]);
-    favg[10] = 0.5 * (fm[10] + fp[10]);
-    ghat[10] = -0.5 * lam * (fp[10] - fm[10]);
-    favg[11] = 0.5 * (fm[11] + fp[11]);
-    ghat[11] = -0.5 * lam * (fp[11] - fm[11]);
-    favg[12] = 0.5 * (fm[12] + fp[12]);
-    ghat[12] = -0.5 * lam * (fp[12] - fm[12]);
-    favg[13] = 0.5 * (fm[13] + fp[13]);
-    ghat[13] = -0.5 * lam * (fp[13] - fm[13]);
-    favg[14] = 0.5 * (fm[14] + fp[14]);
-    ghat[14] = -0.5 * lam * (fp[14] - fm[14]);
-    favg[15] = 0.5 * (fm[15] + fp[15]);
-    ghat[15] = -0.5 * lam * (fp[15] - fm[15]);
-    favg[16] = 0.5 * (fm[16] + fp[16]);
-    ghat[16] = -0.5 * lam * (fp[16] - fm[16]);
-    favg[17] = 0.5 * (fm[17] + fp[17]);
-    ghat[17] = -0.5 * lam * (fp[17] - fm[17]);
-    favg[18] = 0.5 * (fm[18] + fp[18]);
-    ghat[18] = -0.5 * lam * (fp[18] - fm[18]);
-    favg[19] = 0.5 * (fm[19] + fp[19]);
-    ghat[19] = -0.5 * lam * (fp[19] - fm[19]);
-    favg[20] = 0.5 * (fm[20] + fp[20]);
-    ghat[20] = -0.5 * lam * (fp[20] - fm[20]);
-    favg[21] = 0.5 * (fm[21] + fp[21]);
-    ghat[21] = -0.5 * lam * (fp[21] - fm[21]);
-    favg[22] = 0.5 * (fm[22] + fp[22]);
-    ghat[22] = -0.5 * lam * (fp[22] - fm[22]);
-    favg[23] = 0.5 * (fm[23] + fp[23]);
-    ghat[23] = -0.5 * lam * (fp[23] - fm[23]);
-    favg[24] = 0.5 * (fm[24] + fp[24]);
-    ghat[24] = -0.5 * lam * (fp[24] - fm[24]);
-    favg[25] = 0.5 * (fm[25] + fp[25]);
-    ghat[25] = -0.5 * lam * (fp[25] - fm[25]);
-    favg[26] = 0.5 * (fm[26] + fp[26]);
-    ghat[26] = -0.5 * lam * (fp[26] - fm[26]);
-    favg[27] = 0.5 * (fm[27] + fp[27]);
-    ghat[27] = -0.5 * lam * (fp[27] - fm[27]);
-    favg[28] = 0.5 * (fm[28] + fp[28]);
-    ghat[28] = -0.5 * lam * (fp[28] - fm[28]);
-    favg[29] = 0.5 * (fm[29] + fp[29]);
-    ghat[29] = -0.5 * lam * (fp[29] - fm[29]);
-    favg[30] = 0.5 * (fm[30] + fp[30]);
-    ghat[30] = -0.5 * lam * (fp[30] - fm[30]);
-    favg[31] = 0.5 * (fm[31] + fp[31]);
-    ghat[31] = -0.5 * lam * (fp[31] - fm[31]);
-    ghat[0] += 0.1767766952966369 * alpha[0] * favg[0];
-    ghat[0] += 0.17677669529663687 * alpha[3] * favg[3];
-    ghat[1] += 0.17677669529663687 * alpha[0] * favg[1];
-    ghat[1] += 0.17677669529663687 * alpha[3] * favg[7];
-    ghat[2] += 0.17677669529663687 * alpha[0] * favg[2];
-    ghat[2] += 0.17677669529663687 * alpha[3] * favg[8];
-    ghat[3] += 0.17677669529663687 * alpha[0] * favg[3];
-    ghat[3] += 0.17677669529663687 * alpha[3] * favg[0];
-    ghat[4] += 0.17677669529663687 * alpha[0] * favg[4];
-    ghat[4] += 0.17677669529663687 * alpha[3] * favg[11];
-    ghat[5] += 0.17677669529663687 * alpha[0] * favg[5];
-    ghat[5] += 0.17677669529663687 * alpha[3] * favg[14];
-    ghat[6] += 0.17677669529663687 * alpha[0] * favg[6];
-    ghat[6] += 0.1767766952966369 * alpha[3] * favg[16];
-    ghat[7] += 0.17677669529663687 * alpha[0] * favg[7];
-    ghat[7] += 0.17677669529663687 * alpha[3] * favg[1];
-    ghat[8] += 0.17677669529663687 * alpha[0] * favg[8];
-    ghat[8] += 0.17677669529663687 * alpha[3] * favg[2];
-    ghat[9] += 0.17677669529663687 * alpha[0] * favg[9];
-    ghat[9] += 0.1767766952966369 * alpha[3] * favg[18];
-    ghat[10] += 0.17677669529663687 * alpha[0] * favg[10];
-    ghat[10] += 0.1767766952966369 * alpha[3] * favg[19];
-    ghat[11] += 0.17677669529663687 * alpha[0] * favg[11];
-    ghat[11] += 0.17677669529663687 * alpha[3] * favg[4];
-    ghat[12] += 0.17677669529663687 * alpha[0] * favg[12];
-    ghat[12] += 0.1767766952966369 * alpha[3] * favg[21];
-    ghat[13] += 0.17677669529663687 * alpha[0] * favg[13];
-    ghat[13] += 0.1767766952966369 * alpha[3] * favg[22];
-    ghat[14] += 0.17677669529663687 * alpha[0] * favg[14];
-    ghat[14] += 0.17677669529663687 * alpha[3] * favg[5];
-    ghat[15] += 0.17677669529663687 * alpha[0] * favg[15];
-    ghat[15] += 0.1767766952966369 * alpha[3] * favg[25];
-    ghat[16] += 0.1767766952966369 * alpha[0] * favg[16];
-    ghat[16] += 0.1767766952966369 * alpha[3] * favg[6];
-    ghat[17] += 0.1767766952966369 * alpha[0] * favg[17];
-    ghat[17] += 0.17677669529663687 * alpha[3] * favg[26];
-    ghat[18] += 0.1767766952966369 * alpha[0] * favg[18];
-    ghat[18] += 0.1767766952966369 * alpha[3] * favg[9];
-    ghat[19] += 0.1767766952966369 * alpha[0] * favg[19];
-    ghat[19] += 0.1767766952966369 * alpha[3] * favg[10];
-    ghat[20] += 0.1767766952966369 * alpha[0] * favg[20];
-    ghat[20] += 0.17677669529663687 * alpha[3] * favg[27];
-    ghat[21] += 0.1767766952966369 * alpha[0] * favg[21];
-    ghat[21] += 0.1767766952966369 * alpha[3] * favg[12];
-    ghat[22] += 0.1767766952966369 * alpha[0] * favg[22];
-    ghat[22] += 0.1767766952966369 * alpha[3] * favg[13];
-    ghat[23] += 0.1767766952966369 * alpha[0] * favg[23];
-    ghat[23] += 0.17677669529663687 * alpha[3] * favg[29];
-    ghat[24] += 0.1767766952966369 * alpha[0] * favg[24];
-    ghat[24] += 0.17677669529663687 * alpha[3] * favg[30];
-    ghat[25] += 0.1767766952966369 * alpha[0] * favg[25];
-    ghat[25] += 0.1767766952966369 * alpha[3] * favg[15];
-    ghat[26] += 0.17677669529663687 * alpha[0] * favg[26];
-    ghat[26] += 0.17677669529663687 * alpha[3] * favg[17];
-    ghat[27] += 0.17677669529663687 * alpha[0] * favg[27];
-    ghat[27] += 0.17677669529663687 * alpha[3] * favg[20];
-    ghat[28] += 0.17677669529663687 * alpha[0] * favg[28];
-    ghat[28] += 0.1767766952966369 * alpha[3] * favg[31];
-    ghat[29] += 0.17677669529663687 * alpha[0] * favg[29];
-    ghat[29] += 0.17677669529663687 * alpha[3] * favg[23];
-    ghat[30] += 0.17677669529663687 * alpha[0] * favg[30];
-    ghat[30] += 0.17677669529663687 * alpha[3] * favg[24];
-    ghat[31] += 0.1767766952966369 * alpha[0] * favg[31];
-    ghat[31] += 0.1767766952966369 * alpha[3] * favg[28];
-    out_lo[0] += -rd * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -rd * 0.7071067811865476 * ghat[1];
-    out_lo[2] += -rd * 0.7071067811865476 * ghat[2];
-    out_lo[3] += -rd * 0.7071067811865476 * ghat[3];
-    out_lo[4] += -rd * 0.7071067811865476 * ghat[4];
-    out_lo[5] += -rd * 0.7071067811865476 * ghat[5];
-    out_lo[6] += -rd * 1.224744871391589 * ghat[0];
-    out_lo[7] += -rd * 0.7071067811865476 * ghat[6];
-    out_lo[8] += -rd * 0.7071067811865476 * ghat[7];
-    out_lo[9] += -rd * 0.7071067811865476 * ghat[8];
-    out_lo[10] += -rd * 0.7071067811865476 * ghat[9];
-    out_lo[11] += -rd * 0.7071067811865476 * ghat[10];
-    out_lo[12] += -rd * 0.7071067811865476 * ghat[11];
-    out_lo[13] += -rd * 0.7071067811865476 * ghat[12];
-    out_lo[14] += -rd * 0.7071067811865476 * ghat[13];
-    out_lo[15] += -rd * 0.7071067811865476 * ghat[14];
-    out_lo[16] += -rd * 0.7071067811865476 * ghat[15];
-    out_lo[17] += -rd * 1.224744871391589 * ghat[1];
-    out_lo[18] += -rd * 1.224744871391589 * ghat[2];
-    out_lo[19] += -rd * 1.224744871391589 * ghat[3];
-    out_lo[20] += -rd * 1.224744871391589 * ghat[4];
-    out_lo[21] += -rd * 1.224744871391589 * ghat[5];
-    out_lo[22] += -rd * 0.7071067811865476 * ghat[16];
-    out_lo[23] += -rd * 0.7071067811865476 * ghat[17];
-    out_lo[24] += -rd * 0.7071067811865476 * ghat[18];
-    out_lo[25] += -rd * 0.7071067811865476 * ghat[19];
-    out_lo[26] += -rd * 0.7071067811865476 * ghat[20];
-    out_lo[27] += -rd * 0.7071067811865476 * ghat[21];
-    out_lo[28] += -rd * 0.7071067811865476 * ghat[22];
-    out_lo[29] += -rd * 0.7071067811865476 * ghat[23];
-    out_lo[30] += -rd * 0.7071067811865476 * ghat[24];
-    out_lo[31] += -rd * 0.7071067811865476 * ghat[25];
-    out_lo[32] += -rd * 1.224744871391589 * ghat[6];
-    out_lo[33] += -rd * 1.224744871391589 * ghat[7];
-    out_lo[34] += -rd * 1.224744871391589 * ghat[8];
-    out_lo[35] += -rd * 1.224744871391589 * ghat[9];
-    out_lo[36] += -rd * 1.224744871391589 * ghat[10];
-    out_lo[37] += -rd * 1.224744871391589 * ghat[11];
-    out_lo[38] += -rd * 1.224744871391589 * ghat[12];
-    out_lo[39] += -rd * 1.224744871391589 * ghat[13];
-    out_lo[40] += -rd * 1.224744871391589 * ghat[14];
-    out_lo[41] += -rd * 1.224744871391589 * ghat[15];
-    out_lo[42] += -rd * 0.7071067811865476 * ghat[26];
-    out_lo[43] += -rd * 0.7071067811865476 * ghat[27];
-    out_lo[44] += -rd * 0.7071067811865476 * ghat[28];
-    out_lo[45] += -rd * 0.7071067811865476 * ghat[29];
-    out_lo[46] += -rd * 0.7071067811865476 * ghat[30];
-    out_lo[47] += -rd * 1.224744871391589 * ghat[16];
-    out_lo[48] += -rd * 1.224744871391589 * ghat[17];
-    out_lo[49] += -rd * 1.224744871391589 * ghat[18];
-    out_lo[50] += -rd * 1.224744871391589 * ghat[19];
-    out_lo[51] += -rd * 1.224744871391589 * ghat[20];
-    out_lo[52] += -rd * 1.224744871391589 * ghat[21];
-    out_lo[53] += -rd * 1.224744871391589 * ghat[22];
-    out_lo[54] += -rd * 1.224744871391589 * ghat[23];
-    out_lo[55] += -rd * 1.224744871391589 * ghat[24];
-    out_lo[56] += -rd * 1.224744871391589 * ghat[25];
-    out_lo[57] += -rd * 0.7071067811865476 * ghat[31];
-    out_lo[58] += -rd * 1.224744871391589 * ghat[26];
-    out_lo[59] += -rd * 1.224744871391589 * ghat[27];
-    out_lo[60] += -rd * 1.224744871391589 * ghat[28];
-    out_lo[61] += -rd * 1.224744871391589 * ghat[29];
-    out_lo[62] += -rd * 1.224744871391589 * ghat[30];
-    out_lo[63] += -rd * 1.224744871391589 * ghat[31];
-    out_hi[0] += rd * 0.7071067811865476 * ghat[0];
-    out_hi[1] += rd * 0.7071067811865476 * ghat[1];
-    out_hi[2] += rd * 0.7071067811865476 * ghat[2];
-    out_hi[3] += rd * 0.7071067811865476 * ghat[3];
-    out_hi[4] += rd * 0.7071067811865476 * ghat[4];
-    out_hi[5] += rd * 0.7071067811865476 * ghat[5];
-    out_hi[6] += rd * -1.224744871391589 * ghat[0];
-    out_hi[7] += rd * 0.7071067811865476 * ghat[6];
-    out_hi[8] += rd * 0.7071067811865476 * ghat[7];
-    out_hi[9] += rd * 0.7071067811865476 * ghat[8];
-    out_hi[10] += rd * 0.7071067811865476 * ghat[9];
-    out_hi[11] += rd * 0.7071067811865476 * ghat[10];
-    out_hi[12] += rd * 0.7071067811865476 * ghat[11];
-    out_hi[13] += rd * 0.7071067811865476 * ghat[12];
-    out_hi[14] += rd * 0.7071067811865476 * ghat[13];
-    out_hi[15] += rd * 0.7071067811865476 * ghat[14];
-    out_hi[16] += rd * 0.7071067811865476 * ghat[15];
-    out_hi[17] += rd * -1.224744871391589 * ghat[1];
-    out_hi[18] += rd * -1.224744871391589 * ghat[2];
-    out_hi[19] += rd * -1.224744871391589 * ghat[3];
-    out_hi[20] += rd * -1.224744871391589 * ghat[4];
-    out_hi[21] += rd * -1.224744871391589 * ghat[5];
-    out_hi[22] += rd * 0.7071067811865476 * ghat[16];
-    out_hi[23] += rd * 0.7071067811865476 * ghat[17];
-    out_hi[24] += rd * 0.7071067811865476 * ghat[18];
-    out_hi[25] += rd * 0.7071067811865476 * ghat[19];
-    out_hi[26] += rd * 0.7071067811865476 * ghat[20];
-    out_hi[27] += rd * 0.7071067811865476 * ghat[21];
-    out_hi[28] += rd * 0.7071067811865476 * ghat[22];
-    out_hi[29] += rd * 0.7071067811865476 * ghat[23];
-    out_hi[30] += rd * 0.7071067811865476 * ghat[24];
-    out_hi[31] += rd * 0.7071067811865476 * ghat[25];
-    out_hi[32] += rd * -1.224744871391589 * ghat[6];
-    out_hi[33] += rd * -1.224744871391589 * ghat[7];
-    out_hi[34] += rd * -1.224744871391589 * ghat[8];
-    out_hi[35] += rd * -1.224744871391589 * ghat[9];
-    out_hi[36] += rd * -1.224744871391589 * ghat[10];
-    out_hi[37] += rd * -1.224744871391589 * ghat[11];
-    out_hi[38] += rd * -1.224744871391589 * ghat[12];
-    out_hi[39] += rd * -1.224744871391589 * ghat[13];
-    out_hi[40] += rd * -1.224744871391589 * ghat[14];
-    out_hi[41] += rd * -1.224744871391589 * ghat[15];
-    out_hi[42] += rd * 0.7071067811865476 * ghat[26];
-    out_hi[43] += rd * 0.7071067811865476 * ghat[27];
-    out_hi[44] += rd * 0.7071067811865476 * ghat[28];
-    out_hi[45] += rd * 0.7071067811865476 * ghat[29];
-    out_hi[46] += rd * 0.7071067811865476 * ghat[30];
-    out_hi[47] += rd * -1.224744871391589 * ghat[16];
-    out_hi[48] += rd * -1.224744871391589 * ghat[17];
-    out_hi[49] += rd * -1.224744871391589 * ghat[18];
-    out_hi[50] += rd * -1.224744871391589 * ghat[19];
-    out_hi[51] += rd * -1.224744871391589 * ghat[20];
-    out_hi[52] += rd * -1.224744871391589 * ghat[21];
-    out_hi[53] += rd * -1.224744871391589 * ghat[22];
-    out_hi[54] += rd * -1.224744871391589 * ghat[23];
-    out_hi[55] += rd * -1.224744871391589 * ghat[24];
-    out_hi[56] += rd * -1.224744871391589 * ghat[25];
-    out_hi[57] += rd * 0.7071067811865476 * ghat[31];
-    out_hi[58] += rd * -1.224744871391589 * ghat[26];
-    out_hi[59] += rd * -1.224744871391589 * ghat[27];
-    out_hi[60] += rd * -1.224744871391589 * ghat[28];
-    out_hi[61] += rd * -1.224744871391589 * ghat[29];
-    out_hi[62] += rd * -1.224744871391589 * ghat[30];
-    out_hi[63] += rd * -1.224744871391589 * ghat[31];
+    vlasov_surf_3x3v_p1_ser_x0_body::<1>(w.as_chunks().0, dxv, qm, em, penalty, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
 }
 
-/// Batched companion of [`vlasov_surf_3x3v_p1_ser_x0`]: `LANES` faces per call, bit-identical per lane.
+/// [`vlasov_surf_3x3v_p1_ser_x0`] over `LANES` faces: the same body, bit-identical per lane.
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_3x3v_p1_ser_x0_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_3x3v_p1_ser_x0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_3x3v_p1_ser_x0_b4(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_3x3v_p1_ser_x0_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// [`vlasov_surf_3x3v_p1_ser_x0_b4`] compiled for AVX2: the same body, bit-identical per lane.
-/// Reach it through `crate::dispatch`, which checks the CPU first.
+/// [`vlasov_surf_3x3v_p1_ser_x0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_3x3v_p1_ser_x0_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_3x3v_p1_ser_x0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_3x3v_p1_ser_x0_b4_avx2(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_3x3v_p1_ser_x0_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// Shared body of [`vlasov_surf_3x3v_p1_ser_x0_b4`] and its AVX2 entry point.
+/// [`vlasov_surf_3x3v_p1_ser_x0`] over 8 faces, compiled for AVX-512F. Reach it through
+/// `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_surf_3x3v_p1_ser_x0_b8_avx512(w: &[[f64; 8]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; 8]], f_hi: &[[f64; 8]], out_lo: &mut [[f64; 8]], out_hi: &mut [[f64; 8]]) {
+    vlasov_surf_3x3v_p1_ser_x0_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`vlasov_surf_3x3v_p1_ser_x0`] and its batched entry points.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_surf_3x3v_p1_ser_x0_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+fn vlasov_surf_3x3v_p1_ser_x0_body<const L: usize>(w: &[[f64; L]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let w: &[[f64; L]; 6] = w.first_chunk().expect("w: 6 coefficients");
+    let f_lo: &[[f64; L]; 64] = f_lo.first_chunk().expect("f_lo: 64 coefficients");
+    let f_hi: &[[f64; L]; 64] = f_hi.first_chunk().expect("f_hi: 64 coefficients");
+    let out_lo: &mut [[f64; L]; 64] = out_lo.first_chunk_mut().expect("out_lo: 64 coefficients");
+    let out_hi: &mut [[f64; L]; 64] = out_hi.first_chunk_mut().expect("out_hi: 64 coefficients");
     let rd = 2.0 / dxv[0];
-    let mut alpha = [CellLanes([0.0f64; LANES]); 32];
-    let mut lam = CellLanes([0.0f64; LANES]);
+    let mut alpha = [[0.0f64; L]; 32];
+    let mut lam = [0.0f64; L];
     let _ = (qm, em);
-    for k in 0..LANES {
-        alpha[0].0[k] = w[3].0[k] * 5.656854249492381;
-        alpha[3].0[k] += 0.5 * dxv[3] * 3.265986323710904;
-        lam.0[k] = if penalty { w[3].0[k].abs() + 0.5 * dxv[3].abs() } else { 0.0 };
+    for k in 0..L {
+        alpha[0][k] = w[3][k] * 5.656854249492381;
+        alpha[3][k] += 0.5 * dxv[3] * 3.265986323710904;
+        lam[k] = if penalty { w[3][k].abs() + 0.5 * dxv[3].abs() } else { 0.0 };
     }
-    let mut fm = [CellLanes([0.0f64; LANES]); 32];
-    let mut fp = [CellLanes([0.0f64; LANES]); 32];
-    sx4(&mut fm[0], 0.7071067811865476, &f_lo[0]);
-    sx4(&mut fm[1], 0.7071067811865476, &f_lo[1]);
-    sx4(&mut fm[2], 0.7071067811865476, &f_lo[2]);
-    sx4(&mut fm[3], 0.7071067811865476, &f_lo[3]);
-    sx4(&mut fm[4], 0.7071067811865476, &f_lo[4]);
-    sx4(&mut fm[5], 0.7071067811865476, &f_lo[5]);
-    sx4(&mut fm[0], 1.224744871391589, &f_lo[6]);
-    sx4(&mut fm[6], 0.7071067811865476, &f_lo[7]);
-    sx4(&mut fm[7], 0.7071067811865476, &f_lo[8]);
-    sx4(&mut fm[8], 0.7071067811865476, &f_lo[9]);
-    sx4(&mut fm[9], 0.7071067811865476, &f_lo[10]);
-    sx4(&mut fm[10], 0.7071067811865476, &f_lo[11]);
-    sx4(&mut fm[11], 0.7071067811865476, &f_lo[12]);
-    sx4(&mut fm[12], 0.7071067811865476, &f_lo[13]);
-    sx4(&mut fm[13], 0.7071067811865476, &f_lo[14]);
-    sx4(&mut fm[14], 0.7071067811865476, &f_lo[15]);
-    sx4(&mut fm[15], 0.7071067811865476, &f_lo[16]);
-    sx4(&mut fm[1], 1.224744871391589, &f_lo[17]);
-    sx4(&mut fm[2], 1.224744871391589, &f_lo[18]);
-    sx4(&mut fm[3], 1.224744871391589, &f_lo[19]);
-    sx4(&mut fm[4], 1.224744871391589, &f_lo[20]);
-    sx4(&mut fm[5], 1.224744871391589, &f_lo[21]);
-    sx4(&mut fm[16], 0.7071067811865476, &f_lo[22]);
-    sx4(&mut fm[17], 0.7071067811865476, &f_lo[23]);
-    sx4(&mut fm[18], 0.7071067811865476, &f_lo[24]);
-    sx4(&mut fm[19], 0.7071067811865476, &f_lo[25]);
-    sx4(&mut fm[20], 0.7071067811865476, &f_lo[26]);
-    sx4(&mut fm[21], 0.7071067811865476, &f_lo[27]);
-    sx4(&mut fm[22], 0.7071067811865476, &f_lo[28]);
-    sx4(&mut fm[23], 0.7071067811865476, &f_lo[29]);
-    sx4(&mut fm[24], 0.7071067811865476, &f_lo[30]);
-    sx4(&mut fm[25], 0.7071067811865476, &f_lo[31]);
-    sx4(&mut fm[6], 1.224744871391589, &f_lo[32]);
-    sx4(&mut fm[7], 1.224744871391589, &f_lo[33]);
-    sx4(&mut fm[8], 1.224744871391589, &f_lo[34]);
-    sx4(&mut fm[9], 1.224744871391589, &f_lo[35]);
-    sx4(&mut fm[10], 1.224744871391589, &f_lo[36]);
-    sx4(&mut fm[11], 1.224744871391589, &f_lo[37]);
-    sx4(&mut fm[12], 1.224744871391589, &f_lo[38]);
-    sx4(&mut fm[13], 1.224744871391589, &f_lo[39]);
-    sx4(&mut fm[14], 1.224744871391589, &f_lo[40]);
-    sx4(&mut fm[15], 1.224744871391589, &f_lo[41]);
-    sx4(&mut fm[26], 0.7071067811865476, &f_lo[42]);
-    sx4(&mut fm[27], 0.7071067811865476, &f_lo[43]);
-    sx4(&mut fm[28], 0.7071067811865476, &f_lo[44]);
-    sx4(&mut fm[29], 0.7071067811865476, &f_lo[45]);
-    sx4(&mut fm[30], 0.7071067811865476, &f_lo[46]);
-    sx4(&mut fm[16], 1.224744871391589, &f_lo[47]);
-    sx4(&mut fm[17], 1.224744871391589, &f_lo[48]);
-    sx4(&mut fm[18], 1.224744871391589, &f_lo[49]);
-    sx4(&mut fm[19], 1.224744871391589, &f_lo[50]);
-    sx4(&mut fm[20], 1.224744871391589, &f_lo[51]);
-    sx4(&mut fm[21], 1.224744871391589, &f_lo[52]);
-    sx4(&mut fm[22], 1.224744871391589, &f_lo[53]);
-    sx4(&mut fm[23], 1.224744871391589, &f_lo[54]);
-    sx4(&mut fm[24], 1.224744871391589, &f_lo[55]);
-    sx4(&mut fm[25], 1.224744871391589, &f_lo[56]);
-    sx4(&mut fm[31], 0.7071067811865476, &f_lo[57]);
-    sx4(&mut fm[26], 1.224744871391589, &f_lo[58]);
-    sx4(&mut fm[27], 1.224744871391589, &f_lo[59]);
-    sx4(&mut fm[28], 1.224744871391589, &f_lo[60]);
-    sx4(&mut fm[29], 1.224744871391589, &f_lo[61]);
-    sx4(&mut fm[30], 1.224744871391589, &f_lo[62]);
-    sx4(&mut fm[31], 1.224744871391589, &f_lo[63]);
-    sx4(&mut fp[0], 0.7071067811865476, &f_hi[0]);
-    sx4(&mut fp[1], 0.7071067811865476, &f_hi[1]);
-    sx4(&mut fp[2], 0.7071067811865476, &f_hi[2]);
-    sx4(&mut fp[3], 0.7071067811865476, &f_hi[3]);
-    sx4(&mut fp[4], 0.7071067811865476, &f_hi[4]);
-    sx4(&mut fp[5], 0.7071067811865476, &f_hi[5]);
-    sx4(&mut fp[0], -1.224744871391589, &f_hi[6]);
-    sx4(&mut fp[6], 0.7071067811865476, &f_hi[7]);
-    sx4(&mut fp[7], 0.7071067811865476, &f_hi[8]);
-    sx4(&mut fp[8], 0.7071067811865476, &f_hi[9]);
-    sx4(&mut fp[9], 0.7071067811865476, &f_hi[10]);
-    sx4(&mut fp[10], 0.7071067811865476, &f_hi[11]);
-    sx4(&mut fp[11], 0.7071067811865476, &f_hi[12]);
-    sx4(&mut fp[12], 0.7071067811865476, &f_hi[13]);
-    sx4(&mut fp[13], 0.7071067811865476, &f_hi[14]);
-    sx4(&mut fp[14], 0.7071067811865476, &f_hi[15]);
-    sx4(&mut fp[15], 0.7071067811865476, &f_hi[16]);
-    sx4(&mut fp[1], -1.224744871391589, &f_hi[17]);
-    sx4(&mut fp[2], -1.224744871391589, &f_hi[18]);
-    sx4(&mut fp[3], -1.224744871391589, &f_hi[19]);
-    sx4(&mut fp[4], -1.224744871391589, &f_hi[20]);
-    sx4(&mut fp[5], -1.224744871391589, &f_hi[21]);
-    sx4(&mut fp[16], 0.7071067811865476, &f_hi[22]);
-    sx4(&mut fp[17], 0.7071067811865476, &f_hi[23]);
-    sx4(&mut fp[18], 0.7071067811865476, &f_hi[24]);
-    sx4(&mut fp[19], 0.7071067811865476, &f_hi[25]);
-    sx4(&mut fp[20], 0.7071067811865476, &f_hi[26]);
-    sx4(&mut fp[21], 0.7071067811865476, &f_hi[27]);
-    sx4(&mut fp[22], 0.7071067811865476, &f_hi[28]);
-    sx4(&mut fp[23], 0.7071067811865476, &f_hi[29]);
-    sx4(&mut fp[24], 0.7071067811865476, &f_hi[30]);
-    sx4(&mut fp[25], 0.7071067811865476, &f_hi[31]);
-    sx4(&mut fp[6], -1.224744871391589, &f_hi[32]);
-    sx4(&mut fp[7], -1.224744871391589, &f_hi[33]);
-    sx4(&mut fp[8], -1.224744871391589, &f_hi[34]);
-    sx4(&mut fp[9], -1.224744871391589, &f_hi[35]);
-    sx4(&mut fp[10], -1.224744871391589, &f_hi[36]);
-    sx4(&mut fp[11], -1.224744871391589, &f_hi[37]);
-    sx4(&mut fp[12], -1.224744871391589, &f_hi[38]);
-    sx4(&mut fp[13], -1.224744871391589, &f_hi[39]);
-    sx4(&mut fp[14], -1.224744871391589, &f_hi[40]);
-    sx4(&mut fp[15], -1.224744871391589, &f_hi[41]);
-    sx4(&mut fp[26], 0.7071067811865476, &f_hi[42]);
-    sx4(&mut fp[27], 0.7071067811865476, &f_hi[43]);
-    sx4(&mut fp[28], 0.7071067811865476, &f_hi[44]);
-    sx4(&mut fp[29], 0.7071067811865476, &f_hi[45]);
-    sx4(&mut fp[30], 0.7071067811865476, &f_hi[46]);
-    sx4(&mut fp[16], -1.224744871391589, &f_hi[47]);
-    sx4(&mut fp[17], -1.224744871391589, &f_hi[48]);
-    sx4(&mut fp[18], -1.224744871391589, &f_hi[49]);
-    sx4(&mut fp[19], -1.224744871391589, &f_hi[50]);
-    sx4(&mut fp[20], -1.224744871391589, &f_hi[51]);
-    sx4(&mut fp[21], -1.224744871391589, &f_hi[52]);
-    sx4(&mut fp[22], -1.224744871391589, &f_hi[53]);
-    sx4(&mut fp[23], -1.224744871391589, &f_hi[54]);
-    sx4(&mut fp[24], -1.224744871391589, &f_hi[55]);
-    sx4(&mut fp[25], -1.224744871391589, &f_hi[56]);
-    sx4(&mut fp[31], 0.7071067811865476, &f_hi[57]);
-    sx4(&mut fp[26], -1.224744871391589, &f_hi[58]);
-    sx4(&mut fp[27], -1.224744871391589, &f_hi[59]);
-    sx4(&mut fp[28], -1.224744871391589, &f_hi[60]);
-    sx4(&mut fp[29], -1.224744871391589, &f_hi[61]);
-    sx4(&mut fp[30], -1.224744871391589, &f_hi[62]);
-    sx4(&mut fp[31], -1.224744871391589, &f_hi[63]);
-    let mut favg = [CellLanes([0.0f64; LANES]); 32];
-    let mut ghat = [CellLanes([0.0f64; LANES]); 32];
-    for k in 0..LANES {
-        favg[0].0[k] = 0.5 * (fm[0].0[k] + fp[0].0[k]);
-        ghat[0].0[k] = -0.5 * lam.0[k] * (fp[0].0[k] - fm[0].0[k]);
-        favg[1].0[k] = 0.5 * (fm[1].0[k] + fp[1].0[k]);
-        ghat[1].0[k] = -0.5 * lam.0[k] * (fp[1].0[k] - fm[1].0[k]);
-        favg[2].0[k] = 0.5 * (fm[2].0[k] + fp[2].0[k]);
-        ghat[2].0[k] = -0.5 * lam.0[k] * (fp[2].0[k] - fm[2].0[k]);
-        favg[3].0[k] = 0.5 * (fm[3].0[k] + fp[3].0[k]);
-        ghat[3].0[k] = -0.5 * lam.0[k] * (fp[3].0[k] - fm[3].0[k]);
-        favg[4].0[k] = 0.5 * (fm[4].0[k] + fp[4].0[k]);
-        ghat[4].0[k] = -0.5 * lam.0[k] * (fp[4].0[k] - fm[4].0[k]);
-        favg[5].0[k] = 0.5 * (fm[5].0[k] + fp[5].0[k]);
-        ghat[5].0[k] = -0.5 * lam.0[k] * (fp[5].0[k] - fm[5].0[k]);
-        favg[6].0[k] = 0.5 * (fm[6].0[k] + fp[6].0[k]);
-        ghat[6].0[k] = -0.5 * lam.0[k] * (fp[6].0[k] - fm[6].0[k]);
-        favg[7].0[k] = 0.5 * (fm[7].0[k] + fp[7].0[k]);
-        ghat[7].0[k] = -0.5 * lam.0[k] * (fp[7].0[k] - fm[7].0[k]);
-        favg[8].0[k] = 0.5 * (fm[8].0[k] + fp[8].0[k]);
-        ghat[8].0[k] = -0.5 * lam.0[k] * (fp[8].0[k] - fm[8].0[k]);
-        favg[9].0[k] = 0.5 * (fm[9].0[k] + fp[9].0[k]);
-        ghat[9].0[k] = -0.5 * lam.0[k] * (fp[9].0[k] - fm[9].0[k]);
-        favg[10].0[k] = 0.5 * (fm[10].0[k] + fp[10].0[k]);
-        ghat[10].0[k] = -0.5 * lam.0[k] * (fp[10].0[k] - fm[10].0[k]);
-        favg[11].0[k] = 0.5 * (fm[11].0[k] + fp[11].0[k]);
-        ghat[11].0[k] = -0.5 * lam.0[k] * (fp[11].0[k] - fm[11].0[k]);
-        favg[12].0[k] = 0.5 * (fm[12].0[k] + fp[12].0[k]);
-        ghat[12].0[k] = -0.5 * lam.0[k] * (fp[12].0[k] - fm[12].0[k]);
-        favg[13].0[k] = 0.5 * (fm[13].0[k] + fp[13].0[k]);
-        ghat[13].0[k] = -0.5 * lam.0[k] * (fp[13].0[k] - fm[13].0[k]);
-        favg[14].0[k] = 0.5 * (fm[14].0[k] + fp[14].0[k]);
-        ghat[14].0[k] = -0.5 * lam.0[k] * (fp[14].0[k] - fm[14].0[k]);
-        favg[15].0[k] = 0.5 * (fm[15].0[k] + fp[15].0[k]);
-        ghat[15].0[k] = -0.5 * lam.0[k] * (fp[15].0[k] - fm[15].0[k]);
-        favg[16].0[k] = 0.5 * (fm[16].0[k] + fp[16].0[k]);
-        ghat[16].0[k] = -0.5 * lam.0[k] * (fp[16].0[k] - fm[16].0[k]);
-        favg[17].0[k] = 0.5 * (fm[17].0[k] + fp[17].0[k]);
-        ghat[17].0[k] = -0.5 * lam.0[k] * (fp[17].0[k] - fm[17].0[k]);
-        favg[18].0[k] = 0.5 * (fm[18].0[k] + fp[18].0[k]);
-        ghat[18].0[k] = -0.5 * lam.0[k] * (fp[18].0[k] - fm[18].0[k]);
-        favg[19].0[k] = 0.5 * (fm[19].0[k] + fp[19].0[k]);
-        ghat[19].0[k] = -0.5 * lam.0[k] * (fp[19].0[k] - fm[19].0[k]);
-        favg[20].0[k] = 0.5 * (fm[20].0[k] + fp[20].0[k]);
-        ghat[20].0[k] = -0.5 * lam.0[k] * (fp[20].0[k] - fm[20].0[k]);
-        favg[21].0[k] = 0.5 * (fm[21].0[k] + fp[21].0[k]);
-        ghat[21].0[k] = -0.5 * lam.0[k] * (fp[21].0[k] - fm[21].0[k]);
-        favg[22].0[k] = 0.5 * (fm[22].0[k] + fp[22].0[k]);
-        ghat[22].0[k] = -0.5 * lam.0[k] * (fp[22].0[k] - fm[22].0[k]);
-        favg[23].0[k] = 0.5 * (fm[23].0[k] + fp[23].0[k]);
-        ghat[23].0[k] = -0.5 * lam.0[k] * (fp[23].0[k] - fm[23].0[k]);
-        favg[24].0[k] = 0.5 * (fm[24].0[k] + fp[24].0[k]);
-        ghat[24].0[k] = -0.5 * lam.0[k] * (fp[24].0[k] - fm[24].0[k]);
-        favg[25].0[k] = 0.5 * (fm[25].0[k] + fp[25].0[k]);
-        ghat[25].0[k] = -0.5 * lam.0[k] * (fp[25].0[k] - fm[25].0[k]);
-        favg[26].0[k] = 0.5 * (fm[26].0[k] + fp[26].0[k]);
-        ghat[26].0[k] = -0.5 * lam.0[k] * (fp[26].0[k] - fm[26].0[k]);
-        favg[27].0[k] = 0.5 * (fm[27].0[k] + fp[27].0[k]);
-        ghat[27].0[k] = -0.5 * lam.0[k] * (fp[27].0[k] - fm[27].0[k]);
-        favg[28].0[k] = 0.5 * (fm[28].0[k] + fp[28].0[k]);
-        ghat[28].0[k] = -0.5 * lam.0[k] * (fp[28].0[k] - fm[28].0[k]);
-        favg[29].0[k] = 0.5 * (fm[29].0[k] + fp[29].0[k]);
-        ghat[29].0[k] = -0.5 * lam.0[k] * (fp[29].0[k] - fm[29].0[k]);
-        favg[30].0[k] = 0.5 * (fm[30].0[k] + fp[30].0[k]);
-        ghat[30].0[k] = -0.5 * lam.0[k] * (fp[30].0[k] - fm[30].0[k]);
-        favg[31].0[k] = 0.5 * (fm[31].0[k] + fp[31].0[k]);
-        ghat[31].0[k] = -0.5 * lam.0[k] * (fp[31].0[k] - fm[31].0[k]);
+    let mut fm = [[0.0f64; L]; 32];
+    let mut fp = [[0.0f64; L]; 32];
+    sxn(&mut fm[0], 0.7071067811865476, &f_lo[0]);
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[1]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[2]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[3]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[4]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[5]);
+    sxn(&mut fm[0], 1.224744871391589, &f_lo[6]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[7]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[8]);
+    sxn(&mut fm[8], 0.7071067811865476, &f_lo[9]);
+    sxn(&mut fm[9], 0.7071067811865476, &f_lo[10]);
+    sxn(&mut fm[10], 0.7071067811865476, &f_lo[11]);
+    sxn(&mut fm[11], 0.7071067811865476, &f_lo[12]);
+    sxn(&mut fm[12], 0.7071067811865476, &f_lo[13]);
+    sxn(&mut fm[13], 0.7071067811865476, &f_lo[14]);
+    sxn(&mut fm[14], 0.7071067811865476, &f_lo[15]);
+    sxn(&mut fm[15], 0.7071067811865476, &f_lo[16]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[17]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[18]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[19]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[20]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[21]);
+    sxn(&mut fm[16], 0.7071067811865476, &f_lo[22]);
+    sxn(&mut fm[17], 0.7071067811865476, &f_lo[23]);
+    sxn(&mut fm[18], 0.7071067811865476, &f_lo[24]);
+    sxn(&mut fm[19], 0.7071067811865476, &f_lo[25]);
+    sxn(&mut fm[20], 0.7071067811865476, &f_lo[26]);
+    sxn(&mut fm[21], 0.7071067811865476, &f_lo[27]);
+    sxn(&mut fm[22], 0.7071067811865476, &f_lo[28]);
+    sxn(&mut fm[23], 0.7071067811865476, &f_lo[29]);
+    sxn(&mut fm[24], 0.7071067811865476, &f_lo[30]);
+    sxn(&mut fm[25], 0.7071067811865476, &f_lo[31]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[32]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[33]);
+    sxn(&mut fm[8], 1.224744871391589, &f_lo[34]);
+    sxn(&mut fm[9], 1.224744871391589, &f_lo[35]);
+    sxn(&mut fm[10], 1.224744871391589, &f_lo[36]);
+    sxn(&mut fm[11], 1.224744871391589, &f_lo[37]);
+    sxn(&mut fm[12], 1.224744871391589, &f_lo[38]);
+    sxn(&mut fm[13], 1.224744871391589, &f_lo[39]);
+    sxn(&mut fm[14], 1.224744871391589, &f_lo[40]);
+    sxn(&mut fm[15], 1.224744871391589, &f_lo[41]);
+    sxn(&mut fm[26], 0.7071067811865476, &f_lo[42]);
+    sxn(&mut fm[27], 0.7071067811865476, &f_lo[43]);
+    sxn(&mut fm[28], 0.7071067811865476, &f_lo[44]);
+    sxn(&mut fm[29], 0.7071067811865476, &f_lo[45]);
+    sxn(&mut fm[30], 0.7071067811865476, &f_lo[46]);
+    sxn(&mut fm[16], 1.224744871391589, &f_lo[47]);
+    sxn(&mut fm[17], 1.224744871391589, &f_lo[48]);
+    sxn(&mut fm[18], 1.224744871391589, &f_lo[49]);
+    sxn(&mut fm[19], 1.224744871391589, &f_lo[50]);
+    sxn(&mut fm[20], 1.224744871391589, &f_lo[51]);
+    sxn(&mut fm[21], 1.224744871391589, &f_lo[52]);
+    sxn(&mut fm[22], 1.224744871391589, &f_lo[53]);
+    sxn(&mut fm[23], 1.224744871391589, &f_lo[54]);
+    sxn(&mut fm[24], 1.224744871391589, &f_lo[55]);
+    sxn(&mut fm[25], 1.224744871391589, &f_lo[56]);
+    sxn(&mut fm[31], 0.7071067811865476, &f_lo[57]);
+    sxn(&mut fm[26], 1.224744871391589, &f_lo[58]);
+    sxn(&mut fm[27], 1.224744871391589, &f_lo[59]);
+    sxn(&mut fm[28], 1.224744871391589, &f_lo[60]);
+    sxn(&mut fm[29], 1.224744871391589, &f_lo[61]);
+    sxn(&mut fm[30], 1.224744871391589, &f_lo[62]);
+    sxn(&mut fm[31], 1.224744871391589, &f_lo[63]);
+    sxn(&mut fp[0], 0.7071067811865476, &f_hi[0]);
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[1]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[2]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[3]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[4]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[5]);
+    sxn(&mut fp[0], -1.224744871391589, &f_hi[6]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[7]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[8]);
+    sxn(&mut fp[8], 0.7071067811865476, &f_hi[9]);
+    sxn(&mut fp[9], 0.7071067811865476, &f_hi[10]);
+    sxn(&mut fp[10], 0.7071067811865476, &f_hi[11]);
+    sxn(&mut fp[11], 0.7071067811865476, &f_hi[12]);
+    sxn(&mut fp[12], 0.7071067811865476, &f_hi[13]);
+    sxn(&mut fp[13], 0.7071067811865476, &f_hi[14]);
+    sxn(&mut fp[14], 0.7071067811865476, &f_hi[15]);
+    sxn(&mut fp[15], 0.7071067811865476, &f_hi[16]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[17]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[18]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[19]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[20]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[21]);
+    sxn(&mut fp[16], 0.7071067811865476, &f_hi[22]);
+    sxn(&mut fp[17], 0.7071067811865476, &f_hi[23]);
+    sxn(&mut fp[18], 0.7071067811865476, &f_hi[24]);
+    sxn(&mut fp[19], 0.7071067811865476, &f_hi[25]);
+    sxn(&mut fp[20], 0.7071067811865476, &f_hi[26]);
+    sxn(&mut fp[21], 0.7071067811865476, &f_hi[27]);
+    sxn(&mut fp[22], 0.7071067811865476, &f_hi[28]);
+    sxn(&mut fp[23], 0.7071067811865476, &f_hi[29]);
+    sxn(&mut fp[24], 0.7071067811865476, &f_hi[30]);
+    sxn(&mut fp[25], 0.7071067811865476, &f_hi[31]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[32]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[33]);
+    sxn(&mut fp[8], -1.224744871391589, &f_hi[34]);
+    sxn(&mut fp[9], -1.224744871391589, &f_hi[35]);
+    sxn(&mut fp[10], -1.224744871391589, &f_hi[36]);
+    sxn(&mut fp[11], -1.224744871391589, &f_hi[37]);
+    sxn(&mut fp[12], -1.224744871391589, &f_hi[38]);
+    sxn(&mut fp[13], -1.224744871391589, &f_hi[39]);
+    sxn(&mut fp[14], -1.224744871391589, &f_hi[40]);
+    sxn(&mut fp[15], -1.224744871391589, &f_hi[41]);
+    sxn(&mut fp[26], 0.7071067811865476, &f_hi[42]);
+    sxn(&mut fp[27], 0.7071067811865476, &f_hi[43]);
+    sxn(&mut fp[28], 0.7071067811865476, &f_hi[44]);
+    sxn(&mut fp[29], 0.7071067811865476, &f_hi[45]);
+    sxn(&mut fp[30], 0.7071067811865476, &f_hi[46]);
+    sxn(&mut fp[16], -1.224744871391589, &f_hi[47]);
+    sxn(&mut fp[17], -1.224744871391589, &f_hi[48]);
+    sxn(&mut fp[18], -1.224744871391589, &f_hi[49]);
+    sxn(&mut fp[19], -1.224744871391589, &f_hi[50]);
+    sxn(&mut fp[20], -1.224744871391589, &f_hi[51]);
+    sxn(&mut fp[21], -1.224744871391589, &f_hi[52]);
+    sxn(&mut fp[22], -1.224744871391589, &f_hi[53]);
+    sxn(&mut fp[23], -1.224744871391589, &f_hi[54]);
+    sxn(&mut fp[24], -1.224744871391589, &f_hi[55]);
+    sxn(&mut fp[25], -1.224744871391589, &f_hi[56]);
+    sxn(&mut fp[31], 0.7071067811865476, &f_hi[57]);
+    sxn(&mut fp[26], -1.224744871391589, &f_hi[58]);
+    sxn(&mut fp[27], -1.224744871391589, &f_hi[59]);
+    sxn(&mut fp[28], -1.224744871391589, &f_hi[60]);
+    sxn(&mut fp[29], -1.224744871391589, &f_hi[61]);
+    sxn(&mut fp[30], -1.224744871391589, &f_hi[62]);
+    sxn(&mut fp[31], -1.224744871391589, &f_hi[63]);
+    let mut favg = [[0.0f64; L]; 32];
+    let mut ghat = [[0.0f64; L]; 32];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
+        favg[8][k] = 0.5 * (fm[8][k] + fp[8][k]);
+        ghat[8][k] = -0.5 * lam[k] * (fp[8][k] - fm[8][k]);
+        favg[9][k] = 0.5 * (fm[9][k] + fp[9][k]);
+        ghat[9][k] = -0.5 * lam[k] * (fp[9][k] - fm[9][k]);
+        favg[10][k] = 0.5 * (fm[10][k] + fp[10][k]);
+        ghat[10][k] = -0.5 * lam[k] * (fp[10][k] - fm[10][k]);
+        favg[11][k] = 0.5 * (fm[11][k] + fp[11][k]);
+        ghat[11][k] = -0.5 * lam[k] * (fp[11][k] - fm[11][k]);
+        favg[12][k] = 0.5 * (fm[12][k] + fp[12][k]);
+        ghat[12][k] = -0.5 * lam[k] * (fp[12][k] - fm[12][k]);
+        favg[13][k] = 0.5 * (fm[13][k] + fp[13][k]);
+        ghat[13][k] = -0.5 * lam[k] * (fp[13][k] - fm[13][k]);
+        favg[14][k] = 0.5 * (fm[14][k] + fp[14][k]);
+        ghat[14][k] = -0.5 * lam[k] * (fp[14][k] - fm[14][k]);
+        favg[15][k] = 0.5 * (fm[15][k] + fp[15][k]);
+        ghat[15][k] = -0.5 * lam[k] * (fp[15][k] - fm[15][k]);
+        favg[16][k] = 0.5 * (fm[16][k] + fp[16][k]);
+        ghat[16][k] = -0.5 * lam[k] * (fp[16][k] - fm[16][k]);
+        favg[17][k] = 0.5 * (fm[17][k] + fp[17][k]);
+        ghat[17][k] = -0.5 * lam[k] * (fp[17][k] - fm[17][k]);
+        favg[18][k] = 0.5 * (fm[18][k] + fp[18][k]);
+        ghat[18][k] = -0.5 * lam[k] * (fp[18][k] - fm[18][k]);
+        favg[19][k] = 0.5 * (fm[19][k] + fp[19][k]);
+        ghat[19][k] = -0.5 * lam[k] * (fp[19][k] - fm[19][k]);
+        favg[20][k] = 0.5 * (fm[20][k] + fp[20][k]);
+        ghat[20][k] = -0.5 * lam[k] * (fp[20][k] - fm[20][k]);
+        favg[21][k] = 0.5 * (fm[21][k] + fp[21][k]);
+        ghat[21][k] = -0.5 * lam[k] * (fp[21][k] - fm[21][k]);
+        favg[22][k] = 0.5 * (fm[22][k] + fp[22][k]);
+        ghat[22][k] = -0.5 * lam[k] * (fp[22][k] - fm[22][k]);
+        favg[23][k] = 0.5 * (fm[23][k] + fp[23][k]);
+        ghat[23][k] = -0.5 * lam[k] * (fp[23][k] - fm[23][k]);
+        favg[24][k] = 0.5 * (fm[24][k] + fp[24][k]);
+        ghat[24][k] = -0.5 * lam[k] * (fp[24][k] - fm[24][k]);
+        favg[25][k] = 0.5 * (fm[25][k] + fp[25][k]);
+        ghat[25][k] = -0.5 * lam[k] * (fp[25][k] - fm[25][k]);
+        favg[26][k] = 0.5 * (fm[26][k] + fp[26][k]);
+        ghat[26][k] = -0.5 * lam[k] * (fp[26][k] - fm[26][k]);
+        favg[27][k] = 0.5 * (fm[27][k] + fp[27][k]);
+        ghat[27][k] = -0.5 * lam[k] * (fp[27][k] - fm[27][k]);
+        favg[28][k] = 0.5 * (fm[28][k] + fp[28][k]);
+        ghat[28][k] = -0.5 * lam[k] * (fp[28][k] - fm[28][k]);
+        favg[29][k] = 0.5 * (fm[29][k] + fp[29][k]);
+        ghat[29][k] = -0.5 * lam[k] * (fp[29][k] - fm[29][k]);
+        favg[30][k] = 0.5 * (fm[30][k] + fp[30][k]);
+        ghat[30][k] = -0.5 * lam[k] * (fp[30][k] - fm[30][k]);
+        favg[31][k] = 0.5 * (fm[31][k] + fp[31][k]);
+        ghat[31][k] = -0.5 * lam[k] * (fp[31][k] - fm[31][k]);
     }
-    for k in 0..LANES {
-        ghat[0].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[0].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[3].0[k];
+    for k in 0..L {
+        ghat[0][k] += 0.1767766952966369 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[3][k] * favg[3][k];
     }
-    for k in 0..LANES {
-        ghat[1].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[1].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[7].0[k];
+    for k in 0..L {
+        ghat[1][k] += 0.17677669529663687 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[3][k] * favg[7][k];
     }
-    for k in 0..LANES {
-        ghat[2].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[2].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[8].0[k];
+    for k in 0..L {
+        ghat[2][k] += 0.17677669529663687 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[3][k] * favg[8][k];
     }
-    for k in 0..LANES {
-        ghat[3].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[3].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[0].0[k];
+    for k in 0..L {
+        ghat[3][k] += 0.17677669529663687 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[3][k] * favg[0][k];
     }
-    for k in 0..LANES {
-        ghat[4].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[4].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[11].0[k];
+    for k in 0..L {
+        ghat[4][k] += 0.17677669529663687 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[3][k] * favg[11][k];
     }
-    for k in 0..LANES {
-        ghat[5].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[5].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[14].0[k];
+    for k in 0..L {
+        ghat[5][k] += 0.17677669529663687 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[3][k] * favg[14][k];
     }
-    for k in 0..LANES {
-        ghat[6].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[6].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[16].0[k];
+    for k in 0..L {
+        ghat[6][k] += 0.17677669529663687 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[3][k] * favg[16][k];
     }
-    for k in 0..LANES {
-        ghat[7].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[7].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[1].0[k];
+    for k in 0..L {
+        ghat[7][k] += 0.17677669529663687 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[3][k] * favg[1][k];
     }
-    for k in 0..LANES {
-        ghat[8].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[8].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[2].0[k];
+    for k in 0..L {
+        ghat[8][k] += 0.17677669529663687 * alpha[0][k] * favg[8][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[3][k] * favg[2][k];
     }
-    for k in 0..LANES {
-        ghat[9].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[9].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[18].0[k];
+    for k in 0..L {
+        ghat[9][k] += 0.17677669529663687 * alpha[0][k] * favg[9][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[3][k] * favg[18][k];
     }
-    for k in 0..LANES {
-        ghat[10].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[10].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[19].0[k];
+    for k in 0..L {
+        ghat[10][k] += 0.17677669529663687 * alpha[0][k] * favg[10][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[3][k] * favg[19][k];
     }
-    for k in 0..LANES {
-        ghat[11].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[11].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[4].0[k];
+    for k in 0..L {
+        ghat[11][k] += 0.17677669529663687 * alpha[0][k] * favg[11][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[3][k] * favg[4][k];
     }
-    for k in 0..LANES {
-        ghat[12].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[12].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[21].0[k];
+    for k in 0..L {
+        ghat[12][k] += 0.17677669529663687 * alpha[0][k] * favg[12][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[3][k] * favg[21][k];
     }
-    for k in 0..LANES {
-        ghat[13].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[13].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[22].0[k];
+    for k in 0..L {
+        ghat[13][k] += 0.17677669529663687 * alpha[0][k] * favg[13][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[3][k] * favg[22][k];
     }
-    for k in 0..LANES {
-        ghat[14].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[14].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[5].0[k];
+    for k in 0..L {
+        ghat[14][k] += 0.17677669529663687 * alpha[0][k] * favg[14][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[3][k] * favg[5][k];
     }
-    for k in 0..LANES {
-        ghat[15].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[15].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[25].0[k];
+    for k in 0..L {
+        ghat[15][k] += 0.17677669529663687 * alpha[0][k] * favg[15][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[3][k] * favg[25][k];
     }
-    for k in 0..LANES {
-        ghat[16].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[16].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[6].0[k];
+    for k in 0..L {
+        ghat[16][k] += 0.1767766952966369 * alpha[0][k] * favg[16][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[3][k] * favg[6][k];
     }
-    for k in 0..LANES {
-        ghat[17].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[17].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[26].0[k];
+    for k in 0..L {
+        ghat[17][k] += 0.1767766952966369 * alpha[0][k] * favg[17][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[3][k] * favg[26][k];
     }
-    for k in 0..LANES {
-        ghat[18].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[18].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[9].0[k];
+    for k in 0..L {
+        ghat[18][k] += 0.1767766952966369 * alpha[0][k] * favg[18][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[3][k] * favg[9][k];
     }
-    for k in 0..LANES {
-        ghat[19].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[19].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[10].0[k];
+    for k in 0..L {
+        ghat[19][k] += 0.1767766952966369 * alpha[0][k] * favg[19][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[3][k] * favg[10][k];
     }
-    for k in 0..LANES {
-        ghat[20].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[20].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[27].0[k];
+    for k in 0..L {
+        ghat[20][k] += 0.1767766952966369 * alpha[0][k] * favg[20][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[3][k] * favg[27][k];
     }
-    for k in 0..LANES {
-        ghat[21].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[21].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[12].0[k];
+    for k in 0..L {
+        ghat[21][k] += 0.1767766952966369 * alpha[0][k] * favg[21][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[3][k] * favg[12][k];
     }
-    for k in 0..LANES {
-        ghat[22].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[22].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[13].0[k];
+    for k in 0..L {
+        ghat[22][k] += 0.1767766952966369 * alpha[0][k] * favg[22][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[3][k] * favg[13][k];
     }
-    for k in 0..LANES {
-        ghat[23].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[23].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[29].0[k];
+    for k in 0..L {
+        ghat[23][k] += 0.1767766952966369 * alpha[0][k] * favg[23][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[3][k] * favg[29][k];
     }
-    for k in 0..LANES {
-        ghat[24].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[24].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[30].0[k];
+    for k in 0..L {
+        ghat[24][k] += 0.1767766952966369 * alpha[0][k] * favg[24][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[3][k] * favg[30][k];
     }
-    for k in 0..LANES {
-        ghat[25].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[25].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[15].0[k];
+    for k in 0..L {
+        ghat[25][k] += 0.1767766952966369 * alpha[0][k] * favg[25][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[3][k] * favg[15][k];
     }
-    for k in 0..LANES {
-        ghat[26].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[26].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[17].0[k];
+    for k in 0..L {
+        ghat[26][k] += 0.17677669529663687 * alpha[0][k] * favg[26][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[3][k] * favg[17][k];
     }
-    for k in 0..LANES {
-        ghat[27].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[27].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[20].0[k];
+    for k in 0..L {
+        ghat[27][k] += 0.17677669529663687 * alpha[0][k] * favg[27][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[3][k] * favg[20][k];
     }
-    for k in 0..LANES {
-        ghat[28].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[28].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[31].0[k];
+    for k in 0..L {
+        ghat[28][k] += 0.17677669529663687 * alpha[0][k] * favg[28][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[3][k] * favg[31][k];
     }
-    for k in 0..LANES {
-        ghat[29].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[29].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[23].0[k];
+    for k in 0..L {
+        ghat[29][k] += 0.17677669529663687 * alpha[0][k] * favg[29][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[3][k] * favg[23][k];
     }
-    for k in 0..LANES {
-        ghat[30].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[30].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[24].0[k];
+    for k in 0..L {
+        ghat[30][k] += 0.17677669529663687 * alpha[0][k] * favg[30][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[3][k] * favg[24][k];
     }
-    for k in 0..LANES {
-        ghat[31].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[31].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[28].0[k];
+    for k in 0..L {
+        ghat[31][k] += 0.1767766952966369 * alpha[0][k] * favg[31][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[3][k] * favg[28][k];
     }
-    sx4(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_lo[3], -rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_lo[4], -rd * 0.7071067811865476, &ghat[4]);
-    sx4(&mut out_lo[5], -rd * 0.7071067811865476, &ghat[5]);
-    sx4(&mut out_lo[6], -rd * 1.224744871391589, &ghat[0]);
-    sx4(&mut out_lo[7], -rd * 0.7071067811865476, &ghat[6]);
-    sx4(&mut out_lo[8], -rd * 0.7071067811865476, &ghat[7]);
-    sx4(&mut out_lo[9], -rd * 0.7071067811865476, &ghat[8]);
-    sx4(&mut out_lo[10], -rd * 0.7071067811865476, &ghat[9]);
-    sx4(&mut out_lo[11], -rd * 0.7071067811865476, &ghat[10]);
-    sx4(&mut out_lo[12], -rd * 0.7071067811865476, &ghat[11]);
-    sx4(&mut out_lo[13], -rd * 0.7071067811865476, &ghat[12]);
-    sx4(&mut out_lo[14], -rd * 0.7071067811865476, &ghat[13]);
-    sx4(&mut out_lo[15], -rd * 0.7071067811865476, &ghat[14]);
-    sx4(&mut out_lo[16], -rd * 0.7071067811865476, &ghat[15]);
-    sx4(&mut out_lo[17], -rd * 1.224744871391589, &ghat[1]);
-    sx4(&mut out_lo[18], -rd * 1.224744871391589, &ghat[2]);
-    sx4(&mut out_lo[19], -rd * 1.224744871391589, &ghat[3]);
-    sx4(&mut out_lo[20], -rd * 1.224744871391589, &ghat[4]);
-    sx4(&mut out_lo[21], -rd * 1.224744871391589, &ghat[5]);
-    sx4(&mut out_lo[22], -rd * 0.7071067811865476, &ghat[16]);
-    sx4(&mut out_lo[23], -rd * 0.7071067811865476, &ghat[17]);
-    sx4(&mut out_lo[24], -rd * 0.7071067811865476, &ghat[18]);
-    sx4(&mut out_lo[25], -rd * 0.7071067811865476, &ghat[19]);
-    sx4(&mut out_lo[26], -rd * 0.7071067811865476, &ghat[20]);
-    sx4(&mut out_lo[27], -rd * 0.7071067811865476, &ghat[21]);
-    sx4(&mut out_lo[28], -rd * 0.7071067811865476, &ghat[22]);
-    sx4(&mut out_lo[29], -rd * 0.7071067811865476, &ghat[23]);
-    sx4(&mut out_lo[30], -rd * 0.7071067811865476, &ghat[24]);
-    sx4(&mut out_lo[31], -rd * 0.7071067811865476, &ghat[25]);
-    sx4(&mut out_lo[32], -rd * 1.224744871391589, &ghat[6]);
-    sx4(&mut out_lo[33], -rd * 1.224744871391589, &ghat[7]);
-    sx4(&mut out_lo[34], -rd * 1.224744871391589, &ghat[8]);
-    sx4(&mut out_lo[35], -rd * 1.224744871391589, &ghat[9]);
-    sx4(&mut out_lo[36], -rd * 1.224744871391589, &ghat[10]);
-    sx4(&mut out_lo[37], -rd * 1.224744871391589, &ghat[11]);
-    sx4(&mut out_lo[38], -rd * 1.224744871391589, &ghat[12]);
-    sx4(&mut out_lo[39], -rd * 1.224744871391589, &ghat[13]);
-    sx4(&mut out_lo[40], -rd * 1.224744871391589, &ghat[14]);
-    sx4(&mut out_lo[41], -rd * 1.224744871391589, &ghat[15]);
-    sx4(&mut out_lo[42], -rd * 0.7071067811865476, &ghat[26]);
-    sx4(&mut out_lo[43], -rd * 0.7071067811865476, &ghat[27]);
-    sx4(&mut out_lo[44], -rd * 0.7071067811865476, &ghat[28]);
-    sx4(&mut out_lo[45], -rd * 0.7071067811865476, &ghat[29]);
-    sx4(&mut out_lo[46], -rd * 0.7071067811865476, &ghat[30]);
-    sx4(&mut out_lo[47], -rd * 1.224744871391589, &ghat[16]);
-    sx4(&mut out_lo[48], -rd * 1.224744871391589, &ghat[17]);
-    sx4(&mut out_lo[49], -rd * 1.224744871391589, &ghat[18]);
-    sx4(&mut out_lo[50], -rd * 1.224744871391589, &ghat[19]);
-    sx4(&mut out_lo[51], -rd * 1.224744871391589, &ghat[20]);
-    sx4(&mut out_lo[52], -rd * 1.224744871391589, &ghat[21]);
-    sx4(&mut out_lo[53], -rd * 1.224744871391589, &ghat[22]);
-    sx4(&mut out_lo[54], -rd * 1.224744871391589, &ghat[23]);
-    sx4(&mut out_lo[55], -rd * 1.224744871391589, &ghat[24]);
-    sx4(&mut out_lo[56], -rd * 1.224744871391589, &ghat[25]);
-    sx4(&mut out_lo[57], -rd * 0.7071067811865476, &ghat[31]);
-    sx4(&mut out_lo[58], -rd * 1.224744871391589, &ghat[26]);
-    sx4(&mut out_lo[59], -rd * 1.224744871391589, &ghat[27]);
-    sx4(&mut out_lo[60], -rd * 1.224744871391589, &ghat[28]);
-    sx4(&mut out_lo[61], -rd * 1.224744871391589, &ghat[29]);
-    sx4(&mut out_lo[62], -rd * 1.224744871391589, &ghat[30]);
-    sx4(&mut out_lo[63], -rd * 1.224744871391589, &ghat[31]);
-    sx4(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_hi[1], rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_hi[2], rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_hi[3], rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_hi[4], rd * 0.7071067811865476, &ghat[4]);
-    sx4(&mut out_hi[5], rd * 0.7071067811865476, &ghat[5]);
-    sx4(&mut out_hi[6], rd * -1.224744871391589, &ghat[0]);
-    sx4(&mut out_hi[7], rd * 0.7071067811865476, &ghat[6]);
-    sx4(&mut out_hi[8], rd * 0.7071067811865476, &ghat[7]);
-    sx4(&mut out_hi[9], rd * 0.7071067811865476, &ghat[8]);
-    sx4(&mut out_hi[10], rd * 0.7071067811865476, &ghat[9]);
-    sx4(&mut out_hi[11], rd * 0.7071067811865476, &ghat[10]);
-    sx4(&mut out_hi[12], rd * 0.7071067811865476, &ghat[11]);
-    sx4(&mut out_hi[13], rd * 0.7071067811865476, &ghat[12]);
-    sx4(&mut out_hi[14], rd * 0.7071067811865476, &ghat[13]);
-    sx4(&mut out_hi[15], rd * 0.7071067811865476, &ghat[14]);
-    sx4(&mut out_hi[16], rd * 0.7071067811865476, &ghat[15]);
-    sx4(&mut out_hi[17], rd * -1.224744871391589, &ghat[1]);
-    sx4(&mut out_hi[18], rd * -1.224744871391589, &ghat[2]);
-    sx4(&mut out_hi[19], rd * -1.224744871391589, &ghat[3]);
-    sx4(&mut out_hi[20], rd * -1.224744871391589, &ghat[4]);
-    sx4(&mut out_hi[21], rd * -1.224744871391589, &ghat[5]);
-    sx4(&mut out_hi[22], rd * 0.7071067811865476, &ghat[16]);
-    sx4(&mut out_hi[23], rd * 0.7071067811865476, &ghat[17]);
-    sx4(&mut out_hi[24], rd * 0.7071067811865476, &ghat[18]);
-    sx4(&mut out_hi[25], rd * 0.7071067811865476, &ghat[19]);
-    sx4(&mut out_hi[26], rd * 0.7071067811865476, &ghat[20]);
-    sx4(&mut out_hi[27], rd * 0.7071067811865476, &ghat[21]);
-    sx4(&mut out_hi[28], rd * 0.7071067811865476, &ghat[22]);
-    sx4(&mut out_hi[29], rd * 0.7071067811865476, &ghat[23]);
-    sx4(&mut out_hi[30], rd * 0.7071067811865476, &ghat[24]);
-    sx4(&mut out_hi[31], rd * 0.7071067811865476, &ghat[25]);
-    sx4(&mut out_hi[32], rd * -1.224744871391589, &ghat[6]);
-    sx4(&mut out_hi[33], rd * -1.224744871391589, &ghat[7]);
-    sx4(&mut out_hi[34], rd * -1.224744871391589, &ghat[8]);
-    sx4(&mut out_hi[35], rd * -1.224744871391589, &ghat[9]);
-    sx4(&mut out_hi[36], rd * -1.224744871391589, &ghat[10]);
-    sx4(&mut out_hi[37], rd * -1.224744871391589, &ghat[11]);
-    sx4(&mut out_hi[38], rd * -1.224744871391589, &ghat[12]);
-    sx4(&mut out_hi[39], rd * -1.224744871391589, &ghat[13]);
-    sx4(&mut out_hi[40], rd * -1.224744871391589, &ghat[14]);
-    sx4(&mut out_hi[41], rd * -1.224744871391589, &ghat[15]);
-    sx4(&mut out_hi[42], rd * 0.7071067811865476, &ghat[26]);
-    sx4(&mut out_hi[43], rd * 0.7071067811865476, &ghat[27]);
-    sx4(&mut out_hi[44], rd * 0.7071067811865476, &ghat[28]);
-    sx4(&mut out_hi[45], rd * 0.7071067811865476, &ghat[29]);
-    sx4(&mut out_hi[46], rd * 0.7071067811865476, &ghat[30]);
-    sx4(&mut out_hi[47], rd * -1.224744871391589, &ghat[16]);
-    sx4(&mut out_hi[48], rd * -1.224744871391589, &ghat[17]);
-    sx4(&mut out_hi[49], rd * -1.224744871391589, &ghat[18]);
-    sx4(&mut out_hi[50], rd * -1.224744871391589, &ghat[19]);
-    sx4(&mut out_hi[51], rd * -1.224744871391589, &ghat[20]);
-    sx4(&mut out_hi[52], rd * -1.224744871391589, &ghat[21]);
-    sx4(&mut out_hi[53], rd * -1.224744871391589, &ghat[22]);
-    sx4(&mut out_hi[54], rd * -1.224744871391589, &ghat[23]);
-    sx4(&mut out_hi[55], rd * -1.224744871391589, &ghat[24]);
-    sx4(&mut out_hi[56], rd * -1.224744871391589, &ghat[25]);
-    sx4(&mut out_hi[57], rd * 0.7071067811865476, &ghat[31]);
-    sx4(&mut out_hi[58], rd * -1.224744871391589, &ghat[26]);
-    sx4(&mut out_hi[59], rd * -1.224744871391589, &ghat[27]);
-    sx4(&mut out_hi[60], rd * -1.224744871391589, &ghat[28]);
-    sx4(&mut out_hi[61], rd * -1.224744871391589, &ghat[29]);
-    sx4(&mut out_hi[62], rd * -1.224744871391589, &ghat[30]);
-    sx4(&mut out_hi[63], rd * -1.224744871391589, &ghat[31]);
+    sxn(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[3], -rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[4], -rd * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[5], -rd * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[6], -rd * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[7], -rd * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[8], -rd * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[9], -rd * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[10], -rd * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[11], -rd * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[12], -rd * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[13], -rd * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[14], -rd * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[15], -rd * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[16], -rd * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[17], -rd * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[18], -rd * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[19], -rd * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[20], -rd * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[21], -rd * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[22], -rd * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_lo[23], -rd * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_lo[24], -rd * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_lo[25], -rd * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_lo[26], -rd * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_lo[27], -rd * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_lo[28], -rd * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_lo[29], -rd * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_lo[30], -rd * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_lo[31], -rd * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_lo[32], -rd * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[33], -rd * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[34], -rd * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[35], -rd * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[36], -rd * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[37], -rd * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[38], -rd * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[39], -rd * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[40], -rd * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[41], -rd * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_lo[42], -rd * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_lo[43], -rd * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_lo[44], -rd * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_lo[45], -rd * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_lo[46], -rd * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_lo[47], -rd * 1.224744871391589, &ghat[16]);
+    sxn(&mut out_lo[48], -rd * 1.224744871391589, &ghat[17]);
+    sxn(&mut out_lo[49], -rd * 1.224744871391589, &ghat[18]);
+    sxn(&mut out_lo[50], -rd * 1.224744871391589, &ghat[19]);
+    sxn(&mut out_lo[51], -rd * 1.224744871391589, &ghat[20]);
+    sxn(&mut out_lo[52], -rd * 1.224744871391589, &ghat[21]);
+    sxn(&mut out_lo[53], -rd * 1.224744871391589, &ghat[22]);
+    sxn(&mut out_lo[54], -rd * 1.224744871391589, &ghat[23]);
+    sxn(&mut out_lo[55], -rd * 1.224744871391589, &ghat[24]);
+    sxn(&mut out_lo[56], -rd * 1.224744871391589, &ghat[25]);
+    sxn(&mut out_lo[57], -rd * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_lo[58], -rd * 1.224744871391589, &ghat[26]);
+    sxn(&mut out_lo[59], -rd * 1.224744871391589, &ghat[27]);
+    sxn(&mut out_lo[60], -rd * 1.224744871391589, &ghat[28]);
+    sxn(&mut out_lo[61], -rd * 1.224744871391589, &ghat[29]);
+    sxn(&mut out_lo[62], -rd * 1.224744871391589, &ghat[30]);
+    sxn(&mut out_lo[63], -rd * 1.224744871391589, &ghat[31]);
+    sxn(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[3], rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[4], rd * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[5], rd * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[6], rd * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[7], rd * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[8], rd * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[9], rd * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[10], rd * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[11], rd * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[12], rd * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[13], rd * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[14], rd * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[15], rd * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[16], rd * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[17], rd * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[18], rd * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[19], rd * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[20], rd * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[21], rd * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[22], rd * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_hi[23], rd * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_hi[24], rd * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_hi[25], rd * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_hi[26], rd * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_hi[27], rd * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_hi[28], rd * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_hi[29], rd * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_hi[30], rd * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_hi[31], rd * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_hi[32], rd * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[33], rd * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[34], rd * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[35], rd * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[36], rd * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[37], rd * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[38], rd * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[39], rd * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[40], rd * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[41], rd * -1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[42], rd * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_hi[43], rd * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_hi[44], rd * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_hi[45], rd * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_hi[46], rd * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_hi[47], rd * -1.224744871391589, &ghat[16]);
+    sxn(&mut out_hi[48], rd * -1.224744871391589, &ghat[17]);
+    sxn(&mut out_hi[49], rd * -1.224744871391589, &ghat[18]);
+    sxn(&mut out_hi[50], rd * -1.224744871391589, &ghat[19]);
+    sxn(&mut out_hi[51], rd * -1.224744871391589, &ghat[20]);
+    sxn(&mut out_hi[52], rd * -1.224744871391589, &ghat[21]);
+    sxn(&mut out_hi[53], rd * -1.224744871391589, &ghat[22]);
+    sxn(&mut out_hi[54], rd * -1.224744871391589, &ghat[23]);
+    sxn(&mut out_hi[55], rd * -1.224744871391589, &ghat[24]);
+    sxn(&mut out_hi[56], rd * -1.224744871391589, &ghat[25]);
+    sxn(&mut out_hi[57], rd * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_hi[58], rd * -1.224744871391589, &ghat[26]);
+    sxn(&mut out_hi[59], rd * -1.224744871391589, &ghat[27]);
+    sxn(&mut out_hi[60], rd * -1.224744871391589, &ghat[28]);
+    sxn(&mut out_hi[61], rd * -1.224744871391589, &ghat[29]);
+    sxn(&mut out_hi[62], rd * -1.224744871391589, &ghat[30]);
+    sxn(&mut out_hi[63], rd * -1.224744871391589, &ghat[31]);
 }
 
 /// Streaming surface kernel, faces normal to x1 (α̂ = v1).
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_surf_3x3v_p1_ser_x1(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
-    let rd = 2.0 / dxv[1];
-    let mut alpha = [0.0f64; 32];
-    let _ = (qm, em);
-    alpha[0] = w[4] * 5.656854249492381;
-    alpha[2] += 0.5 * dxv[4] * 3.265986323710904;
-    let lam = if penalty { w[4].abs() + 0.5 * dxv[4].abs() } else { 0.0 };
-    let mut fm = [0.0f64; 32];
-    let mut fp = [0.0f64; 32];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[1] += 0.7071067811865476 * f_lo[1];
-    fm[2] += 0.7071067811865476 * f_lo[2];
-    fm[3] += 0.7071067811865476 * f_lo[3];
-    fm[4] += 0.7071067811865476 * f_lo[4];
-    fm[0] += 1.224744871391589 * f_lo[5];
-    fm[5] += 0.7071067811865476 * f_lo[6];
-    fm[6] += 0.7071067811865476 * f_lo[7];
-    fm[7] += 0.7071067811865476 * f_lo[8];
-    fm[8] += 0.7071067811865476 * f_lo[9];
-    fm[9] += 0.7071067811865476 * f_lo[10];
-    fm[10] += 0.7071067811865476 * f_lo[11];
-    fm[11] += 0.7071067811865476 * f_lo[12];
-    fm[1] += 1.224744871391589 * f_lo[13];
-    fm[2] += 1.224744871391589 * f_lo[14];
-    fm[3] += 1.224744871391589 * f_lo[15];
-    fm[4] += 1.224744871391589 * f_lo[16];
-    fm[12] += 0.7071067811865476 * f_lo[17];
-    fm[13] += 0.7071067811865476 * f_lo[18];
-    fm[14] += 0.7071067811865476 * f_lo[19];
-    fm[15] += 0.7071067811865476 * f_lo[20];
-    fm[5] += 1.224744871391589 * f_lo[21];
-    fm[16] += 0.7071067811865476 * f_lo[22];
-    fm[17] += 0.7071067811865476 * f_lo[23];
-    fm[18] += 0.7071067811865476 * f_lo[24];
-    fm[19] += 0.7071067811865476 * f_lo[25];
-    fm[6] += 1.224744871391589 * f_lo[26];
-    fm[7] += 1.224744871391589 * f_lo[27];
-    fm[8] += 1.224744871391589 * f_lo[28];
-    fm[9] += 1.224744871391589 * f_lo[29];
-    fm[10] += 1.224744871391589 * f_lo[30];
-    fm[11] += 1.224744871391589 * f_lo[31];
-    fm[20] += 0.7071067811865476 * f_lo[32];
-    fm[21] += 0.7071067811865476 * f_lo[33];
-    fm[22] += 0.7071067811865476 * f_lo[34];
-    fm[23] += 0.7071067811865476 * f_lo[35];
-    fm[24] += 0.7071067811865476 * f_lo[36];
-    fm[25] += 0.7071067811865476 * f_lo[37];
-    fm[12] += 1.224744871391589 * f_lo[38];
-    fm[13] += 1.224744871391589 * f_lo[39];
-    fm[14] += 1.224744871391589 * f_lo[40];
-    fm[15] += 1.224744871391589 * f_lo[41];
-    fm[26] += 0.7071067811865476 * f_lo[42];
-    fm[16] += 1.224744871391589 * f_lo[43];
-    fm[17] += 1.224744871391589 * f_lo[44];
-    fm[18] += 1.224744871391589 * f_lo[45];
-    fm[19] += 1.224744871391589 * f_lo[46];
-    fm[27] += 0.7071067811865476 * f_lo[47];
-    fm[28] += 0.7071067811865476 * f_lo[48];
-    fm[29] += 0.7071067811865476 * f_lo[49];
-    fm[30] += 0.7071067811865476 * f_lo[50];
-    fm[20] += 1.224744871391589 * f_lo[51];
-    fm[21] += 1.224744871391589 * f_lo[52];
-    fm[22] += 1.224744871391589 * f_lo[53];
-    fm[23] += 1.224744871391589 * f_lo[54];
-    fm[24] += 1.224744871391589 * f_lo[55];
-    fm[25] += 1.224744871391589 * f_lo[56];
-    fm[26] += 1.224744871391589 * f_lo[57];
-    fm[31] += 0.7071067811865476 * f_lo[58];
-    fm[27] += 1.224744871391589 * f_lo[59];
-    fm[28] += 1.224744871391589 * f_lo[60];
-    fm[29] += 1.224744871391589 * f_lo[61];
-    fm[30] += 1.224744871391589 * f_lo[62];
-    fm[31] += 1.224744871391589 * f_lo[63];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[1] += 0.7071067811865476 * f_hi[1];
-    fp[2] += 0.7071067811865476 * f_hi[2];
-    fp[3] += 0.7071067811865476 * f_hi[3];
-    fp[4] += 0.7071067811865476 * f_hi[4];
-    fp[0] += -1.224744871391589 * f_hi[5];
-    fp[5] += 0.7071067811865476 * f_hi[6];
-    fp[6] += 0.7071067811865476 * f_hi[7];
-    fp[7] += 0.7071067811865476 * f_hi[8];
-    fp[8] += 0.7071067811865476 * f_hi[9];
-    fp[9] += 0.7071067811865476 * f_hi[10];
-    fp[10] += 0.7071067811865476 * f_hi[11];
-    fp[11] += 0.7071067811865476 * f_hi[12];
-    fp[1] += -1.224744871391589 * f_hi[13];
-    fp[2] += -1.224744871391589 * f_hi[14];
-    fp[3] += -1.224744871391589 * f_hi[15];
-    fp[4] += -1.224744871391589 * f_hi[16];
-    fp[12] += 0.7071067811865476 * f_hi[17];
-    fp[13] += 0.7071067811865476 * f_hi[18];
-    fp[14] += 0.7071067811865476 * f_hi[19];
-    fp[15] += 0.7071067811865476 * f_hi[20];
-    fp[5] += -1.224744871391589 * f_hi[21];
-    fp[16] += 0.7071067811865476 * f_hi[22];
-    fp[17] += 0.7071067811865476 * f_hi[23];
-    fp[18] += 0.7071067811865476 * f_hi[24];
-    fp[19] += 0.7071067811865476 * f_hi[25];
-    fp[6] += -1.224744871391589 * f_hi[26];
-    fp[7] += -1.224744871391589 * f_hi[27];
-    fp[8] += -1.224744871391589 * f_hi[28];
-    fp[9] += -1.224744871391589 * f_hi[29];
-    fp[10] += -1.224744871391589 * f_hi[30];
-    fp[11] += -1.224744871391589 * f_hi[31];
-    fp[20] += 0.7071067811865476 * f_hi[32];
-    fp[21] += 0.7071067811865476 * f_hi[33];
-    fp[22] += 0.7071067811865476 * f_hi[34];
-    fp[23] += 0.7071067811865476 * f_hi[35];
-    fp[24] += 0.7071067811865476 * f_hi[36];
-    fp[25] += 0.7071067811865476 * f_hi[37];
-    fp[12] += -1.224744871391589 * f_hi[38];
-    fp[13] += -1.224744871391589 * f_hi[39];
-    fp[14] += -1.224744871391589 * f_hi[40];
-    fp[15] += -1.224744871391589 * f_hi[41];
-    fp[26] += 0.7071067811865476 * f_hi[42];
-    fp[16] += -1.224744871391589 * f_hi[43];
-    fp[17] += -1.224744871391589 * f_hi[44];
-    fp[18] += -1.224744871391589 * f_hi[45];
-    fp[19] += -1.224744871391589 * f_hi[46];
-    fp[27] += 0.7071067811865476 * f_hi[47];
-    fp[28] += 0.7071067811865476 * f_hi[48];
-    fp[29] += 0.7071067811865476 * f_hi[49];
-    fp[30] += 0.7071067811865476 * f_hi[50];
-    fp[20] += -1.224744871391589 * f_hi[51];
-    fp[21] += -1.224744871391589 * f_hi[52];
-    fp[22] += -1.224744871391589 * f_hi[53];
-    fp[23] += -1.224744871391589 * f_hi[54];
-    fp[24] += -1.224744871391589 * f_hi[55];
-    fp[25] += -1.224744871391589 * f_hi[56];
-    fp[26] += -1.224744871391589 * f_hi[57];
-    fp[31] += 0.7071067811865476 * f_hi[58];
-    fp[27] += -1.224744871391589 * f_hi[59];
-    fp[28] += -1.224744871391589 * f_hi[60];
-    fp[29] += -1.224744871391589 * f_hi[61];
-    fp[30] += -1.224744871391589 * f_hi[62];
-    fp[31] += -1.224744871391589 * f_hi[63];
-    let mut favg = [0.0f64; 32];
-    let mut ghat = [0.0f64; 32];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    favg[8] = 0.5 * (fm[8] + fp[8]);
-    ghat[8] = -0.5 * lam * (fp[8] - fm[8]);
-    favg[9] = 0.5 * (fm[9] + fp[9]);
-    ghat[9] = -0.5 * lam * (fp[9] - fm[9]);
-    favg[10] = 0.5 * (fm[10] + fp[10]);
-    ghat[10] = -0.5 * lam * (fp[10] - fm[10]);
-    favg[11] = 0.5 * (fm[11] + fp[11]);
-    ghat[11] = -0.5 * lam * (fp[11] - fm[11]);
-    favg[12] = 0.5 * (fm[12] + fp[12]);
-    ghat[12] = -0.5 * lam * (fp[12] - fm[12]);
-    favg[13] = 0.5 * (fm[13] + fp[13]);
-    ghat[13] = -0.5 * lam * (fp[13] - fm[13]);
-    favg[14] = 0.5 * (fm[14] + fp[14]);
-    ghat[14] = -0.5 * lam * (fp[14] - fm[14]);
-    favg[15] = 0.5 * (fm[15] + fp[15]);
-    ghat[15] = -0.5 * lam * (fp[15] - fm[15]);
-    favg[16] = 0.5 * (fm[16] + fp[16]);
-    ghat[16] = -0.5 * lam * (fp[16] - fm[16]);
-    favg[17] = 0.5 * (fm[17] + fp[17]);
-    ghat[17] = -0.5 * lam * (fp[17] - fm[17]);
-    favg[18] = 0.5 * (fm[18] + fp[18]);
-    ghat[18] = -0.5 * lam * (fp[18] - fm[18]);
-    favg[19] = 0.5 * (fm[19] + fp[19]);
-    ghat[19] = -0.5 * lam * (fp[19] - fm[19]);
-    favg[20] = 0.5 * (fm[20] + fp[20]);
-    ghat[20] = -0.5 * lam * (fp[20] - fm[20]);
-    favg[21] = 0.5 * (fm[21] + fp[21]);
-    ghat[21] = -0.5 * lam * (fp[21] - fm[21]);
-    favg[22] = 0.5 * (fm[22] + fp[22]);
-    ghat[22] = -0.5 * lam * (fp[22] - fm[22]);
-    favg[23] = 0.5 * (fm[23] + fp[23]);
-    ghat[23] = -0.5 * lam * (fp[23] - fm[23]);
-    favg[24] = 0.5 * (fm[24] + fp[24]);
-    ghat[24] = -0.5 * lam * (fp[24] - fm[24]);
-    favg[25] = 0.5 * (fm[25] + fp[25]);
-    ghat[25] = -0.5 * lam * (fp[25] - fm[25]);
-    favg[26] = 0.5 * (fm[26] + fp[26]);
-    ghat[26] = -0.5 * lam * (fp[26] - fm[26]);
-    favg[27] = 0.5 * (fm[27] + fp[27]);
-    ghat[27] = -0.5 * lam * (fp[27] - fm[27]);
-    favg[28] = 0.5 * (fm[28] + fp[28]);
-    ghat[28] = -0.5 * lam * (fp[28] - fm[28]);
-    favg[29] = 0.5 * (fm[29] + fp[29]);
-    ghat[29] = -0.5 * lam * (fp[29] - fm[29]);
-    favg[30] = 0.5 * (fm[30] + fp[30]);
-    ghat[30] = -0.5 * lam * (fp[30] - fm[30]);
-    favg[31] = 0.5 * (fm[31] + fp[31]);
-    ghat[31] = -0.5 * lam * (fp[31] - fm[31]);
-    ghat[0] += 0.1767766952966369 * alpha[0] * favg[0];
-    ghat[0] += 0.17677669529663687 * alpha[2] * favg[2];
-    ghat[1] += 0.17677669529663687 * alpha[0] * favg[1];
-    ghat[1] += 0.17677669529663687 * alpha[2] * favg[6];
-    ghat[2] += 0.17677669529663687 * alpha[0] * favg[2];
-    ghat[2] += 0.17677669529663687 * alpha[2] * favg[0];
-    ghat[3] += 0.17677669529663687 * alpha[0] * favg[3];
-    ghat[3] += 0.17677669529663687 * alpha[2] * favg[8];
-    ghat[4] += 0.17677669529663687 * alpha[0] * favg[4];
-    ghat[4] += 0.17677669529663687 * alpha[2] * favg[10];
-    ghat[5] += 0.17677669529663687 * alpha[0] * favg[5];
-    ghat[5] += 0.17677669529663687 * alpha[2] * favg[13];
-    ghat[6] += 0.17677669529663687 * alpha[0] * favg[6];
-    ghat[6] += 0.17677669529663687 * alpha[2] * favg[1];
-    ghat[7] += 0.17677669529663687 * alpha[0] * favg[7];
-    ghat[7] += 0.1767766952966369 * alpha[2] * favg[16];
-    ghat[8] += 0.17677669529663687 * alpha[0] * favg[8];
-    ghat[8] += 0.17677669529663687 * alpha[2] * favg[3];
-    ghat[9] += 0.17677669529663687 * alpha[0] * favg[9];
-    ghat[9] += 0.1767766952966369 * alpha[2] * favg[17];
-    ghat[10] += 0.17677669529663687 * alpha[0] * favg[10];
-    ghat[10] += 0.17677669529663687 * alpha[2] * favg[4];
-    ghat[11] += 0.17677669529663687 * alpha[0] * favg[11];
-    ghat[11] += 0.1767766952966369 * alpha[2] * favg[19];
-    ghat[12] += 0.17677669529663687 * alpha[0] * favg[12];
-    ghat[12] += 0.1767766952966369 * alpha[2] * favg[20];
-    ghat[13] += 0.17677669529663687 * alpha[0] * favg[13];
-    ghat[13] += 0.17677669529663687 * alpha[2] * favg[5];
-    ghat[14] += 0.17677669529663687 * alpha[0] * favg[14];
-    ghat[14] += 0.1767766952966369 * alpha[2] * favg[22];
-    ghat[15] += 0.17677669529663687 * alpha[0] * favg[15];
-    ghat[15] += 0.1767766952966369 * alpha[2] * favg[24];
-    ghat[16] += 0.1767766952966369 * alpha[0] * favg[16];
-    ghat[16] += 0.1767766952966369 * alpha[2] * favg[7];
-    ghat[17] += 0.1767766952966369 * alpha[0] * favg[17];
-    ghat[17] += 0.1767766952966369 * alpha[2] * favg[9];
-    ghat[18] += 0.1767766952966369 * alpha[0] * favg[18];
-    ghat[18] += 0.17677669529663687 * alpha[2] * favg[26];
-    ghat[19] += 0.1767766952966369 * alpha[0] * favg[19];
-    ghat[19] += 0.1767766952966369 * alpha[2] * favg[11];
-    ghat[20] += 0.1767766952966369 * alpha[0] * favg[20];
-    ghat[20] += 0.1767766952966369 * alpha[2] * favg[12];
-    ghat[21] += 0.1767766952966369 * alpha[0] * favg[21];
-    ghat[21] += 0.17677669529663687 * alpha[2] * favg[27];
-    ghat[22] += 0.1767766952966369 * alpha[0] * favg[22];
-    ghat[22] += 0.1767766952966369 * alpha[2] * favg[14];
-    ghat[23] += 0.1767766952966369 * alpha[0] * favg[23];
-    ghat[23] += 0.17677669529663687 * alpha[2] * favg[28];
-    ghat[24] += 0.1767766952966369 * alpha[0] * favg[24];
-    ghat[24] += 0.1767766952966369 * alpha[2] * favg[15];
-    ghat[25] += 0.1767766952966369 * alpha[0] * favg[25];
-    ghat[25] += 0.17677669529663687 * alpha[2] * favg[30];
-    ghat[26] += 0.17677669529663687 * alpha[0] * favg[26];
-    ghat[26] += 0.17677669529663687 * alpha[2] * favg[18];
-    ghat[27] += 0.17677669529663687 * alpha[0] * favg[27];
-    ghat[27] += 0.17677669529663687 * alpha[2] * favg[21];
-    ghat[28] += 0.17677669529663687 * alpha[0] * favg[28];
-    ghat[28] += 0.17677669529663687 * alpha[2] * favg[23];
-    ghat[29] += 0.17677669529663687 * alpha[0] * favg[29];
-    ghat[29] += 0.1767766952966369 * alpha[2] * favg[31];
-    ghat[30] += 0.17677669529663687 * alpha[0] * favg[30];
-    ghat[30] += 0.17677669529663687 * alpha[2] * favg[25];
-    ghat[31] += 0.1767766952966369 * alpha[0] * favg[31];
-    ghat[31] += 0.1767766952966369 * alpha[2] * favg[29];
-    out_lo[0] += -rd * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -rd * 0.7071067811865476 * ghat[1];
-    out_lo[2] += -rd * 0.7071067811865476 * ghat[2];
-    out_lo[3] += -rd * 0.7071067811865476 * ghat[3];
-    out_lo[4] += -rd * 0.7071067811865476 * ghat[4];
-    out_lo[5] += -rd * 1.224744871391589 * ghat[0];
-    out_lo[6] += -rd * 0.7071067811865476 * ghat[5];
-    out_lo[7] += -rd * 0.7071067811865476 * ghat[6];
-    out_lo[8] += -rd * 0.7071067811865476 * ghat[7];
-    out_lo[9] += -rd * 0.7071067811865476 * ghat[8];
-    out_lo[10] += -rd * 0.7071067811865476 * ghat[9];
-    out_lo[11] += -rd * 0.7071067811865476 * ghat[10];
-    out_lo[12] += -rd * 0.7071067811865476 * ghat[11];
-    out_lo[13] += -rd * 1.224744871391589 * ghat[1];
-    out_lo[14] += -rd * 1.224744871391589 * ghat[2];
-    out_lo[15] += -rd * 1.224744871391589 * ghat[3];
-    out_lo[16] += -rd * 1.224744871391589 * ghat[4];
-    out_lo[17] += -rd * 0.7071067811865476 * ghat[12];
-    out_lo[18] += -rd * 0.7071067811865476 * ghat[13];
-    out_lo[19] += -rd * 0.7071067811865476 * ghat[14];
-    out_lo[20] += -rd * 0.7071067811865476 * ghat[15];
-    out_lo[21] += -rd * 1.224744871391589 * ghat[5];
-    out_lo[22] += -rd * 0.7071067811865476 * ghat[16];
-    out_lo[23] += -rd * 0.7071067811865476 * ghat[17];
-    out_lo[24] += -rd * 0.7071067811865476 * ghat[18];
-    out_lo[25] += -rd * 0.7071067811865476 * ghat[19];
-    out_lo[26] += -rd * 1.224744871391589 * ghat[6];
-    out_lo[27] += -rd * 1.224744871391589 * ghat[7];
-    out_lo[28] += -rd * 1.224744871391589 * ghat[8];
-    out_lo[29] += -rd * 1.224744871391589 * ghat[9];
-    out_lo[30] += -rd * 1.224744871391589 * ghat[10];
-    out_lo[31] += -rd * 1.224744871391589 * ghat[11];
-    out_lo[32] += -rd * 0.7071067811865476 * ghat[20];
-    out_lo[33] += -rd * 0.7071067811865476 * ghat[21];
-    out_lo[34] += -rd * 0.7071067811865476 * ghat[22];
-    out_lo[35] += -rd * 0.7071067811865476 * ghat[23];
-    out_lo[36] += -rd * 0.7071067811865476 * ghat[24];
-    out_lo[37] += -rd * 0.7071067811865476 * ghat[25];
-    out_lo[38] += -rd * 1.224744871391589 * ghat[12];
-    out_lo[39] += -rd * 1.224744871391589 * ghat[13];
-    out_lo[40] += -rd * 1.224744871391589 * ghat[14];
-    out_lo[41] += -rd * 1.224744871391589 * ghat[15];
-    out_lo[42] += -rd * 0.7071067811865476 * ghat[26];
-    out_lo[43] += -rd * 1.224744871391589 * ghat[16];
-    out_lo[44] += -rd * 1.224744871391589 * ghat[17];
-    out_lo[45] += -rd * 1.224744871391589 * ghat[18];
-    out_lo[46] += -rd * 1.224744871391589 * ghat[19];
-    out_lo[47] += -rd * 0.7071067811865476 * ghat[27];
-    out_lo[48] += -rd * 0.7071067811865476 * ghat[28];
-    out_lo[49] += -rd * 0.7071067811865476 * ghat[29];
-    out_lo[50] += -rd * 0.7071067811865476 * ghat[30];
-    out_lo[51] += -rd * 1.224744871391589 * ghat[20];
-    out_lo[52] += -rd * 1.224744871391589 * ghat[21];
-    out_lo[53] += -rd * 1.224744871391589 * ghat[22];
-    out_lo[54] += -rd * 1.224744871391589 * ghat[23];
-    out_lo[55] += -rd * 1.224744871391589 * ghat[24];
-    out_lo[56] += -rd * 1.224744871391589 * ghat[25];
-    out_lo[57] += -rd * 1.224744871391589 * ghat[26];
-    out_lo[58] += -rd * 0.7071067811865476 * ghat[31];
-    out_lo[59] += -rd * 1.224744871391589 * ghat[27];
-    out_lo[60] += -rd * 1.224744871391589 * ghat[28];
-    out_lo[61] += -rd * 1.224744871391589 * ghat[29];
-    out_lo[62] += -rd * 1.224744871391589 * ghat[30];
-    out_lo[63] += -rd * 1.224744871391589 * ghat[31];
-    out_hi[0] += rd * 0.7071067811865476 * ghat[0];
-    out_hi[1] += rd * 0.7071067811865476 * ghat[1];
-    out_hi[2] += rd * 0.7071067811865476 * ghat[2];
-    out_hi[3] += rd * 0.7071067811865476 * ghat[3];
-    out_hi[4] += rd * 0.7071067811865476 * ghat[4];
-    out_hi[5] += rd * -1.224744871391589 * ghat[0];
-    out_hi[6] += rd * 0.7071067811865476 * ghat[5];
-    out_hi[7] += rd * 0.7071067811865476 * ghat[6];
-    out_hi[8] += rd * 0.7071067811865476 * ghat[7];
-    out_hi[9] += rd * 0.7071067811865476 * ghat[8];
-    out_hi[10] += rd * 0.7071067811865476 * ghat[9];
-    out_hi[11] += rd * 0.7071067811865476 * ghat[10];
-    out_hi[12] += rd * 0.7071067811865476 * ghat[11];
-    out_hi[13] += rd * -1.224744871391589 * ghat[1];
-    out_hi[14] += rd * -1.224744871391589 * ghat[2];
-    out_hi[15] += rd * -1.224744871391589 * ghat[3];
-    out_hi[16] += rd * -1.224744871391589 * ghat[4];
-    out_hi[17] += rd * 0.7071067811865476 * ghat[12];
-    out_hi[18] += rd * 0.7071067811865476 * ghat[13];
-    out_hi[19] += rd * 0.7071067811865476 * ghat[14];
-    out_hi[20] += rd * 0.7071067811865476 * ghat[15];
-    out_hi[21] += rd * -1.224744871391589 * ghat[5];
-    out_hi[22] += rd * 0.7071067811865476 * ghat[16];
-    out_hi[23] += rd * 0.7071067811865476 * ghat[17];
-    out_hi[24] += rd * 0.7071067811865476 * ghat[18];
-    out_hi[25] += rd * 0.7071067811865476 * ghat[19];
-    out_hi[26] += rd * -1.224744871391589 * ghat[6];
-    out_hi[27] += rd * -1.224744871391589 * ghat[7];
-    out_hi[28] += rd * -1.224744871391589 * ghat[8];
-    out_hi[29] += rd * -1.224744871391589 * ghat[9];
-    out_hi[30] += rd * -1.224744871391589 * ghat[10];
-    out_hi[31] += rd * -1.224744871391589 * ghat[11];
-    out_hi[32] += rd * 0.7071067811865476 * ghat[20];
-    out_hi[33] += rd * 0.7071067811865476 * ghat[21];
-    out_hi[34] += rd * 0.7071067811865476 * ghat[22];
-    out_hi[35] += rd * 0.7071067811865476 * ghat[23];
-    out_hi[36] += rd * 0.7071067811865476 * ghat[24];
-    out_hi[37] += rd * 0.7071067811865476 * ghat[25];
-    out_hi[38] += rd * -1.224744871391589 * ghat[12];
-    out_hi[39] += rd * -1.224744871391589 * ghat[13];
-    out_hi[40] += rd * -1.224744871391589 * ghat[14];
-    out_hi[41] += rd * -1.224744871391589 * ghat[15];
-    out_hi[42] += rd * 0.7071067811865476 * ghat[26];
-    out_hi[43] += rd * -1.224744871391589 * ghat[16];
-    out_hi[44] += rd * -1.224744871391589 * ghat[17];
-    out_hi[45] += rd * -1.224744871391589 * ghat[18];
-    out_hi[46] += rd * -1.224744871391589 * ghat[19];
-    out_hi[47] += rd * 0.7071067811865476 * ghat[27];
-    out_hi[48] += rd * 0.7071067811865476 * ghat[28];
-    out_hi[49] += rd * 0.7071067811865476 * ghat[29];
-    out_hi[50] += rd * 0.7071067811865476 * ghat[30];
-    out_hi[51] += rd * -1.224744871391589 * ghat[20];
-    out_hi[52] += rd * -1.224744871391589 * ghat[21];
-    out_hi[53] += rd * -1.224744871391589 * ghat[22];
-    out_hi[54] += rd * -1.224744871391589 * ghat[23];
-    out_hi[55] += rd * -1.224744871391589 * ghat[24];
-    out_hi[56] += rd * -1.224744871391589 * ghat[25];
-    out_hi[57] += rd * -1.224744871391589 * ghat[26];
-    out_hi[58] += rd * 0.7071067811865476 * ghat[31];
-    out_hi[59] += rd * -1.224744871391589 * ghat[27];
-    out_hi[60] += rd * -1.224744871391589 * ghat[28];
-    out_hi[61] += rd * -1.224744871391589 * ghat[29];
-    out_hi[62] += rd * -1.224744871391589 * ghat[30];
-    out_hi[63] += rd * -1.224744871391589 * ghat[31];
+    vlasov_surf_3x3v_p1_ser_x1_body::<1>(w.as_chunks().0, dxv, qm, em, penalty, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
 }
 
-/// Batched companion of [`vlasov_surf_3x3v_p1_ser_x1`]: `LANES` faces per call, bit-identical per lane.
+/// [`vlasov_surf_3x3v_p1_ser_x1`] over `LANES` faces: the same body, bit-identical per lane.
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_3x3v_p1_ser_x1_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_3x3v_p1_ser_x1_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_3x3v_p1_ser_x1_b4(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_3x3v_p1_ser_x1_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// [`vlasov_surf_3x3v_p1_ser_x1_b4`] compiled for AVX2: the same body, bit-identical per lane.
-/// Reach it through `crate::dispatch`, which checks the CPU first.
+/// [`vlasov_surf_3x3v_p1_ser_x1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_3x3v_p1_ser_x1_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_3x3v_p1_ser_x1_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_3x3v_p1_ser_x1_b4_avx2(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_3x3v_p1_ser_x1_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// Shared body of [`vlasov_surf_3x3v_p1_ser_x1_b4`] and its AVX2 entry point.
+/// [`vlasov_surf_3x3v_p1_ser_x1`] over 8 faces, compiled for AVX-512F. Reach it through
+/// `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_surf_3x3v_p1_ser_x1_b8_avx512(w: &[[f64; 8]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; 8]], f_hi: &[[f64; 8]], out_lo: &mut [[f64; 8]], out_hi: &mut [[f64; 8]]) {
+    vlasov_surf_3x3v_p1_ser_x1_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`vlasov_surf_3x3v_p1_ser_x1`] and its batched entry points.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_surf_3x3v_p1_ser_x1_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+fn vlasov_surf_3x3v_p1_ser_x1_body<const L: usize>(w: &[[f64; L]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let w: &[[f64; L]; 6] = w.first_chunk().expect("w: 6 coefficients");
+    let f_lo: &[[f64; L]; 64] = f_lo.first_chunk().expect("f_lo: 64 coefficients");
+    let f_hi: &[[f64; L]; 64] = f_hi.first_chunk().expect("f_hi: 64 coefficients");
+    let out_lo: &mut [[f64; L]; 64] = out_lo.first_chunk_mut().expect("out_lo: 64 coefficients");
+    let out_hi: &mut [[f64; L]; 64] = out_hi.first_chunk_mut().expect("out_hi: 64 coefficients");
     let rd = 2.0 / dxv[1];
-    let mut alpha = [CellLanes([0.0f64; LANES]); 32];
-    let mut lam = CellLanes([0.0f64; LANES]);
+    let mut alpha = [[0.0f64; L]; 32];
+    let mut lam = [0.0f64; L];
     let _ = (qm, em);
-    for k in 0..LANES {
-        alpha[0].0[k] = w[4].0[k] * 5.656854249492381;
-        alpha[2].0[k] += 0.5 * dxv[4] * 3.265986323710904;
-        lam.0[k] = if penalty { w[4].0[k].abs() + 0.5 * dxv[4].abs() } else { 0.0 };
+    for k in 0..L {
+        alpha[0][k] = w[4][k] * 5.656854249492381;
+        alpha[2][k] += 0.5 * dxv[4] * 3.265986323710904;
+        lam[k] = if penalty { w[4][k].abs() + 0.5 * dxv[4].abs() } else { 0.0 };
     }
-    let mut fm = [CellLanes([0.0f64; LANES]); 32];
-    let mut fp = [CellLanes([0.0f64; LANES]); 32];
-    sx4(&mut fm[0], 0.7071067811865476, &f_lo[0]);
-    sx4(&mut fm[1], 0.7071067811865476, &f_lo[1]);
-    sx4(&mut fm[2], 0.7071067811865476, &f_lo[2]);
-    sx4(&mut fm[3], 0.7071067811865476, &f_lo[3]);
-    sx4(&mut fm[4], 0.7071067811865476, &f_lo[4]);
-    sx4(&mut fm[0], 1.224744871391589, &f_lo[5]);
-    sx4(&mut fm[5], 0.7071067811865476, &f_lo[6]);
-    sx4(&mut fm[6], 0.7071067811865476, &f_lo[7]);
-    sx4(&mut fm[7], 0.7071067811865476, &f_lo[8]);
-    sx4(&mut fm[8], 0.7071067811865476, &f_lo[9]);
-    sx4(&mut fm[9], 0.7071067811865476, &f_lo[10]);
-    sx4(&mut fm[10], 0.7071067811865476, &f_lo[11]);
-    sx4(&mut fm[11], 0.7071067811865476, &f_lo[12]);
-    sx4(&mut fm[1], 1.224744871391589, &f_lo[13]);
-    sx4(&mut fm[2], 1.224744871391589, &f_lo[14]);
-    sx4(&mut fm[3], 1.224744871391589, &f_lo[15]);
-    sx4(&mut fm[4], 1.224744871391589, &f_lo[16]);
-    sx4(&mut fm[12], 0.7071067811865476, &f_lo[17]);
-    sx4(&mut fm[13], 0.7071067811865476, &f_lo[18]);
-    sx4(&mut fm[14], 0.7071067811865476, &f_lo[19]);
-    sx4(&mut fm[15], 0.7071067811865476, &f_lo[20]);
-    sx4(&mut fm[5], 1.224744871391589, &f_lo[21]);
-    sx4(&mut fm[16], 0.7071067811865476, &f_lo[22]);
-    sx4(&mut fm[17], 0.7071067811865476, &f_lo[23]);
-    sx4(&mut fm[18], 0.7071067811865476, &f_lo[24]);
-    sx4(&mut fm[19], 0.7071067811865476, &f_lo[25]);
-    sx4(&mut fm[6], 1.224744871391589, &f_lo[26]);
-    sx4(&mut fm[7], 1.224744871391589, &f_lo[27]);
-    sx4(&mut fm[8], 1.224744871391589, &f_lo[28]);
-    sx4(&mut fm[9], 1.224744871391589, &f_lo[29]);
-    sx4(&mut fm[10], 1.224744871391589, &f_lo[30]);
-    sx4(&mut fm[11], 1.224744871391589, &f_lo[31]);
-    sx4(&mut fm[20], 0.7071067811865476, &f_lo[32]);
-    sx4(&mut fm[21], 0.7071067811865476, &f_lo[33]);
-    sx4(&mut fm[22], 0.7071067811865476, &f_lo[34]);
-    sx4(&mut fm[23], 0.7071067811865476, &f_lo[35]);
-    sx4(&mut fm[24], 0.7071067811865476, &f_lo[36]);
-    sx4(&mut fm[25], 0.7071067811865476, &f_lo[37]);
-    sx4(&mut fm[12], 1.224744871391589, &f_lo[38]);
-    sx4(&mut fm[13], 1.224744871391589, &f_lo[39]);
-    sx4(&mut fm[14], 1.224744871391589, &f_lo[40]);
-    sx4(&mut fm[15], 1.224744871391589, &f_lo[41]);
-    sx4(&mut fm[26], 0.7071067811865476, &f_lo[42]);
-    sx4(&mut fm[16], 1.224744871391589, &f_lo[43]);
-    sx4(&mut fm[17], 1.224744871391589, &f_lo[44]);
-    sx4(&mut fm[18], 1.224744871391589, &f_lo[45]);
-    sx4(&mut fm[19], 1.224744871391589, &f_lo[46]);
-    sx4(&mut fm[27], 0.7071067811865476, &f_lo[47]);
-    sx4(&mut fm[28], 0.7071067811865476, &f_lo[48]);
-    sx4(&mut fm[29], 0.7071067811865476, &f_lo[49]);
-    sx4(&mut fm[30], 0.7071067811865476, &f_lo[50]);
-    sx4(&mut fm[20], 1.224744871391589, &f_lo[51]);
-    sx4(&mut fm[21], 1.224744871391589, &f_lo[52]);
-    sx4(&mut fm[22], 1.224744871391589, &f_lo[53]);
-    sx4(&mut fm[23], 1.224744871391589, &f_lo[54]);
-    sx4(&mut fm[24], 1.224744871391589, &f_lo[55]);
-    sx4(&mut fm[25], 1.224744871391589, &f_lo[56]);
-    sx4(&mut fm[26], 1.224744871391589, &f_lo[57]);
-    sx4(&mut fm[31], 0.7071067811865476, &f_lo[58]);
-    sx4(&mut fm[27], 1.224744871391589, &f_lo[59]);
-    sx4(&mut fm[28], 1.224744871391589, &f_lo[60]);
-    sx4(&mut fm[29], 1.224744871391589, &f_lo[61]);
-    sx4(&mut fm[30], 1.224744871391589, &f_lo[62]);
-    sx4(&mut fm[31], 1.224744871391589, &f_lo[63]);
-    sx4(&mut fp[0], 0.7071067811865476, &f_hi[0]);
-    sx4(&mut fp[1], 0.7071067811865476, &f_hi[1]);
-    sx4(&mut fp[2], 0.7071067811865476, &f_hi[2]);
-    sx4(&mut fp[3], 0.7071067811865476, &f_hi[3]);
-    sx4(&mut fp[4], 0.7071067811865476, &f_hi[4]);
-    sx4(&mut fp[0], -1.224744871391589, &f_hi[5]);
-    sx4(&mut fp[5], 0.7071067811865476, &f_hi[6]);
-    sx4(&mut fp[6], 0.7071067811865476, &f_hi[7]);
-    sx4(&mut fp[7], 0.7071067811865476, &f_hi[8]);
-    sx4(&mut fp[8], 0.7071067811865476, &f_hi[9]);
-    sx4(&mut fp[9], 0.7071067811865476, &f_hi[10]);
-    sx4(&mut fp[10], 0.7071067811865476, &f_hi[11]);
-    sx4(&mut fp[11], 0.7071067811865476, &f_hi[12]);
-    sx4(&mut fp[1], -1.224744871391589, &f_hi[13]);
-    sx4(&mut fp[2], -1.224744871391589, &f_hi[14]);
-    sx4(&mut fp[3], -1.224744871391589, &f_hi[15]);
-    sx4(&mut fp[4], -1.224744871391589, &f_hi[16]);
-    sx4(&mut fp[12], 0.7071067811865476, &f_hi[17]);
-    sx4(&mut fp[13], 0.7071067811865476, &f_hi[18]);
-    sx4(&mut fp[14], 0.7071067811865476, &f_hi[19]);
-    sx4(&mut fp[15], 0.7071067811865476, &f_hi[20]);
-    sx4(&mut fp[5], -1.224744871391589, &f_hi[21]);
-    sx4(&mut fp[16], 0.7071067811865476, &f_hi[22]);
-    sx4(&mut fp[17], 0.7071067811865476, &f_hi[23]);
-    sx4(&mut fp[18], 0.7071067811865476, &f_hi[24]);
-    sx4(&mut fp[19], 0.7071067811865476, &f_hi[25]);
-    sx4(&mut fp[6], -1.224744871391589, &f_hi[26]);
-    sx4(&mut fp[7], -1.224744871391589, &f_hi[27]);
-    sx4(&mut fp[8], -1.224744871391589, &f_hi[28]);
-    sx4(&mut fp[9], -1.224744871391589, &f_hi[29]);
-    sx4(&mut fp[10], -1.224744871391589, &f_hi[30]);
-    sx4(&mut fp[11], -1.224744871391589, &f_hi[31]);
-    sx4(&mut fp[20], 0.7071067811865476, &f_hi[32]);
-    sx4(&mut fp[21], 0.7071067811865476, &f_hi[33]);
-    sx4(&mut fp[22], 0.7071067811865476, &f_hi[34]);
-    sx4(&mut fp[23], 0.7071067811865476, &f_hi[35]);
-    sx4(&mut fp[24], 0.7071067811865476, &f_hi[36]);
-    sx4(&mut fp[25], 0.7071067811865476, &f_hi[37]);
-    sx4(&mut fp[12], -1.224744871391589, &f_hi[38]);
-    sx4(&mut fp[13], -1.224744871391589, &f_hi[39]);
-    sx4(&mut fp[14], -1.224744871391589, &f_hi[40]);
-    sx4(&mut fp[15], -1.224744871391589, &f_hi[41]);
-    sx4(&mut fp[26], 0.7071067811865476, &f_hi[42]);
-    sx4(&mut fp[16], -1.224744871391589, &f_hi[43]);
-    sx4(&mut fp[17], -1.224744871391589, &f_hi[44]);
-    sx4(&mut fp[18], -1.224744871391589, &f_hi[45]);
-    sx4(&mut fp[19], -1.224744871391589, &f_hi[46]);
-    sx4(&mut fp[27], 0.7071067811865476, &f_hi[47]);
-    sx4(&mut fp[28], 0.7071067811865476, &f_hi[48]);
-    sx4(&mut fp[29], 0.7071067811865476, &f_hi[49]);
-    sx4(&mut fp[30], 0.7071067811865476, &f_hi[50]);
-    sx4(&mut fp[20], -1.224744871391589, &f_hi[51]);
-    sx4(&mut fp[21], -1.224744871391589, &f_hi[52]);
-    sx4(&mut fp[22], -1.224744871391589, &f_hi[53]);
-    sx4(&mut fp[23], -1.224744871391589, &f_hi[54]);
-    sx4(&mut fp[24], -1.224744871391589, &f_hi[55]);
-    sx4(&mut fp[25], -1.224744871391589, &f_hi[56]);
-    sx4(&mut fp[26], -1.224744871391589, &f_hi[57]);
-    sx4(&mut fp[31], 0.7071067811865476, &f_hi[58]);
-    sx4(&mut fp[27], -1.224744871391589, &f_hi[59]);
-    sx4(&mut fp[28], -1.224744871391589, &f_hi[60]);
-    sx4(&mut fp[29], -1.224744871391589, &f_hi[61]);
-    sx4(&mut fp[30], -1.224744871391589, &f_hi[62]);
-    sx4(&mut fp[31], -1.224744871391589, &f_hi[63]);
-    let mut favg = [CellLanes([0.0f64; LANES]); 32];
-    let mut ghat = [CellLanes([0.0f64; LANES]); 32];
-    for k in 0..LANES {
-        favg[0].0[k] = 0.5 * (fm[0].0[k] + fp[0].0[k]);
-        ghat[0].0[k] = -0.5 * lam.0[k] * (fp[0].0[k] - fm[0].0[k]);
-        favg[1].0[k] = 0.5 * (fm[1].0[k] + fp[1].0[k]);
-        ghat[1].0[k] = -0.5 * lam.0[k] * (fp[1].0[k] - fm[1].0[k]);
-        favg[2].0[k] = 0.5 * (fm[2].0[k] + fp[2].0[k]);
-        ghat[2].0[k] = -0.5 * lam.0[k] * (fp[2].0[k] - fm[2].0[k]);
-        favg[3].0[k] = 0.5 * (fm[3].0[k] + fp[3].0[k]);
-        ghat[3].0[k] = -0.5 * lam.0[k] * (fp[3].0[k] - fm[3].0[k]);
-        favg[4].0[k] = 0.5 * (fm[4].0[k] + fp[4].0[k]);
-        ghat[4].0[k] = -0.5 * lam.0[k] * (fp[4].0[k] - fm[4].0[k]);
-        favg[5].0[k] = 0.5 * (fm[5].0[k] + fp[5].0[k]);
-        ghat[5].0[k] = -0.5 * lam.0[k] * (fp[5].0[k] - fm[5].0[k]);
-        favg[6].0[k] = 0.5 * (fm[6].0[k] + fp[6].0[k]);
-        ghat[6].0[k] = -0.5 * lam.0[k] * (fp[6].0[k] - fm[6].0[k]);
-        favg[7].0[k] = 0.5 * (fm[7].0[k] + fp[7].0[k]);
-        ghat[7].0[k] = -0.5 * lam.0[k] * (fp[7].0[k] - fm[7].0[k]);
-        favg[8].0[k] = 0.5 * (fm[8].0[k] + fp[8].0[k]);
-        ghat[8].0[k] = -0.5 * lam.0[k] * (fp[8].0[k] - fm[8].0[k]);
-        favg[9].0[k] = 0.5 * (fm[9].0[k] + fp[9].0[k]);
-        ghat[9].0[k] = -0.5 * lam.0[k] * (fp[9].0[k] - fm[9].0[k]);
-        favg[10].0[k] = 0.5 * (fm[10].0[k] + fp[10].0[k]);
-        ghat[10].0[k] = -0.5 * lam.0[k] * (fp[10].0[k] - fm[10].0[k]);
-        favg[11].0[k] = 0.5 * (fm[11].0[k] + fp[11].0[k]);
-        ghat[11].0[k] = -0.5 * lam.0[k] * (fp[11].0[k] - fm[11].0[k]);
-        favg[12].0[k] = 0.5 * (fm[12].0[k] + fp[12].0[k]);
-        ghat[12].0[k] = -0.5 * lam.0[k] * (fp[12].0[k] - fm[12].0[k]);
-        favg[13].0[k] = 0.5 * (fm[13].0[k] + fp[13].0[k]);
-        ghat[13].0[k] = -0.5 * lam.0[k] * (fp[13].0[k] - fm[13].0[k]);
-        favg[14].0[k] = 0.5 * (fm[14].0[k] + fp[14].0[k]);
-        ghat[14].0[k] = -0.5 * lam.0[k] * (fp[14].0[k] - fm[14].0[k]);
-        favg[15].0[k] = 0.5 * (fm[15].0[k] + fp[15].0[k]);
-        ghat[15].0[k] = -0.5 * lam.0[k] * (fp[15].0[k] - fm[15].0[k]);
-        favg[16].0[k] = 0.5 * (fm[16].0[k] + fp[16].0[k]);
-        ghat[16].0[k] = -0.5 * lam.0[k] * (fp[16].0[k] - fm[16].0[k]);
-        favg[17].0[k] = 0.5 * (fm[17].0[k] + fp[17].0[k]);
-        ghat[17].0[k] = -0.5 * lam.0[k] * (fp[17].0[k] - fm[17].0[k]);
-        favg[18].0[k] = 0.5 * (fm[18].0[k] + fp[18].0[k]);
-        ghat[18].0[k] = -0.5 * lam.0[k] * (fp[18].0[k] - fm[18].0[k]);
-        favg[19].0[k] = 0.5 * (fm[19].0[k] + fp[19].0[k]);
-        ghat[19].0[k] = -0.5 * lam.0[k] * (fp[19].0[k] - fm[19].0[k]);
-        favg[20].0[k] = 0.5 * (fm[20].0[k] + fp[20].0[k]);
-        ghat[20].0[k] = -0.5 * lam.0[k] * (fp[20].0[k] - fm[20].0[k]);
-        favg[21].0[k] = 0.5 * (fm[21].0[k] + fp[21].0[k]);
-        ghat[21].0[k] = -0.5 * lam.0[k] * (fp[21].0[k] - fm[21].0[k]);
-        favg[22].0[k] = 0.5 * (fm[22].0[k] + fp[22].0[k]);
-        ghat[22].0[k] = -0.5 * lam.0[k] * (fp[22].0[k] - fm[22].0[k]);
-        favg[23].0[k] = 0.5 * (fm[23].0[k] + fp[23].0[k]);
-        ghat[23].0[k] = -0.5 * lam.0[k] * (fp[23].0[k] - fm[23].0[k]);
-        favg[24].0[k] = 0.5 * (fm[24].0[k] + fp[24].0[k]);
-        ghat[24].0[k] = -0.5 * lam.0[k] * (fp[24].0[k] - fm[24].0[k]);
-        favg[25].0[k] = 0.5 * (fm[25].0[k] + fp[25].0[k]);
-        ghat[25].0[k] = -0.5 * lam.0[k] * (fp[25].0[k] - fm[25].0[k]);
-        favg[26].0[k] = 0.5 * (fm[26].0[k] + fp[26].0[k]);
-        ghat[26].0[k] = -0.5 * lam.0[k] * (fp[26].0[k] - fm[26].0[k]);
-        favg[27].0[k] = 0.5 * (fm[27].0[k] + fp[27].0[k]);
-        ghat[27].0[k] = -0.5 * lam.0[k] * (fp[27].0[k] - fm[27].0[k]);
-        favg[28].0[k] = 0.5 * (fm[28].0[k] + fp[28].0[k]);
-        ghat[28].0[k] = -0.5 * lam.0[k] * (fp[28].0[k] - fm[28].0[k]);
-        favg[29].0[k] = 0.5 * (fm[29].0[k] + fp[29].0[k]);
-        ghat[29].0[k] = -0.5 * lam.0[k] * (fp[29].0[k] - fm[29].0[k]);
-        favg[30].0[k] = 0.5 * (fm[30].0[k] + fp[30].0[k]);
-        ghat[30].0[k] = -0.5 * lam.0[k] * (fp[30].0[k] - fm[30].0[k]);
-        favg[31].0[k] = 0.5 * (fm[31].0[k] + fp[31].0[k]);
-        ghat[31].0[k] = -0.5 * lam.0[k] * (fp[31].0[k] - fm[31].0[k]);
+    let mut fm = [[0.0f64; L]; 32];
+    let mut fp = [[0.0f64; L]; 32];
+    sxn(&mut fm[0], 0.7071067811865476, &f_lo[0]);
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[1]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[2]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[3]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[4]);
+    sxn(&mut fm[0], 1.224744871391589, &f_lo[5]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[6]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[7]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[8]);
+    sxn(&mut fm[8], 0.7071067811865476, &f_lo[9]);
+    sxn(&mut fm[9], 0.7071067811865476, &f_lo[10]);
+    sxn(&mut fm[10], 0.7071067811865476, &f_lo[11]);
+    sxn(&mut fm[11], 0.7071067811865476, &f_lo[12]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[13]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[14]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[15]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[16]);
+    sxn(&mut fm[12], 0.7071067811865476, &f_lo[17]);
+    sxn(&mut fm[13], 0.7071067811865476, &f_lo[18]);
+    sxn(&mut fm[14], 0.7071067811865476, &f_lo[19]);
+    sxn(&mut fm[15], 0.7071067811865476, &f_lo[20]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[21]);
+    sxn(&mut fm[16], 0.7071067811865476, &f_lo[22]);
+    sxn(&mut fm[17], 0.7071067811865476, &f_lo[23]);
+    sxn(&mut fm[18], 0.7071067811865476, &f_lo[24]);
+    sxn(&mut fm[19], 0.7071067811865476, &f_lo[25]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[26]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[27]);
+    sxn(&mut fm[8], 1.224744871391589, &f_lo[28]);
+    sxn(&mut fm[9], 1.224744871391589, &f_lo[29]);
+    sxn(&mut fm[10], 1.224744871391589, &f_lo[30]);
+    sxn(&mut fm[11], 1.224744871391589, &f_lo[31]);
+    sxn(&mut fm[20], 0.7071067811865476, &f_lo[32]);
+    sxn(&mut fm[21], 0.7071067811865476, &f_lo[33]);
+    sxn(&mut fm[22], 0.7071067811865476, &f_lo[34]);
+    sxn(&mut fm[23], 0.7071067811865476, &f_lo[35]);
+    sxn(&mut fm[24], 0.7071067811865476, &f_lo[36]);
+    sxn(&mut fm[25], 0.7071067811865476, &f_lo[37]);
+    sxn(&mut fm[12], 1.224744871391589, &f_lo[38]);
+    sxn(&mut fm[13], 1.224744871391589, &f_lo[39]);
+    sxn(&mut fm[14], 1.224744871391589, &f_lo[40]);
+    sxn(&mut fm[15], 1.224744871391589, &f_lo[41]);
+    sxn(&mut fm[26], 0.7071067811865476, &f_lo[42]);
+    sxn(&mut fm[16], 1.224744871391589, &f_lo[43]);
+    sxn(&mut fm[17], 1.224744871391589, &f_lo[44]);
+    sxn(&mut fm[18], 1.224744871391589, &f_lo[45]);
+    sxn(&mut fm[19], 1.224744871391589, &f_lo[46]);
+    sxn(&mut fm[27], 0.7071067811865476, &f_lo[47]);
+    sxn(&mut fm[28], 0.7071067811865476, &f_lo[48]);
+    sxn(&mut fm[29], 0.7071067811865476, &f_lo[49]);
+    sxn(&mut fm[30], 0.7071067811865476, &f_lo[50]);
+    sxn(&mut fm[20], 1.224744871391589, &f_lo[51]);
+    sxn(&mut fm[21], 1.224744871391589, &f_lo[52]);
+    sxn(&mut fm[22], 1.224744871391589, &f_lo[53]);
+    sxn(&mut fm[23], 1.224744871391589, &f_lo[54]);
+    sxn(&mut fm[24], 1.224744871391589, &f_lo[55]);
+    sxn(&mut fm[25], 1.224744871391589, &f_lo[56]);
+    sxn(&mut fm[26], 1.224744871391589, &f_lo[57]);
+    sxn(&mut fm[31], 0.7071067811865476, &f_lo[58]);
+    sxn(&mut fm[27], 1.224744871391589, &f_lo[59]);
+    sxn(&mut fm[28], 1.224744871391589, &f_lo[60]);
+    sxn(&mut fm[29], 1.224744871391589, &f_lo[61]);
+    sxn(&mut fm[30], 1.224744871391589, &f_lo[62]);
+    sxn(&mut fm[31], 1.224744871391589, &f_lo[63]);
+    sxn(&mut fp[0], 0.7071067811865476, &f_hi[0]);
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[1]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[2]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[3]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[4]);
+    sxn(&mut fp[0], -1.224744871391589, &f_hi[5]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[6]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[7]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[8]);
+    sxn(&mut fp[8], 0.7071067811865476, &f_hi[9]);
+    sxn(&mut fp[9], 0.7071067811865476, &f_hi[10]);
+    sxn(&mut fp[10], 0.7071067811865476, &f_hi[11]);
+    sxn(&mut fp[11], 0.7071067811865476, &f_hi[12]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[13]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[14]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[15]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[16]);
+    sxn(&mut fp[12], 0.7071067811865476, &f_hi[17]);
+    sxn(&mut fp[13], 0.7071067811865476, &f_hi[18]);
+    sxn(&mut fp[14], 0.7071067811865476, &f_hi[19]);
+    sxn(&mut fp[15], 0.7071067811865476, &f_hi[20]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[21]);
+    sxn(&mut fp[16], 0.7071067811865476, &f_hi[22]);
+    sxn(&mut fp[17], 0.7071067811865476, &f_hi[23]);
+    sxn(&mut fp[18], 0.7071067811865476, &f_hi[24]);
+    sxn(&mut fp[19], 0.7071067811865476, &f_hi[25]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[26]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[27]);
+    sxn(&mut fp[8], -1.224744871391589, &f_hi[28]);
+    sxn(&mut fp[9], -1.224744871391589, &f_hi[29]);
+    sxn(&mut fp[10], -1.224744871391589, &f_hi[30]);
+    sxn(&mut fp[11], -1.224744871391589, &f_hi[31]);
+    sxn(&mut fp[20], 0.7071067811865476, &f_hi[32]);
+    sxn(&mut fp[21], 0.7071067811865476, &f_hi[33]);
+    sxn(&mut fp[22], 0.7071067811865476, &f_hi[34]);
+    sxn(&mut fp[23], 0.7071067811865476, &f_hi[35]);
+    sxn(&mut fp[24], 0.7071067811865476, &f_hi[36]);
+    sxn(&mut fp[25], 0.7071067811865476, &f_hi[37]);
+    sxn(&mut fp[12], -1.224744871391589, &f_hi[38]);
+    sxn(&mut fp[13], -1.224744871391589, &f_hi[39]);
+    sxn(&mut fp[14], -1.224744871391589, &f_hi[40]);
+    sxn(&mut fp[15], -1.224744871391589, &f_hi[41]);
+    sxn(&mut fp[26], 0.7071067811865476, &f_hi[42]);
+    sxn(&mut fp[16], -1.224744871391589, &f_hi[43]);
+    sxn(&mut fp[17], -1.224744871391589, &f_hi[44]);
+    sxn(&mut fp[18], -1.224744871391589, &f_hi[45]);
+    sxn(&mut fp[19], -1.224744871391589, &f_hi[46]);
+    sxn(&mut fp[27], 0.7071067811865476, &f_hi[47]);
+    sxn(&mut fp[28], 0.7071067811865476, &f_hi[48]);
+    sxn(&mut fp[29], 0.7071067811865476, &f_hi[49]);
+    sxn(&mut fp[30], 0.7071067811865476, &f_hi[50]);
+    sxn(&mut fp[20], -1.224744871391589, &f_hi[51]);
+    sxn(&mut fp[21], -1.224744871391589, &f_hi[52]);
+    sxn(&mut fp[22], -1.224744871391589, &f_hi[53]);
+    sxn(&mut fp[23], -1.224744871391589, &f_hi[54]);
+    sxn(&mut fp[24], -1.224744871391589, &f_hi[55]);
+    sxn(&mut fp[25], -1.224744871391589, &f_hi[56]);
+    sxn(&mut fp[26], -1.224744871391589, &f_hi[57]);
+    sxn(&mut fp[31], 0.7071067811865476, &f_hi[58]);
+    sxn(&mut fp[27], -1.224744871391589, &f_hi[59]);
+    sxn(&mut fp[28], -1.224744871391589, &f_hi[60]);
+    sxn(&mut fp[29], -1.224744871391589, &f_hi[61]);
+    sxn(&mut fp[30], -1.224744871391589, &f_hi[62]);
+    sxn(&mut fp[31], -1.224744871391589, &f_hi[63]);
+    let mut favg = [[0.0f64; L]; 32];
+    let mut ghat = [[0.0f64; L]; 32];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
+        favg[8][k] = 0.5 * (fm[8][k] + fp[8][k]);
+        ghat[8][k] = -0.5 * lam[k] * (fp[8][k] - fm[8][k]);
+        favg[9][k] = 0.5 * (fm[9][k] + fp[9][k]);
+        ghat[9][k] = -0.5 * lam[k] * (fp[9][k] - fm[9][k]);
+        favg[10][k] = 0.5 * (fm[10][k] + fp[10][k]);
+        ghat[10][k] = -0.5 * lam[k] * (fp[10][k] - fm[10][k]);
+        favg[11][k] = 0.5 * (fm[11][k] + fp[11][k]);
+        ghat[11][k] = -0.5 * lam[k] * (fp[11][k] - fm[11][k]);
+        favg[12][k] = 0.5 * (fm[12][k] + fp[12][k]);
+        ghat[12][k] = -0.5 * lam[k] * (fp[12][k] - fm[12][k]);
+        favg[13][k] = 0.5 * (fm[13][k] + fp[13][k]);
+        ghat[13][k] = -0.5 * lam[k] * (fp[13][k] - fm[13][k]);
+        favg[14][k] = 0.5 * (fm[14][k] + fp[14][k]);
+        ghat[14][k] = -0.5 * lam[k] * (fp[14][k] - fm[14][k]);
+        favg[15][k] = 0.5 * (fm[15][k] + fp[15][k]);
+        ghat[15][k] = -0.5 * lam[k] * (fp[15][k] - fm[15][k]);
+        favg[16][k] = 0.5 * (fm[16][k] + fp[16][k]);
+        ghat[16][k] = -0.5 * lam[k] * (fp[16][k] - fm[16][k]);
+        favg[17][k] = 0.5 * (fm[17][k] + fp[17][k]);
+        ghat[17][k] = -0.5 * lam[k] * (fp[17][k] - fm[17][k]);
+        favg[18][k] = 0.5 * (fm[18][k] + fp[18][k]);
+        ghat[18][k] = -0.5 * lam[k] * (fp[18][k] - fm[18][k]);
+        favg[19][k] = 0.5 * (fm[19][k] + fp[19][k]);
+        ghat[19][k] = -0.5 * lam[k] * (fp[19][k] - fm[19][k]);
+        favg[20][k] = 0.5 * (fm[20][k] + fp[20][k]);
+        ghat[20][k] = -0.5 * lam[k] * (fp[20][k] - fm[20][k]);
+        favg[21][k] = 0.5 * (fm[21][k] + fp[21][k]);
+        ghat[21][k] = -0.5 * lam[k] * (fp[21][k] - fm[21][k]);
+        favg[22][k] = 0.5 * (fm[22][k] + fp[22][k]);
+        ghat[22][k] = -0.5 * lam[k] * (fp[22][k] - fm[22][k]);
+        favg[23][k] = 0.5 * (fm[23][k] + fp[23][k]);
+        ghat[23][k] = -0.5 * lam[k] * (fp[23][k] - fm[23][k]);
+        favg[24][k] = 0.5 * (fm[24][k] + fp[24][k]);
+        ghat[24][k] = -0.5 * lam[k] * (fp[24][k] - fm[24][k]);
+        favg[25][k] = 0.5 * (fm[25][k] + fp[25][k]);
+        ghat[25][k] = -0.5 * lam[k] * (fp[25][k] - fm[25][k]);
+        favg[26][k] = 0.5 * (fm[26][k] + fp[26][k]);
+        ghat[26][k] = -0.5 * lam[k] * (fp[26][k] - fm[26][k]);
+        favg[27][k] = 0.5 * (fm[27][k] + fp[27][k]);
+        ghat[27][k] = -0.5 * lam[k] * (fp[27][k] - fm[27][k]);
+        favg[28][k] = 0.5 * (fm[28][k] + fp[28][k]);
+        ghat[28][k] = -0.5 * lam[k] * (fp[28][k] - fm[28][k]);
+        favg[29][k] = 0.5 * (fm[29][k] + fp[29][k]);
+        ghat[29][k] = -0.5 * lam[k] * (fp[29][k] - fm[29][k]);
+        favg[30][k] = 0.5 * (fm[30][k] + fp[30][k]);
+        ghat[30][k] = -0.5 * lam[k] * (fp[30][k] - fm[30][k]);
+        favg[31][k] = 0.5 * (fm[31][k] + fp[31][k]);
+        ghat[31][k] = -0.5 * lam[k] * (fp[31][k] - fm[31][k]);
     }
-    for k in 0..LANES {
-        ghat[0].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[0].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[2].0[k];
+    for k in 0..L {
+        ghat[0][k] += 0.1767766952966369 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[2][k] * favg[2][k];
     }
-    for k in 0..LANES {
-        ghat[1].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[1].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[6].0[k];
+    for k in 0..L {
+        ghat[1][k] += 0.17677669529663687 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[2][k] * favg[6][k];
     }
-    for k in 0..LANES {
-        ghat[2].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[2].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[0].0[k];
+    for k in 0..L {
+        ghat[2][k] += 0.17677669529663687 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[2][k] * favg[0][k];
     }
-    for k in 0..LANES {
-        ghat[3].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[3].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[8].0[k];
+    for k in 0..L {
+        ghat[3][k] += 0.17677669529663687 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[2][k] * favg[8][k];
     }
-    for k in 0..LANES {
-        ghat[4].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[4].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[10].0[k];
+    for k in 0..L {
+        ghat[4][k] += 0.17677669529663687 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[2][k] * favg[10][k];
     }
-    for k in 0..LANES {
-        ghat[5].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[5].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[13].0[k];
+    for k in 0..L {
+        ghat[5][k] += 0.17677669529663687 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[2][k] * favg[13][k];
     }
-    for k in 0..LANES {
-        ghat[6].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[6].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[1].0[k];
+    for k in 0..L {
+        ghat[6][k] += 0.17677669529663687 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[2][k] * favg[1][k];
     }
-    for k in 0..LANES {
-        ghat[7].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[7].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[16].0[k];
+    for k in 0..L {
+        ghat[7][k] += 0.17677669529663687 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[2][k] * favg[16][k];
     }
-    for k in 0..LANES {
-        ghat[8].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[8].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[3].0[k];
+    for k in 0..L {
+        ghat[8][k] += 0.17677669529663687 * alpha[0][k] * favg[8][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[2][k] * favg[3][k];
     }
-    for k in 0..LANES {
-        ghat[9].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[9].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[17].0[k];
+    for k in 0..L {
+        ghat[9][k] += 0.17677669529663687 * alpha[0][k] * favg[9][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[2][k] * favg[17][k];
     }
-    for k in 0..LANES {
-        ghat[10].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[10].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[4].0[k];
+    for k in 0..L {
+        ghat[10][k] += 0.17677669529663687 * alpha[0][k] * favg[10][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[2][k] * favg[4][k];
     }
-    for k in 0..LANES {
-        ghat[11].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[11].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[19].0[k];
+    for k in 0..L {
+        ghat[11][k] += 0.17677669529663687 * alpha[0][k] * favg[11][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[2][k] * favg[19][k];
     }
-    for k in 0..LANES {
-        ghat[12].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[12].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[20].0[k];
+    for k in 0..L {
+        ghat[12][k] += 0.17677669529663687 * alpha[0][k] * favg[12][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[2][k] * favg[20][k];
     }
-    for k in 0..LANES {
-        ghat[13].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[13].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[5].0[k];
+    for k in 0..L {
+        ghat[13][k] += 0.17677669529663687 * alpha[0][k] * favg[13][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[2][k] * favg[5][k];
     }
-    for k in 0..LANES {
-        ghat[14].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[14].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[22].0[k];
+    for k in 0..L {
+        ghat[14][k] += 0.17677669529663687 * alpha[0][k] * favg[14][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[2][k] * favg[22][k];
     }
-    for k in 0..LANES {
-        ghat[15].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[15].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[24].0[k];
+    for k in 0..L {
+        ghat[15][k] += 0.17677669529663687 * alpha[0][k] * favg[15][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[2][k] * favg[24][k];
     }
-    for k in 0..LANES {
-        ghat[16].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[16].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[7].0[k];
+    for k in 0..L {
+        ghat[16][k] += 0.1767766952966369 * alpha[0][k] * favg[16][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[2][k] * favg[7][k];
     }
-    for k in 0..LANES {
-        ghat[17].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[17].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[9].0[k];
+    for k in 0..L {
+        ghat[17][k] += 0.1767766952966369 * alpha[0][k] * favg[17][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[2][k] * favg[9][k];
     }
-    for k in 0..LANES {
-        ghat[18].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[18].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[26].0[k];
+    for k in 0..L {
+        ghat[18][k] += 0.1767766952966369 * alpha[0][k] * favg[18][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[2][k] * favg[26][k];
     }
-    for k in 0..LANES {
-        ghat[19].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[19].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[11].0[k];
+    for k in 0..L {
+        ghat[19][k] += 0.1767766952966369 * alpha[0][k] * favg[19][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[2][k] * favg[11][k];
     }
-    for k in 0..LANES {
-        ghat[20].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[20].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[12].0[k];
+    for k in 0..L {
+        ghat[20][k] += 0.1767766952966369 * alpha[0][k] * favg[20][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[2][k] * favg[12][k];
     }
-    for k in 0..LANES {
-        ghat[21].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[21].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[27].0[k];
+    for k in 0..L {
+        ghat[21][k] += 0.1767766952966369 * alpha[0][k] * favg[21][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[2][k] * favg[27][k];
     }
-    for k in 0..LANES {
-        ghat[22].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[22].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[14].0[k];
+    for k in 0..L {
+        ghat[22][k] += 0.1767766952966369 * alpha[0][k] * favg[22][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[2][k] * favg[14][k];
     }
-    for k in 0..LANES {
-        ghat[23].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[23].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[28].0[k];
+    for k in 0..L {
+        ghat[23][k] += 0.1767766952966369 * alpha[0][k] * favg[23][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[2][k] * favg[28][k];
     }
-    for k in 0..LANES {
-        ghat[24].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[24].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[15].0[k];
+    for k in 0..L {
+        ghat[24][k] += 0.1767766952966369 * alpha[0][k] * favg[24][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[2][k] * favg[15][k];
     }
-    for k in 0..LANES {
-        ghat[25].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[25].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[30].0[k];
+    for k in 0..L {
+        ghat[25][k] += 0.1767766952966369 * alpha[0][k] * favg[25][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[2][k] * favg[30][k];
     }
-    for k in 0..LANES {
-        ghat[26].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[26].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[18].0[k];
+    for k in 0..L {
+        ghat[26][k] += 0.17677669529663687 * alpha[0][k] * favg[26][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[2][k] * favg[18][k];
     }
-    for k in 0..LANES {
-        ghat[27].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[27].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[21].0[k];
+    for k in 0..L {
+        ghat[27][k] += 0.17677669529663687 * alpha[0][k] * favg[27][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[2][k] * favg[21][k];
     }
-    for k in 0..LANES {
-        ghat[28].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[28].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[23].0[k];
+    for k in 0..L {
+        ghat[28][k] += 0.17677669529663687 * alpha[0][k] * favg[28][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[2][k] * favg[23][k];
     }
-    for k in 0..LANES {
-        ghat[29].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[29].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[31].0[k];
+    for k in 0..L {
+        ghat[29][k] += 0.17677669529663687 * alpha[0][k] * favg[29][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[2][k] * favg[31][k];
     }
-    for k in 0..LANES {
-        ghat[30].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[30].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[25].0[k];
+    for k in 0..L {
+        ghat[30][k] += 0.17677669529663687 * alpha[0][k] * favg[30][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[2][k] * favg[25][k];
     }
-    for k in 0..LANES {
-        ghat[31].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[31].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[29].0[k];
+    for k in 0..L {
+        ghat[31][k] += 0.1767766952966369 * alpha[0][k] * favg[31][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[2][k] * favg[29][k];
     }
-    sx4(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_lo[3], -rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_lo[4], -rd * 0.7071067811865476, &ghat[4]);
-    sx4(&mut out_lo[5], -rd * 1.224744871391589, &ghat[0]);
-    sx4(&mut out_lo[6], -rd * 0.7071067811865476, &ghat[5]);
-    sx4(&mut out_lo[7], -rd * 0.7071067811865476, &ghat[6]);
-    sx4(&mut out_lo[8], -rd * 0.7071067811865476, &ghat[7]);
-    sx4(&mut out_lo[9], -rd * 0.7071067811865476, &ghat[8]);
-    sx4(&mut out_lo[10], -rd * 0.7071067811865476, &ghat[9]);
-    sx4(&mut out_lo[11], -rd * 0.7071067811865476, &ghat[10]);
-    sx4(&mut out_lo[12], -rd * 0.7071067811865476, &ghat[11]);
-    sx4(&mut out_lo[13], -rd * 1.224744871391589, &ghat[1]);
-    sx4(&mut out_lo[14], -rd * 1.224744871391589, &ghat[2]);
-    sx4(&mut out_lo[15], -rd * 1.224744871391589, &ghat[3]);
-    sx4(&mut out_lo[16], -rd * 1.224744871391589, &ghat[4]);
-    sx4(&mut out_lo[17], -rd * 0.7071067811865476, &ghat[12]);
-    sx4(&mut out_lo[18], -rd * 0.7071067811865476, &ghat[13]);
-    sx4(&mut out_lo[19], -rd * 0.7071067811865476, &ghat[14]);
-    sx4(&mut out_lo[20], -rd * 0.7071067811865476, &ghat[15]);
-    sx4(&mut out_lo[21], -rd * 1.224744871391589, &ghat[5]);
-    sx4(&mut out_lo[22], -rd * 0.7071067811865476, &ghat[16]);
-    sx4(&mut out_lo[23], -rd * 0.7071067811865476, &ghat[17]);
-    sx4(&mut out_lo[24], -rd * 0.7071067811865476, &ghat[18]);
-    sx4(&mut out_lo[25], -rd * 0.7071067811865476, &ghat[19]);
-    sx4(&mut out_lo[26], -rd * 1.224744871391589, &ghat[6]);
-    sx4(&mut out_lo[27], -rd * 1.224744871391589, &ghat[7]);
-    sx4(&mut out_lo[28], -rd * 1.224744871391589, &ghat[8]);
-    sx4(&mut out_lo[29], -rd * 1.224744871391589, &ghat[9]);
-    sx4(&mut out_lo[30], -rd * 1.224744871391589, &ghat[10]);
-    sx4(&mut out_lo[31], -rd * 1.224744871391589, &ghat[11]);
-    sx4(&mut out_lo[32], -rd * 0.7071067811865476, &ghat[20]);
-    sx4(&mut out_lo[33], -rd * 0.7071067811865476, &ghat[21]);
-    sx4(&mut out_lo[34], -rd * 0.7071067811865476, &ghat[22]);
-    sx4(&mut out_lo[35], -rd * 0.7071067811865476, &ghat[23]);
-    sx4(&mut out_lo[36], -rd * 0.7071067811865476, &ghat[24]);
-    sx4(&mut out_lo[37], -rd * 0.7071067811865476, &ghat[25]);
-    sx4(&mut out_lo[38], -rd * 1.224744871391589, &ghat[12]);
-    sx4(&mut out_lo[39], -rd * 1.224744871391589, &ghat[13]);
-    sx4(&mut out_lo[40], -rd * 1.224744871391589, &ghat[14]);
-    sx4(&mut out_lo[41], -rd * 1.224744871391589, &ghat[15]);
-    sx4(&mut out_lo[42], -rd * 0.7071067811865476, &ghat[26]);
-    sx4(&mut out_lo[43], -rd * 1.224744871391589, &ghat[16]);
-    sx4(&mut out_lo[44], -rd * 1.224744871391589, &ghat[17]);
-    sx4(&mut out_lo[45], -rd * 1.224744871391589, &ghat[18]);
-    sx4(&mut out_lo[46], -rd * 1.224744871391589, &ghat[19]);
-    sx4(&mut out_lo[47], -rd * 0.7071067811865476, &ghat[27]);
-    sx4(&mut out_lo[48], -rd * 0.7071067811865476, &ghat[28]);
-    sx4(&mut out_lo[49], -rd * 0.7071067811865476, &ghat[29]);
-    sx4(&mut out_lo[50], -rd * 0.7071067811865476, &ghat[30]);
-    sx4(&mut out_lo[51], -rd * 1.224744871391589, &ghat[20]);
-    sx4(&mut out_lo[52], -rd * 1.224744871391589, &ghat[21]);
-    sx4(&mut out_lo[53], -rd * 1.224744871391589, &ghat[22]);
-    sx4(&mut out_lo[54], -rd * 1.224744871391589, &ghat[23]);
-    sx4(&mut out_lo[55], -rd * 1.224744871391589, &ghat[24]);
-    sx4(&mut out_lo[56], -rd * 1.224744871391589, &ghat[25]);
-    sx4(&mut out_lo[57], -rd * 1.224744871391589, &ghat[26]);
-    sx4(&mut out_lo[58], -rd * 0.7071067811865476, &ghat[31]);
-    sx4(&mut out_lo[59], -rd * 1.224744871391589, &ghat[27]);
-    sx4(&mut out_lo[60], -rd * 1.224744871391589, &ghat[28]);
-    sx4(&mut out_lo[61], -rd * 1.224744871391589, &ghat[29]);
-    sx4(&mut out_lo[62], -rd * 1.224744871391589, &ghat[30]);
-    sx4(&mut out_lo[63], -rd * 1.224744871391589, &ghat[31]);
-    sx4(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_hi[1], rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_hi[2], rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_hi[3], rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_hi[4], rd * 0.7071067811865476, &ghat[4]);
-    sx4(&mut out_hi[5], rd * -1.224744871391589, &ghat[0]);
-    sx4(&mut out_hi[6], rd * 0.7071067811865476, &ghat[5]);
-    sx4(&mut out_hi[7], rd * 0.7071067811865476, &ghat[6]);
-    sx4(&mut out_hi[8], rd * 0.7071067811865476, &ghat[7]);
-    sx4(&mut out_hi[9], rd * 0.7071067811865476, &ghat[8]);
-    sx4(&mut out_hi[10], rd * 0.7071067811865476, &ghat[9]);
-    sx4(&mut out_hi[11], rd * 0.7071067811865476, &ghat[10]);
-    sx4(&mut out_hi[12], rd * 0.7071067811865476, &ghat[11]);
-    sx4(&mut out_hi[13], rd * -1.224744871391589, &ghat[1]);
-    sx4(&mut out_hi[14], rd * -1.224744871391589, &ghat[2]);
-    sx4(&mut out_hi[15], rd * -1.224744871391589, &ghat[3]);
-    sx4(&mut out_hi[16], rd * -1.224744871391589, &ghat[4]);
-    sx4(&mut out_hi[17], rd * 0.7071067811865476, &ghat[12]);
-    sx4(&mut out_hi[18], rd * 0.7071067811865476, &ghat[13]);
-    sx4(&mut out_hi[19], rd * 0.7071067811865476, &ghat[14]);
-    sx4(&mut out_hi[20], rd * 0.7071067811865476, &ghat[15]);
-    sx4(&mut out_hi[21], rd * -1.224744871391589, &ghat[5]);
-    sx4(&mut out_hi[22], rd * 0.7071067811865476, &ghat[16]);
-    sx4(&mut out_hi[23], rd * 0.7071067811865476, &ghat[17]);
-    sx4(&mut out_hi[24], rd * 0.7071067811865476, &ghat[18]);
-    sx4(&mut out_hi[25], rd * 0.7071067811865476, &ghat[19]);
-    sx4(&mut out_hi[26], rd * -1.224744871391589, &ghat[6]);
-    sx4(&mut out_hi[27], rd * -1.224744871391589, &ghat[7]);
-    sx4(&mut out_hi[28], rd * -1.224744871391589, &ghat[8]);
-    sx4(&mut out_hi[29], rd * -1.224744871391589, &ghat[9]);
-    sx4(&mut out_hi[30], rd * -1.224744871391589, &ghat[10]);
-    sx4(&mut out_hi[31], rd * -1.224744871391589, &ghat[11]);
-    sx4(&mut out_hi[32], rd * 0.7071067811865476, &ghat[20]);
-    sx4(&mut out_hi[33], rd * 0.7071067811865476, &ghat[21]);
-    sx4(&mut out_hi[34], rd * 0.7071067811865476, &ghat[22]);
-    sx4(&mut out_hi[35], rd * 0.7071067811865476, &ghat[23]);
-    sx4(&mut out_hi[36], rd * 0.7071067811865476, &ghat[24]);
-    sx4(&mut out_hi[37], rd * 0.7071067811865476, &ghat[25]);
-    sx4(&mut out_hi[38], rd * -1.224744871391589, &ghat[12]);
-    sx4(&mut out_hi[39], rd * -1.224744871391589, &ghat[13]);
-    sx4(&mut out_hi[40], rd * -1.224744871391589, &ghat[14]);
-    sx4(&mut out_hi[41], rd * -1.224744871391589, &ghat[15]);
-    sx4(&mut out_hi[42], rd * 0.7071067811865476, &ghat[26]);
-    sx4(&mut out_hi[43], rd * -1.224744871391589, &ghat[16]);
-    sx4(&mut out_hi[44], rd * -1.224744871391589, &ghat[17]);
-    sx4(&mut out_hi[45], rd * -1.224744871391589, &ghat[18]);
-    sx4(&mut out_hi[46], rd * -1.224744871391589, &ghat[19]);
-    sx4(&mut out_hi[47], rd * 0.7071067811865476, &ghat[27]);
-    sx4(&mut out_hi[48], rd * 0.7071067811865476, &ghat[28]);
-    sx4(&mut out_hi[49], rd * 0.7071067811865476, &ghat[29]);
-    sx4(&mut out_hi[50], rd * 0.7071067811865476, &ghat[30]);
-    sx4(&mut out_hi[51], rd * -1.224744871391589, &ghat[20]);
-    sx4(&mut out_hi[52], rd * -1.224744871391589, &ghat[21]);
-    sx4(&mut out_hi[53], rd * -1.224744871391589, &ghat[22]);
-    sx4(&mut out_hi[54], rd * -1.224744871391589, &ghat[23]);
-    sx4(&mut out_hi[55], rd * -1.224744871391589, &ghat[24]);
-    sx4(&mut out_hi[56], rd * -1.224744871391589, &ghat[25]);
-    sx4(&mut out_hi[57], rd * -1.224744871391589, &ghat[26]);
-    sx4(&mut out_hi[58], rd * 0.7071067811865476, &ghat[31]);
-    sx4(&mut out_hi[59], rd * -1.224744871391589, &ghat[27]);
-    sx4(&mut out_hi[60], rd * -1.224744871391589, &ghat[28]);
-    sx4(&mut out_hi[61], rd * -1.224744871391589, &ghat[29]);
-    sx4(&mut out_hi[62], rd * -1.224744871391589, &ghat[30]);
-    sx4(&mut out_hi[63], rd * -1.224744871391589, &ghat[31]);
+    sxn(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[3], -rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[4], -rd * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[5], -rd * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[6], -rd * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[7], -rd * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[8], -rd * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[9], -rd * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[10], -rd * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[11], -rd * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[12], -rd * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[13], -rd * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[14], -rd * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[15], -rd * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[16], -rd * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[17], -rd * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[18], -rd * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[19], -rd * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[20], -rd * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[21], -rd * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[22], -rd * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_lo[23], -rd * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_lo[24], -rd * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_lo[25], -rd * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_lo[26], -rd * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[27], -rd * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[28], -rd * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[29], -rd * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[30], -rd * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[31], -rd * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[32], -rd * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_lo[33], -rd * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_lo[34], -rd * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_lo[35], -rd * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_lo[36], -rd * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_lo[37], -rd * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_lo[38], -rd * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[39], -rd * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[40], -rd * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[41], -rd * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_lo[42], -rd * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_lo[43], -rd * 1.224744871391589, &ghat[16]);
+    sxn(&mut out_lo[44], -rd * 1.224744871391589, &ghat[17]);
+    sxn(&mut out_lo[45], -rd * 1.224744871391589, &ghat[18]);
+    sxn(&mut out_lo[46], -rd * 1.224744871391589, &ghat[19]);
+    sxn(&mut out_lo[47], -rd * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_lo[48], -rd * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_lo[49], -rd * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_lo[50], -rd * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_lo[51], -rd * 1.224744871391589, &ghat[20]);
+    sxn(&mut out_lo[52], -rd * 1.224744871391589, &ghat[21]);
+    sxn(&mut out_lo[53], -rd * 1.224744871391589, &ghat[22]);
+    sxn(&mut out_lo[54], -rd * 1.224744871391589, &ghat[23]);
+    sxn(&mut out_lo[55], -rd * 1.224744871391589, &ghat[24]);
+    sxn(&mut out_lo[56], -rd * 1.224744871391589, &ghat[25]);
+    sxn(&mut out_lo[57], -rd * 1.224744871391589, &ghat[26]);
+    sxn(&mut out_lo[58], -rd * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_lo[59], -rd * 1.224744871391589, &ghat[27]);
+    sxn(&mut out_lo[60], -rd * 1.224744871391589, &ghat[28]);
+    sxn(&mut out_lo[61], -rd * 1.224744871391589, &ghat[29]);
+    sxn(&mut out_lo[62], -rd * 1.224744871391589, &ghat[30]);
+    sxn(&mut out_lo[63], -rd * 1.224744871391589, &ghat[31]);
+    sxn(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[3], rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[4], rd * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[5], rd * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[6], rd * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[7], rd * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[8], rd * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[9], rd * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[10], rd * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[11], rd * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[12], rd * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[13], rd * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[14], rd * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[15], rd * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[16], rd * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[17], rd * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[18], rd * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[19], rd * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[20], rd * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[21], rd * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[22], rd * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_hi[23], rd * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_hi[24], rd * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_hi[25], rd * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_hi[26], rd * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[27], rd * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[28], rd * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[29], rd * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[30], rd * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[31], rd * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[32], rd * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_hi[33], rd * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_hi[34], rd * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_hi[35], rd * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_hi[36], rd * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_hi[37], rd * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_hi[38], rd * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[39], rd * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[40], rd * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[41], rd * -1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[42], rd * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_hi[43], rd * -1.224744871391589, &ghat[16]);
+    sxn(&mut out_hi[44], rd * -1.224744871391589, &ghat[17]);
+    sxn(&mut out_hi[45], rd * -1.224744871391589, &ghat[18]);
+    sxn(&mut out_hi[46], rd * -1.224744871391589, &ghat[19]);
+    sxn(&mut out_hi[47], rd * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_hi[48], rd * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_hi[49], rd * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_hi[50], rd * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_hi[51], rd * -1.224744871391589, &ghat[20]);
+    sxn(&mut out_hi[52], rd * -1.224744871391589, &ghat[21]);
+    sxn(&mut out_hi[53], rd * -1.224744871391589, &ghat[22]);
+    sxn(&mut out_hi[54], rd * -1.224744871391589, &ghat[23]);
+    sxn(&mut out_hi[55], rd * -1.224744871391589, &ghat[24]);
+    sxn(&mut out_hi[56], rd * -1.224744871391589, &ghat[25]);
+    sxn(&mut out_hi[57], rd * -1.224744871391589, &ghat[26]);
+    sxn(&mut out_hi[58], rd * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_hi[59], rd * -1.224744871391589, &ghat[27]);
+    sxn(&mut out_hi[60], rd * -1.224744871391589, &ghat[28]);
+    sxn(&mut out_hi[61], rd * -1.224744871391589, &ghat[29]);
+    sxn(&mut out_hi[62], rd * -1.224744871391589, &ghat[30]);
+    sxn(&mut out_hi[63], rd * -1.224744871391589, &ghat[31]);
 }
 
 /// Streaming surface kernel, faces normal to x2 (α̂ = v2).
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_surf_3x3v_p1_ser_x2(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
-    let rd = 2.0 / dxv[2];
-    let mut alpha = [0.0f64; 32];
-    let _ = (qm, em);
-    alpha[0] = w[5] * 5.656854249492381;
-    alpha[1] += 0.5 * dxv[5] * 3.265986323710904;
-    let lam = if penalty { w[5].abs() + 0.5 * dxv[5].abs() } else { 0.0 };
-    let mut fm = [0.0f64; 32];
-    let mut fp = [0.0f64; 32];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[1] += 0.7071067811865476 * f_lo[1];
-    fm[2] += 0.7071067811865476 * f_lo[2];
-    fm[3] += 0.7071067811865476 * f_lo[3];
-    fm[0] += 1.224744871391589 * f_lo[4];
-    fm[4] += 0.7071067811865476 * f_lo[5];
-    fm[5] += 0.7071067811865476 * f_lo[6];
-    fm[6] += 0.7071067811865476 * f_lo[7];
-    fm[7] += 0.7071067811865476 * f_lo[8];
-    fm[8] += 0.7071067811865476 * f_lo[9];
-    fm[1] += 1.224744871391589 * f_lo[10];
-    fm[2] += 1.224744871391589 * f_lo[11];
-    fm[3] += 1.224744871391589 * f_lo[12];
-    fm[9] += 0.7071067811865476 * f_lo[13];
-    fm[10] += 0.7071067811865476 * f_lo[14];
-    fm[11] += 0.7071067811865476 * f_lo[15];
-    fm[4] += 1.224744871391589 * f_lo[16];
-    fm[12] += 0.7071067811865476 * f_lo[17];
-    fm[13] += 0.7071067811865476 * f_lo[18];
-    fm[14] += 0.7071067811865476 * f_lo[19];
-    fm[5] += 1.224744871391589 * f_lo[20];
-    fm[15] += 0.7071067811865476 * f_lo[21];
-    fm[16] += 0.7071067811865476 * f_lo[22];
-    fm[6] += 1.224744871391589 * f_lo[23];
-    fm[7] += 1.224744871391589 * f_lo[24];
-    fm[8] += 1.224744871391589 * f_lo[25];
-    fm[17] += 0.7071067811865476 * f_lo[26];
-    fm[18] += 0.7071067811865476 * f_lo[27];
-    fm[19] += 0.7071067811865476 * f_lo[28];
-    fm[9] += 1.224744871391589 * f_lo[29];
-    fm[10] += 1.224744871391589 * f_lo[30];
-    fm[11] += 1.224744871391589 * f_lo[31];
-    fm[20] += 0.7071067811865476 * f_lo[32];
-    fm[21] += 0.7071067811865476 * f_lo[33];
-    fm[22] += 0.7071067811865476 * f_lo[34];
-    fm[12] += 1.224744871391589 * f_lo[35];
-    fm[13] += 1.224744871391589 * f_lo[36];
-    fm[14] += 1.224744871391589 * f_lo[37];
-    fm[23] += 0.7071067811865476 * f_lo[38];
-    fm[24] += 0.7071067811865476 * f_lo[39];
-    fm[25] += 0.7071067811865476 * f_lo[40];
-    fm[15] += 1.224744871391589 * f_lo[41];
-    fm[16] += 1.224744871391589 * f_lo[42];
-    fm[26] += 0.7071067811865476 * f_lo[43];
-    fm[17] += 1.224744871391589 * f_lo[44];
-    fm[18] += 1.224744871391589 * f_lo[45];
-    fm[19] += 1.224744871391589 * f_lo[46];
-    fm[27] += 0.7071067811865476 * f_lo[47];
-    fm[20] += 1.224744871391589 * f_lo[48];
-    fm[21] += 1.224744871391589 * f_lo[49];
-    fm[22] += 1.224744871391589 * f_lo[50];
-    fm[28] += 0.7071067811865476 * f_lo[51];
-    fm[29] += 0.7071067811865476 * f_lo[52];
-    fm[30] += 0.7071067811865476 * f_lo[53];
-    fm[23] += 1.224744871391589 * f_lo[54];
-    fm[24] += 1.224744871391589 * f_lo[55];
-    fm[25] += 1.224744871391589 * f_lo[56];
-    fm[26] += 1.224744871391589 * f_lo[57];
-    fm[27] += 1.224744871391589 * f_lo[58];
-    fm[31] += 0.7071067811865476 * f_lo[59];
-    fm[28] += 1.224744871391589 * f_lo[60];
-    fm[29] += 1.224744871391589 * f_lo[61];
-    fm[30] += 1.224744871391589 * f_lo[62];
-    fm[31] += 1.224744871391589 * f_lo[63];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[1] += 0.7071067811865476 * f_hi[1];
-    fp[2] += 0.7071067811865476 * f_hi[2];
-    fp[3] += 0.7071067811865476 * f_hi[3];
-    fp[0] += -1.224744871391589 * f_hi[4];
-    fp[4] += 0.7071067811865476 * f_hi[5];
-    fp[5] += 0.7071067811865476 * f_hi[6];
-    fp[6] += 0.7071067811865476 * f_hi[7];
-    fp[7] += 0.7071067811865476 * f_hi[8];
-    fp[8] += 0.7071067811865476 * f_hi[9];
-    fp[1] += -1.224744871391589 * f_hi[10];
-    fp[2] += -1.224744871391589 * f_hi[11];
-    fp[3] += -1.224744871391589 * f_hi[12];
-    fp[9] += 0.7071067811865476 * f_hi[13];
-    fp[10] += 0.7071067811865476 * f_hi[14];
-    fp[11] += 0.7071067811865476 * f_hi[15];
-    fp[4] += -1.224744871391589 * f_hi[16];
-    fp[12] += 0.7071067811865476 * f_hi[17];
-    fp[13] += 0.7071067811865476 * f_hi[18];
-    fp[14] += 0.7071067811865476 * f_hi[19];
-    fp[5] += -1.224744871391589 * f_hi[20];
-    fp[15] += 0.7071067811865476 * f_hi[21];
-    fp[16] += 0.7071067811865476 * f_hi[22];
-    fp[6] += -1.224744871391589 * f_hi[23];
-    fp[7] += -1.224744871391589 * f_hi[24];
-    fp[8] += -1.224744871391589 * f_hi[25];
-    fp[17] += 0.7071067811865476 * f_hi[26];
-    fp[18] += 0.7071067811865476 * f_hi[27];
-    fp[19] += 0.7071067811865476 * f_hi[28];
-    fp[9] += -1.224744871391589 * f_hi[29];
-    fp[10] += -1.224744871391589 * f_hi[30];
-    fp[11] += -1.224744871391589 * f_hi[31];
-    fp[20] += 0.7071067811865476 * f_hi[32];
-    fp[21] += 0.7071067811865476 * f_hi[33];
-    fp[22] += 0.7071067811865476 * f_hi[34];
-    fp[12] += -1.224744871391589 * f_hi[35];
-    fp[13] += -1.224744871391589 * f_hi[36];
-    fp[14] += -1.224744871391589 * f_hi[37];
-    fp[23] += 0.7071067811865476 * f_hi[38];
-    fp[24] += 0.7071067811865476 * f_hi[39];
-    fp[25] += 0.7071067811865476 * f_hi[40];
-    fp[15] += -1.224744871391589 * f_hi[41];
-    fp[16] += -1.224744871391589 * f_hi[42];
-    fp[26] += 0.7071067811865476 * f_hi[43];
-    fp[17] += -1.224744871391589 * f_hi[44];
-    fp[18] += -1.224744871391589 * f_hi[45];
-    fp[19] += -1.224744871391589 * f_hi[46];
-    fp[27] += 0.7071067811865476 * f_hi[47];
-    fp[20] += -1.224744871391589 * f_hi[48];
-    fp[21] += -1.224744871391589 * f_hi[49];
-    fp[22] += -1.224744871391589 * f_hi[50];
-    fp[28] += 0.7071067811865476 * f_hi[51];
-    fp[29] += 0.7071067811865476 * f_hi[52];
-    fp[30] += 0.7071067811865476 * f_hi[53];
-    fp[23] += -1.224744871391589 * f_hi[54];
-    fp[24] += -1.224744871391589 * f_hi[55];
-    fp[25] += -1.224744871391589 * f_hi[56];
-    fp[26] += -1.224744871391589 * f_hi[57];
-    fp[27] += -1.224744871391589 * f_hi[58];
-    fp[31] += 0.7071067811865476 * f_hi[59];
-    fp[28] += -1.224744871391589 * f_hi[60];
-    fp[29] += -1.224744871391589 * f_hi[61];
-    fp[30] += -1.224744871391589 * f_hi[62];
-    fp[31] += -1.224744871391589 * f_hi[63];
-    let mut favg = [0.0f64; 32];
-    let mut ghat = [0.0f64; 32];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    favg[8] = 0.5 * (fm[8] + fp[8]);
-    ghat[8] = -0.5 * lam * (fp[8] - fm[8]);
-    favg[9] = 0.5 * (fm[9] + fp[9]);
-    ghat[9] = -0.5 * lam * (fp[9] - fm[9]);
-    favg[10] = 0.5 * (fm[10] + fp[10]);
-    ghat[10] = -0.5 * lam * (fp[10] - fm[10]);
-    favg[11] = 0.5 * (fm[11] + fp[11]);
-    ghat[11] = -0.5 * lam * (fp[11] - fm[11]);
-    favg[12] = 0.5 * (fm[12] + fp[12]);
-    ghat[12] = -0.5 * lam * (fp[12] - fm[12]);
-    favg[13] = 0.5 * (fm[13] + fp[13]);
-    ghat[13] = -0.5 * lam * (fp[13] - fm[13]);
-    favg[14] = 0.5 * (fm[14] + fp[14]);
-    ghat[14] = -0.5 * lam * (fp[14] - fm[14]);
-    favg[15] = 0.5 * (fm[15] + fp[15]);
-    ghat[15] = -0.5 * lam * (fp[15] - fm[15]);
-    favg[16] = 0.5 * (fm[16] + fp[16]);
-    ghat[16] = -0.5 * lam * (fp[16] - fm[16]);
-    favg[17] = 0.5 * (fm[17] + fp[17]);
-    ghat[17] = -0.5 * lam * (fp[17] - fm[17]);
-    favg[18] = 0.5 * (fm[18] + fp[18]);
-    ghat[18] = -0.5 * lam * (fp[18] - fm[18]);
-    favg[19] = 0.5 * (fm[19] + fp[19]);
-    ghat[19] = -0.5 * lam * (fp[19] - fm[19]);
-    favg[20] = 0.5 * (fm[20] + fp[20]);
-    ghat[20] = -0.5 * lam * (fp[20] - fm[20]);
-    favg[21] = 0.5 * (fm[21] + fp[21]);
-    ghat[21] = -0.5 * lam * (fp[21] - fm[21]);
-    favg[22] = 0.5 * (fm[22] + fp[22]);
-    ghat[22] = -0.5 * lam * (fp[22] - fm[22]);
-    favg[23] = 0.5 * (fm[23] + fp[23]);
-    ghat[23] = -0.5 * lam * (fp[23] - fm[23]);
-    favg[24] = 0.5 * (fm[24] + fp[24]);
-    ghat[24] = -0.5 * lam * (fp[24] - fm[24]);
-    favg[25] = 0.5 * (fm[25] + fp[25]);
-    ghat[25] = -0.5 * lam * (fp[25] - fm[25]);
-    favg[26] = 0.5 * (fm[26] + fp[26]);
-    ghat[26] = -0.5 * lam * (fp[26] - fm[26]);
-    favg[27] = 0.5 * (fm[27] + fp[27]);
-    ghat[27] = -0.5 * lam * (fp[27] - fm[27]);
-    favg[28] = 0.5 * (fm[28] + fp[28]);
-    ghat[28] = -0.5 * lam * (fp[28] - fm[28]);
-    favg[29] = 0.5 * (fm[29] + fp[29]);
-    ghat[29] = -0.5 * lam * (fp[29] - fm[29]);
-    favg[30] = 0.5 * (fm[30] + fp[30]);
-    ghat[30] = -0.5 * lam * (fp[30] - fm[30]);
-    favg[31] = 0.5 * (fm[31] + fp[31]);
-    ghat[31] = -0.5 * lam * (fp[31] - fm[31]);
-    ghat[0] += 0.1767766952966369 * alpha[0] * favg[0];
-    ghat[0] += 0.17677669529663687 * alpha[1] * favg[1];
-    ghat[1] += 0.17677669529663687 * alpha[0] * favg[1];
-    ghat[1] += 0.17677669529663687 * alpha[1] * favg[0];
-    ghat[2] += 0.17677669529663687 * alpha[0] * favg[2];
-    ghat[2] += 0.17677669529663687 * alpha[1] * favg[6];
-    ghat[3] += 0.17677669529663687 * alpha[0] * favg[3];
-    ghat[3] += 0.17677669529663687 * alpha[1] * favg[7];
-    ghat[4] += 0.17677669529663687 * alpha[0] * favg[4];
-    ghat[4] += 0.17677669529663687 * alpha[1] * favg[9];
-    ghat[5] += 0.17677669529663687 * alpha[0] * favg[5];
-    ghat[5] += 0.17677669529663687 * alpha[1] * favg[12];
-    ghat[6] += 0.17677669529663687 * alpha[0] * favg[6];
-    ghat[6] += 0.17677669529663687 * alpha[1] * favg[2];
-    ghat[7] += 0.17677669529663687 * alpha[0] * favg[7];
-    ghat[7] += 0.17677669529663687 * alpha[1] * favg[3];
-    ghat[8] += 0.17677669529663687 * alpha[0] * favg[8];
-    ghat[8] += 0.1767766952966369 * alpha[1] * favg[16];
-    ghat[9] += 0.17677669529663687 * alpha[0] * favg[9];
-    ghat[9] += 0.17677669529663687 * alpha[1] * favg[4];
-    ghat[10] += 0.17677669529663687 * alpha[0] * favg[10];
-    ghat[10] += 0.1767766952966369 * alpha[1] * favg[17];
-    ghat[11] += 0.17677669529663687 * alpha[0] * favg[11];
-    ghat[11] += 0.1767766952966369 * alpha[1] * favg[18];
-    ghat[12] += 0.17677669529663687 * alpha[0] * favg[12];
-    ghat[12] += 0.17677669529663687 * alpha[1] * favg[5];
-    ghat[13] += 0.17677669529663687 * alpha[0] * favg[13];
-    ghat[13] += 0.1767766952966369 * alpha[1] * favg[20];
-    ghat[14] += 0.17677669529663687 * alpha[0] * favg[14];
-    ghat[14] += 0.1767766952966369 * alpha[1] * favg[21];
-    ghat[15] += 0.17677669529663687 * alpha[0] * favg[15];
-    ghat[15] += 0.1767766952966369 * alpha[1] * favg[23];
-    ghat[16] += 0.1767766952966369 * alpha[0] * favg[16];
-    ghat[16] += 0.1767766952966369 * alpha[1] * favg[8];
-    ghat[17] += 0.1767766952966369 * alpha[0] * favg[17];
-    ghat[17] += 0.1767766952966369 * alpha[1] * favg[10];
-    ghat[18] += 0.1767766952966369 * alpha[0] * favg[18];
-    ghat[18] += 0.1767766952966369 * alpha[1] * favg[11];
-    ghat[19] += 0.1767766952966369 * alpha[0] * favg[19];
-    ghat[19] += 0.17677669529663687 * alpha[1] * favg[26];
-    ghat[20] += 0.1767766952966369 * alpha[0] * favg[20];
-    ghat[20] += 0.1767766952966369 * alpha[1] * favg[13];
-    ghat[21] += 0.1767766952966369 * alpha[0] * favg[21];
-    ghat[21] += 0.1767766952966369 * alpha[1] * favg[14];
-    ghat[22] += 0.1767766952966369 * alpha[0] * favg[22];
-    ghat[22] += 0.17677669529663687 * alpha[1] * favg[27];
-    ghat[23] += 0.1767766952966369 * alpha[0] * favg[23];
-    ghat[23] += 0.1767766952966369 * alpha[1] * favg[15];
-    ghat[24] += 0.1767766952966369 * alpha[0] * favg[24];
-    ghat[24] += 0.17677669529663687 * alpha[1] * favg[28];
-    ghat[25] += 0.1767766952966369 * alpha[0] * favg[25];
-    ghat[25] += 0.17677669529663687 * alpha[1] * favg[29];
-    ghat[26] += 0.17677669529663687 * alpha[0] * favg[26];
-    ghat[26] += 0.17677669529663687 * alpha[1] * favg[19];
-    ghat[27] += 0.17677669529663687 * alpha[0] * favg[27];
-    ghat[27] += 0.17677669529663687 * alpha[1] * favg[22];
-    ghat[28] += 0.17677669529663687 * alpha[0] * favg[28];
-    ghat[28] += 0.17677669529663687 * alpha[1] * favg[24];
-    ghat[29] += 0.17677669529663687 * alpha[0] * favg[29];
-    ghat[29] += 0.17677669529663687 * alpha[1] * favg[25];
-    ghat[30] += 0.17677669529663687 * alpha[0] * favg[30];
-    ghat[30] += 0.1767766952966369 * alpha[1] * favg[31];
-    ghat[31] += 0.1767766952966369 * alpha[0] * favg[31];
-    ghat[31] += 0.1767766952966369 * alpha[1] * favg[30];
-    out_lo[0] += -rd * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -rd * 0.7071067811865476 * ghat[1];
-    out_lo[2] += -rd * 0.7071067811865476 * ghat[2];
-    out_lo[3] += -rd * 0.7071067811865476 * ghat[3];
-    out_lo[4] += -rd * 1.224744871391589 * ghat[0];
-    out_lo[5] += -rd * 0.7071067811865476 * ghat[4];
-    out_lo[6] += -rd * 0.7071067811865476 * ghat[5];
-    out_lo[7] += -rd * 0.7071067811865476 * ghat[6];
-    out_lo[8] += -rd * 0.7071067811865476 * ghat[7];
-    out_lo[9] += -rd * 0.7071067811865476 * ghat[8];
-    out_lo[10] += -rd * 1.224744871391589 * ghat[1];
-    out_lo[11] += -rd * 1.224744871391589 * ghat[2];
-    out_lo[12] += -rd * 1.224744871391589 * ghat[3];
-    out_lo[13] += -rd * 0.7071067811865476 * ghat[9];
-    out_lo[14] += -rd * 0.7071067811865476 * ghat[10];
-    out_lo[15] += -rd * 0.7071067811865476 * ghat[11];
-    out_lo[16] += -rd * 1.224744871391589 * ghat[4];
-    out_lo[17] += -rd * 0.7071067811865476 * ghat[12];
-    out_lo[18] += -rd * 0.7071067811865476 * ghat[13];
-    out_lo[19] += -rd * 0.7071067811865476 * ghat[14];
-    out_lo[20] += -rd * 1.224744871391589 * ghat[5];
-    out_lo[21] += -rd * 0.7071067811865476 * ghat[15];
-    out_lo[22] += -rd * 0.7071067811865476 * ghat[16];
-    out_lo[23] += -rd * 1.224744871391589 * ghat[6];
-    out_lo[24] += -rd * 1.224744871391589 * ghat[7];
-    out_lo[25] += -rd * 1.224744871391589 * ghat[8];
-    out_lo[26] += -rd * 0.7071067811865476 * ghat[17];
-    out_lo[27] += -rd * 0.7071067811865476 * ghat[18];
-    out_lo[28] += -rd * 0.7071067811865476 * ghat[19];
-    out_lo[29] += -rd * 1.224744871391589 * ghat[9];
-    out_lo[30] += -rd * 1.224744871391589 * ghat[10];
-    out_lo[31] += -rd * 1.224744871391589 * ghat[11];
-    out_lo[32] += -rd * 0.7071067811865476 * ghat[20];
-    out_lo[33] += -rd * 0.7071067811865476 * ghat[21];
-    out_lo[34] += -rd * 0.7071067811865476 * ghat[22];
-    out_lo[35] += -rd * 1.224744871391589 * ghat[12];
-    out_lo[36] += -rd * 1.224744871391589 * ghat[13];
-    out_lo[37] += -rd * 1.224744871391589 * ghat[14];
-    out_lo[38] += -rd * 0.7071067811865476 * ghat[23];
-    out_lo[39] += -rd * 0.7071067811865476 * ghat[24];
-    out_lo[40] += -rd * 0.7071067811865476 * ghat[25];
-    out_lo[41] += -rd * 1.224744871391589 * ghat[15];
-    out_lo[42] += -rd * 1.224744871391589 * ghat[16];
-    out_lo[43] += -rd * 0.7071067811865476 * ghat[26];
-    out_lo[44] += -rd * 1.224744871391589 * ghat[17];
-    out_lo[45] += -rd * 1.224744871391589 * ghat[18];
-    out_lo[46] += -rd * 1.224744871391589 * ghat[19];
-    out_lo[47] += -rd * 0.7071067811865476 * ghat[27];
-    out_lo[48] += -rd * 1.224744871391589 * ghat[20];
-    out_lo[49] += -rd * 1.224744871391589 * ghat[21];
-    out_lo[50] += -rd * 1.224744871391589 * ghat[22];
-    out_lo[51] += -rd * 0.7071067811865476 * ghat[28];
-    out_lo[52] += -rd * 0.7071067811865476 * ghat[29];
-    out_lo[53] += -rd * 0.7071067811865476 * ghat[30];
-    out_lo[54] += -rd * 1.224744871391589 * ghat[23];
-    out_lo[55] += -rd * 1.224744871391589 * ghat[24];
-    out_lo[56] += -rd * 1.224744871391589 * ghat[25];
-    out_lo[57] += -rd * 1.224744871391589 * ghat[26];
-    out_lo[58] += -rd * 1.224744871391589 * ghat[27];
-    out_lo[59] += -rd * 0.7071067811865476 * ghat[31];
-    out_lo[60] += -rd * 1.224744871391589 * ghat[28];
-    out_lo[61] += -rd * 1.224744871391589 * ghat[29];
-    out_lo[62] += -rd * 1.224744871391589 * ghat[30];
-    out_lo[63] += -rd * 1.224744871391589 * ghat[31];
-    out_hi[0] += rd * 0.7071067811865476 * ghat[0];
-    out_hi[1] += rd * 0.7071067811865476 * ghat[1];
-    out_hi[2] += rd * 0.7071067811865476 * ghat[2];
-    out_hi[3] += rd * 0.7071067811865476 * ghat[3];
-    out_hi[4] += rd * -1.224744871391589 * ghat[0];
-    out_hi[5] += rd * 0.7071067811865476 * ghat[4];
-    out_hi[6] += rd * 0.7071067811865476 * ghat[5];
-    out_hi[7] += rd * 0.7071067811865476 * ghat[6];
-    out_hi[8] += rd * 0.7071067811865476 * ghat[7];
-    out_hi[9] += rd * 0.7071067811865476 * ghat[8];
-    out_hi[10] += rd * -1.224744871391589 * ghat[1];
-    out_hi[11] += rd * -1.224744871391589 * ghat[2];
-    out_hi[12] += rd * -1.224744871391589 * ghat[3];
-    out_hi[13] += rd * 0.7071067811865476 * ghat[9];
-    out_hi[14] += rd * 0.7071067811865476 * ghat[10];
-    out_hi[15] += rd * 0.7071067811865476 * ghat[11];
-    out_hi[16] += rd * -1.224744871391589 * ghat[4];
-    out_hi[17] += rd * 0.7071067811865476 * ghat[12];
-    out_hi[18] += rd * 0.7071067811865476 * ghat[13];
-    out_hi[19] += rd * 0.7071067811865476 * ghat[14];
-    out_hi[20] += rd * -1.224744871391589 * ghat[5];
-    out_hi[21] += rd * 0.7071067811865476 * ghat[15];
-    out_hi[22] += rd * 0.7071067811865476 * ghat[16];
-    out_hi[23] += rd * -1.224744871391589 * ghat[6];
-    out_hi[24] += rd * -1.224744871391589 * ghat[7];
-    out_hi[25] += rd * -1.224744871391589 * ghat[8];
-    out_hi[26] += rd * 0.7071067811865476 * ghat[17];
-    out_hi[27] += rd * 0.7071067811865476 * ghat[18];
-    out_hi[28] += rd * 0.7071067811865476 * ghat[19];
-    out_hi[29] += rd * -1.224744871391589 * ghat[9];
-    out_hi[30] += rd * -1.224744871391589 * ghat[10];
-    out_hi[31] += rd * -1.224744871391589 * ghat[11];
-    out_hi[32] += rd * 0.7071067811865476 * ghat[20];
-    out_hi[33] += rd * 0.7071067811865476 * ghat[21];
-    out_hi[34] += rd * 0.7071067811865476 * ghat[22];
-    out_hi[35] += rd * -1.224744871391589 * ghat[12];
-    out_hi[36] += rd * -1.224744871391589 * ghat[13];
-    out_hi[37] += rd * -1.224744871391589 * ghat[14];
-    out_hi[38] += rd * 0.7071067811865476 * ghat[23];
-    out_hi[39] += rd * 0.7071067811865476 * ghat[24];
-    out_hi[40] += rd * 0.7071067811865476 * ghat[25];
-    out_hi[41] += rd * -1.224744871391589 * ghat[15];
-    out_hi[42] += rd * -1.224744871391589 * ghat[16];
-    out_hi[43] += rd * 0.7071067811865476 * ghat[26];
-    out_hi[44] += rd * -1.224744871391589 * ghat[17];
-    out_hi[45] += rd * -1.224744871391589 * ghat[18];
-    out_hi[46] += rd * -1.224744871391589 * ghat[19];
-    out_hi[47] += rd * 0.7071067811865476 * ghat[27];
-    out_hi[48] += rd * -1.224744871391589 * ghat[20];
-    out_hi[49] += rd * -1.224744871391589 * ghat[21];
-    out_hi[50] += rd * -1.224744871391589 * ghat[22];
-    out_hi[51] += rd * 0.7071067811865476 * ghat[28];
-    out_hi[52] += rd * 0.7071067811865476 * ghat[29];
-    out_hi[53] += rd * 0.7071067811865476 * ghat[30];
-    out_hi[54] += rd * -1.224744871391589 * ghat[23];
-    out_hi[55] += rd * -1.224744871391589 * ghat[24];
-    out_hi[56] += rd * -1.224744871391589 * ghat[25];
-    out_hi[57] += rd * -1.224744871391589 * ghat[26];
-    out_hi[58] += rd * -1.224744871391589 * ghat[27];
-    out_hi[59] += rd * 0.7071067811865476 * ghat[31];
-    out_hi[60] += rd * -1.224744871391589 * ghat[28];
-    out_hi[61] += rd * -1.224744871391589 * ghat[29];
-    out_hi[62] += rd * -1.224744871391589 * ghat[30];
-    out_hi[63] += rd * -1.224744871391589 * ghat[31];
+    vlasov_surf_3x3v_p1_ser_x2_body::<1>(w.as_chunks().0, dxv, qm, em, penalty, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
 }
 
-/// Batched companion of [`vlasov_surf_3x3v_p1_ser_x2`]: `LANES` faces per call, bit-identical per lane.
+/// [`vlasov_surf_3x3v_p1_ser_x2`] over `LANES` faces: the same body, bit-identical per lane.
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_3x3v_p1_ser_x2_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_3x3v_p1_ser_x2_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_3x3v_p1_ser_x2_b4(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_3x3v_p1_ser_x2_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// [`vlasov_surf_3x3v_p1_ser_x2_b4`] compiled for AVX2: the same body, bit-identical per lane.
-/// Reach it through `crate::dispatch`, which checks the CPU first.
+/// [`vlasov_surf_3x3v_p1_ser_x2_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_3x3v_p1_ser_x2_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_3x3v_p1_ser_x2_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_3x3v_p1_ser_x2_b4_avx2(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_3x3v_p1_ser_x2_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// Shared body of [`vlasov_surf_3x3v_p1_ser_x2_b4`] and its AVX2 entry point.
+/// [`vlasov_surf_3x3v_p1_ser_x2`] over 8 faces, compiled for AVX-512F. Reach it through
+/// `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_surf_3x3v_p1_ser_x2_b8_avx512(w: &[[f64; 8]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; 8]], f_hi: &[[f64; 8]], out_lo: &mut [[f64; 8]], out_hi: &mut [[f64; 8]]) {
+    vlasov_surf_3x3v_p1_ser_x2_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`vlasov_surf_3x3v_p1_ser_x2`] and its batched entry points.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_surf_3x3v_p1_ser_x2_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+fn vlasov_surf_3x3v_p1_ser_x2_body<const L: usize>(w: &[[f64; L]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let w: &[[f64; L]; 6] = w.first_chunk().expect("w: 6 coefficients");
+    let f_lo: &[[f64; L]; 64] = f_lo.first_chunk().expect("f_lo: 64 coefficients");
+    let f_hi: &[[f64; L]; 64] = f_hi.first_chunk().expect("f_hi: 64 coefficients");
+    let out_lo: &mut [[f64; L]; 64] = out_lo.first_chunk_mut().expect("out_lo: 64 coefficients");
+    let out_hi: &mut [[f64; L]; 64] = out_hi.first_chunk_mut().expect("out_hi: 64 coefficients");
     let rd = 2.0 / dxv[2];
-    let mut alpha = [CellLanes([0.0f64; LANES]); 32];
-    let mut lam = CellLanes([0.0f64; LANES]);
+    let mut alpha = [[0.0f64; L]; 32];
+    let mut lam = [0.0f64; L];
     let _ = (qm, em);
-    for k in 0..LANES {
-        alpha[0].0[k] = w[5].0[k] * 5.656854249492381;
-        alpha[1].0[k] += 0.5 * dxv[5] * 3.265986323710904;
-        lam.0[k] = if penalty { w[5].0[k].abs() + 0.5 * dxv[5].abs() } else { 0.0 };
+    for k in 0..L {
+        alpha[0][k] = w[5][k] * 5.656854249492381;
+        alpha[1][k] += 0.5 * dxv[5] * 3.265986323710904;
+        lam[k] = if penalty { w[5][k].abs() + 0.5 * dxv[5].abs() } else { 0.0 };
     }
-    let mut fm = [CellLanes([0.0f64; LANES]); 32];
-    let mut fp = [CellLanes([0.0f64; LANES]); 32];
-    sx4(&mut fm[0], 0.7071067811865476, &f_lo[0]);
-    sx4(&mut fm[1], 0.7071067811865476, &f_lo[1]);
-    sx4(&mut fm[2], 0.7071067811865476, &f_lo[2]);
-    sx4(&mut fm[3], 0.7071067811865476, &f_lo[3]);
-    sx4(&mut fm[0], 1.224744871391589, &f_lo[4]);
-    sx4(&mut fm[4], 0.7071067811865476, &f_lo[5]);
-    sx4(&mut fm[5], 0.7071067811865476, &f_lo[6]);
-    sx4(&mut fm[6], 0.7071067811865476, &f_lo[7]);
-    sx4(&mut fm[7], 0.7071067811865476, &f_lo[8]);
-    sx4(&mut fm[8], 0.7071067811865476, &f_lo[9]);
-    sx4(&mut fm[1], 1.224744871391589, &f_lo[10]);
-    sx4(&mut fm[2], 1.224744871391589, &f_lo[11]);
-    sx4(&mut fm[3], 1.224744871391589, &f_lo[12]);
-    sx4(&mut fm[9], 0.7071067811865476, &f_lo[13]);
-    sx4(&mut fm[10], 0.7071067811865476, &f_lo[14]);
-    sx4(&mut fm[11], 0.7071067811865476, &f_lo[15]);
-    sx4(&mut fm[4], 1.224744871391589, &f_lo[16]);
-    sx4(&mut fm[12], 0.7071067811865476, &f_lo[17]);
-    sx4(&mut fm[13], 0.7071067811865476, &f_lo[18]);
-    sx4(&mut fm[14], 0.7071067811865476, &f_lo[19]);
-    sx4(&mut fm[5], 1.224744871391589, &f_lo[20]);
-    sx4(&mut fm[15], 0.7071067811865476, &f_lo[21]);
-    sx4(&mut fm[16], 0.7071067811865476, &f_lo[22]);
-    sx4(&mut fm[6], 1.224744871391589, &f_lo[23]);
-    sx4(&mut fm[7], 1.224744871391589, &f_lo[24]);
-    sx4(&mut fm[8], 1.224744871391589, &f_lo[25]);
-    sx4(&mut fm[17], 0.7071067811865476, &f_lo[26]);
-    sx4(&mut fm[18], 0.7071067811865476, &f_lo[27]);
-    sx4(&mut fm[19], 0.7071067811865476, &f_lo[28]);
-    sx4(&mut fm[9], 1.224744871391589, &f_lo[29]);
-    sx4(&mut fm[10], 1.224744871391589, &f_lo[30]);
-    sx4(&mut fm[11], 1.224744871391589, &f_lo[31]);
-    sx4(&mut fm[20], 0.7071067811865476, &f_lo[32]);
-    sx4(&mut fm[21], 0.7071067811865476, &f_lo[33]);
-    sx4(&mut fm[22], 0.7071067811865476, &f_lo[34]);
-    sx4(&mut fm[12], 1.224744871391589, &f_lo[35]);
-    sx4(&mut fm[13], 1.224744871391589, &f_lo[36]);
-    sx4(&mut fm[14], 1.224744871391589, &f_lo[37]);
-    sx4(&mut fm[23], 0.7071067811865476, &f_lo[38]);
-    sx4(&mut fm[24], 0.7071067811865476, &f_lo[39]);
-    sx4(&mut fm[25], 0.7071067811865476, &f_lo[40]);
-    sx4(&mut fm[15], 1.224744871391589, &f_lo[41]);
-    sx4(&mut fm[16], 1.224744871391589, &f_lo[42]);
-    sx4(&mut fm[26], 0.7071067811865476, &f_lo[43]);
-    sx4(&mut fm[17], 1.224744871391589, &f_lo[44]);
-    sx4(&mut fm[18], 1.224744871391589, &f_lo[45]);
-    sx4(&mut fm[19], 1.224744871391589, &f_lo[46]);
-    sx4(&mut fm[27], 0.7071067811865476, &f_lo[47]);
-    sx4(&mut fm[20], 1.224744871391589, &f_lo[48]);
-    sx4(&mut fm[21], 1.224744871391589, &f_lo[49]);
-    sx4(&mut fm[22], 1.224744871391589, &f_lo[50]);
-    sx4(&mut fm[28], 0.7071067811865476, &f_lo[51]);
-    sx4(&mut fm[29], 0.7071067811865476, &f_lo[52]);
-    sx4(&mut fm[30], 0.7071067811865476, &f_lo[53]);
-    sx4(&mut fm[23], 1.224744871391589, &f_lo[54]);
-    sx4(&mut fm[24], 1.224744871391589, &f_lo[55]);
-    sx4(&mut fm[25], 1.224744871391589, &f_lo[56]);
-    sx4(&mut fm[26], 1.224744871391589, &f_lo[57]);
-    sx4(&mut fm[27], 1.224744871391589, &f_lo[58]);
-    sx4(&mut fm[31], 0.7071067811865476, &f_lo[59]);
-    sx4(&mut fm[28], 1.224744871391589, &f_lo[60]);
-    sx4(&mut fm[29], 1.224744871391589, &f_lo[61]);
-    sx4(&mut fm[30], 1.224744871391589, &f_lo[62]);
-    sx4(&mut fm[31], 1.224744871391589, &f_lo[63]);
-    sx4(&mut fp[0], 0.7071067811865476, &f_hi[0]);
-    sx4(&mut fp[1], 0.7071067811865476, &f_hi[1]);
-    sx4(&mut fp[2], 0.7071067811865476, &f_hi[2]);
-    sx4(&mut fp[3], 0.7071067811865476, &f_hi[3]);
-    sx4(&mut fp[0], -1.224744871391589, &f_hi[4]);
-    sx4(&mut fp[4], 0.7071067811865476, &f_hi[5]);
-    sx4(&mut fp[5], 0.7071067811865476, &f_hi[6]);
-    sx4(&mut fp[6], 0.7071067811865476, &f_hi[7]);
-    sx4(&mut fp[7], 0.7071067811865476, &f_hi[8]);
-    sx4(&mut fp[8], 0.7071067811865476, &f_hi[9]);
-    sx4(&mut fp[1], -1.224744871391589, &f_hi[10]);
-    sx4(&mut fp[2], -1.224744871391589, &f_hi[11]);
-    sx4(&mut fp[3], -1.224744871391589, &f_hi[12]);
-    sx4(&mut fp[9], 0.7071067811865476, &f_hi[13]);
-    sx4(&mut fp[10], 0.7071067811865476, &f_hi[14]);
-    sx4(&mut fp[11], 0.7071067811865476, &f_hi[15]);
-    sx4(&mut fp[4], -1.224744871391589, &f_hi[16]);
-    sx4(&mut fp[12], 0.7071067811865476, &f_hi[17]);
-    sx4(&mut fp[13], 0.7071067811865476, &f_hi[18]);
-    sx4(&mut fp[14], 0.7071067811865476, &f_hi[19]);
-    sx4(&mut fp[5], -1.224744871391589, &f_hi[20]);
-    sx4(&mut fp[15], 0.7071067811865476, &f_hi[21]);
-    sx4(&mut fp[16], 0.7071067811865476, &f_hi[22]);
-    sx4(&mut fp[6], -1.224744871391589, &f_hi[23]);
-    sx4(&mut fp[7], -1.224744871391589, &f_hi[24]);
-    sx4(&mut fp[8], -1.224744871391589, &f_hi[25]);
-    sx4(&mut fp[17], 0.7071067811865476, &f_hi[26]);
-    sx4(&mut fp[18], 0.7071067811865476, &f_hi[27]);
-    sx4(&mut fp[19], 0.7071067811865476, &f_hi[28]);
-    sx4(&mut fp[9], -1.224744871391589, &f_hi[29]);
-    sx4(&mut fp[10], -1.224744871391589, &f_hi[30]);
-    sx4(&mut fp[11], -1.224744871391589, &f_hi[31]);
-    sx4(&mut fp[20], 0.7071067811865476, &f_hi[32]);
-    sx4(&mut fp[21], 0.7071067811865476, &f_hi[33]);
-    sx4(&mut fp[22], 0.7071067811865476, &f_hi[34]);
-    sx4(&mut fp[12], -1.224744871391589, &f_hi[35]);
-    sx4(&mut fp[13], -1.224744871391589, &f_hi[36]);
-    sx4(&mut fp[14], -1.224744871391589, &f_hi[37]);
-    sx4(&mut fp[23], 0.7071067811865476, &f_hi[38]);
-    sx4(&mut fp[24], 0.7071067811865476, &f_hi[39]);
-    sx4(&mut fp[25], 0.7071067811865476, &f_hi[40]);
-    sx4(&mut fp[15], -1.224744871391589, &f_hi[41]);
-    sx4(&mut fp[16], -1.224744871391589, &f_hi[42]);
-    sx4(&mut fp[26], 0.7071067811865476, &f_hi[43]);
-    sx4(&mut fp[17], -1.224744871391589, &f_hi[44]);
-    sx4(&mut fp[18], -1.224744871391589, &f_hi[45]);
-    sx4(&mut fp[19], -1.224744871391589, &f_hi[46]);
-    sx4(&mut fp[27], 0.7071067811865476, &f_hi[47]);
-    sx4(&mut fp[20], -1.224744871391589, &f_hi[48]);
-    sx4(&mut fp[21], -1.224744871391589, &f_hi[49]);
-    sx4(&mut fp[22], -1.224744871391589, &f_hi[50]);
-    sx4(&mut fp[28], 0.7071067811865476, &f_hi[51]);
-    sx4(&mut fp[29], 0.7071067811865476, &f_hi[52]);
-    sx4(&mut fp[30], 0.7071067811865476, &f_hi[53]);
-    sx4(&mut fp[23], -1.224744871391589, &f_hi[54]);
-    sx4(&mut fp[24], -1.224744871391589, &f_hi[55]);
-    sx4(&mut fp[25], -1.224744871391589, &f_hi[56]);
-    sx4(&mut fp[26], -1.224744871391589, &f_hi[57]);
-    sx4(&mut fp[27], -1.224744871391589, &f_hi[58]);
-    sx4(&mut fp[31], 0.7071067811865476, &f_hi[59]);
-    sx4(&mut fp[28], -1.224744871391589, &f_hi[60]);
-    sx4(&mut fp[29], -1.224744871391589, &f_hi[61]);
-    sx4(&mut fp[30], -1.224744871391589, &f_hi[62]);
-    sx4(&mut fp[31], -1.224744871391589, &f_hi[63]);
-    let mut favg = [CellLanes([0.0f64; LANES]); 32];
-    let mut ghat = [CellLanes([0.0f64; LANES]); 32];
-    for k in 0..LANES {
-        favg[0].0[k] = 0.5 * (fm[0].0[k] + fp[0].0[k]);
-        ghat[0].0[k] = -0.5 * lam.0[k] * (fp[0].0[k] - fm[0].0[k]);
-        favg[1].0[k] = 0.5 * (fm[1].0[k] + fp[1].0[k]);
-        ghat[1].0[k] = -0.5 * lam.0[k] * (fp[1].0[k] - fm[1].0[k]);
-        favg[2].0[k] = 0.5 * (fm[2].0[k] + fp[2].0[k]);
-        ghat[2].0[k] = -0.5 * lam.0[k] * (fp[2].0[k] - fm[2].0[k]);
-        favg[3].0[k] = 0.5 * (fm[3].0[k] + fp[3].0[k]);
-        ghat[3].0[k] = -0.5 * lam.0[k] * (fp[3].0[k] - fm[3].0[k]);
-        favg[4].0[k] = 0.5 * (fm[4].0[k] + fp[4].0[k]);
-        ghat[4].0[k] = -0.5 * lam.0[k] * (fp[4].0[k] - fm[4].0[k]);
-        favg[5].0[k] = 0.5 * (fm[5].0[k] + fp[5].0[k]);
-        ghat[5].0[k] = -0.5 * lam.0[k] * (fp[5].0[k] - fm[5].0[k]);
-        favg[6].0[k] = 0.5 * (fm[6].0[k] + fp[6].0[k]);
-        ghat[6].0[k] = -0.5 * lam.0[k] * (fp[6].0[k] - fm[6].0[k]);
-        favg[7].0[k] = 0.5 * (fm[7].0[k] + fp[7].0[k]);
-        ghat[7].0[k] = -0.5 * lam.0[k] * (fp[7].0[k] - fm[7].0[k]);
-        favg[8].0[k] = 0.5 * (fm[8].0[k] + fp[8].0[k]);
-        ghat[8].0[k] = -0.5 * lam.0[k] * (fp[8].0[k] - fm[8].0[k]);
-        favg[9].0[k] = 0.5 * (fm[9].0[k] + fp[9].0[k]);
-        ghat[9].0[k] = -0.5 * lam.0[k] * (fp[9].0[k] - fm[9].0[k]);
-        favg[10].0[k] = 0.5 * (fm[10].0[k] + fp[10].0[k]);
-        ghat[10].0[k] = -0.5 * lam.0[k] * (fp[10].0[k] - fm[10].0[k]);
-        favg[11].0[k] = 0.5 * (fm[11].0[k] + fp[11].0[k]);
-        ghat[11].0[k] = -0.5 * lam.0[k] * (fp[11].0[k] - fm[11].0[k]);
-        favg[12].0[k] = 0.5 * (fm[12].0[k] + fp[12].0[k]);
-        ghat[12].0[k] = -0.5 * lam.0[k] * (fp[12].0[k] - fm[12].0[k]);
-        favg[13].0[k] = 0.5 * (fm[13].0[k] + fp[13].0[k]);
-        ghat[13].0[k] = -0.5 * lam.0[k] * (fp[13].0[k] - fm[13].0[k]);
-        favg[14].0[k] = 0.5 * (fm[14].0[k] + fp[14].0[k]);
-        ghat[14].0[k] = -0.5 * lam.0[k] * (fp[14].0[k] - fm[14].0[k]);
-        favg[15].0[k] = 0.5 * (fm[15].0[k] + fp[15].0[k]);
-        ghat[15].0[k] = -0.5 * lam.0[k] * (fp[15].0[k] - fm[15].0[k]);
-        favg[16].0[k] = 0.5 * (fm[16].0[k] + fp[16].0[k]);
-        ghat[16].0[k] = -0.5 * lam.0[k] * (fp[16].0[k] - fm[16].0[k]);
-        favg[17].0[k] = 0.5 * (fm[17].0[k] + fp[17].0[k]);
-        ghat[17].0[k] = -0.5 * lam.0[k] * (fp[17].0[k] - fm[17].0[k]);
-        favg[18].0[k] = 0.5 * (fm[18].0[k] + fp[18].0[k]);
-        ghat[18].0[k] = -0.5 * lam.0[k] * (fp[18].0[k] - fm[18].0[k]);
-        favg[19].0[k] = 0.5 * (fm[19].0[k] + fp[19].0[k]);
-        ghat[19].0[k] = -0.5 * lam.0[k] * (fp[19].0[k] - fm[19].0[k]);
-        favg[20].0[k] = 0.5 * (fm[20].0[k] + fp[20].0[k]);
-        ghat[20].0[k] = -0.5 * lam.0[k] * (fp[20].0[k] - fm[20].0[k]);
-        favg[21].0[k] = 0.5 * (fm[21].0[k] + fp[21].0[k]);
-        ghat[21].0[k] = -0.5 * lam.0[k] * (fp[21].0[k] - fm[21].0[k]);
-        favg[22].0[k] = 0.5 * (fm[22].0[k] + fp[22].0[k]);
-        ghat[22].0[k] = -0.5 * lam.0[k] * (fp[22].0[k] - fm[22].0[k]);
-        favg[23].0[k] = 0.5 * (fm[23].0[k] + fp[23].0[k]);
-        ghat[23].0[k] = -0.5 * lam.0[k] * (fp[23].0[k] - fm[23].0[k]);
-        favg[24].0[k] = 0.5 * (fm[24].0[k] + fp[24].0[k]);
-        ghat[24].0[k] = -0.5 * lam.0[k] * (fp[24].0[k] - fm[24].0[k]);
-        favg[25].0[k] = 0.5 * (fm[25].0[k] + fp[25].0[k]);
-        ghat[25].0[k] = -0.5 * lam.0[k] * (fp[25].0[k] - fm[25].0[k]);
-        favg[26].0[k] = 0.5 * (fm[26].0[k] + fp[26].0[k]);
-        ghat[26].0[k] = -0.5 * lam.0[k] * (fp[26].0[k] - fm[26].0[k]);
-        favg[27].0[k] = 0.5 * (fm[27].0[k] + fp[27].0[k]);
-        ghat[27].0[k] = -0.5 * lam.0[k] * (fp[27].0[k] - fm[27].0[k]);
-        favg[28].0[k] = 0.5 * (fm[28].0[k] + fp[28].0[k]);
-        ghat[28].0[k] = -0.5 * lam.0[k] * (fp[28].0[k] - fm[28].0[k]);
-        favg[29].0[k] = 0.5 * (fm[29].0[k] + fp[29].0[k]);
-        ghat[29].0[k] = -0.5 * lam.0[k] * (fp[29].0[k] - fm[29].0[k]);
-        favg[30].0[k] = 0.5 * (fm[30].0[k] + fp[30].0[k]);
-        ghat[30].0[k] = -0.5 * lam.0[k] * (fp[30].0[k] - fm[30].0[k]);
-        favg[31].0[k] = 0.5 * (fm[31].0[k] + fp[31].0[k]);
-        ghat[31].0[k] = -0.5 * lam.0[k] * (fp[31].0[k] - fm[31].0[k]);
+    let mut fm = [[0.0f64; L]; 32];
+    let mut fp = [[0.0f64; L]; 32];
+    sxn(&mut fm[0], 0.7071067811865476, &f_lo[0]);
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[1]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[2]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[3]);
+    sxn(&mut fm[0], 1.224744871391589, &f_lo[4]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[5]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[6]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[7]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[8]);
+    sxn(&mut fm[8], 0.7071067811865476, &f_lo[9]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[10]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[11]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[12]);
+    sxn(&mut fm[9], 0.7071067811865476, &f_lo[13]);
+    sxn(&mut fm[10], 0.7071067811865476, &f_lo[14]);
+    sxn(&mut fm[11], 0.7071067811865476, &f_lo[15]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[16]);
+    sxn(&mut fm[12], 0.7071067811865476, &f_lo[17]);
+    sxn(&mut fm[13], 0.7071067811865476, &f_lo[18]);
+    sxn(&mut fm[14], 0.7071067811865476, &f_lo[19]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[20]);
+    sxn(&mut fm[15], 0.7071067811865476, &f_lo[21]);
+    sxn(&mut fm[16], 0.7071067811865476, &f_lo[22]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[23]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[24]);
+    sxn(&mut fm[8], 1.224744871391589, &f_lo[25]);
+    sxn(&mut fm[17], 0.7071067811865476, &f_lo[26]);
+    sxn(&mut fm[18], 0.7071067811865476, &f_lo[27]);
+    sxn(&mut fm[19], 0.7071067811865476, &f_lo[28]);
+    sxn(&mut fm[9], 1.224744871391589, &f_lo[29]);
+    sxn(&mut fm[10], 1.224744871391589, &f_lo[30]);
+    sxn(&mut fm[11], 1.224744871391589, &f_lo[31]);
+    sxn(&mut fm[20], 0.7071067811865476, &f_lo[32]);
+    sxn(&mut fm[21], 0.7071067811865476, &f_lo[33]);
+    sxn(&mut fm[22], 0.7071067811865476, &f_lo[34]);
+    sxn(&mut fm[12], 1.224744871391589, &f_lo[35]);
+    sxn(&mut fm[13], 1.224744871391589, &f_lo[36]);
+    sxn(&mut fm[14], 1.224744871391589, &f_lo[37]);
+    sxn(&mut fm[23], 0.7071067811865476, &f_lo[38]);
+    sxn(&mut fm[24], 0.7071067811865476, &f_lo[39]);
+    sxn(&mut fm[25], 0.7071067811865476, &f_lo[40]);
+    sxn(&mut fm[15], 1.224744871391589, &f_lo[41]);
+    sxn(&mut fm[16], 1.224744871391589, &f_lo[42]);
+    sxn(&mut fm[26], 0.7071067811865476, &f_lo[43]);
+    sxn(&mut fm[17], 1.224744871391589, &f_lo[44]);
+    sxn(&mut fm[18], 1.224744871391589, &f_lo[45]);
+    sxn(&mut fm[19], 1.224744871391589, &f_lo[46]);
+    sxn(&mut fm[27], 0.7071067811865476, &f_lo[47]);
+    sxn(&mut fm[20], 1.224744871391589, &f_lo[48]);
+    sxn(&mut fm[21], 1.224744871391589, &f_lo[49]);
+    sxn(&mut fm[22], 1.224744871391589, &f_lo[50]);
+    sxn(&mut fm[28], 0.7071067811865476, &f_lo[51]);
+    sxn(&mut fm[29], 0.7071067811865476, &f_lo[52]);
+    sxn(&mut fm[30], 0.7071067811865476, &f_lo[53]);
+    sxn(&mut fm[23], 1.224744871391589, &f_lo[54]);
+    sxn(&mut fm[24], 1.224744871391589, &f_lo[55]);
+    sxn(&mut fm[25], 1.224744871391589, &f_lo[56]);
+    sxn(&mut fm[26], 1.224744871391589, &f_lo[57]);
+    sxn(&mut fm[27], 1.224744871391589, &f_lo[58]);
+    sxn(&mut fm[31], 0.7071067811865476, &f_lo[59]);
+    sxn(&mut fm[28], 1.224744871391589, &f_lo[60]);
+    sxn(&mut fm[29], 1.224744871391589, &f_lo[61]);
+    sxn(&mut fm[30], 1.224744871391589, &f_lo[62]);
+    sxn(&mut fm[31], 1.224744871391589, &f_lo[63]);
+    sxn(&mut fp[0], 0.7071067811865476, &f_hi[0]);
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[1]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[2]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[3]);
+    sxn(&mut fp[0], -1.224744871391589, &f_hi[4]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[5]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[6]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[7]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[8]);
+    sxn(&mut fp[8], 0.7071067811865476, &f_hi[9]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[10]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[11]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[12]);
+    sxn(&mut fp[9], 0.7071067811865476, &f_hi[13]);
+    sxn(&mut fp[10], 0.7071067811865476, &f_hi[14]);
+    sxn(&mut fp[11], 0.7071067811865476, &f_hi[15]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[16]);
+    sxn(&mut fp[12], 0.7071067811865476, &f_hi[17]);
+    sxn(&mut fp[13], 0.7071067811865476, &f_hi[18]);
+    sxn(&mut fp[14], 0.7071067811865476, &f_hi[19]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[20]);
+    sxn(&mut fp[15], 0.7071067811865476, &f_hi[21]);
+    sxn(&mut fp[16], 0.7071067811865476, &f_hi[22]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[23]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[24]);
+    sxn(&mut fp[8], -1.224744871391589, &f_hi[25]);
+    sxn(&mut fp[17], 0.7071067811865476, &f_hi[26]);
+    sxn(&mut fp[18], 0.7071067811865476, &f_hi[27]);
+    sxn(&mut fp[19], 0.7071067811865476, &f_hi[28]);
+    sxn(&mut fp[9], -1.224744871391589, &f_hi[29]);
+    sxn(&mut fp[10], -1.224744871391589, &f_hi[30]);
+    sxn(&mut fp[11], -1.224744871391589, &f_hi[31]);
+    sxn(&mut fp[20], 0.7071067811865476, &f_hi[32]);
+    sxn(&mut fp[21], 0.7071067811865476, &f_hi[33]);
+    sxn(&mut fp[22], 0.7071067811865476, &f_hi[34]);
+    sxn(&mut fp[12], -1.224744871391589, &f_hi[35]);
+    sxn(&mut fp[13], -1.224744871391589, &f_hi[36]);
+    sxn(&mut fp[14], -1.224744871391589, &f_hi[37]);
+    sxn(&mut fp[23], 0.7071067811865476, &f_hi[38]);
+    sxn(&mut fp[24], 0.7071067811865476, &f_hi[39]);
+    sxn(&mut fp[25], 0.7071067811865476, &f_hi[40]);
+    sxn(&mut fp[15], -1.224744871391589, &f_hi[41]);
+    sxn(&mut fp[16], -1.224744871391589, &f_hi[42]);
+    sxn(&mut fp[26], 0.7071067811865476, &f_hi[43]);
+    sxn(&mut fp[17], -1.224744871391589, &f_hi[44]);
+    sxn(&mut fp[18], -1.224744871391589, &f_hi[45]);
+    sxn(&mut fp[19], -1.224744871391589, &f_hi[46]);
+    sxn(&mut fp[27], 0.7071067811865476, &f_hi[47]);
+    sxn(&mut fp[20], -1.224744871391589, &f_hi[48]);
+    sxn(&mut fp[21], -1.224744871391589, &f_hi[49]);
+    sxn(&mut fp[22], -1.224744871391589, &f_hi[50]);
+    sxn(&mut fp[28], 0.7071067811865476, &f_hi[51]);
+    sxn(&mut fp[29], 0.7071067811865476, &f_hi[52]);
+    sxn(&mut fp[30], 0.7071067811865476, &f_hi[53]);
+    sxn(&mut fp[23], -1.224744871391589, &f_hi[54]);
+    sxn(&mut fp[24], -1.224744871391589, &f_hi[55]);
+    sxn(&mut fp[25], -1.224744871391589, &f_hi[56]);
+    sxn(&mut fp[26], -1.224744871391589, &f_hi[57]);
+    sxn(&mut fp[27], -1.224744871391589, &f_hi[58]);
+    sxn(&mut fp[31], 0.7071067811865476, &f_hi[59]);
+    sxn(&mut fp[28], -1.224744871391589, &f_hi[60]);
+    sxn(&mut fp[29], -1.224744871391589, &f_hi[61]);
+    sxn(&mut fp[30], -1.224744871391589, &f_hi[62]);
+    sxn(&mut fp[31], -1.224744871391589, &f_hi[63]);
+    let mut favg = [[0.0f64; L]; 32];
+    let mut ghat = [[0.0f64; L]; 32];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
+        favg[8][k] = 0.5 * (fm[8][k] + fp[8][k]);
+        ghat[8][k] = -0.5 * lam[k] * (fp[8][k] - fm[8][k]);
+        favg[9][k] = 0.5 * (fm[9][k] + fp[9][k]);
+        ghat[9][k] = -0.5 * lam[k] * (fp[9][k] - fm[9][k]);
+        favg[10][k] = 0.5 * (fm[10][k] + fp[10][k]);
+        ghat[10][k] = -0.5 * lam[k] * (fp[10][k] - fm[10][k]);
+        favg[11][k] = 0.5 * (fm[11][k] + fp[11][k]);
+        ghat[11][k] = -0.5 * lam[k] * (fp[11][k] - fm[11][k]);
+        favg[12][k] = 0.5 * (fm[12][k] + fp[12][k]);
+        ghat[12][k] = -0.5 * lam[k] * (fp[12][k] - fm[12][k]);
+        favg[13][k] = 0.5 * (fm[13][k] + fp[13][k]);
+        ghat[13][k] = -0.5 * lam[k] * (fp[13][k] - fm[13][k]);
+        favg[14][k] = 0.5 * (fm[14][k] + fp[14][k]);
+        ghat[14][k] = -0.5 * lam[k] * (fp[14][k] - fm[14][k]);
+        favg[15][k] = 0.5 * (fm[15][k] + fp[15][k]);
+        ghat[15][k] = -0.5 * lam[k] * (fp[15][k] - fm[15][k]);
+        favg[16][k] = 0.5 * (fm[16][k] + fp[16][k]);
+        ghat[16][k] = -0.5 * lam[k] * (fp[16][k] - fm[16][k]);
+        favg[17][k] = 0.5 * (fm[17][k] + fp[17][k]);
+        ghat[17][k] = -0.5 * lam[k] * (fp[17][k] - fm[17][k]);
+        favg[18][k] = 0.5 * (fm[18][k] + fp[18][k]);
+        ghat[18][k] = -0.5 * lam[k] * (fp[18][k] - fm[18][k]);
+        favg[19][k] = 0.5 * (fm[19][k] + fp[19][k]);
+        ghat[19][k] = -0.5 * lam[k] * (fp[19][k] - fm[19][k]);
+        favg[20][k] = 0.5 * (fm[20][k] + fp[20][k]);
+        ghat[20][k] = -0.5 * lam[k] * (fp[20][k] - fm[20][k]);
+        favg[21][k] = 0.5 * (fm[21][k] + fp[21][k]);
+        ghat[21][k] = -0.5 * lam[k] * (fp[21][k] - fm[21][k]);
+        favg[22][k] = 0.5 * (fm[22][k] + fp[22][k]);
+        ghat[22][k] = -0.5 * lam[k] * (fp[22][k] - fm[22][k]);
+        favg[23][k] = 0.5 * (fm[23][k] + fp[23][k]);
+        ghat[23][k] = -0.5 * lam[k] * (fp[23][k] - fm[23][k]);
+        favg[24][k] = 0.5 * (fm[24][k] + fp[24][k]);
+        ghat[24][k] = -0.5 * lam[k] * (fp[24][k] - fm[24][k]);
+        favg[25][k] = 0.5 * (fm[25][k] + fp[25][k]);
+        ghat[25][k] = -0.5 * lam[k] * (fp[25][k] - fm[25][k]);
+        favg[26][k] = 0.5 * (fm[26][k] + fp[26][k]);
+        ghat[26][k] = -0.5 * lam[k] * (fp[26][k] - fm[26][k]);
+        favg[27][k] = 0.5 * (fm[27][k] + fp[27][k]);
+        ghat[27][k] = -0.5 * lam[k] * (fp[27][k] - fm[27][k]);
+        favg[28][k] = 0.5 * (fm[28][k] + fp[28][k]);
+        ghat[28][k] = -0.5 * lam[k] * (fp[28][k] - fm[28][k]);
+        favg[29][k] = 0.5 * (fm[29][k] + fp[29][k]);
+        ghat[29][k] = -0.5 * lam[k] * (fp[29][k] - fm[29][k]);
+        favg[30][k] = 0.5 * (fm[30][k] + fp[30][k]);
+        ghat[30][k] = -0.5 * lam[k] * (fp[30][k] - fm[30][k]);
+        favg[31][k] = 0.5 * (fm[31][k] + fp[31][k]);
+        ghat[31][k] = -0.5 * lam[k] * (fp[31][k] - fm[31][k]);
     }
-    for k in 0..LANES {
-        ghat[0].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[0].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[1].0[k];
+    for k in 0..L {
+        ghat[0][k] += 0.1767766952966369 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[1][k] * favg[1][k];
     }
-    for k in 0..LANES {
-        ghat[1].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[1].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[0].0[k];
+    for k in 0..L {
+        ghat[1][k] += 0.17677669529663687 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[1][k] * favg[0][k];
     }
-    for k in 0..LANES {
-        ghat[2].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[2].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[6].0[k];
+    for k in 0..L {
+        ghat[2][k] += 0.17677669529663687 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[1][k] * favg[6][k];
     }
-    for k in 0..LANES {
-        ghat[3].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[3].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[7].0[k];
+    for k in 0..L {
+        ghat[3][k] += 0.17677669529663687 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[1][k] * favg[7][k];
     }
-    for k in 0..LANES {
-        ghat[4].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[4].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[9].0[k];
+    for k in 0..L {
+        ghat[4][k] += 0.17677669529663687 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[1][k] * favg[9][k];
     }
-    for k in 0..LANES {
-        ghat[5].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[5].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[12].0[k];
+    for k in 0..L {
+        ghat[5][k] += 0.17677669529663687 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[1][k] * favg[12][k];
     }
-    for k in 0..LANES {
-        ghat[6].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[6].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[2].0[k];
+    for k in 0..L {
+        ghat[6][k] += 0.17677669529663687 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[1][k] * favg[2][k];
     }
-    for k in 0..LANES {
-        ghat[7].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[7].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[3].0[k];
+    for k in 0..L {
+        ghat[7][k] += 0.17677669529663687 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[1][k] * favg[3][k];
     }
-    for k in 0..LANES {
-        ghat[8].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[8].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[16].0[k];
+    for k in 0..L {
+        ghat[8][k] += 0.17677669529663687 * alpha[0][k] * favg[8][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[1][k] * favg[16][k];
     }
-    for k in 0..LANES {
-        ghat[9].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[9].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[4].0[k];
+    for k in 0..L {
+        ghat[9][k] += 0.17677669529663687 * alpha[0][k] * favg[9][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[1][k] * favg[4][k];
     }
-    for k in 0..LANES {
-        ghat[10].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[10].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[17].0[k];
+    for k in 0..L {
+        ghat[10][k] += 0.17677669529663687 * alpha[0][k] * favg[10][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[1][k] * favg[17][k];
     }
-    for k in 0..LANES {
-        ghat[11].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[11].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[18].0[k];
+    for k in 0..L {
+        ghat[11][k] += 0.17677669529663687 * alpha[0][k] * favg[11][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[1][k] * favg[18][k];
     }
-    for k in 0..LANES {
-        ghat[12].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[12].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[5].0[k];
+    for k in 0..L {
+        ghat[12][k] += 0.17677669529663687 * alpha[0][k] * favg[12][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[1][k] * favg[5][k];
     }
-    for k in 0..LANES {
-        ghat[13].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[13].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[20].0[k];
+    for k in 0..L {
+        ghat[13][k] += 0.17677669529663687 * alpha[0][k] * favg[13][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[1][k] * favg[20][k];
     }
-    for k in 0..LANES {
-        ghat[14].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[14].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[21].0[k];
+    for k in 0..L {
+        ghat[14][k] += 0.17677669529663687 * alpha[0][k] * favg[14][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[1][k] * favg[21][k];
     }
-    for k in 0..LANES {
-        ghat[15].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[15].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[23].0[k];
+    for k in 0..L {
+        ghat[15][k] += 0.17677669529663687 * alpha[0][k] * favg[15][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[1][k] * favg[23][k];
     }
-    for k in 0..LANES {
-        ghat[16].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[16].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[8].0[k];
+    for k in 0..L {
+        ghat[16][k] += 0.1767766952966369 * alpha[0][k] * favg[16][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[1][k] * favg[8][k];
     }
-    for k in 0..LANES {
-        ghat[17].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[17].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[10].0[k];
+    for k in 0..L {
+        ghat[17][k] += 0.1767766952966369 * alpha[0][k] * favg[17][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[1][k] * favg[10][k];
     }
-    for k in 0..LANES {
-        ghat[18].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[18].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[11].0[k];
+    for k in 0..L {
+        ghat[18][k] += 0.1767766952966369 * alpha[0][k] * favg[18][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[1][k] * favg[11][k];
     }
-    for k in 0..LANES {
-        ghat[19].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[19].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[26].0[k];
+    for k in 0..L {
+        ghat[19][k] += 0.1767766952966369 * alpha[0][k] * favg[19][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[1][k] * favg[26][k];
     }
-    for k in 0..LANES {
-        ghat[20].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[20].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[13].0[k];
+    for k in 0..L {
+        ghat[20][k] += 0.1767766952966369 * alpha[0][k] * favg[20][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[1][k] * favg[13][k];
     }
-    for k in 0..LANES {
-        ghat[21].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[21].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[14].0[k];
+    for k in 0..L {
+        ghat[21][k] += 0.1767766952966369 * alpha[0][k] * favg[21][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[1][k] * favg[14][k];
     }
-    for k in 0..LANES {
-        ghat[22].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[22].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[27].0[k];
+    for k in 0..L {
+        ghat[22][k] += 0.1767766952966369 * alpha[0][k] * favg[22][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[1][k] * favg[27][k];
     }
-    for k in 0..LANES {
-        ghat[23].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[23].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[15].0[k];
+    for k in 0..L {
+        ghat[23][k] += 0.1767766952966369 * alpha[0][k] * favg[23][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[1][k] * favg[15][k];
     }
-    for k in 0..LANES {
-        ghat[24].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[24].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[28].0[k];
+    for k in 0..L {
+        ghat[24][k] += 0.1767766952966369 * alpha[0][k] * favg[24][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[1][k] * favg[28][k];
     }
-    for k in 0..LANES {
-        ghat[25].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[25].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[29].0[k];
+    for k in 0..L {
+        ghat[25][k] += 0.1767766952966369 * alpha[0][k] * favg[25][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[1][k] * favg[29][k];
     }
-    for k in 0..LANES {
-        ghat[26].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[26].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[19].0[k];
+    for k in 0..L {
+        ghat[26][k] += 0.17677669529663687 * alpha[0][k] * favg[26][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[1][k] * favg[19][k];
     }
-    for k in 0..LANES {
-        ghat[27].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[27].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[22].0[k];
+    for k in 0..L {
+        ghat[27][k] += 0.17677669529663687 * alpha[0][k] * favg[27][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[1][k] * favg[22][k];
     }
-    for k in 0..LANES {
-        ghat[28].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[28].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[24].0[k];
+    for k in 0..L {
+        ghat[28][k] += 0.17677669529663687 * alpha[0][k] * favg[28][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[1][k] * favg[24][k];
     }
-    for k in 0..LANES {
-        ghat[29].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[29].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[25].0[k];
+    for k in 0..L {
+        ghat[29][k] += 0.17677669529663687 * alpha[0][k] * favg[29][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[1][k] * favg[25][k];
     }
-    for k in 0..LANES {
-        ghat[30].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[30].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[31].0[k];
+    for k in 0..L {
+        ghat[30][k] += 0.17677669529663687 * alpha[0][k] * favg[30][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[1][k] * favg[31][k];
     }
-    for k in 0..LANES {
-        ghat[31].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[31].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[30].0[k];
+    for k in 0..L {
+        ghat[31][k] += 0.1767766952966369 * alpha[0][k] * favg[31][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[1][k] * favg[30][k];
     }
-    sx4(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_lo[3], -rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_lo[4], -rd * 1.224744871391589, &ghat[0]);
-    sx4(&mut out_lo[5], -rd * 0.7071067811865476, &ghat[4]);
-    sx4(&mut out_lo[6], -rd * 0.7071067811865476, &ghat[5]);
-    sx4(&mut out_lo[7], -rd * 0.7071067811865476, &ghat[6]);
-    sx4(&mut out_lo[8], -rd * 0.7071067811865476, &ghat[7]);
-    sx4(&mut out_lo[9], -rd * 0.7071067811865476, &ghat[8]);
-    sx4(&mut out_lo[10], -rd * 1.224744871391589, &ghat[1]);
-    sx4(&mut out_lo[11], -rd * 1.224744871391589, &ghat[2]);
-    sx4(&mut out_lo[12], -rd * 1.224744871391589, &ghat[3]);
-    sx4(&mut out_lo[13], -rd * 0.7071067811865476, &ghat[9]);
-    sx4(&mut out_lo[14], -rd * 0.7071067811865476, &ghat[10]);
-    sx4(&mut out_lo[15], -rd * 0.7071067811865476, &ghat[11]);
-    sx4(&mut out_lo[16], -rd * 1.224744871391589, &ghat[4]);
-    sx4(&mut out_lo[17], -rd * 0.7071067811865476, &ghat[12]);
-    sx4(&mut out_lo[18], -rd * 0.7071067811865476, &ghat[13]);
-    sx4(&mut out_lo[19], -rd * 0.7071067811865476, &ghat[14]);
-    sx4(&mut out_lo[20], -rd * 1.224744871391589, &ghat[5]);
-    sx4(&mut out_lo[21], -rd * 0.7071067811865476, &ghat[15]);
-    sx4(&mut out_lo[22], -rd * 0.7071067811865476, &ghat[16]);
-    sx4(&mut out_lo[23], -rd * 1.224744871391589, &ghat[6]);
-    sx4(&mut out_lo[24], -rd * 1.224744871391589, &ghat[7]);
-    sx4(&mut out_lo[25], -rd * 1.224744871391589, &ghat[8]);
-    sx4(&mut out_lo[26], -rd * 0.7071067811865476, &ghat[17]);
-    sx4(&mut out_lo[27], -rd * 0.7071067811865476, &ghat[18]);
-    sx4(&mut out_lo[28], -rd * 0.7071067811865476, &ghat[19]);
-    sx4(&mut out_lo[29], -rd * 1.224744871391589, &ghat[9]);
-    sx4(&mut out_lo[30], -rd * 1.224744871391589, &ghat[10]);
-    sx4(&mut out_lo[31], -rd * 1.224744871391589, &ghat[11]);
-    sx4(&mut out_lo[32], -rd * 0.7071067811865476, &ghat[20]);
-    sx4(&mut out_lo[33], -rd * 0.7071067811865476, &ghat[21]);
-    sx4(&mut out_lo[34], -rd * 0.7071067811865476, &ghat[22]);
-    sx4(&mut out_lo[35], -rd * 1.224744871391589, &ghat[12]);
-    sx4(&mut out_lo[36], -rd * 1.224744871391589, &ghat[13]);
-    sx4(&mut out_lo[37], -rd * 1.224744871391589, &ghat[14]);
-    sx4(&mut out_lo[38], -rd * 0.7071067811865476, &ghat[23]);
-    sx4(&mut out_lo[39], -rd * 0.7071067811865476, &ghat[24]);
-    sx4(&mut out_lo[40], -rd * 0.7071067811865476, &ghat[25]);
-    sx4(&mut out_lo[41], -rd * 1.224744871391589, &ghat[15]);
-    sx4(&mut out_lo[42], -rd * 1.224744871391589, &ghat[16]);
-    sx4(&mut out_lo[43], -rd * 0.7071067811865476, &ghat[26]);
-    sx4(&mut out_lo[44], -rd * 1.224744871391589, &ghat[17]);
-    sx4(&mut out_lo[45], -rd * 1.224744871391589, &ghat[18]);
-    sx4(&mut out_lo[46], -rd * 1.224744871391589, &ghat[19]);
-    sx4(&mut out_lo[47], -rd * 0.7071067811865476, &ghat[27]);
-    sx4(&mut out_lo[48], -rd * 1.224744871391589, &ghat[20]);
-    sx4(&mut out_lo[49], -rd * 1.224744871391589, &ghat[21]);
-    sx4(&mut out_lo[50], -rd * 1.224744871391589, &ghat[22]);
-    sx4(&mut out_lo[51], -rd * 0.7071067811865476, &ghat[28]);
-    sx4(&mut out_lo[52], -rd * 0.7071067811865476, &ghat[29]);
-    sx4(&mut out_lo[53], -rd * 0.7071067811865476, &ghat[30]);
-    sx4(&mut out_lo[54], -rd * 1.224744871391589, &ghat[23]);
-    sx4(&mut out_lo[55], -rd * 1.224744871391589, &ghat[24]);
-    sx4(&mut out_lo[56], -rd * 1.224744871391589, &ghat[25]);
-    sx4(&mut out_lo[57], -rd * 1.224744871391589, &ghat[26]);
-    sx4(&mut out_lo[58], -rd * 1.224744871391589, &ghat[27]);
-    sx4(&mut out_lo[59], -rd * 0.7071067811865476, &ghat[31]);
-    sx4(&mut out_lo[60], -rd * 1.224744871391589, &ghat[28]);
-    sx4(&mut out_lo[61], -rd * 1.224744871391589, &ghat[29]);
-    sx4(&mut out_lo[62], -rd * 1.224744871391589, &ghat[30]);
-    sx4(&mut out_lo[63], -rd * 1.224744871391589, &ghat[31]);
-    sx4(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_hi[1], rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_hi[2], rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_hi[3], rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_hi[4], rd * -1.224744871391589, &ghat[0]);
-    sx4(&mut out_hi[5], rd * 0.7071067811865476, &ghat[4]);
-    sx4(&mut out_hi[6], rd * 0.7071067811865476, &ghat[5]);
-    sx4(&mut out_hi[7], rd * 0.7071067811865476, &ghat[6]);
-    sx4(&mut out_hi[8], rd * 0.7071067811865476, &ghat[7]);
-    sx4(&mut out_hi[9], rd * 0.7071067811865476, &ghat[8]);
-    sx4(&mut out_hi[10], rd * -1.224744871391589, &ghat[1]);
-    sx4(&mut out_hi[11], rd * -1.224744871391589, &ghat[2]);
-    sx4(&mut out_hi[12], rd * -1.224744871391589, &ghat[3]);
-    sx4(&mut out_hi[13], rd * 0.7071067811865476, &ghat[9]);
-    sx4(&mut out_hi[14], rd * 0.7071067811865476, &ghat[10]);
-    sx4(&mut out_hi[15], rd * 0.7071067811865476, &ghat[11]);
-    sx4(&mut out_hi[16], rd * -1.224744871391589, &ghat[4]);
-    sx4(&mut out_hi[17], rd * 0.7071067811865476, &ghat[12]);
-    sx4(&mut out_hi[18], rd * 0.7071067811865476, &ghat[13]);
-    sx4(&mut out_hi[19], rd * 0.7071067811865476, &ghat[14]);
-    sx4(&mut out_hi[20], rd * -1.224744871391589, &ghat[5]);
-    sx4(&mut out_hi[21], rd * 0.7071067811865476, &ghat[15]);
-    sx4(&mut out_hi[22], rd * 0.7071067811865476, &ghat[16]);
-    sx4(&mut out_hi[23], rd * -1.224744871391589, &ghat[6]);
-    sx4(&mut out_hi[24], rd * -1.224744871391589, &ghat[7]);
-    sx4(&mut out_hi[25], rd * -1.224744871391589, &ghat[8]);
-    sx4(&mut out_hi[26], rd * 0.7071067811865476, &ghat[17]);
-    sx4(&mut out_hi[27], rd * 0.7071067811865476, &ghat[18]);
-    sx4(&mut out_hi[28], rd * 0.7071067811865476, &ghat[19]);
-    sx4(&mut out_hi[29], rd * -1.224744871391589, &ghat[9]);
-    sx4(&mut out_hi[30], rd * -1.224744871391589, &ghat[10]);
-    sx4(&mut out_hi[31], rd * -1.224744871391589, &ghat[11]);
-    sx4(&mut out_hi[32], rd * 0.7071067811865476, &ghat[20]);
-    sx4(&mut out_hi[33], rd * 0.7071067811865476, &ghat[21]);
-    sx4(&mut out_hi[34], rd * 0.7071067811865476, &ghat[22]);
-    sx4(&mut out_hi[35], rd * -1.224744871391589, &ghat[12]);
-    sx4(&mut out_hi[36], rd * -1.224744871391589, &ghat[13]);
-    sx4(&mut out_hi[37], rd * -1.224744871391589, &ghat[14]);
-    sx4(&mut out_hi[38], rd * 0.7071067811865476, &ghat[23]);
-    sx4(&mut out_hi[39], rd * 0.7071067811865476, &ghat[24]);
-    sx4(&mut out_hi[40], rd * 0.7071067811865476, &ghat[25]);
-    sx4(&mut out_hi[41], rd * -1.224744871391589, &ghat[15]);
-    sx4(&mut out_hi[42], rd * -1.224744871391589, &ghat[16]);
-    sx4(&mut out_hi[43], rd * 0.7071067811865476, &ghat[26]);
-    sx4(&mut out_hi[44], rd * -1.224744871391589, &ghat[17]);
-    sx4(&mut out_hi[45], rd * -1.224744871391589, &ghat[18]);
-    sx4(&mut out_hi[46], rd * -1.224744871391589, &ghat[19]);
-    sx4(&mut out_hi[47], rd * 0.7071067811865476, &ghat[27]);
-    sx4(&mut out_hi[48], rd * -1.224744871391589, &ghat[20]);
-    sx4(&mut out_hi[49], rd * -1.224744871391589, &ghat[21]);
-    sx4(&mut out_hi[50], rd * -1.224744871391589, &ghat[22]);
-    sx4(&mut out_hi[51], rd * 0.7071067811865476, &ghat[28]);
-    sx4(&mut out_hi[52], rd * 0.7071067811865476, &ghat[29]);
-    sx4(&mut out_hi[53], rd * 0.7071067811865476, &ghat[30]);
-    sx4(&mut out_hi[54], rd * -1.224744871391589, &ghat[23]);
-    sx4(&mut out_hi[55], rd * -1.224744871391589, &ghat[24]);
-    sx4(&mut out_hi[56], rd * -1.224744871391589, &ghat[25]);
-    sx4(&mut out_hi[57], rd * -1.224744871391589, &ghat[26]);
-    sx4(&mut out_hi[58], rd * -1.224744871391589, &ghat[27]);
-    sx4(&mut out_hi[59], rd * 0.7071067811865476, &ghat[31]);
-    sx4(&mut out_hi[60], rd * -1.224744871391589, &ghat[28]);
-    sx4(&mut out_hi[61], rd * -1.224744871391589, &ghat[29]);
-    sx4(&mut out_hi[62], rd * -1.224744871391589, &ghat[30]);
-    sx4(&mut out_hi[63], rd * -1.224744871391589, &ghat[31]);
+    sxn(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[3], -rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[4], -rd * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[5], -rd * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], -rd * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[7], -rd * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[8], -rd * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[9], -rd * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[10], -rd * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[11], -rd * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[12], -rd * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[13], -rd * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[14], -rd * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[15], -rd * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[16], -rd * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[17], -rd * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[18], -rd * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[19], -rd * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[20], -rd * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[21], -rd * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[22], -rd * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_lo[23], -rd * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[24], -rd * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[25], -rd * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[26], -rd * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_lo[27], -rd * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_lo[28], -rd * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_lo[29], -rd * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[30], -rd * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[31], -rd * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[32], -rd * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_lo[33], -rd * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_lo[34], -rd * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_lo[35], -rd * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[36], -rd * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[37], -rd * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[38], -rd * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_lo[39], -rd * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_lo[40], -rd * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_lo[41], -rd * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_lo[42], -rd * 1.224744871391589, &ghat[16]);
+    sxn(&mut out_lo[43], -rd * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_lo[44], -rd * 1.224744871391589, &ghat[17]);
+    sxn(&mut out_lo[45], -rd * 1.224744871391589, &ghat[18]);
+    sxn(&mut out_lo[46], -rd * 1.224744871391589, &ghat[19]);
+    sxn(&mut out_lo[47], -rd * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_lo[48], -rd * 1.224744871391589, &ghat[20]);
+    sxn(&mut out_lo[49], -rd * 1.224744871391589, &ghat[21]);
+    sxn(&mut out_lo[50], -rd * 1.224744871391589, &ghat[22]);
+    sxn(&mut out_lo[51], -rd * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_lo[52], -rd * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_lo[53], -rd * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_lo[54], -rd * 1.224744871391589, &ghat[23]);
+    sxn(&mut out_lo[55], -rd * 1.224744871391589, &ghat[24]);
+    sxn(&mut out_lo[56], -rd * 1.224744871391589, &ghat[25]);
+    sxn(&mut out_lo[57], -rd * 1.224744871391589, &ghat[26]);
+    sxn(&mut out_lo[58], -rd * 1.224744871391589, &ghat[27]);
+    sxn(&mut out_lo[59], -rd * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_lo[60], -rd * 1.224744871391589, &ghat[28]);
+    sxn(&mut out_lo[61], -rd * 1.224744871391589, &ghat[29]);
+    sxn(&mut out_lo[62], -rd * 1.224744871391589, &ghat[30]);
+    sxn(&mut out_lo[63], -rd * 1.224744871391589, &ghat[31]);
+    sxn(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[3], rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[4], rd * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[5], rd * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], rd * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[7], rd * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[8], rd * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[9], rd * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[10], rd * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[11], rd * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[12], rd * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[13], rd * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[14], rd * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[15], rd * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[16], rd * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[17], rd * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[18], rd * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[19], rd * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[20], rd * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[21], rd * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[22], rd * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_hi[23], rd * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[24], rd * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[25], rd * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[26], rd * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_hi[27], rd * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_hi[28], rd * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_hi[29], rd * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[30], rd * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[31], rd * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[32], rd * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_hi[33], rd * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_hi[34], rd * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_hi[35], rd * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[36], rd * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[37], rd * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[38], rd * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_hi[39], rd * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_hi[40], rd * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_hi[41], rd * -1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[42], rd * -1.224744871391589, &ghat[16]);
+    sxn(&mut out_hi[43], rd * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_hi[44], rd * -1.224744871391589, &ghat[17]);
+    sxn(&mut out_hi[45], rd * -1.224744871391589, &ghat[18]);
+    sxn(&mut out_hi[46], rd * -1.224744871391589, &ghat[19]);
+    sxn(&mut out_hi[47], rd * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_hi[48], rd * -1.224744871391589, &ghat[20]);
+    sxn(&mut out_hi[49], rd * -1.224744871391589, &ghat[21]);
+    sxn(&mut out_hi[50], rd * -1.224744871391589, &ghat[22]);
+    sxn(&mut out_hi[51], rd * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_hi[52], rd * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_hi[53], rd * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_hi[54], rd * -1.224744871391589, &ghat[23]);
+    sxn(&mut out_hi[55], rd * -1.224744871391589, &ghat[24]);
+    sxn(&mut out_hi[56], rd * -1.224744871391589, &ghat[25]);
+    sxn(&mut out_hi[57], rd * -1.224744871391589, &ghat[26]);
+    sxn(&mut out_hi[58], rd * -1.224744871391589, &ghat[27]);
+    sxn(&mut out_hi[59], rd * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_hi[60], rd * -1.224744871391589, &ghat[28]);
+    sxn(&mut out_hi[61], rd * -1.224744871391589, &ghat[29]);
+    sxn(&mut out_hi[62], rd * -1.224744871391589, &ghat[30]);
+    sxn(&mut out_hi[63], rd * -1.224744871391589, &ghat[31]);
 }
 
 /// Acceleration surface kernel, faces normal to v0 (α̂ = q/m (E + v×B)_0).
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_surf_3x3v_p1_ser_v0(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
-    let rd = 2.0 / dxv[3];
-    let mut alpha = [0.0f64; 32];
-    alpha[0] += qm * 2.0 * (em[0] + w[4] * em[40] - w[5] * em[32]);
-    alpha[2] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[40];
-    alpha[1] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[32];
-    alpha[3] += qm * 2.0 * (em[1] + w[4] * em[41] - w[5] * em[33]);
-    alpha[8] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[41];
-    alpha[7] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[33];
-    alpha[4] += qm * 2.0 * (em[2] + w[4] * em[42] - w[5] * em[34]);
-    alpha[10] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[42];
-    alpha[9] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[34];
-    alpha[5] += qm * 2.0 * (em[3] + w[4] * em[43] - w[5] * em[35]);
-    alpha[13] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[43];
-    alpha[12] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[35];
-    alpha[11] += qm * 2.0 * (em[4] + w[4] * em[44] - w[5] * em[36]);
-    alpha[19] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[44];
-    alpha[18] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[36];
-    alpha[14] += qm * 2.0 * (em[5] + w[4] * em[45] - w[5] * em[37]);
-    alpha[22] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[45];
-    alpha[21] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[37];
-    alpha[15] += qm * 2.0 * (em[6] + w[4] * em[46] - w[5] * em[38]);
-    alpha[24] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[46];
-    alpha[23] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[38];
-    alpha[25] += qm * 2.0 * (em[7] + w[4] * em[47] - w[5] * em[39]);
-    alpha[30] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[47];
-    alpha[29] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[39];
-    let lam = if penalty { alpha[0].abs() * 0.17677669529663692 + alpha[1].abs() * 0.3061862178478973 + alpha[2].abs() * 0.30618621784789735 + alpha[3].abs() * 0.30618621784789735 + alpha[4].abs() * 0.30618621784789735 + alpha[5].abs() * 0.30618621784789735 + alpha[7].abs() * 0.5303300858899107 + alpha[8].abs() * 0.5303300858899107 + alpha[9].abs() * 0.5303300858899107 + alpha[10].abs() * 0.5303300858899107 + alpha[11].abs() * 0.5303300858899107 + alpha[12].abs() * 0.5303300858899107 + alpha[13].abs() * 0.5303300858899107 + alpha[14].abs() * 0.5303300858899107 + alpha[15].abs() * 0.5303300858899107 + alpha[18].abs() * 0.9185586535436917 + alpha[19].abs() * 0.9185586535436917 + alpha[21].abs() * 0.9185586535436917 + alpha[22].abs() * 0.9185586535436917 + alpha[23].abs() * 0.9185586535436917 + alpha[24].abs() * 0.9185586535436917 + alpha[25].abs() * 0.9185586535436917 + alpha[29].abs() * 1.5909902576697315 + alpha[30].abs() * 1.5909902576697315 } else { 0.0 };
-    let mut fm = [0.0f64; 32];
-    let mut fp = [0.0f64; 32];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[1] += 0.7071067811865476 * f_lo[1];
-    fm[2] += 0.7071067811865476 * f_lo[2];
-    fm[0] += 1.224744871391589 * f_lo[3];
-    fm[3] += 0.7071067811865476 * f_lo[4];
-    fm[4] += 0.7071067811865476 * f_lo[5];
-    fm[5] += 0.7071067811865476 * f_lo[6];
-    fm[6] += 0.7071067811865476 * f_lo[7];
-    fm[1] += 1.224744871391589 * f_lo[8];
-    fm[2] += 1.224744871391589 * f_lo[9];
-    fm[7] += 0.7071067811865476 * f_lo[10];
-    fm[8] += 0.7071067811865476 * f_lo[11];
-    fm[3] += 1.224744871391589 * f_lo[12];
-    fm[9] += 0.7071067811865476 * f_lo[13];
-    fm[10] += 0.7071067811865476 * f_lo[14];
-    fm[4] += 1.224744871391589 * f_lo[15];
-    fm[11] += 0.7071067811865476 * f_lo[16];
-    fm[12] += 0.7071067811865476 * f_lo[17];
-    fm[13] += 0.7071067811865476 * f_lo[18];
-    fm[5] += 1.224744871391589 * f_lo[19];
-    fm[14] += 0.7071067811865476 * f_lo[20];
-    fm[15] += 0.7071067811865476 * f_lo[21];
-    fm[6] += 1.224744871391589 * f_lo[22];
-    fm[16] += 0.7071067811865476 * f_lo[23];
-    fm[7] += 1.224744871391589 * f_lo[24];
-    fm[8] += 1.224744871391589 * f_lo[25];
-    fm[17] += 0.7071067811865476 * f_lo[26];
-    fm[9] += 1.224744871391589 * f_lo[27];
-    fm[10] += 1.224744871391589 * f_lo[28];
-    fm[18] += 0.7071067811865476 * f_lo[29];
-    fm[19] += 0.7071067811865476 * f_lo[30];
-    fm[11] += 1.224744871391589 * f_lo[31];
-    fm[20] += 0.7071067811865476 * f_lo[32];
-    fm[12] += 1.224744871391589 * f_lo[33];
-    fm[13] += 1.224744871391589 * f_lo[34];
-    fm[21] += 0.7071067811865476 * f_lo[35];
-    fm[22] += 0.7071067811865476 * f_lo[36];
-    fm[14] += 1.224744871391589 * f_lo[37];
-    fm[23] += 0.7071067811865476 * f_lo[38];
-    fm[24] += 0.7071067811865476 * f_lo[39];
-    fm[15] += 1.224744871391589 * f_lo[40];
-    fm[25] += 0.7071067811865476 * f_lo[41];
-    fm[16] += 1.224744871391589 * f_lo[42];
-    fm[17] += 1.224744871391589 * f_lo[43];
-    fm[26] += 0.7071067811865476 * f_lo[44];
-    fm[18] += 1.224744871391589 * f_lo[45];
-    fm[19] += 1.224744871391589 * f_lo[46];
-    fm[20] += 1.224744871391589 * f_lo[47];
-    fm[27] += 0.7071067811865476 * f_lo[48];
-    fm[21] += 1.224744871391589 * f_lo[49];
-    fm[22] += 1.224744871391589 * f_lo[50];
-    fm[28] += 0.7071067811865476 * f_lo[51];
-    fm[23] += 1.224744871391589 * f_lo[52];
-    fm[24] += 1.224744871391589 * f_lo[53];
-    fm[29] += 0.7071067811865476 * f_lo[54];
-    fm[30] += 0.7071067811865476 * f_lo[55];
-    fm[25] += 1.224744871391589 * f_lo[56];
-    fm[26] += 1.224744871391589 * f_lo[57];
-    fm[27] += 1.224744871391589 * f_lo[58];
-    fm[28] += 1.224744871391589 * f_lo[59];
-    fm[31] += 0.7071067811865476 * f_lo[60];
-    fm[29] += 1.224744871391589 * f_lo[61];
-    fm[30] += 1.224744871391589 * f_lo[62];
-    fm[31] += 1.224744871391589 * f_lo[63];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[1] += 0.7071067811865476 * f_hi[1];
-    fp[2] += 0.7071067811865476 * f_hi[2];
-    fp[0] += -1.224744871391589 * f_hi[3];
-    fp[3] += 0.7071067811865476 * f_hi[4];
-    fp[4] += 0.7071067811865476 * f_hi[5];
-    fp[5] += 0.7071067811865476 * f_hi[6];
-    fp[6] += 0.7071067811865476 * f_hi[7];
-    fp[1] += -1.224744871391589 * f_hi[8];
-    fp[2] += -1.224744871391589 * f_hi[9];
-    fp[7] += 0.7071067811865476 * f_hi[10];
-    fp[8] += 0.7071067811865476 * f_hi[11];
-    fp[3] += -1.224744871391589 * f_hi[12];
-    fp[9] += 0.7071067811865476 * f_hi[13];
-    fp[10] += 0.7071067811865476 * f_hi[14];
-    fp[4] += -1.224744871391589 * f_hi[15];
-    fp[11] += 0.7071067811865476 * f_hi[16];
-    fp[12] += 0.7071067811865476 * f_hi[17];
-    fp[13] += 0.7071067811865476 * f_hi[18];
-    fp[5] += -1.224744871391589 * f_hi[19];
-    fp[14] += 0.7071067811865476 * f_hi[20];
-    fp[15] += 0.7071067811865476 * f_hi[21];
-    fp[6] += -1.224744871391589 * f_hi[22];
-    fp[16] += 0.7071067811865476 * f_hi[23];
-    fp[7] += -1.224744871391589 * f_hi[24];
-    fp[8] += -1.224744871391589 * f_hi[25];
-    fp[17] += 0.7071067811865476 * f_hi[26];
-    fp[9] += -1.224744871391589 * f_hi[27];
-    fp[10] += -1.224744871391589 * f_hi[28];
-    fp[18] += 0.7071067811865476 * f_hi[29];
-    fp[19] += 0.7071067811865476 * f_hi[30];
-    fp[11] += -1.224744871391589 * f_hi[31];
-    fp[20] += 0.7071067811865476 * f_hi[32];
-    fp[12] += -1.224744871391589 * f_hi[33];
-    fp[13] += -1.224744871391589 * f_hi[34];
-    fp[21] += 0.7071067811865476 * f_hi[35];
-    fp[22] += 0.7071067811865476 * f_hi[36];
-    fp[14] += -1.224744871391589 * f_hi[37];
-    fp[23] += 0.7071067811865476 * f_hi[38];
-    fp[24] += 0.7071067811865476 * f_hi[39];
-    fp[15] += -1.224744871391589 * f_hi[40];
-    fp[25] += 0.7071067811865476 * f_hi[41];
-    fp[16] += -1.224744871391589 * f_hi[42];
-    fp[17] += -1.224744871391589 * f_hi[43];
-    fp[26] += 0.7071067811865476 * f_hi[44];
-    fp[18] += -1.224744871391589 * f_hi[45];
-    fp[19] += -1.224744871391589 * f_hi[46];
-    fp[20] += -1.224744871391589 * f_hi[47];
-    fp[27] += 0.7071067811865476 * f_hi[48];
-    fp[21] += -1.224744871391589 * f_hi[49];
-    fp[22] += -1.224744871391589 * f_hi[50];
-    fp[28] += 0.7071067811865476 * f_hi[51];
-    fp[23] += -1.224744871391589 * f_hi[52];
-    fp[24] += -1.224744871391589 * f_hi[53];
-    fp[29] += 0.7071067811865476 * f_hi[54];
-    fp[30] += 0.7071067811865476 * f_hi[55];
-    fp[25] += -1.224744871391589 * f_hi[56];
-    fp[26] += -1.224744871391589 * f_hi[57];
-    fp[27] += -1.224744871391589 * f_hi[58];
-    fp[28] += -1.224744871391589 * f_hi[59];
-    fp[31] += 0.7071067811865476 * f_hi[60];
-    fp[29] += -1.224744871391589 * f_hi[61];
-    fp[30] += -1.224744871391589 * f_hi[62];
-    fp[31] += -1.224744871391589 * f_hi[63];
-    let mut favg = [0.0f64; 32];
-    let mut ghat = [0.0f64; 32];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    favg[8] = 0.5 * (fm[8] + fp[8]);
-    ghat[8] = -0.5 * lam * (fp[8] - fm[8]);
-    favg[9] = 0.5 * (fm[9] + fp[9]);
-    ghat[9] = -0.5 * lam * (fp[9] - fm[9]);
-    favg[10] = 0.5 * (fm[10] + fp[10]);
-    ghat[10] = -0.5 * lam * (fp[10] - fm[10]);
-    favg[11] = 0.5 * (fm[11] + fp[11]);
-    ghat[11] = -0.5 * lam * (fp[11] - fm[11]);
-    favg[12] = 0.5 * (fm[12] + fp[12]);
-    ghat[12] = -0.5 * lam * (fp[12] - fm[12]);
-    favg[13] = 0.5 * (fm[13] + fp[13]);
-    ghat[13] = -0.5 * lam * (fp[13] - fm[13]);
-    favg[14] = 0.5 * (fm[14] + fp[14]);
-    ghat[14] = -0.5 * lam * (fp[14] - fm[14]);
-    favg[15] = 0.5 * (fm[15] + fp[15]);
-    ghat[15] = -0.5 * lam * (fp[15] - fm[15]);
-    favg[16] = 0.5 * (fm[16] + fp[16]);
-    ghat[16] = -0.5 * lam * (fp[16] - fm[16]);
-    favg[17] = 0.5 * (fm[17] + fp[17]);
-    ghat[17] = -0.5 * lam * (fp[17] - fm[17]);
-    favg[18] = 0.5 * (fm[18] + fp[18]);
-    ghat[18] = -0.5 * lam * (fp[18] - fm[18]);
-    favg[19] = 0.5 * (fm[19] + fp[19]);
-    ghat[19] = -0.5 * lam * (fp[19] - fm[19]);
-    favg[20] = 0.5 * (fm[20] + fp[20]);
-    ghat[20] = -0.5 * lam * (fp[20] - fm[20]);
-    favg[21] = 0.5 * (fm[21] + fp[21]);
-    ghat[21] = -0.5 * lam * (fp[21] - fm[21]);
-    favg[22] = 0.5 * (fm[22] + fp[22]);
-    ghat[22] = -0.5 * lam * (fp[22] - fm[22]);
-    favg[23] = 0.5 * (fm[23] + fp[23]);
-    ghat[23] = -0.5 * lam * (fp[23] - fm[23]);
-    favg[24] = 0.5 * (fm[24] + fp[24]);
-    ghat[24] = -0.5 * lam * (fp[24] - fm[24]);
-    favg[25] = 0.5 * (fm[25] + fp[25]);
-    ghat[25] = -0.5 * lam * (fp[25] - fm[25]);
-    favg[26] = 0.5 * (fm[26] + fp[26]);
-    ghat[26] = -0.5 * lam * (fp[26] - fm[26]);
-    favg[27] = 0.5 * (fm[27] + fp[27]);
-    ghat[27] = -0.5 * lam * (fp[27] - fm[27]);
-    favg[28] = 0.5 * (fm[28] + fp[28]);
-    ghat[28] = -0.5 * lam * (fp[28] - fm[28]);
-    favg[29] = 0.5 * (fm[29] + fp[29]);
-    ghat[29] = -0.5 * lam * (fp[29] - fm[29]);
-    favg[30] = 0.5 * (fm[30] + fp[30]);
-    ghat[30] = -0.5 * lam * (fp[30] - fm[30]);
-    favg[31] = 0.5 * (fm[31] + fp[31]);
-    ghat[31] = -0.5 * lam * (fp[31] - fm[31]);
-    ghat[0] += 0.1767766952966369 * alpha[0] * favg[0];
-    ghat[0] += 0.17677669529663687 * alpha[1] * favg[1];
-    ghat[0] += 0.17677669529663687 * alpha[2] * favg[2];
-    ghat[0] += 0.17677669529663687 * alpha[3] * favg[3];
-    ghat[0] += 0.17677669529663687 * alpha[4] * favg[4];
-    ghat[0] += 0.17677669529663687 * alpha[5] * favg[5];
-    ghat[0] += 0.17677669529663687 * alpha[7] * favg[7];
-    ghat[0] += 0.17677669529663687 * alpha[8] * favg[8];
-    ghat[0] += 0.17677669529663687 * alpha[9] * favg[9];
-    ghat[0] += 0.17677669529663687 * alpha[10] * favg[10];
-    ghat[0] += 0.17677669529663687 * alpha[11] * favg[11];
-    ghat[0] += 0.17677669529663687 * alpha[12] * favg[12];
-    ghat[0] += 0.17677669529663687 * alpha[13] * favg[13];
-    ghat[0] += 0.17677669529663687 * alpha[14] * favg[14];
-    ghat[0] += 0.17677669529663687 * alpha[15] * favg[15];
-    ghat[0] += 0.1767766952966369 * alpha[18] * favg[18];
-    ghat[0] += 0.1767766952966369 * alpha[19] * favg[19];
-    ghat[0] += 0.1767766952966369 * alpha[21] * favg[21];
-    ghat[0] += 0.1767766952966369 * alpha[22] * favg[22];
-    ghat[0] += 0.1767766952966369 * alpha[23] * favg[23];
-    ghat[0] += 0.1767766952966369 * alpha[24] * favg[24];
-    ghat[0] += 0.1767766952966369 * alpha[25] * favg[25];
-    ghat[0] += 0.17677669529663687 * alpha[29] * favg[29];
-    ghat[0] += 0.17677669529663687 * alpha[30] * favg[30];
-    ghat[1] += 0.17677669529663687 * alpha[0] * favg[1];
-    ghat[1] += 0.17677669529663687 * alpha[1] * favg[0];
-    ghat[1] += 0.17677669529663687 * alpha[2] * favg[6];
-    ghat[1] += 0.17677669529663687 * alpha[3] * favg[7];
-    ghat[1] += 0.17677669529663687 * alpha[4] * favg[9];
-    ghat[1] += 0.17677669529663687 * alpha[5] * favg[12];
-    ghat[1] += 0.17677669529663687 * alpha[7] * favg[3];
-    ghat[1] += 0.1767766952966369 * alpha[8] * favg[16];
-    ghat[1] += 0.17677669529663687 * alpha[9] * favg[4];
-    ghat[1] += 0.1767766952966369 * alpha[10] * favg[17];
-    ghat[1] += 0.1767766952966369 * alpha[11] * favg[18];
-    ghat[1] += 0.17677669529663687 * alpha[12] * favg[5];
-    ghat[1] += 0.1767766952966369 * alpha[13] * favg[20];
-    ghat[1] += 0.1767766952966369 * alpha[14] * favg[21];
-    ghat[1] += 0.1767766952966369 * alpha[15] * favg[23];
-    ghat[1] += 0.1767766952966369 * alpha[18] * favg[11];
-    ghat[1] += 0.17677669529663687 * alpha[19] * favg[26];
-    ghat[1] += 0.1767766952966369 * alpha[21] * favg[14];
-    ghat[1] += 0.17677669529663687 * alpha[22] * favg[27];
-    ghat[1] += 0.1767766952966369 * alpha[23] * favg[15];
-    ghat[1] += 0.17677669529663687 * alpha[24] * favg[28];
-    ghat[1] += 0.17677669529663687 * alpha[25] * favg[29];
-    ghat[1] += 0.17677669529663687 * alpha[29] * favg[25];
-    ghat[1] += 0.1767766952966369 * alpha[30] * favg[31];
-    ghat[2] += 0.17677669529663687 * alpha[0] * favg[2];
-    ghat[2] += 0.17677669529663687 * alpha[1] * favg[6];
-    ghat[2] += 0.17677669529663687 * alpha[2] * favg[0];
-    ghat[2] += 0.17677669529663687 * alpha[3] * favg[8];
-    ghat[2] += 0.17677669529663687 * alpha[4] * favg[10];
-    ghat[2] += 0.17677669529663687 * alpha[5] * favg[13];
-    ghat[2] += 0.1767766952966369 * alpha[7] * favg[16];
-    ghat[2] += 0.17677669529663687 * alpha[8] * favg[3];
-    ghat[2] += 0.1767766952966369 * alpha[9] * favg[17];
-    ghat[2] += 0.17677669529663687 * alpha[10] * favg[4];
-    ghat[2] += 0.1767766952966369 * alpha[11] * favg[19];
-    ghat[2] += 0.1767766952966369 * alpha[12] * favg[20];
-    ghat[2] += 0.17677669529663687 * alpha[13] * favg[5];
-    ghat[2] += 0.1767766952966369 * alpha[14] * favg[22];
-    ghat[2] += 0.1767766952966369 * alpha[15] * favg[24];
-    ghat[2] += 0.17677669529663687 * alpha[18] * favg[26];
-    ghat[2] += 0.1767766952966369 * alpha[19] * favg[11];
-    ghat[2] += 0.17677669529663687 * alpha[21] * favg[27];
-    ghat[2] += 0.1767766952966369 * alpha[22] * favg[14];
-    ghat[2] += 0.17677669529663687 * alpha[23] * favg[28];
-    ghat[2] += 0.1767766952966369 * alpha[24] * favg[15];
-    ghat[2] += 0.17677669529663687 * alpha[25] * favg[30];
-    ghat[2] += 0.1767766952966369 * alpha[29] * favg[31];
-    ghat[2] += 0.17677669529663687 * alpha[30] * favg[25];
-    ghat[3] += 0.17677669529663687 * alpha[0] * favg[3];
-    ghat[3] += 0.17677669529663687 * alpha[1] * favg[7];
-    ghat[3] += 0.17677669529663687 * alpha[2] * favg[8];
-    ghat[3] += 0.17677669529663687 * alpha[3] * favg[0];
-    ghat[3] += 0.17677669529663687 * alpha[4] * favg[11];
-    ghat[3] += 0.17677669529663687 * alpha[5] * favg[14];
-    ghat[3] += 0.17677669529663687 * alpha[7] * favg[1];
-    ghat[3] += 0.17677669529663687 * alpha[8] * favg[2];
-    ghat[3] += 0.1767766952966369 * alpha[9] * favg[18];
-    ghat[3] += 0.1767766952966369 * alpha[10] * favg[19];
-    ghat[3] += 0.17677669529663687 * alpha[11] * favg[4];
-    ghat[3] += 0.1767766952966369 * alpha[12] * favg[21];
-    ghat[3] += 0.1767766952966369 * alpha[13] * favg[22];
-    ghat[3] += 0.17677669529663687 * alpha[14] * favg[5];
-    ghat[3] += 0.1767766952966369 * alpha[15] * favg[25];
-    ghat[3] += 0.1767766952966369 * alpha[18] * favg[9];
-    ghat[3] += 0.1767766952966369 * alpha[19] * favg[10];
-    ghat[3] += 0.1767766952966369 * alpha[21] * favg[12];
-    ghat[3] += 0.1767766952966369 * alpha[22] * favg[13];
-    ghat[3] += 0.17677669529663687 * alpha[23] * favg[29];
-    ghat[3] += 0.17677669529663687 * alpha[24] * favg[30];
-    ghat[3] += 0.1767766952966369 * alpha[25] * favg[15];
-    ghat[3] += 0.17677669529663687 * alpha[29] * favg[23];
-    ghat[3] += 0.17677669529663687 * alpha[30] * favg[24];
-    ghat[4] += 0.17677669529663687 * alpha[0] * favg[4];
-    ghat[4] += 0.17677669529663687 * alpha[1] * favg[9];
-    ghat[4] += 0.17677669529663687 * alpha[2] * favg[10];
-    ghat[4] += 0.17677669529663687 * alpha[3] * favg[11];
-    ghat[4] += 0.17677669529663687 * alpha[4] * favg[0];
-    ghat[4] += 0.17677669529663687 * alpha[5] * favg[15];
-    ghat[4] += 0.1767766952966369 * alpha[7] * favg[18];
-    ghat[4] += 0.1767766952966369 * alpha[8] * favg[19];
-    ghat[4] += 0.17677669529663687 * alpha[9] * favg[1];
-    ghat[4] += 0.17677669529663687 * alpha[10] * favg[2];
-    ghat[4] += 0.17677669529663687 * alpha[11] * favg[3];
-    ghat[4] += 0.1767766952966369 * alpha[12] * favg[23];
-    ghat[4] += 0.1767766952966369 * alpha[13] * favg[24];
-    ghat[4] += 0.1767766952966369 * alpha[14] * favg[25];
-    ghat[4] += 0.17677669529663687 * alpha[15] * favg[5];
-    ghat[4] += 0.1767766952966369 * alpha[18] * favg[7];
-    ghat[4] += 0.1767766952966369 * alpha[19] * favg[8];
-    ghat[4] += 0.17677669529663687 * alpha[21] * favg[29];
-    ghat[4] += 0.17677669529663687 * alpha[22] * favg[30];
-    ghat[4] += 0.1767766952966369 * alpha[23] * favg[12];
-    ghat[4] += 0.1767766952966369 * alpha[24] * favg[13];
-    ghat[4] += 0.1767766952966369 * alpha[25] * favg[14];
-    ghat[4] += 0.17677669529663687 * alpha[29] * favg[21];
-    ghat[4] += 0.17677669529663687 * alpha[30] * favg[22];
-    ghat[5] += 0.17677669529663687 * alpha[0] * favg[5];
-    ghat[5] += 0.17677669529663687 * alpha[1] * favg[12];
-    ghat[5] += 0.17677669529663687 * alpha[2] * favg[13];
-    ghat[5] += 0.17677669529663687 * alpha[3] * favg[14];
-    ghat[5] += 0.17677669529663687 * alpha[4] * favg[15];
-    ghat[5] += 0.17677669529663687 * alpha[5] * favg[0];
-    ghat[5] += 0.1767766952966369 * alpha[7] * favg[21];
-    ghat[5] += 0.1767766952966369 * alpha[8] * favg[22];
-    ghat[5] += 0.1767766952966369 * alpha[9] * favg[23];
-    ghat[5] += 0.1767766952966369 * alpha[10] * favg[24];
-    ghat[5] += 0.1767766952966369 * alpha[11] * favg[25];
-    ghat[5] += 0.17677669529663687 * alpha[12] * favg[1];
-    ghat[5] += 0.17677669529663687 * alpha[13] * favg[2];
-    ghat[5] += 0.17677669529663687 * alpha[14] * favg[3];
-    ghat[5] += 0.17677669529663687 * alpha[15] * favg[4];
-    ghat[5] += 0.17677669529663687 * alpha[18] * favg[29];
-    ghat[5] += 0.17677669529663687 * alpha[19] * favg[30];
-    ghat[5] += 0.1767766952966369 * alpha[21] * favg[7];
-    ghat[5] += 0.1767766952966369 * alpha[22] * favg[8];
-    ghat[5] += 0.1767766952966369 * alpha[23] * favg[9];
-    ghat[5] += 0.1767766952966369 * alpha[24] * favg[10];
-    ghat[5] += 0.1767766952966369 * alpha[25] * favg[11];
-    ghat[5] += 0.17677669529663687 * alpha[29] * favg[18];
-    ghat[5] += 0.17677669529663687 * alpha[30] * favg[19];
-    ghat[6] += 0.17677669529663687 * alpha[0] * favg[6];
-    ghat[6] += 0.17677669529663687 * alpha[1] * favg[2];
-    ghat[6] += 0.17677669529663687 * alpha[2] * favg[1];
-    ghat[6] += 0.1767766952966369 * alpha[3] * favg[16];
-    ghat[6] += 0.1767766952966369 * alpha[4] * favg[17];
-    ghat[6] += 0.1767766952966369 * alpha[5] * favg[20];
-    ghat[6] += 0.1767766952966369 * alpha[7] * favg[8];
-    ghat[6] += 0.1767766952966369 * alpha[8] * favg[7];
-    ghat[6] += 0.1767766952966369 * alpha[9] * favg[10];
-    ghat[6] += 0.1767766952966369 * alpha[10] * favg[9];
-    ghat[6] += 0.17677669529663687 * alpha[11] * favg[26];
-    ghat[6] += 0.1767766952966369 * alpha[12] * favg[13];
-    ghat[6] += 0.1767766952966369 * alpha[13] * favg[12];
-    ghat[6] += 0.17677669529663687 * alpha[14] * favg[27];
-    ghat[6] += 0.17677669529663687 * alpha[15] * favg[28];
-    ghat[6] += 0.17677669529663687 * alpha[18] * favg[19];
-    ghat[6] += 0.17677669529663687 * alpha[19] * favg[18];
-    ghat[6] += 0.17677669529663687 * alpha[21] * favg[22];
-    ghat[6] += 0.17677669529663687 * alpha[22] * favg[21];
-    ghat[6] += 0.17677669529663687 * alpha[23] * favg[24];
-    ghat[6] += 0.17677669529663687 * alpha[24] * favg[23];
-    ghat[6] += 0.1767766952966369 * alpha[25] * favg[31];
-    ghat[6] += 0.1767766952966369 * alpha[29] * favg[30];
-    ghat[6] += 0.1767766952966369 * alpha[30] * favg[29];
-    ghat[7] += 0.17677669529663687 * alpha[0] * favg[7];
-    ghat[7] += 0.17677669529663687 * alpha[1] * favg[3];
-    ghat[7] += 0.1767766952966369 * alpha[2] * favg[16];
-    ghat[7] += 0.17677669529663687 * alpha[3] * favg[1];
-    ghat[7] += 0.1767766952966369 * alpha[4] * favg[18];
-    ghat[7] += 0.1767766952966369 * alpha[5] * favg[21];
-    ghat[7] += 0.17677669529663687 * alpha[7] * favg[0];
-    ghat[7] += 0.1767766952966369 * alpha[8] * favg[6];
-    ghat[7] += 0.1767766952966369 * alpha[9] * favg[11];
-    ghat[7] += 0.17677669529663687 * alpha[10] * favg[26];
-    ghat[7] += 0.1767766952966369 * alpha[11] * favg[9];
-    ghat[7] += 0.1767766952966369 * alpha[12] * favg[14];
-    ghat[7] += 0.17677669529663687 * alpha[13] * favg[27];
-    ghat[7] += 0.1767766952966369 * alpha[14] * favg[12];
-    ghat[7] += 0.17677669529663687 * alpha[15] * favg[29];
-    ghat[7] += 0.1767766952966369 * alpha[18] * favg[4];
-    ghat[7] += 0.17677669529663687 * alpha[19] * favg[17];
-    ghat[7] += 0.1767766952966369 * alpha[21] * favg[5];
-    ghat[7] += 0.17677669529663687 * alpha[22] * favg[20];
-    ghat[7] += 0.17677669529663687 * alpha[23] * favg[25];
-    ghat[7] += 0.1767766952966369 * alpha[24] * favg[31];
-    ghat[7] += 0.17677669529663687 * alpha[25] * favg[23];
-    ghat[7] += 0.17677669529663687 * alpha[29] * favg[15];
-    ghat[7] += 0.1767766952966369 * alpha[30] * favg[28];
-    ghat[8] += 0.17677669529663687 * alpha[0] * favg[8];
-    ghat[8] += 0.1767766952966369 * alpha[1] * favg[16];
-    ghat[8] += 0.17677669529663687 * alpha[2] * favg[3];
-    ghat[8] += 0.17677669529663687 * alpha[3] * favg[2];
-    ghat[8] += 0.1767766952966369 * alpha[4] * favg[19];
-    ghat[8] += 0.1767766952966369 * alpha[5] * favg[22];
-    ghat[8] += 0.1767766952966369 * alpha[7] * favg[6];
-    ghat[8] += 0.17677669529663687 * alpha[8] * favg[0];
-    ghat[8] += 0.17677669529663687 * alpha[9] * favg[26];
-    ghat[8] += 0.1767766952966369 * alpha[10] * favg[11];
-    ghat[8] += 0.1767766952966369 * alpha[11] * favg[10];
-    ghat[8] += 0.17677669529663687 * alpha[12] * favg[27];
-    ghat[8] += 0.1767766952966369 * alpha[13] * favg[14];
-    ghat[8] += 0.1767766952966369 * alpha[14] * favg[13];
-    ghat[8] += 0.17677669529663687 * alpha[15] * favg[30];
-    ghat[8] += 0.17677669529663687 * alpha[18] * favg[17];
-    ghat[8] += 0.1767766952966369 * alpha[19] * favg[4];
-    ghat[8] += 0.17677669529663687 * alpha[21] * favg[20];
-    ghat[8] += 0.1767766952966369 * alpha[22] * favg[5];
-    ghat[8] += 0.1767766952966369 * alpha[23] * favg[31];
-    ghat[8] += 0.17677669529663687 * alpha[24] * favg[25];
-    ghat[8] += 0.17677669529663687 * alpha[25] * favg[24];
-    ghat[8] += 0.1767766952966369 * alpha[29] * favg[28];
-    ghat[8] += 0.17677669529663687 * alpha[30] * favg[15];
-    ghat[9] += 0.17677669529663687 * alpha[0] * favg[9];
-    ghat[9] += 0.17677669529663687 * alpha[1] * favg[4];
-    ghat[9] += 0.1767766952966369 * alpha[2] * favg[17];
-    ghat[9] += 0.1767766952966369 * alpha[3] * favg[18];
-    ghat[9] += 0.17677669529663687 * alpha[4] * favg[1];
-    ghat[9] += 0.1767766952966369 * alpha[5] * favg[23];
-    ghat[9] += 0.1767766952966369 * alpha[7] * favg[11];
-    ghat[9] += 0.17677669529663687 * alpha[8] * favg[26];
-    ghat[9] += 0.17677669529663687 * alpha[9] * favg[0];
-    ghat[9] += 0.1767766952966369 * alpha[10] * favg[6];
-    ghat[9] += 0.1767766952966369 * alpha[11] * favg[7];
-    ghat[9] += 0.1767766952966369 * alpha[12] * favg[15];
-    ghat[9] += 0.17677669529663687 * alpha[13] * favg[28];
-    ghat[9] += 0.17677669529663687 * alpha[14] * favg[29];
-    ghat[9] += 0.1767766952966369 * alpha[15] * favg[12];
-    ghat[9] += 0.1767766952966369 * alpha[18] * favg[3];
-    ghat[9] += 0.17677669529663687 * alpha[19] * favg[16];
-    ghat[9] += 0.17677669529663687 * alpha[21] * favg[25];
-    ghat[9] += 0.1767766952966369 * alpha[22] * favg[31];
-    ghat[9] += 0.1767766952966369 * alpha[23] * favg[5];
-    ghat[9] += 0.17677669529663687 * alpha[24] * favg[20];
-    ghat[9] += 0.17677669529663687 * alpha[25] * favg[21];
-    ghat[9] += 0.17677669529663687 * alpha[29] * favg[14];
-    ghat[9] += 0.1767766952966369 * alpha[30] * favg[27];
-    ghat[10] += 0.17677669529663687 * alpha[0] * favg[10];
-    ghat[10] += 0.1767766952966369 * alpha[1] * favg[17];
-    ghat[10] += 0.17677669529663687 * alpha[2] * favg[4];
-    ghat[10] += 0.1767766952966369 * alpha[3] * favg[19];
-    ghat[10] += 0.17677669529663687 * alpha[4] * favg[2];
-    ghat[10] += 0.1767766952966369 * alpha[5] * favg[24];
-    ghat[10] += 0.17677669529663687 * alpha[7] * favg[26];
-    ghat[10] += 0.1767766952966369 * alpha[8] * favg[11];
-    ghat[10] += 0.1767766952966369 * alpha[9] * favg[6];
-    ghat[10] += 0.17677669529663687 * alpha[10] * favg[0];
-    ghat[10] += 0.1767766952966369 * alpha[11] * favg[8];
-    ghat[10] += 0.17677669529663687 * alpha[12] * favg[28];
-    ghat[10] += 0.1767766952966369 * alpha[13] * favg[15];
-    ghat[10] += 0.17677669529663687 * alpha[14] * favg[30];
-    ghat[10] += 0.1767766952966369 * alpha[15] * favg[13];
-    ghat[10] += 0.17677669529663687 * alpha[18] * favg[16];
-    ghat[10] += 0.1767766952966369 * alpha[19] * favg[3];
-    ghat[10] += 0.1767766952966369 * alpha[21] * favg[31];
-    ghat[10] += 0.17677669529663687 * alpha[22] * favg[25];
-    ghat[10] += 0.17677669529663687 * alpha[23] * favg[20];
-    ghat[10] += 0.1767766952966369 * alpha[24] * favg[5];
-    ghat[10] += 0.17677669529663687 * alpha[25] * favg[22];
-    ghat[10] += 0.1767766952966369 * alpha[29] * favg[27];
-    ghat[10] += 0.17677669529663687 * alpha[30] * favg[14];
-    ghat[11] += 0.17677669529663687 * alpha[0] * favg[11];
-    ghat[11] += 0.1767766952966369 * alpha[1] * favg[18];
-    ghat[11] += 0.1767766952966369 * alpha[2] * favg[19];
-    ghat[11] += 0.17677669529663687 * alpha[3] * favg[4];
-    ghat[11] += 0.17677669529663687 * alpha[4] * favg[3];
-    ghat[11] += 0.1767766952966369 * alpha[5] * favg[25];
-    ghat[11] += 0.1767766952966369 * alpha[7] * favg[9];
-    ghat[11] += 0.1767766952966369 * alpha[8] * favg[10];
-    ghat[11] += 0.1767766952966369 * alpha[9] * favg[7];
-    ghat[11] += 0.1767766952966369 * alpha[10] * favg[8];
-    ghat[11] += 0.17677669529663687 * alpha[11] * favg[0];
-    ghat[11] += 0.17677669529663687 * alpha[12] * favg[29];
-    ghat[11] += 0.17677669529663687 * alpha[13] * favg[30];
-    ghat[11] += 0.1767766952966369 * alpha[14] * favg[15];
-    ghat[11] += 0.1767766952966369 * alpha[15] * favg[14];
-    ghat[11] += 0.1767766952966369 * alpha[18] * favg[1];
-    ghat[11] += 0.1767766952966369 * alpha[19] * favg[2];
-    ghat[11] += 0.17677669529663687 * alpha[21] * favg[23];
-    ghat[11] += 0.17677669529663687 * alpha[22] * favg[24];
-    ghat[11] += 0.17677669529663687 * alpha[23] * favg[21];
-    ghat[11] += 0.17677669529663687 * alpha[24] * favg[22];
-    ghat[11] += 0.1767766952966369 * alpha[25] * favg[5];
-    ghat[11] += 0.17677669529663687 * alpha[29] * favg[12];
-    ghat[11] += 0.17677669529663687 * alpha[30] * favg[13];
-    ghat[12] += 0.17677669529663687 * alpha[0] * favg[12];
-    ghat[12] += 0.17677669529663687 * alpha[1] * favg[5];
-    ghat[12] += 0.1767766952966369 * alpha[2] * favg[20];
-    ghat[12] += 0.1767766952966369 * alpha[3] * favg[21];
-    ghat[12] += 0.1767766952966369 * alpha[4] * favg[23];
-    ghat[12] += 0.17677669529663687 * alpha[5] * favg[1];
-    ghat[12] += 0.1767766952966369 * alpha[7] * favg[14];
-    ghat[12] += 0.17677669529663687 * alpha[8] * favg[27];
-    ghat[12] += 0.1767766952966369 * alpha[9] * favg[15];
-    ghat[12] += 0.17677669529663687 * alpha[10] * favg[28];
-    ghat[12] += 0.17677669529663687 * alpha[11] * favg[29];
-    ghat[12] += 0.17677669529663687 * alpha[12] * favg[0];
-    ghat[12] += 0.1767766952966369 * alpha[13] * favg[6];
-    ghat[12] += 0.1767766952966369 * alpha[14] * favg[7];
-    ghat[12] += 0.1767766952966369 * alpha[15] * favg[9];
-    ghat[12] += 0.17677669529663687 * alpha[18] * favg[25];
-    ghat[12] += 0.1767766952966369 * alpha[19] * favg[31];
-    ghat[12] += 0.1767766952966369 * alpha[21] * favg[3];
-    ghat[12] += 0.17677669529663687 * alpha[22] * favg[16];
-    ghat[12] += 0.1767766952966369 * alpha[23] * favg[4];
-    ghat[12] += 0.17677669529663687 * alpha[24] * favg[17];
-    ghat[12] += 0.17677669529663687 * alpha[25] * favg[18];
-    ghat[12] += 0.17677669529663687 * alpha[29] * favg[11];
-    ghat[12] += 0.1767766952966369 * alpha[30] * favg[26];
-    ghat[13] += 0.17677669529663687 * alpha[0] * favg[13];
-    ghat[13] += 0.1767766952966369 * alpha[1] * favg[20];
-    ghat[13] += 0.17677669529663687 * alpha[2] * favg[5];
-    ghat[13] += 0.1767766952966369 * alpha[3] * favg[22];
-    ghat[13] += 0.1767766952966369 * alpha[4] * favg[24];
-    ghat[13] += 0.17677669529663687 * alpha[5] * favg[2];
-    ghat[13] += 0.17677669529663687 * alpha[7] * favg[27];
-    ghat[13] += 0.1767766952966369 * alpha[8] * favg[14];
-    ghat[13] += 0.17677669529663687 * alpha[9] * favg[28];
-    ghat[13] += 0.1767766952966369 * alpha[10] * favg[15];
-    ghat[13] += 0.17677669529663687 * alpha[11] * favg[30];
-    ghat[13] += 0.1767766952966369 * alpha[12] * favg[6];
-    ghat[13] += 0.17677669529663687 * alpha[13] * favg[0];
-    ghat[13] += 0.1767766952966369 * alpha[14] * favg[8];
-    ghat[13] += 0.1767766952966369 * alpha[15] * favg[10];
-    ghat[13] += 0.1767766952966369 * alpha[18] * favg[31];
-    ghat[13] += 0.17677669529663687 * alpha[19] * favg[25];
-    ghat[13] += 0.17677669529663687 * alpha[21] * favg[16];
-    ghat[13] += 0.1767766952966369 * alpha[22] * favg[3];
-    ghat[13] += 0.17677669529663687 * alpha[23] * favg[17];
-    ghat[13] += 0.1767766952966369 * alpha[24] * favg[4];
-    ghat[13] += 0.17677669529663687 * alpha[25] * favg[19];
-    ghat[13] += 0.1767766952966369 * alpha[29] * favg[26];
-    ghat[13] += 0.17677669529663687 * alpha[30] * favg[11];
-    ghat[14] += 0.17677669529663687 * alpha[0] * favg[14];
-    ghat[14] += 0.1767766952966369 * alpha[1] * favg[21];
-    ghat[14] += 0.1767766952966369 * alpha[2] * favg[22];
-    ghat[14] += 0.17677669529663687 * alpha[3] * favg[5];
-    ghat[14] += 0.1767766952966369 * alpha[4] * favg[25];
-    ghat[14] += 0.17677669529663687 * alpha[5] * favg[3];
-    ghat[14] += 0.1767766952966369 * alpha[7] * favg[12];
-    ghat[14] += 0.1767766952966369 * alpha[8] * favg[13];
-    ghat[14] += 0.17677669529663687 * alpha[9] * favg[29];
-    ghat[14] += 0.17677669529663687 * alpha[10] * favg[30];
-    ghat[14] += 0.1767766952966369 * alpha[11] * favg[15];
-    ghat[14] += 0.1767766952966369 * alpha[12] * favg[7];
-    ghat[14] += 0.1767766952966369 * alpha[13] * favg[8];
-    ghat[14] += 0.17677669529663687 * alpha[14] * favg[0];
-    ghat[14] += 0.1767766952966369 * alpha[15] * favg[11];
-    ghat[14] += 0.17677669529663687 * alpha[18] * favg[23];
-    ghat[14] += 0.17677669529663687 * alpha[19] * favg[24];
-    ghat[14] += 0.1767766952966369 * alpha[21] * favg[1];
-    ghat[14] += 0.1767766952966369 * alpha[22] * favg[2];
-    ghat[14] += 0.17677669529663687 * alpha[23] * favg[18];
-    ghat[14] += 0.17677669529663687 * alpha[24] * favg[19];
-    ghat[14] += 0.1767766952966369 * alpha[25] * favg[4];
-    ghat[14] += 0.17677669529663687 * alpha[29] * favg[9];
-    ghat[14] += 0.17677669529663687 * alpha[30] * favg[10];
-    ghat[15] += 0.17677669529663687 * alpha[0] * favg[15];
-    ghat[15] += 0.1767766952966369 * alpha[1] * favg[23];
-    ghat[15] += 0.1767766952966369 * alpha[2] * favg[24];
-    ghat[15] += 0.1767766952966369 * alpha[3] * favg[25];
-    ghat[15] += 0.17677669529663687 * alpha[4] * favg[5];
-    ghat[15] += 0.17677669529663687 * alpha[5] * favg[4];
-    ghat[15] += 0.17677669529663687 * alpha[7] * favg[29];
-    ghat[15] += 0.17677669529663687 * alpha[8] * favg[30];
-    ghat[15] += 0.1767766952966369 * alpha[9] * favg[12];
-    ghat[15] += 0.1767766952966369 * alpha[10] * favg[13];
-    ghat[15] += 0.1767766952966369 * alpha[11] * favg[14];
-    ghat[15] += 0.1767766952966369 * alpha[12] * favg[9];
-    ghat[15] += 0.1767766952966369 * alpha[13] * favg[10];
-    ghat[15] += 0.1767766952966369 * alpha[14] * favg[11];
-    ghat[15] += 0.17677669529663687 * alpha[15] * favg[0];
-    ghat[15] += 0.17677669529663687 * alpha[18] * favg[21];
-    ghat[15] += 0.17677669529663687 * alpha[19] * favg[22];
-    ghat[15] += 0.17677669529663687 * alpha[21] * favg[18];
-    ghat[15] += 0.17677669529663687 * alpha[22] * favg[19];
-    ghat[15] += 0.1767766952966369 * alpha[23] * favg[1];
-    ghat[15] += 0.1767766952966369 * alpha[24] * favg[2];
-    ghat[15] += 0.1767766952966369 * alpha[25] * favg[3];
-    ghat[15] += 0.17677669529663687 * alpha[29] * favg[7];
-    ghat[15] += 0.17677669529663687 * alpha[30] * favg[8];
-    ghat[16] += 0.1767766952966369 * alpha[0] * favg[16];
-    ghat[16] += 0.1767766952966369 * alpha[1] * favg[8];
-    ghat[16] += 0.1767766952966369 * alpha[2] * favg[7];
-    ghat[16] += 0.1767766952966369 * alpha[3] * favg[6];
-    ghat[16] += 0.17677669529663687 * alpha[4] * favg[26];
-    ghat[16] += 0.17677669529663687 * alpha[5] * favg[27];
-    ghat[16] += 0.1767766952966369 * alpha[7] * favg[2];
-    ghat[16] += 0.1767766952966369 * alpha[8] * favg[1];
-    ghat[16] += 0.17677669529663687 * alpha[9] * favg[19];
-    ghat[16] += 0.17677669529663687 * alpha[10] * favg[18];
-    ghat[16] += 0.17677669529663687 * alpha[11] * favg[17];
-    ghat[16] += 0.17677669529663687 * alpha[12] * favg[22];
-    ghat[16] += 0.17677669529663687 * alpha[13] * favg[21];
-    ghat[16] += 0.17677669529663687 * alpha[14] * favg[20];
-    ghat[16] += 0.1767766952966369 * alpha[15] * favg[31];
-    ghat[16] += 0.17677669529663687 * alpha[18] * favg[10];
-    ghat[16] += 0.17677669529663687 * alpha[19] * favg[9];
-    ghat[16] += 0.17677669529663687 * alpha[21] * favg[13];
-    ghat[16] += 0.17677669529663687 * alpha[22] * favg[12];
-    ghat[16] += 0.1767766952966369 * alpha[23] * favg[30];
-    ghat[16] += 0.1767766952966369 * alpha[24] * favg[29];
-    ghat[16] += 0.1767766952966369 * alpha[25] * favg[28];
-    ghat[16] += 0.1767766952966369 * alpha[29] * favg[24];
-    ghat[16] += 0.1767766952966369 * alpha[30] * favg[23];
-    ghat[17] += 0.1767766952966369 * alpha[0] * favg[17];
-    ghat[17] += 0.1767766952966369 * alpha[1] * favg[10];
-    ghat[17] += 0.1767766952966369 * alpha[2] * favg[9];
-    ghat[17] += 0.17677669529663687 * alpha[3] * favg[26];
-    ghat[17] += 0.1767766952966369 * alpha[4] * favg[6];
-    ghat[17] += 0.17677669529663687 * alpha[5] * favg[28];
-    ghat[17] += 0.17677669529663687 * alpha[7] * favg[19];
-    ghat[17] += 0.17677669529663687 * alpha[8] * favg[18];
-    ghat[17] += 0.1767766952966369 * alpha[9] * favg[2];
-    ghat[17] += 0.1767766952966369 * alpha[10] * favg[1];
-    ghat[17] += 0.17677669529663687 * alpha[11] * favg[16];
-    ghat[17] += 0.17677669529663687 * alpha[12] * favg[24];
-    ghat[17] += 0.17677669529663687 * alpha[13] * favg[23];
-    ghat[17] += 0.1767766952966369 * alpha[14] * favg[31];
-    ghat[17] += 0.17677669529663687 * alpha[15] * favg[20];
-    ghat[17] += 0.17677669529663687 * alpha[18] * favg[8];
-    ghat[17] += 0.17677669529663687 * alpha[19] * favg[7];
-    ghat[17] += 0.1767766952966369 * alpha[21] * favg[30];
-    ghat[17] += 0.1767766952966369 * alpha[22] * favg[29];
-    ghat[17] += 0.17677669529663687 * alpha[23] * favg[13];
-    ghat[17] += 0.17677669529663687 * alpha[24] * favg[12];
-    ghat[17] += 0.1767766952966369 * alpha[25] * favg[27];
-    ghat[17] += 0.1767766952966369 * alpha[29] * favg[22];
-    ghat[17] += 0.1767766952966369 * alpha[30] * favg[21];
-    ghat[18] += 0.1767766952966369 * alpha[0] * favg[18];
-    ghat[18] += 0.1767766952966369 * alpha[1] * favg[11];
-    ghat[18] += 0.17677669529663687 * alpha[2] * favg[26];
-    ghat[18] += 0.1767766952966369 * alpha[3] * favg[9];
-    ghat[18] += 0.1767766952966369 * alpha[4] * favg[7];
-    ghat[18] += 0.17677669529663687 * alpha[5] * favg[29];
-    ghat[18] += 0.1767766952966369 * alpha[7] * favg[4];
-    ghat[18] += 0.17677669529663687 * alpha[8] * favg[17];
-    ghat[18] += 0.1767766952966369 * alpha[9] * favg[3];
-    ghat[18] += 0.17677669529663687 * alpha[10] * favg[16];
-    ghat[18] += 0.1767766952966369 * alpha[11] * favg[1];
-    ghat[18] += 0.17677669529663687 * alpha[12] * favg[25];
-    ghat[18] += 0.1767766952966369 * alpha[13] * favg[31];
-    ghat[18] += 0.17677669529663687 * alpha[14] * favg[23];
-    ghat[18] += 0.17677669529663687 * alpha[15] * favg[21];
-    ghat[18] += 0.1767766952966369 * alpha[18] * favg[0];
-    ghat[18] += 0.17677669529663687 * alpha[19] * favg[6];
-    ghat[18] += 0.17677669529663687 * alpha[21] * favg[15];
-    ghat[18] += 0.1767766952966369 * alpha[22] * favg[28];
-    ghat[18] += 0.17677669529663687 * alpha[23] * favg[14];
-    ghat[18] += 0.1767766952966369 * alpha[24] * favg[27];
-    ghat[18] += 0.17677669529663687 * alpha[25] * favg[12];
-    ghat[18] += 0.17677669529663687 * alpha[29] * favg[5];
-    ghat[18] += 0.1767766952966369 * alpha[30] * favg[20];
-    ghat[19] += 0.1767766952966369 * alpha[0] * favg[19];
-    ghat[19] += 0.17677669529663687 * alpha[1] * favg[26];
-    ghat[19] += 0.1767766952966369 * alpha[2] * favg[11];
-    ghat[19] += 0.1767766952966369 * alpha[3] * favg[10];
-    ghat[19] += 0.1767766952966369 * alpha[4] * favg[8];
-    ghat[19] += 0.17677669529663687 * alpha[5] * favg[30];
-    ghat[19] += 0.17677669529663687 * alpha[7] * favg[17];
-    ghat[19] += 0.1767766952966369 * alpha[8] * favg[4];
-    ghat[19] += 0.17677669529663687 * alpha[9] * favg[16];
-    ghat[19] += 0.1767766952966369 * alpha[10] * favg[3];
-    ghat[19] += 0.1767766952966369 * alpha[11] * favg[2];
-    ghat[19] += 0.1767766952966369 * alpha[12] * favg[31];
-    ghat[19] += 0.17677669529663687 * alpha[13] * favg[25];
-    ghat[19] += 0.17677669529663687 * alpha[14] * favg[24];
-    ghat[19] += 0.17677669529663687 * alpha[15] * favg[22];
-    ghat[19] += 0.17677669529663687 * alpha[18] * favg[6];
-    ghat[19] += 0.1767766952966369 * alpha[19] * favg[0];
-    ghat[19] += 0.1767766952966369 * alpha[21] * favg[28];
-    ghat[19] += 0.17677669529663687 * alpha[22] * favg[15];
-    ghat[19] += 0.1767766952966369 * alpha[23] * favg[27];
-    ghat[19] += 0.17677669529663687 * alpha[24] * favg[14];
-    ghat[19] += 0.17677669529663687 * alpha[25] * favg[13];
-    ghat[19] += 0.1767766952966369 * alpha[29] * favg[20];
-    ghat[19] += 0.17677669529663687 * alpha[30] * favg[5];
-    ghat[20] += 0.1767766952966369 * alpha[0] * favg[20];
-    ghat[20] += 0.1767766952966369 * alpha[1] * favg[13];
-    ghat[20] += 0.1767766952966369 * alpha[2] * favg[12];
-    ghat[20] += 0.17677669529663687 * alpha[3] * favg[27];
-    ghat[20] += 0.17677669529663687 * alpha[4] * favg[28];
-    ghat[20] += 0.1767766952966369 * alpha[5] * favg[6];
-    ghat[20] += 0.17677669529663687 * alpha[7] * favg[22];
-    ghat[20] += 0.17677669529663687 * alpha[8] * favg[21];
-    ghat[20] += 0.17677669529663687 * alpha[9] * favg[24];
-    ghat[20] += 0.17677669529663687 * alpha[10] * favg[23];
-    ghat[20] += 0.1767766952966369 * alpha[11] * favg[31];
-    ghat[20] += 0.1767766952966369 * alpha[12] * favg[2];
-    ghat[20] += 0.1767766952966369 * alpha[13] * favg[1];
-    ghat[20] += 0.17677669529663687 * alpha[14] * favg[16];
-    ghat[20] += 0.17677669529663687 * alpha[15] * favg[17];
-    ghat[20] += 0.1767766952966369 * alpha[18] * favg[30];
-    ghat[20] += 0.1767766952966369 * alpha[19] * favg[29];
-    ghat[20] += 0.17677669529663687 * alpha[21] * favg[8];
-    ghat[20] += 0.17677669529663687 * alpha[22] * favg[7];
-    ghat[20] += 0.17677669529663687 * alpha[23] * favg[10];
-    ghat[20] += 0.17677669529663687 * alpha[24] * favg[9];
-    ghat[20] += 0.1767766952966369 * alpha[25] * favg[26];
-    ghat[20] += 0.1767766952966369 * alpha[29] * favg[19];
-    ghat[20] += 0.1767766952966369 * alpha[30] * favg[18];
-    ghat[21] += 0.1767766952966369 * alpha[0] * favg[21];
-    ghat[21] += 0.1767766952966369 * alpha[1] * favg[14];
-    ghat[21] += 0.17677669529663687 * alpha[2] * favg[27];
-    ghat[21] += 0.1767766952966369 * alpha[3] * favg[12];
-    ghat[21] += 0.17677669529663687 * alpha[4] * favg[29];
-    ghat[21] += 0.1767766952966369 * alpha[5] * favg[7];
-    ghat[21] += 0.1767766952966369 * alpha[7] * favg[5];
-    ghat[21] += 0.17677669529663687 * alpha[8] * favg[20];
-    ghat[21] += 0.17677669529663687 * alpha[9] * favg[25];
-    ghat[21] += 0.1767766952966369 * alpha[10] * favg[31];
-    ghat[21] += 0.17677669529663687 * alpha[11] * favg[23];
-    ghat[21] += 0.1767766952966369 * alpha[12] * favg[3];
-    ghat[21] += 0.17677669529663687 * alpha[13] * favg[16];
-    ghat[21] += 0.1767766952966369 * alpha[14] * favg[1];
-    ghat[21] += 0.17677669529663687 * alpha[15] * favg[18];
-    ghat[21] += 0.17677669529663687 * alpha[18] * favg[15];
-    ghat[21] += 0.1767766952966369 * alpha[19] * favg[28];
-    ghat[21] += 0.1767766952966369 * alpha[21] * favg[0];
-    ghat[21] += 0.17677669529663687 * alpha[22] * favg[6];
-    ghat[21] += 0.17677669529663687 * alpha[23] * favg[11];
-    ghat[21] += 0.1767766952966369 * alpha[24] * favg[26];
-    ghat[21] += 0.17677669529663687 * alpha[25] * favg[9];
-    ghat[21] += 0.17677669529663687 * alpha[29] * favg[4];
-    ghat[21] += 0.1767766952966369 * alpha[30] * favg[17];
-    ghat[22] += 0.1767766952966369 * alpha[0] * favg[22];
-    ghat[22] += 0.17677669529663687 * alpha[1] * favg[27];
-    ghat[22] += 0.1767766952966369 * alpha[2] * favg[14];
-    ghat[22] += 0.1767766952966369 * alpha[3] * favg[13];
-    ghat[22] += 0.17677669529663687 * alpha[4] * favg[30];
-    ghat[22] += 0.1767766952966369 * alpha[5] * favg[8];
-    ghat[22] += 0.17677669529663687 * alpha[7] * favg[20];
-    ghat[22] += 0.1767766952966369 * alpha[8] * favg[5];
-    ghat[22] += 0.1767766952966369 * alpha[9] * favg[31];
-    ghat[22] += 0.17677669529663687 * alpha[10] * favg[25];
-    ghat[22] += 0.17677669529663687 * alpha[11] * favg[24];
-    ghat[22] += 0.17677669529663687 * alpha[12] * favg[16];
-    ghat[22] += 0.1767766952966369 * alpha[13] * favg[3];
-    ghat[22] += 0.1767766952966369 * alpha[14] * favg[2];
-    ghat[22] += 0.17677669529663687 * alpha[15] * favg[19];
-    ghat[22] += 0.1767766952966369 * alpha[18] * favg[28];
-    ghat[22] += 0.17677669529663687 * alpha[19] * favg[15];
-    ghat[22] += 0.17677669529663687 * alpha[21] * favg[6];
-    ghat[22] += 0.1767766952966369 * alpha[22] * favg[0];
-    ghat[22] += 0.1767766952966369 * alpha[23] * favg[26];
-    ghat[22] += 0.17677669529663687 * alpha[24] * favg[11];
-    ghat[22] += 0.17677669529663687 * alpha[25] * favg[10];
-    ghat[22] += 0.1767766952966369 * alpha[29] * favg[17];
-    ghat[22] += 0.17677669529663687 * alpha[30] * favg[4];
-    ghat[23] += 0.1767766952966369 * alpha[0] * favg[23];
-    ghat[23] += 0.1767766952966369 * alpha[1] * favg[15];
-    ghat[23] += 0.17677669529663687 * alpha[2] * favg[28];
-    ghat[23] += 0.17677669529663687 * alpha[3] * favg[29];
-    ghat[23] += 0.1767766952966369 * alpha[4] * favg[12];
-    ghat[23] += 0.1767766952966369 * alpha[5] * favg[9];
-    ghat[23] += 0.17677669529663687 * alpha[7] * favg[25];
-    ghat[23] += 0.1767766952966369 * alpha[8] * favg[31];
-    ghat[23] += 0.1767766952966369 * alpha[9] * favg[5];
-    ghat[23] += 0.17677669529663687 * alpha[10] * favg[20];
-    ghat[23] += 0.17677669529663687 * alpha[11] * favg[21];
-    ghat[23] += 0.1767766952966369 * alpha[12] * favg[4];
-    ghat[23] += 0.17677669529663687 * alpha[13] * favg[17];
-    ghat[23] += 0.17677669529663687 * alpha[14] * favg[18];
-    ghat[23] += 0.1767766952966369 * alpha[15] * favg[1];
-    ghat[23] += 0.17677669529663687 * alpha[18] * favg[14];
-    ghat[23] += 0.1767766952966369 * alpha[19] * favg[27];
-    ghat[23] += 0.17677669529663687 * alpha[21] * favg[11];
-    ghat[23] += 0.1767766952966369 * alpha[22] * favg[26];
-    ghat[23] += 0.1767766952966369 * alpha[23] * favg[0];
-    ghat[23] += 0.17677669529663687 * alpha[24] * favg[6];
-    ghat[23] += 0.17677669529663687 * alpha[25] * favg[7];
-    ghat[23] += 0.17677669529663687 * alpha[29] * favg[3];
-    ghat[23] += 0.1767766952966369 * alpha[30] * favg[16];
-    ghat[24] += 0.1767766952966369 * alpha[0] * favg[24];
-    ghat[24] += 0.17677669529663687 * alpha[1] * favg[28];
-    ghat[24] += 0.1767766952966369 * alpha[2] * favg[15];
-    ghat[24] += 0.17677669529663687 * alpha[3] * favg[30];
-    ghat[24] += 0.1767766952966369 * alpha[4] * favg[13];
-    ghat[24] += 0.1767766952966369 * alpha[5] * favg[10];
-    ghat[24] += 0.1767766952966369 * alpha[7] * favg[31];
-    ghat[24] += 0.17677669529663687 * alpha[8] * favg[25];
-    ghat[24] += 0.17677669529663687 * alpha[9] * favg[20];
-    ghat[24] += 0.1767766952966369 * alpha[10] * favg[5];
-    ghat[24] += 0.17677669529663687 * alpha[11] * favg[22];
-    ghat[24] += 0.17677669529663687 * alpha[12] * favg[17];
-    ghat[24] += 0.1767766952966369 * alpha[13] * favg[4];
-    ghat[24] += 0.17677669529663687 * alpha[14] * favg[19];
-    ghat[24] += 0.1767766952966369 * alpha[15] * favg[2];
-    ghat[24] += 0.1767766952966369 * alpha[18] * favg[27];
-    ghat[24] += 0.17677669529663687 * alpha[19] * favg[14];
-    ghat[24] += 0.1767766952966369 * alpha[21] * favg[26];
-    ghat[24] += 0.17677669529663687 * alpha[22] * favg[11];
-    ghat[24] += 0.17677669529663687 * alpha[23] * favg[6];
-    ghat[24] += 0.1767766952966369 * alpha[24] * favg[0];
-    ghat[24] += 0.17677669529663687 * alpha[25] * favg[8];
-    ghat[24] += 0.1767766952966369 * alpha[29] * favg[16];
-    ghat[24] += 0.17677669529663687 * alpha[30] * favg[3];
-    ghat[25] += 0.1767766952966369 * alpha[0] * favg[25];
-    ghat[25] += 0.17677669529663687 * alpha[1] * favg[29];
-    ghat[25] += 0.17677669529663687 * alpha[2] * favg[30];
-    ghat[25] += 0.1767766952966369 * alpha[3] * favg[15];
-    ghat[25] += 0.1767766952966369 * alpha[4] * favg[14];
-    ghat[25] += 0.1767766952966369 * alpha[5] * favg[11];
-    ghat[25] += 0.17677669529663687 * alpha[7] * favg[23];
-    ghat[25] += 0.17677669529663687 * alpha[8] * favg[24];
-    ghat[25] += 0.17677669529663687 * alpha[9] * favg[21];
-    ghat[25] += 0.17677669529663687 * alpha[10] * favg[22];
-    ghat[25] += 0.1767766952966369 * alpha[11] * favg[5];
-    ghat[25] += 0.17677669529663687 * alpha[12] * favg[18];
-    ghat[25] += 0.17677669529663687 * alpha[13] * favg[19];
-    ghat[25] += 0.1767766952966369 * alpha[14] * favg[4];
-    ghat[25] += 0.1767766952966369 * alpha[15] * favg[3];
-    ghat[25] += 0.17677669529663687 * alpha[18] * favg[12];
-    ghat[25] += 0.17677669529663687 * alpha[19] * favg[13];
-    ghat[25] += 0.17677669529663687 * alpha[21] * favg[9];
-    ghat[25] += 0.17677669529663687 * alpha[22] * favg[10];
-    ghat[25] += 0.17677669529663687 * alpha[23] * favg[7];
-    ghat[25] += 0.17677669529663687 * alpha[24] * favg[8];
-    ghat[25] += 0.1767766952966369 * alpha[25] * favg[0];
-    ghat[25] += 0.17677669529663687 * alpha[29] * favg[1];
-    ghat[25] += 0.17677669529663687 * alpha[30] * favg[2];
-    ghat[26] += 0.17677669529663687 * alpha[0] * favg[26];
-    ghat[26] += 0.17677669529663687 * alpha[1] * favg[19];
-    ghat[26] += 0.17677669529663687 * alpha[2] * favg[18];
-    ghat[26] += 0.17677669529663687 * alpha[3] * favg[17];
-    ghat[26] += 0.17677669529663687 * alpha[4] * favg[16];
-    ghat[26] += 0.1767766952966369 * alpha[5] * favg[31];
-    ghat[26] += 0.17677669529663687 * alpha[7] * favg[10];
-    ghat[26] += 0.17677669529663687 * alpha[8] * favg[9];
-    ghat[26] += 0.17677669529663687 * alpha[9] * favg[8];
-    ghat[26] += 0.17677669529663687 * alpha[10] * favg[7];
-    ghat[26] += 0.17677669529663687 * alpha[11] * favg[6];
-    ghat[26] += 0.1767766952966369 * alpha[12] * favg[30];
-    ghat[26] += 0.1767766952966369 * alpha[13] * favg[29];
-    ghat[26] += 0.1767766952966369 * alpha[14] * favg[28];
-    ghat[26] += 0.1767766952966369 * alpha[15] * favg[27];
-    ghat[26] += 0.17677669529663687 * alpha[18] * favg[2];
-    ghat[26] += 0.17677669529663687 * alpha[19] * favg[1];
-    ghat[26] += 0.1767766952966369 * alpha[21] * favg[24];
-    ghat[26] += 0.1767766952966369 * alpha[22] * favg[23];
-    ghat[26] += 0.1767766952966369 * alpha[23] * favg[22];
-    ghat[26] += 0.1767766952966369 * alpha[24] * favg[21];
-    ghat[26] += 0.1767766952966369 * alpha[25] * favg[20];
-    ghat[26] += 0.1767766952966369 * alpha[29] * favg[13];
-    ghat[26] += 0.1767766952966369 * alpha[30] * favg[12];
-    ghat[27] += 0.17677669529663687 * alpha[0] * favg[27];
-    ghat[27] += 0.17677669529663687 * alpha[1] * favg[22];
-    ghat[27] += 0.17677669529663687 * alpha[2] * favg[21];
-    ghat[27] += 0.17677669529663687 * alpha[3] * favg[20];
-    ghat[27] += 0.1767766952966369 * alpha[4] * favg[31];
-    ghat[27] += 0.17677669529663687 * alpha[5] * favg[16];
-    ghat[27] += 0.17677669529663687 * alpha[7] * favg[13];
-    ghat[27] += 0.17677669529663687 * alpha[8] * favg[12];
-    ghat[27] += 0.1767766952966369 * alpha[9] * favg[30];
-    ghat[27] += 0.1767766952966369 * alpha[10] * favg[29];
-    ghat[27] += 0.1767766952966369 * alpha[11] * favg[28];
-    ghat[27] += 0.17677669529663687 * alpha[12] * favg[8];
-    ghat[27] += 0.17677669529663687 * alpha[13] * favg[7];
-    ghat[27] += 0.17677669529663687 * alpha[14] * favg[6];
-    ghat[27] += 0.1767766952966369 * alpha[15] * favg[26];
-    ghat[27] += 0.1767766952966369 * alpha[18] * favg[24];
-    ghat[27] += 0.1767766952966369 * alpha[19] * favg[23];
-    ghat[27] += 0.17677669529663687 * alpha[21] * favg[2];
-    ghat[27] += 0.17677669529663687 * alpha[22] * favg[1];
-    ghat[27] += 0.1767766952966369 * alpha[23] * favg[19];
-    ghat[27] += 0.1767766952966369 * alpha[24] * favg[18];
-    ghat[27] += 0.1767766952966369 * alpha[25] * favg[17];
-    ghat[27] += 0.1767766952966369 * alpha[29] * favg[10];
-    ghat[27] += 0.1767766952966369 * alpha[30] * favg[9];
-    ghat[28] += 0.17677669529663687 * alpha[0] * favg[28];
-    ghat[28] += 0.17677669529663687 * alpha[1] * favg[24];
-    ghat[28] += 0.17677669529663687 * alpha[2] * favg[23];
-    ghat[28] += 0.1767766952966369 * alpha[3] * favg[31];
-    ghat[28] += 0.17677669529663687 * alpha[4] * favg[20];
-    ghat[28] += 0.17677669529663687 * alpha[5] * favg[17];
-    ghat[28] += 0.1767766952966369 * alpha[7] * favg[30];
-    ghat[28] += 0.1767766952966369 * alpha[8] * favg[29];
-    ghat[28] += 0.17677669529663687 * alpha[9] * favg[13];
-    ghat[28] += 0.17677669529663687 * alpha[10] * favg[12];
-    ghat[28] += 0.1767766952966369 * alpha[11] * favg[27];
-    ghat[28] += 0.17677669529663687 * alpha[12] * favg[10];
-    ghat[28] += 0.17677669529663687 * alpha[13] * favg[9];
-    ghat[28] += 0.1767766952966369 * alpha[14] * favg[26];
-    ghat[28] += 0.17677669529663687 * alpha[15] * favg[6];
-    ghat[28] += 0.1767766952966369 * alpha[18] * favg[22];
-    ghat[28] += 0.1767766952966369 * alpha[19] * favg[21];
-    ghat[28] += 0.1767766952966369 * alpha[21] * favg[19];
-    ghat[28] += 0.1767766952966369 * alpha[22] * favg[18];
-    ghat[28] += 0.17677669529663687 * alpha[23] * favg[2];
-    ghat[28] += 0.17677669529663687 * alpha[24] * favg[1];
-    ghat[28] += 0.1767766952966369 * alpha[25] * favg[16];
-    ghat[28] += 0.1767766952966369 * alpha[29] * favg[8];
-    ghat[28] += 0.1767766952966369 * alpha[30] * favg[7];
-    ghat[29] += 0.17677669529663687 * alpha[0] * favg[29];
-    ghat[29] += 0.17677669529663687 * alpha[1] * favg[25];
-    ghat[29] += 0.1767766952966369 * alpha[2] * favg[31];
-    ghat[29] += 0.17677669529663687 * alpha[3] * favg[23];
-    ghat[29] += 0.17677669529663687 * alpha[4] * favg[21];
-    ghat[29] += 0.17677669529663687 * alpha[5] * favg[18];
-    ghat[29] += 0.17677669529663687 * alpha[7] * favg[15];
-    ghat[29] += 0.1767766952966369 * alpha[8] * favg[28];
-    ghat[29] += 0.17677669529663687 * alpha[9] * favg[14];
-    ghat[29] += 0.1767766952966369 * alpha[10] * favg[27];
-    ghat[29] += 0.17677669529663687 * alpha[11] * favg[12];
-    ghat[29] += 0.17677669529663687 * alpha[12] * favg[11];
-    ghat[29] += 0.1767766952966369 * alpha[13] * favg[26];
-    ghat[29] += 0.17677669529663687 * alpha[14] * favg[9];
-    ghat[29] += 0.17677669529663687 * alpha[15] * favg[7];
-    ghat[29] += 0.17677669529663687 * alpha[18] * favg[5];
-    ghat[29] += 0.1767766952966369 * alpha[19] * favg[20];
-    ghat[29] += 0.17677669529663687 * alpha[21] * favg[4];
-    ghat[29] += 0.1767766952966369 * alpha[22] * favg[17];
-    ghat[29] += 0.17677669529663687 * alpha[23] * favg[3];
-    ghat[29] += 0.1767766952966369 * alpha[24] * favg[16];
-    ghat[29] += 0.17677669529663687 * alpha[25] * favg[1];
-    ghat[29] += 0.17677669529663687 * alpha[29] * favg[0];
-    ghat[29] += 0.1767766952966369 * alpha[30] * favg[6];
-    ghat[30] += 0.17677669529663687 * alpha[0] * favg[30];
-    ghat[30] += 0.1767766952966369 * alpha[1] * favg[31];
-    ghat[30] += 0.17677669529663687 * alpha[2] * favg[25];
-    ghat[30] += 0.17677669529663687 * alpha[3] * favg[24];
-    ghat[30] += 0.17677669529663687 * alpha[4] * favg[22];
-    ghat[30] += 0.17677669529663687 * alpha[5] * favg[19];
-    ghat[30] += 0.1767766952966369 * alpha[7] * favg[28];
-    ghat[30] += 0.17677669529663687 * alpha[8] * favg[15];
-    ghat[30] += 0.1767766952966369 * alpha[9] * favg[27];
-    ghat[30] += 0.17677669529663687 * alpha[10] * favg[14];
-    ghat[30] += 0.17677669529663687 * alpha[11] * favg[13];
-    ghat[30] += 0.1767766952966369 * alpha[12] * favg[26];
-    ghat[30] += 0.17677669529663687 * alpha[13] * favg[11];
-    ghat[30] += 0.17677669529663687 * alpha[14] * favg[10];
-    ghat[30] += 0.17677669529663687 * alpha[15] * favg[8];
-    ghat[30] += 0.1767766952966369 * alpha[18] * favg[20];
-    ghat[30] += 0.17677669529663687 * alpha[19] * favg[5];
-    ghat[30] += 0.1767766952966369 * alpha[21] * favg[17];
-    ghat[30] += 0.17677669529663687 * alpha[22] * favg[4];
-    ghat[30] += 0.1767766952966369 * alpha[23] * favg[16];
-    ghat[30] += 0.17677669529663687 * alpha[24] * favg[3];
-    ghat[30] += 0.17677669529663687 * alpha[25] * favg[2];
-    ghat[30] += 0.1767766952966369 * alpha[29] * favg[6];
-    ghat[30] += 0.17677669529663687 * alpha[30] * favg[0];
-    ghat[31] += 0.1767766952966369 * alpha[0] * favg[31];
-    ghat[31] += 0.1767766952966369 * alpha[1] * favg[30];
-    ghat[31] += 0.1767766952966369 * alpha[2] * favg[29];
-    ghat[31] += 0.1767766952966369 * alpha[3] * favg[28];
-    ghat[31] += 0.1767766952966369 * alpha[4] * favg[27];
-    ghat[31] += 0.1767766952966369 * alpha[5] * favg[26];
-    ghat[31] += 0.1767766952966369 * alpha[7] * favg[24];
-    ghat[31] += 0.1767766952966369 * alpha[8] * favg[23];
-    ghat[31] += 0.1767766952966369 * alpha[9] * favg[22];
-    ghat[31] += 0.1767766952966369 * alpha[10] * favg[21];
-    ghat[31] += 0.1767766952966369 * alpha[11] * favg[20];
-    ghat[31] += 0.1767766952966369 * alpha[12] * favg[19];
-    ghat[31] += 0.1767766952966369 * alpha[13] * favg[18];
-    ghat[31] += 0.1767766952966369 * alpha[14] * favg[17];
-    ghat[31] += 0.1767766952966369 * alpha[15] * favg[16];
-    ghat[31] += 0.1767766952966369 * alpha[18] * favg[13];
-    ghat[31] += 0.1767766952966369 * alpha[19] * favg[12];
-    ghat[31] += 0.1767766952966369 * alpha[21] * favg[10];
-    ghat[31] += 0.1767766952966369 * alpha[22] * favg[9];
-    ghat[31] += 0.1767766952966369 * alpha[23] * favg[8];
-    ghat[31] += 0.1767766952966369 * alpha[24] * favg[7];
-    ghat[31] += 0.1767766952966369 * alpha[25] * favg[6];
-    ghat[31] += 0.1767766952966369 * alpha[29] * favg[2];
-    ghat[31] += 0.1767766952966369 * alpha[30] * favg[1];
-    out_lo[0] += -rd * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -rd * 0.7071067811865476 * ghat[1];
-    out_lo[2] += -rd * 0.7071067811865476 * ghat[2];
-    out_lo[3] += -rd * 1.224744871391589 * ghat[0];
-    out_lo[4] += -rd * 0.7071067811865476 * ghat[3];
-    out_lo[5] += -rd * 0.7071067811865476 * ghat[4];
-    out_lo[6] += -rd * 0.7071067811865476 * ghat[5];
-    out_lo[7] += -rd * 0.7071067811865476 * ghat[6];
-    out_lo[8] += -rd * 1.224744871391589 * ghat[1];
-    out_lo[9] += -rd * 1.224744871391589 * ghat[2];
-    out_lo[10] += -rd * 0.7071067811865476 * ghat[7];
-    out_lo[11] += -rd * 0.7071067811865476 * ghat[8];
-    out_lo[12] += -rd * 1.224744871391589 * ghat[3];
-    out_lo[13] += -rd * 0.7071067811865476 * ghat[9];
-    out_lo[14] += -rd * 0.7071067811865476 * ghat[10];
-    out_lo[15] += -rd * 1.224744871391589 * ghat[4];
-    out_lo[16] += -rd * 0.7071067811865476 * ghat[11];
-    out_lo[17] += -rd * 0.7071067811865476 * ghat[12];
-    out_lo[18] += -rd * 0.7071067811865476 * ghat[13];
-    out_lo[19] += -rd * 1.224744871391589 * ghat[5];
-    out_lo[20] += -rd * 0.7071067811865476 * ghat[14];
-    out_lo[21] += -rd * 0.7071067811865476 * ghat[15];
-    out_lo[22] += -rd * 1.224744871391589 * ghat[6];
-    out_lo[23] += -rd * 0.7071067811865476 * ghat[16];
-    out_lo[24] += -rd * 1.224744871391589 * ghat[7];
-    out_lo[25] += -rd * 1.224744871391589 * ghat[8];
-    out_lo[26] += -rd * 0.7071067811865476 * ghat[17];
-    out_lo[27] += -rd * 1.224744871391589 * ghat[9];
-    out_lo[28] += -rd * 1.224744871391589 * ghat[10];
-    out_lo[29] += -rd * 0.7071067811865476 * ghat[18];
-    out_lo[30] += -rd * 0.7071067811865476 * ghat[19];
-    out_lo[31] += -rd * 1.224744871391589 * ghat[11];
-    out_lo[32] += -rd * 0.7071067811865476 * ghat[20];
-    out_lo[33] += -rd * 1.224744871391589 * ghat[12];
-    out_lo[34] += -rd * 1.224744871391589 * ghat[13];
-    out_lo[35] += -rd * 0.7071067811865476 * ghat[21];
-    out_lo[36] += -rd * 0.7071067811865476 * ghat[22];
-    out_lo[37] += -rd * 1.224744871391589 * ghat[14];
-    out_lo[38] += -rd * 0.7071067811865476 * ghat[23];
-    out_lo[39] += -rd * 0.7071067811865476 * ghat[24];
-    out_lo[40] += -rd * 1.224744871391589 * ghat[15];
-    out_lo[41] += -rd * 0.7071067811865476 * ghat[25];
-    out_lo[42] += -rd * 1.224744871391589 * ghat[16];
-    out_lo[43] += -rd * 1.224744871391589 * ghat[17];
-    out_lo[44] += -rd * 0.7071067811865476 * ghat[26];
-    out_lo[45] += -rd * 1.224744871391589 * ghat[18];
-    out_lo[46] += -rd * 1.224744871391589 * ghat[19];
-    out_lo[47] += -rd * 1.224744871391589 * ghat[20];
-    out_lo[48] += -rd * 0.7071067811865476 * ghat[27];
-    out_lo[49] += -rd * 1.224744871391589 * ghat[21];
-    out_lo[50] += -rd * 1.224744871391589 * ghat[22];
-    out_lo[51] += -rd * 0.7071067811865476 * ghat[28];
-    out_lo[52] += -rd * 1.224744871391589 * ghat[23];
-    out_lo[53] += -rd * 1.224744871391589 * ghat[24];
-    out_lo[54] += -rd * 0.7071067811865476 * ghat[29];
-    out_lo[55] += -rd * 0.7071067811865476 * ghat[30];
-    out_lo[56] += -rd * 1.224744871391589 * ghat[25];
-    out_lo[57] += -rd * 1.224744871391589 * ghat[26];
-    out_lo[58] += -rd * 1.224744871391589 * ghat[27];
-    out_lo[59] += -rd * 1.224744871391589 * ghat[28];
-    out_lo[60] += -rd * 0.7071067811865476 * ghat[31];
-    out_lo[61] += -rd * 1.224744871391589 * ghat[29];
-    out_lo[62] += -rd * 1.224744871391589 * ghat[30];
-    out_lo[63] += -rd * 1.224744871391589 * ghat[31];
-    out_hi[0] += rd * 0.7071067811865476 * ghat[0];
-    out_hi[1] += rd * 0.7071067811865476 * ghat[1];
-    out_hi[2] += rd * 0.7071067811865476 * ghat[2];
-    out_hi[3] += rd * -1.224744871391589 * ghat[0];
-    out_hi[4] += rd * 0.7071067811865476 * ghat[3];
-    out_hi[5] += rd * 0.7071067811865476 * ghat[4];
-    out_hi[6] += rd * 0.7071067811865476 * ghat[5];
-    out_hi[7] += rd * 0.7071067811865476 * ghat[6];
-    out_hi[8] += rd * -1.224744871391589 * ghat[1];
-    out_hi[9] += rd * -1.224744871391589 * ghat[2];
-    out_hi[10] += rd * 0.7071067811865476 * ghat[7];
-    out_hi[11] += rd * 0.7071067811865476 * ghat[8];
-    out_hi[12] += rd * -1.224744871391589 * ghat[3];
-    out_hi[13] += rd * 0.7071067811865476 * ghat[9];
-    out_hi[14] += rd * 0.7071067811865476 * ghat[10];
-    out_hi[15] += rd * -1.224744871391589 * ghat[4];
-    out_hi[16] += rd * 0.7071067811865476 * ghat[11];
-    out_hi[17] += rd * 0.7071067811865476 * ghat[12];
-    out_hi[18] += rd * 0.7071067811865476 * ghat[13];
-    out_hi[19] += rd * -1.224744871391589 * ghat[5];
-    out_hi[20] += rd * 0.7071067811865476 * ghat[14];
-    out_hi[21] += rd * 0.7071067811865476 * ghat[15];
-    out_hi[22] += rd * -1.224744871391589 * ghat[6];
-    out_hi[23] += rd * 0.7071067811865476 * ghat[16];
-    out_hi[24] += rd * -1.224744871391589 * ghat[7];
-    out_hi[25] += rd * -1.224744871391589 * ghat[8];
-    out_hi[26] += rd * 0.7071067811865476 * ghat[17];
-    out_hi[27] += rd * -1.224744871391589 * ghat[9];
-    out_hi[28] += rd * -1.224744871391589 * ghat[10];
-    out_hi[29] += rd * 0.7071067811865476 * ghat[18];
-    out_hi[30] += rd * 0.7071067811865476 * ghat[19];
-    out_hi[31] += rd * -1.224744871391589 * ghat[11];
-    out_hi[32] += rd * 0.7071067811865476 * ghat[20];
-    out_hi[33] += rd * -1.224744871391589 * ghat[12];
-    out_hi[34] += rd * -1.224744871391589 * ghat[13];
-    out_hi[35] += rd * 0.7071067811865476 * ghat[21];
-    out_hi[36] += rd * 0.7071067811865476 * ghat[22];
-    out_hi[37] += rd * -1.224744871391589 * ghat[14];
-    out_hi[38] += rd * 0.7071067811865476 * ghat[23];
-    out_hi[39] += rd * 0.7071067811865476 * ghat[24];
-    out_hi[40] += rd * -1.224744871391589 * ghat[15];
-    out_hi[41] += rd * 0.7071067811865476 * ghat[25];
-    out_hi[42] += rd * -1.224744871391589 * ghat[16];
-    out_hi[43] += rd * -1.224744871391589 * ghat[17];
-    out_hi[44] += rd * 0.7071067811865476 * ghat[26];
-    out_hi[45] += rd * -1.224744871391589 * ghat[18];
-    out_hi[46] += rd * -1.224744871391589 * ghat[19];
-    out_hi[47] += rd * -1.224744871391589 * ghat[20];
-    out_hi[48] += rd * 0.7071067811865476 * ghat[27];
-    out_hi[49] += rd * -1.224744871391589 * ghat[21];
-    out_hi[50] += rd * -1.224744871391589 * ghat[22];
-    out_hi[51] += rd * 0.7071067811865476 * ghat[28];
-    out_hi[52] += rd * -1.224744871391589 * ghat[23];
-    out_hi[53] += rd * -1.224744871391589 * ghat[24];
-    out_hi[54] += rd * 0.7071067811865476 * ghat[29];
-    out_hi[55] += rd * 0.7071067811865476 * ghat[30];
-    out_hi[56] += rd * -1.224744871391589 * ghat[25];
-    out_hi[57] += rd * -1.224744871391589 * ghat[26];
-    out_hi[58] += rd * -1.224744871391589 * ghat[27];
-    out_hi[59] += rd * -1.224744871391589 * ghat[28];
-    out_hi[60] += rd * 0.7071067811865476 * ghat[31];
-    out_hi[61] += rd * -1.224744871391589 * ghat[29];
-    out_hi[62] += rd * -1.224744871391589 * ghat[30];
-    out_hi[63] += rd * -1.224744871391589 * ghat[31];
+    vlasov_surf_3x3v_p1_ser_v0_body::<1>(w.as_chunks().0, dxv, qm, em, penalty, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
 }
 
-/// Batched companion of [`vlasov_surf_3x3v_p1_ser_v0`]: `LANES` faces per call, bit-identical per lane.
+/// [`vlasov_surf_3x3v_p1_ser_v0`] over `LANES` faces: the same body, bit-identical per lane.
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_3x3v_p1_ser_v0_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_3x3v_p1_ser_v0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_3x3v_p1_ser_v0_b4(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_3x3v_p1_ser_v0_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// [`vlasov_surf_3x3v_p1_ser_v0_b4`] compiled for AVX2: the same body, bit-identical per lane.
-/// Reach it through `crate::dispatch`, which checks the CPU first.
+/// [`vlasov_surf_3x3v_p1_ser_v0_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_3x3v_p1_ser_v0_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_3x3v_p1_ser_v0_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_3x3v_p1_ser_v0_b4_avx2(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_3x3v_p1_ser_v0_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// Shared body of [`vlasov_surf_3x3v_p1_ser_v0_b4`] and its AVX2 entry point.
+/// [`vlasov_surf_3x3v_p1_ser_v0`] over 8 faces, compiled for AVX-512F. Reach it through
+/// `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_surf_3x3v_p1_ser_v0_b8_avx512(w: &[[f64; 8]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; 8]], f_hi: &[[f64; 8]], out_lo: &mut [[f64; 8]], out_hi: &mut [[f64; 8]]) {
+    vlasov_surf_3x3v_p1_ser_v0_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`vlasov_surf_3x3v_p1_ser_v0`] and its batched entry points.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_surf_3x3v_p1_ser_v0_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+fn vlasov_surf_3x3v_p1_ser_v0_body<const L: usize>(w: &[[f64; L]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let w: &[[f64; L]; 6] = w.first_chunk().expect("w: 6 coefficients");
+    let f_lo: &[[f64; L]; 64] = f_lo.first_chunk().expect("f_lo: 64 coefficients");
+    let f_hi: &[[f64; L]; 64] = f_hi.first_chunk().expect("f_hi: 64 coefficients");
+    let out_lo: &mut [[f64; L]; 64] = out_lo.first_chunk_mut().expect("out_lo: 64 coefficients");
+    let out_hi: &mut [[f64; L]; 64] = out_hi.first_chunk_mut().expect("out_hi: 64 coefficients");
     let rd = 2.0 / dxv[3];
-    let mut alpha = [CellLanes([0.0f64; LANES]); 32];
-    let mut lam = CellLanes([0.0f64; LANES]);
-    for k in 0..LANES {
-        alpha[0].0[k] += qm * 2.0 * (em[0] + w[4].0[k] * em[40] - w[5].0[k] * em[32]);
-        alpha[2].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[40];
-        alpha[1].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[32];
-        alpha[3].0[k] += qm * 2.0 * (em[1] + w[4].0[k] * em[41] - w[5].0[k] * em[33]);
-        alpha[8].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[41];
-        alpha[7].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[33];
-        alpha[4].0[k] += qm * 2.0 * (em[2] + w[4].0[k] * em[42] - w[5].0[k] * em[34]);
-        alpha[10].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[42];
-        alpha[9].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[34];
-        alpha[5].0[k] += qm * 2.0 * (em[3] + w[4].0[k] * em[43] - w[5].0[k] * em[35]);
-        alpha[13].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[43];
-        alpha[12].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[35];
-        alpha[11].0[k] += qm * 2.0 * (em[4] + w[4].0[k] * em[44] - w[5].0[k] * em[36]);
-        alpha[19].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[44];
-        alpha[18].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[36];
-        alpha[14].0[k] += qm * 2.0 * (em[5] + w[4].0[k] * em[45] - w[5].0[k] * em[37]);
-        alpha[22].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[45];
-        alpha[21].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[37];
-        alpha[15].0[k] += qm * 2.0 * (em[6] + w[4].0[k] * em[46] - w[5].0[k] * em[38]);
-        alpha[24].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[46];
-        alpha[23].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[38];
-        alpha[25].0[k] += qm * 2.0 * (em[7] + w[4].0[k] * em[47] - w[5].0[k] * em[39]);
-        alpha[30].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[47];
-        alpha[29].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[39];
-        lam.0[k] = if penalty { alpha[0].0[k].abs() * 0.17677669529663692 + alpha[1].0[k].abs() * 0.3061862178478973 + alpha[2].0[k].abs() * 0.30618621784789735 + alpha[3].0[k].abs() * 0.30618621784789735 + alpha[4].0[k].abs() * 0.30618621784789735 + alpha[5].0[k].abs() * 0.30618621784789735 + alpha[7].0[k].abs() * 0.5303300858899107 + alpha[8].0[k].abs() * 0.5303300858899107 + alpha[9].0[k].abs() * 0.5303300858899107 + alpha[10].0[k].abs() * 0.5303300858899107 + alpha[11].0[k].abs() * 0.5303300858899107 + alpha[12].0[k].abs() * 0.5303300858899107 + alpha[13].0[k].abs() * 0.5303300858899107 + alpha[14].0[k].abs() * 0.5303300858899107 + alpha[15].0[k].abs() * 0.5303300858899107 + alpha[18].0[k].abs() * 0.9185586535436917 + alpha[19].0[k].abs() * 0.9185586535436917 + alpha[21].0[k].abs() * 0.9185586535436917 + alpha[22].0[k].abs() * 0.9185586535436917 + alpha[23].0[k].abs() * 0.9185586535436917 + alpha[24].0[k].abs() * 0.9185586535436917 + alpha[25].0[k].abs() * 0.9185586535436917 + alpha[29].0[k].abs() * 1.5909902576697315 + alpha[30].0[k].abs() * 1.5909902576697315 } else { 0.0 };
+    let mut alpha = [[0.0f64; L]; 32];
+    let mut lam = [0.0f64; L];
+    for k in 0..L {
+        alpha[0][k] += qm * 2.0 * (em[0] + w[4][k] * em[40] - w[5][k] * em[32]);
+        alpha[2][k] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[40];
+        alpha[1][k] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[32];
+        alpha[3][k] += qm * 2.0 * (em[1] + w[4][k] * em[41] - w[5][k] * em[33]);
+        alpha[8][k] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[41];
+        alpha[7][k] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[33];
+        alpha[4][k] += qm * 2.0 * (em[2] + w[4][k] * em[42] - w[5][k] * em[34]);
+        alpha[10][k] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[42];
+        alpha[9][k] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[34];
+        alpha[5][k] += qm * 2.0 * (em[3] + w[4][k] * em[43] - w[5][k] * em[35]);
+        alpha[13][k] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[43];
+        alpha[12][k] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[35];
+        alpha[11][k] += qm * 2.0 * (em[4] + w[4][k] * em[44] - w[5][k] * em[36]);
+        alpha[19][k] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[44];
+        alpha[18][k] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[36];
+        alpha[14][k] += qm * 2.0 * (em[5] + w[4][k] * em[45] - w[5][k] * em[37]);
+        alpha[22][k] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[45];
+        alpha[21][k] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[37];
+        alpha[15][k] += qm * 2.0 * (em[6] + w[4][k] * em[46] - w[5][k] * em[38]);
+        alpha[24][k] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[46];
+        alpha[23][k] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[38];
+        alpha[25][k] += qm * 2.0 * (em[7] + w[4][k] * em[47] - w[5][k] * em[39]);
+        alpha[30][k] += qm * 1.1547005383792517 * (0.5 * dxv[4]) * em[47];
+        alpha[29][k] += qm * -1.1547005383792517 * (0.5 * dxv[5]) * em[39];
+        lam[k] = if penalty { alpha[0][k].abs() * 0.17677669529663692 + alpha[1][k].abs() * 0.3061862178478973 + alpha[2][k].abs() * 0.30618621784789735 + alpha[3][k].abs() * 0.30618621784789735 + alpha[4][k].abs() * 0.30618621784789735 + alpha[5][k].abs() * 0.30618621784789735 + alpha[7][k].abs() * 0.5303300858899107 + alpha[8][k].abs() * 0.5303300858899107 + alpha[9][k].abs() * 0.5303300858899107 + alpha[10][k].abs() * 0.5303300858899107 + alpha[11][k].abs() * 0.5303300858899107 + alpha[12][k].abs() * 0.5303300858899107 + alpha[13][k].abs() * 0.5303300858899107 + alpha[14][k].abs() * 0.5303300858899107 + alpha[15][k].abs() * 0.5303300858899107 + alpha[18][k].abs() * 0.9185586535436917 + alpha[19][k].abs() * 0.9185586535436917 + alpha[21][k].abs() * 0.9185586535436917 + alpha[22][k].abs() * 0.9185586535436917 + alpha[23][k].abs() * 0.9185586535436917 + alpha[24][k].abs() * 0.9185586535436917 + alpha[25][k].abs() * 0.9185586535436917 + alpha[29][k].abs() * 1.5909902576697315 + alpha[30][k].abs() * 1.5909902576697315 } else { 0.0 };
     }
-    let mut fm = [CellLanes([0.0f64; LANES]); 32];
-    let mut fp = [CellLanes([0.0f64; LANES]); 32];
-    sx4(&mut fm[0], 0.7071067811865476, &f_lo[0]);
-    sx4(&mut fm[1], 0.7071067811865476, &f_lo[1]);
-    sx4(&mut fm[2], 0.7071067811865476, &f_lo[2]);
-    sx4(&mut fm[0], 1.224744871391589, &f_lo[3]);
-    sx4(&mut fm[3], 0.7071067811865476, &f_lo[4]);
-    sx4(&mut fm[4], 0.7071067811865476, &f_lo[5]);
-    sx4(&mut fm[5], 0.7071067811865476, &f_lo[6]);
-    sx4(&mut fm[6], 0.7071067811865476, &f_lo[7]);
-    sx4(&mut fm[1], 1.224744871391589, &f_lo[8]);
-    sx4(&mut fm[2], 1.224744871391589, &f_lo[9]);
-    sx4(&mut fm[7], 0.7071067811865476, &f_lo[10]);
-    sx4(&mut fm[8], 0.7071067811865476, &f_lo[11]);
-    sx4(&mut fm[3], 1.224744871391589, &f_lo[12]);
-    sx4(&mut fm[9], 0.7071067811865476, &f_lo[13]);
-    sx4(&mut fm[10], 0.7071067811865476, &f_lo[14]);
-    sx4(&mut fm[4], 1.224744871391589, &f_lo[15]);
-    sx4(&mut fm[11], 0.7071067811865476, &f_lo[16]);
-    sx4(&mut fm[12], 0.7071067811865476, &f_lo[17]);
-    sx4(&mut fm[13], 0.7071067811865476, &f_lo[18]);
-    sx4(&mut fm[5], 1.224744871391589, &f_lo[19]);
-    sx4(&mut fm[14], 0.7071067811865476, &f_lo[20]);
-    sx4(&mut fm[15], 0.7071067811865476, &f_lo[21]);
-    sx4(&mut fm[6], 1.224744871391589, &f_lo[22]);
-    sx4(&mut fm[16], 0.7071067811865476, &f_lo[23]);
-    sx4(&mut fm[7], 1.224744871391589, &f_lo[24]);
-    sx4(&mut fm[8], 1.224744871391589, &f_lo[25]);
-    sx4(&mut fm[17], 0.7071067811865476, &f_lo[26]);
-    sx4(&mut fm[9], 1.224744871391589, &f_lo[27]);
-    sx4(&mut fm[10], 1.224744871391589, &f_lo[28]);
-    sx4(&mut fm[18], 0.7071067811865476, &f_lo[29]);
-    sx4(&mut fm[19], 0.7071067811865476, &f_lo[30]);
-    sx4(&mut fm[11], 1.224744871391589, &f_lo[31]);
-    sx4(&mut fm[20], 0.7071067811865476, &f_lo[32]);
-    sx4(&mut fm[12], 1.224744871391589, &f_lo[33]);
-    sx4(&mut fm[13], 1.224744871391589, &f_lo[34]);
-    sx4(&mut fm[21], 0.7071067811865476, &f_lo[35]);
-    sx4(&mut fm[22], 0.7071067811865476, &f_lo[36]);
-    sx4(&mut fm[14], 1.224744871391589, &f_lo[37]);
-    sx4(&mut fm[23], 0.7071067811865476, &f_lo[38]);
-    sx4(&mut fm[24], 0.7071067811865476, &f_lo[39]);
-    sx4(&mut fm[15], 1.224744871391589, &f_lo[40]);
-    sx4(&mut fm[25], 0.7071067811865476, &f_lo[41]);
-    sx4(&mut fm[16], 1.224744871391589, &f_lo[42]);
-    sx4(&mut fm[17], 1.224744871391589, &f_lo[43]);
-    sx4(&mut fm[26], 0.7071067811865476, &f_lo[44]);
-    sx4(&mut fm[18], 1.224744871391589, &f_lo[45]);
-    sx4(&mut fm[19], 1.224744871391589, &f_lo[46]);
-    sx4(&mut fm[20], 1.224744871391589, &f_lo[47]);
-    sx4(&mut fm[27], 0.7071067811865476, &f_lo[48]);
-    sx4(&mut fm[21], 1.224744871391589, &f_lo[49]);
-    sx4(&mut fm[22], 1.224744871391589, &f_lo[50]);
-    sx4(&mut fm[28], 0.7071067811865476, &f_lo[51]);
-    sx4(&mut fm[23], 1.224744871391589, &f_lo[52]);
-    sx4(&mut fm[24], 1.224744871391589, &f_lo[53]);
-    sx4(&mut fm[29], 0.7071067811865476, &f_lo[54]);
-    sx4(&mut fm[30], 0.7071067811865476, &f_lo[55]);
-    sx4(&mut fm[25], 1.224744871391589, &f_lo[56]);
-    sx4(&mut fm[26], 1.224744871391589, &f_lo[57]);
-    sx4(&mut fm[27], 1.224744871391589, &f_lo[58]);
-    sx4(&mut fm[28], 1.224744871391589, &f_lo[59]);
-    sx4(&mut fm[31], 0.7071067811865476, &f_lo[60]);
-    sx4(&mut fm[29], 1.224744871391589, &f_lo[61]);
-    sx4(&mut fm[30], 1.224744871391589, &f_lo[62]);
-    sx4(&mut fm[31], 1.224744871391589, &f_lo[63]);
-    sx4(&mut fp[0], 0.7071067811865476, &f_hi[0]);
-    sx4(&mut fp[1], 0.7071067811865476, &f_hi[1]);
-    sx4(&mut fp[2], 0.7071067811865476, &f_hi[2]);
-    sx4(&mut fp[0], -1.224744871391589, &f_hi[3]);
-    sx4(&mut fp[3], 0.7071067811865476, &f_hi[4]);
-    sx4(&mut fp[4], 0.7071067811865476, &f_hi[5]);
-    sx4(&mut fp[5], 0.7071067811865476, &f_hi[6]);
-    sx4(&mut fp[6], 0.7071067811865476, &f_hi[7]);
-    sx4(&mut fp[1], -1.224744871391589, &f_hi[8]);
-    sx4(&mut fp[2], -1.224744871391589, &f_hi[9]);
-    sx4(&mut fp[7], 0.7071067811865476, &f_hi[10]);
-    sx4(&mut fp[8], 0.7071067811865476, &f_hi[11]);
-    sx4(&mut fp[3], -1.224744871391589, &f_hi[12]);
-    sx4(&mut fp[9], 0.7071067811865476, &f_hi[13]);
-    sx4(&mut fp[10], 0.7071067811865476, &f_hi[14]);
-    sx4(&mut fp[4], -1.224744871391589, &f_hi[15]);
-    sx4(&mut fp[11], 0.7071067811865476, &f_hi[16]);
-    sx4(&mut fp[12], 0.7071067811865476, &f_hi[17]);
-    sx4(&mut fp[13], 0.7071067811865476, &f_hi[18]);
-    sx4(&mut fp[5], -1.224744871391589, &f_hi[19]);
-    sx4(&mut fp[14], 0.7071067811865476, &f_hi[20]);
-    sx4(&mut fp[15], 0.7071067811865476, &f_hi[21]);
-    sx4(&mut fp[6], -1.224744871391589, &f_hi[22]);
-    sx4(&mut fp[16], 0.7071067811865476, &f_hi[23]);
-    sx4(&mut fp[7], -1.224744871391589, &f_hi[24]);
-    sx4(&mut fp[8], -1.224744871391589, &f_hi[25]);
-    sx4(&mut fp[17], 0.7071067811865476, &f_hi[26]);
-    sx4(&mut fp[9], -1.224744871391589, &f_hi[27]);
-    sx4(&mut fp[10], -1.224744871391589, &f_hi[28]);
-    sx4(&mut fp[18], 0.7071067811865476, &f_hi[29]);
-    sx4(&mut fp[19], 0.7071067811865476, &f_hi[30]);
-    sx4(&mut fp[11], -1.224744871391589, &f_hi[31]);
-    sx4(&mut fp[20], 0.7071067811865476, &f_hi[32]);
-    sx4(&mut fp[12], -1.224744871391589, &f_hi[33]);
-    sx4(&mut fp[13], -1.224744871391589, &f_hi[34]);
-    sx4(&mut fp[21], 0.7071067811865476, &f_hi[35]);
-    sx4(&mut fp[22], 0.7071067811865476, &f_hi[36]);
-    sx4(&mut fp[14], -1.224744871391589, &f_hi[37]);
-    sx4(&mut fp[23], 0.7071067811865476, &f_hi[38]);
-    sx4(&mut fp[24], 0.7071067811865476, &f_hi[39]);
-    sx4(&mut fp[15], -1.224744871391589, &f_hi[40]);
-    sx4(&mut fp[25], 0.7071067811865476, &f_hi[41]);
-    sx4(&mut fp[16], -1.224744871391589, &f_hi[42]);
-    sx4(&mut fp[17], -1.224744871391589, &f_hi[43]);
-    sx4(&mut fp[26], 0.7071067811865476, &f_hi[44]);
-    sx4(&mut fp[18], -1.224744871391589, &f_hi[45]);
-    sx4(&mut fp[19], -1.224744871391589, &f_hi[46]);
-    sx4(&mut fp[20], -1.224744871391589, &f_hi[47]);
-    sx4(&mut fp[27], 0.7071067811865476, &f_hi[48]);
-    sx4(&mut fp[21], -1.224744871391589, &f_hi[49]);
-    sx4(&mut fp[22], -1.224744871391589, &f_hi[50]);
-    sx4(&mut fp[28], 0.7071067811865476, &f_hi[51]);
-    sx4(&mut fp[23], -1.224744871391589, &f_hi[52]);
-    sx4(&mut fp[24], -1.224744871391589, &f_hi[53]);
-    sx4(&mut fp[29], 0.7071067811865476, &f_hi[54]);
-    sx4(&mut fp[30], 0.7071067811865476, &f_hi[55]);
-    sx4(&mut fp[25], -1.224744871391589, &f_hi[56]);
-    sx4(&mut fp[26], -1.224744871391589, &f_hi[57]);
-    sx4(&mut fp[27], -1.224744871391589, &f_hi[58]);
-    sx4(&mut fp[28], -1.224744871391589, &f_hi[59]);
-    sx4(&mut fp[31], 0.7071067811865476, &f_hi[60]);
-    sx4(&mut fp[29], -1.224744871391589, &f_hi[61]);
-    sx4(&mut fp[30], -1.224744871391589, &f_hi[62]);
-    sx4(&mut fp[31], -1.224744871391589, &f_hi[63]);
-    let mut favg = [CellLanes([0.0f64; LANES]); 32];
-    let mut ghat = [CellLanes([0.0f64; LANES]); 32];
-    for k in 0..LANES {
-        favg[0].0[k] = 0.5 * (fm[0].0[k] + fp[0].0[k]);
-        ghat[0].0[k] = -0.5 * lam.0[k] * (fp[0].0[k] - fm[0].0[k]);
-        favg[1].0[k] = 0.5 * (fm[1].0[k] + fp[1].0[k]);
-        ghat[1].0[k] = -0.5 * lam.0[k] * (fp[1].0[k] - fm[1].0[k]);
-        favg[2].0[k] = 0.5 * (fm[2].0[k] + fp[2].0[k]);
-        ghat[2].0[k] = -0.5 * lam.0[k] * (fp[2].0[k] - fm[2].0[k]);
-        favg[3].0[k] = 0.5 * (fm[3].0[k] + fp[3].0[k]);
-        ghat[3].0[k] = -0.5 * lam.0[k] * (fp[3].0[k] - fm[3].0[k]);
-        favg[4].0[k] = 0.5 * (fm[4].0[k] + fp[4].0[k]);
-        ghat[4].0[k] = -0.5 * lam.0[k] * (fp[4].0[k] - fm[4].0[k]);
-        favg[5].0[k] = 0.5 * (fm[5].0[k] + fp[5].0[k]);
-        ghat[5].0[k] = -0.5 * lam.0[k] * (fp[5].0[k] - fm[5].0[k]);
-        favg[6].0[k] = 0.5 * (fm[6].0[k] + fp[6].0[k]);
-        ghat[6].0[k] = -0.5 * lam.0[k] * (fp[6].0[k] - fm[6].0[k]);
-        favg[7].0[k] = 0.5 * (fm[7].0[k] + fp[7].0[k]);
-        ghat[7].0[k] = -0.5 * lam.0[k] * (fp[7].0[k] - fm[7].0[k]);
-        favg[8].0[k] = 0.5 * (fm[8].0[k] + fp[8].0[k]);
-        ghat[8].0[k] = -0.5 * lam.0[k] * (fp[8].0[k] - fm[8].0[k]);
-        favg[9].0[k] = 0.5 * (fm[9].0[k] + fp[9].0[k]);
-        ghat[9].0[k] = -0.5 * lam.0[k] * (fp[9].0[k] - fm[9].0[k]);
-        favg[10].0[k] = 0.5 * (fm[10].0[k] + fp[10].0[k]);
-        ghat[10].0[k] = -0.5 * lam.0[k] * (fp[10].0[k] - fm[10].0[k]);
-        favg[11].0[k] = 0.5 * (fm[11].0[k] + fp[11].0[k]);
-        ghat[11].0[k] = -0.5 * lam.0[k] * (fp[11].0[k] - fm[11].0[k]);
-        favg[12].0[k] = 0.5 * (fm[12].0[k] + fp[12].0[k]);
-        ghat[12].0[k] = -0.5 * lam.0[k] * (fp[12].0[k] - fm[12].0[k]);
-        favg[13].0[k] = 0.5 * (fm[13].0[k] + fp[13].0[k]);
-        ghat[13].0[k] = -0.5 * lam.0[k] * (fp[13].0[k] - fm[13].0[k]);
-        favg[14].0[k] = 0.5 * (fm[14].0[k] + fp[14].0[k]);
-        ghat[14].0[k] = -0.5 * lam.0[k] * (fp[14].0[k] - fm[14].0[k]);
-        favg[15].0[k] = 0.5 * (fm[15].0[k] + fp[15].0[k]);
-        ghat[15].0[k] = -0.5 * lam.0[k] * (fp[15].0[k] - fm[15].0[k]);
-        favg[16].0[k] = 0.5 * (fm[16].0[k] + fp[16].0[k]);
-        ghat[16].0[k] = -0.5 * lam.0[k] * (fp[16].0[k] - fm[16].0[k]);
-        favg[17].0[k] = 0.5 * (fm[17].0[k] + fp[17].0[k]);
-        ghat[17].0[k] = -0.5 * lam.0[k] * (fp[17].0[k] - fm[17].0[k]);
-        favg[18].0[k] = 0.5 * (fm[18].0[k] + fp[18].0[k]);
-        ghat[18].0[k] = -0.5 * lam.0[k] * (fp[18].0[k] - fm[18].0[k]);
-        favg[19].0[k] = 0.5 * (fm[19].0[k] + fp[19].0[k]);
-        ghat[19].0[k] = -0.5 * lam.0[k] * (fp[19].0[k] - fm[19].0[k]);
-        favg[20].0[k] = 0.5 * (fm[20].0[k] + fp[20].0[k]);
-        ghat[20].0[k] = -0.5 * lam.0[k] * (fp[20].0[k] - fm[20].0[k]);
-        favg[21].0[k] = 0.5 * (fm[21].0[k] + fp[21].0[k]);
-        ghat[21].0[k] = -0.5 * lam.0[k] * (fp[21].0[k] - fm[21].0[k]);
-        favg[22].0[k] = 0.5 * (fm[22].0[k] + fp[22].0[k]);
-        ghat[22].0[k] = -0.5 * lam.0[k] * (fp[22].0[k] - fm[22].0[k]);
-        favg[23].0[k] = 0.5 * (fm[23].0[k] + fp[23].0[k]);
-        ghat[23].0[k] = -0.5 * lam.0[k] * (fp[23].0[k] - fm[23].0[k]);
-        favg[24].0[k] = 0.5 * (fm[24].0[k] + fp[24].0[k]);
-        ghat[24].0[k] = -0.5 * lam.0[k] * (fp[24].0[k] - fm[24].0[k]);
-        favg[25].0[k] = 0.5 * (fm[25].0[k] + fp[25].0[k]);
-        ghat[25].0[k] = -0.5 * lam.0[k] * (fp[25].0[k] - fm[25].0[k]);
-        favg[26].0[k] = 0.5 * (fm[26].0[k] + fp[26].0[k]);
-        ghat[26].0[k] = -0.5 * lam.0[k] * (fp[26].0[k] - fm[26].0[k]);
-        favg[27].0[k] = 0.5 * (fm[27].0[k] + fp[27].0[k]);
-        ghat[27].0[k] = -0.5 * lam.0[k] * (fp[27].0[k] - fm[27].0[k]);
-        favg[28].0[k] = 0.5 * (fm[28].0[k] + fp[28].0[k]);
-        ghat[28].0[k] = -0.5 * lam.0[k] * (fp[28].0[k] - fm[28].0[k]);
-        favg[29].0[k] = 0.5 * (fm[29].0[k] + fp[29].0[k]);
-        ghat[29].0[k] = -0.5 * lam.0[k] * (fp[29].0[k] - fm[29].0[k]);
-        favg[30].0[k] = 0.5 * (fm[30].0[k] + fp[30].0[k]);
-        ghat[30].0[k] = -0.5 * lam.0[k] * (fp[30].0[k] - fm[30].0[k]);
-        favg[31].0[k] = 0.5 * (fm[31].0[k] + fp[31].0[k]);
-        ghat[31].0[k] = -0.5 * lam.0[k] * (fp[31].0[k] - fm[31].0[k]);
+    let mut fm = [[0.0f64; L]; 32];
+    let mut fp = [[0.0f64; L]; 32];
+    sxn(&mut fm[0], 0.7071067811865476, &f_lo[0]);
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[1]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[2]);
+    sxn(&mut fm[0], 1.224744871391589, &f_lo[3]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[4]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[5]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[6]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[7]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[8]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[9]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[10]);
+    sxn(&mut fm[8], 0.7071067811865476, &f_lo[11]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[12]);
+    sxn(&mut fm[9], 0.7071067811865476, &f_lo[13]);
+    sxn(&mut fm[10], 0.7071067811865476, &f_lo[14]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[15]);
+    sxn(&mut fm[11], 0.7071067811865476, &f_lo[16]);
+    sxn(&mut fm[12], 0.7071067811865476, &f_lo[17]);
+    sxn(&mut fm[13], 0.7071067811865476, &f_lo[18]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[19]);
+    sxn(&mut fm[14], 0.7071067811865476, &f_lo[20]);
+    sxn(&mut fm[15], 0.7071067811865476, &f_lo[21]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[22]);
+    sxn(&mut fm[16], 0.7071067811865476, &f_lo[23]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[24]);
+    sxn(&mut fm[8], 1.224744871391589, &f_lo[25]);
+    sxn(&mut fm[17], 0.7071067811865476, &f_lo[26]);
+    sxn(&mut fm[9], 1.224744871391589, &f_lo[27]);
+    sxn(&mut fm[10], 1.224744871391589, &f_lo[28]);
+    sxn(&mut fm[18], 0.7071067811865476, &f_lo[29]);
+    sxn(&mut fm[19], 0.7071067811865476, &f_lo[30]);
+    sxn(&mut fm[11], 1.224744871391589, &f_lo[31]);
+    sxn(&mut fm[20], 0.7071067811865476, &f_lo[32]);
+    sxn(&mut fm[12], 1.224744871391589, &f_lo[33]);
+    sxn(&mut fm[13], 1.224744871391589, &f_lo[34]);
+    sxn(&mut fm[21], 0.7071067811865476, &f_lo[35]);
+    sxn(&mut fm[22], 0.7071067811865476, &f_lo[36]);
+    sxn(&mut fm[14], 1.224744871391589, &f_lo[37]);
+    sxn(&mut fm[23], 0.7071067811865476, &f_lo[38]);
+    sxn(&mut fm[24], 0.7071067811865476, &f_lo[39]);
+    sxn(&mut fm[15], 1.224744871391589, &f_lo[40]);
+    sxn(&mut fm[25], 0.7071067811865476, &f_lo[41]);
+    sxn(&mut fm[16], 1.224744871391589, &f_lo[42]);
+    sxn(&mut fm[17], 1.224744871391589, &f_lo[43]);
+    sxn(&mut fm[26], 0.7071067811865476, &f_lo[44]);
+    sxn(&mut fm[18], 1.224744871391589, &f_lo[45]);
+    sxn(&mut fm[19], 1.224744871391589, &f_lo[46]);
+    sxn(&mut fm[20], 1.224744871391589, &f_lo[47]);
+    sxn(&mut fm[27], 0.7071067811865476, &f_lo[48]);
+    sxn(&mut fm[21], 1.224744871391589, &f_lo[49]);
+    sxn(&mut fm[22], 1.224744871391589, &f_lo[50]);
+    sxn(&mut fm[28], 0.7071067811865476, &f_lo[51]);
+    sxn(&mut fm[23], 1.224744871391589, &f_lo[52]);
+    sxn(&mut fm[24], 1.224744871391589, &f_lo[53]);
+    sxn(&mut fm[29], 0.7071067811865476, &f_lo[54]);
+    sxn(&mut fm[30], 0.7071067811865476, &f_lo[55]);
+    sxn(&mut fm[25], 1.224744871391589, &f_lo[56]);
+    sxn(&mut fm[26], 1.224744871391589, &f_lo[57]);
+    sxn(&mut fm[27], 1.224744871391589, &f_lo[58]);
+    sxn(&mut fm[28], 1.224744871391589, &f_lo[59]);
+    sxn(&mut fm[31], 0.7071067811865476, &f_lo[60]);
+    sxn(&mut fm[29], 1.224744871391589, &f_lo[61]);
+    sxn(&mut fm[30], 1.224744871391589, &f_lo[62]);
+    sxn(&mut fm[31], 1.224744871391589, &f_lo[63]);
+    sxn(&mut fp[0], 0.7071067811865476, &f_hi[0]);
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[1]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[2]);
+    sxn(&mut fp[0], -1.224744871391589, &f_hi[3]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[4]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[5]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[6]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[7]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[8]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[9]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[10]);
+    sxn(&mut fp[8], 0.7071067811865476, &f_hi[11]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[12]);
+    sxn(&mut fp[9], 0.7071067811865476, &f_hi[13]);
+    sxn(&mut fp[10], 0.7071067811865476, &f_hi[14]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[15]);
+    sxn(&mut fp[11], 0.7071067811865476, &f_hi[16]);
+    sxn(&mut fp[12], 0.7071067811865476, &f_hi[17]);
+    sxn(&mut fp[13], 0.7071067811865476, &f_hi[18]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[19]);
+    sxn(&mut fp[14], 0.7071067811865476, &f_hi[20]);
+    sxn(&mut fp[15], 0.7071067811865476, &f_hi[21]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[22]);
+    sxn(&mut fp[16], 0.7071067811865476, &f_hi[23]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[24]);
+    sxn(&mut fp[8], -1.224744871391589, &f_hi[25]);
+    sxn(&mut fp[17], 0.7071067811865476, &f_hi[26]);
+    sxn(&mut fp[9], -1.224744871391589, &f_hi[27]);
+    sxn(&mut fp[10], -1.224744871391589, &f_hi[28]);
+    sxn(&mut fp[18], 0.7071067811865476, &f_hi[29]);
+    sxn(&mut fp[19], 0.7071067811865476, &f_hi[30]);
+    sxn(&mut fp[11], -1.224744871391589, &f_hi[31]);
+    sxn(&mut fp[20], 0.7071067811865476, &f_hi[32]);
+    sxn(&mut fp[12], -1.224744871391589, &f_hi[33]);
+    sxn(&mut fp[13], -1.224744871391589, &f_hi[34]);
+    sxn(&mut fp[21], 0.7071067811865476, &f_hi[35]);
+    sxn(&mut fp[22], 0.7071067811865476, &f_hi[36]);
+    sxn(&mut fp[14], -1.224744871391589, &f_hi[37]);
+    sxn(&mut fp[23], 0.7071067811865476, &f_hi[38]);
+    sxn(&mut fp[24], 0.7071067811865476, &f_hi[39]);
+    sxn(&mut fp[15], -1.224744871391589, &f_hi[40]);
+    sxn(&mut fp[25], 0.7071067811865476, &f_hi[41]);
+    sxn(&mut fp[16], -1.224744871391589, &f_hi[42]);
+    sxn(&mut fp[17], -1.224744871391589, &f_hi[43]);
+    sxn(&mut fp[26], 0.7071067811865476, &f_hi[44]);
+    sxn(&mut fp[18], -1.224744871391589, &f_hi[45]);
+    sxn(&mut fp[19], -1.224744871391589, &f_hi[46]);
+    sxn(&mut fp[20], -1.224744871391589, &f_hi[47]);
+    sxn(&mut fp[27], 0.7071067811865476, &f_hi[48]);
+    sxn(&mut fp[21], -1.224744871391589, &f_hi[49]);
+    sxn(&mut fp[22], -1.224744871391589, &f_hi[50]);
+    sxn(&mut fp[28], 0.7071067811865476, &f_hi[51]);
+    sxn(&mut fp[23], -1.224744871391589, &f_hi[52]);
+    sxn(&mut fp[24], -1.224744871391589, &f_hi[53]);
+    sxn(&mut fp[29], 0.7071067811865476, &f_hi[54]);
+    sxn(&mut fp[30], 0.7071067811865476, &f_hi[55]);
+    sxn(&mut fp[25], -1.224744871391589, &f_hi[56]);
+    sxn(&mut fp[26], -1.224744871391589, &f_hi[57]);
+    sxn(&mut fp[27], -1.224744871391589, &f_hi[58]);
+    sxn(&mut fp[28], -1.224744871391589, &f_hi[59]);
+    sxn(&mut fp[31], 0.7071067811865476, &f_hi[60]);
+    sxn(&mut fp[29], -1.224744871391589, &f_hi[61]);
+    sxn(&mut fp[30], -1.224744871391589, &f_hi[62]);
+    sxn(&mut fp[31], -1.224744871391589, &f_hi[63]);
+    let mut favg = [[0.0f64; L]; 32];
+    let mut ghat = [[0.0f64; L]; 32];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
+        favg[8][k] = 0.5 * (fm[8][k] + fp[8][k]);
+        ghat[8][k] = -0.5 * lam[k] * (fp[8][k] - fm[8][k]);
+        favg[9][k] = 0.5 * (fm[9][k] + fp[9][k]);
+        ghat[9][k] = -0.5 * lam[k] * (fp[9][k] - fm[9][k]);
+        favg[10][k] = 0.5 * (fm[10][k] + fp[10][k]);
+        ghat[10][k] = -0.5 * lam[k] * (fp[10][k] - fm[10][k]);
+        favg[11][k] = 0.5 * (fm[11][k] + fp[11][k]);
+        ghat[11][k] = -0.5 * lam[k] * (fp[11][k] - fm[11][k]);
+        favg[12][k] = 0.5 * (fm[12][k] + fp[12][k]);
+        ghat[12][k] = -0.5 * lam[k] * (fp[12][k] - fm[12][k]);
+        favg[13][k] = 0.5 * (fm[13][k] + fp[13][k]);
+        ghat[13][k] = -0.5 * lam[k] * (fp[13][k] - fm[13][k]);
+        favg[14][k] = 0.5 * (fm[14][k] + fp[14][k]);
+        ghat[14][k] = -0.5 * lam[k] * (fp[14][k] - fm[14][k]);
+        favg[15][k] = 0.5 * (fm[15][k] + fp[15][k]);
+        ghat[15][k] = -0.5 * lam[k] * (fp[15][k] - fm[15][k]);
+        favg[16][k] = 0.5 * (fm[16][k] + fp[16][k]);
+        ghat[16][k] = -0.5 * lam[k] * (fp[16][k] - fm[16][k]);
+        favg[17][k] = 0.5 * (fm[17][k] + fp[17][k]);
+        ghat[17][k] = -0.5 * lam[k] * (fp[17][k] - fm[17][k]);
+        favg[18][k] = 0.5 * (fm[18][k] + fp[18][k]);
+        ghat[18][k] = -0.5 * lam[k] * (fp[18][k] - fm[18][k]);
+        favg[19][k] = 0.5 * (fm[19][k] + fp[19][k]);
+        ghat[19][k] = -0.5 * lam[k] * (fp[19][k] - fm[19][k]);
+        favg[20][k] = 0.5 * (fm[20][k] + fp[20][k]);
+        ghat[20][k] = -0.5 * lam[k] * (fp[20][k] - fm[20][k]);
+        favg[21][k] = 0.5 * (fm[21][k] + fp[21][k]);
+        ghat[21][k] = -0.5 * lam[k] * (fp[21][k] - fm[21][k]);
+        favg[22][k] = 0.5 * (fm[22][k] + fp[22][k]);
+        ghat[22][k] = -0.5 * lam[k] * (fp[22][k] - fm[22][k]);
+        favg[23][k] = 0.5 * (fm[23][k] + fp[23][k]);
+        ghat[23][k] = -0.5 * lam[k] * (fp[23][k] - fm[23][k]);
+        favg[24][k] = 0.5 * (fm[24][k] + fp[24][k]);
+        ghat[24][k] = -0.5 * lam[k] * (fp[24][k] - fm[24][k]);
+        favg[25][k] = 0.5 * (fm[25][k] + fp[25][k]);
+        ghat[25][k] = -0.5 * lam[k] * (fp[25][k] - fm[25][k]);
+        favg[26][k] = 0.5 * (fm[26][k] + fp[26][k]);
+        ghat[26][k] = -0.5 * lam[k] * (fp[26][k] - fm[26][k]);
+        favg[27][k] = 0.5 * (fm[27][k] + fp[27][k]);
+        ghat[27][k] = -0.5 * lam[k] * (fp[27][k] - fm[27][k]);
+        favg[28][k] = 0.5 * (fm[28][k] + fp[28][k]);
+        ghat[28][k] = -0.5 * lam[k] * (fp[28][k] - fm[28][k]);
+        favg[29][k] = 0.5 * (fm[29][k] + fp[29][k]);
+        ghat[29][k] = -0.5 * lam[k] * (fp[29][k] - fm[29][k]);
+        favg[30][k] = 0.5 * (fm[30][k] + fp[30][k]);
+        ghat[30][k] = -0.5 * lam[k] * (fp[30][k] - fm[30][k]);
+        favg[31][k] = 0.5 * (fm[31][k] + fp[31][k]);
+        ghat[31][k] = -0.5 * lam[k] * (fp[31][k] - fm[31][k]);
     }
-    for k in 0..LANES {
-        ghat[0].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[0].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[1].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[2].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[3].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[4].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[5].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[7].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[8].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[9].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[10].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[11].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[12].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[13].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[14].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[15].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[18].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[19].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[21].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[22].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[23].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[24].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[25].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[29].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[30].0[k];
+    for k in 0..L {
+        ghat[0][k] += 0.1767766952966369 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[1][k] * favg[1][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[2][k] * favg[2][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[3][k] * favg[3][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[4][k] * favg[4][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[5][k] * favg[5][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[7][k] * favg[7][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[8][k] * favg[8][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[9][k] * favg[9][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[10][k] * favg[10][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[11][k] * favg[11][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[12][k] * favg[12][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[13][k] * favg[13][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[14][k] * favg[14][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[15][k] * favg[15][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[18][k] * favg[18][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[19][k] * favg[19][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[21][k] * favg[21][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[22][k] * favg[22][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[23][k] * favg[23][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[24][k] * favg[24][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[25][k] * favg[25][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[29][k] * favg[29][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[30][k] * favg[30][k];
     }
-    for k in 0..LANES {
-        ghat[1].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[1].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[0].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[6].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[7].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[9].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[12].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[3].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[16].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[4].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[17].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[18].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[5].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[20].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[21].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[23].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[11].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[26].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[14].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[27].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[15].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[28].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[29].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[25].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[31].0[k];
+    for k in 0..L {
+        ghat[1][k] += 0.17677669529663687 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[1][k] * favg[0][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[2][k] * favg[6][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[3][k] * favg[7][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[4][k] * favg[9][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[5][k] * favg[12][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[7][k] * favg[3][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[8][k] * favg[16][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[9][k] * favg[4][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[10][k] * favg[17][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[11][k] * favg[18][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[12][k] * favg[5][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[13][k] * favg[20][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[14][k] * favg[21][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[15][k] * favg[23][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[18][k] * favg[11][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[19][k] * favg[26][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[21][k] * favg[14][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[22][k] * favg[27][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[23][k] * favg[15][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[24][k] * favg[28][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[25][k] * favg[29][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[29][k] * favg[25][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[30][k] * favg[31][k];
     }
-    for k in 0..LANES {
-        ghat[2].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[2].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[6].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[0].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[8].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[10].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[13].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[16].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[3].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[17].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[4].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[19].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[20].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[5].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[22].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[24].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[26].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[11].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[27].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[14].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[28].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[15].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[30].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[31].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[25].0[k];
+    for k in 0..L {
+        ghat[2][k] += 0.17677669529663687 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[1][k] * favg[6][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[2][k] * favg[0][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[3][k] * favg[8][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[4][k] * favg[10][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[5][k] * favg[13][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[7][k] * favg[16][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[8][k] * favg[3][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[9][k] * favg[17][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[10][k] * favg[4][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[11][k] * favg[19][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[12][k] * favg[20][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[13][k] * favg[5][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[14][k] * favg[22][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[15][k] * favg[24][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[18][k] * favg[26][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[19][k] * favg[11][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[21][k] * favg[27][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[22][k] * favg[14][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[23][k] * favg[28][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[24][k] * favg[15][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[25][k] * favg[30][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[29][k] * favg[31][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[30][k] * favg[25][k];
     }
-    for k in 0..LANES {
-        ghat[3].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[3].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[7].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[8].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[0].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[11].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[14].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[1].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[2].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[18].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[19].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[4].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[21].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[22].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[5].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[25].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[9].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[10].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[12].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[13].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[29].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[30].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[15].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[23].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[24].0[k];
+    for k in 0..L {
+        ghat[3][k] += 0.17677669529663687 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[1][k] * favg[7][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[2][k] * favg[8][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[3][k] * favg[0][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[4][k] * favg[11][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[5][k] * favg[14][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[7][k] * favg[1][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[8][k] * favg[2][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[9][k] * favg[18][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[10][k] * favg[19][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[11][k] * favg[4][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[12][k] * favg[21][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[13][k] * favg[22][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[14][k] * favg[5][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[15][k] * favg[25][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[18][k] * favg[9][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[19][k] * favg[10][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[21][k] * favg[12][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[22][k] * favg[13][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[23][k] * favg[29][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[24][k] * favg[30][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[25][k] * favg[15][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[29][k] * favg[23][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[30][k] * favg[24][k];
     }
-    for k in 0..LANES {
-        ghat[4].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[4].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[9].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[10].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[11].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[0].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[15].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[18].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[19].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[1].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[2].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[3].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[23].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[24].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[25].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[5].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[7].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[8].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[29].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[30].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[12].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[13].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[14].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[21].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[22].0[k];
+    for k in 0..L {
+        ghat[4][k] += 0.17677669529663687 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[1][k] * favg[9][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[2][k] * favg[10][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[3][k] * favg[11][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[4][k] * favg[0][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[5][k] * favg[15][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[7][k] * favg[18][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[8][k] * favg[19][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[9][k] * favg[1][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[10][k] * favg[2][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[11][k] * favg[3][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[12][k] * favg[23][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[13][k] * favg[24][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[14][k] * favg[25][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[15][k] * favg[5][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[18][k] * favg[7][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[19][k] * favg[8][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[21][k] * favg[29][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[22][k] * favg[30][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[23][k] * favg[12][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[24][k] * favg[13][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[25][k] * favg[14][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[29][k] * favg[21][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[30][k] * favg[22][k];
     }
-    for k in 0..LANES {
-        ghat[5].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[5].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[12].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[13].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[14].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[15].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[0].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[21].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[22].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[23].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[24].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[25].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[1].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[2].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[3].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[4].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[29].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[30].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[7].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[8].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[9].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[10].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[11].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[18].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[19].0[k];
+    for k in 0..L {
+        ghat[5][k] += 0.17677669529663687 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[1][k] * favg[12][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[2][k] * favg[13][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[3][k] * favg[14][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[4][k] * favg[15][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[5][k] * favg[0][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[7][k] * favg[21][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[8][k] * favg[22][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[9][k] * favg[23][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[10][k] * favg[24][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[11][k] * favg[25][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[12][k] * favg[1][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[13][k] * favg[2][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[14][k] * favg[3][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[15][k] * favg[4][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[18][k] * favg[29][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[19][k] * favg[30][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[21][k] * favg[7][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[22][k] * favg[8][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[23][k] * favg[9][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[24][k] * favg[10][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[25][k] * favg[11][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[29][k] * favg[18][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[30][k] * favg[19][k];
     }
-    for k in 0..LANES {
-        ghat[6].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[6].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[2].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[1].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[16].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[17].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[20].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[8].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[7].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[10].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[9].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[26].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[13].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[12].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[27].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[28].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[19].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[18].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[22].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[21].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[24].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[23].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[31].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[30].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[29].0[k];
+    for k in 0..L {
+        ghat[6][k] += 0.17677669529663687 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[1][k] * favg[2][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[2][k] * favg[1][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[3][k] * favg[16][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[4][k] * favg[17][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[5][k] * favg[20][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[7][k] * favg[8][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[8][k] * favg[7][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[9][k] * favg[10][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[10][k] * favg[9][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[11][k] * favg[26][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[12][k] * favg[13][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[13][k] * favg[12][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[14][k] * favg[27][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[15][k] * favg[28][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[18][k] * favg[19][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[19][k] * favg[18][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[21][k] * favg[22][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[22][k] * favg[21][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[23][k] * favg[24][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[24][k] * favg[23][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[25][k] * favg[31][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[29][k] * favg[30][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[30][k] * favg[29][k];
     }
-    for k in 0..LANES {
-        ghat[7].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[7].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[3].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[16].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[1].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[18].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[21].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[0].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[6].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[11].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[26].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[9].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[14].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[27].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[12].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[29].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[4].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[17].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[5].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[20].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[25].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[31].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[23].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[15].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[28].0[k];
+    for k in 0..L {
+        ghat[7][k] += 0.17677669529663687 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[1][k] * favg[3][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[2][k] * favg[16][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[3][k] * favg[1][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[4][k] * favg[18][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[5][k] * favg[21][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[7][k] * favg[0][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[8][k] * favg[6][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[9][k] * favg[11][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[10][k] * favg[26][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[11][k] * favg[9][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[12][k] * favg[14][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[13][k] * favg[27][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[14][k] * favg[12][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[15][k] * favg[29][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[18][k] * favg[4][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[19][k] * favg[17][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[21][k] * favg[5][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[22][k] * favg[20][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[23][k] * favg[25][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[24][k] * favg[31][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[25][k] * favg[23][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[29][k] * favg[15][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[30][k] * favg[28][k];
     }
-    for k in 0..LANES {
-        ghat[8].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[8].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[16].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[3].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[2].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[19].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[22].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[6].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[0].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[26].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[11].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[10].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[27].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[14].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[13].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[30].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[17].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[4].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[20].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[5].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[31].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[25].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[24].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[28].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[15].0[k];
+    for k in 0..L {
+        ghat[8][k] += 0.17677669529663687 * alpha[0][k] * favg[8][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[1][k] * favg[16][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[2][k] * favg[3][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[3][k] * favg[2][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[4][k] * favg[19][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[5][k] * favg[22][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[7][k] * favg[6][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[8][k] * favg[0][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[9][k] * favg[26][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[10][k] * favg[11][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[11][k] * favg[10][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[12][k] * favg[27][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[13][k] * favg[14][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[14][k] * favg[13][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[15][k] * favg[30][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[18][k] * favg[17][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[19][k] * favg[4][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[21][k] * favg[20][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[22][k] * favg[5][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[23][k] * favg[31][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[24][k] * favg[25][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[25][k] * favg[24][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[29][k] * favg[28][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[30][k] * favg[15][k];
     }
-    for k in 0..LANES {
-        ghat[9].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[9].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[4].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[17].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[18].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[1].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[23].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[11].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[26].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[0].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[6].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[7].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[15].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[28].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[29].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[12].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[3].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[16].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[25].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[31].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[5].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[20].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[21].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[14].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[27].0[k];
+    for k in 0..L {
+        ghat[9][k] += 0.17677669529663687 * alpha[0][k] * favg[9][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[1][k] * favg[4][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[2][k] * favg[17][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[3][k] * favg[18][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[4][k] * favg[1][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[5][k] * favg[23][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[7][k] * favg[11][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[8][k] * favg[26][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[9][k] * favg[0][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[10][k] * favg[6][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[11][k] * favg[7][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[12][k] * favg[15][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[13][k] * favg[28][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[14][k] * favg[29][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[15][k] * favg[12][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[18][k] * favg[3][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[19][k] * favg[16][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[21][k] * favg[25][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[22][k] * favg[31][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[23][k] * favg[5][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[24][k] * favg[20][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[25][k] * favg[21][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[29][k] * favg[14][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[30][k] * favg[27][k];
     }
-    for k in 0..LANES {
-        ghat[10].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[10].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[17].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[4].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[19].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[2].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[24].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[26].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[11].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[6].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[0].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[8].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[28].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[15].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[30].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[13].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[16].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[3].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[31].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[25].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[20].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[5].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[22].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[27].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[14].0[k];
+    for k in 0..L {
+        ghat[10][k] += 0.17677669529663687 * alpha[0][k] * favg[10][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[1][k] * favg[17][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[2][k] * favg[4][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[3][k] * favg[19][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[4][k] * favg[2][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[5][k] * favg[24][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[7][k] * favg[26][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[8][k] * favg[11][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[9][k] * favg[6][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[10][k] * favg[0][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[11][k] * favg[8][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[12][k] * favg[28][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[13][k] * favg[15][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[14][k] * favg[30][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[15][k] * favg[13][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[18][k] * favg[16][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[19][k] * favg[3][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[21][k] * favg[31][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[22][k] * favg[25][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[23][k] * favg[20][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[24][k] * favg[5][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[25][k] * favg[22][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[29][k] * favg[27][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[30][k] * favg[14][k];
     }
-    for k in 0..LANES {
-        ghat[11].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[11].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[18].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[19].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[4].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[3].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[25].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[9].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[10].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[7].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[8].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[0].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[29].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[30].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[15].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[14].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[1].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[2].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[23].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[24].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[21].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[22].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[5].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[12].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[13].0[k];
+    for k in 0..L {
+        ghat[11][k] += 0.17677669529663687 * alpha[0][k] * favg[11][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[1][k] * favg[18][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[2][k] * favg[19][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[3][k] * favg[4][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[4][k] * favg[3][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[5][k] * favg[25][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[7][k] * favg[9][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[8][k] * favg[10][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[9][k] * favg[7][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[10][k] * favg[8][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[11][k] * favg[0][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[12][k] * favg[29][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[13][k] * favg[30][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[14][k] * favg[15][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[15][k] * favg[14][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[18][k] * favg[1][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[19][k] * favg[2][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[21][k] * favg[23][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[22][k] * favg[24][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[23][k] * favg[21][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[24][k] * favg[22][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[25][k] * favg[5][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[29][k] * favg[12][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[30][k] * favg[13][k];
     }
-    for k in 0..LANES {
-        ghat[12].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[12].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[5].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[20].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[21].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[23].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[1].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[14].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[27].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[15].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[28].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[29].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[0].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[6].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[7].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[9].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[25].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[31].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[3].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[16].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[4].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[17].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[18].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[11].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[26].0[k];
+    for k in 0..L {
+        ghat[12][k] += 0.17677669529663687 * alpha[0][k] * favg[12][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[1][k] * favg[5][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[2][k] * favg[20][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[3][k] * favg[21][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[4][k] * favg[23][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[5][k] * favg[1][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[7][k] * favg[14][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[8][k] * favg[27][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[9][k] * favg[15][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[10][k] * favg[28][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[11][k] * favg[29][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[12][k] * favg[0][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[13][k] * favg[6][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[14][k] * favg[7][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[15][k] * favg[9][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[18][k] * favg[25][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[19][k] * favg[31][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[21][k] * favg[3][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[22][k] * favg[16][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[23][k] * favg[4][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[24][k] * favg[17][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[25][k] * favg[18][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[29][k] * favg[11][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[30][k] * favg[26][k];
     }
-    for k in 0..LANES {
-        ghat[13].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[13].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[20].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[5].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[22].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[24].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[2].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[27].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[14].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[28].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[15].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[30].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[6].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[0].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[8].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[10].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[31].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[25].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[16].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[3].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[17].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[4].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[19].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[26].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[11].0[k];
+    for k in 0..L {
+        ghat[13][k] += 0.17677669529663687 * alpha[0][k] * favg[13][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[1][k] * favg[20][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[2][k] * favg[5][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[3][k] * favg[22][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[4][k] * favg[24][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[5][k] * favg[2][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[7][k] * favg[27][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[8][k] * favg[14][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[9][k] * favg[28][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[10][k] * favg[15][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[11][k] * favg[30][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[12][k] * favg[6][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[13][k] * favg[0][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[14][k] * favg[8][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[15][k] * favg[10][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[18][k] * favg[31][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[19][k] * favg[25][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[21][k] * favg[16][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[22][k] * favg[3][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[23][k] * favg[17][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[24][k] * favg[4][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[25][k] * favg[19][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[29][k] * favg[26][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[30][k] * favg[11][k];
     }
-    for k in 0..LANES {
-        ghat[14].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[14].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[21].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[22].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[5].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[25].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[3].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[12].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[13].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[29].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[30].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[15].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[7].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[8].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[0].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[11].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[23].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[24].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[1].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[2].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[18].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[19].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[4].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[9].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[10].0[k];
+    for k in 0..L {
+        ghat[14][k] += 0.17677669529663687 * alpha[0][k] * favg[14][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[1][k] * favg[21][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[2][k] * favg[22][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[3][k] * favg[5][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[4][k] * favg[25][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[5][k] * favg[3][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[7][k] * favg[12][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[8][k] * favg[13][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[9][k] * favg[29][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[10][k] * favg[30][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[11][k] * favg[15][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[12][k] * favg[7][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[13][k] * favg[8][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[14][k] * favg[0][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[15][k] * favg[11][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[18][k] * favg[23][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[19][k] * favg[24][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[21][k] * favg[1][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[22][k] * favg[2][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[23][k] * favg[18][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[24][k] * favg[19][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[25][k] * favg[4][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[29][k] * favg[9][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[30][k] * favg[10][k];
     }
-    for k in 0..LANES {
-        ghat[15].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[15].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[23].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[24].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[25].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[5].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[4].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[29].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[30].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[12].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[13].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[14].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[9].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[10].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[11].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[0].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[21].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[22].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[18].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[19].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[1].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[2].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[3].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[7].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[8].0[k];
+    for k in 0..L {
+        ghat[15][k] += 0.17677669529663687 * alpha[0][k] * favg[15][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[1][k] * favg[23][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[2][k] * favg[24][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[3][k] * favg[25][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[4][k] * favg[5][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[5][k] * favg[4][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[7][k] * favg[29][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[8][k] * favg[30][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[9][k] * favg[12][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[10][k] * favg[13][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[11][k] * favg[14][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[12][k] * favg[9][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[13][k] * favg[10][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[14][k] * favg[11][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[15][k] * favg[0][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[18][k] * favg[21][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[19][k] * favg[22][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[21][k] * favg[18][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[22][k] * favg[19][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[23][k] * favg[1][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[24][k] * favg[2][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[25][k] * favg[3][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[29][k] * favg[7][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[30][k] * favg[8][k];
     }
-    for k in 0..LANES {
-        ghat[16].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[16].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[8].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[7].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[6].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[26].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[27].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[2].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[1].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[19].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[18].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[17].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[22].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[21].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[20].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[31].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[10].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[9].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[13].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[12].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[30].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[29].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[28].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[24].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[23].0[k];
+    for k in 0..L {
+        ghat[16][k] += 0.1767766952966369 * alpha[0][k] * favg[16][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[1][k] * favg[8][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[2][k] * favg[7][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[3][k] * favg[6][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[4][k] * favg[26][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[5][k] * favg[27][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[7][k] * favg[2][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[8][k] * favg[1][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[9][k] * favg[19][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[10][k] * favg[18][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[11][k] * favg[17][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[12][k] * favg[22][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[13][k] * favg[21][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[14][k] * favg[20][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[15][k] * favg[31][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[18][k] * favg[10][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[19][k] * favg[9][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[21][k] * favg[13][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[22][k] * favg[12][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[23][k] * favg[30][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[24][k] * favg[29][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[25][k] * favg[28][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[29][k] * favg[24][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[30][k] * favg[23][k];
     }
-    for k in 0..LANES {
-        ghat[17].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[17].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[10].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[9].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[26].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[6].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[28].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[19].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[18].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[2].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[1].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[16].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[24].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[23].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[31].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[20].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[8].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[7].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[30].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[29].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[13].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[12].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[27].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[22].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[21].0[k];
+    for k in 0..L {
+        ghat[17][k] += 0.1767766952966369 * alpha[0][k] * favg[17][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[1][k] * favg[10][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[2][k] * favg[9][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[3][k] * favg[26][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[4][k] * favg[6][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[5][k] * favg[28][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[7][k] * favg[19][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[8][k] * favg[18][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[9][k] * favg[2][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[10][k] * favg[1][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[11][k] * favg[16][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[12][k] * favg[24][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[13][k] * favg[23][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[14][k] * favg[31][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[15][k] * favg[20][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[18][k] * favg[8][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[19][k] * favg[7][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[21][k] * favg[30][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[22][k] * favg[29][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[23][k] * favg[13][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[24][k] * favg[12][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[25][k] * favg[27][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[29][k] * favg[22][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[30][k] * favg[21][k];
     }
-    for k in 0..LANES {
-        ghat[18].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[18].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[11].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[26].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[9].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[7].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[29].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[4].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[17].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[3].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[16].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[1].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[25].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[31].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[23].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[21].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[0].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[6].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[15].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[28].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[14].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[27].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[12].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[5].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[20].0[k];
+    for k in 0..L {
+        ghat[18][k] += 0.1767766952966369 * alpha[0][k] * favg[18][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[1][k] * favg[11][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[2][k] * favg[26][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[3][k] * favg[9][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[4][k] * favg[7][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[5][k] * favg[29][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[7][k] * favg[4][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[8][k] * favg[17][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[9][k] * favg[3][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[10][k] * favg[16][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[11][k] * favg[1][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[12][k] * favg[25][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[13][k] * favg[31][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[14][k] * favg[23][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[15][k] * favg[21][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[18][k] * favg[0][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[19][k] * favg[6][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[21][k] * favg[15][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[22][k] * favg[28][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[23][k] * favg[14][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[24][k] * favg[27][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[25][k] * favg[12][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[29][k] * favg[5][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[30][k] * favg[20][k];
     }
-    for k in 0..LANES {
-        ghat[19].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[19].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[26].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[11].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[10].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[8].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[30].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[17].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[4].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[16].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[3].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[2].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[31].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[25].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[24].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[22].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[6].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[0].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[28].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[15].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[27].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[14].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[13].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[20].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[5].0[k];
+    for k in 0..L {
+        ghat[19][k] += 0.1767766952966369 * alpha[0][k] * favg[19][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[1][k] * favg[26][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[2][k] * favg[11][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[3][k] * favg[10][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[4][k] * favg[8][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[5][k] * favg[30][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[7][k] * favg[17][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[8][k] * favg[4][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[9][k] * favg[16][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[10][k] * favg[3][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[11][k] * favg[2][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[12][k] * favg[31][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[13][k] * favg[25][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[14][k] * favg[24][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[15][k] * favg[22][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[18][k] * favg[6][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[19][k] * favg[0][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[21][k] * favg[28][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[22][k] * favg[15][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[23][k] * favg[27][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[24][k] * favg[14][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[25][k] * favg[13][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[29][k] * favg[20][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[30][k] * favg[5][k];
     }
-    for k in 0..LANES {
-        ghat[20].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[20].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[13].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[12].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[27].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[28].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[6].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[22].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[21].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[24].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[23].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[31].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[2].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[1].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[16].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[17].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[30].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[29].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[8].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[7].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[10].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[9].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[26].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[19].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[18].0[k];
+    for k in 0..L {
+        ghat[20][k] += 0.1767766952966369 * alpha[0][k] * favg[20][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[1][k] * favg[13][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[2][k] * favg[12][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[3][k] * favg[27][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[4][k] * favg[28][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[5][k] * favg[6][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[7][k] * favg[22][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[8][k] * favg[21][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[9][k] * favg[24][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[10][k] * favg[23][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[11][k] * favg[31][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[12][k] * favg[2][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[13][k] * favg[1][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[14][k] * favg[16][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[15][k] * favg[17][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[18][k] * favg[30][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[19][k] * favg[29][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[21][k] * favg[8][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[22][k] * favg[7][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[23][k] * favg[10][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[24][k] * favg[9][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[25][k] * favg[26][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[29][k] * favg[19][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[30][k] * favg[18][k];
     }
-    for k in 0..LANES {
-        ghat[21].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[21].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[14].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[27].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[12].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[29].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[7].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[5].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[20].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[25].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[31].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[23].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[3].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[16].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[1].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[18].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[15].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[28].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[0].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[6].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[11].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[26].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[9].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[4].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[17].0[k];
+    for k in 0..L {
+        ghat[21][k] += 0.1767766952966369 * alpha[0][k] * favg[21][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[1][k] * favg[14][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[2][k] * favg[27][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[3][k] * favg[12][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[4][k] * favg[29][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[5][k] * favg[7][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[7][k] * favg[5][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[8][k] * favg[20][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[9][k] * favg[25][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[10][k] * favg[31][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[11][k] * favg[23][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[12][k] * favg[3][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[13][k] * favg[16][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[14][k] * favg[1][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[15][k] * favg[18][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[18][k] * favg[15][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[19][k] * favg[28][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[21][k] * favg[0][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[22][k] * favg[6][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[23][k] * favg[11][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[24][k] * favg[26][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[25][k] * favg[9][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[29][k] * favg[4][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[30][k] * favg[17][k];
     }
-    for k in 0..LANES {
-        ghat[22].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[22].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[27].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[14].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[13].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[30].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[8].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[20].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[5].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[31].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[25].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[24].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[16].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[3].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[2].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[19].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[28].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[15].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[6].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[0].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[26].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[11].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[10].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[17].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[4].0[k];
+    for k in 0..L {
+        ghat[22][k] += 0.1767766952966369 * alpha[0][k] * favg[22][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[1][k] * favg[27][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[2][k] * favg[14][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[3][k] * favg[13][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[4][k] * favg[30][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[5][k] * favg[8][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[7][k] * favg[20][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[8][k] * favg[5][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[9][k] * favg[31][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[10][k] * favg[25][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[11][k] * favg[24][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[12][k] * favg[16][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[13][k] * favg[3][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[14][k] * favg[2][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[15][k] * favg[19][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[18][k] * favg[28][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[19][k] * favg[15][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[21][k] * favg[6][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[22][k] * favg[0][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[23][k] * favg[26][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[24][k] * favg[11][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[25][k] * favg[10][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[29][k] * favg[17][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[30][k] * favg[4][k];
     }
-    for k in 0..LANES {
-        ghat[23].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[23].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[15].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[28].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[29].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[12].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[9].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[25].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[31].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[5].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[20].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[21].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[4].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[17].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[18].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[1].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[14].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[27].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[11].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[26].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[0].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[6].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[7].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[3].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[16].0[k];
+    for k in 0..L {
+        ghat[23][k] += 0.1767766952966369 * alpha[0][k] * favg[23][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[1][k] * favg[15][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[2][k] * favg[28][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[3][k] * favg[29][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[4][k] * favg[12][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[5][k] * favg[9][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[7][k] * favg[25][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[8][k] * favg[31][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[9][k] * favg[5][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[10][k] * favg[20][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[11][k] * favg[21][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[12][k] * favg[4][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[13][k] * favg[17][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[14][k] * favg[18][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[15][k] * favg[1][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[18][k] * favg[14][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[19][k] * favg[27][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[21][k] * favg[11][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[22][k] * favg[26][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[23][k] * favg[0][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[24][k] * favg[6][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[25][k] * favg[7][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[29][k] * favg[3][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[30][k] * favg[16][k];
     }
-    for k in 0..LANES {
-        ghat[24].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[24].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[28].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[15].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[30].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[13].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[10].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[31].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[25].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[20].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[5].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[22].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[17].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[4].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[19].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[2].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[27].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[14].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[26].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[11].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[6].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[0].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[8].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[16].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[3].0[k];
+    for k in 0..L {
+        ghat[24][k] += 0.1767766952966369 * alpha[0][k] * favg[24][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[1][k] * favg[28][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[2][k] * favg[15][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[3][k] * favg[30][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[4][k] * favg[13][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[5][k] * favg[10][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[7][k] * favg[31][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[8][k] * favg[25][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[9][k] * favg[20][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[10][k] * favg[5][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[11][k] * favg[22][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[12][k] * favg[17][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[13][k] * favg[4][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[14][k] * favg[19][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[15][k] * favg[2][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[18][k] * favg[27][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[19][k] * favg[14][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[21][k] * favg[26][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[22][k] * favg[11][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[23][k] * favg[6][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[24][k] * favg[0][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[25][k] * favg[8][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[29][k] * favg[16][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[30][k] * favg[3][k];
     }
-    for k in 0..LANES {
-        ghat[25].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[25].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[29].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[30].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[15].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[14].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[11].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[23].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[24].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[21].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[22].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[5].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[18].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[19].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[4].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[3].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[12].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[13].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[9].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[10].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[7].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[8].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[0].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[1].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[2].0[k];
+    for k in 0..L {
+        ghat[25][k] += 0.1767766952966369 * alpha[0][k] * favg[25][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[1][k] * favg[29][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[2][k] * favg[30][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[3][k] * favg[15][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[4][k] * favg[14][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[5][k] * favg[11][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[7][k] * favg[23][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[8][k] * favg[24][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[9][k] * favg[21][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[10][k] * favg[22][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[11][k] * favg[5][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[12][k] * favg[18][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[13][k] * favg[19][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[14][k] * favg[4][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[15][k] * favg[3][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[18][k] * favg[12][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[19][k] * favg[13][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[21][k] * favg[9][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[22][k] * favg[10][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[23][k] * favg[7][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[24][k] * favg[8][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[25][k] * favg[0][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[29][k] * favg[1][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[30][k] * favg[2][k];
     }
-    for k in 0..LANES {
-        ghat[26].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[26].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[19].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[18].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[17].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[16].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[31].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[10].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[9].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[8].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[7].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[6].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[30].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[29].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[28].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[27].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[2].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[1].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[24].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[23].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[22].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[21].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[20].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[13].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[12].0[k];
+    for k in 0..L {
+        ghat[26][k] += 0.17677669529663687 * alpha[0][k] * favg[26][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[1][k] * favg[19][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[2][k] * favg[18][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[3][k] * favg[17][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[4][k] * favg[16][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[5][k] * favg[31][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[7][k] * favg[10][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[8][k] * favg[9][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[9][k] * favg[8][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[10][k] * favg[7][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[11][k] * favg[6][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[12][k] * favg[30][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[13][k] * favg[29][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[14][k] * favg[28][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[15][k] * favg[27][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[18][k] * favg[2][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[19][k] * favg[1][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[21][k] * favg[24][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[22][k] * favg[23][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[23][k] * favg[22][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[24][k] * favg[21][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[25][k] * favg[20][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[29][k] * favg[13][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[30][k] * favg[12][k];
     }
-    for k in 0..LANES {
-        ghat[27].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[27].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[22].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[21].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[20].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[31].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[16].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[13].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[12].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[30].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[29].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[28].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[8].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[7].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[6].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[26].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[24].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[23].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[2].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[1].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[19].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[18].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[17].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[10].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[9].0[k];
+    for k in 0..L {
+        ghat[27][k] += 0.17677669529663687 * alpha[0][k] * favg[27][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[1][k] * favg[22][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[2][k] * favg[21][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[3][k] * favg[20][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[4][k] * favg[31][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[5][k] * favg[16][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[7][k] * favg[13][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[8][k] * favg[12][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[9][k] * favg[30][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[10][k] * favg[29][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[11][k] * favg[28][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[12][k] * favg[8][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[13][k] * favg[7][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[14][k] * favg[6][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[15][k] * favg[26][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[18][k] * favg[24][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[19][k] * favg[23][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[21][k] * favg[2][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[22][k] * favg[1][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[23][k] * favg[19][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[24][k] * favg[18][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[25][k] * favg[17][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[29][k] * favg[10][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[30][k] * favg[9][k];
     }
-    for k in 0..LANES {
-        ghat[28].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[28].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[24].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[23].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[31].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[20].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[17].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[30].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[29].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[13].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[12].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[27].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[10].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[9].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[26].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[6].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[22].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[21].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[19].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[18].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[2].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[1].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[16].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[8].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[7].0[k];
+    for k in 0..L {
+        ghat[28][k] += 0.17677669529663687 * alpha[0][k] * favg[28][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[1][k] * favg[24][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[2][k] * favg[23][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[3][k] * favg[31][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[4][k] * favg[20][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[5][k] * favg[17][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[7][k] * favg[30][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[8][k] * favg[29][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[9][k] * favg[13][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[10][k] * favg[12][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[11][k] * favg[27][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[12][k] * favg[10][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[13][k] * favg[9][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[14][k] * favg[26][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[15][k] * favg[6][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[18][k] * favg[22][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[19][k] * favg[21][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[21][k] * favg[19][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[22][k] * favg[18][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[23][k] * favg[2][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[24][k] * favg[1][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[25][k] * favg[16][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[29][k] * favg[8][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[30][k] * favg[7][k];
     }
-    for k in 0..LANES {
-        ghat[29].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[29].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[25].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[31].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[23].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[21].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[18].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[15].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[28].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[14].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[27].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[12].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[11].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[26].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[9].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[7].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[5].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[20].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[4].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[17].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[3].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[16].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[1].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[0].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[6].0[k];
+    for k in 0..L {
+        ghat[29][k] += 0.17677669529663687 * alpha[0][k] * favg[29][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[1][k] * favg[25][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[2][k] * favg[31][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[3][k] * favg[23][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[4][k] * favg[21][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[5][k] * favg[18][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[7][k] * favg[15][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[8][k] * favg[28][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[9][k] * favg[14][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[10][k] * favg[27][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[11][k] * favg[12][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[12][k] * favg[11][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[13][k] * favg[26][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[14][k] * favg[9][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[15][k] * favg[7][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[18][k] * favg[5][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[19][k] * favg[20][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[21][k] * favg[4][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[22][k] * favg[17][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[23][k] * favg[3][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[24][k] * favg[16][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[25][k] * favg[1][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[29][k] * favg[0][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[30][k] * favg[6][k];
     }
-    for k in 0..LANES {
-        ghat[30].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[30].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[31].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[25].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[24].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[22].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[19].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[28].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[15].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[27].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[14].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[13].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[26].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[11].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[10].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[8].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[20].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[5].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[17].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[4].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[16].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[3].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[2].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[6].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[0].0[k];
+    for k in 0..L {
+        ghat[30][k] += 0.17677669529663687 * alpha[0][k] * favg[30][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[1][k] * favg[31][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[2][k] * favg[25][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[3][k] * favg[24][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[4][k] * favg[22][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[5][k] * favg[19][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[7][k] * favg[28][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[8][k] * favg[15][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[9][k] * favg[27][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[10][k] * favg[14][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[11][k] * favg[13][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[12][k] * favg[26][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[13][k] * favg[11][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[14][k] * favg[10][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[15][k] * favg[8][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[18][k] * favg[20][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[19][k] * favg[5][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[21][k] * favg[17][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[22][k] * favg[4][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[23][k] * favg[16][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[24][k] * favg[3][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[25][k] * favg[2][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[29][k] * favg[6][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[30][k] * favg[0][k];
     }
-    for k in 0..LANES {
-        ghat[31].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[31].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[30].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[29].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[28].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[27].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[26].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[24].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[23].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[22].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[21].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[20].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[19].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[18].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[17].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[16].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[13].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[12].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[10].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[9].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[8].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[7].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[6].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[2].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[1].0[k];
+    for k in 0..L {
+        ghat[31][k] += 0.1767766952966369 * alpha[0][k] * favg[31][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[1][k] * favg[30][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[2][k] * favg[29][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[3][k] * favg[28][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[4][k] * favg[27][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[5][k] * favg[26][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[7][k] * favg[24][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[8][k] * favg[23][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[9][k] * favg[22][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[10][k] * favg[21][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[11][k] * favg[20][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[12][k] * favg[19][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[13][k] * favg[18][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[14][k] * favg[17][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[15][k] * favg[16][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[18][k] * favg[13][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[19][k] * favg[12][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[21][k] * favg[10][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[22][k] * favg[9][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[23][k] * favg[8][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[24][k] * favg[7][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[25][k] * favg[6][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[29][k] * favg[2][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[30][k] * favg[1][k];
     }
-    sx4(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_lo[3], -rd * 1.224744871391589, &ghat[0]);
-    sx4(&mut out_lo[4], -rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_lo[5], -rd * 0.7071067811865476, &ghat[4]);
-    sx4(&mut out_lo[6], -rd * 0.7071067811865476, &ghat[5]);
-    sx4(&mut out_lo[7], -rd * 0.7071067811865476, &ghat[6]);
-    sx4(&mut out_lo[8], -rd * 1.224744871391589, &ghat[1]);
-    sx4(&mut out_lo[9], -rd * 1.224744871391589, &ghat[2]);
-    sx4(&mut out_lo[10], -rd * 0.7071067811865476, &ghat[7]);
-    sx4(&mut out_lo[11], -rd * 0.7071067811865476, &ghat[8]);
-    sx4(&mut out_lo[12], -rd * 1.224744871391589, &ghat[3]);
-    sx4(&mut out_lo[13], -rd * 0.7071067811865476, &ghat[9]);
-    sx4(&mut out_lo[14], -rd * 0.7071067811865476, &ghat[10]);
-    sx4(&mut out_lo[15], -rd * 1.224744871391589, &ghat[4]);
-    sx4(&mut out_lo[16], -rd * 0.7071067811865476, &ghat[11]);
-    sx4(&mut out_lo[17], -rd * 0.7071067811865476, &ghat[12]);
-    sx4(&mut out_lo[18], -rd * 0.7071067811865476, &ghat[13]);
-    sx4(&mut out_lo[19], -rd * 1.224744871391589, &ghat[5]);
-    sx4(&mut out_lo[20], -rd * 0.7071067811865476, &ghat[14]);
-    sx4(&mut out_lo[21], -rd * 0.7071067811865476, &ghat[15]);
-    sx4(&mut out_lo[22], -rd * 1.224744871391589, &ghat[6]);
-    sx4(&mut out_lo[23], -rd * 0.7071067811865476, &ghat[16]);
-    sx4(&mut out_lo[24], -rd * 1.224744871391589, &ghat[7]);
-    sx4(&mut out_lo[25], -rd * 1.224744871391589, &ghat[8]);
-    sx4(&mut out_lo[26], -rd * 0.7071067811865476, &ghat[17]);
-    sx4(&mut out_lo[27], -rd * 1.224744871391589, &ghat[9]);
-    sx4(&mut out_lo[28], -rd * 1.224744871391589, &ghat[10]);
-    sx4(&mut out_lo[29], -rd * 0.7071067811865476, &ghat[18]);
-    sx4(&mut out_lo[30], -rd * 0.7071067811865476, &ghat[19]);
-    sx4(&mut out_lo[31], -rd * 1.224744871391589, &ghat[11]);
-    sx4(&mut out_lo[32], -rd * 0.7071067811865476, &ghat[20]);
-    sx4(&mut out_lo[33], -rd * 1.224744871391589, &ghat[12]);
-    sx4(&mut out_lo[34], -rd * 1.224744871391589, &ghat[13]);
-    sx4(&mut out_lo[35], -rd * 0.7071067811865476, &ghat[21]);
-    sx4(&mut out_lo[36], -rd * 0.7071067811865476, &ghat[22]);
-    sx4(&mut out_lo[37], -rd * 1.224744871391589, &ghat[14]);
-    sx4(&mut out_lo[38], -rd * 0.7071067811865476, &ghat[23]);
-    sx4(&mut out_lo[39], -rd * 0.7071067811865476, &ghat[24]);
-    sx4(&mut out_lo[40], -rd * 1.224744871391589, &ghat[15]);
-    sx4(&mut out_lo[41], -rd * 0.7071067811865476, &ghat[25]);
-    sx4(&mut out_lo[42], -rd * 1.224744871391589, &ghat[16]);
-    sx4(&mut out_lo[43], -rd * 1.224744871391589, &ghat[17]);
-    sx4(&mut out_lo[44], -rd * 0.7071067811865476, &ghat[26]);
-    sx4(&mut out_lo[45], -rd * 1.224744871391589, &ghat[18]);
-    sx4(&mut out_lo[46], -rd * 1.224744871391589, &ghat[19]);
-    sx4(&mut out_lo[47], -rd * 1.224744871391589, &ghat[20]);
-    sx4(&mut out_lo[48], -rd * 0.7071067811865476, &ghat[27]);
-    sx4(&mut out_lo[49], -rd * 1.224744871391589, &ghat[21]);
-    sx4(&mut out_lo[50], -rd * 1.224744871391589, &ghat[22]);
-    sx4(&mut out_lo[51], -rd * 0.7071067811865476, &ghat[28]);
-    sx4(&mut out_lo[52], -rd * 1.224744871391589, &ghat[23]);
-    sx4(&mut out_lo[53], -rd * 1.224744871391589, &ghat[24]);
-    sx4(&mut out_lo[54], -rd * 0.7071067811865476, &ghat[29]);
-    sx4(&mut out_lo[55], -rd * 0.7071067811865476, &ghat[30]);
-    sx4(&mut out_lo[56], -rd * 1.224744871391589, &ghat[25]);
-    sx4(&mut out_lo[57], -rd * 1.224744871391589, &ghat[26]);
-    sx4(&mut out_lo[58], -rd * 1.224744871391589, &ghat[27]);
-    sx4(&mut out_lo[59], -rd * 1.224744871391589, &ghat[28]);
-    sx4(&mut out_lo[60], -rd * 0.7071067811865476, &ghat[31]);
-    sx4(&mut out_lo[61], -rd * 1.224744871391589, &ghat[29]);
-    sx4(&mut out_lo[62], -rd * 1.224744871391589, &ghat[30]);
-    sx4(&mut out_lo[63], -rd * 1.224744871391589, &ghat[31]);
-    sx4(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_hi[1], rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_hi[2], rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_hi[3], rd * -1.224744871391589, &ghat[0]);
-    sx4(&mut out_hi[4], rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_hi[5], rd * 0.7071067811865476, &ghat[4]);
-    sx4(&mut out_hi[6], rd * 0.7071067811865476, &ghat[5]);
-    sx4(&mut out_hi[7], rd * 0.7071067811865476, &ghat[6]);
-    sx4(&mut out_hi[8], rd * -1.224744871391589, &ghat[1]);
-    sx4(&mut out_hi[9], rd * -1.224744871391589, &ghat[2]);
-    sx4(&mut out_hi[10], rd * 0.7071067811865476, &ghat[7]);
-    sx4(&mut out_hi[11], rd * 0.7071067811865476, &ghat[8]);
-    sx4(&mut out_hi[12], rd * -1.224744871391589, &ghat[3]);
-    sx4(&mut out_hi[13], rd * 0.7071067811865476, &ghat[9]);
-    sx4(&mut out_hi[14], rd * 0.7071067811865476, &ghat[10]);
-    sx4(&mut out_hi[15], rd * -1.224744871391589, &ghat[4]);
-    sx4(&mut out_hi[16], rd * 0.7071067811865476, &ghat[11]);
-    sx4(&mut out_hi[17], rd * 0.7071067811865476, &ghat[12]);
-    sx4(&mut out_hi[18], rd * 0.7071067811865476, &ghat[13]);
-    sx4(&mut out_hi[19], rd * -1.224744871391589, &ghat[5]);
-    sx4(&mut out_hi[20], rd * 0.7071067811865476, &ghat[14]);
-    sx4(&mut out_hi[21], rd * 0.7071067811865476, &ghat[15]);
-    sx4(&mut out_hi[22], rd * -1.224744871391589, &ghat[6]);
-    sx4(&mut out_hi[23], rd * 0.7071067811865476, &ghat[16]);
-    sx4(&mut out_hi[24], rd * -1.224744871391589, &ghat[7]);
-    sx4(&mut out_hi[25], rd * -1.224744871391589, &ghat[8]);
-    sx4(&mut out_hi[26], rd * 0.7071067811865476, &ghat[17]);
-    sx4(&mut out_hi[27], rd * -1.224744871391589, &ghat[9]);
-    sx4(&mut out_hi[28], rd * -1.224744871391589, &ghat[10]);
-    sx4(&mut out_hi[29], rd * 0.7071067811865476, &ghat[18]);
-    sx4(&mut out_hi[30], rd * 0.7071067811865476, &ghat[19]);
-    sx4(&mut out_hi[31], rd * -1.224744871391589, &ghat[11]);
-    sx4(&mut out_hi[32], rd * 0.7071067811865476, &ghat[20]);
-    sx4(&mut out_hi[33], rd * -1.224744871391589, &ghat[12]);
-    sx4(&mut out_hi[34], rd * -1.224744871391589, &ghat[13]);
-    sx4(&mut out_hi[35], rd * 0.7071067811865476, &ghat[21]);
-    sx4(&mut out_hi[36], rd * 0.7071067811865476, &ghat[22]);
-    sx4(&mut out_hi[37], rd * -1.224744871391589, &ghat[14]);
-    sx4(&mut out_hi[38], rd * 0.7071067811865476, &ghat[23]);
-    sx4(&mut out_hi[39], rd * 0.7071067811865476, &ghat[24]);
-    sx4(&mut out_hi[40], rd * -1.224744871391589, &ghat[15]);
-    sx4(&mut out_hi[41], rd * 0.7071067811865476, &ghat[25]);
-    sx4(&mut out_hi[42], rd * -1.224744871391589, &ghat[16]);
-    sx4(&mut out_hi[43], rd * -1.224744871391589, &ghat[17]);
-    sx4(&mut out_hi[44], rd * 0.7071067811865476, &ghat[26]);
-    sx4(&mut out_hi[45], rd * -1.224744871391589, &ghat[18]);
-    sx4(&mut out_hi[46], rd * -1.224744871391589, &ghat[19]);
-    sx4(&mut out_hi[47], rd * -1.224744871391589, &ghat[20]);
-    sx4(&mut out_hi[48], rd * 0.7071067811865476, &ghat[27]);
-    sx4(&mut out_hi[49], rd * -1.224744871391589, &ghat[21]);
-    sx4(&mut out_hi[50], rd * -1.224744871391589, &ghat[22]);
-    sx4(&mut out_hi[51], rd * 0.7071067811865476, &ghat[28]);
-    sx4(&mut out_hi[52], rd * -1.224744871391589, &ghat[23]);
-    sx4(&mut out_hi[53], rd * -1.224744871391589, &ghat[24]);
-    sx4(&mut out_hi[54], rd * 0.7071067811865476, &ghat[29]);
-    sx4(&mut out_hi[55], rd * 0.7071067811865476, &ghat[30]);
-    sx4(&mut out_hi[56], rd * -1.224744871391589, &ghat[25]);
-    sx4(&mut out_hi[57], rd * -1.224744871391589, &ghat[26]);
-    sx4(&mut out_hi[58], rd * -1.224744871391589, &ghat[27]);
-    sx4(&mut out_hi[59], rd * -1.224744871391589, &ghat[28]);
-    sx4(&mut out_hi[60], rd * 0.7071067811865476, &ghat[31]);
-    sx4(&mut out_hi[61], rd * -1.224744871391589, &ghat[29]);
-    sx4(&mut out_hi[62], rd * -1.224744871391589, &ghat[30]);
-    sx4(&mut out_hi[63], rd * -1.224744871391589, &ghat[31]);
+    sxn(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[3], -rd * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[4], -rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], -rd * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], -rd * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[7], -rd * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[8], -rd * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[9], -rd * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[10], -rd * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[11], -rd * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[12], -rd * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[13], -rd * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[14], -rd * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[15], -rd * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[16], -rd * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[17], -rd * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[18], -rd * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[19], -rd * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[20], -rd * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[21], -rd * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[22], -rd * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[23], -rd * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_lo[24], -rd * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[25], -rd * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[26], -rd * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_lo[27], -rd * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[28], -rd * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[29], -rd * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_lo[30], -rd * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_lo[31], -rd * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[32], -rd * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_lo[33], -rd * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[34], -rd * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[35], -rd * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_lo[36], -rd * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_lo[37], -rd * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[38], -rd * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_lo[39], -rd * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_lo[40], -rd * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_lo[41], -rd * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_lo[42], -rd * 1.224744871391589, &ghat[16]);
+    sxn(&mut out_lo[43], -rd * 1.224744871391589, &ghat[17]);
+    sxn(&mut out_lo[44], -rd * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_lo[45], -rd * 1.224744871391589, &ghat[18]);
+    sxn(&mut out_lo[46], -rd * 1.224744871391589, &ghat[19]);
+    sxn(&mut out_lo[47], -rd * 1.224744871391589, &ghat[20]);
+    sxn(&mut out_lo[48], -rd * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_lo[49], -rd * 1.224744871391589, &ghat[21]);
+    sxn(&mut out_lo[50], -rd * 1.224744871391589, &ghat[22]);
+    sxn(&mut out_lo[51], -rd * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_lo[52], -rd * 1.224744871391589, &ghat[23]);
+    sxn(&mut out_lo[53], -rd * 1.224744871391589, &ghat[24]);
+    sxn(&mut out_lo[54], -rd * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_lo[55], -rd * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_lo[56], -rd * 1.224744871391589, &ghat[25]);
+    sxn(&mut out_lo[57], -rd * 1.224744871391589, &ghat[26]);
+    sxn(&mut out_lo[58], -rd * 1.224744871391589, &ghat[27]);
+    sxn(&mut out_lo[59], -rd * 1.224744871391589, &ghat[28]);
+    sxn(&mut out_lo[60], -rd * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_lo[61], -rd * 1.224744871391589, &ghat[29]);
+    sxn(&mut out_lo[62], -rd * 1.224744871391589, &ghat[30]);
+    sxn(&mut out_lo[63], -rd * 1.224744871391589, &ghat[31]);
+    sxn(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[3], rd * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[4], rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], rd * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], rd * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[7], rd * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[8], rd * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[9], rd * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[10], rd * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[11], rd * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[12], rd * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[13], rd * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[14], rd * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[15], rd * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[16], rd * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[17], rd * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[18], rd * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[19], rd * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[20], rd * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[21], rd * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[22], rd * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[23], rd * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_hi[24], rd * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[25], rd * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[26], rd * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_hi[27], rd * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[28], rd * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[29], rd * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_hi[30], rd * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_hi[31], rd * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[32], rd * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_hi[33], rd * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[34], rd * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[35], rd * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_hi[36], rd * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_hi[37], rd * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[38], rd * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_hi[39], rd * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_hi[40], rd * -1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[41], rd * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_hi[42], rd * -1.224744871391589, &ghat[16]);
+    sxn(&mut out_hi[43], rd * -1.224744871391589, &ghat[17]);
+    sxn(&mut out_hi[44], rd * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_hi[45], rd * -1.224744871391589, &ghat[18]);
+    sxn(&mut out_hi[46], rd * -1.224744871391589, &ghat[19]);
+    sxn(&mut out_hi[47], rd * -1.224744871391589, &ghat[20]);
+    sxn(&mut out_hi[48], rd * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_hi[49], rd * -1.224744871391589, &ghat[21]);
+    sxn(&mut out_hi[50], rd * -1.224744871391589, &ghat[22]);
+    sxn(&mut out_hi[51], rd * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_hi[52], rd * -1.224744871391589, &ghat[23]);
+    sxn(&mut out_hi[53], rd * -1.224744871391589, &ghat[24]);
+    sxn(&mut out_hi[54], rd * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_hi[55], rd * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_hi[56], rd * -1.224744871391589, &ghat[25]);
+    sxn(&mut out_hi[57], rd * -1.224744871391589, &ghat[26]);
+    sxn(&mut out_hi[58], rd * -1.224744871391589, &ghat[27]);
+    sxn(&mut out_hi[59], rd * -1.224744871391589, &ghat[28]);
+    sxn(&mut out_hi[60], rd * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_hi[61], rd * -1.224744871391589, &ghat[29]);
+    sxn(&mut out_hi[62], rd * -1.224744871391589, &ghat[30]);
+    sxn(&mut out_hi[63], rd * -1.224744871391589, &ghat[31]);
 }
 
 /// Acceleration surface kernel, faces normal to v1 (α̂ = q/m (E + v×B)_1).
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_surf_3x3v_p1_ser_v1(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
-    let rd = 2.0 / dxv[4];
-    let mut alpha = [0.0f64; 32];
-    alpha[0] += qm * 2.0 * (em[8] + w[5] * em[24] - w[3] * em[40]);
-    alpha[1] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[24];
-    alpha[2] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[40];
-    alpha[3] += qm * 2.0 * (em[9] + w[5] * em[25] - w[3] * em[41]);
-    alpha[7] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[25];
-    alpha[8] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[41];
-    alpha[4] += qm * 2.0 * (em[10] + w[5] * em[26] - w[3] * em[42]);
-    alpha[9] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[26];
-    alpha[10] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[42];
-    alpha[5] += qm * 2.0 * (em[11] + w[5] * em[27] - w[3] * em[43]);
-    alpha[12] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[27];
-    alpha[13] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[43];
-    alpha[11] += qm * 2.0 * (em[12] + w[5] * em[28] - w[3] * em[44]);
-    alpha[18] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[28];
-    alpha[19] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[44];
-    alpha[14] += qm * 2.0 * (em[13] + w[5] * em[29] - w[3] * em[45]);
-    alpha[21] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[29];
-    alpha[22] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[45];
-    alpha[15] += qm * 2.0 * (em[14] + w[5] * em[30] - w[3] * em[46]);
-    alpha[23] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[30];
-    alpha[24] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[46];
-    alpha[25] += qm * 2.0 * (em[15] + w[5] * em[31] - w[3] * em[47]);
-    alpha[29] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[31];
-    alpha[30] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[47];
-    let lam = if penalty { alpha[0].abs() * 0.17677669529663692 + alpha[1].abs() * 0.3061862178478973 + alpha[2].abs() * 0.30618621784789735 + alpha[3].abs() * 0.30618621784789735 + alpha[4].abs() * 0.30618621784789735 + alpha[5].abs() * 0.30618621784789735 + alpha[7].abs() * 0.5303300858899107 + alpha[8].abs() * 0.5303300858899107 + alpha[9].abs() * 0.5303300858899107 + alpha[10].abs() * 0.5303300858899107 + alpha[11].abs() * 0.5303300858899107 + alpha[12].abs() * 0.5303300858899107 + alpha[13].abs() * 0.5303300858899107 + alpha[14].abs() * 0.5303300858899107 + alpha[15].abs() * 0.5303300858899107 + alpha[18].abs() * 0.9185586535436917 + alpha[19].abs() * 0.9185586535436917 + alpha[21].abs() * 0.9185586535436917 + alpha[22].abs() * 0.9185586535436917 + alpha[23].abs() * 0.9185586535436917 + alpha[24].abs() * 0.9185586535436917 + alpha[25].abs() * 0.9185586535436917 + alpha[29].abs() * 1.5909902576697315 + alpha[30].abs() * 1.5909902576697315 } else { 0.0 };
-    let mut fm = [0.0f64; 32];
-    let mut fp = [0.0f64; 32];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[1] += 0.7071067811865476 * f_lo[1];
-    fm[0] += 1.224744871391589 * f_lo[2];
-    fm[2] += 0.7071067811865476 * f_lo[3];
-    fm[3] += 0.7071067811865476 * f_lo[4];
-    fm[4] += 0.7071067811865476 * f_lo[5];
-    fm[5] += 0.7071067811865476 * f_lo[6];
-    fm[1] += 1.224744871391589 * f_lo[7];
-    fm[6] += 0.7071067811865476 * f_lo[8];
-    fm[2] += 1.224744871391589 * f_lo[9];
-    fm[7] += 0.7071067811865476 * f_lo[10];
-    fm[3] += 1.224744871391589 * f_lo[11];
-    fm[8] += 0.7071067811865476 * f_lo[12];
-    fm[9] += 0.7071067811865476 * f_lo[13];
-    fm[4] += 1.224744871391589 * f_lo[14];
-    fm[10] += 0.7071067811865476 * f_lo[15];
-    fm[11] += 0.7071067811865476 * f_lo[16];
-    fm[12] += 0.7071067811865476 * f_lo[17];
-    fm[5] += 1.224744871391589 * f_lo[18];
-    fm[13] += 0.7071067811865476 * f_lo[19];
-    fm[14] += 0.7071067811865476 * f_lo[20];
-    fm[15] += 0.7071067811865476 * f_lo[21];
-    fm[6] += 1.224744871391589 * f_lo[22];
-    fm[7] += 1.224744871391589 * f_lo[23];
-    fm[16] += 0.7071067811865476 * f_lo[24];
-    fm[8] += 1.224744871391589 * f_lo[25];
-    fm[9] += 1.224744871391589 * f_lo[26];
-    fm[17] += 0.7071067811865476 * f_lo[27];
-    fm[10] += 1.224744871391589 * f_lo[28];
-    fm[18] += 0.7071067811865476 * f_lo[29];
-    fm[11] += 1.224744871391589 * f_lo[30];
-    fm[19] += 0.7071067811865476 * f_lo[31];
-    fm[12] += 1.224744871391589 * f_lo[32];
-    fm[20] += 0.7071067811865476 * f_lo[33];
-    fm[13] += 1.224744871391589 * f_lo[34];
-    fm[21] += 0.7071067811865476 * f_lo[35];
-    fm[14] += 1.224744871391589 * f_lo[36];
-    fm[22] += 0.7071067811865476 * f_lo[37];
-    fm[23] += 0.7071067811865476 * f_lo[38];
-    fm[15] += 1.224744871391589 * f_lo[39];
-    fm[24] += 0.7071067811865476 * f_lo[40];
-    fm[25] += 0.7071067811865476 * f_lo[41];
-    fm[16] += 1.224744871391589 * f_lo[42];
-    fm[17] += 1.224744871391589 * f_lo[43];
-    fm[18] += 1.224744871391589 * f_lo[44];
-    fm[26] += 0.7071067811865476 * f_lo[45];
-    fm[19] += 1.224744871391589 * f_lo[46];
-    fm[20] += 1.224744871391589 * f_lo[47];
-    fm[21] += 1.224744871391589 * f_lo[48];
-    fm[27] += 0.7071067811865476 * f_lo[49];
-    fm[22] += 1.224744871391589 * f_lo[50];
-    fm[23] += 1.224744871391589 * f_lo[51];
-    fm[28] += 0.7071067811865476 * f_lo[52];
-    fm[24] += 1.224744871391589 * f_lo[53];
-    fm[29] += 0.7071067811865476 * f_lo[54];
-    fm[25] += 1.224744871391589 * f_lo[55];
-    fm[30] += 0.7071067811865476 * f_lo[56];
-    fm[26] += 1.224744871391589 * f_lo[57];
-    fm[27] += 1.224744871391589 * f_lo[58];
-    fm[28] += 1.224744871391589 * f_lo[59];
-    fm[29] += 1.224744871391589 * f_lo[60];
-    fm[31] += 0.7071067811865476 * f_lo[61];
-    fm[30] += 1.224744871391589 * f_lo[62];
-    fm[31] += 1.224744871391589 * f_lo[63];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[1] += 0.7071067811865476 * f_hi[1];
-    fp[0] += -1.224744871391589 * f_hi[2];
-    fp[2] += 0.7071067811865476 * f_hi[3];
-    fp[3] += 0.7071067811865476 * f_hi[4];
-    fp[4] += 0.7071067811865476 * f_hi[5];
-    fp[5] += 0.7071067811865476 * f_hi[6];
-    fp[1] += -1.224744871391589 * f_hi[7];
-    fp[6] += 0.7071067811865476 * f_hi[8];
-    fp[2] += -1.224744871391589 * f_hi[9];
-    fp[7] += 0.7071067811865476 * f_hi[10];
-    fp[3] += -1.224744871391589 * f_hi[11];
-    fp[8] += 0.7071067811865476 * f_hi[12];
-    fp[9] += 0.7071067811865476 * f_hi[13];
-    fp[4] += -1.224744871391589 * f_hi[14];
-    fp[10] += 0.7071067811865476 * f_hi[15];
-    fp[11] += 0.7071067811865476 * f_hi[16];
-    fp[12] += 0.7071067811865476 * f_hi[17];
-    fp[5] += -1.224744871391589 * f_hi[18];
-    fp[13] += 0.7071067811865476 * f_hi[19];
-    fp[14] += 0.7071067811865476 * f_hi[20];
-    fp[15] += 0.7071067811865476 * f_hi[21];
-    fp[6] += -1.224744871391589 * f_hi[22];
-    fp[7] += -1.224744871391589 * f_hi[23];
-    fp[16] += 0.7071067811865476 * f_hi[24];
-    fp[8] += -1.224744871391589 * f_hi[25];
-    fp[9] += -1.224744871391589 * f_hi[26];
-    fp[17] += 0.7071067811865476 * f_hi[27];
-    fp[10] += -1.224744871391589 * f_hi[28];
-    fp[18] += 0.7071067811865476 * f_hi[29];
-    fp[11] += -1.224744871391589 * f_hi[30];
-    fp[19] += 0.7071067811865476 * f_hi[31];
-    fp[12] += -1.224744871391589 * f_hi[32];
-    fp[20] += 0.7071067811865476 * f_hi[33];
-    fp[13] += -1.224744871391589 * f_hi[34];
-    fp[21] += 0.7071067811865476 * f_hi[35];
-    fp[14] += -1.224744871391589 * f_hi[36];
-    fp[22] += 0.7071067811865476 * f_hi[37];
-    fp[23] += 0.7071067811865476 * f_hi[38];
-    fp[15] += -1.224744871391589 * f_hi[39];
-    fp[24] += 0.7071067811865476 * f_hi[40];
-    fp[25] += 0.7071067811865476 * f_hi[41];
-    fp[16] += -1.224744871391589 * f_hi[42];
-    fp[17] += -1.224744871391589 * f_hi[43];
-    fp[18] += -1.224744871391589 * f_hi[44];
-    fp[26] += 0.7071067811865476 * f_hi[45];
-    fp[19] += -1.224744871391589 * f_hi[46];
-    fp[20] += -1.224744871391589 * f_hi[47];
-    fp[21] += -1.224744871391589 * f_hi[48];
-    fp[27] += 0.7071067811865476 * f_hi[49];
-    fp[22] += -1.224744871391589 * f_hi[50];
-    fp[23] += -1.224744871391589 * f_hi[51];
-    fp[28] += 0.7071067811865476 * f_hi[52];
-    fp[24] += -1.224744871391589 * f_hi[53];
-    fp[29] += 0.7071067811865476 * f_hi[54];
-    fp[25] += -1.224744871391589 * f_hi[55];
-    fp[30] += 0.7071067811865476 * f_hi[56];
-    fp[26] += -1.224744871391589 * f_hi[57];
-    fp[27] += -1.224744871391589 * f_hi[58];
-    fp[28] += -1.224744871391589 * f_hi[59];
-    fp[29] += -1.224744871391589 * f_hi[60];
-    fp[31] += 0.7071067811865476 * f_hi[61];
-    fp[30] += -1.224744871391589 * f_hi[62];
-    fp[31] += -1.224744871391589 * f_hi[63];
-    let mut favg = [0.0f64; 32];
-    let mut ghat = [0.0f64; 32];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    favg[8] = 0.5 * (fm[8] + fp[8]);
-    ghat[8] = -0.5 * lam * (fp[8] - fm[8]);
-    favg[9] = 0.5 * (fm[9] + fp[9]);
-    ghat[9] = -0.5 * lam * (fp[9] - fm[9]);
-    favg[10] = 0.5 * (fm[10] + fp[10]);
-    ghat[10] = -0.5 * lam * (fp[10] - fm[10]);
-    favg[11] = 0.5 * (fm[11] + fp[11]);
-    ghat[11] = -0.5 * lam * (fp[11] - fm[11]);
-    favg[12] = 0.5 * (fm[12] + fp[12]);
-    ghat[12] = -0.5 * lam * (fp[12] - fm[12]);
-    favg[13] = 0.5 * (fm[13] + fp[13]);
-    ghat[13] = -0.5 * lam * (fp[13] - fm[13]);
-    favg[14] = 0.5 * (fm[14] + fp[14]);
-    ghat[14] = -0.5 * lam * (fp[14] - fm[14]);
-    favg[15] = 0.5 * (fm[15] + fp[15]);
-    ghat[15] = -0.5 * lam * (fp[15] - fm[15]);
-    favg[16] = 0.5 * (fm[16] + fp[16]);
-    ghat[16] = -0.5 * lam * (fp[16] - fm[16]);
-    favg[17] = 0.5 * (fm[17] + fp[17]);
-    ghat[17] = -0.5 * lam * (fp[17] - fm[17]);
-    favg[18] = 0.5 * (fm[18] + fp[18]);
-    ghat[18] = -0.5 * lam * (fp[18] - fm[18]);
-    favg[19] = 0.5 * (fm[19] + fp[19]);
-    ghat[19] = -0.5 * lam * (fp[19] - fm[19]);
-    favg[20] = 0.5 * (fm[20] + fp[20]);
-    ghat[20] = -0.5 * lam * (fp[20] - fm[20]);
-    favg[21] = 0.5 * (fm[21] + fp[21]);
-    ghat[21] = -0.5 * lam * (fp[21] - fm[21]);
-    favg[22] = 0.5 * (fm[22] + fp[22]);
-    ghat[22] = -0.5 * lam * (fp[22] - fm[22]);
-    favg[23] = 0.5 * (fm[23] + fp[23]);
-    ghat[23] = -0.5 * lam * (fp[23] - fm[23]);
-    favg[24] = 0.5 * (fm[24] + fp[24]);
-    ghat[24] = -0.5 * lam * (fp[24] - fm[24]);
-    favg[25] = 0.5 * (fm[25] + fp[25]);
-    ghat[25] = -0.5 * lam * (fp[25] - fm[25]);
-    favg[26] = 0.5 * (fm[26] + fp[26]);
-    ghat[26] = -0.5 * lam * (fp[26] - fm[26]);
-    favg[27] = 0.5 * (fm[27] + fp[27]);
-    ghat[27] = -0.5 * lam * (fp[27] - fm[27]);
-    favg[28] = 0.5 * (fm[28] + fp[28]);
-    ghat[28] = -0.5 * lam * (fp[28] - fm[28]);
-    favg[29] = 0.5 * (fm[29] + fp[29]);
-    ghat[29] = -0.5 * lam * (fp[29] - fm[29]);
-    favg[30] = 0.5 * (fm[30] + fp[30]);
-    ghat[30] = -0.5 * lam * (fp[30] - fm[30]);
-    favg[31] = 0.5 * (fm[31] + fp[31]);
-    ghat[31] = -0.5 * lam * (fp[31] - fm[31]);
-    ghat[0] += 0.1767766952966369 * alpha[0] * favg[0];
-    ghat[0] += 0.17677669529663687 * alpha[1] * favg[1];
-    ghat[0] += 0.17677669529663687 * alpha[2] * favg[2];
-    ghat[0] += 0.17677669529663687 * alpha[3] * favg[3];
-    ghat[0] += 0.17677669529663687 * alpha[4] * favg[4];
-    ghat[0] += 0.17677669529663687 * alpha[5] * favg[5];
-    ghat[0] += 0.17677669529663687 * alpha[7] * favg[7];
-    ghat[0] += 0.17677669529663687 * alpha[8] * favg[8];
-    ghat[0] += 0.17677669529663687 * alpha[9] * favg[9];
-    ghat[0] += 0.17677669529663687 * alpha[10] * favg[10];
-    ghat[0] += 0.17677669529663687 * alpha[11] * favg[11];
-    ghat[0] += 0.17677669529663687 * alpha[12] * favg[12];
-    ghat[0] += 0.17677669529663687 * alpha[13] * favg[13];
-    ghat[0] += 0.17677669529663687 * alpha[14] * favg[14];
-    ghat[0] += 0.17677669529663687 * alpha[15] * favg[15];
-    ghat[0] += 0.1767766952966369 * alpha[18] * favg[18];
-    ghat[0] += 0.1767766952966369 * alpha[19] * favg[19];
-    ghat[0] += 0.1767766952966369 * alpha[21] * favg[21];
-    ghat[0] += 0.1767766952966369 * alpha[22] * favg[22];
-    ghat[0] += 0.1767766952966369 * alpha[23] * favg[23];
-    ghat[0] += 0.1767766952966369 * alpha[24] * favg[24];
-    ghat[0] += 0.1767766952966369 * alpha[25] * favg[25];
-    ghat[0] += 0.17677669529663687 * alpha[29] * favg[29];
-    ghat[0] += 0.17677669529663687 * alpha[30] * favg[30];
-    ghat[1] += 0.17677669529663687 * alpha[0] * favg[1];
-    ghat[1] += 0.17677669529663687 * alpha[1] * favg[0];
-    ghat[1] += 0.17677669529663687 * alpha[2] * favg[6];
-    ghat[1] += 0.17677669529663687 * alpha[3] * favg[7];
-    ghat[1] += 0.17677669529663687 * alpha[4] * favg[9];
-    ghat[1] += 0.17677669529663687 * alpha[5] * favg[12];
-    ghat[1] += 0.17677669529663687 * alpha[7] * favg[3];
-    ghat[1] += 0.1767766952966369 * alpha[8] * favg[16];
-    ghat[1] += 0.17677669529663687 * alpha[9] * favg[4];
-    ghat[1] += 0.1767766952966369 * alpha[10] * favg[17];
-    ghat[1] += 0.1767766952966369 * alpha[11] * favg[18];
-    ghat[1] += 0.17677669529663687 * alpha[12] * favg[5];
-    ghat[1] += 0.1767766952966369 * alpha[13] * favg[20];
-    ghat[1] += 0.1767766952966369 * alpha[14] * favg[21];
-    ghat[1] += 0.1767766952966369 * alpha[15] * favg[23];
-    ghat[1] += 0.1767766952966369 * alpha[18] * favg[11];
-    ghat[1] += 0.17677669529663687 * alpha[19] * favg[26];
-    ghat[1] += 0.1767766952966369 * alpha[21] * favg[14];
-    ghat[1] += 0.17677669529663687 * alpha[22] * favg[27];
-    ghat[1] += 0.1767766952966369 * alpha[23] * favg[15];
-    ghat[1] += 0.17677669529663687 * alpha[24] * favg[28];
-    ghat[1] += 0.17677669529663687 * alpha[25] * favg[29];
-    ghat[1] += 0.17677669529663687 * alpha[29] * favg[25];
-    ghat[1] += 0.1767766952966369 * alpha[30] * favg[31];
-    ghat[2] += 0.17677669529663687 * alpha[0] * favg[2];
-    ghat[2] += 0.17677669529663687 * alpha[1] * favg[6];
-    ghat[2] += 0.17677669529663687 * alpha[2] * favg[0];
-    ghat[2] += 0.17677669529663687 * alpha[3] * favg[8];
-    ghat[2] += 0.17677669529663687 * alpha[4] * favg[10];
-    ghat[2] += 0.17677669529663687 * alpha[5] * favg[13];
-    ghat[2] += 0.1767766952966369 * alpha[7] * favg[16];
-    ghat[2] += 0.17677669529663687 * alpha[8] * favg[3];
-    ghat[2] += 0.1767766952966369 * alpha[9] * favg[17];
-    ghat[2] += 0.17677669529663687 * alpha[10] * favg[4];
-    ghat[2] += 0.1767766952966369 * alpha[11] * favg[19];
-    ghat[2] += 0.1767766952966369 * alpha[12] * favg[20];
-    ghat[2] += 0.17677669529663687 * alpha[13] * favg[5];
-    ghat[2] += 0.1767766952966369 * alpha[14] * favg[22];
-    ghat[2] += 0.1767766952966369 * alpha[15] * favg[24];
-    ghat[2] += 0.17677669529663687 * alpha[18] * favg[26];
-    ghat[2] += 0.1767766952966369 * alpha[19] * favg[11];
-    ghat[2] += 0.17677669529663687 * alpha[21] * favg[27];
-    ghat[2] += 0.1767766952966369 * alpha[22] * favg[14];
-    ghat[2] += 0.17677669529663687 * alpha[23] * favg[28];
-    ghat[2] += 0.1767766952966369 * alpha[24] * favg[15];
-    ghat[2] += 0.17677669529663687 * alpha[25] * favg[30];
-    ghat[2] += 0.1767766952966369 * alpha[29] * favg[31];
-    ghat[2] += 0.17677669529663687 * alpha[30] * favg[25];
-    ghat[3] += 0.17677669529663687 * alpha[0] * favg[3];
-    ghat[3] += 0.17677669529663687 * alpha[1] * favg[7];
-    ghat[3] += 0.17677669529663687 * alpha[2] * favg[8];
-    ghat[3] += 0.17677669529663687 * alpha[3] * favg[0];
-    ghat[3] += 0.17677669529663687 * alpha[4] * favg[11];
-    ghat[3] += 0.17677669529663687 * alpha[5] * favg[14];
-    ghat[3] += 0.17677669529663687 * alpha[7] * favg[1];
-    ghat[3] += 0.17677669529663687 * alpha[8] * favg[2];
-    ghat[3] += 0.1767766952966369 * alpha[9] * favg[18];
-    ghat[3] += 0.1767766952966369 * alpha[10] * favg[19];
-    ghat[3] += 0.17677669529663687 * alpha[11] * favg[4];
-    ghat[3] += 0.1767766952966369 * alpha[12] * favg[21];
-    ghat[3] += 0.1767766952966369 * alpha[13] * favg[22];
-    ghat[3] += 0.17677669529663687 * alpha[14] * favg[5];
-    ghat[3] += 0.1767766952966369 * alpha[15] * favg[25];
-    ghat[3] += 0.1767766952966369 * alpha[18] * favg[9];
-    ghat[3] += 0.1767766952966369 * alpha[19] * favg[10];
-    ghat[3] += 0.1767766952966369 * alpha[21] * favg[12];
-    ghat[3] += 0.1767766952966369 * alpha[22] * favg[13];
-    ghat[3] += 0.17677669529663687 * alpha[23] * favg[29];
-    ghat[3] += 0.17677669529663687 * alpha[24] * favg[30];
-    ghat[3] += 0.1767766952966369 * alpha[25] * favg[15];
-    ghat[3] += 0.17677669529663687 * alpha[29] * favg[23];
-    ghat[3] += 0.17677669529663687 * alpha[30] * favg[24];
-    ghat[4] += 0.17677669529663687 * alpha[0] * favg[4];
-    ghat[4] += 0.17677669529663687 * alpha[1] * favg[9];
-    ghat[4] += 0.17677669529663687 * alpha[2] * favg[10];
-    ghat[4] += 0.17677669529663687 * alpha[3] * favg[11];
-    ghat[4] += 0.17677669529663687 * alpha[4] * favg[0];
-    ghat[4] += 0.17677669529663687 * alpha[5] * favg[15];
-    ghat[4] += 0.1767766952966369 * alpha[7] * favg[18];
-    ghat[4] += 0.1767766952966369 * alpha[8] * favg[19];
-    ghat[4] += 0.17677669529663687 * alpha[9] * favg[1];
-    ghat[4] += 0.17677669529663687 * alpha[10] * favg[2];
-    ghat[4] += 0.17677669529663687 * alpha[11] * favg[3];
-    ghat[4] += 0.1767766952966369 * alpha[12] * favg[23];
-    ghat[4] += 0.1767766952966369 * alpha[13] * favg[24];
-    ghat[4] += 0.1767766952966369 * alpha[14] * favg[25];
-    ghat[4] += 0.17677669529663687 * alpha[15] * favg[5];
-    ghat[4] += 0.1767766952966369 * alpha[18] * favg[7];
-    ghat[4] += 0.1767766952966369 * alpha[19] * favg[8];
-    ghat[4] += 0.17677669529663687 * alpha[21] * favg[29];
-    ghat[4] += 0.17677669529663687 * alpha[22] * favg[30];
-    ghat[4] += 0.1767766952966369 * alpha[23] * favg[12];
-    ghat[4] += 0.1767766952966369 * alpha[24] * favg[13];
-    ghat[4] += 0.1767766952966369 * alpha[25] * favg[14];
-    ghat[4] += 0.17677669529663687 * alpha[29] * favg[21];
-    ghat[4] += 0.17677669529663687 * alpha[30] * favg[22];
-    ghat[5] += 0.17677669529663687 * alpha[0] * favg[5];
-    ghat[5] += 0.17677669529663687 * alpha[1] * favg[12];
-    ghat[5] += 0.17677669529663687 * alpha[2] * favg[13];
-    ghat[5] += 0.17677669529663687 * alpha[3] * favg[14];
-    ghat[5] += 0.17677669529663687 * alpha[4] * favg[15];
-    ghat[5] += 0.17677669529663687 * alpha[5] * favg[0];
-    ghat[5] += 0.1767766952966369 * alpha[7] * favg[21];
-    ghat[5] += 0.1767766952966369 * alpha[8] * favg[22];
-    ghat[5] += 0.1767766952966369 * alpha[9] * favg[23];
-    ghat[5] += 0.1767766952966369 * alpha[10] * favg[24];
-    ghat[5] += 0.1767766952966369 * alpha[11] * favg[25];
-    ghat[5] += 0.17677669529663687 * alpha[12] * favg[1];
-    ghat[5] += 0.17677669529663687 * alpha[13] * favg[2];
-    ghat[5] += 0.17677669529663687 * alpha[14] * favg[3];
-    ghat[5] += 0.17677669529663687 * alpha[15] * favg[4];
-    ghat[5] += 0.17677669529663687 * alpha[18] * favg[29];
-    ghat[5] += 0.17677669529663687 * alpha[19] * favg[30];
-    ghat[5] += 0.1767766952966369 * alpha[21] * favg[7];
-    ghat[5] += 0.1767766952966369 * alpha[22] * favg[8];
-    ghat[5] += 0.1767766952966369 * alpha[23] * favg[9];
-    ghat[5] += 0.1767766952966369 * alpha[24] * favg[10];
-    ghat[5] += 0.1767766952966369 * alpha[25] * favg[11];
-    ghat[5] += 0.17677669529663687 * alpha[29] * favg[18];
-    ghat[5] += 0.17677669529663687 * alpha[30] * favg[19];
-    ghat[6] += 0.17677669529663687 * alpha[0] * favg[6];
-    ghat[6] += 0.17677669529663687 * alpha[1] * favg[2];
-    ghat[6] += 0.17677669529663687 * alpha[2] * favg[1];
-    ghat[6] += 0.1767766952966369 * alpha[3] * favg[16];
-    ghat[6] += 0.1767766952966369 * alpha[4] * favg[17];
-    ghat[6] += 0.1767766952966369 * alpha[5] * favg[20];
-    ghat[6] += 0.1767766952966369 * alpha[7] * favg[8];
-    ghat[6] += 0.1767766952966369 * alpha[8] * favg[7];
-    ghat[6] += 0.1767766952966369 * alpha[9] * favg[10];
-    ghat[6] += 0.1767766952966369 * alpha[10] * favg[9];
-    ghat[6] += 0.17677669529663687 * alpha[11] * favg[26];
-    ghat[6] += 0.1767766952966369 * alpha[12] * favg[13];
-    ghat[6] += 0.1767766952966369 * alpha[13] * favg[12];
-    ghat[6] += 0.17677669529663687 * alpha[14] * favg[27];
-    ghat[6] += 0.17677669529663687 * alpha[15] * favg[28];
-    ghat[6] += 0.17677669529663687 * alpha[18] * favg[19];
-    ghat[6] += 0.17677669529663687 * alpha[19] * favg[18];
-    ghat[6] += 0.17677669529663687 * alpha[21] * favg[22];
-    ghat[6] += 0.17677669529663687 * alpha[22] * favg[21];
-    ghat[6] += 0.17677669529663687 * alpha[23] * favg[24];
-    ghat[6] += 0.17677669529663687 * alpha[24] * favg[23];
-    ghat[6] += 0.1767766952966369 * alpha[25] * favg[31];
-    ghat[6] += 0.1767766952966369 * alpha[29] * favg[30];
-    ghat[6] += 0.1767766952966369 * alpha[30] * favg[29];
-    ghat[7] += 0.17677669529663687 * alpha[0] * favg[7];
-    ghat[7] += 0.17677669529663687 * alpha[1] * favg[3];
-    ghat[7] += 0.1767766952966369 * alpha[2] * favg[16];
-    ghat[7] += 0.17677669529663687 * alpha[3] * favg[1];
-    ghat[7] += 0.1767766952966369 * alpha[4] * favg[18];
-    ghat[7] += 0.1767766952966369 * alpha[5] * favg[21];
-    ghat[7] += 0.17677669529663687 * alpha[7] * favg[0];
-    ghat[7] += 0.1767766952966369 * alpha[8] * favg[6];
-    ghat[7] += 0.1767766952966369 * alpha[9] * favg[11];
-    ghat[7] += 0.17677669529663687 * alpha[10] * favg[26];
-    ghat[7] += 0.1767766952966369 * alpha[11] * favg[9];
-    ghat[7] += 0.1767766952966369 * alpha[12] * favg[14];
-    ghat[7] += 0.17677669529663687 * alpha[13] * favg[27];
-    ghat[7] += 0.1767766952966369 * alpha[14] * favg[12];
-    ghat[7] += 0.17677669529663687 * alpha[15] * favg[29];
-    ghat[7] += 0.1767766952966369 * alpha[18] * favg[4];
-    ghat[7] += 0.17677669529663687 * alpha[19] * favg[17];
-    ghat[7] += 0.1767766952966369 * alpha[21] * favg[5];
-    ghat[7] += 0.17677669529663687 * alpha[22] * favg[20];
-    ghat[7] += 0.17677669529663687 * alpha[23] * favg[25];
-    ghat[7] += 0.1767766952966369 * alpha[24] * favg[31];
-    ghat[7] += 0.17677669529663687 * alpha[25] * favg[23];
-    ghat[7] += 0.17677669529663687 * alpha[29] * favg[15];
-    ghat[7] += 0.1767766952966369 * alpha[30] * favg[28];
-    ghat[8] += 0.17677669529663687 * alpha[0] * favg[8];
-    ghat[8] += 0.1767766952966369 * alpha[1] * favg[16];
-    ghat[8] += 0.17677669529663687 * alpha[2] * favg[3];
-    ghat[8] += 0.17677669529663687 * alpha[3] * favg[2];
-    ghat[8] += 0.1767766952966369 * alpha[4] * favg[19];
-    ghat[8] += 0.1767766952966369 * alpha[5] * favg[22];
-    ghat[8] += 0.1767766952966369 * alpha[7] * favg[6];
-    ghat[8] += 0.17677669529663687 * alpha[8] * favg[0];
-    ghat[8] += 0.17677669529663687 * alpha[9] * favg[26];
-    ghat[8] += 0.1767766952966369 * alpha[10] * favg[11];
-    ghat[8] += 0.1767766952966369 * alpha[11] * favg[10];
-    ghat[8] += 0.17677669529663687 * alpha[12] * favg[27];
-    ghat[8] += 0.1767766952966369 * alpha[13] * favg[14];
-    ghat[8] += 0.1767766952966369 * alpha[14] * favg[13];
-    ghat[8] += 0.17677669529663687 * alpha[15] * favg[30];
-    ghat[8] += 0.17677669529663687 * alpha[18] * favg[17];
-    ghat[8] += 0.1767766952966369 * alpha[19] * favg[4];
-    ghat[8] += 0.17677669529663687 * alpha[21] * favg[20];
-    ghat[8] += 0.1767766952966369 * alpha[22] * favg[5];
-    ghat[8] += 0.1767766952966369 * alpha[23] * favg[31];
-    ghat[8] += 0.17677669529663687 * alpha[24] * favg[25];
-    ghat[8] += 0.17677669529663687 * alpha[25] * favg[24];
-    ghat[8] += 0.1767766952966369 * alpha[29] * favg[28];
-    ghat[8] += 0.17677669529663687 * alpha[30] * favg[15];
-    ghat[9] += 0.17677669529663687 * alpha[0] * favg[9];
-    ghat[9] += 0.17677669529663687 * alpha[1] * favg[4];
-    ghat[9] += 0.1767766952966369 * alpha[2] * favg[17];
-    ghat[9] += 0.1767766952966369 * alpha[3] * favg[18];
-    ghat[9] += 0.17677669529663687 * alpha[4] * favg[1];
-    ghat[9] += 0.1767766952966369 * alpha[5] * favg[23];
-    ghat[9] += 0.1767766952966369 * alpha[7] * favg[11];
-    ghat[9] += 0.17677669529663687 * alpha[8] * favg[26];
-    ghat[9] += 0.17677669529663687 * alpha[9] * favg[0];
-    ghat[9] += 0.1767766952966369 * alpha[10] * favg[6];
-    ghat[9] += 0.1767766952966369 * alpha[11] * favg[7];
-    ghat[9] += 0.1767766952966369 * alpha[12] * favg[15];
-    ghat[9] += 0.17677669529663687 * alpha[13] * favg[28];
-    ghat[9] += 0.17677669529663687 * alpha[14] * favg[29];
-    ghat[9] += 0.1767766952966369 * alpha[15] * favg[12];
-    ghat[9] += 0.1767766952966369 * alpha[18] * favg[3];
-    ghat[9] += 0.17677669529663687 * alpha[19] * favg[16];
-    ghat[9] += 0.17677669529663687 * alpha[21] * favg[25];
-    ghat[9] += 0.1767766952966369 * alpha[22] * favg[31];
-    ghat[9] += 0.1767766952966369 * alpha[23] * favg[5];
-    ghat[9] += 0.17677669529663687 * alpha[24] * favg[20];
-    ghat[9] += 0.17677669529663687 * alpha[25] * favg[21];
-    ghat[9] += 0.17677669529663687 * alpha[29] * favg[14];
-    ghat[9] += 0.1767766952966369 * alpha[30] * favg[27];
-    ghat[10] += 0.17677669529663687 * alpha[0] * favg[10];
-    ghat[10] += 0.1767766952966369 * alpha[1] * favg[17];
-    ghat[10] += 0.17677669529663687 * alpha[2] * favg[4];
-    ghat[10] += 0.1767766952966369 * alpha[3] * favg[19];
-    ghat[10] += 0.17677669529663687 * alpha[4] * favg[2];
-    ghat[10] += 0.1767766952966369 * alpha[5] * favg[24];
-    ghat[10] += 0.17677669529663687 * alpha[7] * favg[26];
-    ghat[10] += 0.1767766952966369 * alpha[8] * favg[11];
-    ghat[10] += 0.1767766952966369 * alpha[9] * favg[6];
-    ghat[10] += 0.17677669529663687 * alpha[10] * favg[0];
-    ghat[10] += 0.1767766952966369 * alpha[11] * favg[8];
-    ghat[10] += 0.17677669529663687 * alpha[12] * favg[28];
-    ghat[10] += 0.1767766952966369 * alpha[13] * favg[15];
-    ghat[10] += 0.17677669529663687 * alpha[14] * favg[30];
-    ghat[10] += 0.1767766952966369 * alpha[15] * favg[13];
-    ghat[10] += 0.17677669529663687 * alpha[18] * favg[16];
-    ghat[10] += 0.1767766952966369 * alpha[19] * favg[3];
-    ghat[10] += 0.1767766952966369 * alpha[21] * favg[31];
-    ghat[10] += 0.17677669529663687 * alpha[22] * favg[25];
-    ghat[10] += 0.17677669529663687 * alpha[23] * favg[20];
-    ghat[10] += 0.1767766952966369 * alpha[24] * favg[5];
-    ghat[10] += 0.17677669529663687 * alpha[25] * favg[22];
-    ghat[10] += 0.1767766952966369 * alpha[29] * favg[27];
-    ghat[10] += 0.17677669529663687 * alpha[30] * favg[14];
-    ghat[11] += 0.17677669529663687 * alpha[0] * favg[11];
-    ghat[11] += 0.1767766952966369 * alpha[1] * favg[18];
-    ghat[11] += 0.1767766952966369 * alpha[2] * favg[19];
-    ghat[11] += 0.17677669529663687 * alpha[3] * favg[4];
-    ghat[11] += 0.17677669529663687 * alpha[4] * favg[3];
-    ghat[11] += 0.1767766952966369 * alpha[5] * favg[25];
-    ghat[11] += 0.1767766952966369 * alpha[7] * favg[9];
-    ghat[11] += 0.1767766952966369 * alpha[8] * favg[10];
-    ghat[11] += 0.1767766952966369 * alpha[9] * favg[7];
-    ghat[11] += 0.1767766952966369 * alpha[10] * favg[8];
-    ghat[11] += 0.17677669529663687 * alpha[11] * favg[0];
-    ghat[11] += 0.17677669529663687 * alpha[12] * favg[29];
-    ghat[11] += 0.17677669529663687 * alpha[13] * favg[30];
-    ghat[11] += 0.1767766952966369 * alpha[14] * favg[15];
-    ghat[11] += 0.1767766952966369 * alpha[15] * favg[14];
-    ghat[11] += 0.1767766952966369 * alpha[18] * favg[1];
-    ghat[11] += 0.1767766952966369 * alpha[19] * favg[2];
-    ghat[11] += 0.17677669529663687 * alpha[21] * favg[23];
-    ghat[11] += 0.17677669529663687 * alpha[22] * favg[24];
-    ghat[11] += 0.17677669529663687 * alpha[23] * favg[21];
-    ghat[11] += 0.17677669529663687 * alpha[24] * favg[22];
-    ghat[11] += 0.1767766952966369 * alpha[25] * favg[5];
-    ghat[11] += 0.17677669529663687 * alpha[29] * favg[12];
-    ghat[11] += 0.17677669529663687 * alpha[30] * favg[13];
-    ghat[12] += 0.17677669529663687 * alpha[0] * favg[12];
-    ghat[12] += 0.17677669529663687 * alpha[1] * favg[5];
-    ghat[12] += 0.1767766952966369 * alpha[2] * favg[20];
-    ghat[12] += 0.1767766952966369 * alpha[3] * favg[21];
-    ghat[12] += 0.1767766952966369 * alpha[4] * favg[23];
-    ghat[12] += 0.17677669529663687 * alpha[5] * favg[1];
-    ghat[12] += 0.1767766952966369 * alpha[7] * favg[14];
-    ghat[12] += 0.17677669529663687 * alpha[8] * favg[27];
-    ghat[12] += 0.1767766952966369 * alpha[9] * favg[15];
-    ghat[12] += 0.17677669529663687 * alpha[10] * favg[28];
-    ghat[12] += 0.17677669529663687 * alpha[11] * favg[29];
-    ghat[12] += 0.17677669529663687 * alpha[12] * favg[0];
-    ghat[12] += 0.1767766952966369 * alpha[13] * favg[6];
-    ghat[12] += 0.1767766952966369 * alpha[14] * favg[7];
-    ghat[12] += 0.1767766952966369 * alpha[15] * favg[9];
-    ghat[12] += 0.17677669529663687 * alpha[18] * favg[25];
-    ghat[12] += 0.1767766952966369 * alpha[19] * favg[31];
-    ghat[12] += 0.1767766952966369 * alpha[21] * favg[3];
-    ghat[12] += 0.17677669529663687 * alpha[22] * favg[16];
-    ghat[12] += 0.1767766952966369 * alpha[23] * favg[4];
-    ghat[12] += 0.17677669529663687 * alpha[24] * favg[17];
-    ghat[12] += 0.17677669529663687 * alpha[25] * favg[18];
-    ghat[12] += 0.17677669529663687 * alpha[29] * favg[11];
-    ghat[12] += 0.1767766952966369 * alpha[30] * favg[26];
-    ghat[13] += 0.17677669529663687 * alpha[0] * favg[13];
-    ghat[13] += 0.1767766952966369 * alpha[1] * favg[20];
-    ghat[13] += 0.17677669529663687 * alpha[2] * favg[5];
-    ghat[13] += 0.1767766952966369 * alpha[3] * favg[22];
-    ghat[13] += 0.1767766952966369 * alpha[4] * favg[24];
-    ghat[13] += 0.17677669529663687 * alpha[5] * favg[2];
-    ghat[13] += 0.17677669529663687 * alpha[7] * favg[27];
-    ghat[13] += 0.1767766952966369 * alpha[8] * favg[14];
-    ghat[13] += 0.17677669529663687 * alpha[9] * favg[28];
-    ghat[13] += 0.1767766952966369 * alpha[10] * favg[15];
-    ghat[13] += 0.17677669529663687 * alpha[11] * favg[30];
-    ghat[13] += 0.1767766952966369 * alpha[12] * favg[6];
-    ghat[13] += 0.17677669529663687 * alpha[13] * favg[0];
-    ghat[13] += 0.1767766952966369 * alpha[14] * favg[8];
-    ghat[13] += 0.1767766952966369 * alpha[15] * favg[10];
-    ghat[13] += 0.1767766952966369 * alpha[18] * favg[31];
-    ghat[13] += 0.17677669529663687 * alpha[19] * favg[25];
-    ghat[13] += 0.17677669529663687 * alpha[21] * favg[16];
-    ghat[13] += 0.1767766952966369 * alpha[22] * favg[3];
-    ghat[13] += 0.17677669529663687 * alpha[23] * favg[17];
-    ghat[13] += 0.1767766952966369 * alpha[24] * favg[4];
-    ghat[13] += 0.17677669529663687 * alpha[25] * favg[19];
-    ghat[13] += 0.1767766952966369 * alpha[29] * favg[26];
-    ghat[13] += 0.17677669529663687 * alpha[30] * favg[11];
-    ghat[14] += 0.17677669529663687 * alpha[0] * favg[14];
-    ghat[14] += 0.1767766952966369 * alpha[1] * favg[21];
-    ghat[14] += 0.1767766952966369 * alpha[2] * favg[22];
-    ghat[14] += 0.17677669529663687 * alpha[3] * favg[5];
-    ghat[14] += 0.1767766952966369 * alpha[4] * favg[25];
-    ghat[14] += 0.17677669529663687 * alpha[5] * favg[3];
-    ghat[14] += 0.1767766952966369 * alpha[7] * favg[12];
-    ghat[14] += 0.1767766952966369 * alpha[8] * favg[13];
-    ghat[14] += 0.17677669529663687 * alpha[9] * favg[29];
-    ghat[14] += 0.17677669529663687 * alpha[10] * favg[30];
-    ghat[14] += 0.1767766952966369 * alpha[11] * favg[15];
-    ghat[14] += 0.1767766952966369 * alpha[12] * favg[7];
-    ghat[14] += 0.1767766952966369 * alpha[13] * favg[8];
-    ghat[14] += 0.17677669529663687 * alpha[14] * favg[0];
-    ghat[14] += 0.1767766952966369 * alpha[15] * favg[11];
-    ghat[14] += 0.17677669529663687 * alpha[18] * favg[23];
-    ghat[14] += 0.17677669529663687 * alpha[19] * favg[24];
-    ghat[14] += 0.1767766952966369 * alpha[21] * favg[1];
-    ghat[14] += 0.1767766952966369 * alpha[22] * favg[2];
-    ghat[14] += 0.17677669529663687 * alpha[23] * favg[18];
-    ghat[14] += 0.17677669529663687 * alpha[24] * favg[19];
-    ghat[14] += 0.1767766952966369 * alpha[25] * favg[4];
-    ghat[14] += 0.17677669529663687 * alpha[29] * favg[9];
-    ghat[14] += 0.17677669529663687 * alpha[30] * favg[10];
-    ghat[15] += 0.17677669529663687 * alpha[0] * favg[15];
-    ghat[15] += 0.1767766952966369 * alpha[1] * favg[23];
-    ghat[15] += 0.1767766952966369 * alpha[2] * favg[24];
-    ghat[15] += 0.1767766952966369 * alpha[3] * favg[25];
-    ghat[15] += 0.17677669529663687 * alpha[4] * favg[5];
-    ghat[15] += 0.17677669529663687 * alpha[5] * favg[4];
-    ghat[15] += 0.17677669529663687 * alpha[7] * favg[29];
-    ghat[15] += 0.17677669529663687 * alpha[8] * favg[30];
-    ghat[15] += 0.1767766952966369 * alpha[9] * favg[12];
-    ghat[15] += 0.1767766952966369 * alpha[10] * favg[13];
-    ghat[15] += 0.1767766952966369 * alpha[11] * favg[14];
-    ghat[15] += 0.1767766952966369 * alpha[12] * favg[9];
-    ghat[15] += 0.1767766952966369 * alpha[13] * favg[10];
-    ghat[15] += 0.1767766952966369 * alpha[14] * favg[11];
-    ghat[15] += 0.17677669529663687 * alpha[15] * favg[0];
-    ghat[15] += 0.17677669529663687 * alpha[18] * favg[21];
-    ghat[15] += 0.17677669529663687 * alpha[19] * favg[22];
-    ghat[15] += 0.17677669529663687 * alpha[21] * favg[18];
-    ghat[15] += 0.17677669529663687 * alpha[22] * favg[19];
-    ghat[15] += 0.1767766952966369 * alpha[23] * favg[1];
-    ghat[15] += 0.1767766952966369 * alpha[24] * favg[2];
-    ghat[15] += 0.1767766952966369 * alpha[25] * favg[3];
-    ghat[15] += 0.17677669529663687 * alpha[29] * favg[7];
-    ghat[15] += 0.17677669529663687 * alpha[30] * favg[8];
-    ghat[16] += 0.1767766952966369 * alpha[0] * favg[16];
-    ghat[16] += 0.1767766952966369 * alpha[1] * favg[8];
-    ghat[16] += 0.1767766952966369 * alpha[2] * favg[7];
-    ghat[16] += 0.1767766952966369 * alpha[3] * favg[6];
-    ghat[16] += 0.17677669529663687 * alpha[4] * favg[26];
-    ghat[16] += 0.17677669529663687 * alpha[5] * favg[27];
-    ghat[16] += 0.1767766952966369 * alpha[7] * favg[2];
-    ghat[16] += 0.1767766952966369 * alpha[8] * favg[1];
-    ghat[16] += 0.17677669529663687 * alpha[9] * favg[19];
-    ghat[16] += 0.17677669529663687 * alpha[10] * favg[18];
-    ghat[16] += 0.17677669529663687 * alpha[11] * favg[17];
-    ghat[16] += 0.17677669529663687 * alpha[12] * favg[22];
-    ghat[16] += 0.17677669529663687 * alpha[13] * favg[21];
-    ghat[16] += 0.17677669529663687 * alpha[14] * favg[20];
-    ghat[16] += 0.1767766952966369 * alpha[15] * favg[31];
-    ghat[16] += 0.17677669529663687 * alpha[18] * favg[10];
-    ghat[16] += 0.17677669529663687 * alpha[19] * favg[9];
-    ghat[16] += 0.17677669529663687 * alpha[21] * favg[13];
-    ghat[16] += 0.17677669529663687 * alpha[22] * favg[12];
-    ghat[16] += 0.1767766952966369 * alpha[23] * favg[30];
-    ghat[16] += 0.1767766952966369 * alpha[24] * favg[29];
-    ghat[16] += 0.1767766952966369 * alpha[25] * favg[28];
-    ghat[16] += 0.1767766952966369 * alpha[29] * favg[24];
-    ghat[16] += 0.1767766952966369 * alpha[30] * favg[23];
-    ghat[17] += 0.1767766952966369 * alpha[0] * favg[17];
-    ghat[17] += 0.1767766952966369 * alpha[1] * favg[10];
-    ghat[17] += 0.1767766952966369 * alpha[2] * favg[9];
-    ghat[17] += 0.17677669529663687 * alpha[3] * favg[26];
-    ghat[17] += 0.1767766952966369 * alpha[4] * favg[6];
-    ghat[17] += 0.17677669529663687 * alpha[5] * favg[28];
-    ghat[17] += 0.17677669529663687 * alpha[7] * favg[19];
-    ghat[17] += 0.17677669529663687 * alpha[8] * favg[18];
-    ghat[17] += 0.1767766952966369 * alpha[9] * favg[2];
-    ghat[17] += 0.1767766952966369 * alpha[10] * favg[1];
-    ghat[17] += 0.17677669529663687 * alpha[11] * favg[16];
-    ghat[17] += 0.17677669529663687 * alpha[12] * favg[24];
-    ghat[17] += 0.17677669529663687 * alpha[13] * favg[23];
-    ghat[17] += 0.1767766952966369 * alpha[14] * favg[31];
-    ghat[17] += 0.17677669529663687 * alpha[15] * favg[20];
-    ghat[17] += 0.17677669529663687 * alpha[18] * favg[8];
-    ghat[17] += 0.17677669529663687 * alpha[19] * favg[7];
-    ghat[17] += 0.1767766952966369 * alpha[21] * favg[30];
-    ghat[17] += 0.1767766952966369 * alpha[22] * favg[29];
-    ghat[17] += 0.17677669529663687 * alpha[23] * favg[13];
-    ghat[17] += 0.17677669529663687 * alpha[24] * favg[12];
-    ghat[17] += 0.1767766952966369 * alpha[25] * favg[27];
-    ghat[17] += 0.1767766952966369 * alpha[29] * favg[22];
-    ghat[17] += 0.1767766952966369 * alpha[30] * favg[21];
-    ghat[18] += 0.1767766952966369 * alpha[0] * favg[18];
-    ghat[18] += 0.1767766952966369 * alpha[1] * favg[11];
-    ghat[18] += 0.17677669529663687 * alpha[2] * favg[26];
-    ghat[18] += 0.1767766952966369 * alpha[3] * favg[9];
-    ghat[18] += 0.1767766952966369 * alpha[4] * favg[7];
-    ghat[18] += 0.17677669529663687 * alpha[5] * favg[29];
-    ghat[18] += 0.1767766952966369 * alpha[7] * favg[4];
-    ghat[18] += 0.17677669529663687 * alpha[8] * favg[17];
-    ghat[18] += 0.1767766952966369 * alpha[9] * favg[3];
-    ghat[18] += 0.17677669529663687 * alpha[10] * favg[16];
-    ghat[18] += 0.1767766952966369 * alpha[11] * favg[1];
-    ghat[18] += 0.17677669529663687 * alpha[12] * favg[25];
-    ghat[18] += 0.1767766952966369 * alpha[13] * favg[31];
-    ghat[18] += 0.17677669529663687 * alpha[14] * favg[23];
-    ghat[18] += 0.17677669529663687 * alpha[15] * favg[21];
-    ghat[18] += 0.1767766952966369 * alpha[18] * favg[0];
-    ghat[18] += 0.17677669529663687 * alpha[19] * favg[6];
-    ghat[18] += 0.17677669529663687 * alpha[21] * favg[15];
-    ghat[18] += 0.1767766952966369 * alpha[22] * favg[28];
-    ghat[18] += 0.17677669529663687 * alpha[23] * favg[14];
-    ghat[18] += 0.1767766952966369 * alpha[24] * favg[27];
-    ghat[18] += 0.17677669529663687 * alpha[25] * favg[12];
-    ghat[18] += 0.17677669529663687 * alpha[29] * favg[5];
-    ghat[18] += 0.1767766952966369 * alpha[30] * favg[20];
-    ghat[19] += 0.1767766952966369 * alpha[0] * favg[19];
-    ghat[19] += 0.17677669529663687 * alpha[1] * favg[26];
-    ghat[19] += 0.1767766952966369 * alpha[2] * favg[11];
-    ghat[19] += 0.1767766952966369 * alpha[3] * favg[10];
-    ghat[19] += 0.1767766952966369 * alpha[4] * favg[8];
-    ghat[19] += 0.17677669529663687 * alpha[5] * favg[30];
-    ghat[19] += 0.17677669529663687 * alpha[7] * favg[17];
-    ghat[19] += 0.1767766952966369 * alpha[8] * favg[4];
-    ghat[19] += 0.17677669529663687 * alpha[9] * favg[16];
-    ghat[19] += 0.1767766952966369 * alpha[10] * favg[3];
-    ghat[19] += 0.1767766952966369 * alpha[11] * favg[2];
-    ghat[19] += 0.1767766952966369 * alpha[12] * favg[31];
-    ghat[19] += 0.17677669529663687 * alpha[13] * favg[25];
-    ghat[19] += 0.17677669529663687 * alpha[14] * favg[24];
-    ghat[19] += 0.17677669529663687 * alpha[15] * favg[22];
-    ghat[19] += 0.17677669529663687 * alpha[18] * favg[6];
-    ghat[19] += 0.1767766952966369 * alpha[19] * favg[0];
-    ghat[19] += 0.1767766952966369 * alpha[21] * favg[28];
-    ghat[19] += 0.17677669529663687 * alpha[22] * favg[15];
-    ghat[19] += 0.1767766952966369 * alpha[23] * favg[27];
-    ghat[19] += 0.17677669529663687 * alpha[24] * favg[14];
-    ghat[19] += 0.17677669529663687 * alpha[25] * favg[13];
-    ghat[19] += 0.1767766952966369 * alpha[29] * favg[20];
-    ghat[19] += 0.17677669529663687 * alpha[30] * favg[5];
-    ghat[20] += 0.1767766952966369 * alpha[0] * favg[20];
-    ghat[20] += 0.1767766952966369 * alpha[1] * favg[13];
-    ghat[20] += 0.1767766952966369 * alpha[2] * favg[12];
-    ghat[20] += 0.17677669529663687 * alpha[3] * favg[27];
-    ghat[20] += 0.17677669529663687 * alpha[4] * favg[28];
-    ghat[20] += 0.1767766952966369 * alpha[5] * favg[6];
-    ghat[20] += 0.17677669529663687 * alpha[7] * favg[22];
-    ghat[20] += 0.17677669529663687 * alpha[8] * favg[21];
-    ghat[20] += 0.17677669529663687 * alpha[9] * favg[24];
-    ghat[20] += 0.17677669529663687 * alpha[10] * favg[23];
-    ghat[20] += 0.1767766952966369 * alpha[11] * favg[31];
-    ghat[20] += 0.1767766952966369 * alpha[12] * favg[2];
-    ghat[20] += 0.1767766952966369 * alpha[13] * favg[1];
-    ghat[20] += 0.17677669529663687 * alpha[14] * favg[16];
-    ghat[20] += 0.17677669529663687 * alpha[15] * favg[17];
-    ghat[20] += 0.1767766952966369 * alpha[18] * favg[30];
-    ghat[20] += 0.1767766952966369 * alpha[19] * favg[29];
-    ghat[20] += 0.17677669529663687 * alpha[21] * favg[8];
-    ghat[20] += 0.17677669529663687 * alpha[22] * favg[7];
-    ghat[20] += 0.17677669529663687 * alpha[23] * favg[10];
-    ghat[20] += 0.17677669529663687 * alpha[24] * favg[9];
-    ghat[20] += 0.1767766952966369 * alpha[25] * favg[26];
-    ghat[20] += 0.1767766952966369 * alpha[29] * favg[19];
-    ghat[20] += 0.1767766952966369 * alpha[30] * favg[18];
-    ghat[21] += 0.1767766952966369 * alpha[0] * favg[21];
-    ghat[21] += 0.1767766952966369 * alpha[1] * favg[14];
-    ghat[21] += 0.17677669529663687 * alpha[2] * favg[27];
-    ghat[21] += 0.1767766952966369 * alpha[3] * favg[12];
-    ghat[21] += 0.17677669529663687 * alpha[4] * favg[29];
-    ghat[21] += 0.1767766952966369 * alpha[5] * favg[7];
-    ghat[21] += 0.1767766952966369 * alpha[7] * favg[5];
-    ghat[21] += 0.17677669529663687 * alpha[8] * favg[20];
-    ghat[21] += 0.17677669529663687 * alpha[9] * favg[25];
-    ghat[21] += 0.1767766952966369 * alpha[10] * favg[31];
-    ghat[21] += 0.17677669529663687 * alpha[11] * favg[23];
-    ghat[21] += 0.1767766952966369 * alpha[12] * favg[3];
-    ghat[21] += 0.17677669529663687 * alpha[13] * favg[16];
-    ghat[21] += 0.1767766952966369 * alpha[14] * favg[1];
-    ghat[21] += 0.17677669529663687 * alpha[15] * favg[18];
-    ghat[21] += 0.17677669529663687 * alpha[18] * favg[15];
-    ghat[21] += 0.1767766952966369 * alpha[19] * favg[28];
-    ghat[21] += 0.1767766952966369 * alpha[21] * favg[0];
-    ghat[21] += 0.17677669529663687 * alpha[22] * favg[6];
-    ghat[21] += 0.17677669529663687 * alpha[23] * favg[11];
-    ghat[21] += 0.1767766952966369 * alpha[24] * favg[26];
-    ghat[21] += 0.17677669529663687 * alpha[25] * favg[9];
-    ghat[21] += 0.17677669529663687 * alpha[29] * favg[4];
-    ghat[21] += 0.1767766952966369 * alpha[30] * favg[17];
-    ghat[22] += 0.1767766952966369 * alpha[0] * favg[22];
-    ghat[22] += 0.17677669529663687 * alpha[1] * favg[27];
-    ghat[22] += 0.1767766952966369 * alpha[2] * favg[14];
-    ghat[22] += 0.1767766952966369 * alpha[3] * favg[13];
-    ghat[22] += 0.17677669529663687 * alpha[4] * favg[30];
-    ghat[22] += 0.1767766952966369 * alpha[5] * favg[8];
-    ghat[22] += 0.17677669529663687 * alpha[7] * favg[20];
-    ghat[22] += 0.1767766952966369 * alpha[8] * favg[5];
-    ghat[22] += 0.1767766952966369 * alpha[9] * favg[31];
-    ghat[22] += 0.17677669529663687 * alpha[10] * favg[25];
-    ghat[22] += 0.17677669529663687 * alpha[11] * favg[24];
-    ghat[22] += 0.17677669529663687 * alpha[12] * favg[16];
-    ghat[22] += 0.1767766952966369 * alpha[13] * favg[3];
-    ghat[22] += 0.1767766952966369 * alpha[14] * favg[2];
-    ghat[22] += 0.17677669529663687 * alpha[15] * favg[19];
-    ghat[22] += 0.1767766952966369 * alpha[18] * favg[28];
-    ghat[22] += 0.17677669529663687 * alpha[19] * favg[15];
-    ghat[22] += 0.17677669529663687 * alpha[21] * favg[6];
-    ghat[22] += 0.1767766952966369 * alpha[22] * favg[0];
-    ghat[22] += 0.1767766952966369 * alpha[23] * favg[26];
-    ghat[22] += 0.17677669529663687 * alpha[24] * favg[11];
-    ghat[22] += 0.17677669529663687 * alpha[25] * favg[10];
-    ghat[22] += 0.1767766952966369 * alpha[29] * favg[17];
-    ghat[22] += 0.17677669529663687 * alpha[30] * favg[4];
-    ghat[23] += 0.1767766952966369 * alpha[0] * favg[23];
-    ghat[23] += 0.1767766952966369 * alpha[1] * favg[15];
-    ghat[23] += 0.17677669529663687 * alpha[2] * favg[28];
-    ghat[23] += 0.17677669529663687 * alpha[3] * favg[29];
-    ghat[23] += 0.1767766952966369 * alpha[4] * favg[12];
-    ghat[23] += 0.1767766952966369 * alpha[5] * favg[9];
-    ghat[23] += 0.17677669529663687 * alpha[7] * favg[25];
-    ghat[23] += 0.1767766952966369 * alpha[8] * favg[31];
-    ghat[23] += 0.1767766952966369 * alpha[9] * favg[5];
-    ghat[23] += 0.17677669529663687 * alpha[10] * favg[20];
-    ghat[23] += 0.17677669529663687 * alpha[11] * favg[21];
-    ghat[23] += 0.1767766952966369 * alpha[12] * favg[4];
-    ghat[23] += 0.17677669529663687 * alpha[13] * favg[17];
-    ghat[23] += 0.17677669529663687 * alpha[14] * favg[18];
-    ghat[23] += 0.1767766952966369 * alpha[15] * favg[1];
-    ghat[23] += 0.17677669529663687 * alpha[18] * favg[14];
-    ghat[23] += 0.1767766952966369 * alpha[19] * favg[27];
-    ghat[23] += 0.17677669529663687 * alpha[21] * favg[11];
-    ghat[23] += 0.1767766952966369 * alpha[22] * favg[26];
-    ghat[23] += 0.1767766952966369 * alpha[23] * favg[0];
-    ghat[23] += 0.17677669529663687 * alpha[24] * favg[6];
-    ghat[23] += 0.17677669529663687 * alpha[25] * favg[7];
-    ghat[23] += 0.17677669529663687 * alpha[29] * favg[3];
-    ghat[23] += 0.1767766952966369 * alpha[30] * favg[16];
-    ghat[24] += 0.1767766952966369 * alpha[0] * favg[24];
-    ghat[24] += 0.17677669529663687 * alpha[1] * favg[28];
-    ghat[24] += 0.1767766952966369 * alpha[2] * favg[15];
-    ghat[24] += 0.17677669529663687 * alpha[3] * favg[30];
-    ghat[24] += 0.1767766952966369 * alpha[4] * favg[13];
-    ghat[24] += 0.1767766952966369 * alpha[5] * favg[10];
-    ghat[24] += 0.1767766952966369 * alpha[7] * favg[31];
-    ghat[24] += 0.17677669529663687 * alpha[8] * favg[25];
-    ghat[24] += 0.17677669529663687 * alpha[9] * favg[20];
-    ghat[24] += 0.1767766952966369 * alpha[10] * favg[5];
-    ghat[24] += 0.17677669529663687 * alpha[11] * favg[22];
-    ghat[24] += 0.17677669529663687 * alpha[12] * favg[17];
-    ghat[24] += 0.1767766952966369 * alpha[13] * favg[4];
-    ghat[24] += 0.17677669529663687 * alpha[14] * favg[19];
-    ghat[24] += 0.1767766952966369 * alpha[15] * favg[2];
-    ghat[24] += 0.1767766952966369 * alpha[18] * favg[27];
-    ghat[24] += 0.17677669529663687 * alpha[19] * favg[14];
-    ghat[24] += 0.1767766952966369 * alpha[21] * favg[26];
-    ghat[24] += 0.17677669529663687 * alpha[22] * favg[11];
-    ghat[24] += 0.17677669529663687 * alpha[23] * favg[6];
-    ghat[24] += 0.1767766952966369 * alpha[24] * favg[0];
-    ghat[24] += 0.17677669529663687 * alpha[25] * favg[8];
-    ghat[24] += 0.1767766952966369 * alpha[29] * favg[16];
-    ghat[24] += 0.17677669529663687 * alpha[30] * favg[3];
-    ghat[25] += 0.1767766952966369 * alpha[0] * favg[25];
-    ghat[25] += 0.17677669529663687 * alpha[1] * favg[29];
-    ghat[25] += 0.17677669529663687 * alpha[2] * favg[30];
-    ghat[25] += 0.1767766952966369 * alpha[3] * favg[15];
-    ghat[25] += 0.1767766952966369 * alpha[4] * favg[14];
-    ghat[25] += 0.1767766952966369 * alpha[5] * favg[11];
-    ghat[25] += 0.17677669529663687 * alpha[7] * favg[23];
-    ghat[25] += 0.17677669529663687 * alpha[8] * favg[24];
-    ghat[25] += 0.17677669529663687 * alpha[9] * favg[21];
-    ghat[25] += 0.17677669529663687 * alpha[10] * favg[22];
-    ghat[25] += 0.1767766952966369 * alpha[11] * favg[5];
-    ghat[25] += 0.17677669529663687 * alpha[12] * favg[18];
-    ghat[25] += 0.17677669529663687 * alpha[13] * favg[19];
-    ghat[25] += 0.1767766952966369 * alpha[14] * favg[4];
-    ghat[25] += 0.1767766952966369 * alpha[15] * favg[3];
-    ghat[25] += 0.17677669529663687 * alpha[18] * favg[12];
-    ghat[25] += 0.17677669529663687 * alpha[19] * favg[13];
-    ghat[25] += 0.17677669529663687 * alpha[21] * favg[9];
-    ghat[25] += 0.17677669529663687 * alpha[22] * favg[10];
-    ghat[25] += 0.17677669529663687 * alpha[23] * favg[7];
-    ghat[25] += 0.17677669529663687 * alpha[24] * favg[8];
-    ghat[25] += 0.1767766952966369 * alpha[25] * favg[0];
-    ghat[25] += 0.17677669529663687 * alpha[29] * favg[1];
-    ghat[25] += 0.17677669529663687 * alpha[30] * favg[2];
-    ghat[26] += 0.17677669529663687 * alpha[0] * favg[26];
-    ghat[26] += 0.17677669529663687 * alpha[1] * favg[19];
-    ghat[26] += 0.17677669529663687 * alpha[2] * favg[18];
-    ghat[26] += 0.17677669529663687 * alpha[3] * favg[17];
-    ghat[26] += 0.17677669529663687 * alpha[4] * favg[16];
-    ghat[26] += 0.1767766952966369 * alpha[5] * favg[31];
-    ghat[26] += 0.17677669529663687 * alpha[7] * favg[10];
-    ghat[26] += 0.17677669529663687 * alpha[8] * favg[9];
-    ghat[26] += 0.17677669529663687 * alpha[9] * favg[8];
-    ghat[26] += 0.17677669529663687 * alpha[10] * favg[7];
-    ghat[26] += 0.17677669529663687 * alpha[11] * favg[6];
-    ghat[26] += 0.1767766952966369 * alpha[12] * favg[30];
-    ghat[26] += 0.1767766952966369 * alpha[13] * favg[29];
-    ghat[26] += 0.1767766952966369 * alpha[14] * favg[28];
-    ghat[26] += 0.1767766952966369 * alpha[15] * favg[27];
-    ghat[26] += 0.17677669529663687 * alpha[18] * favg[2];
-    ghat[26] += 0.17677669529663687 * alpha[19] * favg[1];
-    ghat[26] += 0.1767766952966369 * alpha[21] * favg[24];
-    ghat[26] += 0.1767766952966369 * alpha[22] * favg[23];
-    ghat[26] += 0.1767766952966369 * alpha[23] * favg[22];
-    ghat[26] += 0.1767766952966369 * alpha[24] * favg[21];
-    ghat[26] += 0.1767766952966369 * alpha[25] * favg[20];
-    ghat[26] += 0.1767766952966369 * alpha[29] * favg[13];
-    ghat[26] += 0.1767766952966369 * alpha[30] * favg[12];
-    ghat[27] += 0.17677669529663687 * alpha[0] * favg[27];
-    ghat[27] += 0.17677669529663687 * alpha[1] * favg[22];
-    ghat[27] += 0.17677669529663687 * alpha[2] * favg[21];
-    ghat[27] += 0.17677669529663687 * alpha[3] * favg[20];
-    ghat[27] += 0.1767766952966369 * alpha[4] * favg[31];
-    ghat[27] += 0.17677669529663687 * alpha[5] * favg[16];
-    ghat[27] += 0.17677669529663687 * alpha[7] * favg[13];
-    ghat[27] += 0.17677669529663687 * alpha[8] * favg[12];
-    ghat[27] += 0.1767766952966369 * alpha[9] * favg[30];
-    ghat[27] += 0.1767766952966369 * alpha[10] * favg[29];
-    ghat[27] += 0.1767766952966369 * alpha[11] * favg[28];
-    ghat[27] += 0.17677669529663687 * alpha[12] * favg[8];
-    ghat[27] += 0.17677669529663687 * alpha[13] * favg[7];
-    ghat[27] += 0.17677669529663687 * alpha[14] * favg[6];
-    ghat[27] += 0.1767766952966369 * alpha[15] * favg[26];
-    ghat[27] += 0.1767766952966369 * alpha[18] * favg[24];
-    ghat[27] += 0.1767766952966369 * alpha[19] * favg[23];
-    ghat[27] += 0.17677669529663687 * alpha[21] * favg[2];
-    ghat[27] += 0.17677669529663687 * alpha[22] * favg[1];
-    ghat[27] += 0.1767766952966369 * alpha[23] * favg[19];
-    ghat[27] += 0.1767766952966369 * alpha[24] * favg[18];
-    ghat[27] += 0.1767766952966369 * alpha[25] * favg[17];
-    ghat[27] += 0.1767766952966369 * alpha[29] * favg[10];
-    ghat[27] += 0.1767766952966369 * alpha[30] * favg[9];
-    ghat[28] += 0.17677669529663687 * alpha[0] * favg[28];
-    ghat[28] += 0.17677669529663687 * alpha[1] * favg[24];
-    ghat[28] += 0.17677669529663687 * alpha[2] * favg[23];
-    ghat[28] += 0.1767766952966369 * alpha[3] * favg[31];
-    ghat[28] += 0.17677669529663687 * alpha[4] * favg[20];
-    ghat[28] += 0.17677669529663687 * alpha[5] * favg[17];
-    ghat[28] += 0.1767766952966369 * alpha[7] * favg[30];
-    ghat[28] += 0.1767766952966369 * alpha[8] * favg[29];
-    ghat[28] += 0.17677669529663687 * alpha[9] * favg[13];
-    ghat[28] += 0.17677669529663687 * alpha[10] * favg[12];
-    ghat[28] += 0.1767766952966369 * alpha[11] * favg[27];
-    ghat[28] += 0.17677669529663687 * alpha[12] * favg[10];
-    ghat[28] += 0.17677669529663687 * alpha[13] * favg[9];
-    ghat[28] += 0.1767766952966369 * alpha[14] * favg[26];
-    ghat[28] += 0.17677669529663687 * alpha[15] * favg[6];
-    ghat[28] += 0.1767766952966369 * alpha[18] * favg[22];
-    ghat[28] += 0.1767766952966369 * alpha[19] * favg[21];
-    ghat[28] += 0.1767766952966369 * alpha[21] * favg[19];
-    ghat[28] += 0.1767766952966369 * alpha[22] * favg[18];
-    ghat[28] += 0.17677669529663687 * alpha[23] * favg[2];
-    ghat[28] += 0.17677669529663687 * alpha[24] * favg[1];
-    ghat[28] += 0.1767766952966369 * alpha[25] * favg[16];
-    ghat[28] += 0.1767766952966369 * alpha[29] * favg[8];
-    ghat[28] += 0.1767766952966369 * alpha[30] * favg[7];
-    ghat[29] += 0.17677669529663687 * alpha[0] * favg[29];
-    ghat[29] += 0.17677669529663687 * alpha[1] * favg[25];
-    ghat[29] += 0.1767766952966369 * alpha[2] * favg[31];
-    ghat[29] += 0.17677669529663687 * alpha[3] * favg[23];
-    ghat[29] += 0.17677669529663687 * alpha[4] * favg[21];
-    ghat[29] += 0.17677669529663687 * alpha[5] * favg[18];
-    ghat[29] += 0.17677669529663687 * alpha[7] * favg[15];
-    ghat[29] += 0.1767766952966369 * alpha[8] * favg[28];
-    ghat[29] += 0.17677669529663687 * alpha[9] * favg[14];
-    ghat[29] += 0.1767766952966369 * alpha[10] * favg[27];
-    ghat[29] += 0.17677669529663687 * alpha[11] * favg[12];
-    ghat[29] += 0.17677669529663687 * alpha[12] * favg[11];
-    ghat[29] += 0.1767766952966369 * alpha[13] * favg[26];
-    ghat[29] += 0.17677669529663687 * alpha[14] * favg[9];
-    ghat[29] += 0.17677669529663687 * alpha[15] * favg[7];
-    ghat[29] += 0.17677669529663687 * alpha[18] * favg[5];
-    ghat[29] += 0.1767766952966369 * alpha[19] * favg[20];
-    ghat[29] += 0.17677669529663687 * alpha[21] * favg[4];
-    ghat[29] += 0.1767766952966369 * alpha[22] * favg[17];
-    ghat[29] += 0.17677669529663687 * alpha[23] * favg[3];
-    ghat[29] += 0.1767766952966369 * alpha[24] * favg[16];
-    ghat[29] += 0.17677669529663687 * alpha[25] * favg[1];
-    ghat[29] += 0.17677669529663687 * alpha[29] * favg[0];
-    ghat[29] += 0.1767766952966369 * alpha[30] * favg[6];
-    ghat[30] += 0.17677669529663687 * alpha[0] * favg[30];
-    ghat[30] += 0.1767766952966369 * alpha[1] * favg[31];
-    ghat[30] += 0.17677669529663687 * alpha[2] * favg[25];
-    ghat[30] += 0.17677669529663687 * alpha[3] * favg[24];
-    ghat[30] += 0.17677669529663687 * alpha[4] * favg[22];
-    ghat[30] += 0.17677669529663687 * alpha[5] * favg[19];
-    ghat[30] += 0.1767766952966369 * alpha[7] * favg[28];
-    ghat[30] += 0.17677669529663687 * alpha[8] * favg[15];
-    ghat[30] += 0.1767766952966369 * alpha[9] * favg[27];
-    ghat[30] += 0.17677669529663687 * alpha[10] * favg[14];
-    ghat[30] += 0.17677669529663687 * alpha[11] * favg[13];
-    ghat[30] += 0.1767766952966369 * alpha[12] * favg[26];
-    ghat[30] += 0.17677669529663687 * alpha[13] * favg[11];
-    ghat[30] += 0.17677669529663687 * alpha[14] * favg[10];
-    ghat[30] += 0.17677669529663687 * alpha[15] * favg[8];
-    ghat[30] += 0.1767766952966369 * alpha[18] * favg[20];
-    ghat[30] += 0.17677669529663687 * alpha[19] * favg[5];
-    ghat[30] += 0.1767766952966369 * alpha[21] * favg[17];
-    ghat[30] += 0.17677669529663687 * alpha[22] * favg[4];
-    ghat[30] += 0.1767766952966369 * alpha[23] * favg[16];
-    ghat[30] += 0.17677669529663687 * alpha[24] * favg[3];
-    ghat[30] += 0.17677669529663687 * alpha[25] * favg[2];
-    ghat[30] += 0.1767766952966369 * alpha[29] * favg[6];
-    ghat[30] += 0.17677669529663687 * alpha[30] * favg[0];
-    ghat[31] += 0.1767766952966369 * alpha[0] * favg[31];
-    ghat[31] += 0.1767766952966369 * alpha[1] * favg[30];
-    ghat[31] += 0.1767766952966369 * alpha[2] * favg[29];
-    ghat[31] += 0.1767766952966369 * alpha[3] * favg[28];
-    ghat[31] += 0.1767766952966369 * alpha[4] * favg[27];
-    ghat[31] += 0.1767766952966369 * alpha[5] * favg[26];
-    ghat[31] += 0.1767766952966369 * alpha[7] * favg[24];
-    ghat[31] += 0.1767766952966369 * alpha[8] * favg[23];
-    ghat[31] += 0.1767766952966369 * alpha[9] * favg[22];
-    ghat[31] += 0.1767766952966369 * alpha[10] * favg[21];
-    ghat[31] += 0.1767766952966369 * alpha[11] * favg[20];
-    ghat[31] += 0.1767766952966369 * alpha[12] * favg[19];
-    ghat[31] += 0.1767766952966369 * alpha[13] * favg[18];
-    ghat[31] += 0.1767766952966369 * alpha[14] * favg[17];
-    ghat[31] += 0.1767766952966369 * alpha[15] * favg[16];
-    ghat[31] += 0.1767766952966369 * alpha[18] * favg[13];
-    ghat[31] += 0.1767766952966369 * alpha[19] * favg[12];
-    ghat[31] += 0.1767766952966369 * alpha[21] * favg[10];
-    ghat[31] += 0.1767766952966369 * alpha[22] * favg[9];
-    ghat[31] += 0.1767766952966369 * alpha[23] * favg[8];
-    ghat[31] += 0.1767766952966369 * alpha[24] * favg[7];
-    ghat[31] += 0.1767766952966369 * alpha[25] * favg[6];
-    ghat[31] += 0.1767766952966369 * alpha[29] * favg[2];
-    ghat[31] += 0.1767766952966369 * alpha[30] * favg[1];
-    out_lo[0] += -rd * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -rd * 0.7071067811865476 * ghat[1];
-    out_lo[2] += -rd * 1.224744871391589 * ghat[0];
-    out_lo[3] += -rd * 0.7071067811865476 * ghat[2];
-    out_lo[4] += -rd * 0.7071067811865476 * ghat[3];
-    out_lo[5] += -rd * 0.7071067811865476 * ghat[4];
-    out_lo[6] += -rd * 0.7071067811865476 * ghat[5];
-    out_lo[7] += -rd * 1.224744871391589 * ghat[1];
-    out_lo[8] += -rd * 0.7071067811865476 * ghat[6];
-    out_lo[9] += -rd * 1.224744871391589 * ghat[2];
-    out_lo[10] += -rd * 0.7071067811865476 * ghat[7];
-    out_lo[11] += -rd * 1.224744871391589 * ghat[3];
-    out_lo[12] += -rd * 0.7071067811865476 * ghat[8];
-    out_lo[13] += -rd * 0.7071067811865476 * ghat[9];
-    out_lo[14] += -rd * 1.224744871391589 * ghat[4];
-    out_lo[15] += -rd * 0.7071067811865476 * ghat[10];
-    out_lo[16] += -rd * 0.7071067811865476 * ghat[11];
-    out_lo[17] += -rd * 0.7071067811865476 * ghat[12];
-    out_lo[18] += -rd * 1.224744871391589 * ghat[5];
-    out_lo[19] += -rd * 0.7071067811865476 * ghat[13];
-    out_lo[20] += -rd * 0.7071067811865476 * ghat[14];
-    out_lo[21] += -rd * 0.7071067811865476 * ghat[15];
-    out_lo[22] += -rd * 1.224744871391589 * ghat[6];
-    out_lo[23] += -rd * 1.224744871391589 * ghat[7];
-    out_lo[24] += -rd * 0.7071067811865476 * ghat[16];
-    out_lo[25] += -rd * 1.224744871391589 * ghat[8];
-    out_lo[26] += -rd * 1.224744871391589 * ghat[9];
-    out_lo[27] += -rd * 0.7071067811865476 * ghat[17];
-    out_lo[28] += -rd * 1.224744871391589 * ghat[10];
-    out_lo[29] += -rd * 0.7071067811865476 * ghat[18];
-    out_lo[30] += -rd * 1.224744871391589 * ghat[11];
-    out_lo[31] += -rd * 0.7071067811865476 * ghat[19];
-    out_lo[32] += -rd * 1.224744871391589 * ghat[12];
-    out_lo[33] += -rd * 0.7071067811865476 * ghat[20];
-    out_lo[34] += -rd * 1.224744871391589 * ghat[13];
-    out_lo[35] += -rd * 0.7071067811865476 * ghat[21];
-    out_lo[36] += -rd * 1.224744871391589 * ghat[14];
-    out_lo[37] += -rd * 0.7071067811865476 * ghat[22];
-    out_lo[38] += -rd * 0.7071067811865476 * ghat[23];
-    out_lo[39] += -rd * 1.224744871391589 * ghat[15];
-    out_lo[40] += -rd * 0.7071067811865476 * ghat[24];
-    out_lo[41] += -rd * 0.7071067811865476 * ghat[25];
-    out_lo[42] += -rd * 1.224744871391589 * ghat[16];
-    out_lo[43] += -rd * 1.224744871391589 * ghat[17];
-    out_lo[44] += -rd * 1.224744871391589 * ghat[18];
-    out_lo[45] += -rd * 0.7071067811865476 * ghat[26];
-    out_lo[46] += -rd * 1.224744871391589 * ghat[19];
-    out_lo[47] += -rd * 1.224744871391589 * ghat[20];
-    out_lo[48] += -rd * 1.224744871391589 * ghat[21];
-    out_lo[49] += -rd * 0.7071067811865476 * ghat[27];
-    out_lo[50] += -rd * 1.224744871391589 * ghat[22];
-    out_lo[51] += -rd * 1.224744871391589 * ghat[23];
-    out_lo[52] += -rd * 0.7071067811865476 * ghat[28];
-    out_lo[53] += -rd * 1.224744871391589 * ghat[24];
-    out_lo[54] += -rd * 0.7071067811865476 * ghat[29];
-    out_lo[55] += -rd * 1.224744871391589 * ghat[25];
-    out_lo[56] += -rd * 0.7071067811865476 * ghat[30];
-    out_lo[57] += -rd * 1.224744871391589 * ghat[26];
-    out_lo[58] += -rd * 1.224744871391589 * ghat[27];
-    out_lo[59] += -rd * 1.224744871391589 * ghat[28];
-    out_lo[60] += -rd * 1.224744871391589 * ghat[29];
-    out_lo[61] += -rd * 0.7071067811865476 * ghat[31];
-    out_lo[62] += -rd * 1.224744871391589 * ghat[30];
-    out_lo[63] += -rd * 1.224744871391589 * ghat[31];
-    out_hi[0] += rd * 0.7071067811865476 * ghat[0];
-    out_hi[1] += rd * 0.7071067811865476 * ghat[1];
-    out_hi[2] += rd * -1.224744871391589 * ghat[0];
-    out_hi[3] += rd * 0.7071067811865476 * ghat[2];
-    out_hi[4] += rd * 0.7071067811865476 * ghat[3];
-    out_hi[5] += rd * 0.7071067811865476 * ghat[4];
-    out_hi[6] += rd * 0.7071067811865476 * ghat[5];
-    out_hi[7] += rd * -1.224744871391589 * ghat[1];
-    out_hi[8] += rd * 0.7071067811865476 * ghat[6];
-    out_hi[9] += rd * -1.224744871391589 * ghat[2];
-    out_hi[10] += rd * 0.7071067811865476 * ghat[7];
-    out_hi[11] += rd * -1.224744871391589 * ghat[3];
-    out_hi[12] += rd * 0.7071067811865476 * ghat[8];
-    out_hi[13] += rd * 0.7071067811865476 * ghat[9];
-    out_hi[14] += rd * -1.224744871391589 * ghat[4];
-    out_hi[15] += rd * 0.7071067811865476 * ghat[10];
-    out_hi[16] += rd * 0.7071067811865476 * ghat[11];
-    out_hi[17] += rd * 0.7071067811865476 * ghat[12];
-    out_hi[18] += rd * -1.224744871391589 * ghat[5];
-    out_hi[19] += rd * 0.7071067811865476 * ghat[13];
-    out_hi[20] += rd * 0.7071067811865476 * ghat[14];
-    out_hi[21] += rd * 0.7071067811865476 * ghat[15];
-    out_hi[22] += rd * -1.224744871391589 * ghat[6];
-    out_hi[23] += rd * -1.224744871391589 * ghat[7];
-    out_hi[24] += rd * 0.7071067811865476 * ghat[16];
-    out_hi[25] += rd * -1.224744871391589 * ghat[8];
-    out_hi[26] += rd * -1.224744871391589 * ghat[9];
-    out_hi[27] += rd * 0.7071067811865476 * ghat[17];
-    out_hi[28] += rd * -1.224744871391589 * ghat[10];
-    out_hi[29] += rd * 0.7071067811865476 * ghat[18];
-    out_hi[30] += rd * -1.224744871391589 * ghat[11];
-    out_hi[31] += rd * 0.7071067811865476 * ghat[19];
-    out_hi[32] += rd * -1.224744871391589 * ghat[12];
-    out_hi[33] += rd * 0.7071067811865476 * ghat[20];
-    out_hi[34] += rd * -1.224744871391589 * ghat[13];
-    out_hi[35] += rd * 0.7071067811865476 * ghat[21];
-    out_hi[36] += rd * -1.224744871391589 * ghat[14];
-    out_hi[37] += rd * 0.7071067811865476 * ghat[22];
-    out_hi[38] += rd * 0.7071067811865476 * ghat[23];
-    out_hi[39] += rd * -1.224744871391589 * ghat[15];
-    out_hi[40] += rd * 0.7071067811865476 * ghat[24];
-    out_hi[41] += rd * 0.7071067811865476 * ghat[25];
-    out_hi[42] += rd * -1.224744871391589 * ghat[16];
-    out_hi[43] += rd * -1.224744871391589 * ghat[17];
-    out_hi[44] += rd * -1.224744871391589 * ghat[18];
-    out_hi[45] += rd * 0.7071067811865476 * ghat[26];
-    out_hi[46] += rd * -1.224744871391589 * ghat[19];
-    out_hi[47] += rd * -1.224744871391589 * ghat[20];
-    out_hi[48] += rd * -1.224744871391589 * ghat[21];
-    out_hi[49] += rd * 0.7071067811865476 * ghat[27];
-    out_hi[50] += rd * -1.224744871391589 * ghat[22];
-    out_hi[51] += rd * -1.224744871391589 * ghat[23];
-    out_hi[52] += rd * 0.7071067811865476 * ghat[28];
-    out_hi[53] += rd * -1.224744871391589 * ghat[24];
-    out_hi[54] += rd * 0.7071067811865476 * ghat[29];
-    out_hi[55] += rd * -1.224744871391589 * ghat[25];
-    out_hi[56] += rd * 0.7071067811865476 * ghat[30];
-    out_hi[57] += rd * -1.224744871391589 * ghat[26];
-    out_hi[58] += rd * -1.224744871391589 * ghat[27];
-    out_hi[59] += rd * -1.224744871391589 * ghat[28];
-    out_hi[60] += rd * -1.224744871391589 * ghat[29];
-    out_hi[61] += rd * 0.7071067811865476 * ghat[31];
-    out_hi[62] += rd * -1.224744871391589 * ghat[30];
-    out_hi[63] += rd * -1.224744871391589 * ghat[31];
+    vlasov_surf_3x3v_p1_ser_v1_body::<1>(w.as_chunks().0, dxv, qm, em, penalty, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
 }
 
-/// Batched companion of [`vlasov_surf_3x3v_p1_ser_v1`]: `LANES` faces per call, bit-identical per lane.
+/// [`vlasov_surf_3x3v_p1_ser_v1`] over `LANES` faces: the same body, bit-identical per lane.
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_3x3v_p1_ser_v1_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_3x3v_p1_ser_v1_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_3x3v_p1_ser_v1_b4(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_3x3v_p1_ser_v1_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// [`vlasov_surf_3x3v_p1_ser_v1_b4`] compiled for AVX2: the same body, bit-identical per lane.
-/// Reach it through `crate::dispatch`, which checks the CPU first.
+/// [`vlasov_surf_3x3v_p1_ser_v1_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_3x3v_p1_ser_v1_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_3x3v_p1_ser_v1_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_3x3v_p1_ser_v1_b4_avx2(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_3x3v_p1_ser_v1_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// Shared body of [`vlasov_surf_3x3v_p1_ser_v1_b4`] and its AVX2 entry point.
+/// [`vlasov_surf_3x3v_p1_ser_v1`] over 8 faces, compiled for AVX-512F. Reach it through
+/// `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_surf_3x3v_p1_ser_v1_b8_avx512(w: &[[f64; 8]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; 8]], f_hi: &[[f64; 8]], out_lo: &mut [[f64; 8]], out_hi: &mut [[f64; 8]]) {
+    vlasov_surf_3x3v_p1_ser_v1_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`vlasov_surf_3x3v_p1_ser_v1`] and its batched entry points.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_surf_3x3v_p1_ser_v1_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+fn vlasov_surf_3x3v_p1_ser_v1_body<const L: usize>(w: &[[f64; L]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let w: &[[f64; L]; 6] = w.first_chunk().expect("w: 6 coefficients");
+    let f_lo: &[[f64; L]; 64] = f_lo.first_chunk().expect("f_lo: 64 coefficients");
+    let f_hi: &[[f64; L]; 64] = f_hi.first_chunk().expect("f_hi: 64 coefficients");
+    let out_lo: &mut [[f64; L]; 64] = out_lo.first_chunk_mut().expect("out_lo: 64 coefficients");
+    let out_hi: &mut [[f64; L]; 64] = out_hi.first_chunk_mut().expect("out_hi: 64 coefficients");
     let rd = 2.0 / dxv[4];
-    let mut alpha = [CellLanes([0.0f64; LANES]); 32];
-    let mut lam = CellLanes([0.0f64; LANES]);
-    for k in 0..LANES {
-        alpha[0].0[k] += qm * 2.0 * (em[8] + w[5].0[k] * em[24] - w[3].0[k] * em[40]);
-        alpha[1].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[24];
-        alpha[2].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[40];
-        alpha[3].0[k] += qm * 2.0 * (em[9] + w[5].0[k] * em[25] - w[3].0[k] * em[41]);
-        alpha[7].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[25];
-        alpha[8].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[41];
-        alpha[4].0[k] += qm * 2.0 * (em[10] + w[5].0[k] * em[26] - w[3].0[k] * em[42]);
-        alpha[9].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[26];
-        alpha[10].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[42];
-        alpha[5].0[k] += qm * 2.0 * (em[11] + w[5].0[k] * em[27] - w[3].0[k] * em[43]);
-        alpha[12].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[27];
-        alpha[13].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[43];
-        alpha[11].0[k] += qm * 2.0 * (em[12] + w[5].0[k] * em[28] - w[3].0[k] * em[44]);
-        alpha[18].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[28];
-        alpha[19].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[44];
-        alpha[14].0[k] += qm * 2.0 * (em[13] + w[5].0[k] * em[29] - w[3].0[k] * em[45]);
-        alpha[21].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[29];
-        alpha[22].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[45];
-        alpha[15].0[k] += qm * 2.0 * (em[14] + w[5].0[k] * em[30] - w[3].0[k] * em[46]);
-        alpha[23].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[30];
-        alpha[24].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[46];
-        alpha[25].0[k] += qm * 2.0 * (em[15] + w[5].0[k] * em[31] - w[3].0[k] * em[47]);
-        alpha[29].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[31];
-        alpha[30].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[47];
-        lam.0[k] = if penalty { alpha[0].0[k].abs() * 0.17677669529663692 + alpha[1].0[k].abs() * 0.3061862178478973 + alpha[2].0[k].abs() * 0.30618621784789735 + alpha[3].0[k].abs() * 0.30618621784789735 + alpha[4].0[k].abs() * 0.30618621784789735 + alpha[5].0[k].abs() * 0.30618621784789735 + alpha[7].0[k].abs() * 0.5303300858899107 + alpha[8].0[k].abs() * 0.5303300858899107 + alpha[9].0[k].abs() * 0.5303300858899107 + alpha[10].0[k].abs() * 0.5303300858899107 + alpha[11].0[k].abs() * 0.5303300858899107 + alpha[12].0[k].abs() * 0.5303300858899107 + alpha[13].0[k].abs() * 0.5303300858899107 + alpha[14].0[k].abs() * 0.5303300858899107 + alpha[15].0[k].abs() * 0.5303300858899107 + alpha[18].0[k].abs() * 0.9185586535436917 + alpha[19].0[k].abs() * 0.9185586535436917 + alpha[21].0[k].abs() * 0.9185586535436917 + alpha[22].0[k].abs() * 0.9185586535436917 + alpha[23].0[k].abs() * 0.9185586535436917 + alpha[24].0[k].abs() * 0.9185586535436917 + alpha[25].0[k].abs() * 0.9185586535436917 + alpha[29].0[k].abs() * 1.5909902576697315 + alpha[30].0[k].abs() * 1.5909902576697315 } else { 0.0 };
+    let mut alpha = [[0.0f64; L]; 32];
+    let mut lam = [0.0f64; L];
+    for k in 0..L {
+        alpha[0][k] += qm * 2.0 * (em[8] + w[5][k] * em[24] - w[3][k] * em[40]);
+        alpha[1][k] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[24];
+        alpha[2][k] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[40];
+        alpha[3][k] += qm * 2.0 * (em[9] + w[5][k] * em[25] - w[3][k] * em[41]);
+        alpha[7][k] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[25];
+        alpha[8][k] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[41];
+        alpha[4][k] += qm * 2.0 * (em[10] + w[5][k] * em[26] - w[3][k] * em[42]);
+        alpha[9][k] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[26];
+        alpha[10][k] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[42];
+        alpha[5][k] += qm * 2.0 * (em[11] + w[5][k] * em[27] - w[3][k] * em[43]);
+        alpha[12][k] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[27];
+        alpha[13][k] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[43];
+        alpha[11][k] += qm * 2.0 * (em[12] + w[5][k] * em[28] - w[3][k] * em[44]);
+        alpha[18][k] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[28];
+        alpha[19][k] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[44];
+        alpha[14][k] += qm * 2.0 * (em[13] + w[5][k] * em[29] - w[3][k] * em[45]);
+        alpha[21][k] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[29];
+        alpha[22][k] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[45];
+        alpha[15][k] += qm * 2.0 * (em[14] + w[5][k] * em[30] - w[3][k] * em[46]);
+        alpha[23][k] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[30];
+        alpha[24][k] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[46];
+        alpha[25][k] += qm * 2.0 * (em[15] + w[5][k] * em[31] - w[3][k] * em[47]);
+        alpha[29][k] += qm * 1.1547005383792517 * (0.5 * dxv[5]) * em[31];
+        alpha[30][k] += qm * -1.1547005383792517 * (0.5 * dxv[3]) * em[47];
+        lam[k] = if penalty { alpha[0][k].abs() * 0.17677669529663692 + alpha[1][k].abs() * 0.3061862178478973 + alpha[2][k].abs() * 0.30618621784789735 + alpha[3][k].abs() * 0.30618621784789735 + alpha[4][k].abs() * 0.30618621784789735 + alpha[5][k].abs() * 0.30618621784789735 + alpha[7][k].abs() * 0.5303300858899107 + alpha[8][k].abs() * 0.5303300858899107 + alpha[9][k].abs() * 0.5303300858899107 + alpha[10][k].abs() * 0.5303300858899107 + alpha[11][k].abs() * 0.5303300858899107 + alpha[12][k].abs() * 0.5303300858899107 + alpha[13][k].abs() * 0.5303300858899107 + alpha[14][k].abs() * 0.5303300858899107 + alpha[15][k].abs() * 0.5303300858899107 + alpha[18][k].abs() * 0.9185586535436917 + alpha[19][k].abs() * 0.9185586535436917 + alpha[21][k].abs() * 0.9185586535436917 + alpha[22][k].abs() * 0.9185586535436917 + alpha[23][k].abs() * 0.9185586535436917 + alpha[24][k].abs() * 0.9185586535436917 + alpha[25][k].abs() * 0.9185586535436917 + alpha[29][k].abs() * 1.5909902576697315 + alpha[30][k].abs() * 1.5909902576697315 } else { 0.0 };
     }
-    let mut fm = [CellLanes([0.0f64; LANES]); 32];
-    let mut fp = [CellLanes([0.0f64; LANES]); 32];
-    sx4(&mut fm[0], 0.7071067811865476, &f_lo[0]);
-    sx4(&mut fm[1], 0.7071067811865476, &f_lo[1]);
-    sx4(&mut fm[0], 1.224744871391589, &f_lo[2]);
-    sx4(&mut fm[2], 0.7071067811865476, &f_lo[3]);
-    sx4(&mut fm[3], 0.7071067811865476, &f_lo[4]);
-    sx4(&mut fm[4], 0.7071067811865476, &f_lo[5]);
-    sx4(&mut fm[5], 0.7071067811865476, &f_lo[6]);
-    sx4(&mut fm[1], 1.224744871391589, &f_lo[7]);
-    sx4(&mut fm[6], 0.7071067811865476, &f_lo[8]);
-    sx4(&mut fm[2], 1.224744871391589, &f_lo[9]);
-    sx4(&mut fm[7], 0.7071067811865476, &f_lo[10]);
-    sx4(&mut fm[3], 1.224744871391589, &f_lo[11]);
-    sx4(&mut fm[8], 0.7071067811865476, &f_lo[12]);
-    sx4(&mut fm[9], 0.7071067811865476, &f_lo[13]);
-    sx4(&mut fm[4], 1.224744871391589, &f_lo[14]);
-    sx4(&mut fm[10], 0.7071067811865476, &f_lo[15]);
-    sx4(&mut fm[11], 0.7071067811865476, &f_lo[16]);
-    sx4(&mut fm[12], 0.7071067811865476, &f_lo[17]);
-    sx4(&mut fm[5], 1.224744871391589, &f_lo[18]);
-    sx4(&mut fm[13], 0.7071067811865476, &f_lo[19]);
-    sx4(&mut fm[14], 0.7071067811865476, &f_lo[20]);
-    sx4(&mut fm[15], 0.7071067811865476, &f_lo[21]);
-    sx4(&mut fm[6], 1.224744871391589, &f_lo[22]);
-    sx4(&mut fm[7], 1.224744871391589, &f_lo[23]);
-    sx4(&mut fm[16], 0.7071067811865476, &f_lo[24]);
-    sx4(&mut fm[8], 1.224744871391589, &f_lo[25]);
-    sx4(&mut fm[9], 1.224744871391589, &f_lo[26]);
-    sx4(&mut fm[17], 0.7071067811865476, &f_lo[27]);
-    sx4(&mut fm[10], 1.224744871391589, &f_lo[28]);
-    sx4(&mut fm[18], 0.7071067811865476, &f_lo[29]);
-    sx4(&mut fm[11], 1.224744871391589, &f_lo[30]);
-    sx4(&mut fm[19], 0.7071067811865476, &f_lo[31]);
-    sx4(&mut fm[12], 1.224744871391589, &f_lo[32]);
-    sx4(&mut fm[20], 0.7071067811865476, &f_lo[33]);
-    sx4(&mut fm[13], 1.224744871391589, &f_lo[34]);
-    sx4(&mut fm[21], 0.7071067811865476, &f_lo[35]);
-    sx4(&mut fm[14], 1.224744871391589, &f_lo[36]);
-    sx4(&mut fm[22], 0.7071067811865476, &f_lo[37]);
-    sx4(&mut fm[23], 0.7071067811865476, &f_lo[38]);
-    sx4(&mut fm[15], 1.224744871391589, &f_lo[39]);
-    sx4(&mut fm[24], 0.7071067811865476, &f_lo[40]);
-    sx4(&mut fm[25], 0.7071067811865476, &f_lo[41]);
-    sx4(&mut fm[16], 1.224744871391589, &f_lo[42]);
-    sx4(&mut fm[17], 1.224744871391589, &f_lo[43]);
-    sx4(&mut fm[18], 1.224744871391589, &f_lo[44]);
-    sx4(&mut fm[26], 0.7071067811865476, &f_lo[45]);
-    sx4(&mut fm[19], 1.224744871391589, &f_lo[46]);
-    sx4(&mut fm[20], 1.224744871391589, &f_lo[47]);
-    sx4(&mut fm[21], 1.224744871391589, &f_lo[48]);
-    sx4(&mut fm[27], 0.7071067811865476, &f_lo[49]);
-    sx4(&mut fm[22], 1.224744871391589, &f_lo[50]);
-    sx4(&mut fm[23], 1.224744871391589, &f_lo[51]);
-    sx4(&mut fm[28], 0.7071067811865476, &f_lo[52]);
-    sx4(&mut fm[24], 1.224744871391589, &f_lo[53]);
-    sx4(&mut fm[29], 0.7071067811865476, &f_lo[54]);
-    sx4(&mut fm[25], 1.224744871391589, &f_lo[55]);
-    sx4(&mut fm[30], 0.7071067811865476, &f_lo[56]);
-    sx4(&mut fm[26], 1.224744871391589, &f_lo[57]);
-    sx4(&mut fm[27], 1.224744871391589, &f_lo[58]);
-    sx4(&mut fm[28], 1.224744871391589, &f_lo[59]);
-    sx4(&mut fm[29], 1.224744871391589, &f_lo[60]);
-    sx4(&mut fm[31], 0.7071067811865476, &f_lo[61]);
-    sx4(&mut fm[30], 1.224744871391589, &f_lo[62]);
-    sx4(&mut fm[31], 1.224744871391589, &f_lo[63]);
-    sx4(&mut fp[0], 0.7071067811865476, &f_hi[0]);
-    sx4(&mut fp[1], 0.7071067811865476, &f_hi[1]);
-    sx4(&mut fp[0], -1.224744871391589, &f_hi[2]);
-    sx4(&mut fp[2], 0.7071067811865476, &f_hi[3]);
-    sx4(&mut fp[3], 0.7071067811865476, &f_hi[4]);
-    sx4(&mut fp[4], 0.7071067811865476, &f_hi[5]);
-    sx4(&mut fp[5], 0.7071067811865476, &f_hi[6]);
-    sx4(&mut fp[1], -1.224744871391589, &f_hi[7]);
-    sx4(&mut fp[6], 0.7071067811865476, &f_hi[8]);
-    sx4(&mut fp[2], -1.224744871391589, &f_hi[9]);
-    sx4(&mut fp[7], 0.7071067811865476, &f_hi[10]);
-    sx4(&mut fp[3], -1.224744871391589, &f_hi[11]);
-    sx4(&mut fp[8], 0.7071067811865476, &f_hi[12]);
-    sx4(&mut fp[9], 0.7071067811865476, &f_hi[13]);
-    sx4(&mut fp[4], -1.224744871391589, &f_hi[14]);
-    sx4(&mut fp[10], 0.7071067811865476, &f_hi[15]);
-    sx4(&mut fp[11], 0.7071067811865476, &f_hi[16]);
-    sx4(&mut fp[12], 0.7071067811865476, &f_hi[17]);
-    sx4(&mut fp[5], -1.224744871391589, &f_hi[18]);
-    sx4(&mut fp[13], 0.7071067811865476, &f_hi[19]);
-    sx4(&mut fp[14], 0.7071067811865476, &f_hi[20]);
-    sx4(&mut fp[15], 0.7071067811865476, &f_hi[21]);
-    sx4(&mut fp[6], -1.224744871391589, &f_hi[22]);
-    sx4(&mut fp[7], -1.224744871391589, &f_hi[23]);
-    sx4(&mut fp[16], 0.7071067811865476, &f_hi[24]);
-    sx4(&mut fp[8], -1.224744871391589, &f_hi[25]);
-    sx4(&mut fp[9], -1.224744871391589, &f_hi[26]);
-    sx4(&mut fp[17], 0.7071067811865476, &f_hi[27]);
-    sx4(&mut fp[10], -1.224744871391589, &f_hi[28]);
-    sx4(&mut fp[18], 0.7071067811865476, &f_hi[29]);
-    sx4(&mut fp[11], -1.224744871391589, &f_hi[30]);
-    sx4(&mut fp[19], 0.7071067811865476, &f_hi[31]);
-    sx4(&mut fp[12], -1.224744871391589, &f_hi[32]);
-    sx4(&mut fp[20], 0.7071067811865476, &f_hi[33]);
-    sx4(&mut fp[13], -1.224744871391589, &f_hi[34]);
-    sx4(&mut fp[21], 0.7071067811865476, &f_hi[35]);
-    sx4(&mut fp[14], -1.224744871391589, &f_hi[36]);
-    sx4(&mut fp[22], 0.7071067811865476, &f_hi[37]);
-    sx4(&mut fp[23], 0.7071067811865476, &f_hi[38]);
-    sx4(&mut fp[15], -1.224744871391589, &f_hi[39]);
-    sx4(&mut fp[24], 0.7071067811865476, &f_hi[40]);
-    sx4(&mut fp[25], 0.7071067811865476, &f_hi[41]);
-    sx4(&mut fp[16], -1.224744871391589, &f_hi[42]);
-    sx4(&mut fp[17], -1.224744871391589, &f_hi[43]);
-    sx4(&mut fp[18], -1.224744871391589, &f_hi[44]);
-    sx4(&mut fp[26], 0.7071067811865476, &f_hi[45]);
-    sx4(&mut fp[19], -1.224744871391589, &f_hi[46]);
-    sx4(&mut fp[20], -1.224744871391589, &f_hi[47]);
-    sx4(&mut fp[21], -1.224744871391589, &f_hi[48]);
-    sx4(&mut fp[27], 0.7071067811865476, &f_hi[49]);
-    sx4(&mut fp[22], -1.224744871391589, &f_hi[50]);
-    sx4(&mut fp[23], -1.224744871391589, &f_hi[51]);
-    sx4(&mut fp[28], 0.7071067811865476, &f_hi[52]);
-    sx4(&mut fp[24], -1.224744871391589, &f_hi[53]);
-    sx4(&mut fp[29], 0.7071067811865476, &f_hi[54]);
-    sx4(&mut fp[25], -1.224744871391589, &f_hi[55]);
-    sx4(&mut fp[30], 0.7071067811865476, &f_hi[56]);
-    sx4(&mut fp[26], -1.224744871391589, &f_hi[57]);
-    sx4(&mut fp[27], -1.224744871391589, &f_hi[58]);
-    sx4(&mut fp[28], -1.224744871391589, &f_hi[59]);
-    sx4(&mut fp[29], -1.224744871391589, &f_hi[60]);
-    sx4(&mut fp[31], 0.7071067811865476, &f_hi[61]);
-    sx4(&mut fp[30], -1.224744871391589, &f_hi[62]);
-    sx4(&mut fp[31], -1.224744871391589, &f_hi[63]);
-    let mut favg = [CellLanes([0.0f64; LANES]); 32];
-    let mut ghat = [CellLanes([0.0f64; LANES]); 32];
-    for k in 0..LANES {
-        favg[0].0[k] = 0.5 * (fm[0].0[k] + fp[0].0[k]);
-        ghat[0].0[k] = -0.5 * lam.0[k] * (fp[0].0[k] - fm[0].0[k]);
-        favg[1].0[k] = 0.5 * (fm[1].0[k] + fp[1].0[k]);
-        ghat[1].0[k] = -0.5 * lam.0[k] * (fp[1].0[k] - fm[1].0[k]);
-        favg[2].0[k] = 0.5 * (fm[2].0[k] + fp[2].0[k]);
-        ghat[2].0[k] = -0.5 * lam.0[k] * (fp[2].0[k] - fm[2].0[k]);
-        favg[3].0[k] = 0.5 * (fm[3].0[k] + fp[3].0[k]);
-        ghat[3].0[k] = -0.5 * lam.0[k] * (fp[3].0[k] - fm[3].0[k]);
-        favg[4].0[k] = 0.5 * (fm[4].0[k] + fp[4].0[k]);
-        ghat[4].0[k] = -0.5 * lam.0[k] * (fp[4].0[k] - fm[4].0[k]);
-        favg[5].0[k] = 0.5 * (fm[5].0[k] + fp[5].0[k]);
-        ghat[5].0[k] = -0.5 * lam.0[k] * (fp[5].0[k] - fm[5].0[k]);
-        favg[6].0[k] = 0.5 * (fm[6].0[k] + fp[6].0[k]);
-        ghat[6].0[k] = -0.5 * lam.0[k] * (fp[6].0[k] - fm[6].0[k]);
-        favg[7].0[k] = 0.5 * (fm[7].0[k] + fp[7].0[k]);
-        ghat[7].0[k] = -0.5 * lam.0[k] * (fp[7].0[k] - fm[7].0[k]);
-        favg[8].0[k] = 0.5 * (fm[8].0[k] + fp[8].0[k]);
-        ghat[8].0[k] = -0.5 * lam.0[k] * (fp[8].0[k] - fm[8].0[k]);
-        favg[9].0[k] = 0.5 * (fm[9].0[k] + fp[9].0[k]);
-        ghat[9].0[k] = -0.5 * lam.0[k] * (fp[9].0[k] - fm[9].0[k]);
-        favg[10].0[k] = 0.5 * (fm[10].0[k] + fp[10].0[k]);
-        ghat[10].0[k] = -0.5 * lam.0[k] * (fp[10].0[k] - fm[10].0[k]);
-        favg[11].0[k] = 0.5 * (fm[11].0[k] + fp[11].0[k]);
-        ghat[11].0[k] = -0.5 * lam.0[k] * (fp[11].0[k] - fm[11].0[k]);
-        favg[12].0[k] = 0.5 * (fm[12].0[k] + fp[12].0[k]);
-        ghat[12].0[k] = -0.5 * lam.0[k] * (fp[12].0[k] - fm[12].0[k]);
-        favg[13].0[k] = 0.5 * (fm[13].0[k] + fp[13].0[k]);
-        ghat[13].0[k] = -0.5 * lam.0[k] * (fp[13].0[k] - fm[13].0[k]);
-        favg[14].0[k] = 0.5 * (fm[14].0[k] + fp[14].0[k]);
-        ghat[14].0[k] = -0.5 * lam.0[k] * (fp[14].0[k] - fm[14].0[k]);
-        favg[15].0[k] = 0.5 * (fm[15].0[k] + fp[15].0[k]);
-        ghat[15].0[k] = -0.5 * lam.0[k] * (fp[15].0[k] - fm[15].0[k]);
-        favg[16].0[k] = 0.5 * (fm[16].0[k] + fp[16].0[k]);
-        ghat[16].0[k] = -0.5 * lam.0[k] * (fp[16].0[k] - fm[16].0[k]);
-        favg[17].0[k] = 0.5 * (fm[17].0[k] + fp[17].0[k]);
-        ghat[17].0[k] = -0.5 * lam.0[k] * (fp[17].0[k] - fm[17].0[k]);
-        favg[18].0[k] = 0.5 * (fm[18].0[k] + fp[18].0[k]);
-        ghat[18].0[k] = -0.5 * lam.0[k] * (fp[18].0[k] - fm[18].0[k]);
-        favg[19].0[k] = 0.5 * (fm[19].0[k] + fp[19].0[k]);
-        ghat[19].0[k] = -0.5 * lam.0[k] * (fp[19].0[k] - fm[19].0[k]);
-        favg[20].0[k] = 0.5 * (fm[20].0[k] + fp[20].0[k]);
-        ghat[20].0[k] = -0.5 * lam.0[k] * (fp[20].0[k] - fm[20].0[k]);
-        favg[21].0[k] = 0.5 * (fm[21].0[k] + fp[21].0[k]);
-        ghat[21].0[k] = -0.5 * lam.0[k] * (fp[21].0[k] - fm[21].0[k]);
-        favg[22].0[k] = 0.5 * (fm[22].0[k] + fp[22].0[k]);
-        ghat[22].0[k] = -0.5 * lam.0[k] * (fp[22].0[k] - fm[22].0[k]);
-        favg[23].0[k] = 0.5 * (fm[23].0[k] + fp[23].0[k]);
-        ghat[23].0[k] = -0.5 * lam.0[k] * (fp[23].0[k] - fm[23].0[k]);
-        favg[24].0[k] = 0.5 * (fm[24].0[k] + fp[24].0[k]);
-        ghat[24].0[k] = -0.5 * lam.0[k] * (fp[24].0[k] - fm[24].0[k]);
-        favg[25].0[k] = 0.5 * (fm[25].0[k] + fp[25].0[k]);
-        ghat[25].0[k] = -0.5 * lam.0[k] * (fp[25].0[k] - fm[25].0[k]);
-        favg[26].0[k] = 0.5 * (fm[26].0[k] + fp[26].0[k]);
-        ghat[26].0[k] = -0.5 * lam.0[k] * (fp[26].0[k] - fm[26].0[k]);
-        favg[27].0[k] = 0.5 * (fm[27].0[k] + fp[27].0[k]);
-        ghat[27].0[k] = -0.5 * lam.0[k] * (fp[27].0[k] - fm[27].0[k]);
-        favg[28].0[k] = 0.5 * (fm[28].0[k] + fp[28].0[k]);
-        ghat[28].0[k] = -0.5 * lam.0[k] * (fp[28].0[k] - fm[28].0[k]);
-        favg[29].0[k] = 0.5 * (fm[29].0[k] + fp[29].0[k]);
-        ghat[29].0[k] = -0.5 * lam.0[k] * (fp[29].0[k] - fm[29].0[k]);
-        favg[30].0[k] = 0.5 * (fm[30].0[k] + fp[30].0[k]);
-        ghat[30].0[k] = -0.5 * lam.0[k] * (fp[30].0[k] - fm[30].0[k]);
-        favg[31].0[k] = 0.5 * (fm[31].0[k] + fp[31].0[k]);
-        ghat[31].0[k] = -0.5 * lam.0[k] * (fp[31].0[k] - fm[31].0[k]);
+    let mut fm = [[0.0f64; L]; 32];
+    let mut fp = [[0.0f64; L]; 32];
+    sxn(&mut fm[0], 0.7071067811865476, &f_lo[0]);
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[1]);
+    sxn(&mut fm[0], 1.224744871391589, &f_lo[2]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[3]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[4]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[5]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[6]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[7]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[8]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[9]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[10]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[11]);
+    sxn(&mut fm[8], 0.7071067811865476, &f_lo[12]);
+    sxn(&mut fm[9], 0.7071067811865476, &f_lo[13]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[14]);
+    sxn(&mut fm[10], 0.7071067811865476, &f_lo[15]);
+    sxn(&mut fm[11], 0.7071067811865476, &f_lo[16]);
+    sxn(&mut fm[12], 0.7071067811865476, &f_lo[17]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[18]);
+    sxn(&mut fm[13], 0.7071067811865476, &f_lo[19]);
+    sxn(&mut fm[14], 0.7071067811865476, &f_lo[20]);
+    sxn(&mut fm[15], 0.7071067811865476, &f_lo[21]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[22]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[23]);
+    sxn(&mut fm[16], 0.7071067811865476, &f_lo[24]);
+    sxn(&mut fm[8], 1.224744871391589, &f_lo[25]);
+    sxn(&mut fm[9], 1.224744871391589, &f_lo[26]);
+    sxn(&mut fm[17], 0.7071067811865476, &f_lo[27]);
+    sxn(&mut fm[10], 1.224744871391589, &f_lo[28]);
+    sxn(&mut fm[18], 0.7071067811865476, &f_lo[29]);
+    sxn(&mut fm[11], 1.224744871391589, &f_lo[30]);
+    sxn(&mut fm[19], 0.7071067811865476, &f_lo[31]);
+    sxn(&mut fm[12], 1.224744871391589, &f_lo[32]);
+    sxn(&mut fm[20], 0.7071067811865476, &f_lo[33]);
+    sxn(&mut fm[13], 1.224744871391589, &f_lo[34]);
+    sxn(&mut fm[21], 0.7071067811865476, &f_lo[35]);
+    sxn(&mut fm[14], 1.224744871391589, &f_lo[36]);
+    sxn(&mut fm[22], 0.7071067811865476, &f_lo[37]);
+    sxn(&mut fm[23], 0.7071067811865476, &f_lo[38]);
+    sxn(&mut fm[15], 1.224744871391589, &f_lo[39]);
+    sxn(&mut fm[24], 0.7071067811865476, &f_lo[40]);
+    sxn(&mut fm[25], 0.7071067811865476, &f_lo[41]);
+    sxn(&mut fm[16], 1.224744871391589, &f_lo[42]);
+    sxn(&mut fm[17], 1.224744871391589, &f_lo[43]);
+    sxn(&mut fm[18], 1.224744871391589, &f_lo[44]);
+    sxn(&mut fm[26], 0.7071067811865476, &f_lo[45]);
+    sxn(&mut fm[19], 1.224744871391589, &f_lo[46]);
+    sxn(&mut fm[20], 1.224744871391589, &f_lo[47]);
+    sxn(&mut fm[21], 1.224744871391589, &f_lo[48]);
+    sxn(&mut fm[27], 0.7071067811865476, &f_lo[49]);
+    sxn(&mut fm[22], 1.224744871391589, &f_lo[50]);
+    sxn(&mut fm[23], 1.224744871391589, &f_lo[51]);
+    sxn(&mut fm[28], 0.7071067811865476, &f_lo[52]);
+    sxn(&mut fm[24], 1.224744871391589, &f_lo[53]);
+    sxn(&mut fm[29], 0.7071067811865476, &f_lo[54]);
+    sxn(&mut fm[25], 1.224744871391589, &f_lo[55]);
+    sxn(&mut fm[30], 0.7071067811865476, &f_lo[56]);
+    sxn(&mut fm[26], 1.224744871391589, &f_lo[57]);
+    sxn(&mut fm[27], 1.224744871391589, &f_lo[58]);
+    sxn(&mut fm[28], 1.224744871391589, &f_lo[59]);
+    sxn(&mut fm[29], 1.224744871391589, &f_lo[60]);
+    sxn(&mut fm[31], 0.7071067811865476, &f_lo[61]);
+    sxn(&mut fm[30], 1.224744871391589, &f_lo[62]);
+    sxn(&mut fm[31], 1.224744871391589, &f_lo[63]);
+    sxn(&mut fp[0], 0.7071067811865476, &f_hi[0]);
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[1]);
+    sxn(&mut fp[0], -1.224744871391589, &f_hi[2]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[3]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[4]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[5]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[6]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[7]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[8]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[9]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[10]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[11]);
+    sxn(&mut fp[8], 0.7071067811865476, &f_hi[12]);
+    sxn(&mut fp[9], 0.7071067811865476, &f_hi[13]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[14]);
+    sxn(&mut fp[10], 0.7071067811865476, &f_hi[15]);
+    sxn(&mut fp[11], 0.7071067811865476, &f_hi[16]);
+    sxn(&mut fp[12], 0.7071067811865476, &f_hi[17]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[18]);
+    sxn(&mut fp[13], 0.7071067811865476, &f_hi[19]);
+    sxn(&mut fp[14], 0.7071067811865476, &f_hi[20]);
+    sxn(&mut fp[15], 0.7071067811865476, &f_hi[21]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[22]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[23]);
+    sxn(&mut fp[16], 0.7071067811865476, &f_hi[24]);
+    sxn(&mut fp[8], -1.224744871391589, &f_hi[25]);
+    sxn(&mut fp[9], -1.224744871391589, &f_hi[26]);
+    sxn(&mut fp[17], 0.7071067811865476, &f_hi[27]);
+    sxn(&mut fp[10], -1.224744871391589, &f_hi[28]);
+    sxn(&mut fp[18], 0.7071067811865476, &f_hi[29]);
+    sxn(&mut fp[11], -1.224744871391589, &f_hi[30]);
+    sxn(&mut fp[19], 0.7071067811865476, &f_hi[31]);
+    sxn(&mut fp[12], -1.224744871391589, &f_hi[32]);
+    sxn(&mut fp[20], 0.7071067811865476, &f_hi[33]);
+    sxn(&mut fp[13], -1.224744871391589, &f_hi[34]);
+    sxn(&mut fp[21], 0.7071067811865476, &f_hi[35]);
+    sxn(&mut fp[14], -1.224744871391589, &f_hi[36]);
+    sxn(&mut fp[22], 0.7071067811865476, &f_hi[37]);
+    sxn(&mut fp[23], 0.7071067811865476, &f_hi[38]);
+    sxn(&mut fp[15], -1.224744871391589, &f_hi[39]);
+    sxn(&mut fp[24], 0.7071067811865476, &f_hi[40]);
+    sxn(&mut fp[25], 0.7071067811865476, &f_hi[41]);
+    sxn(&mut fp[16], -1.224744871391589, &f_hi[42]);
+    sxn(&mut fp[17], -1.224744871391589, &f_hi[43]);
+    sxn(&mut fp[18], -1.224744871391589, &f_hi[44]);
+    sxn(&mut fp[26], 0.7071067811865476, &f_hi[45]);
+    sxn(&mut fp[19], -1.224744871391589, &f_hi[46]);
+    sxn(&mut fp[20], -1.224744871391589, &f_hi[47]);
+    sxn(&mut fp[21], -1.224744871391589, &f_hi[48]);
+    sxn(&mut fp[27], 0.7071067811865476, &f_hi[49]);
+    sxn(&mut fp[22], -1.224744871391589, &f_hi[50]);
+    sxn(&mut fp[23], -1.224744871391589, &f_hi[51]);
+    sxn(&mut fp[28], 0.7071067811865476, &f_hi[52]);
+    sxn(&mut fp[24], -1.224744871391589, &f_hi[53]);
+    sxn(&mut fp[29], 0.7071067811865476, &f_hi[54]);
+    sxn(&mut fp[25], -1.224744871391589, &f_hi[55]);
+    sxn(&mut fp[30], 0.7071067811865476, &f_hi[56]);
+    sxn(&mut fp[26], -1.224744871391589, &f_hi[57]);
+    sxn(&mut fp[27], -1.224744871391589, &f_hi[58]);
+    sxn(&mut fp[28], -1.224744871391589, &f_hi[59]);
+    sxn(&mut fp[29], -1.224744871391589, &f_hi[60]);
+    sxn(&mut fp[31], 0.7071067811865476, &f_hi[61]);
+    sxn(&mut fp[30], -1.224744871391589, &f_hi[62]);
+    sxn(&mut fp[31], -1.224744871391589, &f_hi[63]);
+    let mut favg = [[0.0f64; L]; 32];
+    let mut ghat = [[0.0f64; L]; 32];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
+        favg[8][k] = 0.5 * (fm[8][k] + fp[8][k]);
+        ghat[8][k] = -0.5 * lam[k] * (fp[8][k] - fm[8][k]);
+        favg[9][k] = 0.5 * (fm[9][k] + fp[9][k]);
+        ghat[9][k] = -0.5 * lam[k] * (fp[9][k] - fm[9][k]);
+        favg[10][k] = 0.5 * (fm[10][k] + fp[10][k]);
+        ghat[10][k] = -0.5 * lam[k] * (fp[10][k] - fm[10][k]);
+        favg[11][k] = 0.5 * (fm[11][k] + fp[11][k]);
+        ghat[11][k] = -0.5 * lam[k] * (fp[11][k] - fm[11][k]);
+        favg[12][k] = 0.5 * (fm[12][k] + fp[12][k]);
+        ghat[12][k] = -0.5 * lam[k] * (fp[12][k] - fm[12][k]);
+        favg[13][k] = 0.5 * (fm[13][k] + fp[13][k]);
+        ghat[13][k] = -0.5 * lam[k] * (fp[13][k] - fm[13][k]);
+        favg[14][k] = 0.5 * (fm[14][k] + fp[14][k]);
+        ghat[14][k] = -0.5 * lam[k] * (fp[14][k] - fm[14][k]);
+        favg[15][k] = 0.5 * (fm[15][k] + fp[15][k]);
+        ghat[15][k] = -0.5 * lam[k] * (fp[15][k] - fm[15][k]);
+        favg[16][k] = 0.5 * (fm[16][k] + fp[16][k]);
+        ghat[16][k] = -0.5 * lam[k] * (fp[16][k] - fm[16][k]);
+        favg[17][k] = 0.5 * (fm[17][k] + fp[17][k]);
+        ghat[17][k] = -0.5 * lam[k] * (fp[17][k] - fm[17][k]);
+        favg[18][k] = 0.5 * (fm[18][k] + fp[18][k]);
+        ghat[18][k] = -0.5 * lam[k] * (fp[18][k] - fm[18][k]);
+        favg[19][k] = 0.5 * (fm[19][k] + fp[19][k]);
+        ghat[19][k] = -0.5 * lam[k] * (fp[19][k] - fm[19][k]);
+        favg[20][k] = 0.5 * (fm[20][k] + fp[20][k]);
+        ghat[20][k] = -0.5 * lam[k] * (fp[20][k] - fm[20][k]);
+        favg[21][k] = 0.5 * (fm[21][k] + fp[21][k]);
+        ghat[21][k] = -0.5 * lam[k] * (fp[21][k] - fm[21][k]);
+        favg[22][k] = 0.5 * (fm[22][k] + fp[22][k]);
+        ghat[22][k] = -0.5 * lam[k] * (fp[22][k] - fm[22][k]);
+        favg[23][k] = 0.5 * (fm[23][k] + fp[23][k]);
+        ghat[23][k] = -0.5 * lam[k] * (fp[23][k] - fm[23][k]);
+        favg[24][k] = 0.5 * (fm[24][k] + fp[24][k]);
+        ghat[24][k] = -0.5 * lam[k] * (fp[24][k] - fm[24][k]);
+        favg[25][k] = 0.5 * (fm[25][k] + fp[25][k]);
+        ghat[25][k] = -0.5 * lam[k] * (fp[25][k] - fm[25][k]);
+        favg[26][k] = 0.5 * (fm[26][k] + fp[26][k]);
+        ghat[26][k] = -0.5 * lam[k] * (fp[26][k] - fm[26][k]);
+        favg[27][k] = 0.5 * (fm[27][k] + fp[27][k]);
+        ghat[27][k] = -0.5 * lam[k] * (fp[27][k] - fm[27][k]);
+        favg[28][k] = 0.5 * (fm[28][k] + fp[28][k]);
+        ghat[28][k] = -0.5 * lam[k] * (fp[28][k] - fm[28][k]);
+        favg[29][k] = 0.5 * (fm[29][k] + fp[29][k]);
+        ghat[29][k] = -0.5 * lam[k] * (fp[29][k] - fm[29][k]);
+        favg[30][k] = 0.5 * (fm[30][k] + fp[30][k]);
+        ghat[30][k] = -0.5 * lam[k] * (fp[30][k] - fm[30][k]);
+        favg[31][k] = 0.5 * (fm[31][k] + fp[31][k]);
+        ghat[31][k] = -0.5 * lam[k] * (fp[31][k] - fm[31][k]);
     }
-    for k in 0..LANES {
-        ghat[0].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[0].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[1].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[2].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[3].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[4].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[5].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[7].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[8].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[9].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[10].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[11].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[12].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[13].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[14].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[15].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[18].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[19].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[21].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[22].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[23].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[24].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[25].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[29].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[30].0[k];
+    for k in 0..L {
+        ghat[0][k] += 0.1767766952966369 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[1][k] * favg[1][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[2][k] * favg[2][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[3][k] * favg[3][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[4][k] * favg[4][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[5][k] * favg[5][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[7][k] * favg[7][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[8][k] * favg[8][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[9][k] * favg[9][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[10][k] * favg[10][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[11][k] * favg[11][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[12][k] * favg[12][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[13][k] * favg[13][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[14][k] * favg[14][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[15][k] * favg[15][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[18][k] * favg[18][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[19][k] * favg[19][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[21][k] * favg[21][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[22][k] * favg[22][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[23][k] * favg[23][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[24][k] * favg[24][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[25][k] * favg[25][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[29][k] * favg[29][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[30][k] * favg[30][k];
     }
-    for k in 0..LANES {
-        ghat[1].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[1].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[0].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[6].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[7].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[9].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[12].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[3].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[16].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[4].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[17].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[18].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[5].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[20].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[21].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[23].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[11].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[26].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[14].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[27].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[15].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[28].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[29].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[25].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[31].0[k];
+    for k in 0..L {
+        ghat[1][k] += 0.17677669529663687 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[1][k] * favg[0][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[2][k] * favg[6][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[3][k] * favg[7][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[4][k] * favg[9][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[5][k] * favg[12][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[7][k] * favg[3][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[8][k] * favg[16][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[9][k] * favg[4][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[10][k] * favg[17][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[11][k] * favg[18][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[12][k] * favg[5][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[13][k] * favg[20][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[14][k] * favg[21][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[15][k] * favg[23][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[18][k] * favg[11][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[19][k] * favg[26][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[21][k] * favg[14][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[22][k] * favg[27][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[23][k] * favg[15][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[24][k] * favg[28][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[25][k] * favg[29][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[29][k] * favg[25][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[30][k] * favg[31][k];
     }
-    for k in 0..LANES {
-        ghat[2].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[2].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[6].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[0].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[8].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[10].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[13].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[16].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[3].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[17].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[4].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[19].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[20].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[5].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[22].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[24].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[26].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[11].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[27].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[14].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[28].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[15].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[30].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[31].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[25].0[k];
+    for k in 0..L {
+        ghat[2][k] += 0.17677669529663687 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[1][k] * favg[6][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[2][k] * favg[0][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[3][k] * favg[8][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[4][k] * favg[10][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[5][k] * favg[13][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[7][k] * favg[16][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[8][k] * favg[3][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[9][k] * favg[17][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[10][k] * favg[4][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[11][k] * favg[19][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[12][k] * favg[20][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[13][k] * favg[5][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[14][k] * favg[22][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[15][k] * favg[24][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[18][k] * favg[26][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[19][k] * favg[11][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[21][k] * favg[27][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[22][k] * favg[14][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[23][k] * favg[28][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[24][k] * favg[15][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[25][k] * favg[30][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[29][k] * favg[31][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[30][k] * favg[25][k];
     }
-    for k in 0..LANES {
-        ghat[3].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[3].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[7].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[8].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[0].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[11].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[14].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[1].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[2].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[18].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[19].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[4].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[21].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[22].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[5].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[25].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[9].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[10].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[12].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[13].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[29].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[30].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[15].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[23].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[24].0[k];
+    for k in 0..L {
+        ghat[3][k] += 0.17677669529663687 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[1][k] * favg[7][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[2][k] * favg[8][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[3][k] * favg[0][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[4][k] * favg[11][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[5][k] * favg[14][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[7][k] * favg[1][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[8][k] * favg[2][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[9][k] * favg[18][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[10][k] * favg[19][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[11][k] * favg[4][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[12][k] * favg[21][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[13][k] * favg[22][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[14][k] * favg[5][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[15][k] * favg[25][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[18][k] * favg[9][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[19][k] * favg[10][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[21][k] * favg[12][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[22][k] * favg[13][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[23][k] * favg[29][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[24][k] * favg[30][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[25][k] * favg[15][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[29][k] * favg[23][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[30][k] * favg[24][k];
     }
-    for k in 0..LANES {
-        ghat[4].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[4].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[9].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[10].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[11].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[0].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[15].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[18].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[19].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[1].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[2].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[3].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[23].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[24].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[25].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[5].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[7].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[8].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[29].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[30].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[12].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[13].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[14].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[21].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[22].0[k];
+    for k in 0..L {
+        ghat[4][k] += 0.17677669529663687 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[1][k] * favg[9][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[2][k] * favg[10][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[3][k] * favg[11][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[4][k] * favg[0][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[5][k] * favg[15][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[7][k] * favg[18][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[8][k] * favg[19][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[9][k] * favg[1][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[10][k] * favg[2][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[11][k] * favg[3][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[12][k] * favg[23][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[13][k] * favg[24][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[14][k] * favg[25][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[15][k] * favg[5][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[18][k] * favg[7][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[19][k] * favg[8][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[21][k] * favg[29][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[22][k] * favg[30][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[23][k] * favg[12][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[24][k] * favg[13][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[25][k] * favg[14][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[29][k] * favg[21][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[30][k] * favg[22][k];
     }
-    for k in 0..LANES {
-        ghat[5].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[5].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[12].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[13].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[14].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[15].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[0].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[21].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[22].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[23].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[24].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[25].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[1].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[2].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[3].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[4].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[29].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[30].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[7].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[8].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[9].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[10].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[11].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[18].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[19].0[k];
+    for k in 0..L {
+        ghat[5][k] += 0.17677669529663687 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[1][k] * favg[12][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[2][k] * favg[13][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[3][k] * favg[14][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[4][k] * favg[15][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[5][k] * favg[0][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[7][k] * favg[21][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[8][k] * favg[22][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[9][k] * favg[23][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[10][k] * favg[24][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[11][k] * favg[25][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[12][k] * favg[1][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[13][k] * favg[2][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[14][k] * favg[3][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[15][k] * favg[4][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[18][k] * favg[29][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[19][k] * favg[30][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[21][k] * favg[7][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[22][k] * favg[8][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[23][k] * favg[9][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[24][k] * favg[10][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[25][k] * favg[11][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[29][k] * favg[18][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[30][k] * favg[19][k];
     }
-    for k in 0..LANES {
-        ghat[6].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[6].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[2].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[1].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[16].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[17].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[20].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[8].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[7].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[10].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[9].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[26].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[13].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[12].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[27].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[28].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[19].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[18].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[22].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[21].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[24].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[23].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[31].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[30].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[29].0[k];
+    for k in 0..L {
+        ghat[6][k] += 0.17677669529663687 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[1][k] * favg[2][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[2][k] * favg[1][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[3][k] * favg[16][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[4][k] * favg[17][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[5][k] * favg[20][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[7][k] * favg[8][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[8][k] * favg[7][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[9][k] * favg[10][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[10][k] * favg[9][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[11][k] * favg[26][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[12][k] * favg[13][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[13][k] * favg[12][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[14][k] * favg[27][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[15][k] * favg[28][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[18][k] * favg[19][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[19][k] * favg[18][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[21][k] * favg[22][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[22][k] * favg[21][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[23][k] * favg[24][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[24][k] * favg[23][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[25][k] * favg[31][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[29][k] * favg[30][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[30][k] * favg[29][k];
     }
-    for k in 0..LANES {
-        ghat[7].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[7].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[3].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[16].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[1].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[18].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[21].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[0].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[6].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[11].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[26].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[9].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[14].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[27].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[12].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[29].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[4].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[17].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[5].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[20].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[25].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[31].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[23].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[15].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[28].0[k];
+    for k in 0..L {
+        ghat[7][k] += 0.17677669529663687 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[1][k] * favg[3][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[2][k] * favg[16][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[3][k] * favg[1][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[4][k] * favg[18][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[5][k] * favg[21][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[7][k] * favg[0][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[8][k] * favg[6][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[9][k] * favg[11][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[10][k] * favg[26][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[11][k] * favg[9][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[12][k] * favg[14][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[13][k] * favg[27][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[14][k] * favg[12][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[15][k] * favg[29][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[18][k] * favg[4][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[19][k] * favg[17][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[21][k] * favg[5][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[22][k] * favg[20][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[23][k] * favg[25][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[24][k] * favg[31][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[25][k] * favg[23][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[29][k] * favg[15][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[30][k] * favg[28][k];
     }
-    for k in 0..LANES {
-        ghat[8].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[8].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[16].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[3].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[2].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[19].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[22].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[6].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[0].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[26].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[11].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[10].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[27].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[14].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[13].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[30].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[17].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[4].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[20].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[5].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[31].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[25].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[24].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[28].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[15].0[k];
+    for k in 0..L {
+        ghat[8][k] += 0.17677669529663687 * alpha[0][k] * favg[8][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[1][k] * favg[16][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[2][k] * favg[3][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[3][k] * favg[2][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[4][k] * favg[19][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[5][k] * favg[22][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[7][k] * favg[6][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[8][k] * favg[0][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[9][k] * favg[26][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[10][k] * favg[11][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[11][k] * favg[10][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[12][k] * favg[27][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[13][k] * favg[14][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[14][k] * favg[13][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[15][k] * favg[30][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[18][k] * favg[17][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[19][k] * favg[4][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[21][k] * favg[20][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[22][k] * favg[5][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[23][k] * favg[31][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[24][k] * favg[25][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[25][k] * favg[24][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[29][k] * favg[28][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[30][k] * favg[15][k];
     }
-    for k in 0..LANES {
-        ghat[9].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[9].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[4].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[17].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[18].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[1].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[23].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[11].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[26].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[0].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[6].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[7].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[15].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[28].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[29].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[12].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[3].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[16].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[25].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[31].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[5].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[20].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[21].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[14].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[27].0[k];
+    for k in 0..L {
+        ghat[9][k] += 0.17677669529663687 * alpha[0][k] * favg[9][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[1][k] * favg[4][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[2][k] * favg[17][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[3][k] * favg[18][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[4][k] * favg[1][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[5][k] * favg[23][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[7][k] * favg[11][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[8][k] * favg[26][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[9][k] * favg[0][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[10][k] * favg[6][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[11][k] * favg[7][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[12][k] * favg[15][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[13][k] * favg[28][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[14][k] * favg[29][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[15][k] * favg[12][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[18][k] * favg[3][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[19][k] * favg[16][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[21][k] * favg[25][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[22][k] * favg[31][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[23][k] * favg[5][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[24][k] * favg[20][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[25][k] * favg[21][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[29][k] * favg[14][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[30][k] * favg[27][k];
     }
-    for k in 0..LANES {
-        ghat[10].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[10].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[17].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[4].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[19].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[2].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[24].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[26].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[11].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[6].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[0].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[8].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[28].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[15].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[30].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[13].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[16].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[3].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[31].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[25].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[20].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[5].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[22].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[27].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[14].0[k];
+    for k in 0..L {
+        ghat[10][k] += 0.17677669529663687 * alpha[0][k] * favg[10][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[1][k] * favg[17][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[2][k] * favg[4][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[3][k] * favg[19][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[4][k] * favg[2][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[5][k] * favg[24][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[7][k] * favg[26][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[8][k] * favg[11][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[9][k] * favg[6][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[10][k] * favg[0][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[11][k] * favg[8][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[12][k] * favg[28][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[13][k] * favg[15][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[14][k] * favg[30][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[15][k] * favg[13][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[18][k] * favg[16][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[19][k] * favg[3][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[21][k] * favg[31][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[22][k] * favg[25][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[23][k] * favg[20][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[24][k] * favg[5][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[25][k] * favg[22][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[29][k] * favg[27][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[30][k] * favg[14][k];
     }
-    for k in 0..LANES {
-        ghat[11].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[11].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[18].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[19].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[4].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[3].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[25].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[9].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[10].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[7].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[8].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[0].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[29].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[30].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[15].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[14].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[1].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[2].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[23].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[24].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[21].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[22].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[5].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[12].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[13].0[k];
+    for k in 0..L {
+        ghat[11][k] += 0.17677669529663687 * alpha[0][k] * favg[11][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[1][k] * favg[18][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[2][k] * favg[19][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[3][k] * favg[4][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[4][k] * favg[3][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[5][k] * favg[25][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[7][k] * favg[9][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[8][k] * favg[10][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[9][k] * favg[7][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[10][k] * favg[8][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[11][k] * favg[0][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[12][k] * favg[29][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[13][k] * favg[30][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[14][k] * favg[15][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[15][k] * favg[14][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[18][k] * favg[1][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[19][k] * favg[2][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[21][k] * favg[23][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[22][k] * favg[24][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[23][k] * favg[21][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[24][k] * favg[22][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[25][k] * favg[5][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[29][k] * favg[12][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[30][k] * favg[13][k];
     }
-    for k in 0..LANES {
-        ghat[12].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[12].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[5].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[20].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[21].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[23].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[1].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[14].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[27].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[15].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[28].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[29].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[0].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[6].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[7].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[9].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[25].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[31].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[3].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[16].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[4].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[17].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[18].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[11].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[26].0[k];
+    for k in 0..L {
+        ghat[12][k] += 0.17677669529663687 * alpha[0][k] * favg[12][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[1][k] * favg[5][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[2][k] * favg[20][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[3][k] * favg[21][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[4][k] * favg[23][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[5][k] * favg[1][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[7][k] * favg[14][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[8][k] * favg[27][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[9][k] * favg[15][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[10][k] * favg[28][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[11][k] * favg[29][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[12][k] * favg[0][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[13][k] * favg[6][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[14][k] * favg[7][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[15][k] * favg[9][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[18][k] * favg[25][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[19][k] * favg[31][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[21][k] * favg[3][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[22][k] * favg[16][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[23][k] * favg[4][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[24][k] * favg[17][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[25][k] * favg[18][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[29][k] * favg[11][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[30][k] * favg[26][k];
     }
-    for k in 0..LANES {
-        ghat[13].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[13].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[20].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[5].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[22].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[24].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[2].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[27].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[14].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[28].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[15].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[30].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[6].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[0].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[8].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[10].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[31].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[25].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[16].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[3].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[17].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[4].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[19].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[26].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[11].0[k];
+    for k in 0..L {
+        ghat[13][k] += 0.17677669529663687 * alpha[0][k] * favg[13][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[1][k] * favg[20][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[2][k] * favg[5][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[3][k] * favg[22][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[4][k] * favg[24][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[5][k] * favg[2][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[7][k] * favg[27][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[8][k] * favg[14][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[9][k] * favg[28][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[10][k] * favg[15][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[11][k] * favg[30][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[12][k] * favg[6][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[13][k] * favg[0][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[14][k] * favg[8][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[15][k] * favg[10][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[18][k] * favg[31][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[19][k] * favg[25][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[21][k] * favg[16][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[22][k] * favg[3][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[23][k] * favg[17][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[24][k] * favg[4][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[25][k] * favg[19][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[29][k] * favg[26][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[30][k] * favg[11][k];
     }
-    for k in 0..LANES {
-        ghat[14].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[14].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[21].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[22].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[5].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[25].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[3].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[12].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[13].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[29].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[30].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[15].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[7].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[8].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[0].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[11].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[23].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[24].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[1].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[2].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[18].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[19].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[4].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[9].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[10].0[k];
+    for k in 0..L {
+        ghat[14][k] += 0.17677669529663687 * alpha[0][k] * favg[14][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[1][k] * favg[21][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[2][k] * favg[22][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[3][k] * favg[5][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[4][k] * favg[25][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[5][k] * favg[3][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[7][k] * favg[12][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[8][k] * favg[13][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[9][k] * favg[29][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[10][k] * favg[30][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[11][k] * favg[15][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[12][k] * favg[7][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[13][k] * favg[8][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[14][k] * favg[0][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[15][k] * favg[11][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[18][k] * favg[23][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[19][k] * favg[24][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[21][k] * favg[1][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[22][k] * favg[2][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[23][k] * favg[18][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[24][k] * favg[19][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[25][k] * favg[4][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[29][k] * favg[9][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[30][k] * favg[10][k];
     }
-    for k in 0..LANES {
-        ghat[15].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[15].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[23].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[24].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[25].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[5].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[4].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[29].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[30].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[12].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[13].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[14].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[9].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[10].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[11].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[0].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[21].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[22].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[18].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[19].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[1].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[2].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[3].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[7].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[8].0[k];
+    for k in 0..L {
+        ghat[15][k] += 0.17677669529663687 * alpha[0][k] * favg[15][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[1][k] * favg[23][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[2][k] * favg[24][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[3][k] * favg[25][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[4][k] * favg[5][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[5][k] * favg[4][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[7][k] * favg[29][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[8][k] * favg[30][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[9][k] * favg[12][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[10][k] * favg[13][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[11][k] * favg[14][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[12][k] * favg[9][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[13][k] * favg[10][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[14][k] * favg[11][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[15][k] * favg[0][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[18][k] * favg[21][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[19][k] * favg[22][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[21][k] * favg[18][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[22][k] * favg[19][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[23][k] * favg[1][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[24][k] * favg[2][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[25][k] * favg[3][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[29][k] * favg[7][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[30][k] * favg[8][k];
     }
-    for k in 0..LANES {
-        ghat[16].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[16].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[8].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[7].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[6].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[26].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[27].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[2].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[1].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[19].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[18].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[17].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[22].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[21].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[20].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[31].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[10].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[9].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[13].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[12].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[30].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[29].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[28].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[24].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[23].0[k];
+    for k in 0..L {
+        ghat[16][k] += 0.1767766952966369 * alpha[0][k] * favg[16][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[1][k] * favg[8][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[2][k] * favg[7][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[3][k] * favg[6][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[4][k] * favg[26][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[5][k] * favg[27][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[7][k] * favg[2][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[8][k] * favg[1][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[9][k] * favg[19][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[10][k] * favg[18][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[11][k] * favg[17][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[12][k] * favg[22][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[13][k] * favg[21][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[14][k] * favg[20][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[15][k] * favg[31][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[18][k] * favg[10][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[19][k] * favg[9][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[21][k] * favg[13][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[22][k] * favg[12][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[23][k] * favg[30][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[24][k] * favg[29][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[25][k] * favg[28][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[29][k] * favg[24][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[30][k] * favg[23][k];
     }
-    for k in 0..LANES {
-        ghat[17].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[17].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[10].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[9].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[26].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[6].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[28].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[19].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[18].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[2].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[1].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[16].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[24].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[23].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[31].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[20].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[8].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[7].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[30].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[29].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[13].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[12].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[27].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[22].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[21].0[k];
+    for k in 0..L {
+        ghat[17][k] += 0.1767766952966369 * alpha[0][k] * favg[17][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[1][k] * favg[10][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[2][k] * favg[9][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[3][k] * favg[26][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[4][k] * favg[6][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[5][k] * favg[28][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[7][k] * favg[19][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[8][k] * favg[18][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[9][k] * favg[2][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[10][k] * favg[1][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[11][k] * favg[16][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[12][k] * favg[24][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[13][k] * favg[23][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[14][k] * favg[31][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[15][k] * favg[20][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[18][k] * favg[8][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[19][k] * favg[7][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[21][k] * favg[30][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[22][k] * favg[29][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[23][k] * favg[13][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[24][k] * favg[12][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[25][k] * favg[27][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[29][k] * favg[22][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[30][k] * favg[21][k];
     }
-    for k in 0..LANES {
-        ghat[18].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[18].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[11].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[26].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[9].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[7].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[29].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[4].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[17].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[3].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[16].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[1].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[25].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[31].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[23].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[21].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[0].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[6].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[15].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[28].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[14].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[27].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[12].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[5].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[20].0[k];
+    for k in 0..L {
+        ghat[18][k] += 0.1767766952966369 * alpha[0][k] * favg[18][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[1][k] * favg[11][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[2][k] * favg[26][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[3][k] * favg[9][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[4][k] * favg[7][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[5][k] * favg[29][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[7][k] * favg[4][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[8][k] * favg[17][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[9][k] * favg[3][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[10][k] * favg[16][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[11][k] * favg[1][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[12][k] * favg[25][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[13][k] * favg[31][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[14][k] * favg[23][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[15][k] * favg[21][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[18][k] * favg[0][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[19][k] * favg[6][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[21][k] * favg[15][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[22][k] * favg[28][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[23][k] * favg[14][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[24][k] * favg[27][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[25][k] * favg[12][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[29][k] * favg[5][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[30][k] * favg[20][k];
     }
-    for k in 0..LANES {
-        ghat[19].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[19].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[26].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[11].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[10].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[8].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[30].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[17].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[4].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[16].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[3].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[2].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[31].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[25].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[24].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[22].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[6].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[0].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[28].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[15].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[27].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[14].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[13].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[20].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[5].0[k];
+    for k in 0..L {
+        ghat[19][k] += 0.1767766952966369 * alpha[0][k] * favg[19][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[1][k] * favg[26][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[2][k] * favg[11][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[3][k] * favg[10][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[4][k] * favg[8][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[5][k] * favg[30][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[7][k] * favg[17][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[8][k] * favg[4][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[9][k] * favg[16][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[10][k] * favg[3][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[11][k] * favg[2][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[12][k] * favg[31][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[13][k] * favg[25][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[14][k] * favg[24][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[15][k] * favg[22][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[18][k] * favg[6][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[19][k] * favg[0][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[21][k] * favg[28][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[22][k] * favg[15][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[23][k] * favg[27][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[24][k] * favg[14][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[25][k] * favg[13][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[29][k] * favg[20][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[30][k] * favg[5][k];
     }
-    for k in 0..LANES {
-        ghat[20].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[20].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[13].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[12].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[27].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[28].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[6].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[22].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[21].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[24].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[23].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[31].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[2].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[1].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[16].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[17].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[30].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[29].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[8].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[7].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[10].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[9].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[26].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[19].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[18].0[k];
+    for k in 0..L {
+        ghat[20][k] += 0.1767766952966369 * alpha[0][k] * favg[20][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[1][k] * favg[13][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[2][k] * favg[12][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[3][k] * favg[27][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[4][k] * favg[28][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[5][k] * favg[6][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[7][k] * favg[22][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[8][k] * favg[21][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[9][k] * favg[24][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[10][k] * favg[23][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[11][k] * favg[31][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[12][k] * favg[2][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[13][k] * favg[1][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[14][k] * favg[16][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[15][k] * favg[17][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[18][k] * favg[30][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[19][k] * favg[29][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[21][k] * favg[8][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[22][k] * favg[7][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[23][k] * favg[10][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[24][k] * favg[9][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[25][k] * favg[26][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[29][k] * favg[19][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[30][k] * favg[18][k];
     }
-    for k in 0..LANES {
-        ghat[21].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[21].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[14].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[27].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[12].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[29].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[7].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[5].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[20].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[25].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[31].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[23].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[3].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[16].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[1].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[18].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[15].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[28].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[0].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[6].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[11].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[26].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[9].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[4].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[17].0[k];
+    for k in 0..L {
+        ghat[21][k] += 0.1767766952966369 * alpha[0][k] * favg[21][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[1][k] * favg[14][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[2][k] * favg[27][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[3][k] * favg[12][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[4][k] * favg[29][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[5][k] * favg[7][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[7][k] * favg[5][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[8][k] * favg[20][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[9][k] * favg[25][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[10][k] * favg[31][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[11][k] * favg[23][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[12][k] * favg[3][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[13][k] * favg[16][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[14][k] * favg[1][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[15][k] * favg[18][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[18][k] * favg[15][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[19][k] * favg[28][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[21][k] * favg[0][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[22][k] * favg[6][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[23][k] * favg[11][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[24][k] * favg[26][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[25][k] * favg[9][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[29][k] * favg[4][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[30][k] * favg[17][k];
     }
-    for k in 0..LANES {
-        ghat[22].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[22].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[27].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[14].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[13].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[30].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[8].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[20].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[5].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[31].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[25].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[24].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[16].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[3].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[2].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[19].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[28].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[15].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[6].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[0].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[26].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[11].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[10].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[17].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[4].0[k];
+    for k in 0..L {
+        ghat[22][k] += 0.1767766952966369 * alpha[0][k] * favg[22][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[1][k] * favg[27][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[2][k] * favg[14][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[3][k] * favg[13][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[4][k] * favg[30][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[5][k] * favg[8][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[7][k] * favg[20][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[8][k] * favg[5][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[9][k] * favg[31][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[10][k] * favg[25][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[11][k] * favg[24][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[12][k] * favg[16][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[13][k] * favg[3][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[14][k] * favg[2][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[15][k] * favg[19][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[18][k] * favg[28][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[19][k] * favg[15][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[21][k] * favg[6][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[22][k] * favg[0][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[23][k] * favg[26][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[24][k] * favg[11][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[25][k] * favg[10][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[29][k] * favg[17][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[30][k] * favg[4][k];
     }
-    for k in 0..LANES {
-        ghat[23].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[23].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[15].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[28].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[29].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[12].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[9].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[25].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[31].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[5].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[20].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[21].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[4].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[17].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[18].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[1].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[14].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[27].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[11].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[26].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[0].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[6].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[7].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[3].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[16].0[k];
+    for k in 0..L {
+        ghat[23][k] += 0.1767766952966369 * alpha[0][k] * favg[23][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[1][k] * favg[15][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[2][k] * favg[28][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[3][k] * favg[29][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[4][k] * favg[12][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[5][k] * favg[9][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[7][k] * favg[25][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[8][k] * favg[31][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[9][k] * favg[5][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[10][k] * favg[20][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[11][k] * favg[21][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[12][k] * favg[4][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[13][k] * favg[17][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[14][k] * favg[18][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[15][k] * favg[1][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[18][k] * favg[14][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[19][k] * favg[27][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[21][k] * favg[11][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[22][k] * favg[26][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[23][k] * favg[0][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[24][k] * favg[6][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[25][k] * favg[7][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[29][k] * favg[3][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[30][k] * favg[16][k];
     }
-    for k in 0..LANES {
-        ghat[24].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[24].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[28].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[15].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[30].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[13].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[10].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[31].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[25].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[20].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[5].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[22].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[17].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[4].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[19].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[2].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[27].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[14].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[26].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[11].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[6].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[0].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[8].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[16].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[3].0[k];
+    for k in 0..L {
+        ghat[24][k] += 0.1767766952966369 * alpha[0][k] * favg[24][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[1][k] * favg[28][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[2][k] * favg[15][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[3][k] * favg[30][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[4][k] * favg[13][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[5][k] * favg[10][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[7][k] * favg[31][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[8][k] * favg[25][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[9][k] * favg[20][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[10][k] * favg[5][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[11][k] * favg[22][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[12][k] * favg[17][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[13][k] * favg[4][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[14][k] * favg[19][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[15][k] * favg[2][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[18][k] * favg[27][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[19][k] * favg[14][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[21][k] * favg[26][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[22][k] * favg[11][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[23][k] * favg[6][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[24][k] * favg[0][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[25][k] * favg[8][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[29][k] * favg[16][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[30][k] * favg[3][k];
     }
-    for k in 0..LANES {
-        ghat[25].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[25].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[29].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[30].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[15].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[14].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[11].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[23].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[24].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[21].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[22].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[5].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[18].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[19].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[4].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[3].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[12].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[13].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[9].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[10].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[7].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[8].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[0].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[1].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[2].0[k];
+    for k in 0..L {
+        ghat[25][k] += 0.1767766952966369 * alpha[0][k] * favg[25][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[1][k] * favg[29][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[2][k] * favg[30][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[3][k] * favg[15][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[4][k] * favg[14][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[5][k] * favg[11][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[7][k] * favg[23][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[8][k] * favg[24][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[9][k] * favg[21][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[10][k] * favg[22][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[11][k] * favg[5][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[12][k] * favg[18][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[13][k] * favg[19][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[14][k] * favg[4][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[15][k] * favg[3][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[18][k] * favg[12][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[19][k] * favg[13][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[21][k] * favg[9][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[22][k] * favg[10][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[23][k] * favg[7][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[24][k] * favg[8][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[25][k] * favg[0][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[29][k] * favg[1][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[30][k] * favg[2][k];
     }
-    for k in 0..LANES {
-        ghat[26].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[26].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[19].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[18].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[17].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[16].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[31].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[10].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[9].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[8].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[7].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[6].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[30].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[29].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[28].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[27].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[2].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[1].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[24].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[23].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[22].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[21].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[20].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[13].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[12].0[k];
+    for k in 0..L {
+        ghat[26][k] += 0.17677669529663687 * alpha[0][k] * favg[26][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[1][k] * favg[19][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[2][k] * favg[18][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[3][k] * favg[17][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[4][k] * favg[16][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[5][k] * favg[31][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[7][k] * favg[10][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[8][k] * favg[9][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[9][k] * favg[8][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[10][k] * favg[7][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[11][k] * favg[6][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[12][k] * favg[30][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[13][k] * favg[29][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[14][k] * favg[28][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[15][k] * favg[27][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[18][k] * favg[2][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[19][k] * favg[1][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[21][k] * favg[24][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[22][k] * favg[23][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[23][k] * favg[22][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[24][k] * favg[21][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[25][k] * favg[20][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[29][k] * favg[13][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[30][k] * favg[12][k];
     }
-    for k in 0..LANES {
-        ghat[27].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[27].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[22].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[21].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[20].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[31].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[16].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[13].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[12].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[30].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[29].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[28].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[8].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[7].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[6].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[26].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[24].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[23].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[2].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[1].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[19].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[18].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[17].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[10].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[9].0[k];
+    for k in 0..L {
+        ghat[27][k] += 0.17677669529663687 * alpha[0][k] * favg[27][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[1][k] * favg[22][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[2][k] * favg[21][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[3][k] * favg[20][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[4][k] * favg[31][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[5][k] * favg[16][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[7][k] * favg[13][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[8][k] * favg[12][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[9][k] * favg[30][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[10][k] * favg[29][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[11][k] * favg[28][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[12][k] * favg[8][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[13][k] * favg[7][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[14][k] * favg[6][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[15][k] * favg[26][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[18][k] * favg[24][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[19][k] * favg[23][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[21][k] * favg[2][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[22][k] * favg[1][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[23][k] * favg[19][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[24][k] * favg[18][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[25][k] * favg[17][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[29][k] * favg[10][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[30][k] * favg[9][k];
     }
-    for k in 0..LANES {
-        ghat[28].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[28].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[24].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[23].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[31].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[20].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[17].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[30].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[29].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[13].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[12].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[27].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[10].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[9].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[26].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[6].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[22].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[21].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[19].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[18].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[2].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[1].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[16].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[8].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[7].0[k];
+    for k in 0..L {
+        ghat[28][k] += 0.17677669529663687 * alpha[0][k] * favg[28][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[1][k] * favg[24][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[2][k] * favg[23][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[3][k] * favg[31][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[4][k] * favg[20][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[5][k] * favg[17][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[7][k] * favg[30][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[8][k] * favg[29][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[9][k] * favg[13][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[10][k] * favg[12][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[11][k] * favg[27][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[12][k] * favg[10][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[13][k] * favg[9][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[14][k] * favg[26][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[15][k] * favg[6][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[18][k] * favg[22][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[19][k] * favg[21][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[21][k] * favg[19][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[22][k] * favg[18][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[23][k] * favg[2][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[24][k] * favg[1][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[25][k] * favg[16][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[29][k] * favg[8][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[30][k] * favg[7][k];
     }
-    for k in 0..LANES {
-        ghat[29].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[29].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[25].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[31].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[23].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[21].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[18].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[15].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[28].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[14].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[27].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[12].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[11].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[26].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[9].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[7].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[5].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[20].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[4].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[17].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[3].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[16].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[1].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[0].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[6].0[k];
+    for k in 0..L {
+        ghat[29][k] += 0.17677669529663687 * alpha[0][k] * favg[29][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[1][k] * favg[25][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[2][k] * favg[31][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[3][k] * favg[23][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[4][k] * favg[21][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[5][k] * favg[18][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[7][k] * favg[15][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[8][k] * favg[28][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[9][k] * favg[14][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[10][k] * favg[27][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[11][k] * favg[12][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[12][k] * favg[11][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[13][k] * favg[26][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[14][k] * favg[9][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[15][k] * favg[7][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[18][k] * favg[5][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[19][k] * favg[20][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[21][k] * favg[4][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[22][k] * favg[17][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[23][k] * favg[3][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[24][k] * favg[16][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[25][k] * favg[1][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[29][k] * favg[0][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[30][k] * favg[6][k];
     }
-    for k in 0..LANES {
-        ghat[30].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[30].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[31].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[25].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[24].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[22].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[19].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[28].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[15].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[27].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[14].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[13].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[26].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[11].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[10].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[8].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[20].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[5].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[17].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[4].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[16].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[3].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[2].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[6].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[0].0[k];
+    for k in 0..L {
+        ghat[30][k] += 0.17677669529663687 * alpha[0][k] * favg[30][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[1][k] * favg[31][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[2][k] * favg[25][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[3][k] * favg[24][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[4][k] * favg[22][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[5][k] * favg[19][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[7][k] * favg[28][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[8][k] * favg[15][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[9][k] * favg[27][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[10][k] * favg[14][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[11][k] * favg[13][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[12][k] * favg[26][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[13][k] * favg[11][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[14][k] * favg[10][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[15][k] * favg[8][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[18][k] * favg[20][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[19][k] * favg[5][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[21][k] * favg[17][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[22][k] * favg[4][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[23][k] * favg[16][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[24][k] * favg[3][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[25][k] * favg[2][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[29][k] * favg[6][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[30][k] * favg[0][k];
     }
-    for k in 0..LANES {
-        ghat[31].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[31].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[30].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[29].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[28].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[27].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[26].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[24].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[23].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[22].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[21].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[20].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[19].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[18].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[17].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[16].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[13].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[12].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[10].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[9].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[8].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[7].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[6].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[2].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[1].0[k];
+    for k in 0..L {
+        ghat[31][k] += 0.1767766952966369 * alpha[0][k] * favg[31][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[1][k] * favg[30][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[2][k] * favg[29][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[3][k] * favg[28][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[4][k] * favg[27][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[5][k] * favg[26][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[7][k] * favg[24][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[8][k] * favg[23][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[9][k] * favg[22][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[10][k] * favg[21][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[11][k] * favg[20][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[12][k] * favg[19][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[13][k] * favg[18][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[14][k] * favg[17][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[15][k] * favg[16][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[18][k] * favg[13][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[19][k] * favg[12][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[21][k] * favg[10][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[22][k] * favg[9][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[23][k] * favg[8][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[24][k] * favg[7][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[25][k] * favg[6][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[29][k] * favg[2][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[30][k] * favg[1][k];
     }
-    sx4(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_lo[2], -rd * 1.224744871391589, &ghat[0]);
-    sx4(&mut out_lo[3], -rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_lo[4], -rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_lo[5], -rd * 0.7071067811865476, &ghat[4]);
-    sx4(&mut out_lo[6], -rd * 0.7071067811865476, &ghat[5]);
-    sx4(&mut out_lo[7], -rd * 1.224744871391589, &ghat[1]);
-    sx4(&mut out_lo[8], -rd * 0.7071067811865476, &ghat[6]);
-    sx4(&mut out_lo[9], -rd * 1.224744871391589, &ghat[2]);
-    sx4(&mut out_lo[10], -rd * 0.7071067811865476, &ghat[7]);
-    sx4(&mut out_lo[11], -rd * 1.224744871391589, &ghat[3]);
-    sx4(&mut out_lo[12], -rd * 0.7071067811865476, &ghat[8]);
-    sx4(&mut out_lo[13], -rd * 0.7071067811865476, &ghat[9]);
-    sx4(&mut out_lo[14], -rd * 1.224744871391589, &ghat[4]);
-    sx4(&mut out_lo[15], -rd * 0.7071067811865476, &ghat[10]);
-    sx4(&mut out_lo[16], -rd * 0.7071067811865476, &ghat[11]);
-    sx4(&mut out_lo[17], -rd * 0.7071067811865476, &ghat[12]);
-    sx4(&mut out_lo[18], -rd * 1.224744871391589, &ghat[5]);
-    sx4(&mut out_lo[19], -rd * 0.7071067811865476, &ghat[13]);
-    sx4(&mut out_lo[20], -rd * 0.7071067811865476, &ghat[14]);
-    sx4(&mut out_lo[21], -rd * 0.7071067811865476, &ghat[15]);
-    sx4(&mut out_lo[22], -rd * 1.224744871391589, &ghat[6]);
-    sx4(&mut out_lo[23], -rd * 1.224744871391589, &ghat[7]);
-    sx4(&mut out_lo[24], -rd * 0.7071067811865476, &ghat[16]);
-    sx4(&mut out_lo[25], -rd * 1.224744871391589, &ghat[8]);
-    sx4(&mut out_lo[26], -rd * 1.224744871391589, &ghat[9]);
-    sx4(&mut out_lo[27], -rd * 0.7071067811865476, &ghat[17]);
-    sx4(&mut out_lo[28], -rd * 1.224744871391589, &ghat[10]);
-    sx4(&mut out_lo[29], -rd * 0.7071067811865476, &ghat[18]);
-    sx4(&mut out_lo[30], -rd * 1.224744871391589, &ghat[11]);
-    sx4(&mut out_lo[31], -rd * 0.7071067811865476, &ghat[19]);
-    sx4(&mut out_lo[32], -rd * 1.224744871391589, &ghat[12]);
-    sx4(&mut out_lo[33], -rd * 0.7071067811865476, &ghat[20]);
-    sx4(&mut out_lo[34], -rd * 1.224744871391589, &ghat[13]);
-    sx4(&mut out_lo[35], -rd * 0.7071067811865476, &ghat[21]);
-    sx4(&mut out_lo[36], -rd * 1.224744871391589, &ghat[14]);
-    sx4(&mut out_lo[37], -rd * 0.7071067811865476, &ghat[22]);
-    sx4(&mut out_lo[38], -rd * 0.7071067811865476, &ghat[23]);
-    sx4(&mut out_lo[39], -rd * 1.224744871391589, &ghat[15]);
-    sx4(&mut out_lo[40], -rd * 0.7071067811865476, &ghat[24]);
-    sx4(&mut out_lo[41], -rd * 0.7071067811865476, &ghat[25]);
-    sx4(&mut out_lo[42], -rd * 1.224744871391589, &ghat[16]);
-    sx4(&mut out_lo[43], -rd * 1.224744871391589, &ghat[17]);
-    sx4(&mut out_lo[44], -rd * 1.224744871391589, &ghat[18]);
-    sx4(&mut out_lo[45], -rd * 0.7071067811865476, &ghat[26]);
-    sx4(&mut out_lo[46], -rd * 1.224744871391589, &ghat[19]);
-    sx4(&mut out_lo[47], -rd * 1.224744871391589, &ghat[20]);
-    sx4(&mut out_lo[48], -rd * 1.224744871391589, &ghat[21]);
-    sx4(&mut out_lo[49], -rd * 0.7071067811865476, &ghat[27]);
-    sx4(&mut out_lo[50], -rd * 1.224744871391589, &ghat[22]);
-    sx4(&mut out_lo[51], -rd * 1.224744871391589, &ghat[23]);
-    sx4(&mut out_lo[52], -rd * 0.7071067811865476, &ghat[28]);
-    sx4(&mut out_lo[53], -rd * 1.224744871391589, &ghat[24]);
-    sx4(&mut out_lo[54], -rd * 0.7071067811865476, &ghat[29]);
-    sx4(&mut out_lo[55], -rd * 1.224744871391589, &ghat[25]);
-    sx4(&mut out_lo[56], -rd * 0.7071067811865476, &ghat[30]);
-    sx4(&mut out_lo[57], -rd * 1.224744871391589, &ghat[26]);
-    sx4(&mut out_lo[58], -rd * 1.224744871391589, &ghat[27]);
-    sx4(&mut out_lo[59], -rd * 1.224744871391589, &ghat[28]);
-    sx4(&mut out_lo[60], -rd * 1.224744871391589, &ghat[29]);
-    sx4(&mut out_lo[61], -rd * 0.7071067811865476, &ghat[31]);
-    sx4(&mut out_lo[62], -rd * 1.224744871391589, &ghat[30]);
-    sx4(&mut out_lo[63], -rd * 1.224744871391589, &ghat[31]);
-    sx4(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_hi[1], rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_hi[2], rd * -1.224744871391589, &ghat[0]);
-    sx4(&mut out_hi[3], rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_hi[4], rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_hi[5], rd * 0.7071067811865476, &ghat[4]);
-    sx4(&mut out_hi[6], rd * 0.7071067811865476, &ghat[5]);
-    sx4(&mut out_hi[7], rd * -1.224744871391589, &ghat[1]);
-    sx4(&mut out_hi[8], rd * 0.7071067811865476, &ghat[6]);
-    sx4(&mut out_hi[9], rd * -1.224744871391589, &ghat[2]);
-    sx4(&mut out_hi[10], rd * 0.7071067811865476, &ghat[7]);
-    sx4(&mut out_hi[11], rd * -1.224744871391589, &ghat[3]);
-    sx4(&mut out_hi[12], rd * 0.7071067811865476, &ghat[8]);
-    sx4(&mut out_hi[13], rd * 0.7071067811865476, &ghat[9]);
-    sx4(&mut out_hi[14], rd * -1.224744871391589, &ghat[4]);
-    sx4(&mut out_hi[15], rd * 0.7071067811865476, &ghat[10]);
-    sx4(&mut out_hi[16], rd * 0.7071067811865476, &ghat[11]);
-    sx4(&mut out_hi[17], rd * 0.7071067811865476, &ghat[12]);
-    sx4(&mut out_hi[18], rd * -1.224744871391589, &ghat[5]);
-    sx4(&mut out_hi[19], rd * 0.7071067811865476, &ghat[13]);
-    sx4(&mut out_hi[20], rd * 0.7071067811865476, &ghat[14]);
-    sx4(&mut out_hi[21], rd * 0.7071067811865476, &ghat[15]);
-    sx4(&mut out_hi[22], rd * -1.224744871391589, &ghat[6]);
-    sx4(&mut out_hi[23], rd * -1.224744871391589, &ghat[7]);
-    sx4(&mut out_hi[24], rd * 0.7071067811865476, &ghat[16]);
-    sx4(&mut out_hi[25], rd * -1.224744871391589, &ghat[8]);
-    sx4(&mut out_hi[26], rd * -1.224744871391589, &ghat[9]);
-    sx4(&mut out_hi[27], rd * 0.7071067811865476, &ghat[17]);
-    sx4(&mut out_hi[28], rd * -1.224744871391589, &ghat[10]);
-    sx4(&mut out_hi[29], rd * 0.7071067811865476, &ghat[18]);
-    sx4(&mut out_hi[30], rd * -1.224744871391589, &ghat[11]);
-    sx4(&mut out_hi[31], rd * 0.7071067811865476, &ghat[19]);
-    sx4(&mut out_hi[32], rd * -1.224744871391589, &ghat[12]);
-    sx4(&mut out_hi[33], rd * 0.7071067811865476, &ghat[20]);
-    sx4(&mut out_hi[34], rd * -1.224744871391589, &ghat[13]);
-    sx4(&mut out_hi[35], rd * 0.7071067811865476, &ghat[21]);
-    sx4(&mut out_hi[36], rd * -1.224744871391589, &ghat[14]);
-    sx4(&mut out_hi[37], rd * 0.7071067811865476, &ghat[22]);
-    sx4(&mut out_hi[38], rd * 0.7071067811865476, &ghat[23]);
-    sx4(&mut out_hi[39], rd * -1.224744871391589, &ghat[15]);
-    sx4(&mut out_hi[40], rd * 0.7071067811865476, &ghat[24]);
-    sx4(&mut out_hi[41], rd * 0.7071067811865476, &ghat[25]);
-    sx4(&mut out_hi[42], rd * -1.224744871391589, &ghat[16]);
-    sx4(&mut out_hi[43], rd * -1.224744871391589, &ghat[17]);
-    sx4(&mut out_hi[44], rd * -1.224744871391589, &ghat[18]);
-    sx4(&mut out_hi[45], rd * 0.7071067811865476, &ghat[26]);
-    sx4(&mut out_hi[46], rd * -1.224744871391589, &ghat[19]);
-    sx4(&mut out_hi[47], rd * -1.224744871391589, &ghat[20]);
-    sx4(&mut out_hi[48], rd * -1.224744871391589, &ghat[21]);
-    sx4(&mut out_hi[49], rd * 0.7071067811865476, &ghat[27]);
-    sx4(&mut out_hi[50], rd * -1.224744871391589, &ghat[22]);
-    sx4(&mut out_hi[51], rd * -1.224744871391589, &ghat[23]);
-    sx4(&mut out_hi[52], rd * 0.7071067811865476, &ghat[28]);
-    sx4(&mut out_hi[53], rd * -1.224744871391589, &ghat[24]);
-    sx4(&mut out_hi[54], rd * 0.7071067811865476, &ghat[29]);
-    sx4(&mut out_hi[55], rd * -1.224744871391589, &ghat[25]);
-    sx4(&mut out_hi[56], rd * 0.7071067811865476, &ghat[30]);
-    sx4(&mut out_hi[57], rd * -1.224744871391589, &ghat[26]);
-    sx4(&mut out_hi[58], rd * -1.224744871391589, &ghat[27]);
-    sx4(&mut out_hi[59], rd * -1.224744871391589, &ghat[28]);
-    sx4(&mut out_hi[60], rd * -1.224744871391589, &ghat[29]);
-    sx4(&mut out_hi[61], rd * 0.7071067811865476, &ghat[31]);
-    sx4(&mut out_hi[62], rd * -1.224744871391589, &ghat[30]);
-    sx4(&mut out_hi[63], rd * -1.224744871391589, &ghat[31]);
+    sxn(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[2], -rd * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[3], -rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], -rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], -rd * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], -rd * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[7], -rd * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[8], -rd * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[9], -rd * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[10], -rd * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[11], -rd * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[12], -rd * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[13], -rd * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[14], -rd * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[15], -rd * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[16], -rd * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[17], -rd * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[18], -rd * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[19], -rd * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[20], -rd * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[21], -rd * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[22], -rd * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[23], -rd * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[24], -rd * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_lo[25], -rd * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[26], -rd * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[27], -rd * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_lo[28], -rd * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[29], -rd * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_lo[30], -rd * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[31], -rd * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_lo[32], -rd * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[33], -rd * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_lo[34], -rd * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[35], -rd * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_lo[36], -rd * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[37], -rd * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_lo[38], -rd * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_lo[39], -rd * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_lo[40], -rd * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_lo[41], -rd * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_lo[42], -rd * 1.224744871391589, &ghat[16]);
+    sxn(&mut out_lo[43], -rd * 1.224744871391589, &ghat[17]);
+    sxn(&mut out_lo[44], -rd * 1.224744871391589, &ghat[18]);
+    sxn(&mut out_lo[45], -rd * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_lo[46], -rd * 1.224744871391589, &ghat[19]);
+    sxn(&mut out_lo[47], -rd * 1.224744871391589, &ghat[20]);
+    sxn(&mut out_lo[48], -rd * 1.224744871391589, &ghat[21]);
+    sxn(&mut out_lo[49], -rd * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_lo[50], -rd * 1.224744871391589, &ghat[22]);
+    sxn(&mut out_lo[51], -rd * 1.224744871391589, &ghat[23]);
+    sxn(&mut out_lo[52], -rd * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_lo[53], -rd * 1.224744871391589, &ghat[24]);
+    sxn(&mut out_lo[54], -rd * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_lo[55], -rd * 1.224744871391589, &ghat[25]);
+    sxn(&mut out_lo[56], -rd * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_lo[57], -rd * 1.224744871391589, &ghat[26]);
+    sxn(&mut out_lo[58], -rd * 1.224744871391589, &ghat[27]);
+    sxn(&mut out_lo[59], -rd * 1.224744871391589, &ghat[28]);
+    sxn(&mut out_lo[60], -rd * 1.224744871391589, &ghat[29]);
+    sxn(&mut out_lo[61], -rd * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_lo[62], -rd * 1.224744871391589, &ghat[30]);
+    sxn(&mut out_lo[63], -rd * 1.224744871391589, &ghat[31]);
+    sxn(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[2], rd * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[3], rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], rd * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], rd * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[7], rd * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[8], rd * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[9], rd * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[10], rd * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[11], rd * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[12], rd * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[13], rd * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[14], rd * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[15], rd * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[16], rd * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[17], rd * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[18], rd * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[19], rd * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[20], rd * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[21], rd * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[22], rd * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[23], rd * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[24], rd * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_hi[25], rd * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[26], rd * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[27], rd * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_hi[28], rd * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[29], rd * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_hi[30], rd * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[31], rd * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_hi[32], rd * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[33], rd * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_hi[34], rd * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[35], rd * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_hi[36], rd * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[37], rd * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_hi[38], rd * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_hi[39], rd * -1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[40], rd * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_hi[41], rd * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_hi[42], rd * -1.224744871391589, &ghat[16]);
+    sxn(&mut out_hi[43], rd * -1.224744871391589, &ghat[17]);
+    sxn(&mut out_hi[44], rd * -1.224744871391589, &ghat[18]);
+    sxn(&mut out_hi[45], rd * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_hi[46], rd * -1.224744871391589, &ghat[19]);
+    sxn(&mut out_hi[47], rd * -1.224744871391589, &ghat[20]);
+    sxn(&mut out_hi[48], rd * -1.224744871391589, &ghat[21]);
+    sxn(&mut out_hi[49], rd * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_hi[50], rd * -1.224744871391589, &ghat[22]);
+    sxn(&mut out_hi[51], rd * -1.224744871391589, &ghat[23]);
+    sxn(&mut out_hi[52], rd * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_hi[53], rd * -1.224744871391589, &ghat[24]);
+    sxn(&mut out_hi[54], rd * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_hi[55], rd * -1.224744871391589, &ghat[25]);
+    sxn(&mut out_hi[56], rd * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_hi[57], rd * -1.224744871391589, &ghat[26]);
+    sxn(&mut out_hi[58], rd * -1.224744871391589, &ghat[27]);
+    sxn(&mut out_hi[59], rd * -1.224744871391589, &ghat[28]);
+    sxn(&mut out_hi[60], rd * -1.224744871391589, &ghat[29]);
+    sxn(&mut out_hi[61], rd * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_hi[62], rd * -1.224744871391589, &ghat[30]);
+    sxn(&mut out_hi[63], rd * -1.224744871391589, &ghat[31]);
 }
 
 /// Acceleration surface kernel, faces normal to v2 (α̂ = q/m (E + v×B)_2).
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_surf_3x3v_p1_ser_v2(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[f64], f_hi: &[f64], out_lo: &mut [f64], out_hi: &mut [f64]) {
-    let rd = 2.0 / dxv[5];
-    let mut alpha = [0.0f64; 32];
-    alpha[0] += qm * 2.0 * (em[16] + w[3] * em[32] - w[4] * em[24]);
-    alpha[2] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[32];
-    alpha[1] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[24];
-    alpha[3] += qm * 2.0 * (em[17] + w[3] * em[33] - w[4] * em[25]);
-    alpha[8] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[33];
-    alpha[7] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[25];
-    alpha[4] += qm * 2.0 * (em[18] + w[3] * em[34] - w[4] * em[26]);
-    alpha[10] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[34];
-    alpha[9] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[26];
-    alpha[5] += qm * 2.0 * (em[19] + w[3] * em[35] - w[4] * em[27]);
-    alpha[13] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[35];
-    alpha[12] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[27];
-    alpha[11] += qm * 2.0 * (em[20] + w[3] * em[36] - w[4] * em[28]);
-    alpha[19] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[36];
-    alpha[18] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[28];
-    alpha[14] += qm * 2.0 * (em[21] + w[3] * em[37] - w[4] * em[29]);
-    alpha[22] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[37];
-    alpha[21] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[29];
-    alpha[15] += qm * 2.0 * (em[22] + w[3] * em[38] - w[4] * em[30]);
-    alpha[24] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[38];
-    alpha[23] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[30];
-    alpha[25] += qm * 2.0 * (em[23] + w[3] * em[39] - w[4] * em[31]);
-    alpha[30] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[39];
-    alpha[29] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[31];
-    let lam = if penalty { alpha[0].abs() * 0.17677669529663692 + alpha[1].abs() * 0.3061862178478973 + alpha[2].abs() * 0.30618621784789735 + alpha[3].abs() * 0.30618621784789735 + alpha[4].abs() * 0.30618621784789735 + alpha[5].abs() * 0.30618621784789735 + alpha[7].abs() * 0.5303300858899107 + alpha[8].abs() * 0.5303300858899107 + alpha[9].abs() * 0.5303300858899107 + alpha[10].abs() * 0.5303300858899107 + alpha[11].abs() * 0.5303300858899107 + alpha[12].abs() * 0.5303300858899107 + alpha[13].abs() * 0.5303300858899107 + alpha[14].abs() * 0.5303300858899107 + alpha[15].abs() * 0.5303300858899107 + alpha[18].abs() * 0.9185586535436917 + alpha[19].abs() * 0.9185586535436917 + alpha[21].abs() * 0.9185586535436917 + alpha[22].abs() * 0.9185586535436917 + alpha[23].abs() * 0.9185586535436917 + alpha[24].abs() * 0.9185586535436917 + alpha[25].abs() * 0.9185586535436917 + alpha[29].abs() * 1.5909902576697315 + alpha[30].abs() * 1.5909902576697315 } else { 0.0 };
-    let mut fm = [0.0f64; 32];
-    let mut fp = [0.0f64; 32];
-    fm[0] += 0.7071067811865476 * f_lo[0];
-    fm[0] += 1.224744871391589 * f_lo[1];
-    fm[1] += 0.7071067811865476 * f_lo[2];
-    fm[2] += 0.7071067811865476 * f_lo[3];
-    fm[3] += 0.7071067811865476 * f_lo[4];
-    fm[4] += 0.7071067811865476 * f_lo[5];
-    fm[5] += 0.7071067811865476 * f_lo[6];
-    fm[1] += 1.224744871391589 * f_lo[7];
-    fm[2] += 1.224744871391589 * f_lo[8];
-    fm[6] += 0.7071067811865476 * f_lo[9];
-    fm[3] += 1.224744871391589 * f_lo[10];
-    fm[7] += 0.7071067811865476 * f_lo[11];
-    fm[8] += 0.7071067811865476 * f_lo[12];
-    fm[4] += 1.224744871391589 * f_lo[13];
-    fm[9] += 0.7071067811865476 * f_lo[14];
-    fm[10] += 0.7071067811865476 * f_lo[15];
-    fm[11] += 0.7071067811865476 * f_lo[16];
-    fm[5] += 1.224744871391589 * f_lo[17];
-    fm[12] += 0.7071067811865476 * f_lo[18];
-    fm[13] += 0.7071067811865476 * f_lo[19];
-    fm[14] += 0.7071067811865476 * f_lo[20];
-    fm[15] += 0.7071067811865476 * f_lo[21];
-    fm[6] += 1.224744871391589 * f_lo[22];
-    fm[7] += 1.224744871391589 * f_lo[23];
-    fm[8] += 1.224744871391589 * f_lo[24];
-    fm[16] += 0.7071067811865476 * f_lo[25];
-    fm[9] += 1.224744871391589 * f_lo[26];
-    fm[10] += 1.224744871391589 * f_lo[27];
-    fm[17] += 0.7071067811865476 * f_lo[28];
-    fm[11] += 1.224744871391589 * f_lo[29];
-    fm[18] += 0.7071067811865476 * f_lo[30];
-    fm[19] += 0.7071067811865476 * f_lo[31];
-    fm[12] += 1.224744871391589 * f_lo[32];
-    fm[13] += 1.224744871391589 * f_lo[33];
-    fm[20] += 0.7071067811865476 * f_lo[34];
-    fm[14] += 1.224744871391589 * f_lo[35];
-    fm[21] += 0.7071067811865476 * f_lo[36];
-    fm[22] += 0.7071067811865476 * f_lo[37];
-    fm[15] += 1.224744871391589 * f_lo[38];
-    fm[23] += 0.7071067811865476 * f_lo[39];
-    fm[24] += 0.7071067811865476 * f_lo[40];
-    fm[25] += 0.7071067811865476 * f_lo[41];
-    fm[16] += 1.224744871391589 * f_lo[42];
-    fm[17] += 1.224744871391589 * f_lo[43];
-    fm[18] += 1.224744871391589 * f_lo[44];
-    fm[19] += 1.224744871391589 * f_lo[45];
-    fm[26] += 0.7071067811865476 * f_lo[46];
-    fm[20] += 1.224744871391589 * f_lo[47];
-    fm[21] += 1.224744871391589 * f_lo[48];
-    fm[22] += 1.224744871391589 * f_lo[49];
-    fm[27] += 0.7071067811865476 * f_lo[50];
-    fm[23] += 1.224744871391589 * f_lo[51];
-    fm[24] += 1.224744871391589 * f_lo[52];
-    fm[28] += 0.7071067811865476 * f_lo[53];
-    fm[25] += 1.224744871391589 * f_lo[54];
-    fm[29] += 0.7071067811865476 * f_lo[55];
-    fm[30] += 0.7071067811865476 * f_lo[56];
-    fm[26] += 1.224744871391589 * f_lo[57];
-    fm[27] += 1.224744871391589 * f_lo[58];
-    fm[28] += 1.224744871391589 * f_lo[59];
-    fm[29] += 1.224744871391589 * f_lo[60];
-    fm[30] += 1.224744871391589 * f_lo[61];
-    fm[31] += 0.7071067811865476 * f_lo[62];
-    fm[31] += 1.224744871391589 * f_lo[63];
-    fp[0] += 0.7071067811865476 * f_hi[0];
-    fp[0] += -1.224744871391589 * f_hi[1];
-    fp[1] += 0.7071067811865476 * f_hi[2];
-    fp[2] += 0.7071067811865476 * f_hi[3];
-    fp[3] += 0.7071067811865476 * f_hi[4];
-    fp[4] += 0.7071067811865476 * f_hi[5];
-    fp[5] += 0.7071067811865476 * f_hi[6];
-    fp[1] += -1.224744871391589 * f_hi[7];
-    fp[2] += -1.224744871391589 * f_hi[8];
-    fp[6] += 0.7071067811865476 * f_hi[9];
-    fp[3] += -1.224744871391589 * f_hi[10];
-    fp[7] += 0.7071067811865476 * f_hi[11];
-    fp[8] += 0.7071067811865476 * f_hi[12];
-    fp[4] += -1.224744871391589 * f_hi[13];
-    fp[9] += 0.7071067811865476 * f_hi[14];
-    fp[10] += 0.7071067811865476 * f_hi[15];
-    fp[11] += 0.7071067811865476 * f_hi[16];
-    fp[5] += -1.224744871391589 * f_hi[17];
-    fp[12] += 0.7071067811865476 * f_hi[18];
-    fp[13] += 0.7071067811865476 * f_hi[19];
-    fp[14] += 0.7071067811865476 * f_hi[20];
-    fp[15] += 0.7071067811865476 * f_hi[21];
-    fp[6] += -1.224744871391589 * f_hi[22];
-    fp[7] += -1.224744871391589 * f_hi[23];
-    fp[8] += -1.224744871391589 * f_hi[24];
-    fp[16] += 0.7071067811865476 * f_hi[25];
-    fp[9] += -1.224744871391589 * f_hi[26];
-    fp[10] += -1.224744871391589 * f_hi[27];
-    fp[17] += 0.7071067811865476 * f_hi[28];
-    fp[11] += -1.224744871391589 * f_hi[29];
-    fp[18] += 0.7071067811865476 * f_hi[30];
-    fp[19] += 0.7071067811865476 * f_hi[31];
-    fp[12] += -1.224744871391589 * f_hi[32];
-    fp[13] += -1.224744871391589 * f_hi[33];
-    fp[20] += 0.7071067811865476 * f_hi[34];
-    fp[14] += -1.224744871391589 * f_hi[35];
-    fp[21] += 0.7071067811865476 * f_hi[36];
-    fp[22] += 0.7071067811865476 * f_hi[37];
-    fp[15] += -1.224744871391589 * f_hi[38];
-    fp[23] += 0.7071067811865476 * f_hi[39];
-    fp[24] += 0.7071067811865476 * f_hi[40];
-    fp[25] += 0.7071067811865476 * f_hi[41];
-    fp[16] += -1.224744871391589 * f_hi[42];
-    fp[17] += -1.224744871391589 * f_hi[43];
-    fp[18] += -1.224744871391589 * f_hi[44];
-    fp[19] += -1.224744871391589 * f_hi[45];
-    fp[26] += 0.7071067811865476 * f_hi[46];
-    fp[20] += -1.224744871391589 * f_hi[47];
-    fp[21] += -1.224744871391589 * f_hi[48];
-    fp[22] += -1.224744871391589 * f_hi[49];
-    fp[27] += 0.7071067811865476 * f_hi[50];
-    fp[23] += -1.224744871391589 * f_hi[51];
-    fp[24] += -1.224744871391589 * f_hi[52];
-    fp[28] += 0.7071067811865476 * f_hi[53];
-    fp[25] += -1.224744871391589 * f_hi[54];
-    fp[29] += 0.7071067811865476 * f_hi[55];
-    fp[30] += 0.7071067811865476 * f_hi[56];
-    fp[26] += -1.224744871391589 * f_hi[57];
-    fp[27] += -1.224744871391589 * f_hi[58];
-    fp[28] += -1.224744871391589 * f_hi[59];
-    fp[29] += -1.224744871391589 * f_hi[60];
-    fp[30] += -1.224744871391589 * f_hi[61];
-    fp[31] += 0.7071067811865476 * f_hi[62];
-    fp[31] += -1.224744871391589 * f_hi[63];
-    let mut favg = [0.0f64; 32];
-    let mut ghat = [0.0f64; 32];
-    favg[0] = 0.5 * (fm[0] + fp[0]);
-    ghat[0] = -0.5 * lam * (fp[0] - fm[0]);
-    favg[1] = 0.5 * (fm[1] + fp[1]);
-    ghat[1] = -0.5 * lam * (fp[1] - fm[1]);
-    favg[2] = 0.5 * (fm[2] + fp[2]);
-    ghat[2] = -0.5 * lam * (fp[2] - fm[2]);
-    favg[3] = 0.5 * (fm[3] + fp[3]);
-    ghat[3] = -0.5 * lam * (fp[3] - fm[3]);
-    favg[4] = 0.5 * (fm[4] + fp[4]);
-    ghat[4] = -0.5 * lam * (fp[4] - fm[4]);
-    favg[5] = 0.5 * (fm[5] + fp[5]);
-    ghat[5] = -0.5 * lam * (fp[5] - fm[5]);
-    favg[6] = 0.5 * (fm[6] + fp[6]);
-    ghat[6] = -0.5 * lam * (fp[6] - fm[6]);
-    favg[7] = 0.5 * (fm[7] + fp[7]);
-    ghat[7] = -0.5 * lam * (fp[7] - fm[7]);
-    favg[8] = 0.5 * (fm[8] + fp[8]);
-    ghat[8] = -0.5 * lam * (fp[8] - fm[8]);
-    favg[9] = 0.5 * (fm[9] + fp[9]);
-    ghat[9] = -0.5 * lam * (fp[9] - fm[9]);
-    favg[10] = 0.5 * (fm[10] + fp[10]);
-    ghat[10] = -0.5 * lam * (fp[10] - fm[10]);
-    favg[11] = 0.5 * (fm[11] + fp[11]);
-    ghat[11] = -0.5 * lam * (fp[11] - fm[11]);
-    favg[12] = 0.5 * (fm[12] + fp[12]);
-    ghat[12] = -0.5 * lam * (fp[12] - fm[12]);
-    favg[13] = 0.5 * (fm[13] + fp[13]);
-    ghat[13] = -0.5 * lam * (fp[13] - fm[13]);
-    favg[14] = 0.5 * (fm[14] + fp[14]);
-    ghat[14] = -0.5 * lam * (fp[14] - fm[14]);
-    favg[15] = 0.5 * (fm[15] + fp[15]);
-    ghat[15] = -0.5 * lam * (fp[15] - fm[15]);
-    favg[16] = 0.5 * (fm[16] + fp[16]);
-    ghat[16] = -0.5 * lam * (fp[16] - fm[16]);
-    favg[17] = 0.5 * (fm[17] + fp[17]);
-    ghat[17] = -0.5 * lam * (fp[17] - fm[17]);
-    favg[18] = 0.5 * (fm[18] + fp[18]);
-    ghat[18] = -0.5 * lam * (fp[18] - fm[18]);
-    favg[19] = 0.5 * (fm[19] + fp[19]);
-    ghat[19] = -0.5 * lam * (fp[19] - fm[19]);
-    favg[20] = 0.5 * (fm[20] + fp[20]);
-    ghat[20] = -0.5 * lam * (fp[20] - fm[20]);
-    favg[21] = 0.5 * (fm[21] + fp[21]);
-    ghat[21] = -0.5 * lam * (fp[21] - fm[21]);
-    favg[22] = 0.5 * (fm[22] + fp[22]);
-    ghat[22] = -0.5 * lam * (fp[22] - fm[22]);
-    favg[23] = 0.5 * (fm[23] + fp[23]);
-    ghat[23] = -0.5 * lam * (fp[23] - fm[23]);
-    favg[24] = 0.5 * (fm[24] + fp[24]);
-    ghat[24] = -0.5 * lam * (fp[24] - fm[24]);
-    favg[25] = 0.5 * (fm[25] + fp[25]);
-    ghat[25] = -0.5 * lam * (fp[25] - fm[25]);
-    favg[26] = 0.5 * (fm[26] + fp[26]);
-    ghat[26] = -0.5 * lam * (fp[26] - fm[26]);
-    favg[27] = 0.5 * (fm[27] + fp[27]);
-    ghat[27] = -0.5 * lam * (fp[27] - fm[27]);
-    favg[28] = 0.5 * (fm[28] + fp[28]);
-    ghat[28] = -0.5 * lam * (fp[28] - fm[28]);
-    favg[29] = 0.5 * (fm[29] + fp[29]);
-    ghat[29] = -0.5 * lam * (fp[29] - fm[29]);
-    favg[30] = 0.5 * (fm[30] + fp[30]);
-    ghat[30] = -0.5 * lam * (fp[30] - fm[30]);
-    favg[31] = 0.5 * (fm[31] + fp[31]);
-    ghat[31] = -0.5 * lam * (fp[31] - fm[31]);
-    ghat[0] += 0.1767766952966369 * alpha[0] * favg[0];
-    ghat[0] += 0.17677669529663687 * alpha[1] * favg[1];
-    ghat[0] += 0.17677669529663687 * alpha[2] * favg[2];
-    ghat[0] += 0.17677669529663687 * alpha[3] * favg[3];
-    ghat[0] += 0.17677669529663687 * alpha[4] * favg[4];
-    ghat[0] += 0.17677669529663687 * alpha[5] * favg[5];
-    ghat[0] += 0.17677669529663687 * alpha[7] * favg[7];
-    ghat[0] += 0.17677669529663687 * alpha[8] * favg[8];
-    ghat[0] += 0.17677669529663687 * alpha[9] * favg[9];
-    ghat[0] += 0.17677669529663687 * alpha[10] * favg[10];
-    ghat[0] += 0.17677669529663687 * alpha[11] * favg[11];
-    ghat[0] += 0.17677669529663687 * alpha[12] * favg[12];
-    ghat[0] += 0.17677669529663687 * alpha[13] * favg[13];
-    ghat[0] += 0.17677669529663687 * alpha[14] * favg[14];
-    ghat[0] += 0.17677669529663687 * alpha[15] * favg[15];
-    ghat[0] += 0.1767766952966369 * alpha[18] * favg[18];
-    ghat[0] += 0.1767766952966369 * alpha[19] * favg[19];
-    ghat[0] += 0.1767766952966369 * alpha[21] * favg[21];
-    ghat[0] += 0.1767766952966369 * alpha[22] * favg[22];
-    ghat[0] += 0.1767766952966369 * alpha[23] * favg[23];
-    ghat[0] += 0.1767766952966369 * alpha[24] * favg[24];
-    ghat[0] += 0.1767766952966369 * alpha[25] * favg[25];
-    ghat[0] += 0.17677669529663687 * alpha[29] * favg[29];
-    ghat[0] += 0.17677669529663687 * alpha[30] * favg[30];
-    ghat[1] += 0.17677669529663687 * alpha[0] * favg[1];
-    ghat[1] += 0.17677669529663687 * alpha[1] * favg[0];
-    ghat[1] += 0.17677669529663687 * alpha[2] * favg[6];
-    ghat[1] += 0.17677669529663687 * alpha[3] * favg[7];
-    ghat[1] += 0.17677669529663687 * alpha[4] * favg[9];
-    ghat[1] += 0.17677669529663687 * alpha[5] * favg[12];
-    ghat[1] += 0.17677669529663687 * alpha[7] * favg[3];
-    ghat[1] += 0.1767766952966369 * alpha[8] * favg[16];
-    ghat[1] += 0.17677669529663687 * alpha[9] * favg[4];
-    ghat[1] += 0.1767766952966369 * alpha[10] * favg[17];
-    ghat[1] += 0.1767766952966369 * alpha[11] * favg[18];
-    ghat[1] += 0.17677669529663687 * alpha[12] * favg[5];
-    ghat[1] += 0.1767766952966369 * alpha[13] * favg[20];
-    ghat[1] += 0.1767766952966369 * alpha[14] * favg[21];
-    ghat[1] += 0.1767766952966369 * alpha[15] * favg[23];
-    ghat[1] += 0.1767766952966369 * alpha[18] * favg[11];
-    ghat[1] += 0.17677669529663687 * alpha[19] * favg[26];
-    ghat[1] += 0.1767766952966369 * alpha[21] * favg[14];
-    ghat[1] += 0.17677669529663687 * alpha[22] * favg[27];
-    ghat[1] += 0.1767766952966369 * alpha[23] * favg[15];
-    ghat[1] += 0.17677669529663687 * alpha[24] * favg[28];
-    ghat[1] += 0.17677669529663687 * alpha[25] * favg[29];
-    ghat[1] += 0.17677669529663687 * alpha[29] * favg[25];
-    ghat[1] += 0.1767766952966369 * alpha[30] * favg[31];
-    ghat[2] += 0.17677669529663687 * alpha[0] * favg[2];
-    ghat[2] += 0.17677669529663687 * alpha[1] * favg[6];
-    ghat[2] += 0.17677669529663687 * alpha[2] * favg[0];
-    ghat[2] += 0.17677669529663687 * alpha[3] * favg[8];
-    ghat[2] += 0.17677669529663687 * alpha[4] * favg[10];
-    ghat[2] += 0.17677669529663687 * alpha[5] * favg[13];
-    ghat[2] += 0.1767766952966369 * alpha[7] * favg[16];
-    ghat[2] += 0.17677669529663687 * alpha[8] * favg[3];
-    ghat[2] += 0.1767766952966369 * alpha[9] * favg[17];
-    ghat[2] += 0.17677669529663687 * alpha[10] * favg[4];
-    ghat[2] += 0.1767766952966369 * alpha[11] * favg[19];
-    ghat[2] += 0.1767766952966369 * alpha[12] * favg[20];
-    ghat[2] += 0.17677669529663687 * alpha[13] * favg[5];
-    ghat[2] += 0.1767766952966369 * alpha[14] * favg[22];
-    ghat[2] += 0.1767766952966369 * alpha[15] * favg[24];
-    ghat[2] += 0.17677669529663687 * alpha[18] * favg[26];
-    ghat[2] += 0.1767766952966369 * alpha[19] * favg[11];
-    ghat[2] += 0.17677669529663687 * alpha[21] * favg[27];
-    ghat[2] += 0.1767766952966369 * alpha[22] * favg[14];
-    ghat[2] += 0.17677669529663687 * alpha[23] * favg[28];
-    ghat[2] += 0.1767766952966369 * alpha[24] * favg[15];
-    ghat[2] += 0.17677669529663687 * alpha[25] * favg[30];
-    ghat[2] += 0.1767766952966369 * alpha[29] * favg[31];
-    ghat[2] += 0.17677669529663687 * alpha[30] * favg[25];
-    ghat[3] += 0.17677669529663687 * alpha[0] * favg[3];
-    ghat[3] += 0.17677669529663687 * alpha[1] * favg[7];
-    ghat[3] += 0.17677669529663687 * alpha[2] * favg[8];
-    ghat[3] += 0.17677669529663687 * alpha[3] * favg[0];
-    ghat[3] += 0.17677669529663687 * alpha[4] * favg[11];
-    ghat[3] += 0.17677669529663687 * alpha[5] * favg[14];
-    ghat[3] += 0.17677669529663687 * alpha[7] * favg[1];
-    ghat[3] += 0.17677669529663687 * alpha[8] * favg[2];
-    ghat[3] += 0.1767766952966369 * alpha[9] * favg[18];
-    ghat[3] += 0.1767766952966369 * alpha[10] * favg[19];
-    ghat[3] += 0.17677669529663687 * alpha[11] * favg[4];
-    ghat[3] += 0.1767766952966369 * alpha[12] * favg[21];
-    ghat[3] += 0.1767766952966369 * alpha[13] * favg[22];
-    ghat[3] += 0.17677669529663687 * alpha[14] * favg[5];
-    ghat[3] += 0.1767766952966369 * alpha[15] * favg[25];
-    ghat[3] += 0.1767766952966369 * alpha[18] * favg[9];
-    ghat[3] += 0.1767766952966369 * alpha[19] * favg[10];
-    ghat[3] += 0.1767766952966369 * alpha[21] * favg[12];
-    ghat[3] += 0.1767766952966369 * alpha[22] * favg[13];
-    ghat[3] += 0.17677669529663687 * alpha[23] * favg[29];
-    ghat[3] += 0.17677669529663687 * alpha[24] * favg[30];
-    ghat[3] += 0.1767766952966369 * alpha[25] * favg[15];
-    ghat[3] += 0.17677669529663687 * alpha[29] * favg[23];
-    ghat[3] += 0.17677669529663687 * alpha[30] * favg[24];
-    ghat[4] += 0.17677669529663687 * alpha[0] * favg[4];
-    ghat[4] += 0.17677669529663687 * alpha[1] * favg[9];
-    ghat[4] += 0.17677669529663687 * alpha[2] * favg[10];
-    ghat[4] += 0.17677669529663687 * alpha[3] * favg[11];
-    ghat[4] += 0.17677669529663687 * alpha[4] * favg[0];
-    ghat[4] += 0.17677669529663687 * alpha[5] * favg[15];
-    ghat[4] += 0.1767766952966369 * alpha[7] * favg[18];
-    ghat[4] += 0.1767766952966369 * alpha[8] * favg[19];
-    ghat[4] += 0.17677669529663687 * alpha[9] * favg[1];
-    ghat[4] += 0.17677669529663687 * alpha[10] * favg[2];
-    ghat[4] += 0.17677669529663687 * alpha[11] * favg[3];
-    ghat[4] += 0.1767766952966369 * alpha[12] * favg[23];
-    ghat[4] += 0.1767766952966369 * alpha[13] * favg[24];
-    ghat[4] += 0.1767766952966369 * alpha[14] * favg[25];
-    ghat[4] += 0.17677669529663687 * alpha[15] * favg[5];
-    ghat[4] += 0.1767766952966369 * alpha[18] * favg[7];
-    ghat[4] += 0.1767766952966369 * alpha[19] * favg[8];
-    ghat[4] += 0.17677669529663687 * alpha[21] * favg[29];
-    ghat[4] += 0.17677669529663687 * alpha[22] * favg[30];
-    ghat[4] += 0.1767766952966369 * alpha[23] * favg[12];
-    ghat[4] += 0.1767766952966369 * alpha[24] * favg[13];
-    ghat[4] += 0.1767766952966369 * alpha[25] * favg[14];
-    ghat[4] += 0.17677669529663687 * alpha[29] * favg[21];
-    ghat[4] += 0.17677669529663687 * alpha[30] * favg[22];
-    ghat[5] += 0.17677669529663687 * alpha[0] * favg[5];
-    ghat[5] += 0.17677669529663687 * alpha[1] * favg[12];
-    ghat[5] += 0.17677669529663687 * alpha[2] * favg[13];
-    ghat[5] += 0.17677669529663687 * alpha[3] * favg[14];
-    ghat[5] += 0.17677669529663687 * alpha[4] * favg[15];
-    ghat[5] += 0.17677669529663687 * alpha[5] * favg[0];
-    ghat[5] += 0.1767766952966369 * alpha[7] * favg[21];
-    ghat[5] += 0.1767766952966369 * alpha[8] * favg[22];
-    ghat[5] += 0.1767766952966369 * alpha[9] * favg[23];
-    ghat[5] += 0.1767766952966369 * alpha[10] * favg[24];
-    ghat[5] += 0.1767766952966369 * alpha[11] * favg[25];
-    ghat[5] += 0.17677669529663687 * alpha[12] * favg[1];
-    ghat[5] += 0.17677669529663687 * alpha[13] * favg[2];
-    ghat[5] += 0.17677669529663687 * alpha[14] * favg[3];
-    ghat[5] += 0.17677669529663687 * alpha[15] * favg[4];
-    ghat[5] += 0.17677669529663687 * alpha[18] * favg[29];
-    ghat[5] += 0.17677669529663687 * alpha[19] * favg[30];
-    ghat[5] += 0.1767766952966369 * alpha[21] * favg[7];
-    ghat[5] += 0.1767766952966369 * alpha[22] * favg[8];
-    ghat[5] += 0.1767766952966369 * alpha[23] * favg[9];
-    ghat[5] += 0.1767766952966369 * alpha[24] * favg[10];
-    ghat[5] += 0.1767766952966369 * alpha[25] * favg[11];
-    ghat[5] += 0.17677669529663687 * alpha[29] * favg[18];
-    ghat[5] += 0.17677669529663687 * alpha[30] * favg[19];
-    ghat[6] += 0.17677669529663687 * alpha[0] * favg[6];
-    ghat[6] += 0.17677669529663687 * alpha[1] * favg[2];
-    ghat[6] += 0.17677669529663687 * alpha[2] * favg[1];
-    ghat[6] += 0.1767766952966369 * alpha[3] * favg[16];
-    ghat[6] += 0.1767766952966369 * alpha[4] * favg[17];
-    ghat[6] += 0.1767766952966369 * alpha[5] * favg[20];
-    ghat[6] += 0.1767766952966369 * alpha[7] * favg[8];
-    ghat[6] += 0.1767766952966369 * alpha[8] * favg[7];
-    ghat[6] += 0.1767766952966369 * alpha[9] * favg[10];
-    ghat[6] += 0.1767766952966369 * alpha[10] * favg[9];
-    ghat[6] += 0.17677669529663687 * alpha[11] * favg[26];
-    ghat[6] += 0.1767766952966369 * alpha[12] * favg[13];
-    ghat[6] += 0.1767766952966369 * alpha[13] * favg[12];
-    ghat[6] += 0.17677669529663687 * alpha[14] * favg[27];
-    ghat[6] += 0.17677669529663687 * alpha[15] * favg[28];
-    ghat[6] += 0.17677669529663687 * alpha[18] * favg[19];
-    ghat[6] += 0.17677669529663687 * alpha[19] * favg[18];
-    ghat[6] += 0.17677669529663687 * alpha[21] * favg[22];
-    ghat[6] += 0.17677669529663687 * alpha[22] * favg[21];
-    ghat[6] += 0.17677669529663687 * alpha[23] * favg[24];
-    ghat[6] += 0.17677669529663687 * alpha[24] * favg[23];
-    ghat[6] += 0.1767766952966369 * alpha[25] * favg[31];
-    ghat[6] += 0.1767766952966369 * alpha[29] * favg[30];
-    ghat[6] += 0.1767766952966369 * alpha[30] * favg[29];
-    ghat[7] += 0.17677669529663687 * alpha[0] * favg[7];
-    ghat[7] += 0.17677669529663687 * alpha[1] * favg[3];
-    ghat[7] += 0.1767766952966369 * alpha[2] * favg[16];
-    ghat[7] += 0.17677669529663687 * alpha[3] * favg[1];
-    ghat[7] += 0.1767766952966369 * alpha[4] * favg[18];
-    ghat[7] += 0.1767766952966369 * alpha[5] * favg[21];
-    ghat[7] += 0.17677669529663687 * alpha[7] * favg[0];
-    ghat[7] += 0.1767766952966369 * alpha[8] * favg[6];
-    ghat[7] += 0.1767766952966369 * alpha[9] * favg[11];
-    ghat[7] += 0.17677669529663687 * alpha[10] * favg[26];
-    ghat[7] += 0.1767766952966369 * alpha[11] * favg[9];
-    ghat[7] += 0.1767766952966369 * alpha[12] * favg[14];
-    ghat[7] += 0.17677669529663687 * alpha[13] * favg[27];
-    ghat[7] += 0.1767766952966369 * alpha[14] * favg[12];
-    ghat[7] += 0.17677669529663687 * alpha[15] * favg[29];
-    ghat[7] += 0.1767766952966369 * alpha[18] * favg[4];
-    ghat[7] += 0.17677669529663687 * alpha[19] * favg[17];
-    ghat[7] += 0.1767766952966369 * alpha[21] * favg[5];
-    ghat[7] += 0.17677669529663687 * alpha[22] * favg[20];
-    ghat[7] += 0.17677669529663687 * alpha[23] * favg[25];
-    ghat[7] += 0.1767766952966369 * alpha[24] * favg[31];
-    ghat[7] += 0.17677669529663687 * alpha[25] * favg[23];
-    ghat[7] += 0.17677669529663687 * alpha[29] * favg[15];
-    ghat[7] += 0.1767766952966369 * alpha[30] * favg[28];
-    ghat[8] += 0.17677669529663687 * alpha[0] * favg[8];
-    ghat[8] += 0.1767766952966369 * alpha[1] * favg[16];
-    ghat[8] += 0.17677669529663687 * alpha[2] * favg[3];
-    ghat[8] += 0.17677669529663687 * alpha[3] * favg[2];
-    ghat[8] += 0.1767766952966369 * alpha[4] * favg[19];
-    ghat[8] += 0.1767766952966369 * alpha[5] * favg[22];
-    ghat[8] += 0.1767766952966369 * alpha[7] * favg[6];
-    ghat[8] += 0.17677669529663687 * alpha[8] * favg[0];
-    ghat[8] += 0.17677669529663687 * alpha[9] * favg[26];
-    ghat[8] += 0.1767766952966369 * alpha[10] * favg[11];
-    ghat[8] += 0.1767766952966369 * alpha[11] * favg[10];
-    ghat[8] += 0.17677669529663687 * alpha[12] * favg[27];
-    ghat[8] += 0.1767766952966369 * alpha[13] * favg[14];
-    ghat[8] += 0.1767766952966369 * alpha[14] * favg[13];
-    ghat[8] += 0.17677669529663687 * alpha[15] * favg[30];
-    ghat[8] += 0.17677669529663687 * alpha[18] * favg[17];
-    ghat[8] += 0.1767766952966369 * alpha[19] * favg[4];
-    ghat[8] += 0.17677669529663687 * alpha[21] * favg[20];
-    ghat[8] += 0.1767766952966369 * alpha[22] * favg[5];
-    ghat[8] += 0.1767766952966369 * alpha[23] * favg[31];
-    ghat[8] += 0.17677669529663687 * alpha[24] * favg[25];
-    ghat[8] += 0.17677669529663687 * alpha[25] * favg[24];
-    ghat[8] += 0.1767766952966369 * alpha[29] * favg[28];
-    ghat[8] += 0.17677669529663687 * alpha[30] * favg[15];
-    ghat[9] += 0.17677669529663687 * alpha[0] * favg[9];
-    ghat[9] += 0.17677669529663687 * alpha[1] * favg[4];
-    ghat[9] += 0.1767766952966369 * alpha[2] * favg[17];
-    ghat[9] += 0.1767766952966369 * alpha[3] * favg[18];
-    ghat[9] += 0.17677669529663687 * alpha[4] * favg[1];
-    ghat[9] += 0.1767766952966369 * alpha[5] * favg[23];
-    ghat[9] += 0.1767766952966369 * alpha[7] * favg[11];
-    ghat[9] += 0.17677669529663687 * alpha[8] * favg[26];
-    ghat[9] += 0.17677669529663687 * alpha[9] * favg[0];
-    ghat[9] += 0.1767766952966369 * alpha[10] * favg[6];
-    ghat[9] += 0.1767766952966369 * alpha[11] * favg[7];
-    ghat[9] += 0.1767766952966369 * alpha[12] * favg[15];
-    ghat[9] += 0.17677669529663687 * alpha[13] * favg[28];
-    ghat[9] += 0.17677669529663687 * alpha[14] * favg[29];
-    ghat[9] += 0.1767766952966369 * alpha[15] * favg[12];
-    ghat[9] += 0.1767766952966369 * alpha[18] * favg[3];
-    ghat[9] += 0.17677669529663687 * alpha[19] * favg[16];
-    ghat[9] += 0.17677669529663687 * alpha[21] * favg[25];
-    ghat[9] += 0.1767766952966369 * alpha[22] * favg[31];
-    ghat[9] += 0.1767766952966369 * alpha[23] * favg[5];
-    ghat[9] += 0.17677669529663687 * alpha[24] * favg[20];
-    ghat[9] += 0.17677669529663687 * alpha[25] * favg[21];
-    ghat[9] += 0.17677669529663687 * alpha[29] * favg[14];
-    ghat[9] += 0.1767766952966369 * alpha[30] * favg[27];
-    ghat[10] += 0.17677669529663687 * alpha[0] * favg[10];
-    ghat[10] += 0.1767766952966369 * alpha[1] * favg[17];
-    ghat[10] += 0.17677669529663687 * alpha[2] * favg[4];
-    ghat[10] += 0.1767766952966369 * alpha[3] * favg[19];
-    ghat[10] += 0.17677669529663687 * alpha[4] * favg[2];
-    ghat[10] += 0.1767766952966369 * alpha[5] * favg[24];
-    ghat[10] += 0.17677669529663687 * alpha[7] * favg[26];
-    ghat[10] += 0.1767766952966369 * alpha[8] * favg[11];
-    ghat[10] += 0.1767766952966369 * alpha[9] * favg[6];
-    ghat[10] += 0.17677669529663687 * alpha[10] * favg[0];
-    ghat[10] += 0.1767766952966369 * alpha[11] * favg[8];
-    ghat[10] += 0.17677669529663687 * alpha[12] * favg[28];
-    ghat[10] += 0.1767766952966369 * alpha[13] * favg[15];
-    ghat[10] += 0.17677669529663687 * alpha[14] * favg[30];
-    ghat[10] += 0.1767766952966369 * alpha[15] * favg[13];
-    ghat[10] += 0.17677669529663687 * alpha[18] * favg[16];
-    ghat[10] += 0.1767766952966369 * alpha[19] * favg[3];
-    ghat[10] += 0.1767766952966369 * alpha[21] * favg[31];
-    ghat[10] += 0.17677669529663687 * alpha[22] * favg[25];
-    ghat[10] += 0.17677669529663687 * alpha[23] * favg[20];
-    ghat[10] += 0.1767766952966369 * alpha[24] * favg[5];
-    ghat[10] += 0.17677669529663687 * alpha[25] * favg[22];
-    ghat[10] += 0.1767766952966369 * alpha[29] * favg[27];
-    ghat[10] += 0.17677669529663687 * alpha[30] * favg[14];
-    ghat[11] += 0.17677669529663687 * alpha[0] * favg[11];
-    ghat[11] += 0.1767766952966369 * alpha[1] * favg[18];
-    ghat[11] += 0.1767766952966369 * alpha[2] * favg[19];
-    ghat[11] += 0.17677669529663687 * alpha[3] * favg[4];
-    ghat[11] += 0.17677669529663687 * alpha[4] * favg[3];
-    ghat[11] += 0.1767766952966369 * alpha[5] * favg[25];
-    ghat[11] += 0.1767766952966369 * alpha[7] * favg[9];
-    ghat[11] += 0.1767766952966369 * alpha[8] * favg[10];
-    ghat[11] += 0.1767766952966369 * alpha[9] * favg[7];
-    ghat[11] += 0.1767766952966369 * alpha[10] * favg[8];
-    ghat[11] += 0.17677669529663687 * alpha[11] * favg[0];
-    ghat[11] += 0.17677669529663687 * alpha[12] * favg[29];
-    ghat[11] += 0.17677669529663687 * alpha[13] * favg[30];
-    ghat[11] += 0.1767766952966369 * alpha[14] * favg[15];
-    ghat[11] += 0.1767766952966369 * alpha[15] * favg[14];
-    ghat[11] += 0.1767766952966369 * alpha[18] * favg[1];
-    ghat[11] += 0.1767766952966369 * alpha[19] * favg[2];
-    ghat[11] += 0.17677669529663687 * alpha[21] * favg[23];
-    ghat[11] += 0.17677669529663687 * alpha[22] * favg[24];
-    ghat[11] += 0.17677669529663687 * alpha[23] * favg[21];
-    ghat[11] += 0.17677669529663687 * alpha[24] * favg[22];
-    ghat[11] += 0.1767766952966369 * alpha[25] * favg[5];
-    ghat[11] += 0.17677669529663687 * alpha[29] * favg[12];
-    ghat[11] += 0.17677669529663687 * alpha[30] * favg[13];
-    ghat[12] += 0.17677669529663687 * alpha[0] * favg[12];
-    ghat[12] += 0.17677669529663687 * alpha[1] * favg[5];
-    ghat[12] += 0.1767766952966369 * alpha[2] * favg[20];
-    ghat[12] += 0.1767766952966369 * alpha[3] * favg[21];
-    ghat[12] += 0.1767766952966369 * alpha[4] * favg[23];
-    ghat[12] += 0.17677669529663687 * alpha[5] * favg[1];
-    ghat[12] += 0.1767766952966369 * alpha[7] * favg[14];
-    ghat[12] += 0.17677669529663687 * alpha[8] * favg[27];
-    ghat[12] += 0.1767766952966369 * alpha[9] * favg[15];
-    ghat[12] += 0.17677669529663687 * alpha[10] * favg[28];
-    ghat[12] += 0.17677669529663687 * alpha[11] * favg[29];
-    ghat[12] += 0.17677669529663687 * alpha[12] * favg[0];
-    ghat[12] += 0.1767766952966369 * alpha[13] * favg[6];
-    ghat[12] += 0.1767766952966369 * alpha[14] * favg[7];
-    ghat[12] += 0.1767766952966369 * alpha[15] * favg[9];
-    ghat[12] += 0.17677669529663687 * alpha[18] * favg[25];
-    ghat[12] += 0.1767766952966369 * alpha[19] * favg[31];
-    ghat[12] += 0.1767766952966369 * alpha[21] * favg[3];
-    ghat[12] += 0.17677669529663687 * alpha[22] * favg[16];
-    ghat[12] += 0.1767766952966369 * alpha[23] * favg[4];
-    ghat[12] += 0.17677669529663687 * alpha[24] * favg[17];
-    ghat[12] += 0.17677669529663687 * alpha[25] * favg[18];
-    ghat[12] += 0.17677669529663687 * alpha[29] * favg[11];
-    ghat[12] += 0.1767766952966369 * alpha[30] * favg[26];
-    ghat[13] += 0.17677669529663687 * alpha[0] * favg[13];
-    ghat[13] += 0.1767766952966369 * alpha[1] * favg[20];
-    ghat[13] += 0.17677669529663687 * alpha[2] * favg[5];
-    ghat[13] += 0.1767766952966369 * alpha[3] * favg[22];
-    ghat[13] += 0.1767766952966369 * alpha[4] * favg[24];
-    ghat[13] += 0.17677669529663687 * alpha[5] * favg[2];
-    ghat[13] += 0.17677669529663687 * alpha[7] * favg[27];
-    ghat[13] += 0.1767766952966369 * alpha[8] * favg[14];
-    ghat[13] += 0.17677669529663687 * alpha[9] * favg[28];
-    ghat[13] += 0.1767766952966369 * alpha[10] * favg[15];
-    ghat[13] += 0.17677669529663687 * alpha[11] * favg[30];
-    ghat[13] += 0.1767766952966369 * alpha[12] * favg[6];
-    ghat[13] += 0.17677669529663687 * alpha[13] * favg[0];
-    ghat[13] += 0.1767766952966369 * alpha[14] * favg[8];
-    ghat[13] += 0.1767766952966369 * alpha[15] * favg[10];
-    ghat[13] += 0.1767766952966369 * alpha[18] * favg[31];
-    ghat[13] += 0.17677669529663687 * alpha[19] * favg[25];
-    ghat[13] += 0.17677669529663687 * alpha[21] * favg[16];
-    ghat[13] += 0.1767766952966369 * alpha[22] * favg[3];
-    ghat[13] += 0.17677669529663687 * alpha[23] * favg[17];
-    ghat[13] += 0.1767766952966369 * alpha[24] * favg[4];
-    ghat[13] += 0.17677669529663687 * alpha[25] * favg[19];
-    ghat[13] += 0.1767766952966369 * alpha[29] * favg[26];
-    ghat[13] += 0.17677669529663687 * alpha[30] * favg[11];
-    ghat[14] += 0.17677669529663687 * alpha[0] * favg[14];
-    ghat[14] += 0.1767766952966369 * alpha[1] * favg[21];
-    ghat[14] += 0.1767766952966369 * alpha[2] * favg[22];
-    ghat[14] += 0.17677669529663687 * alpha[3] * favg[5];
-    ghat[14] += 0.1767766952966369 * alpha[4] * favg[25];
-    ghat[14] += 0.17677669529663687 * alpha[5] * favg[3];
-    ghat[14] += 0.1767766952966369 * alpha[7] * favg[12];
-    ghat[14] += 0.1767766952966369 * alpha[8] * favg[13];
-    ghat[14] += 0.17677669529663687 * alpha[9] * favg[29];
-    ghat[14] += 0.17677669529663687 * alpha[10] * favg[30];
-    ghat[14] += 0.1767766952966369 * alpha[11] * favg[15];
-    ghat[14] += 0.1767766952966369 * alpha[12] * favg[7];
-    ghat[14] += 0.1767766952966369 * alpha[13] * favg[8];
-    ghat[14] += 0.17677669529663687 * alpha[14] * favg[0];
-    ghat[14] += 0.1767766952966369 * alpha[15] * favg[11];
-    ghat[14] += 0.17677669529663687 * alpha[18] * favg[23];
-    ghat[14] += 0.17677669529663687 * alpha[19] * favg[24];
-    ghat[14] += 0.1767766952966369 * alpha[21] * favg[1];
-    ghat[14] += 0.1767766952966369 * alpha[22] * favg[2];
-    ghat[14] += 0.17677669529663687 * alpha[23] * favg[18];
-    ghat[14] += 0.17677669529663687 * alpha[24] * favg[19];
-    ghat[14] += 0.1767766952966369 * alpha[25] * favg[4];
-    ghat[14] += 0.17677669529663687 * alpha[29] * favg[9];
-    ghat[14] += 0.17677669529663687 * alpha[30] * favg[10];
-    ghat[15] += 0.17677669529663687 * alpha[0] * favg[15];
-    ghat[15] += 0.1767766952966369 * alpha[1] * favg[23];
-    ghat[15] += 0.1767766952966369 * alpha[2] * favg[24];
-    ghat[15] += 0.1767766952966369 * alpha[3] * favg[25];
-    ghat[15] += 0.17677669529663687 * alpha[4] * favg[5];
-    ghat[15] += 0.17677669529663687 * alpha[5] * favg[4];
-    ghat[15] += 0.17677669529663687 * alpha[7] * favg[29];
-    ghat[15] += 0.17677669529663687 * alpha[8] * favg[30];
-    ghat[15] += 0.1767766952966369 * alpha[9] * favg[12];
-    ghat[15] += 0.1767766952966369 * alpha[10] * favg[13];
-    ghat[15] += 0.1767766952966369 * alpha[11] * favg[14];
-    ghat[15] += 0.1767766952966369 * alpha[12] * favg[9];
-    ghat[15] += 0.1767766952966369 * alpha[13] * favg[10];
-    ghat[15] += 0.1767766952966369 * alpha[14] * favg[11];
-    ghat[15] += 0.17677669529663687 * alpha[15] * favg[0];
-    ghat[15] += 0.17677669529663687 * alpha[18] * favg[21];
-    ghat[15] += 0.17677669529663687 * alpha[19] * favg[22];
-    ghat[15] += 0.17677669529663687 * alpha[21] * favg[18];
-    ghat[15] += 0.17677669529663687 * alpha[22] * favg[19];
-    ghat[15] += 0.1767766952966369 * alpha[23] * favg[1];
-    ghat[15] += 0.1767766952966369 * alpha[24] * favg[2];
-    ghat[15] += 0.1767766952966369 * alpha[25] * favg[3];
-    ghat[15] += 0.17677669529663687 * alpha[29] * favg[7];
-    ghat[15] += 0.17677669529663687 * alpha[30] * favg[8];
-    ghat[16] += 0.1767766952966369 * alpha[0] * favg[16];
-    ghat[16] += 0.1767766952966369 * alpha[1] * favg[8];
-    ghat[16] += 0.1767766952966369 * alpha[2] * favg[7];
-    ghat[16] += 0.1767766952966369 * alpha[3] * favg[6];
-    ghat[16] += 0.17677669529663687 * alpha[4] * favg[26];
-    ghat[16] += 0.17677669529663687 * alpha[5] * favg[27];
-    ghat[16] += 0.1767766952966369 * alpha[7] * favg[2];
-    ghat[16] += 0.1767766952966369 * alpha[8] * favg[1];
-    ghat[16] += 0.17677669529663687 * alpha[9] * favg[19];
-    ghat[16] += 0.17677669529663687 * alpha[10] * favg[18];
-    ghat[16] += 0.17677669529663687 * alpha[11] * favg[17];
-    ghat[16] += 0.17677669529663687 * alpha[12] * favg[22];
-    ghat[16] += 0.17677669529663687 * alpha[13] * favg[21];
-    ghat[16] += 0.17677669529663687 * alpha[14] * favg[20];
-    ghat[16] += 0.1767766952966369 * alpha[15] * favg[31];
-    ghat[16] += 0.17677669529663687 * alpha[18] * favg[10];
-    ghat[16] += 0.17677669529663687 * alpha[19] * favg[9];
-    ghat[16] += 0.17677669529663687 * alpha[21] * favg[13];
-    ghat[16] += 0.17677669529663687 * alpha[22] * favg[12];
-    ghat[16] += 0.1767766952966369 * alpha[23] * favg[30];
-    ghat[16] += 0.1767766952966369 * alpha[24] * favg[29];
-    ghat[16] += 0.1767766952966369 * alpha[25] * favg[28];
-    ghat[16] += 0.1767766952966369 * alpha[29] * favg[24];
-    ghat[16] += 0.1767766952966369 * alpha[30] * favg[23];
-    ghat[17] += 0.1767766952966369 * alpha[0] * favg[17];
-    ghat[17] += 0.1767766952966369 * alpha[1] * favg[10];
-    ghat[17] += 0.1767766952966369 * alpha[2] * favg[9];
-    ghat[17] += 0.17677669529663687 * alpha[3] * favg[26];
-    ghat[17] += 0.1767766952966369 * alpha[4] * favg[6];
-    ghat[17] += 0.17677669529663687 * alpha[5] * favg[28];
-    ghat[17] += 0.17677669529663687 * alpha[7] * favg[19];
-    ghat[17] += 0.17677669529663687 * alpha[8] * favg[18];
-    ghat[17] += 0.1767766952966369 * alpha[9] * favg[2];
-    ghat[17] += 0.1767766952966369 * alpha[10] * favg[1];
-    ghat[17] += 0.17677669529663687 * alpha[11] * favg[16];
-    ghat[17] += 0.17677669529663687 * alpha[12] * favg[24];
-    ghat[17] += 0.17677669529663687 * alpha[13] * favg[23];
-    ghat[17] += 0.1767766952966369 * alpha[14] * favg[31];
-    ghat[17] += 0.17677669529663687 * alpha[15] * favg[20];
-    ghat[17] += 0.17677669529663687 * alpha[18] * favg[8];
-    ghat[17] += 0.17677669529663687 * alpha[19] * favg[7];
-    ghat[17] += 0.1767766952966369 * alpha[21] * favg[30];
-    ghat[17] += 0.1767766952966369 * alpha[22] * favg[29];
-    ghat[17] += 0.17677669529663687 * alpha[23] * favg[13];
-    ghat[17] += 0.17677669529663687 * alpha[24] * favg[12];
-    ghat[17] += 0.1767766952966369 * alpha[25] * favg[27];
-    ghat[17] += 0.1767766952966369 * alpha[29] * favg[22];
-    ghat[17] += 0.1767766952966369 * alpha[30] * favg[21];
-    ghat[18] += 0.1767766952966369 * alpha[0] * favg[18];
-    ghat[18] += 0.1767766952966369 * alpha[1] * favg[11];
-    ghat[18] += 0.17677669529663687 * alpha[2] * favg[26];
-    ghat[18] += 0.1767766952966369 * alpha[3] * favg[9];
-    ghat[18] += 0.1767766952966369 * alpha[4] * favg[7];
-    ghat[18] += 0.17677669529663687 * alpha[5] * favg[29];
-    ghat[18] += 0.1767766952966369 * alpha[7] * favg[4];
-    ghat[18] += 0.17677669529663687 * alpha[8] * favg[17];
-    ghat[18] += 0.1767766952966369 * alpha[9] * favg[3];
-    ghat[18] += 0.17677669529663687 * alpha[10] * favg[16];
-    ghat[18] += 0.1767766952966369 * alpha[11] * favg[1];
-    ghat[18] += 0.17677669529663687 * alpha[12] * favg[25];
-    ghat[18] += 0.1767766952966369 * alpha[13] * favg[31];
-    ghat[18] += 0.17677669529663687 * alpha[14] * favg[23];
-    ghat[18] += 0.17677669529663687 * alpha[15] * favg[21];
-    ghat[18] += 0.1767766952966369 * alpha[18] * favg[0];
-    ghat[18] += 0.17677669529663687 * alpha[19] * favg[6];
-    ghat[18] += 0.17677669529663687 * alpha[21] * favg[15];
-    ghat[18] += 0.1767766952966369 * alpha[22] * favg[28];
-    ghat[18] += 0.17677669529663687 * alpha[23] * favg[14];
-    ghat[18] += 0.1767766952966369 * alpha[24] * favg[27];
-    ghat[18] += 0.17677669529663687 * alpha[25] * favg[12];
-    ghat[18] += 0.17677669529663687 * alpha[29] * favg[5];
-    ghat[18] += 0.1767766952966369 * alpha[30] * favg[20];
-    ghat[19] += 0.1767766952966369 * alpha[0] * favg[19];
-    ghat[19] += 0.17677669529663687 * alpha[1] * favg[26];
-    ghat[19] += 0.1767766952966369 * alpha[2] * favg[11];
-    ghat[19] += 0.1767766952966369 * alpha[3] * favg[10];
-    ghat[19] += 0.1767766952966369 * alpha[4] * favg[8];
-    ghat[19] += 0.17677669529663687 * alpha[5] * favg[30];
-    ghat[19] += 0.17677669529663687 * alpha[7] * favg[17];
-    ghat[19] += 0.1767766952966369 * alpha[8] * favg[4];
-    ghat[19] += 0.17677669529663687 * alpha[9] * favg[16];
-    ghat[19] += 0.1767766952966369 * alpha[10] * favg[3];
-    ghat[19] += 0.1767766952966369 * alpha[11] * favg[2];
-    ghat[19] += 0.1767766952966369 * alpha[12] * favg[31];
-    ghat[19] += 0.17677669529663687 * alpha[13] * favg[25];
-    ghat[19] += 0.17677669529663687 * alpha[14] * favg[24];
-    ghat[19] += 0.17677669529663687 * alpha[15] * favg[22];
-    ghat[19] += 0.17677669529663687 * alpha[18] * favg[6];
-    ghat[19] += 0.1767766952966369 * alpha[19] * favg[0];
-    ghat[19] += 0.1767766952966369 * alpha[21] * favg[28];
-    ghat[19] += 0.17677669529663687 * alpha[22] * favg[15];
-    ghat[19] += 0.1767766952966369 * alpha[23] * favg[27];
-    ghat[19] += 0.17677669529663687 * alpha[24] * favg[14];
-    ghat[19] += 0.17677669529663687 * alpha[25] * favg[13];
-    ghat[19] += 0.1767766952966369 * alpha[29] * favg[20];
-    ghat[19] += 0.17677669529663687 * alpha[30] * favg[5];
-    ghat[20] += 0.1767766952966369 * alpha[0] * favg[20];
-    ghat[20] += 0.1767766952966369 * alpha[1] * favg[13];
-    ghat[20] += 0.1767766952966369 * alpha[2] * favg[12];
-    ghat[20] += 0.17677669529663687 * alpha[3] * favg[27];
-    ghat[20] += 0.17677669529663687 * alpha[4] * favg[28];
-    ghat[20] += 0.1767766952966369 * alpha[5] * favg[6];
-    ghat[20] += 0.17677669529663687 * alpha[7] * favg[22];
-    ghat[20] += 0.17677669529663687 * alpha[8] * favg[21];
-    ghat[20] += 0.17677669529663687 * alpha[9] * favg[24];
-    ghat[20] += 0.17677669529663687 * alpha[10] * favg[23];
-    ghat[20] += 0.1767766952966369 * alpha[11] * favg[31];
-    ghat[20] += 0.1767766952966369 * alpha[12] * favg[2];
-    ghat[20] += 0.1767766952966369 * alpha[13] * favg[1];
-    ghat[20] += 0.17677669529663687 * alpha[14] * favg[16];
-    ghat[20] += 0.17677669529663687 * alpha[15] * favg[17];
-    ghat[20] += 0.1767766952966369 * alpha[18] * favg[30];
-    ghat[20] += 0.1767766952966369 * alpha[19] * favg[29];
-    ghat[20] += 0.17677669529663687 * alpha[21] * favg[8];
-    ghat[20] += 0.17677669529663687 * alpha[22] * favg[7];
-    ghat[20] += 0.17677669529663687 * alpha[23] * favg[10];
-    ghat[20] += 0.17677669529663687 * alpha[24] * favg[9];
-    ghat[20] += 0.1767766952966369 * alpha[25] * favg[26];
-    ghat[20] += 0.1767766952966369 * alpha[29] * favg[19];
-    ghat[20] += 0.1767766952966369 * alpha[30] * favg[18];
-    ghat[21] += 0.1767766952966369 * alpha[0] * favg[21];
-    ghat[21] += 0.1767766952966369 * alpha[1] * favg[14];
-    ghat[21] += 0.17677669529663687 * alpha[2] * favg[27];
-    ghat[21] += 0.1767766952966369 * alpha[3] * favg[12];
-    ghat[21] += 0.17677669529663687 * alpha[4] * favg[29];
-    ghat[21] += 0.1767766952966369 * alpha[5] * favg[7];
-    ghat[21] += 0.1767766952966369 * alpha[7] * favg[5];
-    ghat[21] += 0.17677669529663687 * alpha[8] * favg[20];
-    ghat[21] += 0.17677669529663687 * alpha[9] * favg[25];
-    ghat[21] += 0.1767766952966369 * alpha[10] * favg[31];
-    ghat[21] += 0.17677669529663687 * alpha[11] * favg[23];
-    ghat[21] += 0.1767766952966369 * alpha[12] * favg[3];
-    ghat[21] += 0.17677669529663687 * alpha[13] * favg[16];
-    ghat[21] += 0.1767766952966369 * alpha[14] * favg[1];
-    ghat[21] += 0.17677669529663687 * alpha[15] * favg[18];
-    ghat[21] += 0.17677669529663687 * alpha[18] * favg[15];
-    ghat[21] += 0.1767766952966369 * alpha[19] * favg[28];
-    ghat[21] += 0.1767766952966369 * alpha[21] * favg[0];
-    ghat[21] += 0.17677669529663687 * alpha[22] * favg[6];
-    ghat[21] += 0.17677669529663687 * alpha[23] * favg[11];
-    ghat[21] += 0.1767766952966369 * alpha[24] * favg[26];
-    ghat[21] += 0.17677669529663687 * alpha[25] * favg[9];
-    ghat[21] += 0.17677669529663687 * alpha[29] * favg[4];
-    ghat[21] += 0.1767766952966369 * alpha[30] * favg[17];
-    ghat[22] += 0.1767766952966369 * alpha[0] * favg[22];
-    ghat[22] += 0.17677669529663687 * alpha[1] * favg[27];
-    ghat[22] += 0.1767766952966369 * alpha[2] * favg[14];
-    ghat[22] += 0.1767766952966369 * alpha[3] * favg[13];
-    ghat[22] += 0.17677669529663687 * alpha[4] * favg[30];
-    ghat[22] += 0.1767766952966369 * alpha[5] * favg[8];
-    ghat[22] += 0.17677669529663687 * alpha[7] * favg[20];
-    ghat[22] += 0.1767766952966369 * alpha[8] * favg[5];
-    ghat[22] += 0.1767766952966369 * alpha[9] * favg[31];
-    ghat[22] += 0.17677669529663687 * alpha[10] * favg[25];
-    ghat[22] += 0.17677669529663687 * alpha[11] * favg[24];
-    ghat[22] += 0.17677669529663687 * alpha[12] * favg[16];
-    ghat[22] += 0.1767766952966369 * alpha[13] * favg[3];
-    ghat[22] += 0.1767766952966369 * alpha[14] * favg[2];
-    ghat[22] += 0.17677669529663687 * alpha[15] * favg[19];
-    ghat[22] += 0.1767766952966369 * alpha[18] * favg[28];
-    ghat[22] += 0.17677669529663687 * alpha[19] * favg[15];
-    ghat[22] += 0.17677669529663687 * alpha[21] * favg[6];
-    ghat[22] += 0.1767766952966369 * alpha[22] * favg[0];
-    ghat[22] += 0.1767766952966369 * alpha[23] * favg[26];
-    ghat[22] += 0.17677669529663687 * alpha[24] * favg[11];
-    ghat[22] += 0.17677669529663687 * alpha[25] * favg[10];
-    ghat[22] += 0.1767766952966369 * alpha[29] * favg[17];
-    ghat[22] += 0.17677669529663687 * alpha[30] * favg[4];
-    ghat[23] += 0.1767766952966369 * alpha[0] * favg[23];
-    ghat[23] += 0.1767766952966369 * alpha[1] * favg[15];
-    ghat[23] += 0.17677669529663687 * alpha[2] * favg[28];
-    ghat[23] += 0.17677669529663687 * alpha[3] * favg[29];
-    ghat[23] += 0.1767766952966369 * alpha[4] * favg[12];
-    ghat[23] += 0.1767766952966369 * alpha[5] * favg[9];
-    ghat[23] += 0.17677669529663687 * alpha[7] * favg[25];
-    ghat[23] += 0.1767766952966369 * alpha[8] * favg[31];
-    ghat[23] += 0.1767766952966369 * alpha[9] * favg[5];
-    ghat[23] += 0.17677669529663687 * alpha[10] * favg[20];
-    ghat[23] += 0.17677669529663687 * alpha[11] * favg[21];
-    ghat[23] += 0.1767766952966369 * alpha[12] * favg[4];
-    ghat[23] += 0.17677669529663687 * alpha[13] * favg[17];
-    ghat[23] += 0.17677669529663687 * alpha[14] * favg[18];
-    ghat[23] += 0.1767766952966369 * alpha[15] * favg[1];
-    ghat[23] += 0.17677669529663687 * alpha[18] * favg[14];
-    ghat[23] += 0.1767766952966369 * alpha[19] * favg[27];
-    ghat[23] += 0.17677669529663687 * alpha[21] * favg[11];
-    ghat[23] += 0.1767766952966369 * alpha[22] * favg[26];
-    ghat[23] += 0.1767766952966369 * alpha[23] * favg[0];
-    ghat[23] += 0.17677669529663687 * alpha[24] * favg[6];
-    ghat[23] += 0.17677669529663687 * alpha[25] * favg[7];
-    ghat[23] += 0.17677669529663687 * alpha[29] * favg[3];
-    ghat[23] += 0.1767766952966369 * alpha[30] * favg[16];
-    ghat[24] += 0.1767766952966369 * alpha[0] * favg[24];
-    ghat[24] += 0.17677669529663687 * alpha[1] * favg[28];
-    ghat[24] += 0.1767766952966369 * alpha[2] * favg[15];
-    ghat[24] += 0.17677669529663687 * alpha[3] * favg[30];
-    ghat[24] += 0.1767766952966369 * alpha[4] * favg[13];
-    ghat[24] += 0.1767766952966369 * alpha[5] * favg[10];
-    ghat[24] += 0.1767766952966369 * alpha[7] * favg[31];
-    ghat[24] += 0.17677669529663687 * alpha[8] * favg[25];
-    ghat[24] += 0.17677669529663687 * alpha[9] * favg[20];
-    ghat[24] += 0.1767766952966369 * alpha[10] * favg[5];
-    ghat[24] += 0.17677669529663687 * alpha[11] * favg[22];
-    ghat[24] += 0.17677669529663687 * alpha[12] * favg[17];
-    ghat[24] += 0.1767766952966369 * alpha[13] * favg[4];
-    ghat[24] += 0.17677669529663687 * alpha[14] * favg[19];
-    ghat[24] += 0.1767766952966369 * alpha[15] * favg[2];
-    ghat[24] += 0.1767766952966369 * alpha[18] * favg[27];
-    ghat[24] += 0.17677669529663687 * alpha[19] * favg[14];
-    ghat[24] += 0.1767766952966369 * alpha[21] * favg[26];
-    ghat[24] += 0.17677669529663687 * alpha[22] * favg[11];
-    ghat[24] += 0.17677669529663687 * alpha[23] * favg[6];
-    ghat[24] += 0.1767766952966369 * alpha[24] * favg[0];
-    ghat[24] += 0.17677669529663687 * alpha[25] * favg[8];
-    ghat[24] += 0.1767766952966369 * alpha[29] * favg[16];
-    ghat[24] += 0.17677669529663687 * alpha[30] * favg[3];
-    ghat[25] += 0.1767766952966369 * alpha[0] * favg[25];
-    ghat[25] += 0.17677669529663687 * alpha[1] * favg[29];
-    ghat[25] += 0.17677669529663687 * alpha[2] * favg[30];
-    ghat[25] += 0.1767766952966369 * alpha[3] * favg[15];
-    ghat[25] += 0.1767766952966369 * alpha[4] * favg[14];
-    ghat[25] += 0.1767766952966369 * alpha[5] * favg[11];
-    ghat[25] += 0.17677669529663687 * alpha[7] * favg[23];
-    ghat[25] += 0.17677669529663687 * alpha[8] * favg[24];
-    ghat[25] += 0.17677669529663687 * alpha[9] * favg[21];
-    ghat[25] += 0.17677669529663687 * alpha[10] * favg[22];
-    ghat[25] += 0.1767766952966369 * alpha[11] * favg[5];
-    ghat[25] += 0.17677669529663687 * alpha[12] * favg[18];
-    ghat[25] += 0.17677669529663687 * alpha[13] * favg[19];
-    ghat[25] += 0.1767766952966369 * alpha[14] * favg[4];
-    ghat[25] += 0.1767766952966369 * alpha[15] * favg[3];
-    ghat[25] += 0.17677669529663687 * alpha[18] * favg[12];
-    ghat[25] += 0.17677669529663687 * alpha[19] * favg[13];
-    ghat[25] += 0.17677669529663687 * alpha[21] * favg[9];
-    ghat[25] += 0.17677669529663687 * alpha[22] * favg[10];
-    ghat[25] += 0.17677669529663687 * alpha[23] * favg[7];
-    ghat[25] += 0.17677669529663687 * alpha[24] * favg[8];
-    ghat[25] += 0.1767766952966369 * alpha[25] * favg[0];
-    ghat[25] += 0.17677669529663687 * alpha[29] * favg[1];
-    ghat[25] += 0.17677669529663687 * alpha[30] * favg[2];
-    ghat[26] += 0.17677669529663687 * alpha[0] * favg[26];
-    ghat[26] += 0.17677669529663687 * alpha[1] * favg[19];
-    ghat[26] += 0.17677669529663687 * alpha[2] * favg[18];
-    ghat[26] += 0.17677669529663687 * alpha[3] * favg[17];
-    ghat[26] += 0.17677669529663687 * alpha[4] * favg[16];
-    ghat[26] += 0.1767766952966369 * alpha[5] * favg[31];
-    ghat[26] += 0.17677669529663687 * alpha[7] * favg[10];
-    ghat[26] += 0.17677669529663687 * alpha[8] * favg[9];
-    ghat[26] += 0.17677669529663687 * alpha[9] * favg[8];
-    ghat[26] += 0.17677669529663687 * alpha[10] * favg[7];
-    ghat[26] += 0.17677669529663687 * alpha[11] * favg[6];
-    ghat[26] += 0.1767766952966369 * alpha[12] * favg[30];
-    ghat[26] += 0.1767766952966369 * alpha[13] * favg[29];
-    ghat[26] += 0.1767766952966369 * alpha[14] * favg[28];
-    ghat[26] += 0.1767766952966369 * alpha[15] * favg[27];
-    ghat[26] += 0.17677669529663687 * alpha[18] * favg[2];
-    ghat[26] += 0.17677669529663687 * alpha[19] * favg[1];
-    ghat[26] += 0.1767766952966369 * alpha[21] * favg[24];
-    ghat[26] += 0.1767766952966369 * alpha[22] * favg[23];
-    ghat[26] += 0.1767766952966369 * alpha[23] * favg[22];
-    ghat[26] += 0.1767766952966369 * alpha[24] * favg[21];
-    ghat[26] += 0.1767766952966369 * alpha[25] * favg[20];
-    ghat[26] += 0.1767766952966369 * alpha[29] * favg[13];
-    ghat[26] += 0.1767766952966369 * alpha[30] * favg[12];
-    ghat[27] += 0.17677669529663687 * alpha[0] * favg[27];
-    ghat[27] += 0.17677669529663687 * alpha[1] * favg[22];
-    ghat[27] += 0.17677669529663687 * alpha[2] * favg[21];
-    ghat[27] += 0.17677669529663687 * alpha[3] * favg[20];
-    ghat[27] += 0.1767766952966369 * alpha[4] * favg[31];
-    ghat[27] += 0.17677669529663687 * alpha[5] * favg[16];
-    ghat[27] += 0.17677669529663687 * alpha[7] * favg[13];
-    ghat[27] += 0.17677669529663687 * alpha[8] * favg[12];
-    ghat[27] += 0.1767766952966369 * alpha[9] * favg[30];
-    ghat[27] += 0.1767766952966369 * alpha[10] * favg[29];
-    ghat[27] += 0.1767766952966369 * alpha[11] * favg[28];
-    ghat[27] += 0.17677669529663687 * alpha[12] * favg[8];
-    ghat[27] += 0.17677669529663687 * alpha[13] * favg[7];
-    ghat[27] += 0.17677669529663687 * alpha[14] * favg[6];
-    ghat[27] += 0.1767766952966369 * alpha[15] * favg[26];
-    ghat[27] += 0.1767766952966369 * alpha[18] * favg[24];
-    ghat[27] += 0.1767766952966369 * alpha[19] * favg[23];
-    ghat[27] += 0.17677669529663687 * alpha[21] * favg[2];
-    ghat[27] += 0.17677669529663687 * alpha[22] * favg[1];
-    ghat[27] += 0.1767766952966369 * alpha[23] * favg[19];
-    ghat[27] += 0.1767766952966369 * alpha[24] * favg[18];
-    ghat[27] += 0.1767766952966369 * alpha[25] * favg[17];
-    ghat[27] += 0.1767766952966369 * alpha[29] * favg[10];
-    ghat[27] += 0.1767766952966369 * alpha[30] * favg[9];
-    ghat[28] += 0.17677669529663687 * alpha[0] * favg[28];
-    ghat[28] += 0.17677669529663687 * alpha[1] * favg[24];
-    ghat[28] += 0.17677669529663687 * alpha[2] * favg[23];
-    ghat[28] += 0.1767766952966369 * alpha[3] * favg[31];
-    ghat[28] += 0.17677669529663687 * alpha[4] * favg[20];
-    ghat[28] += 0.17677669529663687 * alpha[5] * favg[17];
-    ghat[28] += 0.1767766952966369 * alpha[7] * favg[30];
-    ghat[28] += 0.1767766952966369 * alpha[8] * favg[29];
-    ghat[28] += 0.17677669529663687 * alpha[9] * favg[13];
-    ghat[28] += 0.17677669529663687 * alpha[10] * favg[12];
-    ghat[28] += 0.1767766952966369 * alpha[11] * favg[27];
-    ghat[28] += 0.17677669529663687 * alpha[12] * favg[10];
-    ghat[28] += 0.17677669529663687 * alpha[13] * favg[9];
-    ghat[28] += 0.1767766952966369 * alpha[14] * favg[26];
-    ghat[28] += 0.17677669529663687 * alpha[15] * favg[6];
-    ghat[28] += 0.1767766952966369 * alpha[18] * favg[22];
-    ghat[28] += 0.1767766952966369 * alpha[19] * favg[21];
-    ghat[28] += 0.1767766952966369 * alpha[21] * favg[19];
-    ghat[28] += 0.1767766952966369 * alpha[22] * favg[18];
-    ghat[28] += 0.17677669529663687 * alpha[23] * favg[2];
-    ghat[28] += 0.17677669529663687 * alpha[24] * favg[1];
-    ghat[28] += 0.1767766952966369 * alpha[25] * favg[16];
-    ghat[28] += 0.1767766952966369 * alpha[29] * favg[8];
-    ghat[28] += 0.1767766952966369 * alpha[30] * favg[7];
-    ghat[29] += 0.17677669529663687 * alpha[0] * favg[29];
-    ghat[29] += 0.17677669529663687 * alpha[1] * favg[25];
-    ghat[29] += 0.1767766952966369 * alpha[2] * favg[31];
-    ghat[29] += 0.17677669529663687 * alpha[3] * favg[23];
-    ghat[29] += 0.17677669529663687 * alpha[4] * favg[21];
-    ghat[29] += 0.17677669529663687 * alpha[5] * favg[18];
-    ghat[29] += 0.17677669529663687 * alpha[7] * favg[15];
-    ghat[29] += 0.1767766952966369 * alpha[8] * favg[28];
-    ghat[29] += 0.17677669529663687 * alpha[9] * favg[14];
-    ghat[29] += 0.1767766952966369 * alpha[10] * favg[27];
-    ghat[29] += 0.17677669529663687 * alpha[11] * favg[12];
-    ghat[29] += 0.17677669529663687 * alpha[12] * favg[11];
-    ghat[29] += 0.1767766952966369 * alpha[13] * favg[26];
-    ghat[29] += 0.17677669529663687 * alpha[14] * favg[9];
-    ghat[29] += 0.17677669529663687 * alpha[15] * favg[7];
-    ghat[29] += 0.17677669529663687 * alpha[18] * favg[5];
-    ghat[29] += 0.1767766952966369 * alpha[19] * favg[20];
-    ghat[29] += 0.17677669529663687 * alpha[21] * favg[4];
-    ghat[29] += 0.1767766952966369 * alpha[22] * favg[17];
-    ghat[29] += 0.17677669529663687 * alpha[23] * favg[3];
-    ghat[29] += 0.1767766952966369 * alpha[24] * favg[16];
-    ghat[29] += 0.17677669529663687 * alpha[25] * favg[1];
-    ghat[29] += 0.17677669529663687 * alpha[29] * favg[0];
-    ghat[29] += 0.1767766952966369 * alpha[30] * favg[6];
-    ghat[30] += 0.17677669529663687 * alpha[0] * favg[30];
-    ghat[30] += 0.1767766952966369 * alpha[1] * favg[31];
-    ghat[30] += 0.17677669529663687 * alpha[2] * favg[25];
-    ghat[30] += 0.17677669529663687 * alpha[3] * favg[24];
-    ghat[30] += 0.17677669529663687 * alpha[4] * favg[22];
-    ghat[30] += 0.17677669529663687 * alpha[5] * favg[19];
-    ghat[30] += 0.1767766952966369 * alpha[7] * favg[28];
-    ghat[30] += 0.17677669529663687 * alpha[8] * favg[15];
-    ghat[30] += 0.1767766952966369 * alpha[9] * favg[27];
-    ghat[30] += 0.17677669529663687 * alpha[10] * favg[14];
-    ghat[30] += 0.17677669529663687 * alpha[11] * favg[13];
-    ghat[30] += 0.1767766952966369 * alpha[12] * favg[26];
-    ghat[30] += 0.17677669529663687 * alpha[13] * favg[11];
-    ghat[30] += 0.17677669529663687 * alpha[14] * favg[10];
-    ghat[30] += 0.17677669529663687 * alpha[15] * favg[8];
-    ghat[30] += 0.1767766952966369 * alpha[18] * favg[20];
-    ghat[30] += 0.17677669529663687 * alpha[19] * favg[5];
-    ghat[30] += 0.1767766952966369 * alpha[21] * favg[17];
-    ghat[30] += 0.17677669529663687 * alpha[22] * favg[4];
-    ghat[30] += 0.1767766952966369 * alpha[23] * favg[16];
-    ghat[30] += 0.17677669529663687 * alpha[24] * favg[3];
-    ghat[30] += 0.17677669529663687 * alpha[25] * favg[2];
-    ghat[30] += 0.1767766952966369 * alpha[29] * favg[6];
-    ghat[30] += 0.17677669529663687 * alpha[30] * favg[0];
-    ghat[31] += 0.1767766952966369 * alpha[0] * favg[31];
-    ghat[31] += 0.1767766952966369 * alpha[1] * favg[30];
-    ghat[31] += 0.1767766952966369 * alpha[2] * favg[29];
-    ghat[31] += 0.1767766952966369 * alpha[3] * favg[28];
-    ghat[31] += 0.1767766952966369 * alpha[4] * favg[27];
-    ghat[31] += 0.1767766952966369 * alpha[5] * favg[26];
-    ghat[31] += 0.1767766952966369 * alpha[7] * favg[24];
-    ghat[31] += 0.1767766952966369 * alpha[8] * favg[23];
-    ghat[31] += 0.1767766952966369 * alpha[9] * favg[22];
-    ghat[31] += 0.1767766952966369 * alpha[10] * favg[21];
-    ghat[31] += 0.1767766952966369 * alpha[11] * favg[20];
-    ghat[31] += 0.1767766952966369 * alpha[12] * favg[19];
-    ghat[31] += 0.1767766952966369 * alpha[13] * favg[18];
-    ghat[31] += 0.1767766952966369 * alpha[14] * favg[17];
-    ghat[31] += 0.1767766952966369 * alpha[15] * favg[16];
-    ghat[31] += 0.1767766952966369 * alpha[18] * favg[13];
-    ghat[31] += 0.1767766952966369 * alpha[19] * favg[12];
-    ghat[31] += 0.1767766952966369 * alpha[21] * favg[10];
-    ghat[31] += 0.1767766952966369 * alpha[22] * favg[9];
-    ghat[31] += 0.1767766952966369 * alpha[23] * favg[8];
-    ghat[31] += 0.1767766952966369 * alpha[24] * favg[7];
-    ghat[31] += 0.1767766952966369 * alpha[25] * favg[6];
-    ghat[31] += 0.1767766952966369 * alpha[29] * favg[2];
-    ghat[31] += 0.1767766952966369 * alpha[30] * favg[1];
-    out_lo[0] += -rd * 0.7071067811865476 * ghat[0];
-    out_lo[1] += -rd * 1.224744871391589 * ghat[0];
-    out_lo[2] += -rd * 0.7071067811865476 * ghat[1];
-    out_lo[3] += -rd * 0.7071067811865476 * ghat[2];
-    out_lo[4] += -rd * 0.7071067811865476 * ghat[3];
-    out_lo[5] += -rd * 0.7071067811865476 * ghat[4];
-    out_lo[6] += -rd * 0.7071067811865476 * ghat[5];
-    out_lo[7] += -rd * 1.224744871391589 * ghat[1];
-    out_lo[8] += -rd * 1.224744871391589 * ghat[2];
-    out_lo[9] += -rd * 0.7071067811865476 * ghat[6];
-    out_lo[10] += -rd * 1.224744871391589 * ghat[3];
-    out_lo[11] += -rd * 0.7071067811865476 * ghat[7];
-    out_lo[12] += -rd * 0.7071067811865476 * ghat[8];
-    out_lo[13] += -rd * 1.224744871391589 * ghat[4];
-    out_lo[14] += -rd * 0.7071067811865476 * ghat[9];
-    out_lo[15] += -rd * 0.7071067811865476 * ghat[10];
-    out_lo[16] += -rd * 0.7071067811865476 * ghat[11];
-    out_lo[17] += -rd * 1.224744871391589 * ghat[5];
-    out_lo[18] += -rd * 0.7071067811865476 * ghat[12];
-    out_lo[19] += -rd * 0.7071067811865476 * ghat[13];
-    out_lo[20] += -rd * 0.7071067811865476 * ghat[14];
-    out_lo[21] += -rd * 0.7071067811865476 * ghat[15];
-    out_lo[22] += -rd * 1.224744871391589 * ghat[6];
-    out_lo[23] += -rd * 1.224744871391589 * ghat[7];
-    out_lo[24] += -rd * 1.224744871391589 * ghat[8];
-    out_lo[25] += -rd * 0.7071067811865476 * ghat[16];
-    out_lo[26] += -rd * 1.224744871391589 * ghat[9];
-    out_lo[27] += -rd * 1.224744871391589 * ghat[10];
-    out_lo[28] += -rd * 0.7071067811865476 * ghat[17];
-    out_lo[29] += -rd * 1.224744871391589 * ghat[11];
-    out_lo[30] += -rd * 0.7071067811865476 * ghat[18];
-    out_lo[31] += -rd * 0.7071067811865476 * ghat[19];
-    out_lo[32] += -rd * 1.224744871391589 * ghat[12];
-    out_lo[33] += -rd * 1.224744871391589 * ghat[13];
-    out_lo[34] += -rd * 0.7071067811865476 * ghat[20];
-    out_lo[35] += -rd * 1.224744871391589 * ghat[14];
-    out_lo[36] += -rd * 0.7071067811865476 * ghat[21];
-    out_lo[37] += -rd * 0.7071067811865476 * ghat[22];
-    out_lo[38] += -rd * 1.224744871391589 * ghat[15];
-    out_lo[39] += -rd * 0.7071067811865476 * ghat[23];
-    out_lo[40] += -rd * 0.7071067811865476 * ghat[24];
-    out_lo[41] += -rd * 0.7071067811865476 * ghat[25];
-    out_lo[42] += -rd * 1.224744871391589 * ghat[16];
-    out_lo[43] += -rd * 1.224744871391589 * ghat[17];
-    out_lo[44] += -rd * 1.224744871391589 * ghat[18];
-    out_lo[45] += -rd * 1.224744871391589 * ghat[19];
-    out_lo[46] += -rd * 0.7071067811865476 * ghat[26];
-    out_lo[47] += -rd * 1.224744871391589 * ghat[20];
-    out_lo[48] += -rd * 1.224744871391589 * ghat[21];
-    out_lo[49] += -rd * 1.224744871391589 * ghat[22];
-    out_lo[50] += -rd * 0.7071067811865476 * ghat[27];
-    out_lo[51] += -rd * 1.224744871391589 * ghat[23];
-    out_lo[52] += -rd * 1.224744871391589 * ghat[24];
-    out_lo[53] += -rd * 0.7071067811865476 * ghat[28];
-    out_lo[54] += -rd * 1.224744871391589 * ghat[25];
-    out_lo[55] += -rd * 0.7071067811865476 * ghat[29];
-    out_lo[56] += -rd * 0.7071067811865476 * ghat[30];
-    out_lo[57] += -rd * 1.224744871391589 * ghat[26];
-    out_lo[58] += -rd * 1.224744871391589 * ghat[27];
-    out_lo[59] += -rd * 1.224744871391589 * ghat[28];
-    out_lo[60] += -rd * 1.224744871391589 * ghat[29];
-    out_lo[61] += -rd * 1.224744871391589 * ghat[30];
-    out_lo[62] += -rd * 0.7071067811865476 * ghat[31];
-    out_lo[63] += -rd * 1.224744871391589 * ghat[31];
-    out_hi[0] += rd * 0.7071067811865476 * ghat[0];
-    out_hi[1] += rd * -1.224744871391589 * ghat[0];
-    out_hi[2] += rd * 0.7071067811865476 * ghat[1];
-    out_hi[3] += rd * 0.7071067811865476 * ghat[2];
-    out_hi[4] += rd * 0.7071067811865476 * ghat[3];
-    out_hi[5] += rd * 0.7071067811865476 * ghat[4];
-    out_hi[6] += rd * 0.7071067811865476 * ghat[5];
-    out_hi[7] += rd * -1.224744871391589 * ghat[1];
-    out_hi[8] += rd * -1.224744871391589 * ghat[2];
-    out_hi[9] += rd * 0.7071067811865476 * ghat[6];
-    out_hi[10] += rd * -1.224744871391589 * ghat[3];
-    out_hi[11] += rd * 0.7071067811865476 * ghat[7];
-    out_hi[12] += rd * 0.7071067811865476 * ghat[8];
-    out_hi[13] += rd * -1.224744871391589 * ghat[4];
-    out_hi[14] += rd * 0.7071067811865476 * ghat[9];
-    out_hi[15] += rd * 0.7071067811865476 * ghat[10];
-    out_hi[16] += rd * 0.7071067811865476 * ghat[11];
-    out_hi[17] += rd * -1.224744871391589 * ghat[5];
-    out_hi[18] += rd * 0.7071067811865476 * ghat[12];
-    out_hi[19] += rd * 0.7071067811865476 * ghat[13];
-    out_hi[20] += rd * 0.7071067811865476 * ghat[14];
-    out_hi[21] += rd * 0.7071067811865476 * ghat[15];
-    out_hi[22] += rd * -1.224744871391589 * ghat[6];
-    out_hi[23] += rd * -1.224744871391589 * ghat[7];
-    out_hi[24] += rd * -1.224744871391589 * ghat[8];
-    out_hi[25] += rd * 0.7071067811865476 * ghat[16];
-    out_hi[26] += rd * -1.224744871391589 * ghat[9];
-    out_hi[27] += rd * -1.224744871391589 * ghat[10];
-    out_hi[28] += rd * 0.7071067811865476 * ghat[17];
-    out_hi[29] += rd * -1.224744871391589 * ghat[11];
-    out_hi[30] += rd * 0.7071067811865476 * ghat[18];
-    out_hi[31] += rd * 0.7071067811865476 * ghat[19];
-    out_hi[32] += rd * -1.224744871391589 * ghat[12];
-    out_hi[33] += rd * -1.224744871391589 * ghat[13];
-    out_hi[34] += rd * 0.7071067811865476 * ghat[20];
-    out_hi[35] += rd * -1.224744871391589 * ghat[14];
-    out_hi[36] += rd * 0.7071067811865476 * ghat[21];
-    out_hi[37] += rd * 0.7071067811865476 * ghat[22];
-    out_hi[38] += rd * -1.224744871391589 * ghat[15];
-    out_hi[39] += rd * 0.7071067811865476 * ghat[23];
-    out_hi[40] += rd * 0.7071067811865476 * ghat[24];
-    out_hi[41] += rd * 0.7071067811865476 * ghat[25];
-    out_hi[42] += rd * -1.224744871391589 * ghat[16];
-    out_hi[43] += rd * -1.224744871391589 * ghat[17];
-    out_hi[44] += rd * -1.224744871391589 * ghat[18];
-    out_hi[45] += rd * -1.224744871391589 * ghat[19];
-    out_hi[46] += rd * 0.7071067811865476 * ghat[26];
-    out_hi[47] += rd * -1.224744871391589 * ghat[20];
-    out_hi[48] += rd * -1.224744871391589 * ghat[21];
-    out_hi[49] += rd * -1.224744871391589 * ghat[22];
-    out_hi[50] += rd * 0.7071067811865476 * ghat[27];
-    out_hi[51] += rd * -1.224744871391589 * ghat[23];
-    out_hi[52] += rd * -1.224744871391589 * ghat[24];
-    out_hi[53] += rd * 0.7071067811865476 * ghat[28];
-    out_hi[54] += rd * -1.224744871391589 * ghat[25];
-    out_hi[55] += rd * 0.7071067811865476 * ghat[29];
-    out_hi[56] += rd * 0.7071067811865476 * ghat[30];
-    out_hi[57] += rd * -1.224744871391589 * ghat[26];
-    out_hi[58] += rd * -1.224744871391589 * ghat[27];
-    out_hi[59] += rd * -1.224744871391589 * ghat[28];
-    out_hi[60] += rd * -1.224744871391589 * ghat[29];
-    out_hi[61] += rd * -1.224744871391589 * ghat[30];
-    out_hi[62] += rd * 0.7071067811865476 * ghat[31];
-    out_hi[63] += rd * -1.224744871391589 * ghat[31];
+    vlasov_surf_3x3v_p1_ser_v2_body::<1>(w.as_chunks().0, dxv, qm, em, penalty, f_lo.as_chunks().0, f_hi.as_chunks().0, out_lo.as_chunks_mut().0, out_hi.as_chunks_mut().0)
 }
 
-/// Batched companion of [`vlasov_surf_3x3v_p1_ser_v2`]: `LANES` faces per call, bit-identical per lane.
+/// [`vlasov_surf_3x3v_p1_ser_v2`] over `LANES` faces: the same body, bit-identical per lane.
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_3x3v_p1_ser_v2_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_3x3v_p1_ser_v2_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_3x3v_p1_ser_v2_b4(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_3x3v_p1_ser_v2_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// [`vlasov_surf_3x3v_p1_ser_v2_b4`] compiled for AVX2: the same body, bit-identical per lane.
-/// Reach it through `crate::dispatch`, which checks the CPU first.
+/// [`vlasov_surf_3x3v_p1_ser_v2_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_surf_3x3v_p1_ser_v2_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
-    vlasov_surf_3x3v_p1_ser_v2_b4_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+pub fn vlasov_surf_3x3v_p1_ser_v2_b4_avx2(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; LANES]], f_hi: &[[f64; LANES]], out_lo: &mut [[f64; LANES]], out_hi: &mut [[f64; LANES]]) {
+    vlasov_surf_3x3v_p1_ser_v2_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
 }
 
-/// Shared body of [`vlasov_surf_3x3v_p1_ser_v2_b4`] and its AVX2 entry point.
+/// [`vlasov_surf_3x3v_p1_ser_v2`] over 8 faces, compiled for AVX-512F. Reach it through
+/// `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_surf_3x3v_p1_ser_v2_b8_avx512(w: &[[f64; 8]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; 8]], f_hi: &[[f64; 8]], out_lo: &mut [[f64; 8]], out_hi: &mut [[f64; 8]]) {
+    vlasov_surf_3x3v_p1_ser_v2_body(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+}
+
+/// Shared lane-generic body of [`vlasov_surf_3x3v_p1_ser_v2`] and its batched entry points.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_surf_3x3v_p1_ser_v2_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[CellLanes], f_hi: &[CellLanes], out_lo: &mut [CellLanes], out_hi: &mut [CellLanes]) {
+fn vlasov_surf_3x3v_p1_ser_v2_body<const L: usize>(w: &[[f64; L]], dxv: &[f64], qm: f64, em: &[f64], penalty: bool, f_lo: &[[f64; L]], f_hi: &[[f64; L]], out_lo: &mut [[f64; L]], out_hi: &mut [[f64; L]]) {
+    let w: &[[f64; L]; 6] = w.first_chunk().expect("w: 6 coefficients");
+    let f_lo: &[[f64; L]; 64] = f_lo.first_chunk().expect("f_lo: 64 coefficients");
+    let f_hi: &[[f64; L]; 64] = f_hi.first_chunk().expect("f_hi: 64 coefficients");
+    let out_lo: &mut [[f64; L]; 64] = out_lo.first_chunk_mut().expect("out_lo: 64 coefficients");
+    let out_hi: &mut [[f64; L]; 64] = out_hi.first_chunk_mut().expect("out_hi: 64 coefficients");
     let rd = 2.0 / dxv[5];
-    let mut alpha = [CellLanes([0.0f64; LANES]); 32];
-    let mut lam = CellLanes([0.0f64; LANES]);
-    for k in 0..LANES {
-        alpha[0].0[k] += qm * 2.0 * (em[16] + w[3].0[k] * em[32] - w[4].0[k] * em[24]);
-        alpha[2].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[32];
-        alpha[1].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[24];
-        alpha[3].0[k] += qm * 2.0 * (em[17] + w[3].0[k] * em[33] - w[4].0[k] * em[25]);
-        alpha[8].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[33];
-        alpha[7].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[25];
-        alpha[4].0[k] += qm * 2.0 * (em[18] + w[3].0[k] * em[34] - w[4].0[k] * em[26]);
-        alpha[10].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[34];
-        alpha[9].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[26];
-        alpha[5].0[k] += qm * 2.0 * (em[19] + w[3].0[k] * em[35] - w[4].0[k] * em[27]);
-        alpha[13].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[35];
-        alpha[12].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[27];
-        alpha[11].0[k] += qm * 2.0 * (em[20] + w[3].0[k] * em[36] - w[4].0[k] * em[28]);
-        alpha[19].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[36];
-        alpha[18].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[28];
-        alpha[14].0[k] += qm * 2.0 * (em[21] + w[3].0[k] * em[37] - w[4].0[k] * em[29]);
-        alpha[22].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[37];
-        alpha[21].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[29];
-        alpha[15].0[k] += qm * 2.0 * (em[22] + w[3].0[k] * em[38] - w[4].0[k] * em[30]);
-        alpha[24].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[38];
-        alpha[23].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[30];
-        alpha[25].0[k] += qm * 2.0 * (em[23] + w[3].0[k] * em[39] - w[4].0[k] * em[31]);
-        alpha[30].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[39];
-        alpha[29].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[31];
-        lam.0[k] = if penalty { alpha[0].0[k].abs() * 0.17677669529663692 + alpha[1].0[k].abs() * 0.3061862178478973 + alpha[2].0[k].abs() * 0.30618621784789735 + alpha[3].0[k].abs() * 0.30618621784789735 + alpha[4].0[k].abs() * 0.30618621784789735 + alpha[5].0[k].abs() * 0.30618621784789735 + alpha[7].0[k].abs() * 0.5303300858899107 + alpha[8].0[k].abs() * 0.5303300858899107 + alpha[9].0[k].abs() * 0.5303300858899107 + alpha[10].0[k].abs() * 0.5303300858899107 + alpha[11].0[k].abs() * 0.5303300858899107 + alpha[12].0[k].abs() * 0.5303300858899107 + alpha[13].0[k].abs() * 0.5303300858899107 + alpha[14].0[k].abs() * 0.5303300858899107 + alpha[15].0[k].abs() * 0.5303300858899107 + alpha[18].0[k].abs() * 0.9185586535436917 + alpha[19].0[k].abs() * 0.9185586535436917 + alpha[21].0[k].abs() * 0.9185586535436917 + alpha[22].0[k].abs() * 0.9185586535436917 + alpha[23].0[k].abs() * 0.9185586535436917 + alpha[24].0[k].abs() * 0.9185586535436917 + alpha[25].0[k].abs() * 0.9185586535436917 + alpha[29].0[k].abs() * 1.5909902576697315 + alpha[30].0[k].abs() * 1.5909902576697315 } else { 0.0 };
+    let mut alpha = [[0.0f64; L]; 32];
+    let mut lam = [0.0f64; L];
+    for k in 0..L {
+        alpha[0][k] += qm * 2.0 * (em[16] + w[3][k] * em[32] - w[4][k] * em[24]);
+        alpha[2][k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[32];
+        alpha[1][k] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[24];
+        alpha[3][k] += qm * 2.0 * (em[17] + w[3][k] * em[33] - w[4][k] * em[25]);
+        alpha[8][k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[33];
+        alpha[7][k] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[25];
+        alpha[4][k] += qm * 2.0 * (em[18] + w[3][k] * em[34] - w[4][k] * em[26]);
+        alpha[10][k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[34];
+        alpha[9][k] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[26];
+        alpha[5][k] += qm * 2.0 * (em[19] + w[3][k] * em[35] - w[4][k] * em[27]);
+        alpha[13][k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[35];
+        alpha[12][k] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[27];
+        alpha[11][k] += qm * 2.0 * (em[20] + w[3][k] * em[36] - w[4][k] * em[28]);
+        alpha[19][k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[36];
+        alpha[18][k] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[28];
+        alpha[14][k] += qm * 2.0 * (em[21] + w[3][k] * em[37] - w[4][k] * em[29]);
+        alpha[22][k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[37];
+        alpha[21][k] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[29];
+        alpha[15][k] += qm * 2.0 * (em[22] + w[3][k] * em[38] - w[4][k] * em[30]);
+        alpha[24][k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[38];
+        alpha[23][k] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[30];
+        alpha[25][k] += qm * 2.0 * (em[23] + w[3][k] * em[39] - w[4][k] * em[31]);
+        alpha[30][k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[39];
+        alpha[29][k] += qm * -1.1547005383792517 * (0.5 * dxv[4]) * em[31];
+        lam[k] = if penalty { alpha[0][k].abs() * 0.17677669529663692 + alpha[1][k].abs() * 0.3061862178478973 + alpha[2][k].abs() * 0.30618621784789735 + alpha[3][k].abs() * 0.30618621784789735 + alpha[4][k].abs() * 0.30618621784789735 + alpha[5][k].abs() * 0.30618621784789735 + alpha[7][k].abs() * 0.5303300858899107 + alpha[8][k].abs() * 0.5303300858899107 + alpha[9][k].abs() * 0.5303300858899107 + alpha[10][k].abs() * 0.5303300858899107 + alpha[11][k].abs() * 0.5303300858899107 + alpha[12][k].abs() * 0.5303300858899107 + alpha[13][k].abs() * 0.5303300858899107 + alpha[14][k].abs() * 0.5303300858899107 + alpha[15][k].abs() * 0.5303300858899107 + alpha[18][k].abs() * 0.9185586535436917 + alpha[19][k].abs() * 0.9185586535436917 + alpha[21][k].abs() * 0.9185586535436917 + alpha[22][k].abs() * 0.9185586535436917 + alpha[23][k].abs() * 0.9185586535436917 + alpha[24][k].abs() * 0.9185586535436917 + alpha[25][k].abs() * 0.9185586535436917 + alpha[29][k].abs() * 1.5909902576697315 + alpha[30][k].abs() * 1.5909902576697315 } else { 0.0 };
     }
-    let mut fm = [CellLanes([0.0f64; LANES]); 32];
-    let mut fp = [CellLanes([0.0f64; LANES]); 32];
-    sx4(&mut fm[0], 0.7071067811865476, &f_lo[0]);
-    sx4(&mut fm[0], 1.224744871391589, &f_lo[1]);
-    sx4(&mut fm[1], 0.7071067811865476, &f_lo[2]);
-    sx4(&mut fm[2], 0.7071067811865476, &f_lo[3]);
-    sx4(&mut fm[3], 0.7071067811865476, &f_lo[4]);
-    sx4(&mut fm[4], 0.7071067811865476, &f_lo[5]);
-    sx4(&mut fm[5], 0.7071067811865476, &f_lo[6]);
-    sx4(&mut fm[1], 1.224744871391589, &f_lo[7]);
-    sx4(&mut fm[2], 1.224744871391589, &f_lo[8]);
-    sx4(&mut fm[6], 0.7071067811865476, &f_lo[9]);
-    sx4(&mut fm[3], 1.224744871391589, &f_lo[10]);
-    sx4(&mut fm[7], 0.7071067811865476, &f_lo[11]);
-    sx4(&mut fm[8], 0.7071067811865476, &f_lo[12]);
-    sx4(&mut fm[4], 1.224744871391589, &f_lo[13]);
-    sx4(&mut fm[9], 0.7071067811865476, &f_lo[14]);
-    sx4(&mut fm[10], 0.7071067811865476, &f_lo[15]);
-    sx4(&mut fm[11], 0.7071067811865476, &f_lo[16]);
-    sx4(&mut fm[5], 1.224744871391589, &f_lo[17]);
-    sx4(&mut fm[12], 0.7071067811865476, &f_lo[18]);
-    sx4(&mut fm[13], 0.7071067811865476, &f_lo[19]);
-    sx4(&mut fm[14], 0.7071067811865476, &f_lo[20]);
-    sx4(&mut fm[15], 0.7071067811865476, &f_lo[21]);
-    sx4(&mut fm[6], 1.224744871391589, &f_lo[22]);
-    sx4(&mut fm[7], 1.224744871391589, &f_lo[23]);
-    sx4(&mut fm[8], 1.224744871391589, &f_lo[24]);
-    sx4(&mut fm[16], 0.7071067811865476, &f_lo[25]);
-    sx4(&mut fm[9], 1.224744871391589, &f_lo[26]);
-    sx4(&mut fm[10], 1.224744871391589, &f_lo[27]);
-    sx4(&mut fm[17], 0.7071067811865476, &f_lo[28]);
-    sx4(&mut fm[11], 1.224744871391589, &f_lo[29]);
-    sx4(&mut fm[18], 0.7071067811865476, &f_lo[30]);
-    sx4(&mut fm[19], 0.7071067811865476, &f_lo[31]);
-    sx4(&mut fm[12], 1.224744871391589, &f_lo[32]);
-    sx4(&mut fm[13], 1.224744871391589, &f_lo[33]);
-    sx4(&mut fm[20], 0.7071067811865476, &f_lo[34]);
-    sx4(&mut fm[14], 1.224744871391589, &f_lo[35]);
-    sx4(&mut fm[21], 0.7071067811865476, &f_lo[36]);
-    sx4(&mut fm[22], 0.7071067811865476, &f_lo[37]);
-    sx4(&mut fm[15], 1.224744871391589, &f_lo[38]);
-    sx4(&mut fm[23], 0.7071067811865476, &f_lo[39]);
-    sx4(&mut fm[24], 0.7071067811865476, &f_lo[40]);
-    sx4(&mut fm[25], 0.7071067811865476, &f_lo[41]);
-    sx4(&mut fm[16], 1.224744871391589, &f_lo[42]);
-    sx4(&mut fm[17], 1.224744871391589, &f_lo[43]);
-    sx4(&mut fm[18], 1.224744871391589, &f_lo[44]);
-    sx4(&mut fm[19], 1.224744871391589, &f_lo[45]);
-    sx4(&mut fm[26], 0.7071067811865476, &f_lo[46]);
-    sx4(&mut fm[20], 1.224744871391589, &f_lo[47]);
-    sx4(&mut fm[21], 1.224744871391589, &f_lo[48]);
-    sx4(&mut fm[22], 1.224744871391589, &f_lo[49]);
-    sx4(&mut fm[27], 0.7071067811865476, &f_lo[50]);
-    sx4(&mut fm[23], 1.224744871391589, &f_lo[51]);
-    sx4(&mut fm[24], 1.224744871391589, &f_lo[52]);
-    sx4(&mut fm[28], 0.7071067811865476, &f_lo[53]);
-    sx4(&mut fm[25], 1.224744871391589, &f_lo[54]);
-    sx4(&mut fm[29], 0.7071067811865476, &f_lo[55]);
-    sx4(&mut fm[30], 0.7071067811865476, &f_lo[56]);
-    sx4(&mut fm[26], 1.224744871391589, &f_lo[57]);
-    sx4(&mut fm[27], 1.224744871391589, &f_lo[58]);
-    sx4(&mut fm[28], 1.224744871391589, &f_lo[59]);
-    sx4(&mut fm[29], 1.224744871391589, &f_lo[60]);
-    sx4(&mut fm[30], 1.224744871391589, &f_lo[61]);
-    sx4(&mut fm[31], 0.7071067811865476, &f_lo[62]);
-    sx4(&mut fm[31], 1.224744871391589, &f_lo[63]);
-    sx4(&mut fp[0], 0.7071067811865476, &f_hi[0]);
-    sx4(&mut fp[0], -1.224744871391589, &f_hi[1]);
-    sx4(&mut fp[1], 0.7071067811865476, &f_hi[2]);
-    sx4(&mut fp[2], 0.7071067811865476, &f_hi[3]);
-    sx4(&mut fp[3], 0.7071067811865476, &f_hi[4]);
-    sx4(&mut fp[4], 0.7071067811865476, &f_hi[5]);
-    sx4(&mut fp[5], 0.7071067811865476, &f_hi[6]);
-    sx4(&mut fp[1], -1.224744871391589, &f_hi[7]);
-    sx4(&mut fp[2], -1.224744871391589, &f_hi[8]);
-    sx4(&mut fp[6], 0.7071067811865476, &f_hi[9]);
-    sx4(&mut fp[3], -1.224744871391589, &f_hi[10]);
-    sx4(&mut fp[7], 0.7071067811865476, &f_hi[11]);
-    sx4(&mut fp[8], 0.7071067811865476, &f_hi[12]);
-    sx4(&mut fp[4], -1.224744871391589, &f_hi[13]);
-    sx4(&mut fp[9], 0.7071067811865476, &f_hi[14]);
-    sx4(&mut fp[10], 0.7071067811865476, &f_hi[15]);
-    sx4(&mut fp[11], 0.7071067811865476, &f_hi[16]);
-    sx4(&mut fp[5], -1.224744871391589, &f_hi[17]);
-    sx4(&mut fp[12], 0.7071067811865476, &f_hi[18]);
-    sx4(&mut fp[13], 0.7071067811865476, &f_hi[19]);
-    sx4(&mut fp[14], 0.7071067811865476, &f_hi[20]);
-    sx4(&mut fp[15], 0.7071067811865476, &f_hi[21]);
-    sx4(&mut fp[6], -1.224744871391589, &f_hi[22]);
-    sx4(&mut fp[7], -1.224744871391589, &f_hi[23]);
-    sx4(&mut fp[8], -1.224744871391589, &f_hi[24]);
-    sx4(&mut fp[16], 0.7071067811865476, &f_hi[25]);
-    sx4(&mut fp[9], -1.224744871391589, &f_hi[26]);
-    sx4(&mut fp[10], -1.224744871391589, &f_hi[27]);
-    sx4(&mut fp[17], 0.7071067811865476, &f_hi[28]);
-    sx4(&mut fp[11], -1.224744871391589, &f_hi[29]);
-    sx4(&mut fp[18], 0.7071067811865476, &f_hi[30]);
-    sx4(&mut fp[19], 0.7071067811865476, &f_hi[31]);
-    sx4(&mut fp[12], -1.224744871391589, &f_hi[32]);
-    sx4(&mut fp[13], -1.224744871391589, &f_hi[33]);
-    sx4(&mut fp[20], 0.7071067811865476, &f_hi[34]);
-    sx4(&mut fp[14], -1.224744871391589, &f_hi[35]);
-    sx4(&mut fp[21], 0.7071067811865476, &f_hi[36]);
-    sx4(&mut fp[22], 0.7071067811865476, &f_hi[37]);
-    sx4(&mut fp[15], -1.224744871391589, &f_hi[38]);
-    sx4(&mut fp[23], 0.7071067811865476, &f_hi[39]);
-    sx4(&mut fp[24], 0.7071067811865476, &f_hi[40]);
-    sx4(&mut fp[25], 0.7071067811865476, &f_hi[41]);
-    sx4(&mut fp[16], -1.224744871391589, &f_hi[42]);
-    sx4(&mut fp[17], -1.224744871391589, &f_hi[43]);
-    sx4(&mut fp[18], -1.224744871391589, &f_hi[44]);
-    sx4(&mut fp[19], -1.224744871391589, &f_hi[45]);
-    sx4(&mut fp[26], 0.7071067811865476, &f_hi[46]);
-    sx4(&mut fp[20], -1.224744871391589, &f_hi[47]);
-    sx4(&mut fp[21], -1.224744871391589, &f_hi[48]);
-    sx4(&mut fp[22], -1.224744871391589, &f_hi[49]);
-    sx4(&mut fp[27], 0.7071067811865476, &f_hi[50]);
-    sx4(&mut fp[23], -1.224744871391589, &f_hi[51]);
-    sx4(&mut fp[24], -1.224744871391589, &f_hi[52]);
-    sx4(&mut fp[28], 0.7071067811865476, &f_hi[53]);
-    sx4(&mut fp[25], -1.224744871391589, &f_hi[54]);
-    sx4(&mut fp[29], 0.7071067811865476, &f_hi[55]);
-    sx4(&mut fp[30], 0.7071067811865476, &f_hi[56]);
-    sx4(&mut fp[26], -1.224744871391589, &f_hi[57]);
-    sx4(&mut fp[27], -1.224744871391589, &f_hi[58]);
-    sx4(&mut fp[28], -1.224744871391589, &f_hi[59]);
-    sx4(&mut fp[29], -1.224744871391589, &f_hi[60]);
-    sx4(&mut fp[30], -1.224744871391589, &f_hi[61]);
-    sx4(&mut fp[31], 0.7071067811865476, &f_hi[62]);
-    sx4(&mut fp[31], -1.224744871391589, &f_hi[63]);
-    let mut favg = [CellLanes([0.0f64; LANES]); 32];
-    let mut ghat = [CellLanes([0.0f64; LANES]); 32];
-    for k in 0..LANES {
-        favg[0].0[k] = 0.5 * (fm[0].0[k] + fp[0].0[k]);
-        ghat[0].0[k] = -0.5 * lam.0[k] * (fp[0].0[k] - fm[0].0[k]);
-        favg[1].0[k] = 0.5 * (fm[1].0[k] + fp[1].0[k]);
-        ghat[1].0[k] = -0.5 * lam.0[k] * (fp[1].0[k] - fm[1].0[k]);
-        favg[2].0[k] = 0.5 * (fm[2].0[k] + fp[2].0[k]);
-        ghat[2].0[k] = -0.5 * lam.0[k] * (fp[2].0[k] - fm[2].0[k]);
-        favg[3].0[k] = 0.5 * (fm[3].0[k] + fp[3].0[k]);
-        ghat[3].0[k] = -0.5 * lam.0[k] * (fp[3].0[k] - fm[3].0[k]);
-        favg[4].0[k] = 0.5 * (fm[4].0[k] + fp[4].0[k]);
-        ghat[4].0[k] = -0.5 * lam.0[k] * (fp[4].0[k] - fm[4].0[k]);
-        favg[5].0[k] = 0.5 * (fm[5].0[k] + fp[5].0[k]);
-        ghat[5].0[k] = -0.5 * lam.0[k] * (fp[5].0[k] - fm[5].0[k]);
-        favg[6].0[k] = 0.5 * (fm[6].0[k] + fp[6].0[k]);
-        ghat[6].0[k] = -0.5 * lam.0[k] * (fp[6].0[k] - fm[6].0[k]);
-        favg[7].0[k] = 0.5 * (fm[7].0[k] + fp[7].0[k]);
-        ghat[7].0[k] = -0.5 * lam.0[k] * (fp[7].0[k] - fm[7].0[k]);
-        favg[8].0[k] = 0.5 * (fm[8].0[k] + fp[8].0[k]);
-        ghat[8].0[k] = -0.5 * lam.0[k] * (fp[8].0[k] - fm[8].0[k]);
-        favg[9].0[k] = 0.5 * (fm[9].0[k] + fp[9].0[k]);
-        ghat[9].0[k] = -0.5 * lam.0[k] * (fp[9].0[k] - fm[9].0[k]);
-        favg[10].0[k] = 0.5 * (fm[10].0[k] + fp[10].0[k]);
-        ghat[10].0[k] = -0.5 * lam.0[k] * (fp[10].0[k] - fm[10].0[k]);
-        favg[11].0[k] = 0.5 * (fm[11].0[k] + fp[11].0[k]);
-        ghat[11].0[k] = -0.5 * lam.0[k] * (fp[11].0[k] - fm[11].0[k]);
-        favg[12].0[k] = 0.5 * (fm[12].0[k] + fp[12].0[k]);
-        ghat[12].0[k] = -0.5 * lam.0[k] * (fp[12].0[k] - fm[12].0[k]);
-        favg[13].0[k] = 0.5 * (fm[13].0[k] + fp[13].0[k]);
-        ghat[13].0[k] = -0.5 * lam.0[k] * (fp[13].0[k] - fm[13].0[k]);
-        favg[14].0[k] = 0.5 * (fm[14].0[k] + fp[14].0[k]);
-        ghat[14].0[k] = -0.5 * lam.0[k] * (fp[14].0[k] - fm[14].0[k]);
-        favg[15].0[k] = 0.5 * (fm[15].0[k] + fp[15].0[k]);
-        ghat[15].0[k] = -0.5 * lam.0[k] * (fp[15].0[k] - fm[15].0[k]);
-        favg[16].0[k] = 0.5 * (fm[16].0[k] + fp[16].0[k]);
-        ghat[16].0[k] = -0.5 * lam.0[k] * (fp[16].0[k] - fm[16].0[k]);
-        favg[17].0[k] = 0.5 * (fm[17].0[k] + fp[17].0[k]);
-        ghat[17].0[k] = -0.5 * lam.0[k] * (fp[17].0[k] - fm[17].0[k]);
-        favg[18].0[k] = 0.5 * (fm[18].0[k] + fp[18].0[k]);
-        ghat[18].0[k] = -0.5 * lam.0[k] * (fp[18].0[k] - fm[18].0[k]);
-        favg[19].0[k] = 0.5 * (fm[19].0[k] + fp[19].0[k]);
-        ghat[19].0[k] = -0.5 * lam.0[k] * (fp[19].0[k] - fm[19].0[k]);
-        favg[20].0[k] = 0.5 * (fm[20].0[k] + fp[20].0[k]);
-        ghat[20].0[k] = -0.5 * lam.0[k] * (fp[20].0[k] - fm[20].0[k]);
-        favg[21].0[k] = 0.5 * (fm[21].0[k] + fp[21].0[k]);
-        ghat[21].0[k] = -0.5 * lam.0[k] * (fp[21].0[k] - fm[21].0[k]);
-        favg[22].0[k] = 0.5 * (fm[22].0[k] + fp[22].0[k]);
-        ghat[22].0[k] = -0.5 * lam.0[k] * (fp[22].0[k] - fm[22].0[k]);
-        favg[23].0[k] = 0.5 * (fm[23].0[k] + fp[23].0[k]);
-        ghat[23].0[k] = -0.5 * lam.0[k] * (fp[23].0[k] - fm[23].0[k]);
-        favg[24].0[k] = 0.5 * (fm[24].0[k] + fp[24].0[k]);
-        ghat[24].0[k] = -0.5 * lam.0[k] * (fp[24].0[k] - fm[24].0[k]);
-        favg[25].0[k] = 0.5 * (fm[25].0[k] + fp[25].0[k]);
-        ghat[25].0[k] = -0.5 * lam.0[k] * (fp[25].0[k] - fm[25].0[k]);
-        favg[26].0[k] = 0.5 * (fm[26].0[k] + fp[26].0[k]);
-        ghat[26].0[k] = -0.5 * lam.0[k] * (fp[26].0[k] - fm[26].0[k]);
-        favg[27].0[k] = 0.5 * (fm[27].0[k] + fp[27].0[k]);
-        ghat[27].0[k] = -0.5 * lam.0[k] * (fp[27].0[k] - fm[27].0[k]);
-        favg[28].0[k] = 0.5 * (fm[28].0[k] + fp[28].0[k]);
-        ghat[28].0[k] = -0.5 * lam.0[k] * (fp[28].0[k] - fm[28].0[k]);
-        favg[29].0[k] = 0.5 * (fm[29].0[k] + fp[29].0[k]);
-        ghat[29].0[k] = -0.5 * lam.0[k] * (fp[29].0[k] - fm[29].0[k]);
-        favg[30].0[k] = 0.5 * (fm[30].0[k] + fp[30].0[k]);
-        ghat[30].0[k] = -0.5 * lam.0[k] * (fp[30].0[k] - fm[30].0[k]);
-        favg[31].0[k] = 0.5 * (fm[31].0[k] + fp[31].0[k]);
-        ghat[31].0[k] = -0.5 * lam.0[k] * (fp[31].0[k] - fm[31].0[k]);
+    let mut fm = [[0.0f64; L]; 32];
+    let mut fp = [[0.0f64; L]; 32];
+    sxn(&mut fm[0], 0.7071067811865476, &f_lo[0]);
+    sxn(&mut fm[0], 1.224744871391589, &f_lo[1]);
+    sxn(&mut fm[1], 0.7071067811865476, &f_lo[2]);
+    sxn(&mut fm[2], 0.7071067811865476, &f_lo[3]);
+    sxn(&mut fm[3], 0.7071067811865476, &f_lo[4]);
+    sxn(&mut fm[4], 0.7071067811865476, &f_lo[5]);
+    sxn(&mut fm[5], 0.7071067811865476, &f_lo[6]);
+    sxn(&mut fm[1], 1.224744871391589, &f_lo[7]);
+    sxn(&mut fm[2], 1.224744871391589, &f_lo[8]);
+    sxn(&mut fm[6], 0.7071067811865476, &f_lo[9]);
+    sxn(&mut fm[3], 1.224744871391589, &f_lo[10]);
+    sxn(&mut fm[7], 0.7071067811865476, &f_lo[11]);
+    sxn(&mut fm[8], 0.7071067811865476, &f_lo[12]);
+    sxn(&mut fm[4], 1.224744871391589, &f_lo[13]);
+    sxn(&mut fm[9], 0.7071067811865476, &f_lo[14]);
+    sxn(&mut fm[10], 0.7071067811865476, &f_lo[15]);
+    sxn(&mut fm[11], 0.7071067811865476, &f_lo[16]);
+    sxn(&mut fm[5], 1.224744871391589, &f_lo[17]);
+    sxn(&mut fm[12], 0.7071067811865476, &f_lo[18]);
+    sxn(&mut fm[13], 0.7071067811865476, &f_lo[19]);
+    sxn(&mut fm[14], 0.7071067811865476, &f_lo[20]);
+    sxn(&mut fm[15], 0.7071067811865476, &f_lo[21]);
+    sxn(&mut fm[6], 1.224744871391589, &f_lo[22]);
+    sxn(&mut fm[7], 1.224744871391589, &f_lo[23]);
+    sxn(&mut fm[8], 1.224744871391589, &f_lo[24]);
+    sxn(&mut fm[16], 0.7071067811865476, &f_lo[25]);
+    sxn(&mut fm[9], 1.224744871391589, &f_lo[26]);
+    sxn(&mut fm[10], 1.224744871391589, &f_lo[27]);
+    sxn(&mut fm[17], 0.7071067811865476, &f_lo[28]);
+    sxn(&mut fm[11], 1.224744871391589, &f_lo[29]);
+    sxn(&mut fm[18], 0.7071067811865476, &f_lo[30]);
+    sxn(&mut fm[19], 0.7071067811865476, &f_lo[31]);
+    sxn(&mut fm[12], 1.224744871391589, &f_lo[32]);
+    sxn(&mut fm[13], 1.224744871391589, &f_lo[33]);
+    sxn(&mut fm[20], 0.7071067811865476, &f_lo[34]);
+    sxn(&mut fm[14], 1.224744871391589, &f_lo[35]);
+    sxn(&mut fm[21], 0.7071067811865476, &f_lo[36]);
+    sxn(&mut fm[22], 0.7071067811865476, &f_lo[37]);
+    sxn(&mut fm[15], 1.224744871391589, &f_lo[38]);
+    sxn(&mut fm[23], 0.7071067811865476, &f_lo[39]);
+    sxn(&mut fm[24], 0.7071067811865476, &f_lo[40]);
+    sxn(&mut fm[25], 0.7071067811865476, &f_lo[41]);
+    sxn(&mut fm[16], 1.224744871391589, &f_lo[42]);
+    sxn(&mut fm[17], 1.224744871391589, &f_lo[43]);
+    sxn(&mut fm[18], 1.224744871391589, &f_lo[44]);
+    sxn(&mut fm[19], 1.224744871391589, &f_lo[45]);
+    sxn(&mut fm[26], 0.7071067811865476, &f_lo[46]);
+    sxn(&mut fm[20], 1.224744871391589, &f_lo[47]);
+    sxn(&mut fm[21], 1.224744871391589, &f_lo[48]);
+    sxn(&mut fm[22], 1.224744871391589, &f_lo[49]);
+    sxn(&mut fm[27], 0.7071067811865476, &f_lo[50]);
+    sxn(&mut fm[23], 1.224744871391589, &f_lo[51]);
+    sxn(&mut fm[24], 1.224744871391589, &f_lo[52]);
+    sxn(&mut fm[28], 0.7071067811865476, &f_lo[53]);
+    sxn(&mut fm[25], 1.224744871391589, &f_lo[54]);
+    sxn(&mut fm[29], 0.7071067811865476, &f_lo[55]);
+    sxn(&mut fm[30], 0.7071067811865476, &f_lo[56]);
+    sxn(&mut fm[26], 1.224744871391589, &f_lo[57]);
+    sxn(&mut fm[27], 1.224744871391589, &f_lo[58]);
+    sxn(&mut fm[28], 1.224744871391589, &f_lo[59]);
+    sxn(&mut fm[29], 1.224744871391589, &f_lo[60]);
+    sxn(&mut fm[30], 1.224744871391589, &f_lo[61]);
+    sxn(&mut fm[31], 0.7071067811865476, &f_lo[62]);
+    sxn(&mut fm[31], 1.224744871391589, &f_lo[63]);
+    sxn(&mut fp[0], 0.7071067811865476, &f_hi[0]);
+    sxn(&mut fp[0], -1.224744871391589, &f_hi[1]);
+    sxn(&mut fp[1], 0.7071067811865476, &f_hi[2]);
+    sxn(&mut fp[2], 0.7071067811865476, &f_hi[3]);
+    sxn(&mut fp[3], 0.7071067811865476, &f_hi[4]);
+    sxn(&mut fp[4], 0.7071067811865476, &f_hi[5]);
+    sxn(&mut fp[5], 0.7071067811865476, &f_hi[6]);
+    sxn(&mut fp[1], -1.224744871391589, &f_hi[7]);
+    sxn(&mut fp[2], -1.224744871391589, &f_hi[8]);
+    sxn(&mut fp[6], 0.7071067811865476, &f_hi[9]);
+    sxn(&mut fp[3], -1.224744871391589, &f_hi[10]);
+    sxn(&mut fp[7], 0.7071067811865476, &f_hi[11]);
+    sxn(&mut fp[8], 0.7071067811865476, &f_hi[12]);
+    sxn(&mut fp[4], -1.224744871391589, &f_hi[13]);
+    sxn(&mut fp[9], 0.7071067811865476, &f_hi[14]);
+    sxn(&mut fp[10], 0.7071067811865476, &f_hi[15]);
+    sxn(&mut fp[11], 0.7071067811865476, &f_hi[16]);
+    sxn(&mut fp[5], -1.224744871391589, &f_hi[17]);
+    sxn(&mut fp[12], 0.7071067811865476, &f_hi[18]);
+    sxn(&mut fp[13], 0.7071067811865476, &f_hi[19]);
+    sxn(&mut fp[14], 0.7071067811865476, &f_hi[20]);
+    sxn(&mut fp[15], 0.7071067811865476, &f_hi[21]);
+    sxn(&mut fp[6], -1.224744871391589, &f_hi[22]);
+    sxn(&mut fp[7], -1.224744871391589, &f_hi[23]);
+    sxn(&mut fp[8], -1.224744871391589, &f_hi[24]);
+    sxn(&mut fp[16], 0.7071067811865476, &f_hi[25]);
+    sxn(&mut fp[9], -1.224744871391589, &f_hi[26]);
+    sxn(&mut fp[10], -1.224744871391589, &f_hi[27]);
+    sxn(&mut fp[17], 0.7071067811865476, &f_hi[28]);
+    sxn(&mut fp[11], -1.224744871391589, &f_hi[29]);
+    sxn(&mut fp[18], 0.7071067811865476, &f_hi[30]);
+    sxn(&mut fp[19], 0.7071067811865476, &f_hi[31]);
+    sxn(&mut fp[12], -1.224744871391589, &f_hi[32]);
+    sxn(&mut fp[13], -1.224744871391589, &f_hi[33]);
+    sxn(&mut fp[20], 0.7071067811865476, &f_hi[34]);
+    sxn(&mut fp[14], -1.224744871391589, &f_hi[35]);
+    sxn(&mut fp[21], 0.7071067811865476, &f_hi[36]);
+    sxn(&mut fp[22], 0.7071067811865476, &f_hi[37]);
+    sxn(&mut fp[15], -1.224744871391589, &f_hi[38]);
+    sxn(&mut fp[23], 0.7071067811865476, &f_hi[39]);
+    sxn(&mut fp[24], 0.7071067811865476, &f_hi[40]);
+    sxn(&mut fp[25], 0.7071067811865476, &f_hi[41]);
+    sxn(&mut fp[16], -1.224744871391589, &f_hi[42]);
+    sxn(&mut fp[17], -1.224744871391589, &f_hi[43]);
+    sxn(&mut fp[18], -1.224744871391589, &f_hi[44]);
+    sxn(&mut fp[19], -1.224744871391589, &f_hi[45]);
+    sxn(&mut fp[26], 0.7071067811865476, &f_hi[46]);
+    sxn(&mut fp[20], -1.224744871391589, &f_hi[47]);
+    sxn(&mut fp[21], -1.224744871391589, &f_hi[48]);
+    sxn(&mut fp[22], -1.224744871391589, &f_hi[49]);
+    sxn(&mut fp[27], 0.7071067811865476, &f_hi[50]);
+    sxn(&mut fp[23], -1.224744871391589, &f_hi[51]);
+    sxn(&mut fp[24], -1.224744871391589, &f_hi[52]);
+    sxn(&mut fp[28], 0.7071067811865476, &f_hi[53]);
+    sxn(&mut fp[25], -1.224744871391589, &f_hi[54]);
+    sxn(&mut fp[29], 0.7071067811865476, &f_hi[55]);
+    sxn(&mut fp[30], 0.7071067811865476, &f_hi[56]);
+    sxn(&mut fp[26], -1.224744871391589, &f_hi[57]);
+    sxn(&mut fp[27], -1.224744871391589, &f_hi[58]);
+    sxn(&mut fp[28], -1.224744871391589, &f_hi[59]);
+    sxn(&mut fp[29], -1.224744871391589, &f_hi[60]);
+    sxn(&mut fp[30], -1.224744871391589, &f_hi[61]);
+    sxn(&mut fp[31], 0.7071067811865476, &f_hi[62]);
+    sxn(&mut fp[31], -1.224744871391589, &f_hi[63]);
+    let mut favg = [[0.0f64; L]; 32];
+    let mut ghat = [[0.0f64; L]; 32];
+    for k in 0..L {
+        favg[0][k] = 0.5 * (fm[0][k] + fp[0][k]);
+        ghat[0][k] = -0.5 * lam[k] * (fp[0][k] - fm[0][k]);
+        favg[1][k] = 0.5 * (fm[1][k] + fp[1][k]);
+        ghat[1][k] = -0.5 * lam[k] * (fp[1][k] - fm[1][k]);
+        favg[2][k] = 0.5 * (fm[2][k] + fp[2][k]);
+        ghat[2][k] = -0.5 * lam[k] * (fp[2][k] - fm[2][k]);
+        favg[3][k] = 0.5 * (fm[3][k] + fp[3][k]);
+        ghat[3][k] = -0.5 * lam[k] * (fp[3][k] - fm[3][k]);
+        favg[4][k] = 0.5 * (fm[4][k] + fp[4][k]);
+        ghat[4][k] = -0.5 * lam[k] * (fp[4][k] - fm[4][k]);
+        favg[5][k] = 0.5 * (fm[5][k] + fp[5][k]);
+        ghat[5][k] = -0.5 * lam[k] * (fp[5][k] - fm[5][k]);
+        favg[6][k] = 0.5 * (fm[6][k] + fp[6][k]);
+        ghat[6][k] = -0.5 * lam[k] * (fp[6][k] - fm[6][k]);
+        favg[7][k] = 0.5 * (fm[7][k] + fp[7][k]);
+        ghat[7][k] = -0.5 * lam[k] * (fp[7][k] - fm[7][k]);
+        favg[8][k] = 0.5 * (fm[8][k] + fp[8][k]);
+        ghat[8][k] = -0.5 * lam[k] * (fp[8][k] - fm[8][k]);
+        favg[9][k] = 0.5 * (fm[9][k] + fp[9][k]);
+        ghat[9][k] = -0.5 * lam[k] * (fp[9][k] - fm[9][k]);
+        favg[10][k] = 0.5 * (fm[10][k] + fp[10][k]);
+        ghat[10][k] = -0.5 * lam[k] * (fp[10][k] - fm[10][k]);
+        favg[11][k] = 0.5 * (fm[11][k] + fp[11][k]);
+        ghat[11][k] = -0.5 * lam[k] * (fp[11][k] - fm[11][k]);
+        favg[12][k] = 0.5 * (fm[12][k] + fp[12][k]);
+        ghat[12][k] = -0.5 * lam[k] * (fp[12][k] - fm[12][k]);
+        favg[13][k] = 0.5 * (fm[13][k] + fp[13][k]);
+        ghat[13][k] = -0.5 * lam[k] * (fp[13][k] - fm[13][k]);
+        favg[14][k] = 0.5 * (fm[14][k] + fp[14][k]);
+        ghat[14][k] = -0.5 * lam[k] * (fp[14][k] - fm[14][k]);
+        favg[15][k] = 0.5 * (fm[15][k] + fp[15][k]);
+        ghat[15][k] = -0.5 * lam[k] * (fp[15][k] - fm[15][k]);
+        favg[16][k] = 0.5 * (fm[16][k] + fp[16][k]);
+        ghat[16][k] = -0.5 * lam[k] * (fp[16][k] - fm[16][k]);
+        favg[17][k] = 0.5 * (fm[17][k] + fp[17][k]);
+        ghat[17][k] = -0.5 * lam[k] * (fp[17][k] - fm[17][k]);
+        favg[18][k] = 0.5 * (fm[18][k] + fp[18][k]);
+        ghat[18][k] = -0.5 * lam[k] * (fp[18][k] - fm[18][k]);
+        favg[19][k] = 0.5 * (fm[19][k] + fp[19][k]);
+        ghat[19][k] = -0.5 * lam[k] * (fp[19][k] - fm[19][k]);
+        favg[20][k] = 0.5 * (fm[20][k] + fp[20][k]);
+        ghat[20][k] = -0.5 * lam[k] * (fp[20][k] - fm[20][k]);
+        favg[21][k] = 0.5 * (fm[21][k] + fp[21][k]);
+        ghat[21][k] = -0.5 * lam[k] * (fp[21][k] - fm[21][k]);
+        favg[22][k] = 0.5 * (fm[22][k] + fp[22][k]);
+        ghat[22][k] = -0.5 * lam[k] * (fp[22][k] - fm[22][k]);
+        favg[23][k] = 0.5 * (fm[23][k] + fp[23][k]);
+        ghat[23][k] = -0.5 * lam[k] * (fp[23][k] - fm[23][k]);
+        favg[24][k] = 0.5 * (fm[24][k] + fp[24][k]);
+        ghat[24][k] = -0.5 * lam[k] * (fp[24][k] - fm[24][k]);
+        favg[25][k] = 0.5 * (fm[25][k] + fp[25][k]);
+        ghat[25][k] = -0.5 * lam[k] * (fp[25][k] - fm[25][k]);
+        favg[26][k] = 0.5 * (fm[26][k] + fp[26][k]);
+        ghat[26][k] = -0.5 * lam[k] * (fp[26][k] - fm[26][k]);
+        favg[27][k] = 0.5 * (fm[27][k] + fp[27][k]);
+        ghat[27][k] = -0.5 * lam[k] * (fp[27][k] - fm[27][k]);
+        favg[28][k] = 0.5 * (fm[28][k] + fp[28][k]);
+        ghat[28][k] = -0.5 * lam[k] * (fp[28][k] - fm[28][k]);
+        favg[29][k] = 0.5 * (fm[29][k] + fp[29][k]);
+        ghat[29][k] = -0.5 * lam[k] * (fp[29][k] - fm[29][k]);
+        favg[30][k] = 0.5 * (fm[30][k] + fp[30][k]);
+        ghat[30][k] = -0.5 * lam[k] * (fp[30][k] - fm[30][k]);
+        favg[31][k] = 0.5 * (fm[31][k] + fp[31][k]);
+        ghat[31][k] = -0.5 * lam[k] * (fp[31][k] - fm[31][k]);
     }
-    for k in 0..LANES {
-        ghat[0].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[0].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[1].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[2].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[3].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[4].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[5].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[7].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[8].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[9].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[10].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[11].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[12].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[13].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[14].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[15].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[18].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[19].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[21].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[22].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[23].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[24].0[k];
-        ghat[0].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[25].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[29].0[k];
-        ghat[0].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[30].0[k];
+    for k in 0..L {
+        ghat[0][k] += 0.1767766952966369 * alpha[0][k] * favg[0][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[1][k] * favg[1][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[2][k] * favg[2][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[3][k] * favg[3][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[4][k] * favg[4][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[5][k] * favg[5][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[7][k] * favg[7][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[8][k] * favg[8][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[9][k] * favg[9][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[10][k] * favg[10][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[11][k] * favg[11][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[12][k] * favg[12][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[13][k] * favg[13][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[14][k] * favg[14][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[15][k] * favg[15][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[18][k] * favg[18][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[19][k] * favg[19][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[21][k] * favg[21][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[22][k] * favg[22][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[23][k] * favg[23][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[24][k] * favg[24][k];
+        ghat[0][k] += 0.1767766952966369 * alpha[25][k] * favg[25][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[29][k] * favg[29][k];
+        ghat[0][k] += 0.17677669529663687 * alpha[30][k] * favg[30][k];
     }
-    for k in 0..LANES {
-        ghat[1].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[1].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[0].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[6].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[7].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[9].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[12].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[3].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[16].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[4].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[17].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[18].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[5].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[20].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[21].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[23].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[11].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[26].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[14].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[27].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[15].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[28].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[29].0[k];
-        ghat[1].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[25].0[k];
-        ghat[1].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[31].0[k];
+    for k in 0..L {
+        ghat[1][k] += 0.17677669529663687 * alpha[0][k] * favg[1][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[1][k] * favg[0][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[2][k] * favg[6][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[3][k] * favg[7][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[4][k] * favg[9][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[5][k] * favg[12][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[7][k] * favg[3][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[8][k] * favg[16][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[9][k] * favg[4][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[10][k] * favg[17][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[11][k] * favg[18][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[12][k] * favg[5][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[13][k] * favg[20][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[14][k] * favg[21][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[15][k] * favg[23][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[18][k] * favg[11][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[19][k] * favg[26][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[21][k] * favg[14][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[22][k] * favg[27][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[23][k] * favg[15][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[24][k] * favg[28][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[25][k] * favg[29][k];
+        ghat[1][k] += 0.17677669529663687 * alpha[29][k] * favg[25][k];
+        ghat[1][k] += 0.1767766952966369 * alpha[30][k] * favg[31][k];
     }
-    for k in 0..LANES {
-        ghat[2].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[2].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[6].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[0].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[8].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[10].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[13].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[16].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[3].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[17].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[4].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[19].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[20].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[5].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[22].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[24].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[26].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[11].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[27].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[14].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[28].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[15].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[30].0[k];
-        ghat[2].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[31].0[k];
-        ghat[2].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[25].0[k];
+    for k in 0..L {
+        ghat[2][k] += 0.17677669529663687 * alpha[0][k] * favg[2][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[1][k] * favg[6][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[2][k] * favg[0][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[3][k] * favg[8][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[4][k] * favg[10][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[5][k] * favg[13][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[7][k] * favg[16][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[8][k] * favg[3][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[9][k] * favg[17][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[10][k] * favg[4][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[11][k] * favg[19][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[12][k] * favg[20][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[13][k] * favg[5][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[14][k] * favg[22][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[15][k] * favg[24][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[18][k] * favg[26][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[19][k] * favg[11][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[21][k] * favg[27][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[22][k] * favg[14][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[23][k] * favg[28][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[24][k] * favg[15][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[25][k] * favg[30][k];
+        ghat[2][k] += 0.1767766952966369 * alpha[29][k] * favg[31][k];
+        ghat[2][k] += 0.17677669529663687 * alpha[30][k] * favg[25][k];
     }
-    for k in 0..LANES {
-        ghat[3].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[3].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[7].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[8].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[0].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[11].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[14].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[1].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[2].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[18].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[19].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[4].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[21].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[22].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[5].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[25].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[9].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[10].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[12].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[13].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[29].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[30].0[k];
-        ghat[3].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[15].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[23].0[k];
-        ghat[3].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[24].0[k];
+    for k in 0..L {
+        ghat[3][k] += 0.17677669529663687 * alpha[0][k] * favg[3][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[1][k] * favg[7][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[2][k] * favg[8][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[3][k] * favg[0][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[4][k] * favg[11][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[5][k] * favg[14][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[7][k] * favg[1][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[8][k] * favg[2][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[9][k] * favg[18][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[10][k] * favg[19][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[11][k] * favg[4][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[12][k] * favg[21][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[13][k] * favg[22][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[14][k] * favg[5][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[15][k] * favg[25][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[18][k] * favg[9][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[19][k] * favg[10][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[21][k] * favg[12][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[22][k] * favg[13][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[23][k] * favg[29][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[24][k] * favg[30][k];
+        ghat[3][k] += 0.1767766952966369 * alpha[25][k] * favg[15][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[29][k] * favg[23][k];
+        ghat[3][k] += 0.17677669529663687 * alpha[30][k] * favg[24][k];
     }
-    for k in 0..LANES {
-        ghat[4].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[4].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[9].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[10].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[11].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[0].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[15].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[18].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[19].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[1].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[2].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[3].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[23].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[24].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[25].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[5].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[7].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[8].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[29].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[30].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[12].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[13].0[k];
-        ghat[4].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[14].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[21].0[k];
-        ghat[4].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[22].0[k];
+    for k in 0..L {
+        ghat[4][k] += 0.17677669529663687 * alpha[0][k] * favg[4][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[1][k] * favg[9][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[2][k] * favg[10][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[3][k] * favg[11][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[4][k] * favg[0][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[5][k] * favg[15][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[7][k] * favg[18][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[8][k] * favg[19][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[9][k] * favg[1][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[10][k] * favg[2][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[11][k] * favg[3][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[12][k] * favg[23][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[13][k] * favg[24][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[14][k] * favg[25][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[15][k] * favg[5][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[18][k] * favg[7][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[19][k] * favg[8][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[21][k] * favg[29][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[22][k] * favg[30][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[23][k] * favg[12][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[24][k] * favg[13][k];
+        ghat[4][k] += 0.1767766952966369 * alpha[25][k] * favg[14][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[29][k] * favg[21][k];
+        ghat[4][k] += 0.17677669529663687 * alpha[30][k] * favg[22][k];
     }
-    for k in 0..LANES {
-        ghat[5].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[5].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[12].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[13].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[14].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[15].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[0].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[21].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[22].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[23].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[24].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[25].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[1].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[2].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[3].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[4].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[29].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[30].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[7].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[8].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[9].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[10].0[k];
-        ghat[5].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[11].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[18].0[k];
-        ghat[5].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[19].0[k];
+    for k in 0..L {
+        ghat[5][k] += 0.17677669529663687 * alpha[0][k] * favg[5][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[1][k] * favg[12][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[2][k] * favg[13][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[3][k] * favg[14][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[4][k] * favg[15][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[5][k] * favg[0][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[7][k] * favg[21][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[8][k] * favg[22][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[9][k] * favg[23][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[10][k] * favg[24][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[11][k] * favg[25][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[12][k] * favg[1][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[13][k] * favg[2][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[14][k] * favg[3][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[15][k] * favg[4][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[18][k] * favg[29][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[19][k] * favg[30][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[21][k] * favg[7][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[22][k] * favg[8][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[23][k] * favg[9][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[24][k] * favg[10][k];
+        ghat[5][k] += 0.1767766952966369 * alpha[25][k] * favg[11][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[29][k] * favg[18][k];
+        ghat[5][k] += 0.17677669529663687 * alpha[30][k] * favg[19][k];
     }
-    for k in 0..LANES {
-        ghat[6].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[6].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[2].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[1].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[16].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[17].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[20].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[8].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[7].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[10].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[9].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[26].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[13].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[12].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[27].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[28].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[19].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[18].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[22].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[21].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[24].0[k];
-        ghat[6].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[23].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[31].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[30].0[k];
-        ghat[6].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[29].0[k];
+    for k in 0..L {
+        ghat[6][k] += 0.17677669529663687 * alpha[0][k] * favg[6][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[1][k] * favg[2][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[2][k] * favg[1][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[3][k] * favg[16][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[4][k] * favg[17][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[5][k] * favg[20][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[7][k] * favg[8][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[8][k] * favg[7][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[9][k] * favg[10][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[10][k] * favg[9][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[11][k] * favg[26][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[12][k] * favg[13][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[13][k] * favg[12][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[14][k] * favg[27][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[15][k] * favg[28][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[18][k] * favg[19][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[19][k] * favg[18][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[21][k] * favg[22][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[22][k] * favg[21][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[23][k] * favg[24][k];
+        ghat[6][k] += 0.17677669529663687 * alpha[24][k] * favg[23][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[25][k] * favg[31][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[29][k] * favg[30][k];
+        ghat[6][k] += 0.1767766952966369 * alpha[30][k] * favg[29][k];
     }
-    for k in 0..LANES {
-        ghat[7].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[7].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[3].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[16].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[1].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[18].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[21].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[0].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[6].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[11].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[26].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[9].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[14].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[27].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[12].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[29].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[4].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[17].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[5].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[20].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[25].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[31].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[23].0[k];
-        ghat[7].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[15].0[k];
-        ghat[7].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[28].0[k];
+    for k in 0..L {
+        ghat[7][k] += 0.17677669529663687 * alpha[0][k] * favg[7][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[1][k] * favg[3][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[2][k] * favg[16][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[3][k] * favg[1][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[4][k] * favg[18][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[5][k] * favg[21][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[7][k] * favg[0][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[8][k] * favg[6][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[9][k] * favg[11][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[10][k] * favg[26][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[11][k] * favg[9][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[12][k] * favg[14][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[13][k] * favg[27][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[14][k] * favg[12][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[15][k] * favg[29][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[18][k] * favg[4][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[19][k] * favg[17][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[21][k] * favg[5][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[22][k] * favg[20][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[23][k] * favg[25][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[24][k] * favg[31][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[25][k] * favg[23][k];
+        ghat[7][k] += 0.17677669529663687 * alpha[29][k] * favg[15][k];
+        ghat[7][k] += 0.1767766952966369 * alpha[30][k] * favg[28][k];
     }
-    for k in 0..LANES {
-        ghat[8].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[8].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[16].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[3].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[2].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[19].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[22].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[6].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[0].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[26].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[11].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[10].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[27].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[14].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[13].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[30].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[17].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[4].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[20].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[5].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[31].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[25].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[24].0[k];
-        ghat[8].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[28].0[k];
-        ghat[8].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[15].0[k];
+    for k in 0..L {
+        ghat[8][k] += 0.17677669529663687 * alpha[0][k] * favg[8][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[1][k] * favg[16][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[2][k] * favg[3][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[3][k] * favg[2][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[4][k] * favg[19][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[5][k] * favg[22][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[7][k] * favg[6][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[8][k] * favg[0][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[9][k] * favg[26][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[10][k] * favg[11][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[11][k] * favg[10][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[12][k] * favg[27][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[13][k] * favg[14][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[14][k] * favg[13][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[15][k] * favg[30][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[18][k] * favg[17][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[19][k] * favg[4][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[21][k] * favg[20][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[22][k] * favg[5][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[23][k] * favg[31][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[24][k] * favg[25][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[25][k] * favg[24][k];
+        ghat[8][k] += 0.1767766952966369 * alpha[29][k] * favg[28][k];
+        ghat[8][k] += 0.17677669529663687 * alpha[30][k] * favg[15][k];
     }
-    for k in 0..LANES {
-        ghat[9].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[9].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[4].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[17].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[18].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[1].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[23].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[11].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[26].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[0].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[6].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[7].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[15].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[28].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[29].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[12].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[3].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[16].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[25].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[31].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[5].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[20].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[21].0[k];
-        ghat[9].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[14].0[k];
-        ghat[9].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[27].0[k];
+    for k in 0..L {
+        ghat[9][k] += 0.17677669529663687 * alpha[0][k] * favg[9][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[1][k] * favg[4][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[2][k] * favg[17][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[3][k] * favg[18][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[4][k] * favg[1][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[5][k] * favg[23][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[7][k] * favg[11][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[8][k] * favg[26][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[9][k] * favg[0][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[10][k] * favg[6][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[11][k] * favg[7][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[12][k] * favg[15][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[13][k] * favg[28][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[14][k] * favg[29][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[15][k] * favg[12][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[18][k] * favg[3][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[19][k] * favg[16][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[21][k] * favg[25][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[22][k] * favg[31][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[23][k] * favg[5][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[24][k] * favg[20][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[25][k] * favg[21][k];
+        ghat[9][k] += 0.17677669529663687 * alpha[29][k] * favg[14][k];
+        ghat[9][k] += 0.1767766952966369 * alpha[30][k] * favg[27][k];
     }
-    for k in 0..LANES {
-        ghat[10].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[10].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[17].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[4].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[19].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[2].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[24].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[26].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[11].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[6].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[0].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[8].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[28].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[15].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[30].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[13].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[16].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[3].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[31].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[25].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[20].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[5].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[22].0[k];
-        ghat[10].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[27].0[k];
-        ghat[10].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[14].0[k];
+    for k in 0..L {
+        ghat[10][k] += 0.17677669529663687 * alpha[0][k] * favg[10][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[1][k] * favg[17][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[2][k] * favg[4][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[3][k] * favg[19][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[4][k] * favg[2][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[5][k] * favg[24][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[7][k] * favg[26][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[8][k] * favg[11][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[9][k] * favg[6][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[10][k] * favg[0][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[11][k] * favg[8][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[12][k] * favg[28][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[13][k] * favg[15][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[14][k] * favg[30][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[15][k] * favg[13][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[18][k] * favg[16][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[19][k] * favg[3][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[21][k] * favg[31][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[22][k] * favg[25][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[23][k] * favg[20][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[24][k] * favg[5][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[25][k] * favg[22][k];
+        ghat[10][k] += 0.1767766952966369 * alpha[29][k] * favg[27][k];
+        ghat[10][k] += 0.17677669529663687 * alpha[30][k] * favg[14][k];
     }
-    for k in 0..LANES {
-        ghat[11].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[11].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[18].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[19].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[4].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[3].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[25].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[9].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[10].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[7].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[8].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[0].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[29].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[30].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[15].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[14].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[1].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[2].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[23].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[24].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[21].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[22].0[k];
-        ghat[11].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[5].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[12].0[k];
-        ghat[11].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[13].0[k];
+    for k in 0..L {
+        ghat[11][k] += 0.17677669529663687 * alpha[0][k] * favg[11][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[1][k] * favg[18][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[2][k] * favg[19][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[3][k] * favg[4][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[4][k] * favg[3][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[5][k] * favg[25][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[7][k] * favg[9][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[8][k] * favg[10][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[9][k] * favg[7][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[10][k] * favg[8][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[11][k] * favg[0][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[12][k] * favg[29][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[13][k] * favg[30][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[14][k] * favg[15][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[15][k] * favg[14][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[18][k] * favg[1][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[19][k] * favg[2][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[21][k] * favg[23][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[22][k] * favg[24][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[23][k] * favg[21][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[24][k] * favg[22][k];
+        ghat[11][k] += 0.1767766952966369 * alpha[25][k] * favg[5][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[29][k] * favg[12][k];
+        ghat[11][k] += 0.17677669529663687 * alpha[30][k] * favg[13][k];
     }
-    for k in 0..LANES {
-        ghat[12].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[12].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[5].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[20].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[21].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[23].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[1].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[14].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[27].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[15].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[28].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[29].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[0].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[6].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[7].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[9].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[25].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[31].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[3].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[16].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[4].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[17].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[18].0[k];
-        ghat[12].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[11].0[k];
-        ghat[12].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[26].0[k];
+    for k in 0..L {
+        ghat[12][k] += 0.17677669529663687 * alpha[0][k] * favg[12][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[1][k] * favg[5][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[2][k] * favg[20][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[3][k] * favg[21][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[4][k] * favg[23][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[5][k] * favg[1][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[7][k] * favg[14][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[8][k] * favg[27][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[9][k] * favg[15][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[10][k] * favg[28][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[11][k] * favg[29][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[12][k] * favg[0][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[13][k] * favg[6][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[14][k] * favg[7][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[15][k] * favg[9][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[18][k] * favg[25][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[19][k] * favg[31][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[21][k] * favg[3][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[22][k] * favg[16][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[23][k] * favg[4][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[24][k] * favg[17][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[25][k] * favg[18][k];
+        ghat[12][k] += 0.17677669529663687 * alpha[29][k] * favg[11][k];
+        ghat[12][k] += 0.1767766952966369 * alpha[30][k] * favg[26][k];
     }
-    for k in 0..LANES {
-        ghat[13].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[13].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[20].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[5].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[22].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[24].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[2].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[27].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[14].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[28].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[15].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[30].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[6].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[0].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[8].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[10].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[31].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[25].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[16].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[3].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[17].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[4].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[19].0[k];
-        ghat[13].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[26].0[k];
-        ghat[13].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[11].0[k];
+    for k in 0..L {
+        ghat[13][k] += 0.17677669529663687 * alpha[0][k] * favg[13][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[1][k] * favg[20][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[2][k] * favg[5][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[3][k] * favg[22][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[4][k] * favg[24][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[5][k] * favg[2][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[7][k] * favg[27][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[8][k] * favg[14][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[9][k] * favg[28][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[10][k] * favg[15][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[11][k] * favg[30][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[12][k] * favg[6][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[13][k] * favg[0][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[14][k] * favg[8][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[15][k] * favg[10][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[18][k] * favg[31][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[19][k] * favg[25][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[21][k] * favg[16][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[22][k] * favg[3][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[23][k] * favg[17][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[24][k] * favg[4][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[25][k] * favg[19][k];
+        ghat[13][k] += 0.1767766952966369 * alpha[29][k] * favg[26][k];
+        ghat[13][k] += 0.17677669529663687 * alpha[30][k] * favg[11][k];
     }
-    for k in 0..LANES {
-        ghat[14].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[14].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[21].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[22].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[5].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[25].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[3].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[12].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[13].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[29].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[30].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[15].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[7].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[8].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[0].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[11].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[23].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[24].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[1].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[2].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[18].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[19].0[k];
-        ghat[14].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[4].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[9].0[k];
-        ghat[14].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[10].0[k];
+    for k in 0..L {
+        ghat[14][k] += 0.17677669529663687 * alpha[0][k] * favg[14][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[1][k] * favg[21][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[2][k] * favg[22][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[3][k] * favg[5][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[4][k] * favg[25][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[5][k] * favg[3][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[7][k] * favg[12][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[8][k] * favg[13][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[9][k] * favg[29][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[10][k] * favg[30][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[11][k] * favg[15][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[12][k] * favg[7][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[13][k] * favg[8][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[14][k] * favg[0][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[15][k] * favg[11][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[18][k] * favg[23][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[19][k] * favg[24][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[21][k] * favg[1][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[22][k] * favg[2][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[23][k] * favg[18][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[24][k] * favg[19][k];
+        ghat[14][k] += 0.1767766952966369 * alpha[25][k] * favg[4][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[29][k] * favg[9][k];
+        ghat[14][k] += 0.17677669529663687 * alpha[30][k] * favg[10][k];
     }
-    for k in 0..LANES {
-        ghat[15].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[15].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[23].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[24].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[25].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[5].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[4].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[29].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[30].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[12].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[13].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[14].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[9].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[10].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[11].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[0].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[21].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[22].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[18].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[19].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[1].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[2].0[k];
-        ghat[15].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[3].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[7].0[k];
-        ghat[15].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[8].0[k];
+    for k in 0..L {
+        ghat[15][k] += 0.17677669529663687 * alpha[0][k] * favg[15][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[1][k] * favg[23][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[2][k] * favg[24][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[3][k] * favg[25][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[4][k] * favg[5][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[5][k] * favg[4][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[7][k] * favg[29][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[8][k] * favg[30][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[9][k] * favg[12][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[10][k] * favg[13][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[11][k] * favg[14][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[12][k] * favg[9][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[13][k] * favg[10][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[14][k] * favg[11][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[15][k] * favg[0][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[18][k] * favg[21][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[19][k] * favg[22][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[21][k] * favg[18][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[22][k] * favg[19][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[23][k] * favg[1][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[24][k] * favg[2][k];
+        ghat[15][k] += 0.1767766952966369 * alpha[25][k] * favg[3][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[29][k] * favg[7][k];
+        ghat[15][k] += 0.17677669529663687 * alpha[30][k] * favg[8][k];
     }
-    for k in 0..LANES {
-        ghat[16].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[16].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[8].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[7].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[6].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[26].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[27].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[2].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[1].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[19].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[18].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[17].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[22].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[21].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[20].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[31].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[10].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[9].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[13].0[k];
-        ghat[16].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[12].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[30].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[29].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[28].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[24].0[k];
-        ghat[16].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[23].0[k];
+    for k in 0..L {
+        ghat[16][k] += 0.1767766952966369 * alpha[0][k] * favg[16][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[1][k] * favg[8][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[2][k] * favg[7][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[3][k] * favg[6][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[4][k] * favg[26][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[5][k] * favg[27][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[7][k] * favg[2][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[8][k] * favg[1][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[9][k] * favg[19][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[10][k] * favg[18][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[11][k] * favg[17][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[12][k] * favg[22][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[13][k] * favg[21][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[14][k] * favg[20][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[15][k] * favg[31][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[18][k] * favg[10][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[19][k] * favg[9][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[21][k] * favg[13][k];
+        ghat[16][k] += 0.17677669529663687 * alpha[22][k] * favg[12][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[23][k] * favg[30][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[24][k] * favg[29][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[25][k] * favg[28][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[29][k] * favg[24][k];
+        ghat[16][k] += 0.1767766952966369 * alpha[30][k] * favg[23][k];
     }
-    for k in 0..LANES {
-        ghat[17].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[17].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[10].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[9].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[26].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[6].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[28].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[19].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[18].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[2].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[1].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[16].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[24].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[23].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[31].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[20].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[8].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[7].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[30].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[29].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[13].0[k];
-        ghat[17].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[12].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[27].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[22].0[k];
-        ghat[17].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[21].0[k];
+    for k in 0..L {
+        ghat[17][k] += 0.1767766952966369 * alpha[0][k] * favg[17][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[1][k] * favg[10][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[2][k] * favg[9][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[3][k] * favg[26][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[4][k] * favg[6][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[5][k] * favg[28][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[7][k] * favg[19][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[8][k] * favg[18][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[9][k] * favg[2][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[10][k] * favg[1][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[11][k] * favg[16][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[12][k] * favg[24][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[13][k] * favg[23][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[14][k] * favg[31][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[15][k] * favg[20][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[18][k] * favg[8][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[19][k] * favg[7][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[21][k] * favg[30][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[22][k] * favg[29][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[23][k] * favg[13][k];
+        ghat[17][k] += 0.17677669529663687 * alpha[24][k] * favg[12][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[25][k] * favg[27][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[29][k] * favg[22][k];
+        ghat[17][k] += 0.1767766952966369 * alpha[30][k] * favg[21][k];
     }
-    for k in 0..LANES {
-        ghat[18].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[18].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[11].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[26].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[9].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[7].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[29].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[4].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[17].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[3].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[16].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[1].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[25].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[31].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[23].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[21].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[0].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[6].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[15].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[28].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[14].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[27].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[12].0[k];
-        ghat[18].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[5].0[k];
-        ghat[18].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[20].0[k];
+    for k in 0..L {
+        ghat[18][k] += 0.1767766952966369 * alpha[0][k] * favg[18][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[1][k] * favg[11][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[2][k] * favg[26][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[3][k] * favg[9][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[4][k] * favg[7][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[5][k] * favg[29][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[7][k] * favg[4][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[8][k] * favg[17][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[9][k] * favg[3][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[10][k] * favg[16][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[11][k] * favg[1][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[12][k] * favg[25][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[13][k] * favg[31][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[14][k] * favg[23][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[15][k] * favg[21][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[18][k] * favg[0][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[19][k] * favg[6][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[21][k] * favg[15][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[22][k] * favg[28][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[23][k] * favg[14][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[24][k] * favg[27][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[25][k] * favg[12][k];
+        ghat[18][k] += 0.17677669529663687 * alpha[29][k] * favg[5][k];
+        ghat[18][k] += 0.1767766952966369 * alpha[30][k] * favg[20][k];
     }
-    for k in 0..LANES {
-        ghat[19].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[19].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[26].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[11].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[10].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[8].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[30].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[17].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[4].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[16].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[3].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[2].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[31].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[25].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[24].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[22].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[6].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[0].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[28].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[15].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[27].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[14].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[13].0[k];
-        ghat[19].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[20].0[k];
-        ghat[19].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[5].0[k];
+    for k in 0..L {
+        ghat[19][k] += 0.1767766952966369 * alpha[0][k] * favg[19][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[1][k] * favg[26][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[2][k] * favg[11][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[3][k] * favg[10][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[4][k] * favg[8][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[5][k] * favg[30][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[7][k] * favg[17][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[8][k] * favg[4][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[9][k] * favg[16][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[10][k] * favg[3][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[11][k] * favg[2][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[12][k] * favg[31][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[13][k] * favg[25][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[14][k] * favg[24][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[15][k] * favg[22][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[18][k] * favg[6][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[19][k] * favg[0][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[21][k] * favg[28][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[22][k] * favg[15][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[23][k] * favg[27][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[24][k] * favg[14][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[25][k] * favg[13][k];
+        ghat[19][k] += 0.1767766952966369 * alpha[29][k] * favg[20][k];
+        ghat[19][k] += 0.17677669529663687 * alpha[30][k] * favg[5][k];
     }
-    for k in 0..LANES {
-        ghat[20].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[20].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[13].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[12].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[27].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[28].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[6].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[22].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[21].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[24].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[23].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[31].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[2].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[1].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[16].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[17].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[30].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[29].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[8].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[7].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[10].0[k];
-        ghat[20].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[9].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[26].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[19].0[k];
-        ghat[20].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[18].0[k];
+    for k in 0..L {
+        ghat[20][k] += 0.1767766952966369 * alpha[0][k] * favg[20][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[1][k] * favg[13][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[2][k] * favg[12][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[3][k] * favg[27][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[4][k] * favg[28][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[5][k] * favg[6][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[7][k] * favg[22][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[8][k] * favg[21][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[9][k] * favg[24][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[10][k] * favg[23][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[11][k] * favg[31][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[12][k] * favg[2][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[13][k] * favg[1][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[14][k] * favg[16][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[15][k] * favg[17][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[18][k] * favg[30][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[19][k] * favg[29][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[21][k] * favg[8][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[22][k] * favg[7][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[23][k] * favg[10][k];
+        ghat[20][k] += 0.17677669529663687 * alpha[24][k] * favg[9][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[25][k] * favg[26][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[29][k] * favg[19][k];
+        ghat[20][k] += 0.1767766952966369 * alpha[30][k] * favg[18][k];
     }
-    for k in 0..LANES {
-        ghat[21].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[21].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[14].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[27].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[12].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[29].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[7].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[5].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[20].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[25].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[31].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[23].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[3].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[16].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[1].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[18].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[15].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[28].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[0].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[6].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[11].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[26].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[9].0[k];
-        ghat[21].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[4].0[k];
-        ghat[21].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[17].0[k];
+    for k in 0..L {
+        ghat[21][k] += 0.1767766952966369 * alpha[0][k] * favg[21][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[1][k] * favg[14][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[2][k] * favg[27][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[3][k] * favg[12][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[4][k] * favg[29][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[5][k] * favg[7][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[7][k] * favg[5][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[8][k] * favg[20][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[9][k] * favg[25][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[10][k] * favg[31][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[11][k] * favg[23][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[12][k] * favg[3][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[13][k] * favg[16][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[14][k] * favg[1][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[15][k] * favg[18][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[18][k] * favg[15][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[19][k] * favg[28][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[21][k] * favg[0][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[22][k] * favg[6][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[23][k] * favg[11][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[24][k] * favg[26][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[25][k] * favg[9][k];
+        ghat[21][k] += 0.17677669529663687 * alpha[29][k] * favg[4][k];
+        ghat[21][k] += 0.1767766952966369 * alpha[30][k] * favg[17][k];
     }
-    for k in 0..LANES {
-        ghat[22].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[22].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[27].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[14].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[13].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[30].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[8].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[20].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[5].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[31].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[25].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[24].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[16].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[3].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[2].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[19].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[28].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[15].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[6].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[0].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[26].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[11].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[10].0[k];
-        ghat[22].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[17].0[k];
-        ghat[22].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[4].0[k];
+    for k in 0..L {
+        ghat[22][k] += 0.1767766952966369 * alpha[0][k] * favg[22][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[1][k] * favg[27][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[2][k] * favg[14][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[3][k] * favg[13][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[4][k] * favg[30][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[5][k] * favg[8][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[7][k] * favg[20][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[8][k] * favg[5][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[9][k] * favg[31][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[10][k] * favg[25][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[11][k] * favg[24][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[12][k] * favg[16][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[13][k] * favg[3][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[14][k] * favg[2][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[15][k] * favg[19][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[18][k] * favg[28][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[19][k] * favg[15][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[21][k] * favg[6][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[22][k] * favg[0][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[23][k] * favg[26][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[24][k] * favg[11][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[25][k] * favg[10][k];
+        ghat[22][k] += 0.1767766952966369 * alpha[29][k] * favg[17][k];
+        ghat[22][k] += 0.17677669529663687 * alpha[30][k] * favg[4][k];
     }
-    for k in 0..LANES {
-        ghat[23].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[23].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[15].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[28].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[29].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[12].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[9].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[25].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[31].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[5].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[20].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[21].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[4].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[17].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[18].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[1].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[14].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[27].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[11].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[26].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[0].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[6].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[7].0[k];
-        ghat[23].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[3].0[k];
-        ghat[23].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[16].0[k];
+    for k in 0..L {
+        ghat[23][k] += 0.1767766952966369 * alpha[0][k] * favg[23][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[1][k] * favg[15][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[2][k] * favg[28][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[3][k] * favg[29][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[4][k] * favg[12][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[5][k] * favg[9][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[7][k] * favg[25][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[8][k] * favg[31][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[9][k] * favg[5][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[10][k] * favg[20][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[11][k] * favg[21][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[12][k] * favg[4][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[13][k] * favg[17][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[14][k] * favg[18][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[15][k] * favg[1][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[18][k] * favg[14][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[19][k] * favg[27][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[21][k] * favg[11][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[22][k] * favg[26][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[23][k] * favg[0][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[24][k] * favg[6][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[25][k] * favg[7][k];
+        ghat[23][k] += 0.17677669529663687 * alpha[29][k] * favg[3][k];
+        ghat[23][k] += 0.1767766952966369 * alpha[30][k] * favg[16][k];
     }
-    for k in 0..LANES {
-        ghat[24].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[24].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[28].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[15].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[30].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[13].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[10].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[31].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[25].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[20].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[5].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[22].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[17].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[4].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[19].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[2].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[27].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[14].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[26].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[11].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[6].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[0].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[8].0[k];
-        ghat[24].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[16].0[k];
-        ghat[24].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[3].0[k];
+    for k in 0..L {
+        ghat[24][k] += 0.1767766952966369 * alpha[0][k] * favg[24][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[1][k] * favg[28][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[2][k] * favg[15][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[3][k] * favg[30][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[4][k] * favg[13][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[5][k] * favg[10][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[7][k] * favg[31][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[8][k] * favg[25][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[9][k] * favg[20][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[10][k] * favg[5][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[11][k] * favg[22][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[12][k] * favg[17][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[13][k] * favg[4][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[14][k] * favg[19][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[15][k] * favg[2][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[18][k] * favg[27][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[19][k] * favg[14][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[21][k] * favg[26][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[22][k] * favg[11][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[23][k] * favg[6][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[24][k] * favg[0][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[25][k] * favg[8][k];
+        ghat[24][k] += 0.1767766952966369 * alpha[29][k] * favg[16][k];
+        ghat[24][k] += 0.17677669529663687 * alpha[30][k] * favg[3][k];
     }
-    for k in 0..LANES {
-        ghat[25].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[25].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[29].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[30].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[15].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[14].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[11].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[23].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[24].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[21].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[22].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[5].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[18].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[19].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[4].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[3].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[12].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[13].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[9].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[10].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[7].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[8].0[k];
-        ghat[25].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[0].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[1].0[k];
-        ghat[25].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[2].0[k];
+    for k in 0..L {
+        ghat[25][k] += 0.1767766952966369 * alpha[0][k] * favg[25][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[1][k] * favg[29][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[2][k] * favg[30][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[3][k] * favg[15][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[4][k] * favg[14][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[5][k] * favg[11][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[7][k] * favg[23][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[8][k] * favg[24][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[9][k] * favg[21][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[10][k] * favg[22][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[11][k] * favg[5][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[12][k] * favg[18][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[13][k] * favg[19][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[14][k] * favg[4][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[15][k] * favg[3][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[18][k] * favg[12][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[19][k] * favg[13][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[21][k] * favg[9][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[22][k] * favg[10][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[23][k] * favg[7][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[24][k] * favg[8][k];
+        ghat[25][k] += 0.1767766952966369 * alpha[25][k] * favg[0][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[29][k] * favg[1][k];
+        ghat[25][k] += 0.17677669529663687 * alpha[30][k] * favg[2][k];
     }
-    for k in 0..LANES {
-        ghat[26].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[26].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[19].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[18].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[17].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[16].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[31].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[10].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[9].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[8].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[7].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[6].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[30].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[29].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[28].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[27].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[2].0[k];
-        ghat[26].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[1].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[24].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[23].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[22].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[21].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[20].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[13].0[k];
-        ghat[26].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[12].0[k];
+    for k in 0..L {
+        ghat[26][k] += 0.17677669529663687 * alpha[0][k] * favg[26][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[1][k] * favg[19][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[2][k] * favg[18][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[3][k] * favg[17][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[4][k] * favg[16][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[5][k] * favg[31][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[7][k] * favg[10][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[8][k] * favg[9][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[9][k] * favg[8][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[10][k] * favg[7][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[11][k] * favg[6][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[12][k] * favg[30][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[13][k] * favg[29][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[14][k] * favg[28][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[15][k] * favg[27][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[18][k] * favg[2][k];
+        ghat[26][k] += 0.17677669529663687 * alpha[19][k] * favg[1][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[21][k] * favg[24][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[22][k] * favg[23][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[23][k] * favg[22][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[24][k] * favg[21][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[25][k] * favg[20][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[29][k] * favg[13][k];
+        ghat[26][k] += 0.1767766952966369 * alpha[30][k] * favg[12][k];
     }
-    for k in 0..LANES {
-        ghat[27].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[27].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[22].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[21].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[20].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[31].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[16].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[13].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[12].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[30].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[29].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[28].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[8].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[7].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[6].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[26].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[24].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[23].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[2].0[k];
-        ghat[27].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[1].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[19].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[18].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[17].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[10].0[k];
-        ghat[27].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[9].0[k];
+    for k in 0..L {
+        ghat[27][k] += 0.17677669529663687 * alpha[0][k] * favg[27][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[1][k] * favg[22][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[2][k] * favg[21][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[3][k] * favg[20][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[4][k] * favg[31][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[5][k] * favg[16][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[7][k] * favg[13][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[8][k] * favg[12][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[9][k] * favg[30][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[10][k] * favg[29][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[11][k] * favg[28][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[12][k] * favg[8][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[13][k] * favg[7][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[14][k] * favg[6][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[15][k] * favg[26][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[18][k] * favg[24][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[19][k] * favg[23][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[21][k] * favg[2][k];
+        ghat[27][k] += 0.17677669529663687 * alpha[22][k] * favg[1][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[23][k] * favg[19][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[24][k] * favg[18][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[25][k] * favg[17][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[29][k] * favg[10][k];
+        ghat[27][k] += 0.1767766952966369 * alpha[30][k] * favg[9][k];
     }
-    for k in 0..LANES {
-        ghat[28].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[28].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[24].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[23].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[31].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[20].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[17].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[30].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[29].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[13].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[12].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[27].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[10].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[9].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[26].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[6].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[22].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[21].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[19].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[18].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[2].0[k];
-        ghat[28].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[1].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[16].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[8].0[k];
-        ghat[28].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[7].0[k];
+    for k in 0..L {
+        ghat[28][k] += 0.17677669529663687 * alpha[0][k] * favg[28][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[1][k] * favg[24][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[2][k] * favg[23][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[3][k] * favg[31][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[4][k] * favg[20][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[5][k] * favg[17][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[7][k] * favg[30][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[8][k] * favg[29][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[9][k] * favg[13][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[10][k] * favg[12][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[11][k] * favg[27][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[12][k] * favg[10][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[13][k] * favg[9][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[14][k] * favg[26][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[15][k] * favg[6][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[18][k] * favg[22][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[19][k] * favg[21][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[21][k] * favg[19][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[22][k] * favg[18][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[23][k] * favg[2][k];
+        ghat[28][k] += 0.17677669529663687 * alpha[24][k] * favg[1][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[25][k] * favg[16][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[29][k] * favg[8][k];
+        ghat[28][k] += 0.1767766952966369 * alpha[30][k] * favg[7][k];
     }
-    for k in 0..LANES {
-        ghat[29].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[29].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[1].0[k] * favg[25].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[31].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[23].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[21].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[18].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[7].0[k] * favg[15].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[28].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[9].0[k] * favg[14].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[27].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[12].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[12].0[k] * favg[11].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[26].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[9].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[7].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[18].0[k] * favg[5].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[20].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[21].0[k] * favg[4].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[17].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[23].0[k] * favg[3].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[16].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[1].0[k];
-        ghat[29].0[k] += 0.17677669529663687 * alpha[29].0[k] * favg[0].0[k];
-        ghat[29].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[6].0[k];
+    for k in 0..L {
+        ghat[29][k] += 0.17677669529663687 * alpha[0][k] * favg[29][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[1][k] * favg[25][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[2][k] * favg[31][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[3][k] * favg[23][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[4][k] * favg[21][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[5][k] * favg[18][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[7][k] * favg[15][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[8][k] * favg[28][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[9][k] * favg[14][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[10][k] * favg[27][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[11][k] * favg[12][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[12][k] * favg[11][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[13][k] * favg[26][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[14][k] * favg[9][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[15][k] * favg[7][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[18][k] * favg[5][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[19][k] * favg[20][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[21][k] * favg[4][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[22][k] * favg[17][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[23][k] * favg[3][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[24][k] * favg[16][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[25][k] * favg[1][k];
+        ghat[29][k] += 0.17677669529663687 * alpha[29][k] * favg[0][k];
+        ghat[29][k] += 0.1767766952966369 * alpha[30][k] * favg[6][k];
     }
-    for k in 0..LANES {
-        ghat[30].0[k] += 0.17677669529663687 * alpha[0].0[k] * favg[30].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[31].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[2].0[k] * favg[25].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[3].0[k] * favg[24].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[4].0[k] * favg[22].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[5].0[k] * favg[19].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[28].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[8].0[k] * favg[15].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[27].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[10].0[k] * favg[14].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[11].0[k] * favg[13].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[26].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[13].0[k] * favg[11].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[14].0[k] * favg[10].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[15].0[k] * favg[8].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[20].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[19].0[k] * favg[5].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[17].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[22].0[k] * favg[4].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[16].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[24].0[k] * favg[3].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[25].0[k] * favg[2].0[k];
-        ghat[30].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[6].0[k];
-        ghat[30].0[k] += 0.17677669529663687 * alpha[30].0[k] * favg[0].0[k];
+    for k in 0..L {
+        ghat[30][k] += 0.17677669529663687 * alpha[0][k] * favg[30][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[1][k] * favg[31][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[2][k] * favg[25][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[3][k] * favg[24][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[4][k] * favg[22][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[5][k] * favg[19][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[7][k] * favg[28][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[8][k] * favg[15][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[9][k] * favg[27][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[10][k] * favg[14][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[11][k] * favg[13][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[12][k] * favg[26][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[13][k] * favg[11][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[14][k] * favg[10][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[15][k] * favg[8][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[18][k] * favg[20][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[19][k] * favg[5][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[21][k] * favg[17][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[22][k] * favg[4][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[23][k] * favg[16][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[24][k] * favg[3][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[25][k] * favg[2][k];
+        ghat[30][k] += 0.1767766952966369 * alpha[29][k] * favg[6][k];
+        ghat[30][k] += 0.17677669529663687 * alpha[30][k] * favg[0][k];
     }
-    for k in 0..LANES {
-        ghat[31].0[k] += 0.1767766952966369 * alpha[0].0[k] * favg[31].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[1].0[k] * favg[30].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[2].0[k] * favg[29].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[3].0[k] * favg[28].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[4].0[k] * favg[27].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[5].0[k] * favg[26].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[7].0[k] * favg[24].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[8].0[k] * favg[23].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[9].0[k] * favg[22].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[10].0[k] * favg[21].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[11].0[k] * favg[20].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[12].0[k] * favg[19].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[13].0[k] * favg[18].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[14].0[k] * favg[17].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[15].0[k] * favg[16].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[18].0[k] * favg[13].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[19].0[k] * favg[12].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[21].0[k] * favg[10].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[22].0[k] * favg[9].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[23].0[k] * favg[8].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[24].0[k] * favg[7].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[25].0[k] * favg[6].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[29].0[k] * favg[2].0[k];
-        ghat[31].0[k] += 0.1767766952966369 * alpha[30].0[k] * favg[1].0[k];
+    for k in 0..L {
+        ghat[31][k] += 0.1767766952966369 * alpha[0][k] * favg[31][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[1][k] * favg[30][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[2][k] * favg[29][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[3][k] * favg[28][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[4][k] * favg[27][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[5][k] * favg[26][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[7][k] * favg[24][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[8][k] * favg[23][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[9][k] * favg[22][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[10][k] * favg[21][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[11][k] * favg[20][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[12][k] * favg[19][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[13][k] * favg[18][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[14][k] * favg[17][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[15][k] * favg[16][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[18][k] * favg[13][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[19][k] * favg[12][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[21][k] * favg[10][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[22][k] * favg[9][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[23][k] * favg[8][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[24][k] * favg[7][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[25][k] * favg[6][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[29][k] * favg[2][k];
+        ghat[31][k] += 0.1767766952966369 * alpha[30][k] * favg[1][k];
     }
-    sx4(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_lo[1], -rd * 1.224744871391589, &ghat[0]);
-    sx4(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_lo[3], -rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_lo[4], -rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_lo[5], -rd * 0.7071067811865476, &ghat[4]);
-    sx4(&mut out_lo[6], -rd * 0.7071067811865476, &ghat[5]);
-    sx4(&mut out_lo[7], -rd * 1.224744871391589, &ghat[1]);
-    sx4(&mut out_lo[8], -rd * 1.224744871391589, &ghat[2]);
-    sx4(&mut out_lo[9], -rd * 0.7071067811865476, &ghat[6]);
-    sx4(&mut out_lo[10], -rd * 1.224744871391589, &ghat[3]);
-    sx4(&mut out_lo[11], -rd * 0.7071067811865476, &ghat[7]);
-    sx4(&mut out_lo[12], -rd * 0.7071067811865476, &ghat[8]);
-    sx4(&mut out_lo[13], -rd * 1.224744871391589, &ghat[4]);
-    sx4(&mut out_lo[14], -rd * 0.7071067811865476, &ghat[9]);
-    sx4(&mut out_lo[15], -rd * 0.7071067811865476, &ghat[10]);
-    sx4(&mut out_lo[16], -rd * 0.7071067811865476, &ghat[11]);
-    sx4(&mut out_lo[17], -rd * 1.224744871391589, &ghat[5]);
-    sx4(&mut out_lo[18], -rd * 0.7071067811865476, &ghat[12]);
-    sx4(&mut out_lo[19], -rd * 0.7071067811865476, &ghat[13]);
-    sx4(&mut out_lo[20], -rd * 0.7071067811865476, &ghat[14]);
-    sx4(&mut out_lo[21], -rd * 0.7071067811865476, &ghat[15]);
-    sx4(&mut out_lo[22], -rd * 1.224744871391589, &ghat[6]);
-    sx4(&mut out_lo[23], -rd * 1.224744871391589, &ghat[7]);
-    sx4(&mut out_lo[24], -rd * 1.224744871391589, &ghat[8]);
-    sx4(&mut out_lo[25], -rd * 0.7071067811865476, &ghat[16]);
-    sx4(&mut out_lo[26], -rd * 1.224744871391589, &ghat[9]);
-    sx4(&mut out_lo[27], -rd * 1.224744871391589, &ghat[10]);
-    sx4(&mut out_lo[28], -rd * 0.7071067811865476, &ghat[17]);
-    sx4(&mut out_lo[29], -rd * 1.224744871391589, &ghat[11]);
-    sx4(&mut out_lo[30], -rd * 0.7071067811865476, &ghat[18]);
-    sx4(&mut out_lo[31], -rd * 0.7071067811865476, &ghat[19]);
-    sx4(&mut out_lo[32], -rd * 1.224744871391589, &ghat[12]);
-    sx4(&mut out_lo[33], -rd * 1.224744871391589, &ghat[13]);
-    sx4(&mut out_lo[34], -rd * 0.7071067811865476, &ghat[20]);
-    sx4(&mut out_lo[35], -rd * 1.224744871391589, &ghat[14]);
-    sx4(&mut out_lo[36], -rd * 0.7071067811865476, &ghat[21]);
-    sx4(&mut out_lo[37], -rd * 0.7071067811865476, &ghat[22]);
-    sx4(&mut out_lo[38], -rd * 1.224744871391589, &ghat[15]);
-    sx4(&mut out_lo[39], -rd * 0.7071067811865476, &ghat[23]);
-    sx4(&mut out_lo[40], -rd * 0.7071067811865476, &ghat[24]);
-    sx4(&mut out_lo[41], -rd * 0.7071067811865476, &ghat[25]);
-    sx4(&mut out_lo[42], -rd * 1.224744871391589, &ghat[16]);
-    sx4(&mut out_lo[43], -rd * 1.224744871391589, &ghat[17]);
-    sx4(&mut out_lo[44], -rd * 1.224744871391589, &ghat[18]);
-    sx4(&mut out_lo[45], -rd * 1.224744871391589, &ghat[19]);
-    sx4(&mut out_lo[46], -rd * 0.7071067811865476, &ghat[26]);
-    sx4(&mut out_lo[47], -rd * 1.224744871391589, &ghat[20]);
-    sx4(&mut out_lo[48], -rd * 1.224744871391589, &ghat[21]);
-    sx4(&mut out_lo[49], -rd * 1.224744871391589, &ghat[22]);
-    sx4(&mut out_lo[50], -rd * 0.7071067811865476, &ghat[27]);
-    sx4(&mut out_lo[51], -rd * 1.224744871391589, &ghat[23]);
-    sx4(&mut out_lo[52], -rd * 1.224744871391589, &ghat[24]);
-    sx4(&mut out_lo[53], -rd * 0.7071067811865476, &ghat[28]);
-    sx4(&mut out_lo[54], -rd * 1.224744871391589, &ghat[25]);
-    sx4(&mut out_lo[55], -rd * 0.7071067811865476, &ghat[29]);
-    sx4(&mut out_lo[56], -rd * 0.7071067811865476, &ghat[30]);
-    sx4(&mut out_lo[57], -rd * 1.224744871391589, &ghat[26]);
-    sx4(&mut out_lo[58], -rd * 1.224744871391589, &ghat[27]);
-    sx4(&mut out_lo[59], -rd * 1.224744871391589, &ghat[28]);
-    sx4(&mut out_lo[60], -rd * 1.224744871391589, &ghat[29]);
-    sx4(&mut out_lo[61], -rd * 1.224744871391589, &ghat[30]);
-    sx4(&mut out_lo[62], -rd * 0.7071067811865476, &ghat[31]);
-    sx4(&mut out_lo[63], -rd * 1.224744871391589, &ghat[31]);
-    sx4(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
-    sx4(&mut out_hi[1], rd * -1.224744871391589, &ghat[0]);
-    sx4(&mut out_hi[2], rd * 0.7071067811865476, &ghat[1]);
-    sx4(&mut out_hi[3], rd * 0.7071067811865476, &ghat[2]);
-    sx4(&mut out_hi[4], rd * 0.7071067811865476, &ghat[3]);
-    sx4(&mut out_hi[5], rd * 0.7071067811865476, &ghat[4]);
-    sx4(&mut out_hi[6], rd * 0.7071067811865476, &ghat[5]);
-    sx4(&mut out_hi[7], rd * -1.224744871391589, &ghat[1]);
-    sx4(&mut out_hi[8], rd * -1.224744871391589, &ghat[2]);
-    sx4(&mut out_hi[9], rd * 0.7071067811865476, &ghat[6]);
-    sx4(&mut out_hi[10], rd * -1.224744871391589, &ghat[3]);
-    sx4(&mut out_hi[11], rd * 0.7071067811865476, &ghat[7]);
-    sx4(&mut out_hi[12], rd * 0.7071067811865476, &ghat[8]);
-    sx4(&mut out_hi[13], rd * -1.224744871391589, &ghat[4]);
-    sx4(&mut out_hi[14], rd * 0.7071067811865476, &ghat[9]);
-    sx4(&mut out_hi[15], rd * 0.7071067811865476, &ghat[10]);
-    sx4(&mut out_hi[16], rd * 0.7071067811865476, &ghat[11]);
-    sx4(&mut out_hi[17], rd * -1.224744871391589, &ghat[5]);
-    sx4(&mut out_hi[18], rd * 0.7071067811865476, &ghat[12]);
-    sx4(&mut out_hi[19], rd * 0.7071067811865476, &ghat[13]);
-    sx4(&mut out_hi[20], rd * 0.7071067811865476, &ghat[14]);
-    sx4(&mut out_hi[21], rd * 0.7071067811865476, &ghat[15]);
-    sx4(&mut out_hi[22], rd * -1.224744871391589, &ghat[6]);
-    sx4(&mut out_hi[23], rd * -1.224744871391589, &ghat[7]);
-    sx4(&mut out_hi[24], rd * -1.224744871391589, &ghat[8]);
-    sx4(&mut out_hi[25], rd * 0.7071067811865476, &ghat[16]);
-    sx4(&mut out_hi[26], rd * -1.224744871391589, &ghat[9]);
-    sx4(&mut out_hi[27], rd * -1.224744871391589, &ghat[10]);
-    sx4(&mut out_hi[28], rd * 0.7071067811865476, &ghat[17]);
-    sx4(&mut out_hi[29], rd * -1.224744871391589, &ghat[11]);
-    sx4(&mut out_hi[30], rd * 0.7071067811865476, &ghat[18]);
-    sx4(&mut out_hi[31], rd * 0.7071067811865476, &ghat[19]);
-    sx4(&mut out_hi[32], rd * -1.224744871391589, &ghat[12]);
-    sx4(&mut out_hi[33], rd * -1.224744871391589, &ghat[13]);
-    sx4(&mut out_hi[34], rd * 0.7071067811865476, &ghat[20]);
-    sx4(&mut out_hi[35], rd * -1.224744871391589, &ghat[14]);
-    sx4(&mut out_hi[36], rd * 0.7071067811865476, &ghat[21]);
-    sx4(&mut out_hi[37], rd * 0.7071067811865476, &ghat[22]);
-    sx4(&mut out_hi[38], rd * -1.224744871391589, &ghat[15]);
-    sx4(&mut out_hi[39], rd * 0.7071067811865476, &ghat[23]);
-    sx4(&mut out_hi[40], rd * 0.7071067811865476, &ghat[24]);
-    sx4(&mut out_hi[41], rd * 0.7071067811865476, &ghat[25]);
-    sx4(&mut out_hi[42], rd * -1.224744871391589, &ghat[16]);
-    sx4(&mut out_hi[43], rd * -1.224744871391589, &ghat[17]);
-    sx4(&mut out_hi[44], rd * -1.224744871391589, &ghat[18]);
-    sx4(&mut out_hi[45], rd * -1.224744871391589, &ghat[19]);
-    sx4(&mut out_hi[46], rd * 0.7071067811865476, &ghat[26]);
-    sx4(&mut out_hi[47], rd * -1.224744871391589, &ghat[20]);
-    sx4(&mut out_hi[48], rd * -1.224744871391589, &ghat[21]);
-    sx4(&mut out_hi[49], rd * -1.224744871391589, &ghat[22]);
-    sx4(&mut out_hi[50], rd * 0.7071067811865476, &ghat[27]);
-    sx4(&mut out_hi[51], rd * -1.224744871391589, &ghat[23]);
-    sx4(&mut out_hi[52], rd * -1.224744871391589, &ghat[24]);
-    sx4(&mut out_hi[53], rd * 0.7071067811865476, &ghat[28]);
-    sx4(&mut out_hi[54], rd * -1.224744871391589, &ghat[25]);
-    sx4(&mut out_hi[55], rd * 0.7071067811865476, &ghat[29]);
-    sx4(&mut out_hi[56], rd * 0.7071067811865476, &ghat[30]);
-    sx4(&mut out_hi[57], rd * -1.224744871391589, &ghat[26]);
-    sx4(&mut out_hi[58], rd * -1.224744871391589, &ghat[27]);
-    sx4(&mut out_hi[59], rd * -1.224744871391589, &ghat[28]);
-    sx4(&mut out_hi[60], rd * -1.224744871391589, &ghat[29]);
-    sx4(&mut out_hi[61], rd * -1.224744871391589, &ghat[30]);
-    sx4(&mut out_hi[62], rd * 0.7071067811865476, &ghat[31]);
-    sx4(&mut out_hi[63], rd * -1.224744871391589, &ghat[31]);
+    sxn(&mut out_lo[0], -rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_lo[1], -rd * 1.224744871391589, &ghat[0]);
+    sxn(&mut out_lo[2], -rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_lo[3], -rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_lo[4], -rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_lo[5], -rd * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_lo[6], -rd * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_lo[7], -rd * 1.224744871391589, &ghat[1]);
+    sxn(&mut out_lo[8], -rd * 1.224744871391589, &ghat[2]);
+    sxn(&mut out_lo[9], -rd * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_lo[10], -rd * 1.224744871391589, &ghat[3]);
+    sxn(&mut out_lo[11], -rd * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_lo[12], -rd * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_lo[13], -rd * 1.224744871391589, &ghat[4]);
+    sxn(&mut out_lo[14], -rd * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_lo[15], -rd * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_lo[16], -rd * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_lo[17], -rd * 1.224744871391589, &ghat[5]);
+    sxn(&mut out_lo[18], -rd * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_lo[19], -rd * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_lo[20], -rd * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_lo[21], -rd * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_lo[22], -rd * 1.224744871391589, &ghat[6]);
+    sxn(&mut out_lo[23], -rd * 1.224744871391589, &ghat[7]);
+    sxn(&mut out_lo[24], -rd * 1.224744871391589, &ghat[8]);
+    sxn(&mut out_lo[25], -rd * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_lo[26], -rd * 1.224744871391589, &ghat[9]);
+    sxn(&mut out_lo[27], -rd * 1.224744871391589, &ghat[10]);
+    sxn(&mut out_lo[28], -rd * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_lo[29], -rd * 1.224744871391589, &ghat[11]);
+    sxn(&mut out_lo[30], -rd * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_lo[31], -rd * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_lo[32], -rd * 1.224744871391589, &ghat[12]);
+    sxn(&mut out_lo[33], -rd * 1.224744871391589, &ghat[13]);
+    sxn(&mut out_lo[34], -rd * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_lo[35], -rd * 1.224744871391589, &ghat[14]);
+    sxn(&mut out_lo[36], -rd * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_lo[37], -rd * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_lo[38], -rd * 1.224744871391589, &ghat[15]);
+    sxn(&mut out_lo[39], -rd * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_lo[40], -rd * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_lo[41], -rd * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_lo[42], -rd * 1.224744871391589, &ghat[16]);
+    sxn(&mut out_lo[43], -rd * 1.224744871391589, &ghat[17]);
+    sxn(&mut out_lo[44], -rd * 1.224744871391589, &ghat[18]);
+    sxn(&mut out_lo[45], -rd * 1.224744871391589, &ghat[19]);
+    sxn(&mut out_lo[46], -rd * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_lo[47], -rd * 1.224744871391589, &ghat[20]);
+    sxn(&mut out_lo[48], -rd * 1.224744871391589, &ghat[21]);
+    sxn(&mut out_lo[49], -rd * 1.224744871391589, &ghat[22]);
+    sxn(&mut out_lo[50], -rd * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_lo[51], -rd * 1.224744871391589, &ghat[23]);
+    sxn(&mut out_lo[52], -rd * 1.224744871391589, &ghat[24]);
+    sxn(&mut out_lo[53], -rd * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_lo[54], -rd * 1.224744871391589, &ghat[25]);
+    sxn(&mut out_lo[55], -rd * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_lo[56], -rd * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_lo[57], -rd * 1.224744871391589, &ghat[26]);
+    sxn(&mut out_lo[58], -rd * 1.224744871391589, &ghat[27]);
+    sxn(&mut out_lo[59], -rd * 1.224744871391589, &ghat[28]);
+    sxn(&mut out_lo[60], -rd * 1.224744871391589, &ghat[29]);
+    sxn(&mut out_lo[61], -rd * 1.224744871391589, &ghat[30]);
+    sxn(&mut out_lo[62], -rd * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_lo[63], -rd * 1.224744871391589, &ghat[31]);
+    sxn(&mut out_hi[0], rd * 0.7071067811865476, &ghat[0]);
+    sxn(&mut out_hi[1], rd * -1.224744871391589, &ghat[0]);
+    sxn(&mut out_hi[2], rd * 0.7071067811865476, &ghat[1]);
+    sxn(&mut out_hi[3], rd * 0.7071067811865476, &ghat[2]);
+    sxn(&mut out_hi[4], rd * 0.7071067811865476, &ghat[3]);
+    sxn(&mut out_hi[5], rd * 0.7071067811865476, &ghat[4]);
+    sxn(&mut out_hi[6], rd * 0.7071067811865476, &ghat[5]);
+    sxn(&mut out_hi[7], rd * -1.224744871391589, &ghat[1]);
+    sxn(&mut out_hi[8], rd * -1.224744871391589, &ghat[2]);
+    sxn(&mut out_hi[9], rd * 0.7071067811865476, &ghat[6]);
+    sxn(&mut out_hi[10], rd * -1.224744871391589, &ghat[3]);
+    sxn(&mut out_hi[11], rd * 0.7071067811865476, &ghat[7]);
+    sxn(&mut out_hi[12], rd * 0.7071067811865476, &ghat[8]);
+    sxn(&mut out_hi[13], rd * -1.224744871391589, &ghat[4]);
+    sxn(&mut out_hi[14], rd * 0.7071067811865476, &ghat[9]);
+    sxn(&mut out_hi[15], rd * 0.7071067811865476, &ghat[10]);
+    sxn(&mut out_hi[16], rd * 0.7071067811865476, &ghat[11]);
+    sxn(&mut out_hi[17], rd * -1.224744871391589, &ghat[5]);
+    sxn(&mut out_hi[18], rd * 0.7071067811865476, &ghat[12]);
+    sxn(&mut out_hi[19], rd * 0.7071067811865476, &ghat[13]);
+    sxn(&mut out_hi[20], rd * 0.7071067811865476, &ghat[14]);
+    sxn(&mut out_hi[21], rd * 0.7071067811865476, &ghat[15]);
+    sxn(&mut out_hi[22], rd * -1.224744871391589, &ghat[6]);
+    sxn(&mut out_hi[23], rd * -1.224744871391589, &ghat[7]);
+    sxn(&mut out_hi[24], rd * -1.224744871391589, &ghat[8]);
+    sxn(&mut out_hi[25], rd * 0.7071067811865476, &ghat[16]);
+    sxn(&mut out_hi[26], rd * -1.224744871391589, &ghat[9]);
+    sxn(&mut out_hi[27], rd * -1.224744871391589, &ghat[10]);
+    sxn(&mut out_hi[28], rd * 0.7071067811865476, &ghat[17]);
+    sxn(&mut out_hi[29], rd * -1.224744871391589, &ghat[11]);
+    sxn(&mut out_hi[30], rd * 0.7071067811865476, &ghat[18]);
+    sxn(&mut out_hi[31], rd * 0.7071067811865476, &ghat[19]);
+    sxn(&mut out_hi[32], rd * -1.224744871391589, &ghat[12]);
+    sxn(&mut out_hi[33], rd * -1.224744871391589, &ghat[13]);
+    sxn(&mut out_hi[34], rd * 0.7071067811865476, &ghat[20]);
+    sxn(&mut out_hi[35], rd * -1.224744871391589, &ghat[14]);
+    sxn(&mut out_hi[36], rd * 0.7071067811865476, &ghat[21]);
+    sxn(&mut out_hi[37], rd * 0.7071067811865476, &ghat[22]);
+    sxn(&mut out_hi[38], rd * -1.224744871391589, &ghat[15]);
+    sxn(&mut out_hi[39], rd * 0.7071067811865476, &ghat[23]);
+    sxn(&mut out_hi[40], rd * 0.7071067811865476, &ghat[24]);
+    sxn(&mut out_hi[41], rd * 0.7071067811865476, &ghat[25]);
+    sxn(&mut out_hi[42], rd * -1.224744871391589, &ghat[16]);
+    sxn(&mut out_hi[43], rd * -1.224744871391589, &ghat[17]);
+    sxn(&mut out_hi[44], rd * -1.224744871391589, &ghat[18]);
+    sxn(&mut out_hi[45], rd * -1.224744871391589, &ghat[19]);
+    sxn(&mut out_hi[46], rd * 0.7071067811865476, &ghat[26]);
+    sxn(&mut out_hi[47], rd * -1.224744871391589, &ghat[20]);
+    sxn(&mut out_hi[48], rd * -1.224744871391589, &ghat[21]);
+    sxn(&mut out_hi[49], rd * -1.224744871391589, &ghat[22]);
+    sxn(&mut out_hi[50], rd * 0.7071067811865476, &ghat[27]);
+    sxn(&mut out_hi[51], rd * -1.224744871391589, &ghat[23]);
+    sxn(&mut out_hi[52], rd * -1.224744871391589, &ghat[24]);
+    sxn(&mut out_hi[53], rd * 0.7071067811865476, &ghat[28]);
+    sxn(&mut out_hi[54], rd * -1.224744871391589, &ghat[25]);
+    sxn(&mut out_hi[55], rd * 0.7071067811865476, &ghat[29]);
+    sxn(&mut out_hi[56], rd * 0.7071067811865476, &ghat[30]);
+    sxn(&mut out_hi[57], rd * -1.224744871391589, &ghat[26]);
+    sxn(&mut out_hi[58], rd * -1.224744871391589, &ghat[27]);
+    sxn(&mut out_hi[59], rd * -1.224744871391589, &ghat[28]);
+    sxn(&mut out_hi[60], rd * -1.224744871391589, &ghat[29]);
+    sxn(&mut out_hi[61], rd * -1.224744871391589, &ghat[30]);
+    sxn(&mut out_hi[62], rd * 0.7071067811865476, &ghat[31]);
+    sxn(&mut out_hi[63], rd * -1.224744871391589, &ghat[31]);
 }

@@ -10,615 +10,384 @@
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_vol_1x2v_p2_ser(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], f: &[f64], out: &mut [f64]) {
-    // streaming: ∂/∂x0 of (v0 f)
-    let rd0 = 2.0 / dxv[0];
-    let a0_0 = 2.8284271247461903 * w[1] * rd0;
-    let a1_0 = 1.632993161855452 * 0.5 * dxv[1] * rd0;
-    out[3] += 0.6123724356957945 * a0_0 * f[0];
-    out[7] += 0.6123724356957945 * a0_0 * f[1];
-    out[8] += 0.6123724356957945 * a0_0 * f[2];
-    out[9] += 1.3693063937629153 * a0_0 * f[3];
-    out[12] += 0.6123724356957946 * a0_0 * f[4];
-    out[13] += 0.6123724356957945 * a0_0 * f[5];
-    out[14] += 0.6123724356957946 * a0_0 * f[6];
-    out[15] += 1.369306393762915 * a0_0 * f[7];
-    out[16] += 1.369306393762915 * a0_0 * f[8];
-    out[17] += 0.6123724356957946 * a0_0 * f[10];
-    out[18] += 0.6123724356957946 * a0_0 * f[11];
-    out[19] += 1.3693063937629153 * a0_0 * f[13];
-    out[3] += 0.6123724356957945 * a1_0 * f[2];
-    out[7] += 0.6123724356957945 * a1_0 * f[5];
-    out[8] += 0.6123724356957945 * a1_0 * f[0];
-    out[8] += 0.5477225575051661 * a1_0 * f[6];
-    out[9] += 1.369306393762915 * a1_0 * f[8];
-    out[12] += 0.6123724356957946 * a1_0 * f[10];
-    out[13] += 0.6123724356957945 * a1_0 * f[1];
-    out[13] += 0.5477225575051662 * a1_0 * f[11];
-    out[14] += 0.5477225575051661 * a1_0 * f[2];
-    out[15] += 1.3693063937629153 * a1_0 * f[13];
-    out[16] += 1.369306393762915 * a1_0 * f[3];
-    out[16] += 1.2247448713915892 * a1_0 * f[14];
-    out[17] += 0.6123724356957946 * a1_0 * f[4];
-    out[18] += 0.5477225575051662 * a1_0 * f[5];
-    out[19] += 1.3693063937629153 * a1_0 * f[7];
-    out[19] += 1.224744871391589 * a1_0 * f[18];
-    // acceleration: ∂/∂v0 of (q/m (E + v×B)_0 f)
-    let rv0 = 2.0 / dxv[1];
-    let mut alpha0 = [0.0f64; 20];
-    alpha0[0] += qm * 2.0 * (em[0] + w[2] * em[15]);
-    alpha0[1] += qm * 1.1547005383792517 * (0.5 * dxv[2]) * em[15];
-    alpha0[3] += qm * 2.0 * (em[1] + w[2] * em[16]);
-    alpha0[7] += qm * 1.1547005383792517 * (0.5 * dxv[2]) * em[16];
-    alpha0[9] += qm * 2.0 * (em[2] + w[2] * em[17]);
-    alpha0[15] += qm * 1.1547005383792517 * (0.5 * dxv[2]) * em[17];
-    out[2] += 0.6123724356957945 * rv0 * alpha0[0] * f[0];
-    out[2] += 0.6123724356957945 * rv0 * alpha0[1] * f[1];
-    out[2] += 0.6123724356957945 * rv0 * alpha0[3] * f[3];
-    out[2] += 0.6123724356957945 * rv0 * alpha0[7] * f[7];
-    out[2] += 0.6123724356957946 * rv0 * alpha0[9] * f[9];
-    out[2] += 0.6123724356957946 * rv0 * alpha0[15] * f[15];
-    out[5] += 0.6123724356957945 * rv0 * alpha0[0] * f[1];
-    out[5] += 0.6123724356957945 * rv0 * alpha0[1] * f[0];
-    out[5] += 0.5477225575051661 * rv0 * alpha0[1] * f[4];
-    out[5] += 0.6123724356957945 * rv0 * alpha0[3] * f[7];
-    out[5] += 0.6123724356957945 * rv0 * alpha0[7] * f[3];
-    out[5] += 0.5477225575051662 * rv0 * alpha0[7] * f[12];
-    out[5] += 0.6123724356957946 * rv0 * alpha0[9] * f[15];
-    out[5] += 0.6123724356957946 * rv0 * alpha0[15] * f[9];
-    out[6] += 1.3693063937629153 * rv0 * alpha0[0] * f[2];
-    out[6] += 1.369306393762915 * rv0 * alpha0[1] * f[5];
-    out[6] += 1.369306393762915 * rv0 * alpha0[3] * f[8];
-    out[6] += 1.3693063937629153 * rv0 * alpha0[7] * f[13];
-    out[6] += 1.3693063937629155 * rv0 * alpha0[9] * f[16];
-    out[6] += 1.3693063937629153 * rv0 * alpha0[15] * f[19];
-    out[8] += 0.6123724356957945 * rv0 * alpha0[0] * f[3];
-    out[8] += 0.6123724356957945 * rv0 * alpha0[1] * f[7];
-    out[8] += 0.6123724356957945 * rv0 * alpha0[3] * f[0];
-    out[8] += 0.5477225575051661 * rv0 * alpha0[3] * f[9];
-    out[8] += 0.6123724356957945 * rv0 * alpha0[7] * f[1];
-    out[8] += 0.5477225575051662 * rv0 * alpha0[7] * f[15];
-    out[8] += 0.5477225575051661 * rv0 * alpha0[9] * f[3];
-    out[8] += 0.5477225575051662 * rv0 * alpha0[15] * f[7];
-    out[10] += 0.6123724356957946 * rv0 * alpha0[0] * f[4];
-    out[10] += 0.5477225575051661 * rv0 * alpha0[1] * f[1];
-    out[10] += 0.6123724356957946 * rv0 * alpha0[3] * f[12];
-    out[10] += 0.5477225575051662 * rv0 * alpha0[7] * f[7];
-    out[10] += 0.5477225575051662 * rv0 * alpha0[15] * f[15];
-    out[11] += 1.369306393762915 * rv0 * alpha0[0] * f[5];
-    out[11] += 1.369306393762915 * rv0 * alpha0[1] * f[2];
-    out[11] += 1.2247448713915892 * rv0 * alpha0[1] * f[10];
-    out[11] += 1.3693063937629153 * rv0 * alpha0[3] * f[13];
-    out[11] += 1.3693063937629153 * rv0 * alpha0[7] * f[8];
-    out[11] += 1.224744871391589 * rv0 * alpha0[7] * f[17];
-    out[11] += 1.3693063937629153 * rv0 * alpha0[9] * f[19];
-    out[11] += 1.3693063937629153 * rv0 * alpha0[15] * f[16];
-    out[13] += 0.6123724356957945 * rv0 * alpha0[0] * f[7];
-    out[13] += 0.6123724356957945 * rv0 * alpha0[1] * f[3];
-    out[13] += 0.5477225575051662 * rv0 * alpha0[1] * f[12];
-    out[13] += 0.6123724356957945 * rv0 * alpha0[3] * f[1];
-    out[13] += 0.5477225575051662 * rv0 * alpha0[3] * f[15];
-    out[13] += 0.6123724356957945 * rv0 * alpha0[7] * f[0];
-    out[13] += 0.5477225575051662 * rv0 * alpha0[7] * f[4];
-    out[13] += 0.5477225575051662 * rv0 * alpha0[7] * f[9];
-    out[13] += 0.5477225575051662 * rv0 * alpha0[9] * f[7];
-    out[13] += 0.5477225575051662 * rv0 * alpha0[15] * f[3];
-    out[13] += 0.4898979485566356 * rv0 * alpha0[15] * f[12];
-    out[14] += 1.369306393762915 * rv0 * alpha0[0] * f[8];
-    out[14] += 1.3693063937629153 * rv0 * alpha0[1] * f[13];
-    out[14] += 1.369306393762915 * rv0 * alpha0[3] * f[2];
-    out[14] += 1.2247448713915892 * rv0 * alpha0[3] * f[16];
-    out[14] += 1.3693063937629153 * rv0 * alpha0[7] * f[5];
-    out[14] += 1.224744871391589 * rv0 * alpha0[7] * f[19];
-    out[14] += 1.2247448713915892 * rv0 * alpha0[9] * f[8];
-    out[14] += 1.224744871391589 * rv0 * alpha0[15] * f[13];
-    out[16] += 0.6123724356957946 * rv0 * alpha0[0] * f[9];
-    out[16] += 0.6123724356957946 * rv0 * alpha0[1] * f[15];
-    out[16] += 0.5477225575051661 * rv0 * alpha0[3] * f[3];
-    out[16] += 0.5477225575051662 * rv0 * alpha0[7] * f[7];
-    out[16] += 0.6123724356957946 * rv0 * alpha0[9] * f[0];
-    out[16] += 0.3912303982179758 * rv0 * alpha0[9] * f[9];
-    out[16] += 0.6123724356957946 * rv0 * alpha0[15] * f[1];
-    out[16] += 0.39123039821797584 * rv0 * alpha0[15] * f[15];
-    out[17] += 0.6123724356957946 * rv0 * alpha0[0] * f[12];
-    out[17] += 0.5477225575051662 * rv0 * alpha0[1] * f[7];
-    out[17] += 0.6123724356957946 * rv0 * alpha0[3] * f[4];
-    out[17] += 0.5477225575051662 * rv0 * alpha0[7] * f[1];
-    out[17] += 0.4898979485566356 * rv0 * alpha0[7] * f[15];
-    out[17] += 0.5477225575051662 * rv0 * alpha0[9] * f[12];
-    out[17] += 0.4898979485566356 * rv0 * alpha0[15] * f[7];
-    out[18] += 1.3693063937629153 * rv0 * alpha0[0] * f[13];
-    out[18] += 1.3693063937629153 * rv0 * alpha0[1] * f[8];
-    out[18] += 1.224744871391589 * rv0 * alpha0[1] * f[17];
-    out[18] += 1.3693063937629153 * rv0 * alpha0[3] * f[5];
-    out[18] += 1.224744871391589 * rv0 * alpha0[3] * f[19];
-    out[18] += 1.3693063937629153 * rv0 * alpha0[7] * f[2];
-    out[18] += 1.224744871391589 * rv0 * alpha0[7] * f[10];
-    out[18] += 1.224744871391589 * rv0 * alpha0[7] * f[16];
-    out[18] += 1.224744871391589 * rv0 * alpha0[9] * f[13];
-    out[18] += 1.224744871391589 * rv0 * alpha0[15] * f[8];
-    out[18] += 1.0954451150103321 * rv0 * alpha0[15] * f[17];
-    out[19] += 0.6123724356957946 * rv0 * alpha0[0] * f[15];
-    out[19] += 0.6123724356957946 * rv0 * alpha0[1] * f[9];
-    out[19] += 0.5477225575051662 * rv0 * alpha0[3] * f[7];
-    out[19] += 0.5477225575051662 * rv0 * alpha0[7] * f[3];
-    out[19] += 0.4898979485566356 * rv0 * alpha0[7] * f[12];
-    out[19] += 0.6123724356957946 * rv0 * alpha0[9] * f[1];
-    out[19] += 0.39123039821797584 * rv0 * alpha0[9] * f[15];
-    out[19] += 0.6123724356957946 * rv0 * alpha0[15] * f[0];
-    out[19] += 0.5477225575051662 * rv0 * alpha0[15] * f[4];
-    out[19] += 0.39123039821797584 * rv0 * alpha0[15] * f[9];
-    // acceleration: ∂/∂v1 of (q/m (E + v×B)_1 f)
-    let rv1 = 2.0 / dxv[2];
-    let mut alpha1 = [0.0f64; 20];
-    alpha1[0] += qm * 2.0 * (em[3] - w[1] * em[15]);
-    alpha1[2] += qm * -1.1547005383792517 * (0.5 * dxv[1]) * em[15];
-    alpha1[3] += qm * 2.0 * (em[4] - w[1] * em[16]);
-    alpha1[8] += qm * -1.1547005383792517 * (0.5 * dxv[1]) * em[16];
-    alpha1[9] += qm * 2.0 * (em[5] - w[1] * em[17]);
-    alpha1[16] += qm * -1.1547005383792517 * (0.5 * dxv[1]) * em[17];
-    out[1] += 0.6123724356957945 * rv1 * alpha1[0] * f[0];
-    out[1] += 0.6123724356957945 * rv1 * alpha1[2] * f[2];
-    out[1] += 0.6123724356957945 * rv1 * alpha1[3] * f[3];
-    out[1] += 0.6123724356957945 * rv1 * alpha1[8] * f[8];
-    out[1] += 0.6123724356957946 * rv1 * alpha1[9] * f[9];
-    out[1] += 0.6123724356957946 * rv1 * alpha1[16] * f[16];
-    out[4] += 1.3693063937629153 * rv1 * alpha1[0] * f[1];
-    out[4] += 1.369306393762915 * rv1 * alpha1[2] * f[5];
-    out[4] += 1.369306393762915 * rv1 * alpha1[3] * f[7];
-    out[4] += 1.3693063937629153 * rv1 * alpha1[8] * f[13];
-    out[4] += 1.3693063937629155 * rv1 * alpha1[9] * f[15];
-    out[4] += 1.3693063937629153 * rv1 * alpha1[16] * f[19];
-    out[5] += 0.6123724356957945 * rv1 * alpha1[0] * f[2];
-    out[5] += 0.6123724356957945 * rv1 * alpha1[2] * f[0];
-    out[5] += 0.5477225575051661 * rv1 * alpha1[2] * f[6];
-    out[5] += 0.6123724356957945 * rv1 * alpha1[3] * f[8];
-    out[5] += 0.6123724356957945 * rv1 * alpha1[8] * f[3];
-    out[5] += 0.5477225575051662 * rv1 * alpha1[8] * f[14];
-    out[5] += 0.6123724356957946 * rv1 * alpha1[9] * f[16];
-    out[5] += 0.6123724356957946 * rv1 * alpha1[16] * f[9];
-    out[7] += 0.6123724356957945 * rv1 * alpha1[0] * f[3];
-    out[7] += 0.6123724356957945 * rv1 * alpha1[2] * f[8];
-    out[7] += 0.6123724356957945 * rv1 * alpha1[3] * f[0];
-    out[7] += 0.5477225575051661 * rv1 * alpha1[3] * f[9];
-    out[7] += 0.6123724356957945 * rv1 * alpha1[8] * f[2];
-    out[7] += 0.5477225575051662 * rv1 * alpha1[8] * f[16];
-    out[7] += 0.5477225575051661 * rv1 * alpha1[9] * f[3];
-    out[7] += 0.5477225575051662 * rv1 * alpha1[16] * f[8];
-    out[10] += 1.369306393762915 * rv1 * alpha1[0] * f[5];
-    out[10] += 1.369306393762915 * rv1 * alpha1[2] * f[1];
-    out[10] += 1.2247448713915892 * rv1 * alpha1[2] * f[11];
-    out[10] += 1.3693063937629153 * rv1 * alpha1[3] * f[13];
-    out[10] += 1.3693063937629153 * rv1 * alpha1[8] * f[7];
-    out[10] += 1.224744871391589 * rv1 * alpha1[8] * f[18];
-    out[10] += 1.3693063937629153 * rv1 * alpha1[9] * f[19];
-    out[10] += 1.3693063937629153 * rv1 * alpha1[16] * f[15];
-    out[11] += 0.6123724356957946 * rv1 * alpha1[0] * f[6];
-    out[11] += 0.5477225575051661 * rv1 * alpha1[2] * f[2];
-    out[11] += 0.6123724356957946 * rv1 * alpha1[3] * f[14];
-    out[11] += 0.5477225575051662 * rv1 * alpha1[8] * f[8];
-    out[11] += 0.5477225575051662 * rv1 * alpha1[16] * f[16];
-    out[12] += 1.369306393762915 * rv1 * alpha1[0] * f[7];
-    out[12] += 1.3693063937629153 * rv1 * alpha1[2] * f[13];
-    out[12] += 1.369306393762915 * rv1 * alpha1[3] * f[1];
-    out[12] += 1.2247448713915892 * rv1 * alpha1[3] * f[15];
-    out[12] += 1.3693063937629153 * rv1 * alpha1[8] * f[5];
-    out[12] += 1.224744871391589 * rv1 * alpha1[8] * f[19];
-    out[12] += 1.2247448713915892 * rv1 * alpha1[9] * f[7];
-    out[12] += 1.224744871391589 * rv1 * alpha1[16] * f[13];
-    out[13] += 0.6123724356957945 * rv1 * alpha1[0] * f[8];
-    out[13] += 0.6123724356957945 * rv1 * alpha1[2] * f[3];
-    out[13] += 0.5477225575051662 * rv1 * alpha1[2] * f[14];
-    out[13] += 0.6123724356957945 * rv1 * alpha1[3] * f[2];
-    out[13] += 0.5477225575051662 * rv1 * alpha1[3] * f[16];
-    out[13] += 0.6123724356957945 * rv1 * alpha1[8] * f[0];
-    out[13] += 0.5477225575051662 * rv1 * alpha1[8] * f[6];
-    out[13] += 0.5477225575051662 * rv1 * alpha1[8] * f[9];
-    out[13] += 0.5477225575051662 * rv1 * alpha1[9] * f[8];
-    out[13] += 0.5477225575051662 * rv1 * alpha1[16] * f[3];
-    out[13] += 0.4898979485566356 * rv1 * alpha1[16] * f[14];
-    out[15] += 0.6123724356957946 * rv1 * alpha1[0] * f[9];
-    out[15] += 0.6123724356957946 * rv1 * alpha1[2] * f[16];
-    out[15] += 0.5477225575051661 * rv1 * alpha1[3] * f[3];
-    out[15] += 0.5477225575051662 * rv1 * alpha1[8] * f[8];
-    out[15] += 0.6123724356957946 * rv1 * alpha1[9] * f[0];
-    out[15] += 0.3912303982179758 * rv1 * alpha1[9] * f[9];
-    out[15] += 0.6123724356957946 * rv1 * alpha1[16] * f[2];
-    out[15] += 0.39123039821797584 * rv1 * alpha1[16] * f[16];
-    out[17] += 1.3693063937629153 * rv1 * alpha1[0] * f[13];
-    out[17] += 1.3693063937629153 * rv1 * alpha1[2] * f[7];
-    out[17] += 1.224744871391589 * rv1 * alpha1[2] * f[18];
-    out[17] += 1.3693063937629153 * rv1 * alpha1[3] * f[5];
-    out[17] += 1.224744871391589 * rv1 * alpha1[3] * f[19];
-    out[17] += 1.3693063937629153 * rv1 * alpha1[8] * f[1];
-    out[17] += 1.224744871391589 * rv1 * alpha1[8] * f[11];
-    out[17] += 1.224744871391589 * rv1 * alpha1[8] * f[15];
-    out[17] += 1.224744871391589 * rv1 * alpha1[9] * f[13];
-    out[17] += 1.224744871391589 * rv1 * alpha1[16] * f[7];
-    out[17] += 1.0954451150103321 * rv1 * alpha1[16] * f[18];
-    out[18] += 0.6123724356957946 * rv1 * alpha1[0] * f[14];
-    out[18] += 0.5477225575051662 * rv1 * alpha1[2] * f[8];
-    out[18] += 0.6123724356957946 * rv1 * alpha1[3] * f[6];
-    out[18] += 0.5477225575051662 * rv1 * alpha1[8] * f[2];
-    out[18] += 0.4898979485566356 * rv1 * alpha1[8] * f[16];
-    out[18] += 0.5477225575051662 * rv1 * alpha1[9] * f[14];
-    out[18] += 0.4898979485566356 * rv1 * alpha1[16] * f[8];
-    out[19] += 0.6123724356957946 * rv1 * alpha1[0] * f[16];
-    out[19] += 0.6123724356957946 * rv1 * alpha1[2] * f[9];
-    out[19] += 0.5477225575051662 * rv1 * alpha1[3] * f[8];
-    out[19] += 0.5477225575051662 * rv1 * alpha1[8] * f[3];
-    out[19] += 0.4898979485566356 * rv1 * alpha1[8] * f[14];
-    out[19] += 0.6123724356957946 * rv1 * alpha1[9] * f[2];
-    out[19] += 0.39123039821797584 * rv1 * alpha1[9] * f[16];
-    out[19] += 0.6123724356957946 * rv1 * alpha1[16] * f[0];
-    out[19] += 0.5477225575051662 * rv1 * alpha1[16] * f[6];
-    out[19] += 0.39123039821797584 * rv1 * alpha1[16] * f[9];
+    vlasov_vol_1x2v_p2_ser_body::<1>(w.as_chunks().0, dxv, qm, em, f.as_chunks().0, out.as_chunks_mut().0)
 }
 
-/// Batched volume kernel, 1x2v p=2 Serendipity basis: [`vlasov_vol_1x2v_p2_ser`] over an SoA
-/// panel of `LANES` cells sharing one configuration cell, bit-identical
-/// per lane. Auto-generated from exact integral tables — do not edit by
-/// hand.
+/// [`vlasov_vol_1x2v_p2_ser`] over `LANES` cells: the same body, bit-identical per lane.
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_vol_1x2v_p2_ser_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {
-    vlasov_vol_1x2v_p2_ser_b4_body(w, dxv, qm, em, f, out)
+pub fn vlasov_vol_1x2v_p2_ser_b4(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    vlasov_vol_1x2v_p2_ser_body(w, dxv, qm, em, f, out)
 }
 
-/// [`vlasov_vol_1x2v_p2_ser_b4`] compiled for AVX2: the same body, bit-identical per lane.
-/// Reach it through `crate::dispatch`, which checks the CPU first.
+/// [`vlasov_vol_1x2v_p2_ser_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_vol_1x2v_p2_ser_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {
-    vlasov_vol_1x2v_p2_ser_b4_body(w, dxv, qm, em, f, out)
+pub fn vlasov_vol_1x2v_p2_ser_b4_avx2(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    vlasov_vol_1x2v_p2_ser_body(w, dxv, qm, em, f, out)
 }
 
-/// Shared body of [`vlasov_vol_1x2v_p2_ser_b4`] and its AVX2 entry point.
+/// [`vlasov_vol_1x2v_p2_ser`] over 8 cells, compiled for AVX-512F. Reach it through
+/// `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_vol_1x2v_p2_ser_b8_avx512(w: &[[f64; 8]], dxv: &[f64], qm: f64, em: &[f64], f: &[[f64; 8]], out: &mut [[f64; 8]]) {
+    vlasov_vol_1x2v_p2_ser_body(w, dxv, qm, em, f, out)
+}
+
+/// Shared lane-generic body of [`vlasov_vol_1x2v_p2_ser`] and its batched entry points.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_vol_1x2v_p2_ser_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {
-    vlasov_vol_1x2v_p2_ser_b4_stream0(w, dxv, f, out);
-    vlasov_vol_1x2v_p2_ser_b4_accel0(w, dxv, qm, em, f, out);
-    vlasov_vol_1x2v_p2_ser_b4_accel1(w, dxv, qm, em, f, out);
+fn vlasov_vol_1x2v_p2_ser_body<const L: usize>(w: &[[f64; L]], dxv: &[f64], qm: f64, em: &[f64], f: &[[f64; L]], out: &mut [[f64; L]]) {
+    let w: &[[f64; L]; 3] = w.first_chunk().expect("w: 3 coefficients");
+    let f: &[[f64; L]; 20] = f.first_chunk().expect("f: 20 coefficients");
+    let out: &mut [[f64; L]; 20] = out.first_chunk_mut().expect("out: 20 coefficients");
+    vlasov_vol_1x2v_p2_ser_stream0(w, dxv, f, out);
+    vlasov_vol_1x2v_p2_ser_accel0(w, dxv, qm, em, f, out);
+    vlasov_vol_1x2v_p2_ser_accel1(w, dxv, qm, em, f, out);
 }
 
-/// Streaming `∂/∂x0 (v0 f)` term of [`vlasov_vol_1x2v_p2_ser_b4`].
+/// Streaming `∂/∂x0 (v0 f)` term of [`vlasov_vol_1x2v_p2_ser`].
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_vol_1x2v_p2_ser_b4_stream0(w: &[CellLanes], dxv: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {
+fn vlasov_vol_1x2v_p2_ser_stream0<const L: usize>(w: &[[f64; L]; 3], dxv: &[f64], f: &[[f64; L]; 20], out: &mut [[f64; L]; 20]) {
     let rd0 = 2.0 / dxv[0];
-    let mut a0_0 = CellLanes([0.0f64; LANES]);
-    for k in 0..LANES {
-        a0_0.0[k] = 2.8284271247461903 * w[1].0[k] * rd0;
+    let mut a0_0 = [0.0f64; L];
+    for k in 0..L {
+        a0_0[k] = 2.8284271247461903 * w[1][k] * rd0;
     }
     let a1_0 = 1.632993161855452 * 0.5 * dxv[1] * rd0;
-    for k in 0..LANES {
-        out[3].0[k] += 0.6123724356957945 * a0_0.0[k] * f[0].0[k];
+    for k in 0..L {
+        out[3][k] += 0.6123724356957945 * a0_0[k] * f[0][k];
     }
-    for k in 0..LANES {
-        out[7].0[k] += 0.6123724356957945 * a0_0.0[k] * f[1].0[k];
+    for k in 0..L {
+        out[7][k] += 0.6123724356957945 * a0_0[k] * f[1][k];
     }
-    for k in 0..LANES {
-        out[8].0[k] += 0.6123724356957945 * a0_0.0[k] * f[2].0[k];
+    for k in 0..L {
+        out[8][k] += 0.6123724356957945 * a0_0[k] * f[2][k];
     }
-    for k in 0..LANES {
-        out[9].0[k] += 1.3693063937629153 * a0_0.0[k] * f[3].0[k];
+    for k in 0..L {
+        out[9][k] += 1.3693063937629153 * a0_0[k] * f[3][k];
     }
-    for k in 0..LANES {
-        out[12].0[k] += 0.6123724356957946 * a0_0.0[k] * f[4].0[k];
+    for k in 0..L {
+        out[12][k] += 0.6123724356957946 * a0_0[k] * f[4][k];
     }
-    for k in 0..LANES {
-        out[13].0[k] += 0.6123724356957945 * a0_0.0[k] * f[5].0[k];
+    for k in 0..L {
+        out[13][k] += 0.6123724356957945 * a0_0[k] * f[5][k];
     }
-    for k in 0..LANES {
-        out[14].0[k] += 0.6123724356957946 * a0_0.0[k] * f[6].0[k];
+    for k in 0..L {
+        out[14][k] += 0.6123724356957946 * a0_0[k] * f[6][k];
     }
-    for k in 0..LANES {
-        out[15].0[k] += 1.369306393762915 * a0_0.0[k] * f[7].0[k];
+    for k in 0..L {
+        out[15][k] += 1.369306393762915 * a0_0[k] * f[7][k];
     }
-    for k in 0..LANES {
-        out[16].0[k] += 1.369306393762915 * a0_0.0[k] * f[8].0[k];
+    for k in 0..L {
+        out[16][k] += 1.369306393762915 * a0_0[k] * f[8][k];
     }
-    for k in 0..LANES {
-        out[17].0[k] += 0.6123724356957946 * a0_0.0[k] * f[10].0[k];
+    for k in 0..L {
+        out[17][k] += 0.6123724356957946 * a0_0[k] * f[10][k];
     }
-    for k in 0..LANES {
-        out[18].0[k] += 0.6123724356957946 * a0_0.0[k] * f[11].0[k];
+    for k in 0..L {
+        out[18][k] += 0.6123724356957946 * a0_0[k] * f[11][k];
     }
-    for k in 0..LANES {
-        out[19].0[k] += 1.3693063937629153 * a0_0.0[k] * f[13].0[k];
+    for k in 0..L {
+        out[19][k] += 1.3693063937629153 * a0_0[k] * f[13][k];
     }
-    sx4(&mut out[3], 0.6123724356957945 * a1_0, &f[2]);
-    sx4(&mut out[7], 0.6123724356957945 * a1_0, &f[5]);
-    sx4(&mut out[8], 0.6123724356957945 * a1_0, &f[0]);
-    sx4(&mut out[8], 0.5477225575051661 * a1_0, &f[6]);
-    sx4(&mut out[9], 1.369306393762915 * a1_0, &f[8]);
-    sx4(&mut out[12], 0.6123724356957946 * a1_0, &f[10]);
-    sx4(&mut out[13], 0.6123724356957945 * a1_0, &f[1]);
-    sx4(&mut out[13], 0.5477225575051662 * a1_0, &f[11]);
-    sx4(&mut out[14], 0.5477225575051661 * a1_0, &f[2]);
-    sx4(&mut out[15], 1.3693063937629153 * a1_0, &f[13]);
-    sx4(&mut out[16], 1.369306393762915 * a1_0, &f[3]);
-    sx4(&mut out[16], 1.2247448713915892 * a1_0, &f[14]);
-    sx4(&mut out[17], 0.6123724356957946 * a1_0, &f[4]);
-    sx4(&mut out[18], 0.5477225575051662 * a1_0, &f[5]);
-    sx4(&mut out[19], 1.3693063937629153 * a1_0, &f[7]);
-    sx4(&mut out[19], 1.224744871391589 * a1_0, &f[18]);
+    sxn(&mut out[3], 0.6123724356957945 * a1_0, &f[2]);
+    sxn(&mut out[7], 0.6123724356957945 * a1_0, &f[5]);
+    sxn(&mut out[8], 0.6123724356957945 * a1_0, &f[0]);
+    sxn(&mut out[8], 0.5477225575051661 * a1_0, &f[6]);
+    sxn(&mut out[9], 1.369306393762915 * a1_0, &f[8]);
+    sxn(&mut out[12], 0.6123724356957946 * a1_0, &f[10]);
+    sxn(&mut out[13], 0.6123724356957945 * a1_0, &f[1]);
+    sxn(&mut out[13], 0.5477225575051662 * a1_0, &f[11]);
+    sxn(&mut out[14], 0.5477225575051661 * a1_0, &f[2]);
+    sxn(&mut out[15], 1.3693063937629153 * a1_0, &f[13]);
+    sxn(&mut out[16], 1.369306393762915 * a1_0, &f[3]);
+    sxn(&mut out[16], 1.2247448713915892 * a1_0, &f[14]);
+    sxn(&mut out[17], 0.6123724356957946 * a1_0, &f[4]);
+    sxn(&mut out[18], 0.5477225575051662 * a1_0, &f[5]);
+    sxn(&mut out[19], 1.3693063937629153 * a1_0, &f[7]);
+    sxn(&mut out[19], 1.224744871391589 * a1_0, &f[18]);
 }
 
-/// Acceleration `∂/∂v0 (q/m (E + v×B)_0 f)` term of [`vlasov_vol_1x2v_p2_ser_b4`].
+/// Acceleration `∂/∂v0 (q/m (E + v×B)_0 f)` term of [`vlasov_vol_1x2v_p2_ser`].
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_vol_1x2v_p2_ser_b4_accel0(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {
+fn vlasov_vol_1x2v_p2_ser_accel0<const L: usize>(w: &[[f64; L]; 3], dxv: &[f64], qm: f64, em: &[f64], f: &[[f64; L]; 20], out: &mut [[f64; L]; 20]) {
     let rv0 = 2.0 / dxv[1];
-    let mut alpha0 = [CellLanes([0.0f64; LANES]); 20];
-    for k in 0..LANES {
-        alpha0[0].0[k] += qm * 2.0 * (em[0] + w[2].0[k] * em[15]);
-        alpha0[1].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[2]) * em[15];
-        alpha0[3].0[k] += qm * 2.0 * (em[1] + w[2].0[k] * em[16]);
-        alpha0[7].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[2]) * em[16];
-        alpha0[9].0[k] += qm * 2.0 * (em[2] + w[2].0[k] * em[17]);
-        alpha0[15].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[2]) * em[17];
+    let mut alpha0 = [[0.0f64; L]; 20];
+    for k in 0..L {
+        alpha0[0][k] += qm * 2.0 * (em[0] + w[2][k] * em[15]);
+        alpha0[1][k] += qm * 1.1547005383792517 * (0.5 * dxv[2]) * em[15];
+        alpha0[3][k] += qm * 2.0 * (em[1] + w[2][k] * em[16]);
+        alpha0[7][k] += qm * 1.1547005383792517 * (0.5 * dxv[2]) * em[16];
+        alpha0[9][k] += qm * 2.0 * (em[2] + w[2][k] * em[17]);
+        alpha0[15][k] += qm * 1.1547005383792517 * (0.5 * dxv[2]) * em[17];
     }
-    for k in 0..LANES {
-        out[2].0[k] += 0.6123724356957945 * rv0 * alpha0[0].0[k] * f[0].0[k];
-        out[2].0[k] += 0.6123724356957945 * rv0 * alpha0[1].0[k] * f[1].0[k];
-        out[2].0[k] += 0.6123724356957945 * rv0 * alpha0[3].0[k] * f[3].0[k];
-        out[2].0[k] += 0.6123724356957945 * rv0 * alpha0[7].0[k] * f[7].0[k];
-        out[2].0[k] += 0.6123724356957946 * rv0 * alpha0[9].0[k] * f[9].0[k];
-        out[2].0[k] += 0.6123724356957946 * rv0 * alpha0[15].0[k] * f[15].0[k];
+    for k in 0..L {
+        out[2][k] += 0.6123724356957945 * rv0 * alpha0[0][k] * f[0][k];
+        out[2][k] += 0.6123724356957945 * rv0 * alpha0[1][k] * f[1][k];
+        out[2][k] += 0.6123724356957945 * rv0 * alpha0[3][k] * f[3][k];
+        out[2][k] += 0.6123724356957945 * rv0 * alpha0[7][k] * f[7][k];
+        out[2][k] += 0.6123724356957946 * rv0 * alpha0[9][k] * f[9][k];
+        out[2][k] += 0.6123724356957946 * rv0 * alpha0[15][k] * f[15][k];
     }
-    for k in 0..LANES {
-        out[5].0[k] += 0.6123724356957945 * rv0 * alpha0[0].0[k] * f[1].0[k];
-        out[5].0[k] += 0.6123724356957945 * rv0 * alpha0[1].0[k] * f[0].0[k];
-        out[5].0[k] += 0.5477225575051661 * rv0 * alpha0[1].0[k] * f[4].0[k];
-        out[5].0[k] += 0.6123724356957945 * rv0 * alpha0[3].0[k] * f[7].0[k];
-        out[5].0[k] += 0.6123724356957945 * rv0 * alpha0[7].0[k] * f[3].0[k];
-        out[5].0[k] += 0.5477225575051662 * rv0 * alpha0[7].0[k] * f[12].0[k];
-        out[5].0[k] += 0.6123724356957946 * rv0 * alpha0[9].0[k] * f[15].0[k];
-        out[5].0[k] += 0.6123724356957946 * rv0 * alpha0[15].0[k] * f[9].0[k];
+    for k in 0..L {
+        out[5][k] += 0.6123724356957945 * rv0 * alpha0[0][k] * f[1][k];
+        out[5][k] += 0.6123724356957945 * rv0 * alpha0[1][k] * f[0][k];
+        out[5][k] += 0.5477225575051661 * rv0 * alpha0[1][k] * f[4][k];
+        out[5][k] += 0.6123724356957945 * rv0 * alpha0[3][k] * f[7][k];
+        out[5][k] += 0.6123724356957945 * rv0 * alpha0[7][k] * f[3][k];
+        out[5][k] += 0.5477225575051662 * rv0 * alpha0[7][k] * f[12][k];
+        out[5][k] += 0.6123724356957946 * rv0 * alpha0[9][k] * f[15][k];
+        out[5][k] += 0.6123724356957946 * rv0 * alpha0[15][k] * f[9][k];
     }
-    for k in 0..LANES {
-        out[6].0[k] += 1.3693063937629153 * rv0 * alpha0[0].0[k] * f[2].0[k];
-        out[6].0[k] += 1.369306393762915 * rv0 * alpha0[1].0[k] * f[5].0[k];
-        out[6].0[k] += 1.369306393762915 * rv0 * alpha0[3].0[k] * f[8].0[k];
-        out[6].0[k] += 1.3693063937629153 * rv0 * alpha0[7].0[k] * f[13].0[k];
-        out[6].0[k] += 1.3693063937629155 * rv0 * alpha0[9].0[k] * f[16].0[k];
-        out[6].0[k] += 1.3693063937629153 * rv0 * alpha0[15].0[k] * f[19].0[k];
+    for k in 0..L {
+        out[6][k] += 1.3693063937629153 * rv0 * alpha0[0][k] * f[2][k];
+        out[6][k] += 1.369306393762915 * rv0 * alpha0[1][k] * f[5][k];
+        out[6][k] += 1.369306393762915 * rv0 * alpha0[3][k] * f[8][k];
+        out[6][k] += 1.3693063937629153 * rv0 * alpha0[7][k] * f[13][k];
+        out[6][k] += 1.3693063937629155 * rv0 * alpha0[9][k] * f[16][k];
+        out[6][k] += 1.3693063937629153 * rv0 * alpha0[15][k] * f[19][k];
     }
-    for k in 0..LANES {
-        out[8].0[k] += 0.6123724356957945 * rv0 * alpha0[0].0[k] * f[3].0[k];
-        out[8].0[k] += 0.6123724356957945 * rv0 * alpha0[1].0[k] * f[7].0[k];
-        out[8].0[k] += 0.6123724356957945 * rv0 * alpha0[3].0[k] * f[0].0[k];
-        out[8].0[k] += 0.5477225575051661 * rv0 * alpha0[3].0[k] * f[9].0[k];
-        out[8].0[k] += 0.6123724356957945 * rv0 * alpha0[7].0[k] * f[1].0[k];
-        out[8].0[k] += 0.5477225575051662 * rv0 * alpha0[7].0[k] * f[15].0[k];
-        out[8].0[k] += 0.5477225575051661 * rv0 * alpha0[9].0[k] * f[3].0[k];
-        out[8].0[k] += 0.5477225575051662 * rv0 * alpha0[15].0[k] * f[7].0[k];
+    for k in 0..L {
+        out[8][k] += 0.6123724356957945 * rv0 * alpha0[0][k] * f[3][k];
+        out[8][k] += 0.6123724356957945 * rv0 * alpha0[1][k] * f[7][k];
+        out[8][k] += 0.6123724356957945 * rv0 * alpha0[3][k] * f[0][k];
+        out[8][k] += 0.5477225575051661 * rv0 * alpha0[3][k] * f[9][k];
+        out[8][k] += 0.6123724356957945 * rv0 * alpha0[7][k] * f[1][k];
+        out[8][k] += 0.5477225575051662 * rv0 * alpha0[7][k] * f[15][k];
+        out[8][k] += 0.5477225575051661 * rv0 * alpha0[9][k] * f[3][k];
+        out[8][k] += 0.5477225575051662 * rv0 * alpha0[15][k] * f[7][k];
     }
-    for k in 0..LANES {
-        out[10].0[k] += 0.6123724356957946 * rv0 * alpha0[0].0[k] * f[4].0[k];
-        out[10].0[k] += 0.5477225575051661 * rv0 * alpha0[1].0[k] * f[1].0[k];
-        out[10].0[k] += 0.6123724356957946 * rv0 * alpha0[3].0[k] * f[12].0[k];
-        out[10].0[k] += 0.5477225575051662 * rv0 * alpha0[7].0[k] * f[7].0[k];
-        out[10].0[k] += 0.5477225575051662 * rv0 * alpha0[15].0[k] * f[15].0[k];
+    for k in 0..L {
+        out[10][k] += 0.6123724356957946 * rv0 * alpha0[0][k] * f[4][k];
+        out[10][k] += 0.5477225575051661 * rv0 * alpha0[1][k] * f[1][k];
+        out[10][k] += 0.6123724356957946 * rv0 * alpha0[3][k] * f[12][k];
+        out[10][k] += 0.5477225575051662 * rv0 * alpha0[7][k] * f[7][k];
+        out[10][k] += 0.5477225575051662 * rv0 * alpha0[15][k] * f[15][k];
     }
-    for k in 0..LANES {
-        out[11].0[k] += 1.369306393762915 * rv0 * alpha0[0].0[k] * f[5].0[k];
-        out[11].0[k] += 1.369306393762915 * rv0 * alpha0[1].0[k] * f[2].0[k];
-        out[11].0[k] += 1.2247448713915892 * rv0 * alpha0[1].0[k] * f[10].0[k];
-        out[11].0[k] += 1.3693063937629153 * rv0 * alpha0[3].0[k] * f[13].0[k];
-        out[11].0[k] += 1.3693063937629153 * rv0 * alpha0[7].0[k] * f[8].0[k];
-        out[11].0[k] += 1.224744871391589 * rv0 * alpha0[7].0[k] * f[17].0[k];
-        out[11].0[k] += 1.3693063937629153 * rv0 * alpha0[9].0[k] * f[19].0[k];
-        out[11].0[k] += 1.3693063937629153 * rv0 * alpha0[15].0[k] * f[16].0[k];
+    for k in 0..L {
+        out[11][k] += 1.369306393762915 * rv0 * alpha0[0][k] * f[5][k];
+        out[11][k] += 1.369306393762915 * rv0 * alpha0[1][k] * f[2][k];
+        out[11][k] += 1.2247448713915892 * rv0 * alpha0[1][k] * f[10][k];
+        out[11][k] += 1.3693063937629153 * rv0 * alpha0[3][k] * f[13][k];
+        out[11][k] += 1.3693063937629153 * rv0 * alpha0[7][k] * f[8][k];
+        out[11][k] += 1.224744871391589 * rv0 * alpha0[7][k] * f[17][k];
+        out[11][k] += 1.3693063937629153 * rv0 * alpha0[9][k] * f[19][k];
+        out[11][k] += 1.3693063937629153 * rv0 * alpha0[15][k] * f[16][k];
     }
-    for k in 0..LANES {
-        out[13].0[k] += 0.6123724356957945 * rv0 * alpha0[0].0[k] * f[7].0[k];
-        out[13].0[k] += 0.6123724356957945 * rv0 * alpha0[1].0[k] * f[3].0[k];
-        out[13].0[k] += 0.5477225575051662 * rv0 * alpha0[1].0[k] * f[12].0[k];
-        out[13].0[k] += 0.6123724356957945 * rv0 * alpha0[3].0[k] * f[1].0[k];
-        out[13].0[k] += 0.5477225575051662 * rv0 * alpha0[3].0[k] * f[15].0[k];
-        out[13].0[k] += 0.6123724356957945 * rv0 * alpha0[7].0[k] * f[0].0[k];
-        out[13].0[k] += 0.5477225575051662 * rv0 * alpha0[7].0[k] * f[4].0[k];
-        out[13].0[k] += 0.5477225575051662 * rv0 * alpha0[7].0[k] * f[9].0[k];
-        out[13].0[k] += 0.5477225575051662 * rv0 * alpha0[9].0[k] * f[7].0[k];
-        out[13].0[k] += 0.5477225575051662 * rv0 * alpha0[15].0[k] * f[3].0[k];
-        out[13].0[k] += 0.4898979485566356 * rv0 * alpha0[15].0[k] * f[12].0[k];
+    for k in 0..L {
+        out[13][k] += 0.6123724356957945 * rv0 * alpha0[0][k] * f[7][k];
+        out[13][k] += 0.6123724356957945 * rv0 * alpha0[1][k] * f[3][k];
+        out[13][k] += 0.5477225575051662 * rv0 * alpha0[1][k] * f[12][k];
+        out[13][k] += 0.6123724356957945 * rv0 * alpha0[3][k] * f[1][k];
+        out[13][k] += 0.5477225575051662 * rv0 * alpha0[3][k] * f[15][k];
+        out[13][k] += 0.6123724356957945 * rv0 * alpha0[7][k] * f[0][k];
+        out[13][k] += 0.5477225575051662 * rv0 * alpha0[7][k] * f[4][k];
+        out[13][k] += 0.5477225575051662 * rv0 * alpha0[7][k] * f[9][k];
+        out[13][k] += 0.5477225575051662 * rv0 * alpha0[9][k] * f[7][k];
+        out[13][k] += 0.5477225575051662 * rv0 * alpha0[15][k] * f[3][k];
+        out[13][k] += 0.4898979485566356 * rv0 * alpha0[15][k] * f[12][k];
     }
-    for k in 0..LANES {
-        out[14].0[k] += 1.369306393762915 * rv0 * alpha0[0].0[k] * f[8].0[k];
-        out[14].0[k] += 1.3693063937629153 * rv0 * alpha0[1].0[k] * f[13].0[k];
-        out[14].0[k] += 1.369306393762915 * rv0 * alpha0[3].0[k] * f[2].0[k];
-        out[14].0[k] += 1.2247448713915892 * rv0 * alpha0[3].0[k] * f[16].0[k];
-        out[14].0[k] += 1.3693063937629153 * rv0 * alpha0[7].0[k] * f[5].0[k];
-        out[14].0[k] += 1.224744871391589 * rv0 * alpha0[7].0[k] * f[19].0[k];
-        out[14].0[k] += 1.2247448713915892 * rv0 * alpha0[9].0[k] * f[8].0[k];
-        out[14].0[k] += 1.224744871391589 * rv0 * alpha0[15].0[k] * f[13].0[k];
+    for k in 0..L {
+        out[14][k] += 1.369306393762915 * rv0 * alpha0[0][k] * f[8][k];
+        out[14][k] += 1.3693063937629153 * rv0 * alpha0[1][k] * f[13][k];
+        out[14][k] += 1.369306393762915 * rv0 * alpha0[3][k] * f[2][k];
+        out[14][k] += 1.2247448713915892 * rv0 * alpha0[3][k] * f[16][k];
+        out[14][k] += 1.3693063937629153 * rv0 * alpha0[7][k] * f[5][k];
+        out[14][k] += 1.224744871391589 * rv0 * alpha0[7][k] * f[19][k];
+        out[14][k] += 1.2247448713915892 * rv0 * alpha0[9][k] * f[8][k];
+        out[14][k] += 1.224744871391589 * rv0 * alpha0[15][k] * f[13][k];
     }
-    for k in 0..LANES {
-        out[16].0[k] += 0.6123724356957946 * rv0 * alpha0[0].0[k] * f[9].0[k];
-        out[16].0[k] += 0.6123724356957946 * rv0 * alpha0[1].0[k] * f[15].0[k];
-        out[16].0[k] += 0.5477225575051661 * rv0 * alpha0[3].0[k] * f[3].0[k];
-        out[16].0[k] += 0.5477225575051662 * rv0 * alpha0[7].0[k] * f[7].0[k];
-        out[16].0[k] += 0.6123724356957946 * rv0 * alpha0[9].0[k] * f[0].0[k];
-        out[16].0[k] += 0.3912303982179758 * rv0 * alpha0[9].0[k] * f[9].0[k];
-        out[16].0[k] += 0.6123724356957946 * rv0 * alpha0[15].0[k] * f[1].0[k];
-        out[16].0[k] += 0.39123039821797584 * rv0 * alpha0[15].0[k] * f[15].0[k];
+    for k in 0..L {
+        out[16][k] += 0.6123724356957946 * rv0 * alpha0[0][k] * f[9][k];
+        out[16][k] += 0.6123724356957946 * rv0 * alpha0[1][k] * f[15][k];
+        out[16][k] += 0.5477225575051661 * rv0 * alpha0[3][k] * f[3][k];
+        out[16][k] += 0.5477225575051662 * rv0 * alpha0[7][k] * f[7][k];
+        out[16][k] += 0.6123724356957946 * rv0 * alpha0[9][k] * f[0][k];
+        out[16][k] += 0.3912303982179758 * rv0 * alpha0[9][k] * f[9][k];
+        out[16][k] += 0.6123724356957946 * rv0 * alpha0[15][k] * f[1][k];
+        out[16][k] += 0.39123039821797584 * rv0 * alpha0[15][k] * f[15][k];
     }
-    for k in 0..LANES {
-        out[17].0[k] += 0.6123724356957946 * rv0 * alpha0[0].0[k] * f[12].0[k];
-        out[17].0[k] += 0.5477225575051662 * rv0 * alpha0[1].0[k] * f[7].0[k];
-        out[17].0[k] += 0.6123724356957946 * rv0 * alpha0[3].0[k] * f[4].0[k];
-        out[17].0[k] += 0.5477225575051662 * rv0 * alpha0[7].0[k] * f[1].0[k];
-        out[17].0[k] += 0.4898979485566356 * rv0 * alpha0[7].0[k] * f[15].0[k];
-        out[17].0[k] += 0.5477225575051662 * rv0 * alpha0[9].0[k] * f[12].0[k];
-        out[17].0[k] += 0.4898979485566356 * rv0 * alpha0[15].0[k] * f[7].0[k];
+    for k in 0..L {
+        out[17][k] += 0.6123724356957946 * rv0 * alpha0[0][k] * f[12][k];
+        out[17][k] += 0.5477225575051662 * rv0 * alpha0[1][k] * f[7][k];
+        out[17][k] += 0.6123724356957946 * rv0 * alpha0[3][k] * f[4][k];
+        out[17][k] += 0.5477225575051662 * rv0 * alpha0[7][k] * f[1][k];
+        out[17][k] += 0.4898979485566356 * rv0 * alpha0[7][k] * f[15][k];
+        out[17][k] += 0.5477225575051662 * rv0 * alpha0[9][k] * f[12][k];
+        out[17][k] += 0.4898979485566356 * rv0 * alpha0[15][k] * f[7][k];
     }
-    for k in 0..LANES {
-        out[18].0[k] += 1.3693063937629153 * rv0 * alpha0[0].0[k] * f[13].0[k];
-        out[18].0[k] += 1.3693063937629153 * rv0 * alpha0[1].0[k] * f[8].0[k];
-        out[18].0[k] += 1.224744871391589 * rv0 * alpha0[1].0[k] * f[17].0[k];
-        out[18].0[k] += 1.3693063937629153 * rv0 * alpha0[3].0[k] * f[5].0[k];
-        out[18].0[k] += 1.224744871391589 * rv0 * alpha0[3].0[k] * f[19].0[k];
-        out[18].0[k] += 1.3693063937629153 * rv0 * alpha0[7].0[k] * f[2].0[k];
-        out[18].0[k] += 1.224744871391589 * rv0 * alpha0[7].0[k] * f[10].0[k];
-        out[18].0[k] += 1.224744871391589 * rv0 * alpha0[7].0[k] * f[16].0[k];
-        out[18].0[k] += 1.224744871391589 * rv0 * alpha0[9].0[k] * f[13].0[k];
-        out[18].0[k] += 1.224744871391589 * rv0 * alpha0[15].0[k] * f[8].0[k];
-        out[18].0[k] += 1.0954451150103321 * rv0 * alpha0[15].0[k] * f[17].0[k];
+    for k in 0..L {
+        out[18][k] += 1.3693063937629153 * rv0 * alpha0[0][k] * f[13][k];
+        out[18][k] += 1.3693063937629153 * rv0 * alpha0[1][k] * f[8][k];
+        out[18][k] += 1.224744871391589 * rv0 * alpha0[1][k] * f[17][k];
+        out[18][k] += 1.3693063937629153 * rv0 * alpha0[3][k] * f[5][k];
+        out[18][k] += 1.224744871391589 * rv0 * alpha0[3][k] * f[19][k];
+        out[18][k] += 1.3693063937629153 * rv0 * alpha0[7][k] * f[2][k];
+        out[18][k] += 1.224744871391589 * rv0 * alpha0[7][k] * f[10][k];
+        out[18][k] += 1.224744871391589 * rv0 * alpha0[7][k] * f[16][k];
+        out[18][k] += 1.224744871391589 * rv0 * alpha0[9][k] * f[13][k];
+        out[18][k] += 1.224744871391589 * rv0 * alpha0[15][k] * f[8][k];
+        out[18][k] += 1.0954451150103321 * rv0 * alpha0[15][k] * f[17][k];
     }
-    for k in 0..LANES {
-        out[19].0[k] += 0.6123724356957946 * rv0 * alpha0[0].0[k] * f[15].0[k];
-        out[19].0[k] += 0.6123724356957946 * rv0 * alpha0[1].0[k] * f[9].0[k];
-        out[19].0[k] += 0.5477225575051662 * rv0 * alpha0[3].0[k] * f[7].0[k];
-        out[19].0[k] += 0.5477225575051662 * rv0 * alpha0[7].0[k] * f[3].0[k];
-        out[19].0[k] += 0.4898979485566356 * rv0 * alpha0[7].0[k] * f[12].0[k];
-        out[19].0[k] += 0.6123724356957946 * rv0 * alpha0[9].0[k] * f[1].0[k];
-        out[19].0[k] += 0.39123039821797584 * rv0 * alpha0[9].0[k] * f[15].0[k];
-        out[19].0[k] += 0.6123724356957946 * rv0 * alpha0[15].0[k] * f[0].0[k];
-        out[19].0[k] += 0.5477225575051662 * rv0 * alpha0[15].0[k] * f[4].0[k];
-        out[19].0[k] += 0.39123039821797584 * rv0 * alpha0[15].0[k] * f[9].0[k];
+    for k in 0..L {
+        out[19][k] += 0.6123724356957946 * rv0 * alpha0[0][k] * f[15][k];
+        out[19][k] += 0.6123724356957946 * rv0 * alpha0[1][k] * f[9][k];
+        out[19][k] += 0.5477225575051662 * rv0 * alpha0[3][k] * f[7][k];
+        out[19][k] += 0.5477225575051662 * rv0 * alpha0[7][k] * f[3][k];
+        out[19][k] += 0.4898979485566356 * rv0 * alpha0[7][k] * f[12][k];
+        out[19][k] += 0.6123724356957946 * rv0 * alpha0[9][k] * f[1][k];
+        out[19][k] += 0.39123039821797584 * rv0 * alpha0[9][k] * f[15][k];
+        out[19][k] += 0.6123724356957946 * rv0 * alpha0[15][k] * f[0][k];
+        out[19][k] += 0.5477225575051662 * rv0 * alpha0[15][k] * f[4][k];
+        out[19][k] += 0.39123039821797584 * rv0 * alpha0[15][k] * f[9][k];
     }
 }
 
-/// Acceleration `∂/∂v1 (q/m (E + v×B)_1 f)` term of [`vlasov_vol_1x2v_p2_ser_b4`].
+/// Acceleration `∂/∂v1 (q/m (E + v×B)_1 f)` term of [`vlasov_vol_1x2v_p2_ser`].
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_vol_1x2v_p2_ser_b4_accel1(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {
+fn vlasov_vol_1x2v_p2_ser_accel1<const L: usize>(w: &[[f64; L]; 3], dxv: &[f64], qm: f64, em: &[f64], f: &[[f64; L]; 20], out: &mut [[f64; L]; 20]) {
     let rv1 = 2.0 / dxv[2];
-    let mut alpha1 = [CellLanes([0.0f64; LANES]); 20];
-    for k in 0..LANES {
-        alpha1[0].0[k] += qm * 2.0 * (em[3] - w[1].0[k] * em[15]);
-        alpha1[2].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[1]) * em[15];
-        alpha1[3].0[k] += qm * 2.0 * (em[4] - w[1].0[k] * em[16]);
-        alpha1[8].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[1]) * em[16];
-        alpha1[9].0[k] += qm * 2.0 * (em[5] - w[1].0[k] * em[17]);
-        alpha1[16].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[1]) * em[17];
+    let mut alpha1 = [[0.0f64; L]; 20];
+    for k in 0..L {
+        alpha1[0][k] += qm * 2.0 * (em[3] - w[1][k] * em[15]);
+        alpha1[2][k] += qm * -1.1547005383792517 * (0.5 * dxv[1]) * em[15];
+        alpha1[3][k] += qm * 2.0 * (em[4] - w[1][k] * em[16]);
+        alpha1[8][k] += qm * -1.1547005383792517 * (0.5 * dxv[1]) * em[16];
+        alpha1[9][k] += qm * 2.0 * (em[5] - w[1][k] * em[17]);
+        alpha1[16][k] += qm * -1.1547005383792517 * (0.5 * dxv[1]) * em[17];
     }
-    for k in 0..LANES {
-        out[1].0[k] += 0.6123724356957945 * rv1 * alpha1[0].0[k] * f[0].0[k];
-        out[1].0[k] += 0.6123724356957945 * rv1 * alpha1[2].0[k] * f[2].0[k];
-        out[1].0[k] += 0.6123724356957945 * rv1 * alpha1[3].0[k] * f[3].0[k];
-        out[1].0[k] += 0.6123724356957945 * rv1 * alpha1[8].0[k] * f[8].0[k];
-        out[1].0[k] += 0.6123724356957946 * rv1 * alpha1[9].0[k] * f[9].0[k];
-        out[1].0[k] += 0.6123724356957946 * rv1 * alpha1[16].0[k] * f[16].0[k];
+    for k in 0..L {
+        out[1][k] += 0.6123724356957945 * rv1 * alpha1[0][k] * f[0][k];
+        out[1][k] += 0.6123724356957945 * rv1 * alpha1[2][k] * f[2][k];
+        out[1][k] += 0.6123724356957945 * rv1 * alpha1[3][k] * f[3][k];
+        out[1][k] += 0.6123724356957945 * rv1 * alpha1[8][k] * f[8][k];
+        out[1][k] += 0.6123724356957946 * rv1 * alpha1[9][k] * f[9][k];
+        out[1][k] += 0.6123724356957946 * rv1 * alpha1[16][k] * f[16][k];
     }
-    for k in 0..LANES {
-        out[4].0[k] += 1.3693063937629153 * rv1 * alpha1[0].0[k] * f[1].0[k];
-        out[4].0[k] += 1.369306393762915 * rv1 * alpha1[2].0[k] * f[5].0[k];
-        out[4].0[k] += 1.369306393762915 * rv1 * alpha1[3].0[k] * f[7].0[k];
-        out[4].0[k] += 1.3693063937629153 * rv1 * alpha1[8].0[k] * f[13].0[k];
-        out[4].0[k] += 1.3693063937629155 * rv1 * alpha1[9].0[k] * f[15].0[k];
-        out[4].0[k] += 1.3693063937629153 * rv1 * alpha1[16].0[k] * f[19].0[k];
+    for k in 0..L {
+        out[4][k] += 1.3693063937629153 * rv1 * alpha1[0][k] * f[1][k];
+        out[4][k] += 1.369306393762915 * rv1 * alpha1[2][k] * f[5][k];
+        out[4][k] += 1.369306393762915 * rv1 * alpha1[3][k] * f[7][k];
+        out[4][k] += 1.3693063937629153 * rv1 * alpha1[8][k] * f[13][k];
+        out[4][k] += 1.3693063937629155 * rv1 * alpha1[9][k] * f[15][k];
+        out[4][k] += 1.3693063937629153 * rv1 * alpha1[16][k] * f[19][k];
     }
-    for k in 0..LANES {
-        out[5].0[k] += 0.6123724356957945 * rv1 * alpha1[0].0[k] * f[2].0[k];
-        out[5].0[k] += 0.6123724356957945 * rv1 * alpha1[2].0[k] * f[0].0[k];
-        out[5].0[k] += 0.5477225575051661 * rv1 * alpha1[2].0[k] * f[6].0[k];
-        out[5].0[k] += 0.6123724356957945 * rv1 * alpha1[3].0[k] * f[8].0[k];
-        out[5].0[k] += 0.6123724356957945 * rv1 * alpha1[8].0[k] * f[3].0[k];
-        out[5].0[k] += 0.5477225575051662 * rv1 * alpha1[8].0[k] * f[14].0[k];
-        out[5].0[k] += 0.6123724356957946 * rv1 * alpha1[9].0[k] * f[16].0[k];
-        out[5].0[k] += 0.6123724356957946 * rv1 * alpha1[16].0[k] * f[9].0[k];
+    for k in 0..L {
+        out[5][k] += 0.6123724356957945 * rv1 * alpha1[0][k] * f[2][k];
+        out[5][k] += 0.6123724356957945 * rv1 * alpha1[2][k] * f[0][k];
+        out[5][k] += 0.5477225575051661 * rv1 * alpha1[2][k] * f[6][k];
+        out[5][k] += 0.6123724356957945 * rv1 * alpha1[3][k] * f[8][k];
+        out[5][k] += 0.6123724356957945 * rv1 * alpha1[8][k] * f[3][k];
+        out[5][k] += 0.5477225575051662 * rv1 * alpha1[8][k] * f[14][k];
+        out[5][k] += 0.6123724356957946 * rv1 * alpha1[9][k] * f[16][k];
+        out[5][k] += 0.6123724356957946 * rv1 * alpha1[16][k] * f[9][k];
     }
-    for k in 0..LANES {
-        out[7].0[k] += 0.6123724356957945 * rv1 * alpha1[0].0[k] * f[3].0[k];
-        out[7].0[k] += 0.6123724356957945 * rv1 * alpha1[2].0[k] * f[8].0[k];
-        out[7].0[k] += 0.6123724356957945 * rv1 * alpha1[3].0[k] * f[0].0[k];
-        out[7].0[k] += 0.5477225575051661 * rv1 * alpha1[3].0[k] * f[9].0[k];
-        out[7].0[k] += 0.6123724356957945 * rv1 * alpha1[8].0[k] * f[2].0[k];
-        out[7].0[k] += 0.5477225575051662 * rv1 * alpha1[8].0[k] * f[16].0[k];
-        out[7].0[k] += 0.5477225575051661 * rv1 * alpha1[9].0[k] * f[3].0[k];
-        out[7].0[k] += 0.5477225575051662 * rv1 * alpha1[16].0[k] * f[8].0[k];
+    for k in 0..L {
+        out[7][k] += 0.6123724356957945 * rv1 * alpha1[0][k] * f[3][k];
+        out[7][k] += 0.6123724356957945 * rv1 * alpha1[2][k] * f[8][k];
+        out[7][k] += 0.6123724356957945 * rv1 * alpha1[3][k] * f[0][k];
+        out[7][k] += 0.5477225575051661 * rv1 * alpha1[3][k] * f[9][k];
+        out[7][k] += 0.6123724356957945 * rv1 * alpha1[8][k] * f[2][k];
+        out[7][k] += 0.5477225575051662 * rv1 * alpha1[8][k] * f[16][k];
+        out[7][k] += 0.5477225575051661 * rv1 * alpha1[9][k] * f[3][k];
+        out[7][k] += 0.5477225575051662 * rv1 * alpha1[16][k] * f[8][k];
     }
-    for k in 0..LANES {
-        out[10].0[k] += 1.369306393762915 * rv1 * alpha1[0].0[k] * f[5].0[k];
-        out[10].0[k] += 1.369306393762915 * rv1 * alpha1[2].0[k] * f[1].0[k];
-        out[10].0[k] += 1.2247448713915892 * rv1 * alpha1[2].0[k] * f[11].0[k];
-        out[10].0[k] += 1.3693063937629153 * rv1 * alpha1[3].0[k] * f[13].0[k];
-        out[10].0[k] += 1.3693063937629153 * rv1 * alpha1[8].0[k] * f[7].0[k];
-        out[10].0[k] += 1.224744871391589 * rv1 * alpha1[8].0[k] * f[18].0[k];
-        out[10].0[k] += 1.3693063937629153 * rv1 * alpha1[9].0[k] * f[19].0[k];
-        out[10].0[k] += 1.3693063937629153 * rv1 * alpha1[16].0[k] * f[15].0[k];
+    for k in 0..L {
+        out[10][k] += 1.369306393762915 * rv1 * alpha1[0][k] * f[5][k];
+        out[10][k] += 1.369306393762915 * rv1 * alpha1[2][k] * f[1][k];
+        out[10][k] += 1.2247448713915892 * rv1 * alpha1[2][k] * f[11][k];
+        out[10][k] += 1.3693063937629153 * rv1 * alpha1[3][k] * f[13][k];
+        out[10][k] += 1.3693063937629153 * rv1 * alpha1[8][k] * f[7][k];
+        out[10][k] += 1.224744871391589 * rv1 * alpha1[8][k] * f[18][k];
+        out[10][k] += 1.3693063937629153 * rv1 * alpha1[9][k] * f[19][k];
+        out[10][k] += 1.3693063937629153 * rv1 * alpha1[16][k] * f[15][k];
     }
-    for k in 0..LANES {
-        out[11].0[k] += 0.6123724356957946 * rv1 * alpha1[0].0[k] * f[6].0[k];
-        out[11].0[k] += 0.5477225575051661 * rv1 * alpha1[2].0[k] * f[2].0[k];
-        out[11].0[k] += 0.6123724356957946 * rv1 * alpha1[3].0[k] * f[14].0[k];
-        out[11].0[k] += 0.5477225575051662 * rv1 * alpha1[8].0[k] * f[8].0[k];
-        out[11].0[k] += 0.5477225575051662 * rv1 * alpha1[16].0[k] * f[16].0[k];
+    for k in 0..L {
+        out[11][k] += 0.6123724356957946 * rv1 * alpha1[0][k] * f[6][k];
+        out[11][k] += 0.5477225575051661 * rv1 * alpha1[2][k] * f[2][k];
+        out[11][k] += 0.6123724356957946 * rv1 * alpha1[3][k] * f[14][k];
+        out[11][k] += 0.5477225575051662 * rv1 * alpha1[8][k] * f[8][k];
+        out[11][k] += 0.5477225575051662 * rv1 * alpha1[16][k] * f[16][k];
     }
-    for k in 0..LANES {
-        out[12].0[k] += 1.369306393762915 * rv1 * alpha1[0].0[k] * f[7].0[k];
-        out[12].0[k] += 1.3693063937629153 * rv1 * alpha1[2].0[k] * f[13].0[k];
-        out[12].0[k] += 1.369306393762915 * rv1 * alpha1[3].0[k] * f[1].0[k];
-        out[12].0[k] += 1.2247448713915892 * rv1 * alpha1[3].0[k] * f[15].0[k];
-        out[12].0[k] += 1.3693063937629153 * rv1 * alpha1[8].0[k] * f[5].0[k];
-        out[12].0[k] += 1.224744871391589 * rv1 * alpha1[8].0[k] * f[19].0[k];
-        out[12].0[k] += 1.2247448713915892 * rv1 * alpha1[9].0[k] * f[7].0[k];
-        out[12].0[k] += 1.224744871391589 * rv1 * alpha1[16].0[k] * f[13].0[k];
+    for k in 0..L {
+        out[12][k] += 1.369306393762915 * rv1 * alpha1[0][k] * f[7][k];
+        out[12][k] += 1.3693063937629153 * rv1 * alpha1[2][k] * f[13][k];
+        out[12][k] += 1.369306393762915 * rv1 * alpha1[3][k] * f[1][k];
+        out[12][k] += 1.2247448713915892 * rv1 * alpha1[3][k] * f[15][k];
+        out[12][k] += 1.3693063937629153 * rv1 * alpha1[8][k] * f[5][k];
+        out[12][k] += 1.224744871391589 * rv1 * alpha1[8][k] * f[19][k];
+        out[12][k] += 1.2247448713915892 * rv1 * alpha1[9][k] * f[7][k];
+        out[12][k] += 1.224744871391589 * rv1 * alpha1[16][k] * f[13][k];
     }
-    for k in 0..LANES {
-        out[13].0[k] += 0.6123724356957945 * rv1 * alpha1[0].0[k] * f[8].0[k];
-        out[13].0[k] += 0.6123724356957945 * rv1 * alpha1[2].0[k] * f[3].0[k];
-        out[13].0[k] += 0.5477225575051662 * rv1 * alpha1[2].0[k] * f[14].0[k];
-        out[13].0[k] += 0.6123724356957945 * rv1 * alpha1[3].0[k] * f[2].0[k];
-        out[13].0[k] += 0.5477225575051662 * rv1 * alpha1[3].0[k] * f[16].0[k];
-        out[13].0[k] += 0.6123724356957945 * rv1 * alpha1[8].0[k] * f[0].0[k];
-        out[13].0[k] += 0.5477225575051662 * rv1 * alpha1[8].0[k] * f[6].0[k];
-        out[13].0[k] += 0.5477225575051662 * rv1 * alpha1[8].0[k] * f[9].0[k];
-        out[13].0[k] += 0.5477225575051662 * rv1 * alpha1[9].0[k] * f[8].0[k];
-        out[13].0[k] += 0.5477225575051662 * rv1 * alpha1[16].0[k] * f[3].0[k];
-        out[13].0[k] += 0.4898979485566356 * rv1 * alpha1[16].0[k] * f[14].0[k];
+    for k in 0..L {
+        out[13][k] += 0.6123724356957945 * rv1 * alpha1[0][k] * f[8][k];
+        out[13][k] += 0.6123724356957945 * rv1 * alpha1[2][k] * f[3][k];
+        out[13][k] += 0.5477225575051662 * rv1 * alpha1[2][k] * f[14][k];
+        out[13][k] += 0.6123724356957945 * rv1 * alpha1[3][k] * f[2][k];
+        out[13][k] += 0.5477225575051662 * rv1 * alpha1[3][k] * f[16][k];
+        out[13][k] += 0.6123724356957945 * rv1 * alpha1[8][k] * f[0][k];
+        out[13][k] += 0.5477225575051662 * rv1 * alpha1[8][k] * f[6][k];
+        out[13][k] += 0.5477225575051662 * rv1 * alpha1[8][k] * f[9][k];
+        out[13][k] += 0.5477225575051662 * rv1 * alpha1[9][k] * f[8][k];
+        out[13][k] += 0.5477225575051662 * rv1 * alpha1[16][k] * f[3][k];
+        out[13][k] += 0.4898979485566356 * rv1 * alpha1[16][k] * f[14][k];
     }
-    for k in 0..LANES {
-        out[15].0[k] += 0.6123724356957946 * rv1 * alpha1[0].0[k] * f[9].0[k];
-        out[15].0[k] += 0.6123724356957946 * rv1 * alpha1[2].0[k] * f[16].0[k];
-        out[15].0[k] += 0.5477225575051661 * rv1 * alpha1[3].0[k] * f[3].0[k];
-        out[15].0[k] += 0.5477225575051662 * rv1 * alpha1[8].0[k] * f[8].0[k];
-        out[15].0[k] += 0.6123724356957946 * rv1 * alpha1[9].0[k] * f[0].0[k];
-        out[15].0[k] += 0.3912303982179758 * rv1 * alpha1[9].0[k] * f[9].0[k];
-        out[15].0[k] += 0.6123724356957946 * rv1 * alpha1[16].0[k] * f[2].0[k];
-        out[15].0[k] += 0.39123039821797584 * rv1 * alpha1[16].0[k] * f[16].0[k];
+    for k in 0..L {
+        out[15][k] += 0.6123724356957946 * rv1 * alpha1[0][k] * f[9][k];
+        out[15][k] += 0.6123724356957946 * rv1 * alpha1[2][k] * f[16][k];
+        out[15][k] += 0.5477225575051661 * rv1 * alpha1[3][k] * f[3][k];
+        out[15][k] += 0.5477225575051662 * rv1 * alpha1[8][k] * f[8][k];
+        out[15][k] += 0.6123724356957946 * rv1 * alpha1[9][k] * f[0][k];
+        out[15][k] += 0.3912303982179758 * rv1 * alpha1[9][k] * f[9][k];
+        out[15][k] += 0.6123724356957946 * rv1 * alpha1[16][k] * f[2][k];
+        out[15][k] += 0.39123039821797584 * rv1 * alpha1[16][k] * f[16][k];
     }
-    for k in 0..LANES {
-        out[17].0[k] += 1.3693063937629153 * rv1 * alpha1[0].0[k] * f[13].0[k];
-        out[17].0[k] += 1.3693063937629153 * rv1 * alpha1[2].0[k] * f[7].0[k];
-        out[17].0[k] += 1.224744871391589 * rv1 * alpha1[2].0[k] * f[18].0[k];
-        out[17].0[k] += 1.3693063937629153 * rv1 * alpha1[3].0[k] * f[5].0[k];
-        out[17].0[k] += 1.224744871391589 * rv1 * alpha1[3].0[k] * f[19].0[k];
-        out[17].0[k] += 1.3693063937629153 * rv1 * alpha1[8].0[k] * f[1].0[k];
-        out[17].0[k] += 1.224744871391589 * rv1 * alpha1[8].0[k] * f[11].0[k];
-        out[17].0[k] += 1.224744871391589 * rv1 * alpha1[8].0[k] * f[15].0[k];
-        out[17].0[k] += 1.224744871391589 * rv1 * alpha1[9].0[k] * f[13].0[k];
-        out[17].0[k] += 1.224744871391589 * rv1 * alpha1[16].0[k] * f[7].0[k];
-        out[17].0[k] += 1.0954451150103321 * rv1 * alpha1[16].0[k] * f[18].0[k];
+    for k in 0..L {
+        out[17][k] += 1.3693063937629153 * rv1 * alpha1[0][k] * f[13][k];
+        out[17][k] += 1.3693063937629153 * rv1 * alpha1[2][k] * f[7][k];
+        out[17][k] += 1.224744871391589 * rv1 * alpha1[2][k] * f[18][k];
+        out[17][k] += 1.3693063937629153 * rv1 * alpha1[3][k] * f[5][k];
+        out[17][k] += 1.224744871391589 * rv1 * alpha1[3][k] * f[19][k];
+        out[17][k] += 1.3693063937629153 * rv1 * alpha1[8][k] * f[1][k];
+        out[17][k] += 1.224744871391589 * rv1 * alpha1[8][k] * f[11][k];
+        out[17][k] += 1.224744871391589 * rv1 * alpha1[8][k] * f[15][k];
+        out[17][k] += 1.224744871391589 * rv1 * alpha1[9][k] * f[13][k];
+        out[17][k] += 1.224744871391589 * rv1 * alpha1[16][k] * f[7][k];
+        out[17][k] += 1.0954451150103321 * rv1 * alpha1[16][k] * f[18][k];
     }
-    for k in 0..LANES {
-        out[18].0[k] += 0.6123724356957946 * rv1 * alpha1[0].0[k] * f[14].0[k];
-        out[18].0[k] += 0.5477225575051662 * rv1 * alpha1[2].0[k] * f[8].0[k];
-        out[18].0[k] += 0.6123724356957946 * rv1 * alpha1[3].0[k] * f[6].0[k];
-        out[18].0[k] += 0.5477225575051662 * rv1 * alpha1[8].0[k] * f[2].0[k];
-        out[18].0[k] += 0.4898979485566356 * rv1 * alpha1[8].0[k] * f[16].0[k];
-        out[18].0[k] += 0.5477225575051662 * rv1 * alpha1[9].0[k] * f[14].0[k];
-        out[18].0[k] += 0.4898979485566356 * rv1 * alpha1[16].0[k] * f[8].0[k];
+    for k in 0..L {
+        out[18][k] += 0.6123724356957946 * rv1 * alpha1[0][k] * f[14][k];
+        out[18][k] += 0.5477225575051662 * rv1 * alpha1[2][k] * f[8][k];
+        out[18][k] += 0.6123724356957946 * rv1 * alpha1[3][k] * f[6][k];
+        out[18][k] += 0.5477225575051662 * rv1 * alpha1[8][k] * f[2][k];
+        out[18][k] += 0.4898979485566356 * rv1 * alpha1[8][k] * f[16][k];
+        out[18][k] += 0.5477225575051662 * rv1 * alpha1[9][k] * f[14][k];
+        out[18][k] += 0.4898979485566356 * rv1 * alpha1[16][k] * f[8][k];
     }
-    for k in 0..LANES {
-        out[19].0[k] += 0.6123724356957946 * rv1 * alpha1[0].0[k] * f[16].0[k];
-        out[19].0[k] += 0.6123724356957946 * rv1 * alpha1[2].0[k] * f[9].0[k];
-        out[19].0[k] += 0.5477225575051662 * rv1 * alpha1[3].0[k] * f[8].0[k];
-        out[19].0[k] += 0.5477225575051662 * rv1 * alpha1[8].0[k] * f[3].0[k];
-        out[19].0[k] += 0.4898979485566356 * rv1 * alpha1[8].0[k] * f[14].0[k];
-        out[19].0[k] += 0.6123724356957946 * rv1 * alpha1[9].0[k] * f[2].0[k];
-        out[19].0[k] += 0.39123039821797584 * rv1 * alpha1[9].0[k] * f[16].0[k];
-        out[19].0[k] += 0.6123724356957946 * rv1 * alpha1[16].0[k] * f[0].0[k];
-        out[19].0[k] += 0.5477225575051662 * rv1 * alpha1[16].0[k] * f[6].0[k];
-        out[19].0[k] += 0.39123039821797584 * rv1 * alpha1[16].0[k] * f[9].0[k];
+    for k in 0..L {
+        out[19][k] += 0.6123724356957946 * rv1 * alpha1[0][k] * f[16][k];
+        out[19][k] += 0.6123724356957946 * rv1 * alpha1[2][k] * f[9][k];
+        out[19][k] += 0.5477225575051662 * rv1 * alpha1[3][k] * f[8][k];
+        out[19][k] += 0.5477225575051662 * rv1 * alpha1[8][k] * f[3][k];
+        out[19][k] += 0.4898979485566356 * rv1 * alpha1[8][k] * f[14][k];
+        out[19][k] += 0.6123724356957946 * rv1 * alpha1[9][k] * f[2][k];
+        out[19][k] += 0.39123039821797584 * rv1 * alpha1[9][k] * f[16][k];
+        out[19][k] += 0.6123724356957946 * rv1 * alpha1[16][k] * f[0][k];
+        out[19][k] += 0.5477225575051662 * rv1 * alpha1[16][k] * f[6][k];
+        out[19][k] += 0.39123039821797584 * rv1 * alpha1[16][k] * f[9][k];
     }
 }

@@ -10,513 +10,334 @@
 #[allow(clippy::all)]
 #[rustfmt::skip]
 pub fn vlasov_vol_2x2v_p1_ser(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], f: &[f64], out: &mut [f64]) {
-    // streaming: ∂/∂x0 of (v0 f)
-    let rd0 = 2.0 / dxv[0];
-    let a0_0 = 4.0 * w[2] * rd0;
-    let a1_0 = 2.3094010767585034 * 0.5 * dxv[2] * rd0;
-    out[4] += 0.4330127018922193 * a0_0 * f[0];
-    out[8] += 0.4330127018922193 * a0_0 * f[1];
-    out[9] += 0.4330127018922193 * a0_0 * f[2];
-    out[10] += 0.4330127018922193 * a0_0 * f[3];
-    out[12] += 0.4330127018922193 * a0_0 * f[5];
-    out[13] += 0.4330127018922193 * a0_0 * f[6];
-    out[14] += 0.4330127018922193 * a0_0 * f[7];
-    out[15] += 0.4330127018922193 * a0_0 * f[11];
-    out[4] += 0.4330127018922193 * a1_0 * f[2];
-    out[8] += 0.4330127018922193 * a1_0 * f[5];
-    out[9] += 0.4330127018922193 * a1_0 * f[0];
-    out[10] += 0.4330127018922193 * a1_0 * f[7];
-    out[12] += 0.4330127018922193 * a1_0 * f[1];
-    out[13] += 0.4330127018922193 * a1_0 * f[11];
-    out[14] += 0.4330127018922193 * a1_0 * f[3];
-    out[15] += 0.4330127018922193 * a1_0 * f[6];
-    // streaming: ∂/∂x1 of (v1 f)
-    let rd1 = 2.0 / dxv[1];
-    let a0_1 = 4.0 * w[3] * rd1;
-    let a1_1 = 2.3094010767585034 * 0.5 * dxv[3] * rd1;
-    out[3] += 0.4330127018922193 * a0_1 * f[0];
-    out[6] += 0.4330127018922193 * a0_1 * f[1];
-    out[7] += 0.4330127018922193 * a0_1 * f[2];
-    out[10] += 0.4330127018922193 * a0_1 * f[4];
-    out[11] += 0.4330127018922193 * a0_1 * f[5];
-    out[13] += 0.4330127018922193 * a0_1 * f[8];
-    out[14] += 0.4330127018922193 * a0_1 * f[9];
-    out[15] += 0.4330127018922193 * a0_1 * f[12];
-    out[3] += 0.4330127018922193 * a1_1 * f[1];
-    out[6] += 0.4330127018922193 * a1_1 * f[0];
-    out[7] += 0.4330127018922193 * a1_1 * f[5];
-    out[10] += 0.4330127018922193 * a1_1 * f[8];
-    out[11] += 0.4330127018922193 * a1_1 * f[2];
-    out[13] += 0.4330127018922193 * a1_1 * f[4];
-    out[14] += 0.4330127018922193 * a1_1 * f[12];
-    out[15] += 0.4330127018922193 * a1_1 * f[9];
-    // acceleration: ∂/∂v0 of (q/m (E + v×B)_0 f)
-    let rv0 = 2.0 / dxv[2];
-    let mut alpha0 = [0.0f64; 16];
-    alpha0[0] += qm * 2.0 * (em[0] + w[3] * em[20]);
-    alpha0[1] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[20];
-    alpha0[3] += qm * 2.0 * (em[1] + w[3] * em[21]);
-    alpha0[6] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[21];
-    alpha0[4] += qm * 2.0 * (em[2] + w[3] * em[22]);
-    alpha0[8] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[22];
-    alpha0[10] += qm * 2.0 * (em[3] + w[3] * em[23]);
-    alpha0[13] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[23];
-    out[2] += 0.4330127018922193 * rv0 * alpha0[0] * f[0];
-    out[2] += 0.4330127018922193 * rv0 * alpha0[1] * f[1];
-    out[2] += 0.4330127018922193 * rv0 * alpha0[3] * f[3];
-    out[2] += 0.4330127018922193 * rv0 * alpha0[4] * f[4];
-    out[2] += 0.4330127018922193 * rv0 * alpha0[6] * f[6];
-    out[2] += 0.4330127018922193 * rv0 * alpha0[8] * f[8];
-    out[2] += 0.4330127018922193 * rv0 * alpha0[10] * f[10];
-    out[2] += 0.4330127018922193 * rv0 * alpha0[13] * f[13];
-    out[5] += 0.4330127018922193 * rv0 * alpha0[0] * f[1];
-    out[5] += 0.4330127018922193 * rv0 * alpha0[1] * f[0];
-    out[5] += 0.4330127018922193 * rv0 * alpha0[3] * f[6];
-    out[5] += 0.4330127018922193 * rv0 * alpha0[4] * f[8];
-    out[5] += 0.4330127018922193 * rv0 * alpha0[6] * f[3];
-    out[5] += 0.4330127018922193 * rv0 * alpha0[8] * f[4];
-    out[5] += 0.4330127018922193 * rv0 * alpha0[10] * f[13];
-    out[5] += 0.4330127018922193 * rv0 * alpha0[13] * f[10];
-    out[7] += 0.4330127018922193 * rv0 * alpha0[0] * f[3];
-    out[7] += 0.4330127018922193 * rv0 * alpha0[1] * f[6];
-    out[7] += 0.4330127018922193 * rv0 * alpha0[3] * f[0];
-    out[7] += 0.4330127018922193 * rv0 * alpha0[4] * f[10];
-    out[7] += 0.4330127018922193 * rv0 * alpha0[6] * f[1];
-    out[7] += 0.4330127018922193 * rv0 * alpha0[8] * f[13];
-    out[7] += 0.4330127018922193 * rv0 * alpha0[10] * f[4];
-    out[7] += 0.4330127018922193 * rv0 * alpha0[13] * f[8];
-    out[9] += 0.4330127018922193 * rv0 * alpha0[0] * f[4];
-    out[9] += 0.4330127018922193 * rv0 * alpha0[1] * f[8];
-    out[9] += 0.4330127018922193 * rv0 * alpha0[3] * f[10];
-    out[9] += 0.4330127018922193 * rv0 * alpha0[4] * f[0];
-    out[9] += 0.4330127018922193 * rv0 * alpha0[6] * f[13];
-    out[9] += 0.4330127018922193 * rv0 * alpha0[8] * f[1];
-    out[9] += 0.4330127018922193 * rv0 * alpha0[10] * f[3];
-    out[9] += 0.4330127018922193 * rv0 * alpha0[13] * f[6];
-    out[11] += 0.4330127018922193 * rv0 * alpha0[0] * f[6];
-    out[11] += 0.4330127018922193 * rv0 * alpha0[1] * f[3];
-    out[11] += 0.4330127018922193 * rv0 * alpha0[3] * f[1];
-    out[11] += 0.4330127018922193 * rv0 * alpha0[4] * f[13];
-    out[11] += 0.4330127018922193 * rv0 * alpha0[6] * f[0];
-    out[11] += 0.4330127018922193 * rv0 * alpha0[8] * f[10];
-    out[11] += 0.4330127018922193 * rv0 * alpha0[10] * f[8];
-    out[11] += 0.4330127018922193 * rv0 * alpha0[13] * f[4];
-    out[12] += 0.4330127018922193 * rv0 * alpha0[0] * f[8];
-    out[12] += 0.4330127018922193 * rv0 * alpha0[1] * f[4];
-    out[12] += 0.4330127018922193 * rv0 * alpha0[3] * f[13];
-    out[12] += 0.4330127018922193 * rv0 * alpha0[4] * f[1];
-    out[12] += 0.4330127018922193 * rv0 * alpha0[6] * f[10];
-    out[12] += 0.4330127018922193 * rv0 * alpha0[8] * f[0];
-    out[12] += 0.4330127018922193 * rv0 * alpha0[10] * f[6];
-    out[12] += 0.4330127018922193 * rv0 * alpha0[13] * f[3];
-    out[14] += 0.4330127018922193 * rv0 * alpha0[0] * f[10];
-    out[14] += 0.4330127018922193 * rv0 * alpha0[1] * f[13];
-    out[14] += 0.4330127018922193 * rv0 * alpha0[3] * f[4];
-    out[14] += 0.4330127018922193 * rv0 * alpha0[4] * f[3];
-    out[14] += 0.4330127018922193 * rv0 * alpha0[6] * f[8];
-    out[14] += 0.4330127018922193 * rv0 * alpha0[8] * f[6];
-    out[14] += 0.4330127018922193 * rv0 * alpha0[10] * f[0];
-    out[14] += 0.4330127018922193 * rv0 * alpha0[13] * f[1];
-    out[15] += 0.4330127018922193 * rv0 * alpha0[0] * f[13];
-    out[15] += 0.4330127018922193 * rv0 * alpha0[1] * f[10];
-    out[15] += 0.4330127018922193 * rv0 * alpha0[3] * f[8];
-    out[15] += 0.4330127018922193 * rv0 * alpha0[4] * f[6];
-    out[15] += 0.4330127018922193 * rv0 * alpha0[6] * f[4];
-    out[15] += 0.4330127018922193 * rv0 * alpha0[8] * f[3];
-    out[15] += 0.4330127018922193 * rv0 * alpha0[10] * f[1];
-    out[15] += 0.4330127018922193 * rv0 * alpha0[13] * f[0];
-    // acceleration: ∂/∂v1 of (q/m (E + v×B)_1 f)
-    let rv1 = 2.0 / dxv[3];
-    let mut alpha1 = [0.0f64; 16];
-    alpha1[0] += qm * 2.0 * (em[4] - w[2] * em[20]);
-    alpha1[2] += qm * -1.1547005383792517 * (0.5 * dxv[2]) * em[20];
-    alpha1[3] += qm * 2.0 * (em[5] - w[2] * em[21]);
-    alpha1[7] += qm * -1.1547005383792517 * (0.5 * dxv[2]) * em[21];
-    alpha1[4] += qm * 2.0 * (em[6] - w[2] * em[22]);
-    alpha1[9] += qm * -1.1547005383792517 * (0.5 * dxv[2]) * em[22];
-    alpha1[10] += qm * 2.0 * (em[7] - w[2] * em[23]);
-    alpha1[14] += qm * -1.1547005383792517 * (0.5 * dxv[2]) * em[23];
-    out[1] += 0.4330127018922193 * rv1 * alpha1[0] * f[0];
-    out[1] += 0.4330127018922193 * rv1 * alpha1[2] * f[2];
-    out[1] += 0.4330127018922193 * rv1 * alpha1[3] * f[3];
-    out[1] += 0.4330127018922193 * rv1 * alpha1[4] * f[4];
-    out[1] += 0.4330127018922193 * rv1 * alpha1[7] * f[7];
-    out[1] += 0.4330127018922193 * rv1 * alpha1[9] * f[9];
-    out[1] += 0.4330127018922193 * rv1 * alpha1[10] * f[10];
-    out[1] += 0.4330127018922193 * rv1 * alpha1[14] * f[14];
-    out[5] += 0.4330127018922193 * rv1 * alpha1[0] * f[2];
-    out[5] += 0.4330127018922193 * rv1 * alpha1[2] * f[0];
-    out[5] += 0.4330127018922193 * rv1 * alpha1[3] * f[7];
-    out[5] += 0.4330127018922193 * rv1 * alpha1[4] * f[9];
-    out[5] += 0.4330127018922193 * rv1 * alpha1[7] * f[3];
-    out[5] += 0.4330127018922193 * rv1 * alpha1[9] * f[4];
-    out[5] += 0.4330127018922193 * rv1 * alpha1[10] * f[14];
-    out[5] += 0.4330127018922193 * rv1 * alpha1[14] * f[10];
-    out[6] += 0.4330127018922193 * rv1 * alpha1[0] * f[3];
-    out[6] += 0.4330127018922193 * rv1 * alpha1[2] * f[7];
-    out[6] += 0.4330127018922193 * rv1 * alpha1[3] * f[0];
-    out[6] += 0.4330127018922193 * rv1 * alpha1[4] * f[10];
-    out[6] += 0.4330127018922193 * rv1 * alpha1[7] * f[2];
-    out[6] += 0.4330127018922193 * rv1 * alpha1[9] * f[14];
-    out[6] += 0.4330127018922193 * rv1 * alpha1[10] * f[4];
-    out[6] += 0.4330127018922193 * rv1 * alpha1[14] * f[9];
-    out[8] += 0.4330127018922193 * rv1 * alpha1[0] * f[4];
-    out[8] += 0.4330127018922193 * rv1 * alpha1[2] * f[9];
-    out[8] += 0.4330127018922193 * rv1 * alpha1[3] * f[10];
-    out[8] += 0.4330127018922193 * rv1 * alpha1[4] * f[0];
-    out[8] += 0.4330127018922193 * rv1 * alpha1[7] * f[14];
-    out[8] += 0.4330127018922193 * rv1 * alpha1[9] * f[2];
-    out[8] += 0.4330127018922193 * rv1 * alpha1[10] * f[3];
-    out[8] += 0.4330127018922193 * rv1 * alpha1[14] * f[7];
-    out[11] += 0.4330127018922193 * rv1 * alpha1[0] * f[7];
-    out[11] += 0.4330127018922193 * rv1 * alpha1[2] * f[3];
-    out[11] += 0.4330127018922193 * rv1 * alpha1[3] * f[2];
-    out[11] += 0.4330127018922193 * rv1 * alpha1[4] * f[14];
-    out[11] += 0.4330127018922193 * rv1 * alpha1[7] * f[0];
-    out[11] += 0.4330127018922193 * rv1 * alpha1[9] * f[10];
-    out[11] += 0.4330127018922193 * rv1 * alpha1[10] * f[9];
-    out[11] += 0.4330127018922193 * rv1 * alpha1[14] * f[4];
-    out[12] += 0.4330127018922193 * rv1 * alpha1[0] * f[9];
-    out[12] += 0.4330127018922193 * rv1 * alpha1[2] * f[4];
-    out[12] += 0.4330127018922193 * rv1 * alpha1[3] * f[14];
-    out[12] += 0.4330127018922193 * rv1 * alpha1[4] * f[2];
-    out[12] += 0.4330127018922193 * rv1 * alpha1[7] * f[10];
-    out[12] += 0.4330127018922193 * rv1 * alpha1[9] * f[0];
-    out[12] += 0.4330127018922193 * rv1 * alpha1[10] * f[7];
-    out[12] += 0.4330127018922193 * rv1 * alpha1[14] * f[3];
-    out[13] += 0.4330127018922193 * rv1 * alpha1[0] * f[10];
-    out[13] += 0.4330127018922193 * rv1 * alpha1[2] * f[14];
-    out[13] += 0.4330127018922193 * rv1 * alpha1[3] * f[4];
-    out[13] += 0.4330127018922193 * rv1 * alpha1[4] * f[3];
-    out[13] += 0.4330127018922193 * rv1 * alpha1[7] * f[9];
-    out[13] += 0.4330127018922193 * rv1 * alpha1[9] * f[7];
-    out[13] += 0.4330127018922193 * rv1 * alpha1[10] * f[0];
-    out[13] += 0.4330127018922193 * rv1 * alpha1[14] * f[2];
-    out[15] += 0.4330127018922193 * rv1 * alpha1[0] * f[14];
-    out[15] += 0.4330127018922193 * rv1 * alpha1[2] * f[10];
-    out[15] += 0.4330127018922193 * rv1 * alpha1[3] * f[9];
-    out[15] += 0.4330127018922193 * rv1 * alpha1[4] * f[7];
-    out[15] += 0.4330127018922193 * rv1 * alpha1[7] * f[4];
-    out[15] += 0.4330127018922193 * rv1 * alpha1[9] * f[3];
-    out[15] += 0.4330127018922193 * rv1 * alpha1[10] * f[2];
-    out[15] += 0.4330127018922193 * rv1 * alpha1[14] * f[0];
+    vlasov_vol_2x2v_p1_ser_body::<1>(w.as_chunks().0, dxv, qm, em, f.as_chunks().0, out.as_chunks_mut().0)
 }
 
-/// Batched volume kernel, 2x2v p=1 Serendipity basis: [`vlasov_vol_2x2v_p1_ser`] over an SoA
-/// panel of `LANES` cells sharing one configuration cell, bit-identical
-/// per lane. Auto-generated from exact integral tables — do not edit by
-/// hand.
+/// [`vlasov_vol_2x2v_p1_ser`] over `LANES` cells: the same body, bit-identical per lane.
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_vol_2x2v_p1_ser_b4(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {
-    vlasov_vol_2x2v_p1_ser_b4_body(w, dxv, qm, em, f, out)
+pub fn vlasov_vol_2x2v_p1_ser_b4(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    vlasov_vol_2x2v_p1_ser_body(w, dxv, qm, em, f, out)
 }
 
-/// [`vlasov_vol_2x2v_p1_ser_b4`] compiled for AVX2: the same body, bit-identical per lane.
-/// Reach it through `crate::dispatch`, which checks the CPU first.
+/// [`vlasov_vol_2x2v_p1_ser_b4`] compiled for AVX2. Reach it through `crate::dispatch`,
+/// which checks the CPU first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::all)]
 #[rustfmt::skip]
-pub fn vlasov_vol_2x2v_p1_ser_b4_avx2(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {
-    vlasov_vol_2x2v_p1_ser_b4_body(w, dxv, qm, em, f, out)
+pub fn vlasov_vol_2x2v_p1_ser_b4_avx2(w: &[[f64; LANES]], dxv: &[f64], qm: f64, em: &[f64], f: &[[f64; LANES]], out: &mut [[f64; LANES]]) {
+    vlasov_vol_2x2v_p1_ser_body(w, dxv, qm, em, f, out)
 }
 
-/// Shared body of [`vlasov_vol_2x2v_p1_ser_b4`] and its AVX2 entry point.
+/// [`vlasov_vol_2x2v_p1_ser`] over 8 cells, compiled for AVX-512F. Reach it through
+/// `crate::dispatch`, which checks the CPU first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::all)]
+#[rustfmt::skip]
+pub fn vlasov_vol_2x2v_p1_ser_b8_avx512(w: &[[f64; 8]], dxv: &[f64], qm: f64, em: &[f64], f: &[[f64; 8]], out: &mut [[f64; 8]]) {
+    vlasov_vol_2x2v_p1_ser_body(w, dxv, qm, em, f, out)
+}
+
+/// Shared lane-generic body of [`vlasov_vol_2x2v_p1_ser`] and its batched entry points.
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_vol_2x2v_p1_ser_b4_body(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {
-    vlasov_vol_2x2v_p1_ser_b4_stream0(w, dxv, f, out);
-    vlasov_vol_2x2v_p1_ser_b4_stream1(w, dxv, f, out);
-    vlasov_vol_2x2v_p1_ser_b4_accel0(w, dxv, qm, em, f, out);
-    vlasov_vol_2x2v_p1_ser_b4_accel1(w, dxv, qm, em, f, out);
+fn vlasov_vol_2x2v_p1_ser_body<const L: usize>(w: &[[f64; L]], dxv: &[f64], qm: f64, em: &[f64], f: &[[f64; L]], out: &mut [[f64; L]]) {
+    let w: &[[f64; L]; 4] = w.first_chunk().expect("w: 4 coefficients");
+    let f: &[[f64; L]; 16] = f.first_chunk().expect("f: 16 coefficients");
+    let out: &mut [[f64; L]; 16] = out.first_chunk_mut().expect("out: 16 coefficients");
+    vlasov_vol_2x2v_p1_ser_stream0(w, dxv, f, out);
+    vlasov_vol_2x2v_p1_ser_stream1(w, dxv, f, out);
+    vlasov_vol_2x2v_p1_ser_accel0(w, dxv, qm, em, f, out);
+    vlasov_vol_2x2v_p1_ser_accel1(w, dxv, qm, em, f, out);
 }
 
-/// Streaming `∂/∂x0 (v0 f)` term of [`vlasov_vol_2x2v_p1_ser_b4`].
+/// Streaming `∂/∂x0 (v0 f)` term of [`vlasov_vol_2x2v_p1_ser`].
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_vol_2x2v_p1_ser_b4_stream0(w: &[CellLanes], dxv: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {
+fn vlasov_vol_2x2v_p1_ser_stream0<const L: usize>(w: &[[f64; L]; 4], dxv: &[f64], f: &[[f64; L]; 16], out: &mut [[f64; L]; 16]) {
     let rd0 = 2.0 / dxv[0];
-    let mut a0_0 = CellLanes([0.0f64; LANES]);
-    for k in 0..LANES {
-        a0_0.0[k] = 4.0 * w[2].0[k] * rd0;
+    let mut a0_0 = [0.0f64; L];
+    for k in 0..L {
+        a0_0[k] = 4.0 * w[2][k] * rd0;
     }
     let a1_0 = 2.3094010767585034 * 0.5 * dxv[2] * rd0;
-    for k in 0..LANES {
-        out[4].0[k] += 0.4330127018922193 * a0_0.0[k] * f[0].0[k];
+    for k in 0..L {
+        out[4][k] += 0.4330127018922193 * a0_0[k] * f[0][k];
     }
-    for k in 0..LANES {
-        out[8].0[k] += 0.4330127018922193 * a0_0.0[k] * f[1].0[k];
+    for k in 0..L {
+        out[8][k] += 0.4330127018922193 * a0_0[k] * f[1][k];
     }
-    for k in 0..LANES {
-        out[9].0[k] += 0.4330127018922193 * a0_0.0[k] * f[2].0[k];
+    for k in 0..L {
+        out[9][k] += 0.4330127018922193 * a0_0[k] * f[2][k];
     }
-    for k in 0..LANES {
-        out[10].0[k] += 0.4330127018922193 * a0_0.0[k] * f[3].0[k];
+    for k in 0..L {
+        out[10][k] += 0.4330127018922193 * a0_0[k] * f[3][k];
     }
-    for k in 0..LANES {
-        out[12].0[k] += 0.4330127018922193 * a0_0.0[k] * f[5].0[k];
+    for k in 0..L {
+        out[12][k] += 0.4330127018922193 * a0_0[k] * f[5][k];
     }
-    for k in 0..LANES {
-        out[13].0[k] += 0.4330127018922193 * a0_0.0[k] * f[6].0[k];
+    for k in 0..L {
+        out[13][k] += 0.4330127018922193 * a0_0[k] * f[6][k];
     }
-    for k in 0..LANES {
-        out[14].0[k] += 0.4330127018922193 * a0_0.0[k] * f[7].0[k];
+    for k in 0..L {
+        out[14][k] += 0.4330127018922193 * a0_0[k] * f[7][k];
     }
-    for k in 0..LANES {
-        out[15].0[k] += 0.4330127018922193 * a0_0.0[k] * f[11].0[k];
+    for k in 0..L {
+        out[15][k] += 0.4330127018922193 * a0_0[k] * f[11][k];
     }
-    sx4(&mut out[4], 0.4330127018922193 * a1_0, &f[2]);
-    sx4(&mut out[8], 0.4330127018922193 * a1_0, &f[5]);
-    sx4(&mut out[9], 0.4330127018922193 * a1_0, &f[0]);
-    sx4(&mut out[10], 0.4330127018922193 * a1_0, &f[7]);
-    sx4(&mut out[12], 0.4330127018922193 * a1_0, &f[1]);
-    sx4(&mut out[13], 0.4330127018922193 * a1_0, &f[11]);
-    sx4(&mut out[14], 0.4330127018922193 * a1_0, &f[3]);
-    sx4(&mut out[15], 0.4330127018922193 * a1_0, &f[6]);
+    sxn(&mut out[4], 0.4330127018922193 * a1_0, &f[2]);
+    sxn(&mut out[8], 0.4330127018922193 * a1_0, &f[5]);
+    sxn(&mut out[9], 0.4330127018922193 * a1_0, &f[0]);
+    sxn(&mut out[10], 0.4330127018922193 * a1_0, &f[7]);
+    sxn(&mut out[12], 0.4330127018922193 * a1_0, &f[1]);
+    sxn(&mut out[13], 0.4330127018922193 * a1_0, &f[11]);
+    sxn(&mut out[14], 0.4330127018922193 * a1_0, &f[3]);
+    sxn(&mut out[15], 0.4330127018922193 * a1_0, &f[6]);
 }
 
-/// Streaming `∂/∂x1 (v1 f)` term of [`vlasov_vol_2x2v_p1_ser_b4`].
+/// Streaming `∂/∂x1 (v1 f)` term of [`vlasov_vol_2x2v_p1_ser`].
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_vol_2x2v_p1_ser_b4_stream1(w: &[CellLanes], dxv: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {
+fn vlasov_vol_2x2v_p1_ser_stream1<const L: usize>(w: &[[f64; L]; 4], dxv: &[f64], f: &[[f64; L]; 16], out: &mut [[f64; L]; 16]) {
     let rd1 = 2.0 / dxv[1];
-    let mut a0_1 = CellLanes([0.0f64; LANES]);
-    for k in 0..LANES {
-        a0_1.0[k] = 4.0 * w[3].0[k] * rd1;
+    let mut a0_1 = [0.0f64; L];
+    for k in 0..L {
+        a0_1[k] = 4.0 * w[3][k] * rd1;
     }
     let a1_1 = 2.3094010767585034 * 0.5 * dxv[3] * rd1;
-    for k in 0..LANES {
-        out[3].0[k] += 0.4330127018922193 * a0_1.0[k] * f[0].0[k];
+    for k in 0..L {
+        out[3][k] += 0.4330127018922193 * a0_1[k] * f[0][k];
     }
-    for k in 0..LANES {
-        out[6].0[k] += 0.4330127018922193 * a0_1.0[k] * f[1].0[k];
+    for k in 0..L {
+        out[6][k] += 0.4330127018922193 * a0_1[k] * f[1][k];
     }
-    for k in 0..LANES {
-        out[7].0[k] += 0.4330127018922193 * a0_1.0[k] * f[2].0[k];
+    for k in 0..L {
+        out[7][k] += 0.4330127018922193 * a0_1[k] * f[2][k];
     }
-    for k in 0..LANES {
-        out[10].0[k] += 0.4330127018922193 * a0_1.0[k] * f[4].0[k];
+    for k in 0..L {
+        out[10][k] += 0.4330127018922193 * a0_1[k] * f[4][k];
     }
-    for k in 0..LANES {
-        out[11].0[k] += 0.4330127018922193 * a0_1.0[k] * f[5].0[k];
+    for k in 0..L {
+        out[11][k] += 0.4330127018922193 * a0_1[k] * f[5][k];
     }
-    for k in 0..LANES {
-        out[13].0[k] += 0.4330127018922193 * a0_1.0[k] * f[8].0[k];
+    for k in 0..L {
+        out[13][k] += 0.4330127018922193 * a0_1[k] * f[8][k];
     }
-    for k in 0..LANES {
-        out[14].0[k] += 0.4330127018922193 * a0_1.0[k] * f[9].0[k];
+    for k in 0..L {
+        out[14][k] += 0.4330127018922193 * a0_1[k] * f[9][k];
     }
-    for k in 0..LANES {
-        out[15].0[k] += 0.4330127018922193 * a0_1.0[k] * f[12].0[k];
+    for k in 0..L {
+        out[15][k] += 0.4330127018922193 * a0_1[k] * f[12][k];
     }
-    sx4(&mut out[3], 0.4330127018922193 * a1_1, &f[1]);
-    sx4(&mut out[6], 0.4330127018922193 * a1_1, &f[0]);
-    sx4(&mut out[7], 0.4330127018922193 * a1_1, &f[5]);
-    sx4(&mut out[10], 0.4330127018922193 * a1_1, &f[8]);
-    sx4(&mut out[11], 0.4330127018922193 * a1_1, &f[2]);
-    sx4(&mut out[13], 0.4330127018922193 * a1_1, &f[4]);
-    sx4(&mut out[14], 0.4330127018922193 * a1_1, &f[12]);
-    sx4(&mut out[15], 0.4330127018922193 * a1_1, &f[9]);
+    sxn(&mut out[3], 0.4330127018922193 * a1_1, &f[1]);
+    sxn(&mut out[6], 0.4330127018922193 * a1_1, &f[0]);
+    sxn(&mut out[7], 0.4330127018922193 * a1_1, &f[5]);
+    sxn(&mut out[10], 0.4330127018922193 * a1_1, &f[8]);
+    sxn(&mut out[11], 0.4330127018922193 * a1_1, &f[2]);
+    sxn(&mut out[13], 0.4330127018922193 * a1_1, &f[4]);
+    sxn(&mut out[14], 0.4330127018922193 * a1_1, &f[12]);
+    sxn(&mut out[15], 0.4330127018922193 * a1_1, &f[9]);
 }
 
-/// Acceleration `∂/∂v0 (q/m (E + v×B)_0 f)` term of [`vlasov_vol_2x2v_p1_ser_b4`].
+/// Acceleration `∂/∂v0 (q/m (E + v×B)_0 f)` term of [`vlasov_vol_2x2v_p1_ser`].
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_vol_2x2v_p1_ser_b4_accel0(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {
+fn vlasov_vol_2x2v_p1_ser_accel0<const L: usize>(w: &[[f64; L]; 4], dxv: &[f64], qm: f64, em: &[f64], f: &[[f64; L]; 16], out: &mut [[f64; L]; 16]) {
     let rv0 = 2.0 / dxv[2];
-    let mut alpha0 = [CellLanes([0.0f64; LANES]); 16];
-    for k in 0..LANES {
-        alpha0[0].0[k] += qm * 2.0 * (em[0] + w[3].0[k] * em[20]);
-        alpha0[1].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[20];
-        alpha0[3].0[k] += qm * 2.0 * (em[1] + w[3].0[k] * em[21]);
-        alpha0[6].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[21];
-        alpha0[4].0[k] += qm * 2.0 * (em[2] + w[3].0[k] * em[22]);
-        alpha0[8].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[22];
-        alpha0[10].0[k] += qm * 2.0 * (em[3] + w[3].0[k] * em[23]);
-        alpha0[13].0[k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[23];
+    let mut alpha0 = [[0.0f64; L]; 16];
+    for k in 0..L {
+        alpha0[0][k] += qm * 2.0 * (em[0] + w[3][k] * em[20]);
+        alpha0[1][k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[20];
+        alpha0[3][k] += qm * 2.0 * (em[1] + w[3][k] * em[21]);
+        alpha0[6][k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[21];
+        alpha0[4][k] += qm * 2.0 * (em[2] + w[3][k] * em[22]);
+        alpha0[8][k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[22];
+        alpha0[10][k] += qm * 2.0 * (em[3] + w[3][k] * em[23]);
+        alpha0[13][k] += qm * 1.1547005383792517 * (0.5 * dxv[3]) * em[23];
     }
-    for k in 0..LANES {
-        out[2].0[k] += 0.4330127018922193 * rv0 * alpha0[0].0[k] * f[0].0[k];
-        out[2].0[k] += 0.4330127018922193 * rv0 * alpha0[1].0[k] * f[1].0[k];
-        out[2].0[k] += 0.4330127018922193 * rv0 * alpha0[3].0[k] * f[3].0[k];
-        out[2].0[k] += 0.4330127018922193 * rv0 * alpha0[4].0[k] * f[4].0[k];
-        out[2].0[k] += 0.4330127018922193 * rv0 * alpha0[6].0[k] * f[6].0[k];
-        out[2].0[k] += 0.4330127018922193 * rv0 * alpha0[8].0[k] * f[8].0[k];
-        out[2].0[k] += 0.4330127018922193 * rv0 * alpha0[10].0[k] * f[10].0[k];
-        out[2].0[k] += 0.4330127018922193 * rv0 * alpha0[13].0[k] * f[13].0[k];
+    for k in 0..L {
+        out[2][k] += 0.4330127018922193 * rv0 * alpha0[0][k] * f[0][k];
+        out[2][k] += 0.4330127018922193 * rv0 * alpha0[1][k] * f[1][k];
+        out[2][k] += 0.4330127018922193 * rv0 * alpha0[3][k] * f[3][k];
+        out[2][k] += 0.4330127018922193 * rv0 * alpha0[4][k] * f[4][k];
+        out[2][k] += 0.4330127018922193 * rv0 * alpha0[6][k] * f[6][k];
+        out[2][k] += 0.4330127018922193 * rv0 * alpha0[8][k] * f[8][k];
+        out[2][k] += 0.4330127018922193 * rv0 * alpha0[10][k] * f[10][k];
+        out[2][k] += 0.4330127018922193 * rv0 * alpha0[13][k] * f[13][k];
     }
-    for k in 0..LANES {
-        out[5].0[k] += 0.4330127018922193 * rv0 * alpha0[0].0[k] * f[1].0[k];
-        out[5].0[k] += 0.4330127018922193 * rv0 * alpha0[1].0[k] * f[0].0[k];
-        out[5].0[k] += 0.4330127018922193 * rv0 * alpha0[3].0[k] * f[6].0[k];
-        out[5].0[k] += 0.4330127018922193 * rv0 * alpha0[4].0[k] * f[8].0[k];
-        out[5].0[k] += 0.4330127018922193 * rv0 * alpha0[6].0[k] * f[3].0[k];
-        out[5].0[k] += 0.4330127018922193 * rv0 * alpha0[8].0[k] * f[4].0[k];
-        out[5].0[k] += 0.4330127018922193 * rv0 * alpha0[10].0[k] * f[13].0[k];
-        out[5].0[k] += 0.4330127018922193 * rv0 * alpha0[13].0[k] * f[10].0[k];
+    for k in 0..L {
+        out[5][k] += 0.4330127018922193 * rv0 * alpha0[0][k] * f[1][k];
+        out[5][k] += 0.4330127018922193 * rv0 * alpha0[1][k] * f[0][k];
+        out[5][k] += 0.4330127018922193 * rv0 * alpha0[3][k] * f[6][k];
+        out[5][k] += 0.4330127018922193 * rv0 * alpha0[4][k] * f[8][k];
+        out[5][k] += 0.4330127018922193 * rv0 * alpha0[6][k] * f[3][k];
+        out[5][k] += 0.4330127018922193 * rv0 * alpha0[8][k] * f[4][k];
+        out[5][k] += 0.4330127018922193 * rv0 * alpha0[10][k] * f[13][k];
+        out[5][k] += 0.4330127018922193 * rv0 * alpha0[13][k] * f[10][k];
     }
-    for k in 0..LANES {
-        out[7].0[k] += 0.4330127018922193 * rv0 * alpha0[0].0[k] * f[3].0[k];
-        out[7].0[k] += 0.4330127018922193 * rv0 * alpha0[1].0[k] * f[6].0[k];
-        out[7].0[k] += 0.4330127018922193 * rv0 * alpha0[3].0[k] * f[0].0[k];
-        out[7].0[k] += 0.4330127018922193 * rv0 * alpha0[4].0[k] * f[10].0[k];
-        out[7].0[k] += 0.4330127018922193 * rv0 * alpha0[6].0[k] * f[1].0[k];
-        out[7].0[k] += 0.4330127018922193 * rv0 * alpha0[8].0[k] * f[13].0[k];
-        out[7].0[k] += 0.4330127018922193 * rv0 * alpha0[10].0[k] * f[4].0[k];
-        out[7].0[k] += 0.4330127018922193 * rv0 * alpha0[13].0[k] * f[8].0[k];
+    for k in 0..L {
+        out[7][k] += 0.4330127018922193 * rv0 * alpha0[0][k] * f[3][k];
+        out[7][k] += 0.4330127018922193 * rv0 * alpha0[1][k] * f[6][k];
+        out[7][k] += 0.4330127018922193 * rv0 * alpha0[3][k] * f[0][k];
+        out[7][k] += 0.4330127018922193 * rv0 * alpha0[4][k] * f[10][k];
+        out[7][k] += 0.4330127018922193 * rv0 * alpha0[6][k] * f[1][k];
+        out[7][k] += 0.4330127018922193 * rv0 * alpha0[8][k] * f[13][k];
+        out[7][k] += 0.4330127018922193 * rv0 * alpha0[10][k] * f[4][k];
+        out[7][k] += 0.4330127018922193 * rv0 * alpha0[13][k] * f[8][k];
     }
-    for k in 0..LANES {
-        out[9].0[k] += 0.4330127018922193 * rv0 * alpha0[0].0[k] * f[4].0[k];
-        out[9].0[k] += 0.4330127018922193 * rv0 * alpha0[1].0[k] * f[8].0[k];
-        out[9].0[k] += 0.4330127018922193 * rv0 * alpha0[3].0[k] * f[10].0[k];
-        out[9].0[k] += 0.4330127018922193 * rv0 * alpha0[4].0[k] * f[0].0[k];
-        out[9].0[k] += 0.4330127018922193 * rv0 * alpha0[6].0[k] * f[13].0[k];
-        out[9].0[k] += 0.4330127018922193 * rv0 * alpha0[8].0[k] * f[1].0[k];
-        out[9].0[k] += 0.4330127018922193 * rv0 * alpha0[10].0[k] * f[3].0[k];
-        out[9].0[k] += 0.4330127018922193 * rv0 * alpha0[13].0[k] * f[6].0[k];
+    for k in 0..L {
+        out[9][k] += 0.4330127018922193 * rv0 * alpha0[0][k] * f[4][k];
+        out[9][k] += 0.4330127018922193 * rv0 * alpha0[1][k] * f[8][k];
+        out[9][k] += 0.4330127018922193 * rv0 * alpha0[3][k] * f[10][k];
+        out[9][k] += 0.4330127018922193 * rv0 * alpha0[4][k] * f[0][k];
+        out[9][k] += 0.4330127018922193 * rv0 * alpha0[6][k] * f[13][k];
+        out[9][k] += 0.4330127018922193 * rv0 * alpha0[8][k] * f[1][k];
+        out[9][k] += 0.4330127018922193 * rv0 * alpha0[10][k] * f[3][k];
+        out[9][k] += 0.4330127018922193 * rv0 * alpha0[13][k] * f[6][k];
     }
-    for k in 0..LANES {
-        out[11].0[k] += 0.4330127018922193 * rv0 * alpha0[0].0[k] * f[6].0[k];
-        out[11].0[k] += 0.4330127018922193 * rv0 * alpha0[1].0[k] * f[3].0[k];
-        out[11].0[k] += 0.4330127018922193 * rv0 * alpha0[3].0[k] * f[1].0[k];
-        out[11].0[k] += 0.4330127018922193 * rv0 * alpha0[4].0[k] * f[13].0[k];
-        out[11].0[k] += 0.4330127018922193 * rv0 * alpha0[6].0[k] * f[0].0[k];
-        out[11].0[k] += 0.4330127018922193 * rv0 * alpha0[8].0[k] * f[10].0[k];
-        out[11].0[k] += 0.4330127018922193 * rv0 * alpha0[10].0[k] * f[8].0[k];
-        out[11].0[k] += 0.4330127018922193 * rv0 * alpha0[13].0[k] * f[4].0[k];
+    for k in 0..L {
+        out[11][k] += 0.4330127018922193 * rv0 * alpha0[0][k] * f[6][k];
+        out[11][k] += 0.4330127018922193 * rv0 * alpha0[1][k] * f[3][k];
+        out[11][k] += 0.4330127018922193 * rv0 * alpha0[3][k] * f[1][k];
+        out[11][k] += 0.4330127018922193 * rv0 * alpha0[4][k] * f[13][k];
+        out[11][k] += 0.4330127018922193 * rv0 * alpha0[6][k] * f[0][k];
+        out[11][k] += 0.4330127018922193 * rv0 * alpha0[8][k] * f[10][k];
+        out[11][k] += 0.4330127018922193 * rv0 * alpha0[10][k] * f[8][k];
+        out[11][k] += 0.4330127018922193 * rv0 * alpha0[13][k] * f[4][k];
     }
-    for k in 0..LANES {
-        out[12].0[k] += 0.4330127018922193 * rv0 * alpha0[0].0[k] * f[8].0[k];
-        out[12].0[k] += 0.4330127018922193 * rv0 * alpha0[1].0[k] * f[4].0[k];
-        out[12].0[k] += 0.4330127018922193 * rv0 * alpha0[3].0[k] * f[13].0[k];
-        out[12].0[k] += 0.4330127018922193 * rv0 * alpha0[4].0[k] * f[1].0[k];
-        out[12].0[k] += 0.4330127018922193 * rv0 * alpha0[6].0[k] * f[10].0[k];
-        out[12].0[k] += 0.4330127018922193 * rv0 * alpha0[8].0[k] * f[0].0[k];
-        out[12].0[k] += 0.4330127018922193 * rv0 * alpha0[10].0[k] * f[6].0[k];
-        out[12].0[k] += 0.4330127018922193 * rv0 * alpha0[13].0[k] * f[3].0[k];
+    for k in 0..L {
+        out[12][k] += 0.4330127018922193 * rv0 * alpha0[0][k] * f[8][k];
+        out[12][k] += 0.4330127018922193 * rv0 * alpha0[1][k] * f[4][k];
+        out[12][k] += 0.4330127018922193 * rv0 * alpha0[3][k] * f[13][k];
+        out[12][k] += 0.4330127018922193 * rv0 * alpha0[4][k] * f[1][k];
+        out[12][k] += 0.4330127018922193 * rv0 * alpha0[6][k] * f[10][k];
+        out[12][k] += 0.4330127018922193 * rv0 * alpha0[8][k] * f[0][k];
+        out[12][k] += 0.4330127018922193 * rv0 * alpha0[10][k] * f[6][k];
+        out[12][k] += 0.4330127018922193 * rv0 * alpha0[13][k] * f[3][k];
     }
-    for k in 0..LANES {
-        out[14].0[k] += 0.4330127018922193 * rv0 * alpha0[0].0[k] * f[10].0[k];
-        out[14].0[k] += 0.4330127018922193 * rv0 * alpha0[1].0[k] * f[13].0[k];
-        out[14].0[k] += 0.4330127018922193 * rv0 * alpha0[3].0[k] * f[4].0[k];
-        out[14].0[k] += 0.4330127018922193 * rv0 * alpha0[4].0[k] * f[3].0[k];
-        out[14].0[k] += 0.4330127018922193 * rv0 * alpha0[6].0[k] * f[8].0[k];
-        out[14].0[k] += 0.4330127018922193 * rv0 * alpha0[8].0[k] * f[6].0[k];
-        out[14].0[k] += 0.4330127018922193 * rv0 * alpha0[10].0[k] * f[0].0[k];
-        out[14].0[k] += 0.4330127018922193 * rv0 * alpha0[13].0[k] * f[1].0[k];
+    for k in 0..L {
+        out[14][k] += 0.4330127018922193 * rv0 * alpha0[0][k] * f[10][k];
+        out[14][k] += 0.4330127018922193 * rv0 * alpha0[1][k] * f[13][k];
+        out[14][k] += 0.4330127018922193 * rv0 * alpha0[3][k] * f[4][k];
+        out[14][k] += 0.4330127018922193 * rv0 * alpha0[4][k] * f[3][k];
+        out[14][k] += 0.4330127018922193 * rv0 * alpha0[6][k] * f[8][k];
+        out[14][k] += 0.4330127018922193 * rv0 * alpha0[8][k] * f[6][k];
+        out[14][k] += 0.4330127018922193 * rv0 * alpha0[10][k] * f[0][k];
+        out[14][k] += 0.4330127018922193 * rv0 * alpha0[13][k] * f[1][k];
     }
-    for k in 0..LANES {
-        out[15].0[k] += 0.4330127018922193 * rv0 * alpha0[0].0[k] * f[13].0[k];
-        out[15].0[k] += 0.4330127018922193 * rv0 * alpha0[1].0[k] * f[10].0[k];
-        out[15].0[k] += 0.4330127018922193 * rv0 * alpha0[3].0[k] * f[8].0[k];
-        out[15].0[k] += 0.4330127018922193 * rv0 * alpha0[4].0[k] * f[6].0[k];
-        out[15].0[k] += 0.4330127018922193 * rv0 * alpha0[6].0[k] * f[4].0[k];
-        out[15].0[k] += 0.4330127018922193 * rv0 * alpha0[8].0[k] * f[3].0[k];
-        out[15].0[k] += 0.4330127018922193 * rv0 * alpha0[10].0[k] * f[1].0[k];
-        out[15].0[k] += 0.4330127018922193 * rv0 * alpha0[13].0[k] * f[0].0[k];
+    for k in 0..L {
+        out[15][k] += 0.4330127018922193 * rv0 * alpha0[0][k] * f[13][k];
+        out[15][k] += 0.4330127018922193 * rv0 * alpha0[1][k] * f[10][k];
+        out[15][k] += 0.4330127018922193 * rv0 * alpha0[3][k] * f[8][k];
+        out[15][k] += 0.4330127018922193 * rv0 * alpha0[4][k] * f[6][k];
+        out[15][k] += 0.4330127018922193 * rv0 * alpha0[6][k] * f[4][k];
+        out[15][k] += 0.4330127018922193 * rv0 * alpha0[8][k] * f[3][k];
+        out[15][k] += 0.4330127018922193 * rv0 * alpha0[10][k] * f[1][k];
+        out[15][k] += 0.4330127018922193 * rv0 * alpha0[13][k] * f[0][k];
     }
 }
 
-/// Acceleration `∂/∂v1 (q/m (E + v×B)_1 f)` term of [`vlasov_vol_2x2v_p1_ser_b4`].
+/// Acceleration `∂/∂v1 (q/m (E + v×B)_1 f)` term of [`vlasov_vol_2x2v_p1_ser`].
 #[allow(clippy::all)]
 #[rustfmt::skip]
 #[inline(always)]
-fn vlasov_vol_2x2v_p1_ser_b4_accel1(w: &[CellLanes], dxv: &[f64], qm: f64, em: &[f64], f: &[CellLanes], out: &mut [CellLanes]) {
+fn vlasov_vol_2x2v_p1_ser_accel1<const L: usize>(w: &[[f64; L]; 4], dxv: &[f64], qm: f64, em: &[f64], f: &[[f64; L]; 16], out: &mut [[f64; L]; 16]) {
     let rv1 = 2.0 / dxv[3];
-    let mut alpha1 = [CellLanes([0.0f64; LANES]); 16];
-    for k in 0..LANES {
-        alpha1[0].0[k] += qm * 2.0 * (em[4] - w[2].0[k] * em[20]);
-        alpha1[2].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[2]) * em[20];
-        alpha1[3].0[k] += qm * 2.0 * (em[5] - w[2].0[k] * em[21]);
-        alpha1[7].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[2]) * em[21];
-        alpha1[4].0[k] += qm * 2.0 * (em[6] - w[2].0[k] * em[22]);
-        alpha1[9].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[2]) * em[22];
-        alpha1[10].0[k] += qm * 2.0 * (em[7] - w[2].0[k] * em[23]);
-        alpha1[14].0[k] += qm * -1.1547005383792517 * (0.5 * dxv[2]) * em[23];
+    let mut alpha1 = [[0.0f64; L]; 16];
+    for k in 0..L {
+        alpha1[0][k] += qm * 2.0 * (em[4] - w[2][k] * em[20]);
+        alpha1[2][k] += qm * -1.1547005383792517 * (0.5 * dxv[2]) * em[20];
+        alpha1[3][k] += qm * 2.0 * (em[5] - w[2][k] * em[21]);
+        alpha1[7][k] += qm * -1.1547005383792517 * (0.5 * dxv[2]) * em[21];
+        alpha1[4][k] += qm * 2.0 * (em[6] - w[2][k] * em[22]);
+        alpha1[9][k] += qm * -1.1547005383792517 * (0.5 * dxv[2]) * em[22];
+        alpha1[10][k] += qm * 2.0 * (em[7] - w[2][k] * em[23]);
+        alpha1[14][k] += qm * -1.1547005383792517 * (0.5 * dxv[2]) * em[23];
     }
-    for k in 0..LANES {
-        out[1].0[k] += 0.4330127018922193 * rv1 * alpha1[0].0[k] * f[0].0[k];
-        out[1].0[k] += 0.4330127018922193 * rv1 * alpha1[2].0[k] * f[2].0[k];
-        out[1].0[k] += 0.4330127018922193 * rv1 * alpha1[3].0[k] * f[3].0[k];
-        out[1].0[k] += 0.4330127018922193 * rv1 * alpha1[4].0[k] * f[4].0[k];
-        out[1].0[k] += 0.4330127018922193 * rv1 * alpha1[7].0[k] * f[7].0[k];
-        out[1].0[k] += 0.4330127018922193 * rv1 * alpha1[9].0[k] * f[9].0[k];
-        out[1].0[k] += 0.4330127018922193 * rv1 * alpha1[10].0[k] * f[10].0[k];
-        out[1].0[k] += 0.4330127018922193 * rv1 * alpha1[14].0[k] * f[14].0[k];
+    for k in 0..L {
+        out[1][k] += 0.4330127018922193 * rv1 * alpha1[0][k] * f[0][k];
+        out[1][k] += 0.4330127018922193 * rv1 * alpha1[2][k] * f[2][k];
+        out[1][k] += 0.4330127018922193 * rv1 * alpha1[3][k] * f[3][k];
+        out[1][k] += 0.4330127018922193 * rv1 * alpha1[4][k] * f[4][k];
+        out[1][k] += 0.4330127018922193 * rv1 * alpha1[7][k] * f[7][k];
+        out[1][k] += 0.4330127018922193 * rv1 * alpha1[9][k] * f[9][k];
+        out[1][k] += 0.4330127018922193 * rv1 * alpha1[10][k] * f[10][k];
+        out[1][k] += 0.4330127018922193 * rv1 * alpha1[14][k] * f[14][k];
     }
-    for k in 0..LANES {
-        out[5].0[k] += 0.4330127018922193 * rv1 * alpha1[0].0[k] * f[2].0[k];
-        out[5].0[k] += 0.4330127018922193 * rv1 * alpha1[2].0[k] * f[0].0[k];
-        out[5].0[k] += 0.4330127018922193 * rv1 * alpha1[3].0[k] * f[7].0[k];
-        out[5].0[k] += 0.4330127018922193 * rv1 * alpha1[4].0[k] * f[9].0[k];
-        out[5].0[k] += 0.4330127018922193 * rv1 * alpha1[7].0[k] * f[3].0[k];
-        out[5].0[k] += 0.4330127018922193 * rv1 * alpha1[9].0[k] * f[4].0[k];
-        out[5].0[k] += 0.4330127018922193 * rv1 * alpha1[10].0[k] * f[14].0[k];
-        out[5].0[k] += 0.4330127018922193 * rv1 * alpha1[14].0[k] * f[10].0[k];
+    for k in 0..L {
+        out[5][k] += 0.4330127018922193 * rv1 * alpha1[0][k] * f[2][k];
+        out[5][k] += 0.4330127018922193 * rv1 * alpha1[2][k] * f[0][k];
+        out[5][k] += 0.4330127018922193 * rv1 * alpha1[3][k] * f[7][k];
+        out[5][k] += 0.4330127018922193 * rv1 * alpha1[4][k] * f[9][k];
+        out[5][k] += 0.4330127018922193 * rv1 * alpha1[7][k] * f[3][k];
+        out[5][k] += 0.4330127018922193 * rv1 * alpha1[9][k] * f[4][k];
+        out[5][k] += 0.4330127018922193 * rv1 * alpha1[10][k] * f[14][k];
+        out[5][k] += 0.4330127018922193 * rv1 * alpha1[14][k] * f[10][k];
     }
-    for k in 0..LANES {
-        out[6].0[k] += 0.4330127018922193 * rv1 * alpha1[0].0[k] * f[3].0[k];
-        out[6].0[k] += 0.4330127018922193 * rv1 * alpha1[2].0[k] * f[7].0[k];
-        out[6].0[k] += 0.4330127018922193 * rv1 * alpha1[3].0[k] * f[0].0[k];
-        out[6].0[k] += 0.4330127018922193 * rv1 * alpha1[4].0[k] * f[10].0[k];
-        out[6].0[k] += 0.4330127018922193 * rv1 * alpha1[7].0[k] * f[2].0[k];
-        out[6].0[k] += 0.4330127018922193 * rv1 * alpha1[9].0[k] * f[14].0[k];
-        out[6].0[k] += 0.4330127018922193 * rv1 * alpha1[10].0[k] * f[4].0[k];
-        out[6].0[k] += 0.4330127018922193 * rv1 * alpha1[14].0[k] * f[9].0[k];
+    for k in 0..L {
+        out[6][k] += 0.4330127018922193 * rv1 * alpha1[0][k] * f[3][k];
+        out[6][k] += 0.4330127018922193 * rv1 * alpha1[2][k] * f[7][k];
+        out[6][k] += 0.4330127018922193 * rv1 * alpha1[3][k] * f[0][k];
+        out[6][k] += 0.4330127018922193 * rv1 * alpha1[4][k] * f[10][k];
+        out[6][k] += 0.4330127018922193 * rv1 * alpha1[7][k] * f[2][k];
+        out[6][k] += 0.4330127018922193 * rv1 * alpha1[9][k] * f[14][k];
+        out[6][k] += 0.4330127018922193 * rv1 * alpha1[10][k] * f[4][k];
+        out[6][k] += 0.4330127018922193 * rv1 * alpha1[14][k] * f[9][k];
     }
-    for k in 0..LANES {
-        out[8].0[k] += 0.4330127018922193 * rv1 * alpha1[0].0[k] * f[4].0[k];
-        out[8].0[k] += 0.4330127018922193 * rv1 * alpha1[2].0[k] * f[9].0[k];
-        out[8].0[k] += 0.4330127018922193 * rv1 * alpha1[3].0[k] * f[10].0[k];
-        out[8].0[k] += 0.4330127018922193 * rv1 * alpha1[4].0[k] * f[0].0[k];
-        out[8].0[k] += 0.4330127018922193 * rv1 * alpha1[7].0[k] * f[14].0[k];
-        out[8].0[k] += 0.4330127018922193 * rv1 * alpha1[9].0[k] * f[2].0[k];
-        out[8].0[k] += 0.4330127018922193 * rv1 * alpha1[10].0[k] * f[3].0[k];
-        out[8].0[k] += 0.4330127018922193 * rv1 * alpha1[14].0[k] * f[7].0[k];
+    for k in 0..L {
+        out[8][k] += 0.4330127018922193 * rv1 * alpha1[0][k] * f[4][k];
+        out[8][k] += 0.4330127018922193 * rv1 * alpha1[2][k] * f[9][k];
+        out[8][k] += 0.4330127018922193 * rv1 * alpha1[3][k] * f[10][k];
+        out[8][k] += 0.4330127018922193 * rv1 * alpha1[4][k] * f[0][k];
+        out[8][k] += 0.4330127018922193 * rv1 * alpha1[7][k] * f[14][k];
+        out[8][k] += 0.4330127018922193 * rv1 * alpha1[9][k] * f[2][k];
+        out[8][k] += 0.4330127018922193 * rv1 * alpha1[10][k] * f[3][k];
+        out[8][k] += 0.4330127018922193 * rv1 * alpha1[14][k] * f[7][k];
     }
-    for k in 0..LANES {
-        out[11].0[k] += 0.4330127018922193 * rv1 * alpha1[0].0[k] * f[7].0[k];
-        out[11].0[k] += 0.4330127018922193 * rv1 * alpha1[2].0[k] * f[3].0[k];
-        out[11].0[k] += 0.4330127018922193 * rv1 * alpha1[3].0[k] * f[2].0[k];
-        out[11].0[k] += 0.4330127018922193 * rv1 * alpha1[4].0[k] * f[14].0[k];
-        out[11].0[k] += 0.4330127018922193 * rv1 * alpha1[7].0[k] * f[0].0[k];
-        out[11].0[k] += 0.4330127018922193 * rv1 * alpha1[9].0[k] * f[10].0[k];
-        out[11].0[k] += 0.4330127018922193 * rv1 * alpha1[10].0[k] * f[9].0[k];
-        out[11].0[k] += 0.4330127018922193 * rv1 * alpha1[14].0[k] * f[4].0[k];
+    for k in 0..L {
+        out[11][k] += 0.4330127018922193 * rv1 * alpha1[0][k] * f[7][k];
+        out[11][k] += 0.4330127018922193 * rv1 * alpha1[2][k] * f[3][k];
+        out[11][k] += 0.4330127018922193 * rv1 * alpha1[3][k] * f[2][k];
+        out[11][k] += 0.4330127018922193 * rv1 * alpha1[4][k] * f[14][k];
+        out[11][k] += 0.4330127018922193 * rv1 * alpha1[7][k] * f[0][k];
+        out[11][k] += 0.4330127018922193 * rv1 * alpha1[9][k] * f[10][k];
+        out[11][k] += 0.4330127018922193 * rv1 * alpha1[10][k] * f[9][k];
+        out[11][k] += 0.4330127018922193 * rv1 * alpha1[14][k] * f[4][k];
     }
-    for k in 0..LANES {
-        out[12].0[k] += 0.4330127018922193 * rv1 * alpha1[0].0[k] * f[9].0[k];
-        out[12].0[k] += 0.4330127018922193 * rv1 * alpha1[2].0[k] * f[4].0[k];
-        out[12].0[k] += 0.4330127018922193 * rv1 * alpha1[3].0[k] * f[14].0[k];
-        out[12].0[k] += 0.4330127018922193 * rv1 * alpha1[4].0[k] * f[2].0[k];
-        out[12].0[k] += 0.4330127018922193 * rv1 * alpha1[7].0[k] * f[10].0[k];
-        out[12].0[k] += 0.4330127018922193 * rv1 * alpha1[9].0[k] * f[0].0[k];
-        out[12].0[k] += 0.4330127018922193 * rv1 * alpha1[10].0[k] * f[7].0[k];
-        out[12].0[k] += 0.4330127018922193 * rv1 * alpha1[14].0[k] * f[3].0[k];
+    for k in 0..L {
+        out[12][k] += 0.4330127018922193 * rv1 * alpha1[0][k] * f[9][k];
+        out[12][k] += 0.4330127018922193 * rv1 * alpha1[2][k] * f[4][k];
+        out[12][k] += 0.4330127018922193 * rv1 * alpha1[3][k] * f[14][k];
+        out[12][k] += 0.4330127018922193 * rv1 * alpha1[4][k] * f[2][k];
+        out[12][k] += 0.4330127018922193 * rv1 * alpha1[7][k] * f[10][k];
+        out[12][k] += 0.4330127018922193 * rv1 * alpha1[9][k] * f[0][k];
+        out[12][k] += 0.4330127018922193 * rv1 * alpha1[10][k] * f[7][k];
+        out[12][k] += 0.4330127018922193 * rv1 * alpha1[14][k] * f[3][k];
     }
-    for k in 0..LANES {
-        out[13].0[k] += 0.4330127018922193 * rv1 * alpha1[0].0[k] * f[10].0[k];
-        out[13].0[k] += 0.4330127018922193 * rv1 * alpha1[2].0[k] * f[14].0[k];
-        out[13].0[k] += 0.4330127018922193 * rv1 * alpha1[3].0[k] * f[4].0[k];
-        out[13].0[k] += 0.4330127018922193 * rv1 * alpha1[4].0[k] * f[3].0[k];
-        out[13].0[k] += 0.4330127018922193 * rv1 * alpha1[7].0[k] * f[9].0[k];
-        out[13].0[k] += 0.4330127018922193 * rv1 * alpha1[9].0[k] * f[7].0[k];
-        out[13].0[k] += 0.4330127018922193 * rv1 * alpha1[10].0[k] * f[0].0[k];
-        out[13].0[k] += 0.4330127018922193 * rv1 * alpha1[14].0[k] * f[2].0[k];
+    for k in 0..L {
+        out[13][k] += 0.4330127018922193 * rv1 * alpha1[0][k] * f[10][k];
+        out[13][k] += 0.4330127018922193 * rv1 * alpha1[2][k] * f[14][k];
+        out[13][k] += 0.4330127018922193 * rv1 * alpha1[3][k] * f[4][k];
+        out[13][k] += 0.4330127018922193 * rv1 * alpha1[4][k] * f[3][k];
+        out[13][k] += 0.4330127018922193 * rv1 * alpha1[7][k] * f[9][k];
+        out[13][k] += 0.4330127018922193 * rv1 * alpha1[9][k] * f[7][k];
+        out[13][k] += 0.4330127018922193 * rv1 * alpha1[10][k] * f[0][k];
+        out[13][k] += 0.4330127018922193 * rv1 * alpha1[14][k] * f[2][k];
     }
-    for k in 0..LANES {
-        out[15].0[k] += 0.4330127018922193 * rv1 * alpha1[0].0[k] * f[14].0[k];
-        out[15].0[k] += 0.4330127018922193 * rv1 * alpha1[2].0[k] * f[10].0[k];
-        out[15].0[k] += 0.4330127018922193 * rv1 * alpha1[3].0[k] * f[9].0[k];
-        out[15].0[k] += 0.4330127018922193 * rv1 * alpha1[4].0[k] * f[7].0[k];
-        out[15].0[k] += 0.4330127018922193 * rv1 * alpha1[7].0[k] * f[4].0[k];
-        out[15].0[k] += 0.4330127018922193 * rv1 * alpha1[9].0[k] * f[3].0[k];
-        out[15].0[k] += 0.4330127018922193 * rv1 * alpha1[10].0[k] * f[2].0[k];
-        out[15].0[k] += 0.4330127018922193 * rv1 * alpha1[14].0[k] * f[0].0[k];
+    for k in 0..L {
+        out[15][k] += 0.4330127018922193 * rv1 * alpha1[0][k] * f[14][k];
+        out[15][k] += 0.4330127018922193 * rv1 * alpha1[2][k] * f[10][k];
+        out[15][k] += 0.4330127018922193 * rv1 * alpha1[3][k] * f[9][k];
+        out[15][k] += 0.4330127018922193 * rv1 * alpha1[4][k] * f[7][k];
+        out[15][k] += 0.4330127018922193 * rv1 * alpha1[7][k] * f[4][k];
+        out[15][k] += 0.4330127018922193 * rv1 * alpha1[9][k] * f[3][k];
+        out[15][k] += 0.4330127018922193 * rv1 * alpha1[10][k] * f[2][k];
+        out[15][k] += 0.4330127018922193 * rv1 * alpha1[14][k] * f[0][k];
     }
 }

@@ -34,6 +34,7 @@ pub mod generated;
 pub mod linalg;
 pub mod moments;
 pub mod ops;
+pub mod panel;
 pub mod phase;
 pub mod surface;
 pub mod tables1d;

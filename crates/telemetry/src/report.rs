@@ -12,7 +12,7 @@ use crate::phase::{Counter, Phase};
 use std::path::Path;
 
 /// Schema identifier embedded in every report; bump when keys change.
-pub const SCHEMA: &str = "dg-telemetry/v1";
+pub const SCHEMA: &str = "dg-telemetry/v2";
 
 /// Capacity of the [`DtRing`] step-size trace.
 pub const DT_RING_LEN: usize = 32;
@@ -103,12 +103,18 @@ pub struct RunReport {
     pub dt_trace: Vec<f64>,
     /// Writer slots the registry was sized with (1 = serial).
     pub nslots: usize,
+    /// The kernel entry points each operator of the run resolved
+    /// (`vlasov generated/avx512x8 + generated/avx2x4, lbo
+    /// generated/avx2x4`, `vlasov runtime-sparse`, …), so the timings below
+    /// say which machine code produced them. Empty when the report was not
+    /// built from an operator.
+    pub kernel_entry_points: String,
     /// Merged phase timings and counters.
     pub snapshot: Snapshot,
 }
 
 impl RunReport {
-    /// Serialize with the stable v1 schema: fixed key order, `{:.17e}`
+    /// Serialize with the stable v2 schema: fixed key order, `{:.17e}`
     /// floats, every phase and counter present even when zero.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
@@ -127,6 +133,10 @@ impl RunReport {
         }
         s.push_str("],\n");
         s.push_str(&format!("  \"nslots\": {},\n", self.nslots));
+        s.push_str(&format!(
+            "  \"kernel_entry_points\": {},\n",
+            json_str(&self.kernel_entry_points)
+        ));
         s.push_str("  \"phases\": {\n");
         for (i, p) in Phase::ALL.iter().enumerate() {
             s.push_str(&format!(
@@ -184,6 +194,9 @@ impl RunReport {
             "telemetry: {} — {} steps, {:.3} s wall, last dt {:.3e}\n",
             self.name, self.steps, self.wall_s, self.last_dt
         ));
+        if !self.kernel_entry_points.is_empty() {
+            s.push_str(&format!("  kernels: {}\n", self.kernel_entry_points));
+        }
         s.push_str(&format!(
             "  {:<16} {:>12} {:>7} {:>12}\n",
             "phase", "time (s)", "%", "calls"
@@ -224,7 +237,7 @@ fn tmp_path(path: &Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
-/// Validate a serialized report against the v1 schema: the schema
+/// Validate a serialized report against the v2 schema: the schema
 /// marker, every top-level key, and every phase/counter key must be
 /// present. Returns the list of missing keys on failure.
 pub fn validate_json(json: &str) -> Result<(), Vec<String>> {
@@ -236,7 +249,15 @@ pub fn validate_json(json: &str) -> Result<(), Vec<String>> {
     };
     need(format!("\"schema\": \"{SCHEMA}\""));
     for k in [
-        "name", "wall_s", "steps", "last_dt", "dt_trace", "nslots", "phases", "counters",
+        "name",
+        "wall_s",
+        "steps",
+        "last_dt",
+        "dt_trace",
+        "nslots",
+        "kernel_entry_points",
+        "phases",
+        "counters",
     ] {
         need(format!("\"{k}\":"));
     }
@@ -288,6 +309,7 @@ mod tests {
             last_dt: 1e-3,
             dt_trace: vec![1e-3, 1e-3],
             nslots: 1,
+            kernel_entry_points: "vlasov generated/avx2x4".into(),
             snapshot: snap,
         }
     }
@@ -348,6 +370,7 @@ mod tests {
     fn summary_table_lists_active_phases_only() {
         let t = sample().summary_table();
         assert!(t.contains("volume"));
+        assert!(t.contains("kernels: vlasov generated/avx2x4"));
         assert!(!t.contains("lbo_drag"));
         assert!(t.contains("rhs_evals=30"));
     }

@@ -158,7 +158,10 @@ fn rhs_and_lbo_loops_allocate_nothing() {
     // --- Velocity-face tables: `surface_velocity` batches a face list
     // precomputed with the operator. A velocity grid whose pencil counts
     // (3 and 5) leave a partial panel in both directions must sweep
-    // without allocating — no per-RHS table, no per-panel scratch. ---
+    // without allocating — no per-RHS table, no per-panel scratch. Its 15
+    // velocity cells also end every configuration cell's `volume` and
+    // `surface_config` run on a partial panel at either lane width (spare
+    // lanes repeated, unpacked through `cells_mut`): same requirement. ---
     {
         let grid = PhaseGrid::new(
             CartGrid::new(&[0.0], &[1.0], &[2]),
@@ -187,6 +190,17 @@ fn rhs_and_lbo_loops_allocate_nothing() {
         assert_eq!(
             n, 0,
             "face-panel velocity sweep allocated {n} times in the hot loop"
+        );
+        let bc = op.grid.conf_bc[0];
+        let n = count_allocs(|| {
+            for _ in 0..3 {
+                op.volume(-1.0, &f, &em, &mut out, &mut ws, 0..nconf);
+                op.surface_config(0, &f, &mut out, &mut ws, 0..nconf, bc);
+            }
+        });
+        assert_eq!(
+            n, 0,
+            "partial-panel cell sweeps allocated {n} times in the hot loop"
         );
     }
 

@@ -251,7 +251,7 @@ proptest! {
     }
 }
 
-/// Golden serialization: pins the v1 schema byte for byte so an
+/// Golden serialization: pins the v2 schema byte for byte so an
 /// accidental key rename / float-format change / reorder fails loudly.
 #[test]
 fn run_report_json_matches_committed_golden() {
@@ -269,6 +269,8 @@ fn run_report_json_matches_committed_golden() {
         last_dt: 2.5e-3,
         dt_trace: vec![2.5e-3, 2.5e-3, 2.5e-3],
         nslots: 3,
+        kernel_entry_points: "vlasov generated/avx512x8 + generated/avx2x4, lbo generated/avx2x4"
+            .into(),
         snapshot: snap,
     };
     let json = report.to_json();
