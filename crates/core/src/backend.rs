@@ -180,17 +180,16 @@ impl ThreadedBackend {
 
 impl Backend for ThreadedBackend {
     fn step(&mut self, state: &mut SystemState, dt: f64) {
-        let this: *mut ThreadedBackend = self;
+        let ThreadedBackend {
+            system,
+            block,
+            stage,
+            rhs,
+        } = self;
         let mut stage_idx = 0usize;
-        ssp_rk3_generic(state, &mut self.stage, &mut self.rhs, dt, |s, o| {
-            // SAFETY: the generic stepper invokes the closure serially and
-            // its arguments never alias `self.system` / `self.block`.
-            unsafe {
-                (*this).block.rhs(&mut (*this).system, s, o);
-                (*this)
-                    .system
-                    .integrate_wall_ledger(STAGE_WEIGHTS[stage_idx] * dt);
-            }
+        ssp_rk3_generic(state, stage, rhs, dt, |s, o| {
+            block.rhs(system, s, o);
+            system.integrate_wall_ledger(STAGE_WEIGHTS[stage_idx] * dt);
             stage_idx += 1;
         });
     }

@@ -8,17 +8,19 @@
 //! volume + surface + LBO contributions on the persistent workers of the
 //! rayon-shim [`ThreadPool`].
 //!
-//! **Bit-identity.** The serial sweep's contribution order within one
-//! output cell is volume → dim-0 faces (one-sided writes) → higher
-//! configuration faces → velocity faces → LBO. Every one of those
-//! contributions comes exclusively from the cell's owning block: dim-0
-//! faces write one side each (both adjacent blocks evaluate the shared
-//! flux, the paper's redundant-halo-flux trick), `d ≥ 1` faces never leave
-//! a dim-0 row, and velocity faces and the LBO never leave a configuration
-//! cell. So each output cell receives exactly the serial sequence of
-//! additions no matter how many blocks run concurrently — the threaded
-//! sweep is bit-identical to serial *by construction*, for any thread
-//! count (`tests/threaded_equiv.rs` asserts it).
+//! **Bit-identity.** The serial sweep is the one-block case of the same
+//! [`block_species_rhs`]. Within one output cell its contribution order is
+//! volume → dim-0 faces → higher configuration faces (summed in the cell's
+//! panel of the cell-lane pass and added as one increment) → velocity
+//! faces → LBO. Every one of those contributions comes exclusively from
+//! the cell's owning block: dim-0 faces write one side each (both adjacent
+//! blocks evaluate the shared flux, the paper's redundant-halo-flux trick,
+//! reading the neighbour's `f` from a halo slice), `d ≥ 1` faces never
+//! leave a dim-0 row, and velocity faces and the LBO never leave a
+//! configuration cell. So each output cell receives exactly the serial
+//! sequence of additions no matter how many blocks run concurrently — the
+//! threaded sweep is bit-identical to serial *by construction*, for any
+//! thread count (`tests/threaded_equiv.rs` asserts it).
 //!
 //! **Deterministic ledger reduction.** Each block accumulates wall-flux
 //! partials into its own workspace; after the barrier the main thread
@@ -32,15 +34,11 @@
 //! `broadcast` publishes work through a fixed command slot — the threaded
 //! sweep passes the counting-allocator gate in `tests/alloc_free.rs`.
 
-// Stencil/loop style: index-coupled per-dimension sweeps index several arrays in lockstep;
-// `needless_range_loop` rewrites would obscure that (workspace allow
-// was scoped down to the modules that need it).
-#![allow(clippy::needless_range_loop)]
 use std::ops::Range;
 use std::sync::Mutex;
 
 use dg_grid::slab::slab_ranges;
-use dg_grid::{CellStoreMut, DgField, DgFieldSlice, DimBc, PhaseGrid};
+use dg_grid::{CellStoreMut, DgField, DgFieldSlice, DimBc};
 use rayon::ThreadPool;
 
 use dg_telemetry::{Counter, Phase, Registry};
@@ -58,8 +56,6 @@ pub struct CellBlocks {
     /// Per-block dim-0 index range, globally ascending (empty ranges
     /// allowed when blocks outnumber cells).
     pub blocks: Vec<Range<usize>>,
-    /// Total dim-0 extent.
-    pub n0: usize,
     /// Configuration cells per unit of dim-0.
     pub stride0: usize,
 }
@@ -79,7 +75,6 @@ impl CellBlocks {
         }
         CellBlocks {
             blocks,
-            n0,
             stride0: grid.conf.len() / n0,
         }
     }
@@ -99,24 +94,23 @@ impl CellBlocks {
     }
 }
 
-/// Kinetic RHS of one species restricted to one dim-0 cell block: the unit
-/// of work of both the threaded serial backend and each simulated rank of
-/// `dg-parallel` (a rank is just a block that happens to span its whole
-/// slab). Fills `ws.wall` with the block's wall-flux partial sums.
+/// Kinetic RHS of one species restricted to the dim-0 cell block `block`
+/// (a range of dimension-0 slices): the unit of work of the serial RHS (one
+/// block), the threaded backend and each simulated rank of `dg-parallel` (a
+/// rank is just a block that happens to span its whole slab). Fills
+/// `ws.wall` with the block's wall-flux partial sums.
 ///
-/// The sweep order matches the serial one restricted to the block: volume,
-/// lower-wall faces (first block only), the received face below the block,
-/// interior dim-0 faces ascending, the sending face above the block — or
-/// the periodic wrap / upper wall for the last block, with the first block
-/// applying its received wrap side last, exactly where the serial sweep
-/// visits it.
+/// The volume and the configuration faces run as one pass
+/// (`VlasovOp::volume_and_conf_faces`), faces in the order the block's
+/// cells receive them in a whole-domain sweep: lower walls, the received
+/// face below the block, interior faces ascending, the sending face above
+/// it — or the periodic wrap / upper wall for the last block, with the
+/// first block applying its received wrap side last. The velocity faces
+/// follow.
 #[allow(clippy::too_many_arguments)]
 pub fn block_species_rhs<S: CellStoreMut>(
     op: &VlasovOp,
-    grid: &PhaseGrid,
     block: Range<usize>,
-    n0: usize,
-    stride0: usize,
     qm: f64,
     f: &DgField,
     em: &DgField,
@@ -124,81 +118,13 @@ pub fn block_species_rhs<S: CellStoreMut>(
     ws: &mut VlasovWorkspace,
     bcs: &[DimBc],
 ) {
-    let cdim = grid.cdim();
     ws.wall.reset();
     if block.is_empty() {
         return; // more blocks than dim-0 cells: idle block
     }
+    let stride0 = op.grid.conf.len() / op.grid.conf.cells()[0];
     let conf_range = block.start * stride0..block.end * stride0;
-    let bc0 = bcs[0];
-
-    // Volume everywhere in the block.
-    op.volume(qm, f, em, out, ws, conf_range.clone()); // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
-
-    // dim-0 surfaces. Serial order: lower-wall faces first, then faces by
-    // ascending lower-cell index; the periodic wrap face (n0−1 → 0) and
-    // the upper-wall faces come last.
-    let apply_dim0 = |i0_lo: usize,
-                      i0_hi: usize,
-                      write_lo: bool,
-                      write_hi: bool,
-                      out: &mut S,
-                      ws: &mut VlasovWorkspace| {
-        for rest in 0..stride0 {
-            let clo = i0_lo * stride0 + rest;
-            let chi = i0_hi * stride0 + rest;
-            op.surface_config_face(0, f, out, ws, clo, chi, write_lo, write_hi);
-        }
-    };
-    // The decomposed lower domain edge: the first block owns the wall.
-    if block.start == 0 && bc0.lower.is_wall() {
-        for rest in 0..stride0 {
-            op.surface_config_wall(0, -1, bc0.lower, f, out, ws, rest);
-        }
-    }
-    {
-        // One Surface span for the block's whole dim-0 face sweep
-        // (per-face spans would cost two clock reads each); the wall
-        // calls before/after keep their own `Phase::Ghosts` spans, so
-        // phases stay non-overlapping. Hoisting the upper-wall branch out
-        // of the scope is order-preserving: it is mutually exclusive with
-        // the wrap faces inside.
-        let _surface_span = ws.probe.span(Phase::Surface);
-        // Shared face below this block (received side), except for the
-        // first block whose below-face is the wrap face (periodic
-        // topology only), handled last like the serial sweep does.
-        if block.start > 0 {
-            apply_dim0(block.start - 1, block.start, false, true, out, ws);
-        }
-        // Interior faces of the block.
-        for i0 in block.start..block.end.saturating_sub(1) {
-            apply_dim0(i0, i0 + 1, true, true, out, ws);
-        }
-        // Face above the block (sending side) or, for the last block, the
-        // periodic wrap (write_lo); the first block then also receives
-        // the wrap.
-        if block.end < n0 {
-            apply_dim0(block.end - 1, block.end, true, false, out, ws);
-        } else if bc0.is_periodic() && n0 > 1 {
-            apply_dim0(n0 - 1, 0, true, false, out, ws);
-        }
-        if block.start == 0 && bc0.is_periodic() && n0 > 1 {
-            apply_dim0(n0 - 1, 0, false, true, out, ws);
-        }
-    }
-    // The last block's upper domain edge, when it is a wall rather than
-    // the periodic wrap handled above.
-    if block.end == n0 && !(bc0.is_periodic() && n0 > 1) && bc0.upper.is_wall() {
-        for rest in 0..stride0 {
-            op.surface_config_wall(0, 1, bc0.upper, f, out, ws, (n0 - 1) * stride0 + rest);
-        }
-    }
-
-    // Remaining configuration directions stay inside the block (wall faces
-    // included: every face of a d ≥ 1 column is block-local).
-    for d in 1..cdim {
-        op.surface_config(d, f, out, ws, conf_range.clone(), bcs[d]); // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
-    }
+    op.volume_and_conf_faces(qm, f, em, out, ws, block, bcs);
     // Velocity surfaces are cell-local in configuration space.
     op.surface_velocity(qm, f, em, out, ws, conf_range);
 }
@@ -312,9 +238,9 @@ impl BlockRhs {
         }
     }
 
-    /// Kinetic RHS of every species, cell-block parallel, plus the
-    /// block-ordered wall-ledger reduction. `out`'s species fields must be
-    /// zeroed by the caller (the RHS accumulates).
+    /// Kinetic RHS of every species into `out`'s species fields (each block
+    /// overwrites its cells), cell-block parallel, plus the block-ordered
+    /// wall-ledger reduction.
     pub fn species_rhs(
         &mut self,
         system: &mut VlasovMaxwell,
@@ -323,7 +249,7 @@ impl BlockRhs {
     ) {
         self.ensure_lbo_scratch(system);
         let nblocks = self.blocks.len();
-        let (n0, stride0) = (self.blocks.n0, self.blocks.stride0);
+        let stride0 = self.blocks.stride0;
         let nv = system.grid.vel.len();
         for s in 0..system.species.len() {
             {
@@ -334,7 +260,6 @@ impl BlockRhs {
                 let em = &state.em;
                 let lbo = sys.collisions()[s].as_ref();
                 let op = &sys.vlasov;
-                let grid = &sys.grid;
                 let np = out.species_f[s].ncoeff();
                 let base = SendPtr(out.species_f[s].as_mut_slice().as_mut_ptr());
                 let blocks = &self.blocks.blocks;
@@ -354,10 +279,13 @@ impl BlockRhs {
                         let mut view = unsafe {
                             DgFieldSlice::from_raw(base.get().add(first * np), first, ncells, np)
                         };
+                        // Zeroed by the worker that accumulates into it, in
+                        // one sequential sweep: the pass adds each cell's
+                        // panel in strided runs, and lines another core
+                        // had just zeroed would each be fetched from it.
+                        view.fill(0.0);
                         let mut bws = ws[b].lock().unwrap();
-                        block_species_rhs(
-                            op, grid, block, n0, stride0, qm, f, em, &mut view, &mut bws, bcs,
-                        );
+                        block_species_rhs(op, block, qm, f, em, &mut view, &mut bws, bcs);
                         if let Some(lbo) = lbo {
                             let mut lws = lbo_ws[b].lock().unwrap();
                             lbo.accumulate_rhs_range(f, &mut view, &mut lws, conf_range);
@@ -383,7 +311,7 @@ impl BlockRhs {
     /// coupling of [`VlasovMaxwell::field_rhs`].
     pub fn rhs(&mut self, system: &mut VlasovMaxwell, state: &SystemState, out: &mut SystemState) {
         system.probe.count(Counter::RhsEvals, 1);
-        out.fill(0.0);
+        out.em.fill(0.0);
         self.species_rhs(system, state, out);
         system.field_rhs(state, out);
     }
@@ -392,7 +320,6 @@ impl BlockRhs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::species::{maxwellian, Species};
     use crate::vlasov::{FluxKind, VlasovOp};
     use dg_basis::BasisKind;
     use dg_grid::{Bc, CartGrid, PhaseGrid};
@@ -419,74 +346,125 @@ mod tests {
         assert_eq!(cb.blocks.iter().map(|b| b.len()).sum::<usize>(), 7);
     }
 
+    /// Every split of `0..n` into consecutive non-empty blocks.
+    fn partitions(n: usize) -> impl Iterator<Item = Vec<Range<usize>>> {
+        (0..1u32 << (n - 1)).map(move |cuts| {
+            let mut blocks = Vec::new();
+            let mut start = 0;
+            for i in 1..n {
+                if cuts >> (i - 1) & 1 == 1 {
+                    blocks.push(start..i);
+                    start = i;
+                }
+            }
+            blocks.push(start..n);
+            blocks
+        })
+    }
+
     #[test]
     fn block_sweep_matches_serial_sweep_bitwise() {
-        // Direct operator-level check (the system/backend level is covered
-        // by tests/threaded_equiv.rs): sum of per-block sweeps over any
-        // block partition == one full-range sweep, bit for bit.
-        let kernels = kernels_for(BasisKind::Serendipity, PhaseLayout::new(1, 1), 2);
-        let grid = PhaseGrid::new(
-            CartGrid::new(&[0.0], &[1.0], &[5]),
-            CartGrid::new(&[-6.0], &[6.0], &[6]),
-            vec![Bc::Periodic],
-        );
-        let op = VlasovOp::with_dispatch(
-            std::sync::Arc::clone(&kernels),
-            grid.clone(),
-            FluxKind::Upwind,
-            KernelDispatch::Generated,
-        );
-        let mut sp = Species::new("elc", -1.0, 1.0, &grid, kernels.np());
-        sp.project_initial(&kernels, &grid, 4, &mut |x, v| {
-            maxwellian(1.0 + 0.1 * (2.0 * x[0]).cos(), &[0.4], 0.8, v)
-        });
-        let mut em = DgField::zeros(grid.conf.len(), dg_maxwell::NCOMP * kernels.nc());
-        for c in 0..grid.conf.len() {
-            for (i, v) in em.cell_mut(c).iter_mut().enumerate() {
-                *v = ((c * 11 + i) as f64 * 0.37).sin() * 0.3;
-            }
-        }
-
-        let mut ws = VlasovWorkspace::for_kernels(&kernels);
-        let bcs = grid.conf_bc.clone();
-
-        let mut serial = DgField::zeros(grid.len(), kernels.np());
-        block_species_rhs(
-            &op,
-            &grid,
-            0..5,
-            5,
-            1,
-            -1.0,
-            &sp.f,
-            &em,
-            &mut serial,
-            &mut ws,
-            &bcs,
-        );
-
-        for parts in [2usize, 3, 5, 7] {
-            let mut blocked = DgField::zeros(grid.len(), kernels.np());
-            for blk in slab_ranges(5, parts) {
-                block_species_rhs(
-                    &op,
-                    &grid,
-                    blk,
-                    5,
-                    1,
-                    -1.0,
-                    &sp.f,
-                    &em,
-                    &mut blocked,
-                    &mut ws,
-                    &bcs,
-                );
-            }
-            assert_eq!(
-                serial.as_slice(),
-                blocked.as_slice(),
-                "{parts}-way block partition diverged from the full sweep"
+        // Operator level (the system/backend level is covered by
+        // tests/threaded_equiv.rs): the per-block sweeps of every partition
+        // of dimension 0 add up to the one-block sweep bit for bit, and that
+        // one equals the per-phase sweeps (`volume`, `surface_config` by
+        // direction, `surface_velocity`). Generated dispatch runs the
+        // cell-lane pass, runtime-sparse the per-phase fallback; partial
+        // lane groups at either width, walls on both sides of both axes.
+        let walled =
+            |d0: (Bc, Bc), d1: (Bc, Bc)| vec![DimBc::new(d0.0, d0.1), DimBc::new(d1.0, d1.1)];
+        // (poly order, configuration cells, velocity cells, BCs)
+        type Case = (usize, &'static [usize], &'static [usize], Vec<DimBc>);
+        let cases: [Case; 4] = [
+            (2, &[5], &[6], vec![DimBc::from(Bc::Periodic)]),
+            (1, &[4, 3], &[3, 5], vec![DimBc::from(Bc::Periodic); 2]),
+            (2, &[5], &[7], vec![DimBc::new(Bc::Reflect, Bc::Absorb)]),
+            (
+                1,
+                &[4, 3],
+                &[2, 5],
+                walled((Bc::Copy, Bc::Reflect), (Bc::Absorb, Bc::Copy)),
+            ),
+        ];
+        for (p, conf_cells, vel_cells, bcs) in cases {
+            let (cdim, vdim) = (conf_cells.len(), vel_cells.len());
+            let kernels = kernels_for(BasisKind::Serendipity, PhaseLayout::new(cdim, vdim), p);
+            let grid = PhaseGrid::new(
+                CartGrid::new(&vec![0.0; cdim], &vec![1.0; cdim], conf_cells),
+                CartGrid::new(&vec![-6.0; vdim], &vec![6.0; vdim], vel_cells),
+                bcs.clone(),
             );
+            let mut f = DgField::zeros(grid.len(), kernels.np());
+            for (i, v) in f.as_mut_slice().iter_mut().enumerate() {
+                *v = ((i * 37 % 101) as f64 - 50.0) * 1e-2;
+            }
+            let mut em = DgField::zeros(grid.conf.len(), dg_maxwell::NCOMP * kernels.nc());
+            for (i, v) in em.as_mut_slice().iter_mut().enumerate() {
+                *v = ((i * 11 % 23) as f64 - 11.0) * 0.05;
+            }
+            let n0 = conf_cells[0];
+            let nconf = grid.conf.len();
+            for dispatch in [KernelDispatch::Generated, KernelDispatch::RuntimeSparse] {
+                let op = VlasovOp::with_dispatch(
+                    std::sync::Arc::clone(&kernels),
+                    grid.clone(),
+                    FluxKind::Upwind,
+                    dispatch,
+                );
+                let what = format!("{cdim}x{vdim}v p{p} {bcs:?} {dispatch:?}");
+                let mut ws = VlasovWorkspace::for_kernels(&kernels);
+                let mut per_phase = DgField::zeros(grid.len(), kernels.np());
+                op.volume(-1.0, &f, &em, &mut per_phase, &mut ws, 0..nconf);
+                for (d, &bc) in bcs.iter().enumerate() {
+                    op.surface_config(d, &f, &mut per_phase, &mut ws, 0..nconf, bc);
+                }
+                op.surface_velocity(-1.0, &f, &em, &mut per_phase, &mut ws, 0..nconf);
+
+                let mut serial = DgField::zeros(grid.len(), kernels.np());
+                block_species_rhs(&op, 0..n0, -1.0, &f, &em, &mut serial, &mut ws, &bcs);
+                let serial_wall = ws.wall.clone();
+                assert!(
+                    per_phase.as_slice() == serial.as_slice(),
+                    "{what}: one-block sweep diverged from the per-phase sweeps"
+                );
+
+                for parts in partitions(n0) {
+                    let mut blocked = DgField::zeros(grid.len(), kernels.np());
+                    let mut wall = WallAccum::for_cdim(cdim);
+                    for blk in &parts {
+                        block_species_rhs(
+                            &op,
+                            blk.clone(),
+                            -1.0,
+                            &f,
+                            &em,
+                            &mut blocked,
+                            &mut ws,
+                            &bcs,
+                        );
+                        wall.add(&ws.wall);
+                    }
+                    assert!(
+                        serial.as_slice() == blocked.as_slice(),
+                        "{what}: partition {parts:?} diverged from the one-block sweep"
+                    );
+                    // Dim-0 walls belong whole to the first / last block,
+                    // so their ledger is bit-identical; higher-direction
+                    // walls are split across blocks (round-off).
+                    assert_eq!(wall.mass[0], serial_wall.mass[0], "{what} {parts:?}");
+                    assert_eq!(wall.energy[0], serial_wall.energy[0], "{what} {parts:?}");
+                    for (a, b) in wall
+                        .mass
+                        .iter()
+                        .chain(&wall.energy)
+                        .zip(serial_wall.mass.iter().chain(&serial_wall.energy))
+                    {
+                        for side in 0..2 {
+                            assert!((a[side] - b[side]).abs() <= 1e-12 * b[side].abs().max(1.0));
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -31,6 +31,12 @@
 //! Each public method takes an explicit configuration-cell range so the
 //! shared-memory layer (`dg-parallel`) can partition work without ghost
 //! layers — the paper's intra-node decomposition.
+//!
+//! Those methods are the per-phase sweeps. The coupled RHS runs the volume
+//! and every configuration face as one **cell-lane pass** instead
+//! (`VlasovOp::volume_and_conf_faces`): each run of velocity cells is
+//! packed once per configuration cell, every kernel accumulates into
+//! resident panels, and each cell's panel is added into `out` once.
 
 // Stencil/loop style: index-coupled stencil sweeps index several arrays in lockstep;
 // `needless_range_loop` rewrites would obscure that (workspace allow
@@ -39,8 +45,8 @@
 use dg_grid::{Bc, CellStoreMut, DgField, DimBc, PhaseGrid};
 use dg_kernels::accel::VelGeom;
 use dg_kernels::dispatch::{
-    DispatchPath, KernelDispatch, ResolvedSurfaceDir, ResolvedVolume, SurfaceBatch,
-    SurfaceKernelFn, SurfaceLanes, VolumeBatch, VolumeLanes,
+    DispatchPath, KernelDispatch, ResolvedSurface, ResolvedSurfaceDir, ResolvedVolume,
+    SurfaceBatch, SurfaceKernelEntry, SurfaceKernelFn, SurfaceLanes, VolumeBatch, VolumeLanes,
 };
 use dg_kernels::ops::OpReport;
 use dg_kernels::panel::LanePanel;
@@ -48,7 +54,7 @@ use dg_kernels::surface::FaceScratch;
 use dg_kernels::PhaseKernels;
 use dg_maxwell::NCOMP;
 use dg_poly::MAX_DIM;
-use dg_telemetry::{span, Collector, Counter, Phase};
+use dg_telemetry::{span, Collector, Counter, Phase, SpanGuard};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -135,19 +141,7 @@ impl WallAccum {
 #[derive(Clone, Debug, Default)]
 pub struct VlasovWorkspace {
     alpha: Vec<f64>,
-    alpha_face: Vec<f64>,
-    face: FaceScratch,
-    /// Per-side face-update staging: the single-cell periodic wrap (both
-    /// sides are the same cell), one-sided subdomain-edge writes, and the
-    /// interior side of every wall face land here instead of allocating
-    /// per velocity cell.
-    tmp_lo: Vec<f64>,
-    tmp_hi: Vec<f64>,
-    /// Synthesized ghost-cell coefficients for wall faces.
-    ghost: Vec<f64>,
-    /// `M2` reduction scratch for the wall energy ledger (conf-basis
-    /// length).
-    wall_m2: Vec<f64>,
+    stage: FaceStage,
     /// SoA panels for the batched volume kernel: cell centers (`ndim`
     /// coordinates × the velocity cells of one panel), distribution
     /// coefficients, and the zero-initialized accumulation panel whose
@@ -162,6 +156,12 @@ pub struct VlasovWorkspace {
     /// the lower side).
     panel_f2: LanePanel,
     panel_out2: LanePanel,
+    /// The cell-lane pass's resident panels, `Np` lane groups per
+    /// configuration cell: `f` of every cell its block reads (own cells,
+    /// then the dim-0 halo slices — see [`PassSlots`]) and one accumulation
+    /// panel per own cell. Grown to the block on its first pass.
+    cell_f: LanePanel,
+    cell_out: LanePanel,
     /// Wall-flux ledger accumulators, filled by the configuration-surface
     /// sweep; reset by [`VlasovOp::accumulate_rhs_bc`] (or manually when
     /// driving the sweep methods directly, as `dg-parallel` does).
@@ -171,6 +171,23 @@ pub struct VlasovWorkspace {
     pub probe: Collector,
 }
 
+/// One-cell face staging: the single-cell periodic wrap (both sides are
+/// the same cell), the interior side of every wall face and the runtime
+/// path's faces are computed here, then added to their cell — or to its
+/// lane of a pass panel — instead of allocating per velocity cell.
+#[derive(Clone, Debug, Default)]
+struct FaceStage {
+    alpha_face: Vec<f64>,
+    face: FaceScratch,
+    tmp_lo: Vec<f64>,
+    tmp_hi: Vec<f64>,
+    /// Synthesized ghost-cell coefficients for wall faces.
+    ghost: Vec<f64>,
+    /// `M2` reduction scratch for the wall energy ledger (conf-basis
+    /// length).
+    wall_m2: Vec<f64>,
+}
+
 impl VlasovWorkspace {
     // dg-analyze: allow(hot_alloc) — workspace constructor: every buffer here persists across RHS calls
     pub fn for_kernels(k: &PhaseKernels) -> Self {
@@ -178,17 +195,21 @@ impl VlasovWorkspace {
         face.ensure(k.max_face_len());
         VlasovWorkspace {
             alpha: vec![0.0; k.np()],
-            alpha_face: vec![0.0; k.max_face_len()],
-            face,
-            tmp_lo: vec![0.0; k.np()],
-            tmp_hi: vec![0.0; k.np()],
-            ghost: vec![0.0; k.np()],
-            wall_m2: vec![0.0; k.nc()],
+            stage: FaceStage {
+                alpha_face: vec![0.0; k.max_face_len()],
+                face,
+                tmp_lo: vec![0.0; k.np()],
+                tmp_hi: vec![0.0; k.np()],
+                ghost: vec![0.0; k.np()],
+                wall_m2: vec![0.0; k.nc()],
+            },
             panel_w: LanePanel::zeros(k.layout.ndim() * MAX_LANES),
             panel_f: LanePanel::zeros(k.np() * MAX_LANES),
             panel_out: LanePanel::zeros(k.np() * MAX_LANES),
             panel_f2: LanePanel::zeros(k.np() * MAX_LANES),
             panel_out2: LanePanel::zeros(k.np() * MAX_LANES),
+            cell_f: LanePanel::default(),
+            cell_out: LanePanel::default(),
             wall: WallAccum::for_cdim(k.layout.cdim),
             probe: Collector::Noop,
         }
@@ -224,6 +245,174 @@ impl VlasovWorkspace {
     }
 }
 
+/// The entry points of the cell-lane pass at one lane width: the volume
+/// kernel as resolved, and every configuration direction's face kernel
+/// compiled for the same ISA — so on AVX-512 the pass runs its faces at 8
+/// lanes, where the per-phase [`VlasovOp::surface_config`] stops at 4.
+#[derive(Clone, Debug)]
+struct CellKernels<const L: usize> {
+    volume: VolumeLanes<L>,
+    faces: Vec<SurfaceLanes<L>>,
+    /// The one-lane face kernels (every phase direction), for walls and
+    /// the single-cell periodic wrap.
+    scalar: &'static [SurfaceKernelFn],
+}
+
+/// [`CellKernels`] at the width the volume kernel resolved to; an operator
+/// has one when both its volume and surface paths are generated.
+#[derive(Clone, Debug)]
+enum CellPass {
+    X4(CellKernels<4>),
+    X8(CellKernels<8>),
+}
+
+impl CellPass {
+    // dg-analyze: allow(hot_alloc) — operator constructor: each direction's entry point is resolved once
+    fn new(volume: VolumeBatch, surface: &'static SurfaceKernelEntry, cdim: usize) -> Self {
+        let face = |d| {
+            SurfaceBatch::for_isa(surface, d, volume.isa())
+                .expect("the volume's ISA is on this CPU")
+        };
+        let scalar = surface.dirs;
+        match volume {
+            VolumeBatch::X4(volume) => CellPass::X4(CellKernels {
+                volume,
+                faces: (0..cdim)
+                    .map(|d| match face(d) {
+                        SurfaceBatch::X4(k) => k,
+                        SurfaceBatch::X8(_) => unreachable!("one ISA, one lane width"),
+                    })
+                    .collect(),
+                scalar,
+            }),
+            VolumeBatch::X8(volume) => CellPass::X8(CellKernels {
+                volume,
+                faces: (0..cdim)
+                    .map(|d| match face(d) {
+                        SurfaceBatch::X8(k) => k,
+                        SurfaceBatch::X4(_) => unreachable!("one ISA, one lane width"),
+                    })
+                    .collect(),
+                scalar,
+            }),
+        }
+    }
+}
+
+/// Which sides of a configuration face a cell block owns, and so writes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Owns {
+    Both,
+    Lower,
+    Upper,
+}
+
+/// One step of a block's configuration-face schedule
+/// ([`VlasovOp::conf_faces`]).
+#[derive(Clone, Copy, Debug)]
+enum ConfFace {
+    /// The wall face of direction `d` at boundary cell `clin`; `side` is
+    /// `-1` for the lower wall, `+1` for the upper.
+    Wall {
+        d: usize,
+        side: i32,
+        bc: Bc,
+        clin: usize,
+    },
+    /// The face between configuration cells `clo` and `chi` along `d`
+    /// (the same cell for a single-cell periodic direction).
+    Pair {
+        d: usize,
+        clo: usize,
+        chi: usize,
+        owns: Owns,
+    },
+}
+
+/// Where the cell-lane pass keeps a configuration cell's `f` panel: the
+/// block's own cells first, in order, then the dim-0 slices just below and
+/// above it — periodic wrap partner included — when they lie outside it.
+/// Accumulation panels exist for own cells only, in the same order.
+struct PassSlots {
+    own: Range<usize>,
+    stride0: usize,
+    halo: [Option<usize>; 2],
+}
+
+impl PassSlots {
+    fn new(grid: &PhaseGrid, block: &Range<usize>, bc0: DimBc) -> Self {
+        let n0 = grid.conf.cells()[0];
+        let stride0 = grid.conf.len() / n0;
+        let periodic = bc0.is_periodic();
+        let below = match block.start {
+            0 => periodic.then(|| n0 - 1),
+            i0 => Some(i0 - 1),
+        };
+        let above = if block.end < n0 {
+            Some(block.end)
+        } else {
+            periodic.then_some(0)
+        };
+        let below = below.filter(|i0| !block.contains(i0));
+        let above = above.filter(|i0| !block.contains(i0) && Some(*i0) != below);
+        PassSlots {
+            own: block.start * stride0..block.end * stride0,
+            stride0,
+            halo: [below, above],
+        }
+    }
+
+    /// Every configuration cell with an `f` panel, in slot order.
+    fn cells(&self) -> impl Iterator<Item = usize> + '_ {
+        let s = self.stride0;
+        let halo = self
+            .halo
+            .iter()
+            .flatten()
+            .flat_map(move |&i0| i0 * s..(i0 + 1) * s);
+        // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
+        self.own.clone().chain(halo)
+    }
+
+    fn len(&self) -> usize {
+        self.own.len() + self.halo.iter().flatten().count() * self.stride0
+    }
+
+    fn slot(&self, clin: usize) -> usize {
+        if self.own.contains(&clin) {
+            return clin - self.own.start;
+        }
+        let (i0, rest) = (clin / self.stride0, clin % self.stride0);
+        let mut base = self.own.len();
+        for h in self.halo.iter().flatten() {
+            if *h == i0 {
+                return base + rest;
+            }
+            base += self.stride0;
+        }
+        unreachable!("configuration cell {clin} is outside the block and its halo")
+    }
+}
+
+/// The telemetry phase a cell-lane pass is in. Entering another phase ends
+/// the open span before the next one starts, so spans never nest; entering
+/// the open one again keeps it.
+#[derive(Default)]
+struct PhaseSpan(Option<(Phase, SpanGuard)>);
+
+impl PhaseSpan {
+    fn enter(&mut self, probe: &Collector, phase: Phase) {
+        if !matches!(self.0, Some((open, _)) if open == phase) {
+            self.exit();
+            self.0 = Some((phase, probe.span(phase)));
+        }
+    }
+
+    fn exit(&mut self) {
+        self.0 = None;
+    }
+}
+
 /// The discrete Vlasov operator for one phase-space discretization (shared
 /// by all species on the same grid).
 #[derive(Clone, Debug)]
@@ -254,6 +443,9 @@ pub struct VlasovOp {
     /// Summary tag of the surface resolution (all directions resolve
     /// together; the registry always carries the full direction set).
     surface_path_tag: DispatchPath,
+    /// The cell-lane pass's entry points, resolved with the paths above;
+    /// `None` when either path is runtime-sparse.
+    cell_pass: Option<CellPass>,
     /// Full phase-space cell sizes `[Δx…, Δv…]` (the grid is uniform), in
     /// the committed kernels' calling convention.
     dxv: Vec<f64>,
@@ -358,6 +550,12 @@ impl VlasovOp {
         let surface_paths: Vec<ResolvedSurfaceDir> = (0..ndim).map(|d| surface.dir(d)).collect();
         let surface_path_tag = surface.path();
         let cdim = grid.cdim();
+        let cell_pass = match (volume_path, surface) {
+            (ResolvedVolume::Generated { batch, .. }, ResolvedSurface::Generated(entry)) => {
+                Some(CellPass::new(batch, entry, cdim))
+            }
+            _ => None,
+        };
         let dxv: Vec<f64> = grid
             .conf
             .dx()
@@ -414,6 +612,7 @@ impl VlasovOp {
             volume_path,
             surface_paths,
             surface_path_tag,
+            cell_pass,
             dxv,
             conf_centers,
             conf_nbr,
@@ -439,7 +638,9 @@ impl VlasovOp {
     /// volume kernel's tag (`generated/avx512x8`, `generated/avx2x4`,
     /// `generated/baselinex4` or `runtime-sparse`), then — joined by `+` —
     /// that of every face direction that resolved differently
-    /// (configuration directions stop at 4 lanes).
+    /// (configuration directions stop at 4 lanes in the per-phase
+    /// `surface_config`; the cell-lane pass runs them under the volume's
+    /// tag).
     pub fn kernel_entry_points(&self) -> impl std::fmt::Display + '_ {
         EntryPoints(self)
     }
@@ -660,39 +861,54 @@ impl VlasovOp {
                 }
             };
         }
-        // Single-cell periodic direction: both sides are the same cell;
-        // stage and accumulate sequentially. Streaming kernels never read
-        // `qm`/`em` (α̂ = v_d).
-        let k = &*self.kernels;
-        let (cdim, vdim) = (k.layout.cdim, k.layout.vdim);
-        let ndim = cdim + vdim;
         let nv = self.grid.vel.len();
-        let np = k.np();
-        let penalty = self.flux != FluxKind::Central;
-        let mut w = [0.0f64; MAX_DIM];
-        w[..cdim].copy_from_slice(&self.conf_centers[clo * cdim..][..cdim]);
         for vlin in 0..nv {
-            w[cdim..ndim].copy_from_slice(&self.vel_centers[vlin][..vdim]);
-            let cell = clo * nv + vlin;
-            let fc = f.cell(cell);
-            ws.tmp_lo[..np].fill(0.0);
-            ws.tmp_hi[..np].fill(0.0);
-            kernel(
-                &w[..ndim],
-                &self.dxv,
-                0.0,
-                &[],
-                penalty,
-                fc,
-                fc,
-                &mut ws.tmp_lo,
-                &mut ws.tmp_hi,
-            );
-            let oc = out.cell_mut(cell);
-            for (o, (a, b)) in oc.iter_mut().zip(ws.tmp_lo.iter().zip(&ws.tmp_hi)) {
+            let (lo, hi) = self.wrap_increment(kernel, f, &mut ws.stage, clo, vlin);
+            let oc = out.cell_mut(clo * nv + vlin);
+            for (o, (a, b)) in oc.iter_mut().zip(lo.iter().zip(hi)) {
                 *o += a + b;
             }
         }
+    }
+
+    /// The single-cell periodic wrap at phase cell `clin · Nv + vlin`: both
+    /// sides of the face are that cell, so its two increments are staged
+    /// and come back for the caller to add as `lo + hi`. Streaming kernels
+    /// never read `qm`/`em` (α̂ = v_d).
+    fn wrap_increment<'s>(
+        &self,
+        kernel: SurfaceKernelFn,
+        f: &DgField,
+        st: &'s mut FaceStage,
+        clin: usize,
+        vlin: usize,
+    ) -> (&'s [f64], &'s [f64]) {
+        let np = self.kernels.np();
+        let fc = f.cell(clin * self.grid.vel.len() + vlin);
+        st.tmp_lo[..np].fill(0.0);
+        st.tmp_hi[..np].fill(0.0);
+        kernel(
+            &self.center(clin, vlin)[..self.kernels.layout.ndim()],
+            &self.dxv,
+            0.0,
+            &[],
+            self.flux != FluxKind::Central,
+            fc,
+            fc,
+            &mut st.tmp_lo,
+            &mut st.tmp_hi,
+        );
+        (&st.tmp_lo[..np], &st.tmp_hi[..np])
+    }
+
+    /// The phase-space center of cell `(clin, vlin)` in the committed
+    /// kernels' convention (the leading `ndim` entries).
+    fn center(&self, clin: usize, vlin: usize) -> [f64; MAX_DIM] {
+        let (cdim, vdim) = (self.kernels.layout.cdim, self.kernels.layout.vdim);
+        let mut w = [0.0f64; MAX_DIM];
+        w[..cdim].copy_from_slice(&self.conf_centers[clin * cdim..][..cdim]);
+        w[cdim..cdim + vdim].copy_from_slice(&self.vel_centers[vlin][..vdim]);
+        w
     }
 
     /// One configuration-direction face between two distinct cells, in
@@ -771,7 +987,7 @@ impl VlasovOp {
         let central = self.flux == FluxKind::Central;
         for vlin in 0..nv {
             let vc = self.vel_centers[vlin][d];
-            let lam = k.stream_face_alpha(d, vc, vdx[d], &mut ws.alpha_face[..nf]);
+            let lam = k.stream_face_alpha(d, vc, vdx[d], &mut ws.stage.alpha_face[..nf]);
             let lam = if central { 0.0 } else { lam };
             let lo_cell = clo * nv + vlin;
             let hi_cell = chi * nv + vlin;
@@ -780,20 +996,23 @@ impl VlasovOp {
             if lo_cell == hi_cell {
                 // Single-cell periodic direction: stage both sides in the
                 // workspace, then accumulate sequentially.
-                ws.tmp_lo[..np].fill(0.0);
-                ws.tmp_hi[..np].fill(0.0);
+                ws.stage.tmp_lo[..np].fill(0.0);
+                ws.stage.tmp_hi[..np].fill(0.0);
                 surf.kernel.apply(
                     f_lo,
                     f_hi,
-                    &ws.alpha_face[..nf],
+                    &ws.stage.alpha_face[..nf],
                     lam,
                     scale,
-                    Some(&mut ws.tmp_lo),
-                    Some(&mut ws.tmp_hi),
-                    &mut ws.face,
+                    Some(&mut ws.stage.tmp_lo),
+                    Some(&mut ws.stage.tmp_hi),
+                    &mut ws.stage.face,
                 );
                 let oc = out.cell_mut(lo_cell);
-                for (o, (a, b)) in oc.iter_mut().zip(ws.tmp_lo.iter().zip(&ws.tmp_hi)) {
+                for (o, (a, b)) in oc
+                    .iter_mut()
+                    .zip(ws.stage.tmp_lo.iter().zip(&ws.stage.tmp_hi))
+                {
                     *o += a + b;
                 }
                 continue;
@@ -804,33 +1023,33 @@ impl VlasovOp {
                     surf.kernel.apply(
                         f_lo,
                         f_hi,
-                        &ws.alpha_face[..nf],
+                        &ws.stage.alpha_face[..nf],
                         lam,
                         scale,
                         Some(a),
                         Some(b),
-                        &mut ws.face,
+                        &mut ws.stage.face,
                     );
                 }
                 (true, false) => surf.kernel.apply(
                     f_lo,
                     f_hi,
-                    &ws.alpha_face[..nf],
+                    &ws.stage.alpha_face[..nf],
                     lam,
                     scale,
                     Some(out.cell_mut(lo_cell)),
                     None,
-                    &mut ws.face,
+                    &mut ws.stage.face,
                 ),
                 (false, true) => surf.kernel.apply(
                     f_lo,
                     f_hi,
-                    &ws.alpha_face[..nf],
+                    &ws.stage.alpha_face[..nf],
                     lam,
                     scale,
                     None,
                     Some(out.cell_mut(hi_cell)),
-                    &mut ws.face,
+                    &mut ws.stage.face,
                 ),
                 (false, false) => {}
             }
@@ -838,19 +1057,19 @@ impl VlasovOp {
     }
 
     /// Synthesize the ghost-cell coefficients for a wall face of direction
-    /// `d` into `ws.ghost`: the interior velocity block is at phase cell
+    /// `d` into `ghost`: the interior velocity block is at phase cell
     /// `clin · Nv + vlin`.
-    fn stage_ghost(&self, d: usize, bc: Bc, f: &DgField, ws: &mut VlasovWorkspace, cell: usize) {
+    fn stage_ghost(&self, d: usize, bc: Bc, f: &DgField, ghost: &mut [f64], cell: usize) {
         let np = self.kernels.np();
         match bc {
             // Vacuum ghost: pure outgoing upwind flux, exactly zero inflow.
-            Bc::Absorb => ws.ghost[..np].fill(0.0),
+            Bc::Absorb => ghost[..np].fill(0.0),
             // Even mirror in ξ_d: the ghost trace equals the interior
             // trace, so the face flux is the pure upwind flux of the
             // interior state (open/outflow).
             Bc::Copy => {
                 let fc = f.cell(cell);
-                for (g, (v, s)) in ws.ghost[..np]
+                for (g, (v, s)) in ghost[..np]
                     .iter_mut()
                     .zip(fc.iter().zip(&self.kernels.mirror_signs[d]))
                 {
@@ -865,7 +1084,7 @@ impl VlasovOp {
                 let nv = self.grid.vel.len();
                 let (clin, vlin) = (cell / nv, cell % nv);
                 let src = f.cell(clin * nv + self.vel_mirror[d][vlin] as usize);
-                for (g, (v, s)) in ws.ghost[..np]
+                for (g, (v, s)) in ghost[..np]
                     .iter_mut()
                     .zip(src.iter().zip(&self.kernels.reflect_signs[d]))
                 {
@@ -880,11 +1099,9 @@ impl VlasovOp {
 
     /// One wall face of configuration direction `d` (all velocity cells)
     /// at boundary cell `clin`; `side` is `-1` for the lower wall, `+1`
-    /// for the upper. The ghost state is synthesized per velocity cell
-    /// into workspace scratch, the ordinary single-valued face flux runs
-    /// against it, and only the interior side is accumulated — staged
-    /// through `ws.tmp_lo` so the net wall mass/energy flux lands in the
-    /// `ws.wall` ledger as a by-product (no extra flux evaluation).
+    /// for the upper. Each velocity cell's interior increment is staged by
+    /// `Self::wall_increment`, which books the wall's flux in `ws.wall`,
+    /// and then added to the cell.
     #[allow(clippy::too_many_arguments)]
     pub fn surface_config_wall<S: CellStoreMut>(
         &self,
@@ -896,109 +1113,104 @@ impl VlasovOp {
         ws: &mut VlasovWorkspace,
         clin: usize,
     ) {
-        debug_assert!(side == 1 || side == -1);
-        debug_assert!(bc.is_wall());
-        let k = &*self.kernels;
-        let (cdim, vdim) = (k.layout.cdim, k.layout.vdim);
-        let ndim = cdim + vdim;
         let nv = self.grid.vel.len();
         span!(ws.probe, Phase::Ghosts);
         ws.probe.count(Counter::FacesSwept, nv as u64);
-        let np = k.np();
-        let nc = k.nc();
-        let jv = self.grid.vel_jacobian();
-        let sidx = usize::from(side > 0);
-        let central = self.flux == FluxKind::Central;
-        let mut w = [0.0f64; MAX_DIM];
-        w[..cdim].copy_from_slice(&self.conf_centers[clin * cdim..][..cdim]);
         for vlin in 0..nv {
-            let cell = clin * nv + vlin;
-            self.stage_ghost(d, bc, f, ws, cell);
-            ws.tmp_lo[..np].fill(0.0);
-            match self.surface_paths[d] {
-                // Wall faces stay scalar: each boundary cell is one face.
-                ResolvedSurfaceDir::Generated { func: kernel, .. } => {
-                    // `w` of the streaming kernels only feeds the paired
-                    // velocity center of `α̂ = v_d` — identical for ghost
-                    // and interior — so the interior cell's center serves
-                    // both wall orientations.
-                    w[cdim..ndim].copy_from_slice(&self.vel_centers[vlin][..vdim]);
-                    ws.tmp_hi[..np].fill(0.0);
-                    if side > 0 {
-                        kernel(
-                            &w[..ndim],
-                            &self.dxv,
-                            0.0,
-                            &[],
-                            !central,
-                            f.cell(cell),
-                            &ws.ghost,
-                            &mut ws.tmp_lo,
-                            &mut ws.tmp_hi,
-                        );
-                    } else {
-                        kernel(
-                            &w[..ndim],
-                            &self.dxv,
-                            0.0,
-                            &[],
-                            !central,
-                            &ws.ghost,
-                            f.cell(cell),
-                            &mut ws.tmp_hi,
-                            &mut ws.tmp_lo,
-                        );
-                    }
-                }
-                ResolvedSurfaceDir::RuntimeSparse => {
-                    let surf = &k.surfaces[d];
-                    let nf = surf.kernel.face.len();
-                    let scale = 2.0 / self.grid.conf.dx()[d];
-                    let vc = self.vel_centers[vlin][d];
-                    let lam = k.stream_face_alpha(d, vc, self.dv[d], &mut ws.alpha_face[..nf]);
-                    let lam = if central { 0.0 } else { lam };
-                    if side > 0 {
-                        surf.kernel.apply(
-                            f.cell(cell),
-                            &ws.ghost,
-                            &ws.alpha_face[..nf],
-                            lam,
-                            scale,
-                            Some(&mut ws.tmp_lo[..np]),
-                            None,
-                            &mut ws.face,
-                        );
-                    } else {
-                        surf.kernel.apply(
-                            &ws.ghost,
-                            f.cell(cell),
-                            &ws.alpha_face[..nf],
-                            lam,
-                            scale,
-                            None,
-                            Some(&mut ws.tmp_lo[..np]),
-                            &mut ws.face,
-                        );
-                    }
-                }
-            }
-            let oc = out.cell_mut(cell);
-            for (o, t) in oc.iter_mut().zip(&ws.tmp_lo[..np]) {
+            let t = self.wall_increment(d, side, bc, f, &mut ws.stage, &mut ws.wall, clin, vlin);
+            for (o, t) in out.cell_mut(clin * nv + vlin).iter_mut().zip(t) {
                 *o += t;
             }
-            // Ledger: the staged interior update *is* the wall's flux
-            // divergence for this velocity block.
-            ws.wall.mass[d][sidx] += ws.tmp_lo[0];
-            ws.wall_m2[..nc].fill(0.0);
-            k.moments.accumulate_m2(
-                &ws.tmp_lo[..np],
-                jv,
-                &self.vel_centers[vlin][..vdim],
-                &self.dv[..vdim],
-                &mut ws.wall_m2,
-            );
-            ws.wall.energy[d][sidx] += ws.wall_m2[0];
         }
+    }
+
+    /// The interior increment of the wall face of direction `d` at phase
+    /// cell `clin · Nv + vlin` (`side` as for [`Self::surface_config_wall`]),
+    /// for the caller to add: the ghost state is synthesized into `st`, the
+    /// ordinary single-valued face flux runs against it, and the interior
+    /// side is staged in `st.tmp_lo` — so the net wall mass/energy flux
+    /// lands in the `wall` ledger as a by-product (no extra flux
+    /// evaluation). Wall faces stay scalar: each boundary cell is one face.
+    #[allow(clippy::too_many_arguments)]
+    fn wall_increment<'s>(
+        &self,
+        d: usize,
+        side: i32,
+        bc: Bc,
+        f: &DgField,
+        st: &'s mut FaceStage,
+        wall: &mut WallAccum,
+        clin: usize,
+        vlin: usize,
+    ) -> &'s [f64] {
+        debug_assert!(side == 1 || side == -1);
+        debug_assert!(bc.is_wall());
+        let k = &*self.kernels;
+        let vdim = k.layout.vdim;
+        let (np, nc) = (k.np(), k.nc());
+        let central = self.flux == FluxKind::Central;
+        let cell = clin * self.grid.vel.len() + vlin;
+        self.stage_ghost(d, bc, f, &mut st.ghost, cell);
+        st.tmp_lo[..np].fill(0.0);
+        match self.surface_paths[d] {
+            ResolvedSurfaceDir::Generated { func: kernel, .. } => {
+                // `w` of the streaming kernels only feeds the paired
+                // velocity center of `α̂ = v_d` — identical for ghost and
+                // interior — so the interior cell's center serves both
+                // wall orientations.
+                let w = self.center(clin, vlin);
+                let w = &w[..k.layout.ndim()];
+                st.tmp_hi[..np].fill(0.0);
+                // The interior side's increment lands in `tmp_lo`, the
+                // ghost side's in `tmp_hi` (discarded).
+                let (f_in, ghost) = (f.cell(cell), &st.ghost[..]);
+                let (lo, hi) = if side > 0 {
+                    (f_in, ghost)
+                } else {
+                    (ghost, f_in)
+                };
+                let (interior, outside) = (&mut st.tmp_lo, &mut st.tmp_hi);
+                let (o_lo, o_hi) = if side > 0 {
+                    (interior, outside)
+                } else {
+                    (outside, interior)
+                };
+                kernel(w, &self.dxv, 0.0, &[], !central, lo, hi, o_lo, o_hi);
+            }
+            ResolvedSurfaceDir::RuntimeSparse => {
+                let surf = &k.surfaces[d];
+                let nf = surf.kernel.face.len();
+                let scale = 2.0 / self.grid.conf.dx()[d];
+                let vc = self.vel_centers[vlin][d];
+                let lam = k.stream_face_alpha(d, vc, self.dv[d], &mut st.alpha_face[..nf]);
+                let lam = if central { 0.0 } else { lam };
+                let (f_in, alpha) = (f.cell(cell), &st.alpha_face[..nf]);
+                let interior = Some(&mut st.tmp_lo[..np]);
+                if side > 0 {
+                    let (lo, hi) = (f_in, &st.ghost[..]);
+                    surf.kernel
+                        .apply(lo, hi, alpha, lam, scale, interior, None, &mut st.face);
+                } else {
+                    let (lo, hi) = (&st.ghost[..], f_in);
+                    surf.kernel
+                        .apply(lo, hi, alpha, lam, scale, None, interior, &mut st.face);
+                }
+            }
+        }
+        // Ledger: the staged interior update *is* the wall's flux
+        // divergence for this velocity block.
+        let sidx = usize::from(side > 0);
+        wall.mass[d][sidx] += st.tmp_lo[0];
+        st.wall_m2[..nc].fill(0.0);
+        k.moments.accumulate_m2(
+            &st.tmp_lo[..np],
+            self.grid.vel_jacobian(),
+            &self.vel_centers[vlin][..vdim],
+            &self.dv[..vdim],
+            &mut st.wall_m2,
+        );
+        wall.energy[d][sidx] += st.wall_m2[0];
+        &st.tmp_lo[..np]
     }
 
     /// All configuration-direction surface terms of direction `d` for the
@@ -1107,7 +1319,7 @@ impl VlasovOp {
                                     v_c: &vc[..vdim],
                                     dv: &self.dv[..vdim],
                                 },
-                                &mut ws.alpha_face[..nf],
+                                &mut ws.stage.alpha_face[..nf],
                             );
                             let lam = if central { 0.0 } else { lam };
                             for i in 0..n_j - 1 {
@@ -1117,12 +1329,12 @@ impl VlasovOp {
                                 surf.kernel.apply(
                                     f.cell(lo_cell),
                                     f.cell(hi_cell),
-                                    &ws.alpha_face[..nf],
+                                    &ws.stage.alpha_face[..nf],
                                     lam,
                                     scale,
                                     Some(o_lo),
                                     Some(o_hi),
-                                    &mut ws.face,
+                                    &mut ws.stage.face,
                                 );
                             }
                         }
@@ -1189,8 +1401,297 @@ impl VlasovOp {
         }
     }
 
+    /// The configuration faces of the dim-0 cell block `block` (a range of
+    /// dimension-0 slices, as in [`crate::blocks::CellBlocks`]), in the
+    /// order each of its cells receives them — which is what makes every
+    /// block decomposition bit-identical to one block: directions
+    /// ascending; per direction the lower walls, then the faces by
+    /// ascending lower cell, then the upper walls. Along dimension 0 those
+    /// faces are the received face below the block, its interior faces,
+    /// and the sending face above it or the periodic wrap (both sides when
+    /// the block spans the direction); the first of several blocks receives
+    /// the wrap last, where a whole-domain sweep visits it. Faces of higher
+    /// directions never leave a dim-0 slice, so they are all the block's.
+    fn conf_faces(&self, block: Range<usize>, bcs: &[DimBc], mut visit: impl FnMut(ConfFace)) {
+        /// Every face between dim-0 slices `lo` and `hi`.
+        fn slices(s: usize, lo: usize, hi: usize, owns: Owns, visit: &mut impl FnMut(ConfFace)) {
+            for rest in 0..s {
+                let (clo, chi) = (lo * s + rest, hi * s + rest);
+                visit(ConfFace::Pair {
+                    d: 0,
+                    clo,
+                    chi,
+                    owns,
+                });
+            }
+        }
+        for (d, bc) in bcs.iter().enumerate() {
+            // Periodicity is baked into the neighbour table at construction;
+            // per-species overrides may only change the wall flavor.
+            debug_assert_eq!(bc.is_periodic(), self.grid.is_conf_periodic(d));
+        }
+        let n0 = self.grid.conf.cells()[0];
+        let s = self.grid.conf.len() / n0;
+        let bc0 = bcs[0];
+        if block.start == 0 && bc0.lower.is_wall() {
+            for clin in 0..s {
+                visit(ConfFace::Wall {
+                    d: 0,
+                    side: -1,
+                    bc: bc0.lower,
+                    clin,
+                });
+            }
+        }
+        if block.start > 0 {
+            slices(s, block.start - 1, block.start, Owns::Upper, &mut visit);
+        }
+        for i0 in block.start..block.end - 1 {
+            slices(s, i0, i0 + 1, Owns::Both, &mut visit);
+        }
+        if block.end < n0 {
+            slices(s, block.end - 1, block.end, Owns::Lower, &mut visit);
+        } else if bc0.is_periodic() {
+            let owns = if block.start == 0 {
+                Owns::Both
+            } else {
+                Owns::Lower
+            };
+            slices(s, n0 - 1, 0, owns, &mut visit);
+        }
+        if block.start == 0 && block.end < n0 && bc0.is_periodic() {
+            slices(s, n0 - 1, 0, Owns::Upper, &mut visit);
+        }
+        if block.end == n0 && bc0.upper.is_wall() {
+            for rest in 0..s {
+                let clin = (n0 - 1) * s + rest;
+                visit(ConfFace::Wall {
+                    d: 0,
+                    side: 1,
+                    bc: bc0.upper,
+                    clin,
+                });
+            }
+        }
+        let conf_range = block.start * s..block.end * s;
+        for (d, bc) in bcs.iter().enumerate().skip(1) {
+            let walls = |cells: &[u32], side, bc: Bc, visit: &mut dyn FnMut(ConfFace)| {
+                if bc.is_wall() {
+                    for clin in cells.iter().map(|&c| c as usize) {
+                        if conf_range.contains(&clin) {
+                            visit(ConfFace::Wall { d, side, bc, clin });
+                        }
+                    }
+                }
+            };
+            walls(&self.wall_lo[d], -1, bc.lower, &mut visit);
+            // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
+            for clo in conf_range.clone() {
+                if let Some(chi) = self.conf_nbr[d][clo] {
+                    let chi = chi as usize;
+                    visit(ConfFace::Pair {
+                        d,
+                        clo,
+                        chi,
+                        owns: Owns::Both,
+                    });
+                }
+            }
+            walls(&self.wall_hi[d], 1, bc.upper, &mut visit);
+        }
+    }
+
+    /// The volume term and every configuration face of the dim-0 cell
+    /// block `block`, faces in the block's schedule ([`Self::conf_faces`]):
+    /// the cell-lane pass ([`Self::cell_pass`]) when both kernel paths are
+    /// generated, otherwise the per-phase sweeps face by face.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn volume_and_conf_faces<S: CellStoreMut>(
+        &self,
+        qm: f64,
+        f: &DgField,
+        em: &DgField,
+        out: &mut S,
+        ws: &mut VlasovWorkspace,
+        block: Range<usize>,
+        bcs: &[DimBc],
+    ) {
+        if block.is_empty() {
+            return;
+        }
+        match &self.cell_pass {
+            Some(CellPass::X4(k)) => self.cell_pass(k, qm, f, em, out, ws, block, bcs),
+            Some(CellPass::X8(k)) => self.cell_pass(k, qm, f, em, out, ws, block, bcs),
+            None => {
+                let s = self.grid.conf.len() / self.grid.conf.cells()[0];
+                self.volume(qm, f, em, out, ws, block.start * s..block.end * s);
+                // One Surface span per run of faces; the wall calls keep
+                // their own `Phase::Ghosts` spans.
+                let mut span = PhaseSpan::default();
+                self.conf_faces(block, bcs, |face| match face {
+                    ConfFace::Wall { d, side, bc, clin } => {
+                        span.exit();
+                        self.surface_config_wall(d, side, bc, f, out, ws, clin);
+                    }
+                    ConfFace::Pair { d, clo, chi, owns } => {
+                        span.enter(&ws.probe, Phase::Surface);
+                        let (lo, hi) = (owns != Owns::Upper, owns != Owns::Lower);
+                        self.surface_config_face(d, f, out, ws, clo, chi, lo, hi);
+                    }
+                });
+            }
+        }
+    }
+
+    /// The cell-lane pass over `block` at lane width `L`. Per run of `L`
+    /// consecutive velocity cells — the volume sweep's lane groups, a
+    /// partial last one included (spare lanes repeat its last cell and are
+    /// never unpacked) — it packs `f` of every configuration cell the block
+    /// reads once ([`PassSlots`]), zero-fills one accumulation panel per own
+    /// cell, runs the volume kernel and then the block's face schedule
+    /// straight into those panels, and adds each panel into `out` once. A
+    /// side the block does not own goes to a discard panel; walls and the
+    /// single-cell periodic wrap run the per-phase scalar code lane by lane
+    /// and add their staged increment into the lane.
+    ///
+    /// From a zeroed `out` this is the per-phase sweeps bit for bit. Every
+    /// generated surface body writes each output coefficient exactly once
+    /// (`codegen` test), so the per-phase face's `out += (0 + c·g)` is the
+    /// pass's `P += c·g` — `0 + x` differs from `x` only for `x = −0.0`,
+    /// which adds like `+0.0` to a panel entry that, being a sum started at
+    /// `+0.0`, is never `−0.0` itself under round-to-nearest; the volume is
+    /// each cell's first term either way, and the final `0 + P` is `P`. The
+    /// wall ledger sums the same staged increments, lane group by lane
+    /// group — the per-phase order when one cell carries each wall.
+    #[allow(clippy::too_many_arguments)]
+    fn cell_pass<const L: usize, S: CellStoreMut>(
+        &self,
+        k: &CellKernels<L>,
+        qm: f64,
+        f: &DgField,
+        em: &DgField,
+        out: &mut S,
+        ws: &mut VlasovWorkspace,
+        block: Range<usize>,
+        bcs: &[DimBc],
+    ) {
+        let np = self.kernels.np();
+        let nv = self.grid.vel.len();
+        let penalty = self.flux != FluxKind::Central;
+        let slots = PassSlots::new(&self.grid, &block, bcs[0]);
+        // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
+        let own = slots.own.clone();
+        // Sized for the widest lane group on the first pass over a block
+        // this large (the workspace constructor does not know the grid);
+        // every later pass reuses the panels.
+        ws.cell_f.ensure(slots.len() * np * MAX_LANES);
+        ws.cell_out.ensure(own.len() * np * MAX_LANES);
+        let VlasovWorkspace {
+            stage,
+            panel_w,
+            panel_out,
+            cell_f,
+            cell_out,
+            wall,
+            probe,
+            ..
+        } = ws;
+        let probe: &Collector = probe;
+        let w = &mut panel_w.lanes_mut::<L>()[..self.kernels.layout.ndim()];
+        let discard = &mut panel_out.lanes_mut::<L>()[..np];
+        let pf = &mut cell_f.lanes_mut::<L>()[..slots.len() * np];
+        let po = &mut cell_out.lanes_mut::<L>()[..own.len() * np];
+        let f_of = |clin: usize| slots.slot(clin) * np..(slots.slot(clin) + 1) * np;
+        let out_of = |clin: usize| (clin - own.start) * np..(clin - own.start + 1) * np;
+        for v0 in (0..nv).step_by(L) {
+            let lanes = L.min(nv - v0);
+            let vlin: [usize; L] = std::array::from_fn(|lane| v0 + lane.min(lanes - 1));
+            self.fill_vel_centers(w, &vlin);
+            {
+                span!(probe, Phase::Volume);
+                let swept = (own.len() * lanes) as u64;
+                probe.count(Counter::CellsSwept, swept);
+                probe.count(Counter::DofProcessed, swept * np as u64);
+                for clin in slots.cells() {
+                    let cells = vlin.map(|v| f.cell(clin * nv + v));
+                    k.volume.moves.pack(&mut pf[f_of(clin)], cells);
+                }
+                // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
+                for clin in own.clone() {
+                    let p = &mut po[out_of(clin)];
+                    p.fill([0.0; L]);
+                    self.fill_conf_center(w, clin);
+                    k.volume
+                        .call(w, &self.dxv, qm, em.cell(clin), &pf[f_of(clin)], p);
+                }
+            }
+            let mut span = PhaseSpan::default();
+            let mut faces = 0u64;
+            // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
+            self.conf_faces(block.clone(), bcs, |face| {
+                faces += 1;
+                match face {
+                    ConfFace::Wall { d, side, bc, clin } => {
+                        span.enter(probe, Phase::Ghosts);
+                        let p = &mut po[out_of(clin)];
+                        for lane in 0..lanes {
+                            let v = v0 + lane;
+                            let t = self.wall_increment(d, side, bc, f, stage, wall, clin, v);
+                            for (p, t) in p.iter_mut().zip(t) {
+                                p[lane] += t;
+                            }
+                        }
+                    }
+                    ConfFace::Pair { d, clo, chi, .. } if clo == chi => {
+                        span.enter(probe, Phase::Surface);
+                        let p = &mut po[out_of(clo)];
+                        for lane in 0..lanes {
+                            let (lo, hi) =
+                                self.wrap_increment(k.scalar[d], f, stage, clo, v0 + lane);
+                            for (p, (a, b)) in p.iter_mut().zip(lo.iter().zip(hi)) {
+                                p[lane] += a + b;
+                            }
+                        }
+                    }
+                    ConfFace::Pair { d, clo, chi, owns } => {
+                        span.enter(probe, Phase::Surface);
+                        let (o_lo, o_hi) = match owns {
+                            Owns::Both => {
+                                let [lo, hi] = po
+                                    .get_disjoint_mut([out_of(clo), out_of(chi)])
+                                    .expect("a face joins two cells");
+                                (lo, hi)
+                            }
+                            Owns::Lower => (&mut po[out_of(clo)], &mut *discard),
+                            Owns::Upper => (&mut *discard, &mut po[out_of(chi)]),
+                        };
+                        let (f_lo, f_hi) = (&pf[f_of(clo)], &pf[f_of(chi)]);
+                        self.fill_conf_center(w, clo);
+                        // Streaming kernels never read `qm`/`em` (α̂ = v_d).
+                        k.faces[d].call(w, &self.dxv, 0.0, &[], penalty, f_lo, f_hi, o_lo, o_hi);
+                    }
+                }
+            });
+            probe.count(Counter::FacesSwept, faces * lanes as u64);
+            span.enter(probe, Phase::Surface);
+            // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
+            for clin in own.clone() {
+                let cells = vlin.map(|v| clin * nv + v);
+                k.volume
+                    .moves
+                    .unpack_add(out.cells_mut(&cells, lanes), &po[out_of(clin)]);
+            }
+        }
+    }
+
     /// The full collisionless RHS, serial: `out += L(f; E, B)`, with the
-    /// grid's domain-default boundary conditions.
+    /// grid's domain-default boundary conditions. The volume and
+    /// configuration-face part reaches `out` as **one increment per cell**
+    /// (the cell-lane pass, `Self::volume_and_conf_faces`); the velocity
+    /// faces then add theirs. From a zeroed `out` — what every RHS driver
+    /// passes — that is the per-phase sequence `volume`, `surface_config`
+    /// by direction, `surface_velocity` bit for bit; onto non-zero `out`
+    /// the first sum associates differently.
     pub fn accumulate_rhs(
         &self,
         qm: f64,
@@ -1202,10 +1703,12 @@ impl VlasovOp {
         self.accumulate_rhs_bc(qm, f, em, out, ws, &self.grid.conf_bc);
     }
 
-    /// The full collisionless RHS with explicit per-dimension boundary
+    /// [`Self::accumulate_rhs`] with explicit per-dimension boundary
     /// conditions (the per-species hook: species may override the wall
     /// flavor on non-periodic axes). Resets and refills the workspace's
-    /// wall-flux ledger (`ws.wall`).
+    /// wall-flux ledger (`ws.wall`). This is the one-block call of
+    /// [`crate::blocks::block_species_rhs`], so the serial, threaded and
+    /// rank-parallel RHS run one sweep in one order.
     pub fn accumulate_rhs_bc(
         &self,
         qm: f64,
@@ -1216,13 +1719,8 @@ impl VlasovOp {
         bcs: &[DimBc],
     ) {
         debug_assert_eq!(bcs.len(), self.grid.cdim());
-        let nconf = self.grid.conf.len();
-        ws.wall.reset();
-        self.volume(qm, f, em, out, ws, 0..nconf);
-        for d in 0..self.grid.cdim() {
-            self.surface_config(d, f, out, ws, 0..nconf, bcs[d]);
-        }
-        self.surface_velocity(qm, f, em, out, ws, 0..nconf);
+        let n0 = self.grid.conf.cells()[0];
+        crate::blocks::block_species_rhs(self, 0..n0, qm, f, em, out, ws, bcs);
     }
 
     /// Exact `max |v_d|` over the velocity grid (streaming CFL).
@@ -1241,6 +1739,7 @@ mod tests {
     use dg_grid::{Bc, CartGrid};
     use dg_kernels::dispatch::{find_surface_kernel, find_volume_kernel, BatchIsa};
     use dg_kernels::{kernels_for, PhaseLayout};
+    use dg_telemetry::Registry;
 
     fn setup_1x1v(nx: usize, nvx: usize, p: usize) -> (VlasovOp, Species, DgField) {
         let kernels = kernels_for(BasisKind::Serendipity, PhaseLayout::new(1, 1), p);
@@ -1383,13 +1882,14 @@ mod tests {
         conf_cells: &[usize],
         vel_cells: &[usize],
         flux: FluxKind,
+        bcs: Vec<DimBc>,
     ) -> (VlasovOp, DgField, DgField) {
         let (cdim, vdim) = (conf_cells.len(), vel_cells.len());
         let kernels = kernels_for(BasisKind::Serendipity, PhaseLayout::new(cdim, vdim), p);
         let grid = PhaseGrid::new(
             CartGrid::new(&vec![0.0; cdim], &vec![1.0; cdim], conf_cells),
             CartGrid::new(&vec![-3.0; vdim], &vec![3.0; vdim], vel_cells),
-            vec![Bc::Periodic; cdim],
+            bcs,
         );
         let mut f = DgField::zeros(grid.conf.len() * grid.vel.len(), kernels.np());
         for (i, v) in f.as_mut_slice().iter_mut().enumerate() {
@@ -1403,35 +1903,57 @@ mod tests {
         (op, f, em)
     }
 
+    fn periodic(cdim: usize) -> Vec<DimBc> {
+        vec![DimBc::from(Bc::Periodic); cdim]
+    }
+
+    /// (poly order, configuration cells, velocity cells, boundary
+    /// conditions).
+    type CellCase = (usize, &'static [usize], &'static [usize], Vec<DimBc>);
+
+    /// [`SCHEDULE_CASES`] on periodic grids, then a walled 1x1v and a
+    /// walled 2x2v case: every wall flavour on either side of either axis.
+    fn cell_cases() -> impl Iterator<Item = CellCase> {
+        let periodic = SCHEDULE_CASES
+            .iter()
+            .map(|&(p, conf, vel)| (p, conf, vel, periodic(conf.len())));
+        let walled: [CellCase; 2] = [
+            (2, &[3], &[9], vec![DimBc::new(Bc::Reflect, Bc::Absorb)]),
+            (
+                1,
+                &[3, 2],
+                &[3, 3],
+                vec![
+                    DimBc::new(Bc::Absorb, Bc::Copy),
+                    DimBc::new(Bc::Copy, Bc::Reflect),
+                ],
+            ),
+        ];
+        periodic.chain(walled)
+    }
+
     /// Re-resolve every batched entry point of `op` to `isa` — what the
-    /// operator would have picked on a CPU whose widest ISA that is;
-    /// `false` when this host cannot run it.
+    /// operator would have picked on a CPU whose widest ISA that is, the
+    /// cell-lane pass included; `false` when this host cannot run it.
     fn force_isa(op: &mut VlasovOp, isa: BatchIsa) -> bool {
         let k = &op.kernels;
         let (kind, p) = (k.phase_basis.kind(), k.phase_basis.poly_order());
         let vol = find_volume_kernel(kind, k.layout, p).expect("case is in the registry");
         let surf = find_surface_kernel(kind, k.layout, p).expect("case is in the registry");
-        let volume = match isa {
-            BatchIsa::Baseline => Some(VolumeBatch::baseline(vol)),
-            BatchIsa::Avx2 => VolumeBatch::avx2(vol),
-            BatchIsa::Avx512 => VolumeBatch::avx512(vol),
+        let Some(batch) = VolumeBatch::for_isa(vol, isa) else {
+            return false;
         };
-        let Some(batch) = volume else { return false };
         op.volume_path = ResolvedVolume::Generated {
             func: vol.func,
             batch,
         };
         for (d, path) in op.surface_paths.iter_mut().enumerate() {
-            let batch = match isa {
-                BatchIsa::Baseline => SurfaceBatch::baseline(surf, d),
-                BatchIsa::Avx2 => SurfaceBatch::avx2(surf, d).expect("volume resolved"),
-                BatchIsa::Avx512 => SurfaceBatch::avx512(surf, d).expect("volume resolved"),
-            };
             *path = ResolvedSurfaceDir::Generated {
                 func: surf.dirs[d],
-                batch,
+                batch: SurfaceBatch::for_isa(surf, d, isa).expect("volume resolved"),
             };
         }
+        op.cell_pass = Some(CellPass::new(batch, surf, op.grid.cdim()));
         true
     }
 
@@ -1473,7 +1995,7 @@ mod tests {
         for &(p, conf_cells, vel_cells) in SCHEDULE_CASES {
             let (cdim, vdim) = (conf_cells.len(), vel_cells.len());
             for flux in [FluxKind::Upwind, FluxKind::Central] {
-                let (mut op, f, em) = schedule_case(p, conf_cells, vel_cells, flux);
+                let (mut op, f, em) = schedule_case(p, conf_cells, vel_cells, flux, periodic(cdim));
                 let grid = op.grid.clone();
                 let (nv, nconf) = (grid.vel.len(), grid.conf.len());
                 // Non-zero starting increments, so the order in which a cell
@@ -1536,23 +2058,96 @@ mod tests {
         report_widths("face_panel_schedule", ran);
     }
 
+    /// `acc` plus every configuration face through the one-lane committed
+    /// kernels, in a whole-domain sweep's order: directions ascending; per
+    /// direction the lower walls, the faces by ascending lower cell (a
+    /// single-cell periodic wrap staged and its two sides summed), the
+    /// upper walls — walls through `surface_config_wall`, the per-cell
+    /// scalar code both sweeps share.
+    fn scalar_conf_faces(op: &VlasovOp, f: &DgField, bcs: &[DimBc], mut acc: DgField) -> DgField {
+        let k = &op.kernels;
+        let (cdim, vdim, np) = (k.layout.cdim, k.layout.vdim, k.np());
+        let (nv, nconf) = (op.grid.vel.len(), op.grid.conf.len());
+        let surf =
+            find_surface_kernel(BasisKind::Serendipity, k.layout, k.phase_basis.poly_order())
+                .expect("case is in the registry");
+        let mut ws = VlasovWorkspace::for_kernels(k);
+        let mut w = vec![0.0; cdim + vdim];
+        let (mut a, mut b) = (vec![0.0; np], vec![0.0; np]);
+        for d in 0..cdim {
+            let mut walls = |cells: &[u32], side, bc: Bc, acc: &mut DgField| {
+                if bc.is_wall() {
+                    for &clin in cells {
+                        op.surface_config_wall(d, side, bc, f, acc, &mut ws, clin as usize);
+                    }
+                }
+            };
+            walls(&op.wall_lo[d], -1, bcs[d].lower, &mut acc);
+            for clo in 0..nconf {
+                let Some(chi) = op.conf_nbr[d][clo] else {
+                    continue;
+                };
+                w[..cdim].copy_from_slice(&op.conf_centers[clo * cdim..][..cdim]);
+                for vlin in 0..nv {
+                    w[cdim..].copy_from_slice(&op.vel_centers[vlin][..vdim]);
+                    let (lo, hi) = (clo * nv + vlin, chi as usize * nv + vlin);
+                    let kernel = surf.dirs[d];
+                    if lo == hi {
+                        a.fill(0.0);
+                        b.fill(0.0);
+                        kernel(
+                            &w,
+                            &op.dxv,
+                            0.0,
+                            &[],
+                            true,
+                            f.cell(lo),
+                            f.cell(lo),
+                            &mut a,
+                            &mut b,
+                        );
+                        for (o, (a, b)) in acc.cell_mut(lo).iter_mut().zip(a.iter().zip(&b)) {
+                            *o += a + b;
+                        }
+                    } else {
+                        let (o_lo, o_hi) = acc.cell_pair_mut(lo, hi);
+                        kernel(
+                            &w,
+                            &op.dxv,
+                            0.0,
+                            &[],
+                            true,
+                            f.cell(lo),
+                            f.cell(hi),
+                            o_lo,
+                            o_hi,
+                        );
+                    }
+                }
+            }
+            walls(&op.wall_hi[d], 1, bcs[d].upper, &mut acc);
+        }
+        acc
+    }
+
     #[test]
     fn cell_panel_schedule_matches_scalar_cell_sweep_bitwise() {
         // The volume twin of the face-panel test, and the configuration
         // faces with it: `volume` and `surface_config` batch runs of
-        // velocity cells with a partial last panel per configuration cell.
-        // The reference is the scalar committed kernels cell by cell — the
-        // volume term from zero (it is each cell's first contribution), the
-        // faces into non-zero increments, lower face of a cell first.
+        // velocity cells with a partial last panel per configuration cell,
+        // and the cell-lane pass runs both over panels resident for a whole
+        // lane group. The reference is the scalar committed kernels cell by
+        // cell: the volume from zero (each cell's first contribution), then
+        // the configuration faces with `d` ascending — onto non-zero
+        // increments for the per-phase sweep, onto the volume for the pass.
         let mut ran = [false; 3];
-        for &(p, conf_cells, vel_cells) in SCHEDULE_CASES {
+        for (p, conf_cells, vel_cells, bcs) in cell_cases() {
             let (cdim, vdim) = (conf_cells.len(), vel_cells.len());
-            let (mut op, f, em) = schedule_case(p, conf_cells, vel_cells, FluxKind::Upwind);
+            let (mut op, f, em) =
+                schedule_case(p, conf_cells, vel_cells, FluxKind::Upwind, bcs.clone());
             let (nv, nconf, np) = (op.grid.vel.len(), op.grid.conf.len(), op.kernels.np());
             let qm = 0.75;
-            let layout = op.kernels.layout;
-            let vol = find_volume_kernel(BasisKind::Serendipity, layout, p).unwrap();
-            let surf = find_surface_kernel(BasisKind::Serendipity, layout, p).unwrap();
+            let vol = find_volume_kernel(BasisKind::Serendipity, op.kernels.layout, p).unwrap();
 
             let mut w = vec![0.0; cdim + vdim];
             let mut want_vol = DgField::zeros(nconf * nv, np);
@@ -1575,62 +2170,117 @@ mod tests {
             for (i, v) in start.as_mut_slice().iter_mut().enumerate() {
                 *v = ((i * 31 % 47) as f64 - 23.0) * 0.2;
             }
-            let mut want_faces = start.clone();
-            for d in 0..cdim {
-                for clo in 0..nconf {
-                    let Some(chi) = op.conf_nbr[d][clo] else {
-                        continue;
-                    };
-                    let chi = chi as usize;
-                    if chi == clo {
-                        continue; // the single-cell wrap is scalar in both
-                    }
-                    w[..cdim].copy_from_slice(&op.conf_centers[clo * cdim..][..cdim]);
-                    for vlin in 0..nv {
-                        w[cdim..].copy_from_slice(&op.vel_centers[vlin][..vdim]);
-                        let (lo, hi) = (clo * nv + vlin, chi * nv + vlin);
-                        let (o_lo, o_hi) = want_faces.cell_pair_mut(lo, hi);
-                        (surf.dirs[d])(
-                            &w,
-                            &op.dxv,
-                            0.0,
-                            &[],
-                            true,
-                            f.cell(lo),
-                            f.cell(hi),
-                            o_lo,
-                            o_hi,
-                        );
-                    }
-                }
-            }
+            let want_faces = scalar_conf_faces(&op, &f, &bcs, start.clone());
+            let want_pass = scalar_conf_faces(&op, &f, &bcs, want_vol.clone());
 
             ran = at_every_width(&mut op, |op, width| {
                 let mut ws = VlasovWorkspace::for_kernels(&op.kernels);
                 let mut got_vol = DgField::zeros(nconf * nv, np);
                 op.volume(qm, &f, &em, &mut got_vol, &mut ws, 0..nconf);
                 let mut got_faces = start.clone();
-                for d in 0..cdim {
-                    if conf_cells[d] > 1 {
-                        let bc = op.grid.conf_bc[d];
-                        op.surface_config(d, &f, &mut got_faces, &mut ws, 0..nconf, bc);
-                    }
+                for (d, &bc) in bcs.iter().enumerate() {
+                    op.surface_config(d, &f, &mut got_faces, &mut ws, 0..nconf, bc);
                 }
+                let per_phase_wall = ws.wall.clone();
+                ws.wall.reset();
+                let mut got_pass = DgField::zeros(nconf * nv, np);
+                op.volume_and_conf_faces(
+                    qm,
+                    &f,
+                    &em,
+                    &mut got_pass,
+                    &mut ws,
+                    0..conf_cells[0],
+                    &bcs,
+                );
                 for (what, got, want) in [
                     ("volume", &got_vol, &want_vol),
                     ("config faces", &got_faces, &want_faces),
+                    ("cell-lane pass", &got_pass, &want_pass),
                 ] {
                     for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
                         assert!(
                             a.to_bits() == b.to_bits(),
-                            "{cdim}x{vdim}v p{p} vel {vel_cells:?} {width}: {what} coefficient \
-                             {i} panel sweep {a} vs scalar cell sweep {b}"
+                            "{cdim}x{vdim}v p{p} vel {vel_cells:?} {bcs:?} {width}: {what} \
+                             coefficient {i} panel sweep {a} vs scalar cell sweep {b}"
                         );
+                    }
+                }
+                // The ledger sums the same staged increments: in the same
+                // order while one cell carries each wall (1x), lane group
+                // by lane group otherwise.
+                for (a, b) in ws
+                    .wall
+                    .mass
+                    .iter()
+                    .chain(&ws.wall.energy)
+                    .zip(per_phase_wall.mass.iter().chain(&per_phase_wall.energy))
+                {
+                    if cdim == 1 {
+                        assert_eq!(a, b, "{bcs:?} {width}: wall ledger");
+                    } else {
+                        for s in 0..2 {
+                            assert!((a[s] - b[s]).abs() <= 1e-12 * b[s].abs().max(1.0));
+                        }
                     }
                 }
             });
         }
         report_widths("cell_panel_schedule", ran);
+    }
+
+    #[test]
+    fn cell_pass_counts_and_spans_like_the_per_phase_sweeps() {
+        // The pass bumps `CellsSwept`, `DofProcessed` and `FacesSwept`
+        // exactly as `volume` + `surface_config` do, charges the same
+        // phases, and its spans never nest: they are disjoint slices of the
+        // call, so their times add up to no more than its length.
+        let count = |run: &mut dyn FnMut(&mut VlasovWorkspace), op: &VlasovOp| {
+            let reg = Arc::new(Registry::new(1));
+            let mut ws = VlasovWorkspace::for_kernels(&op.kernels);
+            ws.probe = reg.collector(0);
+            let t0 = dg_telemetry::now_ns();
+            run(&mut ws);
+            (reg.snapshot(), dg_telemetry::now_ns() - t0)
+        };
+        for (p, conf_cells, vel_cells, bcs) in cell_cases() {
+            let (op, f, em) =
+                schedule_case(p, conf_cells, vel_cells, FluxKind::Upwind, bcs.clone());
+            let nconf = op.grid.conf.len();
+            let (per_phase, _) = count(
+                &mut |ws| {
+                    op.volume(0.5, &f, &em, &mut f.clone(), ws, 0..nconf);
+                    for (d, &bc) in bcs.iter().enumerate() {
+                        op.surface_config(d, &f, &mut f.clone(), ws, 0..nconf, bc);
+                    }
+                },
+                &op,
+            );
+            let mut out = DgField::zeros(f.ncells(), f.ncoeff());
+            let (pass, elapsed) = count(
+                &mut |ws| {
+                    op.volume_and_conf_faces(0.5, &f, &em, &mut out, ws, 0..conf_cells[0], &bcs)
+                },
+                &op,
+            );
+            for c in [
+                Counter::CellsSwept,
+                Counter::DofProcessed,
+                Counter::FacesSwept,
+            ] {
+                assert_eq!(pass.counter(c), per_phase.counter(c), "{bcs:?}: {c:?}");
+            }
+            let phases = [Phase::Volume, Phase::Surface, Phase::Ghosts];
+            for ph in phases {
+                let charged = |s: &dg_telemetry::Snapshot| s.calls[ph.idx()] > 0;
+                assert_eq!(charged(&pass), charged(&per_phase), "{bcs:?}: {ph:?}");
+            }
+            let spanned: u64 = phases.iter().map(|&ph| pass.phase_ns(ph)).sum();
+            assert!(
+                spanned <= elapsed,
+                "{bcs:?}: spans overlap ({spanned} > {elapsed} ns)"
+            );
+        }
     }
 
     #[test]

@@ -46,49 +46,82 @@ pub fn write_state(state: &SystemState, time: f64, mut out: impl Write) -> std::
 }
 
 /// Deserialize a state; returns `(state, time)`.
-pub fn read_state(mut input: impl Read) -> std::io::Result<(SystemState, f64)> {
+///
+/// The header's counts are not trusted: every buffer grows only as the
+/// bytes it describes arrive, so a hostile or torn input ends in an
+/// `InvalidData` (sizes that cannot be) or `UnexpectedEof` (too few bytes)
+/// error, never an allocation the input does not back.
+pub fn read_state(input: impl Read) -> std::io::Result<(SystemState, f64)> {
+    read_within(input, None)
+}
+
+/// [`read_state`] of an input of `len` bytes when that is known ([`load`]):
+/// a field claiming more bytes than are left is rejected before it is
+/// read, and one that fits gets its buffer at its final size.
+fn read_within(mut input: impl Read, mut len: Option<u64>) -> std::io::Result<(SystemState, f64)> {
     let mut head = [0u8; 24];
+    take(&mut len, 24)?;
     input.read_exact(&mut head)?;
     let mut buf = &head[..];
     let magic = buf.get_u64_le();
     let version = buf.get_u32_le();
     if magic != MAGIC || version != VERSION {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
+        return Err(invalid(
             "not a vlasov-dg snapshot (or incompatible version)",
         ));
     }
     let time = buf.get_f64_le();
-    let nspecies = buf.get_u32_le() as usize;
+    let nspecies = buf.get_u32_le();
 
-    let read_field = |input: &mut dyn Read| -> std::io::Result<DgField> {
-        let mut meta = [0u8; 16];
-        input.read_exact(&mut meta)?;
-        let mut b = &meta[..];
-        let ncells = b.get_u64_le() as usize;
-        let ncoeff = b.get_u64_le() as usize;
-        let mut f = DgField::zeros(ncells, ncoeff);
-        let mut raw = vec![0u8; 8 * 4096];
-        let mut filled = 0;
-        let total = ncells * ncoeff;
-        while filled < total {
-            let take = (total - filled).min(4096);
-            input.read_exact(&mut raw[..8 * take])?;
-            let mut b = &raw[..8 * take];
-            for v in &mut f.as_mut_slice()[filled..filled + take] {
-                *v = b.get_f64_le();
-            }
-            filled += take;
-        }
-        Ok(f)
-    };
-
-    let mut species_f = Vec::with_capacity(nspecies);
+    let mut species_f = Vec::new();
     for _ in 0..nspecies {
-        species_f.push(read_field(&mut input)?);
+        species_f.push(read_field(&mut input, &mut len)?);
     }
-    let em = read_field(&mut input)?;
+    let em = read_field(&mut input, &mut len)?;
     Ok((SystemState { species_f, em }, time))
+}
+
+fn invalid(msg: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+}
+
+/// Count `bytes` off the known input length `len`.
+fn take(len: &mut Option<u64>, bytes: u64) -> std::io::Result<()> {
+    if let Some(left) = len {
+        *left = left
+            .checked_sub(bytes)
+            .ok_or_else(|| invalid("snapshot claims more bytes than the file holds"))?;
+    }
+    Ok(())
+}
+
+/// One field: its `(ncells, ncoeff)` header, then the coefficients in
+/// chunks of at most 4096 values.
+fn read_field(input: &mut impl Read, len: &mut Option<u64>) -> std::io::Result<DgField> {
+    const CHUNK: usize = 4096;
+    let mut meta = [0u8; 16];
+    take(len, 16)?;
+    input.read_exact(&mut meta)?;
+    let mut b = &meta[..];
+    let size = |n: u64| usize::try_from(n).map_err(|_| invalid("field size overflows usize"));
+    let (ncells, ncoeff) = (size(b.get_u64_le())?, size(b.get_u64_le())?);
+    let total = ncells
+        .checked_mul(ncoeff)
+        .filter(|n| n.checked_mul(8).is_some())
+        .ok_or_else(|| invalid("field size overflows usize"))?;
+    take(len, 8 * total as u64)?;
+    let mut data = Vec::with_capacity(if len.is_some() { total } else { 0 });
+    let mut raw = [0u8; 8 * CHUNK];
+    while data.len() < total {
+        let n = (total - data.len()).min(CHUNK);
+        input.read_exact(&mut raw[..8 * n])?;
+        data.extend(
+            raw[..8 * n]
+                .chunks_exact(8)
+                .map(|v| f64::from_le_bytes(v.try_into().expect("8-byte chunk"))),
+        );
+    }
+    Ok(DgField::from_vec(ncells, ncoeff, data))
 }
 
 /// File-based convenience wrappers. `save` is crash-safe: the state is
@@ -118,7 +151,9 @@ fn tmp_sibling(path: &Path) -> PathBuf {
 }
 
 pub fn load(path: impl AsRef<Path>) -> std::io::Result<(SystemState, f64)> {
-    read_state(BufReader::new(File::open(path)?))
+    let file = File::open(path)?;
+    let len = file.metadata()?.len();
+    read_within(BufReader::new(file), Some(len))
 }
 
 /// Scan `dir` for step-stamped checkpoints written by [`Checkpoint`]
@@ -255,6 +290,64 @@ mod tests {
     fn rejects_garbage() {
         let garbage = [0u8; 64];
         assert!(read_state(&garbage[..]).is_err());
+    }
+
+    /// A snapshot header for `nspecies` species, then one field header.
+    fn hostile(nspecies: u32, ncells: u64, ncoeff: u64) -> Vec<u8> {
+        let mut b = Vec::new();
+        b.put_u64_le(MAGIC);
+        b.put_u32_le(VERSION);
+        b.put_f64_le(0.0);
+        b.put_u32_le(nspecies);
+        b.put_u64_le(ncells);
+        b.put_u64_le(ncoeff);
+        b
+    }
+
+    fn error_kind(bytes: &[u8]) -> std::io::ErrorKind {
+        read_state(bytes).expect_err("must be rejected").kind()
+    }
+
+    #[test]
+    fn hostile_headers_are_typed_errors_not_aborts() {
+        use std::io::ErrorKind::{InvalidData, UnexpectedEof};
+        // 2^60 cells claimed, none sent: nothing is allocated up front.
+        assert_eq!(error_kind(&hostile(1, 1 << 60, 1)), UnexpectedEof);
+        // A size that cannot exist.
+        assert_eq!(error_kind(&hostile(1, u64::MAX, 2)), InvalidData);
+        assert_eq!(error_kind(&hostile(1, 1 << 61, 1)), InvalidData);
+        // Four billion species promised, one empty field delivered.
+        assert_eq!(error_kind(&hostile(u32::MAX, 0, 8)), UnexpectedEof);
+        // From a file, whose length is known, a claim the file cannot back
+        // is rejected before anything is read.
+        let dir = std::env::temp_dir().join("dg_diag_snap_hostile");
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("hostile.vdg");
+        for bytes in [hostile(1, 1 << 60, 1), hostile(u32::MAX, 0, 8)] {
+            std::fs::write(&p, bytes).unwrap();
+            assert_eq!(load(&p).expect_err("must be rejected").kind(), InvalidData);
+        }
+    }
+
+    #[test]
+    fn every_truncation_is_an_error() {
+        let mut buf = Vec::new();
+        write_state(&random_state(3), 0.25, &mut buf).unwrap();
+        for len in 0..buf.len() {
+            assert_eq!(
+                error_kind(&buf[..len]),
+                std::io::ErrorKind::UnexpectedEof,
+                "{len} bytes"
+            );
+            // With the length known (`load`), before reading.
+            let known = read_within(&buf[..len], Some(len as u64));
+            assert_eq!(
+                known.expect_err("truncated").kind(),
+                std::io::ErrorKind::InvalidData
+            );
+        }
+        assert!(read_state(&buf[..]).is_ok());
+        assert!(read_within(&buf[..], Some(buf.len() as u64)).is_ok());
     }
 
     #[test]

@@ -72,6 +72,24 @@ impl DgField {
         }
     }
 
+    /// The field whose cell-major coefficients are `data`.
+    ///
+    /// # Panics
+    ///
+    /// When `data` does not hold exactly `ncells × ncoeff` values.
+    pub fn from_vec(ncells: usize, ncoeff: usize, data: Vec<f64>) -> Self {
+        assert_eq!(
+            ncells.checked_mul(ncoeff),
+            Some(data.len()),
+            "{ncells} cells × {ncoeff} coefficients"
+        );
+        DgField {
+            ncells,
+            ncoeff,
+            data,
+        }
+    }
+
     pub fn ncells(&self) -> usize {
         self.ncells
     }
@@ -267,6 +285,10 @@ impl DgFieldSlice<'_> {
     /// Does this view own the given global cell index?
     pub fn owns(&self, i: usize) -> bool {
         i >= self.first_cell && i < self.first_cell + self.ncells()
+    }
+
+    pub fn fill(&mut self, v: f64) {
+        self.data.fill(v);
     }
 }
 

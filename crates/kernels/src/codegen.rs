@@ -1677,6 +1677,64 @@ mod tests {
         assert_eq!(count_update_statements(&src), want);
     }
 
+    /// Check that every lane-generic body in surface-kernel source `src`
+    /// writes each of the `np` coefficients of `out_lo` and `out_hi` exactly
+    /// once — a lane-loop `out_lo[i][k] += …` or a one-off
+    /// `sxn(&mut out_lo[i], …)`; returns how many bodies it checked.
+    fn surface_bodies_write_each_output_once(src: &str, np: usize) -> Result<usize, String> {
+        let mut bodies: Vec<(&str, [Vec<usize>; 2])> = Vec::new();
+        for line in src.lines().map(str::trim_start) {
+            if line.starts_with("fn ") && line.contains("_body<const L: usize>") {
+                bodies.push((line, [vec![0; np], vec![0; np]]));
+                continue;
+            }
+            for (side, name) in ["out_lo[", "out_hi["].iter().enumerate() {
+                let Some(rest) = line
+                    .strip_prefix(name)
+                    .or_else(|| line.strip_prefix("sxn(&mut ")?.strip_prefix(name))
+                else {
+                    continue;
+                };
+                let i: usize = rest[..rest.find(']').ok_or("unclosed index")?]
+                    .parse()
+                    .map_err(|e| format!("{line}: {e}"))?;
+                let (_, writes) = bodies.last_mut().ok_or("a write outside any body")?;
+                writes[side][i] += 1;
+            }
+        }
+        for (body, writes) in &bodies {
+            for (side, counts) in ["out_lo", "out_hi"].iter().zip(writes) {
+                if let Some(i) = counts.iter().position(|&n| n != 1) {
+                    return Err(format!("{body}: {side}[{i}] written {} times", counts[i]));
+                }
+            }
+        }
+        Ok(bodies.len())
+    }
+
+    #[test]
+    fn every_surface_body_writes_each_output_coefficient_once() {
+        // What lets the cell-lane pass accumulate faces straight into its
+        // resident panels bit-identically to a zeroed-panel face sweep.
+        for spec in MANIFEST {
+            let pk = crate::kernels_for(spec.kind, spec.layout(), spec.poly_order);
+            let src = surface_kernel_source(&pk, spec);
+            let bodies = surface_bodies_write_each_output_once(&src, pk.np())
+                .unwrap_or_else(|e| panic!("{}: {e}", spec.surf_name()));
+            assert_eq!(bodies, spec.cdim + spec.vdim, "{}", spec.surf_name());
+        }
+        // A doubled lift statement must not slip through.
+        let spec = &MANIFEST[0];
+        let pk = crate::kernels_for(spec.kind, spec.layout(), spec.poly_order);
+        let src = surface_kernel_source(&pk, spec);
+        let lift = src
+            .lines()
+            .find(|l| l.trim_start().starts_with("sxn(&mut out_hi["))
+            .expect("lifts are one-off accumulates");
+        let doubled = src.replacen(lift, &format!("{lift}\n{lift}"), 1);
+        assert!(surface_bodies_write_each_output_once(&doubled, pk.np()).is_err());
+    }
+
     #[test]
     fn fig1_kernel_is_compact() {
         // The paper's headline: the modal 1X2V p=1 tensor volume kernel is

@@ -588,6 +588,16 @@ impl VolumeBatch {
             .unwrap_or_else(|| Self::baseline(entry))
     }
 
+    /// The entry point compiled for `isa`; `None` when this CPU cannot run
+    /// it.
+    pub fn for_isa(entry: &VolumeKernelEntry, isa: BatchIsa) -> Option<Self> {
+        match isa {
+            BatchIsa::Baseline => Some(Self::baseline(entry)),
+            BatchIsa::Avx2 => Self::avx2(entry),
+            BatchIsa::Avx512 => Self::avx512(entry),
+        }
+    }
+
     /// The portable `<name>_b4` entry point (no CPU requirement).
     pub fn baseline(entry: &VolumeKernelEntry) -> Self {
         VolumeBatch::X4(VolumeLanes {
@@ -683,6 +693,16 @@ impl SurfaceBatch {
         Self::avx512(entry, dir)
             .or_else(|| Self::avx2(entry, dir))
             .unwrap_or_else(|| Self::baseline(entry, dir))
+    }
+
+    /// The entry point of direction `dir` compiled for `isa` — at that
+    /// ISA's lane width; `None` when this CPU cannot run it.
+    pub fn for_isa(entry: &SurfaceKernelEntry, dir: usize, isa: BatchIsa) -> Option<Self> {
+        match isa {
+            BatchIsa::Baseline => Some(Self::baseline(entry, dir)),
+            BatchIsa::Avx2 => Self::avx2(entry, dir),
+            BatchIsa::Avx512 => Self::avx512(entry, dir),
+        }
     }
 
     /// The portable `<dir name>_b4` entry point (no CPU requirement).

@@ -38,6 +38,15 @@ impl LanePanel {
         }
     }
 
+    /// Make room for at least `len` `f64`s: a fresh zeroed panel when this
+    /// one is shorter, nothing otherwise — so a sweep can size its scratch
+    /// on first use and reuse it after.
+    pub fn ensure(&mut self, len: usize) {
+        if self.len < len {
+            *self = Self::zeros(len);
+        }
+    }
+
     /// The panel as `len / L` lane groups of width `L`, mutably (reading
     /// goes through this as well: a panel is scratch, only ever held
     /// exclusively).

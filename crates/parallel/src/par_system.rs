@@ -81,7 +81,7 @@ impl ParVlasovMaxwell {
     /// see `dg_core::blocks`), then the rank-parallel field coupling.
     pub fn rhs(&mut self, state: &SystemState, out: &mut SystemState) {
         self.system.probe.count(Counter::RhsEvals, 1);
-        out.fill(0.0);
+        out.em.fill(0.0);
         let decomp = &self.decomp;
         self.block.species_rhs(&mut self.system, state, out);
         // Field + coupling. Moments are rank-parallel over disjoint
@@ -150,19 +150,13 @@ impl ParVlasovMaxwell {
         rhs_buf: &mut SystemState,
         dt: f64,
     ) {
-        let this: *mut ParVlasovMaxwell = self;
         let mut stage_idx = 0usize;
         ssp_rk3_generic(state, stage, rhs_buf, dt, |s, o| {
-            // SAFETY: the generic stepper invokes the closure serially and
-            // its arguments never alias `self`'s internals.
-            unsafe {
-                (*this).rhs(s, o);
-                // Fold this stage's wall rates into the ledger with the
-                // same weights as the serial stepper.
-                (*this)
-                    .system
-                    .integrate_wall_ledger(STAGE_WEIGHTS[stage_idx] * dt);
-            }
+            self.rhs(s, o);
+            // Fold this stage's wall rates into the ledger with the same
+            // weights as the serial stepper.
+            self.system
+                .integrate_wall_ledger(STAGE_WEIGHTS[stage_idx] * dt);
             stage_idx += 1;
         });
     }

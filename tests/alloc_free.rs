@@ -207,11 +207,13 @@ fn rhs_and_lbo_loops_allocate_nothing() {
     // --- Wall boundary conditions: ghost synthesis (absorb + reflect),
     // staged interior updates, and the wall-flux ledger must all run out
     // of the persistent workspace — zero allocations with walls active,
-    // through both dispatch paths. ---
+    // through both dispatch paths. With generated kernels this is the
+    // serial cell-lane pass, its panels sized on the warm-up call; 11
+    // velocity cells end it on a partial lane group at either width. ---
     let kernels = kernels_for(BasisKind::Serendipity, PhaseLayout::new(1, 1), 2);
     let grid = PhaseGrid::new(
         CartGrid::new(&[0.0], &[1.0], &[4]),
-        CartGrid::new(&[-6.0], &[6.0], &[8]),
+        CartGrid::new(&[-6.0], &[6.0], &[11]),
         vec![DimBc::new(Bc::Reflect, Bc::Absorb)],
     );
     let mut sp = Species::new("elc", -1.0, 1.0, &grid, kernels.np());
@@ -323,7 +325,9 @@ fn rhs_and_lbo_loops_allocate_nothing() {
     // on the worker pool + LBO + wall ledger + field/moment coupling) must
     // also be allocation-free after warm-up. The counter is
     // process-global, so worker-thread allocations are caught too —
-    // per-block workspaces, raw-pointer field views, and the pool's fixed
+    // per-block workspaces (each block's cell-lane pass panels, halo
+    // slices included, walls at both ends, 6 velocity cells: one partial
+    // lane group), raw-pointer field views, and the pool's fixed
     // broadcast command slot are what make this pass. ---
     let (mut sys, state) = AppBuilder::new()
         .conf_grid(&[0.0], &[4.0], &[5])
