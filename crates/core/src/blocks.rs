@@ -10,10 +10,11 @@
 //!
 //! **Bit-identity.** The serial sweep is the one-block case of the same
 //! [`block_species_rhs`]. Within one output cell its contribution order is
-//! volume → dim-0 faces → higher configuration faces (summed in the cell's
-//! panel of the cell-lane pass and added as one increment) → velocity
-//! faces → LBO. Every one of those contributions comes exclusively from
-//! the cell's owning block: dim-0 faces write one side each (both adjacent
+//! volume → dim-0 faces → higher configuration faces → velocity faces →
+//! LBO, the volume and configuration faces summed in the cell's panel of
+//! the cell-lane pass, velocity faces included on 1v. Every one of those
+//! contributions comes exclusively from the cell's owning block: dim-0
+//! faces write one side each (both adjacent
 //! blocks evaluate the shared flux, the paper's redundant-halo-flux trick,
 //! reading the neighbour's `f` from a halo slice), `d ≥ 1` faces never
 //! leave a dim-0 row, and velocity faces and the LBO never leave a
@@ -100,13 +101,13 @@ impl CellBlocks {
 /// rank is just a block that happens to span its whole slab). Fills
 /// `ws.wall` with the block's wall-flux partial sums.
 ///
-/// The volume and the configuration faces run as one pass
-/// (`VlasovOp::volume_and_conf_faces`), faces in the order the block's
-/// cells receive them in a whole-domain sweep: lower walls, the received
-/// face below the block, interior faces ascending, the sending face above
-/// it — or the periodic wrap / upper wall for the last block, with the
-/// first block applying its received wrap side last. The velocity faces
-/// follow.
+/// The volume and the configuration faces — and on 1v the velocity faces —
+/// run as one pass (`VlasovOp::accumulate_block_rhs`), configuration faces
+/// in the order the block's cells receive them in a whole-domain sweep:
+/// lower walls, the received face below the block, interior faces
+/// ascending, the sending face above it — or the periodic wrap / upper wall
+/// for the last block, with the first block applying its received wrap side
+/// last. Velocity faces the pass does not run follow.
 #[allow(clippy::too_many_arguments)]
 pub fn block_species_rhs<S: CellStoreMut>(
     op: &VlasovOp,
@@ -119,14 +120,8 @@ pub fn block_species_rhs<S: CellStoreMut>(
     bcs: &[DimBc],
 ) {
     ws.wall.reset();
-    if block.is_empty() {
-        return; // more blocks than dim-0 cells: idle block
-    }
-    let stride0 = op.grid.conf.len() / op.grid.conf.cells()[0];
-    let conf_range = block.start * stride0..block.end * stride0;
-    op.volume_and_conf_faces(qm, f, em, out, ws, block, bcs);
-    // Velocity surfaces are cell-local in configuration space.
-    op.surface_velocity(qm, f, em, out, ws, conf_range);
+    // An empty block (more blocks than dim-0 cells) is idle.
+    op.accumulate_block_rhs(qm, f, em, out, ws, block, bcs);
 }
 
 /// Shareable base pointer of an output field (each worker derives its own
@@ -369,14 +364,17 @@ mod tests {
         // of dimension 0 add up to the one-block sweep bit for bit, and that
         // one equals the per-phase sweeps (`volume`, `surface_config` by
         // direction, `surface_velocity`). Generated dispatch runs the
-        // cell-lane pass, runtime-sparse the per-phase fallback; partial
-        // lane groups at either width, walls on both sides of both axes.
+        // cell-lane pass — on 1v with the velocity faces —, runtime-sparse
+        // the per-phase fallback; partial lane groups at either width (a
+        // partial last one after full ones on 1v: 11 cells), walls on both
+        // sides of both axes.
         let walled =
             |d0: (Bc, Bc), d1: (Bc, Bc)| vec![DimBc::new(d0.0, d0.1), DimBc::new(d1.0, d1.1)];
         // (poly order, configuration cells, velocity cells, BCs)
         type Case = (usize, &'static [usize], &'static [usize], Vec<DimBc>);
-        let cases: [Case; 4] = [
+        let cases: [Case; 5] = [
             (2, &[5], &[6], vec![DimBc::from(Bc::Periodic)]),
+            (1, &[4], &[11], vec![DimBc::from(Bc::Periodic)]),
             (1, &[4, 3], &[3, 5], vec![DimBc::from(Bc::Periodic); 2]),
             (2, &[5], &[7], vec![DimBc::new(Bc::Reflect, Bc::Absorb)]),
             (

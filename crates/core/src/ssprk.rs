@@ -17,10 +17,16 @@ use crate::vlasov::VlasovWorkspace;
 /// actual mass change to round-off.
 pub const STAGE_WEIGHTS: [f64; 3] = [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0];
 
-/// One SSP-RK3 step with a caller-supplied RHS evaluator — shared by the
-/// modal solver, the nodal baseline (`dg-nodal`) and the parallel driver
-/// (`dg-parallel`), so every Table-I/Fig.-3 contender uses the identical
-/// time integration.
+/// One SSP-RK3 step with a caller-supplied RHS evaluator — the one stage
+/// sequence of the serial, threaded and rank-parallel drivers and the nodal
+/// baseline (`dg-nodal`), so every Table-I/Fig.-3 contender uses the
+/// identical time integration.
+///
+/// Each stage update is one sweep over the state with the per-element
+/// expressions of `copy_from` + `axpy`, `axpy` + `lincomb` and `axpy` +
+/// `lincomb` (see [`SystemState::euler_lincomb`] and its siblings), so the
+/// bits are those of the six-call sequence. `stage` is scratch: the last
+/// stage reads it and leaves it holding `u⁽²⁾`.
 pub fn ssp_rk3_generic(
     state: &mut SystemState,
     stage: &mut SystemState,
@@ -29,14 +35,11 @@ pub fn ssp_rk3_generic(
     mut rhs: impl FnMut(&SystemState, &mut SystemState),
 ) {
     rhs(&*state, rhs_buf);
-    stage.copy_from(state);
-    stage.axpy(dt, rhs_buf);
+    stage.euler_from(state, dt, rhs_buf);
     rhs(&*stage, rhs_buf);
-    stage.axpy(dt, rhs_buf);
-    stage.lincomb(0.25, 0.75, state);
+    stage.euler_lincomb(dt, rhs_buf, 0.25, 0.75, state);
     rhs(&*stage, rhs_buf);
-    stage.axpy(dt, rhs_buf);
-    state.lincomb(1.0 / 3.0, 2.0 / 3.0, stage);
+    state.lincomb_euler(1.0 / 3.0, 2.0 / 3.0, stage, dt, rhs_buf);
 }
 
 /// Reusable stage buffers for the stepper.
@@ -59,21 +62,13 @@ impl SspRk3 {
     /// "three trillion multiplications" bookkeeping of Table I counts these
     /// stages explicitly.
     pub fn step(&mut self, system: &mut VlasovMaxwell, state: &mut SystemState, dt: f64) {
-        // Stage 1: stage = u + dt L(u)
-        system.rhs(state, &mut self.rhs, &mut self.ws);
-        system.integrate_wall_ledger(STAGE_WEIGHTS[0] * dt);
-        self.stage.copy_from(state);
-        self.stage.axpy(dt, &self.rhs);
-        // Stage 2: stage = ¾ u + ¼ (stage + dt L(stage))
-        system.rhs(&self.stage, &mut self.rhs, &mut self.ws);
-        system.integrate_wall_ledger(STAGE_WEIGHTS[1] * dt);
-        self.stage.axpy(dt, &self.rhs);
-        self.stage.lincomb(0.25, 0.75, state);
-        // Stage 3: u = ⅓ u + ⅔ (stage + dt L(stage))
-        system.rhs(&self.stage, &mut self.rhs, &mut self.ws);
-        system.integrate_wall_ledger(STAGE_WEIGHTS[2] * dt);
-        self.stage.axpy(dt, &self.rhs);
-        state.lincomb(1.0 / 3.0, 2.0 / 3.0, &self.stage);
+        let SspRk3 { stage, rhs, ws } = self;
+        let mut k = 0;
+        ssp_rk3_generic(state, stage, rhs, dt, |s, o| {
+            system.rhs(s, o, ws);
+            system.integrate_wall_ledger(STAGE_WEIGHTS[k] * dt);
+            k += 1;
+        });
     }
 }
 
@@ -129,6 +124,41 @@ mod tests {
             "mass drift {} over 10 steps",
             (n1 - n0) / n0
         );
+    }
+
+    #[test]
+    fn step_matches_the_unfused_stage_sequence_bitwise() {
+        // The fused stage sweeps against the stepper they replaced: six
+        // whole-state calls of `copy_from` / `axpy` / `lincomb` per step,
+        // over a few steps, so an evolving field and stage state both count.
+        let (mut sys, state0) = tiny_system();
+        let dt = 2e-3;
+        let mut rk = SspRk3::new(&sys);
+        let mut got = state0.clone();
+        let mut want = state0;
+        let (mut stage, mut r) = (sys.new_state(), sys.new_state());
+        let mut ws = VlasovWorkspace::for_kernels(&sys.kernels);
+        for step in 0..4 {
+            rk.step(&mut sys, &mut got, dt);
+            sys.rhs(&want, &mut r, &mut ws);
+            stage.copy_from(&want);
+            stage.axpy(dt, &r);
+            sys.rhs(&stage, &mut r, &mut ws);
+            stage.axpy(dt, &r);
+            stage.lincomb(0.25, 0.75, &want);
+            sys.rhs(&stage, &mut r, &mut ws);
+            stage.axpy(dt, &r);
+            want.lincomb(1.0 / 3.0, 2.0 / 3.0, &stage);
+            let fields = |s: &SystemState| {
+                let mut all: Vec<u64> = s.em.as_slice().iter().map(|x| x.to_bits()).collect();
+                for f in &s.species_f {
+                    all.extend(f.as_slice().iter().map(|x| x.to_bits()));
+                }
+                all
+            };
+            assert!(fields(&got) == fields(&want), "step {step} diverged");
+        }
+        assert!(want.em.max_abs() > 0.0, "the field never moved");
     }
 
     #[test]

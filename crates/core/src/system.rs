@@ -95,6 +95,44 @@ impl SystemState {
         }
         self.em.copy_from(&other.em);
     }
+
+    /// `self = u + a·r`, one sweep per field ([`DgField::euler_from`]).
+    pub fn euler_from(&mut self, u: &SystemState, a: f64, r: &SystemState) {
+        for (f, (u, r)) in self
+            .species_f
+            .iter_mut()
+            .zip(u.species_f.iter().zip(&r.species_f))
+        {
+            f.euler_from(u, a, r);
+        }
+        self.em.euler_from(&u.em, a, &r.em);
+    }
+
+    /// `self = b·(self + a·r) + c·u`, one sweep per field
+    /// ([`DgField::euler_lincomb`]).
+    pub fn euler_lincomb(&mut self, a: f64, r: &SystemState, b: f64, c: f64, u: &SystemState) {
+        for (f, (r, u)) in self
+            .species_f
+            .iter_mut()
+            .zip(r.species_f.iter().zip(&u.species_f))
+        {
+            f.euler_lincomb(a, r, b, c, u);
+        }
+        self.em.euler_lincomb(a, &r.em, b, c, &u.em);
+    }
+
+    /// `self = b·self + c·(s + a·r)`, one sweep per field, `s` untouched
+    /// ([`DgField::lincomb_euler`]).
+    pub fn lincomb_euler(&mut self, b: f64, c: f64, s: &SystemState, a: f64, r: &SystemState) {
+        for (f, (s, r)) in self
+            .species_f
+            .iter_mut()
+            .zip(s.species_f.iter().zip(&r.species_f))
+        {
+            f.lincomb_euler(b, c, s, a, r);
+        }
+        self.em.lincomb_euler(b, c, &s.em, a, &r.em);
+    }
 }
 
 /// The coupled system (species parameters + operators; the dynamical data

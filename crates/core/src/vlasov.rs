@@ -33,8 +33,9 @@
 //! layers — the paper's intra-node decomposition.
 //!
 //! Those methods are the per-phase sweeps. The coupled RHS runs the volume
-//! and every configuration face as one **cell-lane pass** instead
-//! (`VlasovOp::volume_and_conf_faces`): each run of velocity cells is
+//! and every configuration face — and on one velocity dimension the
+//! velocity faces too — as one **cell-lane pass** instead
+//! (`VlasovOp::accumulate_block_rhs`): each run of velocity cells is
 //! packed once per configuration cell, every kernel accumulates into
 //! resident panels, and each cell's panel is added into `out` once.
 
@@ -253,6 +254,9 @@ impl VlasovWorkspace {
 struct CellKernels<const L: usize> {
     volume: VolumeLanes<L>,
     faces: Vec<SurfaceLanes<L>>,
+    /// The velocity direction's face kernel when there is one velocity
+    /// direction, whose faces then join the pass ([`VlasovOp::cell_pass`]).
+    velocity: Option<SurfaceLanes<L>>,
     /// The one-lane face kernels (every phase direction), for walls and
     /// the single-cell periodic wrap.
     scalar: &'static [SurfaceKernelFn],
@@ -268,31 +272,37 @@ enum CellPass {
 
 impl CellPass {
     // dg-analyze: allow(hot_alloc) — operator constructor: each direction's entry point is resolved once
-    fn new(volume: VolumeBatch, surface: &'static SurfaceKernelEntry, cdim: usize) -> Self {
+    fn new(
+        volume: VolumeBatch,
+        surface: &'static SurfaceKernelEntry,
+        cdim: usize,
+        vdim: usize,
+    ) -> Self {
         let face = |d| {
             SurfaceBatch::for_isa(surface, d, volume.isa())
                 .expect("the volume's ISA is on this CPU")
         };
+        let x4 = |d| match face(d) {
+            SurfaceBatch::X4(k) => k,
+            SurfaceBatch::X8(_) => unreachable!("one ISA, one lane width"),
+        };
+        let x8 = |d| match face(d) {
+            SurfaceBatch::X8(k) => k,
+            SurfaceBatch::X4(_) => unreachable!("one ISA, one lane width"),
+        };
         let scalar = surface.dirs;
+        let one_v = vdim == 1;
         match volume {
             VolumeBatch::X4(volume) => CellPass::X4(CellKernels {
                 volume,
-                faces: (0..cdim)
-                    .map(|d| match face(d) {
-                        SurfaceBatch::X4(k) => k,
-                        SurfaceBatch::X8(_) => unreachable!("one ISA, one lane width"),
-                    })
-                    .collect(),
+                faces: (0..cdim).map(x4).collect(),
+                velocity: one_v.then(|| x4(cdim)),
                 scalar,
             }),
             VolumeBatch::X8(volume) => CellPass::X8(CellKernels {
                 volume,
-                faces: (0..cdim)
-                    .map(|d| match face(d) {
-                        SurfaceBatch::X8(k) => k,
-                        SurfaceBatch::X4(_) => unreachable!("one ISA, one lane width"),
-                    })
-                    .collect(),
+                faces: (0..cdim).map(x8).collect(),
+                velocity: one_v.then(|| x8(cdim)),
                 scalar,
             }),
         }
@@ -552,7 +562,7 @@ impl VlasovOp {
         let cdim = grid.cdim();
         let cell_pass = match (volume_path, surface) {
             (ResolvedVolume::Generated { batch, .. }, ResolvedSurface::Generated(entry)) => {
-                Some(CellPass::new(batch, entry, cdim))
+                Some(CellPass::new(batch, entry, cdim, vdim))
             }
             _ => None,
         };
@@ -1501,12 +1511,14 @@ impl VlasovOp {
         }
     }
 
-    /// The volume term and every configuration face of the dim-0 cell
-    /// block `block`, faces in the block's schedule ([`Self::conf_faces`]):
-    /// the cell-lane pass ([`Self::cell_pass`]) when both kernel paths are
-    /// generated, otherwise the per-phase sweeps face by face.
+    /// Every term of the collisionless RHS on the dim-0 cell block `block`:
+    /// the volume, the configuration faces in the block's schedule
+    /// ([`Self::conf_faces`]) and the velocity faces. With both kernel paths
+    /// generated the first two — and on one velocity dimension all three —
+    /// run as the cell-lane pass ([`Self::cell_pass`]); what the pass does
+    /// not run goes through the per-phase sweeps.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn volume_and_conf_faces<S: CellStoreMut>(
+    pub(crate) fn accumulate_block_rhs<S: CellStoreMut>(
         &self,
         qm: f64,
         f: &DgField,
@@ -1519,12 +1531,14 @@ impl VlasovOp {
         if block.is_empty() {
             return;
         }
-        match &self.cell_pass {
+        let s = self.grid.conf.len() / self.grid.conf.cells()[0];
+        let conf_range = block.start * s..block.end * s;
+        let velocity_in_pass = match &self.cell_pass {
             Some(CellPass::X4(k)) => self.cell_pass(k, qm, f, em, out, ws, block, bcs),
             Some(CellPass::X8(k)) => self.cell_pass(k, qm, f, em, out, ws, block, bcs),
             None => {
-                let s = self.grid.conf.len() / self.grid.conf.cells()[0];
-                self.volume(qm, f, em, out, ws, block.start * s..block.end * s);
+                // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
+                self.volume(qm, f, em, out, ws, conf_range.clone());
                 // One Surface span per run of faces; the wall calls keep
                 // their own `Phase::Ghosts` spans.
                 let mut span = PhaseSpan::default();
@@ -1539,7 +1553,12 @@ impl VlasovOp {
                         self.surface_config_face(d, f, out, ws, clo, chi, lo, hi);
                     }
                 });
+                false
             }
+        };
+        if !velocity_in_pass {
+            // Velocity surfaces are cell-local in configuration space.
+            self.surface_velocity(qm, f, em, out, ws, conf_range);
         }
     }
 
@@ -1563,6 +1582,24 @@ impl VlasovOp {
     /// each cell's first term either way, and the final `0 + P` is `P`. The
     /// wall ledger sums the same staged increments, lane group by lane
     /// group — the per-phase order when one cell carries each wall.
+    ///
+    /// With one velocity direction ([`CellKernels::velocity`]) the pass also
+    /// runs the velocity faces, and returns `true`: a lane group is `L`
+    /// consecutive velocity cells, so a cell's `v` neighbours sit one lane
+    /// over. Per own cell, after the configuration faces, lane `l` of one
+    /// face call is the face below lane `l` — its lower side the resident
+    /// panel shifted up a lane, lane 0 the previous group's top cell read
+    /// from `f`. The upper sides land lane-aligned (each cell's lower face;
+    /// nothing below the first velocity cell, zero flux), the lower sides
+    /// one lane down (each cell's upper face; nothing above the last one),
+    /// and lane 0's lower side goes straight into the previous group's top
+    /// cell, already in `out`. Each cell so receives volume, configuration
+    /// faces, lower and upper velocity face in the per-phase order, and the
+    /// argument above carries over: a skipped face adds `+0.0` to a panel
+    /// entry that is never `−0.0`. With more velocity directions the lane
+    /// axis is the last one, whose faces each cell receives after those of
+    /// the directions whose neighbours lie in other lane groups, so those
+    /// faces stay in [`Self::surface_velocity`] (and this returns `false`).
     #[allow(clippy::too_many_arguments)]
     fn cell_pass<const L: usize, S: CellStoreMut>(
         &self,
@@ -1574,7 +1611,7 @@ impl VlasovOp {
         ws: &mut VlasovWorkspace,
         block: Range<usize>,
         bcs: &[DimBc],
-    ) {
+    ) -> bool {
         let np = self.kernels.np();
         let nv = self.grid.vel.len();
         let penalty = self.flux != FluxKind::Central;
@@ -1589,7 +1626,9 @@ impl VlasovOp {
         let VlasovWorkspace {
             stage,
             panel_w,
+            panel_f,
             panel_out,
+            panel_out2,
             cell_f,
             cell_out,
             wall,
@@ -1598,7 +1637,10 @@ impl VlasovOp {
         } = ws;
         let probe: &Collector = probe;
         let w = &mut panel_w.lanes_mut::<L>()[..self.kernels.layout.ndim()];
-        let discard = &mut panel_out.lanes_mut::<L>()[..np];
+        // The discard panel of the configuration faces is the lower-side
+        // output of the velocity faces, which run after them.
+        let [discard, f_lo, o_hi] =
+            [panel_out, panel_f, panel_out2].map(|p| &mut p.lanes_mut::<L>()[..np]);
         let pf = &mut cell_f.lanes_mut::<L>()[..slots.len() * np];
         let po = &mut cell_out.lanes_mut::<L>()[..own.len() * np];
         let f_of = |clin: usize| slots.slot(clin) * np..(slots.slot(clin) + 1) * np;
@@ -1674,24 +1716,83 @@ impl VlasovOp {
             });
             probe.count(Counter::FacesSwept, faces * lanes as u64);
             span.enter(probe, Phase::Surface);
+            if k.velocity.is_some() {
+                // Lane `l` runs the face below it: the lower cells' centres.
+                let vlo = std::array::from_fn(|lane| (v0 + lane).saturating_sub(1).min(nv - 1));
+                self.fill_vel_centers(w, &vlo);
+                let faces = own.len() * (lanes - usize::from(v0 == 0));
+                probe.count(Counter::FacesSwept, faces as u64);
+            }
             // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
             for clin in own.clone() {
+                let p = &mut po[out_of(clin)];
+                if let Some(kv) = &k.velocity {
+                    let f_own = &pf[f_of(clin)];
+                    // The lower sides: the panel shifted up a lane, lane 0
+                    // the previous group's top cell — or, below the first
+                    // velocity cell, where no face is, any finite value.
+                    let below = v0.checked_sub(1).map(|v| f.cell(clin * nv + v));
+                    for (n, (lo, at)) in f_lo.iter_mut().zip(f_own).enumerate() {
+                        let first = below.map_or(at[0], |c| c[n]);
+                        *lo = std::array::from_fn(|l| if l == 0 { first } else { at[l - 1] });
+                    }
+                    let o_lo = &mut *discard;
+                    o_lo.fill([0.0; L]);
+                    o_hi.fill([0.0; L]);
+                    self.fill_conf_center(w, clin);
+                    kv.call(
+                        w,
+                        &self.dxv,
+                        qm,
+                        em.cell(clin),
+                        penalty,
+                        f_lo,
+                        f_own,
+                        o_lo,
+                        o_hi,
+                    );
+                    // Zero flux through the ends of the velocity domain: no
+                    // lower face for the first cell, no upper face for the
+                    // last (a partial group's spare lanes, or the top lane).
+                    if v0 == 0 {
+                        o_hi.iter_mut().for_each(|o| o[0] = 0.0);
+                    }
+                    o_lo.iter_mut().for_each(|o| o[lanes..].fill(0.0));
+                    // Per cell the lower face's increment, then the upper's.
+                    for (acc, (hi, lo)) in p.iter_mut().zip(o_hi.iter().zip(&*o_lo)) {
+                        for l in 0..L {
+                            acc[l] += hi[l];
+                        }
+                        for l in 0..L {
+                            acc[l] += if l + 1 < L { lo[l + 1] } else { 0.0 };
+                        }
+                    }
+                    // The previous group's top cell, already unpacked, gets
+                    // its upper face last.
+                    if let Some(v) = v0.checked_sub(1) {
+                        let top = out.cell_mut(clin * nv + v);
+                        for (o, lo) in top.iter_mut().zip(&*o_lo) {
+                            *o += lo[0];
+                        }
+                    }
+                }
                 let cells = vlin.map(|v| clin * nv + v);
-                k.volume
-                    .moves
-                    .unpack_add(out.cells_mut(&cells, lanes), &po[out_of(clin)]);
+                k.volume.moves.unpack_add(out.cells_mut(&cells, lanes), p);
             }
         }
+        k.velocity.is_some()
     }
 
     /// The full collisionless RHS, serial: `out += L(f; E, B)`, with the
     /// grid's domain-default boundary conditions. The volume and
-    /// configuration-face part reaches `out` as **one increment per cell**
-    /// (the cell-lane pass, `Self::volume_and_conf_faces`); the velocity
-    /// faces then add theirs. From a zeroed `out` — what every RHS driver
-    /// passes — that is the per-phase sequence `volume`, `surface_config`
-    /// by direction, `surface_velocity` bit for bit; onto non-zero `out`
-    /// the first sum associates differently.
+    /// configuration-face part — velocity faces included on 1v — reaches
+    /// `out` as **one increment per cell** (the cell-lane pass,
+    /// `Self::accumulate_block_rhs`) — on 1v the top cell of a lane group
+    /// takes its upper velocity face as a second one, on more velocity
+    /// dimensions the velocity faces then add theirs. From a zeroed `out` —
+    /// what every RHS driver passes — that is the per-phase sequence
+    /// `volume`, `surface_config` by direction, `surface_velocity` bit for
+    /// bit; onto non-zero `out` the first sum associates differently.
     pub fn accumulate_rhs(
         &self,
         qm: f64,
@@ -1911,14 +2012,25 @@ mod tests {
     /// conditions).
     type CellCase = (usize, &'static [usize], &'static [usize], Vec<DimBc>);
 
-    /// [`SCHEDULE_CASES`] on periodic grids, then a walled 1x1v and a
-    /// walled 2x2v case: every wall flavour on either side of either axis.
+    /// [`SCHEDULE_CASES`] and the 1x1v lane groups of the pass's velocity
+    /// faces — one velocity cell, a single partial group, exactly one group
+    /// at 8 lanes, a spare-heavy partial last group — on periodic grids,
+    /// then two walled 1x1v cases and a walled 2x2v one: every wall flavour
+    /// on either side of either axis.
     fn cell_cases() -> impl Iterator<Item = CellCase> {
+        const ONE_V: &[(usize, &[usize], &[usize])] = &[
+            (2, &[3], &[1]),
+            (1, &[3], &[7]),
+            (2, &[2], &[8]),
+            (1, &[4], &[17]),
+        ];
         let periodic = SCHEDULE_CASES
             .iter()
+            .chain(ONE_V)
             .map(|&(p, conf, vel)| (p, conf, vel, periodic(conf.len())));
-        let walled: [CellCase; 2] = [
+        let walled: [CellCase; 3] = [
             (2, &[3], &[9], vec![DimBc::new(Bc::Reflect, Bc::Absorb)]),
+            (1, &[2], &[17], vec![DimBc::new(Bc::Copy, Bc::Reflect)]),
             (
                 1,
                 &[3, 2],
@@ -1953,7 +2065,7 @@ mod tests {
                 batch: SurfaceBatch::for_isa(surf, d, isa).expect("volume resolved"),
             };
         }
-        op.cell_pass = Some(CellPass::new(batch, surf, op.grid.cdim()));
+        op.cell_pass = Some(CellPass::new(batch, surf, op.grid.cdim(), op.grid.vdim()));
         true
     }
 
@@ -1985,19 +2097,70 @@ mod tests {
         }
     }
 
+    /// `acc` plus every velocity face through the one-lane committed
+    /// kernels: per configuration cell, directions ascending, pencil by
+    /// pencil, faces ascending — so each cell receives its lower face before
+    /// its upper one. Built from the grid alone, not from the operator's
+    /// face tables.
+    fn scalar_vel_faces(
+        op: &VlasovOp,
+        qm: f64,
+        f: &DgField,
+        em: &DgField,
+        mut acc: DgField,
+    ) -> DgField {
+        let k = &op.kernels;
+        let (cdim, vdim) = (k.layout.cdim, k.layout.vdim);
+        let grid = &op.grid;
+        let (nv, nconf) = (grid.vel.len(), grid.conf.len());
+        let entry =
+            find_surface_kernel(BasisKind::Serendipity, k.layout, k.phase_basis.poly_order())
+                .expect("case is in the registry");
+        let mut vidx = vec![0usize; vdim];
+        let mut w = vec![0.0; cdim + vdim];
+        for clin in 0..nconf {
+            w[..cdim].copy_from_slice(&op.conf_centers[clin * cdim..][..cdim]);
+            for j in 0..vdim {
+                let stride = grid.vel.stride(j);
+                for base in 0..nv {
+                    grid.vel.delinearize(base, &mut vidx);
+                    if vidx[j] != 0 {
+                        continue;
+                    }
+                    for i in 0..grid.vel.cells()[j] - 1 {
+                        let vlo = base + i * stride;
+                        w[cdim..].copy_from_slice(&op.vel_centers[vlo][..vdim]);
+                        let lo_cell = clin * nv + vlo;
+                        let (o_lo, o_hi) = acc.cell_pair_mut(lo_cell, lo_cell + stride);
+                        (entry.dirs[cdim + j])(
+                            &w,
+                            &op.dxv,
+                            qm,
+                            em.cell(clin),
+                            op.flux != FluxKind::Central,
+                            f.cell(lo_cell),
+                            f.cell(lo_cell + stride),
+                            o_lo,
+                            o_hi,
+                        );
+                    }
+                }
+            }
+        }
+        acc
+    }
+
     #[test]
     fn face_panel_schedule_matches_scalar_pencil_sweep_bitwise() {
         // `surface_velocity` batches a face-index-major face list across
-        // pencils. The reference below is the sweep it replaced: the scalar
-        // committed kernels, pencil by pencil, faces ascending — built from
-        // the grid alone, not from the operator's face tables.
+        // pencils. The reference is the sweep it replaced: the scalar
+        // committed kernels, pencil by pencil, faces ascending.
         let mut ran = [false; 3];
         for &(p, conf_cells, vel_cells) in SCHEDULE_CASES {
             let (cdim, vdim) = (conf_cells.len(), vel_cells.len());
             for flux in [FluxKind::Upwind, FluxKind::Central] {
                 let (mut op, f, em) = schedule_case(p, conf_cells, vel_cells, flux, periodic(cdim));
-                let grid = op.grid.clone();
-                let (nv, nconf) = (grid.vel.len(), grid.conf.len());
+                let (nv, nconf) = (op.grid.vel.len(), op.grid.conf.len());
                 // Non-zero starting increments, so the order in which a cell
                 // receives its two face contributions shows in the bits.
                 let mut start = DgField::zeros(nconf * nv, op.kernels.np());
@@ -2005,41 +2168,7 @@ mod tests {
                     *v = ((i * 29 % 53) as f64 - 26.0) * 0.3;
                 }
                 let qm = -1.5;
-
-                let entry = find_surface_kernel(BasisKind::Serendipity, op.kernels.layout, p)
-                    .expect("case is in the registry");
-                let mut want = start.clone();
-                let mut vidx = vec![0usize; vdim];
-                let mut w = vec![0.0; cdim + vdim];
-                for clin in 0..nconf {
-                    w[..cdim].copy_from_slice(&op.conf_centers[clin * cdim..][..cdim]);
-                    for j in 0..vdim {
-                        let stride = grid.vel.stride(j);
-                        for base in 0..nv {
-                            grid.vel.delinearize(base, &mut vidx);
-                            if vidx[j] != 0 {
-                                continue;
-                            }
-                            for i in 0..vel_cells[j] - 1 {
-                                let vlo = base + i * stride;
-                                w[cdim..].copy_from_slice(&op.vel_centers[vlo][..vdim]);
-                                let lo_cell = clin * nv + vlo;
-                                let (o_lo, o_hi) = want.cell_pair_mut(lo_cell, lo_cell + stride);
-                                (entry.dirs[cdim + j])(
-                                    &w,
-                                    &op.dxv,
-                                    qm,
-                                    em.cell(clin),
-                                    flux != FluxKind::Central,
-                                    f.cell(lo_cell),
-                                    f.cell(lo_cell + stride),
-                                    o_lo,
-                                    o_hi,
-                                );
-                            }
-                        }
-                    }
-                }
+                let want = scalar_vel_faces(&op, qm, &f, &em, start.clone());
 
                 ran = at_every_width(&mut op, |op, width| {
                     let mut got = start.clone();
@@ -2135,12 +2264,14 @@ mod tests {
         // The volume twin of the face-panel test, and the configuration
         // faces with it: `volume` and `surface_config` batch runs of
         // velocity cells with a partial last panel per configuration cell,
-        // and the cell-lane pass runs both over panels resident for a whole
-        // lane group. The reference is the scalar committed kernels cell by
-        // cell: the volume from zero (each cell's first contribution), then
-        // the configuration faces with `d` ascending — onto non-zero
-        // increments for the per-phase sweep, onto the volume for the pass.
-        let mut ran = [false; 3];
+        // and the cell-lane pass runs both — on 1v the velocity faces too —
+        // over panels resident for a whole lane group. The reference is the
+        // scalar committed kernels cell by cell: the volume from zero (each
+        // cell's first contribution), then the configuration faces with `d`
+        // ascending — onto non-zero increments for the per-phase sweep, onto
+        // the volume for the whole block RHS, which then takes the velocity
+        // faces, lower before upper.
+        let (mut ran, mut ran_1v) = ([false; 3], [false; 3]);
         for (p, conf_cells, vel_cells, bcs) in cell_cases() {
             let (cdim, vdim) = (conf_cells.len(), vel_cells.len());
             let (mut op, f, em) =
@@ -2172,8 +2303,9 @@ mod tests {
             }
             let want_faces = scalar_conf_faces(&op, &f, &bcs, start.clone());
             let want_pass = scalar_conf_faces(&op, &f, &bcs, want_vol.clone());
+            let want_pass = scalar_vel_faces(&op, qm, &f, &em, want_pass);
 
-            ran = at_every_width(&mut op, |op, width| {
+            let widths = at_every_width(&mut op, |op, width| {
                 let mut ws = VlasovWorkspace::for_kernels(&op.kernels);
                 let mut got_vol = DgField::zeros(nconf * nv, np);
                 op.volume(qm, &f, &em, &mut got_vol, &mut ws, 0..nconf);
@@ -2184,7 +2316,7 @@ mod tests {
                 let per_phase_wall = ws.wall.clone();
                 ws.wall.reset();
                 let mut got_pass = DgField::zeros(nconf * nv, np);
-                op.volume_and_conf_faces(
+                op.accumulate_block_rhs(
                     qm,
                     &f,
                     &em,
@@ -2196,7 +2328,7 @@ mod tests {
                 for (what, got, want) in [
                     ("volume", &got_vol, &want_vol),
                     ("config faces", &got_faces, &want_faces),
-                    ("cell-lane pass", &got_pass, &want_pass),
+                    ("block RHS", &got_pass, &want_pass),
                 ] {
                     for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
                         assert!(
@@ -2225,16 +2357,24 @@ mod tests {
                     }
                 }
             });
+            ran = widths;
+            if vdim == 1 {
+                ran_1v = widths;
+            }
         }
         report_widths("cell_panel_schedule", ran);
+        // The velocity faces run inside the pass on 1v only.
+        report_widths("cell_pass_1v_schedule", ran_1v);
     }
 
     #[test]
     fn cell_pass_counts_and_spans_like_the_per_phase_sweeps() {
-        // The pass bumps `CellsSwept`, `DofProcessed` and `FacesSwept`
-        // exactly as `volume` + `surface_config` do, charges the same
-        // phases, and its spans never nest: they are disjoint slices of the
-        // call, so their times add up to no more than its length.
+        // The block RHS — the pass, and on more than one velocity dimension
+        // `surface_velocity` after it — bumps `CellsSwept`, `DofProcessed`
+        // and `FacesSwept` exactly as `volume` + `surface_config` +
+        // `surface_velocity` do, charges the same phases, and its spans
+        // never nest: they are disjoint slices of the call, so their times
+        // add up to no more than its length.
         let count = |run: &mut dyn FnMut(&mut VlasovWorkspace), op: &VlasovOp| {
             let reg = Arc::new(Registry::new(1));
             let mut ws = VlasovWorkspace::for_kernels(&op.kernels);
@@ -2253,13 +2393,14 @@ mod tests {
                     for (d, &bc) in bcs.iter().enumerate() {
                         op.surface_config(d, &f, &mut f.clone(), ws, 0..nconf, bc);
                     }
+                    op.surface_velocity(0.5, &f, &em, &mut f.clone(), ws, 0..nconf);
                 },
                 &op,
             );
             let mut out = DgField::zeros(f.ncells(), f.ncoeff());
             let (pass, elapsed) = count(
                 &mut |ws| {
-                    op.volume_and_conf_faces(0.5, &f, &em, &mut out, ws, 0..conf_cells[0], &bcs)
+                    op.accumulate_block_rhs(0.5, &f, &em, &mut out, ws, 0..conf_cells[0], &bcs)
                 },
                 &op,
             );

@@ -7,7 +7,6 @@
 //! points out a modest 6D run checkpoints a terabyte of distribution
 //! function, so the format streams without intermediate copies.
 
-use bytes::{Buf, BufMut};
 use dg_core::observer::{Frame, Observer, Trigger};
 use dg_core::system::SystemState;
 use dg_grid::DgField;
@@ -20,16 +19,16 @@ const VERSION: u32 = 1;
 
 /// Serialize a state (plus time stamp) to a writer.
 pub fn write_state(state: &SystemState, time: f64, mut out: impl Write) -> std::io::Result<()> {
-    let mut header = Vec::with_capacity(64);
-    header.put_u64_le(MAGIC);
-    header.put_u32_le(VERSION);
-    header.put_f64_le(time);
-    header.put_u32_le(state.species_f.len() as u32);
+    let mut header = Vec::with_capacity(24);
+    header.extend_from_slice(&MAGIC.to_le_bytes());
+    header.extend_from_slice(&VERSION.to_le_bytes());
+    header.extend_from_slice(&time.to_le_bytes());
+    header.extend_from_slice(&(state.species_f.len() as u32).to_le_bytes());
     out.write_all(&header)?;
     for f in state.species_f.iter().chain(std::iter::once(&state.em)) {
         let mut meta = Vec::with_capacity(16);
-        meta.put_u64_le(f.ncells() as u64);
-        meta.put_u64_le(f.ncoeff() as u64);
+        meta.extend_from_slice(&(f.ncells() as u64).to_le_bytes());
+        meta.extend_from_slice(&(f.ncoeff() as u64).to_le_bytes());
         out.write_all(&meta)?;
         // Stream coefficients little-endian without building a copy of the
         // whole (possibly huge) array.
@@ -37,12 +36,25 @@ pub fn write_state(state: &SystemState, time: f64, mut out: impl Write) -> std::
         for block in f.as_slice().chunks(4096) {
             chunk.clear();
             for &v in block {
-                chunk.put_f64_le(v);
+                chunk.extend_from_slice(&v.to_le_bytes());
             }
             out.write_all(&chunk)?;
         }
     }
     Ok(())
+}
+
+/// The leading `N` bytes of `buf`, which then starts after them.
+///
+/// # Panics
+///
+/// When `buf` is shorter than `N` (the callers read fixed-size headers).
+fn next<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = buf
+        .split_first_chunk::<N>()
+        .expect("a fixed-size header holds every field");
+    *buf = rest;
+    *head
 }
 
 /// Deserialize a state; returns `(state, time)`.
@@ -63,15 +75,15 @@ fn read_within(mut input: impl Read, mut len: Option<u64>) -> std::io::Result<(S
     take(&mut len, 24)?;
     input.read_exact(&mut head)?;
     let mut buf = &head[..];
-    let magic = buf.get_u64_le();
-    let version = buf.get_u32_le();
+    let magic = u64::from_le_bytes(next(&mut buf));
+    let version = u32::from_le_bytes(next(&mut buf));
     if magic != MAGIC || version != VERSION {
         return Err(invalid(
             "not a vlasov-dg snapshot (or incompatible version)",
         ));
     }
-    let time = buf.get_f64_le();
-    let nspecies = buf.get_u32_le();
+    let time = f64::from_le_bytes(next(&mut buf));
+    let nspecies = u32::from_le_bytes(next(&mut buf));
 
     let mut species_f = Vec::new();
     for _ in 0..nspecies {
@@ -104,7 +116,8 @@ fn read_field(input: &mut impl Read, len: &mut Option<u64>) -> std::io::Result<D
     input.read_exact(&mut meta)?;
     let mut b = &meta[..];
     let size = |n: u64| usize::try_from(n).map_err(|_| invalid("field size overflows usize"));
-    let (ncells, ncoeff) = (size(b.get_u64_le())?, size(b.get_u64_le())?);
+    let ncells = size(u64::from_le_bytes(next(&mut b)))?;
+    let ncoeff = size(u64::from_le_bytes(next(&mut b)))?;
     let total = ncells
         .checked_mul(ncoeff)
         .filter(|n| n.checked_mul(8).is_some())
@@ -292,15 +305,48 @@ mod tests {
         assert!(read_state(&garbage[..]).is_err());
     }
 
+    #[test]
+    fn writes_the_documented_bytes() {
+        // The format, byte by byte: magic, version, time, species count,
+        // then per field (species in order, the EM field last) its cell and
+        // coefficient counts and its coefficients, all little-endian.
+        let field = |ncells, ncoeff, data: &[f64]| DgField::from_vec(ncells, ncoeff, data.to_vec());
+        let state = SystemState {
+            species_f: vec![field(2, 1, &[1.0, -0.0])],
+            em: field(1, 3, &[f64::MIN_POSITIVE, -2.5, f64::INFINITY]),
+        };
+        let mut want: Vec<u8> = b"GDVOSALV".to_vec();
+        want.extend([1, 0, 0, 0]);
+        want.extend([0, 0, 0, 0, 0, 0, 0xd0, 0x3f]); // 0.25
+        want.extend([1, 0, 0, 0]);
+        want.extend([2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]);
+        want.extend([0, 0, 0, 0, 0, 0, 0xf0, 0x3f]); // 1.0
+        want.extend([0, 0, 0, 0, 0, 0, 0, 0x80]); // -0.0
+        want.extend([1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]);
+        want.extend([0, 0, 0, 0, 0, 0, 0x10, 0x00]); // smallest normal
+        want.extend([0, 0, 0, 0, 0, 0, 0x04, 0xc0]); // -2.5
+        want.extend([0, 0, 0, 0, 0, 0, 0xf0, 0x7f]); // +inf
+        let mut got = Vec::new();
+        write_state(&state, 0.25, &mut got).unwrap();
+        assert_eq!(got, want);
+        let (back, t) = read_state(&want[..]).unwrap();
+        assert_eq!(t, 0.25);
+        assert_eq!(
+            back.species_f[0].as_slice()[1].to_bits(),
+            (-0.0f64).to_bits()
+        );
+        assert_eq!(back.em.as_slice(), state.em.as_slice());
+    }
+
     /// A snapshot header for `nspecies` species, then one field header.
     fn hostile(nspecies: u32, ncells: u64, ncoeff: u64) -> Vec<u8> {
         let mut b = Vec::new();
-        b.put_u64_le(MAGIC);
-        b.put_u32_le(VERSION);
-        b.put_f64_le(0.0);
-        b.put_u32_le(nspecies);
-        b.put_u64_le(ncells);
-        b.put_u64_le(ncoeff);
+        b.extend(MAGIC.to_le_bytes());
+        b.extend(VERSION.to_le_bytes());
+        b.extend(0.0f64.to_le_bytes());
+        b.extend(nspecies.to_le_bytes());
+        b.extend(ncells.to_le_bytes());
+        b.extend(ncoeff.to_le_bytes());
         b
     }
 

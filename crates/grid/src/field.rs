@@ -155,6 +155,37 @@ impl DgField {
         self.data.copy_from_slice(&other.data);
     }
 
+    /// `self = u + a·r` in one sweep — [`Self::copy_from`] then
+    /// [`Self::axpy`], element for element the same expression.
+    pub fn euler_from(&mut self, u: &DgField, a: f64, r: &DgField) {
+        debug_assert_eq!(self.data.len(), u.data.len());
+        debug_assert_eq!(self.data.len(), r.data.len());
+        for (x, (u, r)) in self.data.iter_mut().zip(u.data.iter().zip(&r.data)) {
+            *x = u + a * r;
+        }
+    }
+
+    /// `self = b·(self + a·r) + c·u` in one sweep — [`Self::axpy`] then
+    /// [`Self::lincomb`], element for element the same expressions.
+    pub fn euler_lincomb(&mut self, a: f64, r: &DgField, b: f64, c: f64, u: &DgField) {
+        debug_assert_eq!(self.data.len(), r.data.len());
+        debug_assert_eq!(self.data.len(), u.data.len());
+        for (x, (r, u)) in self.data.iter_mut().zip(r.data.iter().zip(&u.data)) {
+            *x = b * (*x + a * r) + c * u;
+        }
+    }
+
+    /// `self = b·self + c·(s + a·r)` in one sweep — `s.axpy(a, r)` then
+    /// `self.lincomb(b, c, s)`, element for element the same expressions,
+    /// without writing `s`.
+    pub fn lincomb_euler(&mut self, b: f64, c: f64, s: &DgField, a: f64, r: &DgField) {
+        debug_assert_eq!(self.data.len(), s.data.len());
+        debug_assert_eq!(self.data.len(), r.data.len());
+        for (x, (s, r)) in self.data.iter_mut().zip(s.data.iter().zip(&r.data)) {
+            *x = b * *x + c * (s + a * r);
+        }
+    }
+
     /// L2 norm of the raw coefficient vector (≡ the L2 norm of the DG
     /// function up to the constant reference-volume Jacobian, by
     /// orthonormality — the paper's field-energy bookkeeping).
@@ -417,6 +448,65 @@ mod tests {
         assert_eq!(a.as_slice(), &[3.5, 7.0, 10.5, 14.0]);
         assert!((b.coeff_norm_sq() - 3000.0).abs() < 1e-12);
         assert_eq!(b.max_abs(), 40.0);
+    }
+
+    #[test]
+    fn fused_stage_ops_match_their_two_op_sequences_bitwise() {
+        // Signed zeros (where `0 + x` and `x` differ), subnormals, ±inf and
+        // NaN in every operand, against each other and ordinary values.
+        let specials = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 3.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1.5,
+            -2.25e-3,
+            0.1,
+            -1.0 / 3.0,
+            7.0e300,
+        ];
+        let n = specials.len();
+        let field = |k: usize| {
+            let data = (0..n * n * n).map(|i| specials[(i / n.pow(k as u32)) % n]);
+            DgField::from_vec(n * n * n, 1, data.collect())
+        };
+        let (x0, u, r) = (field(0), field(1), field(2));
+        // Every non-NaN result bit for bit. Which NaN an operation returns
+        // (sign, payload) Rust leaves unspecified — the compiler may swap
+        // the operands of a `+` — so a NaN need only meet a NaN.
+        let same = |got: &DgField, want: &DgField, what: &str| {
+            for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                assert!(
+                    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                    "{what} at {i}: fused {a:e} vs two ops {b:e}"
+                );
+            }
+        };
+        for dt in [0.0, -0.0, 1e-3, f64::MIN_POSITIVE] {
+            let mut want = x0.clone();
+            want.copy_from(&u);
+            want.axpy(dt, &r);
+            let mut got = x0.clone();
+            got.euler_from(&u, dt, &r);
+            same(&got, &want, "euler_from");
+
+            let mut want = x0.clone();
+            want.axpy(dt, &r);
+            want.lincomb(0.25, 0.75, &u);
+            let mut got = x0.clone();
+            got.euler_lincomb(dt, &r, 0.25, 0.75, &u);
+            same(&got, &want, "euler_lincomb");
+
+            let (mut s, mut want) = (x0.clone(), u.clone());
+            s.axpy(dt, &r);
+            want.lincomb(1.0 / 3.0, 2.0 / 3.0, &s);
+            let mut got = u.clone();
+            got.lincomb_euler(1.0 / 3.0, 2.0 / 3.0, &x0, dt, &r);
+            same(&got, &want, "lincomb_euler");
+        }
     }
 
     /// The serial compare-select fold `max_abs` used to be.

@@ -101,13 +101,7 @@ impl NodalSystem {
         rhs_buf: &mut SystemState,
         dt: f64,
     ) {
-        // Borrow gymnastics: split `self` so the closure can call `rhs`.
-        let this: *mut NodalSystem = self;
-        ssp_rk3_generic(state, stage, rhs_buf, dt, |s, o| {
-            // SAFETY: `ssp_rk3_generic` only invokes the closure serially
-            // and `s`/`o` never alias `self`'s internals.
-            unsafe { (*this).rhs(s, o) }
-        });
+        ssp_rk3_generic(state, stage, rhs_buf, dt, |s, o| self.rhs(s, o));
     }
 }
 

@@ -25,6 +25,7 @@ use vlasov_dg::core::blocks::BlockRhs;
 use vlasov_dg::core::lbo::LboOp;
 use vlasov_dg::core::moments::{accumulate_current, MomentScratch};
 use vlasov_dg::core::species::{maxwellian, Species};
+use vlasov_dg::core::ssprk::SspRk3;
 use vlasov_dg::core::vlasov::{FluxKind, VlasovOp, VlasovWorkspace};
 use vlasov_dg::grid::{Bc, CartGrid, DgField, DimBc, PhaseGrid};
 use vlasov_dg::kernels::{kernels_for, KernelDispatch, PhaseLayout};
@@ -208,8 +209,9 @@ fn rhs_and_lbo_loops_allocate_nothing() {
     // staged interior updates, and the wall-flux ledger must all run out
     // of the persistent workspace — zero allocations with walls active,
     // through both dispatch paths. With generated kernels this is the
-    // serial cell-lane pass, its panels sized on the warm-up call; 11
-    // velocity cells end it on a partial lane group at either width. ---
+    // serial cell-lane pass, velocity faces included (1x1v), its panels
+    // sized on the warm-up call; 11 velocity cells end it on a partial lane
+    // group at either width. ---
     let kernels = kernels_for(BasisKind::Serendipity, PhaseLayout::new(1, 1), 2);
     let grid = PhaseGrid::new(
         CartGrid::new(&[0.0], &[1.0], &[4]),
@@ -355,6 +357,19 @@ fn rhs_and_lbo_loops_allocate_nothing() {
         n, 0,
         "threaded block RHS allocated {n} times in the hot loop"
     );
+
+    // --- The serial stepper: three RHS evaluations and the fused stage
+    // sweeps, on the same 1x1v system (6 velocity cells: a partial lane
+    // group of the pass), out of the stepper's own buffers. ---
+    let mut rk = SspRk3::new(&sys);
+    let mut stepped = state.clone();
+    rk.step(&mut sys, &mut stepped, 1e-3); // warm-up
+    let n = count_allocs(|| {
+        for _ in 0..3 {
+            rk.step(&mut sys, &mut stepped, 1e-3);
+        }
+    });
+    assert_eq!(n, 0, "SspRk3::step allocated {n} times in the hot loop");
 
     // --- Telemetry-active sweep: the ISSUE-10 gate. With collection ON,
     // the same coupled RHS must still allocate nothing — a span is an
