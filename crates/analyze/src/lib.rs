@@ -3,7 +3,7 @@
 //! The repository's three load-bearing invariants — bit-identical
 //! results at every thread/rank count, zero-allocation RHS hot paths,
 //! and an audited `unsafe` concurrency layer — are enforced dynamically
-//! by `tests/alloc_free.rs` / `tests/threaded_equiv.rs` on the configs
+//! by `tests/alloc_free.rs` / `tests/decomposition/mod.rs` on the configs
 //! those tests happen to run. This crate enforces them *statically*, on
 //! every source file, in CI:
 //!

@@ -1,7 +1,7 @@
 //! Rule family 3: the determinism lint.
 //!
 //! Bit-identical results at every thread/rank count are a load-bearing
-//! invariant (`tests/threaded_equiv.rs`, `tests/backend_equiv.rs`).
+//! invariant (`tests/decomposition/mod.rs`).
 //! Two static hazards are flagged:
 //!
 //! 1. **Hash-order iteration.** Iterating a `HashMap`/`HashSet` yields a

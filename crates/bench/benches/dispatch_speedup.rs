@@ -266,7 +266,7 @@ fn main() {
     // landing entirely on one side of the comparison. ---
     let mut block_off = BlockRhs::new(&sys, 1, 1);
     let mut block_on = BlockRhs::new(&sys, 1, 1);
-    let reg = Arc::new(Registry::new(1 + block_on.blocks().len()));
+    let reg = Arc::new(Registry::new(block_on.telemetry_slots()));
     block_on.instrument(&reg);
     let probe_on = reg.collector(0);
     let probe_off = Collector::default();

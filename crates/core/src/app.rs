@@ -22,7 +22,7 @@
 //! assert!(dt > 0.0 && app.time() > 0.0);
 //! ```
 
-use crate::backend::{Backend, BackendFactory, Serial};
+use crate::backend::Backend;
 use crate::error::Error;
 use crate::lbo::LboOp;
 use crate::observer::{Frame, Observer, Trigger};
@@ -184,9 +184,8 @@ pub struct AppBuilder {
     species: Vec<SpeciesSpec>,
     field: Option<FieldSpec>,
     init_quad_npts: Option<usize>,
-    backend: Box<dyn BackendFactory>,
-    backend_overridden: bool,
-    threads: Option<usize>,
+    ranks: usize,
+    threads: usize,
     telemetry: Option<bool>,
 }
 
@@ -209,9 +208,8 @@ impl AppBuilder {
             species: Vec::new(),
             field: None,
             init_quad_npts: None,
-            backend: Box::new(Serial::default()),
-            backend_overridden: false,
-            threads: None,
+            ranks: 1,
+            threads: 1,
             telemetry: None,
         }
     }
@@ -280,23 +278,21 @@ impl AppBuilder {
         self
     }
 
-    /// Execution backend (default [`Serial`]). `dg-parallel` exports
-    /// `RankParallel { ranks, threads }` for the two-level decomposition;
-    /// the same declaration runs unchanged — and bit-identically — on
-    /// either.
-    pub fn backend(mut self, factory: impl BackendFactory + 'static) -> Self {
-        self.backend = Box::new(factory);
-        self.backend_overridden = true;
+    /// Configuration-space ranks of the two-level decomposition: dim-0
+    /// slabs, each with its whole velocity grid (default 1). The same
+    /// declaration runs unchanged — and bit-identically — at every rank
+    /// and thread count. `0` is a build error.
+    pub fn ranks(mut self, n: usize) -> Self {
+        self.ranks = n;
         self
     }
 
-    /// Intra-process worker threads for the default [`Serial`] backend's
-    /// cell-block parallel RHS sweep (default 1; trajectories are
-    /// bit-identical for every thread count). `0` is a build error, as is
-    /// combining this with an explicit [`AppBuilder::backend`] — parallel
-    /// factories carry their own thread knob (`RankParallel { threads }`).
+    /// Threads executing the cell-block RHS sweep (default 1: the blocks
+    /// run inline on the calling thread; more runs them on a worker pool,
+    /// each rank's slab split once per thread). Trajectories are
+    /// bit-identical for every thread count. `0` is a build error.
     pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n);
+        self.threads = n;
         self
     }
 
@@ -314,6 +310,12 @@ impl AppBuilder {
     }
 
     pub fn build(mut self) -> Result<App, Error> {
+        if self.ranks == 0 || self.threads == 0 {
+            return Err(Error::Build(format!(
+                "AppBuilder needs ranks ≥ 1 and threads ≥ 1, got ranks={} threads={}",
+                self.ranks, self.threads
+            )));
+        }
         let (clo, chi, ccells) = self
             .conf
             .ok_or_else(|| Error::Build("configuration grid not specified".into()))?;
@@ -482,22 +484,7 @@ impl AppBuilder {
             poisson_init_1d(&mut system, &mut em)?;
         }
         let state = system.initial_state(em);
-        if let Some(n) = self.threads {
-            if self.backend_overridden {
-                return Err(Error::Build(
-                    "AppBuilder::threads applies to the default Serial backend; an explicit \
-                     backend carries its own thread knob (e.g. RankParallel { threads })"
-                        .into(),
-                ));
-            }
-            if n == 0 {
-                return Err(Error::Build(
-                    "AppBuilder::threads needs n ≥ 1, got 0".into(),
-                ));
-            }
-            self.backend = Box::new(Serial { threads: n });
-        }
-        let mut backend = self.backend.make(system)?;
+        let mut backend = Backend::new(system, self.ranks, self.threads);
         let telemetry_on = self.telemetry.unwrap_or_else(env_telemetry);
         let (probe, telemetry) = if telemetry_on {
             let reg = Arc::new(Registry::new(backend.telemetry_slots()));
@@ -698,7 +685,7 @@ enum Sched {
 }
 
 /// Run-long telemetry carried by an instrumented [`App`]: the registry
-/// the backend writes into, the recent-dt trace, and accumulated
+/// the engine writes into, the recent-dt trace, and accumulated
 /// stepping wall time.
 struct TelemetryState {
     reg: Arc<Registry>,
@@ -706,12 +693,12 @@ struct TelemetryState {
     wall_ns: u64,
 }
 
-/// A runnable simulation: a declaration bound to an execution
+/// A runnable simulation: a declaration bound to its execution
 /// [`Backend`]. Diagnostics reach the system and state through the
 /// accessors; stepping goes through [`App::step`], [`App::advance_by`],
 /// or the observer-scheduled [`App::run`] driver.
 pub struct App {
-    backend: Box<dyn Backend>,
+    backend: Backend,
     state: SystemState,
     time: f64,
     steps_taken: usize,

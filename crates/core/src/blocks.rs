@@ -1,15 +1,17 @@
-//! Intra-rank cell-block parallelism for the RHS sweep.
+//! Cell-block decomposition of the RHS sweep: the one coupled-RHS driver.
 //!
 //! The paper's single-node story (§III, Fig. 3) layers shared-memory
 //! parallelism over cells on top of the per-cell unrolled kernels. This
 //! module is that layer: configuration space is split into contiguous
-//! dim-0 **cell blocks** — the rank slabs of `dg-parallel`, each further
-//! split into per-thread sub-slabs — and every block evaluates its own
-//! volume + surface + LBO contributions on the persistent workers of the
-//! rayon-shim [`ThreadPool`].
+//! dim-0 **cell blocks** — the rank slabs of the two-level decomposition,
+//! each further split into per-thread sub-slabs — and every block evaluates
+//! its own volume + surface + LBO contributions ([`block_rhs`]). At one
+//! thread the blocks run inline on the calling thread in ascending order;
+//! with more they run on the persistent workers of the rayon-shim
+//! [`ThreadPool`].
 //!
-//! **Bit-identity.** The serial sweep is the one-block case of the same
-//! [`block_species_rhs`]. Within one output cell its contribution order is
+//! **Bit-identity.** [`VlasovMaxwell::rhs`] is the one-block case of the
+//! same [`block_rhs`]. Within one output cell its contribution order is
 //! volume → dim-0 faces → higher configuration faces → velocity faces →
 //! LBO, the volume and configuration faces summed in the cell's panel of
 //! the cell-lane pass, velocity faces included on 1v. Every one of those
@@ -18,25 +20,26 @@
 //! blocks evaluate the shared flux, the paper's redundant-halo-flux trick,
 //! reading the neighbour's `f` from a halo slice), `d ≥ 1` faces never
 //! leave a dim-0 row, and velocity faces and the LBO never leave a
-//! configuration cell. So each output cell receives exactly the serial
-//! sequence of additions no matter how many blocks run concurrently — the
-//! threaded sweep is bit-identical to serial *by construction*, for any
-//! thread count (`tests/threaded_equiv.rs` asserts it).
+//! configuration cell. So each output cell receives exactly the one-block
+//! sequence of additions no matter how many blocks there are or which
+//! thread runs them — every `(ranks, threads)` is bit-identical by
+//! construction (`tests/decomposition/mod.rs` asserts it).
 //!
 //! **Deterministic ledger reduction.** Each block accumulates wall-flux
-//! partials into its own workspace; after the barrier the main thread
+//! partials into its own workspace; after the sweep the calling thread
 //! reduces them in ascending block order — lower-wall blocks first,
 //! interior, upper-wall blocks last. Dim-0 wall channels are wholly owned
-//! by the first/last block, so the 1D ledger is bit-identical to serial.
+//! by the first/last block, so the 1D ledger is bit-identical to one block.
 //!
 //! **Zero allocation.** Per-block [`VlasovWorkspace`]/[`LboScratch`]
-//! instances persist across calls, blocks reach their output cells through
-//! [`DgFieldSlice::from_raw`] (no per-call view `Vec`), and the pool's
-//! `broadcast` publishes work through a fixed command slot — the threaded
-//! sweep passes the counting-allocator gate in `tests/alloc_free.rs`.
+//! instances persist across calls; inline blocks write the output field
+//! itself, pooled ones reach their cells through [`DgFieldSlice::from_raw`]
+//! (no per-call view `Vec`), and the pool's `broadcast` publishes work
+//! through a fixed command slot — both sweeps pass the counting-allocator
+//! gate in `tests/alloc_free.rs`.
 
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use dg_grid::slab::slab_ranges;
 use dg_grid::{CellStoreMut, DgField, DgFieldSlice, DimBc};
@@ -44,7 +47,7 @@ use rayon::ThreadPool;
 
 use dg_telemetry::{Counter, Phase, Registry};
 
-use crate::lbo::LboScratch;
+use crate::lbo::{LboOp, LboScratch};
 use crate::system::{SystemState, VlasovMaxwell};
 use crate::vlasov::{VlasovOp, VlasovWorkspace, WallAccum};
 
@@ -59,11 +62,13 @@ pub struct CellBlocks {
     pub blocks: Vec<Range<usize>>,
     /// Configuration cells per unit of dim-0.
     pub stride0: usize,
+    /// Rank slabs the blocks were cut from.
+    pub ranks: usize,
 }
 
 impl CellBlocks {
     /// Split `n0` dim-0 cells into `ranks` slabs of `blocks_per_rank`
-    /// blocks each (the serial backend uses `ranks = 1`).
+    /// blocks each.
     // dg-analyze: allow(hot_alloc) — construction-time partitioning, runs once per solver setup
     pub fn new(grid: &dg_grid::PhaseGrid, ranks: usize, blocks_per_rank: usize) -> Self {
         assert!(ranks >= 1 && blocks_per_rank >= 1);
@@ -77,39 +82,23 @@ impl CellBlocks {
         CellBlocks {
             blocks,
             stride0: grid.conf.len() / n0,
+            ranks,
         }
-    }
-
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-
-    /// Linear configuration-cell range of one block.
-    pub fn conf_range(&self, b: usize) -> Range<usize> {
-        let s = &self.blocks[b];
-        s.start * self.stride0..s.end * self.stride0
     }
 }
 
-/// Kinetic RHS of one species restricted to the dim-0 cell block `block`
-/// (a range of dimension-0 slices): the unit of work of the serial RHS (one
-/// block), the threaded backend and each simulated rank of `dg-parallel` (a
-/// rank is just a block that happens to span its whole slab). Fills
-/// `ws.wall` with the block's wall-flux partial sums.
-///
-/// The volume and the configuration faces — and on 1v the velocity faces —
-/// run as one pass (`VlasovOp::accumulate_block_rhs`), configuration faces
-/// in the order the block's cells receive them in a whole-domain sweep:
-/// lower walls, the received face below the block, interior faces
-/// ascending, the sending face above it — or the periodic wrap / upper wall
-/// for the last block, with the first block applying its received wrap side
-/// last. Velocity faces the pass does not run follow.
+/// One species' RHS on the dim-0 cell block `block` (a range of
+/// dimension-0 slices) — the unit of work of every driver:
+/// [`VlasovMaxwell::rhs`] (the whole domain as one block) and each block of
+/// [`BlockRhs`], inline or on a worker. Zeroes the block's output cells,
+/// adds every collisionless term (`VlasovOp::accumulate_block_rhs`: the
+/// volume and the configuration faces — on 1v the velocity faces too — as
+/// one cell-lane pass, configuration faces in the order the block's cells
+/// receive them in a whole-domain sweep), then the LBO on the block's
+/// configuration cells with the block's scratch. Fills `ws.wall` with the
+/// block's wall-flux partial sums.
 #[allow(clippy::too_many_arguments)]
-pub fn block_species_rhs<S: CellStoreMut>(
+pub fn block_rhs<S: CellStoreMut>(
     op: &VlasovOp,
     block: Range<usize>,
     qm: f64,
@@ -118,10 +107,22 @@ pub fn block_species_rhs<S: CellStoreMut>(
     out: &mut S,
     ws: &mut VlasovWorkspace,
     bcs: &[DimBc],
+    lbo: Option<(&LboOp, &mut LboScratch)>,
 ) {
+    let grid = &op.grid;
+    let stride0 = grid.conf.len() / grid.conf.cells()[0];
+    let conf_range = block.start * stride0..block.end * stride0;
+    let nv = grid.vel.len();
+    // Zeroed by the thread that accumulates into it, in one sequential
+    // sweep: the pass adds each cell's panel in strided runs, and lines
+    // another core had just zeroed would each be fetched from it.
+    out.fill_cells(conf_range.start * nv..conf_range.end * nv, 0.0);
     ws.wall.reset();
     // An empty block (more blocks than dim-0 cells) is idle.
     op.accumulate_block_rhs(qm, f, em, out, ws, block, bcs);
+    if let Some((lbo, lws)) = lbo {
+        lbo.accumulate_rhs_range(f, out, lws, conf_range);
+    }
 }
 
 /// Shareable base pointer of an output field (each worker derives its own
@@ -142,15 +143,19 @@ impl SendPtr {
     }
 }
 
-/// The cell-block parallel RHS driver: owns the worker pool, the block
-/// decomposition, and one persistent workspace per block.
+/// The coupled-RHS driver over `ranks × threads` cell blocks: owns the
+/// block decomposition, one persistent workspace per block and — with more
+/// than one thread — the worker pool.
 pub struct BlockRhs {
-    pool: ThreadPool,
+    /// The workers, `None` at one thread: the blocks then run inline on
+    /// the calling thread, in ascending block order.
+    pool: Option<ThreadPool>,
     blocks: CellBlocks,
     /// One kinetic workspace per block — `Mutex` only to satisfy the
     /// compiler: block `b` is touched by exactly one worker per sweep
     /// (`b % nthreads == worker index`), so every lock is uncontended (and
-    /// the std mutex is futex-based: locking never allocates).
+    /// the std mutex is futex-based: locking never allocates). The inline
+    /// path reaches them through `get_mut`, without locking.
     ws: Vec<Mutex<VlasovWorkspace>>,
     /// One LBO scratch per block, built on the first sweep of a system
     /// with collisions enabled.
@@ -159,22 +164,24 @@ pub struct BlockRhs {
     total: WallAccum,
     /// Telemetry registry, kept so lazily-built LBO scratch (see
     /// [`Self::ensure_lbo_scratch`]) is instrumented like the rest.
-    probe_reg: Option<std::sync::Arc<Registry>>,
+    probe_reg: Option<Arc<Registry>>,
 }
 
 impl BlockRhs {
     /// A driver over `ranks × threads` blocks executed by `threads`
-    /// workers (the serial backend passes `ranks = 1`; `dg-parallel`
-    /// composes simulated ranks × intra-rank threads).
+    /// threads: the calling one when `threads == 1`, else a pool of
+    /// `threads` workers.
     // dg-analyze: allow(hot_alloc) — constructor: pool, per-block workspaces and scratch are built once
     pub fn new(system: &VlasovMaxwell, ranks: usize, threads: usize) -> Self {
         assert!(threads >= 1, "BlockRhs needs at least one thread");
         let blocks = CellBlocks::new(&system.grid, ranks, threads);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("worker pool");
-        let ws = (0..blocks.len())
+        let pool = (threads > 1).then(|| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("worker pool")
+        });
+        let ws = (0..blocks.blocks.len())
             .map(|_| Mutex::new(VlasovWorkspace::for_kernels(&system.kernels)))
             .collect();
         let mut this = BlockRhs {
@@ -189,23 +196,36 @@ impl BlockRhs {
         this
     }
 
-    /// Point block `b`'s workspaces at telemetry slot `1 + b` (slot 0 is
-    /// the orchestrating thread). Each block is swept by exactly one worker
-    /// per broadcast, so each slot keeps a single writer.
-    // dg-analyze: allow(hot_alloc) — collector handoff is cold (once per run)
-    pub fn instrument(&mut self, reg: &std::sync::Arc<Registry>) {
-        self.probe_reg = Some(std::sync::Arc::clone(reg));
-        for (b, ws) in self.ws.iter_mut().enumerate() {
-            ws.get_mut().unwrap().probe = reg.collector(1 + b);
-        }
-        for (b, lws) in self.lbo_ws.iter_mut().enumerate() {
-            lws.get_mut().unwrap().instrument(&reg.collector(1 + b));
+    /// Telemetry slots the sweep writes: slot 0 (the calling thread, which
+    /// at one thread also runs every block), plus one per block when the
+    /// blocks run on the pool.
+    pub fn telemetry_slots(&self) -> usize {
+        match self.pool {
+            None => 1,
+            Some(_) => 1 + self.ws.len(),
         }
     }
 
-    /// The worker pool (shared with `dg-parallel`'s moment reduction).
-    pub fn pool(&self) -> &ThreadPool {
-        &self.pool
+    /// Telemetry slot of block `b`: 0 inline, `1 + b` on the pool — each
+    /// slot keeps a single writer either way.
+    fn slot(&self, b: usize) -> usize {
+        match self.pool {
+            None => 0,
+            Some(_) => 1 + b,
+        }
+    }
+
+    /// Point every block's workspaces at its telemetry slot.
+    // dg-analyze: allow(hot_alloc) — collector handoff is cold (once per run)
+    pub fn instrument(&mut self, reg: &Arc<Registry>) {
+        self.probe_reg = Some(Arc::clone(reg));
+        for b in 0..self.ws.len() {
+            let collector = reg.collector(self.slot(b));
+            self.ws[b].get_mut().unwrap().probe = collector.clone();
+            if let Some(lws) = self.lbo_ws.get_mut(b) {
+                lws.get_mut().unwrap().instrument(&collector);
+            }
+        }
     }
 
     /// The block decomposition.
@@ -222,20 +242,17 @@ impl BlockRhs {
             return;
         }
         if let Some(lbo) = system.collisions().iter().flatten().next() {
-            self.lbo_ws = (0..self.blocks.len())
+            self.lbo_ws = (0..self.ws.len())
                 .map(|_| Mutex::new(lbo.make_scratch()))
                 .collect();
             if let Some(reg) = self.probe_reg.clone() {
-                for (b, lws) in self.lbo_ws.iter_mut().enumerate() {
-                    lws.get_mut().unwrap().instrument(&reg.collector(1 + b));
-                }
+                self.instrument(&reg);
             }
         }
     }
 
     /// Kinetic RHS of every species into `out`'s species fields (each block
-    /// overwrites its cells), cell-block parallel, plus the block-ordered
-    /// wall-ledger reduction.
+    /// overwrites its cells), plus the block-ordered wall-ledger reduction.
     pub fn species_rhs(
         &mut self,
         system: &mut VlasovMaxwell,
@@ -243,9 +260,8 @@ impl BlockRhs {
         out: &mut SystemState,
     ) {
         self.ensure_lbo_scratch(system);
-        let nblocks = self.blocks.len();
-        let stride0 = self.blocks.stride0;
-        let nv = system.grid.vel.len();
+        let nblocks = self.ws.len();
+        let cells0 = self.blocks.stride0 * system.grid.vel.len();
         for s in 0..system.species.len() {
             {
                 let sys: &VlasovMaxwell = system;
@@ -255,38 +271,47 @@ impl BlockRhs {
                 let em = &state.em;
                 let lbo = sys.collisions()[s].as_ref();
                 let op = &sys.vlasov;
-                let np = out.species_f[s].ncoeff();
-                let base = SendPtr(out.species_f[s].as_mut_slice().as_mut_ptr());
+                let out_f = &mut out.species_f[s];
                 let blocks = &self.blocks.blocks;
-                let ws = &self.ws;
-                let lbo_ws = &self.lbo_ws;
-                self.pool.broadcast(|ctx| {
-                    let me = ctx.index();
-                    let nthreads = ctx.num_threads();
-                    for b in (me..nblocks).step_by(nthreads) {
-                        let block = blocks[b].clone(); // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
-                        let conf_range = block.start * stride0..block.end * stride0;
-                        let first = conf_range.start * nv;
-                        let ncells = conf_range.len() * nv;
-                        // SAFETY: blocks are disjoint cell ranges of the
-                        // output field and each block is visited by
-                        // exactly one worker, so the views never overlap.
-                        let mut view = unsafe {
-                            DgFieldSlice::from_raw(base.get().add(first * np), first, ncells, np)
-                        };
-                        // Zeroed by the worker that accumulates into it, in
-                        // one sequential sweep: the pass adds each cell's
-                        // panel in strided runs, and lines another core
-                        // had just zeroed would each be fetched from it.
-                        view.fill(0.0);
-                        let mut bws = ws[b].lock().unwrap();
-                        block_species_rhs(op, block, qm, f, em, &mut view, &mut bws, bcs);
-                        if let Some(lbo) = lbo {
-                            let mut lws = lbo_ws[b].lock().unwrap();
-                            lbo.accumulate_rhs_range(f, &mut view, &mut lws, conf_range);
+                match &self.pool {
+                    // One thread: every block writes the whole field in
+                    // turn — the one-block sweep's code, no views.
+                    None => {
+                        for (b, ws) in self.ws.iter_mut().enumerate() {
+                            let lws = self.lbo_ws.get_mut(b).map(|l| l.get_mut().unwrap());
+                            let block = blocks[b].clone(); // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
+                            let ws = ws.get_mut().unwrap();
+                            block_rhs(op, block, qm, f, em, out_f, ws, bcs, lbo.zip(lws));
                         }
                     }
-                });
+                    Some(pool) => {
+                        let np = out_f.ncoeff();
+                        let base = SendPtr(out_f.as_mut_slice().as_mut_ptr());
+                        let (ws, lbo_ws) = (&self.ws, &self.lbo_ws);
+                        pool.broadcast(|ctx| {
+                            for b in (ctx.index()..nblocks).step_by(ctx.num_threads()) {
+                                let block = blocks[b].clone(); // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
+                                let first = block.start * cells0;
+                                // SAFETY: blocks are disjoint cell ranges of
+                                // the output field and each block is run by
+                                // exactly one worker per sweep, so the views
+                                // never overlap.
+                                let mut view = unsafe {
+                                    DgFieldSlice::from_raw(
+                                        base.get().add(first * np),
+                                        first,
+                                        block.len() * cells0,
+                                        np,
+                                    )
+                                };
+                                let mut lws = lbo_ws.get(b).map(|l| l.lock().unwrap());
+                                let ws = &mut ws[b].lock().unwrap();
+                                let lbo = lbo.zip(lws.as_deref_mut());
+                                block_rhs(op, block, qm, f, em, &mut view, ws, bcs, lbo);
+                            }
+                        });
+                    }
+                }
             }
             // Deterministic ledger reduction: ascending block order =
             // lower-walls → interior → upper-walls. (Scoped span: ends
@@ -294,16 +319,16 @@ impl BlockRhs {
             {
                 let _ledger_span = system.probe.span(Phase::Ledger);
                 self.total.reset();
-                for bws in &self.ws {
-                    self.total.add(&bws.lock().unwrap().wall);
+                for bws in &mut self.ws {
+                    self.total.add(&bws.get_mut().unwrap().wall);
                 }
             }
             system.record_wall_rates(s, &self.total);
         }
     }
 
-    /// Full coupled RHS: threaded species sweep + the serial field/moment
-    /// coupling of [`VlasovMaxwell::field_rhs`].
+    /// Full coupled RHS: the block sweep of every species, then the field
+    /// and moment coupling of [`VlasovMaxwell::field_rhs`].
     pub fn rhs(&mut self, system: &mut VlasovMaxwell, state: &SystemState, out: &mut SystemState) {
         system.probe.count(Counter::RhsEvals, 1);
         out.em.fill(0.0);
@@ -328,7 +353,7 @@ mod tests {
             vec![Bc::Periodic],
         );
         let cb = CellBlocks::new(&grid, 3, 2);
-        assert_eq!(cb.len(), 6);
+        assert_eq!(cb.blocks.len(), 6);
         let mut next = 0;
         for b in &cb.blocks {
             assert_eq!(b.start, next, "blocks must be contiguous and ascending");
@@ -337,7 +362,7 @@ mod tests {
         assert_eq!(next, 7);
         // More blocks than cells: empties, still a tiling.
         let cb = CellBlocks::new(&grid, 5, 3);
-        assert_eq!(cb.len(), 15);
+        assert_eq!(cb.blocks.len(), 15);
         assert_eq!(cb.blocks.iter().map(|b| b.len()).sum::<usize>(), 7);
     }
 
@@ -360,7 +385,7 @@ mod tests {
     #[test]
     fn block_sweep_matches_serial_sweep_bitwise() {
         // Operator level (the system/backend level is covered by
-        // tests/threaded_equiv.rs): the per-block sweeps of every partition
+        // tests/decomposition/mod.rs): the per-block sweeps of every partition
         // of dimension 0 add up to the one-block sweep bit for bit, and that
         // one equals the per-phase sweeps (`volume`, `surface_config` by
         // direction, `surface_velocity`). Generated dispatch runs the
@@ -419,7 +444,7 @@ mod tests {
                 op.surface_velocity(-1.0, &f, &em, &mut per_phase, &mut ws, 0..nconf);
 
                 let mut serial = DgField::zeros(grid.len(), kernels.np());
-                block_species_rhs(&op, 0..n0, -1.0, &f, &em, &mut serial, &mut ws, &bcs);
+                block_rhs(&op, 0..n0, -1.0, &f, &em, &mut serial, &mut ws, &bcs, None);
                 let serial_wall = ws.wall.clone();
                 assert!(
                     per_phase.as_slice() == serial.as_slice(),
@@ -430,7 +455,7 @@ mod tests {
                     let mut blocked = DgField::zeros(grid.len(), kernels.np());
                     let mut wall = WallAccum::for_cdim(cdim);
                     for blk in &parts {
-                        block_species_rhs(
+                        block_rhs(
                             &op,
                             blk.clone(),
                             -1.0,
@@ -439,6 +464,7 @@ mod tests {
                             &mut blocked,
                             &mut ws,
                             &bcs,
+                            None,
                         );
                         wall.add(&ws.wall);
                     }

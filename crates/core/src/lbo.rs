@@ -414,8 +414,8 @@ impl LboOp {
     }
 
     /// Point the persistent serial scratch's telemetry at `collector` —
-    /// called once by backend instrumentation (parallel backends
-    /// instrument their per-block scratches instead).
+    /// called once by backend instrumentation (`BlockRhs` instruments its
+    /// per-block scratches instead).
     pub fn instrument_scratch(&mut self, collector: &Collector) {
         if let Some(ws) = self.scratch.as_mut() {
             ws.instrument(collector);
@@ -480,8 +480,15 @@ impl LboOp {
     /// Accumulate `C[f]` into `out`. Takes `&mut self` for the persistent
     /// scratch; the evaluation itself performs no heap allocation.
     pub fn accumulate_rhs(&mut self, f: &DgField, out: &mut DgField) {
+        let nconf = self.grid.conf.len();
+        self.with_serial_scratch(|op, ws| op.accumulate_rhs_range(f, out, ws, 0..nconf));
+    }
+
+    /// Run `body` on the operator and its persistent serial scratch, held
+    /// apart (a move out and back, no allocation).
+    pub(crate) fn with_serial_scratch(&mut self, body: impl FnOnce(&LboOp, &mut LboScratch)) {
         let mut ws = self.scratch.take().expect("LBO scratch present");
-        self.accumulate_rhs_range(f, out, &mut ws, 0..self.grid.conf.len());
+        body(self, &mut ws);
         self.scratch = Some(ws);
     }
 

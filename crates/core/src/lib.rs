@@ -18,13 +18,14 @@
 //! * [`app`] — a builder-style front end mirroring Gkeyll's App system
 //!   (Fig. 4): declare a domain, species with initial conditions, and field
 //!   parameters; get a runnable simulation;
-//! * [`blocks`] — intra-rank shared-memory parallelism: the RHS sweep
-//!   split into contiguous dim-0 cell blocks on a persistent worker pool,
-//!   bit-identical to serial for any thread count;
-//! * [`backend`] / [`observer`] / [`error`] — the run-driver layer: one
-//!   App API over serial and rank-parallel execution, trigger-scheduled
-//!   observers replacing hand-rolled sampling loops, and the typed error
-//!   taxonomy of every fallible public operation.
+//! * [`blocks`] — the two-level decomposition: the coupled RHS over
+//!   `ranks × threads` contiguous dim-0 cell blocks, inline at one thread
+//!   and on a persistent worker pool above, bit-identical for every
+//!   decomposition;
+//! * [`backend`] / [`observer`] / [`error`] — the run-driver layer: the
+//!   one execution engine behind the App, trigger-scheduled observers
+//!   replacing hand-rolled sampling loops, and the typed error taxonomy of
+//!   every fallible public operation.
 
 pub mod app;
 pub mod backend;
@@ -40,7 +41,7 @@ pub mod ssprk;
 pub mod system;
 pub mod vlasov;
 
-pub use backend::{Backend, BackendFactory, Serial};
+pub use backend::Backend;
 pub use error::Error;
 pub use observer::{observe, Frame, Observer, Trigger};
 pub use species::Species;

@@ -18,9 +18,8 @@ use crate::vlasov::VlasovWorkspace;
 pub const STAGE_WEIGHTS: [f64; 3] = [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0];
 
 /// One SSP-RK3 step with a caller-supplied RHS evaluator — the one stage
-/// sequence of the serial, threaded and rank-parallel drivers and the nodal
-/// baseline (`dg-nodal`), so every Table-I/Fig.-3 contender uses the
-/// identical time integration.
+/// sequence of [`ssp_rk3_system`] and of the nodal baseline (`dg-nodal`),
+/// so every Table-I/Fig.-3 contender uses the identical time integration.
 ///
 /// Each stage update is one sweep over the state with the per-element
 /// expressions of `copy_from` + `axpy`, `axpy` + `lincomb` and `axpy` +
@@ -40,6 +39,27 @@ pub fn ssp_rk3_generic(
     stage.euler_lincomb(dt, rhs_buf, 0.25, 0.75, state);
     rhs(&*stage, rhs_buf);
     state.lincomb_euler(1.0 / 3.0, 2.0 / 3.0, stage, dt, rhs_buf);
+}
+
+/// One SSP-RK3 step of a [`VlasovMaxwell`] system through `rhs`, each
+/// stage's wall rates folded into the system's wall ledger with weight
+/// `STAGE_WEIGHTS[k]·dt` right after stage `k`'s RHS — the step of every
+/// driver ([`SspRk3`], `Backend`, `ParVlasovMaxwell`), so the ledger fold
+/// exists once.
+pub fn ssp_rk3_system(
+    system: &mut VlasovMaxwell,
+    state: &mut SystemState,
+    stage: &mut SystemState,
+    rhs_buf: &mut SystemState,
+    dt: f64,
+    mut rhs: impl FnMut(&mut VlasovMaxwell, &SystemState, &mut SystemState),
+) {
+    let mut k = 0;
+    ssp_rk3_generic(state, stage, rhs_buf, dt, |s, o| {
+        rhs(system, s, o);
+        system.integrate_wall_ledger(STAGE_WEIGHTS[k] * dt);
+        k += 1;
+    });
 }
 
 /// Reusable stage buffers for the stepper.
@@ -63,12 +83,7 @@ impl SspRk3 {
     /// stages explicitly.
     pub fn step(&mut self, system: &mut VlasovMaxwell, state: &mut SystemState, dt: f64) {
         let SspRk3 { stage, rhs, ws } = self;
-        let mut k = 0;
-        ssp_rk3_generic(state, stage, rhs, dt, |s, o| {
-            system.rhs(s, o, ws);
-            system.integrate_wall_ledger(STAGE_WEIGHTS[k] * dt);
-            k += 1;
-        });
+        ssp_rk3_system(system, state, stage, rhs, dt, |sys, s, o| sys.rhs(s, o, ws));
     }
 }
 

@@ -6,6 +6,7 @@
 //! (plus, with cleaning, charge) coupling — the complete per-stage work of
 //! the paper's Table I measurement.
 
+use crate::blocks::block_rhs;
 use crate::error::Error;
 use crate::lbo::LboOp;
 use crate::moments::{accumulate_current, MomentScratch};
@@ -228,9 +229,9 @@ impl VlasovMaxwell {
 
     /// Point the system's main-thread telemetry (system probe, moment
     /// scratch, Maxwell operator, serial LBO scratches) at `collector` —
-    /// called once by backend instrumentation. Parallel backends
-    /// additionally instrument their per-block workspaces with their own
-    /// slots.
+    /// called once by backend instrumentation. `BlockRhs` additionally
+    /// instruments its per-block workspaces (slot 0 inline, their own
+    /// slots on the pool).
     pub fn instrument(&mut self, collector: &Collector) {
         self.probe = collector.clone();
         self.scratch_mom.probe = collector.clone();
@@ -358,13 +359,13 @@ impl VlasovMaxwell {
     /// With absorbing walls, a species' total mass change equals its
     /// ledger's [`WallAccum::net_mass`] to round-off.
     ///
-    /// Backend note: the *state* is bit-identical across backends
-    /// unconditionally; the ledger is additionally bit-identical for
-    /// dim-0 walls (each owned whole by one edge rank — every 1D
-    /// configuration qualifies, asserted in `tests/backend_equiv.rs`).
-    /// Walls of higher configuration directions are split across ranks,
-    /// so their ledger entries agree with serial to round-off rather than
-    /// to the bit.
+    /// Decomposition note: the *state* is bit-identical at every
+    /// `ranks × threads` unconditionally; the ledger is additionally
+    /// bit-identical for dim-0 walls (each owned whole by one edge block —
+    /// every 1D configuration qualifies, asserted in
+    /// `tests/decomposition/mod.rs`). Walls of higher configuration
+    /// directions are split across blocks, so their ledger entries agree
+    /// with one block to round-off rather than to the bit.
     pub fn wall_totals(&self) -> &[WallChannels] {
         &self.wall_totals
     }
@@ -430,20 +431,20 @@ impl VlasovMaxwell {
     /// Evaluate the full coupled RHS at `state` into `out` (zeroed here).
     pub fn rhs(&mut self, state: &SystemState, out: &mut SystemState, ws: &mut VlasovWorkspace) {
         self.probe.count(Counter::RhsEvals, 1);
-        out.fill(0.0);
-        // Kinetic updates (per-species BCs; the sweep fills the workspace
-        // wall ledger, harvested right after).
+        out.em.fill(0.0);
+        // Kinetic updates: the whole domain as one cell block (per-species
+        // BCs; the sweep fills the workspace wall ledger, harvested right
+        // after).
+        let domain = 0..self.grid.conf.cells()[0];
         for s in 0..self.species.len() {
-            self.vlasov.accumulate_rhs_bc(
-                self.species[s].qm(),
-                &state.species_f[s],
-                &state.em,
-                &mut out.species_f[s],
-                ws,
-                &self.species_bc[s],
-            );
-            if let Some(lbo) = self.collisions[s].as_mut() {
-                lbo.accumulate_rhs(&state.species_f[s], &mut out.species_f[s]);
+            let qm = self.species[s].qm();
+            let (f, em, out_f) = (&state.species_f[s], &state.em, &mut out.species_f[s]);
+            let (op, bcs, block) = (&self.vlasov, &self.species_bc[s], domain.clone());
+            match self.collisions[s].as_mut() {
+                Some(lbo) => lbo.with_serial_scratch(|lbo, lws| {
+                    block_rhs(op, block, qm, f, em, out_f, ws, bcs, Some((lbo, lws)))
+                }),
+                None => block_rhs(op, block, qm, f, em, out_f, ws, bcs, None),
             }
             self.record_wall_rates(s, &ws.wall);
         }
@@ -451,9 +452,9 @@ impl VlasovMaxwell {
     }
 
     /// The field half of [`VlasovMaxwell::rhs`]: Maxwell RHS plus the
-    /// moment-coupled current/charge sources. Split out so the parallel
-    /// drivers (cell-block threaded sweep, rank decomposition) can replace
-    /// the species sweep while reusing the field update unchanged.
+    /// moment-coupled current/charge sources — the one field coupling of
+    /// every driver ([`crate::blocks::BlockRhs`] runs its species sweep,
+    /// then this).
     pub fn field_rhs(&mut self, state: &SystemState, out: &mut SystemState) {
         let nconf = self.grid.conf.len();
         if self.evolve_field {

@@ -164,8 +164,9 @@ pub struct VlasovWorkspace {
     cell_f: LanePanel,
     cell_out: LanePanel,
     /// Wall-flux ledger accumulators, filled by the configuration-surface
-    /// sweep; reset by [`VlasovOp::accumulate_rhs_bc`] (or manually when
-    /// driving the sweep methods directly, as `dg-parallel` does).
+    /// sweep; reset by [`VlasovOp::accumulate_rhs`] and
+    /// [`crate::blocks::block_rhs`] (or manually when driving the sweep
+    /// methods directly).
     pub wall: WallAccum,
     /// Telemetry writer for this workspace's thread (noop unless the
     /// backend instruments the run; see `dg_telemetry`).
@@ -485,8 +486,14 @@ impl std::fmt::Display for EntryPoints<'_> {
         let op = self.0;
         let volume = op.volume_path.tag();
         f.write_str(volume)?;
-        for (d, dir) in op.surface_paths.iter().enumerate() {
-            let seen = op.surface_paths[..d].iter().any(|p| p.tag() == dir.tag());
+        // The directions the cell-lane pass runs at the volume's width.
+        let in_pass = match op.cell_pass {
+            Some(_) => op.grid.cdim() + usize::from(op.grid.vdim() == 1),
+            None => 0,
+        };
+        let per_phase = &op.surface_paths[in_pass..];
+        for (d, dir) in per_phase.iter().enumerate() {
+            let seen = per_phase[..d].iter().any(|p| p.tag() == dir.tag());
             if dir.tag() != volume && !seen {
                 write!(f, " + {}", dir.tag())?;
             }
@@ -643,14 +650,15 @@ impl VlasovOp {
         self.surface_path_tag
     }
 
-    /// The entry points this operator's sweeps run, from what it resolved
-    /// (displayed, not allocated — this file is on the hot path): the
-    /// volume kernel's tag (`generated/avx512x8`, `generated/avx2x4`,
-    /// `generated/baselinex4` or `runtime-sparse`), then — joined by `+` —
-    /// that of every face direction that resolved differently
-    /// (configuration directions stop at 4 lanes in the per-phase
-    /// `surface_config`; the cell-lane pass runs them under the volume's
-    /// tag).
+    /// The entry points the RHS (`accumulate_block_rhs`) runs, from what
+    /// this operator resolved (displayed, not allocated — this file is on
+    /// the hot path): the volume kernel's tag (`generated/avx512x8`,
+    /// `generated/avx2x4`, `generated/baselinex4` or `runtime-sparse`) —
+    /// the cell-lane pass runs the configuration faces, and on 1v the
+    /// velocity faces, at the same width — then, joined by `+`, the tag of
+    /// every face direction outside the pass that resolved differently (the
+    /// `surface_velocity` width on vdim ≥ 2). The per-phase
+    /// `surface_config`, which stops at 4 lanes, is not part of the RHS.
     pub fn kernel_entry_points(&self) -> impl std::fmt::Display + '_ {
         EntryPoints(self)
     }
@@ -1793,6 +1801,10 @@ impl VlasovOp {
     /// what every RHS driver passes — that is the per-phase sequence
     /// `volume`, `surface_config` by direction, `surface_velocity` bit for
     /// bit; onto non-zero `out` the first sum associates differently.
+    /// Resets and refills the workspace's wall-flux ledger (`ws.wall`).
+    /// The sweep is the one every RHS driver runs per cell block
+    /// ([`crate::blocks::block_rhs`]), here with the whole domain as one
+    /// block and added onto `out`.
     pub fn accumulate_rhs(
         &self,
         qm: f64,
@@ -1801,27 +1813,9 @@ impl VlasovOp {
         out: &mut DgField,
         ws: &mut VlasovWorkspace,
     ) {
-        self.accumulate_rhs_bc(qm, f, em, out, ws, &self.grid.conf_bc);
-    }
-
-    /// [`Self::accumulate_rhs`] with explicit per-dimension boundary
-    /// conditions (the per-species hook: species may override the wall
-    /// flavor on non-periodic axes). Resets and refills the workspace's
-    /// wall-flux ledger (`ws.wall`). This is the one-block call of
-    /// [`crate::blocks::block_species_rhs`], so the serial, threaded and
-    /// rank-parallel RHS run one sweep in one order.
-    pub fn accumulate_rhs_bc(
-        &self,
-        qm: f64,
-        f: &DgField,
-        em: &DgField,
-        out: &mut DgField,
-        ws: &mut VlasovWorkspace,
-        bcs: &[DimBc],
-    ) {
-        debug_assert_eq!(bcs.len(), self.grid.cdim());
-        let n0 = self.grid.conf.cells()[0];
-        crate::blocks::block_species_rhs(self, 0..n0, qm, f, em, out, ws, bcs);
+        ws.wall.reset();
+        let domain = 0..self.grid.conf.cells()[0];
+        self.accumulate_block_rhs(qm, f, em, out, ws, domain, &self.grid.conf_bc);
     }
 
     /// Exact `max |v_d|` over the velocity grid (streaming CFL).
@@ -2084,6 +2078,64 @@ mod tests {
             }
             ran
         })
+    }
+
+    #[test]
+    fn entry_point_tags_name_what_the_rhs_runs() {
+        // 1x1v: the pass runs every direction, so only its width shows, even
+        // with the velocity direction's per-phase entry point forced to
+        // another family. 2x3v: the velocity faces run `surface_velocity`,
+        // whose width joins the tag when it differs from the pass's.
+        let (mut one_v, ..) = schedule_case(1, &[3], &[8], FluxKind::Upwind, periodic(1));
+        let (mut three_v, ..) =
+            schedule_case(1, &[2, 2], &[2, 2, 2], FluxKind::Upwind, periodic(2));
+        // As resolved, the configuration directions' 4-lane per-phase
+        // entry points never show.
+        assert_eq!(
+            one_v.kernel_entry_points().to_string(),
+            one_v.volume_path.tag()
+        );
+        for isa in ISAS {
+            if !(force_isa(&mut one_v, isa) && force_isa(&mut three_v, isa)) {
+                continue;
+            }
+            assert_eq!(one_v.kernel_entry_points().to_string(), isa.tag());
+            assert_eq!(three_v.kernel_entry_points().to_string(), isa.tag());
+            if isa == BatchIsa::Baseline {
+                continue;
+            }
+            for op in [&mut one_v, &mut three_v] {
+                let surf = find_surface_kernel(
+                    op.kernels.phase_basis.kind(),
+                    op.kernels.layout,
+                    op.kernels.phase_basis.poly_order(),
+                )
+                .unwrap();
+                let cdim = op.grid.cdim();
+                for (d, path) in op.surface_paths.iter_mut().enumerate().skip(cdim) {
+                    *path = ResolvedSurfaceDir::Generated {
+                        func: surf.dirs[d],
+                        batch: SurfaceBatch::for_isa(surf, d, BatchIsa::Baseline).unwrap(),
+                    };
+                }
+            }
+            assert_eq!(one_v.kernel_entry_points().to_string(), isa.tag());
+            assert_eq!(
+                three_v.kernel_entry_points().to_string(),
+                format!("{} + {}", isa.tag(), BatchIsa::Baseline.tag())
+            );
+        }
+        // Runtime-sparse runs no pass and names no width.
+        let sparse = VlasovOp::with_dispatch(
+            Arc::clone(&one_v.kernels),
+            one_v.grid.clone(),
+            FluxKind::Upwind,
+            KernelDispatch::RuntimeSparse,
+        );
+        assert_eq!(
+            sparse.kernel_entry_points().to_string(),
+            dg_kernels::dispatch::RUNTIME_SPARSE_TAG
+        );
     }
 
     fn report_widths(test: &str, ran: [bool; 3]) {

@@ -268,14 +268,14 @@ impl Observer for Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
+    use proptest::{Strategy, TestRng};
 
     fn random_state(seed: u64) -> SystemState {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = TestRng::from_name(&format!("snapshot state {seed}"));
         let mut mk = |ncells: usize, ncoeff: usize| {
             let mut f = DgField::zeros(ncells, ncoeff);
             for v in f.as_mut_slice() {
-                *v = rng.random_range(-1.0..1.0);
+                *v = (-1.0..1.0).sample(&mut rng);
             }
             f
         };

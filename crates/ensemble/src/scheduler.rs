@@ -10,7 +10,7 @@
 //!
 //! Per-job work still composes with the solver's own parallelism: a
 //! `JobSpec::threads(n)` job runs its cell-block sweeps on its worker's
-//! own nested pool, and setups may pick `RankParallel` backends.
+//! own nested pool, and setups may decompose with `AppBuilder::ranks`.
 
 use crate::report::{EnsembleReport, JobRecord, JobStatus, JobTiming, SchedulerStats};
 use crate::runner;

@@ -191,9 +191,9 @@ impl JobSpec {
         self
     }
 
-    /// Intra-rank worker threads for this job's own backend (composes
-    /// with ensemble-level workers; only valid when the setup does not
-    /// override the backend — see `AppBuilder::threads`).
+    /// Threads for this job's own cell-block sweep (composes with
+    /// ensemble-level workers; applied over the setup's builder — see
+    /// `AppBuilder::threads`).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = Some(n);
         self

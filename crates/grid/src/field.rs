@@ -17,6 +17,8 @@ pub trait CellStoreMut {
     /// The pairwise distinct cells `idx[..n]` at once (a panel unpack writes
     /// a whole lane group); slots `n..` come back empty, whatever they name.
     fn cells_mut<const N: usize>(&mut self, idx: &[usize; N], n: usize) -> [&mut [f64]; N];
+    /// Set every coefficient of the cells `cells` (global numbering) to `v`.
+    fn fill_cells(&mut self, cells: std::ops::Range<usize>, v: f64);
 }
 
 /// [`CellStoreMut::cells_mut`] over a flat coefficient slice whose first
@@ -266,6 +268,10 @@ impl CellStoreMut for DgField {
     fn cells_mut<const N: usize>(&mut self, idx: &[usize; N], n: usize) -> [&mut [f64]; N] {
         disjoint_cells_mut(&mut self.data, self.ncoeff, 0, idx, n)
     }
+
+    fn fill_cells(&mut self, cells: std::ops::Range<usize>, v: f64) {
+        self.data[cells.start * self.ncoeff..cells.end * self.ncoeff].fill(v);
+    }
 }
 
 /// A contiguous, exclusively borrowed cell range of a [`DgField`], indexed
@@ -355,6 +361,11 @@ impl CellStoreMut for DgFieldSlice<'_> {
     #[inline]
     fn cells_mut<const N: usize>(&mut self, idx: &[usize; N], n: usize) -> [&mut [f64]; N] {
         disjoint_cells_mut(self.data, self.ncoeff, self.first_cell, idx, n)
+    }
+
+    fn fill_cells(&mut self, cells: std::ops::Range<usize>, v: f64) {
+        let (lo, hi) = (cells.start - self.first_cell, cells.end - self.first_cell);
+        self.data[lo * self.ncoeff..hi * self.ncoeff].fill(v);
     }
 }
 

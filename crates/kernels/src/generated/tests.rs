@@ -991,7 +991,7 @@ fn manifest_covers_committed_example_and_bench_configs() {
             1,
             1,
             1,
-            "tests/threaded_equiv.rs, dispatch registry baseline",
+            "tests/alloc_free.rs, dispatch registry baseline",
         ),
         (
             BasisKind::Serendipity,

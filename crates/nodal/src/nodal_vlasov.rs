@@ -330,7 +330,7 @@ mod tests {
     use dg_grid::{Bc, CartGrid};
     use dg_kernels::{kernels_for, PhaseLayout};
     use dg_maxwell::NCOMP;
-    use rand::{Rng, SeedableRng};
+    use proptest::{Strategy, TestRng};
 
     fn random_setup(
         kind: BasisKind,
@@ -343,14 +343,14 @@ mod tests {
         let conf = CartGrid::new(&vec![0.0; cdim], &vec![1.0; cdim], &vec![3; cdim]);
         let vel = CartGrid::new(&vec![-4.0; vdim], &vec![4.0; vdim], &vec![4; vdim]);
         let grid = PhaseGrid::new(conf, vel, vec![Bc::Periodic; cdim]);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = TestRng::from_name(&format!("nodal setup {seed}"));
         let mut f = DgField::zeros(grid.len(), kernels.np());
         for x in f.as_mut_slice() {
-            *x = rng.random_range(-1.0..1.0);
+            *x = (-1.0..1.0).sample(&mut rng);
         }
         let mut em = DgField::zeros(grid.conf.len(), NCOMP * kernels.nc());
         for x in em.as_mut_slice() {
-            *x = rng.random_range(-0.5..0.5);
+            *x = (-0.5..0.5).sample(&mut rng);
         }
         (kernels, grid, f, em)
     }

@@ -11,23 +11,20 @@
 //!    node, which the paper credits with 2–3× memory savings.
 //!
 //! This crate reproduces that structure with threads on one machine:
-//! "ranks" are disjoint configuration-cell slabs executed on a persistent
-//! worker pool (rayon, per the HPC-parallel domain guide); the slab faces
-//! play the role of halo exchange, and their data volume is accounted
-//! explicitly so the Fig. 3 harness can report communication/computation
-//! ratios. Because each rank writes only its own contiguous slice of the
-//! output field ([`dg_grid::DgFieldSlice`]), the decomposition is
-//! **bit-identical to the serial sweep** — asserted in tests — and data
-//! races are excluded by construction, not by locks.
-//!
-//! Substitution note (DESIGN.md): the container exposes a single CPU, so
-//! wall-clock *speedups* cannot manifest here; the harness measures and
-//! prints the same per-rank series the paper plots, and produces genuine
-//! scaling curves when run on a multicore host.
+//! "ranks" are disjoint configuration-cell slabs ([`RankDecomp`]), each
+//! split once more per thread, and the cell blocks run on the calling
+//! thread or a persistent worker pool (`dg_core::blocks::BlockRhs`, the
+//! one coupled-RHS driver, which `AppBuilder::ranks(..).threads(..)` also
+//! runs). The slab faces play the role of halo exchange, and their data
+//! volume is accounted explicitly so the Fig. 3 harness can report
+//! communication/computation ratios. Because each block writes only its
+//! own contiguous slice of the output field ([`dg_grid::DgFieldSlice`]),
+//! the decomposition is **bit-identical to the serial sweep** — asserted
+//! in tests — and data races are excluded by construction, not by locks.
 
 pub mod decomp;
 pub mod par_system;
 pub mod scaling;
 
 pub use decomp::RankDecomp;
-pub use par_system::{ParVlasovMaxwell, RankParallel, RankParallelBackend};
+pub use par_system::ParVlasovMaxwell;

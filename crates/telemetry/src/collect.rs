@@ -7,12 +7,13 @@
 //! see the `telemetry_span` rule).
 //!
 //! Concurrency contract: every writer owns exactly one slot (slot 0 is
-//! the main thread / serial path; parallel backends hand slot `1 + b`
-//! to block `b`'s workspace), so all atomic traffic is single-writer
-//! `Relaxed` on cache-line-padded memory — no contention, no ordering
-//! requirements, and *no effect on the simulation state*: telemetry
-//! only ever reads clocks and bumps its own accumulators, which is why
-//! telemetry-on trajectories are bit-identical to telemetry-off ones.
+//! the main thread, which also runs every cell block at one thread; on a
+//! worker pool block `b`'s workspace gets slot `1 + b`), so all atomic
+//! traffic is single-writer `Relaxed` on cache-line-padded memory — no
+//! contention, no ordering requirements, and *no effect on the
+//! simulation state*: telemetry only ever reads clocks and bumps its own
+//! accumulators, which is why telemetry-on trajectories are bit-identical
+//! to telemetry-off ones.
 
 use crate::phase::{Counter, Phase, NCOUNTERS, NPHASES};
 use std::sync::atomic::{AtomicU64, Ordering};

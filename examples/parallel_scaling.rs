@@ -1,13 +1,13 @@
 //! Mini weak/strong scaling demo (the Fig. 3 harness at example scale).
 //!
-//! First drives the *same* App declaration through both execution
-//! backends — `Serial` and `RankParallel` — via the public builder, and
-//! checks the trajectories match bit-for-bit (backend choice is pure
+//! First drives the *same* App declaration at 1 rank × 1 thread and at
+//! `PS_RANKS` ranks × the host's threads via the public builder, and
+//! checks the trajectories match bit-for-bit (the decomposition is pure
 //! execution policy). Then runs the paper's 3X3V p=1 two-species problem
-//! family at container-sized grids over 1, 2 and 4 simulated ranks and
-//! prints the per-step timings and halo volumes. On a single-CPU
-//! container the point is the decomposition *machinery*; on a multicore
-//! host the same binary produces real speedups.
+//! family at small grids over 1, 2 and 4 simulated ranks and prints the
+//! per-step timings and halo volumes. On one core the point is the
+//! decomposition *machinery*; on a multicore host the same binary
+//! produces real speedups.
 //!
 //! ```text
 //! PS_RANKS=4 cargo run --release --example parallel_scaling
@@ -19,10 +19,10 @@ use vlasov_dg::parallel::scaling::{strong_scaling_series, weak_scaling_series};
 use vlasov_dg::prelude::*;
 use vlasov_dg::util::env_usize;
 
-/// One small 1X2V declaration, parameterized only by its backend.
-fn build_demo(backend: Option<RankParallel>) -> Result<App, Error> {
+/// One small 1X2V declaration, parameterized only by its decomposition.
+fn build_demo(ranks: usize, threads: usize) -> Result<App, Error> {
     let k = 0.5;
-    let mut b = AppBuilder::new()
+    AppBuilder::new()
         .conf_grid(&[0.0], &[2.0 * std::f64::consts::PI / k], &[12])
         .poly_order(1)
         .basis(BasisKind::Serendipity)
@@ -31,11 +31,10 @@ fn build_demo(backend: Option<RankParallel>) -> Result<App, Error> {
                 move |x, v| maxwellian(1.0 + 0.08 * (k * x[0]).cos(), &[0.3, -0.2], 1.0, v),
             ),
         )
-        .field(FieldSpec::new(2.0).with_poisson_init().cleaning(1.0, 1.0));
-    if let Some(factory) = backend {
-        b = b.backend(factory);
-    }
-    b.build()
+        .field(FieldSpec::new(2.0).with_poisson_init().cleaning(1.0, 1.0))
+        .ranks(ranks)
+        .threads(threads)
+        .build()
 }
 
 fn main() -> Result<(), Error> {
@@ -45,14 +44,14 @@ fn main() -> Result<(), Error> {
     let ranks = env_usize("PS_RANKS", 4);
     println!("host threads: {threads}");
 
-    // --- backend demo: one declaration, two engines, identical bits ---
+    // --- one declaration, two decompositions, identical bits ---
     let t_demo = 0.05;
-    let mut serial = build_demo(None)?;
+    let mut serial = build_demo(1, 1)?;
     let t0 = Instant::now();
     serial.run(t_demo, &mut [])?;
     let serial_s = t0.elapsed().as_secs_f64();
 
-    let mut par = build_demo(Some(RankParallel { ranks, threads }))?;
+    let mut par = build_demo(ranks, threads)?;
     let t0 = Instant::now();
     par.run(t_demo, &mut [])?;
     let par_s = t0.elapsed().as_secs_f64();
@@ -60,11 +59,10 @@ fn main() -> Result<(), Error> {
     let identical = serial.state().species_f[0].as_slice() == par.state().species_f[0].as_slice()
         && serial.state().em.as_slice() == par.state().em.as_slice();
     println!(
-        "\nbackend demo (t = {t_demo}, {} steps): serial {serial_s:.3}s vs {} x{ranks} {par_s:.3}s, bit-identical: {identical}",
+        "\ndecomposition demo (t = {t_demo}, {} steps): 1x1 {serial_s:.3}s vs {ranks}x{threads} {par_s:.3}s, bit-identical: {identical}",
         serial.steps_taken(),
-        par.backend_name(),
     );
-    assert!(identical, "backends must agree bit-for-bit");
+    assert!(identical, "decompositions must agree bit-for-bit");
 
     // --- Fig. 3 style series through the hand-wired harness ---
     println!("\nweak scaling (3X3V p=1, per-rank conf block 2x4x4, vel 4^3):");

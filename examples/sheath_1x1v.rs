@@ -13,16 +13,17 @@
 //! Everything the walls drain is accounted: the [`WallFluxLedger`]
 //! balances each species' missing particles against the time-integrated
 //! wall flux to round-off (asserted below at every size), and with
-//! `SHEATH_RANKS ≥ 2` the identical declaration runs through the
-//! rank-parallel backend and must reproduce the serial state bit for bit.
+//! `SHEATH_RANKS ≥ 2` the identical declaration runs over that many
+//! configuration slabs and must reproduce the one-rank, one-thread state
+//! bit for bit.
 //!
 //! ```text
 //! cargo run --release --example sheath_1x1v
 //! ```
 //!
 //! CI smoke sizes via `SHEATH_NX`, `SHEATH_NV`, `SHEATH_TEND`,
-//! `SHEATH_RANKS`, `SHEATH_THREADS` (intra-rank cell-block workers; with
-//! `SHEATH_RANKS ≥ 2` the two compose as ranks × threads).
+//! `SHEATH_RANKS`, `SHEATH_THREADS` (`AppBuilder::ranks` / `threads`; the
+//! two compose as ranks × threads cell blocks).
 
 use vlasov_dg::core::species::maxwellian;
 use vlasov_dg::prelude::*;
@@ -34,7 +35,7 @@ const MASS_RATIO: f64 = 25.0;
 
 fn build(nx: usize, nv: usize, length: f64, ranks: usize, threads: usize) -> Result<App, Error> {
     let vth_i = (1.0 / MASS_RATIO).sqrt();
-    let mut b = AppBuilder::new()
+    AppBuilder::new()
         .conf_grid(&[0.0], &[length], &[nx])
         .poly_order(2)
         .basis(BasisKind::Serendipity)
@@ -52,13 +53,10 @@ fn build(nx: usize, nv: usize, length: f64, ranks: usize, threads: usize) -> Res
         )
         // Electrostatic limit: fast light speed, electric divergence
         // cleaning keeps Gauss's law coupled to the evolving charge.
-        .field(FieldSpec::new(5.0).cleaning(1.0, 0.0));
-    if ranks >= 2 {
-        b = b.backend(RankParallel { ranks, threads });
-    } else if threads > 1 {
-        b = b.threads(threads);
-    }
-    b.build()
+        .field(FieldSpec::new(5.0).cleaning(1.0, 0.0))
+        .ranks(ranks)
+        .threads(threads)
+        .build()
 }
 
 /// Sheath potential: φ(center) − φ(wall) = −∫_wall^center E_x dx, from the
@@ -120,9 +118,8 @@ fn main() -> Result<(), Error> {
     );
 
     if ranks >= 2 {
-        // The identical declaration through the single-threaded serial
-        // backend must match the ranks × threads trajectory bit for bit,
-        // ledger included.
+        // The identical declaration on one rank and one thread must match
+        // the ranks × threads trajectory bit for bit, ledger included.
         let mut twin = build(nx, nv, length, 1, 1)?;
         let mut twin_ledger = WallFluxLedger::every(0.1);
         let mut twin_history = EnergyHistory::every(0.1);
@@ -141,7 +138,7 @@ fn main() -> Result<(), Error> {
         );
         assert_eq!(
             ledger.samples, twin_ledger.samples,
-            "wall ledgers diverged between backends"
+            "wall ledgers diverged between decompositions"
         );
         println!("  rank-parallel ({ranks} ranks) bit-identical to serial ✓");
     }

@@ -12,7 +12,7 @@
 //! nonlinear-saturation detector are all trigger-scheduled observers.
 //!
 //! Defaults are container-sized; scale with environment variables for the
-//! full paper-like run, and pick the execution backend the same way:
+//! full paper-like run, and pick the decomposition the same way:
 //!
 //! ```text
 //! WEIBEL_NX=16 WEIBEL_NV=16 WEIBEL_TEND=60 cargo run --release --example weibel_2x2v
@@ -31,14 +31,15 @@ fn main() -> Result<(), Error> {
     let nx = env_usize("WEIBEL_NX", 8);
     let nv = env_usize("WEIBEL_NV", 8);
     let t_end = env_f64("WEIBEL_TEND", 20.0);
-    let ranks = env_usize("WEIBEL_RANKS", 0);
+    let ranks = env_usize("WEIBEL_RANKS", 1);
+    let threads = env_usize("WEIBEL_THREADS", 1);
     let u = 0.3; // beam drift (c = 1)
     let vth = 0.1;
     let mass_ratio = 1836.0;
     // Box sized to a few unstable wavelengths of the filamentation branch.
     let l = 2.0 * std::f64::consts::PI / 0.4;
 
-    let mut builder = AppBuilder::new()
+    let builder = AppBuilder::new()
         .conf_grid(&[0.0, 0.0], &[l, l], &[nx, nx])
         .poly_order(2)
         .basis(BasisKind::Serendipity)
@@ -82,14 +83,11 @@ fn main() -> Result<(), Error> {
                 1e-6 * ((kx * x[0]).sin() + (kx * x[1]).cos()),
             ]
         }));
-    if ranks > 0 {
-        builder = builder.backend(RankParallel {
-            ranks,
-            threads: env_usize("WEIBEL_THREADS", 2),
-        });
-    }
-    let mut app = builder.build()?;
-    println!("backend: {}", app.backend_name());
+    let mut app = builder.ranks(ranks).threads(threads).build()?;
+    println!(
+        "backend: {} ({ranks} rank(s) × {threads} thread(s))",
+        app.backend_name()
+    );
 
     let outdir = std::path::Path::new("target/weibel");
     std::fs::create_dir_all(outdir)?;

@@ -8,8 +8,7 @@
 //! and because `dg-analyze`'s determinism rule flags compound float
 //! accumulation in worker closures.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use proptest::{Strategy, TestRng};
 use rayon::ThreadPoolBuilder;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicUsize;
@@ -28,11 +27,16 @@ fn spin(iters: u32) {
 /// task (rayon's nested-spawn capability), in shuffled order with random
 /// spin jitter. Every task must execute exactly once.
 fn exactly_once_round(threads: usize, seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let ntasks = rng.random_range(0usize..96);
+    let mut rng = TestRng::from_name(&format!("stress round {seed}"));
+    let ntasks = (0usize..96).sample(&mut rng);
     let hits: Vec<AtomicUsize> = (0..ntasks).map(|_| AtomicUsize::new(0)).collect();
     let plan: Vec<(bool, u32)> = (0..ntasks)
-        .map(|_| (rng.random_range(0u32..3) == 0, rng.random_range(0u32..400)))
+        .map(|_| {
+            (
+                (0u32..3).sample(&mut rng) == 0,
+                (0u32..400).sample(&mut rng),
+            )
+        })
         .collect();
     let pool = ThreadPoolBuilder::new()
         .num_threads(threads)

@@ -30,6 +30,11 @@
 //!         }),
 //!     )
 //!     .field(FieldSpec::new(1.0).with_poisson_init())
+//!     // Four configuration slabs on two threads: execution policy only —
+//!     // drop both lines and the same declaration runs on one thread,
+//!     // bit-identically.
+//!     .ranks(4)
+//!     .threads(2)
 //!     .build()
 //!     .unwrap();
 //!
@@ -38,8 +43,6 @@
 //! app.run(0.1, &mut [&mut history]).unwrap();
 //! assert!(app.time() >= 0.1);
 //! assert!(history.mass_drift() < 1e-12);
-//! // Swap `.backend(RankParallel { ranks: 4, threads: 2 })` into the
-//! // builder and the same declaration runs rank-parallel, bit-identically.
 //! ```
 
 pub use dg_basis as basis;
@@ -86,7 +89,6 @@ pub mod util {
 pub mod prelude {
     pub use dg_basis::{Basis, BasisKind};
     pub use dg_core::app::{App, AppBuilder, FieldSpec, SpeciesSpec};
-    pub use dg_core::backend::{Backend, BackendFactory, Serial};
     pub use dg_core::error::Error;
     pub use dg_core::observer::{observe, Frame, Observer, Trigger};
     pub use dg_core::system::{FluxKind, SystemState, VlasovMaxwell, WallChannels};
@@ -103,6 +105,5 @@ pub mod prelude {
     pub use dg_grid::boundary::{Bc, DimBc};
     pub use dg_grid::grid::CartGrid;
     pub use dg_kernels::{DispatchPath, KernelDispatch};
-    pub use dg_parallel::RankParallel;
     pub use dg_telemetry::{Collector, Counter, Phase, Registry, RunReport, Snapshot};
 }

@@ -20,7 +20,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 
 use vlasov_dg::basis::BasisKind;
-use vlasov_dg::core::app::{AppBuilder, FieldSpec, SpeciesSpec};
+use vlasov_dg::core::app::{App, AppBuilder, FieldSpec, SpeciesSpec};
+use vlasov_dg::core::backend::Backend;
 use vlasov_dg::core::blocks::BlockRhs;
 use vlasov_dg::core::lbo::LboOp;
 use vlasov_dg::core::moments::{accumulate_current, MomentScratch};
@@ -331,20 +332,7 @@ fn rhs_and_lbo_loops_allocate_nothing() {
     // slices included, walls at both ends, 6 velocity cells: one partial
     // lane group), raw-pointer field views, and the pool's fixed
     // broadcast command slot are what make this pass. ---
-    let (mut sys, state) = AppBuilder::new()
-        .conf_grid(&[0.0], &[4.0], &[5])
-        .poly_order(1)
-        .basis(BasisKind::Serendipity)
-        .conf_bc(vec![DimBc::new(Bc::Reflect, Bc::Absorb)])
-        .species(
-            SpeciesSpec::new("elc", -1.0, 1.0, &[-6.0], &[6.0], &[6])
-                .initial(|x, v| maxwellian(1.0 + 0.05 * x[0], &[0.3], 0.9, v))
-                .collisions(0.4),
-        )
-        .field(FieldSpec::new(2.0).cleaning(1.0, 0.0))
-        .build()
-        .unwrap()
-        .into_parts();
+    let (mut sys, state) = collisional_walled_1x1v().into_parts();
     let mut block = BlockRhs::new(&sys, 1, 3);
     let mut out = sys.new_state();
     block.rhs(&mut sys, &state, &mut out); // warm-up
@@ -378,9 +366,7 @@ fn rhs_and_lbo_loops_allocate_nothing() {
     // The warm-up also initializes the process clock epoch (`OnceLock`
     // stores its `Instant` inline, but first-use must not be counted as
     // part of the steady state). ---
-    let reg = std::sync::Arc::new(vlasov_dg::telemetry::Registry::new(
-        1 + block.blocks().len(),
-    ));
+    let reg = std::sync::Arc::new(vlasov_dg::telemetry::Registry::new(block.telemetry_slots()));
     block.instrument(&reg);
     let probe = reg.collector(0);
     sys.instrument(&probe);
@@ -401,4 +387,55 @@ fn rhs_and_lbo_loops_allocate_nothing() {
         3,
         "collection was not actually active during the counted loop"
     );
+
+    // --- The execution engine every App steps through: `Backend::step`
+    // with its blocks inline on the calling thread (one rank, three ranks)
+    // and on the pool (2 × 2), telemetry off and on — three RHS sweeps,
+    // the ledger fold and the fused stage updates out of its own buffers.
+    for (ranks, threads) in [(1, 1), (3, 1), (2, 2)] {
+        for telemetry in [false, true] {
+            let (sys, mut stepped) = collisional_walled_1x1v().into_parts();
+            let mut backend = Backend::new(sys, ranks, threads);
+            let reg = std::sync::Arc::new(vlasov_dg::telemetry::Registry::new(
+                backend.telemetry_slots(),
+            ));
+            if telemetry {
+                backend.instrument(&reg);
+            }
+            backend.step(&mut stepped, 1e-3); // warm-up
+            let n = count_allocs(|| {
+                for _ in 0..3 {
+                    backend.step(&mut stepped, 1e-3);
+                }
+            });
+            assert_eq!(
+                n, 0,
+                "Backend::step at {ranks} rank(s) × {threads} thread(s), telemetry \
+                 {telemetry}, allocated {n} times in the hot loop"
+            );
+            let evals = reg
+                .snapshot()
+                .counter(vlasov_dg::telemetry::Counter::RhsEvals);
+            assert_eq!(evals, if telemetry { 12 } else { 0 });
+        }
+    }
+}
+
+/// The 1x1v system of the block-sweep gates: walls at both ends, LBO on,
+/// 6 velocity cells (one partial lane group of the pass).
+fn collisional_walled_1x1v() -> App {
+    AppBuilder::new()
+        .conf_grid(&[0.0], &[4.0], &[5])
+        .poly_order(1)
+        .basis(BasisKind::Serendipity)
+        .conf_bc(vec![DimBc::new(Bc::Reflect, Bc::Absorb)])
+        .species(
+            SpeciesSpec::new("elc", -1.0, 1.0, &[-6.0], &[6.0], &[6])
+                .initial(|x, v| maxwellian(1.0 + 0.05 * x[0], &[0.3], 0.9, v))
+                .collisions(0.4),
+        )
+        .field(FieldSpec::new(2.0).cleaning(1.0, 0.0))
+        .telemetry(false)
+        .build()
+        .unwrap()
 }

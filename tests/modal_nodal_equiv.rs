@@ -5,7 +5,7 @@
 //! over every dimensionality/basis/order combination that fits the
 //! container, and over multi-step trajectories.
 
-use rand::{Rng, SeedableRng};
+use proptest::{Strategy, TestRng};
 use std::sync::Arc;
 use vlasov_dg::basis::BasisKind;
 use vlasov_dg::core::vlasov::{FluxKind, VlasovOp, VlasovWorkspace};
@@ -32,14 +32,14 @@ fn random_problem(
     let conf = CartGrid::new(&vec![0.0; cdim], &vec![1.5; cdim], &vec![nx; cdim]);
     let vel = CartGrid::new(&vec![-3.0; vdim], &vec![3.0; vdim], &vec![nv; vdim]);
     let grid = PhaseGrid::new(conf, vel, vec![Bc::Periodic; cdim]);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rng = TestRng::from_name(&format!("modal-nodal problem {seed}"));
     let mut f = DgField::zeros(grid.len(), kernels.np());
     for x in f.as_mut_slice() {
-        *x = rng.random_range(-1.0..1.0);
+        *x = (-1.0..1.0).sample(&mut rng);
     }
     let mut em = DgField::zeros(grid.conf.len(), NCOMP * kernels.nc());
     for x in em.as_mut_slice() {
-        *x = rng.random_range(-0.7..0.7);
+        *x = (-0.7..0.7).sample(&mut rng);
     }
     (kernels, grid, f, em)
 }

@@ -1,13 +1,16 @@
-//! End-to-end parallel ≡ serial: full multi-species Vlasov–Maxwell
-//! trajectories under the two-level decomposition must match the serial
-//! sweep bit-for-bit for every rank count — determinism is part of the
-//! contract (the paper's decomposition communicates identical halo data in
-//! a fixed order; ours reproduces the exact floating-point addition order).
+//! The hand-wired rank-parallel driver ≡ the App: `ParVlasovMaxwell::step`
+//! at fixed dt must reproduce the default App's multi-species
+//! Vlasov–Maxwell trajectory bit for bit at every rank count — the same
+//! `BlockRhs` engine and the same field coupling, so the floating-point
+//! addition order is the one-block sweep's. The App's own decompositions
+//! are covered in `threaded_equiv.rs` and `backend_equiv.rs`.
 
-use vlasov_dg::basis::BasisKind;
-use vlasov_dg::core::app::{App, AppBuilder, FieldSpec, SpeciesSpec};
+use vlasov_dg::core::app::App;
 use vlasov_dg::core::species::maxwellian;
 use vlasov_dg::parallel::ParVlasovMaxwell;
+use vlasov_dg::prelude::*;
+
+const DT: f64 = 5e-4;
 
 fn make_app(nx: usize) -> App {
     let k = 0.5;
@@ -22,64 +25,54 @@ fn make_app(nx: usize) -> App {
         )
         .species(
             SpeciesSpec::new("ion", 1.0, 100.0, &[-6.0, -6.0], &[6.0, 6.0], &[6, 6])
-                .initial(|_x, v| maxwellian(1.0, &[0.0, 0.0], 0.1, v)),
+                .initial(|_x, v| maxwellian(1.0, &[0.0, 0.0], 0.1, v))
+                .collisions(0.5),
         )
         .field(FieldSpec::new(2.0).with_poisson_init().cleaning(1.0, 1.0))
         .build()
         .unwrap()
 }
 
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Step the default App and `ParVlasovMaxwell` at `ranks × threads` side
+/// by side for `steps` fixed-dt steps, then compare both species and the
+/// EM field bitwise.
+fn par_step_tracks_the_app(nx: usize, ranks: usize, threads: usize, steps: usize) {
+    let mut app = make_app(nx);
+    app.set_fixed_dt(DT);
+    let (sys, mut state) = make_app(nx).into_parts();
+    let mut par = ParVlasovMaxwell::new(sys, ranks, threads);
+    let (mut stage, mut rhs) = (par.system.new_state(), par.system.new_state());
+    for _ in 0..steps {
+        app.step().unwrap();
+        par.step(&mut state, &mut stage, &mut rhs, DT);
+    }
+    let row = format!("ranks={ranks} threads={threads} nx={nx}");
+    for s in 0..2 {
+        assert!(
+            bits(app.state().species_f[s].as_slice()) == bits(state.species_f[s].as_slice()),
+            "{row}, species {s}: trajectory diverged"
+        );
+    }
+    assert!(
+        bits(app.state().em.as_slice()) == bits(state.em.as_slice()),
+        "{row}: EM trajectory diverged"
+    );
+}
+
 #[test]
 fn trajectories_match_bitwise_for_all_rank_counts() {
-    let dt = 5e-4;
-    let steps = 8;
-    let mut serial = make_app(9);
-    serial.set_fixed_dt(dt);
-    for _ in 0..steps {
-        serial.step().unwrap();
-    }
-
-    for ranks in [2usize, 3, 4, 9] {
-        let (sys, mut state) = make_app(9).into_parts();
-        let mut par = ParVlasovMaxwell::new(sys, ranks, 2);
-        let mut stage = par.system.new_state();
-        let mut rhs = par.system.new_state();
-        for _ in 0..steps {
-            par.step(&mut state, &mut stage, &mut rhs, dt);
-        }
-        for s in 0..2 {
-            assert_eq!(
-                serial.state().species_f[s].as_slice(),
-                state.species_f[s].as_slice(),
-                "ranks={ranks}, species {s}: trajectory diverged"
-            );
-        }
-        assert_eq!(
-            serial.state().em.as_slice(),
-            state.em.as_slice(),
-            "ranks={ranks}: EM trajectory diverged"
-        );
+    for ranks in [2, 3, 4, 9] {
+        par_step_tracks_the_app(9, ranks, 2, 8);
     }
 }
 
 #[test]
 fn decomposition_survives_awkward_grid_sizes() {
-    // Prime nx with rank counts that do not divide it.
-    let dt = 5e-4;
-    let mut serial = make_app(7);
-    serial.set_fixed_dt(dt);
-    for _ in 0..3 {
-        serial.step().unwrap();
-    }
-    let (sys, mut state) = make_app(7).into_parts();
-    let mut par = ParVlasovMaxwell::new(sys, 5, 3);
-    let mut stage = par.system.new_state();
-    let mut rhs = par.system.new_state();
-    for _ in 0..3 {
-        par.step(&mut state, &mut stage, &mut rhs, dt);
-    }
-    assert_eq!(
-        serial.state().species_f[0].as_slice(),
-        state.species_f[0].as_slice()
-    );
+    // Prime nx with a rank count that does not divide it, and more blocks
+    // than cells.
+    par_step_tracks_the_app(7, 5, 3, 4);
 }
