@@ -158,7 +158,7 @@ pub fn check_dir(
                         0,
                         format!(
                             "manifest config `{stem}` has no committed artifact (run \
-                             `cargo run -p dg-bench --bin gen_kernel`)"
+                             `cargo run -p dg-kernels --bin gen_kernel`)"
                         ),
                     );
                     continue;

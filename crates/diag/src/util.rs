@@ -1,11 +1,10 @@
-//! Runtime-configuration helpers shared by the examples and the bench
-//! harness.
+//! Runtime-configuration helpers shared by the examples.
 //!
-//! Every scalable harness in this workspace (the Weibel example, the
-//! Fig. 2/3/5 and Table-I benches, the examples-smoke CI job) reads its
-//! problem size from environment variables with container-sized defaults.
-//! These are the one canonical pair of parsers — re-exported from the
-//! `vlasov_dg` facade (`vlasov_dg::util`) and from `dg_bench`.
+//! Every scalable example in this workspace reads its problem size from
+//! environment variables with container-sized defaults, which the
+//! examples-smoke CI job shrinks further. These are the one canonical pair
+//! of parsers, re-exported from the `vlasov_dg` facade
+//! (`vlasov_dg::util`).
 
 /// Read `name` as a `usize`, falling back to `default` when unset or
 /// unparsable.

@@ -1,20 +1,14 @@
-//! Regenerates (or verifies) every committed generated-kernel artifact.
+//! Regenerates every committed generated-kernel artifact.
 //!
-//! `cargo run -p dg-bench --bin gen_kernel` rewrites, for each entry of
+//! `cargo run -p dg-kernels --bin gen_kernel` rewrites, for each entry of
 //! `dg_kernels::codegen::MANIFEST`, the unrolled volume, surface, moment,
 //! and LBO kernels under `crates/kernels/src/generated/` plus the registry
-//! module `mod.rs`,
-//! closing the Gkeyll-style committed-codegen loop: the unit test
-//! `generated::tests::committed_artifacts_match_generator` (and the
-//! `--check` step in CI) then asserts the tree is clean, so generator
-//! drift cannot land unnoticed.
-//!
-//! Modes:
-//!
-//! * *(default)* — write all artifacts in place and report what changed;
-//! * `--check`   — compare all artifacts against the generator without
-//!   writing; exit non-zero listing any that differ (the CI mode);
-//! * `--stdout`  — print every artifact to stdout instead of writing.
+//! module `mod.rs`, and removes any artifact the manifest no longer
+//! produces. That closes the Gkeyll-style committed-codegen loop: the unit
+//! test `generated::tests::committed_artifacts_match_generator`
+//! byte-compares every artifact against the generator, and CI regenerates
+//! and requires a clean tree, so generator drift cannot land unnoticed.
+//! To read one kernel, run the `kernel_inspect` example instead.
 
 use dg_kernels::codegen::{
     generated_mod_source, manifest_kernel_source, manifest_lbo_source, manifest_moment_source,
@@ -47,38 +41,22 @@ fn artifacts() -> Vec<(String, String)> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check = args.iter().any(|a| a == "--check");
-    let stdout = args.iter().any(|a| a == "--stdout");
-    if let Some(bad) = args.iter().find(|a| *a != "--check" && *a != "--stdout") {
-        eprintln!("gen_kernel: unknown argument {bad} (expected --check or --stdout)");
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("gen_kernel: takes no arguments, got {arg}");
         std::process::exit(2);
     }
-    if check && stdout {
-        eprintln!("gen_kernel: --check and --stdout are mutually exclusive");
-        std::process::exit(2);
-    }
-
     let generated = artifacts();
-
-    if stdout {
-        for (name, src) in &generated {
-            println!("// ===== {name} =====");
-            print!("{src}");
-        }
-        return;
-    }
 
     // Resolve the destination at runtime so a cached binary run from a
     // moved/copied checkout still writes into the invoking workspace; the
     // compile-time path is only the non-cargo-run fallback.
     let manifest_dir = std::env::var("CARGO_MANIFEST_DIR")
         .unwrap_or_else(|_| env!("CARGO_MANIFEST_DIR").to_string());
-    let dest_dir = PathBuf::from(&manifest_dir).join("../kernels/src/generated");
+    let dest_dir = PathBuf::from(&manifest_dir).join("src/generated");
 
     // Anything under generated/ that the manifest no longer produces is a
-    // stale artifact (a removed or renamed configuration): `--check` flags
-    // it, write mode deletes it. `tests.rs` is the one handwritten file.
+    // stale artifact (a removed or renamed configuration) and is deleted.
+    // `tests.rs` is the one handwritten file.
     let expected: Vec<&str> = generated
         .iter()
         .map(|(name, _)| name.as_str())
@@ -96,43 +74,6 @@ fn main() {
                 .collect()
         })
         .unwrap_or_default();
-
-    if check {
-        let mut dirty = Vec::new();
-        for (name, src) in &generated {
-            match std::fs::read_to_string(dest_dir.join(name)) {
-                Ok(committed) if &committed == src => {}
-                Ok(_) => dirty.push(format!("{name} (differs)")),
-                Err(e) => dirty.push(format!("{name} ({e})")),
-            }
-        }
-        let n_dirty = dirty.len();
-        for p in &stale {
-            dirty.push(format!(
-                "{} (stale: not produced by the manifest)",
-                p.display()
-            ));
-        }
-        if dirty.is_empty() {
-            eprintln!(
-                "gen_kernel --check: all {} committed artifacts match the generator",
-                generated.len()
-            );
-        } else {
-            eprintln!(
-                "gen_kernel --check: {} of {} artifacts out of date, {} stale:",
-                n_dirty,
-                generated.len(),
-                stale.len()
-            );
-            for d in &dirty {
-                eprintln!("  {d}");
-            }
-            eprintln!("regenerate with `cargo run -p dg-bench --bin gen_kernel`");
-            std::process::exit(1);
-        }
-        return;
-    }
 
     for (name, src) in &generated {
         let dest = dest_dir.join(name);

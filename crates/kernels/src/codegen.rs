@@ -5,7 +5,7 @@
 //! no quadrature. This module regenerates that artifact in Rust from the
 //! same sparse-tensor data the runtime kernels use, so the two paths are
 //! provably the same arithmetic. The generated text is what
-//! `examples/kernel_inspect.rs` and the Fig. 1 bench print.
+//! `examples/kernel_inspect.rs` prints.
 
 use crate::phase::{PhaseKernels, PhaseLayout};
 use dg_basis::BasisKind;
@@ -135,8 +135,8 @@ impl KernelSpec {
 
 /// The set of committed kernel configurations. Each entry produces one
 /// `src/generated/<fn_name>.rs` artifact plus a registry row in the
-/// generated `src/generated/mod.rs`; `cargo run -p dg-bench --bin
-/// gen_kernel` regenerates all of them in place (`--check` verifies).
+/// generated `src/generated/mod.rs`; `cargo run -p dg-kernels --bin
+/// gen_kernel` regenerates all of them in place.
 ///
 /// Coverage: the paper's Fig. 1 configuration (1X2V p=1 tensor), both
 /// Landau-damping workhorses (1X1V p=1/p=2 Serendipity), the higher-order
@@ -145,7 +145,7 @@ impl KernelSpec {
 /// and the Fig. 3 marquee workload (3X3V p=1 Serendipity, Np = 64).
 /// 3X3V p=2 (Np = 256) is deliberately left to the runtime path: its
 /// unrolled artifacts would dominate crate compile time for a
-/// configuration no committed example or bench runs.
+/// configuration no committed example or benchmark workload runs.
 pub const MANIFEST: &[KernelSpec] = &[
     KernelSpec::new(BasisKind::Serendipity, 1, 1, 1),
     KernelSpec::new(BasisKind::Serendipity, 1, 1, 2),
@@ -326,7 +326,7 @@ pub fn generated_mod_source() -> String {
     let _ = writeln!(s, "//!");
     let _ = writeln!(
         s,
-        "//! Generated by `cargo run -p dg-bench --bin gen_kernel` from"
+        "//! Generated by `cargo run -p dg-kernels --bin gen_kernel` from"
     );
     let _ = writeln!(
         s,

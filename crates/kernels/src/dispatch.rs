@@ -32,7 +32,7 @@
 //! whichever it is.
 //!
 //! To add a configuration, extend [`crate::codegen::MANIFEST`] and rerun
-//! `cargo run -p dg-bench --bin gen_kernel` (see DESIGN.md, "Kernel
+//! `cargo run -p dg-kernels --bin gen_kernel` (see DESIGN.md, "Kernel
 //! dispatch").
 
 use crate::panel::PanelMoves;
@@ -1038,7 +1038,7 @@ impl KernelDispatch {
                 None => Err(format!(
                     "no committed kernel for {:?} {} p={} (registry: {}); \
                      extend dg_kernels::codegen::MANIFEST and rerun \
-                     `cargo run -p dg-bench --bin gen_kernel`",
+                     `cargo run -p dg-kernels --bin gen_kernel`",
                     kind,
                     layout.tag(),
                     poly_order,
@@ -1073,7 +1073,7 @@ impl KernelDispatch {
                 None => Err(format!(
                     "no committed surface kernel for {:?} {} p={} (registry: {}); \
                      extend dg_kernels::codegen::MANIFEST and rerun \
-                     `cargo run -p dg-bench --bin gen_kernel`",
+                     `cargo run -p dg-kernels --bin gen_kernel`",
                     kind,
                     layout.tag(),
                     poly_order,
@@ -1106,7 +1106,7 @@ impl KernelDispatch {
                 None => Err(format!(
                     "no committed moment kernel for {:?} {} p={} (registry: {}); \
                      extend dg_kernels::codegen::MANIFEST and rerun \
-                     `cargo run -p dg-bench --bin gen_kernel`",
+                     `cargo run -p dg-kernels --bin gen_kernel`",
                     kind,
                     layout.tag(),
                     poly_order,
@@ -1139,7 +1139,7 @@ impl KernelDispatch {
                 None => Err(format!(
                     "no committed LBO kernel for {:?} {} p={} (registry: {}); \
                      extend dg_kernels::codegen::MANIFEST and rerun \
-                     `cargo run -p dg-bench --bin gen_kernel`",
+                     `cargo run -p dg-kernels --bin gen_kernel`",
                     kind,
                     layout.tag(),
                     poly_order,

@@ -1,6 +1,6 @@
 //! Committed auto-generated kernels and their dispatch registry.
 //!
-//! Generated by `cargo run -p dg-bench --bin gen_kernel` from
+//! Generated by `cargo run -p dg-kernels --bin gen_kernel` from
 //! [`crate::codegen::MANIFEST`] — do not edit by hand. Gkeyll commits
 //! its Maxima-generated C++ kernels into the repository; these are the
 //! same artifact in Rust, and [`crate::dispatch`] routes solvers onto

@@ -47,7 +47,7 @@ fn committed_artifacts_match_generator() {
         assert_eq!(
             manifest_kernel_source(spec),
             committed,
-            "{} drifted — regenerate with `cargo run -p dg-bench --bin gen_kernel`",
+            "{} drifted — regenerate with `cargo run -p dg-kernels --bin gen_kernel`",
             spec.file_name()
         );
         let committed_surf = std::fs::read_to_string(dir.join(spec.surf_file_name()))
@@ -57,7 +57,7 @@ fn committed_artifacts_match_generator() {
         assert_eq!(
             manifest_surface_source(spec),
             committed_surf,
-            "{} drifted — regenerate with `cargo run -p dg-bench --bin gen_kernel`",
+            "{} drifted — regenerate with `cargo run -p dg-kernels --bin gen_kernel`",
             spec.surf_file_name()
         );
         let committed_mom = std::fs::read_to_string(dir.join(spec.mom_file_name()))
@@ -65,7 +65,7 @@ fn committed_artifacts_match_generator() {
         assert_eq!(
             manifest_moment_source(spec),
             committed_mom,
-            "{} drifted — regenerate with `cargo run -p dg-bench --bin gen_kernel`",
+            "{} drifted — regenerate with `cargo run -p dg-kernels --bin gen_kernel`",
             spec.mom_file_name()
         );
         let committed_lbo = std::fs::read_to_string(dir.join(spec.lbo_file_name()))
@@ -73,7 +73,7 @@ fn committed_artifacts_match_generator() {
         assert_eq!(
             manifest_lbo_source(spec),
             committed_lbo,
-            "{} drifted — regenerate with `cargo run -p dg-bench --bin gen_kernel`",
+            "{} drifted — regenerate with `cargo run -p dg-kernels --bin gen_kernel`",
             spec.lbo_file_name()
         );
     }
@@ -81,7 +81,7 @@ fn committed_artifacts_match_generator() {
     assert_eq!(
         generated_mod_source(),
         committed_mod,
-        "mod.rs drifted — regenerate with `cargo run -p dg-bench --bin gen_kernel`"
+        "mod.rs drifted — regenerate with `cargo run -p dg-kernels --bin gen_kernel`"
     );
 }
 
@@ -975,13 +975,13 @@ proptest! {
 }
 
 /// The MANIFEST must cover every `(basis, cdim, vdim, poly_order)`
-/// configuration exercised end to end by a committed example or bench
-/// scenario, so none of them silently falls back to the runtime sparse
-/// path under the default `Auto` dispatch. Parameter *scans*
-/// (`fig2_scaling`, `micro_kernels`) intentionally sweep past the
-/// manifest and are exempt. When a new example or bench scenario lands,
+/// configuration exercised end to end by a committed example, paper test
+/// or benchmark workload, so none of them silently falls back to the
+/// runtime sparse path under the default `Auto` dispatch. Parameter
+/// *scans* (the Fig. 2 fit in `tests/paper.rs`) intentionally sweep past
+/// the manifest and are exempt. When a new example or scenario lands,
 /// add its configuration here and to `codegen::MANIFEST` (then rerun
-/// `cargo run -p dg-bench --bin gen_kernel`).
+/// `cargo run -p dg-kernels --bin gen_kernel`).
 #[test]
 fn manifest_covers_committed_example_and_bench_configs() {
     use dg_basis::BasisKind;
@@ -999,31 +999,37 @@ fn manifest_covers_committed_example_and_bench_configs() {
             1,
             2,
             "examples/{quickstart,two_stream,landau_damping,sheath_1x1v,lbo_relaxation}, \
-             benches/ablation_aliasing",
+             tests/paper.rs (§II ablation)",
         ),
         (
             BasisKind::Tensor,
             1,
             2,
             1,
-            "examples/kernel_inspect, benches/{fig1_kernel,dispatch_speedup}",
+            "examples/kernel_inspect, tests/paper.rs (Fig. 1)",
         ),
         (BasisKind::Serendipity, 1, 2, 1, "examples/parallel_scaling"),
-        (BasisKind::Serendipity, 2, 2, 1, "benches/fig5_oblique"),
+        (
+            BasisKind::Serendipity,
+            2,
+            2,
+            1,
+            "Fig. 5 oblique beams (EXPERIMENTS.md)",
+        ),
         (BasisKind::Serendipity, 2, 2, 2, "examples/weibel_2x2v"),
         (
             BasisKind::Serendipity,
             2,
             3,
             2,
-            "benches/{eop_efficiency,table1_modal_vs_nodal}",
+            "tests/paper.rs (Table I), benchmark workload eop_2x3v_p2",
         ),
         (
             BasisKind::Serendipity,
             3,
             3,
             1,
-            "benches/fig3_parallel_scaling (dg_parallel::scaling)",
+            "examples/parallel_scaling (dg_parallel::scaling)",
         ),
     ];
     for &(kind, cdim, vdim, p, where_) in used {

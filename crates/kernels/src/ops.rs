@@ -97,21 +97,6 @@ mod tests {
     use dg_basis::BasisKind;
 
     #[test]
-    fn fig1_modal_vs_nodal_ratio() {
-        // 1X2V p=1 tensor: the paper quotes ~70 (modal volume) vs ~250
-        // (nodal volume). Check the volume-only ratio is of that order.
-        let pk = PhaseKernels::build(BasisKind::Tensor, PhaseLayout::new(1, 2), 1);
-        let r = pk.op_report();
-        let modal_vol = r.streaming_volume + r.accel_volume;
-        // Alias-free quadrature for p=1: 2 points per dim ⇒ Nq = 8 = Np.
-        let nodal_vol = 3 * 8 * 8 + 8;
-        assert!(
-            modal_vol < nodal_vol / 2,
-            "modal volume ({modal_vol}) should be well under half the nodal estimate ({nodal_vol})"
-        );
-    }
-
-    #[test]
     fn op_report_totals_are_consistent() {
         let pk = PhaseKernels::build(BasisKind::Serendipity, PhaseLayout::new(1, 1), 2);
         let r = pk.op_report();

@@ -163,9 +163,11 @@ impl SurfaceKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::surface_registry;
     use dg_basis::BasisKind;
     use dg_poly::quad::TensorGauss;
     use dg_poly::MAX_DIM;
+    use proptest::prelude::*;
 
     fn full_support(fdim: usize, p: usize) -> (Exps, Vec<usize>) {
         let mut caps: Exps = [0; MAX_DIM];
@@ -260,47 +262,50 @@ mod tests {
         assert!(tg_counted > 0);
     }
 
-    #[test]
-    fn flux_is_conservative() {
-        // What leaves the lower cell enters the upper cell: the mean-mode
-        // contributions cancel exactly (local conservation).
-        let cell = Basis::new(BasisKind::Serendipity, 3, 2);
-        let tables = ExactTables::new(2);
-        for dir in 0..3 {
-            let (caps, lin) = full_support(2, 2);
-            let sk = SurfaceKernel::build(
-                &cell,
-                &tables,
-                dir,
-                &FaceAlphaSupport {
-                    caps: &caps,
-                    lin_dims: &lin,
-                },
-            );
-            let np = cell.len();
-            let f_lo: Vec<f64> = (0..np).map(|i| (i as f64 * 0.37).sin()).collect();
-            let f_hi: Vec<f64> = (0..np).map(|i| 1.0 / (1.0 + i as f64)).collect();
-            let nf = sk.face.len();
-            let alpha: Vec<f64> = (0..nf).map(|a| (a as f64 - 0.5) * 0.2).collect();
-            let mut out_lo = vec![0.0; np];
-            let mut out_hi = vec![0.0; np];
-            let mut ws = FaceScratch::default();
-            sk.apply(
-                &f_lo,
-                &f_hi,
-                &alpha,
-                0.7,
-                2.0,
-                Some(&mut out_lo),
-                Some(&mut out_hi),
-                &mut ws,
-            );
-            // The mean is carried by mode 0 whose trace is the same constant
-            // on both sides, so d/dt ∫(f_lo + f_hi) = w_0(±1)·(−Ĝ + Ĝ) = 0.
-            assert!(
-                (out_lo[0] + out_hi[0]).abs() < 1e-13,
-                "dir {dir}: flux leaks mass"
-            );
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        /// What leaves the lower cell enters the upper cell: mode 0's trace
+        /// is the same constant on both sides of a face, so the two cells'
+        /// mean increments are `∓ w_0(±1) Ĝ_0` and cancel exactly. Checked
+        /// on the generated kernel of every direction of every `MANIFEST`
+        /// configuration, on random cell data, with the central and the
+        /// penalty flux.
+        #[test]
+        fn flux_is_conservative(
+            qm in -3.0..3.0f64,
+            w_raw in proptest::collection::vec(-2.0..2.0f64, 6),
+            dxv_raw in proptest::collection::vec(0.1..2.0f64, 6),
+            em_raw in proptest::collection::vec(-1.0..1.0f64, 8 * 16),
+            f_lo in proptest::collection::vec(-1.0..1.0f64, 128),
+            f_hi in proptest::collection::vec(-1.0..1.0f64, 128),
+        ) {
+            for entry in surface_registry() {
+                let k = entry.key;
+                let ndim = k.cdim + k.vdim;
+                let np = Basis::new(k.kind, ndim, k.poly_order).len();
+                let nc = Basis::new(k.kind, k.cdim, k.poly_order).len();
+                for (dir, kernel) in entry.dirs.iter().enumerate() {
+                    for penalty in [false, true] {
+                        let (mut out_lo, mut out_hi) = (vec![0.0; np], vec![0.0; np]);
+                        kernel(
+                            &w_raw[..ndim],
+                            &dxv_raw[..ndim],
+                            qm,
+                            &em_raw[..8 * nc],
+                            penalty,
+                            &f_lo[..np],
+                            &f_hi[..np],
+                            &mut out_lo,
+                            &mut out_hi,
+                        );
+                        prop_assert!(
+                            out_lo[0] == -out_hi[0],
+                            "{} dir {dir} penalty {penalty}: the face leaks mass, {} vs {}",
+                            entry.name, out_lo[0], out_hi[0]
+                        );
+                    }
+                }
+            }
         }
     }
 

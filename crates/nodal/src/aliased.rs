@@ -6,7 +6,7 @@
 //! the same SSP-RK3 stepper as the modal solver, so the cost comparison is
 //! apples-to-apples; with [`crate::aliased_points`] it becomes the
 //! under-integrated scheme whose energy bookkeeping the §II argument says
-//! must fail (ablation bench).
+//! must fail (the §II test in the facade's `tests/paper.rs`).
 
 use crate::nodal_vlasov::{NodalVlasov, NodalWorkspace};
 use dg_core::moments::{accumulate_current, MomentScratch};

@@ -21,8 +21,8 @@
 //!
 //! [`aliased`] additionally provides the *under-integrated* variant
 //! (`Nq = p+1` points per dimension, the collocation count): the aliasing
-//! the paper's §II argues is fatal for kinetic equations. The ablation
-//! bench shows its energy bookkeeping breaking.
+//! the paper's §II argues is fatal for kinetic equations. The §II test in
+//! the facade's `tests/paper.rs` shows its energy bookkeeping breaking.
 
 pub mod aliased;
 pub mod nodal_vlasov;

@@ -2,9 +2,8 @@
 //! the schema-stable `telemetry.json` [`RunReport`].
 //!
 //! JSON is hand-rolled (the container has no serde) with a fixed key
-//! order, `{:.17e}` floats, and a `schema` marker — the same contract
-//! as `dg_bench::report`, so reports from different runs and ranks
-//! diff cleanly. [`validate_json`] checks the full key set and is what
+//! order, `{:.17e}` floats, and a `schema` marker, so reports from
+//! different runs and ranks diff cleanly. [`validate_json`] checks the full key set and is what
 //! CI runs against the smoke-test artifact.
 
 use crate::collect::Snapshot;

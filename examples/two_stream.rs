@@ -7,7 +7,7 @@
 //! approach when the beams are cold enough (`vth ≪ u`). This exercises the
 //! full nonlinear field–particle coupling the paper's alias-free kernels
 //! protect: an aliased scheme fails this test by either misplacing the
-//! growth or blowing up (see the `ablation_aliasing` bench).
+//! growth or blowing up (see the §II test in `tests/paper.rs`).
 //!
 //! ```text
 //! cargo run --release --example two_stream

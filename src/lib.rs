@@ -52,13 +52,12 @@ pub use dg_ensemble as ensemble;
 pub use dg_grid as grid;
 pub use dg_kernels as kernels;
 pub use dg_maxwell as maxwell;
-pub use dg_nodal as nodal;
 pub use dg_parallel as parallel;
 pub use dg_poly as poly;
 pub use dg_telemetry as telemetry;
 
 /// Shared runtime-configuration helpers (env-override parsers used by the
-/// examples, the bench harness, and the CI smoke jobs).
+/// examples and the CI smoke jobs).
 pub mod util {
     pub use dg_diag::util::{env_f64, env_usize};
 

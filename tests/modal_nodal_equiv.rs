@@ -5,6 +5,7 @@
 //! over every dimensionality/basis/order combination that fits the
 //! container, and over multi-step trajectories.
 
+use dg_nodal::{alias_free_points, NodalVlasov};
 use proptest::{Strategy, TestRng};
 use std::sync::Arc;
 use vlasov_dg::basis::BasisKind;
@@ -12,7 +13,6 @@ use vlasov_dg::core::vlasov::{FluxKind, VlasovOp, VlasovWorkspace};
 use vlasov_dg::grid::{Bc, CartGrid, DgField, PhaseGrid};
 use vlasov_dg::kernels::{kernels_for, PhaseLayout};
 use vlasov_dg::maxwell::NCOMP;
-use vlasov_dg::nodal::{alias_free_points, NodalVlasov};
 
 fn random_problem(
     kind: BasisKind,
