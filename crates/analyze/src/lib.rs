@@ -14,9 +14,7 @@
 //! 3. [`rules::determinism`] — no hash-order iteration, no
 //!    worker-closure accumulation outside the blessed block-ordered
 //!    reduction.
-//! 4. [`rules::registry`] — `codegen::MANIFEST` ⇔ committed artifacts ⇔
-//!    `mod.rs` includes ⇔ the four registry tables.
-//! 5. [`rules::telemetry_span`] — no raw clock reads inside the
+//! 4. [`rules::telemetry_span`] — no raw clock reads inside the
 //!    hot-path set: timing goes through the non-allocating
 //!    `span!`/`now_ns()` telemetry API so collection stays disableable.
 //!
@@ -53,7 +51,7 @@ pub fn scan_source(rel_path: &str, text: &str) -> SourceFile {
     }
 }
 
-/// Run the three per-file rule families plus waiver hygiene on one file.
+/// Run the four per-file rule families plus waiver hygiene on one file.
 pub fn analyze_file(file: &SourceFile) -> Vec<report::Diagnostic> {
     let (sup, mut diags) = waiver::collect(file);
     for d in rules::unsafe_audit::check(file)
@@ -70,7 +68,9 @@ pub fn analyze_file(file: &SourceFile) -> Vec<report::Diagnostic> {
 }
 
 /// Analyze the workspace rooted at `root`: every `.rs` file under the
-/// scan dirs, plus the root-level registry consistency check.
+/// scan dirs, plus every kernel file `dg-kernels` generates at build time
+/// (under its would-be path `crates/kernels/src/generated/<name>`, which
+/// puts it in the hot-path set).
 pub fn analyze_root(root: &Path) -> std::io::Result<Report> {
     let mut report = Report::default();
     let mut files = Vec::new();
@@ -88,11 +88,11 @@ pub fn analyze_root(root: &Path) -> std::io::Result<Report> {
         report.diagnostics.extend(analyze_file(&file));
         report.files_scanned += 1;
     }
-    report.diagnostics.extend(rules::registry::check_dir(
-        &rules::registry::manifest_entries(),
-        &root.join("crates/kernels/src/generated"),
-        "crates/kernels/src/generated",
-    ));
+    for (name, text) in dg_tables::codegen::artifacts() {
+        let file = scan_source(&format!("crates/kernels/src/generated/{name}"), &text);
+        report.diagnostics.extend(analyze_file(&file));
+        report.files_scanned += 1;
+    }
     report.sort();
     Ok(report)
 }

@@ -42,7 +42,8 @@ fn parse_args() -> Result<Args, String> {
                      USAGE: dg-analyze [--root <dir>] [--deny-warnings] [--json <path>] [--quiet]\n\
                      \n\
                      Enforces the four rule families (unsafe_audit, hot_alloc, determinism,\n\
-                     registry) over crates/, shims/, src/ and tests/. See DESIGN.md\n\
+                     telemetry_span) over crates/, shims/, src/, tests/ and the kernels\n\
+                     dg-kernels generates at build time. See DESIGN.md\n\
                      \"Static analysis & invariants\" for the rule catalog and waiver syntax."
                 );
                 std::process::exit(0);

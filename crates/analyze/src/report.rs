@@ -13,9 +13,6 @@ pub enum Rule {
     /// `HashMap`/`HashSet` iteration or worker-closure float
     /// accumulation in numeric code.
     Determinism,
-    /// `codegen::MANIFEST` vs. committed `generated/` artifacts,
-    /// `mod.rs` includes and the four registry tables.
-    Registry,
     /// Raw clock read (`Instant::now` / `.elapsed` / `SystemTime`)
     /// inside the hot-path set instead of the non-allocating span API.
     TelemetrySpan,
@@ -29,15 +26,13 @@ impl Rule {
             Rule::UnsafeAudit => "unsafe_audit",
             Rule::HotAlloc => "hot_alloc",
             Rule::Determinism => "determinism",
-            Rule::Registry => "registry",
             Rule::TelemetrySpan => "telemetry_span",
             Rule::Waiver => "waiver",
         }
     }
 
-    /// The rule names accepted inside `allow(...)`. `registry` and
-    /// `waiver` are not waivable: a registry inconsistency has no
-    /// meaningful inline site, and waiving waiver hygiene is circular.
+    /// The rule names accepted inside `allow(...)`. `waiver` is not
+    /// waivable: waiving waiver hygiene is circular.
     pub fn waivable(id: &str) -> bool {
         matches!(
             id,
@@ -65,7 +60,7 @@ impl Severity {
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
     pub file: String,
-    /// 1-based; 0 for file-level findings (e.g. a missing artifact).
+    /// 1-based.
     pub line: usize,
     pub rule: Rule,
     pub severity: Severity,

@@ -54,11 +54,7 @@ pub fn is_hot_path(rel_path: &str) -> bool {
         "crates/maxwell/src/solver.rs",
         "crates/telemetry/src/collect.rs",
     ];
-    // `generated/tests.rs` is the registry's handwritten test module
-    // (included under `#[cfg(test)]` from mod.rs), not a kernel.
-    HOT.contains(&rel_path)
-        || (rel_path.starts_with("crates/kernels/src/generated/")
-            && rel_path != "crates/kernels/src/generated/tests.rs")
+    HOT.contains(&rel_path) || rel_path.starts_with("crates/kernels/src/generated/")
 }
 
 pub fn check(file: &SourceFile) -> Vec<Diagnostic> {

@@ -222,7 +222,7 @@ fn other() { let v = vec![1]; }
         assert_eq!(diags.len(), 1);
         assert!(diags[0].message.contains("reason"));
 
-        let f = file("// dg-analyze: allow(registry) — nope\nlet a = 1;\n");
+        let f = file("// dg-analyze: allow(waiver) — nope\nlet a = 1;\n");
         let (_, diags) = collect(&f);
         assert_eq!(diags.len(), 1);
         assert!(diags[0].message.contains("non-waivable"));

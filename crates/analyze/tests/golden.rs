@@ -3,7 +3,6 @@
 //! fixture completely, and the committed workspace itself must scan
 //! clean (the same gate CI runs via `dg-analyze --deny-warnings`).
 
-use dg_analyze::rules::registry::{self, ManifestEntry};
 use dg_analyze::{analyze_file, scan_source, Diagnostic, Rule, Severity};
 use std::path::{Path, PathBuf};
 
@@ -143,95 +142,6 @@ fn determinism_fires_on_seeded_fixture() {
 fn waived_fixture_is_completely_silent() {
     let (_, diags) = analyze_fixture("clean_waived.rs", "crates/core/src/blocks.rs");
     assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn registry_fires_on_seeded_fixture_dir() {
-    let entries = vec![ManifestEntry {
-        vol: "demo_vol_1x1v_p1".into(),
-        surf: "demo_surf_1x1v_p1".into(),
-        mom: "demo_mom_1x1v_p1".into(),
-        lbo: "demo_lbo_1x1v_p1".into(),
-        cdim: 1,
-        vdim: 1,
-    }];
-    let dir = fixture_dir().join("registry_bad");
-    let diags = registry::check_dir(&entries, &dir, "registry_bad");
-    assert!(diags.iter().all(|d| d.rule == Rule::Registry), "{diags:?}");
-
-    let expect = [
-        // 1. missing artifact for the moment stem
-        ("registry_bad/demo_mom_1x1v_p1.rs", "no committed artifact"),
-        // 2. committed surf artifact never include!d
-        ("registry_bad/mod.rs", "demo_surf_1x1v_p1.rs"),
-        // 3. surf registry row missing
-        ("registry_bad/mod.rs", "`SURFACE_REGISTRY` has no row"),
-        // 4. orphan registry row
-        ("registry_bad/mod.rs", "stale_vol_2x2v_p9"),
-        // 5. orphan artifact on disk
-        (
-            "registry_bad/stale_artifact.rs",
-            "orphan generated artifact",
-        ),
-        // 6. surf artifact exists but lacks every batched entry point of
-        //    one direction (the portable one and both ISA twins) ...
-        (
-            "registry_bad/demo_surf_1x1v_p1.rs",
-            "`pub fn demo_surf_1x1v_p1_v0_b4`",
-        ),
-        (
-            "registry_bad/demo_surf_1x1v_p1.rs",
-            "`pub fn demo_surf_1x1v_p1_v0_b4_avx2`",
-        ),
-        (
-            "registry_bad/demo_surf_1x1v_p1.rs",
-            "`pub fn demo_surf_1x1v_p1_v0_b8_avx512`",
-        ),
-        //    ... and exactly one entry point of the other
-        (
-            "registry_bad/demo_surf_1x1v_p1.rs",
-            "`pub fn demo_surf_1x1v_p1_x0_b8_avx512`",
-        ),
-        // 7. lbo artifact exists but one stage has only its scalar
-        //    (one-lane) entry point
-        (
-            "registry_bad/demo_lbo_1x1v_p1.rs",
-            "`pub fn demo_lbo_1x1v_p1_diff_surf_v0_b4`",
-        ),
-        (
-            "registry_bad/demo_lbo_1x1v_p1.rs",
-            "`pub fn demo_lbo_1x1v_p1_diff_surf_v0_b4_avx2`",
-        ),
-    ];
-    for (file, frag) in expect {
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.file == file && d.message.contains(frag)),
-            "missing diagnostic for {file} containing `{frag}`: {diags:?}"
-        );
-    }
-    // Entry points the fixture does define must not be reported.
-    for present in [
-        "demo_vol_1x1v_p1_b4_avx2",
-        "demo_vol_1x1v_p1_b8_avx512",
-        "demo_surf_1x1v_p1_x0_b4_avx2",
-        "demo_lbo_1x1v_p1_drag_vol_v0_b4",
-        "demo_lbo_1x1v_p1_diff_vol_v0_b4_avx2",
-        "`pub fn demo_lbo_1x1v_p1_diff_surf_v0`",
-    ] {
-        assert!(
-            !diags.iter().any(|d| d.message.contains(present)),
-            "`{present}` is defined but was reported: {diags:?}"
-        );
-    }
-}
-
-#[test]
-fn registry_is_not_waivable() {
-    assert!(!Rule::waivable("registry"));
-    assert!(!Rule::waivable("waiver"));
-    assert!(Rule::waivable("hot_alloc"));
 }
 
 #[test]

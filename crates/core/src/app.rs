@@ -253,8 +253,10 @@ impl AppBuilder {
 
     /// Kernel dispatch policy for all four families — volume, surface,
     /// moment, and LBO kernels (default [`KernelDispatch::Auto`]:
-    /// committed unrolled kernels when registered). Tests and benches use
-    /// this to force either path.
+    /// generated unrolled kernels when registered). Tests and benches use
+    /// this to force either path; forcing `Generated` on a configuration
+    /// outside `codegen::MANIFEST` makes [`AppBuilder::build`] return
+    /// [`Error::Build`].
     pub fn kernel_dispatch(mut self, dispatch: KernelDispatch) -> Self {
         self.dispatch = dispatch;
         self
@@ -345,7 +347,14 @@ impl AppBuilder {
             }
         }
         let layout = PhaseLayout::new(cdim, vdim);
-        let kernels = kernels_for(self.kind, layout, self.poly_order);
+        // A forced `Generated` path outside the manifest is a build error
+        // here, not a panic in an operator constructor below.
+        let (d, kind, p) = (self.dispatch, self.kind, self.poly_order);
+        d.resolve(kind, layout, p).map_err(Error::Build)?;
+        d.resolve_surface(kind, layout, p).map_err(Error::Build)?;
+        d.resolve_moments(kind, layout, p).map_err(Error::Build)?;
+        d.resolve_lbo(kind, layout, p).map_err(Error::Build)?;
+        let kernels = kernels_for(kind, layout, p);
         let conf_grid = CartGrid::new(&clo, &chi, &ccells);
         let vel_grid = CartGrid::new(&vlo, &vhi, &vcells);
         let bc = self

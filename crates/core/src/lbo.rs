@@ -6,8 +6,9 @@
 //!
 //! The paper (§III footnote 7) reports that Gkeyll's alias-free modal
 //! discretization of this operator roughly doubles the cost of the spatial
-//! update — a claim the `eop_efficiency` bench reproduces. The
-//! discretization here follows the same modal philosophy:
+//! update; EXPERIMENTS.md ("LBO at vector width") measured 1.84× here,
+//! and the benchmark's `coll_1x2v_p2` workload is where this operator
+//! weighs in. The discretization here follows the same modal philosophy:
 //!
 //! * the **drag** term is the Vlasov machinery with phase-space flux
 //!   `α = −ν (v_j − u_j(x))` — affine in `v_j` with a configuration-space
@@ -194,7 +195,7 @@ impl LboScratch {
 ///
 /// # Panics
 ///
-/// When `dispatch` is [`KernelDispatch::Generated`] and no committed LBO
+/// When `dispatch` is [`KernelDispatch::Generated`] and no generated LBO
 /// kernel exists for this configuration.
 fn resolve_path(kernels: &PhaseKernels, dispatch: KernelDispatch) -> ResolvedLbo {
     dispatch
@@ -277,7 +278,7 @@ impl LboOp {
     ///
     /// # Panics
     ///
-    /// When `dispatch` is [`KernelDispatch::Generated`] and no committed
+    /// When `dispatch` is [`KernelDispatch::Generated`] and no generated
     /// LBO kernel exists for this configuration.
     // dg-analyze: allow(hot_alloc) — operator constructor: per-direction tables are precomputed once
     pub fn with_dispatch(
@@ -638,7 +639,7 @@ impl LboOp {
     }
 
     /// The runtime-sparse path (oracle, and fallback for configurations
-    /// without committed kernels): the same stages interpreted per cell
+    /// without generated kernels): the same stages interpreted per cell
     /// from the sparse tensors.
     fn sweep_runtime_sparse<S: CellStoreMut>(
         &self,
@@ -847,7 +848,7 @@ mod tests {
         conf_range: std::ops::Range<usize>,
     ) {
         let ResolvedLbo::Generated(e) = op.path else {
-            panic!("reference sweep needs the committed kernels");
+            panic!("reference sweep needs the generated kernels");
         };
         let grid = &op.grid;
         let (nv, vdx, nu) = (grid.vel.len(), grid.vel.dx(), op.nu);

@@ -16,7 +16,7 @@ use dg_telemetry::{span, Collector, Phase};
 /// Scratch for moment reductions (velocity indices and centers), carrying
 /// the moment-kernel path resolved once at construction. `Default` is the
 /// runtime weak-op path; [`MomentScratch::for_kernels`] resolves
-/// [`KernelDispatch::Auto`] against the committed registry, so
+/// [`KernelDispatch::Auto`] against the generated registry, so
 /// moment-consuming operators get the unrolled kernels without per-cell
 /// branching.
 #[derive(Clone, Debug, Default)]
@@ -31,7 +31,7 @@ pub struct MomentScratch {
 
 impl MomentScratch {
     /// Scratch with the moment path resolved via [`KernelDispatch::Auto`]:
-    /// the committed unrolled moment kernels when registered, the runtime
+    /// the generated unrolled moment kernels when registered, the runtime
     /// weak-op reduction otherwise.
     pub fn for_kernels(kernels: &PhaseKernels) -> Self {
         Self::with_dispatch(kernels, KernelDispatch::Auto)
@@ -42,7 +42,7 @@ impl MomentScratch {
     ///
     /// # Panics
     ///
-    /// When `dispatch` is [`KernelDispatch::Generated`] and no committed
+    /// When `dispatch` is [`KernelDispatch::Generated`] and no generated
     /// moment kernel exists for this configuration.
     pub fn with_dispatch(kernels: &PhaseKernels, dispatch: KernelDispatch) -> Self {
         let path = dispatch

@@ -251,7 +251,7 @@ impl VlasovMaxwell {
     /// # Panics
     ///
     /// When forcing [`KernelDispatch::Generated`] for a configuration with
-    /// no committed kernel (see `dg_kernels::dispatch`).
+    /// no generated kernel (see `dg_kernels::dispatch`).
     pub fn set_kernel_dispatch(&mut self, dispatch: KernelDispatch) {
         self.vlasov = VlasovOp::with_dispatch(
             Arc::clone(&self.kernels),

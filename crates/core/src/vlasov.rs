@@ -441,7 +441,7 @@ pub struct VlasovOp {
     /// Per velocity dim `j`: the lower cell (linear velocity index) of
     /// every interior `v_j` face, face-index-major across pencils (all
     /// pencils' face 0, then all pencils' face 1, …); the upper cell is
-    /// one `stride(j)` above. The committed-kernel sweep batches this list
+    /// one `stride(j)` above. The generated-kernel sweep batches this list
     /// [`LANES`] faces at a time, so panels fill across pencils instead of
     /// along one (`n_j − 1` faces rarely divide by `LANES`).
     vel_faces: Vec<Vec<u32>>,
@@ -458,10 +458,10 @@ pub struct VlasovOp {
     /// `None` when either path is runtime-sparse.
     cell_pass: Option<CellPass>,
     /// Full phase-space cell sizes `[Δx…, Δv…]` (the grid is uniform), in
-    /// the committed kernels' calling convention.
+    /// the generated kernels' calling convention.
     dxv: Vec<f64>,
     /// Configuration-cell centers, flattened `nconf × cdim` (the `x…` part
-    /// of the committed kernels' `w`).
+    /// of the generated kernels' `w`).
     conf_centers: Vec<f64>,
     /// Per configuration direction: upper-neighbour configuration cell of
     /// each lower cell (periodic wrap included, `None` at non-periodic
@@ -504,7 +504,7 @@ impl std::fmt::Display for EntryPoints<'_> {
 
 impl VlasovOp {
     /// Build with [`KernelDispatch::Auto`]: every solver silently gets the
-    /// committed unrolled volume kernel when one is registered for its
+    /// generated unrolled volume kernel when one is registered for its
     /// configuration, and the runtime sparse path otherwise.
     pub fn new(kernels: Arc<PhaseKernels>, grid: PhaseGrid, flux: FluxKind) -> Self {
         Self::with_dispatch(kernels, grid, flux, KernelDispatch::Auto)
@@ -515,9 +515,11 @@ impl VlasovOp {
     ///
     /// # Panics
     ///
-    /// When `dispatch` is [`KernelDispatch::Generated`] and no committed
-    /// kernel exists for this configuration (the error message lists the
-    /// registry and how to extend it).
+    /// When `dispatch` is [`KernelDispatch::Generated`] and no generated
+    /// kernel exists for this configuration (the message lists the
+    /// registry and says to add the configuration to `codegen::MANIFEST`
+    /// and rebuild). `AppBuilder::build` checks first and returns
+    /// `Error::Build` instead.
     // dg-analyze: allow(hot_alloc) — operator constructor: geometry/stencil tables are precomputed once
     pub fn with_dispatch(
         kernels: Arc<PhaseKernels>,
@@ -919,7 +921,7 @@ impl VlasovOp {
         (&st.tmp_lo[..np], &st.tmp_hi[..np])
     }
 
-    /// The phase-space center of cell `(clin, vlin)` in the committed
+    /// The phase-space center of cell `(clin, vlin)` in the generated
     /// kernels' convention (the leading `ndim` entries).
     fn center(&self, clin: usize, vlin: usize) -> [f64; MAX_DIM] {
         let (cdim, vdim) = (self.kernels.layout.cdim, self.kernels.layout.vdim);
@@ -1854,7 +1856,7 @@ mod tests {
 
     #[test]
     fn generated_and_runtime_dispatch_agree_on_full_rhs() {
-        // 1x1v p=2 Serendipity is in the committed-kernel registry, so Auto
+        // 1x1v p=2 Serendipity is in the generated-kernel registry, so Auto
         // must resolve to the generated path, and the full RHS (volume
         // through either path + identical surface terms) must agree to
         // round-off between the two forced paths.
@@ -1899,7 +1901,7 @@ mod tests {
         // nx = 1 exercises the single-cell periodic wrap (both face sides
         // are the same cell — the workspace-staged branch); nx = 2 the
         // two-cell periodic direction where every face is also the wrap
-        // partner's face. Dispatch is forced Generated so the committed
+        // partner's face. Dispatch is forced Generated so the generated
         // surface kernels run, and the RHS must (a) match the runtime
         // sparse path to round-off and (b) conserve mass exactly.
         for nx in [1usize, 2] {
@@ -2149,7 +2151,7 @@ mod tests {
         }
     }
 
-    /// `acc` plus every velocity face through the one-lane committed
+    /// `acc` plus every velocity face through the one-lane generated
     /// kernels: per configuration cell, directions ascending, pencil by
     /// pencil, faces ascending — so each cell receives its lower face before
     /// its upper one. Built from the grid alone, not from the operator's
@@ -2206,7 +2208,7 @@ mod tests {
     fn face_panel_schedule_matches_scalar_pencil_sweep_bitwise() {
         // `surface_velocity` batches a face-index-major face list across
         // pencils. The reference is the sweep it replaced: the scalar
-        // committed kernels, pencil by pencil, faces ascending.
+        // generated kernels, pencil by pencil, faces ascending.
         let mut ran = [false; 3];
         for &(p, conf_cells, vel_cells) in SCHEDULE_CASES {
             let (cdim, vdim) = (conf_cells.len(), vel_cells.len());
@@ -2239,7 +2241,7 @@ mod tests {
         report_widths("face_panel_schedule", ran);
     }
 
-    /// `acc` plus every configuration face through the one-lane committed
+    /// `acc` plus every configuration face through the one-lane generated
     /// kernels, in a whole-domain sweep's order: directions ascending; per
     /// direction the lower walls, the faces by ascending lower cell (a
     /// single-cell periodic wrap staged and its two sides summed), the
@@ -2318,7 +2320,7 @@ mod tests {
         // velocity cells with a partial last panel per configuration cell,
         // and the cell-lane pass runs both — on 1v the velocity faces too —
         // over panels resident for a whole lane group. The reference is the
-        // scalar committed kernels cell by cell: the volume from zero (each
+        // scalar generated kernels cell by cell: the volume from zero (each
         // cell's first contribution), then the configuration faces with `d`
         // ascending — onto non-zero increments for the per-phase sweep, onto
         // the volume for the whole block RHS, which then takes the velocity
@@ -2478,7 +2480,7 @@ mod tests {
 
     #[test]
     fn forcing_generated_on_unregistered_config_panics_with_guidance() {
-        // 1x3v p1 has no committed kernel; the forced-Generated constructor
+        // 1x3v p1 has no generated kernel; the forced-Generated constructor
         // must fail loudly (Auto on the same config falls back silently —
         // covered by the kernels-crate dispatch tests).
         let kernels = kernels_for(BasisKind::Serendipity, PhaseLayout::new(1, 3), 1);
@@ -2493,7 +2495,7 @@ mod tests {
         .expect_err("must panic");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(
-            msg.contains("no committed kernel"),
+            msg.contains("no generated volume kernel") && msg.contains("codegen::MANIFEST"),
             "unhelpful panic message: {msg}"
         );
     }

@@ -1,23 +1,23 @@
-//! Kernel dispatch: committed unrolled kernels in the hot path.
+//! Kernel dispatch: generated unrolled kernels in the hot path.
 //!
 //! Gkeyll's production solvers never run a generic tensor contraction: for
 //! every `(basis family, phase layout, poly order)` it ships a fully
 //! unrolled, computer-algebra-generated kernel, selected once when the
-//! solver is built. This module is that selection layer for the committed
+//! solver is built. This module is that selection layer for the generated
 //! Rust kernels under [`crate::generated`]:
 //!
-//! * [`VolumeKernelFn`] is the calling convention of a committed volume
+//! * [`VolumeKernelFn`] is the calling convention of a generated volume
 //!   kernel (the paper's Fig. 1 signature: cell center, cell sizes, `q/m`,
 //!   flattened EM coefficients, distribution coefficients, RHS increment);
-//! * [`SurfaceKernelFn`] is the calling convention of a committed surface
+//! * [`SurfaceKernelFn`] is the calling convention of a generated surface
 //!   kernel — one function per *face-normal direction* (streaming kernels
 //!   for configuration directions, acceleration kernels for velocity
 //!   directions), mirroring Gkeyll's `vlasov_surf[x|vx]_*` split;
 //! * the **registries** ([`volume_registry`], [`surface_registry`]) are
 //!   static tables, emitted by the same generator as the kernels
-//!   themselves, mapping a [`KernelKey`] to the committed function(s);
+//!   themselves, mapping a [`KernelKey`] to the generated function(s);
 //! * [`KernelDispatch`] is the public knob: `Auto` resolves to the
-//!   committed kernel when one exists and falls back to the runtime
+//!   generated kernel when one exists and falls back to the runtime
 //!   sparse-tensor path otherwise, while `Generated`/`RuntimeSparse` force
 //!   a path (benches and equivalence tests).
 //!
@@ -31,15 +31,19 @@
 //! [`VolumeBatch`], [`SurfaceBatch`], [`LboBatch`]) — bit-identical
 //! whichever it is.
 //!
-//! To add a configuration, extend [`crate::codegen::MANIFEST`] and rerun
-//! `cargo run -p dg-kernels --bin gen_kernel` (see DESIGN.md, "Kernel
-//! dispatch").
+//! To add a configuration, extend [`crate::codegen::MANIFEST`] and
+//! rebuild (see DESIGN.md, "Kernel dispatch").
 
 use crate::panel::PanelMoves;
 use crate::phase::PhaseLayout;
 use dg_basis::BasisKind;
 
-/// Calling convention of a committed, fully unrolled volume kernel.
+/// Which path a resolution used; *which entry points* a generated path
+/// runs is a property of each resolution, not of the process: see
+/// [`ResolvedVolume::tag`], [`ResolvedSurfaceDir::tag`], [`LboBatch::isa`].
+pub use crate::ops::DispatchPath;
+
+/// Calling convention of a generated, fully unrolled volume kernel.
 ///
 /// * `w`   — phase-space cell center `[x…, v…]`, length `cdim + vdim`;
 /// * `dxv` — phase-space cell sizes, same length;
@@ -52,7 +56,7 @@ use dg_basis::BasisKind;
 pub type VolumeKernelFn =
     fn(w: &[f64], dxv: &[f64], qm: f64, em: &[f64], f: &[f64], out: &mut [f64]);
 
-/// Calling convention of a committed, fully unrolled surface kernel for
+/// Calling convention of a generated, fully unrolled surface kernel for
 /// the face between a lower and an upper cell along one phase direction
 /// (the direction is baked into the function; the registry holds one
 /// function per direction, configuration directions first).
@@ -124,7 +128,7 @@ pub type PencilLanes = [f64; LANES];
 /// body (`L = 1` is the scalar kernel), so per lane the arithmetic is the
 /// same statements in the same order and packing cells, running a batch
 /// and unpacking reproduces the scalar results **bit for bit** at every
-/// width (asserted in `generated/tests.rs`).
+/// width (asserted in `generated_tests.rs`).
 pub type VolumeKernelBatchFn = fn(
     w: &[[f64; LANES]],
     dxv: &[f64],
@@ -157,7 +161,7 @@ pub type VolumeKernelLanesFn<const L: usize> = unsafe fn(
 /// every width is an instantiation of the scalar kernel's own body —
 /// including the per-lane penalty speed `λ` — so batched and scalar calls
 /// may be mixed freely over a sweep, bit for bit (asserted in
-/// `generated/tests.rs`).
+/// `generated_tests.rs`).
 pub type SurfaceKernelBatchFn = fn(
     w: &[[f64; LANES]],
     dxv: &[f64],
@@ -185,27 +189,27 @@ pub type SurfaceKernelLanesFn<const L: usize> = unsafe fn(
     out_hi: &mut [[f64; L]],
 );
 
-/// Calling convention of a committed `M0` moment kernel: accumulate one
+/// Calling convention of a generated `M0` moment kernel: accumulate one
 /// phase cell's contribution (`jv` = velocity-cell Jacobian `∏ Δv_j/2`)
 /// into the configuration coefficients `m0` (the `_into` convention of
 /// `MomentKernels::accumulate_m0`).
 pub type MomentM0Fn = fn(f: &[f64], jv: f64, m0: &mut [f64]);
 
-/// Calling convention of a committed `M1_j` moment kernel for one velocity
+/// Calling convention of a generated `M1_j` moment kernel for one velocity
 /// direction (`v_c`/`dv`: the cell's center and width in that direction).
 pub type MomentM1Fn = fn(f: &[f64], jv: f64, v_c: f64, dv: f64, m1: &mut [f64]);
 
-/// Calling convention of a committed `M2 = Σ_j ∫ v_j² f dv` moment kernel
+/// Calling convention of a generated `M2 = Σ_j ∫ v_j² f dv` moment kernel
 /// (`v_c`/`dv`: the velocity cell's centers and widths, length `vdim`).
 pub type MomentM2Fn = fn(f: &[f64], jv: f64, v_c: &[f64], dv: &[f64], m2: &mut [f64]);
 
-/// Calling convention of a committed LBO drag *volume* kernel for one
+/// Calling convention of a generated LBO drag *volume* kernel for one
 /// velocity direction: accumulate the weak `∇_{v_j} · (ν (v_j − u_j) f)`
 /// cell term. `v_c`/`dv` are the cell's center and width in `v_j`, `u` the
 /// flow-velocity configuration coefficients for this direction.
 pub type LboDragVolFn = fn(nu: f64, v_c: f64, dv: f64, u: &[f64], f: &[f64], out: &mut [f64]);
 
-/// Calling convention of a committed LBO drag *surface* kernel at one
+/// Calling convention of a generated LBO drag *surface* kernel at one
 /// interior velocity face (`vstar` = the face's velocity coordinate);
 /// updates both adjacent cells with the penalized central flux.
 pub type LboDragSurfFn = fn(
@@ -219,18 +223,18 @@ pub type LboDragSurfFn = fn(
     out_hi: &mut [f64],
 );
 
-/// Calling convention of a committed LDG gradient kernel for one velocity
+/// Calling convention of a generated LDG gradient kernel for one velocity
 /// direction: `g += ∇_{v_j} f` for one cell, one-sided fluxes (the upper
 /// neighbor's lower trace `f_up`, or the cell's own upper trace when
 /// `at_upper` — i.e. the cell sits on the upper velocity boundary).
 pub type LboDiffGradFn = fn(dv: f64, at_upper: bool, f: &[f64], f_up: &[f64], g: &mut [f64]);
 
-/// Calling convention of a committed LBO diffusion *volume* kernel for one
+/// Calling convention of a generated LBO diffusion *volume* kernel for one
 /// velocity direction: weak `ν vth²(x) ∂_{v_j} g` cell term (`vth2` =
 /// thermal-speed-squared configuration coefficients).
 pub type LboDiffVolFn = fn(nu: f64, dv: f64, vth2: &[f64], g: &[f64], out: &mut [f64]);
 
-/// Calling convention of a committed LBO diffusion *surface* kernel at one
+/// Calling convention of a generated LBO diffusion *surface* kernel at one
 /// interior velocity face: one-sided flux of the LDG gradient (the lower
 /// cell's upper trace), updating both adjacent cells.
 pub type LboDiffSurfFn =
@@ -240,7 +244,7 @@ pub type LboDiffSurfFn =
 /// [`LANES`] `v_j`-pencils: the `L = LANES` instantiation of the very
 /// bodies whose one-lane instantiation is the scalar [`LboDragVolFn`] …
 /// [`LboDiffSurfFn`] entry points, so each lane matches the scalar kernel
-/// bit for bit (asserted in `generated/tests.rs`). Arguments are the scalar
+/// bit for bit (asserted in `generated_tests.rs`). Arguments are the scalar
 /// conventions' with every coefficient slice a panel. The pencils of a
 /// group may sit in different configuration cells, so `u`/`vth2` are
 /// per-lane panels too; `nu`, `v_c`/`vstar`, `dv` and `at_upper` (one grid,
@@ -321,8 +325,8 @@ impl KernelKey {
     }
 }
 
-/// One row of the committed-kernel registry (generated table in
-/// `generated/mod.rs`).
+/// One row of the volume-kernel registry (a table in the generated
+/// `mod.rs`).
 #[derive(Clone, Copy, Debug)]
 pub struct VolumeKernelEntry {
     pub key: KernelKey,
@@ -341,9 +345,9 @@ pub struct VolumeKernelEntry {
     pub batch_avx512: VolumeKernelLanesFn<8>,
 }
 
-/// One row of the committed surface-kernel registry: all per-direction
-/// unrolled surface kernels of one configuration (generated table in
-/// `generated/mod.rs`).
+/// One row of the generated surface-kernel registry: all per-direction
+/// unrolled surface kernels of one configuration (a table in the
+/// generated `mod.rs`).
 #[derive(Clone, Copy, Debug)]
 pub struct SurfaceKernelEntry {
     pub key: KernelKey,
@@ -366,9 +370,9 @@ pub struct SurfaceKernelEntry {
     pub batch_avx512: &'static [SurfaceKernelLanesFn<8>],
 }
 
-/// One row of the committed moment-kernel registry: the unrolled
-/// `M0`/`M1_j`/`M2` reductions of one configuration (generated table in
-/// `generated/mod.rs`).
+/// One row of the generated moment-kernel registry: the unrolled
+/// `M0`/`M1_j`/`M2` reductions of one configuration (a table in the
+/// generated `mod.rs`).
 #[derive(Clone, Copy, Debug)]
 pub struct MomentKernelEntry {
     pub key: KernelKey,
@@ -381,10 +385,10 @@ pub struct MomentKernelEntry {
     pub m2: MomentM2Fn,
 }
 
-/// One row of the committed LBO-kernel registry: the five unrolled stage
+/// One row of the generated LBO-kernel registry: the five unrolled stage
 /// functions (drag volume/surface, LDG gradient, diffusion volume/surface)
-/// per velocity direction of one configuration (generated table in
-/// `generated/mod.rs`). The generator emits each stage body once, generic
+/// per velocity direction of one configuration (a table in the
+/// generated `mod.rs`). The generator emits each stage body once, generic
 /// over the lane count; the fields below are its instantiations.
 #[derive(Clone, Copy, Debug)]
 pub struct LboKernelEntry {
@@ -406,27 +410,27 @@ pub struct LboKernelEntry {
     pub batch_avx2: &'static [LboBatchFns],
 }
 
-/// All committed unrolled volume kernels.
+/// All generated unrolled volume kernels.
 pub fn volume_registry() -> &'static [VolumeKernelEntry] {
     crate::generated::VOLUME_REGISTRY
 }
 
-/// All committed unrolled surface kernels.
+/// All generated unrolled surface kernels.
 pub fn surface_registry() -> &'static [SurfaceKernelEntry] {
     crate::generated::SURFACE_REGISTRY
 }
 
-/// All committed unrolled moment kernels.
+/// All generated unrolled moment kernels.
 pub fn moment_registry() -> &'static [MomentKernelEntry] {
     crate::generated::MOMENT_REGISTRY
 }
 
-/// All committed unrolled LBO collision kernels.
+/// All generated unrolled LBO collision kernels.
 pub fn lbo_registry() -> &'static [LboKernelEntry] {
     crate::generated::LBO_REGISTRY
 }
 
-/// Look up the committed volume kernel for a configuration, if one exists.
+/// Look up the generated volume kernel for a configuration, if one exists.
 pub fn find_volume_kernel(
     kind: BasisKind,
     layout: PhaseLayout,
@@ -436,7 +440,7 @@ pub fn find_volume_kernel(
     volume_registry().iter().find(|e| e.key == key)
 }
 
-/// Look up the committed surface kernels for a configuration, if any exist.
+/// Look up the generated surface kernels for a configuration, if any exist.
 pub fn find_surface_kernel(
     kind: BasisKind,
     layout: PhaseLayout,
@@ -446,7 +450,7 @@ pub fn find_surface_kernel(
     surface_registry().iter().find(|e| e.key == key)
 }
 
-/// Look up the committed moment kernels for a configuration, if any exist.
+/// Look up the generated moment kernels for a configuration, if any exist.
 pub fn find_moment_kernel(
     kind: BasisKind,
     layout: PhaseLayout,
@@ -456,7 +460,7 @@ pub fn find_moment_kernel(
     moment_registry().iter().find(|e| e.key == key)
 }
 
-/// Look up the committed LBO kernels for a configuration, if any exist.
+/// Look up the generated LBO kernels for a configuration, if any exist.
 pub fn find_lbo_kernel(
     kind: BasisKind,
     layout: PhaseLayout,
@@ -473,21 +477,10 @@ pub enum KernelDispatch {
     /// Committed unrolled kernel when registered, runtime sparse otherwise.
     #[default]
     Auto,
-    /// Force the committed unrolled kernel; resolution fails if the
+    /// Force the generated unrolled kernel; resolution fails if the
     /// configuration is not in the registry.
     Generated,
     /// Force the generic runtime sparse-tensor path.
-    RuntimeSparse,
-}
-
-/// Which path a resolution (or a measurement) actually used — carried by
-/// [`crate::ops::OpReport`]. *Which entry points* a generated path runs is a
-/// property of each resolution, not of the process: see
-/// [`ResolvedVolume::tag`], [`ResolvedSurfaceDir::tag`], [`LboBatch::isa`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DispatchPath {
-    Generated,
-    #[default]
     RuntimeSparse,
 }
 
@@ -1017,7 +1010,7 @@ impl ResolvedLbo {
 
 impl KernelDispatch {
     /// Resolve this knob for a configuration. `Err` only when `Generated`
-    /// is forced for a configuration with no committed kernel; `Auto`
+    /// is forced for a configuration with no generated kernel; `Auto`
     /// falls back to the runtime path gracefully. A generated resolution
     /// also fixes, from the CPU alone, which `_b4` entry point the
     /// operator will call ([`VolumeBatch::select`]).
@@ -1027,63 +1020,43 @@ impl KernelDispatch {
         layout: PhaseLayout,
         poly_order: usize,
     ) -> Result<ResolvedVolume, String> {
-        match self {
-            KernelDispatch::RuntimeSparse => Ok(ResolvedVolume::RuntimeSparse),
-            KernelDispatch::Auto => Ok(match find_volume_kernel(kind, layout, poly_order) {
-                Some(e) => ResolvedVolume::generated(e),
-                None => ResolvedVolume::RuntimeSparse,
-            }),
-            KernelDispatch::Generated => match find_volume_kernel(kind, layout, poly_order) {
-                Some(e) => Ok(ResolvedVolume::generated(e)),
-                None => Err(format!(
-                    "no committed kernel for {:?} {} p={} (registry: {}); \
-                     extend dg_kernels::codegen::MANIFEST and rerun \
-                     `cargo run -p dg-kernels --bin gen_kernel`",
-                    kind,
-                    layout.tag(),
-                    poly_order,
-                    volume_registry()
-                        .iter()
-                        .map(|e| e.name)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )),
-            },
+        let found = find_volume_kernel(kind, layout, poly_order);
+        match (self, found) {
+            (KernelDispatch::RuntimeSparse, _) | (KernelDispatch::Auto, None) => {
+                Ok(ResolvedVolume::RuntimeSparse)
+            }
+            (_, Some(e)) => Ok(ResolvedVolume::generated(e)),
+            (KernelDispatch::Generated, None) => Err(not_generated(
+                "volume",
+                kind,
+                layout,
+                poly_order,
+                volume_registry().iter().map(|e| e.name),
+            )),
         }
     }
 
     /// Resolve this knob for the surface terms of a configuration. Same
-    /// semantics as [`KernelDispatch::resolve`]: `Err` only when
-    /// `Generated` is forced for a configuration with no committed surface
-    /// kernels; `Auto` falls back gracefully.
+    /// semantics as [`KernelDispatch::resolve`].
     pub fn resolve_surface(
         self,
         kind: BasisKind,
         layout: PhaseLayout,
         poly_order: usize,
     ) -> Result<ResolvedSurface, String> {
-        match self {
-            KernelDispatch::RuntimeSparse => Ok(ResolvedSurface::RuntimeSparse),
-            KernelDispatch::Auto => Ok(match find_surface_kernel(kind, layout, poly_order) {
-                Some(e) => ResolvedSurface::Generated(e),
-                None => ResolvedSurface::RuntimeSparse,
-            }),
-            KernelDispatch::Generated => match find_surface_kernel(kind, layout, poly_order) {
-                Some(e) => Ok(ResolvedSurface::Generated(e)),
-                None => Err(format!(
-                    "no committed surface kernel for {:?} {} p={} (registry: {}); \
-                     extend dg_kernels::codegen::MANIFEST and rerun \
-                     `cargo run -p dg-kernels --bin gen_kernel`",
-                    kind,
-                    layout.tag(),
-                    poly_order,
-                    surface_registry()
-                        .iter()
-                        .map(|e| e.name)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )),
-            },
+        let found = find_surface_kernel(kind, layout, poly_order);
+        match (self, found) {
+            (KernelDispatch::RuntimeSparse, _) | (KernelDispatch::Auto, None) => {
+                Ok(ResolvedSurface::RuntimeSparse)
+            }
+            (_, Some(e)) => Ok(ResolvedSurface::Generated(e)),
+            (KernelDispatch::Generated, None) => Err(not_generated(
+                "surface",
+                kind,
+                layout,
+                poly_order,
+                surface_registry().iter().map(|e| e.name),
+            )),
         }
     }
 
@@ -1095,28 +1068,19 @@ impl KernelDispatch {
         layout: PhaseLayout,
         poly_order: usize,
     ) -> Result<ResolvedMoments, String> {
-        match self {
-            KernelDispatch::RuntimeSparse => Ok(ResolvedMoments::RuntimeSparse),
-            KernelDispatch::Auto => Ok(match find_moment_kernel(kind, layout, poly_order) {
-                Some(e) => ResolvedMoments::Generated(e),
-                None => ResolvedMoments::RuntimeSparse,
-            }),
-            KernelDispatch::Generated => match find_moment_kernel(kind, layout, poly_order) {
-                Some(e) => Ok(ResolvedMoments::Generated(e)),
-                None => Err(format!(
-                    "no committed moment kernel for {:?} {} p={} (registry: {}); \
-                     extend dg_kernels::codegen::MANIFEST and rerun \
-                     `cargo run -p dg-kernels --bin gen_kernel`",
-                    kind,
-                    layout.tag(),
-                    poly_order,
-                    moment_registry()
-                        .iter()
-                        .map(|e| e.name)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )),
-            },
+        let found = find_moment_kernel(kind, layout, poly_order);
+        match (self, found) {
+            (KernelDispatch::RuntimeSparse, _) | (KernelDispatch::Auto, None) => {
+                Ok(ResolvedMoments::RuntimeSparse)
+            }
+            (_, Some(e)) => Ok(ResolvedMoments::Generated(e)),
+            (KernelDispatch::Generated, None) => Err(not_generated(
+                "moment",
+                kind,
+                layout,
+                poly_order,
+                moment_registry().iter().map(|e| e.name),
+            )),
         }
     }
 
@@ -1128,30 +1092,38 @@ impl KernelDispatch {
         layout: PhaseLayout,
         poly_order: usize,
     ) -> Result<ResolvedLbo, String> {
-        match self {
-            KernelDispatch::RuntimeSparse => Ok(ResolvedLbo::RuntimeSparse),
-            KernelDispatch::Auto => Ok(match find_lbo_kernel(kind, layout, poly_order) {
-                Some(e) => ResolvedLbo::Generated(e),
-                None => ResolvedLbo::RuntimeSparse,
-            }),
-            KernelDispatch::Generated => match find_lbo_kernel(kind, layout, poly_order) {
-                Some(e) => Ok(ResolvedLbo::Generated(e)),
-                None => Err(format!(
-                    "no committed LBO kernel for {:?} {} p={} (registry: {}); \
-                     extend dg_kernels::codegen::MANIFEST and rerun \
-                     `cargo run -p dg-kernels --bin gen_kernel`",
-                    kind,
-                    layout.tag(),
-                    poly_order,
-                    lbo_registry()
-                        .iter()
-                        .map(|e| e.name)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )),
-            },
+        let found = find_lbo_kernel(kind, layout, poly_order);
+        match (self, found) {
+            (KernelDispatch::RuntimeSparse, _) | (KernelDispatch::Auto, None) => {
+                Ok(ResolvedLbo::RuntimeSparse)
+            }
+            (_, Some(e)) => Ok(ResolvedLbo::Generated(e)),
+            (KernelDispatch::Generated, None) => Err(not_generated(
+                "LBO",
+                kind,
+                layout,
+                poly_order,
+                lbo_registry().iter().map(|e| e.name),
+            )),
         }
     }
+}
+
+/// The error of a forced `Generated` resolution outside the manifest: what
+/// is missing, what the registry holds, and how to add it.
+fn not_generated(
+    family: &str,
+    kind: BasisKind,
+    layout: PhaseLayout,
+    poly_order: usize,
+    registry: impl Iterator<Item = &'static str>,
+) -> String {
+    format!(
+        "no generated {family} kernel for {kind:?} {} p={poly_order} (registry: {}); \
+         add it to `codegen::MANIFEST` and rebuild",
+        layout.tag(),
+        registry.collect::<Vec<_>>().join(", ")
+    )
 }
 
 #[cfg(test)]
@@ -1220,7 +1192,7 @@ mod tests {
 
     #[test]
     fn auto_falls_back_gracefully() {
-        // 3x3v p2 is deliberately not committed (Np = 256 would dominate
+        // 3x3v p2 is deliberately left out (Np = 256 would dominate
         // crate compile time); Auto must fall back, forced Generated must
         // error — for every kernel family.
         let layout = PhaseLayout::new(3, 3);

@@ -1,19 +1,13 @@
-//! Closed-loop tests for the committed generated kernels (handwritten; the
-//! surrounding `mod.rs` is itself a generated artifact and only declares
-//! this module).
+//! Closed-loop tests for the generated kernels.
 //!
-//! Three properties per manifest entry:
+//! Two properties per manifest entry:
 //!
-//! 1. **no drift** — every committed artifact (volume, surface, moment,
-//!    and LBO kernel files plus the registry module) is byte-identical to
-//!    what the current generator emits, so generator changes cannot land
-//!    without regenerated artifacts;
-//! 2. **equivalence** — executing the committed, fully unrolled functions
+//! 1. **equivalence** — executing the generated, fully unrolled functions
 //!    reproduces the runtime sparse-tensor kernels on random cell data to
 //!    round-off (the property the dispatch layer's correctness rests on),
 //!    for the volume kernel, every per-direction surface kernel, all three
 //!    moment kernels, and all five LBO stage-kernel families;
-//! 3. **bitwise batching** — every batched entry point of a lane-generic
+//! 2. **bitwise batching** — every batched entry point of a lane-generic
 //!    body (the portable `_b4` and, where the CPU has them, `_b4_avx2` and
 //!    `_b8_avx512`) reproduces the one-lane (scalar) entry point bit for
 //!    bit: volume and surface on panel sweeps with a partial last panel,
@@ -26,10 +20,7 @@
 // was scoped down to the modules that need it).
 #![allow(clippy::needless_range_loop)]
 use crate::accel::VelGeom;
-use crate::codegen::{
-    generated_mod_source, lbo_dir_tables, manifest_kernel_source, manifest_lbo_source,
-    manifest_moment_source, manifest_surface_source, LboDirTables, MANIFEST,
-};
+use crate::codegen::{lbo_dir_tables, LboDirTables, MANIFEST};
 use crate::dispatch::{
     lbo_registry, moment_registry, surface_registry, volume_registry, LboBatch, PencilLanes,
     SurfaceBatch, SurfaceKernelFn, SurfaceLanes, VolumeBatch, VolumeKernelFn, VolumeLanes, LANES,
@@ -37,53 +28,6 @@ use crate::dispatch::{
 use crate::kernels_for;
 use crate::surface::FaceScratch;
 use proptest::prelude::*;
-
-#[test]
-fn committed_artifacts_match_generator() {
-    let dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/src/generated"));
-    for spec in MANIFEST {
-        let committed = std::fs::read_to_string(dir.join(spec.file_name()))
-            .unwrap_or_else(|e| panic!("missing committed artifact {}: {e}", spec.file_name()));
-        assert_eq!(
-            manifest_kernel_source(spec),
-            committed,
-            "{} drifted — regenerate with `cargo run -p dg-kernels --bin gen_kernel`",
-            spec.file_name()
-        );
-        let committed_surf = std::fs::read_to_string(dir.join(spec.surf_file_name()))
-            .unwrap_or_else(|e| {
-                panic!("missing committed artifact {}: {e}", spec.surf_file_name())
-            });
-        assert_eq!(
-            manifest_surface_source(spec),
-            committed_surf,
-            "{} drifted — regenerate with `cargo run -p dg-kernels --bin gen_kernel`",
-            spec.surf_file_name()
-        );
-        let committed_mom = std::fs::read_to_string(dir.join(spec.mom_file_name()))
-            .unwrap_or_else(|e| panic!("missing committed artifact {}: {e}", spec.mom_file_name()));
-        assert_eq!(
-            manifest_moment_source(spec),
-            committed_mom,
-            "{} drifted — regenerate with `cargo run -p dg-kernels --bin gen_kernel`",
-            spec.mom_file_name()
-        );
-        let committed_lbo = std::fs::read_to_string(dir.join(spec.lbo_file_name()))
-            .unwrap_or_else(|e| panic!("missing committed artifact {}: {e}", spec.lbo_file_name()));
-        assert_eq!(
-            manifest_lbo_source(spec),
-            committed_lbo,
-            "{} drifted — regenerate with `cargo run -p dg-kernels --bin gen_kernel`",
-            spec.lbo_file_name()
-        );
-    }
-    let committed_mod = std::fs::read_to_string(dir.join("mod.rs")).unwrap();
-    assert_eq!(
-        generated_mod_source(),
-        committed_mod,
-        "mod.rs drifted — regenerate with `cargo run -p dg-kernels --bin gen_kernel`"
-    );
-}
 
 /// Apply the runtime sparse-tensor path with the generated kernels' calling
 /// convention (full phase `w`/`dxv`, flattened `em`).
@@ -247,7 +191,7 @@ fn volume_run<const L: usize>(k: VolumeLanes<L>, run: &Run, f_raw: &[f64]) -> Ve
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-    /// Every batched entry point of every committed volume kernel
+    /// Every batched entry point of every generated volume kernel
     /// reproduces the one-lane entry point — **bit for bit**, not merely to
     /// round-off — when a run of cells is evaluated as SoA panels with a
     /// partial last one, for every run length 1..=9 (so every partial lane
@@ -462,7 +406,7 @@ fn surface_run<const L: usize>(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-    /// Every batched entry point of every committed surface kernel
+    /// Every batched entry point of every generated surface kernel
     /// (`_b4`, `_b4_avx2`, `_b8_avx512`) reproduces the one-lane entry
     /// point bit for bit on a panel sweep with a partial last panel, for
     /// every run length 1..=9. This is what lets the RHS sweep batch faces,
@@ -551,7 +495,7 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-    /// Every committed moment kernel (`M0`, per-direction `M1`, `M2`)
+    /// Every generated moment kernel (`M0`, per-direction `M1`, `M2`)
     /// reproduces the runtime weak-op reduction of `MomentKernels`.
     #[test]
     fn every_moment_registry_kernel_matches_runtime(
@@ -756,7 +700,7 @@ fn runtime_lbo_diff_surf(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-    /// Every committed LBO stage kernel (drag volume/surface, LDG
+    /// Every generated LBO stage kernel (drag volume/surface, LDG
     /// gradient, diffusion volume/surface, per velocity direction)
     /// reproduces the runtime sparse path interpreted from the same
     /// [`LboDirTables`] the generator unrolled.
@@ -980,8 +924,7 @@ proptest! {
 /// runtime sparse path under the default `Auto` dispatch. Parameter
 /// *scans* (the Fig. 2 fit in `tests/paper.rs`) intentionally sweep past
 /// the manifest and are exempt. When a new example or scenario lands,
-/// add its configuration here and to `codegen::MANIFEST` (then rerun
-/// `cargo run -p dg-kernels --bin gen_kernel`).
+/// add its configuration here and to `codegen::MANIFEST`, and rebuild.
 #[test]
 fn manifest_covers_committed_example_and_bench_configs() {
     use dg_basis::BasisKind;
@@ -1038,7 +981,7 @@ fn manifest_covers_committed_example_and_bench_configs() {
                 .iter()
                 .any(|s| s.kind == kind && s.cdim == cdim && s.vdim == vdim && s.poly_order == p),
             "{kind:?} {cdim}x{vdim}v p={p} is used by {where_} but missing from \
-             codegen::MANIFEST — committed scenarios must run on committed kernels"
+             codegen::MANIFEST — committed scenarios must run on generated kernels"
         );
     }
 }

@@ -16,7 +16,7 @@
 //! in the cross-crate equivalence tests — while their costs differ by the
 //! `O(Nq Np)` vs sparse-`C_lmn` gap that Table I quantifies (∼16×).
 //!
-//! The dense matvecs go through `dg_kernels::linalg::DMat`, our stand-in
+//! The dense matvecs go through `dg_tables::linalg::DMat`, our stand-in
 //! for the Eigen 3.3.4 calls in the paper's measurement.
 //!
 //! [`aliased`] additionally provides the *under-integrated* variant

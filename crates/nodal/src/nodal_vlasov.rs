@@ -8,8 +8,8 @@
 use crate::quad_eval::QuadEval;
 use dg_core::vlasov::FluxKind;
 use dg_grid::{DgField, PhaseGrid};
-use dg_kernels::accel::VelGeom;
-use dg_kernels::PhaseKernels;
+use dg_tables::accel::VelGeom;
+use dg_tables::PhaseKernels;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -328,8 +328,8 @@ mod tests {
     use dg_basis::BasisKind;
     use dg_core::vlasov::{VlasovOp, VlasovWorkspace};
     use dg_grid::{Bc, CartGrid};
-    use dg_kernels::{kernels_for, PhaseLayout};
     use dg_maxwell::NCOMP;
+    use dg_tables::{kernels_for, PhaseLayout};
     use proptest::{Strategy, TestRng};
 
     fn random_setup(

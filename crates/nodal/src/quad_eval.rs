@@ -5,8 +5,8 @@
 // was scoped down to the modules that need it).
 #![allow(clippy::needless_range_loop)]
 use dg_basis::Basis;
-use dg_kernels::linalg::DMat;
 use dg_poly::quad::TensorGauss;
+use dg_tables::linalg::DMat;
 
 /// Volume and face quadrature tables for one basis at `nq` points per
 /// dimension.

@@ -11,7 +11,7 @@ use crate::phase::{PhaseKernels, PhaseLayout};
 use dg_basis::BasisKind;
 use std::fmt::Write;
 
-/// One configuration in the committed-kernel manifest.
+/// One configuration in the generated-kernel manifest.
 #[derive(Clone, Copy, Debug)]
 pub struct KernelSpec {
     pub kind: BasisKind,
@@ -54,7 +54,7 @@ impl KernelSpec {
         )
     }
 
-    /// File name of the committed artifact under `src/generated/`.
+    /// File name of the volume artifact.
     pub fn file_name(&self) -> String {
         format!("{}.rs", self.fn_name())
     }
@@ -82,7 +82,7 @@ impl KernelSpec {
         }
     }
 
-    /// File name of the committed surface artifact under `src/generated/`.
+    /// File name of the surface artifact.
     pub fn surf_file_name(&self) -> String {
         format!("{}.rs", self.surf_name())
     }
@@ -99,7 +99,7 @@ impl KernelSpec {
         )
     }
 
-    /// File name of the committed moment artifact under `src/generated/`.
+    /// File name of the moment artifact.
     pub fn mom_file_name(&self) -> String {
         format!("{}.rs", self.mom_name())
     }
@@ -118,7 +118,7 @@ impl KernelSpec {
         )
     }
 
-    /// File name of the committed LBO artifact under `src/generated/`.
+    /// File name of the LBO artifact.
     pub fn lbo_file_name(&self) -> String {
         format!("{}.rs", self.lbo_name())
     }
@@ -133,10 +133,11 @@ impl KernelSpec {
     }
 }
 
-/// The set of committed kernel configurations. Each entry produces one
-/// `src/generated/<fn_name>.rs` artifact plus a registry row in the
-/// generated `src/generated/mod.rs`; `cargo run -p dg-kernels --bin
-/// gen_kernel` regenerates all of them in place.
+/// The set of generated kernel configurations. Each entry produces four
+/// artifacts (volume, surface, moment and LBO kernels) plus a row in each
+/// registry of the generated `mod.rs` ([`artifacts`]); `dg-kernels`
+/// writes them at build time, so adding an entry and rebuilding is the
+/// whole procedure for registering a configuration.
 ///
 /// Coverage: the paper's Fig. 1 configuration (1X2V p=1 tensor), both
 /// Landau-damping workhorses (1X1V p=1/p=2 Serendipity), the higher-order
@@ -145,7 +146,7 @@ impl KernelSpec {
 /// and the Fig. 3 marquee workload (3X3V p=1 Serendipity, Np = 64).
 /// 3X3V p=2 (Np = 256) is deliberately left to the runtime path: its
 /// unrolled artifacts would dominate crate compile time for a
-/// configuration no committed example or benchmark workload runs.
+/// configuration no example or benchmark workload runs.
 pub const MANIFEST: &[KernelSpec] = &[
     KernelSpec::new(BasisKind::Serendipity, 1, 1, 1),
     KernelSpec::new(BasisKind::Serendipity, 1, 1, 2),
@@ -312,38 +313,46 @@ pub fn lbo_dir_tables(pk: &PhaseKernels, j: usize) -> LboDirTables {
     }
 }
 
-/// Emit the full `src/generated/mod.rs`: the `include!` lines for every
-/// manifest artifact plus the static dispatch registry table. The module
-/// is itself a committed generated artifact, so adding a manifest entry
-/// and rerunning the generator is the *whole* procedure for registering a
-/// new kernel.
+/// Every generated file as `(file name, source)`: the volume, surface,
+/// moment and LBO kernels of each [`MANIFEST`] entry, then the registry
+/// module `mod.rs` that `include!`s them. `dg-kernels`' build script
+/// writes exactly this list; the `dg-analyze` lints read it too.
+pub fn artifacts() -> Vec<(String, String)> {
+    type Emit = fn(&KernelSpec) -> String;
+    let families: [(Emit, Emit); 4] = [
+        (KernelSpec::file_name, manifest_kernel_source),
+        (KernelSpec::surf_file_name, manifest_surface_source),
+        (KernelSpec::mom_file_name, manifest_moment_source),
+        (KernelSpec::lbo_file_name, manifest_lbo_source),
+    ];
+    let mut v: Vec<(String, String)> = families
+        .iter()
+        .flat_map(|(name, source)| MANIFEST.iter().map(|spec| (name(spec), source(spec))))
+        .collect();
+    v.push(("mod.rs".to_string(), generated_mod_source()));
+    v
+}
+
+/// Emit the registry module `mod.rs`: the `include!` lines for every
+/// manifest artifact plus the four static dispatch registry tables. It is
+/// `include!`d itself, so it opens with plain comments, not `//!`.
 pub fn generated_mod_source() -> String {
     let mut s = String::new();
+    let _ = writeln!(s, "// Generated kernels and their dispatch registry.");
+    let _ = writeln!(s, "//");
     let _ = writeln!(
         s,
-        "//! Committed auto-generated kernels and their dispatch registry."
-    );
-    let _ = writeln!(s, "//!");
-    let _ = writeln!(
-        s,
-        "//! Generated by `cargo run -p dg-kernels --bin gen_kernel` from"
+        "// Written at build time by `dg-kernels`' build script from"
     );
     let _ = writeln!(
         s,
-        "//! [`crate::codegen::MANIFEST`] — do not edit by hand. Gkeyll commits"
+        "// `dg_tables::codegen::MANIFEST` — Gkeyll commits its Maxima-generated"
     );
     let _ = writeln!(
         s,
-        "//! its Maxima-generated C++ kernels into the repository; these are the"
+        "// C++ kernels; these are the same artifact in Rust, and `crate::dispatch`"
     );
-    let _ = writeln!(
-        s,
-        "//! same artifact in Rust, and [`crate::dispatch`] routes solvers onto"
-    );
-    let _ = writeln!(
-        s,
-        "//! them. Equivalence and no-drift tests live in `tests.rs` (handwritten)."
-    );
+    let _ = writeln!(s, "// routes solvers onto them.");
     let _ = writeln!(s);
     // rustc cuts codegen units along module lines, and a lane-generic body
     // is compiled once per entry point — four times for a Vlasov kernel,
@@ -392,8 +401,7 @@ pub fn generated_mod_source() -> String {
     let _ = writeln!(s, "/// manifest entry, in manifest order).");
     let _ = writeln!(s, "pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[");
     for spec in MANIFEST {
-        // Emitted pre-expanded so the artifact is a rustfmt fixed point
-        // (`cargo fmt --all` must not dirty the committed tree).
+        // Emitted pre-expanded, as rustfmt would lay it out.
         let _ = writeln!(s, "    VolumeKernelEntry {{");
         let _ = writeln!(s, "        key: KernelKey {{");
         let _ = writeln!(s, "            kind: BasisKind::{},", spec.kind_variant());
@@ -527,9 +535,6 @@ pub fn generated_mod_source() -> String {
         let _ = writeln!(s, "    }},");
     }
     let _ = writeln!(s, "];");
-    let _ = writeln!(s);
-    let _ = writeln!(s, "#[cfg(test)]");
-    let _ = writeln!(s, "mod tests;");
     s
 }
 
@@ -650,7 +655,7 @@ fn accel_alpha_stmts(
 /// `dxv`, `qm`, `em` are shared. The one-lane instantiation *is* the scalar
 /// kernel (`fn_name`); `<fn_name>_b4`, `<fn_name>_b4_avx2` and
 /// `<fn_name>_b8_avx512` run the same statements per lane at 4 and 8 lanes,
-/// bit-identical (four-way proptest in `generated/tests.rs`).
+/// bit-identical (four-way proptest in `generated_tests.rs`).
 pub fn volume_kernel_source(pk: &PhaseKernels, fn_name: &str) -> String {
     use LaneParam::{In, Out, Shared};
     let layout = pk.layout;
@@ -788,7 +793,7 @@ pub fn volume_kernel_source(pk: &PhaseKernels, fn_name: &str) -> String {
 }
 
 /// Emit the surface kernels (one fully unrolled function per phase
-/// direction) for a kernel set, in the committed calling convention
+/// direction) for a kernel set, in the generated calling convention
 /// (`SurfaceKernelFn`): lower-cell center `w`, cell sizes `dxv`, `qm`,
 /// flattened E/B coefficients `em`, the penalty switch, the two adjacent
 /// cells' coefficients and their accumulated RHS increments.
@@ -814,8 +819,8 @@ pub fn surface_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
     let nc = pk.nc();
     let np = pk.np();
     let mut s = String::new();
-    // Plain `//` comments: the file is `include!`d into `generated/mod.rs`,
-    // where inner `//!` docs would be ill-placed.
+    // Plain `//` comments: the file is `include!`d into the generated
+    // `mod.rs`, where inner `//!` docs would be ill-placed.
     let _ = writeln!(
         s,
         "// Surface kernels for the Vlasov phase-space advection, {} p={} {} basis.",
@@ -1104,10 +1109,10 @@ struct EntryPoints {
 /// "avx2")]` and — where `entry_points.avx512` — the 8-lane
 /// `name_b8_avx512` under `#[target_feature(enable = "avx512f")]`. Per lane
 /// all of them run the same statement stream — no `fma`, no `mul_add` — so
-/// they are bit-identical (registry-wide proptests in
-/// `generated/tests.rs`); which batched one runs is decided from the CPU
-/// alone by [`crate::dispatch::VolumeBatch`] /
-/// [`crate::dispatch::SurfaceBatch`] / [`crate::dispatch::LboBatch`].
+/// they are bit-identical (registry-wide proptests in `dg-kernels`'
+/// `generated::tests`); which batched one runs is decided from the CPU
+/// alone by `dg_kernels::dispatch`'s `VolumeBatch` / `SurfaceBatch` /
+/// `LboBatch`.
 fn write_lane_generic_entry_points(
     s: &mut String,
     name: &str,
@@ -1733,6 +1738,17 @@ mod tests {
             .expect("lifts are one-off accumulates");
         let doubled = src.replacen(lift, &format!("{lift}\n{lift}"), 1);
         assert!(surface_bodies_write_each_output_once(&doubled, pk.np()).is_err());
+    }
+
+    #[test]
+    fn generated_tree_stays_under_its_size_ceiling() {
+        // Every kernel is one lane-generic body (4.2 MB in all); a second
+        // statement stream per kernel coming back would add ~1.7 MB.
+        let bytes: usize = artifacts().iter().map(|(_, src)| src.len()).sum();
+        assert!(
+            bytes <= 4_600_000,
+            "generated kernels are {bytes} bytes, over the 4 600 000 ceiling"
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct MomentKernels {
     pub vdim: usize,
     /// Modes with all velocity exponents zero; weight `(√2)^{vdim}`.
     /// (`pub(crate)`: the codegen emitter unrolls these tables into the
-    /// committed moment kernels.)
+    /// generated moment kernels.)
     pub(crate) r0: Vec<Pair>,
     /// Per velocity dim `j`: modes with velocity exponents `e_j`;
     /// weight `√(2/3)(√2)^{vdim−1}`.

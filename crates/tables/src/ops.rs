@@ -6,8 +6,17 @@
 //! bound. These reports let the benchmarks print analogous numbers for any
 //! configuration, independent of wall-clock noise.
 
-use crate::dispatch::DispatchPath;
 use crate::phase::PhaseKernels;
+
+/// Which kernel path a resolution (or a measurement) actually used — the
+/// unrolled generated kernels or the runtime sparse-tensor ones — carried
+/// by [`OpReport`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum DispatchPath {
+    Generated,
+    #[default]
+    RuntimeSparse,
+}
 
 /// Multiplication counts per *cell update* (volume + all surface work,
 /// attributing each face's cost half to each adjacent cell).

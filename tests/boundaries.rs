@@ -12,7 +12,8 @@
 //! * with `Absorb` walls, the time-integrated `WallFluxLedger` balances
 //!   the mass actually missing from the domain to 1e-12;
 //! * `AppBuilder` rejects inconsistent BC declarations with typed
-//!   `Error::Build` values.
+//!   `Error::Build` values, and so does a forced `Generated` dispatch on a
+//!   configuration outside `codegen::MANIFEST`.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -368,6 +369,36 @@ fn builder_rejects_inconsistent_bc_configs() {
         )
         .build()
         .is_ok());
+}
+
+#[test]
+fn builder_rejects_forced_generated_dispatch_outside_the_manifest() {
+    // 1x3v p1 has no generated kernels: forcing them is a typed build
+    // error that names the configuration, not a panic.
+    let builder = || {
+        AppBuilder::new()
+            .conf_grid(&[0.0], &[1.0], &[2])
+            .poly_order(1)
+            .species(
+                SpeciesSpec::new("e", -1.0, 1.0, &[-4.0; 3], &[4.0; 3], &[2, 2, 2])
+                    .initial(|_x, v| maxwellian(1.0, &[0.0; 3], 1.0, v)),
+            )
+            .field(FieldSpec::new(1.0))
+    };
+    let err = builder()
+        .kernel_dispatch(KernelDispatch::Generated)
+        .build()
+        .err()
+        .expect("forced Generated outside the manifest must not build");
+    assert!(matches!(err, Error::Build(_)), "got {err:?}");
+    let msg = err.to_string();
+    assert!(msg.contains("Serendipity 1x3v p=1"), "{msg}");
+    assert!(
+        msg.contains("add it to `codegen::MANIFEST` and rebuild"),
+        "{msg}"
+    );
+    // The same configuration builds on the default dispatch.
+    assert!(builder().build().is_ok());
 }
 
 #[test]
