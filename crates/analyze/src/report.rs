@@ -1,5 +1,6 @@
 //! Diagnostics and the machine-readable JSON report.
 
+use dg_telemetry::json_str;
 use std::fmt;
 
 /// The four enforced rule families plus waiver hygiene.
@@ -139,25 +140,6 @@ impl Report {
         s.push_str("]\n}\n");
         s
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

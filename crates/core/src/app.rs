@@ -31,7 +31,7 @@ use crate::system::{validate_conf_bcs, FluxKind, SystemState, VlasovMaxwell};
 use dg_basis::project::Projector;
 use dg_basis::{Basis, BasisKind};
 use dg_grid::{Bc, CartGrid, DgField, DimBc, PhaseGrid};
-use dg_kernels::{kernels_for, KernelDispatch, PhaseLayout};
+use dg_kernels::{kernels_for, PhaseLayout};
 use dg_maxwell::flux::PhmParams;
 use dg_maxwell::{MaxwellDg, MaxwellFlux};
 use dg_poly::quad::GaussRule;
@@ -180,7 +180,6 @@ pub struct AppBuilder {
     kind: BasisKind,
     cfl: f64,
     flux: FluxKind,
-    dispatch: KernelDispatch,
     species: Vec<SpeciesSpec>,
     field: Option<FieldSpec>,
     init_quad_npts: Option<usize>,
@@ -204,7 +203,6 @@ impl AppBuilder {
             kind: BasisKind::Serendipity,
             cfl: 0.9,
             flux: FluxKind::Upwind,
-            dispatch: KernelDispatch::Auto,
             species: Vec::new(),
             field: None,
             init_quad_npts: None,
@@ -248,17 +246,6 @@ impl AppBuilder {
     /// Kinetic-equation interface flux.
     pub fn vlasov_flux(mut self, flux: FluxKind) -> Self {
         self.flux = flux;
-        self
-    }
-
-    /// Kernel dispatch policy for all four families — volume, surface,
-    /// moment, and LBO kernels (default [`KernelDispatch::Auto`]:
-    /// generated unrolled kernels when registered). Tests and benches use
-    /// this to force either path; forcing `Generated` on a configuration
-    /// outside `codegen::MANIFEST` makes [`AppBuilder::build`] return
-    /// [`Error::Build`].
-    pub fn kernel_dispatch(mut self, dispatch: KernelDispatch) -> Self {
-        self.dispatch = dispatch;
         self
     }
 
@@ -347,14 +334,7 @@ impl AppBuilder {
             }
         }
         let layout = PhaseLayout::new(cdim, vdim);
-        // A forced `Generated` path outside the manifest is a build error
-        // here, not a panic in an operator constructor below.
-        let (d, kind, p) = (self.dispatch, self.kind, self.poly_order);
-        d.resolve(kind, layout, p).map_err(Error::Build)?;
-        d.resolve_surface(kind, layout, p).map_err(Error::Build)?;
-        d.resolve_moments(kind, layout, p).map_err(Error::Build)?;
-        d.resolve_lbo(kind, layout, p).map_err(Error::Build)?;
-        let kernels = kernels_for(kind, layout, p);
+        let kernels = kernels_for(self.kind, layout, self.poly_order);
         let conf_grid = CartGrid::new(&clo, &chi, &ccells);
         let vel_grid = CartGrid::new(&vlo, &vhi, &vcells);
         let bc = self
@@ -442,17 +422,15 @@ impl AppBuilder {
                     )));
                 }
             }
-            collisions.push(spec.collision_nu.map(|nu| {
-                LboOp::with_dispatch(Arc::clone(&kernels), grid.clone(), nu, self.dispatch)
-            }));
+            collisions.push(
+                spec.collision_nu
+                    .map(|nu| LboOp::new(Arc::clone(&kernels), grid.clone(), nu)),
+            );
             species.push(sp);
         }
 
         let mut system =
             VlasovMaxwell::new(Arc::clone(&kernels), grid, maxwell, species, self.flux);
-        if self.dispatch != KernelDispatch::Auto {
-            system.set_kernel_dispatch(self.dispatch);
-        }
         system.set_collisions(collisions);
         system.set_evolve_field(fspec.evolve);
         system.set_track_charge(fspec.chi_e != 0.0);
@@ -736,7 +714,7 @@ impl App {
         self.backend.system()
     }
 
-    /// Mutable system access (dispatch forcing, collision swaps).
+    /// Mutable system access (collision swaps, hand-wired set-up).
     pub fn system_mut(&mut self) -> &mut VlasovMaxwell {
         self.backend.system_mut()
     }

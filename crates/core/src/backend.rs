@@ -78,7 +78,7 @@ impl Backend {
         &self.system
     }
 
-    /// Mutable system access (dispatch forcing, collision swaps).
+    /// Mutable system access (collision swaps, hand-wired set-up).
     pub fn system_mut(&mut self) -> &mut VlasovMaxwell {
         &mut self.system
     }

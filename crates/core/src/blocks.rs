@@ -343,7 +343,8 @@ mod tests {
     use crate::vlasov::{FluxKind, VlasovOp};
     use dg_basis::BasisKind;
     use dg_grid::{Bc, CartGrid, PhaseGrid};
-    use dg_kernels::{kernels_for, KernelDispatch, PhaseLayout};
+    use dg_kernels::dispatch::row_for;
+    use dg_kernels::{kernels_for, PhaseLayout};
 
     #[test]
     fn blocks_tile_the_grid_in_order() {
@@ -388,7 +389,7 @@ mod tests {
         // tests/decomposition/mod.rs): the per-block sweeps of every partition
         // of dimension 0 add up to the one-block sweep bit for bit, and that
         // one equals the per-phase sweeps (`volume`, `surface_config` by
-        // direction, `surface_velocity`). Generated dispatch runs the
+        // direction, `surface_velocity`). The generated path runs the
         // cell-lane pass — on 1v with the velocity faces —, runtime-sparse
         // the per-phase fallback; partial lane groups at either width (a
         // partial last one after full ones on 1v: 11 cells), walls on both
@@ -427,14 +428,14 @@ mod tests {
             }
             let n0 = conf_cells[0];
             let nconf = grid.conf.len();
-            for dispatch in [KernelDispatch::Generated, KernelDispatch::RuntimeSparse] {
-                let op = VlasovOp::with_dispatch(
+            for row in [row_for(&kernels), None] {
+                let op = VlasovOp::with_row(
                     std::sync::Arc::clone(&kernels),
                     grid.clone(),
                     FluxKind::Upwind,
-                    dispatch,
+                    row,
                 );
-                let what = format!("{cdim}x{vdim}v p{p} {bcs:?} {dispatch:?}");
+                let what = format!("{cdim}x{vdim}v p{p} {bcs:?} {:?}", op.dispatch_path());
                 let mut ws = VlasovWorkspace::for_kernels(&kernels);
                 let mut per_phase = DgField::zeros(grid.len(), kernels.np());
                 op.volume(-1.0, &f, &em, &mut per_phase, &mut ws, 0..nconf);

@@ -29,7 +29,7 @@
 use dg_basis::expand;
 use dg_grid::{CellStoreMut, DgField, PhaseGrid};
 use dg_kernels::dispatch::{
-    DispatchPath, KernelDispatch, LboBatch, PencilLanes, ResolvedLbo, LANES, RUNTIME_SPARSE_TAG,
+    path_of, row_for, DispatchPath, KernelRow, LboBatch, PencilLanes, LANES, RUNTIME_SPARSE_TAG,
 };
 use dg_kernels::panel::LanePanel;
 use dg_kernels::surface::FaceScratch;
@@ -143,14 +143,14 @@ pub struct LboScratch {
 
 impl LboScratch {
     // dg-analyze: allow(hot_alloc) — scratch constructor: every field/buffer persists across calls
-    fn new(kernels: &PhaseKernels, grid: &PhaseGrid, dispatch: KernelDispatch) -> Self {
+    fn new(kernels: &PhaseKernels, grid: &PhaseGrid, row: Option<&'static KernelRow>) -> Self {
         let nconf = grid.conf.len();
         let (nc, np, vdim) = (kernels.nc(), kernels.np(), kernels.layout.vdim);
         let nf = kernels.max_face_len();
         let mut fs = FaceScratch::default();
         fs.ensure(nf);
-        // Only the path the operator resolved to gets its buffers.
-        let generated = resolve_path(kernels, dispatch).path() == DispatchPath::Generated;
+        // Only the path the operator runs gets its buffers.
+        let generated = row.is_some();
         let pencil = |groups: usize| LanePanel::zeros(if generated { groups * LANES } else { 0 });
         let longest = grid.vel.cells().iter().copied().max().unwrap_or(0);
         LboScratch {
@@ -175,9 +175,9 @@ impl LboScratch {
             ghat: vec![0.0; nf],
             fs,
             vidx: vec![0; vdim],
-            // The moment path follows the operator's dispatch knob, so a
-            // forced-`Generated` LBO also takes the generated moment path.
-            mom: MomentScratch::with_dispatch(kernels, dispatch),
+            // The moment path follows the operator's row, so the
+            // runtime-sparse oracle runs its moments on that path too.
+            mom: MomentScratch::with_row(row),
             probe: Collector::Noop,
         }
     }
@@ -189,22 +189,6 @@ impl LboScratch {
         self.probe = collector.clone();
         self.mom.probe = collector.clone();
     }
-}
-
-/// Resolve the LBO kernel path of a kernel set under `dispatch`.
-///
-/// # Panics
-///
-/// When `dispatch` is [`KernelDispatch::Generated`] and no generated LBO
-/// kernel exists for this configuration.
-fn resolve_path(kernels: &PhaseKernels, dispatch: KernelDispatch) -> ResolvedLbo {
-    dispatch
-        .resolve_lbo(
-            kernels.phase_basis.kind(),
-            kernels.layout,
-            kernels.phase_basis.poly_order(),
-        )
-        .unwrap_or_else(|e| panic!("kernel dispatch: {e}"))
 }
 
 /// The `v_j`-pencils of one configuration cell and the batched stage
@@ -257,35 +241,34 @@ pub struct LboOp {
     /// Weights of the conf→phase / conf→face constant-velocity embeddings.
     w_phase: f64,
     w_face: f64,
-    /// LBO kernel path, resolved once at construction.
-    path: ResolvedLbo,
+    /// The configuration's registry row, looked up once at construction:
+    /// `Some` runs the generated stage kernels, `None` the runtime path.
+    row: Option<&'static KernelRow>,
     /// Generated path: the pencil table of every velocity direction
     /// (empty on the runtime-sparse path).
     pencils: Vec<PencilDir>,
     /// Velocity-cell centres per linear velocity index, for the
     /// primitive-moment sweep.
     vel_centers: Vec<[f64; 3]>,
-    /// The knob the path came from (propagated to per-thread scratch).
-    dispatch: KernelDispatch,
 }
 
 impl LboOp {
+    /// The operator on the path its configuration decides: the generated
+    /// stage kernels when the registry has a row for it, the runtime
+    /// sparse-tensor path otherwise.
     pub fn new(kernels: Arc<PhaseKernels>, grid: PhaseGrid, nu: f64) -> Self {
-        Self::with_dispatch(kernels, grid, nu, KernelDispatch::default())
+        let row = row_for(&kernels);
+        Self::with_row(kernels, grid, nu, row)
     }
 
-    /// Like [`LboOp::new`] with an explicit kernel-dispatch policy.
-    ///
-    /// # Panics
-    ///
-    /// When `dispatch` is [`KernelDispatch::Generated`] and no generated
-    /// LBO kernel exists for this configuration.
+    /// Like [`LboOp::new`] on an explicit registry row — the test seam:
+    /// `None` on a registered configuration is the runtime-sparse oracle.
     // dg-analyze: allow(hot_alloc) — operator constructor: per-direction tables are precomputed once
-    pub fn with_dispatch(
+    pub fn with_row(
         kernels: Arc<PhaseKernels>,
         grid: PhaseGrid,
         nu: f64,
-        dispatch: KernelDispatch,
+        row: Option<&'static KernelRow>,
     ) -> Self {
         let (cdim, vdim) = (kernels.layout.cdim, kernels.layout.vdim);
         let p = kernels.phase_basis.poly_order();
@@ -354,9 +337,8 @@ impl LboOp {
         }
         let w_phase = (2.0f64).powi(vdim as i32).sqrt();
         let w_face = (2.0f64).powi(vdim as i32 - 1).sqrt();
-        let path = resolve_path(&kernels, dispatch);
-        let pencils = match path {
-            ResolvedLbo::Generated(e) => (0..vdim)
+        let pencils = match row {
+            Some(row) => (0..vdim)
                 .map(|j| {
                     // Row-major velocity grid: the cells with index 0 along
                     // `v_j` are the first `stride` of every `n_j · stride`.
@@ -367,14 +349,14 @@ impl LboOp {
                             .filter(|vlin| vlin % period < stride)
                             .map(|vlin| vlin as u32)
                             .collect(),
-                        batch: LboBatch::select(e, j),
+                        batch: LboBatch::select(&row.lbo, j),
                     }
                 })
                 .collect(),
-            ResolvedLbo::RuntimeSparse => Vec::new(),
+            None => Vec::new(),
         };
         let vel_centers = crate::moments::vel_center_table(&grid);
-        let scratch = Some(LboScratch::new(&kernels, &grid, dispatch));
+        let scratch = Some(LboScratch::new(&kernels, &grid, row));
         LboOp {
             kernels,
             grid,
@@ -387,16 +369,22 @@ impl LboOp {
             emb_face,
             w_phase,
             w_face,
-            path,
+            row,
             pencils,
             vel_centers,
-            dispatch,
         }
     }
 
-    /// Which LBO kernel path this operator resolved to.
+    /// This operator rebuilt on the runtime sparse-tensor path (see
+    /// `VlasovMaxwell::into_runtime_sparse`).
+    // dg-analyze: allow(hot_alloc) — operator constructor, runs once per oracle system
+    pub(crate) fn runtime_sparse_twin(&self) -> Self {
+        Self::with_row(Arc::clone(&self.kernels), self.grid.clone(), self.nu, None)
+    }
+
+    /// Which LBO kernel path this operator runs.
     pub fn dispatch_path(&self) -> DispatchPath {
-        self.path.path()
+        path_of(self.row)
     }
 
     /// The entry points the sweep runs (`generated/avx2x4`, …, or
@@ -411,7 +399,7 @@ impl LboOp {
     /// A fresh scratch instance sized for this operator — one per thread
     /// in the cell-block parallel sweep.
     pub fn make_scratch(&self) -> LboScratch {
-        LboScratch::new(&self.kernels, &self.grid, self.dispatch)
+        LboScratch::new(&self.kernels, &self.grid, self.row)
     }
 
     /// Point the persistent serial scratch's telemetry at `collector` —
@@ -510,9 +498,9 @@ impl LboOp {
         self.primitive_moments_range(f, ws, conf_range.clone()); // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
 
         // Path resolved once at construction, never per cell.
-        match self.path {
-            ResolvedLbo::Generated(_) => self.sweep_pencil_groups(f, out, ws, conf_range),
-            ResolvedLbo::RuntimeSparse => self.sweep_runtime_sparse(f, out, ws, conf_range),
+        match self.row {
+            Some(_) => self.sweep_pencil_groups(f, out, ws, conf_range),
+            None => self.sweep_runtime_sparse(f, out, ws, conf_range),
         }
     }
 
@@ -847,7 +835,7 @@ mod tests {
         ws: &LboScratch,
         conf_range: std::ops::Range<usize>,
     ) {
-        let ResolvedLbo::Generated(e) = op.path else {
+        let Some(KernelRow { lbo: e, .. }) = op.row else {
             panic!("reference sweep needs the generated kernels");
         };
         let grid = &op.grid;
@@ -944,12 +932,8 @@ mod tests {
                 vec![Bc::Periodic; cdim],
             );
             let what = format!("{cdim}x{vdim}v p{p} conf {nconf:?} vel {nvel:?}");
-            let op = LboOp::with_dispatch(
-                Arc::clone(&kernels),
-                grid.clone(),
-                0.7,
-                KernelDispatch::Generated,
-            );
+            let op = LboOp::new(Arc::clone(&kernels), grid.clone(), 0.7);
+            assert_eq!(op.dispatch_path(), DispatchPath::Generated, "{what}");
             // A positive, cell-to-cell different `f` (the weak divisions
             // need M0 > 0) and a non-zero incoming `out`.
             let mut sp = Species::new("e", -1.0, 1.0, &grid, kernels.np());
@@ -989,7 +973,7 @@ mod tests {
     #[test]
     fn fused_primitive_moment_sweep_matches_the_three_sweeps_bitwise() {
         // One pass over `f` for M0 / M1_j / M2 against the three
-        // single-moment sweeps it replaced, on both dispatch paths and on a
+        // single-moment sweeps it replaced, on both kernel paths and on a
         // sub-range (cells outside it must stay untouched).
         let kernels = kernels_for(BasisKind::Serendipity, PhaseLayout::new(1, 2), 2);
         let grid = PhaseGrid::new(
@@ -1003,8 +987,8 @@ mod tests {
         });
         let (nconf, nc) = (grid.conf.len(), kernels.nc());
         let centers = crate::moments::vel_center_table(&grid);
-        for dispatch in [KernelDispatch::Generated, KernelDispatch::RuntimeSparse] {
-            let mut mom = MomentScratch::with_dispatch(&kernels, dispatch);
+        for row in [row_for(&kernels), None] {
+            let mut mom = MomentScratch::with_row(row);
             for range in [0..nconf, 1..3] {
                 let stale = || {
                     let mut m = DgField::zeros(nconf, nc);
@@ -1053,7 +1037,7 @@ mod tests {
                     &mut mom,
                     range.clone(),
                 );
-                let what = format!("{dispatch:?} {range:?}");
+                let what = format!("{:?} {range:?}", mom.dispatch_path());
                 assert_bitwise(&m0, &w0, &format!("M0 {what}"));
                 assert_bitwise(&m1[0], &w1[0], &format!("M1_0 {what}"));
                 assert_bitwise(&m1[1], &w1[1], &format!("M1_1 {what}"));

@@ -9,59 +9,104 @@
 //! around.
 
 use dg_grid::{CellStoreMut, DgField, PhaseGrid};
-use dg_kernels::dispatch::{DispatchPath, KernelDispatch, ResolvedMoments};
+use dg_kernels::dispatch::{path_of, row_for, DispatchPath, KernelRow, MomentKernelEntry};
+use dg_kernels::moments::MomentKernels;
 use dg_kernels::PhaseKernels;
 use dg_telemetry::{span, Collector, Phase};
 
 /// Scratch for moment reductions (velocity indices and centers), carrying
-/// the moment-kernel path resolved once at construction. `Default` is the
-/// runtime weak-op path; [`MomentScratch::for_kernels`] resolves
-/// [`KernelDispatch::Auto`] against the generated registry, so
-/// moment-consuming operators get the unrolled kernels without per-cell
-/// branching.
-#[derive(Clone, Debug, Default)]
+/// the configuration's registry row, looked up once at construction: the
+/// generated moment kernels when the configuration has a row, the runtime
+/// weak-op reduction otherwise.
+#[derive(Clone, Debug)]
 pub struct MomentScratch {
     vidx: Vec<usize>,
     vc: Vec<f64>,
-    path: ResolvedMoments,
+    row: Option<&'static KernelRow>,
     /// Telemetry writer for this scratch's thread (noop unless the
     /// backend instruments the run).
     pub probe: Collector,
 }
 
 impl MomentScratch {
-    /// Scratch with the moment path resolved via [`KernelDispatch::Auto`]:
-    /// the generated unrolled moment kernels when registered, the runtime
-    /// weak-op reduction otherwise.
+    /// Scratch on the path the configuration of `kernels` decides.
     pub fn for_kernels(kernels: &PhaseKernels) -> Self {
-        Self::with_dispatch(kernels, KernelDispatch::Auto)
+        Self::with_row(row_for(kernels))
     }
 
-    /// Scratch with an explicit dispatch policy (benches and equivalence
-    /// tests force a path this way).
-    ///
-    /// # Panics
-    ///
-    /// When `dispatch` is [`KernelDispatch::Generated`] and no generated
-    /// moment kernel exists for this configuration.
-    pub fn with_dispatch(kernels: &PhaseKernels, dispatch: KernelDispatch) -> Self {
-        let path = dispatch
-            .resolve_moments(
-                kernels.phase_basis.kind(),
-                kernels.layout,
-                kernels.phase_basis.poly_order(),
-            )
-            .unwrap_or_else(|e| panic!("kernel dispatch: {e}"));
+    /// Scratch on an explicit registry row — the test seam: `None` on a
+    /// registered configuration is the runtime-sparse oracle.
+    // dg-analyze: allow(hot_alloc) — scratch constructor: empty buffers, sized once on first use
+    pub fn with_row(row: Option<&'static KernelRow>) -> Self {
         MomentScratch {
-            path,
-            ..Default::default()
+            vidx: Vec::new(),
+            vc: Vec::new(),
+            row,
+            probe: Collector::default(),
         }
     }
 
-    /// Which moment path this scratch resolved to.
+    /// Which moment path this scratch runs.
     pub fn dispatch_path(&self) -> DispatchPath {
-        self.path.path()
+        path_of(self.row)
     }
+}
+
+/// The per-cell `M0`/`M1_j`/`M2` accumulations, as a registry row's
+/// generated kernels and the runtime weak-op path each provide them. Every
+/// sweep below is written once over this trait.
+trait MomentEval {
+    fn m0(&self, f: &[f64], jv: f64, out: &mut [f64]);
+    fn m1(&self, j: usize, f: &[f64], jv: f64, v_c: f64, dv: f64, out: &mut [f64]);
+    fn m2(&self, f: &[f64], jv: f64, v_c: &[f64], dv: &[f64], out: &mut [f64]);
+}
+
+impl MomentEval for MomentKernelEntry {
+    #[inline]
+    fn m0(&self, f: &[f64], jv: f64, out: &mut [f64]) {
+        (self.m0)(f, jv, out)
+    }
+    #[inline]
+    fn m1(&self, j: usize, f: &[f64], jv: f64, v_c: f64, dv: f64, out: &mut [f64]) {
+        (self.m1[j])(f, jv, v_c, dv, out)
+    }
+    #[inline]
+    fn m2(&self, f: &[f64], jv: f64, v_c: &[f64], dv: &[f64], out: &mut [f64]) {
+        (self.m2)(f, jv, v_c, dv, out)
+    }
+}
+
+impl MomentEval for MomentKernels {
+    #[inline]
+    fn m0(&self, f: &[f64], jv: f64, out: &mut [f64]) {
+        self.accumulate_m0(f, jv, out)
+    }
+    #[inline]
+    fn m1(&self, j: usize, f: &[f64], jv: f64, v_c: f64, dv: f64, out: &mut [f64]) {
+        self.accumulate_m1(j, f, jv, v_c, dv, out)
+    }
+    #[inline]
+    fn m2(&self, f: &[f64], jv: f64, v_c: &[f64], dv: &[f64], out: &mut [f64]) {
+        self.accumulate_m2(f, jv, v_c, dv, out)
+    }
+}
+
+/// Run `$body` with `$m` bound to the [`MomentEval`] of `$ws`'s path: the
+/// path is matched once per call, never per cell, and the body is
+/// instantiated once per path.
+macro_rules! with_moment_eval {
+    ($ws:expr, $kernels:expr, |$m:ident| $body:block) => {
+        match $ws.row {
+            Some(row) => {
+                let $m = &row.moments;
+                $body
+            }
+            None => {
+                let $m = &$kernels.moments;
+                $body
+            }
+        }
+    };
 }
 
 /// Accumulate the charge-weighted current (3 components × Nc per
@@ -87,56 +132,29 @@ pub fn accumulate_current<S: CellStoreMut>(
     let jv = grid.vel_jacobian();
     span!(ws.probe, Phase::FieldCoupling);
     ws.vidx.resize(vdim, 0);
-    // Branch on the resolved path once per call, not per cell.
-    match ws.path {
-        ResolvedMoments::Generated(e) => {
-            for clin in conf_range {
-                for vlin in 0..nv {
-                    grid.vel.delinearize(vlin, &mut ws.vidx);
-                    let fc = f.cell(clin * nv + vlin);
-                    let jc = j_out.cell_mut(clin);
-                    for j in 0..vdim {
-                        let vc = grid.vel.center(j, ws.vidx[j]);
-                        (e.m1[j])(
-                            fc,
-                            charge * jv,
-                            vc,
-                            grid.vel.dx()[j],
-                            &mut jc[j * nc..(j + 1) * nc],
-                        );
-                    }
-                    if let Some(rho) = rho_out.as_deref_mut() {
-                        (e.m0)(fc, charge * jv, rho.cell_mut(clin));
-                    }
+    with_moment_eval!(ws, kernels, |m| {
+        for clin in conf_range {
+            for vlin in 0..nv {
+                grid.vel.delinearize(vlin, &mut ws.vidx);
+                let fc = f.cell(clin * nv + vlin);
+                let jc = j_out.cell_mut(clin);
+                for j in 0..vdim {
+                    let vc = grid.vel.center(j, ws.vidx[j]);
+                    m.m1(
+                        j,
+                        fc,
+                        charge * jv,
+                        vc,
+                        grid.vel.dx()[j],
+                        &mut jc[j * nc..(j + 1) * nc],
+                    );
+                }
+                if let Some(rho) = rho_out.as_deref_mut() {
+                    m.m0(fc, charge * jv, rho.cell_mut(clin));
                 }
             }
         }
-        ResolvedMoments::RuntimeSparse => {
-            for clin in conf_range {
-                for vlin in 0..nv {
-                    grid.vel.delinearize(vlin, &mut ws.vidx);
-                    let fc = f.cell(clin * nv + vlin);
-                    let jc = j_out.cell_mut(clin);
-                    for j in 0..vdim {
-                        let vc = grid.vel.center(j, ws.vidx[j]);
-                        kernels.moments.accumulate_m1(
-                            j,
-                            fc,
-                            charge * jv,
-                            vc,
-                            grid.vel.dx()[j],
-                            &mut jc[j * nc..(j + 1) * nc],
-                        );
-                    }
-                    if let Some(rho) = rho_out.as_deref_mut() {
-                        kernels
-                            .moments
-                            .accumulate_m0(fc, charge * jv, rho.cell_mut(clin));
-                    }
-                }
-            }
-        }
-    }
+    })
 }
 
 /// Velocity-cell centres per linear velocity index (padded to three
@@ -184,74 +202,37 @@ pub fn raw_moments_range_into(
     let vdim = grid.vdim();
     let dv = grid.vel.dx();
     span!(ws.probe, Phase::Moments);
-    // Branch on the resolved path once per call, not per cell.
-    match ws.path {
-        ResolvedMoments::Generated(e) => {
-            for clin in conf_range {
-                m0.cell_mut(clin).fill(0.0);
-                m2.cell_mut(clin).fill(0.0);
-                for m in m1.iter_mut() {
-                    m.cell_mut(clin).fill(0.0);
+    with_moment_eval!(ws, kernels, |m| {
+        for clin in conf_range {
+            m0.cell_mut(clin).fill(0.0);
+            m2.cell_mut(clin).fill(0.0);
+            for m1j in m1.iter_mut() {
+                m1j.cell_mut(clin).fill(0.0);
+            }
+            for (vlin, vc) in vel_centers.iter().enumerate() {
+                let fc = f.cell(clin * nv + vlin);
+                m.m0(fc, jv, m0.cell_mut(clin));
+                for (j, m1j) in m1.iter_mut().enumerate() {
+                    m.m1(j, fc, jv, vc[j], dv[j], m1j.cell_mut(clin));
                 }
-                for (vlin, vc) in vel_centers.iter().enumerate() {
-                    let fc = f.cell(clin * nv + vlin);
-                    (e.m0)(fc, jv, m0.cell_mut(clin));
-                    for (j, m) in m1.iter_mut().enumerate() {
-                        (e.m1[j])(fc, jv, vc[j], dv[j], m.cell_mut(clin));
-                    }
-                    (e.m2)(fc, jv, &vc[..vdim], dv, m2.cell_mut(clin));
-                }
+                m.m2(fc, jv, &vc[..vdim], dv, m2.cell_mut(clin));
             }
         }
-        ResolvedMoments::RuntimeSparse => {
-            let mk = &kernels.moments;
-            for clin in conf_range {
-                m0.cell_mut(clin).fill(0.0);
-                m2.cell_mut(clin).fill(0.0);
-                for m in m1.iter_mut() {
-                    m.cell_mut(clin).fill(0.0);
-                }
-                for (vlin, vc) in vel_centers.iter().enumerate() {
-                    let fc = f.cell(clin * nv + vlin);
-                    mk.accumulate_m0(fc, jv, m0.cell_mut(clin));
-                    for (j, m) in m1.iter_mut().enumerate() {
-                        mk.accumulate_m1(j, fc, jv, vc[j], dv[j], m.cell_mut(clin));
-                    }
-                    mk.accumulate_m2(fc, jv, &vc[..vdim], dv, m2.cell_mut(clin));
-                }
-            }
-        }
-    }
+    })
 }
 
 /// Number-density field `M0(x)` (fresh allocation).
 pub fn number_density(kernels: &PhaseKernels, grid: &PhaseGrid, f: &DgField) -> DgField {
     let mut out = DgField::zeros(grid.conf.len(), kernels.nc());
-    number_density_into(
-        kernels,
-        grid,
-        f,
-        &mut out,
-        &MomentScratch::for_kernels(kernels),
-    );
+    let ws = MomentScratch::for_kernels(kernels);
+    number_density_range_into(kernels, grid, f, &mut out, &ws, 0..grid.conf.len());
     out
 }
 
-/// [`number_density`] into a caller-held field (zeroed here) — the
-/// hot-loop form (no allocation).
-pub fn number_density_into(
-    kernels: &PhaseKernels,
-    grid: &PhaseGrid,
-    f: &DgField,
-    out: &mut DgField,
-    ws: &MomentScratch,
-) {
-    number_density_range_into(kernels, grid, f, out, ws, 0..grid.conf.len());
-}
-
-/// [`number_density_into`] restricted to configuration cells in
-/// `conf_range` (only those cells of `out` are zeroed and written) — the
-/// form the cell-block parallel LBO uses with block-private scratch.
+/// [`number_density`] into a caller-held field, restricted to
+/// configuration cells in `conf_range` (only those cells of `out` are
+/// zeroed and written) — the hot-loop form the cell-block parallel LBO
+/// uses with block-private scratch.
 pub fn number_density_range_into(
     kernels: &PhaseKernels,
     grid: &PhaseGrid,
@@ -263,26 +244,14 @@ pub fn number_density_range_into(
     let nv = grid.vel.len();
     let jv = grid.vel_jacobian();
     span!(ws.probe, Phase::Moments);
-    match ws.path {
-        ResolvedMoments::Generated(e) => {
-            for clin in conf_range {
-                out.cell_mut(clin).fill(0.0);
-                for vlin in 0..nv {
-                    (e.m0)(f.cell(clin * nv + vlin), jv, out.cell_mut(clin));
-                }
+    with_moment_eval!(ws, kernels, |m| {
+        for clin in conf_range {
+            out.cell_mut(clin).fill(0.0);
+            for vlin in 0..nv {
+                m.m0(f.cell(clin * nv + vlin), jv, out.cell_mut(clin));
             }
         }
-        ResolvedMoments::RuntimeSparse => {
-            for clin in conf_range {
-                out.cell_mut(clin).fill(0.0);
-                for vlin in 0..nv {
-                    kernels
-                        .moments
-                        .accumulate_m0(f.cell(clin * nv + vlin), jv, out.cell_mut(clin));
-                }
-            }
-        }
-    }
+    })
 }
 
 /// Momentum-density field `M1_j(x)` for one velocity direction.
@@ -293,32 +262,14 @@ pub fn momentum_density(
     j: usize,
 ) -> DgField {
     let mut out = DgField::zeros(grid.conf.len(), kernels.nc());
-    momentum_density_into(
-        kernels,
-        grid,
-        f,
-        j,
-        &mut out,
-        &mut MomentScratch::for_kernels(kernels),
-    );
+    let mut ws = MomentScratch::for_kernels(kernels);
+    momentum_density_range_into(kernels, grid, f, j, &mut out, &mut ws, 0..grid.conf.len());
     out
 }
 
-/// [`momentum_density`] into a caller-held field (zeroed here) — the
-/// hot-loop form (no allocation once `ws` is warm).
-pub fn momentum_density_into(
-    kernels: &PhaseKernels,
-    grid: &PhaseGrid,
-    f: &DgField,
-    j: usize,
-    out: &mut DgField,
-    ws: &mut MomentScratch,
-) {
-    momentum_density_range_into(kernels, grid, f, j, out, ws, 0..grid.conf.len());
-}
-
-/// [`momentum_density_into`] restricted to configuration cells in
-/// `conf_range` (only those cells of `out` are zeroed and written).
+/// [`momentum_density`] into a caller-held field, restricted to
+/// configuration cells in `conf_range` (only those cells of `out` are
+/// zeroed and written; no allocation once `ws` is warm).
 #[allow(clippy::too_many_arguments)]
 pub fn momentum_density_range_into(
     kernels: &PhaseKernels,
@@ -333,70 +284,36 @@ pub fn momentum_density_range_into(
     let jv = grid.vel_jacobian();
     span!(ws.probe, Phase::Moments);
     ws.vidx.resize(grid.vdim(), 0);
-    match ws.path {
-        ResolvedMoments::Generated(e) => {
-            for clin in conf_range {
-                out.cell_mut(clin).fill(0.0);
-                for vlin in 0..nv {
-                    grid.vel.delinearize(vlin, &mut ws.vidx);
-                    let vc = grid.vel.center(j, ws.vidx[j]);
-                    (e.m1[j])(
-                        f.cell(clin * nv + vlin),
-                        jv,
-                        vc,
-                        grid.vel.dx()[j],
-                        out.cell_mut(clin),
-                    );
-                }
+    with_moment_eval!(ws, kernels, |m| {
+        for clin in conf_range {
+            out.cell_mut(clin).fill(0.0);
+            for vlin in 0..nv {
+                grid.vel.delinearize(vlin, &mut ws.vidx);
+                let vc = grid.vel.center(j, ws.vidx[j]);
+                m.m1(
+                    j,
+                    f.cell(clin * nv + vlin),
+                    jv,
+                    vc,
+                    grid.vel.dx()[j],
+                    out.cell_mut(clin),
+                );
             }
         }
-        ResolvedMoments::RuntimeSparse => {
-            for clin in conf_range {
-                out.cell_mut(clin).fill(0.0);
-                for vlin in 0..nv {
-                    grid.vel.delinearize(vlin, &mut ws.vidx);
-                    let vc = grid.vel.center(j, ws.vidx[j]);
-                    kernels.moments.accumulate_m1(
-                        j,
-                        f.cell(clin * nv + vlin),
-                        jv,
-                        vc,
-                        grid.vel.dx()[j],
-                        out.cell_mut(clin),
-                    );
-                }
-            }
-        }
-    }
+    })
 }
 
 /// Energy-density field `M2(x) = ∫ |v|² f dv`.
 pub fn energy_density(kernels: &PhaseKernels, grid: &PhaseGrid, f: &DgField) -> DgField {
     let mut out = DgField::zeros(grid.conf.len(), kernels.nc());
-    energy_density_into(
-        kernels,
-        grid,
-        f,
-        &mut out,
-        &mut MomentScratch::for_kernels(kernels),
-    );
+    let mut ws = MomentScratch::for_kernels(kernels);
+    energy_density_range_into(kernels, grid, f, &mut out, &mut ws, 0..grid.conf.len());
     out
 }
 
-/// [`energy_density`] into a caller-held field (zeroed here) — the
-/// hot-loop form (no allocation once `ws` is warm).
-pub fn energy_density_into(
-    kernels: &PhaseKernels,
-    grid: &PhaseGrid,
-    f: &DgField,
-    out: &mut DgField,
-    ws: &mut MomentScratch,
-) {
-    energy_density_range_into(kernels, grid, f, out, ws, 0..grid.conf.len());
-}
-
-/// [`energy_density_into`] restricted to configuration cells in
-/// `conf_range` (only those cells of `out` are zeroed and written).
+/// [`energy_density`] into a caller-held field, restricted to
+/// configuration cells in `conf_range` (only those cells of `out` are
+/// zeroed and written; no allocation once `ws` is warm).
 pub fn energy_density_range_into(
     kernels: &PhaseKernels,
     grid: &PhaseGrid,
@@ -411,44 +328,24 @@ pub fn energy_density_range_into(
     span!(ws.probe, Phase::Moments);
     ws.vidx.resize(vdim, 0);
     ws.vc.resize(vdim, 0.0);
-    match ws.path {
-        ResolvedMoments::Generated(e) => {
-            for clin in conf_range {
-                out.cell_mut(clin).fill(0.0);
-                for vlin in 0..nv {
-                    grid.vel.delinearize(vlin, &mut ws.vidx);
-                    for d in 0..vdim {
-                        ws.vc[d] = grid.vel.center(d, ws.vidx[d]);
-                    }
-                    (e.m2)(
-                        f.cell(clin * nv + vlin),
-                        jv,
-                        &ws.vc,
-                        grid.vel.dx(),
-                        out.cell_mut(clin),
-                    );
+    with_moment_eval!(ws, kernels, |m| {
+        for clin in conf_range {
+            out.cell_mut(clin).fill(0.0);
+            for vlin in 0..nv {
+                grid.vel.delinearize(vlin, &mut ws.vidx);
+                for d in 0..vdim {
+                    ws.vc[d] = grid.vel.center(d, ws.vidx[d]);
                 }
+                m.m2(
+                    f.cell(clin * nv + vlin),
+                    jv,
+                    &ws.vc,
+                    grid.vel.dx(),
+                    out.cell_mut(clin),
+                );
             }
         }
-        ResolvedMoments::RuntimeSparse => {
-            for clin in conf_range {
-                out.cell_mut(clin).fill(0.0);
-                for vlin in 0..nv {
-                    grid.vel.delinearize(vlin, &mut ws.vidx);
-                    for d in 0..vdim {
-                        ws.vc[d] = grid.vel.center(d, ws.vidx[d]);
-                    }
-                    kernels.moments.accumulate_m2(
-                        f.cell(clin * nv + vlin),
-                        jv,
-                        &ws.vc,
-                        grid.vel.dx(),
-                        out.cell_mut(clin),
-                    );
-                }
-            }
-        }
-    }
+    })
 }
 
 /// Particle kinetic energy `∫∫ ½ m |v|² f dv dx`.
@@ -489,7 +386,7 @@ mod tests {
         let (k, grid, sp) = setup_1x2v();
         let mut j = DgField::zeros(grid.conf.len(), 3 * k.nc());
         let mut rho = DgField::zeros(grid.conf.len(), k.nc());
-        let mut ws = MomentScratch::default();
+        let mut ws = MomentScratch::for_kernels(&k);
         accumulate_current(
             &k,
             &grid,

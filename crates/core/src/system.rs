@@ -13,7 +13,7 @@ use crate::moments::{accumulate_current, MomentScratch};
 use crate::species::Species;
 use crate::vlasov::{VlasovOp, VlasovWorkspace, WallAccum};
 use dg_grid::{Bc, DgField, DimBc, PhaseGrid};
-use dg_kernels::{KernelDispatch, PhaseKernels};
+use dg_kernels::PhaseKernels;
 use dg_maxwell::MaxwellDg;
 use dg_telemetry::{span, Collector, Counter, Phase};
 use std::sync::Arc;
@@ -241,25 +241,24 @@ impl VlasovMaxwell {
         }
     }
 
-    /// Force the kernel dispatch path (rebuilds the Vlasov operator and
-    /// the moment scratch; the default from construction is
-    /// [`KernelDispatch::Auto`]). Benches and equivalence tests use this
-    /// to pin a path. Collision operators installed via
-    /// [`Self::set_collisions`] carry their own resolved path — build them
-    /// with `LboOp::with_dispatch` to force it (`AppBuilder` does).
-    ///
-    /// # Panics
-    ///
-    /// When forcing [`KernelDispatch::Generated`] for a configuration with
-    /// no generated kernel (see `dg_kernels::dispatch`).
-    pub fn set_kernel_dispatch(&mut self, dispatch: KernelDispatch) {
-        self.vlasov = VlasovOp::with_dispatch(
+    /// The same system with every operator — Vlasov, moments and
+    /// collisions — rebuilt on the runtime sparse-tensor path: the oracle
+    /// the equivalence tests run a registered configuration against. It
+    /// consumes the system so that it is applied before a `Backend` is
+    /// built around it (the engine sizes its per-block scratch from the
+    /// operators it is handed).
+    pub fn into_runtime_sparse(mut self) -> Self {
+        self.vlasov = VlasovOp::with_row(
             Arc::clone(&self.kernels),
             self.grid.clone(),
             self.vlasov.flux,
-            dispatch,
+            None,
         );
-        self.scratch_mom = MomentScratch::with_dispatch(&self.kernels, dispatch);
+        self.scratch_mom = MomentScratch::with_row(None);
+        for op in self.collisions.iter_mut().flatten() {
+            *op = op.runtime_sparse_twin();
+        }
+        self
     }
 
     /// Install per-species collision operators (one slot per species, in

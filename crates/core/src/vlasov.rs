@@ -46,8 +46,8 @@
 use dg_grid::{Bc, CellStoreMut, DgField, DimBc, PhaseGrid};
 use dg_kernels::accel::VelGeom;
 use dg_kernels::dispatch::{
-    DispatchPath, KernelDispatch, ResolvedSurface, ResolvedSurfaceDir, ResolvedVolume,
-    SurfaceBatch, SurfaceKernelEntry, SurfaceKernelFn, SurfaceLanes, VolumeBatch, VolumeLanes,
+    row_for, DispatchPath, KernelRow, ResolvedSurfaceDir, ResolvedVolume, SurfaceBatch,
+    SurfaceKernelEntry, SurfaceKernelFn, SurfaceLanes, VolumeBatch, VolumeLanes,
 };
 use dg_kernels::ops::OpReport;
 use dg_kernels::panel::LanePanel;
@@ -445,15 +445,12 @@ pub struct VlasovOp {
     /// [`LANES`] faces at a time, so panels fill across pencils instead of
     /// along one (`n_j − 1` faces rarely divide by `LANES`).
     vel_faces: Vec<Vec<u32>>,
-    /// Volume-kernel path, resolved against the dispatch registry once at
+    /// Volume-kernel path, resolved from the registry row once at
     /// construction — the hot loop never branches per cell.
     volume_path: ResolvedVolume,
     /// Surface-kernel path per phase direction (configuration first),
     /// resolved once at construction — zero per-face branching.
     surface_paths: Vec<ResolvedSurfaceDir>,
-    /// Summary tag of the surface resolution (all directions resolve
-    /// together; the registry always carries the full direction set).
-    surface_path_tag: DispatchPath,
     /// The cell-lane pass's entry points, resolved with the paths above;
     /// `None` when either path is runtime-sparse.
     cell_pass: Option<CellPass>,
@@ -503,29 +500,23 @@ impl std::fmt::Display for EntryPoints<'_> {
 }
 
 impl VlasovOp {
-    /// Build with [`KernelDispatch::Auto`]: every solver silently gets the
-    /// generated unrolled volume kernel when one is registered for its
-    /// configuration, and the runtime sparse path otherwise.
+    /// Build on the path the configuration decides: the generated unrolled
+    /// kernels when the registry has a row for it, the runtime sparse path
+    /// otherwise.
     pub fn new(kernels: Arc<PhaseKernels>, grid: PhaseGrid, flux: FluxKind) -> Self {
-        Self::with_dispatch(kernels, grid, flux, KernelDispatch::Auto)
+        let row = row_for(&kernels);
+        Self::with_row(kernels, grid, flux, row)
     }
 
-    /// Build with an explicit dispatch policy (benches and equivalence
-    /// tests force a path this way).
-    ///
-    /// # Panics
-    ///
-    /// When `dispatch` is [`KernelDispatch::Generated`] and no generated
-    /// kernel exists for this configuration (the message lists the
-    /// registry and says to add the configuration to `codegen::MANIFEST`
-    /// and rebuild). `AppBuilder::build` checks first and returns
-    /// `Error::Build` instead.
+    /// Build on an explicit registry row — the test seam: `None` on a
+    /// registered configuration is the runtime-sparse oracle the
+    /// equivalence tests compare against.
     // dg-analyze: allow(hot_alloc) — operator constructor: geometry/stencil tables are precomputed once
-    pub fn with_dispatch(
+    pub fn with_row(
         kernels: Arc<PhaseKernels>,
         grid: PhaseGrid,
         flux: FluxKind,
-        dispatch: KernelDispatch,
+        row: Option<&'static KernelRow>,
     ) -> Self {
         assert_eq!(kernels.layout.cdim, grid.cdim());
         assert_eq!(kernels.layout.vdim, grid.vdim());
@@ -551,27 +542,14 @@ impl VlasovOp {
                     .collect()
             })
             .collect();
-        let volume_path = dispatch
-            .resolve(
-                kernels.phase_basis.kind(),
-                kernels.layout,
-                kernels.phase_basis.poly_order(),
-            )
-            .unwrap_or_else(|e| panic!("kernel dispatch: {e}"));
-        let surface = dispatch
-            .resolve_surface(
-                kernels.phase_basis.kind(),
-                kernels.layout,
-                kernels.phase_basis.poly_order(),
-            )
-            .unwrap_or_else(|e| panic!("kernel dispatch: {e}"));
+        let volume_path = ResolvedVolume::new(row);
         let ndim = kernels.layout.ndim();
-        let surface_paths: Vec<ResolvedSurfaceDir> = (0..ndim).map(|d| surface.dir(d)).collect();
-        let surface_path_tag = surface.path();
+        let surface_paths: Vec<ResolvedSurfaceDir> =
+            (0..ndim).map(|d| ResolvedSurfaceDir::new(row, d)).collect();
         let cdim = grid.cdim();
-        let cell_pass = match (volume_path, surface) {
-            (ResolvedVolume::Generated { batch, .. }, ResolvedSurface::Generated(entry)) => {
-                Some(CellPass::new(batch, entry, cdim, vdim))
+        let cell_pass = match (volume_path, row) {
+            (ResolvedVolume::Generated { batch, .. }, Some(row)) => {
+                Some(CellPass::new(batch, &row.surface, cdim, vdim))
             }
             _ => None,
         };
@@ -630,7 +608,6 @@ impl VlasovOp {
             vel_faces,
             volume_path,
             surface_paths,
-            surface_path_tag,
             cell_pass,
             dxv,
             conf_centers,
@@ -641,15 +618,15 @@ impl VlasovOp {
         }
     }
 
-    /// Which volume path this operator resolved to.
+    /// Which volume path this operator runs.
     pub fn dispatch_path(&self) -> DispatchPath {
         self.volume_path.path()
     }
 
-    /// Which surface path this operator resolved to (all directions
-    /// resolve together).
+    /// Which surface path this operator runs: the volume's, since every
+    /// direction comes from the same registry row (or none).
     pub fn surface_dispatch_path(&self) -> DispatchPath {
-        self.surface_path_tag
+        self.dispatch_path()
     }
 
     /// The entry points the RHS (`accumulate_block_rhs`) runs, from what
@@ -1856,10 +1833,9 @@ mod tests {
 
     #[test]
     fn generated_and_runtime_dispatch_agree_on_full_rhs() {
-        // 1x1v p=2 Serendipity is in the generated-kernel registry, so Auto
-        // must resolve to the generated path, and the full RHS (volume
-        // through either path + identical surface terms) must agree to
-        // round-off between the two forced paths.
+        // 1x1v p=2 Serendipity is in the generated-kernel registry, so the
+        // operator runs the generated path, and the full RHS must agree to
+        // round-off with the runtime-sparse oracle (no row).
         let (op_auto, sp, mut em) = setup_1x1v(6, 10, 2);
         // Non-trivial EM data so the acceleration terms are exercised.
         for c in 0..op_auto.grid.conf.len() {
@@ -1870,11 +1846,11 @@ mod tests {
         assert_eq!(op_auto.dispatch_path(), DispatchPath::Generated);
         assert_eq!(op_auto.op_report().path, DispatchPath::Generated);
 
-        let op_rt = VlasovOp::with_dispatch(
+        let op_rt = VlasovOp::with_row(
             Arc::clone(&op_auto.kernels),
             op_auto.grid.clone(),
             FluxKind::Upwind,
-            KernelDispatch::RuntimeSparse,
+            None,
         );
         assert_eq!(op_rt.dispatch_path(), DispatchPath::RuntimeSparse);
         assert_eq!(op_rt.op_report().path, DispatchPath::RuntimeSparse);
@@ -1901,9 +1877,9 @@ mod tests {
         // nx = 1 exercises the single-cell periodic wrap (both face sides
         // are the same cell — the workspace-staged branch); nx = 2 the
         // two-cell periodic direction where every face is also the wrap
-        // partner's face. Dispatch is forced Generated so the generated
-        // surface kernels run, and the RHS must (a) match the runtime
-        // sparse path to round-off and (b) conserve mass exactly.
+        // partner's face. The configuration is registered, so the
+        // generated surface kernels run, and the RHS must (a) match the
+        // runtime sparse path to round-off and (b) conserve mass exactly.
         for nx in [1usize, 2] {
             let (op_rt, sp, mut em) = setup_1x1v(nx, 12, 2);
             for c in 0..op_rt.grid.conf.len() {
@@ -1911,17 +1887,12 @@ mod tests {
                     *v = ((c * 17 + i) as f64 * 0.37).sin() * 0.25;
                 }
             }
-            let op_rt = VlasovOp::with_dispatch(
-                Arc::clone(&op_rt.kernels),
-                op_rt.grid.clone(),
+            let op_gen = op_rt;
+            let op_rt = VlasovOp::with_row(
+                Arc::clone(&op_gen.kernels),
+                op_gen.grid.clone(),
                 FluxKind::Upwind,
-                KernelDispatch::RuntimeSparse,
-            );
-            let op_gen = VlasovOp::with_dispatch(
-                Arc::clone(&op_rt.kernels),
-                op_rt.grid.clone(),
-                FluxKind::Upwind,
-                KernelDispatch::Generated,
+                None,
             );
             assert_eq!(op_gen.surface_dispatch_path(), DispatchPath::Generated);
             assert_eq!(op_gen.op_report().surface_path, DispatchPath::Generated);
@@ -1972,7 +1943,7 @@ mod tests {
         (1, &[2, 1], &[3, 5, 2]),
     ];
 
-    /// A forced-`Generated` operator on one schedule case, with synthetic
+    /// The (generated) operator on one schedule case, with synthetic
     /// `f` and `em`.
     fn schedule_case(
         p: usize,
@@ -1996,7 +1967,12 @@ mod tests {
         for (i, v) in em.as_mut_slice().iter_mut().enumerate() {
             *v = ((i * 13 % 17) as f64 - 8.0) * 0.1;
         }
-        let op = VlasovOp::with_dispatch(kernels, grid, flux, KernelDispatch::Generated);
+        let op = VlasovOp::new(kernels, grid, flux);
+        assert_eq!(
+            op.dispatch_path(),
+            DispatchPath::Generated,
+            "case is in the registry"
+        );
         (op, f, em)
     }
 
@@ -2128,11 +2104,11 @@ mod tests {
             );
         }
         // Runtime-sparse runs no pass and names no width.
-        let sparse = VlasovOp::with_dispatch(
+        let sparse = VlasovOp::with_row(
             Arc::clone(&one_v.kernels),
             one_v.grid.clone(),
             FluxKind::Upwind,
-            KernelDispatch::RuntimeSparse,
+            None,
         );
         assert_eq!(
             sparse.kernel_entry_points().to_string(),
@@ -2479,25 +2455,39 @@ mod tests {
     }
 
     #[test]
-    fn forcing_generated_on_unregistered_config_panics_with_guidance() {
-        // 1x3v p1 has no generated kernel; the forced-Generated constructor
-        // must fail loudly (Auto on the same config falls back silently —
-        // covered by the kernels-crate dispatch tests).
-        let kernels = kernels_for(BasisKind::Serendipity, PhaseLayout::new(1, 3), 1);
-        let grid = PhaseGrid::new(
-            CartGrid::new(&[0.0], &[1.0], &[2]),
-            CartGrid::new(&[-1.0; 3], &[1.0; 3], &[2, 2, 2]),
-            vec![Bc::Periodic],
-        );
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            VlasovOp::with_dispatch(kernels, grid, FluxKind::Upwind, KernelDispatch::Generated)
-        }))
-        .expect_err("must panic");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(
-            msg.contains("no generated volume kernel") && msg.contains("codegen::MANIFEST"),
-            "unhelpful panic message: {msg}"
-        );
+    fn the_path_follows_the_configuration() {
+        // Every manifest configuration runs generated kernels in all three
+        // operators; one outside it (1x3v p1) runs the runtime path in all
+        // three. There is no knob in between.
+        use crate::lbo::LboOp;
+        use crate::moments::MomentScratch;
+        use dg_kernels::codegen::MANIFEST;
+        let cases = MANIFEST
+            .iter()
+            .map(|s| (s.kind, s.layout(), s.poly_order, DispatchPath::Generated))
+            .chain([(
+                BasisKind::Serendipity,
+                PhaseLayout::new(1, 3),
+                1,
+                DispatchPath::RuntimeSparse,
+            )]);
+        for (kind, layout, p, want) in cases {
+            let kernels = kernels_for(kind, layout, p);
+            let (cdim, vdim) = (layout.cdim, layout.vdim);
+            let grid = PhaseGrid::new(
+                CartGrid::new(&vec![0.0; cdim], &vec![1.0; cdim], &vec![1; cdim]),
+                CartGrid::new(&vec![-1.0; vdim], &vec![1.0; vdim], &vec![2; vdim]),
+                vec![Bc::Periodic; cdim],
+            );
+            let what = format!("{kind:?} {} p{p}", layout.tag());
+            let op = VlasovOp::new(Arc::clone(&kernels), grid.clone(), FluxKind::Upwind);
+            assert_eq!(op.dispatch_path(), want, "{what} volume");
+            assert_eq!(op.surface_dispatch_path(), want, "{what} surface");
+            let lbo = LboOp::new(Arc::clone(&kernels), grid, 0.5);
+            assert_eq!(lbo.dispatch_path(), want, "{what} LBO");
+            let mom = MomentScratch::for_kernels(&kernels);
+            assert_eq!(mom.dispatch_path(), want, "{what} moments");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use dg_core::observer::{Frame, Observer, Trigger};
 use dg_core::system::SystemState;
 use dg_grid::DgField;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: u64 = 0x564C_4153_4F56_4447; // "VLASOVDG"
@@ -145,22 +145,7 @@ fn read_field(input: &mut impl Read, len: &mut Option<u64>) -> std::io::Result<D
 /// paths (one directory per ensemble job) never collide; same-path
 /// writers last-wins a whole file, never interleave.
 pub fn save(path: impl AsRef<Path>, state: &SystemState, time: f64) -> std::io::Result<()> {
-    let path = path.as_ref();
-    let tmp = tmp_sibling(path);
-    {
-        let mut w = BufWriter::new(File::create(&tmp)?);
-        write_state(state, time, &mut w)?;
-        w.flush()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
-/// `path` with `.tmp` appended to the file name (same directory, so the
-/// final `rename` never crosses a filesystem boundary).
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
+    dg_telemetry::write_atomic(path.as_ref(), |w| write_state(state, time, w))
 }
 
 pub fn load(path: impl AsRef<Path>) -> std::io::Result<(SystemState, f64)> {

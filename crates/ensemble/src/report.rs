@@ -4,8 +4,10 @@
 
 use crate::spec::JobParams;
 use dg_core::error::Error;
+use dg_telemetry::write_atomic;
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::io::Write;
+use std::path::Path;
 
 /// Terminal lifecycle state of one job.
 #[derive(Debug)]
@@ -183,25 +185,11 @@ impl EnsembleReport {
         out
     }
 
-    /// Write the CSV atomically (temp + rename).
+    /// Write the CSV atomically (temp + rename, [`write_atomic`]).
     pub fn write_csv(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        write_atomic(path.as_ref(), &self.to_csv_string())
+        let csv = self.to_csv_string();
+        write_atomic(path.as_ref(), |w| w.write_all(csv.as_bytes()))
     }
-}
-
-/// Crash-safe small-file write: stream to a `.tmp` sibling, then rename
-/// into place. Concurrent jobs write disjoint paths (one directory per
-/// job), so tmp names never collide.
-pub(crate) fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    let tmp = tmp_sibling(path);
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path)
-}
-
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
 }
 
 #[cfg(test)]
@@ -254,9 +242,23 @@ mod tests {
         let dir = std::env::temp_dir().join("dg_ensemble_report_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("report.csv");
-        write_atomic(&path, "old,long,content,that,is,longer\n").unwrap();
-        write_atomic(&path, "new\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "new\n");
+        let report = |jobs| EnsembleReport {
+            columns: vec!["gamma".into()],
+            jobs,
+            stats: SchedulerStats::default(),
+        };
+        let long = report(
+            (0..4)
+                .map(|i| record(i, JobStatus::Done, vec![0.1]))
+                .collect(),
+        );
+        long.write_csv(&path).unwrap();
+        let short = report(vec![record(0, JobStatus::Done, vec![0.1])]);
+        short.write_csv(&path).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            short.to_csv_string()
+        );
         assert!(!dir.join("report.csv.tmp").exists());
     }
 }

@@ -31,14 +31,15 @@
 //! `dt_factor^attempt`. Any other error — and a blow-up at the budget —
 //! is terminal `Failed`.
 
-use crate::report::{write_atomic, JobRecord, JobStatus, JobTiming};
+use crate::report::{JobRecord, JobStatus, JobTiming};
 use crate::scheduler::{CancelToken, EnsembleConfig, JobOutputs};
 use crate::spec::JobSpec;
 use dg_core::error::Error;
 use dg_core::observer::{observe, Frame, Observer, Trigger};
 use dg_diag::csv::CsvWriter;
 use dg_diag::snapshot::{self, Checkpoint};
-use dg_telemetry::{now_ns, Counter};
+use dg_telemetry::{now_ns, write_atomic, Counter};
+use std::io::Write;
 use std::path::Path;
 
 pub(crate) const SERIES_FILE: &str = "series.csv";
@@ -412,7 +413,7 @@ impl SampleSeries {
                 kept.push('\n');
             }
         }
-        write_atomic(path, &kept)
+        write_atomic(path, |w| w.write_all(kept.as_bytes()))
     }
 
     fn open_writer(&mut self, path: &Path) -> std::io::Result<()> {
@@ -467,7 +468,7 @@ fn read_attempt(dir: &Path) -> usize {
 }
 
 fn write_attempt(dir: &Path, attempt: usize) -> std::io::Result<()> {
-    write_atomic(&dir.join(ATTEMPT_FILE), &format!("{attempt}\n"))
+    write_atomic(&dir.join(ATTEMPT_FILE), |w| writeln!(w, "{attempt}"))
 }
 
 /// Drop the artifacts of a diverged attempt: checkpoints (tmp strays
@@ -510,7 +511,7 @@ fn write_summary(dir: &Path, columns: &[String], done: &DoneSummary) -> std::io:
         out.push_str(&format!(",{v:.17e}"));
     }
     out.push('\n');
-    write_atomic(&dir.join(SUMMARY_FILE), &out)
+    write_atomic(&dir.join(SUMMARY_FILE), |w| w.write_all(out.as_bytes()))
 }
 
 /// Load a persisted summary. `None` means "not done": missing file, or

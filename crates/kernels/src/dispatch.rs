@@ -13,18 +13,18 @@
 //!   kernel — one function per *face-normal direction* (streaming kernels
 //!   for configuration directions, acceleration kernels for velocity
 //!   directions), mirroring Gkeyll's `vlasov_surf[x|vx]_*` split;
-//! * the **registries** ([`volume_registry`], [`surface_registry`]) are
-//!   static tables, emitted by the same generator as the kernels
-//!   themselves, mapping a [`KernelKey`] to the generated function(s);
-//! * [`KernelDispatch`] is the public knob: `Auto` resolves to the
-//!   generated kernel when one exists and falls back to the runtime
-//!   sparse-tensor path otherwise, while `Generated`/`RuntimeSparse` force
-//!   a path (benches and equivalence tests).
+//! * the **registry** ([`registry`]) is one static table, emitted by the
+//!   same generator as the kernels themselves, with one [`KernelRow`] per
+//!   configuration holding its volume, surface, moment and LBO kernels.
 //!
-//! Resolution happens **once**, when an operator is constructed
-//! ([`KernelDispatch::resolve`] / [`KernelDispatch::resolve_surface`]); the
-//! hot loop then calls through the resolved [`ResolvedVolume`] /
-//! [`ResolvedSurfaceDir`] with zero per-cell (and per-face) branching.
+//! The configuration decides the path, and there is no knob: an operator
+//! looks up its row once when it is constructed ([`row_for`]) and runs the
+//! generated kernels when there is one, the runtime sparse-tensor path
+//! otherwise. The operators' `with_row` constructors take the row as an
+//! `Option`; passing `None` on a registered configuration is how the
+//! equivalence tests reach the runtime-sparse oracle. The hot loop then
+//! calls through the resolved [`ResolvedVolume`] / [`ResolvedSurfaceDir`]
+//! with zero per-cell (and per-face) branching.
 //! The same step picks, from the CPU alone, which compilation of the
 //! lane-generic kernel bodies the operator calls — and with it the lane
 //! width of its panels and the pack/unpack moves ([`BatchIsa`],
@@ -35,7 +35,7 @@
 //! rebuild (see DESIGN.md, "Kernel dispatch").
 
 use crate::panel::PanelMoves;
-use crate::phase::PhaseLayout;
+use crate::phase::{PhaseKernels, PhaseLayout};
 use dg_basis::BasisKind;
 
 /// Which path a resolution used; *which entry points* a generated path
@@ -144,7 +144,7 @@ pub type VolumeKernelBatchFn = fn(
 /// lane, at the ISA's vector width. Calling one on a CPU without its
 /// feature is undefined behaviour — go through [`VolumeBatch`], which also
 /// stores the portable entry point under this type (a safe `fn` coerces to
-/// it); only `x86_64` registries hold the `#[target_feature]` ones.
+/// it); only `x86_64` registry rows hold the `#[target_feature]` ones.
 pub type VolumeKernelLanesFn<const L: usize> = unsafe fn(
     w: &[[f64; L]],
     dxv: &[f64],
@@ -325,11 +325,9 @@ impl KernelKey {
     }
 }
 
-/// One row of the volume-kernel registry (a table in the generated
-/// `mod.rs`).
+/// The volume kernel of one registry row.
 #[derive(Clone, Copy, Debug)]
 pub struct VolumeKernelEntry {
-    pub key: KernelKey,
     /// The generated function's name (also its source file stem).
     pub name: &'static str,
     /// The one-lane (scalar) entry point of the generated body.
@@ -345,12 +343,10 @@ pub struct VolumeKernelEntry {
     pub batch_avx512: VolumeKernelLanesFn<8>,
 }
 
-/// One row of the generated surface-kernel registry: all per-direction
-/// unrolled surface kernels of one configuration (a table in the
-/// generated `mod.rs`).
+/// The surface kernels of one registry row: all per-direction unrolled
+/// surface kernels of one configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct SurfaceKernelEntry {
-    pub key: KernelKey,
     /// The generated source-file stem (per-direction functions append
     /// `_x<d>` / `_v<j>` suffixes).
     pub name: &'static str,
@@ -370,12 +366,10 @@ pub struct SurfaceKernelEntry {
     pub batch_avx512: &'static [SurfaceKernelLanesFn<8>],
 }
 
-/// One row of the generated moment-kernel registry: the unrolled
-/// `M0`/`M1_j`/`M2` reductions of one configuration (a table in the
-/// generated `mod.rs`).
+/// The moment kernels of one registry row: the unrolled `M0`/`M1_j`/`M2`
+/// reductions of one configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct MomentKernelEntry {
-    pub key: KernelKey,
     /// The generated source-file stem (functions append `_m0` / `_m1_v<j>`
     /// / `_m2` suffixes).
     pub name: &'static str,
@@ -385,14 +379,13 @@ pub struct MomentKernelEntry {
     pub m2: MomentM2Fn,
 }
 
-/// One row of the generated LBO-kernel registry: the five unrolled stage
-/// functions (drag volume/surface, LDG gradient, diffusion volume/surface)
-/// per velocity direction of one configuration (a table in the
-/// generated `mod.rs`). The generator emits each stage body once, generic
-/// over the lane count; the fields below are its instantiations.
+/// The LBO kernels of one registry row: the five unrolled stage functions
+/// (drag volume/surface, LDG gradient, diffusion volume/surface) per
+/// velocity direction of one configuration. The generator emits each stage
+/// body once, generic over the lane count; the fields below are its
+/// instantiations.
 #[derive(Clone, Copy, Debug)]
 pub struct LboKernelEntry {
-    pub key: KernelKey,
     /// The generated source-file stem (functions append
     /// `_<stage>_v<j>` suffixes).
     pub name: &'static str,
@@ -410,78 +403,69 @@ pub struct LboKernelEntry {
     pub batch_avx2: &'static [LboBatchFns],
 }
 
-/// All generated unrolled volume kernels.
-pub fn volume_registry() -> &'static [VolumeKernelEntry] {
-    crate::generated::VOLUME_REGISTRY
+/// One row of the registry (a table in the generated `mod.rs`): every
+/// generated kernel of one configuration. The generator emits all four
+/// families for every `MANIFEST` entry, so a configuration either has a
+/// row and runs generated kernels throughout, or has none and runs the
+/// runtime sparse-tensor path throughout — never a mix.
+#[derive(Clone, Copy, Debug)]
+pub struct KernelRow {
+    pub key: KernelKey,
+    pub volume: VolumeKernelEntry,
+    pub surface: SurfaceKernelEntry,
+    pub moments: MomentKernelEntry,
+    pub lbo: LboKernelEntry,
 }
 
-/// All generated unrolled surface kernels.
-pub fn surface_registry() -> &'static [SurfaceKernelEntry] {
-    crate::generated::SURFACE_REGISTRY
+/// The registry: one row per generated configuration, in manifest order.
+pub fn registry() -> &'static [KernelRow] {
+    crate::generated::REGISTRY
 }
 
-/// All generated unrolled moment kernels.
-pub fn moment_registry() -> &'static [MomentKernelEntry] {
-    crate::generated::MOMENT_REGISTRY
+/// The registry row of a configuration; `None` outside the manifest.
+pub fn find_row(
+    kind: BasisKind,
+    layout: PhaseLayout,
+    poly_order: usize,
+) -> Option<&'static KernelRow> {
+    let key = KernelKey::new(kind, layout, poly_order);
+    registry().iter().find(|row| row.key == key)
 }
 
-/// All generated unrolled LBO collision kernels.
-pub fn lbo_registry() -> &'static [LboKernelEntry] {
-    crate::generated::LBO_REGISTRY
+/// The registry row of the configuration a kernel set was built for — what
+/// every operator constructor looks up.
+pub fn row_for(kernels: &PhaseKernels) -> Option<&'static KernelRow> {
+    find_row(
+        kernels.phase_basis.kind(),
+        kernels.layout,
+        kernels.phase_basis.poly_order(),
+    )
 }
 
-/// Look up the generated volume kernel for a configuration, if one exists.
+/// The path a registry row, or its absence, puts an operator on.
+pub fn path_of(row: Option<&KernelRow>) -> DispatchPath {
+    match row {
+        Some(_) => DispatchPath::Generated,
+        None => DispatchPath::RuntimeSparse,
+    }
+}
+
+/// The generated volume kernel of a configuration, if one exists.
 pub fn find_volume_kernel(
     kind: BasisKind,
     layout: PhaseLayout,
     poly_order: usize,
 ) -> Option<&'static VolumeKernelEntry> {
-    let key = KernelKey::new(kind, layout, poly_order);
-    volume_registry().iter().find(|e| e.key == key)
+    find_row(kind, layout, poly_order).map(|row| &row.volume)
 }
 
-/// Look up the generated surface kernels for a configuration, if any exist.
+/// The generated surface kernels of a configuration, if they exist.
 pub fn find_surface_kernel(
     kind: BasisKind,
     layout: PhaseLayout,
     poly_order: usize,
 ) -> Option<&'static SurfaceKernelEntry> {
-    let key = KernelKey::new(kind, layout, poly_order);
-    surface_registry().iter().find(|e| e.key == key)
-}
-
-/// Look up the generated moment kernels for a configuration, if any exist.
-pub fn find_moment_kernel(
-    kind: BasisKind,
-    layout: PhaseLayout,
-    poly_order: usize,
-) -> Option<&'static MomentKernelEntry> {
-    let key = KernelKey::new(kind, layout, poly_order);
-    moment_registry().iter().find(|e| e.key == key)
-}
-
-/// Look up the generated LBO kernels for a configuration, if any exist.
-pub fn find_lbo_kernel(
-    kind: BasisKind,
-    layout: PhaseLayout,
-    poly_order: usize,
-) -> Option<&'static LboKernelEntry> {
-    let key = KernelKey::new(kind, layout, poly_order);
-    lbo_registry().iter().find(|e| e.key == key)
-}
-
-/// Which volume-kernel path an operator should take. The default, `Auto`,
-/// is what every solver gets unless a bench or test forces a path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum KernelDispatch {
-    /// Committed unrolled kernel when registered, runtime sparse otherwise.
-    #[default]
-    Auto,
-    /// Force the generated unrolled kernel; resolution fails if the
-    /// configuration is not in the registry.
-    Generated,
-    /// Force the generic runtime sparse-tensor path.
-    RuntimeSparse,
+    find_row(kind, layout, poly_order).map(|row| &row.surface)
 }
 
 /// Tag of the runtime sparse-tensor path in bench and report output; the
@@ -867,7 +851,7 @@ impl LboBatch {
     }
 }
 
-/// Outcome of resolving [`KernelDispatch`] against the registry; held by
+/// The volume path an operator resolved from its registry row; held by
 /// the solver and consulted without branching per cell.
 #[derive(Clone, Copy, Debug)]
 pub enum ResolvedVolume {
@@ -881,10 +865,15 @@ pub enum ResolvedVolume {
 }
 
 impl ResolvedVolume {
-    fn generated(entry: &VolumeKernelEntry) -> Self {
-        ResolvedVolume::Generated {
-            func: entry.func,
-            batch: VolumeBatch::select(entry),
+    /// The row's volume kernel, its batched entry point chosen for this
+    /// CPU ([`VolumeBatch::select`]); the runtime path without a row.
+    pub fn new(row: Option<&KernelRow>) -> Self {
+        match row {
+            Some(row) => ResolvedVolume::Generated {
+                func: row.volume.func,
+                batch: VolumeBatch::select(&row.volume),
+            },
+            None => ResolvedVolume::RuntimeSparse,
         }
     }
 
@@ -905,15 +894,6 @@ impl ResolvedVolume {
     }
 }
 
-/// Outcome of resolving [`KernelDispatch`] for the surface terms; all
-/// directions of one configuration resolve together (the generator always
-/// emits the full direction set).
-#[derive(Clone, Copy, Debug)]
-pub enum ResolvedSurface {
-    Generated(&'static SurfaceKernelEntry),
-    RuntimeSparse,
-}
-
 /// One direction's resolved surface path — what the solver stores per
 /// phase direction and calls through without branching per face.
 #[derive(Clone, Copy, Debug)]
@@ -927,40 +907,33 @@ pub enum ResolvedSurfaceDir {
     RuntimeSparse,
 }
 
-impl ResolvedSurface {
-    pub fn path(&self) -> DispatchPath {
-        match self {
-            ResolvedSurface::Generated(_) => DispatchPath::Generated,
-            ResolvedSurface::RuntimeSparse => DispatchPath::RuntimeSparse,
-        }
-    }
-
-    /// The resolved kernel for one phase direction (configuration
-    /// directions first, as in [`SurfaceKernelEntry::dirs`]); the batched
-    /// entry point is picked here, once per direction, from the CPU and the
-    /// direction kind: velocity (acceleration) directions take the widest
-    /// entry point there is, configuration (streaming) directions stop at
-    /// the 4-lane AVX2 one. A streaming kernel is all moves — traces and
-    /// lifts around a two-entry `α̂` — and at 8 lanes its four face-sized
-    /// temporaries and five panels no longer share L1 with anything (2x3v
-    /// p2: 40 KB against 20): measured slower there than at 4 lanes, where
-    /// the acceleration kernels are faster at 8.
-    pub fn dir(&self, d: usize) -> ResolvedSurfaceDir {
-        match self {
-            ResolvedSurface::Generated(e) => ResolvedSurfaceDir::Generated {
-                func: e.dirs[d],
-                batch: if d < e.key.cdim {
-                    SurfaceBatch::avx2(e, d).unwrap_or_else(|| SurfaceBatch::baseline(e, d))
-                } else {
-                    SurfaceBatch::select(e, d)
-                },
-            },
-            ResolvedSurface::RuntimeSparse => ResolvedSurfaceDir::RuntimeSparse,
-        }
-    }
-}
-
 impl ResolvedSurfaceDir {
+    /// The row's kernel for phase direction `d` (configuration directions
+    /// first, as in [`SurfaceKernelEntry::dirs`]); the runtime path
+    /// without a row. The batched entry point is picked here, once per
+    /// direction, from the CPU and the direction kind: velocity
+    /// (acceleration) directions take the widest entry point there is,
+    /// configuration (streaming) directions stop at the 4-lane AVX2 one. A
+    /// streaming kernel is all moves — traces and lifts around a two-entry
+    /// `α̂` — and at 8 lanes its four face-sized temporaries and five panels
+    /// no longer share L1 with anything (2x3v p2: 40 KB against 20):
+    /// measured slower there than at 4 lanes, where the acceleration
+    /// kernels are faster at 8.
+    pub fn new(row: Option<&KernelRow>, d: usize) -> Self {
+        let Some(row) = row else {
+            return ResolvedSurfaceDir::RuntimeSparse;
+        };
+        let e = &row.surface;
+        ResolvedSurfaceDir::Generated {
+            func: e.dirs[d],
+            batch: if d < row.key.cdim {
+                SurfaceBatch::avx2(e, d).unwrap_or_else(|| SurfaceBatch::baseline(e, d))
+            } else {
+                SurfaceBatch::select(e, d)
+            },
+        }
+    }
+
     /// The entry points this direction runs ([`BatchIsa::tag`] or
     /// [`RUNTIME_SPARSE_TAG`]).
     pub fn tag(&self) -> &'static str {
@@ -969,161 +942,6 @@ impl ResolvedSurfaceDir {
             ResolvedSurfaceDir::RuntimeSparse => RUNTIME_SPARSE_TAG,
         }
     }
-}
-
-/// Outcome of resolving [`KernelDispatch`] for the velocity-moment
-/// reductions (`M0`/`M1`/`M2`). `Default` is the runtime path so a
-/// default-constructed scratch stays valid; moment-consuming operators
-/// resolve once at construction.
-#[derive(Clone, Copy, Debug, Default)]
-pub enum ResolvedMoments {
-    Generated(&'static MomentKernelEntry),
-    #[default]
-    RuntimeSparse,
-}
-
-impl ResolvedMoments {
-    pub fn path(&self) -> DispatchPath {
-        match self {
-            ResolvedMoments::Generated(_) => DispatchPath::Generated,
-            ResolvedMoments::RuntimeSparse => DispatchPath::RuntimeSparse,
-        }
-    }
-}
-
-/// Outcome of resolving [`KernelDispatch`] for the LBO collision operator;
-/// all five stage-function families resolve together.
-#[derive(Clone, Copy, Debug)]
-pub enum ResolvedLbo {
-    Generated(&'static LboKernelEntry),
-    RuntimeSparse,
-}
-
-impl ResolvedLbo {
-    pub fn path(&self) -> DispatchPath {
-        match self {
-            ResolvedLbo::Generated(_) => DispatchPath::Generated,
-            ResolvedLbo::RuntimeSparse => DispatchPath::RuntimeSparse,
-        }
-    }
-}
-
-impl KernelDispatch {
-    /// Resolve this knob for a configuration. `Err` only when `Generated`
-    /// is forced for a configuration with no generated kernel; `Auto`
-    /// falls back to the runtime path gracefully. A generated resolution
-    /// also fixes, from the CPU alone, which `_b4` entry point the
-    /// operator will call ([`VolumeBatch::select`]).
-    pub fn resolve(
-        self,
-        kind: BasisKind,
-        layout: PhaseLayout,
-        poly_order: usize,
-    ) -> Result<ResolvedVolume, String> {
-        let found = find_volume_kernel(kind, layout, poly_order);
-        match (self, found) {
-            (KernelDispatch::RuntimeSparse, _) | (KernelDispatch::Auto, None) => {
-                Ok(ResolvedVolume::RuntimeSparse)
-            }
-            (_, Some(e)) => Ok(ResolvedVolume::generated(e)),
-            (KernelDispatch::Generated, None) => Err(not_generated(
-                "volume",
-                kind,
-                layout,
-                poly_order,
-                volume_registry().iter().map(|e| e.name),
-            )),
-        }
-    }
-
-    /// Resolve this knob for the surface terms of a configuration. Same
-    /// semantics as [`KernelDispatch::resolve`].
-    pub fn resolve_surface(
-        self,
-        kind: BasisKind,
-        layout: PhaseLayout,
-        poly_order: usize,
-    ) -> Result<ResolvedSurface, String> {
-        let found = find_surface_kernel(kind, layout, poly_order);
-        match (self, found) {
-            (KernelDispatch::RuntimeSparse, _) | (KernelDispatch::Auto, None) => {
-                Ok(ResolvedSurface::RuntimeSparse)
-            }
-            (_, Some(e)) => Ok(ResolvedSurface::Generated(e)),
-            (KernelDispatch::Generated, None) => Err(not_generated(
-                "surface",
-                kind,
-                layout,
-                poly_order,
-                surface_registry().iter().map(|e| e.name),
-            )),
-        }
-    }
-
-    /// Resolve this knob for the moment reductions of a configuration.
-    /// Same semantics as [`KernelDispatch::resolve`].
-    pub fn resolve_moments(
-        self,
-        kind: BasisKind,
-        layout: PhaseLayout,
-        poly_order: usize,
-    ) -> Result<ResolvedMoments, String> {
-        let found = find_moment_kernel(kind, layout, poly_order);
-        match (self, found) {
-            (KernelDispatch::RuntimeSparse, _) | (KernelDispatch::Auto, None) => {
-                Ok(ResolvedMoments::RuntimeSparse)
-            }
-            (_, Some(e)) => Ok(ResolvedMoments::Generated(e)),
-            (KernelDispatch::Generated, None) => Err(not_generated(
-                "moment",
-                kind,
-                layout,
-                poly_order,
-                moment_registry().iter().map(|e| e.name),
-            )),
-        }
-    }
-
-    /// Resolve this knob for the LBO collision operator of a configuration.
-    /// Same semantics as [`KernelDispatch::resolve`].
-    pub fn resolve_lbo(
-        self,
-        kind: BasisKind,
-        layout: PhaseLayout,
-        poly_order: usize,
-    ) -> Result<ResolvedLbo, String> {
-        let found = find_lbo_kernel(kind, layout, poly_order);
-        match (self, found) {
-            (KernelDispatch::RuntimeSparse, _) | (KernelDispatch::Auto, None) => {
-                Ok(ResolvedLbo::RuntimeSparse)
-            }
-            (_, Some(e)) => Ok(ResolvedLbo::Generated(e)),
-            (KernelDispatch::Generated, None) => Err(not_generated(
-                "LBO",
-                kind,
-                layout,
-                poly_order,
-                lbo_registry().iter().map(|e| e.name),
-            )),
-        }
-    }
-}
-
-/// The error of a forced `Generated` resolution outside the manifest: what
-/// is missing, what the registry holds, and how to add it.
-fn not_generated(
-    family: &str,
-    kind: BasisKind,
-    layout: PhaseLayout,
-    poly_order: usize,
-    registry: impl Iterator<Item = &'static str>,
-) -> String {
-    format!(
-        "no generated {family} kernel for {kind:?} {} p={poly_order} (registry: {}); \
-         add it to `codegen::MANIFEST` and rebuild",
-        layout.tag(),
-        registry.collect::<Vec<_>>().join(", ")
-    )
 }
 
 #[cfg(test)]
@@ -1135,12 +953,18 @@ mod tests {
     fn registry_covers_the_whole_manifest() {
         assert!(MANIFEST.len() >= 5, "manifest shrank below the ISSUE floor");
         for spec in MANIFEST {
-            let e = find_volume_kernel(spec.kind, spec.layout(), spec.poly_order)
+            let row = find_row(spec.kind, spec.layout(), spec.poly_order)
                 .unwrap_or_else(|| panic!("{} missing from registry", spec.fn_name()));
-            assert_eq!(e.name, spec.fn_name(), "registry/manifest name drift");
+            assert_eq!(
+                row.volume.name,
+                spec.fn_name(),
+                "registry/manifest name drift"
+            );
+            let e = find_volume_kernel(spec.kind, spec.layout(), spec.poly_order).unwrap();
+            assert!(std::ptr::eq(e, &row.volume), "one lookup, one row");
         }
         assert_eq!(
-            volume_registry().len(),
+            registry().len(),
             MANIFEST.len(),
             "registry has entries the manifest does not know about"
         );
@@ -1152,29 +976,27 @@ mod tests {
             let e = find_surface_kernel(spec.kind, spec.layout(), spec.poly_order)
                 .unwrap_or_else(|| panic!("{} missing from surface registry", spec.surf_name()));
             assert_eq!(e.name, spec.surf_name(), "registry/manifest name drift");
-            assert_eq!(
-                e.dirs.len(),
-                spec.cdim + spec.vdim,
-                "{}: one surface kernel per phase direction",
-                spec.surf_name()
-            );
+            let ndim = spec.cdim + spec.vdim;
+            for (what, len) in [
+                ("dirs", e.dirs.len()),
+                ("batch", e.batch.len()),
+                #[cfg(target_arch = "x86_64")]
+                ("batch_avx2", e.batch_avx2.len()),
+                #[cfg(target_arch = "x86_64")]
+                ("batch_avx512", e.batch_avx512.len()),
+            ] {
+                assert_eq!(len, ndim, "{} {what}: one per phase direction", e.name);
+            }
         }
-        assert_eq!(
-            surface_registry().len(),
-            MANIFEST.len(),
-            "surface registry has entries the manifest does not know about"
-        );
     }
 
     #[test]
     fn moment_and_lbo_registries_cover_the_whole_manifest() {
         for spec in MANIFEST {
-            let m = find_moment_kernel(spec.kind, spec.layout(), spec.poly_order)
-                .unwrap_or_else(|| panic!("{} missing from moment registry", spec.mom_name()));
+            let row = find_row(spec.kind, spec.layout(), spec.poly_order).unwrap();
+            let (m, l) = (&row.moments, &row.lbo);
             assert_eq!(m.name, spec.mom_name(), "registry/manifest name drift");
             assert_eq!(m.m1.len(), spec.vdim, "one M1 kernel per velocity dir");
-            let l = find_lbo_kernel(spec.kind, spec.layout(), spec.poly_order)
-                .unwrap_or_else(|| panic!("{} missing from LBO registry", spec.lbo_name()));
             assert_eq!(l.name, spec.lbo_name(), "registry/manifest name drift");
             for len in [
                 l.drag_vol.len(),
@@ -1182,66 +1004,46 @@ mod tests {
                 l.diff_grad.len(),
                 l.diff_vol.len(),
                 l.diff_surf.len(),
+                l.batch.len(),
+                #[cfg(target_arch = "x86_64")]
+                l.batch_avx2.len(),
             ] {
                 assert_eq!(len, spec.vdim, "one stage kernel per velocity dir");
             }
         }
-        assert_eq!(moment_registry().len(), MANIFEST.len());
-        assert_eq!(lbo_registry().len(), MANIFEST.len());
     }
 
     #[test]
     fn auto_falls_back_gracefully() {
         // 3x3v p2 is deliberately left out (Np = 256 would dominate
-        // crate compile time); Auto must fall back, forced Generated must
-        // error — for every kernel family.
+        // crate compile time): no row, so every family resolves to the
+        // runtime path.
         let layout = PhaseLayout::new(3, 3);
-        let auto = KernelDispatch::Auto
-            .resolve(BasisKind::Serendipity, layout, 2)
-            .unwrap();
-        assert_eq!(auto.path(), DispatchPath::RuntimeSparse);
-        assert!(KernelDispatch::Generated
-            .resolve(BasisKind::Serendipity, layout, 2)
-            .is_err());
-        let auto_s = KernelDispatch::Auto
-            .resolve_surface(BasisKind::Serendipity, layout, 2)
-            .unwrap();
-        assert_eq!(auto_s.path(), DispatchPath::RuntimeSparse);
-        assert!(matches!(auto_s.dir(0), ResolvedSurfaceDir::RuntimeSparse));
-        assert!(KernelDispatch::Generated
-            .resolve_surface(BasisKind::Serendipity, layout, 2)
-            .is_err());
-        let auto_m = KernelDispatch::Auto
-            .resolve_moments(BasisKind::Serendipity, layout, 2)
-            .unwrap();
-        assert_eq!(auto_m.path(), DispatchPath::RuntimeSparse);
-        assert!(KernelDispatch::Generated
-            .resolve_moments(BasisKind::Serendipity, layout, 2)
-            .is_err());
-        let auto_l = KernelDispatch::Auto
-            .resolve_lbo(BasisKind::Serendipity, layout, 2)
-            .unwrap();
-        assert_eq!(auto_l.path(), DispatchPath::RuntimeSparse);
-        assert!(KernelDispatch::Generated
-            .resolve_lbo(BasisKind::Serendipity, layout, 2)
-            .is_err());
+        let row = find_row(BasisKind::Serendipity, layout, 2);
+        assert!(row.is_none());
+        assert!(find_volume_kernel(BasisKind::Serendipity, layout, 2).is_none());
+        assert!(find_surface_kernel(BasisKind::Serendipity, layout, 2).is_none());
+        assert_eq!(path_of(row), DispatchPath::RuntimeSparse);
+        assert_eq!(ResolvedVolume::new(row).path(), DispatchPath::RuntimeSparse);
+        for d in 0..6 {
+            assert!(matches!(
+                ResolvedSurfaceDir::new(row, d),
+                ResolvedSurfaceDir::RuntimeSparse
+            ));
+        }
     }
 
     #[test]
     fn forced_paths_resolve_for_fig1_config() {
-        let layout = PhaseLayout::new(1, 2);
-        let gen = KernelDispatch::Generated
-            .resolve(BasisKind::Tensor, layout, 1)
-            .unwrap();
-        assert_eq!(gen.path(), DispatchPath::Generated);
-        let auto = KernelDispatch::Auto
-            .resolve(BasisKind::Tensor, layout, 1)
-            .unwrap();
-        assert_eq!(auto.path(), DispatchPath::Generated);
-        let rt = KernelDispatch::RuntimeSparse
-            .resolve(BasisKind::Tensor, layout, 1)
-            .unwrap();
-        assert_eq!(rt.path(), DispatchPath::RuntimeSparse);
+        let row = find_row(BasisKind::Tensor, PhaseLayout::new(1, 2), 1);
+        assert_eq!(path_of(row), DispatchPath::Generated);
+        assert_eq!(ResolvedVolume::new(row).path(), DispatchPath::Generated);
+        // No row is the oracle's runtime path, on any configuration.
+        assert_eq!(path_of(None), DispatchPath::RuntimeSparse);
+        assert_eq!(
+            ResolvedVolume::new(None).path(),
+            DispatchPath::RuntimeSparse
+        );
     }
 
     #[test]
@@ -1260,29 +1062,21 @@ mod tests {
             BatchIsa::Avx512 => BatchIsa::Avx2,
             isa => isa,
         };
-        for spec in MANIFEST {
-            let (kind, layout, p) = (spec.kind, spec.layout(), spec.poly_order);
-            let vol = KernelDispatch::Generated.resolve(kind, layout, p).unwrap();
-            assert_eq!(vol.tag(), widest.tag());
-            let surf = KernelDispatch::Generated
-                .resolve_surface(kind, layout, p)
-                .unwrap();
-            for d in 0..spec.cdim + spec.vdim {
-                let want = if d < spec.cdim { four_lane } else { widest };
+        for row in registry() {
+            let k = row.key;
+            assert_eq!(ResolvedVolume::new(Some(row)).tag(), widest.tag());
+            for d in 0..k.cdim + k.vdim {
+                let want = if d < k.cdim { four_lane } else { widest };
                 assert_eq!(
-                    surf.dir(d).tag(),
+                    ResolvedSurfaceDir::new(Some(row), d).tag(),
                     want.tag(),
                     "{} dir {d}",
-                    spec.surf_name()
+                    row.surface.name
                 );
             }
-            let lbo = find_lbo_kernel(kind, layout, p).unwrap();
-            assert_eq!(LboBatch::select(lbo, 0).isa(), four_lane);
+            assert_eq!(LboBatch::select(&row.lbo, 0).isa(), four_lane);
         }
-        let rt = KernelDispatch::RuntimeSparse
-            .resolve(BasisKind::Tensor, PhaseLayout::new(1, 2), 1)
-            .unwrap();
-        assert_eq!(rt.tag(), RUNTIME_SPARSE_TAG);
+        assert_eq!(ResolvedVolume::new(None).tag(), RUNTIME_SPARSE_TAG);
         assert_eq!(BatchIsa::Avx512.tag(), "generated/avx512x8");
         assert_eq!(BatchIsa::Avx2.tag(), "generated/avx2x4");
         assert_eq!(BatchIsa::Baseline.tag(), "generated/baselinex4");
@@ -1290,17 +1084,17 @@ mod tests {
 
     #[test]
     fn forced_surface_paths_resolve_for_fig1_config() {
-        let layout = PhaseLayout::new(1, 2);
-        let gen = KernelDispatch::Generated
-            .resolve_surface(BasisKind::Tensor, layout, 1)
-            .unwrap();
-        assert_eq!(gen.path(), DispatchPath::Generated);
+        let row = find_row(BasisKind::Tensor, PhaseLayout::new(1, 2), 1);
+        assert!(row.is_some());
         for d in 0..3 {
-            assert!(matches!(gen.dir(d), ResolvedSurfaceDir::Generated { .. }));
+            assert!(matches!(
+                ResolvedSurfaceDir::new(row, d),
+                ResolvedSurfaceDir::Generated { .. }
+            ));
+            assert!(matches!(
+                ResolvedSurfaceDir::new(None, d),
+                ResolvedSurfaceDir::RuntimeSparse
+            ));
         }
-        let rt = KernelDispatch::RuntimeSparse
-            .resolve_surface(BasisKind::Tensor, layout, 1)
-            .unwrap();
-        assert_eq!(rt.path(), DispatchPath::RuntimeSparse);
     }
 }

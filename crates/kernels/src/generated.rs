@@ -1,5 +1,5 @@
-//! The unrolled kernels and their four dispatch registries, generated at
-//! build time from [`crate::codegen::MANIFEST`] (see `build.rs`).
+//! The unrolled kernels and their dispatch registry (one row per
+//! configuration), generated at build time from [`crate::codegen::MANIFEST`] (see `build.rs`).
 //! [`crate::dispatch`] routes solvers onto them.
 
 include!(concat!(env!("OUT_DIR"), "/mod.rs"));

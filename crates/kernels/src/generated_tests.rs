@@ -22,8 +22,8 @@
 use crate::accel::VelGeom;
 use crate::codegen::{lbo_dir_tables, LboDirTables, MANIFEST};
 use crate::dispatch::{
-    lbo_registry, moment_registry, surface_registry, volume_registry, LboBatch, PencilLanes,
-    SurfaceBatch, SurfaceKernelFn, SurfaceLanes, VolumeBatch, VolumeKernelFn, VolumeLanes, LANES,
+    registry, LboBatch, PencilLanes, SurfaceBatch, SurfaceKernelFn, SurfaceLanes, VolumeBatch,
+    VolumeKernelFn, VolumeLanes, LANES,
 };
 use crate::kernels_for;
 use crate::surface::FaceScratch;
@@ -78,8 +78,8 @@ proptest! {
         em_raw in proptest::collection::vec(-1.0..1.0f64, 8 * 16),
         f_raw in proptest::collection::vec(-1.0..1.0f64, 128),
     ) {
-        for entry in volume_registry() {
-            let k = entry.key;
+        for row in registry() {
+            let (k, entry) = (row.key, &row.volume);
             let pk = kernels_for(k.kind, k.layout(), k.poly_order);
             let ndim = k.cdim + k.vdim;
             let (np, nc) = (pk.np(), pk.nc());
@@ -210,8 +210,8 @@ proptest! {
     ) {
         const TEST: &str = "every_registry_batch_kernel_matches_scalar_bitwise";
         static ARMS: [std::sync::Once; 4] = [const { std::sync::Once::new() }; 4];
-        for entry in volume_registry() {
-            let k = entry.key;
+        for row in registry() {
+            let (k, entry) = (row.key, &row.volume);
             let pk = kernels_for(k.kind, k.layout(), k.poly_order);
             let (np, nc) = (pk.np(), pk.nc());
             prop_assert!(np <= 128 && 8 * nc <= em_raw.len());
@@ -335,8 +335,8 @@ proptest! {
         f_hi_raw in proptest::collection::vec(-1.0..1.0f64, 128),
     ) {
         let penalty = penalty_raw == 1;
-        for entry in surface_registry() {
-            let k = entry.key;
+        for row in registry() {
+            let (k, entry) = (row.key, &row.surface);
             let pk = kernels_for(k.kind, k.layout(), k.poly_order);
             let ndim = k.cdim + k.vdim;
             let (np, nc) = (pk.np(), pk.nc());
@@ -426,8 +426,8 @@ proptest! {
         const TEST: &str = "every_registry_surface_batch_matches_scalar_bitwise";
         static ARMS: [std::sync::Once; 4] = [const { std::sync::Once::new() }; 4];
         let penalty = penalty_raw == 1;
-        for entry in surface_registry() {
-            let k = entry.key;
+        for row in registry() {
+            let (k, entry) = (row.key, &row.surface);
             let pk = kernels_for(k.kind, k.layout(), k.poly_order);
             let ndim = k.cdim + k.vdim;
             let (np, nc) = (pk.np(), pk.nc());
@@ -504,8 +504,8 @@ proptest! {
         dv_raw in proptest::collection::vec(0.1..2.0f64, 3),
         f_raw in proptest::collection::vec(-1.0..1.0f64, 128),
     ) {
-        for entry in moment_registry() {
-            let k = entry.key;
+        for row in registry() {
+            let (k, entry) = (row.key, &row.moments);
             let pk = kernels_for(k.kind, k.layout(), k.poly_order);
             let (np, nc) = (pk.np(), pk.nc());
             prop_assert!(np <= f_raw.len());
@@ -552,11 +552,12 @@ proptest! {
 fn lbo_reference_tables() -> &'static [Vec<LboDirTables>] {
     static TABLES: std::sync::OnceLock<Vec<Vec<LboDirTables>>> = std::sync::OnceLock::new();
     TABLES.get_or_init(|| {
-        lbo_registry()
+        registry()
             .iter()
-            .map(|e| {
-                let pk = kernels_for(e.key.kind, e.key.layout(), e.key.poly_order);
-                (0..e.key.vdim).map(|j| lbo_dir_tables(&pk, j)).collect()
+            .map(|row| {
+                let k = row.key;
+                let pk = kernels_for(k.kind, k.layout(), k.poly_order);
+                (0..k.vdim).map(|j| lbo_dir_tables(&pk, j)).collect()
             })
             .collect()
     })
@@ -717,8 +718,8 @@ proptest! {
         f2_raw in proptest::collection::vec(-1.0..1.0f64, 128),
     ) {
         let at_upper = at_upper_raw == 1;
-        for (ei, entry) in lbo_registry().iter().enumerate() {
-            let k = entry.key;
+        for (ei, row) in registry().iter().enumerate() {
+            let (k, entry) = (row.key, &row.lbo);
             let pk = kernels_for(k.kind, k.layout(), k.poly_order);
             let (np, nc) = (pk.np(), pk.nc());
             prop_assert!(np <= f_raw.len() && nc <= u_raw.len());
@@ -825,8 +826,8 @@ proptest! {
                 .map(|i| std::array::from_fn(|lane| raw[lane * (raw.len() / LANES) + i]))
                 .collect()
         };
-        for entry in lbo_registry() {
-            let k = entry.key;
+        for row in registry() {
+            let (k, entry) = (row.key, &row.lbo);
             let pk = kernels_for(k.kind, k.layout(), k.poly_order);
             let (np, nc) = (pk.np(), pk.nc());
             prop_assert!(np <= 128 && nc <= 8);
@@ -921,7 +922,7 @@ proptest! {
 /// The MANIFEST must cover every `(basis, cdim, vdim, poly_order)`
 /// configuration exercised end to end by a committed example, paper test
 /// or benchmark workload, so none of them silently falls back to the
-/// runtime sparse path under the default `Auto` dispatch. Parameter
+/// runtime sparse path. Parameter
 /// *scans* (the Fig. 2 fit in `tests/paper.rs`) intentionally sweep past
 /// the manifest and are exempt. When a new example or scenario lands,
 /// add its configuration here and to `codegen::MANIFEST`, and rebuild.

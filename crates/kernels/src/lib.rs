@@ -8,7 +8,7 @@
 //! [`codegen::MANIFEST`], the fully unrolled volume, surface, moment and
 //! LBO kernels — every loop unrolled, every coefficient a literal, the
 //! analogue of the Maxima-generated C++ kernel the paper prints as
-//! Figure 1 — plus the registries that list them, into `OUT_DIR`
+//! Figure 1 — plus the registry that lists them, into `OUT_DIR`
 //! ([`generated`]). [`dispatch`] routes solvers onto them, and [`panel`]
 //! holds the SIMD moves their batched entry points run on.
 //!
@@ -24,6 +24,6 @@ pub mod volume;
 pub use dg_tables::{accel, cache, codegen, linalg, moments, ops, phase, tables1d, triple, weak};
 
 pub use cache::kernels_for;
-pub use dispatch::{DispatchPath, KernelDispatch};
+pub use dispatch::DispatchPath;
 pub use phase::{PhaseKernels, PhaseLayout};
 pub use triple::{SparseTriple, TripleEntry};

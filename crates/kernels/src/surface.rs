@@ -5,7 +5,7 @@ pub use dg_tables::surface::*;
 
 #[cfg(test)]
 mod tests {
-    use crate::dispatch::surface_registry;
+    use crate::dispatch::registry;
     use dg_basis::Basis;
     use proptest::prelude::*;
 
@@ -26,8 +26,8 @@ mod tests {
             f_lo in proptest::collection::vec(-1.0..1.0f64, 128),
             f_hi in proptest::collection::vec(-1.0..1.0f64, 128),
         ) {
-            for entry in surface_registry() {
-                let k = entry.key;
+            for row in registry() {
+                let (k, entry) = (row.key, &row.surface);
                 let ndim = k.cdim + k.vdim;
                 let np = Basis::new(k.kind, ndim, k.poly_order).len();
                 let nc = Basis::new(k.kind, k.cdim, k.poly_order).len();

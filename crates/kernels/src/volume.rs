@@ -5,7 +5,7 @@ pub use dg_tables::volume::*;
 
 #[cfg(test)]
 mod tests {
-    use crate::dispatch::volume_registry;
+    use crate::dispatch::registry;
     use dg_basis::Basis;
     use proptest::prelude::*;
 
@@ -24,8 +24,8 @@ mod tests {
             em_raw in proptest::collection::vec(-1.0..1.0f64, 8 * 16),
             f_raw in proptest::collection::vec(-1.0..1.0f64, 128),
         ) {
-            for entry in volume_registry() {
-                let k = entry.key;
+            for row in registry() {
+                let (k, entry) = (row.key, &row.volume);
                 let ndim = k.cdim + k.vdim;
                 let np = Basis::new(k.kind, ndim, k.poly_order).len();
                 let nc = Basis::new(k.kind, k.cdim, k.poly_order).len();

@@ -134,8 +134,8 @@ impl KernelSpec {
 }
 
 /// The set of generated kernel configurations. Each entry produces four
-/// artifacts (volume, surface, moment and LBO kernels) plus a row in each
-/// registry of the generated `mod.rs` ([`artifacts`]); `dg-kernels`
+/// artifacts (volume, surface, moment and LBO kernels) plus one row of
+/// the registry in the generated `mod.rs` ([`artifacts`]); `dg-kernels`
 /// writes them at build time, so adding an entry and rebuilding is the
 /// whole procedure for registering a configuration.
 ///
@@ -161,8 +161,8 @@ pub const MANIFEST: &[KernelSpec] = &[
 ];
 
 /// Emit the volume-kernel source for one manifest entry: one lane-generic
-/// body behind its scalar and batched entry points (one artifact file, one
-/// registry row).
+/// body behind its scalar and batched entry points (one artifact file, a
+/// field of one registry row).
 pub fn manifest_kernel_source(spec: &KernelSpec) -> String {
     let pk = crate::cache::kernels_for(spec.kind, spec.layout(), spec.poly_order);
     volume_kernel_source(&pk, &spec.fn_name())
@@ -334,26 +334,19 @@ pub fn artifacts() -> Vec<(String, String)> {
 }
 
 /// Emit the registry module `mod.rs`: the `include!` lines for every
-/// manifest artifact plus the four static dispatch registry tables. It is
-/// `include!`d itself, so it opens with plain comments, not `//!`.
+/// manifest artifact plus the one static registry, a row per manifest
+/// entry. It is `include!`d itself, so it opens with plain comments, not
+/// `//!`. It is written to `OUT_DIR`, never committed, so its layout is
+/// not rustfmt's.
 pub fn generated_mod_source() -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "// Generated kernels and their dispatch registry.");
-    let _ = writeln!(s, "//");
-    let _ = writeln!(
-        s,
-        "// Written at build time by `dg-kernels`' build script from"
+    let mut s = String::from(
+        "// Generated kernels and their dispatch registry.\n\
+         //\n\
+         // Written at build time by `dg-kernels`' build script from\n\
+         // `dg_tables::codegen::MANIFEST` — Gkeyll commits its Maxima-generated\n\
+         // C++ kernels; these are the same artifact in Rust, and `crate::dispatch`\n\
+         // routes solvers onto them.\n\n",
     );
-    let _ = writeln!(
-        s,
-        "// `dg_tables::codegen::MANIFEST` — Gkeyll commits its Maxima-generated"
-    );
-    let _ = writeln!(
-        s,
-        "// C++ kernels; these are the same artifact in Rust, and `crate::dispatch`"
-    );
-    let _ = writeln!(s, "// routes solvers onto them.");
-    let _ = writeln!(s);
     // rustc cuts codegen units along module lines, and a lane-generic body
     // is compiled once per entry point — four times for a Vlasov kernel,
     // three for an LBO stage. The three big families get a module, hence a
@@ -379,163 +372,85 @@ pub fn generated_mod_source() -> String {
     for spec in MANIFEST {
         let _ = writeln!(s, "include!(\"{}\");", spec.mom_file_name());
     }
-    let _ = writeln!(s);
-    // Emitted pre-wrapped in rustfmt's item order (lowercase, CamelCase,
-    // SCREAMING_CASE) so the artifact is a fmt fixed point.
-    let _ = writeln!(s, "use crate::dispatch::{{");
-    let _ = writeln!(
-        s,
-        "    KernelKey, LboBatchFns, LboKernelEntry, MomentKernelEntry, SurfaceKernelEntry,"
+    s.push_str(
+        "\nuse crate::dispatch::{KernelKey, KernelRow, LboBatchFns, LboKernelEntry, \
+         MomentKernelEntry, SurfaceKernelEntry, VolumeKernelEntry};\n\
+         use dg_basis::BasisKind;\n\
+         use lbo::*;\n\
+         use surf::*;\n\
+         use vol::*;\n\n\
+         /// Every generated kernel: one row per manifest entry, in manifest order.\n\
+         pub static REGISTRY: &[KernelRow] = &[\n",
     );
-    let _ = writeln!(s, "    VolumeKernelEntry,");
-    let _ = writeln!(s, "}};");
-    let _ = writeln!(s, "use dg_basis::BasisKind;");
-    let _ = writeln!(s, "use lbo::*;");
-    let _ = writeln!(s, "use surf::*;");
-    let _ = writeln!(s, "use vol::*;");
-    let _ = writeln!(s);
-    let _ = writeln!(
-        s,
-        "/// Registry of all committed unrolled volume kernels (one row per"
-    );
-    let _ = writeln!(s, "/// manifest entry, in manifest order).");
-    let _ = writeln!(s, "pub static VOLUME_REGISTRY: &[VolumeKernelEntry] = &[");
     for spec in MANIFEST {
-        // Emitted pre-expanded, as rustfmt would lay it out.
-        let _ = writeln!(s, "    VolumeKernelEntry {{");
-        let _ = writeln!(s, "        key: KernelKey {{");
-        let _ = writeln!(s, "            kind: BasisKind::{},", spec.kind_variant());
-        let _ = writeln!(s, "            cdim: {},", spec.cdim);
-        let _ = writeln!(s, "            vdim: {},", spec.vdim);
-        let _ = writeln!(s, "            poly_order: {},", spec.poly_order);
-        let _ = writeln!(s, "        }},");
-        let _ = writeln!(s, "        name: \"{}\",", spec.fn_name());
-        let _ = writeln!(s, "        func: {},", spec.fn_name());
-        let _ = writeln!(s, "        batch: {}_b4,", spec.fn_name());
-        let _ = writeln!(s, "        #[cfg(target_arch = \"x86_64\")]");
-        let _ = writeln!(s, "        batch_avx2: {}_b4_avx2,", spec.fn_name());
-        let _ = writeln!(s, "        #[cfg(target_arch = \"x86_64\")]");
-        let _ = writeln!(s, "        batch_avx512: {}_b8_avx512,", spec.fn_name());
-        let _ = writeln!(s, "    }},");
+        write_registry_row(&mut s, spec);
     }
-    let _ = writeln!(s, "];");
-    let _ = writeln!(s);
-    let _ = writeln!(
-        s,
-        "/// Registry of all committed unrolled surface kernels (one row per"
-    );
-    let _ = writeln!(
-        s,
-        "/// manifest entry; per-direction functions, configuration first)."
-    );
-    let _ = writeln!(s, "pub static SURFACE_REGISTRY: &[SurfaceKernelEntry] = &[");
-    for spec in MANIFEST {
-        let _ = writeln!(s, "    SurfaceKernelEntry {{");
-        let _ = writeln!(s, "        key: KernelKey {{");
-        let _ = writeln!(s, "            kind: BasisKind::{},", spec.kind_variant());
-        let _ = writeln!(s, "            cdim: {},", spec.cdim);
-        let _ = writeln!(s, "            vdim: {},", spec.vdim);
-        let _ = writeln!(s, "            poly_order: {},", spec.poly_order);
-        let _ = writeln!(s, "        }},");
-        let _ = writeln!(s, "        name: \"{}\",", spec.surf_name());
-        // Mirror rustfmt's array layout (the artifact must be a fmt fixed
-        // point): one line when it fits the 100-column width, else vertical.
-        let names: Vec<String> = (0..spec.cdim + spec.vdim)
-            .map(|dir| spec.surf_fn_name(dir))
-            .collect();
-        write_fn_array(&mut s, "dirs", &names);
-        let batch_names: Vec<String> = names.iter().map(|n| format!("{n}_b4")).collect();
-        write_fn_array(&mut s, "batch", &batch_names);
-        let avx2_names: Vec<String> = names.iter().map(|n| format!("{n}_b4_avx2")).collect();
-        let _ = writeln!(s, "        #[cfg(target_arch = \"x86_64\")]");
-        write_fn_array(&mut s, "batch_avx2", &avx2_names);
-        let avx512_names: Vec<String> = names.iter().map(|n| format!("{n}_b8_avx512")).collect();
-        let _ = writeln!(s, "        #[cfg(target_arch = \"x86_64\")]");
-        write_fn_array(&mut s, "batch_avx512", &avx512_names);
-        let _ = writeln!(s, "    }},");
-    }
-    let _ = writeln!(s, "];");
-    let _ = writeln!(s);
-    let _ = writeln!(
-        s,
-        "/// Registry of all committed unrolled moment kernels (M0 / per-dir M1 /"
-    );
-    let _ = writeln!(s, "/// M2, one row per manifest entry).");
-    let _ = writeln!(s, "pub static MOMENT_REGISTRY: &[MomentKernelEntry] = &[");
-    for spec in MANIFEST {
-        let stem = spec.mom_name();
-        let _ = writeln!(s, "    MomentKernelEntry {{");
-        let _ = writeln!(s, "        key: KernelKey {{");
-        let _ = writeln!(s, "            kind: BasisKind::{},", spec.kind_variant());
-        let _ = writeln!(s, "            cdim: {},", spec.cdim);
-        let _ = writeln!(s, "            vdim: {},", spec.vdim);
-        let _ = writeln!(s, "            poly_order: {},", spec.poly_order);
-        let _ = writeln!(s, "        }},");
-        let _ = writeln!(s, "        name: \"{stem}\",");
-        let _ = writeln!(s, "        m0: {stem}_m0,");
-        let m1: Vec<String> = (0..spec.vdim).map(|j| format!("{stem}_m1_v{j}")).collect();
-        write_fn_array(&mut s, "m1", &m1);
-        let _ = writeln!(s, "        m2: {stem}_m2,");
-        let _ = writeln!(s, "    }},");
-    }
-    let _ = writeln!(s, "];");
-    let _ = writeln!(s);
-    let _ = writeln!(
-        s,
-        "/// Registry of all committed unrolled LBO collision kernels (five stage"
-    );
-    let _ = writeln!(
-        s,
-        "/// functions per velocity direction, one row per manifest entry)."
-    );
-    let _ = writeln!(s, "pub static LBO_REGISTRY: &[LboKernelEntry] = &[");
-    for spec in MANIFEST {
-        let stem = spec.lbo_name();
-        let _ = writeln!(s, "    LboKernelEntry {{");
-        let _ = writeln!(s, "        key: KernelKey {{");
-        let _ = writeln!(s, "            kind: BasisKind::{},", spec.kind_variant());
-        let _ = writeln!(s, "            cdim: {},", spec.cdim);
-        let _ = writeln!(s, "            vdim: {},", spec.vdim);
-        let _ = writeln!(s, "            poly_order: {},", spec.poly_order);
-        let _ = writeln!(s, "        }},");
-        let _ = writeln!(s, "        name: \"{stem}\",");
-        for stage in LBO_STAGES {
-            let fns: Vec<String> = (0..spec.vdim)
-                .map(|j| format!("{stem}_{stage}_v{j}"))
-                .collect();
-            write_fn_array(&mut s, stage, &fns);
-        }
-        // The batched entry points, one bundle of five per direction.
-        let ty = "LboBatchFns";
-        for (field, suffix) in [("batch", "_b4"), ("batch_avx2", "_b4_avx2")] {
-            if field == "batch_avx2" {
-                let _ = writeln!(s, "        #[cfg(target_arch = \"x86_64\")]");
-            }
-            // rustfmt's layout (the artifact must be a fmt fixed point):
-            // a lone element hugs the brackets, several go one per block.
-            let (open, pad, close) = if spec.vdim == 1 {
-                (format!("        {field}: &[{ty} {{"), "    ", "        }],")
-            } else {
-                (format!("        {field}: &["), "        ", "        ],")
-            };
-            let _ = writeln!(s, "{open}");
-            for j in 0..spec.vdim {
-                if spec.vdim > 1 {
-                    let _ = writeln!(s, "            {ty} {{");
-                }
-                for stage in LBO_STAGES {
-                    let _ = writeln!(s, "{pad}        {stage}: {stem}_{stage}_v{j}{suffix},");
-                }
-                if spec.vdim > 1 {
-                    let _ = writeln!(s, "            }},");
-                }
-            }
-            let _ = writeln!(s, "{close}");
-        }
-        let _ = writeln!(s, "    }},");
-    }
-    let _ = writeln!(s, "];");
+    s.push_str("];\n");
     s
+}
+
+/// One [`MANIFEST`] entry's row of the registry: its volume, surface,
+/// moment and LBO kernels, every entry point of each.
+fn write_registry_row(s: &mut String, spec: &KernelSpec) {
+    const X86: &str = "#[cfg(target_arch = \"x86_64\")]";
+    let list = |names: Vec<String>| format!("&[{}]", names.join(", "));
+    let (vol, mom, lbo) = (spec.fn_name(), spec.mom_name(), spec.lbo_name());
+    let dirs = |suffix: &str| {
+        list(
+            (0..spec.cdim + spec.vdim)
+                .map(|d| format!("{}{suffix}", spec.surf_fn_name(d)))
+                .collect(),
+        )
+    };
+    let per_vel = |f: &dyn Fn(usize) -> String| list((0..spec.vdim).map(f).collect());
+    let _ = writeln!(s, "    KernelRow {{");
+    let _ = writeln!(
+        s,
+        "        key: KernelKey {{ kind: BasisKind::{}, cdim: {}, vdim: {}, poly_order: {} }},",
+        spec.kind_variant(),
+        spec.cdim,
+        spec.vdim,
+        spec.poly_order
+    );
+    let _ = writeln!(
+        s,
+        "        volume: VolumeKernelEntry {{ name: \"{vol}\", func: {vol}, batch: {vol}_b4, \
+         {X86} batch_avx2: {vol}_b4_avx2, {X86} batch_avx512: {vol}_b8_avx512 }},"
+    );
+    let _ = writeln!(
+        s,
+        "        surface: SurfaceKernelEntry {{ name: \"{}\", dirs: {}, batch: {}, \
+         {X86} batch_avx2: {}, {X86} batch_avx512: {} }},",
+        spec.surf_name(),
+        dirs(""),
+        dirs("_b4"),
+        dirs("_b4_avx2"),
+        dirs("_b8_avx512"),
+    );
+    let _ = writeln!(
+        s,
+        "        moments: MomentKernelEntry {{ name: \"{mom}\", m0: {mom}_m0, m1: {}, m2: {mom}_m2 }},",
+        per_vel(&|j| format!("{mom}_m1_v{j}"))
+    );
+    let _ = writeln!(s, "        lbo: LboKernelEntry {{");
+    let _ = writeln!(s, "            name: \"{lbo}\",");
+    for stage in LBO_STAGES {
+        let fns = per_vel(&|j| format!("{lbo}_{stage}_v{j}"));
+        let _ = writeln!(s, "            {stage}: {fns},");
+    }
+    // The batched entry points, one bundle of five per direction.
+    for (field, suffix, cfg) in [("batch", "_b4", ""), ("batch_avx2", "_b4_avx2", X86)] {
+        let bundles = per_vel(&|j| {
+            let stages: Vec<String> = LBO_STAGES
+                .iter()
+                .map(|stage| format!("{stage}: {lbo}_{stage}_v{j}{suffix}"))
+                .collect();
+            format!("LboBatchFns {{ {} }}", stages.join(", "))
+        });
+        let _ = writeln!(s, "            {cfg} {field}: {bundles},");
+    }
+    let _ = writeln!(s, "        }},");
+    let _ = writeln!(s, "    }},");
 }
 
 /// One kernel family's artifacts `include!`d into a module of their own
@@ -569,23 +484,6 @@ const LBO_STAGES: [&str; 5] = [
     "diff_vol",
     "diff_surf",
 ];
-
-/// Write a `field: &[fn_a, fn_b, ...],` registry line in rustfmt's array
-/// layout: one line when the joined element list fits rustfmt's
-/// `array_width` (60 columns under the default small-size heuristics),
-/// else vertical — so the emitted module is a `cargo fmt` fixed point.
-fn write_fn_array(s: &mut String, field: &str, names: &[String]) {
-    let joined = names.join(", ");
-    if joined.len() <= 60 {
-        let _ = writeln!(s, "        {field}: &[{joined}],");
-    } else {
-        let _ = writeln!(s, "        {field}: &[");
-        for name in names {
-            let _ = writeln!(s, "            {name},");
-        }
-        let _ = writeln!(s, "        ],");
-    }
-}
 
 /// Vlasov volume and surface kernels get all four entry points: their
 /// panel width follows the ISA (8 cells or faces on AVX-512).

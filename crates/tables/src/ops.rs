@@ -87,18 +87,6 @@ impl PhaseKernels {
     }
 }
 
-/// Estimated multiplications for the alias-free *nodal* (quadrature) update
-/// of the same operator: interpolation of `f` and `α` to `Nq` points, the
-/// pointwise product, and projection back — `O(Nq · Np)` per direction for
-/// volume plus face quadratures (the paper §II/§III cost model).
-pub fn nodal_mult_estimate(np: usize, nq_vol: usize, nq_face: usize, ndim: usize) -> usize {
-    // interp f (Nq·Np) + interp α (Nq·Np) + product (Nq) + project (Nq·Np)
-    let vol = 3 * nq_vol * np + nq_vol;
-    // per direction: two faces, each interp (2 sides) + product + lift
-    let faces = ndim * (2 * (3 * nq_face * np + nq_face));
-    vol + faces
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -143,8 +143,8 @@ impl Registry {
     }
 }
 
-/// A writer handle resolved once at construction, mirroring the
-/// `KernelDispatch` pattern: the noop/active decision is a single
+/// A writer handle resolved once at construction, like the kernel path
+/// an operator resolves from its registry row: the noop/active decision is a single
 /// branch on an enum discriminant at each span/count site, and the
 /// noop arm touches no clock and no memory.
 #[derive(Clone, Debug, Default)]

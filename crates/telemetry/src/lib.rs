@@ -10,8 +10,8 @@
 //!   compile time;
 //! * per-writer, cache-line-padded accumulator [`Slot`]s in a shared
 //!   [`Registry`], addressed through a [`Collector`] handle that is
-//!   resolved to noop-or-active **once at construction** — the same
-//!   pattern as `KernelDispatch`, so the disabled cost is one branch;
+//!   resolved to noop-or-active **once at construction** — as an
+//!   operator resolves its kernel path — so the disabled cost is one branch;
 //! * RAII [`span!`]/[`Collector::span`] guards that never allocate
 //!   (gated by `tests/alloc_free.rs` and the `dg-analyze`
 //!   `hot_alloc`/`telemetry_span` rules);
@@ -31,4 +31,6 @@ pub mod report;
 
 pub use collect::{now_ns, Collector, Registry, Slot, Snapshot, SpanGuard};
 pub use phase::{Counter, Phase, NCOUNTERS, NPHASES};
-pub use report::{validate_json, Breadcrumb, DtRing, RunReport, DT_RING_LEN, SCHEMA};
+pub use report::{
+    json_str, validate_json, write_atomic, Breadcrumb, DtRing, RunReport, DT_RING_LEN, SCHEMA,
+};

@@ -8,7 +8,9 @@
 
 use crate::collect::Snapshot;
 use crate::phase::{Counter, Phase};
-use std::path::Path;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::{Path, PathBuf};
 
 /// Schema identifier embedded in every report; bump when keys change.
 pub const SCHEMA: &str = "dg-telemetry/v2";
@@ -160,13 +162,11 @@ impl RunReport {
         s
     }
 
-    /// Crash-safe write: serialize to `<path>.tmp` in the same
-    /// directory, then rename over `path` — a reader never sees a
-    /// partial report.
-    pub fn write_atomic(&self, path: &Path) -> std::io::Result<()> {
-        let tmp = tmp_path(path);
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)
+    /// Crash-safe write of [`Self::to_json`] ([`write_atomic`]) — a
+    /// reader never sees a partial report.
+    pub fn write_atomic(&self, path: &Path) -> io::Result<()> {
+        let json = self.to_json();
+        write_atomic(path, |w| w.write_all(json.as_bytes()))
     }
 
     /// Rank-ordered reduction of per-rank reports: snapshots merge in
@@ -228,9 +228,29 @@ impl RunReport {
     }
 }
 
-/// `<path>.tmp` beside `path` (same filesystem, so the rename in
-/// [`RunReport::write_atomic`] is atomic).
-fn tmp_path(path: &Path) -> std::path::PathBuf {
+/// Crash-safe file write, shared by every artifact the workspace writes
+/// (`telemetry.json`, checkpoints, the ensemble's CSVs and summaries):
+/// `write` streams into `<path>.tmp` in the same directory, which is then
+/// renamed over `path`. A reader never sees a partial file; a process
+/// killed mid-write leaves at worst a stale `.tmp` beside it. Writers of
+/// different paths never collide; same-path writers last-win a whole
+/// file.
+pub fn write_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
+    let tmp = tmp_sibling(path);
+    {
+        let mut w = BufWriter::new(File::create(&tmp)?);
+        write(&mut w)?;
+        w.flush()?;
+    }
+    std::fs::rename(&tmp, path)
+}
+
+/// `path` with `.tmp` appended to the file name (same directory, so the
+/// rename in [`write_atomic`] never crosses a filesystem boundary).
+fn tmp_sibling(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
     path.with_file_name(name)
@@ -273,8 +293,9 @@ pub fn validate_json(json: &str) -> Result<(), Vec<String>> {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
+/// Minimal JSON string escaping (quotes, backslashes, control chars),
+/// quotes included — the one escaper of the workspace's hand-rolled JSON.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -346,7 +367,7 @@ mod tests {
         sample().write_atomic(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         validate_json(&text).unwrap();
-        assert!(!tmp_path(&path).exists());
+        assert!(!tmp_sibling(&path).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

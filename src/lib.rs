@@ -103,6 +103,6 @@ pub mod prelude {
     };
     pub use dg_grid::boundary::{Bc, DimBc};
     pub use dg_grid::grid::CartGrid;
-    pub use dg_kernels::{DispatchPath, KernelDispatch};
+    pub use dg_kernels::DispatchPath;
     pub use dg_telemetry::{Collector, Counter, Phase, Registry, RunReport, Snapshot};
 }

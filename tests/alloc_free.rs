@@ -2,7 +2,7 @@
 //!
 //! The ISSUE-3 acceptance gate: once an operator and its workspace exist,
 //! evaluating the collisionless RHS, the LBO collision RHS, and the
-//! moment reductions (each through either dispatch path — committed
+//! moment reductions (each through either kernel path — generated
 //! unrolled kernels and runtime sparse) must perform **zero heap
 //! allocations** — every
 //! buffer, index scratch, staging slice, and weak-solve factorization
@@ -29,7 +29,8 @@ use vlasov_dg::core::species::{maxwellian, Species};
 use vlasov_dg::core::ssprk::SspRk3;
 use vlasov_dg::core::vlasov::{FluxKind, VlasovOp, VlasovWorkspace};
 use vlasov_dg::grid::{Bc, CartGrid, DgField, DimBc, PhaseGrid};
-use vlasov_dg::kernels::{kernels_for, KernelDispatch, PhaseLayout};
+use vlasov_dg::kernels::dispatch::row_for;
+use vlasov_dg::kernels::{kernels_for, PhaseLayout};
 use vlasov_dg::maxwell::NCOMP;
 
 struct CountingAlloc;
@@ -113,8 +114,8 @@ fn rhs_and_lbo_loops_allocate_nothing() {
         );
     }
 
-    // --- Collisionless RHS, both dispatch paths, 1x2v p=2 Serendipity
-    // (in the committed registry; exercises streaming + both acceleration
+    // --- Collisionless RHS, both kernel paths (the registry row and the
+    // runtime-sparse oracle), 1x2v p=2 Serendipity (in the registry; exercises streaming + both acceleration
     // directions, pencil reuse, and the v×B cross terms). ---
     let kernels = kernels_for(BasisKind::Serendipity, PhaseLayout::new(1, 2), 2);
     let grid = PhaseGrid::new(
@@ -135,13 +136,14 @@ fn rhs_and_lbo_loops_allocate_nothing() {
     let mut out = DgField::zeros(sp.f.ncells(), sp.f.ncoeff());
     let mut ws = VlasovWorkspace::for_kernels(&kernels);
 
-    for dispatch in [KernelDispatch::Generated, KernelDispatch::RuntimeSparse] {
-        let op = VlasovOp::with_dispatch(
+    for row in [row_for(&kernels), None] {
+        let op = VlasovOp::with_row(
             std::sync::Arc::clone(&kernels),
             grid.clone(),
             FluxKind::Upwind,
-            dispatch,
+            row,
         );
+        let path = op.dispatch_path();
         // Warm-up: first evaluation may size lazily-grown scratch.
         out.fill(0.0);
         op.accumulate_rhs(sp.qm(), &sp.f, &em, &mut out, &mut ws);
@@ -153,7 +155,7 @@ fn rhs_and_lbo_loops_allocate_nothing() {
         });
         assert_eq!(
             n, 0,
-            "collisionless RHS ({dispatch:?}) allocated {n} times in the hot loop"
+            "collisionless RHS ({path:?}) allocated {n} times in the hot loop"
         );
     }
 
@@ -177,12 +179,7 @@ fn rhs_and_lbo_loops_allocate_nothing() {
         let em = DgField::zeros(grid.conf.len(), NCOMP * kernels.nc());
         let mut out = DgField::zeros(f.ncells(), f.ncoeff());
         let nconf = grid.conf.len();
-        let op = VlasovOp::with_dispatch(
-            std::sync::Arc::clone(&kernels),
-            grid,
-            FluxKind::Upwind,
-            KernelDispatch::Generated,
-        );
+        let op = VlasovOp::new(std::sync::Arc::clone(&kernels), grid, FluxKind::Upwind);
         op.surface_velocity(-1.0, &f, &em, &mut out, &mut ws, 0..nconf);
         let n = count_allocs(|| {
             for _ in 0..3 {
@@ -209,7 +206,7 @@ fn rhs_and_lbo_loops_allocate_nothing() {
     // --- Wall boundary conditions: ghost synthesis (absorb + reflect),
     // staged interior updates, and the wall-flux ledger must all run out
     // of the persistent workspace — zero allocations with walls active,
-    // through both dispatch paths. With generated kernels this is the
+    // through both kernel paths. With generated kernels this is the
     // serial cell-lane pass, velocity faces included (1x1v), its panels
     // sized on the warm-up call; 11 velocity cells end it on a partial lane
     // group at either width. ---
@@ -231,13 +228,14 @@ fn rhs_and_lbo_loops_allocate_nothing() {
     }
     let mut out = DgField::zeros(sp.f.ncells(), sp.f.ncoeff());
     let mut ws = VlasovWorkspace::for_kernels(&kernels);
-    for dispatch in [KernelDispatch::Generated, KernelDispatch::RuntimeSparse] {
-        let op = VlasovOp::with_dispatch(
+    for row in [row_for(&kernels), None] {
+        let op = VlasovOp::with_row(
             std::sync::Arc::clone(&kernels),
             grid.clone(),
             FluxKind::Upwind,
-            dispatch,
+            row,
         );
+        let path = op.dispatch_path();
         out.fill(0.0);
         op.accumulate_rhs(sp.qm(), &sp.f, &em, &mut out, &mut ws);
         let n = count_allocs(|| {
@@ -248,12 +246,12 @@ fn rhs_and_lbo_loops_allocate_nothing() {
         });
         assert_eq!(
             n, 0,
-            "walled RHS ({dispatch:?}) allocated {n} times in the hot loop"
+            "walled RHS ({path:?}) allocated {n} times in the hot loop"
         );
     }
 
     // --- LBO collision RHS, 1x1v p=2 (weak divides, drag + LDG
-    // diffusion) — both dispatch paths: the committed stage kernels'
+    // diffusion) — both kernel paths: the generated stage kernels'
     // pencil-group sweep and the runtime sparse sweep each run out of
     // `LboScratch`. Six configuration cells are six pencils: one full
     // group of LANES and a partial one, both spanning cells. ---
@@ -267,9 +265,9 @@ fn rhs_and_lbo_loops_allocate_nothing() {
     sp.project_initial(&kernels, &grid, 4, &mut |_x, v| {
         maxwellian(0.7, &[-1.0], 0.7, v) + maxwellian(0.3, &[1.5], 0.5, v)
     });
-    for dispatch in [KernelDispatch::Generated, KernelDispatch::RuntimeSparse] {
-        let mut lbo =
-            LboOp::with_dispatch(std::sync::Arc::clone(&kernels), grid.clone(), 0.8, dispatch);
+    for row in [row_for(&kernels), None] {
+        let mut lbo = LboOp::with_row(std::sync::Arc::clone(&kernels), grid.clone(), 0.8, row);
+        let path = lbo.dispatch_path();
         let mut out = DgField::zeros(sp.f.ncells(), sp.f.ncoeff());
         lbo.accumulate_rhs(&sp.f, &mut out); // warm-up
         let n = count_allocs(|| {
@@ -280,17 +278,18 @@ fn rhs_and_lbo_loops_allocate_nothing() {
         });
         assert_eq!(
             n, 0,
-            "LBO RHS ({dispatch:?}) allocated {n} times in the hot loop"
+            "LBO RHS ({path:?}) allocated {n} times in the hot loop"
         );
     }
 
-    // --- Moment reduction (current + charge accumulation), both dispatch
-    // paths: the committed M0/M1 kernels and the runtime weak-op
+    // --- Moment reduction (current + charge accumulation), both kernel
+    // paths: the generated M0/M1 kernels and the runtime weak-op
     // reductions both work cell-in-place through `MomentScratch`. ---
     let mut j_out = DgField::zeros(grid.conf.len(), 3 * kernels.nc());
     let mut rho_out = DgField::zeros(grid.conf.len(), kernels.nc());
-    for dispatch in [KernelDispatch::Generated, KernelDispatch::RuntimeSparse] {
-        let mut mws = MomentScratch::with_dispatch(&kernels, dispatch);
+    for row in [row_for(&kernels), None] {
+        let mut mws = MomentScratch::with_row(row);
+        let path = mws.dispatch_path();
         let nconf = grid.conf.len();
         accumulate_current(
             &kernels,
@@ -320,7 +319,7 @@ fn rhs_and_lbo_loops_allocate_nothing() {
         });
         assert_eq!(
             n, 0,
-            "moment accumulation ({dispatch:?}) allocated {n} times in the hot loop"
+            "moment accumulation ({path:?}) allocated {n} times in the hot loop"
         );
     }
 
@@ -392,9 +391,18 @@ fn rhs_and_lbo_loops_allocate_nothing() {
     // with its blocks inline on the calling thread (one rank, three ranks)
     // and on the pool (2 × 2), telemetry off and on — three RHS sweeps,
     // the ledger fold and the fused stage updates out of its own buffers.
-    for (ranks, threads) in [(1, 1), (3, 1), (2, 2)] {
+    // The same, last, on a configuration outside the manifest (1x3v p1):
+    // the runtime-sparse path the way production reaches it, from the
+    // plain builder, collisions on.
+    let cases = [
+        (collisional_walled_1x1v as fn() -> App, 1, 1),
+        (collisional_walled_1x1v, 3, 1),
+        (collisional_walled_1x1v, 2, 2),
+        (collisional_1x3v_p1, 1, 1),
+    ];
+    for (app, ranks, threads) in cases {
         for telemetry in [false, true] {
-            let (sys, mut stepped) = collisional_walled_1x1v().into_parts();
+            let (sys, mut stepped) = app().into_parts();
             let mut backend = Backend::new(sys, ranks, threads);
             let reg = std::sync::Arc::new(vlasov_dg::telemetry::Registry::new(
                 backend.telemetry_slots(),
@@ -408,10 +416,11 @@ fn rhs_and_lbo_loops_allocate_nothing() {
                     backend.step(&mut stepped, 1e-3);
                 }
             });
+            let path = backend.system().vlasov.dispatch_path();
             assert_eq!(
                 n, 0,
-                "Backend::step at {ranks} rank(s) × {threads} thread(s), telemetry \
-                 {telemetry}, allocated {n} times in the hot loop"
+                "Backend::step ({path:?}) at {ranks} rank(s) × {threads} thread(s), \
+                 telemetry {telemetry}, allocated {n} times in the hot loop"
             );
             let evals = reg
                 .snapshot()
@@ -438,4 +447,27 @@ fn collisional_walled_1x1v() -> App {
         .telemetry(false)
         .build()
         .unwrap()
+}
+
+/// A collisional 1x3v p1 system — a configuration with no registry row,
+/// so every operator runs the runtime sparse-tensor path.
+fn collisional_1x3v_p1() -> App {
+    let app = AppBuilder::new()
+        .conf_grid(&[0.0], &[1.0], &[3])
+        .poly_order(1)
+        .basis(BasisKind::Serendipity)
+        .species(
+            SpeciesSpec::new("elc", -1.0, 1.0, &[-4.0; 3], &[4.0; 3], &[3, 2, 2])
+                .initial(|x, v| maxwellian(1.0 + 0.05 * x[0], &[0.3, 0.0, -0.2], 0.9, v))
+                .collisions(0.4),
+        )
+        .field(FieldSpec::new(2.0))
+        .telemetry(false)
+        .build()
+        .unwrap();
+    assert_eq!(
+        app.system().kernel_entry_points(),
+        "vlasov runtime-sparse, lbo runtime-sparse"
+    );
+    app
 }

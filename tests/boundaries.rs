@@ -3,25 +3,25 @@
 //! * the specular-reflection trace map (velocity-parity signs + mirrored
 //!   velocity cell) is an involution, preserves the zeroth moment, and
 //!   flips the wall-normal momentum — property-tested for **every basis
-//!   in the committed-kernel dispatch registry**;
+//!   in the generated-kernel registry**;
 //! * `Reflect` walls conserve mass to round-off at the full-RHS level and
 //!   through time stepping, and drain wall-normal momentum with the
 //!   expected sign;
-//! * wall faces agree between the committed unrolled surface kernels and
+//! * wall faces agree between the generated unrolled surface kernels and
 //!   the runtime sparse path;
 //! * with `Absorb` walls, the time-integrated `WallFluxLedger` balances
 //!   the mass actually missing from the domain to 1e-12;
 //! * `AppBuilder` rejects inconsistent BC declarations with typed
-//!   `Error::Build` values, and so does a forced `Generated` dispatch on a
-//!   configuration outside `codegen::MANIFEST`.
+//!   `Error::Build` values, and builds a configuration outside
+//!   `codegen::MANIFEST` on the runtime sparse path.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use vlasov_dg::core::species::{maxwellian, Species};
 use vlasov_dg::core::vlasov::{FluxKind, VlasovOp, VlasovWorkspace};
 use vlasov_dg::grid::{Bc, CartGrid, DgField, DimBc, PhaseGrid};
-use vlasov_dg::kernels::dispatch::surface_registry;
-use vlasov_dg::kernels::{kernels_for, KernelDispatch, PhaseLayout};
+use vlasov_dg::kernels::dispatch::{registry, row_for};
+use vlasov_dg::kernels::{kernels_for, PhaseLayout};
 use vlasov_dg::maxwell::NCOMP;
 use vlasov_dg::prelude::*;
 
@@ -49,9 +49,9 @@ fn reflect_block(signs: &[f64], mirror: &[usize], block: &[Vec<f64>]) -> Vec<Vec
 proptest! {
     #[test]
     fn reflection_trace_map_is_involutive_and_moment_preserving(seed in 0usize..48) {
-        // Every basis in the committed-kernel dispatch registry.
-        for entry in surface_registry() {
-            let kernels = kernels_for(entry.key.kind, entry.key.layout(), entry.key.poly_order);
+        // Every basis in the generated-kernel registry.
+        for row in registry() {
+            let kernels = kernels_for(row.key.kind, row.key.layout(), row.key.poly_order);
             let (cdim, vdim) = (kernels.layout.cdim, kernels.layout.vdim);
             let np = kernels.np();
             // Symmetric velocity grid, 4 cells per dimension.
@@ -75,7 +75,7 @@ proptest! {
                 let twice = reflect_block(signs, &mirror, &ghost);
                 // Involution: applying the trace map twice is the identity,
                 // bit for bit (signs are ±1, the mirror is a permutation).
-                prop_assert_eq!(&twice, &block, "{}: reflect² ≠ id", entry.name);
+                prop_assert_eq!(&twice, &block, "{}: reflect² ≠ id", row.surface.name);
 
                 // Zeroth moment (total number) is preserved exactly...
                 let m0_total = |b: &[Vec<f64>]| -> f64 {
@@ -88,7 +88,7 @@ proptest! {
                 let (n_f, n_g) = (m0_total(&block), m0_total(&ghost));
                 prop_assert!(
                     (n_f - n_g).abs() <= 1e-13 * n_f.abs().max(1.0),
-                    "{}: M0 {} vs {}", entry.name, n_f, n_g
+                    "{}: M0 {} vs {}", row.surface.name, n_f, n_g
                 );
 
                 // ...while the wall-normal momentum flips sign.
@@ -107,7 +107,7 @@ proptest! {
                 let (p_f, p_g) = (m1_total(&block), m1_total(&ghost));
                 prop_assert!(
                     (p_f + p_g).abs() <= 1e-12 * p_f.abs().max(1.0),
-                    "{}: M1 {} vs {}", entry.name, p_f, p_g
+                    "{}: M1 {} vs {}", row.surface.name, p_f, p_g
                 );
             }
         }
@@ -120,7 +120,7 @@ fn walled_op_1x1v(
     p: usize,
     bc: DimBc,
     drift: f64,
-    dispatch: KernelDispatch,
+    path: DispatchPath,
 ) -> (VlasovOp, Species, DgField) {
     let kernels = kernels_for(BasisKind::Serendipity, PhaseLayout::new(1, 1), p);
     let grid = PhaseGrid::new(
@@ -133,13 +133,18 @@ fn walled_op_1x1v(
         maxwellian(1.0 + 0.2 * (3.1 * x[0]).sin(), &[drift], 0.9, v)
     });
     let em = DgField::zeros(grid.conf.len(), NCOMP * kernels.nc());
-    let op = VlasovOp::with_dispatch(Arc::clone(&kernels), grid, FluxKind::Upwind, dispatch);
+    let row = match path {
+        DispatchPath::Generated => row_for(&kernels),
+        DispatchPath::RuntimeSparse => None,
+    };
+    let op = VlasovOp::with_row(Arc::clone(&kernels), grid, FluxKind::Upwind, row);
+    assert_eq!(op.dispatch_path(), path);
     (op, sp, em)
 }
 
 #[test]
 fn wall_faces_agree_between_generated_and_runtime_kernels() {
-    // 1x1v p2 Serendipity is in the committed registry; the wall-face path
+    // 1x1v p2 Serendipity is in the generated registry; the wall-face path
     // through the unrolled kernels must match the runtime sparse path to
     // round-off for every wall flavor and side combination.
     for bc in [
@@ -148,8 +153,8 @@ fn wall_faces_agree_between_generated_and_runtime_kernels() {
         DimBc::uniform(Bc::Copy),
         DimBc::new(Bc::Reflect, Bc::Absorb),
     ] {
-        let (op_gen, sp, em) = walled_op_1x1v(5, 8, 2, bc, 1.1, KernelDispatch::Generated);
-        let (op_rt, _, _) = walled_op_1x1v(5, 8, 2, bc, 1.1, KernelDispatch::RuntimeSparse);
+        let (op_gen, sp, em) = walled_op_1x1v(5, 8, 2, bc, 1.1, DispatchPath::Generated);
+        let (op_rt, _, _) = walled_op_1x1v(5, 8, 2, bc, 1.1, DispatchPath::RuntimeSparse);
         let mut ws = VlasovWorkspace::for_kernels(&op_gen.kernels);
         let mut out_gen = DgField::zeros(sp.f.ncells(), sp.f.ncoeff());
         op_gen.accumulate_rhs(sp.qm(), &sp.f, &em, &mut out_gen, &mut ws);
@@ -182,8 +187,8 @@ fn reflect_walls_conserve_mass_and_drain_drift_momentum() {
     // RHS level: with specular walls every face flux is mass-neutral, so
     // the total mode-0 RHS vanishes to round-off; the wall-normal momentum
     // of a drifting plasma decreases (the wall pushes back).
-    for dispatch in [KernelDispatch::Generated, KernelDispatch::RuntimeSparse] {
-        let (op, sp, em) = walled_op_1x1v(6, 10, 2, DimBc::uniform(Bc::Reflect), 1.5, dispatch);
+    for path in [DispatchPath::Generated, DispatchPath::RuntimeSparse] {
+        let (op, sp, em) = walled_op_1x1v(6, 10, 2, DimBc::uniform(Bc::Reflect), 1.5, path);
         let mut ws = VlasovWorkspace::for_kernels(&op.kernels);
         let mut out = DgField::zeros(sp.f.ncells(), sp.f.ncoeff());
         op.accumulate_rhs(sp.qm(), &sp.f, &em, &mut out, &mut ws);
@@ -191,7 +196,7 @@ fn reflect_walls_conserve_mass_and_drain_drift_momentum() {
         let mag: f64 = (0..out.ncells()).map(|c| out.cell(c)[0].abs()).sum();
         assert!(
             total.abs() < 1e-12 * mag.max(1.0),
-            "{dispatch:?}: reflecting walls leak mass: {total:.3e} (scale {mag:.3e})"
+            "{path:?}: reflecting walls leak mass: {total:.3e} (scale {mag:.3e})"
         );
         // Momentum: d/dt Σ M1 < 0 for a +x drift (upper wall reflects the
         // incident momentum flux back into the domain with flipped sign).
@@ -215,7 +220,7 @@ fn reflect_walls_conserve_mass_and_drain_drift_momentum() {
         }
         assert!(
             m1[0] < 0.0,
-            "{dispatch:?}: +x drift against a reflecting wall must lose +x momentum, got {}",
+            "{path:?}: +x drift against a reflecting wall must lose +x momentum, got {}",
             m1[0]
         );
         // The ledger confirms the mass-neutrality per wall.
@@ -372,33 +377,45 @@ fn builder_rejects_inconsistent_bc_configs() {
 }
 
 #[test]
-fn builder_rejects_forced_generated_dispatch_outside_the_manifest() {
-    // 1x3v p1 has no generated kernels: forcing them is a typed build
-    // error that names the configuration, not a panic.
-    let builder = || {
-        AppBuilder::new()
-            .conf_grid(&[0.0], &[1.0], &[2])
-            .poly_order(1)
-            .species(
-                SpeciesSpec::new("e", -1.0, 1.0, &[-4.0; 3], &[4.0; 3], &[2, 2, 2])
-                    .initial(|_x, v| maxwellian(1.0, &[0.0; 3], 1.0, v)),
-            )
-            .field(FieldSpec::new(1.0))
-    };
-    let err = builder()
-        .kernel_dispatch(KernelDispatch::Generated)
+fn builder_runs_configs_outside_the_manifest_on_runtime_sparse() {
+    // 1x3v p1 has no registry row: the plain builder builds it, every
+    // operator runs the runtime sparse path, and a collisional run
+    // conserves mass to round-off.
+    let mut app = AppBuilder::new()
+        .conf_grid(&[0.0], &[1.0], &[3])
+        .poly_order(1)
+        .species(
+            SpeciesSpec::new("e", -1.0, 1.0, &[-4.0; 3], &[4.0; 3], &[3, 2, 2])
+                .initial(|x, v| {
+                    maxwellian(
+                        1.0 + 0.1 * (2.0 * std::f64::consts::PI * x[0]).cos(),
+                        &[0.3, 0.0, -0.2],
+                        1.0,
+                        v,
+                    )
+                })
+                .collisions(0.5),
+        )
+        .field(FieldSpec::new(1.0))
         .build()
-        .err()
-        .expect("forced Generated outside the manifest must not build");
-    assert!(matches!(err, Error::Build(_)), "got {err:?}");
-    let msg = err.to_string();
-    assert!(msg.contains("Serendipity 1x3v p=1"), "{msg}");
-    assert!(
-        msg.contains("add it to `codegen::MANIFEST` and rebuild"),
-        "{msg}"
+        .expect("a configuration outside the manifest builds");
+    assert_eq!(
+        app.system().kernel_entry_points(),
+        "vlasov runtime-sparse, lbo runtime-sparse"
     );
-    // The same configuration builds on the default dispatch.
-    assert!(builder().build().is_ok());
+    assert_eq!(
+        app.system().vlasov.dispatch_path(),
+        DispatchPath::RuntimeSparse
+    );
+    let mut h = EnergyHistory::new();
+    app.set_fixed_dt(1e-3);
+    app.run(5e-3, &mut [&mut h]).unwrap();
+    assert_eq!(app.steps_taken(), 5);
+    assert!(
+        h.mass_drift() < 1e-12,
+        "runtime-sparse mass drift {:.3e}",
+        h.mass_drift()
+    );
 }
 
 #[test]

@@ -10,25 +10,20 @@
 
 use vlasov_dg::basis::BasisKind;
 use vlasov_dg::core::app::{App, AppBuilder, FieldSpec, SpeciesSpec};
+use vlasov_dg::core::backend::Backend;
 use vlasov_dg::core::species::maxwellian;
-use vlasov_dg::core::system::FluxKind;
+use vlasov_dg::core::system::{FluxKind, SystemState};
 use vlasov_dg::diag::EnergyHistory;
-use vlasov_dg::kernels::{DispatchPath, KernelDispatch};
+use vlasov_dg::kernels::DispatchPath;
 use vlasov_dg::maxwell::MaxwellFlux;
 
-fn langmuir_app_with_dispatch(
-    p: usize,
-    vlasov_flux: FluxKind,
-    mx_flux: MaxwellFlux,
-    dispatch: KernelDispatch,
-) -> App {
+fn langmuir_app(p: usize, vlasov_flux: FluxKind, mx_flux: MaxwellFlux) -> App {
     let k = 0.5;
     AppBuilder::new()
         .conf_grid(&[0.0], &[2.0 * std::f64::consts::PI / k], &[8])
         .poly_order(p)
         .basis(BasisKind::Serendipity)
         .vlasov_flux(vlasov_flux)
-        .kernel_dispatch(dispatch)
         .species(
             SpeciesSpec::new("elc", -1.0, 1.0, &[-6.0], &[6.0], &[16])
                 .initial(move |x, v| maxwellian(1.0 + 0.05 * (k * x[0]).cos(), &[0.0], 1.0, v)),
@@ -38,8 +33,23 @@ fn langmuir_app_with_dispatch(
         .unwrap()
 }
 
-fn langmuir_app(p: usize, vlasov_flux: FluxKind, mx_flux: MaxwellFlux) -> App {
-    langmuir_app_with_dispatch(p, vlasov_flux, mx_flux, KernelDispatch::Auto)
+/// `app`'s system rebuilt on the runtime sparse-tensor path (every
+/// operator, collisions included), stepped `steps` times by `dt` from the
+/// App's initial state — the oracle a generated run is compared against.
+fn runtime_sparse_twin(app: App, dt: f64, steps: usize) -> SystemState {
+    let (system, mut state) = app.into_parts();
+    let system = system.into_runtime_sparse();
+    assert_eq!(system.vlasov.dispatch_path(), DispatchPath::RuntimeSparse);
+    assert!(system
+        .collisions()
+        .iter()
+        .flatten()
+        .all(|op| op.dispatch_path() == DispatchPath::RuntimeSparse));
+    let mut engine = Backend::new(system, 1, 1);
+    for _ in 0..steps {
+        engine.step(&mut state, dt);
+    }
+    state
 }
 
 fn run_and_record(app: &mut App, dt: f64, steps: usize) -> EnergyHistory {
@@ -55,17 +65,12 @@ fn run_and_record(app: &mut App, dt: f64, steps: usize) -> EnergyHistory {
 
 #[test]
 fn forced_generated_dispatch_conserves_mass_and_matches_runtime() {
-    // 1X1V p=2 Serendipity is in the committed-kernel registry. A full
-    // nonlinear run with the dispatch forced to the generated path must
-    // conserve mass to round-off, and the end state must agree with the
-    // forced runtime-sparse run to round-off — dispatch is a pure
-    // implementation switch, never a physics switch.
-    let mut app_gen = langmuir_app_with_dispatch(
-        2,
-        FluxKind::Upwind,
-        MaxwellFlux::Central,
-        KernelDispatch::Generated,
-    );
+    // 1X1V p=2 Serendipity is in the generated-kernel registry. A full
+    // nonlinear run on the generated path must conserve mass to round-off,
+    // and the end state must agree with the runtime-sparse oracle to
+    // round-off — the kernel path is an implementation choice, never a
+    // physics one.
+    let mut app_gen = langmuir_app(2, FluxKind::Upwind, MaxwellFlux::Central);
     assert_eq!(
         app_gen.system().vlasov.dispatch_path(),
         DispatchPath::Generated
@@ -77,19 +82,13 @@ fn forced_generated_dispatch_conserves_mass_and_matches_runtime() {
         h.mass_drift()
     );
 
-    let mut app_rt = langmuir_app_with_dispatch(
-        2,
-        FluxKind::Upwind,
-        MaxwellFlux::Central,
-        KernelDispatch::RuntimeSparse,
+    let rt = runtime_sparse_twin(
+        langmuir_app(2, FluxKind::Upwind, MaxwellFlux::Central),
+        2e-3,
+        100,
     );
-    assert_eq!(
-        app_rt.system().vlasov.dispatch_path(),
-        DispatchPath::RuntimeSparse
-    );
-    run_and_record(&mut app_rt, 2e-3, 100);
 
-    let (fg, fr) = (&app_gen.state().species_f[0], &app_rt.state().species_f[0]);
+    let (fg, fr) = (&app_gen.state().species_f[0], &rt.species_f[0]);
     let scale = fr.max_abs().max(1.0);
     for c in 0..fr.ncells() {
         for (a, b) in fg.cell(c).iter().zip(fr.cell(c)) {
@@ -234,18 +233,16 @@ fn lbo_collisions_preserve_density_in_full_runs() {
 #[test]
 fn full_dimensionality_generated_run_conserves_and_matches_runtime() {
     // 2X3V p=2 Serendipity — the paper's Eop configuration (Np = 112) —
-    // is in the committed registry for all four kernel families since
-    // ISSUE 7: volume, surfaces, moments, and the LBO stages. A short
-    // nonlinear collisional run forced onto the generated path must
-    // conserve mass to round-off and agree with the forced runtime-sparse
-    // twin to round-off, so the full-dimensionality kernels are validated
-    // end to end, not just per-cell.
-    let build = |dispatch: KernelDispatch| {
+    // has a registry row: volume, surfaces, moments, and the LBO stages.
+    // A short nonlinear collisional run on the generated path must
+    // conserve mass to round-off and agree with the runtime-sparse twin
+    // (collisions included) to round-off, so the full-dimensionality
+    // kernels are validated end to end, not just per-cell.
+    let build = || {
         AppBuilder::new()
             .conf_grid(&[0.0, 0.0], &[1.0, 1.0], &[2, 2])
             .poly_order(2)
             .basis(BasisKind::Serendipity)
-            .kernel_dispatch(dispatch)
             .species(
                 SpeciesSpec::new("elc", -1.0, 1.0, &[-6.0; 3], &[6.0; 3], &[3, 3, 3])
                     .initial(|x, v| {
@@ -263,7 +260,7 @@ fn full_dimensionality_generated_run_conserves_and_matches_runtime() {
             .unwrap()
     };
 
-    let mut app_gen = build(KernelDispatch::Generated);
+    let mut app_gen = build();
     assert_eq!(
         app_gen.system().vlasov.dispatch_path(),
         DispatchPath::Generated
@@ -275,14 +272,9 @@ fn full_dimensionality_generated_run_conserves_and_matches_runtime() {
         h.mass_drift()
     );
 
-    let mut app_rt = build(KernelDispatch::RuntimeSparse);
-    assert_eq!(
-        app_rt.system().vlasov.dispatch_path(),
-        DispatchPath::RuntimeSparse
-    );
-    run_and_record(&mut app_rt, 1e-3, 10);
+    let rt = runtime_sparse_twin(build(), 1e-3, 10);
 
-    let (fg, fr) = (&app_gen.state().species_f[0], &app_rt.state().species_f[0]);
+    let (fg, fr) = (&app_gen.state().species_f[0], &rt.species_f[0]);
     let scale = fr.max_abs().max(1.0);
     for c in 0..fr.ncells() {
         for (a, b) in fg.cell(c).iter().zip(fr.cell(c)) {
