@@ -389,9 +389,9 @@ mod tests {
         // tests/decomposition/mod.rs): the per-block sweeps of every partition
         // of dimension 0 add up to the one-block sweep bit for bit, and that
         // one equals the per-phase sweeps (`volume`, `surface_config` by
-        // direction, `surface_velocity`). The generated path runs the
-        // cell-lane pass — on 1v with the velocity faces —, runtime-sparse
-        // the per-phase fallback; partial lane groups at either width (a
+        // direction, `surface_velocity`). Both paths run the cell-lane pass
+        // — on 1v with the velocity faces —, runtime-sparse at one lane;
+        // partial lane groups at either generated width (a
         // partial last one after full ones on 1v: 11 cells), walls on both
         // sides of both axes.
         let walled =

@@ -26,66 +26,19 @@
 //!   away with velocity resolution and extent (Gkeyll adds boundary
 //!   corrections for exact conservation; documented difference).
 
-use dg_basis::expand;
 use dg_grid::{CellStoreMut, DgField, PhaseGrid};
+use dg_kernels::codegen::{lbo_dir_tables, LboDirTables};
 use dg_kernels::dispatch::{
-    path_of, row_for, DispatchPath, KernelRow, LboBatch, PencilLanes, LANES, RUNTIME_SPARSE_TAG,
+    path_of, row_for, DispatchPath, KernelRow, LboBatch, LANES, RUNTIME_SPARSE_TAG,
 };
 use dg_kernels::panel::LanePanel;
-use dg_kernels::surface::FaceScratch;
-use dg_kernels::triple::{build_triple, DimTable, SparseTriple, TripleSpec};
+use dg_kernels::sparse::SparseScratch;
 use dg_kernels::weak::WeakDivScratch;
 use dg_kernels::PhaseKernels;
-use dg_poly::MAX_DIM;
 use dg_telemetry::{span, Collector, Phase};
 use std::sync::Arc;
 
 use crate::moments::MomentScratch;
-
-/// Sparse `∫ ∂_D w_l w_m dξ` (phase-basis gradient-mass, for the LDG
-/// gradient pass).
-#[derive(Clone, Debug)]
-struct PhaseGradMass {
-    entries: Vec<(u16, u16, f64)>,
-}
-
-impl PhaseGradMass {
-    // dg-analyze: allow(hot_alloc) — stencil-table construction, runs once per operator
-    fn build(kernels: &PhaseKernels, dir: usize) -> Self {
-        let basis = &kernels.phase_basis;
-        let t = dg_poly::tables::Tables1d::new(basis.poly_order());
-        let mut entries = Vec::new();
-        for l in 0..basis.len() {
-            for m in 0..basis.len() {
-                let (el, em) = (basis.exps(l), basis.exps(m));
-                let mut v = 1.0;
-                for d in 0..basis.ndim() {
-                    v *= if d == dir {
-                        t.grad_mass(el[d] as usize, em[d] as usize)
-                    } else if el[d] == em[d] {
-                        1.0
-                    } else {
-                        0.0
-                    };
-                    if v == 0.0 {
-                        break;
-                    }
-                }
-                if v != 0.0 {
-                    entries.push((l as u16, m as u16, v));
-                }
-            }
-        }
-        PhaseGradMass { entries }
-    }
-
-    #[inline]
-    fn apply(&self, f: &[f64], scale: f64, out: &mut [f64]) {
-        for &(l, m, c) in &self.entries {
-            out[l as usize] += scale * c * f[m as usize];
-        }
-    }
-}
 
 /// Persistent scratch for one LBO operator: every moment field, primitive
 /// field, pencil-group panel, and per-cell buffer the RHS evaluation
@@ -98,8 +51,7 @@ impl PhaseGradMass {
 /// [`LboOp::accumulate_rhs_range`] on disjoint configuration ranges — the
 /// moment/primitive fields are conf-sized, but each thread only touches
 /// its own range's cells. Nothing here is phase-space-sized: the LDG
-/// gradient lives for one pencil position (generated path) or one
-/// configuration cell (runtime-sparse path) at a time.
+/// gradient lives for one pencil position at a time, on either path.
 #[derive(Clone, Debug)]
 pub struct LboScratch {
     /// Raw moments M0 / M1_j / M2.
@@ -109,18 +61,17 @@ pub struct LboScratch {
     /// Primitive moments u_j and vth².
     u: Vec<DgField>,
     vth2: DgField,
-    /// Generated path: the resident pencil group in SoA form — `f` and
-    /// `out` of its [`LANES`] pencils (`max_j n_j × Np` lane groups each),
-    /// the LDG gradient `g = ∂f/∂v_j` of one position along them (`Np`),
-    /// and the pencils' primitive moments `u_j` / `vth²` (`Nc` each).
+    /// The resident pencil group in SoA form — `f` and `out` of its
+    /// pencils (`max_j n_j × Np` lane groups each), the LDG gradient
+    /// `g = ∂f/∂v_j` of one position along them (`Np`), and the pencils'
+    /// primitive moments `u_j` / `vth²` (`Nc` each) — sized for [`LANES`]
+    /// pencils, viewed at the width the operator runs (one pencil on the
+    /// runtime-sparse path).
     pencil_f: LanePanel,
     pencil_out: LanePanel,
     lane_g: LanePanel,
     lane_u: LanePanel,
     lane_vth2: LanePanel,
-    /// Runtime-sparse path: the LDG gradient of one configuration cell's
-    /// velocity block.
-    g: DgField,
     /// Per-cell weak-algebra buffers (rhs of the vth² solve, weak
     /// products, scaled densities) — formerly `vec!`'d per cell.
     rhs: Vec<f64>,
@@ -128,13 +79,8 @@ pub struct LboScratch {
     dv_m0: Vec<f64>,
     /// Weak-division factorization scratch.
     div: WeakDivScratch,
-    /// Runtime-sparse path: phase/face expansion buffers and face scratch.
-    alpha: Vec<f64>,
-    alpha_face: Vec<f64>,
-    trace: Vec<f64>,
-    ghat: Vec<f64>,
-    fs: FaceScratch,
-    vidx: Vec<usize>,
+    /// The runtime sparse-tensor evaluator's scratch.
+    sparse: SparseScratch,
     mom: MomentScratch,
     /// Telemetry writer for this scratch's thread (noop unless the
     /// backend instruments the run).
@@ -146,12 +92,7 @@ impl LboScratch {
     fn new(kernels: &PhaseKernels, grid: &PhaseGrid, row: Option<&'static KernelRow>) -> Self {
         let nconf = grid.conf.len();
         let (nc, np, vdim) = (kernels.nc(), kernels.np(), kernels.layout.vdim);
-        let nf = kernels.max_face_len();
-        let mut fs = FaceScratch::default();
-        fs.ensure(nf);
-        // Only the path the operator runs gets its buffers.
-        let generated = row.is_some();
-        let pencil = |groups: usize| LanePanel::zeros(if generated { groups * LANES } else { 0 });
+        let pencil = |groups: usize| LanePanel::zeros(groups * LANES);
         let longest = grid.vel.cells().iter().copied().max().unwrap_or(0);
         LboScratch {
             m0: DgField::zeros(nconf, nc),
@@ -164,17 +105,11 @@ impl LboScratch {
             lane_g: pencil(np),
             lane_u: pencil(nc),
             lane_vth2: pencil(nc),
-            g: DgField::zeros(if generated { 0 } else { grid.vel.len() }, np),
             rhs: vec![0.0; nc],
             prod: vec![0.0; nc],
             dv_m0: vec![0.0; nc],
             div: WeakDivScratch::new(nc),
-            alpha: vec![0.0; np],
-            alpha_face: vec![0.0; nf],
-            trace: vec![0.0; nf],
-            ghat: vec![0.0; nf],
-            fs,
-            vidx: vec![0; vdim],
+            sparse: SparseScratch::for_kernels(kernels),
             // The moment path follows the operator's row, so the
             // runtime-sparse oracle runs its moments on that path too.
             mom: MomentScratch::with_row(row),
@@ -191,20 +126,219 @@ impl LboScratch {
     }
 }
 
-/// The `v_j`-pencils of one configuration cell and the batched stage
-/// kernels that sweep them — the generated path's per-direction table.
-struct PencilDir {
-    /// Linear velocity index of every pencil's first cell (index 0 along
-    /// `v_j`), ascending; the pencil's cell `i` is `i · stride(j)` above.
-    bases: Vec<u32>,
-    /// The five stage kernels over [`LANES`] pencils, as selected for this
-    /// CPU.
-    batch: LboBatch,
+/// The five LBO stages of one velocity direction at lane width `L`, as a
+/// registry row's batched entry points ([`LboBatch`], [`LANES`] pencils) and
+/// the runtime sparse-tensor evaluator ([`LboDirTables`], one pencil) each
+/// provide them, in the generated calling conventions over panels. The
+/// pencil-group sweep is written once over this trait; `sc` is the
+/// evaluator's scratch, which the generated entry points ignore.
+#[allow(clippy::too_many_arguments)]
+trait LboEval<const L: usize> {
+    fn drag_vol(
+        &self,
+        nu: f64,
+        v_c: f64,
+        dv: f64,
+        u: &[[f64; L]],
+        f: &[[f64; L]],
+        out: &mut [[f64; L]],
+        sc: &mut SparseScratch,
+    );
+    fn drag_surf(
+        &self,
+        nu: f64,
+        vstar: f64,
+        dv: f64,
+        u: &[[f64; L]],
+        f_lo: &[[f64; L]],
+        f_hi: &[[f64; L]],
+        out_lo: &mut [[f64; L]],
+        out_hi: &mut [[f64; L]],
+        sc: &mut SparseScratch,
+    );
+    fn diff_grad(
+        &self,
+        dv: f64,
+        at_upper: bool,
+        f: &[[f64; L]],
+        f_up: &[[f64; L]],
+        g: &mut [[f64; L]],
+        sc: &mut SparseScratch,
+    );
+    fn diff_vol(
+        &self,
+        nu: f64,
+        dv: f64,
+        vth2: &[[f64; L]],
+        g: &[[f64; L]],
+        out: &mut [[f64; L]],
+        sc: &mut SparseScratch,
+    );
+    fn diff_surf(
+        &self,
+        nu: f64,
+        dv: f64,
+        vth2: &[[f64; L]],
+        g_lo: &[[f64; L]],
+        out_lo: &mut [[f64; L]],
+        out_hi: &mut [[f64; L]],
+        sc: &mut SparseScratch,
+    );
+}
+
+#[allow(clippy::too_many_arguments)]
+impl LboEval<LANES> for LboBatch {
+    #[inline]
+    fn drag_vol(
+        &self,
+        nu: f64,
+        v_c: f64,
+        dv: f64,
+        u: &[[f64; LANES]],
+        f: &[[f64; LANES]],
+        out: &mut [[f64; LANES]],
+        _: &mut SparseScratch,
+    ) {
+        LboBatch::drag_vol(self, nu, v_c, dv, u, f, out)
+    }
+    #[inline]
+    fn drag_surf(
+        &self,
+        nu: f64,
+        vstar: f64,
+        dv: f64,
+        u: &[[f64; LANES]],
+        f_lo: &[[f64; LANES]],
+        f_hi: &[[f64; LANES]],
+        out_lo: &mut [[f64; LANES]],
+        out_hi: &mut [[f64; LANES]],
+        _: &mut SparseScratch,
+    ) {
+        LboBatch::drag_surf(self, nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi)
+    }
+    #[inline]
+    fn diff_grad(
+        &self,
+        dv: f64,
+        at_upper: bool,
+        f: &[[f64; LANES]],
+        f_up: &[[f64; LANES]],
+        g: &mut [[f64; LANES]],
+        _: &mut SparseScratch,
+    ) {
+        LboBatch::diff_grad(self, dv, at_upper, f, f_up, g)
+    }
+    #[inline]
+    fn diff_vol(
+        &self,
+        nu: f64,
+        dv: f64,
+        vth2: &[[f64; LANES]],
+        g: &[[f64; LANES]],
+        out: &mut [[f64; LANES]],
+        _: &mut SparseScratch,
+    ) {
+        LboBatch::diff_vol(self, nu, dv, vth2, g, out)
+    }
+    #[inline]
+    fn diff_surf(
+        &self,
+        nu: f64,
+        dv: f64,
+        vth2: &[[f64; LANES]],
+        g_lo: &[[f64; LANES]],
+        out_lo: &mut [[f64; LANES]],
+        out_hi: &mut [[f64; LANES]],
+        _: &mut SparseScratch,
+    ) {
+        LboBatch::diff_surf(self, nu, dv, vth2, g_lo, out_lo, out_hi)
+    }
+}
+
+/// One pencil: an `[[f64; 1]]` panel is a plain slice.
+#[allow(clippy::too_many_arguments)]
+impl LboEval<1> for LboDirTables {
+    fn drag_vol(
+        &self,
+        nu: f64,
+        v_c: f64,
+        dv: f64,
+        u: &[[f64; 1]],
+        f: &[[f64; 1]],
+        out: &mut [[f64; 1]],
+        sc: &mut SparseScratch,
+    ) {
+        let (u, f) = (u.as_flattened(), f.as_flattened());
+        LboDirTables::drag_vol(self, nu, v_c, dv, u, f, out.as_flattened_mut(), sc)
+    }
+    fn drag_surf(
+        &self,
+        nu: f64,
+        vstar: f64,
+        dv: f64,
+        u: &[[f64; 1]],
+        f_lo: &[[f64; 1]],
+        f_hi: &[[f64; 1]],
+        out_lo: &mut [[f64; 1]],
+        out_hi: &mut [[f64; 1]],
+        sc: &mut SparseScratch,
+    ) {
+        let (u, f_lo, f_hi) = (u.as_flattened(), f_lo.as_flattened(), f_hi.as_flattened());
+        let (out_lo, out_hi) = (out_lo.as_flattened_mut(), out_hi.as_flattened_mut());
+        LboDirTables::drag_surf(self, nu, vstar, dv, u, f_lo, f_hi, out_lo, out_hi, sc)
+    }
+    fn diff_grad(
+        &self,
+        dv: f64,
+        at_upper: bool,
+        f: &[[f64; 1]],
+        f_up: &[[f64; 1]],
+        g: &mut [[f64; 1]],
+        sc: &mut SparseScratch,
+    ) {
+        let (f, f_up, g) = (f.as_flattened(), f_up.as_flattened(), g.as_flattened_mut());
+        LboDirTables::diff_grad(self, dv, at_upper, f, f_up, g, sc)
+    }
+    fn diff_vol(
+        &self,
+        nu: f64,
+        dv: f64,
+        vth2: &[[f64; 1]],
+        g: &[[f64; 1]],
+        out: &mut [[f64; 1]],
+        sc: &mut SparseScratch,
+    ) {
+        let (vth2, g) = (vth2.as_flattened(), g.as_flattened());
+        LboDirTables::diff_vol(self, nu, dv, vth2, g, out.as_flattened_mut(), sc)
+    }
+    fn diff_surf(
+        &self,
+        nu: f64,
+        dv: f64,
+        vth2: &[[f64; 1]],
+        g_lo: &[[f64; 1]],
+        out_lo: &mut [[f64; 1]],
+        out_hi: &mut [[f64; 1]],
+        sc: &mut SparseScratch,
+    ) {
+        let (vth2, g_lo) = (vth2.as_flattened(), g_lo.as_flattened());
+        let (out_lo, out_hi) = (out_lo.as_flattened_mut(), out_hi.as_flattened_mut());
+        LboDirTables::diff_surf(self, nu, dv, vth2, g_lo, out_lo, out_hi, sc)
+    }
+}
+
+/// The stage kernels of every velocity direction, resolved from the
+/// registry row once: the batched entry points chosen for this CPU, or —
+/// without a row — the runtime evaluator's tables, built by the generator's
+/// own [`lbo_dir_tables`].
+enum LboStages {
+    X4(Vec<LboBatch>),
+    X1(Vec<LboDirTables>),
 }
 
 /// Copy one cell's coefficients into lane `lane` of an SoA panel.
 #[inline]
-fn pack_lane(panel: &mut [PencilLanes], lane: usize, cell: &[f64]) {
+fn pack_lane<const L: usize>(panel: &mut [[f64; L]], lane: usize, cell: &[f64]) {
     for (p, &c) in panel.iter_mut().zip(cell) {
         p[lane] = c;
     }
@@ -212,7 +346,7 @@ fn pack_lane(panel: &mut [PencilLanes], lane: usize, cell: &[f64]) {
 
 /// Copy lane `lane` of an SoA panel back into one cell's coefficients.
 #[inline]
-fn store_lane(cell: &mut [f64], panel: &[PencilLanes], lane: usize) {
+fn store_lane<const L: usize>(cell: &mut [f64], panel: &[[f64; L]], lane: usize) {
     for (c, p) in cell.iter_mut().zip(panel) {
         *c = p[lane];
     }
@@ -228,25 +362,15 @@ pub struct LboOp {
     /// `Option` so it can be lent out around the `&self`-ranged core
     /// without a self-borrow conflict — always `Some` between calls.
     scratch: Option<LboScratch>,
-    /// Per velocity dir: drag volume tensor (`m` support: conf ⊗ {1, ξ_j}).
-    drag_vol: Vec<SparseTriple>,
-    /// Per velocity dir: diffusion volume tensor (`m` support: conf only).
-    diff_vol: Vec<SparseTriple>,
-    /// Per velocity dir: phase gradient-mass for the LDG gradient.
-    grad_mass: Vec<PhaseGradMass>,
-    /// conf mode → phase mode with zero velocity exponents.
-    emb_phase: Vec<u16>,
-    /// per velocity dir: conf mode → face mode (velocity-face basis).
-    emb_face: Vec<Vec<u16>>,
-    /// Weights of the conf→phase / conf→face constant-velocity embeddings.
-    w_phase: f64,
-    w_face: f64,
     /// The configuration's registry row, looked up once at construction:
     /// `Some` runs the generated stage kernels, `None` the runtime path.
     row: Option<&'static KernelRow>,
-    /// Generated path: the pencil table of every velocity direction
-    /// (empty on the runtime-sparse path).
-    pencils: Vec<PencilDir>,
+    /// The stage kernels of every velocity direction, resolved with `row`.
+    stages: LboStages,
+    /// Per velocity direction `j`: the linear velocity index of every
+    /// `v_j`-pencil's first cell (index 0 along `v_j`), ascending; the
+    /// pencil's cell `i` is `i · stride(j)` above.
+    pencils: Vec<Vec<u32>>,
     /// Velocity-cell centres per linear velocity index, for the
     /// primitive-moment sweep.
     vel_centers: Vec<[f64; 3]>,
@@ -270,91 +394,23 @@ impl LboOp {
         nu: f64,
         row: Option<&'static KernelRow>,
     ) -> Self {
-        let (cdim, vdim) = (kernels.layout.cdim, kernels.layout.vdim);
-        let p = kernels.phase_basis.poly_order();
-        let phase = &kernels.phase_basis;
-        let conf = &kernels.conf_basis;
-
-        let mut drag_vol = Vec::new();
-        let mut diff_vol = Vec::new();
-        let mut grad_mass = Vec::new();
-        let mut emb_face = Vec::new();
-        for j in 0..vdim {
-            let dir = cdim + j;
-            let dim_tables: Vec<DimTable> = (0..phase.ndim())
-                .map(|d| {
-                    if d == dir {
-                        DimTable::Grad
-                    } else {
-                        DimTable::Mass
-                    }
-                })
-                .collect();
-            // Drag: α = −ν(v_j − u_j(x)) → conf modes plus the ξ_j mode.
-            let mut caps = [0u8; MAX_DIM];
-            for c in caps.iter_mut().take(cdim) {
-                *c = p as u8;
-            }
-            caps[dir] = 1;
-            let spec = TripleSpec {
-                basis_l: phase,
-                basis_m: phase,
-                basis_n: phase,
-                dim_tables: &dim_tables,
-                m_caps: Some(&caps),
-                m_filter: None,
-            };
-            drag_vol.push(build_triple(&spec, &kernels.tables));
-            // Diffusion: vth²(x) → conf modes only.
-            caps[dir] = 0;
-            let spec = TripleSpec {
-                basis_l: phase,
-                basis_m: phase,
-                basis_n: phase,
-                dim_tables: &dim_tables,
-                m_caps: Some(&caps),
-                m_filter: None,
-            };
-            diff_vol.push(build_triple(&spec, &kernels.tables));
-            grad_mass.push(PhaseGradMass::build(&kernels, dir));
-
-            // conf → velocity-face embedding (conf dims precede dir).
-            let fb = &kernels.surfaces[dir].kernel.face.basis;
-            let mut emb = Vec::with_capacity(conf.len());
-            for l in 0..conf.len() {
-                let mut fe = [0u8; MAX_DIM];
-                fe[..cdim].copy_from_slice(&conf.exps(l)[..cdim]);
-                emb.push(fb.find(&fe).expect("conf embeds in velocity face") as u16);
-            }
-            emb_face.push(emb);
-        }
-
-        let mut emb_phase = Vec::with_capacity(conf.len());
-        for l in 0..conf.len() {
-            let mut pe = [0u8; MAX_DIM];
-            pe[..cdim].copy_from_slice(&conf.exps(l)[..cdim]);
-            emb_phase.push(phase.find(&pe).expect("conf embeds in phase") as u16);
-        }
-        let w_phase = (2.0f64).powi(vdim as i32).sqrt();
-        let w_face = (2.0f64).powi(vdim as i32 - 1).sqrt();
-        let pencils = match row {
-            Some(row) => (0..vdim)
-                .map(|j| {
-                    // Row-major velocity grid: the cells with index 0 along
-                    // `v_j` are the first `stride` of every `n_j · stride`.
-                    let stride = grid.vel.stride(j);
-                    let period = grid.vel.cells()[j] * stride;
-                    PencilDir {
-                        bases: (0..grid.vel.len())
-                            .filter(|vlin| vlin % period < stride)
-                            .map(|vlin| vlin as u32)
-                            .collect(),
-                        batch: LboBatch::select(&row.lbo, j),
-                    }
-                })
-                .collect(),
-            None => Vec::new(),
+        let vdim = kernels.layout.vdim;
+        let stages = match row {
+            Some(row) => LboStages::X4((0..vdim).map(|j| LboBatch::select(&row.lbo, j)).collect()),
+            None => LboStages::X1((0..vdim).map(|j| lbo_dir_tables(&kernels, j)).collect()),
         };
+        let pencils = (0..vdim)
+            .map(|j| {
+                // Row-major velocity grid: the cells with index 0 along
+                // `v_j` are the first `stride` of every `n_j · stride`.
+                let stride = grid.vel.stride(j);
+                let period = grid.vel.cells()[j] * stride;
+                (0..grid.vel.len())
+                    .filter(|vlin| vlin % period < stride)
+                    .map(|vlin| vlin as u32)
+                    .collect()
+            })
+            .collect();
         let vel_centers = crate::moments::vel_center_table(&grid);
         let scratch = Some(LboScratch::new(&kernels, &grid, row));
         LboOp {
@@ -362,14 +418,8 @@ impl LboOp {
             grid,
             nu,
             scratch,
-            drag_vol,
-            diff_vol,
-            grad_mass,
-            emb_phase,
-            emb_face,
-            w_phase,
-            w_face,
             row,
+            stages,
             pencils,
             vel_centers,
         }
@@ -391,9 +441,10 @@ impl LboOp {
     /// `runtime-sparse`) — what this operator resolved, which need not be
     /// what the Vlasov operator beside it runs.
     pub fn kernel_entry_points(&self) -> &'static str {
-        self.pencils
-            .first()
-            .map_or(RUNTIME_SPARSE_TAG, |dir| dir.batch.isa().tag())
+        match &self.stages {
+            LboStages::X4(batch) => batch[0].isa().tag(),
+            LboStages::X1(_) => RUNTIME_SPARSE_TAG,
+        }
     }
 
     /// A fresh scratch instance sized for this operator — one per thread
@@ -497,21 +548,22 @@ impl LboOp {
     ) {
         self.primitive_moments_range(f, ws, conf_range.clone()); // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
 
-        // Path resolved once at construction, never per cell.
-        match self.row {
-            Some(_) => self.sweep_pencil_groups(f, out, ws, conf_range),
-            None => self.sweep_runtime_sparse(f, out, ws, conf_range),
+        // Stages resolved once at construction, never per cell.
+        match &self.stages {
+            LboStages::X4(batch) => self.sweep_pencil_groups(batch, f, out, ws, conf_range),
+            LboStages::X1(tables) => self.sweep_pencil_groups(tables, f, out, ws, conf_range),
         }
     }
 
-    /// The generated path: drag + diffusion of every velocity direction by
-    /// **pencil groups**. For direction `j` the range's `v_j`-pencils
+    /// Drag + diffusion of every velocity direction by **pencil groups**,
+    /// at the stages' lane width `L` ([`LANES`] generated, one pencil on
+    /// the runtime path). For direction `j` the range's `v_j`-pencils
     /// (`conf_range` × the transverse velocity cells, in ascending cell
-    /// order) are taken [`LANES`] at a time; the group's `f` *and* `out`
-    /// are packed once into SoA panels, the batched stage kernels walk
-    /// along the pencils, and `out` is stored back — three cell-moves per
-    /// cell and direction, and the LDG gradient `g` is one `Np` panel that
-    /// never touches memory.
+    /// order) are taken `L` at a time; the group's `f` *and* `out` are
+    /// packed once into SoA panels, the stage kernels walk along the
+    /// pencils, and `out` is stored back — three cell-moves per cell and
+    /// direction, and the LDG gradient `g` is one `Np` panel that never
+    /// touches memory.
     ///
     /// Every cell receives its increments in the order of the per-cell
     /// sweep this replaces (which survives as the reference of
@@ -528,8 +580,9 @@ impl LboOp {
     /// 1x1v every pencil is one), hence `u`/`vth²` are packed per lane. In
     /// a partial last group the spare lanes repeat its last pencil: finite
     /// data, computed and never stored.
-    fn sweep_pencil_groups<S: CellStoreMut>(
+    fn sweep_pencil_groups<const L: usize, E: LboEval<L>, S: CellStoreMut>(
         &self,
+        stages: &[E],
         f: &DgField,
         out: &mut S,
         ws: &mut LboScratch,
@@ -537,34 +590,34 @@ impl LboOp {
     ) {
         let grid = &self.grid;
         let nu = self.nu;
-        let (np, nv) = (self.kernels.np(), grid.vel.len());
+        let (np, nc, nv) = (self.kernels.np(), self.kernels.nc(), grid.vel.len());
         let probe = &ws.probe;
-        let pf = ws.pencil_f.lanes_mut::<LANES>();
-        let po = ws.pencil_out.lanes_mut::<LANES>();
-        let g = ws.lane_g.lanes_mut::<LANES>();
-        let lane_u = ws.lane_u.lanes_mut::<LANES>();
-        let lane_vth2 = ws.lane_vth2.lanes_mut::<LANES>();
-        for (j, dir) in self.pencils.iter().enumerate() {
+        let sc = &mut ws.sparse;
+        let pf = ws.pencil_f.lanes_mut::<L>();
+        let po = ws.pencil_out.lanes_mut::<L>();
+        let g = &mut ws.lane_g.lanes_mut::<L>()[..np];
+        let lane_u = &mut ws.lane_u.lanes_mut::<L>()[..nc];
+        let lane_vth2 = &mut ws.lane_vth2.lanes_mut::<L>()[..nc];
+        for (j, (bases, batch)) in self.pencils.iter().zip(stages).enumerate() {
             let (u, vth2) = (&ws.u[j], &ws.vth2);
             let dv = grid.vel.dx()[j];
             let stride = grid.vel.stride(j);
             let n = grid.vel.cells()[j];
-            let per_conf = dir.bases.len();
-            let batch = &dir.batch;
+            let per_conf = bases.len();
             // Position `i` of the group's pencils in its panels.
             let at = |i: usize| i * np..(i + 1) * np;
             let end = conf_range.end * per_conf;
-            for first in (conf_range.start * per_conf..end).step_by(LANES) {
-                let lanes = LANES.min(end - first);
+            for first in (conf_range.start * per_conf..end).step_by(L) {
+                let lanes = L.min(end - first);
                 // First phase cell of each lane's pencil.
-                let mut base = [0usize; LANES];
+                let mut base = [0usize; L];
                 {
                     // Pack (drag's share of the cell-moves).
                     span!(probe, Phase::LboDrag);
                     for (lane, b) in base.iter_mut().enumerate() {
                         let p = first + lane.min(lanes - 1);
                         let clin = p / per_conf;
-                        *b = clin * nv + dir.bases[p % per_conf] as usize;
+                        *b = clin * nv + bases[p % per_conf] as usize;
                         pack_lane(lane_u, lane, u.cell(clin));
                         pack_lane(lane_vth2, lane, vth2.cell(clin));
                     }
@@ -579,7 +632,7 @@ impl LboOp {
                     // ---- Drag: volume, then LF fluxes at interior faces ----
                     for i in 0..n {
                         let vc = grid.vel.center(j, i);
-                        batch.drag_vol(nu, vc, dv, lane_u, &pf[at(i)], &mut po[at(i)]);
+                        batch.drag_vol(nu, vc, dv, lane_u, &pf[at(i)], &mut po[at(i)], sc);
                     }
                     for i in 0..n - 1 {
                         let vstar = grid.vel.lower()[j] + (i as f64 + 1.0) * dv;
@@ -593,6 +646,7 @@ impl LboOp {
                             &pf[at(i + 1)],
                             o_lo,
                             o_hi,
+                            sc,
                         );
                     }
                 }
@@ -602,19 +656,19 @@ impl LboOp {
                 // and zero flux at the velocity boundaries ----
                 span!(probe, Phase::LboDiff);
                 for i in 0..n {
-                    g.fill([0.0; LANES]);
+                    g.fill([0.0; L]);
                     let at_upper = i + 1 == n;
                     // `f_up` is ignored at the boundary; pass the position
                     // itself to keep the call uniform.
                     let f_up = if at_upper { at(i) } else { at(i + 1) };
-                    batch.diff_grad(dv, at_upper, &pf[at(i)], &pf[f_up], g);
+                    batch.diff_grad(dv, at_upper, &pf[at(i)], &pf[f_up], g, sc);
                     if at_upper {
-                        batch.diff_vol(nu, dv, lane_vth2, g, &mut po[at(i)]);
+                        batch.diff_vol(nu, dv, lane_vth2, g, &mut po[at(i)], sc);
                     } else {
                         let (o_lo, o_hi) = po[i * np..(i + 2) * np].split_at_mut(np);
-                        batch.diff_vol(nu, dv, lane_vth2, g, o_lo);
+                        batch.diff_vol(nu, dv, lane_vth2, g, o_lo, sc);
                         // Upper interior face: Ĝ = (vth² g)⁻.
-                        batch.diff_surf(nu, dv, lane_vth2, g, o_lo, o_hi);
+                        batch.diff_surf(nu, dv, lane_vth2, g, o_lo, o_hi, sc);
                     }
                 }
                 for (lane, b) in base.iter().enumerate().take(lanes) {
@@ -624,183 +678,6 @@ impl LboOp {
                 }
             }
         }
-    }
-
-    /// The runtime-sparse path (oracle, and fallback for configurations
-    /// without generated kernels): the same stages interpreted per cell
-    /// from the sparse tensors.
-    fn sweep_runtime_sparse<S: CellStoreMut>(
-        &self,
-        f: &DgField,
-        out: &mut S,
-        ws: &mut LboScratch,
-        conf_range: std::ops::Range<usize>,
-    ) {
-        let k = &*self.kernels;
-        let grid = &self.grid;
-        let (cdim, vdim) = (k.layout.cdim, k.layout.vdim);
-        let nv = grid.vel.len();
-        let vdx = grid.vel.dx();
-        let phase = &k.phase_basis;
-
-        let LboScratch {
-            u,
-            vth2,
-            g,
-            alpha,
-            alpha_face,
-            trace,
-            ghat,
-            fs,
-            vidx,
-            probe,
-            ..
-        } = ws;
-        let (u, vth2) = (&*u, &*vth2);
-
-        let c0p = expand::const_coeff(phase);
-
-        for j in 0..vdim {
-            let dir = cdim + j;
-            let surf = &k.surfaces[dir];
-            let nf = surf.kernel.face.len();
-            let scale = 2.0 / vdx[j];
-            let stride = grid.vel.stride(j);
-            let n_j = grid.vel.cells()[j];
-            let (lin_idx, c1p) = expand::linear_coeff(phase, dir).expect("p ≥ 1");
-            let c0f = expand::const_coeff(&surf.kernel.face.basis);
-
-            // ---- Drag: volume + LF surface fluxes ----
-            let drag_span = probe.span(Phase::LboDrag);
-            // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
-            for clin in conf_range.clone() {
-                let uc = u[j].cell(clin);
-                for vlin in 0..nv {
-                    grid.vel.delinearize(vlin, vidx);
-                    let vc = grid.vel.center(j, vidx[j]);
-                    // α = −ν (v_j − u_j(x)).
-                    alpha.fill(0.0);
-                    alpha[0] = -self.nu * vc * c0p;
-                    alpha[lin_idx] = -self.nu * 0.5 * vdx[j] * c1p;
-                    for (l, &e) in self.emb_phase.iter().enumerate() {
-                        alpha[e as usize] += self.nu * self.w_phase * uc[l];
-                    }
-                    let cell = clin * nv + vlin;
-                    self.drag_vol[j].apply(alpha, f.cell(cell), scale, out.cell_mut(cell));
-                }
-                // Drag surface fluxes along j-pencils (interior faces only).
-                for vlin in 0..nv {
-                    grid.vel.delinearize(vlin, vidx);
-                    if vidx[j] + 1 >= n_j {
-                        continue;
-                    }
-                    let vstar = grid.vel.lower()[j] + (vidx[j] as f64 + 1.0) * vdx[j];
-                    alpha_face[..nf].fill(0.0);
-                    alpha_face[0] = -self.nu * vstar * c0f;
-                    for (l, &e) in self.emb_face[j].iter().enumerate() {
-                        alpha_face[e as usize] += self.nu * self.w_face * uc[l];
-                    }
-                    let lam = surf.kernel.sup_bound(&alpha_face[..nf]);
-                    let lo = clin * nv + vlin;
-                    let hi = lo + stride;
-                    let (o_lo, o_hi) = out.cell_pair_mut(lo, hi);
-                    surf.kernel.apply(
-                        f.cell(lo),
-                        f.cell(hi),
-                        &alpha_face[..nf],
-                        lam,
-                        scale,
-                        Some(o_lo),
-                        Some(o_hi),
-                        fs,
-                    );
-                }
-            }
-
-            drop(drag_span);
-            // Covers both LDG passes; dropped at the end of this `j`
-            // iteration.
-            let _diff_span = probe.span(Phase::LboDiff);
-            // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
-            for clin in conf_range.clone() {
-                // ---- Diffusion, LDG pass 1: g = ∂f/∂v_j over this
-                // configuration cell's velocity block, trace from above ----
-                g.fill(0.0);
-                for vlin in 0..nv {
-                    grid.vel.delinearize(vlin, vidx);
-                    let cell = clin * nv + vlin;
-                    let gc = g.cell_mut(vlin);
-                    self.grad_mass[j].apply(f.cell(cell), -scale, gc);
-                    // Upper face: f̂ = trace of the upper neighbour (or own
-                    // upper trace at the boundary).
-                    trace[..nf].fill(0.0);
-                    if vidx[j] + 1 < n_j {
-                        surf.kernel.face.restrict(-1, f.cell(cell + stride), trace);
-                    } else {
-                        surf.kernel.face.restrict(1, f.cell(cell), trace);
-                    }
-                    surf.kernel.face.lift(1, &trace[..nf], scale, gc);
-                    // Lower face: f̂ = own lower trace (f⁺ of that face).
-                    trace[..nf].fill(0.0);
-                    surf.kernel.face.restrict(-1, f.cell(cell), trace);
-                    surf.kernel.face.lift(-1, &trace[..nf], -scale, gc);
-                }
-
-                // ---- Diffusion, LDG pass 2: out += ν ∇·(vth² g), trace
-                // from below, zero flux at velocity boundaries ----
-                let tc = vth2.cell(clin);
-                // Embed vth² into the phase basis for the volume term.
-                alpha.fill(0.0);
-                for (l, &e) in self.emb_phase.iter().enumerate() {
-                    alpha[e as usize] = self.w_phase * tc[l];
-                }
-                // Face expansion of vth².
-                alpha_face[..nf].fill(0.0);
-                for (l, &e) in self.emb_face[j].iter().enumerate() {
-                    alpha_face[e as usize] = self.w_face * tc[l];
-                }
-                for vlin in 0..nv {
-                    grid.vel.delinearize(vlin, vidx);
-                    let cell = clin * nv + vlin;
-                    // Volume: −(2/Δ)·ν·∫∂w (vth² g) … sign folded: the weak
-                    // form of +∇·F gives −∫∇w·F, and the kernels accumulate
-                    // +∫∂w; pass negative scale.
-                    self.diff_vol[j].apply(
-                        alpha,
-                        g.cell(vlin),
-                        -self.nu * scale,
-                        out.cell_mut(cell),
-                    );
-                    // Upper interior face: Ĝ = (vth² g)⁻ (trace from below).
-                    if vidx[j] + 1 < n_j {
-                        trace[..nf].fill(0.0);
-                        surf.kernel.face.restrict(1, g.cell(vlin), trace);
-                        // Ĝ_a = Σ D_abc vth²_b g⁻_c.
-                        ghat[..nf].fill(0.0);
-                        surf.kernel.dmat.apply(
-                            &alpha_face[..nf],
-                            &trace[..nf],
-                            1.0,
-                            &mut ghat[..nf],
-                        );
-                        let (o_lo, o_hi) = out.cell_pair_mut(cell, cell + stride);
-                        // ∫w ∇·F: upper face of the lower cell gains
-                        // +T⁺Ĝ, lower face of the upper cell −T⁻Ĝ.
-                        surf.kernel.face.lift(1, &ghat[..nf], self.nu * scale, o_lo);
-                        surf.kernel
-                            .face
-                            .lift(-1, &ghat[..nf], -self.nu * scale, o_hi);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Multiplicity estimate of the collisional update relative to the
-    /// collisionless one (for the "collisions ≈ 2× cost" bench).
-    pub fn nnz(&self) -> usize {
-        self.drag_vol.iter().map(|t| t.nnz()).sum::<usize>()
-            + self.diff_vol.iter().map(|t| t.nnz()).sum::<usize>()
     }
 }
 
@@ -960,12 +837,19 @@ mod tests {
             );
 
             // Every split of the range into two sub-ranges, each with its
-            // own scratch, equals the whole-range call.
-            for cut in 0..=nconf {
-                let mut split = out0.clone();
-                op.accumulate_rhs_range(f, &mut split, &mut op.make_scratch(), 0..cut);
-                op.accumulate_rhs_range(f, &mut split, &mut op.make_scratch(), cut..nconf);
-                assert_bitwise(&split, &whole, &format!("{what} split at {cut}"));
+            // own scratch, equals the whole-range call — also on the
+            // runtime path, whose one-pencil groups the same sweep runs.
+            let sparse = op.runtime_sparse_twin();
+            for op in [&op, &sparse] {
+                let mut whole = out0.clone();
+                op.accumulate_rhs_range(f, &mut whole, &mut op.make_scratch(), 0..nconf);
+                for cut in 0..=nconf {
+                    let mut split = out0.clone();
+                    op.accumulate_rhs_range(f, &mut split, &mut op.make_scratch(), 0..cut);
+                    op.accumulate_rhs_range(f, &mut split, &mut op.make_scratch(), cut..nconf);
+                    let path = op.kernel_entry_points();
+                    assert_bitwise(&split, &whole, &format!("{what} {path} split at {cut}"));
+                }
             }
         }
     }

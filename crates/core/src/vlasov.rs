@@ -28,32 +28,37 @@
 //! the net wall flux (mass and energy) is recorded in the workspace's
 //! [`WallAccum`] ledger as a by-product.
 //!
-//! Each public method takes an explicit configuration-cell range so the
-//! shared-memory layer (`dg-parallel`) can partition work without ghost
-//! layers — the paper's intra-node decomposition.
+//! The RHS (`VlasovOp::accumulate_block_rhs`, the per-block work of every
+//! driver) runs the volume and every configuration face — and on one
+//! velocity dimension the velocity faces too — as one **cell-lane pass**:
+//! each run of velocity cells is packed once per configuration cell, every
+//! kernel accumulates into resident panels, and each cell's panel is added
+//! into `out` once. With more velocity dimensions the velocity faces follow
+//! in `surface_velocity`. The public `volume` and `surface_config` are the
+//! per-phase sweeps the pass replaced, each over a configuration-cell
+//! range; the RHS never calls them (the benchmark's per-layer replica and
+//! the bit-identity tests do).
 //!
-//! Those methods are the per-phase sweeps. The coupled RHS runs the volume
-//! and every configuration face — and on one velocity dimension the
-//! velocity faces too — as one **cell-lane pass** instead
-//! (`VlasovOp::accumulate_block_rhs`): each run of velocity cells is
-//! packed once per configuration cell, every kernel accumulates into
-//! resident panels, and each cell's panel is added into `out` once.
+//! Every sweep is written once, over the kernels the operator resolved from
+//! its registry row (`VlasovEval`): the generated entry points at the
+//! lane width of the widest ISA the CPU has, every direction compiled for
+//! the volume's ISA — or, for a configuration without a row (and for the
+//! oracle), the runtime sparse-tensor evaluator of `dg_kernels::sparse` at
+//! one lane, where a panel is a plain slice.
 
 // Stencil/loop style: index-coupled stencil sweeps index several arrays in lockstep;
 // `needless_range_loop` rewrites would obscure that (workspace allow
 // was scoped down to the modules that need it).
 #![allow(clippy::needless_range_loop)]
 use dg_grid::{Bc, CellStoreMut, DgField, DimBc, PhaseGrid};
-use dg_kernels::accel::VelGeom;
 use dg_kernels::dispatch::{
-    row_for, DispatchPath, KernelRow, ResolvedSurfaceDir, ResolvedVolume, SurfaceBatch,
-    SurfaceKernelEntry, SurfaceKernelFn, SurfaceLanes, VolumeBatch, VolumeLanes,
+    path_of, row_for, DispatchPath, KernelRow, SurfaceKernelFn, VlasovBatch, VlasovLanes,
+    RUNTIME_SPARSE_TAG,
 };
 use dg_kernels::ops::OpReport;
-use dg_kernels::panel::LanePanel;
-use dg_kernels::surface::FaceScratch;
+use dg_kernels::panel::{LanePanel, PanelMoves};
+use dg_kernels::sparse::SparseScratch;
 use dg_kernels::PhaseKernels;
-use dg_maxwell::NCOMP;
 use dg_poly::MAX_DIM;
 use dg_telemetry::{span, Collector, Counter, Phase, SpanGuard};
 use std::ops::Range;
@@ -141,7 +146,6 @@ impl WallAccum {
 /// is sized here once).
 #[derive(Clone, Debug, Default)]
 pub struct VlasovWorkspace {
-    alpha: Vec<f64>,
     stage: FaceStage,
     /// SoA panels for the batched volume kernel: cell centers (`ndim`
     /// coordinates × the velocity cells of one panel), distribution
@@ -174,13 +178,13 @@ pub struct VlasovWorkspace {
 }
 
 /// One-cell face staging: the single-cell periodic wrap (both sides are
-/// the same cell), the interior side of every wall face and the runtime
-/// path's faces are computed here, then added to their cell — or to its
-/// lane of a pass panel — instead of allocating per velocity cell.
+/// the same cell) and the interior side of every wall face are computed
+/// here, then added to their cell — or to its lane of a pass panel —
+/// instead of allocating per velocity cell; plus the runtime evaluator's
+/// scratch.
 #[derive(Clone, Debug, Default)]
 struct FaceStage {
-    alpha_face: Vec<f64>,
-    face: FaceScratch,
+    sparse: SparseScratch,
     tmp_lo: Vec<f64>,
     tmp_hi: Vec<f64>,
     /// Synthesized ghost-cell coefficients for wall faces.
@@ -193,13 +197,9 @@ struct FaceStage {
 impl VlasovWorkspace {
     // dg-analyze: allow(hot_alloc) — workspace constructor: every buffer here persists across RHS calls
     pub fn for_kernels(k: &PhaseKernels) -> Self {
-        let mut face = FaceScratch::default();
-        face.ensure(k.max_face_len());
         VlasovWorkspace {
-            alpha: vec![0.0; k.np()],
             stage: FaceStage {
-                alpha_face: vec![0.0; k.max_face_len()],
-                face,
+                sparse: SparseScratch::for_kernels(k),
                 tmp_lo: vec![0.0; k.np()],
                 tmp_hi: vec![0.0; k.np()],
                 ghost: vec![0.0; k.np()],
@@ -223,11 +223,13 @@ const MAX_LANES: usize = 8;
 
 /// The workspace panels viewed at one lane width: cell centers (`ndim`
 /// lane groups), then coefficients and accumulated increments (`Np` lane
-/// groups each) of the lower — or only — and the upper side.
+/// groups each) of the lower — or only — and the upper side; and the
+/// runtime evaluator's scratch.
 struct Panels<'a, const L: usize> {
     w: &'a mut [[f64; L]],
     f: [&'a mut [[f64; L]]; 2],
     out: [&'a mut [[f64; L]]; 2],
+    sc: &'a mut SparseScratch,
 }
 
 impl VlasovWorkspace {
@@ -243,71 +245,245 @@ impl VlasovWorkspace {
                 &mut self.panel_out.lanes_mut()[..np],
                 &mut self.panel_out2.lanes_mut()[..np],
             ],
+            sc: &mut self.stage.sparse,
         }
     }
 }
 
-/// The entry points of the cell-lane pass at one lane width: the volume
-/// kernel as resolved, and every configuration direction's face kernel
-/// compiled for the same ISA — so on AVX-512 the pass runs its faces at 8
-/// lanes, where the per-phase [`VlasovOp::surface_config`] stops at 4.
+/// The Vlasov kernels at lane width `L`, as a registry row's generated
+/// entry points ([`CellKernels`], 4 or 8 lanes) and the runtime
+/// sparse-tensor evaluator ([`PhaseKernels`], one lane) each provide them,
+/// in the generated calling conventions (`VolumeKernelFn`,
+/// `SurfaceKernelFn`) over panels. Every sweep below is written once over
+/// this trait; `sc` is the evaluator's scratch, which the generated entry
+/// points ignore. Both add each call's increment to every output
+/// coefficient once — the property the pass's bit identity rests on.
+#[allow(clippy::too_many_arguments)]
+trait VlasovEval<const L: usize> {
+    /// Pack / unpack-add of the kernels' ISA.
+    fn moves(&self) -> PanelMoves<L>;
+
+    fn volume(
+        &self,
+        w: &[[f64; L]],
+        dxv: &[f64],
+        qm: f64,
+        em: &[f64],
+        f: &[[f64; L]],
+        out: &mut [[f64; L]],
+        sc: &mut SparseScratch,
+    );
+
+    /// The face kernel of phase direction `d`.
+    fn face(
+        &self,
+        d: usize,
+        w: &[[f64; L]],
+        dxv: &[f64],
+        qm: f64,
+        em: &[f64],
+        penalty: bool,
+        f_lo: &[[f64; L]],
+        f_hi: &[[f64; L]],
+        out_lo: &mut [[f64; L]],
+        out_hi: &mut [[f64; L]],
+        sc: &mut SparseScratch,
+    );
+
+    /// The one-lane face kernel of direction `d` (walls and the single-cell
+    /// periodic wrap).
+    fn face1(
+        &self,
+        d: usize,
+        w: &[f64],
+        dxv: &[f64],
+        qm: f64,
+        em: &[f64],
+        penalty: bool,
+        f_lo: &[f64],
+        f_hi: &[f64],
+        out_lo: &mut [f64],
+        out_hi: &mut [f64],
+        sc: &mut SparseScratch,
+    );
+}
+
+/// A registry row's generated entry points for one ISA — the volume and
+/// every phase direction's face kernel at its lane width, so on AVX-512
+/// every sweep runs its faces at 8 lanes — and its one-lane face kernels.
 #[derive(Clone, Debug)]
 struct CellKernels<const L: usize> {
-    volume: VolumeLanes<L>,
-    faces: Vec<SurfaceLanes<L>>,
-    /// The velocity direction's face kernel when there is one velocity
-    /// direction, whose faces then join the pass ([`VlasovOp::cell_pass`]).
-    velocity: Option<SurfaceLanes<L>>,
-    /// The one-lane face kernels (every phase direction), for walls and
-    /// the single-cell periodic wrap.
+    lanes: VlasovLanes<L>,
     scalar: &'static [SurfaceKernelFn],
 }
 
-/// [`CellKernels`] at the width the volume kernel resolved to; an operator
-/// has one when both its volume and surface paths are generated.
-#[derive(Clone, Debug)]
-enum CellPass {
-    X4(CellKernels<4>),
-    X8(CellKernels<8>),
+#[allow(clippy::too_many_arguments)]
+impl<const L: usize> VlasovEval<L> for CellKernels<L> {
+    fn moves(&self) -> PanelMoves<L> {
+        self.lanes.moves
+    }
+
+    fn volume(
+        &self,
+        w: &[[f64; L]],
+        dxv: &[f64],
+        qm: f64,
+        em: &[f64],
+        f: &[[f64; L]],
+        out: &mut [[f64; L]],
+        _: &mut SparseScratch,
+    ) {
+        self.lanes.volume(w, dxv, qm, em, f, out)
+    }
+
+    fn face(
+        &self,
+        d: usize,
+        w: &[[f64; L]],
+        dxv: &[f64],
+        qm: f64,
+        em: &[f64],
+        penalty: bool,
+        f_lo: &[[f64; L]],
+        f_hi: &[[f64; L]],
+        out_lo: &mut [[f64; L]],
+        out_hi: &mut [[f64; L]],
+        _: &mut SparseScratch,
+    ) {
+        self.lanes
+            .face(d, w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+    }
+
+    fn face1(
+        &self,
+        d: usize,
+        w: &[f64],
+        dxv: &[f64],
+        qm: f64,
+        em: &[f64],
+        penalty: bool,
+        f_lo: &[f64],
+        f_hi: &[f64],
+        out_lo: &mut [f64],
+        out_hi: &mut [f64],
+        _: &mut SparseScratch,
+    ) {
+        (self.scalar[d])(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi)
+    }
 }
 
-impl CellPass {
-    // dg-analyze: allow(hot_alloc) — operator constructor: each direction's entry point is resolved once
-    fn new(
-        volume: VolumeBatch,
-        surface: &'static SurfaceKernelEntry,
-        cdim: usize,
-        vdim: usize,
-    ) -> Self {
-        let face = |d| {
-            SurfaceBatch::for_isa(surface, d, volume.isa())
-                .expect("the volume's ISA is on this CPU")
-        };
-        let x4 = |d| match face(d) {
-            SurfaceBatch::X4(k) => k,
-            SurfaceBatch::X8(_) => unreachable!("one ISA, one lane width"),
-        };
-        let x8 = |d| match face(d) {
-            SurfaceBatch::X8(k) => k,
-            SurfaceBatch::X4(_) => unreachable!("one ISA, one lane width"),
-        };
-        let scalar = surface.dirs;
-        let one_v = vdim == 1;
-        match volume {
-            VolumeBatch::X4(volume) => CellPass::X4(CellKernels {
-                volume,
-                faces: (0..cdim).map(x4).collect(),
-                velocity: one_v.then(|| x4(cdim)),
-                scalar,
-            }),
-            VolumeBatch::X8(volume) => CellPass::X8(CellKernels {
-                volume,
-                faces: (0..cdim).map(x8).collect(),
-                velocity: one_v.then(|| x8(cdim)),
-                scalar,
-            }),
+/// One lane: an `[[f64; 1]]` panel is a plain slice, and the lane-copy
+/// moves are the cell copy.
+#[allow(clippy::too_many_arguments)]
+impl VlasovEval<1> for PhaseKernels {
+    fn moves(&self) -> PanelMoves<1> {
+        PanelMoves::lane_copy()
+    }
+
+    fn volume(
+        &self,
+        w: &[[f64; 1]],
+        dxv: &[f64],
+        qm: f64,
+        em: &[f64],
+        f: &[[f64; 1]],
+        out: &mut [[f64; 1]],
+        sc: &mut SparseScratch,
+    ) {
+        let (w, f, out) = (w.as_flattened(), f.as_flattened(), out.as_flattened_mut());
+        self.sparse_volume(w, dxv, qm, em, f, out, sc)
+    }
+
+    fn face(
+        &self,
+        d: usize,
+        w: &[[f64; 1]],
+        dxv: &[f64],
+        qm: f64,
+        em: &[f64],
+        penalty: bool,
+        f_lo: &[[f64; 1]],
+        f_hi: &[[f64; 1]],
+        out_lo: &mut [[f64; 1]],
+        out_hi: &mut [[f64; 1]],
+        sc: &mut SparseScratch,
+    ) {
+        let (f_lo, f_hi) = (f_lo.as_flattened(), f_hi.as_flattened());
+        let (out_lo, out_hi) = (out_lo.as_flattened_mut(), out_hi.as_flattened_mut());
+        let w = w.as_flattened();
+        self.sparse_face(d, w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi, sc)
+    }
+
+    fn face1(
+        &self,
+        d: usize,
+        w: &[f64],
+        dxv: &[f64],
+        qm: f64,
+        em: &[f64],
+        penalty: bool,
+        f_lo: &[f64],
+        f_hi: &[f64],
+        out_lo: &mut [f64],
+        out_hi: &mut [f64],
+        sc: &mut SparseScratch,
+    ) {
+        self.sparse_face(d, w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi, sc)
+    }
+}
+
+/// The kernels an operator resolved from its registry row, once: the
+/// generated entry points at the width of the volume's ISA (the widest this
+/// CPU has), or — without a row — the runtime sparse-tensor evaluator at
+/// one lane.
+#[derive(Clone, Debug)]
+enum Resolved {
+    X4(CellKernels<4>),
+    X8(CellKernels<8>),
+    X1,
+}
+
+impl Resolved {
+    fn new(row: Option<&'static KernelRow>) -> Self {
+        match row {
+            Some(row) => Self::generated(row, VlasovBatch::select(row)),
+            None => Resolved::X1,
         }
     }
+
+    fn generated(row: &'static KernelRow, batch: VlasovBatch) -> Self {
+        let scalar = row.surface.dirs;
+        match batch {
+            VlasovBatch::X4(lanes) => Resolved::X4(CellKernels { lanes, scalar }),
+            VlasovBatch::X8(lanes) => Resolved::X8(CellKernels { lanes, scalar }),
+        }
+    }
+
+    /// The entry points this resolution runs (`BatchIsa::tag` or
+    /// [`RUNTIME_SPARSE_TAG`]).
+    fn tag(&self) -> &'static str {
+        match self {
+            Resolved::X4(k) => k.lanes.isa().tag(),
+            Resolved::X8(k) => k.lanes.isa().tag(),
+            Resolved::X1 => RUNTIME_SPARSE_TAG,
+        }
+    }
+}
+
+/// Run `$body` with `$k` bound to the [`VlasovEval`] `$op` resolved: the
+/// kernels are matched once per call, never per cell or face, and the body
+/// is instantiated once per lane width.
+macro_rules! with_vlasov_eval {
+    ($op:expr, |$k:ident| $body:expr) => {
+        match &$op.resolved {
+            Resolved::X4($k) => $body,
+            Resolved::X8($k) => $body,
+            Resolved::X1 => {
+                let $k = &*$op.kernels;
+                $body
+            }
+        }
+    };
 }
 
 /// Which sides of a configuration face a cell block owns, and so writes.
@@ -433,27 +609,18 @@ pub struct VlasovOp {
     pub flux: FluxKind,
     /// Velocity-cell centers per linear velocity index (padded to 3).
     vel_centers: Vec<[f64; 3]>,
-    /// Padded velocity-cell widths.
-    dv: [f64; 3],
-    /// Per velocity dim: linear indices of pencil bases (idx_j = 0) — the
-    /// runtime sparse path walks pencils, projecting `α̂` once per pencil.
-    pencil_bases: Vec<Vec<u32>>,
     /// Per velocity dim `j`: the lower cell (linear velocity index) of
     /// every interior `v_j` face, face-index-major across pencils (all
     /// pencils' face 0, then all pencils' face 1, …); the upper cell is
-    /// one `stride(j)` above. The generated-kernel sweep batches this list
-    /// [`LANES`] faces at a time, so panels fill across pencils instead of
-    /// along one (`n_j − 1` faces rarely divide by `LANES`).
+    /// one `stride(j)` above. `surface_velocity` batches this list a lane
+    /// width at a time, so panels fill across pencils instead of along one
+    /// (`n_j − 1` faces rarely divide by the width).
     vel_faces: Vec<Vec<u32>>,
-    /// Volume-kernel path, resolved from the registry row once at
-    /// construction — the hot loop never branches per cell.
-    volume_path: ResolvedVolume,
-    /// Surface-kernel path per phase direction (configuration first),
-    /// resolved once at construction — zero per-face branching.
-    surface_paths: Vec<ResolvedSurfaceDir>,
-    /// The cell-lane pass's entry points, resolved with the paths above;
-    /// `None` when either path is runtime-sparse.
-    cell_pass: Option<CellPass>,
+    /// The configuration's registry row (`None`: runtime-sparse).
+    row: Option<&'static KernelRow>,
+    /// The kernels, resolved from `row` once at construction — the sweeps
+    /// never branch per cell or face.
+    resolved: Resolved,
     /// Full phase-space cell sizes `[Δx…, Δv…]` (the grid is uniform), in
     /// the generated kernels' calling convention.
     dxv: Vec<f64>,
@@ -473,30 +640,6 @@ pub struct VlasovOp {
     /// paired velocity dimension mirrored (`idx_d → n_d − 1 − idx_d`) —
     /// the cell holding `−v_d` on a symmetric grid (`Bc::Reflect`).
     vel_mirror: Vec<Vec<u32>>,
-}
-
-/// [`VlasovOp::kernel_entry_points`].
-struct EntryPoints<'a>(&'a VlasovOp);
-
-impl std::fmt::Display for EntryPoints<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let op = self.0;
-        let volume = op.volume_path.tag();
-        f.write_str(volume)?;
-        // The directions the cell-lane pass runs at the volume's width.
-        let in_pass = match op.cell_pass {
-            Some(_) => op.grid.cdim() + usize::from(op.grid.vdim() == 1),
-            None => 0,
-        };
-        let per_phase = &op.surface_paths[in_pass..];
-        for (d, dir) in per_phase.iter().enumerate() {
-            let seen = per_phase[..d].iter().any(|p| p.tag() == dir.tag());
-            if dir.tag() != volume && !seen {
-                write!(f, " + {}", dir.tag())?;
-            }
-        }
-        Ok(())
-    }
 }
 
 impl VlasovOp {
@@ -523,36 +666,18 @@ impl VlasovOp {
         let vdim = grid.vdim();
         let vel_centers = crate::moments::vel_center_table(&grid);
         let mut vidx = vec![0usize; vdim];
-        let mut dv = [1.0; 3];
-        dv[..vdim].copy_from_slice(grid.vel.dx());
-        let mut pencil_bases = vec![Vec::new(); vdim];
-        for vlin in 0..grid.vel.len() {
-            grid.vel.delinearize(vlin, &mut vidx);
-            for (j, bases) in pencil_bases.iter_mut().enumerate() {
-                if vidx[j] == 0 {
-                    bases.push(vlin as u32);
-                }
-            }
-        }
         let vel_faces: Vec<Vec<u32>> = (0..vdim)
             .map(|j| {
-                let stride = grid.vel.stride(j) as u32;
-                (0..grid.vel.cells()[j].saturating_sub(1) as u32)
-                    .flat_map(|i| pencil_bases[j].iter().map(move |&base| base + i * stride))
+                // Row-major velocity grid: the pencils' first cells (index 0
+                // along `v_j`) are the first `stride` of every `n_j · stride`.
+                let (stride, n_j) = (grid.vel.stride(j), grid.vel.cells()[j]);
+                let bases = (0..grid.vel.len()).filter(move |vlin| vlin % (n_j * stride) < stride);
+                (0..n_j.saturating_sub(1))
+                    .flat_map(|i| bases.clone().map(move |base| (base + i * stride) as u32))
                     .collect()
             })
             .collect();
-        let volume_path = ResolvedVolume::new(row);
-        let ndim = kernels.layout.ndim();
-        let surface_paths: Vec<ResolvedSurfaceDir> =
-            (0..ndim).map(|d| ResolvedSurfaceDir::new(row, d)).collect();
         let cdim = grid.cdim();
-        let cell_pass = match (volume_path, row) {
-            (ResolvedVolume::Generated { batch, .. }, Some(row)) => {
-                Some(CellPass::new(batch, &row.surface, cdim, vdim))
-            }
-            _ => None,
-        };
         let dxv: Vec<f64> = grid
             .conf
             .dx()
@@ -603,12 +728,9 @@ impl VlasovOp {
             grid,
             flux,
             vel_centers,
-            dv,
-            pencil_bases,
             vel_faces,
-            volume_path,
-            surface_paths,
-            cell_pass,
+            row,
+            resolved: Resolved::new(row),
             dxv,
             conf_centers,
             conf_nbr,
@@ -618,61 +740,26 @@ impl VlasovOp {
         }
     }
 
-    /// Which volume path this operator runs.
+    /// Which kernel path this operator runs.
     pub fn dispatch_path(&self) -> DispatchPath {
-        self.volume_path.path()
+        path_of(self.row)
     }
 
-    /// Which surface path this operator runs: the volume's, since every
-    /// direction comes from the same registry row (or none).
-    pub fn surface_dispatch_path(&self) -> DispatchPath {
-        self.dispatch_path()
+    /// The entry points every sweep of this operator runs: one resolution,
+    /// every direction at the volume's width (`generated/avx512x8`,
+    /// `generated/avx2x4`, `generated/baselinex4` or `runtime-sparse`).
+    pub fn kernel_entry_points(&self) -> &'static str {
+        self.resolved.tag()
     }
 
-    /// The entry points the RHS (`accumulate_block_rhs`) runs, from what
-    /// this operator resolved (displayed, not allocated — this file is on
-    /// the hot path): the volume kernel's tag (`generated/avx512x8`,
-    /// `generated/avx2x4`, `generated/baselinex4` or `runtime-sparse`) —
-    /// the cell-lane pass runs the configuration faces, and on 1v the
-    /// velocity faces, at the same width — then, joined by `+`, the tag of
-    /// every face direction outside the pass that resolved differently (the
-    /// `surface_velocity` width on vdim ≥ 2). The per-phase
-    /// `surface_config`, which stops at 4 lanes, is not part of the RHS.
-    pub fn kernel_entry_points(&self) -> impl std::fmt::Display + '_ {
-        EntryPoints(self)
-    }
-
-    /// Per-cell operation counts, tagged with the resolved volume *and*
-    /// surface dispatch paths so bench output states explicitly which
-    /// paths were measured.
+    /// Per-cell operation counts, tagged with the resolved dispatch path
+    /// so bench output states explicitly which path was measured.
     pub fn op_report(&self) -> OpReport {
-        self.kernels
-            .op_report()
-            .tagged(self.dispatch_path())
-            .tagged_surface(self.surface_dispatch_path())
-    }
-
-    fn nc_em(&self) -> usize {
-        self.kernels.nc()
-    }
-
-    /// E/B component slices of one EM cell.
-    #[inline]
-    fn em_slices<'a>(&self, em_cell: &'a [f64]) -> (&'a [f64], [&'a [f64]; 3]) {
-        let nc = self.nc_em();
-        debug_assert_eq!(em_cell.len(), NCOMP * nc);
-        (
-            &em_cell[..3 * nc],
-            [
-                &em_cell[3 * nc..4 * nc],
-                &em_cell[4 * nc..5 * nc],
-                &em_cell[5 * nc..6 * nc],
-            ],
-        )
+        self.kernels.op_report().tagged(self.dispatch_path())
     }
 
     /// Volume terms for all phase cells whose configuration index lies in
-    /// `conf_range`, through the volume path resolved at construction.
+    /// `conf_range`, through the kernels resolved at construction.
     pub fn volume<S: CellStoreMut>(
         &self,
         qm: f64,
@@ -682,70 +769,32 @@ impl VlasovOp {
         ws: &mut VlasovWorkspace,
         conf_range: Range<usize>,
     ) {
-        let k = &*self.kernels;
-        let (cdim, vdim) = (k.layout.cdim, k.layout.vdim);
         let nv = self.grid.vel.len();
         span!(ws.probe, Phase::Volume);
         let swept = (conf_range.len() * nv) as u64;
         ws.probe.count(Counter::CellsSwept, swept);
-        ws.probe.count(Counter::DofProcessed, swept * k.np() as u64);
-        match self.volume_path {
-            // One `match` on the lane width the operator resolved; the
-            // sweep itself is generic over it.
-            ResolvedVolume::Generated { batch, .. } => match batch {
-                VolumeBatch::X4(kernel) => self.volume_gen(kernel, qm, f, em, out, ws, conf_range),
-                VolumeBatch::X8(kernel) => self.volume_gen(kernel, qm, f, em, out, ws, conf_range),
-            },
-            ResolvedVolume::RuntimeSparse => {
-                let cdx = self.grid.conf.dx();
-                let vdx = self.grid.vel.dx();
-                for clin in conf_range {
-                    let em_cell = em.cell(clin);
-                    let (e, b) = self.em_slices(em_cell);
-                    let nc = self.nc_em();
-                    for vlin in 0..nv {
-                        let cell = clin * nv + vlin;
-                        let fc = f.cell(cell);
-                        let oc = out.cell_mut(cell);
-                        let vc = &self.vel_centers[vlin];
-                        for d in 0..cdim {
-                            k.streaming[d].apply(fc, vc[d], vdx[d], 2.0 / cdx[d], oc);
-                        }
-                        for j in 0..vdim {
-                            k.cell_accel[j].project(
-                                qm,
-                                &e[j * nc..(j + 1) * nc],
-                                b,
-                                VelGeom {
-                                    v_c: &vc[..vdim],
-                                    dv: &self.dv[..vdim],
-                                },
-                                &mut ws.alpha,
-                            );
-                            k.accel_vol[j].apply(&ws.alpha, fc, 2.0 / vdx[j], oc);
-                        }
-                    }
-                }
-            }
-        }
+        ws.probe
+            .count(Counter::DofProcessed, swept * self.kernels.np() as u64);
+        with_vlasov_eval!(self, |k| self
+            .volume_panels(k, qm, f, em, out, ws, conf_range))
     }
 
-    /// Committed-kernel variant of the volume sweep. Runs of `L` velocity
-    /// cells of one configuration cell go through the batched kernel: SoA
-    /// panels from workspace scratch, a zeroed accumulation panel, lanes
-    /// unpacked into `out`. The last run of a configuration cell may be a
-    /// *partial panel*, whose spare lanes repeat its last cell — finite
-    /// data, computed and never unpacked. The split depends only on `nv`,
-    /// never on `conf_range`, so any block decomposition batches
-    /// identically; per lane the batched kernel is the scalar kernel's own
-    /// body, and the volume term is each cell's first contribution (out
-    /// still zero), so the unpack-add reproduces the scalar accumulation
-    /// exactly. The EM cell slice is passed whole (the kernels read only
-    /// the leading 6 × Nc E/B coefficients).
+    /// The volume sweep at lane width `L`. Runs of `L` velocity cells of
+    /// one configuration cell go through the volume kernel: SoA panels from
+    /// workspace scratch, a zeroed accumulation panel, lanes unpacked into
+    /// `out`. The last run of a configuration cell may be a *partial
+    /// panel*, whose spare lanes repeat its last cell — finite data,
+    /// computed and never unpacked. The split depends only on `nv`, never
+    /// on `conf_range`, so any block decomposition batches identically; per
+    /// lane the batched kernel is the scalar kernel's own body, and the
+    /// volume term is each cell's first contribution (out still zero), so
+    /// the unpack-add reproduces the scalar accumulation exactly. The EM
+    /// cell slice is passed whole (the kernels read only the leading 6 × Nc
+    /// E/B coefficients).
     #[allow(clippy::too_many_arguments)]
-    fn volume_gen<const L: usize, S: CellStoreMut>(
+    fn volume_panels<const L: usize, K: VlasovEval<L>, S: CellStoreMut>(
         &self,
-        kernel: VolumeLanes<L>,
+        k: &K,
         qm: f64,
         f: &DgField,
         em: &DgField,
@@ -754,10 +803,12 @@ impl VlasovOp {
         conf_range: Range<usize>,
     ) {
         let nv = self.grid.vel.len();
+        let moves = k.moves();
         let Panels {
             w,
             f: [pf, _],
             out: [po, _],
+            sc,
         } = ws.panels::<L>(&self.kernels);
         for clin in conf_range {
             let em_cell = em.cell(clin);
@@ -767,10 +818,10 @@ impl VlasovOp {
                 let vlin: [usize; L] = std::array::from_fn(|lane| v0 + lane.min(lanes - 1));
                 self.fill_vel_centers(w, &vlin);
                 let cells = vlin.map(|v| clin * nv + v);
-                kernel.moves.pack(pf, cells.map(|c| f.cell(c)));
+                moves.pack(pf, cells.map(|c| f.cell(c)));
                 po.fill([0.0; L]);
-                kernel.call(w, &self.dxv, qm, em_cell, pf, po);
-                kernel.moves.unpack_add(out.cells_mut(&cells, lanes), po);
+                k.volume(w, &self.dxv, qm, em_cell, pf, po, sc);
+                moves.unpack_add(out.cells_mut(&cells, lanes), po);
             }
         }
     }
@@ -795,86 +846,14 @@ impl VlasovOp {
         }
     }
 
-    /// One configuration-direction face (all velocity cells), between
-    /// configuration cells `clo` and `chi` (linear indices) along `d`.
-    /// `write_lo`/`write_hi` select which side receives its update — the
-    /// hook for slab-parallel sweeps.
-    #[allow(clippy::too_many_arguments)]
-    pub fn surface_config_face<S: CellStoreMut>(
+    /// The single-cell periodic wrap of direction `d` at phase cell
+    /// `clin · Nv + vlin`: both sides of the face are that cell, so its two
+    /// increments are staged and come back for the caller to add as
+    /// `lo + hi`. Streaming kernels never read `qm`/`em` (α̂ = v_d).
+    fn wrap_increment<'s, const L: usize, K: VlasovEval<L>>(
         &self,
+        k: &K,
         d: usize,
-        f: &DgField,
-        out: &mut S,
-        ws: &mut VlasovWorkspace,
-        clo: usize,
-        chi: usize,
-        write_lo: bool,
-        write_hi: bool,
-    ) {
-        // Telemetry: the *caller's sweep* owns the `Phase::Surface` span
-        // (one per face would cost two clock reads per face); only the
-        // cheap face counter is bumped here, so counts stay exact no
-        // matter which sweep drives the face.
-        ws.probe
-            .count(Counter::FacesSwept, self.grid.vel.len() as u64);
-        match self.surface_paths[d] {
-            ResolvedSurfaceDir::Generated { func, batch } => {
-                self.surface_config_face_gen(func, batch, f, out, ws, clo, chi, write_lo, write_hi)
-            }
-            ResolvedSurfaceDir::RuntimeSparse => {
-                self.surface_config_face_rt(d, f, out, ws, clo, chi, write_lo, write_hi)
-            }
-        }
-    }
-
-    /// Committed-kernel variant of one configuration-direction face. Every
-    /// face between two distinct cells goes through the batched kernel
-    /// ([`Self::surface_config_panels`], at the lane width this direction
-    /// resolved). Only the single-cell periodic wrap, whose two sides alias,
-    /// stays on the scalar kernel, staged in the workspace.
-    #[allow(clippy::too_many_arguments)]
-    fn surface_config_face_gen<S: CellStoreMut>(
-        &self,
-        kernel: SurfaceKernelFn,
-        batch: SurfaceBatch,
-        f: &DgField,
-        out: &mut S,
-        ws: &mut VlasovWorkspace,
-        clo: usize,
-        chi: usize,
-        write_lo: bool,
-        write_hi: bool,
-    ) {
-        if !write_lo && !write_hi {
-            return;
-        }
-        if clo != chi {
-            return match batch {
-                SurfaceBatch::X4(k) => {
-                    self.surface_config_panels(k, f, out, ws, clo, chi, write_lo, write_hi)
-                }
-                SurfaceBatch::X8(k) => {
-                    self.surface_config_panels(k, f, out, ws, clo, chi, write_lo, write_hi)
-                }
-            };
-        }
-        let nv = self.grid.vel.len();
-        for vlin in 0..nv {
-            let (lo, hi) = self.wrap_increment(kernel, f, &mut ws.stage, clo, vlin);
-            let oc = out.cell_mut(clo * nv + vlin);
-            for (o, (a, b)) in oc.iter_mut().zip(lo.iter().zip(hi)) {
-                *o += a + b;
-            }
-        }
-    }
-
-    /// The single-cell periodic wrap at phase cell `clin · Nv + vlin`: both
-    /// sides of the face are that cell, so its two increments are staged
-    /// and come back for the caller to add as `lo + hi`. Streaming kernels
-    /// never read `qm`/`em` (α̂ = v_d).
-    fn wrap_increment<'s>(
-        &self,
-        kernel: SurfaceKernelFn,
         f: &DgField,
         st: &'s mut FaceStage,
         clin: usize,
@@ -884,7 +863,8 @@ impl VlasovOp {
         let fc = f.cell(clin * self.grid.vel.len() + vlin);
         st.tmp_lo[..np].fill(0.0);
         st.tmp_hi[..np].fill(0.0);
-        kernel(
+        k.face1(
+            d,
             &self.center(clin, vlin)[..self.kernels.layout.ndim()],
             &self.dxv,
             0.0,
@@ -894,6 +874,7 @@ impl VlasovOp {
             fc,
             &mut st.tmp_lo,
             &mut st.tmp_hi,
+            &mut st.sparse,
         );
         (&st.tmp_lo[..np], &st.tmp_hi[..np])
     }
@@ -908,33 +889,45 @@ impl VlasovOp {
         w
     }
 
-    /// One configuration-direction face between two distinct cells, in
-    /// runs of `L` velocity cells (SoA panels from workspace scratch); a
-    /// final run shorter than `L` is a partial panel whose spare lanes
-    /// repeat its last cell and are never unpacked. Each output coefficient
-    /// receives exactly one increment per face (one face mode per cell
-    /// mode), so unpacking the zeroed accumulation panels reproduces the
-    /// scalar accumulation bit for bit. The kernels always compute both
-    /// sides; a one-sided face (a block or rank edge) unpacks only the side
-    /// it owns — the other cell may lie outside `out`.
+    /// One configuration-direction face (all velocity cells) between
+    /// configuration cells `clo` and `chi` along `d`, in runs of `L`
+    /// velocity cells (SoA panels from workspace scratch); a final run
+    /// shorter than `L` is a partial panel whose spare lanes repeat its last
+    /// cell and are never unpacked. Each output coefficient receives exactly
+    /// one increment per face (one face mode per cell mode), so unpacking
+    /// the zeroed accumulation panels reproduces the scalar accumulation bit
+    /// for bit. The single-cell periodic wrap, whose two sides alias, runs
+    /// the one-lane kernel cell by cell instead, staged in the workspace.
     #[allow(clippy::too_many_arguments)]
-    fn surface_config_panels<const L: usize, S: CellStoreMut>(
+    fn conf_face<const L: usize, K: VlasovEval<L>, S: CellStoreMut>(
         &self,
-        kernel: SurfaceLanes<L>,
+        k: &K,
+        d: usize,
         f: &DgField,
         out: &mut S,
         ws: &mut VlasovWorkspace,
         clo: usize,
         chi: usize,
-        write_lo: bool,
-        write_hi: bool,
     ) {
         let nv = self.grid.vel.len();
-        let penalty = self.flux != FluxKind::Central;
+        ws.probe.count(Counter::FacesSwept, nv as u64);
+        if clo == chi {
+            for vlin in 0..nv {
+                let (lo, hi) = self.wrap_increment(k, d, f, &mut ws.stage, clo, vlin);
+                let oc = out.cell_mut(clo * nv + vlin);
+                for (o, (a, b)) in oc.iter_mut().zip(lo.iter().zip(hi)) {
+                    *o += a + b;
+                }
+            }
+            return;
+        }
+        let (dxv, penalty) = (&self.dxv[..], self.flux != FluxKind::Central);
+        let moves = k.moves();
         let Panels {
             w,
             f: [f_lo, f_hi],
             out: [o_lo, o_hi],
+            sc,
         } = ws.panels::<L>(&self.kernels);
         self.fill_conf_center(w, clo);
         for v0 in (0..nv).step_by(L) {
@@ -942,114 +935,14 @@ impl VlasovOp {
             let vlin: [usize; L] = std::array::from_fn(|lane| v0 + lane.min(lanes - 1));
             self.fill_vel_centers(w, &vlin);
             let (lo_cells, hi_cells) = (vlin.map(|v| clo * nv + v), vlin.map(|v| chi * nv + v));
-            kernel.moves.pack(f_lo, lo_cells.map(|c| f.cell(c)));
-            kernel.moves.pack(f_hi, hi_cells.map(|c| f.cell(c)));
+            moves.pack(f_lo, lo_cells.map(|c| f.cell(c)));
+            moves.pack(f_hi, hi_cells.map(|c| f.cell(c)));
             o_lo.fill([0.0; L]);
             o_hi.fill([0.0; L]);
             // Streaming kernels never read `qm`/`em` (α̂ = v_d).
-            kernel.call(w, &self.dxv, 0.0, &[], penalty, f_lo, f_hi, o_lo, o_hi);
-            if write_lo {
-                kernel
-                    .moves
-                    .unpack_add(out.cells_mut(&lo_cells, lanes), o_lo);
-            }
-            if write_hi {
-                kernel
-                    .moves
-                    .unpack_add(out.cells_mut(&hi_cells, lanes), o_hi);
-            }
-        }
-    }
-
-    /// Runtime sparse-tensor variant of one configuration-direction face.
-    #[allow(clippy::too_many_arguments)]
-    fn surface_config_face_rt<S: CellStoreMut>(
-        &self,
-        d: usize,
-        f: &DgField,
-        out: &mut S,
-        ws: &mut VlasovWorkspace,
-        clo: usize,
-        chi: usize,
-        write_lo: bool,
-        write_hi: bool,
-    ) {
-        let k = &*self.kernels;
-        let nv = self.grid.vel.len();
-        let vdx = self.grid.vel.dx();
-        let np = k.np();
-        let scale = 2.0 / self.grid.conf.dx()[d];
-        let surf = &k.surfaces[d];
-        let nf = surf.kernel.face.len();
-        let central = self.flux == FluxKind::Central;
-        for vlin in 0..nv {
-            let vc = self.vel_centers[vlin][d];
-            let lam = k.stream_face_alpha(d, vc, vdx[d], &mut ws.stage.alpha_face[..nf]);
-            let lam = if central { 0.0 } else { lam };
-            let lo_cell = clo * nv + vlin;
-            let hi_cell = chi * nv + vlin;
-            let f_lo = f.cell(lo_cell);
-            let f_hi = f.cell(hi_cell);
-            if lo_cell == hi_cell {
-                // Single-cell periodic direction: stage both sides in the
-                // workspace, then accumulate sequentially.
-                ws.stage.tmp_lo[..np].fill(0.0);
-                ws.stage.tmp_hi[..np].fill(0.0);
-                surf.kernel.apply(
-                    f_lo,
-                    f_hi,
-                    &ws.stage.alpha_face[..nf],
-                    lam,
-                    scale,
-                    Some(&mut ws.stage.tmp_lo),
-                    Some(&mut ws.stage.tmp_hi),
-                    &mut ws.stage.face,
-                );
-                let oc = out.cell_mut(lo_cell);
-                for (o, (a, b)) in oc
-                    .iter_mut()
-                    .zip(ws.stage.tmp_lo.iter().zip(&ws.stage.tmp_hi))
-                {
-                    *o += a + b;
-                }
-                continue;
-            }
-            match (write_lo, write_hi) {
-                (true, true) => {
-                    let (a, b) = out.cell_pair_mut(lo_cell, hi_cell);
-                    surf.kernel.apply(
-                        f_lo,
-                        f_hi,
-                        &ws.stage.alpha_face[..nf],
-                        lam,
-                        scale,
-                        Some(a),
-                        Some(b),
-                        &mut ws.stage.face,
-                    );
-                }
-                (true, false) => surf.kernel.apply(
-                    f_lo,
-                    f_hi,
-                    &ws.stage.alpha_face[..nf],
-                    lam,
-                    scale,
-                    Some(out.cell_mut(lo_cell)),
-                    None,
-                    &mut ws.stage.face,
-                ),
-                (false, true) => surf.kernel.apply(
-                    f_lo,
-                    f_hi,
-                    &ws.stage.alpha_face[..nf],
-                    lam,
-                    scale,
-                    None,
-                    Some(out.cell_mut(hi_cell)),
-                    &mut ws.stage.face,
-                ),
-                (false, false) => {}
-            }
+            k.face(d, w, dxv, 0.0, &[], penalty, f_lo, f_hi, o_lo, o_hi, sc);
+            moves.unpack_add(out.cells_mut(&lo_cells, lanes), o_lo);
+            moves.unpack_add(out.cells_mut(&hi_cells, lanes), o_hi);
         }
     }
 
@@ -1113,12 +1006,13 @@ impl VlasovOp {
         let nv = self.grid.vel.len();
         span!(ws.probe, Phase::Ghosts);
         ws.probe.count(Counter::FacesSwept, nv as u64);
-        for vlin in 0..nv {
-            let t = self.wall_increment(d, side, bc, f, &mut ws.stage, &mut ws.wall, clin, vlin);
+        with_vlasov_eval!(self, |k| for vlin in 0..nv {
+            let (st, wall) = (&mut ws.stage, &mut ws.wall);
+            let t = self.wall_increment(k, d, side, bc, f, st, wall, clin, vlin);
             for (o, t) in out.cell_mut(clin * nv + vlin).iter_mut().zip(t) {
                 *o += t;
             }
-        }
+        })
     }
 
     /// The interior increment of the wall face of direction `d` at phase
@@ -1129,8 +1023,9 @@ impl VlasovOp {
     /// lands in the `wall` ledger as a by-product (no extra flux
     /// evaluation). Wall faces stay scalar: each boundary cell is one face.
     #[allow(clippy::too_many_arguments)]
-    fn wall_increment<'s>(
+    fn wall_increment<'s, const L: usize, K: VlasovEval<L>>(
         &self,
+        k: &K,
         d: usize,
         side: i32,
         bc: Bc,
@@ -1142,68 +1037,56 @@ impl VlasovOp {
     ) -> &'s [f64] {
         debug_assert!(side == 1 || side == -1);
         debug_assert!(bc.is_wall());
-        let k = &*self.kernels;
-        let vdim = k.layout.vdim;
-        let (np, nc) = (k.np(), k.nc());
-        let central = self.flux == FluxKind::Central;
+        let pk = &*self.kernels;
+        let vdim = pk.layout.vdim;
+        let (np, nc) = (pk.np(), pk.nc());
         let cell = clin * self.grid.vel.len() + vlin;
         self.stage_ghost(d, bc, f, &mut st.ghost, cell);
         st.tmp_lo[..np].fill(0.0);
-        match self.surface_paths[d] {
-            ResolvedSurfaceDir::Generated { func: kernel, .. } => {
-                // `w` of the streaming kernels only feeds the paired
-                // velocity center of `α̂ = v_d` — identical for ghost and
-                // interior — so the interior cell's center serves both
-                // wall orientations.
-                let w = self.center(clin, vlin);
-                let w = &w[..k.layout.ndim()];
-                st.tmp_hi[..np].fill(0.0);
-                // The interior side's increment lands in `tmp_lo`, the
-                // ghost side's in `tmp_hi` (discarded).
-                let (f_in, ghost) = (f.cell(cell), &st.ghost[..]);
-                let (lo, hi) = if side > 0 {
-                    (f_in, ghost)
-                } else {
-                    (ghost, f_in)
-                };
-                let (interior, outside) = (&mut st.tmp_lo, &mut st.tmp_hi);
-                let (o_lo, o_hi) = if side > 0 {
-                    (interior, outside)
-                } else {
-                    (outside, interior)
-                };
-                kernel(w, &self.dxv, 0.0, &[], !central, lo, hi, o_lo, o_hi);
-            }
-            ResolvedSurfaceDir::RuntimeSparse => {
-                let surf = &k.surfaces[d];
-                let nf = surf.kernel.face.len();
-                let scale = 2.0 / self.grid.conf.dx()[d];
-                let vc = self.vel_centers[vlin][d];
-                let lam = k.stream_face_alpha(d, vc, self.dv[d], &mut st.alpha_face[..nf]);
-                let lam = if central { 0.0 } else { lam };
-                let (f_in, alpha) = (f.cell(cell), &st.alpha_face[..nf]);
-                let interior = Some(&mut st.tmp_lo[..np]);
-                if side > 0 {
-                    let (lo, hi) = (f_in, &st.ghost[..]);
-                    surf.kernel
-                        .apply(lo, hi, alpha, lam, scale, interior, None, &mut st.face);
-                } else {
-                    let (lo, hi) = (&st.ghost[..], f_in);
-                    surf.kernel
-                        .apply(lo, hi, alpha, lam, scale, None, interior, &mut st.face);
-                }
-            }
-        }
+        st.tmp_hi[..np].fill(0.0);
+        // `w` of the streaming kernels only feeds the paired velocity
+        // center of `α̂ = v_d` — identical for ghost and interior — so the
+        // interior cell's center serves both wall orientations. The
+        // interior side's increment lands in `tmp_lo`, the ghost side's in
+        // `tmp_hi` (discarded).
+        let w = self.center(clin, vlin);
+        let (f_in, ghost) = (f.cell(cell), &st.ghost[..]);
+        let (lo, hi) = if side > 0 {
+            (f_in, ghost)
+        } else {
+            (ghost, f_in)
+        };
+        let (interior, outside) = (&mut st.tmp_lo, &mut st.tmp_hi);
+        let (o_lo, o_hi) = if side > 0 {
+            (interior, outside)
+        } else {
+            (outside, interior)
+        };
+        let penalty = self.flux != FluxKind::Central;
+        let w = &w[..pk.layout.ndim()];
+        k.face1(
+            d,
+            w,
+            &self.dxv,
+            0.0,
+            &[],
+            penalty,
+            lo,
+            hi,
+            o_lo,
+            o_hi,
+            &mut st.sparse,
+        );
         // Ledger: the staged interior update *is* the wall's flux
         // divergence for this velocity block.
         let sidx = usize::from(side > 0);
         wall.mass[d][sidx] += st.tmp_lo[0];
         st.wall_m2[..nc].fill(0.0);
-        k.moments.accumulate_m2(
+        pk.moments.accumulate_m2(
             &st.tmp_lo[..np],
             self.grid.vel_jacobian(),
             &self.vel_centers[vlin][..vdim],
-            &self.dv[..vdim],
+            self.grid.vel.dx(),
             &mut st.wall_m2,
         );
         wall.energy[d][sidx] += st.wall_m2[0];
@@ -1236,19 +1119,17 @@ impl VlasovOp {
                 }
             }
         }
-        let nbrs = &self.conf_nbr[d];
         {
             // One Surface span for the whole interior-face sweep; wall
             // faces stay outside under their own `Phase::Ghosts` spans so
             // the phase taxonomy remains non-overlapping.
             span!(ws.probe, Phase::Surface);
             // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
-            for clin in conf_range.clone() {
-                let Some(nlin) = nbrs[clin] else {
-                    continue;
-                };
-                self.surface_config_face(d, f, out, ws, clin, nlin as usize, true, true);
-            }
+            let cells = conf_range.clone();
+            let faces = cells.filter_map(|clo| Some((clo, self.conf_nbr[d][clo]?)));
+            with_vlasov_eval!(self, |k| for (clo, chi) in faces {
+                self.conf_face(k, d, f, out, ws, clo, chi as usize);
+            })
         }
         if bc.upper.is_wall() {
             for &clin in &self.wall_hi[d] {
@@ -1270,79 +1151,21 @@ impl VlasovOp {
         ws: &mut VlasovWorkspace,
         conf_range: Range<usize>,
     ) {
-        let k = &*self.kernels;
-        let (cdim, vdim) = (k.layout.cdim, k.layout.vdim);
-        let nv = self.grid.vel.len();
-        let nc = self.nc_em();
-        let vdx = self.grid.vel.dx();
-        let central = self.flux == FluxKind::Central;
         span!(ws.probe, Phase::Surface);
         let faces_per_conf: u64 = self.vel_faces.iter().map(|v| v.len() as u64).sum();
         ws.probe.count(
             Counter::FacesSwept,
             conf_range.len() as u64 * faces_per_conf,
         );
-        for clin in conf_range {
-            let em_cell = em.cell(clin);
-            for j in 0..vdim {
-                let dir = cdim + j;
-                let stride = self.grid.vel.stride(j);
-                match self.surface_paths[dir] {
-                    ResolvedSurfaceDir::Generated { batch, .. } => match batch {
-                        SurfaceBatch::X4(k) => {
-                            self.surface_velocity_panels(k, j, qm, f, em_cell, out, ws, clin)
-                        }
-                        SurfaceBatch::X8(k) => {
-                            self.surface_velocity_panels(k, j, qm, f, em_cell, out, ws, clin)
-                        }
-                    },
-                    ResolvedSurfaceDir::RuntimeSparse => {
-                        let (e, b) = self.em_slices(em_cell);
-                        let surf = &k.surfaces[dir];
-                        let nf = surf.kernel.face.len();
-                        let scale = 2.0 / vdx[j];
-                        let proj = surf.face_accel.as_ref().expect("velocity face");
-                        let n_j = self.grid.vel.cells()[j];
-                        for &base in &self.pencil_bases[j] {
-                            let base = base as usize;
-                            // α̂ cannot depend on v_j, so one projection
-                            // serves the whole pencil.
-                            let vc = &self.vel_centers[base];
-                            let lam = proj.project(
-                                qm,
-                                &e[j * nc..(j + 1) * nc],
-                                b,
-                                VelGeom {
-                                    v_c: &vc[..vdim],
-                                    dv: &self.dv[..vdim],
-                                },
-                                &mut ws.stage.alpha_face[..nf],
-                            );
-                            let lam = if central { 0.0 } else { lam };
-                            for i in 0..n_j - 1 {
-                                let lo_cell = clin * nv + base + i * stride;
-                                let hi_cell = lo_cell + stride;
-                                let (o_lo, o_hi) = out.cell_pair_mut(lo_cell, hi_cell);
-                                surf.kernel.apply(
-                                    f.cell(lo_cell),
-                                    f.cell(hi_cell),
-                                    &ws.stage.alpha_face[..nf],
-                                    lam,
-                                    scale,
-                                    Some(o_lo),
-                                    Some(o_hi),
-                                    &mut ws.stage.face,
-                                );
-                            }
-                        }
-                    }
-                }
+        with_vlasov_eval!(self, |k| for clin in conf_range {
+            for j in 0..self.grid.vdim() {
+                self.surface_velocity_panels(k, j, qm, f, em.cell(clin), out, ws, clin);
             }
-        }
+        })
     }
 
-    /// Committed-kernel variant of the `v_j` faces of one configuration
-    /// cell: the direction's precomputed face list, `L` faces per panel
+    /// The `v_j` faces of one configuration cell at lane width `L`: the
+    /// direction's precomputed face list, `L` faces per panel
     /// (the last panel may be partial — its spare lanes repeat its last
     /// face and are never unpacked). The list runs face-index-major across
     /// pencils, so a pencil's faces appear in ascending order and every
@@ -1354,13 +1177,12 @@ impl VlasovOp {
     /// the scalar kernel would apply, so the result equals calling the
     /// scalar kernel face by face in list order, and (per cell, the same
     /// two increments in the same order) a pencil-by-pencil sweep, bit for
-    /// bit. The inlined α̂ projection reads only the transverse velocity
-    /// centers, so it is the same exact polynomial the runtime path
-    /// projects once per pencil.
+    /// bit. The α̂ projection reads only the transverse velocity centers,
+    /// so it is one exact polynomial along each pencil.
     #[allow(clippy::too_many_arguments)]
-    fn surface_velocity_panels<const L: usize, S: CellStoreMut>(
+    fn surface_velocity_panels<const L: usize, K: VlasovEval<L>, S: CellStoreMut>(
         &self,
-        kernel: SurfaceLanes<L>,
+        k: &K,
         j: usize,
         qm: f64,
         f: &DgField,
@@ -1370,12 +1192,14 @@ impl VlasovOp {
         clin: usize,
     ) {
         let nv = self.grid.vel.len();
-        let stride = self.grid.vel.stride(j);
+        let (dir, stride) = (self.grid.cdim() + j, self.grid.vel.stride(j));
         let penalty = self.flux != FluxKind::Central;
+        let moves = k.moves();
         let Panels {
             w,
             f: [f_lo, f_hi],
             out: [o_lo, o_hi],
+            sc,
         } = ws.panels::<L>(&self.kernels);
         self.fill_conf_center(w, clin);
         for faces in self.vel_faces[j].chunks(L) {
@@ -1384,17 +1208,15 @@ impl VlasovOp {
             self.fill_vel_centers(w, &vlo);
             let lo_cells = vlo.map(|v| clin * nv + v);
             let hi_cells = lo_cells.map(|c| c + stride);
-            kernel.moves.pack(f_lo, lo_cells.map(|c| f.cell(c)));
-            kernel.moves.pack(f_hi, hi_cells.map(|c| f.cell(c)));
+            moves.pack(f_lo, lo_cells.map(|c| f.cell(c)));
+            moves.pack(f_hi, hi_cells.map(|c| f.cell(c)));
             o_lo.fill([0.0; L]);
             o_hi.fill([0.0; L]);
-            kernel.call(w, &self.dxv, qm, em_cell, penalty, f_lo, f_hi, o_lo, o_hi);
-            kernel
-                .moves
-                .unpack_add(out.cells_mut(&hi_cells, lanes), o_hi);
-            kernel
-                .moves
-                .unpack_add(out.cells_mut(&lo_cells, lanes), o_lo);
+            k.face(
+                dir, w, &self.dxv, qm, em_cell, penalty, f_lo, f_hi, o_lo, o_hi, sc,
+            );
+            moves.unpack_add(out.cells_mut(&hi_cells, lanes), o_hi);
+            moves.unpack_add(out.cells_mut(&lo_cells, lanes), o_lo);
         }
     }
 
@@ -1500,10 +1322,10 @@ impl VlasovOp {
 
     /// Every term of the collisionless RHS on the dim-0 cell block `block`:
     /// the volume, the configuration faces in the block's schedule
-    /// ([`Self::conf_faces`]) and the velocity faces. With both kernel paths
-    /// generated the first two — and on one velocity dimension all three —
-    /// run as the cell-lane pass ([`Self::cell_pass`]); what the pass does
-    /// not run goes through the per-phase sweeps.
+    /// ([`Self::conf_faces`]) and the velocity faces. The first two — and
+    /// on one velocity dimension all three — run as the cell-lane pass
+    /// ([`Self::cell_pass`]); on more velocity dimensions the velocity
+    /// faces follow in [`Self::surface_velocity`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn accumulate_block_rhs<S: CellStoreMut>(
         &self,
@@ -1520,30 +1342,8 @@ impl VlasovOp {
         }
         let s = self.grid.conf.len() / self.grid.conf.cells()[0];
         let conf_range = block.start * s..block.end * s;
-        let velocity_in_pass = match &self.cell_pass {
-            Some(CellPass::X4(k)) => self.cell_pass(k, qm, f, em, out, ws, block, bcs),
-            Some(CellPass::X8(k)) => self.cell_pass(k, qm, f, em, out, ws, block, bcs),
-            None => {
-                // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
-                self.volume(qm, f, em, out, ws, conf_range.clone());
-                // One Surface span per run of faces; the wall calls keep
-                // their own `Phase::Ghosts` spans.
-                let mut span = PhaseSpan::default();
-                self.conf_faces(block, bcs, |face| match face {
-                    ConfFace::Wall { d, side, bc, clin } => {
-                        span.exit();
-                        self.surface_config_wall(d, side, bc, f, out, ws, clin);
-                    }
-                    ConfFace::Pair { d, clo, chi, owns } => {
-                        span.enter(&ws.probe, Phase::Surface);
-                        let (lo, hi) = (owns != Owns::Upper, owns != Owns::Lower);
-                        self.surface_config_face(d, f, out, ws, clo, chi, lo, hi);
-                    }
-                });
-                false
-            }
-        };
-        if !velocity_in_pass {
+        with_vlasov_eval!(self, |k| self.cell_pass(k, qm, f, em, out, ws, block, bcs));
+        if self.grid.vdim() > 1 {
             // Velocity surfaces are cell-local in configuration space.
             self.surface_velocity(qm, f, em, out, ws, conf_range);
         }
@@ -1557,12 +1357,13 @@ impl VlasovOp {
     /// cell, runs the volume kernel and then the block's face schedule
     /// straight into those panels, and adds each panel into `out` once. A
     /// side the block does not own goes to a discard panel; walls and the
-    /// single-cell periodic wrap run the per-phase scalar code lane by lane
+    /// single-cell periodic wrap run the one-lane face kernel lane by lane
     /// and add their staged increment into the lane.
     ///
     /// From a zeroed `out` this is the per-phase sweeps bit for bit. Every
     /// generated surface body writes each output coefficient exactly once
-    /// (`codegen` test), so the per-phase face's `out += (0 + c·g)` is the
+    /// (`codegen` test), and the runtime evaluator adds its staged increment
+    /// once per coefficient, so the per-phase face's `out += (0 + c·g)` is the
     /// pass's `P += c·g` — `0 + x` differs from `x` only for `x = −0.0`,
     /// which adds like `+0.0` to a panel entry that, being a sum started at
     /// `+0.0`, is never `−0.0` itself under round-to-nearest; the volume is
@@ -1570,8 +1371,8 @@ impl VlasovOp {
     /// wall ledger sums the same staged increments, lane group by lane
     /// group — the per-phase order when one cell carries each wall.
     ///
-    /// With one velocity direction ([`CellKernels::velocity`]) the pass also
-    /// runs the velocity faces, and returns `true`: a lane group is `L`
+    /// With one velocity direction the pass also runs the velocity faces: a
+    /// lane group is `L`
     /// consecutive velocity cells, so a cell's `v` neighbours sit one lane
     /// over. Per own cell, after the configuration faces, lane `l` of one
     /// face call is the face below lane `l` — its lower side the resident
@@ -1586,11 +1387,13 @@ impl VlasovOp {
     /// entry that is never `−0.0`. With more velocity directions the lane
     /// axis is the last one, whose faces each cell receives after those of
     /// the directions whose neighbours lie in other lane groups, so those
-    /// faces stay in [`Self::surface_velocity`] (and this returns `false`).
+    /// faces stay in [`Self::surface_velocity`]. At one lane (the runtime
+    /// evaluator) a group is one cell, and the shuffle reduces to the cell
+    /// below.
     #[allow(clippy::too_many_arguments)]
-    fn cell_pass<const L: usize, S: CellStoreMut>(
+    fn cell_pass<const L: usize, K: VlasovEval<L>, S: CellStoreMut>(
         &self,
-        k: &CellKernels<L>,
+        k: &K,
         qm: f64,
         f: &DgField,
         em: &DgField,
@@ -1598,10 +1401,12 @@ impl VlasovOp {
         ws: &mut VlasovWorkspace,
         block: Range<usize>,
         bcs: &[DimBc],
-    ) -> bool {
-        let np = self.kernels.np();
+    ) {
+        let (np, cdim) = (self.kernels.np(), self.grid.cdim());
         let nv = self.grid.vel.len();
         let penalty = self.flux != FluxKind::Central;
+        let velocity_in_pass = self.grid.vdim() == 1;
+        let moves = k.moves();
         let slots = PassSlots::new(&self.grid, &block, bcs[0]);
         // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
         let own = slots.own.clone();
@@ -1643,15 +1448,15 @@ impl VlasovOp {
                 probe.count(Counter::DofProcessed, swept * np as u64);
                 for clin in slots.cells() {
                     let cells = vlin.map(|v| f.cell(clin * nv + v));
-                    k.volume.moves.pack(&mut pf[f_of(clin)], cells);
+                    moves.pack(&mut pf[f_of(clin)], cells);
                 }
                 // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
                 for clin in own.clone() {
                     let p = &mut po[out_of(clin)];
                     p.fill([0.0; L]);
                     self.fill_conf_center(w, clin);
-                    k.volume
-                        .call(w, &self.dxv, qm, em.cell(clin), &pf[f_of(clin)], p);
+                    let sc = &mut stage.sparse;
+                    k.volume(w, &self.dxv, qm, em.cell(clin), &pf[f_of(clin)], p, sc);
                 }
             }
             let mut span = PhaseSpan::default();
@@ -1665,7 +1470,7 @@ impl VlasovOp {
                         let p = &mut po[out_of(clin)];
                         for lane in 0..lanes {
                             let v = v0 + lane;
-                            let t = self.wall_increment(d, side, bc, f, stage, wall, clin, v);
+                            let t = self.wall_increment(k, d, side, bc, f, stage, wall, clin, v);
                             for (p, t) in p.iter_mut().zip(t) {
                                 p[lane] += t;
                             }
@@ -1675,8 +1480,7 @@ impl VlasovOp {
                         span.enter(probe, Phase::Surface);
                         let p = &mut po[out_of(clo)];
                         for lane in 0..lanes {
-                            let (lo, hi) =
-                                self.wrap_increment(k.scalar[d], f, stage, clo, v0 + lane);
+                            let (lo, hi) = self.wrap_increment(k, d, f, stage, clo, v0 + lane);
                             for (p, (a, b)) in p.iter_mut().zip(lo.iter().zip(hi)) {
                                 p[lane] += a + b;
                             }
@@ -1697,13 +1501,26 @@ impl VlasovOp {
                         let (f_lo, f_hi) = (&pf[f_of(clo)], &pf[f_of(chi)]);
                         self.fill_conf_center(w, clo);
                         // Streaming kernels never read `qm`/`em` (α̂ = v_d).
-                        k.faces[d].call(w, &self.dxv, 0.0, &[], penalty, f_lo, f_hi, o_lo, o_hi);
+                        let sc = &mut stage.sparse;
+                        k.face(
+                            d,
+                            w,
+                            &self.dxv,
+                            0.0,
+                            &[],
+                            penalty,
+                            f_lo,
+                            f_hi,
+                            o_lo,
+                            o_hi,
+                            sc,
+                        );
                     }
                 }
             });
             probe.count(Counter::FacesSwept, faces * lanes as u64);
             span.enter(probe, Phase::Surface);
-            if k.velocity.is_some() {
+            if velocity_in_pass {
                 // Lane `l` runs the face below it: the lower cells' centres.
                 let vlo = std::array::from_fn(|lane| (v0 + lane).saturating_sub(1).min(nv - 1));
                 self.fill_vel_centers(w, &vlo);
@@ -1713,7 +1530,7 @@ impl VlasovOp {
             // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
             for clin in own.clone() {
                 let p = &mut po[out_of(clin)];
-                if let Some(kv) = &k.velocity {
+                if velocity_in_pass {
                     let f_own = &pf[f_of(clin)];
                     // The lower sides: the panel shifted up a lane, lane 0
                     // the previous group's top cell — or, below the first
@@ -1727,7 +1544,8 @@ impl VlasovOp {
                     o_lo.fill([0.0; L]);
                     o_hi.fill([0.0; L]);
                     self.fill_conf_center(w, clin);
-                    kv.call(
+                    k.face(
+                        cdim,
                         w,
                         &self.dxv,
                         qm,
@@ -1737,6 +1555,7 @@ impl VlasovOp {
                         f_own,
                         o_lo,
                         o_hi,
+                        &mut stage.sparse,
                     );
                     // Zero flux through the ends of the velocity domain: no
                     // lower face for the first cell, no upper face for the
@@ -1764,10 +1583,9 @@ impl VlasovOp {
                     }
                 }
                 let cells = vlin.map(|v| clin * nv + v);
-                k.volume.moves.unpack_add(out.cells_mut(&cells, lanes), p);
+                moves.unpack_add(out.cells_mut(&cells, lanes), p);
             }
         }
-        k.velocity.is_some()
     }
 
     /// The full collisionless RHS, serial: `out += L(f; E, B)`, with the
@@ -1811,8 +1629,9 @@ mod tests {
     use crate::species::{maxwellian, Species};
     use dg_basis::BasisKind;
     use dg_grid::{Bc, CartGrid};
-    use dg_kernels::dispatch::{find_surface_kernel, find_volume_kernel, BatchIsa};
+    use dg_kernels::dispatch::BatchIsa;
     use dg_kernels::{kernels_for, PhaseLayout};
+    use dg_maxwell::NCOMP;
     use dg_telemetry::Registry;
 
     fn setup_1x1v(nx: usize, nvx: usize, p: usize) -> (VlasovOp, Species, DgField) {
@@ -1894,9 +1713,8 @@ mod tests {
                 FluxKind::Upwind,
                 None,
             );
-            assert_eq!(op_gen.surface_dispatch_path(), DispatchPath::Generated);
-            assert_eq!(op_gen.op_report().surface_path, DispatchPath::Generated);
-            assert_eq!(op_rt.op_report().surface_path, DispatchPath::RuntimeSparse);
+            assert_eq!(op_gen.op_report().path, DispatchPath::Generated);
+            assert_eq!(op_rt.op_report().path, DispatchPath::RuntimeSparse);
 
             let mut ws = VlasovWorkspace::for_kernels(&op_gen.kernels);
             let mut out_gen = DgField::zeros(sp.f.ncells(), sp.f.ncoeff());
@@ -2017,27 +1835,14 @@ mod tests {
     }
 
     /// Re-resolve every batched entry point of `op` to `isa` — what the
-    /// operator would have picked on a CPU whose widest ISA that is, the
-    /// cell-lane pass included; `false` when this host cannot run it.
+    /// operator would have picked on a CPU whose widest ISA that is;
+    /// `false` when this host cannot run it.
     fn force_isa(op: &mut VlasovOp, isa: BatchIsa) -> bool {
-        let k = &op.kernels;
-        let (kind, p) = (k.phase_basis.kind(), k.phase_basis.poly_order());
-        let vol = find_volume_kernel(kind, k.layout, p).expect("case is in the registry");
-        let surf = find_surface_kernel(kind, k.layout, p).expect("case is in the registry");
-        let Some(batch) = VolumeBatch::for_isa(vol, isa) else {
+        let row = row_for(&op.kernels).expect("case is in the registry");
+        let Some(batch) = VlasovBatch::for_isa(row, isa) else {
             return false;
         };
-        op.volume_path = ResolvedVolume::Generated {
-            func: vol.func,
-            batch,
-        };
-        for (d, path) in op.surface_paths.iter_mut().enumerate() {
-            *path = ResolvedSurfaceDir::Generated {
-                func: surf.dirs[d],
-                batch: SurfaceBatch::for_isa(surf, d, isa).expect("volume resolved"),
-            };
-        }
-        op.cell_pass = Some(CellPass::new(batch, surf, op.grid.cdim(), op.grid.vdim()));
+        op.resolved = Resolved::generated(row, batch);
         true
     }
 
@@ -2045,78 +1850,85 @@ mod tests {
 
     /// Run `check` on the operator as resolved for this host, then forced
     /// to every entry-point family the host offers (so an AVX-512 machine
-    /// also covers what an AVX2-only and a non-x86 one would run); which of
-    /// [`ISAS`] ran comes back for [`report_widths`].
-    fn at_every_width(op: &mut VlasovOp, mut check: impl FnMut(&VlasovOp, &str)) -> [bool; 3] {
-        check(op, "as resolved");
-        ISAS.map(|isa| {
+    /// also covers what an AVX2-only and a non-x86 one would run), then on
+    /// its runtime-sparse twin at one lane — each against the reference
+    /// `reference` builds on its path's scalar entries, once per path;
+    /// which of [`ISAS`] ran comes back for [`report_widths`].
+    fn at_every_width<R>(
+        op: &mut VlasovOp,
+        reference: impl Fn(&VlasovOp) -> R,
+        mut check: impl FnMut(&VlasovOp, &str, &R),
+    ) -> [bool; 3] {
+        let want = reference(op);
+        check(op, "as resolved", &want);
+        let ran = ISAS.map(|isa| {
             let ran = force_isa(op, isa);
             if ran {
-                check(op, isa.tag());
+                check(op, isa.tag(), &want);
             }
             ran
-        })
+        });
+        let sparse = sparse_twin(op);
+        check(&sparse, RUNTIME_SPARSE_TAG, &reference(&sparse));
+        ran
     }
 
     #[test]
     fn entry_point_tags_name_what_the_rhs_runs() {
-        // 1x1v: the pass runs every direction, so only its width shows, even
-        // with the velocity direction's per-phase entry point forced to
-        // another family. 2x3v: the velocity faces run `surface_velocity`,
-        // whose width joins the tag when it differs from the pass's.
+        // One resolution per operator: every sweep — the pass, and on 2x3v
+        // `surface_velocity` — runs the volume's entry points, so the tag
+        // is that one width, whichever family the operator is forced to.
         let (mut one_v, ..) = schedule_case(1, &[3], &[8], FluxKind::Upwind, periodic(1));
         let (mut three_v, ..) =
             schedule_case(1, &[2, 2], &[2, 2, 2], FluxKind::Upwind, periodic(2));
-        // As resolved, the configuration directions' 4-lane per-phase
-        // entry points never show.
-        assert_eq!(
-            one_v.kernel_entry_points().to_string(),
-            one_v.volume_path.tag()
-        );
+        assert_eq!(one_v.kernel_entry_points(), one_v.resolved.tag());
         for isa in ISAS {
-            if !(force_isa(&mut one_v, isa) && force_isa(&mut three_v, isa)) {
-                continue;
+            if force_isa(&mut one_v, isa) && force_isa(&mut three_v, isa) {
+                assert_eq!(one_v.kernel_entry_points(), isa.tag());
+                assert_eq!(three_v.kernel_entry_points(), isa.tag());
             }
-            assert_eq!(one_v.kernel_entry_points().to_string(), isa.tag());
-            assert_eq!(three_v.kernel_entry_points().to_string(), isa.tag());
-            if isa == BatchIsa::Baseline {
-                continue;
-            }
-            for op in [&mut one_v, &mut three_v] {
-                let surf = find_surface_kernel(
-                    op.kernels.phase_basis.kind(),
-                    op.kernels.layout,
-                    op.kernels.phase_basis.poly_order(),
-                )
-                .unwrap();
-                let cdim = op.grid.cdim();
-                for (d, path) in op.surface_paths.iter_mut().enumerate().skip(cdim) {
-                    *path = ResolvedSurfaceDir::Generated {
-                        func: surf.dirs[d],
-                        batch: SurfaceBatch::for_isa(surf, d, BatchIsa::Baseline).unwrap(),
-                    };
-                }
-            }
-            assert_eq!(one_v.kernel_entry_points().to_string(), isa.tag());
-            assert_eq!(
-                three_v.kernel_entry_points().to_string(),
-                format!("{} + {}", isa.tag(), BatchIsa::Baseline.tag())
-            );
         }
-        // Runtime-sparse runs no pass and names no width.
-        let sparse = VlasovOp::with_row(
-            Arc::clone(&one_v.kernels),
-            one_v.grid.clone(),
-            FluxKind::Upwind,
-            None,
-        );
+        // Runtime-sparse runs no generated width.
+        let sparse = sparse_twin(&one_v);
         assert_eq!(
-            sparse.kernel_entry_points().to_string(),
+            sparse.kernel_entry_points(),
             dg_kernels::dispatch::RUNTIME_SPARSE_TAG
         );
     }
 
-    fn report_widths(test: &str, ran: [bool; 3]) {
+    /// `op` on the runtime-sparse path (`with_row(…, None)`).
+    fn sparse_twin(op: &VlasovOp) -> VlasovOp {
+        VlasovOp::with_row(Arc::clone(&op.kernels), op.grid.clone(), op.flux, None)
+    }
+
+    /// One-lane face kernel of direction `d` of `row`, or the runtime
+    /// evaluator without one.
+    #[allow(clippy::too_many_arguments)]
+    fn scalar_face(
+        k: &PhaseKernels,
+        row: Option<&KernelRow>,
+        d: usize,
+        w: &[f64],
+        dxv: &[f64],
+        qm: f64,
+        em: &[f64],
+        penalty: bool,
+        f_lo: &[f64],
+        f_hi: &[f64],
+        out_lo: &mut [f64],
+        out_hi: &mut [f64],
+    ) {
+        match row {
+            Some(row) => (row.surface.dirs[d])(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi),
+            None => {
+                let sc = &mut SparseScratch::for_kernels(k);
+                k.sparse_face(d, w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi, sc)
+            }
+        }
+    }
+
+    /// Which of [`ISAS`] ran, and whether the runtime-sparse arm did.
+    fn report_widths(test: &str, ran: [bool; 3], sparse_ran: bool) {
         for (isa, ran) in ISAS.iter().zip(ran) {
             let what = if ran {
                 "ran"
@@ -2125,13 +1937,16 @@ mod tests {
             };
             println!("{test}: {} {what}", isa.tag());
         }
+        if sparse_ran {
+            println!("{test}: {RUNTIME_SPARSE_TAG} ran");
+        }
     }
 
-    /// `acc` plus every velocity face through the one-lane generated
-    /// kernels: per configuration cell, directions ascending, pencil by
-    /// pencil, faces ascending — so each cell receives its lower face before
-    /// its upper one. Built from the grid alone, not from the operator's
-    /// face tables.
+    /// `acc` plus every velocity face through the one-lane kernels of `op`'s
+    /// path (its row's, or the runtime evaluator's): per configuration cell, directions
+    /// ascending, pencil by pencil, faces ascending — so each cell receives
+    /// its lower face before its upper one. Built from the grid alone, not
+    /// from the operator's face tables.
     fn scalar_vel_faces(
         op: &VlasovOp,
         qm: f64,
@@ -2143,9 +1958,7 @@ mod tests {
         let (cdim, vdim) = (k.layout.cdim, k.layout.vdim);
         let grid = &op.grid;
         let (nv, nconf) = (grid.vel.len(), grid.conf.len());
-        let entry =
-            find_surface_kernel(BasisKind::Serendipity, k.layout, k.phase_basis.poly_order())
-                .expect("case is in the registry");
+        let row = op.row;
         let mut vidx = vec![0usize; vdim];
         let mut w = vec![0.0; cdim + vdim];
         for clin in 0..nconf {
@@ -2162,7 +1975,10 @@ mod tests {
                         w[cdim..].copy_from_slice(&op.vel_centers[vlo][..vdim]);
                         let lo_cell = clin * nv + vlo;
                         let (o_lo, o_hi) = acc.cell_pair_mut(lo_cell, lo_cell + stride);
-                        (entry.dirs[cdim + j])(
+                        scalar_face(
+                            k,
+                            row,
+                            cdim + j,
                             &w,
                             &op.dxv,
                             qm,
@@ -2184,7 +2000,7 @@ mod tests {
     fn face_panel_schedule_matches_scalar_pencil_sweep_bitwise() {
         // `surface_velocity` batches a face-index-major face list across
         // pencils. The reference is the sweep it replaced: the scalar
-        // generated kernels, pencil by pencil, faces ascending.
+        // kernels of the operator's path, pencil by pencil, faces ascending.
         let mut ran = [false; 3];
         for &(p, conf_cells, vel_cells) in SCHEDULE_CASES {
             let (cdim, vdim) = (conf_cells.len(), vel_cells.len());
@@ -2198,9 +2014,8 @@ mod tests {
                     *v = ((i * 29 % 53) as f64 - 26.0) * 0.3;
                 }
                 let qm = -1.5;
-                let want = scalar_vel_faces(&op, qm, &f, &em, start.clone());
-
-                ran = at_every_width(&mut op, |op, width| {
+                let reference = |op: &VlasovOp| scalar_vel_faces(op, qm, &f, &em, start.clone());
+                ran = at_every_width(&mut op, reference, |op, width, want| {
                     let mut got = start.clone();
                     let mut ws = VlasovWorkspace::for_kernels(&op.kernels);
                     op.surface_velocity(qm, &f, &em, &mut got, &mut ws, 0..nconf);
@@ -2214,7 +2029,7 @@ mod tests {
                 });
             }
         }
-        report_widths("face_panel_schedule", ran);
+        report_widths("face_panel_schedule", ran, true);
     }
 
     /// `acc` plus every configuration face through the one-lane generated
@@ -2227,9 +2042,7 @@ mod tests {
         let k = &op.kernels;
         let (cdim, vdim, np) = (k.layout.cdim, k.layout.vdim, k.np());
         let (nv, nconf) = (op.grid.vel.len(), op.grid.conf.len());
-        let surf =
-            find_surface_kernel(BasisKind::Serendipity, k.layout, k.phase_basis.poly_order())
-                .expect("case is in the registry");
+        let row = op.row;
         let mut ws = VlasovWorkspace::for_kernels(k);
         let mut w = vec![0.0; cdim + vdim];
         let (mut a, mut b) = (vec![0.0; np], vec![0.0; np]);
@@ -2250,37 +2063,32 @@ mod tests {
                 for vlin in 0..nv {
                     w[cdim..].copy_from_slice(&op.vel_centers[vlin][..vdim]);
                     let (lo, hi) = (clo * nv + vlin, chi as usize * nv + vlin);
-                    let kernel = surf.dirs[d];
-                    if lo == hi {
-                        a.fill(0.0);
-                        b.fill(0.0);
-                        kernel(
+                    let kernel = |f_hi, o_lo, o_hi| {
+                        scalar_face(
+                            k,
+                            row,
+                            d,
                             &w,
                             &op.dxv,
                             0.0,
                             &[],
                             true,
                             f.cell(lo),
-                            f.cell(lo),
-                            &mut a,
-                            &mut b,
-                        );
+                            f_hi,
+                            o_lo,
+                            o_hi,
+                        )
+                    };
+                    if lo == hi {
+                        a.fill(0.0);
+                        b.fill(0.0);
+                        kernel(f.cell(lo), &mut a, &mut b);
                         for (o, (a, b)) in acc.cell_mut(lo).iter_mut().zip(a.iter().zip(&b)) {
                             *o += a + b;
                         }
                     } else {
                         let (o_lo, o_hi) = acc.cell_pair_mut(lo, hi);
-                        kernel(
-                            &w,
-                            &op.dxv,
-                            0.0,
-                            &[],
-                            true,
-                            f.cell(lo),
-                            f.cell(hi),
-                            o_lo,
-                            o_hi,
-                        );
+                        kernel(f.cell(hi), o_lo, o_hi);
                     }
                 }
             }
@@ -2296,46 +2104,48 @@ mod tests {
         // velocity cells with a partial last panel per configuration cell,
         // and the cell-lane pass runs both — on 1v the velocity faces too —
         // over panels resident for a whole lane group. The reference is the
-        // scalar generated kernels cell by cell: the volume from zero (each
-        // cell's first contribution), then the configuration faces with `d`
+        // scalar kernels of the operator's path cell by cell: the volume from
+        // zero (each cell's first contribution), then the configuration faces
+        // with `d`
         // ascending — onto non-zero increments for the per-phase sweep, onto
         // the volume for the whole block RHS, which then takes the velocity
         // faces, lower before upper.
-        let (mut ran, mut ran_1v) = ([false; 3], [false; 3]);
+        let (mut ran, mut ran_1v, mut ran_1v_sparse) = ([false; 3], [false; 3], false);
         for (p, conf_cells, vel_cells, bcs) in cell_cases() {
             let (cdim, vdim) = (conf_cells.len(), vel_cells.len());
             let (mut op, f, em) =
                 schedule_case(p, conf_cells, vel_cells, FluxKind::Upwind, bcs.clone());
             let (nv, nconf, np) = (op.grid.vel.len(), op.grid.conf.len(), op.kernels.np());
             let qm = 0.75;
-            let vol = find_volume_kernel(BasisKind::Serendipity, op.kernels.layout, p).unwrap();
-
-            let mut w = vec![0.0; cdim + vdim];
-            let mut want_vol = DgField::zeros(nconf * nv, np);
-            for clin in 0..nconf {
-                w[..cdim].copy_from_slice(&op.conf_centers[clin * cdim..][..cdim]);
-                for vlin in 0..nv {
-                    w[cdim..].copy_from_slice(&op.vel_centers[vlin][..vdim]);
-                    let cell = clin * nv + vlin;
-                    (vol.func)(
-                        &w,
-                        &op.dxv,
-                        qm,
-                        em.cell(clin),
-                        f.cell(cell),
-                        want_vol.cell_mut(cell),
-                    );
-                }
-            }
             let mut start = DgField::zeros(nconf * nv, np);
             for (i, v) in start.as_mut_slice().iter_mut().enumerate() {
                 *v = ((i * 31 % 47) as f64 - 23.0) * 0.2;
             }
-            let want_faces = scalar_conf_faces(&op, &f, &bcs, start.clone());
-            let want_pass = scalar_conf_faces(&op, &f, &bcs, want_vol.clone());
-            let want_pass = scalar_vel_faces(&op, qm, &f, &em, want_pass);
-
-            let widths = at_every_width(&mut op, |op, width| {
+            let reference = |op: &VlasovOp| {
+                let (k, row) = (&*op.kernels, op.row);
+                let mut sc = SparseScratch::for_kernels(k);
+                let mut w = vec![0.0; cdim + vdim];
+                let mut want_vol = DgField::zeros(nconf * nv, np);
+                for clin in 0..nconf {
+                    w[..cdim].copy_from_slice(&op.conf_centers[clin * cdim..][..cdim]);
+                    for vlin in 0..nv {
+                        w[cdim..].copy_from_slice(&op.vel_centers[vlin][..vdim]);
+                        let (cell, em) = (clin * nv + vlin, em.cell(clin));
+                        let out = want_vol.cell_mut(cell);
+                        let (fc, dxv) = (f.cell(cell), &op.dxv[..]);
+                        match row {
+                            Some(row) => (row.volume.func)(&w, dxv, qm, em, fc, out),
+                            None => k.sparse_volume(&w, dxv, qm, em, fc, out, &mut sc),
+                        }
+                    }
+                }
+                let want_faces = scalar_conf_faces(op, &f, &bcs, start.clone());
+                let want_pass = scalar_conf_faces(op, &f, &bcs, want_vol.clone());
+                let want_pass = scalar_vel_faces(op, qm, &f, &em, want_pass);
+                [want_vol, want_faces, want_pass]
+            };
+            let widths = at_every_width(&mut op, reference, |op, width, want| {
+                let [want_vol, want_faces, want_pass] = want;
                 let mut ws = VlasovWorkspace::for_kernels(&op.kernels);
                 let mut got_vol = DgField::zeros(nconf * nv, np);
                 op.volume(qm, &f, &em, &mut got_vol, &mut ws, 0..nconf);
@@ -2389,12 +2199,12 @@ mod tests {
             });
             ran = widths;
             if vdim == 1 {
-                ran_1v = widths;
+                (ran_1v, ran_1v_sparse) = (widths, true);
             }
         }
-        report_widths("cell_panel_schedule", ran);
+        report_widths("cell_panel_schedule", ran, true);
         // The velocity faces run inside the pass on 1v only.
-        report_widths("cell_pass_1v_schedule", ran_1v);
+        report_widths("cell_pass_1v_schedule", ran_1v, ran_1v_sparse);
     }
 
     #[test]
@@ -2481,8 +2291,7 @@ mod tests {
             );
             let what = format!("{kind:?} {} p{p}", layout.tag());
             let op = VlasovOp::new(Arc::clone(&kernels), grid.clone(), FluxKind::Upwind);
-            assert_eq!(op.dispatch_path(), want, "{what} volume");
-            assert_eq!(op.surface_dispatch_path(), want, "{what} surface");
+            assert_eq!(op.dispatch_path(), want, "{what} Vlasov");
             let lbo = LboOp::new(Arc::clone(&kernels), grid, 0.5);
             assert_eq!(lbo.dispatch_path(), want, "{what} LBO");
             let mom = MomentScratch::for_kernels(&kernels);

@@ -12,8 +12,6 @@ pub trait CellStoreMut {
     fn ncoeff(&self) -> usize;
     /// Mutable coefficient block of cell `i` (global cell numbering).
     fn cell_mut(&mut self, i: usize) -> &mut [f64];
-    /// Two disjoint cells at once (face updates touch both sides).
-    fn cell_pair_mut(&mut self, i: usize, j: usize) -> (&mut [f64], &mut [f64]);
     /// The pairwise distinct cells `idx[..n]` at once (a panel unpack writes
     /// a whole lane group); slots `n..` come back empty, whatever they name.
     fn cells_mut<const N: usize>(&mut self, idx: &[usize; N], n: usize) -> [&mut [f64]; N];
@@ -260,11 +258,6 @@ impl CellStoreMut for DgField {
     }
 
     #[inline]
-    fn cell_pair_mut(&mut self, i: usize, j: usize) -> (&mut [f64], &mut [f64]) {
-        DgField::cell_pair_mut(self, i, j)
-    }
-
-    #[inline]
     fn cells_mut<const N: usize>(&mut self, idx: &[usize; N], n: usize) -> [&mut [f64]; N] {
         disjoint_cells_mut(&mut self.data, self.ncoeff, 0, idx, n)
     }
@@ -340,22 +333,6 @@ impl CellStoreMut for DgFieldSlice<'_> {
             .checked_sub(self.first_cell)
             .expect("cell below this rank's range");
         &mut self.data[local * self.ncoeff..(local + 1) * self.ncoeff]
-    }
-
-    #[inline]
-    fn cell_pair_mut(&mut self, i: usize, j: usize) -> (&mut [f64], &mut [f64]) {
-        assert_ne!(i, j);
-        let li = i.checked_sub(self.first_cell).expect("cell below range");
-        let lj = j.checked_sub(self.first_cell).expect("cell below range");
-        let nc = self.ncoeff;
-        if li < lj {
-            let (a, b) = self.data.split_at_mut(lj * nc);
-            (&mut a[li * nc..(li + 1) * nc], &mut b[..nc])
-        } else {
-            let (a, b) = self.data.split_at_mut(li * nc);
-            let bi = &mut b[..nc];
-            (bi, &mut a[lj * nc..(lj + 1) * nc])
-        }
     }
 
     #[inline]
@@ -616,7 +593,7 @@ mod slice_tests {
         // Global indexing through the trait.
         assert_eq!(views[1].cell_mut(2)[0], 2.0);
         assert_eq!(views[2].cell_mut(5)[0], 5.0);
-        let (a, b) = views[0].cell_pair_mut(0, 1);
+        let [a, b] = views[0].cells_mut(&[0, 1], 2);
         a[1] = 10.0;
         b[1] = 11.0;
         drop(views);

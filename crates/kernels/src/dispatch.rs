@@ -20,16 +20,16 @@
 //! The configuration decides the path, and there is no knob: an operator
 //! looks up its row once when it is constructed ([`row_for`]) and runs the
 //! generated kernels when there is one, the runtime sparse-tensor path
-//! otherwise. The operators' `with_row` constructors take the row as an
-//! `Option`; passing `None` on a registered configuration is how the
-//! equivalence tests reach the runtime-sparse oracle. The hot loop then
-//! calls through the resolved [`ResolvedVolume`] / [`ResolvedSurfaceDir`]
-//! with zero per-cell (and per-face) branching.
-//! The same step picks, from the CPU alone, which compilation of the
-//! lane-generic kernel bodies the operator calls — and with it the lane
-//! width of its panels and the pack/unpack moves ([`BatchIsa`],
-//! [`VolumeBatch`], [`SurfaceBatch`], [`LboBatch`]) — bit-identical
-//! whichever it is.
+//! otherwise — the runtime sparse-tensor evaluator of
+//! [`crate::sparse`], behind the same calling conventions. The operators'
+//! `with_row` constructors take the row as an `Option`; passing `None` on a
+//! registered configuration is how the equivalence tests reach the
+//! runtime-sparse oracle. The same step picks, from the CPU alone, which
+//! compilation of the lane-generic kernel bodies the operator calls — and
+//! with it the lane width of its panels and the pack/unpack moves
+//! ([`BatchIsa`], [`VlasovBatch`], [`LboBatch`]) —
+//! bit-identical whichever it is; the hot loops then run with zero per-cell
+//! (and per-face) branching.
 //!
 //! To add a configuration, extend [`crate::codegen::MANIFEST`] and
 //! rebuild (see DESIGN.md, "Kernel dispatch").
@@ -40,7 +40,7 @@ use dg_basis::BasisKind;
 
 /// Which path a resolution used; *which entry points* a generated path
 /// runs is a property of each resolution, not of the process: see
-/// [`ResolvedVolume::tag`], [`ResolvedSurfaceDir::tag`], [`LboBatch::isa`].
+/// [`VlasovBatch::isa`], [`LboBatch::isa`].
 pub use crate::ops::DispatchPath;
 
 /// Calling convention of a generated, fully unrolled volume kernel.
@@ -93,8 +93,8 @@ pub type SurfaceKernelFn = fn(
 /// LBO pencil group. Four `f64` fill one 256-bit register — the width the
 /// `_b4_avx2` entry points run at — and split into two 128-bit SSE2/NEON
 /// operations in the portable `_b4` ones. It is *not* the width of a Vlasov
-/// panel: that follows the entry point an operator resolved
-/// ([`VolumeBatch`], [`SurfaceBatch`]) and is 8 on AVX-512.
+/// panel: that follows the entry points an operator resolved
+/// ([`VlasovBatch`]) and is 8 on AVX-512.
 pub const LANES: usize = 4;
 
 /// One coefficient across the [`LANES`] pencils of an LBO pencil group —
@@ -142,7 +142,7 @@ pub type VolumeKernelBatchFn = fn(
 /// `#[target_feature]` (`<name>_b4_avx2` at `L = 4`, `<name>_b8_avx512` at
 /// `L = 8`): the same generated body, so the same statement stream per
 /// lane, at the ISA's vector width. Calling one on a CPU without its
-/// feature is undefined behaviour — go through [`VolumeBatch`], which also
+/// feature is undefined behaviour — go through [`VlasovBatch`], which also
 /// stores the portable entry point under this type (a safe `fn` coerces to
 /// it); only `x86_64` registry rows hold the `#[target_feature]` ones.
 pub type VolumeKernelLanesFn<const L: usize> = unsafe fn(
@@ -176,7 +176,7 @@ pub type SurfaceKernelBatchFn = fn(
 
 /// [`SurfaceKernelBatchFn`] at lane width `L`, possibly compiled with
 /// `#[target_feature]` (`<dir name>_b4_avx2`, `<dir name>_b8_avx512`); see
-/// [`VolumeKernelLanesFn`]. Go through [`SurfaceBatch`].
+/// [`VolumeKernelLanesFn`]. Go through [`VlasovBatch`].
 pub type SurfaceKernelLanesFn<const L: usize> = unsafe fn(
     w: &[[f64; L]],
     dxv: &[f64],
@@ -511,24 +511,31 @@ impl BatchIsa {
     }
 }
 
-/// One batched volume entry point at lane width `L` with the panel moves
-/// of the same ISA. The kernel pointer is private and only
-/// [`VolumeBatch`]'s constructors store one, each after the check its
-/// target features need — which is what makes [`VolumeLanes::call`] safe,
-/// and this type (with [`SurfaceLanes`]) the only caller of the
-/// `#[target_feature]` Vlasov entry points.
-#[derive(Clone, Copy, Debug)]
-pub struct VolumeLanes<const L: usize> {
-    kernel: VolumeKernelLanesFn<L>,
-    /// Pack / unpack-add compiled for the same ISA as the kernel.
+/// A registry row's batched Vlasov entry points compiled for one ISA, at
+/// its lane width `L`: the volume kernel, every phase direction's face
+/// kernel (configuration directions first) and the panel moves of the same
+/// ISA. The kernel pointers are private and only [`VlasovBatch::for_isa`]
+/// stores them, after the check its target features need — which is what
+/// makes [`Self::volume`] and [`Self::face`] safe, and this type the only
+/// caller of the `#[target_feature]` Vlasov entry points.
+#[derive(Clone, Debug)]
+pub struct VlasovLanes<const L: usize> {
+    volume: VolumeKernelLanesFn<L>,
+    faces: Vec<SurfaceKernelLanesFn<L>>,
+    /// Pack / unpack-add compiled for the same ISA as the kernels.
     pub moves: PanelMoves<L>,
     isa: BatchIsa,
 }
 
-impl<const L: usize> VolumeLanes<L> {
-    /// Run the batched kernel ([`VolumeKernelBatchFn`] convention).
+impl<const L: usize> VlasovLanes<L> {
+    /// Which compilation this is.
+    pub fn isa(&self) -> BatchIsa {
+        self.isa
+    }
+
+    /// Run the batched volume kernel ([`VolumeKernelBatchFn`] convention).
     #[inline]
-    pub fn call(
+    pub fn volume(
         &self,
         w: &[[f64; L]],
         dxv: &[f64],
@@ -538,107 +545,22 @@ impl<const L: usize> VolumeLanes<L> {
         out: &mut [[f64; L]],
     ) {
         // SAFETY: the pointer is either a safe portable `_b4` function or a
-        // `#[target_feature]` one, and `VolumeBatch::avx2` /
-        // `VolumeBatch::avx512` — the only places the latter are stored —
-        // do so only after `is_x86_feature_detected!` confirmed the feature
-        // on this CPU. The feature is the function's only extra
-        // requirement; its arguments are ordinary checked slices.
-        unsafe { (self.kernel)(w, dxv, qm, em, f, out) }
-    }
-}
-
-/// The batched volume entry point an operator calls: one of a registry
-/// row's compilations, chosen for this CPU, at the lane width that comes
-/// with it. Sweeps `match` on the width once and run generic over it.
-#[derive(Clone, Copy, Debug)]
-pub enum VolumeBatch {
-    X4(VolumeLanes<4>),
-    X8(VolumeLanes<8>),
-}
-
-impl VolumeBatch {
-    /// The entry point this CPU runs fastest: 8-lane AVX-512 when
-    /// detected, else 4-lane AVX2, else the portable one.
-    pub fn select(entry: &VolumeKernelEntry) -> Self {
-        Self::avx512(entry)
-            .or_else(|| Self::avx2(entry))
-            .unwrap_or_else(|| Self::baseline(entry))
+        // `#[target_feature]` one, and `VlasovBatch::for_isa` — the only
+        // place the latter are stored — does so only after
+        // `PanelMoves::avx2` / `PanelMoves::avx512` confirmed the feature on
+        // this CPU with `is_x86_feature_detected!`. The feature is the
+        // function's only extra requirement; its arguments are ordinary
+        // checked slices.
+        unsafe { (self.volume)(w, dxv, qm, em, f, out) }
     }
 
-    /// The entry point compiled for `isa`; `None` when this CPU cannot run
-    /// it.
-    pub fn for_isa(entry: &VolumeKernelEntry, isa: BatchIsa) -> Option<Self> {
-        match isa {
-            BatchIsa::Baseline => Some(Self::baseline(entry)),
-            BatchIsa::Avx2 => Self::avx2(entry),
-            BatchIsa::Avx512 => Self::avx512(entry),
-        }
-    }
-
-    /// The portable `<name>_b4` entry point (no CPU requirement).
-    pub fn baseline(entry: &VolumeKernelEntry) -> Self {
-        VolumeBatch::X4(VolumeLanes {
-            kernel: entry.batch,
-            moves: PanelMoves::lane_copy(),
-            isa: BatchIsa::Baseline,
-        })
-    }
-
-    /// The `<name>_b4_avx2` entry point; `None` unless this is an `x86_64`
-    /// CPU with AVX2.
-    pub fn avx2(entry: &VolumeKernelEntry) -> Option<Self> {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(moves) = PanelMoves::avx2() {
-            return Some(VolumeBatch::X4(VolumeLanes {
-                kernel: entry.batch_avx2,
-                moves,
-                isa: BatchIsa::Avx2,
-            }));
-        }
-        let _ = entry;
-        None
-    }
-
-    /// The `<name>_b8_avx512` entry point; `None` unless this is an
-    /// `x86_64` CPU with AVX-512F.
-    pub fn avx512(entry: &VolumeKernelEntry) -> Option<Self> {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(moves) = PanelMoves::avx512() {
-            return Some(VolumeBatch::X8(VolumeLanes {
-                kernel: entry.batch_avx512,
-                moves,
-                isa: BatchIsa::Avx512,
-            }));
-        }
-        let _ = entry;
-        None
-    }
-
-    /// Which compilation this is.
-    pub fn isa(&self) -> BatchIsa {
-        match self {
-            VolumeBatch::X4(k) => k.isa,
-            VolumeBatch::X8(k) => k.isa,
-        }
-    }
-}
-
-/// One batched surface entry point of one face direction at lane width
-/// `L`; the surface twin of [`VolumeLanes`], with the same invariant.
-#[derive(Clone, Copy, Debug)]
-pub struct SurfaceLanes<const L: usize> {
-    kernel: SurfaceKernelLanesFn<L>,
-    /// Pack / unpack-add compiled for the same ISA as the kernel.
-    pub moves: PanelMoves<L>,
-    isa: BatchIsa,
-}
-
-impl<const L: usize> SurfaceLanes<L> {
-    /// Run the batched kernel ([`SurfaceKernelBatchFn`] convention).
+    /// Run the batched face kernel of phase direction `d`
+    /// ([`SurfaceKernelBatchFn`] convention).
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    pub fn call(
+    pub fn face(
         &self,
+        d: usize,
         w: &[[f64; L]],
         dxv: &[f64],
         qm: f64,
@@ -649,89 +571,83 @@ impl<const L: usize> SurfaceLanes<L> {
         out_lo: &mut [[f64; L]],
         out_hi: &mut [[f64; L]],
     ) {
-        // SAFETY: as for `VolumeLanes::call` — a `#[target_feature]`
-        // pointer is only ever stored by `SurfaceBatch::avx2` /
-        // `SurfaceBatch::avx512`, after the runtime check for its feature.
-        unsafe { (self.kernel)(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi) }
+        // SAFETY: as for `Self::volume` — a `#[target_feature]` pointer is
+        // only ever stored by `VlasovBatch::for_isa`, after the runtime
+        // check for its feature.
+        unsafe { (self.faces[d])(w, dxv, qm, em, penalty, f_lo, f_hi, out_lo, out_hi) }
     }
 }
 
-/// The batched surface entry point of one face direction, chosen for this
-/// CPU; the surface twin of [`VolumeBatch`].
-#[derive(Clone, Copy, Debug)]
-pub enum SurfaceBatch {
-    X4(SurfaceLanes<4>),
-    X8(SurfaceLanes<8>),
+/// The batched Vlasov entry points an operator calls: one compilation of a
+/// registry row's lane-generic bodies, chosen for this CPU, every direction
+/// at the lane width that comes with it. Sweeps `match` on the width once
+/// and run generic over it.
+#[derive(Clone, Debug)]
+pub enum VlasovBatch {
+    X4(VlasovLanes<4>),
+    X8(VlasovLanes<8>),
 }
 
-impl SurfaceBatch {
-    /// The entry point of direction `dir` this CPU runs fastest.
-    pub fn select(entry: &SurfaceKernelEntry, dir: usize) -> Self {
-        Self::avx512(entry, dir)
-            .or_else(|| Self::avx2(entry, dir))
-            .unwrap_or_else(|| Self::baseline(entry, dir))
+impl VlasovBatch {
+    /// The compilation this CPU runs fastest: 8-lane AVX-512 when detected,
+    /// else 4-lane AVX2, else the portable one.
+    pub fn select(row: &KernelRow) -> Self {
+        [BatchIsa::Avx512, BatchIsa::Avx2, BatchIsa::Baseline]
+            .into_iter()
+            .find_map(|isa| Self::for_isa(row, isa))
+            .expect("the portable entry points run on every CPU")
     }
 
-    /// The entry point of direction `dir` compiled for `isa` — at that
-    /// ISA's lane width; `None` when this CPU cannot run it.
-    pub fn for_isa(entry: &SurfaceKernelEntry, dir: usize, isa: BatchIsa) -> Option<Self> {
+    /// The compilation for `isa` — the portable `_b4` entry points, or on
+    /// `x86_64` `_b4_avx2` / `_b8_avx512`; `None` when this CPU cannot run
+    /// it.
+    pub fn for_isa(row: &KernelRow, isa: BatchIsa) -> Option<Self> {
+        let (vol, surf) = (&row.volume, &row.surface);
         match isa {
-            BatchIsa::Baseline => Some(Self::baseline(entry, dir)),
-            BatchIsa::Avx2 => Self::avx2(entry, dir),
-            BatchIsa::Avx512 => Self::avx512(entry, dir),
+            BatchIsa::Baseline => Some(VlasovBatch::X4(VlasovLanes {
+                volume: vol.batch,
+                faces: surf
+                    .batch
+                    .iter()
+                    .map(|&k| k as SurfaceKernelLanesFn<4>)
+                    .collect(),
+                moves: PanelMoves::lane_copy(),
+                isa,
+            })),
+            #[cfg(target_arch = "x86_64")]
+            BatchIsa::Avx2 => PanelMoves::avx2().map(|moves| {
+                VlasovBatch::X4(VlasovLanes {
+                    volume: vol.batch_avx2,
+                    faces: surf.batch_avx2.to_vec(),
+                    moves,
+                    isa,
+                })
+            }),
+            #[cfg(target_arch = "x86_64")]
+            BatchIsa::Avx512 => PanelMoves::avx512().map(|moves| {
+                VlasovBatch::X8(VlasovLanes {
+                    volume: vol.batch_avx512,
+                    faces: surf.batch_avx512.to_vec(),
+                    moves,
+                    isa,
+                })
+            }),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => None,
         }
-    }
-
-    /// The portable `<dir name>_b4` entry point (no CPU requirement).
-    pub fn baseline(entry: &SurfaceKernelEntry, dir: usize) -> Self {
-        SurfaceBatch::X4(SurfaceLanes {
-            kernel: entry.batch[dir],
-            moves: PanelMoves::lane_copy(),
-            isa: BatchIsa::Baseline,
-        })
-    }
-
-    /// The `<dir name>_b4_avx2` entry point; `None` unless this is an
-    /// `x86_64` CPU with AVX2.
-    pub fn avx2(entry: &SurfaceKernelEntry, dir: usize) -> Option<Self> {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(moves) = PanelMoves::avx2() {
-            return Some(SurfaceBatch::X4(SurfaceLanes {
-                kernel: entry.batch_avx2[dir],
-                moves,
-                isa: BatchIsa::Avx2,
-            }));
-        }
-        let _ = (entry, dir);
-        None
-    }
-
-    /// The `<dir name>_b8_avx512` entry point; `None` unless this is an
-    /// `x86_64` CPU with AVX-512F.
-    pub fn avx512(entry: &SurfaceKernelEntry, dir: usize) -> Option<Self> {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(moves) = PanelMoves::avx512() {
-            return Some(SurfaceBatch::X8(SurfaceLanes {
-                kernel: entry.batch_avx512[dir],
-                moves,
-                isa: BatchIsa::Avx512,
-            }));
-        }
-        let _ = (entry, dir);
-        None
     }
 
     /// Which compilation this is.
     pub fn isa(&self) -> BatchIsa {
         match self {
-            SurfaceBatch::X4(k) => k.isa,
-            SurfaceBatch::X8(k) => k.isa,
+            VlasovBatch::X4(k) => k.isa,
+            VlasovBatch::X8(k) => k.isa,
         }
     }
 }
 
 /// The batched LBO stage kernels of one velocity direction, chosen for this
-/// CPU; the LBO twin of [`VolumeBatch`], with the same invariant: the
+/// CPU; the LBO twin of [`VlasovBatch`], with the same invariant: the
 /// pointers are private and an `_b4_avx2` one is only ever stored by
 /// [`LboBatch::avx2`], after the runtime AVX2 check. LBO pencil groups stay
 /// 4 lanes wide on every ISA (no `_b8_avx512` entry points yet).
@@ -851,99 +767,6 @@ impl LboBatch {
     }
 }
 
-/// The volume path an operator resolved from its registry row; held by
-/// the solver and consulted without branching per cell.
-#[derive(Clone, Copy, Debug)]
-pub enum ResolvedVolume {
-    Generated {
-        func: VolumeKernelFn,
-        /// The SIMD-batched companion for panel sweeps, as selected for
-        /// this CPU.
-        batch: VolumeBatch,
-    },
-    RuntimeSparse,
-}
-
-impl ResolvedVolume {
-    /// The row's volume kernel, its batched entry point chosen for this
-    /// CPU ([`VolumeBatch::select`]); the runtime path without a row.
-    pub fn new(row: Option<&KernelRow>) -> Self {
-        match row {
-            Some(row) => ResolvedVolume::Generated {
-                func: row.volume.func,
-                batch: VolumeBatch::select(&row.volume),
-            },
-            None => ResolvedVolume::RuntimeSparse,
-        }
-    }
-
-    pub fn path(&self) -> DispatchPath {
-        match self {
-            ResolvedVolume::Generated { .. } => DispatchPath::Generated,
-            ResolvedVolume::RuntimeSparse => DispatchPath::RuntimeSparse,
-        }
-    }
-
-    /// The entry points this resolution runs ([`BatchIsa::tag`] or
-    /// [`RUNTIME_SPARSE_TAG`]).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            ResolvedVolume::Generated { batch, .. } => batch.isa().tag(),
-            ResolvedVolume::RuntimeSparse => RUNTIME_SPARSE_TAG,
-        }
-    }
-}
-
-/// One direction's resolved surface path — what the solver stores per
-/// phase direction and calls through without branching per face.
-#[derive(Clone, Copy, Debug)]
-pub enum ResolvedSurfaceDir {
-    Generated {
-        func: SurfaceKernelFn,
-        /// The direction's SIMD-batched companion for panel sweeps, as
-        /// selected for this CPU.
-        batch: SurfaceBatch,
-    },
-    RuntimeSparse,
-}
-
-impl ResolvedSurfaceDir {
-    /// The row's kernel for phase direction `d` (configuration directions
-    /// first, as in [`SurfaceKernelEntry::dirs`]); the runtime path
-    /// without a row. The batched entry point is picked here, once per
-    /// direction, from the CPU and the direction kind: velocity
-    /// (acceleration) directions take the widest entry point there is,
-    /// configuration (streaming) directions stop at the 4-lane AVX2 one. A
-    /// streaming kernel is all moves — traces and lifts around a two-entry
-    /// `α̂` — and at 8 lanes its four face-sized temporaries and five panels
-    /// no longer share L1 with anything (2x3v p2: 40 KB against 20):
-    /// measured slower there than at 4 lanes, where the acceleration
-    /// kernels are faster at 8.
-    pub fn new(row: Option<&KernelRow>, d: usize) -> Self {
-        let Some(row) = row else {
-            return ResolvedSurfaceDir::RuntimeSparse;
-        };
-        let e = &row.surface;
-        ResolvedSurfaceDir::Generated {
-            func: e.dirs[d],
-            batch: if d < row.key.cdim {
-                SurfaceBatch::avx2(e, d).unwrap_or_else(|| SurfaceBatch::baseline(e, d))
-            } else {
-                SurfaceBatch::select(e, d)
-            },
-        }
-    }
-
-    /// The entry points this direction runs ([`BatchIsa::tag`] or
-    /// [`RUNTIME_SPARSE_TAG`]).
-    pub fn tag(&self) -> &'static str {
-        match self {
-            ResolvedSurfaceDir::Generated { batch, .. } => batch.isa().tag(),
-            ResolvedSurfaceDir::RuntimeSparse => RUNTIME_SPARSE_TAG,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1016,41 +839,29 @@ mod tests {
     #[test]
     fn auto_falls_back_gracefully() {
         // 3x3v p2 is deliberately left out (Np = 256 would dominate
-        // crate compile time): no row, so every family resolves to the
-        // runtime path.
+        // crate compile time): no row, so every family runs the runtime
+        // path.
         let layout = PhaseLayout::new(3, 3);
         let row = find_row(BasisKind::Serendipity, layout, 2);
         assert!(row.is_none());
         assert!(find_volume_kernel(BasisKind::Serendipity, layout, 2).is_none());
         assert!(find_surface_kernel(BasisKind::Serendipity, layout, 2).is_none());
         assert_eq!(path_of(row), DispatchPath::RuntimeSparse);
-        assert_eq!(ResolvedVolume::new(row).path(), DispatchPath::RuntimeSparse);
-        for d in 0..6 {
-            assert!(matches!(
-                ResolvedSurfaceDir::new(row, d),
-                ResolvedSurfaceDir::RuntimeSparse
-            ));
-        }
     }
 
     #[test]
     fn forced_paths_resolve_for_fig1_config() {
         let row = find_row(BasisKind::Tensor, PhaseLayout::new(1, 2), 1);
         assert_eq!(path_of(row), DispatchPath::Generated);
-        assert_eq!(ResolvedVolume::new(row).path(), DispatchPath::Generated);
         // No row is the oracle's runtime path, on any configuration.
         assert_eq!(path_of(None), DispatchPath::RuntimeSparse);
-        assert_eq!(
-            ResolvedVolume::new(None).path(),
-            DispatchPath::RuntimeSparse
-        );
     }
 
     #[test]
     fn entry_points_follow_the_cpu_and_the_direction_kind() {
-        // Volume and velocity faces take the widest entry point the CPU
-        // has; configuration faces stop at 4 lanes; LBO stops at AVX2. The
-        // tags say so per resolution, not per process.
+        // The volume and every face direction — configuration and velocity
+        // alike — take the widest entry point the CPU has, one compilation
+        // at one lane width; LBO stops at AVX2.
         let widest = if PanelMoves::avx512().is_some() {
             BatchIsa::Avx512
         } else if PanelMoves::avx2().is_some() {
@@ -1064,19 +875,14 @@ mod tests {
         };
         for row in registry() {
             let k = row.key;
-            assert_eq!(ResolvedVolume::new(Some(row)).tag(), widest.tag());
-            for d in 0..k.cdim + k.vdim {
-                let want = if d < k.cdim { four_lane } else { widest };
-                assert_eq!(
-                    ResolvedSurfaceDir::new(Some(row), d).tag(),
-                    want.tag(),
-                    "{} dir {d}",
-                    row.surface.name
-                );
-            }
+            let (batch, faces) = match VlasovBatch::select(row) {
+                VlasovBatch::X4(k) => (k.isa, k.faces.len()),
+                VlasovBatch::X8(k) => (k.isa, k.faces.len()),
+            };
+            assert_eq!(batch, widest, "{}", row.surface.name);
+            assert_eq!(faces, k.cdim + k.vdim, "{}", row.surface.name);
             assert_eq!(LboBatch::select(&row.lbo, 0).isa(), four_lane);
         }
-        assert_eq!(ResolvedVolume::new(None).tag(), RUNTIME_SPARSE_TAG);
         assert_eq!(BatchIsa::Avx512.tag(), "generated/avx512x8");
         assert_eq!(BatchIsa::Avx2.tag(), "generated/avx2x4");
         assert_eq!(BatchIsa::Baseline.tag(), "generated/baselinex4");
@@ -1084,17 +890,13 @@ mod tests {
 
     #[test]
     fn forced_surface_paths_resolve_for_fig1_config() {
-        let row = find_row(BasisKind::Tensor, PhaseLayout::new(1, 2), 1);
-        assert!(row.is_some());
-        for d in 0..3 {
-            assert!(matches!(
-                ResolvedSurfaceDir::new(row, d),
-                ResolvedSurfaceDir::Generated { .. }
-            ));
-            assert!(matches!(
-                ResolvedSurfaceDir::new(None, d),
-                ResolvedSurfaceDir::RuntimeSparse
-            ));
-        }
+        // Every direction of the Fig. 1 row has its portable entry point, and
+        // the one-lane kernel beside it.
+        let row = find_row(BasisKind::Tensor, PhaseLayout::new(1, 2), 1).unwrap();
+        let Some(VlasovBatch::X4(k)) = VlasovBatch::for_isa(row, BatchIsa::Baseline) else {
+            panic!("the portable entry points are 4 lanes wide");
+        };
+        assert_eq!((k.isa, k.faces.len()), (BatchIsa::Baseline, 3));
+        assert_eq!(row.surface.dirs.len(), 3);
     }
 }

@@ -3,10 +3,11 @@
 //! Two properties per manifest entry:
 //!
 //! 1. **equivalence** — executing the generated, fully unrolled functions
-//!    reproduces the runtime sparse-tensor kernels on random cell data to
-//!    round-off (the property the dispatch layer's correctness rests on),
-//!    for the volume kernel, every per-direction surface kernel, all three
-//!    moment kernels, and all five LBO stage-kernel families;
+//!    reproduces the runtime sparse-tensor evaluator ([`crate::sparse`],
+//!    the same calling conventions) on random cell data to round-off (the
+//!    property the dispatch layer's correctness rests on), for the volume
+//!    kernel, every per-direction surface kernel, all three moment kernels,
+//!    and all five LBO stage-kernel families;
 //! 2. **bitwise batching** — every batched entry point of a lane-generic
 //!    body (the portable `_b4` and, where the CPU has them, `_b4_avx2` and
 //!    `_b8_avx512`) reproduces the one-lane (scalar) entry point bit for
@@ -19,54 +20,14 @@
 // `needless_range_loop` rewrites would obscure that (workspace allow
 // was scoped down to the modules that need it).
 #![allow(clippy::needless_range_loop)]
-use crate::accel::VelGeom;
 use crate::codegen::{lbo_dir_tables, LboDirTables, MANIFEST};
 use crate::dispatch::{
-    registry, LboBatch, PencilLanes, SurfaceBatch, SurfaceKernelFn, SurfaceLanes, VolumeBatch,
-    VolumeKernelFn, VolumeLanes, LANES,
+    registry, BatchIsa, LboBatch, PencilLanes, SurfaceKernelFn, VlasovBatch, VlasovLanes,
+    VolumeKernelFn, LANES,
 };
 use crate::kernels_for;
-use crate::surface::FaceScratch;
+use crate::sparse::SparseScratch;
 use proptest::prelude::*;
-
-/// Apply the runtime sparse-tensor path with the generated kernels' calling
-/// convention (full phase `w`/`dxv`, flattened `em`).
-fn runtime_volume_reference(
-    pk: &crate::PhaseKernels,
-    w: &[f64],
-    dxv: &[f64],
-    qm: f64,
-    em: &[f64],
-    f: &[f64],
-    out: &mut [f64],
-) {
-    let (cdim, vdim) = (pk.layout.cdim, pk.layout.vdim);
-    let nc = pk.nc();
-    for d in 0..cdim {
-        let vd = cdim + d;
-        pk.streaming[d].apply(f, w[vd], dxv[vd], 2.0 / dxv[d], out);
-    }
-    let e = &em[..3 * nc];
-    let b = [
-        &em[3 * nc..4 * nc],
-        &em[4 * nc..5 * nc],
-        &em[5 * nc..6 * nc],
-    ];
-    let mut alpha = vec![0.0; pk.np()];
-    for j in 0..vdim {
-        pk.cell_accel[j].project(
-            qm,
-            &e[j * nc..(j + 1) * nc],
-            b,
-            VelGeom {
-                v_c: &w[cdim..cdim + vdim],
-                dv: &dxv[cdim..cdim + vdim],
-            },
-            &mut alpha,
-        );
-        pk.accel_vol[j].apply(&alpha, f, 2.0 / dxv[cdim + j], out);
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -92,7 +53,7 @@ proptest! {
             let mut out_gen = vec![0.0; np];
             (entry.func)(w, dxv, qm, em, f, &mut out_gen);
             let mut out_rt = vec![0.0; np];
-            runtime_volume_reference(&pk, w, dxv, qm, em, f, &mut out_rt);
+            pk.sparse_volume(w, dxv, qm, em, f, &mut out_rt, &mut SparseScratch::for_kernels(&pk));
 
             for i in 0..np {
                 prop_assert!(
@@ -115,6 +76,28 @@ fn report_arm(once: &std::sync::Once, test: &str, arm: &str, missing: Option<&st
         None => println!("{test}: {arm} arm ran"),
         Some(isa) => println!("{test}: {arm} arm skipped: no {isa}"),
     });
+}
+
+/// The batched entry points of `row` this host can run, named by arm —
+/// `_b4`, `_b4_avx2`, `_b8_avx512` — each reported once per test as `ran`
+/// or `skipped: no <isa>` (`arms[1..]`; `arms[0]` is the one-lane arm).
+fn batch_arms(
+    arms: &[std::sync::Once; 4],
+    test: &str,
+    row: &crate::dispatch::KernelRow,
+) -> Vec<(&'static str, VlasovBatch)> {
+    let isas = [
+        ("_b4", BatchIsa::Baseline, None),
+        ("_b4_avx2", BatchIsa::Avx2, Some("avx2")),
+        ("_b8_avx512", BatchIsa::Avx512, Some("avx512f")),
+    ];
+    let mut out = Vec::new();
+    for ((arm, isa, feature), once) in isas.into_iter().zip(&arms[1..]) {
+        let batch = VlasovBatch::for_isa(row, isa);
+        report_arm(once, test, arm, feature.filter(|_| batch.is_none()));
+        out.extend(batch.map(|b| (arm, b)));
+    }
+    out
 }
 
 /// A run of cells (or faces) sharing one configuration cell, as the
@@ -175,7 +158,7 @@ fn unpack_run<const L: usize>(
 
 /// The volume sweep of `VlasovOp::volume` over one run, at lane width `L`:
 /// panels packed, run and unpack-added with the arm's own moves.
-fn volume_run<const L: usize>(k: VolumeLanes<L>, run: &Run, f_raw: &[f64]) -> Vec<Vec<f64>> {
+fn volume_run<const L: usize>(k: &VlasovLanes<L>, run: &Run, f_raw: &[f64]) -> Vec<Vec<f64>> {
     let mut out = vec![vec![0.0f64; run.np]; run.n];
     for i0 in (0..run.n).step_by(L) {
         let (items, lanes) = run.panel::<L>(i0);
@@ -183,7 +166,7 @@ fn volume_run<const L: usize>(k: VolumeLanes<L>, run: &Run, f_raw: &[f64]) -> Ve
         let mut fp = vec![[0.0; L]; run.np];
         k.moves.pack(&mut fp, items.map(|i| run.coeffs(f_raw, i)));
         let mut op = vec![[0.0; L]; run.np];
-        k.call(&wp, run.dxv, run.qm, run.em, &fp, &mut op);
+        k.volume(&wp, run.dxv, run.qm, run.em, &fp, &mut op);
         unpack_run(&k.moves, &mut out, &items, lanes, &op);
     }
     out
@@ -233,21 +216,10 @@ proptest! {
                 func(run.w(c), run.dxv, qm, run.em, run.coeffs(&f_raw, c), &mut scalar_out[c]);
             }
             report_arm(&ARMS[0], TEST, "L = 1", None);
-
-            let (avx2, avx512) = (VolumeBatch::avx2(entry), VolumeBatch::avx512(entry));
-            report_arm(&ARMS[1], TEST, "_b4", None);
-            report_arm(&ARMS[2], TEST, "_b4_avx2", avx2.is_none().then_some("avx2"));
-            report_arm(&ARMS[3], TEST, "_b8_avx512", avx512.is_none().then_some("avx512f"));
-            let arms = [
-                ("_b4", Some(VolumeBatch::baseline(entry))),
-                ("_b4_avx2", avx2),
-                ("_b8_avx512", avx512),
-            ];
-            for (arm, batch) in arms {
-                let Some(batch) = batch else { continue };
-                let batched_out = match batch {
-                    VolumeBatch::X4(k) => volume_run(k, &run, &f_raw),
-                    VolumeBatch::X8(k) => volume_run(k, &run, &f_raw),
+            for (arm, batch) in batch_arms(&ARMS, TEST, row) {
+                let batched_out = match &batch {
+                    VlasovBatch::X4(k) => volume_run(k, &run, &f_raw),
+                    VlasovBatch::X8(k) => volume_run(k, &run, &f_raw),
                 };
                 for c in 0..ncells {
                     for i in 0..np {
@@ -261,65 +233,6 @@ proptest! {
             }
         }
     }
-}
-
-/// Apply the runtime surface path (α̂ builder + [`SurfaceKernel::apply`])
-/// with the generated kernels' calling convention for one direction.
-///
-/// [`SurfaceKernel::apply`]: crate::surface::SurfaceKernel::apply
-#[allow(clippy::too_many_arguments)]
-fn runtime_surface_reference(
-    pk: &crate::PhaseKernels,
-    dir: usize,
-    w: &[f64],
-    dxv: &[f64],
-    qm: f64,
-    em: &[f64],
-    penalty: bool,
-    f_lo: &[f64],
-    f_hi: &[f64],
-    out_lo: &mut [f64],
-    out_hi: &mut [f64],
-) {
-    let (cdim, vdim) = (pk.layout.cdim, pk.layout.vdim);
-    let nc = pk.nc();
-    let surf = &pk.surfaces[dir];
-    let nf = surf.kernel.face.len();
-    let mut alpha_face = vec![0.0; nf];
-    let lam = if dir < cdim {
-        let vd = cdim + dir;
-        pk.stream_face_alpha(dir, w[vd], dxv[vd], &mut alpha_face)
-    } else {
-        let j = dir - cdim;
-        let e = &em[..3 * nc];
-        let b = [
-            &em[3 * nc..4 * nc],
-            &em[4 * nc..5 * nc],
-            &em[5 * nc..6 * nc],
-        ];
-        surf.face_accel.as_ref().expect("velocity face").project(
-            qm,
-            &e[j * nc..(j + 1) * nc],
-            b,
-            VelGeom {
-                v_c: &w[cdim..cdim + vdim],
-                dv: &dxv[cdim..cdim + vdim],
-            },
-            &mut alpha_face,
-        )
-    };
-    let lam = if penalty { lam } else { 0.0 };
-    let mut ws = FaceScratch::default();
-    surf.kernel.apply(
-        f_lo,
-        f_hi,
-        &alpha_face,
-        lam,
-        2.0 / dxv[dir],
-        Some(out_lo),
-        Some(out_hi),
-        &mut ws,
-    );
 }
 
 proptest! {
@@ -348,14 +261,15 @@ proptest! {
             let f_hi = &f_hi_raw[..np];
 
             prop_assert!(entry.dirs.len() == ndim, "{}: direction count", entry.name);
+            let mut sc = SparseScratch::for_kernels(&pk);
             for (dir, kernel) in entry.dirs.iter().enumerate() {
                 let mut lo_gen = vec![0.0; np];
                 let mut hi_gen = vec![0.0; np];
                 kernel(w, dxv, qm, em, penalty, f_lo, f_hi, &mut lo_gen, &mut hi_gen);
                 let mut lo_rt = vec![0.0; np];
                 let mut hi_rt = vec![0.0; np];
-                runtime_surface_reference(
-                    &pk, dir, w, dxv, qm, em, penalty, f_lo, f_hi, &mut lo_rt, &mut hi_rt,
+                pk.sparse_face(
+                    dir, w, dxv, qm, em, penalty, f_lo, f_hi, &mut lo_rt, &mut hi_rt, &mut sc,
                 );
                 for i in 0..np {
                     prop_assert!(
@@ -378,7 +292,8 @@ proptest! {
 /// loop of `VlasovOp::surface_velocity_panels`, with distinct cells on
 /// either side of every face.
 fn surface_run<const L: usize>(
-    k: SurfaceLanes<L>,
+    k: &VlasovLanes<L>,
+    dir: usize,
     run: &Run,
     penalty: bool,
     f_lo_raw: &[f64],
@@ -395,8 +310,8 @@ fn surface_run<const L: usize>(
         k.moves
             .pack(&mut fhp, items.map(|i| run.coeffs(f_hi_raw, i)));
         let (mut olp, mut ohp) = (vec![[0.0; L]; run.np], vec![[0.0; L]; run.np]);
-        k.call(
-            &wp, run.dxv, run.qm, run.em, penalty, &flp, &fhp, &mut olp, &mut ohp,
+        k.face(
+            dir, &wp, run.dxv, run.qm, run.em, penalty, &flp, &fhp, &mut olp, &mut ohp,
         );
         unpack_run(&k.moves, &mut hi, &items, lanes, &ohp);
         unpack_run(&k.moves, &mut lo, &items, lanes, &olp);
@@ -443,6 +358,7 @@ proptest! {
             };
 
             prop_assert!(entry.batch.len() == ndim, "{}: batch count", entry.name);
+            let arms = batch_arms(&ARMS, TEST, row);
             for dir in 0..ndim {
                 // Per-face one-lane reference (zero-initialized outputs).
                 let kernel: SurfaceKernelFn = entry.dirs[dir];
@@ -456,22 +372,10 @@ proptest! {
                     );
                 }
                 report_arm(&ARMS[0], TEST, "L = 1", None);
-
-                let avx2 = SurfaceBatch::avx2(entry, dir);
-                let avx512 = SurfaceBatch::avx512(entry, dir);
-                report_arm(&ARMS[1], TEST, "_b4", None);
-                report_arm(&ARMS[2], TEST, "_b4_avx2", avx2.is_none().then_some("avx2"));
-                report_arm(&ARMS[3], TEST, "_b8_avx512", avx512.is_none().then_some("avx512f"));
-                let arms = [
-                    ("_b4", Some(SurfaceBatch::baseline(entry, dir))),
-                    ("_b4_avx2", avx2),
-                    ("_b8_avx512", avx512),
-                ];
-                for (arm, batch) in arms {
-                    let Some(batch) = batch else { continue };
+                for (arm, batch) in &arms {
                     let (lo, hi) = match batch {
-                        SurfaceBatch::X4(k) => surface_run(k, &run, penalty, &f_lo_raw, &f_hi_raw),
-                        SurfaceBatch::X8(k) => surface_run(k, &run, penalty, &f_lo_raw, &f_hi_raw),
+                        VlasovBatch::X4(k) => surface_run(k, dir, &run, penalty, &f_lo_raw, &f_hi_raw),
+                        VlasovBatch::X8(k) => surface_run(k, dir, &run, penalty, &f_lo_raw, &f_hi_raw),
                     };
                     for i in 0..n_faces {
                         for n in 0..np {
@@ -563,147 +467,11 @@ fn lbo_reference_tables() -> &'static [Vec<LboDirTables>] {
     })
 }
 
-/// Runtime drag-volume reference: the exact statement sequence of
-/// `dg_core::lbo::LboOp::accumulate_rhs_range`'s drag volume loop,
-/// interpreted from [`LboDirTables`].
-#[allow(clippy::too_many_arguments)]
-fn runtime_lbo_drag_vol(
-    np: usize,
-    td: &LboDirTables,
-    nu: f64,
-    v_c: f64,
-    dv: f64,
-    u: &[f64],
-    f: &[f64],
-    out: &mut [f64],
-) {
-    let mut alpha = vec![0.0; np];
-    alpha[0] = -nu * v_c * td.c0p;
-    alpha[td.lin_idx] = -nu * 0.5 * dv * td.c1p;
-    for (l, &e) in td.emb_phase.iter().enumerate() {
-        alpha[e as usize] += nu * td.w_phase * u[l];
-    }
-    td.drag_vol.apply(&alpha, f, 2.0 / dv, out);
-}
-
-/// Runtime drag-surface reference (penalized central flux at one interior
-/// velocity face).
-#[allow(clippy::too_many_arguments)]
-fn runtime_lbo_drag_surf(
-    pk: &crate::PhaseKernels,
-    td: &LboDirTables,
-    j: usize,
-    nu: f64,
-    vstar: f64,
-    dv: f64,
-    u: &[f64],
-    f_lo: &[f64],
-    f_hi: &[f64],
-    out_lo: &mut [f64],
-    out_hi: &mut [f64],
-) {
-    let surf = &pk.surfaces[pk.layout.cdim + j].kernel;
-    let nf = surf.face.len();
-    let mut alpha_face = vec![0.0; nf];
-    alpha_face[0] = -nu * vstar * td.c0f;
-    for (l, &e) in td.emb_face.iter().enumerate() {
-        alpha_face[e as usize] += nu * td.w_face * u[l];
-    }
-    let lam = surf.sup_bound(&alpha_face);
-    let mut fs = FaceScratch::default();
-    surf.apply(
-        f_lo,
-        f_hi,
-        &alpha_face,
-        lam,
-        2.0 / dv,
-        Some(out_lo),
-        Some(out_hi),
-        &mut fs,
-    );
-}
-
-/// Runtime LDG gradient reference (`g += ∂f/∂v_j`, trace from above).
-#[allow(clippy::too_many_arguments)]
-fn runtime_lbo_diff_grad(
-    pk: &crate::PhaseKernels,
-    td: &LboDirTables,
-    j: usize,
-    dv: f64,
-    at_upper: bool,
-    f: &[f64],
-    f_up: &[f64],
-    g: &mut [f64],
-) {
-    let surf = &pk.surfaces[pk.layout.cdim + j].kernel;
-    let nf = surf.face.len();
-    let scale = 2.0 / dv;
-    for &(l, m, c) in &td.grad_mass {
-        g[l as usize] += -scale * c * f[m as usize];
-    }
-    let mut trace = vec![0.0; nf];
-    if at_upper {
-        surf.face.restrict(1, f, &mut trace);
-    } else {
-        surf.face.restrict(-1, f_up, &mut trace);
-    }
-    surf.face.lift(1, &trace, scale, g);
-    trace.iter_mut().for_each(|x| *x = 0.0);
-    surf.face.restrict(-1, f, &mut trace);
-    surf.face.lift(-1, &trace, -scale, g);
-}
-
-/// Runtime diffusion-volume reference (weak `ν vth² ∂_{v_j} g` cell term).
-fn runtime_lbo_diff_vol(
-    np: usize,
-    td: &LboDirTables,
-    nu: f64,
-    dv: f64,
-    vth2: &[f64],
-    g: &[f64],
-    out: &mut [f64],
-) {
-    let mut alpha = vec![0.0; np];
-    for (l, &e) in td.emb_phase.iter().enumerate() {
-        alpha[e as usize] = td.w_phase * vth2[l];
-    }
-    td.diff_vol.apply(&alpha, g, -nu * (2.0 / dv), out);
-}
-
-/// Runtime diffusion-surface reference (one-sided LDG flux at one interior
-/// velocity face, trace from below).
-#[allow(clippy::too_many_arguments)]
-fn runtime_lbo_diff_surf(
-    pk: &crate::PhaseKernels,
-    td: &LboDirTables,
-    j: usize,
-    nu: f64,
-    dv: f64,
-    vth2: &[f64],
-    g_lo: &[f64],
-    out_lo: &mut [f64],
-    out_hi: &mut [f64],
-) {
-    let surf = &pk.surfaces[pk.layout.cdim + j].kernel;
-    let nf = surf.face.len();
-    let scale = 2.0 / dv;
-    let mut alpha_face = vec![0.0; nf];
-    for (l, &e) in td.emb_face.iter().enumerate() {
-        alpha_face[e as usize] = td.w_face * vth2[l];
-    }
-    let mut trace = vec![0.0; nf];
-    surf.face.restrict(1, g_lo, &mut trace);
-    let mut ghat = vec![0.0; nf];
-    surf.dmat.apply(&alpha_face, &trace, 1.0, &mut ghat);
-    surf.face.lift(1, &ghat, nu * scale, out_lo);
-    surf.face.lift(-1, &ghat, -nu * scale, out_hi);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
     /// Every generated LBO stage kernel (drag volume/surface, LDG
     /// gradient, diffusion volume/surface, per velocity direction)
-    /// reproduces the runtime sparse path interpreted from the same
+    /// reproduces the runtime evaluator interpreting the same
     /// [`LboDirTables`] the generator unrolled.
     #[test]
     fn every_lbo_registry_kernel_matches_runtime(
@@ -744,6 +512,7 @@ proptest! {
                 }
             };
 
+            let mut sc = SparseScratch::for_kernels(&pk);
             for j in 0..k.vdim {
                 let td = &lbo_reference_tables()[ei][j];
                 let dv = dv_raw[j];
@@ -751,29 +520,27 @@ proptest! {
                 let mut gen = vec![0.0; np];
                 let mut rt = vec![0.0; np];
                 (entry.drag_vol[j])(nu, v_c, dv, u, f, &mut gen);
-                runtime_lbo_drag_vol(np, td, nu, v_c, dv, u, f, &mut rt);
+                td.drag_vol(nu, v_c, dv, u, f, &mut rt, &mut sc);
                 compare(&gen, &rt, &format!("drag_vol_v{j}"));
 
                 let (mut gen_hi, mut rt_hi) = (vec![0.0; np], vec![0.0; np]);
                 gen.iter_mut().for_each(|x| *x = 0.0);
                 rt.iter_mut().for_each(|x| *x = 0.0);
                 (entry.drag_surf[j])(nu, vstar, dv, u, f, f2, &mut gen, &mut gen_hi);
-                runtime_lbo_drag_surf(
-                    &pk, td, j, nu, vstar, dv, u, f, f2, &mut rt, &mut rt_hi,
-                );
+                td.drag_surf(nu, vstar, dv, u, f, f2, &mut rt, &mut rt_hi, &mut sc);
                 compare(&gen, &rt, &format!("drag_surf_v{j} lower"));
                 compare(&gen_hi, &rt_hi, &format!("drag_surf_v{j} upper"));
 
                 gen.iter_mut().for_each(|x| *x = 0.0);
                 rt.iter_mut().for_each(|x| *x = 0.0);
                 (entry.diff_grad[j])(dv, at_upper, f, f2, &mut gen);
-                runtime_lbo_diff_grad(&pk, td, j, dv, at_upper, f, f2, &mut rt);
+                td.diff_grad(dv, at_upper, f, f2, &mut rt, &mut sc);
                 compare(&gen, &rt, &format!("diff_grad_v{j}"));
 
                 gen.iter_mut().for_each(|x| *x = 0.0);
                 rt.iter_mut().for_each(|x| *x = 0.0);
                 (entry.diff_vol[j])(nu, dv, vth2, f, &mut gen);
-                runtime_lbo_diff_vol(np, td, nu, dv, vth2, f, &mut rt);
+                td.diff_vol(nu, dv, vth2, f, &mut rt, &mut sc);
                 compare(&gen, &rt, &format!("diff_vol_v{j}"));
 
                 gen.iter_mut().for_each(|x| *x = 0.0);
@@ -781,7 +548,7 @@ proptest! {
                 gen_hi.iter_mut().for_each(|x| *x = 0.0);
                 rt_hi.iter_mut().for_each(|x| *x = 0.0);
                 (entry.diff_surf[j])(nu, dv, vth2, f, &mut gen, &mut gen_hi);
-                runtime_lbo_diff_surf(&pk, td, j, nu, dv, vth2, f, &mut rt, &mut rt_hi);
+                td.diff_surf(nu, dv, vth2, f, &mut rt, &mut rt_hi, &mut sc);
                 compare(&gen, &rt, &format!("diff_surf_v{j} lower"));
                 compare(&gen_hi, &rt_hi, &format!("diff_surf_v{j} upper"));
             }

@@ -21,7 +21,9 @@ pub mod panel;
 pub mod surface;
 pub mod volume;
 
-pub use dg_tables::{accel, cache, codegen, linalg, moments, ops, phase, tables1d, triple, weak};
+pub use dg_tables::{
+    accel, cache, codegen, linalg, moments, ops, phase, sparse, tables1d, triple, weak,
+};
 
 pub use cache::kernels_for;
 pub use dispatch::DispatchPath;

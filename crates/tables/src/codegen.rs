@@ -188,15 +188,16 @@ pub fn manifest_lbo_source(spec: &KernelSpec) -> String {
     lbo_kernel_source(&pk, spec)
 }
 
-/// Everything the LBO emitter (and the equivalence tests) need for one
-/// velocity direction: the sparse tensors and embeddings built exactly as
-/// `dg_core::lbo::LboOp::new` builds them, so the generated kernels and
-/// the runtime weak-op path are provably the same arithmetic.
+/// The LBO tables of one velocity direction: the sparse tensors and
+/// embeddings the emitter unrolls and the runtime evaluator
+/// ([`crate::sparse`]) interprets — one build, so the generated kernels and
+/// the runtime path are provably the same arithmetic.
+#[derive(Clone, Debug)]
 pub struct LboDirTables {
     /// Drag volume tensor (`m` support: conf ⊗ {1, ξ_j}).
-    pub drag_vol: crate::triple::SparseTriple,
+    pub drag_tensor: crate::triple::SparseTriple,
     /// Diffusion volume tensor (`m` support: conf only).
-    pub diff_vol: crate::triple::SparseTriple,
+    pub diff_tensor: crate::triple::SparseTriple,
     /// Phase gradient-mass `∫ ∂_dir w_l w_m` entries (LDG gradient pass).
     pub grad_mass: Vec<(u16, u16, f64)>,
     /// conf mode → phase mode with zero velocity exponents.
@@ -212,6 +213,8 @@ pub struct LboDirTables {
     /// Weights of the conf→phase / conf→face constant-velocity embeddings.
     pub w_phase: f64,
     pub w_face: f64,
+    /// The surface kernel of the velocity faces normal to `v_j`.
+    pub surf: crate::surface::SurfaceKernel,
 }
 
 /// Build [`LboDirTables`] for velocity direction `j` of a kernel set.
@@ -247,7 +250,7 @@ pub fn lbo_dir_tables(pk: &PhaseKernels, j: usize) -> LboDirTables {
         m_caps: Some(&caps),
         m_filter: None,
     };
-    let drag_vol = build_triple(&spec, &pk.tables);
+    let drag_tensor = build_triple(&spec, &pk.tables);
     // Diffusion: vth²(x) → conf modes only.
     caps[dir] = 0;
     let spec = TripleSpec {
@@ -258,10 +261,10 @@ pub fn lbo_dir_tables(pk: &PhaseKernels, j: usize) -> LboDirTables {
         m_caps: Some(&caps),
         m_filter: None,
     };
-    let diff_vol = build_triple(&spec, &pk.tables);
+    let diff_tensor = build_triple(&spec, &pk.tables);
 
     // Phase gradient-mass `∫ ∂_dir w_l w_m` — the per-dimension product of
-    // 1D `grad_mass`/`mass` tables (mirrors `dg_core::lbo::PhaseGradMass`).
+    // 1D `grad_mass`/`mass` tables.
     let t = dg_poly::tables::Tables1d::new(p);
     let mut grad_mass = Vec::new();
     for l in 0..phase.len() {
@@ -299,8 +302,8 @@ pub fn lbo_dir_tables(pk: &PhaseKernels, j: usize) -> LboDirTables {
 
     let (lin_idx, c1p) = dg_basis::expand::linear_coeff(phase, dir).expect("p ≥ 1");
     LboDirTables {
-        drag_vol,
-        diff_vol,
+        drag_tensor,
+        diff_tensor,
         grad_mass,
         emb_phase,
         emb_face,
@@ -310,6 +313,7 @@ pub fn lbo_dir_tables(pk: &PhaseKernels, j: usize) -> LboDirTables {
         c0f: dg_basis::expand::const_coeff(fb),
         w_phase: (2.0f64).powi(vdim as i32).sqrt(),
         w_face: (2.0f64).powi(vdim as i32 - 1).sqrt(),
+        surf: pk.surfaces[dir].kernel.clone(),
     }
 }
 
@@ -1009,8 +1013,7 @@ struct EntryPoints {
 /// all of them run the same statement stream — no `fma`, no `mul_add` — so
 /// they are bit-identical (registry-wide proptests in `dg-kernels`'
 /// `generated::tests`); which batched one runs is decided from the CPU
-/// alone by `dg_kernels::dispatch`'s `VolumeBatch` / `SurfaceBatch` /
-/// `LboBatch`.
+/// alone by `dg_kernels::dispatch`'s `VlasovBatch` / `LboBatch`.
 fn write_lane_generic_entry_points(
     s: &mut String,
     name: &str,
@@ -1315,7 +1318,7 @@ pub fn lbo_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
         }
         write_lane_block(&mut s, &block);
         let contraction: Vec<LaneAxpy> = td
-            .drag_vol
+            .drag_tensor
             .entries
             .iter()
             .filter(|e| phase_support.contains(&(e.m as usize)))
@@ -1468,7 +1471,7 @@ pub fn lbo_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
             .collect();
         write_lane_block(&mut s, &block);
         let contraction: Vec<LaneAxpy> = td
-            .diff_vol
+            .diff_tensor
             .entries
             .iter()
             .map(|e| LaneAxpy {

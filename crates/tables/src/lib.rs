@@ -20,6 +20,10 @@
 //! * no quadrature (all integrals precomputed exactly ⇒ alias-free),
 //! * no matrix data structures in the hot loop (matrix-free).
 //!
+//! [`sparse`] evaluates those tables behind the generated kernels' calling
+//! conventions — the runtime path every solver sweep can run in place of
+//! the generated kernels.
+//!
 //! The number of multiplications per kernel is exposed ([`ops`]) so the
 //! paper's Fig. 1 claim ("∼70 multiplications modal vs ∼250 nodal for the
 //! 1X2V p=1 tensor volume kernel") is auditable, and [`codegen`] emits the
@@ -35,6 +39,7 @@ pub mod linalg;
 pub mod moments;
 pub mod ops;
 pub mod phase;
+pub mod sparse;
 pub mod surface;
 pub mod tables1d;
 pub mod triple;

@@ -27,13 +27,11 @@ pub struct OpReport {
     pub accel_volume: usize,
     pub alpha_assembly: usize,
     pub surface: usize,
-    /// Which volume dispatch path produced/measured these counts. The
-    /// generated and runtime paths execute the same multiplications (that
-    /// is what the equivalence tests pin down), so the tag disambiguates
-    /// *bench output*, not the arithmetic.
+    /// Which dispatch path produced/measured these counts. The generated
+    /// and runtime paths execute the same multiplications (that is what the
+    /// equivalence tests pin down), so the tag disambiguates *bench output*,
+    /// not the arithmetic.
     pub path: DispatchPath,
-    /// Which surface dispatch path produced/measured these counts.
-    pub surface_path: DispatchPath,
 }
 
 impl OpReport {
@@ -41,17 +39,9 @@ impl OpReport {
         self.streaming_volume + self.accel_volume + self.alpha_assembly + self.surface
     }
 
-    /// The same counts re-tagged with the volume dispatch path that was
-    /// measured.
+    /// The same counts re-tagged with the dispatch path that was measured.
     pub fn tagged(mut self, path: DispatchPath) -> Self {
         self.path = path;
-        self
-    }
-
-    /// The same counts re-tagged with the surface dispatch path that was
-    /// measured.
-    pub fn tagged_surface(mut self, path: DispatchPath) -> Self {
-        self.surface_path = path;
         self
     }
 }
@@ -82,7 +72,6 @@ impl PhaseKernels {
             alpha_assembly,
             surface,
             path: DispatchPath::RuntimeSparse,
-            surface_path: DispatchPath::RuntimeSparse,
         }
     }
 }

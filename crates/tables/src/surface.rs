@@ -27,7 +27,6 @@ pub struct FaceScratch {
     pub fp: Vec<f64>,
     pub favg: Vec<f64>,
     pub ghat: Vec<f64>,
-    pub alpha: Vec<f64>,
 }
 
 impl FaceScratch {
@@ -37,7 +36,6 @@ impl FaceScratch {
             self.fp.resize(nface, 0.0);
             self.favg.resize(nface, 0.0);
             self.ghat.resize(nface, 0.0);
-            self.alpha.resize(nface, 0.0);
         }
     }
 }
@@ -98,9 +96,8 @@ impl SurfaceKernel {
     /// Evaluate the face flux and accumulate into the adjacent cells.
     ///
     /// `alpha_face` is the single-valued modal expansion of `α̂` on the face
-    /// basis (already in `ws.alpha` by convention of the callers); `lambda`
-    /// the penalty speed (0 ⇒ central flux); `scale = 2/Δ_dir`. Either
-    /// output may be absent (domain boundaries, subdomain edges).
+    /// basis; `lambda` the penalty speed (0 ⇒ central flux);
+    /// `scale = 2/Δ_dir`. Each lift writes every cell coefficient once.
     #[allow(clippy::too_many_arguments)]
     pub fn apply(
         &self,
@@ -109,8 +106,8 @@ impl SurfaceKernel {
         alpha_face: &[f64],
         lambda: f64,
         scale: f64,
-        out_lo: Option<&mut [f64]>,
-        out_hi: Option<&mut [f64]>,
+        out_lo: &mut [f64],
+        out_hi: &mut [f64],
         ws: &mut FaceScratch,
     ) {
         let nf = self.face.len();
@@ -125,12 +122,8 @@ impl SurfaceKernel {
         }
         self.dmat
             .apply(alpha_face, &ws.favg[..nf], 1.0, &mut ws.ghat[..nf]);
-        if let Some(out) = out_lo {
-            self.face.lift(1, &ws.ghat[..nf], -scale, out);
-        }
-        if let Some(out) = out_hi {
-            self.face.lift(-1, &ws.ghat[..nf], scale, out);
-        }
+        self.face.lift(1, &ws.ghat[..nf], -scale, out_lo);
+        self.face.lift(-1, &ws.ghat[..nf], scale, out_hi);
     }
 
     /// Penalty speed from the modal sup bound of `α̂`.
@@ -207,8 +200,8 @@ mod tests {
             &alpha,
             0.0,
             1.0,
-            Some(&mut out_lo),
-            Some(&mut out_hi),
+            &mut out_lo,
+            &mut out_hi,
             &mut ws,
         );
 
@@ -290,8 +283,8 @@ mod tests {
             &alpha,
             1.0,
             1.0,
-            Some(&mut out_lo),
-            Some(&mut out_hi),
+            &mut out_lo,
+            &mut out_hi,
             &mut ws,
         );
         // Lower cell must gain (flux points from high to low), upper lose.

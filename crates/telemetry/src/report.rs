@@ -105,8 +105,8 @@ pub struct RunReport {
     /// Writer slots the registry was sized with (1 = serial).
     pub nslots: usize,
     /// The kernel entry points each operator of the run resolved
-    /// (`vlasov generated/avx512x8 + generated/avx2x4, lbo
-    /// generated/avx2x4`, `vlasov runtime-sparse`, …), so the timings below
+    /// (`vlasov generated/avx512x8, lbo generated/avx2x4`,
+    /// `vlasov runtime-sparse`, …), so the timings below
     /// say which machine code produced them. Empty when the report was not
     /// built from an operator.
     pub kernel_entry_points: String,
