@@ -11,14 +11,16 @@
 //!    `crates/kernels/src/cache.rs` passes without a waiver.
 //! 2. **Worker-closure float accumulation.** Compound accumulation
 //!    (`+=`, `-=`, `*=`) or `fold`/`sum` inside a closure passed to
-//!    `.scope(` / `.broadcast(` / `.spawn(` / `::spawn(` runs in
-//!    scheduler order. The blessed pattern is what `BlockRhs` does:
-//!    accumulate into per-block scratch inside the closure-free sweep,
-//!    reduce in block order on the main thread after the barrier.
-//!    Braceless closures are covered too: the closure expression itself
-//!    is scanned, and when it is a single call to a same-file function
-//!    (the `pool.broadcast(|_| run_worker(&shared))` scheduler idiom),
-//!    the lint follows **one** level into that function's body — so
+//!    `.scope(` / `.broadcast(` / `.spawn(` / `.spawn_scoped(` /
+//!    `::spawn(` runs in scheduler order. The blessed pattern is what
+//!    `BlockRhs` does: accumulate into per-block scratch inside the
+//!    closure-free sweep, reduce in block order on the main thread after
+//!    the barrier. Braceless closures are covered too: the closure
+//!    expression itself is scanned, and when it is a single call to a
+//!    same-file function (the ensemble scheduler's
+//!    `.spawn_scoped(s, || run_worker(&shared))`, the block pool's
+//!    `.spawn(move || worker_loop(&shared, index))`), the lint follows
+//!    **one** level into that function's body — so
 //!    hiding the accumulation behind a trivial wrapper does not evade
 //!    the rule. Braced closures are *not* followed into their callees:
 //!    a braced body is the visible worker code, and calls out of it are
@@ -124,10 +126,16 @@ fn has_accumulation(code: &str) -> bool {
 }
 
 /// Flag compound accumulation inside `.scope(` / `.broadcast(` /
-/// `.spawn(` / `::spawn(` closure bodies (braced or braceless; see the
-/// module docs for the one-level wrapper follow).
+/// `.spawn(` / `.spawn_scoped(` / `::spawn(` closure bodies (braced or
+/// braceless; see the module docs for the one-level wrapper follow).
 fn worker_closure_accumulation(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
-    const SPAWNERS: &[&str] = &[".scope(", ".broadcast(", ".spawn(", "::spawn("];
+    const SPAWNERS: &[&str] = &[
+        ".scope(",
+        ".broadcast(",
+        ".spawn(",
+        ".spawn_scoped(",
+        "::spawn(",
+    ];
     let mut flagged: BTreeSet<usize> = BTreeSet::new();
     for (li, line) in file.lines.iter().enumerate() {
         if file.in_test[li] {
@@ -268,14 +276,16 @@ fn argument_text(file: &SourceFile, line: usize, col: usize) -> Option<String> {
     }
 }
 
-/// If `expr` is a closure whose whole body is one call to a plain local
-/// identifier — `|_| run_worker(&shared)`, `move || worker_loop(a, b)` —
-/// return that callee name. Method calls (`s.spawn(..)`), paths
-/// (`m::f(..)`), and non-closure arguments yield `None`.
+/// If `expr` is (or ends in) a closure whose whole body is one call to a
+/// plain local identifier — `|_| run_worker(&shared)`,
+/// `move || worker_loop(a, b)`, `s, || run_worker(&shared)` (the
+/// arguments of `spawn_scoped`) — return that callee name. Method calls
+/// (`s.spawn(..)`), paths (`m::f(..)`), and non-closure arguments yield
+/// `None`.
 fn single_call_callee(expr: &str) -> Option<String> {
-    let s = expr.trim();
-    let s = s.strip_prefix("move").unwrap_or(s).trim_start();
-    let s = s.strip_prefix('|')?;
+    // The closure starts at its parameter list's `|`: whatever precedes
+    // it is `move` or an earlier argument.
+    let s = &expr[expr.find('|')? + 1..];
     let close = s.find('|')?;
     let body = s[close + 1..].trim();
     let open = body.find('(')?;
@@ -508,6 +518,47 @@ fn deeper(shared: &Shared) {
 ";
         let d = run(src);
         assert!(d.is_empty(), "{d:?}");
+    }
+
+    #[test]
+    fn scoped_thread_worker_is_followed_one_level() {
+        // `std::thread::scope` fan-out, spawned plainly and through a
+        // `thread::Builder` (the ensemble scheduler's form).
+        for spawn in [
+            "s.spawn(|| run_worker(&shared));",
+            "std::thread::Builder::new().spawn_scoped(s, || run_worker(&shared)).unwrap();",
+        ] {
+            let src = format!(
+                "\
+fn run(shared: &Shared) {{
+    std::thread::scope(|s| {{
+        {spawn}
+    }});
+}}
+fn run_worker(shared: &Shared) {{
+    total += g(shared);
+}}
+"
+            );
+            let d = run(&src);
+            assert_eq!(d.len(), 1, "{spawn}: {d:?}");
+            assert_eq!(d[0].line, 7, "{spawn}: {d:?}");
+            assert!(d[0].message.contains("run_worker"), "{}", d[0].message);
+        }
+    }
+
+    #[test]
+    fn pool_broadcast_closure_accumulation_fires() {
+        let src = "\
+fn f(pool: &mut Pool, xs: &[f64], total: &mut f64) {
+    pool.broadcast(|w| {
+        *total += xs[w];
+    });
+}
+";
+        let d = run(src);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].line, 3);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! `// dg-analyze: allow(<rule>[, <rule>…]) — <reason>`.
 //!
 //! A waiver on the same line as the flagged code suppresses that line.
-//! A waiver on its own comment line suppresses the next code line — or,
-//! when that line starts a `fn` item, the whole function body, so one
-//! annotation covers a cold constructor inside a hot file without
-//! peppering every allocation. A reason (after `—`, `-` or `:`) is
+//! A waiver on its own comment line suppresses the statement that follows
+//! through its `;`, however `cargo fmt` wraps it — or, when that statement
+//! starts a `fn` item, the whole function body, so one annotation covers a
+//! cold constructor inside a hot file without peppering every allocation. A reason (after `—`, `-` or `:`) is
 //! mandatory: un-justified waivers are themselves diagnostics.
 
 use crate::report::{Diagnostic, Rule, Severity};
@@ -96,7 +96,7 @@ pub fn collect(file: &SourceFile) -> (Suppressions, Vec<Diagnostic>) {
         }
 
         // Coverage: trailing waiver → this line; standalone comment line
-        // → next code line, extended to the whole body when it opens `fn`.
+        // → the next statement, or the whole body when it opens `fn`.
         let range = if !line.is_code_blank() {
             li..li + 1
         } else {
@@ -108,7 +108,7 @@ pub fn collect(file: &SourceFile) -> (Suppressions, Vec<Diagnostic>) {
                 bad("waiver at end of file covers nothing", &mut diags);
                 continue;
             }
-            fn_body_range(&file.lines, j).unwrap_or(j..j + 1)
+            fn_body_range(&file.lines, j).unwrap_or_else(|| statement_range(&file.lines, j))
         };
         for r in rules {
             let mask = sup
@@ -121,6 +121,31 @@ pub fn collect(file: &SourceFile) -> (Suppressions, Vec<Diagnostic>) {
         }
     }
     (sup, diags)
+}
+
+/// The lines of the statement that starts on line `j`: through the first
+/// `;` or `,` at bracket depth 0 (a `,` ends a match arm, field or
+/// argument), the `}` that closes a block back to depth 0 (`if … { … }`),
+/// or a bracket closing one opened before line `j` (a tail expression).
+/// Comments and strings are already blanked, so plain counting is exact.
+fn statement_range(lines: &[Line], j: usize) -> std::ops::Range<usize> {
+    let mut depth = 0i64;
+    for (li, l) in lines.iter().enumerate().skip(j) {
+        for c in l.code.chars() {
+            match c {
+                '(' | '[' | '{' => depth += 1,
+                ')' | ']' | '}' => {
+                    depth -= 1;
+                    if depth < 0 || (depth == 0 && c == '}') {
+                        return j..li + 1;
+                    }
+                }
+                ';' | ',' if depth == 0 => return j..li + 1,
+                _ => {}
+            }
+        }
+    }
+    j..lines.len()
 }
 
 /// When line `j` begins a `fn` item, the line range of its whole body
@@ -213,6 +238,33 @@ fn other() { let v = vec![1]; }
         }
         assert!(sup.is_suppressed(Rule::HotAlloc, 6));
         assert!(!sup.is_suppressed(Rule::HotAlloc, 7));
+    }
+
+    #[test]
+    fn standalone_waiver_covers_a_wrapped_statement() {
+        // `cargo fmt` splits a long waived chain over several lines; the
+        // waiver still covers all of it, and nothing after it.
+        let src = "\
+// dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
+let lanes = conf_range
+    .clone()
+    .filter_map(|c| lane_of(c, &ws));
+let other = buf.clone();
+match x {
+    // dg-analyze: allow(hot_alloc) — cold arm
+    A => v.clone(),
+    B => w.clone(),
+}
+";
+        let f = file(src);
+        let (sup, diags) = collect(&f);
+        assert!(diags.is_empty());
+        for l in 2..=4 {
+            assert!(sup.is_suppressed(Rule::HotAlloc, l), "line {l}");
+        }
+        assert!(!sup.is_suppressed(Rule::HotAlloc, 5));
+        assert!(sup.is_suppressed(Rule::HotAlloc, 8));
+        assert!(!sup.is_suppressed(Rule::HotAlloc, 9));
     }
 
     #[test]

@@ -20,16 +20,16 @@ pub fn keyed_lookup(cache: &Cache, k: u64) -> f64 {
     cache.entries.get(&k).copied().unwrap_or(0.0)
 }
 
-pub fn worker_accumulation(pool: &rayon::ThreadPool, xs: &[f64], total: &mut f64) {
-    pool.broadcast(|ctx| {
+pub fn worker_accumulation(pool: &mut Pool, xs: &[f64], total: &mut f64) {
+    pool.broadcast(|w| {
         // Scheduler-order float accumulation in a worker closure: fires.
-        *total += xs[ctx.index()];
+        *total += xs[w];
     });
 }
 
-pub fn blessed_reduction(pool: &rayon::ThreadPool, partials: &mut [f64]) -> f64 {
-    pool.broadcast(|ctx| {
-        partials[ctx.index()] = ctx.index() as f64;
+pub fn blessed_reduction(pool: &mut Pool, partials: &mut [f64]) -> f64 {
+    pool.broadcast(|w| {
+        partials[w] = w as f64;
     });
     // Block-ordered main-thread reduction: must not fire.
     let mut total = 0.0;

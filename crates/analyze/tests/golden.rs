@@ -127,7 +127,7 @@ fn determinism_fires_on_seeded_fixture() {
     );
     let expect = [
         line_of(&text, "for (_k, v) in cache.entries.iter()"),
-        line_of(&text, "*total += xs[ctx.index()]"),
+        line_of(&text, "*total += xs[w]"),
     ];
     assert_eq!(diags.len(), expect.len(), "{diags:?}");
     for line in expect {

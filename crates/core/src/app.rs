@@ -333,6 +333,11 @@ impl AppBuilder {
                 ));
             }
         }
+        check_declaration(
+            self.poly_order,
+            (&clo, &chi, &ccells),
+            (&vlo, &vhi, &vcells),
+        )?;
         let layout = PhaseLayout::new(cdim, vdim);
         let kernels = kernels_for(self.kind, layout, self.poly_order);
         let conf_grid = CartGrid::new(&clo, &chi, &ccells);
@@ -1059,10 +1064,142 @@ fn fire(
     })
 }
 
+/// The rules `PhaseLayout`, the basis tables and `CartGrid` assume of a
+/// declaration, checked once before any of them is built so that a broken
+/// one is an [`Error::Build`] naming the rule, not a panic further down.
+/// `conf` and `vel` are `(lower, upper, cells)`.
+fn check_declaration(
+    p: usize,
+    conf: (&[f64], &[f64], &[usize]),
+    vel: (&[f64], &[f64], &[usize]),
+) -> Result<(), Error> {
+    if p == 0 {
+        return Err(Error::Build(
+            "poly_order must be ≥ 1 (the modal families start at p = 1), got 0".into(),
+        ));
+    }
+    for (space, (lower, upper, cells)) in [("configuration", conf), ("velocity", vel)] {
+        if lower.len() != cells.len() || upper.len() != cells.len() {
+            return Err(Error::Build(format!(
+                "{space} grid: lower, upper and cells must have equal lengths, got {}, {} and {}",
+                lower.len(),
+                upper.len(),
+                cells.len()
+            )));
+        }
+        for d in 0..cells.len() {
+            if cells[d] == 0 {
+                return Err(Error::Build(format!(
+                    "{space} dimension {d} has 0 cells; every dimension needs ≥ 1 cell"
+                )));
+            }
+            // A NaN bound compares as `None` and fails too.
+            if upper[d].partial_cmp(&lower[d]) != Some(std::cmp::Ordering::Greater) {
+                return Err(Error::Build(format!(
+                    "{space} dimension {d}: upper > lower is required, got lower {} and upper {}",
+                    lower[d], upper[d]
+                )));
+            }
+        }
+    }
+    let (cdim, vdim) = (conf.2.len(), vel.2.len());
+    if !(1 <= cdim && cdim <= vdim && vdim <= 3) {
+        return Err(Error::Build(format!(
+            "{cdim}x{vdim}v is not a supported layout: 1 ≤ cdim ≤ vdim ≤ 3 is required"
+        )));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::species::maxwellian;
+
+    #[test]
+    fn builder_rejects_broken_declarations_with_a_typed_error() {
+        // (poly order, conf (lower, upper, cells), vel (lower, upper, cells),
+        // fragment of the error message); each row panicked before the
+        // declaration was checked.
+        type Axes = (&'static [f64], &'static [f64], &'static [usize]);
+        let x1: Axes = (&[0.0], &[1.0], &[4]);
+        let v1: Axes = (&[-6.0], &[6.0], &[8]);
+        let rows: [(usize, Axes, Axes, &str); 10] = [
+            (0, x1, v1, "poly_order must be ≥ 1"),
+            (1, x1, (&[], &[], &[]), "1x0v is not a supported layout"),
+            (1, (&[], &[], &[]), v1, "0x1v is not a supported layout"),
+            (
+                1,
+                (&[0.0; 4], &[1.0; 4], &[2; 4]),
+                v1,
+                "4x1v is not a supported layout",
+            ),
+            (
+                1,
+                x1,
+                (&[-6.0; 4], &[6.0; 4], &[2; 4]),
+                "1x4v is not a supported layout",
+            ),
+            (
+                1,
+                (&[0.0], &[1.0], &[0]),
+                v1,
+                "configuration dimension 0 has 0 cells",
+            ),
+            (
+                1,
+                x1,
+                (&[-6.0], &[6.0], &[0]),
+                "velocity dimension 0 has 0 cells",
+            ),
+            (
+                1,
+                (&[1.0], &[1.0], &[4]),
+                v1,
+                "configuration dimension 0: upper > lower",
+            ),
+            (
+                1,
+                x1,
+                (&[6.0], &[-6.0], &[8]),
+                "velocity dimension 0: upper > lower",
+            ),
+            (
+                1,
+                (&[0.0, 0.0], &[1.0], &[4, 4]),
+                v1,
+                "lower, upper and cells must have equal lengths",
+            ),
+        ];
+        for (p, (clo, chi, cn), (vlo, vhi, vn), fragment) in rows {
+            let built = AppBuilder::new()
+                .conf_grid(clo, chi, cn)
+                .poly_order(p)
+                .species(SpeciesSpec::new("elc", -1.0, 1.0, vlo, vhi, vn).initial(|_x, _v| 1.0))
+                .field(FieldSpec::new(1.0))
+                .build();
+            match built {
+                Err(Error::Build(msg)) => assert!(msg.contains(fragment), "{fragment}: {msg}"),
+                other => panic!(
+                    "{fragment}: expected Error::Build, got {:?}",
+                    other.map(|_| ())
+                ),
+            }
+        }
+        // p = 4 still builds and runs.
+        let mut app = AppBuilder::new()
+            .conf_grid(x1.0, x1.1, &[2])
+            .poly_order(4)
+            .species(
+                SpeciesSpec::new("elc", -1.0, 1.0, v1.0, v1.1, &[4])
+                    .initial(|_x, v| maxwellian(1.0, &[0.0], 1.0, v)),
+            )
+            .field(FieldSpec::new(1.0))
+            .build()
+            .unwrap();
+        app.step().unwrap();
+        assert!(app.time() > 0.0);
+    }
 
     #[test]
     fn build_rejects_missing_pieces() {

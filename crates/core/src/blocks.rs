@@ -7,8 +7,8 @@
 //! each further split into per-thread sub-slabs — and every block evaluates
 //! its own volume + surface + LBO contributions ([`block_rhs`]). At one
 //! thread the blocks run inline on the calling thread in ascending order;
-//! with more they run on the persistent workers of the rayon-shim
-//! [`ThreadPool`].
+//! with more they run on the persistent workers of this module's private
+//! `Pool`, worker `w` taking blocks `w, w + threads, …`.
 //!
 //! **Bit-identity.** [`VlasovMaxwell::rhs`] is the one-block case of the
 //! same [`block_rhs`]. Within one output cell its contribution order is
@@ -35,15 +35,18 @@
 //! instances persist across calls; inline blocks write the output field
 //! itself, pooled ones reach their cells through [`DgFieldSlice::from_raw`]
 //! (no per-call view `Vec`), and the pool's `broadcast` publishes work
-//! through a fixed command slot — both sweeps pass the counting-allocator
+//! through a fixed epoch-stamped command slot (a mutex and two condvars, no
+//! channel, no result `Vec`) — both sweeps pass the counting-allocator
 //! gate in `tests/alloc_free.rs`.
 
+use std::any::Any;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 use dg_grid::slab::slab_ranges;
 use dg_grid::{CellStoreMut, DgField, DgFieldSlice, DimBc};
-use rayon::ThreadPool;
 
 use dg_telemetry::{Counter, Phase, Registry};
 
@@ -143,13 +146,165 @@ impl SendPtr {
     }
 }
 
+/// A job as the workers see it: the caller's closure with its lifetime
+/// erased (see the `SAFETY` argument in [`Pool::broadcast`]).
+type Job = &'static (dyn Fn(usize) + Sync);
+
+/// The command slot every worker watches.
+struct PoolState {
+    /// Bumped once per published job, so each worker runs it exactly once.
+    epoch: u64,
+    job: Option<Job>,
+    /// Workers still running the current job.
+    remaining: usize,
+    shutdown: bool,
+    /// The first panic of the current job, re-raised on the caller.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+struct PoolShared {
+    state: Mutex<PoolState>,
+    /// Workers wait here for a new epoch (or shutdown).
+    work_cv: Condvar,
+    /// The caller waits here for `remaining == 0`.
+    done_cv: Condvar,
+}
+
+impl PoolShared {
+    /// No code panics while holding the lock, so a poisoned lock still
+    /// guards a consistent slot; ignoring poison also keeps `broadcast`
+    /// from unwinding while a job is in flight.
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// `threads` persistent workers that each run every job published by
+/// [`Pool::broadcast`] once. Dropping the pool joins them.
+pub(crate) struct Pool {
+    shared: Arc<PoolShared>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl Pool {
+    /// Spawn `threads` workers. A failed spawn drops the workers already
+    /// started (joining them) and returns the error.
+    // dg-analyze: allow(hot_alloc) — constructor: the worker handles and thread names are built once
+    pub(crate) fn new(threads: usize) -> std::io::Result<Self> {
+        let shared = Arc::new(PoolShared {
+            state: Mutex::new(PoolState {
+                epoch: 0,
+                job: None,
+                remaining: 0,
+                shutdown: false,
+                panic: None,
+            }),
+            work_cv: Condvar::new(),
+            done_cv: Condvar::new(),
+        });
+        let mut pool = Pool {
+            shared,
+            workers: Vec::with_capacity(threads),
+        };
+        for index in 0..threads {
+            let shared = Arc::clone(&pool.shared);
+            pool.workers.push(
+                std::thread::Builder::new()
+                    .name(format!("dg-block-{index}"))
+                    .spawn(move || worker_loop(&shared, index))?,
+            );
+        }
+        Ok(pool)
+    }
+
+    pub(crate) fn threads(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// Run `op(worker_index)` once on every worker and return when all have
+    /// finished. A worker's panic is re-raised here after the others are
+    /// done; the pool stays usable. Allocation-free.
+    pub(crate) fn broadcast(&mut self, op: impl Fn(usize) + Sync) {
+        let op: &(dyn Fn(usize) + Sync) = &op;
+        // SAFETY: only the lifetime is erased. The reference is published
+        // below and this function returns only after `remaining` is back
+        // to 0, i.e. after every worker has returned from its call of this
+        // epoch's job; a worker reads the slot again only for a new epoch,
+        // and the slot is cleared before returning. Nothing in between can
+        // unwind (`lock` ignores poison), and `&mut self` keeps a second
+        // job from being published while this one is in flight.
+        let job: Job = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Job>(op) };
+        let shared = &*self.shared;
+        let mut st = shared.lock();
+        st.epoch += 1;
+        st.job = Some(job);
+        st.remaining = self.workers.len();
+        shared.work_cv.notify_all();
+        let mut st = shared
+            .done_cv
+            .wait_while(st, |st| st.remaining > 0)
+            .unwrap_or_else(PoisonError::into_inner);
+        st.job = None;
+        let panic = st.panic.take();
+        drop(st);
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+    }
+
+    /// Test handle on the shared state: dead once the pool is dropped.
+    #[cfg(test)]
+    pub(crate) fn shared_state(&self) -> std::sync::Weak<dyn Any + Send + Sync> {
+        Arc::downgrade(&self.shared) as std::sync::Weak<PoolShared>
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.shared.lock().shutdown = true;
+        self.shared.work_cv.notify_all();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
+    }
+}
+
+/// One worker: wait for a new epoch, run its job, count itself done.
+fn worker_loop(shared: &PoolShared, index: usize) {
+    let mut seen = 0u64;
+    loop {
+        let job = {
+            let st = shared
+                .work_cv
+                .wait_while(shared.lock(), |st| !st.shutdown && st.epoch == seen)
+                .unwrap_or_else(PoisonError::into_inner);
+            // A new epoch always carries a job.
+            let (false, Some(job)) = (st.shutdown, st.job) else {
+                return;
+            };
+            seen = st.epoch;
+            job
+        };
+        let result = catch_unwind(AssertUnwindSafe(|| job(index)));
+        let mut st = shared.lock();
+        if let Err(payload) = result {
+            st.panic.get_or_insert(payload);
+        }
+        // dg-analyze: allow(determinism) — integer completion latch under the pool mutex (counts workers still in this epoch), not a floating-point reduction; order cannot affect the value.
+        st.remaining -= 1;
+        if st.remaining == 0 {
+            shared.done_cv.notify_all();
+        }
+    }
+}
+
 /// The coupled-RHS driver over `ranks × threads` cell blocks: owns the
 /// block decomposition, one persistent workspace per block and — with more
 /// than one thread — the worker pool.
 pub struct BlockRhs {
     /// The workers, `None` at one thread: the blocks then run inline on
     /// the calling thread, in ascending block order.
-    pool: Option<ThreadPool>,
+    pool: Option<Pool>,
     blocks: CellBlocks,
     /// One kinetic workspace per block — `Mutex` only to satisfy the
     /// compiler: block `b` is touched by exactly one worker per sweep
@@ -175,12 +330,7 @@ impl BlockRhs {
     pub fn new(system: &VlasovMaxwell, ranks: usize, threads: usize) -> Self {
         assert!(threads >= 1, "BlockRhs needs at least one thread");
         let blocks = CellBlocks::new(&system.grid, ranks, threads);
-        let pool = (threads > 1).then(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("worker pool")
-        });
+        let pool = (threads > 1).then(|| Pool::new(threads).expect("spawn block-sweep workers"));
         let ws = (0..blocks.blocks.len())
             .map(|_| Mutex::new(VlasovWorkspace::for_kernels(&system.kernels)))
             .collect();
@@ -273,7 +423,7 @@ impl BlockRhs {
                 let op = &sys.vlasov;
                 let out_f = &mut out.species_f[s];
                 let blocks = &self.blocks.blocks;
-                match &self.pool {
+                match &mut self.pool {
                     // One thread: every block writes the whole field in
                     // turn — the one-block sweep's code, no views.
                     None => {
@@ -288,8 +438,9 @@ impl BlockRhs {
                         let np = out_f.ncoeff();
                         let base = SendPtr(out_f.as_mut_slice().as_mut_ptr());
                         let (ws, lbo_ws) = (&self.ws, &self.lbo_ws);
-                        pool.broadcast(|ctx| {
-                            for b in (ctx.index()..nblocks).step_by(ctx.num_threads()) {
+                        let nthreads = pool.threads();
+                        pool.broadcast(|w| {
+                            for b in (w..nblocks).step_by(nthreads) {
                                 let block = blocks[b].clone(); // dg-analyze: allow(hot_alloc) — Range<usize> clone is a two-word copy, no heap
                                 let first = block.start * cells0;
                                 // SAFETY: blocks are disjoint cell ranges of

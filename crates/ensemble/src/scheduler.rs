@@ -1,11 +1,12 @@
 //! The bounded work queue and worker-pool scheduler.
 //!
-//! `Ensemble::run` multiplexes every submitted job over `workers`
-//! rayon-shim threads. Workers pull job ids off a shared FIFO and run
-//! each job to a terminal state with `runner::run_job`; results land in
-//! per-job slots and are collected *in submission order on the main
-//! thread* after the pool joins — the scheduling order never leaks into
-//! the report, which is what makes per-job results bit-identical at any
+//! `Ensemble::run` multiplexes every submitted job over `workers` scoped
+//! threads (`std::thread::scope`; a single worker runs on the calling
+//! thread). Workers pull job ids off a shared FIFO and run each job to a
+//! terminal state with `runner::run_job`; results land in per-job slots
+//! and are collected *in submission order on the main thread* after the
+//! scope joins its threads — the scheduling order never leaks into the
+//! report, which is what makes per-job results bit-identical at any
 //! worker count (asserted in `tests/ensemble.rs`).
 //!
 //! Per-job work still composes with the solver's own parallelism: a
@@ -356,11 +357,20 @@ impl Ensemble {
             // Degenerate pool: the calling thread is the one worker.
             run_worker(&shared);
         } else {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(self.cfg.workers)
-                .build()
-                .map_err(|e| Error::Build(format!("ensemble worker pool: {e}")))?;
-            pool.broadcast(|_| run_worker(&shared));
+            std::thread::scope(|s| {
+                for w in 0..self.cfg.workers {
+                    let spawned = std::thread::Builder::new()
+                        .name(format!("dg-ensemble-{w}"))
+                        .spawn_scoped(s, || run_worker(&shared));
+                    if let Err(e) = spawned {
+                        // The workers already running finish their current
+                        // job and find the queue empty.
+                        shared.queue.lock().unwrap().clear();
+                        return Err(Error::Build(format!("ensemble worker pool: {e}")));
+                    }
+                }
+                Ok(())
+            })?;
         }
         // Deterministic submission-order reduction on the main thread;
         // completion order (which varies with worker count) is gone here.

@@ -299,9 +299,9 @@ mod tests {
     }
 
     // The workspace's seeded test data (snapshot, nodal and modal–nodal
-    // tests, the rayon stress suite) draws from `TestRng` directly, so
-    // pin what those tests rely on: a fixed stream per name, float draws
-    // inside and across their range, every integer of a small range hit.
+    // tests) draws from `TestRng` directly, so pin what those tests rely
+    // on: a fixed stream per name, float draws inside and across their
+    // range, every integer of a small range hit.
 
     #[test]
     fn deterministic_for_fixed_seed() {

@@ -329,8 +329,9 @@ fn rhs_and_lbo_loops_allocate_nothing() {
     // process-global, so worker-thread allocations are caught too —
     // per-block workspaces (each block's cell-lane pass panels, halo
     // slices included, walls at both ends, 6 velocity cells: one partial
-    // lane group), raw-pointer field views, and the pool's fixed
-    // broadcast command slot are what make this pass. ---
+    // lane group), raw-pointer field views, and `BlockRhs`'s pool, whose
+    // `broadcast` publishes a borrowed job through a fixed epoch-stamped
+    // slot and returns no result `Vec`, are what make this pass. ---
     let (mut sys, state) = collisional_walled_1x1v().into_parts();
     let mut block = BlockRhs::new(&sys, 1, 3);
     let mut out = sys.new_state();

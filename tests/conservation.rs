@@ -64,7 +64,7 @@ fn run_and_record(app: &mut App, dt: f64, steps: usize) -> EnergyHistory {
 }
 
 #[test]
-fn forced_generated_dispatch_conserves_mass_and_matches_runtime() {
+fn generated_and_runtime_sparse_conserve_mass_and_agree() {
     // 1X1V p=2 Serendipity is in the generated-kernel registry. A full
     // nonlinear run on the generated path must conserve mass to round-off,
     // and the end state must agree with the runtime-sparse oracle to
