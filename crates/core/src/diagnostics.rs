@@ -28,28 +28,30 @@ impl ConservedQuantities {
     }
 }
 
-/// Evaluate all conserved functionals at a state.
+/// Evaluate all conserved functionals at a state. Each species' momentum
+/// and kinetic energy come from one moment sweep
+/// ([`crate::moments::mode0_sums`]: one block call per configuration cell
+/// into a stack buffer), summed in the order [`VlasovMaxwell::particle_energy`]
+/// and the per-direction momentum sums use, so the values are theirs bit
+/// for bit.
 pub fn probe(system: &VlasovMaxwell, state: &SystemState, time: f64) -> ConservedQuantities {
     let vdim = system.grid.vdim();
     let mut momentum = vec![0.0; vdim];
-    let jx: f64 = system.grid.conf.dx().iter().map(|d| 0.5 * d).product();
-    let w = (2.0f64).powi(system.grid.cdim() as i32).sqrt();
+    // `Iterator::sum` over `f64` starts at −0.0; so does this sum.
+    let mut particle_energy = -0.0;
+    let (jx, w) = crate::moments::mode0_integral_weights(&system.grid);
     for (s, sp) in system.species.iter().enumerate() {
-        for (j, m) in momentum.iter_mut().enumerate() {
-            let m1 = crate::moments::momentum_density(
-                &system.kernels,
-                &system.grid,
-                &state.species_f[s],
-                j,
-            );
-            let sum0: f64 = (0..system.grid.conf.len()).map(|c| m1.cell(c)[0]).sum();
+        let f = &state.species_f[s];
+        let (m1, m2) = crate::moments::mode0_sums(&system.kernels, &system.grid, f, true);
+        for (m, sum0) in momentum.iter_mut().zip(m1) {
             *m += sp.mass * jx * w * sum0;
         }
+        particle_energy += 0.5 * sp.mass * jx * w * m2;
     }
     ConservedQuantities {
         time,
         numbers: system.particle_numbers(state),
-        particle_energy: system.particle_energy(state),
+        particle_energy,
         field_energy: system.field_energy(state),
         momentum,
     }

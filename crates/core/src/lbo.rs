@@ -54,9 +54,10 @@ use crate::moments::MomentScratch;
 /// gradient lives for one pencil position at a time, on either path.
 #[derive(Clone, Debug)]
 pub struct LboScratch {
-    /// Raw moments M0 / M1_j / M2.
+    /// Raw moments M0 / M1 (every direction, `vdim × Nc` per cell,
+    /// direction-major) / M2.
     m0: DgField,
-    m1: Vec<DgField>,
+    m1: DgField,
     m2: DgField,
     /// Primitive moments u_j and vth².
     u: Vec<DgField>,
@@ -96,7 +97,7 @@ impl LboScratch {
         let longest = grid.vel.cells().iter().copied().max().unwrap_or(0);
         LboScratch {
             m0: DgField::zeros(nconf, nc),
-            m1: (0..vdim).map(|_| DgField::zeros(nconf, nc)).collect(),
+            m1: DgField::zeros(nconf, vdim * nc),
             m2: DgField::zeros(nconf, nc),
             u: (0..vdim).map(|_| DgField::zeros(nconf, nc)).collect(),
             vth2: DgField::zeros(nconf, nc),
@@ -371,9 +372,6 @@ pub struct LboOp {
     /// `v_j`-pencil's first cell (index 0 along `v_j`), ascending; the
     /// pencil's cell `i` is `i · stride(j)` above.
     pencils: Vec<Vec<u32>>,
-    /// Velocity-cell centres per linear velocity index, for the
-    /// primitive-moment sweep.
-    vel_centers: Vec<[f64; 3]>,
 }
 
 impl LboOp {
@@ -411,7 +409,6 @@ impl LboOp {
                     .collect()
             })
             .collect();
-        let vel_centers = crate::moments::vel_center_table(&grid);
         let scratch = Some(LboScratch::new(&kernels, &grid, row));
         LboOp {
             kernels,
@@ -421,7 +418,6 @@ impl LboOp {
             row,
             stages,
             pencils,
-            vel_centers,
         }
     }
 
@@ -477,7 +473,6 @@ impl LboOp {
         crate::moments::raw_moments_range_into(
             k,
             grid,
-            &self.vel_centers,
             f,
             &mut ws.m0,
             &mut ws.m1,
@@ -493,7 +488,7 @@ impl LboOp {
             for j in 0..vdim {
                 k.weak.divide_with(
                     ws.m0.cell(c),
-                    ws.m1[j].cell(c),
+                    &ws.m1.cell(c)[j * nc..(j + 1) * nc],
                     ws.u[j].cell_mut(c),
                     &mut ws.div,
                 );
@@ -502,8 +497,8 @@ impl LboOp {
             ws.rhs.copy_from_slice(ws.m2.cell(c));
             for j in 0..vdim {
                 ws.prod.fill(0.0);
-                k.weak
-                    .multiply_acc(ws.u[j].cell(c), ws.m1[j].cell(c), &mut ws.prod);
+                let m1j = &ws.m1.cell(c)[j * nc..(j + 1) * nc];
+                k.weak.multiply_acc(ws.u[j].cell(c), m1j, &mut ws.prod);
                 for l in 0..nc {
                     ws.rhs[l] -= ws.prod[l];
                 }
@@ -856,9 +851,11 @@ mod tests {
 
     #[test]
     fn fused_primitive_moment_sweep_matches_the_three_sweeps_bitwise() {
-        // One pass over `f` for M0 / M1_j / M2 against the three
-        // single-moment sweeps it replaced, on both kernel paths and on a
-        // sub-range (cells outside it must stay untouched).
+        // One call per configuration cell for M0 / M1 / M2 against the
+        // three single-moment sweeps and against the per-phase-cell loop of
+        // `MomentKernels`' accumulates (centres from `CartGrid::center`),
+        // on both kernel paths and on a sub-range (cells outside it must
+        // stay untouched).
         let kernels = kernels_for(BasisKind::Serendipity, PhaseLayout::new(1, 2), 2);
         let grid = PhaseGrid::new(
             CartGrid::new(&[0.0], &[1.0], &[4]),
@@ -869,22 +866,19 @@ mod tests {
         sp.project_initial(&kernels, &grid, 4, &mut |x, v| {
             (1.0 + 0.3 * (5.0 * x[0]).sin()) * maxwellian(1.0, &[0.3, -0.2], 1.4, v)
         });
-        let (nconf, nc) = (grid.conf.len(), kernels.nc());
-        let centers = crate::moments::vel_center_table(&grid);
+        let (nconf, nc, nv) = (grid.conf.len(), kernels.nc(), grid.vel.len());
+        let stale = |ncoeff: usize| {
+            let mut m = DgField::zeros(nconf, ncoeff);
+            m.fill(7.0);
+            m
+        };
         for row in [row_for(&kernels), None] {
-            let mut mom = MomentScratch::with_row(row);
+            let mom = MomentScratch::with_row(row);
             for range in [0..nconf, 1..3] {
-                let stale = || {
-                    let mut m = DgField::zeros(nconf, nc);
-                    m.fill(7.0);
-                    m
-                };
-                let (mut m0, mut m2) = (stale(), stale());
-                let mut m1 = [stale(), stale()];
+                let (mut m0, mut m1, mut m2) = (stale(nc), stale(2 * nc), stale(nc));
                 crate::moments::raw_moments_range_into(
                     &kernels,
                     &grid,
-                    &centers,
                     &sp.f,
                     &mut m0,
                     &mut m1,
@@ -892,8 +886,7 @@ mod tests {
                     &mom,
                     range.clone(),
                 );
-                let (mut w0, mut w2) = (stale(), stale());
-                let mut w1 = [stale(), stale()];
+                let (mut w0, mut w1, mut w2) = (stale(nc), stale(2 * nc), stale(nc));
                 crate::moments::number_density_range_into(
                     &kernels,
                     &grid,
@@ -902,30 +895,52 @@ mod tests {
                     &mom,
                     range.clone(),
                 );
-                for (j, w) in w1.iter_mut().enumerate() {
-                    crate::moments::momentum_density_range_into(
-                        &kernels,
-                        &grid,
-                        &sp.f,
-                        j,
-                        w,
-                        &mut mom,
-                        range.clone(),
-                    );
-                }
+                crate::moments::momentum_density_range_into(
+                    &kernels,
+                    &grid,
+                    &sp.f,
+                    &mut w1,
+                    &mom,
+                    range.clone(),
+                );
                 crate::moments::energy_density_range_into(
                     &kernels,
                     &grid,
                     &sp.f,
                     &mut w2,
-                    &mut mom,
+                    &mom,
                     range.clone(),
                 );
+                let (mut c0, mut c1, mut c2) = (stale(nc), stale(2 * nc), stale(nc));
+                let mk = &kernels.moments;
+                let (jv, dv) = (grid.vel_jacobian(), grid.vel.dx());
+                let mut vidx = [0usize; 2];
+                for clin in range.clone() {
+                    c0.cell_mut(clin).fill(0.0);
+                    c1.cell_mut(clin).fill(0.0);
+                    c2.cell_mut(clin).fill(0.0);
+                    for vlin in 0..nv {
+                        grid.vel.delinearize(vlin, &mut vidx);
+                        let vc = [grid.vel.center(0, vidx[0]), grid.vel.center(1, vidx[1])];
+                        let fc = sp.f.cell(clin * nv + vlin);
+                        mk.accumulate_m0(fc, jv, c0.cell_mut(clin));
+                        for j in 0..2 {
+                            let m1j = &mut c1.cell_mut(clin)[j * nc..(j + 1) * nc];
+                            mk.accumulate_m1(j, fc, jv, vc[j], dv[j], m1j);
+                        }
+                        mk.accumulate_m2(fc, jv, &vc, dv, c2.cell_mut(clin));
+                    }
+                }
                 let what = format!("{:?} {range:?}", mom.dispatch_path());
-                assert_bitwise(&m0, &w0, &format!("M0 {what}"));
-                assert_bitwise(&m1[0], &w1[0], &format!("M1_0 {what}"));
-                assert_bitwise(&m1[1], &w1[1], &format!("M1_1 {what}"));
-                assert_bitwise(&m2, &w2, &format!("M2 {what}"));
+                let all = [
+                    (&m0, &w0, &c0, "M0"),
+                    (&m1, &w1, &c1, "M1"),
+                    (&m2, &w2, &c2, "M2"),
+                ];
+                for (fused, sweep, per_cell, name) in all {
+                    assert_bitwise(fused, sweep, &format!("{name} {what} vs its sweep"));
+                    assert_bitwise(fused, per_cell, &format!("{name} {what} vs per-cell"));
+                }
                 assert!(m0.cell(1)[0] != 7.0, "range cells must be written");
             }
         }
@@ -1027,7 +1042,7 @@ mod tests {
             });
             let mut out = DgField::zeros(sp.f.ncells(), sp.f.ncoeff());
             lbo.accumulate_rhs(&sp.f, &mut out);
-            let dm1 = crate::moments::momentum_density(&kernels, &grid, &out, 0);
+            let dm1 = crate::moments::momentum_density(&kernels, &grid, &out);
             let dm2 = crate::moments::energy_density(&kernels, &grid, &out);
             let s1: f64 = (0..grid.conf.len()).map(|c| dm1.cell(c)[0]).sum();
             let s2: f64 = (0..grid.conf.len()).map(|c| dm2.cell(c)[0]).sum();

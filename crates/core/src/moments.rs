@@ -7,21 +7,27 @@
 //! energy-exchange identity `d/dt E_particles = ∫ J_h · E_h dx` holds to
 //! round-off — the property the paper's §II builds the whole algorithm
 //! around.
+//!
+//! Every sweep here is **one call per configuration cell**: the cell's
+//! velocity block (its `nv × Np` contiguous coefficients) goes whole to the
+//! registry row's generated block kernel (`dispatch::MomentBlockFn`), or to
+//! its runtime twin `MomentKernels::accumulate_block` on a configuration
+//! without a row, with every moment the sweep needs selected at once
+//! ([`MomentOut`]). The block kernels keep the per-phase-cell reductions'
+//! order and association, so these sums are the bits the per-phase-cell
+//! loop gave (DESIGN.md, "Moment kernels").
 
 use dg_grid::{CellStoreMut, DgField, PhaseGrid};
-use dg_kernels::dispatch::{path_of, row_for, DispatchPath, KernelRow, MomentKernelEntry};
-use dg_kernels::moments::MomentKernels;
+use dg_kernels::dispatch::{path_of, row_for, DispatchPath, KernelRow};
+use dg_kernels::moments::{MomentOut, VelocityGrid};
 use dg_kernels::PhaseKernels;
 use dg_telemetry::{span, Collector, Phase};
 
-/// Scratch for moment reductions (velocity indices and centers), carrying
-/// the configuration's registry row, looked up once at construction: the
-/// generated moment kernels when the configuration has a row, the runtime
-/// weak-op reduction otherwise.
+/// The moment path of one configuration, looked up once at construction:
+/// the registry row's generated block kernel when the configuration has a
+/// row, the runtime weak-op reduction otherwise.
 #[derive(Clone, Debug)]
 pub struct MomentScratch {
-    vidx: Vec<usize>,
-    vc: Vec<f64>,
     row: Option<&'static KernelRow>,
     /// Telemetry writer for this scratch's thread (noop unless the
     /// backend instruments the run).
@@ -36,11 +42,8 @@ impl MomentScratch {
 
     /// Scratch on an explicit registry row — the test seam: `None` on a
     /// registered configuration is the runtime-sparse oracle.
-    // dg-analyze: allow(hot_alloc) — scratch constructor: empty buffers, sized once on first use
     pub fn with_row(row: Option<&'static KernelRow>) -> Self {
         MomentScratch {
-            vidx: Vec::new(),
-            vc: Vec::new(),
             row,
             probe: Collector::default(),
         }
@@ -50,63 +53,36 @@ impl MomentScratch {
     pub fn dispatch_path(&self) -> DispatchPath {
         path_of(self.row)
     }
-}
 
-/// The per-cell `M0`/`M1_j`/`M2` accumulations, as a registry row's
-/// generated kernels and the runtime weak-op path each provide them. Every
-/// sweep below is written once over this trait.
-trait MomentEval {
-    fn m0(&self, f: &[f64], jv: f64, out: &mut [f64]);
-    fn m1(&self, j: usize, f: &[f64], jv: f64, v_c: f64, dv: f64, out: &mut [f64]);
-    fn m2(&self, f: &[f64], jv: f64, v_c: &[f64], dv: &[f64], out: &mut [f64]);
-}
-
-impl MomentEval for MomentKernelEntry {
+    /// Every moment `out` selects of one configuration cell's velocity
+    /// block `f`: one call, on this scratch's path.
     #[inline]
-    fn m0(&self, f: &[f64], jv: f64, out: &mut [f64]) {
-        (self.m0)(f, jv, out)
-    }
-    #[inline]
-    fn m1(&self, j: usize, f: &[f64], jv: f64, v_c: f64, dv: f64, out: &mut [f64]) {
-        (self.m1[j])(f, jv, v_c, dv, out)
-    }
-    #[inline]
-    fn m2(&self, f: &[f64], jv: f64, v_c: &[f64], dv: &[f64], out: &mut [f64]) {
-        (self.m2)(f, jv, v_c, dv, out)
-    }
-}
-
-impl MomentEval for MomentKernels {
-    #[inline]
-    fn m0(&self, f: &[f64], jv: f64, out: &mut [f64]) {
-        self.accumulate_m0(f, jv, out)
-    }
-    #[inline]
-    fn m1(&self, j: usize, f: &[f64], jv: f64, v_c: f64, dv: f64, out: &mut [f64]) {
-        self.accumulate_m1(j, f, jv, v_c, dv, out)
-    }
-    #[inline]
-    fn m2(&self, f: &[f64], jv: f64, v_c: &[f64], dv: &[f64], out: &mut [f64]) {
-        self.accumulate_m2(f, jv, v_c, dv, out)
-    }
-}
-
-/// Run `$body` with `$m` bound to the [`MomentEval`] of `$ws`'s path: the
-/// path is matched once per call, never per cell, and the body is
-/// instantiated once per path.
-macro_rules! with_moment_eval {
-    ($ws:expr, $kernels:expr, |$m:ident| $body:block) => {
-        match $ws.row {
-            Some(row) => {
-                let $m = &row.moments;
-                $body
-            }
-            None => {
-                let $m = &$kernels.moments;
-                $body
-            }
+    fn block(
+        &self,
+        kernels: &PhaseKernels,
+        f: &[f64],
+        jv: f64,
+        vel: &VelocityGrid,
+        out: MomentOut<'_>,
+    ) {
+        match self.row {
+            Some(row) => (row.moments.block)(f, jv, vel, out),
+            None => kernels.moments.accumulate_block(f, jv, vel, out),
         }
-    };
+    }
+}
+
+/// The velocity grid of `grid`, as the block kernels walk it.
+fn velocity_grid(grid: &PhaseGrid) -> VelocityGrid {
+    VelocityGrid::new(grid.vel.lower(), grid.vel.dx(), grid.vel.cells())
+}
+
+/// Configuration cell `clin`'s velocity block of the phase field `f`
+/// (`nv` velocity cells).
+#[inline]
+fn velocity_block(f: &DgField, clin: usize, nv: usize) -> &[f64] {
+    let len = nv * f.ncoeff();
+    &f.as_slice()[clin * len..(clin + 1) * len]
 }
 
 /// Accumulate the charge-weighted current (3 components × Nc per
@@ -126,99 +102,80 @@ pub fn accumulate_current<S: CellStoreMut>(
     conf_range: std::ops::Range<usize>,
     ws: &mut MomentScratch,
 ) {
-    let vdim = grid.vdim();
-    let nc = kernels.nc();
+    let m1_len = grid.vdim() * kernels.nc();
     let nv = grid.vel.len();
-    let jv = grid.vel_jacobian();
+    let vel = velocity_grid(grid);
+    let qjv = charge * grid.vel_jacobian();
     span!(ws.probe, Phase::FieldCoupling);
-    ws.vidx.resize(vdim, 0);
-    with_moment_eval!(ws, kernels, |m| {
-        for clin in conf_range {
-            for vlin in 0..nv {
-                grid.vel.delinearize(vlin, &mut ws.vidx);
-                let fc = f.cell(clin * nv + vlin);
-                let jc = j_out.cell_mut(clin);
-                for j in 0..vdim {
-                    let vc = grid.vel.center(j, ws.vidx[j]);
-                    m.m1(
-                        j,
-                        fc,
-                        charge * jv,
-                        vc,
-                        grid.vel.dx()[j],
-                        &mut jc[j * nc..(j + 1) * nc],
-                    );
-                }
-                if let Some(rho) = rho_out.as_deref_mut() {
-                    m.m0(fc, charge * jv, rho.cell_mut(clin));
-                }
-            }
-        }
-    })
-}
-
-/// Velocity-cell centres per linear velocity index (padded to three
-/// components) — built once per operator so the sweeps that need `v_c` per
-/// phase cell ([`raw_moments_range_into`], `VlasovOp`) read a table instead
-/// of delinearizing every cell.
-// dg-analyze: allow(hot_alloc) — table constructor, runs once per operator
-pub fn vel_center_table(grid: &PhaseGrid) -> Vec<[f64; 3]> {
-    let vdim = grid.vdim();
-    let mut vidx = vec![0usize; vdim];
-    (0..grid.vel.len())
-        .map(|vlin| {
-            grid.vel.delinearize(vlin, &mut vidx);
-            let mut c = [0.0; 3];
-            for d in 0..vdim {
-                c[d] = grid.vel.center(d, vidx[d]);
-            }
-            c
-        })
-        .collect()
+    for clin in conf_range {
+        let out = MomentOut {
+            m0: rho_out.as_deref_mut().map(|rho| rho.cell_mut(clin)),
+            m1: Some(&mut j_out.cell_mut(clin)[..m1_len]),
+            m2: None,
+        };
+        ws.block(kernels, velocity_block(f, clin, nv), qjv, &vel, out);
+    }
 }
 
 /// `M0`, every `M1_j` and `M2` of `f` for configuration cells in
-/// `conf_range`, in **one** sweep over `f` (only those cells of the outputs
-/// are zeroed and written): what [`number_density_range_into`], one
-/// [`momentum_density_range_into`] per direction and
-/// [`energy_density_range_into`] compute in `2 + vdim` sweeps. The same
-/// kernels run on the same phase cells and each moment still sums its
-/// velocity cells in ascending order, so the results are bitwise equal.
-/// `vel_centers` is [`vel_center_table`] of `grid`.
+/// `conf_range`, in **one** call per configuration cell (only those cells
+/// of the outputs are zeroed and written): what
+/// [`number_density_range_into`], [`momentum_density_range_into`] and
+/// [`energy_density_range_into`] compute in three sweeps, bitwise equal.
+/// `m1` holds every direction, `vdim × Nc` per cell, direction-major.
 #[allow(clippy::too_many_arguments)]
 pub fn raw_moments_range_into(
     kernels: &PhaseKernels,
     grid: &PhaseGrid,
-    vel_centers: &[[f64; 3]],
     f: &DgField,
     m0: &mut DgField,
-    m1: &mut [DgField],
+    m1: &mut DgField,
     m2: &mut DgField,
     ws: &MomentScratch,
     conf_range: std::ops::Range<usize>,
 ) {
     let nv = grid.vel.len();
+    let vel = velocity_grid(grid);
     let jv = grid.vel_jacobian();
-    let vdim = grid.vdim();
-    let dv = grid.vel.dx();
     span!(ws.probe, Phase::Moments);
-    with_moment_eval!(ws, kernels, |m| {
-        for clin in conf_range {
-            m0.cell_mut(clin).fill(0.0);
-            m2.cell_mut(clin).fill(0.0);
-            for m1j in m1.iter_mut() {
-                m1j.cell_mut(clin).fill(0.0);
-            }
-            for (vlin, vc) in vel_centers.iter().enumerate() {
-                let fc = f.cell(clin * nv + vlin);
-                m.m0(fc, jv, m0.cell_mut(clin));
-                for (j, m1j) in m1.iter_mut().enumerate() {
-                    m.m1(j, fc, jv, vc[j], dv[j], m1j.cell_mut(clin));
-                }
-                m.m2(fc, jv, &vc[..vdim], dv, m2.cell_mut(clin));
-            }
-        }
-    })
+    for clin in conf_range {
+        let out = MomentOut {
+            m0: Some(zeroed(m0.cell_mut(clin))),
+            m1: Some(zeroed(m1.cell_mut(clin))),
+            m2: Some(zeroed(m2.cell_mut(clin))),
+        };
+        ws.block(kernels, velocity_block(f, clin, nv), jv, &vel, out);
+    }
+}
+
+/// `cell`, zeroed.
+#[inline]
+fn zeroed(cell: &mut [f64]) -> &mut [f64] {
+    cell.fill(0.0);
+    cell
+}
+
+/// One moment of `f` into a caller-held field, restricted to configuration
+/// cells in `conf_range` (only those cells of `out` are zeroed and
+/// written): one call per configuration cell with `select` picking the
+/// moment out of a [`MomentOut`].
+fn single_moment_range_into(
+    kernels: &PhaseKernels,
+    grid: &PhaseGrid,
+    f: &DgField,
+    out: &mut DgField,
+    ws: &MomentScratch,
+    conf_range: std::ops::Range<usize>,
+    select: fn(&mut [f64]) -> MomentOut<'_>,
+) {
+    let nv = grid.vel.len();
+    let vel = velocity_grid(grid);
+    let jv = grid.vel_jacobian();
+    span!(ws.probe, Phase::Moments);
+    for clin in conf_range {
+        let cell = zeroed(out.cell_mut(clin));
+        ws.block(kernels, velocity_block(f, clin, nv), jv, &vel, select(cell));
+    }
 }
 
 /// Number-density field `M0(x)` (fresh allocation).
@@ -231,8 +188,7 @@ pub fn number_density(kernels: &PhaseKernels, grid: &PhaseGrid, f: &DgField) -> 
 
 /// [`number_density`] into a caller-held field, restricted to
 /// configuration cells in `conf_range` (only those cells of `out` are
-/// zeroed and written) — the hot-loop form the cell-block parallel LBO
-/// uses with block-private scratch.
+/// zeroed and written).
 pub fn number_density_range_into(
     kernels: &PhaseKernels,
     grid: &PhaseGrid,
@@ -241,122 +197,128 @@ pub fn number_density_range_into(
     ws: &MomentScratch,
     conf_range: std::ops::Range<usize>,
 ) {
-    let nv = grid.vel.len();
-    let jv = grid.vel_jacobian();
-    span!(ws.probe, Phase::Moments);
-    with_moment_eval!(ws, kernels, |m| {
-        for clin in conf_range {
-            out.cell_mut(clin).fill(0.0);
-            for vlin in 0..nv {
-                m.m0(f.cell(clin * nv + vlin), jv, out.cell_mut(clin));
-            }
-        }
+    single_moment_range_into(kernels, grid, f, out, ws, conf_range, |m0| MomentOut {
+        m0: Some(m0),
+        ..MomentOut::default()
     })
 }
 
-/// Momentum-density field `M1_j(x)` for one velocity direction.
-pub fn momentum_density(
-    kernels: &PhaseKernels,
-    grid: &PhaseGrid,
-    f: &DgField,
-    j: usize,
-) -> DgField {
-    let mut out = DgField::zeros(grid.conf.len(), kernels.nc());
-    let mut ws = MomentScratch::for_kernels(kernels);
-    momentum_density_range_into(kernels, grid, f, j, &mut out, &mut ws, 0..grid.conf.len());
+/// Momentum-density field `M1(x)`, every velocity direction: `vdim × Nc`
+/// per configuration cell, direction-major (fresh allocation).
+pub fn momentum_density(kernels: &PhaseKernels, grid: &PhaseGrid, f: &DgField) -> DgField {
+    let mut out = DgField::zeros(grid.conf.len(), grid.vdim() * kernels.nc());
+    let ws = MomentScratch::for_kernels(kernels);
+    momentum_density_range_into(kernels, grid, f, &mut out, &ws, 0..grid.conf.len());
     out
 }
 
 /// [`momentum_density`] into a caller-held field, restricted to
 /// configuration cells in `conf_range` (only those cells of `out` are
-/// zeroed and written; no allocation once `ws` is warm).
-#[allow(clippy::too_many_arguments)]
+/// zeroed and written).
 pub fn momentum_density_range_into(
     kernels: &PhaseKernels,
     grid: &PhaseGrid,
     f: &DgField,
-    j: usize,
     out: &mut DgField,
-    ws: &mut MomentScratch,
+    ws: &MomentScratch,
     conf_range: std::ops::Range<usize>,
 ) {
-    let nv = grid.vel.len();
-    let jv = grid.vel_jacobian();
-    span!(ws.probe, Phase::Moments);
-    ws.vidx.resize(grid.vdim(), 0);
-    with_moment_eval!(ws, kernels, |m| {
-        for clin in conf_range {
-            out.cell_mut(clin).fill(0.0);
-            for vlin in 0..nv {
-                grid.vel.delinearize(vlin, &mut ws.vidx);
-                let vc = grid.vel.center(j, ws.vidx[j]);
-                m.m1(
-                    j,
-                    f.cell(clin * nv + vlin),
-                    jv,
-                    vc,
-                    grid.vel.dx()[j],
-                    out.cell_mut(clin),
-                );
-            }
-        }
+    single_moment_range_into(kernels, grid, f, out, ws, conf_range, |m1| MomentOut {
+        m1: Some(m1),
+        ..MomentOut::default()
     })
 }
 
 /// Energy-density field `M2(x) = ∫ |v|² f dv`.
 pub fn energy_density(kernels: &PhaseKernels, grid: &PhaseGrid, f: &DgField) -> DgField {
     let mut out = DgField::zeros(grid.conf.len(), kernels.nc());
-    let mut ws = MomentScratch::for_kernels(kernels);
-    energy_density_range_into(kernels, grid, f, &mut out, &mut ws, 0..grid.conf.len());
+    let ws = MomentScratch::for_kernels(kernels);
+    energy_density_range_into(kernels, grid, f, &mut out, &ws, 0..grid.conf.len());
     out
 }
 
 /// [`energy_density`] into a caller-held field, restricted to
 /// configuration cells in `conf_range` (only those cells of `out` are
-/// zeroed and written; no allocation once `ws` is warm).
+/// zeroed and written).
 pub fn energy_density_range_into(
     kernels: &PhaseKernels,
     grid: &PhaseGrid,
     f: &DgField,
     out: &mut DgField,
-    ws: &mut MomentScratch,
+    ws: &MomentScratch,
     conf_range: std::ops::Range<usize>,
 ) {
-    let nv = grid.vel.len();
-    let jv = grid.vel_jacobian();
-    let vdim = grid.vdim();
-    span!(ws.probe, Phase::Moments);
-    ws.vidx.resize(vdim, 0);
-    ws.vc.resize(vdim, 0.0);
-    with_moment_eval!(ws, kernels, |m| {
-        for clin in conf_range {
-            out.cell_mut(clin).fill(0.0);
-            for vlin in 0..nv {
-                grid.vel.delinearize(vlin, &mut ws.vidx);
-                for d in 0..vdim {
-                    ws.vc[d] = grid.vel.center(d, ws.vidx[d]);
-                }
-                m.m2(
-                    f.cell(clin * nv + vlin),
-                    jv,
-                    &ws.vc,
-                    grid.vel.dx(),
-                    out.cell_mut(clin),
-                );
-            }
-        }
+    single_moment_range_into(kernels, grid, f, out, ws, conf_range, |m2| MomentOut {
+        m2: Some(m2),
+        ..MomentOut::default()
     })
+}
+
+/// The mode-0 coefficients of `M1_j` (every direction, when `momentum`)
+/// and of `M2` of `f`, each summed over configuration cells in ascending
+/// order: one block call per configuration cell into a stack buffer, no
+/// field. The sums start where `Iterator::sum` over `f64` starts (−0.0),
+/// so they are the bits of summing the mode-0 column of
+/// [`momentum_density`] / [`energy_density`].
+pub fn mode0_sums(
+    kernels: &PhaseKernels,
+    grid: &PhaseGrid,
+    f: &DgField,
+    momentum: bool,
+) -> ([f64; 3], f64) {
+    let nc = kernels.nc();
+    let m1_len = if momentum { grid.vdim() * nc } else { 0 };
+    let nv = grid.vel.len();
+    let vel = velocity_grid(grid);
+    let jv = grid.vel_jacobian();
+    let ws = MomentScratch::for_kernels(kernels);
+    let (mut m1_sums, mut m2_sum) = ([-0.0; 3], -0.0);
+    with_cell_buffer(m1_len + nc, |buf| {
+        for clin in 0..grid.conf.len() {
+            let (m1, m2) = zeroed(buf).split_at_mut(m1_len);
+            let out = MomentOut {
+                m0: None,
+                m1: momentum.then_some(&mut *m1),
+                m2: Some(&mut *m2),
+            };
+            ws.block(kernels, velocity_block(f, clin, nv), jv, &vel, out);
+            for (sum, m1j) in m1_sums.iter_mut().zip(m1.chunks_exact(nc)) {
+                *sum += m1j[0];
+            }
+            m2_sum += m2[0];
+        }
+    });
+    (m1_sums, m2_sum)
+}
+
+/// Run `body` on a buffer of `len` values: on the stack for up to 64
+/// configuration modes per moment (every registry row and the runtime
+/// configurations the examples run), on the heap past that.
+fn with_cell_buffer(len: usize, body: impl FnOnce(&mut [f64])) {
+    const STACK: usize = 4 * 64;
+    if len <= STACK {
+        body(&mut [0.0; STACK][..len]);
+    } else {
+        // dg-analyze: allow(hot_alloc) — bases past 64 configuration modes only; one buffer per sweep
+        body(&mut vec![0.0; len]);
+    }
+}
+
+/// The `∫ dx` weights of a configuration field's summed mode-0
+/// coefficient: `jx · w · Σ m_0` integrates it, with `jx = ∏ Δx/2` and
+/// `w = 2^{c/2}` (only the constant mode survives `∫ dx`:
+/// `∫_cell m dx = jx · m_0 · ∫ φ_0 dξ`).
+pub fn mode0_integral_weights(grid: &PhaseGrid) -> (f64, f64) {
+    let jx: f64 = grid.conf.dx().iter().map(|d| 0.5 * d).product();
+    let w = (2.0f64).powi(grid.cdim() as i32).sqrt();
+    (jx, w)
 }
 
 /// Particle kinetic energy `∫∫ ½ m |v|² f dv dx`.
 pub fn kinetic_energy(kernels: &PhaseKernels, grid: &PhaseGrid, mass: f64, f: &DgField) -> f64 {
-    let m2 = energy_density(kernels, grid, f);
-    // Only the constant configuration mode survives ∫ dx:
-    // ∫_cell M2 dx = (∏ Δx/2) · m2_0(cell) · ∫ φ_0 dξ = jx · 2^{c/2} · m2_0.
-    let jx: f64 = grid.conf.dx().iter().map(|d| 0.5 * d).product();
-    let w = (2.0f64).powi(grid.cdim() as i32).sqrt();
-    let sum0: f64 = (0..grid.conf.len()).map(|c| m2.cell(c)[0]).sum();
-    0.5 * mass * jx * w * sum0
+    let (_, m2_sum) = mode0_sums(kernels, grid, f, false);
+    let (jx, w) = mode0_integral_weights(grid);
+    0.5 * mass * jx * w * m2_sum
 }
 
 #[cfg(test)]
@@ -423,11 +385,11 @@ mod tests {
     fn density_and_momentum_match_parameters() {
         let (k, grid, sp) = setup_1x2v();
         let n = number_density(&k, &grid, &sp.f);
-        let m1y = momentum_density(&k, &grid, &sp.f, 1);
+        let m1 = momentum_density(&k, &grid, &sp.f);
         let c0 = dg_basis::expand::const_coeff(&k.conf_basis);
         for clin in 0..grid.conf.len() {
             assert!((n.cell(clin)[0] / c0 - 2.0).abs() < 1e-5);
-            assert!((m1y.cell(clin)[0] / c0 + 0.5).abs() < 1e-5); // n u_y = −0.5
+            assert!((m1.cell(clin)[k.nc()] / c0 + 0.5).abs() < 1e-5); // n u_y = −0.5
         }
     }
 

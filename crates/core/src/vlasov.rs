@@ -600,6 +600,25 @@ impl PhaseSpan {
     }
 }
 
+/// Velocity-cell centres per linear velocity index (padded to three
+/// components) — built once per operator so the sweeps that need `v_c` per
+/// phase cell read a table instead of delinearizing every cell.
+// dg-analyze: allow(hot_alloc) — table constructor, runs once per operator
+fn vel_center_table(grid: &PhaseGrid) -> Vec<[f64; 3]> {
+    let vdim = grid.vdim();
+    let mut vidx = vec![0usize; vdim];
+    (0..grid.vel.len())
+        .map(|vlin| {
+            grid.vel.delinearize(vlin, &mut vidx);
+            let mut c = [0.0; 3];
+            for d in 0..vdim {
+                c[d] = grid.vel.center(d, vidx[d]);
+            }
+            c
+        })
+        .collect()
+}
+
 /// The discrete Vlasov operator for one phase-space discretization (shared
 /// by all species on the same grid).
 #[derive(Clone, Debug)]
@@ -664,7 +683,7 @@ impl VlasovOp {
         assert_eq!(kernels.layout.cdim, grid.cdim());
         assert_eq!(kernels.layout.vdim, grid.vdim());
         let vdim = grid.vdim();
-        let vel_centers = crate::moments::vel_center_table(&grid);
+        let vel_centers = vel_center_table(&grid);
         let mut vidx = vec![0usize; vdim];
         let vel_faces: Vec<Vec<u32>> = (0..vdim)
             .map(|j| {

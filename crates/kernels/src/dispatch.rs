@@ -34,6 +34,7 @@
 //! To add a configuration, extend [`crate::codegen::MANIFEST`] and
 //! rebuild (see DESIGN.md, "Kernel dispatch").
 
+use crate::moments::{MomentOut, VelocityGrid};
 use crate::panel::PanelMoves;
 use crate::phase::{PhaseKernels, PhaseLayout};
 use dg_basis::BasisKind;
@@ -189,19 +190,24 @@ pub type SurfaceKernelLanesFn<const L: usize> = unsafe fn(
     out_hi: &mut [[f64; L]],
 );
 
-/// Calling convention of a generated `M0` moment kernel: accumulate one
-/// phase cell's contribution (`jv` = velocity-cell Jacobian `∏ Δv_j/2`)
-/// into the configuration coefficients `m0` (the `_into` convention of
-/// `MomentKernels::accumulate_m0`).
-pub type MomentM0Fn = fn(f: &[f64], jv: f64, m0: &mut [f64]);
-
-/// Calling convention of a generated `M1_j` moment kernel for one velocity
-/// direction (`v_c`/`dv`: the cell's center and width in that direction).
-pub type MomentM1Fn = fn(f: &[f64], jv: f64, v_c: f64, dv: f64, m1: &mut [f64]);
-
-/// Calling convention of a generated `M2 = Σ_j ∫ v_j² f dv` moment kernel
-/// (`v_c`/`dv`: the velocity cell's centers and widths, length `vdim`).
-pub type MomentM2Fn = fn(f: &[f64], jv: f64, v_c: &[f64], dv: &[f64], m2: &mut [f64]);
+/// Calling convention of a generated moment kernel: accumulate every
+/// moment `out` asks for ([`MomentOut`]: `M0`, all `vdim` directions of
+/// `M1` direction-major, `M2`) of **one configuration cell**.
+///
+/// * `f`   — the cell's velocity block, its `nv × Np` contiguous phase
+///   coefficients in `vel`'s row-major order (the layout of a phase field);
+/// * `jv`  — the velocity-cell Jacobian `∏ Δv_j/2`, times whatever weight
+///   the sum carries (the current passes `charge · jv`);
+/// * `vel` — the velocity grid, whose centres the kernel forms as
+///   `CartGrid::center` does.
+///
+/// Each present output is loaded once, summed onto in locals and stored
+/// once; the sums run velocity cells ascending with the per-phase-cell
+/// statements in their order, so a call equals the loop of per-cell
+/// reductions it replaces bit for bit, including onto a non-zero starting
+/// value (a second species adding onto the first's current).
+/// [`crate::moments::MomentKernels::accumulate_block`] is the runtime twin.
+pub type MomentBlockFn = fn(f: &[f64], jv: f64, vel: &VelocityGrid, out: MomentOut<'_>);
 
 /// Calling convention of a generated LBO drag *volume* kernel for one
 /// velocity direction: accumulate the weak `∇_{v_j} · (ν (v_j − u_j) f)`
@@ -366,17 +372,14 @@ pub struct SurfaceKernelEntry {
     pub batch_avx512: &'static [SurfaceKernelLanesFn<8>],
 }
 
-/// The moment kernels of one registry row: the unrolled `M0`/`M1_j`/`M2`
-/// reductions of one configuration.
+/// The moment kernel of one registry row: the unrolled `M0`/`M1_j`/`M2`
+/// reductions of one configuration, one call per configuration cell
+/// ([`MomentBlockFn`]).
 #[derive(Clone, Copy, Debug)]
 pub struct MomentKernelEntry {
-    /// The generated source-file stem (functions append `_m0` / `_m1_v<j>`
-    /// / `_m2` suffixes).
+    /// The generated source-file stem (the kernel appends `_block`).
     pub name: &'static str,
-    pub m0: MomentM0Fn,
-    /// One `M1` kernel per velocity direction.
-    pub m1: &'static [MomentM1Fn],
-    pub m2: MomentM2Fn,
+    pub block: MomentBlockFn,
 }
 
 /// The LBO kernels of one registry row: the five unrolled stage functions
@@ -819,7 +822,6 @@ mod tests {
             let row = find_row(spec.kind, spec.layout(), spec.poly_order).unwrap();
             let (m, l) = (&row.moments, &row.lbo);
             assert_eq!(m.name, spec.mom_name(), "registry/manifest name drift");
-            assert_eq!(m.m1.len(), spec.vdim, "one M1 kernel per velocity dir");
             assert_eq!(l.name, spec.lbo_name(), "registry/manifest name drift");
             for len in [
                 l.drag_vol.len(),

@@ -6,26 +6,29 @@
 //!    reproduces the runtime sparse-tensor evaluator ([`crate::sparse`],
 //!    the same calling conventions) on random cell data to round-off (the
 //!    property the dispatch layer's correctness rests on), for the volume
-//!    kernel, every per-direction surface kernel, all three moment kernels,
-//!    and all five LBO stage-kernel families;
+//!    kernel, every per-direction surface kernel, the moment block kernel
+//!    in each selection of moments, and all five LBO stage-kernel families;
 //! 2. **bitwise batching** — every batched entry point of a lane-generic
 //!    body (the portable `_b4` and, where the CPU has them, `_b4_avx2` and
 //!    `_b8_avx512`) reproduces the one-lane (scalar) entry point bit for
 //!    bit: volume and surface on panel sweeps with a partial last panel,
 //!    moved by the arm's own pack / unpack-add, the five LBO stage families
 //!    lane by lane with per-lane primitive moments and non-zero incoming
-//!    outputs.
+//!    outputs; and the moment block kernel reproduces the loop of the
+//!    per-phase-cell moment kernels it replaced.
 
 // Stencil/loop style: index-coupled kernel-argument sweeps index several arrays in lockstep;
 // `needless_range_loop` rewrites would obscure that (workspace allow
 // was scoped down to the modules that need it).
 #![allow(clippy::needless_range_loop)]
+use super::PER_CELL_MOMENTS;
 use crate::codegen::{lbo_dir_tables, LboDirTables, MANIFEST};
 use crate::dispatch::{
     registry, BatchIsa, LboBatch, PencilLanes, SurfaceKernelFn, VlasovBatch, VlasovLanes,
     VolumeKernelFn, LANES,
 };
 use crate::kernels_for;
+use crate::moments::{MomentOut, VelocityGrid};
 use crate::sparse::SparseScratch;
 use proptest::prelude::*;
 
@@ -397,56 +400,137 @@ proptest! {
     }
 }
 
+/// A per-phase-cell `M1_j` kernel (`v_c`/`dv`: the cell's centre and width
+/// in `v_j`).
+type PerCellM1 = fn(f: &[f64], jv: f64, v_c: f64, dv: f64, m1: &mut [f64]);
+
+/// A per-phase-cell `M2` kernel (`v_c`/`dv`: the cell's centres and widths).
+type PerCellM2 = fn(f: &[f64], jv: f64, v_c: &[f64], dv: &[f64], m2: &mut [f64]);
+
+/// One row's per-phase-cell moment kernels (`<stem>_m0`, `_m1_v<j>`,
+/// `_m2`), compiled for tests only: the reference the block kernel replaces.
+pub(super) struct PerCellMoments {
+    pub m0: fn(f: &[f64], jv: f64, m0: &mut [f64]),
+    pub m1: &'static [PerCellM1],
+    pub m2: PerCellM2,
+}
+
+/// A velocity grid of `vdim` dimensions from raw draws.
+fn velocity_grid(vdim: usize, lower: &[f64], dx: &[f64], cells: &[usize]) -> VelocityGrid {
+    VelocityGrid::new(&lower[..vdim], &dx[..vdim], &cells[..vdim])
+}
+
+/// The seven non-empty selections of `M0` / `M1` / `M2`, as bit masks.
+const SELECTIONS: std::ops::Range<u8> = 1..8;
+
+/// `start` split into the selected outputs of one block call.
+fn selected(start: &mut [f64], nc: usize, vdim: usize, sel: u8) -> MomentOut<'_> {
+    let (m0, rest) = start.split_at_mut(nc);
+    let (m1, m2) = rest.split_at_mut(vdim * nc);
+    MomentOut {
+        m0: (sel & 1 != 0).then_some(m0),
+        m1: (sel & 2 != 0).then_some(m1),
+        m2: (sel & 4 != 0).then_some(&mut m2[..nc]),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-    /// Every generated moment kernel (`M0`, per-direction `M1`, `M2`)
-    /// reproduces the runtime weak-op reduction of `MomentKernels`.
+    /// Every generated block kernel (`M0`, every `M1_j`, `M2`, in each
+    /// selection) reproduces the runtime weak-op reduction of
+    /// `MomentKernels::accumulate_block` on a random velocity block.
     #[test]
     fn every_moment_registry_kernel_matches_runtime(
-        jv in 0.1..2.0f64,
-        vc_raw in proptest::collection::vec(-2.0..2.0f64, 3),
-        dv_raw in proptest::collection::vec(0.1..2.0f64, 3),
-        f_raw in proptest::collection::vec(-1.0..1.0f64, 128),
+        jv in -2.0..2.0f64,
+        lower in proptest::collection::vec(-3.0..0.0f64, 3),
+        dx in proptest::collection::vec(0.1..2.0f64, 3),
+        cells in proptest::collection::vec(1..4usize, 3),
+        f_raw in proptest::collection::vec(-1.0..1.0f64, 27 * 112),
+        start in proptest::collection::vec(-1.0..1.0f64, 5 * 8),
     ) {
         for row in registry() {
             let (k, entry) = (row.key, &row.moments);
             let pk = kernels_for(k.kind, k.layout(), k.poly_order);
-            let (np, nc) = (pk.np(), pk.nc());
-            prop_assert!(np <= f_raw.len());
-            let f = &f_raw[..np];
-            let vc = &vc_raw[..k.vdim];
-            let dv = &dv_raw[..k.vdim];
-
-            let compare = |gen: &[f64], rt: &[f64], what: &str| {
-                for l in 0..nc {
+            let (np, nc, vdim) = (pk.np(), pk.nc(), k.vdim);
+            let vel = velocity_grid(vdim, &lower, &dx, &cells);
+            let f = &f_raw[..vel.len() * np];
+            let len = (vdim + 2) * nc;
+            prop_assert!(f_raw.len() >= f.len() && start.len() >= len);
+            for sel in SELECTIONS {
+                let mut gen = start[..len].to_vec();
+                let mut rt = start[..len].to_vec();
+                (entry.block)(f, jv, &vel, selected(&mut gen, nc, vdim, sel));
+                pk.moments.accumulate_block(f, jv, &vel, selected(&mut rt, nc, vdim, sel));
+                for l in 0..len {
                     prop_assert!(
                         (gen[l] - rt[l]).abs() < 1e-13,
-                        "{} {what} mode {l}: generated {} vs runtime {}",
+                        "{} selection {sel:03b} value {l}: generated {} vs runtime {}",
                         entry.name, gen[l], rt[l]
                     );
                 }
-            };
-
-            let mut gen = vec![0.0; nc];
-            let mut rt = vec![0.0; nc];
-            (entry.m0)(f, jv, &mut gen);
-            pk.moments.accumulate_m0(f, jv, &mut rt);
-            compare(&gen, &rt, "M0");
-
-            prop_assert!(entry.m1.len() == k.vdim, "{}: M1 count", entry.name);
-            for j in 0..k.vdim {
-                gen.iter_mut().for_each(|x| *x = 0.0);
-                rt.iter_mut().for_each(|x| *x = 0.0);
-                (entry.m1[j])(f, jv, vc[j], dv[j], &mut gen);
-                pk.moments.accumulate_m1(j, f, jv, vc[j], dv[j], &mut rt);
-                compare(&gen, &rt, &format!("M1_v{j}"));
             }
+        }
+    }
 
-            gen.iter_mut().for_each(|x| *x = 0.0);
-            rt.iter_mut().for_each(|x| *x = 0.0);
-            (entry.m2)(f, jv, vc, dv, &mut gen);
-            pk.moments.accumulate_m2(f, jv, vc, dv, &mut rt);
-            compare(&gen, &rt, "M2");
+    /// Every generated block kernel, in each selection, equals the loop of
+    /// the row's per-phase-cell kernels over the block — velocity cells
+    /// ascending, centres as `CartGrid::center` forms them — under
+    /// `to_bits()`, onto a random non-zero starting accumulator.
+    #[test]
+    fn every_moment_block_kernel_matches_per_cell_bitwise(
+        jv in -2.0..2.0f64,
+        lower in proptest::collection::vec(-3.0..0.0f64, 3),
+        dx in proptest::collection::vec(0.1..2.0f64, 3),
+        cells in proptest::collection::vec(1..4usize, 3),
+        f_raw in proptest::collection::vec(-1.0..1.0f64, 27 * 112),
+        start in proptest::collection::vec(-1.0..1.0f64, 5 * 8),
+    ) {
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        report_arm(&ONCE, "every_moment_block_kernel_matches_per_cell_bitwise", "block", None);
+        prop_assert!(PER_CELL_MOMENTS.len() == registry().len());
+        for (row, per_cell) in registry().iter().zip(PER_CELL_MOMENTS) {
+            let (k, entry) = (row.key, &row.moments);
+            let pk = kernels_for(k.kind, k.layout(), k.poly_order);
+            let (np, nc, vdim) = (pk.np(), pk.nc(), k.vdim);
+            let vel = velocity_grid(vdim, &lower, &dx, &cells);
+            let f = &f_raw[..vel.len() * np];
+            let len = (vdim + 2) * nc;
+            prop_assert!(f_raw.len() >= f.len() && start.len() >= len);
+            prop_assert!(per_cell.m1.len() == vdim, "{}: M1 count", entry.name);
+            for sel in SELECTIONS {
+                let mut block = start[..len].to_vec();
+                (entry.block)(f, jv, &vel, selected(&mut block, nc, vdim, sel));
+                let mut cells_loop = start[..len].to_vec();
+                let out = selected(&mut cells_loop, nc, vdim, sel);
+                let (mut m0, mut m1, mut m2) = (out.m0, out.m1, out.m2);
+                for (vlin, fc) in f.chunks_exact(np).enumerate() {
+                    // Row-major, the last velocity dimension fastest.
+                    let mut v_c = [0.0; 3];
+                    let mut rest = vlin;
+                    for d in (0..vdim).rev() {
+                        v_c[d] = vel.center(d, rest % vel.cells[d]);
+                        rest /= vel.cells[d];
+                    }
+                    if let Some(m0) = m0.as_deref_mut() {
+                        (per_cell.m0)(fc, jv, m0);
+                    }
+                    if let Some(m1) = m1.as_deref_mut() {
+                        for (j, m1j) in m1.chunks_exact_mut(nc).enumerate() {
+                            (per_cell.m1[j])(fc, jv, v_c[j], vel.dx[j], m1j);
+                        }
+                    }
+                    if let Some(m2) = m2.as_deref_mut() {
+                        (per_cell.m2)(fc, jv, &v_c[..vdim], &vel.dx[..vdim], m2);
+                    }
+                }
+                for l in 0..len {
+                    prop_assert!(
+                        block[l].to_bits() == cells_loop[l].to_bits(),
+                        "{} selection {sel:03b} value {l}: block {} vs per-cell loop {}",
+                        entry.name, block[l], cells_loop[l]
+                    );
+                }
+            }
         }
     }
 }

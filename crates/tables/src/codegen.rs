@@ -379,6 +379,7 @@ pub fn generated_mod_source() -> String {
     s.push_str(
         "\nuse crate::dispatch::{KernelKey, KernelRow, LboBatchFns, LboKernelEntry, \
          MomentKernelEntry, SurfaceKernelEntry, VolumeKernelEntry};\n\
+         use crate::moments::{MomentOut, VelocityGrid};\n\
          use dg_basis::BasisKind;\n\
          use lbo::*;\n\
          use surf::*;\n\
@@ -388,6 +389,24 @@ pub fn generated_mod_source() -> String {
     );
     for spec in MANIFEST {
         write_registry_row(&mut s, spec);
+    }
+    s.push_str("];\n");
+    // The per-phase-cell moment kernels the block kernels are checked
+    // against bit for bit, in registry order; tests only.
+    s.push_str(
+        "\n/// The per-phase-cell moment kernels of every row, in registry order: the\n\
+         /// reference of the block kernels' bitwise test.\n\
+         #[cfg(test)]\n\
+         static PER_CELL_MOMENTS: &[tests::PerCellMoments] = &[\n",
+    );
+    for spec in MANIFEST {
+        let mom = spec.mom_name();
+        let m1: Vec<String> = (0..spec.vdim).map(|j| format!("{mom}_m1_v{j}")).collect();
+        let _ = writeln!(
+            s,
+            "    tests::PerCellMoments {{ m0: {mom}_m0, m1: &[{}], m2: {mom}_m2 }},",
+            m1.join(", ")
+        );
     }
     s.push_str("];\n");
     s
@@ -433,8 +452,7 @@ fn write_registry_row(s: &mut String, spec: &KernelSpec) {
     );
     let _ = writeln!(
         s,
-        "        moments: MomentKernelEntry {{ name: \"{mom}\", m0: {mom}_m0, m1: {}, m2: {mom}_m2 }},",
-        per_vel(&|j| format!("{mom}_m1_v{j}"))
+        "        moments: MomentKernelEntry {{ name: \"{mom}\", block: {mom}_block }},"
     );
     let _ = writeln!(s, "        lbo: LboKernelEntry {{");
     let _ = writeln!(s, "            name: \"{lbo}\",");
@@ -875,16 +893,24 @@ pub fn surface_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
     s
 }
 
-/// Emit the moment-reduction kernels (`<stem>_m0`, `<stem>_m1_v<j>`,
-/// `<stem>_m2`) for a kernel set, in the `_into` accumulate convention of
-/// [`crate::moments::MomentKernels`]: each function adds one phase cell's
-/// contribution into the configuration-space coefficient slice. The
-/// statements are unrolled from the same sparse `(phase mode, conf mode)`
-/// tables the runtime path iterates, in the same order and association, so
-/// the two paths are bitwise-identical arithmetic.
+/// Emit the moment-reduction kernels of a kernel set: the block kernel
+/// `<stem>_block` ([`crate::moments::MomentKernels::accumulate_block`]'s
+/// calling convention, `dispatch::MomentBlockFn`) the registry carries, and
+/// — for its bitwise test only — the per-phase-cell kernels `<stem>_m0`,
+/// `<stem>_m1_v<j>` and `<stem>_m2` it is built from.
+///
+/// The block kernel walks one configuration cell's whole velocity block
+/// with every requested moment's coefficients in locals, loaded once and
+/// stored once. Per velocity cell (ascending) it runs the per-cell
+/// kernels' statements in their order, each scalar formed with their
+/// expression and association, and each centre is
+/// `lower + (i + 0.5)·dx` as `CartGrid::center` forms it, so a block call
+/// is bit for bit the loop of per-cell calls it replaces. The statements
+/// are unrolled from the same sparse `(phase mode, conf mode)` tables the
+/// runtime path iterates, in the same order and association, so the two
+/// paths are bitwise-identical arithmetic too.
 pub fn moment_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
     let layout = pk.layout;
-    let mk = &pk.moments;
     let stem = spec.mom_name();
     let p = pk.phase_basis.poly_order();
     let mut s = String::new();
@@ -901,31 +927,43 @@ pub fn moment_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
     );
     let _ = writeln!(
         s,
-        "// See `crate::dispatch::MomentKernelEntry` for the calling convention."
+        "// See `crate::dispatch::MomentBlockFn` for the calling convention."
     );
-    // M0.
-    let _ = writeln!(s);
-    let _ = writeln!(
+    write_per_cell_moments(&mut s, pk, &stem);
+    write_block_moments(&mut s, pk, &stem);
+    s
+}
+
+/// The per-phase-cell moment kernels (`_m0`, `_m1_v<j>`, `_m2`): each adds
+/// one phase cell's contribution onto the configuration coefficients.
+/// Compiled for tests only, as the reference the block kernel is checked
+/// against bit for bit.
+fn write_per_cell_moments(s: &mut String, pk: &PhaseKernels, stem: &str) {
+    let mk = &pk.moments;
+    let head = |s: &mut String, doc: &str| {
+        let _ = writeln!(s);
+        let _ = writeln!(s, "/// {doc}");
+        let _ = writeln!(s, "#[cfg(test)]");
+        let _ = writeln!(s, "#[allow(clippy::all)]");
+        let _ = writeln!(s, "#[rustfmt::skip]");
+    };
+    head(
         s,
-        "/// `M0` contribution of one phase cell (`jv` = velocity-cell Jacobian)."
+        "`M0` contribution of one phase cell (`jv` = velocity-cell Jacobian).",
     );
-    let _ = writeln!(s, "#[allow(clippy::all)]");
-    let _ = writeln!(s, "#[rustfmt::skip]");
     let _ = writeln!(s, "pub fn {stem}_m0(f: &[f64], jv: f64, m0: &mut [f64]) {{");
     let _ = writeln!(s, "    let s = jv * {:?};", mk.w0);
     for &(i, l) in &mk.r0 {
         let _ = writeln!(s, "    m0[{l}] += s * f[{i}];");
     }
     let _ = writeln!(s, "}}");
-    // M1, one function per velocity direction.
-    for j in 0..layout.vdim {
-        let _ = writeln!(s);
-        let _ = writeln!(
+    for j in 0..pk.layout.vdim {
+        head(
             s,
-            "/// `M1_{j}` contribution of one phase cell (`v_c`/`dv`: cell center and width in v{j})."
+            &format!(
+                "`M1_{j}` contribution of one phase cell (`v_c`/`dv`: cell center and width in v{j})."
+            ),
         );
-        let _ = writeln!(s, "#[allow(clippy::all)]");
-        let _ = writeln!(s, "#[rustfmt::skip]");
         let _ = writeln!(
             s,
             "pub fn {stem}_m1_v{j}(f: &[f64], jv: f64, v_c: f64, dv: f64, m1: &mut [f64]) {{"
@@ -940,20 +978,13 @@ pub fn moment_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
         }
         let _ = writeln!(s, "}}");
     }
-    // M2 (scalar |v|², summed over velocity dims).
-    let _ = writeln!(s);
-    let _ = writeln!(
-        s,
-        "/// `M2 = Σ_j ∫ v_j² f dv` contribution of one phase cell."
-    );
-    let _ = writeln!(s, "#[allow(clippy::all)]");
-    let _ = writeln!(s, "#[rustfmt::skip]");
+    head(s, "`M2 = Σ_j ∫ v_j² f dv` contribution of one phase cell.");
     let _ = writeln!(
         s,
         "pub fn {stem}_m2(f: &[f64], jv: f64, v_c: &[f64], dv: &[f64], m2: &mut [f64]) {{"
     );
     let _ = writeln!(s, "    let mut s0 = 0.0;");
-    for j in 0..layout.vdim {
+    for j in 0..pk.layout.vdim {
         let _ = writeln!(s, "    let h{j} = 0.5 * dv[{j}];");
         let _ = writeln!(s, "    s0 += v_c[{j}] * v_c[{j}] + h{j} * h{j} / 3.0;");
     }
@@ -961,7 +992,7 @@ pub fn moment_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
     for &(i, l) in &mk.r0 {
         let _ = writeln!(s, "    m2[{l}] += s0 * f[{i}];");
     }
-    for j in 0..layout.vdim {
+    for j in 0..pk.layout.vdim {
         let _ = writeln!(
             s,
             "    let s1_{j} = jv * {:?} * 2.0 * v_c[{j}] * 0.5 * dv[{j}];",
@@ -978,7 +1009,193 @@ pub fn moment_kernel_source(pk: &PhaseKernels, spec: &KernelSpec) -> String {
         }
     }
     let _ = writeln!(s, "}}");
-    s
+}
+
+/// The block kernel `<stem>_block`: one body generic over which moments it
+/// accumulates (`const` flags, so an absent moment costs nothing), and the
+/// entry point that picks the instantiation from the [`MomentOut`] it is
+/// given.
+///
+/// [`MomentOut`]: crate::moments::MomentOut
+fn write_block_moments(s: &mut String, pk: &PhaseKernels, stem: &str) {
+    let mk = &pk.moments;
+    let vdim = pk.layout.vdim;
+    let (np, nc) = (pk.np(), pk.nc());
+    let _ = writeln!(s);
+    let _ = writeln!(
+        s,
+        "/// The moments `M0`/`M1`/`M2` selects, of one configuration cell's velocity block."
+    );
+    let _ = writeln!(s, "#[allow(clippy::all)]");
+    let _ = writeln!(s, "#[rustfmt::skip]");
+    let _ = writeln!(s, "#[inline(always)]");
+    let _ = writeln!(
+        s,
+        "fn {stem}_block_body<const M0: bool, const M1: bool, const M2: bool>(\n    \
+         f: &[f64], jv: f64, vel: &VelocityGrid, m0: &mut [f64], m1: &mut [f64], m2: &mut [f64],\n) {{"
+    );
+    let _ = writeln!(
+        s,
+        "    let (f, []) = f.as_chunks::<{np}>() else {{ panic!(\"{stem}: a velocity block is whole cells of {np}\") }};"
+    );
+    let _ = writeln!(
+        s,
+        "    assert_eq!(f.len(), vel.len(), \"{stem}: one cell per velocity cell\");"
+    );
+    let _ = writeln!(
+        s,
+        "    let mut a0: [f64; {nc}] = if M0 {{ *m0.first_chunk().expect(\"M0: Nc values\") }} else {{ [0.0; {nc}] }};"
+    );
+    let _ = writeln!(
+        s,
+        "    let mut a1: [[f64; {nc}]; {vdim}] = if M1 {{ *m1.as_chunks().0.first_chunk().expect(\"M1: vdim × Nc values\") }} else {{ [[0.0; {nc}]; {vdim}] }};"
+    );
+    let _ = writeln!(
+        s,
+        "    let mut a2: [f64; {nc}] = if M2 {{ *m2.first_chunk().expect(\"M2: Nc values\") }} else {{ [0.0; {nc}] }};"
+    );
+    // One loop per velocity dimension, row-major (the last fastest): the
+    // centre of a dimension is formed where its index changes.
+    let mut indent = String::from("    ");
+    for d in 0..vdim {
+        let src = if d == 0 {
+            "f".to_string()
+        } else {
+            format!("f{}", d - 1)
+        };
+        let (it, bind) = if d + 1 == vdim {
+            (format!("{src}.iter()"), "fc".to_string())
+        } else {
+            let stride: Vec<String> = (d + 1..vdim).map(|e| format!("vel.cells[{e}]")).collect();
+            (
+                format!("{src}.chunks_exact({})", stride.join(" * ")),
+                format!("f{d}"),
+            )
+        };
+        let _ = writeln!(s, "{indent}for (i{d}, {bind}) in {it}.enumerate() {{");
+        indent.push_str("    ");
+        let _ = writeln!(s, "{indent}let v{d} = vel.center({d}, i{d});");
+    }
+    let i = indent.as_str();
+    // M0: `<stem>_m0`'s statements.
+    let _ = writeln!(s, "{i}if M0 {{");
+    let _ = writeln!(s, "{i}    let s = jv * {:?};", mk.w0);
+    for &(p, l) in &mk.r0 {
+        let _ = writeln!(s, "{i}    a0[{l}] += s * fc[{p}];");
+    }
+    let _ = writeln!(s, "{i}}}");
+    // M1: `<stem>_m1_v<j>`'s statements, direction after direction.
+    let _ = writeln!(s, "{i}if M1 {{");
+    for j in 0..vdim {
+        let _ = writeln!(s, "{i}    let s0 = jv * {:?} * v{j};", mk.w0);
+        for &(p, l) in &mk.r0 {
+            let _ = writeln!(s, "{i}    a1[{j}][{l}] += s0 * fc[{p}];");
+        }
+        let _ = writeln!(s, "{i}    let s1 = jv * {:?} * 0.5 * vel.dx[{j}];", mk.w1);
+        for &(p, l) in &mk.r1[j] {
+            let _ = writeln!(s, "{i}    a1[{j}][{l}] += s1 * fc[{p}];");
+        }
+    }
+    let _ = writeln!(s, "{i}}}");
+    // M2: `<stem>_m2`'s statements.
+    let _ = writeln!(s, "{i}if M2 {{");
+    let _ = writeln!(s, "{i}    let mut s0 = 0.0;");
+    for j in 0..vdim {
+        let _ = writeln!(s, "{i}    let h{j} = 0.5 * vel.dx[{j}];");
+        let _ = writeln!(s, "{i}    s0 += v{j} * v{j} + h{j} * h{j} / 3.0;");
+    }
+    let _ = writeln!(s, "{i}    let s0 = jv * {:?} * s0;", mk.w0);
+    for &(p, l) in &mk.r0 {
+        let _ = writeln!(s, "{i}    a2[{l}] += s0 * fc[{p}];");
+    }
+    for j in 0..vdim {
+        let _ = writeln!(
+            s,
+            "{i}    let s1_{j} = jv * {:?} * 2.0 * v{j} * 0.5 * vel.dx[{j}];",
+            mk.w1
+        );
+        for &(p, l) in &mk.r1[j] {
+            let _ = writeln!(s, "{i}    a2[{l}] += s1_{j} * fc[{p}];");
+        }
+        if !mk.r2[j].is_empty() {
+            let _ = writeln!(
+                s,
+                "{i}    let s2_{j} = jv * {:?} * h{j} * h{j};",
+                mk.w2_of_2
+            );
+            for &(p, l) in &mk.r2[j] {
+                let _ = writeln!(s, "{i}    a2[{l}] += s2_{j} * fc[{p}];");
+            }
+        }
+    }
+    let _ = writeln!(s, "{i}}}");
+    for d in (0..vdim).rev() {
+        let _ = writeln!(s, "{}}}", &"    ".repeat(d + 1));
+    }
+    let _ = writeln!(
+        s,
+        "    if M0 {{ *m0.first_chunk_mut().expect(\"M0: Nc values\") = a0; }}"
+    );
+    let _ = writeln!(
+        s,
+        "    if M1 {{ *m1.as_chunks_mut().0.first_chunk_mut().expect(\"M1: vdim × Nc values\") = a1; }}"
+    );
+    let _ = writeln!(
+        s,
+        "    if M2 {{ *m2.first_chunk_mut().expect(\"M2: Nc values\") = a2; }}"
+    );
+    let _ = writeln!(s, "}}");
+
+    // The entry point: one instantiation per non-empty selection.
+    let _ = writeln!(s);
+    let _ = writeln!(
+        s,
+        "/// Every moment `out` asks for, of one configuration cell's velocity block \
+         (see `crate::dispatch::MomentBlockFn`)."
+    );
+    let _ = writeln!(s, "#[allow(clippy::all)]");
+    let _ = writeln!(s, "#[rustfmt::skip]");
+    let _ = writeln!(
+        s,
+        "pub fn {stem}_block(f: &[f64], jv: f64, vel: &VelocityGrid, out: MomentOut<'_>) {{"
+    );
+    let _ = writeln!(s, "    match out {{");
+    for sel in 1..8u8 {
+        let on = |b: u8| sel & (1 << b) != 0;
+        let pat = |b: u8, name: &str| {
+            if on(b) {
+                format!("Some({name})")
+            } else {
+                "None".to_string()
+            }
+        };
+        let arg = |b: u8, name: &str| {
+            if on(b) {
+                name.to_string()
+            } else {
+                "&mut []".to_string()
+            }
+        };
+        let _ = writeln!(
+            s,
+            "        MomentOut {{ m0: {}, m1: {}, m2: {} }} => {stem}_block_body::<{}, {}, {}>(f, jv, vel, {}, {}, {}),",
+            pat(0, "m0"),
+            pat(1, "m1"),
+            pat(2, "m2"),
+            on(0),
+            on(1),
+            on(2),
+            arg(0, "m0"),
+            arg(1, "m1"),
+            arg(2, "m2"),
+        );
+    }
+    let _ = writeln!(
+        s,
+        "        MomentOut {{ m0: None, m1: None, m2: None }} => {{}}"
+    );
+    let _ = writeln!(s, "    }}");
+    let _ = writeln!(s, "}}");
 }
 
 /// One parameter of a lane-generic kernel: a value shared by the lane

@@ -25,6 +25,8 @@ type Pair = (u16, u16);
 pub struct MomentKernels {
     pub cdim: usize,
     pub vdim: usize,
+    /// Configuration modes per moment (`Nc`).
+    pub nc: usize,
     /// Modes with all velocity exponents zero; weight `(√2)^{vdim}`.
     /// (`pub(crate)`: the codegen emitter unrolls these tables into the
     /// generated moment kernels.)
@@ -82,6 +84,7 @@ impl MomentKernels {
         MomentKernels {
             cdim,
             vdim,
+            nc: conf.len(),
             r0,
             r1,
             r2,
@@ -142,10 +145,108 @@ impl MomentKernels {
         }
     }
 
+    /// Every requested moment of one configuration cell's velocity block
+    /// `f` (its `nv × Np` contiguous coefficients, velocity cells in
+    /// [`VelocityGrid`]'s row-major order): the per-cell accumulates above,
+    /// one velocity cell after the other — the runtime twin of a generated
+    /// `<stem>_block` kernel (`dispatch::MomentBlockFn`), same calling
+    /// convention, same arithmetic in the same order.
+    pub fn accumulate_block(&self, f: &[f64], jv: f64, vel: &VelocityGrid, mut out: MomentOut<'_>) {
+        let np = f.len() / vel.len();
+        debug_assert_eq!(f.len(), np * vel.len(), "whole cells per velocity cell");
+        let mut idx = [0usize; 3];
+        let mut v_c = [0.0; 3];
+        for fc in f.chunks_exact(np) {
+            for d in 0..self.vdim {
+                v_c[d] = vel.center(d, idx[d]);
+            }
+            if let Some(m0) = out.m0.as_deref_mut() {
+                self.accumulate_m0(fc, jv, m0);
+            }
+            if let Some(m1) = out.m1.as_deref_mut() {
+                for j in 0..self.vdim {
+                    let m1j = &mut m1[j * self.nc..(j + 1) * self.nc];
+                    self.accumulate_m1(j, fc, jv, v_c[j], vel.dx[j], m1j);
+                }
+            }
+            if let Some(m2) = out.m2.as_deref_mut() {
+                self.accumulate_m2(fc, jv, &v_c[..self.vdim], &vel.dx[..self.vdim], m2);
+            }
+            vel.advance(&mut idx);
+        }
+    }
+
     /// Number of phase modes feeding `M0` (used in op audits).
     pub fn m0_nnz(&self) -> usize {
         self.r0.len()
     }
+}
+
+/// The velocity grid a moment block kernel walks: `vdim ≤ 3` dimensions
+/// (unused ones have one cell), row-major with the last dimension fastest —
+/// the order of a configuration cell's velocity block in a phase field.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct VelocityGrid {
+    pub lower: [f64; 3],
+    pub dx: [f64; 3],
+    pub cells: [usize; 3],
+}
+
+impl VelocityGrid {
+    /// The grid with these per-dimension lower edges, cell widths and cell
+    /// counts (`vdim` entries each).
+    pub fn new(lower: &[f64], dx: &[f64], cells: &[usize]) -> Self {
+        let mut g = VelocityGrid {
+            lower: [0.0; 3],
+            dx: [1.0; 3],
+            cells: [1; 3],
+        };
+        g.lower[..lower.len()].copy_from_slice(lower);
+        g.dx[..dx.len()].copy_from_slice(dx);
+        g.cells[..cells.len()].copy_from_slice(cells);
+        g
+    }
+
+    /// Number of velocity cells.
+    pub fn len(&self) -> usize {
+        self.cells.iter().product()
+    }
+
+    /// Always false: every dimension has at least one cell.
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// Centre of cell `i` along dimension `d` — the expression of
+    /// `dg_grid::CartGrid::center`, so the same bits.
+    #[inline]
+    pub fn center(&self, d: usize, i: usize) -> f64 {
+        self.lower[d] + (i as f64 + 0.5) * self.dx[d]
+    }
+
+    /// Step the row-major index `idx` to the next cell (last dimension
+    /// fastest).
+    #[inline]
+    fn advance(&self, idx: &mut [usize; 3]) {
+        for d in (0..3).rev() {
+            idx[d] += 1;
+            if idx[d] < self.cells[d] {
+                return;
+            }
+            idx[d] = 0;
+        }
+    }
+}
+
+/// Which moments one block call accumulates, and onto which configuration
+/// cell coefficients: `m0` and `m2` are `Nc` long, `m1` holds every
+/// direction, `vdim × Nc` direction-major. Each present slice is loaded
+/// once, summed onto and stored once; an absent one is not computed.
+#[derive(Debug, Default)]
+pub struct MomentOut<'a> {
+    pub m0: Option<&'a mut [f64]>,
+    pub m1: Option<&'a mut [f64]>,
+    pub m2: Option<&'a mut [f64]>,
 }
 
 #[cfg(test)]

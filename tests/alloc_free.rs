@@ -2,8 +2,9 @@
 //!
 //! The ISSUE-3 acceptance gate: once an operator and its workspace exist,
 //! evaluating the collisionless RHS, the LBO collision RHS, and the
-//! moment reductions (each through either kernel path — generated
-//! unrolled kernels and runtime sparse) must perform **zero heap
+//! moment reductions — the current, the LBO's primitive moments and the
+//! particle energy (each through either kernel path — generated
+//! unrolled kernels and runtime sparse) — must perform **zero heap
 //! allocations** — every
 //! buffer, index scratch, staging slice, and weak-solve factorization
 //! lives in persistent scratch. A counting global allocator enforces this
@@ -24,7 +25,9 @@ use vlasov_dg::core::app::{App, AppBuilder, FieldSpec, SpeciesSpec};
 use vlasov_dg::core::backend::Backend;
 use vlasov_dg::core::blocks::BlockRhs;
 use vlasov_dg::core::lbo::LboOp;
-use vlasov_dg::core::moments::{accumulate_current, MomentScratch};
+use vlasov_dg::core::moments::{
+    accumulate_current, kinetic_energy, raw_moments_range_into, MomentScratch,
+};
 use vlasov_dg::core::species::{maxwellian, Species};
 use vlasov_dg::core::ssprk::SspRk3;
 use vlasov_dg::core::vlasov::{FluxKind, VlasovOp, VlasovWorkspace};
@@ -321,7 +324,30 @@ fn rhs_and_lbo_loops_allocate_nothing() {
             n, 0,
             "moment accumulation ({path:?}) allocated {n} times in the hot loop"
         );
+        // The LBO's primitive-moment sweep on its own (the LBO RHS above
+        // runs it too), one block call per configuration cell.
+        let (mut m0, mut m2) = (rho_out.clone(), rho_out.clone());
+        let mut m1 = DgField::zeros(nconf, grid.vdim() * kernels.nc());
+        let n = count_allocs(|| {
+            raw_moments_range_into(
+                &kernels,
+                &grid,
+                &sp.f,
+                &mut m0,
+                &mut m1,
+                &mut m2,
+                &mws,
+                0..nconf,
+            );
+        });
+        assert_eq!(n, 0, "raw moments ({path:?}) allocated {n} times");
     }
+    // The particle energy the probes and the ensemble sampler read: one
+    // block call per configuration cell into a stack buffer, no field.
+    let n = count_allocs(|| {
+        std::hint::black_box(kinetic_energy(&kernels, &grid, sp.mass, &sp.f));
+    });
+    assert_eq!(n, 0, "kinetic energy allocated {n} times");
 
     // --- Cell-block threaded sweep: the full coupled RHS (kinetic sweep
     // on the worker pool + LBO + wall ledger + field/moment coupling) must

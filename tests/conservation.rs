@@ -6,16 +6,26 @@
 //! * total energy (particles + fields): conserved by the semi-discrete
 //!   scheme with central fluxes for Maxwell (and |v|² in the basis, p ≥ 2),
 //!   so the fully discrete drift must shrink at the SSP-RK3 rate ~dt²;
-//! * with the LBO collision operator switched on, density stays exact.
+//! * with the LBO collision operator switched on, density stays exact;
+//! * the energy exchange itself, semi-discretely and with no stepper: the
+//!   particle energy the Vlasov RHS moves is `∫ J·E` with the moment
+//!   kernels' current, on every registry row with p ≥ 2.
 
+use proptest::prelude::*;
 use vlasov_dg::basis::BasisKind;
 use vlasov_dg::core::app::{App, AppBuilder, FieldSpec, SpeciesSpec};
 use vlasov_dg::core::backend::Backend;
+use vlasov_dg::core::moments::{
+    accumulate_current, energy_density, mode0_integral_weights, MomentScratch,
+};
 use vlasov_dg::core::species::maxwellian;
 use vlasov_dg::core::system::{FluxKind, SystemState};
+use vlasov_dg::core::vlasov::{VlasovOp, VlasovWorkspace};
 use vlasov_dg::diag::EnergyHistory;
-use vlasov_dg::kernels::DispatchPath;
-use vlasov_dg::maxwell::MaxwellFlux;
+use vlasov_dg::grid::{Bc, CartGrid, DgField, PhaseGrid};
+use vlasov_dg::kernels::dispatch::registry;
+use vlasov_dg::kernels::{kernels_for, DispatchPath};
+use vlasov_dg::maxwell::{MaxwellFlux, NCOMP};
 
 fn langmuir_app(p: usize, vlasov_flux: FluxKind, mx_flux: MaxwellFlux) -> App {
     let k = 0.5;
@@ -282,6 +292,81 @@ fn full_dimensionality_generated_run_conserves_and_matches_runtime() {
                 (a - b).abs() < 1e-11 * scale,
                 "cell {c}: paths diverged after 10 steps: {a} vs {b}"
             );
+        }
+    }
+}
+
+/// Deterministic pseudo-random value in (−1, 1) from a seed and two
+/// indices (the proptest shim drives the seed).
+fn noise(seed: usize, a: usize, b: usize) -> f64 {
+    (((seed * 7919 + a * 131 + b * 17) as f64) * 0.618_033_988_7).sin()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+    /// The semi-discrete energy exchange of Juno et al. (2018), which the
+    /// paper's §II builds on: with `|v|²` in the basis (p ≥ 2), periodic
+    /// configuration directions and zero-flux velocity boundaries, the
+    /// particle energy the Vlasov RHS moves, `½ m ∫ v² L(f)` (the `M2` of
+    /// `VlasovOp::accumulate_rhs`'s output), equals `∫ J·E` with `J` from
+    /// `accumulate_current` — for random `f`, `E`, `B` and `q/m`, with
+    /// either Vlasov flux, on every registry row with p ≥ 2, to round-off
+    /// (relative 1e-11 of the largest per-cell term).
+    #[test]
+    fn energy_exchange_identity_holds_semi_discretely(
+        seed in 0usize..10_000,
+        qm in -3.0..3.0f64,
+        mass in 0.2..5.0f64,
+    ) {
+        for row in registry().iter().filter(|r| r.key.poly_order >= 2) {
+            let kernels = kernels_for(row.key.kind, row.key.layout(), row.key.poly_order);
+            let (cdim, vdim, np, nc) = (row.key.cdim, row.key.vdim, kernels.np(), kernels.nc());
+            let conf_cells = if cdim == 1 { 3 } else { 2 };
+            let grid = PhaseGrid::new(
+                CartGrid::new(&vec![0.0; cdim], &vec![1.5; cdim], &vec![conf_cells; cdim]),
+                CartGrid::new(&vec![-4.0; vdim], &vec![5.0; vdim], &vec![3; vdim]),
+                vec![Bc::Periodic; cdim],
+            );
+            let (nconf, nv) = (grid.conf.len(), grid.vel.len());
+            let mut f = DgField::zeros(nconf * nv, np);
+            for c in 0..f.ncells() {
+                for (l, x) in f.cell_mut(c).iter_mut().enumerate() {
+                    *x = noise(seed, c, l);
+                }
+            }
+            // Random E and B; the trailing potentials stay zero.
+            let mut em = DgField::zeros(nconf, NCOMP * nc);
+            for c in 0..nconf {
+                for (i, x) in em.cell_mut(c)[..6 * nc].iter_mut().enumerate() {
+                    *x = noise(seed + 1, c, i);
+                }
+            }
+            let charge = qm * mass;
+            let mut j = DgField::zeros(nconf, 3 * nc);
+            let mut mom = MomentScratch::for_kernels(&kernels);
+            accumulate_current(&kernels, &grid, charge, &f, &mut j, None, 0..nconf, &mut mom);
+            let (jx, w) = mode0_integral_weights(&grid);
+            let joule: Vec<f64> = (0..nconf)
+                .map(|c| {
+                    let (e, jc) = (em.cell(c), j.cell(c));
+                    jx * (0..3 * nc).map(|i| e[i] * jc[i]).sum::<f64>()
+                })
+                .collect();
+            for flux in [FluxKind::Central, FluxKind::Upwind] {
+                let op = VlasovOp::new(kernels.clone(), grid.clone(), flux);
+                let mut out = DgField::zeros(f.ncells(), np);
+                op.accumulate_rhs(qm, &f, &em, &mut out, &mut VlasovWorkspace::for_kernels(&kernels));
+                let m2 = energy_density(&kernels, &grid, &out);
+                let heating: Vec<f64> =
+                    (0..nconf).map(|c| 0.5 * mass * jx * w * m2.cell(c)[0]).collect();
+                let (lhs, rhs) = (heating.iter().sum::<f64>(), joule.iter().sum::<f64>());
+                let scale = heating.iter().chain(&joule).fold(0.0f64, |m, t| m.max(t.abs()));
+                prop_assert!(
+                    (lhs - rhs).abs() <= 1e-11 * scale,
+                    "{} {flux:?}: ½m∫v²L(f) = {lhs:e} vs ∫J·E = {rhs:e} (largest term {scale:e})",
+                    row.surface.name
+                );
+            }
         }
     }
 }
